@@ -12,15 +12,16 @@
 
 use std::collections::{HashMap, HashSet};
 
+use recipe_core::wire::{tag, Reader, Writer};
 use recipe_core::{ClientReply, ClientRequest, Membership, Operation};
 use recipe_kv::{PartitionedKvStore, StoreConfig, Timestamp};
 use recipe_net::NodeId;
 use recipe_sim::{Ctx, Replica};
-use serde::{Deserialize, Serialize};
 
 /// Damysus protocol messages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum DamysusMsg {
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum DamysusMsg {
     /// Leader → replicas: proposal for a slot.
     Propose { slot: u64, request: ClientRequest },
     /// Replica → leader: phase-1 vote (accumulated into a prepare certificate).
@@ -31,6 +32,63 @@ enum DamysusMsg {
     CommitVote { slot: u64, replica: u64 },
     /// Leader → replicas: decision; execute the slot.
     Decide { slot: u64 },
+}
+
+impl DamysusMsg {
+    /// Wire form: `tag | variant | slot |` then the request
+    /// ([`ClientRequest::write`]), the voting replica, or nothing.
+    pub fn encode(&self) -> Vec<u8> {
+        let rest_len = match self {
+            DamysusMsg::Propose { request, .. } => request.wire_len(),
+            _ => 8,
+        };
+        let mut w = Writer::tagged(tag::DAMYSUS, 2 + 8 + rest_len);
+        match self {
+            DamysusMsg::Propose { slot, request } => {
+                w.u8(0).u64(*slot);
+                request.write(&mut w);
+            }
+            DamysusMsg::PrepareVote { slot, replica } => {
+                w.u8(1).u64(*slot).u64(*replica);
+            }
+            DamysusMsg::PreCommit { slot } => {
+                w.u8(2).u64(*slot);
+            }
+            DamysusMsg::CommitVote { slot, replica } => {
+                w.u8(3).u64(*slot).u64(*replica);
+            }
+            DamysusMsg::Decide { slot } => {
+                w.u8(4).u64(*slot);
+            }
+        }
+        w.finish()
+    }
+
+    /// Parses a message; `None` on anything but one well-formed encoding.
+    pub fn decode(bytes: &[u8]) -> Option<DamysusMsg> {
+        let mut r = Reader::tagged(bytes, tag::DAMYSUS)?;
+        let variant = r.u8()?;
+        let slot = r.u64()?;
+        let msg = match variant {
+            0 => DamysusMsg::Propose {
+                slot,
+                request: ClientRequest::read(&mut r)?,
+            },
+            1 => DamysusMsg::PrepareVote {
+                slot,
+                replica: r.u64()?,
+            },
+            2 => DamysusMsg::PreCommit { slot },
+            3 => DamysusMsg::CommitVote {
+                slot,
+                replica: r.u64()?,
+            },
+            4 => DamysusMsg::Decide { slot },
+            _ => return None,
+        };
+        r.finish()?;
+        Some(msg)
+    }
 }
 
 #[derive(Debug, Default)]
@@ -87,17 +145,11 @@ impl DamysusReplica {
     }
 
     fn send(&self, ctx: &mut Ctx, dst: NodeId, msg: &DamysusMsg) {
-        ctx.send(
-            dst,
-            // recipe-lint: allow(unwrap-in-lib, reason = "serializing a self-owned in-memory message cannot fail")
-            serde_json::to_vec(msg).expect("damysus message serializes"),
-        );
+        ctx.send(dst, msg.encode());
     }
 
     fn broadcast(&self, ctx: &mut Ctx, msg: &DamysusMsg) {
-        for peer in self.membership.peers_of(self.id) {
-            self.send(ctx, peer, msg);
-        }
+        ctx.broadcast(&self.membership.peers_of(self.id), msg.encode());
     }
 
     fn execute(&mut self, slot: u64, ctx: &mut Ctx) {
@@ -223,7 +275,7 @@ impl Replica for DamysusReplica {
     }
 
     fn on_message(&mut self, from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
-        if let Ok(msg) = serde_json::from_slice::<DamysusMsg>(bytes) {
+        if let Some(msg) = DamysusMsg::decode(bytes) {
             self.handle(from, msg, ctx);
         }
     }

@@ -21,8 +21,8 @@
 pub mod damysus;
 pub mod pbft;
 
-pub use damysus::DamysusReplica;
-pub use pbft::PbftReplica;
+pub use damysus::{DamysusMsg, DamysusReplica};
+pub use pbft::{PbftMsg, PbftReplica};
 
 /// Descriptor of a replication protocol's resource properties (paper Table 2).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -18,30 +18,34 @@
 
 use std::collections::{HashMap, HashSet};
 
+use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{ClientReply, ClientRequest, Membership, Operation};
 use recipe_kv::{PartitionedKvStore, StoreConfig, Timestamp};
 use recipe_net::NodeId;
 use recipe_protocols::{BatchConfig, Batcher};
 use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnVote};
-use serde::{Deserialize, Serialize};
 
 /// Timer token: flush partially-filled batches (time-budget trigger).
 const TOKEN_BATCH_FLUSH: u64 = 1;
 
 /// PBFT protocol messages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum PbftMsg {
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum PbftMsg {
+    /// Primary → replicas: order `request` at `(view, seq)`.
     PrePrepare {
         view: u64,
         seq: u64,
         request: ClientRequest,
     },
+    /// Replica → all: `replica` accepts `digest` at `(view, seq)`.
     Prepare {
         view: u64,
         seq: u64,
         digest: u64,
         replica: u64,
     },
+    /// Replica → all: `replica` saw a prepare quorum for `digest`.
     Commit {
         view: u64,
         seq: u64,
@@ -50,11 +54,92 @@ enum PbftMsg {
     },
 }
 
-/// A coalesced frame of serialized [`PbftMsg`]s (the native-wire counterpart of
-/// the Recipe protocols' batch frames).
-#[derive(Serialize, Deserialize)]
-struct PbftBatch {
-    msgs: Vec<Vec<u8>>,
+impl PbftMsg {
+    /// Wire form: `tag | variant | view | seq |` then the request
+    /// ([`ClientRequest::write`]) or `digest | replica`.
+    pub fn encode(&self) -> Vec<u8> {
+        let rest_len = match self {
+            PbftMsg::PrePrepare { request, .. } => request.wire_len(),
+            PbftMsg::Prepare { .. } | PbftMsg::Commit { .. } => 2 * 8,
+        };
+        let mut w = Writer::tagged(tag::PBFT, 2 + 2 * 8 + rest_len);
+        match self {
+            PbftMsg::PrePrepare { view, seq, request } => {
+                w.u8(0).u64(*view).u64(*seq);
+                request.write(&mut w);
+            }
+            PbftMsg::Prepare {
+                view,
+                seq,
+                digest,
+                replica,
+            } => {
+                w.u8(1).u64(*view).u64(*seq).u64(*digest).u64(*replica);
+            }
+            PbftMsg::Commit {
+                view,
+                seq,
+                digest,
+                replica,
+            } => {
+                w.u8(2).u64(*view).u64(*seq).u64(*digest).u64(*replica);
+            }
+        }
+        w.finish()
+    }
+
+    /// Parses a message; `None` on anything but one well-formed encoding.
+    pub fn decode(bytes: &[u8]) -> Option<PbftMsg> {
+        let mut r = Reader::tagged(bytes, tag::PBFT)?;
+        let variant = r.u8()?;
+        let (view, seq) = (r.u64()?, r.u64()?);
+        let msg = match variant {
+            0 => PbftMsg::PrePrepare {
+                view,
+                seq,
+                request: ClientRequest::read(&mut r)?,
+            },
+            1 => PbftMsg::Prepare {
+                view,
+                seq,
+                digest: r.u64()?,
+                replica: r.u64()?,
+            },
+            2 => PbftMsg::Commit {
+                view,
+                seq,
+                digest: r.u64()?,
+                replica: r.u64()?,
+            },
+            _ => return None,
+        };
+        r.finish()?;
+        Some(msg)
+    }
+}
+
+/// Encodes a coalesced frame of encoded [`PbftMsg`]s (the native-wire
+/// counterpart of the Recipe protocols' batch frames):
+/// `tag | count u32 | (len u32, msg)*`.
+pub fn encode_batch(msgs: &[Vec<u8>]) -> Vec<u8> {
+    let mut w = Writer::tagged(
+        tag::PBFT_BATCH,
+        1 + 4 + msgs.iter().map(|m| bytes_len(m.len())).sum::<usize>(),
+    );
+    w.count(msgs.len());
+    for msg in msgs {
+        w.bytes(msg);
+    }
+    w.finish()
+}
+
+/// Decodes a frame written by [`encode_batch`] into its messages; a message
+/// that does not parse fails the whole frame.
+pub fn decode_batch(bytes: &[u8]) -> Option<Vec<PbftMsg>> {
+    let mut r = Reader::tagged(bytes, tag::PBFT_BATCH)?;
+    let msgs = r.seq(bytes_len(0), |r| PbftMsg::decode(r.bytes()?))?;
+    r.finish()?;
+    Some(msgs)
 }
 
 #[derive(Debug, Default)]
@@ -148,9 +233,7 @@ impl PbftReplica {
         })
     }
 
-    fn send(&mut self, ctx: &mut Ctx, dst: NodeId, msg: &PbftMsg) {
-        // recipe-lint: allow(unwrap-in-lib, reason = "serializing a self-owned in-memory message cannot fail")
-        let payload = serde_json::to_vec(msg).expect("pbft message serializes");
+    fn send(&mut self, ctx: &mut Ctx, dst: NodeId, payload: Vec<u8>) {
         if !self.batcher.is_batching() {
             ctx.send(dst, payload);
             return;
@@ -161,20 +244,15 @@ impl PbftReplica {
 
     fn send_frame(ctx: &mut Ctx, dst: NodeId, ops: Vec<recipe_core::BatchOp>) {
         let count = ops.len() as u32;
-        let frame = PbftBatch {
-            msgs: ops.into_iter().map(|op| op.payload).collect(),
-        };
-        ctx.send_batch(
-            dst,
-            // recipe-lint: allow(unwrap-in-lib, reason = "serializing a self-owned in-memory frame cannot fail")
-            serde_json::to_vec(&frame).expect("pbft batch serializes"),
-            count,
-        );
+        let msgs: Vec<Vec<u8>> = ops.into_iter().map(|op| op.payload).collect();
+        ctx.send_batch(dst, encode_batch(&msgs), count);
     }
 
+    /// Encodes `msg` once and sends a copy to every peer.
     fn broadcast(&mut self, ctx: &mut Ctx, msg: &PbftMsg) {
+        let payload = msg.encode();
         for peer in self.membership.peers_of(self.id) {
-            self.send(ctx, peer, msg);
+            self.send(ctx, peer, payload.clone());
         }
     }
 
@@ -356,14 +434,18 @@ impl Replica for PbftReplica {
     }
 
     fn on_message(&mut self, _from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
-        if let Ok(msg) = serde_json::from_slice::<PbftMsg>(bytes) {
-            self.handle(msg, ctx);
-        } else if let Ok(batch) = serde_json::from_slice::<PbftBatch>(bytes) {
-            for payload in batch.msgs {
-                if let Ok(msg) = serde_json::from_slice::<PbftMsg>(&payload) {
+        match bytes.first() {
+            Some(&tag::PBFT) => {
+                if let Some(msg) = PbftMsg::decode(bytes) {
                     self.handle(msg, ctx);
                 }
             }
+            Some(&tag::PBFT_BATCH) => {
+                for msg in decode_batch(bytes).unwrap_or_default() {
+                    self.handle(msg, ctx);
+                }
+            }
+            _ => {}
         }
     }
 

@@ -22,7 +22,10 @@ use recipe_net::{ChannelId, NodeId};
 use recipe_tee::Enclave;
 
 use crate::error::RecipeError;
-use crate::message::{BatchFrame, BatchOp, SequenceTuple, ShieldedMessage, TxnBody, TxnFrame};
+use crate::message::{
+    decode_ciphertext, encode_ciphertext, BatchFrame, BatchOp, SequenceTuple, ShieldedMessage,
+    TxnBody, TxnFrame,
+};
 use crate::policy::ConfidentialityMode;
 
 /// Label under which the cluster-wide value/message cipher key is provisioned.
@@ -374,12 +377,7 @@ impl AuthLayer {
         let (wire_payload, confidential) = if self.confidentiality.is_confidential() {
             let cipher = self.enclave.cipher(CIPHER_LABEL)?;
             let nonce = Self::payload_nonce(&channel, counter);
-            let ct = cipher.seal(nonce, payload);
-            (
-                // recipe-lint: allow(unwrap-in-lib, reason = "serializing the just-built ciphertext cannot fail")
-                serde_json::to_vec(&ct).expect("ciphertext serializes"),
-                true,
-            )
+            (encode_ciphertext(&cipher.seal(nonce, payload)), true)
         } else {
             (payload.to_vec(), false)
         };
@@ -832,8 +830,7 @@ impl AuthLayer {
     }
 
     fn decrypt(&self, body: &[u8]) -> Result<Vec<u8>, RecipeError> {
-        let ct: recipe_crypto::Ciphertext =
-            serde_json::from_slice(body).map_err(|_| RecipeError::Malformed("ciphertext"))?;
+        let ct = decode_ciphertext(body).ok_or(RecipeError::Malformed("ciphertext"))?;
         self.open_ciphertext(&ct)
     }
 

@@ -34,6 +34,7 @@ pub mod node;
 pub mod policy;
 pub mod recovery;
 pub mod view;
+pub mod wire;
 
 pub use auth::{AuthLayer, BatchVerifyOutcome, TxnVerifyOutcome, VerifyOutcome};
 pub use client_table::ClientTable;

@@ -1,10 +1,12 @@
 //! Message formats: client requests, shielded replica-to-replica messages and the
 //! sequence tuples that make equivocation detectable.
 
-use recipe_crypto::{Ciphertext, MacTag, Signature};
-use recipe_net::ChannelId;
+use recipe_crypto::{Ciphertext, MacTag, Nonce, Signature};
+use recipe_net::{ChannelId, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+use crate::wire::{bytes_len, tag, Reader, Writer};
 
 /// The per-message sequence tuple `t = (view, cq, cnt_cq)` of Algorithm 1.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -18,14 +20,92 @@ pub struct SequenceTuple {
 }
 
 impl SequenceTuple {
-    /// Canonical byte encoding folded into the MAC.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(32);
-        bytes.extend_from_slice(&self.view.to_le_bytes());
-        bytes.extend_from_slice(&self.channel.src.0.to_le_bytes());
-        bytes.extend_from_slice(&self.channel.dst.0.to_le_bytes());
-        bytes.extend_from_slice(&self.counter.to_le_bytes());
+    /// Length of [`SequenceTuple::to_bytes`].
+    pub const LEN: usize = 32;
+
+    /// Canonical byte encoding: folded into the MAC and written on the wire
+    /// (`view | src | dst | counter`, little-endian `u64`s).
+    pub fn to_bytes(&self) -> [u8; Self::LEN] {
+        let mut bytes = [0u8; Self::LEN];
+        bytes[..8].copy_from_slice(&self.view.to_le_bytes());
+        bytes[8..16].copy_from_slice(&self.channel.src.0.to_le_bytes());
+        bytes[16..24].copy_from_slice(&self.channel.dst.0.to_le_bytes());
+        bytes[24..].copy_from_slice(&self.counter.to_le_bytes());
         bytes
+    }
+
+    fn read(r: &mut Reader<'_>) -> Option<SequenceTuple> {
+        let view = r.u64()?;
+        let channel = ChannelId::new(NodeId(r.u64()?), NodeId(r.u64()?));
+        let counter = r.u64()?;
+        Some(SequenceTuple {
+            view,
+            channel,
+            counter,
+        })
+    }
+}
+
+/// Bytes of the header every shielded frame family shares after its tag:
+/// flags byte, sequence tuple, MAC tag.
+const SHIELD_HEADER_LEN: usize = 1 + 1 + SequenceTuple::LEN + recipe_crypto::DIGEST_LEN;
+
+/// Bytes [`write_ciphertext`] produces for `ct`.
+fn ciphertext_len(ct: &Ciphertext) -> usize {
+    bytes_len(ct.wire_len())
+}
+
+/// Writes a ciphertext as `nonce | tag | len u32 | bytes`.
+fn write_ciphertext(w: &mut Writer, ct: &Ciphertext) {
+    w.raw(ct.nonce.as_bytes()).raw(&ct.tag).bytes(&ct.bytes);
+}
+
+/// Reads a ciphertext written by [`write_ciphertext`].
+fn read_ciphertext(r: &mut Reader<'_>) -> Option<Ciphertext> {
+    Some(Ciphertext {
+        nonce: Nonce::from_bytes(r.array()?),
+        tag: r.array()?,
+        bytes: r.bytes()?.to_vec(),
+    })
+}
+
+/// A ciphertext on its own: the payload of a confidential
+/// [`ShieldedMessage`].
+pub(crate) fn encode_ciphertext(ct: &Ciphertext) -> Vec<u8> {
+    let mut w = Writer::with_capacity(ciphertext_len(ct));
+    write_ciphertext(&mut w, ct);
+    w.finish()
+}
+
+/// Parses a payload written by [`encode_ciphertext`].
+pub(crate) fn decode_ciphertext(bytes: &[u8]) -> Option<Ciphertext> {
+    let mut r = Reader::new(bytes);
+    let ct = read_ciphertext(&mut r)?;
+    r.finish()?;
+    Some(ct)
+}
+
+/// Writes the body of a batch or 2PC frame: the sealed ciphertext when there
+/// is one (a sealed frame carries no plaintext body), the plaintext otherwise.
+/// The frame's flags byte says which.
+fn write_body(w: &mut Writer, body: &[u8], sealed: Option<&Ciphertext>) {
+    match sealed {
+        Some(ct) => write_ciphertext(w, ct),
+        None => {
+            w.bytes(body);
+        }
+    }
+}
+
+fn body_len(body: &[u8], sealed: Option<&Ciphertext>) -> usize {
+    sealed.map_or(bytes_len(body.len()), ciphertext_len)
+}
+
+fn read_body(r: &mut Reader<'_>, sealed: bool) -> Option<(Vec<u8>, Option<Ciphertext>)> {
+    if sealed {
+        Some((Vec::new(), Some(read_ciphertext(r)?)))
+    } else {
+        Some((r.bytes()?.to_vec(), None))
     }
 }
 
@@ -37,7 +117,7 @@ impl fmt::Debug for SequenceTuple {
 
 /// A replica-to-replica message shielded by Recipe's authentication layer:
 /// `[h_σ_cq, (metadata, req_data)]` in the paper's notation.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ShieldedMessage {
     /// Sequence tuple (view, channel, counter).
     pub tuple: SequenceTuple,
@@ -85,19 +165,39 @@ impl ShieldedMessage {
         buf.extend_from_slice(tuple_bytes);
     }
 
-    /// Serializes the message for the wire.
+    /// Serializes the message for the wire:
+    /// `tag | confidential | tuple | mac | kind u16 | payload`.
     pub fn to_wire(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("shielded message serializes")
+        let mut w = Writer::tagged(tag::SINGLE, self.wire_len());
+        w.bool(self.confidential)
+            .raw(&self.tuple.to_bytes())
+            .raw(self.mac.as_bytes())
+            .u16(self.kind)
+            .bytes(&self.payload);
+        w.finish()
     }
 
     /// Parses a message from wire bytes.
     pub fn from_wire(bytes: &[u8]) -> Option<ShieldedMessage> {
-        serde_json::from_slice(bytes).ok()
+        let mut r = Reader::tagged(bytes, tag::SINGLE)?;
+        let confidential = r.bool()?;
+        let tuple = SequenceTuple::read(&mut r)?;
+        let mac = MacTag::from_bytes(r.array()?);
+        let kind = r.u16()?;
+        let payload = r.bytes()?.to_vec();
+        r.finish()?;
+        Some(ShieldedMessage {
+            tuple,
+            kind,
+            payload,
+            confidential,
+            mac,
+        })
     }
 
     /// Size on the wire (drives the network cost model).
     pub fn wire_len(&self) -> usize {
-        self.to_wire().len()
+        SHIELD_HEADER_LEN + 2 + bytes_len(self.payload.len())
     }
 }
 
@@ -115,7 +215,7 @@ impl fmt::Debug for ShieldedMessage {
 }
 
 /// One protocol message carried inside a [`BatchFrame`].
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BatchOp {
     /// Protocol-defined message kind (same role as [`ShieldedMessage::kind`]).
     pub kind: u16,
@@ -136,6 +236,9 @@ impl BatchOp {
 /// as a little-endian `u64`; this ASCII prefix decodes to an impossible length.
 const BATCH_MAC_DOMAIN: &[u8] = b"recipe.batch.v1";
 
+/// Wire bytes of a [`BatchOp`] with an empty payload: `kind u16 | len u32`.
+const BATCH_OP_MIN_LEN: usize = 2 + 4;
+
 /// A replica-to-replica frame carrying N protocol messages under **one**
 /// sequence tuple and **one** MAC (the amortized `shield_msg` of the batching
 /// pipeline): the per-message fixed costs of Figure 6a — counter assignment,
@@ -147,7 +250,7 @@ const BATCH_MAC_DOMAIN: &[u8] = b"recipe.batch.v1";
 /// point — per-op envelope overhead is what batching removes), and confidential
 /// mode seals that body with **one** AEAD pass, carried as a typed
 /// [`Ciphertext`] rather than re-serialized bytes.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct BatchFrame {
     /// Sequence tuple (view, channel, counter) — one slot for the whole frame.
     pub tuple: SequenceTuple,
@@ -173,38 +276,49 @@ impl BatchFrame {
     /// sealed in confidential mode): `count u32 | (kind u16, len u32, payload)*`,
     /// all little-endian.
     pub fn encode_ops(ops: &[BatchOp]) -> Vec<u8> {
-        let payload_bytes: usize = ops.iter().map(|op| op.payload.len()).sum();
-        let mut buf = Vec::with_capacity(4 + ops.len() * 6 + payload_bytes);
-        buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+        let mut w = Writer::with_capacity(Self::ops_len(ops));
+        Self::write_ops(&mut w, ops);
+        w.finish()
+    }
+
+    /// Bytes [`BatchFrame::write_ops`] produces for `ops`.
+    pub fn ops_len(ops: &[BatchOp]) -> usize {
+        4 + ops
+            .iter()
+            .map(|op| BATCH_OP_MIN_LEN + op.payload.len())
+            .sum::<usize>()
+    }
+
+    /// Appends the body encoding of `ops` to `w` (what
+    /// [`BatchFrame::encode_ops`] returns; native batch frames put it behind
+    /// their own tag).
+    pub fn write_ops(w: &mut Writer, ops: &[BatchOp]) {
+        w.count(ops.len());
         for op in ops {
-            buf.extend_from_slice(&op.kind.to_le_bytes());
-            buf.extend_from_slice(&(op.payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&op.payload);
+            w.u16(op.kind).bytes(&op.payload);
         }
-        buf
+    }
+
+    /// Reads a body encoding from `r`, leaving whatever follows it.
+    pub fn read_ops(r: &mut Reader<'_>) -> Option<Vec<BatchOp>> {
+        r.seq(BATCH_OP_MIN_LEN, |r| {
+            Some(BatchOp {
+                kind: r.u16()?,
+                payload: r.bytes()?.to_vec(),
+            })
+        })
     }
 
     /// Decodes a frame body back into ops. `None` on any malformed framing
-    /// (truncation, trailing garbage, overlong lengths).
+    /// (truncation, trailing garbage, overlong lengths or counts).
     pub fn decode_ops(body: &[u8]) -> Option<Vec<BatchOp>> {
-        fn take<'a>(body: &'a [u8], at: &mut usize, n: usize) -> Option<&'a [u8]> {
-            let slice = body.get(*at..*at + n)?;
-            *at += n;
-            Some(slice)
-        }
-        let mut at = 0usize;
-        let count = u32::from_le_bytes(take(body, &mut at, 4)?.try_into().ok()?) as usize;
-        let mut ops = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            let kind = u16::from_le_bytes(take(body, &mut at, 2)?.try_into().ok()?);
-            let len = u32::from_le_bytes(take(body, &mut at, 4)?.try_into().ok()?) as usize;
-            let payload = take(body, &mut at, len)?.to_vec();
-            ops.push(BatchOp { kind, payload });
-        }
-        (at == body.len()).then_some(ops)
+        let mut r = Reader::new(body);
+        let ops = Self::read_ops(&mut r)?;
+        r.finish()?;
+        Some(ops)
     }
 
-    /// The bytes covered by the MAC (domain tag, body or nonce‖ciphertext,
+    /// The bytes covered by the MAC (domain tag, body or nonce‖ciphertext‖tag,
     /// confidentiality flag, count, tuple).
     pub fn authenticated_parts<'a>(
         body: &'a [u8],
@@ -237,6 +351,10 @@ impl BatchFrame {
                 buf.extend_from_slice(&(ct.bytes.len() as u64).to_le_bytes());
                 buf.extend_from_slice(ct.nonce.as_bytes());
                 buf.extend_from_slice(&ct.bytes);
+                // The AEAD tag too: a frame whose tag was tampered with must
+                // fail here, before the receive counter advances, or the
+                // intact frame could no longer be delivered.
+                buf.extend_from_slice(&ct.tag);
                 buf.push(1);
             }
         }
@@ -244,19 +362,39 @@ impl BatchFrame {
         buf.extend_from_slice(tuple_bytes);
     }
 
-    /// Serializes the frame for the wire.
+    /// Serializes the frame for the wire:
+    /// `tag | sealed | tuple | mac | count u32 | body or ciphertext`.
     pub fn to_wire(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("batch frame serializes")
+        let mut w = Writer::tagged(tag::BATCH, self.wire_len());
+        w.bool(self.is_confidential())
+            .raw(&self.tuple.to_bytes())
+            .raw(self.mac.as_bytes())
+            .u32(self.count);
+        write_body(&mut w, &self.body, self.sealed.as_ref());
+        w.finish()
     }
 
     /// Parses a frame from wire bytes.
     pub fn from_wire(bytes: &[u8]) -> Option<BatchFrame> {
-        serde_json::from_slice(bytes).ok()
+        let mut r = Reader::tagged(bytes, tag::BATCH)?;
+        let is_sealed = r.bool()?;
+        let tuple = SequenceTuple::read(&mut r)?;
+        let mac = MacTag::from_bytes(r.array()?);
+        let count = r.u32()?;
+        let (body, sealed) = read_body(&mut r, is_sealed)?;
+        r.finish()?;
+        Some(BatchFrame {
+            tuple,
+            count,
+            body,
+            sealed,
+            mac,
+        })
     }
 
     /// Size on the wire (drives the network cost model).
     pub fn wire_len(&self) -> usize {
-        self.to_wire().len()
+        SHIELD_HEADER_LEN + 4 + body_len(&self.body, self.sealed.as_ref())
     }
 }
 
@@ -293,6 +431,40 @@ pub enum Operation {
 }
 
 impl Operation {
+    /// Wire bytes of the smallest operation: variant byte plus an empty key.
+    const MIN_LEN: usize = 1 + 4;
+
+    /// Appends the wire encoding: `0 | key | value` for a put, `1 | key` for
+    /// a get.
+    pub fn write(&self, w: &mut Writer) {
+        match self {
+            Operation::Put { key, value } => w.u8(0).bytes(key).bytes(value),
+            Operation::Get { key } => w.u8(1).bytes(key),
+        };
+    }
+
+    /// Bytes [`Operation::write`] produces.
+    pub fn wire_len(&self) -> usize {
+        match self {
+            Operation::Put { key, value } => 1 + bytes_len(key.len()) + bytes_len(value.len()),
+            Operation::Get { key } => 1 + bytes_len(key.len()),
+        }
+    }
+
+    /// Reads one operation.
+    pub fn read(r: &mut Reader<'_>) -> Option<Operation> {
+        match r.u8()? {
+            0 => Some(Operation::Put {
+                key: r.bytes()?.to_vec(),
+                value: r.bytes()?.to_vec(),
+            }),
+            1 => Some(Operation::Get {
+                key: r.bytes()?.to_vec(),
+            }),
+            _ => None,
+        }
+    }
+
     /// True for writes.
     pub fn is_write(&self) -> bool {
         matches!(self, Operation::Put { .. })
@@ -377,7 +549,7 @@ const TXN_MAC_DOMAIN: &[u8] = b"recipe.txn.v1";
 /// counter-stamped (and AEAD-sealed when any participant shard's policy is
 /// confidential) — the untrusted infrastructure never observes or forges a
 /// 2PC decision.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TxnBody {
     /// Coordinator → participant: lock the touched keys and stage the writes.
     Prepare {
@@ -407,7 +579,7 @@ pub enum TxnBody {
 /// under the channel key together with the transaction id and the sequence
 /// tuple, with its own MAC domain (`recipe.txn.v1`) so 2PC frames, batch
 /// frames and single messages can never be confused for one another.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct TxnFrame {
     /// Sequence tuple (view, channel, counter) — one slot per frame, so a
     /// replayed or reordered 2PC frame is rejected by the trusted counter.
@@ -430,17 +602,57 @@ impl TxnFrame {
         self.sealed.is_some()
     }
 
-    /// Serializes a body for framing.
+    /// Serializes a body for framing: `tag | variant | fields`.
     pub fn encode_body(body: &TxnBody) -> Vec<u8> {
-        serde_json::to_vec(body).expect("txn body serializes")
+        let ops_len = match body {
+            TxnBody::Prepare { ops } => ops.iter().map(Operation::wire_len).sum(),
+            _ => 0,
+        };
+        let mut w = Writer::tagged(tag::TXN_BODY, 8 + ops_len);
+        match body {
+            TxnBody::Prepare { ops } => {
+                w.u8(0).count(ops.len());
+                for op in ops {
+                    op.write(&mut w);
+                }
+            }
+            TxnBody::Vote { granted, conflict } => {
+                w.u8(1).bool(*granted).opt_bytes(conflict.as_deref());
+            }
+            TxnBody::Commit => {
+                w.u8(2);
+            }
+            TxnBody::Abort => {
+                w.u8(3);
+            }
+            TxnBody::Ack { applied } => {
+                w.u8(4).u32(*applied);
+            }
+        }
+        w.finish()
     }
 
     /// Decodes a frame body. `None` on malformed bytes.
     pub fn decode_body(bytes: &[u8]) -> Option<TxnBody> {
-        serde_json::from_slice(bytes).ok()
+        let mut r = Reader::tagged(bytes, tag::TXN_BODY)?;
+        let body = match r.u8()? {
+            0 => TxnBody::Prepare {
+                ops: r.seq(Operation::MIN_LEN, Operation::read)?,
+            },
+            1 => TxnBody::Vote {
+                granted: r.bool()?,
+                conflict: r.opt_bytes()?.map(<[u8]>::to_vec),
+            },
+            2 => TxnBody::Commit,
+            3 => TxnBody::Abort,
+            4 => TxnBody::Ack { applied: r.u32()? },
+            _ => return None,
+        };
+        r.finish()?;
+        Some(body)
     }
 
-    /// The bytes covered by the MAC (domain tag, body or nonce‖ciphertext,
+    /// The bytes covered by the MAC (domain tag, body or nonce‖ciphertext‖tag,
     /// confidentiality flag, txn id, tuple).
     pub fn authenticated_parts<'a>(
         body: &'a [u8],
@@ -473,6 +685,10 @@ impl TxnFrame {
                 buf.extend_from_slice(&(ct.bytes.len() as u64).to_le_bytes());
                 buf.extend_from_slice(ct.nonce.as_bytes());
                 buf.extend_from_slice(&ct.bytes);
+                // The AEAD tag too: a frame whose tag was tampered with must
+                // fail here, before the receive counter advances, or the
+                // intact frame could no longer be delivered.
+                buf.extend_from_slice(&ct.tag);
                 buf.push(1);
             }
         }
@@ -480,19 +696,39 @@ impl TxnFrame {
         buf.extend_from_slice(tuple_bytes);
     }
 
-    /// Serializes the frame for the wire.
+    /// Serializes the frame for the wire:
+    /// `tag | sealed | tuple | mac | txn_id u64 | body or ciphertext`.
     pub fn to_wire(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("txn frame serializes")
+        let mut w = Writer::tagged(tag::TXN, self.wire_len());
+        w.bool(self.is_confidential())
+            .raw(&self.tuple.to_bytes())
+            .raw(self.mac.as_bytes())
+            .u64(self.txn_id);
+        write_body(&mut w, &self.body, self.sealed.as_ref());
+        w.finish()
     }
 
     /// Parses a frame from wire bytes.
     pub fn from_wire(bytes: &[u8]) -> Option<TxnFrame> {
-        serde_json::from_slice(bytes).ok()
+        let mut r = Reader::tagged(bytes, tag::TXN)?;
+        let is_sealed = r.bool()?;
+        let tuple = SequenceTuple::read(&mut r)?;
+        let mac = MacTag::from_bytes(r.array()?);
+        let txn_id = r.u64()?;
+        let (body, sealed) = read_body(&mut r, is_sealed)?;
+        r.finish()?;
+        Some(TxnFrame {
+            tuple,
+            txn_id,
+            body,
+            sealed,
+            mac,
+        })
     }
 
     /// Size on the wire (drives the network cost model).
     pub fn wire_len(&self) -> usize {
-        self.to_wire().len()
+        SHIELD_HEADER_LEN + 8 + body_len(&self.body, self.sealed.as_ref())
     }
 }
 
@@ -526,24 +762,72 @@ pub struct ClientRequest {
 }
 
 impl ClientRequest {
-    /// Bytes covered by the client signature.
+    /// Wire bytes of everything but the operation: two ids and the signature
+    /// presence byte.
+    const FIXED_LEN: usize = 8 + 8 + 1;
+
+    /// Bytes covered by the client signature:
+    /// `client_id | request_id | operation`.
     pub fn signing_bytes(&self) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&self.client_id.to_le_bytes());
-        bytes.extend_from_slice(&self.request_id.to_le_bytes());
-        bytes
-            .extend_from_slice(&serde_json::to_vec(&self.operation).expect("operation serializes"));
-        bytes
+        let mut w = Writer::with_capacity(16 + self.operation.wire_len());
+        w.u64(self.client_id).u64(self.request_id);
+        self.operation.write(&mut w);
+        w.finish()
     }
 
-    /// Serializes the request for embedding into a shielded payload.
+    /// Appends the request's fields (no family tag), for protocol messages
+    /// that embed a request: `client_id | request_id | operation | signed |
+    /// signature?`.
+    pub fn write(&self, w: &mut Writer) {
+        w.u64(self.client_id).u64(self.request_id);
+        self.operation.write(w);
+        w.bool(self.signature.is_some());
+        if let Some(signature) = &self.signature {
+            w.raw(signature.as_bytes());
+        }
+    }
+
+    /// Bytes [`ClientRequest::write`] produces.
+    pub fn wire_len(&self) -> usize {
+        Self::FIXED_LEN
+            + self.operation.wire_len()
+            + self
+                .signature
+                .map_or(0, |_| recipe_crypto::sig::SIGNATURE_LEN)
+    }
+
+    /// Reads the fields written by [`ClientRequest::write`].
+    pub fn read(r: &mut Reader<'_>) -> Option<ClientRequest> {
+        let client_id = r.u64()?;
+        let request_id = r.u64()?;
+        let operation = Operation::read(r)?;
+        let signature = if r.bool()? {
+            Some(Signature::from_bytes(r.array()?))
+        } else {
+            None
+        };
+        Some(ClientRequest {
+            client_id,
+            request_id,
+            operation,
+            signature,
+        })
+    }
+
+    /// Serializes the request on its own: the family tag, then
+    /// [`ClientRequest::write`].
     pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("client request serializes")
+        let mut w = Writer::tagged(tag::CLIENT_REQUEST, 1 + self.wire_len());
+        self.write(&mut w);
+        w.finish()
     }
 
-    /// Parses a request.
+    /// Parses a request serialized by [`ClientRequest::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Option<ClientRequest> {
-        serde_json::from_slice(bytes).ok()
+        let mut r = Reader::tagged(bytes, tag::CLIENT_REQUEST)?;
+        let request = Self::read(&mut r)?;
+        r.finish()?;
+        Some(request)
     }
 }
 
@@ -608,7 +892,7 @@ mod tests {
         let wire = msg.to_wire();
         assert_eq!(ShieldedMessage::from_wire(&wire).unwrap(), msg);
         assert_eq!(msg.wire_len(), wire.len());
-        assert!(ShieldedMessage::from_wire(b"not json").is_none());
+        assert!(ShieldedMessage::from_wire(b"not a frame").is_none());
     }
 
     #[test]
@@ -645,10 +929,10 @@ mod tests {
         let wire = frame.to_wire();
         assert_eq!(BatchFrame::from_wire(&wire).unwrap(), frame);
         assert_eq!(frame.wire_len(), wire.len());
-        // A batch wire never parses as a single message and vice versa (disjoint
-        // required fields), so the shield can discriminate by try-parsing.
+        // A batch wire never parses as a single message (distinct family
+        // tags), so the shield dispatches on the first byte.
         assert!(ShieldedMessage::from_wire(&wire).is_none());
-        assert!(BatchFrame::from_wire(b"not json").is_none());
+        assert!(BatchFrame::from_wire(b"not a frame").is_none());
         // The MAC input is domain-separated from single-message MAC inputs.
         let single = ShieldedMessage::authenticated_parts(&body, 1, false, &tuple.to_bytes());
         assert_ne!(parts, single);
@@ -764,11 +1048,11 @@ mod tests {
         let wire = frame.to_wire();
         assert_eq!(TxnFrame::from_wire(&wire).unwrap(), frame);
         assert_eq!(frame.wire_len(), wire.len());
-        // A txn frame never parses as a single message or batch frame and vice
-        // versa (disjoint required fields), so the shield can discriminate.
+        // A txn frame never parses as a single message or batch frame
+        // (distinct family tags).
         assert!(ShieldedMessage::from_wire(&wire).is_none());
         assert!(BatchFrame::from_wire(&wire).is_none());
-        assert!(TxnFrame::from_wire(b"not json").is_none());
+        assert!(TxnFrame::from_wire(b"not a frame").is_none());
         // The MAC input is domain-separated from both other frame families.
         let single = ShieldedMessage::authenticated_parts(&body, 1, false, &tuple.to_bytes());
         let batch = BatchFrame::authenticated_parts(&body, None, 1, &tuple.to_bytes());

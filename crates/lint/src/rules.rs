@@ -81,6 +81,11 @@ pub const RULES: &[Rule] = &[
         summary: "a function on an audited send path seals frames without cost-accounting evidence",
     },
     Rule {
+        id: "json-on-wire",
+        family: "shield",
+        summary: "serde_json in replication-plane code (frames and protocol messages use the recipe_core::wire binary codec; JSON is for config and reports)",
+    },
+    Rule {
         id: "unwrap-in-lib",
         family: "hygiene",
         summary: "unwrap/expect in non-test library code (return an error, or suppress with the invariant)",
@@ -155,6 +160,11 @@ const ITER_METHODS: &[&str] = &[
     "extract_if",
 ];
 
+/// The one crate outside `determinism.core_paths` whose messages share the
+/// replication plane's wire: the BFT baselines are compared frame for frame
+/// with the Recipe protocols, so they must use the same codec.
+const BFT_WIRE_PATH: &str = "crates/bft/src/";
+
 /// True for paths that hold test/bench/example/fixture code rather than
 /// shipped library code.
 fn is_test_path(path: &str) -> bool {
@@ -183,6 +193,9 @@ pub fn analyze_file(
         determinism_idents(path, tokens, scopes, &mut out);
         hash_iteration(path, tokens, scopes, &mut out);
         float_arith(path, tokens, scopes, &mut out);
+    }
+    if is_core || (path.starts_with(BFT_WIRE_PATH) && !is_test_path(path)) {
+        json_on_wire(path, tokens, scopes, &mut out);
     }
     if !send_allowed && !is_test_path(path) {
         raw_ctx_send(path, tokens, scopes, &mut out);
@@ -431,6 +444,20 @@ fn raw_ctx_send(path: &str, tokens: &[Token], scopes: &Scopes, out: &mut FileAna
     }
 }
 
+/// json-on-wire: any `serde_json::` path in non-test replication-plane code.
+fn json_on_wire(path: &str, tokens: &[Token], scopes: &Scopes, out: &mut FileAnalysis) {
+    for (i, t) in tokens.iter().enumerate() {
+        if t.is_ident("serde_json") && is_path_sep(tokens, i + 1) && !scopes.in_test[i] {
+            out.findings.push(Finding::new(
+                "json-on-wire",
+                path,
+                t.line,
+                "`serde_json` on the replication plane — frames and protocol messages are charged by wire bytes, so they use the `recipe_core::wire` binary codec; JSON is for config and reports",
+            ));
+        }
+    }
+}
+
 /// Collects `const *DOMAIN* = "…"` constants and checks the
 /// `recipe.<kind>.v<N>` shape.
 fn collect_domains(path: &str, tokens: &[Token], scopes: &Scopes, out: &mut FileAnalysis) {
@@ -669,6 +696,19 @@ mod tests {
         config.send_allowed = vec!["anywhere".into()];
         let clean = analyze_file("anywhere/a.rs", &lexed.tokens, &scopes, &config);
         assert!(clean.findings.is_empty());
+    }
+
+    #[test]
+    fn json_on_wire_covers_core_and_bft_but_not_tests_or_reports() {
+        let src = "fn f(m: &Msg) -> Vec<u8> { serde_json::to_vec(m).unwrap_or_default() }\n\
+                   #[cfg(test)] mod tests { fn g() { serde_json::to_vec(&1); } }";
+        assert_eq!(rules_fired("core/a.rs", src), vec!["json-on-wire"]);
+        assert_eq!(
+            rules_fired("crates/bft/src/pbft.rs", src),
+            vec!["json-on-wire"]
+        );
+        assert!(rules_fired("crates/telemetry/src/export.rs", src).is_empty());
+        assert!(rules_fired("crates/bft/tests/t.rs", src).is_empty());
     }
 
     #[test]

@@ -22,9 +22,8 @@ fn fixtures_dir() -> PathBuf {
 /// The scope each rule's fixtures are linted under.
 fn synthetic_path(rule: &str) -> &'static str {
     match rule {
-        "wall-clock" | "thread-spawn" | "ambient-rng" | "hash-iteration" | "float-arith" => {
-            "crates/core/src/fixture.rs"
-        }
+        "wall-clock" | "thread-spawn" | "ambient-rng" | "hash-iteration" | "float-arith"
+        | "json-on-wire" => "crates/core/src/fixture.rs",
         "uncharged-send" => "crates/shard/src/fixture.rs",
         _ => "crates/kv/src/fixture.rs",
     }

@@ -14,17 +14,19 @@
 
 use std::collections::HashMap;
 
+use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
 use recipe_kv::{PartitionedKvStore, Timestamp};
 use recipe_net::NodeId;
 use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnVote};
-use serde::{Deserialize, Serialize};
 
 use crate::shield::ProtocolShield;
 
-/// ABD protocol messages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum AbdMsg {
+/// ABD protocol messages. `op` is the coordinator's id for the operation a
+/// message belongs to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum AbdMsg {
     /// Round 1 of a write: ask for the key's current timestamp.
     GetTs { op: u64, key: Vec<u8> },
     /// Reply to `GetTs`.
@@ -46,6 +48,95 @@ enum AbdMsg {
         value: Option<Vec<u8>>,
         ts: Timestamp,
     },
+}
+
+impl AbdMsg {
+    /// Wire form: `tag | variant | op | timestamp (logical, node)? | byte
+    /// strings`.
+    pub fn encode(&self) -> Vec<u8> {
+        let strings_len = match self {
+            AbdMsg::GetTs { key, .. } | AbdMsg::GetFull { key, .. } => bytes_len(key.len()),
+            AbdMsg::Put { key, value, .. } => bytes_len(key.len()) + bytes_len(value.len()),
+            AbdMsg::FullReply { value, .. } => 1 + value.as_ref().map_or(0, |v| bytes_len(v.len())),
+            AbdMsg::TsReply { .. } | AbdMsg::PutAck { .. } => 0,
+        };
+        let mut w = Writer::tagged(tag::ABD, 2 + 3 * 8 + strings_len);
+        match self {
+            AbdMsg::GetTs { op, key } => {
+                w.u8(0).u64(*op).bytes(key);
+            }
+            AbdMsg::TsReply { op, ts } => {
+                w.u8(1).u64(*op).u64(ts.logical).u64(ts.node);
+            }
+            AbdMsg::Put { op, key, value, ts } => {
+                w.u8(2)
+                    .u64(*op)
+                    .u64(ts.logical)
+                    .u64(ts.node)
+                    .bytes(key)
+                    .bytes(value);
+            }
+            AbdMsg::PutAck { op } => {
+                w.u8(3).u64(*op);
+            }
+            AbdMsg::GetFull { op, key } => {
+                w.u8(4).u64(*op).bytes(key);
+            }
+            AbdMsg::FullReply { op, value, ts } => {
+                w.u8(5)
+                    .u64(*op)
+                    .u64(ts.logical)
+                    .u64(ts.node)
+                    .opt_bytes(value.as_deref());
+            }
+        }
+        w.finish()
+    }
+
+    /// Parses a message; `None` on anything but one well-formed encoding.
+    pub fn decode(bytes: &[u8]) -> Option<AbdMsg> {
+        fn timestamp(r: &mut Reader<'_>) -> Option<Timestamp> {
+            Some(Timestamp::new(r.u64()?, r.u64()?))
+        }
+        let mut r = Reader::tagged(bytes, tag::ABD)?;
+        let variant = r.u8()?;
+        let op = r.u64()?;
+        let msg = match variant {
+            0 => AbdMsg::GetTs {
+                op,
+                key: r.bytes()?.to_vec(),
+            },
+            1 => AbdMsg::TsReply {
+                op,
+                ts: timestamp(&mut r)?,
+            },
+            2 => {
+                let ts = timestamp(&mut r)?;
+                AbdMsg::Put {
+                    op,
+                    key: r.bytes()?.to_vec(),
+                    value: r.bytes()?.to_vec(),
+                    ts,
+                }
+            }
+            3 => AbdMsg::PutAck { op },
+            4 => AbdMsg::GetFull {
+                op,
+                key: r.bytes()?.to_vec(),
+            },
+            5 => {
+                let ts = timestamp(&mut r)?;
+                AbdMsg::FullReply {
+                    op,
+                    value: r.opt_bytes()?.map(<[u8]>::to_vec),
+                    ts,
+                }
+            }
+            _ => return None,
+        };
+        r.finish()?;
+        Some(msg)
+    }
 }
 
 /// Coordinator-side state of one in-flight operation.
@@ -143,16 +234,20 @@ impl AbdReplica {
         self.membership.quorum()
     }
 
-    fn send(&mut self, ctx: &mut Ctx, dst: NodeId, msg: &AbdMsg) {
-        // recipe-lint: allow(unwrap-in-lib, reason = "serializing a self-owned in-memory message cannot fail")
-        let payload = serde_json::to_vec(msg).expect("abd message serializes");
-        let wire = self.shield.wrap(dst, 1, &payload);
+    fn send_encoded(&mut self, ctx: &mut Ctx, dst: NodeId, payload: &[u8]) {
+        let wire = self.shield.wrap(dst, 1, payload);
         ctx.send(dst, wire);
     }
 
+    fn send(&mut self, ctx: &mut Ctx, dst: NodeId, msg: &AbdMsg) {
+        self.send_encoded(ctx, dst, &msg.encode());
+    }
+
+    /// Encodes `msg` once and shields it per peer.
     fn broadcast(&mut self, ctx: &mut Ctx, msg: &AbdMsg) {
+        let payload = msg.encode();
         for peer in self.membership.peers_of(self.id) {
-            self.send(ctx, peer, msg);
+            self.send_encoded(ctx, peer, &payload);
         }
     }
 
@@ -392,7 +487,7 @@ impl Replica for AbdReplica {
 
     fn on_message(&mut self, from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
         for (_kind, payload) in self.shield.unwrap(from, bytes) {
-            if let Ok(msg) = serde_json::from_slice::<AbdMsg>(&payload) {
+            if let Some(msg) = AbdMsg::decode(&payload) {
                 self.handle(from, msg, ctx);
             }
         }

@@ -19,17 +19,19 @@
 
 use std::collections::{HashMap, HashSet};
 
+use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
 use recipe_kv::{PartitionedKvStore, Timestamp};
 use recipe_net::NodeId;
 use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport};
-use serde::{Deserialize, Serialize};
 
 use crate::shield::ProtocolShield;
 
-/// AllConcur protocol messages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum AllConcurMsg {
+/// AllConcur protocol messages. `op` is the proposer's id for the write a
+/// message belongs to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum AllConcurMsg {
     /// A proposed write, broadcast by its coordinator.
     Propose {
         op: u64,
@@ -40,6 +42,50 @@ enum AllConcurMsg {
     Track { op: u64 },
     /// The proposer observed acknowledgements from all peers: apply the write.
     Deliver { op: u64 },
+}
+
+impl AllConcurMsg {
+    /// Wire form: `tag | variant | op | key? | value?`.
+    pub fn encode(&self) -> Vec<u8> {
+        let entry_len = match self {
+            AllConcurMsg::Propose { key, value, .. } => {
+                bytes_len(key.len()) + bytes_len(value.len())
+            }
+            _ => 0,
+        };
+        let mut w = Writer::tagged(tag::ALLCONCUR, 2 + 8 + entry_len);
+        match self {
+            AllConcurMsg::Propose { op, key, value } => {
+                w.u8(0).u64(*op).bytes(key).bytes(value);
+            }
+            AllConcurMsg::Track { op } => {
+                w.u8(1).u64(*op);
+            }
+            AllConcurMsg::Deliver { op } => {
+                w.u8(2).u64(*op);
+            }
+        }
+        w.finish()
+    }
+
+    /// Parses a message; `None` on anything but one well-formed encoding.
+    pub fn decode(bytes: &[u8]) -> Option<AllConcurMsg> {
+        let mut r = Reader::tagged(bytes, tag::ALLCONCUR)?;
+        let variant = r.u8()?;
+        let op = r.u64()?;
+        let msg = match variant {
+            0 => AllConcurMsg::Propose {
+                op,
+                key: r.bytes()?.to_vec(),
+                value: r.bytes()?.to_vec(),
+            },
+            1 => AllConcurMsg::Track { op },
+            2 => AllConcurMsg::Deliver { op },
+            _ => return None,
+        };
+        r.finish()?;
+        Some(msg)
+    }
 }
 
 #[derive(Debug)]
@@ -116,16 +162,20 @@ impl AllConcurReplica {
         self.shield.rejected()
     }
 
-    fn send(&mut self, ctx: &mut Ctx, dst: NodeId, msg: &AllConcurMsg) {
-        // recipe-lint: allow(unwrap-in-lib, reason = "serializing a self-owned in-memory message cannot fail")
-        let payload = serde_json::to_vec(msg).expect("allconcur message serializes");
-        let wire = self.shield.wrap(dst, 1, &payload);
+    fn send_encoded(&mut self, ctx: &mut Ctx, dst: NodeId, payload: &[u8]) {
+        let wire = self.shield.wrap(dst, 1, payload);
         ctx.send(dst, wire);
     }
 
+    fn send(&mut self, ctx: &mut Ctx, dst: NodeId, msg: &AllConcurMsg) {
+        self.send_encoded(ctx, dst, &msg.encode());
+    }
+
+    /// Encodes `msg` once and shields it per peer.
     fn broadcast(&mut self, ctx: &mut Ctx, msg: &AllConcurMsg) {
+        let payload = msg.encode();
         for peer in self.membership.peers_of(self.id) {
-            self.send(ctx, peer, msg);
+            self.send_encoded(ctx, peer, &payload);
         }
     }
 
@@ -218,7 +268,7 @@ impl Replica for AllConcurReplica {
 
     fn on_message(&mut self, from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
         for (_kind, payload) in self.shield.unwrap(from, bytes) {
-            if let Ok(msg) = serde_json::from_slice::<AllConcurMsg>(&payload) {
+            if let Some(msg) = AllConcurMsg::decode(&payload) {
                 self.handle(from, msg, ctx);
             }
         }

@@ -8,11 +8,11 @@
 //! can verify the integrity of its local store (paper §B.2, choice C). Local tail
 //! reads are why R-CR shows the largest speedups on read-heavy workloads (Figure 4).
 
+use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
 use recipe_kv::{PartitionedKvStore, Timestamp};
 use recipe_net::NodeId;
 use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnVote};
-use serde::{Deserialize, Serialize};
 
 use crate::batch::{BatchConfig, Batcher};
 use crate::shield::ProtocolShield;
@@ -21,8 +21,9 @@ use crate::shield::ProtocolShield;
 const TOKEN_BATCH_FLUSH: u64 = 1;
 
 /// Chain Replication protocol messages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum ChainMsg {
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum ChainMsg {
     /// Forwarded write, travelling head → tail.
     Forward {
         seq: u64,
@@ -31,6 +32,48 @@ enum ChainMsg {
         client_id: u64,
         request_id: u64,
     },
+}
+
+impl ChainMsg {
+    /// Wire form: `tag | variant | seq | client_id | request_id | key | value`.
+    pub fn encode(&self) -> Vec<u8> {
+        let ChainMsg::Forward {
+            seq,
+            key,
+            value,
+            client_id,
+            request_id,
+        } = self;
+        let mut w = Writer::tagged(
+            tag::CHAIN,
+            2 + 3 * 8 + bytes_len(key.len()) + bytes_len(value.len()),
+        );
+        w.u8(0)
+            .u64(*seq)
+            .u64(*client_id)
+            .u64(*request_id)
+            .bytes(key)
+            .bytes(value);
+        w.finish()
+    }
+
+    /// Parses a message; `None` on anything but one well-formed encoding.
+    pub fn decode(bytes: &[u8]) -> Option<ChainMsg> {
+        let mut r = Reader::tagged(bytes, tag::CHAIN)?;
+        if r.u8()? != 0 {
+            return None;
+        }
+        let (seq, client_id, request_id) = (r.u64()?, r.u64()?, r.u64()?);
+        let msg = ChainMsg::Forward {
+            seq,
+            key: r.bytes()?.to_vec(),
+            value: r.bytes()?.to_vec(),
+            client_id,
+            request_id,
+        };
+        r.finish()?;
+        Some(msg)
+    }
 }
 
 /// A Chain Replication replica (native or Recipe-transformed).
@@ -148,9 +191,7 @@ impl ChainReplica {
                     client_id,
                     request_id,
                 };
-                // recipe-lint: allow(unwrap-in-lib, reason = "serializing a self-owned in-memory message cannot fail")
-                let payload = serde_json::to_vec(&forward).expect("chain message serializes");
-                self.enqueue(ctx, next, payload);
+                self.enqueue(ctx, next, forward.encode());
             }
             None => {
                 // This is the tail: the write is committed; answer the client.
@@ -229,7 +270,7 @@ impl Replica for ChainReplica {
 
     fn on_message(&mut self, from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
         for (_kind, payload) in self.shield.unwrap(from, bytes) {
-            if let Ok(msg) = serde_json::from_slice::<ChainMsg>(&payload) {
+            if let Some(msg) = ChainMsg::decode(&payload) {
                 self.forward_or_commit(msg, ctx);
             }
         }

@@ -33,12 +33,12 @@ pub mod raft;
 pub mod shield;
 pub mod txn;
 
-pub use abd::AbdReplica;
-pub use allconcur::AllConcurReplica;
+pub use abd::{AbdMsg, AbdReplica};
+pub use allconcur::{AllConcurMsg, AllConcurReplica};
 pub use batch::{BatchConfig, Batcher};
-pub use chain::ChainReplica;
+pub use chain::{ChainMsg, ChainReplica};
 pub use migration::{ChunkPhase, MigrationChannel, MigrationChunk};
-pub use raft::RaftReplica;
+pub use raft::{RaftMsg, RaftReplica};
 pub use shield::{Frames, FramesIter, ProtocolMode, ProtocolShield};
 pub use txn::TxnChannel;
 

@@ -16,10 +16,10 @@
 //! charges `migration_epc_pressure` per chunk, mirroring §B.3's batch-size
 //! trade-off).
 
+use recipe_core::wire::{tag, Reader, Writer};
 use recipe_core::{ConfidentialityMode, Membership};
 use recipe_net::NodeId;
 use recipe_sim::RangeEntry;
-use serde::{Deserialize, Serialize};
 
 use crate::shield::ProtocolShield;
 
@@ -32,7 +32,7 @@ const KIND_MIGRATION: u16 = 0x4D49; // "MI"
 const ENDPOINT_BASE: u64 = 0xE000_0000;
 
 /// Which migration phase a chunk belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkPhase {
     /// Sealed snapshot of the moving range at the cut point.
     Snapshot,
@@ -43,7 +43,7 @@ pub enum ChunkPhase {
 }
 
 /// One bounded batch of range records in flight between shard leaders.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationChunk {
     /// Identifier of the migration this chunk belongs to.
     pub migration_id: u64,
@@ -55,10 +55,67 @@ pub struct MigrationChunk {
     pub entries: Vec<RangeEntry>,
 }
 
+/// Wire bytes of a [`RangeEntry`] with an empty key and value: two
+/// timestamp halves and two length prefixes.
+const ENTRY_MIN_LEN: usize = 2 * 8 + 2 * 4;
+
 impl MigrationChunk {
     /// Total key+value payload bytes carried by this chunk.
     pub fn payload_len(&self) -> usize {
         self.entries.iter().map(RangeEntry::payload_len).sum()
+    }
+
+    /// Wire form: `tag | migration_id | phase u8 | seq | count u32 |
+    /// (ts_logical, ts_node, key, value)*`.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::tagged(
+            tag::MIGRATION,
+            1 + 8 + 1 + 8 + 4 + self.entries.len() * ENTRY_MIN_LEN + self.payload_len(),
+        );
+        w.u64(self.migration_id)
+            .u8(match self.phase {
+                ChunkPhase::Snapshot => 0,
+                ChunkPhase::CatchUp => 1,
+                ChunkPhase::Final => 2,
+            })
+            .u64(self.seq)
+            .count(self.entries.len());
+        for entry in &self.entries {
+            w.u64(entry.ts_logical)
+                .u64(entry.ts_node)
+                .bytes(&entry.key)
+                .bytes(&entry.value);
+        }
+        w.finish()
+    }
+
+    /// Parses a chunk; `None` on anything but one well-formed encoding.
+    pub fn decode(bytes: &[u8]) -> Option<MigrationChunk> {
+        let mut r = Reader::tagged(bytes, tag::MIGRATION)?;
+        let migration_id = r.u64()?;
+        let phase = match r.u8()? {
+            0 => ChunkPhase::Snapshot,
+            1 => ChunkPhase::CatchUp,
+            2 => ChunkPhase::Final,
+            _ => return None,
+        };
+        let seq = r.u64()?;
+        let entries = r.seq(ENTRY_MIN_LEN, |r| {
+            let (ts_logical, ts_node) = (r.u64()?, r.u64()?);
+            Some(RangeEntry {
+                key: r.bytes()?.to_vec(),
+                value: r.bytes()?.to_vec(),
+                ts_logical,
+                ts_node,
+            })
+        })?;
+        r.finish()?;
+        Some(MigrationChunk {
+            migration_id,
+            phase,
+            seq,
+            entries,
+        })
     }
 }
 
@@ -202,12 +259,10 @@ impl MigrationChannel {
             chunk.migration_id, self.migration_id,
             "chunk sealed on the wrong migration's channel"
         );
-        // recipe-lint: allow(unwrap-in-lib, reason = "serializing a self-owned in-memory chunk cannot fail")
-        let payload = serde_json::to_vec(chunk).expect("migration chunk serializes");
         self.sender.wrap(
             endpoint(self.recipient, self.migration_id),
             KIND_MIGRATION,
-            &payload,
+            &chunk.encode(),
         )
     }
 
@@ -223,7 +278,7 @@ impl MigrationChannel {
         if *kind != KIND_MIGRATION {
             return None;
         }
-        let chunk: MigrationChunk = serde_json::from_slice(payload).ok()?;
+        let chunk = MigrationChunk::decode(payload)?;
         (chunk.migration_id == self.migration_id).then_some(chunk)
     }
 

@@ -16,11 +16,11 @@
 
 use std::collections::{HashMap, HashSet};
 
+use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
 use recipe_kv::{PartitionedKvStore, Timestamp};
 use recipe_net::NodeId;
 use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnVote};
-use serde::{Deserialize, Serialize};
 
 use crate::batch::{BatchConfig, Batcher};
 use crate::shield::ProtocolShield;
@@ -37,8 +37,9 @@ const HEARTBEAT_PERIOD_NS: u64 = 10_000_000; // 10 ms
 const ELECTION_TIMEOUT_NS: u64 = 35_000_000; // 35 ms
 
 /// Raft protocol messages (carried as Recipe-shielded payloads).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum RaftMsg {
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum RaftMsg {
     /// Leader → followers: replicate one log entry.
     Append {
         view: u64,
@@ -58,6 +59,87 @@ enum RaftMsg {
     Heartbeat { view: u64 },
     /// Any node → all: vote to move to `new_view`.
     ViewChange { new_view: u64 },
+}
+
+impl RaftMsg {
+    /// Wire form: `tag | variant | u64 fields in declaration order`, an
+    /// append's key and value last.
+    pub fn encode(&self) -> Vec<u8> {
+        let entry_len = match self {
+            RaftMsg::Append { key, value, .. } => bytes_len(key.len()) + bytes_len(value.len()),
+            _ => 0,
+        };
+        let mut w = Writer::tagged(tag::RAFT, 2 + 4 * 8 + entry_len);
+        match self {
+            RaftMsg::Append {
+                view,
+                index,
+                key,
+                value,
+                client_id,
+                request_id,
+            } => {
+                w.u8(0)
+                    .u64(*view)
+                    .u64(*index)
+                    .u64(*client_id)
+                    .u64(*request_id)
+                    .bytes(key)
+                    .bytes(value);
+            }
+            RaftMsg::AppendAck { view, index } => {
+                w.u8(1).u64(*view).u64(*index);
+            }
+            RaftMsg::Commit { view, index } => {
+                w.u8(2).u64(*view).u64(*index);
+            }
+            RaftMsg::CommitAck { view, index } => {
+                w.u8(3).u64(*view).u64(*index);
+            }
+            RaftMsg::Heartbeat { view } => {
+                w.u8(4).u64(*view);
+            }
+            RaftMsg::ViewChange { new_view } => {
+                w.u8(5).u64(*new_view);
+            }
+        }
+        w.finish()
+    }
+
+    /// Parses a message; `None` on anything but one well-formed encoding.
+    pub fn decode(bytes: &[u8]) -> Option<RaftMsg> {
+        let mut r = Reader::tagged(bytes, tag::RAFT)?;
+        let msg = match r.u8()? {
+            0 => {
+                let (view, index, client_id, request_id) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+                RaftMsg::Append {
+                    view,
+                    index,
+                    key: r.bytes()?.to_vec(),
+                    value: r.bytes()?.to_vec(),
+                    client_id,
+                    request_id,
+                }
+            }
+            1 => RaftMsg::AppendAck {
+                view: r.u64()?,
+                index: r.u64()?,
+            },
+            2 => RaftMsg::Commit {
+                view: r.u64()?,
+                index: r.u64()?,
+            },
+            3 => RaftMsg::CommitAck {
+                view: r.u64()?,
+                index: r.u64()?,
+            },
+            4 => RaftMsg::Heartbeat { view: r.u64()? },
+            5 => RaftMsg::ViewChange { new_view: r.u64()? },
+            _ => return None,
+        };
+        r.finish()?;
+        Some(msg)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -183,14 +265,14 @@ impl RaftReplica {
     }
 
     fn send(&mut self, ctx: &mut Ctx, dst: NodeId, msg: &RaftMsg) {
-        // recipe-lint: allow(unwrap-in-lib, reason = "serializing a self-owned in-memory message cannot fail")
-        let payload = serde_json::to_vec(msg).expect("raft message serializes");
-        self.enqueue(ctx, dst, payload);
+        self.enqueue(ctx, dst, &msg.encode());
     }
 
+    /// Encodes `msg` once and shields it per peer.
     fn broadcast(&mut self, ctx: &mut Ctx, msg: &RaftMsg) {
+        let payload = msg.encode();
         for peer in self.peers() {
-            self.send(ctx, peer, msg);
+            self.enqueue(ctx, peer, &payload);
         }
     }
 
@@ -198,13 +280,14 @@ impl RaftReplica {
     /// single shielded message when batching is off, otherwise accumulated and
     /// flushed on the first trigger (ops/byte budget now, time budget via
     /// [`TOKEN_BATCH_FLUSH`]).
-    fn enqueue(&mut self, ctx: &mut Ctx, dst: NodeId, payload: Vec<u8>) {
+    fn enqueue(&mut self, ctx: &mut Ctx, dst: NodeId, payload: &[u8]) {
         if !self.batcher.is_batching() {
-            let wire = self.shield.wrap(dst, 1, &payload);
+            let wire = self.shield.wrap(dst, 1, payload);
             ctx.send(dst, wire);
             return;
         }
         let shield = &mut self.shield;
+        let payload = payload.to_vec();
         self.batcher
             .enqueue(ctx, TOKEN_BATCH_FLUSH, dst, 1, payload, |ctx, dst, ops| {
                 let count = ops.len() as u32;
@@ -408,7 +491,7 @@ impl Replica for RaftReplica {
 
     fn on_message(&mut self, from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
         for (_kind, payload) in self.shield.unwrap(from, bytes) {
-            if let Ok(msg) = serde_json::from_slice::<RaftMsg>(&payload) {
+            if let Some(msg) = RaftMsg::decode(&payload) {
                 self.handle_protocol_message(from, msg, ctx);
             }
         }

@@ -12,6 +12,7 @@
 //!   end-to-end in `recipe-core`/`recipe-attest`; here the provisioning result is
 //!   installed directly so protocol unit tests stay fast).
 
+use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{
     AuthLayer, BatchFrame, BatchOp, BatchVerifyOutcome, ConfidentialityMode, Membership,
     ShieldedMessage, TxnBody, TxnFrame, TxnVerifyOutcome, VerifyOutcome,
@@ -49,40 +50,36 @@ impl ProtocolMode {
     }
 }
 
-/// Framing used by native (untransformed) protocols.
-#[derive(Serialize, Deserialize)]
-struct NativeFrame {
-    kind: u16,
-    payload: Vec<u8>,
+/// Framing used by native (untransformed) protocols:
+/// `tag | kind u16 | payload`.
+fn encode_native(kind: u16, payload: &[u8]) -> Vec<u8> {
+    let mut w = Writer::tagged(tag::NATIVE_SINGLE, 1 + 2 + bytes_len(payload.len()));
+    w.u16(kind).bytes(payload);
+    w.finish()
 }
 
-/// Borrowed encoder for [`NativeFrame`]: serializes straight from the caller's
-/// payload slice, so the hot wrap path allocates the wire buffer only (the
-/// derived path would first copy the payload into an owned frame).
-struct NativeFrameRef<'a> {
-    kind: u16,
-    payload: &'a [u8],
+fn decode_native(bytes: &[u8]) -> Option<(u16, Vec<u8>)> {
+    let mut r = Reader::tagged(bytes, tag::NATIVE_SINGLE)?;
+    let frame = (r.u16()?, r.bytes()?.to_vec());
+    r.finish()?;
+    Some(frame)
 }
 
-impl serde::Serialize for NativeFrameRef<'_> {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("kind".to_string(), serde::Serialize::to_value(&self.kind)),
-            (
-                "payload".to_string(),
-                serde::Serialize::to_value(self.payload),
-            ),
-        ])
-    }
+/// Batch framing used by native (untransformed) protocols: the tag, then the
+/// same op body a [`recipe_core::BatchFrame`] carries, so the native baselines
+/// amortize the same per-message framing cost (minus the security layers) and
+/// the Figure 6a comparison stays apples-to-apples under batching.
+fn encode_native_batch(ops: &[BatchOp]) -> Vec<u8> {
+    let mut w = Writer::tagged(tag::NATIVE_BATCH, 1 + BatchFrame::ops_len(ops));
+    BatchFrame::write_ops(&mut w, ops);
+    w.finish()
 }
 
-/// Batch framing used by native (untransformed) protocols: the plain-wire
-/// counterpart of [`recipe_core::BatchFrame`], so the native baselines amortize
-/// the same per-message framing cost (minus the security layers) and the
-/// Figure 6a comparison stays apples-to-apples under batching.
-#[derive(Serialize, Deserialize)]
-struct NativeBatch {
-    ops: Vec<BatchOp>,
+fn decode_native_batch(bytes: &[u8]) -> Option<Vec<BatchOp>> {
+    let mut r = Reader::tagged(bytes, tag::NATIVE_BATCH)?;
+    let ops = BatchFrame::read_ops(&mut r)?;
+    r.finish()?;
+    Some(ops)
 }
 
 /// The deliverable messages produced by one [`ProtocolShield::unwrap`] call.
@@ -333,9 +330,7 @@ impl ProtocolShield {
         self.sealed_frames += 1;
         self.sealed_ops += 1;
         match &mut self.auth {
-            None => {
-                serde_json::to_vec(&NativeFrameRef { kind, payload }).expect("frame serializes")
-            }
+            None => encode_native(kind, payload),
             Some(auth) => auth
                 .shield(dst, kind, payload)
                 .expect("channel key provisioned for every peer")
@@ -345,7 +340,7 @@ impl ProtocolShield {
 
     /// Wraps a whole batch of protocol messages for `dst` into one wire frame:
     /// a [`recipe_core::BatchFrame`] under one counter/MAC in Recipe mode, a
-    /// plain [`NativeBatch`](self) frame in native mode.
+    /// plain native batch frame in native mode.
     ///
     /// # Panics
     /// Panics on an empty batch — flushing nothing is a caller bug.
@@ -354,7 +349,7 @@ impl ProtocolShield {
         self.sealed_frames += 1;
         self.sealed_ops += ops.len() as u64;
         match &mut self.auth {
-            None => serde_json::to_vec(&NativeBatch { ops }).expect("batch frame serializes"),
+            None => encode_native_batch(&ops),
             Some(auth) => auth
                 .shield_batch(dst, &ops)
                 .expect("channel key provisioned for every peer")
@@ -416,58 +411,61 @@ impl ProtocolShield {
     /// frame was rejected (tampered, replayed, wrong view) — the protocol
     /// simply never sees it, which is the whole point of the transformation.
     pub fn unwrap(&mut self, from: NodeId, bytes: &[u8]) -> Frames {
+        self.open(from, bytes).unwrap_or_else(|| {
+            self.dropped += 1;
+            Frames::Empty
+        })
+    }
+
+    /// [`ProtocolShield::unwrap`] with rejection as `None`: dispatches on the
+    /// family tag, so each frame is parsed at most once and an unknown tag is
+    /// rejected without parsing at all.
+    fn open(&mut self, from: NodeId, bytes: &[u8]) -> Option<Frames> {
         let mut out = Frames::Empty;
+        let family = *bytes.first()?;
         match &mut self.auth {
             None => {
-                if let Ok(frame) = serde_json::from_slice::<NativeFrame>(bytes) {
-                    self.opened_frames += 1;
-                    out.push((frame.kind, frame.payload));
-                } else if let Ok(batch) = serde_json::from_slice::<NativeBatch>(bytes) {
-                    self.opened_frames += 1;
-                    for op in batch.ops {
-                        out.push((op.kind, op.payload));
+                match family {
+                    tag::NATIVE_SINGLE => out.push(decode_native(bytes)?),
+                    tag::NATIVE_BATCH => {
+                        for op in decode_native_batch(bytes)? {
+                            out.push((op.kind, op.payload));
+                        }
                     }
-                } else {
-                    self.dropped += 1;
+                    _ => return None,
                 }
+                self.opened_frames += 1;
             }
             Some(auth) => {
-                if let Some(msg) = ShieldedMessage::from_wire(bytes) {
-                    match auth.verify_owned(msg) {
+                // A frame ahead of its predecessors is buffered, not opened.
+                let opened = match family {
+                    tag::SINGLE => match auth.verify_owned(ShieldedMessage::from_wire(bytes)?) {
                         VerifyOutcome::Accept { kind, payload, .. } => {
-                            self.opened_frames += 1;
                             out.push((kind, payload));
+                            true
                         }
-                        VerifyOutcome::Future { .. } => {}
-                        _ => {
-                            self.dropped += 1;
-                            return out;
-                        }
-                    }
-                } else if let Some(frame) = BatchFrame::from_wire(bytes) {
-                    match auth.verify_batch(frame) {
+                        VerifyOutcome::Future { .. } => false,
+                        _ => return None,
+                    },
+                    tag::BATCH => match auth.verify_batch(BatchFrame::from_wire(bytes)?) {
                         BatchVerifyOutcome::Accept { ops, .. } => {
-                            self.opened_frames += 1;
                             for op in ops {
                                 out.push((op.kind, op.payload));
                             }
+                            true
                         }
-                        BatchVerifyOutcome::Future { .. } => {}
-                        _ => {
-                            self.dropped += 1;
-                            return out;
-                        }
-                    }
-                } else {
-                    self.dropped += 1;
-                    return out;
-                }
+                        BatchVerifyOutcome::Future { .. } => false,
+                        _ => return None,
+                    },
+                    _ => return None,
+                };
+                self.opened_frames += u64::from(opened);
                 for (kind, payload, _) in auth.take_ready(from) {
                     out.push((kind, payload));
                 }
             }
         }
-        out
+        Some(out)
     }
 }
 

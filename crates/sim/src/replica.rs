@@ -10,7 +10,6 @@
 use recipe_core::{ClientReply, ClientRequest, Operation};
 use recipe_net::NodeId;
 use recipe_tee::TrustedInstant;
-use serde::{Deserialize, Serialize};
 
 /// The effects a handler invocation queued: outbound `(dst, bytes, ops)`
 /// messages (`ops` > 1 for batch frames, so the cost model can charge fixed
@@ -319,7 +318,7 @@ pub trait Replica {
 /// `(ts_logical, ts_node)` pair carries the store's write timestamp opaquely —
 /// the simulator never interprets it; importing replicas hand it back to their
 /// store so timestamp-ordered protocols (R-ABD) keep their write rule intact.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangeEntry {
     /// The key.
     pub key: Vec<u8>,

@@ -294,7 +294,17 @@ impl Enclave {
     /// at zero on first use.
     pub fn counter_mut(&mut self, channel: &str) -> Result<&mut TrustedCounter, TeeError> {
         self.ensure_alive()?;
-        Ok(self.counters.entry(channel.to_owned()).or_default())
+        // Copy the key on first use only: this runs for every frame sent and
+        // every frame received.
+        if !self.counters.contains_key(channel) {
+            self.counters
+                .insert(channel.to_owned(), TrustedCounter::default());
+        }
+        self.counters
+            .get_mut(channel)
+            .ok_or_else(|| TeeError::MissingSecret {
+                label: channel.to_owned(),
+            })
     }
 
     /// Returns the current value of the trusted counter for `channel` (zero if the

@@ -81,10 +81,12 @@ fn crash_plan_leader_failover_preserves_progress() {
 
 #[test]
 fn recovered_follower_rehydrates_and_rejoins() {
+    // 8 000 ops keep the run going past the 60 ms restart (4 000 take 55 ms
+    // of virtual time on the binary wire form).
     let plan = CrashPlan::none().crash_recover(NodeId(2), 5_000_000, 60_000_000);
-    let mut cluster = raft_cluster(plan, 4000);
+    let mut cluster = raft_cluster(plan, 8000);
     let stats = cluster.run(put);
-    assert!(stats.committed >= 4000, "lost commits: {}", stats.committed);
+    assert!(stats.committed >= 8000, "lost commits: {}", stats.committed);
     assert!(cluster.crashed_nodes().is_empty(), "node never recovered");
     // The restarted follower rehydrated from a live peer's sealed snapshot
     // and caught up through normal replication: it holds state again and
