@@ -15,6 +15,7 @@
 //! counters, the channel keys, the plaintext of confidential payloads — lives inside
 //! the [`recipe_tee::Enclave`] held by this layer.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 use recipe_crypto::Nonce;
@@ -262,12 +263,55 @@ impl From<Rejection> for TxnVerifyOutcome {
     }
 }
 
+/// The strings that key, in the enclave, the secrets this node shares with one
+/// peer. Every frame sent or received needs two of them, so they are built
+/// once per peer; a channel's MAC key label is the tail of its counter label.
+struct PeerLabels {
+    /// `send:cq:me->peer` — this node's trusted send counter.
+    send: String,
+    /// `recv:cq:peer->me` — this node's trusted receive counter.
+    recv: String,
+}
+
+impl PeerLabels {
+    /// Length of the `send:` / `recv:` prefix in front of a channel label.
+    const PREFIX: usize = 5;
+
+    fn new(me: NodeId, peer: NodeId) -> Self {
+        PeerLabels {
+            send: format!("send:{}", ChannelId::new(me, peer).label()),
+            recv: format!("recv:{}", ChannelId::new(peer, me).label()),
+        }
+    }
+
+    /// `cq:me->peer` — the MAC key of the outgoing channel.
+    fn send_mac(&self) -> &str {
+        &self.send[Self::PREFIX..]
+    }
+
+    /// `cq:peer->me` — the MAC key of the incoming channel.
+    fn recv_mac(&self) -> &str {
+        &self.recv[Self::PREFIX..]
+    }
+
+    /// The labels for `peer` out of `cache`, built on first use. Takes the
+    /// cache rather than the layer so the enclave can be borrowed beside the
+    /// result.
+    fn cached(cache: &mut HashMap<NodeId, PeerLabels>, me: NodeId, peer: NodeId) -> &Self {
+        cache
+            .entry(peer)
+            .or_insert_with(|| PeerLabels::new(me, peer))
+    }
+}
+
 /// The authentication + non-equivocation layer of one node.
 pub struct AuthLayer {
     node: NodeId,
     view: u64,
     enclave: Enclave,
     confidentiality: ConfidentialityMode,
+    /// Enclave map keys per peer, filled on first use.
+    labels: HashMap<NodeId, PeerLabels>,
     /// Out-of-order frames buffered per source node, keyed by counter.
     pending: HashMap<NodeId, BTreeMap<u64, PendingFrame>>,
     /// Reusable MAC-input buffer (one allocation across shield/verify calls).
@@ -293,6 +337,7 @@ impl AuthLayer {
             view: 0,
             enclave,
             confidentiality: confidentiality.into(),
+            labels: HashMap::new(),
             pending: HashMap::new(),
             scratch: Vec::new(),
             rejected_replays: 0,
@@ -359,13 +404,10 @@ impl AuthLayer {
         payload: &[u8],
     ) -> Result<ShieldedMessage, RecipeError> {
         let channel = ChannelId::new(self.node, dst);
-        let label = channel.label();
+        let labels = PeerLabels::cached(&mut self.labels, self.node, dst);
 
         // cnt_cq ← cnt_cq + 1 inside the enclave.
-        let counter = self
-            .enclave
-            .counter_mut(&format!("send:{label}"))?
-            .increment();
+        let counter = self.enclave.counter_mut(&labels.send)?.increment();
         let tuple = SequenceTuple {
             view: self.view,
             channel,
@@ -382,7 +424,7 @@ impl AuthLayer {
             (payload.to_vec(), false)
         };
 
-        let mac_key = self.enclave.mac_key(&label)?;
+        let mac_key = self.enclave.mac_key(labels.send_mac())?;
         self.scratch.clear();
         ShieldedMessage::write_authenticated_parts(
             &mut self.scratch,
@@ -418,13 +460,10 @@ impl AuthLayer {
             return Err(RecipeError::Malformed("empty batch"));
         }
         let channel = ChannelId::new(self.node, dst);
-        let label = channel.label();
+        let labels = PeerLabels::cached(&mut self.labels, self.node, dst);
 
         // One `cnt_cq ← cnt_cq + 1` for the whole frame.
-        let counter = self
-            .enclave
-            .counter_mut(&format!("send:{label}"))?
-            .increment();
+        let counter = self.enclave.counter_mut(&labels.send)?.increment();
         let tuple = SequenceTuple {
             view: self.view,
             channel,
@@ -441,7 +480,7 @@ impl AuthLayer {
         };
 
         let count = ops.len() as u32;
-        let mac_key = self.enclave.mac_key(&label)?;
+        let mac_key = self.enclave.mac_key(labels.send_mac())?;
         self.scratch.clear();
         BatchFrame::write_authenticated_parts(
             &mut self.scratch,
@@ -477,12 +516,9 @@ impl AuthLayer {
         body: &TxnBody,
     ) -> Result<TxnFrame, RecipeError> {
         let channel = ChannelId::new(self.node, dst);
-        let label = channel.label();
+        let labels = PeerLabels::cached(&mut self.labels, self.node, dst);
 
-        let counter = self
-            .enclave
-            .counter_mut(&format!("send:{label}"))?
-            .increment();
+        let counter = self.enclave.counter_mut(&labels.send)?.increment();
         let tuple = SequenceTuple {
             view: self.view,
             channel,
@@ -498,7 +534,7 @@ impl AuthLayer {
             (encoded, None)
         };
 
-        let mac_key = self.enclave.mac_key(&label)?;
+        let mac_key = self.enclave.mac_key(labels.send_mac())?;
         self.scratch.clear();
         TxnFrame::write_authenticated_parts(
             &mut self.scratch,
@@ -685,8 +721,21 @@ impl AuthLayer {
             self.rejected_auth += 1;
             return Admission::Reject(Rejection::Misaddressed);
         }
-        let label = channel.label();
-        let Ok(mac_key) = self.enclave.mac_key(&label) else {
+        // The source is the sender's claim, so a peer is remembered only once
+        // this enclave is known to hold a key for it: frames naming made-up
+        // sources are turned away without growing the cache.
+        let labels = match self.labels.entry(channel.src) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => {
+                let labels = PeerLabels::new(self.node, channel.src);
+                if self.enclave.mac_key(labels.recv_mac()).is_err() {
+                    self.rejected_auth += 1;
+                    return Admission::Reject(Rejection::BadAuthenticator);
+                }
+                slot.insert(labels)
+            }
+        };
+        let Ok(mac_key) = self.enclave.mac_key(labels.recv_mac()) else {
             self.rejected_auth += 1;
             return Admission::Reject(Rejection::BadAuthenticator);
         };
@@ -705,8 +754,7 @@ impl AuthLayer {
         }
 
         // Freshness: compare against the receive counter for this channel.
-        let recv_label = format!("recv:{label}");
-        let last_accepted = self.enclave.counter_value(&recv_label);
+        let last_accepted = self.enclave.counter_value(&labels.recv);
         let counter = tuple.counter;
         if counter <= last_accepted {
             self.rejected_replays += 1;
@@ -725,7 +773,7 @@ impl AuthLayer {
         }
 
         // In-order frame: bump the trusted receive counter.
-        if let Ok(recv_counter) = self.enclave.counter_mut(&recv_label) {
+        if let Ok(recv_counter) = self.enclave.counter_mut(&labels.recv) {
             let _ = recv_counter.advance_to(counter);
         }
         Admission::Deliver { counter }
@@ -736,20 +784,22 @@ impl AuthLayer {
     /// Batch frames are flattened into their ops, each tagged with the frame's
     /// counter.
     pub fn take_ready(&mut self, src: NodeId) -> Vec<(u16, Vec<u8>, u64)> {
-        let channel = ChannelId::new(src, self.node);
-        let recv_label = format!("recv:{}", channel.label());
-        let mut ready = Vec::new();
-        loop {
-            let next = self.enclave.counter_value(&recv_label) + 1;
-            let Some(buffer) = self.pending.get_mut(&src) else {
-                break;
-            };
+        // First move the trusted counter over every frame that is now in order,
+        // then open them: opening borrows the whole layer, the labels a part.
+        let labels = PeerLabels::cached(&mut self.labels, self.node, src);
+        let mut released = Vec::new();
+        while let Some(buffer) = self.pending.get_mut(&src) {
+            let next = self.enclave.counter_value(&labels.recv) + 1;
             let Some(frame) = buffer.remove(&next) else {
                 break;
             };
-            if let Ok(counter) = self.enclave.counter_mut(&recv_label) {
+            if let Ok(counter) = self.enclave.counter_mut(&labels.recv) {
                 let _ = counter.advance_to(next);
             }
+            released.push((next, frame));
+        }
+        let mut ready = Vec::new();
+        for (next, frame) in released {
             match frame {
                 PendingFrame::Single(msg) => {
                     let kind = msg.kind;
@@ -779,8 +829,13 @@ impl AuthLayer {
     /// reads this during re-attestation of a restarted peer (paper §3.7) so the
     /// peer can fast-forward its receive counter past frames it slept through.
     pub fn send_counter_to(&self, dst: NodeId) -> u64 {
-        let label = ChannelId::new(self.node, dst).label();
-        self.enclave.counter_value(&format!("send:{label}"))
+        match self.labels.get(&dst) {
+            Some(labels) => self.enclave.counter_value(&labels.send),
+            // No frame to or from `dst` went through this layer yet.
+            None => self
+                .enclave
+                .counter_value(&PeerLabels::new(self.node, dst).send),
+        }
     }
 
     /// Re-attestation channel resync: fast-forwards the trusted receive counter
@@ -791,8 +846,8 @@ impl AuthLayer {
     /// window. Frames sealed before the resync point arriving afterwards are
     /// rejected as replays: a recovering replica cannot act on stale traffic.
     pub fn resync_from(&mut self, src: NodeId, peer_send_counter: u64) {
-        let label = ChannelId::new(src, self.node).label();
-        if let Ok(counter) = self.enclave.counter_mut(&format!("recv:{label}")) {
+        let labels = PeerLabels::cached(&mut self.labels, self.node, src);
+        if let Ok(counter) = self.enclave.counter_mut(&labels.recv) {
             let _ = counter.advance_to(peer_send_counter);
         }
         self.pending.remove(&src);

@@ -5,7 +5,7 @@
 //! `payload || view || cq || cnt_cq` (paper §3.2, Algorithm 1); `verify_request`
 //! recomputes and compares it in constant time.
 
-use hmac::{Hmac, Mac};
+use hmac::{Hmac, HmacCore, Mac};
 use serde::{Deserialize, Serialize};
 use sha2::Sha256;
 use std::fmt;
@@ -15,52 +15,67 @@ use crate::{CryptoError, KeyMaterial, DIGEST_LEN};
 type HmacSha256 = Hmac<Sha256>;
 
 /// A 256-bit symmetric MAC key shared between two attested endpoints.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MacKey([u8; DIGEST_LEN]);
+///
+/// Hashing the key into HMAC's inner and outer pad states costs two SHA-256
+/// compressions, as much as MACing a short message does. The key pays it once,
+/// when it is built, and every tag starts from a copy of those states — the
+/// 80-byte [`HmacCore`], not a whole `Hmac` with its block buffer: a
+/// cross-shard transaction builds four keys per participant and uses each for
+/// a frame or two, so what a key weighs is paid per operation there.
+/// Equality, serialization and `Debug` see the 32 key bytes only.
+#[derive(Clone)]
+pub struct MacKey {
+    bytes: [u8; DIGEST_LEN],
+    keyed: HmacCore<Sha256>,
+}
 
 impl MacKey {
     /// Builds a key from raw bytes (e.g. bytes unsealed from enclave storage or
     /// derived from a key-exchange shared secret).
-    pub const fn from_bytes(bytes: [u8; DIGEST_LEN]) -> Self {
-        MacKey(bytes)
+    pub fn from_bytes(bytes: [u8; DIGEST_LEN]) -> Self {
+        let keyed = HmacCore::new_from_slice(&bytes).expect("HMAC accepts any key length");
+        MacKey { bytes, keyed }
     }
 
     /// Derives a fresh, unpredictable key from the supplied RNG.
     pub fn generate<R: rand::RngCore>(rng: &mut R) -> Self {
         let mut bytes = [0u8; DIGEST_LEN];
         rng.fill_bytes(&mut bytes);
-        MacKey(bytes)
+        MacKey::from_bytes(bytes)
     }
 
     /// Derives a sub-key bound to a label, so one provisioned secret can back several
     /// independent channels (`derive("cq:3->5")`, `derive("values")`, …).
     pub fn derive(&self, label: &str) -> MacKey {
-        let tag = self.tag(label.as_bytes());
-        MacKey(tag.0)
+        MacKey::from_bytes(self.tag(label.as_bytes()).0)
+    }
+
+    /// A MAC instance keyed with this key and fed `message`.
+    fn mac_over(&self, message: &[u8]) -> HmacSha256 {
+        let mut mac = HmacSha256::from_core(self.keyed.clone());
+        mac.update(message);
+        mac
+    }
+
+    /// A MAC instance keyed with this key and fed every part, length-prefixed.
+    fn mac_over_parts(&self, parts: &[&[u8]]) -> HmacSha256 {
+        let mut mac = HmacSha256::from_core(self.keyed.clone());
+        for part in parts {
+            mac.update(&(part.len() as u64).to_le_bytes());
+            mac.update(part);
+        }
+        mac
     }
 
     /// Computes the HMAC tag over `message`.
     pub fn tag(&self, message: &[u8]) -> MacTag {
-        let mut mac = HmacSha256::new_from_slice(&self.0).expect("HMAC accepts any key length");
-        mac.update(message);
-        let out = mac.finalize().into_bytes();
-        let mut bytes = [0u8; DIGEST_LEN];
-        bytes.copy_from_slice(&out);
-        MacTag(bytes)
+        MacTag(self.mac_over(message).finalize().into_bytes().into())
     }
 
     /// Computes the HMAC tag over several length-prefixed parts, mirroring
     /// [`crate::hash::hash_parts`].
     pub fn tag_parts(&self, parts: &[&[u8]]) -> MacTag {
-        let mut mac = HmacSha256::new_from_slice(&self.0).expect("HMAC accepts any key length");
-        for part in parts {
-            mac.update(&(part.len() as u64).to_le_bytes());
-            mac.update(part);
-        }
-        let out = mac.finalize().into_bytes();
-        let mut bytes = [0u8; DIGEST_LEN];
-        bytes.copy_from_slice(&out);
-        MacTag(bytes)
+        MacTag(self.mac_over_parts(parts).finalize().into_bytes().into())
     }
 
     /// Verifies that `tag` authenticates `message` under this key.
@@ -68,27 +83,50 @@ impl MacKey {
     /// Verification is constant-time in the tag comparison (delegated to the `hmac`
     /// crate's `verify_slice`).
     pub fn verify(&self, message: &[u8], tag: &MacTag) -> Result<(), CryptoError> {
-        let mut mac = HmacSha256::new_from_slice(&self.0).expect("HMAC accepts any key length");
-        mac.update(message);
-        mac.verify_slice(&tag.0)
+        self.mac_over(message)
+            .verify_slice(&tag.0)
             .map_err(|_| CryptoError::MacMismatch)
     }
 
     /// Verifies a tag computed with [`MacKey::tag_parts`].
     pub fn verify_parts(&self, parts: &[&[u8]], tag: &MacTag) -> Result<(), CryptoError> {
-        let mut mac = HmacSha256::new_from_slice(&self.0).expect("HMAC accepts any key length");
-        for part in parts {
-            mac.update(&(part.len() as u64).to_le_bytes());
-            mac.update(part);
-        }
-        mac.verify_slice(&tag.0)
+        self.mac_over_parts(parts)
+            .verify_slice(&tag.0)
             .map_err(|_| CryptoError::MacMismatch)
+    }
+}
+
+impl PartialEq for MacKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for MacKey {}
+
+// Written by hand because the keyed state must stay off the wire and the
+// vendored derive has no `skip`. The shape is the one the derive gave the
+// former `MacKey([u8; 32])`: a one-element array holding the byte array.
+impl Serialize for MacKey {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Array(vec![self.bytes.to_value()])
+    }
+}
+
+impl Deserialize for MacKey {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        match v.as_array() {
+            Some([bytes]) => Ok(MacKey::from_bytes(Deserialize::from_value(bytes)?)),
+            _ => Err(serde::Error::custom(
+                "expected a one-element array for MacKey",
+            )),
+        }
     }
 }
 
 impl KeyMaterial for MacKey {
     fn expose_secret(&self) -> &[u8] {
-        &self.0
+        &self.bytes
     }
 }
 

@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use recipe_crypto::{
     hash_parts, Cipher, CipherKey, Digest, EphemeralSecret, KxPublic, MacKey, Nonce, SharedSecret,
@@ -81,6 +82,14 @@ impl EnclaveConfig {
     }
 }
 
+/// A provisioned cipher key and the cipher expanded from it. Expanding costs
+/// as much hashing as sealing 100 bytes, so it is done once — on first use, to
+/// keep it out of deployment set-up for enclaves that never seal.
+struct CipherSlot {
+    key: CipherKey,
+    cipher: OnceLock<Cipher>,
+}
+
 /// A per-node simulated enclave.
 pub struct Enclave {
     id: EnclaveId,
@@ -92,8 +101,12 @@ pub struct Enclave {
     crashed: bool,
 
     // Secrets provisioned after attestation. Reachable only through this handle.
-    mac_keys: HashMap<String, MacKey>,
-    cipher_keys: HashMap<String, CipherKey>,
+    // Keys carry their hashed HMAC pad states and ciphers are kept built, so
+    // both are several times the size of the raw secret. They are boxed
+    // because a hash table allocates more slots than it fills — four for the
+    // one cipher and two channel keys of a per-transaction enclave.
+    mac_keys: HashMap<String, Box<MacKey>>,
+    ciphers: HashMap<String, Box<CipherSlot>>,
     signing_key: Option<SigningKeyPair>,
 
     // Ephemeral key-exchange secret generated during attestation.
@@ -125,7 +138,7 @@ impl Enclave {
             epc,
             crashed: false,
             mac_keys: HashMap::new(),
-            cipher_keys: HashMap::new(),
+            ciphers: HashMap::new(),
             signing_key: None,
             kx_secret: None,
             counters: HashMap::new(),
@@ -228,7 +241,7 @@ impl Enclave {
         key: MacKey,
     ) -> Result<(), TeeError> {
         self.ensure_alive()?;
-        self.mac_keys.insert(label.into(), key);
+        self.mac_keys.insert(label.into(), Box::new(key));
         Ok(())
     }
 
@@ -237,6 +250,7 @@ impl Enclave {
         self.ensure_alive()?;
         self.mac_keys
             .get(label)
+            .map(Box::as_ref)
             .ok_or_else(|| TeeError::MissingSecret {
                 label: label.to_owned(),
             })
@@ -249,16 +263,21 @@ impl Enclave {
         key: CipherKey,
     ) -> Result<(), TeeError> {
         self.ensure_alive()?;
-        self.cipher_keys.insert(label.into(), key);
+        let slot = CipherSlot {
+            key,
+            cipher: OnceLock::new(),
+        };
+        self.ciphers.insert(label.into(), Box::new(slot));
         Ok(())
     }
 
-    /// Builds a cipher from the key provisioned under `label`.
-    pub fn cipher(&self, label: &str) -> Result<Cipher, TeeError> {
+    /// Returns the cipher for the key provisioned under `label`, built on the
+    /// first call and kept.
+    pub fn cipher(&self, label: &str) -> Result<&Cipher, TeeError> {
         self.ensure_alive()?;
-        self.cipher_keys
+        self.ciphers
             .get(label)
-            .map(Cipher::new)
+            .map(|slot| slot.cipher.get_or_init(|| Cipher::new(&slot.key)))
             .ok_or_else(|| TeeError::MissingSecret {
                 label: label.to_owned(),
             })
@@ -463,6 +482,8 @@ mod tests {
         let cipher = e.cipher("values").unwrap();
         let ct = cipher.seal(Nonce::from_u128(1), b"v");
         assert_eq!(cipher.open(&ct).unwrap(), b"v");
+        // Built once and handed out, not rebuilt per call.
+        assert!(std::ptr::eq(cipher, e.cipher("values").unwrap()));
     }
 
     #[test]
