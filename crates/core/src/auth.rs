@@ -474,7 +474,7 @@ impl AuthLayer {
         let (body, sealed) = if self.confidentiality.is_confidential() {
             let cipher = self.enclave.cipher(CIPHER_LABEL)?;
             let nonce = Self::payload_nonce(&channel, counter);
-            (Vec::new(), Some(cipher.seal(nonce, &body)))
+            (Vec::new(), Some(cipher.seal_owned(nonce, body)))
         } else {
             (body, None)
         };
@@ -529,7 +529,7 @@ impl AuthLayer {
         let (body, sealed) = if self.confidentiality.is_confidential() {
             let cipher = self.enclave.cipher(CIPHER_LABEL)?;
             let nonce = Self::payload_nonce(&channel, counter);
-            (Vec::new(), Some(cipher.seal(nonce, &encoded)))
+            (Vec::new(), Some(cipher.seal_owned(nonce, encoded)))
         } else {
             (encoded, None)
         };
@@ -574,7 +574,7 @@ impl AuthLayer {
             }
             Admission::Deliver { counter } => {
                 let txn_id = frame.txn_id;
-                let opened = match &frame.sealed {
+                let opened = match frame.sealed {
                     Some(ct) => self.open_ciphertext(ct),
                     None => Ok(frame.body),
                 };
@@ -873,7 +873,7 @@ impl AuthLayer {
     /// Opens a batch body (one AEAD pass) and decodes its ops, enforcing the
     /// authenticated op count.
     fn open_batch_owned(&self, frame: BatchFrame) -> Result<Vec<BatchOp>, RecipeError> {
-        let body = match &frame.sealed {
+        let body = match frame.sealed {
             Some(ct) => self.open_ciphertext(ct)?,
             None => frame.body,
         };
@@ -886,13 +886,14 @@ impl AuthLayer {
 
     fn decrypt(&self, body: &[u8]) -> Result<Vec<u8>, RecipeError> {
         let ct = decode_ciphertext(body).ok_or(RecipeError::Malformed("ciphertext"))?;
-        self.open_ciphertext(&ct)
+        self.open_ciphertext(ct)
     }
 
-    fn open_ciphertext(&self, ct: &recipe_crypto::Ciphertext) -> Result<Vec<u8>, RecipeError> {
+    /// Verifies `ct` and decrypts it where it lies.
+    fn open_ciphertext(&self, ct: recipe_crypto::Ciphertext) -> Result<Vec<u8>, RecipeError> {
         let cipher = self.enclave.cipher(CIPHER_LABEL)?;
         cipher
-            .open(ct)
+            .open_owned(ct)
             .map_err(|_| RecipeError::AuthenticationFailed)
     }
 

@@ -1,8 +1,10 @@
-//! Golden vectors for the keyed-hash layer: every hex string below was printed
-//! by the implementation that re-keyed HMAC for every message and for every
-//! keystream block. Any change to how `MacKey` or `Cipher` compute must leave
-//! these bytes alone — frames, sealed values and tenant credentials are all
-//! built from them.
+//! Golden vectors for the keyed-hash layer and the cipher over it. The `MacKey`
+//! strings were printed by the implementation that re-keyed HMAC for every
+//! message; the `Cipher` strings come from outside this workspace — HChaCha20
+//! written out in Python, the ChaCha20 keystream from OpenSSL (`openssl enc
+//! -chacha20` and pyca/cryptography agreeing), the tag from Python's `hmac`.
+//! Any change to how `MacKey` or `Cipher` compute must leave these bytes alone
+//! — frames, sealed values and tenant credentials are all built from them.
 
 use recipe_crypto::{Cipher, CipherKey, KeyMaterial, MacKey, Nonce};
 
@@ -106,38 +108,38 @@ fn mac_key_debug_prints_no_key_bytes() {
 /// `[3; 32]` and [`NONCE`]. The keystream does not depend on the plaintext
 /// length, so every shorter case below is a prefix of this one.
 const CIPHERTEXT_1024: &str = concat!(
-    "f26fb10d66533d2b2662ed0fce35c068bc642213d64f32b5ed56e37f94368eff",
-    "3742638885d3d6bcde7c858aecdcc5b369b9430bc78900633c1b4b0af8d0b125",
-    "e1e4a1c20acdfdd342df3eea86cedf01b1b845477324e2e7fd8d5989041eb85c",
-    "f55e5b70bc443eb74dc2865a4baebaf7fb6d9a1a0e649bdd513bf493e6081b1c",
-    "d946f1b1a3cf6ed6fbf07a0df9dd2a87a945589d8625171db7efa75facc7fb30",
-    "67129cf1790113af5bb163fdb479ec3027da583138139bfcf40bef3ee5c5a63f",
-    "b1fef6e10a6ba457f6b27f1766d118acdca2d4ded46c9b8b30e656a17258b76a",
-    "bdbd80ee364e1df3fb5855744eae67042dcb13528e1e8e52be6e17354d00f3f6",
-    "eec7cd0649ec517a541a7cbcfe9de26de9da15857f78842e257536c68413afe3",
-    "3223e387a642bad4836ac8ff31993da1715fdeec6165cf1986421d00d9c6098d",
-    "36820314a55e515b4c5058a21eac6e5cf613bff7b2e9cc22e3b17690649621d2",
-    "bad95f194c1f73131c0141a81ae282672a5e576de169287cc13496c36b91e913",
-    "feda928d5c9db6e6df325d812b9b55f7b13c113522f52faaa8e2411065c153c1",
-    "720dd8612a095fab7e3dc1799de3348c8f762b47c2a3aec5537a76645e347e9f",
-    "5d9dac76b8a78cbabc5e4e23204052ed9581b085ac9bdb2a7266251f9e9bd92d",
-    "00f09cda794096b152c7b740c72c760c69a7208987029cec656814bb274e3df5",
-    "31b0225b20b466ad21f922d32f73dfb4d259ac56ef5aa6e45ed8dfae98341f4d",
-    "0c53acd04432c7b601b1cae1a24b2d50b2723380b7bdf9d0a3a5f5d58b2dabfa",
-    "bdf1893a4e7b2bd62a4667deb094e2dfd0e931eb823a2bb6554fb5cb38555085",
-    "ddeeb79d8476be0b0a4fdfb07e91bb4820f3441365b7e04f1088106a1c23862e",
-    "0c542e3f21d26674729724930a7b2d8f597801018cb4484a855cbe847187ca7c",
-    "3234874ab19166ad3e6fa51d6c35fabb9b6bf6e50fcd58572735537666f85ded",
-    "7930204a9d886f1091d1c6e3c19948ba671c701cdbec1773cc28e45c9626f486",
-    "421f18d8fe1996d8e4ad17028e5cd0fc24bb250563d3cab5cf954b9554596a61",
-    "2ce64ed4db160b6b85eac212699bbe20ca90cf6611980730e638b909b2c13325",
-    "8dfd9f2cc41f77eb72076464bf6c5b18c758f26e47f174d77a5f26711c5d8cf7",
-    "84da8530edaf18a457e8769e8e9730c84205040f41ced824eb3e95ddcc6468b4",
-    "4f54eaef4eef40eadd30d5f99e25b3f257f1eb80337be291d6a953a7a1e52c3f",
-    "644d7fc5565fc52c3896bb655295bf7873e556bbce4d6665963fd3cfffffd012",
-    "a47eac873a2d5cc466a3a20dc38708e6e6f1448fd2fdfb53ad568c86fcb150d7",
-    "aeec447c0adc7289f9c435e639c283703e375afdf4784169a2c8d5db54b3d0b7",
-    "e58bce425c228b17012b089495b448f11a1a758aeb4df62f869a1524c318618a",
+    "0d0904dfdbd6bc3eca54f3463734e89ee8fc998771f82fadc533ae82327d921f",
+    "01402756a3e7c579bcc4b1b1c29c7892e41afbc60e7998df034096e065ceefee",
+    "ff549d572cf7fde96797cc94f7b7145e6efb91679c46af88970d6550094899d5",
+    "4dc96a027fee3d4f06045172524b321c010a4719ace9120770c1afd6a386712f",
+    "a323d116e4512797daaeebf898448c3cf0b5e2ffe2ae749a9232ad6f1cadc931",
+    "67cd6e3d9a7862808b7e9195b7a72159644009018f7fa573f3a263af4ade0173",
+    "98ff7654517e0e2d5a90388e1129b5a59172d813653778cfef1a20bbb54fd148",
+    "163670a346c05464c479abf463d3cf9ed9ae02e1b568bbe524221877210e0fd2",
+    "079302f32f8f4cc4f83026603bdca6138ca6791af745a2061b48d008df0bf392",
+    "41189ddc88abcc32dc2e2dac6a1986ad5265745c6bd7ac4284fb1800822fc1c0",
+    "01935ed937a788ec779b3933a01991d70ffa46f3dd54b16210e193be528755bc",
+    "f31b586371e22bc2345591dc257fd475f32162c8b457c39a36d95b180016eff0",
+    "0e9f1c9a1af1b338876393ef288bb00fde6bc1cc0f3207a235ab04cd920a7af1",
+    "324369a55e2f4903224bc16cb2c9d64ed8eb7ac61e59506799719fea4b3dd698",
+    "c4b5082031adf243de30743a1464c23678befeb20ceed5c18940cd29ccf811ac",
+    "98c37a05e100152aedfa69869cfdd587f354ceba729fcdb81d2d9c785c324846",
+    "e85fb9fdf7bd2371c6d6eb77a0904652e8bf0a8d5f457c85ed2308f939c7122b",
+    "aff75d78168844977744ca111ac378f04ce226a7f1a165d7735953045adf14cd",
+    "338cef7159b26fa6b2d6be28b881c7ec592b543eda1d873546cec30cdee07d03",
+    "936b3dc2424c7f478fe261ebea3ab0fb6709a574eb501fdc22b3a8d5746e6e4a",
+    "149f5397f609b1d6c8100429fd5f3aa9c2c9823e88c6199faa2817931ed99faf",
+    "15a8d9be305b43d8dee7a91ca5791c1e91ae0dde3004432ca245f4f78cfa5ad6",
+    "1ae44749dd75732fa033d4094f6d7460a92fc1c9c42daf3a80fac2705f0fe5ea",
+    "41e62c94136d81c9e3db3c8a6192502853097769ceae9be5ba70f71663a58478",
+    "4853c05fe00ce11b73ef65f001f2e76ebce5192d9e2dad61b44c40e30487a7b8",
+    "960c3eb1cab05f078624e6d7daf498ce8d9000891f095b036f02316534ecae7e",
+    "ecdc002a829ebafb680f9b018961dbea1b43b32f368f3335f4123ed9105b3a07",
+    "98144c13717fddc0e2cbb71fc461ae9557c35f258b6816e0259c62ae7667dfde",
+    "9b245d071d948227e646184d8630bd52eaf503d2043c39a7cf5bf3cc59e3592a",
+    "05ff5655142bc69c567388d291acee2f520dbf0b468aa571d0cd783cea2649f2",
+    "78f53113d48d1cdec2eb5a7d56a9660832dc855091327c61dca6c4fda41d6576",
+    "f0a1b53750b47b75e7741ade1c6efda773c0aafdaec7224d418112abd1983ea9",
 );
 
 const NONCE: u128 = 0x0102_0304_0506_0708_090a_0b0c_0d0e_0f10;
@@ -152,28 +154,32 @@ fn seal_golden() {
         ),
         (
             1,
-            "98687e6c96c61d1b7e5388c3d1e6ba22dd14517eec9e420ed442035ad1bc0908",
+            "bc2d09219041f6e001746df7de77c0ae473463e5624703d65346fb1594a79770",
         ),
         (
             31,
-            "9f7b898e2652b4810246078319523d95a14d9029d1cb529f3b218fa255ecdaed",
+            "7a1fb82c7de6cd7be4be2feac6646c1e4e92027e1fa6f668d1c946f5e9ccebb5",
         ),
         (
             32,
-            "f2cd420d67c8a4eecfa1412a285106f08fdde250e14bfd024cc3138e2b19e33f",
+            "25999ab4ce91356efa60dda741788f5c981fa5443c25941d26e2774fad65b5ee",
         ),
         (
             33,
-            "084e658665c71fdb68cf5c1032f9ca5f3b13293a7076cb3260b97f532af9752c",
+            "35e23ead95dd7938dc3fb0e96be1e05760394d2871ea1dc86d4b2732ce992347",
         ),
         (
             1024,
-            "e3f1d094734ca2a27e339a228e82dd127f0cab9f13b7d49e45fa03ecee753d02",
+            "8e6473ad98456aa3750ed1b7d08e69e81151df3d1525b769668da967db420cd7",
         ),
     ];
     for (len, tag) in cases {
         let plaintext: Vec<u8> = (0..len).map(|i| (i * 31 + 5) as u8).collect();
         let sealed = cipher.seal(Nonce::from_u128(NONCE), &plaintext);
+        // What the HMAC keystream gave too: no length moves, on the wire or
+        // in the cost model.
+        assert_eq!(sealed.bytes.len(), len);
+        assert_eq!(sealed.wire_len(), 16 + len + 32);
         assert_eq!(
             hex(&sealed.bytes),
             &CIPHERTEXT_1024[..2 * len],

@@ -167,14 +167,16 @@ impl PartitionedKvStore {
     ) -> Result<u64, KvError> {
         self.stats.writes += 1;
         let value_hash = Self::hash_value(key, value);
+        // The one copy of the value the store keeps; sealing happens in it.
+        let stored = value.to_vec();
         let host_value = match &self.cipher {
-            None => HostValue::Plain(value.to_vec()),
+            None => HostValue::Plain(stored),
             Some(cipher) => {
                 self.nonce_counter += 1;
                 // Nonce domain 0xCAFE keeps KV-store nonces disjoint from the
                 // network layer's (view, counter)-derived nonces.
                 HostValue::Encrypted(
-                    cipher.seal(Nonce::from_view_counter(0xCAFE, self.nonce_counter), value),
+                    cipher.seal_owned(Nonce::from_view_counter(0xCAFE, self.nonce_counter), stored),
                 )
             }
         };

@@ -483,6 +483,35 @@ proptest! {
     }
 }
 
+/// The cipher under a confidential frame may change its keystream, never its
+/// envelope: nonce, ciphertext as long as the plaintext, 32-byte tag. These
+/// are the wire lengths of three real confidential frames as recorded with the
+/// HMAC-keystream cipher; the cost model charges on them.
+#[test]
+fn confidential_frame_lengths_are_pinned() {
+    let (mut sender, _) = shield_pair(true);
+    let payload = vec![0x5a; 1024];
+    let single = sender.wrap(NodeId(1), 7, &payload);
+    let batch = sender.wrap_batch(
+        NodeId(1),
+        vec![
+            BatchOp::new(7, payload.clone()),
+            BatchOp::new(7, vec![1, 2, 3]),
+        ],
+    );
+    let txn = sender.wrap_txn(
+        NodeId(1),
+        9,
+        &TxnBody::Prepare {
+            ops: vec![Operation::Put {
+                key: b"k".to_vec(),
+                value: payload,
+            }],
+        },
+    );
+    assert_eq!((single.len(), batch.len(), txn.len()), (1148, 1165, 1166));
+}
+
 /// Feeds every single-bit flip of `wire` to `open`, which must reject each
 /// one (no delivery, one more rejection on the counter), then the intact
 /// frame, which must still be accepted: no flip advanced a counter or left
