@@ -180,8 +180,9 @@ pub enum FaultDecision {
     Replay(WireMessage),
 }
 
-/// Stateful fault injector: samples the [`FaultPlan`] with a deterministic RNG and
-/// keeps a bounded capture buffer of past traffic to source replays from.
+/// Stateful fault injector: samples the [`FaultPlan`] with a deterministic RNG and,
+/// under a plan that replays, keeps a bounded capture buffer of past traffic to
+/// source replays from.
 #[derive(Debug)]
 pub struct NetworkFaultInjector {
     plan: FaultPlan,
@@ -205,6 +206,8 @@ impl NetworkFaultInjector {
     }
 
     /// Replaces the active plan (e.g. to turn the adversary on mid-experiment).
+    /// Replays draw on traffic seen while a plan with `replay_probability > 0`
+    /// was active; frames that passed under a plan without replay were not kept.
     pub fn set_plan(&mut self, plan: FaultPlan) {
         self.plan = plan;
     }
@@ -220,12 +223,17 @@ impl NetworkFaultInjector {
 
     /// Decides the fate of `message`.
     pub fn decide(&mut self, message: &WireMessage) -> FaultDecision {
-        // Capture honest traffic so later replays have material to work with.
-        // The buffer bound is a plan knob: replay-heavy scenarios widen it to
-        // reach further into the past.
-        self.captured.push_back(message.clone());
-        while self.captured.len() > self.plan.capture_limit.max(1) {
-            self.captured.pop_front();
+        // Capture honest traffic so later replays have material to work with —
+        // only under a plan that can replay: nothing else reads the buffer,
+        // and a copy of every frame is not free. Capturing draws nothing from
+        // the RNG, so skipping it moves no decision. The buffer bound is a
+        // plan knob: replay-heavy scenarios widen it to reach further into
+        // the past.
+        if self.plan.replay_probability > 0.0 {
+            self.captured.push_back(message.clone());
+            while self.captured.len() > self.plan.capture_limit.max(1) {
+                self.captured.pop_front();
+            }
         }
 
         // Fast path keyed on the per-message probabilities specifically (not
@@ -403,6 +411,85 @@ mod tests {
                 other => panic!("expected Replay or Deliver, got {other:?}"),
             }
         }
+    }
+
+    /// Folds a run of decisions — which action, which older frame a replay
+    /// picked, what a tamper left — into one number.
+    fn fingerprint(plan: FaultPlan, seed: u64) -> u64 {
+        let mut injector = NetworkFaultInjector::new(plan, seed);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |bytes: &[u8]| {
+            for byte in bytes {
+                hash = (hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for i in 0..2_000u64 {
+            // Three channels, so a replay has same-channel and foreign frames
+            // to tell apart.
+            let mut message = msg(i, &i.to_le_bytes());
+            message.dst = NodeId(2 + i % 3);
+            match injector.decide(&message) {
+                FaultDecision::Deliver => fold(&[0]),
+                FaultDecision::Drop => fold(&[1]),
+                FaultDecision::Tamper(corrupted) => {
+                    fold(&[2]);
+                    fold(&corrupted.buf.payload);
+                }
+                FaultDecision::Duplicate => fold(&[3]),
+                FaultDecision::Replay(older) => {
+                    fold(&[4]);
+                    fold(&older.wire_id.to_le_bytes());
+                }
+            }
+            fold(&injector.sample_extra_delay_ns().to_le_bytes());
+        }
+        hash
+    }
+
+    /// Capturing is skipped when nothing can be replayed, and it never drew
+    /// from the RNG: the recorded numbers are those of the injector that
+    /// captured every frame under every plan.
+    #[test]
+    fn decisions_per_seed_are_those_of_the_always_capturing_injector() {
+        let narrow_replay = FaultPlan {
+            replay_probability: 0.5,
+            capture_limit: 4,
+            ..FaultPlan::default()
+        };
+        let no_replay = FaultPlan {
+            replay_probability: 0.0,
+            ..FaultPlan::byzantine()
+        };
+        assert_eq!(
+            fingerprint(FaultPlan::byzantine(), 42),
+            0xd88b_f0d7_c7d2_3b16
+        );
+        assert_eq!(
+            fingerprint(FaultPlan::byzantine(), 43),
+            0xe24f_1254_94b7_63fd
+        );
+        assert_eq!(fingerprint(narrow_replay, 7), 0xcf4d_6c49_f27e_136e);
+        assert_eq!(fingerprint(no_replay, 42), 0xa091_d67c_d0fd_e4df);
+    }
+
+    #[test]
+    fn a_plan_without_replay_holds_no_captured_payloads() {
+        let no_replay = FaultPlan {
+            replay_probability: 0.0,
+            ..FaultPlan::byzantine()
+        };
+        for plan in [FaultPlan::benign(), FaultPlan::lossy(0.1), no_replay] {
+            let mut injector = NetworkFaultInjector::new(plan, 3);
+            for i in 0..100 {
+                injector.decide(&msg(i, b"payload"));
+            }
+            assert!(injector.captured.is_empty());
+        }
+        let mut injector = NetworkFaultInjector::new(FaultPlan::byzantine(), 3);
+        for i in 0..1_000 {
+            injector.decide(&msg(i, b"payload"));
+        }
+        assert_eq!(injector.captured.len(), FaultPlan::default().capture_limit);
     }
 
     #[test]

@@ -92,7 +92,6 @@ impl AllConcurMsg {
 struct PendingProposal {
     request: ClientRequest,
     acks: HashSet<u64>,
-    delivered: bool,
 }
 
 /// An AllConcur replica (native or Recipe-transformed).
@@ -102,7 +101,7 @@ pub struct AllConcurReplica {
     shield: ProtocolShield,
     kv: PartitionedKvStore,
     next_op: u64,
-    /// Proposals this node coordinates.
+    /// Proposals this node coordinates, until they are delivered.
     own: HashMap<u64, PendingProposal>,
     /// Proposals received from other coordinators, buffered until delivery.
     buffered: HashMap<(u64, u64), (Vec<u8>, Vec<u8>)>,
@@ -198,29 +197,28 @@ impl AllConcurReplica {
                     return;
                 };
                 pending.acks.insert(from.0);
-                if !pending.delivered && pending.acks.len() >= all_peers {
-                    pending.delivered = true;
-                    // Apply locally, tell everyone to deliver, answer the client.
-                    let (key, value, reply) = {
-                        let pending = &self.own[&op];
-                        let Operation::Put { key, value } = pending.request.operation.clone()
-                        else {
-                            return;
-                        };
-                        let reply = ClientReply {
-                            client_id: pending.request.client_id,
-                            request_id: pending.request.request_id,
-                            value: None,
-                            found: false,
-                            replier: self.id.0,
-                        };
-                        (key, value, reply)
-                    };
-                    self.apply(&key, &value);
-                    let deliver = AllConcurMsg::Deliver { op };
-                    self.broadcast(ctx, &deliver);
-                    ctx.reply(reply);
+                if pending.acks.len() < all_peers {
+                    return;
                 }
+                // Tracked by everyone: apply locally, tell everyone to deliver,
+                // answer the client. The proposal is done with — a Track that
+                // arrives later finds nothing to count on.
+                let Some(PendingProposal { request, .. }) = self.own.remove(&op) else {
+                    return;
+                };
+                let Operation::Put { key, value } = request.operation else {
+                    return;
+                };
+                self.apply(&key, &value);
+                let deliver = AllConcurMsg::Deliver { op };
+                self.broadcast(ctx, &deliver);
+                ctx.reply(ClientReply {
+                    client_id: request.client_id,
+                    request_id: request.request_id,
+                    value: None,
+                    found: false,
+                    replier: self.id.0,
+                });
             }
             AllConcurMsg::Deliver { op } => {
                 if let Some((key, value)) = self.buffered.remove(&(from.0, op)) {
@@ -257,7 +255,6 @@ impl Replica for AllConcurReplica {
                     PendingProposal {
                         request,
                         acks: HashSet::new(),
-                        delivered: false,
                     },
                 );
                 let propose = AllConcurMsg::Propose { op, key, value };
@@ -406,6 +403,10 @@ mod tests {
                 "replica {id} applied {}",
                 cluster.replica(NodeId(id)).applied_writes()
             );
+            // A delivered proposal is gone from its coordinator's state: only
+            // what was in flight when the run stopped is left, one per client
+            // at most.
+            assert!(cluster.replica(NodeId(id)).own.len() <= 16);
         }
     }
 

@@ -151,7 +151,6 @@ struct PendingEntry {
     append_acks: HashSet<u64>,
     commit_acks: HashSet<u64>,
     replicated: bool,
-    replied: bool,
 }
 
 /// A Raft replica (native or Recipe-transformed).
@@ -162,7 +161,8 @@ pub struct RaftReplica {
     kv: PartitionedKvStore,
     view: u64,
     next_index: u64,
-    /// Leader-side replication state per log index.
+    /// Leader-side replication state per log index, from the client's request
+    /// until its reply is sent.
     pending: HashMap<u64, PendingEntry>,
     /// Follower-side uncommitted entries per log index.
     uncommitted: HashMap<u64, (Vec<u8>, Vec<u8>)>,
@@ -363,18 +363,21 @@ impl RaftReplica {
                     return;
                 }
                 let quorum = self.quorum();
-                if let Some(entry) = self.pending.get_mut(&index) {
-                    entry.commit_acks.insert(from.0);
-                    if !entry.replied && entry.commit_acks.len() >= quorum {
-                        entry.replied = true;
-                        ctx.reply(ClientReply {
-                            client_id: entry.client_id,
-                            request_id: entry.request_id,
-                            value: None,
-                            found: false,
-                            replier: self.id.0,
-                        });
-                    }
+                let Some(entry) = self.pending.get_mut(&index) else {
+                    return;
+                };
+                entry.commit_acks.insert(from.0);
+                if entry.commit_acks.len() >= quorum {
+                    ctx.reply(ClientReply {
+                        client_id: entry.client_id,
+                        request_id: entry.request_id,
+                        value: None,
+                        found: false,
+                        replier: self.id.0,
+                    });
+                    // Answered: nothing about this index is needed again, and
+                    // an ack that arrives later finds no entry to count on.
+                    self.pending.remove(&index);
                 }
             }
             RaftMsg::Heartbeat { view } => {
@@ -472,7 +475,6 @@ impl Replica for RaftReplica {
                     append_acks: HashSet::new(),
                     commit_acks: HashSet::new(),
                     replicated: false,
-                    replied: false,
                 };
                 entry.append_acks.insert(self.id.0);
                 self.pending.insert(index, entry);
@@ -746,6 +748,10 @@ mod tests {
             assert!(applied >= 195, "replica {id} applied only {applied}");
         }
         assert_eq!(cluster.replica(NodeId(0)).rejected_messages(), 0);
+        // An answered entry is gone from the leader's replication state: what
+        // is left is what was in flight when the run stopped, one per client
+        // at most, not the 200 entries of the run.
+        assert!(cluster.replica(NodeId(0)).pending.len() <= 16);
     }
 
     #[test]
