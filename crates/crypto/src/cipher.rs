@@ -41,8 +41,9 @@
 //! * tag: one compression per 64 bytes of ciphertext, plus 2 (`k_mac` is a
 //!   [`MacKey`], so its pad states are hashed when the [`Cipher`] is built);
 //! * a 1 KiB `seal` or `open`: 1 HChaCha20 + 16 blocks + the 18-compression
-//!   tag; building a `Cipher`: 6 compressions (the master key's pads, two
-//!   derivations) — `k_enc` is used as it is derived, with no state to set up.
+//!   tag; building a `Cipher`: 8 compressions (the master key's pads, two
+//!   derivations, `k_mac`'s pads) — `k_enc` is used as it is derived, with no
+//!   state to set up.
 //!
 //! [`Cipher::seal_owned`] and [`Cipher::open_owned`] work in the buffer they
 //! are given; [`Cipher::seal`] and [`Cipher::open`] copy the borrowed input
@@ -159,29 +160,22 @@ impl Cipher {
 
     /// Verifies and decrypts `ciphertext`, returning the plaintext.
     pub fn open(&self, ciphertext: &Ciphertext) -> Result<Vec<u8>, CryptoError> {
-        self.verify_tag(ciphertext)?;
-        let mut bytes = ciphertext.bytes.clone();
-        self.apply_keystream(&ciphertext.nonce, &mut bytes);
-        Ok(bytes)
+        self.open_owned(ciphertext.clone())
     }
 
     /// [`Cipher::open`] for a caller that owns the ciphertext: its bytes are
     /// decrypted where they lie and returned. Nothing is decrypted unless the
     /// tag verifies.
     pub fn open_owned(&self, ciphertext: Ciphertext) -> Result<Vec<u8>, CryptoError> {
-        self.verify_tag(&ciphertext)?;
-        let mut bytes = ciphertext.bytes;
-        self.apply_keystream(&ciphertext.nonce, &mut bytes);
-        Ok(bytes)
-    }
-
-    fn verify_tag(&self, ciphertext: &Ciphertext) -> Result<(), CryptoError> {
         self.mac_key
             .verify_parts(
                 &[ciphertext.nonce.as_bytes(), &ciphertext.bytes],
                 &MacTag::from_bytes(ciphertext.tag),
             )
-            .map_err(|_| CryptoError::CiphertextTampered)
+            .map_err(|_| CryptoError::CiphertextTampered)?;
+        let mut bytes = ciphertext.bytes;
+        self.apply_keystream(&ciphertext.nonce, &mut bytes);
+        Ok(bytes)
     }
 
     /// XORs `data` with the XChaCha20 keystream of `k_enc` and `nonce`: the 16

@@ -413,6 +413,13 @@ mod tests {
         }
     }
 
+    fn byzantine_without_replay() -> FaultPlan {
+        FaultPlan {
+            replay_probability: 0.0,
+            ..FaultPlan::byzantine()
+        }
+    }
+
     /// Folds a run of decisions — which action, which older frame a replay
     /// picked, what a tamper left — into one number.
     fn fingerprint(plan: FaultPlan, seed: u64) -> u64 {
@@ -456,10 +463,6 @@ mod tests {
             capture_limit: 4,
             ..FaultPlan::default()
         };
-        let no_replay = FaultPlan {
-            replay_probability: 0.0,
-            ..FaultPlan::byzantine()
-        };
         assert_eq!(
             fingerprint(FaultPlan::byzantine(), 42),
             0xd88b_f0d7_c7d2_3b16
@@ -469,16 +472,19 @@ mod tests {
             0xe24f_1254_94b7_63fd
         );
         assert_eq!(fingerprint(narrow_replay, 7), 0xcf4d_6c49_f27e_136e);
-        assert_eq!(fingerprint(no_replay, 42), 0xa091_d67c_d0fd_e4df);
+        assert_eq!(
+            fingerprint(byzantine_without_replay(), 42),
+            0xa091_d67c_d0fd_e4df
+        );
     }
 
     #[test]
     fn a_plan_without_replay_holds_no_captured_payloads() {
-        let no_replay = FaultPlan {
-            replay_probability: 0.0,
-            ..FaultPlan::byzantine()
-        };
-        for plan in [FaultPlan::benign(), FaultPlan::lossy(0.1), no_replay] {
+        for plan in [
+            FaultPlan::benign(),
+            FaultPlan::lossy(0.1),
+            byzantine_without_replay(),
+        ] {
             let mut injector = NetworkFaultInjector::new(plan, 3);
             for i in 0..100 {
                 injector.decide(&msg(i, b"payload"));
