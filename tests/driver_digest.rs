@@ -1,0 +1,231 @@
+//! The refactoring oracle inside tier-1: three small fixed-seed runs through
+//! the request driver, each pinned by the SHA-256 of the `serde_json` form of
+//! its [`ShardedRunStats`].
+//!
+//! The virtual clock is deterministic, so a driver change that schedules one
+//! event at a different instant — or in a different order on a tie — moves a
+//! latency, a counter or a timeline bucket and with it the digest. The three
+//! runs between them keep every event source of the driver live: plain
+//! single-key requests; transactions behind the tenant gateway (admit,
+//! throttle, reject, 2PC retries and aborts); the rebalancing controller with
+//! a leader crash and recovery.
+//!
+//! A pin only moves together with a change that legitimately moves the
+//! virtual clock (a cost-model or wire-format change — the same changes that
+//! regenerate `crates/bench/baselines/`). Then, and only then:
+//!
+//! ```text
+//! cargo test --test driver_digest -- --ignored regenerate_pins
+//! ```
+//!
+//! rewrites `tests/golden/driver_digest/*.json` and prints the digests to
+//! paste into [`PINS`]. The JSON files exist so that a mismatch can name the
+//! first field that differs instead of showing two hashes.
+
+use std::path::PathBuf;
+
+use recipe::core::{Operation, Request};
+use recipe::crypto::sha256;
+use recipe::gateway::{GatewayConfig, TenantSpec};
+use recipe::net::{CrashPlan, FaultPlan, NodeId};
+use recipe::protocols::RaftReplica;
+use recipe::shard::{
+    DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster, ShardedRunStats, TxnConfig,
+};
+use serde_json::Value;
+
+/// `(run name, SHA-256 of its stats JSON)`.
+const PINS: [(&str, &str); 3] = [
+    (
+        "single_key_unbatched",
+        "9cfc05bb3f13976753c5d945cf68d2e64c46d63072290303a839472a6329b523",
+    ),
+    (
+        "txn_gateway",
+        "200e494be3bd76a6ec34fc7bc0ad33383da013243335813bccdc8686c4974f82",
+    ),
+    (
+        "rebalance_crash",
+        "435859e3d4b966a2c1f111e0bbdd1bec9ea0b1d748eba207fe60aaaaa64bde43",
+    ),
+];
+
+fn put(key: Vec<u8>, client: u64, seq: u64) -> Operation {
+    Operation::Put {
+        key,
+        value: format!("v{client}:{seq}").into_bytes(),
+    }
+}
+
+/// One group, every fourth request a read: the fast path alone.
+fn single_key_unbatched() -> ShardedRunStats {
+    let spec = DeploymentSpec::new(1, 3).with_seed(21).with_clients(8, 300);
+    ShardedCluster::<RaftReplica>::build(spec).run_requests(|client, seq| {
+        let key = format!("user{:04}", (client * 31 + seq * 7) % 64).into_bytes();
+        Some(if seq % 4 == 0 {
+            Operation::Get { key }.into()
+        } else {
+            put(key, client, seq).into()
+        })
+    })
+}
+
+/// Three groups behind the gateway: `alpha` unlimited, `bravo` on a quota
+/// tight enough to be throttled, `mallory` revoked. Two requests in three are
+/// 3-key transactions over a small contended key set, their 2PC frames on a
+/// lossy link so retransmission timers fire.
+fn txn_gateway() -> ShardedRunStats {
+    let gateway = GatewayConfig::enabled()
+        .with_tenant(TenantSpec::new("alpha"))
+        .with_tenant(TenantSpec::new("bravo").with_quota(20_000).with_burst(4))
+        .with_tenant(TenantSpec::new("mallory").revoked());
+    let spec = DeploymentSpec::new(3, 3)
+        .with_seed(22)
+        .with_clients(6, 240)
+        .with_time_cap_ns(20_000_000_000)
+        .with_timeline_bucket_ns(500_000)
+        .with_txn(TxnConfig {
+            fault_plan: FaultPlan::lossy(0.05),
+            ..TxnConfig::default()
+        })
+        .with_gateway(gateway);
+    let stats = ShardedCluster::<RaftReplica>::build(spec).run_requests(|client, seq| {
+        let key = |i: u64| format!("acct{:03}", (client + seq * 5 + i * 11) % 24).into_bytes();
+        Some(if seq % 3 == 0 {
+            put(key(0), client, seq).into()
+        } else {
+            Request::Txn((0..3).map(|i| put(key(i), client, seq)).collect())
+        })
+    });
+    assert!(
+        stats.txn.cross_shard_committed > 0,
+        "no cross-shard 2PC ran"
+    );
+    assert!(stats.txn.aborted > 0, "no transaction ever conflicted");
+    assert!(
+        stats.txn.frames_dropped > 0,
+        "no 2PC frame was retransmitted"
+    );
+    let tenant = |name: &str| {
+        let found = stats.gateway.tenants.iter().find(|t| t.tenant == name);
+        found.expect("tenant configured")
+    };
+    assert!(tenant("bravo").throttled > 0, "the quota never throttled");
+    assert!(tenant("mallory").rejected > 0, "the revoked tenant got in");
+    stats
+}
+
+/// Two groups, the load funnelled onto a hot range of group 0 so the
+/// controller migrates it, while group 1's leader crashes and recovers.
+fn rebalance_crash() -> ShardedRunStats {
+    let spec = DeploymentSpec::new(2, 3)
+        .with_seed(23)
+        .with_clients(48, 1200)
+        .with_time_cap_ns(20_000_000_000)
+        .with_rebalance(RebalanceConfig {
+            check_interval_ns: 1_000_000,
+            min_window_commits: 40,
+            imbalance_threshold: 1.4,
+            drain_threshold_ops: 2,
+            timeline_bucket_ns: 1_000_000,
+            ..RebalanceConfig::enabled()
+        })
+        .with_shard_policy(
+            1,
+            ShardPolicy::new().with_crash_plan(CrashPlan::none().crash_recover(
+                NodeId(0),
+                400_000,
+                3_000_000,
+            )),
+        );
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let hot = recipe_bench::hot_range_on_shard(cluster.router(), 0, 24, 2);
+    let mut issued = 0usize;
+    let stats = cluster.run_requests(move |client, seq| {
+        issued += 1;
+        let key = if issued < 120 || issued % 5 == 0 {
+            format!("user{:08}", (client * 131 + seq * 17) % 10_000).into_bytes()
+        } else {
+            hot[issued % hot.len()].clone()
+        };
+        Some(put(key, client, seq).into())
+    });
+    assert!(stats.migration.migrations_completed > 0, "nothing migrated");
+    assert!(
+        stats.migration.redirects > 0,
+        "no stale client was redirected"
+    );
+    assert!(stats.migration.refusals > 0, "no drain refused a request");
+    assert!(stats.migration.catchup_entries > 0, "no write was captured");
+    stats
+}
+
+fn run(name: &str) -> ShardedRunStats {
+    match name {
+        "single_key_unbatched" => single_key_unbatched(),
+        "txn_gateway" => txn_gateway(),
+        "rebalance_crash" => rebalance_crash(),
+        other => panic!("no run named {other}"),
+    }
+}
+
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/driver_digest")
+        .join(format!("{name}.json"))
+}
+
+/// Path and both values of the first leaf on which two JSON trees disagree,
+/// depth first in field order.
+fn first_difference(path: &str, pinned: &Value, got: &Value) -> Option<String> {
+    match (pinned, got) {
+        (Value::Map(a), Value::Map(b)) if a.len() == b.len() => a
+            .iter()
+            .zip(b)
+            .find_map(|((key, x), (_, y))| first_difference(&format!("{path}.{key}"), x, y)),
+        (Value::Array(a), Value::Array(b)) if a.len() == b.len() => a
+            .iter()
+            .zip(b)
+            .enumerate()
+            .find_map(|(i, (x, y))| first_difference(&format!("{path}[{i}]"), x, y)),
+        (Value::Array(a), Value::Array(b)) => Some(format!(
+            "`{path}` has {} elements, pinned {}",
+            b.len(),
+            a.len()
+        )),
+        (a, b) if a == b => None,
+        (a, b) => Some(format!("`{path}` is {b:?}, pinned {a:?}")),
+    }
+}
+
+#[test]
+fn fixed_seed_runs_keep_their_pinned_digests() {
+    for (name, pinned_digest) in PINS {
+        let json = serde_json::to_string(&run(name)).expect("stats serialise");
+        if sha256(json.as_bytes()).to_hex() == pinned_digest {
+            continue;
+        }
+        let golden = std::fs::read_to_string(golden_path(name)).expect("golden file committed");
+        let pinned: Value = serde_json::from_str(&golden).expect("golden file parses");
+        let got: Value = serde_json::from_str(&json).expect("stats parse back");
+        match first_difference("stats", &pinned, &got) {
+            Some(difference) => panic!("run `{name}` is no longer bit-identical: {difference}"),
+            None => panic!(
+                "run `{name}`: PINS is stale — {} matches the run but not the pinned digest",
+                golden_path(name).display()
+            ),
+        }
+    }
+}
+
+#[test]
+#[ignore = "rewrites the golden files; see the module docs"]
+fn regenerate_pins() {
+    for (name, _) in PINS {
+        let json = serde_json::to_string(&run(name)).expect("stats serialise");
+        std::fs::create_dir_all(golden_path(name).parent().expect("has a parent"))
+            .expect("golden directory");
+        std::fs::write(golden_path(name), &json).expect("golden file written");
+        println!("(\"{name}\", \"{}\"),", sha256(json.as_bytes()).to_hex());
+    }
+}
