@@ -23,19 +23,26 @@
 //! The legacy surfaces — [`ShardedCluster::run`] (plain operations) and
 //! [`ShardedCluster::run_rebalancing`] (optional operations) — are thin
 //! wrappers lowering their workloads into `Request::Single` streams.
+//!
+//! All of it is one [`Engine`]: the state of a run in one struct, a `run`
+//! loop that only picks the earliest of three event sources, and one handler
+//! per event. The 2PC handlers live in [`crate::txn`] and the migration
+//! handlers in [`crate::migration`], as further `impl Engine` blocks.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
 
-use recipe_core::Request;
+use recipe_core::{Operation, Request};
 use recipe_gateway::{Gateway, GatewayVerdict};
 use recipe_sim::{RangeStateTransfer, Replica, StepOutcome};
+use recipe_telemetry::SpanKind;
 use recipe_workload::stable_key_hash;
 
-use crate::migration::ControllerState;
+use crate::migration::{ControllerState, RebalanceConfig};
 use crate::router::{RouteDecision, RouterVersion};
-use crate::sharded::{ShardedCluster, ShardedRunStats, TimelineBucket};
-use crate::txn::{TxnManager, TxnResolution, TxnSchedule};
+use crate::sharded::{ShardedCluster, ShardedRunStats, Tallies, TimelineBucket};
+use crate::txn::{TxnManager, TxnResolution};
 
 /// Work carried by one driver event.
 #[derive(Debug)]
@@ -70,11 +77,11 @@ pub(crate) enum DriverWork {
 
 /// One driver event, ordered by `(at, seq)`.
 #[derive(Debug)]
-pub(crate) struct DriverEvent {
-    pub(crate) at: u64,
-    pub(crate) seq: u64,
-    pub(crate) client_id: u64,
-    pub(crate) work: DriverWork,
+struct DriverEvent {
+    at: u64,
+    seq: u64,
+    client_id: u64,
+    work: DriverWork,
 }
 
 impl PartialEq for DriverEvent {
@@ -95,39 +102,71 @@ impl Ord for DriverEvent {
 }
 
 /// One single-key operation in flight, as the driver submitted it.
-pub(crate) struct Issued {
-    pub(crate) shard: usize,
-    pub(crate) arc: usize,
-    pub(crate) request_id: u64,
-    pub(crate) key: Vec<u8>,
-    pub(crate) is_write: bool,
+struct Issued {
+    shard: usize,
+    arc: usize,
+    request_id: u64,
+    key: Vec<u8>,
+    is_write: bool,
 }
 
-/// Single-key operations currently in flight on the moving range of the
-/// active migration.
-fn singles_on_moving(st: &ControllerState, outstanding: &BTreeMap<u64, Issued>) -> usize {
-    match st.active_range() {
-        Some((donor, arc_set)) => outstanding
-            .values()
-            .filter(|issued| issued.shard == donor && arc_set.contains(&issued.arc))
-            .count(),
-        None => 0,
+/// What the driver keeps per client, indexed by the dense client id.
+struct ClientState {
+    /// The router epoch the client last resolved a key under.
+    version: RouterVersion,
+    /// Id of the last request drawn from the workload.
+    last_request_id: u64,
+    /// The client's single-key operation in flight (a closed-loop client has
+    /// at most one).
+    outstanding: Option<Issued>,
+}
+
+/// The event source `Engine::run` serves next.
+#[derive(Clone, Copy)]
+enum Source {
+    Driver,
+    Controller,
+    Shard(usize),
+}
+
+/// One run of the request driver over a [`ShardedCluster`].
+pub(crate) struct Engine<'a, R: Replica> {
+    pub(crate) cluster: &'a mut ShardedCluster<R>,
+    workload: &'a mut dyn FnMut(u64, u64) -> Option<Request>,
+    pub(crate) rb: RebalanceConfig,
+    controller_enabled: bool,
+    pub(crate) link_latency: u64,
+    think: u64,
+    cap: u64,
+    target: u64,
+    queue: BinaryHeap<Reverse<DriverEvent>>,
+    next_seq: u64,
+    /// The tenant gateway fronts the router when the deployment enables it.
+    /// `None` when disabled: every hook is behind `if let`, so a gateway-off
+    /// run schedules exactly the same events at exactly the same times as a
+    /// build that predates the gateway — bit-identical, the same bar the
+    /// telemetry layer meets.
+    gateway: Option<Gateway>,
+    pub(crate) st: ControllerState,
+    pub(crate) txns: TxnManager,
+    clients: Vec<ClientState>,
+    /// The global virtual-time frontier.
+    pub(crate) now: u64,
+    tallies: Tallies,
+    timeline: Vec<u64>,
+    timeline_aborts: Vec<u64>,
+}
+
+/// Adds `count` to the bucket of width `width_ns` that `at_ns` falls in (a
+/// zero width disables the timeline).
+fn bucket(timeline: &mut Vec<u64>, width_ns: u64, at_ns: u64, count: u64) {
+    if let Some(bucket) = at_ns.checked_div(width_ns) {
+        let bucket = bucket as usize;
+        if timeline.len() <= bucket {
+            timeline.resize(bucket + 1, 0);
+        }
+        timeline[bucket] += count;
     }
-}
-
-/// Everything in flight on the moving range: outstanding single-key
-/// operations plus transactions with a participant on it.
-fn inflight_on_moving(
-    st: &ControllerState,
-    outstanding: &BTreeMap<u64, Issued>,
-    txns: &TxnManager,
-) -> usize {
-    let singles = singles_on_moving(st, outstanding);
-    let in_txns = match st.active_range() {
-        Some((donor, arc_set)) => txns.inflight_on(donor, arc_set),
-        None => 0,
-    };
-    singles + in_txns
 }
 
 impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
@@ -161,102 +200,80 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
     where
         W: FnMut(u64, u64) -> Option<Request>,
     {
-        for shard in &mut self.shards {
+        let mut engine = Engine::new(self, &mut workload, controller_enabled);
+        engine.run();
+        engine.finish()
+    }
+}
+
+impl<'a, R: Replica + RangeStateTransfer> Engine<'a, R> {
+    fn new(
+        cluster: &'a mut ShardedCluster<R>,
+        workload: &'a mut dyn FnMut(u64, u64) -> Option<Request>,
+        controller_enabled: bool,
+    ) -> Self {
+        for shard in &mut cluster.shards {
             shard.seed_initial_events();
         }
-
-        let rb = self.config.rebalance.clone();
-        let link_latency = self.config.base.cost_model.link_latency_ns;
-        let think = self.config.base.cost_model.client_think_ns;
-        let cap = self.config.base.max_virtual_ns;
-        let target = self.config.base.clients.total_operations as u64;
-        let clients = self.config.base.clients.clients;
-        let shard_count = self.shards.len();
-
-        let mut queue: BinaryHeap<Reverse<DriverEvent>> = BinaryHeap::new();
-        let mut next_seq = 0u64;
-        for client_id in 0..clients as u64 {
-            queue.push(Reverse(DriverEvent {
-                at: client_id * rb.issue_stagger_ns,
-                seq: next_seq,
-                client_id,
-                work: DriverWork::Fresh,
-            }));
-            next_seq += 1;
-        }
-
-        // The tenant gateway fronts the router when the deployment enables
-        // it. `None` when disabled: every hook below is behind `if let`, so a
-        // gateway-off run schedules exactly the same events at exactly the
-        // same times as a build that predates the gateway — bit-identical,
-        // the same bar the telemetry layer meets.
-        let mut gateway = Gateway::from_config(&self.config.gateway, self.config.base.seed);
-        // Gateway spans land on shard 0's tracer: the front door sits before
-        // routing, so no serving shard is known yet. `tag` = tenant index
-        // (`u64::MAX` when the request resolved to no tenant).
-        let tenant_tag = |tenant: Option<usize>| tenant.map(|t| t as u64).unwrap_or(u64::MAX);
-
-        let mut st = ControllerState::new(shard_count, rb.check_interval_ns);
+        let config = &cluster.config;
+        let rb = config.rebalance.clone();
+        let link_latency = config.base.cost_model.link_latency_ns;
+        let clients = config.base.clients.clients;
+        let shard_count = cluster.shards.len();
         let profiles = (0..shard_count)
-            .map(|shard| self.config.config_for_shard(shard).profiles)
+            .map(|shard| config.config_for_shard(shard).profiles)
             .collect();
-        let mut txns = TxnManager::new(
-            self.config.txn.clone(),
-            self.config.base.seed,
-            profiles,
+        let mut engine = Engine {
+            workload,
+            controller_enabled,
             link_latency,
-        );
-        let mut client_versions: Vec<RouterVersion> = vec![self.router.version(); clients];
-        let mut outstanding: BTreeMap<u64, Issued> = BTreeMap::new();
-        let mut next_request_id: HashMap<u64, u64> = HashMap::new();
-        let mut latencies_ns: Vec<u64> = Vec::new();
-        let mut shard_latencies: Vec<Vec<u64>> = vec![Vec::new(); shard_count];
-        let mut txn_shard_ops: Vec<(u64, u64, u64)> = vec![(0, 0, 0); shard_count];
-        let mut timeline: Vec<u64> = Vec::new();
-        let mut timeline_aborts: Vec<u64> = Vec::new();
-        let mut committed = 0u64;
-        let mut committed_reads = 0u64;
-        let mut committed_writes = 0u64;
-        let mut global_now = 0u64;
-
-        let bucket_commit = |timeline: &mut Vec<u64>, at_ns: u64, count: u64| {
-            if let Some(bucket) = at_ns.checked_div(rb.timeline_bucket_ns) {
-                let bucket = bucket as usize;
-                if timeline.len() <= bucket {
-                    timeline.resize(bucket + 1, 0);
-                }
-                timeline[bucket] += count;
-            }
+            think: config.base.cost_model.client_think_ns,
+            cap: config.base.max_virtual_ns,
+            target: config.base.clients.total_operations as u64,
+            queue: BinaryHeap::new(),
+            next_seq: 0,
+            gateway: Gateway::from_config(&config.gateway, config.base.seed),
+            st: ControllerState::new(shard_count, rb.check_interval_ns),
+            txns: TxnManager::new(config.txn.clone(), config.base.seed, profiles),
+            clients: (0..clients)
+                .map(|_| ClientState {
+                    version: cluster.router.version(),
+                    last_request_id: 0,
+                    outstanding: None,
+                })
+                .collect(),
+            now: 0,
+            tallies: Tallies::new(shard_count),
+            timeline: Vec::new(),
+            timeline_aborts: Vec::new(),
+            rb,
+            cluster,
         };
-        let push_schedules = |queue: &mut BinaryHeap<Reverse<DriverEvent>>,
-                              next_seq: &mut u64,
-                              client_id: u64,
-                              schedules: Vec<TxnSchedule>| {
-            for schedule in schedules {
-                let (at, work) = match schedule {
-                    TxnSchedule::Retry {
-                        txn_id,
-                        participant,
-                        at,
-                    } => (
-                        at,
-                        DriverWork::TxnRetry {
-                            txn_id,
-                            participant,
-                        },
-                    ),
-                    TxnSchedule::Advance { txn_id, at } => (at, DriverWork::TxnAdvance { txn_id }),
-                };
-                queue.push(Reverse(DriverEvent {
-                    at,
-                    seq: *next_seq,
-                    client_id,
-                    work,
-                }));
-                *next_seq += 1;
-            }
-        };
+        for client_id in 0..clients as u64 {
+            engine.schedule(
+                client_id * engine.rb.issue_stagger_ns,
+                client_id,
+                DriverWork::Fresh,
+            );
+        }
+        engine
+    }
 
+    /// The only place an event enters the heap. Events are ordered by
+    /// `(at, seq)` and `seq` is assigned here, at push time, so events due at
+    /// the same instant run in the order they were scheduled.
+    pub(crate) fn schedule(&mut self, at: u64, client_id: u64, work: DriverWork) {
+        self.queue.push(Reverse(DriverEvent {
+            at,
+            seq: self.next_seq,
+            client_id,
+            work,
+        }));
+        self.next_seq += 1;
+    }
+
+    /// Serves the earliest event of the three sources until the run ends.
+    fn run(&mut self) {
         loop {
             // Termination: a transaction whose outcome is decided must
             // resolve on every participant (2PC's completion property), so
@@ -264,15 +281,19 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
             // transaction is in flight. In the drain that follows, clients
             // issue nothing new — only 2PC events, the controller and shard
             // work keep running.
-            let draining_txns = committed >= target;
-            if draining_txns && txns.is_idle() {
+            let past_target = self.tallies.committed >= self.target;
+            if past_target && self.txns.is_idle() {
                 break;
             }
-            let driver_at = queue.peek().map(|Reverse(event)| event.at);
-            let ctrl_at = st
-                .deadline(controller_enabled, rb.max_migrations)
-                .filter(|&at| at <= cap);
+            let driver_at = self.queue.peek().map(|Reverse(event)| event.at);
+            // A controller deadline past the cap is not a source at all; the
+            // other two end the run when they cross it.
+            let ctrl_at = self
+                .st
+                .deadline(self.controller_enabled, self.rb.max_migrations)
+                .filter(|&at| at <= self.cap);
             let shard_at = self
+                .cluster
                 .shards
                 .iter()
                 .enumerate()
@@ -280,460 +301,394 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                 .min();
 
             // Priority on ties: client/txn events, then the controller, then
-            // shard work — all deterministic.
-            let driver_wins = match (driver_at, ctrl_at, shard_at) {
-                (None, None, None) => break,
-                (Some(d), c, s) => {
-                    d <= c.unwrap_or(u64::MAX) && d <= s.map(|(at, _)| at).unwrap_or(u64::MAX)
-                }
-                _ => false,
-            };
-            let ctrl_wins = !driver_wins
-                && match (ctrl_at, shard_at) {
-                    (Some(c), s) => c <= s.map(|(at, _)| at).unwrap_or(u64::MAX),
-                    (None, _) => false,
-                };
-
-            if driver_wins {
-                let Reverse(event) = queue.pop().expect("peeked driver event");
-                if event.at > cap {
-                    break;
-                }
-                global_now = global_now.max(event.at);
-                let client_id = event.client_id;
-
-                let (rid, mut request, via_gateway) = match event.work {
-                    DriverWork::TxnRetry {
-                        txn_id,
-                        participant,
-                    } => {
-                        let schedules =
-                            self.txn_retry_event(&mut txns, &mut st, txn_id, participant, event.at);
-                        push_schedules(&mut queue, &mut next_seq, client_id, schedules);
-                        continue;
+            // shard work — `min_by_key` keeps the first of equal minima, so
+            // the order of this array is the tie order. All deterministic.
+            let next = [
+                driver_at.map(|at| (at, Source::Driver)),
+                ctrl_at.map(|at| (at, Source::Controller)),
+                shard_at.map(|(at, shard)| (at, Source::Shard(shard))),
+            ]
+            .into_iter()
+            .flatten()
+            .min_by_key(|&(at, _)| at);
+            let Some((at, source)) = next else { break };
+            if at > self.cap {
+                break;
+            }
+            self.now = self.now.max(at);
+            match source {
+                Source::Driver => self.on_driver_event(past_target),
+                Source::Controller => self.on_controller(at),
+                Source::Shard(shard) => {
+                    if self.on_shard_step(shard).is_break() {
+                        break;
                     }
-                    DriverWork::TxnAdvance { txn_id } => {
-                        let (resolution, schedules) =
-                            self.txn_advance_event(&mut txns, &mut st, txn_id, event.at);
-                        push_schedules(&mut queue, &mut next_seq, client_id, schedules);
-                        match resolution {
-                            TxnResolution::Pending => {}
-                            TxnResolution::Committed(done) => {
-                                global_now = global_now.max(done.finished_at);
-                                latencies_ns.push(done.latency_ns);
-                                let mut seen_shards: Vec<usize> = Vec::new();
-                                for &(shard, arc, is_write) in &done.op_placements {
-                                    committed += 1;
-                                    if is_write {
-                                        committed_writes += 1;
-                                        txn_shard_ops[shard].2 += 1;
-                                    } else {
-                                        committed_reads += 1;
-                                        txn_shard_ops[shard].1 += 1;
-                                    }
-                                    txn_shard_ops[shard].0 += 1;
-                                    st.window_shard[shard] += 1;
-                                    *st.window_arc.entry(arc).or_default() += 1;
-                                    if !seen_shards.contains(&shard) {
-                                        seen_shards.push(shard);
-                                    }
-                                }
-                                bucket_commit(
-                                    &mut timeline,
-                                    done.finished_at,
-                                    done.op_placements.len() as u64,
-                                );
-                                if let Some(gw) = gateway.as_mut() {
-                                    gw.complete(
-                                        done.client_id,
-                                        done.finished_at,
-                                        done.op_placements.len(),
-                                    );
-                                }
-                                for shard in seen_shards {
-                                    shard_latencies[shard].push(done.latency_ns);
-                                }
-                                queue.push(Reverse(DriverEvent {
-                                    at: done.finished_at + link_latency + think,
-                                    seq: next_seq,
-                                    client_id: done.client_id,
-                                    work: DriverWork::Fresh,
-                                }));
-                                next_seq += 1;
-                                if st.is_draining()
-                                    && inflight_on_moving(&st, &outstanding, &txns) == 0
-                                {
-                                    self.finish_cutover(&mut st, &rb, global_now);
-                                }
-                            }
-                            TxnResolution::Aborted {
-                                client_id: aborted_client,
-                                request_id,
-                                finished_at,
-                                request,
-                            } => {
-                                global_now = global_now.max(finished_at);
-                                bucket_commit(&mut timeline_aborts, finished_at, 1);
-                                // Deterministic per-client jitter breaks the
-                                // symmetry of mutually aborting transactions.
-                                let backoff =
-                                    txns.config.conflict_backoff_ns + aborted_client * 7_919;
-                                queue.push(Reverse(DriverEvent {
-                                    at: finished_at + backoff,
-                                    seq: next_seq,
-                                    client_id: aborted_client,
-                                    work: DriverWork::Retry(request_id, request),
-                                }));
-                                next_seq += 1;
-                                if st.is_draining()
-                                    && inflight_on_moving(&st, &outstanding, &txns) == 0
-                                {
-                                    self.finish_cutover(&mut st, &rb, global_now);
-                                }
-                            }
-                        }
-                        continue;
-                    }
-                    DriverWork::Fresh => {
-                        if draining_txns {
-                            continue; // past the target: no new work
-                        }
-                        let rid = next_request_id.get(&client_id).copied().unwrap_or(0) + 1;
-                        match workload(client_id, rid) {
-                            Some(request) => {
-                                next_request_id.insert(client_id, rid);
-                                (rid, request, true)
-                            }
-                            // The client retired; nothing more to issue.
-                            None => continue,
-                        }
-                    }
-                    DriverWork::Retry(rid, request) => {
-                        if draining_txns {
-                            continue; // past the target: the retry is moot
-                        }
-                        // Already admitted and tenant-scoped — straight to
-                        // routing. Running it through the gateway again would
-                        // double-prefix its keys and double-charge its quota.
-                        (rid, request, false)
-                    }
-                    DriverWork::GatewayRetry(rid, request) => {
-                        if draining_txns {
-                            continue; // past the target: the deferral is moot
-                        }
-                        (rid, request, true)
-                    }
-                };
-
-                if via_gateway {
-                    if let Some(gw) = gateway.as_mut() {
-                        match gw.admit(client_id, rid, event.at, &mut request) {
-                            GatewayVerdict::Admitted { tenant } => {
-                                if let Some(t) = self.shards[0].telemetry_mut() {
-                                    t.instant(
-                                        recipe_telemetry::SpanKind::GatewayAdmit,
-                                        client_id,
-                                        event.at,
-                                        tenant_tag(tenant),
-                                    );
-                                }
-                            }
-                            GatewayVerdict::Rejected { tenant, .. } => {
-                                if let Some(t) = self.shards[0].telemetry_mut() {
-                                    t.instant(
-                                        recipe_telemetry::SpanKind::GatewayReject,
-                                        client_id,
-                                        event.at,
-                                        tenant_tag(tenant),
-                                    );
-                                }
-                                // The client sees the error after a round
-                                // trip and moves on to its next operation —
-                                // rejection consumes the request, it does
-                                // not spin on it.
-                                queue.push(Reverse(DriverEvent {
-                                    at: event.at + 2 * link_latency + think,
-                                    seq: next_seq,
-                                    client_id,
-                                    work: DriverWork::Fresh,
-                                }));
-                                next_seq += 1;
-                                continue;
-                            }
-                            GatewayVerdict::Throttled {
-                                tenant,
-                                retry_at_ns,
-                            } => {
-                                if let Some(t) = self.shards[0].telemetry_mut() {
-                                    t.instant(
-                                        recipe_telemetry::SpanKind::GatewayThrottle,
-                                        client_id,
-                                        event.at,
-                                        tenant_tag(tenant),
-                                    );
-                                }
-                                queue.push(Reverse(DriverEvent {
-                                    at: retry_at_ns.max(event.at + 1),
-                                    seq: next_seq,
-                                    client_id,
-                                    work: DriverWork::GatewayRetry(rid, request),
-                                }));
-                                next_seq += 1;
-                                continue;
-                            }
-                        }
-                    }
-                }
-
-                // Route every operation under the client's cached epoch; one
-                // stale key re-resolves the whole request.
-                let mut placements: Vec<(usize, usize)> = Vec::with_capacity(request.len());
-                let mut redirect = None;
-                for op in request.ops() {
-                    let point = stable_key_hash(op.key());
-                    let arc = self.router.arc_of_point(point);
-                    match self
-                        .router
-                        .route(point, client_versions[client_id as usize])
-                    {
-                        RouteDecision::Owned { shard } => placements.push((arc, shard)),
-                        RouteDecision::WrongShard { new_version, .. } => {
-                            redirect = Some(new_version);
-                            break;
-                        }
-                    }
-                }
-                if let Some(new_version) = redirect {
-                    st.stats.redirects += 1;
-                    if request.is_txn() {
-                        txns.stats.wrong_shard_retries += 1;
-                    }
-                    client_versions[client_id as usize] = new_version;
-                    queue.push(Reverse(DriverEvent {
-                        at: event.at + 2 * link_latency,
-                        seq: next_seq,
-                        client_id,
-                        work: DriverWork::Retry(rid, request),
-                    }));
-                    next_seq += 1;
-                    continue;
-                }
-                if placements
-                    .iter()
-                    .any(|&(arc, shard)| st.refuses(shard, arc))
-                {
-                    // Cutover drain: the donor refuses fresh work on the
-                    // moving range; the whole request backs off and retries
-                    // — after the epoch bump it is redirected.
-                    st.stats.refusals += 1;
-                    if request.is_txn() {
-                        txns.stats.refusal_backoffs += 1;
-                    }
-                    queue.push(Reverse(DriverEvent {
-                        at: event.at + 2 * link_latency + 50_000,
-                        seq: next_seq,
-                        client_id,
-                        work: DriverWork::Retry(rid, request),
-                    }));
-                    next_seq += 1;
-                    continue;
-                }
-
-                // Every placement resolved under the client's epoch: mark the
-                // routing decision on the serving shard's trace (the first
-                // placement for transactions — the coordinator-entry shard).
-                if let Some(&(_, shard)) = placements.first() {
-                    if let Some(t) = self.shards[shard].telemetry_mut() {
-                        t.instant(
-                            recipe_telemetry::SpanKind::RouterResolve,
-                            client_id,
-                            event.at,
-                            rid,
-                        );
-                    }
-                }
-
-                match request {
-                    Request::Single(operation) => {
-                        let (arc, shard) = placements[0];
-                        let key = operation.key().to_vec();
-                        let is_write = operation.is_write();
-                        match self.shards[shard].try_submit_at(event.at, client_id, rid, operation)
-                        {
-                            Ok(()) => {
-                                outstanding.insert(
-                                    client_id,
-                                    Issued {
-                                        shard,
-                                        arc,
-                                        request_id: rid,
-                                        key,
-                                        is_write,
-                                    },
-                                );
-                            }
-                            Err(operation) => {
-                                // No live coordinator; retry the *identical*
-                                // payload later.
-                                queue.push(Reverse(DriverEvent {
-                                    at: event.at + 1_000_000,
-                                    seq: next_seq,
-                                    client_id,
-                                    work: DriverWork::Retry(rid, Request::Single(operation)),
-                                }));
-                                next_seq += 1;
-                            }
-                        }
-                    }
-                    Request::Txn(ops) => {
-                        if ops.is_empty() {
-                            // A degenerate empty transaction commits
-                            // trivially; the client moves on.
-                            queue.push(Reverse(DriverEvent {
-                                at: event.at + think,
-                                seq: next_seq,
-                                client_id,
-                                work: DriverWork::Fresh,
-                            }));
-                            next_seq += 1;
-                            continue;
-                        }
-                        match self.txn_begin(
-                            &mut txns,
-                            &mut st,
-                            client_id,
-                            rid,
-                            ops,
-                            &placements,
-                            event.at,
-                        ) {
-                            Ok(schedules) => {
-                                push_schedules(&mut queue, &mut next_seq, client_id, schedules);
-                            }
-                            Err(ops) => {
-                                // A participant group has no live
-                                // coordinator; retry the whole transaction.
-                                queue.push(Reverse(DriverEvent {
-                                    at: event.at + 1_000_000,
-                                    seq: next_seq,
-                                    client_id,
-                                    work: DriverWork::Retry(rid, Request::Txn(ops)),
-                                }));
-                                next_seq += 1;
-                            }
-                        }
-                    }
-                }
-            } else if ctrl_wins {
-                let now = ctrl_at.expect("controller deadline selected");
-                global_now = global_now.max(now);
-                let inflight = inflight_on_moving(&st, &outstanding, &txns);
-                self.controller_step(&mut st, &rb, now, inflight);
-            } else {
-                let (at, shard) = shard_at.expect("selected shard event");
-                if at > cap {
-                    break;
-                }
-                global_now = global_now.max(at);
-                match self.shards[shard].step() {
-                    StepOutcome::Idle => continue,
-                    StepOutcome::CapReached => break,
-                    StepOutcome::NeedsIssue { .. } => {
-                        unreachable!("external-client shards never issue internally")
-                    }
-                    StepOutcome::Processed => {}
-                }
-                for completion in self.shards[shard].drain_completions() {
-                    committed += 1;
-                    if completion.was_write {
-                        committed_writes += 1;
-                    } else {
-                        committed_reads += 1;
-                    }
-                    latencies_ns.push(completion.latency_ns);
-                    shard_latencies[shard].push(completion.latency_ns);
-                    bucket_commit(&mut timeline, completion.at_ns, 1);
-                    st.window_shard[shard] += 1;
-                    if let Some(issued) = outstanding.get(&completion.client_id) {
-                        if issued.request_id == completion.request_id {
-                            let issued = outstanding
-                                .remove(&completion.client_id)
-                                .expect("checked above");
-                            *st.window_arc.entry(issued.arc).or_default() += 1;
-                            // Catch-up capture: a write committed on the
-                            // donor inside the moving range replays on the
-                            // recipient. The record is re-read from the
-                            // donor leader's store so it carries the *real*
-                            // committed value and write timestamp.
-                            if st.captures(issued.shard, issued.arc) && issued.is_write {
-                                let entry = self.shards[issued.shard].write_coordinator().and_then(
-                                    |leader| {
-                                        self.shards[issued.shard]
-                                            .replica_mut(leader)
-                                            .read_entry(&issued.key)
-                                            .ok()
-                                            .flatten()
-                                    },
-                                );
-                                st.record_capture(entry);
-                            }
-                        }
-                    }
-                    if let Some(gw) = gateway.as_mut() {
-                        gw.complete(completion.client_id, completion.at_ns, 1);
-                    }
-                    queue.push(Reverse(DriverEvent {
-                        at: completion.at_ns + link_latency + think,
-                        seq: next_seq,
-                        client_id: completion.client_id,
-                        work: DriverWork::Fresh,
-                    }));
-                    next_seq += 1;
-                }
-                // A drain completes as soon as the last in-flight operation
-                // (single or transactional) on the moving range finished.
-                if st.is_draining() && inflight_on_moving(&st, &outstanding, &txns) == 0 {
-                    self.finish_cutover(&mut st, &rb, global_now);
                 }
             }
         }
+    }
 
+    /// Pops the due driver event and dispatches it to its handler.
+    fn on_driver_event(&mut self, past_target: bool) {
+        let Reverse(event) = self.queue.pop().expect("peeked driver event");
+        let (client_id, at) = (event.client_id, event.at);
+        match event.work {
+            DriverWork::TxnRetry {
+                txn_id,
+                participant,
+            } => self.on_txn_retry(txn_id, participant, at),
+            DriverWork::TxnAdvance { txn_id } => self.on_txn_advance(txn_id, at),
+            // Past the target clients issue nothing: a fresh draw, a retry
+            // and a deferred admission are all moot.
+            _ if past_target => {}
+            DriverWork::Fresh => self.on_fresh(client_id, at),
+            // Already admitted and tenant-scoped — straight to routing.
+            // Running it through the gateway again would double-prefix its
+            // keys and double-charge its quota.
+            DriverWork::Retry(rid, request) => self.route(client_id, rid, request, at),
+            DriverWork::GatewayRetry(rid, request) => self.admit(client_id, rid, request, at),
+        }
+    }
+
+    /// Draws the client's next request from the workload.
+    fn on_fresh(&mut self, client_id: u64, at: u64) {
+        let rid = self.clients[client_id as usize].last_request_id + 1;
+        // `None`: the client retired; nothing more to issue.
+        if let Some(request) = (self.workload)(client_id, rid) {
+            self.clients[client_id as usize].last_request_id = rid;
+            self.admit(client_id, rid, request, at);
+        }
+    }
+
+    /// Presents a request to the tenant gateway (when the deployment has
+    /// one) and routes what it admits.
+    fn admit(&mut self, client_id: u64, rid: u64, mut request: Request, at: u64) {
+        let Some(gateway) = self.gateway.as_mut() else {
+            return self.route(client_id, rid, request, at);
+        };
+        let verdict = gateway.admit(client_id, rid, at, &mut request);
+        let (kind, tenant) = match verdict {
+            GatewayVerdict::Admitted { tenant } => (SpanKind::GatewayAdmit, tenant),
+            GatewayVerdict::Rejected { tenant, .. } => (SpanKind::GatewayReject, tenant),
+            GatewayVerdict::Throttled { tenant, .. } => (SpanKind::GatewayThrottle, tenant),
+        };
+        // Gateway spans land on shard 0's tracer: the front door sits before
+        // routing, so no serving shard is known yet. `tag` = tenant index
+        // (`u64::MAX` when the request resolved to no tenant).
+        if let Some(t) = self.cluster.shards[0].telemetry_mut() {
+            t.instant(kind, client_id, at, tenant.map_or(u64::MAX, |t| t as u64));
+        }
+        match verdict {
+            GatewayVerdict::Admitted { .. } => self.route(client_id, rid, request, at),
+            // The client sees the error after a round trip and moves on to
+            // its next operation — rejection consumes the request, it does
+            // not spin on it.
+            GatewayVerdict::Rejected { .. } => self.schedule(
+                at + 2 * self.link_latency + self.think,
+                client_id,
+                DriverWork::Fresh,
+            ),
+            GatewayVerdict::Throttled { retry_at_ns, .. } => self.schedule(
+                retry_at_ns.max(at + 1),
+                client_id,
+                DriverWork::GatewayRetry(rid, request),
+            ),
+        }
+    }
+
+    /// Resolves every operation of an admitted request to its `(arc, shard)`
+    /// under the client's cached epoch, then hands the request to its shard
+    /// or to the 2PC coordinator. One stale key re-resolves the whole
+    /// request.
+    fn route(&mut self, client_id: u64, rid: u64, request: Request, at: u64) {
+        let client = client_id as usize;
+        let router = &self.cluster.router;
+        let mut placements: Vec<(usize, usize)> = Vec::with_capacity(request.len());
+        let mut redirect = None;
+        for op in request.ops() {
+            let point = stable_key_hash(op.key());
+            match router.route(point, self.clients[client].version) {
+                RouteDecision::Owned { shard } => {
+                    placements.push((router.arc_of_point(point), shard));
+                }
+                RouteDecision::WrongShard { new_version, .. } => {
+                    redirect = Some(new_version);
+                    break;
+                }
+            }
+        }
+        if let Some(new_version) = redirect {
+            self.st.stats.redirects += 1;
+            if request.is_txn() {
+                self.txns.stats.wrong_shard_retries += 1;
+            }
+            self.clients[client].version = new_version;
+            let retry_at = at + 2 * self.link_latency;
+            return self.schedule(retry_at, client_id, DriverWork::Retry(rid, request));
+        }
+        if placements
+            .iter()
+            .any(|&(arc, shard)| self.st.refuses(shard, arc))
+        {
+            // Cutover drain: the donor refuses fresh work on the moving
+            // range; the whole request backs off and retries — after the
+            // epoch bump it is redirected.
+            self.st.stats.refusals += 1;
+            if request.is_txn() {
+                self.txns.stats.refusal_backoffs += 1;
+            }
+            let retry_at = at + 2 * self.link_latency + 50_000;
+            return self.schedule(retry_at, client_id, DriverWork::Retry(rid, request));
+        }
+
+        // Every placement resolved under the client's epoch: mark the
+        // routing decision on the serving shard's trace (the first placement
+        // for transactions — the coordinator-entry shard).
+        if let Some(&(_, shard)) = placements.first() {
+            if let Some(t) = self.cluster.shards[shard].telemetry_mut() {
+                t.instant(SpanKind::RouterResolve, client_id, at, rid);
+            }
+        }
+        match request {
+            Request::Single(operation) => {
+                self.submit_single(client_id, rid, operation, placements[0], at);
+            }
+            Request::Txn(ops) => self.begin_txn(client_id, rid, ops, &placements, at),
+        }
+    }
+
+    /// Submits a routed single-key operation to its shard.
+    fn submit_single(
+        &mut self,
+        client_id: u64,
+        rid: u64,
+        operation: Operation,
+        (arc, shard): (usize, usize),
+        at: u64,
+    ) {
+        let key = operation.key().to_vec();
+        let is_write = operation.is_write();
+        match self.cluster.shards[shard].try_submit_at(at, client_id, rid, operation) {
+            Ok(()) => {
+                self.clients[client_id as usize].outstanding = Some(Issued {
+                    shard,
+                    arc,
+                    request_id: rid,
+                    key,
+                    is_write,
+                });
+            }
+            // No live coordinator; retry the *identical* payload later.
+            Err(operation) => self.schedule(
+                at + 1_000_000,
+                client_id,
+                DriverWork::Retry(rid, Request::Single(operation)),
+            ),
+        }
+    }
+
+    /// Starts 2PC for a routed transaction.
+    fn begin_txn(
+        &mut self,
+        client_id: u64,
+        rid: u64,
+        ops: Vec<Operation>,
+        placements: &[(usize, usize)],
+        at: u64,
+    ) {
+        if ops.is_empty() {
+            // A degenerate empty transaction commits trivially; the client
+            // moves on.
+            return self.schedule(at + self.think, client_id, DriverWork::Fresh);
+        }
+        if let Err(ops) = self.txn_begin(client_id, rid, ops, placements, at) {
+            // A participant group has no live coordinator; retry the whole
+            // transaction.
+            let retry = DriverWork::Retry(rid, Request::Txn(ops));
+            self.schedule(at + 1_000_000, client_id, retry);
+        }
+    }
+
+    /// Every round trip of a 2PC phase landed: advance the transaction and
+    /// account its outcome, if it has one.
+    fn on_txn_advance(&mut self, txn_id: u64, at: u64) {
+        match self.txn_advance(txn_id, at) {
+            TxnResolution::Pending => return,
+            TxnResolution::Committed(done) => {
+                self.now = self.now.max(done.finished_at);
+                self.record_commit(
+                    done.client_id,
+                    done.finished_at,
+                    done.latency_ns,
+                    &done.op_placements,
+                    true,
+                );
+            }
+            TxnResolution::Aborted {
+                client_id,
+                request_id,
+                finished_at,
+                request,
+            } => {
+                self.now = self.now.max(finished_at);
+                bucket(
+                    &mut self.timeline_aborts,
+                    self.rb.timeline_bucket_ns,
+                    finished_at,
+                    1,
+                );
+                // Deterministic per-client jitter breaks the symmetry of
+                // mutually aborting transactions.
+                let backoff = self.txns.config.conflict_backoff_ns + client_id * 7_919;
+                let retry = DriverWork::Retry(request_id, request);
+                self.schedule(finished_at + backoff, client_id, retry);
+            }
+        }
+        self.maybe_finish_cutover();
+    }
+
+    /// Accounts one committed request — a single-key completion or a whole
+    /// transaction, `ops` being its `(shard, arc, is_write)` operations —
+    /// and schedules the client's next draw. The arc is `None` for a
+    /// completion the driver no longer tracks as outstanding.
+    fn record_commit(
+        &mut self,
+        client_id: u64,
+        at_ns: u64,
+        latency_ns: u64,
+        ops: &[(usize, Option<usize>, bool)],
+        in_txn: bool,
+    ) {
+        let tallies = &mut self.tallies;
+        tallies.latencies_ns.push(latency_ns);
+        for (i, &(shard, arc, is_write)) in ops.iter().enumerate() {
+            tallies.committed += 1;
+            if is_write {
+                tallies.committed_writes += 1;
+            } else {
+                tallies.committed_reads += 1;
+            }
+            if in_txn {
+                // Transactional commits apply below the per-shard protocol,
+                // so the group's own counters never see them.
+                let (total, reads, writes) = &mut tallies.txn_shard_ops[shard];
+                *total += 1;
+                if is_write {
+                    *writes += 1;
+                } else {
+                    *reads += 1;
+                }
+            }
+            // One latency sample per shard the request touched.
+            if !ops[..i].iter().any(|&(seen, ..)| seen == shard) {
+                tallies.shard_latencies[shard].push(latency_ns);
+            }
+            self.st.window_shard[shard] += 1;
+            if let Some(arc) = arc {
+                *self.st.window_arc.entry(arc).or_default() += 1;
+            }
+        }
+        let width = self.rb.timeline_bucket_ns;
+        bucket(&mut self.timeline, width, at_ns, ops.len() as u64);
+        if let Some(gateway) = self.gateway.as_mut() {
+            gateway.complete(client_id, at_ns, ops.len());
+        }
+        let next_at = at_ns + self.link_latency + self.think;
+        self.schedule(next_at, client_id, DriverWork::Fresh);
+    }
+
+    /// Steps one shard's simulator and accounts the completions it produced.
+    /// Breaks when the shard hit the virtual-time cap.
+    fn on_shard_step(&mut self, shard: usize) -> ControlFlow<()> {
+        match self.cluster.shards[shard].step() {
+            StepOutcome::Idle => return ControlFlow::Continue(()),
+            StepOutcome::CapReached => return ControlFlow::Break(()),
+            StepOutcome::NeedsIssue { .. } => {
+                unreachable!("external-client shards never issue internally")
+            }
+            StepOutcome::Processed => {}
+        }
+        for completion in self.cluster.shards[shard].drain_completions() {
+            let issued = self.clients[completion.client_id as usize]
+                .outstanding
+                .take_if(|issued| issued.request_id == completion.request_id);
+            if let Some(issued) = &issued {
+                // Catch-up capture: a write committed on the donor inside
+                // the moving range replays on the recipient. The record is
+                // re-read from the donor leader's store so it carries the
+                // *real* committed value and write timestamp.
+                if self.st.captures(issued.shard, issued.arc) && issued.is_write {
+                    let donor = &mut self.cluster.shards[issued.shard];
+                    let entry = donor.write_coordinator().and_then(|leader| {
+                        let read = donor.replica_mut(leader).read_entry(&issued.key);
+                        read.ok().flatten()
+                    });
+                    self.st.record_capture(entry);
+                }
+            }
+            self.record_commit(
+                completion.client_id,
+                completion.at_ns,
+                completion.latency_ns,
+                &[(shard, issued.map(|i| i.arc), completion.was_write)],
+                false,
+            );
+        }
+        // A drain completes as soon as the last in-flight operation (single
+        // or transactional) on the moving range finished.
+        self.maybe_finish_cutover();
+        ControlFlow::Continue(())
+    }
+
+    /// Everything in flight on the moving range of the active migration:
+    /// outstanding single-key operations plus transactions with a
+    /// participant on it.
+    pub(crate) fn inflight_on_moving(&self) -> usize {
+        let Some((donor, arc_set)) = self.st.active_range() else {
+            return 0;
+        };
+        let singles = self
+            .clients
+            .iter()
+            .filter_map(|client| client.outstanding.as_ref())
+            .filter(|issued| issued.shard == donor && arc_set.contains(&issued.arc))
+            .count();
+        singles + self.txns.inflight_on(donor, arc_set)
+    }
+
+    /// Closes the books: range GC, the cluster's own figures, then the
+    /// driver-side counters and the timeline.
+    fn finish(mut self) -> ShardedRunStats {
         // Background range GC: clear moved-range remnants a straggling
         // in-group commit may have resurrected on a donor after eviction.
-        if st.stats.migrations_completed > 0 {
-            self.gc_moved_ranges();
+        if self.st.stats.migrations_completed > 0 {
+            self.cluster.gc_moved_ranges();
         }
-        let mut stats = self.finalize(
-            global_now,
-            committed,
-            committed_reads,
-            committed_writes,
-            latencies_ns,
-            shard_latencies,
-            &txn_shard_ops,
-        );
-        if let Some(gw) = gateway.as_ref() {
-            stats.gateway = gw.stats();
-            self.last_gateway_stats = Some(stats.gateway.clone());
+        let mut stats = self.cluster.finalize(self.now, self.tallies);
+        if let Some(gateway) = &self.gateway {
+            stats.gateway = gateway.stats();
+            self.cluster.last_gateway_stats = Some(stats.gateway.clone());
         }
-        st.stats.router_version = self.router.version().0;
-        stats.migration = st.stats;
-        stats.txn = txns.stats;
-        stats.total.committed_txns = txns.stats.committed;
-        stats.total.aborted_txns = txns.stats.aborted;
+        self.st.stats.router_version = self.cluster.router.version().0;
+        stats.migration = self.st.stats;
+        stats.txn = self.txns.stats;
+        stats.total.committed_txns = stats.txn.committed;
+        stats.total.aborted_txns = stats.txn.aborted;
+        let width = self.rb.timeline_bucket_ns;
         let mut timeline_migrations: Vec<u64> = Vec::new();
-        for &at in &st.cutover_times {
-            bucket_commit(&mut timeline_migrations, at, 1);
+        for &at in &self.st.cutover_times {
+            bucket(&mut timeline_migrations, width, at, 1);
         }
-        let buckets = timeline
+        let buckets = self
+            .timeline
             .len()
-            .max(timeline_aborts.len())
+            .max(self.timeline_aborts.len())
             .max(timeline_migrations.len());
         stats.timeline = (0..buckets)
             .map(|i| TimelineBucket {
-                end_ns: (i as u64 + 1) * rb.timeline_bucket_ns,
-                committed: timeline.get(i).copied().unwrap_or(0),
-                aborted: timeline_aborts.get(i).copied().unwrap_or(0),
+                end_ns: (i as u64 + 1) * width,
+                committed: self.timeline.get(i).copied().unwrap_or(0),
+                aborted: self.timeline_aborts.get(i).copied().unwrap_or(0),
                 migrations: timeline_migrations.get(i).copied().unwrap_or(0),
             })
             .collect();

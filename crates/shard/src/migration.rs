@@ -38,6 +38,7 @@ use recipe_telemetry::{ChargeKind, SpanKind};
 use recipe_workload::stable_key_hash;
 use serde::{Deserialize, Serialize};
 
+use crate::driver::Engine;
 use crate::router::ShardRouter;
 use crate::sharded::{ShardedCluster, ShardedRunStats};
 
@@ -326,45 +327,51 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
             }
         }
     }
+}
 
+impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
     /// One controller action at virtual time `now`: either a periodic window
     /// evaluation or the landing of an in-flight transfer round.
-    /// `inflight_moving` is the caller's count of operations (single-key and
-    /// transactional) currently in flight on the moving range.
-    pub(crate) fn controller_step(
-        &mut self,
-        st: &mut ControllerState,
-        rb: &RebalanceConfig,
-        now: u64,
-        inflight_moving: usize,
-    ) {
-        let Some(active) = &st.active else {
-            self.maybe_start_migration(st, rb, now);
-            st.next_check_ns = now + rb.check_interval_ns;
-            st.clear_window();
+    pub(crate) fn on_controller(&mut self, now: u64) {
+        let Some(active) = &self.st.active else {
+            self.maybe_start_migration(now);
+            self.st.next_check_ns = now + self.rb.check_interval_ns;
+            self.st.clear_window();
             return;
         };
         debug_assert!(active.transfer_ready_at.is_some_and(|at| at <= now));
         // The in-flight round landed. Ship the next catch-up round, or begin
         // the drain when the delta is small (or rounds ran out).
-        if active.catchup.len() > rb.drain_threshold_ops && active.rounds < rb.max_catchup_rounds {
-            self.ship_round(st, rb, now, ChunkPhase::CatchUp);
+        if active.catchup.len() > self.rb.drain_threshold_ops
+            && active.rounds < self.rb.max_catchup_rounds
+        {
+            self.ship_round(now, ChunkPhase::CatchUp);
         } else {
-            let active = st.active.as_mut().expect("checked above");
+            let active = self.st.active.as_mut().expect("checked above");
             active.draining = true;
             active.transfer_ready_at = None;
             let donor = active.donor;
-            if let Some(t) = self.shards[donor].telemetry_mut() {
-                t.instant(SpanKind::MigrationDrain, 0, now, st.next_migration_id);
+            if let Some(t) = self.cluster.shards[donor].telemetry_mut() {
+                t.instant(SpanKind::MigrationDrain, 0, now, self.st.next_migration_id);
             }
-            if inflight_moving == 0 {
-                self.finish_cutover(st, rb, now);
+            if self.inflight_on_moving() == 0 {
+                self.finish_cutover(now);
             }
         }
     }
 
+    /// A drain completes as soon as nothing — single-key operation or
+    /// transaction — is in flight on the moving range any more. Called after
+    /// every event that may have retired the last such request.
+    pub(crate) fn maybe_finish_cutover(&mut self) {
+        if self.st.is_draining() && self.inflight_on_moving() == 0 {
+            self.finish_cutover(self.now);
+        }
+    }
+
     /// Evaluates the load window and starts a migration when warranted.
-    fn maybe_start_migration(&mut self, st: &mut ControllerState, rb: &RebalanceConfig, now: u64) {
+    fn maybe_start_migration(&mut self, now: u64) {
+        let (st, rb) = (&self.st, &self.rb);
         let total: u64 = st.window_shard.iter().sum();
         if total < rb.min_window_commits {
             return;
@@ -400,7 +407,7 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
         let mut donor_arcs: Vec<(u64, usize)> = st
             .window_arc
             .iter()
-            .filter(|&(&arc, _)| self.router.owner_of_arc(arc) == donor)
+            .filter(|&(&arc, _)| self.cluster.router.owner_of_arc(arc) == donor)
             .map(|(&arc, &commits)| (commits, arc))
             .collect();
         donor_arcs.sort_by_key(|&(commits, arc)| (Reverse(commits), arc));
@@ -420,37 +427,33 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
             return;
         }
         moving.sort_unstable();
-        self.begin_migration(st, rb, now, donor, recipient, moving);
+        self.begin_migration(now, donor, recipient, moving);
     }
 
     /// Takes the snapshot cut and ships the sealed snapshot.
-    fn begin_migration(
-        &mut self,
-        st: &mut ControllerState,
-        rb: &RebalanceConfig,
-        now: u64,
-        donor: usize,
-        recipient: usize,
-        arcs: Vec<usize>,
-    ) {
-        let Some(leader) = self.shards[donor].write_coordinator() else {
+    fn begin_migration(&mut self, now: u64, donor: usize, recipient: usize, arcs: Vec<usize>) {
+        let cluster = &mut *self.cluster;
+        let Some(leader) = cluster.shards[donor].write_coordinator() else {
             return; // donor group has no live coordinator; try a later window
         };
-        let filter = self.router.arc_membership_filter(&arcs);
-        let entries = match self.shards[donor].replica_mut(leader).export_range(&filter) {
+        let filter = cluster.router.arc_membership_filter(&arcs);
+        let exported = cluster.shards[donor]
+            .replica_mut(leader)
+            .export_range(&filter);
+        let entries = match exported {
             Ok(entries) => entries,
             Err(_) => {
                 // The donor leader's store failed verification for the range
                 // (Byzantine host tampered with host-resident state). Never
                 // ship unverified state: abort this attempt; the placement
                 // stays as it was and a later window may retry.
-                st.stats.export_failures += 1;
+                self.st.stats.export_failures += 1;
                 return;
             }
         };
 
-        st.next_migration_id += 1;
-        st.stats.migrations_started += 1;
+        self.st.next_migration_id += 1;
+        self.st.stats.migrations_started += 1;
         // Transfer AEAD per move, stricter-wins: the chunks are sealed
         // whenever the donor or the recipient treats the range as sensitive
         // (the same per-shard policy `confidentiality_of` reports — spec
@@ -459,9 +462,9 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
         // recipient's replicas re-seal the records under their own policy
         // (their stores encrypt values iff *they* are confidential).
         let transfer_confidentiality = recipe_core::ConfidentialityMode::from(
-            rb.confidential_transfer
-                || self.confidentiality_of(donor).is_confidential()
-                || self.confidentiality_of(recipient).is_confidential(),
+            self.rb.confidential_transfer
+                || cluster.confidentiality_of(donor).is_confidential()
+                || cluster.confidentiality_of(recipient).is_confidential(),
         );
         let mut active = ActiveMigration {
             donor,
@@ -471,7 +474,7 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
             channel: MigrationChannel::new(
                 donor,
                 recipient,
-                st.next_migration_id,
+                self.st.next_migration_id,
                 transfer_confidentiality,
             ),
             catchup: Vec::new(),
@@ -481,25 +484,19 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
             draining: false,
             transfer_ready_at: None,
         };
-        let ready_at = self.ship_entries(st, rb, &mut active, now, entries, ChunkPhase::Snapshot);
+        let ready_at = self.ship_entries(&mut active, now, entries, ChunkPhase::Snapshot);
         active.transfer_ready_at = Some(ready_at);
-        st.active = Some(active);
+        self.st.active = Some(active);
     }
 
     /// Ships the accumulated catch-up delta as one round.
-    fn ship_round(
-        &mut self,
-        st: &mut ControllerState,
-        rb: &RebalanceConfig,
-        now: u64,
-        phase: ChunkPhase,
-    ) {
-        let mut active = st.active.take().expect("a migration is active");
+    fn ship_round(&mut self, now: u64, phase: ChunkPhase) {
+        let mut active = self.st.active.take().expect("a migration is active");
         let entries = std::mem::take(&mut active.catchup);
         active.rounds += 1;
-        let ready_at = self.ship_entries(st, rb, &mut active, now, entries, phase);
+        let ready_at = self.ship_entries(&mut active, now, entries, phase);
         active.transfer_ready_at = Some(ready_at);
-        st.active = Some(active);
+        self.st.active = Some(active);
     }
 
     /// Seals `entries` into bounded chunks, charges export, wire and import
@@ -508,18 +505,19 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
     /// (a zero-length round costs nothing).
     fn ship_entries(
         &mut self,
-        st: &mut ControllerState,
-        rb: &RebalanceConfig,
         active: &mut ActiveMigration,
         now: u64,
         entries: Vec<RangeEntry>,
         phase: ChunkPhase,
     ) -> u64 {
-        let model = self.config.base.cost_model.clone();
-        let donor_config = self.config.config_for_shard(active.donor);
-        let recipient_config = self.config.config_for_shard(active.recipient);
-        let donor_nodes = self.shards[active.donor].node_ids();
-        let donor_leader = self.shards[active.donor]
+        let Engine {
+            cluster, st, rb, ..
+        } = self;
+        let model = cluster.config.base.cost_model.clone();
+        let donor_config = cluster.config.config_for_shard(active.donor);
+        let recipient_config = cluster.config.config_for_shard(active.recipient);
+        let donor_nodes = cluster.shards[active.donor].node_ids();
+        let donor_leader = cluster.shards[active.donor]
             .write_coordinator()
             .unwrap_or(donor_nodes[0]);
         // Charge the leader with *its own* profile (groups may run
@@ -552,14 +550,14 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                 model.snapshot_export_cost_ns(donor_profile, batch.len(), payload_bytes);
             let wire = active.channel.seal(&chunk);
             let send_cost = model.send_cost_ns(donor_profile, wire.len());
-            let sent_at = self.shards[active.donor].charge_work_at(
+            let sent_at = cluster.shards[active.donor].charge_work_at(
                 donor_leader,
                 donor_busy_from,
                 export_cost + send_cost,
             );
             donor_busy_from = sent_at;
             st.stats.transfer_busy_ns += export_cost + send_cost;
-            if self.shards[active.donor].telemetry_mut().is_some() {
+            if cluster.shards[active.donor].telemetry_mut().is_some() {
                 let mut breakdown =
                     model.snapshot_export_breakdown(donor_profile, batch.len(), payload_bytes);
                 breakdown.merge(&model.send_breakdown(donor_profile, wire.len()));
@@ -568,7 +566,7 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                 } else {
                     SpanKind::MigrationCatchUp
                 };
-                let t = self.shards[active.donor]
+                let t = cluster.shards[active.donor]
                     .telemetry_mut()
                     .expect("checked above");
                 t.charge(ChargeKind::SnapshotExport, &breakdown);
@@ -588,7 +586,8 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                 .channel
                 .open(&wire)
                 .expect("benign-path transfer chunks verify");
-            for (idx, node) in self.shards[active.recipient].node_ids().iter().enumerate() {
+            let recipient_nodes = cluster.shards[active.recipient].node_ids();
+            for (idx, node) in recipient_nodes.iter().enumerate() {
                 let profile = recipient_config
                     .profiles
                     .get(idx)
@@ -596,18 +595,18 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                 let import_cost =
                     model.snapshot_import_cost_ns(profile, opened.entries.len(), wire.len());
                 let done =
-                    self.shards[active.recipient].charge_work_at(*node, arrival, import_cost);
+                    cluster.shards[active.recipient].charge_work_at(*node, arrival, import_cost);
                 st.stats.transfer_busy_ns += import_cost;
                 ready_at = ready_at.max(done);
-                if self.shards[active.recipient].telemetry_mut().is_some() {
+                if cluster.shards[active.recipient].telemetry_mut().is_some() {
                     let breakdown =
                         model.snapshot_import_breakdown(profile, opened.entries.len(), wire.len());
-                    let t = self.shards[active.recipient]
+                    let t = cluster.shards[active.recipient]
                         .telemetry_mut()
                         .expect("checked above");
                     t.charge(ChargeKind::SnapshotImport, &breakdown);
                 }
-                self.shards[active.recipient]
+                cluster.shards[active.recipient]
                     .replica_mut(*node)
                     .import_range(&opened.entries);
             }
@@ -631,13 +630,8 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
 
     /// The drain is empty: ship the final delta, evict the donor's copy, bump
     /// the router epoch. From this instant the old placement earns redirects.
-    pub(crate) fn finish_cutover(
-        &mut self,
-        st: &mut ControllerState,
-        rb: &RebalanceConfig,
-        now: u64,
-    ) {
-        let mut active = st.active.take().expect("a migration is draining");
+    fn finish_cutover(&mut self, now: u64) {
+        let mut active = self.st.active.take().expect("a migration is draining");
         let mut delta = std::mem::take(&mut active.catchup);
         // Zero-loss guard: if any committed moving-range write could not be
         // captured (leader handover, unverifiable record), the catch-up log is
@@ -648,39 +642,39 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
         // serving (the recipient's partial copy of the unowned range is
         // cleared by the end-of-run GC).
         if active.capture_misses > 0 {
-            let filter = self.router.arc_membership_filter(&active.arcs);
-            let reexport = self.shards[active.donor]
+            let filter = self.cluster.router.arc_membership_filter(&active.arcs);
+            let donor = &mut self.cluster.shards[active.donor];
+            let reexport = donor
                 .write_coordinator()
                 .ok_or_else(|| "no live donor coordinator".to_string())
-                .and_then(|leader| {
-                    self.shards[active.donor]
-                        .replica_mut(leader)
-                        .export_range(&filter)
-                });
+                .and_then(|leader| donor.replica_mut(leader).export_range(&filter));
             match reexport {
                 Ok(entries) => delta = entries,
                 Err(_) => {
-                    st.stats.export_failures += 1;
-                    st.next_check_ns = now + rb.check_interval_ns;
-                    st.clear_window();
+                    self.st.stats.export_failures += 1;
+                    self.st.next_check_ns = now + self.rb.check_interval_ns;
+                    self.st.clear_window();
                     return;
                 }
             }
         }
         if !delta.is_empty() {
-            self.ship_entries(st, rb, &mut active, now, delta, ChunkPhase::Final);
+            self.ship_entries(&mut active, now, delta, ChunkPhase::Final);
         }
-        let filter = self.router.arc_membership_filter(&active.arcs);
-        for node in self.shards[active.donor].node_ids() {
-            self.shards[active.donor]
+        let Engine {
+            cluster, st, rb, ..
+        } = self;
+        let filter = cluster.router.arc_membership_filter(&active.arcs);
+        for node in cluster.shards[active.donor].node_ids() {
+            cluster.shards[active.donor]
                 .replica_mut(node)
                 .evict_range(&filter);
         }
-        self.router.rebalance(&active.arcs, active.recipient);
+        cluster.router.rebalance(&active.arcs, active.recipient);
         st.stats.migrations_completed += 1;
         st.stats.last_cutover_ns = now;
         st.cutover_times.push(now);
-        if let Some(t) = self.shards[active.donor].telemetry_mut() {
+        if let Some(t) = cluster.shards[active.donor].telemetry_mut() {
             t.instant(
                 SpanKind::MigrationCutover,
                 0,

@@ -165,6 +165,31 @@ pub struct TimelineBucket {
     pub migrations: u64,
 }
 
+/// What the request driver counts while a run is in flight, handed to
+/// [`ShardedCluster::finalize`] when it ends.
+#[derive(Default)]
+pub(crate) struct Tallies {
+    pub(crate) committed: u64,
+    pub(crate) committed_reads: u64,
+    pub(crate) committed_writes: u64,
+    /// Latency of every completed request, in completion order.
+    pub(crate) latencies_ns: Vec<u64>,
+    /// The same latencies, by the shard (or shards) that served the request.
+    pub(crate) shard_latencies: Vec<Vec<u64>>,
+    /// `(ops, reads, writes)` committed by transactions, per shard.
+    pub(crate) txn_shard_ops: Vec<(u64, u64, u64)>,
+}
+
+impl Tallies {
+    pub(crate) fn new(shards: usize) -> Self {
+        Tallies {
+            shard_latencies: vec![Vec::new(); shards],
+            txn_shard_ops: vec![(0, 0, 0); shards],
+            ..Tallies::default()
+        }
+    }
+}
+
 /// N independent replica groups behind one consistent-hash router, driven on a
 /// single interleaved virtual clock.
 pub struct ShardedCluster<R: Replica> {
@@ -389,24 +414,24 @@ impl<R: Replica> ShardedCluster<R> {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finalize(
-        &mut self,
-        global_now: u64,
-        committed: u64,
-        committed_reads: u64,
-        committed_writes: u64,
-        mut latencies_ns: Vec<u64>,
-        shard_latencies: Vec<Vec<u64>>,
-        txn_shard_ops: &[(u64, u64, u64)],
-    ) -> ShardedRunStats {
+    /// Folds the driver's tallies and every shard's own counters into the
+    /// run's statistics, on the global clock `global_now`.
+    pub(crate) fn finalize(&mut self, global_now: u64, tallies: Tallies) -> ShardedRunStats {
+        let Tallies {
+            committed,
+            committed_reads,
+            committed_writes,
+            mut latencies_ns,
+            shard_latencies,
+            txn_shard_ops,
+        } = tallies;
         let mut per_shard: Vec<RunStats> = self.shards.iter_mut().map(|s| s.finish()).collect();
         // Transactional commits apply below the per-shard protocol (the
         // coordinator installs them directly), so the groups' own counters
         // never see them; fold the driver-side `(ops, reads, writes)` tallies
         // back in so per-shard figures and the imbalance factor reflect the
         // full served load.
-        for (stats, &(ops, reads, writes)) in per_shard.iter_mut().zip(txn_shard_ops) {
+        for (stats, (ops, reads, writes)) in per_shard.iter_mut().zip(txn_shard_ops) {
             stats.committed += ops;
             stats.committed_reads += reads;
             stats.committed_writes += writes;

@@ -64,8 +64,7 @@ use recipe_sim::{CostProfile, RangeEntry, RangeStateTransfer, Replica, TxnVote};
 use recipe_telemetry::{ChargeKind, CostCategory, SpanKind};
 use recipe_workload::stable_key_hash;
 
-use crate::migration::ControllerState;
-use crate::sharded::ShardedCluster;
+use crate::driver::{DriverWork, Engine};
 
 /// Knobs of the transaction coordinator, configured per deployment through
 /// [`crate::DeploymentSpec::with_txn`].
@@ -209,11 +208,12 @@ pub(crate) struct CommittedTxn {
     pub(crate) client_id: u64,
     pub(crate) latency_ns: u64,
     pub(crate) finished_at: u64,
-    /// `(shard, arc, is_write)` per operation, participant-major.
-    pub(crate) op_placements: Vec<(usize, usize, bool)>,
+    /// `(shard, arc, is_write)` per operation, participant-major — the
+    /// shape `Engine::record_commit` accounts.
+    pub(crate) op_placements: Vec<(usize, Option<usize>, bool)>,
 }
 
-/// How a [`ShardedCluster::txn_advance_event`] resolved.
+/// How an `Engine::txn_advance` resolved.
 pub(crate) enum TxnResolution {
     /// The transaction moved to its next phase (or is still collecting
     /// round trips); nothing for the driver to account yet.
@@ -230,26 +230,6 @@ pub(crate) enum TxnResolution {
         finished_at: u64,
         /// The original request, rebuilt for the retry.
         request: Request,
-    },
-}
-
-/// An event the transaction machinery asks the driver to schedule.
-pub(crate) enum TxnSchedule {
-    /// Retransmit participant `participant`'s current-phase frame at `at`.
-    Retry {
-        /// The transaction.
-        txn_id: u64,
-        /// Participant index within the transaction.
-        participant: usize,
-        /// Virtual retransmission time.
-        at: u64,
-    },
-    /// Every round trip of the current phase landed; advance at `at`.
-    Advance {
-        /// The transaction.
-        txn_id: u64,
-        /// Virtual time of the latest response arrival.
-        at: u64,
     },
 }
 
@@ -271,16 +251,10 @@ pub(crate) struct TxnManager {
     staged_per_shard: Vec<usize>,
     /// Per-shard replica cost profiles, resolved once at engine start.
     profiles: Vec<Vec<CostProfile>>,
-    link_latency_ns: u64,
 }
 
 impl TxnManager {
-    pub(crate) fn new(
-        config: TxnConfig,
-        seed: u64,
-        profiles: Vec<Vec<CostProfile>>,
-        link_latency_ns: u64,
-    ) -> Self {
+    pub(crate) fn new(config: TxnConfig, seed: u64, profiles: Vec<Vec<CostProfile>>) -> Self {
         // A dedicated deterministic fault stream for 2PC frames, independent
         // of the per-shard protocol fault streams.
         let injector_seed = seed.wrapping_add(stable_key_hash(b"txn-coordinator-faults"));
@@ -293,7 +267,6 @@ impl TxnManager {
             wire_seq: 0,
             staged_per_shard: vec![0; profiles.len()],
             profiles,
-            link_latency_ns,
         }
     }
 
@@ -391,23 +364,20 @@ impl TxnManager {
     }
 }
 
-impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
+impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
     /// Starts 2PC for one routed transaction. `per_op` pairs each operation
     /// of `ops` with its `(arc, shard)` placement, resolved by the caller
-    /// under the client's refreshed router epoch. Returns the schedules to
-    /// queue, or the operations back when a participant group currently has
-    /// no live write coordinator (the caller requeues the whole request).
-    #[allow(clippy::too_many_arguments)]
+    /// under the client's refreshed router epoch. Hands the operations back
+    /// when a participant group currently has no live write coordinator (the
+    /// caller requeues the whole request).
     pub(crate) fn txn_begin(
         &mut self,
-        txns: &mut TxnManager,
-        st: &mut ControllerState,
         client_id: u64,
         request_id: u64,
         ops: Vec<Operation>,
         per_op: &[(usize, usize)],
         at: u64,
-    ) -> Result<Vec<TxnSchedule>, Vec<Operation>> {
+    ) -> Result<(), Vec<Operation>> {
         debug_assert_eq!(ops.len(), per_op.len());
         // Every participant needs a live leader before locks are taken
         // anywhere (a crashed group would park the other groups' locks).
@@ -416,7 +386,7 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
         shard_set.dedup();
         if shard_set
             .iter()
-            .any(|&shard| self.shards[shard].write_coordinator().is_none())
+            .any(|&shard| self.cluster.shards[shard].write_coordinator().is_none())
         {
             return Err(ops);
         }
@@ -429,9 +399,9 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
             }
         }
 
-        let txn_id = txns.next_txn_id;
-        txns.next_txn_id += 1;
-        txns.stats.started += 1;
+        let txn_id = self.txns.next_txn_id;
+        self.txns.next_txn_id += 1;
+        self.txns.stats.started += 1;
 
         // Stricter-wins confidentiality over all participants: one
         // confidential shard seals every frame of the transaction, so the
@@ -439,7 +409,7 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
         // plaintext legs.
         let confidential = by_shard
             .keys()
-            .any(|&shard| self.confidentiality_of(shard).is_confidential());
+            .any(|&shard| self.cluster.confidentiality_of(shard).is_confidential());
 
         let mut txn = InflightTxn {
             txn_id,
@@ -476,40 +446,26 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                 .collect(),
         };
 
-        let schedules = self.txn_pump(txns, st, &mut txn, None, at);
-        txns.inflight.insert(txn_id, txn);
-        Ok(schedules)
+        self.txn_pump(&mut txn, None, at);
+        self.txns.inflight.insert(txn_id, txn);
+        Ok(())
     }
 
     /// Handles a retransmission timer for one participant round trip.
-    pub(crate) fn txn_retry_event(
-        &mut self,
-        txns: &mut TxnManager,
-        st: &mut ControllerState,
-        txn_id: u64,
-        participant: usize,
-        at: u64,
-    ) -> Vec<TxnSchedule> {
-        let Some(mut txn) = txns.inflight.remove(&txn_id) else {
-            return Vec::new(); // already resolved
+    pub(crate) fn on_txn_retry(&mut self, txn_id: u64, participant: usize, at: u64) {
+        let Some(mut txn) = self.txns.inflight.remove(&txn_id) else {
+            return; // already resolved
         };
-        let schedules = self.txn_pump(txns, st, &mut txn, Some(participant), at);
-        txns.inflight.insert(txn_id, txn);
-        schedules
+        self.txn_pump(&mut txn, Some(participant), at);
+        self.txns.inflight.insert(txn_id, txn);
     }
 
     /// Handles a phase-advance event: all round trips of the current phase
     /// landed at `at`. Decides (after prepare), completes (after commit) or
     /// resolves the retry (after abort).
-    pub(crate) fn txn_advance_event(
-        &mut self,
-        txns: &mut TxnManager,
-        st: &mut ControllerState,
-        txn_id: u64,
-        at: u64,
-    ) -> (TxnResolution, Vec<TxnSchedule>) {
-        let Some(mut txn) = txns.inflight.remove(&txn_id) else {
-            return (TxnResolution::Pending, Vec::new());
+    pub(crate) fn txn_advance(&mut self, txn_id: u64, at: u64) -> TxnResolution {
+        let Some(mut txn) = self.txns.inflight.remove(&txn_id) else {
+            return TxnResolution::Pending;
         };
         debug_assert!(txn.phase_done(), "advance fired before the phase landed");
         match txn.phase {
@@ -531,9 +487,9 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                     p.response_wire = None;
                     p.done = false;
                 }
-                let schedules = self.txn_pump(txns, st, &mut txn, None, at);
-                txns.inflight.insert(txn_id, txn);
-                (TxnResolution::Pending, schedules)
+                self.txn_pump(&mut txn, None, at);
+                self.txns.inflight.insert(txn_id, txn);
+                TxnResolution::Pending
             }
             TxnPhase::Committing => {
                 let finished_at = txn.phase_ready_at();
@@ -542,87 +498,65 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                 for p in &txn.participants {
                     fanout += 1;
                     for op in &p.ops {
-                        let arc = self.router.arc_of_point(stable_key_hash(op.key()));
-                        op_placements.push((p.shard, arc, op.is_write()));
+                        let arc = self.cluster.router.arc_of_point(stable_key_hash(op.key()));
+                        op_placements.push((p.shard, Some(arc), op.is_write()));
                     }
                 }
-                txns.stats.committed += 1;
-                txns.stats.committed_ops += op_placements.len() as u64;
-                txns.stats.max_fanout = txns.stats.max_fanout.max(fanout);
+                let stats = &mut self.txns.stats;
+                stats.committed += 1;
+                stats.committed_ops += op_placements.len() as u64;
+                stats.max_fanout = stats.max_fanout.max(fanout);
                 if fanout > 1 {
-                    txns.stats.cross_shard_committed += 1;
+                    stats.cross_shard_committed += 1;
                 }
-                (
-                    TxnResolution::Committed(CommittedTxn {
-                        client_id: txn.client_id,
-                        latency_ns: finished_at.saturating_sub(txn.issued_at),
-                        finished_at,
-                        op_placements,
-                    }),
-                    Vec::new(),
-                )
+                TxnResolution::Committed(CommittedTxn {
+                    client_id: txn.client_id,
+                    latency_ns: finished_at.saturating_sub(txn.issued_at),
+                    finished_at,
+                    op_placements,
+                })
             }
             TxnPhase::Aborting => {
-                txns.stats.aborted += 1;
-                (
-                    TxnResolution::Aborted {
-                        client_id: txn.client_id,
-                        request_id: txn.request_id,
-                        finished_at: txn.phase_ready_at(),
-                        request: txn.request(),
-                    },
-                    Vec::new(),
-                )
+                self.txns.stats.aborted += 1;
+                TxnResolution::Aborted {
+                    client_id: txn.client_id,
+                    request_id: txn.request_id,
+                    finished_at: txn.phase_ready_at(),
+                    request: txn.request(),
+                }
             }
         }
     }
 
     /// Runs round trips for the not-yet-done participants of the current
     /// phase (`only` restricts to one participant — the retry path) and
-    /// returns the events to schedule: per-leg retries, plus the phase
-    /// advance when the last round trip landed.
-    fn txn_pump(
-        &mut self,
-        txns: &mut TxnManager,
-        st: &mut ControllerState,
-        txn: &mut InflightTxn,
-        only: Option<usize>,
-        at: u64,
-    ) -> Vec<TxnSchedule> {
-        let mut schedules = Vec::new();
+    /// schedules what follows: per-leg retries, in participant order, then
+    /// the phase advance when the last round trip landed.
+    fn txn_pump(&mut self, txn: &mut InflightTxn, only: Option<usize>, at: u64) {
+        let (txn_id, client_id) = (txn.txn_id, txn.client_id);
         let was_done = txn.phase_done();
-        for idx in 0..txn.participants.len() {
-            if txn.participants[idx].done || only.is_some_and(|o| o != idx) {
+        for participant in 0..txn.participants.len() {
+            if txn.participants[participant].done || only.is_some_and(|o| o != participant) {
                 continue;
             }
-            match self.txn_round_trip(txns, st, txn, idx, at) {
-                RoundTrip::Done => {}
-                RoundTrip::Retry { retry_at } => schedules.push(TxnSchedule::Retry {
-                    txn_id: txn.txn_id,
-                    participant: idx,
-                    at: retry_at,
-                }),
+            if let RoundTrip::Retry { retry_at } = self.txn_round_trip(txn, participant, at) {
+                let retry = DriverWork::TxnRetry {
+                    txn_id,
+                    participant,
+                };
+                self.schedule(retry_at, client_id, retry);
             }
         }
         if !was_done && txn.phase_done() {
-            schedules.push(TxnSchedule::Advance {
-                txn_id: txn.txn_id,
-                at: txn.phase_ready_at().max(at),
-            });
+            let advance_at = txn.phase_ready_at().max(at);
+            self.schedule(advance_at, client_id, DriverWork::TxnAdvance { txn_id });
         }
-        schedules
     }
 
     /// One attempt of the current phase's round trip on participant `idx`.
-    fn txn_round_trip(
-        &mut self,
-        txns: &mut TxnManager,
-        st: &mut ControllerState,
-        txn: &mut InflightTxn,
-        idx: usize,
-        at: u64,
-    ) -> RoundTrip {
-        let link = txns.link_latency_ns;
+    fn txn_round_trip(&mut self, txn: &mut InflightTxn, idx: usize, at: u64) -> RoundTrip {
+        let link = self.link_latency;
+        let retry_timeout = self.txns.config.retry_timeout_ns;
         let txn_id = txn.txn_id;
         let sealed = txn.participants[idx].channel.is_confidential();
         let shard = txn.participants[idx].shard;
@@ -630,7 +564,7 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
         let participant_addr = TxnManager::participant_addr(shard);
 
         if txn.participants[idx].response_wire.is_none()
-            && self.shards[shard].write_coordinator().is_none()
+            && self.cluster.shards[shard].write_coordinator().is_none()
         {
             // The participant group is between leaders (its coordinator
             // crashed and failover has not landed yet): hold the frame and
@@ -638,7 +572,7 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
             // makes this safe — the group's next write coordinator adopts
             // the in-flight transaction and answers the retried frame.
             return RoundTrip::Retry {
-                retry_at: at + txns.config.retry_timeout_ns,
+                retry_at: at + retry_timeout,
             };
         }
 
@@ -647,30 +581,18 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
             let wire = txn.participants[idx].request_wire.clone();
             let body = {
                 let channel = &mut txn.participants[idx].channel;
+                let txns = &mut self.txns;
                 txns.send_leg(&wire, coordinator, participant_addr, sealed, |bytes| {
                     channel.open_request(bytes)
                 })
             };
             let Some(body) = body else {
                 return RoundTrip::Retry {
-                    retry_at: at + txns.config.retry_timeout_ns,
+                    retry_at: at + retry_timeout,
                 };
             };
-            let arrival = at + link;
-            let payload_bytes = txn.participants[idx].payload_bytes;
-            let staged_bytes = txn.participants[idx].staged_bytes;
-            let granted = txn.participants[idx].granted == Some(true);
-            let (response, finish) = self.txn_execute_on(
-                txns,
-                st,
-                txn_id,
-                shard,
-                body,
-                arrival,
-                payload_bytes,
-                staged_bytes,
-                granted,
-            );
+            let (response, finish) =
+                self.txn_execute_on(txn_id, &txn.participants[idx], body, at + link);
             let p = &mut txn.participants[idx];
             p.processed_finish = finish;
             p.response_wire = Some(p.channel.seal_response(&response));
@@ -682,20 +604,21 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
         let wire = p.response_wire.clone().expect("response sealed above");
         let body = {
             let channel = &mut p.channel;
+            let txns = &mut self.txns;
             txns.send_leg(&wire, participant_addr, coordinator, sealed, |bytes| {
                 channel.open_response(bytes)
             })
         };
         let Some(body) = body else {
             return RoundTrip::Retry {
-                retry_at: at + txns.config.retry_timeout_ns,
+                retry_at: at + retry_timeout,
             };
         };
         let response_kind = match body {
             TxnBody::Vote { granted, .. } => {
                 p.granted = Some(granted);
                 if !granted {
-                    txns.stats.prepare_conflicts += 1;
+                    self.txns.stats.prepare_conflicts += 1;
                 }
                 SpanKind::TxnVote
             }
@@ -705,7 +628,7 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
         p.done = true;
         p.ready_at = p.processed_finish.max(at) + link;
         let ready_at = p.ready_at;
-        if let Some(t) = self.shards[shard].telemetry_mut() {
+        if let Some(t) = self.cluster.shards[shard].telemetry_mut() {
             t.instant(response_kind, 0, ready_at, txn_id);
         }
         RoundTrip::Done
@@ -716,21 +639,26 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
     /// cost model, runs the replica hooks, and feeds committed writes on a
     /// migrating range into the active migration's catch-up log. Returns
     /// the response body and the virtual time the work finished.
-    #[allow(clippy::too_many_arguments)]
     fn txn_execute_on(
         &mut self,
-        txns: &mut TxnManager,
-        st: &mut ControllerState,
         txn_id: u64,
-        shard: usize,
+        participant: &Participant,
         body: TxnBody,
         arrival: u64,
-        payload_bytes: usize,
-        staged_bytes: usize,
-        granted: bool,
     ) -> (TxnBody, u64) {
-        let model = self.config.base.cost_model.clone();
-        let Some(leader) = self.shards[shard].write_coordinator() else {
+        let Participant {
+            shard,
+            payload_bytes,
+            staged_bytes,
+            ..
+        } = *participant;
+        let granted = participant.granted == Some(true);
+        let Engine {
+            cluster, txns, st, ..
+        } = self;
+        let model = cluster.config.base.cost_model.clone();
+        let group = &mut cluster.shards[shard];
+        let Some(leader) = group.write_coordinator() else {
             // `txn_round_trip` checks liveness before the request leg, and
             // nothing between that check and this call steps the group's
             // event queue, so a request can never land on a leaderless
@@ -756,10 +684,8 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
         // install / head reassignment); this covers leaderless ABD groups,
         // whose acting coordinator is picked per-request. A no-op on
         // crash-free runs — an acting coordinator never holds passive copies.
-        let _ = self.shards[shard]
-            .replica_mut(leader)
-            .txn_adopt_replicated();
-        let leader_idx = self.shards[shard]
+        let _ = group.replica_mut(leader).txn_adopt_replicated();
+        let leader_idx = group
             .node_ids()
             .iter()
             .position(|&node| node == leader)
@@ -775,16 +701,15 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
         // group before the leader answers the coordinator — a participant
         // answering from volatile leader state would break atomicity on the
         // very failures 2PC exists to survive.
-        let replication_rt = 2 * txns.link_latency_ns;
+        let replication_rt = 2 * self.link_latency;
         match body {
             TxnBody::Prepare { ops } => {
                 let staged_after = txns.staged_per_shard[shard] + staged_bytes;
                 let cost =
                     model.txn_prepare_cost_ns(&profile, ops.len(), payload_bytes, staged_after);
-                let finish =
-                    self.shards[shard].charge_work_at(leader, arrival, cost) + replication_rt;
+                let finish = group.charge_work_at(leader, arrival, cost) + replication_rt;
                 txns.stats.txn_busy_ns += cost;
-                if self.shards[shard].telemetry_mut().is_some() {
+                if group.telemetry_mut().is_some() {
                     let mut breakdown = model.txn_prepare_breakdown(
                         &profile,
                         ops.len(),
@@ -792,7 +717,7 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                         staged_after,
                     );
                     breakdown.add(CostCategory::Replication, replication_rt);
-                    let t = self.shards[shard].telemetry_mut().expect("checked above");
+                    let t = group.telemetry_mut().expect("checked above");
                     t.charge(ChargeKind::TxnPrepare, &breakdown);
                     t.span(
                         SpanKind::TxnPrepare,
@@ -802,10 +727,7 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                         txn_id,
                     );
                 }
-                match self.shards[shard]
-                    .replica_mut(leader)
-                    .txn_prepare(txn_id, &ops)
-                {
+                match group.replica_mut(leader).txn_prepare(txn_id, &ops) {
                     TxnVote::Granted => {
                         txns.staged_per_shard[shard] += staged_bytes;
                         // Replicate the prepare record into the group: every
@@ -814,15 +736,12 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                         // transaction if this leader crashes before the
                         // decision lands. The replication round trip charged
                         // above is the durability barrier for this record.
-                        let nodes = self.shards[shard].node_ids();
+                        let nodes = group.node_ids();
                         for node in nodes {
-                            if node == leader || self.shards[shard].crashed_nodes().contains(&node)
-                            {
+                            if node == leader || group.crashed_nodes().contains(&node) {
                                 continue;
                             }
-                            self.shards[shard]
-                                .replica_mut(node)
-                                .txn_stage_replicated(txn_id, &ops);
+                            group.replica_mut(node).txn_stage_replicated(txn_id, &ops);
                         }
                         (
                             TxnBody::Vote {
@@ -847,7 +766,7 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                 }
             }
             TxnBody::Commit => {
-                let entries = self.shards[shard].replica_mut(leader).txn_commit(txn_id);
+                let entries = group.replica_mut(leader).txn_commit(txn_id);
                 // The decision resolves the transaction on every live
                 // follower: retire the passive replicated record, and
                 // release any stale *adopted* copy on a node that won
@@ -855,11 +774,11 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                 // yielded it (its staged writes are superseded by the
                 // leader's committed entries installed below). Runs before
                 // the entries check so read-only transactions resolve too.
-                for node in self.shards[shard].node_ids() {
-                    if node == leader || self.shards[shard].crashed_nodes().contains(&node) {
+                for node in group.node_ids() {
+                    if node == leader || group.crashed_nodes().contains(&node) {
                         continue;
                     }
-                    let replica = self.shards[shard].replica_mut(node);
+                    let replica = group.replica_mut(node);
                     replica.txn_drop_replicated(txn_id);
                     replica.txn_abort(txn_id);
                 }
@@ -869,11 +788,10 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                 }
                 let entry_bytes: usize = entries.iter().map(RangeEntry::payload_len).sum();
                 let cost = model.txn_commit_cost_ns(&profile, entries.len(), entry_bytes);
-                let mut finish =
-                    self.shards[shard].charge_work_at(leader, arrival, cost) + replication_rt;
+                let mut finish = group.charge_work_at(leader, arrival, cost) + replication_rt;
                 txns.stats.txn_busy_ns += cost;
                 let span_start = finish - cost - replication_rt;
-                let telemetry_on = self.shards[shard].telemetry_mut().is_some();
+                let telemetry_on = group.telemetry_mut().is_some();
                 let mut commit_breakdown = if telemetry_on {
                     let mut breakdown =
                         model.txn_commit_breakdown(&profile, entries.len(), entry_bytes);
@@ -885,9 +803,9 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                 if !entries.is_empty() {
                     // Install the applied records on the group's followers —
                     // the migration-import idiom, so replicas never diverge.
-                    let nodes = self.shards[shard].node_ids();
+                    let nodes = group.node_ids();
                     for (idx, node) in nodes.into_iter().enumerate() {
-                        if node == leader || self.shards[shard].crashed_nodes().contains(&node) {
+                        if node == leader || group.crashed_nodes().contains(&node) {
                             // Crashed followers miss the install; the
                             // rollback-protected recovery snapshot catches
                             // them up when they restart.
@@ -898,7 +816,7 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                             .unwrap_or(&txns.profiles[shard][0])
                             .clone();
                         let fcost = model.txn_commit_cost_ns(&fprofile, entries.len(), entry_bytes);
-                        let done = self.shards[shard].charge_work_at(node, arrival, fcost);
+                        let done = group.charge_work_at(node, arrival, fcost);
                         txns.stats.txn_busy_ns += fcost;
                         if let Some(breakdown) = commit_breakdown.as_mut() {
                             breakdown.merge(&model.txn_commit_breakdown(
@@ -908,16 +826,16 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                             ));
                         }
                         finish = finish.max(done);
-                        self.shards[shard].replica_mut(node).import_range(&entries);
+                        group.replica_mut(node).import_range(&entries);
                         txns.stats.participant_installs += entries.len() as u64;
                     }
                     // Catch-up capture: committed transaction writes inside
                     // an active migration's moving range replay on the
                     // recipient exactly like single-key commits do.
-                    st.capture_txn_entries(&self.router, shard, &entries);
+                    st.capture_txn_entries(&cluster.router, shard, &entries);
                 }
                 if let Some(breakdown) = commit_breakdown {
-                    let t = self.shards[shard].telemetry_mut().expect("checked above");
+                    let t = group.telemetry_mut().expect("checked above");
                     t.charge(ChargeKind::TxnCommit, &breakdown);
                     t.span(SpanKind::TxnCommit, leader.0, span_start, finish, txn_id);
                 }
@@ -930,13 +848,12 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
             }
             TxnBody::Abort => {
                 let cost = model.txn_commit_cost_ns(&profile, 0, 0);
-                let finish =
-                    self.shards[shard].charge_work_at(leader, arrival, cost) + replication_rt;
+                let finish = group.charge_work_at(leader, arrival, cost) + replication_rt;
                 txns.stats.txn_busy_ns += cost;
-                if self.shards[shard].telemetry_mut().is_some() {
+                if group.telemetry_mut().is_some() {
                     let mut breakdown = model.txn_commit_breakdown(&profile, 0, 0);
                     breakdown.add(CostCategory::Replication, replication_rt);
-                    let t = self.shards[shard].telemetry_mut().expect("checked above");
+                    let t = group.telemetry_mut().expect("checked above");
                     t.charge(ChargeKind::TxnAbort, &breakdown);
                     t.span(
                         SpanKind::TxnAbort,
@@ -946,12 +863,12 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                         txn_id,
                     );
                 }
-                self.shards[shard].replica_mut(leader).txn_abort(txn_id);
-                for node in self.shards[shard].node_ids() {
-                    if node == leader || self.shards[shard].crashed_nodes().contains(&node) {
+                group.replica_mut(leader).txn_abort(txn_id);
+                for node in group.node_ids() {
+                    if node == leader || group.crashed_nodes().contains(&node) {
                         continue;
                     }
-                    let replica = self.shards[shard].replica_mut(node);
+                    let replica = group.replica_mut(node);
                     replica.txn_drop_replicated(txn_id);
                     replica.txn_abort(txn_id);
                 }
