@@ -697,7 +697,7 @@ pub fn fig_rebalance(operations: usize) -> RebalanceReport {
     let hot = hot_range_on_shard(cluster.router(), 0, 48, 2);
 
     let issued = std::cell::Cell::new(0usize);
-    let stats = cluster.run_rebalancing(|client, seq| {
+    let stats = cluster.run_requests(|client, seq| {
         let n = issued.get();
         issued.set(n + 1);
         let key = if n < balanced_ops {
@@ -705,10 +705,8 @@ pub fn fig_rebalance(operations: usize) -> RebalanceReport {
         } else {
             hot[n % hot.len()].clone()
         };
-        Some(Operation::Put {
-            key,
-            value: vec![0xAB; 64],
-        })
+        let value = vec![0xAB; 64];
+        Some(Operation::Put { key, value }.into())
     });
 
     // Phase means off the timeline: pre-skew up to the bucket where the
@@ -819,8 +817,8 @@ pub fn fig_confidential_policy(operations: usize) -> ConfidentialPolicyReport {
             ..WorkloadSpec::default()
         };
         let generator = RefCell::new(workload.generator());
-        cluster.run(move |_client, _seq| {
-            recipe_shard::op_from_workload(generator.borrow_mut().next_op())
+        cluster.run_requests(move |_client, _seq| {
+            Some(recipe_shard::op_from_workload(generator.borrow_mut().next_op()).into())
         })
     };
 
@@ -1672,8 +1670,9 @@ pub fn run_sharded(kind: ProtocolKind, shards: usize, operations: usize) -> Shar
         other => panic!("shard scaling is defined for R-Raft and R-ABD, not {other:?}"),
     };
     let generator = RefCell::new(workload.generator());
-    cluster
-        .run(move |_client, _seq| recipe_shard::op_from_workload(generator.borrow_mut().next_op()))
+    cluster.run_requests(move |_client, _seq| {
+        Some(recipe_shard::op_from_workload(generator.borrow_mut().next_op()).into())
+    })
 }
 
 /// A replica that is either R-Raft or R-ABD, so one sharded driver type can

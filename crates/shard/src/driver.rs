@@ -20,9 +20,8 @@
 //!   in-flight transactions on the moving range exactly as it waits for
 //!   outstanding single-key operations.
 //!
-//! The legacy surfaces — [`ShardedCluster::run`] (plain operations) and
-//! [`ShardedCluster::run_rebalancing`] (optional operations) — are thin
-//! wrappers lowering their workloads into `Request::Single` streams.
+//! It is the only driver surface: a workload of plain operations passes
+//! `Some(op.into())`.
 //!
 //! All of it is one [`Engine`]: the state of a run in one struct, a `run`
 //! loop that only picks the earliest of three event sources, and one handler
@@ -134,7 +133,6 @@ pub(crate) struct Engine<'a, R: Replica> {
     pub(crate) cluster: &'a mut ShardedCluster<R>,
     workload: &'a mut dyn FnMut(u64, u64) -> Option<Request>,
     pub(crate) rb: RebalanceConfig,
-    controller_enabled: bool,
     pub(crate) link_latency: u64,
     think: u64,
     cap: u64,
@@ -181,26 +179,11 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
     /// online-rebalancing controller runs when
     /// [`crate::migration::RebalanceConfig::enabled`] is set on the
     /// deployment.
-    pub fn run_requests<W>(&mut self, workload: W) -> ShardedRunStats
+    pub fn run_requests<W>(&mut self, mut workload: W) -> ShardedRunStats
     where
         W: FnMut(u64, u64) -> Option<Request>,
     {
-        let enabled = self.config.rebalance.enabled;
-        self.run_engine(workload, enabled)
-    }
-
-    /// The engine behind every driver surface. `controller_enabled` gates
-    /// the rebalancing controller (the legacy [`ShardedCluster::run`] always
-    /// disables it, matching its historical behaviour).
-    pub(crate) fn run_engine<W>(
-        &mut self,
-        mut workload: W,
-        controller_enabled: bool,
-    ) -> ShardedRunStats
-    where
-        W: FnMut(u64, u64) -> Option<Request>,
-    {
-        let mut engine = Engine::new(self, &mut workload, controller_enabled);
+        let mut engine = Engine::new(self, &mut workload);
         engine.run();
         engine.finish()
     }
@@ -210,7 +193,6 @@ impl<'a, R: Replica + RangeStateTransfer> Engine<'a, R> {
     fn new(
         cluster: &'a mut ShardedCluster<R>,
         workload: &'a mut dyn FnMut(u64, u64) -> Option<Request>,
-        controller_enabled: bool,
     ) -> Self {
         for shard in &mut cluster.shards {
             shard.seed_initial_events();
@@ -225,7 +207,6 @@ impl<'a, R: Replica + RangeStateTransfer> Engine<'a, R> {
             .collect();
         let mut engine = Engine {
             workload,
-            controller_enabled,
             link_latency,
             think: config.base.cost_model.client_think_ns,
             cap: config.base.max_virtual_ns,
@@ -288,10 +269,7 @@ impl<'a, R: Replica + RangeStateTransfer> Engine<'a, R> {
             let driver_at = self.queue.peek().map(|Reverse(event)| event.at);
             // A controller deadline past the cap is not a source at all; the
             // other two end the run when they cross it.
-            let ctrl_at = self
-                .st
-                .deadline(self.controller_enabled, self.rb.max_migrations)
-                .filter(|&at| at <= self.cap);
+            let ctrl_at = self.st.deadline(&self.rb).filter(|&at| at <= self.cap);
             let shard_at = self
                 .cluster
                 .shards

@@ -25,8 +25,8 @@
 //! tolerance and agreement are per-group properties, unchanged by sharding —
 //! which is exactly why confidentiality can be chosen *per shard* (sensitive
 //! key ranges pay the encryption cost, the rest run plaintext). Cross-shard
-//! transactions are a ROADMAP item that builds on the placement primitives
-//! here.
+//! transactions ([`txn`]) and online rebalancing ([`migration`]) build on the
+//! placement primitives here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

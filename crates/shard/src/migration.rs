@@ -31,7 +31,6 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashSet};
 
-use recipe_core::{Operation, Request};
 use recipe_protocols::{ChunkPhase, MigrationChannel, MigrationChunk};
 use recipe_sim::{RangeEntry, RangeStateTransfer, Replica};
 use recipe_telemetry::{ChargeKind, SpanKind};
@@ -40,13 +39,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::driver::Engine;
 use crate::router::ShardRouter;
-use crate::sharded::{ShardedCluster, ShardedRunStats};
+use crate::sharded::ShardedCluster;
 
 /// Knobs of the online-rebalancing controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RebalanceConfig {
-    /// Master switch. `false` makes [`ShardedCluster::run_rebalancing`] behave
-    /// like a plain run (plus timeline collection).
+    /// Master switch: `false` (the default) and the controller never acts —
+    /// placement stays as built.
     pub enabled: bool,
     /// How often the controller evaluates the load window, virtual ns.
     pub check_interval_ns: u64,
@@ -200,10 +199,10 @@ impl ControllerState {
     }
 
     /// The next virtual time the controller must act at, if any.
-    pub(crate) fn deadline(&self, enabled: bool, max_migrations: u64) -> Option<u64> {
+    pub(crate) fn deadline(&self, rb: &RebalanceConfig) -> Option<u64> {
         match &self.active {
             Some(active) => active.transfer_ready_at,
-            None if enabled && self.stats.migrations_started < max_migrations => {
+            None if rb.enabled && self.stats.migrations_started < rb.max_migrations => {
                 Some(self.next_check_ns)
             }
             None => None,
@@ -283,33 +282,6 @@ impl ControllerState {
 }
 
 impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
-    /// Runs the sharded simulation with the online-rebalancing controller.
-    ///
-    /// Differences from [`ShardedCluster::run`]:
-    ///
-    /// * the workload closure returns `Option<Operation>` — `None` retires the
-    ///   client (open-loop replay schedules need a stop signal);
-    /// * when [`RebalanceConfig::enabled`] is set, the controller watches
-    ///   per-shard committed load and executes snapshot + catch-up migrations
-    ///   as described in the module docs;
-    /// * [`ShardedRunStats::migration`] and [`ShardedRunStats::timeline`] are
-    ///   populated.
-    ///
-    /// Commits are never lost or duplicated across a migration: the donor
-    /// serves the moving range until the drain, every post-cut committed write
-    /// replays in commit order, and each client holds at most one outstanding
-    /// request which completes on exactly one group.
-    pub fn run_rebalancing<W>(&mut self, mut workload: W) -> ShardedRunStats
-    where
-        W: FnMut(u64, u64) -> Option<Operation>,
-    {
-        let enabled = self.config.rebalance.enabled;
-        self.run_engine(
-            move |client, seq| workload(client, seq).map(Request::Single),
-            enabled,
-        )
-    }
-
     /// Drops every key a shard no longer owns at the current epoch from that
     /// shard's replicas. The cutover already evicts the moved range, but a
     /// straggling in-group commit (a follower applying a pre-cutover entry

@@ -16,17 +16,15 @@
 //!   driver, which owns latency accounting and schedules each client's next
 //!   issue — possibly on a different shard.
 //!
-//! Shards exchange no messages (cross-shard transactions are a ROADMAP item),
-//! so interleaving order between shards cannot change any shard's behaviour —
-//! but the single clock is what makes the aggregate wall-clock figures in
-//! [`ShardedRunStats`] meaningful.
+//! Replica groups exchange no protocol messages with each other; what crosses
+//! shards — 2PC frames ([`crate::txn`]) and migration chunks
+//! ([`crate::migration`]) — is carried by the driver on that same clock, which
+//! is also what makes the aggregate figures in [`ShardedRunStats`] meaningful.
 
-use recipe_core::{ConfidentialityMode, Operation, Request};
+use recipe_core::ConfidentialityMode;
 use recipe_gateway::{GatewayConfig, GatewayStats};
 use recipe_net::{CrashPlan, FaultPlan, NodeId};
-use recipe_sim::{
-    CostProfile, RangeStateTransfer, Replica, RunStats, SimCluster, SimConfig, StepOutcome,
-};
+use recipe_sim::{CostProfile, Replica, RunStats, SimCluster, SimConfig, StepOutcome};
 use recipe_telemetry::{MetricsRegistry, ShardTelemetry, TelemetryConfig, TelemetryReport};
 use recipe_workload::stable_key_hash;
 
@@ -136,8 +134,8 @@ pub struct ShardedRunStats {
     /// commits per shard (1.0 = perfectly balanced; meaningful only when
     /// something committed).
     pub imbalance: f64,
-    /// Online-rebalancing counters (all zero unless the run used
-    /// [`ShardedCluster::run_rebalancing`] with migrations enabled).
+    /// Online-rebalancing counters (all zero unless the deployment sets
+    /// [`RebalanceConfig::enabled`]).
     pub migration: MigrationStats,
     /// Transaction-coordinator counters (all zero unless the workload issued
     /// [`recipe_core::Request::Txn`] requests).
@@ -268,7 +266,7 @@ impl<R: Replica> ShardedCluster<R> {
     /// Mutable access to the router: pre-applying recorded moves before a run
     /// (replay testing against a final placement) or test setup. Mid-run
     /// mutation is the migration controller's job — see
-    /// [`ShardedCluster::run_rebalancing`].
+    /// [`crate::migration`].
     pub fn router_mut(&mut self) -> &mut ShardRouter {
         &mut self.router
     }
@@ -365,7 +363,8 @@ impl<R: Replica> ShardedCluster<R> {
     /// `extra_ns` of virtual time past the current frontier *without* issuing
     /// new client operations, so followers catch up on replicated state
     /// (heartbeats keep firing, outstanding requests may still complete).
-    /// Call after [`ShardedCluster::run`] and before inspecting replica state.
+    /// Call after [`ShardedCluster::run_requests`] and before inspecting
+    /// replica state.
     pub fn quiesce(&mut self, extra_ns: u64) {
         let frontier = self
             .shards
@@ -392,26 +391,6 @@ impl<R: Replica> ShardedCluster<R> {
             // Late completions no longer drive the closed loop.
             self.shards[shard].drain_completions();
         }
-    }
-
-    /// Runs the sharded simulation, generating single-key operations with
-    /// `workload(client_id, seq)` and routing each by key — the operation
-    /// -level compatibility surface over [`ShardedCluster::run_requests`]
-    /// (every draw is lowered to a [`Request::Single`]; the rebalancing
-    /// controller stays off, matching this method's historical behaviour).
-    ///
-    /// The run ends when the configured number of operations has committed
-    /// across all shards, every event queue drains, or the virtual-time cap is
-    /// hit.
-    pub fn run<W>(&mut self, mut workload: W) -> ShardedRunStats
-    where
-        W: FnMut(u64, u64) -> Operation,
-        R: RangeStateTransfer,
-    {
-        self.run_engine(
-            move |client, seq| Some(Request::Single(workload(client, seq))),
-            false,
-        )
     }
 
     /// Folds the driver's tallies and every shard's own counters into the

@@ -32,9 +32,10 @@
 //!     .with_clients(16, 200)
 //!     .with_shard_policy(0, ShardPolicy::confidential());
 //! let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
-//! let stats = cluster.run(|client, seq| recipe_core::Operation::Put {
-//!     key: format!("user{:08}", client * 131 + seq).into_bytes(),
-//!     value: b"v".to_vec(),
+//! let stats = cluster.run_requests(|client, seq| {
+//!     let key = format!("user{:08}", client * 131 + seq).into_bytes();
+//!     let value = b"v".to_vec();
+//!     Some(recipe_core::Operation::Put { key, value }.into())
 //! });
 //! assert_eq!(stats.total.committed, 200);
 //! ```
@@ -691,19 +692,18 @@ mod tests {
 
     #[test]
     fn every_policy_replica_protocol_builds_and_runs_sharded() {
-        // Regression pin: `run`/`run_requests` require `RangeStateTransfer`,
+        // Regression pin: `run_requests` requires `RangeStateTransfer`,
         // so every protocol `PolicyReplica` advertises must implement it —
         // a buildable-but-unrunnable deployment is an API lie.
         fn drive<R: PolicyReplica + recipe_sim::RangeStateTransfer>() -> u64 {
             let spec = DeploymentSpec::new(2, 3).with_clients(4, 40);
             let mut cluster = ShardedCluster::<R>::build(spec);
-            cluster
-                .run(|client, seq| recipe_core::Operation::Put {
-                    key: format!("k{client}-{seq}").into_bytes(),
-                    value: vec![0u8; 32],
-                })
-                .total
-                .committed
+            let stats = cluster.run_requests(|client, seq| {
+                let key = format!("k{client}-{seq}").into_bytes();
+                let value = vec![0u8; 32];
+                Some(recipe_core::Operation::Put { key, value }.into())
+            });
+            stats.total.committed
         }
         assert_eq!(drive::<RaftReplica>(), 40);
         assert_eq!(drive::<ChainReplica>(), 40);

@@ -41,8 +41,9 @@ fn main() {
 
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
     let generator = RefCell::new(WorkloadSpec::ycsb(0.5, 256).generator());
-    let stats =
-        cluster.run(move |_client, _seq| op_from_workload(generator.borrow_mut().next_op()));
+    let stats = cluster.run_requests(move |_client, _seq| {
+        Some(op_from_workload(generator.borrow_mut().next_op()).into())
+    });
 
     println!(
         "\ntotal: {} ops at {:.0} ops/s (mean {:.1} us)",

@@ -34,8 +34,9 @@ fn main() {
     //    workload; every operation is routed by key, so consecutive operations
     //    of one client hop across shards (cross-shard traffic).
     let generator = RefCell::new(WorkloadSpec::ycsb(0.7, 256).generator());
-    let stats =
-        cluster.run(move |_client, _seq| op_from_workload(generator.borrow_mut().next_op()));
+    let stats = cluster.run_requests(move |_client, _seq| {
+        Some(op_from_workload(generator.borrow_mut().next_op()).into())
+    });
 
     // 4. Aggregate and per-shard figures.
     println!(

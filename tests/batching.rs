@@ -131,9 +131,10 @@ fn batched_sharded_runs_are_deterministic_with_per_shard_agreement() {
             .with_batching(BatchConfig::of_ops(batch))
             .with_clients(48, 500);
         let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
-        let stats = cluster.run(|client, seq| Operation::Put {
-            key: format!("key-{}", (client * 13 + seq) % 200).into_bytes(),
-            value: format!("v{client}-{seq}").into_bytes(),
+        let stats = cluster.run_requests(|client, seq| {
+            let key = format!("key-{}", (client * 13 + seq) % 200).into_bytes();
+            let value = format!("v{client}-{seq}").into_bytes();
+            Some(Operation::Put { key, value }.into())
         });
         (stats, cluster)
     };

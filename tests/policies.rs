@@ -6,7 +6,7 @@
 //! under the recipient's policy at rest.
 
 use proptest::prelude::*;
-use recipe::core::{ConfidentialityMode, Operation};
+use recipe::core::{ConfidentialityMode, Operation, Request};
 use recipe::protocols::RaftReplica;
 use recipe::shard::{DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster};
 use recipe_net::NodeId;
@@ -21,10 +21,11 @@ const KEYS_PER_CLIENT: u64 = 5;
 /// so the per-key commit order equals the issue order and the final committed
 /// state is independent of cross-shard timing — which is what makes runs
 /// under *different* policy mixes comparable bit for bit.
-fn schedule(client: u64, seq: u64) -> Option<Operation> {
-    (seq <= OPS_PER_CLIENT).then(|| Operation::Put {
-        key: format!("c{client}-k{}", seq % KEYS_PER_CLIENT).into_bytes(),
-        value: format!("v{client}-{seq}").into_bytes(),
+fn schedule(client: u64, seq: u64) -> Option<Request> {
+    (seq <= OPS_PER_CLIENT).then(|| {
+        let key = format!("c{client}-k{}", seq % KEYS_PER_CLIENT).into_bytes();
+        let value = format!("v{client}-{seq}").into_bytes();
+        Operation::Put { key, value }.into()
     })
 }
 
@@ -47,7 +48,7 @@ fn run_masked(confidential: [bool; SHARDS]) -> ShardedCluster<RaftReplica> {
         }
     }
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
-    let stats = cluster.run_rebalancing(schedule);
+    let stats = cluster.run_requests(schedule);
     assert_eq!(
         stats.total.committed,
         (CLIENTS as u64) * OPS_PER_CLIENT,
@@ -159,7 +160,7 @@ fn migration_across_a_policy_boundary_loses_nothing_and_seals_the_transfer() {
     assert!(hot.len() >= 48, "hot range too small: {}", hot.len());
     let hot_for_run = hot.clone();
     let issued = std::cell::Cell::new(0usize);
-    let stats = cluster.run_rebalancing(move |client, seq| {
+    let stats = cluster.run_requests(move |client, seq| {
         let n = issued.get();
         issued.set(n + 1);
         let key = if n < balanced_ops {
@@ -167,10 +168,8 @@ fn migration_across_a_policy_boundary_loses_nothing_and_seals_the_transfer() {
         } else {
             hot_for_run[n % hot_for_run.len()].clone()
         };
-        Some(Operation::Put {
-            key,
-            value: format!("v{client}:{seq}").into_bytes(),
-        })
+        let value = format!("v{client}:{seq}").into_bytes();
+        Some(Operation::Put { key, value }.into())
     });
 
     // Zero lost, zero duplicated across the boundary-crossing migration.
@@ -264,7 +263,7 @@ fn run_plaintext_migration(force_sealed: bool) {
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
     let hot = hot_range_on_shard0(cluster.router(), 48, 2);
     let issued = std::cell::Cell::new(0usize);
-    let stats = cluster.run_rebalancing(move |client, seq| {
+    let stats = cluster.run_requests(move |client, seq| {
         let n = issued.get();
         issued.set(n + 1);
         let key = if n < 700 {
@@ -272,10 +271,8 @@ fn run_plaintext_migration(force_sealed: bool) {
         } else {
             hot[n % hot.len()].clone()
         };
-        Some(Operation::Put {
-            key,
-            value: vec![0xAB; 64],
-        })
+        let value = vec![0xAB; 64];
+        Some(Operation::Put { key, value }.into())
     });
     let m = &stats.migration;
     assert!(m.migrations_completed >= 1, "no migration completed: {m:?}");

@@ -5,7 +5,7 @@
 //! the same final state as the same ops run against the final placement.
 
 use proptest::prelude::*;
-use recipe::core::Operation;
+use recipe::core::{Operation, Request};
 use recipe::protocols::RaftReplica;
 use recipe::shard::{
     DeploymentSpec, RebalanceConfig, RouteDecision, RouterVersion, ShardRouter, ShardedCluster,
@@ -122,7 +122,7 @@ fn skewed_run(operations: usize, balanced_ops: usize) -> SkewedRun {
 
     let issued = Rc::new(Cell::new(0usize));
     let hot_keys = hot.clone();
-    let stats = cluster.run_rebalancing(move |client, seq| {
+    let stats = cluster.run_requests(move |client, seq| {
         let n = issued.get();
         issued.set(n + 1);
         let key = if n < balanced_ops {
@@ -130,10 +130,8 @@ fn skewed_run(operations: usize, balanced_ops: usize) -> SkewedRun {
         } else {
             hot_keys[n % hot_keys.len()].clone()
         };
-        Some(Operation::Put {
-            key,
-            value: format!("v{client}:{seq}").into_bytes(),
-        })
+        let value = format!("v{client}:{seq}").into_bytes();
+        Some(Operation::Put { key, value }.into())
     });
     SkewedRun {
         stats,
@@ -314,8 +312,8 @@ fn mid_run_migration_commits_bit_identical_state_to_the_final_placement() {
     let mut migrated = ShardedCluster::<RaftReplica>::build(replay_spec(ops, true));
     let hot = hot_range_on_shard0(migrated.router(), 48, 2);
     let hot_for_run = hot.clone();
-    let stats_a = migrated.run_rebalancing(move |client, seq| {
-        (seq == 1).then(|| {
+    let stats_a = migrated.run_requests(move |client, seq| {
+        let op = (seq == 1).then(|| {
             let i = client;
             if i % 3 != 0 {
                 // Two thirds of the schedule hammers the hot range on shard 0.
@@ -326,7 +324,8 @@ fn mid_run_migration_commits_bit_identical_state_to_the_final_placement() {
             } else {
                 schedule_op(i, &hot_for_run)
             }
-        })
+        });
+        op.map(Request::from)
     });
     assert_eq!(stats_a.total.committed, ops as u64, "run A lost commits");
     assert!(
@@ -344,8 +343,8 @@ fn mid_run_migration_commits_bit_identical_state_to_the_final_placement() {
         fixed.router_mut().rebalance(&mv.arcs, mv.to);
     }
     let hot_for_run = hot.clone();
-    let stats_b = fixed.run_rebalancing(move |client, seq| {
-        (seq == 1).then(|| {
+    let stats_b = fixed.run_requests(move |client, seq| {
+        let op = (seq == 1).then(|| {
             let i = client;
             if i % 3 != 0 {
                 Operation::Put {
@@ -355,7 +354,8 @@ fn mid_run_migration_commits_bit_identical_state_to_the_final_placement() {
             } else {
                 schedule_op(i, &hot_for_run)
             }
-        })
+        });
+        op.map(Request::from)
     });
     assert_eq!(stats_b.total.committed, ops as u64, "run B lost commits");
     assert_eq!(stats_b.migration.migrations_completed, 0);

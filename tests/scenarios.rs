@@ -260,11 +260,10 @@ timeline_bucket_ns = 5_000_000
     // shard, and the routers must agree on version and placement.
     let run = |spec: DeploymentSpec| {
         let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
-        let stats = cluster.run_rebalancing(|client, seq| {
-            Some(Operation::Put {
-                key: format!("user{:08}", (client * 131 + seq * 17) % 10_000).into_bytes(),
-                value: vec![0xAB; 64],
-            })
+        let stats = cluster.run_requests(|client, seq| {
+            let key = format!("user{:08}", (client * 131 + seq * 17) % 10_000).into_bytes();
+            let value = vec![0xAB; 64];
+            Some(Operation::Put { key, value }.into())
         });
         cluster.quiesce(50_000_000);
         (cluster, stats)

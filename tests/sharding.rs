@@ -3,7 +3,7 @@
 //! shards, per-shard agreement under cross-shard traffic, and the shard-scaling
 //! speedup the ROADMAP targets.
 
-use recipe::core::Operation;
+use recipe::core::{Operation, Request};
 use recipe::protocols::RaftReplica;
 use recipe::shard::{DeploymentSpec, ShardRouter, ShardedCluster, ShardedRunStats};
 use recipe::workload::WorkloadSpec;
@@ -63,7 +63,7 @@ fn placement_is_balanced_over_the_key_universe() {
     assert!(min / expected > 0.75, "starved shard: {counts:?}");
 }
 
-fn zipfian_workload(seed: u64) -> impl FnMut(u64, u64) -> Operation {
+fn zipfian_workload(seed: u64) -> impl FnMut(u64, u64) -> Option<Request> {
     let generator = RefCell::new(
         WorkloadSpec {
             seed,
@@ -71,14 +71,16 @@ fn zipfian_workload(seed: u64) -> impl FnMut(u64, u64) -> Operation {
         }
         .generator(),
     );
-    move |_client, _seq| recipe::shard::op_from_workload(generator.borrow_mut().next_op())
+    move |_client, _seq| {
+        Some(recipe::shard::op_from_workload(generator.borrow_mut().next_op()).into())
+    }
 }
 
 fn run_sharded_raft(shards: usize, operations: usize, seed: u64) -> ShardedRunStats {
     let spec = DeploymentSpec::new(shards, 3)
         .with_seed(seed)
         .with_clients(64, operations);
-    ShardedCluster::<RaftReplica>::build(spec).run(zipfian_workload(seed))
+    ShardedCluster::<RaftReplica>::build(spec).run_requests(zipfian_workload(seed))
 }
 
 #[test]
@@ -103,7 +105,7 @@ fn crash_of_one_shard_leaves_other_shards_committing() {
     for node in 0..3 {
         cluster.crash_at(1, NodeId(node), 2_000_000);
     }
-    let stats = cluster.run(zipfian_workload(5));
+    let stats = cluster.run_requests(zipfian_workload(5));
     for (shard, s) in stats.per_shard.iter().enumerate() {
         if shard == 1 {
             continue;
@@ -142,16 +144,14 @@ fn cross_shard_traffic_preserves_per_shard_agreement_and_isolation() {
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
     // Distinct value per (client, seq) over a small key pool, so agreement
     // checks compare real data rather than identical filler bytes.
-    let stats = cluster.run(|client, seq| {
+    let stats = cluster.run_requests(|client, seq| {
         let key = format!("user{:08}", (client * 31 + seq * 7) % 200).into_bytes();
-        if seq % 4 == 0 {
-            Operation::Get { key }
+        Some(if seq % 4 == 0 {
+            Operation::Get { key }.into()
         } else {
-            Operation::Put {
-                key,
-                value: format!("v{client}:{seq}").into_bytes(),
-            }
-        }
+            let value = format!("v{client}:{seq}").into_bytes();
+            Operation::Put { key, value }.into()
+        })
     });
     assert_eq!(stats.total.committed, 800);
     assert_eq!(
@@ -237,7 +237,7 @@ fn four_shards_at_least_double_single_shard_throughput() {
         .with_seed(7)
         .with_clients(64, 1_200);
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
-    let stats = cluster.run(zipfian_workload(7));
+    let stats = cluster.run_requests(zipfian_workload(7));
     assert_eq!(stats.total, quad.total, "same seed, same figures");
     cluster.quiesce(50_000_000);
     let mut agreed_keys = 0;

@@ -478,54 +478,6 @@ fn txn_workload_generator_is_deterministic_and_respects_fanout() {
     );
 }
 
-#[test]
-fn single_key_only_workloads_keep_the_pre_transaction_behaviour() {
-    // The typed API's fast path: a Request::Single stream must produce the
-    // same committed state as the operation-level `run` surface.
-    let workload = |client: u64, seq: u64| Operation::Put {
-        key: format!("user{:08}", (client * 131 + seq * 17) % 512).into_bytes(),
-        value: vec![0xCD; 64],
-    };
-    let mut via_run = ShardedCluster::<RaftReplica>::build(txn_spec(3, 8, 400));
-    let stats_run = via_run.run(workload);
-    let mut via_requests = ShardedCluster::<RaftReplica>::build(txn_spec(3, 8, 400));
-    let stats_requests =
-        via_requests.run_requests(move |c, s| Some(Request::Single(workload(c, s))));
-    assert_eq!(stats_run, stats_requests);
-    assert_eq!(stats_requests.txn.started, 0);
-    // Identical committed state on every shard.
-    via_run.quiesce(100_000_000);
-    via_requests.quiesce(100_000_000);
-    let mut checked = 0;
-    for i in 0..512u64 {
-        let key = format!("user{i:08}").into_bytes();
-        let a = committed_value_generic(&mut via_run, &key);
-        let b = committed_value_generic(&mut via_requests, &key);
-        assert_eq!(a, b);
-        if a.is_some() {
-            checked += 1;
-        }
-    }
-    assert!(checked > 100);
-}
-
-/// `committed_value` without the replica-agreement assertion (plain runs may
-/// legitimately have followers trailing by in-flight commits at cap).
-fn committed_value_generic(
-    cluster: &mut ShardedCluster<RaftReplica>,
-    key: &[u8],
-) -> Option<Vec<u8>> {
-    let shard = cluster.router().shard_for_key(key);
-    let leader = cluster.shard(shard).write_coordinator()?;
-    cluster
-        .shard_mut(shard)
-        .replica_mut(leader)
-        .read_entry(key)
-        .ok()
-        .flatten()
-        .map(|entry| entry.value)
-}
-
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
 
