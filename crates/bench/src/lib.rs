@@ -20,7 +20,9 @@ use recipe_protocols::{AbdReplica, AllConcurReplica, BatchConfig, ChainReplica, 
 use recipe_shard::{
     DeploymentSpec, PolicyReplica, RebalanceConfig, ShardPolicy, ShardedCluster, ShardedRunStats,
 };
-use recipe_sim::{ClientModel, CostProfile, Replica, RunStats, SimCluster, SimConfig};
+use recipe_sim::{
+    ClientModel, CostProfile, RangeStateTransfer, Replica, RunStats, SimCluster, SimConfig,
+};
 use recipe_telemetry::{TelemetryConfig, TelemetryReport};
 use recipe_workload::{
     stable_key_hash, TenantMixSpec, TxnWorkloadSpec, WorkloadRequest, WorkloadSpec,
@@ -1651,148 +1653,25 @@ pub fn confidential_policy_summary(report: &ConfidentialPolicyReport) -> BenchSu
 /// Runs one sharded configuration: `shards` groups of 3 replicas, a global
 /// closed-loop client population and the default YCSB Zipfian workload.
 pub fn run_sharded(kind: ProtocolKind, shards: usize, operations: usize) -> ShardedRunStats {
+    fn run<R: PolicyReplica + RangeStateTransfer>(spec: DeploymentSpec) -> ShardedRunStats {
+        let workload = WorkloadSpec {
+            seed: 7,
+            ..WorkloadSpec::default()
+        };
+        let mut generator = workload.generator();
+        ShardedCluster::<R>::build(spec).run_requests(move |_client, _seq| {
+            Some(recipe_shard::op_from_workload(generator.next_op()).into())
+        })
+    }
     // Enough concurrency that a single leader saturates; fixed across shard
     // counts so the sweep measures service capacity, not load.
     let spec = DeploymentSpec::new(shards, 3)
         .with_seed(7)
         .with_clients(64, operations);
-    let workload = WorkloadSpec {
-        seed: 7,
-        ..WorkloadSpec::default()
-    };
-    let mut cluster = match kind {
-        ProtocolKind::RRaft => ShardedCluster::build_with(spec, |shard, id, m, policy| {
-            ShardReplica::Raft(RaftReplica::build_replica(shard, id, m, policy))
-        }),
-        ProtocolKind::RAbd => ShardedCluster::build_with(spec, |shard, id, m, policy| {
-            ShardReplica::Abd(AbdReplica::build_replica(shard, id, m, policy))
-        }),
+    match kind {
+        ProtocolKind::RRaft => run::<RaftReplica>(spec),
+        ProtocolKind::RAbd => run::<AbdReplica>(spec),
         other => panic!("shard scaling is defined for R-Raft and R-ABD, not {other:?}"),
-    };
-    let generator = RefCell::new(workload.generator());
-    cluster.run_requests(move |_client, _seq| {
-        Some(recipe_shard::op_from_workload(generator.borrow_mut().next_op()).into())
-    })
-}
-
-/// A replica that is either R-Raft or R-ABD, so one sharded driver type can
-/// host both sweep protocols.
-// One replica of each variant exists per shard — the size difference between
-// the two is irrelevant at that population.
-#[allow(clippy::large_enum_variant)]
-pub enum ShardReplica {
-    /// Recipe-transformed Raft.
-    Raft(RaftReplica),
-    /// Recipe-transformed ABD.
-    Abd(AbdReplica),
-}
-
-impl Replica for ShardReplica {
-    fn id(&self) -> recipe_net::NodeId {
-        match self {
-            ShardReplica::Raft(r) => r.id(),
-            ShardReplica::Abd(r) => r.id(),
-        }
-    }
-
-    fn on_client_request(
-        &mut self,
-        request: recipe_core::ClientRequest,
-        ctx: &mut recipe_sim::Ctx,
-    ) {
-        match self {
-            ShardReplica::Raft(r) => r.on_client_request(request, ctx),
-            ShardReplica::Abd(r) => r.on_client_request(request, ctx),
-        }
-    }
-
-    fn on_message(&mut self, from: recipe_net::NodeId, bytes: &[u8], ctx: &mut recipe_sim::Ctx) {
-        match self {
-            ShardReplica::Raft(r) => r.on_message(from, bytes, ctx),
-            ShardReplica::Abd(r) => r.on_message(from, bytes, ctx),
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut recipe_sim::Ctx) {
-        match self {
-            ShardReplica::Raft(r) => r.on_timer(token, ctx),
-            ShardReplica::Abd(r) => r.on_timer(token, ctx),
-        }
-    }
-
-    fn coordinates_writes(&self) -> bool {
-        match self {
-            ShardReplica::Raft(r) => r.coordinates_writes(),
-            ShardReplica::Abd(r) => r.coordinates_writes(),
-        }
-    }
-
-    fn coordinates_reads(&self) -> bool {
-        match self {
-            ShardReplica::Raft(r) => r.coordinates_reads(),
-            ShardReplica::Abd(r) => r.coordinates_reads(),
-        }
-    }
-
-    fn protocol_name(&self) -> &'static str {
-        match self {
-            ShardReplica::Raft(r) => r.protocol_name(),
-            ShardReplica::Abd(r) => r.protocol_name(),
-        }
-    }
-
-    fn txn_prepare(&mut self, txn_id: u64, ops: &[recipe_core::Operation]) -> recipe_sim::TxnVote {
-        match self {
-            ShardReplica::Raft(r) => r.txn_prepare(txn_id, ops),
-            ShardReplica::Abd(r) => r.txn_prepare(txn_id, ops),
-        }
-    }
-
-    fn txn_commit(&mut self, txn_id: u64) -> Vec<recipe_sim::RangeEntry> {
-        match self {
-            ShardReplica::Raft(r) => r.txn_commit(txn_id),
-            ShardReplica::Abd(r) => r.txn_commit(txn_id),
-        }
-    }
-
-    fn txn_abort(&mut self, txn_id: u64) {
-        match self {
-            ShardReplica::Raft(r) => r.txn_abort(txn_id),
-            ShardReplica::Abd(r) => r.txn_abort(txn_id),
-        }
-    }
-}
-
-impl recipe_sim::RangeStateTransfer for ShardReplica {
-    fn export_range(
-        &mut self,
-        filter: &dyn Fn(&[u8]) -> bool,
-    ) -> Result<Vec<recipe_sim::RangeEntry>, String> {
-        match self {
-            ShardReplica::Raft(r) => r.export_range(filter),
-            ShardReplica::Abd(r) => r.export_range(filter),
-        }
-    }
-
-    fn read_entry(&mut self, key: &[u8]) -> Result<Option<recipe_sim::RangeEntry>, String> {
-        match self {
-            ShardReplica::Raft(r) => r.read_entry(key),
-            ShardReplica::Abd(r) => r.read_entry(key),
-        }
-    }
-
-    fn import_range(&mut self, entries: &[recipe_sim::RangeEntry]) {
-        match self {
-            ShardReplica::Raft(r) => r.import_range(entries),
-            ShardReplica::Abd(r) => r.import_range(entries),
-        }
-    }
-
-    fn evict_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> usize {
-        match self {
-            ShardReplica::Raft(r) => r.evict_range(filter),
-            ShardReplica::Abd(r) => r.evict_range(filter),
-        }
     }
 }
 
