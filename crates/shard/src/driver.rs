@@ -202,9 +202,6 @@ impl<'a, R: Replica + RangeStateTransfer> Engine<'a, R> {
         let link_latency = config.base.cost_model.link_latency_ns;
         let clients = config.base.clients.clients;
         let shard_count = cluster.shards.len();
-        let profiles = (0..shard_count)
-            .map(|shard| config.config_for_shard(shard).profiles)
-            .collect();
         let mut engine = Engine {
             workload,
             link_latency,
@@ -215,7 +212,11 @@ impl<'a, R: Replica + RangeStateTransfer> Engine<'a, R> {
             next_seq: 0,
             gateway: Gateway::from_config(&config.gateway, config.base.seed),
             st: ControllerState::new(shard_count, rb.check_interval_ns),
-            txns: TxnManager::new(config.txn.clone(), config.base.seed, profiles),
+            txns: TxnManager::new(
+                config.txn.clone(),
+                config.base.seed,
+                config.profiles.clone(),
+            ),
             clients: (0..clients)
                 .map(|_| ClientState {
                     version: cluster.router.version(),

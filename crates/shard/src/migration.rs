@@ -428,8 +428,7 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
         self.st.stats.migrations_started += 1;
         // Transfer AEAD per move, stricter-wins: the chunks are sealed
         // whenever the donor or the recipient treats the range as sensitive
-        // (the same per-shard policy `confidentiality_of` reports — spec
-        // policies when present, profile-derived for legacy configs), or when
+        // (the per-shard policy `confidentiality_of` reports), or when
         // `confidential_transfer` forces sealing globally. On arrival the
         // recipient's replicas re-seal the records under their own policy
         // (their stores encrypt values iff *they* are confidential).

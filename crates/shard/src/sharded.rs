@@ -48,21 +48,17 @@ pub struct ShardedConfig {
     /// and retry timeout. Each shard derives its RNG seed from `base.seed` and
     /// its shard index so fault streams are independent.
     pub base: SimConfig,
-    /// Per-shard fault-plan overrides (e.g. a lossy network on one shard only).
-    pub fault_plans: Option<Vec<FaultPlan>>,
-    /// Per-shard crash schedules (deterministic crash/recover events on the
-    /// virtual clock). `None` keeps every shard on the template's
-    /// `base.crash_plan` (empty by default — crash-free).
-    pub crash_plans: Option<Vec<CrashPlan>>,
-    /// Per-shard cost-profile overrides (heterogeneous hardware per group).
-    pub profiles: Option<Vec<Vec<CostProfile>>>,
-    /// Per-shard confidentiality policies, resolved by the deployment spec.
-    /// `None` (legacy configurations) means the policy is whatever the
-    /// replicas were constructed with —
-    /// [`ShardedCluster::confidentiality_of`] then derives it from the cost
-    /// profiles, and the migration controller's per-move transfer AEAD
-    /// follows that derivation.
-    pub confidentiality: Option<Vec<ConfidentialityMode>>,
+    /// Each shard's fault plan (e.g. a lossy network on one shard only).
+    pub fault_plans: Vec<FaultPlan>,
+    /// Each shard's crash schedule (deterministic crash/recover events on the
+    /// virtual clock; empty by default — crash-free).
+    pub crash_plans: Vec<CrashPlan>,
+    /// Each shard's cost profiles, one per replica (heterogeneous hardware
+    /// per group).
+    pub profiles: Vec<Vec<CostProfile>>,
+    /// Each shard's confidentiality policy, resolved by the deployment spec;
+    /// the migration controller's per-move transfer AEAD follows it.
+    pub confidentiality: Vec<ConfidentialityMode>,
     /// Online-rebalancing controller knobs (disabled by default; only
     /// request drivers with the controller enabled consult them).
     pub rebalance: RebalanceConfig,
@@ -83,24 +79,6 @@ pub struct ShardedConfig {
 }
 
 impl ShardedConfig {
-    /// Sets the leader-side batching factor on every cost profile (template and
-    /// per-shard overrides alike), so the batch knob flows to all shards in one
-    /// call. The caller builds the replicas with the matching
-    /// `recipe_protocols::BatchConfig` (see `recipe-bench`'s batching sweep).
-    pub fn with_batch_ops(mut self, ops: usize) -> Self {
-        for profile in &mut self.base.profiles {
-            profile.batch_ops = ops.max(1);
-        }
-        if let Some(profiles) = &mut self.profiles {
-            for shard in profiles {
-                for profile in shard {
-                    profile.batch_ops = ops.max(1);
-                }
-            }
-        }
-        self
-    }
-
     /// The effective simulator configuration for shard `shard`.
     pub(crate) fn config_for_shard(&self, shard: usize) -> SimConfig {
         let mut config = self.base.clone();
@@ -109,15 +87,9 @@ impl ShardedConfig {
             .base
             .seed
             .wrapping_add(stable_key_hash(format!("shard-seed:{shard}").as_bytes()));
-        if let Some(plans) = &self.fault_plans {
-            config.fault_plan = plans[shard];
-        }
-        if let Some(plans) = &self.crash_plans {
-            config.crash_plan = plans[shard].clone();
-        }
-        if let Some(profiles) = &self.profiles {
-            config.profiles = profiles[shard].clone();
-        }
+        config.fault_plan = self.fault_plans[shard];
+        config.crash_plan = self.crash_plans[shard].clone();
+        config.profiles = self.profiles[shard].clone();
         config
     }
 }
@@ -210,39 +182,25 @@ impl<R: Replica> ShardedCluster<R> {
     /// the wrong length, or if a group is empty.
     pub(crate) fn from_groups(groups: Vec<Vec<R>>, config: ShardedConfig) -> Self {
         assert_eq!(groups.len(), config.shards, "one replica group per shard");
-        if let Some(plans) = &config.fault_plans {
-            assert_eq!(plans.len(), config.shards, "one fault plan per shard");
+        let shards = config.shards;
+        assert_eq!(config.fault_plans.len(), shards, "one fault plan per shard");
+        assert_eq!(config.crash_plans.len(), shards, "one crash plan per shard");
+        assert_eq!(config.profiles.len(), shards, "one profile set per shard");
+        for (shard, (profiles, group)) in config.profiles.iter().zip(&groups).enumerate() {
+            assert_eq!(
+                profiles.len(),
+                group.len(),
+                "shard {shard}: one cost profile per replica"
+            );
         }
-        if let Some(plans) = &config.crash_plans {
-            assert_eq!(plans.len(), config.shards, "one crash plan per shard");
-        }
-        if let Some(profiles) = &config.profiles {
-            assert_eq!(profiles.len(), config.shards, "one profile set per shard");
-            for (shard, (shard_profiles, group)) in profiles.iter().zip(&groups).enumerate() {
-                assert_eq!(
-                    shard_profiles.len(),
-                    group.len(),
-                    "shard {shard}: one cost profile per replica"
-                );
-            }
-        }
-        if let Some(modes) = &config.confidentiality {
-            assert_eq!(modes.len(), config.shards, "one policy per shard");
-        }
+        assert_eq!(config.confidentiality.len(), shards, "one policy per shard");
         let router = ShardRouter::new(config.shards, config.vnodes_per_shard);
         let shards = groups
             .into_iter()
             .enumerate()
             .map(|(shard, replicas)| {
                 assert!(!replicas.is_empty(), "shard {shard} has no replicas");
-                let mut shard_config = config.config_for_shard(shard);
-                if config.profiles.is_none() && shard_config.profiles.len() != replicas.len() {
-                    // The *template* profile list was sized for a different
-                    // group; a uniform fill keeps `SimCluster::new`'s invariant.
-                    // (Explicit per-shard overrides were length-checked above.)
-                    shard_config.profiles = vec![shard_config.profiles[0].clone(); replicas.len()];
-                }
-                let mut cluster = SimCluster::new(replicas, shard_config);
+                let mut cluster = SimCluster::new(replicas, config.config_for_shard(shard));
                 cluster.set_external_clients(true);
                 if config.telemetry.enabled {
                     cluster.set_telemetry(ShardTelemetry::new(shard as u32, &config.telemetry));
@@ -276,19 +234,10 @@ impl<R: Replica> ShardedCluster<R> {
         self.shards.len()
     }
 
-    /// The confidentiality policy of one shard: the spec-resolved per-shard
-    /// mode when the deployment carries policies, otherwise derived from the
-    /// shard's cost profile (legacy configurations, where the profile's
-    /// `confidential` flag was the only record of the mode).
+    /// The confidentiality policy of one shard, as the deployment spec
+    /// resolved it.
     pub fn confidentiality_of(&self, shard: usize) -> ConfidentialityMode {
-        if let Some(modes) = &self.config.confidentiality {
-            return modes[shard];
-        }
-        let confidential = match &self.config.profiles {
-            Some(profiles) => profiles[shard].iter().any(|p| p.confidential),
-            None => self.config.base.profiles.iter().any(|p| p.confidential),
-        };
-        ConfidentialityMode::from(confidential)
+        self.config.confidentiality[shard]
     }
 
     /// Drains every shard's telemetry into one merged [`TelemetryReport`]:

@@ -573,15 +573,13 @@ impl DeploymentSpec {
             shards: self.shards,
             vnodes_per_shard: self.vnodes_per_shard,
             base,
-            fault_plans: Some(policies.iter().map(|p| p.fault_plan).collect()),
-            crash_plans: Some(policies.iter().map(|p| p.crash_plan.clone()).collect()),
-            profiles: Some(
-                policies
-                    .iter()
-                    .map(|p| vec![p.profile.clone(); self.replicas_per_shard])
-                    .collect(),
-            ),
-            confidentiality: Some(policies.iter().map(|p| p.confidentiality).collect()),
+            fault_plans: policies.iter().map(|p| p.fault_plan).collect(),
+            crash_plans: policies.iter().map(|p| p.crash_plan.clone()).collect(),
+            profiles: policies
+                .iter()
+                .map(|p| vec![p.profile.clone(); self.replicas_per_shard])
+                .collect(),
+            confidentiality: policies.iter().map(|p| p.confidentiality).collect(),
             rebalance: self.rebalance.clone(),
             txn: self.txn.clone(),
             telemetry: self.telemetry.clone(),
@@ -762,10 +760,10 @@ mod tests {
         let config = spec.to_sharded_config();
         assert_eq!(
             config.confidentiality,
-            Some(vec![
+            [
                 ConfidentialityMode::Confidential,
                 ConfidentialityMode::Plaintext
-            ])
+            ]
         );
     }
 
@@ -780,8 +778,8 @@ mod tests {
         assert_eq!(config.shards, 3);
         assert_eq!(config.base.seed, 7);
         assert_eq!(config.base.clients.clients, 10);
-        assert_eq!(config.fault_plans.as_ref().unwrap().len(), 3);
-        let profiles = config.profiles.as_ref().unwrap();
+        assert_eq!(config.fault_plans.len(), 3);
+        let profiles = &config.profiles;
         assert_eq!(profiles.len(), 3);
         assert!(profiles.iter().all(|shard| shard.len() == 5));
         assert!(profiles[2].iter().all(|p| p.confidential));

@@ -1170,14 +1170,6 @@ pub struct LatencySummary {
     pub p999_us: f64,
 }
 
-/// Summarizes a latency sample as `(mean_us, p99_us)`, sorting the slice in
-/// place. `(0.0, 0.0)` for an empty sample. Compatibility wrapper around
-/// [`latency_percentiles`].
-pub fn latency_summary(latencies_ns: &mut [u64]) -> (f64, f64) {
-    let summary = latency_percentiles(latencies_ns);
-    (summary.mean_us, summary.p99_us)
-}
-
 /// Computes the full [`LatencySummary`] of a sample, sorting the slice in
 /// place. All zeros for an empty sample. Shared by the single-group and
 /// sharded drivers so the percentile convention cannot drift between them:

@@ -28,8 +28,8 @@ pub mod cost;
 pub mod replica;
 
 pub use cluster::{
-    latency_percentiles, latency_summary, ClientModel, Completion, LatencySummary, RunStats,
-    SimCluster, SimConfig, StepOutcome,
+    latency_percentiles, ClientModel, Completion, LatencySummary, RunStats, SimCluster, SimConfig,
+    StepOutcome,
 };
 pub use cost::{CostProfile, ProtocolCostModel};
 pub use replica::{
