@@ -1,17 +1,15 @@
 //! The unified request driver: one event loop for single-key operations,
 //! cross-shard transactions and online rebalancing.
 //!
-//! [`ShardedCluster::run_requests`] is the principal entry point of the
-//! typed request API: the workload closure returns
-//! [`recipe_core::Request`]s, and the driver
+//! [`ShardedCluster::run_requests`] is the driver's one entry point: the
+//! workload closure returns [`recipe_core::Request`]s, and the driver
 //!
 //! * routes every operation by key through the epoch-stamped
 //!   [`crate::ShardRouter`] (stale clients earn `WrongShard` redirects and
 //!   re-resolve — including *whole transactions*, which re-route every key
 //!   before 2PC starts);
-//! * submits [`Request::Single`] operations to their shard exactly as the
-//!   pre-transaction driver did — the fast path compiles down to the same
-//!   leader-side batched pipeline, bit for bit;
+//! * submits [`Request::Single`] operations straight to their shard's
+//!   leader-side batched pipeline;
 //! * coordinates [`Request::Txn`] requests through the two-phase-commit
 //!   machinery in [`crate::txn`], with every 2PC frame shielded;
 //! * runs the online-rebalancing controller when the deployment enables it,
@@ -20,13 +18,19 @@
 //!   in-flight transactions on the moving range exactly as it waits for
 //!   outstanding single-key operations.
 //!
-//! It is the only driver surface: a workload of plain operations passes
-//! `Some(op.into())`.
+//! All of it is one [`Engine`] — the state of a run in one struct:
 //!
-//! All of it is one [`Engine`]: the state of a run in one struct, a `run`
-//! loop that only picks the earliest of three event sources, and one handler
-//! per event. The 2PC handlers live in [`crate::txn`] and the migration
-//! handlers in [`crate::migration`], as further `impl Engine` blocks.
+//! * `run` only picks the earliest of three event sources — the driver's own
+//!   heap, the rebalancing controller's deadline, the shards' simulators, in
+//!   that order on a tie — and dispatches;
+//! * a driver event goes to its handler: `Fresh` → `on_fresh` → `admit` →
+//!   `route` → `submit_single` | `begin_txn`; `GatewayRetry` re-enters at
+//!   `admit`, `Retry` at `route`; `TxnRetry` → `on_txn_retry`, `TxnAdvance` →
+//!   `on_txn_advance` (both in [`crate::txn`]); the controller's deadline →
+//!   `on_controller` (in [`crate::migration`]); a shard's → `on_shard_step`;
+//! * `schedule` is the only push onto the heap and assigns the tie-breaking
+//!   `seq`; `record_commit` is the only commit accounting;
+//!   `maybe_finish_cutover` the only drain check; `finish` closes the books.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -168,17 +172,21 @@ fn bucket(timeline: &mut Vec<u64>, width_ns: u64, at_ns: u64, count: u64) {
 }
 
 impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
-    /// Runs the sharded simulation over a typed-request workload: the new
-    /// principal driver surface. `workload(client_id, seq)` returns the
+    /// Runs the sharded simulation over a typed-request workload — the
+    /// driver's one entry point. `workload(client_id, seq)` returns the
     /// client's next [`Request`] (`None` retires the client — open-loop
-    /// schedules need a stop signal).
+    /// schedules need a stop signal); a workload of plain operations returns
+    /// `Some(op.into())`.
     ///
-    /// Single-key requests take exactly the per-shard batched path the
-    /// operation-level API always took; transactions run atomic cross-shard
-    /// 2PC through the shield layer (see [`crate::txn`]). The
-    /// online-rebalancing controller runs when
+    /// Single-key requests take the per-shard batched path; transactions run
+    /// atomic cross-shard 2PC through the shield layer (see [`crate::txn`]).
+    /// The online-rebalancing controller runs when
     /// [`crate::migration::RebalanceConfig::enabled`] is set on the
     /// deployment.
+    ///
+    /// The run ends when the configured number of operations has committed
+    /// across all shards and no transaction is in flight, when every event
+    /// queue drains, or when the virtual-time cap is hit.
     pub fn run_requests<W>(&mut self, mut workload: W) -> ShardedRunStats
     where
         W: FnMut(u64, u64) -> Option<Request>,

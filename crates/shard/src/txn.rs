@@ -654,7 +654,11 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
         } = *participant;
         let granted = participant.granted == Some(true);
         let Engine {
-            cluster, txns, st, ..
+            cluster,
+            txns,
+            st,
+            link_latency,
+            ..
         } = self;
         let model = cluster.config.base.cost_model.clone();
         let group = &mut cluster.shards[shard];
@@ -701,7 +705,7 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
         // group before the leader answers the coordinator — a participant
         // answering from volatile leader state would break atomicity on the
         // very failures 2PC exists to survive.
-        let replication_rt = 2 * self.link_latency;
+        let replication_rt = 2 * *link_latency;
         match body {
             TxnBody::Prepare { ops } => {
                 let staged_after = txns.staged_per_shard[shard] + staged_bytes;

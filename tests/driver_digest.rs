@@ -34,18 +34,21 @@ use recipe::shard::{
 };
 use serde_json::Value;
 
-/// `(run name, SHA-256 of its stats JSON)`.
-const PINS: [(&str, &str); 3] = [
+/// `(run name, the run, SHA-256 of its stats JSON)`.
+const PINS: [(&str, fn() -> ShardedRunStats, &str); 3] = [
     (
         "single_key_unbatched",
+        single_key_unbatched,
         "9cfc05bb3f13976753c5d945cf68d2e64c46d63072290303a839472a6329b523",
     ),
     (
         "txn_gateway",
+        txn_gateway,
         "200e494be3bd76a6ec34fc7bc0ad33383da013243335813bccdc8686c4974f82",
     ),
     (
         "rebalance_crash",
+        rebalance_crash,
         "435859e3d4b966a2c1f111e0bbdd1bec9ea0b1d748eba207fe60aaaaa64bde43",
     ),
 ];
@@ -160,15 +163,6 @@ fn rebalance_crash() -> ShardedRunStats {
     stats
 }
 
-fn run(name: &str) -> ShardedRunStats {
-    match name {
-        "single_key_unbatched" => single_key_unbatched(),
-        "txn_gateway" => txn_gateway(),
-        "rebalance_crash" => rebalance_crash(),
-        other => panic!("no run named {other}"),
-    }
-}
-
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden/driver_digest")
@@ -200,8 +194,8 @@ fn first_difference(path: &str, pinned: &Value, got: &Value) -> Option<String> {
 
 #[test]
 fn fixed_seed_runs_keep_their_pinned_digests() {
-    for (name, pinned_digest) in PINS {
-        let json = serde_json::to_string(&run(name)).expect("stats serialise");
+    for (name, run, pinned_digest) in PINS {
+        let json = serde_json::to_string(&run()).expect("stats serialise");
         if sha256(json.as_bytes()).to_hex() == pinned_digest {
             continue;
         }
@@ -221,8 +215,8 @@ fn fixed_seed_runs_keep_their_pinned_digests() {
 #[test]
 #[ignore = "rewrites the golden files; see the module docs"]
 fn regenerate_pins() {
-    for (name, _) in PINS {
-        let json = serde_json::to_string(&run(name)).expect("stats serialise");
+    for (name, run, _) in PINS {
+        let json = serde_json::to_string(&run()).expect("stats serialise");
         std::fs::create_dir_all(golden_path(name).parent().expect("has a parent"))
             .expect("golden directory");
         std::fs::write(golden_path(name), &json).expect("golden file written");

@@ -121,15 +121,16 @@ fn scoped_keys_on(router: &ShardRouter, tenant: &str, shard: usize, count: usize
         .collect()
 }
 
+const ALL_AT_ONCE_OPS: usize = 1_500;
+const ALL_AT_ONCE_CAP_NS: u64 = 30_000_000_000;
+
 /// Gateway on, 3-op cross-shard transactions skewed onto shard 0, the
 /// rebalancing controller enabled, shard 1's leader crashing and recovering.
-fn everything_at_once() -> (ShardedRunStats, u64) {
-    let ops = 1_500usize;
-    let cap_ns = 30_000_000_000;
+fn everything_at_once() -> ShardedRunStats {
     let spec = DeploymentSpec::new(3, 3)
         .with_seed(6)
-        .with_clients(12, ops)
-        .with_time_cap_ns(cap_ns)
+        .with_clients(12, ALL_AT_ONCE_OPS)
+        .with_time_cap_ns(ALL_AT_ONCE_CAP_NS)
         .with_gateway(GatewayConfig::enabled().with_tenant(TenantSpec::new("alpha")))
         .with_rebalance(rebalance_knobs())
         .with_shard_policy(
@@ -160,14 +161,13 @@ fn everything_at_once() -> (ShardedRunStats, u64) {
         cluster.shard(1).crashed_nodes().is_empty(),
         "node never recovered"
     );
-    (stats, cap_ns)
+    stats
 }
 
 #[test]
 fn all_event_sources_at_once_stay_deterministic_and_lose_nothing() {
-    let (stats, cap_ns) = everything_at_once();
-    let (again, _) = everything_at_once();
-    assert_eq!(stats, again, "same seed, different run");
+    let stats = everything_at_once();
+    assert_eq!(stats, everything_at_once(), "same seed, different run");
 
     // Every source was live.
     assert!(stats.gateway.tenants[0].admitted > 0);
@@ -178,7 +178,7 @@ fn all_event_sources_at_once_stay_deterministic_and_lose_nothing() {
     // Zero lost or duplicated commits: the target was reached, and every
     // committed operation belongs to exactly one committed transaction.
     assert!(
-        stats.total.committed >= 1_500,
+        stats.total.committed >= ALL_AT_ONCE_OPS as u64,
         "lost commits: {}",
         stats.total.committed
     );
@@ -191,5 +191,5 @@ fn all_event_sources_at_once_stay_deterministic_and_lose_nothing() {
     // resolved one way or the other, and the run ended on that — not on the
     // time cap.
     assert_eq!(stats.txn.started, stats.txn.committed + stats.txn.aborted);
-    assert!(stats.total.elapsed_secs * 1e9 < cap_ns as f64);
+    assert!(stats.total.elapsed_secs * 1e9 < ALL_AT_ONCE_CAP_NS as f64);
 }
