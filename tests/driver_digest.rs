@@ -34,23 +34,30 @@ use recipe::shard::{
 };
 use serde_json::Value;
 
-/// `(run name, the run, SHA-256 of its stats JSON)`.
-const PINS: [(&str, fn() -> ShardedRunStats, &str); 3] = [
-    (
-        "single_key_unbatched",
-        single_key_unbatched,
-        "9cfc05bb3f13976753c5d945cf68d2e64c46d63072290303a839472a6329b523",
-    ),
-    (
-        "txn_gateway",
-        txn_gateway,
-        "200e494be3bd76a6ec34fc7bc0ad33383da013243335813bccdc8686c4974f82",
-    ),
-    (
-        "rebalance_crash",
-        rebalance_crash,
-        "435859e3d4b966a2c1f111e0bbdd1bec9ea0b1d748eba207fe60aaaaa64bde43",
-    ),
+/// One pinned run.
+struct Pin {
+    name: &'static str,
+    run: fn() -> ShardedRunStats,
+    /// SHA-256 of the run's stats JSON.
+    digest: &'static str,
+}
+
+const PINS: [Pin; 3] = [
+    Pin {
+        name: "single_key_unbatched",
+        run: single_key_unbatched,
+        digest: "9cfc05bb3f13976753c5d945cf68d2e64c46d63072290303a839472a6329b523",
+    },
+    Pin {
+        name: "txn_gateway",
+        run: txn_gateway,
+        digest: "200e494be3bd76a6ec34fc7bc0ad33383da013243335813bccdc8686c4974f82",
+    },
+    Pin {
+        name: "rebalance_crash",
+        run: rebalance_crash,
+        digest: "435859e3d4b966a2c1f111e0bbdd1bec9ea0b1d748eba207fe60aaaaa64bde43",
+    },
 ];
 
 fn put(key: Vec<u8>, client: u64, seq: u64) -> Operation {
@@ -65,7 +72,7 @@ fn single_key_unbatched() -> ShardedRunStats {
     let spec = DeploymentSpec::new(1, 3).with_seed(21).with_clients(8, 300);
     ShardedCluster::<RaftReplica>::build(spec).run_requests(|client, seq| {
         let key = format!("user{:04}", (client * 31 + seq * 7) % 64).into_bytes();
-        Some(if seq % 4 == 0 {
+        Some(if seq.is_multiple_of(4) {
             Operation::Get { key }.into()
         } else {
             put(key, client, seq).into()
@@ -94,7 +101,7 @@ fn txn_gateway() -> ShardedRunStats {
         .with_gateway(gateway);
     let stats = ShardedCluster::<RaftReplica>::build(spec).run_requests(|client, seq| {
         let key = |i: u64| format!("acct{:03}", (client + seq * 5 + i * 11) % 24).into_bytes();
-        Some(if seq % 3 == 0 {
+        Some(if seq.is_multiple_of(3) {
             put(key(0), client, seq).into()
         } else {
             Request::Txn((0..3).map(|i| put(key(i), client, seq)).collect())
@@ -146,7 +153,7 @@ fn rebalance_crash() -> ShardedRunStats {
     let mut issued = 0usize;
     let stats = cluster.run_requests(move |client, seq| {
         issued += 1;
-        let key = if issued < 120 || issued % 5 == 0 {
+        let key = if issued < 120 || issued.is_multiple_of(5) {
             format!("user{:08}", (client * 131 + seq * 17) % 10_000).into_bytes()
         } else {
             hot[issued % hot.len()].clone()
@@ -194,9 +201,9 @@ fn first_difference(path: &str, pinned: &Value, got: &Value) -> Option<String> {
 
 #[test]
 fn fixed_seed_runs_keep_their_pinned_digests() {
-    for (name, run, pinned_digest) in PINS {
+    for Pin { name, run, digest } in PINS {
         let json = serde_json::to_string(&run()).expect("stats serialise");
-        if sha256(json.as_bytes()).to_hex() == pinned_digest {
+        if sha256(json.as_bytes()).to_hex() == digest {
             continue;
         }
         let golden = std::fs::read_to_string(golden_path(name)).expect("golden file committed");
@@ -215,7 +222,7 @@ fn fixed_seed_runs_keep_their_pinned_digests() {
 #[test]
 #[ignore = "rewrites the golden files; see the module docs"]
 fn regenerate_pins() {
-    for (name, run, _) in PINS {
+    for Pin { name, run, .. } in PINS {
         let json = serde_json::to_string(&run()).expect("stats serialise");
         std::fs::create_dir_all(golden_path(name).parent().expect("has a parent"))
             .expect("golden directory");
