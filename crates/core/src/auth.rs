@@ -15,12 +15,12 @@
 //! counters, the channel keys, the plaintext of confidential payloads — lives inside
 //! the [`recipe_tee::Enclave`] held by this layer.
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 
-use recipe_crypto::Nonce;
+use recipe_crypto::{MacStream, MacTag, Nonce};
 use recipe_net::{ChannelId, NodeId};
-use recipe_tee::Enclave;
+use recipe_tee::{CounterHandle, Enclave, KeyHandle};
 
 use crate::error::RecipeError;
 use crate::message::{
@@ -198,8 +198,13 @@ enum PendingFrame {
 enum Admission {
     /// Drop the frame; the reason maps onto the caller's outcome type.
     Reject(Rejection),
-    /// Authentic but ahead of its predecessors: buffer it under `counter`.
-    Buffer { counter: u64, expected: u64 },
+    /// Authentic but ahead of its predecessors: buffer it under `counter` in
+    /// the record at `peer`.
+    Buffer {
+        peer: usize,
+        counter: u64,
+        expected: u64,
+    },
     /// Authentic, fresh and in order (the receive counter is already advanced).
     Deliver { counter: u64 },
 }
@@ -263,45 +268,51 @@ impl From<Rejection> for TxnVerifyOutcome {
     }
 }
 
-/// The strings that key, in the enclave, the secrets this node shares with one
-/// peer. Every frame sent or received needs two of them, so they are built
-/// once per peer; a channel's MAC key label is the tail of its counter label.
-struct PeerLabels {
-    /// `send:cq:me->peer` — this node's trusted send counter.
-    send: String,
-    /// `recv:cq:peer->me` — this node's trusted receive counter.
-    recv: String,
+/// One directed channel, resolved to where its secrets sit in the enclave.
+#[derive(Clone, Copy)]
+struct Channel {
+    /// The channel's MAC key, provisioned under its label (`cq:src->dst`).
+    key: KeyHandle,
+    /// This node's trusted counter for the channel: frames sealed when this
+    /// node is the source, the last frame accepted when it is the destination.
+    counter: CounterHandle,
 }
 
-impl PeerLabels {
-    /// Length of the `send:` / `recv:` prefix in front of a channel label.
-    const PREFIX: usize = 5;
-
-    fn new(me: NodeId, peer: NodeId) -> Self {
-        PeerLabels {
-            send: format!("send:{}", ChannelId::new(me, peer).label()),
-            recv: format!("recv:{}", ChannelId::new(peer, me).label()),
-        }
+impl Channel {
+    /// Resolves `channel` in `enclave`, or `None` when the enclave holds no
+    /// key for it — a counter is only ever created for a keyed channel.
+    /// `role` is `send` or `recv`, this node's end of the channel.
+    fn resolve(enclave: &mut Enclave, role: &str, channel: ChannelId) -> Option<Channel> {
+        let label = channel.label();
+        let key = enclave.mac_key_handle(&label).ok()?;
+        let counter = enclave.counter_handle(&format!("{role}:{label}")).ok()?;
+        Some(Channel { key, counter })
     }
+}
 
-    /// `cq:me->peer` — the MAC key of the outgoing channel.
-    fn send_mac(&self) -> &str {
-        &self.send[Self::PREFIX..]
-    }
+/// The fields of a sealed single frame, before they are put in a
+/// [`ShieldedMessage`] or straight on the wire.
+struct SealedSingle<'a> {
+    tuple: SequenceTuple,
+    /// The payload as it travels: the caller's bytes, or their ciphertext in
+    /// confidential mode.
+    payload: Cow<'a, [u8]>,
+    confidential: bool,
+    mac: MacTag,
+}
 
-    /// `cq:peer->me` — the MAC key of the incoming channel.
-    fn recv_mac(&self) -> &str {
-        &self.recv[Self::PREFIX..]
-    }
-
-    /// The labels for `peer` out of `cache`, built on first use. Takes the
-    /// cache rather than the layer so the enclave can be borrowed beside the
-    /// result.
-    fn cached(cache: &mut HashMap<NodeId, PeerLabels>, me: NodeId, peer: NodeId) -> &Self {
-        cache
-            .entry(peer)
-            .or_insert_with(|| PeerLabels::new(me, peer))
-    }
+/// What this node holds for one peer: both directions of their channel and
+/// the frames of the peer's that arrived ahead of their turn. Labels are
+/// built and looked up when the record is made; every frame after that
+/// indexes.
+struct Peer {
+    node: NodeId,
+    /// `cq:me->peer`; `None` while the enclave holds no key for it.
+    send: Option<Channel>,
+    /// `cq:peer->me`; `None` while the enclave holds no key for it.
+    recv: Option<Channel>,
+    /// Out-of-order frames from the peer, keyed by counter.
+    pending: BTreeMap<u64, PendingFrame>,
 }
 
 /// The authentication + non-equivocation layer of one node.
@@ -310,12 +321,9 @@ pub struct AuthLayer {
     view: u64,
     enclave: Enclave,
     confidentiality: ConfidentialityMode,
-    /// Enclave map keys per peer, filled on first use.
-    labels: HashMap<NodeId, PeerLabels>,
-    /// Out-of-order frames buffered per source node, keyed by counter.
-    pending: HashMap<NodeId, BTreeMap<u64, PendingFrame>>,
-    /// Reusable MAC-input buffer (one allocation across shield/verify calls).
-    scratch: Vec<u8>,
+    /// One record per peer a frame was exchanged with, made on first use.
+    /// A replica group is a handful of nodes: finding one is a short scan.
+    peers: Vec<Peer>,
     /// Statistics: how many messages were rejected, by reason.
     rejected_replays: u64,
     rejected_auth: u64,
@@ -337,9 +345,7 @@ impl AuthLayer {
             view: 0,
             enclave,
             confidentiality: confidentiality.into(),
-            labels: HashMap::new(),
-            pending: HashMap::new(),
-            scratch: Vec::new(),
+            peers: Vec::new(),
             rejected_replays: 0,
             rejected_auth: 0,
             rejected_view: 0,
@@ -393,6 +399,87 @@ impl AuthLayer {
     }
 
     // ------------------------------------------------------------------
+    // Channel table
+    // ------------------------------------------------------------------
+
+    /// The record of `node` and the channel `pick` reads out of it, or `None`
+    /// when the enclave holds no key for that direction.
+    ///
+    /// The slow path — first frame of a peer, or a direction whose key was
+    /// not there last time — asks the enclave by label. A peer is only
+    /// remembered once the enclave is known to hold a key for it: a frame's
+    /// source is the sender's claim, and made-up sources must neither grow
+    /// the table nor get a counter.
+    fn channel_with(
+        &mut self,
+        node: NodeId,
+        pick: fn(&Peer) -> Option<Channel>,
+    ) -> Option<(usize, Channel)> {
+        let found = self.peers.iter().position(|peer| peer.node == node);
+        if let Some(resolved) = found.and_then(|index| Some((index, pick(&self.peers[index])?))) {
+            return Some(resolved);
+        }
+        let send = Channel::resolve(&mut self.enclave, "send", ChannelId::new(self.node, node));
+        let recv = Channel::resolve(&mut self.enclave, "recv", ChannelId::new(node, self.node));
+        if send.is_none() && recv.is_none() {
+            return None;
+        }
+        let index = found.unwrap_or_else(|| {
+            self.peers.push(Peer {
+                node,
+                send: None,
+                recv: None,
+                pending: BTreeMap::new(),
+            });
+            self.peers.len() - 1
+        });
+        let peer = &mut self.peers[index];
+        (peer.send, peer.recv) = (send, recv);
+        Some((index, pick(peer)?))
+    }
+
+    /// The outgoing channel toward `dst`.
+    fn send_channel(&mut self, dst: NodeId) -> Result<Channel, RecipeError> {
+        match self.channel_with(dst, |peer| peer.send) {
+            Some((_, channel)) => Ok(channel),
+            None if self.enclave.is_crashed() => Err(recipe_tee::TeeError::EnclaveCrashed.into()),
+            None => Err(recipe_tee::TeeError::MissingSecret {
+                label: ChannelId::new(self.node, dst).label(),
+            }
+            .into()),
+        }
+    }
+
+    /// The record of `src` and the incoming channel in it.
+    fn recv_channel(&mut self, src: NodeId) -> Option<(usize, Channel)> {
+        self.channel_with(src, |peer| peer.recv)
+    }
+
+    /// `cnt_cq ← cnt_cq + 1` inside the enclave: takes the next counter slot
+    /// of the channel toward `dst`.
+    fn next_slot(&mut self, dst: NodeId) -> Result<(Channel, SequenceTuple), RecipeError> {
+        let channel = self.send_channel(dst)?;
+        let counter = self.enclave.counter_mut(channel.counter)?.increment();
+        let tuple = SequenceTuple {
+            view: self.view,
+            channel: ChannelId::new(self.node, dst),
+            counter,
+        };
+        Ok((channel, tuple))
+    }
+
+    /// The tag, under `channel`'s key, of the bytes `write_parts` feeds.
+    fn mac(
+        &self,
+        channel: Channel,
+        write_parts: impl FnOnce(&mut MacStream),
+    ) -> Result<MacTag, RecipeError> {
+        let mut stream = self.enclave.mac_key_at(channel.key)?.stream();
+        write_parts(&mut stream);
+        Ok(stream.tag())
+    }
+
+    // ------------------------------------------------------------------
     // shield_request
     // ------------------------------------------------------------------
 
@@ -403,41 +490,67 @@ impl AuthLayer {
         kind: u16,
         payload: &[u8],
     ) -> Result<ShieldedMessage, RecipeError> {
-        let channel = ChannelId::new(self.node, dst);
-        let labels = PeerLabels::cached(&mut self.labels, self.node, dst);
+        let sealed = self.seal_single(dst, kind, payload)?;
+        Ok(ShieldedMessage {
+            tuple: sealed.tuple,
+            kind,
+            payload: sealed.payload.into_owned(),
+            confidential: sealed.confidential,
+            mac: sealed.mac,
+        })
+    }
 
-        // cnt_cq ← cnt_cq + 1 inside the enclave.
-        let counter = self.enclave.counter_mut(&labels.send)?.increment();
-        let tuple = SequenceTuple {
-            view: self.view,
-            channel,
-            counter,
-        };
+    /// [`AuthLayer::shield`] straight to wire bytes — what
+    /// `shield(..)?.to_wire()` returns, with the payload copied once, into
+    /// the frame.
+    pub fn shield_to_wire(
+        &mut self,
+        dst: NodeId,
+        kind: u16,
+        payload: &[u8],
+    ) -> Result<Vec<u8>, RecipeError> {
+        let sealed = self.seal_single(dst, kind, payload)?;
+        Ok(ShieldedMessage::wire_from_parts(
+            &sealed.tuple,
+            kind,
+            &sealed.payload,
+            sealed.confidential,
+            &sealed.mac,
+        ))
+    }
+
+    /// Seals the single frame that carries `payload` to `dst` under the
+    /// channel's next counter slot.
+    fn seal_single<'a>(
+        &mut self,
+        dst: NodeId,
+        kind: u16,
+        payload: &'a [u8],
+    ) -> Result<SealedSingle<'a>, RecipeError> {
+        let (channel, tuple) = self.next_slot(dst)?;
 
         // Confidential mode: encrypt the payload before it leaves the enclave. The
         // nonce is unique per (channel, counter) pair.
-        let (wire_payload, confidential) = if self.confidentiality.is_confidential() {
+        let confidential = self.confidentiality.is_confidential();
+        let wire_payload = if confidential {
             let cipher = self.enclave.cipher(CIPHER_LABEL)?;
-            let nonce = Self::payload_nonce(&channel, counter);
-            (encode_ciphertext(&cipher.seal(nonce, payload)), true)
+            let nonce = Self::payload_nonce(&tuple.channel, tuple.counter);
+            Cow::Owned(encode_ciphertext(&cipher.seal(nonce, payload)))
         } else {
-            (payload.to_vec(), false)
+            Cow::Borrowed(payload)
         };
 
-        let mac_key = self.enclave.mac_key(labels.send_mac())?;
-        self.scratch.clear();
-        ShieldedMessage::write_authenticated_parts(
-            &mut self.scratch,
-            &wire_payload,
-            kind,
-            confidential,
-            &tuple.to_bytes(),
-        );
-        let mac = mac_key.tag(&self.scratch);
-
-        Ok(ShieldedMessage {
+        let mac = self.mac(channel, |stream| {
+            ShieldedMessage::write_authenticated_parts(
+                &mut |bytes| stream.update(bytes),
+                &wire_payload,
+                kind,
+                confidential,
+                &tuple.to_bytes(),
+            )
+        })?;
+        Ok(SealedSingle {
             tuple,
-            kind,
             payload: wire_payload,
             confidential,
             mac,
@@ -459,37 +572,28 @@ impl AuthLayer {
         if ops.is_empty() {
             return Err(RecipeError::Malformed("empty batch"));
         }
-        let channel = ChannelId::new(self.node, dst);
-        let labels = PeerLabels::cached(&mut self.labels, self.node, dst);
-
         // One `cnt_cq ← cnt_cq + 1` for the whole frame.
-        let counter = self.enclave.counter_mut(&labels.send)?.increment();
-        let tuple = SequenceTuple {
-            view: self.view,
-            channel,
-            counter,
-        };
+        let (channel, tuple) = self.next_slot(dst)?;
 
         let body = BatchFrame::encode_ops(ops);
         let (body, sealed) = if self.confidentiality.is_confidential() {
             let cipher = self.enclave.cipher(CIPHER_LABEL)?;
-            let nonce = Self::payload_nonce(&channel, counter);
+            let nonce = Self::payload_nonce(&tuple.channel, tuple.counter);
             (Vec::new(), Some(cipher.seal_owned(nonce, body)))
         } else {
             (body, None)
         };
 
         let count = ops.len() as u32;
-        let mac_key = self.enclave.mac_key(labels.send_mac())?;
-        self.scratch.clear();
-        BatchFrame::write_authenticated_parts(
-            &mut self.scratch,
-            &body,
-            sealed.as_ref(),
-            count,
-            &tuple.to_bytes(),
-        );
-        let mac = mac_key.tag(&self.scratch);
+        let mac = self.mac(channel, |stream| {
+            BatchFrame::write_authenticated_parts(
+                &mut |bytes| stream.update(bytes),
+                &body,
+                sealed.as_ref(),
+                count,
+                &tuple.to_bytes(),
+            )
+        })?;
 
         Ok(BatchFrame {
             tuple,
@@ -515,35 +619,26 @@ impl AuthLayer {
         txn_id: u64,
         body: &TxnBody,
     ) -> Result<TxnFrame, RecipeError> {
-        let channel = ChannelId::new(self.node, dst);
-        let labels = PeerLabels::cached(&mut self.labels, self.node, dst);
-
-        let counter = self.enclave.counter_mut(&labels.send)?.increment();
-        let tuple = SequenceTuple {
-            view: self.view,
-            channel,
-            counter,
-        };
+        let (channel, tuple) = self.next_slot(dst)?;
 
         let encoded = TxnFrame::encode_body(body);
         let (body, sealed) = if self.confidentiality.is_confidential() {
             let cipher = self.enclave.cipher(CIPHER_LABEL)?;
-            let nonce = Self::payload_nonce(&channel, counter);
+            let nonce = Self::payload_nonce(&tuple.channel, tuple.counter);
             (Vec::new(), Some(cipher.seal_owned(nonce, encoded)))
         } else {
             (encoded, None)
         };
 
-        let mac_key = self.enclave.mac_key(labels.send_mac())?;
-        self.scratch.clear();
-        TxnFrame::write_authenticated_parts(
-            &mut self.scratch,
-            &body,
-            sealed.as_ref(),
-            txn_id,
-            &tuple.to_bytes(),
-        );
-        let mac = mac_key.tag(&self.scratch);
+        let mac = self.mac(channel, |stream| {
+            TxnFrame::write_authenticated_parts(
+                &mut |bytes| stream.update(bytes),
+                &body,
+                sealed.as_ref(),
+                txn_id,
+                &tuple.to_bytes(),
+            )
+        })?;
 
         Ok(TxnFrame {
             tuple,
@@ -559,9 +654,9 @@ impl AuthLayer {
     /// pass over the body in confidential mode. Out-of-order frames are
     /// dropped rather than buffered — see [`TxnVerifyOutcome::OutOfOrder`].
     pub fn verify_txn(&mut self, frame: TxnFrame) -> TxnVerifyOutcome {
-        match self.admit(&frame.tuple, &frame.mac, |buf| {
+        match self.admit(&frame.tuple, &frame.mac, |stream| {
             TxnFrame::write_authenticated_parts(
-                buf,
+                &mut |bytes| stream.update(bytes),
                 &frame.body,
                 frame.sealed.as_ref(),
                 frame.txn_id,
@@ -569,9 +664,9 @@ impl AuthLayer {
             )
         }) {
             Admission::Reject(rejection) => rejection.into(),
-            Admission::Buffer { counter, expected } => {
-                TxnVerifyOutcome::OutOfOrder { counter, expected }
-            }
+            Admission::Buffer {
+                counter, expected, ..
+            } => TxnVerifyOutcome::OutOfOrder { counter, expected },
             Admission::Deliver { counter } => {
                 let txn_id = frame.txn_id;
                 let opened = match frame.sealed {
@@ -604,9 +699,9 @@ impl AuthLayer {
     /// (the accepted payload is copied out as before). Callers that own the
     /// message should prefer [`AuthLayer::verify_owned`], which never clones.
     pub fn verify(&mut self, msg: &ShieldedMessage) -> VerifyOutcome {
-        match self.admit(&msg.tuple, &msg.mac, |buf| {
+        match self.admit(&msg.tuple, &msg.mac, |stream| {
             ShieldedMessage::write_authenticated_parts(
-                buf,
+                &mut |bytes| stream.update(bytes),
                 &msg.payload,
                 msg.kind,
                 msg.confidential,
@@ -614,10 +709,13 @@ impl AuthLayer {
             )
         }) {
             Admission::Reject(rejection) => rejection.into(),
-            Admission::Buffer { counter, expected } => {
-                self.pending
-                    .entry(msg.tuple.channel.src)
-                    .or_default()
+            Admission::Buffer {
+                peer,
+                counter,
+                expected,
+            } => {
+                self.peers[peer]
+                    .pending
                     .insert(counter, PendingFrame::Single(msg.clone()));
                 VerifyOutcome::Future { counter, expected }
             }
@@ -639,9 +737,9 @@ impl AuthLayer {
     /// moves (rather than clones) into the protected buffer or the
     /// [`VerifyOutcome::Accept`] result.
     pub fn verify_owned(&mut self, msg: ShieldedMessage) -> VerifyOutcome {
-        match self.admit(&msg.tuple, &msg.mac, |buf| {
+        match self.admit(&msg.tuple, &msg.mac, |stream| {
             ShieldedMessage::write_authenticated_parts(
-                buf,
+                &mut |bytes| stream.update(bytes),
                 &msg.payload,
                 msg.kind,
                 msg.confidential,
@@ -649,10 +747,13 @@ impl AuthLayer {
             )
         }) {
             Admission::Reject(rejection) => rejection.into(),
-            Admission::Buffer { counter, expected } => {
-                self.pending
-                    .entry(msg.tuple.channel.src)
-                    .or_default()
+            Admission::Buffer {
+                peer,
+                counter,
+                expected,
+            } => {
+                self.peers[peer]
+                    .pending
                     .insert(counter, PendingFrame::Single(msg));
                 VerifyOutcome::Future { counter, expected }
             }
@@ -677,9 +778,9 @@ impl AuthLayer {
     /// frame): one MAC check, one counter check and one AEAD pass admit or
     /// reject all `count` ops as a unit.
     pub fn verify_batch(&mut self, frame: BatchFrame) -> BatchVerifyOutcome {
-        match self.admit(&frame.tuple, &frame.mac, |buf| {
+        match self.admit(&frame.tuple, &frame.mac, |stream| {
             BatchFrame::write_authenticated_parts(
-                buf,
+                &mut |bytes| stream.update(bytes),
                 &frame.body,
                 frame.sealed.as_ref(),
                 frame.count,
@@ -687,10 +788,13 @@ impl AuthLayer {
             )
         }) {
             Admission::Reject(rejection) => rejection.into(),
-            Admission::Buffer { counter, expected } => {
-                self.pending
-                    .entry(frame.tuple.channel.src)
-                    .or_default()
+            Admission::Buffer {
+                peer,
+                counter,
+                expected,
+            } => {
+                self.peers[peer]
+                    .pending
                     .insert(counter, PendingFrame::Batch(frame));
                 BatchVerifyOutcome::Future { counter, expected }
             }
@@ -705,43 +809,35 @@ impl AuthLayer {
     }
 
     /// The shared `verify_request` core for single messages and batch frames:
-    /// addressing, MAC (input written into the scratch buffer by
-    /// `write_parts`), view and freshness checks, in that order. Advances the
-    /// trusted receive counter on in-order delivery and records rejection
-    /// statistics; buffering and payload opening stay with the callers, which
-    /// know the frame type.
+    /// addressing, MAC (over the bytes `write_parts` feeds), view and
+    /// freshness checks, in that order. Advances the trusted receive counter
+    /// on in-order delivery and records rejection statistics; buffering and
+    /// payload opening stay with the callers, which know the frame type.
     fn admit(
         &mut self,
         tuple: &SequenceTuple,
-        mac: &recipe_crypto::MacTag,
-        write_parts: impl FnOnce(&mut Vec<u8>),
+        mac: &MacTag,
+        write_parts: impl FnOnce(&mut MacStream),
     ) -> Admission {
-        let channel = tuple.channel;
-        if channel.dst != self.node {
+        if tuple.channel.dst != self.node {
             self.rejected_auth += 1;
             return Admission::Reject(Rejection::Misaddressed);
         }
-        // The source is the sender's claim, so a peer is remembered only once
-        // this enclave is known to hold a key for it: frames naming made-up
-        // sources are turned away without growing the cache.
-        let labels = match self.labels.entry(channel.src) {
-            Entry::Occupied(slot) => slot.into_mut(),
-            Entry::Vacant(slot) => {
-                let labels = PeerLabels::new(self.node, channel.src);
-                if self.enclave.mac_key(labels.recv_mac()).is_err() {
-                    self.rejected_auth += 1;
-                    return Admission::Reject(Rejection::BadAuthenticator);
-                }
-                slot.insert(labels)
-            }
-        };
-        let Ok(mac_key) = self.enclave.mac_key(labels.recv_mac()) else {
+        // No key for the claimed source, or an enclave that refuses to hand
+        // it out, authenticates nothing.
+        let keyed = self
+            .recv_channel(tuple.channel.src)
+            .and_then(|(peer, channel)| {
+                let key = self.enclave.mac_key_at(channel.key).ok()?;
+                let last_accepted = self.enclave.counter_value(channel.counter).ok()?;
+                Some((peer, channel, key.stream(), last_accepted))
+            });
+        let Some((peer, channel, mut stream, last_accepted)) = keyed else {
             self.rejected_auth += 1;
             return Admission::Reject(Rejection::BadAuthenticator);
         };
-        self.scratch.clear();
-        write_parts(&mut self.scratch);
-        if mac_key.verify(&self.scratch, mac).is_err() {
+        write_parts(&mut stream);
+        if stream.verify(mac).is_err() {
             self.rejected_auth += 1;
             return Admission::Reject(Rejection::BadAuthenticator);
         }
@@ -754,7 +850,6 @@ impl AuthLayer {
         }
 
         // Freshness: compare against the receive counter for this channel.
-        let last_accepted = self.enclave.counter_value(&labels.recv);
         let counter = tuple.counter;
         if counter <= last_accepted {
             self.rejected_replays += 1;
@@ -767,13 +862,14 @@ impl AuthLayer {
             // Future frame: the caller keeps it in the protected area until the
             // gap fills.
             return Admission::Buffer {
+                peer,
                 counter,
                 expected: last_accepted + 1,
             };
         }
 
         // In-order frame: bump the trusted receive counter.
-        if let Ok(recv_counter) = self.enclave.counter_mut(&labels.recv) {
+        if let Ok(recv_counter) = self.enclave.counter_mut(channel.counter) {
             let _ = recv_counter.advance_to(counter);
         }
         Admission::Deliver { counter }
@@ -784,21 +880,28 @@ impl AuthLayer {
     /// Batch frames are flattened into their ops, each tagged with the frame's
     /// counter.
     pub fn take_ready(&mut self, src: NodeId) -> Vec<(u16, Vec<u8>, u64)> {
+        let mut ready = Vec::new();
+        let Some(index) = self.peers.iter().position(|peer| peer.node == src) else {
+            return ready;
+        };
+        let peer = &mut self.peers[index];
+        let Some(channel) = peer.recv else {
+            return ready;
+        };
         // First move the trusted counter over every frame that is now in order,
-        // then open them: opening borrows the whole layer, the labels a part.
-        let labels = PeerLabels::cached(&mut self.labels, self.node, src);
+        // then open them: opening borrows the whole layer, the record a part.
         let mut released = Vec::new();
-        while let Some(buffer) = self.pending.get_mut(&src) {
-            let next = self.enclave.counter_value(&labels.recv) + 1;
-            let Some(frame) = buffer.remove(&next) else {
+        while !peer.pending.is_empty() {
+            let Ok(counter) = self.enclave.counter_mut(channel.counter) else {
                 break;
             };
-            if let Ok(counter) = self.enclave.counter_mut(&labels.recv) {
-                let _ = counter.advance_to(next);
-            }
+            let next = counter.current() + 1;
+            let Some(frame) = peer.pending.remove(&next) else {
+                break;
+            };
+            let _ = counter.advance_to(next);
             released.push((next, frame));
         }
-        let mut ready = Vec::new();
         for (next, frame) in released {
             match frame {
                 PendingFrame::Single(msg) => {
@@ -821,7 +924,10 @@ impl AuthLayer {
 
     /// Number of frames currently buffered as "future" arrivals from `src`.
     pub fn pending_from(&self, src: NodeId) -> usize {
-        self.pending.get(&src).map(BTreeMap::len).unwrap_or(0)
+        self.peers
+            .iter()
+            .find(|peer| peer.node == src)
+            .map_or(0, |peer| peer.pending.len())
     }
 
     /// The trusted send counter toward `dst` — how many frames this node's
@@ -829,13 +935,14 @@ impl AuthLayer {
     /// reads this during re-attestation of a restarted peer (paper §3.7) so the
     /// peer can fast-forward its receive counter past frames it slept through.
     pub fn send_counter_to(&self, dst: NodeId) -> u64 {
-        match self.labels.get(&dst) {
-            Some(labels) => self.enclave.counter_value(&labels.send),
-            // No frame to or from `dst` went through this layer yet.
-            None => self
-                .enclave
-                .counter_value(&PeerLabels::new(self.node, dst).send),
-        }
+        // No record, or no outgoing channel in it: no frame toward `dst` was
+        // ever sealed here, and the counter it would have used is at zero.
+        self.peers
+            .iter()
+            .find(|peer| peer.node == dst)
+            .and_then(|peer| peer.send)
+            .and_then(|channel| self.enclave.counter_value(channel.counter).ok())
+            .unwrap_or(0)
     }
 
     /// Re-attestation channel resync: fast-forwards the trusted receive counter
@@ -846,11 +953,13 @@ impl AuthLayer {
     /// window. Frames sealed before the resync point arriving afterwards are
     /// rejected as replays: a recovering replica cannot act on stale traffic.
     pub fn resync_from(&mut self, src: NodeId, peer_send_counter: u64) {
-        let labels = PeerLabels::cached(&mut self.labels, self.node, src);
-        if let Ok(counter) = self.enclave.counter_mut(&labels.recv) {
+        let Some((index, channel)) = self.recv_channel(src) else {
+            return;
+        };
+        if let Ok(counter) = self.enclave.counter_mut(channel.counter) {
             let _ = counter.advance_to(peer_send_counter);
         }
-        self.pending.remove(&src);
+        self.peers[index].pending.clear();
     }
 
     /// Opens a borrowed message payload (clones it when no decryption is
@@ -1067,6 +1176,141 @@ mod tests {
 
         // Replaying a drained future message is now rejected.
         assert!(matches!(receiver.verify(&m2), VerifyOutcome::Replay { .. }));
+    }
+
+    #[test]
+    fn made_up_sources_leave_no_trace() {
+        let (mut sender, mut receiver) = layer_pair(false);
+        assert!(receiver
+            .verify(&sender.shield(NodeId(2), 1, b"x").unwrap())
+            .is_accept());
+        let (peers, counters) = (receiver.peers.len(), receiver.enclave().counter_count());
+
+        // A host can claim any source; node 2 holds no key for these.
+        for src in [3u64, 9, u64::MAX] {
+            let mut forged = sender.shield(NodeId(2), 1, b"x").unwrap();
+            forged.tuple.channel.src = NodeId(src);
+            assert_eq!(receiver.verify(&forged), VerifyOutcome::BadAuthenticator);
+            assert!(receiver.take_ready(NodeId(src)).is_empty());
+            receiver.resync_from(NodeId(src), 50);
+            assert_eq!(receiver.send_counter_to(NodeId(src)), 0);
+            assert!(receiver.shield(NodeId(src), 1, b"x").is_err());
+        }
+        assert_eq!(receiver.peers.len(), peers);
+        assert_eq!(receiver.enclave().counter_count(), counters);
+    }
+
+    #[test]
+    fn a_key_provisioned_after_first_contact_is_picked_up() {
+        let master = MacKey::from_bytes([9u8; 32]);
+        let (mut sender, _) = layer_pair(false);
+        let mut enclave = Enclave::launch(EnclaveId(2), EnclaveConfig::new("code", 2));
+        enclave
+            .provision_mac_key("cq:2->1", master.derive("cq:2->1"))
+            .unwrap();
+        let mut receiver = AuthLayer::new(NodeId(2), enclave, false);
+        // Node 2 can send to node 1 but not yet hear from it.
+        receiver.shield(NodeId(1), 1, b"hello").unwrap();
+        let msg = sender.shield(NodeId(2), 1, b"x").unwrap();
+        assert_eq!(receiver.verify(&msg), VerifyOutcome::BadAuthenticator);
+        receiver
+            .enclave_mut()
+            .provision_mac_key("cq:1->2", master.derive("cq:1->2"))
+            .unwrap();
+        assert!(receiver.verify(&msg).is_accept());
+        assert_eq!(receiver.peers.len(), 1);
+    }
+
+    #[test]
+    fn recovery_reads_and_moves_the_counters_frames_use() {
+        let (mut sender, mut receiver) = layer_pair(false);
+        assert_eq!(sender.send_counter_to(NodeId(2)), 0);
+        let slept_through: Vec<_> = (0..3)
+            .map(|_| sender.shield(NodeId(2), 1, b"x").unwrap())
+            .collect();
+        assert_eq!(sender.send_counter_to(NodeId(2)), 3);
+        // A frame ahead of the gap is buffered; the resync discards it.
+        let ahead = sender.shield(NodeId(2), 1, b"ahead").unwrap();
+        assert!(matches!(
+            receiver.verify(&ahead),
+            VerifyOutcome::Future { counter: 4, .. }
+        ));
+
+        receiver.resync_from(NodeId(1), sender.send_counter_to(NodeId(2)));
+        assert_eq!(receiver.pending_from(NodeId(1)), 0);
+        for msg in &slept_through {
+            assert!(matches!(
+                receiver.verify(msg),
+                VerifyOutcome::Replay {
+                    last_accepted: 4,
+                    ..
+                }
+            ));
+        }
+        assert!(matches!(
+            receiver.verify(&ahead),
+            VerifyOutcome::Replay { .. }
+        ));
+        // The next frame the sender seals is the next one the receiver takes.
+        assert!(receiver
+            .verify(&sender.shield(NodeId(2), 1, b"next").unwrap())
+            .is_accept());
+        // A resync never moves a counter back.
+        receiver.resync_from(NodeId(1), 2);
+        assert!(matches!(
+            receiver.verify(&slept_through[2]),
+            VerifyOutcome::Replay {
+                last_accepted: 5,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn a_crashed_enclave_shields_and_accepts_nothing() {
+        let (mut sender, mut receiver) = layer_pair(false);
+        let before = sender.shield(NodeId(2), 1, b"x").unwrap();
+        let first = sender.shield(NodeId(3), 1, b"x");
+        assert!(matches!(
+            first,
+            Err(RecipeError::Tee(recipe_tee::TeeError::MissingSecret { .. }))
+        ));
+        sender.enclave_mut().crash();
+        // Resolved channel or not, the enclave is what refuses.
+        for dst in [2, 3] {
+            assert!(matches!(
+                sender.shield(NodeId(dst), 1, b"x"),
+                Err(RecipeError::Tee(recipe_tee::TeeError::EnclaveCrashed))
+            ));
+        }
+        assert!(sender.shield_batch(NodeId(2), &ops(2)).is_err());
+        assert_eq!(sender.send_counter_to(NodeId(2)), 0);
+
+        assert!(receiver.verify(&before).is_accept());
+        let after = before.clone();
+        receiver.enclave_mut().crash();
+        assert_eq!(receiver.verify(&after), VerifyOutcome::BadAuthenticator);
+    }
+
+    #[test]
+    fn shield_to_wire_is_the_wire_form_of_shield() {
+        for confidential in [false, true] {
+            // Two identical pairs: same keys, same counters, so the same frames.
+            let (mut by_struct, _) = layer_pair(confidential);
+            let (mut by_bytes, mut receiver) = layer_pair(confidential);
+            for payload in [&b""[..], b"ack", &[0xA5; 300]] {
+                let wire = by_bytes.shield_to_wire(NodeId(2), 7, payload).unwrap();
+                assert_eq!(
+                    wire,
+                    by_struct.shield(NodeId(2), 7, payload).unwrap().to_wire()
+                );
+                let parsed = ShieldedMessage::from_wire(&wire).unwrap();
+                match receiver.verify_owned(parsed) {
+                    VerifyOutcome::Accept { payload: got, .. } => assert_eq!(got, payload),
+                    other => panic!("expected Accept, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -62,7 +62,12 @@ impl Membership {
 
     /// True if `node` is a member.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.members.binary_search(&node).is_ok()
+        self.position(node).is_some()
+    }
+
+    /// Position of `node` in [`Membership::members`], if it is a member.
+    pub fn position(&self, node: NodeId) -> Option<usize> {
+        self.members.binary_search(&node).ok()
     }
 
     /// Peers of `node` (everyone but itself).

@@ -144,36 +144,61 @@ impl ShieldedMessage {
         // Assembled into a single length-prefixed buffer to keep the MAC interface
         // simple across call sites.
         let mut buf = Vec::with_capacity(payload.len() + tuple_bytes.len() + 8);
-        Self::write_authenticated_parts(&mut buf, payload, kind, confidential, tuple_bytes);
+        Self::write_authenticated_parts(
+            &mut |bytes| buf.extend_from_slice(bytes),
+            payload,
+            kind,
+            confidential,
+            tuple_bytes,
+        );
         [buf]
     }
 
-    /// Appends the MAC-covered bytes to `buf` (scratch-buffer variant of
-    /// [`ShieldedMessage::authenticated_parts`]; the hot path reuses one
-    /// allocation across messages).
+    /// Hands the MAC-covered bytes to `put`, piece by piece and in order. The
+    /// authentication layer points `put` at a running MAC, so the payload is
+    /// authenticated where it lies; what the MAC covers is the concatenation.
     pub fn write_authenticated_parts(
-        buf: &mut Vec<u8>,
+        put: &mut impl FnMut(&[u8]),
         payload: &[u8],
         kind: u16,
         confidential: bool,
         tuple_bytes: &[u8],
     ) {
-        buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        buf.extend_from_slice(payload);
-        buf.extend_from_slice(&kind.to_le_bytes());
-        buf.push(u8::from(confidential));
-        buf.extend_from_slice(tuple_bytes);
+        put(&(payload.len() as u64).to_le_bytes());
+        put(payload);
+        put(&kind.to_le_bytes());
+        put(&[u8::from(confidential)]);
+        put(tuple_bytes);
     }
 
     /// Serializes the message for the wire:
     /// `tag | confidential | tuple | mac | kind u16 | payload`.
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut w = Writer::tagged(tag::SINGLE, self.wire_len());
-        w.bool(self.confidential)
-            .raw(&self.tuple.to_bytes())
-            .raw(self.mac.as_bytes())
-            .u16(self.kind)
-            .bytes(&self.payload);
+        Self::wire_from_parts(
+            &self.tuple,
+            self.kind,
+            &self.payload,
+            self.confidential,
+            &self.mac,
+        )
+    }
+
+    /// The wire bytes of the message these fields make up, written straight
+    /// from them: a sender that only needs the bytes copies the payload once,
+    /// into the frame.
+    pub fn wire_from_parts(
+        tuple: &SequenceTuple,
+        kind: u16,
+        payload: &[u8],
+        confidential: bool,
+        mac: &MacTag,
+    ) -> Vec<u8> {
+        let mut w = Writer::tagged(tag::SINGLE, Self::wire_len_of(payload.len()));
+        w.bool(confidential)
+            .raw(&tuple.to_bytes())
+            .raw(mac.as_bytes())
+            .u16(kind)
+            .bytes(payload);
         w.finish()
     }
 
@@ -197,7 +222,11 @@ impl ShieldedMessage {
 
     /// Size on the wire (drives the network cost model).
     pub fn wire_len(&self) -> usize {
-        SHIELD_HEADER_LEN + 2 + bytes_len(self.payload.len())
+        Self::wire_len_of(self.payload.len())
+    }
+
+    fn wire_len_of(payload_len: usize) -> usize {
+        SHIELD_HEADER_LEN + 2 + bytes_len(payload_len)
     }
 }
 
@@ -328,38 +357,45 @@ impl BatchFrame {
     ) -> [Vec<u8>; 1] {
         let mut buf =
             Vec::with_capacity(BATCH_MAC_DOMAIN.len() + body.len() + tuple_bytes.len() + 64);
-        Self::write_authenticated_parts(&mut buf, body, sealed, count, tuple_bytes);
+        Self::write_authenticated_parts(
+            &mut |bytes| buf.extend_from_slice(bytes),
+            body,
+            sealed,
+            count,
+            tuple_bytes,
+        );
         [buf]
     }
 
-    /// Appends the MAC-covered bytes to `buf` (scratch-buffer variant).
+    /// Hands the MAC-covered bytes to `put`, piece by piece and in order (see
+    /// [`ShieldedMessage::write_authenticated_parts`]).
     pub fn write_authenticated_parts(
-        buf: &mut Vec<u8>,
+        put: &mut impl FnMut(&[u8]),
         body: &[u8],
         sealed: Option<&Ciphertext>,
         count: u32,
         tuple_bytes: &[u8],
     ) {
-        buf.extend_from_slice(BATCH_MAC_DOMAIN);
+        put(BATCH_MAC_DOMAIN);
         match sealed {
             None => {
-                buf.extend_from_slice(&(body.len() as u64).to_le_bytes());
-                buf.extend_from_slice(body);
-                buf.push(0);
+                put(&(body.len() as u64).to_le_bytes());
+                put(body);
+                put(&[0]);
             }
             Some(ct) => {
-                buf.extend_from_slice(&(ct.bytes.len() as u64).to_le_bytes());
-                buf.extend_from_slice(ct.nonce.as_bytes());
-                buf.extend_from_slice(&ct.bytes);
+                put(&(ct.bytes.len() as u64).to_le_bytes());
+                put(ct.nonce.as_bytes());
+                put(&ct.bytes);
                 // The AEAD tag too: a frame whose tag was tampered with must
                 // fail here, before the receive counter advances, or the
                 // intact frame could no longer be delivered.
-                buf.extend_from_slice(&ct.tag);
-                buf.push(1);
+                put(&ct.tag);
+                put(&[1]);
             }
         }
-        buf.extend_from_slice(&count.to_le_bytes());
-        buf.extend_from_slice(tuple_bytes);
+        put(&count.to_le_bytes());
+        put(tuple_bytes);
     }
 
     /// Serializes the frame for the wire:
@@ -662,38 +698,45 @@ impl TxnFrame {
     ) -> [Vec<u8>; 1] {
         let mut buf =
             Vec::with_capacity(TXN_MAC_DOMAIN.len() + body.len() + tuple_bytes.len() + 64);
-        Self::write_authenticated_parts(&mut buf, body, sealed, txn_id, tuple_bytes);
+        Self::write_authenticated_parts(
+            &mut |bytes| buf.extend_from_slice(bytes),
+            body,
+            sealed,
+            txn_id,
+            tuple_bytes,
+        );
         [buf]
     }
 
-    /// Appends the MAC-covered bytes to `buf` (scratch-buffer variant).
+    /// Hands the MAC-covered bytes to `put`, piece by piece and in order (see
+    /// [`ShieldedMessage::write_authenticated_parts`]).
     pub fn write_authenticated_parts(
-        buf: &mut Vec<u8>,
+        put: &mut impl FnMut(&[u8]),
         body: &[u8],
         sealed: Option<&Ciphertext>,
         txn_id: u64,
         tuple_bytes: &[u8],
     ) {
-        buf.extend_from_slice(TXN_MAC_DOMAIN);
+        put(TXN_MAC_DOMAIN);
         match sealed {
             None => {
-                buf.extend_from_slice(&(body.len() as u64).to_le_bytes());
-                buf.extend_from_slice(body);
-                buf.push(0);
+                put(&(body.len() as u64).to_le_bytes());
+                put(body);
+                put(&[0]);
             }
             Some(ct) => {
-                buf.extend_from_slice(&(ct.bytes.len() as u64).to_le_bytes());
-                buf.extend_from_slice(ct.nonce.as_bytes());
-                buf.extend_from_slice(&ct.bytes);
+                put(&(ct.bytes.len() as u64).to_le_bytes());
+                put(ct.nonce.as_bytes());
+                put(&ct.bytes);
                 // The AEAD tag too: a frame whose tag was tampered with must
                 // fail here, before the receive counter advances, or the
                 // intact frame could no longer be delivered.
-                buf.extend_from_slice(&ct.tag);
-                buf.push(1);
+                put(&ct.tag);
+                put(&[1]);
             }
         }
-        buf.extend_from_slice(&txn_id.to_le_bytes());
-        buf.extend_from_slice(tuple_bytes);
+        put(&txn_id.to_le_bytes());
+        put(tuple_bytes);
     }
 
     /// Serializes the frame for the wire:

@@ -48,7 +48,7 @@ pub use cipher::{Cipher, CipherKey, Ciphertext};
 pub use error::CryptoError;
 pub use hash::{hash_parts, sha256, Digest, Hasher};
 pub use kx::{EphemeralSecret, KxPublic, SharedSecret};
-pub use mac::{MacKey, MacTag};
+pub use mac::{MacKey, MacStream, MacTag};
 pub use nonce::Nonce;
 pub use sig::{PublicKey, Signature, SigningKeyPair};
 

@@ -50,32 +50,35 @@ impl MacKey {
         MacKey::from_bytes(self.tag(label.as_bytes()).0)
     }
 
-    /// A MAC instance keyed with this key and fed `message`.
-    fn mac_over(&self, message: &[u8]) -> HmacSha256 {
-        let mut mac = HmacSha256::from_core(self.keyed.clone());
-        mac.update(message);
-        mac
+    /// Starts a MAC over a message that arrives in pieces. Feeding the pieces
+    /// one after another yields the tag of their concatenation — nothing is
+    /// added between them — so a caller holding a message's fields can MAC
+    /// them where they lie instead of joining them in a buffer first.
+    pub fn stream(&self) -> MacStream {
+        MacStream(HmacSha256::from_core(self.keyed.clone()))
     }
 
-    /// A MAC instance keyed with this key and fed every part, length-prefixed.
-    fn mac_over_parts(&self, parts: &[&[u8]]) -> HmacSha256 {
-        let mut mac = HmacSha256::from_core(self.keyed.clone());
+    /// A MAC stream keyed with this key and fed every part, length-prefixed.
+    fn stream_over_parts(&self, parts: &[&[u8]]) -> MacStream {
+        let mut stream = self.stream();
         for part in parts {
-            mac.update(&(part.len() as u64).to_le_bytes());
-            mac.update(part);
+            stream.update(&(part.len() as u64).to_le_bytes());
+            stream.update(part);
         }
-        mac
+        stream
     }
 
     /// Computes the HMAC tag over `message`.
     pub fn tag(&self, message: &[u8]) -> MacTag {
-        MacTag(self.mac_over(message).finalize().into_bytes().into())
+        let mut stream = self.stream();
+        stream.update(message);
+        stream.tag()
     }
 
     /// Computes the HMAC tag over several length-prefixed parts, mirroring
     /// [`crate::hash::hash_parts`].
     pub fn tag_parts(&self, parts: &[&[u8]]) -> MacTag {
-        MacTag(self.mac_over_parts(parts).finalize().into_bytes().into())
+        self.stream_over_parts(parts).tag()
     }
 
     /// Verifies that `tag` authenticates `message` under this key.
@@ -83,14 +86,36 @@ impl MacKey {
     /// Verification is constant-time in the tag comparison (delegated to the `hmac`
     /// crate's `verify_slice`).
     pub fn verify(&self, message: &[u8], tag: &MacTag) -> Result<(), CryptoError> {
-        self.mac_over(message)
-            .verify_slice(&tag.0)
-            .map_err(|_| CryptoError::MacMismatch)
+        let mut stream = self.stream();
+        stream.update(message);
+        stream.verify(tag)
     }
 
     /// Verifies a tag computed with [`MacKey::tag_parts`].
     pub fn verify_parts(&self, parts: &[&[u8]], tag: &MacTag) -> Result<(), CryptoError> {
-        self.mac_over_parts(parts)
+        self.stream_over_parts(parts).verify(tag)
+    }
+}
+
+/// A MAC in progress: a keyed HMAC state taking the message piece by piece
+/// (see [`MacKey::stream`]).
+pub struct MacStream(HmacSha256);
+
+impl MacStream {
+    /// Feeds the next piece of the message.
+    pub fn update(&mut self, bytes: &[u8]) {
+        self.0.update(bytes);
+    }
+
+    /// The tag over everything fed so far.
+    pub fn tag(self) -> MacTag {
+        MacTag(self.0.finalize().into_bytes().into())
+    }
+
+    /// Checks `tag` against everything fed so far, in constant time in the
+    /// tag comparison (the `hmac` crate's `verify_slice`).
+    pub fn verify(self, tag: &MacTag) -> Result<(), CryptoError> {
+        self.0
             .verify_slice(&tag.0)
             .map_err(|_| CryptoError::MacMismatch)
     }

@@ -181,37 +181,36 @@ impl PartitionedKvStore {
             }
         };
 
-        let (version, host_slot) = match self.index.get(key) {
-            Some(existing) => {
-                let slot = existing.host_slot;
-                self.host_arena[slot] = Some(host_value);
-                (existing.version + 1, slot)
-            }
-            None => {
-                let slot = match self.free_slots.pop() {
+        // One descent of the index finds the key's slot and version, or the
+        // place its entry goes.
+        let (host_arena, free_slots) = (&mut self.host_arena, &mut self.free_slots);
+        let mut version = 1;
+        self.index.upsert(key, |existing| {
+            let host_slot = match existing {
+                Some(existing) => {
+                    version = existing.version + 1;
+                    host_arena[existing.host_slot] = Some(host_value);
+                    existing.host_slot
+                }
+                None => match free_slots.pop() {
                     Some(slot) => {
-                        self.host_arena[slot] = Some(host_value);
+                        host_arena[slot] = Some(host_value);
                         slot
                     }
                     None => {
-                        self.host_arena.push(Some(host_value));
-                        self.host_arena.len() - 1
+                        host_arena.push(Some(host_value));
+                        host_arena.len() - 1
                     }
-                };
-                (1, slot)
-            }
-        };
-
-        self.index.insert(
-            key,
+                },
+            };
             ValueMeta {
                 value_hash,
                 timestamp,
                 version,
                 value_len: value.len(),
                 host_slot,
-            },
-        );
+            }
+        });
         Ok(version)
     }
 

@@ -65,11 +65,14 @@ impl RaftMsg {
     /// Wire form: `tag | variant | u64 fields in declaration order`, an
     /// append's key and value last.
     pub fn encode(&self) -> Vec<u8> {
-        let entry_len = match self {
-            RaftMsg::Append { key, value, .. } => bytes_len(key.len()) + bytes_len(value.len()),
-            _ => 0,
+        let fixed = |variant: u8, fields: &[u64]| {
+            let mut w = Writer::tagged(tag::RAFT, 2 + 8 * fields.len());
+            w.u8(variant);
+            for field in fields {
+                w.u64(*field);
+            }
+            w.finish()
         };
-        let mut w = Writer::tagged(tag::RAFT, 2 + 4 * 8 + entry_len);
         match self {
             RaftMsg::Append {
                 view,
@@ -78,31 +81,34 @@ impl RaftMsg {
                 value,
                 client_id,
                 request_id,
-            } => {
-                w.u8(0)
-                    .u64(*view)
-                    .u64(*index)
-                    .u64(*client_id)
-                    .u64(*request_id)
-                    .bytes(key)
-                    .bytes(value);
-            }
-            RaftMsg::AppendAck { view, index } => {
-                w.u8(1).u64(*view).u64(*index);
-            }
-            RaftMsg::Commit { view, index } => {
-                w.u8(2).u64(*view).u64(*index);
-            }
-            RaftMsg::CommitAck { view, index } => {
-                w.u8(3).u64(*view).u64(*index);
-            }
-            RaftMsg::Heartbeat { view } => {
-                w.u8(4).u64(*view);
-            }
-            RaftMsg::ViewChange { new_view } => {
-                w.u8(5).u64(*new_view);
-            }
+            } => Self::encode_append(*view, *index, key, value, *client_id, *request_id),
+            RaftMsg::AppendAck { view, index } => fixed(1, &[*view, *index]),
+            RaftMsg::Commit { view, index } => fixed(2, &[*view, *index]),
+            RaftMsg::CommitAck { view, index } => fixed(3, &[*view, *index]),
+            RaftMsg::Heartbeat { view } => fixed(4, &[*view]),
+            RaftMsg::ViewChange { new_view } => fixed(5, &[*new_view]),
         }
+    }
+
+    /// The encoding of an [`RaftMsg::Append`] with these fields, for a leader
+    /// that keeps the key and value it sends.
+    fn encode_append(
+        view: u64,
+        index: u64,
+        key: &[u8],
+        value: &[u8],
+        client_id: u64,
+        request_id: u64,
+    ) -> Vec<u8> {
+        let entry_len = bytes_len(key.len()) + bytes_len(value.len());
+        let mut w = Writer::tagged(tag::RAFT, 2 + 4 * 8 + entry_len);
+        w.u8(0)
+            .u64(view)
+            .u64(index)
+            .u64(client_id)
+            .u64(request_id)
+            .bytes(key)
+            .bytes(value);
         w.finish()
     }
 
@@ -142,14 +148,32 @@ impl RaftMsg {
     }
 }
 
+/// Which replicas acknowledged something: one bit per position in the
+/// (sorted, fixed) membership.
+#[derive(Debug, Clone, Copy, Default)]
+struct AckSet(u64);
+
+impl AckSet {
+    /// Most members a set has a bit for.
+    const CAPACITY: usize = u64::BITS as usize;
+
+    fn insert(&mut self, position: usize) {
+        self.0 |= 1 << position;
+    }
+
+    fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+}
+
 #[derive(Debug, Clone)]
 struct PendingEntry {
     key: Vec<u8>,
     value: Vec<u8>,
     client_id: u64,
     request_id: u64,
-    append_acks: HashSet<u64>,
-    commit_acks: HashSet<u64>,
+    append_acks: AckSet,
+    commit_acks: AckSet,
     replicated: bool,
 }
 
@@ -204,6 +228,11 @@ impl RaftReplica {
     }
 
     fn with_shield(id: NodeId, membership: Membership, shield: ProtocolShield) -> Self {
+        assert!(
+            membership.n() <= AckSet::CAPACITY,
+            "a Raft group is at most {} replicas",
+            AckSet::CAPACITY
+        );
         let kv = PartitionedKvStore::new(shield.store_config());
         RaftReplica {
             id,
@@ -256,10 +285,6 @@ impl RaftReplica {
         self.shield.rejected()
     }
 
-    fn peers(&self) -> Vec<NodeId> {
-        self.membership.peers_of(self.id)
-    }
-
     fn quorum(&self) -> usize {
         self.membership.quorum()
     }
@@ -270,9 +295,15 @@ impl RaftReplica {
 
     /// Encodes `msg` once and shields it per peer.
     fn broadcast(&mut self, ctx: &mut Ctx, msg: &RaftMsg) {
-        let payload = msg.encode();
-        for peer in self.peers() {
-            self.enqueue(ctx, peer, &payload);
+        self.broadcast_encoded(ctx, &msg.encode());
+    }
+
+    fn broadcast_encoded(&mut self, ctx: &mut Ctx, payload: &[u8]) {
+        for position in 0..self.membership.n() {
+            let peer = self.membership.members()[position];
+            if peer != self.id {
+                self.enqueue(ctx, peer, payload);
+            }
         }
     }
 
@@ -295,10 +326,18 @@ impl RaftReplica {
             });
     }
 
-    fn apply_write(&mut self, key: &[u8], value: &[u8]) {
-        let ts = Timestamp::new(self.committed_entries + 1, self.id.0);
-        let _ = self.kv.write(key, value, ts);
-        self.committed_entries += 1;
+    /// Applies a committed write to the local store. Takes the fields it
+    /// touches, so a caller holding a borrow of `pending` can use it.
+    fn apply_write(
+        kv: &mut PartitionedKvStore,
+        committed_entries: &mut u64,
+        id: NodeId,
+        key: &[u8],
+        value: &[u8],
+    ) {
+        let ts = Timestamp::new(*committed_entries + 1, id.0);
+        let _ = kv.write(key, value, ts);
+        *committed_entries += 1;
     }
 
     fn handle_protocol_message(&mut self, from: NodeId, msg: RaftMsg, ctx: &mut Ctx) {
@@ -323,24 +362,25 @@ impl RaftReplica {
                     return;
                 }
                 let quorum = self.quorum();
-                let mut newly_replicated = false;
-                if let Some(entry) = self.pending.get_mut(&index) {
-                    entry.append_acks.insert(from.0);
-                    if !entry.replicated && entry.append_acks.len() >= quorum {
-                        entry.replicated = true;
-                        newly_replicated = true;
-                    }
-                }
-                if newly_replicated {
+                let (Some(entry), Some(acker), Some(own)) = (
+                    self.pending.get_mut(&index),
+                    self.membership.position(from),
+                    self.membership.position(self.id),
+                ) else {
+                    return;
+                };
+                entry.append_acks.insert(acker);
+                if !entry.replicated && entry.append_acks.len() >= quorum {
+                    entry.replicated = true;
                     // Apply locally and instruct followers to commit.
-                    let (key, value) = {
-                        let entry = &self.pending[&index];
-                        (entry.key.clone(), entry.value.clone())
-                    };
-                    self.apply_write(&key, &value);
-                    if let Some(entry) = self.pending.get_mut(&index) {
-                        entry.commit_acks.insert(self.id.0);
-                    }
+                    Self::apply_write(
+                        &mut self.kv,
+                        &mut self.committed_entries,
+                        self.id,
+                        &entry.key,
+                        &entry.value,
+                    );
+                    entry.commit_acks.insert(own);
                     let commit = RaftMsg::Commit {
                         view: self.view,
                         index,
@@ -353,7 +393,13 @@ impl RaftReplica {
                     return;
                 }
                 if let Some((key, value)) = self.uncommitted.remove(&index) {
-                    self.apply_write(&key, &value);
+                    Self::apply_write(
+                        &mut self.kv,
+                        &mut self.committed_entries,
+                        self.id,
+                        &key,
+                        &value,
+                    );
                 }
                 let ack = RaftMsg::CommitAck { view, index };
                 self.send(ctx, from, &ack);
@@ -363,10 +409,12 @@ impl RaftReplica {
                     return;
                 }
                 let quorum = self.quorum();
-                let Some(entry) = self.pending.get_mut(&index) else {
+                let (Some(entry), Some(acker)) =
+                    (self.pending.get_mut(&index), self.membership.position(from))
+                else {
                     return;
                 };
-                entry.commit_acks.insert(from.0);
+                entry.commit_acks.insert(acker);
                 if entry.commit_acks.len() >= quorum {
                     ctx.reply(ClientReply {
                         client_id: entry.client_id,
@@ -465,28 +513,31 @@ impl Replica for RaftReplica {
                 });
             }
             Operation::Put { key, value } => {
+                let Some(own) = self.membership.position(self.id) else {
+                    return;
+                };
                 let index = self.next_index;
                 self.next_index += 1;
-                let mut entry = PendingEntry {
-                    key: key.clone(),
-                    value: value.clone(),
-                    client_id: request.client_id,
-                    request_id: request.request_id,
-                    append_acks: HashSet::new(),
-                    commit_acks: HashSet::new(),
-                    replicated: false,
-                };
-                entry.append_acks.insert(self.id.0);
-                self.pending.insert(index, entry);
-                let append = RaftMsg::Append {
-                    view: self.view,
+                let payload = RaftMsg::encode_append(
+                    self.view,
                     index,
+                    &key,
+                    &value,
+                    request.client_id,
+                    request.request_id,
+                );
+                let mut entry = PendingEntry {
                     key,
                     value,
                     client_id: request.client_id,
                     request_id: request.request_id,
+                    append_acks: AckSet::default(),
+                    commit_acks: AckSet::default(),
+                    replicated: false,
                 };
-                self.broadcast(ctx, &append);
+                entry.append_acks.insert(own);
+                self.pending.insert(index, entry);
+                self.broadcast_encoded(ctx, &payload);
             }
         }
     }

@@ -332,9 +332,8 @@ impl ProtocolShield {
         match &mut self.auth {
             None => encode_native(kind, payload),
             Some(auth) => auth
-                .shield(dst, kind, payload)
-                .expect("channel key provisioned for every peer")
-                .to_wire(),
+                .shield_to_wire(dst, kind, payload)
+                .expect("channel key provisioned for every peer"),
         }
     }
 

@@ -6,8 +6,7 @@
 //! event budget is exhausted) and returns a [`RunStats`] with throughput and latency
 //! figures. All scheduling decisions are deterministic for a given seed.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,6 +19,7 @@ use recipe_telemetry::{ChargeKind, CostCategory, ShardTelemetry, SpanKind};
 use serde::{Deserialize, Serialize};
 
 use crate::cost::{CostProfile, ProtocolCostModel};
+use crate::queue::EventQueue;
 use crate::replica::{Ctx, RangeEntry, Replica};
 
 /// Closed-loop client population configuration.
@@ -132,6 +132,8 @@ pub struct RunStats {
     pub aborted_txns: u64,
 }
 
+/// A scheduled event. The replica an event is for is named by its position
+/// in the cluster, resolved when the event is scheduled.
 #[derive(Debug)]
 enum EventKind {
     ClientIssue {
@@ -141,19 +143,25 @@ enum EventKind {
         client_id: u64,
         request_id: u64,
     },
+    /// A client's request reaching the replica at `idx`. The simulator's
+    /// clients do not sign, so the request is carried as its three fields
+    /// and assembled on delivery: the largest event stays half the size a
+    /// whole [`ClientRequest`] (with its signature slot) would make it.
     ClientDeliver {
-        node: NodeId,
-        request: ClientRequest,
+        idx: usize,
+        client_id: u64,
+        request_id: u64,
+        operation: Operation,
     },
     Deliver {
         from: NodeId,
-        to: NodeId,
+        to: usize,
         bytes: Vec<u8>,
         /// Number of protocol ops in the frame (1 for single messages).
         ops: u32,
     },
     Timer {
-        node: NodeId,
+        idx: usize,
         token: u64,
     },
     Crash {
@@ -162,10 +170,11 @@ enum EventKind {
     Recover {
         node: NodeId,
     },
-    /// The trusted configuration service tells `node` that `about` went down
-    /// (`up: false`) or was re-attested and rejoined (`up: true`).
+    /// The trusted configuration service tells the replica at `idx` that
+    /// `about` went down (`up: false`) or was re-attested and rejoined
+    /// (`up: true`).
     PeerNotice {
-        node: NodeId,
+        idx: usize,
         about: NodeId,
         up: bool,
     },
@@ -218,36 +227,14 @@ struct Outstanding {
     is_write: bool,
 }
 
-struct Event {
-    at: u64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// The discrete-event cluster simulator.
 pub struct SimCluster<R: Replica> {
     replicas: Vec<R>,
+    /// `replicas[i].id()`, kept beside them for lookups in both directions.
+    ids: Vec<NodeId>,
     config: SimConfig,
     injector: NetworkFaultInjector,
-    queue: BinaryHeap<Reverse<Event>>,
-    next_seq: u64,
+    queue: EventQueue<EventKind>,
     now: u64,
     busy_until: Vec<u64>,
     crashed: BTreeSet<NodeId>,
@@ -283,10 +270,10 @@ impl<R: Replica> SimCluster<R> {
         let n = replicas.len();
         let injector = NetworkFaultInjector::new(config.fault_plan, config.seed);
         SimCluster {
+            ids: replicas.iter().map(Replica::id).collect(),
             replicas,
             injector,
-            queue: BinaryHeap::new(),
-            next_seq: 0,
+            queue: EventQueue::new(),
             now: 0,
             busy_until: vec![0; n],
             crashed: BTreeSet::new(),
@@ -349,7 +336,7 @@ impl<R: Replica> SimCluster<R> {
 
     /// Virtual time of the next pending event, if any.
     pub fn peek_next_at(&self) -> Option<u64> {
-        self.queue.peek().map(|Reverse(event)| event.at)
+        self.queue.peek_at()
     }
 
     /// Operations committed so far.
@@ -365,7 +352,7 @@ impl<R: Replica> SimCluster<R> {
 
     /// Schedules a crash of `node` at virtual time `at_ns`.
     pub fn crash_at(&mut self, node: NodeId, at_ns: u64) {
-        self.push(at_ns, EventKind::Crash { node });
+        self.queue.push(at_ns, EventKind::Crash { node });
     }
 
     /// Schedules a rollback-protected restart of `node` at virtual time
@@ -377,7 +364,7 @@ impl<R: Replica> SimCluster<R> {
     /// node's virtual-clock compute. A no-op if the node is not crashed when
     /// the event fires.
     pub fn recover_at(&mut self, node: NodeId, at_ns: u64) {
-        self.push(at_ns, EventKind::Recover { node });
+        self.queue.push(at_ns, EventKind::Recover { node });
     }
 
     /// Current virtual time in nanoseconds.
@@ -386,6 +373,10 @@ impl<R: Replica> SimCluster<R> {
     }
 
     /// Immutable access to a replica (for post-run assertions).
+    ///
+    /// # Panics
+    /// Panics if `node` is not a replica of this cluster, as do
+    /// [`SimCluster::replica_mut`] and [`SimCluster::charge_work_at`].
     pub fn replica(&self, node: NodeId) -> &R {
         &self.replicas[self.index_of(node)]
     }
@@ -403,7 +394,7 @@ impl<R: Replica> SimCluster<R> {
 
     /// The ids of all replicas, in construction order.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        self.replicas.iter().map(|r| r.id()).collect()
+        self.ids.clone()
     }
 
     /// The first live replica that coordinates writes, if any (construction
@@ -431,18 +422,14 @@ impl<R: Replica> SimCluster<R> {
         finish
     }
 
+    /// Position of `node` among the replicas. An id the cluster does not
+    /// hold maps to one past the last replica, so using it as an index
+    /// panics — addressing a node outside the cluster is a caller's bug.
     fn index_of(&self, node: NodeId) -> usize {
-        self.replicas
+        self.ids
             .iter()
-            .position(|r| r.id() == node)
-            // recipe-lint: allow(unwrap-in-lib, reason = "callers pass node ids obtained from this cluster")
-            .expect("node is part of the cluster")
-    }
-
-    fn push(&mut self, at: u64, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Reverse(Event { at, seq, kind }));
+            .position(|&id| id == node)
+            .unwrap_or(self.ids.len())
     }
 
     /// Runs the simulation, generating operations with `workload(client_id, seq)`.
@@ -456,7 +443,8 @@ impl<R: Replica> SimCluster<R> {
         self.seed_initial_events();
         // Start the closed-loop clients with a small deterministic stagger.
         for client in 0..self.config.clients.clients as u64 {
-            self.push(client * 200, EventKind::ClientIssue { client_id: client });
+            self.queue
+                .push(client * 200, EventKind::ClientIssue { client_id: client });
         }
 
         let target = self.config.clients.total_operations as u64;
@@ -475,7 +463,8 @@ impl<R: Replica> SimCluster<R> {
                     if !self.submit_at(self.now, client_id, rid, operation) {
                         // No live coordinator (e.g. leader crashed and no view
                         // change yet): retry later.
-                        self.push(self.now + 1_000_000, EventKind::ClientIssue { client_id });
+                        self.queue
+                            .push(self.now + 1_000_000, EventKind::ClientIssue { client_id });
                     }
                 }
             }
@@ -489,8 +478,7 @@ impl<R: Replica> SimCluster<R> {
     /// external driver before stepping.
     pub fn seed_initial_events(&mut self) {
         for idx in 0..self.replicas.len() {
-            let node = self.replicas[idx].id();
-            self.push(0, EventKind::Timer { node, token: 0 });
+            self.queue.push(0, EventKind::Timer { idx, token: 0 });
         }
         let entries = self.config.crash_plan.entries.clone();
         for entry in entries {
@@ -527,7 +515,7 @@ impl<R: Replica> SimCluster<R> {
         operation: Operation,
     ) -> Result<(), Operation> {
         self.now = self.now.max(at_ns);
-        let Some(target_node) = self.route(&operation) else {
+        let Some(target) = self.route(&operation) else {
             return Err(operation);
         };
         self.next_request_id.insert(client_id, request_id);
@@ -540,29 +528,30 @@ impl<R: Replica> SimCluster<R> {
                 operation: operation.clone(),
             },
         );
-        let request = ClientRequest {
-            client_id,
-            request_id,
-            operation,
-            signature: None,
-        };
         let deliver_at = self.now + self.config.cost_model.link_latency_ns;
-        self.push(
+        self.queue.push(
             self.now + self.config.retry_timeout_ns,
             EventKind::ClientRetry {
                 client_id,
                 request_id,
             },
         );
-        self.push(
+        self.queue.push(
             deliver_at,
             EventKind::ClientDeliver {
-                node: target_node,
-                request,
+                idx: target,
+                client_id,
+                request_id,
+                operation,
             },
         );
         if let Some(t) = self.telemetry.as_mut() {
-            t.instant(SpanKind::ClientSubmit, target_node.0, self.now, client_id);
+            t.instant(
+                SpanKind::ClientSubmit,
+                self.ids[target].0,
+                self.now,
+                client_id,
+            );
         }
         Ok(())
     }
@@ -572,14 +561,14 @@ impl<R: Replica> SimCluster<R> {
     /// the owner of the workload — the internal run loop or an external sharded
     /// driver — stays in control of what gets issued where.
     pub fn step(&mut self) -> StepOutcome {
-        let Some(Reverse(event)) = self.queue.pop() else {
+        let Some((at, event)) = self.queue.pop() else {
             return StepOutcome::Idle;
         };
-        if event.at > self.config.max_virtual_ns {
+        if at > self.config.max_virtual_ns {
             return StepOutcome::CapReached;
         }
-        self.now = event.at;
-        match event.kind {
+        self.now = at;
+        match event {
             EventKind::Crash { node } => {
                 if self.crashed.insert(node) {
                     if let Some(t) = self.telemetry.as_mut() {
@@ -587,22 +576,18 @@ impl<R: Replica> SimCluster<R> {
                     }
                     // The trusted configuration service observes the failure
                     // and notifies the survivors after the detection delay.
-                    let peers: Vec<NodeId> = self
-                        .replicas
-                        .iter()
-                        .map(|r| r.id())
-                        .filter(|&p| p != node)
-                        .collect();
                     let notice_at = self.now + self.config.failure_detection_delay_ns;
-                    for peer in peers {
-                        self.push(
-                            notice_at,
-                            EventKind::PeerNotice {
-                                node: peer,
-                                about: node,
-                                up: false,
-                            },
-                        );
+                    for idx in 0..self.ids.len() {
+                        if self.ids[idx] != node {
+                            self.queue.push(
+                                notice_at,
+                                EventKind::PeerNotice {
+                                    idx,
+                                    about: node,
+                                    up: false,
+                                },
+                            );
+                        }
                     }
                 }
             }
@@ -611,11 +596,11 @@ impl<R: Replica> SimCluster<R> {
                     self.handle_recover(node);
                 }
             }
-            EventKind::PeerNotice { node, about, up } => {
+            EventKind::PeerNotice { idx, about, up } => {
+                let node = self.ids[idx];
                 if self.crashed.contains(&node) {
                     return StepOutcome::Processed;
                 }
-                let idx = self.index_of(node);
                 let view_before = self.replicas[idx].current_view();
                 let mut ctx = Ctx::new(node, TrustedInstant::from_nanos(self.now));
                 if up {
@@ -650,23 +635,19 @@ impl<R: Replica> SimCluster<R> {
                 // re-drew from the workload closure, silently mutating stateful
                 // generators on every retry).
                 let operation = self.issue_time[&client_id].operation.clone();
-                let request = ClientRequest {
-                    client_id,
-                    request_id,
-                    operation,
-                    signature: None,
-                };
-                if let Some(target_node) = self.route(&request.operation) {
+                if let Some(idx) = self.route(&operation) {
                     let deliver_at = self.now + self.config.cost_model.link_latency_ns;
-                    self.push(
+                    self.queue.push(
                         deliver_at,
                         EventKind::ClientDeliver {
-                            node: target_node,
-                            request,
+                            idx,
+                            client_id,
+                            request_id,
+                            operation,
                         },
                     );
                 }
-                self.push(
+                self.queue.push(
                     self.now + self.config.retry_timeout_ns,
                     EventKind::ClientRetry {
                         client_id,
@@ -674,19 +655,24 @@ impl<R: Replica> SimCluster<R> {
                     },
                 );
             }
-            EventKind::ClientDeliver { node, request } => {
+            EventKind::ClientDeliver {
+                idx,
+                client_id,
+                request_id,
+                operation,
+            } => {
+                let node = self.ids[idx];
                 if self.crashed.contains(&node) {
                     // Request lost. Internal clients give up on this request and
                     // issue a fresh one shortly; external drivers rely on the
                     // already-scheduled ClientRetry to resubmit it.
                     if !self.external_clients {
-                        let client_id = request.client_id;
-                        self.push(self.now + 5_000_000, EventKind::ClientIssue { client_id });
+                        self.queue
+                            .push(self.now + 5_000_000, EventKind::ClientIssue { client_id });
                     }
                     return StepOutcome::Processed;
                 }
-                let idx = self.index_of(node);
-                let bytes = request.operation.value_len() + 64;
+                let bytes = operation.value_len() + 64;
                 let cost = self
                     .config
                     .cost_model
@@ -703,25 +689,31 @@ impl<R: Replica> SimCluster<R> {
                         node.0,
                         finish - cost,
                         finish,
-                        request.client_id,
+                        client_id,
                     );
                 }
+                let request = ClientRequest {
+                    client_id,
+                    request_id,
+                    operation,
+                    signature: None,
+                };
                 let mut ctx = Ctx::new(node, TrustedInstant::from_nanos(finish));
                 self.replicas[idx].on_client_request(request, &mut ctx);
                 self.apply_effects(idx, ctx);
             }
             EventKind::Deliver {
                 from,
-                to,
+                to: idx,
                 bytes,
                 ops,
             } => {
+                let to = self.ids[idx];
                 if self.crashed.contains(&to) {
                     return StepOutcome::Processed;
                 }
                 self.stats.messages_delivered += 1;
                 self.stats.ops_delivered += ops as u64;
-                let idx = self.index_of(to);
                 let cost = self.config.cost_model.batch_recv_cost_ns(
                     &self.config.profiles[idx],
                     ops as usize,
@@ -758,11 +750,11 @@ impl<R: Replica> SimCluster<R> {
                 }
                 self.apply_effects(idx, ctx);
             }
-            EventKind::Timer { node, token } => {
+            EventKind::Timer { idx, token } => {
+                let node = self.ids[idx];
                 if self.crashed.contains(&node) {
                     return StepOutcome::Processed;
                 }
-                let idx = self.index_of(node);
                 let view_before = self.replicas[idx].current_view();
                 let mut ctx = Ctx::new(node, TrustedInstant::from_nanos(self.now));
                 self.replicas[idx].on_timer(token, &mut ctx);
@@ -905,11 +897,11 @@ impl<R: Replica> SimCluster<R> {
         self.apply_effects(idx, ctx);
 
         let notice_at = self.now + self.config.failure_detection_delay_ns;
-        for &(_, peer) in &live_peers {
-            self.push(
+        for &(peer_idx, _) in &live_peers {
+            self.queue.push(
                 notice_at,
                 EventKind::PeerNotice {
-                    node: peer,
+                    idx: peer_idx,
                     about: node,
                     up: true,
                 },
@@ -923,23 +915,21 @@ impl<R: Replica> SimCluster<R> {
         self.stats.clone()
     }
 
-    /// Picks the coordinator for an operation among live replicas, round-robin.
-    fn route(&mut self, operation: &Operation) -> Option<NodeId> {
+    /// Picks the coordinator for an operation among live replicas, round-robin:
+    /// its position in the cluster.
+    fn route(&mut self, operation: &Operation) -> Option<usize> {
         let is_write = operation.is_write();
-        let candidates: Vec<NodeId> = self
-            .replicas
-            .iter()
-            .filter(|r| !self.crashed.contains(&r.id()))
-            .filter(|r| {
-                if is_write {
+        let crashed = &self.crashed;
+        let mut candidates = self.replicas.iter().enumerate().filter(|(_, r)| {
+            !crashed.contains(&r.id())
+                && if is_write {
                     r.coordinates_writes()
                 } else {
                     r.coordinates_reads()
                 }
-            })
-            .map(|r| r.id())
-            .collect();
-        if candidates.is_empty() {
+        });
+        let count = candidates.clone().count();
+        if count == 0 {
             return None;
         }
         let rr = if is_write {
@@ -947,7 +937,7 @@ impl<R: Replica> SimCluster<R> {
         } else {
             &mut self.read_rr
         };
-        let choice = candidates[*rr % candidates.len()];
+        let (choice, _) = candidates.nth(*rr % count)?;
         *rr += 1;
         Some(choice)
     }
@@ -961,7 +951,7 @@ impl<R: Replica> SimCluster<R> {
     }
 
     fn apply_effects(&mut self, src_idx: usize, ctx: Ctx) {
-        let src = self.replicas[src_idx].id();
+        let src = self.ids[src_idx];
         let (outbox, replies, timers) = ctx.take_effects();
         let mut send_finish = self.busy_until[src_idx];
 
@@ -991,8 +981,9 @@ impl<R: Replica> SimCluster<R> {
             }
 
             // The Byzantine network decides the fate of the message.
+            let to = self.index_of(dst);
             let wire = WireMessage {
-                wire_id: self.next_seq,
+                wire_id: self.queue.next_seq(),
                 src,
                 dst,
                 is_response: false,
@@ -1002,11 +993,11 @@ impl<R: Replica> SimCluster<R> {
             let extra_delay = self.injector.sample_extra_delay_ns();
             let deliver_at = send_finish + self.config.cost_model.link_latency_ns + extra_delay;
             match decision {
-                FaultDecision::Deliver => self.push(
+                FaultDecision::Deliver => self.queue.push(
                     deliver_at,
                     EventKind::Deliver {
                         from: src,
-                        to: dst,
+                        to,
                         bytes: wire.buf.payload,
                         ops,
                     },
@@ -1022,11 +1013,11 @@ impl<R: Replica> SimCluster<R> {
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultTamper, dst.0, deliver_at, ops as u64);
                     }
-                    self.push(
+                    self.queue.push(
                         deliver_at,
                         EventKind::Deliver {
                             from: src,
-                            to: dst,
+                            to,
                             bytes: corrupted.buf.payload,
                             ops,
                         },
@@ -1037,20 +1028,20 @@ impl<R: Replica> SimCluster<R> {
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultDuplicate, dst.0, deliver_at, ops as u64);
                     }
-                    self.push(
+                    self.queue.push(
                         deliver_at,
                         EventKind::Deliver {
                             from: src,
-                            to: dst,
+                            to,
                             bytes: wire.buf.payload.clone(),
                             ops,
                         },
                     );
-                    self.push(
+                    self.queue.push(
                         deliver_at + 1,
                         EventKind::Deliver {
                             from: src,
-                            to: dst,
+                            to,
                             bytes: wire.buf.payload,
                             ops,
                         },
@@ -1061,11 +1052,11 @@ impl<R: Replica> SimCluster<R> {
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultReplay, dst.0, deliver_at, ops as u64);
                     }
-                    self.push(
+                    self.queue.push(
                         deliver_at,
                         EventKind::Deliver {
                             from: src,
-                            to: dst,
+                            to,
                             bytes: wire.buf.payload,
                             ops,
                         },
@@ -1073,11 +1064,11 @@ impl<R: Replica> SimCluster<R> {
                     // The op count of a historical frame is unknown to the
                     // adversary's replay buffer; the shield rejects it anyway,
                     // so it is charged as a single message.
-                    self.push(
+                    self.queue.push(
                         deliver_at + 1,
                         EventKind::Deliver {
                             from: older.src,
-                            to: older.dst,
+                            to: self.index_of(older.dst),
                             bytes: older.buf.payload,
                             ops: 1,
                         },
@@ -1091,7 +1082,13 @@ impl<R: Replica> SimCluster<R> {
             self.record_reply(reply);
         }
         for (delay, token) in timers {
-            self.push(self.now + delay, EventKind::Timer { node: src, token });
+            self.queue.push(
+                self.now + delay,
+                EventKind::Timer {
+                    idx: src_idx,
+                    token,
+                },
+            );
         }
     }
 
@@ -1134,7 +1131,7 @@ impl<R: Replica> SimCluster<R> {
                 let next = self.now
                     + self.config.cost_model.link_latency_ns
                     + self.config.cost_model.client_think_ns;
-                self.push(next, EventKind::ClientIssue { client_id });
+                self.queue.push(next, EventKind::ClientIssue { client_id });
             }
         }
         // Replies for requests we are no longer waiting on (duplicates from multiple
@@ -1396,6 +1393,13 @@ mod tests {
         let mut cluster = SimCluster::new(EchoReplica::cluster(3), small_config(3, 10));
         cluster.crashed.insert(NodeId(0));
         assert_eq!(cluster.route(&write_workload(0, 1)), None); // only node 0 coordinates
+        cluster.replica_mut(NodeId(1)).is_leader = true;
+        cluster.replica_mut(NodeId(2)).is_leader = true;
+        // Round-robin over the live coordinators, in construction order.
+        let picks: Vec<_> = (0..4)
+            .map(|_| cluster.route(&write_workload(0, 1)))
+            .collect();
+        assert_eq!(picks, [Some(1), Some(2), Some(1), Some(2)]);
     }
 
     #[test]

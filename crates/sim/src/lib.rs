@@ -25,6 +25,7 @@
 
 pub mod cluster;
 pub mod cost;
+mod queue;
 pub mod replica;
 
 pub use cluster::{

@@ -90,6 +90,17 @@ struct CipherSlot {
     cipher: OnceLock<Cipher>,
 }
 
+/// A MAC key's position in the enclave that provisioned it: the per-frame
+/// code resolves a channel label once ([`Enclave::mac_key_handle`]) and
+/// indexes from then on. A handle stays valid for the life of its enclave —
+/// keys are replaced in place, never removed — and means nothing to another.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyHandle(usize);
+
+/// A trusted counter's position in its enclave (see [`KeyHandle`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterHandle(usize);
+
 /// A per-node simulated enclave.
 pub struct Enclave {
     id: EnclaveId,
@@ -101,19 +112,21 @@ pub struct Enclave {
     crashed: bool,
 
     // Secrets provisioned after attestation. Reachable only through this handle.
-    // Keys carry their hashed HMAC pad states and ciphers are kept built, so
-    // both are several times the size of the raw secret. They are boxed
-    // because a hash table allocates more slots than it fills — four for the
-    // one cipher and two channel keys of a per-transaction enclave.
-    mac_keys: HashMap<String, Box<MacKey>>,
+    // Channel keys sit in provisioning order beside their labels, so a
+    // `KeyHandle` is an index; a label is looked up by scanning, which only
+    // provisioning, attestation and a channel's first frame do.
+    mac_keys: Vec<(String, MacKey)>,
+    // Ciphers are kept built, several times the size of the raw secret, and
+    // boxed because a hash table allocates more slots than it fills.
     ciphers: HashMap<String, Box<CipherSlot>>,
     signing_key: Option<SigningKeyPair>,
 
     // Ephemeral key-exchange secret generated during attestation.
     kx_secret: Option<EphemeralSecret>,
 
-    // Trusted monotonic counters, keyed by channel label.
-    counters: HashMap<String, TrustedCounter>,
+    // Trusted monotonic counters beside their channel labels, in creation
+    // order: a `CounterHandle` is an index.
+    counters: Vec<(String, TrustedCounter)>,
 }
 
 impl Enclave {
@@ -137,11 +150,11 @@ impl Enclave {
             platform_secret,
             epc,
             crashed: false,
-            mac_keys: HashMap::new(),
+            mac_keys: Vec::new(),
             ciphers: HashMap::new(),
             signing_key: None,
             kx_secret: None,
-            counters: HashMap::new(),
+            counters: Vec::new(),
             config,
         }
     }
@@ -234,25 +247,47 @@ impl Enclave {
     // Secret provisioning and access
     // ------------------------------------------------------------------
 
-    /// Installs a channel MAC key under `label`.
+    /// Installs a channel MAC key under `label`, replacing — in place, so
+    /// handles to it stay good — a key already provisioned there.
     pub fn provision_mac_key(
         &mut self,
         label: impl Into<String>,
         key: MacKey,
     ) -> Result<(), TeeError> {
         self.ensure_alive()?;
-        self.mac_keys.insert(label.into(), Box::new(key));
+        let label = label.into();
+        match self.mac_keys.iter_mut().find(|(held, _)| *held == label) {
+            Some((_, slot)) => *slot = key,
+            None => self.mac_keys.push((label, key)),
+        }
         Ok(())
+    }
+
+    /// Resolves the MAC key provisioned under `label` to its handle.
+    pub fn mac_key_handle(&self, label: &str) -> Result<KeyHandle, TeeError> {
+        self.ensure_alive()?;
+        self.mac_keys
+            .iter()
+            .position(|(held, _)| held == label)
+            .map(KeyHandle)
+            .ok_or_else(|| TeeError::MissingSecret {
+                label: label.to_owned(),
+            })
     }
 
     /// Returns the MAC key provisioned under `label`.
     pub fn mac_key(&self, label: &str) -> Result<&MacKey, TeeError> {
+        self.mac_key_at(self.mac_key_handle(label)?)
+    }
+
+    /// Returns the MAC key `handle` was resolved for.
+    pub fn mac_key_at(&self, handle: KeyHandle) -> Result<&MacKey, TeeError> {
         self.ensure_alive()?;
         self.mac_keys
-            .get(label)
-            .map(Box::as_ref)
+            .get(handle.0)
+            .map(|(_, key)| key)
             .ok_or_else(|| TeeError::MissingSecret {
-                label: label.to_owned(),
+                label: format!("mac key #{}", handle.0),
             })
     }
 
@@ -300,7 +335,7 @@ impl Enclave {
 
     /// Lists the labels of all provisioned MAC keys (for diagnostics and tests).
     pub fn provisioned_channels(&self) -> Vec<String> {
-        let mut labels: Vec<String> = self.mac_keys.keys().cloned().collect();
+        let mut labels: Vec<String> = self.mac_keys.iter().map(|(l, _)| l.clone()).collect();
         labels.sort();
         labels
     }
@@ -309,30 +344,49 @@ impl Enclave {
     // Trusted counters
     // ------------------------------------------------------------------
 
-    /// Returns a mutable reference to the trusted counter for `channel`, creating it
-    /// at zero on first use.
-    pub fn counter_mut(&mut self, channel: &str) -> Result<&mut TrustedCounter, TeeError> {
+    /// Resolves the trusted counter for `channel` to its handle, creating the
+    /// counter at zero on first use. This is the only way a counter comes to
+    /// exist, so callers decide what deserves one before asking.
+    pub fn counter_handle(&mut self, channel: &str) -> Result<CounterHandle, TeeError> {
         self.ensure_alive()?;
-        // Copy the key on first use only: this runs for every frame sent and
-        // every frame received.
-        if !self.counters.contains_key(channel) {
-            self.counters
-                .insert(channel.to_owned(), TrustedCounter::default());
-        }
+        let index = match self.counters.iter().position(|(held, _)| held == channel) {
+            Some(index) => index,
+            None => {
+                self.counters
+                    .push((channel.to_owned(), TrustedCounter::default()));
+                self.counters.len() - 1
+            }
+        };
+        Ok(CounterHandle(index))
+    }
+
+    /// Number of trusted counters that exist (for diagnostics and tests).
+    pub fn counter_count(&self) -> usize {
+        self.counters.len()
+    }
+
+    /// Returns a mutable reference to the trusted counter `handle` was
+    /// resolved for.
+    pub fn counter_mut(&mut self, handle: CounterHandle) -> Result<&mut TrustedCounter, TeeError> {
+        self.ensure_alive()?;
         self.counters
-            .get_mut(channel)
+            .get_mut(handle.0)
+            .map(|(_, counter)| counter)
             .ok_or_else(|| TeeError::MissingSecret {
-                label: channel.to_owned(),
+                label: format!("counter #{}", handle.0),
             })
     }
 
-    /// Returns the current value of the trusted counter for `channel` (zero if the
-    /// counter has never been used).
-    pub fn counter_value(&self, channel: &str) -> u64 {
+    /// Returns the current value of the trusted counter `handle` was resolved
+    /// for.
+    pub fn counter_value(&self, handle: CounterHandle) -> Result<u64, TeeError> {
+        self.ensure_alive()?;
         self.counters
-            .get(channel)
-            .map(TrustedCounter::current)
-            .unwrap_or(0)
+            .get(handle.0)
+            .map(|(_, counter)| counter.current())
+            .ok_or_else(|| TeeError::MissingSecret {
+                label: format!("counter #{}", handle.0),
+            })
     }
 
     // ------------------------------------------------------------------
@@ -489,12 +543,62 @@ mod tests {
     #[test]
     fn counters_are_per_channel_and_persistent() {
         let mut e = enclave();
-        assert_eq!(e.counter_value("cq:0->1"), 0);
-        assert_eq!(e.counter_mut("cq:0->1").unwrap().increment(), 1);
-        assert_eq!(e.counter_mut("cq:0->1").unwrap().increment(), 2);
-        assert_eq!(e.counter_mut("cq:0->2").unwrap().increment(), 1);
-        assert_eq!(e.counter_value("cq:0->1"), 2);
-        assert_eq!(e.counter_value("cq:0->2"), 1);
+        let to_1 = e.counter_handle("cq:0->1").unwrap();
+        assert_eq!(e.counter_value(to_1), Ok(0));
+        assert_eq!(e.counter_mut(to_1).unwrap().increment(), 1);
+        assert_eq!(e.counter_mut(to_1).unwrap().increment(), 2);
+        let to_2 = e.counter_handle("cq:0->2").unwrap();
+        assert_ne!(to_1, to_2);
+        assert_eq!(e.counter_mut(to_2).unwrap().increment(), 1);
+        // Asking again resolves to the same counter, not a fresh one.
+        assert_eq!(e.counter_handle("cq:0->1"), Ok(to_1));
+        assert_eq!(e.counter_value(to_1), Ok(2));
+        assert_eq!(e.counter_value(to_2), Ok(1));
+    }
+
+    #[test]
+    fn a_handle_only_ever_yields_its_own_label() {
+        let mut e = enclave();
+        let key_ab = MacKey::from_bytes([1u8; 32]);
+        e.provision_mac_key("cq:a->b", key_ab.clone()).unwrap();
+        let ab = e.mac_key_handle("cq:a->b").unwrap();
+        let ab_counter = e.counter_handle("send:cq:a->b").unwrap();
+        e.counter_mut(ab_counter).unwrap().increment();
+
+        // Later provisioning and other channels' counters leave it where it is.
+        for (i, label) in ["cq:b->a", "cq:a->c", "cq:c->a"].into_iter().enumerate() {
+            e.provision_mac_key(label, MacKey::from_bytes([10 + i as u8; 32]))
+                .unwrap();
+            let other = e.counter_handle(&format!("send:{label}")).unwrap();
+            assert_ne!(other, ab_counter);
+            e.counter_mut(other).unwrap().advance_to(40).unwrap();
+            assert_ne!(e.mac_key_handle(label).unwrap(), ab);
+        }
+        assert_eq!(e.mac_key_at(ab).unwrap(), &key_ab);
+        assert_eq!(e.mac_key_handle("cq:a->b"), Ok(ab));
+        assert_eq!(e.counter_value(ab_counter), Ok(1));
+
+        // Re-provisioning the label replaces the key under the same handle.
+        let rotated = MacKey::from_bytes([2u8; 32]);
+        e.provision_mac_key("cq:a->b", rotated.clone()).unwrap();
+        assert_eq!(e.mac_key_handle("cq:a->b"), Ok(ab));
+        assert_eq!(e.mac_key_at(ab).unwrap(), &rotated);
+        assert_eq!(e.provisioned_channels().len(), 4);
+
+        // A handle this enclave never issued names nothing.
+        let mut other = enclave();
+        assert!(matches!(
+            other.mac_key_at(ab),
+            Err(TeeError::MissingSecret { .. })
+        ));
+        assert!(matches!(
+            other.counter_mut(ab_counter),
+            Err(TeeError::MissingSecret { .. })
+        ));
+        assert!(matches!(
+            other.counter_value(ab_counter),
+            Err(TeeError::MissingSecret { .. })
+        ));
     }
 
     #[test]
@@ -513,6 +617,8 @@ mod tests {
         let mut e = enclave();
         e.provision_mac_key("cq", MacKey::from_bytes([1u8; 32]))
             .unwrap();
+        let key = e.mac_key_handle("cq").unwrap();
+        let counter = e.counter_handle("cq").unwrap();
         e.crash();
         assert!(e.is_crashed());
         assert_eq!(e.mac_key("cq").unwrap_err(), TeeError::EnclaveCrashed);
@@ -520,7 +626,24 @@ mod tests {
             e.attest(Nonce::from_u128(1), &mut rng()).unwrap_err(),
             TeeError::EnclaveCrashed
         );
-        assert_eq!(e.counter_mut("cq").unwrap_err(), TeeError::EnclaveCrashed);
+        // Handles resolved while it was alive are refused like labels are.
+        assert_eq!(
+            e.mac_key_handle("cq").unwrap_err(),
+            TeeError::EnclaveCrashed
+        );
+        assert_eq!(e.mac_key_at(key).unwrap_err(), TeeError::EnclaveCrashed);
+        assert_eq!(
+            e.counter_handle("cq").unwrap_err(),
+            TeeError::EnclaveCrashed
+        );
+        assert_eq!(
+            e.counter_mut(counter).unwrap_err(),
+            TeeError::EnclaveCrashed
+        );
+        assert_eq!(
+            e.counter_value(counter).unwrap_err(),
+            TeeError::EnclaveCrashed
+        );
         assert_eq!(
             e.seal("s", Nonce::from_u128(1), b"x").unwrap_err(),
             TeeError::EnclaveCrashed

@@ -38,7 +38,7 @@ pub mod sealed;
 
 pub use clock::{ManualClock, TimeSource, TrustedInstant};
 pub use counter::TrustedCounter;
-pub use enclave::{Enclave, EnclaveConfig, EnclaveId, Measurement};
+pub use enclave::{CounterHandle, Enclave, EnclaveConfig, EnclaveId, KeyHandle, Measurement};
 pub use epc::EpcModel;
 pub use error::TeeError;
 pub use lease::{LeaseState, TrustedLease};
