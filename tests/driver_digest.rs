@@ -1,14 +1,16 @@
-//! The refactoring oracle inside tier-1: three small fixed-seed runs through
+//! The refactoring oracle inside tier-1: four small fixed-seed runs through
 //! the request driver, each pinned by the SHA-256 of the `serde_json` form of
 //! its [`ShardedRunStats`].
 //!
 //! The virtual clock is deterministic, so a driver change that schedules one
 //! event at a different instant — or in a different order on a tie — moves a
-//! latency, a counter or a timeline bucket and with it the digest. The three
+//! latency, a counter or a timeline bucket and with it the digest. The four
 //! runs between them keep every event source of the driver live: plain
 //! single-key requests; transactions behind the tenant gateway (admit,
 //! throttle, reject, 2PC retries and aborts); the rebalancing controller with
-//! a leader crash and recovery.
+//! a leader crash and recovery; 2PC under a Byzantine network (dropped,
+//! tampered, duplicated and replayed frames, sealed and plaintext
+//! transactions mixed, a participant leader crashing under them).
 //!
 //! A pin only moves together with a change that legitimately moves the
 //! virtual clock (a cost-model or wire-format change — the same changes that
@@ -42,7 +44,7 @@ struct Pin {
     digest: &'static str,
 }
 
-const PINS: [Pin; 3] = [
+const PINS: [Pin; 4] = [
     Pin {
         name: "single_key_unbatched",
         run: single_key_unbatched,
@@ -57,6 +59,11 @@ const PINS: [Pin; 3] = [
         name: "rebalance_crash",
         run: rebalance_crash,
         digest: "435859e3d4b966a2c1f111e0bbdd1bec9ea0b1d748eba207fe60aaaaa64bde43",
+    },
+    Pin {
+        name: "txn_byzantine",
+        run: txn_byzantine,
+        digest: "666f29e103a9f61abf86c291ae901d0df82e8e89605ca4151dafc975d55925d4",
     },
 ];
 
@@ -167,6 +174,52 @@ fn rebalance_crash() -> ShardedRunStats {
     );
     assert!(stats.migration.refusals > 0, "no drain refused a request");
     assert!(stats.migration.catchup_entries > 0, "no write was captured");
+    stats
+}
+
+/// Three groups, group 0 confidential (so a transaction touching it is
+/// sealed on every leg and the others travel in plaintext), group 1's first
+/// leader crashing under prepared transactions. Two requests in three are
+/// 3-key transactions over a small contended key set, their 2PC frames under
+/// the Byzantine plan: the only pinned run in which 2PC frames are
+/// duplicated, tampered with and replayed as well as dropped.
+fn txn_byzantine() -> ShardedRunStats {
+    let spec = DeploymentSpec::new(3, 3)
+        .with_seed(31)
+        .with_clients(12, 900)
+        .with_time_cap_ns(20_000_000_000)
+        .with_timeline_bucket_ns(500_000)
+        .with_txn(TxnConfig {
+            fault_plan: FaultPlan::byzantine(),
+            ..TxnConfig::default()
+        })
+        .with_shard_policy(0, ShardPolicy::confidential())
+        .with_shard_policy(
+            1,
+            ShardPolicy::new().with_crash_plan(CrashPlan::none().crash_recover(
+                NodeId(0),
+                400_000,
+                3_000_000,
+            )),
+        );
+    let stats = ShardedCluster::<RaftReplica>::build(spec).run_requests(|client, seq| {
+        let key = |i: u64| format!("acct{:03}", (client + seq * 5 + i * 11) % 48).into_bytes();
+        Some(if seq.is_multiple_of(3) {
+            put(key(0), client, seq).into()
+        } else {
+            Request::Txn((0..3).map(|i| put(key(i), client, seq)).collect())
+        })
+    });
+    let txn = &stats.txn;
+    assert!(txn.frames_dropped > 0, "no 2PC frame was dropped");
+    assert!(txn.frames_rejected > 0, "no shield rejected a 2PC frame");
+    assert!(txn.aborted > 0, "no transaction ever conflicted");
+    assert!(
+        0 < txn.sealed_frames && txn.sealed_frames < txn.frames_sent,
+        "sealed and plaintext transactions did not mix: {} of {} frames sealed",
+        txn.sealed_frames,
+        txn.frames_sent
+    );
     stats
 }
 
