@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-use crate::types::{NodeId, WireMessage};
+use crate::types::{MsgBuf, NodeId, ReqType, WireMessage};
 
 /// Probabilities (0.0–1.0) for each adversarial action, evaluated per message.
 ///
@@ -180,6 +180,25 @@ pub enum FaultDecision {
     Replay(WireMessage),
 }
 
+/// [`FaultDecision`] for a frame the adversary was shown by reference
+/// ([`NetworkFaultInjector::decide_frame`]): it hands back only what it made
+/// or kept — the corrupted payload, the captured older message — and the
+/// caller goes on holding the frame itself.
+#[derive(Debug, PartialEq)]
+pub enum FrameFault<'a> {
+    /// Deliver unchanged.
+    Deliver,
+    /// Drop silently.
+    Drop,
+    /// Deliver this corrupted copy of the payload instead of the original.
+    Tamper(Vec<u8>),
+    /// Deliver the original twice.
+    Duplicate,
+    /// Deliver the original and additionally replay this older captured
+    /// message.
+    Replay(&'a WireMessage),
+}
+
 /// Stateful fault injector: samples the [`FaultPlan`] with a deterministic RNG and,
 /// under a plan that replays, keeps a bounded capture buffer of past traffic to
 /// source replays from.
@@ -223,6 +242,53 @@ impl NetworkFaultInjector {
 
     /// Decides the fate of `message`.
     pub fn decide(&mut self, message: &WireMessage) -> FaultDecision {
+        let WireMessage {
+            wire_id, src, dst, ..
+        } = *message;
+        let decision =
+            self.decide_kept(wire_id, src, dst, &message.buf.payload, || message.clone());
+        match decision {
+            FrameFault::Deliver => FaultDecision::Deliver,
+            FrameFault::Drop => FaultDecision::Drop,
+            FrameFault::Tamper(payload) => FaultDecision::Tamper(WireMessage {
+                buf: MsgBuf::new(message.buf.req_type, payload),
+                ..*message
+            }),
+            FrameFault::Duplicate => FaultDecision::Duplicate,
+            FrameFault::Replay(older) => FaultDecision::Replay(older.clone()),
+        }
+    }
+
+    /// Decides the fate of a frame its sender goes on holding (a cached
+    /// retransmission): the same draws as [`NetworkFaultInjector::decide`]
+    /// on the request message carrying `payload`, which is copied only when
+    /// the adversary keeps it — as replay material, or to corrupt it.
+    pub fn decide_frame(
+        &mut self,
+        wire_id: u64,
+        src: NodeId,
+        dst: NodeId,
+        payload: &[u8],
+    ) -> FrameFault<'_> {
+        self.decide_kept(wire_id, src, dst, payload, || WireMessage {
+            wire_id,
+            src,
+            dst,
+            is_response: false,
+            buf: MsgBuf::new(ReqType::REPLICATE, payload.to_vec()),
+        })
+    }
+
+    /// The decision both entry points share; `keep` makes the owned message
+    /// the capture buffer stores.
+    fn decide_kept(
+        &mut self,
+        wire_id: u64,
+        src: NodeId,
+        dst: NodeId,
+        payload: &[u8],
+        keep: impl FnOnce() -> WireMessage,
+    ) -> FrameFault<'_> {
         // Capture honest traffic so later replays have material to work with —
         // only under a plan that can replay: nothing else reads the buffer,
         // and a copy of every frame is not free. Capturing draws nothing from
@@ -230,7 +296,7 @@ impl NetworkFaultInjector {
         // plan knob: replay-heavy scenarios widen it to reach further into
         // the past.
         if self.plan.replay_probability > 0.0 {
-            self.captured.push_back(message.clone());
+            self.captured.push_back(keep());
             while self.captured.len() > self.plan.capture_limit.max(1) {
                 self.captured.pop_front();
             }
@@ -241,56 +307,51 @@ impl NetworkFaultInjector {
         // consume a decision roll here, or its delay samples would diverge
         // from the pre-crash-plane RNG sequence.
         if !self.plan.has_message_faults() {
-            return FaultDecision::Deliver;
+            return FrameFault::Deliver;
         }
         let roll: f64 = self.rng.gen();
         let mut threshold = self.plan.drop_probability;
         if roll < threshold {
-            return FaultDecision::Drop;
+            return FrameFault::Drop;
         }
         threshold += self.plan.tamper_probability;
         if roll < threshold {
-            return FaultDecision::Tamper(self.corrupt(message));
+            return FrameFault::Tamper(self.corrupt(payload));
         }
         threshold += self.plan.duplicate_probability;
         if roll < threshold {
-            return FaultDecision::Duplicate;
+            return FrameFault::Duplicate;
         }
         threshold += self.plan.replay_probability;
         if roll < threshold {
-            if let Some(older) = self.pick_replay(message) {
-                return FaultDecision::Replay(older);
+            if let Some(older) = self.pick_replay(wire_id, src, dst) {
+                return FrameFault::Replay(older);
             }
         }
-        FaultDecision::Deliver
+        FrameFault::Deliver
     }
 
-    fn corrupt(&mut self, message: &WireMessage) -> WireMessage {
-        let mut corrupted = message.clone();
-        if corrupted.buf.payload.is_empty() {
-            corrupted.buf.payload.push(0xFF);
+    fn corrupt(&mut self, payload: &[u8]) -> Vec<u8> {
+        let mut corrupted = payload.to_vec();
+        if corrupted.is_empty() {
+            corrupted.push(0xFF);
         } else {
-            let idx = self.rng.gen_range(0..corrupted.buf.payload.len());
-            corrupted.buf.payload[idx] ^= 0xFF;
+            let idx = self.rng.gen_range(0..corrupted.len());
+            corrupted[idx] ^= 0xFF;
         }
         corrupted
     }
 
-    fn pick_replay(&mut self, current: &WireMessage) -> Option<WireMessage> {
+    fn pick_replay(&mut self, wire_id: u64, src: NodeId, dst: NodeId) -> Option<&WireMessage> {
         // Prefer an older message on the same channel; a replay on a different
         // channel would be trivially rejected by addressing alone.
-        let candidates: Vec<&WireMessage> = self
-            .captured
-            .iter()
-            .filter(|m| {
-                m.src == current.src && m.dst == current.dst && m.wire_id != current.wire_id
-            })
-            .collect();
-        if candidates.is_empty() {
+        let same_channel = |m: &&WireMessage| m.src == src && m.dst == dst && m.wire_id != wire_id;
+        let candidates = self.captured.iter().filter(same_channel).count();
+        if candidates == 0 {
             return None;
         }
-        let idx = self.rng.gen_range(0..candidates.len());
-        Some(candidates[idx].clone())
+        let idx = self.rng.gen_range(0..candidates);
+        self.captured.iter().filter(same_channel).nth(idx)
     }
 }
 
@@ -476,6 +537,49 @@ mod tests {
             fingerprint(byzantine_without_replay(), 42),
             0xa091_d67c_d0fd_e4df
         );
+    }
+
+    /// The borrowed entry point is the owned one minus the copies: fed the
+    /// same frames it draws the same numbers, corrupts the same byte, replays
+    /// the same captured message and keeps the same capture buffer.
+    #[test]
+    fn decide_frame_decides_as_decide_does() {
+        for seed in [42, 43] {
+            let mut owned = NetworkFaultInjector::new(FaultPlan::byzantine(), seed);
+            let mut borrowed = NetworkFaultInjector::new(FaultPlan::byzantine(), seed);
+            for i in 0..2_000u64 {
+                let mut message = msg(i, &i.to_le_bytes());
+                message.dst = NodeId(2 + i % 3);
+                let WireMessage {
+                    wire_id, src, dst, ..
+                } = message;
+                let by_frame = borrowed.decide_frame(wire_id, src, dst, &message.buf.payload);
+                match (owned.decide(&message), by_frame) {
+                    (FaultDecision::Deliver, FrameFault::Deliver)
+                    | (FaultDecision::Drop, FrameFault::Drop)
+                    | (FaultDecision::Duplicate, FrameFault::Duplicate) => {}
+                    (FaultDecision::Tamper(corrupted), FrameFault::Tamper(payload)) => {
+                        assert_eq!(corrupted.buf.payload, payload);
+                        assert_eq!(corrupted.wire_id, wire_id);
+                    }
+                    (FaultDecision::Replay(older), FrameFault::Replay(kept)) => {
+                        assert_eq!(&older, kept);
+                    }
+                    (a, b) => panic!("frame {i}: decide {a:?}, decide_frame {b:?}"),
+                }
+                assert_eq!(
+                    owned.sample_extra_delay_ns(),
+                    borrowed.sample_extra_delay_ns()
+                );
+            }
+            assert_eq!(owned.captured, borrowed.captured);
+        }
+        // Under a plan that cannot replay, nothing of the frame is copied.
+        let mut injector = NetworkFaultInjector::new(FaultPlan::lossy(0.1), 3);
+        for i in 0..100 {
+            injector.decide_frame(i, NodeId(1), NodeId(2), b"payload");
+        }
+        assert!(injector.captured.is_empty());
     }
 
     #[test]

@@ -38,5 +38,7 @@ pub use cost::{ExecMode, NetCostModel, Transport};
 pub use endpoint::{PollStats, RequestHandler, RpcEndpoint, RpcEndpointConfig};
 pub use error::NetError;
 pub use fabric::{Fabric, LoopbackFabric};
-pub use faults::{CrashEntry, CrashPlan, FaultDecision, FaultPlan, NetworkFaultInjector};
+pub use faults::{
+    CrashEntry, CrashPlan, FaultDecision, FaultPlan, FrameFault, NetworkFaultInjector,
+};
 pub use types::{ChannelId, MsgBuf, NodeId, ReqType, WireMessage};
