@@ -619,10 +619,25 @@ impl AuthLayer {
         txn_id: u64,
         body: &TxnBody,
     ) -> Result<TxnFrame, RecipeError> {
+        self.shield_txn_as(dst, txn_id, body, self.confidentiality.is_confidential())
+    }
+
+    /// [`AuthLayer::shield_txn`] with the sealing decided by the caller, per
+    /// frame: a standing 2PC channel carries the transactions that touch a
+    /// confidential shard sealed and the others in plaintext, under one key
+    /// and one counter sequence. `seal` is under the MAC like everything
+    /// else in the frame, and the enclave must hold the cipher key to seal.
+    pub fn shield_txn_as(
+        &mut self,
+        dst: NodeId,
+        txn_id: u64,
+        body: &TxnBody,
+        seal: bool,
+    ) -> Result<TxnFrame, RecipeError> {
         let (channel, tuple) = self.next_slot(dst)?;
 
         let encoded = TxnFrame::encode_body(body);
-        let (body, sealed) = if self.confidentiality.is_confidential() {
+        let (body, sealed) = if seal {
             let cipher = self.enclave.cipher(CIPHER_LABEL)?;
             let nonce = Self::payload_nonce(&tuple.channel, tuple.counter);
             (Vec::new(), Some(cipher.seal_owned(nonce, encoded)))
@@ -1576,6 +1591,45 @@ mod tests {
             TxnVerifyOutcome::Accept { body, .. } => assert_eq!(body, prepare_body()),
             other => panic!("expected Accept, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn sealed_and_plaintext_txn_frames_share_one_counter_sequence() {
+        // Both enclaves hold the cipher key; what is sealed is decided frame
+        // by frame.
+        let (mut sender, mut receiver) = layer_pair(true);
+        for (i, seal) in [false, true, true, false].into_iter().enumerate() {
+            let frame = sender
+                .shield_txn_as(NodeId(2), 7, &prepare_body(), seal)
+                .unwrap();
+            assert_eq!(frame.tuple.counter, i as u64 + 1);
+            assert_eq!(frame.is_confidential(), seal);
+            if !seal {
+                // The flag is under the MAC: the plaintext body passed off as
+                // a ciphertext authenticates nothing and burns no slot.
+                let mut as_sealed = frame.clone();
+                as_sealed.sealed = Some(recipe_crypto::Ciphertext {
+                    nonce: Nonce::from_u128(0),
+                    tag: [0; 32],
+                    bytes: std::mem::take(&mut as_sealed.body),
+                });
+                assert_eq!(
+                    receiver.verify_txn(as_sealed),
+                    TxnVerifyOutcome::BadAuthenticator
+                );
+            }
+            match receiver.verify_txn(frame) {
+                TxnVerifyOutcome::Accept { body, counter, .. } => {
+                    assert_eq!(body, prepare_body());
+                    assert_eq!(counter, i as u64 + 1);
+                }
+                other => panic!("expected Accept, got {other:?}"),
+            }
+        }
+        // The fixed-mode entry point is the per-frame one at the layer's mode.
+        let frame = sender.shield_txn(NodeId(2), 8, &TxnBody::Commit).unwrap();
+        assert!(frame.is_confidential());
+        assert_eq!(frame.tuple.counter, 5);
     }
 
     #[test]

@@ -37,4 +37,4 @@ pub use error::KvError;
 pub use skiplist::SkipList;
 pub use store::{ExportedEntry, PartitionedKvStore, ReadResult, StoreConfig, StoreStats};
 pub use timestamp::Timestamp;
-pub use txn::{TxnRecordOps, TxnTable};
+pub use txn::{borrow_ops, TxnOpRef, TxnRecordOps, TxnTable};

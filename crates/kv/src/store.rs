@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::KvError;
 use crate::skiplist::SkipList;
 use crate::timestamp::Timestamp;
-use crate::txn::{TxnRecordOps, TxnTable};
+use crate::txn::{borrow_ops, TxnOpRef, TxnRecordOps, TxnTable};
 
 /// Configuration for a [`PartitionedKvStore`].
 #[derive(Clone, Debug)]
@@ -354,6 +354,17 @@ impl PartitionedKvStore {
         txn_id: u64,
         ops: &[(Vec<u8>, Option<Vec<u8>>)],
     ) -> Result<(), KvError> {
+        self.txn_prepare_borrowed(txn_id, borrow_ops(ops))
+    }
+
+    /// [`PartitionedKvStore::txn_prepare`] over operations lent from wherever
+    /// the caller holds them (a decoded 2PC frame): the store copies only
+    /// what its transaction table keeps.
+    pub fn txn_prepare_borrowed<'a>(
+        &mut self,
+        txn_id: u64,
+        ops: impl IntoIterator<Item = TxnOpRef<'a>>,
+    ) -> Result<(), KvError> {
         self.txns.prepare(txn_id, ops)
     }
 
@@ -392,7 +403,11 @@ impl PartitionedKvStore {
 
     /// Records a prepare replicated from the group leader (passive: no
     /// locks until adopted). See [`crate::txn::TxnTable::stage_replicated`].
-    pub fn txn_stage_replicated(&mut self, txn_id: u64, ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
+    pub fn txn_stage_replicated<'a>(
+        &mut self,
+        txn_id: u64,
+        ops: impl IntoIterator<Item = TxnOpRef<'a>>,
+    ) {
         self.txns.stage_replicated(txn_id, ops);
     }
 

@@ -28,8 +28,19 @@ use crate::error::KvError;
 /// (`None`) entries first, then the staged writes in order.
 pub type TxnRecordOps = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 
+/// One operation of a prepare as the table reads it: the touched key, and the
+/// value to stage when the operation writes. Borrowed from wherever the
+/// caller holds the operation — the table copies what it keeps.
+pub type TxnOpRef<'a> = (&'a [u8], Option<&'a [u8]>);
+
+/// Lends owned record operations ([`TxnRecordOps`]) to the table.
+pub fn borrow_ops(ops: &[(Vec<u8>, Option<Vec<u8>>)]) -> impl Iterator<Item = TxnOpRef<'_>> {
+    ops.iter()
+        .map(|(key, write)| (key.as_slice(), write.as_deref()))
+}
+
 /// One transaction's staged state on a participant store.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct StagedTxn {
     /// Keys this transaction locked, in lock order.
     keys: Vec<Vec<u8>>,
@@ -99,10 +110,10 @@ impl TxnTable {
     ///
     /// `ops` pairs each touched key with `Some(value)` for writes and `None`
     /// for reads — reads lock too (2PL), they just stage nothing.
-    pub fn prepare(
+    pub fn prepare<'a>(
         &mut self,
         txn_id: u64,
-        ops: &[(Vec<u8>, Option<Vec<u8>>)],
+        ops: impl IntoIterator<Item = TxnOpRef<'a>>,
     ) -> Result<(), KvError> {
         if self.staged.contains_key(&txn_id) {
             return Ok(());
@@ -116,18 +127,18 @@ impl TxnTable {
                         self.locks.remove(key);
                     }
                     return Err(KvError::LockConflict {
-                        key: key.clone(),
+                        key: key.to_vec(),
                         holder,
                     });
                 }
                 Some(_) => {} // a key touched twice by the same transaction
                 None => {
-                    self.locks.insert(key.clone(), txn_id);
-                    txn.keys.push(key.clone());
+                    self.locks.insert(key.to_vec(), txn_id);
+                    txn.keys.push(key.to_vec());
                 }
             }
             if let Some(value) = write {
-                txn.writes.push((key.clone(), value.clone()));
+                txn.writes.push((key.to_vec(), value.to_vec()));
             }
         }
         self.staged.insert(txn_id, txn);
@@ -162,17 +173,21 @@ impl TxnTable {
     /// writes, but **no locks** — the record is passive until adopted on
     /// failover. Idempotent, and a no-op when this store already holds the
     /// transaction as a real (leader-side) prepare.
-    pub fn stage_replicated(&mut self, txn_id: u64, ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
+    pub fn stage_replicated<'a>(
+        &mut self,
+        txn_id: u64,
+        ops: impl IntoIterator<Item = TxnOpRef<'a>>,
+    ) {
         if self.staged.contains_key(&txn_id) || self.replicated.contains_key(&txn_id) {
             return;
         }
         let mut txn = StagedTxn::default();
         for (key, write) in ops {
-            if !txn.keys.contains(key) {
-                txn.keys.push(key.clone());
+            if !txn.keys.iter().any(|held| held == key) {
+                txn.keys.push(key.to_vec());
             }
             if let Some(value) = write {
-                txn.writes.push((key.clone(), value.clone()));
+                txn.writes.push((key.to_vec(), value.to_vec()));
             }
         }
         self.replicated.insert(txn_id, txn);
@@ -257,18 +272,18 @@ impl TxnTable {
 mod tests {
     use super::*;
 
-    fn put(key: &[u8], value: &[u8]) -> (Vec<u8>, Option<Vec<u8>>) {
-        (key.to_vec(), Some(value.to_vec()))
+    fn put<'a>(key: &'a [u8], value: &'a [u8]) -> TxnOpRef<'a> {
+        (key, Some(value))
     }
 
-    fn get(key: &[u8]) -> (Vec<u8>, Option<Vec<u8>>) {
-        (key.to_vec(), None)
+    fn get(key: &[u8]) -> TxnOpRef<'_> {
+        (key, None)
     }
 
     #[test]
     fn prepare_locks_all_keys_and_stages_writes() {
         let mut table = TxnTable::default();
-        table.prepare(1, &[put(b"a", b"1"), get(b"b")]).unwrap();
+        table.prepare(1, [put(b"a", b"1"), get(b"b")]).unwrap();
         assert!(table.is_locked(b"a"));
         assert!(table.is_locked(b"b"));
         assert_eq!(table.lock_owner(b"a"), Some(1));
@@ -286,9 +301,9 @@ mod tests {
     #[test]
     fn conflicting_prepare_releases_everything_it_acquired() {
         let mut table = TxnTable::default();
-        table.prepare(1, &[put(b"b", b"1")]).unwrap();
+        table.prepare(1, [put(b"b", b"1")]).unwrap();
         let err = table
-            .prepare(2, &[put(b"a", b"2"), put(b"b", b"2"), put(b"c", b"2")])
+            .prepare(2, [put(b"a", b"2"), put(b"b", b"2"), put(b"c", b"2")])
             .unwrap_err();
         assert_eq!(
             err,
@@ -306,14 +321,47 @@ mod tests {
     }
 
     #[test]
+    fn a_conflict_on_the_nth_key_leaves_the_table_as_it_was() {
+        let mut table = TxnTable::default();
+        table.prepare(1, [put(b"c", b"1"), get(b"x")]).unwrap();
+        table.prepare(2, [put(b"d", b"2")]).unwrap();
+        let before = (table.locks.clone(), table.staged.clone());
+        // The operations are lent, not given: the caller still holds them
+        // after the call, and nothing of a refused prepare stays behind —
+        // wherever in the list the conflict sits, and with a key the refused
+        // transaction touched twice before it.
+        let ops = [
+            put(b"a", b"3"),
+            get(b"b"),
+            put(b"a", b"4"),
+            put(b"c", b"3"),
+            put(b"e", b"3"),
+        ];
+        for nth in (1..=ops.len()).rev() {
+            let refused = table.prepare(3, ops[..nth].iter().copied());
+            if nth > 3 {
+                let key = b"c".to_vec();
+                assert_eq!(refused, Err(KvError::LockConflict { key, holder: 1 }));
+                assert_eq!((&table.locks, &table.staged), (&before.0, &before.1));
+            } else {
+                // Short of the held key the same list prepares.
+                assert_eq!(refused, Ok(()));
+                assert_eq!(table.lock_owner(b"a"), Some(3));
+                assert!(table.abort(3));
+            }
+        }
+        assert_eq!((table.locks, table.staged), before);
+    }
+
+    #[test]
     fn abort_discards_staged_writes_and_releases_locks() {
         let mut table = TxnTable::default();
-        table.prepare(1, &[put(b"a", b"1")]).unwrap();
+        table.prepare(1, [put(b"a", b"1")]).unwrap();
         assert!(table.abort(1));
         assert!(!table.is_locked(b"a"));
         assert!(!table.abort(1));
         // The keys are free for the next transaction.
-        table.prepare(2, &[put(b"a", b"2")]).unwrap();
+        table.prepare(2, [put(b"a", b"2")]).unwrap();
         assert_eq!(table.lock_owner(b"a"), Some(2));
     }
 
@@ -321,7 +369,7 @@ mod tests {
     fn same_transaction_may_touch_a_key_twice() {
         let mut table = TxnTable::default();
         table
-            .prepare(1, &[put(b"a", b"first"), put(b"a", b"second")])
+            .prepare(1, [put(b"a", b"first"), put(b"a", b"second")])
             .unwrap();
         let writes = table.take_staged(1).unwrap();
         // Both staged writes surface, in operation order: applying them in
@@ -334,7 +382,7 @@ mod tests {
     #[test]
     fn replicated_records_hold_no_locks_until_adopted() {
         let mut table = TxnTable::default();
-        table.stage_replicated(1, &[put(b"a", b"1"), get(b"b")]);
+        table.stage_replicated(1, [put(b"a", b"1"), get(b"b")]);
         // Passive: no locks, no staged bytes, invisible to single-key 2PL.
         assert!(!table.is_locked(b"a"));
         assert!(!table.is_locked(b"b"));
@@ -356,11 +404,11 @@ mod tests {
     #[test]
     fn replicated_records_drop_on_decision_and_reset() {
         let mut table = TxnTable::default();
-        table.stage_replicated(1, &[put(b"a", b"1")]);
-        table.stage_replicated(1, &[put(b"a", b"1")]); // idempotent
+        table.stage_replicated(1, [put(b"a", b"1")]);
+        table.stage_replicated(1, [put(b"a", b"1")]); // idempotent
         assert!(table.drop_replicated(1));
         assert!(!table.drop_replicated(1));
-        table.stage_replicated(2, &[put(b"b", b"2")]);
+        table.stage_replicated(2, [put(b"b", b"2")]);
         assert_eq!(table.reset(), 1);
         assert!(table.replicated_txn_ids().is_empty());
     }
@@ -368,10 +416,10 @@ mod tests {
     #[test]
     fn adoption_skips_transactions_already_prepared_locally() {
         let mut table = TxnTable::default();
-        table.prepare(1, &[put(b"a", b"real")]).unwrap();
+        table.prepare(1, [put(b"a", b"real")]).unwrap();
         // A stray replicated copy of the same transaction must not shadow
         // the real prepare (and staging it is already a no-op).
-        table.stage_replicated(1, &[put(b"a", b"copy")]);
+        table.stage_replicated(1, [put(b"a", b"copy")]);
         assert!(table.adopt_replicated().is_empty());
         assert_eq!(table.take_staged(1).unwrap()[0].1, b"real");
     }
@@ -379,8 +427,8 @@ mod tests {
     #[test]
     fn re_prepare_is_idempotent() {
         let mut table = TxnTable::default();
-        table.prepare(1, &[put(b"a", b"1")]).unwrap();
-        table.prepare(1, &[put(b"a", b"1")]).unwrap();
+        table.prepare(1, [put(b"a", b"1")]).unwrap();
+        table.prepare(1, [put(b"a", b"1")]).unwrap();
         assert_eq!(table.take_staged(1).unwrap().len(), 1);
         assert_eq!(table.locked_keys(), 0);
     }

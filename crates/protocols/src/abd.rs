@@ -555,7 +555,8 @@ impl Replica for AbdReplica {
     }
 
     fn txn_import_record(&mut self, txn_id: u64, ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
-        self.kv.txn_stage_replicated(txn_id, ops);
+        self.kv
+            .txn_stage_replicated(txn_id, recipe_kv::borrow_ops(ops));
     }
 
     fn channel_send_counter(&self, peer: NodeId) -> u64 {

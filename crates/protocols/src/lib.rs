@@ -37,10 +37,10 @@ pub use abd::{AbdMsg, AbdReplica};
 pub use allconcur::{AllConcurMsg, AllConcurReplica};
 pub use batch::{BatchConfig, Batcher};
 pub use chain::{ChainMsg, ChainReplica};
-pub use migration::{ChunkPhase, MigrationChannel, MigrationChunk};
+pub use migration::{ChunkPhase, MigrationChannel, MigrationChunk, MAX_SHARDS};
 pub use raft::{RaftMsg, RaftReplica};
 pub use shield::{Frames, FramesIter, ProtocolMode, ProtocolShield};
-pub use txn::TxnChannel;
+pub use txn::{TxnLane, TxnLanes, MAX_CLIENTS};
 
 use recipe_core::Membership;
 

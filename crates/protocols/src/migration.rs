@@ -16,6 +16,8 @@
 //! charges `migration_epc_pressure` per chunk, mirroring §B.3's batch-size
 //! trade-off).
 
+use std::ops::Range;
+
 use recipe_core::wire::{tag, Reader, Writer};
 use recipe_core::{ConfidentialityMode, Membership};
 use recipe_net::NodeId;
@@ -30,6 +32,19 @@ const KIND_MIGRATION: u16 = 0x4D49; // "MI"
 /// replica id: each shard leader exposes one state-transfer endpoint, keyed
 /// per (shard pair, direction) like any other shielded channel.
 const ENDPOINT_BASE: u64 = 0xE000_0000;
+
+/// Most shards a deployment may have (`DeploymentSpec::validate` refuses
+/// more): the shard index is the low part of a migration endpoint id and of
+/// a 2PC participant endpoint id, and must not run into the next one.
+pub const MAX_SHARDS: usize = 4_096;
+
+/// Most migrations whose endpoints fit [`ENDPOINT_IDS`]; a run makes a
+/// handful.
+const MAX_MIGRATIONS: u64 = 1 << 32;
+
+/// The node ids migration endpoints take.
+pub const ENDPOINT_IDS: Range<u64> =
+    ENDPOINT_BASE..ENDPOINT_BASE + MAX_MIGRATIONS * MAX_SHARDS as u64;
 
 /// Which migration phase a chunk belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,7 +190,7 @@ pub fn kv_import_range(kv: &mut recipe_kv::PartitionedKvStore, entries: &[RangeE
 /// counter — and sealed frames recorded from an earlier migration would
 /// verify again.
 fn endpoint(shard: usize, migration_id: u64) -> NodeId {
-    NodeId(ENDPOINT_BASE + migration_id * 4_096 + shard as u64)
+    NodeId(ENDPOINT_BASE + migration_id * MAX_SHARDS as u64 + shard as u64)
 }
 
 /// A one-directional shielded channel between a donor and a recipient shard
@@ -211,6 +226,10 @@ impl MigrationChannel {
     ) -> Self {
         let confidentiality = confidentiality.into();
         assert_ne!(donor, recipient, "a migration needs two distinct shards");
+        assert!(
+            donor.max(recipient) < MAX_SHARDS && migration_id < MAX_MIGRATIONS,
+            "migration {migration_id} between shards {donor} and {recipient} has no endpoint ids"
+        );
         let membership = Membership::new(
             vec![
                 endpoint(donor, migration_id),

@@ -657,7 +657,8 @@ impl Replica for RaftReplica {
     }
 
     fn txn_import_record(&mut self, txn_id: u64, ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
-        self.kv.txn_stage_replicated(txn_id, ops);
+        self.kv
+            .txn_stage_replicated(txn_id, recipe_kv::borrow_ops(ops));
     }
 
     fn current_view(&self) -> u64 {

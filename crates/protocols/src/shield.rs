@@ -210,30 +210,74 @@ impl ProtocolShield {
         confidentiality: impl Into<ConfidentialityMode>,
     ) -> Self {
         let confidentiality = confidentiality.into();
-        let mut enclave = Enclave::launch(
-            EnclaveId(node.0),
-            EnclaveConfig::new("recipe-replica-v1", node.0),
-        );
+        let mut enclave = Self::launch(node);
         let master = Self::master_key();
         for peer in membership.members() {
-            for (a, b) in [(node, *peer), (*peer, node)] {
-                if a == b {
-                    continue;
-                }
-                let label = format!("cq:{}->{}", a.0, b.0);
-                enclave
-                    .provision_mac_key(label.clone(), master.derive(&label))
-                    .expect("fresh enclave accepts keys");
+            if *peer != node {
+                Self::provision_channel(&mut enclave, &master, node, *peer);
             }
         }
         if confidentiality.is_confidential() {
+            Self::provision_cipher(&mut enclave);
+        }
+        Self::over(node, enclave, confidentiality)
+    }
+
+    /// Builds the shield of a 2PC endpoint: attested like a replica's, with
+    /// no peers yet — a lane adds the other end at first contact
+    /// ([`ProtocolShield::add_peer`]) — and with the cipher key provisioned
+    /// whatever any shard's policy says, because sealing is decided per
+    /// transaction ([`ProtocolShield::wrap_txn`]) and one endpoint serves
+    /// them all. The cipher is expanded on first use, so an endpoint that
+    /// never seals pays nothing for holding the key.
+    pub fn txn_endpoint(node: NodeId) -> Self {
+        let mut enclave = Self::launch(node);
+        Self::provision_cipher(&mut enclave);
+        Self::over(node, enclave, ConfidentialityMode::Plaintext)
+    }
+
+    /// Provisions both directions of the channel with `peer`, as
+    /// [`ProtocolShield::recipe`] does for every member at start-up. The keys
+    /// derive from the pair of node ids alone, so the two ends agree without
+    /// exchanging anything.
+    ///
+    /// # Panics
+    /// Panics on a native-mode shield, which has no enclave to hold keys.
+    pub fn add_peer(&mut self, peer: NodeId) {
+        let auth = self
+            .auth
+            .as_mut()
+            .expect("channel keys require a Recipe-mode shield");
+        Self::provision_channel(auth.enclave_mut(), &Self::master_key(), self.node, peer);
+    }
+
+    fn launch(node: NodeId) -> Enclave {
+        Enclave::launch(
+            EnclaveId(node.0),
+            EnclaveConfig::new("recipe-replica-v1", node.0),
+        )
+    }
+
+    fn provision_channel(enclave: &mut Enclave, master: &MacKey, node: NodeId, peer: NodeId) {
+        for (a, b) in [(node, peer), (peer, node)] {
+            let label = format!("cq:{}->{}", a.0, b.0);
+            let key = master.derive(&label);
             enclave
-                .provision_cipher_key(
-                    recipe_core::auth::CIPHER_LABEL,
-                    Self::deployment_cipher_key(),
-                )
+                .provision_mac_key(label, key)
                 .expect("fresh enclave accepts keys");
         }
+    }
+
+    fn provision_cipher(enclave: &mut Enclave) {
+        enclave
+            .provision_cipher_key(
+                recipe_core::auth::CIPHER_LABEL,
+                Self::deployment_cipher_key(),
+            )
+            .expect("fresh enclave accepts keys");
+    }
+
+    fn over(node: NodeId, enclave: Enclave, confidentiality: ConfidentialityMode) -> Self {
         ProtocolShield {
             node,
             mode: ProtocolMode::Recipe { confidentiality },
@@ -358,34 +402,45 @@ impl ProtocolShield {
 
     /// Wraps one two-phase-commit message for `dst` into wire bytes: a
     /// domain-separated [`recipe_core::TxnFrame`] under the channel's next
-    /// counter slot (MAC always; AEAD over the body in confidential mode).
-    /// 2PC endpoints always run Recipe mode — there is no native 2PC.
+    /// counter slot — MAC always, AEAD over the body when `seal` is set. The
+    /// caller decides per frame: stricter-wins sealing is a property of the
+    /// transaction, not of the endpoint. 2PC endpoints always run Recipe
+    /// mode — there is no native 2PC.
     ///
     /// # Panics
     /// Panics on a native-mode shield: transaction frames only exist inside
     /// the authenticated channel.
-    pub fn wrap_txn(&mut self, dst: NodeId, txn_id: u64, body: &TxnBody) -> Vec<u8> {
+    pub fn wrap_txn(&mut self, dst: NodeId, txn_id: u64, body: &TxnBody, seal: bool) -> Vec<u8> {
         self.sealed_frames += 1;
         self.sealed_ops += 1;
         self.auth
             .as_mut()
             .expect("2PC frames require a Recipe-mode shield")
-            .shield_txn(dst, txn_id, body)
+            .shield_txn_as(dst, txn_id, body, seal)
             .expect("channel key provisioned for every peer")
             .to_wire()
     }
 
-    /// Unwraps a two-phase-commit frame received from a coordinator or
-    /// participant endpoint. Returns the `(txn_id, body)` the frame carried
-    /// when it is authentic, fresh and in order; `None` otherwise (tampered,
-    /// replayed, out of order, misaddressed — the 2PC retransmission
-    /// protocol redelivers; the rejection is counted).
-    pub fn unwrap_txn(&mut self, bytes: &[u8]) -> Option<(u64, TxnBody)> {
+    /// Unwraps a two-phase-commit frame received on the channel from `from`.
+    /// Returns the `(txn_id, body)` the frame carried when it is authentic,
+    /// fresh and in order; `None` otherwise (tampered, replayed, out of
+    /// order, misaddressed — the 2PC retransmission protocol redelivers; the
+    /// rejection is counted).
+    ///
+    /// A frame that names another source is refused before the
+    /// authentication layer sees it. An endpoint with several peers holds a
+    /// key for each, so it would accept such a frame on *that* peer's
+    /// channel and move that peer's receive counter — while the caller,
+    /// which is serving `from`, throws the body away: the frame's real
+    /// sender would then find its retransmission rejected as a replay for
+    /// ever.
+    pub fn unwrap_txn(&mut self, from: NodeId, bytes: &[u8]) -> Option<(u64, TxnBody)> {
         let auth = self
             .auth
             .as_mut()
             .expect("2PC frames require a Recipe-mode shield");
-        let Some(frame) = TxnFrame::from_wire(bytes) else {
+        let frame = TxnFrame::from_wire(bytes).filter(|frame| frame.tuple.channel.src == from);
+        let Some(frame) = frame else {
             self.dropped += 1;
             return None;
         };

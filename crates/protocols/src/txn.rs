@@ -7,18 +7,58 @@
 //! key, trusted per-channel counter (a replayed, reordered or tampered 2PC
 //! frame is rejected, never executed), and AEAD over the body when any
 //! participant shard's confidentiality policy asks for it (the stricter-wins
-//! rule shard migrations already use). Channel keys are derived **per
-//! transaction** (the transaction id is folded into the endpoint labels), so
-//! frames recorded from one transaction can never verify on another.
+//! rule shard migrations already use).
 //!
-//! Retransmission contract: 2PC channels are strictly sequential (prepare is
-//! answered before commit/abort is sent), and a lost frame is retransmitted
-//! as the **same sealed bytes** — the receiver's counter either accepts it
-//! (first delivery) or rejects it as a replay (duplicate), and the sender
-//! falls back to retransmitting its cached response. Re-sealing a retry
-//! would burn a fresh counter slot and permanently wedge the channel behind
-//! the lost slot, which is exactly the fail-safe stall the shield gives
-//! unattended protocol channels — coordinators must not do it.
+//! # Lanes
+//!
+//! The paper attests a node and provisions its channel keys once, in the
+//! initialization phase; normal operation pays a counter step and a MAC per
+//! message (§3.2, Algorithm 1). 2PC follows it: each client's coordinator has
+//! one endpoint, each shard's participant has one endpoint, and the channel
+//! pair between client `c`'s and shard `s`'s — the *lane* `(c, s)` — is
+//! provisioned at their first transaction together and then stands for the
+//! run, its counters running on from transaction to transaction
+//! ([`TxnLanes`]). A closed-loop client has one transaction in flight and
+//! every phase is answered by every participant before the next begins, so a
+//! lane is strictly sequential: request, response, request, response.
+//!
+//! What stops each thing an untrusted network can do to a frame:
+//!
+//! * **The per-lane key.** Keys derive from the pair of endpoint ids, so a
+//!   frame forged or altered without the lane's key fails its MAC, and a
+//!   frame of lane `(c, s)` authenticates nowhere but at the other end of
+//!   `(c, s)`.
+//! * **The trusted counter.** Every frame takes the next slot of its
+//!   direction of the lane. A duplicate, a frame recorded earlier in this
+//!   transaction or in any transaction before it, and a frame that overtook
+//!   its predecessor are all out of sequence and dropped — a recorded frame
+//!   can no more be replayed into a later transaction than into its own.
+//! * **The transaction id under the MAC.** A frame that is authentic and in
+//!   sequence but names another transaction than the one the lane is serving
+//!   is not executed, and the id cannot be rewritten without the key.
+//! * **The source check.** A participant endpoint serves every client and
+//!   holds a key for each, so by key and counter alone it would accept client
+//!   X's frame while the coordinator is in the middle of client Y's round
+//!   trip — moving X's receive counter for a body that is then thrown away,
+//!   after which X's retransmission is a replay for ever and X's locks never
+//!   release. Opening a frame on lane `(Y, s)` therefore refuses, before the
+//!   authentication layer sees it, any frame whose source is not Y's
+//!   endpoint ([`ProtocolShield::unwrap_txn`]).
+//!
+//! No key is ever used under two counters: an endpoint is one enclave with
+//! one send and one receive counter per peer, and sealed and plaintext
+//! transactions share them — which is sealed is decided per frame, and the
+//! flag is under the MAC — instead of running a plaintext and a confidential
+//! endpoint side by side under the same ids, where a frame at counter *n* of
+//! one would verify at counter *n* of the other.
+//!
+//! Retransmission contract: a lost frame is retransmitted as the **same
+//! sealed bytes** — the receiver's counter either accepts it (first
+//! delivery) or rejects it as a replay (duplicate), and the sender falls back
+//! to retransmitting its cached response. Re-sealing a retry would burn a
+//! fresh counter slot and permanently wedge the lane behind the lost slot,
+//! which is exactly the fail-safe stall the shield gives unattended protocol
+//! channels — coordinators must not do it.
 //!
 //! The module also hosts the store-level participant helpers shared by every
 //! replica's [`recipe_sim::Replica::txn_prepare`] /
@@ -26,44 +66,51 @@
 //! overrides, mirroring how [`crate::migration`] shares the range-transfer
 //! bodies.
 
-use recipe_core::{ConfidentialityMode, Membership, Operation, TxnBody};
+use std::ops::Range;
+
+use recipe_core::{Operation, TxnBody};
+use recipe_kv::TxnOpRef;
 use recipe_net::NodeId;
 use recipe_sim::{RangeEntry, TxnVote};
 
+use crate::migration::MAX_SHARDS;
 use crate::shield::ProtocolShield;
 
-/// Base of the node-id space used by transaction endpoints: distinct from
-/// replica ids and from the migration endpoints' `0xE000_0000` block. Each
-/// transaction gets a fresh coordinator endpoint plus one participant
-/// endpoint per shard, so channel keys and counters are per transaction.
-const TXN_ENDPOINT_BASE: u64 = 0x7E00_0000_0000;
+/// Most clients a deployment may have (`DeploymentSpec::validate` refuses
+/// more): the client id is the low part of a coordinator endpoint id.
+pub const MAX_CLIENTS: usize = 1 << 24;
 
-/// Endpoints per transaction: one coordinator slot plus up to 8190 shards.
-const TXN_ENDPOINT_STRIDE: u64 = 8_192;
+/// Coordinator endpoints: one per client, `COORDINATOR_BASE + client`.
+const COORDINATOR_BASE: u64 = 0x7E00_0000_0000;
 
-/// The coordinator endpoint of transaction `txn_id`.
-fn coordinator_endpoint(txn_id: u64) -> NodeId {
-    NodeId(TXN_ENDPOINT_BASE + txn_id * TXN_ENDPOINT_STRIDE)
+/// Participant endpoints: one per shard, `PARTICIPANT_BASE + shard`.
+const PARTICIPANT_BASE: u64 = COORDINATOR_BASE + MAX_CLIENTS as u64;
+
+/// The node ids 2PC endpoints take: above the migration endpoints (and the
+/// replica ids below those), and fixed-width on the wire like every node id.
+pub const ENDPOINT_IDS: Range<u64> = COORDINATOR_BASE..PARTICIPANT_BASE + MAX_SHARDS as u64;
+
+const _: () = assert!(crate::migration::ENDPOINT_IDS.end <= ENDPOINT_IDS.start);
+
+fn coordinator_endpoint(client: u64) -> NodeId {
+    NodeId(COORDINATOR_BASE + client)
 }
 
-/// The participant endpoint of shard `shard` for transaction `txn_id`.
-fn participant_endpoint(txn_id: u64, shard: usize) -> NodeId {
-    NodeId(TXN_ENDPOINT_BASE + txn_id * TXN_ENDPOINT_STRIDE + 1 + shard as u64)
+fn participant_endpoint(shard: usize) -> NodeId {
+    NodeId(PARTICIPANT_BASE + shard as u64)
 }
 
 // ---------------------------------------------------------------------------
 // Store-level participant helpers (shared by every replica's overrides)
 // ---------------------------------------------------------------------------
 
-/// Lowers protocol operations into the store's `(key, staged write)` pairs:
+/// Lends protocol operations to the store as its `(key, staged write)` pairs:
 /// reads lock their key and stage nothing, writes lock and stage the value.
-pub fn txn_lock_set(ops: &[Operation]) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
-    ops.iter()
-        .map(|op| match op {
-            Operation::Get { key } => (key.clone(), None),
-            Operation::Put { key, value } => (key.clone(), Some(value.clone())),
-        })
-        .collect()
+fn lock_pairs(ops: &[Operation]) -> impl Iterator<Item = TxnOpRef<'_>> {
+    ops.iter().map(|op| match op {
+        Operation::Get { key } => (key.as_slice(), None),
+        Operation::Put { key, value } => (key.as_slice(), Some(value.as_slice())),
+    })
 }
 
 /// The shared body of every replica's `txn_prepare` override: locks + stages
@@ -74,7 +121,7 @@ pub fn kv_txn_prepare(
     txn_id: u64,
     ops: &[Operation],
 ) -> TxnVote {
-    match kv.txn_prepare(txn_id, &txn_lock_set(ops)) {
+    match kv.txn_prepare_borrowed(txn_id, lock_pairs(ops)) {
         Ok(()) => TxnVote::Granted,
         Err(recipe_kv::KvError::LockConflict { key, .. }) => TxnVote::Conflict { key },
         // The transaction table only reports lock conflicts today; anything
@@ -91,7 +138,7 @@ pub fn kv_txn_stage_replicated(
     txn_id: u64,
     ops: &[Operation],
 ) {
-    kv.txn_stage_replicated(txn_id, &txn_lock_set(ops));
+    kv.txn_stage_replicated(txn_id, lock_pairs(ops));
 }
 
 /// The shared body of every replica's `txn_commit` override: takes the
@@ -121,108 +168,129 @@ pub fn kv_txn_commit(
 }
 
 // ---------------------------------------------------------------------------
-// The per-transaction shielded channel
+// The standing shielded lanes
 // ---------------------------------------------------------------------------
 
-/// A bidirectional shielded channel between the transaction coordinator and
-/// one participant shard leader, used for one transaction. Owns both
-/// endpoint shields (the simulation drives both sides from the coordinator);
-/// keys derive from the deployment master secret exactly like replica
-/// channels, fresh per transaction.
-pub struct TxnChannel {
-    txn_id: u64,
-    shard: usize,
-    coordinator: ProtocolShield,
-    participant: ProtocolShield,
+/// `table[index]`, the table grown with defaults to reach it.
+fn slot<T: Default>(table: &mut Vec<T>, index: usize) -> &mut T {
+    if table.len() <= index {
+        table.resize_with(index + 1, T::default);
+    }
+    &mut table[index]
 }
 
-impl TxnChannel {
-    /// Opens the channel for transaction `txn_id` towards shard `shard`.
+/// A client's coordinator endpoint and the shards it has exchanged keys with.
+struct Coordinator {
+    shield: ProtocolShield,
+    /// By shard index; shorter than the shard count until a later shard is
+    /// first contacted.
+    contacted: Vec<bool>,
+}
+
+/// Every 2PC endpoint of a run — one coordinator endpoint per client, one
+/// participant endpoint per shard — and with them every lane (see the
+/// module docs). The simulation drives both ends of a lane from the
+/// coordinator, so both live here. Nothing is built until a transaction
+/// needs it: an endpoint at its first transaction, a lane's keys at the
+/// first contact of its two ends.
+#[derive(Default)]
+pub struct TxnLanes {
+    /// By client id.
+    coordinators: Vec<Option<Coordinator>>,
+    /// By shard index.
+    participants: Vec<Option<ProtocolShield>>,
+}
+
+impl TxnLanes {
+    /// The lane between `client`'s coordinator endpoint and `shard`'s
+    /// participant endpoint.
     ///
-    /// `confidentiality` must already be the stricter-wins resolution over
-    /// **all** the transaction's participants: when any participant shard is
-    /// confidential, every frame of the transaction — to every participant —
-    /// is sealed, so the untrusted host cannot learn the transaction's shape
-    /// from the plaintext legs.
-    pub fn new(txn_id: u64, shard: usize, confidentiality: impl Into<ConfidentialityMode>) -> Self {
-        let confidentiality = confidentiality.into();
-        let membership = Membership::new(
-            vec![
-                coordinator_endpoint(txn_id),
-                participant_endpoint(txn_id, shard),
-            ],
-            0,
+    /// # Panics
+    /// Panics on a client id or shard index with no endpoint id of its own
+    /// ([`MAX_CLIENTS`], [`MAX_SHARDS`]).
+    pub fn lane(&mut self, client: u64, shard: usize) -> TxnLane<'_> {
+        assert!(
+            client < MAX_CLIENTS as u64 && shard < MAX_SHARDS,
+            "client {client} / shard {shard} has no 2PC endpoint id"
         );
-        TxnChannel {
-            txn_id,
-            shard,
-            coordinator: ProtocolShield::recipe(
-                coordinator_endpoint(txn_id),
-                &membership,
-                confidentiality,
-            ),
-            participant: ProtocolShield::recipe(
-                participant_endpoint(txn_id, shard),
-                &membership,
-                confidentiality,
-            ),
+        let coordinator =
+            slot(&mut self.coordinators, client as usize).get_or_insert_with(|| Coordinator {
+                shield: ProtocolShield::txn_endpoint(coordinator_endpoint(client)),
+                contacted: Vec::new(),
+            });
+        let participant = slot(&mut self.participants, shard)
+            .get_or_insert_with(|| ProtocolShield::txn_endpoint(participant_endpoint(shard)));
+        let contacted = slot(&mut coordinator.contacted, shard);
+        if !*contacted {
+            coordinator.shield.add_peer(participant.node());
+            participant.add_peer(coordinator.shield.node());
+            *contacted = true;
+        }
+        TxnLane {
+            coordinator: &mut coordinator.shield,
+            participant,
         }
     }
 
-    /// Whether frame bodies are AEAD-encrypted in transit on this channel.
-    pub fn is_confidential(&self) -> bool {
-        self.coordinator.mode().confidentiality().is_confidential()
+    /// Frames rejected by any endpoint so far.
+    pub fn rejected(&self) -> u64 {
+        let coordinators = self.coordinators.iter().flatten().map(|c| &c.shield);
+        coordinators
+            .chain(self.participants.iter().flatten())
+            .map(ProtocolShield::rejected)
+            .sum()
     }
+}
 
-    /// The participant shard this channel reaches.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
+/// Both ends of one lane, borrowed from [`TxnLanes`] for a frame or two.
+///
+/// `seal` must be the stricter-wins resolution over **all** the
+/// transaction's participants: when any participant shard is confidential,
+/// every frame of the transaction — to every participant — is sealed, so the
+/// untrusted host cannot learn the transaction's shape from the plaintext
+/// legs.
+pub struct TxnLane<'a> {
+    coordinator: &'a mut ProtocolShield,
+    participant: &'a mut ProtocolShield,
+}
 
-    /// The transaction this channel belongs to.
-    pub fn txn_id(&self) -> u64 {
-        self.txn_id
-    }
-
+impl TxnLane<'_> {
     /// Seals one coordinator → participant message (prepare/commit/abort).
-    pub fn seal_request(&mut self, body: &TxnBody) -> Vec<u8> {
-        self.coordinator.wrap_txn(
-            participant_endpoint(self.txn_id, self.shard),
-            self.txn_id,
-            body,
-        )
+    pub fn seal_request(&mut self, txn_id: u64, body: &TxnBody, seal: bool) -> Vec<u8> {
+        self.coordinator
+            .wrap_txn(self.participant.node(), txn_id, body, seal)
     }
 
     /// Verifies and opens a coordinator → participant frame on the
-    /// participant side. `None` when the frame is rejected or carries another
-    /// transaction's id — never executed, only counted.
-    pub fn open_request(&mut self, wire: &[u8]) -> Option<TxnBody> {
-        let (txn_id, body) = self.participant.unwrap_txn(wire)?;
-        (txn_id == self.txn_id).then_some(body)
+    /// participant side. `None` when the frame is rejected, is not this
+    /// lane's, or carries another transaction's id than `txn_id` — never
+    /// executed, only counted.
+    pub fn open_request(&mut self, txn_id: u64, wire: &[u8]) -> Option<TxnBody> {
+        Self::open(self.participant, self.coordinator.node(), txn_id, wire)
     }
 
     /// Seals one participant → coordinator message (vote/ack).
-    pub fn seal_response(&mut self, body: &TxnBody) -> Vec<u8> {
+    pub fn seal_response(&mut self, txn_id: u64, body: &TxnBody, seal: bool) -> Vec<u8> {
         self.participant
-            .wrap_txn(coordinator_endpoint(self.txn_id), self.txn_id, body)
+            .wrap_txn(self.coordinator.node(), txn_id, body, seal)
     }
 
     /// Verifies and opens a participant → coordinator frame on the
     /// coordinator side.
-    pub fn open_response(&mut self, wire: &[u8]) -> Option<TxnBody> {
-        let (txn_id, body) = self.coordinator.unwrap_txn(wire)?;
-        (txn_id == self.txn_id).then_some(body)
+    pub fn open_response(&mut self, txn_id: u64, wire: &[u8]) -> Option<TxnBody> {
+        Self::open(self.coordinator, self.participant.node(), txn_id, wire)
     }
 
-    /// Frames rejected by either endpoint's shield so far.
-    pub fn rejected(&self) -> u64 {
-        self.coordinator.rejected() + self.participant.rejected()
+    fn open(end: &mut ProtocolShield, from: NodeId, txn_id: u64, wire: &[u8]) -> Option<TxnBody> {
+        let (carried, body) = end.unwrap_txn(from, wire)?;
+        (carried == txn_id).then_some(body)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recipe_core::TxnFrame;
 
     fn prepare(n: usize) -> TxnBody {
         TxnBody::Prepare {
@@ -235,80 +303,143 @@ mod tests {
         }
     }
 
-    #[test]
-    fn requests_and_responses_roundtrip() {
-        let mut channel = TxnChannel::new(7, 2, false);
-        assert_eq!(channel.shard(), 2);
-        assert_eq!(channel.txn_id(), 7);
-        let wire = channel.seal_request(&prepare(3));
-        assert_eq!(channel.open_request(&wire), Some(prepare(3)));
-        let vote = TxnBody::Vote {
+    fn vote() -> TxnBody {
+        TxnBody::Vote {
             granted: true,
             conflict: None,
-        };
-        let wire = channel.seal_response(&vote);
-        assert_eq!(channel.open_response(&wire), Some(vote));
-        assert_eq!(channel.rejected(), 0);
+        }
+    }
+
+    fn counter_of(wire: &[u8]) -> u64 {
+        TxnFrame::from_wire(wire).unwrap().tuple.counter
+    }
+
+    #[test]
+    fn requests_and_responses_roundtrip_and_the_next_transaction_continues_the_counters() {
+        let mut lanes = TxnLanes::default();
+        for (txn_id, first_slot) in [(7, 1), (8, 3)] {
+            let mut lane = lanes.lane(5, 2);
+            let wire = lane.seal_request(txn_id, &prepare(3), false);
+            assert_eq!(counter_of(&wire), first_slot);
+            assert_eq!(lane.open_request(txn_id, &wire), Some(prepare(3)));
+            let wire = lane.seal_response(txn_id, &vote(), false);
+            assert_eq!(counter_of(&wire), first_slot);
+            assert_eq!(lane.open_response(txn_id, &wire), Some(vote()));
+            let wire = lane.seal_request(txn_id, &TxnBody::Commit, false);
+            assert_eq!(counter_of(&wire), first_slot + 1);
+            assert_eq!(lane.open_request(txn_id, &wire), Some(TxnBody::Commit));
+            let wire = lane.seal_response(txn_id, &TxnBody::Ack { applied: 3 }, false);
+            assert_eq!(
+                lane.open_response(txn_id, &wire),
+                Some(TxnBody::Ack { applied: 3 })
+            );
+        }
+        // The same client's lane to another shard counts for itself.
+        let wire = lanes.lane(5, 0).seal_request(9, &TxnBody::Abort, false);
+        assert_eq!(counter_of(&wire), 1);
+        assert_eq!(lanes.rejected(), 0);
     }
 
     #[test]
     fn replayed_and_tampered_frames_are_rejected() {
-        let mut channel = TxnChannel::new(7, 0, false);
-        let wire = channel.seal_request(&prepare(2));
+        let mut lanes = TxnLanes::default();
+        let mut lane = lanes.lane(0, 0);
+        let wire = lane.seal_request(7, &prepare(2), false);
         let mut tampered = wire.clone();
         let idx = tampered.len() / 2;
         tampered[idx] ^= 0x01;
-        assert_eq!(channel.open_request(&tampered), None);
+        assert_eq!(lane.open_request(7, &tampered), None);
         // The original (same sealed bytes — the retransmission contract)
         // still verifies: a tampered delivery does not burn the counter.
-        assert!(channel.open_request(&wire).is_some());
+        assert!(lane.open_request(7, &wire).is_some());
         // Replaying it afterwards is rejected.
-        assert_eq!(channel.open_request(&wire), None);
-        assert!(channel.rejected() >= 2);
+        assert_eq!(lane.open_request(7, &wire), None);
+        assert!(lanes.rejected() >= 2);
     }
 
     #[test]
     fn reordered_frames_are_rejected_until_the_gap_is_retransmitted() {
-        let mut channel = TxnChannel::new(9, 1, false);
-        let prepare_wire = channel.seal_request(&prepare(1));
-        let commit_wire = channel.seal_request(&TxnBody::Commit);
+        let mut lanes = TxnLanes::default();
+        let mut lane = lanes.lane(3, 1);
+        let prepare_wire = lane.seal_request(9, &prepare(1), false);
+        let commit_wire = lane.seal_request(9, &TxnBody::Commit, false);
         // The commit overtakes the lost prepare: rejected, not buffered.
-        assert_eq!(channel.open_request(&commit_wire), None);
+        assert_eq!(lane.open_request(9, &commit_wire), None);
         // Retransmission of the prepare, then the commit: both verify.
-        assert!(channel.open_request(&prepare_wire).is_some());
-        assert!(channel.open_request(&commit_wire).is_some());
+        assert!(lane.open_request(9, &prepare_wire).is_some());
+        assert!(lane.open_request(9, &commit_wire).is_some());
     }
 
     #[test]
-    fn frames_from_another_transaction_never_verify() {
-        let mut seven = TxnChannel::new(7, 0, false);
-        let recorded = seven.seal_request(&prepare(1));
-        // Same shard pair, next transaction: fresh keys reject the recording.
-        let mut eight = TxnChannel::new(8, 0, false);
-        assert_eq!(eight.open_request(&recorded), None);
-        assert!(eight.rejected() >= 1);
+    fn a_lane_accepts_only_its_own_frames_of_the_transaction_it_is_serving() {
+        let mut lanes = TxnLanes::default();
+        // Recorded in transaction 7, offered during transaction 8 on the
+        // same lane: the counter has moved past it.
+        let mut lane = lanes.lane(0, 0);
+        let recorded = lane.seal_request(7, &prepare(1), false);
+        assert!(lane.open_request(7, &recorded).is_some());
+        let authentic = lane.seal_request(8, &prepare(2), false);
+        assert_eq!(lane.open_request(8, &recorded), None);
+        assert_eq!(lane.open_request(8, &authentic), Some(prepare(2)));
+        // In sequence and authentic, but for another transaction than the
+        // one being served: not executed.
+        let stray = lane.seal_request(9, &TxnBody::Commit, false);
+        assert_eq!(lane.open_request(8, &stray), None);
+        assert_eq!(lanes.rejected(), 1);
+
+        // Client 1's frame for shard 0, lost on its way and then offered
+        // while the coordinator is serving client 2 on the same shard: the
+        // shard's endpoint holds client 1's key and the frame is next in
+        // client 1's sequence, yet lane (2, 0) refuses it …
+        let lost = lanes.lane(1, 0).seal_request(20, &prepare(1), false);
+        let mut other = lanes.lane(2, 0);
+        let own = other.seal_request(21, &prepare(3), false);
+        assert_eq!(other.open_request(21, &lost), None);
+        assert_eq!(other.open_request(21, &own), Some(prepare(3)));
+        assert_eq!(lanes.rejected(), 2);
+        // … without moving client 1's receive counter: its retransmission
+        // of the same bytes is accepted.
+        assert_eq!(lanes.lane(1, 0).open_request(20, &lost), Some(prepare(1)));
+        // The response direction is told apart by addressing alone.
+        let answer = lanes.lane(1, 0).seal_response(20, &vote(), false);
+        assert_eq!(lanes.lane(2, 0).open_response(20, &answer), None);
+        assert_eq!(lanes.lane(1, 0).open_response(20, &answer), Some(vote()));
     }
 
     #[test]
-    fn confidential_channels_hide_keys_and_values() {
-        let mut channel = TxnChannel::new(7, 3, true);
-        assert!(channel.is_confidential());
-        let wire = channel.seal_request(&prepare(4));
-        assert!(!wire.windows(4).any(|w| w == b"user"));
-        assert!(!wire.windows(6).any(|w| w == b"secret"));
-        assert_eq!(channel.open_request(&wire), Some(prepare(4)));
-        // The vote leg is sealed too (the decision itself is sensitive).
-        let vote = TxnBody::Vote {
-            granted: false,
-            conflict: Some(b"user0001".to_vec()),
-        };
-        let wire = channel.seal_response(&vote);
-        assert!(!wire.windows(4).any(|w| w == b"user"));
-        assert_eq!(channel.open_response(&wire), Some(vote));
+    fn sealed_and_plaintext_transactions_alternate_on_one_lane() {
+        let mut lanes = TxnLanes::default();
+        let mut lane = lanes.lane(4, 3);
+        for (txn_id, seal) in [(7, true), (8, false), (9, true)] {
+            let wire = lane.seal_request(txn_id, &prepare(4), seal);
+            // One counter sequence, whatever is sealed.
+            assert_eq!(counter_of(&wire), txn_id - 6);
+            assert_eq!(TxnFrame::from_wire(&wire).unwrap().is_confidential(), seal);
+            let hidden =
+                !wire.windows(4).any(|w| w == b"user") && !wire.windows(6).any(|w| w == b"secret");
+            assert_eq!(hidden, seal);
+            if !seal {
+                // The plaintext frame passed off as a sealed one: the flag
+                // is under the MAC, so it verifies as neither.
+                let mut as_sealed = wire.clone();
+                as_sealed[1] ^= 0x01;
+                assert_eq!(lane.open_request(txn_id, &as_sealed), None);
+            }
+            assert_eq!(lane.open_request(txn_id, &wire), Some(prepare(4)));
+            // The vote leg is sealed too (the decision itself is sensitive).
+            let vote = TxnBody::Vote {
+                granted: false,
+                conflict: Some(b"user0001".to_vec()),
+            };
+            let wire = lane.seal_response(txn_id, &vote, seal);
+            assert_eq!(!wire.windows(4).any(|w| w == b"user"), seal);
+            assert_eq!(lane.open_response(txn_id, &wire), Some(vote));
+        }
+        assert_eq!(lanes.rejected(), 1);
     }
 
     #[test]
-    fn lock_set_lowering_maps_reads_and_writes() {
+    fn lowering_lends_reads_and_writes_to_the_store() {
         let ops = vec![
             Operation::Get { key: b"r".to_vec() },
             Operation::Put {
@@ -316,9 +447,8 @@ mod tests {
                 value: b"v".to_vec(),
             },
         ];
-        let set = txn_lock_set(&ops);
-        assert_eq!(set[0], (b"r".to_vec(), None));
-        assert_eq!(set[1], (b"w".to_vec(), Some(b"v".to_vec())));
+        let pairs: Vec<TxnOpRef<'_>> = lock_pairs(&ops).collect();
+        assert_eq!(pairs, [(&b"r"[..], None), (&b"w"[..], Some(&b"v"[..]))]);
     }
 
     #[test]

@@ -56,10 +56,8 @@
 use std::collections::{BTreeMap, HashSet};
 
 use recipe_core::{Operation, Request, TxnBody};
-use recipe_net::{
-    FaultDecision, FaultPlan, MsgBuf, NetworkFaultInjector, NodeId, ReqType, WireMessage,
-};
-use recipe_protocols::TxnChannel;
+use recipe_net::{FaultPlan, FrameFault, NetworkFaultInjector, NodeId};
+use recipe_protocols::TxnLanes;
 use recipe_sim::{CostProfile, RangeEntry, RangeStateTransfer, Replica, TxnVote};
 use recipe_telemetry::{ChargeKind, CostCategory, SpanKind};
 use recipe_workload::stable_key_hash;
@@ -150,7 +148,6 @@ struct Participant {
     ops: Vec<Operation>,
     /// Ring arcs the sub-operations live on (drain / capture checks).
     arcs: Vec<usize>,
-    channel: TxnChannel,
     /// The sealed request of the current phase, cached for retransmission.
     request_wire: Vec<u8>,
     /// The participant's sealed response, cached so a request re-delivered
@@ -177,6 +174,10 @@ struct InflightTxn {
     request_id: u64,
     issued_at: u64,
     phase: TxnPhase,
+    /// Stricter-wins confidentiality over all participants: one confidential
+    /// shard seals every frame of the transaction, so the untrusted host
+    /// cannot learn the transaction's shape from its plaintext legs.
+    sealed: bool,
     participants: Vec<Participant>,
 }
 
@@ -193,13 +194,9 @@ impl InflightTxn {
             .unwrap_or(self.issued_at)
     }
 
-    fn request(&self) -> Request {
-        Request::Txn(
-            self.participants
-                .iter()
-                .flat_map(|p| p.ops.iter().cloned())
-                .collect(),
-        )
+    /// The request to retry after an abort: the operations, participant-major.
+    fn into_request(self) -> Request {
+        Request::Txn(self.participants.into_iter().flat_map(|p| p.ops).collect())
     }
 }
 
@@ -239,12 +236,25 @@ enum RoundTrip {
     Retry { retry_at: u64 },
 }
 
+/// Which way a leg of a round trip travels on its lane.
+#[derive(Clone, Copy)]
+enum Leg {
+    /// Coordinator → participant: prepare, commit, abort.
+    Request,
+    /// Participant → coordinator: vote, ack.
+    Response,
+}
+
 /// Driver-side transaction coordinator state for one run.
 pub(crate) struct TxnManager {
     pub(crate) config: TxnConfig,
     pub(crate) stats: TxnStats,
     inflight: BTreeMap<u64, InflightTxn>,
     next_txn_id: u64,
+    /// The standing shielded channels, one per (client, shard) that ever
+    /// shared a transaction; they outlive every transaction and every
+    /// participant leader.
+    lanes: TxnLanes,
     injector: NetworkFaultInjector,
     wire_seq: u64,
     /// In-flight staged bytes per shard (EPC pressure input).
@@ -264,6 +274,7 @@ impl TxnManager {
             stats: TxnStats::default(),
             inflight: BTreeMap::new(),
             next_txn_id: 0,
+            lanes: TxnLanes::default(),
             wire_seq: 0,
             staged_per_shard: vec![0; profiles.len()],
             profiles,
@@ -289,49 +300,54 @@ impl TxnManager {
             .count()
     }
 
-    /// Sends one leg of a round trip through the adversarial network.
-    /// `open` verifies bytes at the receiving shield; extra copies the
-    /// adversary produces (tampered, duplicated, replayed) are fed through
-    /// it too, so rejections are real shield rejections. Returns the opened
-    /// body when the authentic frame was delivered.
-    fn send_leg<T>(
+    /// Sends one leg of a round trip through the adversarial network: `wire`
+    /// is the sender's cached frame, opened at the receiving end of lane
+    /// `(client_id, shard)`. Extra copies the adversary produces (tampered,
+    /// duplicated, replayed) are fed through the same end, so rejections are
+    /// real shield rejections. Returns the opened body when the authentic
+    /// frame was delivered.
+    fn send_leg(
         &mut self,
         wire: &[u8],
-        src: NodeId,
-        dst: NodeId,
+        leg: Leg,
+        txn_id: u64,
+        client_id: u64,
+        shard: usize,
         sealed: bool,
-        mut open: impl FnMut(&[u8]) -> Option<T>,
-    ) -> Option<T> {
+    ) -> Option<TxnBody> {
         self.wire_seq += 1;
         self.stats.frames_sent += 1;
         self.stats.wire_bytes += wire.len() as u64;
         if sealed {
             self.stats.sealed_frames += 1;
         }
-        let message = WireMessage {
-            wire_id: self.wire_seq,
-            src,
-            dst,
-            is_response: false,
-            buf: MsgBuf::new(ReqType::REPLICATE, wire.to_vec()),
+        let (coordinator, participant) = (Self::coordinator_addr(), Self::participant_addr(shard));
+        let (src, dst) = match leg {
+            Leg::Request => (coordinator, participant),
+            Leg::Response => (participant, coordinator),
         };
-        match self.injector.decide(&message) {
-            FaultDecision::Deliver => open(wire),
-            FaultDecision::Drop => {
+        let mut lane = self.lanes.lane(client_id, shard);
+        let mut open = |bytes: &[u8]| match leg {
+            Leg::Request => lane.open_request(txn_id, bytes),
+            Leg::Response => lane.open_response(txn_id, bytes),
+        };
+        match self.injector.decide_frame(self.wire_seq, src, dst, wire) {
+            FrameFault::Deliver => open(wire),
+            FrameFault::Drop => {
                 self.stats.frames_dropped += 1;
                 None
             }
-            FaultDecision::Tamper(corrupted) => {
+            FrameFault::Tamper(corrupted) => {
                 // The corrupted copy is rejected without consuming the
                 // counter; the authentic frame never arrives — timeout and
                 // retransmission recover.
-                if open(&corrupted.buf.payload).is_none() {
+                if open(&corrupted).is_none() {
                     self.stats.frames_rejected += 1;
                 }
                 self.stats.frames_dropped += 1;
                 None
             }
-            FaultDecision::Duplicate => {
+            FrameFault::Duplicate => {
                 // Authentic delivery first; the duplicate is rejected by the
                 // trusted counter.
                 let body = open(wire);
@@ -340,10 +356,11 @@ impl TxnManager {
                 }
                 body
             }
-            FaultDecision::Replay(older) => {
-                // Authentic delivery; the replayed older frame is rejected
-                // by the counter (same transaction) or the per-transaction
-                // keys (another transaction's frame).
+            FrameFault::Replay(older) => {
+                // Authentic delivery; the replayed older frame — the
+                // injector picks among every client's frames to or from this
+                // shard — is rejected by the lane's counter (an earlier
+                // frame of this lane) or for not being this lane's at all.
                 let body = open(wire);
                 if open(&older.buf.payload).is_none() {
                     self.stats.frames_rejected += 1;
@@ -379,6 +396,16 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
         at: u64,
     ) -> Result<(), Vec<Operation>> {
         debug_assert_eq!(ops.len(), per_op.len());
+        // A lane is sequential because its client is: two transactions of
+        // one client interleaved on a lane would each wait for ever behind
+        // the other's counter slots.
+        assert!(
+            self.txns
+                .inflight
+                .values()
+                .all(|txn| txn.client_id != client_id),
+            "client {client_id} began a transaction with one in flight"
+        );
         // Every participant needs a live leader before locks are taken
         // anywhere (a crashed group would park the other groups' locks).
         let mut shard_set: Vec<usize> = per_op.iter().map(|&(_, shard)| shard).collect();
@@ -403,20 +430,18 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
         self.txns.next_txn_id += 1;
         self.txns.stats.started += 1;
 
-        // Stricter-wins confidentiality over all participants: one
-        // confidential shard seals every frame of the transaction, so the
-        // untrusted host cannot learn the transaction's shape from its
-        // plaintext legs.
-        let confidential = by_shard
+        let sealed = by_shard
             .keys()
             .any(|&shard| self.cluster.confidentiality_of(shard).is_confidential());
 
+        let lanes = &mut self.txns.lanes;
         let mut txn = InflightTxn {
             txn_id,
             client_id,
             request_id,
             issued_at: at,
             phase: TxnPhase::Preparing,
+            sealed,
             participants: by_shard
                 .into_iter()
                 .map(|(shard, (ops, arcs))| {
@@ -426,13 +451,19 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
                         .filter(|op| op.is_write())
                         .map(|op| op.key().len() + op.value_len())
                         .sum();
-                    let mut channel = TxnChannel::new(txn_id, shard, confidential);
-                    let request_wire = channel.seal_request(&TxnBody::Prepare { ops: ops.clone() });
+                    // The body borrows nothing, so the operations go in and
+                    // come back out.
+                    let body = TxnBody::Prepare { ops };
+                    let request_wire = lanes
+                        .lane(client_id, shard)
+                        .seal_request(txn_id, &body, sealed);
+                    let TxnBody::Prepare { ops } = body else {
+                        unreachable!("built as a prepare above")
+                    };
                     Participant {
                         shard,
                         ops,
                         arcs,
-                        channel,
                         request_wire,
                         response_wire: None,
                         processed_finish: at,
@@ -483,7 +514,8 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
                     TxnBody::Abort
                 };
                 for p in &mut txn.participants {
-                    p.request_wire = p.channel.seal_request(&body);
+                    let mut lane = self.txns.lanes.lane(txn.client_id, p.shard);
+                    p.request_wire = lane.seal_request(txn_id, &body, txn.sealed);
                     p.response_wire = None;
                     p.done = false;
                 }
@@ -522,7 +554,7 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
                     client_id: txn.client_id,
                     request_id: txn.request_id,
                     finished_at: txn.phase_ready_at(),
-                    request: txn.request(),
+                    request: txn.into_request(),
                 }
             }
         }
@@ -556,63 +588,49 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
     /// One attempt of the current phase's round trip on participant `idx`.
     fn txn_round_trip(&mut self, txn: &mut InflightTxn, idx: usize, at: u64) -> RoundTrip {
         let link = self.link_latency;
-        let retry_timeout = self.txns.config.retry_timeout_ns;
-        let txn_id = txn.txn_id;
-        let sealed = txn.participants[idx].channel.is_confidential();
-        let shard = txn.participants[idx].shard;
-        let coordinator = TxnManager::coordinator_addr();
-        let participant_addr = TxnManager::participant_addr(shard);
+        let retry = RoundTrip::Retry {
+            retry_at: at + self.txns.config.retry_timeout_ns,
+        };
+        let (txn_id, client_id, sealed) = (txn.txn_id, txn.client_id, txn.sealed);
+        let p = &mut txn.participants[idx];
+        let shard = p.shard;
 
-        if txn.participants[idx].response_wire.is_none()
-            && self.cluster.shards[shard].write_coordinator().is_none()
-        {
-            // The participant group is between leaders (its coordinator
-            // crashed and failover has not landed yet): hold the frame and
-            // retransmit after the timeout. The replicated prepare record
-            // makes this safe — the group's next write coordinator adopts
-            // the in-flight transaction and answers the retried frame.
-            return RoundTrip::Retry {
-                retry_at: at + retry_timeout,
-            };
-        }
-
-        if txn.participants[idx].response_wire.is_none() {
+        if p.response_wire.is_none() {
+            if self.cluster.shards[shard].write_coordinator().is_none() {
+                // The participant group is between leaders (its coordinator
+                // crashed and failover has not landed yet): hold the frame
+                // and retransmit after the timeout. The replicated prepare
+                // record makes this safe — the group's next write
+                // coordinator adopts the in-flight transaction and answers
+                // the retried frame.
+                return retry;
+            }
             // Request leg: the participant has not executed this phase yet.
-            let wire = txn.participants[idx].request_wire.clone();
-            let body = {
-                let channel = &mut txn.participants[idx].channel;
-                let txns = &mut self.txns;
-                txns.send_leg(&wire, coordinator, participant_addr, sealed, |bytes| {
-                    channel.open_request(bytes)
-                })
+            let txns = &mut self.txns;
+            let delivered = txns.send_leg(
+                &p.request_wire,
+                Leg::Request,
+                txn_id,
+                client_id,
+                shard,
+                sealed,
+            );
+            let Some(body) = delivered else {
+                return retry;
             };
-            let Some(body) = body else {
-                return RoundTrip::Retry {
-                    retry_at: at + retry_timeout,
-                };
-            };
-            let (response, finish) =
-                self.txn_execute_on(txn_id, &txn.participants[idx], body, at + link);
-            let p = &mut txn.participants[idx];
+            let (response, finish) = self.txn_execute_on(txn_id, p, body, at + link);
             p.processed_finish = finish;
-            p.response_wire = Some(p.channel.seal_response(&response));
+            let mut lane = self.txns.lanes.lane(client_id, shard);
+            p.response_wire = Some(lane.seal_response(txn_id, &response, sealed));
         }
 
         // Response leg (also the whole retry when the response was lost:
         // the participant answers from its cached sealed response).
-        let p = &mut txn.participants[idx];
-        let wire = p.response_wire.clone().expect("response sealed above");
-        let body = {
-            let channel = &mut p.channel;
-            let txns = &mut self.txns;
-            txns.send_leg(&wire, participant_addr, coordinator, sealed, |bytes| {
-                channel.open_response(bytes)
-            })
-        };
-        let Some(body) = body else {
-            return RoundTrip::Retry {
-                retry_at: at + retry_timeout,
-            };
+        let wire = p.response_wire.as_deref().expect("response sealed above");
+        let txns = &mut self.txns;
+        let delivered = txns.send_leg(wire, Leg::Response, txn_id, client_id, shard, sealed);
+        let Some(body) = delivered else {
+            return retry;
         };
         let response_kind = match body {
             TxnBody::Vote { granted, .. } => {

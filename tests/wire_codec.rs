@@ -473,12 +473,12 @@ proptest! {
                 .map(|p| Operation::Put { key: p.clone(), value: p.clone() })
                 .collect(),
         };
-        let wire = sender.wrap_txn(NodeId(1), txn_id, &body);
+        let wire = sender.wrap_txn(NodeId(1), txn_id, &body, confidential);
         let frame = TxnFrame::from_wire(&wire).expect("own frame parses");
         prop_assert_eq!(frame.is_confidential(), confidential);
         prop_assert_eq!(frame.wire_len(), wire.len());
         prop_assert_eq!(&frame.to_wire(), &wire);
-        prop_assert_eq!(receiver.unwrap_txn(&wire), Some((txn_id, body)));
+        prop_assert_eq!(receiver.unwrap_txn(NodeId(0), &wire), Some((txn_id, body)));
         prop_assert_eq!(receiver.rejected(), 0);
     }
 }
@@ -508,6 +508,7 @@ fn confidential_frame_lengths_are_pinned() {
                 value: payload,
             }],
         },
+        true,
     );
     assert_eq!((single.len(), batch.len(), txn.len()), (1148, 1165, 1166));
 }
@@ -554,9 +555,9 @@ fn every_single_bit_flip_of_a_shielded_frame_is_rejected() {
                 value: payload.to_vec(),
             }],
         };
-        let txn = sender.wrap_txn(NodeId(1), 9, &body);
+        let txn = sender.wrap_txn(NodeId(1), 9, &body, confidential);
         every_bit_flip_is_rejected(&mut receiver, &txn, |rx, bytes| {
-            rx.unwrap_txn(bytes).is_some()
+            rx.unwrap_txn(NodeId(0), bytes).is_some()
         });
     }
 }
@@ -573,7 +574,7 @@ fn hostile_frames_are_rejected_and_counted_without_panicking() {
     let (mut sender, mut receiver) = shield_pair(false);
     let single = sender.wrap(NodeId(1), 7, &[1u8; 64]);
     let batch = sender.wrap_batch(NodeId(1), vec![BatchOp::new(7, vec![2u8; 64])]);
-    let txn = sender.wrap_txn(NodeId(1), 9, &TxnBody::Commit);
+    let txn = sender.wrap_txn(NodeId(1), 9, &TxnBody::Commit, false);
 
     let mut hostile: Vec<Vec<u8>> = Vec::new();
     for (wire, len_at) in [
@@ -602,7 +603,7 @@ fn hostile_frames_are_rejected_and_counted_without_panicking() {
     for (i, bytes) in hostile.iter().enumerate() {
         let before = receiver.rejected();
         assert!(receiver.unwrap(NodeId(0), bytes).is_empty(), "case {i}");
-        assert!(receiver.unwrap_txn(bytes).is_none(), "case {i}");
+        assert!(receiver.unwrap_txn(NodeId(0), bytes).is_none(), "case {i}");
         assert_eq!(receiver.rejected(), before + 2, "case {i}");
     }
     // The same forgeries against the body decoders directly.
@@ -625,7 +626,10 @@ fn hostile_frames_are_rejected_and_counted_without_panicking() {
     // Nothing above disturbed the channel: the intact frames still verify.
     assert_eq!(receiver.unwrap(NodeId(0), &single).len(), 1);
     assert_eq!(receiver.unwrap(NodeId(0), &batch).len(), 1);
-    assert_eq!(receiver.unwrap_txn(&txn), Some((9, TxnBody::Commit)));
+    assert_eq!(
+        receiver.unwrap_txn(NodeId(0), &txn),
+        Some((9, TxnBody::Commit))
+    );
 }
 
 fn hex(bytes: &[u8]) -> String {
