@@ -37,10 +37,13 @@ pub use abd::{AbdMsg, AbdReplica};
 pub use allconcur::{AllConcurMsg, AllConcurReplica};
 pub use batch::{BatchConfig, Batcher};
 pub use chain::{ChainMsg, ChainReplica};
-pub use migration::{ChunkPhase, MigrationChannel, MigrationChunk, MAX_SHARDS};
+pub use migration::{
+    ChunkPhase, MigrationChannel, MigrationChunk, ENDPOINT_IDS as MIGRATION_ENDPOINT_IDS,
+    MAX_SHARDS,
+};
 pub use raft::{RaftMsg, RaftReplica};
 pub use shield::{Frames, FramesIter, ProtocolMode, ProtocolShield};
-pub use txn::{TxnLane, TxnLanes, MAX_CLIENTS};
+pub use txn::{TxnLane, TxnLanes, ENDPOINT_IDS as TXN_ENDPOINT_IDS, MAX_CLIENTS};
 
 use recipe_core::Membership;
 

@@ -239,16 +239,11 @@ impl ProtocolShield {
     /// Provisions both directions of the channel with `peer`, as
     /// [`ProtocolShield::recipe`] does for every member at start-up. The keys
     /// derive from the pair of node ids alone, so the two ends agree without
-    /// exchanging anything.
-    ///
-    /// # Panics
-    /// Panics on a native-mode shield, which has no enclave to hold keys.
+    /// exchanging anything. A no-op in native mode, which has no keys.
     pub fn add_peer(&mut self, peer: NodeId) {
-        let auth = self
-            .auth
-            .as_mut()
-            .expect("channel keys require a Recipe-mode shield");
-        Self::provision_channel(auth.enclave_mut(), &Self::master_key(), self.node, peer);
+        if let Some(auth) = &mut self.auth {
+            Self::provision_channel(auth.enclave_mut(), &Self::master_key(), self.node, peer);
+        }
     }
 
     fn launch(node: NodeId) -> Enclave {

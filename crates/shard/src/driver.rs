@@ -198,7 +198,7 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
 }
 
 impl<'a, R: Replica + RangeStateTransfer> Engine<'a, R> {
-    fn new(
+    pub(crate) fn new(
         cluster: &'a mut ShardedCluster<R>,
         workload: &'a mut dyn FnMut(u64, u64) -> Option<Request>,
     ) -> Self {

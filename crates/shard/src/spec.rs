@@ -44,13 +44,20 @@ use std::collections::BTreeMap;
 
 use recipe_core::{ConfidentialityMode, Membership};
 use recipe_net::{CrashPlan, FaultPlan};
-use recipe_protocols::{AbdReplica, AllConcurReplica, BatchConfig, ChainReplica, RaftReplica};
+use recipe_protocols::{
+    AbdReplica, AllConcurReplica, BatchConfig, ChainReplica, RaftReplica, MAX_CLIENTS, MAX_SHARDS,
+};
 use recipe_sim::{ClientModel, CostProfile, Replica, SimConfig};
 
 use crate::migration::RebalanceConfig;
 use crate::router::ShardRouter;
 use crate::sharded::{ShardedCluster, ShardedConfig};
 use crate::txn::TxnConfig;
+
+/// Most replicas a group may have. Replica ids are group-local,
+/// `0..replicas_per_shard`; the bound keeps them below every block of
+/// endpoint ids (see the assertion beside the 2PC coordinator's addresses).
+pub const MAX_REPLICAS_PER_SHARD: usize = 1 << 16;
 
 /// Per-shard overrides layered over a [`DeploymentSpec`]'s defaults.
 ///
@@ -450,6 +457,23 @@ impl DeploymentSpec {
                     .into(),
             );
         }
+        // Shard indices, client ids and replica ids are all folded into
+        // node ids; past these bounds two endpoints would share one.
+        for (field, count, most) in [
+            ("shards", self.shards, MAX_SHARDS),
+            ("clients.clients", self.clients.clients, MAX_CLIENTS),
+            (
+                "replicas_per_shard",
+                self.replicas_per_shard,
+                MAX_REPLICAS_PER_SHARD,
+            ),
+        ] {
+            if count > most {
+                return Err(format!(
+                    "{field}: {count} exceeds {most}, the most the node-id space has room for"
+                ));
+            }
+        }
         if self.vnodes_per_shard == 0 {
             return Err("vnodes_per_shard: must be >= 1 (a shard needs ring presence)".into());
         }
@@ -785,6 +809,17 @@ mod tests {
         assert!(profiles[2].iter().all(|p| p.confidential));
         assert!(!profiles[0][0].confidential);
         assert_eq!(spec.membership().f(), 2);
+    }
+
+    #[test]
+    fn counts_the_node_id_space_has_no_room_for_are_refused() {
+        let refused = |spec: DeploymentSpec| spec.validate().unwrap_err();
+        assert!(DeploymentSpec::new(MAX_SHARDS, 3).validate().is_ok());
+        assert!(refused(DeploymentSpec::new(MAX_SHARDS + 1, 3)).starts_with("shards:"));
+        let crowd = DeploymentSpec::new(2, 3).with_clients(MAX_CLIENTS + 1, 10);
+        assert!(refused(crowd).starts_with("clients.clients:"));
+        let wide = DeploymentSpec::new(2, MAX_REPLICAS_PER_SHARD + 1);
+        assert!(refused(wide).starts_with("replicas_per_shard:"));
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //! shield layer.
 //!
 //! A [`recipe_core::Request::Txn`] may touch keys on several replica groups.
-//! The driver-side coordinator groups the sub-operations by owning shard,
-//! opens one fresh [`recipe_protocols::TxnChannel`] per participant (channel
-//! keys and counters are per transaction), and runs classic vote-then-decide
-//! 2PC against the participant shard leaders:
+//! The driver-side coordinator groups the sub-operations by owning shard and
+//! runs classic vote-then-decide 2PC against the participant shard leaders,
+//! each reached over the client's standing *lane* to that shard
+//! ([`recipe_protocols::TxnLanes`]): a shielded channel pair whose keys are
+//! provisioned at the first transaction the client and the shard share and
+//! whose counters run on for the rest of the run — the paper's initialization
+//! phase paid once, not per transaction.
 //!
 //! 1. **Prepare** — each participant leader locks the touched keys in its
 //!    partitioned store and stages the writes (all-or-nothing per
@@ -19,16 +22,23 @@
 //!    with per-client jitter.
 //!
 //! Every 2PC frame — prepare, vote, commit, abort, ack — is a
-//! [`recipe_core::TxnFrame`]: MAC'd under an attestation-provisioned channel
-//! key, stamped with a trusted counter, and AEAD-sealed whenever **any**
-//! participant shard's confidentiality policy is confidential (the
-//! stricter-wins rule shard migrations use). Frames cross the same
-//! adversarial network model as protocol traffic ([`TxnConfig::fault_plan`]):
-//! a dropped, tampered or reordered frame is retransmitted as the *same
-//! sealed bytes* after [`TxnConfig::retry_timeout_ns`] — re-sealing would
-//! burn a counter slot and wedge the channel — and participants answer
-//! re-delivered requests from a cached sealed response, which makes every
-//! phase exactly-once end to end.
+//! [`recipe_core::TxnFrame`]: MAC'd under the lane's attestation-provisioned
+//! key, stamped with the lane's trusted counter, carrying its transaction id
+//! under the MAC, and AEAD-sealed whenever **any** participant shard's
+//! confidentiality policy is confidential (the stricter-wins rule shard
+//! migrations use, decided per transaction: one lane carries sealed and
+//! plaintext transactions). A lane is as strictly sequential as its client:
+//! a closed-loop client has one transaction in flight (`txn_begin` asserts
+//! it) and every phase is answered by every participant before the next
+//! begins. What each of key, counter, transaction id and the lane's source
+//! check rejects is argued in `recipe_protocols::txn`; none of that logic
+//! lives here. Frames cross the same adversarial network model as protocol
+//! traffic ([`TxnConfig::fault_plan`]): a dropped, tampered or reordered
+//! frame is retransmitted as the *same sealed bytes* — the sender's cached
+//! frame, lent to the network, never copied per attempt — after
+//! [`TxnConfig::retry_timeout_ns`]; re-sealing would burn a counter slot and
+//! wedge the lane. Participants answer re-delivered requests from a cached
+//! sealed response, which makes every phase exactly-once end to end.
 //!
 //! Deadlock freedom: a participant's prepare either locks *all* its keys or
 //! none, and the coordinator collects every vote before deciding, so no
@@ -49,20 +59,24 @@
 //! real locked prepares; see `recipe_kv::txn::TxnTable::adopt_replicated`),
 //! and the coordinator — which holds the frame for the crashed group and
 //! retransmits after [`TxnConfig::retry_timeout_ns`] — lands the decision on
-//! the new leader: no transaction is lost, duplicated or parked. A recovered
-//! replica restarts with a clean transaction table (`txn_reset`; volatile
-//! enclave state) and relies on the group's surviving records.
+//! the new leader: no transaction is lost, duplicated or parked. The lane's
+//! participant endpoint stands for the shard, not for whichever replica
+//! leads it, so it and its counters outlive the crash and the retransmitted
+//! frame is still the next in sequence. A recovered replica restarts with a
+//! clean transaction table (`txn_reset`; volatile enclave state) and relies
+//! on the group's surviving records.
 
 use std::collections::{BTreeMap, HashSet};
 
 use recipe_core::{Operation, Request, TxnBody};
 use recipe_net::{FaultPlan, FrameFault, NetworkFaultInjector, NodeId};
-use recipe_protocols::TxnLanes;
+use recipe_protocols::{TxnLanes, MAX_SHARDS, MIGRATION_ENDPOINT_IDS, TXN_ENDPOINT_IDS};
 use recipe_sim::{CostProfile, RangeEntry, RangeStateTransfer, Replica, TxnVote};
 use recipe_telemetry::{ChargeKind, CostCategory, SpanKind};
 use recipe_workload::stable_key_hash;
 
 use crate::driver::{DriverWork, Engine};
+use crate::spec::MAX_REPLICAS_PER_SHARD;
 
 /// Knobs of the transaction coordinator, configured per deployment through
 /// [`crate::DeploymentSpec::with_txn`].
@@ -380,6 +394,17 @@ impl TxnManager {
         NodeId(u64::MAX - 2 - shard as u64)
     }
 }
+
+// No two things share a node id, for every replica, shard and client count
+// `DeploymentSpec::validate` admits: group-local replica ids sit at the
+// bottom of the space, the migration endpoints and the 2PC endpoints in a
+// block each above them (ordered where `recipe_protocols` defines them), the
+// injector's synthetic addresses at the very top.
+const _: () = {
+    let lowest_synthetic = u64::MAX - 2 - (MAX_SHARDS as u64 - 1);
+    assert!(MAX_REPLICAS_PER_SHARD as u64 <= MIGRATION_ENDPOINT_IDS.start);
+    assert!(TXN_ENDPOINT_IDS.end <= lowest_synthetic);
+};
 
 impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
     /// Starts 2PC for one routed transaction. `per_op` pairs each operation
@@ -902,5 +927,33 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
             }
             other => panic!("coordinator sent a response body: {other:?}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use recipe_protocols::RaftReplica;
+
+    use super::*;
+    use crate::{DeploymentSpec, ShardedCluster};
+
+    #[test]
+    #[should_panic(expected = "began a transaction with one in flight")]
+    fn a_client_cannot_begin_a_transaction_over_its_own() {
+        let spec = DeploymentSpec::new(2, 3).with_clients(2, 10);
+        let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+        let mut workload = |_, _| None;
+        let mut engine = Engine::new(&mut cluster, &mut workload);
+        let ops = vec![Operation::Get { key: b"k".to_vec() }];
+        let placements = [(0, 0)];
+        engine
+            .txn_begin(0, 1, ops.clone(), &placements, 0)
+            .expect("every group has its first leader");
+        // Another client's transaction is no business of this client's lanes …
+        engine
+            .txn_begin(1, 1, ops.clone(), &placements, 0)
+            .expect("every group has its first leader");
+        // … its own second one would interleave with the first on lane (0, 0).
+        let _ = engine.txn_begin(0, 2, ops, &placements, 0);
     }
 }
