@@ -184,7 +184,7 @@ pub enum FaultDecision {
 /// ([`NetworkFaultInjector::decide_frame`]): it hands back only what it made
 /// or kept — the corrupted payload, the captured older message — and the
 /// caller goes on holding the frame itself.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub enum FrameFault<'a> {
     /// Deliver unchanged.
     Deliver,

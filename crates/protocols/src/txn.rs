@@ -231,15 +231,6 @@ impl TxnLanes {
             participant,
         }
     }
-
-    /// Frames rejected by any endpoint so far.
-    pub fn rejected(&self) -> u64 {
-        let coordinators = self.coordinators.iter().flatten().map(|c| &c.shield);
-        coordinators
-            .chain(self.participants.iter().flatten())
-            .map(ProtocolShield::rejected)
-            .sum()
-    }
 }
 
 /// Both ends of one lane, borrowed from [`TxnLanes`] for a frame or two.
@@ -314,6 +305,15 @@ mod tests {
         TxnFrame::from_wire(wire).unwrap().tuple.counter
     }
 
+    /// Frames rejected by any endpoint so far.
+    fn rejected(lanes: &TxnLanes) -> u64 {
+        let coordinators = lanes.coordinators.iter().flatten().map(|c| &c.shield);
+        coordinators
+            .chain(lanes.participants.iter().flatten())
+            .map(ProtocolShield::rejected)
+            .sum()
+    }
+
     #[test]
     fn requests_and_responses_roundtrip_and_the_next_transaction_continues_the_counters() {
         let mut lanes = TxnLanes::default();
@@ -337,7 +337,7 @@ mod tests {
         // The same client's lane to another shard counts for itself.
         let wire = lanes.lane(5, 0).seal_request(9, &TxnBody::Abort, false);
         assert_eq!(counter_of(&wire), 1);
-        assert_eq!(lanes.rejected(), 0);
+        assert_eq!(rejected(&lanes), 0);
     }
 
     #[test]
@@ -354,7 +354,7 @@ mod tests {
         assert!(lane.open_request(7, &wire).is_some());
         // Replaying it afterwards is rejected.
         assert_eq!(lane.open_request(7, &wire), None);
-        assert!(lanes.rejected() >= 2);
+        assert!(rejected(&lanes) >= 2);
     }
 
     #[test]
@@ -385,7 +385,7 @@ mod tests {
         // one being served: not executed.
         let stray = lane.seal_request(9, &TxnBody::Commit, false);
         assert_eq!(lane.open_request(8, &stray), None);
-        assert_eq!(lanes.rejected(), 1);
+        assert_eq!(rejected(&lanes), 1);
 
         // Client 1's frame for shard 0, lost on its way and then offered
         // while the coordinator is serving client 2 on the same shard: the
@@ -396,7 +396,7 @@ mod tests {
         let own = other.seal_request(21, &prepare(3), false);
         assert_eq!(other.open_request(21, &lost), None);
         assert_eq!(other.open_request(21, &own), Some(prepare(3)));
-        assert_eq!(lanes.rejected(), 2);
+        assert_eq!(rejected(&lanes), 2);
         // … without moving client 1's receive counter: its retransmission
         // of the same bytes is accepted.
         assert_eq!(lanes.lane(1, 0).open_request(20, &lost), Some(prepare(1)));
@@ -435,7 +435,7 @@ mod tests {
             assert_eq!(!wire.windows(4).any(|w| w == b"user"), seal);
             assert_eq!(lane.open_response(txn_id, &wire), Some(vote));
         }
-        assert_eq!(lanes.rejected(), 1);
+        assert_eq!(rejected(&lanes), 1);
     }
 
     #[test]

@@ -259,6 +259,17 @@ enum Leg {
     Response,
 }
 
+/// The round trip a leg belongs to: lane `(client_id, shard)`, serving
+/// transaction `txn_id`.
+#[derive(Clone, Copy)]
+struct Trip {
+    txn_id: u64,
+    client_id: u64,
+    shard: usize,
+    /// The transaction's frames travel AEAD-sealed.
+    sealed: bool,
+}
+
 /// Driver-side transaction coordinator state for one run.
 pub(crate) struct TxnManager {
     pub(crate) config: TxnConfig,
@@ -315,20 +326,18 @@ impl TxnManager {
     }
 
     /// Sends one leg of a round trip through the adversarial network: `wire`
-    /// is the sender's cached frame, opened at the receiving end of lane
-    /// `(client_id, shard)`. Extra copies the adversary produces (tampered,
+    /// is the sender's cached frame, opened at the receiving end of the
+    /// trip's lane. Extra copies the adversary produces (tampered,
     /// duplicated, replayed) are fed through the same end, so rejections are
     /// real shield rejections. Returns the opened body when the authentic
     /// frame was delivered.
-    fn send_leg(
-        &mut self,
-        wire: &[u8],
-        leg: Leg,
-        txn_id: u64,
-        client_id: u64,
-        shard: usize,
-        sealed: bool,
-    ) -> Option<TxnBody> {
+    fn send_leg(&mut self, wire: &[u8], leg: Leg, trip: Trip) -> Option<TxnBody> {
+        let Trip {
+            txn_id,
+            client_id,
+            shard,
+            sealed,
+        } = trip;
         self.wire_seq += 1;
         self.stats.frames_sent += 1;
         self.stats.wire_bytes += wire.len() as u64;
@@ -619,6 +628,12 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
         let (txn_id, client_id, sealed) = (txn.txn_id, txn.client_id, txn.sealed);
         let p = &mut txn.participants[idx];
         let shard = p.shard;
+        let trip = Trip {
+            txn_id,
+            client_id,
+            shard,
+            sealed,
+        };
 
         if p.response_wire.is_none() {
             if self.cluster.shards[shard].write_coordinator().is_none() {
@@ -631,15 +646,7 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
                 return retry;
             }
             // Request leg: the participant has not executed this phase yet.
-            let txns = &mut self.txns;
-            let delivered = txns.send_leg(
-                &p.request_wire,
-                Leg::Request,
-                txn_id,
-                client_id,
-                shard,
-                sealed,
-            );
+            let delivered = self.txns.send_leg(&p.request_wire, Leg::Request, trip);
             let Some(body) = delivered else {
                 return retry;
             };
@@ -652,9 +659,7 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
         // Response leg (also the whole retry when the response was lost:
         // the participant answers from its cached sealed response).
         let wire = p.response_wire.as_deref().expect("response sealed above");
-        let txns = &mut self.txns;
-        let delivered = txns.send_leg(wire, Leg::Response, txn_id, client_id, shard, sealed);
-        let Some(body) = delivered else {
+        let Some(body) = self.txns.send_leg(wire, Leg::Response, trip) else {
             return retry;
         };
         let response_kind = match body {
