@@ -256,9 +256,8 @@ impl ProtocolShield {
     fn provision_channel(enclave: &mut Enclave, master: &MacKey, node: NodeId, peer: NodeId) {
         for (a, b) in [(node, peer), (peer, node)] {
             let label = format!("cq:{}->{}", a.0, b.0);
-            let key = master.derive(&label);
             enclave
-                .provision_mac_key(label, key)
+                .provision_mac_key(label.clone(), master.derive(&label))
                 .expect("fresh enclave accepts keys");
         }
     }
