@@ -19,9 +19,9 @@ type HmacSha256 = Hmac<Sha256>;
 /// Hashing the key into HMAC's inner and outer pad states costs two SHA-256
 /// compressions, as much as MACing a short message does. The key pays it once,
 /// when it is built, and every tag starts from a copy of those states — the
-/// 80-byte [`HmacCore`], not a whole `Hmac` with its block buffer: a
-/// cross-shard transaction builds four keys per participant and uses each for
-/// a frame or two, so what a key weighs is paid per operation there.
+/// 80-byte [`HmacCore`], not a whole `Hmac` with its block buffer: every 2PC
+/// lane between a client and a shard holds four keys for the whole run, so
+/// what a key weighs is what standing channels cost in live memory.
 /// Equality, serialization and `Debug` see the 32 key bytes only.
 #[derive(Clone)]
 pub struct MacKey {
