@@ -2151,11 +2151,15 @@ mod tests {
             );
         }
         // The cost lands exactly where the policy asks: confidential shards
-        // serve visibly slower than their plaintext neighbours, while the
-        // plaintext shards match the all-plaintext baseline within noise.
+        // serve slower than their plaintext neighbours, while the plaintext
+        // shards match the all-plaintext baseline within noise. The margin is
+        // the encryption pass alone (0.6 % at these 256 B values): a sealed
+        // frame is as long as a plaintext one, so it pays no more transport
+        // or MAC — it was 2.8 % while every sealed frame also carried the
+        // cipher's own 48-byte nonce and tag.
         assert!(
-            report.confidential_latency_overhead > 1.02,
-            "confidential shards show no overhead: {:.3}",
+            report.confidential_latency_overhead > 1.003,
+            "confidential shards show no overhead: {:.4}",
             report.confidential_latency_overhead
         );
         assert!(

@@ -14,23 +14,42 @@
 //! Everything that must not be observable or forgeable by the untrusted host — the
 //! counters, the channel keys, the plaintext of confidential payloads — lives inside
 //! the [`recipe_tee::Enclave`] held by this layer.
+//!
+//! # One authenticator per frame
+//!
+//! Algorithm 1 authenticates a message with one HMAC over
+//! `payload ‖ view ‖ cq ‖ cnt_cq`, and that holds for a confidential frame
+//! too. Sealing is the raw XChaCha20 keystream, in place, under the nonce the
+//! sequence tuple determines ([`SequenceTuple::nonce`] — derived at both ends,
+//! never sent, unique because trusted counters never repeat); the frame MAC
+//! then covers the ciphertext, the sealed flag, the tuple and the cipher's key
+//! commitment, under a channel key that is domain-separated from the cipher
+//! key. That is encrypt-then-MAC with the MAC the protocol already pays for:
+//! a receiver checks it before its receive counter moves and before it makes
+//! any keystream, so nothing an attacker alters is ever decrypted, and there
+//! is no second tag whose failure could arrive after the counter advanced.
+//! The key commitment turns "same channel key, other cipher key" (a
+//! misprovisioned peer) into a failed MAC instead of junk handed to the
+//! protocol.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use recipe_crypto::{MacStream, MacTag, Nonce};
+use recipe_crypto::{CipherKey, MacTag};
 use recipe_net::{ChannelId, NodeId};
 use recipe_tee::{CounterHandle, Enclave, KeyHandle};
 
 use crate::error::RecipeError;
 use crate::message::{
-    decode_ciphertext, encode_ciphertext, BatchFrame, BatchOp, SequenceTuple, ShieldedMessage,
-    TxnBody, TxnFrame,
+    BatchFrame, BatchOp, Family, SequenceTuple, ShieldedMessage, TxnBody, TxnFrame,
 };
 use crate::policy::ConfidentialityMode;
+use crate::wire::Writer;
 
 /// Label under which the cluster-wide value/message cipher key is provisioned.
 pub const CIPHER_LABEL: &str = "recipe.values";
+
+/// Domain a node's store key is derived under ([`AuthLayer::store_cipher_key`]).
+const STORE_KEY_DOMAIN: &[u8] = b"recipe.store_key.v1";
 
 /// Result of verifying an incoming shielded message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,7 +90,9 @@ pub enum VerifyOutcome {
         /// The receiver's current view.
         current: u64,
     },
-    /// Confidential payload failed to decrypt.
+    /// The message is authentic and in order, but the enclave would not hand
+    /// out the cipher to open it — the counter slot is spent, nothing is
+    /// delivered. Tampering never gets here: it fails the MAC first.
     DecryptionFailed,
 }
 
@@ -119,8 +140,9 @@ pub enum BatchVerifyOutcome {
         /// The receiver's current view.
         current: u64,
     },
-    /// Confidential body failed to decrypt, or the body does not decode into
-    /// the authenticated number of ops.
+    /// The frame is authentic and in order, but its body does not decode
+    /// into the authenticated number of ops (a sender's bug — tampering fails
+    /// the MAC first), or the enclave would not hand out the cipher.
     DecryptionFailed,
 }
 
@@ -174,7 +196,9 @@ pub enum TxnVerifyOutcome {
         /// The receiver's current view.
         current: u64,
     },
-    /// Confidential body failed to decrypt or decode.
+    /// The frame is authentic and in order, but its body does not decode (a
+    /// sender's bug — tampering fails the MAC first), or the enclave would
+    /// not hand out the cipher.
     DecryptionFailed,
 }
 
@@ -290,17 +314,6 @@ impl Channel {
     }
 }
 
-/// The fields of a sealed single frame, before they are put in a
-/// [`ShieldedMessage`] or straight on the wire.
-struct SealedSingle<'a> {
-    tuple: SequenceTuple,
-    /// The payload as it travels: the caller's bytes, or their ciphertext in
-    /// confidential mode.
-    payload: Cow<'a, [u8]>,
-    confidential: bool,
-    mac: MacTag,
-}
-
 /// What this node holds for one peer: both directions of their channel and
 /// the frames of the peer's that arrived ahead of their turn. Labels are
 /// built and looked up when the record is made; every frame after that
@@ -389,6 +402,19 @@ impl AuthLayer {
         &mut self.enclave
     }
 
+    /// The key this node's KV store seals values under: a sub-key of the
+    /// provisioned cipher key, bound to the node id. A store counts its
+    /// nonces from one, so its key must be its own — two stores under one key
+    /// would seal different values under the same keystream in host-visible
+    /// memory — and a sub-key also keeps stored values and frames, which
+    /// both run on counters, under different keys.
+    pub fn store_cipher_key(&self) -> Result<CipherKey, RecipeError> {
+        let node = self.node.0.to_le_bytes();
+        Ok(self
+            .enclave
+            .derive_cipher_key(CIPHER_LABEL, &[STORE_KEY_DOMAIN, &node])?)
+    }
+
     /// Counts of rejected messages `(replays, bad_auth, wrong_view)`.
     pub fn rejection_counts(&self) -> (u64, u64, u64) {
         (
@@ -468,92 +494,103 @@ impl AuthLayer {
         Ok((channel, tuple))
     }
 
-    /// The tag, under `channel`'s key, of the bytes `write_parts` feeds.
-    fn mac(
+    /// Seals a frame's `body` where it lies — in a frame struct's vector or
+    /// in the wire buffer — and returns the frame's MAC: with `seal`, the
+    /// body is XORed with the keystream of the tuple's nonce first, and the
+    /// MAC then covers the ciphertext and the cipher's key commitment.
+    fn seal_body(
         &self,
         channel: Channel,
-        write_parts: impl FnOnce(&mut MacStream),
+        tuple: &SequenceTuple,
+        family: Family,
+        seal: bool,
+        body: &mut [u8],
     ) -> Result<MacTag, RecipeError> {
+        let commitment = if seal {
+            let cipher = self.enclave.cipher(CIPHER_LABEL)?;
+            cipher.apply_keystream(&tuple.nonce(), body);
+            Some(cipher.key_commitment())
+        } else {
+            None
+        };
         let mut stream = self.enclave.mac_key_at(channel.key)?.stream();
-        write_parts(&mut stream);
+        family.write_authenticated_parts(
+            &mut |bytes| stream.update(bytes),
+            body,
+            commitment,
+            &tuple.to_bytes(),
+        );
         Ok(stream.tag())
+    }
+
+    /// Takes the next counter slot toward `dst` and seals `body` under it:
+    /// the parts of a frame struct.
+    fn shield_owned(
+        &mut self,
+        dst: NodeId,
+        family: Family,
+        seal: bool,
+        mut body: Vec<u8>,
+    ) -> Result<(SequenceTuple, Vec<u8>, MacTag), RecipeError> {
+        let (channel, tuple) = self.next_slot(dst)?;
+        let mac = self.seal_body(channel, &tuple, family, seal, &mut body)?;
+        Ok((tuple, body, mac))
+    }
+
+    /// Takes the next counter slot toward `dst` and builds the frame under
+    /// it in its wire buffer: `write_body` puts the `body_len` body bytes in
+    /// place, where they are sealed and MAC'd, and the tag goes in its slot.
+    fn shield_framed(
+        &mut self,
+        dst: NodeId,
+        family: Family,
+        seal: bool,
+        body_len: usize,
+        write_body: impl FnOnce(&mut Writer),
+    ) -> Result<Vec<u8>, RecipeError> {
+        let (channel, tuple) = self.next_slot(dst)?;
+        let mut image = family.image(&tuple, seal, body_len, write_body);
+        let mac = self.seal_body(channel, &tuple, family, seal, image.body_mut())?;
+        Ok(image.finish(&mac))
     }
 
     // ------------------------------------------------------------------
     // shield_request
     // ------------------------------------------------------------------
 
-    /// Shields a protocol message addressed to `dst` (Algorithm 1, `shield_request`).
+    /// Shields a protocol message addressed to `dst` (Algorithm 1,
+    /// `shield_request`). Confidential mode encrypts the payload before it
+    /// leaves the enclave, under the nonce of its (channel, counter) pair.
     pub fn shield(
         &mut self,
         dst: NodeId,
         kind: u16,
         payload: &[u8],
     ) -> Result<ShieldedMessage, RecipeError> {
-        let sealed = self.seal_single(dst, kind, payload)?;
+        let confidential = self.is_confidential();
+        let (tuple, payload, mac) =
+            self.shield_owned(dst, Family::Single { kind }, confidential, payload.to_vec())?;
         Ok(ShieldedMessage {
-            tuple: sealed.tuple,
+            tuple,
             kind,
-            payload: sealed.payload.into_owned(),
-            confidential: sealed.confidential,
-            mac: sealed.mac,
+            payload,
+            confidential,
+            mac,
         })
     }
 
     /// [`AuthLayer::shield`] straight to wire bytes — what
     /// `shield(..)?.to_wire()` returns, with the payload copied once, into
-    /// the frame.
+    /// the frame, and sealed there.
     pub fn shield_to_wire(
         &mut self,
         dst: NodeId,
         kind: u16,
         payload: &[u8],
     ) -> Result<Vec<u8>, RecipeError> {
-        let sealed = self.seal_single(dst, kind, payload)?;
-        Ok(ShieldedMessage::wire_from_parts(
-            &sealed.tuple,
-            kind,
-            &sealed.payload,
-            sealed.confidential,
-            &sealed.mac,
-        ))
-    }
-
-    /// Seals the single frame that carries `payload` to `dst` under the
-    /// channel's next counter slot.
-    fn seal_single<'a>(
-        &mut self,
-        dst: NodeId,
-        kind: u16,
-        payload: &'a [u8],
-    ) -> Result<SealedSingle<'a>, RecipeError> {
-        let (channel, tuple) = self.next_slot(dst)?;
-
-        // Confidential mode: encrypt the payload before it leaves the enclave. The
-        // nonce is unique per (channel, counter) pair.
-        let confidential = self.confidentiality.is_confidential();
-        let wire_payload = if confidential {
-            let cipher = self.enclave.cipher(CIPHER_LABEL)?;
-            let nonce = Self::payload_nonce(&tuple.channel, tuple.counter);
-            Cow::Owned(encode_ciphertext(&cipher.seal(nonce, payload)))
-        } else {
-            Cow::Borrowed(payload)
-        };
-
-        let mac = self.mac(channel, |stream| {
-            ShieldedMessage::write_authenticated_parts(
-                &mut |bytes| stream.update(bytes),
-                &wire_payload,
-                kind,
-                confidential,
-                &tuple.to_bytes(),
-            )
-        })?;
-        Ok(SealedSingle {
-            tuple,
-            payload: wire_payload,
-            confidential,
-            mac,
+        let seal = self.is_confidential();
+        self.shield_framed(dst, Family::Single { kind }, seal, payload.len(), |w| {
+            w.raw(payload);
         })
     }
 
@@ -562,39 +599,22 @@ impl AuthLayer {
     // ------------------------------------------------------------------
 
     /// Shields a whole batch of protocol messages for `dst` under **one**
-    /// counter slot, one MAC and (in confidential mode) one AEAD pass — the
-    /// amortized fast path of the leader-side batching pipeline.
+    /// counter slot, one MAC and (in confidential mode) one keystream pass —
+    /// the amortized fast path of the leader-side batching pipeline.
     pub fn shield_batch(
         &mut self,
         dst: NodeId,
         ops: &[BatchOp],
     ) -> Result<BatchFrame, RecipeError> {
-        if ops.is_empty() {
-            return Err(RecipeError::Malformed("empty batch"));
-        }
+        let count = Self::batch_count(ops)?;
+        let sealed = self.is_confidential();
         // One `cnt_cq ← cnt_cq + 1` for the whole frame.
-        let (channel, tuple) = self.next_slot(dst)?;
-
-        let body = BatchFrame::encode_ops(ops);
-        let (body, sealed) = if self.confidentiality.is_confidential() {
-            let cipher = self.enclave.cipher(CIPHER_LABEL)?;
-            let nonce = Self::payload_nonce(&tuple.channel, tuple.counter);
-            (Vec::new(), Some(cipher.seal_owned(nonce, body)))
-        } else {
-            (body, None)
-        };
-
-        let count = ops.len() as u32;
-        let mac = self.mac(channel, |stream| {
-            BatchFrame::write_authenticated_parts(
-                &mut |bytes| stream.update(bytes),
-                &body,
-                sealed.as_ref(),
-                count,
-                &tuple.to_bytes(),
-            )
-        })?;
-
+        let (tuple, body, mac) = self.shield_owned(
+            dst,
+            Family::Batch { count },
+            sealed,
+            BatchFrame::encode_ops(ops),
+        )?;
         Ok(BatchFrame {
             tuple,
             count,
@@ -604,14 +624,39 @@ impl AuthLayer {
         })
     }
 
+    /// [`AuthLayer::shield_batch`] straight to wire bytes — what
+    /// `shield_batch(..)?.to_wire()` returns, with the ops encoded once, into
+    /// the frame, and sealed there.
+    pub fn shield_batch_to_wire(
+        &mut self,
+        dst: NodeId,
+        ops: &[BatchOp],
+    ) -> Result<Vec<u8>, RecipeError> {
+        let count = Self::batch_count(ops)?;
+        let seal = self.is_confidential();
+        let body_len = BatchFrame::ops_len(ops);
+        self.shield_framed(dst, Family::Batch { count }, seal, body_len, |w| {
+            BatchFrame::write_ops(w, ops);
+        })
+    }
+
+    /// The authenticated op count of a batch of `ops`; an empty batch takes
+    /// no counter slot.
+    fn batch_count(ops: &[BatchOp]) -> Result<u32, RecipeError> {
+        if ops.is_empty() {
+            return Err(RecipeError::Malformed("empty batch"));
+        }
+        Ok(ops.len() as u32)
+    }
+
     // ------------------------------------------------------------------
     // shield_txn
     // ------------------------------------------------------------------
 
     /// Shields one two-phase-commit message for `dst` under the next counter
-    /// slot of the channel: the body is serialized, AEAD-sealed in
-    /// confidential mode, and MAC'd together with the transaction id under
-    /// the transaction MAC domain — a 2PC frame can never be replayed as (or
+    /// slot of the channel: the body is serialized, encrypted in confidential
+    /// mode, and MAC'd together with the transaction id under the
+    /// transaction MAC domain — a 2PC frame can never be replayed as (or
     /// confused with) protocol traffic.
     pub fn shield_txn(
         &mut self,
@@ -619,42 +664,13 @@ impl AuthLayer {
         txn_id: u64,
         body: &TxnBody,
     ) -> Result<TxnFrame, RecipeError> {
-        self.shield_txn_as(dst, txn_id, body, self.confidentiality.is_confidential())
-    }
-
-    /// [`AuthLayer::shield_txn`] with the sealing decided by the caller, per
-    /// frame: a standing 2PC channel carries the transactions that touch a
-    /// confidential shard sealed and the others in plaintext, under one key
-    /// and one counter sequence. `seal` is under the MAC like everything
-    /// else in the frame, and the enclave must hold the cipher key to seal.
-    pub fn shield_txn_as(
-        &mut self,
-        dst: NodeId,
-        txn_id: u64,
-        body: &TxnBody,
-        seal: bool,
-    ) -> Result<TxnFrame, RecipeError> {
-        let (channel, tuple) = self.next_slot(dst)?;
-
-        let encoded = TxnFrame::encode_body(body);
-        let (body, sealed) = if seal {
-            let cipher = self.enclave.cipher(CIPHER_LABEL)?;
-            let nonce = Self::payload_nonce(&tuple.channel, tuple.counter);
-            (Vec::new(), Some(cipher.seal_owned(nonce, encoded)))
-        } else {
-            (encoded, None)
-        };
-
-        let mac = self.mac(channel, |stream| {
-            TxnFrame::write_authenticated_parts(
-                &mut |bytes| stream.update(bytes),
-                &body,
-                sealed.as_ref(),
-                txn_id,
-                &tuple.to_bytes(),
-            )
-        })?;
-
+        let sealed = self.is_confidential();
+        let (tuple, body, mac) = self.shield_owned(
+            dst,
+            Family::Txn { txn_id },
+            sealed,
+            TxnFrame::encode_body(body),
+        )?;
         Ok(TxnFrame {
             tuple,
             txn_id,
@@ -664,33 +680,52 @@ impl AuthLayer {
         })
     }
 
+    /// One two-phase-commit message for `dst` as wire bytes, with the
+    /// sealing decided by the caller, per frame: a standing 2PC channel
+    /// carries the transactions that touch a confidential shard sealed and
+    /// the others in plaintext, under one key and one counter sequence.
+    /// `seal` is under the MAC like everything else in the frame, and the
+    /// enclave must hold the cipher key to seal. With `seal` at the layer's
+    /// own mode these are the bytes of
+    /// [`shield_txn(..)?.to_wire()`](AuthLayer::shield_txn), the body encoded
+    /// once, into the frame.
+    pub fn shield_txn_to_wire(
+        &mut self,
+        dst: NodeId,
+        txn_id: u64,
+        body: &TxnBody,
+        seal: bool,
+    ) -> Result<Vec<u8>, RecipeError> {
+        let body_len = TxnFrame::body_len(body);
+        self.shield_framed(dst, Family::Txn { txn_id }, seal, body_len, |w| {
+            TxnFrame::write_body(w, body);
+        })
+    }
+
     /// Verifies an incoming two-phase-commit frame: addressing, MAC (under
-    /// the transaction domain), view and counter freshness, then one AEAD
-    /// pass over the body in confidential mode. Out-of-order frames are
-    /// dropped rather than buffered — see [`TxnVerifyOutcome::OutOfOrder`].
-    pub fn verify_txn(&mut self, frame: TxnFrame) -> TxnVerifyOutcome {
-        match self.admit(&frame.tuple, &frame.mac, |stream| {
-            TxnFrame::write_authenticated_parts(
-                &mut |bytes| stream.update(bytes),
-                &frame.body,
-                frame.sealed.as_ref(),
-                frame.txn_id,
-                &frame.tuple.to_bytes(),
-            )
-        }) {
+    /// the transaction domain), view and counter freshness, then one
+    /// keystream pass over the body when it is sealed. Out-of-order frames
+    /// are dropped rather than buffered — see [`TxnVerifyOutcome::OutOfOrder`].
+    pub fn verify_txn(&mut self, mut frame: TxnFrame) -> TxnVerifyOutcome {
+        match self.admit(
+            &frame.tuple,
+            &frame.mac,
+            frame.family(),
+            frame.sealed,
+            &frame.body,
+        ) {
             Admission::Reject(rejection) => rejection.into(),
             Admission::Buffer {
                 counter, expected, ..
             } => TxnVerifyOutcome::OutOfOrder { counter, expected },
             Admission::Deliver { counter } => {
-                let txn_id = frame.txn_id;
-                let opened = match frame.sealed {
-                    Some(ct) => self.open_ciphertext(ct),
-                    None => Ok(frame.body),
-                };
-                match opened.ok().and_then(|bytes| TxnFrame::decode_body(&bytes)) {
+                let opened = self.open_body(&frame.tuple, frame.sealed, &mut frame.body);
+                match opened
+                    .ok()
+                    .and_then(|()| TxnFrame::decode_body(&frame.body))
+                {
                     Some(body) => TxnVerifyOutcome::Accept {
-                        txn_id,
+                        txn_id: frame.txn_id,
                         body,
                         counter,
                     },
@@ -714,15 +749,7 @@ impl AuthLayer {
     /// (the accepted payload is copied out as before). Callers that own the
     /// message should prefer [`AuthLayer::verify_owned`], which never clones.
     pub fn verify(&mut self, msg: &ShieldedMessage) -> VerifyOutcome {
-        match self.admit(&msg.tuple, &msg.mac, |stream| {
-            ShieldedMessage::write_authenticated_parts(
-                &mut |bytes| stream.update(bytes),
-                &msg.payload,
-                msg.kind,
-                msg.confidential,
-                &msg.tuple.to_bytes(),
-            )
-        }) {
+        match self.admit_single(msg) {
             Admission::Reject(rejection) => rejection.into(),
             Admission::Buffer {
                 peer,
@@ -734,33 +761,15 @@ impl AuthLayer {
                     .insert(counter, PendingFrame::Single(msg.clone()));
                 VerifyOutcome::Future { counter, expected }
             }
-            Admission::Deliver { counter } => match self.open_payload(msg) {
-                Ok(payload) => VerifyOutcome::Accept {
-                    kind: msg.kind,
-                    payload,
-                    counter,
-                },
-                Err(_) => {
-                    self.rejected_auth += 1;
-                    VerifyOutcome::DecryptionFailed
-                }
-            },
+            Admission::Deliver { counter } => self.deliver_single(msg.clone(), counter),
         }
     }
 
     /// Verifies an incoming shielded message, taking ownership so the payload
     /// moves (rather than clones) into the protected buffer or the
-    /// [`VerifyOutcome::Accept`] result.
+    /// [`VerifyOutcome::Accept`] result, and is decrypted where it lies.
     pub fn verify_owned(&mut self, msg: ShieldedMessage) -> VerifyOutcome {
-        match self.admit(&msg.tuple, &msg.mac, |stream| {
-            ShieldedMessage::write_authenticated_parts(
-                &mut |bytes| stream.update(bytes),
-                &msg.payload,
-                msg.kind,
-                msg.confidential,
-                &msg.tuple.to_bytes(),
-            )
-        }) {
+        match self.admit_single(&msg) {
             Admission::Reject(rejection) => rejection.into(),
             Admission::Buffer {
                 peer,
@@ -772,36 +781,47 @@ impl AuthLayer {
                     .insert(counter, PendingFrame::Single(msg));
                 VerifyOutcome::Future { counter, expected }
             }
-            Admission::Deliver { counter } => {
-                let kind = msg.kind;
-                match self.open_payload_owned(msg) {
-                    Ok(payload) => VerifyOutcome::Accept {
-                        kind,
-                        payload,
-                        counter,
-                    },
-                    Err(_) => {
-                        self.rejected_auth += 1;
-                        VerifyOutcome::DecryptionFailed
-                    }
-                }
+            Admission::Deliver { counter } => self.deliver_single(msg, counter),
+        }
+    }
+
+    fn admit_single(&mut self, msg: &ShieldedMessage) -> Admission {
+        self.admit(
+            &msg.tuple,
+            &msg.mac,
+            msg.family(),
+            msg.confidential,
+            &msg.payload,
+        )
+    }
+
+    /// Opens an admitted message into the outcome that delivers it.
+    fn deliver_single(&mut self, msg: ShieldedMessage, counter: u64) -> VerifyOutcome {
+        let kind = msg.kind;
+        match self.open_single(msg) {
+            Ok(payload) => VerifyOutcome::Accept {
+                kind,
+                payload,
+                counter,
+            },
+            Err(_) => {
+                self.rejected_auth += 1;
+                VerifyOutcome::DecryptionFailed
             }
         }
     }
 
     /// Verifies an incoming batch frame (`verify_request` over an amortized
-    /// frame): one MAC check, one counter check and one AEAD pass admit or
-    /// reject all `count` ops as a unit.
+    /// frame): one MAC check, one counter check and one keystream pass admit
+    /// or reject all `count` ops as a unit.
     pub fn verify_batch(&mut self, frame: BatchFrame) -> BatchVerifyOutcome {
-        match self.admit(&frame.tuple, &frame.mac, |stream| {
-            BatchFrame::write_authenticated_parts(
-                &mut |bytes| stream.update(bytes),
-                &frame.body,
-                frame.sealed.as_ref(),
-                frame.count,
-                &frame.tuple.to_bytes(),
-            )
-        }) {
+        match self.admit(
+            &frame.tuple,
+            &frame.mac,
+            frame.family(),
+            frame.sealed,
+            &frame.body,
+        ) {
             Admission::Reject(rejection) => rejection.into(),
             Admission::Buffer {
                 peer,
@@ -813,7 +833,7 @@ impl AuthLayer {
                     .insert(counter, PendingFrame::Batch(frame));
                 BatchVerifyOutcome::Future { counter, expected }
             }
-            Admission::Deliver { counter } => match self.open_batch_owned(frame) {
+            Admission::Deliver { counter } => match self.open_batch(frame) {
                 Ok(ops) => BatchVerifyOutcome::Accept { ops, counter },
                 Err(_) => {
                     self.rejected_auth += 1;
@@ -823,39 +843,52 @@ impl AuthLayer {
         }
     }
 
-    /// The shared `verify_request` core for single messages and batch frames:
-    /// addressing, MAC (over the bytes `write_parts` feeds), view and
-    /// freshness checks, in that order. Advances the trusted receive counter
+    /// The shared `verify_request` core of all three frame families:
+    /// addressing, MAC, view and freshness checks, in that order. The MAC is
+    /// over `body` as it arrived — ciphertext when `sealed`, which also puts
+    /// this enclave's cipher key commitment under it — and nothing is
+    /// decrypted here or before here. Advances the trusted receive counter
     /// on in-order delivery and records rejection statistics; buffering and
-    /// payload opening stay with the callers, which know the frame type.
+    /// opening stay with the callers, which know the frame type.
     fn admit(
         &mut self,
         tuple: &SequenceTuple,
         mac: &MacTag,
-        write_parts: impl FnOnce(&mut MacStream),
+        family: Family,
+        sealed: bool,
+        body: &[u8],
     ) -> Admission {
         if tuple.channel.dst != self.node {
             self.rejected_auth += 1;
             return Admission::Reject(Rejection::Misaddressed);
         }
-        // No key for the claimed source, or an enclave that refuses to hand
-        // it out, authenticates nothing.
+        // No key for the claimed source, a sealed frame and no cipher key to
+        // commit to, or an enclave that refuses to hand them out,
+        // authenticates nothing.
         let keyed = self
             .recv_channel(tuple.channel.src)
             .and_then(|(peer, channel)| {
                 let key = self.enclave.mac_key_at(channel.key).ok()?;
                 let last_accepted = self.enclave.counter_value(channel.counter).ok()?;
-                Some((peer, channel, key.stream(), last_accepted))
+                let commitment = if sealed {
+                    Some(self.enclave.cipher(CIPHER_LABEL).ok()?.key_commitment())
+                } else {
+                    None
+                };
+                let mut stream = key.stream();
+                family.write_authenticated_parts(
+                    &mut |bytes| stream.update(bytes),
+                    body,
+                    commitment,
+                    &tuple.to_bytes(),
+                );
+                stream.verify(mac).ok()?;
+                Some((peer, channel, last_accepted))
             });
-        let Some((peer, channel, mut stream, last_accepted)) = keyed else {
+        let Some((peer, channel, last_accepted)) = keyed else {
             self.rejected_auth += 1;
             return Admission::Reject(Rejection::BadAuthenticator);
         };
-        write_parts(&mut stream);
-        if stream.verify(mac).is_err() {
-            self.rejected_auth += 1;
-            return Admission::Reject(Rejection::BadAuthenticator);
-        }
         if tuple.view != self.view {
             self.rejected_view += 1;
             return Admission::Reject(Rejection::WrongView {
@@ -921,12 +954,12 @@ impl AuthLayer {
             match frame {
                 PendingFrame::Single(msg) => {
                     let kind = msg.kind;
-                    match self.open_payload_owned(msg) {
+                    match self.open_single(msg) {
                         Ok(payload) => ready.push((kind, payload, next)),
                         Err(_) => self.rejected_auth += 1,
                     }
                 }
-                PendingFrame::Batch(batch) => match self.open_batch_owned(batch) {
+                PendingFrame::Batch(batch) => match self.open_batch(batch) {
                     Ok(ops) => {
                         ready.extend(ops.into_iter().map(|op| (op.kind, op.payload, next)));
                     }
@@ -960,6 +993,18 @@ impl AuthLayer {
             .unwrap_or(0)
     }
 
+    /// The trusted receive counter for `src` — the counter of the last frame
+    /// this node's enclave accepted on the `src → self` channel (0 before the
+    /// first). Only an authentic, in-order frame moves it.
+    pub fn recv_counter_from(&self, src: NodeId) -> u64 {
+        self.peers
+            .iter()
+            .find(|peer| peer.node == src)
+            .and_then(|peer| peer.recv)
+            .and_then(|channel| self.enclave.counter_value(channel.counter).ok())
+            .unwrap_or(0)
+    }
+
     /// Re-attestation channel resync: fast-forwards the trusted receive counter
     /// for the `src → self` channel to `peer_send_counter` (the value the
     /// attestation service read from `src`'s enclave) and discards any frames
@@ -977,61 +1022,47 @@ impl AuthLayer {
         self.peers[index].pending.clear();
     }
 
-    /// Opens a borrowed message payload (clones it when no decryption is
-    /// needed — the caller keeps the message).
-    fn open_payload(&self, msg: &ShieldedMessage) -> Result<Vec<u8>, RecipeError> {
-        if !msg.confidential {
-            return Ok(msg.payload.clone());
+    /// Decrypts the body of an admitted frame where it lies, when it was
+    /// sealed: the keystream of the tuple's nonce, XORed a second time. The
+    /// frame's MAC was verified over exactly these bytes before its counter
+    /// slot was spent.
+    fn open_body(
+        &self,
+        tuple: &SequenceTuple,
+        sealed: bool,
+        body: &mut [u8],
+    ) -> Result<(), RecipeError> {
+        if sealed {
+            self.enclave
+                .cipher(CIPHER_LABEL)?
+                .apply_keystream(&tuple.nonce(), body);
         }
-        self.decrypt(&msg.payload)
+        Ok(())
     }
 
-    /// Opens a message payload, moving it out when no decryption is needed.
-    fn open_payload_owned(&self, msg: ShieldedMessage) -> Result<Vec<u8>, RecipeError> {
-        if !msg.confidential {
-            return Ok(msg.payload);
-        }
-        self.decrypt(&msg.payload)
+    /// Opens an admitted message and moves its payload out.
+    fn open_single(&self, mut msg: ShieldedMessage) -> Result<Vec<u8>, RecipeError> {
+        self.open_body(&msg.tuple, msg.confidential, &mut msg.payload)?;
+        Ok(msg.payload)
     }
 
-    /// Opens a batch body (one AEAD pass) and decodes its ops, enforcing the
-    /// authenticated op count.
-    fn open_batch_owned(&self, frame: BatchFrame) -> Result<Vec<BatchOp>, RecipeError> {
-        let body = match frame.sealed {
-            Some(ct) => self.open_ciphertext(ct)?,
-            None => frame.body,
-        };
-        let ops = BatchFrame::decode_ops(&body).ok_or(RecipeError::Malformed("batch body"))?;
+    /// Opens an admitted batch body (one keystream pass) and decodes its
+    /// ops, enforcing the authenticated op count.
+    fn open_batch(&self, mut frame: BatchFrame) -> Result<Vec<BatchOp>, RecipeError> {
+        self.open_body(&frame.tuple, frame.sealed, &mut frame.body)?;
+        let ops =
+            BatchFrame::decode_ops(&frame.body).ok_or(RecipeError::Malformed("batch body"))?;
         if ops.len() != frame.count as usize {
             return Err(RecipeError::Malformed("batch count"));
         }
         Ok(ops)
-    }
-
-    fn decrypt(&self, body: &[u8]) -> Result<Vec<u8>, RecipeError> {
-        let ct = decode_ciphertext(body).ok_or(RecipeError::Malformed("ciphertext"))?;
-        self.open_ciphertext(ct)
-    }
-
-    /// Verifies `ct` and decrypts it where it lies.
-    fn open_ciphertext(&self, ct: recipe_crypto::Ciphertext) -> Result<Vec<u8>, RecipeError> {
-        let cipher = self.enclave.cipher(CIPHER_LABEL)?;
-        cipher
-            .open_owned(ct)
-            .map_err(|_| RecipeError::AuthenticationFailed)
-    }
-
-    fn payload_nonce(channel: &ChannelId, counter: u64) -> Nonce {
-        let value =
-            ((channel.src.0 as u128) << 96) | ((channel.dst.0 as u128) << 64) | counter as u128;
-        Nonce::from_u128(value)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recipe_crypto::{CipherKey, MacKey};
+    use recipe_crypto::MacKey;
     use recipe_tee::{EnclaveConfig, EnclaveId};
 
     /// Builds a pair of auth layers (node 1 → node 2) sharing channel keys, as the
@@ -1308,7 +1339,7 @@ mod tests {
     }
 
     #[test]
-    fn shield_to_wire_is_the_wire_form_of_shield() {
+    fn the_to_wire_calls_are_the_wire_forms_of_the_frame_structs() {
         for confidential in [false, true] {
             // Two identical pairs: same keys, same counters, so the same frames.
             let (mut by_struct, _) = layer_pair(confidential);
@@ -1322,6 +1353,34 @@ mod tests {
                 let parsed = ShieldedMessage::from_wire(&wire).unwrap();
                 match receiver.verify_owned(parsed) {
                     VerifyOutcome::Accept { payload: got, .. } => assert_eq!(got, payload),
+                    other => panic!("expected Accept, got {other:?}"),
+                }
+            }
+            for n in [1, 5] {
+                let wire = by_bytes.shield_batch_to_wire(NodeId(2), &ops(n)).unwrap();
+                assert_eq!(
+                    wire,
+                    by_struct
+                        .shield_batch(NodeId(2), &ops(n))
+                        .unwrap()
+                        .to_wire()
+                );
+                match receiver.verify_batch(BatchFrame::from_wire(&wire).unwrap()) {
+                    BatchVerifyOutcome::Accept { ops: got, .. } => assert_eq!(got, ops(n)),
+                    other => panic!("expected Accept, got {other:?}"),
+                }
+            }
+            assert!(by_bytes.shield_batch_to_wire(NodeId(2), &[]).is_err());
+            for body in [prepare_body(), TxnBody::Commit] {
+                let wire = by_bytes
+                    .shield_txn_to_wire(NodeId(2), 9, &body, confidential)
+                    .unwrap();
+                assert_eq!(
+                    wire,
+                    by_struct.shield_txn(NodeId(2), 9, &body).unwrap().to_wire()
+                );
+                match receiver.verify_txn(TxnFrame::from_wire(&wire).unwrap()) {
+                    TxnVerifyOutcome::Accept { body: got, .. } => assert_eq!(got, body),
                     other => panic!("expected Accept, got {other:?}"),
                 }
             }
@@ -1362,12 +1421,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn confidential_decryption_failure_is_flagged() {
-        let (mut sender, _) = layer_pair(true);
-        let msg = sender.shield(NodeId(2), 4, b"secret").unwrap();
-        // A receiver that shares the MAC key but holds a *different* cipher key (a
-        // misconfigured deployment) detects the failure rather than returning junk.
+    /// A receiver that shares the MAC keys but holds a *different* cipher key
+    /// (a misconfigured deployment).
+    fn receiver_with_another_cipher_key() -> AuthLayer {
         let master = MacKey::from_bytes([9u8; 32]);
         let mut enclave = Enclave::launch(EnclaveId(2), EnclaveConfig::new("code", 2));
         for label in ["cq:1->2", "cq:2->1"] {
@@ -1378,8 +1434,231 @@ mod tests {
         enclave
             .provision_cipher_key(CIPHER_LABEL, CipherKey::from_bytes([99u8; 32]))
             .unwrap();
-        let mut receiver = AuthLayer::new(NodeId(2), enclave, true);
-        assert_eq!(receiver.verify(&msg), VerifyOutcome::DecryptionFailed);
+        AuthLayer::new(NodeId(2), enclave, true)
+    }
+
+    #[test]
+    fn confidential_decryption_failure_is_flagged() {
+        let (mut sender, mut right_key) = layer_pair(true);
+        let msg = sender.shield(NodeId(2), 4, b"secret").unwrap();
+        let batch = sender.shield_batch(NodeId(2), &ops(2)).unwrap();
+        let txn = sender.shield_txn(NodeId(2), 7, &prepare_body()).unwrap();
+        // The cipher key is committed to under the frame MAC: with another
+        // one the frame does not authenticate, so no junk reaches the
+        // protocol and the receive counter stays where it was …
+        let mut receiver = receiver_with_another_cipher_key();
+        for _ in 0..2 {
+            assert_eq!(receiver.verify(&msg), VerifyOutcome::BadAuthenticator);
+            assert_eq!(
+                receiver.verify_batch(batch.clone()),
+                BatchVerifyOutcome::BadAuthenticator
+            );
+            assert_eq!(
+                receiver.verify_txn(txn.clone()),
+                TxnVerifyOutcome::BadAuthenticator
+            );
+        }
+        assert_eq!(receiver.rejection_counts(), (0, 6, 0));
+        assert_eq!(receiver.recv_counter_from(NodeId(1)), 0);
+        // … as it does with none at all: a sealed frame needs the key to
+        // authenticate, not just to open.
+        let (_, mut keyless) = layer_pair(false);
+        assert_eq!(keyless.verify(&msg), VerifyOutcome::BadAuthenticator);
+        // The same frames at the right key.
+        assert!(right_key.verify(&msg).is_accept());
+        assert!(right_key.verify_batch(batch).is_accept());
+        assert!(right_key.verify_txn(txn).is_accept());
+        // Plaintext frames commit to no cipher key and pass either way.
+        let (mut plain_sender, _) = layer_pair(false);
+        let plain = plain_sender.shield(NodeId(2), 4, b"public").unwrap();
+        assert!(receiver.verify(&plain).is_accept());
+    }
+
+    #[test]
+    fn an_authentic_body_that_does_not_decode_is_flagged_not_delivered() {
+        // What `DecryptionFailed` still means: the MAC is good, the slot is
+        // spent, and the body is not what the frame says it is — only a
+        // sender can produce that. Built by sealing mismatched parts by hand.
+        for sealed in [false, true] {
+            let (mut sender, mut receiver) = layer_pair(sealed);
+            let (tuple, body, mac) = sender
+                .shield_owned(
+                    NodeId(2),
+                    Family::Batch { count: 3 },
+                    sealed,
+                    BatchFrame::encode_ops(&ops(2)),
+                )
+                .unwrap();
+            let frame = BatchFrame {
+                tuple,
+                count: 3,
+                body,
+                sealed,
+                mac,
+            };
+            assert_eq!(
+                receiver.verify_batch(frame),
+                BatchVerifyOutcome::DecryptionFailed
+            );
+            let (tuple, body, mac) = sender
+                .shield_owned(NodeId(2), Family::Txn { txn_id: 7 }, sealed, vec![0xFF])
+                .unwrap();
+            let frame = TxnFrame {
+                tuple,
+                txn_id: 7,
+                body,
+                sealed,
+                mac,
+            };
+            assert_eq!(
+                receiver.verify_txn(frame),
+                TxnVerifyOutcome::DecryptionFailed
+            );
+            // Both slots are spent; the channel goes on.
+            let next = sender.shield(NodeId(2), 1, b"next").unwrap();
+            assert_eq!(next.tuple.counter, 3);
+            assert!(receiver.verify(&next).is_accept());
+        }
+    }
+
+    /// Three sealed frames against bytes computed outside this workspace:
+    /// HMAC-SHA-256 from Python's `hmac`, HChaCha20 written out in Python,
+    /// the ChaCha20 keystream from `openssl enc -chacha20`. They pin, for
+    /// each family, the cipher sub-key and key-commitment labels, the nonce
+    /// (`src | dst | counter`, little-endian words), what the MAC covers and
+    /// in which order, and the layout — regenerate them the same way, never
+    /// by printing.
+    #[test]
+    fn sealed_frames_match_an_independent_computation() {
+        let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        let (mut sender, mut receiver) = layer_pair(true);
+        let single = sender
+            .shield_to_wire(NodeId(2), 4, b"secret balance=100")
+            .unwrap();
+        assert_eq!(
+            hex(&single),
+            concat!(
+                "0101",
+                "0000000000000000010000000000000002000000000000000100000000000000",
+                "1f0a003f2b89d485032667f177eaf86ae538d4d38e5cbbe121d7ebf61959e9c7",
+                "0400",
+                "12000000",
+                "6461d8616691f1a1be8b6ba84b001a6d7086",
+            )
+        );
+        let batch = sender.shield_batch_to_wire(NodeId(2), &ops(2)).unwrap();
+        assert_eq!(
+            hex(&batch),
+            concat!(
+                "0201",
+                "0000000000000000010000000000000002000000000000000200000000000000",
+                "7f46ee03acb381faf1ae16a4edab193e7f6aec6376bd03a1c20abdc3814c021e",
+                "02000000",
+                "16000000",
+                "41543ef4db2fbf2caa11d5d4b3483b56593d61e219e5",
+            )
+        );
+        let txn = sender
+            .shield_txn_to_wire(NodeId(2), 7, &prepare_body(), true)
+            .unwrap();
+        assert_eq!(
+            hex(&txn),
+            concat!(
+                "0301",
+                "0000000000000000010000000000000002000000000000000300000000000000",
+                "e1ed599a2bb14d7a9d9ea425c6f513719f96c48e6322981524c99878b3b929fb",
+                "0700000000000000",
+                "23000000",
+                "ae45bdea4b8412319f29c35350a680221635d7dd86458369aaf8413834d02b04b5ffc5",
+            )
+        );
+        assert!(receiver
+            .verify_owned(ShieldedMessage::from_wire(&single).unwrap())
+            .is_accept());
+        assert!(receiver
+            .verify_batch(BatchFrame::from_wire(&batch).unwrap())
+            .is_accept());
+        assert!(receiver
+            .verify_txn(TxnFrame::from_wire(&txn).unwrap())
+            .is_accept());
+    }
+
+    #[test]
+    fn store_keys_follow_the_provisioned_key_and_the_node() {
+        let (node_1, node_2) = layer_pair(true);
+        let key = node_1.store_cipher_key().unwrap();
+        assert_eq!(key, node_1.store_cipher_key().unwrap());
+        assert_ne!(key, node_2.store_cipher_key().unwrap());
+        // Not the provisioned key, and not without it.
+        assert_ne!(key, CipherKey::from_bytes([3u8; 32]));
+        assert_ne!(
+            key,
+            receiver_with_another_cipher_key()
+                .store_cipher_key()
+                .unwrap()
+        );
+        assert!(layer_pair(false).0.store_cipher_key().is_err());
+    }
+
+    #[test]
+    fn equal_payloads_never_share_a_ciphertext() {
+        let master = MacKey::from_bytes([9u8; 32]);
+        let mut enclave = Enclave::launch(EnclaveId(1), EnclaveConfig::new("code", 1));
+        for label in ["cq:1->2", "cq:1->3"] {
+            enclave
+                .provision_mac_key(label, master.derive(label))
+                .unwrap();
+        }
+        enclave
+            .provision_cipher_key(CIPHER_LABEL, CipherKey::from_bytes([3u8; 32]))
+            .unwrap();
+        let mut sender = AuthLayer::new(NodeId(1), enclave, true);
+        let payload = [0x5Au8; 96];
+        // Consecutive counters on one channel, and one counter on two
+        // channels: the nonce is the whole (src, dst, counter).
+        let first = sender.shield(NodeId(2), 1, &payload).unwrap();
+        let second = sender.shield(NodeId(2), 1, &payload).unwrap();
+        let other = sender.shield(NodeId(3), 1, &payload).unwrap();
+        assert_eq!(
+            (
+                first.tuple.counter,
+                second.tuple.counter,
+                other.tuple.counter
+            ),
+            (1, 2, 1)
+        );
+        for (a, b) in [(&first, &second), (&first, &other), (&second, &other)] {
+            assert_eq!(a.payload.len(), payload.len());
+            assert_ne!(a.payload, b.payload);
+            // Not a shifted or partly shared keystream either.
+            let same = a.payload.iter().zip(&b.payload).filter(|(x, y)| x == y);
+            assert!(same.count() < 8);
+        }
+    }
+
+    #[test]
+    fn a_flipped_sealed_flag_verifies_as_neither() {
+        for confidential in [false, true] {
+            let (mut sender, mut receiver) = layer_pair(true);
+            sender.confidentiality = confidential.into();
+            // A plaintext frame passed off as sealed, and the other way
+            // round: the flag is under the MAC, and nothing is decrypted or
+            // delivered on its say-so.
+            let mut single = sender.shield(NodeId(2), 1, b"payload").unwrap();
+            single.confidential ^= true;
+            assert_eq!(receiver.verify(&single), VerifyOutcome::BadAuthenticator);
+            single.confidential ^= true;
+            let mut batch = sender.shield_batch(NodeId(2), &ops(2)).unwrap();
+            batch.sealed ^= true;
+            assert_eq!(
+                receiver.verify_batch(batch.clone()),
+                BatchVerifyOutcome::BadAuthenticator
+            );
+            batch.sealed ^= true;
+            // No slot was spent on the flips.
+            assert!(receiver.verify(&single).is_accept());
+            assert!(receiver.verify_batch(batch).is_accept());
+        }
     }
 
     fn ops(n: usize) -> Vec<BatchOp> {
@@ -1418,10 +1697,10 @@ mod tests {
         ];
         let frame = sender.shield_batch(NodeId(2), &batch).unwrap();
         assert!(frame.is_confidential());
-        assert!(frame.body.is_empty());
-        let sealed = frame.sealed.clone().unwrap();
-        assert!(!sealed
-            .bytes
+        // The ciphertext of the encoded ops and nothing else: no nonce, no tag.
+        assert_eq!(frame.body.len(), BatchFrame::ops_len(&batch));
+        assert!(!frame
+            .body
             .windows(b"balance".len())
             .any(|w| w == b"balance"));
         match receiver.verify_batch(frame) {
@@ -1583,10 +1862,12 @@ mod tests {
         let (mut sender, mut receiver) = layer_pair(true);
         let frame = sender.shield_txn(NodeId(2), 7, &prepare_body()).unwrap();
         assert!(frame.is_confidential());
-        assert!(frame.body.is_empty());
-        let sealed = frame.sealed.clone().unwrap();
-        assert!(!sealed.bytes.windows(7).any(|w| w == b"balance"));
-        assert!(!sealed.bytes.windows(7).any(|w| w == b"account"));
+        assert_eq!(
+            frame.body.len(),
+            TxnFrame::encode_body(&prepare_body()).len()
+        );
+        assert!(!frame.body.windows(7).any(|w| w == b"balance"));
+        assert!(!frame.body.windows(7).any(|w| w == b"account"));
         match receiver.verify_txn(frame) {
             TxnVerifyOutcome::Accept { body, .. } => assert_eq!(body, prepare_body()),
             other => panic!("expected Accept, got {other:?}"),
@@ -1599,25 +1880,21 @@ mod tests {
         // by frame.
         let (mut sender, mut receiver) = layer_pair(true);
         for (i, seal) in [false, true, true, false].into_iter().enumerate() {
-            let frame = sender
-                .shield_txn_as(NodeId(2), 7, &prepare_body(), seal)
+            let wire = sender
+                .shield_txn_to_wire(NodeId(2), 7, &prepare_body(), seal)
                 .unwrap();
+            let frame = TxnFrame::from_wire(&wire).unwrap();
             assert_eq!(frame.tuple.counter, i as u64 + 1);
             assert_eq!(frame.is_confidential(), seal);
-            if !seal {
-                // The flag is under the MAC: the plaintext body passed off as
-                // a ciphertext authenticates nothing and burns no slot.
-                let mut as_sealed = frame.clone();
-                as_sealed.sealed = Some(recipe_crypto::Ciphertext {
-                    nonce: Nonce::from_u128(0),
-                    tag: [0; 32],
-                    bytes: std::mem::take(&mut as_sealed.body),
-                });
-                assert_eq!(
-                    receiver.verify_txn(as_sealed),
-                    TxnVerifyOutcome::BadAuthenticator
-                );
-            }
+            // The flag is under the MAC: a plaintext body passed off as a
+            // ciphertext, or a ciphertext as plaintext, authenticates
+            // nothing and burns no slot.
+            let mut flipped = frame.clone();
+            flipped.sealed ^= true;
+            assert_eq!(
+                receiver.verify_txn(flipped),
+                TxnVerifyOutcome::BadAuthenticator
+            );
             match receiver.verify_txn(frame) {
                 TxnVerifyOutcome::Accept { body, counter, .. } => {
                     assert_eq!(body, prepare_body());

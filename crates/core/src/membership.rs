@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 pub struct Membership {
     members: Vec<NodeId>,
     fault_threshold: usize,
+    group: u64,
 }
 
 impl Membership {
@@ -27,7 +28,23 @@ impl Membership {
         Membership {
             members,
             fault_threshold,
+            group: 0,
         }
+    }
+
+    /// Places the membership in replica group `group` of a deployment with
+    /// several (a shard index). Replica ids are group-local — every group's
+    /// run `0..n` — so whatever a deployment derives per replica from its id
+    /// must take the group with it, or it comes out the same in every group.
+    pub fn in_group(mut self, group: u64) -> Self {
+        self.group = group;
+        self
+    }
+
+    /// The replica group this membership is (0 unless placed by
+    /// [`Membership::in_group`]).
+    pub fn group(&self) -> u64 {
+        self.group
     }
 
     /// Builds the common `2f + 1` membership with node ids `0..2f+1`.

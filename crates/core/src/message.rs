@@ -1,7 +1,7 @@
 //! Message formats: client requests, shielded replica-to-replica messages and the
 //! sequence tuples that make equivocation detectable.
 
-use recipe_crypto::{Ciphertext, MacTag, Nonce, Signature};
+use recipe_crypto::{KeyCommitment, MacTag, Signature, XNonce, DIGEST_LEN};
 use recipe_net::{ChannelId, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -34,6 +34,21 @@ impl SequenceTuple {
         bytes
     }
 
+    /// The XChaCha20 nonce of the one frame sealed under this tuple:
+    /// `src | dst | counter`, the last 24 bytes of [`SequenceTuple::to_bytes`].
+    ///
+    /// Both ends derive it, so it is never sent, and it is authentic because
+    /// the tuple is under the frame MAC. It is unique under the cipher key
+    /// because a channel's trusted counter never repeats — across views as
+    /// within one, which is why the view is left out. Node ids and the
+    /// counter go in whole: the derivation is injective over all of `u64`,
+    /// whatever block of ids an endpoint's comes from.
+    pub fn nonce(&self) -> XNonce {
+        let mut nonce = [0u8; 24];
+        nonce.copy_from_slice(&self.to_bytes()[8..]);
+        nonce
+    }
+
     fn read(r: &mut Reader<'_>) -> Option<SequenceTuple> {
         let view = r.u64()?;
         let channel = ChannelId::new(NodeId(r.u64()?), NodeId(r.u64()?));
@@ -46,67 +61,173 @@ impl SequenceTuple {
     }
 }
 
-/// Bytes of the header every shielded frame family shares after its tag:
-/// flags byte, sequence tuple, MAC tag.
-const SHIELD_HEADER_LEN: usize = 1 + 1 + SequenceTuple::LEN + recipe_crypto::DIGEST_LEN;
+/// Bytes of the header every shielded frame family starts with: family tag,
+/// sealed flag, sequence tuple, MAC tag.
+const SHIELD_HEADER_LEN: usize = 1 + 1 + SequenceTuple::LEN + DIGEST_LEN;
 
-/// Bytes [`write_ciphertext`] produces for `ct`.
-fn ciphertext_len(ct: &Ciphertext) -> usize {
-    bytes_len(ct.wire_len())
+/// Where the MAC tag sits in that header.
+const MAC_AT: usize = 1 + 1 + SequenceTuple::LEN;
+
+/// Domain-separation prefix folded into every batch-frame MAC so a batch
+/// authenticator can never be replayed as (or confused with) a single-message
+/// authenticator. A single message's MAC input starts with its payload length
+/// as a little-endian `u64`; this ASCII prefix decodes to an impossible length.
+const BATCH_MAC_DOMAIN: &[u8] = b"recipe.batch.v1";
+
+/// Domain-separation prefix folded into every transaction-frame MAC, so a 2PC
+/// authenticator can never be replayed as (or confused with) a single-message
+/// or batch authenticator. Mirrors [`BATCH_MAC_DOMAIN`].
+const TXN_MAC_DOMAIN: &[u8] = b"recipe.txn.v1";
+
+/// The three shielded frame families, each with the one field it carries
+/// between the shared header and the body. On the wire every family is
+///
+/// ```text
+/// tag | sealed | view src dst counter | mac | field | len u32 | body
+/// ```
+///
+/// and a sealed frame differs from a plaintext one in the flag and in what
+/// the body bytes are — the XChaCha20 ciphertext of the plaintext body, as
+/// long as it, with no nonce and no tag of its own: the nonce is
+/// [`SequenceTuple::nonce`] and the frame MAC is the only authenticator.
+#[derive(Clone, Copy)]
+pub(crate) enum Family {
+    /// [`ShieldedMessage`]: the protocol-defined message kind.
+    Single { kind: u16 },
+    /// [`BatchFrame`]: the number of ops in the body.
+    Batch { count: u32 },
+    /// [`TxnFrame`]: the transaction the frame belongs to.
+    Txn { txn_id: u64 },
 }
 
-/// Writes a ciphertext as `nonce | tag | len u32 | bytes`.
-fn write_ciphertext(w: &mut Writer, ct: &Ciphertext) {
-    w.raw(ct.nonce.as_bytes()).raw(&ct.tag).bytes(&ct.bytes);
-}
+impl Family {
+    fn tag(self) -> u8 {
+        match self {
+            Family::Single { .. } => tag::SINGLE,
+            Family::Batch { .. } => tag::BATCH,
+            Family::Txn { .. } => tag::TXN,
+        }
+    }
 
-/// Reads a ciphertext written by [`write_ciphertext`].
-fn read_ciphertext(r: &mut Reader<'_>) -> Option<Ciphertext> {
-    Some(Ciphertext {
-        nonce: Nonce::from_bytes(r.array()?),
-        tag: r.array()?,
-        bytes: r.bytes()?.to_vec(),
-    })
-}
+    fn write_field(self, w: &mut Writer) {
+        match self {
+            Family::Single { kind } => w.u16(kind),
+            Family::Batch { count } => w.u32(count),
+            Family::Txn { txn_id } => w.u64(txn_id),
+        };
+    }
 
-/// A ciphertext on its own: the payload of a confidential
-/// [`ShieldedMessage`].
-pub(crate) fn encode_ciphertext(ct: &Ciphertext) -> Vec<u8> {
-    let mut w = Writer::with_capacity(ciphertext_len(ct));
-    write_ciphertext(&mut w, ct);
-    w.finish()
-}
+    /// Wire bytes of a frame of this family with `body_len` body bytes.
+    fn wire_len(self, body_len: usize) -> usize {
+        let field_len = match self {
+            Family::Single { .. } => 2,
+            Family::Batch { .. } => 4,
+            Family::Txn { .. } => 8,
+        };
+        SHIELD_HEADER_LEN + field_len + bytes_len(body_len)
+    }
 
-/// Parses a payload written by [`encode_ciphertext`].
-pub(crate) fn decode_ciphertext(bytes: &[u8]) -> Option<Ciphertext> {
-    let mut r = Reader::new(bytes);
-    let ct = read_ciphertext(&mut r)?;
-    r.finish()?;
-    Some(ct)
-}
+    /// Hands the bytes the frame MAC covers to `put`, piece by piece and in
+    /// order; what the MAC covers is their concatenation. The authentication
+    /// layer points `put` at a running MAC, so the body is authenticated
+    /// where it lies — in a frame struct or in the wire buffer.
+    ///
+    /// `body` is the body as it travels (ciphertext when sealed) and
+    /// `commitment` is the sealing cipher's [`KeyCommitment`], `Some` exactly
+    /// for a sealed frame: it sets the flag byte and goes last, so a receiver
+    /// holding the channel key but another cipher key computes another MAC.
+    /// A plaintext frame's input is what it always was.
+    pub(crate) fn write_authenticated_parts(
+        self,
+        put: &mut impl FnMut(&[u8]),
+        body: &[u8],
+        commitment: Option<&KeyCommitment>,
+        tuple_bytes: &[u8],
+    ) {
+        let body_len = (body.len() as u64).to_le_bytes();
+        let sealed = [u8::from(commitment.is_some())];
+        match self {
+            Family::Single { kind } => {
+                put(&body_len);
+                put(body);
+                put(&kind.to_le_bytes());
+                put(&sealed);
+            }
+            Family::Batch { count } => {
+                put(BATCH_MAC_DOMAIN);
+                put(&body_len);
+                put(body);
+                put(&sealed);
+                put(&count.to_le_bytes());
+            }
+            Family::Txn { txn_id } => {
+                put(TXN_MAC_DOMAIN);
+                put(&body_len);
+                put(body);
+                put(&sealed);
+                put(&txn_id.to_le_bytes());
+            }
+        }
+        put(tuple_bytes);
+        if let Some(commitment) = commitment {
+            put(commitment);
+        }
+    }
 
-/// Writes the body of a batch or 2PC frame: the sealed ciphertext when there
-/// is one (a sealed frame carries no plaintext body), the plaintext otherwise.
-/// The frame's flags byte says which.
-fn write_body(w: &mut Writer, body: &[u8], sealed: Option<&Ciphertext>) {
-    match sealed {
-        Some(ct) => write_ciphertext(w, ct),
-        None => {
-            w.bytes(body);
+    /// Lays a frame out in its wire buffer, `write_body` appending exactly
+    /// `body_len` body bytes behind the header — a body a frame struct
+    /// already holds, or one encoded straight into place. The MAC slot is
+    /// left empty: the sender seals and MACs the body where it now lies and
+    /// [`WireImage::finish`] fills the slot in.
+    pub(crate) fn image(
+        self,
+        tuple: &SequenceTuple,
+        sealed: bool,
+        body_len: usize,
+        write_body: impl FnOnce(&mut Writer),
+    ) -> WireImage {
+        let wire_len = self.wire_len(body_len);
+        let mut w = Writer::tagged(self.tag(), wire_len);
+        w.bool(sealed).raw(&tuple.to_bytes()).raw(&[0; DIGEST_LEN]);
+        self.write_field(&mut w);
+        w.count(body_len);
+        write_body(&mut w);
+        let buf = w.finish();
+        assert_eq!(buf.len(), wire_len, "frame body is not the length given");
+        WireImage {
+            buf,
+            body_at: wire_len - body_len,
         }
     }
 }
 
-fn body_len(body: &[u8], sealed: Option<&Ciphertext>) -> usize {
-    sealed.map_or(bytes_len(body.len()), ciphertext_len)
+/// A shielded frame in its wire buffer, complete but for the MAC tag.
+pub(crate) struct WireImage {
+    buf: Vec<u8>,
+    body_at: usize,
 }
 
-fn read_body(r: &mut Reader<'_>, sealed: bool) -> Option<(Vec<u8>, Option<Ciphertext>)> {
-    if sealed {
-        Some((Vec::new(), Some(read_ciphertext(r)?)))
-    } else {
-        Some((r.bytes()?.to_vec(), None))
+impl WireImage {
+    /// The body bytes, to seal and MAC in place.
+    pub(crate) fn body_mut(&mut self) -> &mut [u8] {
+        &mut self.buf[self.body_at..]
     }
+
+    /// The wire bytes, with `mac` in its slot.
+    pub(crate) fn finish(mut self, mac: &MacTag) -> Vec<u8> {
+        self.buf[MAC_AT..MAC_AT + DIGEST_LEN].copy_from_slice(mac.as_bytes());
+        self.buf
+    }
+}
+
+/// Reads the header the families share; the reader is left at the family's
+/// field.
+fn read_header(bytes: &[u8], tag: u8) -> Option<(Reader<'_>, bool, SequenceTuple, MacTag)> {
+    let mut r = Reader::tagged(bytes, tag)?;
+    let sealed = r.bool()?;
+    let tuple = SequenceTuple::read(&mut r)?;
+    let mac = MacTag::from_bytes(r.array()?);
+    Some((r, sealed, tuple, mac))
 }
 
 impl fmt::Debug for SequenceTuple {
@@ -134,80 +255,23 @@ pub struct ShieldedMessage {
 }
 
 impl ShieldedMessage {
-    /// The bytes covered by the MAC (payload, kind, confidentiality flag, tuple).
-    pub fn authenticated_parts<'a>(
-        payload: &'a [u8],
-        kind: u16,
-        confidential: bool,
-        tuple_bytes: &'a [u8],
-    ) -> [Vec<u8>; 1] {
-        // Assembled into a single length-prefixed buffer to keep the MAC interface
-        // simple across call sites.
-        let mut buf = Vec::with_capacity(payload.len() + tuple_bytes.len() + 8);
-        Self::write_authenticated_parts(
-            &mut |bytes| buf.extend_from_slice(bytes),
-            payload,
-            kind,
-            confidential,
-            tuple_bytes,
-        );
-        [buf]
-    }
-
-    /// Hands the MAC-covered bytes to `put`, piece by piece and in order. The
-    /// authentication layer points `put` at a running MAC, so the payload is
-    /// authenticated where it lies; what the MAC covers is the concatenation.
-    pub fn write_authenticated_parts(
-        put: &mut impl FnMut(&[u8]),
-        payload: &[u8],
-        kind: u16,
-        confidential: bool,
-        tuple_bytes: &[u8],
-    ) {
-        put(&(payload.len() as u64).to_le_bytes());
-        put(payload);
-        put(&kind.to_le_bytes());
-        put(&[u8::from(confidential)]);
-        put(tuple_bytes);
+    pub(crate) fn family(&self) -> Family {
+        Family::Single { kind: self.kind }
     }
 
     /// Serializes the message for the wire:
     /// `tag | confidential | tuple | mac | kind u16 | payload`.
     pub fn to_wire(&self) -> Vec<u8> {
-        Self::wire_from_parts(
-            &self.tuple,
-            self.kind,
-            &self.payload,
-            self.confidential,
-            &self.mac,
-        )
-    }
-
-    /// The wire bytes of the message these fields make up, written straight
-    /// from them: a sender that only needs the bytes copies the payload once,
-    /// into the frame.
-    pub fn wire_from_parts(
-        tuple: &SequenceTuple,
-        kind: u16,
-        payload: &[u8],
-        confidential: bool,
-        mac: &MacTag,
-    ) -> Vec<u8> {
-        let mut w = Writer::tagged(tag::SINGLE, Self::wire_len_of(payload.len()));
-        w.bool(confidential)
-            .raw(&tuple.to_bytes())
-            .raw(mac.as_bytes())
-            .u16(kind)
-            .bytes(payload);
-        w.finish()
+        self.family()
+            .image(&self.tuple, self.confidential, self.payload.len(), |w| {
+                w.raw(&self.payload);
+            })
+            .finish(&self.mac)
     }
 
     /// Parses a message from wire bytes.
     pub fn from_wire(bytes: &[u8]) -> Option<ShieldedMessage> {
-        let mut r = Reader::tagged(bytes, tag::SINGLE)?;
-        let confidential = r.bool()?;
-        let tuple = SequenceTuple::read(&mut r)?;
-        let mac = MacTag::from_bytes(r.array()?);
+        let (mut r, confidential, tuple, mac) = read_header(bytes, tag::SINGLE)?;
         let kind = r.u16()?;
         let payload = r.bytes()?.to_vec();
         r.finish()?;
@@ -222,11 +286,7 @@ impl ShieldedMessage {
 
     /// Size on the wire (drives the network cost model).
     pub fn wire_len(&self) -> usize {
-        Self::wire_len_of(self.payload.len())
-    }
-
-    fn wire_len_of(payload_len: usize) -> usize {
-        SHIELD_HEADER_LEN + 2 + bytes_len(payload_len)
+        self.family().wire_len(self.payload.len())
     }
 }
 
@@ -259,12 +319,6 @@ impl BatchOp {
     }
 }
 
-/// Domain-separation prefix folded into every batch-frame MAC so a batch
-/// authenticator can never be replayed as (or confused with) a single-message
-/// authenticator. A single message's MAC input starts with its payload length
-/// as a little-endian `u64`; this ASCII prefix decodes to an impossible length.
-const BATCH_MAC_DOMAIN: &[u8] = b"recipe.batch.v1";
-
 /// Wire bytes of a [`BatchOp`] with an empty payload: `kind u16 | len u32`.
 const BATCH_OP_MIN_LEN: usize = 2 + 4;
 
@@ -277,8 +331,8 @@ const BATCH_OP_MIN_LEN: usize = 2 + 4;
 /// single messages interleave in one non-equivocation sequence. The ops ride
 /// in a compact length-prefixed binary body (amortized framing is part of the
 /// point — per-op envelope overhead is what batching removes), and confidential
-/// mode seals that body with **one** AEAD pass, carried as a typed
-/// [`Ciphertext`] rather than re-serialized bytes.
+/// mode encrypts that body in **one** keystream pass, in place: a sealed body
+/// is as long as the plaintext one and the frame MAC is its authenticator.
 #[derive(Clone, PartialEq, Eq)]
 pub struct BatchFrame {
     /// Sequence tuple (view, channel, counter) — one slot for the whole frame.
@@ -286,19 +340,24 @@ pub struct BatchFrame {
     /// Number of ops in the body (authenticated, so the untrusted host cannot
     /// truncate or pad a frame without breaking the MAC).
     pub count: u32,
-    /// Compact binary encoding of the ops ([`BatchFrame::encode_ops`]); empty
-    /// in confidential mode.
+    /// Compact binary encoding of the ops ([`BatchFrame::encode_ops`]), or
+    /// its ciphertext when `sealed`.
     pub body: Vec<u8>,
-    /// The sealed body in confidential mode (`None` in plaintext mode).
-    pub sealed: Option<Ciphertext>,
-    /// MAC over body/ciphertext, count and tuple under the channel key.
+    /// Whether `body` is encrypted.
+    pub sealed: bool,
+    /// MAC over body, sealed flag, count and tuple (and, when sealed, the
+    /// cipher's key commitment) under the channel key.
     pub mac: MacTag,
 }
 
 impl BatchFrame {
+    pub(crate) fn family(&self) -> Family {
+        Family::Batch { count: self.count }
+    }
+
     /// Whether the frame's body is encrypted.
     pub fn is_confidential(&self) -> bool {
-        self.sealed.is_some()
+        self.sealed
     }
 
     /// Canonical binary encoding of a frame body (the plaintext that gets
@@ -347,77 +406,21 @@ impl BatchFrame {
         Some(ops)
     }
 
-    /// The bytes covered by the MAC (domain tag, body or nonce‖ciphertext‖tag,
-    /// confidentiality flag, count, tuple).
-    pub fn authenticated_parts<'a>(
-        body: &'a [u8],
-        sealed: Option<&'a Ciphertext>,
-        count: u32,
-        tuple_bytes: &'a [u8],
-    ) -> [Vec<u8>; 1] {
-        let mut buf =
-            Vec::with_capacity(BATCH_MAC_DOMAIN.len() + body.len() + tuple_bytes.len() + 64);
-        Self::write_authenticated_parts(
-            &mut |bytes| buf.extend_from_slice(bytes),
-            body,
-            sealed,
-            count,
-            tuple_bytes,
-        );
-        [buf]
-    }
-
-    /// Hands the MAC-covered bytes to `put`, piece by piece and in order (see
-    /// [`ShieldedMessage::write_authenticated_parts`]).
-    pub fn write_authenticated_parts(
-        put: &mut impl FnMut(&[u8]),
-        body: &[u8],
-        sealed: Option<&Ciphertext>,
-        count: u32,
-        tuple_bytes: &[u8],
-    ) {
-        put(BATCH_MAC_DOMAIN);
-        match sealed {
-            None => {
-                put(&(body.len() as u64).to_le_bytes());
-                put(body);
-                put(&[0]);
-            }
-            Some(ct) => {
-                put(&(ct.bytes.len() as u64).to_le_bytes());
-                put(ct.nonce.as_bytes());
-                put(&ct.bytes);
-                // The AEAD tag too: a frame whose tag was tampered with must
-                // fail here, before the receive counter advances, or the
-                // intact frame could no longer be delivered.
-                put(&ct.tag);
-                put(&[1]);
-            }
-        }
-        put(&count.to_le_bytes());
-        put(tuple_bytes);
-    }
-
     /// Serializes the frame for the wire:
-    /// `tag | sealed | tuple | mac | count u32 | body or ciphertext`.
+    /// `tag | sealed | tuple | mac | count u32 | body`.
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut w = Writer::tagged(tag::BATCH, self.wire_len());
-        w.bool(self.is_confidential())
-            .raw(&self.tuple.to_bytes())
-            .raw(self.mac.as_bytes())
-            .u32(self.count);
-        write_body(&mut w, &self.body, self.sealed.as_ref());
-        w.finish()
+        self.family()
+            .image(&self.tuple, self.sealed, self.body.len(), |w| {
+                w.raw(&self.body);
+            })
+            .finish(&self.mac)
     }
 
     /// Parses a frame from wire bytes.
     pub fn from_wire(bytes: &[u8]) -> Option<BatchFrame> {
-        let mut r = Reader::tagged(bytes, tag::BATCH)?;
-        let is_sealed = r.bool()?;
-        let tuple = SequenceTuple::read(&mut r)?;
-        let mac = MacTag::from_bytes(r.array()?);
+        let (mut r, sealed, tuple, mac) = read_header(bytes, tag::BATCH)?;
         let count = r.u32()?;
-        let (body, sealed) = read_body(&mut r, is_sealed)?;
+        let body = r.bytes()?.to_vec();
         r.finish()?;
         Some(BatchFrame {
             tuple,
@@ -430,7 +433,7 @@ impl BatchFrame {
 
     /// Size on the wire (drives the network cost model).
     pub fn wire_len(&self) -> usize {
-        SHIELD_HEADER_LEN + 4 + body_len(&self.body, self.sealed.as_ref())
+        self.family().wire_len(self.body.len())
     }
 }
 
@@ -441,9 +444,7 @@ impl fmt::Debug for BatchFrame {
             "BatchFrame({:?}, {} ops, {}B{})",
             self.tuple,
             self.count,
-            self.sealed
-                .as_ref()
-                .map_or(self.body.len(), |ct| ct.bytes.len()),
+            self.body.len(),
             if self.is_confidential() { ", conf" } else { "" }
         )
     }
@@ -573,16 +574,11 @@ impl From<Operation> for Request {
     }
 }
 
-/// Domain-separation prefix folded into every transaction-frame MAC, so a 2PC
-/// authenticator can never be replayed as (or confused with) a single-message
-/// or batch authenticator. Mirrors [`BATCH_MAC_DOMAIN`].
-const TXN_MAC_DOMAIN: &[u8] = b"recipe.txn.v1";
-
 /// One two-phase-commit message, carried as the body of a [`TxnFrame`].
 ///
 /// The coordinator sends `Prepare` / `Commit` / `Abort`; the participant
 /// shard leader answers `Vote` / `Ack`. Every body travels MAC'd and
-/// counter-stamped (and AEAD-sealed when any participant shard's policy is
+/// counter-stamped (and encrypted when any participant shard's policy is
 /// confidential) — the untrusted infrastructure never observes or forges a
 /// 2PC decision.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -623,33 +619,56 @@ pub struct TxnFrame {
     /// The transaction this frame belongs to (authenticated, so a frame can
     /// never be spliced into another transaction).
     pub txn_id: u64,
-    /// Serialized [`TxnBody`]; empty in confidential mode.
+    /// Serialized [`TxnBody`] ([`TxnFrame::encode_body`]), or its ciphertext
+    /// when `sealed`.
     pub body: Vec<u8>,
-    /// The sealed body in confidential mode (`None` in plaintext mode).
-    pub sealed: Option<Ciphertext>,
-    /// MAC over domain, body/ciphertext, txn id and tuple under the channel
-    /// key.
+    /// Whether `body` is encrypted.
+    pub sealed: bool,
+    /// MAC over domain, body, sealed flag, txn id and tuple (and, when
+    /// sealed, the cipher's key commitment) under the channel key.
     pub mac: MacTag,
 }
 
 impl TxnFrame {
+    pub(crate) fn family(&self) -> Family {
+        Family::Txn {
+            txn_id: self.txn_id,
+        }
+    }
+
     /// Whether the frame's body is encrypted.
     pub fn is_confidential(&self) -> bool {
-        self.sealed.is_some()
+        self.sealed
     }
 
     /// Serializes a body for framing: `tag | variant | fields`.
     pub fn encode_body(body: &TxnBody) -> Vec<u8> {
-        let ops_len = match body {
-            TxnBody::Prepare { ops } => ops.iter().map(Operation::wire_len).sum(),
-            _ => 0,
-        };
-        let mut w = Writer::tagged(tag::TXN_BODY, 8 + ops_len);
+        let mut w = Writer::with_capacity(Self::body_len(body));
+        Self::write_body(&mut w, body);
+        w.finish()
+    }
+
+    /// Bytes [`TxnFrame::write_body`] produces for `body`.
+    pub(crate) fn body_len(body: &TxnBody) -> usize {
+        2 + match body {
+            TxnBody::Prepare { ops } => 4 + ops.iter().map(Operation::wire_len).sum::<usize>(),
+            TxnBody::Vote { conflict, .. } => {
+                1 + 1 + conflict.as_ref().map_or(0, |key| bytes_len(key.len()))
+            }
+            TxnBody::Commit | TxnBody::Abort => 0,
+            TxnBody::Ack { .. } => 4,
+        }
+    }
+
+    /// Appends the body encoding to `w` (what [`TxnFrame::encode_body`]
+    /// returns).
+    pub(crate) fn write_body(w: &mut Writer, body: &TxnBody) {
+        w.u8(tag::TXN_BODY);
         match body {
             TxnBody::Prepare { ops } => {
                 w.u8(0).count(ops.len());
                 for op in ops {
-                    op.write(&mut w);
+                    op.write(w);
                 }
             }
             TxnBody::Vote { granted, conflict } => {
@@ -665,7 +684,6 @@ impl TxnFrame {
                 w.u8(4).u32(*applied);
             }
         }
-        w.finish()
     }
 
     /// Decodes a frame body. `None` on malformed bytes.
@@ -688,77 +706,21 @@ impl TxnFrame {
         Some(body)
     }
 
-    /// The bytes covered by the MAC (domain tag, body or nonce‖ciphertext‖tag,
-    /// confidentiality flag, txn id, tuple).
-    pub fn authenticated_parts<'a>(
-        body: &'a [u8],
-        sealed: Option<&'a Ciphertext>,
-        txn_id: u64,
-        tuple_bytes: &'a [u8],
-    ) -> [Vec<u8>; 1] {
-        let mut buf =
-            Vec::with_capacity(TXN_MAC_DOMAIN.len() + body.len() + tuple_bytes.len() + 64);
-        Self::write_authenticated_parts(
-            &mut |bytes| buf.extend_from_slice(bytes),
-            body,
-            sealed,
-            txn_id,
-            tuple_bytes,
-        );
-        [buf]
-    }
-
-    /// Hands the MAC-covered bytes to `put`, piece by piece and in order (see
-    /// [`ShieldedMessage::write_authenticated_parts`]).
-    pub fn write_authenticated_parts(
-        put: &mut impl FnMut(&[u8]),
-        body: &[u8],
-        sealed: Option<&Ciphertext>,
-        txn_id: u64,
-        tuple_bytes: &[u8],
-    ) {
-        put(TXN_MAC_DOMAIN);
-        match sealed {
-            None => {
-                put(&(body.len() as u64).to_le_bytes());
-                put(body);
-                put(&[0]);
-            }
-            Some(ct) => {
-                put(&(ct.bytes.len() as u64).to_le_bytes());
-                put(ct.nonce.as_bytes());
-                put(&ct.bytes);
-                // The AEAD tag too: a frame whose tag was tampered with must
-                // fail here, before the receive counter advances, or the
-                // intact frame could no longer be delivered.
-                put(&ct.tag);
-                put(&[1]);
-            }
-        }
-        put(&txn_id.to_le_bytes());
-        put(tuple_bytes);
-    }
-
     /// Serializes the frame for the wire:
-    /// `tag | sealed | tuple | mac | txn_id u64 | body or ciphertext`.
+    /// `tag | sealed | tuple | mac | txn_id u64 | body`.
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut w = Writer::tagged(tag::TXN, self.wire_len());
-        w.bool(self.is_confidential())
-            .raw(&self.tuple.to_bytes())
-            .raw(self.mac.as_bytes())
-            .u64(self.txn_id);
-        write_body(&mut w, &self.body, self.sealed.as_ref());
-        w.finish()
+        self.family()
+            .image(&self.tuple, self.sealed, self.body.len(), |w| {
+                w.raw(&self.body);
+            })
+            .finish(&self.mac)
     }
 
     /// Parses a frame from wire bytes.
     pub fn from_wire(bytes: &[u8]) -> Option<TxnFrame> {
-        let mut r = Reader::tagged(bytes, tag::TXN)?;
-        let is_sealed = r.bool()?;
-        let tuple = SequenceTuple::read(&mut r)?;
-        let mac = MacTag::from_bytes(r.array()?);
+        let (mut r, sealed, tuple, mac) = read_header(bytes, tag::TXN)?;
         let txn_id = r.u64()?;
-        let (body, sealed) = read_body(&mut r, is_sealed)?;
+        let body = r.bytes()?.to_vec();
         r.finish()?;
         Some(TxnFrame {
             tuple,
@@ -771,7 +733,7 @@ impl TxnFrame {
 
     /// Size on the wire (drives the network cost model).
     pub fn wire_len(&self) -> usize {
-        SHIELD_HEADER_LEN + 8 + body_len(&self.body, self.sealed.as_ref())
+        self.family().wire_len(self.body.len())
     }
 }
 
@@ -782,9 +744,7 @@ impl fmt::Debug for TxnFrame {
             "TxnFrame({:?}, txn {}, {}B{})",
             self.tuple,
             self.txn_id,
-            self.sealed
-                .as_ref()
-                .map_or(self.body.len(), |ct| ct.bytes.len()),
+            self.body.len(),
             if self.is_confidential() { ", conf" } else { "" }
         )
     }
@@ -904,6 +864,27 @@ mod tests {
         }
     }
 
+    /// The MAC input of a frame, joined.
+    fn mac_input(
+        family: Family,
+        body: &[u8],
+        commitment: Option<&KeyCommitment>,
+        tuple: &SequenceTuple,
+    ) -> Vec<u8> {
+        let mut input = Vec::new();
+        family.write_authenticated_parts(
+            &mut |bytes| input.extend_from_slice(bytes),
+            body,
+            commitment,
+            &tuple.to_bytes(),
+        );
+        input
+    }
+
+    const SINGLE: Family = Family::Single { kind: 1 };
+    const BATCH: Family = Family::Batch { count: 2 };
+    const TXN: Family = Family::Txn { txn_id: 7 };
+
     #[test]
     fn sequence_tuple_encoding_is_injective_in_fields() {
         let base = tuple();
@@ -920,11 +901,45 @@ mod tests {
     }
 
     #[test]
+    fn the_frame_nonce_is_source_destination_and_counter_in_whole_words() {
+        let base = SequenceTuple {
+            view: 3,
+            channel: ChannelId::new(NodeId(0x0102_0304_0506_0708), NodeId(0x1112_1314_1516_1718)),
+            counter: 0x2122_2324_2526_2728,
+        };
+        let mut expected = Vec::new();
+        for word in [base.channel.src.0, base.channel.dst.0, base.counter] {
+            expected.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(base.nonce()[..], expected[..]);
+        // Every bit of every word tells: nothing is truncated or folded.
+        for bit in 0..64 {
+            let mut other = base;
+            other.channel.src.0 ^= 1 << bit;
+            assert_ne!(base.nonce(), other.nonce(), "src bit {bit}");
+            let mut other = base;
+            other.channel.dst.0 ^= 1 << bit;
+            assert_ne!(base.nonce(), other.nonce(), "dst bit {bit}");
+            let mut other = base;
+            other.counter ^= 1 << bit;
+            assert_ne!(base.nonce(), other.nonce(), "counter bit {bit}");
+        }
+        // The view is not part of it: counters do not restart with a view.
+        let mut other = base;
+        other.view = 4;
+        assert_eq!(base.nonce(), other.nonce());
+    }
+
+    #[test]
     fn shielded_message_wire_roundtrip() {
         let key = MacKey::from_bytes([1u8; 32]);
         let tuple = tuple();
-        let parts = ShieldedMessage::authenticated_parts(b"payload", 7, false, &tuple.to_bytes());
-        let mac = key.tag(&parts[0]);
+        let mac = key.tag(&mac_input(
+            Family::Single { kind: 7 },
+            b"payload",
+            None,
+            &tuple,
+        ));
         let msg = ShieldedMessage {
             tuple,
             kind: 7,
@@ -940,14 +955,40 @@ mod tests {
 
     #[test]
     fn authenticated_parts_bind_every_field() {
-        let t = tuple().to_bytes();
-        let a = ShieldedMessage::authenticated_parts(b"p", 1, false, &t);
-        let b = ShieldedMessage::authenticated_parts(b"p", 2, false, &t);
-        let c = ShieldedMessage::authenticated_parts(b"p", 1, true, &t);
-        let d = ShieldedMessage::authenticated_parts(b"q", 1, false, &t);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(a, d);
+        let t = tuple();
+        let mut later = t;
+        later.counter += 1;
+        let commitment = [0xC0; 32];
+        for family in [SINGLE, BATCH, TXN] {
+            let a = mac_input(family, b"body", None, &t);
+            assert_ne!(a, mac_input(family, b"ydob", None, &t));
+            assert_ne!(a, mac_input(family, b"body", None, &later));
+            // Sealed or not is bound, and so is which cipher key sealed it.
+            let sealed = mac_input(family, b"body", Some(&commitment), &t);
+            assert_ne!(a, sealed);
+            assert_ne!(a[..], sealed[..a.len()]);
+            assert_ne!(sealed, mac_input(family, b"body", Some(&[0xC1; 32]), &t));
+            assert_ne!(sealed, mac_input(family, b"bodz", Some(&commitment), &t));
+        }
+        // Each family's own field: message kind, op count (a truncated or
+        // padded batch), transaction id (a frame spliced into another one).
+        let a = mac_input(SINGLE, b"body", None, &t);
+        assert_ne!(a, mac_input(Family::Single { kind: 2 }, b"body", None, &t));
+        let a = mac_input(BATCH, b"body", None, &t);
+        assert_ne!(a, mac_input(Family::Batch { count: 3 }, b"body", None, &t));
+        let a = mac_input(TXN, b"body", None, &t);
+        assert_ne!(a, mac_input(Family::Txn { txn_id: 8 }, b"body", None, &t));
+    }
+
+    #[test]
+    fn the_families_mac_inputs_are_domain_separated() {
+        let t = tuple();
+        for commitment in [None, Some(&[0xC0; 32])] {
+            let inputs = [SINGLE, BATCH, TXN].map(|f| mac_input(f, b"body", commitment, &t));
+            assert_ne!(inputs[0], inputs[1]);
+            assert_ne!(inputs[0], inputs[2]);
+            assert_ne!(inputs[1], inputs[2]);
+        }
     }
 
     #[test]
@@ -960,13 +1001,12 @@ mod tests {
         ];
         let body = BatchFrame::encode_ops(&ops);
         assert_eq!(BatchFrame::decode_ops(&body).unwrap(), ops);
-        let parts = BatchFrame::authenticated_parts(&body, None, 2, &tuple.to_bytes());
         let frame = BatchFrame {
             tuple,
             count: 2,
             body: body.clone(),
-            sealed: None,
-            mac: key.tag(&parts[0]),
+            sealed: false,
+            mac: key.tag(&mac_input(BATCH, &body, None, &tuple)),
         };
         assert!(!frame.is_confidential());
         let wire = frame.to_wire();
@@ -976,9 +1016,11 @@ mod tests {
         // tags), so the shield dispatches on the first byte.
         assert!(ShieldedMessage::from_wire(&wire).is_none());
         assert!(BatchFrame::from_wire(b"not a frame").is_none());
-        // The MAC input is domain-separated from single-message MAC inputs.
-        let single = ShieldedMessage::authenticated_parts(&body, 1, false, &tuple.to_bytes());
-        assert_ne!(parts, single);
+        // Ops encoded straight into the wire buffer are the same bytes.
+        let image = BATCH.image(&tuple, false, BatchFrame::ops_len(&ops), |w| {
+            BatchFrame::write_ops(w, &ops);
+        });
+        assert_eq!(image.finish(&frame.mac), wire);
     }
 
     #[test]
@@ -998,35 +1040,6 @@ mod tests {
         assert_eq!(
             BatchFrame::decode_ops(&0u32.to_le_bytes()),
             Some(Vec::new())
-        );
-    }
-
-    #[test]
-    fn batch_authenticated_parts_bind_every_field() {
-        use recipe_crypto::Nonce;
-        let t = tuple().to_bytes();
-        let a = BatchFrame::authenticated_parts(b"body", None, 2, &t);
-        assert_ne!(a, BatchFrame::authenticated_parts(b"body", None, 3, &t));
-        assert_ne!(a, BatchFrame::authenticated_parts(b"ydob", None, 2, &t));
-        let mut other = tuple();
-        other.counter += 1;
-        assert_ne!(
-            a,
-            BatchFrame::authenticated_parts(b"body", None, 2, &other.to_bytes())
-        );
-        // Sealed frames authenticate the nonce and ciphertext instead.
-        let ct = Ciphertext {
-            nonce: Nonce::from_u128(7),
-            bytes: b"body".to_vec(),
-            tag: [0u8; 32],
-        };
-        let sealed = BatchFrame::authenticated_parts(&[], Some(&ct), 2, &t);
-        assert_ne!(a, sealed);
-        let mut other_ct = ct.clone();
-        other_ct.bytes[0] ^= 1;
-        assert_ne!(
-            sealed,
-            BatchFrame::authenticated_parts(&[], Some(&other_ct), 2, &t)
         );
     }
 
@@ -1069,23 +1082,20 @@ mod tests {
     fn txn_frame_wire_roundtrip_and_mac_domain_separation() {
         let key = MacKey::from_bytes([1u8; 32]);
         let tuple = tuple();
-        let body = TxnFrame::encode_body(&TxnBody::Prepare {
+        let prepare = TxnBody::Prepare {
             ops: vec![Operation::Put {
                 key: b"k".to_vec(),
                 value: b"v".to_vec(),
             }],
-        });
-        assert!(matches!(
-            TxnFrame::decode_body(&body),
-            Some(TxnBody::Prepare { .. })
-        ));
-        let parts = TxnFrame::authenticated_parts(&body, None, 7, &tuple.to_bytes());
+        };
+        let body = TxnFrame::encode_body(&prepare);
+        assert_eq!(TxnFrame::decode_body(&body), Some(prepare.clone()));
         let frame = TxnFrame {
             tuple,
             txn_id: 7,
             body: body.clone(),
-            sealed: None,
-            mac: key.tag(&parts[0]),
+            sealed: false,
+            mac: key.tag(&mac_input(TXN, &body, None, &tuple)),
         };
         assert!(!frame.is_confidential());
         let wire = frame.to_wire();
@@ -1096,33 +1106,35 @@ mod tests {
         assert!(ShieldedMessage::from_wire(&wire).is_none());
         assert!(BatchFrame::from_wire(&wire).is_none());
         assert!(TxnFrame::from_wire(b"not a frame").is_none());
-        // The MAC input is domain-separated from both other frame families.
-        let single = ShieldedMessage::authenticated_parts(&body, 1, false, &tuple.to_bytes());
-        let batch = BatchFrame::authenticated_parts(&body, None, 1, &tuple.to_bytes());
-        assert_ne!(parts, single);
-        assert_ne!(parts, batch);
-    }
-
-    #[test]
-    fn txn_authenticated_parts_bind_every_field() {
-        use recipe_crypto::Nonce;
-        let t = tuple().to_bytes();
-        let a = TxnFrame::authenticated_parts(b"body", None, 7, &t);
-        // Splicing a frame into another transaction changes the MAC input.
-        assert_ne!(a, TxnFrame::authenticated_parts(b"body", None, 8, &t));
-        assert_ne!(a, TxnFrame::authenticated_parts(b"ydob", None, 7, &t));
-        let mut other = tuple();
-        other.counter += 1;
-        assert_ne!(
-            a,
-            TxnFrame::authenticated_parts(b"body", None, 7, &other.to_bytes())
-        );
-        let ct = Ciphertext {
-            nonce: Nonce::from_u128(9),
-            bytes: b"body".to_vec(),
-            tag: [0u8; 32],
+        // A body encoded straight into the wire buffer is the same bytes,
+        // for every variant: the length is worked out before it is written.
+        let in_place = |body: &TxnBody| {
+            TXN.image(&tuple, false, TxnFrame::body_len(body), |w| {
+                TxnFrame::write_body(w, body);
+            })
+            .finish(&frame.mac)
         };
-        assert_ne!(a, TxnFrame::authenticated_parts(&[], Some(&ct), 7, &t));
+        assert_eq!(in_place(&prepare), wire);
+        for body in [
+            TxnBody::Prepare { ops: Vec::new() },
+            TxnBody::Vote {
+                granted: true,
+                conflict: None,
+            },
+            TxnBody::Vote {
+                granted: false,
+                conflict: Some(b"key".to_vec()),
+            },
+            TxnBody::Commit,
+            TxnBody::Abort,
+            TxnBody::Ack { applied: 3 },
+        ] {
+            let by_struct = TxnFrame {
+                body: TxnFrame::encode_body(&body),
+                ..frame.clone()
+            };
+            assert_eq!(in_place(&body), by_struct.to_wire());
+        }
     }
 
     #[test]

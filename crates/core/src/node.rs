@@ -18,7 +18,6 @@
 
 use rand::RngCore;
 use recipe_attest::{run_remote_attestation, QuoteVerifier, SecretBundle};
-use recipe_crypto::CipherKey;
 use recipe_kv::{PartitionedKvStore, ReadResult, StoreConfig, Timestamp};
 use recipe_net::{
     Fabric, MsgBuf, NodeId, ReqType, RequestHandler, RpcEndpoint, RpcEndpointConfig, WireMessage,
@@ -26,7 +25,7 @@ use recipe_net::{
 use recipe_tee::{Enclave, EnclaveConfig, EnclaveId, TrustedInstant};
 use serde::{Deserialize, Serialize};
 
-use crate::auth::{AuthLayer, VerifyOutcome, CIPHER_LABEL};
+use crate::auth::{AuthLayer, VerifyOutcome};
 use crate::client_table::ClientTable;
 use crate::error::RecipeError;
 use crate::membership::Membership;
@@ -185,27 +184,18 @@ impl RecipeNode {
         Ok(outcome.latency_ns)
     }
 
-    /// Initializes the local KV store (`init_store()`), wiring the confidential
-    /// cipher from the enclave when confidential mode is on.
+    /// Initializes the local KV store (`init_store()`). In confidential mode
+    /// its values are sealed under this node's sub-key of the provisioned
+    /// cluster cipher key ([`AuthLayer::store_cipher_key`]), so a node that
+    /// was never provisioned one has no store.
     pub fn init_store(&mut self) -> Result<(), RecipeError> {
         let mut store_config = StoreConfig::default();
         if self.config.confidential {
-            // In confidential mode the KV store uses a key derived from the
-            // provisioned cluster cipher key.
-            if self.auth.enclave().cipher(CIPHER_LABEL).is_ok() {
-                // Derive a store-specific key so KV nonces and network nonces are
-                // independent even though both stem from the provisioned key.
-                let derived = CipherKey::from_bytes(
-                    *recipe_crypto::hash_parts(&[
-                        b"recipe.kv.store-key",
-                        &self.config.node_id.0.to_le_bytes(),
-                    ])
-                    .as_bytes(),
-                );
-                store_config = store_config.with_cipher(derived);
-            } else {
-                return Err(RecipeError::NotAttested);
-            }
+            let key = self
+                .auth
+                .store_cipher_key()
+                .map_err(|_| RecipeError::NotAttested)?;
+            store_config = store_config.with_cipher(key);
         }
         self.store = Some(PartitionedKvStore::new(store_config));
         Ok(())

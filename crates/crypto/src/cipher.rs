@@ -1,5 +1,5 @@
-//! Authenticated symmetric encryption (encrypt-then-MAC) for Recipe's
-//! confidentiality mode.
+//! Symmetric encryption for Recipe's confidentiality mode: a stream cipher,
+//! and a self-contained authenticated envelope around it.
 //!
 //! When Recipe runs with confidentiality enabled (paper Figure 5), every byte that
 //! leaves the enclave — network payloads and KV values stored in host memory — is
@@ -7,21 +7,37 @@
 //! primitives are composed encrypt-then-MAC:
 //!
 //! * keystream: XChaCha20 under `k_enc` (draft-irtf-cfrg-xchacha) — the
-//!   sub-key `HChaCha20(k_enc, nonce)`, then ChaCha20 blocks (RFC 8439) under
-//!   that sub-key from block 0 on, XORed with the plaintext;
-//! * integrity: `HMAC-SHA-256(k_mac, nonce || ciphertext)` appended as a tag and
-//!   checked, in constant time, before any keystream is made.
+//!   sub-key `HChaCha20(k_enc, nonce[..16])`, then ChaCha20 blocks (RFC 8439)
+//!   under that sub-key from block 0 on, XORed with the plaintext;
+//! * integrity: a MAC over the ciphertext, checked in constant time before
+//!   any keystream is made.
 //!
-//! `k_enc` and `k_mac` are derived from the one [`CipherKey`] under separate
-//! labels, so neither primitive ever sees the other's key.
+//! Who computes the MAC depends on where the ciphertext goes, and every sealed
+//! byte has exactly one authenticator:
+//!
+//! * **[`Cipher::seal`] / [`Cipher::open`]** — the self-contained envelope,
+//!   for ciphertext nothing else vouches for (`recipe-tee` sealed blobs,
+//!   `recipe-attest` provisioned secrets). The tag is
+//!   `HMAC-SHA-256(k_mac, nonce || ciphertext)`, carried in the [`Ciphertext`].
+//! * **[`Cipher::apply_keystream`]** — the keystream alone, for a caller that
+//!   authenticates the ciphertext itself: a shielded frame's MAC covers the
+//!   ciphertext, the sequence tuple the nonce is derived from and
+//!   [`Cipher::key_commitment`] (`recipe-core`); the partitioned store keeps
+//!   an enclave-resident digest over key, nonce and stored bytes
+//!   (`recipe-kv`). A second tag over the same bytes would buy nothing and
+//!   is how a tag once ended up outside the MAC that was checked first.
+//!
+//! `k_enc`, `k_mac` and the key commitment are derived from the one
+//! [`CipherKey`] under separate labels, so no primitive ever sees another's
+//! key.
 //!
 //! # Nonces
 //!
-//! XChaCha20 takes 24 nonce bytes: HChaCha20 folds the first 16 into the
-//! sub-key and the last 8 go to ChaCha20 itself. A [`Nonce`] is 16 bytes, so it
-//! fills the HChaCha20 input exactly and the last 8 are zero: every nonce gets
-//! a sub-key of its own, and two nonces that differ anywhere — in the counter
-//! half or in the `src`/`dst` half of a channel nonce — share no keystream.
+//! XChaCha20 takes 24 nonce bytes ([`XNonce`]): HChaCha20 folds the first 16
+//! into the sub-key and the last 8 go to ChaCha20 itself. The envelope's
+//! [`Nonce`] is 16 bytes, so it fills the HChaCha20 input exactly and the last
+//! 8 are zero ([`Nonce::extended`]): every nonce gets a sub-key of its own, and
+//! two nonces that differ anywhere share no keystream. A frame uses all 24.
 //!
 //! The contract is the usual one for a stream cipher: **a (key, nonce) pair
 //! seals at most one message**. Sealing two under one pair gives away the XOR
@@ -38,12 +54,19 @@
 //!   eight at a time where the CPU has AVX2 and at least 512 bytes are left,
 //!   one at a time otherwise (`vendor/chacha20` picks from what the CPU
 //!   reports);
-//! * tag: one compression per 64 bytes of ciphertext, plus 2 (`k_mac` is a
-//!   [`MacKey`], so its pad states are hashed when the [`Cipher`] is built);
-//! * a 1 KiB `seal` or `open`: 1 HChaCha20 + 16 blocks + the 18-compression
-//!   tag; building a `Cipher`: 8 compressions (the master key's pads, two
-//!   derivations, `k_mac`'s pads) — `k_enc` is used as it is derived, with no
-//!   state to set up.
+//! * the envelope's tag: one compression per 64 bytes of ciphertext, plus 2
+//!   (`k_mac` is a [`MacKey`], so its pad states are hashed when the
+//!   [`Cipher`] is built);
+//! * a 1 KiB [`Cipher::apply_keystream`]: 1 HChaCha20 + 16 blocks, and that
+//!   is all a sealed frame or a sealed stored value pays the cipher — their
+//!   one authenticator hashes the ciphertext once, as it would hash the
+//!   plaintext of an unsealed one;
+//! * a 1 KiB `seal` or `open`: the same keystream **plus the 18-compression
+//!   tag**, paid only by the envelope's users — sealed blobs and provisioned
+//!   secrets, both off the per-operation path;
+//! * building a `Cipher`: 10 compressions (the master key's pads, two
+//!   derivations, `k_mac`'s pads, the key commitment) — `k_enc` is used as it
+//!   is derived, with no state to set up.
 //!
 //! [`Cipher::seal_owned`] and [`Cipher::open_owned`] work in the buffer they
 //! are given; [`Cipher::seal`] and [`Cipher::open`] copy the borrowed input
@@ -54,8 +77,15 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::mac::{MacKey, MacTag};
-use crate::nonce::Nonce;
+use crate::nonce::{Nonce, XNonce};
 use crate::{CryptoError, KeyMaterial, DIGEST_LEN};
+
+/// Label the key commitment is derived under. Declared as a domain so
+/// `recipe-lint` holds it disjoint from every MAC domain in the workspace.
+const KEY_COMMITMENT_DOMAIN: &[u8] = b"recipe.cipher_commit.v1";
+
+/// What [`Cipher::key_commitment`] returns.
+pub type KeyCommitment = [u8; DIGEST_LEN];
 
 /// A symmetric cipher key (expands internally into independent encryption and MAC
 /// sub-keys).
@@ -73,6 +103,16 @@ impl CipherKey {
         let mut bytes = [0u8; DIGEST_LEN];
         rng.fill_bytes(&mut bytes);
         CipherKey(bytes)
+    }
+
+    /// Derives a sub-key bound to `parts` — a domain label, then what the
+    /// sub-key is for — the way [`MacKey::derive`] does for channel keys, so
+    /// one provisioned secret can back independent ciphers (a replica
+    /// group's, a replica's store). The parts are length-prefixed, which
+    /// also keeps the input apart from the labels [`Cipher::new`] expands a
+    /// key under.
+    pub fn derive(&self, parts: &[&[u8]]) -> CipherKey {
+        CipherKey(*MacKey::from_bytes(self.0).tag_parts(parts).as_bytes())
     }
 }
 
@@ -112,11 +152,12 @@ impl fmt::Debug for Ciphertext {
     }
 }
 
-/// Stateless encrypt-then-MAC cipher.
+/// Stateless stream cipher with an encrypt-then-MAC envelope.
 #[derive(Clone)]
 pub struct Cipher {
     enc_key: chacha20::Key,
     mac_key: MacKey,
+    commitment: KeyCommitment,
 }
 
 impl fmt::Debug for Cipher {
@@ -135,7 +176,18 @@ impl Cipher {
             // without the HMAC pad state a ChaCha20 key has no use for.
             enc_key: *master.tag(b"recipe.cipher.enc").as_bytes(),
             mac_key: master.derive("recipe.cipher.mac"),
+            commitment: *master.tag(KEY_COMMITMENT_DOMAIN).as_bytes(),
         }
+    }
+
+    /// A value only holders of this cipher's key can compute, and which says
+    /// nothing about the key: a PRF of it under a label of its own. A caller
+    /// that authenticates ciphertext itself ([`Cipher::apply_keystream`])
+    /// puts this under its MAC and never sends it, so a peer holding the MAC
+    /// key but another cipher key fails the MAC instead of decrypting to
+    /// junk.
+    pub fn key_commitment(&self) -> &KeyCommitment {
+        &self.commitment
     }
 
     /// Encrypts and authenticates `plaintext` using `nonce`.
@@ -149,7 +201,7 @@ impl Cipher {
     /// [`Cipher::seal`] for a caller that owns the plaintext: it is encrypted
     /// where it lies and becomes the ciphertext's bytes.
     pub fn seal_owned(&self, nonce: Nonce, mut bytes: Vec<u8>) -> Ciphertext {
-        self.apply_keystream(&nonce, &mut bytes);
+        self.apply_keystream(&nonce.extended(), &mut bytes);
         let tag = self
             .mac_key
             .tag_parts(&[nonce.as_bytes(), &bytes])
@@ -174,16 +226,19 @@ impl Cipher {
             )
             .map_err(|_| CryptoError::CiphertextTampered)?;
         let mut bytes = ciphertext.bytes;
-        self.apply_keystream(&ciphertext.nonce, &mut bytes);
+        self.apply_keystream(&ciphertext.nonce.extended(), &mut bytes);
         Ok(bytes)
     }
 
-    /// XORs `data` with the XChaCha20 keystream of `k_enc` and `nonce`: the 16
-    /// nonce bytes are the whole HChaCha20 input, the 8 left over are zero.
-    fn apply_keystream(&self, nonce: &Nonce, data: &mut [u8]) {
-        let mut extended = [0u8; 24];
-        extended[..Nonce::LEN].copy_from_slice(nonce.as_bytes());
-        XChaCha20::new(&self.enc_key, &extended).apply_keystream(data);
+    /// XORs `data` with the XChaCha20 keystream of `k_enc` and `nonce`, from
+    /// block 0: encryption and decryption are the same call. **Nothing is
+    /// authenticated** — the caller owns both halves of the contract: the
+    /// (key, nonce) pair is used for one message, and the ciphertext, the
+    /// nonce (or what it is derived from) and [`Cipher::key_commitment`] are
+    /// under a MAC or digest of the caller's that is checked before this is
+    /// called to decrypt.
+    pub fn apply_keystream(&self, nonce: &XNonce, data: &mut [u8]) {
+        XChaCha20::new(&self.enc_key, nonce).apply_keystream(data);
     }
 }
 
@@ -313,12 +368,97 @@ mod tests {
         }
     }
 
+    proptest! {
+        #[test]
+        fn the_keystream_call_is_the_envelope_without_its_tag(
+            data in proptest::collection::vec(any::<u8>(), 0..1200),
+            nonce in any::<u128>(),
+        ) {
+            let c = cipher();
+            let nonce = Nonce::from_u128(nonce);
+            let mut bytes = data.clone();
+            c.apply_keystream(&nonce.extended(), &mut bytes);
+            prop_assert_eq!(&bytes, &c.seal(nonce, &data).bytes);
+            // Its own inverse.
+            c.apply_keystream(&nonce.extended(), &mut bytes);
+            prop_assert_eq!(bytes, data);
+        }
+    }
+
+    /// draft-irtf-cfrg-xchacha-03 A.3.2, the vector `vendor/chacha20` pins as
+    /// `xchacha_draft_a_3_2_encryption`: all 24 nonce bytes in use. The draft
+    /// encrypts from block 1 and this cipher from block 0, so the plaintext
+    /// goes one block in.
+    #[test]
+    fn the_24_byte_keystream_matches_the_xchacha_draft() {
+        let c = Cipher {
+            enc_key: core::array::from_fn(|i| 0x80 + i as u8),
+            ..cipher()
+        };
+        let nonce: XNonce = *b"@ABCDEFGHIJKLMNOPQRSTUVX";
+        let plaintext = b"The dhole (pronounced \"dole\") is also known as the Asiatic wild dog, \
+red dog, and whistling dog. It is about the size of a German shepherd but looks more like a \
+long-legged fox. This highly elusive and skilled jumper is classified with wolves, coyotes, \
+jackals, and foxes in the taxonomic family Canidae.";
+        let mut data = [&[0u8; 64][..], plaintext].concat();
+        c.apply_keystream(&nonce, &mut data);
+        let hex: String = data[64..].iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "7d0a2e6b7f7c65a236542630294e063b7ab9b555a5d5149aa21e4ae1e4fbce87",
+                "ecc8e08a8b5e350abe622b2ffa617b202cfad72032a3037e76ffdcdc4376ee05",
+                "3a190d7e46ca1de04144850381b9cb29f051915386b8a710b8ac4d027b8b050f",
+                "7cba5854e028d564e453b8a968824173fc16488b8970cac828f11ae53cabd201",
+                "12f87107df24ee6183d2274fe4c8b1485534ef2c5fbc1ec24bfc3663efaa08bc",
+                "047d29d25043532db8391a8a3d776bf4372a6955827ccb0cdd4af403a7ce4c63",
+                "d595c75a43e045f0cce1f29c8b93bd65afc5974922f214a40b7c402cdb91ae73",
+                "c0b63615cdad0480680f16515a7ace9d39236464328a37743ffc28f4ddb324f4",
+                "d0f5bbdc270c65b1749a6efff1fbaa09536175ccd29fb9e6057b307320d31683",
+                "8a9c71f70b5b5907a66f7ea49aadc409",
+            )
+        );
+        // The last 8 nonce bytes count: the 16-byte form would ignore them.
+        let mut other = nonce;
+        other[23] ^= 1;
+        let mut again = [&[0u8; 64][..], plaintext].concat();
+        c.apply_keystream(&other, &mut again);
+        assert_ne!(again, data);
+    }
+
+    #[test]
+    fn the_key_commitment_follows_the_key_and_is_none_of_its_sub_keys() {
+        let (a, b) = (cipher(), Cipher::new(&CipherKey::from_bytes([4u8; 32])));
+        assert_eq!(a.key_commitment(), cipher().key_commitment());
+        assert_ne!(a.key_commitment(), b.key_commitment());
+        assert_ne!(a.key_commitment(), &a.enc_key);
+        assert_ne!(a.key_commitment(), &[3u8; 32]);
+        assert_ne!(&a.commitment[..], a.mac_key.expose_secret());
+    }
+
     #[test]
     fn open_owned_rejects_what_open_rejects() {
         let c = cipher();
         let mut ct = c.seal(Nonce::from_u128(7), b"payload payload payload");
         ct.bytes[3] ^= 0xFF;
         assert_eq!(c.open_owned(ct), Err(CryptoError::CiphertextTampered));
+    }
+
+    #[test]
+    fn derived_keys_follow_the_parent_and_every_part() {
+        let parent = CipherKey::from_bytes([3u8; 32]);
+        let derived = parent.derive(&[b"recipe.test.v1", b"a"]);
+        assert_eq!(derived, parent.derive(&[b"recipe.test.v1", b"a"]));
+        assert_ne!(derived, parent);
+        assert_ne!(derived, parent.derive(&[b"recipe.test.v1", b"b"]));
+        assert_ne!(derived, parent.derive(&[b"recipe.test.v2", b"a"]));
+        assert_ne!(derived, parent.derive(&[b"recipe.test.v1a"]));
+        let other = CipherKey::from_bytes([4u8; 32]);
+        assert_ne!(derived, other.derive(&[b"recipe.test.v1", b"a"]));
+        // Not one of the sub-keys the parent's own cipher runs on.
+        let cipher = Cipher::new(&parent);
+        assert_ne!(derived.0, cipher.enc_key);
+        assert_ne!(&derived.0, cipher.key_commitment());
     }
 
     #[test]

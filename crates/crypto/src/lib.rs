@@ -44,12 +44,12 @@ pub mod mac;
 pub mod nonce;
 pub mod sig;
 
-pub use cipher::{Cipher, CipherKey, Ciphertext};
+pub use cipher::{Cipher, CipherKey, Ciphertext, KeyCommitment};
 pub use error::CryptoError;
 pub use hash::{hash_parts, sha256, Digest, Hasher};
 pub use kx::{EphemeralSecret, KxPublic, SharedSecret};
 pub use mac::{MacKey, MacStream, MacTag};
-pub use nonce::Nonce;
+pub use nonce::{Nonce, XNonce};
 pub use sig::{PublicKey, Signature, SigningKeyPair};
 
 /// Marker trait for secret key material.

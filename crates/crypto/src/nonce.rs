@@ -3,6 +3,10 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// The 24 nonce bytes XChaCha20 takes: the first 16 select a sub-key
+/// (HChaCha20), the last 8 are the nonce of ChaCha20 under it.
+pub type XNonce = [u8; 24];
+
 /// A 128-bit nonce.
 ///
 /// Attestation uses random nonces to guarantee quote freshness (Algorithm 2's
@@ -47,6 +51,14 @@ impl Nonce {
     pub fn as_u128(&self) -> u128 {
         u128::from_le_bytes(self.0)
     }
+
+    /// The nonce as XChaCha20 takes it: these 16 bytes, which fill the
+    /// HChaCha20 input exactly, and 8 zero bytes after them.
+    pub fn extended(&self) -> XNonce {
+        let mut extended = [0u8; 24];
+        extended[..Nonce::LEN].copy_from_slice(&self.0);
+        extended
+    }
 }
 
 impl fmt::Debug for Nonce {
@@ -83,6 +95,13 @@ mod tests {
         let mut rng3 = rand::rngs::StdRng::seed_from_u64(2);
         assert_eq!(Nonce::random(&mut rng1), Nonce::random(&mut rng2));
         assert_ne!(Nonce::random(&mut rng1), Nonce::random(&mut rng3));
+    }
+
+    #[test]
+    fn extended_nonce_is_the_nonce_then_zeros() {
+        let extended = Nonce::from_bytes([9u8; 16]).extended();
+        assert_eq!(extended[..16], [9u8; 16]);
+        assert_eq!(extended[16..], [0u8; 8]);
     }
 
     #[test]

@@ -7,14 +7,33 @@
 //!   (arena slot) into host memory.
 //! * **Host region** — an arena of value buffers. The host is untrusted: a Byzantine
 //!   OS/hypervisor may corrupt or delete these buffers at any time, which the store
-//!   detects on every read by re-hashing the value and comparing against the
-//!   enclave-held hash.
+//!   detects on every read by re-hashing what the host holds and comparing against
+//!   the enclave-held hash.
 //!
 //! In confidential mode the store encrypts values before placing them in the host
 //! arena and decrypts them (after integrity verification) on reads, so plaintext data
 //! never leaves the enclave region.
+//!
+//! # One digest per stored value
+//!
+//! Every key has exactly one authenticator, and it is the enclave-held digest —
+//! the host cannot touch it, so it needs no key. A plaintext store hashes
+//! `key ‖ value`. A confidential store hashes `key ‖ nonce ‖ stored bytes`,
+//! that is, the ciphertext and the nonce it was made under, as the host holds
+//! them: the digest is checked **before** any keystream is made, so a swapped,
+//! rolled-back or bit-flipped sealed value (or nonce) is refused without
+//! being decrypted, and binding the key means a value sealed for one key never
+//! verifies under another. The cipher contributes its keystream only
+//! ([`recipe_crypto::Cipher::apply_keystream`]): its own tag over the same
+//! ciphertext, and a second hash of the plaintext after decryption, would
+//! each repeat what this digest already establishes.
+//!
+//! Nonces count up from one under the store's key. The key must be the
+//! store's alone — two stores counting from one under a shared key would seal
+//! different values under one keystream; `recipe-protocols` derives it per
+//! replica.
 
-use recipe_crypto::{hash_parts, Cipher, CipherKey, Ciphertext, Digest, Nonce};
+use recipe_crypto::{hash_parts, Cipher, CipherKey, Digest, Nonce};
 use serde::{Deserialize, Serialize};
 
 use crate::error::KvError;
@@ -49,10 +68,16 @@ impl StoreConfig {
     }
 }
 
+/// Domain of a confidential store's per-key digest (a plaintext store's is
+/// `recipe.kv.value`, as it always was): a sealed value's digest can never be
+/// taken for a plaintext one's.
+const SEALED_VALUE_DOMAIN: &[u8] = b"recipe.kv_sealed.v1";
+
 /// Metadata held inside the enclave for every key.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 struct ValueMeta {
-    /// Hash of the plaintext value (integrity tag checked on every read).
+    /// Digest of what the host holds for the key, bound to the key
+    /// ([`HostValue::digest`]): the integrity tag checked on every read.
     value_hash: Digest,
     /// Lamport timestamp of the latest write (ABD; other protocols use versions).
     timestamp: Timestamp,
@@ -68,14 +93,35 @@ struct ValueMeta {
 #[derive(Clone, Debug)]
 enum HostValue {
     Plain(Vec<u8>),
-    Encrypted(Ciphertext),
+    /// The value XORed with the store cipher's keystream under `nonce`.
+    Encrypted {
+        nonce: Nonce,
+        bytes: Vec<u8>,
+    },
 }
 
 impl HostValue {
     fn stored_len(&self) -> usize {
         match self {
             HostValue::Plain(bytes) => bytes.len(),
-            HostValue::Encrypted(ct) => ct.wire_len(),
+            HostValue::Encrypted { bytes, .. } => Nonce::LEN + bytes.len(),
+        }
+    }
+
+    /// The digest the enclave keeps for these host bytes under `key`.
+    fn digest(&self, key: &[u8]) -> Digest {
+        match self {
+            HostValue::Plain(bytes) => hash_parts(&[b"recipe.kv.value", key, bytes]),
+            HostValue::Encrypted { nonce, bytes } => {
+                hash_parts(&[SEALED_VALUE_DOMAIN, key, nonce.as_bytes(), bytes])
+            }
+        }
+    }
+
+    /// The bytes a Byzantine host would tamper with.
+    fn bytes_mut(&mut self) -> &mut Vec<u8> {
+        match self {
+            HostValue::Plain(bytes) | HostValue::Encrypted { bytes, .. } => bytes,
         }
     }
 }
@@ -166,20 +212,21 @@ impl PartitionedKvStore {
         timestamp: Timestamp,
     ) -> Result<u64, KvError> {
         self.stats.writes += 1;
-        let value_hash = Self::hash_value(key, value);
         // The one copy of the value the store keeps; sealing happens in it.
-        let stored = value.to_vec();
+        let mut stored = value.to_vec();
         let host_value = match &self.cipher {
             None => HostValue::Plain(stored),
             Some(cipher) => {
                 self.nonce_counter += 1;
-                // Nonce domain 0xCAFE keeps KV-store nonces disjoint from the
-                // network layer's (view, counter)-derived nonces.
-                HostValue::Encrypted(
-                    cipher.seal_owned(Nonce::from_view_counter(0xCAFE, self.nonce_counter), stored),
-                )
+                let nonce = Nonce::from_view_counter(0xCAFE, self.nonce_counter);
+                cipher.apply_keystream(&nonce.extended(), &mut stored);
+                HostValue::Encrypted {
+                    nonce,
+                    bytes: stored,
+                }
             }
         };
+        let value_hash = host_value.digest(key);
 
         // One descent of the index finds the key's slot and version, or the
         // place its entry goes.
@@ -232,8 +279,10 @@ impl PartitionedKvStore {
         Ok(true)
     }
 
-    /// Reads the value for `key`, copying it into the enclave and verifying its
-    /// integrity against the enclave-held hash (`get(key, &v_TEE)` in Table 3).
+    /// Reads the value for `key`, verifying what the host holds against the
+    /// enclave-held digest and copying it into the enclave, decrypted
+    /// (`get(key, &v_TEE)` in Table 3). A sealed value that fails the digest
+    /// is refused before any keystream is made.
     pub fn get(&mut self, key: &[u8]) -> Result<ReadResult, KvError> {
         self.stats.reads += 1;
         let meta = self.index.get(key).ok_or(KvError::NotFound)?.clone();
@@ -243,23 +292,26 @@ impl PartitionedKvStore {
             .and_then(|slot| slot.as_ref())
             .ok_or_else(|| KvError::HostValueMissing { key: key.to_vec() })?;
 
-        let plaintext = match (host_value, &self.cipher) {
+        if host_value.digest(key) != meta.value_hash {
+            self.stats.integrity_failures += 1;
+            return Err(match host_value {
+                HostValue::Plain(_) => KvError::IntegrityViolation { key: key.to_vec() },
+                HostValue::Encrypted { .. } => KvError::DecryptionFailed { key: key.to_vec() },
+            });
+        }
+        let value = match (host_value, &self.cipher) {
             (HostValue::Plain(bytes), _) => bytes.clone(),
-            (HostValue::Encrypted(ct), Some(cipher)) => cipher.open(ct).map_err(|_| {
-                self.stats.integrity_failures += 1;
-                KvError::DecryptionFailed { key: key.to_vec() }
-            })?,
-            (HostValue::Encrypted(_), None) => {
+            (HostValue::Encrypted { nonce, bytes }, Some(cipher)) => {
+                let mut value = bytes.clone();
+                cipher.apply_keystream(&nonce.extended(), &mut value);
+                value
+            }
+            (HostValue::Encrypted { .. }, None) => {
                 return Err(KvError::DecryptionFailed { key: key.to_vec() })
             }
         };
-
-        if Self::hash_value(key, &plaintext) != meta.value_hash {
-            self.stats.integrity_failures += 1;
-            return Err(KvError::IntegrityViolation { key: key.to_vec() });
-        }
         Ok(ReadResult {
-            value: plaintext,
+            value,
             timestamp: meta.timestamp,
             version: meta.version,
         })
@@ -294,8 +346,8 @@ impl PartitionedKvStore {
     }
 
     /// Rollback-protected rehydration after a restart: re-reads every key
-    /// through the verified path ([`Self::get`] — enclave hash check, AEAD
-    /// open in confidential mode) and deletes every record that fails. What
+    /// through the verified path ([`Self::get`] — enclave digest check, then
+    /// decryption in confidential mode) and deletes every record that fails. What
     /// survives is exactly the state the enclave can vouch for; anything the
     /// host corrupted or dropped while the node was down is discarded rather
     /// than served. Returns `(verified, discarded, verified_payload_bytes)`.
@@ -529,19 +581,11 @@ impl PartitionedKvStore {
             .get_mut(meta.host_slot)
             .and_then(|s| s.as_mut())
         {
-            Some(HostValue::Plain(bytes)) => {
-                if bytes.is_empty() {
-                    bytes.push(0xFF);
-                } else {
-                    bytes[0] ^= 0xFF;
-                }
-                true
-            }
-            Some(HostValue::Encrypted(ct)) => {
-                if ct.bytes.is_empty() {
-                    ct.bytes.push(0xFF);
-                } else {
-                    ct.bytes[0] ^= 0xFF;
+            Some(host_value) => {
+                let bytes = host_value.bytes_mut();
+                match bytes.first_mut() {
+                    Some(first) => *first ^= 0xFF,
+                    None => bytes.push(0xFF),
                 }
                 true
             }
@@ -570,13 +614,8 @@ impl PartitionedKvStore {
     pub fn host_visible_bytes(&self, key: &[u8]) -> Option<Vec<u8>> {
         let meta = self.index.get(key)?;
         match self.host_arena.get(meta.host_slot)?.as_ref()? {
-            HostValue::Plain(bytes) => Some(bytes.clone()),
-            HostValue::Encrypted(ct) => Some(ct.bytes.clone()),
+            HostValue::Plain(bytes) | HostValue::Encrypted { bytes, .. } => Some(bytes.clone()),
         }
-    }
-
-    fn hash_value(key: &[u8], value: &[u8]) -> Digest {
-        hash_parts(&[b"recipe.kv.value", key, value])
     }
 }
 
@@ -707,6 +746,83 @@ mod tests {
         assert_eq!(store.stats().integrity_failures, 1);
     }
 
+    /// The host's copy of what it holds for `key`, to put back later.
+    fn host_copy(store: &PartitionedKvStore, key: &[u8]) -> HostValue {
+        let slot = store.index.get(key).unwrap().host_slot;
+        store.host_arena[slot].clone().unwrap()
+    }
+
+    fn host_put(store: &mut PartitionedKvStore, key: &[u8], value: HostValue) {
+        let slot = store.index.get(key).unwrap().host_slot;
+        store.host_arena[slot] = Some(value);
+    }
+
+    /// Reads `key` expecting the failure a tampered sealed value gives: the
+    /// digest check in `get` comes before the keystream, so nothing the host
+    /// substituted is ever decrypted.
+    fn assert_refused(store: &mut PartitionedKvStore, key: &[u8]) {
+        let failures = store.stats().integrity_failures;
+        assert_eq!(
+            store.get(key),
+            Err(KvError::DecryptionFailed { key: key.to_vec() })
+        );
+        assert_eq!(store.stats().integrity_failures, failures + 1);
+    }
+
+    #[test]
+    fn sealed_values_swapped_between_keys_are_refused() {
+        let mut store = confidential_store();
+        store.write(b"a", b"value-A", Timestamp::new(1, 0)).unwrap();
+        store.write(b"b", b"value-B", Timestamp::new(1, 0)).unwrap();
+        // Two well-formed sealed values of equal length, each with the nonce
+        // it was sealed under: only the key they sit under is wrong.
+        let (a, b) = (host_copy(&store, b"a"), host_copy(&store, b"b"));
+        host_put(&mut store, b"a", b.clone());
+        host_put(&mut store, b"b", a.clone());
+        assert_refused(&mut store, b"a");
+        assert_refused(&mut store, b"b");
+        host_put(&mut store, b"a", a);
+        host_put(&mut store, b"b", b);
+        assert_eq!(store.get(b"a").unwrap().value, b"value-A");
+        assert_eq!(store.get(b"b").unwrap().value, b"value-B");
+    }
+
+    #[test]
+    fn a_restored_older_sealed_value_is_refused() {
+        let mut store = confidential_store();
+        store
+            .write(b"k", b"balance=100", Timestamp::new(1, 0))
+            .unwrap();
+        let old = host_copy(&store, b"k");
+        store
+            .write(b"k", b"balance=000", Timestamp::new(2, 0))
+            .unwrap();
+        // The host rolls the key back to a value this store itself sealed.
+        host_put(&mut store, b"k", old);
+        assert_refused(&mut store, b"k");
+    }
+
+    #[test]
+    fn a_flipped_nonce_bit_is_refused() {
+        let mut store = confidential_store();
+        store.write(b"k", b"secret", Timestamp::new(1, 0)).unwrap();
+        let HostValue::Encrypted { nonce, bytes } = host_copy(&store, b"k") else {
+            panic!("a confidential store seals");
+        };
+        for bit in [0, 63, 64, 127] {
+            let mut flipped = *nonce.as_bytes();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let tampered = HostValue::Encrypted {
+                nonce: Nonce::from_bytes(flipped),
+                bytes: bytes.clone(),
+            };
+            host_put(&mut store, b"k", tampered);
+            assert_refused(&mut store, b"k");
+        }
+        host_put(&mut store, b"k", HostValue::Encrypted { nonce, bytes });
+        assert_eq!(store.get(b"k").unwrap().value, b"secret");
+    }
+
     #[test]
     fn plain_store_exposes_plaintext_to_host() {
         // Negative control for the confidentiality property.
@@ -820,7 +936,9 @@ mod tests {
         store
             .write(b"k", &[0u8; 1000], Timestamp::new(1, 0))
             .unwrap();
-        assert!(store.stats().host_bytes > 1000);
+        // The ciphertext is as long as the value; the nonce is all it adds.
+        assert_eq!(store.stats().host_bytes, 1000 + Nonce::LEN);
+        assert_eq!(store.host_visible_bytes(b"k").unwrap().len(), 1000);
     }
 
     #[test]

@@ -50,6 +50,9 @@ impl ProtocolMode {
     }
 }
 
+/// Domain a replica group's cipher key is derived under.
+const GROUP_KEY_DOMAIN: &[u8] = b"recipe.group_key.v1";
+
 /// Framing used by native (untransformed) protocols:
 /// `tag | kind u16 | payload`.
 fn encode_native(kind: u16, payload: &[u8]) -> Vec<u8> {
@@ -193,10 +196,22 @@ impl ProtocolShield {
         MacKey::from_bytes(*recipe_crypto::hash_parts(&[b"recipe.deployment.master"]).as_bytes())
     }
 
-    /// The deployment-wide value/payload cipher key (what the CAS provisions
-    /// into every confidential enclave and store in this reproduction).
+    /// The deployment-wide payload cipher key (what the protocol designer
+    /// uploads to the CAS in this reproduction). Endpoints that are one of a
+    /// kind in the deployment — 2PC and migration endpoints, whose node ids
+    /// no other endpoint has — seal under it as it is; a replica group gets
+    /// a sub-key ([`ProtocolShield::group_cipher_key`]).
     pub fn deployment_cipher_key() -> CipherKey {
         CipherKey::from_bytes(*recipe_crypto::hash_parts(&[b"recipe.deployment.cipher"]).as_bytes())
+    }
+
+    /// The cipher key the CAS provisions into the enclaves of replica group
+    /// `group`: the deployment key's sub-key for it. Replica ids are
+    /// group-local, so under the deployment key itself `0 → 1` at counter
+    /// *n* would be the same (key, nonce) pair in every group, and every
+    /// group's replica 0 would derive the same store key.
+    pub fn group_cipher_key(group: u64) -> CipherKey {
+        Self::deployment_cipher_key().derive(&[GROUP_KEY_DOMAIN, &group.to_le_bytes()])
     }
 
     /// Builds a Recipe-mode shield for `node` within `membership`.
@@ -218,7 +233,7 @@ impl ProtocolShield {
             }
         }
         if confidentiality.is_confidential() {
-            Self::provision_cipher(&mut enclave);
+            Self::provision_cipher(&mut enclave, Self::group_cipher_key(membership.group()));
         }
         Self::over(node, enclave, confidentiality)
     }
@@ -232,7 +247,7 @@ impl ProtocolShield {
     /// never seals pays nothing for holding the key.
     pub fn txn_endpoint(node: NodeId) -> Self {
         let mut enclave = Self::launch(node);
-        Self::provision_cipher(&mut enclave);
+        Self::provision_cipher(&mut enclave, Self::deployment_cipher_key());
         Self::over(node, enclave, ConfidentialityMode::Plaintext)
     }
 
@@ -262,12 +277,9 @@ impl ProtocolShield {
         }
     }
 
-    fn provision_cipher(enclave: &mut Enclave) {
+    fn provision_cipher(enclave: &mut Enclave, key: CipherKey) {
         enclave
-            .provision_cipher_key(
-                recipe_core::auth::CIPHER_LABEL,
-                Self::deployment_cipher_key(),
-            )
+            .provision_cipher_key(recipe_core::auth::CIPHER_LABEL, key)
             .expect("fresh enclave accepts keys");
     }
 
@@ -302,15 +314,20 @@ impl ProtocolShield {
     }
 
     /// The store configuration matching this shield's confidentiality policy:
-    /// confidential groups seal values with the deployment cipher key before
-    /// they enter host memory, so a group's policy covers its data at rest as
-    /// well as on the wire. Native and plaintext-Recipe groups store plain
+    /// confidential groups seal values before they enter host memory, so a
+    /// group's policy covers its data at rest as well as on the wire — under
+    /// this replica's own sub-key of the key its enclave was provisioned
+    /// ([`AuthLayer::store_cipher_key`]), because every store counts its
+    /// nonces from one. Native and plaintext-Recipe groups store plain
     /// values (integrity is still hash-checked by the partitioned store).
     pub fn store_config(&self) -> recipe_kv::StoreConfig {
-        if self.mode.confidentiality().is_confidential() {
-            recipe_kv::StoreConfig::default().with_cipher(Self::deployment_cipher_key())
-        } else {
-            recipe_kv::StoreConfig::default()
+        let config = recipe_kv::StoreConfig::default();
+        match &self.auth {
+            Some(auth) if auth.is_confidential() => config.with_cipher(
+                auth.store_cipher_key()
+                    .expect("a confidential shield holds the cipher key"),
+            ),
+            _ => config,
         }
     }
 
@@ -353,6 +370,15 @@ impl ProtocolShield {
             .unwrap_or(0)
     }
 
+    /// The trusted receive counter for `peer`: the counter of the last frame
+    /// accepted from it (0 in native mode, and before the first).
+    pub fn recv_counter_from(&self, peer: NodeId) -> u64 {
+        self.auth
+            .as_ref()
+            .map(|auth| auth.recv_counter_from(peer))
+            .unwrap_or(0)
+    }
+
     /// Re-attestation channel resync for the `peer → self` direction: the
     /// receive counter jumps forward to `peer_send_counter` and buffered
     /// frames from `peer` are discarded (no-op in native mode). Monotonic —
@@ -388,15 +414,14 @@ impl ProtocolShield {
         match &mut self.auth {
             None => encode_native_batch(&ops),
             Some(auth) => auth
-                .shield_batch(dst, &ops)
-                .expect("channel key provisioned for every peer")
-                .to_wire(),
+                .shield_batch_to_wire(dst, &ops)
+                .expect("channel key provisioned for every peer"),
         }
     }
 
     /// Wraps one two-phase-commit message for `dst` into wire bytes: a
     /// domain-separated [`recipe_core::TxnFrame`] under the channel's next
-    /// counter slot — MAC always, AEAD over the body when `seal` is set. The
+    /// counter slot — MAC always, the body encrypted when `seal` is set. The
     /// caller decides per frame: stricter-wins sealing is a property of the
     /// transaction, not of the endpoint. 2PC endpoints always run Recipe
     /// mode — there is no native 2PC.
@@ -410,9 +435,8 @@ impl ProtocolShield {
         self.auth
             .as_mut()
             .expect("2PC frames require a Recipe-mode shield")
-            .shield_txn_as(dst, txn_id, body, seal)
+            .shield_txn_to_wire(dst, txn_id, body, seal)
             .expect("channel key provisioned for every peer")
-            .to_wire()
     }
 
     /// Unwraps a two-phase-commit frame received on the channel from `from`.
@@ -596,6 +620,73 @@ mod tests {
         assert_eq!(
             receiver.unwrap(NodeId(0), &wire),
             vec![(2, b"secret-value-123".to_vec())]
+        );
+    }
+
+    #[test]
+    fn every_replica_seals_its_store_under_a_key_of_its_own() {
+        use recipe_kv::{PartitionedKvStore, Timestamp};
+        // Replicas 0 and 1 of group 0, and replica 0 of group 1 — which has
+        // the same node id as the first, as every group's ids run from 0.
+        let store = |node: u64, group: u64| {
+            let m = membership().in_group(group);
+            let shield = ProtocolShield::recipe(NodeId(node), &m, true);
+            PartitionedKvStore::new(shield.store_config())
+        };
+        let mut stores = [store(0, 0), store(1, 0), store(0, 1)];
+        // The same first write everywhere — each store's nonce counter is at
+        // one — and a different one on a twin of the first store.
+        let (value, other) = ([0x11u8; 64], [0x22u8; 64]);
+        let host: Vec<Vec<u8>> = stores
+            .iter_mut()
+            .map(|store| {
+                assert!(store.is_confidential());
+                store.write(b"k", &value, Timestamp::new(1, 0)).unwrap();
+                assert_eq!(store.get(b"k").unwrap().value, value);
+                store.host_visible_bytes(b"k").unwrap()
+            })
+            .collect();
+        assert_ne!(host[0], host[1]);
+        assert_ne!(host[0], host[2]);
+        assert_ne!(host[1], host[2]);
+        let xor = |x: &[u8], y: &[u8]| -> Vec<u8> { x.iter().zip(y).map(|(x, y)| x ^ y).collect() };
+        let mut diverged = store(0, 1);
+        diverged.write(b"k", &other, Timestamp::new(1, 0)).unwrap();
+        let host_diverged = diverged.host_visible_bytes(b"k").unwrap();
+        // Under one shared key the host would read the XOR of two plaintexts
+        // off the two stores' memory.
+        assert_ne!(xor(&host[0], &host_diverged), xor(&value, &other));
+        // Plaintext and native shields configure plain stores.
+        assert!(!PartitionedKvStore::new(
+            ProtocolShield::recipe(NodeId(0), &membership(), false).store_config()
+        )
+        .is_confidential());
+        assert!(
+            !PartitionedKvStore::new(ProtocolShield::native(NodeId(0)).store_config())
+                .is_confidential()
+        );
+    }
+
+    #[test]
+    fn replica_groups_seal_frames_under_keys_of_their_own() {
+        // `0 → 1` at counter 1 in two groups: the same channel, counter and
+        // so nonce, which under one cipher key would be one keystream.
+        let wire = |group: u64| {
+            let m = membership().in_group(group);
+            ProtocolShield::recipe(NodeId(0), &m, true).wrap(NodeId(1), 7, &[0x5A; 64])
+        };
+        let (a, b) = (wire(0), wire(1));
+        let body = |wire: &[u8]| ShieldedMessage::from_wire(wire).unwrap().payload;
+        assert_ne!(body(&a), body(&b));
+        assert_eq!(a, wire(0));
+        // A group's frames open in that group only.
+        let m = membership().in_group(1);
+        let mut receiver = ProtocolShield::recipe(NodeId(1), &m, true);
+        assert!(receiver.unwrap(NodeId(0), &a).is_empty());
+        assert_eq!(receiver.unwrap(NodeId(0), &b).len(), 1);
+        assert_ne!(
+            ProtocolShield::group_cipher_key(0),
+            ProtocolShield::deployment_cipher_key()
         );
     }
 

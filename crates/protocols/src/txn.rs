@@ -439,6 +439,48 @@ mod tests {
     }
 
     #[test]
+    fn lanes_the_16_byte_nonce_folded_together_share_no_keystream() {
+        use recipe_core::SequenceTuple;
+        use recipe_net::ChannelId;
+        // The nonce this layer used to derive kept 32 bits of each endpoint
+        // id: `src << 96 | dst << 64 | counter` in a `u128`. 2PC endpoint ids
+        // are 47 bits wide, so the high bits of `src` fell off the top and
+        // the high bits of `dst` landed in `src`'s field.
+        let folded = |src: NodeId, dst: NodeId, counter: u64| {
+            ((src.0 as u128) << 96) | ((dst.0 as u128) << 64) | counter as u128
+        };
+        let nonce = |src: NodeId, dst: NodeId, counter| {
+            SequenceTuple {
+                view: 0,
+                channel: ChannelId::new(src, dst),
+                counter,
+            }
+            .nonce()
+        };
+        let (c0, c512) = (coordinator_endpoint(0), coordinator_endpoint(512));
+        let (p0, p512) = (participant_endpoint(0), participant_endpoint(512));
+        // The two pairs that collided, one on each leg, under the one
+        // deployment cipher key: clients 0 and 512 sending to shard 0, and
+        // shards 0 and 512 answering client 0.
+        for (a, b) in [((c0, p0), (c512, p0)), ((p0, c0), (p512, c0))] {
+            assert_eq!(folded(a.0, a.1, 1), folded(b.0, b.1, 1));
+            assert_ne!(nonce(a.0, a.1, 1), nonce(b.0, b.1, 1));
+        }
+        // End to end: equal prepares at equal counters on the two lanes.
+        let mut lanes = TxnLanes::default();
+        let first = lanes.lane(0, 0).seal_request(7, &prepare(2), true);
+        let second = lanes.lane(512, 0).seal_request(7, &prepare(2), true);
+        let (first, second) = (
+            TxnFrame::from_wire(&first).unwrap(),
+            TxnFrame::from_wire(&second).unwrap(),
+        );
+        assert_eq!(first.tuple.counter, second.tuple.counter);
+        assert_eq!(first.body.len(), second.body.len());
+        let same = first.body.iter().zip(&second.body).filter(|(a, b)| a == b);
+        assert!(same.count() < first.body.len() / 8);
+    }
+
+    #[test]
     fn lowering_lends_reads_and_writes_to_the_store() {
         let ops = vec![
             Operation::Get { key: b"r".to_vec() },

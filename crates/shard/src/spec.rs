@@ -685,8 +685,13 @@ impl<R: Replica> ShardedCluster<R> {
         let groups = (0..spec.shards)
             .map(|shard| {
                 let policy = spec.policy_for(shard);
+                // Replica ids repeat from group to group; the group index in
+                // the membership is what keeps derived key material apart.
                 (0..spec.replicas_per_shard as u64)
-                    .map(|id| make(shard, id, membership.clone(), &policy))
+                    .map(|id| {
+                        let membership = membership.clone().in_group(shard as u64);
+                        make(shard, id, membership, &policy)
+                    })
                     .collect()
             })
             .collect();
@@ -711,6 +716,21 @@ impl<R: PolicyReplica> ShardedCluster<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_replica_is_built_under_the_membership_of_its_own_group() {
+        // Replica ids run from 0 in every group; the group index in the
+        // membership is what a replica's shield scopes its cipher key and its
+        // store key by.
+        let spec = DeploymentSpec::new(3, 3).with_shard_policy(1, ShardPolicy::confidential());
+        let mut built = Vec::new();
+        ShardedCluster::<RaftReplica>::build_with(spec, |shard, id, membership, policy| {
+            assert_eq!(membership.group(), shard as u64);
+            built.push((shard, id));
+            RaftReplica::build_replica(shard, id, membership, policy)
+        });
+        assert_eq!(built.len(), 9);
+    }
 
     #[test]
     fn every_policy_replica_protocol_builds_and_runs_sharded() {

@@ -961,4 +961,50 @@ mod tests {
         // … its own second one would interleave with the first on lane (0, 0).
         let _ = engine.txn_begin(0, 2, ops, &placements, 0);
     }
+
+    #[test]
+    fn frame_nonces_are_injective_over_every_admitted_id_block() {
+        use recipe_core::SequenceTuple;
+        use recipe_net::ChannelId;
+        use recipe_protocols::MAX_CLIENTS;
+        // The ends and a middle of every block a sealing endpoint's id can
+        // come from, for the counts `DeploymentSpec::validate` admits:
+        // group-local replica ids, migration endpoints, 2PC coordinator
+        // endpoints (one per client) and participant endpoints (one per
+        // shard) — with the 2PC ids 512 apart that the 16-byte nonce folded
+        // together.
+        let participants = TXN_ENDPOINT_IDS.start + MAX_CLIENTS as u64;
+        let ids = [
+            0,
+            1,
+            MAX_REPLICAS_PER_SHARD as u64 - 1,
+            MIGRATION_ENDPOINT_IDS.start,
+            MIGRATION_ENDPOINT_IDS.start + MAX_SHARDS as u64,
+            MIGRATION_ENDPOINT_IDS.end - 1,
+            TXN_ENDPOINT_IDS.start,
+            TXN_ENDPOINT_IDS.start + 512,
+            participants - 1,
+            participants,
+            participants + 512,
+            TXN_ENDPOINT_IDS.end - 1,
+        ];
+        let counters = [1, 2, u64::from(u32::MAX), u64::from(u32::MAX) + 1, u64::MAX];
+        let mut nonces = std::collections::BTreeSet::new();
+        for src in ids {
+            for dst in ids {
+                for counter in counters {
+                    let tuple = SequenceTuple {
+                        view: 0,
+                        channel: ChannelId::new(NodeId(src), NodeId(dst)),
+                        counter,
+                    };
+                    assert!(
+                        nonces.insert(tuple.nonce()),
+                        "{src:#x} -> {dst:#x} #{counter} repeats a nonce"
+                    );
+                }
+            }
+        }
+        assert_eq!(nonces.len(), ids.len() * ids.len() * counters.len());
+    }
 }

@@ -318,6 +318,19 @@ impl Enclave {
             })
     }
 
+    /// Derives a sub-key of the cipher key provisioned under `label`
+    /// ([`CipherKey::derive`]); the provisioned key itself never leaves the
+    /// enclave.
+    pub fn derive_cipher_key(&self, label: &str, parts: &[&[u8]]) -> Result<CipherKey, TeeError> {
+        self.ensure_alive()?;
+        self.ciphers
+            .get(label)
+            .map(|slot| slot.key.derive(parts))
+            .ok_or_else(|| TeeError::MissingSecret {
+                label: label.to_owned(),
+            })
+    }
+
     /// Installs the node's signing key pair.
     pub fn install_signing_key(&mut self, keys: SigningKeyPair) -> Result<(), TeeError> {
         self.ensure_alive()?;
@@ -538,6 +551,16 @@ mod tests {
         assert_eq!(cipher.open(&ct).unwrap(), b"v");
         // Built once and handed out, not rebuilt per call.
         assert!(std::ptr::eq(cipher, e.cipher("values").unwrap()));
+        // Sub-keys come from the provisioned key, under its label only.
+        let parent = CipherKey::from_bytes([2u8; 32]);
+        assert_eq!(
+            e.derive_cipher_key("values", &[b"store", b"7"]).unwrap(),
+            parent.derive(&[b"store", b"7"])
+        );
+        assert!(matches!(
+            e.derive_cipher_key("other", &[b"store", b"7"]),
+            Err(TeeError::MissingSecret { .. })
+        ));
     }
 
     #[test]

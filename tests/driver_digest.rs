@@ -63,7 +63,7 @@ const PINS: [Pin; 4] = [
     Pin {
         name: "txn_byzantine",
         run: txn_byzantine,
-        digest: "666f29e103a9f61abf86c291ae901d0df82e8e89605ca4151dafc975d55925d4",
+        digest: "43302c5a2e8b2b9751b178949ee470c8425399a8e0aa217b44db0cbcf84cc954",
     },
 ];
 

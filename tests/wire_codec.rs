@@ -10,7 +10,8 @@
 //! 3. decoding is robust — forged lengths, unknown tags, truncation and
 //!    trailing bytes are rejected by `ProtocolShield` and counted, never
 //!    panicked on;
-//! 4. every single-bit flip of a shielded, batch or 2PC frame is rejected;
+//! 4. every single-bit flip of a shielded, batch or 2PC frame is rejected,
+//!    and none of them moves the receive counter;
 //! 5. one golden byte vector per family pins the layout, so a silent format
 //!    change fails here.
 
@@ -21,7 +22,7 @@ use recipe::core::{
     BatchFrame, BatchOp, ClientRequest, Membership, Operation, SequenceTuple, ShieldedMessage,
     TxnBody, TxnFrame,
 };
-use recipe::crypto::{Ciphertext, MacTag, Nonce, Signature};
+use recipe::crypto::{MacTag, Signature};
 use recipe::kv::Timestamp;
 use recipe::net::{ChannelId, NodeId};
 use recipe::protocols::{
@@ -69,14 +70,6 @@ impl Draw {
 
     fn mac(&self) -> MacTag {
         MacTag::from_bytes([self.n[4] as u8; 32])
-    }
-
-    fn ciphertext(&self) -> Ciphertext {
-        Ciphertext {
-            nonce: Nonce::from_u128(u128::from(self.n[5]) << 17),
-            bytes: self.value.clone(),
-            tag: [self.n[3] as u8; 32],
-        }
     }
 
     fn ops(&self) -> Vec<BatchOp> {
@@ -152,14 +145,14 @@ fn catalogue(d: &Draw) -> Vec<(&'static str, Vec<u8>)> {
                 tuple: d.tuple(),
                 count: 3,
                 body: BatchFrame::encode_ops(&d.ops()),
-                sealed: None,
+                sealed: false,
                 mac: d.mac(),
             },
             BatchFrame {
                 tuple: d.tuple(),
                 count: b as u32,
-                body: Vec::new(),
-                sealed: Some(d.ciphertext()),
+                body: value.clone(),
+                sealed: true,
                 mac: d.mac(),
             },
         ]
@@ -175,14 +168,14 @@ fn catalogue(d: &Draw) -> Vec<(&'static str, Vec<u8>)> {
                 body: TxnFrame::encode_body(&TxnBody::Prepare {
                     ops: vec![d.put(), d.get()],
                 }),
-                sealed: None,
+                sealed: false,
                 mac: d.mac(),
             },
             TxnFrame {
                 tuple: d.tuple(),
                 txn_id: b,
-                body: Vec::new(),
-                sealed: Some(d.ciphertext()),
+                body: value.clone(),
+                sealed: true,
                 mac: d.mac(),
             },
         ]
@@ -412,7 +405,7 @@ proptest! {
     /// extensions and cross-family decoding, for every family at once.
     #[test]
     fn encodings_round_trip_and_decode_strictly(
-        n in proptest::collection::vec(any::<u64>(), 6),
+        n in proptest::collection::vec(any::<u64>(), 5),
         key in proptest::collection::vec(any::<u8>(), 0..24),
         value in proptest::collection::vec(any::<u8>(), 0..96),
     ) {
@@ -483,57 +476,72 @@ proptest! {
     }
 }
 
-/// The cipher under a confidential frame may change its keystream, never its
-/// envelope: nonce, ciphertext as long as the plaintext, 32-byte tag. These
-/// are the wire lengths of three real confidential frames as recorded with the
-/// HMAC-keystream cipher; the cost model charges on them.
+/// A sealed frame is exactly as long as the plaintext frame of the same
+/// content — the ciphertext is as long as the plaintext, the nonce is derived
+/// and the frame MAC is the only tag — and the cost model charges on these
+/// lengths. (With the cipher's own envelope inside the frame they were 1148,
+/// 1165 and 1166: a 16-byte nonce and a 32-byte tag more, and in the single
+/// frame the envelope's length prefix.)
 #[test]
 fn confidential_frame_lengths_are_pinned() {
-    let (mut sender, _) = shield_pair(true);
-    let payload = vec![0x5a; 1024];
-    let single = sender.wrap(NodeId(1), 7, &payload);
-    let batch = sender.wrap_batch(
-        NodeId(1),
-        vec![
-            BatchOp::new(7, payload.clone()),
-            BatchOp::new(7, vec![1, 2, 3]),
-        ],
-    );
-    let txn = sender.wrap_txn(
-        NodeId(1),
-        9,
-        &TxnBody::Prepare {
-            ops: vec![Operation::Put {
-                key: b"k".to_vec(),
-                value: payload,
-            }],
-        },
-        true,
-    );
-    assert_eq!((single.len(), batch.len(), txn.len()), (1148, 1165, 1166));
+    let lengths = |confidential| {
+        let (mut sender, _) = shield_pair(confidential);
+        let payload = vec![0x5a; 1024];
+        let single = sender.wrap(NodeId(1), 7, &payload);
+        let batch = sender.wrap_batch(
+            NodeId(1),
+            vec![
+                BatchOp::new(7, payload.clone()),
+                BatchOp::new(7, vec![1, 2, 3]),
+            ],
+        );
+        let txn = sender.wrap_txn(
+            NodeId(1),
+            9,
+            &TxnBody::Prepare {
+                ops: vec![Operation::Put {
+                    key: b"k".to_vec(),
+                    value: payload,
+                }],
+            },
+            confidential,
+        );
+        (single.len(), batch.len(), txn.len())
+    };
+    assert_eq!(lengths(true), (1096, 1117, 1118));
+    assert_eq!(lengths(false), lengths(true));
 }
 
 /// Feeds every single-bit flip of `wire` to `open`, which must reject each
-/// one (no delivery, one more rejection on the counter), then the intact
-/// frame, which must still be accepted: no flip advanced a counter or left
-/// anything buffered.
+/// one — no delivery, one more rejection on the counter, and the trusted
+/// receive counter where it was: a flip that moved it would turn the intact
+/// frame into a replay (a sealed frame's inner tag once sat outside the MAC
+/// and did exactly that). Then the intact frame, which must be accepted and
+/// take the next slot.
 fn every_bit_flip_is_rejected(
     receiver: &mut ProtocolShield,
     wire: &[u8],
     open: impl Fn(&mut ProtocolShield, &[u8]) -> bool,
 ) {
+    let accepted = receiver.recv_counter_from(NodeId(0));
     let mut flipped = wire.to_vec();
     for bit in 0..wire.len() * 8 {
         flipped[bit / 8] ^= 1 << (bit % 8);
         let before = receiver.rejected();
         assert!(!open(receiver, &flipped), "flip of bit {bit} was delivered");
         assert_eq!(receiver.rejected(), before + 1, "flip of bit {bit}");
+        assert_eq!(
+            receiver.recv_counter_from(NodeId(0)),
+            accepted,
+            "flip of bit {bit} moved the receive counter"
+        );
         flipped[bit / 8] ^= 1 << (bit % 8);
     }
     assert!(
         open(receiver, wire),
         "intact frame rejected after the flips"
     );
+    assert_eq!(receiver.recv_counter_from(NodeId(0)), accepted + 1);
 }
 
 #[test]
@@ -646,11 +654,6 @@ fn golden_vectors_pin_the_layout() {
         counter: 4,
     };
     let mac = MacTag::from_bytes([0xAA; 32]);
-    let sealed = Ciphertext {
-        nonce: Nonce::from_u128(5),
-        bytes: vec![0xC1, 0xC2],
-        tag: [0xBB; 32],
-    };
     let put = Operation::Put {
         key: b"k".to_vec(),
         value: b"vv".to_vec(),
@@ -672,11 +675,9 @@ fn golden_vectors_pin_the_layout() {
             "aa".repeat(32)
         )
     };
-    let ciphertext = format!(
-        "{}{}02000000c1c2",
-        "05".to_owned() + &"00".repeat(15),
-        "bb".repeat(32)
-    );
+    // A sealed body: its length, then ciphertext bytes `c1 c2` — no nonce and
+    // no tag of its own.
+    let sealed_body = "02000000c1c2";
 
     let golden: Vec<(&str, Vec<u8>, String)> = vec![
         (
@@ -692,16 +693,28 @@ fn golden_vectors_pin_the_layout() {
             header("01", "00") + "0201" + "020000007676",
         ),
         (
+            "single (sealed)",
+            ShieldedMessage {
+                tuple,
+                kind: 0x0102,
+                payload: vec![0xC1, 0xC2],
+                confidential: true,
+                mac,
+            }
+            .to_wire(),
+            header("01", "01") + "0201" + sealed_body,
+        ),
+        (
             "batch (sealed)",
             BatchFrame {
                 tuple,
                 count: 2,
-                body: Vec::new(),
-                sealed: Some(sealed.clone()),
+                body: vec![0xC1, 0xC2],
+                sealed: true,
                 mac,
             }
             .to_wire(),
-            header("02", "01") + "02000000" + &ciphertext,
+            header("02", "01") + "02000000" + sealed_body,
         ),
         (
             "batch body",
@@ -714,11 +727,23 @@ fn golden_vectors_pin_the_layout() {
                 tuple,
                 txn_id: 8,
                 body: TxnFrame::encode_body(&TxnBody::Commit),
-                sealed: None,
+                sealed: false,
                 mac,
             }
             .to_wire(),
             header("03", "00") + "0800000000000000" + "020000000802",
+        ),
+        (
+            "txn (sealed)",
+            TxnFrame {
+                tuple,
+                txn_id: 8,
+                body: vec![0xC1, 0xC2],
+                sealed: true,
+                mac,
+            }
+            .to_wire(),
+            header("03", "01") + "0800000000000000" + sealed_body,
         ),
         (
             "native single",
