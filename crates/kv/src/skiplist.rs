@@ -5,6 +5,32 @@
 //! inside the limited enclave memory. This implementation is arena-based (no
 //! `unsafe`), generic over the value type, and deterministic: tower heights come from
 //! a seeded RNG so tests and simulations are reproducible.
+//!
+//! # Layout
+//!
+//! A descent is a chain of dependent loads, so what one step reads decides what a
+//! lookup costs. A step here reads one link and one 24-byte search record:
+//!
+//! * every tower is a run of `height` `u32` links in one pooled vector (the head's
+//!   run of sixteen comes first), so "the next node at this level" is one
+//!   indexed load, and a freed run goes on a free list of its height for the next
+//!   tower that tall;
+//! * every arena slot has a search record in a vector of its own: where its tower
+//!   starts, and the first 16 bytes of its key as two big-endian words, zero-padded.
+//!   The keys and values sit in a third vector that a descent touches only on a tie.
+//!
+//! **Why the prefix orders as the key does.** Byte strings order by their first
+//! differing byte, a proper prefix before its extensions. Take two keys whose padded
+//! prefixes differ, first at byte `i < 16`, and say `a`'s byte is the smaller. If both
+//! keys are longer than `i`, that byte is their first difference too. Otherwise one of
+//! the two bytes is padding — it is the zero, so it is `a`'s — which makes `a` no
+//! longer than `i`, all of `a` equal to the start of `b`, and `b` longer than `i`
+//! (its byte there is not zero): `a` is a proper prefix of `b`. Either way `a < b`, and
+//! big-endian words compare as their bytes do. Equal prefixes decide nothing —
+//! `"ab"`, `"ab\0"` and `"ab\0\0"` all pad to the same sixteen bytes — so a tie, and
+//! only a tie, is settled by comparing the whole keys.
+
+use std::cmp::Ordering;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,13 +40,38 @@ use rand::{Rng, SeedableRng};
 const MAX_LEVEL: usize = 16;
 /// Probability of promoting a node one more level.
 const PROMOTE_P: f64 = 0.5;
+/// The link that ends a level, and the end of a free list of runs.
+const NIL: u32 = u32::MAX;
+/// Where the head's tower starts in the link pool: the "−∞" node's run, never freed.
+const HEAD: u32 = 0;
+
+/// The first 16 bytes of a key, zero-padded, as two big-endian words.
+type Prefix = [u64; 2];
+
+fn prefix_of(key: &[u8]) -> Prefix {
+    let mut padded = [0u8; 16];
+    let taken = key.len().min(16);
+    padded[..taken].copy_from_slice(&key[..taken]);
+    let whole = u128::from_be_bytes(padded);
+    [(whole >> 64) as u64, whole as u64]
+}
+
+/// What a descent reads of an arena slot. Two `u64`s and not a `u128`, whose
+/// alignment would round the record up to 32 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Search {
+    prefix: Prefix,
+    /// Where the slot's tower starts in the link pool.
+    tower: u32,
+    height: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Search>() == 24);
 
 #[derive(Debug, Clone)]
 struct Node<V> {
-    key: Vec<u8>,
+    key: Box<[u8]>,
     value: V,
-    /// `forward[l]` is the arena index of the next node at level `l`, if any.
-    forward: Vec<Option<usize>>,
 }
 
 /// An ordered map from byte-string keys to values, implemented as a skiplist.
@@ -28,9 +79,15 @@ struct Node<V> {
 pub struct SkipList<V> {
     /// Arena of nodes; freed slots are reused via `free_list`.
     arena: Vec<Option<Node<V>>>,
-    free_list: Vec<usize>,
-    /// Head forward pointers (the virtual "−∞" node's tower).
-    head: Vec<Option<usize>>,
+    /// `search[i]` describes `arena[i]`; stale while the slot is free.
+    search: Vec<Search>,
+    free_list: Vec<u32>,
+    /// Every tower's links: `links[tower + l]` is the arena index of the next
+    /// node at level `l`, or [`NIL`].
+    links: Vec<u32>,
+    /// `free_runs[h - 1]` heads the list of freed runs of height `h`, each
+    /// run's first link naming the next.
+    free_runs: [u32; MAX_LEVEL],
     level: usize,
     len: usize,
     rng: StdRng,
@@ -52,8 +109,10 @@ impl<V> SkipList<V> {
     pub fn with_seed(seed: u64) -> Self {
         SkipList {
             arena: Vec::new(),
+            search: Vec::new(),
             free_list: Vec::new(),
-            head: vec![None; MAX_LEVEL],
+            links: vec![NIL; MAX_LEVEL],
+            free_runs: [NIL; MAX_LEVEL],
             level: 1,
             len: 0,
             rng: StdRng::seed_from_u64(seed),
@@ -70,63 +129,87 @@ impl<V> SkipList<V> {
         self.len == 0
     }
 
-    fn node(&self, idx: usize) -> &Node<V> {
-        self.arena[idx].as_ref().expect("live node index")
+    fn node(&self, idx: u32) -> &Node<V> {
+        self.arena[idx as usize].as_ref().expect("live node index")
     }
 
-    fn node_mut(&mut self, idx: usize) -> &mut Node<V> {
-        self.arena[idx].as_mut().expect("live node index")
+    fn node_mut(&mut self, idx: u32) -> &mut Node<V> {
+        self.arena[idx as usize].as_mut().expect("live node index")
+    }
+
+    /// The node after the tower at `tower` on level `lvl`, or [`NIL`].
+    fn next_of(&self, tower: u32, lvl: usize) -> u32 {
+        self.links[tower as usize + lvl]
     }
 
     /// One descent toward `key`, recording the predecessor at every level.
     ///
-    /// `preds[l]` is `None` when the predecessor at level `l` is the head.
-    /// Returns them with the node the descent ends in front of: the first
-    /// node whose key is not below `key`.
-    fn predecessors(&self, key: &[u8]) -> ([Option<usize>; MAX_LEVEL], Option<usize>) {
-        let mut preds = [None; MAX_LEVEL];
-        let mut current: Option<usize> = None; // None = head
-        for (lvl, pred) in preds.iter_mut().enumerate().take(self.level).rev() {
-            current = self.advance(current, lvl, key);
-            *pred = current;
-        }
-        (preds, self.next_of(preds[0], 0))
-    }
-
-    /// The first node whose key is not below `key`: the same descent as
-    /// [`SkipList::predecessors`], for searches that change no link.
-    fn seek(&self, key: &[u8]) -> Option<usize> {
-        let mut current: Option<usize> = None; // None = head
+    /// `preds[l]` is where the tower of the predecessor at level `l` starts
+    /// ([`HEAD`] when nothing precedes `key` there). Returns them with the
+    /// node the descent ends in front of: the first node whose key is not
+    /// below `key`, or [`NIL`].
+    fn predecessors(&self, key: &[u8]) -> ([u32; MAX_LEVEL], u32) {
+        let prefix = prefix_of(key);
+        let mut preds = [HEAD; MAX_LEVEL];
+        let (mut tower, mut stop) = (HEAD, NIL);
         for lvl in (0..self.level).rev() {
-            current = self.advance(current, lvl, key);
+            (tower, stop) = self.advance(tower, stop, lvl, prefix, key);
+            preds[lvl] = tower;
         }
-        self.next_of(current, 0)
+        (preds, stop)
     }
 
-    /// Walks level `lvl` from `from` (`None` = head) to the last node whose
-    /// key is below `key`.
-    fn advance(&self, from: Option<usize>, lvl: usize, key: &[u8]) -> Option<usize> {
-        let mut current = from;
-        while let Some(next) = self.next_of(current, lvl) {
-            if self.node(next).key.as_slice() >= key {
-                break;
-            }
-            current = Some(next);
+    /// The first node whose key is not below `key`, or [`NIL`]: the same
+    /// descent as [`SkipList::predecessors`], for searches that change no link.
+    fn seek(&self, key: &[u8]) -> u32 {
+        let prefix = prefix_of(key);
+        let (mut tower, mut stop) = (HEAD, NIL);
+        for lvl in (0..self.level).rev() {
+            (tower, stop) = self.advance(tower, stop, lvl, prefix, key);
         }
-        current
+        stop
+    }
+
+    /// Walks level `lvl` from the tower at `tower` to the last one whose key
+    /// is below `key`; returns it with the node it stopped in front of.
+    /// `stop` is the node the level above stopped in front of, known not to
+    /// be below `key`: meeting it again ends the walk without a compare.
+    fn advance(
+        &self,
+        mut tower: u32,
+        stop: u32,
+        lvl: usize,
+        prefix: Prefix,
+        key: &[u8],
+    ) -> (u32, u32) {
+        loop {
+            let next = self.next_of(tower, lvl);
+            if next == stop {
+                return (tower, next);
+            }
+            let record = &self.search[next as usize];
+            let below = match record.prefix.cmp(&prefix) {
+                Ordering::Less => true,
+                Ordering::Greater => false,
+                Ordering::Equal => *self.node(next).key < *key,
+            };
+            if !below {
+                return (tower, next);
+            }
+            tower = record.tower;
+        }
+    }
+
+    /// True if a descent toward `key` that ended in front of `at` found `key`
+    /// itself there.
+    fn holds(&self, at: u32, key: &[u8]) -> bool {
+        at != NIL && *self.node(at).key == *key
     }
 
     /// The node holding exactly `key`, if any.
-    fn find(&self, key: &[u8]) -> Option<usize> {
-        self.seek(key)
-            .filter(|&idx| self.node(idx).key.as_slice() == key)
-    }
-
-    fn next_of(&self, pred: Option<usize>, lvl: usize) -> Option<usize> {
-        match pred {
-            None => self.head[lvl],
-            Some(idx) => self.node(idx).forward[lvl],
-        }
+    fn find(&self, key: &[u8]) -> Option<u32> {
+        let at = self.seek(key);
+        self.holds(at, key).then_some(at)
     }
 
     fn random_level(&mut self) -> usize {
@@ -135,6 +218,24 @@ impl<V> SkipList<V> {
             level += 1;
         }
         level
+    }
+
+    /// A run of `height` links: the last one freed at that height, or the
+    /// pool's next `height` entries. The caller writes every link of it.
+    fn take_run(&mut self, height: usize) -> u32 {
+        let free = &mut self.free_runs[height - 1];
+        if *free != NIL {
+            let run = *free;
+            *free = self.links[run as usize];
+            return run;
+        }
+        let run = self.links.len();
+        assert!(
+            run + height < NIL as usize,
+            "link pool outgrew its u32 offsets"
+        );
+        self.links.resize(run + height, NIL);
+        run as u32
     }
 
     /// Returns a reference to the value stored under `key`.
@@ -163,12 +264,10 @@ impl<V> SkipList<V> {
     /// the new node. A tower height is drawn only for a new key.
     pub fn upsert(&mut self, key: &[u8], update: impl FnOnce(Option<&V>) -> V) -> Option<V> {
         let (preds, at) = self.predecessors(key);
-        if let Some(existing) = at {
-            if self.node(existing).key.as_slice() == key {
-                let slot = &mut self.node_mut(existing).value;
-                let value = update(Some(slot));
-                return Some(std::mem::replace(slot, value));
-            }
+        if self.holds(at, key) {
+            let slot = &mut self.node_mut(at).value;
+            let value = update(Some(slot));
+            return Some(std::mem::replace(slot, value));
         }
 
         let height = self.random_level();
@@ -176,29 +275,34 @@ impl<V> SkipList<V> {
             self.level = height;
         }
 
-        let node = Node {
-            key: key.to_vec(),
+        let node = Some(Node {
+            key: key.into(),
             value: update(None),
-            forward: vec![None; height],
+        });
+        let record = Search {
+            prefix: prefix_of(key),
+            tower: self.take_run(height),
+            height: height as u32,
         };
         let idx = match self.free_list.pop() {
             Some(slot) => {
-                self.arena[slot] = Some(node);
+                self.arena[slot as usize] = node;
+                self.search[slot as usize] = record;
                 slot
             }
             None => {
-                self.arena.push(Some(node));
-                self.arena.len() - 1
+                let slot = self.arena.len();
+                assert!(slot < NIL as usize, "arena outgrew its u32 links");
+                self.arena.push(node);
+                self.search.push(record);
+                slot as u32
             }
         };
 
         for (lvl, &pred) in preds.iter().enumerate().take(height) {
-            let next = self.next_of(pred, lvl);
-            self.node_mut(idx).forward[lvl] = next;
-            match pred {
-                None => self.head[lvl] = Some(idx),
-                Some(pred_idx) => self.node_mut(pred_idx).forward[lvl] = Some(idx),
-            }
+            let (ours, theirs) = (record.tower as usize + lvl, pred as usize + lvl);
+            self.links[ours] = self.links[theirs];
+            self.links[theirs] = idx;
         }
         self.len += 1;
         None
@@ -206,28 +310,26 @@ impl<V> SkipList<V> {
 
     /// Removes `key`, returning its value if it was present.
     pub fn remove(&mut self, key: &[u8]) -> Option<V> {
-        let (preds, at) = self.predecessors(key);
-        let target = at?;
-        if self.node(target).key.as_slice() != key {
+        let (preds, target) = self.predecessors(key);
+        if !self.holds(target, key) {
             return None;
         }
-        let height = self.node(target).forward.len();
-        for (lvl, &pred) in preds.iter().enumerate().take(height) {
-            // Unlink only where the predecessor actually points at the target.
-            let pred_next = self.next_of(pred, lvl);
-            if pred_next == Some(target) {
-                let successor = self.node(target).forward[lvl];
-                match pred {
-                    None => self.head[lvl] = successor,
-                    Some(pred_idx) => self.node_mut(pred_idx).forward[lvl] = successor,
-                }
-            }
+        let Search { tower, height, .. } = self.search[target as usize];
+        for (lvl, &pred) in preds.iter().enumerate().take(height as usize) {
+            // Every predecessor below the target's height points at it: it is
+            // the first node on that level whose key is not below `key`.
+            let (ours, theirs) = (tower as usize + lvl, pred as usize + lvl);
+            debug_assert_eq!(self.links[theirs], target);
+            self.links[theirs] = self.links[ours];
         }
         // Shrink the active level if the top levels became empty.
-        while self.level > 1 && self.head[self.level - 1].is_none() {
+        while self.level > 1 && self.next_of(HEAD, self.level - 1) == NIL {
             self.level -= 1;
         }
-        let node = self.arena[target].take().expect("live node index");
+        let free = &mut self.free_runs[height as usize - 1];
+        self.links[tower as usize] = *free;
+        *free = tower;
+        let node = self.arena[target as usize].take().expect("live node index");
         self.free_list.push(target);
         self.len -= 1;
         Some(node.value)
@@ -237,24 +339,34 @@ impl<V> SkipList<V> {
     pub fn iter(&self) -> SkipListIter<'_, V> {
         SkipListIter {
             list: self,
-            cursor: self.head[0],
+            cursor: self.next_of(HEAD, 0),
         }
     }
 
     /// Returns the first entry at or after `key` (inclusive lower bound), if any.
     pub fn lower_bound(&self, key: &[u8]) -> Option<(&[u8], &V)> {
-        let node = self.node(self.seek(key)?);
-        Some((node.key.as_slice(), &node.value))
+        let at = self.seek(key);
+        (at != NIL).then(|| {
+            let node = self.node(at);
+            (&*node.key, &node.value)
+        })
     }
 
-    /// Approximate bytes used by keys and tower pointers (enclave-resident part of
-    /// the store's memory accounting). Value sizes are accounted separately by the
-    /// store because values may live in host memory.
+    /// Approximate bytes the index keeps per live key (the enclave-resident part of
+    /// the store's memory accounting): the key, its 24-byte search record and four
+    /// bytes per link of its tower. Value sizes are accounted separately by the store
+    /// because values may live in host memory; `StoreStats::enclave_bytes` adds the
+    /// value metadata to this figure and means what it always did — what the enclave
+    /// holds for the live keys, not what the allocator holds for the index.
     pub fn index_bytes(&self) -> usize {
+        let link = std::mem::size_of::<u32>();
         self.arena
             .iter()
-            .flatten()
-            .map(|n| n.key.len() + n.forward.len() * std::mem::size_of::<usize>())
+            .zip(&self.search)
+            .filter_map(|(slot, record)| {
+                let key = slot.as_ref()?.key.len();
+                Some(key + std::mem::size_of::<Search>() + record.height as usize * link)
+            })
             .sum()
     }
 }
@@ -262,17 +374,21 @@ impl<V> SkipList<V> {
 /// Iterator over a [`SkipList`] in key order.
 pub struct SkipListIter<'a, V> {
     list: &'a SkipList<V>,
-    cursor: Option<usize>,
+    cursor: u32,
 }
 
 impl<'a, V> Iterator for SkipListIter<'a, V> {
     type Item = (&'a [u8], &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let idx = self.cursor?;
-        let node = self.list.node(idx);
-        self.cursor = node.forward[0];
-        Some((node.key.as_slice(), &node.value))
+        if self.cursor == NIL {
+            return None;
+        }
+        let node = self.list.node(self.cursor);
+        self.cursor = self
+            .list
+            .next_of(self.list.search[self.cursor as usize].tower, 0);
+        Some((&*node.key, &node.value))
     }
 }
 
@@ -403,9 +519,10 @@ mod tests {
         assert_eq!(listed, modeled);
     }
 
-    /// The figures are what the list before the one-descent upsert gave for
-    /// this history: the same towers (drawn from the RNG only for new keys,
-    /// in the same order) and the same entries in the same order.
+    /// The figures are what the list with a heap-allocated `forward` vector
+    /// per node gave for this history: the same towers (drawn from the RNG
+    /// only for new keys, in the same order) and the same entries in the same
+    /// order.
     #[test]
     fn towers_and_order_are_pinned_for_a_fixed_history() {
         let mut list = SkipList::with_seed(7);
@@ -426,19 +543,74 @@ mod tests {
             })
         });
         assert_eq!(list.len(), 2167);
-        assert_eq!(list.index_bytes(), 47_186);
         assert_eq!(order, 0xed22_6299_2ff3_25d5);
+        // Each key's height, in key order: 4 273 links in all, which that
+        // list charged at eight bytes each beside 13 002 key bytes (47 186).
+        let heights = list.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, (k, _)| {
+            let height = list.search[list.find(k).unwrap() as usize].height;
+            (hash ^ u64::from(height)).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(heights, 0x9442_9046_9aba_41a4);
+        assert_eq!(list.level, 13);
+        assert_eq!(list.index_bytes(), 13_002 + 2167 * 24 + 4273 * 4);
+    }
+
+    /// Migration drains a range through `delete` and a later one refills it:
+    /// a freed run is the next tower of its height, so the pool holds, per
+    /// height, as many runs as were ever live at once — and no more.
+    #[test]
+    fn churn_does_not_grow_the_link_pool_past_its_high_water() {
+        let mut list = SkipList::with_seed(11);
+        let key = |n: u64| format!("range/{n:05}").into_bytes();
+        let height_of = |list: &SkipList<u64>, key: &[u8]| {
+            list.search[list.find(key).unwrap() as usize].height as usize
+        };
+        let mut live = [0usize; MAX_LEVEL + 1];
+        let mut high_water = [0usize; MAX_LEVEL + 1];
+        for round in 0..40u64 {
+            // Half of these are still there from the round before (no tower
+            // drawn), half are new.
+            for n in round * 150..round * 150 + 300 {
+                if list.insert(&key(n), n).is_none() {
+                    let height = height_of(&list, &key(n));
+                    live[height] += 1;
+                    high_water[height] = high_water[height].max(live[height]);
+                }
+            }
+            for n in round * 150..round * 150 + 150 {
+                live[height_of(&list, &key(n))] -= 1;
+                assert_eq!(list.remove(&key(n)), Some(n));
+            }
+        }
+        let runs: usize = (1..=MAX_LEVEL).map(|h| h * high_water[h]).sum();
+        assert_eq!(list.links.len(), MAX_LEVEL + runs);
+        assert_eq!((list.arena.len(), list.search.len()), (300, 300));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// Keys come in the shapes the prefix has to get right: short ones,
+        /// the empty one, runs of `0x00` that only the length tells apart
+        /// (`"ab"`, `"ab\0"`, `"ab\0\0"`), lengths either side of the sixteen
+        /// bytes a prefix holds, and — like the gateway's `tenant/user0000…`
+        /// keys — ones that differ only behind a shared prefix longer than that.
         #[test]
         fn behaves_like_btreemap(ops in proptest::collection::vec(
-            (0u8..4, proptest::collection::vec(any::<u8>(), 1..6), any::<u32>()), 0..200)) {
+            (0u8..4, 0u8..5, proptest::collection::vec(0u8..4, 0..6), any::<u32>()), 0..200)) {
             let mut list = SkipList::with_seed(3);
             let mut model: BTreeMap<Vec<u8>, u32> = BTreeMap::new();
-            for (op, key, value) in ops {
+            for (op, shape, tail, value) in ops {
+                let stem: &[u8] = match shape {
+                    0 => b"",
+                    1 => b"ab",
+                    2 => b"tenant-000/use",
+                    3 => b"tenant-000/user0",
+                    _ => b"tenant-000/user0000000",
+                };
+                // Few distinct bytes, so keys repeat; `0xff` for the sign bit.
+                let tail = tail.iter().map(|&b| if b == 3 { 0xff } else { b });
+                let key: Vec<u8> = stem.iter().copied().chain(tail).collect();
                 match op {
                     0 => {
                         prop_assert_eq!(list.insert(&key, value), model.insert(key.clone(), value));
@@ -455,6 +627,10 @@ mod tests {
                     }
                     _ => {
                         prop_assert_eq!(list.get(&key), model.get(&key));
+                        prop_assert_eq!(
+                            list.lower_bound(&key).map(|(k, v)| (k.to_vec(), *v)),
+                            model.range(key.clone()..).next().map(|(k, v)| (k.clone(), *v))
+                        );
                     }
                 }
                 prop_assert_eq!(list.len(), model.len());

@@ -15,6 +15,7 @@
 //! stores.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Deref;
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
@@ -61,19 +62,43 @@ pub enum RaftMsg {
     ViewChange { new_view: u64 },
 }
 
+/// Most bytes a message without a key and value encodes to: the family tag,
+/// the variant and two `u64`s.
+const FIXED_MAX: usize = 2 + 2 * 8;
+
+/// A message's wire form where it was built: every message but an append is
+/// a few fixed-size fields, encoded on the stack — the shield copies the
+/// bytes into the frame it seals either way.
+#[derive(Debug)]
+enum Encoding {
+    Fixed { bytes: [u8; FIXED_MAX], len: usize },
+    Heap(Vec<u8>),
+}
+
+impl Deref for Encoding {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Encoding::Fixed { bytes, len } => &bytes[..*len],
+            Encoding::Heap(bytes) => bytes,
+        }
+    }
+}
+
 impl RaftMsg {
     /// Wire form: `tag | variant | u64 fields in declaration order`, an
     /// append's key and value last.
     pub fn encode(&self) -> Vec<u8> {
-        let fixed = |variant: u8, fields: &[u64]| {
-            let mut w = Writer::tagged(tag::RAFT, 2 + 8 * fields.len());
-            w.u8(variant);
-            for field in fields {
-                w.u64(*field);
-            }
-            w.finish()
-        };
-        match self {
+        match self.encoding() {
+            Encoding::Heap(bytes) => bytes,
+            fixed => fixed.to_vec(),
+        }
+    }
+
+    /// The bytes of [`RaftMsg::encode`], allocated only for an append.
+    fn encoding(&self) -> Encoding {
+        let (variant, first, second) = match self {
             RaftMsg::Append {
                 view,
                 index,
@@ -81,13 +106,29 @@ impl RaftMsg {
                 value,
                 client_id,
                 request_id,
-            } => Self::encode_append(*view, *index, key, value, *client_id, *request_id),
-            RaftMsg::AppendAck { view, index } => fixed(1, &[*view, *index]),
-            RaftMsg::Commit { view, index } => fixed(2, &[*view, *index]),
-            RaftMsg::CommitAck { view, index } => fixed(3, &[*view, *index]),
-            RaftMsg::Heartbeat { view } => fixed(4, &[*view]),
-            RaftMsg::ViewChange { new_view } => fixed(5, &[*new_view]),
-        }
+            } => {
+                let (client_id, request_id) = (*client_id, *request_id);
+                let bytes = Self::encode_append(*view, *index, key, value, client_id, request_id);
+                return Encoding::Heap(bytes);
+            }
+            RaftMsg::AppendAck { view, index } => (1, view, Some(index)),
+            RaftMsg::Commit { view, index } => (2, view, Some(index)),
+            RaftMsg::CommitAck { view, index } => (3, view, Some(index)),
+            RaftMsg::Heartbeat { view } => (4, view, None),
+            RaftMsg::ViewChange { new_view } => (5, new_view, None),
+        };
+        let mut bytes = [0; FIXED_MAX];
+        bytes[0] = tag::RAFT;
+        bytes[1] = variant;
+        bytes[2..10].copy_from_slice(&first.to_le_bytes());
+        let len = match second {
+            Some(second) => {
+                bytes[10..].copy_from_slice(&second.to_le_bytes());
+                FIXED_MAX
+            }
+            None => 10,
+        };
+        Encoding::Fixed { bytes, len }
     }
 
     /// The encoding of an [`RaftMsg::Append`] with these fields, for a leader
@@ -290,12 +331,12 @@ impl RaftReplica {
     }
 
     fn send(&mut self, ctx: &mut Ctx, dst: NodeId, msg: &RaftMsg) {
-        self.enqueue(ctx, dst, &msg.encode());
+        self.enqueue(ctx, dst, &msg.encoding());
     }
 
     /// Encodes `msg` once and shields it per peer.
     fn broadcast(&mut self, ctx: &mut Ctx, msg: &RaftMsg) {
-        self.broadcast_encoded(ctx, &msg.encode());
+        self.broadcast_encoded(ctx, &msg.encoding());
     }
 
     fn broadcast_encoded(&mut self, ctx: &mut Ctx, payload: &[u8]) {
@@ -900,6 +941,45 @@ mod tests {
             }
         }
         assert_eq!(batched.replica(NodeId(0)).rejected_messages(), 0);
+    }
+
+    /// The stack encoding is byte for byte what the wire `Writer` builds:
+    /// tag, variant, little-endian fields in declaration order.
+    #[test]
+    fn fixed_size_messages_encode_on_the_stack_to_the_writers_bytes() {
+        let extremes = [0, 1, 0x0102_0304_0506_0708, u64::MAX];
+        for (view, index) in extremes.iter().flat_map(|&a| extremes.map(|b| (a, b))) {
+            let fixed = [
+                (1, RaftMsg::AppendAck { view, index }, vec![view, index]),
+                (2, RaftMsg::Commit { view, index }, vec![view, index]),
+                (3, RaftMsg::CommitAck { view, index }, vec![view, index]),
+                (4, RaftMsg::Heartbeat { view }, vec![view]),
+                (5, RaftMsg::ViewChange { new_view: view }, vec![view]),
+            ];
+            for (variant, msg, fields) in fixed {
+                let mut w = Writer::tagged(tag::RAFT, FIXED_MAX);
+                w.u8(variant);
+                for field in fields {
+                    w.u64(field);
+                }
+                let expected = w.finish();
+                let encoding = msg.encoding();
+                assert!(matches!(encoding, Encoding::Fixed { .. }), "{msg:?}");
+                assert_eq!(*encoding, *expected, "{msg:?}");
+                assert_eq!(msg.encode(), expected);
+                assert_eq!(RaftMsg::decode(&expected), Some(msg));
+            }
+        }
+        let append = RaftMsg::Append {
+            view: 1,
+            index: 2,
+            key: b"k".to_vec(),
+            value: b"v".to_vec(),
+            client_id: 3,
+            request_id: 4,
+        };
+        assert!(matches!(append.encoding(), Encoding::Heap(_)));
+        assert_eq!(RaftMsg::decode(&append.encode()), Some(append));
     }
 
     #[test]

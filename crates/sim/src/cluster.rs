@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cost::{CostProfile, ProtocolCostModel};
 use crate::queue::EventQueue;
-use crate::replica::{Ctx, RangeEntry, Replica};
+use crate::replica::{Ctx, Effects, RangeEntry, Replica};
 
 /// Closed-loop client population configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -241,6 +241,9 @@ pub struct SimCluster<R: Replica> {
     /// Pending client bookkeeping: the outstanding request per client.
     issue_time: HashMap<u64, Outstanding>,
     next_request_id: HashMap<u64, u64>,
+    /// The effect buffers handler calls fill, lent to one [`Ctx`] at a time
+    /// and taken back empty: a steady run allocates none.
+    effects: Effects,
     latencies_ns: Vec<u64>,
     stats: RunStats,
     write_rr: usize,
@@ -279,6 +282,7 @@ impl<R: Replica> SimCluster<R> {
             crashed: BTreeSet::new(),
             issue_time: HashMap::new(),
             next_request_id: HashMap::new(),
+            effects: Effects::default(),
             latencies_ns: Vec::new(),
             stats: RunStats::default(),
             write_rr: 0,
@@ -529,7 +533,7 @@ impl<R: Replica> SimCluster<R> {
             },
         );
         let deliver_at = self.now + self.config.cost_model.link_latency_ns;
-        self.queue.push(
+        self.queue.push_timer(
             self.now + self.config.retry_timeout_ns,
             EventKind::ClientRetry {
                 client_id,
@@ -602,7 +606,7 @@ impl<R: Replica> SimCluster<R> {
                     return StepOutcome::Processed;
                 }
                 let view_before = self.replicas[idx].current_view();
-                let mut ctx = Ctx::new(node, TrustedInstant::from_nanos(self.now));
+                let mut ctx = self.ctx(node, self.now);
                 if up {
                     self.replicas[idx].on_peer_up(about, &mut ctx);
                 } else {
@@ -647,7 +651,7 @@ impl<R: Replica> SimCluster<R> {
                         },
                     );
                 }
-                self.queue.push(
+                self.queue.push_timer(
                     self.now + self.config.retry_timeout_ns,
                     EventKind::ClientRetry {
                         client_id,
@@ -698,7 +702,7 @@ impl<R: Replica> SimCluster<R> {
                     operation,
                     signature: None,
                 };
-                let mut ctx = Ctx::new(node, TrustedInstant::from_nanos(finish));
+                let mut ctx = self.ctx(node, finish);
                 self.replicas[idx].on_client_request(request, &mut ctx);
                 self.apply_effects(idx, ctx);
             }
@@ -740,7 +744,7 @@ impl<R: Replica> SimCluster<R> {
                     t.span(SpanKind::Apply, to.0, finish - app_ns, finish, ops as u64);
                 }
                 let view_before = self.replicas[idx].current_view();
-                let mut ctx = Ctx::new(to, TrustedInstant::from_nanos(finish));
+                let mut ctx = self.ctx(to, finish);
                 self.replicas[idx].on_message(from, &bytes, &mut ctx);
                 if let Some(t) = self.telemetry.as_mut() {
                     let view_after = self.replicas[idx].current_view();
@@ -756,7 +760,7 @@ impl<R: Replica> SimCluster<R> {
                     return StepOutcome::Processed;
                 }
                 let view_before = self.replicas[idx].current_view();
-                let mut ctx = Ctx::new(node, TrustedInstant::from_nanos(self.now));
+                let mut ctx = self.ctx(node, self.now);
                 self.replicas[idx].on_timer(token, &mut ctx);
                 if let Some(t) = self.telemetry.as_mut() {
                     let view_after = self.replicas[idx].current_view();
@@ -843,7 +847,7 @@ impl<R: Replica> SimCluster<R> {
             None => (None, 0, 0),
         };
 
-        let mut ctx = Ctx::new(node, TrustedInstant::from_nanos(self.now));
+        let mut ctx = self.ctx(node, self.now);
         let report = self.replicas[idx].on_restart(rejoin_view, snapshot_entries, &mut ctx);
         // In-flight prepare records ride the same catch-up transfer: the
         // donor exports every record it knows (real and passive) and the
@@ -950,12 +954,20 @@ impl<R: Replica> SimCluster<R> {
         finish
     }
 
+    /// A context for a handler call on `node` at `now_ns`, holding the
+    /// cluster's effect buffers until [`SimCluster::apply_effects`] takes
+    /// them back.
+    fn ctx(&mut self, node: NodeId, now_ns: u64) -> Ctx {
+        let buffers = std::mem::take(&mut self.effects);
+        Ctx::new(node, TrustedInstant::from_nanos(now_ns), buffers)
+    }
+
     fn apply_effects(&mut self, src_idx: usize, ctx: Ctx) {
         let src = self.ids[src_idx];
-        let (outbox, replies, timers) = ctx.take_effects();
+        let (mut outbox, mut replies, mut timers) = ctx.take_effects();
         let mut send_finish = self.busy_until[src_idx];
 
-        for (dst, bytes, ops) in outbox {
+        for (dst, bytes, ops) in outbox.drain(..) {
             // Sending costs the sender time (serialized on the node). Batch
             // frames pay their fixed transport/auth overhead once per frame.
             let send_cost = self.config.cost_model.batch_send_cost_ns(
@@ -1078,10 +1090,10 @@ impl<R: Replica> SimCluster<R> {
         }
         self.busy_until[src_idx] = send_finish.max(self.busy_until[src_idx]);
 
-        for reply in replies {
+        for reply in replies.drain(..) {
             self.record_reply(reply);
         }
-        for (delay, token) in timers {
+        for (delay, token) in timers.drain(..) {
             self.queue.push(
                 self.now + delay,
                 EventKind::Timer {
@@ -1090,6 +1102,7 @@ impl<R: Replica> SimCluster<R> {
                 },
             );
         }
+        self.effects = (outbox, replies, timers);
     }
 
     fn record_reply(&mut self, reply: ClientReply) {
@@ -1386,6 +1399,49 @@ mod tests {
         // Commits happen only in the first millisecond.
         assert!(stats.committed < 10_000);
         assert!(cluster.crashed_nodes().contains(&NodeId(0)));
+    }
+
+    /// Retransmission timers wait in the queue's lane, so what the heap holds
+    /// at its fullest is a few events per client however long the run — also
+    /// while a crash plan's recovery sits in the queue beyond every timer.
+    #[test]
+    fn the_event_heap_stays_as_small_as_the_client_count() {
+        const CLIENTS: u64 = 8;
+        let heap_high_water = |crash_plan: CrashPlan| {
+            // Four replicas: a write needs two of three followers, so one may crash.
+            let mut config = small_config(4, 2_000);
+            config.crash_plan = crash_plan;
+            let mut cluster = SimCluster::new(EchoReplica::cluster(4), config);
+            cluster.set_external_clients(true);
+            cluster.seed_initial_events();
+            for client in 0..CLIENTS {
+                assert!(cluster.submit_at(client * 200, client, 1, write_workload(client, 1)));
+            }
+            let mut high_water = 0;
+            while cluster.committed() < 2_000 {
+                assert_eq!(cluster.step(), StepOutcome::Processed);
+                high_water = high_water.max(cluster.queue.heap_len());
+                for done in cluster.drain_completions() {
+                    let (client, next) = (done.client_id, done.request_id + 1);
+                    assert!(cluster.submit_at(
+                        done.at_ns,
+                        client,
+                        next,
+                        write_workload(client, next)
+                    ));
+                }
+            }
+            high_water
+        };
+        // Per client: its request or the frames of its round, and a kick-off
+        // timer per replica at the start.
+        let bound = 4 * CLIENTS as usize + 4;
+        assert!(heap_high_water(CrashPlan::none()) <= bound);
+        // The run ends long before the first timer is due, and the recovery
+        // comes after that still.
+        let recover_after_every_timer =
+            CrashPlan::none().crash_recover(NodeId(3), 1_000_000, 150_000_000);
+        assert!(heap_high_water(recover_after_every_timer) <= bound + 4);
     }
 
     #[test]

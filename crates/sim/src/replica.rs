@@ -32,14 +32,17 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    /// Creates a context for a handler invocation at virtual time `now`.
-    pub(crate) fn new(node: NodeId, now: TrustedInstant) -> Self {
+    /// Creates a context for a handler invocation at virtual time `now`,
+    /// queuing into `buffers` — empty ones the simulator lends it, so a
+    /// handler's first `send`, `reply` or `set_timer` allocates nothing.
+    pub(crate) fn new(node: NodeId, now: TrustedInstant, buffers: Effects) -> Self {
+        let (outbox, replies, timers) = buffers;
         Ctx {
             now,
             node,
-            outbox: Vec::new(),
-            replies: Vec::new(),
-            timers: Vec::new(),
+            outbox,
+            replies,
+            timers,
         }
     }
 
@@ -375,7 +378,11 @@ mod tests {
 
     #[test]
     fn ctx_queues_effects() {
-        let mut ctx = Ctx::new(NodeId(1), TrustedInstant::from_millis(5));
+        let mut ctx = Ctx::new(
+            NodeId(1),
+            TrustedInstant::from_millis(5),
+            Effects::default(),
+        );
         assert_eq!(ctx.node(), NodeId(1));
         assert_eq!(ctx.now(), TrustedInstant::from_millis(5));
 

@@ -172,6 +172,23 @@ impl Distribution<usize> for Zipf {
     }
 }
 
+/// The key at `index` of the key space: `user` and the index, zero-padded to
+/// eight digits — the bytes of `format!("user{index:08}")`, written into a
+/// buffer sized once for them where `format!` grows a string as it writes.
+fn key_of(index: usize) -> Vec<u8> {
+    let digits = index.checked_ilog10().map_or(1, |log| log as usize + 1);
+    let len = "user".len() + digits.max(8);
+    let mut key = Vec::with_capacity(len);
+    key.extend_from_slice(b"user");
+    key.resize(len, b'0');
+    let mut rest = index;
+    for digit in key.iter_mut().rev().take(digits) {
+        *digit = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    key
+}
+
 /// A deterministic stream of YCSB-like operations.
 #[derive(Debug, Clone)]
 pub struct WorkloadGenerator {
@@ -213,7 +230,7 @@ impl WorkloadGenerator {
             Some(zipf) => zipf.sample(&mut self.rng),
             None => self.rng.gen_range(0..self.spec.key_space),
         };
-        let key = format!("user{key_index:08}").into_bytes();
+        let key = key_of(key_index);
         if self.rng.gen_bool(self.spec.read_ratio) {
             WorkloadOp::Read { key }
         } else {
@@ -418,6 +435,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashMap;
+
+    #[test]
+    fn keys_are_what_format_gives_in_a_string_of_their_length() {
+        for index in [0, 7, 99_999_999, 100_000_000, usize::MAX] {
+            let key = key_of(index);
+            assert_eq!(key, format!("user{index:08}").into_bytes());
+            assert_eq!(key.capacity(), key.len());
+        }
+    }
 
     #[test]
     fn read_ratio_is_respected() {
