@@ -1,4 +1,4 @@
-//! The refactoring oracle inside tier-1: four small fixed-seed runs through
+//! The refactoring oracle inside tier-1: eight small fixed-seed runs through
 //! the request driver, each pinned by the SHA-256 of the `serde_json` form of
 //! its [`ShardedRunStats`].
 //!
@@ -11,6 +11,17 @@
 //! a leader crash and recovery; 2PC under a Byzantine network (dropped,
 //! tampered, duplicated and replayed frames, sealed and plaintext
 //! transactions mixed, a participant leader crashing under them).
+//!
+//! Those four all run `RaftReplica`. The other four run one of the other
+//! protocols each — R-CR, R-ABD and PBFT under a 3-key transaction mix with a
+//! group's first head / coordinator / primary crashing and restarting under
+//! prepared transactions, R-AllConcur under single-key load with a restart —
+//! so that everything a replica does below its protocol (2PC participation,
+//! follower installs, the rollback-protected restart and the hand-over of a
+//! live peer's state) is pinned for every protocol, not for Raft alone. What
+//! those hooks change that no statistic shows — a stored timestamp, a counter
+//! restored on restart — is pinned too: the JSON of these runs carries, beside
+//! the statistics, one digest per replica over every record it ends up with.
 //!
 //! A pin only moves together with a change that legitimately moves the
 //! virtual clock (a cost-model or wire-format change — the same changes that
@@ -26,25 +37,28 @@
 
 use std::path::PathBuf;
 
+use recipe::bft::PbftReplica;
 use recipe::core::{Operation, Request};
 use recipe::crypto::sha256;
 use recipe::gateway::{GatewayConfig, TenantSpec};
 use recipe::net::{CrashPlan, FaultPlan, NodeId};
-use recipe::protocols::RaftReplica;
+use recipe::protocols::{AbdReplica, AllConcurReplica, ChainReplica, RaftReplica};
 use recipe::shard::{
     DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster, ShardedRunStats, TxnConfig,
 };
+use recipe::sim::{CostProfile, RangeStateTransfer, Replica};
 use serde_json::Value;
 
 /// One pinned run.
 struct Pin {
     name: &'static str,
-    run: fn() -> ShardedRunStats,
-    /// SHA-256 of the run's stats JSON.
+    /// The run, as the JSON that is pinned.
+    run: fn() -> String,
+    /// SHA-256 of that JSON.
     digest: &'static str,
 }
 
-const PINS: [Pin; 4] = [
+const PINS: [Pin; 8] = [
     Pin {
         name: "single_key_unbatched",
         run: single_key_unbatched,
@@ -65,7 +79,31 @@ const PINS: [Pin; 4] = [
         run: txn_byzantine,
         digest: "43302c5a2e8b2b9751b178949ee470c8425399a8e0aa217b44db0cbcf84cc954",
     },
+    Pin {
+        name: "chain_txn_crash",
+        run: chain_txn_crash,
+        digest: "5a3c2aadd7fba60ae1adbf1d41825c3c2185da08e427490dada6e2dc92621740",
+    },
+    Pin {
+        name: "abd_txn_crash",
+        run: abd_txn_crash,
+        digest: "76faaded22226a73b5526e3ca614a400f41a38119f52aed999ca07ec7096fafb",
+    },
+    Pin {
+        name: "pbft_txn_crash",
+        run: pbft_txn_crash,
+        digest: "583cdeefc3913427e43afe6fae737ec3015f49e2da0d1e9260e47ec9c6dab021",
+    },
+    Pin {
+        name: "allconcur_crash",
+        run: allconcur_crash,
+        digest: "067984ac6f8740d78419821378d68430950ebe79aa202404130954c9b8217ea9",
+    },
 ];
+
+fn json(stats: &ShardedRunStats) -> String {
+    serde_json::to_string(stats).expect("stats serialise")
+}
 
 fn put(key: Vec<u8>, client: u64, seq: u64) -> Operation {
     Operation::Put {
@@ -75,23 +113,24 @@ fn put(key: Vec<u8>, client: u64, seq: u64) -> Operation {
 }
 
 /// One group, every fourth request a read: the fast path alone.
-fn single_key_unbatched() -> ShardedRunStats {
+fn single_key_unbatched() -> String {
     let spec = DeploymentSpec::new(1, 3).with_seed(21).with_clients(8, 300);
-    ShardedCluster::<RaftReplica>::build(spec).run_requests(|client, seq| {
+    let stats = ShardedCluster::<RaftReplica>::build(spec).run_requests(|client, seq| {
         let key = format!("user{:04}", (client * 31 + seq * 7) % 64).into_bytes();
         Some(if seq.is_multiple_of(4) {
             Operation::Get { key }.into()
         } else {
             put(key, client, seq).into()
         })
-    })
+    });
+    json(&stats)
 }
 
 /// Three groups behind the gateway: `alpha` unlimited, `bravo` on a quota
 /// tight enough to be throttled, `mallory` revoked. Two requests in three are
 /// 3-key transactions over a small contended key set, their 2PC frames on a
 /// lossy link so retransmission timers fire.
-fn txn_gateway() -> ShardedRunStats {
+fn txn_gateway() -> String {
     let gateway = GatewayConfig::enabled()
         .with_tenant(TenantSpec::new("alpha"))
         .with_tenant(TenantSpec::new("bravo").with_quota(20_000).with_burst(4))
@@ -129,12 +168,12 @@ fn txn_gateway() -> ShardedRunStats {
     };
     assert!(tenant("bravo").throttled > 0, "the quota never throttled");
     assert!(tenant("mallory").rejected > 0, "the revoked tenant got in");
-    stats
+    json(&stats)
 }
 
 /// Two groups, the load funnelled onto a hot range of group 0 so the
 /// controller migrates it, while group 1's leader crashes and recovers.
-fn rebalance_crash() -> ShardedRunStats {
+fn rebalance_crash() -> String {
     let spec = DeploymentSpec::new(2, 3)
         .with_seed(23)
         .with_clients(48, 1200)
@@ -174,7 +213,7 @@ fn rebalance_crash() -> ShardedRunStats {
     );
     assert!(stats.migration.refusals > 0, "no drain refused a request");
     assert!(stats.migration.catchup_entries > 0, "no write was captured");
-    stats
+    json(&stats)
 }
 
 /// Three groups, group 0 confidential (so a transaction touching it is
@@ -183,7 +222,7 @@ fn rebalance_crash() -> ShardedRunStats {
 /// 3-key transactions over a small contended key set, their 2PC frames under
 /// the Byzantine plan: the only pinned run in which 2PC frames are
 /// duplicated, tampered with and replayed as well as dropped.
-fn txn_byzantine() -> ShardedRunStats {
+fn txn_byzantine() -> String {
     let spec = DeploymentSpec::new(3, 3)
         .with_seed(31)
         .with_clients(12, 900)
@@ -220,7 +259,130 @@ fn txn_byzantine() -> ShardedRunStats {
         txn.sealed_frames,
         txn.frames_sent
     );
-    stats
+    json(&stats)
+}
+
+/// When group 1's node 0 — the first head, coordinator or primary — goes down
+/// in the per-protocol runs, and how long it stays down.
+const CRASH_AT_NS: u64 = 400_000;
+const DOWN_FOR_NS: u64 = 1_000_000;
+
+/// `groups` groups of `replicas` under `profile`, node 0 of group 1 crashing
+/// and restarting mid-run.
+fn crash_spec(groups: usize, replicas: usize, profile: CostProfile, seed: u64) -> DeploymentSpec {
+    let recover_at = CRASH_AT_NS + DOWN_FOR_NS;
+    let crash = CrashPlan::none().crash_recover(NodeId(0), CRASH_AT_NS, recover_at);
+    DeploymentSpec::new(groups, replicas)
+        .with_profile(profile)
+        .with_seed(seed)
+        .with_time_cap_ns(20_000_000_000)
+        .with_timeline_bucket_ns(500_000)
+        .with_shard_policy(1, ShardPolicy::new().with_crash_plan(crash))
+}
+
+/// The statistics and, per group and replica, the SHA-256 over every record
+/// the replica holds (key, value and both timestamp halves, length-prefixed).
+fn pinned_with_state<R: Replica + RangeStateTransfer>(
+    mut cluster: ShardedCluster<R>,
+    stats: &ShardedRunStats,
+) -> String {
+    let elapsed_ns = (stats.total.elapsed_secs * 1e9) as u64;
+    assert!(
+        elapsed_ns > 2 * (CRASH_AT_NS + DOWN_FOR_NS),
+        "the run ended before the restarted node did any work"
+    );
+    let groups: Vec<String> = (0..cluster.shards())
+        .map(|shard| {
+            let group = cluster.shard_mut(shard);
+            assert!(group.crashed_nodes().is_empty(), "a node stayed down");
+            let replicas: Vec<String> = group
+                .node_ids()
+                .into_iter()
+                .map(|node| {
+                    let records = group.replica_mut(node).export_range(&|_| true);
+                    let mut bytes = Vec::new();
+                    for entry in records.expect("every record verifies") {
+                        for field in [&entry.key, &entry.value] {
+                            bytes.extend_from_slice(&(field.len() as u64).to_le_bytes());
+                            bytes.extend_from_slice(field);
+                        }
+                        bytes.extend_from_slice(&entry.ts_logical.to_le_bytes());
+                        bytes.extend_from_slice(&entry.ts_node.to_le_bytes());
+                    }
+                    format!("\"{}\"", sha256(&bytes).to_hex())
+                })
+                .collect();
+            format!("[{}]", replicas.join(","))
+        })
+        .collect();
+    format!(
+        "{{\"stats\":{},\"state\":[{}]}}",
+        json(stats),
+        groups.join(",")
+    )
+}
+
+/// Two requests in three are 3-key transactions over a small contended key
+/// set, the third a single write (every fourth of those a read).
+fn txn_mix<R: Replica + RangeStateTransfer>(mut cluster: ShardedCluster<R>) -> String {
+    let stats = cluster.run_requests(|client, seq| {
+        let key = |i: u64| format!("acct{:03}", (client + seq * 5 + i * 11) % 48).into_bytes();
+        Some(if !seq.is_multiple_of(3) {
+            Request::Txn((0..3).map(|i| put(key(i), client, seq)).collect())
+        } else if seq.is_multiple_of(4) {
+            Operation::Get { key: key(0) }.into()
+        } else {
+            put(key(0), client, seq).into()
+        })
+    });
+    assert!(
+        stats.txn.cross_shard_committed > 0,
+        "no cross-shard 2PC ran"
+    );
+    assert!(stats.txn.aborted > 0, "no transaction ever conflicted");
+    pinned_with_state(cluster, &stats)
+}
+
+/// R-CR, three groups: group 1's first head crashes under prepared
+/// transactions, the chain reforms over the survivors and the node rejoins.
+fn chain_txn_crash() -> String {
+    let spec = crash_spec(3, 3, CostProfile::recipe(), 41).with_clients(12, 900);
+    txn_mix(ShardedCluster::<ChainReplica>::build(spec))
+}
+
+/// R-ABD, two groups: node 0 is the coordinator the 2PC driver picks while it
+/// is up, so its crash moves participation to node 1 and back.
+fn abd_txn_crash() -> String {
+    let spec = crash_spec(2, 3, CostProfile::recipe(), 42).with_clients(12, 900);
+    txn_mix(ShardedCluster::<AbdReplica>::build(spec))
+}
+
+/// PBFT at 3f + 1 = 4, two groups: group 1's first primary crashes, the
+/// survivors move to the next view and the old primary rejoins behind it.
+fn pbft_txn_crash() -> String {
+    let spec = crash_spec(2, 4, CostProfile::pbft_baseline(), 43)
+        .with_faults_tolerated(1)
+        .with_clients(12, 600);
+    txn_mix(ShardedCluster::build_with(spec, |_, id, membership, _| {
+        PbftReplica::new(id, membership)
+    }))
+}
+
+/// R-AllConcur, two groups, single-key only (it does not take part in
+/// transactions): a write needs every peer's acknowledgement, so group 1
+/// serves reads alone until its node is back.
+fn allconcur_crash() -> String {
+    let spec = crash_spec(2, 3, CostProfile::recipe(), 44).with_clients(12, 900);
+    let mut cluster = ShardedCluster::<AllConcurReplica>::build(spec);
+    let stats = cluster.run_requests(|client, seq| {
+        let key = format!("user{:04}", (client * 31 + seq * 7) % 64).into_bytes();
+        Some(if seq.is_multiple_of(4) {
+            Operation::Get { key }.into()
+        } else {
+            put(key, client, seq).into()
+        })
+    });
+    pinned_with_state(cluster, &stats)
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -255,14 +417,14 @@ fn first_difference(path: &str, pinned: &Value, got: &Value) -> Option<String> {
 #[test]
 fn fixed_seed_runs_keep_their_pinned_digests() {
     for Pin { name, run, digest } in PINS {
-        let json = serde_json::to_string(&run()).expect("stats serialise");
+        let json = run();
         if sha256(json.as_bytes()).to_hex() == digest {
             continue;
         }
         let golden = std::fs::read_to_string(golden_path(name)).expect("golden file committed");
         let pinned: Value = serde_json::from_str(&golden).expect("golden file parses");
         let got: Value = serde_json::from_str(&json).expect("stats parse back");
-        match first_difference("stats", &pinned, &got) {
+        match first_difference(name, &pinned, &got) {
             Some(difference) => panic!("run `{name}` is no longer bit-identical: {difference}"),
             None => panic!(
                 "run `{name}`: PINS is stale — {} matches the run but not the pinned digest",
@@ -276,7 +438,7 @@ fn fixed_seed_runs_keep_their_pinned_digests() {
 #[ignore = "rewrites the golden files; see the module docs"]
 fn regenerate_pins() {
     for Pin { name, run, .. } in PINS {
-        let json = serde_json::to_string(&run()).expect("stats serialise");
+        let json = run();
         std::fs::create_dir_all(golden_path(name).parent().expect("has a parent"))
             .expect("golden directory");
         std::fs::write(golden_path(name), &json).expect("golden file written");
