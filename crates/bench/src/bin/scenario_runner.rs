@@ -40,7 +40,7 @@ fn main() {
         scenario
             .protocols
             .iter()
-            .map(|p| p.name())
+            .map(|p| p.file_name())
             .collect::<Vec<_>>()
             .join(", ")
     );

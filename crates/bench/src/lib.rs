@@ -2,8 +2,7 @@
 //!
 //! Each `figN_*` / `tableN_*` function runs the corresponding experiment on the
 //! deterministic simulator and returns structured rows; the binaries under
-//! `src/bin/` print them, the Criterion benches under `benches/` measure
-//! representative configurations, and EXPERIMENTS.md records paper-vs-measured
+//! `src/bin/` print them, and EXPERIMENTS.md records paper-vs-measured
 //! values. See DESIGN.md for the experiment index.
 
 #![forbid(unsafe_code)]
@@ -12,98 +11,45 @@
 use std::cell::RefCell;
 
 use recipe_attest::{ConfigAndAttestService, IntelAttestationService, QuoteVerifier, SecretBundle};
-use recipe_bft::{DamysusReplica, PbftReplica};
-use recipe_core::{Membership, Operation, Request};
+use recipe_core::{Operation, Request};
 use recipe_gateway::{GatewayConfig, TenantSpec};
 use recipe_net::{CrashPlan, ExecMode, NetCostModel, NodeId, Transport};
-use recipe_protocols::{AbdReplica, AllConcurReplica, BatchConfig, ChainReplica, RaftReplica};
-use recipe_shard::{
-    DeploymentSpec, PolicyReplica, RebalanceConfig, ShardPolicy, ShardedCluster, ShardedRunStats,
+use recipe_protocols::{
+    build_cluster, BatchConfig, BuildReplica, Protocol, ProtocolMode, ProtocolVisitor, RaftReplica,
 };
-use recipe_sim::{
-    ClientModel, CostProfile, RangeStateTransfer, Replica, RunStats, SimCluster, SimConfig,
-};
+use recipe_shard::{DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster, ShardedRunStats};
+use recipe_sim::{ClientModel, CostProfile, RunStats, SimCluster, SimConfig};
 use recipe_telemetry::{TelemetryConfig, TelemetryReport};
-use recipe_workload::{
-    stable_key_hash, TenantMixSpec, TxnWorkloadSpec, WorkloadRequest, WorkloadSpec,
-};
+use recipe_workload::{TenantMixSpec, TxnWorkloadSpec, WorkloadRequest, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
-/// Which system a run exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ProtocolKind {
-    /// Recipe-transformed Raft.
-    RRaft,
-    /// Recipe-transformed Chain Replication.
-    RChain,
-    /// Recipe-transformed ABD.
-    RAbd,
-    /// Recipe-transformed AllConcur.
-    RAllConcur,
-    /// Native (untransformed) Raft — Figure 6a baseline.
-    NativeRaft,
-    /// Native Chain Replication.
-    NativeChain,
-    /// Native ABD.
-    NativeAbd,
-    /// Native AllConcur.
-    NativeAllConcur,
-    /// PBFT (BFT-Smart) baseline.
-    Pbft,
-    /// Damysus baseline.
-    Damysus,
-}
+/// The four protocols the paper transforms, in the order its figures list
+/// them.
+const RECIPE_PROTOCOLS: [Protocol; 4] = [
+    Protocol::Raft,
+    Protocol::Chain,
+    Protocol::AllConcur,
+    Protocol::Abd,
+];
 
-impl ProtocolKind {
-    /// Display name used in experiment output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ProtocolKind::RRaft => "R-Raft",
-            ProtocolKind::RChain => "R-CR",
-            ProtocolKind::RAbd => "R-ABD",
-            ProtocolKind::RAllConcur => "R-AllConcur",
-            ProtocolKind::NativeRaft => "Raft (native)",
-            ProtocolKind::NativeChain => "CR (native)",
-            ProtocolKind::NativeAbd => "ABD (native)",
-            ProtocolKind::NativeAllConcur => "AllConcur (native)",
-            ProtocolKind::Pbft => "PBFT",
-            ProtocolKind::Damysus => "Damysus",
-        }
-    }
-
-    /// The four Recipe-transformed protocols.
-    pub fn recipe_protocols() -> [ProtocolKind; 4] {
-        [
-            ProtocolKind::RRaft,
-            ProtocolKind::RChain,
-            ProtocolKind::RAllConcur,
-            ProtocolKind::RAbd,
-        ]
-    }
-
-    /// Matching native variant for a Recipe protocol (panics for baselines).
-    pub fn native_counterpart(&self) -> ProtocolKind {
-        match self {
-            ProtocolKind::RRaft => ProtocolKind::NativeRaft,
-            ProtocolKind::RChain => ProtocolKind::NativeChain,
-            ProtocolKind::RAbd => ProtocolKind::NativeAbd,
-            ProtocolKind::RAllConcur => ProtocolKind::NativeAllConcur,
-            other => panic!("{other:?} has no native counterpart"),
-        }
-    }
+/// The Recipe transformation, plaintext or confidential.
+fn recipe_mode(confidential: bool) -> ProtocolMode {
+    let confidentiality = confidential.into();
+    ProtocolMode::Recipe { confidentiality }
 }
 
 /// One experiment configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentConfig {
     /// Protocol under test.
-    pub protocol: ProtocolKind,
+    pub protocol: Protocol,
+    /// Native or Recipe-transformed, and then whether confidential (the BFT
+    /// baselines are neither and ignore it).
+    pub mode: ProtocolMode,
     /// Read fraction of the workload.
     pub read_ratio: f64,
     /// Value size in bytes.
     pub value_size: usize,
-    /// Whether Recipe runs in confidential mode.
-    pub confidential: bool,
     /// Total committed operations per run.
     pub operations: usize,
     /// Closed-loop client count.
@@ -119,10 +65,10 @@ pub struct ExperimentConfig {
 impl Default for ExperimentConfig {
     fn default() -> Self {
         ExperimentConfig {
-            protocol: ProtocolKind::RRaft,
+            protocol: Protocol::Raft,
+            mode: recipe_mode(false),
             read_ratio: 0.5,
             value_size: 256,
-            confidential: false,
             operations: 1_500,
             clients: 24,
             seed: 7,
@@ -146,157 +92,54 @@ pub struct ExperimentRow {
     pub speedup_vs_baseline: f64,
 }
 
-/// Runs one experiment configuration and returns the raw simulator statistics.
+/// Runs one experiment configuration — a single group tolerating one fault,
+/// at the fewest replicas its protocol needs for that — and returns the raw
+/// simulator statistics.
 pub fn run_protocol(config: &ExperimentConfig) -> RunStats {
-    let operations = config.operations;
-    let clients = config.clients;
-    let workload = WorkloadSpec {
-        read_ratio: config.read_ratio,
-        value_size: config.value_size,
-        seed: config.seed,
-        ..WorkloadSpec::default()
-    };
-
-    // The cost profile is the source of truth for the batching factor: the
-    // replicas' flush triggers are derived from `profile.batch_ops`, so the
-    // Batcher and the cost-model bookkeeping can never disagree.
-    let recipe = recipe_profile(config);
-    let native = CostProfile::native_cft().with_batch_ops(config.batch_ops);
-    let pbft = CostProfile::pbft_baseline().with_batch_ops(config.batch_ops);
-    let batch = BatchConfig::of_ops(recipe.batch_ops);
-    match config.protocol {
-        ProtocolKind::RRaft => run_cluster(
-            build(3, |id, m| {
-                RaftReplica::recipe(id, m, config.confidential).with_batching(batch)
-            }),
-            recipe,
-            workload,
-            operations,
-            clients,
-            config.seed,
-        ),
-        ProtocolKind::NativeRaft => run_cluster(
-            build(3, |id, m| RaftReplica::native(id, m).with_batching(batch)),
-            native,
-            workload,
-            operations,
-            clients,
-            config.seed,
-        ),
-        ProtocolKind::RChain => run_cluster(
-            build(3, |id, m| {
-                ChainReplica::recipe(id, m, config.confidential).with_batching(batch)
-            }),
-            recipe,
-            workload,
-            operations,
-            clients,
-            config.seed,
-        ),
-        ProtocolKind::NativeChain => run_cluster(
-            build(3, |id, m| ChainReplica::native(id, m).with_batching(batch)),
-            native,
-            workload,
-            operations,
-            clients,
-            config.seed,
-        ),
-        ProtocolKind::RAbd => run_cluster(
-            build(3, |id, m| AbdReplica::recipe(id, m, config.confidential)),
-            recipe_profile(config),
-            workload,
-            operations,
-            clients,
-            config.seed,
-        ),
-        ProtocolKind::NativeAbd => run_cluster(
-            build(3, AbdReplica::native),
-            CostProfile::native_cft(),
-            workload,
-            operations,
-            clients,
-            config.seed,
-        ),
-        ProtocolKind::RAllConcur => run_cluster(
-            build(3, |id, m| {
-                AllConcurReplica::recipe(id, m, config.confidential)
-            }),
-            recipe_profile(config),
-            workload,
-            operations,
-            clients,
-            config.seed,
-        ),
-        ProtocolKind::NativeAllConcur => run_cluster(
-            build(3, AllConcurReplica::native),
-            CostProfile::native_cft(),
-            workload,
-            operations,
-            clients,
-            config.seed,
-        ),
-        ProtocolKind::Pbft => run_cluster(
-            {
-                // PBFT needs 3f + 1 replicas for the same f = 1.
-                let membership = Membership::of_size(4, 1);
-                (0..4)
-                    .map(|id| PbftReplica::new(id, membership.clone()).with_batching(batch))
-                    .collect()
-            },
-            pbft,
-            workload,
-            operations,
-            clients,
-            config.seed,
-        ),
-        ProtocolKind::Damysus => run_cluster(
-            {
-                let membership = Membership::of_size(3, 1);
-                (0..3)
-                    .map(|id| DamysusReplica::new(id, membership.clone()))
-                    .collect()
-            },
-            CostProfile::damysus_baseline(),
-            workload,
-            operations,
-            clients,
-            config.seed,
-        ),
+    struct Run<'a>(&'a ExperimentConfig);
+    impl ProtocolVisitor for Run<'_> {
+        type Output = RunStats;
+        fn visit<R: BuildReplica>(self) -> RunStats {
+            let config = self.0;
+            let n = R::PROTOCOL.min_replicas(1);
+            // One batching factor for the replicas' flush triggers and the
+            // cost model's bookkeeping, so the two can never disagree.
+            let batch = BatchConfig::of_ops(config.batch_ops);
+            let profile = cost_profile(R::PROTOCOL, config.mode).with_batch_ops(batch.max_ops);
+            let replicas = build_cluster(n, 1, |id, members| {
+                R::build(id, members, config.mode, batch)
+            });
+            let mut sim_config = SimConfig::uniform(n, profile);
+            sim_config.seed = config.seed;
+            sim_config.clients = ClientModel {
+                clients: config.clients,
+                total_operations: config.operations,
+            };
+            let workload = WorkloadSpec {
+                read_ratio: config.read_ratio,
+                value_size: config.value_size,
+                seed: config.seed,
+                ..WorkloadSpec::default()
+            };
+            let mut generator = workload.generator();
+            SimCluster::new(replicas, sim_config)
+                .run(move |_client, _seq| recipe_shard::op_from_workload(generator.next_op()))
+        }
     }
+    recipe_bft::dispatch(config.protocol, Run(config))
 }
 
-fn recipe_profile(config: &ExperimentConfig) -> CostProfile {
-    let profile = CostProfile::recipe().with_batch_ops(config.batch_ops);
-    if config.confidential {
-        profile.confidential()
-    } else {
-        profile
+/// The hardware and software stack a protocol runs on (Table 2): the BFT
+/// baselines have their own, a CFT protocol its mode's.
+fn cost_profile(protocol: Protocol, mode: ProtocolMode) -> CostProfile {
+    match (protocol, mode) {
+        (Protocol::Pbft, _) => CostProfile::pbft_baseline(),
+        (Protocol::Damysus, _) => CostProfile::damysus_baseline(),
+        (_, ProtocolMode::Native) => CostProfile::native_cft(),
+        (_, ProtocolMode::Recipe { confidentiality }) => {
+            CostProfile::recipe().with_confidentiality(confidentiality)
+        }
     }
-}
-
-fn build<R>(n: usize, make: impl Fn(u64, Membership) -> R) -> Vec<R> {
-    recipe_protocols::build_cluster(n, (n - 1) / 2, make)
-}
-
-fn run_cluster<R: Replica>(
-    replicas: Vec<R>,
-    profile: CostProfile,
-    workload: WorkloadSpec,
-    operations: usize,
-    clients: usize,
-    seed: u64,
-) -> RunStats {
-    let n = replicas.len();
-    let mut sim_config = SimConfig::uniform(n, profile);
-    sim_config.seed = seed;
-    sim_config.clients = ClientModel {
-        clients,
-        total_operations: operations,
-    };
-    let mut cluster = SimCluster::new(replicas, sim_config);
-    let generator = RefCell::new(workload.generator());
-    cluster
-        .run(move |_client, _seq| recipe_shard::op_from_workload(generator.borrow_mut().next_op()))
 }
 
 // ---------------------------------------------------------------------------
@@ -311,7 +154,7 @@ pub fn fig4_rw_ratio(operations: usize) -> Vec<ExperimentRow> {
     for &ratio in &ratios {
         let label = format!("{:.0}% R", ratio * 100.0);
         let pbft = run_protocol(&ExperimentConfig {
-            protocol: ProtocolKind::Pbft,
+            protocol: Protocol::Pbft,
             read_ratio: ratio,
             operations,
             ..ExperimentConfig::default()
@@ -323,7 +166,7 @@ pub fn fig4_rw_ratio(operations: usize) -> Vec<ExperimentRow> {
             mean_latency_us: pbft.mean_latency_us,
             speedup_vs_baseline: 1.0,
         });
-        for kind in ProtocolKind::recipe_protocols() {
+        for kind in RECIPE_PROTOCOLS {
             let stats = run_protocol(&ExperimentConfig {
                 protocol: kind,
                 read_ratio: ratio,
@@ -331,7 +174,7 @@ pub fn fig4_rw_ratio(operations: usize) -> Vec<ExperimentRow> {
                 ..ExperimentConfig::default()
             });
             rows.push(ExperimentRow {
-                protocol: kind.name().into(),
+                protocol: kind.display_name().into(),
                 config: label.clone(),
                 throughput_ops: stats.throughput_ops,
                 mean_latency_us: stats.mean_latency_us,
@@ -350,7 +193,7 @@ pub fn fig3_value_size(operations: usize) -> Vec<ExperimentRow> {
     for &size in &sizes {
         let label = format!("{size} B");
         let pbft = run_protocol(&ExperimentConfig {
-            protocol: ProtocolKind::Pbft,
+            protocol: Protocol::Pbft,
             read_ratio: 0.9,
             value_size: size,
             operations,
@@ -363,7 +206,7 @@ pub fn fig3_value_size(operations: usize) -> Vec<ExperimentRow> {
             mean_latency_us: pbft.mean_latency_us,
             speedup_vs_baseline: 1.0,
         });
-        for kind in ProtocolKind::recipe_protocols() {
+        for kind in RECIPE_PROTOCOLS {
             let stats = run_protocol(&ExperimentConfig {
                 protocol: kind,
                 read_ratio: 0.9,
@@ -372,7 +215,7 @@ pub fn fig3_value_size(operations: usize) -> Vec<ExperimentRow> {
                 ..ExperimentConfig::default()
             });
             rows.push(ExperimentRow {
-                protocol: kind.name().into(),
+                protocol: kind.display_name().into(),
                 config: label.clone(),
                 throughput_ops: stats.throughput_ops,
                 mean_latency_us: stats.mean_latency_us,
@@ -391,7 +234,7 @@ pub fn fig5_confidentiality(operations: usize) -> Vec<ExperimentRow> {
     for &ratio in &ratios {
         let label = format!("{:.0}% R (conf.)", ratio * 100.0);
         let pbft = run_protocol(&ExperimentConfig {
-            protocol: ProtocolKind::Pbft,
+            protocol: Protocol::Pbft,
             read_ratio: ratio,
             operations,
             ..ExperimentConfig::default()
@@ -403,16 +246,16 @@ pub fn fig5_confidentiality(operations: usize) -> Vec<ExperimentRow> {
             mean_latency_us: pbft.mean_latency_us,
             speedup_vs_baseline: 1.0,
         });
-        for kind in ProtocolKind::recipe_protocols() {
+        for kind in RECIPE_PROTOCOLS {
             let stats = run_protocol(&ExperimentConfig {
                 protocol: kind,
+                mode: recipe_mode(true),
                 read_ratio: ratio,
-                confidential: true,
                 operations,
                 ..ExperimentConfig::default()
             });
             rows.push(ExperimentRow {
-                protocol: format!("{} (conf.)", kind.name()),
+                protocol: format!("{} (conf.)", kind.display_name()),
                 config: label.clone(),
                 throughput_ops: stats.throughput_ops,
                 mean_latency_us: stats.mean_latency_us,
@@ -430,7 +273,7 @@ pub fn fig6a_tee_overheads(operations: usize) -> Vec<ExperimentRow> {
     let mut rows = Vec::new();
     for &ratio in &ratios {
         let label = format!("{:.0}% R", ratio * 100.0);
-        for kind in ProtocolKind::recipe_protocols() {
+        for kind in RECIPE_PROTOCOLS {
             let recipe = run_protocol(&ExperimentConfig {
                 protocol: kind,
                 read_ratio: ratio,
@@ -438,13 +281,14 @@ pub fn fig6a_tee_overheads(operations: usize) -> Vec<ExperimentRow> {
                 ..ExperimentConfig::default()
             });
             let native = run_protocol(&ExperimentConfig {
-                protocol: kind.native_counterpart(),
+                protocol: kind,
+                mode: ProtocolMode::Native,
                 read_ratio: ratio,
                 operations,
                 ..ExperimentConfig::default()
             });
             rows.push(ExperimentRow {
-                protocol: kind.name().into(),
+                protocol: kind.display_name().into(),
                 config: label.clone(),
                 throughput_ops: recipe.throughput_ops,
                 mean_latency_us: recipe.mean_latency_us,
@@ -497,7 +341,7 @@ pub fn damysus_compare(operations: usize) -> Vec<ExperimentRow> {
     let mut rows = Vec::new();
     for &size in &[1usize, 64, 256] {
         let damysus = run_protocol(&ExperimentConfig {
-            protocol: ProtocolKind::Damysus,
+            protocol: Protocol::Damysus,
             read_ratio: 0.5,
             value_size: size,
             operations,
@@ -513,13 +357,13 @@ pub fn damysus_compare(operations: usize) -> Vec<ExperimentRow> {
     }
     // Recipe protocols with their standard 256 B payload.
     let damysus_256 = run_protocol(&ExperimentConfig {
-        protocol: ProtocolKind::Damysus,
+        protocol: Protocol::Damysus,
         read_ratio: 0.5,
         value_size: 256,
         operations,
         ..ExperimentConfig::default()
     });
-    for kind in ProtocolKind::recipe_protocols() {
+    for kind in RECIPE_PROTOCOLS {
         let stats = run_protocol(&ExperimentConfig {
             protocol: kind,
             read_ratio: 0.5,
@@ -528,7 +372,7 @@ pub fn damysus_compare(operations: usize) -> Vec<ExperimentRow> {
             ..ExperimentConfig::default()
         });
         rows.push(ExperimentRow {
-            protocol: kind.name().into(),
+            protocol: kind.display_name().into(),
             config: "256 B".into(),
             throughput_ops: stats.throughput_ops,
             mean_latency_us: stats.mean_latency_us,
@@ -568,15 +412,14 @@ pub fn fig_batching_report(operations: usize) -> BatchingReport {
     let batch_sizes = [1usize, 4, 16, 64];
     let mut rows = Vec::new();
     let mut raw = Vec::new();
-    for (protocol, confidential, label) in [
-        (ProtocolKind::NativeRaft, false, "Raft (native)"),
-        (ProtocolKind::RRaft, true, "R-Raft (conf.)"),
+    for (mode, label) in [
+        (ProtocolMode::Native, "Raft (native)"),
+        (recipe_mode(true), "R-Raft (conf.)"),
     ] {
         let mut baseline = None;
         for &batch in &batch_sizes {
             let stats = run_protocol(&ExperimentConfig {
-                protocol,
-                confidential,
+                mode,
                 read_ratio: 0.0,
                 value_size: 64,
                 clients: 96,
@@ -605,13 +448,13 @@ pub fn fig_batching_report(operations: usize) -> BatchingReport {
 pub fn fig_shard_scaling(operations: usize) -> Vec<ExperimentRow> {
     let shard_counts = [1usize, 2, 4, 8];
     let mut rows = Vec::new();
-    for kind in [ProtocolKind::RRaft, ProtocolKind::RAbd] {
+    for kind in [Protocol::Raft, Protocol::Abd] {
         let mut baseline = None;
         for &shards in &shard_counts {
             let stats = run_sharded(kind, shards, operations);
             let base = *baseline.get_or_insert(stats.total.throughput_ops);
             rows.push(ExperimentRow {
-                protocol: kind.name().into(),
+                protocol: kind.display_name().into(),
                 config: format!("{shards} shard{}", if shards == 1 { "" } else { "s" }),
                 throughput_ops: stats.total.throughput_ops,
                 mean_latency_us: stats.total.mean_latency_us,
@@ -620,34 +463,6 @@ pub fn fig_shard_scaling(operations: usize) -> Vec<ExperimentRow> {
         }
     }
     rows
-}
-
-/// Keys of the YCSB universe owned by `shard`, at most `per_arc` keys from
-/// each of up to `max_arcs` distinct ring arcs — a hot range spread over
-/// enough arcs that the migration controller can split its load. Shared by
-/// the `fig_rebalance` experiment and the rebalancing integration tests so
-/// the scenario the tests validate is the scenario the figure measures.
-pub fn hot_range_on_shard(
-    router: &recipe_shard::ShardRouter,
-    shard: usize,
-    max_arcs: usize,
-    per_arc: usize,
-) -> Vec<Vec<u8>> {
-    let mut by_arc: std::collections::BTreeMap<usize, Vec<Vec<u8>>> = Default::default();
-    for i in 0..10_000 {
-        let key = format!("user{i:08}").into_bytes();
-        if router.shard_for_key(&key) == shard {
-            by_arc
-                .entry(router.arc_of_point(stable_key_hash(&key)))
-                .or_default()
-                .push(key);
-        }
-    }
-    by_arc
-        .into_values()
-        .take(max_arcs)
-        .flat_map(|keys| keys.into_iter().take(per_arc))
-        .collect()
 }
 
 /// Results of the online-rebalancing experiment.
@@ -696,7 +511,7 @@ pub fn fig_rebalance(operations: usize) -> RebalanceReport {
             ..RebalanceConfig::enabled()
         });
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
-    let hot = hot_range_on_shard(cluster.router(), 0, 48, 2);
+    let hot = cluster.router().hot_range(0, 48, 2);
 
     let issued = std::cell::Cell::new(0usize);
     let stats = cluster.run_requests(|client, seq| {
@@ -987,7 +802,7 @@ pub fn fig_observe(operations: usize, telemetry: bool) -> ObserveReport {
         spec = spec.with_telemetry(TelemetryConfig::enabled());
     }
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
-    let hot = hot_range_on_shard(cluster.router(), 0, 48, 2);
+    let hot = cluster.router().hot_range(0, 48, 2);
     let router = cluster.router().clone();
     let txn_workload = TxnWorkloadSpec {
         base: WorkloadSpec {
@@ -1207,7 +1022,7 @@ pub fn fig_failover(operations: usize) -> FailoverReport {
             spec = spec.with_shard_policy(0, ShardPolicy::new().with_crash_plan(plan));
         }
         let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
-        let hot = hot_range_on_shard(cluster.router(), 0, 48, 2);
+        let hot = cluster.router().hot_range(0, 48, 2);
         let router = cluster.router().clone();
         let txn_workload = TxnWorkloadSpec {
             base: WorkloadSpec {
@@ -1652,27 +1467,27 @@ pub fn confidential_policy_summary(report: &ConfidentialPolicyReport) -> BenchSu
 
 /// Runs one sharded configuration: `shards` groups of 3 replicas, a global
 /// closed-loop client population and the default YCSB Zipfian workload.
-pub fn run_sharded(kind: ProtocolKind, shards: usize, operations: usize) -> ShardedRunStats {
-    fn run<R: PolicyReplica + RangeStateTransfer>(spec: DeploymentSpec) -> ShardedRunStats {
-        let workload = WorkloadSpec {
-            seed: 7,
-            ..WorkloadSpec::default()
-        };
-        let mut generator = workload.generator();
-        ShardedCluster::<R>::build(spec).run_requests(move |_client, _seq| {
-            Some(recipe_shard::op_from_workload(generator.next_op()).into())
-        })
+pub fn run_sharded(protocol: Protocol, shards: usize, operations: usize) -> ShardedRunStats {
+    struct Run(DeploymentSpec);
+    impl ProtocolVisitor for Run {
+        type Output = ShardedRunStats;
+        fn visit<R: BuildReplica>(self) -> ShardedRunStats {
+            let workload = WorkloadSpec {
+                seed: 7,
+                ..WorkloadSpec::default()
+            };
+            let mut generator = workload.generator();
+            ShardedCluster::<R>::build(self.0).run_requests(move |_client, _seq| {
+                Some(recipe_shard::op_from_workload(generator.next_op()).into())
+            })
+        }
     }
     // Enough concurrency that a single leader saturates; fixed across shard
     // counts so the sweep measures service capacity, not load.
     let spec = DeploymentSpec::new(shards, 3)
         .with_seed(7)
         .with_clients(64, operations);
-    match kind {
-        ProtocolKind::RRaft => run::<RaftReplica>(spec),
-        ProtocolKind::RAbd => run::<AbdReplica>(spec),
-        other => panic!("shard scaling is defined for R-Raft and R-ABD, not {other:?}"),
-    }
+    recipe_bft::dispatch(protocol, Run(spec))
 }
 
 /// Table 4: end-to-end attestation latency through the Recipe CAS vs through the
@@ -1936,11 +1751,11 @@ mod tests {
     #[test]
     fn recipe_protocols_beat_pbft_on_a_mixed_workload() {
         let pbft = run_protocol(&ExperimentConfig {
-            protocol: ProtocolKind::Pbft,
+            protocol: Protocol::Pbft,
             operations: OPS,
             ..ExperimentConfig::default()
         });
-        for kind in ProtocolKind::recipe_protocols() {
+        for kind in RECIPE_PROTOCOLS {
             let stats = run_protocol(&ExperimentConfig {
                 protocol: kind,
                 operations: OPS,
@@ -1950,7 +1765,7 @@ mod tests {
             assert!(
                 speedup > 2.0,
                 "{} only {speedup:.2}x faster than PBFT",
-                kind.name()
+                kind.display_name()
             );
         }
     }
@@ -1958,18 +1773,18 @@ mod tests {
     #[test]
     fn confidentiality_costs_throughput_but_still_beats_pbft() {
         let plain = run_protocol(&ExperimentConfig {
-            protocol: ProtocolKind::RChain,
+            protocol: Protocol::Chain,
             operations: OPS,
             ..ExperimentConfig::default()
         });
         let confidential = run_protocol(&ExperimentConfig {
-            protocol: ProtocolKind::RChain,
-            confidential: true,
+            protocol: Protocol::Chain,
+            mode: recipe_mode(true),
             operations: OPS,
             ..ExperimentConfig::default()
         });
         let pbft = run_protocol(&ExperimentConfig {
-            protocol: ProtocolKind::Pbft,
+            protocol: Protocol::Pbft,
             operations: OPS,
             ..ExperimentConfig::default()
         });
@@ -1980,12 +1795,13 @@ mod tests {
     #[test]
     fn native_protocols_are_faster_than_their_recipe_versions() {
         let recipe = run_protocol(&ExperimentConfig {
-            protocol: ProtocolKind::RRaft,
+            protocol: Protocol::Raft,
             operations: OPS,
             ..ExperimentConfig::default()
         });
         let native = run_protocol(&ExperimentConfig {
-            protocol: ProtocolKind::NativeRaft,
+            protocol: Protocol::Raft,
+            mode: ProtocolMode::Native,
             operations: OPS,
             ..ExperimentConfig::default()
         });
@@ -1999,14 +1815,14 @@ mod tests {
     #[test]
     fn value_size_degrades_recipe_throughput() {
         let small = run_protocol(&ExperimentConfig {
-            protocol: ProtocolKind::RRaft,
+            protocol: Protocol::Raft,
             read_ratio: 0.9,
             value_size: 256,
             operations: OPS,
             ..ExperimentConfig::default()
         });
         let large = run_protocol(&ExperimentConfig {
-            protocol: ProtocolKind::RRaft,
+            protocol: Protocol::Raft,
             read_ratio: 0.9,
             value_size: 4096,
             operations: OPS,

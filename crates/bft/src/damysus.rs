@@ -14,8 +14,11 @@ use std::collections::{HashMap, HashSet};
 
 use recipe_core::wire::{tag, Reader, Writer};
 use recipe_core::{ClientReply, ClientRequest, Membership, Operation};
-use recipe_kv::{PartitionedKvStore, StoreConfig, Timestamp};
+use recipe_kv::StoreConfig;
 use recipe_net::NodeId;
+use recipe_protocols::{
+    BatchConfig, BuildReplica, Protocol, ProtocolMode, ReplicaStore, Stamping, StoreReplica,
+};
 use recipe_sim::{Ctx, Replica};
 
 /// Damysus protocol messages.
@@ -104,24 +107,25 @@ struct SlotState {
 pub struct DamysusReplica {
     id: NodeId,
     membership: Membership,
-    kv: PartitionedKvStore,
+    /// The KV store and the count of operations executed on it, reads
+    /// included.
+    store: ReplicaStore,
     view: u64,
     next_slot: u64,
     slots: HashMap<u64, SlotState>,
-    executed_ops: u64,
 }
 
 impl DamysusReplica {
     /// Builds a replica. Damysus needs `2f + 1` replicas.
     pub fn new(id: u64, membership: Membership) -> Self {
+        let id = NodeId(id);
         DamysusReplica {
-            id: NodeId(id),
+            id,
             membership,
-            kv: PartitionedKvStore::new(StoreConfig::default()),
+            store: ReplicaStore::new(StoreConfig::default(), id, Stamping::Sequence),
             view: 0,
             next_slot: 0,
             slots: HashMap::new(),
-            executed_ops: 0,
         }
     }
 
@@ -132,12 +136,12 @@ impl DamysusReplica {
 
     /// Operations executed by this replica.
     pub fn executed_ops(&self) -> u64 {
-        self.executed_ops
+        self.store.applied()
     }
 
     /// Reads a key from the local store (verification helper).
     pub fn local_read(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.kv.get(key).ok().map(|r| r.value)
+        self.store.get(key).map(|r| r.value)
     }
 
     fn quorum(&self) -> usize {
@@ -163,11 +167,9 @@ impl DamysusReplica {
             return;
         };
         state.decided = true;
-        self.executed_ops += 1;
         let reply = match request.operation {
             Operation::Put { ref key, ref value } => {
-                let ts = Timestamp::new(self.executed_ops, self.id.0);
-                let _ = self.kv.write(key, value, ts);
+                self.store.apply(key, value);
                 ClientReply {
                     client_id: request.client_id,
                     request_id: request.request_id,
@@ -177,7 +179,8 @@ impl DamysusReplica {
                 }
             }
             Operation::Get { ref key } => {
-                let read = self.kv.get(key).ok();
+                self.store.advance();
+                let read = self.store.get(key);
                 ClientReply {
                     client_id: request.client_id,
                     request_id: request.request_id,
@@ -292,6 +295,20 @@ impl Replica for DamysusReplica {
 
     fn protocol_name(&self) -> &'static str {
         "Damysus"
+    }
+}
+
+impl StoreReplica for DamysusReplica {
+    const PROTOCOL: Protocol = Protocol::Damysus;
+
+    fn store(&mut self) -> &mut ReplicaStore {
+        &mut self.store
+    }
+}
+
+impl BuildReplica for DamysusReplica {
+    fn build(id: u64, membership: Membership, _mode: ProtocolMode, _batch: BatchConfig) -> Self {
+        DamysusReplica::new(id, membership)
     }
 }
 

@@ -24,6 +24,23 @@ pub mod pbft;
 pub use damysus::{DamysusMsg, DamysusReplica};
 pub use pbft::{PbftMsg, PbftReplica};
 
+use recipe_protocols::{
+    AbdReplica, AllConcurReplica, ChainReplica, Protocol, ProtocolVisitor, RaftReplica,
+};
+
+/// Runs `visitor` with the replica type of `protocol`: the one place a
+/// protocol's name meets its type (see [`recipe_protocols::registry`]).
+pub fn dispatch<V: ProtocolVisitor>(protocol: Protocol, visitor: V) -> V::Output {
+    match protocol {
+        Protocol::Raft => visitor.visit::<RaftReplica>(),
+        Protocol::Chain => visitor.visit::<ChainReplica>(),
+        Protocol::Abd => visitor.visit::<AbdReplica>(),
+        Protocol::AllConcur => visitor.visit::<AllConcurReplica>(),
+        Protocol::Pbft => visitor.visit::<PbftReplica>(),
+        Protocol::Damysus => visitor.visit::<DamysusReplica>(),
+    }
+}
+
 /// Descriptor of a replication protocol's resource properties (paper Table 2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtocolProperties {
@@ -104,6 +121,20 @@ pub fn table2_rows() -> Vec<ProtocolProperties> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dispatch_reaches_the_type_that_implements_the_protocol() {
+        struct Implemented;
+        impl ProtocolVisitor for Implemented {
+            type Output = Protocol;
+            fn visit<R: recipe_protocols::BuildReplica>(self) -> Protocol {
+                R::PROTOCOL
+            }
+        }
+        for protocol in Protocol::ALL {
+            assert_eq!(dispatch(protocol, Implemented), protocol);
+        }
+    }
 
     #[test]
     fn table2_captures_the_replication_factor_advantage() {

@@ -20,10 +20,13 @@ use std::collections::{HashMap, HashSet};
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{ClientReply, ClientRequest, Membership, Operation};
-use recipe_kv::{PartitionedKvStore, StoreConfig, Timestamp};
+use recipe_kv::StoreConfig;
 use recipe_net::NodeId;
-use recipe_protocols::{BatchConfig, Batcher};
-use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnVote};
+use recipe_protocols::{
+    BatchConfig, Batcher, BuildReplica, Protocol, ProtocolMode, ReplicaStore, Stamping,
+    StoreReplica,
+};
+use recipe_sim::{Ctx, RecoveryState, Replica, RestartReport};
 
 /// Timer token: flush partially-filled batches (time-budget trigger).
 const TOKEN_BATCH_FLUSH: u64 = 1;
@@ -156,14 +159,19 @@ struct SlotState {
 pub struct PbftReplica {
     id: NodeId,
     membership: Membership,
-    kv: PartitionedKvStore,
+    /// The KV store and the count of operations executed on it, reads
+    /// included.
+    store: ReplicaStore,
     view: u64,
     next_seq: u64,
-    /// Agreement slots keyed by `(view, seq)`: sequence numbers are scoped to
-    /// the view that assigned them, so a new primary after a view change can
-    /// never collide with slots the crashed primary populated.
-    slots: HashMap<(u64, u64), SlotState>,
-    executed_ops: u64,
+    /// Agreement slots of the current view by sequence number, from
+    /// `low_water` up: sequence numbers are scoped to the view that assigned
+    /// them, and a view's slots go with it.
+    slots: HashMap<u64, SlotState>,
+    /// Every sequence number of the current view below this one has
+    /// executed: its slot is gone, and a late message for it is ignored
+    /// rather than allowed to re-create it.
+    low_water: u64,
     /// Members the trusted configuration service reported down (sorted). Used
     /// to advance past crashed primaries deterministically.
     down: Vec<NodeId>,
@@ -176,14 +184,15 @@ impl PbftReplica {
     /// Builds a replica. PBFT needs `3f + 1` replicas; use
     /// [`Membership::of_size`]`(3 * f + 1, f)`.
     pub fn new(id: u64, membership: Membership) -> Self {
+        let id = NodeId(id);
         PbftReplica {
-            id: NodeId(id),
+            id,
             membership,
-            kv: PartitionedKvStore::new(StoreConfig::default()),
+            store: ReplicaStore::new(StoreConfig::default(), id, Stamping::Sequence),
             view: 0,
             next_seq: 0,
             slots: HashMap::new(),
-            executed_ops: 0,
+            low_water: 0,
             down: Vec::new(),
             batcher: Batcher::new(BatchConfig::unbatched()),
         }
@@ -208,12 +217,12 @@ impl PbftReplica {
 
     /// Operations executed by this replica.
     pub fn executed_ops(&self) -> u64 {
-        self.executed_ops
+        self.store.applied()
     }
 
     /// Reads a key from the local store (verification helper).
     pub fn local_read(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.kv.get(key).ok().map(|r| r.value)
+        self.store.get(key).map(|r| r.value)
     }
 
     fn quorum_2f(&self) -> usize {
@@ -268,6 +277,8 @@ impl PbftReplica {
         }
         self.view = view;
         self.next_seq = 0;
+        self.slots.clear();
+        self.low_water = 0;
     }
 
     /// The smallest view `> self.view` whose round-robin primary is live.
@@ -281,21 +292,25 @@ impl PbftReplica {
 
     fn try_execute(&mut self, seq: u64, ctx: &mut Ctx) {
         let quorum = self.quorum_2f1();
-        let Some(slot) = self.slots.get_mut(&(self.view, seq)) else {
+        let Some(slot) = self.slots.get_mut(&seq) else {
             return;
         };
         if slot.executed || !slot.prepared || slot.commits.len() < quorum {
             return;
         }
-        let Some(request) = slot.request.clone() else {
+        let Some(request) = slot.request.take() else {
             return;
         };
         slot.executed = true;
-        self.executed_ops += 1;
+        // Slots execute as their quorums complete, in any order; the mark
+        // moves over every executed slot that has none pending below it.
+        while self.slots.get(&self.low_water).is_some_and(|s| s.executed) {
+            self.slots.remove(&self.low_water);
+            self.low_water += 1;
+        }
         let reply = match request.operation {
             Operation::Put { ref key, ref value } => {
-                let ts = Timestamp::new(self.executed_ops, self.id.0);
-                let _ = self.kv.write(key, value, ts);
+                self.store.apply(key, value);
                 ClientReply {
                     client_id: request.client_id,
                     request_id: request.request_id,
@@ -305,7 +320,8 @@ impl PbftReplica {
                 }
             }
             Operation::Get { ref key } => {
-                let read = self.kv.get(key).ok();
+                self.store.advance();
+                let read = self.store.get(key);
                 ClientReply {
                     client_id: request.client_id,
                     request_id: request.request_id,
@@ -320,14 +336,20 @@ impl PbftReplica {
         ctx.reply(reply);
     }
 
+    /// True for a message of another view, or of a slot under the low-water
+    /// mark: neither has a slot to count on.
+    fn is_stale(&self, view: u64, seq: u64) -> bool {
+        view != self.view || seq < self.low_water
+    }
+
     fn handle(&mut self, msg: PbftMsg, ctx: &mut Ctx) {
         match msg {
             PbftMsg::PrePrepare { view, seq, request } => {
-                if view != self.view {
+                if self.is_stale(view, seq) {
                     return;
                 }
                 let digest = Self::digest(&request);
-                let slot = self.slots.entry((view, seq)).or_default();
+                let slot = self.slots.entry(seq).or_default();
                 if slot.request.is_none() {
                     slot.request = Some(request);
                     slot.digest = digest;
@@ -349,10 +371,10 @@ impl PbftReplica {
                 digest,
                 replica,
             } => {
-                if view != self.view {
+                if self.is_stale(view, seq) {
                     return;
                 }
-                let slot = self.slots.entry((view, seq)).or_default();
+                let slot = self.slots.entry(seq).or_default();
                 if slot.request.is_some() && slot.digest != digest {
                     return; // conflicting digest: ignore (handled by view change)
                 }
@@ -365,10 +387,10 @@ impl PbftReplica {
                 digest,
                 replica,
             } => {
-                if view != self.view {
+                if self.is_stale(view, seq) {
                     return;
                 }
-                let slot = self.slots.entry((view, seq)).or_default();
+                let slot = self.slots.entry(seq).or_default();
                 if slot.request.is_some() && slot.digest != digest {
                     return;
                 }
@@ -380,7 +402,7 @@ impl PbftReplica {
 
     fn after_prepare(&mut self, seq: u64, ctx: &mut Ctx) {
         let needed = self.quorum_2f();
-        let (ready, digest) = match self.slots.get_mut(&(self.view, seq)) {
+        let (ready, digest) = match self.slots.get_mut(&seq) {
             Some(slot)
                 if !slot.prepared && slot.request.is_some() && slot.prepares.len() >= needed =>
             {
@@ -412,7 +434,7 @@ impl Replica for PbftReplica {
         if !self.is_primary() {
             return;
         }
-        if self.kv.is_locked(request.operation.key()) {
+        if self.store.is_locked(request.operation.key()) {
             // An in-flight transaction prepared on this primary holds the key
             // (2PL isolation): defer by dropping — the client's
             // retransmission resubmits after the transaction resolved.
@@ -421,7 +443,7 @@ impl Replica for PbftReplica {
         let seq = self.next_seq;
         self.next_seq += 1;
         let digest = Self::digest(&request);
-        let slot = self.slots.entry((self.view, seq)).or_default();
+        let slot = self.slots.entry(seq).or_default();
         slot.request = Some(request.clone());
         slot.digest = digest;
         slot.prepares.insert(self.id.0);
@@ -468,88 +490,22 @@ impl Replica for PbftReplica {
         "PBFT"
     }
 
-    fn txn_prepare(&mut self, txn_id: u64, ops: &[Operation]) -> TxnVote {
-        recipe_protocols::txn::kv_txn_prepare(&mut self.kv, txn_id, ops)
-    }
-
-    fn txn_commit(&mut self, txn_id: u64) -> Vec<RangeEntry> {
-        // Staged writes execute through the primary's normal execution
-        // counter; the coordinator installs the returned records on the
-        // other replicas.
-        let mut executed = self.executed_ops;
-        let id = self.id.0;
-        let entries =
-            recipe_protocols::txn::kv_txn_commit(&mut self.kv, txn_id, |kv, key, value| {
-                executed += 1;
-                let _ = kv.write(key, value, Timestamp::new(executed, id));
-            });
-        self.executed_ops = executed;
-        entries
-    }
-
-    fn txn_abort(&mut self, txn_id: u64) {
-        self.kv.txn_abort(txn_id);
-    }
-
-    fn txn_stage_replicated(&mut self, txn_id: u64, ops: &[Operation]) {
-        recipe_protocols::txn::kv_txn_stage_replicated(&mut self.kv, txn_id, ops);
-    }
-
-    fn txn_drop_replicated(&mut self, txn_id: u64) {
-        self.kv.txn_drop_replicated(txn_id);
-    }
-
-    fn txn_adopt_replicated(&mut self) -> Vec<u64> {
-        self.kv.txn_adopt_replicated()
-    }
-
-    fn txn_export_records(&mut self) -> Vec<(u64, Vec<(Vec<u8>, Option<Vec<u8>>)>)> {
-        self.kv.txn_export_records()
-    }
-
-    fn txn_import_record(&mut self, txn_id: u64, ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
-        self.kv
-            .txn_stage_replicated(txn_id, recipe_kv::borrow_ops(ops));
-    }
-
     fn current_view(&self) -> u64 {
         self.view
     }
 
-    fn export_recovery_snapshot(&mut self) -> Option<Vec<RangeEntry>> {
-        recipe_protocols::migration::kv_export_range(&mut self.kv, &|_| true).ok()
+    fn export_recovery_state(&mut self) -> RecoveryState {
+        self.store.export_recovery_state()
     }
 
-    fn on_restart(
-        &mut self,
-        view: u64,
-        snapshot: Option<Vec<RangeEntry>>,
-        _ctx: &mut Ctx,
-    ) -> RestartReport {
+    fn on_restart(&mut self, view: u64, state: RecoveryState, _ctx: &mut Ctx) -> RestartReport {
         self.slots.clear();
+        self.low_water = 0;
         self.down.clear();
         self.next_seq = 0;
         self.batcher = Batcher::new(*self.batcher.config());
-        self.kv.txn_reset();
         self.view = self.view.max(view);
-        let (verified, discarded, bytes) = self.kv.rehydrate();
-        if let Some(entries) = snapshot {
-            recipe_protocols::migration::kv_import_range(&mut self.kv, &entries);
-        }
-        let restored = self
-            .kv
-            .keys()
-            .iter()
-            .filter_map(|key| self.kv.timestamp_of(key))
-            .map(|ts| ts.logical)
-            .max()
-            .unwrap_or(0);
-        self.executed_ops = self.executed_ops.max(restored);
-        RestartReport {
-            verified_entries: verified,
-            discarded_entries: discarded,
-            payload_bytes: bytes,
-        }
+        self.store.restart(state)
     }
 
     fn on_peer_down(&mut self, peer: NodeId, _ctx: &mut Ctx) {
@@ -564,7 +520,7 @@ impl Replica for PbftReplica {
             if self.is_primary() {
                 // Adopt prepare records replicated from the crashed primary
                 // so in-flight transactions resolve on the new one.
-                let _ = self.kv.txn_adopt_replicated();
+                let _ = self.store.txn_adopt_replicated();
             }
         }
     }
@@ -576,21 +532,17 @@ impl Replica for PbftReplica {
     }
 }
 
-impl RangeStateTransfer for PbftReplica {
-    fn export_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> Result<Vec<RangeEntry>, String> {
-        recipe_protocols::migration::kv_export_range(&mut self.kv, filter)
-    }
+impl StoreReplica for PbftReplica {
+    const PROTOCOL: Protocol = Protocol::Pbft;
 
-    fn read_entry(&mut self, key: &[u8]) -> Result<Option<RangeEntry>, String> {
-        recipe_protocols::migration::kv_read_entry(&mut self.kv, key)
+    fn store(&mut self) -> &mut ReplicaStore {
+        &mut self.store
     }
+}
 
-    fn import_range(&mut self, entries: &[RangeEntry]) {
-        recipe_protocols::migration::kv_import_range(&mut self.kv, entries);
-    }
-
-    fn evict_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> usize {
-        self.kv.remove_matching(filter)
+impl BuildReplica for PbftReplica {
+    fn build(id: u64, membership: Membership, _mode: ProtocolMode, batch: BatchConfig) -> Self {
+        PbftReplica::new(id, membership).with_batching(batch)
     }
 }
 
@@ -650,6 +602,22 @@ mod tests {
             executed.iter().all(|&e| e >= 50),
             "executed per replica: {executed:?}"
         );
+    }
+
+    #[test]
+    fn executed_slots_are_dropped_behind_the_low_water_mark() {
+        let mut cluster = cluster(5_000);
+        let stats = cluster.run(mixed);
+        assert_eq!(stats.committed, 5_000);
+        for id in 0..4 {
+            let replica = cluster.replica(NodeId(id));
+            // What is left is what was in flight when the run stopped, one
+            // request per client at most, not the 5 000 slots of the run —
+            // though a slot executes on its third commit and the fourth
+            // arrives after it, under the mark by then and ignored.
+            assert!(replica.low_water >= 4_900, "replica {id}");
+            assert!(replica.slots.len() <= 16, "replica {id}");
+        }
     }
 
     #[test]

@@ -16,11 +16,14 @@ use std::collections::HashMap;
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
-use recipe_kv::{PartitionedKvStore, Timestamp};
+use recipe_kv::Timestamp;
 use recipe_net::NodeId;
-use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnVote};
+use recipe_sim::{Ctx, RecoveryState, Replica, RestartReport};
 
-use crate::shield::ProtocolShield;
+use crate::batch::BatchConfig;
+use crate::registry::{BuildReplica, Protocol};
+use crate::shield::{ProtocolMode, ProtocolShield};
+use crate::store::{ReplicaStore, Stamping, StoreReplica};
 
 /// ABD protocol messages. `op` is the coordinator's id for the operation a
 /// message belongs to.
@@ -172,10 +175,11 @@ pub struct AbdReplica {
     id: NodeId,
     membership: Membership,
     shield: ProtocolShield,
-    kv: PartitionedKvStore,
+    /// The KV store, stamping by Lamport timestamp, and the count of writes
+    /// that were new to it.
+    store: ReplicaStore,
     next_op: u64,
     inflight: HashMap<u64, OpState>,
-    applied_writes: u64,
 }
 
 impl AbdReplica {
@@ -189,40 +193,29 @@ impl AbdReplica {
         membership: Membership,
         confidentiality: impl Into<ConfidentialityMode>,
     ) -> Self {
-        let shield = ProtocolShield::recipe(NodeId(id), &membership, confidentiality.into());
-        Self::with_shield(NodeId(id), membership, shield)
+        let confidentiality = confidentiality.into();
+        let mode = ProtocolMode::Recipe { confidentiality };
+        Self::build(id, membership, mode, BatchConfig::unbatched())
     }
 
     /// Builds a native replica.
     pub fn native(id: u64, membership: Membership) -> Self {
-        Self::with_shield(
-            NodeId(id),
-            membership.clone(),
-            ProtocolShield::native(NodeId(id)),
-        )
-    }
-
-    fn with_shield(id: NodeId, membership: Membership, shield: ProtocolShield) -> Self {
-        let kv = PartitionedKvStore::new(shield.store_config());
-        AbdReplica {
+        Self::build(
             id,
             membership,
-            shield,
-            kv,
-            next_op: 0,
-            inflight: HashMap::new(),
-            applied_writes: 0,
-        }
+            ProtocolMode::Native,
+            BatchConfig::unbatched(),
+        )
     }
 
     /// Writes applied by this replica.
     pub fn applied_writes(&self) -> u64 {
-        self.applied_writes
+        self.store.applied()
     }
 
     /// Reads a key from the local store (verification helper).
     pub fn local_read(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.kv.get(key).ok().map(|r| r.value)
+        self.store.get(key).map(|r| r.value)
     }
 
     /// Messages rejected by the authentication layer.
@@ -270,7 +263,7 @@ impl AbdReplica {
     fn handle(&mut self, from: NodeId, msg: AbdMsg, ctx: &mut Ctx) {
         match msg {
             AbdMsg::GetTs { op, key } => {
-                let ts = self.kv.timestamp_of(&key).unwrap_or(Timestamp::ZERO);
+                let ts = self.store.timestamp_of(&key).unwrap_or(Timestamp::ZERO);
                 let reply = AbdMsg::TsReply { op, ts };
                 self.send(ctx, from, &reply);
             }
@@ -297,16 +290,10 @@ impl AbdReplica {
                         return;
                     };
                     let new_ts = highest
-                        .max(self.kv.timestamp_of(&key).unwrap_or(Timestamp::ZERO))
+                        .max(self.store.timestamp_of(&key).unwrap_or(Timestamp::ZERO))
                         .next_for(self.id.0);
                     // Apply locally and broadcast round 2.
-                    if self
-                        .kv
-                        .write_if_newer(&key, &value, new_ts)
-                        .unwrap_or(false)
-                    {
-                        self.applied_writes += 1;
-                    }
+                    self.store.apply_if_newer(&key, &value, new_ts);
                     self.inflight.insert(
                         op,
                         OpState::WriteCommit {
@@ -325,9 +312,7 @@ impl AbdReplica {
                 }
             }
             AbdMsg::Put { op, key, value, ts } => {
-                if self.kv.write_if_newer(&key, &value, ts).unwrap_or(false) {
-                    self.applied_writes += 1;
-                }
+                self.store.apply_if_newer(&key, &value, ts);
                 let ack = AbdMsg::PutAck { op };
                 self.send(ctx, from, &ack);
             }
@@ -353,7 +338,7 @@ impl AbdReplica {
                 }
             }
             AbdMsg::GetFull { op, key } => {
-                let read = self.kv.get(&key).ok();
+                let read = self.store.get(&key);
                 let reply = AbdMsg::FullReply {
                     op,
                     ts: read
@@ -403,13 +388,7 @@ impl AbdReplica {
                         // Disagreement: write back the highest value before replying
                         // (the ABD read's second round).
                         let value = best.clone().unwrap_or_default();
-                        if self
-                            .kv
-                            .write_if_newer(&key, &value, best_ts)
-                            .unwrap_or(false)
-                        {
-                            self.applied_writes += 1;
-                        }
+                        self.store.apply_if_newer(&key, &value, best_ts);
                         self.inflight.insert(
                             op,
                             OpState::WriteCommit {
@@ -438,7 +417,7 @@ impl Replica for AbdReplica {
     }
 
     fn on_client_request(&mut self, request: ClientRequest, ctx: &mut Ctx) {
-        if self.kv.is_locked(request.operation.key()) {
+        if self.store.is_locked(request.operation.key()) {
             // An in-flight transaction prepared on this coordinator holds the
             // key (2PL isolation): defer by dropping — the client's
             // retransmission resubmits after the transaction resolved.
@@ -456,7 +435,7 @@ impl Replica for AbdReplica {
                         request,
                         key: key.clone(),
                         value,
-                        highest: self.kv.timestamp_of(&key).unwrap_or(Timestamp::ZERO),
+                        highest: self.store.timestamp_of(&key).unwrap_or(Timestamp::ZERO),
                         replies: 0,
                     },
                 );
@@ -464,7 +443,7 @@ impl Replica for AbdReplica {
                 self.broadcast(ctx, &query);
             }
             Operation::Get { key } => {
-                let local = self.kv.get(&key).ok();
+                let local = self.store.get(&key);
                 self.inflight.insert(
                     op,
                     OpState::ReadQuery {
@@ -515,50 +494,6 @@ impl Replica for AbdReplica {
         }
     }
 
-    fn txn_prepare(&mut self, txn_id: u64, ops: &[Operation]) -> TxnVote {
-        crate::txn::kv_txn_prepare(&mut self.kv, txn_id, ops)
-    }
-
-    fn txn_commit(&mut self, txn_id: u64) -> Vec<RangeEntry> {
-        // Each staged write takes a strictly newer Lamport timestamp than the
-        // stored one (the ABD write rule), so replicas installing the
-        // returned records via `write_if_newer` semantics converge.
-        let id = self.id.0;
-        let mut applied = self.applied_writes;
-        let entries = crate::txn::kv_txn_commit(&mut self.kv, txn_id, |kv, key, value| {
-            let next = kv.timestamp_of(key).unwrap_or(Timestamp::ZERO).next_for(id);
-            applied += 1;
-            let _ = kv.write(key, value, next);
-        });
-        self.applied_writes = applied;
-        entries
-    }
-
-    fn txn_abort(&mut self, txn_id: u64) {
-        self.kv.txn_abort(txn_id);
-    }
-
-    fn txn_stage_replicated(&mut self, txn_id: u64, ops: &[Operation]) {
-        crate::txn::kv_txn_stage_replicated(&mut self.kv, txn_id, ops);
-    }
-
-    fn txn_drop_replicated(&mut self, txn_id: u64) {
-        self.kv.txn_drop_replicated(txn_id);
-    }
-
-    fn txn_adopt_replicated(&mut self) -> Vec<u64> {
-        self.kv.txn_adopt_replicated()
-    }
-
-    fn txn_export_records(&mut self) -> Vec<(u64, Vec<(Vec<u8>, Option<Vec<u8>>)>)> {
-        self.kv.txn_export_records()
-    }
-
-    fn txn_import_record(&mut self, txn_id: u64, ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
-        self.kv
-            .txn_stage_replicated(txn_id, recipe_kv::borrow_ops(ops));
-    }
-
     fn channel_send_counter(&self, peer: NodeId) -> u64 {
         self.shield.send_counter_to(peer)
     }
@@ -567,58 +502,40 @@ impl Replica for AbdReplica {
         self.shield.resync_from(peer, peer_send_counter);
     }
 
-    fn export_recovery_snapshot(&mut self) -> Option<Vec<RangeEntry>> {
-        crate::migration::kv_export_range(&mut self.kv, &|_| true).ok()
+    fn export_recovery_state(&mut self) -> RecoveryState {
+        self.store.export_recovery_state()
     }
 
-    fn on_restart(
-        &mut self,
-        _view: u64,
-        snapshot: Option<Vec<RangeEntry>>,
-        _ctx: &mut Ctx,
-    ) -> RestartReport {
+    fn on_restart(&mut self, _view: u64, state: RecoveryState, _ctx: &mut Ctx) -> RestartReport {
         // ABD is leaderless: nothing to elect. In-flight quorum ops are
         // volatile and lost; the client retransmission restarts them.
         self.inflight.clear();
-        self.kv.txn_reset();
-        let (verified, discarded, bytes) = self.kv.rehydrate();
-        if let Some(entries) = snapshot {
-            crate::migration::kv_import_range(&mut self.kv, &entries);
-        }
-        let restored = self
-            .kv
-            .keys()
-            .iter()
-            .filter_map(|key| self.kv.timestamp_of(key))
-            .map(|ts| ts.logical)
-            .max()
-            .unwrap_or(0);
-        self.applied_writes = self.applied_writes.max(restored);
-        RestartReport {
-            verified_entries: verified,
-            discarded_entries: discarded,
-            payload_bytes: bytes,
-        }
+        self.store.restart(state)
     }
 }
 
-impl RangeStateTransfer for AbdReplica {
-    fn export_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> Result<Vec<RangeEntry>, String> {
-        crate::migration::kv_export_range(&mut self.kv, filter)
-    }
+impl StoreReplica for AbdReplica {
+    const PROTOCOL: Protocol = Protocol::Abd;
 
-    fn read_entry(&mut self, key: &[u8]) -> Result<Option<RangeEntry>, String> {
-        crate::migration::kv_read_entry(&mut self.kv, key)
+    fn store(&mut self) -> &mut ReplicaStore {
+        &mut self.store
     }
+}
 
-    fn import_range(&mut self, entries: &[RangeEntry]) {
-        // The carried Lamport timestamps are installed verbatim so the ABD
-        // write rule (strictly-newer wins) keeps holding across the move.
-        crate::migration::kv_import_range(&mut self.kv, entries);
-    }
-
-    fn evict_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> usize {
-        self.kv.remove_matching(filter)
+impl BuildReplica for AbdReplica {
+    /// ABD has no leader to batch on; `batch` only shapes the cost profile's
+    /// bookkeeping.
+    fn build(id: u64, membership: Membership, mode: ProtocolMode, _batch: BatchConfig) -> Self {
+        let id = NodeId(id);
+        let shield = ProtocolShield::new(id, &membership, mode);
+        AbdReplica {
+            id,
+            store: ReplicaStore::new(shield.store_config(), id, Stamping::Lamport),
+            membership,
+            shield,
+            next_op: 0,
+            inflight: HashMap::new(),
+        }
     }
 }
 
@@ -751,49 +668,5 @@ mod tests {
                 "replica {id} never received any write for the contended key"
             );
         }
-    }
-
-    #[test]
-    fn range_state_transfer_preserves_the_abd_write_rule() {
-        let m = Membership::of_size(3, 1);
-        let mut donor = AbdReplica::recipe(0, m.clone(), false);
-        donor
-            .kv
-            .write(b"moving", b"old", Timestamp::new(9, 2))
-            .unwrap();
-        donor
-            .kv
-            .write(b"staying", b"here", Timestamp::new(1, 0))
-            .unwrap();
-        let exported = donor
-            .export_range(&|key: &[u8]| key.starts_with(b"moving"))
-            .unwrap();
-        assert_eq!(exported.len(), 1);
-        assert_eq!(exported[0].ts_logical, 9);
-
-        let mut recipient = AbdReplica::recipe(0, m, false);
-        recipient.import_range(&exported);
-        assert_eq!(recipient.local_read(b"moving"), Some(b"old".to_vec()));
-        // The imported timestamp still governs the ABD strictly-newer rule.
-        assert!(!recipient
-            .kv
-            .write_if_newer(b"moving", b"stale", Timestamp::new(8, 9))
-            .unwrap());
-        assert!(recipient
-            .kv
-            .write_if_newer(b"moving", b"fresh", Timestamp::new(10, 0))
-            .unwrap());
-
-        assert_eq!(
-            donor.evict_range(&|key: &[u8]| key.starts_with(b"moving")),
-            1
-        );
-        assert_eq!(donor.local_read(b"moving"), None);
-        assert_eq!(donor.local_read(b"staying"), Some(b"here".to_vec()));
-
-        // A Byzantine host corrupting host-resident state surfaces as an
-        // export error, never as shipped state.
-        donor.kv.corrupt_host_value(b"staying");
-        assert!(donor.export_range(&|_: &[u8]| true).is_err());
     }
 }

@@ -21,11 +21,13 @@ use std::collections::{HashMap, HashSet};
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
-use recipe_kv::{PartitionedKvStore, Timestamp};
 use recipe_net::NodeId;
-use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport};
+use recipe_sim::{Ctx, RecoveryState, Replica, RestartReport};
 
-use crate::shield::ProtocolShield;
+use crate::batch::BatchConfig;
+use crate::registry::{BuildReplica, Protocol};
+use crate::shield::{ProtocolMode, ProtocolShield};
+use crate::store::{ReplicaStore, Stamping, StoreReplica};
 
 /// AllConcur protocol messages. `op` is the proposer's id for the write a
 /// message belongs to.
@@ -99,13 +101,13 @@ pub struct AllConcurReplica {
     id: NodeId,
     membership: Membership,
     shield: ProtocolShield,
-    kv: PartitionedKvStore,
+    /// The KV store and the count of writes delivered to it.
+    store: ReplicaStore,
     next_op: u64,
     /// Proposals this node coordinates, until they are delivered.
     own: HashMap<u64, PendingProposal>,
     /// Proposals received from other coordinators, buffered until delivery.
     buffered: HashMap<(u64, u64), (Vec<u8>, Vec<u8>)>,
-    applied_writes: u64,
 }
 
 impl AllConcurReplica {
@@ -119,41 +121,29 @@ impl AllConcurReplica {
         membership: Membership,
         confidentiality: impl Into<ConfidentialityMode>,
     ) -> Self {
-        let shield = ProtocolShield::recipe(NodeId(id), &membership, confidentiality.into());
-        Self::with_shield(NodeId(id), membership, shield)
+        let confidentiality = confidentiality.into();
+        let mode = ProtocolMode::Recipe { confidentiality };
+        Self::build(id, membership, mode, BatchConfig::unbatched())
     }
 
     /// Builds a native replica.
     pub fn native(id: u64, membership: Membership) -> Self {
-        Self::with_shield(
-            NodeId(id),
-            membership.clone(),
-            ProtocolShield::native(NodeId(id)),
-        )
-    }
-
-    fn with_shield(id: NodeId, membership: Membership, shield: ProtocolShield) -> Self {
-        let kv = PartitionedKvStore::new(shield.store_config());
-        AllConcurReplica {
+        Self::build(
             id,
             membership,
-            shield,
-            kv,
-            next_op: 0,
-            own: HashMap::new(),
-            buffered: HashMap::new(),
-            applied_writes: 0,
-        }
+            ProtocolMode::Native,
+            BatchConfig::unbatched(),
+        )
     }
 
     /// Writes applied by this replica.
     pub fn applied_writes(&self) -> u64 {
-        self.applied_writes
+        self.store.applied()
     }
 
     /// Reads a key from the local store (verification helper).
     pub fn local_read(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.kv.get(key).ok().map(|r| r.value)
+        self.store.get(key).map(|r| r.value)
     }
 
     /// Messages rejected by the authentication layer.
@@ -176,12 +166,6 @@ impl AllConcurReplica {
         for peer in self.membership.peers_of(self.id) {
             self.send_encoded(ctx, peer, &payload);
         }
-    }
-
-    fn apply(&mut self, key: &[u8], value: &[u8]) {
-        self.applied_writes += 1;
-        let ts = Timestamp::new(self.applied_writes, self.id.0);
-        let _ = self.kv.write(key, value, ts);
     }
 
     fn handle(&mut self, from: NodeId, msg: AllConcurMsg, ctx: &mut Ctx) {
@@ -209,7 +193,7 @@ impl AllConcurReplica {
                 let Operation::Put { key, value } = request.operation else {
                     return;
                 };
-                self.apply(&key, &value);
+                self.store.apply(&key, &value);
                 let deliver = AllConcurMsg::Deliver { op };
                 self.broadcast(ctx, &deliver);
                 ctx.reply(ClientReply {
@@ -222,7 +206,7 @@ impl AllConcurReplica {
             }
             AllConcurMsg::Deliver { op } => {
                 if let Some((key, value)) = self.buffered.remove(&(from.0, op)) {
-                    self.apply(&key, &value);
+                    self.store.apply(&key, &value);
                 }
             }
         }
@@ -238,7 +222,7 @@ impl Replica for AllConcurReplica {
         match request.operation.clone() {
             Operation::Get { key } => {
                 // Consistent local reads (sequential consistency).
-                let read = self.kv.get(&key).ok();
+                let read = self.store.get(&key);
                 ctx.reply(ClientReply {
                     client_id: request.client_id,
                     request_id: request.request_id,
@@ -301,58 +285,41 @@ impl Replica for AllConcurReplica {
         self.shield.resync_from(peer, peer_send_counter);
     }
 
-    fn export_recovery_snapshot(&mut self) -> Option<Vec<RangeEntry>> {
-        crate::migration::kv_export_range(&mut self.kv, &|_| true).ok()
+    fn export_recovery_state(&mut self) -> RecoveryState {
+        self.store.export_recovery_state()
     }
 
-    fn on_restart(
-        &mut self,
-        _view: u64,
-        snapshot: Option<Vec<RangeEntry>>,
-        _ctx: &mut Ctx,
-    ) -> RestartReport {
+    fn on_restart(&mut self, _view: u64, state: RecoveryState, _ctx: &mut Ctx) -> RestartReport {
         // AllConcur is leaderless (every node coordinates its own
         // proposals); in-flight proposals and buffered peer proposals are
         // volatile and lost, and the client retransmission reissues them.
         self.own.clear();
         self.buffered.clear();
-        self.kv.txn_reset();
-        let (verified, discarded, bytes) = self.kv.rehydrate();
-        if let Some(entries) = snapshot {
-            crate::migration::kv_import_range(&mut self.kv, &entries);
-        }
-        let restored = self
-            .kv
-            .keys()
-            .iter()
-            .filter_map(|key| self.kv.timestamp_of(key))
-            .map(|ts| ts.logical)
-            .max()
-            .unwrap_or(0);
-        self.applied_writes = self.applied_writes.max(restored);
-        RestartReport {
-            verified_entries: verified,
-            discarded_entries: discarded,
-            payload_bytes: bytes,
-        }
+        self.store.restart(state)
     }
 }
 
-impl RangeStateTransfer for AllConcurReplica {
-    fn export_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> Result<Vec<RangeEntry>, String> {
-        crate::migration::kv_export_range(&mut self.kv, filter)
-    }
+impl StoreReplica for AllConcurReplica {
+    const PROTOCOL: Protocol = Protocol::AllConcur;
 
-    fn read_entry(&mut self, key: &[u8]) -> Result<Option<RangeEntry>, String> {
-        crate::migration::kv_read_entry(&mut self.kv, key)
+    fn store(&mut self) -> &mut ReplicaStore {
+        &mut self.store
     }
+}
 
-    fn import_range(&mut self, entries: &[RangeEntry]) {
-        crate::migration::kv_import_range(&mut self.kv, entries);
-    }
-
-    fn evict_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> usize {
-        self.kv.remove_matching(filter)
+impl BuildReplica for AllConcurReplica {
+    fn build(id: u64, membership: Membership, mode: ProtocolMode, _batch: BatchConfig) -> Self {
+        let id = NodeId(id);
+        let shield = ProtocolShield::new(id, &membership, mode);
+        AllConcurReplica {
+            id,
+            store: ReplicaStore::new(shield.store_config(), id, Stamping::Sequence),
+            membership,
+            shield,
+            next_op: 0,
+            own: HashMap::new(),
+            buffered: HashMap::new(),
+        }
     }
 }
 

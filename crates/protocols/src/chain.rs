@@ -10,12 +10,13 @@
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
-use recipe_kv::{PartitionedKvStore, Timestamp};
 use recipe_net::NodeId;
-use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnVote};
+use recipe_sim::{Ctx, RecoveryState, Replica, RestartReport};
 
 use crate::batch::{BatchConfig, Batcher};
-use crate::shield::ProtocolShield;
+use crate::registry::{BuildReplica, Protocol};
+use crate::shield::{ProtocolMode, ProtocolShield};
+use crate::store::{ReplicaStore, Stamping, StoreReplica};
 
 /// Timer token: flush partially-filled batches (time-budget trigger).
 const TOKEN_BATCH_FLUSH: u64 = 1;
@@ -81,9 +82,10 @@ pub struct ChainReplica {
     id: NodeId,
     membership: Membership,
     shield: ProtocolShield,
-    kv: PartitionedKvStore,
+    /// The KV store and the count of writes applied to it as they passed
+    /// through this node.
+    store: ReplicaStore,
     next_seq: u64,
-    applied_writes: u64,
     /// Outgoing-forward batcher (unbatched by default; see
     /// [`ChainReplica::with_batching`]). Each chain node has exactly one
     /// downstream destination, so batching coalesces the head's (and every
@@ -108,31 +110,19 @@ impl ChainReplica {
         membership: Membership,
         confidentiality: impl Into<ConfidentialityMode>,
     ) -> Self {
-        let shield = ProtocolShield::recipe(NodeId(id), &membership, confidentiality.into());
-        Self::with_shield(NodeId(id), membership, shield)
+        let confidentiality = confidentiality.into();
+        let mode = ProtocolMode::Recipe { confidentiality };
+        Self::build(id, membership, mode, BatchConfig::unbatched())
     }
 
     /// Builds a native replica.
     pub fn native(id: u64, membership: Membership) -> Self {
-        Self::with_shield(
-            NodeId(id),
-            membership.clone(),
-            ProtocolShield::native(NodeId(id)),
-        )
-    }
-
-    fn with_shield(id: NodeId, membership: Membership, shield: ProtocolShield) -> Self {
-        let kv = PartitionedKvStore::new(shield.store_config());
-        ChainReplica {
+        Self::build(
             id,
             membership,
-            shield,
-            kv,
-            next_seq: 0,
-            applied_writes: 0,
-            batcher: Batcher::new(BatchConfig::unbatched()),
-            down: Vec::new(),
-        }
+            ProtocolMode::Native,
+            BatchConfig::unbatched(),
+        )
     }
 
     /// Enables batching of chain forwards (see [`BatchConfig`]).
@@ -153,23 +143,17 @@ impl ChainReplica {
 
     /// Writes applied by this replica.
     pub fn applied_writes(&self) -> u64 {
-        self.applied_writes
+        self.store.applied()
     }
 
     /// Reads a key from the local store (verification helper).
     pub fn local_read(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.kv.get(key).ok().map(|r| r.value)
+        self.store.get(key).map(|r| r.value)
     }
 
     /// Messages rejected by the authentication layer.
     pub fn rejected_messages(&self) -> u64 {
         self.shield.rejected()
-    }
-
-    fn apply(&mut self, key: &[u8], value: &[u8]) {
-        self.applied_writes += 1;
-        let ts = Timestamp::new(self.applied_writes, self.id.0);
-        let _ = self.kv.write(key, value, ts);
     }
 
     fn forward_or_commit(&mut self, msg: ChainMsg, ctx: &mut Ctx) {
@@ -181,7 +165,7 @@ impl ChainReplica {
             request_id,
         } = msg;
         // Every node along the chain applies the write as it passes through.
-        self.apply(&key, &value);
+        self.store.apply(&key, &value);
         match self.membership.chain_successor_live(self.id, &self.down) {
             Some(next) => {
                 let forward = ChainMsg::Forward {
@@ -229,7 +213,7 @@ impl Replica for ChainReplica {
     }
 
     fn on_client_request(&mut self, request: ClientRequest, ctx: &mut Ctx) {
-        if self.kv.is_locked(request.operation.key()) {
+        if self.store.is_locked(request.operation.key()) {
             // An in-flight transaction holds the key (2PL isolation): defer
             // by dropping — the client's retransmission resubmits after the
             // transaction resolved. Never taken without transactions.
@@ -241,7 +225,7 @@ impl Replica for ChainReplica {
                 if !self.is_tail() {
                     return;
                 }
-                let read = self.kv.get(&key).ok();
+                let read = self.store.get(&key);
                 ctx.reply(ClientReply {
                     client_id: request.client_id,
                     request_id: request.request_id,
@@ -308,49 +292,6 @@ impl Replica for ChainReplica {
         }
     }
 
-    fn txn_prepare(&mut self, txn_id: u64, ops: &[Operation]) -> TxnVote {
-        crate::txn::kv_txn_prepare(&mut self.kv, txn_id, ops)
-    }
-
-    fn txn_commit(&mut self, txn_id: u64) -> Vec<RangeEntry> {
-        // The head applies through its normal apply path (sequencing the
-        // writes like forwarded ones); the coordinator installs the returned
-        // records down-chain, mirroring the forward traversal.
-        let mut applied = self.applied_writes;
-        let id = self.id.0;
-        let entries = crate::txn::kv_txn_commit(&mut self.kv, txn_id, |kv, key, value| {
-            applied += 1;
-            let _ = kv.write(key, value, Timestamp::new(applied, id));
-        });
-        self.applied_writes = applied;
-        entries
-    }
-
-    fn txn_abort(&mut self, txn_id: u64) {
-        self.kv.txn_abort(txn_id);
-    }
-
-    fn txn_stage_replicated(&mut self, txn_id: u64, ops: &[Operation]) {
-        crate::txn::kv_txn_stage_replicated(&mut self.kv, txn_id, ops);
-    }
-
-    fn txn_drop_replicated(&mut self, txn_id: u64) {
-        self.kv.txn_drop_replicated(txn_id);
-    }
-
-    fn txn_adopt_replicated(&mut self) -> Vec<u64> {
-        self.kv.txn_adopt_replicated()
-    }
-
-    fn txn_export_records(&mut self) -> Vec<(u64, Vec<(Vec<u8>, Option<Vec<u8>>)>)> {
-        self.kv.txn_export_records()
-    }
-
-    fn txn_import_record(&mut self, txn_id: u64, ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
-        self.kv
-            .txn_stage_replicated(txn_id, recipe_kv::borrow_ops(ops));
-    }
-
     fn channel_send_counter(&self, peer: NodeId) -> u64 {
         self.shield.send_counter_to(peer)
     }
@@ -359,42 +300,16 @@ impl Replica for ChainReplica {
         self.shield.resync_from(peer, peer_send_counter);
     }
 
-    fn export_recovery_snapshot(&mut self) -> Option<Vec<RangeEntry>> {
-        crate::migration::kv_export_range(&mut self.kv, &|_| true).ok()
+    fn export_recovery_state(&mut self) -> RecoveryState {
+        self.store.export_recovery_state()
     }
 
-    fn on_restart(
-        &mut self,
-        _view: u64,
-        snapshot: Option<Vec<RangeEntry>>,
-        _ctx: &mut Ctx,
-    ) -> RestartReport {
+    fn on_restart(&mut self, _view: u64, state: RecoveryState, _ctx: &mut Ctx) -> RestartReport {
         self.batcher = Batcher::new(*self.batcher.config());
         self.down.clear();
-        self.kv.txn_reset();
-        let (verified, discarded, bytes) = self.kv.rehydrate();
-        if let Some(entries) = snapshot {
-            crate::migration::kv_import_range(&mut self.kv, &entries);
-        }
-        // `applied_writes` and `next_seq` are backed by the trusted
-        // monotonic counter, so they survive the crash; advancing to the
-        // freshest surviving timestamp additionally covers state adopted
-        // from the snapshot, keeping re-applied writes from reusing
-        // logical timestamps.
-        let restored = self
-            .kv
-            .keys()
-            .iter()
-            .filter_map(|key| self.kv.timestamp_of(key))
-            .map(|ts| ts.logical)
-            .max()
-            .unwrap_or(0);
-        self.applied_writes = self.applied_writes.max(restored);
-        RestartReport {
-            verified_entries: verified,
-            discarded_entries: discarded,
-            payload_bytes: bytes,
-        }
+        // `next_seq`, like the store's applied count, is backed by the
+        // trusted monotonic counter and survives the crash.
+        self.store.restart(state)
     }
 
     fn on_peer_down(&mut self, peer: NodeId, _ctx: &mut Ctx) {
@@ -405,7 +320,7 @@ impl Replica for ChainReplica {
             // This node just became (or confirmed itself as) the live head:
             // adopt any prepare records replicated from a crashed head so
             // in-flight transactions resolve here.
-            let _ = self.kv.txn_adopt_replicated();
+            let _ = self.store.txn_adopt_replicated();
         }
     }
 
@@ -416,21 +331,27 @@ impl Replica for ChainReplica {
     }
 }
 
-impl RangeStateTransfer for ChainReplica {
-    fn export_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> Result<Vec<RangeEntry>, String> {
-        crate::migration::kv_export_range(&mut self.kv, filter)
-    }
+impl StoreReplica for ChainReplica {
+    const PROTOCOL: Protocol = Protocol::Chain;
 
-    fn read_entry(&mut self, key: &[u8]) -> Result<Option<RangeEntry>, String> {
-        crate::migration::kv_read_entry(&mut self.kv, key)
+    fn store(&mut self) -> &mut ReplicaStore {
+        &mut self.store
     }
+}
 
-    fn import_range(&mut self, entries: &[RangeEntry]) {
-        crate::migration::kv_import_range(&mut self.kv, entries);
-    }
-
-    fn evict_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> usize {
-        self.kv.remove_matching(filter)
+impl BuildReplica for ChainReplica {
+    fn build(id: u64, membership: Membership, mode: ProtocolMode, batch: BatchConfig) -> Self {
+        let id = NodeId(id);
+        let shield = ProtocolShield::new(id, &membership, mode);
+        ChainReplica {
+            id,
+            store: ReplicaStore::new(shield.store_config(), id, Stamping::Sequence),
+            membership,
+            shield,
+            next_seq: 0,
+            batcher: Batcher::new(batch),
+            down: Vec::new(),
+        }
     }
 }
 

@@ -20,6 +20,11 @@
 //!
 //! All replicas implement [`recipe_sim::Replica`], so the same code runs in unit
 //! tests, in the integration tests, in the examples and in the benchmark harness.
+//!
+//! What sits below a protocol is written once, not per protocol: every
+//! replica embeds a [`store::ReplicaStore`] — the KV store with two-phase-commit
+//! participation, key-range state transfer and the rollback-protected restart
+//! — and [`registry::Protocol`] names every protocol a run can select.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +35,9 @@ pub mod batch;
 pub mod chain;
 pub mod migration;
 pub mod raft;
+pub mod registry;
 pub mod shield;
+pub mod store;
 pub mod txn;
 
 pub use abd::{AbdMsg, AbdReplica};
@@ -42,7 +49,9 @@ pub use migration::{
     MAX_SHARDS,
 };
 pub use raft::{RaftMsg, RaftReplica};
+pub use registry::{BuildReplica, Protocol, ProtocolVisitor};
 pub use shield::{Frames, FramesIter, ProtocolMode, ProtocolShield};
+pub use store::{ReplicaStore, Stamping, StoreReplica, TxnVote};
 pub use txn::{TxnLane, TxnLanes, ENDPOINT_IDS as TXN_ENDPOINT_IDS, MAX_CLIENTS};
 
 use recipe_core::Membership;

@@ -134,55 +134,6 @@ impl MigrationChunk {
     }
 }
 
-/// Maps a store's verified range export into wire records — the shared body
-/// of every replica's `RangeStateTransfer::export_range`.
-pub fn kv_export_range(
-    kv: &mut recipe_kv::PartitionedKvStore,
-    filter: &dyn Fn(&[u8]) -> bool,
-) -> Result<Vec<RangeEntry>, String> {
-    Ok(kv
-        .export_matching(filter)
-        .map_err(|err| format!("range export failed verification: {err:?}"))?
-        .into_iter()
-        .map(|(key, value, ts)| RangeEntry {
-            key,
-            value,
-            ts_logical: ts.logical,
-            ts_node: ts.node,
-        })
-        .collect())
-}
-
-/// Reads one key through a store's verified path as a wire record — the
-/// shared body of every replica's `RangeStateTransfer::read_entry`.
-pub fn kv_read_entry(
-    kv: &mut recipe_kv::PartitionedKvStore,
-    key: &[u8],
-) -> Result<Option<RangeEntry>, String> {
-    match kv.get(key) {
-        Ok(read) => Ok(Some(RangeEntry {
-            key: key.to_vec(),
-            value: read.value,
-            ts_logical: read.timestamp.logical,
-            ts_node: read.timestamp.node,
-        })),
-        Err(recipe_kv::KvError::NotFound) => Ok(None),
-        Err(err) => Err(format!("verified read failed: {err:?}")),
-    }
-}
-
-/// Installs wire records into a store with their carried timestamps, in
-/// order — the shared body of every replica's `RangeStateTransfer::import_range`.
-pub fn kv_import_range(kv: &mut recipe_kv::PartitionedKvStore, entries: &[RangeEntry]) {
-    let _ = kv.import_entries(entries.iter().map(|entry| {
-        (
-            entry.key.clone(),
-            entry.value.clone(),
-            recipe_kv::Timestamp::new(entry.ts_logical, entry.ts_node),
-        )
-    }));
-}
-
 /// The node id of shard `shard`'s state-transfer endpoint **for one
 /// migration**: the migration id is folded into the endpoint id, so every
 /// migration derives fresh channel keys. Without this, a later migration

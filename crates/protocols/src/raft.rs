@@ -19,12 +19,13 @@ use std::ops::Deref;
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
-use recipe_kv::{PartitionedKvStore, Timestamp};
 use recipe_net::NodeId;
-use recipe_sim::{Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnVote};
+use recipe_sim::{Ctx, RecoveryState, Replica, RestartReport};
 
 use crate::batch::{BatchConfig, Batcher};
-use crate::shield::ProtocolShield;
+use crate::registry::{BuildReplica, Protocol};
+use crate::shield::{ProtocolMode, ProtocolShield};
+use crate::store::{ReplicaStore, Stamping, StoreReplica};
 
 /// Timer token: leader heartbeat tick.
 const TOKEN_HEARTBEAT: u64 = 1;
@@ -223,7 +224,9 @@ pub struct RaftReplica {
     id: NodeId,
     membership: Membership,
     shield: ProtocolShield,
-    kv: PartitionedKvStore,
+    /// The KV store and the count of entries applied to it (its log
+    /// position).
+    store: ReplicaStore,
     view: u64,
     next_index: u64,
     /// Leader-side replication state per log index, from the client's request
@@ -237,8 +240,6 @@ pub struct RaftReplica {
     voted: HashSet<u64>,
     /// Votes received per candidate view.
     view_votes: HashMap<u64, HashSet<u64>>,
-    /// Number of committed (applied) entries — used by tests and recovery.
-    committed_entries: u64,
     /// Outgoing-message batcher (unbatched by default; see
     /// [`RaftReplica::with_batching`]).
     batcher: Batcher,
@@ -256,40 +257,19 @@ impl RaftReplica {
         membership: Membership,
         confidentiality: impl Into<ConfidentialityMode>,
     ) -> Self {
-        Self::with_shield(
-            NodeId(id),
-            membership.clone(),
-            ProtocolShield::recipe(NodeId(id), &membership, confidentiality.into()),
-        )
+        let confidentiality = confidentiality.into();
+        let mode = ProtocolMode::Recipe { confidentiality };
+        Self::build(id, membership, mode, BatchConfig::unbatched())
     }
 
     /// Builds a native (untransformed) replica.
     pub fn native(id: u64, membership: Membership) -> Self {
-        Self::with_shield(NodeId(id), membership, ProtocolShield::native(NodeId(id)))
-    }
-
-    fn with_shield(id: NodeId, membership: Membership, shield: ProtocolShield) -> Self {
-        assert!(
-            membership.n() <= AckSet::CAPACITY,
-            "a Raft group is at most {} replicas",
-            AckSet::CAPACITY
-        );
-        let kv = PartitionedKvStore::new(shield.store_config());
-        RaftReplica {
+        Self::build(
             id,
             membership,
-            shield,
-            kv,
-            view: 0,
-            next_index: 0,
-            pending: HashMap::new(),
-            uncommitted: HashMap::new(),
-            last_heartbeat_ns: 0,
-            voted: HashSet::new(),
-            view_votes: HashMap::new(),
-            committed_entries: 0,
-            batcher: Batcher::new(BatchConfig::unbatched()),
-        }
+            ProtocolMode::Native,
+            BatchConfig::unbatched(),
+        )
     }
 
     /// Enables leader-side batching: outgoing protocol messages accumulate per
@@ -313,12 +293,12 @@ impl RaftReplica {
 
     /// Number of entries this replica has applied to its KV store.
     pub fn committed_entries(&self) -> u64 {
-        self.committed_entries
+        self.store.applied()
     }
 
     /// Reads a key directly from the local store (test/verification helper).
     pub fn local_read(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.kv.get(key).ok().map(|r| r.value)
+        self.store.get(key).map(|r| r.value)
     }
 
     /// Messages rejected by the authentication layer.
@@ -367,20 +347,6 @@ impl RaftReplica {
             });
     }
 
-    /// Applies a committed write to the local store. Takes the fields it
-    /// touches, so a caller holding a borrow of `pending` can use it.
-    fn apply_write(
-        kv: &mut PartitionedKvStore,
-        committed_entries: &mut u64,
-        id: NodeId,
-        key: &[u8],
-        value: &[u8],
-    ) {
-        let ts = Timestamp::new(*committed_entries + 1, id.0);
-        let _ = kv.write(key, value, ts);
-        *committed_entries += 1;
-    }
-
     fn handle_protocol_message(&mut self, from: NodeId, msg: RaftMsg, ctx: &mut Ctx) {
         match msg {
             RaftMsg::Append {
@@ -414,13 +380,7 @@ impl RaftReplica {
                 if !entry.replicated && entry.append_acks.len() >= quorum {
                     entry.replicated = true;
                     // Apply locally and instruct followers to commit.
-                    Self::apply_write(
-                        &mut self.kv,
-                        &mut self.committed_entries,
-                        self.id,
-                        &entry.key,
-                        &entry.value,
-                    );
+                    self.store.apply(&entry.key, &entry.value);
                     entry.commit_acks.insert(own);
                     let commit = RaftMsg::Commit {
                         view: self.view,
@@ -434,13 +394,7 @@ impl RaftReplica {
                     return;
                 }
                 if let Some((key, value)) = self.uncommitted.remove(&index) {
-                    Self::apply_write(
-                        &mut self.kv,
-                        &mut self.committed_entries,
-                        self.id,
-                        &key,
-                        &value,
-                    );
+                    self.store.apply(&key, &value);
                 }
                 let ack = RaftMsg::CommitAck { view, index };
                 self.send(ctx, from, &ack);
@@ -515,7 +469,7 @@ impl RaftReplica {
             // Failover adoption: in-flight transactions the crashed leader
             // prepared become real (locked) prepares on the new leader, so
             // the 2PC coordinator's commit/abort frames resolve them here.
-            let _ = self.kv.txn_adopt_replicated();
+            let _ = self.store.txn_adopt_replicated();
             let beat = RaftMsg::Heartbeat { view: self.view };
             self.broadcast(ctx, &beat);
             ctx.set_timer(HEARTBEAT_PERIOD_NS, TOKEN_HEARTBEAT);
@@ -533,7 +487,7 @@ impl Replica for RaftReplica {
             // The distributed data-store layer normally routes around this; drop.
             return;
         }
-        if self.kv.is_locked(request.operation.key()) {
+        if self.store.is_locked(request.operation.key()) {
             // An in-flight transaction holds the key (2PL isolation): defer
             // by dropping — the client's retransmission resubmits the
             // operation after the transaction committed or aborted. With no
@@ -544,7 +498,7 @@ impl Replica for RaftReplica {
         match request.operation {
             Operation::Get { key } => {
                 // Linearizable local read at the leader.
-                let read = self.kv.get(&key).ok();
+                let read = self.store.get(&key);
                 ctx.reply(ClientReply {
                     client_id: request.client_id,
                     request_id: request.request_id,
@@ -658,50 +612,6 @@ impl Replica for RaftReplica {
         }
     }
 
-    fn txn_prepare(&mut self, txn_id: u64, ops: &[Operation]) -> TxnVote {
-        crate::txn::kv_txn_prepare(&mut self.kv, txn_id, ops)
-    }
-
-    fn txn_commit(&mut self, txn_id: u64) -> Vec<RangeEntry> {
-        // Each staged write goes through the leader's normal apply path, so
-        // log positions and timestamps advance exactly as for replicated
-        // single-key writes; the coordinator installs the returned records on
-        // the followers (the migration-import idiom).
-        let mut committed = self.committed_entries;
-        let id = self.id.0;
-        let entries = crate::txn::kv_txn_commit(&mut self.kv, txn_id, |kv, key, value| {
-            committed += 1;
-            let _ = kv.write(key, value, Timestamp::new(committed, id));
-        });
-        self.committed_entries = committed;
-        entries
-    }
-
-    fn txn_abort(&mut self, txn_id: u64) {
-        self.kv.txn_abort(txn_id);
-    }
-
-    fn txn_stage_replicated(&mut self, txn_id: u64, ops: &[Operation]) {
-        crate::txn::kv_txn_stage_replicated(&mut self.kv, txn_id, ops);
-    }
-
-    fn txn_drop_replicated(&mut self, txn_id: u64) {
-        self.kv.txn_drop_replicated(txn_id);
-    }
-
-    fn txn_adopt_replicated(&mut self) -> Vec<u64> {
-        self.kv.txn_adopt_replicated()
-    }
-
-    fn txn_export_records(&mut self) -> Vec<(u64, Vec<(Vec<u8>, Option<Vec<u8>>)>)> {
-        self.kv.txn_export_records()
-    }
-
-    fn txn_import_record(&mut self, txn_id: u64, ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
-        self.kv
-            .txn_stage_replicated(txn_id, recipe_kv::borrow_ops(ops));
-    }
-
     fn current_view(&self) -> u64 {
         self.view
     }
@@ -714,26 +624,19 @@ impl Replica for RaftReplica {
         self.shield.resync_from(peer, peer_send_counter);
     }
 
-    fn export_recovery_snapshot(&mut self) -> Option<Vec<RangeEntry>> {
-        crate::migration::kv_export_range(&mut self.kv, &|_| true).ok()
+    fn export_recovery_state(&mut self) -> RecoveryState {
+        self.store.export_recovery_state()
     }
 
-    fn on_restart(
-        &mut self,
-        view: u64,
-        snapshot: Option<Vec<RangeEntry>>,
-        ctx: &mut Ctx,
-    ) -> RestartReport {
+    fn on_restart(&mut self, view: u64, state: RecoveryState, ctx: &mut Ctx) -> RestartReport {
         // Everything volatile died with the process: in-flight leader state,
-        // uncommitted follower entries, election bookkeeping, queued batches
-        // and the 2PC lock table (the rest of the group holds the replicated
-        // prepare records and resolves in-flight transactions).
+        // uncommitted follower entries, election bookkeeping and queued
+        // batches.
         self.pending.clear();
         self.uncommitted.clear();
         self.voted.clear();
         self.view_votes.clear();
         self.batcher = Batcher::new(*self.batcher.config());
-        self.kv.txn_reset();
 
         // Adopt the view the attestation service observed among live peers so
         // traffic from a deposed leader can never be accepted.
@@ -741,58 +644,48 @@ impl Replica for RaftReplica {
         self.shield.set_view(view);
         self.last_heartbeat_ns = ctx.now().as_nanos();
 
-        // Rollback-protected rehydration: only records the enclave verifies
-        // survive; then the catch-up snapshot from a live peer installs the
-        // writes committed while this node was down. The committed-entry
-        // counter restarts at the highest verified log position, never
-        // behind it (the trusted counter story).
-        let (verified, discarded, bytes) = self.kv.rehydrate();
-        if let Some(entries) = snapshot {
-            crate::migration::kv_import_range(&mut self.kv, &entries);
-        }
-        let restored = self
-            .kv
-            .keys()
-            .iter()
-            .filter_map(|key| self.kv.timestamp_of(key))
-            .map(|ts| ts.logical)
-            .max()
-            .unwrap_or(0);
-        self.committed_entries = self.committed_entries.max(restored);
-
+        let report = self.store.restart(state);
         if self.is_leader() {
             let beat = RaftMsg::Heartbeat { view: self.view };
             self.broadcast(ctx, &beat);
             ctx.set_timer(HEARTBEAT_PERIOD_NS, TOKEN_HEARTBEAT);
         }
         ctx.set_timer(ELECTION_TIMEOUT_NS, TOKEN_FAILURE_DETECTOR);
-        RestartReport {
-            verified_entries: verified,
-            discarded_entries: discarded,
-            payload_bytes: bytes,
-        }
+        report
     }
 }
 
-impl RangeStateTransfer for RaftReplica {
-    fn export_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> Result<Vec<RangeEntry>, String> {
-        crate::migration::kv_export_range(&mut self.kv, filter)
-    }
+impl StoreReplica for RaftReplica {
+    const PROTOCOL: Protocol = Protocol::Raft;
 
-    fn read_entry(&mut self, key: &[u8]) -> Result<Option<RangeEntry>, String> {
-        crate::migration::kv_read_entry(&mut self.kv, key)
+    fn store(&mut self) -> &mut ReplicaStore {
+        &mut self.store
     }
+}
 
-    fn import_range(&mut self, entries: &[RangeEntry]) {
-        // Imported state is installed below the protocol: the log position
-        // counter is untouched (these entries committed on the donor group),
-        // and later local writes overwrite unconditionally, so the carried
-        // timestamps are only provenance.
-        crate::migration::kv_import_range(&mut self.kv, entries);
-    }
-
-    fn evict_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> usize {
-        self.kv.remove_matching(filter)
+impl BuildReplica for RaftReplica {
+    fn build(id: u64, membership: Membership, mode: ProtocolMode, batch: BatchConfig) -> Self {
+        assert!(
+            membership.n() <= AckSet::CAPACITY,
+            "a Raft group is at most {} replicas",
+            AckSet::CAPACITY
+        );
+        let id = NodeId(id);
+        let shield = ProtocolShield::new(id, &membership, mode);
+        RaftReplica {
+            id,
+            store: ReplicaStore::new(shield.store_config(), id, Stamping::Sequence),
+            membership,
+            shield,
+            view: 0,
+            next_index: 0,
+            pending: HashMap::new(),
+            uncommitted: HashMap::new(),
+            last_heartbeat_ns: 0,
+            voted: HashSet::new(),
+            view_votes: HashMap::new(),
+            batcher: Batcher::new(batch),
+        }
     }
 }
 

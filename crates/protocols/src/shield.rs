@@ -214,6 +214,16 @@ impl ProtocolShield {
         Self::deployment_cipher_key().derive(&[GROUP_KEY_DOMAIN, &group.to_le_bytes()])
     }
 
+    /// Builds the shield `mode` asks for.
+    pub fn new(node: NodeId, membership: &Membership, mode: ProtocolMode) -> Self {
+        match mode {
+            ProtocolMode::Native => Self::native(node),
+            ProtocolMode::Recipe { confidentiality } => {
+                Self::recipe(node, membership, confidentiality)
+            }
+        }
+    }
+
     /// Builds a Recipe-mode shield for `node` within `membership`.
     ///
     /// `confidentiality` is the group's policy — a

@@ -1,0 +1,428 @@
+//! What sits below every protocol: the replica's store and the duties
+//! Recipe-lib, not the protocol, owns on it.
+//!
+//! The paper's transformation leaves a CFT protocol's logic alone because the
+//! library holds the partitioned KV store, takes part in cross-shard
+//! two-phase commit, moves key ranges between groups and restarts a crashed
+//! node from state it can verify. [`ReplicaStore`] is that library state: a
+//! replica embeds one, applies its committed writes through it and exposes it
+//! with [`StoreReplica::store`]; the sharded driver, the 2PC coordinator and
+//! the migration controller reach everything else through that one accessor,
+//! so a protocol neither implements nor forwards any of it.
+
+use recipe_core::Operation;
+use recipe_kv::{KvError, PartitionedKvStore, ReadResult, StoreConfig, Timestamp, TxnOpRef};
+use recipe_net::NodeId;
+use recipe_sim::{RangeEntry, RecoveryState, Replica, RestartReport};
+
+use crate::registry::Protocol;
+
+/// A participant's answer to a two-phase-commit prepare.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TxnVote {
+    /// Every touched key was locked and every write staged; the participant
+    /// is ready to commit.
+    Granted,
+    /// A touched key is locked by another in-flight transaction; nothing was
+    /// locked or staged (all-or-nothing), the coordinator must abort.
+    Conflict {
+        /// The first conflicting key.
+        key: Vec<u8>,
+    },
+}
+
+/// How a store stamps the writes it applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stamping {
+    /// The next number of the replica's own sequence of applied operations
+    /// (a log position, a chain sequence number, an execution count): later
+    /// local writes overwrite unconditionally, so a carried timestamp is
+    /// provenance only.
+    Sequence,
+    /// The key's stored Lamport timestamp, advanced: ABD's write rule
+    /// (strictly newer wins), under which replicas that install the same
+    /// records converge whatever order they arrive in.
+    Lamport,
+}
+
+/// A replica type that keeps its state in a [`ReplicaStore`] — what the
+/// sharded driver requires of the replicas it runs.
+pub trait StoreReplica: Replica {
+    /// The protocol this type implements, as the registry knows it.
+    const PROTOCOL: Protocol;
+
+    /// The replica's store.
+    fn store(&mut self) -> &mut ReplicaStore;
+}
+
+/// One replica's partitioned KV store, the count of operations applied to it
+/// and the rule that stamps them.
+pub struct ReplicaStore {
+    kv: PartitionedKvStore,
+    node: u64,
+    stamping: Stamping,
+    /// Operations applied so far. Backed by the trusted monotonic counter,
+    /// so it survives a crash.
+    applied: u64,
+}
+
+/// Lends protocol operations to the store as its `(key, staged write)` pairs:
+/// reads lock their key and stage nothing, writes lock and stage the value.
+fn lock_pairs(ops: &[Operation]) -> impl Iterator<Item = TxnOpRef<'_>> {
+    ops.iter().map(|op| match op {
+        Operation::Get { key } => (key.as_slice(), None),
+        Operation::Put { key, value } => (key.as_slice(), Some(value.as_slice())),
+    })
+}
+
+fn entry(key: Vec<u8>, value: Vec<u8>, ts: Timestamp) -> RangeEntry {
+    RangeEntry {
+        key,
+        value,
+        ts_logical: ts.logical,
+        ts_node: ts.node,
+    }
+}
+
+impl ReplicaStore {
+    /// An empty store for replica `node`.
+    pub fn new(config: StoreConfig, node: NodeId, stamping: Stamping) -> Self {
+        ReplicaStore {
+            kv: PartitionedKvStore::new(config),
+            node: node.0,
+            stamping,
+            applied: 0,
+        }
+    }
+
+    /// Operations applied so far.
+    pub fn applied(&self) -> u64 {
+        self.applied
+    }
+
+    /// Reads `key` through the verified path; `None` when it is absent or
+    /// fails verification.
+    pub fn get(&mut self, key: &[u8]) -> Option<ReadResult> {
+        self.kv.get(key).ok()
+    }
+
+    /// The write timestamp stored for `key`.
+    pub fn timestamp_of(&self, key: &[u8]) -> Option<Timestamp> {
+        self.kv.timestamp_of(key)
+    }
+
+    /// True while a prepared transaction holds `key`: a protocol leaves a
+    /// single-key request for it to the client's retransmission (2PL
+    /// isolation). Never true without transactions in flight.
+    pub fn is_locked(&self, key: &[u8]) -> bool {
+        self.kv.is_locked(key)
+    }
+
+    /// Applies a committed write as the next operation, stamped by the
+    /// store's rule.
+    pub fn apply(&mut self, key: &[u8], value: &[u8]) {
+        self.applied += 1;
+        let ts = match self.stamping {
+            Stamping::Sequence => Timestamp::new(self.applied, self.node),
+            Stamping::Lamport => {
+                let stored = self.kv.timestamp_of(key).unwrap_or(Timestamp::ZERO);
+                stored.next_for(self.node)
+            }
+        };
+        let _ = self.kv.write(key, value, ts);
+    }
+
+    /// Counts an operation that takes its place in the sequence and writes
+    /// nothing: PBFT and Damysus order reads too.
+    pub fn advance(&mut self) {
+        self.applied += 1;
+    }
+
+    /// Applies a write under a timestamp the protocol's own rounds agreed
+    /// (ABD), unless the stored one is as new. Returns whether it applied.
+    pub fn apply_if_newer(&mut self, key: &[u8], value: &[u8], ts: Timestamp) -> bool {
+        let applied = self.kv.write_if_newer(key, value, ts).unwrap_or(false);
+        self.applied += u64::from(applied);
+        applied
+    }
+
+    // ------------------------------------------------------------------
+    // Two-phase-commit participation, driven by the sharded coordinator on
+    // the group's write coordinator (and, for the replicated records, on
+    // its followers).
+    // ------------------------------------------------------------------
+
+    /// 2PC prepare: locks every key `ops` touches and stages the writes,
+    /// all-or-nothing.
+    pub fn txn_prepare(&mut self, txn_id: u64, ops: &[Operation]) -> TxnVote {
+        match self.kv.txn_prepare_borrowed(txn_id, lock_pairs(ops)) {
+            Ok(()) => TxnVote::Granted,
+            Err(KvError::LockConflict { key, .. }) => TxnVote::Conflict { key },
+            // The transaction table only reports lock conflicts today; anything
+            // else would be a store bug — refuse the prepare rather than lock up.
+            Err(_) => TxnVote::Conflict { key: Vec::new() },
+        }
+    }
+
+    /// 2PC commit: applies `txn_id`'s staged writes through [`Self::apply`]
+    /// — so sequence numbers and timestamps advance exactly as for the
+    /// protocol's own writes — releases its locks, and returns the applied
+    /// records with the timestamps the store now holds; the coordinator
+    /// installs them on the group's other replicas ([`Self::import_range`]).
+    /// An unknown transaction returns nothing (idempotent re-commit).
+    pub fn txn_commit(&mut self, txn_id: u64) -> Vec<RangeEntry> {
+        let writes = self.kv.txn_take_staged(txn_id).unwrap_or_default();
+        let mut entries = Vec::with_capacity(writes.len());
+        for (key, value) in writes {
+            self.apply(&key, &value);
+            let ts = self.kv.timestamp_of(&key).unwrap_or_default();
+            entries.push(entry(key, value, ts));
+        }
+        entries
+    }
+
+    /// 2PC abort: discards `txn_id`'s staged writes and releases its locks.
+    pub fn txn_abort(&mut self, txn_id: u64) {
+        self.kv.txn_abort(txn_id);
+    }
+
+    /// Records a prepare replicated from the group's leader: passive (no
+    /// locks) until adopted on failover. The coordinator's prepare phase
+    /// already pays the group replication round trip in the cost model; this
+    /// is the state that round trip carries.
+    pub fn txn_stage_replicated(&mut self, txn_id: u64, ops: &[Operation]) {
+        self.kv.txn_stage_replicated(txn_id, lock_pairs(ops));
+    }
+
+    /// Discards the replicated prepare record for `txn_id` once the
+    /// coordinator's decision reached this follower (committed entries then
+    /// arrive through the import path; aborts just drop the record).
+    pub fn txn_drop_replicated(&mut self, txn_id: u64) {
+        self.kv.txn_drop_replicated(txn_id);
+    }
+
+    /// Failover adoption: promotes every replicated prepare record held here
+    /// into a real staged transaction with locks, returning the adopted ids.
+    /// A protocol calls it when its replica becomes the group's write
+    /// coordinator, so transactions prepared on a crashed leader resolve
+    /// through the coordinator's normal commit/abort frames.
+    pub fn txn_adopt_replicated(&mut self) -> Vec<u64> {
+        self.kv.txn_adopt_replicated()
+    }
+
+    // ------------------------------------------------------------------
+    // Key-range state transfer, driven by the migration controller. Local
+    // store only — no protocol messages, no counters. The controller owns
+    // ordering: imports are applied snapshot-first then catch-up in commit
+    // order, and the donor stops serving the range before eviction.
+    // ------------------------------------------------------------------
+
+    /// Exports every key satisfying `filter`, in key order. Fails when a
+    /// record does not pass the verified-read path (a Byzantine host
+    /// corrupted or dropped host-resident state) — the caller must abort the
+    /// transfer, never ship unverified state.
+    pub fn export_range(
+        &mut self,
+        filter: &dyn Fn(&[u8]) -> bool,
+    ) -> Result<Vec<RangeEntry>, String> {
+        let exported = self
+            .kv
+            .export_matching(filter)
+            .map_err(|err| format!("range export failed verification: {err:?}"))?;
+        Ok(exported
+            .into_iter()
+            .map(|(key, value, ts)| entry(key, value, ts))
+            .collect())
+    }
+
+    /// Reads one key through the verified path with its **real stored write
+    /// timestamp** (catch-up capture uses this so timestamp-ordered stores
+    /// keep their write rule across the move). `Ok(None)` when the key is
+    /// absent; `Err` when it fails verification.
+    pub fn read_entry(&mut self, key: &[u8]) -> Result<Option<RangeEntry>, String> {
+        match self.kv.get(key) {
+            Ok(read) => Ok(Some(entry(key.to_vec(), read.value, read.timestamp))),
+            Err(KvError::NotFound) => Ok(None),
+            Err(err) => Err(format!("verified read failed: {err:?}")),
+        }
+    }
+
+    /// Installs `entries` with the timestamps they carry, in order (a later
+    /// entry overwrites an earlier one for the same key). This is below the
+    /// protocol: the applied count does not move — the entries committed on
+    /// the exporting replica.
+    pub fn import_range(&mut self, entries: &[RangeEntry]) {
+        let _ = self.kv.import_entries(entries.iter().map(|entry| {
+            let ts = Timestamp::new(entry.ts_logical, entry.ts_node);
+            (entry.key.clone(), entry.value.clone(), ts)
+        }));
+    }
+
+    /// Removes every key satisfying `filter`, returning how many went.
+    pub fn evict_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> usize {
+        self.kv.remove_matching(filter)
+    }
+
+    // ------------------------------------------------------------------
+    // Crash recovery.
+    // ------------------------------------------------------------------
+
+    /// What a restarting peer needs of this store: the full verified state
+    /// and every prepare record known here, own and passive.
+    pub fn export_recovery_state(&mut self) -> RecoveryState {
+        let prepares = self.kv.txn_export_records().into_iter();
+        RecoveryState {
+            snapshot: self.export_range(&|_| true).ok(),
+            prepares: prepares
+                .map(|(txn_id, ops)| {
+                    let ops = ops.into_iter().map(|(key, staged)| match staged {
+                        None => Operation::Get { key },
+                        Some(value) => Operation::Put { key, value },
+                    });
+                    (txn_id, ops.collect())
+                })
+                .collect(),
+        }
+    }
+
+    /// Rollback-protected restart. The 2PC lock table was volatile and is
+    /// gone (the rest of the group holds the replicated prepare records and
+    /// resolves in-flight transactions); only records the enclave verifies
+    /// survive; then the live peer's `state` installs the writes committed
+    /// while this node was down and its prepare records as passive copies.
+    /// The applied count moves up to the highest surviving timestamp, never
+    /// behind it, so re-applied writes cannot reuse one.
+    pub fn restart(&mut self, state: RecoveryState) -> RestartReport {
+        self.kv.txn_reset();
+        let (verified, discarded, bytes) = self.kv.rehydrate();
+        if let Some(entries) = &state.snapshot {
+            self.import_range(entries);
+        }
+        let stamps = self.kv.keys().into_iter();
+        let restored = stamps.filter_map(|key| self.kv.timestamp_of(&key));
+        self.applied = restored.map(|ts| ts.logical).fold(self.applied, u64::max);
+        for (txn_id, ops) in &state.prepares {
+            self.txn_stage_replicated(*txn_id, ops);
+        }
+        RestartReport {
+            verified_entries: verified,
+            discarded_entries: discarded,
+            payload_bytes: bytes,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn put(key: &[u8], value: &[u8]) -> Operation {
+        Operation::Put {
+            key: key.to_vec(),
+            value: value.to_vec(),
+        }
+    }
+
+    fn store(stamping: Stamping) -> ReplicaStore {
+        ReplicaStore::new(StoreConfig::default(), NodeId(2), stamping)
+    }
+
+    fn stamps(entries: &[RangeEntry]) -> Vec<(u64, u64)> {
+        entries.iter().map(|e| (e.ts_logical, e.ts_node)).collect()
+    }
+
+    #[test]
+    fn a_sequence_store_stamps_commits_by_position_and_restarts_at_the_highest_one() {
+        let mut store = store(Stamping::Sequence);
+        store.apply(b"a", b"0");
+        store.advance();
+        let ops = [
+            put(b"a", b"1"),
+            Operation::Get { key: b"r".to_vec() },
+            put(b"b", b"2"),
+        ];
+        assert_eq!(store.txn_prepare(7, &ops), TxnVote::Granted);
+        assert!(store.is_locked(b"a") && store.is_locked(b"r"));
+        // A second transaction conflicts and names the key; nothing of it stays.
+        assert_eq!(
+            store.txn_prepare(8, &[put(b"z", b"9"), put(b"b", b"9")]),
+            TxnVote::Conflict { key: b"b".to_vec() }
+        );
+        assert!(!store.is_locked(b"z"));
+        let entries = store.txn_commit(7);
+        // Positions 3 and 4 of this replica's own sequence, reads staging nothing.
+        assert_eq!(stamps(&entries), [(3, 2), (4, 2)]);
+        assert_eq!((store.applied(), store.is_locked(b"r")), (4, false));
+        assert!(store.txn_commit(7).is_empty(), "re-commit re-applied");
+        assert_eq!(store.get(b"a").unwrap().value, b"1");
+
+        // A live peer is ahead: the restart adopts its records and moves the
+        // count to the highest timestamp that survives, so the next write
+        // cannot reuse one.
+        let mut peer = ReplicaStore::new(StoreConfig::default(), NodeId(0), Stamping::Sequence);
+        peer.import_range(&entries);
+        (0..5).for_each(|_| peer.apply(b"c", b"3"));
+        assert_eq!(peer.txn_prepare(9, &[put(b"d", b"4")]), TxnVote::Granted);
+        let report = store.restart(peer.export_recovery_state());
+        assert_eq!((report.verified_entries, report.discarded_entries), (2, 0));
+        assert_eq!(store.applied(), 5);
+        assert_eq!(store.read_entry(b"c").unwrap().unwrap().ts_node, 0);
+        // The peer's prepare came over as a passive copy: no lock until adopted.
+        assert!(!store.is_locked(b"d"));
+        assert_eq!(store.txn_adopt_replicated(), [9]);
+        assert!(store.is_locked(b"d"));
+        store.txn_abort(9);
+        store.apply(b"c", b"4");
+        assert_eq!(
+            stamps(&[store.read_entry(b"c").unwrap().unwrap()]),
+            [(6, 2)]
+        );
+    }
+
+    #[test]
+    fn a_lamport_store_stamps_commits_past_the_stored_timestamp_and_keeps_the_write_rule() {
+        let mut store = store(Stamping::Lamport);
+        assert!(store.apply_if_newer(b"moving", b"old", Timestamp::new(9, 1)));
+        assert!(!store.apply_if_newer(b"moving", b"stale", Timestamp::new(8, 5)));
+        assert!(store.apply_if_newer(b"staying", b"here", Timestamp::new(1, 0)));
+        assert_eq!(store.applied(), 2);
+        assert_eq!(
+            store.txn_prepare(7, &[put(b"moving", b"new"), put(b"fresh", b"1")]),
+            TxnVote::Granted
+        );
+        // Each write is strictly newer than what its key held, whatever the count.
+        let entries = store.txn_commit(7);
+        assert_eq!(stamps(&entries), [(10, 2), (1, 2)]);
+        assert_eq!(store.applied(), 4);
+
+        // A range moves with its timestamps, which still govern the rule on
+        // the recipient; eviction takes it from the donor alone.
+        let moving = |key: &[u8]| key.starts_with(b"moving");
+        let exported = store.export_range(&moving).unwrap();
+        assert_eq!(stamps(&exported), [(10, 2)]);
+        let mut recipient = ReplicaStore::new(StoreConfig::default(), NodeId(0), Stamping::Lamport);
+        recipient.import_range(&exported);
+        assert_eq!(recipient.applied(), 0);
+        assert!(!recipient.apply_if_newer(b"moving", b"stale", Timestamp::new(9, 9)));
+        assert!(recipient.apply_if_newer(b"moving", b"fresh", Timestamp::new(11, 0)));
+        assert_eq!(store.evict_range(&moving), 1);
+        assert_eq!(store.get(b"moving"), None);
+        assert_eq!(store.get(b"staying").unwrap().value, b"here");
+
+        // Restart: the count moves up to the highest verified timestamp.
+        let report = recipient.restart(RecoveryState::default());
+        assert_eq!(report.verified_entries, 1);
+        assert_eq!(recipient.applied(), 11);
+
+        // A Byzantine host corrupting host-resident state surfaces as an
+        // export error and an empty snapshot, never as shipped state, and
+        // does not survive a restart.
+        store.kv.corrupt_host_value(b"staying");
+        assert!(store.export_range(&|_| true).is_err());
+        assert!(store.read_entry(b"staying").is_err());
+        assert_eq!(store.export_recovery_state().snapshot, None);
+        let report = store.restart(RecoveryState::default());
+        assert_eq!((report.verified_entries, report.discarded_entries), (1, 1));
+        assert_eq!(store.read_entry(b"staying"), Ok(None));
+    }
+}

@@ -60,18 +60,13 @@
 //! which is exactly the fail-safe stall the shield gives unattended protocol
 //! channels — coordinators must not do it.
 //!
-//! The module also hosts the store-level participant helpers shared by every
-//! replica's [`recipe_sim::Replica::txn_prepare`] /
-//! [`recipe_sim::Replica::txn_commit`] / [`recipe_sim::Replica::txn_abort`]
-//! overrides, mirroring how [`crate::migration`] shares the range-transfer
-//! bodies.
+//! The participant's side of a transaction — locks, staged writes, the
+//! replicated prepare records — is [`crate::store::ReplicaStore`]'s.
 
 use std::ops::Range;
 
-use recipe_core::{Operation, TxnBody};
-use recipe_kv::TxnOpRef;
+use recipe_core::TxnBody;
 use recipe_net::NodeId;
-use recipe_sim::{RangeEntry, TxnVote};
 
 use crate::migration::MAX_SHARDS;
 use crate::shield::ProtocolShield;
@@ -98,73 +93,6 @@ fn coordinator_endpoint(client: u64) -> NodeId {
 
 fn participant_endpoint(shard: usize) -> NodeId {
     NodeId(PARTICIPANT_BASE + shard as u64)
-}
-
-// ---------------------------------------------------------------------------
-// Store-level participant helpers (shared by every replica's overrides)
-// ---------------------------------------------------------------------------
-
-/// Lends protocol operations to the store as its `(key, staged write)` pairs:
-/// reads lock their key and stage nothing, writes lock and stage the value.
-fn lock_pairs(ops: &[Operation]) -> impl Iterator<Item = TxnOpRef<'_>> {
-    ops.iter().map(|op| match op {
-        Operation::Get { key } => (key.as_slice(), None),
-        Operation::Put { key, value } => (key.as_slice(), Some(value.as_slice())),
-    })
-}
-
-/// The shared body of every replica's `txn_prepare` override: locks + stages
-/// through the store's transaction table, translating a lock conflict into
-/// the vote the coordinator expects.
-pub fn kv_txn_prepare(
-    kv: &mut recipe_kv::PartitionedKvStore,
-    txn_id: u64,
-    ops: &[Operation],
-) -> TxnVote {
-    match kv.txn_prepare_borrowed(txn_id, lock_pairs(ops)) {
-        Ok(()) => TxnVote::Granted,
-        Err(recipe_kv::KvError::LockConflict { key, .. }) => TxnVote::Conflict { key },
-        // The transaction table only reports lock conflicts today; anything
-        // else would be a store bug — refuse the prepare rather than lock up.
-        Err(_) => TxnVote::Conflict { key: Vec::new() },
-    }
-}
-
-/// The shared body of every replica's `txn_stage_replicated` override:
-/// records the leader's prepare as a passive (lock-free) record the store
-/// can adopt on failover.
-pub fn kv_txn_stage_replicated(
-    kv: &mut recipe_kv::PartitionedKvStore,
-    txn_id: u64,
-    ops: &[Operation],
-) {
-    kv.txn_stage_replicated(txn_id, lock_pairs(ops));
-}
-
-/// The shared body of every replica's `txn_commit` override: takes the
-/// staged writes out of the store (releasing the locks) and applies each
-/// through the caller's normal apply path via `apply`, returning the applied
-/// records with the timestamps the store now holds.
-pub fn kv_txn_commit(
-    kv: &mut recipe_kv::PartitionedKvStore,
-    txn_id: u64,
-    mut apply: impl FnMut(&mut recipe_kv::PartitionedKvStore, &[u8], &[u8]),
-) -> Vec<RangeEntry> {
-    let Some(writes) = kv.txn_take_staged(txn_id) else {
-        return Vec::new(); // already resolved: ack idempotently
-    };
-    let mut entries = Vec::with_capacity(writes.len());
-    for (key, value) in writes {
-        apply(kv, &key, &value);
-        let ts = kv.timestamp_of(&key).unwrap_or_default();
-        entries.push(RangeEntry {
-            key,
-            value,
-            ts_logical: ts.logical,
-            ts_node: ts.node,
-        });
-    }
-    entries
 }
 
 // ---------------------------------------------------------------------------
@@ -281,7 +209,7 @@ impl TxnLane<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recipe_core::TxnFrame;
+    use recipe_core::{Operation, TxnFrame};
 
     fn prepare(n: usize) -> TxnBody {
         TxnBody::Prepare {
@@ -478,47 +406,5 @@ mod tests {
         assert_eq!(first.body.len(), second.body.len());
         let same = first.body.iter().zip(&second.body).filter(|(a, b)| a == b);
         assert!(same.count() < first.body.len() / 8);
-    }
-
-    #[test]
-    fn lowering_lends_reads_and_writes_to_the_store() {
-        let ops = vec![
-            Operation::Get { key: b"r".to_vec() },
-            Operation::Put {
-                key: b"w".to_vec(),
-                value: b"v".to_vec(),
-            },
-        ];
-        let pairs: Vec<TxnOpRef<'_>> = lock_pairs(&ops).collect();
-        assert_eq!(pairs, [(&b"r"[..], None), (&b"w"[..], Some(&b"v"[..]))]);
-    }
-
-    #[test]
-    fn kv_participant_helpers_prepare_commit_and_vote_conflicts() {
-        use recipe_kv::{PartitionedKvStore, StoreConfig, Timestamp};
-        let mut kv = PartitionedKvStore::new(StoreConfig::default());
-        let ops = vec![Operation::Put {
-            key: b"a".to_vec(),
-            value: b"1".to_vec(),
-        }];
-        assert_eq!(kv_txn_prepare(&mut kv, 1, &ops), TxnVote::Granted);
-        // A second transaction conflicts and names the key.
-        assert_eq!(
-            kv_txn_prepare(&mut kv, 2, &ops),
-            TxnVote::Conflict { key: b"a".to_vec() }
-        );
-        let mut applied = 0;
-        let entries = kv_txn_commit(&mut kv, 1, |kv, key, value| {
-            applied += 1;
-            let _ = kv.write(key, value, Timestamp::new(5, 9));
-        });
-        assert_eq!(applied, 1);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].key, b"a");
-        assert_eq!(entries[0].ts_logical, 5);
-        assert_eq!(entries[0].ts_node, 9);
-        // Idempotent re-commit applies nothing.
-        assert!(kv_txn_commit(&mut kv, 1, |_, _, _| panic!("re-applied")).is_empty());
-        assert_eq!(kv.get(b"a").unwrap().value, b"1");
     }
 }

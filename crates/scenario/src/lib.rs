@@ -35,5 +35,6 @@ pub mod run;
 pub mod toml;
 
 pub use decode::ScenarioError;
-pub use model::{Expectations, Protocol, Scenario, WorkloadKind};
+pub use model::{Expectations, Scenario, WorkloadKind};
+pub use recipe_protocols::Protocol;
 pub use run::{run_protocol, run_scenario, ScenarioOutcome};

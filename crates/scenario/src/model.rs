@@ -44,7 +44,7 @@
 use recipe_core::ConfidentialityMode;
 use recipe_gateway::{GatewayConfig, TenantSpec};
 use recipe_net::{CrashEntry, CrashPlan, FaultPlan, NodeId};
-use recipe_protocols::BatchConfig;
+use recipe_protocols::{BatchConfig, Protocol};
 use recipe_shard::{DeploymentSpec, RebalanceConfig, ShardPolicy, TxnConfig};
 use recipe_sim::CostProfile;
 use recipe_telemetry::TelemetryConfig;
@@ -53,53 +53,14 @@ use serde::Value;
 
 use crate::decode::{join, MapDecoder, ScenarioError};
 
-/// Which replica implementation a scenario run drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// Recipe-transformed Raft.
-    Raft,
-    /// Recipe-transformed chain replication.
-    Chain,
-    /// Recipe-transformed ABD quorum replication.
-    Abd,
-    /// Recipe-transformed AllConcur.
-    AllConcur,
-    /// The PBFT (BFT-Smart-style) baseline.
-    Pbft,
-}
-
-impl Protocol {
-    /// All protocols a scenario can name.
-    pub const ALL: [Protocol; 5] = [
-        Protocol::Raft,
-        Protocol::Chain,
-        Protocol::Abd,
-        Protocol::AllConcur,
-        Protocol::Pbft,
-    ];
-
-    /// The name used in scenario files and summaries.
-    pub fn name(self) -> &'static str {
-        match self {
-            Protocol::Raft => "raft",
-            Protocol::Chain => "chain",
-            Protocol::Abd => "abd",
-            Protocol::AllConcur => "allconcur",
-            Protocol::Pbft => "pbft",
-        }
-    }
-
-    fn parse(s: &str, path: &str) -> Result<Self, ScenarioError> {
-        Protocol::ALL
-            .into_iter()
-            .find(|p| p.name() == s)
-            .ok_or_else(|| {
-                ScenarioError(format!(
-                    "`{path}`: unknown protocol `{s}` (expected one of: raft, chain, abd, \
-                     allconcur, pbft)"
-                ))
-            })
-    }
+fn parse_protocol(s: &str, path: &str) -> Result<Protocol, ScenarioError> {
+    Protocol::from_file_name(s).ok_or_else(|| {
+        let names: Vec<&str> = Protocol::ALL.iter().map(|p| p.file_name()).collect();
+        ScenarioError(format!(
+            "`{path}`: unknown protocol `{s}` (expected one of: {})",
+            names.join(", ")
+        ))
+    })
 }
 
 /// The workload a scenario drives through the cluster.
@@ -204,13 +165,13 @@ impl Scenario {
                     "set either `protocol` or `protocols`, not both".into(),
                 ))
             }
-            (Some(p), None) => vec![Protocol::parse(&p, "protocol")?],
+            (Some(p), None) => vec![parse_protocol(&p, "protocol")?],
             (None, Some(list)) => {
                 if list.is_empty() {
                     return Err(ScenarioError("`protocols`: must name at least one".into()));
                 }
                 list.iter()
-                    .map(|p| Protocol::parse(p, "protocols"))
+                    .map(|p| parse_protocol(p, "protocols"))
                     .collect::<Result<Vec<_>, _>>()?
             }
             (None, None) => {
@@ -262,37 +223,35 @@ impl Scenario {
             .validate()
             .map_err(|e| ScenarioError(format!("deployment.{e}")))?;
         let spec = &self.deployment;
+        // What a protocol cannot do is the registry's to say.
         for &p in &self.protocols {
-            if p == Protocol::Pbft {
-                let need = 3 * spec.faults_tolerated() + 1;
-                if spec.replicas_per_shard() < need {
-                    return Err(ScenarioError(format!(
-                        "protocol `pbft`: f = {} needs at least 3f+1 = {need} replicas per \
-                         shard, but `deployment.replicas_per_shard` = {}",
-                        spec.faults_tolerated(),
-                        spec.replicas_per_shard()
-                    )));
-                }
-                let confidential = (0..spec.shards())
-                    .any(|s| spec.policy_for(s).confidentiality.is_confidential());
-                if confidential {
-                    return Err(ScenarioError(
-                        "protocol `pbft`: the PBFT baseline has no confidential mode; drop \
-                         `deployment.confidential` / per-shard `confidential = true` or pick a \
-                         recipe protocol"
-                            .into(),
-                    ));
-                }
+            let name = p.file_name();
+            let need = p.min_replicas(spec.faults_tolerated());
+            if spec.replicas_per_shard() < need {
+                return Err(ScenarioError(format!(
+                    "protocol `{name}`: f = {} needs at least {}f+1 = {need} replicas per \
+                     shard, but `deployment.replicas_per_shard` = {}",
+                    spec.faults_tolerated(),
+                    p.replicas_per_fault(),
+                    spec.replicas_per_shard()
+                )));
             }
-            if p == Protocol::AllConcur {
-                if let WorkloadKind::Txn(_) = self.workload {
-                    return Err(ScenarioError(
-                        "protocol `allconcur`: transactions are not supported (no 2PC \
-                         participant hooks); use `workload.kind = \"single\"` or another \
-                         protocol"
-                            .into(),
-                    ));
-                }
+            let confidential =
+                (0..spec.shards()).any(|s| spec.policy_for(s).confidentiality.is_confidential());
+            if confidential && !p.supports_confidential() {
+                return Err(ScenarioError(format!(
+                    "protocol `{name}`: the {} baseline has no confidential mode; drop \
+                     `deployment.confidential` / per-shard `confidential = true` or pick a \
+                     recipe protocol",
+                    p.display_name()
+                )));
+            }
+            if matches!(self.workload, WorkloadKind::Txn(_)) && !p.supports_txn() {
+                return Err(ScenarioError(format!(
+                    "protocol `{name}`: transactions are not supported (no 2PC \
+                     participant hooks); use `workload.kind = \"single\"` or another \
+                     protocol"
+                )));
             }
         }
         match &self.workload {

@@ -3,18 +3,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use recipe_bft::PbftReplica;
-use recipe_core::Membership;
-use recipe_protocols::{AbdReplica, AllConcurReplica, ChainReplica, RaftReplica};
-use recipe_shard::{
-    request_from_workload, PolicyReplica, ResolvedShardPolicy, ShardRouter, ShardedCluster,
-    ShardedRunStats,
-};
-use recipe_sim::{RangeStateTransfer, Replica};
+use recipe_protocols::{BuildReplica, Protocol, ProtocolVisitor};
+use recipe_shard::{request_from_workload, ShardedCluster, ShardedRunStats};
 use recipe_telemetry::{SpanKind, TelemetryReport};
 use recipe_workload::{stable_key_hash, WorkloadOp, WorkloadRequest};
 
-use crate::model::{Protocol, Scenario, WorkloadKind};
+use crate::model::{Scenario, WorkloadKind};
 
 /// The result of driving one scenario under one protocol.
 #[derive(Debug)]
@@ -52,32 +46,18 @@ pub fn run_scenario(scenario: &Scenario) -> Vec<ScenarioOutcome> {
 
 /// Runs the scenario under one specific protocol.
 pub fn run_protocol(scenario: &Scenario, protocol: Protocol) -> ScenarioOutcome {
-    match protocol {
-        Protocol::Raft => drive::<RaftReplica, _>(scenario, protocol, RaftReplica::build_replica),
-        Protocol::Chain => {
-            drive::<ChainReplica, _>(scenario, protocol, ChainReplica::build_replica)
-        }
-        Protocol::Abd => drive::<AbdReplica, _>(scenario, protocol, AbdReplica::build_replica),
-        Protocol::AllConcur => {
-            drive::<AllConcurReplica, _>(scenario, protocol, AllConcurReplica::build_replica)
-        }
-        // PBFT is the baseline outside the `PolicyReplica` family: no
-        // confidential mode (scenario validation rejects that combination),
-        // built through the caller-factory path like `fig_protocols` does.
-        Protocol::Pbft => {
-            drive::<PbftReplica, _>(scenario, protocol, |_, id, membership, policy| {
-                PbftReplica::new(id, membership).with_batching(policy.batch)
-            })
+    struct Drive<'a>(&'a Scenario);
+    impl ProtocolVisitor for Drive<'_> {
+        type Output = ScenarioOutcome;
+        fn visit<R: BuildReplica>(self) -> ScenarioOutcome {
+            drive::<R>(self.0)
         }
     }
+    recipe_bft::dispatch(protocol, Drive(scenario))
 }
 
-fn drive<R, F>(scenario: &Scenario, protocol: Protocol, make: F) -> ScenarioOutcome
-where
-    R: Replica + RangeStateTransfer,
-    F: FnMut(usize, u64, Membership, &ResolvedShardPolicy) -> R,
-{
-    let mut cluster = ShardedCluster::<R>::build_with(scenario.deployment.clone(), make);
+fn drive<R: BuildReplica>(scenario: &Scenario) -> ScenarioOutcome {
+    let mut cluster = ShardedCluster::<R>::build(scenario.deployment.clone());
     let router = cluster.router().clone();
     let mut failures = Vec::new();
 
@@ -104,7 +84,7 @@ where
             hot_arcs,
             keys_per_arc,
         } => {
-            let hot_keys = hot_range(&router, *hot_shard, *hot_arcs, *keys_per_arc);
+            let hot_keys = router.hot_range(*hot_shard, *hot_arcs, *keys_per_arc);
             if hot_keys.is_empty() {
                 failures.push(format!(
                     "workload.hot_shard: shard {hot_shard} owns no keys in the probe universe \
@@ -147,39 +127,12 @@ where
     failures.extend(check_expectations(scenario, &stats, view_changes));
     ScenarioOutcome {
         scenario: scenario.name.clone(),
-        protocol: protocol.name(),
+        protocol: R::PROTOCOL.file_name(),
         stats,
         view_changes,
         telemetry,
         failures,
     }
-}
-
-/// Keys of the probe universe owned by `shard`, at most `keys_per_arc` from
-/// each of up to `hot_arcs` distinct ring arcs — the same hot-range shape
-/// `fig_rebalance` uses, so a skew scenario provokes the same controller
-/// behaviour the figure measures.
-fn hot_range(
-    router: &ShardRouter,
-    shard: usize,
-    hot_arcs: usize,
-    keys_per_arc: usize,
-) -> Vec<Vec<u8>> {
-    let mut by_arc: std::collections::BTreeMap<usize, Vec<Vec<u8>>> = Default::default();
-    for i in 0..10_000 {
-        let key = format!("user{i:08}").into_bytes();
-        if router.shard_for_key(&key) == shard {
-            by_arc
-                .entry(router.arc_of_point(stable_key_hash(&key)))
-                .or_default()
-                .push(key);
-        }
-    }
-    by_arc
-        .into_values()
-        .take(hot_arcs)
-        .flat_map(|keys| keys.into_iter().take(keys_per_arc))
-        .collect()
 }
 
 fn check_expectations(

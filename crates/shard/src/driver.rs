@@ -38,7 +38,8 @@ use std::ops::ControlFlow;
 
 use recipe_core::{Operation, Request};
 use recipe_gateway::{Gateway, GatewayVerdict};
-use recipe_sim::{RangeStateTransfer, Replica, StepOutcome};
+use recipe_protocols::StoreReplica;
+use recipe_sim::{Replica, StepOutcome};
 use recipe_telemetry::SpanKind;
 use recipe_workload::stable_key_hash;
 
@@ -171,7 +172,7 @@ fn bucket(timeline: &mut Vec<u64>, width_ns: u64, at_ns: u64, count: u64) {
     }
 }
 
-impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
+impl<R: StoreReplica> ShardedCluster<R> {
     /// Runs the sharded simulation over a typed-request workload — the
     /// driver's one entry point. `workload(client_id, seq)` returns the
     /// client's next [`Request`] (`None` retires the client — open-loop
@@ -197,7 +198,7 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
     }
 }
 
-impl<'a, R: Replica + RangeStateTransfer> Engine<'a, R> {
+impl<'a, R: StoreReplica> Engine<'a, R> {
     pub(crate) fn new(
         cluster: &'a mut ShardedCluster<R>,
         workload: &'a mut dyn FnMut(u64, u64) -> Option<Request>,
@@ -607,7 +608,7 @@ impl<'a, R: Replica + RangeStateTransfer> Engine<'a, R> {
                 if self.st.captures(issued.shard, issued.arc) && issued.is_write {
                     let donor = &mut self.cluster.shards[issued.shard];
                     let entry = donor.write_coordinator().and_then(|leader| {
-                        let read = donor.replica_mut(leader).read_entry(&issued.key);
+                        let read = donor.replica_mut(leader).store().read_entry(&issued.key);
                         read.ok().flatten()
                     });
                     self.st.record_capture(entry);

@@ -41,7 +41,7 @@ pub mod txn;
 pub use migration::{MigrationStats, RebalanceConfig};
 pub use router::{RangeMove, RouteDecision, RouterVersion, ShardRouter};
 pub use sharded::{ShardedCluster, ShardedConfig, ShardedRunStats, TimelineBucket};
-pub use spec::{DeploymentSpec, PolicyReplica, ResolvedShardPolicy, ShardPolicy};
+pub use spec::{DeploymentSpec, ResolvedShardPolicy, ShardPolicy};
 pub use txn::{TxnConfig, TxnStats};
 
 /// Converts a generated workload operation into the protocol-level operation.

@@ -31,8 +31,8 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashSet};
 
-use recipe_protocols::{ChunkPhase, MigrationChannel, MigrationChunk};
-use recipe_sim::{RangeEntry, RangeStateTransfer, Replica};
+use recipe_protocols::{ChunkPhase, MigrationChannel, MigrationChunk, StoreReplica};
+use recipe_sim::RangeEntry;
 use recipe_telemetry::{ChargeKind, SpanKind};
 use recipe_workload::stable_key_hash;
 use serde::{Deserialize, Serialize};
@@ -281,7 +281,7 @@ impl ControllerState {
     }
 }
 
-impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
+impl<R: StoreReplica> ShardedCluster<R> {
     /// Drops every key a shard no longer owns at the current epoch from that
     /// shard's replicas. The cutover already evicts the moved range, but a
     /// straggling in-group commit (a follower applying a pre-cutover entry
@@ -295,13 +295,16 @@ impl<R: Replica + RangeStateTransfer> ShardedCluster<R> {
                 move |key: &[u8]| router.shard_for_key(key) != shard
             };
             for node in self.shards[shard].node_ids() {
-                self.shards[shard].replica_mut(node).evict_range(&foreign);
+                self.shards[shard]
+                    .replica_mut(node)
+                    .store()
+                    .evict_range(&foreign);
             }
         }
     }
 }
 
-impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
+impl<R: StoreReplica> Engine<'_, R> {
     /// One controller action at virtual time `now`: either a periodic window
     /// evaluation or the landing of an in-flight transfer round.
     pub(crate) fn on_controller(&mut self, now: u64) {
@@ -411,6 +414,7 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
         let filter = cluster.router.arc_membership_filter(&arcs);
         let exported = cluster.shards[donor]
             .replica_mut(leader)
+            .store()
             .export_range(&filter);
         let entries = match exported {
             Ok(entries) => entries,
@@ -579,6 +583,7 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
                 }
                 cluster.shards[active.recipient]
                     .replica_mut(*node)
+                    .store()
                     .import_range(&opened.entries);
             }
 
@@ -618,7 +623,7 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
             let reexport = donor
                 .write_coordinator()
                 .ok_or_else(|| "no live donor coordinator".to_string())
-                .and_then(|leader| donor.replica_mut(leader).export_range(&filter));
+                .and_then(|leader| donor.replica_mut(leader).store().export_range(&filter));
             match reexport {
                 Ok(entries) => delta = entries,
                 Err(_) => {
@@ -639,6 +644,7 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
         for node in cluster.shards[active.donor].node_ids() {
             cluster.shards[active.donor]
                 .replica_mut(node)
+                .store()
                 .evict_range(&filter);
         }
         cluster.router.rebalance(&active.arcs, active.recipient);

@@ -21,7 +21,7 @@
 //! the new epoch, which is how in-flight traffic drains onto a new placement
 //! without downtime (see `recipe_shard::migration`).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use recipe_workload::stable_key_hash;
 use serde::{Deserialize, Serialize};
@@ -179,6 +179,31 @@ impl ShardRouter {
     /// The shard owning `key` at the current epoch.
     pub fn shard_for_key(&self, key: &[u8]) -> usize {
         self.shard_for_point(stable_key_hash(key))
+    }
+
+    /// Keys of the YCSB universe (`user00000000` … `user00009999`) owned by
+    /// `shard`, at most `per_arc` keys from each of up to `max_arcs` distinct
+    /// ring arcs — a hot range spread over enough arcs that the migration
+    /// controller can split its load. The figures, the skew scenarios and the
+    /// rebalancing tests all take theirs from here, so the scenario the tests
+    /// validate is the scenario the figure measures.
+    pub fn hot_range(&self, shard: usize, max_arcs: usize, per_arc: usize) -> Vec<Vec<u8>> {
+        let mut by_arc: BTreeMap<usize, Vec<Vec<u8>>> = BTreeMap::new();
+        for i in 0..10_000 {
+            let key = format!("user{i:08}").into_bytes();
+            let point = stable_key_hash(&key);
+            if self.shard_for_point(point) == shard {
+                by_arc
+                    .entry(self.arc_of_point(point))
+                    .or_default()
+                    .push(key);
+            }
+        }
+        by_arc
+            .into_values()
+            .take(max_arcs)
+            .flat_map(|keys| keys.into_iter().take(per_arc))
+            .collect()
     }
 
     /// The shard owning an already-hashed routing point at the current epoch

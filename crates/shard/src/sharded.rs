@@ -174,8 +174,7 @@ pub struct ShardedCluster<R: Replica> {
 
 impl<R: Replica> ShardedCluster<R> {
     /// Creates a sharded cluster from one replica group per shard plus the
-    /// lowered configuration — the shared body of [`ShardedCluster::build`]
-    /// and [`ShardedCluster::build_with`].
+    /// lowered configuration ([`ShardedCluster::build`]'s last step).
     ///
     /// # Panics
     /// Panics if `groups.len() != config.shards`, if any override vector has

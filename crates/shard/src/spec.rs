@@ -18,9 +18,8 @@
 //!   shard, composed over the defaults (the layered-config idiom);
 //! * **one consumer** — [`ShardedCluster::build`] resolves the spec into the
 //!   per-shard [`ResolvedShardPolicy`]s, constructs every replica through
-//!   [`PolicyReplica`] (or a caller closure via
-//!   [`ShardedCluster::build_with`]) and lowers the rest into the internal
-//!   [`ShardedConfig`].
+//!   [`recipe_protocols::BuildReplica`] and lowers the rest into the
+//!   internal [`ShardedConfig`].
 //!
 //! ```
 //! use recipe_shard::{DeploymentSpec, ShardPolicy, ShardedCluster};
@@ -44,10 +43,8 @@ use std::collections::BTreeMap;
 
 use recipe_core::{ConfidentialityMode, Membership};
 use recipe_net::{CrashPlan, FaultPlan};
-use recipe_protocols::{
-    AbdReplica, AllConcurReplica, BatchConfig, ChainReplica, RaftReplica, MAX_CLIENTS, MAX_SHARDS,
-};
-use recipe_sim::{ClientModel, CostProfile, Replica, SimConfig};
+use recipe_protocols::{BatchConfig, BuildReplica, ProtocolMode, MAX_CLIENTS, MAX_SHARDS};
+use recipe_sim::{ClientModel, CostProfile, SimConfig};
 
 use crate::migration::RebalanceConfig;
 use crate::router::ShardRouter;
@@ -152,69 +149,6 @@ pub struct ResolvedShardPolicy {
     pub fault_plan: FaultPlan,
     /// The group's deterministic crash schedule (empty = crash-free).
     pub crash_plan: CrashPlan,
-}
-
-/// A replica type that can be constructed from a resolved shard policy —
-/// what [`ShardedCluster::build`] uses to turn a [`DeploymentSpec`] into
-/// replica groups without a caller closure.
-///
-/// Implemented for the four Recipe-transformed protocols; deployments of
-/// other replica types (mixed protocols, baselines) use
-/// [`ShardedCluster::build_with`] and construct replicas themselves.
-pub trait PolicyReplica: Replica + Sized {
-    /// Builds replica `id` of shard `shard` under the shard's resolved policy.
-    fn build_replica(
-        shard: usize,
-        id: u64,
-        membership: Membership,
-        policy: &ResolvedShardPolicy,
-    ) -> Self;
-}
-
-impl PolicyReplica for RaftReplica {
-    fn build_replica(
-        _shard: usize,
-        id: u64,
-        membership: Membership,
-        policy: &ResolvedShardPolicy,
-    ) -> Self {
-        RaftReplica::recipe(id, membership, policy.confidentiality).with_batching(policy.batch)
-    }
-}
-
-impl PolicyReplica for ChainReplica {
-    fn build_replica(
-        _shard: usize,
-        id: u64,
-        membership: Membership,
-        policy: &ResolvedShardPolicy,
-    ) -> Self {
-        ChainReplica::recipe(id, membership, policy.confidentiality).with_batching(policy.batch)
-    }
-}
-
-impl PolicyReplica for AbdReplica {
-    fn build_replica(
-        _shard: usize,
-        id: u64,
-        membership: Membership,
-        policy: &ResolvedShardPolicy,
-    ) -> Self {
-        // ABD has no leader to batch on; the policy's batch triggers only
-        // shape the cost profile's bookkeeping.
-        AbdReplica::recipe(id, membership, policy.confidentiality)
-    }
-}
-
-impl PolicyReplica for AllConcurReplica {
-    fn build_replica(
-        _shard: usize,
-        id: u64,
-        membership: Membership,
-        policy: &ResolvedShardPolicy,
-    ) -> Self {
-        AllConcurReplica::recipe(id, membership, policy.confidentiality)
-    }
 }
 
 /// Declarative description of a sharded deployment: workspace-level defaults
@@ -670,13 +604,21 @@ fn validate_crash_plan(plan: &CrashPlan, replicas: usize, field: &str) -> Result
     Ok(())
 }
 
-impl<R: Replica> ShardedCluster<R> {
-    /// Builds a sharded cluster from a [`DeploymentSpec`] and a caller
-    /// factory: `make(shard, node_id, membership, policy)` returns each
-    /// replica. Use this for replica types without a [`PolicyReplica`] impl
-    /// (mixed-protocol deployments, baselines); everything else reads better
-    /// through [`ShardedCluster::build`].
-    pub fn build_with(
+impl<R: BuildReplica> ShardedCluster<R> {
+    /// Builds a sharded cluster from a [`DeploymentSpec`]. Every replica is
+    /// constructed under its shard's resolved policy, so confidentiality,
+    /// batching, cost profile and fault plan are all per-shard properties.
+    pub fn build(spec: DeploymentSpec) -> Self {
+        Self::build_with(spec, |_, id, membership, policy| {
+            let confidentiality = policy.confidentiality;
+            let mode = ProtocolMode::Recipe { confidentiality };
+            R::build(id, membership, mode, policy.batch)
+        })
+    }
+
+    /// [`ShardedCluster::build`] with the replicas made by
+    /// `make(shard, node_id, membership, policy)`.
+    fn build_with(
         spec: DeploymentSpec,
         mut make: impl FnMut(usize, u64, Membership, &ResolvedShardPolicy) -> R,
     ) -> Self {
@@ -699,23 +641,16 @@ impl<R: Replica> ShardedCluster<R> {
     }
 }
 
-impl<R: PolicyReplica> ShardedCluster<R> {
-    /// Builds a sharded cluster from a [`DeploymentSpec`]: the one-call
-    /// replacement for the old `build_sharded_cluster` +
-    /// `ShardedConfig::uniform` + `ShardedCluster::new` three-step. Every
-    /// replica is constructed under its shard's resolved policy, so
-    /// confidentiality, batching, cost profile and fault plan are all
-    /// per-shard properties.
-    pub fn build(spec: DeploymentSpec) -> Self {
-        Self::build_with(spec, |shard, id, membership, policy| {
-            R::build_replica(shard, id, membership, policy)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use recipe_bft::dispatch;
+    use recipe_protocols::{Protocol, ProtocolVisitor, RaftReplica};
+
     use super::*;
+
+    fn raft(id: u64, membership: Membership, policy: &ResolvedShardPolicy) -> RaftReplica {
+        RaftReplica::recipe(id, membership, policy.confidentiality)
+    }
 
     #[test]
     fn every_replica_is_built_under_the_membership_of_its_own_group() {
@@ -727,30 +662,51 @@ mod tests {
         ShardedCluster::<RaftReplica>::build_with(spec, |shard, id, membership, policy| {
             assert_eq!(membership.group(), shard as u64);
             built.push((shard, id));
-            RaftReplica::build_replica(shard, id, membership, policy)
+            raft(id, membership, policy)
         });
         assert_eq!(built.len(), 9);
     }
 
     #[test]
-    fn every_policy_replica_protocol_builds_and_runs_sharded() {
-        // Regression pin: `run_requests` requires `RangeStateTransfer`,
-        // so every protocol `PolicyReplica` advertises must implement it —
-        // a buildable-but-unrunnable deployment is an API lie.
-        fn drive<R: PolicyReplica + recipe_sim::RangeStateTransfer>() -> u64 {
-            let spec = DeploymentSpec::new(2, 3).with_clients(4, 40);
-            let mut cluster = ShardedCluster::<R>::build(spec);
-            let stats = cluster.run_requests(|client, seq| {
-                let key = format!("k{client}-{seq}").into_bytes();
-                let value = vec![0u8; 32];
-                Some(recipe_core::Operation::Put { key, value }.into())
-            });
-            stats.total.committed
+    fn every_registered_protocol_builds_and_runs_sharded() {
+        // `run_requests` takes any replica type the registry can name: a
+        // buildable-but-unrunnable protocol would be an API lie. Each at the
+        // fewest replicas it needs for f = 1 — PBFT at 3f + 1.
+        struct Drive;
+        impl ProtocolVisitor for Drive {
+            type Output = u64;
+            fn visit<R: BuildReplica>(self) -> u64 {
+                let spec = DeploymentSpec::new(2, R::PROTOCOL.min_replicas(1))
+                    .with_faults_tolerated(1)
+                    .with_clients(4, 40);
+                assert_eq!(spec.validate(), Ok(()));
+                let mut cluster = ShardedCluster::<R>::build(spec);
+                let stats = cluster.run_requests(|client, seq| {
+                    let key = format!("k{client}-{seq}").into_bytes();
+                    let value = vec![0u8; 32];
+                    Some(recipe_core::Operation::Put { key, value }.into())
+                });
+                stats.total.committed
+            }
         }
-        assert_eq!(drive::<RaftReplica>(), 40);
-        assert_eq!(drive::<ChainReplica>(), 40);
-        assert_eq!(drive::<AbdReplica>(), 40);
-        assert_eq!(drive::<AllConcurReplica>(), 40);
+        for protocol in Protocol::ALL {
+            assert_eq!(dispatch(protocol, Drive), 40, "{protocol:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "R-AllConcur, which does not take part in transactions")]
+    fn a_transaction_at_a_protocol_that_does_not_support_them_is_refused() {
+        assert!(!Protocol::AllConcur.supports_txn());
+        let spec = DeploymentSpec::new(2, 3).with_clients(2, 10);
+        let mut cluster = ShardedCluster::<recipe_protocols::AllConcurReplica>::build(spec);
+        cluster.run_requests(|client, seq| {
+            let put = |i: u64| recipe_core::Operation::Put {
+                key: format!("k{client}-{seq}-{i}").into_bytes(),
+                value: vec![0u8; 8],
+            };
+            Some(recipe_core::Request::Txn((0..3).map(put).collect()))
+        });
     }
 
     #[test]
@@ -766,6 +722,11 @@ mod tests {
         }
         assert_eq!(spec.membership().n(), 3);
         assert_eq!(spec.membership().f(), 1);
+        // The lowered config carries the same defaults.
+        let config = spec.to_sharded_config();
+        assert_eq!(config.shards, 4);
+        assert_eq!(config.base.profiles.len(), 3);
+        assert!(!config.base.profiles[0].confidential);
     }
 
     #[test]
@@ -849,34 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn build_and_build_with_produce_the_same_deployment_shape() {
-        // PR 4 promised the deprecated three-step shims
-        // (`build_sharded_cluster` / `ShardedConfig::uniform` /
-        // `ShardedCluster::new`) for one release; they are gone now, and the
-        // spec path is the only construction surface. The old compat test's
-        // equivalence check lives on between the two spec entry points.
-        let built = ShardedCluster::<RaftReplica>::build(DeploymentSpec::new(2, 3));
-        let built_with = ShardedCluster::<RaftReplica>::build_with(
-            DeploymentSpec::new(2, 3),
-            |shard, id, membership, policy| {
-                RaftReplica::build_replica(shard, id, membership, policy)
-            },
-        );
-        assert_eq!(built.shards(), built_with.shards());
-        assert_eq!(built.router(), built_with.router());
-        assert_eq!(
-            built.confidentiality_of(0),
-            built_with.confidentiality_of(0)
-        );
-        // The lowered config carries the workspace defaults the deprecated
-        // `uniform` used to produce.
-        let config = DeploymentSpec::new(2, 3).to_sharded_config();
-        assert_eq!(config.shards, 2);
-        assert_eq!(config.base.profiles.len(), 3);
-        assert!(!config.base.profiles[0].confidential);
-    }
-
-    #[test]
     fn build_constructs_replicas_under_the_resolved_policies() {
         let spec = DeploymentSpec::new(2, 3)
             .with_clients(4, 40)
@@ -885,7 +818,7 @@ mod tests {
         let cluster =
             ShardedCluster::<RaftReplica>::build_with(spec, |shard, id, membership, policy| {
                 seen.push((shard, id, policy.confidentiality));
-                RaftReplica::build_replica(shard, id, membership, policy)
+                raft(id, membership, policy)
             });
         assert_eq!(cluster.shards(), 2);
         assert_eq!(seen.len(), 6);

@@ -70,8 +70,10 @@ use std::collections::{BTreeMap, HashSet};
 
 use recipe_core::{Operation, Request, TxnBody};
 use recipe_net::{FaultPlan, FrameFault, NetworkFaultInjector, NodeId};
-use recipe_protocols::{TxnLanes, MAX_SHARDS, MIGRATION_ENDPOINT_IDS, TXN_ENDPOINT_IDS};
-use recipe_sim::{CostProfile, RangeEntry, RangeStateTransfer, Replica, TxnVote};
+use recipe_protocols::{
+    StoreReplica, TxnLanes, TxnVote, MAX_SHARDS, MIGRATION_ENDPOINT_IDS, TXN_ENDPOINT_IDS,
+};
+use recipe_sim::{CostProfile, RangeEntry};
 use recipe_telemetry::{ChargeKind, CostCategory, SpanKind};
 use recipe_workload::stable_key_hash;
 
@@ -415,7 +417,7 @@ const _: () = {
     assert!(TXN_ENDPOINT_IDS.end <= lowest_synthetic);
 };
 
-impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
+impl<R: StoreReplica> Engine<'_, R> {
     /// Starts 2PC for one routed transaction. `per_op` pairs each operation
     /// of `ops` with its `(arc, shard)` placement, resolved by the caller
     /// under the client's refreshed router epoch. Hands the operations back
@@ -736,7 +738,7 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
         // install / head reassignment); this covers leaderless ABD groups,
         // whose acting coordinator is picked per-request. A no-op on
         // crash-free runs — an acting coordinator never holds passive copies.
-        let _ = group.replica_mut(leader).txn_adopt_replicated();
+        let _ = group.replica_mut(leader).store().txn_adopt_replicated();
         let leader_idx = group
             .node_ids()
             .iter()
@@ -756,6 +758,15 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
         let replication_rt = 2 * *link_latency;
         match body {
             TxnBody::Prepare { ops } => {
+                // Routing a transaction at a group whose protocol does not
+                // hold single-key requests behind transaction locks is a
+                // deployment bug; surface it loudly.
+                assert!(
+                    R::PROTOCOL.supports_txn(),
+                    "shard {shard} runs {}, which does not take part in transactions; deploy a \
+                     protocol that does for Request::Txn workloads",
+                    R::PROTOCOL.display_name()
+                );
                 let staged_after = txns.staged_per_shard[shard] + staged_bytes;
                 let cost =
                     model.txn_prepare_cost_ns(&profile, ops.len(), payload_bytes, staged_after);
@@ -779,7 +790,7 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
                         txn_id,
                     );
                 }
-                match group.replica_mut(leader).txn_prepare(txn_id, &ops) {
+                match group.replica_mut(leader).store().txn_prepare(txn_id, &ops) {
                     TxnVote::Granted => {
                         txns.staged_per_shard[shard] += staged_bytes;
                         // Replicate the prepare record into the group: every
@@ -793,7 +804,10 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
                             if node == leader || group.crashed_nodes().contains(&node) {
                                 continue;
                             }
-                            group.replica_mut(node).txn_stage_replicated(txn_id, &ops);
+                            group
+                                .replica_mut(node)
+                                .store()
+                                .txn_stage_replicated(txn_id, &ops);
                         }
                         (
                             TxnBody::Vote {
@@ -810,15 +824,10 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
                         },
                         finish,
                     ),
-                    TxnVote::Unsupported => panic!(
-                        "shard {shard} replicas do not implement transaction participation; \
-                         deploy a participating protocol (R-Raft, R-CR, R-ABD, PBFT) for \
-                         Request::Txn workloads"
-                    ),
                 }
             }
             TxnBody::Commit => {
-                let entries = group.replica_mut(leader).txn_commit(txn_id);
+                let entries = group.replica_mut(leader).store().txn_commit(txn_id);
                 // The decision resolves the transaction on every live
                 // follower: retire the passive replicated record, and
                 // release any stale *adopted* copy on a node that won
@@ -830,9 +839,9 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
                     if node == leader || group.crashed_nodes().contains(&node) {
                         continue;
                     }
-                    let replica = group.replica_mut(node);
-                    replica.txn_drop_replicated(txn_id);
-                    replica.txn_abort(txn_id);
+                    let store = group.replica_mut(node).store();
+                    store.txn_drop_replicated(txn_id);
+                    store.txn_abort(txn_id);
                 }
                 if granted {
                     txns.staged_per_shard[shard] =
@@ -878,7 +887,7 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
                             ));
                         }
                         finish = finish.max(done);
-                        group.replica_mut(node).import_range(&entries);
+                        group.replica_mut(node).store().import_range(&entries);
                         txns.stats.participant_installs += entries.len() as u64;
                     }
                     // Catch-up capture: committed transaction writes inside
@@ -915,14 +924,14 @@ impl<R: Replica + RangeStateTransfer> Engine<'_, R> {
                         txn_id,
                     );
                 }
-                group.replica_mut(leader).txn_abort(txn_id);
+                group.replica_mut(leader).store().txn_abort(txn_id);
                 for node in group.node_ids() {
                     if node == leader || group.crashed_nodes().contains(&node) {
                         continue;
                     }
-                    let replica = group.replica_mut(node);
-                    replica.txn_drop_replicated(txn_id);
-                    replica.txn_abort(txn_id);
+                    let store = group.replica_mut(node).store();
+                    store.txn_drop_replicated(txn_id);
+                    store.txn_abort(txn_id);
                 }
                 if granted {
                     txns.staged_per_shard[shard] =

@@ -8,8 +8,6 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use recipe_core::{ClientReply, ClientRequest, Operation};
 use recipe_net::{
     CrashPlan, FaultDecision, FaultPlan, MsgBuf, NetworkFaultInjector, NodeId, ReqType, WireMessage,
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cost::{CostProfile, ProtocolCostModel};
 use crate::queue::EventQueue;
-use crate::replica::{Ctx, Effects, RangeEntry, Replica};
+use crate::replica::{Ctx, Effects, RangeEntry, RecoveryState, Replica};
 
 /// Closed-loop client population configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -257,8 +255,6 @@ pub struct SimCluster<R: Replica> {
     /// Attached telemetry, `None` (the default) disables every telemetry
     /// branch on the hot paths — runs are bit-identical to a build without it.
     telemetry: Option<ShardTelemetry>,
-    #[allow(dead_code)]
-    rng: StdRng,
 }
 
 impl<R: Replica> SimCluster<R> {
@@ -290,7 +286,6 @@ impl<R: Replica> SimCluster<R> {
             external_clients: false,
             completions: Vec::new(),
             telemetry: None,
-            rng: StdRng::seed_from_u64(config.seed),
             config,
         }
     }
@@ -811,55 +806,37 @@ impl<R: Replica> SimCluster<R> {
         }
 
         // §3.7 state snapshot: the first live peer exports its verified state
-        // so writes committed while the node slept are caught up before it
-        // serves anything. The export competes for the donor's compute.
-        let snapshot = live_peers
-            .first()
-            .and_then(|&(peer_idx, _)| {
-                self.replicas[peer_idx]
-                    .export_recovery_snapshot()
-                    .map(|entries| (peer_idx, entries))
-            })
-            .map(|(peer_idx, entries)| {
-                let payload: usize = entries.iter().map(RangeEntry::payload_len).sum();
+        // and, on the same transfer, every prepare record it knows, so writes
+        // committed and transactions prepared while the node slept are
+        // caught up before it serves anything. The export competes for the
+        // donor's compute.
+        let mut state = RecoveryState::default();
+        let (mut snapshot_len, mut snapshot_bytes) = (0, 0);
+        if let Some(&(peer_idx, _)) = live_peers.first() {
+            state = self.replicas[peer_idx].export_recovery_state();
+            if let Some(entries) = &state.snapshot {
+                snapshot_len = entries.len();
+                snapshot_bytes = entries.iter().map(RangeEntry::payload_len).sum();
                 let export_cost = self.config.cost_model.snapshot_export_cost_ns(
                     &self.config.profiles[peer_idx],
-                    entries.len(),
-                    payload,
+                    snapshot_len,
+                    snapshot_bytes,
                 );
                 let start = self.now.max(self.busy_until[peer_idx]);
                 self.busy_until[peer_idx] = start + export_cost;
                 if let Some(t) = self.telemetry.as_mut() {
                     let breakdown = self.config.cost_model.snapshot_export_breakdown(
                         &self.config.profiles[peer_idx],
-                        entries.len(),
-                        payload,
+                        snapshot_len,
+                        snapshot_bytes,
                     );
                     t.charge(ChargeKind::SnapshotExport, &breakdown);
                 }
-                (entries, payload)
-            });
-        let (snapshot_entries, snapshot_len, snapshot_bytes) = match snapshot {
-            Some((entries, payload)) => {
-                let len = entries.len();
-                (Some(entries), len, payload)
-            }
-            None => (None, 0, 0),
-        };
-
-        let mut ctx = self.ctx(node, self.now);
-        let report = self.replicas[idx].on_restart(rejoin_view, snapshot_entries, &mut ctx);
-        // In-flight prepare records ride the same catch-up transfer: the
-        // donor exports every record it knows (real and passive) and the
-        // joiner stores them as passive copies, so if it later re-wins
-        // coordinatorship it can adopt the full in-flight set — its own
-        // pre-crash staging was volatile enclave state and is gone.
-        if let Some(&(donor_idx, _)) = live_peers.first() {
-            let records = self.replicas[donor_idx].txn_export_records();
-            for (txn_id, ops) in &records {
-                self.replicas[idx].txn_import_record(*txn_id, ops);
             }
         }
+
+        let mut ctx = self.ctx(node, self.now);
+        let report = self.replicas[idx].on_restart(rejoin_view, state, &mut ctx);
         // The configuration the node is handed includes who is still down.
         let still_down: Vec<NodeId> = self.crashed.iter().copied().collect();
         for down in still_down {

@@ -33,8 +33,6 @@ pub use cluster::{
     StepOutcome,
 };
 pub use cost::{CostProfile, ProtocolCostModel};
-pub use replica::{
-    Ctx, RangeEntry, RangeStateTransfer, Replica, RestartReport, TxnRecordOps, TxnVote,
-};
+pub use replica::{Ctx, RangeEntry, RecoveryState, Replica, RestartReport};
 
 pub use recipe_tee::TrustedInstant as SimTime;

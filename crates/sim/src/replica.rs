@@ -99,24 +99,6 @@ impl Ctx {
     }
 }
 
-/// A participant's answer to a two-phase-commit prepare.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TxnVote {
-    /// Every touched key was locked and every write staged; the participant
-    /// is ready to commit.
-    Granted,
-    /// A touched key is locked by another in-flight transaction; nothing was
-    /// locked or staged (all-or-nothing), the coordinator must abort.
-    Conflict {
-        /// The first conflicting key.
-        key: Vec<u8>,
-    },
-    /// The replica type does not implement transaction participation (the
-    /// default) — routing a [`recipe_core::Request::Txn`] at such a group is
-    /// a deployment bug, which coordinators surface loudly.
-    Unsupported,
-}
-
 /// What a restarting replica salvaged while rehydrating rollback-protected
 /// state: entries that passed the store's verified-read path (sealed value +
 /// trusted counter check) versus entries discarded because verification
@@ -132,22 +114,28 @@ pub struct RestartReport {
     pub payload_bytes: u64,
 }
 
-/// One exported prepare record's operations, in the wire form
-/// [`Replica::txn_import_record`] expects: lock keys as valueless (`None`)
-/// entries first, then the staged writes in order.
-pub type TxnRecordOps = Vec<(Vec<u8>, Option<Vec<u8>>)>;
+/// What a live peer hands a restarting one (the §3.7 "state snapshot of the
+/// current epoch"), exported by [`Replica::export_recovery_state`] and applied
+/// by [`Replica::on_restart`]. The default — nothing — is what a joiner with
+/// no live peer restarts from: its own sealed state only.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RecoveryState {
+    /// The peer's full verified state; `None` when a record failed
+    /// verification (never ship unverified state).
+    pub snapshot: Option<Vec<RangeEntry>>,
+    /// Every two-phase-commit prepare record the peer knows, its own and the
+    /// passive copies it keeps for others, as `(txn_id, ops)`: a `Get` locks
+    /// its key, a `Put` also stages the write. The joiner keeps them as
+    /// passive copies, so if it later re-wins coordinatorship it can adopt
+    /// the full in-flight set — its own pre-crash staging was volatile
+    /// enclave state.
+    pub prepares: Vec<(u64, Vec<Operation>)>,
+}
 
-/// A deterministic protocol replica.
-///
-/// The three `txn_*` hooks are the participant side of cross-shard two-phase
-/// commit, driven by the sharded coordinator on the group's write
-/// coordinator: `txn_prepare` locks the touched keys in the replica's store
-/// and stages the writes, `txn_commit` applies them through the replica's
-/// normal apply path and returns the applied records (the coordinator
-/// installs them on the group's other replicas, mirroring how migration
-/// state transfer installs imported ranges), `txn_abort` discards them.
-/// The default implementations vote [`TxnVote::Unsupported`] — protocols opt
-/// in by overriding (R-Raft, R-CR, R-ABD and PBFT do).
+/// A deterministic protocol replica: seven handlers every protocol writes,
+/// and the hooks crash recovery must reach on any replica. Everything below
+/// the protocol — the store, two-phase-commit participation, range state
+/// transfer — is not on this trait (see `recipe_protocols::ReplicaStore`).
 pub trait Replica {
     /// This replica's node id.
     fn id(&self) -> NodeId;
@@ -172,70 +160,6 @@ pub trait Replica {
 
     /// Protocol name, used in experiment output.
     fn protocol_name(&self) -> &'static str;
-
-    /// 2PC prepare: lock every key `ops` touches in the local store and stage
-    /// the writes, all-or-nothing. Called on the group's write coordinator.
-    fn txn_prepare(&mut self, txn_id: u64, ops: &[Operation]) -> TxnVote {
-        let _ = (txn_id, ops);
-        TxnVote::Unsupported
-    }
-
-    /// 2PC commit: apply `txn_id`'s staged writes through the replica's
-    /// normal apply path, release its locks, and return the applied records
-    /// (key, value, stored write timestamp) for installation on the group's
-    /// other replicas. Unknown transactions return an empty list (idempotent
-    /// re-commit).
-    fn txn_commit(&mut self, txn_id: u64) -> Vec<RangeEntry> {
-        let _ = txn_id;
-        Vec::new()
-    }
-
-    /// 2PC abort: discard `txn_id`'s staged writes and release its locks.
-    fn txn_abort(&mut self, txn_id: u64) {
-        let _ = txn_id;
-    }
-
-    /// Records a prepare record replicated from the participant group's
-    /// leader: passive (no locks) until adopted on failover. The
-    /// coordinator's prepare phase already pays the group replication round
-    /// trip in the cost model; this hook is the state that round trip
-    /// carries. Default: not a participant, nothing to record.
-    fn txn_stage_replicated(&mut self, txn_id: u64, ops: &[Operation]) {
-        let _ = (txn_id, ops);
-    }
-
-    /// Discards the replicated prepare record for `txn_id` once the
-    /// coordinator's decision reached this follower (committed entries then
-    /// arrive through the import path; aborts just drop the record).
-    fn txn_drop_replicated(&mut self, txn_id: u64) {
-        let _ = txn_id;
-    }
-
-    /// Failover adoption: promotes every replicated prepare record this
-    /// replica holds into a real staged transaction with locks, returning
-    /// the adopted transaction ids. Called when this replica becomes the
-    /// group's write coordinator, so in-flight transactions prepared on a
-    /// crashed leader resolve through the coordinator's normal commit/abort
-    /// frames instead of being lost. Default: nothing to adopt.
-    fn txn_adopt_replicated(&mut self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    /// Exports every prepare record this replica knows (its own staged
-    /// transactions and passive replicated copies) in the replicated wire
-    /// form `(txn_id, [(key, staged write)])`. A recovering group member
-    /// imports these via [`Replica::txn_import_record`], so a node that
-    /// later re-wins coordinatorship can adopt the full in-flight set —
-    /// its own pre-crash staging was volatile enclave state.
-    fn txn_export_records(&mut self) -> Vec<(u64, TxnRecordOps)> {
-        Vec::new()
-    }
-
-    /// Imports one prepare record exported by a live peer during recovery,
-    /// as a passive (lock-free) replicated copy.
-    fn txn_import_record(&mut self, txn_id: u64, ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
-        let _ = (txn_id, ops);
-    }
 
     /// Telemetry snapshot of the replica's shield/batcher counters, if the
     /// protocol keeps any. The simulator folds these into the attached
@@ -273,30 +197,22 @@ pub trait Replica {
         let _ = (peer, peer_send_counter);
     }
 
-    /// Exports this replica's full verified state for a recovering peer (the
-    /// §3.7 "state snapshot of the current epoch"). The attestation service
-    /// asks the first live peer; `None` (the default, and the outcome when a
-    /// record fails verification) means the joiner restarts from its own
-    /// sealed state only.
-    fn export_recovery_snapshot(&mut self) -> Option<Vec<RangeEntry>> {
-        None
+    /// Exports what a recovering peer needs of this replica's state. The
+    /// attestation service asks the first live peer.
+    fn export_recovery_state(&mut self) -> RecoveryState {
+        RecoveryState::default()
     }
 
     /// Restart after a crash, rollback-protected: drop all volatile protocol
     /// state, adopt `view` (the view the attestation service observed among
     /// live peers), rehydrate from sealed storage only — re-verifying every
-    /// host-resident record and discarding what fails — then apply
-    /// `snapshot` (a live peer's verified state, see
-    /// [`Replica::export_recovery_snapshot`]) so writes committed while the
-    /// node slept are caught up before it serves anything. Returns what was
-    /// salvaged so the simulator can charge the re-verification work.
-    fn on_restart(
-        &mut self,
-        view: u64,
-        snapshot: Option<Vec<RangeEntry>>,
-        ctx: &mut Ctx,
-    ) -> RestartReport {
-        let _ = (view, snapshot, ctx);
+    /// host-resident record and discarding what fails — then apply `state`
+    /// (a live peer's, see [`Replica::export_recovery_state`]) so writes
+    /// committed and transactions prepared while the node slept are caught
+    /// up before it serves anything. Returns what was salvaged so the
+    /// simulator can charge the re-verification work.
+    fn on_restart(&mut self, view: u64, state: RecoveryState, ctx: &mut Ctx) -> RestartReport {
+        let _ = (view, state, ctx);
         RestartReport::default()
     }
 
@@ -338,38 +254,6 @@ impl RangeEntry {
     pub fn payload_len(&self) -> usize {
         self.key.len() + self.value.len()
     }
-}
-
-/// Key-range state transfer: the replica-side hooks an online shard migration
-/// drives (see `recipe-shard`'s migration controller). A migration exports the
-/// moving range from the donor group's coordinator, ships it through the
-/// shield layer, imports it into every replica of the recipient group, and
-/// evicts it from the donor after cutover.
-///
-/// Implementations operate on the replica's local store only — no protocol
-/// messages, no counters. The controller owns ordering: imports are applied
-/// snapshot-first then catch-up in commit order, and the donor stops serving
-/// the range before eviction.
-pub trait RangeStateTransfer: Replica {
-    /// Exports every key the local store holds that satisfies `filter`, in
-    /// key order. Fails when a record does not pass the store's verified-read
-    /// path (a Byzantine host corrupted or dropped host-resident state) — the
-    /// caller must abort the transfer, never ship unverified state.
-    fn export_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> Result<Vec<RangeEntry>, String>;
-
-    /// Reads one key through the verified path, returning its current value
-    /// and **real stored write timestamp** (catch-up capture uses this so
-    /// timestamp-ordered stores keep their write rule across the move).
-    /// `Ok(None)` when the key is absent; `Err` when it fails verification.
-    fn read_entry(&mut self, key: &[u8]) -> Result<Option<RangeEntry>, String>;
-
-    /// Imports entries into the local store, in the order given (later entries
-    /// overwrite earlier ones for the same key).
-    fn import_range(&mut self, entries: &[RangeEntry]);
-
-    /// Removes every key satisfying `filter` from the local store, returning
-    /// how many were evicted.
-    fn evict_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> usize;
 }
 
 #[cfg(test)]

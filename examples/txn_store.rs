@@ -18,9 +18,8 @@
 //! ```
 
 use recipe::core::{Operation, Request};
-use recipe::protocols::RaftReplica;
+use recipe::protocols::{RaftReplica, StoreReplica};
 use recipe::shard::{DeploymentSpec, ShardPolicy, ShardedCluster};
-use recipe_sim::RangeStateTransfer;
 
 fn main() {
     const SHARDS: usize = 4;
@@ -105,6 +104,7 @@ fn main() {
             let replica_value = cluster
                 .shard_mut(shard)
                 .replica_mut(node)
+                .store()
                 .read_entry(key)
                 .ok()
                 .flatten()

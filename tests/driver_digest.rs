@@ -42,11 +42,11 @@ use recipe::core::{Operation, Request};
 use recipe::crypto::sha256;
 use recipe::gateway::{GatewayConfig, TenantSpec};
 use recipe::net::{CrashPlan, FaultPlan, NodeId};
-use recipe::protocols::{AbdReplica, AllConcurReplica, ChainReplica, RaftReplica};
+use recipe::protocols::{AbdReplica, AllConcurReplica, ChainReplica, RaftReplica, StoreReplica};
 use recipe::shard::{
     DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster, ShardedRunStats, TxnConfig,
 };
-use recipe::sim::{CostProfile, RangeStateTransfer, Replica};
+use recipe::sim::CostProfile;
 use serde_json::Value;
 
 /// One pinned run.
@@ -195,7 +195,7 @@ fn rebalance_crash() -> String {
             )),
         );
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
-    let hot = recipe_bench::hot_range_on_shard(cluster.router(), 0, 24, 2);
+    let hot = cluster.router().hot_range(0, 24, 2);
     let mut issued = 0usize;
     let stats = cluster.run_requests(move |client, seq| {
         issued += 1;
@@ -282,7 +282,7 @@ fn crash_spec(groups: usize, replicas: usize, profile: CostProfile, seed: u64) -
 
 /// The statistics and, per group and replica, the SHA-256 over every record
 /// the replica holds (key, value and both timestamp halves, length-prefixed).
-fn pinned_with_state<R: Replica + RangeStateTransfer>(
+fn pinned_with_state<R: StoreReplica>(
     mut cluster: ShardedCluster<R>,
     stats: &ShardedRunStats,
 ) -> String {
@@ -299,7 +299,7 @@ fn pinned_with_state<R: Replica + RangeStateTransfer>(
                 .node_ids()
                 .into_iter()
                 .map(|node| {
-                    let records = group.replica_mut(node).export_range(&|_| true);
+                    let records = group.replica_mut(node).store().export_range(&|_| true);
                     let mut bytes = Vec::new();
                     for entry in records.expect("every record verifies") {
                         for field in [&entry.key, &entry.value] {
@@ -324,7 +324,7 @@ fn pinned_with_state<R: Replica + RangeStateTransfer>(
 
 /// Two requests in three are 3-key transactions over a small contended key
 /// set, the third a single write (every fourth of those a read).
-fn txn_mix<R: Replica + RangeStateTransfer>(mut cluster: ShardedCluster<R>) -> String {
+fn txn_mix<R: StoreReplica>(mut cluster: ShardedCluster<R>) -> String {
     let stats = cluster.run_requests(|client, seq| {
         let key = |i: u64| format!("acct{:03}", (client + seq * 5 + i * 11) % 48).into_bytes();
         Some(if !seq.is_multiple_of(3) {
@@ -363,9 +363,7 @@ fn pbft_txn_crash() -> String {
     let spec = crash_spec(2, 4, CostProfile::pbft_baseline(), 43)
         .with_faults_tolerated(1)
         .with_clients(12, 600);
-    txn_mix(ShardedCluster::build_with(spec, |_, id, membership, _| {
-        PbftReplica::new(id, membership)
-    }))
+    txn_mix(ShardedCluster::<PbftReplica>::build(spec))
 }
 
 /// R-AllConcur, two groups, single-key only (it does not take part in

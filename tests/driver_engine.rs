@@ -87,7 +87,7 @@ fn rebalancing_runs_through_the_one_entry_point_and_loses_nothing() {
         .with_clients(32, ops)
         .with_rebalance(rebalance_knobs());
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
-    let hot = recipe_bench::hot_range_on_shard(cluster.router(), 0, 32, 2);
+    let hot = cluster.router().hot_range(0, 32, 2);
     let mut issued = 0usize;
     let stats = cluster.run_requests(move |client, seq| {
         issued += 1;

@@ -17,10 +17,9 @@
 
 use recipe::core::{Membership, Operation, Request};
 use recipe::net::{CrashPlan, NodeId};
-use recipe::protocols::{ChainReplica, RaftReplica};
+use recipe::protocols::{ChainReplica, RaftReplica, StoreReplica};
 use recipe::shard::{DeploymentSpec, ShardPolicy, ShardedCluster};
 use recipe::sim::{ClientModel, CostProfile, SimCluster, SimConfig};
-use recipe_sim::RangeStateTransfer;
 
 fn put(client: u64, seq: u64) -> Operation {
     Operation::Put {
@@ -209,7 +208,7 @@ fn group_txn_workload(groups: Vec<Vec<Vec<u8>>>) -> impl FnMut(u64, u64) -> Opti
 
 /// Reads `key` from every replica of its owning shard, asserts agreement and
 /// returns the committed value.
-fn committed_value<R: recipe_sim::Replica + RangeStateTransfer>(
+fn committed_value<R: StoreReplica>(
     cluster: &mut ShardedCluster<R>,
     key: &[u8],
 ) -> Option<Vec<u8>> {
@@ -225,6 +224,7 @@ fn committed_value<R: recipe_sim::Replica + RangeStateTransfer>(
         let value = cluster
             .shard_mut(shard)
             .replica_mut(node)
+            .store()
             .read_entry(key)
             .ok()
             .flatten()
@@ -244,7 +244,7 @@ fn committed_value<R: recipe_sim::Replica + RangeStateTransfer>(
 
 /// Token-group atomicity over the final state: all keys of each group hold
 /// one identical token (or the group was never written).
-fn assert_groups_atomic<R: recipe_sim::Replica + RangeStateTransfer>(
+fn assert_groups_atomic<R: StoreReplica>(
     cluster: &mut ShardedCluster<R>,
     groups: &[Vec<Vec<u8>>],
 ) -> Vec<Option<Vec<u8>>> {

@@ -115,16 +115,6 @@ proptest! {
     }
 }
 
-/// A hot range owned by shard 0, spanning enough ring arcs that the
-/// controller can split it.
-fn hot_range_on_shard0(
-    router: &recipe::shard::ShardRouter,
-    max_arcs: usize,
-    per_arc: usize,
-) -> Vec<Vec<u8>> {
-    recipe_bench::hot_range_on_shard(router, 0, max_arcs, per_arc)
-}
-
 /// A migrated range keeps serving reads and writes after crossing a
 /// plaintext → confidential boundary: the donor (plaintext) shard's hot range
 /// moves to the confidential recipient, chunks travel sealed (the recipient's
@@ -156,7 +146,7 @@ fn migration_across_a_policy_boundary_loses_nothing_and_seals_the_transfer() {
         ConfidentialityMode::Confidential
     );
 
-    let hot = hot_range_on_shard0(cluster.router(), 48, 2);
+    let hot = cluster.router().hot_range(0, 48, 2);
     assert!(hot.len() >= 48, "hot range too small: {}", hot.len());
     let hot_for_run = hot.clone();
     let issued = std::cell::Cell::new(0usize);
@@ -261,7 +251,7 @@ fn run_plaintext_migration(force_sealed: bool) {
             ..RebalanceConfig::enabled()
         });
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
-    let hot = hot_range_on_shard0(cluster.router(), 48, 2);
+    let hot = cluster.router().hot_range(0, 48, 2);
     let issued = std::cell::Cell::new(0usize);
     let stats = cluster.run_requests(move |client, seq| {
         let n = issued.get();

@@ -83,12 +83,6 @@ proptest! {
 // Shared setup
 // ---------------------------------------------------------------------------
 
-/// A hot range owned by shard 0, spanning enough ring arcs that the
-/// controller can split it — the same selection `fig_rebalance` measures.
-fn hot_range_on_shard0(router: &ShardRouter, max_arcs: usize, per_arc: usize) -> Vec<Vec<u8>> {
-    recipe_bench::hot_range_on_shard(router, 0, max_arcs, per_arc)
-}
-
 fn rebalance_knobs() -> RebalanceConfig {
     RebalanceConfig {
         check_interval_ns: 10_000_000, // 10 ms
@@ -117,7 +111,9 @@ fn skewed_run(operations: usize, balanced_ops: usize) -> SkewedRun {
         .with_clients(64, operations)
         .with_rebalance(rebalance_knobs());
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
-    let hot = hot_range_on_shard0(cluster.router(), 48, 2);
+    // A hot range owned by shard 0, spanning enough ring arcs that the
+    // controller can split it — the same selection `fig_rebalance` measures.
+    let hot = cluster.router().hot_range(0, 48, 2);
     assert!(hot.len() >= 48, "hot range too small: {}", hot.len());
 
     let issued = Rc::new(Cell::new(0usize));
@@ -310,7 +306,7 @@ fn mid_run_migration_commits_bit_identical_state_to_the_final_placement() {
     // recurring hot key plus a biased unique-key prefix keep shard 0 busiest.
     // First run: rebalancing on, migration happens mid-run.
     let mut migrated = ShardedCluster::<RaftReplica>::build(replay_spec(ops, true));
-    let hot = hot_range_on_shard0(migrated.router(), 48, 2);
+    let hot = migrated.router().hot_range(0, 48, 2);
     let hot_for_run = hot.clone();
     let stats_a = migrated.run_requests(move |client, seq| {
         let op = (seq == 1).then(|| {

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use recipe::core::Operation;
 use recipe::net::{CrashEntry, CrashPlan, FaultPlan, NodeId};
-use recipe::protocols::{BatchConfig, RaftReplica};
-use recipe::scenario::Scenario;
+use recipe::protocols::{BatchConfig, Protocol, RaftReplica};
+use recipe::scenario::{Scenario, ScenarioError};
 use recipe::shard::{DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster, TxnConfig};
 use recipe::telemetry::TelemetryConfig;
 use recipe::workload::{KeyDistribution, TxnWorkloadSpec, WorkloadSpec};
@@ -216,6 +216,57 @@ fn malformed_corpus_fails_with_declared_errors() {
         checked += 1;
     }
     assert!(checked >= 11, "only {checked} malformed files found");
+}
+
+/// What validation refuses is what the registry says a protocol cannot do:
+/// for every registered protocol, a transaction workload, a confidential
+/// deployment and a group one replica short of `min_replicas(f)` load exactly
+/// when the registry allows them, and the refusal names the protocol.
+#[test]
+fn validation_enforces_the_capabilities_the_registry_declares() {
+    let load = |protocol: Protocol, replicas: usize, confidential: bool, kind: &str| {
+        Scenario::from_toml_str(&format!(
+            "name = \"capabilities\"\nprotocol = \"{}\"\n[deployment]\nshards = 2\n\
+             replicas_per_shard = {replicas}\nfaults_tolerated = 1\nclients = 4\n\
+             total_operations = 10\nconfidential = {confidential}\n[workload]\nkind = \"{kind}\"\n",
+            protocol.file_name()
+        ))
+    };
+    for protocol in Protocol::ALL {
+        let enough = protocol.min_replicas(1);
+        let named = format!("protocol `{}`", protocol.file_name());
+        let refused = |loaded: Result<_, ScenarioError>, allowed: bool, why: &str| match loaded {
+            Ok(_) => assert!(allowed, "{named}: loaded although {why}"),
+            Err(err) => {
+                assert!(!allowed, "{named}: refused although not {why}: {err}");
+                assert!(err.to_string().contains(&named), "{err}");
+            }
+        };
+        let plain = load(protocol, enough, false, "single").expect("the plain form loads");
+        assert_eq!(plain.protocols, [protocol]);
+        refused(
+            load(protocol, enough, false, "txn"),
+            protocol.supports_txn(),
+            "transactions are unsupported",
+        );
+        refused(
+            load(protocol, enough, true, "single"),
+            protocol.supports_confidential(),
+            "it has no confidential mode",
+        );
+        // One short of 2f+1 is the deployment's own error; between 2f+1 and
+        // the protocol's minimum it is the protocol's.
+        if enough > 3 {
+            refused(
+                load(protocol, enough - 1, false, "single"),
+                false,
+                "too few",
+            );
+        } else {
+            let err = load(protocol, enough - 1, false, "single").unwrap_err();
+            assert!(err.to_string().contains("replicas_per_shard"), "{err}");
+        }
+    }
 }
 
 /// The anchor test: a TOML scenario that mirrors `fig_rebalance`'s builder

@@ -14,10 +14,9 @@ use std::collections::HashMap;
 
 use recipe::core::{Operation, Request};
 use recipe::net::FaultPlan;
-use recipe::protocols::RaftReplica;
+use recipe::protocols::{RaftReplica, StoreReplica};
 use recipe::shard::{DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster, TxnConfig};
 use recipe::workload::stable_key_hash;
-use recipe_sim::RangeStateTransfer;
 
 /// Builds `groups` key groups of `size` keys each, every group spanning at
 /// least two shards of `cluster` (so transactions on it are cross-shard).
@@ -82,6 +81,7 @@ fn committed_value(cluster: &mut ShardedCluster<RaftReplica>, key: &[u8]) -> Opt
         let value = cluster
             .shard_mut(shard)
             .replica_mut(node)
+            .store()
             .read_entry(key)
             .ok()
             .flatten()
