@@ -8,11 +8,6 @@
 //! wall clock, no floats: this crate sits on `recipe-lint`'s determinism
 //! core paths.
 
-use recipe_core::Request;
-
-use crate::pipeline::{Decision, MiddlewareIn, RequestCtx};
-use crate::tenant::TenantSpec;
-
 /// Nanotokens per operation: quotas count ops per virtual *second*, the
 /// clock counts nanoseconds.
 const NANOTOKENS_PER_OP: u64 = 1_000_000_000;
@@ -33,7 +28,11 @@ pub struct TokenBucket {
 
 impl TokenBucket {
     /// A bucket refilling at `rate_ops_per_sec` with room for `burst_ops`
-    /// operations, starting full at virtual time zero.
+    /// operations, starting full at virtual time zero. A request costs as
+    /// many tokens as it carries operations (a fan-out-4 transaction is four
+    /// ops of quota), capped at the capacity — so with `burst_ops == 0`
+    /// every request is free and the bucket meters nothing, which is why
+    /// `TenantSpec::validate` refuses a quota with a zero burst.
     pub fn new(rate_ops_per_sec: u64, burst_ops: u64) -> Self {
         let capacity = burst_ops.saturating_mul(NANOTOKENS_PER_OP);
         TokenBucket {
@@ -72,42 +71,6 @@ impl TokenBucket {
         let rate = u128::from(self.rate_ops_per_sec);
         let wait_ns = missing.div_ceil(rate).min(u128::from(u64::MAX)) as u64;
         Err(now_ns.saturating_add(wait_ns.max(1)))
-    }
-}
-
-/// The admission middleware: one bucket per tenant; a request costs as many
-/// tokens as it carries operations (a fan-out-4 transaction is four ops of
-/// quota). Over-quota requests are deferred to the bucket's refill time,
-/// never dropped.
-pub struct Admission {
-    buckets: Vec<TokenBucket>,
-}
-
-impl Admission {
-    /// Builds one bucket per tenant from the deployment's tenant specs.
-    pub fn new(tenants: &[TenantSpec]) -> Self {
-        Admission {
-            buckets: tenants
-                .iter()
-                .map(|t| TokenBucket::new(t.quota_ops_per_sec, t.burst_ops))
-                .collect(),
-        }
-    }
-}
-
-impl MiddlewareIn for Admission {
-    fn name(&self) -> &'static str {
-        "admission"
-    }
-
-    fn on_request(&mut self, ctx: &mut RequestCtx, request: &mut Request) -> Decision {
-        let Some(bucket) = ctx.tenant.and_then(|t| self.buckets.get_mut(t)) else {
-            return Decision::Admit;
-        };
-        match bucket.try_take(ctx.now_ns, request.len() as u64) {
-            Ok(()) => Decision::Admit,
-            Err(retry_at_ns) => Decision::Defer { retry_at_ns },
-        }
     }
 }
 
@@ -152,5 +115,16 @@ mod tests {
         let mut b = TokenBucket::new(1_000, 2);
         assert_eq!(b.try_take(0, 10), Ok(()));
         assert!(b.try_take(0, 1).is_err());
+    }
+
+    #[test]
+    fn zero_capacity_bucket_prices_every_request_at_nothing() {
+        // The same clamp at capacity 0: nothing is ever spent, so a quota
+        // with a zero burst would not meter. Validation refuses that
+        // configuration; the bucket itself never refuses a request.
+        let mut b = TokenBucket::new(1_000, 0);
+        for i in 0..1_000 {
+            assert_eq!(b.try_take(0, 1 + i % 7), Ok(()));
+        }
     }
 }

@@ -1,20 +1,22 @@
 //! # recipe-gateway — the tenant gateway in front of the sharded driver
 //!
 //! The paper's middleware sits between untrusted clients and a confidential
-//! replicated store; this crate is the front door of that middleware: a
-//! composable chain of inbound ([`MiddlewareIn`]) and outbound
-//! ([`MiddlewareOut`]) stages — the `Middlewares(Vec<Middleware>)` shape of
-//! golem's worker gateway — that every [`Request`] traverses *before* the
-//! consistent-hash router:
+//! replicated store; this crate is the front door of that middleware. Every
+//! [`Request`] passes [`Gateway::admit`] *before* the consistent-hash router,
+//! and every completion passes [`Gateway::complete`]:
 //!
 //! ```text
-//! client ──▶ gateway (resolve ▸ auth ▸ admission ▸ key-scope) ──▶ router ──▶ engine
+//! client ──▶ admit (resolve tenant ▸ verify ▸ take tokens ▸ scope keys) ──▶ router ──▶ engine
 //!                 │ reject: client observes an error, moves on
 //!                 │ defer:  driver retries at the bucket's refill time
-//!                 ◀── completions run the outbound chain (accounting) ──
+//!                 ◀── complete (count the tenant's committed ops) ──
 //! ```
 //!
-//! On top of the chain it implements multi-tenancy:
+//! The steps are one straight-line function over one record per tenant
+//! (`tenant::Tenant`: verification key, credential, token bucket, key
+//! prefix, counters). The first refusal wins, so a rejected request spends
+//! no tokens and a throttled one keeps its keys unscoped — the driver
+//! re-presents it unchanged. What that buys is multi-tenancy:
 //!
 //! * **per-tenant authentication** — a MAC credential per tenant under
 //!   [`GATEWAY_MAC_DOMAIN`], derived from a master key exactly like
@@ -25,42 +27,35 @@
 //!   any shard, through any migration;
 //! * **deterministic admission control** — integer token buckets on the
 //!   virtual clock: same seed, same throttle decisions, bit for bit.
+//!   Nothing here may consult a wall clock or ambient randomness
+//!   (`recipe-lint`'s determinism family — this crate is a core path).
 //!
 //! The gateway is **off by default** and bit-invisible when off (the same
 //! bar the telemetry subsystem meets): a driver built without a gateway, or
-//! with an empty pipeline, schedules the identical event sequence.
+//! with an untenanted one, schedules the identical event sequence.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod pipeline;
 pub mod tenant;
-
-use std::cell::RefCell;
-use std::rc::Rc;
 
 use recipe_core::Request;
 use recipe_crypto::MacKey;
 use serde::{Deserialize, Serialize};
 
-pub use admission::{Admission, TokenBucket};
-pub use pipeline::{
-    Decision, MiddlewareIn, MiddlewareOut, Pipeline, RejectReason, RequestCtx, ResponseCtx,
-};
-pub use tenant::{
-    mint_credential, scoped_prefix, KeyScope, TenantAuth, TenantResolve, TenantSpec,
-    GATEWAY_MAC_DOMAIN,
-};
+pub use admission::TokenBucket;
+use tenant::Tenant;
+pub use tenant::{mint_credential, scoped_prefix, TenantSpec, GATEWAY_MAC_DOMAIN};
 
 /// Gateway configuration as carried by a `DeploymentSpec` or scenario file.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GatewayConfig {
-    /// Master switch; when false the driver builds no pipeline at all and
+    /// Master switch; when false the driver builds no gateway at all and
     /// runs are bit-identical to a gateway-less build.
     pub enabled: bool,
     /// The deployment's tenants, in declaration order. Empty = enabled but
-    /// untenanted: a pass-through pipeline (also bit-invisible).
+    /// untenanted: every request passes through (also bit-invisible).
     pub tenants: Vec<TenantSpec>,
 }
 
@@ -115,8 +110,7 @@ pub struct TenantStats {
     /// Throttle events (a request may be deferred several times before a
     /// token frees up; each deferral counts).
     pub throttled: u64,
-    /// Operations whose commit completed, attributed by the outbound
-    /// accounting stage.
+    /// Operations whose commit completed ([`Gateway::complete`]).
     pub committed_ops: u64,
 }
 
@@ -127,26 +121,21 @@ pub struct GatewayStats {
     pub tenants: Vec<TenantStats>,
 }
 
-/// Shared mutable stats: the gateway facade increments admission counters,
-/// the outbound accounting middleware increments completion counters.
-type SharedStats = Rc<RefCell<GatewayStats>>;
-
-/// The outbound accounting stage: attributes every completed operation to
-/// its tenant.
-struct Accounting {
-    stats: SharedStats,
+/// Why the gateway refused a request outright.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RejectReason {
+    /// The tenant's credential failed MAC verification.
+    BadCredential,
+    /// The client maps to no configured tenant.
+    UnknownTenant,
 }
 
-impl MiddlewareOut for Accounting {
-    fn name(&self) -> &'static str {
-        "accounting"
-    }
-
-    fn on_response(&mut self, ctx: &ResponseCtx) {
-        if let Some(tenant) = ctx.tenant {
-            if let Some(t) = self.stats.borrow_mut().tenants.get_mut(tenant) {
-                t.committed_ops += ctx.ops as u64;
-            }
+impl RejectReason {
+    /// Stable label used in telemetry and reports.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            RejectReason::BadCredential => "bad_credential",
+            RejectReason::UnknownTenant => "unknown_tenant",
         }
     }
 }
@@ -176,138 +165,92 @@ pub enum GatewayVerdict {
     },
 }
 
-/// The assembled gateway: the pipeline plus tenant metadata and stats.
-/// Built once per run by the sharded driver (when the config enables it).
+/// The assembled gateway: one record per tenant. Built once per run by the
+/// sharded driver (when the config enables it).
+#[derive(Debug)]
 pub struct Gateway {
-    pipeline: Pipeline,
-    tenant_names: Vec<String>,
-    tenant_count: usize,
-    stats: SharedStats,
+    tenants: Vec<Tenant>,
 }
 
 impl Gateway {
-    /// Builds the standard pipeline for `config`:
-    /// `tenant_resolve ▸ tenant_auth ▸ admission ▸ key_scope` inbound,
-    /// `accounting` outbound. Returns `None` when the gateway is disabled —
-    /// the driver then skips the admission hook entirely. The master key is
+    /// Builds the gateway for `config`, or `None` when it is disabled — the
+    /// driver then skips the admission hook entirely. The master key is
     /// derived from the deployment seed, so credentials are deterministic
     /// per seed.
     pub fn from_config(config: &GatewayConfig, seed: u64) -> Option<Gateway> {
         if !config.enabled {
             return None;
         }
-        let stats: SharedStats = Rc::new(RefCell::new(GatewayStats {
+        let master = master_key(seed);
+        Some(Gateway {
             tenants: config
                 .tenants
                 .iter()
-                .map(|t| TenantStats {
-                    tenant: t.name.clone(),
-                    ..TenantStats::default()
-                })
+                .map(|spec| Tenant::new(&master, spec))
                 .collect(),
-        }));
-        let mut pipeline = Pipeline::new();
-        if !config.tenants.is_empty() {
-            let master = master_key(seed);
-            pipeline.push_in(Box::new(TenantResolve::new(config.tenants.len())));
-            pipeline.push_in(Box::new(TenantAuth::new(&master, &config.tenants)));
-            pipeline.push_in(Box::new(Admission::new(&config.tenants)));
-            pipeline.push_in(Box::new(KeyScope::new(&config.tenants)));
-            pipeline.push_out(Box::new(Accounting {
-                stats: Rc::clone(&stats),
-            }));
-        }
-        Some(Gateway {
-            pipeline,
-            tenant_names: config.tenants.iter().map(|t| t.name.clone()).collect(),
-            tenant_count: config.tenants.len(),
-            stats,
         })
     }
 
-    /// Number of configured tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenant_count
+    /// The client → tenant mapping: clients are assigned round-robin
+    /// (`client_id % tenants`), the same mapping the per-tenant workload
+    /// mixes use, so load composition is a pure function of the client id.
+    /// `None` on an untenanted gateway.
+    fn tenant_of(&self, client_id: u64) -> Option<usize> {
+        let tenants = self.tenants.len() as u64;
+        (tenants > 0).then(|| (client_id % tenants) as usize)
     }
 
-    /// A tenant's name, by index.
-    pub fn tenant_name(&self, tenant: usize) -> Option<&str> {
-        self.tenant_names.get(tenant).map(|s| s.as_str())
-    }
-
-    /// The client → tenant mapping this gateway uses.
-    pub fn tenant_of(&self, client_id: u64) -> Option<usize> {
-        TenantResolve::tenant_of(client_id, self.tenant_count)
-    }
-
-    /// Runs the inbound chain on a request at virtual time `now_ns`. On
-    /// admission the request's keys are already rewritten into the tenant's
-    /// namespace.
+    /// Decides one request at virtual time `now_ns`: resolve the client's
+    /// tenant, verify its credential, take one token per operation, scope
+    /// the keys. The first refusal returns, so later steps never see a
+    /// refused request. On admission the request's keys are already
+    /// rewritten into the tenant's namespace; an untenanted gateway admits
+    /// everything untouched. `request_id` decides nothing: credentials are
+    /// not sequenced, requests are.
     pub fn admit(
         &mut self,
         client_id: u64,
-        request_id: u64,
+        _request_id: u64,
         now_ns: u64,
         request: &mut Request,
     ) -> GatewayVerdict {
-        let mut ctx = RequestCtx {
-            client_id,
-            request_id,
-            now_ns,
-            tenant: None,
+        let tenant = self.tenant_of(client_id);
+        let Some(t) = tenant.map(|t| &mut self.tenants[t]) else {
+            return GatewayVerdict::Admitted { tenant };
         };
-        let decision = self.pipeline.admit(&mut ctx, request);
-        let mut stats = self.stats.borrow_mut();
-        let bump = |stats: &mut GatewayStats, tenant: Option<usize>, f: fn(&mut TenantStats)| {
-            if let Some(t) = tenant.and_then(|t| stats.tenants.get_mut(t)) {
-                f(t);
-            }
-        };
-        match decision {
-            Decision::Admit => {
-                bump(&mut stats, ctx.tenant, |t| t.admitted += 1);
-                GatewayVerdict::Admitted { tenant: ctx.tenant }
-            }
-            Decision::Reject(reason) => {
-                bump(&mut stats, ctx.tenant, |t| t.rejected += 1);
-                GatewayVerdict::Rejected {
-                    tenant: ctx.tenant,
-                    reason,
-                }
-            }
-            Decision::Defer { retry_at_ns } => {
-                bump(&mut stats, ctx.tenant, |t| t.throttled += 1);
-                GatewayVerdict::Throttled {
-                    tenant: ctx.tenant,
-                    retry_at_ns,
-                }
-            }
+        if !t.credential_verifies() {
+            t.stats.rejected += 1;
+            return GatewayVerdict::Rejected {
+                tenant,
+                reason: RejectReason::BadCredential,
+            };
         }
+        // Over-quota requests are deferred to the bucket's refill time,
+        // never dropped.
+        if let Err(retry_at_ns) = t.bucket.try_take(now_ns, request.len() as u64) {
+            t.stats.throttled += 1;
+            return GatewayVerdict::Throttled {
+                tenant,
+                retry_at_ns,
+            };
+        }
+        t.scope_keys(request);
+        t.stats.admitted += 1;
+        GatewayVerdict::Admitted { tenant }
     }
 
-    /// Runs the outbound chain for a completed request of `ops` operations.
-    pub fn complete(&mut self, client_id: u64, now_ns: u64, ops: usize) {
-        let ctx = ResponseCtx {
-            client_id,
-            now_ns,
-            tenant: self.tenant_of(client_id),
-            ops,
-        };
-        self.pipeline.complete(&ctx);
+    /// Counts a completed request of `ops` operations against its tenant.
+    pub fn complete(&mut self, client_id: u64, _now_ns: u64, ops: usize) {
+        if let Some(t) = self.tenant_of(client_id) {
+            self.tenants[t].stats.committed_ops += ops as u64;
+        }
     }
 
     /// Snapshot of the per-tenant counters.
     pub fn stats(&self) -> GatewayStats {
-        self.stats.borrow().clone()
-    }
-}
-
-impl std::fmt::Debug for Gateway {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Gateway")
-            .field("tenants", &self.tenant_names)
-            .field("pipeline", &self.pipeline)
-            .finish()
+        GatewayStats {
+            tenants: self.tenants.iter().map(|t| t.stats.clone()).collect(),
+        }
     }
 }
 
@@ -371,6 +314,96 @@ mod tests {
         // The rejected request was never key-scoped.
         assert_eq!(req.ops()[0].key(), b"k");
         assert_eq!(gw.stats().tenants[0].rejected, 1);
+    }
+
+    #[test]
+    fn a_request_rejected_at_authentication_spends_no_tokens() {
+        // One token in the bucket: were tokens taken before the credential
+        // is checked, the second presentation would be throttled.
+        let config = GatewayConfig::enabled()
+            .with_tenant(TenantSpec::new("mallory").with_quota(1).revoked());
+        let mut gw = Gateway::from_config(&config, 42).expect("enabled");
+        let mut req = get(b"k");
+        for rid in 1..=5 {
+            assert!(matches!(
+                gw.admit(0, rid, 0, &mut req),
+                GatewayVerdict::Rejected { .. }
+            ));
+        }
+        assert_eq!(req, get(b"k"));
+        let stats = gw.stats();
+        assert_eq!(stats.tenants[0].rejected, 5);
+        assert_eq!(stats.tenants[0].throttled, 0);
+    }
+
+    #[test]
+    fn a_throttled_request_is_scoped_once_when_it_is_finally_admitted() {
+        // The driver re-presents the same request object at each retry
+        // time: refusals must leave it untouched or the prefix stacks.
+        let config = GatewayConfig::enabled().with_tenant(TenantSpec::new("t").with_quota(1_000));
+        let mut gw = Gateway::from_config(&config, 7).expect("enabled");
+        let burst = 100;
+        for rid in 0..burst {
+            let verdict = gw.admit(0, rid, 0, &mut get(b"warm"));
+            assert_eq!(verdict, GatewayVerdict::Admitted { tenant: Some(0) });
+        }
+        let mut req = get(b"k");
+        let mut now_ns = 0;
+        let mut deferrals = 0;
+        loop {
+            match gw.admit(0, burst, now_ns, &mut req) {
+                GatewayVerdict::Admitted { .. } => break,
+                GatewayVerdict::Throttled { retry_at_ns, .. } => {
+                    assert_eq!(req, get(b"k"), "a deferred request keeps its keys");
+                    assert!(retry_at_ns > now_ns);
+                    // Come back a little early once, so one request is
+                    // deferred more than one time.
+                    now_ns = if deferrals == 0 {
+                        retry_at_ns - 1
+                    } else {
+                        retry_at_ns
+                    };
+                    deferrals += 1;
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(deferrals, 2);
+        assert_eq!(req, get(b"t/k"));
+        let stats = gw.stats();
+        assert_eq!(stats.tenants[0].throttled, deferrals);
+        assert_eq!(stats.tenants[0].admitted, burst + 1);
+    }
+
+    #[test]
+    fn every_op_of_a_transaction_is_scoped_and_priced() {
+        let mut gw = Gateway::from_config(&tenanted(), 42).expect("enabled");
+        let mut req = Request::Txn(vec![
+            Operation::Put {
+                key: b"x".to_vec(),
+                value: b"1".to_vec(),
+            },
+            Operation::Get { key: b"y".to_vec() },
+        ]);
+        let verdict = gw.admit(1, 1, 0, &mut req);
+        assert_eq!(verdict, GatewayVerdict::Admitted { tenant: Some(1) });
+        assert_eq!(req.ops()[0].key(), b"bob/x");
+        assert_eq!(req.ops()[1].key(), b"bob/y");
+        gw.complete(1, 10, req.len());
+        assert_eq!(gw.stats().tenants[1].committed_ops, 2);
+    }
+
+    #[test]
+    fn an_untenanted_gateway_admits_every_request_untouched() {
+        let mut gw = Gateway::from_config(&GatewayConfig::enabled(), 1).expect("enabled");
+        let mut req = get(b"k");
+        for client in 0..4 {
+            let verdict = gw.admit(client, 1, 0, &mut req);
+            assert_eq!(verdict, GatewayVerdict::Admitted { tenant: None });
+            gw.complete(client, 10, 1);
+        }
+        assert_eq!(req, get(b"k"));
+        assert!(gw.stats().tenants.is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Tenant resolution, per-tenant authentication and keyspace scoping.
+//! Tenant specs, per-tenant authentication and keyspace scoping.
 //!
 //! Tenancy is decided *before* the router sees a request, so everything a
 //! tenant does downstream — routing, replication, migration — happens under
@@ -8,7 +8,8 @@ use recipe_core::{Operation, Request};
 use recipe_crypto::{MacKey, MacTag};
 use serde::{Deserialize, Serialize};
 
-use crate::pipeline::{Decision, MiddlewareIn, RejectReason, RequestCtx};
+use crate::admission::TokenBucket;
+use crate::TenantStats;
 
 /// MAC domain for tenant credentials: a credential is
 /// `MAC(derive(master, "gateway:tenant:<name>"), GATEWAY_MAC_DOMAIN || name)`.
@@ -26,7 +27,8 @@ pub struct TenantSpec {
     /// Admission quota in operations per virtual second; `0` = unlimited.
     pub quota_ops_per_sec: u64,
     /// Token-bucket burst capacity in operations (how far a tenant may run
-    /// ahead of its steady-state quota). Ignored when unlimited.
+    /// ahead of its steady-state quota); at least 1 under a quota. Ignored
+    /// when unlimited.
     pub burst_ops: u64,
     /// When false, the gateway mints this tenant's credential under a
     /// revoked key, so every request fails authentication — the
@@ -84,7 +86,8 @@ impl TenantSpec {
         if self.quota_ops_per_sec > 0 && self.burst_ops == 0 {
             return Err(format!(
                 "{field}.burst_ops: must be >= 1 when quota_ops_per_sec is set \
-                 (a zero-burst bucket admits nothing, ever)"
+                 (a request's price is capped at the bucket's capacity, so a zero-burst \
+                 bucket prices every request at nothing and the quota would not meter)"
             ));
         }
         Ok(())
@@ -110,113 +113,6 @@ pub fn mint_credential(master: &MacKey, name: &str, authorized: bool) -> MacTag 
     key.tag_parts(&[GATEWAY_MAC_DOMAIN, name.as_bytes()])
 }
 
-/// Resolves the tenant for a client: clients are assigned round-robin
-/// (`client_id % tenants`), the same mapping the per-tenant workload mixes
-/// use, so load composition is a pure function of the client id.
-pub struct TenantResolve {
-    tenants: usize,
-}
-
-impl TenantResolve {
-    /// Builds the resolver for a deployment with `tenants` tenants.
-    pub fn new(tenants: usize) -> Self {
-        TenantResolve { tenants }
-    }
-
-    /// The client → tenant mapping (shared with workload construction).
-    pub fn tenant_of(client_id: u64, tenants: usize) -> Option<usize> {
-        if tenants == 0 {
-            None
-        } else {
-            Some((client_id % tenants as u64) as usize)
-        }
-    }
-}
-
-impl MiddlewareIn for TenantResolve {
-    fn name(&self) -> &'static str {
-        "tenant_resolve"
-    }
-
-    fn on_request(&mut self, ctx: &mut RequestCtx, _request: &mut Request) -> Decision {
-        match TenantResolve::tenant_of(ctx.client_id, self.tenants) {
-            Some(tenant) => {
-                ctx.tenant = Some(tenant);
-                Decision::Admit
-            }
-            None => Decision::Reject(RejectReason::UnknownTenant),
-        }
-    }
-}
-
-/// Verifies the resolved tenant's credential against the gateway's derived
-/// per-tenant key — the `AuthLayer` admission check, specialised to the
-/// front door: constant work, no counters (credentials are not sequenced,
-/// requests are).
-pub struct TenantAuth {
-    /// `(verification key, presented credential)` per tenant index.
-    creds: Vec<(MacKey, MacTag)>,
-    names: Vec<String>,
-}
-
-impl TenantAuth {
-    /// Builds the verifier: derives each tenant's key from `master` and
-    /// mints the credential the tenant will present (revoked tenants get an
-    /// unverifiable one).
-    pub fn new(master: &MacKey, tenants: &[TenantSpec]) -> Self {
-        TenantAuth {
-            creds: tenants
-                .iter()
-                .map(|t| {
-                    (
-                        tenant_key(master, &t.name),
-                        mint_credential(master, &t.name, t.authorized),
-                    )
-                })
-                .collect(),
-            names: tenants.iter().map(|t| t.name.clone()).collect(),
-        }
-    }
-}
-
-impl MiddlewareIn for TenantAuth {
-    fn name(&self) -> &'static str {
-        "tenant_auth"
-    }
-
-    fn on_request(&mut self, ctx: &mut RequestCtx, _request: &mut Request) -> Decision {
-        let Some(tenant) = ctx.tenant else {
-            return Decision::Admit; // untenanted deployment: nothing to verify
-        };
-        let Some((key, cred)) = self.creds.get(tenant) else {
-            return Decision::Reject(RejectReason::UnknownTenant);
-        };
-        let name = &self.names[tenant];
-        match key.verify_parts(&[GATEWAY_MAC_DOMAIN, name.as_bytes()], cred) {
-            Ok(()) => Decision::Admit,
-            Err(_) => Decision::Reject(RejectReason::BadCredential),
-        }
-    }
-}
-
-/// Rewrites every key into the tenant's namespace (`<tenant>/<key>`), after
-/// admission and before routing. Tenant names are `/`-free and unique, so
-/// the prefixed keyspaces are prefix-free: no tenant can name — and
-/// therefore read or clobber — another tenant's keys, and the property
-/// survives migration because placement hashes the *scoped* key.
-pub struct KeyScope {
-    prefixes: Vec<Vec<u8>>,
-}
-
-impl KeyScope {
-    /// Builds the scoper for the deployment's tenants.
-    pub fn new(tenants: &[TenantSpec]) -> Self {
-        KeyScope {
-            prefixes: tenants.iter().map(|t| scoped_prefix(&t.name)).collect(),
-        }
-    }
-}
-
 /// The namespace prefix for a tenant name.
 pub fn scoped_prefix(name: &str) -> Vec<u8> {
     let mut p = name.as_bytes().to_vec();
@@ -224,87 +120,69 @@ pub fn scoped_prefix(name: &str) -> Vec<u8> {
     p
 }
 
-impl MiddlewareIn for KeyScope {
-    fn name(&self) -> &'static str {
-        "key_scope"
+/// Everything the gateway holds for one tenant: who it is, how its
+/// credential verifies, what it may still spend, where its keys live and
+/// what it has done so far.
+#[derive(Debug)]
+pub(crate) struct Tenant {
+    /// Verification key, derived from the master key — the `AuthLayer`
+    /// admission check, specialised to the front door: constant work, no
+    /// counters (credentials are not sequenced, requests are).
+    key: MacKey,
+    /// The credential the tenant presents (unverifiable when revoked).
+    credential: MacTag,
+    pub(crate) bucket: TokenBucket,
+    /// `<name>/`. Names are `/`-free and unique, so the prefixed keyspaces
+    /// are prefix-free: no tenant can name — and therefore read or clobber —
+    /// another tenant's keys, and the property survives migration because
+    /// placement hashes the *scoped* key.
+    prefix: Vec<u8>,
+    /// Counters; `stats.tenant` is the tenant's name.
+    pub(crate) stats: TenantStats,
+}
+
+impl Tenant {
+    pub(crate) fn new(master: &MacKey, spec: &TenantSpec) -> Self {
+        Tenant {
+            key: tenant_key(master, &spec.name),
+            credential: mint_credential(master, &spec.name, spec.authorized),
+            bucket: TokenBucket::new(spec.quota_ops_per_sec, spec.burst_ops),
+            prefix: scoped_prefix(&spec.name),
+            stats: TenantStats {
+                tenant: spec.name.clone(),
+                ..TenantStats::default()
+            },
+        }
     }
 
-    fn on_request(&mut self, ctx: &mut RequestCtx, request: &mut Request) -> Decision {
-        let Some(prefix) = ctx.tenant.and_then(|t| self.prefixes.get(t)) else {
-            return Decision::Admit;
-        };
-        let scope = |key: &mut Vec<u8>| {
-            let mut scoped = Vec::with_capacity(prefix.len() + key.len());
-            scoped.extend_from_slice(prefix);
+    /// Whether the presented credential verifies under the tenant's key.
+    pub(crate) fn credential_verifies(&self) -> bool {
+        let name = self.stats.tenant.as_bytes();
+        self.key
+            .verify_parts(&[GATEWAY_MAC_DOMAIN, name], &self.credential)
+            .is_ok()
+    }
+
+    /// Rewrites every key of `request` into the tenant's namespace
+    /// (`<tenant>/<key>`).
+    pub(crate) fn scope_keys(&self, request: &mut Request) {
+        let scope = |op: &mut Operation| {
+            let (Operation::Put { key, .. } | Operation::Get { key }) = op;
+            let mut scoped = Vec::with_capacity(self.prefix.len() + key.len());
+            scoped.extend_from_slice(&self.prefix);
             scoped.append(key);
             *key = scoped;
         };
         match request {
-            Request::Single(op) => scope(op_key_mut(op)),
-            Request::Txn(ops) => {
-                for op in ops {
-                    scope(op_key_mut(op));
-                }
-            }
+            Request::Single(op) => scope(op),
+            Request::Txn(ops) => ops.iter_mut().for_each(scope),
         }
-        Decision::Admit
-    }
-}
-
-fn op_key_mut(op: &mut Operation) -> &mut Vec<u8> {
-    match op {
-        Operation::Put { key, .. } | Operation::Get { key } => key,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn master() -> MacKey {
-        MacKey::from_bytes([7u8; 32])
-    }
-
-    #[test]
-    fn authorized_credential_verifies_revoked_does_not() {
-        let tenants = vec![TenantSpec::new("alice"), TenantSpec::new("eve").revoked()];
-        let mut auth = TenantAuth::new(&master(), &tenants);
-        let mut req = Request::Single(Operation::Get { key: b"k".to_vec() });
-        let mut ctx = RequestCtx {
-            client_id: 0,
-            request_id: 1,
-            now_ns: 0,
-            tenant: Some(0),
-        };
-        assert_eq!(auth.on_request(&mut ctx, &mut req), Decision::Admit);
-        ctx.tenant = Some(1);
-        assert_eq!(
-            auth.on_request(&mut ctx, &mut req),
-            Decision::Reject(RejectReason::BadCredential)
-        );
-    }
-
-    #[test]
-    fn key_scope_prefixes_every_op_of_a_txn() {
-        let tenants = vec![TenantSpec::new("alice"), TenantSpec::new("bob")];
-        let mut scope = KeyScope::new(&tenants);
-        let mut req = Request::Txn(vec![
-            Operation::Put {
-                key: b"x".to_vec(),
-                value: b"1".to_vec(),
-            },
-            Operation::Get { key: b"y".to_vec() },
-        ]);
-        let mut ctx = RequestCtx {
-            client_id: 1,
-            request_id: 1,
-            now_ns: 0,
-            tenant: Some(1),
-        };
-        assert_eq!(scope.on_request(&mut ctx, &mut req), Decision::Admit);
-        assert_eq!(req.ops()[0].key(), b"bob/x");
-        assert_eq!(req.ops()[1].key(), b"bob/y");
-    }
 
     #[test]
     fn tenant_names_are_prefix_free_namespaces() {

@@ -13,7 +13,7 @@
 //! [`recipe_sim::RangeEntry`] records tagged with the migration id, the phase
 //! ([`ChunkPhase`]) and a per-migration sequence number. Chunks are bounded so
 //! staging them inside the enclave does not blow the EPC (the cost model
-//! charges `migration_epc_pressure` per chunk, mirroring §B.3's batch-size
+//! charges EPC pressure per staged chunk, mirroring §B.3's batch-size
 //! trade-off).
 
 use std::ops::Range;

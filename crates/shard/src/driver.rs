@@ -61,7 +61,7 @@ pub(crate) enum DriverWork {
     /// Re-present a throttled `(request_id, request)` to the tenant gateway
     /// at its token bucket's refill time. Distinct from [`DriverWork::Retry`]:
     /// a throttled request never finished admission (no quota charged, keys
-    /// not yet tenant-scoped), so it must re-enter the middleware chain —
+    /// not yet tenant-scoped), so it must go through `Gateway::admit` again —
     /// whereas `Retry` work was already admitted and must *not* be scoped or
     /// charged twice.
     GatewayRetry(u64, Request),
@@ -221,11 +221,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
             next_seq: 0,
             gateway: Gateway::from_config(&config.gateway, config.base.seed),
             st: ControllerState::new(shard_count, rb.check_interval_ns),
-            txns: TxnManager::new(
-                config.txn.clone(),
-                config.base.seed,
-                config.profiles.clone(),
-            ),
+            txns: TxnManager::new(config.txn.clone(), config.base.seed, shard_count),
             clients: (0..clients)
                 .map(|_| ClientState {
                     version: cluster.router.version(),

@@ -25,14 +25,14 @@
 //!
 //! Every phase charges virtual time through the cost model — snapshot
 //! export/import work, sealed-frame wire costs, and the EPC pressure of
-//! staging chunks inside the enclave (`migration_epc_pressure`) — so the
+//! staging chunks inside the enclave (`ProtocolCostModel::epc_pressure`) — so the
 //! throughput timeline shows the true cost of the transfer, not a free move.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashSet};
 
 use recipe_protocols::{ChunkPhase, MigrationChannel, MigrationChunk, StoreReplica};
-use recipe_sim::RangeEntry;
+use recipe_sim::{RangeEntry, Work};
 use recipe_telemetry::{ChargeKind, SpanKind};
 use recipe_workload::stable_key_hash;
 use serde::{Deserialize, Serialize};
@@ -308,7 +308,7 @@ impl<R: StoreReplica> Engine<'_, R> {
     /// One controller action at virtual time `now`: either a periodic window
     /// evaluation or the landing of an in-flight transfer round.
     pub(crate) fn on_controller(&mut self, now: u64) {
-        let Some(active) = &self.st.active else {
+        let Some(active) = self.st.active.as_mut() else {
             self.maybe_start_migration(now);
             self.st.next_check_ns = now + self.rb.check_interval_ns;
             self.st.clear_window();
@@ -322,7 +322,6 @@ impl<R: StoreReplica> Engine<'_, R> {
         {
             self.ship_round(now, ChunkPhase::CatchUp);
         } else {
-            let active = self.st.active.as_mut().expect("checked above");
             active.draining = true;
             active.transfer_ready_at = None;
             let donor = active.donor;
@@ -486,25 +485,17 @@ impl<R: StoreReplica> Engine<'_, R> {
         phase: ChunkPhase,
     ) -> u64 {
         let Engine {
-            cluster, st, rb, ..
+            cluster,
+            st,
+            rb,
+            link_latency,
+            ..
         } = self;
-        let model = cluster.config.base.cost_model.clone();
-        let donor_config = cluster.config.config_for_shard(active.donor);
-        let recipient_config = cluster.config.config_for_shard(active.recipient);
-        let donor_nodes = cluster.shards[active.donor].node_ids();
+        // Each node is charged under *its own* profile (groups may run
+        // heterogeneous hardware per replica).
         let donor_leader = cluster.shards[active.donor]
             .write_coordinator()
-            .unwrap_or(donor_nodes[0]);
-        // Charge the leader with *its own* profile (groups may run
-        // heterogeneous hardware per replica).
-        let leader_idx = donor_nodes
-            .iter()
-            .position(|&node| node == donor_leader)
-            .unwrap_or(0);
-        let donor_profile = donor_config
-            .profiles
-            .get(leader_idx)
-            .unwrap_or(&donor_config.profiles[0]);
+            .unwrap_or_else(|| cluster.shards[active.donor].node_ids()[0]);
 
         let chunk_entries = rb.chunk_entries.max(1);
         let mut donor_busy_from = now;
@@ -521,68 +512,54 @@ impl<R: StoreReplica> Engine<'_, R> {
             let payload_bytes = chunk.payload_len();
 
             // Donor side: verified export (or replay staging) + seal + send.
-            let export_cost =
-                model.snapshot_export_cost_ns(donor_profile, batch.len(), payload_bytes);
+            let export = Work::Scan {
+                entries: batch.len(),
+                bytes: payload_bytes,
+            };
             let wire = active.channel.seal(&chunk);
-            let send_cost = model.send_cost_ns(donor_profile, wire.len());
-            let sent_at = cluster.shards[active.donor].charge_work_at(
-                donor_leader,
-                donor_busy_from,
-                export_cost + send_cost,
-            );
+            let send = Work::Send {
+                ops: 1,
+                bytes: wire.len(),
+            };
+            let donor = &mut cluster.shards[active.donor];
+            let [exported, sent] = [export, send].map(|work| {
+                donor.charge(
+                    donor_leader,
+                    donor_busy_from,
+                    ChargeKind::SnapshotExport,
+                    work,
+                )
+            });
+            let sent_at = sent.finish_ns;
             donor_busy_from = sent_at;
-            st.stats.transfer_busy_ns += export_cost + send_cost;
-            if cluster.shards[active.donor].telemetry_mut().is_some() {
-                let mut breakdown =
-                    model.snapshot_export_breakdown(donor_profile, batch.len(), payload_bytes);
-                breakdown.merge(&model.send_breakdown(donor_profile, wire.len()));
+            st.stats.transfer_busy_ns += exported.cost_ns() + sent.cost_ns();
+            if let Some(t) = donor.telemetry_mut() {
                 let kind = if is_snapshot {
                     SpanKind::MigrationSnapshot
                 } else {
                     SpanKind::MigrationCatchUp
                 };
-                let t = cluster.shards[active.donor]
-                    .telemetry_mut()
-                    .expect("checked above");
-                t.charge(ChargeKind::SnapshotExport, &breakdown);
-                t.span(
-                    kind,
-                    donor_leader.0,
-                    sent_at - (export_cost + send_cost),
-                    sent_at,
-                    chunk.seq,
-                );
+                t.span(kind, donor_leader.0, exported.start_ns, sent_at, chunk.seq);
             }
 
             // Wire + recipient side: verify the sealed frame, install on every
             // replica of the group (each pays the import).
-            let arrival = sent_at + model.link_latency_ns;
+            let arrival = sent_at + *link_latency;
             let opened = active
                 .channel
                 .open(&wire)
                 .expect("benign-path transfer chunks verify");
-            let recipient_nodes = cluster.shards[active.recipient].node_ids();
-            for (idx, node) in recipient_nodes.iter().enumerate() {
-                let profile = recipient_config
-                    .profiles
-                    .get(idx)
-                    .unwrap_or(&recipient_config.profiles[0]);
-                let import_cost =
-                    model.snapshot_import_cost_ns(profile, opened.entries.len(), wire.len());
-                let done =
-                    cluster.shards[active.recipient].charge_work_at(*node, arrival, import_cost);
-                st.stats.transfer_busy_ns += import_cost;
-                ready_at = ready_at.max(done);
-                if cluster.shards[active.recipient].telemetry_mut().is_some() {
-                    let breakdown =
-                        model.snapshot_import_breakdown(profile, opened.entries.len(), wire.len());
-                    let t = cluster.shards[active.recipient]
-                        .telemetry_mut()
-                        .expect("checked above");
-                    t.charge(ChargeKind::SnapshotImport, &breakdown);
-                }
-                cluster.shards[active.recipient]
-                    .replica_mut(*node)
+            let import = Work::Import {
+                entries: opened.entries.len(),
+                bytes: wire.len(),
+            };
+            let recipient = &mut cluster.shards[active.recipient];
+            for node in recipient.node_ids() {
+                let imported = recipient.charge(node, arrival, ChargeKind::SnapshotImport, import);
+                st.stats.transfer_busy_ns += imported.cost_ns();
+                ready_at = ready_at.max(imported.finish_ns);
+                recipient
+                    .replica_mut(node)
                     .store()
                     .import_range(&opened.entries);
             }

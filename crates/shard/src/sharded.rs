@@ -72,9 +72,9 @@ pub struct ShardedConfig {
     /// [`ShardedCluster::take_telemetry_report`].
     pub telemetry: TelemetryConfig,
     /// Tenant-gateway gating: off by default, in which case the driver
-    /// builds no pipeline and runs are bit-identical to a build without the
-    /// gateway subsystem. When enabled, every request traverses the
-    /// middleware chain (auth, admission, key scoping) before the router.
+    /// builds no gateway and runs are bit-identical to a build without the
+    /// gateway subsystem. When enabled, every request passes the gateway
+    /// (auth, admission, key scoping) before the router.
     pub gateway: GatewayConfig,
 }
 

@@ -313,8 +313,8 @@ impl DeploymentSpec {
 
     /// Puts the tenant gateway in front of the router (or tunes it). The
     /// gateway is off by default, in which case a run is bit-identical to one
-    /// on a build without the subsystem; enabled, every request traverses the
-    /// middleware pipeline — tenant resolution, per-tenant authentication,
+    /// on a build without the subsystem; enabled, every request passes
+    /// `Gateway::admit` — tenant resolution, per-tenant authentication,
     /// token-bucket admission on the virtual clock, tenant key scoping —
     /// before routing.
     pub fn with_gateway(mut self, gateway: recipe_gateway::GatewayConfig) -> Self {

@@ -73,7 +73,7 @@ use recipe_net::{FaultPlan, FrameFault, NetworkFaultInjector, NodeId};
 use recipe_protocols::{
     StoreReplica, TxnLanes, TxnVote, MAX_SHARDS, MIGRATION_ENDPOINT_IDS, TXN_ENDPOINT_IDS,
 };
-use recipe_sim::{CostProfile, RangeEntry};
+use recipe_sim::{RangeEntry, Work};
 use recipe_telemetry::{ChargeKind, CostCategory, SpanKind};
 use recipe_workload::stable_key_hash;
 
@@ -286,12 +286,10 @@ pub(crate) struct TxnManager {
     wire_seq: u64,
     /// In-flight staged bytes per shard (EPC pressure input).
     staged_per_shard: Vec<usize>,
-    /// Per-shard replica cost profiles, resolved once at engine start.
-    profiles: Vec<Vec<CostProfile>>,
 }
 
 impl TxnManager {
-    pub(crate) fn new(config: TxnConfig, seed: u64, profiles: Vec<Vec<CostProfile>>) -> Self {
+    pub(crate) fn new(config: TxnConfig, seed: u64, shards: usize) -> Self {
         // A dedicated deterministic fault stream for 2PC frames, independent
         // of the per-shard protocol fault streams.
         let injector_seed = seed.wrapping_add(stable_key_hash(b"txn-coordinator-faults"));
@@ -303,8 +301,7 @@ impl TxnManager {
             next_txn_id: 0,
             lanes: TxnLanes::default(),
             wire_seq: 0,
-            staged_per_shard: vec![0; profiles.len()],
-            profiles,
+            staged_per_shard: vec![0; shards],
         }
     }
 
@@ -710,7 +707,6 @@ impl<R: StoreReplica> Engine<'_, R> {
             link_latency,
             ..
         } = self;
-        let model = cluster.config.base.cost_model.clone();
         let group = &mut cluster.shards[shard];
         let Some(leader) = group.write_coordinator() else {
             // `txn_round_trip` checks liveness before the request leg, and
@@ -739,15 +735,6 @@ impl<R: StoreReplica> Engine<'_, R> {
         // whose acting coordinator is picked per-request. A no-op on
         // crash-free runs — an acting coordinator never holds passive copies.
         let _ = group.replica_mut(leader).store().txn_adopt_replicated();
-        let leader_idx = group
-            .node_ids()
-            .iter()
-            .position(|&node| node == leader)
-            .unwrap_or(0);
-        let profile = txns.profiles[shard]
-            .get(leader_idx)
-            .unwrap_or(&txns.profiles[shard][0])
-            .clone();
 
         // Every 2PC phase pays the participant group's own replication round
         // trip on top of the leader's work: the prepare record (locks +
@@ -767,25 +754,24 @@ impl<R: StoreReplica> Engine<'_, R> {
                      protocol that does for Request::Txn workloads",
                     R::PROTOCOL.display_name()
                 );
-                let staged_after = txns.staged_per_shard[shard] + staged_bytes;
-                let cost =
-                    model.txn_prepare_cost_ns(&profile, ops.len(), payload_bytes, staged_after);
-                let finish = group.charge_work_at(leader, arrival, cost) + replication_rt;
-                txns.stats.txn_busy_ns += cost;
-                if group.telemetry_mut().is_some() {
-                    let mut breakdown = model.txn_prepare_breakdown(
-                        &profile,
-                        ops.len(),
-                        payload_bytes,
-                        staged_after,
+                let work = Work::TxnPrepare {
+                    ops: ops.len(),
+                    bytes: payload_bytes,
+                    staged_bytes: txns.staged_per_shard[shard] + staged_bytes,
+                };
+                let charged = group.charge(leader, arrival, ChargeKind::TxnPrepare, work);
+                let finish = charged.finish_ns + replication_rt;
+                txns.stats.txn_busy_ns += charged.cost_ns();
+                if let Some(t) = group.telemetry_mut() {
+                    t.charge_category(
+                        ChargeKind::TxnPrepare,
+                        CostCategory::Replication,
+                        replication_rt,
                     );
-                    breakdown.add(CostCategory::Replication, replication_rt);
-                    let t = group.telemetry_mut().expect("checked above");
-                    t.charge(ChargeKind::TxnPrepare, &breakdown);
                     t.span(
                         SpanKind::TxnPrepare,
                         leader.0,
-                        finish - cost - replication_rt,
+                        charged.start_ns,
                         finish,
                         txn_id,
                     );
@@ -847,46 +833,26 @@ impl<R: StoreReplica> Engine<'_, R> {
                     txns.staged_per_shard[shard] =
                         txns.staged_per_shard[shard].saturating_sub(staged_bytes);
                 }
-                let entry_bytes: usize = entries.iter().map(RangeEntry::payload_len).sum();
-                let cost = model.txn_commit_cost_ns(&profile, entries.len(), entry_bytes);
-                let mut finish = group.charge_work_at(leader, arrival, cost) + replication_rt;
-                txns.stats.txn_busy_ns += cost;
-                let span_start = finish - cost - replication_rt;
-                let telemetry_on = group.telemetry_mut().is_some();
-                let mut commit_breakdown = if telemetry_on {
-                    let mut breakdown =
-                        model.txn_commit_breakdown(&profile, entries.len(), entry_bytes);
-                    breakdown.add(CostCategory::Replication, replication_rt);
-                    Some(breakdown)
-                } else {
-                    None
+                let work = Work::TxnCommit {
+                    writes: entries.len(),
+                    bytes: entries.iter().map(RangeEntry::payload_len).sum(),
                 };
+                let charged = group.charge(leader, arrival, ChargeKind::TxnCommit, work);
+                let mut finish = charged.finish_ns + replication_rt;
+                txns.stats.txn_busy_ns += charged.cost_ns();
                 if !entries.is_empty() {
                     // Install the applied records on the group's followers —
                     // the migration-import idiom, so replicas never diverge.
-                    let nodes = group.node_ids();
-                    for (idx, node) in nodes.into_iter().enumerate() {
+                    for node in group.node_ids() {
                         if node == leader || group.crashed_nodes().contains(&node) {
                             // Crashed followers miss the install; the
                             // rollback-protected recovery snapshot catches
                             // them up when they restart.
                             continue;
                         }
-                        let fprofile = txns.profiles[shard]
-                            .get(idx)
-                            .unwrap_or(&txns.profiles[shard][0])
-                            .clone();
-                        let fcost = model.txn_commit_cost_ns(&fprofile, entries.len(), entry_bytes);
-                        let done = group.charge_work_at(node, arrival, fcost);
-                        txns.stats.txn_busy_ns += fcost;
-                        if let Some(breakdown) = commit_breakdown.as_mut() {
-                            breakdown.merge(&model.txn_commit_breakdown(
-                                &fprofile,
-                                entries.len(),
-                                entry_bytes,
-                            ));
-                        }
-                        finish = finish.max(done);
+                        let installed = group.charge(node, arrival, ChargeKind::TxnCommit, work);
+                        txns.stats.txn_busy_ns += installed.cost_ns();
+                        finish = finish.max(installed.finish_ns);
                         group.replica_mut(node).store().import_range(&entries);
                         txns.stats.participant_installs += entries.len() as u64;
                     }
@@ -895,10 +861,19 @@ impl<R: StoreReplica> Engine<'_, R> {
                     // recipient exactly like single-key commits do.
                     st.capture_txn_entries(&cluster.router, shard, &entries);
                 }
-                if let Some(breakdown) = commit_breakdown {
-                    let t = group.telemetry_mut().expect("checked above");
-                    t.charge(ChargeKind::TxnCommit, &breakdown);
-                    t.span(SpanKind::TxnCommit, leader.0, span_start, finish, txn_id);
+                if let Some(t) = group.telemetry_mut() {
+                    t.charge_category(
+                        ChargeKind::TxnCommit,
+                        CostCategory::Replication,
+                        replication_rt,
+                    );
+                    t.span(
+                        SpanKind::TxnCommit,
+                        leader.0,
+                        charged.start_ns,
+                        finish,
+                        txn_id,
+                    );
                 }
                 (
                     TxnBody::Ack {
@@ -908,18 +883,23 @@ impl<R: StoreReplica> Engine<'_, R> {
                 )
             }
             TxnBody::Abort => {
-                let cost = model.txn_commit_cost_ns(&profile, 0, 0);
-                let finish = group.charge_work_at(leader, arrival, cost) + replication_rt;
-                txns.stats.txn_busy_ns += cost;
-                if group.telemetry_mut().is_some() {
-                    let mut breakdown = model.txn_commit_breakdown(&profile, 0, 0);
-                    breakdown.add(CostCategory::Replication, replication_rt);
-                    let t = group.telemetry_mut().expect("checked above");
-                    t.charge(ChargeKind::TxnAbort, &breakdown);
+                let nothing = Work::TxnCommit {
+                    writes: 0,
+                    bytes: 0,
+                };
+                let charged = group.charge(leader, arrival, ChargeKind::TxnAbort, nothing);
+                let finish = charged.finish_ns + replication_rt;
+                txns.stats.txn_busy_ns += charged.cost_ns();
+                if let Some(t) = group.telemetry_mut() {
+                    t.charge_category(
+                        ChargeKind::TxnAbort,
+                        CostCategory::Replication,
+                        replication_rt,
+                    );
                     t.span(
                         SpanKind::TxnAbort,
                         leader.0,
-                        finish - cost - replication_rt,
+                        charged.start_ns,
                         finish,
                         txn_id,
                     );

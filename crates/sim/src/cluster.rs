@@ -13,10 +13,10 @@ use recipe_net::{
     CrashPlan, FaultDecision, FaultPlan, MsgBuf, NetworkFaultInjector, NodeId, ReqType, WireMessage,
 };
 use recipe_tee::TrustedInstant;
-use recipe_telemetry::{ChargeKind, CostCategory, ShardTelemetry, SpanKind};
+use recipe_telemetry::{ChargeKind, CostBreakdown, CostCategory, ShardTelemetry, SpanKind};
 use serde::{Deserialize, Serialize};
 
-use crate::cost::{CostProfile, ProtocolCostModel};
+use crate::cost::{CostProfile, ProtocolCostModel, Work};
 use crate::queue::EventQueue;
 use crate::replica::{Ctx, Effects, RangeEntry, RecoveryState, Replica};
 
@@ -213,6 +213,26 @@ pub struct Completion {
     pub at_ns: u64,
 }
 
+/// What one [`SimCluster::charge`] did to a node's clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Charged {
+    /// When the node began the work: the time asked for, or later if the
+    /// node was still busy.
+    pub start_ns: u64,
+    /// When the work finished; the node is busy until then.
+    pub finish_ns: u64,
+    /// The charge by category — `Some` exactly when telemetry is attached
+    /// (it has already been attributed; this copy is for span boundaries).
+    pub split: Option<CostBreakdown>,
+}
+
+impl Charged {
+    /// The virtual nanoseconds charged.
+    pub fn cost_ns(&self) -> u64 {
+        self.finish_ns - self.start_ns
+    }
+}
+
 /// Bookkeeping for a client's single outstanding request. Tracking the issued
 /// operation itself (rather than re-deriving it) lets retries resend the exact
 /// same operation and lets [`SimCluster::record_reply`] classify commits by the
@@ -375,7 +395,7 @@ impl<R: Replica> SimCluster<R> {
     ///
     /// # Panics
     /// Panics if `node` is not a replica of this cluster, as do
-    /// [`SimCluster::replica_mut`] and [`SimCluster::charge_work_at`].
+    /// [`SimCluster::replica_mut`] and [`SimCluster::charge`].
     pub fn replica(&self, node: NodeId) -> &R {
         &self.replicas[self.index_of(node)]
     }
@@ -407,18 +427,38 @@ impl<R: Replica> SimCluster<R> {
             .map(|r| r.id())
     }
 
-    /// Charges `cost_ns` of externally-imposed work to `node`, starting no
-    /// earlier than `at_ns`: the node's work queue is serialized, so the charge
-    /// delays every subsequent event the node processes. Returns the virtual
-    /// time at which the charged work finishes. This is how out-of-band work —
-    /// a migration snapshot export, a state-transfer import — competes for the
-    /// same compute the protocol runs on.
-    pub fn charge_work_at(&mut self, node: NodeId, at_ns: u64, cost_ns: u64) -> u64 {
-        let idx = self.index_of(node);
-        let start = at_ns.max(self.busy_until[idx]);
-        let finish = start + cost_ns;
-        self.busy_until[idx] = finish;
-        finish
+    /// Charges `work` to `node`, starting no earlier than `at_ns`: the one
+    /// place a cost formula meets the virtual clock. The formula is
+    /// evaluated once, under the node's own profile; the node's work queue
+    /// is serialized, so the charge delays every subsequent event the node
+    /// processes; and with telemetry attached the same evaluation's
+    /// per-category split is attributed to `kind` — a site cannot charge one
+    /// formula and attribute another. The simulator's own handlers charge
+    /// through here, and so does out-of-band work — a migration snapshot
+    /// export, a state-transfer import, a 2PC phase — which is how it
+    /// competes for the same compute the protocol runs on.
+    pub fn charge(&mut self, node: NodeId, at_ns: u64, kind: ChargeKind, work: Work) -> Charged {
+        self.charge_idx(self.index_of(node), at_ns, kind, work)
+    }
+
+    /// [`SimCluster::charge`] by replica position.
+    fn charge_idx(&mut self, idx: usize, at_ns: u64, kind: ChargeKind, work: Work) -> Charged {
+        let mut split = self.telemetry.is_some().then(CostBreakdown::new);
+        let cost = self
+            .config
+            .cost_model
+            .cost(&self.config.profiles[idx], work, split.as_mut());
+        if let (Some(t), Some(split)) = (self.telemetry.as_mut(), &split) {
+            t.charge(kind, split);
+        }
+        let start_ns = at_ns.max(self.busy_until[idx]);
+        let finish_ns = start_ns + cost;
+        self.busy_until[idx] = finish_ns;
+        Charged {
+            start_ns,
+            finish_ns,
+            split,
+        }
     }
 
     /// Position of `node` among the replicas. An id the cluster does not
@@ -671,22 +711,17 @@ impl<R: Replica> SimCluster<R> {
                     }
                     return StepOutcome::Processed;
                 }
-                let bytes = operation.value_len() + 64;
-                let cost = self
-                    .config
-                    .cost_model
-                    .recv_cost_ns(&self.config.profiles[idx], bytes);
-                let finish = self.start_work(idx, cost);
+                let work = Work::Recv {
+                    ops: 1,
+                    bytes: operation.value_len() + 64,
+                };
+                let charged = self.charge_idx(idx, self.now, ChargeKind::ClientIngest, work);
+                let finish = charged.finish_ns;
                 if let Some(t) = self.telemetry.as_mut() {
-                    let breakdown = self
-                        .config
-                        .cost_model
-                        .recv_breakdown(&self.config.profiles[idx], bytes);
-                    t.charge(ChargeKind::ClientIngest, &breakdown);
                     t.span(
                         SpanKind::BatcherEnqueue,
                         node.0,
-                        finish - cost,
+                        charged.start_ns,
                         finish,
                         client_id,
                     );
@@ -713,26 +748,20 @@ impl<R: Replica> SimCluster<R> {
                 }
                 self.stats.messages_delivered += 1;
                 self.stats.ops_delivered += ops as u64;
-                let cost = self.config.cost_model.batch_recv_cost_ns(
-                    &self.config.profiles[idx],
-                    ops as usize,
-                    bytes.len(),
-                );
-                let finish = self.start_work(idx, cost);
-                if let Some(t) = self.telemetry.as_mut() {
-                    let breakdown = self.config.cost_model.batch_recv_breakdown(
-                        &self.config.profiles[idx],
-                        ops as usize,
-                        bytes.len(),
-                    );
-                    let app_ns = breakdown.get(CostCategory::App)
-                        + breakdown.get(CostCategory::TeeExec)
-                        + breakdown.get(CostCategory::EpcPressure);
-                    t.charge(ChargeKind::PeerDeliver, &breakdown);
+                let work = Work::Recv {
+                    ops: ops as usize,
+                    bytes: bytes.len(),
+                };
+                let charged = self.charge_idx(idx, self.now, ChargeKind::PeerDeliver, work);
+                let finish = charged.finish_ns;
+                if let (Some(t), Some(split)) = (self.telemetry.as_mut(), &charged.split) {
+                    let app_ns = split.get(CostCategory::App)
+                        + split.get(CostCategory::TeeExec)
+                        + split.get(CostCategory::EpcPressure);
                     t.span(
                         SpanKind::Replication,
                         to.0,
-                        finish - cost,
+                        charged.start_ns,
                         finish,
                         ops as u64,
                     );
@@ -817,21 +846,11 @@ impl<R: Replica> SimCluster<R> {
             if let Some(entries) = &state.snapshot {
                 snapshot_len = entries.len();
                 snapshot_bytes = entries.iter().map(RangeEntry::payload_len).sum();
-                let export_cost = self.config.cost_model.snapshot_export_cost_ns(
-                    &self.config.profiles[peer_idx],
-                    snapshot_len,
-                    snapshot_bytes,
-                );
-                let start = self.now.max(self.busy_until[peer_idx]);
-                self.busy_until[peer_idx] = start + export_cost;
-                if let Some(t) = self.telemetry.as_mut() {
-                    let breakdown = self.config.cost_model.snapshot_export_breakdown(
-                        &self.config.profiles[peer_idx],
-                        snapshot_len,
-                        snapshot_bytes,
-                    );
-                    t.charge(ChargeKind::SnapshotExport, &breakdown);
-                }
+                let export = Work::Scan {
+                    entries: snapshot_len,
+                    bytes: snapshot_bytes,
+                };
+                self.charge_idx(peer_idx, self.now, ChargeKind::SnapshotExport, export);
             }
         }
 
@@ -845,33 +864,22 @@ impl<R: Replica> SimCluster<R> {
 
         // The joiner pays for the verified re-scan of its sealed state plus
         // the import of the catch-up snapshot, serialized on its compute.
-        let cost = self.config.cost_model.recovery_cost_ns(
-            &self.config.profiles[idx],
-            report.verified_entries as usize,
-            report.payload_bytes as usize,
-        ) + self.config.cost_model.snapshot_import_cost_ns(
-            &self.config.profiles[idx],
-            snapshot_len,
-            snapshot_bytes,
-        );
-        let finish = self.start_work(idx, cost);
+        let rescan = Work::Scan {
+            entries: report.verified_entries as usize,
+            bytes: report.payload_bytes as usize,
+        };
+        let import = Work::Import {
+            entries: snapshot_len,
+            bytes: snapshot_bytes,
+        };
+        let [rescanned, imported] =
+            [rescan, import].map(|work| self.charge_idx(idx, self.now, ChargeKind::Recovery, work));
         if let Some(t) = self.telemetry.as_mut() {
-            let mut breakdown = self.config.cost_model.recovery_breakdown(
-                &self.config.profiles[idx],
-                report.verified_entries as usize,
-                report.payload_bytes as usize,
-            );
-            breakdown.merge(&self.config.cost_model.snapshot_import_breakdown(
-                &self.config.profiles[idx],
-                snapshot_len,
-                snapshot_bytes,
-            ));
-            t.charge(ChargeKind::Recovery, &breakdown);
             t.span(
                 SpanKind::NodeRecover,
                 node.0,
-                finish - cost,
-                finish,
+                rescanned.start_ns,
+                imported.finish_ns,
                 report.verified_entries,
             );
         }
@@ -923,14 +931,6 @@ impl<R: Replica> SimCluster<R> {
         Some(choice)
     }
 
-    /// Serializes work on a node: returns the finish time of a task of `cost_ns`.
-    fn start_work(&mut self, idx: usize, cost_ns: u64) -> u64 {
-        let start = self.now.max(self.busy_until[idx]);
-        let finish = start + cost_ns;
-        self.busy_until[idx] = finish;
-        finish
-    }
-
     /// A context for a handler call on `node` at `now_ns`, holding the
     /// cluster's effect buffers until [`SimCluster::apply_effects`] takes
     /// them back.
@@ -942,28 +942,20 @@ impl<R: Replica> SimCluster<R> {
     fn apply_effects(&mut self, src_idx: usize, ctx: Ctx) {
         let src = self.ids[src_idx];
         let (mut outbox, mut replies, mut timers) = ctx.take_effects();
-        let mut send_finish = self.busy_until[src_idx];
-
         for (dst, bytes, ops) in outbox.drain(..) {
             // Sending costs the sender time (serialized on the node). Batch
             // frames pay their fixed transport/auth overhead once per frame.
-            let send_cost = self.config.cost_model.batch_send_cost_ns(
-                &self.config.profiles[src_idx],
-                ops as usize,
-                bytes.len(),
-            );
-            send_finish = send_finish.max(self.now) + send_cost;
+            let work = Work::Send {
+                ops: ops as usize,
+                bytes: bytes.len(),
+            };
+            let sent = self.charge_idx(src_idx, self.now, ChargeKind::FrameSend, work);
+            let send_finish = sent.finish_ns;
             if let Some(t) = self.telemetry.as_mut() {
-                let breakdown = self.config.cost_model.batch_send_breakdown(
-                    &self.config.profiles[src_idx],
-                    ops as usize,
-                    bytes.len(),
-                );
-                t.charge(ChargeKind::FrameSend, &breakdown);
                 t.span(
                     SpanKind::ShieldWrap,
                     src.0,
-                    send_finish - send_cost,
+                    sent.start_ns,
                     send_finish,
                     ops as u64,
                 );
@@ -1065,7 +1057,6 @@ impl<R: Replica> SimCluster<R> {
                 }
             }
         }
-        self.busy_until[src_idx] = send_finish.max(self.busy_until[src_idx]);
 
         for reply in replies.drain(..) {
             self.record_reply(reply);

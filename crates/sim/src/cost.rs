@@ -18,30 +18,161 @@
 //!
 //! Calibration targets the *relative* numbers the paper reports; EXPERIMENTS.md
 //! records paper-vs-measured for every figure.
+//!
+//! # One body per formula
+//!
+//! Every formula is one arm of [`ProtocolCostModel::cost`], named by a
+//! [`Work`] value. The arm adds its f64 terms to a running sum in a fixed
+//! order; the integer charged is that sum truncated. The paper explains
+//! Recipe's overhead by splitting it into transport, authentication,
+//! TEE-execution, EPC-paging and encryption terms (Fig. 6a, §B.3), and the
+//! same arm yields that split: a caller that passes a [`CostBreakdown`]
+//! gets, per term, the integer nanoseconds the term adds on top of the sum's
+//! previous truncation (`Sum`), so the slots always add up to the exact integer
+//! charged — there is no second copy of a formula for the split to drift
+//! from. Sub-splits of a jointly-added term (MAC bytes vs the fixed counter
+//! slot, TEE multiplier vs EPC pressure) divide the already-truncated
+//! integer, so rounding crumbs can never change the total. A caller that
+//! passes `None` pays one float addition per term and nothing per category.
+//! `tests/golden/cost_table.txt` pins every formula's integer and split.
 
 use recipe_net::{ExecMode, NetCostModel, Transport};
 use recipe_tee::EpcModel;
 use recipe_telemetry::{CostBreakdown, CostCategory};
 use serde::{Deserialize, Serialize};
 
-/// Cumulative truncation: accumulates f64 cost components in expression order
-/// and yields the integer nanoseconds each component adds on top of the
-/// previous truncation, so that the emitted integers always sum to the
-/// truncation of the full sum — exactly what the cost functions charge.
-#[derive(Debug, Default)]
-struct Cum {
+/// The running sum of one charge's f64 terms, in expression order.
+///
+/// The integer charged is the truncated sum. With a split attached, each
+/// term is also handed the integer nanoseconds it adds on top of the
+/// previous truncation (cumulative truncation), so the integers handed out
+/// always sum to the truncation of the full sum.
+struct Sum<'a> {
+    /// Truncated totals of the groups already [`Sum::cut`] off.
+    closed: u64,
     acc: f64,
+    /// `acc` truncated, as of the last term (maintained only with a split).
     prev: u64,
+    split: Option<&'a mut CostBreakdown>,
 }
 
-impl Cum {
-    fn push(&mut self, component: f64) -> u64 {
-        self.acc += component;
-        let cur = self.acc as u64;
-        let delta = cur - self.prev;
-        self.prev = cur;
-        delta
+impl<'a> Sum<'a> {
+    fn new(split: Option<&'a mut CostBreakdown>) -> Self {
+        Sum {
+            closed: 0,
+            acc: 0.0,
+            prev: 0,
+            split,
+        }
     }
+
+    /// Adds `term`; `share` files the term's integer under its categories.
+    fn push(&mut self, term: f64, share: impl FnOnce(&mut CostBreakdown, u64)) {
+        self.acc += term;
+        if let Some(split) = self.split.as_deref_mut() {
+            let cur = self.acc as u64;
+            share(split, cur - self.prev);
+            self.prev = cur;
+        }
+    }
+
+    /// Adds a term that belongs to one category.
+    fn push_as(&mut self, cat: CostCategory, term: f64) {
+        self.push(term, |split, ns| split.add(cat, ns));
+    }
+
+    /// Truncates what was added so far on its own; later terms start a
+    /// fresh sum.
+    fn cut(&mut self) {
+        self.closed += self.acc as u64;
+        self.acc = 0.0;
+        self.prev = 0;
+    }
+
+    fn total(self) -> u64 {
+        self.closed + self.acc as u64
+    }
+}
+
+/// One unit of charged work: which formula, at what size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Work {
+    /// Send one wire frame carrying `ops` protocol messages in `bytes`
+    /// total. The fixed per-message overheads — transport setup, MAC/AEAD
+    /// fixed cost, signature — are charged **once per frame**, not once per
+    /// op; each op past the first pays only the
+    /// [`ProtocolCostModel::batch_op_overhead_ns`] marginal plus its share
+    /// of the per-byte work already captured by `bytes`.
+    Send {
+        /// Protocol messages in the frame (`1` = an unbatched message).
+        ops: usize,
+        /// Frame length.
+        bytes: usize,
+    },
+    /// Receive and fully process one wire frame of `ops` messages in `bytes`
+    /// total: the fixed transport + authentication cost once per frame
+    /// (single MAC check, single counter, one AEAD pass), but the
+    /// **application work per op** — amortization must not hide real
+    /// per-request processing — under the EPC pressure of the frames the
+    /// node holds at a time (§B.3).
+    Recv {
+        /// Protocol messages in the frame (`1` = an unbatched message).
+        ops: usize,
+        /// Frame length.
+        bytes: usize,
+    },
+    /// A verified bulk scan of `entries` local records totalling `bytes`:
+    /// per-entry index walk and integrity re-hash (the partitioned store
+    /// verifies every value it copies out of host memory) plus the per-byte
+    /// hash work, all under the EPC pressure of staging the scanned bytes.
+    /// A donor pays it to export a snapshot or catch-up chunk (the
+    /// shield/wire leg is a separate [`Work::Send`] of the sealed frame); a
+    /// restarting replica pays it to rehydrate rollback-protected state,
+    /// re-reading every host-resident record against the trusted counter.
+    Scan {
+        /// Records read.
+        entries: usize,
+        /// Their total payload.
+        bytes: usize,
+    },
+    /// Verify and apply one chunk of `entries` records that arrived in a
+    /// sealed frame of `bytes`: the frame's transport +
+    /// authentication cost once (single MAC/AEAD pass over the chunk — the
+    /// same amortization the batch path gets), then per-entry store writes
+    /// under the EPC pressure of staging the frame.
+    Import {
+        /// Records written.
+        entries: usize,
+        /// Length of the sealed frame they arrived in.
+        bytes: usize,
+    },
+    /// Verify and execute one 2PC prepare frame: the sealed frame's
+    /// transport + authentication cost once, then per-op lock + staging
+    /// work under the EPC pressure of keeping the staged writes
+    /// enclave-resident. Staged state stays in the enclave from prepare
+    /// until commit/abort (the lock table is trusted metadata like the
+    /// index), so many large in-flight prepares cross the EPC cliff exactly
+    /// like large batch frames and migration chunks do (§B.3).
+    TxnPrepare {
+        /// Operations in the prepare (at least one is charged).
+        ops: usize,
+        /// Frame payload.
+        bytes: usize,
+        /// The store's total in-flight staged footprint *including* this
+        /// prepare.
+        staged_bytes: usize,
+    },
+    /// Verify and execute one 2PC commit/abort frame resolving `writes`
+    /// staged writes totalling `bytes`: the (64-byte) frame's
+    /// transport + authentication cost once, then per-write apply work (the
+    /// same application work a single-key write pays — amortization covers
+    /// the shield, never the store). An abort is a commit of nothing.
+    TxnCommit {
+        /// Staged writes applied.
+        writes: usize,
+        /// Their total payload.
+        bytes: usize,
+    },
 }
 
 /// Per-node execution profile: where the node runs and which layers it pays for.
@@ -74,7 +205,7 @@ pub struct CostProfile {
     /// replicas' `BatchConfig` from this field (see `recipe-bench`), keeping
     /// replica batching and profile bookkeeping in sync; the cost accounting
     /// itself charges by the actual op count carried on each frame
-    /// (`batch_send_cost_ns`/`batch_recv_cost_ns`).
+    /// ([`Work::Send`]/[`Work::Recv`]).
     pub batch_ops: usize,
 }
 
@@ -219,448 +350,148 @@ impl Default for ProtocolCostModel {
 }
 
 impl ProtocolCostModel {
-    /// Cost for a node with `profile` to send one message of `payload_bytes`.
-    pub fn send_cost_ns(&self, profile: &CostProfile, payload_bytes: usize) -> u64 {
-        self.message_cost_f64(profile, payload_bytes) as u64
-    }
-
-    /// Cost for a node with `profile` to send one **batch frame** carrying
-    /// `ops` protocol messages in `frame_bytes` total.
-    ///
-    /// This is where the batching pipeline's cost accounting lives: the fixed
-    /// per-message overheads — transport setup, MAC/AEAD fixed cost, signature —
-    /// are charged **once per frame**, not once per op; each op past the first
-    /// pays only the [`ProtocolCostModel::batch_op_overhead_ns`] marginal plus
-    /// its share of the per-byte work already captured by `frame_bytes`.
-    /// Degenerates to [`ProtocolCostModel::send_cost_ns`] at `ops == 1`.
-    pub fn batch_send_cost_ns(&self, profile: &CostProfile, ops: usize, frame_bytes: usize) -> u64 {
-        if ops <= 1 {
-            return self.send_cost_ns(profile, frame_bytes);
+    /// The virtual nanoseconds `work` costs a node with `profile`, and — when
+    /// `split` is given — the same integer filed by category into it (added
+    /// to whatever the breakdown already holds).
+    pub fn cost(
+        &self,
+        profile: &CostProfile,
+        work: Work,
+        split: Option<&mut CostBreakdown>,
+    ) -> u64 {
+        let mut sum = Sum::new(split);
+        match work {
+            Work::Send { ops, bytes } => {
+                self.push_message(&mut sum, profile, bytes);
+                self.push_batch_overhead(&mut sum, ops);
+            }
+            Work::Recv { ops, bytes } => {
+                self.push_message(&mut sum, profile, bytes);
+                if ops <= 1 {
+                    // An unbatched message truncates its message and
+                    // application terms separately, as the seed did: a joint
+                    // truncation can differ by 1 ns, which is enough to
+                    // reorder events and break bit-for-bit parity of
+                    // unbatched runs.
+                    sum.cut();
+                }
+                self.push_batch_overhead(&mut sum, ops);
+                let buffered = Self::frames_in_enclave(profile, ops) * bytes;
+                self.push_app(&mut sum, profile, ops.max(1), buffered);
+            }
+            Work::Scan { entries, bytes } => {
+                self.push_app(&mut sum, profile, entries, bytes);
+                sum.push_as(CostCategory::Mac, bytes as f64 * self.mac_per_byte_ns);
+            }
+            Work::Import { entries, bytes } => {
+                self.push_message(&mut sum, profile, bytes);
+                self.push_app(&mut sum, profile, entries, bytes);
+            }
+            Work::TxnPrepare {
+                ops,
+                bytes,
+                staged_bytes,
+            } => {
+                self.push_message(&mut sum, profile, bytes);
+                self.push_app(&mut sum, profile, ops.max(1), staged_bytes);
+            }
+            Work::TxnCommit { writes, bytes } => {
+                self.push_message(&mut sum, profile, 64);
+                self.push_app(&mut sum, profile, writes, bytes);
+                sum.push_as(CostCategory::Mac, bytes as f64 * self.mac_per_byte_ns);
+            }
         }
-        (self.message_cost_f64(profile, frame_bytes) + (ops - 1) as f64 * self.batch_op_overhead_ns)
-            as u64
+        sum.total()
     }
 
-    /// Cost for a node with `profile` to receive and fully process one message of
-    /// `payload_bytes` (transport + authentication + application work).
-    pub fn recv_cost_ns(&self, profile: &CostProfile, payload_bytes: usize) -> u64 {
-        // Truncate the message and application terms separately, exactly as the
-        // seed did: a joint truncation can differ by 1 ns, which is enough to
-        // reorder events and break bit-for-bit parity of unbatched runs.
-        self.message_cost_f64(profile, payload_bytes) as u64
-            + self.app_cost_f64(profile, payload_bytes) as u64
-    }
-
-    /// Cost for a node with `profile` to receive and fully process one **batch
-    /// frame** of `ops` messages in `frame_bytes` total: the fixed transport +
-    /// authentication cost once per frame (single MAC check, single counter,
-    /// one AEAD pass), but the **application work is still charged per op** —
-    /// amortization must not hide real per-request processing. EPC pressure is
-    /// evaluated per frame via [`ProtocolCostModel::batch_epc_pressure`] (§B.3).
-    /// Degenerates to [`ProtocolCostModel::recv_cost_ns`] at `ops == 1`.
-    pub fn batch_recv_cost_ns(&self, profile: &CostProfile, ops: usize, frame_bytes: usize) -> u64 {
-        if ops <= 1 {
-            return self.recv_cost_ns(profile, frame_bytes);
-        }
-        let pressure = self.batch_epc_pressure(profile, ops, frame_bytes);
-        (self.message_cost_f64(profile, frame_bytes)
-            + (ops - 1) as f64 * self.batch_op_overhead_ns
-            + ops as f64 * self.app_cost_with_pressure(profile, pressure)) as u64
-    }
-
-    /// Application-only processing cost (no transport), e.g. applying a committed
-    /// write to the local KV store.
-    pub fn app_cost_ns(&self, profile: &CostProfile, payload_bytes: usize) -> u64 {
-        self.app_cost_f64(profile, payload_bytes) as u64
-    }
-
-    fn app_cost_f64(&self, profile: &CostProfile, payload_bytes: usize) -> f64 {
-        self.app_cost_with_pressure(profile, self.epc_pressure(profile, payload_bytes))
-    }
-
-    fn app_cost_with_pressure(&self, profile: &CostProfile, pressure: f64) -> f64 {
-        let tee_mult = match profile.exec {
-            ExecMode::Native => 1.0,
-            ExecMode::Tee => self.tee_app_penalty,
-        };
-        profile.app_base_ns * tee_mult * pressure
-    }
-
-    /// EPC paging pressure factor for this node, given the payload size of the
-    /// messages it is currently handling.
-    pub fn epc_pressure(&self, profile: &CostProfile, payload_bytes: usize) -> f64 {
+    /// EPC paging pressure factor for a node holding `buffered_bytes` of
+    /// payload buffers, staged chunks or staged transaction writes inside
+    /// the enclave on top of its resident working set. Large frames of
+    /// large values, monolithic snapshots and many large in-flight prepares
+    /// all cross the EPC cliff the same way (§B.3) — which is why batches,
+    /// migration chunks and prepares are bounded. Native execution never
+    /// pays it.
+    pub fn epc_pressure(&self, profile: &CostProfile, buffered_bytes: usize) -> f64 {
         if profile.exec == ExecMode::Native {
             return 1.0;
         }
         let mut epc = EpcModel::new(profile.epc_bytes);
-        let resident = profile.resident_bytes + profile.inflight_messages * payload_bytes;
-        let _ = epc.allocate(resident);
+        let _ = epc.allocate(profile.resident_bytes + buffered_bytes);
         epc.pressure_factor()
     }
 
-    /// EPC paging pressure for a node handling **batch frames** of `ops` ops in
-    /// `frame_bytes` total. Batching repacks the same in-flight op payloads
-    /// into `inflight_messages / ops` frames — the resident population does not
-    /// multiply with the frame size, but each frame is enclave-resident as a
-    /// unit, so large frames of large values still cross the EPC cliff (§B.3).
-    /// Degenerates to [`ProtocolCostModel::epc_pressure`] at `ops == 1`.
-    pub fn batch_epc_pressure(&self, profile: &CostProfile, ops: usize, frame_bytes: usize) -> f64 {
-        if profile.exec == ExecMode::Native {
-            return 1.0;
-        }
-        let ops = ops.max(1);
-        let frames = (profile.inflight_messages / ops).max(1);
-        let mut epc = EpcModel::new(profile.epc_bytes);
-        let resident = profile.resident_bytes + frames * frame_bytes;
-        let _ = epc.allocate(resident);
-        epc.pressure_factor()
-    }
-
-    /// EPC paging pressure while a migration chunk of `staged_bytes` is staged
-    /// inside the enclave on top of the node's resident working set. Snapshot
-    /// export/import batches whole chunks through enclave memory, so large
-    /// chunks of large values cross the EPC cliff exactly like large batch
-    /// frames do (§B.3) — which is why the migration controller ships bounded
-    /// chunks instead of one monolithic snapshot.
-    pub fn migration_epc_pressure(&self, profile: &CostProfile, staged_bytes: usize) -> f64 {
-        if profile.exec == ExecMode::Native {
-            return 1.0;
-        }
-        let mut epc = EpcModel::new(profile.epc_bytes);
-        let _ = epc.allocate(profile.resident_bytes + staged_bytes);
-        epc.pressure_factor()
-    }
-
-    /// Cost for the donor leader to export one snapshot/catch-up chunk of
-    /// `entries` records totalling `payload_bytes`: per-entry index walk and
-    /// integrity re-hash (the partitioned store verifies every value it copies
-    /// out of host memory) plus the per-byte hash work, all under the EPC
-    /// pressure of staging the chunk. The shield/wire leg is charged
-    /// separately via [`ProtocolCostModel::send_cost_ns`] on the sealed frame.
-    pub fn snapshot_export_cost_ns(
-        &self,
-        profile: &CostProfile,
-        entries: usize,
-        payload_bytes: usize,
-    ) -> u64 {
-        let pressure = self.migration_epc_pressure(profile, payload_bytes);
-        (entries as f64 * self.app_cost_with_pressure(profile, pressure)
-            + payload_bytes as f64 * self.mac_per_byte_ns) as u64
-    }
-
-    /// Cost for a restarting replica to rehydrate rollback-protected state:
-    /// every host-resident record is re-read through the verified path —
-    /// per-entry store work under the same EPC pressure a bulk scan of
-    /// `payload_bytes` causes, plus the per-byte MAC of re-verifying the
-    /// sealed values against the trusted counter. Same shape as a snapshot
-    /// export (both are verified bulk scans of the local store).
-    pub fn recovery_cost_ns(
-        &self,
-        profile: &CostProfile,
-        entries: usize,
-        payload_bytes: usize,
-    ) -> u64 {
-        self.snapshot_export_cost_ns(profile, entries, payload_bytes)
-    }
-
-    /// Cost for a recipient replica to verify and apply one chunk of `entries`
-    /// records in a sealed frame of `frame_bytes`: the frame's transport +
-    /// authentication cost once (single MAC/AEAD pass over the chunk — the
-    /// same amortization the batch path gets), then per-entry store writes
-    /// under the staging EPC pressure.
-    pub fn snapshot_import_cost_ns(
-        &self,
-        profile: &CostProfile,
-        entries: usize,
-        frame_bytes: usize,
-    ) -> u64 {
-        let pressure = self.migration_epc_pressure(profile, frame_bytes);
-        (self.message_cost_f64(profile, frame_bytes)
-            + entries as f64 * self.app_cost_with_pressure(profile, pressure)) as u64
-    }
-
-    /// EPC paging pressure while a transaction prepare stages `staged_bytes`
-    /// of locked keys and pending writes inside the enclave on top of the
-    /// node's resident working set. Staged state is enclave-resident from
-    /// prepare until commit/abort (the lock table is trusted metadata like
-    /// the index), so many large in-flight prepares cross the EPC cliff
-    /// exactly like large batch frames and migration chunks do (§B.3).
-    pub fn txn_epc_pressure(&self, profile: &CostProfile, staged_bytes: usize) -> f64 {
-        self.migration_epc_pressure(profile, staged_bytes)
-    }
-
-    /// Cost for a participant leader to verify and execute one 2PC prepare
-    /// frame of `ops` operations totalling `payload_bytes`: the sealed
-    /// frame's transport + authentication cost once (single MAC/AEAD pass),
-    /// then per-op lock + staging work under the EPC pressure of keeping the
-    /// staged writes enclave-resident (`staged_bytes` is the store's total
-    /// in-flight staged footprint *including* this prepare).
-    pub fn txn_prepare_cost_ns(
-        &self,
-        profile: &CostProfile,
-        ops: usize,
-        payload_bytes: usize,
-        staged_bytes: usize,
-    ) -> u64 {
-        let pressure = self.txn_epc_pressure(profile, staged_bytes);
-        (self.message_cost_f64(profile, payload_bytes)
-            + ops.max(1) as f64 * self.app_cost_with_pressure(profile, pressure)) as u64
-    }
-
-    /// Cost for a participant leader to verify and execute one 2PC
-    /// commit/abort frame resolving `writes` staged writes totalling
-    /// `payload_bytes`: the frame's transport + authentication cost once,
-    /// then per-write apply work (the same application work a single-key
-    /// write pays — amortization covers the shield, never the store).
-    pub fn txn_commit_cost_ns(
-        &self,
-        profile: &CostProfile,
-        writes: usize,
-        payload_bytes: usize,
-    ) -> u64 {
-        let pressure = self.txn_epc_pressure(profile, payload_bytes);
-        (self.message_cost_f64(profile, 64)
-            + writes as f64 * self.app_cost_with_pressure(profile, pressure)
-            + payload_bytes as f64 * self.mac_per_byte_ns) as u64
-    }
-
-    // -----------------------------------------------------------------------
-    // Cost attribution (telemetry)
-    // -----------------------------------------------------------------------
-    //
-    // Each `*_breakdown` function mirrors its `*_cost_ns` sibling and splits
-    // the charged integer across `recipe_telemetry::CostCategory` slots. The
-    // invariant every one of them keeps (pinned by tests below):
-    //
-    //     breakdown.total() == the exact u64 the cost function returns
-    //
-    // which is what lets the attribution table reconcile against the virtual
-    // clock. To guarantee it, the component terms are accumulated in the same
-    // floating-point expression order the cost functions use and cumulatively
-    // truncated (`Cum`); sub-splits of a jointly-added term (MAC bytes vs the
-    // fixed counter slot, TEE multiplier vs EPC pressure) divide the already-
-    // truncated integer, so rounding crumbs can never change the total.
-
-    /// Attribution twin of [`ProtocolCostModel::send_cost_ns`].
-    pub fn send_breakdown(&self, profile: &CostProfile, payload_bytes: usize) -> CostBreakdown {
-        let mut b = CostBreakdown::new();
-        let mut cum = Cum::default();
-        self.add_message_parts(&mut b, &mut cum, profile, payload_bytes);
-        b
-    }
-
-    /// Attribution twin of [`ProtocolCostModel::batch_send_cost_ns`].
-    pub fn batch_send_breakdown(
-        &self,
-        profile: &CostProfile,
-        ops: usize,
-        frame_bytes: usize,
-    ) -> CostBreakdown {
+    /// How many frames of `ops` messages a node keeps enclave-resident at a
+    /// time. Batching repacks the same in-flight op payloads into
+    /// `inflight_messages / ops` frames — the resident population does not
+    /// multiply with the frame size, but each frame is resident as a unit
+    /// (at least one is).
+    fn frames_in_enclave(profile: &CostProfile, ops: usize) -> usize {
         if ops <= 1 {
-            return self.send_breakdown(profile, frame_bytes);
+            profile.inflight_messages
+        } else {
+            (profile.inflight_messages / ops).max(1)
         }
-        let mut b = CostBreakdown::new();
-        let mut cum = Cum::default();
-        self.add_message_parts(&mut b, &mut cum, profile, frame_bytes);
-        b.add(
-            CostCategory::BatchOverhead,
-            cum.push((ops - 1) as f64 * self.batch_op_overhead_ns),
-        );
-        b
     }
 
-    /// Attribution twin of [`ProtocolCostModel::recv_cost_ns`]. The message
-    /// and application terms are truncated separately, exactly like the cost
-    /// function (see the comment there on event-order parity).
-    pub fn recv_breakdown(&self, profile: &CostProfile, payload_bytes: usize) -> CostBreakdown {
-        let mut b = CostBreakdown::new();
-        let mut msg = Cum::default();
-        self.add_message_parts(&mut b, &mut msg, profile, payload_bytes);
-        let mut app = Cum::default();
-        self.add_app_parts(
-            &mut b,
-            &mut app,
-            profile,
-            1.0,
-            self.epc_pressure(profile, payload_bytes),
-        );
-        b
-    }
-
-    /// Attribution twin of [`ProtocolCostModel::batch_recv_cost_ns`].
-    pub fn batch_recv_breakdown(
-        &self,
-        profile: &CostProfile,
-        ops: usize,
-        frame_bytes: usize,
-    ) -> CostBreakdown {
-        if ops <= 1 {
-            return self.recv_breakdown(profile, frame_bytes);
-        }
-        let pressure = self.batch_epc_pressure(profile, ops, frame_bytes);
-        let mut b = CostBreakdown::new();
-        let mut cum = Cum::default();
-        self.add_message_parts(&mut b, &mut cum, profile, frame_bytes);
-        b.add(
-            CostCategory::BatchOverhead,
-            cum.push((ops - 1) as f64 * self.batch_op_overhead_ns),
-        );
-        self.add_app_parts(&mut b, &mut cum, profile, ops as f64, pressure);
-        b
-    }
-
-    /// Attribution twin of [`ProtocolCostModel::snapshot_export_cost_ns`].
-    pub fn snapshot_export_breakdown(
-        &self,
-        profile: &CostProfile,
-        entries: usize,
-        payload_bytes: usize,
-    ) -> CostBreakdown {
-        let pressure = self.migration_epc_pressure(profile, payload_bytes);
-        let mut b = CostBreakdown::new();
-        let mut cum = Cum::default();
-        self.add_app_parts(&mut b, &mut cum, profile, entries as f64, pressure);
-        b.add(
-            CostCategory::Mac,
-            cum.push(payload_bytes as f64 * self.mac_per_byte_ns),
-        );
-        b
-    }
-
-    /// Attribution twin of [`ProtocolCostModel::recovery_cost_ns`].
-    pub fn recovery_breakdown(
-        &self,
-        profile: &CostProfile,
-        entries: usize,
-        payload_bytes: usize,
-    ) -> CostBreakdown {
-        self.snapshot_export_breakdown(profile, entries, payload_bytes)
-    }
-
-    /// Attribution twin of [`ProtocolCostModel::snapshot_import_cost_ns`].
-    pub fn snapshot_import_breakdown(
-        &self,
-        profile: &CostProfile,
-        entries: usize,
-        frame_bytes: usize,
-    ) -> CostBreakdown {
-        let pressure = self.migration_epc_pressure(profile, frame_bytes);
-        let mut b = CostBreakdown::new();
-        let mut cum = Cum::default();
-        self.add_message_parts(&mut b, &mut cum, profile, frame_bytes);
-        self.add_app_parts(&mut b, &mut cum, profile, entries as f64, pressure);
-        b
-    }
-
-    /// Attribution twin of [`ProtocolCostModel::txn_prepare_cost_ns`].
-    pub fn txn_prepare_breakdown(
-        &self,
-        profile: &CostProfile,
-        ops: usize,
-        payload_bytes: usize,
-        staged_bytes: usize,
-    ) -> CostBreakdown {
-        let pressure = self.txn_epc_pressure(profile, staged_bytes);
-        let mut b = CostBreakdown::new();
-        let mut cum = Cum::default();
-        self.add_message_parts(&mut b, &mut cum, profile, payload_bytes);
-        self.add_app_parts(&mut b, &mut cum, profile, ops.max(1) as f64, pressure);
-        b
-    }
-
-    /// Attribution twin of [`ProtocolCostModel::txn_commit_cost_ns`].
-    pub fn txn_commit_breakdown(
-        &self,
-        profile: &CostProfile,
-        writes: usize,
-        payload_bytes: usize,
-    ) -> CostBreakdown {
-        let pressure = self.txn_epc_pressure(profile, payload_bytes);
-        let mut b = CostBreakdown::new();
-        let mut cum = Cum::default();
-        self.add_message_parts(&mut b, &mut cum, profile, 64);
-        self.add_app_parts(&mut b, &mut cum, profile, writes as f64, pressure);
-        b.add(
-            CostCategory::Mac,
-            cum.push(payload_bytes as f64 * self.mac_per_byte_ns),
-        );
-        b
-    }
-
-    /// Pushes the message-cost components (transport, shield, signature,
-    /// AEAD) in the exact accumulation order of
-    /// [`ProtocolCostModel::message_cost_f64`].
-    fn add_message_parts(
-        &self,
-        b: &mut CostBreakdown,
-        cum: &mut Cum,
-        profile: &CostProfile,
-        payload_bytes: usize,
-    ) {
-        b.add(
+    /// The per-frame terms: transport, shield, signature, AEAD.
+    fn push_message(&self, sum: &mut Sum<'_>, profile: &CostProfile, bytes: usize) {
+        sum.push_as(
             CostCategory::Transport,
-            cum.push(
-                self.net
-                    .message_cost_ns(profile.transport, profile.exec, payload_bytes),
-            ),
+            self.net
+                .message_cost_ns(profile.transport, profile.exec, bytes),
         );
         if profile.shielded {
-            let mac_bytes = payload_bytes as f64 * self.mac_per_byte_ns;
-            let shield = cum.push(self.mac_ns + mac_bytes);
-            let mac = (mac_bytes as u64).min(shield);
-            b.add(CostCategory::Mac, mac);
-            b.add(CostCategory::CounterSlot, shield - mac);
+            let mac_bytes = bytes as f64 * self.mac_per_byte_ns;
+            sum.push(self.mac_ns + mac_bytes, |split, shield| {
+                let mac = (mac_bytes as u64).min(shield);
+                split.add(CostCategory::Mac, mac);
+                split.add(CostCategory::CounterSlot, shield - mac);
+            });
         }
         if profile.uses_signatures {
-            b.add(CostCategory::Signature, cum.push(self.signature_ns));
+            sum.push_as(CostCategory::Signature, self.signature_ns);
         }
         if profile.confidential {
-            b.add(
-                CostCategory::Aead,
-                cum.push(payload_bytes as f64 * self.encrypt_per_byte_ns),
+            sum.push_as(CostCategory::Aead, bytes as f64 * self.encrypt_per_byte_ns);
+        }
+    }
+
+    /// The marginal dispatch cost of every op past a frame's first.
+    fn push_batch_overhead(&self, sum: &mut Sum<'_>, ops: usize) {
+        if ops > 1 {
+            sum.push_as(
+                CostCategory::BatchOverhead,
+                (ops - 1) as f64 * self.batch_op_overhead_ns,
             );
         }
     }
 
-    /// Pushes the application-work term `ops × app_cost_with_pressure` and
-    /// splits its integer between base app work, the TEE-execution excess and
-    /// the EPC-pressure excess (rounding crumbs land in the base slot).
-    fn add_app_parts(
+    /// The application-work term, `ops × app_base × tee_mult × pressure`
+    /// (request parsing, KV index work, queueing), the pressure that of
+    /// `buffered_bytes` in the enclave. Its integer is split between base
+    /// app work, the TEE-execution excess and the EPC-pressure excess
+    /// (rounding crumbs land in the base slot).
+    fn push_app(
         &self,
-        b: &mut CostBreakdown,
-        cum: &mut Cum,
+        sum: &mut Sum<'_>,
         profile: &CostProfile,
-        ops: f64,
-        pressure: f64,
+        ops: usize,
+        buffered_bytes: usize,
     ) {
-        let acwp = self.app_cost_with_pressure(profile, pressure);
-        let total = cum.push(ops * acwp);
+        let ops = ops as f64;
         let tee_mult = match profile.exec {
             ExecMode::Native => 1.0,
             ExecMode::Tee => self.tee_app_penalty,
         };
         let no_pressure = profile.app_base_ns * tee_mult;
-        let epc = ((ops * (acwp - no_pressure)) as u64).min(total);
-        let tee = ((ops * (no_pressure - profile.app_base_ns)) as u64).min(total - epc);
-        b.add(CostCategory::EpcPressure, epc);
-        b.add(CostCategory::TeeExec, tee);
-        b.add(CostCategory::App, total - epc - tee);
-    }
-
-    fn message_cost_f64(&self, profile: &CostProfile, payload_bytes: usize) -> f64 {
-        let mut cost = self
-            .net
-            .message_cost_ns(profile.transport, profile.exec, payload_bytes);
-        if profile.shielded {
-            cost += self.mac_ns + payload_bytes as f64 * self.mac_per_byte_ns;
-        }
-        if profile.uses_signatures {
-            cost += self.signature_ns;
-        }
-        if profile.confidential {
-            cost += payload_bytes as f64 * self.encrypt_per_byte_ns;
-        }
-        cost
+        let per_op = no_pressure * self.epc_pressure(profile, buffered_bytes);
+        sum.push(ops * per_op, |split, total| {
+            let epc = ((ops * (per_op - no_pressure)) as u64).min(total);
+            let tee = ((ops * (no_pressure - profile.app_base_ns)) as u64).min(total - epc);
+            split.add(CostCategory::EpcPressure, epc);
+            split.add(CostCategory::TeeExec, tee);
+            split.add(CostCategory::App, total - epc - tee);
+        });
     }
 }
 
@@ -668,11 +499,68 @@ impl ProtocolCostModel {
 mod tests {
     use super::*;
 
+    fn send(m: &ProtocolCostModel, p: &CostProfile, ops: usize, bytes: usize) -> u64 {
+        m.cost(p, Work::Send { ops, bytes }, None)
+    }
+
+    fn recv(m: &ProtocolCostModel, p: &CostProfile, ops: usize, bytes: usize) -> u64 {
+        m.cost(p, Work::Recv { ops, bytes }, None)
+    }
+
+    fn split_of(m: &ProtocolCostModel, p: &CostProfile, work: Work) -> CostBreakdown {
+        let mut split = CostBreakdown::new();
+        let charged = m.cost(p, work, Some(&mut split));
+        assert_eq!(split.total(), charged);
+        split
+    }
+
+    /// EPC pressure while receiving frames of `ops` messages in `bytes`.
+    fn frame_pressure(m: &ProtocolCostModel, p: &CostProfile, ops: usize, bytes: usize) -> f64 {
+        m.epc_pressure(p, ProtocolCostModel::frames_in_enclave(p, ops) * bytes)
+    }
+
+    #[test]
+    fn sum_hands_out_integers_that_add_up_to_the_joint_truncation() {
+        let parts = [
+            (CostCategory::Transport, 1200.7),
+            (CostCategory::CounterSlot, 380.0),
+            (CostCategory::App, 100.4),
+            (CostCategory::Aead, 281.6),
+            (CostCategory::App, 100.4),
+            (CostCategory::App, 100.4),
+        ];
+        let mut split = CostBreakdown::new();
+        let mut sum = Sum::new(Some(&mut split));
+        for (cat, term) in parts {
+            sum.push_as(cat, term);
+        }
+        let joint = parts.iter().map(|p| p.1).sum::<f64>() as u64;
+        assert_eq!(sum.total(), joint);
+        assert_eq!(split.total(), joint);
+        // Every term lands within 1 ns of its own truncation, so a category
+        // pushed three times is within 3 ns of its terms' truncations.
+        assert_eq!(split.get(CostCategory::Transport), 1200);
+        assert_eq!(split.get(CostCategory::CounterSlot), 380);
+        assert!(split.get(CostCategory::Aead).abs_diff(281) <= 1);
+        assert!(split.get(CostCategory::App).abs_diff(300) <= 3);
+
+        // A cut truncates each side on its own, with or without a split.
+        for with_split in [false, true] {
+            let mut split = CostBreakdown::new();
+            let mut sum = Sum::new(with_split.then_some(&mut split));
+            sum.push_as(CostCategory::Transport, 10.6);
+            sum.cut();
+            sum.push_as(CostCategory::App, 20.6);
+            assert_eq!(sum.total(), 30);
+            assert_eq!(split.total(), if with_split { 30 } else { 0 });
+        }
+    }
+
     #[test]
     fn recipe_profile_is_cheaper_per_message_than_pbft() {
         let m = ProtocolCostModel::default();
-        let recipe = m.recv_cost_ns(&CostProfile::recipe(), 256);
-        let pbft = m.recv_cost_ns(&CostProfile::pbft_baseline(), 256);
+        let recipe = recv(&m, &CostProfile::recipe(), 1, 256);
+        let pbft = recv(&m, &CostProfile::pbft_baseline(), 1, 256);
         assert!(
             pbft > recipe,
             "PBFT per-message cost ({pbft}) should exceed Recipe's ({recipe})"
@@ -683,8 +571,8 @@ mod tests {
     fn native_cft_is_cheaper_than_recipe() {
         // Figure 6a: the transformation + TEE costs something (2x-15x end to end).
         let m = ProtocolCostModel::default();
-        let native = m.recv_cost_ns(&CostProfile::native_cft(), 256);
-        let recipe = m.recv_cost_ns(&CostProfile::recipe(), 256);
+        let native = recv(&m, &CostProfile::native_cft(), 1, 256);
+        let recipe = recv(&m, &CostProfile::recipe(), 1, 256);
         let ratio = recipe as f64 / native as f64;
         assert!(ratio > 1.5, "ratio was {ratio:.2}");
         assert!(ratio < 20.0, "ratio was {ratio:.2}");
@@ -693,11 +581,11 @@ mod tests {
     #[test]
     fn confidentiality_adds_cost_proportional_to_payload() {
         let m = ProtocolCostModel::default();
-        let plain = m.recv_cost_ns(&CostProfile::recipe(), 1024);
-        let conf = m.recv_cost_ns(&CostProfile::recipe().confidential(), 1024);
+        let plain = recv(&m, &CostProfile::recipe(), 1, 1024);
+        let conf = recv(&m, &CostProfile::recipe().confidential(), 1, 1024);
         assert!(conf > plain);
-        let plain_small = m.recv_cost_ns(&CostProfile::recipe(), 64);
-        let conf_small = m.recv_cost_ns(&CostProfile::recipe().confidential(), 64);
+        let plain_small = recv(&m, &CostProfile::recipe(), 1, 64);
+        let conf_small = recv(&m, &CostProfile::recipe().confidential(), 1, 64);
         assert!(conf - plain > conf_small - plain_small);
     }
 
@@ -705,8 +593,8 @@ mod tests {
     fn epc_pressure_kicks_in_for_large_values() {
         let m = ProtocolCostModel::default();
         let profile = CostProfile::recipe();
-        let small = m.epc_pressure(&profile, 256);
-        let large = m.epc_pressure(&profile, 4096);
+        let small = frame_pressure(&m, &profile, 1, 256);
+        let large = frame_pressure(&m, &profile, 1, 4096);
         assert_eq!(small, 1.0);
         assert!(
             large > 1.0,
@@ -714,7 +602,7 @@ mod tests {
         );
         // Reducing the batching factor relieves the pressure (the paper's mitigation
         // for 4 KiB values, §B.3).
-        let little_batching = m.epc_pressure(&profile.clone().with_inflight(4), 4096);
+        let little_batching = frame_pressure(&m, &profile.clone().with_inflight(4), 1, 4096);
         assert!(little_batching < large);
         // Native execution never pays EPC pressure.
         assert_eq!(m.epc_pressure(&CostProfile::native_cft(), 1 << 20), 1.0);
@@ -726,8 +614,8 @@ mod tests {
         let mut signing = CostProfile::native_cft();
         signing.uses_signatures = true;
         assert!(
-            m.recv_cost_ns(&signing, 64) as f64
-                >= m.recv_cost_ns(&CostProfile::native_cft(), 64) as f64 + m.signature_ns * 0.9
+            recv(&m, &signing, 1, 64) as f64
+                >= recv(&m, &CostProfile::native_cft(), 1, 64) as f64 + m.signature_ns * 0.9
         );
     }
 
@@ -735,30 +623,8 @@ mod tests {
     fn costs_scale_with_payload_size() {
         let m = ProtocolCostModel::default();
         let p = CostProfile::recipe();
-        assert!(m.recv_cost_ns(&p, 4096) > m.recv_cost_ns(&p, 256));
-        assert!(m.send_cost_ns(&p, 4096) > m.send_cost_ns(&p, 256));
-    }
-
-    #[test]
-    fn batch_cost_degenerates_to_single_message_cost_at_one_op() {
-        let m = ProtocolCostModel::default();
-        for profile in [
-            CostProfile::recipe(),
-            CostProfile::recipe().confidential(),
-            CostProfile::native_cft(),
-            CostProfile::pbft_baseline(),
-        ] {
-            for bytes in [64usize, 256, 1024] {
-                assert_eq!(
-                    m.batch_send_cost_ns(&profile, 1, bytes),
-                    m.send_cost_ns(&profile, bytes)
-                );
-                assert_eq!(
-                    m.batch_recv_cost_ns(&profile, 1, bytes),
-                    m.recv_cost_ns(&profile, bytes)
-                );
-            }
-        }
+        assert!(recv(&m, &p, 1, 4096) > recv(&m, &p, 1, 256));
+        assert!(send(&m, &p, 1, 4096) > send(&m, &p, 1, 256));
     }
 
     #[test]
@@ -772,8 +638,8 @@ mod tests {
         let per_op_bytes = 256usize;
         for ops in [4usize, 16, 64] {
             let frame_bytes = ops * per_op_bytes;
-            let batched = m.batch_send_cost_ns(&profile, ops, frame_bytes);
-            let unbatched = ops as u64 * m.send_cost_ns(&profile, per_op_bytes);
+            let batched = send(&m, &profile, ops, frame_bytes);
+            let unbatched = ops as u64 * send(&m, &profile, 1, per_op_bytes);
             assert!(
                 batched < unbatched,
                 "{ops} ops: batched {batched} !< unbatched {unbatched}"
@@ -795,20 +661,17 @@ mod tests {
         let profile = CostProfile::recipe();
         let ops = 16usize;
         let frame_bytes = ops * 256;
-        let batched = m.batch_recv_cost_ns(&profile, ops, frame_bytes);
+        let batched = recv(&m, &profile, ops, frame_bytes);
         let app_total = (ops as f64
             * profile.app_base_ns
             * m.tee_app_penalty
-            * m.batch_epc_pressure(&profile, ops, frame_bytes)) as u64;
+            * frame_pressure(&m, &profile, ops, frame_bytes)) as u64;
         assert!(
             batched >= app_total,
             "batched recv {batched} must include per-op app work {app_total}"
         );
         // And each extra op has a positive marginal cost (per-op dispatch).
-        assert!(
-            m.batch_send_cost_ns(&profile, ops + 1, frame_bytes)
-                > m.batch_send_cost_ns(&profile, ops, frame_bytes)
-        );
+        assert!(send(&m, &profile, ops + 1, frame_bytes) > send(&m, &profile, ops, frame_bytes));
     }
 
     #[test]
@@ -818,19 +681,20 @@ mod tests {
         // past the EPC cliff for large values — the paper's §B.3 trade-off.
         let m = ProtocolCostModel::default();
         let profile = CostProfile::recipe();
-        let small_frame = m.batch_epc_pressure(&profile, 16, 16 * 64);
-        let big_frame = m.batch_epc_pressure(&profile, 64, 64 * 4096);
+        let small_frame = frame_pressure(&m, &profile, 16, 16 * 64);
+        let big_frame = frame_pressure(&m, &profile, 64, 64 * 4096);
         assert_eq!(small_frame, 1.0);
         assert!(big_frame > 1.0);
-        // Degenerate case matches the single-message pressure model.
+        // An unbatched message pressures with one buffer per in-flight op.
         assert_eq!(
-            m.batch_epc_pressure(&profile, 1, 4096),
-            m.epc_pressure(&profile, 4096)
+            frame_pressure(&m, &profile, 1, 4096),
+            m.epc_pressure(&profile, profile.inflight_messages * 4096)
         );
         // Batching does not multiply the resident op population: a batched
         // frame of N small ops pressures no more than N single messages.
         assert!(
-            m.batch_epc_pressure(&profile, 16, 16 * 256) <= m.epc_pressure(&profile, 256) * 1.01
+            frame_pressure(&m, &profile, 16, 16 * 256)
+                <= frame_pressure(&m, &profile, 1, 256) * 1.01
         );
     }
 
@@ -847,139 +711,67 @@ mod tests {
     fn migration_costs_scale_with_chunk_size_and_pay_epc_pressure() {
         let m = ProtocolCostModel::default();
         let profile = CostProfile::recipe();
+        let scan = |entries, bytes| m.cost(&profile, Work::Scan { entries, bytes }, None);
+        let import = |entries, bytes| m.cost(&profile, Work::Import { entries, bytes }, None);
         // More entries and more bytes cost more, on both legs.
-        assert!(
-            m.snapshot_export_cost_ns(&profile, 256, 256 * 256)
-                > m.snapshot_export_cost_ns(&profile, 64, 64 * 256)
-        );
-        assert!(
-            m.snapshot_import_cost_ns(&profile, 256, 256 * 300)
-                > m.snapshot_import_cost_ns(&profile, 64, 64 * 300)
-        );
+        assert!(scan(256, 256 * 256) > scan(64, 64 * 256));
+        assert!(import(256, 256 * 300) > import(64, 64 * 300));
         // Import includes the frame's shield verification: costlier than the
         // pure store work of exporting the same records.
-        assert!(
-            m.snapshot_import_cost_ns(&profile, 64, 64 * 300)
-                > m.snapshot_export_cost_ns(&profile, 64, 64 * 256) / 2
-        );
+        assert!(import(64, 64 * 300) > scan(64, 64 * 256) / 2);
         // A chunk small enough to fit the EPC stages at pressure 1.0; a
         // monolithic multi-megabyte snapshot crosses the cliff — the reason
         // the controller ships bounded chunks.
-        assert_eq!(m.migration_epc_pressure(&profile, 64 * 1024), 1.0);
-        assert!(m.migration_epc_pressure(&profile, 32 * 1024 * 1024) > 1.0);
+        assert_eq!(m.epc_pressure(&profile, 64 * 1024), 1.0);
+        assert!(m.epc_pressure(&profile, 32 * 1024 * 1024) > 1.0);
         // Native nodes never pay EPC pressure.
-        assert_eq!(
-            m.migration_epc_pressure(&CostProfile::native_cft(), 1 << 30),
-            1.0
-        );
+        assert_eq!(m.epc_pressure(&CostProfile::native_cft(), 1 << 30), 1.0);
     }
 
     #[test]
     fn txn_costs_scale_with_ops_and_pay_epc_pressure_per_inflight_prepare() {
         let m = ProtocolCostModel::default();
         let profile = CostProfile::recipe();
+        let prepare = |ops, bytes, staged_bytes| {
+            let work = Work::TxnPrepare {
+                ops,
+                bytes,
+                staged_bytes,
+            };
+            m.cost(&profile, work, None)
+        };
+        let commit = |writes, bytes| m.cost(&profile, Work::TxnCommit { writes, bytes }, None);
         // More ops in a prepare cost more; the frame overhead is paid once.
-        assert!(
-            m.txn_prepare_cost_ns(&profile, 8, 8 * 256, 8 * 256)
-                > m.txn_prepare_cost_ns(&profile, 2, 2 * 256, 2 * 256)
-        );
-        let eight = m.txn_prepare_cost_ns(&profile, 8, 8 * 256, 8 * 256);
-        let singles = 8 * m.txn_prepare_cost_ns(&profile, 1, 256, 256);
+        assert!(prepare(8, 8 * 256, 8 * 256) > prepare(2, 2 * 256, 2 * 256));
+        let eight = prepare(8, 8 * 256, 8 * 256);
+        let singles = 8 * prepare(1, 256, 256);
         assert!(
             eight < singles,
             "prepare frame must amortize: {eight} !< {singles}"
         );
         // Many large in-flight prepares cross the EPC cliff: the same prepare
         // costs more when the store already stages megabytes.
-        let calm = m.txn_prepare_cost_ns(&profile, 4, 1024, 4 * 1024);
-        let pressured = m.txn_prepare_cost_ns(&profile, 4, 1024, 64 * 1024 * 1024);
+        let calm = prepare(4, 1024, 4 * 1024);
+        let pressured = prepare(4, 1024, 64 * 1024 * 1024);
         assert!(
             pressured > calm,
             "EPC pressure must surface: {pressured} !> {calm}"
         );
-        assert!(m.txn_epc_pressure(&profile, 64 * 1024 * 1024) > 1.0);
-        assert_eq!(m.txn_epc_pressure(&CostProfile::native_cft(), 1 << 30), 1.0);
+        assert!(m.epc_pressure(&profile, 64 * 1024 * 1024) > 1.0);
+        assert_eq!(m.epc_pressure(&CostProfile::native_cft(), 1 << 30), 1.0);
         // Commits charge per staged write.
-        assert!(
-            m.txn_commit_cost_ns(&profile, 8, 8 * 256) > m.txn_commit_cost_ns(&profile, 1, 256)
-        );
-    }
-
-    #[test]
-    fn breakdowns_sum_exactly_to_their_cost_functions() {
-        // The attribution invariant: every *_breakdown splits the *exact*
-        // integer its *_cost_ns sibling charges — over every profile shape
-        // and a spread of sizes, including EPC-pressured ones.
-        let m = ProtocolCostModel::default();
-        let profiles = [
-            CostProfile::recipe(),
-            CostProfile::recipe().confidential(),
-            CostProfile::recipe().confidential().with_inflight(8192),
-            CostProfile::native_cft(),
-            CostProfile::pbft_baseline(),
-            CostProfile::damysus_baseline(),
-        ];
-        for p in &profiles {
-            for bytes in [0usize, 1, 63, 64, 256, 1024, 4096, 65_536] {
-                assert_eq!(
-                    m.send_breakdown(p, bytes).total(),
-                    m.send_cost_ns(p, bytes),
-                    "send {bytes}B"
-                );
-                assert_eq!(
-                    m.recv_breakdown(p, bytes).total(),
-                    m.recv_cost_ns(p, bytes),
-                    "recv {bytes}B"
-                );
-                for ops in [1usize, 2, 16, 64] {
-                    assert_eq!(
-                        m.batch_send_breakdown(p, ops, bytes).total(),
-                        m.batch_send_cost_ns(p, ops, bytes),
-                        "batch_send {ops}x{bytes}B"
-                    );
-                    assert_eq!(
-                        m.batch_recv_breakdown(p, ops, bytes).total(),
-                        m.batch_recv_cost_ns(p, ops, bytes),
-                        "batch_recv {ops}x{bytes}B"
-                    );
-                }
-                for entries in [0usize, 1, 64, 256] {
-                    assert_eq!(
-                        m.snapshot_export_breakdown(p, entries, bytes).total(),
-                        m.snapshot_export_cost_ns(p, entries, bytes),
-                        "snap_export {entries}x{bytes}B"
-                    );
-                    assert_eq!(
-                        m.snapshot_import_breakdown(p, entries, bytes).total(),
-                        m.snapshot_import_cost_ns(p, entries, bytes),
-                        "snap_import {entries}x{bytes}B"
-                    );
-                    assert_eq!(
-                        m.recovery_breakdown(p, entries, bytes).total(),
-                        m.recovery_cost_ns(p, entries, bytes),
-                        "recovery {entries}x{bytes}B"
-                    );
-                    assert_eq!(
-                        m.txn_prepare_breakdown(p, entries, bytes, 32 * 1024 * 1024)
-                            .total(),
-                        m.txn_prepare_cost_ns(p, entries, bytes, 32 * 1024 * 1024),
-                        "txn_prepare {entries}x{bytes}B"
-                    );
-                    assert_eq!(
-                        m.txn_commit_breakdown(p, entries, bytes).total(),
-                        m.txn_commit_cost_ns(p, entries, bytes),
-                        "txn_commit {entries}x{bytes}B"
-                    );
-                }
-            }
-        }
+        assert!(commit(8, 8 * 256) > commit(1, 256));
     }
 
     #[test]
     fn breakdown_categories_land_where_the_profile_says() {
         let m = ProtocolCostModel::default();
         // Plain native profile: transport + app only.
-        let native = m.recv_breakdown(&CostProfile::native_cft(), 256);
+        let native = split_of(
+            &m,
+            &CostProfile::native_cft(),
+            Work::Recv { ops: 1, bytes: 256 },
+        );
         assert_eq!(native.get(CostCategory::CounterSlot), 0);
         assert_eq!(native.get(CostCategory::Mac), 0);
         assert_eq!(native.get(CostCategory::Aead), 0);
@@ -988,29 +780,52 @@ mod tests {
         assert!(native.get(CostCategory::Transport) > 0);
         assert!(native.get(CostCategory::App) > 0);
         // Recipe: shield (counter slot + MAC bytes) and the TEE excess appear.
-        let recipe = m.recv_breakdown(&CostProfile::recipe(), 256);
+        let recipe = split_of(
+            &m,
+            &CostProfile::recipe(),
+            Work::Recv { ops: 1, bytes: 256 },
+        );
         assert!(recipe.get(CostCategory::CounterSlot) > 0);
         assert!(recipe.get(CostCategory::Mac) > 0);
         assert!(recipe.get(CostCategory::TeeExec) > 0);
         assert_eq!(recipe.get(CostCategory::Aead), 0);
         // Confidential adds AEAD proportional to the payload.
-        let conf = m.recv_breakdown(&CostProfile::recipe().confidential(), 1024);
+        let conf = split_of(
+            &m,
+            &CostProfile::recipe().confidential(),
+            Work::Recv {
+                ops: 1,
+                bytes: 1024,
+            },
+        );
         assert!(conf.get(CostCategory::Aead) > 0);
         assert!(
             conf.get(CostCategory::Aead)
-                > m.recv_breakdown(&CostProfile::recipe().confidential(), 64)
-                    .get(CostCategory::Aead)
+                > split_of(
+                    &m,
+                    &CostProfile::recipe().confidential(),
+                    Work::Recv { ops: 1, bytes: 64 }
+                )
+                .get(CostCategory::Aead)
         );
         // Signature baselines pay the signature slot.
         assert!(
-            m.recv_breakdown(&CostProfile::pbft_baseline(), 64)
-                .get(CostCategory::Signature)
+            split_of(
+                &m,
+                &CostProfile::pbft_baseline(),
+                Work::Recv { ops: 1, bytes: 64 }
+            )
+            .get(CostCategory::Signature)
                 > 0
         );
         // EPC pressure shows up for large pressured frames, never for native.
-        let pressured = m.batch_recv_breakdown(&CostProfile::recipe(), 64, 64 * 4096);
+        let big_frame = Work::Recv {
+            ops: 64,
+            bytes: 64 * 4096,
+        };
+        let pressured = split_of(&m, &CostProfile::recipe(), big_frame);
         assert!(pressured.get(CostCategory::EpcPressure) > 0);
-        let unpressured = m.batch_recv_breakdown(&CostProfile::native_cft(), 64, 64 * 4096);
+        let unpressured = split_of(&m, &CostProfile::native_cft(), big_frame);
         assert_eq!(unpressured.get(CostCategory::EpcPressure), 0);
         // Batch frames carry the per-op dispatch overhead.
         assert!(pressured.get(CostCategory::BatchOverhead) > 0);
@@ -1019,9 +834,9 @@ mod tests {
     #[test]
     fn damysus_sits_between_recipe_and_pbft() {
         let m = ProtocolCostModel::default();
-        let recipe = m.recv_cost_ns(&CostProfile::recipe(), 256);
-        let damysus = m.recv_cost_ns(&CostProfile::damysus_baseline(), 256);
-        let pbft = m.recv_cost_ns(&CostProfile::pbft_baseline(), 256);
+        let recipe = recv(&m, &CostProfile::recipe(), 1, 256);
+        let damysus = recv(&m, &CostProfile::damysus_baseline(), 1, 256);
+        let pbft = recv(&m, &CostProfile::pbft_baseline(), 1, 256);
         assert!(recipe < damysus, "recipe={recipe} damysus={damysus}");
         assert!(damysus < pbft, "damysus={damysus} pbft={pbft}");
     }

@@ -29,10 +29,10 @@ mod queue;
 pub mod replica;
 
 pub use cluster::{
-    latency_percentiles, ClientModel, Completion, LatencySummary, RunStats, SimCluster, SimConfig,
-    StepOutcome,
+    latency_percentiles, Charged, ClientModel, Completion, LatencySummary, RunStats, SimCluster,
+    SimConfig, StepOutcome,
 };
-pub use cost::{CostProfile, ProtocolCostModel};
+pub use cost::{CostProfile, ProtocolCostModel, Work};
 pub use replica::{Ctx, RangeEntry, RecoveryState, Replica, RestartReport};
 
 pub use recipe_tee::TrustedInstant as SimTime;

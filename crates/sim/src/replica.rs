@@ -63,8 +63,7 @@ impl Ctx {
 
     /// Queues a batch frame of `ops` protocol messages for delivery to `dst`.
     /// The simulator charges the frame's fixed transport/auth cost once and the
-    /// per-op marginal cost `ops` times (see
-    /// `ProtocolCostModel::batch_send_cost_ns`).
+    /// per-op marginal cost `ops` times (see [`crate::Work::Send`]).
     pub fn send_batch(&mut self, dst: NodeId, bytes: Vec<u8>, ops: u32) {
         self.outbox.push((dst, bytes, ops.max(1)));
     }

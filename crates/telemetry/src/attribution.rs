@@ -2,12 +2,11 @@
 //!
 //! The simulator's cost model composes every charge out of a handful of f64
 //! component terms (transport, MAC, AEAD, TEE multiplier, EPC pressure, …) and
-//! truncates the sum to integer nanoseconds. Attribution splits the truncated
-//! integer **exactly** across the same components with
-//! [`CostBreakdown::from_f64_parts`]: the components are cumulatively
-//! truncated in a fixed order, so the per-category integers always sum to the
-//! exact `u64` the simulator charged — the attribution table cannot drift from
-//! the clock it explains.
+//! truncates the sum to integer nanoseconds. The same evaluation files that
+//! integer by component into a [`CostBreakdown`] (cumulative truncation, in
+//! `recipe_sim::cost`), so the per-category integers always sum to the exact
+//! `u64` the simulator charged — the attribution table cannot drift from the
+//! clock it explains.
 
 use serde::{Deserialize, Serialize};
 
@@ -101,27 +100,6 @@ impl CostBreakdown {
         CostBreakdown::default()
     }
 
-    /// Splits truncated-f64 cost components into exact integer nanoseconds.
-    ///
-    /// Components are accumulated in the order given and the running f64 sum
-    /// is truncated after each one; each category receives the difference of
-    /// consecutive truncations. The invariant this buys:
-    /// `breakdown.total() == (parts.iter().map(|p| p.1).sum::<f64>()) as u64`
-    /// — exactly the integer the cost model charges for a jointly-truncated
-    /// sum of the same components.
-    pub fn from_f64_parts(parts: &[(CostCategory, f64)]) -> Self {
-        let mut out = CostBreakdown::new();
-        let mut acc = 0.0f64;
-        let mut prev = 0u64;
-        for &(cat, ns) in parts {
-            acc += ns;
-            let cur = acc as u64;
-            out.slots[cat.index()] += cur - prev;
-            prev = cur;
-        }
-        out
-    }
-
     /// Adds `ns` to one category.
     pub fn add(&mut self, cat: CostCategory, ns: u64) {
         self.slots[cat.index()] += ns;
@@ -193,41 +171,6 @@ mod tests {
             assert!(seen.insert(cat.as_str()), "duplicate name {}", cat.as_str());
         }
         assert_eq!(seen.len(), CostCategory::COUNT);
-    }
-
-    #[test]
-    fn from_f64_parts_sums_to_joint_truncation() {
-        let parts = [
-            (CostCategory::Transport, 1200.7),
-            (CostCategory::CounterSlot, 380.0),
-            (CostCategory::Mac, 115.2),
-            (CostCategory::Aead, 281.6),
-            (CostCategory::App, 550.9),
-        ];
-        let joint = (parts.iter().map(|p| p.1).sum::<f64>()) as u64;
-        let breakdown = CostBreakdown::from_f64_parts(&parts);
-        assert_eq!(breakdown.total(), joint);
-        // Every component lands within 1 ns of its own truncation.
-        for (cat, f) in parts {
-            let got = breakdown.get(cat);
-            assert!(
-                (got as i64 - f as i64).unsigned_abs() <= 1,
-                "{}: {got} vs {f}",
-                cat.as_str()
-            );
-        }
-    }
-
-    #[test]
-    fn from_f64_parts_handles_repeated_categories() {
-        let parts = [
-            (CostCategory::App, 100.4),
-            (CostCategory::App, 100.4),
-            (CostCategory::App, 100.4),
-        ];
-        let b = CostBreakdown::from_f64_parts(&parts);
-        assert_eq!(b.get(CostCategory::App), 301.2 as u64);
-        assert_eq!(b.total(), 301);
     }
 
     #[test]

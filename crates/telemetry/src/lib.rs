@@ -334,10 +334,9 @@ mod tests {
     #[test]
     fn shard_telemetry_accumulates_and_exports() {
         let mut t = ShardTelemetry::new(3, &TelemetryConfig::enabled());
-        let b = CostBreakdown::from_f64_parts(&[
-            (CostCategory::Transport, 100.5),
-            (CostCategory::App, 49.9),
-        ]);
+        let mut b = CostBreakdown::new();
+        b.add(CostCategory::Transport, 100);
+        b.add(CostCategory::App, 50);
         t.charge(ChargeKind::ClientIngest, &b);
         t.charge_category(ChargeKind::TxnPrepare, CostCategory::Replication, 10_000);
         t.span(SpanKind::Replication, 1, 100, 400, 9);

@@ -1,6 +1,6 @@
 //! Multi-tenant store: two tenants share one sharded deployment behind the
-//! tenant gateway. Every request traverses the middleware pipeline
-//! (authenticate → resolve tenant → token-bucket admission → key scoping)
+//! tenant gateway. Every request passes the gateway
+//! (resolve tenant → authenticate → token-bucket admission → key scoping)
 //! before it reaches the router, so the tenants get disjoint keyspaces and
 //! independent quotas — `acme` runs unthrottled while `hammer`, granted a
 //! tiny quota, has its excess demand deferred instead of degrading `acme`.

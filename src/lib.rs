@@ -20,7 +20,7 @@
 //!   span tracing, a metrics registry and per-shard cost attribution.
 //! * [`recipe_scenario`] — declarative scenario files: TOML/JSON experiment
 //!   descriptions (deployment + workload + expectations) run through the driver.
-//! * [`recipe_gateway`] — the tenant gateway: a composable middleware pipeline
+//! * [`recipe_gateway`] — the tenant gateway: one admit/complete pair
 //!   (auth, admission, key scoping) every request traverses before the router.
 
 pub use recipe_attest as attest;
