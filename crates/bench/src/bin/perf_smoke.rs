@@ -8,7 +8,40 @@
 //! Adding a baseline file without registering a runner here is an error (exit
 //! 2) — the gate must never silently skip a baseline it cannot reproduce.
 
-use recipe_bench::{write_summary, BenchSummary};
+use recipe_bench::{metric_slug, write_summary, BenchMetric, BenchSummary, ExperimentRow};
+
+/// The summary of a rows-only figure: every row's throughput (gated), then
+/// every row's mean latency and speedup.
+fn rows_summary(bench: &str, rows: &[ExperimentRow]) -> BenchSummary {
+    let key = |row: &ExperimentRow| {
+        format!(
+            "{}_{}",
+            metric_slug(&row.protocol),
+            metric_slug(&row.config)
+        )
+    };
+    let mut metrics: Vec<BenchMetric> = rows
+        .iter()
+        .map(|row| BenchMetric {
+            name: format!("{}_ops_per_sec", key(row)),
+            value: row.throughput_ops,
+        })
+        .collect();
+    for row in rows {
+        metrics.push(BenchMetric {
+            name: format!("{}_mean_latency_us", key(row)),
+            value: row.mean_latency_us,
+        });
+        metrics.push(BenchMetric {
+            name: format!("{}_speedup", key(row)),
+            value: row.speedup_vs_baseline,
+        });
+    }
+    BenchSummary {
+        bench: bench.into(),
+        metrics,
+    }
+}
 
 struct Entry {
     /// Baseline stem: `BENCH_<name>.json`.
@@ -52,6 +85,86 @@ const REGISTRY: &[Entry] = &[
         name: "tenancy",
         smoke_ops: 1500,
         run: |ops| recipe_bench::tenancy_summary(&recipe_bench::fig_tenancy(ops)),
+    },
+    Entry {
+        name: "fig3",
+        smoke_ops: 400,
+        run: |ops| rows_summary("fig_fig3", &recipe_bench::fig3_value_size(ops)),
+    },
+    Entry {
+        name: "fig4",
+        smoke_ops: 400,
+        run: |ops| rows_summary("fig_fig4", &recipe_bench::fig4_rw_ratio(ops)),
+    },
+    Entry {
+        name: "fig5",
+        smoke_ops: 400,
+        run: |ops| rows_summary("fig_fig5", &recipe_bench::fig5_confidentiality(ops)),
+    },
+    Entry {
+        name: "fig6a",
+        smoke_ops: 400,
+        run: |ops| rows_summary("fig_fig6a", &recipe_bench::fig6a_tee_overheads(ops)),
+    },
+    Entry {
+        name: "fig6b",
+        smoke_ops: 0,
+        run: |_| BenchSummary {
+            bench: "fig_fig6b".into(),
+            metrics: recipe_bench::fig6b_network()
+                .into_iter()
+                .map(|(stack, size, gbps)| BenchMetric {
+                    name: format!("{}_{size}_b_gbps", metric_slug(&stack)),
+                    value: gbps,
+                })
+                .collect(),
+        },
+    },
+    Entry {
+        name: "damysus",
+        smoke_ops: 400,
+        run: |ops| rows_summary("fig_damysus", &recipe_bench::damysus_compare(ops)),
+    },
+    Entry {
+        name: "shard_scaling",
+        smoke_ops: 600,
+        run: |ops| rows_summary("fig_shard_scaling", &recipe_bench::fig_shard_scaling(ops)),
+    },
+    Entry {
+        name: "table2",
+        smoke_ops: 0,
+        run: |_| BenchSummary {
+            bench: "fig_table2".into(),
+            metrics: recipe_bft::table2_rows()
+                .into_iter()
+                .flat_map(|row| {
+                    [
+                        ("uses_tees", row.uses_tees),
+                        ("uses_direct_io", row.uses_direct_io),
+                    ]
+                    .map(|(what, flag)| BenchMetric {
+                        name: format!("{}_{what}", metric_slug(row.name)),
+                        value: f64::from(u8::from(flag)),
+                    })
+                })
+                .collect(),
+        },
+    },
+    Entry {
+        name: "table4",
+        smoke_ops: 20,
+        run: |rounds| BenchSummary {
+            bench: "fig_table4".into(),
+            metrics: recipe_bench::table4_attestation(rounds)
+                .into_iter()
+                .flat_map(|(service, mean_s, speedup)| {
+                    [("mean_s", mean_s), ("speedup", speedup)].map(|(what, value)| BenchMetric {
+                        name: format!("{}_{what}", metric_slug(&service)),
+                        value,
+                    })
+                })
+                .collect(),
+        },
     },
 ];
 
