@@ -4,8 +4,8 @@
 //! verification *logic* is the same as the CAS's (check the hardware signature and
 //! the measurement); what differs is the round-trip latency — the paper measures
 //! ≈2.9 s per attestation against IAS versus ≈0.17 s against the datacenter-local
-//! CAS (Table 4). Per DESIGN.md the service itself is simulated: same checks, IAS
-//! latency model.
+//! CAS (Table 4). The service itself is simulated (README, "Design
+//! substitutions"): same checks, IAS latency model.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -16,8 +16,8 @@
 //!   nonce challenge → enclave report → hardware-signed quote → verification →
 //!   Diffie-Hellman-protected secret provisioning.
 //!
-//! Per DESIGN.md, the real Intel Attestation Service is replaced by a latency-modeled
-//! stand-in; the protocol logic (what gets signed, what gets checked, what gets
+//! The real Intel Attestation Service is replaced by a latency-modeled stand-in
+//! (README, "Design substitutions"); the protocol logic (what gets signed, what gets checked, what gets
 //! provisioned) is implemented in full and exercised by both paths.
 
 #![forbid(unsafe_code)]

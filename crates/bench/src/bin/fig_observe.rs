@@ -29,6 +29,10 @@ use recipe_telemetry::{validate_jsonl, CostCategory};
 /// the comparison would flake.
 const MIN_GATE_SECS: f64 = 0.2;
 
+/// Minimum wall-clock samples per mode before the overhead gate judges: the
+/// best of three misjudged an unchanged path in a quarter of its runs.
+const MIN_GATE_PAIRS: usize = 9;
+
 /// Maximum tolerated wall-clock overhead of telemetry-on over telemetry-off.
 const MAX_OVERHEAD: f64 = 0.10;
 
@@ -156,15 +160,24 @@ fn main() {
     println!("\nchrome trace written to {trace_path} (load via ui.perfetto.dev)");
     println!("jsonl export written to {jsonl_path}");
 
-    // 4. Wall-clock overhead gate. Each mode is sampled several times
-    // (alternating, at least 3 pairs and enough accumulated time to rise
-    // above scheduler noise) and the *fastest* sample of each mode is
-    // compared — the minimum is the run least disturbed by the host.
+    // 4. Wall-clock overhead gate. Each mode is sampled several times (at
+    // least MIN_GATE_PAIRS pairs, alternating which mode goes first, and
+    // enough accumulated time to rise above scheduler noise) and the
+    // *fastest* sample of each mode is compared — the minimum is the run
+    // least disturbed by the host, and with only a few samples per mode one
+    // of the two minima is too often a disturbed run.
     let mut off_samples = vec![wall_off];
     let mut on_samples = vec![wall_on];
-    while off_samples.len() < 3 || off_samples.iter().sum::<f64>() < MIN_GATE_SECS {
-        off_samples.push(timed(operations, false).1);
-        on_samples.push(timed(operations, true).1);
+    while off_samples.len() < MIN_GATE_PAIRS || off_samples.iter().sum::<f64>() < MIN_GATE_SECS {
+        let on_first = off_samples.len() % 2 == 1;
+        for telemetry in [on_first, !on_first] {
+            let samples = if telemetry {
+                &mut on_samples
+            } else {
+                &mut off_samples
+            };
+            samples.push(timed(operations, telemetry).1);
+        }
     }
     let best = |samples: &[f64]| samples.iter().cloned().fold(f64::INFINITY, f64::min);
     let (best_off, best_on) = (best(&off_samples), best(&on_samples));
@@ -185,6 +198,8 @@ fn main() {
             overhead * 100.0,
             MAX_OVERHEAD * 100.0
         );
+        eprintln!("  telemetry-off samples (s): {off_samples:.4?}");
+        eprintln!("  telemetry-on samples (s):  {on_samples:.4?}");
         std::process::exit(1);
     }
     println!("observability checks passed");

@@ -9,9 +9,11 @@
 //! deterministic, so the slack only absorbs intentional cost-model and
 //! scheduling changes — real regressions blow well past it.
 
-use recipe_bench::{perf_gate_compare, BenchSummary};
+use std::path::Path;
 
-fn load(path: &std::path::Path) -> BenchSummary {
+use recipe_bench::{baseline_stems, perf_gate_compare, BenchSummary};
+
+fn load(path: &Path) -> BenchSummary {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|err| panic!("cannot read {}: {err}", path.display()));
     serde_json::from_str(&text)
@@ -28,28 +30,18 @@ fn main() {
         .expect("usage: perf_gate <baseline_dir> <current_dir> [tolerance]");
     let tolerance: f64 = args.next().and_then(|t| t.parse().ok()).unwrap_or(0.15);
 
-    let mut baselines: Vec<std::path::PathBuf> = std::fs::read_dir(&baseline_dir)
-        .unwrap_or_else(|err| panic!("cannot list {baseline_dir}: {err}"))
-        .filter_map(|entry| entry.ok())
-        .map(|entry| entry.path())
-        .filter(|path| {
-            path.file_name()
-                .and_then(|name| name.to_str())
-                .is_some_and(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
-        })
-        .collect();
-    baselines.sort();
+    let baselines = baseline_stems(Path::new(&baseline_dir))
+        .unwrap_or_else(|err| panic!("cannot list {baseline_dir}: {err}"));
     assert!(
         !baselines.is_empty(),
         "no BENCH_*.json baselines in {baseline_dir}"
     );
 
     let mut violations = Vec::new();
-    for baseline_path in &baselines {
-        let name = baseline_path.file_name().unwrap().to_str().unwrap();
-        let current_path = std::path::Path::new(&current_dir).join(name);
-        let baseline = load(baseline_path);
-        let current = load(&current_path);
+    for stem in &baselines {
+        let name = format!("BENCH_{stem}.json");
+        let baseline = load(&Path::new(&baseline_dir).join(&name));
+        let current = load(&Path::new(&current_dir).join(&name));
         let before = violations.len();
         violations.extend(perf_gate_compare(&baseline, &current, tolerance));
         println!(

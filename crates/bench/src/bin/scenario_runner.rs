@@ -12,7 +12,7 @@
 //! telemetry as `<scenario>_<protocol>.jsonl` (the artifact CI uploads when a
 //! scenario leg fails).
 
-use recipe_bench::{metric_slug, write_summary, BenchMetric, BenchSummary};
+use recipe_bench::{metric_slug, BenchMetric, BenchSummary};
 use recipe_scenario::{run_scenario, Scenario};
 
 fn main() {
@@ -70,18 +70,14 @@ fn main() {
             );
         }
         let prefix = metric_slug(outcome.protocol);
-        metrics.push(BenchMetric {
-            name: format!("{prefix}_committed_ops"),
-            value: total.committed as f64,
-        });
-        metrics.push(BenchMetric {
-            name: format!("{prefix}_throughput_ops_per_sec"),
-            value: total.throughput_ops,
-        });
-        metrics.push(BenchMetric {
-            name: format!("{prefix}_p99_us"),
-            value: total.p99_latency_us,
-        });
+        metrics.extend([
+            BenchMetric::new(format!("{prefix}_committed_ops"), total.committed as f64),
+            BenchMetric::new(
+                format!("{prefix}_throughput_ops_per_sec"),
+                total.throughput_ops,
+            ),
+            BenchMetric::new(format!("{prefix}_p99_us"), total.p99_latency_us),
+        ]);
         if let (Some(dir), Some(report)) = (&telemetry_dir, &outcome.telemetry) {
             std::fs::create_dir_all(dir).expect("telemetry dir created");
             let file = format!(
@@ -105,7 +101,7 @@ fn main() {
             bench: format!("scenario_{}", metric_slug(&scenario.name)),
             metrics,
         };
-        write_summary(&path, &summary).expect("summary written");
+        summary.write(&path).expect("summary written");
         println!("\nsummary written to {path}");
     }
 

@@ -10,8 +10,8 @@
 //! `H(secret)`, and the shared key is `H(sort(H(a)||H(b)) || a)` combined with the
 //! peer's transcript via HMAC. This is **not** Diffie-Hellman over a group — the
 //! simulated network adversary in this reproduction never sees the exchanged values
-//! in a way that would let it exploit the difference (see DESIGN.md, hardware
-//! substitutions) — but it exercises the same code path: both sides derive the same
+//! in a way that would let it exploit the difference (see README, "Design
+//! substitutions") — but it exercises the same code path: both sides derive the same
 //! channel key without ever transmitting it.
 
 use serde::{Deserialize, Serialize};

@@ -3,8 +3,8 @@
 //! The paper's Figure 6b measures the throughput (Gb/s) of five stacks as a function
 //! of payload size: kernel sockets and direct I/O, each natively and inside a TEE,
 //! plus `Recipe-lib (net)` (direct I/O inside a TEE with the authentication and
-//! non-equivocation layers on top). Because no NIC hardware is available (DESIGN.md,
-//! substitutions), this module models each stack with a per-message fixed cost and a
+//! non-equivocation layers on top). Because no NIC hardware is available (README,
+//! "Design substitutions"), this module models each stack with a per-message fixed cost and a
 //! per-byte cost, calibrated so the relative ordering and rough magnitudes of the
 //! paper hold:
 //!

@@ -20,9 +20,9 @@
 //!   native vs TEE) used to regenerate Figure 6b and to drive the simulator's
 //!   virtual clock.
 //!
-//! No real NIC is touched: per DESIGN.md, RDMA/DPDK hardware is replaced by an
-//! in-memory fabric plus a cost model, while the handler/queue/polling code paths the
-//! protocols exercise are real.
+//! No real NIC is touched: RDMA/DPDK hardware is replaced by an in-memory fabric plus
+//! a cost model (README, "Design substitutions"), while the handler/queue/polling
+//! code paths the protocols exercise are real.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -58,10 +58,42 @@ pub fn run_protocol(scenario: &Scenario, protocol: Protocol) -> ScenarioOutcome 
 
 fn drive<R: BuildReplica>(scenario: &Scenario) -> ScenarioOutcome {
     let mut cluster = ShardedCluster::<R>::build(scenario.deployment.clone());
-    let router = cluster.router().clone();
     let mut failures = Vec::new();
+    let stats = run_workload(&mut cluster, &scenario.workload, &mut failures);
 
-    let stats = match &scenario.workload {
+    let telemetry = cluster.take_telemetry_report();
+    let view_changes = telemetry
+        .as_ref()
+        .map(|report| {
+            report
+                .spans
+                .iter()
+                .filter(|span| span.kind == SpanKind::ViewChange)
+                .count() as u64
+        })
+        .unwrap_or(0);
+    failures.extend(check_expectations(scenario, &stats, view_changes));
+    ScenarioOutcome {
+        scenario: scenario.name.clone(),
+        protocol: R::PROTOCOL.file_name(),
+        stats,
+        view_changes,
+        telemetry,
+        failures,
+    }
+}
+
+/// Drives a built cluster to its commit target with `workload`'s request
+/// stream, leaving the cluster to the caller afterwards. A workload the
+/// deployment cannot serve as described adds a message to `failures` and
+/// still runs.
+pub fn run_workload<R: BuildReplica>(
+    cluster: &mut ShardedCluster<R>,
+    workload: &WorkloadKind,
+    failures: &mut Vec<String>,
+) -> ShardedRunStats {
+    let router = cluster.router().clone();
+    match workload {
         WorkloadKind::Single(spec) => {
             let mut gen = spec.generator();
             cluster.run_requests(move |_, _| {
@@ -111,27 +143,6 @@ fn drive<R: BuildReplica>(scenario: &Scenario) -> ScenarioOutcome {
                 Some(request_from_workload(WorkloadRequest::Single(op)))
             })
         }
-    };
-
-    let telemetry = cluster.take_telemetry_report();
-    let view_changes = telemetry
-        .as_ref()
-        .map(|report| {
-            report
-                .spans
-                .iter()
-                .filter(|span| span.kind == SpanKind::ViewChange)
-                .count() as u64
-        })
-        .unwrap_or(0);
-    failures.extend(check_expectations(scenario, &stats, view_changes));
-    ScenarioOutcome {
-        scenario: scenario.name.clone(),
-        protocol: R::PROTOCOL.file_name(),
-        stats,
-        view_changes,
-        telemetry,
-        failures,
     }
 }
 

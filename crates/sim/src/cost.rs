@@ -16,8 +16,9 @@
 //!   sockets without direct I/O (paper Table 2) and carries a heavier per-message
 //!   software stack, expressed as its own [`CostProfile`].
 //!
-//! Calibration targets the *relative* numbers the paper reports; EXPERIMENTS.md
-//! records paper-vs-measured for every figure.
+//! Calibration targets the *relative* numbers the paper reports; `fig <name>` in
+//! `recipe-bench` regenerates every figure (README, "Reproducing the paper's
+//! experiments").
 //!
 //! # One body per formula
 //!

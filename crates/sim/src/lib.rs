@@ -1,7 +1,7 @@
 //! Deterministic discrete-event cluster simulator.
 //!
 //! The paper evaluates Recipe on a three-machine SGX cluster with a 40 GbE fabric;
-//! this crate replaces that testbed (DESIGN.md, hardware substitutions) with a
+//! this crate replaces that testbed (README, "Design substitutions") with a
 //! simulator that:
 //!
 //! * executes the *real* protocol logic and *real* cryptography of every replica

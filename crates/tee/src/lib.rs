@@ -2,7 +2,7 @@
 //!
 //! The Recipe paper builds on Intel SGX (via the SCONE runtime). No SGX hardware is
 //! available to this reproduction, so this crate provides a **software enclave** that
-//! exposes the same *properties* Recipe relies on (see DESIGN.md, "Hardware
+//! exposes the same *properties* Recipe relies on (see README, "Design
 //! substitutions"):
 //!
 //! * an **identity** — a measurement (hash) of the code loaded into the enclave,

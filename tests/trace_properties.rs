@@ -1,6 +1,6 @@
 //! Property-based encodings of the three trace properties the paper verifies with
 //! Tamarin (§4.3), checked over the authentication layer's behaviour instead of a
-//! symbolic model (see DESIGN.md):
+//! symbolic model:
 //!
 //! 1. every accepted message was previously sent by a trusted (attested) process;
 //! 2. messages are accepted in the order they were sent;
