@@ -15,15 +15,13 @@
 use std::collections::HashMap;
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
-use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
+use recipe_core::{ClientRequest, Membership, Operation};
 use recipe_kv::Timestamp;
 use recipe_net::NodeId;
-use recipe_sim::{Ctx, RecoveryState, Replica, RestartReport};
 
-use crate::batch::BatchConfig;
-use crate::registry::{BuildReplica, Protocol};
-use crate::shield::{ProtocolMode, ProtocolShield};
-use crate::store::{ReplicaStore, Stamping, StoreReplica};
+use crate::registry::Protocol;
+use crate::replica::{CftProtocol, Handle, RecipeReplica};
+use crate::store::Stamping;
 
 /// ABD protocol messages. `op` is the coordinator's id for the operation a
 /// message belongs to.
@@ -170,102 +168,29 @@ enum OpState {
     },
 }
 
-/// An ABD replica (native or Recipe-transformed).
-pub struct AbdReplica {
+/// The ABD protocol: the operations one replica coordinates. Its store
+/// stamps by Lamport timestamp.
+pub struct Abd {
     id: NodeId,
     membership: Membership,
-    shield: ProtocolShield,
-    /// The KV store, stamping by Lamport timestamp, and the count of writes
-    /// that were new to it.
-    store: ReplicaStore,
     next_op: u64,
     inflight: HashMap<u64, OpState>,
 }
 
-impl AbdReplica {
-    /// Builds a Recipe-transformed replica (R-ABD).
-    ///
-    /// `confidentiality` is the group's policy — a
-    /// [`recipe_core::ConfidentialityMode`] resolved by the deployment spec,
-    /// or a legacy `bool` via `From<bool>`.
-    pub fn recipe(
-        id: u64,
-        membership: Membership,
-        confidentiality: impl Into<ConfidentialityMode>,
-    ) -> Self {
-        let confidentiality = confidentiality.into();
-        let mode = ProtocolMode::Recipe { confidentiality };
-        Self::build(id, membership, mode, BatchConfig::unbatched())
-    }
+/// An ABD replica (native or Recipe-transformed, R-ABD).
+pub type AbdReplica = RecipeReplica<Abd>;
 
-    /// Builds a native replica.
-    pub fn native(id: u64, membership: Membership) -> Self {
-        Self::build(
-            id,
-            membership,
-            ProtocolMode::Native,
-            BatchConfig::unbatched(),
-        )
-    }
-
-    /// Writes applied by this replica.
-    pub fn applied_writes(&self) -> u64 {
-        self.store.applied()
-    }
-
-    /// Reads a key from the local store (verification helper).
-    pub fn local_read(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.store.get(key).map(|r| r.value)
-    }
-
-    /// Messages rejected by the authentication layer.
-    pub fn rejected_messages(&self) -> u64 {
-        self.shield.rejected()
-    }
-
+impl Abd {
     fn quorum(&self) -> usize {
         self.membership.quorum()
     }
 
-    fn send_encoded(&mut self, ctx: &mut Ctx, dst: NodeId, payload: &[u8]) {
-        let wire = self.shield.wrap(dst, 1, payload);
-        ctx.send(dst, wire);
-    }
-
-    fn send(&mut self, ctx: &mut Ctx, dst: NodeId, msg: &AbdMsg) {
-        self.send_encoded(ctx, dst, &msg.encode());
-    }
-
-    /// Encodes `msg` once and shields it per peer.
-    fn broadcast(&mut self, ctx: &mut Ctx, msg: &AbdMsg) {
-        let payload = msg.encode();
-        for peer in self.membership.peers_of(self.id) {
-            self.send_encoded(ctx, peer, &payload);
-        }
-    }
-
-    fn reply_to(
-        &self,
-        ctx: &mut Ctx,
-        request: &ClientRequest,
-        value: Option<Vec<u8>>,
-        found: bool,
-    ) {
-        ctx.reply(ClientReply {
-            client_id: request.client_id,
-            request_id: request.request_id,
-            value,
-            found,
-            replier: self.id.0,
-        });
-    }
-
-    fn handle(&mut self, from: NodeId, msg: AbdMsg, ctx: &mut Ctx) {
+    fn handle(&mut self, from: NodeId, msg: AbdMsg, h: &mut Handle<'_>) {
         match msg {
             AbdMsg::GetTs { op, key } => {
-                let ts = self.store.timestamp_of(&key).unwrap_or(Timestamp::ZERO);
+                let ts = h.store().timestamp_of(&key).unwrap_or(Timestamp::ZERO);
                 let reply = AbdMsg::TsReply { op, ts };
-                self.send(ctx, from, &reply);
+                h.send(from, &reply.encode());
             }
             AbdMsg::TsReply { op, ts } => {
                 let quorum = self.quorum();
@@ -290,10 +215,10 @@ impl AbdReplica {
                         return;
                     };
                     let new_ts = highest
-                        .max(self.store.timestamp_of(&key).unwrap_or(Timestamp::ZERO))
+                        .max(h.store().timestamp_of(&key).unwrap_or(Timestamp::ZERO))
                         .next_for(self.id.0);
                     // Apply locally and broadcast round 2.
-                    self.store.apply_if_newer(&key, &value, new_ts);
+                    h.store().apply_if_newer(&key, &value, new_ts);
                     self.inflight.insert(
                         op,
                         OpState::WriteCommit {
@@ -308,13 +233,13 @@ impl AbdReplica {
                         value,
                         ts: new_ts,
                     };
-                    self.broadcast(ctx, &put);
+                    h.broadcast(self.membership.members(), &put.encode());
                 }
             }
             AbdMsg::Put { op, key, value, ts } => {
-                self.store.apply_if_newer(&key, &value, ts);
+                h.store().apply_if_newer(&key, &value, ts);
                 let ack = AbdMsg::PutAck { op };
-                self.send(ctx, from, &ack);
+                h.send(from, &ack.encode());
             }
             AbdMsg::PutAck { op } => {
                 let quorum = self.quorum();
@@ -332,13 +257,15 @@ impl AbdReplica {
                         return;
                     };
                     match is_read_back {
-                        None => self.reply_to(ctx, &request, None, false),
-                        Some(value) => self.reply_to(ctx, &request, Some(value), true),
+                        None => h.reply(request.client_id, request.request_id, None, false),
+                        Some(value) => {
+                            h.reply(request.client_id, request.request_id, Some(value), true)
+                        }
                     }
                 }
             }
             AbdMsg::GetFull { op, key } => {
-                let read = self.store.get(&key);
+                let read = h.store().get(&key);
                 let reply = AbdMsg::FullReply {
                     op,
                     ts: read
@@ -347,7 +274,7 @@ impl AbdReplica {
                         .unwrap_or(Timestamp::ZERO),
                     value: read.map(|r| r.value),
                 };
-                self.send(ctx, from, &reply);
+                h.send(from, &reply.encode());
             }
             AbdMsg::FullReply { op, value, ts } => {
                 let quorum = self.quorum();
@@ -383,12 +310,17 @@ impl AbdReplica {
                     };
                     if all_agree || best.is_none() {
                         let found = best.is_some();
-                        self.reply_to(ctx, &request, Some(best.unwrap_or_default()), found);
+                        h.reply(
+                            request.client_id,
+                            request.request_id,
+                            Some(best.unwrap_or_default()),
+                            found,
+                        );
                     } else {
                         // Disagreement: write back the highest value before replying
                         // (the ABD read's second round).
                         let value = best.clone().unwrap_or_default();
-                        self.store.apply_if_newer(&key, &value, best_ts);
+                        h.store().apply_if_newer(&key, &value, best_ts);
                         self.inflight.insert(
                             op,
                             OpState::WriteCommit {
@@ -403,7 +335,7 @@ impl AbdReplica {
                             value,
                             ts: best_ts,
                         };
-                        self.broadcast(ctx, &put);
+                        h.broadcast(self.membership.members(), &put.encode());
                     }
                 }
             }
@@ -411,18 +343,23 @@ impl AbdReplica {
     }
 }
 
-impl Replica for AbdReplica {
-    fn id(&self) -> NodeId {
-        self.id
+impl CftProtocol for Abd {
+    const PROTOCOL: Protocol = Protocol::Abd;
+    const NAME: &'static str = "ABD";
+    const STAMPING: Stamping = Stamping::Lamport;
+    /// ABD has no leader to batch on.
+    const BATCHES: bool = false;
+
+    fn new(id: NodeId, membership: Membership) -> Self {
+        Abd {
+            id,
+            membership,
+            next_op: 0,
+            inflight: HashMap::new(),
+        }
     }
 
-    fn on_client_request(&mut self, request: ClientRequest, ctx: &mut Ctx) {
-        if self.store.is_locked(request.operation.key()) {
-            // An in-flight transaction prepared on this coordinator holds the
-            // key (2PL isolation): defer by dropping — the client's
-            // retransmission resubmits after the transaction resolved.
-            return;
-        }
+    fn on_client_request(&mut self, request: ClientRequest, h: &mut Handle<'_>) {
         self.next_op += 1;
         // Operation ids are namespaced by coordinator so concurrent coordinators
         // never collide.
@@ -435,15 +372,15 @@ impl Replica for AbdReplica {
                         request,
                         key: key.clone(),
                         value,
-                        highest: self.store.timestamp_of(&key).unwrap_or(Timestamp::ZERO),
+                        highest: h.store().timestamp_of(&key).unwrap_or(Timestamp::ZERO),
                         replies: 0,
                     },
                 );
                 let query = AbdMsg::GetTs { op, key };
-                self.broadcast(ctx, &query);
+                h.broadcast(self.membership.members(), &query.encode());
             }
             Operation::Get { key } => {
-                let local = self.store.get(&key);
+                let local = h.store().get(&key);
                 self.inflight.insert(
                     op,
                     OpState::ReadQuery {
@@ -459,20 +396,16 @@ impl Replica for AbdReplica {
                     },
                 );
                 let query = AbdMsg::GetFull { op, key };
-                self.broadcast(ctx, &query);
+                h.broadcast(self.membership.members(), &query.encode());
             }
         }
     }
 
-    fn on_message(&mut self, from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
-        for (_kind, payload) in self.shield.unwrap(from, bytes) {
-            if let Some(msg) = AbdMsg::decode(&payload) {
-                self.handle(from, msg, ctx);
-            }
+    fn on_message(&mut self, from: NodeId, payload: &[u8], h: &mut Handle<'_>) {
+        if let Some(msg) = AbdMsg::decode(payload) {
+            self.handle(from, msg, h);
         }
     }
-
-    fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx) {}
 
     fn coordinates_writes(&self) -> bool {
         true
@@ -482,60 +415,10 @@ impl Replica for AbdReplica {
         true
     }
 
-    fn protocol_counters(&self) -> Option<recipe_telemetry::ProtocolCounters> {
-        Some(self.shield.counters())
-    }
-
-    fn protocol_name(&self) -> &'static str {
-        if self.shield.mode().is_recipe() {
-            "R-ABD"
-        } else {
-            "ABD"
-        }
-    }
-
-    fn channel_send_counter(&self, peer: NodeId) -> u64 {
-        self.shield.send_counter_to(peer)
-    }
-
-    fn resync_channel_from(&mut self, peer: NodeId, peer_send_counter: u64) {
-        self.shield.resync_from(peer, peer_send_counter);
-    }
-
-    fn export_recovery_state(&mut self) -> RecoveryState {
-        self.store.export_recovery_state()
-    }
-
-    fn on_restart(&mut self, _view: u64, state: RecoveryState, _ctx: &mut Ctx) -> RestartReport {
+    fn on_restart(&mut self, _view: u64, _h: &mut Handle<'_>) {
         // ABD is leaderless: nothing to elect. In-flight quorum ops are
         // volatile and lost; the client retransmission restarts them.
         self.inflight.clear();
-        self.store.restart(state)
-    }
-}
-
-impl StoreReplica for AbdReplica {
-    const PROTOCOL: Protocol = Protocol::Abd;
-
-    fn store(&mut self) -> &mut ReplicaStore {
-        &mut self.store
-    }
-}
-
-impl BuildReplica for AbdReplica {
-    /// ABD has no leader to batch on; `batch` only shapes the cost profile's
-    /// bookkeeping.
-    fn build(id: u64, membership: Membership, mode: ProtocolMode, _batch: BatchConfig) -> Self {
-        let id = NodeId(id);
-        let shield = ProtocolShield::new(id, &membership, mode);
-        AbdReplica {
-            id,
-            store: ReplicaStore::new(shield.store_config(), id, Stamping::Lamport),
-            membership,
-            shield,
-            next_op: 0,
-            inflight: HashMap::new(),
-        }
     }
 }
 
@@ -543,7 +426,7 @@ impl BuildReplica for AbdReplica {
 mod tests {
     use super::*;
     use crate::build_cluster;
-    use recipe_sim::{ClientModel, CostProfile, SimCluster, SimConfig};
+    use recipe_sim::{ClientModel, CostProfile, Replica, SimCluster, SimConfig};
 
     fn cluster(ops: usize) -> SimCluster<AbdReplica> {
         let replicas = build_cluster(3, 1, |id, m| AbdReplica::recipe(id, m, false));

@@ -20,14 +20,12 @@
 use std::collections::{HashMap, HashSet};
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
-use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
+use recipe_core::{ClientRequest, Membership, Operation};
 use recipe_net::NodeId;
-use recipe_sim::{Ctx, RecoveryState, Replica, RestartReport};
 
-use crate::batch::BatchConfig;
-use crate::registry::{BuildReplica, Protocol};
-use crate::shield::{ProtocolMode, ProtocolShield};
-use crate::store::{ReplicaStore, Stamping, StoreReplica};
+use crate::registry::Protocol;
+use crate::replica::{CftProtocol, Handle, RecipeReplica};
+use crate::store::Stamping;
 
 /// AllConcur protocol messages. `op` is the proposer's id for the write a
 /// message belongs to.
@@ -96,13 +94,10 @@ struct PendingProposal {
     acks: HashSet<u64>,
 }
 
-/// An AllConcur replica (native or Recipe-transformed).
-pub struct AllConcurReplica {
-    id: NodeId,
+/// The AllConcur protocol: the proposals one node coordinates and the ones
+/// it tracks for others.
+pub struct AllConcur {
     membership: Membership,
-    shield: ProtocolShield,
-    /// The KV store and the count of writes delivered to it.
-    store: ReplicaStore,
     next_op: u64,
     /// Proposals this node coordinates, until they are delivered.
     own: HashMap<u64, PendingProposal>,
@@ -110,70 +105,16 @@ pub struct AllConcurReplica {
     buffered: HashMap<(u64, u64), (Vec<u8>, Vec<u8>)>,
 }
 
-impl AllConcurReplica {
-    /// Builds a Recipe-transformed replica (R-AllConcur).
-    ///
-    /// `confidentiality` is the group's policy — a
-    /// [`recipe_core::ConfidentialityMode`] resolved by the deployment spec,
-    /// or a legacy `bool` via `From<bool>`.
-    pub fn recipe(
-        id: u64,
-        membership: Membership,
-        confidentiality: impl Into<ConfidentialityMode>,
-    ) -> Self {
-        let confidentiality = confidentiality.into();
-        let mode = ProtocolMode::Recipe { confidentiality };
-        Self::build(id, membership, mode, BatchConfig::unbatched())
-    }
+/// An AllConcur replica (native or Recipe-transformed, R-AllConcur).
+pub type AllConcurReplica = RecipeReplica<AllConcur>;
 
-    /// Builds a native replica.
-    pub fn native(id: u64, membership: Membership) -> Self {
-        Self::build(
-            id,
-            membership,
-            ProtocolMode::Native,
-            BatchConfig::unbatched(),
-        )
-    }
-
-    /// Writes applied by this replica.
-    pub fn applied_writes(&self) -> u64 {
-        self.store.applied()
-    }
-
-    /// Reads a key from the local store (verification helper).
-    pub fn local_read(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.store.get(key).map(|r| r.value)
-    }
-
-    /// Messages rejected by the authentication layer.
-    pub fn rejected_messages(&self) -> u64 {
-        self.shield.rejected()
-    }
-
-    fn send_encoded(&mut self, ctx: &mut Ctx, dst: NodeId, payload: &[u8]) {
-        let wire = self.shield.wrap(dst, 1, payload);
-        ctx.send(dst, wire);
-    }
-
-    fn send(&mut self, ctx: &mut Ctx, dst: NodeId, msg: &AllConcurMsg) {
-        self.send_encoded(ctx, dst, &msg.encode());
-    }
-
-    /// Encodes `msg` once and shields it per peer.
-    fn broadcast(&mut self, ctx: &mut Ctx, msg: &AllConcurMsg) {
-        let payload = msg.encode();
-        for peer in self.membership.peers_of(self.id) {
-            self.send_encoded(ctx, peer, &payload);
-        }
-    }
-
-    fn handle(&mut self, from: NodeId, msg: AllConcurMsg, ctx: &mut Ctx) {
+impl AllConcur {
+    fn handle(&mut self, from: NodeId, msg: AllConcurMsg, h: &mut Handle<'_>) {
         match msg {
             AllConcurMsg::Propose { op, key, value } => {
                 self.buffered.insert((from.0, op), (key, value));
                 let track = AllConcurMsg::Track { op };
-                self.send(ctx, from, &track);
+                h.send(from, &track.encode());
             }
             AllConcurMsg::Track { op } => {
                 let all_peers = self.membership.n() - 1;
@@ -193,43 +134,41 @@ impl AllConcurReplica {
                 let Operation::Put { key, value } = request.operation else {
                     return;
                 };
-                self.store.apply(&key, &value);
+                h.store().apply(&key, &value);
                 let deliver = AllConcurMsg::Deliver { op };
-                self.broadcast(ctx, &deliver);
-                ctx.reply(ClientReply {
-                    client_id: request.client_id,
-                    request_id: request.request_id,
-                    value: None,
-                    found: false,
-                    replier: self.id.0,
-                });
+                h.broadcast(self.membership.members(), &deliver.encode());
+                h.reply(request.client_id, request.request_id, None, false);
             }
             AllConcurMsg::Deliver { op } => {
                 if let Some((key, value)) = self.buffered.remove(&(from.0, op)) {
-                    self.store.apply(&key, &value);
+                    h.store().apply(&key, &value);
                 }
             }
         }
     }
 }
 
-impl Replica for AllConcurReplica {
-    fn id(&self) -> NodeId {
-        self.id
+impl CftProtocol for AllConcur {
+    const PROTOCOL: Protocol = Protocol::AllConcur;
+    const NAME: &'static str = "AllConcur";
+    const STAMPING: Stamping = Stamping::Sequence;
+    /// Every node proposes for itself: there is no one sender to batch on.
+    const BATCHES: bool = false;
+
+    fn new(_id: NodeId, membership: Membership) -> Self {
+        AllConcur {
+            membership,
+            next_op: 0,
+            own: HashMap::new(),
+            buffered: HashMap::new(),
+        }
     }
 
-    fn on_client_request(&mut self, request: ClientRequest, ctx: &mut Ctx) {
+    fn on_client_request(&mut self, request: ClientRequest, h: &mut Handle<'_>) {
         match request.operation.clone() {
             Operation::Get { key } => {
                 // Consistent local reads (sequential consistency).
-                let read = self.store.get(&key);
-                ctx.reply(ClientReply {
-                    client_id: request.client_id,
-                    request_id: request.request_id,
-                    found: read.is_some(),
-                    value: Some(read.map(|r| r.value).unwrap_or_default()),
-                    replier: self.id.0,
-                });
+                h.reply_local_read(request.client_id, request.request_id, &key);
             }
             Operation::Put { key, value } => {
                 self.next_op += 1;
@@ -242,20 +181,16 @@ impl Replica for AllConcurReplica {
                     },
                 );
                 let propose = AllConcurMsg::Propose { op, key, value };
-                self.broadcast(ctx, &propose);
+                h.broadcast(self.membership.members(), &propose.encode());
             }
         }
     }
 
-    fn on_message(&mut self, from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
-        for (_kind, payload) in self.shield.unwrap(from, bytes) {
-            if let Some(msg) = AllConcurMsg::decode(&payload) {
-                self.handle(from, msg, ctx);
-            }
+    fn on_message(&mut self, from: NodeId, payload: &[u8], h: &mut Handle<'_>) {
+        if let Some(msg) = AllConcurMsg::decode(payload) {
+            self.handle(from, msg, h);
         }
     }
-
-    fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx) {}
 
     fn coordinates_writes(&self) -> bool {
         true
@@ -265,61 +200,12 @@ impl Replica for AllConcurReplica {
         true
     }
 
-    fn protocol_counters(&self) -> Option<recipe_telemetry::ProtocolCounters> {
-        Some(self.shield.counters())
-    }
-
-    fn protocol_name(&self) -> &'static str {
-        if self.shield.mode().is_recipe() {
-            "R-AllConcur"
-        } else {
-            "AllConcur"
-        }
-    }
-
-    fn channel_send_counter(&self, peer: NodeId) -> u64 {
-        self.shield.send_counter_to(peer)
-    }
-
-    fn resync_channel_from(&mut self, peer: NodeId, peer_send_counter: u64) {
-        self.shield.resync_from(peer, peer_send_counter);
-    }
-
-    fn export_recovery_state(&mut self) -> RecoveryState {
-        self.store.export_recovery_state()
-    }
-
-    fn on_restart(&mut self, _view: u64, state: RecoveryState, _ctx: &mut Ctx) -> RestartReport {
+    fn on_restart(&mut self, _view: u64, _h: &mut Handle<'_>) {
         // AllConcur is leaderless (every node coordinates its own
         // proposals); in-flight proposals and buffered peer proposals are
         // volatile and lost, and the client retransmission reissues them.
         self.own.clear();
         self.buffered.clear();
-        self.store.restart(state)
-    }
-}
-
-impl StoreReplica for AllConcurReplica {
-    const PROTOCOL: Protocol = Protocol::AllConcur;
-
-    fn store(&mut self) -> &mut ReplicaStore {
-        &mut self.store
-    }
-}
-
-impl BuildReplica for AllConcurReplica {
-    fn build(id: u64, membership: Membership, mode: ProtocolMode, _batch: BatchConfig) -> Self {
-        let id = NodeId(id);
-        let shield = ProtocolShield::new(id, &membership, mode);
-        AllConcurReplica {
-            id,
-            store: ReplicaStore::new(shield.store_config(), id, Stamping::Sequence),
-            membership,
-            shield,
-            next_op: 0,
-            own: HashMap::new(),
-            buffered: HashMap::new(),
-        }
     }
 }
 
@@ -327,7 +213,7 @@ impl BuildReplica for AllConcurReplica {
 mod tests {
     use super::*;
     use crate::build_cluster;
-    use recipe_sim::{ClientModel, CostProfile, SimCluster, SimConfig};
+    use recipe_sim::{ClientModel, CostProfile, Replica, SimCluster, SimConfig};
 
     fn cluster(ops: usize) -> SimCluster<AllConcurReplica> {
         let replicas = build_cluster(3, 1, |id, m| AllConcurReplica::recipe(id, m, false));
@@ -373,7 +259,7 @@ mod tests {
             // A delivered proposal is gone from its coordinator's state: only
             // what was in flight when the run stopped is left, one per client
             // at most.
-            assert!(cluster.replica(NodeId(id)).own.len() <= 16);
+            assert!(cluster.replica(NodeId(id)).core().own.len() <= 16);
         }
     }
 

@@ -9,17 +9,12 @@
 //! reads are why R-CR shows the largest speedups on read-heavy workloads (Figure 4).
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
-use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
+use recipe_core::{ClientRequest, Membership, Operation};
 use recipe_net::NodeId;
-use recipe_sim::{Ctx, RecoveryState, Replica, RestartReport};
 
-use crate::batch::{BatchConfig, Batcher};
-use crate::registry::{BuildReplica, Protocol};
-use crate::shield::{ProtocolMode, ProtocolShield};
-use crate::store::{ReplicaStore, Stamping, StoreReplica};
-
-/// Timer token: flush partially-filled batches (time-budget trigger).
-const TOKEN_BATCH_FLUSH: u64 = 1;
+use crate::registry::Protocol;
+use crate::replica::{CftProtocol, Handle, RecipeReplica};
+use crate::store::Stamping;
 
 /// Chain Replication protocol messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,20 +72,14 @@ impl ChainMsg {
     }
 }
 
-/// A Chain Replication replica (native or Recipe-transformed).
-pub struct ChainReplica {
+/// The Chain Replication protocol: one node's place in the live chain.
+///
+/// Each node has exactly one downstream destination, so batching coalesces
+/// the head's (and every relay's) forwards into amortized frames.
+pub struct Chain {
     id: NodeId,
     membership: Membership,
-    shield: ProtocolShield,
-    /// The KV store and the count of writes applied to it as they passed
-    /// through this node.
-    store: ReplicaStore,
     next_seq: u64,
-    /// Outgoing-forward batcher (unbatched by default; see
-    /// [`ChainReplica::with_batching`]). Each chain node has exactly one
-    /// downstream destination, so batching coalesces the head's (and every
-    /// relay's) forwards into amortized frames.
-    batcher: Batcher,
     /// Members the trusted configuration service reported down (sorted).
     /// Chain roles — head, tail, successor — are computed over the live
     /// members only, which is Chain Replication's master-driven
@@ -99,64 +88,31 @@ pub struct ChainReplica {
     down: Vec<NodeId>,
 }
 
+/// A Chain Replication replica (native or Recipe-transformed, R-CR).
+pub type ChainReplica = RecipeReplica<Chain>;
+
 impl ChainReplica {
-    /// Builds a Recipe-transformed replica (R-CR).
-    ///
-    /// `confidentiality` is the group's policy — a
-    /// [`recipe_core::ConfidentialityMode`] resolved by the deployment spec,
-    /// or a legacy `bool` via `From<bool>`.
-    pub fn recipe(
-        id: u64,
-        membership: Membership,
-        confidentiality: impl Into<ConfidentialityMode>,
-    ) -> Self {
-        let confidentiality = confidentiality.into();
-        let mode = ProtocolMode::Recipe { confidentiality };
-        Self::build(id, membership, mode, BatchConfig::unbatched())
-    }
-
-    /// Builds a native replica.
-    pub fn native(id: u64, membership: Membership) -> Self {
-        Self::build(
-            id,
-            membership,
-            ProtocolMode::Native,
-            BatchConfig::unbatched(),
-        )
-    }
-
-    /// Enables batching of chain forwards (see [`BatchConfig`]).
-    pub fn with_batching(mut self, config: BatchConfig) -> Self {
-        self.batcher = Batcher::new(config);
-        self
-    }
-
     /// True if this node heads the live chain.
     pub fn is_head(&self) -> bool {
-        self.membership.chain_head_live(&self.down) == Some(self.id)
+        self.core().is_head()
     }
 
     /// True if this node is the tail of the live chain.
     pub fn is_tail(&self) -> bool {
+        self.core().is_tail()
+    }
+}
+
+impl Chain {
+    fn is_head(&self) -> bool {
+        self.membership.chain_head_live(&self.down) == Some(self.id)
+    }
+
+    fn is_tail(&self) -> bool {
         self.membership.chain_tail_live(&self.down) == Some(self.id)
     }
 
-    /// Writes applied by this replica.
-    pub fn applied_writes(&self) -> u64 {
-        self.store.applied()
-    }
-
-    /// Reads a key from the local store (verification helper).
-    pub fn local_read(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.store.get(key).map(|r| r.value)
-    }
-
-    /// Messages rejected by the authentication layer.
-    pub fn rejected_messages(&self) -> u64 {
-        self.shield.rejected()
-    }
-
-    fn forward_or_commit(&mut self, msg: ChainMsg, ctx: &mut Ctx) {
+    fn forward_or_commit(&mut self, msg: ChainMsg, h: &mut Handle<'_>) {
         let ChainMsg::Forward {
             seq,
             key,
@@ -165,7 +121,7 @@ impl ChainReplica {
             request_id,
         } = msg;
         // Every node along the chain applies the write as it passes through.
-        self.store.apply(&key, &value);
+        h.store().apply(&key, &value);
         match self.membership.chain_successor_live(self.id, &self.down) {
             Some(next) => {
                 let forward = ChainMsg::Forward {
@@ -175,64 +131,39 @@ impl ChainReplica {
                     client_id,
                     request_id,
                 };
-                self.enqueue(ctx, next, forward.encode());
+                h.send(next, &forward.encode());
             }
             None => {
                 // This is the tail: the write is committed; answer the client.
-                ctx.reply(ClientReply {
-                    client_id,
-                    request_id,
-                    value: None,
-                    found: false,
-                    replier: self.id.0,
-                });
+                h.reply(client_id, request_id, None, false);
             }
         }
     }
-
-    /// Sends a forward through the batching pipeline (immediate single message
-    /// when batching is off).
-    fn enqueue(&mut self, ctx: &mut Ctx, dst: NodeId, payload: Vec<u8>) {
-        if !self.batcher.is_batching() {
-            let wire = self.shield.wrap(dst, 1, &payload);
-            ctx.send(dst, wire);
-            return;
-        }
-        let shield = &mut self.shield;
-        self.batcher
-            .enqueue(ctx, TOKEN_BATCH_FLUSH, dst, 1, payload, |ctx, dst, ops| {
-                let count = ops.len() as u32;
-                ctx.send_batch(dst, shield.wrap_batch(dst, ops), count);
-            });
-    }
 }
 
-impl Replica for ChainReplica {
-    fn id(&self) -> NodeId {
-        self.id
+impl CftProtocol for Chain {
+    const PROTOCOL: Protocol = Protocol::Chain;
+    const NAME: &'static str = "CR";
+    const STAMPING: Stamping = Stamping::Sequence;
+    const BATCHES: bool = true;
+
+    fn new(id: NodeId, membership: Membership) -> Self {
+        Chain {
+            id,
+            membership,
+            next_seq: 0,
+            down: Vec::new(),
+        }
     }
 
-    fn on_client_request(&mut self, request: ClientRequest, ctx: &mut Ctx) {
-        if self.store.is_locked(request.operation.key()) {
-            // An in-flight transaction holds the key (2PL isolation): defer
-            // by dropping — the client's retransmission resubmits after the
-            // transaction resolved. Never taken without transactions.
-            return;
-        }
+    fn on_client_request(&mut self, request: ClientRequest, h: &mut Handle<'_>) {
         match request.operation {
             Operation::Get { key } => {
                 // Reads are served locally at the tail.
                 if !self.is_tail() {
                     return;
                 }
-                let read = self.store.get(&key);
-                ctx.reply(ClientReply {
-                    client_id: request.client_id,
-                    request_id: request.request_id,
-                    found: read.is_some(),
-                    value: Some(read.map(|r| r.value).unwrap_or_default()),
-                    replier: self.id.0,
-                });
+                h.reply_local_read(request.client_id, request.request_id, &key);
             }
             Operation::Put { key, value } => {
                 // Writes enter at the head.
@@ -247,26 +178,14 @@ impl Replica for ChainReplica {
                     client_id: request.client_id,
                     request_id: request.request_id,
                 };
-                self.forward_or_commit(msg, ctx);
+                self.forward_or_commit(msg, h);
             }
         }
     }
 
-    fn on_message(&mut self, from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
-        for (_kind, payload) in self.shield.unwrap(from, bytes) {
-            if let Some(msg) = ChainMsg::decode(&payload) {
-                self.forward_or_commit(msg, ctx);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
-        if token == TOKEN_BATCH_FLUSH {
-            let shield = &mut self.shield;
-            self.batcher.flush_timer(ctx, |ctx, dst, ops| {
-                let count = ops.len() as u32;
-                ctx.send_batch(dst, shield.wrap_batch(dst, ops), count);
-            });
+    fn on_message(&mut self, _from: NodeId, payload: &[u8], h: &mut Handle<'_>) {
+        if let Some(msg) = ChainMsg::decode(payload) {
+            self.forward_or_commit(msg, h);
         }
     }
 
@@ -278,41 +197,13 @@ impl Replica for ChainReplica {
         self.is_tail()
     }
 
-    fn protocol_counters(&self) -> Option<recipe_telemetry::ProtocolCounters> {
-        let mut counters = self.shield.counters();
-        self.batcher.fold_counters(&mut counters);
-        Some(counters)
-    }
-
-    fn protocol_name(&self) -> &'static str {
-        if self.shield.mode().is_recipe() {
-            "R-CR"
-        } else {
-            "CR"
-        }
-    }
-
-    fn channel_send_counter(&self, peer: NodeId) -> u64 {
-        self.shield.send_counter_to(peer)
-    }
-
-    fn resync_channel_from(&mut self, peer: NodeId, peer_send_counter: u64) {
-        self.shield.resync_from(peer, peer_send_counter);
-    }
-
-    fn export_recovery_state(&mut self) -> RecoveryState {
-        self.store.export_recovery_state()
-    }
-
-    fn on_restart(&mut self, _view: u64, state: RecoveryState, _ctx: &mut Ctx) -> RestartReport {
-        self.batcher = Batcher::new(*self.batcher.config());
-        self.down.clear();
+    fn on_restart(&mut self, _view: u64, _h: &mut Handle<'_>) {
         // `next_seq`, like the store's applied count, is backed by the
         // trusted monotonic counter and survives the crash.
-        self.store.restart(state)
+        self.down.clear();
     }
 
-    fn on_peer_down(&mut self, peer: NodeId, _ctx: &mut Ctx) {
+    fn on_peer_down(&mut self, peer: NodeId, h: &mut Handle<'_>) {
         if let Err(idx) = self.down.binary_search(&peer) {
             self.down.insert(idx, peer);
         }
@@ -320,37 +211,13 @@ impl Replica for ChainReplica {
             // This node just became (or confirmed itself as) the live head:
             // adopt any prepare records replicated from a crashed head so
             // in-flight transactions resolve here.
-            let _ = self.store.txn_adopt_replicated();
+            let _ = h.store().txn_adopt_replicated();
         }
     }
 
-    fn on_peer_up(&mut self, peer: NodeId, _ctx: &mut Ctx) {
+    fn on_peer_up(&mut self, peer: NodeId, _h: &mut Handle<'_>) {
         if let Ok(idx) = self.down.binary_search(&peer) {
             self.down.remove(idx);
-        }
-    }
-}
-
-impl StoreReplica for ChainReplica {
-    const PROTOCOL: Protocol = Protocol::Chain;
-
-    fn store(&mut self) -> &mut ReplicaStore {
-        &mut self.store
-    }
-}
-
-impl BuildReplica for ChainReplica {
-    fn build(id: u64, membership: Membership, mode: ProtocolMode, batch: BatchConfig) -> Self {
-        let id = NodeId(id);
-        let shield = ProtocolShield::new(id, &membership, mode);
-        ChainReplica {
-            id,
-            store: ReplicaStore::new(shield.store_config(), id, Stamping::Sequence),
-            membership,
-            shield,
-            next_seq: 0,
-            batcher: Batcher::new(batch),
-            down: Vec::new(),
         }
     }
 }
@@ -358,8 +225,8 @@ impl BuildReplica for ChainReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build_cluster;
-    use recipe_sim::{ClientModel, CostProfile, SimCluster, SimConfig};
+    use crate::{build_cluster, BatchConfig};
+    use recipe_sim::{ClientModel, CostProfile, Replica, SimCluster, SimConfig};
 
     fn cluster(n: usize, ops: usize) -> SimCluster<ChainReplica> {
         let replicas = build_cluster(n, (n - 1) / 2, |id, m| ChainReplica::recipe(id, m, false));

@@ -7,24 +7,29 @@
 //! | total      | Raft → [`raft::RaftReplica`]    | AllConcur → [`allconcur::AllConcurReplica`] |
 //! | per-key    | Chain Replication → [`chain::ChainReplica`] | ABD → [`abd::AbdReplica`] |
 //!
-//! Every replica type exists in two modes selected by [`shield::ProtocolShield`]:
+//! Each protocol is one type — its core, a [`replica::CftProtocol`]: states,
+//! rounds and messages, nothing else — and each replica type above is an
+//! alias of the one wrapper, [`replica::RecipeReplica`], around it. The
+//! wrapper's [`shield::ProtocolMode`] alone selects how the core's messages
+//! travel:
 //!
 //! * **Native** — the unmodified CFT protocol: plain message encoding, no
 //!   authentication layer, intended for the crash-only fault model. This is the
 //!   baseline of the Figure 6a overhead experiment.
-//! * **Recipe** (`R-` prefix) — the same protocol code, but every message goes
+//! * **Recipe** (`R-` prefix) — the same core, but every message goes
 //!   through `shield_msg` / `verify_msg`: MAC under the attestation-provisioned
 //!   channel key, trusted per-channel counter, optional payload encryption. This is
 //!   the transformation of Listing 1: the protocol's states, rounds and message
 //!   complexity are untouched.
 //!
-//! All replicas implement [`recipe_sim::Replica`], so the same code runs in unit
-//! tests, in the integration tests, in the examples and in the benchmark harness.
-//!
-//! What sits below a protocol is written once, not per protocol: every
-//! replica embeds a [`store::ReplicaStore`] — the KV store with two-phase-commit
+//! What is not protocol logic is written once, in the wrapper: the
+//! [`shield::ProtocolShield`], the [`batch::Batcher`], the
+//! [`store::ReplicaStore`] — the KV store with two-phase-commit
 //! participation, key-range state transfer and the rollback-protected restart
-//! — and [`registry::Protocol`] names every protocol a run can select.
+//! — the locked-key check and the recovery hooks of [`recipe_sim::Replica`],
+//! so the same code runs in unit tests, in the integration tests, in the
+//! examples and in the benchmark harness. [`registry::Protocol`] names every
+//! protocol a run can select.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,20 +41,22 @@ pub mod chain;
 pub mod migration;
 pub mod raft;
 pub mod registry;
+pub mod replica;
 pub mod shield;
 pub mod store;
 pub mod txn;
 
-pub use abd::{AbdMsg, AbdReplica};
-pub use allconcur::{AllConcurMsg, AllConcurReplica};
+pub use abd::{Abd, AbdMsg, AbdReplica};
+pub use allconcur::{AllConcur, AllConcurMsg, AllConcurReplica};
 pub use batch::{BatchConfig, Batcher};
-pub use chain::{ChainMsg, ChainReplica};
+pub use chain::{Chain, ChainMsg, ChainReplica};
 pub use migration::{
     ChunkPhase, MigrationChannel, MigrationChunk, ENDPOINT_IDS as MIGRATION_ENDPOINT_IDS,
     MAX_SHARDS,
 };
-pub use raft::{RaftMsg, RaftReplica};
+pub use raft::{Raft, RaftMsg, RaftReplica};
 pub use registry::{BuildReplica, Protocol, ProtocolVisitor};
+pub use replica::{CftProtocol, Handle, RecipeReplica};
 pub use shield::{Frames, FramesIter, ProtocolMode, ProtocolShield};
 pub use store::{ReplicaStore, Stamping, StoreReplica, TxnVote};
 pub use txn::{TxnLane, TxnLanes, ENDPOINT_IDS as TXN_ENDPOINT_IDS, MAX_CLIENTS};

@@ -18,21 +18,17 @@ use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
-use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership, Operation};
+use recipe_core::{ClientRequest, Membership, Operation};
 use recipe_net::NodeId;
-use recipe_sim::{Ctx, RecoveryState, Replica, RestartReport};
 
-use crate::batch::{BatchConfig, Batcher};
-use crate::registry::{BuildReplica, Protocol};
-use crate::shield::{ProtocolMode, ProtocolShield};
-use crate::store::{ReplicaStore, Stamping, StoreReplica};
+use crate::registry::Protocol;
+use crate::replica::{CftProtocol, Handle, RecipeReplica};
+use crate::store::Stamping;
 
 /// Timer token: leader heartbeat tick.
 const TOKEN_HEARTBEAT: u64 = 1;
 /// Timer token: follower failure-detector tick.
 const TOKEN_FAILURE_DETECTOR: u64 = 2;
-/// Timer token: flush partially-filled batches (time-budget trigger).
-const TOKEN_BATCH_FLUSH: u64 = 3;
 /// Heartbeat period in nanoseconds.
 const HEARTBEAT_PERIOD_NS: u64 = 10_000_000; // 10 ms
 /// Lease / election timeout in nanoseconds.
@@ -219,14 +215,11 @@ struct PendingEntry {
     replicated: bool,
 }
 
-/// A Raft replica (native or Recipe-transformed).
-pub struct RaftReplica {
+/// The Raft protocol: one replica's view, log position and replication and
+/// election state.
+pub struct Raft {
     id: NodeId,
     membership: Membership,
-    shield: ProtocolShield,
-    /// The KV store and the count of entries applied to it (its log
-    /// position).
-    store: ReplicaStore,
     view: u64,
     next_index: u64,
     /// Leader-side replication state per log index, from the client's request
@@ -240,114 +233,38 @@ pub struct RaftReplica {
     voted: HashSet<u64>,
     /// Votes received per candidate view.
     view_votes: HashMap<u64, HashSet<u64>>,
-    /// Outgoing-message batcher (unbatched by default; see
-    /// [`RaftReplica::with_batching`]).
-    batcher: Batcher,
 }
 
+/// A Raft replica (native or Recipe-transformed, R-Raft).
+pub type RaftReplica = RecipeReplica<Raft>;
+
 impl RaftReplica {
-    /// Builds a Recipe-transformed replica (R-Raft).
-    ///
-    /// `confidentiality` is the group's policy — a
-    /// [`recipe_core::ConfidentialityMode`] resolved by the deployment spec
-    /// (see `recipe_shard::DeploymentSpec`), or a legacy `bool` via
-    /// `From<bool>`. Confidential replicas also seal their stored values.
-    pub fn recipe(
-        id: u64,
-        membership: Membership,
-        confidentiality: impl Into<ConfidentialityMode>,
-    ) -> Self {
-        let confidentiality = confidentiality.into();
-        let mode = ProtocolMode::Recipe { confidentiality };
-        Self::build(id, membership, mode, BatchConfig::unbatched())
-    }
-
-    /// Builds a native (untransformed) replica.
-    pub fn native(id: u64, membership: Membership) -> Self {
-        Self::build(
-            id,
-            membership,
-            ProtocolMode::Native,
-            BatchConfig::unbatched(),
-        )
-    }
-
-    /// Enables leader-side batching: outgoing protocol messages accumulate per
-    /// destination and drain as one amortized frame per flush (ops, byte or
-    /// time budget — see [`BatchConfig`]). `BatchConfig::unbatched()` restores
-    /// the one-message-per-op seed behaviour.
-    pub fn with_batching(mut self, config: BatchConfig) -> Self {
-        self.batcher = Batcher::new(config);
-        self
-    }
-
     /// The current view (term).
     pub fn view(&self) -> u64 {
-        self.view
+        self.core().view
     }
 
     /// True if this replica currently leads.
     pub fn is_leader(&self) -> bool {
-        self.membership.leader_for_view(self.view) == self.id
+        self.core().is_leader()
     }
 
     /// Number of entries this replica has applied to its KV store.
     pub fn committed_entries(&self) -> u64 {
-        self.store.applied()
+        self.applied_writes()
     }
+}
 
-    /// Reads a key directly from the local store (test/verification helper).
-    pub fn local_read(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.store.get(key).map(|r| r.value)
-    }
-
-    /// Messages rejected by the authentication layer.
-    pub fn rejected_messages(&self) -> u64 {
-        self.shield.rejected()
+impl Raft {
+    fn is_leader(&self) -> bool {
+        self.membership.leader_for_view(self.view) == self.id
     }
 
     fn quorum(&self) -> usize {
         self.membership.quorum()
     }
 
-    fn send(&mut self, ctx: &mut Ctx, dst: NodeId, msg: &RaftMsg) {
-        self.enqueue(ctx, dst, &msg.encoding());
-    }
-
-    /// Encodes `msg` once and shields it per peer.
-    fn broadcast(&mut self, ctx: &mut Ctx, msg: &RaftMsg) {
-        self.broadcast_encoded(ctx, &msg.encoding());
-    }
-
-    fn broadcast_encoded(&mut self, ctx: &mut Ctx, payload: &[u8]) {
-        for position in 0..self.membership.n() {
-            let peer = self.membership.members()[position];
-            if peer != self.id {
-                self.enqueue(ctx, peer, payload);
-            }
-        }
-    }
-
-    /// Sends `payload` to `dst` through the batching pipeline: immediately as a
-    /// single shielded message when batching is off, otherwise accumulated and
-    /// flushed on the first trigger (ops/byte budget now, time budget via
-    /// [`TOKEN_BATCH_FLUSH`]).
-    fn enqueue(&mut self, ctx: &mut Ctx, dst: NodeId, payload: &[u8]) {
-        if !self.batcher.is_batching() {
-            let wire = self.shield.wrap(dst, 1, payload);
-            ctx.send(dst, wire);
-            return;
-        }
-        let shield = &mut self.shield;
-        let payload = payload.to_vec();
-        self.batcher
-            .enqueue(ctx, TOKEN_BATCH_FLUSH, dst, 1, payload, |ctx, dst, ops| {
-                let count = ops.len() as u32;
-                ctx.send_batch(dst, shield.wrap_batch(dst, ops), count);
-            });
-    }
-
-    fn handle_protocol_message(&mut self, from: NodeId, msg: RaftMsg, ctx: &mut Ctx) {
+    fn handle_protocol_message(&mut self, from: NodeId, msg: RaftMsg, h: &mut Handle<'_>) {
         match msg {
             RaftMsg::Append {
                 view,
@@ -362,7 +279,7 @@ impl RaftReplica {
                 }
                 self.uncommitted.insert(index, (key, value));
                 let ack = RaftMsg::AppendAck { view, index };
-                self.send(ctx, from, &ack);
+                h.send(from, &ack.encoding());
             }
             RaftMsg::AppendAck { view, index } => {
                 if view != self.view || !self.is_leader() {
@@ -380,13 +297,13 @@ impl RaftReplica {
                 if !entry.replicated && entry.append_acks.len() >= quorum {
                     entry.replicated = true;
                     // Apply locally and instruct followers to commit.
-                    self.store.apply(&entry.key, &entry.value);
+                    h.store().apply(&entry.key, &entry.value);
                     entry.commit_acks.insert(own);
                     let commit = RaftMsg::Commit {
                         view: self.view,
                         index,
                     };
-                    self.broadcast(ctx, &commit);
+                    h.broadcast(self.membership.members(), &commit.encoding());
                 }
             }
             RaftMsg::Commit { view, index } => {
@@ -394,10 +311,10 @@ impl RaftReplica {
                     return;
                 }
                 if let Some((key, value)) = self.uncommitted.remove(&index) {
-                    self.store.apply(&key, &value);
+                    h.store().apply(&key, &value);
                 }
                 let ack = RaftMsg::CommitAck { view, index };
-                self.send(ctx, from, &ack);
+                h.send(from, &ack.encoding());
             }
             RaftMsg::CommitAck { view, index } => {
                 if view != self.view || !self.is_leader() {
@@ -411,13 +328,7 @@ impl RaftReplica {
                 };
                 entry.commit_acks.insert(acker);
                 if entry.commit_acks.len() >= quorum {
-                    ctx.reply(ClientReply {
-                        client_id: entry.client_id,
-                        request_id: entry.request_id,
-                        value: None,
-                        found: false,
-                        replier: self.id.0,
-                    });
+                    h.reply(entry.client_id, entry.request_id, None, false);
                     // Answered: nothing about this index is needed again, and
                     // an ack that arrives later finds no entry to count on.
                     self.pending.remove(&index);
@@ -430,10 +341,10 @@ impl RaftReplica {
                     // the view instead of waiting out another election. In
                     // crash-free runs the view never advances, so this
                     // branch is never taken there.
-                    self.install_view(view, ctx);
+                    self.install_view(view, h);
                 }
                 if view >= self.view {
-                    self.last_heartbeat_ns = ctx.now().as_nanos();
+                    self.last_heartbeat_ns = h.now().as_nanos();
                 }
             }
             RaftMsg::ViewChange { new_view } => {
@@ -448,20 +359,20 @@ impl RaftReplica {
                         .or_default()
                         .insert(self.id.0);
                     let vote = RaftMsg::ViewChange { new_view };
-                    self.broadcast(ctx, &vote);
+                    h.broadcast(self.membership.members(), &vote.encoding());
                 }
                 let votes = self.view_votes.get(&new_view).map(|v| v.len()).unwrap_or(0);
                 if votes >= self.quorum() {
-                    self.install_view(new_view, ctx);
+                    self.install_view(new_view, h);
                 }
             }
         }
     }
 
-    fn install_view(&mut self, view: u64, ctx: &mut Ctx) {
+    fn install_view(&mut self, view: u64, h: &mut Handle<'_>) {
         self.view = view;
-        self.shield.set_view(view);
-        self.last_heartbeat_ns = ctx.now().as_nanos();
+        h.set_view(view);
+        self.last_heartbeat_ns = h.now().as_nanos();
         // Any in-flight leader state from the previous view is discarded; committed
         // entries are already in the KV stores of a majority.
         self.pending.clear();
@@ -469,43 +380,48 @@ impl RaftReplica {
             // Failover adoption: in-flight transactions the crashed leader
             // prepared become real (locked) prepares on the new leader, so
             // the 2PC coordinator's commit/abort frames resolve them here.
-            let _ = self.store.txn_adopt_replicated();
+            let _ = h.store().txn_adopt_replicated();
             let beat = RaftMsg::Heartbeat { view: self.view };
-            self.broadcast(ctx, &beat);
-            ctx.set_timer(HEARTBEAT_PERIOD_NS, TOKEN_HEARTBEAT);
+            h.broadcast(self.membership.members(), &beat.encoding());
+            h.set_timer(HEARTBEAT_PERIOD_NS, TOKEN_HEARTBEAT);
         }
     }
 }
 
-impl Replica for RaftReplica {
-    fn id(&self) -> NodeId {
-        self.id
+impl CftProtocol for Raft {
+    const PROTOCOL: Protocol = Protocol::Raft;
+    const NAME: &'static str = "Raft";
+    const STAMPING: Stamping = Stamping::Sequence;
+    const BATCHES: bool = true;
+
+    fn new(id: NodeId, membership: Membership) -> Self {
+        assert!(
+            membership.n() <= AckSet::CAPACITY,
+            "a Raft group is at most {} replicas",
+            AckSet::CAPACITY
+        );
+        Raft {
+            id,
+            membership,
+            view: 0,
+            next_index: 0,
+            pending: HashMap::new(),
+            uncommitted: HashMap::new(),
+            last_heartbeat_ns: 0,
+            voted: HashSet::new(),
+            view_votes: HashMap::new(),
+        }
     }
 
-    fn on_client_request(&mut self, request: ClientRequest, ctx: &mut Ctx) {
+    fn on_client_request(&mut self, request: ClientRequest, h: &mut Handle<'_>) {
         if !self.is_leader() {
             // The distributed data-store layer normally routes around this; drop.
-            return;
-        }
-        if self.store.is_locked(request.operation.key()) {
-            // An in-flight transaction holds the key (2PL isolation): defer
-            // by dropping — the client's retransmission resubmits the
-            // operation after the transaction committed or aborted. With no
-            // transactions in flight this branch never taken, so the
-            // single-key path is bit-identical to the pre-transaction API.
             return;
         }
         match request.operation {
             Operation::Get { key } => {
                 // Linearizable local read at the leader.
-                let read = self.store.get(&key);
-                ctx.reply(ClientReply {
-                    client_id: request.client_id,
-                    request_id: request.request_id,
-                    found: read.is_some(),
-                    value: Some(read.map(|r| r.value).unwrap_or_default()),
-                    replier: self.id.0,
-                });
+                h.reply_local_read(request.client_id, request.request_id, &key);
             }
             Operation::Put { key, value } => {
                 let Some(own) = self.membership.position(self.id) else {
@@ -532,46 +448,37 @@ impl Replica for RaftReplica {
                 };
                 entry.append_acks.insert(own);
                 self.pending.insert(index, entry);
-                self.broadcast_encoded(ctx, &payload);
+                h.broadcast(self.membership.members(), &payload);
             }
         }
     }
 
-    fn on_message(&mut self, from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
-        for (_kind, payload) in self.shield.unwrap(from, bytes) {
-            if let Some(msg) = RaftMsg::decode(&payload) {
-                self.handle_protocol_message(from, msg, ctx);
-            }
+    fn on_message(&mut self, from: NodeId, payload: &[u8], h: &mut Handle<'_>) {
+        if let Some(msg) = RaftMsg::decode(payload) {
+            self.handle_protocol_message(from, msg, h);
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
+    fn on_timer(&mut self, token: u64, h: &mut Handle<'_>) {
         match token {
             0 => {
                 // Initial kick from the simulator: start heartbeats / failure detection.
-                self.last_heartbeat_ns = ctx.now().as_nanos();
+                self.last_heartbeat_ns = h.now().as_nanos();
                 if self.is_leader() {
                     let beat = RaftMsg::Heartbeat { view: self.view };
-                    self.broadcast(ctx, &beat);
-                    ctx.set_timer(HEARTBEAT_PERIOD_NS, TOKEN_HEARTBEAT);
+                    h.broadcast(self.membership.members(), &beat.encoding());
+                    h.set_timer(HEARTBEAT_PERIOD_NS, TOKEN_HEARTBEAT);
                 }
-                ctx.set_timer(ELECTION_TIMEOUT_NS, TOKEN_FAILURE_DETECTOR);
+                h.set_timer(ELECTION_TIMEOUT_NS, TOKEN_FAILURE_DETECTOR);
             }
             TOKEN_HEARTBEAT if self.is_leader() => {
                 let beat = RaftMsg::Heartbeat { view: self.view };
-                self.broadcast(ctx, &beat);
-                ctx.set_timer(HEARTBEAT_PERIOD_NS, TOKEN_HEARTBEAT);
-            }
-            TOKEN_BATCH_FLUSH => {
-                let shield = &mut self.shield;
-                self.batcher.flush_timer(ctx, |ctx, dst, ops| {
-                    let count = ops.len() as u32;
-                    ctx.send_batch(dst, shield.wrap_batch(dst, ops), count);
-                });
+                h.broadcast(self.membership.members(), &beat.encoding());
+                h.set_timer(HEARTBEAT_PERIOD_NS, TOKEN_HEARTBEAT);
             }
             TOKEN_FAILURE_DETECTOR => {
                 if !self.is_leader() {
-                    let elapsed = ctx.now().as_nanos().saturating_sub(self.last_heartbeat_ns);
+                    let elapsed = h.now().as_nanos().saturating_sub(self.last_heartbeat_ns);
                     if elapsed > ELECTION_TIMEOUT_NS {
                         let new_view = self.view + 1;
                         if self.voted.insert(new_view) {
@@ -580,11 +487,11 @@ impl Replica for RaftReplica {
                                 .or_default()
                                 .insert(self.id.0);
                             let vote = RaftMsg::ViewChange { new_view };
-                            self.broadcast(ctx, &vote);
+                            h.broadcast(self.membership.members(), &vote.encoding());
                         }
                     }
                 }
-                ctx.set_timer(ELECTION_TIMEOUT_NS, TOKEN_FAILURE_DETECTOR);
+                h.set_timer(ELECTION_TIMEOUT_NS, TOKEN_FAILURE_DETECTOR);
             }
             _ => {}
         }
@@ -598,102 +505,38 @@ impl Replica for RaftReplica {
         self.is_leader()
     }
 
-    fn protocol_counters(&self) -> Option<recipe_telemetry::ProtocolCounters> {
-        let mut counters = self.shield.counters();
-        self.batcher.fold_counters(&mut counters);
-        Some(counters)
-    }
-
-    fn protocol_name(&self) -> &'static str {
-        if self.shield.mode().is_recipe() {
-            "R-Raft"
-        } else {
-            "Raft"
-        }
-    }
-
     fn current_view(&self) -> u64 {
         self.view
     }
 
-    fn channel_send_counter(&self, peer: NodeId) -> u64 {
-        self.shield.send_counter_to(peer)
-    }
-
-    fn resync_channel_from(&mut self, peer: NodeId, peer_send_counter: u64) {
-        self.shield.resync_from(peer, peer_send_counter);
-    }
-
-    fn export_recovery_state(&mut self) -> RecoveryState {
-        self.store.export_recovery_state()
-    }
-
-    fn on_restart(&mut self, view: u64, state: RecoveryState, ctx: &mut Ctx) -> RestartReport {
+    fn on_restart(&mut self, view: u64, h: &mut Handle<'_>) {
         // Everything volatile died with the process: in-flight leader state,
-        // uncommitted follower entries, election bookkeeping and queued
-        // batches.
+        // uncommitted follower entries and election bookkeeping.
         self.pending.clear();
         self.uncommitted.clear();
         self.voted.clear();
         self.view_votes.clear();
-        self.batcher = Batcher::new(*self.batcher.config());
 
         // Adopt the view the attestation service observed among live peers so
         // traffic from a deposed leader can never be accepted.
         self.view = view;
-        self.shield.set_view(view);
-        self.last_heartbeat_ns = ctx.now().as_nanos();
+        h.set_view(view);
+        self.last_heartbeat_ns = h.now().as_nanos();
 
-        let report = self.store.restart(state);
         if self.is_leader() {
             let beat = RaftMsg::Heartbeat { view: self.view };
-            self.broadcast(ctx, &beat);
-            ctx.set_timer(HEARTBEAT_PERIOD_NS, TOKEN_HEARTBEAT);
+            h.broadcast(self.membership.members(), &beat.encoding());
+            h.set_timer(HEARTBEAT_PERIOD_NS, TOKEN_HEARTBEAT);
         }
-        ctx.set_timer(ELECTION_TIMEOUT_NS, TOKEN_FAILURE_DETECTOR);
-        report
-    }
-}
-
-impl StoreReplica for RaftReplica {
-    const PROTOCOL: Protocol = Protocol::Raft;
-
-    fn store(&mut self) -> &mut ReplicaStore {
-        &mut self.store
-    }
-}
-
-impl BuildReplica for RaftReplica {
-    fn build(id: u64, membership: Membership, mode: ProtocolMode, batch: BatchConfig) -> Self {
-        assert!(
-            membership.n() <= AckSet::CAPACITY,
-            "a Raft group is at most {} replicas",
-            AckSet::CAPACITY
-        );
-        let id = NodeId(id);
-        let shield = ProtocolShield::new(id, &membership, mode);
-        RaftReplica {
-            id,
-            store: ReplicaStore::new(shield.store_config(), id, Stamping::Sequence),
-            membership,
-            shield,
-            view: 0,
-            next_index: 0,
-            pending: HashMap::new(),
-            uncommitted: HashMap::new(),
-            last_heartbeat_ns: 0,
-            voted: HashSet::new(),
-            view_votes: HashMap::new(),
-            batcher: Batcher::new(batch),
-        }
+        h.set_timer(ELECTION_TIMEOUT_NS, TOKEN_FAILURE_DETECTOR);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build_cluster;
-    use recipe_sim::{ClientModel, CostProfile, SimCluster, SimConfig};
+    use crate::{build_cluster, BatchConfig};
+    use recipe_sim::{ClientModel, CostProfile, Replica, SimCluster, SimConfig};
 
     fn cluster(n: usize, ops: usize) -> SimCluster<RaftReplica> {
         let replicas = build_cluster(n, (n - 1) / 2, |id, m| RaftReplica::recipe(id, m, false));
@@ -737,7 +580,7 @@ mod tests {
         // An answered entry is gone from the leader's replication state: what
         // is left is what was in flight when the run stopped, one per client
         // at most, not the 200 entries of the run.
-        assert!(cluster.replica(NodeId(0)).pending.len() <= 16);
+        assert!(cluster.replica(NodeId(0)).core().pending.len() <= 16);
     }
 
     #[test]

@@ -490,8 +490,9 @@ impl ProtocolShield {
     /// Returns every message that became deliverable: the message(s) carried by
     /// this frame if it was in order, plus any previously buffered "future"
     /// frames that its arrival released. Returns an empty [`Frames`] if the
-    /// frame was rejected (tampered, replayed, wrong view) — the protocol
-    /// simply never sees it, which is the whole point of the transformation.
+    /// frame was rejected (tampered, replayed, wrong view, naming a source
+    /// other than `from`) — the protocol simply never sees it, which is the
+    /// whole point of the transformation.
     pub fn unwrap(&mut self, from: NodeId, bytes: &[u8]) -> Frames {
         self.open(from, bytes).unwrap_or_else(|| {
             self.dropped += 1;
@@ -519,26 +520,39 @@ impl ProtocolShield {
                 self.opened_frames += 1;
             }
             Some(auth) => {
-                // A frame ahead of its predecessors is buffered, not opened.
+                // A frame that names another source is refused before the
+                // authentication layer sees it (as in `unwrap_txn`): it would
+                // verify on *that* peer's channel and move that peer's
+                // receive counter, while its payload reached the protocol as
+                // `from`'s. A frame ahead of its predecessors is buffered,
+                // not opened.
                 let opened = match family {
-                    tag::SINGLE => match auth.verify_owned(ShieldedMessage::from_wire(bytes)?) {
-                        VerifyOutcome::Accept { kind, payload, .. } => {
-                            out.push((kind, payload));
-                            true
-                        }
-                        VerifyOutcome::Future { .. } => false,
-                        _ => return None,
-                    },
-                    tag::BATCH => match auth.verify_batch(BatchFrame::from_wire(bytes)?) {
-                        BatchVerifyOutcome::Accept { ops, .. } => {
-                            for op in ops {
-                                out.push((op.kind, op.payload));
+                    tag::SINGLE => {
+                        let msg = ShieldedMessage::from_wire(bytes)
+                            .filter(|msg| msg.tuple.channel.src == from)?;
+                        match auth.verify_owned(msg) {
+                            VerifyOutcome::Accept { kind, payload, .. } => {
+                                out.push((kind, payload));
+                                true
                             }
-                            true
+                            VerifyOutcome::Future { .. } => false,
+                            _ => return None,
                         }
-                        BatchVerifyOutcome::Future { .. } => false,
-                        _ => return None,
-                    },
+                    }
+                    tag::BATCH => {
+                        let frame = BatchFrame::from_wire(bytes)
+                            .filter(|frame| frame.tuple.channel.src == from)?;
+                        match auth.verify_batch(frame) {
+                            BatchVerifyOutcome::Accept { ops, .. } => {
+                                for op in ops {
+                                    out.push((op.kind, op.payload));
+                                }
+                                true
+                            }
+                            BatchVerifyOutcome::Future { .. } => false,
+                            _ => return None,
+                        }
+                    }
                     _ => return None,
                 };
                 self.opened_frames += u64::from(opened);
@@ -698,6 +712,30 @@ mod tests {
             ProtocolShield::group_cipher_key(0),
             ProtocolShield::deployment_cipher_key()
         );
+    }
+
+    #[test]
+    fn a_frame_presented_as_from_another_source_is_refused_untouched() {
+        let m = membership();
+        let mut sender = ProtocolShield::recipe(NodeId(2), &m, false);
+        let mut receiver = ProtocolShield::recipe(NodeId(1), &m, false);
+        for wire in [
+            sender.wrap(NodeId(1), 7, b"ack"),
+            sender.wrap_batch(NodeId(1), batch(2)),
+        ] {
+            // A valid 2→1 frame the network hands over as node 0's: its
+            // payload must not count as node 0's, and node 2's receive
+            // counter must not move for a delivery attributed elsewhere.
+            let (rejected, counter) = (receiver.rejected(), receiver.recv_counter_from(NodeId(2)));
+            assert!(receiver.unwrap(NodeId(0), &wire).is_empty());
+            assert_eq!(receiver.rejected(), rejected + 1);
+            assert_eq!(receiver.recv_counter_from(NodeId(2)), counter);
+            assert_eq!(receiver.recv_counter_from(NodeId(0)), 0);
+            // Presented as what it is, it is accepted.
+            assert!(!receiver.unwrap(NodeId(2), &wire).is_empty());
+            assert_eq!(receiver.recv_counter_from(NodeId(2)), counter + 1);
+        }
+        assert_eq!(receiver.rejected(), 2);
     }
 
     fn batch(n: usize) -> Vec<BatchOp> {

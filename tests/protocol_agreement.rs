@@ -2,10 +2,16 @@
 //! BFT baselines) commits a YCSB-style workload on the simulator, and replicas end
 //! up agreeing on the data they hold.
 
-use recipe::bft::{DamysusReplica, PbftReplica};
-use recipe::core::{Membership, Operation};
-use recipe::protocols::{AbdReplica, AllConcurReplica, ChainReplica, RaftReplica};
-use recipe::sim::{ClientModel, CostProfile, Replica, RunStats, SimCluster, SimConfig};
+use recipe::bft::{dispatch, DamysusReplica, PbftReplica};
+use recipe::core::{ConfidentialityMode, Membership, Operation};
+use recipe::protocols::{
+    AbdReplica, AllConcurReplica, BatchConfig, BuildReplica, ChainReplica, Protocol, ProtocolMode,
+    ProtocolVisitor, RaftReplica,
+};
+use recipe::shard::op_from_workload;
+use recipe::sim::{
+    ClientModel, CostProfile, RangeEntry, Replica, RunStats, SimCluster, SimConfig, StepOutcome,
+};
 use recipe::workload::{WorkloadOp, WorkloadSpec};
 use std::cell::RefCell;
 
@@ -119,4 +125,71 @@ fn recipe_outperforms_pbft_on_the_same_workload() {
         speedup > 3.0,
         "R-CR was only {speedup:.1}x faster than PBFT"
     );
+}
+
+/// One client issues a fixed-seed YCSB stream one operation after the other
+/// — so the commit order is the stream's, whatever a frame costs — and the
+/// run goes on until the traffic of the last one has landed. Returns the
+/// committed count and every replica's final records, timestamps included.
+struct FinalState(ProtocolMode);
+
+impl ProtocolVisitor for FinalState {
+    type Output = (u64, Vec<Vec<RangeEntry>>);
+
+    fn visit<R: BuildReplica>(self) -> Self::Output {
+        const OPS: u64 = 150;
+        let m = Membership::of_size(3, 1);
+        let replicas = (0..3)
+            .map(|id| R::build(id, m.clone(), self.0, BatchConfig::unbatched()))
+            .collect();
+        let profile = match self.0 {
+            ProtocolMode::Native => CostProfile::native_cft(),
+            ProtocolMode::Recipe { .. } => CostProfile::recipe(),
+        };
+        let mut cluster = SimCluster::<R>::new(replicas, SimConfig::uniform(3, profile));
+        cluster.set_external_clients(true);
+        cluster.seed_initial_events();
+        let mut generator = WorkloadSpec::ycsb(0.5, 64).generator();
+        for request in 1..=OPS {
+            let operation = op_from_workload(generator.next_op());
+            assert!(cluster.submit_at(cluster.now_ns(), 0, request, operation));
+            while cluster.drain_completions().is_empty() {
+                assert_eq!(cluster.step(), StepOutcome::Processed, "request {request}");
+            }
+        }
+        let horizon = cluster.now_ns() + 3_000_000;
+        while cluster.peek_next_at().is_some_and(|at| at <= horizon) {
+            cluster.step();
+        }
+        let nodes = cluster.node_ids().into_iter();
+        let records = |id| {
+            let store = cluster.replica_mut(id).store();
+            store.export_range(&|_| true).expect("nothing corrupts it")
+        };
+        let state = nodes.map(records).collect();
+        (cluster.committed(), state)
+    }
+}
+
+/// The paper's claim, differentially: the transformation leaves a protocol's
+/// logic alone, so the same core run natively and Recipe-transformed commits
+/// the same operations into the same state.
+#[test]
+fn native_and_recipe_modes_of_one_core_reach_one_state() {
+    let recipe = ProtocolMode::Recipe {
+        confidentiality: ConfidentialityMode::Plaintext,
+    };
+    let transformed = [
+        Protocol::Raft,
+        Protocol::Chain,
+        Protocol::Abd,
+        Protocol::AllConcur,
+    ];
+    for protocol in transformed {
+        let (committed, state) = dispatch(protocol, FinalState(ProtocolMode::Native));
+        assert_eq!(committed, 150, "{protocol:?}");
+        assert!(state.iter().all(|records| !records.is_empty()));
+        let under_recipe = dispatch(protocol, FinalState(recipe));
+        assert_eq!(under_recipe, (committed, state), "{protocol:?}");
+    }
 }
