@@ -19,7 +19,13 @@
 //!
 //! Algorithm 1 authenticates a message with one HMAC over
 //! `payload ‖ view ‖ cq ‖ cnt_cq`, and that holds for a confidential frame
-//! too. Sealing is the raw XChaCha20 keystream, in place, under the nonce the
+//! too. `cq` goes first, alone in a 64-byte block that is the same for every
+//! frame of the channel, so the enclave hashes it once — into the channel
+//! key's bound state, when the channel is first used — and each frame's MAC
+//! starts behind it, with a fixed-width header (family, sealed flag, view,
+//! counter, the family's field, body length), then the body: a control
+//! frame's whole per-frame input fits one SHA-256 block and its MAC is two
+//! compressions. Sealing is the raw XChaCha20 keystream, in place, under the nonce the
 //! sequence tuple determines ([`SequenceTuple::nonce`] — derived at both ends,
 //! never sent, unique because trusted counters never repeat); the frame MAC
 //! then covers the ciphertext, the sealed flag, the tuple and the cipher's key
@@ -32,6 +38,7 @@
 //! misprovisioned peer) into a failed MAC instead of junk handed to the
 //! protocol.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use recipe_crypto::{CipherKey, MacTag};
@@ -40,7 +47,8 @@ use recipe_tee::{CounterHandle, Enclave, KeyHandle};
 
 use crate::error::RecipeError;
 use crate::message::{
-    BatchFrame, BatchOp, Family, SequenceTuple, ShieldedMessage, TxnBody, TxnFrame,
+    channel_mac_block, BatchFrame, BatchOp, Family, FrameView, SequenceTuple, ShieldedMessage,
+    TxnBody, TxnFrame,
 };
 use crate::policy::ConfidentialityMode;
 use crate::wire::Writer;
@@ -209,6 +217,29 @@ impl TxnVerifyOutcome {
     }
 }
 
+/// Result of verifying a replication frame where it lies in the received
+/// bytes ([`AuthLayer::verify_view`]): what an in-order frame delivers, each
+/// payload a slice of those bytes when the frame travelled in plaintext and
+/// a buffer of its own when it had to be decrypted.
+#[derive(Debug, PartialEq, Eq)]
+pub enum ViewOutcome<'a> {
+    /// An authentic, in-order single message.
+    Message {
+        /// Protocol-defined message kind.
+        kind: u16,
+        /// The payload, decrypted if it was sealed.
+        payload: Cow<'a, [u8]>,
+    },
+    /// An authentic, in-order batch: its `(kind, payload)` ops in sender order.
+    Batch(Vec<(u16, Cow<'a, [u8]>)>),
+    /// Authentic but ahead of its predecessors: copied into the protected
+    /// buffer, released by [`AuthLayer::take_ready`] once the gap fills.
+    Buffered,
+    /// Dropped, for any of the reasons [`VerifyOutcome`] tells apart (the
+    /// rejection counters record which).
+    Rejected,
+}
+
 /// An out-of-order arrival held in the protected area: a single shielded
 /// message or a whole batch frame. Both consume one counter slot, so one
 /// ordered buffer serves both.
@@ -295,7 +326,8 @@ impl From<Rejection> for TxnVerifyOutcome {
 /// One directed channel, resolved to where its secrets sit in the enclave.
 #[derive(Clone, Copy)]
 struct Channel {
-    /// The channel's MAC key, provisioned under its label (`cq:src->dst`).
+    /// The channel's MAC key, provisioned under its label (`cq:src->dst`)
+    /// and bound to the channel's block.
     key: KeyHandle,
     /// This node's trusted counter for the channel: frames sealed when this
     /// node is the source, the last frame accepted when it is the destination.
@@ -305,10 +337,15 @@ struct Channel {
 impl Channel {
     /// Resolves `channel` in `enclave`, or `None` when the enclave holds no
     /// key for it — a counter is only ever created for a keyed channel.
-    /// `role` is `send` or `recv`, this node's end of the channel.
+    /// `role` is `send` or `recv`, this node's end of the channel. The key is
+    /// bound to the channel's block here, so the block's compression is paid
+    /// once a channel and `src`, `dst` are under every MAC made with it.
     fn resolve(enclave: &mut Enclave, role: &str, channel: ChannelId) -> Option<Channel> {
         let label = channel.label();
         let key = enclave.mac_key_handle(&label).ok()?;
+        enclave
+            .bind_mac_key(key, &channel_mac_block(channel))
+            .ok()?;
         let counter = enclave.counter_handle(&format!("{role}:{label}")).ok()?;
         Some(Channel { key, counter })
     }
@@ -334,8 +371,9 @@ pub struct AuthLayer {
     view: u64,
     enclave: Enclave,
     confidentiality: ConfidentialityMode,
-    /// One record per peer a frame was exchanged with, made on first use.
-    /// A replica group is a handful of nodes: finding one is a short scan.
+    /// One record per peer a frame was exchanged with, made on first use
+    /// and kept sorted by node id: a replica holds a handful, a 2PC
+    /// participant endpoint one per client, and every frame looks one up.
     peers: Vec<Peer>,
     /// Statistics: how many messages were rejected, by reason.
     rejected_replays: u64,
@@ -441,27 +479,41 @@ impl AuthLayer {
         node: NodeId,
         pick: fn(&Peer) -> Option<Channel>,
     ) -> Option<(usize, Channel)> {
-        let found = self.peers.iter().position(|peer| peer.node == node);
-        if let Some(resolved) = found.and_then(|index| Some((index, pick(&self.peers[index])?))) {
-            return Some(resolved);
+        let found = self.peer_index(node);
+        if let Ok(index) = found {
+            if let Some(channel) = pick(&self.peers[index]) {
+                return Some((index, channel));
+            }
         }
         let send = Channel::resolve(&mut self.enclave, "send", ChannelId::new(self.node, node));
         let recv = Channel::resolve(&mut self.enclave, "recv", ChannelId::new(node, self.node));
         if send.is_none() && recv.is_none() {
             return None;
         }
-        let index = found.unwrap_or_else(|| {
-            self.peers.push(Peer {
+        let index = found.unwrap_or_else(|at| {
+            let peer = Peer {
                 node,
                 send: None,
                 recv: None,
                 pending: BTreeMap::new(),
-            });
-            self.peers.len() - 1
+            };
+            self.peers.insert(at, peer);
+            at
         });
         let peer = &mut self.peers[index];
         (peer.send, peer.recv) = (send, recv);
         Some((index, pick(peer)?))
+    }
+
+    /// Where the record of `node` is in the sorted table, or where it would
+    /// go.
+    fn peer_index(&self, node: NodeId) -> Result<usize, usize> {
+        self.peers.binary_search_by_key(&node, |peer| peer.node)
+    }
+
+    /// The record of `node`, if a frame was ever exchanged with it.
+    fn peer(&self, node: NodeId) -> Option<&Peer> {
+        self.peer_index(node).ok().map(|index| &self.peers[index])
     }
 
     /// The outgoing channel toward `dst`.
@@ -513,12 +565,12 @@ impl AuthLayer {
         } else {
             None
         };
-        let mut stream = self.enclave.mac_key_at(channel.key)?.stream();
+        let mut stream = self.enclave.bound_mac_key_at(channel.key)?.stream();
         family.write_authenticated_parts(
             &mut |bytes| stream.update(bytes),
+            tuple,
             body,
             commitment,
-            &tuple.to_bytes(),
         );
         Ok(stream.tag())
     }
@@ -655,8 +707,8 @@ impl AuthLayer {
 
     /// Shields one two-phase-commit message for `dst` under the next counter
     /// slot of the channel: the body is serialized, encrypted in confidential
-    /// mode, and MAC'd together with the transaction id under the
-    /// transaction MAC domain — a 2PC frame can never be replayed as (or
+    /// mode, and MAC'd together with the transaction id behind the
+    /// transaction family's tag — a 2PC frame can never be replayed as (or
     /// confused with) protocol traffic.
     pub fn shield_txn(
         &mut self,
@@ -702,8 +754,8 @@ impl AuthLayer {
         })
     }
 
-    /// Verifies an incoming two-phase-commit frame: addressing, MAC (under
-    /// the transaction domain), view and counter freshness, then one
+    /// Verifies an incoming two-phase-commit frame: addressing, MAC (as a
+    /// frame of the transaction family), view and counter freshness, then one
     /// keystream pass over the body when it is sealed. Out-of-order frames
     /// are dropped rather than buffered — see [`TxnVerifyOutcome::OutOfOrder`].
     pub fn verify_txn(&mut self, mut frame: TxnFrame) -> TxnVerifyOutcome {
@@ -843,8 +895,89 @@ impl AuthLayer {
         }
     }
 
-    /// The shared `verify_request` core of all three frame families:
-    /// addressing, MAC, view and freshness checks, in that order. The MAC is
+    /// Verifies a replication frame where it lies in the received bytes: the
+    /// checks of [`AuthLayer::verify_owned`] / [`AuthLayer::verify_batch`],
+    /// run on the borrowed body. An in-order plaintext frame is delivered as
+    /// slices of `frame`'s bytes and nothing is copied; a sealed body is
+    /// copied once, to be decrypted, and a frame ahead of its predecessors
+    /// once, into the protected buffer.
+    pub fn verify_view<'a>(&mut self, frame: FrameView<'a>) -> ViewOutcome<'a> {
+        let FrameView {
+            tuple,
+            sealed,
+            mac,
+            family,
+            body,
+        } = frame;
+        match self.admit(&tuple, &mac, family, sealed, body) {
+            Admission::Reject(_) => ViewOutcome::Rejected,
+            Admission::Buffer { peer, counter, .. } => {
+                let body = body.to_vec();
+                let pending = match family {
+                    Family::Single { kind } => PendingFrame::Single(ShieldedMessage {
+                        tuple,
+                        kind,
+                        payload: body,
+                        confidential: sealed,
+                        mac,
+                    }),
+                    Family::Batch { count } => PendingFrame::Batch(BatchFrame {
+                        tuple,
+                        count,
+                        body,
+                        sealed,
+                        mac,
+                    }),
+                    // A 2PC frame is never buffered, and a view of one is
+                    // never handed out.
+                    Family::Txn { .. } => return ViewOutcome::Rejected,
+                };
+                self.peers[peer].pending.insert(counter, pending);
+                ViewOutcome::Buffered
+            }
+            Admission::Deliver { .. } => self.open_view(frame).unwrap_or_else(|| {
+                self.rejected_auth += 1;
+                ViewOutcome::Rejected
+            }),
+        }
+    }
+
+    /// Opens an admitted frame into what it delivers; `None` is
+    /// [`VerifyOutcome::DecryptionFailed`] (the slot is spent).
+    fn open_view<'a>(&self, frame: FrameView<'a>) -> Option<ViewOutcome<'a>> {
+        let opened = if frame.sealed {
+            let mut body = frame.body.to_vec();
+            self.open_body(&frame.tuple, true, &mut body).ok()?;
+            Cow::Owned(body)
+        } else {
+            Cow::Borrowed(frame.body)
+        };
+        match frame.family {
+            Family::Single { kind } => Some(ViewOutcome::Message {
+                kind,
+                payload: opened,
+            }),
+            Family::Batch { count } => {
+                let ops = match &opened {
+                    Cow::Borrowed(body) => {
+                        BatchFrame::decode_ops_with(body, |kind, p| (kind, Cow::Borrowed(p)))
+                    }
+                    Cow::Owned(body) => {
+                        BatchFrame::decode_ops_with(body, |kind, p| (kind, Cow::Owned(p.to_vec())))
+                    }
+                }?;
+                (ops.len() == count as usize).then_some(ViewOutcome::Batch(ops))
+            }
+            Family::Txn { .. } => None,
+        }
+    }
+
+    /// The shared `verify_request` core of all three frame families, and the
+    /// only place a frame is checked — owned ([`AuthLayer::verify_owned`] and
+    /// its kin) or where it lies ([`AuthLayer::verify_view`]): addressing,
+    /// MAC, view and freshness, in that order. The MAC is under the bound key
+    /// of the channel the tuple names, so a tuple naming another source or
+    /// destination than the frame was sealed for fails it, and it is
     /// over `body` as it arrived — ciphertext when `sealed`, which also puts
     /// this enclave's cipher key commitment under it — and nothing is
     /// decrypted here or before here. Advances the trusted receive counter
@@ -868,7 +1001,7 @@ impl AuthLayer {
         let keyed = self
             .recv_channel(tuple.channel.src)
             .and_then(|(peer, channel)| {
-                let key = self.enclave.mac_key_at(channel.key).ok()?;
+                let key = self.enclave.bound_mac_key_at(channel.key).ok()?;
                 let last_accepted = self.enclave.counter_value(channel.counter).ok()?;
                 let commitment = if sealed {
                     Some(self.enclave.cipher(CIPHER_LABEL).ok()?.key_commitment())
@@ -878,9 +1011,9 @@ impl AuthLayer {
                 let mut stream = key.stream();
                 family.write_authenticated_parts(
                     &mut |bytes| stream.update(bytes),
+                    tuple,
                     body,
                     commitment,
-                    &tuple.to_bytes(),
                 );
                 stream.verify(mac).ok()?;
                 Some((peer, channel, last_accepted))
@@ -929,7 +1062,7 @@ impl AuthLayer {
     /// counter.
     pub fn take_ready(&mut self, src: NodeId) -> Vec<(u16, Vec<u8>, u64)> {
         let mut ready = Vec::new();
-        let Some(index) = self.peers.iter().position(|peer| peer.node == src) else {
+        let Ok(index) = self.peer_index(src) else {
             return ready;
         };
         let peer = &mut self.peers[index];
@@ -972,10 +1105,7 @@ impl AuthLayer {
 
     /// Number of frames currently buffered as "future" arrivals from `src`.
     pub fn pending_from(&self, src: NodeId) -> usize {
-        self.peers
-            .iter()
-            .find(|peer| peer.node == src)
-            .map_or(0, |peer| peer.pending.len())
+        self.peer(src).map_or(0, |peer| peer.pending.len())
     }
 
     /// The trusted send counter toward `dst` — how many frames this node's
@@ -985,9 +1115,7 @@ impl AuthLayer {
     pub fn send_counter_to(&self, dst: NodeId) -> u64 {
         // No record, or no outgoing channel in it: no frame toward `dst` was
         // ever sealed here, and the counter it would have used is at zero.
-        self.peers
-            .iter()
-            .find(|peer| peer.node == dst)
+        self.peer(dst)
             .and_then(|peer| peer.send)
             .and_then(|channel| self.enclave.counter_value(channel.counter).ok())
             .unwrap_or(0)
@@ -997,9 +1125,7 @@ impl AuthLayer {
     /// this node's enclave accepted on the `src → self` channel (0 before the
     /// first). Only an authentic, in-order frame moves it.
     pub fn recv_counter_from(&self, src: NodeId) -> u64 {
-        self.peers
-            .iter()
-            .find(|peer| peer.node == src)
+        self.peer(src)
             .and_then(|peer| peer.recv)
             .and_then(|channel| self.enclave.counter_value(channel.counter).ok())
             .unwrap_or(0)
@@ -1527,7 +1653,9 @@ mod tests {
     /// each family, the cipher sub-key and key-commitment labels, the nonce
     /// (`src | dst | counter`, little-endian words), what the MAC covers and
     /// in which order, and the layout — regenerate them the same way, never
-    /// by printing.
+    /// by printing. Each MAC is then recomputed longhand here as well: the
+    /// channel block, the header, the ciphertext and the commitment joined
+    /// in one buffer and tagged with the plain, unbound channel key.
     #[test]
     fn sealed_frames_match_an_independent_computation() {
         let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
@@ -1540,7 +1668,7 @@ mod tests {
             concat!(
                 "0101",
                 "0000000000000000010000000000000002000000000000000100000000000000",
-                "1f0a003f2b89d485032667f177eaf86ae538d4d38e5cbbe121d7ebf61959e9c7",
+                "db127e2c2e6d4452beb7f2ee20cd1d947ae5f83270651d617dc03e6792c3bb25",
                 "0400",
                 "12000000",
                 "6461d8616691f1a1be8b6ba84b001a6d7086",
@@ -1552,7 +1680,7 @@ mod tests {
             concat!(
                 "0201",
                 "0000000000000000010000000000000002000000000000000200000000000000",
-                "7f46ee03acb381faf1ae16a4edab193e7f6aec6376bd03a1c20abdc3814c021e",
+                "5498ce68303b87f06474c4e96a89209a521fd3018e0f0ff72ce356565755c0b5",
                 "02000000",
                 "16000000",
                 "41543ef4db2fbf2caa11d5d4b3483b56593d61e219e5",
@@ -1566,12 +1694,44 @@ mod tests {
             concat!(
                 "0301",
                 "0000000000000000010000000000000002000000000000000300000000000000",
-                "e1ed599a2bb14d7a9d9ea425c6f513719f96c48e6322981524c99878b3b929fb",
+                "d471c2df0f109bdd0b3786d169dff3137da040f5974c1da48ff0ed1b6ecc7299",
                 "0700000000000000",
                 "23000000",
                 "ae45bdea4b8412319f29c35350a680221635d7dd86458369aaf8413834d02b04b5ffc5",
             )
         );
+
+        let channel_key = MacKey::from_bytes([9u8; 32]).derive("cq:1->2");
+        let commitment =
+            *recipe_crypto::Cipher::new(&CipherKey::from_bytes([3u8; 32])).key_commitment();
+        let mut block = [0u8; 64];
+        block[..19].copy_from_slice(b"recipe.frame_mac.v2");
+        block[48..56].copy_from_slice(&1u64.to_le_bytes());
+        block[56..].copy_from_slice(&2u64.to_le_bytes());
+        // (wire, family tag, counter, the family's field as it travels)
+        let frames: [(&[u8], u8, u64, &[u8]); 3] = [
+            (&single, 1, 1, &4u16.to_le_bytes()),
+            (&batch, 2, 2, &2u32.to_le_bytes()),
+            (&txn, 3, 3, &7u64.to_le_bytes()),
+        ];
+        for (wire, family, counter, field) in frames {
+            // tag | sealed | tuple (32) | mac (32) | field | len u32 | body
+            let body = &wire[2 + 32 + 32 + field.len() + 4..];
+            let mut input = block.to_vec();
+            input.extend_from_slice(&[family, 1]);
+            input.extend_from_slice(&0u64.to_le_bytes());
+            input.extend_from_slice(&counter.to_le_bytes());
+            input.extend_from_slice(field);
+            input.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            input.extend_from_slice(body);
+            input.extend_from_slice(&commitment);
+            assert_eq!(
+                &wire[34..66],
+                channel_key.tag(&input).as_bytes(),
+                "family {family}"
+            );
+        }
+
         assert!(receiver
             .verify_owned(ShieldedMessage::from_wire(&single).unwrap())
             .is_accept());
@@ -1581,6 +1741,251 @@ mod tests {
         assert!(receiver
             .verify_txn(TxnFrame::from_wire(&txn).unwrap())
             .is_accept());
+    }
+
+    /// One frame of each family from `sender` to node 2, as frame structs.
+    fn one_of_each(sender: &mut AuthLayer) -> (ShieldedMessage, BatchFrame, TxnFrame) {
+        (
+            sender.shield(NodeId(2), 1, b"payload").unwrap(),
+            sender.shield_batch(NodeId(2), &ops(2)).unwrap(),
+            sender.shield_txn(NodeId(2), 7, &prepare_body()).unwrap(),
+        )
+    }
+
+    #[test]
+    fn the_channel_ids_are_under_the_mac() {
+        // One key under two labels on each node: with `src` and `dst` out
+        // of the MAC, a frame sealed for one channel would verify on the
+        // other. Node 2 hears from 1 and 3 under the same key bytes; node 5
+        // holds the key both as `1->2`'s and as `1->5`'s.
+        let shared = MacKey::from_bytes([0x77; 32]);
+        let cipher = CipherKey::from_bytes([3u8; 32]);
+        let layer = |node: u64, labels: &[&str]| {
+            let mut enclave = Enclave::launch(EnclaveId(node), EnclaveConfig::new("code", node));
+            for label in labels {
+                enclave.provision_mac_key(*label, shared.clone()).unwrap();
+            }
+            enclave
+                .provision_cipher_key(CIPHER_LABEL, cipher.clone())
+                .unwrap();
+            AuthLayer::new(NodeId(node), enclave, false)
+        };
+        for sealed in [false, true] {
+            let mut sender = layer(1, &["cq:1->2"]);
+            sender.confidentiality = sealed.into();
+            let mut receiver = layer(2, &["cq:1->2", "cq:3->2"]);
+            let mut elsewhere = layer(5, &["cq:1->5", "cq:1->2"]);
+            let (single, batch, txn) = one_of_each(&mut sender);
+            assert_eq!(single.confidential, sealed);
+
+            // The source rewritten to 3, a peer node 2 holds this very key for.
+            let (mut s, mut b, mut t) = (single.clone(), batch.clone(), txn.clone());
+            for tuple in [&mut s.tuple, &mut b.tuple, &mut t.tuple] {
+                tuple.channel.src = NodeId(3);
+            }
+            assert_eq!(receiver.verify_owned(s), VerifyOutcome::BadAuthenticator);
+            assert_eq!(
+                receiver.verify_batch(b),
+                BatchVerifyOutcome::BadAuthenticator
+            );
+            assert_eq!(receiver.verify_txn(t), TxnVerifyOutcome::BadAuthenticator);
+            // The destination rewritten to 5, where the key is held too.
+            let (mut s, mut b, mut t) = (single.clone(), batch.clone(), txn.clone());
+            for tuple in [&mut s.tuple, &mut b.tuple, &mut t.tuple] {
+                tuple.channel.dst = NodeId(5);
+            }
+            assert_eq!(elsewhere.verify_owned(s), VerifyOutcome::BadAuthenticator);
+            assert_eq!(
+                elsewhere.verify_batch(b),
+                BatchVerifyOutcome::BadAuthenticator
+            );
+            assert_eq!(elsewhere.verify_txn(t), TxnVerifyOutcome::BadAuthenticator);
+            // Neither receive counter moved on either node …
+            for (layer, src) in [(&receiver, 1), (&receiver, 3), (&elsewhere, 1)] {
+                assert_eq!(layer.recv_counter_from(NodeId(src)), 0);
+            }
+            assert_eq!(receiver.rejection_counts(), (0, 3, 0));
+            assert_eq!(elsewhere.rejection_counts(), (0, 3, 0));
+            // … and the frames as sealed are good where they were sealed for.
+            assert!(receiver.verify_owned(single).is_accept());
+            assert!(receiver.verify_batch(batch).is_accept());
+            assert!(receiver.verify_txn(txn).is_accept());
+            assert_eq!(receiver.recv_counter_from(NodeId(1)), 3);
+            assert_eq!(receiver.recv_counter_from(NodeId(3)), 0);
+        }
+    }
+
+    #[test]
+    fn a_rotated_key_reaches_the_bound_state_on_both_ends() {
+        let (mut sender, mut receiver) = layer_pair(false);
+        let first = sender.shield(NodeId(2), 1, b"before").unwrap();
+        assert!(receiver.verify(&first).is_accept());
+
+        // The CAS provisions `cq:1->2` again, on both ends: the channel
+        // records, their handles and the counters stay, the MAC follows.
+        let rotated = MacKey::from_bytes([0x42; 32]);
+        for layer in [&mut sender, &mut receiver] {
+            layer
+                .enclave_mut()
+                .provision_mac_key("cq:1->2", rotated.clone())
+                .unwrap();
+        }
+        let second = sender.shield(NodeId(2), 1, b"after").unwrap();
+        assert_eq!(second.tuple.counter, 2);
+        // Under the new key, not the old one.
+        let mut under_old = first.clone();
+        under_old.tuple.counter = 2;
+        assert_ne!(second.mac, under_old.mac);
+        assert!(receiver.verify(&second).is_accept());
+        assert_eq!(receiver.recv_counter_from(NodeId(1)), 2);
+
+        // On one end only, the two disagree: nothing verifies, and the
+        // receive counter stays where it was.
+        sender
+            .enclave_mut()
+            .provision_mac_key("cq:1->2", MacKey::from_bytes([0x43; 32]))
+            .unwrap();
+        let (single, batch, txn) = one_of_each(&mut sender);
+        assert_eq!(receiver.verify(&single), VerifyOutcome::BadAuthenticator);
+        assert_eq!(
+            receiver.verify_batch(batch),
+            BatchVerifyOutcome::BadAuthenticator
+        );
+        assert_eq!(receiver.verify_txn(txn), TxnVerifyOutcome::BadAuthenticator);
+        assert_eq!(receiver.recv_counter_from(NodeId(1)), 2);
+        assert_eq!(receiver.rejection_counts(), (0, 3, 0));
+    }
+
+    #[test]
+    fn peers_are_found_whatever_order_they_were_first_met_in() {
+        let master = MacKey::from_bytes([9u8; 32]);
+        let peers = [40u64, 3, 17, u64::MAX, 0, 25];
+        let mut enclave = Enclave::launch(EnclaveId(1), EnclaveConfig::new("code", 1));
+        for peer in peers {
+            let label = format!("cq:1->{peer}");
+            enclave
+                .provision_mac_key(label.clone(), master.derive(&label))
+                .unwrap();
+        }
+        let mut sender = AuthLayer::new(NodeId(1), enclave, false);
+        for (round, peer) in peers.iter().chain(&peers).enumerate() {
+            let msg = sender.shield(NodeId(*peer), 1, b"x").unwrap();
+            assert_eq!(msg.tuple.counter, 1 + (round / peers.len()) as u64);
+        }
+        let nodes: Vec<u64> = sender.peers.iter().map(|peer| peer.node.0).collect();
+        assert_eq!(nodes, [0, 3, 17, 25, 40, u64::MAX]);
+        for peer in peers {
+            assert_eq!(sender.send_counter_to(NodeId(peer)), 2);
+        }
+        assert_eq!(sender.send_counter_to(NodeId(4)), 0);
+    }
+
+    #[test]
+    fn a_frame_verified_where_it_lies_is_delivered_as_slices_of_its_bytes() {
+        let within = |outer: &[u8], inner: &[u8]| outer.as_ptr_range().contains(&inner.as_ptr());
+        for sealed in [false, true] {
+            let (mut sender, mut receiver) = layer_pair(sealed);
+            let (_, mut twin) = layer_pair(sealed);
+            let single = sender.shield_to_wire(NodeId(2), 7, b"append").unwrap();
+            let batch = sender.shield_batch_to_wire(NodeId(2), &ops(3)).unwrap();
+            for wire in [&single, &batch] {
+                let view = FrameView::parse(wire).unwrap();
+                assert_eq!(view.source(), NodeId(1));
+                // A tampered copy is rejected and spends nothing.
+                let mut tampered = wire.to_vec();
+                *tampered.last_mut().unwrap() ^= 1;
+                let rejected = receiver.verify_view(FrameView::parse(&tampered).unwrap());
+                assert_eq!(rejected, ViewOutcome::Rejected);
+                match receiver.verify_view(view) {
+                    ViewOutcome::Message { kind, payload } => {
+                        assert_eq!((kind, &payload[..]), (7, &b"append"[..]));
+                        assert_eq!(matches!(payload, Cow::Borrowed(_)), !sealed);
+                        assert_eq!(within(wire, &payload), !sealed);
+                    }
+                    ViewOutcome::Batch(got) => {
+                        let expected: Vec<(u16, Cow<'_, [u8]>)> = ops(3)
+                            .into_iter()
+                            .map(|op| (op.kind, Cow::Owned(op.payload)))
+                            .collect();
+                        assert_eq!(got, expected);
+                        for (_, payload) in &got {
+                            assert_eq!(within(wire, payload), !sealed);
+                        }
+                    }
+                    other => panic!("expected a delivery, got {other:?}"),
+                }
+                // Once: the slot is spent.
+                assert_eq!(receiver.verify_view(view), ViewOutcome::Rejected);
+            }
+            assert_eq!(receiver.rejection_counts(), (2, 2, 0));
+            assert_eq!(receiver.recv_counter_from(NodeId(1)), 2);
+            // The view and the frame struct are one check: the same frames,
+            // parsed into structs, do to a twin what the views did here.
+            assert!(twin
+                .verify_owned(ShieldedMessage::from_wire(&single).unwrap())
+                .is_accept());
+            assert!(twin
+                .verify_batch(BatchFrame::from_wire(&batch).unwrap())
+                .is_accept());
+
+            // Ahead of its turn a frame is copied into the protected buffer,
+            // and comes out of it like one that was verified owned.
+            let first = sender.shield_to_wire(NodeId(2), 7, b"first").unwrap();
+            let ahead = sender.shield_batch_to_wire(NodeId(2), &ops(2)).unwrap();
+            let last = sender.shield_to_wire(NodeId(2), 7, b"last").unwrap();
+            for wire in [&ahead, &last] {
+                let view = FrameView::parse(wire).unwrap();
+                assert_eq!(receiver.verify_view(view), ViewOutcome::Buffered);
+            }
+            assert_eq!(receiver.pending_from(NodeId(1)), 2);
+            let view = FrameView::parse(&first).unwrap();
+            assert!(matches!(
+                receiver.verify_view(view),
+                ViewOutcome::Message { .. }
+            ));
+            let ready = receiver.take_ready(NodeId(1));
+            let expected: Vec<(u16, Vec<u8>, u64)> = vec![
+                (7, b"op0".to_vec(), 4),
+                (7, b"op1".to_vec(), 4),
+                (7, b"last".to_vec(), 5),
+            ];
+            assert_eq!(ready, expected);
+
+            // A 2PC frame is not a replication frame, nor is garbage.
+            let txn = sender
+                .shield_txn_to_wire(NodeId(2), 9, &TxnBody::Commit, sealed)
+                .unwrap();
+            assert!(FrameView::parse(&txn).is_none());
+            assert!(FrameView::parse(&single[..single.len() - 1]).is_none());
+            assert!(FrameView::parse(b"").is_none());
+        }
+    }
+
+    #[test]
+    fn an_authentic_view_whose_body_does_not_decode_spends_its_slot() {
+        for sealed in [false, true] {
+            let (mut sender, mut receiver) = layer_pair(sealed);
+            let (tuple, body, mac) = sender
+                .shield_owned(
+                    NodeId(2),
+                    Family::Batch { count: 3 },
+                    sealed,
+                    BatchFrame::encode_ops(&ops(2)),
+                )
+                .unwrap();
+            let wire = BatchFrame {
+                tuple,
+                count: 3,
+                body,
+                sealed,
+                mac,
+            }
+            .to_wire();
+            let view = FrameView::parse(&wire).unwrap();
+            assert_eq!(receiver.verify_view(view), ViewOutcome::Rejected);
+            assert_eq!(receiver.rejection_counts(), (0, 1, 0));
+            assert_eq!(receiver.recv_counter_from(NodeId(1)), 1);
+        }
     }
 
     #[test]

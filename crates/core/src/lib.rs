@@ -36,13 +36,14 @@ pub mod recovery;
 pub mod view;
 pub mod wire;
 
-pub use auth::{AuthLayer, BatchVerifyOutcome, TxnVerifyOutcome, VerifyOutcome};
+pub use auth::{AuthLayer, BatchVerifyOutcome, TxnVerifyOutcome, VerifyOutcome, ViewOutcome};
 pub use client_table::ClientTable;
 pub use error::RecipeError;
 pub use membership::Membership;
 pub use message::{
-    BatchFrame, BatchOp, ClientReply, ClientRequest, Operation, Request, SequenceTuple,
-    ShieldedMessage, TxnBody, TxnFrame,
+    mac_compressions, BatchFrame, BatchOp, ClientReply, ClientRequest, FrameView, Operation,
+    Request, SequenceTuple, ShieldedMessage, TxnBody, TxnFrame, BATCH_MAC_HEADER_LEN,
+    SINGLE_MAC_HEADER_LEN, TXN_MAC_HEADER_LEN,
 };
 pub use node::{NodeRole, RecipeConfig, RecipeNode};
 pub use policy::ConfidentialityMode;

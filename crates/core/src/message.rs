@@ -1,7 +1,7 @@
 //! Message formats: client requests, shielded replica-to-replica messages and the
 //! sequence tuples that make equivocation detectable.
 
-use recipe_crypto::{KeyCommitment, MacTag, Signature, XNonce, DIGEST_LEN};
+use recipe_crypto::{KeyCommitment, MacTag, Signature, XNonce, DIGEST_LEN, MAC_BLOCK_LEN};
 use recipe_net::{ChannelId, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -68,16 +68,49 @@ const SHIELD_HEADER_LEN: usize = 1 + 1 + SequenceTuple::LEN + DIGEST_LEN;
 /// Where the MAC tag sits in that header.
 const MAC_AT: usize = 1 + 1 + SequenceTuple::LEN;
 
-/// Domain-separation prefix folded into every batch-frame MAC so a batch
-/// authenticator can never be replayed as (or confused with) a single-message
-/// authenticator. A single message's MAC input starts with its payload length
-/// as a little-endian `u64`; this ASCII prefix decodes to an impossible length.
-const BATCH_MAC_DOMAIN: &[u8] = b"recipe.batch.v1";
+/// Domain string at the head of the block a channel's MAC key is bound to
+/// ([`channel_mac_block`]): what tells a frame MAC of this construction from
+/// any other use of a channel key.
+const CHANNEL_MAC_DOMAIN: &[u8] = b"recipe.frame_mac.v2";
 
-/// Domain-separation prefix folded into every transaction-frame MAC, so a 2PC
-/// authenticator can never be replayed as (or confused with) a single-message
-/// or batch authenticator. Mirrors [`BATCH_MAC_DOMAIN`].
-const TXN_MAC_DOMAIN: &[u8] = b"recipe.txn.v1";
+/// The first 64 bytes of every frame MAC input on `channel`: the domain
+/// string, zeros, then `src | dst` as little-endian `u64`s in the last 16
+/// bytes. It is the same for every frame of the channel, so the
+/// authentication layer has the enclave hash it once, into the channel key's
+/// bound state ([`recipe_crypto::MacKey::bind`]), and a frame's own MAC input
+/// — [`Family::write_authenticated_parts`] — starts behind it. The channel
+/// ids are under every MAC exactly as if they were re-hashed with each frame.
+pub(crate) fn channel_mac_block(channel: ChannelId) -> [u8; MAC_BLOCK_LEN] {
+    let mut block = [0u8; MAC_BLOCK_LEN];
+    block[..CHANNEL_MAC_DOMAIN.len()].copy_from_slice(CHANNEL_MAC_DOMAIN);
+    block[MAC_BLOCK_LEN - 16..MAC_BLOCK_LEN - 8].copy_from_slice(&channel.src.0.to_le_bytes());
+    block[MAC_BLOCK_LEN - 8..].copy_from_slice(&channel.dst.0.to_le_bytes());
+    block
+}
+
+/// Bytes of a MAC header before the family's field: family tag, sealed flag,
+/// view, counter.
+const MAC_HEADER_FIXED_LEN: usize = 1 + 1 + 8 + 8;
+
+/// Bytes of a [`ShieldedMessage`]'s MAC header (`kind u16`, then the body
+/// length as a `u32`) — what precedes the body in its per-frame MAC input.
+pub const SINGLE_MAC_HEADER_LEN: usize = MAC_HEADER_FIXED_LEN + 2 + 4;
+
+/// Bytes of a [`BatchFrame`]'s MAC header (`count u32`).
+pub const BATCH_MAC_HEADER_LEN: usize = MAC_HEADER_FIXED_LEN + 4 + 4;
+
+/// Bytes of a [`TxnFrame`]'s MAC header (`txn_id u64`).
+pub const TXN_MAC_HEADER_LEN: usize = MAC_HEADER_FIXED_LEN + 8 + 4;
+
+/// SHA-256 compressions one frame MAC costs for `input_len` bytes of
+/// per-frame input (MAC header, body and, sealed, the 32-byte key
+/// commitment): the inner hash's blocks — the input, a `0x80` byte and the
+/// 8-byte length — and the outer hash's one. The channel block is not
+/// counted: it is behind the bound key. Two is the least an HMAC can cost,
+/// and what an input of up to 55 bytes does.
+pub const fn mac_compressions(input_len: usize) -> usize {
+    (input_len + 1 + 8).div_ceil(MAC_BLOCK_LEN) + 1
+}
 
 /// The three shielded frame families, each with the one field it carries
 /// between the shared header and the body. On the wire every family is
@@ -90,6 +123,11 @@ const TXN_MAC_DOMAIN: &[u8] = b"recipe.txn.v1";
 /// the body bytes are — the XChaCha20 ciphertext of the plaintext body, as
 /// long as it, with no nonce and no tag of its own: the nonce is
 /// [`SequenceTuple::nonce`] and the frame MAC is the only authenticator.
+///
+/// Under the MAC the families are told apart by their tag byte, the first
+/// byte of the MAC header: it fixes the header's width and so where the body
+/// starts, and the header's length field fixes where it ends, so no two
+/// frames — of one family or of two — have the same MAC input.
 #[derive(Clone, Copy)]
 pub(crate) enum Family {
     /// [`ShieldedMessage`]: the protocol-defined message kind.
@@ -127,48 +165,66 @@ impl Family {
         SHIELD_HEADER_LEN + field_len + bytes_len(body_len)
     }
 
-    /// Hands the bytes the frame MAC covers to `put`, piece by piece and in
-    /// order; what the MAC covers is their concatenation. The authentication
-    /// layer points `put` at a running MAC, so the body is authenticated
-    /// where it lies — in a frame struct or in the wire buffer.
+    /// Hands the bytes the frame MAC covers behind the channel block
+    /// ([`channel_mac_block`], which carries `src` and `dst`) to `put`, piece
+    /// by piece and in order; what the MAC covers is the block and their
+    /// concatenation. The authentication layer points `put` at a MAC stream
+    /// of the channel's bound key, so the body is authenticated where it
+    /// lies — in a frame struct, in the wire buffer being built or in the
+    /// one received.
     ///
-    /// `body` is the body as it travels (ciphertext when sealed) and
-    /// `commitment` is the sealing cipher's [`KeyCommitment`], `Some` exactly
-    /// for a sealed frame: it sets the flag byte and goes last, so a receiver
-    /// holding the channel key but another cipher key computes another MAC.
-    /// A plaintext frame's input is what it always was.
+    /// First the MAC header, fixed-width and in one piece —
+    ///
+    /// ```text
+    /// tag | sealed | view u64 | counter u64 | field | body length u32
+    /// ```
+    ///
+    /// (`SINGLE_`/`BATCH_`/`TXN_MAC_HEADER_LEN` bytes) — then `body` as it
+    /// travels (ciphertext when sealed), then `commitment`, the sealing
+    /// cipher's [`KeyCommitment`], `Some` exactly for a sealed frame: it sets
+    /// the flag byte, so a receiver holding the channel key but another
+    /// cipher key computes another MAC. With the lengths in front, a short
+    /// body shares the header's SHA-256 block.
+    ///
+    /// # Panics
+    /// Panics on a body of 4 GiB or more, which no frame can carry
+    /// ([`Writer::count`]).
     pub(crate) fn write_authenticated_parts(
         self,
         put: &mut impl FnMut(&[u8]),
+        tuple: &SequenceTuple,
         body: &[u8],
         commitment: Option<&KeyCommitment>,
-        tuple_bytes: &[u8],
     ) {
-        let body_len = (body.len() as u64).to_le_bytes();
-        let sealed = [u8::from(commitment.is_some())];
-        match self {
+        assert!(
+            u32::try_from(body.len()).is_ok(),
+            "frame body of {} bytes exceeds u32::MAX",
+            body.len()
+        );
+        let body_len = body.len() as u32;
+        let mut header = [0u8; TXN_MAC_HEADER_LEN];
+        header[0] = self.tag();
+        header[1] = u8::from(commitment.is_some());
+        header[2..10].copy_from_slice(&tuple.view.to_le_bytes());
+        header[10..MAC_HEADER_FIXED_LEN].copy_from_slice(&tuple.counter.to_le_bytes());
+        let field = &mut header[MAC_HEADER_FIXED_LEN..];
+        let header_len = match self {
             Family::Single { kind } => {
-                put(&body_len);
-                put(body);
-                put(&kind.to_le_bytes());
-                put(&sealed);
+                field[..2].copy_from_slice(&kind.to_le_bytes());
+                SINGLE_MAC_HEADER_LEN
             }
             Family::Batch { count } => {
-                put(BATCH_MAC_DOMAIN);
-                put(&body_len);
-                put(body);
-                put(&sealed);
-                put(&count.to_le_bytes());
+                field[..4].copy_from_slice(&count.to_le_bytes());
+                BATCH_MAC_HEADER_LEN
             }
             Family::Txn { txn_id } => {
-                put(TXN_MAC_DOMAIN);
-                put(&body_len);
-                put(body);
-                put(&sealed);
-                put(&txn_id.to_le_bytes());
+                field[..8].copy_from_slice(&txn_id.to_le_bytes());
+                TXN_MAC_HEADER_LEN
             }
-        }
-        put(tuple_bytes);
+        };
+        header[header_len - 4..header_len].copy_from_slice(&body_len.to_le_bytes());
+        put(&header[..header_len]);
+        put(body);
         if let Some(commitment) = commitment {
             put(commitment);
         }
@@ -220,14 +276,57 @@ impl WireImage {
     }
 }
 
-/// Reads the header the families share; the reader is left at the family's
-/// field.
-fn read_header(bytes: &[u8], tag: u8) -> Option<(Reader<'_>, bool, SequenceTuple, MacTag)> {
-    let mut r = Reader::tagged(bytes, tag)?;
-    let sealed = r.bool()?;
-    let tuple = SequenceTuple::read(&mut r)?;
-    let mac = MacTag::from_bytes(r.array()?);
-    Some((r, sealed, tuple, mac))
+/// A shielded frame read where it lies: the header fields by value, the body
+/// a slice of the wire bytes. What [`crate::AuthLayer::verify_view`] checks
+/// without copying anything; the owning frame structs are this with the body
+/// copied out.
+#[derive(Clone, Copy)]
+pub struct FrameView<'a> {
+    pub(crate) tuple: SequenceTuple,
+    pub(crate) sealed: bool,
+    pub(crate) mac: MacTag,
+    pub(crate) family: Family,
+    pub(crate) body: &'a [u8],
+}
+
+impl<'a> FrameView<'a> {
+    /// Reads a frame of the family `tag` names, whole: `None` on another
+    /// tag, a truncated frame or trailing bytes.
+    fn read(bytes: &'a [u8], tag: u8) -> Option<FrameView<'a>> {
+        let mut r = Reader::tagged(bytes, tag)?;
+        let sealed = r.bool()?;
+        let tuple = SequenceTuple::read(&mut r)?;
+        let mac = MacTag::from_bytes(r.array()?);
+        let family = match tag {
+            tag::SINGLE => Family::Single { kind: r.u16()? },
+            tag::BATCH => Family::Batch { count: r.u32()? },
+            tag::TXN => Family::Txn { txn_id: r.u64()? },
+            _ => return None,
+        };
+        let body = r.bytes()?;
+        r.finish()?;
+        Some(FrameView {
+            tuple,
+            sealed,
+            mac,
+            family,
+            body,
+        })
+    }
+
+    /// Reads a replication frame — a [`ShieldedMessage`] or a
+    /// [`BatchFrame`], told apart by the family tag — from wire bytes.
+    pub fn parse(bytes: &'a [u8]) -> Option<FrameView<'a>> {
+        match *bytes.first()? {
+            tag @ (tag::SINGLE | tag::BATCH) => Self::read(bytes, tag),
+            _ => None,
+        }
+    }
+
+    /// The node the frame says it comes from (unverified until the MAC is).
+    pub fn source(&self) -> NodeId {
+        self.tuple.channel.src
+    }
 }
 
 impl fmt::Debug for SequenceTuple {
@@ -271,16 +370,16 @@ impl ShieldedMessage {
 
     /// Parses a message from wire bytes.
     pub fn from_wire(bytes: &[u8]) -> Option<ShieldedMessage> {
-        let (mut r, confidential, tuple, mac) = read_header(bytes, tag::SINGLE)?;
-        let kind = r.u16()?;
-        let payload = r.bytes()?.to_vec();
-        r.finish()?;
+        let view = FrameView::read(bytes, tag::SINGLE)?;
+        let Family::Single { kind } = view.family else {
+            return None;
+        };
         Some(ShieldedMessage {
-            tuple,
+            tuple: view.tuple,
             kind,
-            payload,
-            confidential,
-            mac,
+            payload: view.body.to_vec(),
+            confidential: view.sealed,
+            mac: view.mac,
         })
     }
 
@@ -387,23 +486,33 @@ impl BatchFrame {
         }
     }
 
-    /// Reads a body encoding from `r`, leaving whatever follows it.
-    pub fn read_ops(r: &mut Reader<'_>) -> Option<Vec<BatchOp>> {
-        r.seq(BATCH_OP_MIN_LEN, |r| {
-            Some(BatchOp {
-                kind: r.u16()?,
-                payload: r.bytes()?.to_vec(),
-            })
-        })
+    /// Reads a body encoding from `r`, leaving whatever follows it, each op
+    /// made by `op` from its kind and its payload where it lies in the bytes
+    /// `r` reads — a receiver that hands payloads on as slices copies
+    /// nothing.
+    pub fn read_ops_with<'a, T>(
+        r: &mut Reader<'a>,
+        mut op: impl FnMut(u16, &'a [u8]) -> T,
+    ) -> Option<Vec<T>> {
+        r.seq(BATCH_OP_MIN_LEN, |r| Some(op(r.u16()?, r.bytes()?)))
     }
 
-    /// Decodes a frame body back into ops. `None` on any malformed framing
-    /// (truncation, trailing garbage, overlong lengths or counts).
-    pub fn decode_ops(body: &[u8]) -> Option<Vec<BatchOp>> {
+    /// Decodes a whole frame body ([`BatchFrame::read_ops_with`], then
+    /// nothing more). `None` on any malformed framing (truncation, trailing
+    /// garbage, overlong lengths or counts).
+    pub(crate) fn decode_ops_with<'a, T>(
+        body: &'a [u8],
+        op: impl FnMut(u16, &'a [u8]) -> T,
+    ) -> Option<Vec<T>> {
         let mut r = Reader::new(body);
-        let ops = Self::read_ops(&mut r)?;
+        let ops = Self::read_ops_with(&mut r, op)?;
         r.finish()?;
         Some(ops)
+    }
+
+    /// Decodes a frame body back into ops that own their payloads.
+    pub fn decode_ops(body: &[u8]) -> Option<Vec<BatchOp>> {
+        Self::decode_ops_with(body, |kind, payload| BatchOp::new(kind, payload.to_vec()))
     }
 
     /// Serializes the frame for the wire:
@@ -418,16 +527,16 @@ impl BatchFrame {
 
     /// Parses a frame from wire bytes.
     pub fn from_wire(bytes: &[u8]) -> Option<BatchFrame> {
-        let (mut r, sealed, tuple, mac) = read_header(bytes, tag::BATCH)?;
-        let count = r.u32()?;
-        let body = r.bytes()?.to_vec();
-        r.finish()?;
+        let view = FrameView::read(bytes, tag::BATCH)?;
+        let Family::Batch { count } = view.family else {
+            return None;
+        };
         Some(BatchFrame {
-            tuple,
+            tuple: view.tuple,
             count,
-            body,
-            sealed,
-            mac,
+            body: view.body.to_vec(),
+            sealed: view.sealed,
+            mac: view.mac,
         })
     }
 
@@ -606,11 +715,29 @@ pub enum TxnBody {
     },
 }
 
+/// Body bytes of a vote that names no conflicting key: `tag | variant |
+/// granted | conflict present`.
+const TXN_VOTE_LEN: usize = 2 + 1 + 1;
+
+/// Body bytes of a commit or an abort: `tag | variant`.
+const TXN_DECISION_LEN: usize = 2;
+
+/// Body bytes of an acknowledgement: `tag | variant | applied u32`.
+const TXN_ACK_LEN: usize = 2 + 4;
+
+// Every 2PC frame but a prepare (and a refusal, which names a key) is a few
+// fixed bytes, and its MAC is the two compressions an HMAC cannot go below.
+// A field added to the MAC header or to one of these bodies that pushes the
+// input into a second block stops the build here.
+const _: () = assert!(mac_compressions(TXN_MAC_HEADER_LEN + TXN_VOTE_LEN) == 2);
+const _: () = assert!(mac_compressions(TXN_MAC_HEADER_LEN + TXN_DECISION_LEN) == 2);
+const _: () = assert!(mac_compressions(TXN_MAC_HEADER_LEN + TXN_ACK_LEN) == 2);
+
 /// A shielded two-phase-commit frame between a transaction coordinator and a
 /// participant shard leader: `body` is a serialized [`TxnBody`], authenticated
 /// under the channel key together with the transaction id and the sequence
-/// tuple, with its own MAC domain (`recipe.txn.v1`) so 2PC frames, batch
-/// frames and single messages can never be confused for one another.
+/// tuple; the family tag at the head of the MAC header keeps 2PC frames,
+/// batch frames and single messages from ever being taken for one another.
 #[derive(Clone, PartialEq, Eq)]
 pub struct TxnFrame {
     /// Sequence tuple (view, channel, counter) — one slot per frame, so a
@@ -624,7 +751,7 @@ pub struct TxnFrame {
     pub body: Vec<u8>,
     /// Whether `body` is encrypted.
     pub sealed: bool,
-    /// MAC over domain, body, sealed flag, txn id and tuple (and, when
+    /// MAC over family tag, sealed flag, tuple, txn id and body (and, when
     /// sealed, the cipher's key commitment) under the channel key.
     pub mac: MacTag,
 }
@@ -650,13 +777,13 @@ impl TxnFrame {
 
     /// Bytes [`TxnFrame::write_body`] produces for `body`.
     pub(crate) fn body_len(body: &TxnBody) -> usize {
-        2 + match body {
-            TxnBody::Prepare { ops } => 4 + ops.iter().map(Operation::wire_len).sum::<usize>(),
+        match body {
+            TxnBody::Prepare { ops } => 2 + 4 + ops.iter().map(Operation::wire_len).sum::<usize>(),
             TxnBody::Vote { conflict, .. } => {
-                1 + 1 + conflict.as_ref().map_or(0, |key| bytes_len(key.len()))
+                TXN_VOTE_LEN + conflict.as_ref().map_or(0, |key| bytes_len(key.len()))
             }
-            TxnBody::Commit | TxnBody::Abort => 0,
-            TxnBody::Ack { .. } => 4,
+            TxnBody::Commit | TxnBody::Abort => TXN_DECISION_LEN,
+            TxnBody::Ack { .. } => TXN_ACK_LEN,
         }
     }
 
@@ -718,16 +845,16 @@ impl TxnFrame {
 
     /// Parses a frame from wire bytes.
     pub fn from_wire(bytes: &[u8]) -> Option<TxnFrame> {
-        let (mut r, sealed, tuple, mac) = read_header(bytes, tag::TXN)?;
-        let txn_id = r.u64()?;
-        let body = r.bytes()?.to_vec();
-        r.finish()?;
+        let view = FrameView::read(bytes, tag::TXN)?;
+        let Family::Txn { txn_id } = view.family else {
+            return None;
+        };
         Some(TxnFrame {
-            tuple,
+            tuple: view.tuple,
             txn_id,
-            body,
-            sealed,
-            mac,
+            body: view.body.to_vec(),
+            sealed: view.sealed,
+            mac: view.mac,
         })
     }
 
@@ -864,19 +991,19 @@ mod tests {
         }
     }
 
-    /// The MAC input of a frame, joined.
+    /// The MAC input of a frame, joined: the channel block, then the parts.
     fn mac_input(
         family: Family,
         body: &[u8],
         commitment: Option<&KeyCommitment>,
         tuple: &SequenceTuple,
     ) -> Vec<u8> {
-        let mut input = Vec::new();
+        let mut input = channel_mac_block(tuple.channel).to_vec();
         family.write_authenticated_parts(
             &mut |bytes| input.extend_from_slice(bytes),
+            tuple,
             body,
             commitment,
-            &tuple.to_bytes(),
         );
         input
     }
@@ -970,6 +1097,15 @@ mod tests {
             assert_ne!(sealed, mac_input(family, b"body", Some(&[0xC1; 32]), &t));
             assert_ne!(sealed, mac_input(family, b"bodz", Some(&commitment), &t));
         }
+        // Both ends of the channel, which ride in the block the key is bound to.
+        for channel in [(9, 2), (1, 9), (2, 1)] {
+            let mut elsewhere = t;
+            elsewhere.channel = ChannelId::new(NodeId(channel.0), NodeId(channel.1));
+            assert_ne!(
+                mac_input(SINGLE, b"body", None, &t),
+                mac_input(SINGLE, b"body", None, &elsewhere)
+            );
+        }
         // Each family's own field: message kind, op count (a truncated or
         // padded batch), transaction id (a frame spliced into another one).
         let a = mac_input(SINGLE, b"body", None, &t);
@@ -988,7 +1124,96 @@ mod tests {
             assert_ne!(inputs[0], inputs[1]);
             assert_ne!(inputs[0], inputs[2]);
             assert_ne!(inputs[1], inputs[2]);
+            // By the byte behind the channel block, whatever follows it.
+            let tags = inputs.map(|input| input[MAC_BLOCK_LEN]);
+            assert_eq!(tags, [tag::SINGLE, tag::BATCH, tag::TXN]);
         }
+    }
+
+    #[test]
+    fn the_mac_input_is_the_channel_block_a_fixed_header_the_body_and_the_commitment() {
+        let t = SequenceTuple {
+            view: 0x0102_0304_0506_0708,
+            channel: ChannelId::new(NodeId(0x1112_1314_1516_1718), NodeId(0x2122_2324_2526_2728)),
+            counter: 0x3132_3334_3536_3738,
+        };
+        let mut block = [0u8; 64];
+        block[..19].copy_from_slice(b"recipe.frame_mac.v2");
+        block[48..56].copy_from_slice(&t.channel.src.0.to_le_bytes());
+        block[56..].copy_from_slice(&t.channel.dst.0.to_le_bytes());
+        assert_eq!(channel_mac_block(t.channel), block);
+
+        let commitment = [0xC0; 32];
+        let fields: [(Family, &[u8], usize); 3] = [
+            (
+                Family::Single { kind: 0x4142 },
+                &[0x42, 0x41],
+                SINGLE_MAC_HEADER_LEN,
+            ),
+            (
+                Family::Batch { count: 0x4142_4344 },
+                &[0x44, 0x43, 0x42, 0x41],
+                BATCH_MAC_HEADER_LEN,
+            ),
+            (
+                Family::Txn {
+                    txn_id: 0x4142_4344_4546_4748,
+                },
+                &[0x48, 0x47, 0x46, 0x45, 0x44, 0x43, 0x42, 0x41],
+                TXN_MAC_HEADER_LEN,
+            ),
+        ];
+        for (family, field, header_len) in fields {
+            for sealed in [false, true] {
+                let mut expected = block.to_vec();
+                expected.push(family.tag());
+                expected.push(u8::from(sealed));
+                expected.extend_from_slice(&t.view.to_le_bytes());
+                expected.extend_from_slice(&t.counter.to_le_bytes());
+                expected.extend_from_slice(field);
+                expected.extend_from_slice(&5u32.to_le_bytes());
+                assert_eq!(expected.len(), 64 + header_len);
+                expected.extend_from_slice(b"hello");
+                if sealed {
+                    expected.extend_from_slice(&commitment);
+                }
+                let input = mac_input(family, b"hello", sealed.then_some(&commitment), &t);
+                assert_eq!(input, expected);
+                // One `update` for the header, one for the body, one for the
+                // commitment: the MAC stream sees no smaller pieces.
+                let mut pieces = 0;
+                family.write_authenticated_parts(
+                    &mut |_| pieces += 1,
+                    &t,
+                    b"hello",
+                    sealed.then_some(&commitment),
+                );
+                assert_eq!(pieces, 2 + usize::from(sealed));
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_size_txn_bodies_are_the_lengths_the_block_guard_uses() {
+        let vote = TxnBody::Vote {
+            granted: true,
+            conflict: None,
+        };
+        assert_eq!(TxnFrame::encode_body(&vote).len(), TXN_VOTE_LEN);
+        assert_eq!(
+            TxnFrame::encode_body(&TxnBody::Commit).len(),
+            TXN_DECISION_LEN
+        );
+        assert_eq!(
+            TxnFrame::encode_body(&TxnBody::Abort).len(),
+            TXN_DECISION_LEN
+        );
+        assert_eq!(
+            TxnFrame::encode_body(&TxnBody::Ack { applied: 9 }).len(),
+            TXN_ACK_LEN
+        );
+        // 55 bytes is the last input an inner hash pads within one block.
+        assert_eq!([0, 55, 56, 119, 120].map(mac_compressions), [2, 2, 3, 3, 4]);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use cipher::{Cipher, CipherKey, Ciphertext, KeyCommitment};
 pub use error::CryptoError;
 pub use hash::{hash_parts, sha256, Digest, Hasher};
 pub use kx::{EphemeralSecret, KxPublic, SharedSecret};
-pub use mac::{MacKey, MacStream, MacTag};
+pub use mac::{BoundMacKey, MacKey, MacStream, MacTag, MAC_BLOCK_LEN};
 pub use nonce::{Nonce, XNonce};
 pub use sig::{PublicKey, Signature, SigningKeyPair};
 

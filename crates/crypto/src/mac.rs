@@ -4,6 +4,13 @@
 //! provisioned by the CAS. `shield_request` computes an HMAC over
 //! `payload || view || cq || cnt_cq` (paper §3.2, Algorithm 1); `verify_request`
 //! recomputes and compares it in constant time.
+//!
+//! What is constant on a channel — its identity, `cq` — is put in the MAC
+//! input's first 64-byte block, and that block is hashed once per channel
+//! instead of once per frame: [`MacKey::bind`] yields a [`BoundMacKey`], the
+//! keyed state with the block behind it, and a stream started from it is the
+//! plain HMAC of `block ‖ message` under the key. A short control frame then
+//! costs two SHA-256 compressions, the least an HMAC can.
 
 use hmac::{Hmac, HmacCore, Mac};
 use serde::{Deserialize, Serialize};
@@ -68,6 +75,13 @@ impl MacKey {
         stream
     }
 
+    /// This key for messages that all start with `block`: a stream from the
+    /// bound key, fed `rest`, ends in `self.tag(block ‖ rest)`. Costs one
+    /// compression, which every such message then saves.
+    pub fn bind(&self, block: &[u8; MAC_BLOCK_LEN]) -> BoundMacKey {
+        BoundMacKey(self.keyed.after_block(block))
+    }
+
     /// Computes the HMAC tag over `message`.
     pub fn tag(&self, message: &[u8]) -> MacTag {
         let mut stream = self.stream();
@@ -94,6 +108,31 @@ impl MacKey {
     /// Verifies a tag computed with [`MacKey::tag_parts`].
     pub fn verify_parts(&self, parts: &[&[u8]], tag: &MacTag) -> Result<(), CryptoError> {
         self.stream_over_parts(parts).verify(tag)
+    }
+}
+
+/// Bytes in the block a key is bound to ([`MacKey::bind`]): one SHA-256
+/// block.
+pub const MAC_BLOCK_LEN: usize = 64;
+
+/// A [`MacKey`] with the first block of every message already hashed
+/// ([`MacKey::bind`]). As secret as the key: the state forges tags for any
+/// message starting with the block.
+#[derive(Clone)]
+pub struct BoundMacKey(HmacCore<Sha256>);
+
+impl BoundMacKey {
+    /// Starts a MAC over a message whose first block is the bound one; feed
+    /// what follows it ([`MacKey::stream`]).
+    pub fn stream(&self) -> MacStream {
+        MacStream(HmacSha256::from_core(self.0.clone()))
+    }
+}
+
+impl fmt::Debug for BoundMacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Never print keyed state.
+        write!(f, "BoundMacKey(…)")
     }
 }
 
@@ -277,6 +316,35 @@ mod tests {
     }
 
     proptest! {
+        /// The bound form is the plain HMAC of `block ‖ message`, however
+        /// the message is cut into updates.
+        #[test]
+        fn a_bound_key_tags_the_block_then_the_message(
+            key in proptest::collection::vec(any::<u8>(), 32),
+            block in proptest::collection::vec(any::<u8>(), MAC_BLOCK_LEN),
+            msg in proptest::collection::vec(any::<u8>(), 0..300),
+            splits in proptest::collection::vec(any::<usize>(), 0..4),
+        ) {
+            let key = MacKey::from_bytes(key.try_into().unwrap());
+            let block: [u8; MAC_BLOCK_LEN] = block.try_into().unwrap();
+            let mut cuts: Vec<usize> = splits.iter().map(|s| s % (msg.len() + 1)).collect();
+            cuts.sort_unstable();
+            let bound = key.bind(&block);
+            let mut stream = bound.stream();
+            let mut from = 0;
+            for cut in cuts {
+                stream.update(&msg[from..cut]);
+                from = cut;
+            }
+            stream.update(&msg[from..]);
+            let expected = key.tag(&[&block[..], &msg].concat());
+            prop_assert_eq!(stream.tag(), expected);
+            // A stream spends nothing of the bound state.
+            let mut again = bound.stream();
+            again.update(&msg);
+            prop_assert!(again.verify(&expected).is_ok());
+        }
+
         #[test]
         fn roundtrip_any_message(msg in proptest::collection::vec(any::<u8>(), 0..1024)) {
             let k = key();

@@ -18,7 +18,7 @@ use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
-use recipe_core::{ClientRequest, Membership, Operation};
+use recipe_core::{mac_compressions, ClientRequest, Membership, Operation, SINGLE_MAC_HEADER_LEN};
 use recipe_net::NodeId;
 
 use crate::registry::Protocol;
@@ -62,6 +62,13 @@ pub enum RaftMsg {
 /// Most bytes a message without a key and value encodes to: the family tag,
 /// the variant and two `u64`s.
 const FIXED_MAX: usize = 2 + 2 * 8;
+
+// Three of the four frames a committed write costs each follower link are an
+// acknowledgement, a commit and its acknowledgement. Shielded, each one's
+// MAC input fits one SHA-256 block, so the MAC is the two compressions an
+// HMAC cannot go below; a field added to these messages or to the MAC header
+// that breaks that fails here, not as a slower benchmark.
+const _: () = assert!(mac_compressions(SINGLE_MAC_HEADER_LEN + FIXED_MAX) == 2);
 
 /// A message's wire form where it was built: every message but an append is
 /// a few fixed-size fields, encoded on the stack — the shield copies the

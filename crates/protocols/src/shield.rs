@@ -12,10 +12,12 @@
 //!   end-to-end in `recipe-core`/`recipe-attest`; here the provisioning result is
 //!   installed directly so protocol unit tests stay fast).
 
+use std::borrow::Cow;
+
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{
-    AuthLayer, BatchFrame, BatchOp, BatchVerifyOutcome, ConfidentialityMode, Membership,
-    ShieldedMessage, TxnBody, TxnFrame, TxnVerifyOutcome, VerifyOutcome,
+    AuthLayer, BatchFrame, BatchOp, ConfidentialityMode, FrameView, Membership, TxnBody, TxnFrame,
+    TxnVerifyOutcome, ViewOutcome,
 };
 use recipe_crypto::{CipherKey, MacKey};
 use recipe_net::NodeId;
@@ -61,9 +63,9 @@ fn encode_native(kind: u16, payload: &[u8]) -> Vec<u8> {
     w.finish()
 }
 
-fn decode_native(bytes: &[u8]) -> Option<(u16, Vec<u8>)> {
+fn decode_native(bytes: &[u8]) -> Option<Message<'_>> {
     let mut r = Reader::tagged(bytes, tag::NATIVE_SINGLE)?;
-    let frame = (r.u16()?, r.bytes()?.to_vec());
+    let frame = (r.u16()?, Cow::Borrowed(r.bytes()?));
     r.finish()?;
     Some(frame)
 }
@@ -78,31 +80,39 @@ fn encode_native_batch(ops: &[BatchOp]) -> Vec<u8> {
     w.finish()
 }
 
-fn decode_native_batch(bytes: &[u8]) -> Option<Vec<BatchOp>> {
+fn decode_native_batch(bytes: &[u8]) -> Option<Vec<Message<'_>>> {
     let mut r = Reader::tagged(bytes, tag::NATIVE_BATCH)?;
-    let ops = BatchFrame::read_ops(&mut r)?;
+    let ops = BatchFrame::read_ops_with(&mut r, |kind, payload| (kind, Cow::Borrowed(payload)))?;
     r.finish()?;
     Some(ops)
 }
 
+/// One deliverable protocol message: its kind and its payload — a slice of
+/// the received bytes when the frame arrived in order and in plaintext, a
+/// buffer of its own when it was decrypted or waited in the protected buffer.
+pub type Message<'a> = (u16, Cow<'a, [u8]>);
+
 /// The deliverable messages produced by one [`ProtocolShield::unwrap`] call.
+/// They borrow from the bytes that were unwrapped, not from the shield, so
+/// the protocol can send through the shield while it handles them.
 ///
 /// A SmallVec-style container: the overwhelmingly common case — one in-order
 /// single message — carries its `(kind, payload)` inline without allocating a
 /// `Vec` for the container. Batches and out-of-order releases spill to `Many`.
 #[derive(Debug)]
-pub enum Frames {
+pub enum Frames<'a> {
     /// Nothing deliverable (rejected, buffered as future, or garbage).
     Empty,
     /// Exactly one deliverable message.
-    One((u16, Vec<u8>)),
-    /// Two or more deliverable messages, in delivery order.
-    Many(Vec<(u16, Vec<u8>)>),
+    One(Message<'a>),
+    /// The messages of a batch, or of frames released together, in delivery
+    /// order.
+    Many(Vec<Message<'a>>),
 }
 
-impl Frames {
+impl<'a> Frames<'a> {
     /// Appends a message, promoting the representation as needed.
-    fn push(&mut self, frame: (u16, Vec<u8>)) {
+    fn push(&mut self, frame: Message<'a>) {
         match std::mem::replace(self, Frames::Empty) {
             Frames::Empty => *self = Frames::One(frame),
             Frames::One(first) => *self = Frames::Many(vec![first, frame]),
@@ -114,7 +124,7 @@ impl Frames {
     }
 
     /// The deliverable messages as a slice.
-    pub fn as_slice(&self) -> &[(u16, Vec<u8>)] {
+    pub fn as_slice(&self) -> &[Message<'a>] {
         match self {
             Frames::Empty => &[],
             Frames::One(frame) => std::slice::from_ref(frame),
@@ -133,28 +143,32 @@ impl Frames {
 
     /// True when nothing is deliverable.
     pub fn is_empty(&self) -> bool {
-        matches!(self, Frames::Empty)
+        self.len() == 0
     }
 }
 
-impl PartialEq<Vec<(u16, Vec<u8>)>> for Frames {
+impl PartialEq<Vec<(u16, Vec<u8>)>> for Frames<'_> {
     fn eq(&self, other: &Vec<(u16, Vec<u8>)>) -> bool {
-        self.as_slice() == other.as_slice()
+        let mine = self
+            .as_slice()
+            .iter()
+            .map(|(kind, payload)| (*kind, &payload[..]));
+        mine.eq(other.iter().map(|(kind, payload)| (*kind, &payload[..])))
     }
 }
 
 /// Iterator over the messages of a [`Frames`].
-pub enum FramesIter {
+pub enum FramesIter<'a> {
     /// Nothing left.
     Empty,
     /// One message left.
-    One(std::iter::Once<(u16, Vec<u8>)>),
+    One(std::iter::Once<Message<'a>>),
     /// Draining a spilled vector.
-    Many(std::vec::IntoIter<(u16, Vec<u8>)>),
+    Many(std::vec::IntoIter<Message<'a>>),
 }
 
-impl Iterator for FramesIter {
-    type Item = (u16, Vec<u8>);
+impl<'a> Iterator for FramesIter<'a> {
+    type Item = Message<'a>;
 
     fn next(&mut self) -> Option<Self::Item> {
         match self {
@@ -165,11 +179,11 @@ impl Iterator for FramesIter {
     }
 }
 
-impl IntoIterator for Frames {
-    type Item = (u16, Vec<u8>);
-    type IntoIter = FramesIter;
+impl<'a> IntoIterator for Frames<'a> {
+    type Item = Message<'a>;
+    type IntoIter = FramesIter<'a>;
 
-    fn into_iter(self) -> FramesIter {
+    fn into_iter(self) -> FramesIter<'a> {
         match self {
             Frames::Empty => FramesIter::Empty,
             Frames::One(frame) => FramesIter::One(std::iter::once(frame)),
@@ -493,7 +507,11 @@ impl ProtocolShield {
     /// frame was rejected (tampered, replayed, wrong view, naming a source
     /// other than `from`) — the protocol simply never sees it, which is the
     /// whole point of the transformation.
-    pub fn unwrap(&mut self, from: NodeId, bytes: &[u8]) -> Frames {
+    ///
+    /// The frame is verified where it lies: an in-order plaintext frame's
+    /// messages are slices of `bytes`, and only a sealed body (to decrypt it)
+    /// or a frame ahead of its turn (to keep it) is copied.
+    pub fn unwrap<'a>(&mut self, from: NodeId, bytes: &'a [u8]) -> Frames<'a> {
         self.open(from, bytes).unwrap_or_else(|| {
             self.dropped += 1;
             Frames::Empty
@@ -503,63 +521,31 @@ impl ProtocolShield {
     /// [`ProtocolShield::unwrap`] with rejection as `None`: dispatches on the
     /// family tag, so each frame is parsed at most once and an unknown tag is
     /// rejected without parsing at all.
-    fn open(&mut self, from: NodeId, bytes: &[u8]) -> Option<Frames> {
-        let mut out = Frames::Empty;
-        let family = *bytes.first()?;
-        match &mut self.auth {
-            None => {
-                match family {
-                    tag::NATIVE_SINGLE => out.push(decode_native(bytes)?),
-                    tag::NATIVE_BATCH => {
-                        for op in decode_native_batch(bytes)? {
-                            out.push((op.kind, op.payload));
-                        }
-                    }
-                    _ => return None,
-                }
-                self.opened_frames += 1;
-            }
-            Some(auth) => {
-                // A frame that names another source is refused before the
-                // authentication layer sees it (as in `unwrap_txn`): it would
-                // verify on *that* peer's channel and move that peer's
-                // receive counter, while its payload reached the protocol as
-                // `from`'s. A frame ahead of its predecessors is buffered,
-                // not opened.
-                let opened = match family {
-                    tag::SINGLE => {
-                        let msg = ShieldedMessage::from_wire(bytes)
-                            .filter(|msg| msg.tuple.channel.src == from)?;
-                        match auth.verify_owned(msg) {
-                            VerifyOutcome::Accept { kind, payload, .. } => {
-                                out.push((kind, payload));
-                                true
-                            }
-                            VerifyOutcome::Future { .. } => false,
-                            _ => return None,
-                        }
-                    }
-                    tag::BATCH => {
-                        let frame = BatchFrame::from_wire(bytes)
-                            .filter(|frame| frame.tuple.channel.src == from)?;
-                        match auth.verify_batch(frame) {
-                            BatchVerifyOutcome::Accept { ops, .. } => {
-                                for op in ops {
-                                    out.push((op.kind, op.payload));
-                                }
-                                true
-                            }
-                            BatchVerifyOutcome::Future { .. } => false,
-                            _ => return None,
-                        }
-                    }
-                    _ => return None,
-                };
-                self.opened_frames += u64::from(opened);
-                for (kind, payload, _) in auth.take_ready(from) {
-                    out.push((kind, payload));
-                }
-            }
+    fn open<'a>(&mut self, from: NodeId, bytes: &'a [u8]) -> Option<Frames<'a>> {
+        let Some(auth) = &mut self.auth else {
+            let out = match *bytes.first()? {
+                tag::NATIVE_SINGLE => Frames::One(decode_native(bytes)?),
+                tag::NATIVE_BATCH => Frames::Many(decode_native_batch(bytes)?),
+                _ => return None,
+            };
+            self.opened_frames += 1;
+            return Some(out);
+        };
+        // A frame that names another source is refused before the
+        // authentication layer sees it (as in `unwrap_txn`): it would verify
+        // on *that* peer's channel and move that peer's receive counter,
+        // while its payload reached the protocol as `from`'s. A frame ahead
+        // of its predecessors is buffered, not opened.
+        let frame = FrameView::parse(bytes).filter(|frame| frame.source() == from)?;
+        let mut out = match auth.verify_view(frame) {
+            ViewOutcome::Message { kind, payload } => Frames::One((kind, payload)),
+            ViewOutcome::Batch(ops) => Frames::Many(ops),
+            ViewOutcome::Buffered => Frames::Empty,
+            ViewOutcome::Rejected => return None,
+        };
+        self.opened_frames += u64::from(!matches!(out, Frames::Empty));
+        for (kind, payload, _) in auth.take_ready(from) {
+            out.push((kind, Cow::Owned(payload)));
         }
         Some(out)
     }
@@ -700,7 +686,11 @@ mod tests {
             ProtocolShield::recipe(NodeId(0), &m, true).wrap(NodeId(1), 7, &[0x5A; 64])
         };
         let (a, b) = (wire(0), wire(1));
-        let body = |wire: &[u8]| ShieldedMessage::from_wire(wire).unwrap().payload;
+        let body = |wire: &[u8]| {
+            recipe_core::ShieldedMessage::from_wire(wire)
+                .unwrap()
+                .payload
+        };
         assert_ne!(body(&a), body(&b));
         assert_eq!(a, wire(0));
         // A group's frames open in that group only.
@@ -753,8 +743,8 @@ mod tests {
         let wire = sender.wrap_batch(NodeId(1), batch(3));
         let out = receiver.unwrap(NodeId(0), &wire);
         assert_eq!(out.len(), 3);
-        assert_eq!(out.as_slice()[0], (1, b"entry0".to_vec()));
-        assert_eq!(out.as_slice()[2], (1, b"entry2".to_vec()));
+        assert_eq!(out.as_slice()[0], (1, Cow::Borrowed(&b"entry0"[..])));
+        assert_eq!(out.as_slice()[2], (1, Cow::Borrowed(&b"entry2"[..])));
 
         // Singles keep flowing on the same channel after a batch.
         let wire = sender.wrap(NodeId(1), 7, b"single");
@@ -831,13 +821,234 @@ mod tests {
     }
 
     #[test]
+    fn in_order_plaintext_messages_are_slices_of_the_received_bytes() {
+        let m = membership();
+        let borrowed = |frames: &Frames<'_>| -> Vec<bool> {
+            let messages = frames.as_slice().iter();
+            messages
+                .map(|(_, payload)| matches!(payload, Cow::Borrowed(_)))
+                .collect()
+        };
+        for (mut sender, mut receiver) in [
+            (
+                ProtocolShield::native(NodeId(0)),
+                ProtocolShield::native(NodeId(1)),
+            ),
+            (
+                ProtocolShield::recipe(NodeId(0), &m, false),
+                ProtocolShield::recipe(NodeId(1), &m, false),
+            ),
+        ] {
+            let single = sender.wrap(NodeId(1), 7, b"ack");
+            assert_eq!(borrowed(&receiver.unwrap(NodeId(0), &single)), [true]);
+            let wire = sender.wrap_batch(NodeId(1), batch(3));
+            assert_eq!(borrowed(&receiver.unwrap(NodeId(0), &wire)), [true; 3]);
+        }
+        // A decrypted payload, and one released from the protected buffer,
+        // are buffers of their own.
+        let mut sender = ProtocolShield::recipe(NodeId(0), &m, true);
+        let mut receiver = ProtocolShield::recipe(NodeId(1), &m, true);
+        let sealed = sender.wrap(NodeId(1), 7, b"secret");
+        assert_eq!(borrowed(&receiver.unwrap(NodeId(0), &sealed)), [false]);
+        let mut sender = ProtocolShield::recipe(NodeId(0), &m, false);
+        let mut receiver = ProtocolShield::recipe(NodeId(1), &m, false);
+        let (first, second) = (
+            sender.wrap(NodeId(1), 7, b"first"),
+            sender.wrap(NodeId(1), 7, b"second"),
+        );
+        assert!(receiver.unwrap(NodeId(0), &second).is_empty());
+        assert_eq!(borrowed(&receiver.unwrap(NodeId(0), &first)), [true, false]);
+    }
+
+    /// The per-frame MAC input — MAC header, body and, sealed, the key
+    /// commitment; the channel block is behind the bound key — of every kind
+    /// of frame the five `wall_bench` workloads send, and the SHA-256
+    /// compressions its MAC costs. Run with `--nocapture` to read the table.
+    #[test]
+    fn mac_input_lengths_of_the_frames_the_workloads_send() {
+        use crate::raft::RaftMsg;
+        use recipe_core::{
+            mac_compressions, Operation, BATCH_MAC_HEADER_LEN, SINGLE_MAC_HEADER_LEN,
+            TXN_MAC_HEADER_LEN,
+        };
+        const COMMITMENT_LEN: usize = 32;
+        let key = b"user00000042".to_vec();
+        let append = |value: usize| {
+            RaftMsg::Append {
+                view: 1,
+                index: 7,
+                key: key.clone(),
+                value: vec![0; value],
+                client_id: 3,
+                request_id: 9,
+            }
+            .encode()
+            .len()
+        };
+        let (view, index) = (1, 7);
+        let put = |value: usize| Operation::Put {
+            key: key.clone(),
+            value: vec![0; value],
+        };
+        let batch_of = |ops: usize, value: usize| {
+            let ops = vec![BatchOp::new(1, vec![0; append(value)]); ops];
+            BatchFrame::ops_len(&ops)
+        };
+        let txn = |body: TxnBody| TxnFrame::encode_body(&body).len();
+        // (frame, MAC header, body bytes, sealed, whether its MAC is the two
+        // compressions an HMAC cannot go below)
+        let rows = [
+            (
+                "raft append, 64 B value",
+                SINGLE_MAC_HEADER_LEN,
+                append(64),
+                false,
+                false,
+            ),
+            (
+                "raft append, 256 B value",
+                SINGLE_MAC_HEADER_LEN,
+                append(256),
+                false,
+                false,
+            ),
+            (
+                "raft append ack",
+                SINGLE_MAC_HEADER_LEN,
+                RaftMsg::AppendAck { view, index }.encode().len(),
+                false,
+                true,
+            ),
+            (
+                "raft commit",
+                SINGLE_MAC_HEADER_LEN,
+                RaftMsg::Commit { view, index }.encode().len(),
+                false,
+                true,
+            ),
+            (
+                "raft commit ack",
+                SINGLE_MAC_HEADER_LEN,
+                RaftMsg::CommitAck { view, index }.encode().len(),
+                false,
+                true,
+            ),
+            (
+                "raft heartbeat",
+                SINGLE_MAC_HEADER_LEN,
+                RaftMsg::Heartbeat { view }.encode().len(),
+                false,
+                true,
+            ),
+            (
+                "raft view change",
+                SINGLE_MAC_HEADER_LEN,
+                RaftMsg::ViewChange { new_view: 2 }.encode().len(),
+                false,
+                true,
+            ),
+            (
+                "raft commit ack, sealed",
+                SINGLE_MAC_HEADER_LEN,
+                RaftMsg::CommitAck { view, index }.encode().len(),
+                true,
+                false,
+            ),
+            (
+                "batch of 16 appends, 1 KiB values, sealed",
+                BATCH_MAC_HEADER_LEN,
+                batch_of(16, 1024),
+                true,
+                false,
+            ),
+            (
+                "batch of 16 commits, sealed",
+                BATCH_MAC_HEADER_LEN,
+                {
+                    let ops = vec![BatchOp::new(1, RaftMsg::Commit { view, index }.encode()); 16];
+                    BatchFrame::ops_len(&ops)
+                },
+                true,
+                false,
+            ),
+            (
+                "2pc prepare, two 256 B puts",
+                TXN_MAC_HEADER_LEN,
+                txn(TxnBody::Prepare {
+                    ops: vec![put(256), put(256)],
+                }),
+                false,
+                false,
+            ),
+            (
+                "2pc vote, granted",
+                TXN_MAC_HEADER_LEN,
+                txn(TxnBody::Vote {
+                    granted: true,
+                    conflict: None,
+                }),
+                false,
+                true,
+            ),
+            (
+                "2pc vote, refused over a 12 B key",
+                TXN_MAC_HEADER_LEN,
+                txn(TxnBody::Vote {
+                    granted: false,
+                    conflict: Some(key.clone()),
+                }),
+                false,
+                true,
+            ),
+            (
+                "2pc commit",
+                TXN_MAC_HEADER_LEN,
+                txn(TxnBody::Commit),
+                false,
+                true,
+            ),
+            (
+                "2pc abort",
+                TXN_MAC_HEADER_LEN,
+                txn(TxnBody::Abort),
+                false,
+                true,
+            ),
+            (
+                "2pc ack",
+                TXN_MAC_HEADER_LEN,
+                txn(TxnBody::Ack { applied: 2 }),
+                false,
+                true,
+            ),
+            (
+                "2pc commit, sealed",
+                TXN_MAC_HEADER_LEN,
+                txn(TxnBody::Commit),
+                true,
+                false,
+            ),
+        ];
+        println!(
+            "{:<44} {:>6} {:>6} {:>7} {:>5}",
+            "frame", "header", "body", "input", "sha"
+        );
+        for (frame, header, body, sealed, minimal) in rows {
+            let input = header + body + if sealed { COMMITMENT_LEN } else { 0 };
+            let compressions = mac_compressions(input);
+            println!("{frame:<44} {header:>6} {body:>6} {input:>7} {compressions:>5}");
+            assert_eq!(compressions == 2, minimal, "{frame}");
+        }
+    }
+
+    #[test]
     fn frames_container_promotes_and_iterates() {
         let mut frames = Frames::Empty;
         assert!(frames.is_empty());
-        frames.push((1, b"a".to_vec()));
+        frames.push((1, Cow::Borrowed(b"a")));
         assert_eq!(frames.len(), 1);
-        frames.push((2, b"b".to_vec()));
-        frames.push((3, b"c".to_vec()));
+        frames.push((2, Cow::Owned(b"b".to_vec())));
+        frames.push((3, Cow::Borrowed(b"c")));
         assert_eq!(frames.len(), 3);
         let kinds: Vec<u16> = frames.into_iter().map(|(kind, _)| kind).collect();
         assert_eq!(kinds, vec![1, 2, 3]);

@@ -12,8 +12,8 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use recipe_crypto::{
-    hash_parts, Cipher, CipherKey, Digest, EphemeralSecret, KxPublic, MacKey, Nonce, SharedSecret,
-    SigningKeyPair,
+    hash_parts, BoundMacKey, Cipher, CipherKey, Digest, EphemeralSecret, KxPublic, MacKey, Nonce,
+    SharedSecret, SigningKeyPair, MAC_BLOCK_LEN,
 };
 use serde::{Deserialize, Serialize};
 
@@ -90,6 +90,17 @@ struct CipherSlot {
     cipher: OnceLock<Cipher>,
 }
 
+/// A provisioned channel MAC key and, once the channel is in use, its bound
+/// form: the key with the channel's block hashed in
+/// ([`Enclave::bind_mac_key`]). The bound state forges like the key does, so
+/// it is made, kept and — when the label is provisioned again — remade in
+/// here, from the block kept beside it.
+struct MacSlot {
+    label: String,
+    key: MacKey,
+    bound: Option<(BoundMacKey, [u8; MAC_BLOCK_LEN])>,
+}
+
 /// A MAC key's position in the enclave that provisioned it: the per-frame
 /// code resolves a channel label once ([`Enclave::mac_key_handle`]) and
 /// indexes from then on. A handle stays valid for the life of its enclave —
@@ -115,7 +126,7 @@ pub struct Enclave {
     // Channel keys sit in provisioning order beside their labels, so a
     // `KeyHandle` is an index; a label is looked up by scanning, which only
     // provisioning, attestation and a channel's first frame do.
-    mac_keys: Vec<(String, MacKey)>,
+    mac_keys: Vec<MacSlot>,
     // Ciphers are kept built, several times the size of the raw secret, and
     // boxed because a hash table allocates more slots than it fills.
     ciphers: HashMap<String, Box<CipherSlot>>,
@@ -248,7 +259,8 @@ impl Enclave {
     // ------------------------------------------------------------------
 
     /// Installs a channel MAC key under `label`, replacing — in place, so
-    /// handles to it stay good — a key already provisioned there.
+    /// handles to it stay good, and with its bound form remade from the new
+    /// key — a key already provisioned there.
     pub fn provision_mac_key(
         &mut self,
         label: impl Into<String>,
@@ -256,9 +268,18 @@ impl Enclave {
     ) -> Result<(), TeeError> {
         self.ensure_alive()?;
         let label = label.into();
-        match self.mac_keys.iter_mut().find(|(held, _)| *held == label) {
-            Some((_, slot)) => *slot = key,
-            None => self.mac_keys.push((label, key)),
+        match self.mac_keys.iter_mut().find(|slot| slot.label == label) {
+            Some(slot) => {
+                if let Some((bound, block)) = &mut slot.bound {
+                    *bound = key.bind(block);
+                }
+                slot.key = key;
+            }
+            None => self.mac_keys.push(MacSlot {
+                label,
+                key,
+                bound: None,
+            }),
         }
         Ok(())
     }
@@ -268,10 +289,46 @@ impl Enclave {
         self.ensure_alive()?;
         self.mac_keys
             .iter()
-            .position(|(held, _)| held == label)
+            .position(|slot| slot.label == label)
             .map(KeyHandle)
             .ok_or_else(|| TeeError::MissingSecret {
                 label: label.to_owned(),
+            })
+    }
+
+    /// Binds the MAC key `handle` was resolved for to `block`, the 64 bytes
+    /// every message on its channel starts with ([`MacKey::bind`]): one
+    /// compression now, one fewer for every message MAC'd through
+    /// [`Enclave::bound_mac_key_at`] afterwards. Binding again to the same
+    /// block does nothing; to another block, replaces it.
+    pub fn bind_mac_key(
+        &mut self,
+        handle: KeyHandle,
+        block: &[u8; MAC_BLOCK_LEN],
+    ) -> Result<(), TeeError> {
+        self.ensure_alive()?;
+        let slot = self
+            .mac_keys
+            .get_mut(handle.0)
+            .ok_or_else(|| TeeError::MissingSecret {
+                label: format!("mac key #{}", handle.0),
+            })?;
+        if !matches!(&slot.bound, Some((_, held)) if held == block) {
+            slot.bound = Some((slot.key.bind(block), *block));
+        }
+        Ok(())
+    }
+
+    /// Returns the bound form of the MAC key `handle` was resolved for — of
+    /// the key provisioned under its label now, not when it was bound.
+    pub fn bound_mac_key_at(&self, handle: KeyHandle) -> Result<&BoundMacKey, TeeError> {
+        self.ensure_alive()?;
+        self.mac_keys
+            .get(handle.0)
+            .and_then(|slot| slot.bound.as_ref())
+            .map(|(bound, _)| bound)
+            .ok_or_else(|| TeeError::MissingSecret {
+                label: format!("bound mac key #{}", handle.0),
             })
     }
 
@@ -285,7 +342,7 @@ impl Enclave {
         self.ensure_alive()?;
         self.mac_keys
             .get(handle.0)
-            .map(|(_, key)| key)
+            .map(|slot| &slot.key)
             .ok_or_else(|| TeeError::MissingSecret {
                 label: format!("mac key #{}", handle.0),
             })
@@ -348,7 +405,7 @@ impl Enclave {
 
     /// Lists the labels of all provisioned MAC keys (for diagnostics and tests).
     pub fn provisioned_channels(&self) -> Vec<String> {
-        let mut labels: Vec<String> = self.mac_keys.iter().map(|(l, _)| l.clone()).collect();
+        let mut labels: Vec<String> = self.mac_keys.iter().map(|s| s.label.clone()).collect();
         labels.sort();
         labels
     }
@@ -607,6 +664,11 @@ mod tests {
         assert_eq!(e.mac_key_handle("cq:a->b"), Ok(ab));
         assert_eq!(e.mac_key_at(ab).unwrap(), &rotated);
         assert_eq!(e.provisioned_channels().len(), 4);
+        // It was never bound, and stays so.
+        assert!(matches!(
+            e.bound_mac_key_at(ab),
+            Err(TeeError::MissingSecret { .. })
+        ));
 
         // A handle this enclave never issued names nothing.
         let mut other = enclave();
@@ -620,6 +682,47 @@ mod tests {
         ));
         assert!(matches!(
             other.counter_value(ab_counter),
+            Err(TeeError::MissingSecret { .. })
+        ));
+    }
+
+    #[test]
+    fn a_bound_key_follows_the_key_under_its_label() {
+        let mut e = enclave();
+        let key = MacKey::from_bytes([1u8; 32]);
+        e.provision_mac_key("cq:a->b", key.clone()).unwrap();
+        e.provision_mac_key("cq:b->a", MacKey::from_bytes([3u8; 32]))
+            .unwrap();
+        let ab = e.mac_key_handle("cq:a->b").unwrap();
+        let ba = e.mac_key_handle("cq:b->a").unwrap();
+        let block = [0x5A; MAC_BLOCK_LEN];
+        let tag_of = |e: &Enclave, handle| {
+            let mut stream = e.bound_mac_key_at(handle).unwrap().stream();
+            stream.update(b"frame");
+            stream.tag()
+        };
+        let unbound_tag = |key: &MacKey, block: &[u8]| key.tag(&[block, b"frame"].concat());
+
+        e.bind_mac_key(ab, &block).unwrap();
+        assert_eq!(tag_of(&e, ab), unbound_tag(&key, &block));
+        // One key's binding is not another's.
+        assert!(e.bound_mac_key_at(ba).is_err());
+
+        // Rotation reaches the bound state, under the block it was bound to.
+        let rotated = MacKey::from_bytes([2u8; 32]);
+        e.provision_mac_key("cq:a->b", rotated.clone()).unwrap();
+        assert_eq!(tag_of(&e, ab), unbound_tag(&rotated, &block));
+        // Binding again to the same block is a no-op, to another replaces it.
+        e.bind_mac_key(ab, &block).unwrap();
+        assert_eq!(tag_of(&e, ab), unbound_tag(&rotated, &block));
+        let other = [0xA5; MAC_BLOCK_LEN];
+        e.bind_mac_key(ab, &other).unwrap();
+        assert_eq!(tag_of(&e, ab), unbound_tag(&rotated, &other));
+
+        // A handle this enclave never issued binds nothing.
+        let mut stranger = enclave();
+        assert!(matches!(
+            stranger.bind_mac_key(ab, &block),
             Err(TeeError::MissingSecret { .. })
         ));
     }
@@ -641,6 +744,7 @@ mod tests {
         e.provision_mac_key("cq", MacKey::from_bytes([1u8; 32]))
             .unwrap();
         let key = e.mac_key_handle("cq").unwrap();
+        e.bind_mac_key(key, &[0; MAC_BLOCK_LEN]).unwrap();
         let counter = e.counter_handle("cq").unwrap();
         e.crash();
         assert!(e.is_crashed());
@@ -655,6 +759,14 @@ mod tests {
             TeeError::EnclaveCrashed
         );
         assert_eq!(e.mac_key_at(key).unwrap_err(), TeeError::EnclaveCrashed);
+        assert_eq!(
+            e.bound_mac_key_at(key).unwrap_err(),
+            TeeError::EnclaveCrashed
+        );
+        assert_eq!(
+            e.bind_mac_key(key, &[0; MAC_BLOCK_LEN]).unwrap_err(),
+            TeeError::EnclaveCrashed
+        );
         assert_eq!(
             e.counter_handle("cq").unwrap_err(),
             TeeError::EnclaveCrashed

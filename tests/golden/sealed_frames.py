@@ -32,21 +32,24 @@ commit = H(cipher_key, b'recipe.cipher_commit.v1')
 
 def tuple_bytes(view, src, dst, counter): return struct.pack('<4Q', view, src, dst, counter)
 
-def frame(tag, field, mac_prefix, body, counter):
-    t = tuple_bytes(0, 1, 2, counter)
+def channel_block(src, dst):
+    # What the channel key is bound to: domain, zeros, src | dst in the last 16 bytes.
+    return b'recipe.frame_mac.v2'.ljust(48, b'\0') + struct.pack('<2Q', src, dst)
+
+def frame(tag, field, body, counter):
+    view, src, dst = 0, 1, 2
+    t = tuple_bytes(view, src, dst, counter)
     ct = xchacha(enc, t[8:], body)
-    if tag == 1:   # single: len | body | kind | flag | tuple | commitment
-        mac_in = struct.pack('<Q', len(ct)) + ct + field + b'\x01' + t + commit
-    else:          # batch / txn: domain | len | body | flag | field | tuple | commitment
-        mac_in = mac_prefix + struct.pack('<Q', len(ct)) + ct + b'\x01' + field + t + commit
-    mac = H(chan, mac_in)
+    # channel block | tag | sealed | view | counter | field | len u32 | body | commitment
+    header = bytes([tag, 1]) + struct.pack('<2Q', view, counter) + field + struct.pack('<I', len(ct))
+    mac = H(chan, channel_block(src, dst) + header + ct + commit)
     return bytes([tag, 1]) + t + mac + field + struct.pack('<I', len(ct)) + ct
 
 def bstr(b): return struct.pack('<I', len(b)) + b
-single = frame(1, struct.pack('<H', 4), b'', b'secret balance=100', 1)
+single = frame(1, struct.pack('<H', 4), b'secret balance=100', 1)
 ops = struct.pack('<I', 2) + b''.join(struct.pack('<H', 7) + bstr(p) for p in [b'op0', b'op1'])
-batch = frame(2, struct.pack('<I', 2), b'recipe.batch.v1', ops, 2)
+batch = frame(2, struct.pack('<I', 2), ops, 2)
 prepare = bytes([0x08, 0]) + struct.pack('<I', 1) + bytes([0]) + bstr(b'account:7') + bstr(b'balance=100')
-txn = frame(3, struct.pack('<Q', 7), b'recipe.txn.v1', prepare, 3)
+txn = frame(3, struct.pack('<Q', 7), prepare, 3)
 for name, f in [('single', single), ('batch', batch), ('txn', txn)]:
     print(name, len(f)); print(f.hex())
