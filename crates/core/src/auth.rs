@@ -27,10 +27,13 @@
 //! frame's whole per-frame input fits one SHA-256 block and its MAC is two
 //! compressions. Sealing is the raw XChaCha20 keystream, in place, under the nonce the
 //! sequence tuple determines ([`SequenceTuple::nonce`] — derived at both ends,
-//! never sent, unique because trusted counters never repeat); the frame MAC
-//! then covers the ciphertext, the sealed flag, the tuple and the cipher's key
-//! commitment, under a channel key that is domain-separated from the cipher
-//! key. That is encrypt-then-MAC with the MAC the protocol already pays for:
+//! never sent, unique because trusted counters never repeat). Its first 16
+//! bytes are the channel's `src ‖ dst`, so the channel's HChaCha20 sub-key
+//! is made once too, on its first sealed frame, and kept in the enclave
+//! beside the cipher key; a frame is ChaCha20 under it with its counter as
+//! the nonce's last 8 bytes. The frame MAC then covers the ciphertext, the
+//! sealed flag, the tuple and the cipher's key commitment, under a channel
+//! key that is domain-separated from the cipher key. That is encrypt-then-MAC with the MAC the protocol already pays for:
 //! a receiver checks it before its receive counter moves and before it makes
 //! any keystream, so nothing an attacker alters is ever decrypted, and there
 //! is no second tag whose failure could arrive after the counter advanced.
@@ -41,14 +44,14 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use recipe_crypto::{CipherKey, MacTag};
+use recipe_crypto::{CipherKey, KeyCommitment, MacTag};
 use recipe_net::{ChannelId, NodeId};
-use recipe_tee::{CounterHandle, Enclave, KeyHandle};
+use recipe_tee::{CipherHandle, CounterHandle, Enclave, KeyHandle, TeeError};
 
 use crate::error::RecipeError;
 use crate::message::{
-    channel_mac_block, BatchFrame, BatchOp, Family, FrameView, SequenceTuple, ShieldedMessage,
-    TxnBody, TxnFrame,
+    channel_mac_block, channel_nonce_prefix, BatchFrame, BatchOp, Family, FrameView, SequenceTuple,
+    ShieldedMessage, TxnBody, TxnFrame,
 };
 use crate::policy::ConfidentialityMode;
 use crate::wire::Writer;
@@ -260,8 +263,10 @@ enum Admission {
         counter: u64,
         expected: u64,
     },
-    /// Authentic, fresh and in order (the receive counter is already advanced).
-    Deliver { counter: u64 },
+    /// Authentic, fresh and in order (the receive counter is already
+    /// advanced), on `channel` — whose cipher sub-key is bound if the frame
+    /// is sealed.
+    Deliver { counter: u64, channel: Channel },
 }
 
 /// Rejection reasons shared by single-message and batch verification.
@@ -332,6 +337,10 @@ struct Channel {
     /// This node's trusted counter for the channel: frames sealed when this
     /// node is the source, the last frame accepted when it is the destination.
     counter: CounterHandle,
+    /// The cipher bound to the channel's nonce prefix
+    /// ([`channel_nonce_prefix`]): `None` until a frame on it is first
+    /// sealed or admitted sealed.
+    cipher: Option<CipherHandle>,
 }
 
 impl Channel {
@@ -347,7 +356,23 @@ impl Channel {
             .bind_mac_key(key, &channel_mac_block(channel))
             .ok()?;
         let counter = enclave.counter_handle(&format!("{role}:{label}")).ok()?;
-        Some(Channel { key, counter })
+        Some(Channel {
+            key,
+            counter,
+            cipher: None,
+        })
+    }
+
+    /// Binds the cipher provisioned under [`CIPHER_LABEL`] to `channel`'s
+    /// nonce prefix unless this record already holds the sub-key: the
+    /// channel's first sealed frame, sent or received, pays its one
+    /// HChaCha20, and the sub-key stays in the enclave.
+    fn bind_cipher(&mut self, enclave: &mut Enclave, channel: ChannelId) -> Result<(), TeeError> {
+        if self.cipher.is_none() {
+            let prefix = channel_nonce_prefix(channel);
+            self.cipher = Some(enclave.bind_cipher(CIPHER_LABEL, &prefix)?);
+        }
+        Ok(())
     }
 }
 
@@ -516,12 +541,12 @@ impl AuthLayer {
         self.peer_index(node).ok().map(|index| &self.peers[index])
     }
 
-    /// The outgoing channel toward `dst`.
-    fn send_channel(&mut self, dst: NodeId) -> Result<Channel, RecipeError> {
+    /// The record of `dst` and the outgoing channel in it.
+    fn send_channel(&mut self, dst: NodeId) -> Result<(usize, Channel), RecipeError> {
         match self.channel_with(dst, |peer| peer.send) {
-            Some((_, channel)) => Ok(channel),
-            None if self.enclave.is_crashed() => Err(recipe_tee::TeeError::EnclaveCrashed.into()),
-            None => Err(recipe_tee::TeeError::MissingSecret {
+            Some(found) => Ok(found),
+            None if self.enclave.is_crashed() => Err(TeeError::EnclaveCrashed.into()),
+            None => Err(TeeError::MissingSecret {
                 label: ChannelId::new(self.node, dst).label(),
             }
             .into()),
@@ -534,16 +559,46 @@ impl AuthLayer {
     }
 
     /// `cnt_cq ← cnt_cq + 1` inside the enclave: takes the next counter slot
-    /// of the channel toward `dst`.
-    fn next_slot(&mut self, dst: NodeId) -> Result<(Channel, SequenceTuple), RecipeError> {
-        let channel = self.send_channel(dst)?;
+    /// of the channel toward `dst`, for a frame that is sealed when `seal`
+    /// is — the channel's cipher is bound first, so a channel without one
+    /// spends no slot.
+    fn next_slot(
+        &mut self,
+        dst: NodeId,
+        seal: bool,
+    ) -> Result<(Channel, SequenceTuple), RecipeError> {
+        let (index, mut channel) = self.send_channel(dst)?;
+        let id = ChannelId::new(self.node, dst);
+        if seal {
+            channel.bind_cipher(&mut self.enclave, id)?;
+            self.peers[index].send = Some(channel);
+        }
         let counter = self.enclave.counter_mut(channel.counter)?.increment();
         let tuple = SequenceTuple {
             view: self.view,
-            channel: ChannelId::new(self.node, dst),
+            channel: id,
             counter,
         };
         Ok((channel, tuple))
+    }
+
+    /// XORs `body` with the keystream of the frame `tuple` names — the
+    /// channel's bound cipher, run from the tuple's counter, the last 8
+    /// bytes of [`SequenceTuple::nonce`] — and returns the commitment of the
+    /// key it was bound from. Sealing and opening are this one call.
+    fn apply_keystream(
+        &self,
+        channel: Channel,
+        tuple: &SequenceTuple,
+        body: &mut [u8],
+    ) -> Result<&KeyCommitment, RecipeError> {
+        // Bound when the frame's slot was taken, or when it was admitted.
+        let handle = channel.cipher.ok_or_else(|| TeeError::MissingSecret {
+            label: CIPHER_LABEL.to_owned(),
+        })?;
+        let (cipher, commitment) = self.enclave.bound_cipher_at(handle)?;
+        cipher.apply_keystream(&tuple.counter.to_le_bytes(), body);
+        Ok(commitment)
     }
 
     /// Seals a frame's `body` where it lies — in a frame struct's vector or
@@ -559,9 +614,7 @@ impl AuthLayer {
         body: &mut [u8],
     ) -> Result<MacTag, RecipeError> {
         let commitment = if seal {
-            let cipher = self.enclave.cipher(CIPHER_LABEL)?;
-            cipher.apply_keystream(&tuple.nonce(), body);
-            Some(cipher.key_commitment())
+            Some(self.apply_keystream(channel, tuple, body)?)
         } else {
             None
         };
@@ -584,7 +637,7 @@ impl AuthLayer {
         seal: bool,
         mut body: Vec<u8>,
     ) -> Result<(SequenceTuple, Vec<u8>, MacTag), RecipeError> {
-        let (channel, tuple) = self.next_slot(dst)?;
+        let (channel, tuple) = self.next_slot(dst, seal)?;
         let mac = self.seal_body(channel, &tuple, family, seal, &mut body)?;
         Ok((tuple, body, mac))
     }
@@ -600,7 +653,7 @@ impl AuthLayer {
         body_len: usize,
         write_body: impl FnOnce(&mut Writer),
     ) -> Result<Vec<u8>, RecipeError> {
-        let (channel, tuple) = self.next_slot(dst)?;
+        let (channel, tuple) = self.next_slot(dst, seal)?;
         let mut image = family.image(&tuple, seal, body_len, write_body);
         let mac = self.seal_body(channel, &tuple, family, seal, image.body_mut())?;
         Ok(image.finish(&mac))
@@ -758,26 +811,50 @@ impl AuthLayer {
     /// frame of the transaction family), view and counter freshness, then one
     /// keystream pass over the body when it is sealed. Out-of-order frames
     /// are dropped rather than buffered — see [`TxnVerifyOutcome::OutOfOrder`].
-    pub fn verify_txn(&mut self, mut frame: TxnFrame) -> TxnVerifyOutcome {
-        match self.admit(
-            &frame.tuple,
-            &frame.mac,
-            frame.family(),
-            frame.sealed,
-            &frame.body,
-        ) {
+    pub fn verify_txn(&mut self, frame: TxnFrame) -> TxnVerifyOutcome {
+        let family = frame.family();
+        let body = Cow::Owned(frame.body);
+        self.verify_txn_body(frame.tuple, frame.mac, family, frame.sealed, body)
+    }
+
+    /// [`AuthLayer::verify_txn`] on a frame where it lies in the received
+    /// bytes ([`FrameView::parse_txn`]): a plaintext body is decoded from
+    /// them, and only a sealed one is copied, to be decrypted. A view of a
+    /// replication frame authenticates nothing here.
+    pub fn verify_txn_view(&mut self, frame: FrameView<'_>) -> TxnVerifyOutcome {
+        let body = Cow::Borrowed(frame.body);
+        self.verify_txn_body(frame.tuple, frame.mac, frame.family, frame.sealed, body)
+    }
+
+    fn verify_txn_body(
+        &mut self,
+        tuple: SequenceTuple,
+        mac: MacTag,
+        family: Family,
+        sealed: bool,
+        body: Cow<'_, [u8]>,
+    ) -> TxnVerifyOutcome {
+        let Family::Txn { txn_id } = family else {
+            self.rejected_auth += 1;
+            return TxnVerifyOutcome::BadAuthenticator;
+        };
+        match self.admit(&tuple, &mac, family, sealed, &body) {
             Admission::Reject(rejection) => rejection.into(),
             Admission::Buffer {
                 counter, expected, ..
             } => TxnVerifyOutcome::OutOfOrder { counter, expected },
-            Admission::Deliver { counter } => {
-                let opened = self.open_body(&frame.tuple, frame.sealed, &mut frame.body);
-                match opened
-                    .ok()
-                    .and_then(|()| TxnFrame::decode_body(&frame.body))
-                {
+            Admission::Deliver { counter, channel } => {
+                let decoded = if sealed {
+                    let mut body = body.into_owned();
+                    self.open_body(channel, &tuple, true, &mut body)
+                        .ok()
+                        .and_then(|()| TxnFrame::decode_body(&body))
+                } else {
+                    TxnFrame::decode_body(&body)
+                };
+                match decoded {
                     Some(body) => TxnVerifyOutcome::Accept {
-                        txn_id: frame.txn_id,
+                        txn_id,
                         body,
                         counter,
                     },
@@ -813,7 +890,9 @@ impl AuthLayer {
                     .insert(counter, PendingFrame::Single(msg.clone()));
                 VerifyOutcome::Future { counter, expected }
             }
-            Admission::Deliver { counter } => self.deliver_single(msg.clone(), counter),
+            Admission::Deliver { counter, channel } => {
+                self.deliver_single(msg.clone(), counter, channel)
+            }
         }
     }
 
@@ -833,7 +912,7 @@ impl AuthLayer {
                     .insert(counter, PendingFrame::Single(msg));
                 VerifyOutcome::Future { counter, expected }
             }
-            Admission::Deliver { counter } => self.deliver_single(msg, counter),
+            Admission::Deliver { counter, channel } => self.deliver_single(msg, counter, channel),
         }
     }
 
@@ -848,9 +927,14 @@ impl AuthLayer {
     }
 
     /// Opens an admitted message into the outcome that delivers it.
-    fn deliver_single(&mut self, msg: ShieldedMessage, counter: u64) -> VerifyOutcome {
+    fn deliver_single(
+        &mut self,
+        msg: ShieldedMessage,
+        counter: u64,
+        channel: Channel,
+    ) -> VerifyOutcome {
         let kind = msg.kind;
-        match self.open_single(msg) {
+        match self.open_single(msg, channel) {
             Ok(payload) => VerifyOutcome::Accept {
                 kind,
                 payload,
@@ -885,7 +969,7 @@ impl AuthLayer {
                     .insert(counter, PendingFrame::Batch(frame));
                 BatchVerifyOutcome::Future { counter, expected }
             }
-            Admission::Deliver { counter } => match self.open_batch(frame) {
+            Admission::Deliver { counter, channel } => match self.open_batch(frame, channel) {
                 Ok(ops) => BatchVerifyOutcome::Accept { ops, counter },
                 Err(_) => {
                     self.rejected_auth += 1;
@@ -935,19 +1019,22 @@ impl AuthLayer {
                 self.peers[peer].pending.insert(counter, pending);
                 ViewOutcome::Buffered
             }
-            Admission::Deliver { .. } => self.open_view(frame).unwrap_or_else(|| {
-                self.rejected_auth += 1;
-                ViewOutcome::Rejected
-            }),
+            Admission::Deliver { channel, .. } => {
+                self.open_view(frame, channel).unwrap_or_else(|| {
+                    self.rejected_auth += 1;
+                    ViewOutcome::Rejected
+                })
+            }
         }
     }
 
     /// Opens an admitted frame into what it delivers; `None` is
     /// [`VerifyOutcome::DecryptionFailed`] (the slot is spent).
-    fn open_view<'a>(&self, frame: FrameView<'a>) -> Option<ViewOutcome<'a>> {
+    fn open_view<'a>(&self, frame: FrameView<'a>, channel: Channel) -> Option<ViewOutcome<'a>> {
         let opened = if frame.sealed {
             let mut body = frame.body.to_vec();
-            self.open_body(&frame.tuple, true, &mut body).ok()?;
+            self.open_body(channel, &frame.tuple, true, &mut body)
+                .ok()?;
             Cow::Owned(body)
         } else {
             Cow::Borrowed(frame.body)
@@ -995,29 +1082,7 @@ impl AuthLayer {
             self.rejected_auth += 1;
             return Admission::Reject(Rejection::Misaddressed);
         }
-        // No key for the claimed source, a sealed frame and no cipher key to
-        // commit to, or an enclave that refuses to hand them out,
-        // authenticates nothing.
-        let keyed = self
-            .recv_channel(tuple.channel.src)
-            .and_then(|(peer, channel)| {
-                let key = self.enclave.bound_mac_key_at(channel.key).ok()?;
-                let last_accepted = self.enclave.counter_value(channel.counter).ok()?;
-                let commitment = if sealed {
-                    Some(self.enclave.cipher(CIPHER_LABEL).ok()?.key_commitment())
-                } else {
-                    None
-                };
-                let mut stream = key.stream();
-                family.write_authenticated_parts(
-                    &mut |bytes| stream.update(bytes),
-                    tuple,
-                    body,
-                    commitment,
-                );
-                stream.verify(mac).ok()?;
-                Some((peer, channel, last_accepted))
-            });
+        let keyed = self.authenticate(tuple, mac, family, sealed, body);
         let Some((peer, channel, last_accepted)) = keyed else {
             self.rejected_auth += 1;
             return Admission::Reject(Rejection::BadAuthenticator);
@@ -1053,7 +1118,44 @@ impl AuthLayer {
         if let Ok(recv_counter) = self.enclave.counter_mut(channel.counter) {
             let _ = recv_counter.advance_to(counter);
         }
-        Admission::Deliver { counter }
+        Admission::Deliver { counter, channel }
+    }
+
+    /// The MAC check of [`AuthLayer::admit`]: the record of the claimed
+    /// source, its receive channel and the last counter accepted on it, if
+    /// the frame verifies under the channel's bound key. A sealed frame
+    /// binds the channel's cipher first, as its key commitment is under the
+    /// MAC. No key for the claimed source, a sealed frame and no cipher key
+    /// to commit to, or an enclave that refuses to hand them out,
+    /// authenticates nothing.
+    fn authenticate(
+        &mut self,
+        tuple: &SequenceTuple,
+        mac: &MacTag,
+        family: Family,
+        sealed: bool,
+        body: &[u8],
+    ) -> Option<(usize, Channel, u64)> {
+        let (peer, mut channel) = self.recv_channel(tuple.channel.src)?;
+        if sealed {
+            channel.bind_cipher(&mut self.enclave, tuple.channel).ok()?;
+            self.peers[peer].recv = Some(channel);
+        }
+        let key = self.enclave.bound_mac_key_at(channel.key).ok()?;
+        let last_accepted = self.enclave.counter_value(channel.counter).ok()?;
+        let commitment = match channel.cipher {
+            Some(cipher) if sealed => Some(self.enclave.bound_cipher_at(cipher).ok()?.1),
+            _ => None,
+        };
+        let mut stream = key.stream();
+        family.write_authenticated_parts(
+            &mut |bytes| stream.update(bytes),
+            tuple,
+            body,
+            commitment,
+        );
+        stream.verify(mac).ok()?;
+        Some((peer, channel, last_accepted))
     }
 
     /// Releases buffered "future" frames from `src` that have become deliverable
@@ -1087,12 +1189,12 @@ impl AuthLayer {
             match frame {
                 PendingFrame::Single(msg) => {
                     let kind = msg.kind;
-                    match self.open_single(msg) {
+                    match self.open_single(msg, channel) {
                         Ok(payload) => ready.push((kind, payload, next)),
                         Err(_) => self.rejected_auth += 1,
                     }
                 }
-                PendingFrame::Batch(batch) => match self.open_batch(batch) {
+                PendingFrame::Batch(batch) => match self.open_batch(batch, channel) {
                     Ok(ops) => {
                         ready.extend(ops.into_iter().map(|op| (op.kind, op.payload, next)));
                     }
@@ -1148,34 +1250,41 @@ impl AuthLayer {
         self.peers[index].pending.clear();
     }
 
-    /// Decrypts the body of an admitted frame where it lies, when it was
-    /// sealed: the keystream of the tuple's nonce, XORed a second time. The
+    /// Decrypts the body of a frame admitted on `channel` where it lies,
+    /// when it was sealed: the frame's keystream, XORed a second time. The
     /// frame's MAC was verified over exactly these bytes before its counter
     /// slot was spent.
     fn open_body(
         &self,
+        channel: Channel,
         tuple: &SequenceTuple,
         sealed: bool,
         body: &mut [u8],
     ) -> Result<(), RecipeError> {
         if sealed {
-            self.enclave
-                .cipher(CIPHER_LABEL)?
-                .apply_keystream(&tuple.nonce(), body);
+            self.apply_keystream(channel, tuple, body)?;
         }
         Ok(())
     }
 
     /// Opens an admitted message and moves its payload out.
-    fn open_single(&self, mut msg: ShieldedMessage) -> Result<Vec<u8>, RecipeError> {
-        self.open_body(&msg.tuple, msg.confidential, &mut msg.payload)?;
+    fn open_single(
+        &self,
+        mut msg: ShieldedMessage,
+        channel: Channel,
+    ) -> Result<Vec<u8>, RecipeError> {
+        self.open_body(channel, &msg.tuple, msg.confidential, &mut msg.payload)?;
         Ok(msg.payload)
     }
 
     /// Opens an admitted batch body (one keystream pass) and decodes its
     /// ops, enforcing the authenticated op count.
-    fn open_batch(&self, mut frame: BatchFrame) -> Result<Vec<BatchOp>, RecipeError> {
-        self.open_body(&frame.tuple, frame.sealed, &mut frame.body)?;
+    fn open_batch(
+        &self,
+        mut frame: BatchFrame,
+        channel: Channel,
+    ) -> Result<Vec<BatchOp>, RecipeError> {
+        self.open_body(channel, &frame.tuple, frame.sealed, &mut frame.body)?;
         let ops =
             BatchFrame::decode_ops(&frame.body).ok_or(RecipeError::Malformed("batch body"))?;
         if ops.len() != frame.count as usize {
@@ -1854,6 +1963,127 @@ mod tests {
         assert_eq!(receiver.verify_txn(txn), TxnVerifyOutcome::BadAuthenticator);
         assert_eq!(receiver.recv_counter_from(NodeId(1)), 2);
         assert_eq!(receiver.rejection_counts(), (0, 3, 0));
+    }
+
+    #[test]
+    fn a_rotated_cipher_key_reaches_the_channel_sub_keys_on_both_ends() {
+        let (mut sender, mut receiver) = layer_pair(true);
+        // Sealed frames of all three families bind both ends' sub-keys.
+        let (single, batch, txn) = one_of_each(&mut sender);
+        assert!(receiver.verify(&single).is_accept());
+        assert!(receiver.verify_batch(batch).is_accept());
+        assert!(receiver.verify_txn(txn).is_accept());
+
+        // The CAS provisions the cipher key again, on both ends: the
+        // channel records and their handles stay, the keystream follows.
+        let rotated = CipherKey::from_bytes([0x42; 32]);
+        for layer in [&mut sender, &mut receiver] {
+            layer
+                .enclave_mut()
+                .provision_cipher_key(CIPHER_LABEL, rotated.clone())
+                .unwrap();
+        }
+        let (single, batch, txn) = one_of_each(&mut sender);
+        let mut expected = b"payload".to_vec();
+        recipe_crypto::Cipher::new(&rotated).apply_keystream(&single.tuple.nonce(), &mut expected);
+        assert_eq!(single.payload, expected);
+        match receiver.verify(&single) {
+            VerifyOutcome::Accept { payload, .. } => assert_eq!(payload, b"payload"),
+            other => panic!("expected Accept, got {other:?}"),
+        }
+        assert!(receiver.verify_batch(batch).is_accept());
+        assert!(receiver.verify_txn(txn).is_accept());
+        assert_eq!(receiver.recv_counter_from(NodeId(1)), 6);
+
+        // On one end only, the key commitments differ: nothing verifies,
+        // and the receive counter stays where it was.
+        sender
+            .enclave_mut()
+            .provision_cipher_key(CIPHER_LABEL, CipherKey::from_bytes([0x43; 32]))
+            .unwrap();
+        let (single, batch, txn) = one_of_each(&mut sender);
+        assert_eq!(receiver.verify(&single), VerifyOutcome::BadAuthenticator);
+        assert_eq!(
+            receiver.verify_batch(batch),
+            BatchVerifyOutcome::BadAuthenticator
+        );
+        assert_eq!(receiver.verify_txn(txn), TxnVerifyOutcome::BadAuthenticator);
+        assert_eq!(receiver.recv_counter_from(NodeId(1)), 6);
+        assert_eq!(receiver.rejection_counts(), (0, 3, 0));
+    }
+
+    #[test]
+    fn the_two_directions_of_a_channel_seal_under_sub_keys_of_their_own() {
+        let (mut one, mut two) = layer_pair(true);
+        // `1 -> 2` and `2 -> 1` at the same counter: node 1 binds both.
+        let out = one.shield(NodeId(2), 1, &[0; 200]).unwrap();
+        let back = two.shield(NodeId(1), 1, &[0; 200]).unwrap();
+        assert_eq!(out.tuple.counter, back.tuple.counter);
+        assert!(one.verify(&back).is_accept());
+        let peer = one.peer(NodeId(2)).unwrap();
+        let send = peer.send.and_then(|channel| channel.cipher).unwrap();
+        let recv = peer.recv.and_then(|channel| channel.cipher).unwrap();
+        assert_ne!(send, recv);
+        let keystream = |handle| {
+            let mut data = [0u8; 200];
+            let (cipher, _) = one.enclave().bound_cipher_at(handle).unwrap();
+            cipher.apply_keystream(&1u64.to_le_bytes(), &mut data);
+            data
+        };
+        // A payload of zeros seals to the keystream itself.
+        assert_eq!(keystream(send)[..], out.payload[..]);
+        assert_eq!(keystream(recv)[..], back.payload[..]);
+        let (a, b) = (keystream(send), keystream(recv));
+        let differing: u32 = a.iter().zip(&b).map(|(x, y)| (x ^ y).count_ones()).sum();
+        assert!(
+            (650..=950).contains(&differing),
+            "{differing} of 1 600 bits"
+        );
+    }
+
+    #[test]
+    fn a_txn_frame_verified_where_it_lies_is_the_frame_struct_verified() {
+        for sealed in [false, true] {
+            let (mut sender, mut receiver) = layer_pair(true);
+            let (_, mut twin) = layer_pair(true);
+            let wire = sender
+                .shield_txn_to_wire(NodeId(2), 9, &prepare_body(), sealed)
+                .unwrap();
+            // A tampered copy is rejected and spends nothing.
+            let mut tampered = wire.clone();
+            *tampered.last_mut().unwrap() ^= 1;
+            let view = FrameView::parse_txn(&tampered).unwrap();
+            assert_eq!(
+                receiver.verify_txn_view(view),
+                TxnVerifyOutcome::BadAuthenticator
+            );
+            let expected = TxnVerifyOutcome::Accept {
+                txn_id: 9,
+                body: prepare_body(),
+                counter: 1,
+            };
+            let view = FrameView::parse_txn(&wire).unwrap();
+            assert_eq!(view.source(), NodeId(1));
+            assert_eq!(receiver.verify_txn_view(view), expected);
+            assert_eq!(
+                twin.verify_txn(TxnFrame::from_wire(&wire).unwrap()),
+                expected
+            );
+            // Once: the slot is spent.
+            assert!(matches!(
+                receiver.verify_txn_view(view),
+                TxnVerifyOutcome::Replay { .. }
+            ));
+            // A replication frame is not a 2PC frame, read either way.
+            let single = sender.shield_to_wire(NodeId(2), 1, b"x").unwrap();
+            assert!(FrameView::parse_txn(&single).is_none());
+            assert_eq!(
+                receiver.verify_txn_view(FrameView::parse(&single).unwrap()),
+                TxnVerifyOutcome::BadAuthenticator
+            );
+            assert_eq!(receiver.recv_counter_from(NodeId(1)), 1);
+            assert_eq!(receiver.rejection_counts(), (1, 2, 0));
+        }
     }
 
     #[test]

@@ -45,7 +45,8 @@ impl SequenceTuple {
     /// whatever block of ids an endpoint's comes from.
     pub fn nonce(&self) -> XNonce {
         let mut nonce = [0u8; 24];
-        nonce.copy_from_slice(&self.to_bytes()[8..]);
+        nonce[..16].copy_from_slice(&channel_nonce_prefix(self.channel));
+        nonce[16..].copy_from_slice(&self.counter.to_le_bytes());
         nonce
     }
 
@@ -59,6 +60,19 @@ impl SequenceTuple {
             counter,
         })
     }
+}
+
+/// The first 16 bytes of every frame nonce on `channel` ([`SequenceTuple::nonce`]):
+/// `src | dst`, little-endian `u64`s. XChaCha20 folds them into the sub-key
+/// `HChaCha20(k_enc, src | dst)`, the same for every frame of the channel,
+/// so the authentication layer has the enclave make it once
+/// ([`recipe_crypto::Cipher::bind`]) and a frame's keystream is ChaCha20
+/// under it with the counter as the nonce's last 8 bytes.
+pub(crate) fn channel_nonce_prefix(channel: ChannelId) -> [u8; 16] {
+    let mut prefix = [0u8; 16];
+    prefix[..8].copy_from_slice(&channel.src.0.to_le_bytes());
+    prefix[8..].copy_from_slice(&channel.dst.0.to_le_bytes());
+    prefix
 }
 
 /// Bytes of the header every shielded frame family starts with: family tag,
@@ -321,6 +335,13 @@ impl<'a> FrameView<'a> {
             tag @ (tag::SINGLE | tag::BATCH) => Self::read(bytes, tag),
             _ => None,
         }
+    }
+
+    /// Reads a [`TxnFrame`] from wire bytes, for
+    /// [`crate::AuthLayer::verify_txn_view`]: what [`TxnFrame::from_wire`]
+    /// reads, with the body left where it lies.
+    pub fn parse_txn(bytes: &'a [u8]) -> Option<FrameView<'a>> {
+        Self::read(bytes, tag::TXN)
     }
 
     /// The node the frame says it comes from (unverified until the MAC is).

@@ -8,7 +8,8 @@
 //!
 //! * keystream: XChaCha20 under `k_enc` (draft-irtf-cfrg-xchacha) — the
 //!   sub-key `HChaCha20(k_enc, nonce[..16])`, then ChaCha20 blocks (RFC 8439)
-//!   under that sub-key from block 0 on, XORed with the plaintext;
+//!   under that sub-key with `0⁴ ‖ nonce[16..]` as their nonce, from block 0
+//!   on, XORed with the plaintext;
 //! * integrity: a MAC over the ciphertext, checked in constant time before
 //!   any keystream is made.
 //!
@@ -37,7 +38,13 @@
 //! into the sub-key and the last 8 go to ChaCha20 itself. The envelope's
 //! [`Nonce`] is 16 bytes, so it fills the HChaCha20 input exactly and the last
 //! 8 are zero ([`Nonce::extended`]): every nonce gets a sub-key of its own, and
-//! two nonces that differ anywhere share no keystream. A frame uses all 24.
+//! two nonces that differ anywhere share no keystream. A frame uses all 24:
+//! `src ‖ dst` for the first 16, the same for every frame of a channel, and
+//! the channel's counter for the last 8. [`Cipher::bind`] makes the sub-key
+//! of a 16-byte prefix once, and the [`BoundCipher`] it returns runs the
+//! keystream of `prefix ‖ tail` for any 8-byte `tail` without another
+//! HChaCha20; [`Cipher::apply_keystream`] is bind-then-apply, so the two are
+//! one keystream by construction.
 //!
 //! The contract is the usual one for a stream cipher: **a (key, nonce) pair
 //! seals at most one message**. Sealing two under one pair gives away the XOR
@@ -50,17 +57,19 @@
 //! ChaCha20 block gives out 64, and HChaCha20 costs as much as one ChaCha20
 //! block:
 //!
-//! * keystream: 1 HChaCha20 per message, then **1 block per 64 bytes** — made
-//!   eight at a time where the CPU has AVX2 and at least 512 bytes are left,
-//!   one at a time otherwise (`vendor/chacha20` picks from what the CPU
-//!   reports);
+//! * keystream: 1 HChaCha20 per message — or per [`BoundCipher`], for
+//!   every message under one nonce prefix — then **1 block per 64 bytes**,
+//!   made eight at a time where the CPU has AVX2 — every whole 512 bytes, and
+//!   a rest of more than two blocks as one more step — and one at a time
+//!   otherwise (`vendor/chacha20` picks from what the CPU reports);
 //! * the envelope's tag: one compression per 64 bytes of ciphertext, plus 2
 //!   (`k_mac` is a [`MacKey`], so its pad states are hashed when the
 //!   [`Cipher`] is built);
 //! * a 1 KiB [`Cipher::apply_keystream`]: 1 HChaCha20 + 16 blocks, and that
-//!   is all a sealed frame or a sealed stored value pays the cipher — their
-//!   one authenticator hashes the ciphertext once, as it would hash the
-//!   plaintext of an unsealed one;
+//!   is all a sealed stored value pays the cipher; a sealed frame pays the
+//!   16 blocks alone, its channel's [`BoundCipher`] having paid the
+//!   HChaCha20 once. Their one authenticator hashes the ciphertext once, as
+//!   it would hash the plaintext of an unsealed one;
 //! * a 1 KiB `seal` or `open`: the same keystream **plus the 18-compression
 //!   tag**, paid only by the envelope's users — sealed blobs and provisioned
 //!   secrets, both off the per-operation path;
@@ -72,7 +81,7 @@
 //! are given; [`Cipher::seal`] and [`Cipher::open`] copy the borrowed input
 //! first and are otherwise the same.
 
-use chacha20::XChaCha20;
+use chacha20::ChaCha20;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -238,7 +247,43 @@ impl Cipher {
     /// under a MAC or digest of the caller's that is checked before this is
     /// called to decrypt.
     pub fn apply_keystream(&self, nonce: &XNonce, data: &mut [u8]) {
-        XChaCha20::new(&self.enc_key, nonce).apply_keystream(data);
+        let (mut prefix, mut tail) = ([0u8; 16], [0u8; 8]);
+        prefix.copy_from_slice(&nonce[..16]);
+        tail.copy_from_slice(&nonce[16..]);
+        self.bind(&prefix).apply_keystream(&tail, data);
+    }
+
+    /// This cipher for every nonce that starts with `prefix`: the HChaCha20
+    /// sub-key of `k_enc` and `prefix`, made now (one block function's
+    /// work), which [`Cipher::apply_keystream`] would otherwise make for
+    /// every message.
+    pub fn bind(&self, prefix: &[u8; 16]) -> BoundCipher {
+        BoundCipher(chacha20::hchacha(&self.enc_key, prefix))
+    }
+}
+
+/// A [`Cipher`] with the first 16 nonce bytes fixed ([`Cipher::bind`]): the
+/// XChaCha20 sub-key of its key and that prefix, 32 bytes. As secret as the
+/// key, and under the same contract: one message per nonce.
+#[derive(Clone)]
+pub struct BoundCipher(chacha20::Key);
+
+impl BoundCipher {
+    /// XORs `data` with the keystream of the nonce `prefix ‖ tail`, from
+    /// block 0 — [`Cipher::apply_keystream`]'s bytes, without its HChaCha20:
+    /// ChaCha20 under the sub-key with `0⁴ ‖ tail` as its nonce, which is
+    /// how draft-irtf-cfrg-xchacha §2.3 defines XChaCha20.
+    pub fn apply_keystream(&self, tail: &[u8; 8], data: &mut [u8]) {
+        let mut nonce = [0u8; 12];
+        nonce[4..].copy_from_slice(tail);
+        ChaCha20::new(&self.0, &nonce).apply_keystream(data);
+    }
+}
+
+impl fmt::Debug for BoundCipher {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Never print a sub-key.
+        write!(f, "BoundCipher(…)")
     }
 }
 
@@ -424,6 +469,36 @@ jackals, and foxes in the taxonomic family Canidae.";
         let mut again = [&[0u8; 64][..], plaintext].concat();
         c.apply_keystream(&other, &mut again);
         assert_ne!(again, data);
+    }
+
+    proptest! {
+        /// A bound cipher is the full-nonce call: any prefix, any tail (a
+        /// frame's counter), any length, and any shorter run a prefix of it.
+        #[test]
+        fn a_bound_cipher_runs_the_keystream_of_the_full_nonce(
+            nonce in proptest::collection::vec(any::<u8>(), 24),
+            data in proptest::collection::vec(any::<u8>(), 0..1400),
+            split in any::<usize>(),
+        ) {
+            let c = cipher();
+            let nonce: XNonce = nonce.try_into().unwrap();
+            let (prefix, tail) = nonce.split_at(16);
+            let bound = c.bind(prefix.try_into().unwrap());
+            let tail: &[u8; 8] = tail.try_into().unwrap();
+
+            let mut full = data.clone();
+            c.apply_keystream(&nonce, &mut full);
+            let mut by_bound = data.clone();
+            bound.apply_keystream(tail, &mut by_bound);
+            prop_assert_eq!(&by_bound, &full);
+
+            // Where the run ends — one or two blocks left to the one-block
+            // function, or one more wide step — moves no byte before it.
+            let split = split % (data.len() + 1);
+            let mut head = data[..split].to_vec();
+            bound.apply_keystream(tail, &mut head);
+            prop_assert_eq!(&head[..], &full[..split]);
+        }
     }
 
     #[test]

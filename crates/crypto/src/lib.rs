@@ -44,7 +44,7 @@ pub mod mac;
 pub mod nonce;
 pub mod sig;
 
-pub use cipher::{Cipher, CipherKey, Ciphertext, KeyCommitment};
+pub use cipher::{BoundCipher, Cipher, CipherKey, Ciphertext, KeyCommitment};
 pub use error::CryptoError;
 pub use hash::{hash_parts, sha256, Digest, Hasher};
 pub use kx::{EphemeralSecret, KxPublic, SharedSecret};

@@ -16,7 +16,7 @@ use std::borrow::Cow;
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{
-    AuthLayer, BatchFrame, BatchOp, ConfidentialityMode, FrameView, Membership, TxnBody, TxnFrame,
+    AuthLayer, BatchFrame, BatchOp, ConfidentialityMode, FrameView, Membership, TxnBody,
     TxnVerifyOutcome, ViewOutcome,
 };
 use recipe_crypto::{CipherKey, MacKey};
@@ -476,17 +476,21 @@ impl ProtocolShield {
     /// which is serving `from`, throws the body away: the frame's real
     /// sender would then find its retransmission rejected as a replay for
     /// ever.
+    ///
+    /// The frame is verified where it lies, as [`ProtocolShield::unwrap`]
+    /// verifies the others: a plaintext body is decoded from `bytes`, and
+    /// only a sealed one is copied, to be decrypted.
     pub fn unwrap_txn(&mut self, from: NodeId, bytes: &[u8]) -> Option<(u64, TxnBody)> {
         let auth = self
             .auth
             .as_mut()
             .expect("2PC frames require a Recipe-mode shield");
-        let frame = TxnFrame::from_wire(bytes).filter(|frame| frame.tuple.channel.src == from);
+        let frame = FrameView::parse_txn(bytes).filter(|frame| frame.source() == from);
         let Some(frame) = frame else {
             self.dropped += 1;
             return None;
         };
-        match auth.verify_txn(frame) {
+        match auth.verify_txn_view(frame) {
             TxnVerifyOutcome::Accept { txn_id, body, .. } => {
                 self.opened_frames += 1;
                 Some((txn_id, body))
@@ -868,7 +872,7 @@ mod tests {
     fn mac_input_lengths_of_the_frames_the_workloads_send() {
         use crate::raft::RaftMsg;
         use recipe_core::{
-            mac_compressions, Operation, BATCH_MAC_HEADER_LEN, SINGLE_MAC_HEADER_LEN,
+            mac_compressions, Operation, TxnFrame, BATCH_MAC_HEADER_LEN, SINGLE_MAC_HEADER_LEN,
             TXN_MAC_HEADER_LEN,
         };
         const COMMITMENT_LEN: usize = 32;

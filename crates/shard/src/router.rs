@@ -107,8 +107,7 @@ impl ShardRouter {
         let mut ring = Vec::with_capacity(shards * vnodes_per_shard);
         for shard in 0..shards {
             for vnode in 0..vnodes_per_shard {
-                let label = format!("shard:{shard}:vnode:{vnode}");
-                ring.push((stable_key_hash(label.as_bytes()), shard));
+                ring.push((vnode_point(shard, vnode), shard));
             }
         }
         ring.sort_unstable();
@@ -308,9 +307,76 @@ impl ShardRouter {
     }
 }
 
+/// The ring point of virtual node `vnode` of `shard`: the hash of the label
+/// `shard:{shard}:vnode:{vnode}`, laid out in a stack buffer. A ring hashes
+/// `shards × vnodes` labels, and a `format!` for each was most of a
+/// deployment's set-up.
+fn vnode_point(shard: usize, vnode: usize) -> u64 {
+    let (mut shard_digits, mut vnode_digits) = ([0; 20], [0; 20]);
+    let parts: [&[u8]; 4] = [
+        b"shard:",
+        decimal(shard, &mut shard_digits),
+        b":vnode:",
+        decimal(vnode, &mut vnode_digits),
+    ];
+    let mut label = [0u8; 6 + 20 + 7 + 20];
+    let mut len = 0;
+    for part in parts {
+        label[len..len + part.len()].copy_from_slice(part);
+        len += part.len();
+    }
+    stable_key_hash(&label[..len])
+}
+
+/// `n` in decimal ASCII digits, written at the end of `digits` (20 hold any
+/// `usize`).
+fn decimal(mut n: usize, digits: &mut [u8; 20]) -> &[u8] {
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return &digits[at..];
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_ring_is_the_one_format_labels_place() {
+        for shards in 1..=8 {
+            for vnodes in [1, 9, 10, 99, 100, 256] {
+                let mut ring: Vec<(u64, usize)> = (0..shards)
+                    .flat_map(|shard| {
+                        (0..vnodes).map(move |vnode| {
+                            let label = format!("shard:{shard}:vnode:{vnode}");
+                            (stable_key_hash(label.as_bytes()), shard)
+                        })
+                    })
+                    .collect();
+                ring.sort_unstable();
+                ring.dedup_by_key(|(point, _)| *point);
+                let owners: Vec<usize> = ring.iter().map(|&(_, shard)| shard).collect();
+                let router = ShardRouter::new(shards, vnodes);
+                let points: Vec<u64> = ring.iter().map(|&(point, _)| point).collect();
+                assert_eq!(router.points, points, "{shards} x {vnodes}");
+                assert_eq!(router.base_owner, owners, "{shards} x {vnodes}");
+                assert_eq!(router.owner, owners, "{shards} x {vnodes}");
+            }
+        }
+        for n in [0, 7, 10, 4_294_967_296, usize::MAX] {
+            assert_eq!(decimal(n, &mut [0; 20]), n.to_string().as_bytes());
+        }
+        let label = format!("shard:{}:vnode:{}", usize::MAX, usize::MAX);
+        assert_eq!(
+            vnode_point(usize::MAX, usize::MAX),
+            stable_key_hash(label.as_bytes())
+        );
+    }
 
     #[test]
     fn single_shard_owns_everything() {

@@ -38,7 +38,9 @@ pub mod sealed;
 
 pub use clock::{ManualClock, TimeSource, TrustedInstant};
 pub use counter::TrustedCounter;
-pub use enclave::{CounterHandle, Enclave, EnclaveConfig, EnclaveId, KeyHandle, Measurement};
+pub use enclave::{
+    CipherHandle, CounterHandle, Enclave, EnclaveConfig, EnclaveId, KeyHandle, Measurement,
+};
 pub use epc::EpcModel;
 pub use error::TeeError;
 pub use lease::{LeaseState, TrustedLease};
