@@ -14,30 +14,24 @@
 //!    message only if its counter is fresh. Replays and conflicting statements for
 //!    the same slot become detectable ([`auth::VerifyOutcome`], Algorithm 1).
 //!
-//! On top of these layers the crate provides the pieces every transformed protocol
-//! shares: the shielded message format ([`message::ShieldedMessage`]), the client
-//! table ([`client_table::ClientTable`]), membership and view/epoch tracking with
-//! trusted-lease failure detection ([`membership`], [`view`]), and the recovery /
-//! join flow for new replicas ([`recovery`]). The [`node::RecipeNode`] facade wires
-//! all of it to an enclave, a partitioned KV store and an RPC endpoint, exposing the
-//! Table-3 API that Listing 1 programs against.
+//! Beside the two layers the crate holds what every transformed protocol
+//! shares: the frame formats ([`message`]) and their strict binary codec
+//! ([`wire`]), the replica membership and its quorum arithmetic
+//! ([`membership`]), and the per-group confidentiality policy ([`policy`]).
+//! The replica that wraps a CFT protocol in these layers is
+//! `recipe_protocols::RecipeReplica`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod auth;
-pub mod client_table;
 pub mod error;
 pub mod membership;
 pub mod message;
-pub mod node;
 pub mod policy;
-pub mod recovery;
-pub mod view;
 pub mod wire;
 
 pub use auth::{AuthLayer, BatchVerifyOutcome, TxnVerifyOutcome, VerifyOutcome, ViewOutcome};
-pub use client_table::ClientTable;
 pub use error::RecipeError;
 pub use membership::Membership;
 pub use message::{
@@ -45,7 +39,4 @@ pub use message::{
     Request, SequenceTuple, ShieldedMessage, TxnBody, TxnFrame, BATCH_MAC_HEADER_LEN,
     SINGLE_MAC_HEADER_LEN, TXN_MAC_HEADER_LEN,
 };
-pub use node::{NodeRole, RecipeConfig, RecipeNode};
 pub use policy::ConfidentialityMode;
-pub use recovery::{JoinCoordinator, JoinRequest, StateSnapshot};
-pub use view::ViewTracker;

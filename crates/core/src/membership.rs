@@ -2,8 +2,9 @@
 //!
 //! Recipe requires only `N ≥ 2f + 1` replicas — `f` fewer than classical BFT —
 //! because the attested enclaves cannot equivocate (paper §1.4). The membership is
-//! distributed as part of the attestation-time configuration and updated through the
-//! recovery protocol when replicas join or leave.
+//! distributed as part of the attestation-time configuration and fixed for a
+//! replica group's lifetime; a crashed member stays a member, and the chain roles
+//! reform around it ([`Membership::chain_order_live`]).
 
 use recipe_net::NodeId;
 use serde::{Deserialize, Serialize};
@@ -101,24 +102,6 @@ impl Membership {
         self.members[(view as usize) % self.members.len()]
     }
 
-    /// True if `count` acknowledgements constitute a quorum.
-    pub fn is_quorum(&self, count: usize) -> bool {
-        count >= self.quorum()
-    }
-
-    /// Adds a freshly attested node (recovery §3.7). No-op if already present.
-    pub fn add(&mut self, node: NodeId) {
-        if !self.contains(node) {
-            self.members.push(node);
-            self.members.sort();
-        }
-    }
-
-    /// Removes a node (e.g. decommissioned after a crash).
-    pub fn remove(&mut self, node: NodeId) {
-        self.members.retain(|&m| m != node);
-    }
-
     /// The chain order used by Chain Replication: members sorted ascending, head
     /// first, tail last.
     pub fn chain_order(&self) -> Vec<NodeId> {
@@ -198,8 +181,6 @@ mod tests {
         assert_eq!(m.f(), 1);
         assert_eq!(m.quorum(), 2);
         assert!(m.is_well_formed());
-        assert!(m.is_quorum(2));
-        assert!(!m.is_quorum(1));
 
         let m5 = Membership::of_size(5, 2);
         assert_eq!(m5.quorum(), 3);
@@ -225,19 +206,6 @@ mod tests {
         assert_eq!(m.leader_for_view(1), NodeId(1));
         assert_eq!(m.leader_for_view(2), NodeId(2));
         assert_eq!(m.leader_for_view(3), NodeId(0));
-    }
-
-    #[test]
-    fn add_and_remove_members() {
-        let mut m = Membership::of_size(3, 1);
-        m.add(NodeId(7));
-        assert!(m.contains(NodeId(7)));
-        assert_eq!(m.n(), 4);
-        m.add(NodeId(7)); // idempotent
-        assert_eq!(m.n(), 4);
-        m.remove(NodeId(0));
-        assert!(!m.contains(NodeId(0)));
-        assert_eq!(m.chain_head(), NodeId(1));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Recipe's fault model places the entire network (and the untrusted host around the
 //! enclave) under adversarial control (paper §3.1, fault and threat model): messages
 //! may be delayed, dropped, reordered, duplicated, corrupted or replayed. The
-//! [`NetworkFaultInjector`] realizes that adversary for both the loopback fabric and
-//! the discrete-event simulator; integration tests use it to show that Recipe's
+//! [`NetworkFaultInjector`] realizes that adversary for the discrete-event
+//! simulator; integration tests use it to show that Recipe's
 //! authentication and non-equivocation layers neutralize every injected attack.
 
 use rand::rngs::StdRng;

@@ -78,8 +78,8 @@ impl fmt::Debug for ChannelId {
     }
 }
 
-/// Request type tag, dispatching to the handler registered for it
-/// (`reg_hdlr(&func)` in Table 3).
+/// Request type tag carried beside a frame's bytes (eRPC's request type,
+/// which selects the handler a frame is dispatched to).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ReqType(pub u16);
 
@@ -116,11 +116,10 @@ impl fmt::Debug for ReqType {
     }
 }
 
-/// A message buffer handed to `send`/`respond` and to request handlers.
+/// The bytes one message carries.
 ///
 /// Mirrors eRPC's `MsgBuffer`: an owned byte payload plus the request type. The
-/// payload of a Recipe-shielded message is the serialized
-/// `recipe_core::ShieldedMessage`.
+/// payload of a Recipe-shielded message is its wire frame (`recipe_core::wire`).
 #[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MsgBuf {
     /// Request type used for handler dispatch.
@@ -157,10 +156,10 @@ impl fmt::Debug for MsgBuf {
     }
 }
 
-/// A framed message in flight on the fabric.
+/// A framed message in flight on the simulated network.
 #[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WireMessage {
-    /// Monotonically increasing per-fabric id (assigned at submission); used for
+    /// Monotonically increasing per-network id (assigned at submission); used for
     /// deterministic tie-breaking and by the replay injector.
     pub wire_id: u64,
     /// Sending node.

@@ -4,15 +4,18 @@
 //! writes into a log, broadcasts each entry to the followers (replication phase),
 //! marks it replicated after a majority of ACKs, then broadcasts a commit message
 //! and answers the client once a majority acknowledged the commit. Reads are
-//! linearizable by forwarding them to the leader, which answers from its local
-//! partitioned KV store (its position in every write quorum plus the trusted lease
-//! make the local read safe).
+//! forwarded to the leader, which answers from its local partitioned KV store
+//! after checking only that it leads its own view (`is_leader()`). No lease is
+//! consulted: a leader cut off from its majority stays `is_leader()` until it
+//! hears a higher view, so under a partition it may answer a read with a value a
+//! newer leader has already overwritten. That stale read is an open suspect for
+//! the client-history oracle (ROADMAP.md, item 1).
 //!
-//! Leader failure is detected through heartbeats guarded by the trusted lease
-//! (§3.5): followers that observe an expired lease vote for the next view; once a
-//! quorum of votes for the same view is gathered the new leader takes over.
-//! Committed entries survive the change because they reside in a majority of KV
-//! stores.
+//! Leader failure is detected through heartbeats on the virtual clock: the
+//! leader beats every 10 ms, and a follower that has heard none for the 35 ms
+//! election timeout votes for the next view; once a quorum of votes for the same
+//! view is gathered, that view's leader takes over. Committed entries survive
+//! the change because they reside in a majority of KV stores.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
@@ -31,7 +34,7 @@ const TOKEN_HEARTBEAT: u64 = 1;
 const TOKEN_FAILURE_DETECTOR: u64 = 2;
 /// Heartbeat period in nanoseconds.
 const HEARTBEAT_PERIOD_NS: u64 = 10_000_000; // 10 ms
-/// Lease / election timeout in nanoseconds.
+/// Election timeout in nanoseconds.
 const ELECTION_TIMEOUT_NS: u64 = 35_000_000; // 35 ms
 
 /// Raft protocol messages (carried as Recipe-shielded payloads).
@@ -427,7 +430,8 @@ impl CftProtocol for Raft {
         }
         match request.operation {
             Operation::Get { key } => {
-                // Linearizable local read at the leader.
+                // Local read at the leader, guarded by `is_leader()` alone:
+                // no lease, so a partitioned leader may read stale (module doc).
                 h.reply_local_read(request.client_id, request.request_id, &key);
             }
             Operation::Put { key, value } => {

@@ -8,9 +8,11 @@
 //!   baseline in the Figure 6a overhead experiment.
 //! * [`ProtocolMode::Recipe`] — messages are shielded by an
 //!   [`recipe_core::AuthLayer`] backed by a per-replica enclave whose channel keys
-//!   were provisioned from the deployment's master secret (the CAS path is exercised
-//!   end-to-end in `recipe-core`/`recipe-attest`; here the provisioning result is
-//!   installed directly so protocol unit tests stay fast).
+//!   were provisioned from the deployment's master secret. The provisioning result
+//!   is installed directly, so runs and protocol unit tests stay fast; the CAS path
+//!   that produces it — `recipe_attest::run_remote_attestation`, then these same
+//!   frames on the wire — is exercised end to end in
+//!   `tests/full_stack_attestation.rs`.
 
 use std::borrow::Cow;
 

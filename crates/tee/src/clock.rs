@@ -1,15 +1,13 @@
-//! Time sources for the trusted-lease machinery.
+//! Trusted time.
 //!
-//! SGX enclaves cannot trust the OS clock (paper §3.5, "Failure detection"); Recipe's
-//! T-Lease primitive instead relies on a time source whose *relative* progression is
-//! trustworthy. In this reproduction all time is virtual: the simulator owns a
-//! [`ManualClock`] that it advances deterministically, and every lease/timeout
-//! decision reads it through the [`TimeSource`] trait.
+//! SGX enclaves cannot trust the OS clock (paper §3.5, "Failure detection"): Recipe
+//! needs a time source whose *relative* progression is trustworthy. In this
+//! reproduction all time is virtual — the simulator advances it deterministically
+//! and hands each replica the current [`TrustedInstant`] with every event it
+//! delivers.
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// A point in (virtual) time, measured in nanoseconds from the start of the run.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
@@ -85,64 +83,6 @@ impl fmt::Debug for TrustedInstant {
     }
 }
 
-/// Anything that can report the current trusted time.
-///
-/// Implemented by the simulator's virtual clock; a production port would implement it
-/// over a calibrated TSC or an attested time service.
-pub trait TimeSource: Send + Sync {
-    /// Returns the current instant.
-    fn now(&self) -> TrustedInstant;
-}
-
-/// A manually advanced clock shared between the simulator and the enclaves it hosts.
-#[derive(Clone, Default)]
-pub struct ManualClock {
-    now: Arc<Mutex<TrustedInstant>>,
-}
-
-impl ManualClock {
-    /// Creates a clock at time zero.
-    pub fn new() -> Self {
-        ManualClock::default()
-    }
-
-    /// Advances the clock by `nanos`.
-    pub fn advance_nanos(&self, nanos: u64) {
-        let mut now = self.now.lock();
-        *now = now.plus_nanos(nanos);
-    }
-
-    /// Advances the clock by `millis`.
-    pub fn advance_millis(&self, millis: u64) {
-        self.advance_nanos(millis * 1_000_000);
-    }
-
-    /// Sets the clock to an absolute instant. Panics if this would move time
-    /// backwards — the trusted time source is monotonic by construction.
-    pub fn set(&self, instant: TrustedInstant) {
-        let mut now = self.now.lock();
-        assert!(
-            instant >= *now,
-            "ManualClock must not move backwards: {:?} -> {:?}",
-            *now,
-            instant
-        );
-        *now = instant;
-    }
-}
-
-impl TimeSource for ManualClock {
-    fn now(&self) -> TrustedInstant {
-        *self.now.lock()
-    }
-}
-
-impl fmt::Debug for ManualClock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ManualClock({:?})", self.now())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,39 +94,6 @@ mod tests {
         assert_eq!(t.plus_micros(500).as_nanos(), 2_500_000);
         assert_eq!(t.nanos_since(TrustedInstant::from_millis(1)), 1_000_000);
         assert_eq!(TrustedInstant::from_millis(1).nanos_since(t), 0);
-    }
-
-    #[test]
-    fn manual_clock_advances() {
-        let clock = ManualClock::new();
-        assert_eq!(clock.now(), TrustedInstant::ZERO);
-        clock.advance_millis(5);
-        assert_eq!(clock.now(), TrustedInstant::from_millis(5));
-        clock.advance_nanos(10);
-        assert_eq!(clock.now().as_nanos(), 5_000_010);
-    }
-
-    #[test]
-    fn manual_clock_set_forward_ok() {
-        let clock = ManualClock::new();
-        clock.set(TrustedInstant::from_millis(10));
-        assert_eq!(clock.now(), TrustedInstant::from_millis(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "must not move backwards")]
-    fn manual_clock_rejects_backwards() {
-        let clock = ManualClock::new();
-        clock.set(TrustedInstant::from_millis(10));
-        clock.set(TrustedInstant::from_millis(5));
-    }
-
-    #[test]
-    fn clones_share_state() {
-        let clock = ManualClock::new();
-        let view = clock.clone();
-        clock.advance_millis(3);
-        assert_eq!(view.now(), TrustedInstant::from_millis(3));
     }
 
     #[test]

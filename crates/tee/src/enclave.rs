@@ -2,7 +2,7 @@
 //!
 //! An [`Enclave`] is the per-node trusted computing base: it owns every secret a
 //! Recipe replica uses (channel MAC keys, signing keys, cipher keys), its trusted
-//! monotonic counters and leases, and the EPC accounting. Code "inside" the enclave
+//! monotonic counters, and the EPC accounting. Code "inside" the enclave
 //! is simply code that holds the `Enclave` handle; the untrusted host side of a node
 //! never receives one, mirroring the SGX isolation boundary in the type system
 //! rather than in hardware.

@@ -22,8 +22,6 @@ pub enum TeeError {
         /// Rejected (non-increasing) candidate value.
         attempted: u64,
     },
-    /// A lease operation was attempted by a node that does not hold the lease.
-    NotLeaseHolder,
     /// A secret with the given label was requested but never provisioned.
     MissingSecret {
         /// The requested label.
@@ -48,7 +46,6 @@ impl fmt::Display for TeeError {
                 f,
                 "trusted counter regression: current={current}, attempted={attempted}"
             ),
-            TeeError::NotLeaseHolder => write!(f, "caller does not hold the lease"),
             TeeError::MissingSecret { label } => {
                 write!(f, "no secret provisioned under label '{label}'")
             }

@@ -13,9 +13,8 @@
 //!   ([`enclave::Enclave::provision_mac_key`], [`sealed::SealedBlob`]);
 //! * **trusted monotonic counters** — the building block of the non-equivocation
 //!   layer ([`counter::TrustedCounter`]);
-//! * **trusted leases** — the T-Lease primitive Recipe uses for failure detection
-//!   and leader leases, because SGX has no trustworthy timer
-//!   ([`lease::TrustedLease`]);
+//! * **trusted time** — a virtual clock whose progression the enclave may rely on,
+//!   because SGX has no trustworthy timer ([`clock::TrustedInstant`]);
 //! * an **EPC model** — SGX's Enclave Page Cache is small (~94 MiB usable); the
 //!   [`epc::EpcModel`] tracks enclave-resident bytes and reports a pressure factor
 //!   that the simulator's cost model turns into the slowdowns the paper measures for
@@ -32,17 +31,15 @@ pub mod counter;
 pub mod enclave;
 pub mod epc;
 pub mod error;
-pub mod lease;
 pub mod quote;
 pub mod sealed;
 
-pub use clock::{ManualClock, TimeSource, TrustedInstant};
+pub use clock::TrustedInstant;
 pub use counter::TrustedCounter;
 pub use enclave::{
     CipherHandle, CounterHandle, Enclave, EnclaveConfig, EnclaveId, KeyHandle, Measurement,
 };
 pub use epc::EpcModel;
 pub use error::TeeError;
-pub use lease::{LeaseState, TrustedLease};
 pub use quote::{HardwareKey, Quote, Report};
 pub use sealed::SealedBlob;

@@ -1,4 +1,6 @@
-//! Quickstart: attest a 3-replica Recipe cluster, run R-Raft, and read back a value.
+//! Quickstart: provision a 3-replica Recipe cluster's keys, run R-Raft, and read
+//! back a value. (Attestation itself, the CAS handing out those keys, is
+//! `tests/full_stack_attestation.rs` and `fig -- table4`.)
 //!
 //! ```bash
 //! cargo run --example quickstart
@@ -19,7 +21,8 @@ fn main() {
     );
 
     // 2. Launch R-Raft replicas. `RaftReplica::recipe` provisions each replica's
-    //    enclave with the channel keys the CAS would hand out after attestation.
+    //    enclave directly with the channel keys the CAS would hand out after
+    //    attestation; no attestation runs here.
     let replicas: Vec<RaftReplica> = (0..3)
         .map(|id| RaftReplica::recipe(id, membership.clone(), false))
         .collect();

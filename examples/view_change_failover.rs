@@ -1,5 +1,6 @@
-//! Kills the R-Raft leader mid-run and shows the trusted-lease failure detector
-//! electing a new leader while committed state survives.
+//! Kills the R-Raft leader mid-run and shows the followers' heartbeat timeout
+//! (35 ms on the virtual clock) electing a new leader while committed state
+//! survives.
 //!
 //! ```bash
 //! cargo run --example view_change_failover

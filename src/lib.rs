@@ -4,13 +4,15 @@
 //! integration tests can use a single dependency. The interesting code lives in the
 //! member crates:
 //!
-//! * [`recipe_core`] — the Recipe library itself (authentication + non-equivocation
-//!   layers, membership, view change, recovery).
+//! * [`recipe_core`] — the Recipe library itself (the authentication and
+//!   non-equivocation layers, the shielded frame formats and their codec,
+//!   membership).
 //! * [`recipe_tee`], [`recipe_net`], [`recipe_kv`], [`recipe_attest`],
-//!   [`recipe_crypto`] — the substrates (simulated TEE, direct-I/O RPC stack,
-//!   partitioned KV store, attestation services, cryptography).
-//! * [`recipe_protocols`] — R-Raft, R-CR, R-ABD and R-AllConcur (plus their native
-//!   CFT counterparts).
+//!   [`recipe_crypto`] — the substrates (simulated TEE, network framing, faults and
+//!   cost model, partitioned KV store, attestation services, cryptography).
+//! * [`recipe_protocols`] — Raft, Chain Replication, ABD and AllConcur as cores of
+//!   the one replica, `RecipeReplica`, that runs each native or Recipe-transformed
+//!   (R-Raft, R-CR, R-ABD, R-AllConcur).
 //! * [`recipe_bft`] — the PBFT and Damysus baselines.
 //! * [`recipe_sim`] and [`recipe_workload`] — the deterministic cluster simulator
 //!   and the YCSB-style workload generator that drive the evaluation.
