@@ -3,13 +3,21 @@
 //! [`AuthLayer`] wraps a node's enclave and implements the two primitives every
 //! Recipe-transformed protocol calls on its fast path:
 //!
-//! * [`AuthLayer::shield`] (`shield_request`) — assigns the next trusted counter for
-//!   the destination channel, optionally encrypts the payload (confidential mode),
-//!   and MACs payload + metadata under the channel key provisioned at attestation.
-//! * [`AuthLayer::verify`] (`verify_request`) — checks the MAC, the view and the
-//!   counter. Messages with stale counters (replays) are rejected; "future" counters
-//!   (out-of-order arrival) are buffered in the protected area and released in order
-//!   by [`AuthLayer::take_ready`], exactly as §3.4 #4.2 prescribes.
+//! * [`AuthLayer::shield_to_wire`] (`shield_request`) — assigns the next trusted
+//!   counter for the destination channel, optionally encrypts the payload
+//!   (confidential mode), and MACs payload + metadata under the channel key
+//!   provisioned at attestation, in the frame's wire buffer.
+//! * [`AuthLayer::verify_view`] (`verify_request`) — checks the MAC, the view and
+//!   the counter of a frame where it lies in the received bytes. Messages with
+//!   stale counters (replays) are rejected; "future" counters (out-of-order
+//!   arrival) are buffered in the protected area and released in order by
+//!   [`AuthLayer::take_ready`], exactly as §3.4 #4.2 prescribes.
+//!
+//! Every other shield and verify entry point is a caller of these two: the
+//! frame structs' entry points (`shield`, `verify`, `verify_owned`,
+//! `verify_batch`, `verify_txn`) seal to wire bytes and parse them, or check a
+//! struct's fields as a [`FrameView`], by the same admission and the same open
+//! routine production's frames take.
 //!
 //! Everything that must not be observable or forgeable by the untrusted host — the
 //! counters, the channel keys, the plaintext of confidential payloads — lives inside
@@ -44,7 +52,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use recipe_crypto::{CipherKey, KeyCommitment, MacTag};
+use recipe_crypto::{CipherKey, KeyCommitment};
 use recipe_net::{ChannelId, NodeId};
 use recipe_tee::{CipherHandle, CounterHandle, Enclave, KeyHandle, TeeError};
 
@@ -243,90 +251,79 @@ pub enum ViewOutcome<'a> {
     Rejected,
 }
 
-/// An out-of-order arrival held in the protected area: a single shielded
-/// message or a whole batch frame. Both consume one counter slot, so one
-/// ordered buffer serves both.
-enum PendingFrame {
-    Single(ShieldedMessage),
-    Batch(BatchFrame),
+/// What an admitted frame opens into ([`AuthLayer::open`]).
+enum Opened<'a> {
+    Message { kind: u16, payload: Cow<'a, [u8]> },
+    Batch(Vec<(u16, Cow<'a, [u8]>)>),
+    Txn { txn_id: u64, body: TxnBody },
 }
 
-/// Decision of the shared `verify_request` core ([`AuthLayer::admit`]) for one
-/// incoming frame, before any payload is opened or buffered.
+/// An authentic, fresh frame, as [`AuthLayer::admit`] found it.
 enum Admission {
-    /// Drop the frame; the reason maps onto the caller's outcome type.
-    Reject(Rejection),
-    /// Authentic but ahead of its predecessors: buffer it under `counter` in
-    /// the record at `peer`.
-    Buffer {
+    /// In order, on `channel` (the receive counter is already advanced, and
+    /// the cipher sub-key bound if the frame is sealed).
+    InOrder { counter: u64, channel: Channel },
+    /// Ahead of its predecessors, from the record at `peer`.
+    Ahead {
         peer: usize,
         counter: u64,
         expected: u64,
     },
-    /// Authentic, fresh and in order (the receive counter is already
-    /// advanced), on `channel` — whose cipher sub-key is bound if the frame
-    /// is sealed.
-    Deliver { counter: u64, channel: Channel },
 }
 
-/// Rejection reasons shared by single-message and batch verification.
+/// Why a frame is not delivered now, whichever entry point it came in by.
+/// Each reason is one variant of every outcome type.
 enum Rejection {
     Misaddressed,
     BadAuthenticator,
-    WrongView { got: u64, current: u64 },
-    Replay { counter: u64, last_accepted: u64 },
+    WrongView {
+        got: u64,
+        current: u64,
+    },
+    Replay {
+        counter: u64,
+        last_accepted: u64,
+    },
+    /// Authentic but ahead of its predecessors: a replication frame is
+    /// parked until the gap fills, a 2PC frame dropped.
+    Ahead {
+        counter: u64,
+        expected: u64,
+    },
+    /// Authentic and in order, but it does not open: the slot is spent.
+    Unopened,
 }
 
-impl From<Rejection> for VerifyOutcome {
-    fn from(rejection: Rejection) -> Self {
-        match rejection {
-            Rejection::Misaddressed => VerifyOutcome::Misaddressed,
-            Rejection::BadAuthenticator => VerifyOutcome::BadAuthenticator,
-            Rejection::WrongView { got, current } => VerifyOutcome::WrongView { got, current },
-            Rejection::Replay {
-                counter,
-                last_accepted,
-            } => VerifyOutcome::Replay {
-                counter,
-                last_accepted,
-            },
+/// `From<Rejection>` for an outcome type whose variant for a frame ahead of
+/// its turn is `$ahead`.
+macro_rules! from_rejection {
+    ($outcome:ident, $ahead:ident) => {
+        impl From<Rejection> for $outcome {
+            fn from(rejection: Rejection) -> Self {
+                match rejection {
+                    Rejection::Misaddressed => $outcome::Misaddressed,
+                    Rejection::BadAuthenticator => $outcome::BadAuthenticator,
+                    Rejection::WrongView { got, current } => $outcome::WrongView { got, current },
+                    Rejection::Replay {
+                        counter,
+                        last_accepted,
+                    } => $outcome::Replay {
+                        counter,
+                        last_accepted,
+                    },
+                    Rejection::Ahead { counter, expected } => {
+                        $outcome::$ahead { counter, expected }
+                    }
+                    Rejection::Unopened => $outcome::DecryptionFailed,
+                }
+            }
         }
-    }
+    };
 }
 
-impl From<Rejection> for BatchVerifyOutcome {
-    fn from(rejection: Rejection) -> Self {
-        match rejection {
-            Rejection::Misaddressed => BatchVerifyOutcome::Misaddressed,
-            Rejection::BadAuthenticator => BatchVerifyOutcome::BadAuthenticator,
-            Rejection::WrongView { got, current } => BatchVerifyOutcome::WrongView { got, current },
-            Rejection::Replay {
-                counter,
-                last_accepted,
-            } => BatchVerifyOutcome::Replay {
-                counter,
-                last_accepted,
-            },
-        }
-    }
-}
-
-impl From<Rejection> for TxnVerifyOutcome {
-    fn from(rejection: Rejection) -> Self {
-        match rejection {
-            Rejection::Misaddressed => TxnVerifyOutcome::Misaddressed,
-            Rejection::BadAuthenticator => TxnVerifyOutcome::BadAuthenticator,
-            Rejection::WrongView { got, current } => TxnVerifyOutcome::WrongView { got, current },
-            Rejection::Replay {
-                counter,
-                last_accepted,
-            } => TxnVerifyOutcome::Replay {
-                counter,
-                last_accepted,
-            },
-        }
-    }
-}
+from_rejection!(VerifyOutcome, Future);
+from_rejection!(BatchVerifyOutcome, Future);
+from_rejection!(TxnVerifyOutcome, OutOfOrder);
 
 /// One directed channel, resolved to where its secrets sit in the enclave.
 #[derive(Clone, Copy)]
@@ -386,8 +383,10 @@ struct Peer {
     send: Option<Channel>,
     /// `cq:peer->me`; `None` while the enclave holds no key for it.
     recv: Option<Channel>,
-    /// Out-of-order frames from the peer, keyed by counter.
-    pending: BTreeMap<u64, PendingFrame>,
+    /// Frames from the peer that arrived ahead of their turn, keyed by
+    /// counter: single messages and batches alike, each taking one counter
+    /// slot, with their bodies owned.
+    pending: BTreeMap<u64, FrameView<'static>>,
 }
 
 /// The authentication + non-equivocation layer of one node.
@@ -601,50 +600,12 @@ impl AuthLayer {
         Ok(commitment)
     }
 
-    /// Seals a frame's `body` where it lies — in a frame struct's vector or
-    /// in the wire buffer — and returns the frame's MAC: with `seal`, the
-    /// body is XORed with the keystream of the tuple's nonce first, and the
-    /// MAC then covers the ciphertext and the cipher's key commitment.
-    fn seal_body(
-        &self,
-        channel: Channel,
-        tuple: &SequenceTuple,
-        family: Family,
-        seal: bool,
-        body: &mut [u8],
-    ) -> Result<MacTag, RecipeError> {
-        let commitment = if seal {
-            Some(self.apply_keystream(channel, tuple, body)?)
-        } else {
-            None
-        };
-        let mut stream = self.enclave.bound_mac_key_at(channel.key)?.stream();
-        family.write_authenticated_parts(
-            &mut |bytes| stream.update(bytes),
-            tuple,
-            body,
-            commitment,
-        );
-        Ok(stream.tag())
-    }
-
-    /// Takes the next counter slot toward `dst` and seals `body` under it:
-    /// the parts of a frame struct.
-    fn shield_owned(
-        &mut self,
-        dst: NodeId,
-        family: Family,
-        seal: bool,
-        mut body: Vec<u8>,
-    ) -> Result<(SequenceTuple, Vec<u8>, MacTag), RecipeError> {
-        let (channel, tuple) = self.next_slot(dst, seal)?;
-        let mac = self.seal_body(channel, &tuple, family, seal, &mut body)?;
-        Ok((tuple, body, mac))
-    }
-
     /// Takes the next counter slot toward `dst` and builds the frame under
     /// it in its wire buffer: `write_body` puts the `body_len` body bytes in
     /// place, where they are sealed and MAC'd, and the tag goes in its slot.
+    /// With `seal`, the body is XORed with the keystream of the tuple's
+    /// nonce first, and the MAC then covers the ciphertext and the cipher's
+    /// key commitment.
     fn shield_framed(
         &mut self,
         dst: NodeId,
@@ -655,38 +616,43 @@ impl AuthLayer {
     ) -> Result<Vec<u8>, RecipeError> {
         let (channel, tuple) = self.next_slot(dst, seal)?;
         let mut image = family.image(&tuple, seal, body_len, write_body);
-        let mac = self.seal_body(channel, &tuple, family, seal, image.body_mut())?;
-        Ok(image.finish(&mac))
+        let body = image.body_mut();
+        let commitment = if seal {
+            Some(self.apply_keystream(channel, &tuple, body)?)
+        } else {
+            None
+        };
+        let mut stream = self.enclave.bound_mac_key_at(channel.key)?.stream();
+        family.write_authenticated_parts(
+            &mut |bytes| stream.update(bytes),
+            &tuple,
+            body,
+            commitment,
+        );
+        Ok(image.finish(&stream.tag()))
     }
 
     // ------------------------------------------------------------------
     // shield_request
     // ------------------------------------------------------------------
 
-    /// Shields a protocol message addressed to `dst` (Algorithm 1,
-    /// `shield_request`). Confidential mode encrypts the payload before it
-    /// leaves the enclave, under the nonce of its (channel, counter) pair.
+    /// [`AuthLayer::shield_to_wire`] as a frame struct: the wire bytes,
+    /// parsed.
     pub fn shield(
         &mut self,
         dst: NodeId,
         kind: u16,
         payload: &[u8],
     ) -> Result<ShieldedMessage, RecipeError> {
-        let confidential = self.is_confidential();
-        let (tuple, payload, mac) =
-            self.shield_owned(dst, Family::Single { kind }, confidential, payload.to_vec())?;
-        Ok(ShieldedMessage {
-            tuple,
-            kind,
-            payload,
-            confidential,
-            mac,
-        })
+        let wire = self.shield_to_wire(dst, kind, payload)?;
+        ShieldedMessage::from_wire(&wire).ok_or(RecipeError::Malformed("shielded message"))
     }
 
-    /// [`AuthLayer::shield`] straight to wire bytes — what
-    /// `shield(..)?.to_wire()` returns, with the payload copied once, into
-    /// the frame, and sealed there.
+    /// Shields a protocol message addressed to `dst` (Algorithm 1,
+    /// `shield_request`) straight to wire bytes: the payload is copied once,
+    /// into the frame, and sealed there. Confidential mode encrypts it
+    /// before it leaves the enclave, under the nonce of its (channel,
+    /// counter) pair.
     pub fn shield_to_wire(
         &mut self,
         dst: NodeId,
@@ -703,35 +669,22 @@ impl AuthLayer {
     // shield_batch
     // ------------------------------------------------------------------
 
-    /// Shields a whole batch of protocol messages for `dst` under **one**
-    /// counter slot, one MAC and (in confidential mode) one keystream pass —
-    /// the amortized fast path of the leader-side batching pipeline.
+    /// [`AuthLayer::shield_batch_to_wire`] as a frame struct: the wire bytes,
+    /// parsed.
     pub fn shield_batch(
         &mut self,
         dst: NodeId,
         ops: &[BatchOp],
     ) -> Result<BatchFrame, RecipeError> {
-        let count = Self::batch_count(ops)?;
-        let sealed = self.is_confidential();
-        // One `cnt_cq ← cnt_cq + 1` for the whole frame.
-        let (tuple, body, mac) = self.shield_owned(
-            dst,
-            Family::Batch { count },
-            sealed,
-            BatchFrame::encode_ops(ops),
-        )?;
-        Ok(BatchFrame {
-            tuple,
-            count,
-            body,
-            sealed,
-            mac,
-        })
+        let wire = self.shield_batch_to_wire(dst, ops)?;
+        BatchFrame::from_wire(&wire).ok_or(RecipeError::Malformed("batch frame"))
     }
 
-    /// [`AuthLayer::shield_batch`] straight to wire bytes — what
-    /// `shield_batch(..)?.to_wire()` returns, with the ops encoded once, into
-    /// the frame, and sealed there.
+    /// Shields a whole batch of protocol messages for `dst` under **one**
+    /// counter slot, one MAC and (in confidential mode) one keystream pass —
+    /// the amortized fast path of the leader-side batching pipeline —
+    /// straight to wire bytes: the ops are encoded once, into the frame, and
+    /// sealed there.
     pub fn shield_batch_to_wire(
         &mut self,
         dst: NodeId,
@@ -740,6 +693,7 @@ impl AuthLayer {
         let count = Self::batch_count(ops)?;
         let seal = self.is_confidential();
         let body_len = BatchFrame::ops_len(ops);
+        // One `cnt_cq ← cnt_cq + 1` for the whole frame.
         self.shield_framed(dst, Family::Batch { count }, seal, body_len, |w| {
             BatchFrame::write_ops(w, ops);
         })
@@ -758,42 +712,29 @@ impl AuthLayer {
     // shield_txn
     // ------------------------------------------------------------------
 
-    /// Shields one two-phase-commit message for `dst` under the next counter
-    /// slot of the channel: the body is serialized, encrypted in confidential
-    /// mode, and MAC'd together with the transaction id behind the
-    /// transaction family's tag — a 2PC frame can never be replayed as (or
-    /// confused with) protocol traffic.
+    /// [`AuthLayer::shield_txn_to_wire`] sealed at the layer's own mode, as
+    /// a frame struct: the wire bytes, parsed.
     pub fn shield_txn(
         &mut self,
         dst: NodeId,
         txn_id: u64,
         body: &TxnBody,
     ) -> Result<TxnFrame, RecipeError> {
-        let sealed = self.is_confidential();
-        let (tuple, body, mac) = self.shield_owned(
-            dst,
-            Family::Txn { txn_id },
-            sealed,
-            TxnFrame::encode_body(body),
-        )?;
-        Ok(TxnFrame {
-            tuple,
-            txn_id,
-            body,
-            sealed,
-            mac,
-        })
+        let seal = self.is_confidential();
+        let wire = self.shield_txn_to_wire(dst, txn_id, body, seal)?;
+        TxnFrame::from_wire(&wire).ok_or(RecipeError::Malformed("txn frame"))
     }
 
-    /// One two-phase-commit message for `dst` as wire bytes, with the
-    /// sealing decided by the caller, per frame: a standing 2PC channel
+    /// Shields one two-phase-commit message for `dst` under the next counter
+    /// slot of the channel, straight to wire bytes: the body is encoded once,
+    /// into the frame, sealed there when `seal` is, and MAC'd together with
+    /// the transaction id behind the transaction family's tag — a 2PC frame
+    /// can never be replayed as (or confused with) protocol traffic. The
+    /// sealing is decided by the caller, per frame: a standing 2PC channel
     /// carries the transactions that touch a confidential shard sealed and
     /// the others in plaintext, under one key and one counter sequence.
     /// `seal` is under the MAC like everything else in the frame, and the
-    /// enclave must hold the cipher key to seal. With `seal` at the layer's
-    /// own mode these are the bytes of
-    /// [`shield_txn(..)?.to_wire()`](AuthLayer::shield_txn), the body encoded
-    /// once, into the frame.
+    /// enclave must hold the cipher key to seal.
     pub fn shield_txn_to_wire(
         &mut self,
         dst: NodeId,
@@ -807,289 +748,203 @@ impl AuthLayer {
         })
     }
 
-    /// Verifies an incoming two-phase-commit frame: addressing, MAC (as a
-    /// frame of the transaction family), view and counter freshness, then one
-    /// keystream pass over the body when it is sealed. Out-of-order frames
-    /// are dropped rather than buffered — see [`TxnVerifyOutcome::OutOfOrder`].
-    pub fn verify_txn(&mut self, frame: TxnFrame) -> TxnVerifyOutcome {
-        let family = frame.family();
-        let body = Cow::Owned(frame.body);
-        self.verify_txn_body(frame.tuple, frame.mac, family, frame.sealed, body)
-    }
-
-    /// [`AuthLayer::verify_txn`] on a frame where it lies in the received
-    /// bytes ([`FrameView::parse_txn`]): a plaintext body is decoded from
-    /// them, and only a sealed one is copied, to be decrypted. A view of a
-    /// replication frame authenticates nothing here.
-    pub fn verify_txn_view(&mut self, frame: FrameView<'_>) -> TxnVerifyOutcome {
-        let body = Cow::Borrowed(frame.body);
-        self.verify_txn_body(frame.tuple, frame.mac, frame.family, frame.sealed, body)
-    }
-
-    fn verify_txn_body(
-        &mut self,
-        tuple: SequenceTuple,
-        mac: MacTag,
-        family: Family,
-        sealed: bool,
-        body: Cow<'_, [u8]>,
-    ) -> TxnVerifyOutcome {
-        let Family::Txn { txn_id } = family else {
-            self.rejected_auth += 1;
-            return TxnVerifyOutcome::BadAuthenticator;
-        };
-        match self.admit(&tuple, &mac, family, sealed, &body) {
-            Admission::Reject(rejection) => rejection.into(),
-            Admission::Buffer {
-                counter, expected, ..
-            } => TxnVerifyOutcome::OutOfOrder { counter, expected },
-            Admission::Deliver { counter, channel } => {
-                let decoded = if sealed {
-                    let mut body = body.into_owned();
-                    self.open_body(channel, &tuple, true, &mut body)
-                        .ok()
-                        .and_then(|()| TxnFrame::decode_body(&body))
-                } else {
-                    TxnFrame::decode_body(&body)
-                };
-                match decoded {
-                    Some(body) => TxnVerifyOutcome::Accept {
-                        txn_id,
-                        body,
-                        counter,
-                    },
-                    None => {
-                        self.rejected_auth += 1;
-                        TxnVerifyOutcome::DecryptionFailed
-                    }
-                }
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // verify_request
     // ------------------------------------------------------------------
 
-    /// Verifies an incoming shielded message (Algorithm 1, `verify_request`).
-    ///
-    /// Borrowing variant: rejected messages are dropped without cloning; the
-    /// message is cloned only when it is actually buffered as a future arrival
-    /// (the accepted payload is copied out as before). Callers that own the
-    /// message should prefer [`AuthLayer::verify_owned`], which never clones.
-    pub fn verify(&mut self, msg: &ShieldedMessage) -> VerifyOutcome {
-        match self.admit_single(msg) {
-            Admission::Reject(rejection) => rejection.into(),
-            Admission::Buffer {
-                peer,
-                counter,
-                expected,
-            } => {
-                self.peers[peer]
-                    .pending
-                    .insert(counter, PendingFrame::Single(msg.clone()));
-                VerifyOutcome::Future { counter, expected }
-            }
-            Admission::Deliver { counter, channel } => {
-                self.deliver_single(msg.clone(), counter, channel)
-            }
+    /// Verifies a replication frame where it lies in the received bytes
+    /// (Algorithm 1, `verify_request`): addressing, MAC, view and counter
+    /// freshness. An in-order plaintext frame is delivered as slices of
+    /// `frame`'s bytes and nothing is copied; a sealed body is copied once,
+    /// to be decrypted, and a frame ahead of its predecessors once, into the
+    /// protected buffer, from which [`AuthLayer::take_ready`] releases it.
+    pub fn verify_view<'a>(&mut self, frame: FrameView<'a>) -> ViewOutcome<'a> {
+        match self.receive(frame, false) {
+            Ok((_, Opened::Message { kind, payload })) => ViewOutcome::Message { kind, payload },
+            Ok((_, Opened::Batch(ops))) => ViewOutcome::Batch(ops),
+            Err(Rejection::Ahead { .. }) => ViewOutcome::Buffered,
+            // `receive` opens 2PC frames for the 2PC entry points only.
+            Ok((_, Opened::Txn { .. })) | Err(_) => ViewOutcome::Rejected,
         }
     }
 
-    /// Verifies an incoming shielded message, taking ownership so the payload
-    /// moves (rather than clones) into the protected buffer or the
+    /// [`AuthLayer::verify_view`] on a message struct's fields, told apart
+    /// by [`VerifyOutcome`]. The message is copied only when it is delivered
+    /// or buffered; [`AuthLayer::verify_owned`] never copies it.
+    pub fn verify(&mut self, msg: &ShieldedMessage) -> VerifyOutcome {
+        self.verify_single(msg.view())
+    }
+
+    /// [`AuthLayer::verify`] taking ownership, so the payload moves (rather
+    /// than is copied) into the protected buffer or the
     /// [`VerifyOutcome::Accept`] result, and is decrypted where it lies.
     pub fn verify_owned(&mut self, msg: ShieldedMessage) -> VerifyOutcome {
-        match self.admit_single(&msg) {
-            Admission::Reject(rejection) => rejection.into(),
-            Admission::Buffer {
-                peer,
-                counter,
-                expected,
-            } => {
-                self.peers[peer]
-                    .pending
-                    .insert(counter, PendingFrame::Single(msg));
-                VerifyOutcome::Future { counter, expected }
-            }
-            Admission::Deliver { counter, channel } => self.deliver_single(msg, counter, channel),
-        }
+        self.verify_single(msg.into_view())
     }
 
-    fn admit_single(&mut self, msg: &ShieldedMessage) -> Admission {
-        self.admit(
-            &msg.tuple,
-            &msg.mac,
-            msg.family(),
-            msg.confidential,
-            &msg.payload,
-        )
-    }
-
-    /// Opens an admitted message into the outcome that delivers it.
-    fn deliver_single(
-        &mut self,
-        msg: ShieldedMessage,
-        counter: u64,
-        channel: Channel,
-    ) -> VerifyOutcome {
-        let kind = msg.kind;
-        match self.open_single(msg, channel) {
-            Ok(payload) => VerifyOutcome::Accept {
+    fn verify_single(&mut self, frame: FrameView<'_>) -> VerifyOutcome {
+        match self.receive(frame, false) {
+            Ok((counter, Opened::Message { kind, payload })) => VerifyOutcome::Accept {
                 kind,
-                payload,
+                payload: payload.into_owned(),
                 counter,
             },
-            Err(_) => {
-                self.rejected_auth += 1;
-                VerifyOutcome::DecryptionFailed
-            }
+            // A single message opens as one.
+            Ok(_) => VerifyOutcome::DecryptionFailed,
+            Err(rejection) => rejection.into(),
         }
     }
 
-    /// Verifies an incoming batch frame (`verify_request` over an amortized
-    /// frame): one MAC check, one counter check and one keystream pass admit
-    /// or reject all `count` ops as a unit.
+    /// [`AuthLayer::verify_view`] on a batch frame struct: one MAC check,
+    /// one counter check and one keystream pass admit or reject all `count`
+    /// ops as a unit.
     pub fn verify_batch(&mut self, frame: BatchFrame) -> BatchVerifyOutcome {
-        match self.admit(
-            &frame.tuple,
-            &frame.mac,
-            frame.family(),
-            frame.sealed,
-            &frame.body,
-        ) {
-            Admission::Reject(rejection) => rejection.into(),
-            Admission::Buffer {
+        match self.receive(frame.into_view(), false) {
+            Ok((counter, Opened::Batch(ops))) => BatchVerifyOutcome::Accept {
+                ops: ops
+                    .into_iter()
+                    .map(|(kind, payload)| BatchOp::new(kind, payload.into_owned()))
+                    .collect(),
+                counter,
+            },
+            // A batch frame opens as one.
+            Ok(_) => BatchVerifyOutcome::DecryptionFailed,
+            Err(rejection) => rejection.into(),
+        }
+    }
+
+    /// Verifies a two-phase-commit frame where it lies in the received bytes
+    /// ([`FrameView::parse_txn`]): the checks of [`AuthLayer::verify_view`]
+    /// for a frame of the transaction family. A plaintext body is decoded
+    /// from the bytes, and only a sealed one is copied, to be decrypted. A
+    /// frame ahead of its predecessors is dropped rather than buffered — see
+    /// [`TxnVerifyOutcome::OutOfOrder`] — and a replication frame
+    /// authenticates nothing here.
+    pub fn verify_txn_view(&mut self, frame: FrameView<'_>) -> TxnVerifyOutcome {
+        match self.receive(frame, true) {
+            Ok((counter, Opened::Txn { txn_id, body })) => TxnVerifyOutcome::Accept {
+                txn_id,
+                body,
+                counter,
+            },
+            // A 2PC frame opens as one.
+            Ok(_) => TxnVerifyOutcome::DecryptionFailed,
+            Err(rejection) => rejection.into(),
+        }
+    }
+
+    /// [`AuthLayer::verify_txn_view`] on a frame struct, its body decrypted
+    /// where it lies.
+    pub fn verify_txn(&mut self, frame: TxnFrame) -> TxnVerifyOutcome {
+        self.verify_txn_view(frame.into_view())
+    }
+
+    /// The one receive path every verify entry point takes: `frame` is
+    /// admitted ([`AuthLayer::admit`]), then parked when it is a replication
+    /// frame ahead of its turn, or opened ([`AuthLayer::open`]) when it is in
+    /// order. `txn` is whether the entry point is a 2PC one: a frame of the
+    /// other kind authenticates nothing there. A 2PC channel is strictly
+    /// sequential — the coordinator retransmits a missing frame with its
+    /// original counter — so no 2PC frame is parked. Delivers the frame's
+    /// counter and what it opened into, or why it is not delivered now.
+    fn receive<'a>(
+        &mut self,
+        frame: FrameView<'a>,
+        txn: bool,
+    ) -> Result<(u64, Opened<'a>), Rejection> {
+        if matches!(frame.family, Family::Txn { .. }) != txn {
+            self.rejected_auth += 1;
+            return Err(Rejection::BadAuthenticator);
+        }
+        match self.admit(&frame)? {
+            Admission::Ahead {
                 peer,
                 counter,
                 expected,
             } => {
-                self.peers[peer]
-                    .pending
-                    .insert(counter, PendingFrame::Batch(frame));
-                BatchVerifyOutcome::Future { counter, expected }
+                if !txn {
+                    self.peers[peer].pending.insert(counter, frame.into_owned());
+                }
+                Err(Rejection::Ahead { counter, expected })
             }
-            Admission::Deliver { counter, channel } => match self.open_batch(frame, channel) {
-                Ok(ops) => BatchVerifyOutcome::Accept { ops, counter },
-                Err(_) => {
+            Admission::InOrder { counter, channel } => match self.open(frame, channel) {
+                Some(opened) => Ok((counter, opened)),
+                None => {
                     self.rejected_auth += 1;
-                    BatchVerifyOutcome::DecryptionFailed
+                    Err(Rejection::Unopened)
                 }
             },
         }
     }
 
-    /// Verifies a replication frame where it lies in the received bytes: the
-    /// checks of [`AuthLayer::verify_owned`] / [`AuthLayer::verify_batch`],
-    /// run on the borrowed body. An in-order plaintext frame is delivered as
-    /// slices of `frame`'s bytes and nothing is copied; a sealed body is
-    /// copied once, to be decrypted, and a frame ahead of its predecessors
-    /// once, into the protected buffer.
-    pub fn verify_view<'a>(&mut self, frame: FrameView<'a>) -> ViewOutcome<'a> {
+    /// Opens a frame admitted on `channel` into what it delivers: the one
+    /// place a received body is decrypted and decoded, for every entry point
+    /// and for the parked frames [`AuthLayer::take_ready`] releases. A sealed
+    /// body is decrypted where it lies when the frame owns it, and copied
+    /// once when it borrows it — the frame's MAC was verified over exactly
+    /// these bytes before its counter slot was spent. `None` is a body that
+    /// does not decode as its family says, or an enclave that would not hand
+    /// out the cipher: [`VerifyOutcome::DecryptionFailed`].
+    fn open<'a>(&self, frame: FrameView<'a>, channel: Channel) -> Option<Opened<'a>> {
         let FrameView {
             tuple,
             sealed,
-            mac,
             family,
-            body,
+            mut body,
+            ..
         } = frame;
-        match self.admit(&tuple, &mac, family, sealed, body) {
-            Admission::Reject(_) => ViewOutcome::Rejected,
-            Admission::Buffer { peer, counter, .. } => {
-                let body = body.to_vec();
-                let pending = match family {
-                    Family::Single { kind } => PendingFrame::Single(ShieldedMessage {
-                        tuple,
-                        kind,
-                        payload: body,
-                        confidential: sealed,
-                        mac,
-                    }),
-                    Family::Batch { count } => PendingFrame::Batch(BatchFrame {
-                        tuple,
-                        count,
-                        body,
-                        sealed,
-                        mac,
-                    }),
-                    // A 2PC frame is never buffered, and a view of one is
-                    // never handed out.
-                    Family::Txn { .. } => return ViewOutcome::Rejected,
-                };
-                self.peers[peer].pending.insert(counter, pending);
-                ViewOutcome::Buffered
-            }
-            Admission::Deliver { channel, .. } => {
-                self.open_view(frame, channel).unwrap_or_else(|| {
-                    self.rejected_auth += 1;
-                    ViewOutcome::Rejected
-                })
-            }
+        if sealed {
+            self.apply_keystream(channel, &tuple, body.to_mut()).ok()?;
         }
-    }
-
-    /// Opens an admitted frame into what it delivers; `None` is
-    /// [`VerifyOutcome::DecryptionFailed`] (the slot is spent).
-    fn open_view<'a>(&self, frame: FrameView<'a>, channel: Channel) -> Option<ViewOutcome<'a>> {
-        let opened = if frame.sealed {
-            let mut body = frame.body.to_vec();
-            self.open_body(channel, &frame.tuple, true, &mut body)
-                .ok()?;
-            Cow::Owned(body)
-        } else {
-            Cow::Borrowed(frame.body)
-        };
-        match frame.family {
-            Family::Single { kind } => Some(ViewOutcome::Message {
+        let opened = match family {
+            Family::Single { kind } => Opened::Message {
                 kind,
-                payload: opened,
-            }),
+                payload: body,
+            },
             Family::Batch { count } => {
-                let ops = match &opened {
+                let ops = match body {
                     Cow::Borrowed(body) => {
                         BatchFrame::decode_ops_with(body, |kind, p| (kind, Cow::Borrowed(p)))
                     }
                     Cow::Owned(body) => {
-                        BatchFrame::decode_ops_with(body, |kind, p| (kind, Cow::Owned(p.to_vec())))
+                        BatchFrame::decode_ops_with(&body, |kind, p| (kind, Cow::Owned(p.to_vec())))
                     }
                 }?;
-                (ops.len() == count as usize).then_some(ViewOutcome::Batch(ops))
+                if ops.len() != count as usize {
+                    return None;
+                }
+                Opened::Batch(ops)
             }
-            Family::Txn { .. } => None,
-        }
+            Family::Txn { txn_id } => Opened::Txn {
+                txn_id,
+                body: TxnFrame::decode_body(&body)?,
+            },
+        };
+        Some(opened)
     }
 
-    /// The shared `verify_request` core of all three frame families, and the
-    /// only place a frame is checked — owned ([`AuthLayer::verify_owned`] and
-    /// its kin) or where it lies ([`AuthLayer::verify_view`]): addressing,
-    /// MAC, view and freshness, in that order. The MAC is under the bound key
-    /// of the channel the tuple names, so a tuple naming another source or
-    /// destination than the frame was sealed for fails it, and it is
-    /// over `body` as it arrived — ciphertext when `sealed`, which also puts
-    /// this enclave's cipher key commitment under it — and nothing is
-    /// decrypted here or before here. Advances the trusted receive counter
-    /// on in-order delivery and records rejection statistics; buffering and
-    /// opening stay with the callers, which know the frame type.
-    fn admit(
-        &mut self,
-        tuple: &SequenceTuple,
-        mac: &MacTag,
-        family: Family,
-        sealed: bool,
-        body: &[u8],
-    ) -> Admission {
+    /// The checks of Algorithm 1's `verify_request`, and the only place a
+    /// frame is checked: addressing, MAC, view and freshness, in that order.
+    /// The MAC is under the bound key of the channel the tuple names, so a
+    /// tuple naming another source or destination than the frame was sealed
+    /// for fails it, and it is over the body as it arrived — ciphertext when
+    /// sealed, which also puts this enclave's cipher key commitment under it
+    /// — and nothing is decrypted here or before here. Advances the trusted
+    /// receive counter on in-order delivery and records rejection
+    /// statistics; parking and opening stay with [`AuthLayer::receive`].
+    fn admit(&mut self, frame: &FrameView<'_>) -> Result<Admission, Rejection> {
+        let tuple = &frame.tuple;
         if tuple.channel.dst != self.node {
             self.rejected_auth += 1;
-            return Admission::Reject(Rejection::Misaddressed);
+            return Err(Rejection::Misaddressed);
         }
-        let keyed = self.authenticate(tuple, mac, family, sealed, body);
-        let Some((peer, channel, last_accepted)) = keyed else {
+        let Some((peer, channel, last_accepted)) = self.authenticate(frame) else {
             self.rejected_auth += 1;
-            return Admission::Reject(Rejection::BadAuthenticator);
+            return Err(Rejection::BadAuthenticator);
         };
         if tuple.view != self.view {
             self.rejected_view += 1;
-            return Admission::Reject(Rejection::WrongView {
+            return Err(Rejection::WrongView {
                 got: tuple.view,
                 current: self.view,
             });
@@ -1099,26 +954,24 @@ impl AuthLayer {
         let counter = tuple.counter;
         if counter <= last_accepted {
             self.rejected_replays += 1;
-            return Admission::Reject(Rejection::Replay {
+            return Err(Rejection::Replay {
                 counter,
                 last_accepted,
             });
         }
         if counter > last_accepted + 1 {
-            // Future frame: the caller keeps it in the protected area until the
-            // gap fills.
-            return Admission::Buffer {
+            return Ok(Admission::Ahead {
                 peer,
                 counter,
                 expected: last_accepted + 1,
-            };
+            });
         }
 
         // In-order frame: bump the trusted receive counter.
         if let Ok(recv_counter) = self.enclave.counter_mut(channel.counter) {
             let _ = recv_counter.advance_to(counter);
         }
-        Admission::Deliver { counter, channel }
+        Ok(Admission::InOrder { counter, channel })
     }
 
     /// The MAC check of [`AuthLayer::admit`]: the record of the claimed
@@ -1128,40 +981,34 @@ impl AuthLayer {
     /// MAC. No key for the claimed source, a sealed frame and no cipher key
     /// to commit to, or an enclave that refuses to hand them out,
     /// authenticates nothing.
-    fn authenticate(
-        &mut self,
-        tuple: &SequenceTuple,
-        mac: &MacTag,
-        family: Family,
-        sealed: bool,
-        body: &[u8],
-    ) -> Option<(usize, Channel, u64)> {
+    fn authenticate(&mut self, frame: &FrameView<'_>) -> Option<(usize, Channel, u64)> {
+        let tuple = &frame.tuple;
         let (peer, mut channel) = self.recv_channel(tuple.channel.src)?;
-        if sealed {
+        if frame.sealed {
             channel.bind_cipher(&mut self.enclave, tuple.channel).ok()?;
             self.peers[peer].recv = Some(channel);
         }
         let key = self.enclave.bound_mac_key_at(channel.key).ok()?;
         let last_accepted = self.enclave.counter_value(channel.counter).ok()?;
         let commitment = match channel.cipher {
-            Some(cipher) if sealed => Some(self.enclave.bound_cipher_at(cipher).ok()?.1),
+            Some(cipher) if frame.sealed => Some(self.enclave.bound_cipher_at(cipher).ok()?.1),
             _ => None,
         };
         let mut stream = key.stream();
-        family.write_authenticated_parts(
+        frame.family.write_authenticated_parts(
             &mut |bytes| stream.update(bytes),
             tuple,
-            body,
+            &frame.body,
             commitment,
         );
-        stream.verify(mac).ok()?;
+        stream.verify(&frame.mac).ok()?;
         Some((peer, channel, last_accepted))
     }
 
     /// Releases buffered "future" frames from `src` that have become deliverable
-    /// (their counters are now consecutive with the receive counter), in order.
-    /// Batch frames are flattened into their ops, each tagged with the frame's
-    /// counter.
+    /// (their counters are now consecutive with the receive counter), in order,
+    /// each opened by the routine an in-order frame is opened by. Batch frames
+    /// are flattened into their ops, each tagged with the frame's counter.
     pub fn take_ready(&mut self, src: NodeId) -> Vec<(u16, Vec<u8>, u64)> {
         let mut ready = Vec::new();
         let Ok(index) = self.peer_index(src) else {
@@ -1186,20 +1033,16 @@ impl AuthLayer {
             released.push((next, frame));
         }
         for (next, frame) in released {
-            match frame {
-                PendingFrame::Single(msg) => {
-                    let kind = msg.kind;
-                    match self.open_single(msg, channel) {
-                        Ok(payload) => ready.push((kind, payload, next)),
-                        Err(_) => self.rejected_auth += 1,
-                    }
+            match self.open(frame, channel) {
+                Some(Opened::Message { kind, payload }) => {
+                    ready.push((kind, payload.into_owned(), next));
                 }
-                PendingFrame::Batch(batch) => match self.open_batch(batch, channel) {
-                    Ok(ops) => {
-                        ready.extend(ops.into_iter().map(|op| (op.kind, op.payload, next)));
-                    }
-                    Err(_) => self.rejected_auth += 1,
-                },
+                Some(Opened::Batch(ops)) => ready.extend(
+                    ops.into_iter()
+                        .map(|(kind, payload)| (kind, payload.into_owned(), next)),
+                ),
+                // No 2PC frame is parked.
+                Some(Opened::Txn { .. }) | None => self.rejected_auth += 1,
             }
         }
         ready
@@ -1248,49 +1091,6 @@ impl AuthLayer {
             let _ = counter.advance_to(peer_send_counter);
         }
         self.peers[index].pending.clear();
-    }
-
-    /// Decrypts the body of a frame admitted on `channel` where it lies,
-    /// when it was sealed: the frame's keystream, XORed a second time. The
-    /// frame's MAC was verified over exactly these bytes before its counter
-    /// slot was spent.
-    fn open_body(
-        &self,
-        channel: Channel,
-        tuple: &SequenceTuple,
-        sealed: bool,
-        body: &mut [u8],
-    ) -> Result<(), RecipeError> {
-        if sealed {
-            self.apply_keystream(channel, tuple, body)?;
-        }
-        Ok(())
-    }
-
-    /// Opens an admitted message and moves its payload out.
-    fn open_single(
-        &self,
-        mut msg: ShieldedMessage,
-        channel: Channel,
-    ) -> Result<Vec<u8>, RecipeError> {
-        self.open_body(channel, &msg.tuple, msg.confidential, &mut msg.payload)?;
-        Ok(msg.payload)
-    }
-
-    /// Opens an admitted batch body (one keystream pass) and decodes its
-    /// ops, enforcing the authenticated op count.
-    fn open_batch(
-        &self,
-        mut frame: BatchFrame,
-        channel: Channel,
-    ) -> Result<Vec<BatchOp>, RecipeError> {
-        self.open_body(channel, &frame.tuple, frame.sealed, &mut frame.body)?;
-        let ops =
-            BatchFrame::decode_ops(&frame.body).ok_or(RecipeError::Malformed("batch body"))?;
-        if ops.len() != frame.count as usize {
-            return Err(RecipeError::Malformed("batch count"));
-        }
-        Ok(ops)
     }
 }
 
@@ -1709,6 +1509,18 @@ mod tests {
         assert!(receiver.verify(&plain).is_accept());
     }
 
+    /// A batch frame to node 2 that says three ops and carries two, sealed
+    /// and MAC'd by `sender` as its own.
+    fn mismatched_batch(sender: &mut AuthLayer, sealed: bool) -> Vec<u8> {
+        let body = BatchFrame::encode_ops(&ops(2));
+        let family = Family::Batch { count: 3 };
+        sender
+            .shield_framed(NodeId(2), family, sealed, body.len(), |w| {
+                w.raw(&body);
+            })
+            .unwrap()
+    }
+
     #[test]
     fn an_authentic_body_that_does_not_decode_is_flagged_not_delivered() {
         // What `DecryptionFailed` still means: the MAC is good, the slot is
@@ -1716,37 +1528,18 @@ mod tests {
         // sender can produce that. Built by sealing mismatched parts by hand.
         for sealed in [false, true] {
             let (mut sender, mut receiver) = layer_pair(sealed);
-            let (tuple, body, mac) = sender
-                .shield_owned(
-                    NodeId(2),
-                    Family::Batch { count: 3 },
-                    sealed,
-                    BatchFrame::encode_ops(&ops(2)),
-                )
-                .unwrap();
-            let frame = BatchFrame {
-                tuple,
-                count: 3,
-                body,
-                sealed,
-                mac,
-            };
+            let wire = mismatched_batch(&mut sender, sealed);
             assert_eq!(
-                receiver.verify_batch(frame),
+                receiver.verify_batch(BatchFrame::from_wire(&wire).unwrap()),
                 BatchVerifyOutcome::DecryptionFailed
             );
-            let (tuple, body, mac) = sender
-                .shield_owned(NodeId(2), Family::Txn { txn_id: 7 }, sealed, vec![0xFF])
+            let wire = sender
+                .shield_framed(NodeId(2), Family::Txn { txn_id: 7 }, sealed, 1, |w| {
+                    w.raw(&[0xFF]);
+                })
                 .unwrap();
-            let frame = TxnFrame {
-                tuple,
-                txn_id: 7,
-                body,
-                sealed,
-                mac,
-            };
             assert_eq!(
-                receiver.verify_txn(frame),
+                receiver.verify_txn(TxnFrame::from_wire(&wire).unwrap()),
                 TxnVerifyOutcome::DecryptionFailed
             );
             // Both slots are spent; the channel goes on.
@@ -2041,49 +1834,154 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_txn_frame_verified_where_it_lies_is_the_frame_struct_verified() {
-        for sealed in [false, true] {
-            let (mut sender, mut receiver) = layer_pair(true);
-            let (_, mut twin) = layer_pair(true);
-            let wire = sender
-                .shield_txn_to_wire(NodeId(2), 9, &prepare_body(), sealed)
-                .unwrap();
-            // A tampered copy is rejected and spends nothing.
-            let mut tampered = wire.clone();
-            *tampered.last_mut().unwrap() ^= 1;
-            let view = FrameView::parse_txn(&tampered).unwrap();
-            assert_eq!(
-                receiver.verify_txn_view(view),
-                TxnVerifyOutcome::BadAuthenticator
-            );
-            let expected = TxnVerifyOutcome::Accept {
-                txn_id: 9,
-                body: prepare_body(),
-                counter: 1,
-            };
-            let view = FrameView::parse_txn(&wire).unwrap();
-            assert_eq!(view.source(), NodeId(1));
-            assert_eq!(receiver.verify_txn_view(view), expected);
-            assert_eq!(
-                twin.verify_txn(TxnFrame::from_wire(&wire).unwrap()),
-                expected
-            );
-            // Once: the slot is spent.
-            assert!(matches!(
-                receiver.verify_txn_view(view),
-                TxnVerifyOutcome::Replay { .. }
-            ));
-            // A replication frame is not a 2PC frame, read either way.
-            let single = sender.shield_to_wire(NodeId(2), 1, b"x").unwrap();
-            assert!(FrameView::parse_txn(&single).is_none());
-            assert_eq!(
-                receiver.verify_txn_view(FrameView::parse(&single).unwrap()),
-                TxnVerifyOutcome::BadAuthenticator
-            );
-            assert_eq!(receiver.recv_counter_from(NodeId(1)), 1);
-            assert_eq!(receiver.rejection_counts(), (1, 2, 0));
+    /// What one delivery came to: the `(kind, payload)`s delivered now, none
+    /// for a frame held back ahead of its turn, `None` for a rejection. A
+    /// 2PC frame delivers its encoded body under its transaction id.
+    type Verdict = Option<Vec<(u16, Vec<u8>)>>;
+
+    fn txn_verdict(outcome: TxnVerifyOutcome) -> Verdict {
+        match outcome {
+            TxnVerifyOutcome::Accept { txn_id, body, .. } => {
+                Some(vec![(txn_id as u16, TxnFrame::encode_body(&body))])
+            }
+            TxnVerifyOutcome::OutOfOrder { .. } => Some(Vec::new()),
+            _ => None,
         }
+    }
+
+    /// `wire` through the entry points production uses: verified where it
+    /// lies.
+    fn by_view(layer: &mut AuthLayer, wire: &[u8]) -> Verdict {
+        if let Some(frame) = FrameView::parse_txn(wire) {
+            return txn_verdict(layer.verify_txn_view(frame));
+        }
+        match layer.verify_view(FrameView::parse(wire).unwrap()) {
+            ViewOutcome::Message { kind, payload } => Some(vec![(kind, payload.into_owned())]),
+            ViewOutcome::Batch(ops) => Some(
+                ops.into_iter()
+                    .map(|(kind, payload)| (kind, payload.into_owned()))
+                    .collect(),
+            ),
+            ViewOutcome::Buffered => Some(Vec::new()),
+            ViewOutcome::Rejected => None,
+        }
+    }
+
+    /// `wire` parsed into its frame struct and handed to the struct's entry
+    /// point.
+    fn by_struct(layer: &mut AuthLayer, wire: &[u8]) -> Verdict {
+        if let Some(msg) = ShieldedMessage::from_wire(wire) {
+            return match layer.verify_owned(msg) {
+                VerifyOutcome::Accept { kind, payload, .. } => Some(vec![(kind, payload)]),
+                VerifyOutcome::Future { .. } => Some(Vec::new()),
+                _ => None,
+            };
+        }
+        if let Some(frame) = BatchFrame::from_wire(wire) {
+            return match layer.verify_batch(frame) {
+                BatchVerifyOutcome::Accept { ops, .. } => {
+                    Some(ops.into_iter().map(|op| (op.kind, op.payload)).collect())
+                }
+                BatchVerifyOutcome::Future { .. } => Some(Vec::new()),
+                _ => None,
+            };
+        }
+        txn_verdict(layer.verify_txn(TxnFrame::from_wire(wire).unwrap()))
+    }
+
+    #[test]
+    fn a_frame_verified_where_it_lies_is_the_frame_struct_verified() {
+        // The i-th frame of each family, the i-th frame on its channel.
+        type Shield = fn(&mut AuthLayer, u8) -> Vec<u8>;
+        let families: [(Shield, _); 3] = [
+            (
+                |tx, i| tx.shield_to_wire(NodeId(2), 7, &[i; 5]).unwrap(),
+                [
+                    (None, 0),
+                    (Some(0), 0),
+                    (Some(1), 1),
+                    (None, 0),
+                    (None, 0),
+                    (Some(1), 0),
+                ],
+            ),
+            (
+                |tx, i| tx.shield_batch_to_wire(NodeId(2), &ops(i.into())).unwrap(),
+                [
+                    (None, 0),
+                    (Some(0), 0),
+                    (Some(1), 2),
+                    (None, 0),
+                    (None, 0),
+                    (Some(3), 0),
+                ],
+            ),
+            // Dropped ahead of its turn, the second 2PC frame is taken when
+            // it comes again in order.
+            (
+                |tx, i| {
+                    let body = TxnBody::Ack { applied: i.into() };
+                    let seal = tx.is_confidential();
+                    tx.shield_txn_to_wire(NodeId(2), 9, &body, seal).unwrap()
+                },
+                [
+                    (None, 0),
+                    (Some(0), 0),
+                    (Some(1), 0),
+                    (None, 0),
+                    (Some(1), 0),
+                    (Some(1), 0),
+                ],
+            ),
+        ];
+        for sealed in [false, true] {
+            for (shield, expected) in families {
+                let (mut sender, mut view) = layer_pair(sealed);
+                let (_, mut owned) = layer_pair(sealed);
+                let wires: Vec<Vec<u8>> = (1..=3).map(|i| shield(&mut sender, i)).collect();
+                let mut tampered = wires[0].clone();
+                *tampered.last_mut().unwrap() ^= 1;
+                // Tampered; ahead of its turn; in order, releasing what was
+                // parked; replayed; the second again; the third.
+                let deliveries = [
+                    &tampered, &wires[1], &wires[0], &wires[0], &wires[1], &wires[2],
+                ];
+                let mut seen = Vec::new();
+                for wire in deliveries {
+                    let verdict = by_view(&mut view, wire);
+                    assert_eq!(by_struct(&mut owned, wire), verdict);
+                    let released = view.take_ready(NodeId(1));
+                    assert_eq!(owned.take_ready(NodeId(1)), released);
+                    assert_eq!(owned.pending_from(NodeId(1)), view.pending_from(NodeId(1)));
+                    assert_eq!(owned.rejection_counts(), view.rejection_counts());
+                    assert_eq!(
+                        owned.recv_counter_from(NodeId(1)),
+                        view.recv_counter_from(NodeId(1))
+                    );
+                    seen.push((verdict.map(|delivered| delivered.len()), released.len()));
+                }
+                assert_eq!(seen, expected);
+                assert_eq!(view.recv_counter_from(NodeId(1)), 3);
+            }
+        }
+
+        // A replication frame is not a 2PC frame, read either way, and the
+        // other way round: neither spends a slot.
+        let (mut sender, mut receiver) = layer_pair(false);
+        let single = sender.shield_to_wire(NodeId(2), 1, b"x").unwrap();
+        assert!(FrameView::parse_txn(&single).is_none());
+        assert_eq!(
+            receiver.verify_txn_view(FrameView::parse(&single).unwrap()),
+            TxnVerifyOutcome::BadAuthenticator
+        );
+        let txn = sender
+            .shield_txn_to_wire(NodeId(2), 9, &TxnBody::Commit, false)
+            .unwrap();
+        let view = FrameView::parse_txn(&txn).unwrap();
+        assert_eq!(view.source(), NodeId(1));
+        assert_eq!(receiver.verify_view(view), ViewOutcome::Rejected);
+        assert_eq!(receiver.recv_counter_from(NodeId(1)), 0);
+        assert_eq!(receiver.rejection_counts(), (0, 2, 0));
     }
 
     #[test]
@@ -2115,7 +2013,6 @@ mod tests {
         let within = |outer: &[u8], inner: &[u8]| outer.as_ptr_range().contains(&inner.as_ptr());
         for sealed in [false, true] {
             let (mut sender, mut receiver) = layer_pair(sealed);
-            let (_, mut twin) = layer_pair(sealed);
             let single = sender.shield_to_wire(NodeId(2), 7, b"append").unwrap();
             let batch = sender.shield_batch_to_wire(NodeId(2), &ops(3)).unwrap();
             for wire in [&single, &batch] {
@@ -2126,7 +2023,7 @@ mod tests {
                 *tampered.last_mut().unwrap() ^= 1;
                 let rejected = receiver.verify_view(FrameView::parse(&tampered).unwrap());
                 assert_eq!(rejected, ViewOutcome::Rejected);
-                match receiver.verify_view(view) {
+                match receiver.verify_view(view.clone()) {
                     ViewOutcome::Message { kind, payload } => {
                         assert_eq!((kind, &payload[..]), (7, &b"append"[..]));
                         assert_eq!(matches!(payload, Cow::Borrowed(_)), !sealed);
@@ -2149,14 +2046,6 @@ mod tests {
             }
             assert_eq!(receiver.rejection_counts(), (2, 2, 0));
             assert_eq!(receiver.recv_counter_from(NodeId(1)), 2);
-            // The view and the frame struct are one check: the same frames,
-            // parsed into structs, do to a twin what the views did here.
-            assert!(twin
-                .verify_owned(ShieldedMessage::from_wire(&single).unwrap())
-                .is_accept());
-            assert!(twin
-                .verify_batch(BatchFrame::from_wire(&batch).unwrap())
-                .is_accept());
 
             // Ahead of its turn a frame is copied into the protected buffer,
             // and comes out of it like one that was verified owned.
@@ -2195,22 +2084,7 @@ mod tests {
     fn an_authentic_view_whose_body_does_not_decode_spends_its_slot() {
         for sealed in [false, true] {
             let (mut sender, mut receiver) = layer_pair(sealed);
-            let (tuple, body, mac) = sender
-                .shield_owned(
-                    NodeId(2),
-                    Family::Batch { count: 3 },
-                    sealed,
-                    BatchFrame::encode_ops(&ops(2)),
-                )
-                .unwrap();
-            let wire = BatchFrame {
-                tuple,
-                count: 3,
-                body,
-                sealed,
-                mac,
-            }
-            .to_wire();
+            let wire = mismatched_batch(&mut sender, sealed);
             let view = FrameView::parse(&wire).unwrap();
             assert_eq!(receiver.verify_view(view), ViewOutcome::Rejected);
             assert_eq!(receiver.rejection_counts(), (0, 1, 0));

@@ -4,7 +4,7 @@
 //! because the attested enclaves cannot equivocate (paper §1.4). The membership is
 //! distributed as part of the attestation-time configuration and fixed for a
 //! replica group's lifetime; a crashed member stays a member, and the chain roles
-//! reform around it ([`Membership::chain_order_live`]).
+//! reform around it ([`Membership::chain_successor_live`]).
 
 use recipe_net::NodeId;
 use serde::{Deserialize, Serialize};
@@ -102,47 +102,16 @@ impl Membership {
         self.members[(view as usize) % self.members.len()]
     }
 
-    /// The chain order used by Chain Replication: members sorted ascending, head
-    /// first, tail last.
-    pub fn chain_order(&self) -> Vec<NodeId> {
-        self.members.clone()
-    }
-
-    /// Successor of `node` in the chain, if any.
-    pub fn chain_successor(&self, node: NodeId) -> Option<NodeId> {
-        let idx = self.members.iter().position(|&m| m == node)?;
-        self.members.get(idx + 1).copied()
-    }
-
-    /// Head of the chain.
-    pub fn chain_head(&self) -> NodeId {
-        self.members[0]
-    }
-
-    /// Tail of the chain.
-    pub fn chain_tail(&self) -> NodeId {
-        // recipe-lint: allow(unwrap-in-lib, reason = "membership construction rejects empty member lists")
-        *self.members.last().expect("membership is non-empty")
-    }
-
     // ------------------------------------------------------------------
     // Live-set chain roles (crash–recovery reconfiguration).
     //
-    // Chain Replication reconfigures around failed nodes through its
-    // external master; here the trusted configuration service plays that
-    // role, handing every replica the same `down` set, and the chain
+    // Chain Replication orders its members ascending, head first, tail
+    // last, and reconfigures around failed nodes through its external
+    // master; here the trusted configuration service plays that role,
+    // handing every replica the same `down` set, and the chain
     // deterministically reforms over the survivors in sorted order. With an
-    // empty `down` set every method matches its static counterpart.
+    // empty `down` set the chain is the whole membership.
     // ------------------------------------------------------------------
-
-    /// The chain order over live members only (sorted, `down` filtered out).
-    pub fn chain_order_live(&self, down: &[NodeId]) -> Vec<NodeId> {
-        self.members
-            .iter()
-            .copied()
-            .filter(|m| !down.contains(m))
-            .collect()
-    }
 
     /// Head of the live chain, `None` when every member is down.
     pub fn chain_head_live(&self, down: &[NodeId]) -> Option<NodeId> {
@@ -209,24 +178,18 @@ mod tests {
     }
 
     #[test]
-    fn chain_ordering() {
-        let m = Membership::new(vec![NodeId(5), NodeId(1), NodeId(3)], 1);
-        assert_eq!(m.chain_order(), vec![NodeId(1), NodeId(3), NodeId(5)]);
-        assert_eq!(m.chain_head(), NodeId(1));
-        assert_eq!(m.chain_tail(), NodeId(5));
-        assert_eq!(m.chain_successor(NodeId(1)), Some(NodeId(3)));
-        assert_eq!(m.chain_successor(NodeId(3)), Some(NodeId(5)));
-        assert_eq!(m.chain_successor(NodeId(5)), None);
-        assert_eq!(m.chain_successor(NodeId(9)), None);
-    }
-
-    #[test]
     fn live_chain_reforms_around_down_nodes() {
+        // No failures: the chain is the membership in ascending order,
+        // whatever order it was given in.
+        let m = Membership::new(vec![NodeId(5), NodeId(1), NodeId(3)], 1);
+        assert_eq!(m.chain_head_live(&[]), Some(NodeId(1)));
+        assert_eq!(m.chain_tail_live(&[]), Some(NodeId(5)));
+        assert_eq!(m.chain_successor_live(NodeId(1), &[]), Some(NodeId(3)));
+        assert_eq!(m.chain_successor_live(NodeId(3), &[]), Some(NodeId(5)));
+        assert_eq!(m.chain_successor_live(NodeId(5), &[]), None);
+        assert_eq!(m.chain_successor_live(NodeId(9), &[]), None);
+
         let m = Membership::of_size(3, 1);
-        // No failures: live roles match the static chain.
-        assert_eq!(m.chain_head_live(&[]), Some(NodeId(0)));
-        assert_eq!(m.chain_tail_live(&[]), Some(NodeId(2)));
-        assert_eq!(m.chain_successor_live(NodeId(0), &[]), Some(NodeId(1)));
         // Head down: the next live member takes over; the relay is skipped.
         let down = [NodeId(0)];
         assert_eq!(m.chain_head_live(&down), Some(NodeId(1)));

@@ -4,6 +4,7 @@
 use recipe_crypto::{KeyCommitment, MacTag, Signature, XNonce, DIGEST_LEN, MAC_BLOCK_LEN};
 use recipe_net::{ChannelId, NodeId};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::wire::{bytes_len, tag, Reader, Writer};
@@ -290,17 +291,18 @@ impl WireImage {
     }
 }
 
-/// A shielded frame read where it lies: the header fields by value, the body
-/// a slice of the wire bytes. What [`crate::AuthLayer::verify_view`] checks
-/// without copying anything; the owning frame structs are this with the body
-/// copied out.
-#[derive(Clone, Copy)]
+/// A shielded frame as the authentication layer checks it: the header fields
+/// by value and the body where it lies — a slice of the wire bytes when read
+/// by [`FrameView::parse`], which [`crate::AuthLayer::verify_view`] checks
+/// without copying anything, or the body a frame struct or the protected
+/// buffer owns. The owning frame structs are this with the body copied out.
+#[derive(Clone)]
 pub struct FrameView<'a> {
     pub(crate) tuple: SequenceTuple,
     pub(crate) sealed: bool,
     pub(crate) mac: MacTag,
     pub(crate) family: Family,
-    pub(crate) body: &'a [u8],
+    pub(crate) body: Cow<'a, [u8]>,
 }
 
 impl<'a> FrameView<'a> {
@@ -317,7 +319,7 @@ impl<'a> FrameView<'a> {
             tag::TXN => Family::Txn { txn_id: r.u64()? },
             _ => return None,
         };
-        let body = r.bytes()?;
+        let body = Cow::Borrowed(r.bytes()?);
         r.finish()?;
         Some(FrameView {
             tuple,
@@ -326,6 +328,17 @@ impl<'a> FrameView<'a> {
             family,
             body,
         })
+    }
+
+    /// The frame with its body owned, to outlive the bytes it was read from.
+    pub(crate) fn into_owned(self) -> FrameView<'static> {
+        FrameView {
+            tuple: self.tuple,
+            sealed: self.sealed,
+            mac: self.mac,
+            family: self.family,
+            body: Cow::Owned(self.body.into_owned()),
+        }
     }
 
     /// Reads a replication frame — a [`ShieldedMessage`] or a
@@ -362,8 +375,8 @@ impl fmt::Debug for SequenceTuple {
 pub struct ShieldedMessage {
     /// Sequence tuple (view, channel, counter).
     pub tuple: SequenceTuple,
-    /// Protocol-defined request kind (mirrors `recipe_net::ReqType` but carried in
-    /// the authenticated body so it cannot be remapped by the network).
+    /// Protocol-defined message kind, carried under the MAC so the network
+    /// cannot remap it.
     pub kind: u16,
     /// The protocol payload (serialized protocol message; ciphertext in
     /// confidential mode).
@@ -377,6 +390,29 @@ pub struct ShieldedMessage {
 impl ShieldedMessage {
     pub(crate) fn family(&self) -> Family {
         Family::Single { kind: self.kind }
+    }
+
+    /// The message as the authentication layer checks it, the payload
+    /// borrowed.
+    pub(crate) fn view(&self) -> FrameView<'_> {
+        FrameView {
+            tuple: self.tuple,
+            sealed: self.confidential,
+            mac: self.mac,
+            family: self.family(),
+            body: Cow::Borrowed(&self.payload),
+        }
+    }
+
+    /// [`ShieldedMessage::view`] with the payload moved in.
+    pub(crate) fn into_view(self) -> FrameView<'static> {
+        FrameView {
+            tuple: self.tuple,
+            sealed: self.confidential,
+            mac: self.mac,
+            family: self.family(),
+            body: Cow::Owned(self.payload),
+        }
     }
 
     /// Serializes the message for the wire:
@@ -398,7 +434,7 @@ impl ShieldedMessage {
         Some(ShieldedMessage {
             tuple: view.tuple,
             kind,
-            payload: view.body.to_vec(),
+            payload: view.body.into_owned(),
             confidential: view.sealed,
             mac: view.mac,
         })
@@ -473,6 +509,17 @@ pub struct BatchFrame {
 impl BatchFrame {
     pub(crate) fn family(&self) -> Family {
         Family::Batch { count: self.count }
+    }
+
+    /// The frame as the authentication layer checks it, the body moved in.
+    pub(crate) fn into_view(self) -> FrameView<'static> {
+        FrameView {
+            tuple: self.tuple,
+            sealed: self.sealed,
+            mac: self.mac,
+            family: self.family(),
+            body: Cow::Owned(self.body),
+        }
     }
 
     /// Whether the frame's body is encrypted.
@@ -555,7 +602,7 @@ impl BatchFrame {
         Some(BatchFrame {
             tuple: view.tuple,
             count,
-            body: view.body.to_vec(),
+            body: view.body.into_owned(),
             sealed: view.sealed,
             mac: view.mac,
         })
@@ -784,6 +831,17 @@ impl TxnFrame {
         }
     }
 
+    /// The frame as the authentication layer checks it, the body moved in.
+    pub(crate) fn into_view(self) -> FrameView<'static> {
+        FrameView {
+            tuple: self.tuple,
+            sealed: self.sealed,
+            mac: self.mac,
+            family: self.family(),
+            body: Cow::Owned(self.body),
+        }
+    }
+
     /// Whether the frame's body is encrypted.
     pub fn is_confidential(&self) -> bool {
         self.sealed
@@ -873,7 +931,7 @@ impl TxnFrame {
         Some(TxnFrame {
             tuple: view.tuple,
             txn_id,
-            body: view.body.to_vec(),
+            body: view.body.into_owned(),
             sealed: view.sealed,
             mac: view.mac,
         })

@@ -434,18 +434,6 @@ impl PartitionedKvStore {
         self.txns.abort(txn_id)
     }
 
-    /// True when `txn_id` has a staged (prepared, unresolved) transaction. A
-    /// 2PC coordinator probes this on a newly elected participant leader to
-    /// decide whether a replicated prepare survived a failover.
-    pub fn txn_is_prepared(&self, txn_id: u64) -> bool {
-        self.txns.is_prepared(txn_id)
-    }
-
-    /// Transaction ids with staged state, ascending (failover enumeration).
-    pub fn txn_staged_ids(&self) -> Vec<u64> {
-        self.txns.staged_txn_ids()
-    }
-
     /// Drops all staged transactions and locks — the lock table is volatile
     /// enclave state and does not survive a restart (see
     /// [`crate::txn::TxnTable::reset`]). Returns how many were discarded.
@@ -474,11 +462,6 @@ impl PartitionedKvStore {
     /// (ascending). See [`crate::txn::TxnTable::adopt_replicated`].
     pub fn txn_adopt_replicated(&mut self) -> Vec<u64> {
         self.txns.adopt_replicated()
-    }
-
-    /// Transaction ids with a replicated (passive) prepare record, ascending.
-    pub fn txn_replicated_ids(&self) -> Vec<u64> {
-        self.txns.replicated_txn_ids()
     }
 
     /// Exports every prepare record this store knows (real and passive) in

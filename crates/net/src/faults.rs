@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-use crate::types::{MsgBuf, NodeId, ReqType, WireMessage};
+use crate::types::{NodeId, WireMessage};
 
 /// Probabilities (0.0–1.0) for each adversarial action, evaluated per message.
 ///
@@ -165,27 +165,12 @@ impl CrashPlan {
     }
 }
 
-/// What the adversary decided to do with one message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultDecision {
-    /// Deliver unchanged.
-    Deliver,
-    /// Drop silently.
-    Drop,
-    /// Deliver a corrupted copy instead of the original.
-    Tamper(WireMessage),
-    /// Deliver the original twice.
-    Duplicate,
-    /// Deliver the original and additionally replay an older captured message.
-    Replay(WireMessage),
-}
-
-/// [`FaultDecision`] for a frame the adversary was shown by reference
+/// What the adversary decided to do with one frame
 /// ([`NetworkFaultInjector::decide_frame`]): it hands back only what it made
 /// or kept — the corrupted payload, the captured older message — and the
 /// caller goes on holding the frame itself.
-#[derive(Debug)]
-pub enum FrameFault<'a> {
+#[derive(Debug, PartialEq)]
+pub enum FrameFault {
     /// Deliver unchanged.
     Deliver,
     /// Drop silently.
@@ -196,7 +181,7 @@ pub enum FrameFault<'a> {
     Duplicate,
     /// Deliver the original and additionally replay this older captured
     /// message.
-    Replay(&'a WireMessage),
+    Replay(WireMessage),
 }
 
 /// Stateful fault injector: samples the [`FaultPlan`] with a deterministic RNG and,
@@ -224,13 +209,6 @@ impl NetworkFaultInjector {
         &self.plan
     }
 
-    /// Replaces the active plan (e.g. to turn the adversary on mid-experiment).
-    /// Replays draw on traffic seen while a plan with `replay_probability > 0`
-    /// was active; frames that passed under a plan without replay were not kept.
-    pub fn set_plan(&mut self, plan: FaultPlan) {
-        self.plan = plan;
-    }
-
     /// Samples an extra delivery delay in nanoseconds.
     pub fn sample_extra_delay_ns(&mut self) -> u64 {
         if self.plan.max_extra_delay_ns == 0 {
@@ -240,55 +218,16 @@ impl NetworkFaultInjector {
         }
     }
 
-    /// Decides the fate of `message`.
-    pub fn decide(&mut self, message: &WireMessage) -> FaultDecision {
-        let WireMessage {
-            wire_id, src, dst, ..
-        } = *message;
-        let decision =
-            self.decide_kept(wire_id, src, dst, &message.buf.payload, || message.clone());
-        match decision {
-            FrameFault::Deliver => FaultDecision::Deliver,
-            FrameFault::Drop => FaultDecision::Drop,
-            FrameFault::Tamper(payload) => FaultDecision::Tamper(WireMessage {
-                buf: MsgBuf::new(message.buf.req_type, payload),
-                ..*message
-            }),
-            FrameFault::Duplicate => FaultDecision::Duplicate,
-            FrameFault::Replay(older) => FaultDecision::Replay(older.clone()),
-        }
-    }
-
-    /// Decides the fate of a frame its sender goes on holding (a cached
-    /// retransmission): the same draws as [`NetworkFaultInjector::decide`]
-    /// on the request message carrying `payload`, which is copied only when
-    /// the adversary keeps it — as replay material, or to corrupt it.
+    /// Decides the fate of the frame `payload` on its way from `src` to
+    /// `dst`, the network's `wire_id`-th. The frame is copied only when the
+    /// adversary keeps it — as replay material, or to corrupt it.
     pub fn decide_frame(
         &mut self,
         wire_id: u64,
         src: NodeId,
         dst: NodeId,
         payload: &[u8],
-    ) -> FrameFault<'_> {
-        self.decide_kept(wire_id, src, dst, payload, || WireMessage {
-            wire_id,
-            src,
-            dst,
-            is_response: false,
-            buf: MsgBuf::new(ReqType::REPLICATE, payload.to_vec()),
-        })
-    }
-
-    /// The decision both entry points share; `keep` makes the owned message
-    /// the capture buffer stores.
-    fn decide_kept(
-        &mut self,
-        wire_id: u64,
-        src: NodeId,
-        dst: NodeId,
-        payload: &[u8],
-        keep: impl FnOnce() -> WireMessage,
-    ) -> FrameFault<'_> {
+    ) -> FrameFault {
         // Capture honest traffic so later replays have material to work with —
         // only under a plan that can replay: nothing else reads the buffer,
         // and a copy of every frame is not free. Capturing draws nothing from
@@ -296,7 +235,12 @@ impl NetworkFaultInjector {
         // plan knob: replay-heavy scenarios widen it to reach further into
         // the past.
         if self.plan.replay_probability > 0.0 {
-            self.captured.push_back(keep());
+            self.captured.push_back(WireMessage {
+                wire_id,
+                src,
+                dst,
+                payload: payload.to_vec(),
+            });
             while self.captured.len() > self.plan.capture_limit.max(1) {
                 self.captured.pop_front();
             }
@@ -342,7 +286,7 @@ impl NetworkFaultInjector {
         corrupted
     }
 
-    fn pick_replay(&mut self, wire_id: u64, src: NodeId, dst: NodeId) -> Option<&WireMessage> {
+    fn pick_replay(&mut self, wire_id: u64, src: NodeId, dst: NodeId) -> Option<WireMessage> {
         // Prefer an older message on the same channel; a replay on a different
         // channel would be trivially rejected by addressing alone.
         let same_channel = |m: &&WireMessage| m.src == src && m.dst == dst && m.wire_id != wire_id;
@@ -351,31 +295,25 @@ impl NetworkFaultInjector {
             return None;
         }
         let idx = self.rng.gen_range(0..candidates);
-        self.captured.iter().filter(same_channel).nth(idx)
+        self.captured.iter().filter(same_channel).nth(idx).cloned()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{MsgBuf, NodeId, ReqType};
     use proptest::prelude::*;
 
-    fn msg(id: u64, body: &[u8]) -> WireMessage {
-        WireMessage {
-            wire_id: id,
-            src: NodeId(1),
-            dst: NodeId(2),
-            is_response: false,
-            buf: MsgBuf::new(ReqType::REPLICATE, body.to_vec()),
-        }
+    /// The injector's decision on frame `id`, `body`, of the channel 1 → 2.
+    fn fate(injector: &mut NetworkFaultInjector, id: u64, body: &[u8]) -> FrameFault {
+        injector.decide_frame(id, NodeId(1), NodeId(2), body)
     }
 
     #[test]
     fn benign_plan_always_delivers() {
         let mut injector = NetworkFaultInjector::new(FaultPlan::benign(), 1);
         for i in 0..100 {
-            assert_eq!(injector.decide(&msg(i, b"x")), FaultDecision::Deliver);
+            assert_eq!(fate(&mut injector, i, b"x"), FrameFault::Deliver);
         }
         assert_eq!(injector.sample_extra_delay_ns(), 0);
     }
@@ -383,7 +321,7 @@ mod tests {
     #[test]
     fn full_drop_plan_always_drops() {
         let mut injector = NetworkFaultInjector::new(FaultPlan::lossy(1.0), 1);
-        assert_eq!(injector.decide(&msg(1, b"x")), FaultDecision::Drop);
+        assert_eq!(fate(&mut injector, 1, b"x"), FrameFault::Drop);
     }
 
     #[test]
@@ -393,13 +331,13 @@ mod tests {
             ..FaultPlan::default()
         };
         let mut injector = NetworkFaultInjector::new(plan, 2);
-        match injector.decide(&msg(1, b"payload")) {
-            FaultDecision::Tamper(corrupted) => assert_ne!(corrupted.buf.payload, b"payload"),
+        match fate(&mut injector, 1, b"payload") {
+            FrameFault::Tamper(corrupted) => assert_ne!(corrupted, b"payload"),
             other => panic!("expected Tamper, got {other:?}"),
         }
         // Tampering an empty payload still produces a non-empty corruption.
-        match injector.decide(&msg(2, b"")) {
-            FaultDecision::Tamper(corrupted) => assert!(!corrupted.buf.payload.is_empty()),
+        match fate(&mut injector, 2, b"") {
+            FrameFault::Tamper(corrupted) => assert!(!corrupted.is_empty()),
             other => panic!("expected Tamper, got {other:?}"),
         }
     }
@@ -412,10 +350,10 @@ mod tests {
         };
         let mut injector = NetworkFaultInjector::new(plan, 2);
         // First message: nothing to replay yet → falls through to Deliver.
-        assert_eq!(injector.decide(&msg(1, b"a")), FaultDecision::Deliver);
+        assert_eq!(fate(&mut injector, 1, b"a"), FrameFault::Deliver);
         // Second message: the first can now be replayed.
-        match injector.decide(&msg(2, b"b")) {
-            FaultDecision::Replay(older) => assert_eq!(older.buf.payload, b"a"),
+        match fate(&mut injector, 2, b"b") {
+            FrameFault::Replay(older) => assert_eq!(older.payload, b"a"),
             other => panic!("expected Replay, got {other:?}"),
         }
     }
@@ -425,7 +363,7 @@ mod tests {
         let mut a = NetworkFaultInjector::new(FaultPlan::byzantine(), 42);
         let mut b = NetworkFaultInjector::new(FaultPlan::byzantine(), 42);
         for i in 0..200 {
-            assert_eq!(a.decide(&msg(i, b"x")), b.decide(&msg(i, b"x")));
+            assert_eq!(fate(&mut a, i, b"x"), fate(&mut b, i, b"x"));
         }
     }
 
@@ -463,12 +401,12 @@ mod tests {
             ..FaultPlan::default()
         };
         let mut injector = NetworkFaultInjector::new(plan, 9);
-        assert_eq!(injector.decide(&msg(1, b"a")), FaultDecision::Deliver);
+        assert_eq!(fate(&mut injector, 1, b"a"), FrameFault::Deliver);
         for i in 2..20u64 {
-            match injector.decide(&msg(i, format!("m{i}").into_bytes().as_slice())) {
+            match fate(&mut injector, i, format!("m{i}").as_bytes()) {
                 // The window held only the immediately preceding message.
-                FaultDecision::Replay(older) => assert_eq!(older.wire_id, i - 1),
-                FaultDecision::Deliver => {}
+                FrameFault::Replay(older) => assert_eq!(older.wire_id, i - 1),
+                FrameFault::Deliver => {}
                 other => panic!("expected Replay or Deliver, got {other:?}"),
             }
         }
@@ -494,17 +432,16 @@ mod tests {
         for i in 0..2_000u64 {
             // Three channels, so a replay has same-channel and foreign frames
             // to tell apart.
-            let mut message = msg(i, &i.to_le_bytes());
-            message.dst = NodeId(2 + i % 3);
-            match injector.decide(&message) {
-                FaultDecision::Deliver => fold(&[0]),
-                FaultDecision::Drop => fold(&[1]),
-                FaultDecision::Tamper(corrupted) => {
+            let dst = NodeId(2 + i % 3);
+            match injector.decide_frame(i, NodeId(1), dst, &i.to_le_bytes()) {
+                FrameFault::Deliver => fold(&[0]),
+                FrameFault::Drop => fold(&[1]),
+                FrameFault::Tamper(corrupted) => {
                     fold(&[2]);
-                    fold(&corrupted.buf.payload);
+                    fold(&corrupted);
                 }
-                FaultDecision::Duplicate => fold(&[3]),
-                FaultDecision::Replay(older) => {
+                FrameFault::Duplicate => fold(&[3]),
+                FrameFault::Replay(older) => {
                     fold(&[4]);
                     fold(&older.wire_id.to_le_bytes());
                 }
@@ -539,49 +476,6 @@ mod tests {
         );
     }
 
-    /// The borrowed entry point is the owned one minus the copies: fed the
-    /// same frames it draws the same numbers, corrupts the same byte, replays
-    /// the same captured message and keeps the same capture buffer.
-    #[test]
-    fn decide_frame_decides_as_decide_does() {
-        for seed in [42, 43] {
-            let mut owned = NetworkFaultInjector::new(FaultPlan::byzantine(), seed);
-            let mut borrowed = NetworkFaultInjector::new(FaultPlan::byzantine(), seed);
-            for i in 0..2_000u64 {
-                let mut message = msg(i, &i.to_le_bytes());
-                message.dst = NodeId(2 + i % 3);
-                let WireMessage {
-                    wire_id, src, dst, ..
-                } = message;
-                let by_frame = borrowed.decide_frame(wire_id, src, dst, &message.buf.payload);
-                match (owned.decide(&message), by_frame) {
-                    (FaultDecision::Deliver, FrameFault::Deliver)
-                    | (FaultDecision::Drop, FrameFault::Drop)
-                    | (FaultDecision::Duplicate, FrameFault::Duplicate) => {}
-                    (FaultDecision::Tamper(corrupted), FrameFault::Tamper(payload)) => {
-                        assert_eq!(corrupted.buf.payload, payload);
-                        assert_eq!(corrupted.wire_id, wire_id);
-                    }
-                    (FaultDecision::Replay(older), FrameFault::Replay(kept)) => {
-                        assert_eq!(&older, kept);
-                    }
-                    (a, b) => panic!("frame {i}: decide {a:?}, decide_frame {b:?}"),
-                }
-                assert_eq!(
-                    owned.sample_extra_delay_ns(),
-                    borrowed.sample_extra_delay_ns()
-                );
-            }
-            assert_eq!(owned.captured, borrowed.captured);
-        }
-        // Under a plan that cannot replay, nothing of the frame is copied.
-        let mut injector = NetworkFaultInjector::new(FaultPlan::lossy(0.1), 3);
-        for i in 0..100 {
-            injector.decide_frame(i, NodeId(1), NodeId(2), b"payload");
-        }
-        assert!(injector.captured.is_empty());
-    }
-
     #[test]
     fn a_plan_without_replay_holds_no_captured_payloads() {
         for plan in [
@@ -591,13 +485,13 @@ mod tests {
         ] {
             let mut injector = NetworkFaultInjector::new(plan, 3);
             for i in 0..100 {
-                injector.decide(&msg(i, b"payload"));
+                fate(&mut injector, i, b"payload");
             }
             assert!(injector.captured.is_empty());
         }
         let mut injector = NetworkFaultInjector::new(FaultPlan::byzantine(), 3);
         for i in 0..1_000 {
-            injector.decide(&msg(i, b"payload"));
+            fate(&mut injector, i, b"payload");
         }
         assert_eq!(injector.captured.len(), FaultPlan::default().capture_limit);
     }
@@ -612,7 +506,8 @@ mod tests {
         assert_eq!(plan.entries[0].recover_at_ns, Some(5_000));
         assert_eq!(plan.entries[1].recover_at_ns, None);
         assert!(CrashPlan::none().is_empty());
-        // Round-trips through serde for scenario files.
+        // Round-trips through serde, which the deployment spec that carries
+        // it derives.
         let json = serde_json::to_vec(&plan).unwrap();
         let back: CrashPlan = serde_json::from_slice(&json).unwrap();
         assert_eq!(back, plan);
@@ -630,11 +525,11 @@ mod tests {
             let mut injector = NetworkFaultInjector::new(FaultPlan::byzantine(), seed);
             let mut delivered = 0usize;
             for i in 0..n {
-                match injector.decide(&msg(i as u64, b"payload")) {
-                    FaultDecision::Deliver | FaultDecision::Duplicate => delivered += 1,
-                    FaultDecision::Drop => {}
-                    FaultDecision::Tamper(m) => prop_assert_eq!(m.wire_id, i as u64),
-                    FaultDecision::Replay(older) => prop_assert!(older.wire_id < i as u64),
+                match fate(&mut injector, i as u64, b"payload") {
+                    FrameFault::Deliver | FrameFault::Duplicate => delivered += 1,
+                    FrameFault::Drop => {}
+                    FrameFault::Tamper(corrupted) => prop_assert_ne!(corrupted, b"payload"),
+                    FrameFault::Replay(older) => prop_assert!(older.wire_id < i as u64),
                 }
             }
             // Sanity: the adversary cannot create messages out of thin air.

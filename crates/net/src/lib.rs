@@ -1,5 +1,5 @@
-//! The network substrate of the simulated deployment: framing, the Byzantine
-//! network adversary and the transport cost model.
+//! The network substrate of the simulated deployment: identifiers, the
+//! Byzantine network adversary and the transport cost model.
 //!
 //! The paper builds its communication layer on eRPC over RDMA/DPDK, because kernel
 //! sockets are prohibitively expensive inside TEEs (paper §A.2 Q1, §A.3 "Recipe
@@ -7,11 +7,11 @@
 //! `recipe-sim` moves frames between replicas on a virtual clock, and this crate
 //! supplies what it moves them with:
 //!
-//! * [`types`] — message framing: [`types::MsgBuf`], [`types::WireMessage`],
-//!   request types, node and channel identifiers.
-//! * [`faults`] — the Byzantine network adversary: drop, duplicate, reorder, delay,
-//!   tamper and replay injection applied to wire messages, plus the crash plans
-//!   that take replicas down and bring them back.
+//! * [`types`] — node and channel identifiers, and [`types::WireMessage`], a
+//!   frame as the adversary captures it for replay.
+//! * [`faults`] — the Byzantine network adversary: drop, duplicate, delay (and
+//!   so reorder), tamper and replay decisions on the frames the simulator
+//!   moves, plus the crash plans that take replicas down and bring them back.
 //! * [`cost`] — the calibrated transport cost model (kernel sockets vs direct I/O,
 //!   native vs TEE) used to regenerate Figure 6b and to drive the simulator's
 //!   virtual clock.
@@ -24,7 +24,5 @@ pub mod faults;
 pub mod types;
 
 pub use cost::{ExecMode, NetCostModel, Transport};
-pub use faults::{
-    CrashEntry, CrashPlan, FaultDecision, FaultPlan, FrameFault, NetworkFaultInjector,
-};
-pub use types::{ChannelId, MsgBuf, NodeId, ReqType, WireMessage};
+pub use faults::{CrashEntry, CrashPlan, FaultPlan, FrameFault, NetworkFaultInjector};
+pub use types::{ChannelId, NodeId, WireMessage};

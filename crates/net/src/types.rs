@@ -78,127 +78,19 @@ impl fmt::Debug for ChannelId {
     }
 }
 
-/// Request type tag carried beside a frame's bytes (eRPC's request type,
-/// which selects the handler a frame is dispatched to).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ReqType(pub u16);
-
-impl ReqType {
-    /// Replication-phase request (e.g. Raft AppendEntries, CR chain forward).
-    pub const REPLICATE: ReqType = ReqType(1);
-    /// Commit-phase request.
-    pub const COMMIT: ReqType = ReqType(2);
-    /// Acknowledgement response.
-    pub const ACK: ReqType = ReqType(3);
-    /// Client-facing request.
-    pub const CLIENT: ReqType = ReqType(4);
-    /// View-change / leader-election traffic.
-    pub const VIEW_CHANGE: ReqType = ReqType(5);
-    /// Attestation / membership traffic.
-    pub const MEMBERSHIP: ReqType = ReqType(6);
-    /// Read-path request.
-    pub const READ: ReqType = ReqType(7);
-}
-
-impl fmt::Debug for ReqType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match *self {
-            ReqType::REPLICATE => "REPLICATE",
-            ReqType::COMMIT => "COMMIT",
-            ReqType::ACK => "ACK",
-            ReqType::CLIENT => "CLIENT",
-            ReqType::VIEW_CHANGE => "VIEW_CHANGE",
-            ReqType::MEMBERSHIP => "MEMBERSHIP",
-            ReqType::READ => "READ",
-            _ => return write!(f, "ReqType({})", self.0),
-        };
-        write!(f, "{name}")
-    }
-}
-
-/// The bytes one message carries.
-///
-/// Mirrors eRPC's `MsgBuffer`: an owned byte payload plus the request type. The
-/// payload of a Recipe-shielded message is its wire frame (`recipe_core::wire`).
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MsgBuf {
-    /// Request type used for handler dispatch.
-    pub req_type: ReqType,
-    /// Owned payload bytes.
-    pub payload: Vec<u8>,
-}
-
-impl MsgBuf {
-    /// Creates a buffer.
-    pub fn new(req_type: ReqType, payload: Vec<u8>) -> Self {
-        MsgBuf { req_type, payload }
-    }
-
-    /// Payload length in bytes.
-    pub fn len(&self) -> usize {
-        self.payload.len()
-    }
-
-    /// True if the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
-    }
-}
-
-impl fmt::Debug for MsgBuf {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "MsgBuf({:?}, {} bytes)",
-            self.req_type,
-            self.payload.len()
-        )
-    }
-}
-
-/// A framed message in flight on the simulated network.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A frame the network carried, as the fault injector's capture buffer
+/// keeps it for replay.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct WireMessage {
-    /// Monotonically increasing per-network id (assigned at submission); used for
-    /// deterministic tie-breaking and by the replay injector.
+    /// Monotonically increasing per-network id (assigned at submission); a
+    /// replay never picks the frame it is deciding for.
     pub wire_id: u64,
     /// Sending node.
     pub src: NodeId,
     /// Destination node.
     pub dst: NodeId,
-    /// Whether this is a response to an earlier request.
-    pub is_response: bool,
-    /// Buffer being carried.
-    pub buf: MsgBuf,
-}
-
-impl WireMessage {
-    /// The directed channel this message travels on.
-    pub fn channel(&self) -> ChannelId {
-        ChannelId::new(self.src, self.dst)
-    }
-
-    /// Total bytes on the wire (payload plus a fixed header estimate).
-    pub fn wire_bytes(&self) -> usize {
-        /// UDP/eRPC-style header estimate: addressing, request type, sequence.
-        const HEADER_BYTES: usize = 64;
-        HEADER_BYTES + self.buf.len()
-    }
-}
-
-impl fmt::Debug for WireMessage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "WireMessage(#{} {}→{} {:?} {}B{})",
-            self.wire_id,
-            self.src,
-            self.dst,
-            self.buf.req_type,
-            self.buf.len(),
-            if self.is_response { " resp" } else { "" }
-        )
-    }
+    /// The frame's bytes (`recipe_core::wire`).
+    pub payload: Vec<u8>,
 }
 
 #[cfg(test)]
@@ -219,33 +111,5 @@ mod tests {
         assert_eq!(cq.reverse(), ChannelId::new(NodeId(2), NodeId(1)));
         assert_eq!(cq.label(), "cq:1->2");
         assert_eq!(cq.reverse().reverse(), cq);
-    }
-
-    #[test]
-    fn req_type_debug_names() {
-        assert_eq!(format!("{:?}", ReqType::REPLICATE), "REPLICATE");
-        assert_eq!(format!("{:?}", ReqType(99)), "ReqType(99)");
-    }
-
-    #[test]
-    fn msgbuf_accessors() {
-        let buf = MsgBuf::new(ReqType::CLIENT, vec![1, 2, 3]);
-        assert_eq!(buf.len(), 3);
-        assert!(!buf.is_empty());
-        assert!(MsgBuf::new(ReqType::ACK, vec![]).is_empty());
-    }
-
-    #[test]
-    fn wire_message_channel_and_size() {
-        let msg = WireMessage {
-            wire_id: 1,
-            src: NodeId(1),
-            dst: NodeId(2),
-            is_response: false,
-            buf: MsgBuf::new(ReqType::REPLICATE, vec![0u8; 100]),
-        };
-        assert_eq!(msg.channel(), ChannelId::new(NodeId(1), NodeId(2)));
-        assert_eq!(msg.wire_bytes(), 164);
-        assert!(format!("{msg:?}").contains("n1→n2"));
     }
 }

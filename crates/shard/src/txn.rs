@@ -384,7 +384,7 @@ impl TxnManager {
                 // shard — is rejected by the lane's counter (an earlier
                 // frame of this lane) or for not being this lane's at all.
                 let body = open(wire);
-                if open(&older.buf.payload).is_none() {
+                if open(&older.payload).is_none() {
                     self.stats.frames_rejected += 1;
                 }
                 body

@@ -9,9 +9,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use recipe_core::{ClientReply, ClientRequest, Operation};
-use recipe_net::{
-    CrashPlan, FaultDecision, FaultPlan, MsgBuf, NetworkFaultInjector, NodeId, ReqType, WireMessage,
-};
+use recipe_net::{CrashPlan, FaultPlan, FrameFault, NetworkFaultInjector, NodeId};
 use recipe_tee::TrustedInstant;
 use recipe_telemetry::{ChargeKind, CostBreakdown, CostCategory, ShardTelemetry, SpanKind};
 use serde::{Deserialize, Serialize};
@@ -963,33 +961,28 @@ impl<R: Replica> SimCluster<R> {
 
             // The Byzantine network decides the fate of the message.
             let to = self.index_of(dst);
-            let wire = WireMessage {
-                wire_id: self.queue.next_seq(),
-                src,
-                dst,
-                is_response: false,
-                buf: MsgBuf::new(ReqType::REPLICATE, bytes),
-            };
-            let decision = self.injector.decide(&wire);
+            let fault = self
+                .injector
+                .decide_frame(self.queue.next_seq(), src, dst, &bytes);
             let extra_delay = self.injector.sample_extra_delay_ns();
             let deliver_at = send_finish + self.config.cost_model.link_latency_ns + extra_delay;
-            match decision {
-                FaultDecision::Deliver => self.queue.push(
+            match fault {
+                FrameFault::Deliver => self.queue.push(
                     deliver_at,
                     EventKind::Deliver {
                         from: src,
                         to,
-                        bytes: wire.buf.payload,
+                        bytes,
                         ops,
                     },
                 ),
-                FaultDecision::Drop => {
+                FrameFault::Drop => {
                     self.stats.messages_dropped += 1;
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultDrop, dst.0, self.now, ops as u64);
                     }
                 }
-                FaultDecision::Tamper(corrupted) => {
+                FrameFault::Tamper(corrupted) => {
                     self.stats.messages_tampered += 1;
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultTamper, dst.0, deliver_at, ops as u64);
@@ -999,12 +992,12 @@ impl<R: Replica> SimCluster<R> {
                         EventKind::Deliver {
                             from: src,
                             to,
-                            bytes: corrupted.buf.payload,
+                            bytes: corrupted,
                             ops,
                         },
                     );
                 }
-                FaultDecision::Duplicate => {
+                FrameFault::Duplicate => {
                     self.stats.messages_replayed += 1;
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultDuplicate, dst.0, deliver_at, ops as u64);
@@ -1014,7 +1007,7 @@ impl<R: Replica> SimCluster<R> {
                         EventKind::Deliver {
                             from: src,
                             to,
-                            bytes: wire.buf.payload.clone(),
+                            bytes: bytes.clone(),
                             ops,
                         },
                     );
@@ -1023,12 +1016,12 @@ impl<R: Replica> SimCluster<R> {
                         EventKind::Deliver {
                             from: src,
                             to,
-                            bytes: wire.buf.payload,
+                            bytes,
                             ops,
                         },
                     );
                 }
-                FaultDecision::Replay(older) => {
+                FrameFault::Replay(older) => {
                     self.stats.messages_replayed += 1;
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultReplay, dst.0, deliver_at, ops as u64);
@@ -1038,7 +1031,7 @@ impl<R: Replica> SimCluster<R> {
                         EventKind::Deliver {
                             from: src,
                             to,
-                            bytes: wire.buf.payload,
+                            bytes,
                             ops,
                         },
                     );
@@ -1050,7 +1043,7 @@ impl<R: Replica> SimCluster<R> {
                         EventKind::Deliver {
                             from: older.src,
                             to: self.index_of(older.dst),
-                            bytes: older.buf.payload,
+                            bytes: older.payload,
                             ops: 1,
                         },
                     );

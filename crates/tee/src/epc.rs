@@ -130,14 +130,6 @@ impl EpcModel {
         let _ = probe.allocate(extra);
         probe.pressure_factor()
     }
-
-    /// Bytes resident beyond capacity (0 while the working set fits). This is
-    /// the quantity the pressure factor grows with; telemetry exports it as a
-    /// per-shard gauge so EPC-bound runs are recognizable at a glance without
-    /// re-deriving the over-subscription from `resident`/`capacity`.
-    pub fn excess_bytes(&self) -> usize {
-        self.resident.saturating_sub(self.capacity)
-    }
 }
 
 #[cfg(test)]

@@ -253,11 +253,6 @@ impl ShardTelemetry {
         self.charges[kind.index()]
     }
 
-    /// The latency histogram.
-    pub fn latency_histogram(&self) -> &Histogram {
-        &self.latency_ns
-    }
-
     /// The scraped protocol counters.
     pub fn protocol_counters(&self) -> &ProtocolCounters {
         &self.protocol

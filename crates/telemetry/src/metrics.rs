@@ -287,20 +287,6 @@ impl MetricsRegistry {
         self.set(id, value);
     }
 
-    /// One-shot convenience: get-or-create + `observe`.
-    pub fn observe_histogram(&mut self, name: &str, labels: &[(&str, String)], value: u64) {
-        let id = self.histogram(name, labels);
-        self.observe(id, value);
-    }
-
-    /// Borrow a histogram back (e.g. to read percentiles).
-    pub fn histogram_value(&self, id: MetricId) -> Option<&Histogram> {
-        match &self.values[id.0] {
-            MetricValue::Histogram(h) => Some(h),
-            _ => None,
-        }
-    }
-
     /// Borrow a histogram mutably (e.g. to merge a shard's samples in).
     pub fn histogram_value_mut(&mut self, id: MetricId) -> Option<&mut Histogram> {
         match &mut self.values[id.0] {

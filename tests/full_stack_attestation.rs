@@ -17,10 +17,13 @@ use recipe::attest::{
 };
 use recipe::core::{AuthLayer, FrameView, RecipeError, ViewOutcome};
 use recipe::crypto::{KeyMaterial, MacKey, SigningKeyPair};
-use recipe::net::{NodeId, ReqType};
+use recipe::net::NodeId;
 use recipe::tee::{Enclave, EnclaveConfig, EnclaveId, TeeError};
 
 const CODE_IDENTITY: &str = "recipe-replica-v1";
+
+/// The protocol-defined kind the test's replication frames carry.
+const REPLICATE: u16 = 1;
 
 fn launch(id: u64) -> Enclave {
     Enclave::launch(EnclaveId(id), EnclaveConfig::new(CODE_IDENTITY, id))
@@ -83,15 +86,16 @@ fn message(kind: u16, payload: &[u8]) -> ViewOutcome<'_> {
 fn attested_nodes_exchange_verified_messages() {
     let mut nodes = attested_cluster(3, false);
     let payload = b"append index=1 key=a";
-    let kind = ReqType::REPLICATE.0;
-    let bytes = nodes[0].shield_to_wire(NodeId(2), kind, payload).unwrap();
+    let bytes = nodes[0]
+        .shield_to_wire(NodeId(2), REPLICATE, payload)
+        .unwrap();
     // A replica the frame was not addressed to rejects it, and its channel
     // from the sender does not move.
     assert_eq!(deliver(&mut nodes[1], &bytes), ViewOutcome::Rejected);
     assert_eq!(nodes[1].rejection_counts(), (0, 1, 0));
     assert_eq!(nodes[1].recv_counter_from(NodeId(0)), 0);
     // The addressee accepts it.
-    assert_eq!(deliver(&mut nodes[2], &bytes), message(kind, payload));
+    assert_eq!(deliver(&mut nodes[2], &bytes), message(REPLICATE, payload));
     assert_eq!(nodes[2].recv_counter_from(NodeId(0)), 1);
 }
 

@@ -6,8 +6,10 @@
 //! 2. messages are accepted in the order they were sent;
 //! 3. no message is accepted twice.
 
+use std::borrow::Cow;
+
 use proptest::prelude::*;
-use recipe::core::{AuthLayer, Membership, VerifyOutcome};
+use recipe::core::{AuthLayer, FrameView, Membership, ShieldedMessage, ViewOutcome};
 use recipe::crypto::MacKey;
 use recipe::protocols::ProtocolShield;
 use recipe::tee::{Enclave, EnclaveConfig, EnclaveId};
@@ -27,6 +29,12 @@ fn provisioned_pair() -> (AuthLayer, AuthLayer) {
     )
 }
 
+/// What a replica's shield does with `wire` off the network: it is verified
+/// where it lies.
+fn deliver<'a>(receiver: &mut AuthLayer, wire: &'a [u8]) -> ViewOutcome<'a> {
+    receiver.verify_view(FrameView::parse(wire).expect("a well-formed frame"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -40,15 +48,22 @@ proptest! {
     ) {
         let (mut sender, mut receiver) = provisioned_pair();
         for payload in &payloads {
-            let honest = sender.shield(NodeId(2), 1, payload).unwrap();
-            // Attacker-forged message with the same structure but no key: rejected.
-            let mut forged = honest.clone();
+            let honest = sender.shield_to_wire(NodeId(2), 1, payload).unwrap();
+            // Attacker-forged frame with the honest header but another body,
+            // and no key to MAC it: rejected, and no counter moves.
+            let mut forged = ShieldedMessage::from_wire(&honest).unwrap();
             forged.payload = corruption.clone();
-            if forged.payload != honest.payload {
-                prop_assert_eq!(receiver.verify(&forged), VerifyOutcome::BadAuthenticator);
+            if forged.payload != *payload {
+                let forged = forged.to_wire();
+                let (accepted, (replays, bad_auth, view)) =
+                    (receiver.recv_counter_from(NodeId(1)), receiver.rejection_counts());
+                prop_assert_eq!(deliver(&mut receiver, &forged), ViewOutcome::Rejected);
+                prop_assert_eq!(receiver.recv_counter_from(NodeId(1)), accepted);
+                prop_assert_eq!(receiver.rejection_counts(), (replays, bad_auth + 1, view));
             }
             // The honest message is accepted.
-            prop_assert!(receiver.verify(&honest).is_accept());
+            let expected = ViewOutcome::Message { kind: 1, payload: Cow::Borrowed(&payload[..]) };
+            prop_assert_eq!(deliver(&mut receiver, &honest), expected);
         }
     }
 
@@ -59,21 +74,22 @@ proptest! {
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
         let (mut sender, mut receiver) = provisioned_pair();
-        let mut wires: Vec<(u64, recipe::core::ShieldedMessage)> = (0..n as u64)
-            .map(|i| (i, sender.shield(NodeId(2), 1, &i.to_le_bytes()).unwrap()))
+        let mut wires: Vec<Vec<u8>> = (0..n as u64)
+            .map(|i| sender.shield_to_wire(NodeId(2), 1, &i.to_le_bytes()).unwrap())
             .collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         wires.shuffle(&mut rng);
 
+        let index = |payload: &[u8]| u64::from_le_bytes(payload.try_into().unwrap());
         let mut accepted_order = Vec::new();
-        for (idx, wire) in &wires {
-            match receiver.verify(wire) {
-                VerifyOutcome::Accept { .. } => accepted_order.push(*idx),
-                VerifyOutcome::Future { .. } => {}
+        for wire in &wires {
+            match deliver(&mut receiver, wire) {
+                ViewOutcome::Message { payload, .. } => accepted_order.push(index(&payload)),
+                ViewOutcome::Buffered => {}
                 other => prop_assert!(false, "unexpected outcome {:?}", other),
             }
             for (_, payload, _) in receiver.take_ready(NodeId(1)) {
-                accepted_order.push(u64::from_le_bytes(payload.try_into().unwrap()));
+                accepted_order.push(index(&payload));
             }
         }
         // Everything is eventually accepted, in exactly the send order.
@@ -86,12 +102,12 @@ proptest! {
     fn no_message_is_accepted_twice(n in 1usize..10, replays in 1usize..5) {
         let (mut sender, mut receiver) = provisioned_pair();
         let wires: Vec<_> = (0..n)
-            .map(|i| sender.shield(NodeId(2), 1, format!("m{i}").as_bytes()).unwrap())
+            .map(|i| sender.shield_to_wire(NodeId(2), 1, format!("m{i}").as_bytes()).unwrap())
             .collect();
         let mut accepted = 0usize;
         for _ in 0..=replays {
             for wire in &wires {
-                if receiver.verify(wire).is_accept() {
+                if matches!(deliver(&mut receiver, wire), ViewOutcome::Message { .. }) {
                     accepted += 1;
                 }
                 accepted += receiver.take_ready(NodeId(1)).len();
