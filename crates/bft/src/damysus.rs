@@ -168,8 +168,8 @@ impl DamysusReplica {
         };
         state.decided = true;
         let reply = match request.operation {
-            Operation::Put { ref key, ref value } => {
-                self.store.apply(key, value);
+            Operation::Put { key, value } => {
+                self.store.apply(&key, value);
                 ClientReply {
                     client_id: request.client_id,
                     request_id: request.request_id,

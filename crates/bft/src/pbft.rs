@@ -309,8 +309,8 @@ impl PbftReplica {
             self.low_water += 1;
         }
         let reply = match request.operation {
-            Operation::Put { ref key, ref value } => {
-                self.store.apply(key, value);
+            Operation::Put { key, value } => {
+                self.store.apply(&key, value);
                 ClientReply {
                     client_id: request.client_id,
                     request_id: request.request_id,

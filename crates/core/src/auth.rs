@@ -58,8 +58,8 @@ use recipe_tee::{CipherHandle, CounterHandle, Enclave, KeyHandle, TeeError};
 
 use crate::error::RecipeError;
 use crate::message::{
-    channel_mac_block, channel_nonce_prefix, BatchFrame, BatchOp, Family, FrameView, SequenceTuple,
-    ShieldedMessage, TxnBody, TxnFrame,
+    channel_mac_block, channel_nonce_prefix, BatchFrame, BatchOp, Body, Family, FrameView,
+    SequenceTuple, ShieldedMessage, TxnBody, TxnFrame,
 };
 use crate::policy::ConfidentialityMode;
 use crate::wire::Writer;
@@ -230,8 +230,9 @@ impl TxnVerifyOutcome {
 
 /// Result of verifying a replication frame where it lies in the received
 /// bytes ([`AuthLayer::verify_view`]): what an in-order frame delivers, each
-/// payload a slice of those bytes when the frame travelled in plaintext and
-/// a buffer of its own when it had to be decrypted.
+/// payload a slice of those bytes when the frame travelled in plaintext or
+/// was decrypted in them, and a buffer of its own when it had to be copied
+/// to be decrypted.
 #[derive(Debug, PartialEq, Eq)]
 pub enum ViewOutcome<'a> {
     /// An authentic, in-order single message.
@@ -754,10 +755,12 @@ impl AuthLayer {
 
     /// Verifies a replication frame where it lies in the received bytes
     /// (Algorithm 1, `verify_request`): addressing, MAC, view and counter
-    /// freshness. An in-order plaintext frame is delivered as slices of
-    /// `frame`'s bytes and nothing is copied; a sealed body is copied once,
-    /// to be decrypted, and a frame ahead of its predecessors once, into the
-    /// protected buffer, from which [`AuthLayer::take_ready`] releases it.
+    /// freshness. An in-order frame is delivered as slices of `frame`'s
+    /// bytes: a plaintext one as it came, a sealed one decrypted in them when
+    /// they were lent ([`FrameView::parse_mut`]) — copied once, to be
+    /// decrypted, only when they were not. A frame ahead of its predecessors
+    /// is copied once, as it came, into the protected buffer, from which
+    /// [`AuthLayer::take_ready`] releases it.
     pub fn verify_view<'a>(&mut self, frame: FrameView<'a>) -> ViewOutcome<'a> {
         match self.receive(frame, false) {
             Ok((_, Opened::Message { kind, payload })) => ViewOutcome::Message { kind, payload },
@@ -880,22 +883,36 @@ impl AuthLayer {
     /// Opens a frame admitted on `channel` into what it delivers: the one
     /// place a received body is decrypted and decoded, for every entry point
     /// and for the parked frames [`AuthLayer::take_ready`] releases. A sealed
-    /// body is decrypted where it lies when the frame owns it, and copied
-    /// once when it borrows it — the frame's MAC was verified over exactly
-    /// these bytes before its counter slot was spent. `None` is a body that
-    /// does not decode as its family says, or an enclave that would not hand
-    /// out the cipher: [`VerifyOutcome::DecryptionFailed`].
+    /// body is decrypted where it lies when the frame owns it or was lent it
+    /// ([`FrameView::parse_mut`]), and copied once when it only borrows it —
+    /// the frame's MAC was verified over exactly these bytes before its
+    /// counter slot was spent. `None` is a body that does not decode as its
+    /// family says, or an enclave that would not hand out the cipher:
+    /// [`VerifyOutcome::DecryptionFailed`].
     fn open<'a>(&self, frame: FrameView<'a>, channel: Channel) -> Option<Opened<'a>> {
         let FrameView {
             tuple,
             sealed,
             family,
-            mut body,
+            body,
             ..
         } = frame;
-        if sealed {
-            self.apply_keystream(channel, &tuple, body.to_mut()).ok()?;
-        }
+        let body = match body {
+            Body::Lent(bytes) => {
+                if sealed {
+                    self.apply_keystream(channel, &tuple, bytes).ok()?;
+                }
+                Cow::Borrowed(&*bytes)
+            }
+            Body::Shared(bytes) if !sealed => Cow::Borrowed(bytes),
+            body => {
+                let mut bytes = body.into_vec();
+                if sealed {
+                    self.apply_keystream(channel, &tuple, &mut bytes).ok()?;
+                }
+                Cow::Owned(bytes)
+            }
+        };
         let opened = match family {
             Family::Single { kind } => Opened::Message {
                 kind,
@@ -998,7 +1015,7 @@ impl AuthLayer {
         frame.family.write_authenticated_parts(
             &mut |bytes| stream.update(bytes),
             tuple,
-            &frame.body,
+            frame.body.as_slice(),
             commitment,
         );
         stream.verify(&frame.mac).ok()?;
@@ -1849,13 +1866,8 @@ mod tests {
         }
     }
 
-    /// `wire` through the entry points production uses: verified where it
-    /// lies.
-    fn by_view(layer: &mut AuthLayer, wire: &[u8]) -> Verdict {
-        if let Some(frame) = FrameView::parse_txn(wire) {
-            return txn_verdict(layer.verify_txn_view(frame));
-        }
-        match layer.verify_view(FrameView::parse(wire).unwrap()) {
+    fn view_verdict(outcome: ViewOutcome<'_>) -> Verdict {
+        match outcome {
             ViewOutcome::Message { kind, payload } => Some(vec![(kind, payload.into_owned())]),
             ViewOutcome::Batch(ops) => Some(
                 ops.into_iter()
@@ -1865,6 +1877,25 @@ mod tests {
             ViewOutcome::Buffered => Some(Vec::new()),
             ViewOutcome::Rejected => None,
         }
+    }
+
+    /// `wire` verified where it lies, read-only.
+    fn by_view(layer: &mut AuthLayer, wire: &[u8]) -> Verdict {
+        if let Some(frame) = FrameView::parse_txn(wire) {
+            return txn_verdict(layer.verify_txn_view(frame));
+        }
+        view_verdict(layer.verify_view(FrameView::parse(wire).unwrap()))
+    }
+
+    /// A copy of `wire` lent to `layer`, as production lends a replication
+    /// frame's bytes: what it came to, and the lent bytes afterwards.
+    fn by_lending(layer: &mut AuthLayer, wire: &[u8]) -> (Verdict, Vec<u8>) {
+        let mut bytes = wire.to_vec();
+        let verdict = match FrameView::parse_txn(wire) {
+            Some(frame) => txn_verdict(layer.verify_txn_view(frame)),
+            None => view_verdict(layer.verify_view(FrameView::parse_mut(&mut bytes).unwrap())),
+        };
+        (verdict, bytes)
     }
 
     /// `wire` parsed into its frame struct and handed to the struct's entry
@@ -1938,6 +1969,7 @@ mod tests {
             for (shield, expected) in families {
                 let (mut sender, mut view) = layer_pair(sealed);
                 let (_, mut owned) = layer_pair(sealed);
+                let (_, mut lent) = layer_pair(sealed);
                 let wires: Vec<Vec<u8>> = (1..=3).map(|i| shield(&mut sender, i)).collect();
                 let mut tampered = wires[0].clone();
                 *tampered.last_mut().unwrap() ^= 1;
@@ -1950,14 +1982,18 @@ mod tests {
                 for wire in deliveries {
                     let verdict = by_view(&mut view, wire);
                     assert_eq!(by_struct(&mut owned, wire), verdict);
+                    assert_eq!(by_lending(&mut lent, wire).0, verdict);
                     let released = view.take_ready(NodeId(1));
                     assert_eq!(owned.take_ready(NodeId(1)), released);
-                    assert_eq!(owned.pending_from(NodeId(1)), view.pending_from(NodeId(1)));
-                    assert_eq!(owned.rejection_counts(), view.rejection_counts());
-                    assert_eq!(
-                        owned.recv_counter_from(NodeId(1)),
-                        view.recv_counter_from(NodeId(1))
-                    );
+                    assert_eq!(lent.take_ready(NodeId(1)), released);
+                    for other in [&owned, &lent] {
+                        assert_eq!(other.pending_from(NodeId(1)), view.pending_from(NodeId(1)));
+                        assert_eq!(other.rejection_counts(), view.rejection_counts());
+                        assert_eq!(
+                            other.recv_counter_from(NodeId(1)),
+                            view.recv_counter_from(NodeId(1))
+                        );
+                    }
                     seen.push((verdict.map(|delivered| delivered.len()), released.len()));
                 }
                 assert_eq!(seen, expected);
@@ -2023,7 +2059,7 @@ mod tests {
                 *tampered.last_mut().unwrap() ^= 1;
                 let rejected = receiver.verify_view(FrameView::parse(&tampered).unwrap());
                 assert_eq!(rejected, ViewOutcome::Rejected);
-                match receiver.verify_view(view.clone()) {
+                match receiver.verify_view(view) {
                     ViewOutcome::Message { kind, payload } => {
                         assert_eq!((kind, &payload[..]), (7, &b"append"[..]));
                         assert_eq!(matches!(payload, Cow::Borrowed(_)), !sealed);
@@ -2042,7 +2078,8 @@ mod tests {
                     other => panic!("expected a delivery, got {other:?}"),
                 }
                 // Once: the slot is spent.
-                assert_eq!(receiver.verify_view(view), ViewOutcome::Rejected);
+                let again = receiver.verify_view(FrameView::parse(wire).unwrap());
+                assert_eq!(again, ViewOutcome::Rejected);
             }
             assert_eq!(receiver.rejection_counts(), (2, 2, 0));
             assert_eq!(receiver.recv_counter_from(NodeId(1)), 2);
@@ -2077,6 +2114,85 @@ mod tests {
             assert!(FrameView::parse(&txn).is_none());
             assert!(FrameView::parse(&single[..single.len() - 1]).is_none());
             assert!(FrameView::parse(b"").is_none());
+        }
+    }
+
+    #[test]
+    fn lent_bytes_are_written_only_once_their_frame_is_admitted_in_order() {
+        for sealed in [false, true] {
+            let (mut sender, mut receiver) = layer_pair(sealed);
+            let (mut at_view_1, _) = layer_pair(sealed);
+            at_view_1.set_view(1);
+            let single = sender.shield_to_wire(NodeId(2), 7, b"append").unwrap();
+            let batch = sender.shield_batch_to_wire(NodeId(2), &ops(3)).unwrap();
+            let mut tampered = batch.clone();
+            *tampered.last_mut().unwrap() ^= 1;
+            let wrong_view = at_view_1.shield_to_wire(NodeId(2), 7, b"append").unwrap();
+
+            // Refused, or parked ahead of its turn: the lent bytes are as
+            // they came, and the receive counter has not moved.
+            let untouched = |layer: &mut AuthLayer, wire: &Vec<u8>| {
+                let (verdict, after) = by_lending(layer, wire);
+                assert_eq!(&after, wire);
+                verdict
+            };
+            assert_eq!(untouched(&mut receiver, &tampered), None);
+            assert_eq!(untouched(&mut receiver, &wrong_view), None);
+            // Node 1 handed the frame it sealed for node 2.
+            assert_eq!(untouched(&mut sender, &single), None);
+            assert_eq!(sender.rejection_counts(), (0, 1, 0));
+            assert_eq!(untouched(&mut receiver, &batch), Some(Vec::new()));
+            assert_eq!(receiver.recv_counter_from(NodeId(1)), 0);
+            assert_eq!(receiver.rejection_counts(), (0, 1, 1));
+
+            // In order: opened where it lies, the payload a slice of the lent
+            // bytes, and no copy made to decrypt it.
+            let mut lent = single.clone();
+            let range = lent.as_ptr_range();
+            match receiver.verify_view(FrameView::parse_mut(&mut lent).unwrap()) {
+                ViewOutcome::Message { kind, payload } => {
+                    assert_eq!((kind, &payload[..]), (7, &b"append"[..]));
+                    assert!(matches!(payload, Cow::Borrowed(_)));
+                    assert!(range.contains(&payload.as_ptr()));
+                }
+                other => panic!("expected a delivery, got {other:?}"),
+            }
+            // Sealed, the body now holds the plaintext.
+            assert_eq!(lent != single, sealed);
+            // The parked batch kept its own copy, and opens to what was sent.
+            let expected: Vec<(u16, Vec<u8>, u64)> = ops(3)
+                .into_iter()
+                .map(|op| (op.kind, op.payload, 2))
+                .collect();
+            assert_eq!(receiver.take_ready(NodeId(1)), expected);
+            assert_eq!(receiver.recv_counter_from(NodeId(1)), 2);
+            // A replay is refused untouched.
+            assert_eq!(untouched(&mut receiver, &single), None);
+            assert_eq!(receiver.rejection_counts(), (1, 1, 1));
+
+            // A batch in order: every op a slice of the lent bytes.
+            let next = sender.shield_batch_to_wire(NodeId(2), &ops(2)).unwrap();
+            let mut lent = next.clone();
+            let range = lent.as_ptr_range();
+            match receiver.verify_view(FrameView::parse_mut(&mut lent).unwrap()) {
+                ViewOutcome::Batch(got) => {
+                    let sent: Vec<(u16, Vec<u8>)> =
+                        ops(2).into_iter().map(|op| (op.kind, op.payload)).collect();
+                    let got: Vec<(u16, Vec<u8>)> = got
+                        .into_iter()
+                        .map(|(kind, payload)| {
+                            assert!(matches!(payload, Cow::Borrowed(_)));
+                            assert!(range.contains(&payload.as_ptr()));
+                            (kind, payload.into_owned())
+                        })
+                        .collect();
+                    assert_eq!(got, sent);
+                }
+                other => panic!("expected a delivery, got {other:?}"),
+            }
+            assert_eq!(lent != next, sealed);
+            assert_eq!(receiver.recv_counter_from(NodeId(1)), 3);
+            assert!(FrameView::parse_mut(&mut []).is_none());
         }
     }
 

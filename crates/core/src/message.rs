@@ -4,7 +4,6 @@
 use recipe_crypto::{KeyCommitment, MacTag, Signature, XNonce, DIGEST_LEN, MAC_BLOCK_LEN};
 use recipe_net::{ChannelId, NodeId};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::fmt;
 
 use crate::wire::{bytes_len, tag, Reader, Writer};
@@ -291,18 +290,51 @@ impl WireImage {
     }
 }
 
+/// Where a [`FrameView`]'s body lies, and what the authentication layer may
+/// do with it.
+pub(crate) enum Body<'a> {
+    /// Received bytes it may only read: a sealed body is copied to be
+    /// decrypted.
+    Shared(&'a [u8]),
+    /// Received bytes lent exclusively ([`FrameView::parse_mut`]): an
+    /// admitted sealed body is decrypted where it lies.
+    Lent(&'a mut [u8]),
+    /// A buffer of the frame's own — a frame struct's, or a parked frame's.
+    Owned(Vec<u8>),
+}
+
+impl Body<'_> {
+    /// The body's bytes as they arrived (ciphertext when sealed).
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        match self {
+            Body::Shared(bytes) => bytes,
+            Body::Lent(bytes) => bytes,
+            Body::Owned(bytes) => bytes,
+        }
+    }
+
+    /// The body in a buffer of its own: moved when it has one, copied when
+    /// it lies in received bytes.
+    pub(crate) fn into_vec(self) -> Vec<u8> {
+        match self {
+            Body::Owned(bytes) => bytes,
+            body => body.as_slice().to_vec(),
+        }
+    }
+}
+
 /// A shielded frame as the authentication layer checks it: the header fields
 /// by value and the body where it lies — a slice of the wire bytes when read
-/// by [`FrameView::parse`], which [`crate::AuthLayer::verify_view`] checks
-/// without copying anything, or the body a frame struct or the protected
-/// buffer owns. The owning frame structs are this with the body copied out.
-#[derive(Clone)]
+/// by [`FrameView::parse`] or [`FrameView::parse_mut`], which
+/// [`crate::AuthLayer::verify_view`] checks without copying anything, or the
+/// body a frame struct or the protected buffer owns. The owning frame structs
+/// are this with the body copied out.
 pub struct FrameView<'a> {
     pub(crate) tuple: SequenceTuple,
     pub(crate) sealed: bool,
     pub(crate) mac: MacTag,
     pub(crate) family: Family,
-    pub(crate) body: Cow<'a, [u8]>,
+    pub(crate) body: Body<'a>,
 }
 
 impl<'a> FrameView<'a> {
@@ -319,7 +351,7 @@ impl<'a> FrameView<'a> {
             tag::TXN => Family::Txn { txn_id: r.u64()? },
             _ => return None,
         };
-        let body = Cow::Borrowed(r.bytes()?);
+        let body = Body::Shared(r.bytes()?);
         r.finish()?;
         Some(FrameView {
             tuple,
@@ -337,7 +369,7 @@ impl<'a> FrameView<'a> {
             sealed: self.sealed,
             mac: self.mac,
             family: self.family,
-            body: Cow::Owned(self.body.into_owned()),
+            body: Body::Owned(self.body.into_vec()),
         }
     }
 
@@ -348,6 +380,30 @@ impl<'a> FrameView<'a> {
             tag @ (tag::SINGLE | tag::BATCH) => Self::read(bytes, tag),
             _ => None,
         }
+    }
+
+    /// [`FrameView::parse`] over bytes lent exclusively: once the frame is
+    /// admitted in order, a sealed body is decrypted in them and its
+    /// payloads are delivered as slices of them. Until then nothing writes
+    /// to them — a frame that is rejected, or parked ahead of its turn,
+    /// leaves them as they came.
+    pub fn parse_mut(bytes: &'a mut [u8]) -> Option<FrameView<'a>> {
+        let FrameView {
+            tuple,
+            sealed,
+            mac,
+            family,
+            body,
+        } = FrameView::parse(bytes)?;
+        // The body is the frame's last bytes.
+        let body_at = bytes.len() - body.as_slice().len();
+        Some(FrameView {
+            tuple,
+            sealed,
+            mac,
+            family,
+            body: Body::Lent(&mut bytes[body_at..]),
+        })
     }
 
     /// Reads a [`TxnFrame`] from wire bytes, for
@@ -400,7 +456,7 @@ impl ShieldedMessage {
             sealed: self.confidential,
             mac: self.mac,
             family: self.family(),
-            body: Cow::Borrowed(&self.payload),
+            body: Body::Shared(&self.payload),
         }
     }
 
@@ -411,7 +467,7 @@ impl ShieldedMessage {
             sealed: self.confidential,
             mac: self.mac,
             family: self.family(),
-            body: Cow::Owned(self.payload),
+            body: Body::Owned(self.payload),
         }
     }
 
@@ -434,7 +490,7 @@ impl ShieldedMessage {
         Some(ShieldedMessage {
             tuple: view.tuple,
             kind,
-            payload: view.body.into_owned(),
+            payload: view.body.into_vec(),
             confidential: view.sealed,
             mac: view.mac,
         })
@@ -518,7 +574,7 @@ impl BatchFrame {
             sealed: self.sealed,
             mac: self.mac,
             family: self.family(),
-            body: Cow::Owned(self.body),
+            body: Body::Owned(self.body),
         }
     }
 
@@ -602,7 +658,7 @@ impl BatchFrame {
         Some(BatchFrame {
             tuple: view.tuple,
             count,
-            body: view.body.into_owned(),
+            body: view.body.into_vec(),
             sealed: view.sealed,
             mac: view.mac,
         })
@@ -838,7 +894,7 @@ impl TxnFrame {
             sealed: self.sealed,
             mac: self.mac,
             family: self.family(),
-            body: Cow::Owned(self.body),
+            body: Body::Owned(self.body),
         }
     }
 
@@ -931,7 +987,7 @@ impl TxnFrame {
         Some(TxnFrame {
             tuple: view.tuple,
             txn_id,
-            body: view.body.into_owned(),
+            body: view.body.into_vec(),
             sealed: view.sealed,
             mac: view.mac,
         })

@@ -211,18 +211,29 @@ impl PartitionedKvStore {
         value: &[u8],
         timestamp: Timestamp,
     ) -> Result<u64, KvError> {
+        self.write_owned(key, value.to_vec(), timestamp)
+    }
+
+    /// [`PartitionedKvStore::write`] keeping the buffer it is handed: the
+    /// value is sealed (confidential mode) and digested where it lies, and
+    /// that buffer is what the host arena holds.
+    pub fn write_owned(
+        &mut self,
+        key: &[u8],
+        mut value: Vec<u8>,
+        timestamp: Timestamp,
+    ) -> Result<u64, KvError> {
         self.stats.writes += 1;
-        // The one copy of the value the store keeps; sealing happens in it.
-        let mut stored = value.to_vec();
+        let value_len = value.len();
         let host_value = match &self.cipher {
-            None => HostValue::Plain(stored),
+            None => HostValue::Plain(value),
             Some(cipher) => {
                 self.nonce_counter += 1;
                 let nonce = Nonce::from_view_counter(0xCAFE, self.nonce_counter);
-                cipher.apply_keystream(&nonce.extended(), &mut stored);
+                cipher.apply_keystream(&nonce.extended(), &mut value);
                 HostValue::Encrypted {
                     nonce,
-                    bytes: stored,
+                    bytes: value,
                 }
             }
         };
@@ -254,7 +265,7 @@ impl PartitionedKvStore {
                 value_hash,
                 timestamp,
                 version,
-                value_len: value.len(),
+                value_len,
                 host_slot,
             }
         });
@@ -499,17 +510,19 @@ impl PartitionedKvStore {
         Ok(out)
     }
 
-    /// Imports records in order: each is written unconditionally with its
-    /// carried timestamp, so later records win for a repeated key — the
-    /// migration controller ships snapshot records first and catch-up records
-    /// in commit order, which makes replay idempotent under re-delivery.
-    pub fn import_entries(
+    /// Imports `(key, value, timestamp)` records in order: each is written
+    /// unconditionally with its carried timestamp, so later records win for
+    /// a repeated key — the migration controller ships snapshot records
+    /// first and catch-up records in commit order, which makes replay
+    /// idempotent under re-delivery. Each value's buffer is the one the
+    /// store keeps ([`PartitionedKvStore::write_owned`]); a key is only read.
+    pub fn import_entries<K: AsRef<[u8]>>(
         &mut self,
-        entries: impl IntoIterator<Item = ExportedEntry>,
+        entries: impl IntoIterator<Item = (K, Vec<u8>, Timestamp)>,
     ) -> Result<usize, KvError> {
         let mut imported = 0;
         for (key, value, timestamp) in entries {
-            self.write(&key, &value, timestamp)?;
+            self.write_owned(key.as_ref(), value, timestamp)?;
             imported += 1;
         }
         Ok(imported)
@@ -922,6 +935,22 @@ mod tests {
         // The ciphertext is as long as the value; the nonce is all it adds.
         assert_eq!(store.stats().host_bytes, 1000 + Nonce::LEN);
         assert_eq!(store.host_visible_bytes(b"k").unwrap().len(), 1000);
+    }
+
+    #[test]
+    fn an_owned_value_is_sealed_in_the_buffer_it_came_in() {
+        for mut store in [plain_store(), confidential_store()] {
+            let value = b"balance=100".repeat(8);
+            let at = value.as_ptr();
+            store
+                .write_owned(b"k", value, Timestamp::new(1, 0))
+                .unwrap();
+            // The arena holds the caller's allocation, sealed or not.
+            let slot = store.index.get(b"k").unwrap().host_slot;
+            let kept = store.host_arena[slot].as_mut().unwrap().bytes_mut();
+            assert_eq!(kept.as_ptr(), at);
+            assert_eq!(store.get(b"k").unwrap().value, b"balance=100".repeat(8));
+        }
     }
 
     #[test]

@@ -47,24 +47,24 @@ pub enum AllConcurMsg {
 impl AllConcurMsg {
     /// Wire form: `tag | variant | op | key? | value?`.
     pub fn encode(&self) -> Vec<u8> {
-        let entry_len = match self {
-            AllConcurMsg::Propose { key, value, .. } => {
-                bytes_len(key.len()) + bytes_len(value.len())
-            }
-            _ => 0,
-        };
-        let mut w = Writer::tagged(tag::ALLCONCUR, 2 + 8 + entry_len);
-        match self {
+        let (variant, op) = match self {
             AllConcurMsg::Propose { op, key, value } => {
-                w.u8(0).u64(*op).bytes(key).bytes(value);
+                return Self::encode_propose(*op, key, value);
             }
-            AllConcurMsg::Track { op } => {
-                w.u8(1).u64(*op);
-            }
-            AllConcurMsg::Deliver { op } => {
-                w.u8(2).u64(*op);
-            }
-        }
+            AllConcurMsg::Track { op } => (1, op),
+            AllConcurMsg::Deliver { op } => (2, op),
+        };
+        let mut w = Writer::tagged(tag::ALLCONCUR, 2 + 8);
+        w.u8(variant).u64(*op);
+        w.finish()
+    }
+
+    /// The encoding of an [`AllConcurMsg::Propose`] with these fields, for a
+    /// proposer that keeps the key and value it proposes.
+    fn encode_propose(op: u64, key: &[u8], value: &[u8]) -> Vec<u8> {
+        let entry_len = bytes_len(key.len()) + bytes_len(value.len());
+        let mut w = Writer::tagged(tag::ALLCONCUR, 2 + 8 + entry_len);
+        w.u8(0).u64(op).bytes(key).bytes(value);
         w.finish()
     }
 
@@ -90,7 +90,10 @@ impl AllConcurMsg {
 
 #[derive(Debug)]
 struct PendingProposal {
-    request: ClientRequest,
+    client_id: u64,
+    request_id: u64,
+    key: Vec<u8>,
+    value: Vec<u8>,
     acks: HashSet<u64>,
 }
 
@@ -128,20 +131,17 @@ impl AllConcur {
                 // Tracked by everyone: apply locally, tell everyone to deliver,
                 // answer the client. The proposal is done with — a Track that
                 // arrives later finds nothing to count on.
-                let Some(PendingProposal { request, .. }) = self.own.remove(&op) else {
+                let Some(proposal) = self.own.remove(&op) else {
                     return;
                 };
-                let Operation::Put { key, value } = request.operation else {
-                    return;
-                };
-                h.store().apply(&key, &value);
+                h.store().apply(&proposal.key, proposal.value);
                 let deliver = AllConcurMsg::Deliver { op };
-                h.broadcast(self.membership.members(), &deliver.encode());
-                h.reply(request.client_id, request.request_id, None, false);
+                h.broadcast(self.membership.members(), deliver.encode());
+                h.reply(proposal.client_id, proposal.request_id, None, false);
             }
             AllConcurMsg::Deliver { op } => {
                 if let Some((key, value)) = self.buffered.remove(&(from.0, op)) {
-                    h.store().apply(&key, &value);
+                    h.store().apply(&key, value);
                 }
             }
         }
@@ -165,23 +165,27 @@ impl CftProtocol for AllConcur {
     }
 
     fn on_client_request(&mut self, request: ClientRequest, h: &mut Handle<'_>) {
-        match request.operation.clone() {
+        let (client_id, request_id) = (request.client_id, request.request_id);
+        match request.operation {
             Operation::Get { key } => {
                 // Consistent local reads (sequential consistency).
-                h.reply_local_read(request.client_id, request.request_id, &key);
+                h.reply_local_read(client_id, request_id, &key);
             }
             Operation::Put { key, value } => {
                 self.next_op += 1;
                 let op = self.next_op;
+                let propose = AllConcurMsg::encode_propose(op, &key, &value);
                 self.own.insert(
                     op,
                     PendingProposal {
-                        request,
+                        client_id,
+                        request_id,
+                        key,
+                        value,
                         acks: HashSet::new(),
                     },
                 );
-                let propose = AllConcurMsg::Propose { op, key, value };
-                h.broadcast(self.membership.members(), &propose.encode());
+                h.broadcast(self.membership.members(), propose);
             }
         }
     }

@@ -113,31 +113,22 @@ impl Chain {
     }
 
     fn forward_or_commit(&mut self, msg: ChainMsg, h: &mut Handle<'_>) {
-        let ChainMsg::Forward {
-            seq,
-            key,
-            value,
-            client_id,
-            request_id,
-        } = msg;
-        // Every node along the chain applies the write as it passes through.
-        h.store().apply(&key, &value);
         match self.membership.chain_successor_live(self.id, &self.down) {
-            Some(next) => {
-                let forward = ChainMsg::Forward {
-                    seq,
-                    key,
-                    value,
-                    client_id,
-                    request_id,
-                };
-                h.send(next, &forward.encode());
-            }
+            Some(next) => h.send(next, &msg.encode()),
             None => {
                 // This is the tail: the write is committed; answer the client.
+                let ChainMsg::Forward {
+                    client_id,
+                    request_id,
+                    ..
+                } = msg;
                 h.reply(client_id, request_id, None, false);
             }
         }
+        // Every node along the chain applies the write as it passes through,
+        // handing the store the value it holds.
+        let ChainMsg::Forward { key, value, .. } = msg;
+        h.store().apply(&key, value);
     }
 }
 

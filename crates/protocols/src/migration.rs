@@ -236,11 +236,12 @@ impl MigrationChannel {
         )
     }
 
-    /// Verifies and opens wire bytes on the recipient side. Returns `None`
-    /// when the frame is rejected (tampered, replayed, out of order, or
-    /// carrying another migration's id) — the migration controller treats
-    /// that as a failed transfer, never as state.
-    pub fn open(&mut self, wire: &[u8]) -> Option<MigrationChunk> {
+    /// Verifies and opens wire bytes on the recipient side, in the bytes it
+    /// is lent ([`ProtocolShield::unwrap`]). Returns `None` when the frame is
+    /// rejected (tampered, replayed, out of order, or carrying another
+    /// migration's id) — the migration controller treats that as a failed
+    /// transfer, never as state.
+    pub fn open(&mut self, wire: &mut [u8]) -> Option<MigrationChunk> {
         let frames = self
             .receiver
             .unwrap(endpoint(self.donor, self.migration_id), wire);
@@ -282,8 +283,8 @@ mod tests {
     fn chunks_roundtrip_through_the_shield() {
         let mut channel = MigrationChannel::new(0, 1, 7, false);
         let original = chunk(16);
-        let wire = channel.seal(&original);
-        assert_eq!(channel.open(&wire), Some(original));
+        let mut wire = channel.seal(&original);
+        assert_eq!(channel.open(&mut wire), Some(original));
         assert_eq!(channel.rejected(), 0);
     }
 
@@ -296,12 +297,12 @@ mod tests {
         second.seq = 1;
         second.phase = ChunkPhase::CatchUp;
         let w1 = channel.seal(&first);
-        let w2 = channel.seal(&second);
-        assert_eq!(channel.open(&w1), Some(first));
-        assert_eq!(channel.open(&w2), Some(second));
+        let mut w2 = channel.seal(&second);
+        assert_eq!(channel.open(&mut w1.clone()), Some(first));
+        assert_eq!(channel.open(&mut w2), Some(second));
         // Replaying a chunk is rejected by the trusted counter: a Byzantine
         // host cannot re-apply a snapshot.
-        assert_eq!(channel.open(&w1), None);
+        assert_eq!(channel.open(&mut w1.clone()), None);
         assert!(channel.rejected() >= 1);
     }
 
@@ -313,9 +314,9 @@ mod tests {
         // verification, and a forged chunk body carrying the wrong migration
         // id is rejected even on its own channel.
         let mut first = MigrationChannel::new(0, 1, 7, false);
-        let recorded = first.seal(&chunk(4));
+        let mut recorded = first.seal(&chunk(4));
         let mut second = MigrationChannel::new(0, 1, 8, false);
-        assert_eq!(second.open(&recorded), None);
+        assert_eq!(second.open(&mut recorded), None);
         assert!(second.rejected() >= 1);
     }
 
@@ -334,7 +335,7 @@ mod tests {
         let mut wire = channel.seal(&chunk(8));
         let idx = wire.len() / 2;
         wire[idx] ^= 0x01;
-        assert_eq!(channel.open(&wire), None);
+        assert_eq!(channel.open(&mut wire), None);
         assert!(channel.rejected() >= 1);
     }
 
@@ -342,11 +343,11 @@ mod tests {
     fn confidential_transfer_hides_keys_and_values_in_transit() {
         let mut channel = MigrationChannel::new(1, 0, 7, true);
         let original = chunk(8);
-        let wire = channel.seal(&original);
+        let mut wire = channel.seal(&original);
         // Neither the keys nor the values of the moving range appear on the wire.
         assert!(!wire.windows(4).any(|w| w == b"user"));
         assert!(!wire.windows(6).any(|w| w == b"secret"));
-        assert_eq!(channel.open(&wire), Some(original));
+        assert_eq!(channel.open(&mut wire), Some(original));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! view is gathered, that view's leader takes over. Committed entries survive
 //! the change because they reside in a majority of KV stores.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 
@@ -90,6 +91,13 @@ impl Deref for Encoding {
             Encoding::Fixed { bytes, len } => &bytes[..*len],
             Encoding::Heap(bytes) => bytes,
         }
+    }
+}
+
+/// What [`Handle::broadcast`] takes: the bytes, borrowed where they lie.
+impl<'a> From<&'a Encoding> for Cow<'a, [u8]> {
+    fn from(encoding: &'a Encoding) -> Self {
+        Cow::Borrowed(encoding)
     }
 }
 
@@ -217,6 +225,8 @@ impl AckSet {
 #[derive(Debug, Clone)]
 struct PendingEntry {
     key: Vec<u8>,
+    /// The value until the entry is applied at replication quorum, when the
+    /// store takes it; empty after.
     value: Vec<u8>,
     client_id: u64,
     request_id: u64,
@@ -306,8 +316,10 @@ impl Raft {
                 entry.append_acks.insert(acker);
                 if !entry.replicated && entry.append_acks.len() >= quorum {
                     entry.replicated = true;
-                    // Apply locally and instruct followers to commit.
-                    h.store().apply(&entry.key, &entry.value);
+                    // Apply locally and instruct followers to commit. Nothing
+                    // reads the value after this: the store takes it.
+                    h.store()
+                        .apply(&entry.key, std::mem::take(&mut entry.value));
                     entry.commit_acks.insert(own);
                     let commit = RaftMsg::Commit {
                         view: self.view,
@@ -321,7 +333,7 @@ impl Raft {
                     return;
                 }
                 if let Some((key, value)) = self.uncommitted.remove(&index) {
-                    h.store().apply(&key, &value);
+                    h.store().apply(&key, value);
                 }
                 let ack = RaftMsg::CommitAck { view, index };
                 h.send(from, &ack.encoding());
@@ -459,7 +471,7 @@ impl CftProtocol for Raft {
                 };
                 entry.append_acks.insert(own);
                 self.pending.insert(index, entry);
-                h.broadcast(self.membership.members(), &payload);
+                h.broadcast(self.membership.members(), payload);
             }
         }
     }

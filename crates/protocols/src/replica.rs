@@ -10,6 +10,8 @@
 //! shielded, alone or in a batch, is the wrapper's [`ProtocolMode`] and
 //! nothing in the core: the same core runs native and Recipe-transformed.
 
+use std::borrow::Cow;
+
 use recipe_core::{BatchOp, ClientReply, ClientRequest, ConfidentialityMode, Membership};
 use recipe_net::NodeId;
 use recipe_sim::{Ctx, RecoveryState, Replica, RestartReport};
@@ -105,30 +107,42 @@ impl Handle<'_> {
     /// is off, otherwise queued and flushed on the first trigger (ops or
     /// byte budget now, time budget through the wrapper's timer).
     pub fn send(&mut self, dst: NodeId, payload: &[u8]) {
+        self.queue(dst, Cow::Borrowed(payload));
+    }
+
+    /// Sends `payload` to every one of `members` but this replica. An owned
+    /// payload moves into the last destination's batch queue, so a batching
+    /// replica copies it once per other destination; sent unbatched, it is
+    /// sealed from where it lies for each.
+    pub fn broadcast<'p>(&mut self, members: &[NodeId], payload: impl Into<Cow<'p, [u8]>>) {
+        let me = self.shield.node();
+        let payload = payload.into();
+        let mut peers = members.iter().filter(|&&peer| peer != me).peekable();
+        while let Some(&peer) = peers.next() {
+            if peers.peek().is_none() {
+                return self.queue(peer, payload);
+            }
+            self.queue(peer, Cow::Borrowed(&payload));
+        }
+    }
+
+    /// [`Handle::send`] of a payload the batch queue takes over when it is
+    /// owned.
+    fn queue(&mut self, dst: NodeId, payload: Cow<'_, [u8]>) {
         if !self.batcher.is_batching() {
-            let wire = self.shield.wrap(dst, KIND, payload);
+            let wire = self.shield.wrap(dst, KIND, &payload);
             self.ctx.send(dst, wire);
             return;
         }
         let shield = &mut *self.shield;
-        let payload = payload.to_vec();
         self.batcher.enqueue(
             self.ctx,
             TOKEN_BATCH_FLUSH,
             dst,
             KIND,
-            payload,
+            payload.into_owned(),
             |ctx, dst, ops| send_batch(shield, ctx, dst, ops),
         );
-    }
-
-    /// Sends `payload` to every one of `members` but this replica.
-    pub fn broadcast(&mut self, members: &[NodeId], payload: &[u8]) {
-        for &peer in members {
-            if peer != self.shield.node() {
-                self.send(peer, payload);
-            }
-        }
     }
 
     /// Answers a client's request: a write's acknowledgement (no value) or a
@@ -274,7 +288,16 @@ impl<P: CftProtocol> Replica for RecipeReplica<P> {
         core.on_client_request(request, &mut handle);
     }
 
+    /// Frames that arrive as shared bytes are copied once and lent to
+    /// [`RecipeReplica::on_delivery`].
     fn on_message(&mut self, from: NodeId, bytes: &[u8], ctx: &mut Ctx) {
+        self.on_delivery(from, &mut bytes.to_vec(), ctx);
+    }
+
+    /// Unwraps the frame where it lies in the lent bytes
+    /// ([`ProtocolShield::unwrap`]) and hands each message it delivers to the
+    /// core as a slice of them.
+    fn on_delivery(&mut self, from: NodeId, bytes: &mut [u8], ctx: &mut Ctx) {
         for (_kind, payload) in self.shield.unwrap(from, bytes) {
             let (core, mut handle) = self.lend(ctx);
             core.on_message(from, &payload, &mut handle);
@@ -407,7 +430,7 @@ mod tests {
         fn on_client_request(&mut self, request: ClientRequest, h: &mut Handle<'_>) {
             self.requests += 1;
             let key = request.operation.key();
-            h.store().apply(key, b"v");
+            h.store().apply(key, b"v".to_vec());
             h.broadcast(self.membership.members(), key);
             h.reply(request.client_id, request.request_id, None, false);
         }

@@ -90,8 +90,9 @@ fn decode_native_batch(bytes: &[u8]) -> Option<Vec<Message<'_>>> {
 }
 
 /// One deliverable protocol message: its kind and its payload — a slice of
-/// the received bytes when the frame arrived in order and in plaintext, a
-/// buffer of its own when it was decrypted or waited in the protected buffer.
+/// the received bytes when the frame arrived in order, decrypted in them if
+/// it was sealed, and a buffer of its own when it waited in the protected
+/// buffer.
 pub type Message<'a> = (u16, Cow<'a, [u8]>);
 
 /// The deliverable messages produced by one [`ProtocolShield::unwrap`] call.
@@ -480,8 +481,10 @@ impl ProtocolShield {
     /// ever.
     ///
     /// The frame is verified where it lies, as [`ProtocolShield::unwrap`]
-    /// verifies the others: a plaintext body is decoded from `bytes`, and
-    /// only a sealed one is copied, to be decrypted.
+    /// verifies the others, but `bytes` are only read: a plaintext body is
+    /// decoded from them, and a sealed one is copied to be decrypted — a
+    /// coordinator resends the same cached bytes, so they cannot be opened
+    /// in place.
     pub fn unwrap_txn(&mut self, from: NodeId, bytes: &[u8]) -> Option<(u64, TxnBody)> {
         let auth = self
             .auth
@@ -514,10 +517,12 @@ impl ProtocolShield {
     /// other than `from`) — the protocol simply never sees it, which is the
     /// whole point of the transformation.
     ///
-    /// The frame is verified where it lies: an in-order plaintext frame's
-    /// messages are slices of `bytes`, and only a sealed body (to decrypt it)
-    /// or a frame ahead of its turn (to keep it) is copied.
-    pub fn unwrap<'a>(&mut self, from: NodeId, bytes: &'a [u8]) -> Frames<'a> {
+    /// The frame is verified where it lies, in `bytes`, which the caller
+    /// lends: an in-order frame's messages are slices of them — a sealed
+    /// body is decrypted in them once the frame is admitted — and only a
+    /// frame ahead of its turn is copied, as it came, to be kept. A frame
+    /// that is refused or kept leaves them as they were.
+    pub fn unwrap<'a>(&mut self, from: NodeId, bytes: &'a mut [u8]) -> Frames<'a> {
         self.open(from, bytes).unwrap_or_else(|| {
             self.dropped += 1;
             Frames::Empty
@@ -527,8 +532,9 @@ impl ProtocolShield {
     /// [`ProtocolShield::unwrap`] with rejection as `None`: dispatches on the
     /// family tag, so each frame is parsed at most once and an unknown tag is
     /// rejected without parsing at all.
-    fn open<'a>(&mut self, from: NodeId, bytes: &'a [u8]) -> Option<Frames<'a>> {
+    fn open<'a>(&mut self, from: NodeId, bytes: &'a mut [u8]) -> Option<Frames<'a>> {
         let Some(auth) = &mut self.auth else {
+            let bytes: &'a [u8] = bytes;
             let out = match *bytes.first()? {
                 tag::NATIVE_SINGLE => Frames::One(decode_native(bytes)?),
                 tag::NATIVE_BATCH => Frames::Many(decode_native_batch(bytes)?),
@@ -542,7 +548,7 @@ impl ProtocolShield {
         // on *that* peer's channel and move that peer's receive counter,
         // while its payload reached the protocol as `from`'s. A frame ahead
         // of its predecessors is buffered, not opened.
-        let frame = FrameView::parse(bytes).filter(|frame| frame.source() == from)?;
+        let frame = FrameView::parse_mut(bytes).filter(|frame| frame.source() == from)?;
         let mut out = match auth.verify_view(frame) {
             ViewOutcome::Message { kind, payload } => Frames::One((kind, payload)),
             ViewOutcome::Batch(ops) => Frames::Many(ops),
@@ -572,8 +578,8 @@ mod tests {
         let mut receiver = ProtocolShield::recipe(NodeId(1), &m, false);
         assert!(sender.mode().is_recipe());
 
-        let wire = sender.wrap(NodeId(1), 7, b"append entry 5");
-        let out = receiver.unwrap(NodeId(0), &wire);
+        let mut wire = sender.wrap(NodeId(1), 7, b"append entry 5");
+        let out = receiver.unwrap(NodeId(0), &mut wire);
         assert_eq!(out, vec![(7, b"append entry 5".to_vec())]);
         assert_eq!(receiver.rejected(), 0);
     }
@@ -585,11 +591,13 @@ mod tests {
         assert_eq!(sender.mode(), ProtocolMode::Native);
         let wire = sender.wrap(NodeId(1), 3, b"plain");
         assert_eq!(
-            receiver.unwrap(NodeId(0), &wire),
+            receiver.unwrap(NodeId(0), &mut wire.clone()),
             vec![(3, b"plain".to_vec())]
         );
         // Garbage is dropped, not crashed on.
-        assert!(receiver.unwrap(NodeId(0), b"garbage").is_empty());
+        assert!(receiver
+            .unwrap(NodeId(0), &mut b"garbage".to_vec())
+            .is_empty());
         assert_eq!(receiver.rejected(), 1);
     }
 
@@ -604,11 +612,11 @@ mod tests {
         let mut tampered = wire.clone();
         let idx = tampered.len() / 2;
         tampered[idx] ^= 0x01;
-        assert!(receiver.unwrap(NodeId(0), &tampered).is_empty());
+        assert!(receiver.unwrap(NodeId(0), &mut tampered.clone()).is_empty());
         // The original is accepted once.
-        assert_eq!(receiver.unwrap(NodeId(0), &wire).len(), 1);
+        assert_eq!(receiver.unwrap(NodeId(0), &mut wire.clone()).len(), 1);
         // Replaying it is rejected.
-        assert!(receiver.unwrap(NodeId(0), &wire).is_empty());
+        assert!(receiver.unwrap(NodeId(0), &mut wire.clone()).is_empty());
         assert!(receiver.rejected() >= 2);
     }
 
@@ -617,12 +625,12 @@ mod tests {
         let m = membership();
         let mut sender = ProtocolShield::recipe(NodeId(0), &m, false);
         let mut receiver = ProtocolShield::recipe(NodeId(1), &m, false);
-        let w1 = sender.wrap(NodeId(1), 1, b"first");
+        let mut w1 = sender.wrap(NodeId(1), 1, b"first");
         let w2 = sender.wrap(NodeId(1), 1, b"second");
         // w2 arrives first → buffered; nothing delivered yet.
-        assert!(receiver.unwrap(NodeId(0), &w2).is_empty());
+        assert!(receiver.unwrap(NodeId(0), &mut w2.clone()).is_empty());
         // w1 arrives → both delivered, in order.
-        let out = receiver.unwrap(NodeId(0), &w1);
+        let out = receiver.unwrap(NodeId(0), &mut w1);
         assert_eq!(out, vec![(1, b"first".to_vec()), (1, b"second".to_vec())]);
     }
 
@@ -634,7 +642,7 @@ mod tests {
         let wire = sender.wrap(NodeId(1), 2, b"secret-value-123");
         assert!(!wire.windows(6).any(|w| w == b"secret"));
         assert_eq!(
-            receiver.unwrap(NodeId(0), &wire),
+            receiver.unwrap(NodeId(0), &mut wire.clone()),
             vec![(2, b"secret-value-123".to_vec())]
         );
     }
@@ -702,8 +710,8 @@ mod tests {
         // A group's frames open in that group only.
         let m = membership().in_group(1);
         let mut receiver = ProtocolShield::recipe(NodeId(1), &m, true);
-        assert!(receiver.unwrap(NodeId(0), &a).is_empty());
-        assert_eq!(receiver.unwrap(NodeId(0), &b).len(), 1);
+        assert!(receiver.unwrap(NodeId(0), &mut a.clone()).is_empty());
+        assert_eq!(receiver.unwrap(NodeId(0), &mut b.clone()).len(), 1);
         assert_ne!(
             ProtocolShield::group_cipher_key(0),
             ProtocolShield::deployment_cipher_key()
@@ -723,12 +731,12 @@ mod tests {
             // payload must not count as node 0's, and node 2's receive
             // counter must not move for a delivery attributed elsewhere.
             let (rejected, counter) = (receiver.rejected(), receiver.recv_counter_from(NodeId(2)));
-            assert!(receiver.unwrap(NodeId(0), &wire).is_empty());
+            assert!(receiver.unwrap(NodeId(0), &mut wire.clone()).is_empty());
             assert_eq!(receiver.rejected(), rejected + 1);
             assert_eq!(receiver.recv_counter_from(NodeId(2)), counter);
             assert_eq!(receiver.recv_counter_from(NodeId(0)), 0);
             // Presented as what it is, it is accepted.
-            assert!(!receiver.unwrap(NodeId(2), &wire).is_empty());
+            assert!(!receiver.unwrap(NodeId(2), &mut wire.clone()).is_empty());
             assert_eq!(receiver.recv_counter_from(NodeId(2)), counter + 1);
         }
         assert_eq!(receiver.rejected(), 2);
@@ -746,8 +754,8 @@ mod tests {
         let mut sender = ProtocolShield::recipe(NodeId(0), &m, false);
         let mut receiver = ProtocolShield::recipe(NodeId(1), &m, false);
 
-        let wire = sender.wrap_batch(NodeId(1), batch(3));
-        let out = receiver.unwrap(NodeId(0), &wire);
+        let mut wire = sender.wrap_batch(NodeId(1), batch(3));
+        let out = receiver.unwrap(NodeId(0), &mut wire);
         assert_eq!(out.len(), 3);
         assert_eq!(out.as_slice()[0], (1, Cow::Borrowed(&b"entry0"[..])));
         assert_eq!(out.as_slice()[2], (1, Cow::Borrowed(&b"entry2"[..])));
@@ -755,7 +763,7 @@ mod tests {
         // Singles keep flowing on the same channel after a batch.
         let wire = sender.wrap(NodeId(1), 7, b"single");
         assert_eq!(
-            receiver.unwrap(NodeId(0), &wire),
+            receiver.unwrap(NodeId(0), &mut wire.clone()),
             vec![(7, b"single".to_vec())]
         );
         assert_eq!(receiver.rejected(), 0);
@@ -765,8 +773,8 @@ mod tests {
     fn native_batches_roundtrip() {
         let mut sender = ProtocolShield::native(NodeId(0));
         let mut receiver = ProtocolShield::native(NodeId(1));
-        let wire = sender.wrap_batch(NodeId(1), batch(2));
-        let out = receiver.unwrap(NodeId(0), &wire);
+        let mut wire = sender.wrap_batch(NodeId(1), batch(2));
+        let out = receiver.unwrap(NodeId(0), &mut wire);
         assert_eq!(out, vec![(1, b"entry0".to_vec()), (1, b"entry1".to_vec())]);
     }
 
@@ -779,10 +787,10 @@ mod tests {
         let mut tampered = wire.clone();
         let idx = tampered.len() / 2;
         tampered[idx] ^= 0x01;
-        assert!(receiver.unwrap(NodeId(0), &tampered).is_empty());
-        assert_eq!(receiver.unwrap(NodeId(0), &wire).len(), 4);
+        assert!(receiver.unwrap(NodeId(0), &mut tampered.clone()).is_empty());
+        assert_eq!(receiver.unwrap(NodeId(0), &mut wire.clone()).len(), 4);
         // Replaying the whole frame rejects all four ops at once.
-        assert!(receiver.unwrap(NodeId(0), &wire).is_empty());
+        assert!(receiver.unwrap(NodeId(0), &mut wire.clone()).is_empty());
         assert!(receiver.rejected() >= 2);
     }
 
@@ -791,11 +799,11 @@ mod tests {
         let m = membership();
         let mut sender = ProtocolShield::recipe(NodeId(0), &m, false);
         let mut receiver = ProtocolShield::recipe(NodeId(1), &m, false);
-        let w1 = sender.wrap(NodeId(1), 2, b"first");
+        let mut w1 = sender.wrap(NodeId(1), 2, b"first");
         let w2 = sender.wrap_batch(NodeId(1), batch(2));
         // The batch arrives first → buffered behind the missing single.
-        assert!(receiver.unwrap(NodeId(0), &w2).is_empty());
-        let out = receiver.unwrap(NodeId(0), &w1);
+        assert!(receiver.unwrap(NodeId(0), &mut w2.clone()).is_empty());
+        let out = receiver.unwrap(NodeId(0), &mut w1);
         assert_eq!(
             out,
             vec![
@@ -815,9 +823,9 @@ mod tests {
             BatchOp::new(1, b"secret-a".to_vec()),
             BatchOp::new(1, b"secret-b".to_vec()),
         ];
-        let wire = sender.wrap_batch(NodeId(1), ops.clone());
+        let mut wire = sender.wrap_batch(NodeId(1), ops.clone());
         assert!(!wire.windows(6).any(|w| w == b"secret"));
-        let out = receiver.unwrap(NodeId(0), &wire);
+        let out = receiver.unwrap(NodeId(0), &mut wire);
         assert_eq!(
             out,
             ops.into_iter()
@@ -827,7 +835,7 @@ mod tests {
     }
 
     #[test]
-    fn in_order_plaintext_messages_are_slices_of_the_received_bytes() {
+    fn in_order_messages_are_slices_of_the_received_bytes() {
         let m = membership();
         let borrowed = |frames: &Frames<'_>| -> Vec<bool> {
             let messages = frames.as_slice().iter();
@@ -844,26 +852,29 @@ mod tests {
                 ProtocolShield::recipe(NodeId(0), &m, false),
                 ProtocolShield::recipe(NodeId(1), &m, false),
             ),
+            // Sealed, decrypted where it lies.
+            (
+                ProtocolShield::recipe(NodeId(0), &m, true),
+                ProtocolShield::recipe(NodeId(1), &m, true),
+            ),
         ] {
-            let single = sender.wrap(NodeId(1), 7, b"ack");
-            assert_eq!(borrowed(&receiver.unwrap(NodeId(0), &single)), [true]);
-            let wire = sender.wrap_batch(NodeId(1), batch(3));
-            assert_eq!(borrowed(&receiver.unwrap(NodeId(0), &wire)), [true; 3]);
+            let mut single = sender.wrap(NodeId(1), 7, b"ack");
+            assert_eq!(borrowed(&receiver.unwrap(NodeId(0), &mut single)), [true]);
+            let mut wire = sender.wrap_batch(NodeId(1), batch(3));
+            assert_eq!(borrowed(&receiver.unwrap(NodeId(0), &mut wire)), [true; 3]);
         }
-        // A decrypted payload, and one released from the protected buffer,
-        // are buffers of their own.
-        let mut sender = ProtocolShield::recipe(NodeId(0), &m, true);
-        let mut receiver = ProtocolShield::recipe(NodeId(1), &m, true);
-        let sealed = sender.wrap(NodeId(1), 7, b"secret");
-        assert_eq!(borrowed(&receiver.unwrap(NodeId(0), &sealed)), [false]);
+        // One released from the protected buffer is a buffer of its own.
         let mut sender = ProtocolShield::recipe(NodeId(0), &m, false);
         let mut receiver = ProtocolShield::recipe(NodeId(1), &m, false);
-        let (first, second) = (
+        let (mut first, mut second) = (
             sender.wrap(NodeId(1), 7, b"first"),
             sender.wrap(NodeId(1), 7, b"second"),
         );
-        assert!(receiver.unwrap(NodeId(0), &second).is_empty());
-        assert_eq!(borrowed(&receiver.unwrap(NodeId(0), &first)), [true, false]);
+        assert!(receiver.unwrap(NodeId(0), &mut second).is_empty());
+        assert_eq!(
+            borrowed(&receiver.unwrap(NodeId(0), &mut first)),
+            [true, false]
+        );
     }
 
     /// The per-frame MAC input — MAC header, body and, sealed, the key
@@ -1074,7 +1085,7 @@ mod tests {
         // The receiver *does* hold cq:2->1 (node 2 is in its membership), so this is
         // accepted — the meaningful rejection is for a node the membership does not
         // contain at all:
-        let _ = receiver.unwrap(NodeId(2), &wire);
+        let _ = receiver.unwrap(NodeId(2), &mut wire.clone());
         let mut stranger = ProtocolShield::recipe(
             NodeId(9),
             &Membership::new(vec![NodeId(1), NodeId(9)], 0),
@@ -1082,6 +1093,6 @@ mod tests {
         );
         let wire = stranger.wrap(NodeId(1), 7, b"inject");
         // Receiver has no key for cq:9->1 (9 is not in its membership) → rejected.
-        assert!(receiver.unwrap(NodeId(9), &wire).is_empty());
+        assert!(receiver.unwrap(NodeId(9), &mut wire.clone()).is_empty());
     }
 }

@@ -119,8 +119,10 @@ impl ReplicaStore {
     }
 
     /// Applies a committed write as the next operation, stamped by the
-    /// store's rule.
-    pub fn apply(&mut self, key: &[u8], value: &[u8]) {
+    /// store's rule. The store keeps `value`'s buffer
+    /// ([`PartitionedKvStore::write_owned`]): a protocol hands over the value
+    /// it holds, and nothing copies it on the way in.
+    pub fn apply(&mut self, key: &[u8], value: Vec<u8>) {
         self.applied += 1;
         let ts = match self.stamping {
             Stamping::Sequence => Timestamp::new(self.applied, self.node),
@@ -129,7 +131,7 @@ impl ReplicaStore {
                 stored.next_for(self.node)
             }
         };
-        let _ = self.kv.write(key, value, ts);
+        let _ = self.kv.write_owned(key, value, ts);
     }
 
     /// Counts an operation that takes its place in the sequence and writes
@@ -174,7 +176,7 @@ impl ReplicaStore {
         let writes = self.kv.txn_take_staged(txn_id).unwrap_or_default();
         let mut entries = Vec::with_capacity(writes.len());
         for (key, value) in writes {
-            self.apply(&key, &value);
+            self.apply(&key, value.clone());
             let ts = self.kv.timestamp_of(&key).unwrap_or_default();
             entries.push(entry(key, value, ts));
         }
@@ -250,11 +252,12 @@ impl ReplicaStore {
     /// Installs `entries` with the timestamps they carry, in order (a later
     /// entry overwrites an earlier one for the same key). This is below the
     /// protocol: the applied count does not move — the entries committed on
-    /// the exporting replica.
+    /// the exporting replica. Each value is copied once, into the buffer the
+    /// store keeps; every replica of a group installs from one `entries`.
     pub fn import_range(&mut self, entries: &[RangeEntry]) {
         let _ = self.kv.import_entries(entries.iter().map(|entry| {
             let ts = Timestamp::new(entry.ts_logical, entry.ts_node);
-            (entry.key.clone(), entry.value.clone(), ts)
+            (&entry.key, entry.value.clone(), ts)
         }));
     }
 
@@ -334,7 +337,7 @@ mod tests {
     #[test]
     fn a_sequence_store_stamps_commits_by_position_and_restarts_at_the_highest_one() {
         let mut store = store(Stamping::Sequence);
-        store.apply(b"a", b"0");
+        store.apply(b"a", b"0".to_vec());
         store.advance();
         let ops = [
             put(b"a", b"1"),
@@ -361,7 +364,7 @@ mod tests {
         // cannot reuse one.
         let mut peer = ReplicaStore::new(StoreConfig::default(), NodeId(0), Stamping::Sequence);
         peer.import_range(&entries);
-        (0..5).for_each(|_| peer.apply(b"c", b"3"));
+        (0..5).for_each(|_| peer.apply(b"c", b"3".to_vec()));
         assert_eq!(peer.txn_prepare(9, &[put(b"d", b"4")]), TxnVote::Granted);
         let report = store.restart(peer.export_recovery_state());
         assert_eq!((report.verified_entries, report.discarded_entries), (2, 0));
@@ -372,7 +375,7 @@ mod tests {
         assert_eq!(store.txn_adopt_replicated(), [9]);
         assert!(store.is_locked(b"d"));
         store.txn_abort(9);
-        store.apply(b"c", b"4");
+        store.apply(b"c", b"4".to_vec());
         assert_eq!(
             stamps(&[store.read_entry(b"c").unwrap().unwrap()]),
             [(6, 2)]

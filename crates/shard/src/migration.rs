@@ -516,7 +516,7 @@ impl<R: StoreReplica> Engine<'_, R> {
                 entries: batch.len(),
                 bytes: payload_bytes,
             };
-            let wire = active.channel.seal(&chunk);
+            let mut wire = active.channel.seal(&chunk);
             let send = Work::Send {
                 ops: 1,
                 bytes: wire.len(),
@@ -547,7 +547,7 @@ impl<R: StoreReplica> Engine<'_, R> {
             let arrival = sent_at + *link_latency;
             let opened = active
                 .channel
-                .open(&wire)
+                .open(&mut wire)
                 .expect("benign-path transfer chunks verify");
             let import = Work::Import {
                 entries: opened.entries.len(),

@@ -737,7 +737,7 @@ impl<R: Replica> SimCluster<R> {
             EventKind::Deliver {
                 from,
                 to: idx,
-                bytes,
+                mut bytes,
                 ops,
             } => {
                 let to = self.ids[idx];
@@ -767,7 +767,7 @@ impl<R: Replica> SimCluster<R> {
                 }
                 let view_before = self.replicas[idx].current_view();
                 let mut ctx = self.ctx(to, finish);
-                self.replicas[idx].on_message(from, &bytes, &mut ctx);
+                self.replicas[idx].on_delivery(from, &mut bytes, &mut ctx);
                 if let Some(t) = self.telemetry.as_mut() {
                     let view_after = self.replicas[idx].current_view();
                     if view_after != view_before {
@@ -1173,12 +1173,17 @@ mod tests {
     /// A trivial single-round "echo" protocol used to exercise the simulator itself:
     /// the coordinator broadcasts the write, followers ack, the coordinator replies
     /// to the client after a majority of acks.
+    ///
+    /// It keeps a copy of every message it sends and of every one delivered
+    /// to it, and overwrites each buffer lent to it once it has read it.
     struct EchoReplica {
         id: NodeId,
         peers: Vec<NodeId>,
         pending: HashMap<u64, (ClientRequest, usize)>,
         next_op: u64,
         is_leader: bool,
+        sent: Vec<Vec<u8>>,
+        delivered: Vec<Vec<u8>>,
     }
 
     impl EchoReplica {
@@ -1191,6 +1196,8 @@ mod tests {
                     pending: HashMap::new(),
                     next_op: 0,
                     is_leader: id == 0,
+                    sent: Vec::new(),
+                    delivered: Vec::new(),
                 })
                 .collect()
         }
@@ -1208,6 +1215,7 @@ mod tests {
             let mut msg = vec![0u8];
             msg.extend_from_slice(&op_id.to_le_bytes());
             msg.extend_from_slice(&self.id.0.to_le_bytes());
+            self.sent.push(msg.clone());
             ctx.broadcast(&self.peers, msg);
         }
 
@@ -1217,6 +1225,7 @@ mod tests {
                     // Proposal: ack back to the coordinator.
                     let mut ack = vec![1u8];
                     ack.extend_from_slice(&bytes[1..9]);
+                    self.sent.push(ack.clone());
                     ctx.send(from, ack);
                 }
                 1 => {
@@ -1237,6 +1246,12 @@ mod tests {
                 }
                 _ => unreachable!("unknown echo message"),
             }
+        }
+
+        fn on_delivery(&mut self, from: NodeId, bytes: &mut [u8], ctx: &mut Ctx) {
+            self.delivered.push(bytes.to_vec());
+            self.on_message(from, bytes, ctx);
+            bytes.fill(0xEE);
         }
 
         fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx) {}
@@ -1346,6 +1361,33 @@ mod tests {
         let stats = cluster.run(write_workload);
         assert!(stats.messages_dropped > 0);
         assert!(stats.committed > 0);
+    }
+
+    /// Every replica overwrites each buffer lent to it: a duplicate delivered
+    /// after the original, and an old frame the adversary replays from its
+    /// capture buffer, still carry the bytes that were sent.
+    #[test]
+    fn every_delivery_lends_a_buffer_of_its_own() {
+        let mut config = small_config(3, 300);
+        config.fault_plan = FaultPlan {
+            duplicate_probability: 0.2,
+            replay_probability: 0.2,
+            ..FaultPlan::default()
+        };
+        let mut cluster = SimCluster::new(EchoReplica::cluster(3), config);
+        let stats = cluster.run(write_workload);
+        assert_eq!(stats.committed, 300);
+        assert!(stats.messages_replayed > 100, "{stats:?}");
+        let replicas = &cluster.replicas;
+        let sent: BTreeSet<&Vec<u8>> = replicas.iter().flat_map(|r| &r.sent).collect();
+        let delivered: Vec<&Vec<u8>> = replicas.iter().flat_map(|r| &r.delivered).collect();
+        assert_eq!(delivered.len() as u64, stats.messages_delivered);
+        // More deliveries than distinct messages: duplicates and replays
+        // arrived, and each one as it was sent.
+        assert!(delivered.len() > sent.len() + 100);
+        for bytes in delivered {
+            assert!(sent.contains(bytes), "delivered {bytes:02x?}, never sent");
+        }
     }
 
     #[test]

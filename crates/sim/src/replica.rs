@@ -148,6 +148,16 @@ pub trait Replica {
     /// [`recipe_core::ShieldedMessage`].
     fn on_message(&mut self, from: NodeId, bytes: &[u8], ctx: &mut Ctx);
 
+    /// How the simulator delivers a message: [`Replica::on_message`] with
+    /// the buffer the delivery owns lent exclusively, so a replica may work
+    /// in it — a Recipe replica decrypts an admitted sealed frame where it
+    /// lies. Every delivery has a buffer of its own: a duplicate or a
+    /// replay the network makes never shares one. Defaults to
+    /// [`Replica::on_message`].
+    fn on_delivery(&mut self, from: NodeId, bytes: &mut [u8], ctx: &mut Ctx) {
+        self.on_message(from, bytes, ctx);
+    }
+
     /// Handles a timer previously requested through [`Ctx::set_timer`].
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx);
 

@@ -39,13 +39,13 @@ fn main() {
     let membership = Membership::of_size(3, 1);
     let mut sender = ProtocolShield::recipe(NodeId(0), &membership, true);
     let mut receiver = ProtocolShield::recipe(NodeId(1), &membership, true);
-    let wire = sender.wrap(NodeId(1), 1, b"replicate patient:17 -> hypertension");
+    let mut wire = sender.wrap(NodeId(1), 1, b"replicate patient:17 -> hypertension");
     println!(
         "wire bytes contain plaintext? {}",
         wire.windows(b"hypertension".len())
             .any(|w| w == b"hypertension")
     );
-    let delivered = receiver.unwrap(NodeId(0), &wire);
+    let delivered = receiver.unwrap(NodeId(0), &mut wire);
     println!(
         "receiver decrypted   : {}",
         String::from_utf8_lossy(&delivered.as_slice()[0].1)

@@ -125,8 +125,8 @@ fn shield_level_replays_are_rejected() {
     let mut tx = ProtocolShield::recipe(NodeId(0), &membership, false);
     let mut rx = ProtocolShield::recipe(NodeId(1), &membership, false);
     let wire = tx.wrap(NodeId(1), 1, b"once");
-    assert_eq!(rx.unwrap(NodeId(0), &wire).len(), 1);
+    assert_eq!(rx.unwrap(NodeId(0), &mut wire.clone()).len(), 1);
     for _ in 0..5 {
-        assert!(rx.unwrap(NodeId(0), &wire).is_empty());
+        assert!(rx.unwrap(NodeId(0), &mut wire.clone()).is_empty());
     }
 }

@@ -92,7 +92,7 @@ const FAMILIES: &[(&str, Decodes)] = &[
     ("txn", |b| TxnFrame::from_wire(b).is_some()),
     ("native", |b| {
         let mut shield = ProtocolShield::native(NodeId(1));
-        shield.unwrap(NodeId(0), b);
+        shield.unwrap(NodeId(0), &mut b.to_vec());
         shield.rejected() == 0
     }),
     ("txn_body", |b| TxnFrame::decode_body(b).is_some()),
@@ -368,7 +368,7 @@ fn catalogue(d: &Draw) -> Vec<(&'static str, Vec<u8>)> {
     let mut receiver = ProtocolShield::native(NodeId(1));
     let single = sender.wrap(NodeId(1), a as u16, &value);
     assert_eq!(
-        receiver.unwrap(NodeId(0), &single),
+        receiver.unwrap(NodeId(0), &mut single.clone()),
         vec![(a as u16, value.clone())]
     );
     let batch = sender.wrap_batch(NodeId(1), d.ops());
@@ -377,7 +377,7 @@ fn catalogue(d: &Draw) -> Vec<(&'static str, Vec<u8>)> {
         .into_iter()
         .map(|op| (op.kind, op.payload))
         .collect();
-    assert_eq!(receiver.unwrap(NodeId(0), &batch), ops);
+    assert_eq!(receiver.unwrap(NodeId(0), &mut batch.clone()), ops);
     out.push(("native", single));
     out.push(("native", batch));
     out
@@ -444,21 +444,21 @@ proptest! {
     ) {
         let (mut sender, mut receiver) = shield_pair(confidential);
 
-        let wire = sender.wrap(NodeId(1), kind, &payloads[0]);
+        let mut wire = sender.wrap(NodeId(1), kind, &payloads[0]);
         let frame = ShieldedMessage::from_wire(&wire).expect("own frame parses");
         prop_assert_eq!(frame.confidential, confidential);
         prop_assert_eq!(frame.wire_len(), wire.len());
         prop_assert_eq!(&frame.to_wire(), &wire);
-        prop_assert_eq!(receiver.unwrap(NodeId(0), &wire), vec![(kind, payloads[0].clone())]);
+        prop_assert_eq!(receiver.unwrap(NodeId(0), &mut wire), vec![(kind, payloads[0].clone())]);
 
         let ops: Vec<BatchOp> = payloads.iter().map(|p| BatchOp::new(kind, p.clone())).collect();
-        let wire = sender.wrap_batch(NodeId(1), ops.clone());
+        let mut wire = sender.wrap_batch(NodeId(1), ops.clone());
         let frame = BatchFrame::from_wire(&wire).expect("own frame parses");
         prop_assert_eq!(frame.is_confidential(), confidential);
         prop_assert_eq!(frame.wire_len(), wire.len());
         prop_assert_eq!(&frame.to_wire(), &wire);
         let delivered: Vec<_> = ops.into_iter().map(|op| (op.kind, op.payload)).collect();
-        prop_assert_eq!(receiver.unwrap(NodeId(0), &wire), delivered);
+        prop_assert_eq!(receiver.unwrap(NodeId(0), &mut wire), delivered);
 
         let body = TxnBody::Prepare {
             ops: payloads
@@ -551,11 +551,11 @@ fn every_single_bit_flip_of_a_shielded_frame_is_rejected() {
         let (mut sender, mut receiver) = shield_pair(confidential);
         let single = sender.wrap(NodeId(1), 7, &payload);
         every_bit_flip_is_rejected(&mut receiver, &single, |rx, bytes| {
-            !rx.unwrap(NodeId(0), bytes).is_empty()
+            !rx.unwrap(NodeId(0), &mut bytes.to_vec()).is_empty()
         });
         let batch = sender.wrap_batch(NodeId(1), vec![BatchOp::new(7, payload.to_vec())]);
         every_bit_flip_is_rejected(&mut receiver, &batch, |rx, bytes| {
-            !rx.unwrap(NodeId(0), bytes).is_empty()
+            !rx.unwrap(NodeId(0), &mut bytes.to_vec()).is_empty()
         });
         let body = TxnBody::Prepare {
             ops: vec![Operation::Put {
@@ -610,7 +610,10 @@ fn hostile_frames_are_rejected_and_counted_without_panicking() {
 
     for (i, bytes) in hostile.iter().enumerate() {
         let before = receiver.rejected();
-        assert!(receiver.unwrap(NodeId(0), bytes).is_empty(), "case {i}");
+        assert!(
+            receiver.unwrap(NodeId(0), &mut bytes.clone()).is_empty(),
+            "case {i}"
+        );
         assert!(receiver.unwrap_txn(NodeId(0), bytes).is_none(), "case {i}");
         assert_eq!(receiver.rejected(), before + 2, "case {i}");
     }
@@ -627,13 +630,13 @@ fn hostile_frames_are_rejected_and_counted_without_panicking() {
         &[0x04, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF],
         &[0x05, 0xFF, 0xFF, 0xFF, 0xFF],
     ] {
-        assert!(native.unwrap(NodeId(0), bytes).is_empty());
+        assert!(native.unwrap(NodeId(0), &mut bytes.to_vec()).is_empty());
     }
     assert_eq!(native.rejected(), 3);
 
     // Nothing above disturbed the channel: the intact frames still verify.
-    assert_eq!(receiver.unwrap(NodeId(0), &single).len(), 1);
-    assert_eq!(receiver.unwrap(NodeId(0), &batch).len(), 1);
+    assert_eq!(receiver.unwrap(NodeId(0), &mut single.clone()).len(), 1);
+    assert_eq!(receiver.unwrap(NodeId(0), &mut batch.clone()).len(), 1);
     assert_eq!(
         receiver.unwrap_txn(NodeId(0), &txn),
         Some((9, TxnBody::Commit))
