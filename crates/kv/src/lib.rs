@@ -8,9 +8,13 @@
 //!    live in untrusted host memory. This keeps the trusted working set small
 //!    (limiting EPC pressure) while still letting a replica verify the integrity of
 //!    everything it reads, which is what makes trustworthy **local reads** possible.
-//! 2. **Skiplist index** — the enclave-resident index is a skiplist (the paper bases
-//!    its hybrid skiplist on folly); ours is a from-scratch deterministic skiplist
-//!    ([`skiplist::SkipList`]).
+//! 2. **Hashed index** — the enclave-resident index maps each key to its metadata
+//!    in a hash table, so a point operation is one probe. The paper builds its
+//!    index on folly's concurrent skiplist for lock-free ordered access; this
+//!    store runs on one thread, migration selects keys by hash arc rather than by
+//!    key range, and the virtual clock charges index work through the cost model,
+//!    so no reproduced figure depends on the host structure. The few operations
+//!    that hand keys out in order (exports, recovery) sort them.
 //!
 //! In confidential mode the store encrypts values before they leave the enclave
 //! region, which is the basis of the Figure 5 experiment.
@@ -28,13 +32,11 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod skiplist;
 pub mod store;
 pub mod timestamp;
 pub mod txn;
 
 pub use error::KvError;
-pub use skiplist::SkipList;
 pub use store::{ExportedEntry, PartitionedKvStore, ReadResult, StoreConfig, StoreStats};
 pub use timestamp::Timestamp;
 pub use txn::{borrow_ops, TxnOpRef, TxnRecordOps, TxnTable};

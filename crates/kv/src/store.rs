@@ -2,9 +2,12 @@
 //!
 //! Placement (paper §A.3, Figure 2):
 //!
-//! * **Enclave region** — the skiplist index mapping each key to its metadata:
-//!   integrity hash of the value, Lamport timestamp, version, length and a pointer
-//!   (arena slot) into host memory.
+//! * **Enclave region** — the index mapping each key to its metadata: integrity
+//!   hash of the value, Lamport timestamp, version, length and a pointer (arena
+//!   slot) into host memory. It is a hash table: a point operation is one probe,
+//!   and the operations that hand keys out in order (exports, recovery) sort the
+//!   keys they collect, so key order is the bytes' order, never the table's.
+//!   The paper's index is a skiplist; see the crate doc for why this one is not.
 //! * **Host region** — an arena of value buffers. The host is untrusted: a Byzantine
 //!   OS/hypervisor may corrupt or delete these buffers at any time, which the store
 //!   detects on every read by re-hashing what the host holds and comparing against
@@ -33,31 +36,21 @@
 //! different values under one keystream; `recipe-protocols` derives it per
 //! replica.
 
+use std::collections::HashMap;
+
 use recipe_crypto::{hash_parts, Cipher, CipherKey, Digest, Nonce};
 use serde::{Deserialize, Serialize};
 
 use crate::error::KvError;
-use crate::skiplist::SkipList;
 use crate::timestamp::Timestamp;
 use crate::txn::{borrow_ops, TxnOpRef, TxnRecordOps, TxnTable};
 
 /// Configuration for a [`PartitionedKvStore`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StoreConfig {
     /// When set, values are encrypted with this key before entering host memory
     /// (confidential mode, Figure 5).
     pub cipher_key: Option<CipherKey>,
-    /// Seed for the skiplist tower heights (reproducibility).
-    pub index_seed: u64,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig {
-            cipher_key: None,
-            index_seed: 0xC0FFEE,
-        }
-    }
 }
 
 impl StoreConfig {
@@ -137,7 +130,9 @@ pub struct ReadResult {
     pub version: u64,
 }
 
-/// Memory-accounting snapshot, consumed by the EPC model and the cost model.
+/// Memory and operation counters of one store. Nothing in the simulation reads
+/// them — the cost model charges index and value work per operation on its own
+/// — so they are what tests and examples inspect.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreStats {
     /// Number of live keys.
@@ -160,7 +155,9 @@ pub type ExportedEntry = (Vec<u8>, Vec<u8>, Timestamp);
 
 /// The partitioned key-value store.
 pub struct PartitionedKvStore {
-    index: SkipList<ValueMeta>,
+    /// Keys are client-chosen, so the table keeps std's randomly keyed
+    /// SipHash: no client can aim keys at one bucket.
+    index: HashMap<Box<[u8]>, ValueMeta>,
     host_arena: Vec<Option<HostValue>>,
     free_slots: Vec<usize>,
     cipher: Option<Cipher>,
@@ -174,7 +171,7 @@ impl PartitionedKvStore {
     /// Creates an empty store (`init_store()` in Table 3).
     pub fn new(config: StoreConfig) -> Self {
         PartitionedKvStore {
-            index: SkipList::with_seed(config.index_seed),
+            index: HashMap::new(),
             host_arena: Vec::new(),
             free_slots: Vec::new(),
             cipher: config.cipher_key.as_ref().map(Cipher::new),
@@ -239,37 +236,35 @@ impl PartitionedKvStore {
         };
         let value_hash = host_value.digest(key);
 
-        // One descent of the index finds the key's slot and version, or the
-        // place its entry goes.
-        let (host_arena, free_slots) = (&mut self.host_arena, &mut self.free_slots);
-        let mut version = 1;
-        self.index.upsert(key, |existing| {
-            let host_slot = match existing {
-                Some(existing) => {
-                    version = existing.version + 1;
-                    host_arena[existing.host_slot] = Some(host_value);
-                    existing.host_slot
-                }
-                None => match free_slots.pop() {
-                    Some(slot) => {
-                        host_arena[slot] = Some(host_value);
-                        slot
-                    }
-                    None => {
-                        host_arena.push(Some(host_value));
-                        host_arena.len() - 1
-                    }
-                },
-            };
-            ValueMeta {
-                value_hash,
-                timestamp,
-                version,
-                value_len,
-                host_slot,
+        // An overwrite is one probe: the key keeps its slot and bumps its
+        // version. A new key takes a free host slot and enters the table.
+        if let Some(meta) = self.index.get_mut(key) {
+            self.host_arena[meta.host_slot] = Some(host_value);
+            meta.value_hash = value_hash;
+            meta.timestamp = timestamp;
+            meta.version += 1;
+            meta.value_len = value_len;
+            return Ok(meta.version);
+        }
+        let host_slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.host_arena[slot] = Some(host_value);
+                slot
             }
-        });
-        Ok(version)
+            None => {
+                self.host_arena.push(Some(host_value));
+                self.host_arena.len() - 1
+            }
+        };
+        let meta = ValueMeta {
+            value_hash,
+            timestamp,
+            version: 1,
+            value_len,
+            host_slot,
+        };
+        self.index.insert(key.into(), meta);
+        Ok(1)
     }
 
     /// Writes only if `timestamp` is strictly newer than the stored timestamp
@@ -353,7 +348,32 @@ impl PartitionedKvStore {
 
     /// All keys in order (used by state transfer during recovery).
     pub fn keys(&self) -> Vec<Vec<u8>> {
-        self.index.iter().map(|(k, _)| k.to_vec()).collect()
+        self.sorted_keys(|_| true)
+    }
+
+    /// The highest timestamp any stored key carries; `None` when empty.
+    pub fn newest_timestamp(&self) -> Option<Timestamp> {
+        self.unordered().map(|(_, meta)| meta.timestamp).max()
+    }
+
+    /// The index in hash order, which differs from process to process. The
+    /// one place the table is walked: each caller sorts what it collects
+    /// ([`Self::sorted_keys`]) or folds with an order-blind `max` or sum.
+    fn unordered(&self) -> impl Iterator<Item = (&[u8], &ValueMeta)> {
+        // recipe-lint: allow(hash-iteration, reason = "callers sort the keys they collect (sorted_keys) or fold with max/sum, which no order changes")
+        self.index.iter().map(|(key, meta)| (&**key, meta))
+    }
+
+    /// The keys `filter` selects, in ascending byte order: what every export,
+    /// eviction and rehydration walks, so none of them sees the table's order.
+    fn sorted_keys(&self, filter: impl Fn(&[u8]) -> bool) -> Vec<Vec<u8>> {
+        let mut keys: Vec<Vec<u8>> = self
+            .unordered()
+            .filter(|(key, _)| filter(key))
+            .map(|(key, _)| key.to_vec())
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Rollback-protected rehydration after a restart: re-reads every key
@@ -496,12 +516,7 @@ impl PartitionedKvStore {
         &mut self,
         filter: impl Fn(&[u8]) -> bool,
     ) -> Result<Vec<ExportedEntry>, KvError> {
-        let keys: Vec<Vec<u8>> = self
-            .index
-            .iter()
-            .filter(|(key, _)| filter(key))
-            .map(|(key, _)| key.to_vec())
-            .collect();
+        let keys = self.sorted_keys(filter);
         let mut out = Vec::with_capacity(keys.len());
         for key in keys {
             let read = self.get(&key)?;
@@ -531,12 +546,7 @@ impl PartitionedKvStore {
     /// Deletes every key satisfying `filter` (donor-side range eviction after
     /// a migration cutover). Returns how many keys were removed.
     pub fn remove_matching(&mut self, filter: impl Fn(&[u8]) -> bool) -> usize {
-        let keys: Vec<Vec<u8>> = self
-            .index
-            .iter()
-            .filter(|(key, _)| filter(key))
-            .map(|(key, _)| key.to_vec())
-            .collect();
+        let keys = self.sorted_keys(filter);
         let removed = keys.len();
         for key in &keys {
             self.delete(key);
@@ -544,10 +554,13 @@ impl PartitionedKvStore {
         removed
     }
 
-    /// Memory and operation statistics.
+    /// Memory and operation statistics. `enclave_bytes` counts what the
+    /// enclave holds per live key — the key and its index entry — not what
+    /// the allocator holds for the table.
     pub fn stats(&self) -> StoreStats {
-        let enclave_bytes =
-            self.index.index_bytes() + self.index.len() * std::mem::size_of::<ValueMeta>();
+        let entry = std::mem::size_of::<(Box<[u8]>, ValueMeta)>();
+        let key_bytes: usize = self.unordered().map(|(key, _)| key.len()).sum();
+        let enclave_bytes = key_bytes + self.index.len() * entry;
         let host_bytes = self
             .host_arena
             .iter()
@@ -619,7 +632,7 @@ impl PartitionedKvStore {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
 
     fn plain_store() -> PartitionedKvStore {
         PartitionedKvStore::new(StoreConfig::default())
@@ -946,7 +959,7 @@ mod tests {
                 .write_owned(b"k", value, Timestamp::new(1, 0))
                 .unwrap();
             // The arena holds the caller's allocation, sealed or not.
-            let slot = store.index.get(b"k").unwrap().host_slot;
+            let slot = store.index.get(b"k".as_slice()).unwrap().host_slot;
             let kept = store.host_arena[slot].as_mut().unwrap().bytes_mut();
             assert_eq!(kept.as_ptr(), at);
             assert_eq!(store.get(b"k").unwrap().value, b"balance=100".repeat(8));
@@ -993,6 +1006,18 @@ mod tests {
         assert!(!store.txn_abort(7));
     }
 
+    /// A key from one of three stems and a short tail of few distinct bytes,
+    /// so keys repeat and extend one another: `""`, `"ab"`, `"ab\0"`, …
+    fn shaped_key(stem: u8, tail: &[u8]) -> Vec<u8> {
+        let stem: &[u8] = match stem {
+            0 => b"",
+            1 => b"ab",
+            _ => b"ab\0",
+        };
+        let tail = tail.iter().map(|&i| [0, b'a', 0xff][usize::from(i)]);
+        stem.iter().copied().chain(tail).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1026,6 +1051,83 @@ mod tests {
                 }
             }
             prop_assert_eq!(store.len(), model.len());
+        }
+
+        /// The index is a hash table, and nothing may show it: every ordered
+        /// operation answers in byte order, as a `BTreeMap` would. Keys come
+        /// in the shapes that order has to get right — the empty key, keys
+        /// that are prefixes of one another (`ab`, `ab\0`, `ab\0\0`) and
+        /// bytes either side of the sign bit.
+        #[test]
+        fn ordered_operations_match_a_btreemap_model(
+            confidential in any::<bool>(),
+            ops in proptest::collection::vec((
+                0u8..6,
+                0u8..3,
+                proptest::collection::vec(0u8..3, 0..3),
+                proptest::collection::vec(any::<u8>(), 0..16),
+            ), 0..120),
+            tamper in proptest::collection::vec(0u8..3, 0..24),
+        ) {
+            let new_store = if confidential { confidential_store } else { plain_store };
+            let mut store = new_store();
+            let mut model: BTreeMap<Vec<u8>, (Vec<u8>, Timestamp)> = BTreeMap::new();
+            for (n, (op, stem, tail, value)) in ops.into_iter().enumerate() {
+                let key = shaped_key(stem, &tail);
+                match op {
+                    0..=2 => {
+                        let ts = Timestamp::new(n as u64 + 1, u64::from(op));
+                        store.write(&key, &value, ts).unwrap();
+                        model.insert(key, (value, ts));
+                    }
+                    3 | 4 => prop_assert_eq!(store.delete(&key), model.remove(&key).is_some()),
+                    _ => {
+                        // Evicts `key` and every key it is a prefix of.
+                        let before = model.len();
+                        model.retain(|k, _| !k.starts_with(&key));
+                        let removed = store.remove_matching(|k| k.starts_with(&key));
+                        prop_assert_eq!(removed, before - model.len());
+                    }
+                }
+                prop_assert_eq!(store.len(), model.len());
+            }
+            let records: Vec<ExportedEntry> = model
+                .iter()
+                .map(|(key, (value, ts))| (key.clone(), value.clone(), *ts))
+                .collect();
+            prop_assert_eq!(store.keys(), model.keys().cloned().collect::<Vec<_>>());
+            let even = |key: &[u8]| key.len().is_multiple_of(2);
+            let expected: Vec<ExportedEntry> =
+                records.iter().filter(|(key, _, _)| even(key)).cloned().collect();
+            prop_assert_eq!(store.export_matching(even).unwrap(), expected);
+
+            // The same records fed in opposite orders give the same answers.
+            let mut forward = new_store();
+            let mut backward = new_store();
+            forward.import_entries(records.clone()).unwrap();
+            backward.import_entries(records.iter().rev().cloned()).unwrap();
+            prop_assert_eq!(forward.keys(), backward.keys());
+            let everything = forward.export_matching(|_| true).unwrap();
+            prop_assert_eq!(&everything, &backward.export_matching(|_| true).unwrap());
+            prop_assert_eq!(&everything, &records);
+
+            // A host that corrupts or drops values: rehydration keeps exactly
+            // the records it did not touch, in order.
+            let mut kept = Vec::new();
+            let mut bytes = 0;
+            for (i, (key, value, _)) in records.iter().enumerate() {
+                match tamper.get(i) {
+                    Some(1) => prop_assert!(store.corrupt_host_value(key)),
+                    Some(2) => prop_assert!(store.drop_host_value(key)),
+                    _ => {
+                        kept.push(key.clone());
+                        bytes += (key.len() + value.len()) as u64;
+                    }
+                }
+            }
+            let discarded = (records.len() - kept.len()) as u64;
+            prop_assert_eq!(store.rehydrate(), (kept.len() as u64, discarded, bytes));
+            prop_assert_eq!(store.keys(), kept);
         }
 
         #[test]

@@ -19,6 +19,7 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
@@ -222,6 +223,33 @@ impl AckSet {
     }
 }
 
+/// Hashes the log indices Raft's per-entry tables are keyed by. The leader
+/// assigns them one after another and no client picks one, so the tables
+/// need no keyed SipHash: one multiply by 2⁶⁴/φ spreads consecutive indices
+/// over both the low bits a table picks its bucket by and the high bits it
+/// tags entries with.
+#[derive(Default)]
+struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A table keyed by log index.
+type ByIndex<V> = HashMap<u64, V, BuildHasherDefault<IndexHasher>>;
+
 #[derive(Debug, Clone)]
 struct PendingEntry {
     key: Vec<u8>,
@@ -244,9 +272,9 @@ pub struct Raft {
     next_index: u64,
     /// Leader-side replication state per log index, from the client's request
     /// until its reply is sent.
-    pending: HashMap<u64, PendingEntry>,
+    pending: ByIndex<PendingEntry>,
     /// Follower-side uncommitted entries per log index.
-    uncommitted: HashMap<u64, (Vec<u8>, Vec<u8>)>,
+    uncommitted: ByIndex<(Vec<u8>, Vec<u8>)>,
     /// Timestamp (virtual ns) of the last heartbeat observed from the leader.
     last_heartbeat_ns: u64,
     /// Views this replica has already voted for.
@@ -427,8 +455,8 @@ impl CftProtocol for Raft {
             membership,
             view: 0,
             next_index: 0,
-            pending: HashMap::new(),
-            uncommitted: HashMap::new(),
+            pending: ByIndex::default(),
+            uncommitted: ByIndex::default(),
             last_heartbeat_ns: 0,
             voted: HashSet::new(),
             view_votes: HashMap::new(),

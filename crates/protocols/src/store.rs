@@ -301,9 +301,9 @@ impl ReplicaStore {
         if let Some(entries) = &state.snapshot {
             self.import_range(entries);
         }
-        let stamps = self.kv.keys().into_iter();
-        let restored = stamps.filter_map(|key| self.kv.timestamp_of(&key));
-        self.applied = restored.map(|ts| ts.logical).fold(self.applied, u64::max);
+        if let Some(newest) = self.kv.newest_timestamp() {
+            self.applied = self.applied.max(newest.logical);
+        }
         for (txn_id, ops) in &state.prepares {
             self.txn_stage_replicated(*txn_id, ops);
         }

@@ -220,7 +220,11 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
             queue: BinaryHeap::new(),
             next_seq: 0,
             gateway: Gateway::from_config(&config.gateway, config.base.seed),
-            st: ControllerState::new(shard_count, rb.check_interval_ns),
+            st: ControllerState::new(
+                shard_count,
+                cluster.router.arc_count(),
+                rb.check_interval_ns,
+            ),
             txns: TxnManager::new(config.txn.clone(), config.base.seed, shard_count),
             clients: (0..clients)
                 .map(|_| ClientState {
@@ -569,7 +573,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
             }
             self.st.window_shard[shard] += 1;
             if let Some(arc) = arc {
-                *self.st.window_arc.entry(arc).or_default() += 1;
+                self.st.window_arc[arc] += 1;
             }
         }
         let width = self.rb.timeline_bucket_ns;

@@ -29,7 +29,7 @@
 //! throughput timeline shows the true cost of the transfer, not a free move.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use recipe_protocols::{ChunkPhase, MigrationChannel, MigrationChunk, StoreReplica};
 use recipe_sim::{RangeEntry, Work};
@@ -172,7 +172,8 @@ struct ActiveMigration {
 pub(crate) struct ControllerState {
     next_check_ns: u64,
     pub(crate) window_shard: Vec<u64>,
-    pub(crate) window_arc: BTreeMap<usize, u64>,
+    /// Commits per ring arc in the current window, indexed by arc.
+    pub(crate) window_arc: Vec<u64>,
     active: Option<ActiveMigration>,
     next_migration_id: u64,
     pub(crate) stats: MigrationStats,
@@ -181,11 +182,11 @@ pub(crate) struct ControllerState {
 }
 
 impl ControllerState {
-    pub(crate) fn new(shards: usize, first_check_ns: u64) -> Self {
+    pub(crate) fn new(shards: usize, arcs: usize, first_check_ns: u64) -> Self {
         ControllerState {
             next_check_ns: first_check_ns,
             window_shard: vec![0; shards],
-            window_arc: BTreeMap::new(),
+            window_arc: vec![0; arcs],
             active: None,
             next_migration_id: 0,
             stats: MigrationStats::default(),
@@ -195,7 +196,7 @@ impl ControllerState {
 
     fn clear_window(&mut self) {
         self.window_shard.iter_mut().for_each(|c| *c = 0);
-        self.window_arc.clear();
+        self.window_arc.iter_mut().for_each(|c| *c = 0);
     }
 
     /// The next virtual time the controller must act at, if any.
@@ -381,8 +382,11 @@ impl<R: StoreReplica> Engine<'_, R> {
         let mut donor_arcs: Vec<(u64, usize)> = st
             .window_arc
             .iter()
-            .filter(|&(&arc, _)| self.cluster.router.owner_of_arc(arc) == donor)
-            .map(|(&arc, &commits)| (commits, arc))
+            .enumerate()
+            .filter(|&(arc, &commits)| {
+                commits > 0 && self.cluster.router.owner_of_arc(arc) == donor
+            })
+            .map(|(arc, &commits)| (commits, arc))
             .collect();
         donor_arcs.sort_by_key(|&(commits, arc)| (Reverse(commits), arc));
         let mut moving = Vec::new();

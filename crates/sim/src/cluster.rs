@@ -6,7 +6,7 @@
 //! event budget is exhausted) and returns a [`RunStats`] with throughput and latency
 //! figures. All scheduling decisions are deterministic for a given seed.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use recipe_core::{ClientReply, ClientRequest, Operation};
 use recipe_net::{CrashPlan, FaultPlan, FrameFault, NetworkFaultInjector, NodeId};
@@ -243,6 +243,15 @@ struct Outstanding {
     is_write: bool,
 }
 
+/// One client's entry in [`SimCluster`]'s table, indexed by client id.
+#[derive(Debug, Clone, Default)]
+struct ClientSlot {
+    /// The latest request id the client issued (0 before its first).
+    request_id: u64,
+    /// Its request still waiting for a reply.
+    outstanding: Option<Outstanding>,
+}
+
 /// The discrete-event cluster simulator.
 pub struct SimCluster<R: Replica> {
     replicas: Vec<R>,
@@ -254,9 +263,9 @@ pub struct SimCluster<R: Replica> {
     now: u64,
     busy_until: Vec<u64>,
     crashed: BTreeSet<NodeId>,
-    /// Pending client bookkeeping: the outstanding request per client.
-    issue_time: HashMap<u64, Outstanding>,
-    next_request_id: HashMap<u64, u64>,
+    /// Client bookkeeping, indexed by client id. Ids are dense from zero;
+    /// the table grows the first time a client submits.
+    clients: Vec<ClientSlot>,
     /// The effect buffers handler calls fill, lent to one [`Ctx`] at a time
     /// and taken back empty: a steady run allocates none.
     effects: Effects,
@@ -294,8 +303,7 @@ impl<R: Replica> SimCluster<R> {
             now: 0,
             busy_until: vec![0; n],
             crashed: BTreeSet::new(),
-            issue_time: HashMap::new(),
-            next_request_id: HashMap::new(),
+            clients: Vec::new(),
             effects: Effects::default(),
             latencies_ns: Vec::new(),
             stats: RunStats::default(),
@@ -493,9 +501,9 @@ impl<R: Replica> SimCluster<R> {
                 StepOutcome::Idle | StepOutcome::CapReached => break,
                 StepOutcome::Processed => {}
                 StepOutcome::NeedsIssue { client_id } => {
-                    let request_id = self.next_request_id.entry(client_id).or_insert(0);
-                    *request_id += 1;
-                    let rid = *request_id;
+                    let slot = self.client_mut(client_id);
+                    slot.request_id += 1;
+                    let rid = slot.request_id;
                     let operation = workload(client_id, rid);
                     if !self.submit_at(self.now, client_id, rid, operation) {
                         // No live coordinator (e.g. leader crashed and no view
@@ -555,16 +563,16 @@ impl<R: Replica> SimCluster<R> {
         let Some(target) = self.route(&operation) else {
             return Err(operation);
         };
-        self.next_request_id.insert(client_id, request_id);
-        self.issue_time.insert(
-            client_id,
-            Outstanding {
+        let issued_ns = self.now;
+        *self.client_mut(client_id) = ClientSlot {
+            request_id,
+            outstanding: Some(Outstanding {
                 request_id,
-                issued_ns: self.now,
+                issued_ns,
                 is_write: operation.is_write(),
                 operation: operation.clone(),
-            },
-        );
+            }),
+        };
         let deliver_at = self.now + self.config.cost_model.link_latency_ns;
         self.queue.push_timer(
             self.now + self.config.retry_timeout_ns,
@@ -661,17 +669,13 @@ impl<R: Replica> SimCluster<R> {
                 request_id,
             } => {
                 // Still outstanding? (No reply recorded and no newer request.)
-                let outstanding = matches!(
-                    self.issue_time.get(&client_id),
-                    Some(out) if out.request_id == request_id
-                ) && self.next_request_id.get(&client_id) == Some(&request_id);
-                if !outstanding {
+                let Some(out) = self.outstanding(client_id, request_id) else {
                     return StepOutcome::Processed;
-                }
+                };
                 // Resend the exact operation that was issued (the original code
                 // re-drew from the workload closure, silently mutating stateful
                 // generators on every retry).
-                let operation = self.issue_time[&client_id].operation.clone();
+                let operation = out.operation.clone();
                 if let Some(idx) = self.route(&operation) {
                     let deliver_at = self.now + self.config.cost_model.link_latency_ns;
                     self.queue.push(
@@ -1066,17 +1070,32 @@ impl<R: Replica> SimCluster<R> {
         self.effects = (outbox, replies, timers);
     }
 
+    /// `client_id`'s table entry, grown to reach it on first sight.
+    fn client_mut(&mut self, client_id: u64) -> &mut ClientSlot {
+        let idx = client_id as usize;
+        if idx >= self.clients.len() {
+            self.clients.resize_with(idx + 1, ClientSlot::default);
+        }
+        &mut self.clients[idx]
+    }
+
+    /// The client's request `request_id`, while it awaits its reply. A newer
+    /// request replaces it: a client has one request outstanding at a time.
+    fn outstanding(&self, client_id: u64, request_id: u64) -> Option<&Outstanding> {
+        let slot = self.clients.get(client_id as usize)?;
+        slot.outstanding
+            .as_ref()
+            .filter(|out| out.request_id == request_id)
+    }
+
     fn record_reply(&mut self, reply: ClientReply) {
         let client_id = reply.client_id;
         // Only the first reply for the *currently outstanding* request counts;
         // replicas in BFT protocols all reply, and late replies for older requests
         // must not be double-counted.
-        let outstanding = matches!(self.issue_time.get(&client_id),
-            Some(out) if out.request_id == reply.request_id);
-        if !outstanding {
-            return;
-        }
-        if let Some(out) = self.issue_time.remove(&client_id) {
+        let slot = self.clients.get_mut(client_id as usize);
+        let current = |out: &mut Outstanding| out.request_id == reply.request_id;
+        if let Some(out) = slot.and_then(|slot| slot.outstanding.take_if(current)) {
             let latency = self.now.saturating_sub(out.issued_ns);
             self.latencies_ns.push(latency);
             if let Some(t) = self.telemetry.as_mut() {
@@ -1169,6 +1188,7 @@ pub fn latency_percentiles(latencies_ns: &mut [u64]) -> LatencySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// A trivial single-round "echo" protocol used to exercise the simulator itself:
     /// the coordinator broadcasts the write, followers ack, the coordinator replies
