@@ -623,14 +623,9 @@ impl AuthLayer {
         } else {
             None
         };
-        let mut stream = self.enclave.bound_mac_key_at(channel.key)?.stream();
-        family.write_authenticated_parts(
-            &mut |bytes| stream.update(bytes),
-            &tuple,
-            body,
-            commitment,
-        );
-        Ok(image.finish(&stream.tag()))
+        let key = self.enclave.bound_mac_key_at(channel.key)?;
+        let tag = family.frame_mac(key, &tuple, body, commitment).tag();
+        Ok(image.finish(&tag))
     }
 
     // ------------------------------------------------------------------
@@ -1011,14 +1006,11 @@ impl AuthLayer {
             Some(cipher) if frame.sealed => Some(self.enclave.bound_cipher_at(cipher).ok()?.1),
             _ => None,
         };
-        let mut stream = key.stream();
-        frame.family.write_authenticated_parts(
-            &mut |bytes| stream.update(bytes),
-            tuple,
-            frame.body.as_slice(),
-            commitment,
-        );
-        stream.verify(&frame.mac).ok()?;
+        frame
+            .family
+            .frame_mac(key, tuple, frame.body.as_slice(), commitment)
+            .verify(&frame.mac)
+            .ok()?;
         Some((peer, channel, last_accepted))
     }
 
@@ -1114,6 +1106,7 @@ impl AuthLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::{BATCH_MAC_HEADER_LEN, SINGLE_MAC_HEADER_LEN, TXN_MAC_HEADER_LEN};
     use recipe_crypto::MacKey;
     use recipe_tee::{EnclaveConfig, EnclaveId};
 
@@ -1660,6 +1653,88 @@ mod tests {
         assert!(receiver
             .verify_txn(TxnFrame::from_wire(&txn).unwrap())
             .is_accept());
+    }
+
+    /// Frames of every family whose MAC input — MAC header, body and,
+    /// sealed, key commitment — is 54, 55 and 56 bytes long plaintext, and
+    /// a sealed family's three shortest, which are 56 bytes or more: a
+    /// one-block MAC on the short side, a streamed one on the long. Each
+    /// tag is the plain HMAC of the whole input, joined and tagged with the
+    /// unbound channel key; a tag with one bit flipped is refused and leaves
+    /// the slot to the frame as sent, which verifies.
+    #[test]
+    fn frames_either_side_of_the_one_block_edge_verify_and_refuse_a_flipped_tag() {
+        let channel_key = MacKey::from_bytes([9u8; 32]).derive("cq:1->2");
+        let commitment =
+            *recipe_crypto::Cipher::new(&CipherKey::from_bytes([3u8; 32])).key_commitment();
+        let mut block = [0u8; 64];
+        block[..19].copy_from_slice(b"recipe.frame_mac.v2");
+        block[48..56].copy_from_slice(&1u64.to_le_bytes());
+        block[56..].copy_from_slice(&2u64.to_le_bytes());
+        // A refused vote naming an `n`-byte key.
+        fn refusal(n: usize) -> TxnBody {
+            TxnBody::Vote {
+                granted: false,
+                conflict: Some(vec![0x42; n]),
+            }
+        }
+        // (frame of `n` variable bytes, MAC input bytes besides them)
+        type Shield = fn(&mut AuthLayer, usize) -> Vec<u8>;
+        let families: [(Shield, usize); 3] = [
+            (
+                |tx, n| tx.shield_to_wire(NodeId(2), 7, &vec![0x42; n]).unwrap(),
+                SINGLE_MAC_HEADER_LEN,
+            ),
+            (
+                |tx, n| {
+                    let ops = [BatchOp::new(7, vec![0x42; n])];
+                    tx.shield_batch_to_wire(NodeId(2), &ops).unwrap()
+                },
+                BATCH_MAC_HEADER_LEN + BatchFrame::ops_len(&[BatchOp::new(7, Vec::new())]),
+            ),
+            (
+                |tx, n| {
+                    let seal = tx.is_confidential();
+                    tx.shield_txn_to_wire(NodeId(2), 9, &refusal(n), seal)
+                        .unwrap()
+                },
+                TXN_MAC_HEADER_LEN + TxnFrame::body_len(&refusal(0)),
+            ),
+        ];
+        for sealed in [false, true] {
+            let (mut sender, mut receiver) = layer_pair(sealed);
+            for (shield, fixed) in families {
+                let fixed = fixed + if sealed { commitment.len() } else { 0 };
+                let lens = if sealed {
+                    [fixed, fixed + 1, fixed + 2]
+                } else {
+                    [54, 55, 56]
+                };
+                for len in lens {
+                    let wire = shield(&mut sender, len - fixed);
+                    // tag | sealed | tuple (32) | mac (32) | field | len u32 | body:
+                    // the MAC header is the first two bytes, the view, the
+                    // counter and everything behind the tag.
+                    let mut input = block.to_vec();
+                    input.extend_from_slice(&wire[..10]);
+                    input.extend_from_slice(&wire[26..34]);
+                    input.extend_from_slice(&wire[66..]);
+                    if sealed {
+                        input.extend_from_slice(&commitment);
+                    }
+                    assert_eq!(input.len(), 64 + len, "{len} bytes");
+                    assert_eq!(&wire[34..66], channel_key.tag(&input).as_bytes());
+
+                    let mut flipped = wire.clone();
+                    flipped[34 + len % 32] ^= 1 << (len % 8);
+                    assert_eq!(by_view(&mut receiver, &flipped), None, "{len} bytes");
+                    let delivered = by_view(&mut receiver, &wire).expect("in order");
+                    assert_eq!(delivered.len(), 1, "{len} bytes");
+                }
+            }
+            assert_eq!(receiver.recv_counter_from(NodeId(1)), 9);
+            assert_eq!(receiver.rejection_counts(), (0, 9, 0));
+        }
     }
 
     /// One frame of each family from `sender` to node 2, as frame structs.

@@ -1,7 +1,10 @@
 //! Message formats: client requests, shielded replica-to-replica messages and the
 //! sequence tuples that make equivocation detectable.
 
-use recipe_crypto::{KeyCommitment, MacTag, Signature, XNonce, DIGEST_LEN, MAC_BLOCK_LEN};
+use recipe_crypto::{
+    BoundMacKey, CryptoError, KeyCommitment, MacStream, MacTag, Signature, XNonce, DIGEST_LEN,
+    MAC_BLOCK_LEN, MAC_ONE_BLOCK_MAX,
+};
 use recipe_net::{ChannelId, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -121,9 +124,89 @@ pub const TXN_MAC_HEADER_LEN: usize = MAC_HEADER_FIXED_LEN + 8 + 4;
 /// commitment): the inner hash's blocks — the input, a `0x80` byte and the
 /// 8-byte length — and the outer hash's one. The channel block is not
 /// counted: it is behind the bound key. Two is the least an HMAC can cost,
-/// and what an input of up to 55 bytes does.
+/// and what an input of up to 55 bytes does; such an input is MAC'd from
+/// its one block alone (the bound key's one-block entry,
+/// [`recipe_crypto::BoundMacKey::tag_one_block`]).
 pub const fn mac_compressions(input_len: usize) -> usize {
     (input_len + 1 + 8).div_ceil(MAC_BLOCK_LEN) + 1
+}
+
+// The inputs of two compressions are exactly the ones the bound key's
+// one-block entry takes.
+const _: () = assert!(
+    mac_compressions(MAC_ONE_BLOCK_MAX) == 2 && mac_compressions(MAC_ONE_BLOCK_MAX + 1) == 3
+);
+
+/// A frame's MAC under its channel's bound key, to be tagged (shield) or
+/// checked (verify) — the one way both ends compute it
+/// ([`Family::frame_mac`]). An input of two compressions
+/// ([`mac_compressions`]: every Raft ack, commit, commit-ack and heartbeat,
+/// every fixed-size plaintext 2PC frame) is laid out in one stack block and
+/// padded there by the key's one-block entry; a longer one (appends,
+/// batches, prepares, and every sealed frame, whose 32-byte key commitment
+/// alone overflows the block) is streamed. The form follows the input's
+/// length only, so both ends pick the same one, and both forms give the
+/// same tag.
+pub(crate) struct FrameMac<'a> {
+    key: &'a BoundMacKey,
+    family: Family,
+    tuple: &'a SequenceTuple,
+    body: &'a [u8],
+    commitment: Option<&'a KeyCommitment>,
+}
+
+impl FrameMac<'_> {
+    /// The frame's tag.
+    pub(crate) fn tag(&self) -> MacTag {
+        let mut block = [0u8; MAC_BLOCK_LEN];
+        match self.one_block(&mut block) {
+            Some(len) => {
+                let tag = self.key.tag_one_block(&mut block, len);
+                // recipe-lint: allow(unwrap-in-lib, reason = "`one_block` lays out only inputs of at most MAC_ONE_BLOCK_MAX bytes")
+                tag.expect("laid out only when it fits one block")
+            }
+            None => self.stream().tag(),
+        }
+    }
+
+    /// Checks a received tag, in constant time in the comparison.
+    pub(crate) fn verify(&self, tag: &MacTag) -> Result<(), CryptoError> {
+        let mut block = [0u8; MAC_BLOCK_LEN];
+        match self.one_block(&mut block) {
+            Some(len) => self.key.verify_one_block(&mut block, len, tag),
+            None => self.stream().verify(tag),
+        }
+    }
+
+    /// Lays the input out at the front of `block` and returns its length,
+    /// if it is two compressions' worth.
+    fn one_block(&self, block: &mut [u8; MAC_BLOCK_LEN]) -> Option<usize> {
+        let input_len =
+            self.family.mac_header_len() + self.body.len() + self.commitment.map_or(0, |c| c.len());
+        if mac_compressions(input_len) != 2 {
+            return None;
+        }
+        let mut len = 0;
+        let mut put = |bytes: &[u8]| {
+            block[len..len + bytes.len()].copy_from_slice(bytes);
+            len += bytes.len();
+        };
+        self.family
+            .write_authenticated_parts(&mut put, self.tuple, self.body, self.commitment);
+        Some(len)
+    }
+
+    /// A stream of the key fed the input.
+    fn stream(&self) -> MacStream {
+        let mut stream = self.key.stream();
+        self.family.write_authenticated_parts(
+            &mut |bytes| stream.update(bytes),
+            self.tuple,
+            self.body,
+            self.commitment,
+        );
+        stream
+    }
 }
 
 /// The three shielded frame families, each with the one field it carries
@@ -179,13 +262,41 @@ impl Family {
         SHIELD_HEADER_LEN + field_len + bytes_len(body_len)
     }
 
+    /// Bytes of this family's MAC header.
+    fn mac_header_len(self) -> usize {
+        match self {
+            Family::Single { .. } => SINGLE_MAC_HEADER_LEN,
+            Family::Batch { .. } => BATCH_MAC_HEADER_LEN,
+            Family::Txn { .. } => TXN_MAC_HEADER_LEN,
+        }
+    }
+
+    /// The MAC of a frame of this family under the channel's bound key, over
+    /// [`Family::write_authenticated_parts`]'s bytes: what shield and verify
+    /// both tag or check.
+    pub(crate) fn frame_mac<'a>(
+        self,
+        key: &'a BoundMacKey,
+        tuple: &'a SequenceTuple,
+        body: &'a [u8],
+        commitment: Option<&'a KeyCommitment>,
+    ) -> FrameMac<'a> {
+        FrameMac {
+            key,
+            family: self,
+            tuple,
+            body,
+            commitment,
+        }
+    }
+
     /// Hands the bytes the frame MAC covers behind the channel block
     /// ([`channel_mac_block`], which carries `src` and `dst`) to `put`, piece
     /// by piece and in order; what the MAC covers is the block and their
-    /// concatenation. The authentication layer points `put` at a MAC stream
-    /// of the channel's bound key, so the body is authenticated where it
-    /// lies — in a frame struct, in the wire buffer being built or in the
-    /// one received.
+    /// concatenation. [`FrameMac`] points `put` at the one-block entry's
+    /// stack block or at a MAC stream of the channel's bound key, so
+    /// the body is authenticated where it lies — in a frame struct, in the
+    /// wire buffer being built or in the one received.
     ///
     /// First the MAC header, fixed-width and in one piece —
     ///
@@ -222,20 +333,12 @@ impl Family {
         header[2..10].copy_from_slice(&tuple.view.to_le_bytes());
         header[10..MAC_HEADER_FIXED_LEN].copy_from_slice(&tuple.counter.to_le_bytes());
         let field = &mut header[MAC_HEADER_FIXED_LEN..];
-        let header_len = match self {
-            Family::Single { kind } => {
-                field[..2].copy_from_slice(&kind.to_le_bytes());
-                SINGLE_MAC_HEADER_LEN
-            }
-            Family::Batch { count } => {
-                field[..4].copy_from_slice(&count.to_le_bytes());
-                BATCH_MAC_HEADER_LEN
-            }
-            Family::Txn { txn_id } => {
-                field[..8].copy_from_slice(&txn_id.to_le_bytes());
-                TXN_MAC_HEADER_LEN
-            }
-        };
+        match self {
+            Family::Single { kind } => field[..2].copy_from_slice(&kind.to_le_bytes()),
+            Family::Batch { count } => field[..4].copy_from_slice(&count.to_le_bytes()),
+            Family::Txn { txn_id } => field[..8].copy_from_slice(&txn_id.to_le_bytes()),
+        }
+        let header_len = self.mac_header_len();
         header[header_len - 4..header_len].copy_from_slice(&body_len.to_le_bytes());
         put(&header[..header_len]);
         put(body);
@@ -850,8 +953,9 @@ const TXN_DECISION_LEN: usize = 2;
 const TXN_ACK_LEN: usize = 2 + 4;
 
 // Every 2PC frame but a prepare (and a refusal, which names a key) is a few
-// fixed bytes, and its MAC is the two compressions an HMAC cannot go below.
-// A field added to the MAC header or to one of these bodies that pushes the
+// fixed bytes, and its MAC is the two compressions an HMAC cannot go below,
+// taken from one stack block (`FrameMac`) when it is plaintext. A
+// field added to the MAC header or to one of these bodies that pushes the
 // input into a second block stops the build here.
 const _: () = assert!(mac_compressions(TXN_MAC_HEADER_LEN + TXN_VOTE_LEN) == 2);
 const _: () = assert!(mac_compressions(TXN_MAC_HEADER_LEN + TXN_DECISION_LEN) == 2);
@@ -1324,6 +1428,54 @@ mod tests {
                     sealed.then_some(&commitment),
                 );
                 assert_eq!(pieces, 2 + usize::from(sealed));
+            }
+        }
+    }
+
+    /// Both forms of the frame MAC, on both sides of the one-block edge: 54,
+    /// 55 and 56 bytes of input for every plaintext family, and a sealed
+    /// family's three shortest inputs, which its key commitment keeps at 56
+    /// bytes or more. The form follows the length; the tag is the streamed
+    /// one, and the plain HMAC of the whole input; a flipped tag bit is
+    /// refused by either form.
+    #[test]
+    fn the_frame_mac_takes_one_block_exactly_when_the_input_fits_and_tags_as_a_stream_does() {
+        let key = MacKey::from_bytes([5u8; 32]);
+        let t = tuple();
+        let bound = key.bind(&channel_mac_block(t.channel));
+        let commitment = [0xC0; 32];
+        for family in [SINGLE, BATCH, TXN] {
+            for commitment in [None, Some(&commitment)] {
+                let fixed = family.mac_header_len() + commitment.map_or(0, |c| c.len());
+                let lens = match commitment {
+                    None => [54, 55, 56],
+                    Some(_) => [fixed, fixed + 1, fixed + 2],
+                };
+                for len in lens {
+                    let body = vec![0x5A; len - fixed];
+                    let mut stream = bound.stream();
+                    family.write_authenticated_parts(
+                        &mut |bytes| stream.update(bytes),
+                        &t,
+                        &body,
+                        commitment,
+                    );
+                    let streamed = stream.tag();
+                    assert_eq!(streamed, key.tag(&mac_input(family, &body, commitment, &t)));
+
+                    let mac = family.frame_mac(&bound, &t, &body, commitment);
+                    let one_block = mac.one_block(&mut [0; MAC_BLOCK_LEN]).is_some();
+                    assert_eq!(one_block, len <= MAC_ONE_BLOCK_MAX, "{len} bytes");
+                    assert_eq!(mac.tag(), streamed, "{len} bytes");
+                    assert_eq!(mac.verify(&streamed), Ok(()));
+                    let mut flipped = *streamed.as_bytes();
+                    flipped[len % DIGEST_LEN] ^= 1 << (len % 8);
+                    assert_eq!(
+                        mac.verify(&MacTag::from_bytes(flipped)),
+                        Err(CryptoError::MacMismatch),
+                        "{len} bytes"
+                    );
+                }
             }
         }
     }

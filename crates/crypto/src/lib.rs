@@ -48,7 +48,7 @@ pub use cipher::{BoundCipher, Cipher, CipherKey, Ciphertext, KeyCommitment};
 pub use error::CryptoError;
 pub use hash::{hash_parts, sha256, Digest, Hasher};
 pub use kx::{EphemeralSecret, KxPublic, SharedSecret};
-pub use mac::{BoundMacKey, MacKey, MacStream, MacTag, MAC_BLOCK_LEN};
+pub use mac::{BoundMacKey, MacKey, MacStream, MacTag, MAC_BLOCK_LEN, MAC_ONE_BLOCK_MAX};
 pub use nonce::{Nonce, XNonce};
 pub use sig::{PublicKey, Signature, SigningKeyPair};
 

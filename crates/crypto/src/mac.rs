@@ -1,20 +1,24 @@
 //! Message authentication codes (HMAC-SHA-256).
 //!
 //! After remote attestation, every pair of Recipe endpoints shares a channel MAC key
-//! provisioned by the CAS. `shield_request` computes an HMAC over
-//! `payload || view || cq || cnt_cq` (paper §3.2, Algorithm 1); `verify_request`
-//! recomputes and compares it in constant time.
+//! provisioned by the CAS. `shield_request` computes an HMAC over the frame
+//! (paper §3.2, Algorithm 1) and `verify_request` recomputes and compares it
+//! in constant time. The MAC input is `channel block ‖ MAC header ‖ body
+//! [‖ key commitment]` (`recipe_core`'s frame layer has the layout): the
+//! header carries the view and `cnt_cq`, the channel block `cq`.
 //!
 //! What is constant on a channel — its identity, `cq` — is put in the MAC
 //! input's first 64-byte block, and that block is hashed once per channel
 //! instead of once per frame: [`MacKey::bind`] yields a [`BoundMacKey`], the
 //! keyed state with the block behind it, and a stream started from it is the
 //! plain HMAC of `block ‖ message` under the key. A short control frame then
-//! costs two SHA-256 compressions, the least an HMAC can.
+//! costs two SHA-256 compressions, the least an HMAC can, and one whose
+//! message behind the block is at most [`MAC_ONE_BLOCK_MAX`] bytes takes the
+//! one-block entry ([`BoundMacKey::tag_one_block`]) instead of a stream.
 
-use hmac::{Hmac, HmacCore, Mac};
+use hmac::{CtOutput, Hmac, HmacCore, Mac};
 use serde::{Deserialize, Serialize};
-use sha2::Sha256;
+use sha2::{Output32, Sha256};
 use std::fmt;
 
 use crate::{CryptoError, KeyMaterial, DIGEST_LEN};
@@ -115,6 +119,10 @@ impl MacKey {
 /// block.
 pub const MAC_BLOCK_LEN: usize = 64;
 
+/// The most bytes a [`BoundMacKey`]'s one-block entry takes behind the bound
+/// block: what one SHA-256 block holds beside its padding.
+pub const MAC_ONE_BLOCK_MAX: usize = hmac::ONE_BLOCK_MAX;
+
 /// A [`MacKey`] with the first block of every message already hashed
 /// ([`MacKey::bind`]). As secret as the key: the state forges tags for any
 /// message starting with the block.
@@ -126,6 +134,41 @@ impl BoundMacKey {
     /// what follows it ([`MacKey::stream`]).
     pub fn stream(&self) -> MacStream {
         MacStream(HmacSha256::from_core(self.0.clone()))
+    }
+
+    /// The tag a [`BoundMacKey::stream`] fed `block[..len]` ends in, for a
+    /// `len` of at most [`MAC_ONE_BLOCK_MAX`]: the one-block entry. The
+    /// caller lays the message out at the front of `block`, where it is
+    /// padded (`block` is left holding the padded block) and compressed with
+    /// the outer block in one call — the block written once, no stream built
+    /// around it. `None` for a longer message.
+    pub fn tag_one_block(&self, block: &mut [u8; MAC_BLOCK_LEN], len: usize) -> Option<MacTag> {
+        let tag = self.0.tag_one_block(block, len)?;
+        Some(MacTag(tag.into_bytes().into()))
+    }
+
+    /// Checks `tag` against [`BoundMacKey::tag_one_block`] of the same block,
+    /// in constant time in the tag comparison. A message longer than
+    /// [`MAC_ONE_BLOCK_MAX`] bytes is refused as malformed input.
+    pub fn verify_one_block(
+        &self,
+        block: &mut [u8; MAC_BLOCK_LEN],
+        len: usize,
+        tag: &MacTag,
+    ) -> Result<(), CryptoError> {
+        let computed = self
+            .0
+            .tag_one_block(block, len)
+            .ok_or(CryptoError::InvalidLength {
+                what: "one-block MAC input",
+                expected: MAC_ONE_BLOCK_MAX,
+                actual: len,
+            })?;
+        if computed == CtOutput::new(Output32(tag.0)) {
+            Ok(())
+        } else {
+            Err(CryptoError::MacMismatch)
+        }
     }
 }
 
@@ -343,6 +386,30 @@ mod tests {
             let mut again = bound.stream();
             again.update(&msg);
             prop_assert!(again.verify(&expected).is_ok());
+
+            // The one-block entry: the same tag for every message it takes,
+            // a flipped tag bit refused, a longer message refused outright.
+            let short = &msg[..msg.len().min(MAC_ONE_BLOCK_MAX)];
+            let laid_out = || {
+                let mut block = [0xEE; MAC_BLOCK_LEN];
+                block[..short.len()].copy_from_slice(short);
+                block
+            };
+            let tag = bound.tag_one_block(&mut laid_out(), short.len()).unwrap();
+            prop_assert_eq!(tag, key.tag(&[&block[..], short].concat()));
+            prop_assert!(bound.verify_one_block(&mut laid_out(), short.len(), &tag).is_ok());
+            let mut flipped = *tag.as_bytes();
+            flipped[msg.len() % 32] ^= 1 << (msg.len() % 8);
+            prop_assert_eq!(
+                bound.verify_one_block(&mut laid_out(), short.len(), &MacTag::from_bytes(flipped)),
+                Err(CryptoError::MacMismatch)
+            );
+            let long = msg.len().clamp(MAC_ONE_BLOCK_MAX + 1, MAC_BLOCK_LEN);
+            prop_assert_eq!(bound.tag_one_block(&mut laid_out(), long), None);
+            prop_assert!(matches!(
+                bound.verify_one_block(&mut laid_out(), long, &expected),
+                Err(CryptoError::InvalidLength { .. })
+            ));
         }
 
         #[test]

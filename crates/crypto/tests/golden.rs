@@ -1,12 +1,14 @@
-//! Golden vectors for the keyed-hash layer and the cipher over it. The `MacKey`
-//! strings were printed by the implementation that re-keyed HMAC for every
-//! message; the `Cipher` strings come from outside this workspace — HChaCha20
-//! written out in Python, the ChaCha20 keystream from OpenSSL (`openssl enc
-//! -chacha20` and pyca/cryptography agreeing), the tag from Python's `hmac`.
-//! Any change to how `MacKey` or `Cipher` compute must leave these bytes alone
-//! — frames, sealed values and tenant credentials are all built from them.
+//! Golden vectors for the keyed-hash layer and the cipher over it, all from
+//! outside this workspace. The `MacKey` strings are HMAC-SHA-256 from
+//! Python's `hmac` module (`hmac.new(key, msg, hashlib.sha256)`, parts
+//! length-prefixed as little-endian `u64`s by hand, a derived key the tag of
+//! its label); the `Cipher` strings are HChaCha20 written out in Python, the
+//! ChaCha20 keystream from OpenSSL (`openssl enc -chacha20` and
+//! pyca/cryptography agreeing), the tag from Python's `hmac`. Any change to
+//! how `MacKey` or `Cipher` compute must leave these bytes alone — frames,
+//! sealed values and tenant credentials are all built from them.
 
-use recipe_crypto::{Cipher, CipherKey, KeyMaterial, MacKey, Nonce};
+use recipe_crypto::{Cipher, CipherKey, KeyMaterial, MacKey, Nonce, MAC_BLOCK_LEN};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -37,6 +39,76 @@ fn tag_golden() {
         hex(k.tag(&frame_sized()).as_bytes()),
         "c503ac91e0b8426ce986b3652daa5dca947ee30bec5047754142e8f5101f549c"
     );
+}
+
+/// Both sides of where the inner hash's padding needs a block of its own —
+/// 55/56 bytes, and one block on 119/120 — on prefixes of [`frame_sized`].
+#[test]
+fn tag_golden_at_the_padding_boundaries() {
+    let k = key();
+    let msg = frame_sized();
+    let cases = [
+        (
+            55,
+            "eb154124c5639a14cf5fa0d836710c93302fa41929be4c0779d5509c360e89b1",
+        ),
+        (
+            56,
+            "78e8976ccacbb90d753f2fcc2358b12d501ea8309928c14abfe8599f2b8a7a18",
+        ),
+        (
+            119,
+            "ebcd8eacb8ea6bedc29da62158341452588119a5ec725b8b6c0a0c384fe9b8a5",
+        ),
+        (
+            120,
+            "64bb76058dbca38c363cf519de96ad07f87586d4158036d50ab4739917f5cd7e",
+        ),
+    ];
+    for (len, expected) in cases {
+        assert_eq!(hex(k.tag(&msg[..len]).as_bytes()), expected, "{len} bytes");
+    }
+}
+
+/// A key bound to a block tags `block ‖ message`: the HMAC of the two
+/// joined, under the plain key. 0 and 55 bytes behind the block take the
+/// one-block entry as well as a stream; 56 bytes only a stream.
+#[test]
+fn bound_tag_golden_either_side_of_one_block() {
+    let block: [u8; MAC_BLOCK_LEN] = std::array::from_fn(|i| (i * 11 + 5) as u8);
+    let bound = key().bind(&block);
+    let msg = frame_sized();
+    let cases = [
+        (
+            0,
+            "05e748712eb50e554347da5e374dd0561407d4a0148138ec0c67f34ab86e1574",
+        ),
+        (
+            55,
+            "51f1666fddf61593963f381345d1098be7844cec64cc83abcff6bc4bad9a218b",
+        ),
+        (
+            56,
+            "315453c2a1b7dee29eb7f13fc135033d392403992de6d2e9e89c41ab84791614",
+        ),
+    ];
+    for (len, expected) in cases {
+        let mut stream = bound.stream();
+        stream.update(&msg[..len]);
+        assert_eq!(hex(stream.tag().as_bytes()), expected, "{len} bytes");
+        let laid_out = || {
+            let mut block = [0u8; MAC_BLOCK_LEN];
+            block[..len].copy_from_slice(&msg[..len]);
+            block
+        };
+        match bound.tag_one_block(&mut laid_out(), len) {
+            Some(tag) => {
+                assert_eq!(hex(tag.as_bytes()), expected, "{len} bytes");
+                assert!(bound.verify_one_block(&mut laid_out(), len, &tag).is_ok());
+            }
+            None => assert_eq!(len, 56),
+        }
+    }
 }
 
 #[test]

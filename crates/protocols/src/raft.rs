@@ -71,8 +71,10 @@ const FIXED_MAX: usize = 2 + 2 * 8;
 // Three of the four frames a committed write costs each follower link are an
 // acknowledgement, a commit and its acknowledgement. Shielded, each one's
 // MAC input fits one SHA-256 block, so the MAC is the two compressions an
-// HMAC cannot go below; a field added to these messages or to the MAC header
-// that breaks that fails here, not as a slower benchmark.
+// HMAC cannot go below, and the shield MACs it from that one stack block
+// (the bound key's one-block entry) with no stream built around it; a field
+// added to these messages or to the MAC header that breaks either fails
+// here, not as a slower benchmark.
 const _: () = assert!(mac_compressions(SINGLE_MAC_HEADER_LEN + FIXED_MAX) == 2);
 
 /// A message's wire form where it was built: every message but an append is

@@ -879,8 +879,11 @@ mod tests {
 
     /// The per-frame MAC input — MAC header, body and, sealed, the key
     /// commitment; the channel block is behind the bound key — of every kind
-    /// of frame the five `wall_bench` workloads send, and the SHA-256
-    /// compressions its MAC costs. Run with `--nocapture` to read the table.
+    /// of frame the five `wall_bench` workloads send, the SHA-256
+    /// compressions its MAC costs, and the path it takes: an input of two
+    /// compressions is MAC'd from one stack block (the bound key's one-block
+    /// entry), a longer one streamed. Run with `--nocapture` to read the
+    /// table.
     #[test]
     fn mac_input_lengths_of_the_frames_the_workloads_send() {
         use crate::raft::RaftMsg;
@@ -913,7 +916,7 @@ mod tests {
         };
         let txn = |body: TxnBody| TxnFrame::encode_body(&body).len();
         // (frame, MAC header, body bytes, sealed, whether its MAC is the two
-        // compressions an HMAC cannot go below)
+        // compressions an HMAC cannot go below, and so one-block)
         let rows = [
             (
                 "raft append, 64 B value",
@@ -1047,13 +1050,18 @@ mod tests {
             ),
         ];
         println!(
-            "{:<44} {:>6} {:>6} {:>7} {:>5}",
+            "{:<44} {:>6} {:>6} {:>7} {:>5}  path",
             "frame", "header", "body", "input", "sha"
         );
         for (frame, header, body, sealed, minimal) in rows {
             let input = header + body + if sealed { COMMITMENT_LEN } else { 0 };
             let compressions = mac_compressions(input);
-            println!("{frame:<44} {header:>6} {body:>6} {input:>7} {compressions:>5}");
+            let path = if compressions == 2 {
+                "one block"
+            } else {
+                "streamed"
+            };
+            println!("{frame:<44} {header:>6} {body:>6} {input:>7} {compressions:>5}  {path}");
             assert_eq!(compressions == 2, minimal, "{frame}");
         }
     }
