@@ -59,9 +59,12 @@
 //!
 //! * keystream: 1 HChaCha20 per message — or per [`BoundCipher`], for
 //!   every message under one nonce prefix — then **1 block per 64 bytes**,
-//!   made eight at a time where the CPU has AVX2 — every whole 512 bytes, and
-//!   a rest of more than two blocks as one more step — and one at a time
-//!   otherwise (`vendor/chacha20` picks from what the CPU reports);
+//!   made sixteen at a time where the CPU has AVX-512 — every whole 1 KiB, a
+//!   rest of nine blocks or more as one more such step, and one of two to
+//!   eight as one eight-block step — eight at a time where it has AVX2 alone
+//!   — every whole 512 bytes, and a rest of more than two blocks as one more
+//!   step — and one at a time otherwise (`vendor/chacha20` picks from what
+//!   the CPU reports);
 //! * the envelope's tag: one compression per 64 bytes of ciphertext, plus 2
 //!   (`k_mac` is a [`MacKey`], so its pad states are hashed when the
 //!   [`Cipher`] is built);
