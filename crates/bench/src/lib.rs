@@ -18,12 +18,10 @@ use std::fmt;
 use std::path::Path;
 
 pub use figures::{fig_observe, FigureSpec, ObserveReport, FIGURES};
-use recipe_protocols::{
-    build_cluster, BatchConfig, BuildReplica, Protocol, ProtocolMode, ProtocolVisitor,
-};
+use recipe_protocols::{BatchConfig, BuildReplica, Protocol, ProtocolMode, ProtocolVisitor};
 use recipe_scenario::WorkloadKind;
 use recipe_shard::{DeploymentSpec, ShardedCluster, ShardedRunStats};
-use recipe_sim::{ClientModel, CostProfile, RunStats, SimCluster, SimConfig};
+use recipe_sim::RunStats;
 use recipe_telemetry::TelemetryReport;
 use recipe_workload::WorkloadSpec;
 use serde::{Deserialize, Serialize};
@@ -138,28 +136,25 @@ impl ExperimentRow {
 }
 
 /// Runs one experiment configuration — a single group tolerating one fault,
-/// at the fewest replicas its protocol needs for that — and returns the raw
-/// simulator statistics.
+/// at the fewest replicas its protocol needs for that, as a one-shard
+/// deployment — and returns the raw simulator statistics.
 pub fn run_protocol(config: &ExperimentConfig) -> RunStats {
     struct Run<'a>(&'a ExperimentConfig);
     impl ProtocolVisitor for Run<'_> {
         type Output = RunStats;
         fn visit<R: BuildReplica>(self) -> RunStats {
             let config = self.0;
-            let n = R::PROTOCOL.min_replicas(1);
-            // One batching factor for the replicas' flush triggers and the
-            // cost model's bookkeeping, so the two can never disagree.
-            let batch = BatchConfig::of_ops(config.batch_ops);
-            let profile = cost_profile(R::PROTOCOL, config.mode).with_batch_ops(batch.max_ops);
-            let replicas = build_cluster(n, 1, |id, members| {
-                R::build(id, members, config.mode, batch)
-            });
-            let mut sim_config = SimConfig::uniform(n, profile);
-            sim_config.seed = config.seed;
-            sim_config.clients = ClientModel {
-                clients: config.clients,
-                total_operations: config.operations,
-            };
+            // The spec folds one batching factor into the replicas' flush
+            // triggers and the cost model's bookkeeping, and builds the
+            // replicas in the mode the profile pays for, so neither can
+            // disagree with the virtual clock.
+            let profile = R::PROTOCOL.cost_profile(config.mode);
+            let spec = DeploymentSpec::new(1, R::PROTOCOL.min_replicas(1))
+                .with_confidentiality(profile.confidential.into())
+                .with_profile(profile)
+                .with_batching(BatchConfig::of_ops(config.batch_ops))
+                .with_clients(config.clients, config.operations)
+                .with_seed(config.seed);
             let workload = WorkloadSpec {
                 read_ratio: config.read_ratio,
                 value_size: config.value_size,
@@ -167,24 +162,13 @@ pub fn run_protocol(config: &ExperimentConfig) -> RunStats {
                 ..WorkloadSpec::default()
             };
             let mut generator = workload.generator();
-            SimCluster::new(replicas, sim_config)
-                .run(move |_client, _seq| recipe_shard::op_from_workload(generator.next_op()))
+            let stats = ShardedCluster::<R>::build(spec).run_requests(|_client, _seq| {
+                Some(recipe_shard::op_from_workload(generator.next_op()).into())
+            });
+            stats.total
         }
     }
     recipe_bft::dispatch(config.protocol, Run(config))
-}
-
-/// The hardware and software stack a protocol runs on (Table 2): the BFT
-/// baselines have their own, a CFT protocol its mode's.
-fn cost_profile(protocol: Protocol, mode: ProtocolMode) -> CostProfile {
-    match (protocol, mode) {
-        (Protocol::Pbft, _) => CostProfile::pbft_baseline(),
-        (Protocol::Damysus, _) => CostProfile::damysus_baseline(),
-        (_, ProtocolMode::Native) => CostProfile::native_cft(),
-        (_, ProtocolMode::Recipe { confidentiality }) => {
-            CostProfile::recipe().with_confidentiality(confidentiality)
-        }
-    }
 }
 
 /// Drives a built cluster to its commit target with a plain YCSB or

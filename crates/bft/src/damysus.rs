@@ -315,73 +315,10 @@ impl BuildReplica for DamysusReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recipe_sim::{ClientModel, CostProfile, SimCluster, SimConfig};
-
-    fn cluster(ops: usize) -> SimCluster<DamysusReplica> {
-        let membership = Membership::of_size(3, 1);
-        let replicas: Vec<DamysusReplica> = (0..3)
-            .map(|id| DamysusReplica::new(id, membership.clone()))
-            .collect();
-        let mut config = SimConfig::uniform(3, CostProfile::damysus_baseline());
-        config.clients = ClientModel {
-            clients: 16,
-            total_operations: ops,
-        };
-        SimCluster::new(replicas, config)
-    }
-
-    fn workload(client: u64, seq: u64) -> Operation {
-        let key = format!("key-{}", (client + seq) % 20).into_bytes();
-        if seq.is_multiple_of(3) {
-            Operation::Get { key }
-        } else {
-            Operation::Put {
-                key,
-                value: vec![b'd'; 256],
-            }
-        }
-    }
-
     #[test]
     fn runs_with_2f_plus_1_replicas() {
         let replica = DamysusReplica::new(0, Membership::of_size(3, 1));
         assert!(replica.is_leader());
         assert_eq!(replica.protocol_name(), "Damysus");
-    }
-
-    #[test]
-    fn chained_two_phase_commit_executes_operations() {
-        let mut cluster = cluster(200);
-        let stats = cluster.run(workload);
-        assert_eq!(stats.committed, 200);
-        // A quorum of replicas executed (nearly) all committed operations; the
-        // leader is the bottleneck and may stop with a backlog.
-        let executed: Vec<u64> = (0..3)
-            .map(|id| cluster.replica(NodeId(id)).executed_ops())
-            .collect();
-        let near_complete = executed.iter().filter(|&&e| e >= 180).count();
-        assert!(near_complete >= 2, "executed per replica: {executed:?}");
-    }
-
-    #[test]
-    fn replicas_converge_on_written_values() {
-        let mut cluster = cluster(150);
-        cluster.run(|client, seq| Operation::Put {
-            key: format!("key-{}", (client + seq) % 10).into_bytes(),
-            value: vec![b'd'; 64],
-        });
-        for i in 0..10 {
-            let key = format!("key-{i}").into_bytes();
-            let values: Vec<Option<Vec<u8>>> = (0..3)
-                .map(|id| cluster.replica_mut(NodeId(id)).local_read(&key))
-                .collect();
-            for a in 0..3 {
-                for b in a + 1..3 {
-                    if let (Some(x), Some(y)) = (&values[a], &values[b]) {
-                        assert_eq!(x, y);
-                    }
-                }
-            }
-        }
     }
 }

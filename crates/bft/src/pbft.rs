@@ -549,32 +549,7 @@ impl BuildReplica for PbftReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recipe_sim::{ClientModel, CostProfile, SimCluster, SimConfig};
-
-    fn cluster(ops: usize) -> SimCluster<PbftReplica> {
-        let membership = Membership::of_size(4, 1);
-        let replicas: Vec<PbftReplica> = (0..4)
-            .map(|id| PbftReplica::new(id, membership.clone()))
-            .collect();
-        let mut config = SimConfig::uniform(4, CostProfile::pbft_baseline());
-        config.clients = ClientModel {
-            clients: 16,
-            total_operations: ops,
-        };
-        SimCluster::new(replicas, config)
-    }
-
-    fn mixed(client: u64, seq: u64) -> Operation {
-        let key = format!("key-{}", (client + seq) % 30).into_bytes();
-        if seq.is_multiple_of(2) {
-            Operation::Get { key }
-        } else {
-            Operation::Put {
-                key,
-                value: vec![b'p'; 256],
-            }
-        }
-    }
+    use recipe_sim::{CostProfile, SimCluster, SimConfig, StepOutcome};
 
     #[test]
     fn four_replicas_tolerate_one_fault() {
@@ -585,109 +560,44 @@ mod tests {
         assert_eq!(replica.protocol_name(), "PBFT");
     }
 
-    #[test]
-    fn three_phase_agreement_commits_operations() {
-        let mut cluster = cluster(200);
-        let stats = cluster.run(mixed);
-        assert_eq!(stats.committed, 200);
-        // A quorum of replicas executed (nearly) all committed operations; the
-        // primary is the bottleneck and may still have a backlog of commit messages
-        // queued when the run stops.
-        let executed: Vec<u64> = (0..4)
-            .map(|id| cluster.replica(NodeId(id)).executed_ops())
-            .collect();
-        let near_complete = executed.iter().filter(|&&e| e >= 190).count();
-        assert!(near_complete >= 3, "executed per replica: {executed:?}");
-        assert!(
-            executed.iter().all(|&e| e >= 50),
-            "executed per replica: {executed:?}"
-        );
-    }
-
+    /// An executed slot is dropped behind the low-water mark, so once every
+    /// request of a run is answered and the last commits have landed, no
+    /// replica keeps a slot of it. Sixteen clients issue one request per
+    /// round, and a round ends when all sixteen are answered.
     #[test]
     fn executed_slots_are_dropped_behind_the_low_water_mark() {
-        let mut cluster = cluster(5_000);
-        let stats = cluster.run(mixed);
-        assert_eq!(stats.committed, 5_000);
+        const CLIENTS: u64 = 16;
+        const ROUNDS: u64 = 12;
+        let membership = Membership::of_size(4, 1);
+        let replicas = (0..4)
+            .map(|id| PbftReplica::new(id, membership.clone()))
+            .collect();
+        let config = SimConfig::uniform(4, CostProfile::pbft_baseline());
+        let mut cluster = SimCluster::new(replicas, config);
+        cluster.seed_initial_events();
+        for round in 1..=ROUNDS {
+            for client in 0..CLIENTS {
+                let key = format!("key-{}", (client + round) % 30).into_bytes();
+                let put = Operation::Put {
+                    key,
+                    value: vec![b'p'; 256],
+                };
+                assert!(cluster.submit_at(cluster.now_ns(), client, round, put));
+            }
+            let mut answered = 0;
+            while answered < CLIENTS {
+                assert_eq!(cluster.step(), StepOutcome::Processed);
+                answered += cluster.drain_completions().len() as u64;
+            }
+        }
+        let horizon = cluster.now_ns() + 3_000_000;
+        while cluster.peek_next_at().is_some_and(|at| at <= horizon) {
+            cluster.step();
+        }
         for id in 0..4 {
             let replica = cluster.replica(NodeId(id));
-            // What is left is what was in flight when the run stopped, one
-            // request per client at most, not the 5 000 slots of the run —
-            // though a slot executes on its third commit and the fourth
-            // arrives after it, under the mark by then and ignored.
-            assert!(replica.low_water >= 4_900, "replica {id}");
-            assert!(replica.slots.len() <= 16, "replica {id}");
+            assert_eq!(replica.low_water, CLIENTS * ROUNDS, "replica {id}");
+            assert!(replica.slots.is_empty(), "replica {id}");
         }
-    }
-
-    #[test]
-    fn pbft_message_complexity_is_quadratic() {
-        // Per committed write: 1 pre-prepare broadcast (n-1) + n prepare broadcasts
-        // + n commit broadcasts ≈ O(n²) messages — far more than Recipe's linear
-        // protocols on the same cluster size.
-        // A single closed-loop client keeps the pipeline drained, so the message
-        // count per operation is not truncated by in-flight traffic at the end of
-        // the run.
-        let membership = Membership::of_size(4, 1);
-        let replicas: Vec<PbftReplica> = (0..4)
-            .map(|id| PbftReplica::new(id, membership.clone()))
-            .collect();
-        let mut config = SimConfig::uniform(4, CostProfile::pbft_baseline());
-        config.clients = ClientModel {
-            clients: 1,
-            total_operations: 50,
-        };
-        let mut cluster = SimCluster::new(replicas, config);
-        let stats = cluster.run(|client, seq| Operation::Put {
-            key: format!("key-{}", (client + seq) % 10).into_bytes(),
-            value: vec![b'p'; 128],
-        });
-        assert_eq!(stats.committed, 50);
-        let per_op = stats.messages_delivered as f64 / stats.committed as f64;
-        assert!(per_op >= 15.0, "measured {per_op:.1} messages per op");
-    }
-
-    #[test]
-    fn batched_pbft_commits_everything_with_fewer_frames() {
-        let run = |batch: usize| {
-            let membership = Membership::of_size(4, 1);
-            let replicas: Vec<PbftReplica> = (0..4)
-                .map(|id| {
-                    PbftReplica::new(id, membership.clone())
-                        .with_batching(BatchConfig::of_ops(batch))
-                })
-                .collect();
-            let mut config = SimConfig::uniform(4, CostProfile::pbft_baseline());
-            config.clients = ClientModel {
-                clients: 24,
-                total_operations: 150,
-            };
-            SimCluster::new(replicas, config).run(mixed)
-        };
-        let unbatched = run(1);
-        let batched = run(8);
-        assert_eq!(unbatched.committed, 150);
-        assert!(batched.committed >= 150);
-        // The quadratic prepare/commit traffic coalesces into frames.
-        assert!(batched.messages_delivered < unbatched.messages_delivered);
-        assert!(batched.ops_delivered > batched.messages_delivered);
-    }
-
-    #[test]
-    fn survives_one_crashed_backup() {
-        let membership = Membership::of_size(4, 1);
-        let replicas: Vec<PbftReplica> = (0..4)
-            .map(|id| PbftReplica::new(id, membership.clone()))
-            .collect();
-        let mut config = SimConfig::uniform(4, CostProfile::pbft_baseline());
-        config.clients = ClientModel {
-            clients: 8,
-            total_operations: 150,
-        };
-        let mut cluster = SimCluster::new(replicas, config);
-        cluster.crash_at(NodeId(3), 1_000_000);
-        let stats = cluster.run(mixed);
-        // 2f+1 = 3 live replicas still form prepare/commit quorums.
-        assert_eq!(stats.committed, 150);
     }
 }

@@ -217,24 +217,7 @@ impl CftProtocol for AllConcur {
 mod tests {
     use super::*;
     use crate::build_cluster;
-    use recipe_sim::{ClientModel, CostProfile, Replica, SimCluster, SimConfig};
-
-    fn cluster(ops: usize) -> SimCluster<AllConcurReplica> {
-        let replicas = build_cluster(3, 1, |id, m| AllConcurReplica::recipe(id, m, false));
-        let mut config = SimConfig::uniform(3, CostProfile::recipe());
-        config.clients = ClientModel {
-            clients: 16,
-            total_operations: ops,
-        };
-        SimCluster::new(replicas, config)
-    }
-
-    fn put_workload(client: u64, seq: u64) -> Operation {
-        Operation::Put {
-            key: format!("key-{}", (client + seq) % 20).into_bytes(),
-            value: vec![b'a'; 128],
-        }
-    }
+    use recipe_sim::{CostProfile, Replica, SimCluster, SimConfig};
 
     #[test]
     fn every_node_is_a_coordinator() {
@@ -248,64 +231,28 @@ mod tests {
         );
     }
 
+    /// A delivered proposal is gone from its coordinator's state and a
+    /// peer's buffer, so once every request of a run is answered and its
+    /// `Deliver`s have landed, nothing is left of it anywhere; every node
+    /// applied every write.
     #[test]
-    fn writes_are_delivered_to_all_nodes() {
-        let mut cluster = cluster(300);
-        let stats = cluster.run(put_workload);
-        assert_eq!(stats.committed, 300);
-        // Atomic broadcast: every node applies every delivered write.
-        for id in 0..3 {
-            assert!(
-                cluster.replica(NodeId(id)).applied_writes() >= 290,
-                "replica {id} applied {}",
-                cluster.replica(NodeId(id)).applied_writes()
-            );
-            // A delivered proposal is gone from its coordinator's state: only
-            // what was in flight when the run stopped is left, one per client
-            // at most.
-            assert!(cluster.replica(NodeId(id)).core().own.len() <= 16);
-        }
-    }
-
-    #[test]
-    fn reads_are_local_and_cheap() {
-        let mut cluster = cluster(300);
-        let stats = cluster.run(|client, seq| {
-            if seq % 5 == 0 {
-                put_workload(client, seq)
-            } else {
-                Operation::Get {
-                    key: format!("key-{}", (client + seq) % 20).into_bytes(),
-                }
-            }
-        });
-        assert_eq!(stats.committed, 300);
-        assert!(stats.committed_reads > stats.committed_writes);
-        // Local reads generate no replica-to-replica traffic; only writes do
-        // (2 broadcasts + acks ≈ 3·(n−1) messages each).
-        assert!(stats.messages_delivered <= stats.committed_writes * 7 + 20);
-    }
-
-    #[test]
-    fn requires_all_acknowledgements_before_delivery() {
-        // With one node crashed, proposals can never gather acks from *all* peers,
-        // so no new writes commit (the availability cost of AllConcur's full-tracking
-        // design that the paper discusses).
+    fn delivered_proposals_leave_no_state_behind() {
         let replicas = build_cluster(3, 1, |id, m| AllConcurReplica::recipe(id, m, false));
-        let mut config = SimConfig::uniform(3, CostProfile::recipe());
-        config.clients = ClientModel {
-            clients: 4,
-            total_operations: 1_000,
-        };
-        config.max_virtual_ns = 200_000_000; // 200 ms
-        config.retry_timeout_ns = 50_000_000;
+        let config = SimConfig::uniform(3, CostProfile::recipe());
         let mut cluster = SimCluster::new(replicas, config);
-        cluster.crash_at(NodeId(2), 1_000_000);
-        let stats = cluster.run(put_workload);
-        assert!(
-            stats.committed < 1_000,
-            "writes should stall once a peer is down (committed {})",
-            stats.committed
-        );
+        crate::tests::run_rounds(&mut cluster, 16, 12, |client, round| Operation::Put {
+            key: format!("key-{}", (client + round) % 20).into_bytes(),
+            value: vec![b'a'; 128],
+        });
+        assert_eq!(cluster.committed(), 192);
+        for id in 0..3 {
+            let replica = cluster.replica(NodeId(id));
+            assert_eq!(replica.applied_writes(), 192, "replica {id}");
+            let core = replica.core();
+            assert!(
+                core.own.is_empty() && core.buffered.is_empty(),
+                "replica {id}"
+            );
+        }
     }
 }

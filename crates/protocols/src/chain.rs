@@ -216,35 +216,8 @@ impl CftProtocol for Chain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_cluster, BatchConfig};
-    use recipe_sim::{ClientModel, CostProfile, Replica, SimCluster, SimConfig};
-
-    fn cluster(n: usize, ops: usize) -> SimCluster<ChainReplica> {
-        let replicas = build_cluster(n, (n - 1) / 2, |id, m| ChainReplica::recipe(id, m, false));
-        let mut config = SimConfig::uniform(n, CostProfile::recipe());
-        config.clients = ClientModel {
-            clients: 16,
-            total_operations: ops,
-        };
-        SimCluster::new(replicas, config)
-    }
-
-    fn put_workload(client: u64, seq: u64) -> Operation {
-        Operation::Put {
-            key: format!("key-{}", (client + seq) % 40).into_bytes(),
-            value: vec![b'c'; 256],
-        }
-    }
-
-    fn read_heavy(client: u64, seq: u64) -> Operation {
-        if seq.is_multiple_of(10) {
-            put_workload(client, seq)
-        } else {
-            Operation::Get {
-                key: format!("key-{}", (client + seq) % 40).into_bytes(),
-            }
-        }
-    }
+    use crate::build_cluster;
+    use recipe_sim::Replica;
 
     #[test]
     fn roles_follow_chain_positions() {
@@ -261,106 +234,5 @@ mod tests {
             ChainReplica::native(0, Membership::of_size(3, 1)).protocol_name(),
             "CR"
         );
-    }
-
-    #[test]
-    fn writes_traverse_the_whole_chain() {
-        let mut cluster = cluster(3, 200);
-        let stats = cluster.run(put_workload);
-        assert_eq!(stats.committed, 200);
-        // Every node on the chain applied every committed write (earlier nodes may
-        // additionally hold writes that were still travelling down the chain when
-        // the run stopped).
-        for id in 0..3 {
-            assert!(cluster.replica(NodeId(id)).applied_writes() >= 200);
-        }
-        // Replicas never disagree on a value they both hold (earlier chain nodes may
-        // hold writes still in flight towards the tail when the run stopped).
-        for i in 0..40 {
-            let key = format!("key-{i}").into_bytes();
-            let values: Vec<Option<Vec<u8>>> = (0..3)
-                .map(|id| cluster.replica_mut(NodeId(id)).local_read(&key))
-                .collect();
-            for a in 0..3 {
-                for b in a + 1..3 {
-                    if let (Some(x), Some(y)) = (&values[a], &values[b]) {
-                        assert_eq!(x, y);
-                    }
-                }
-            }
-            // Whatever the tail holds is committed, so the head must hold it too.
-            if values[2].is_some() {
-                assert!(values[0].is_some());
-            }
-        }
-    }
-
-    #[test]
-    fn read_heavy_workload_is_served_mostly_by_the_tail() {
-        let mut cluster = cluster(3, 400);
-        let stats = cluster.run(read_heavy);
-        assert_eq!(stats.committed, 400);
-        assert!(stats.committed_reads > stats.committed_writes);
-        // Local tail reads keep message traffic low: roughly 2 chain hops per write
-        // and none per read.
-        assert!(stats.messages_delivered < 3 * stats.committed_writes + 50);
-    }
-
-    #[test]
-    fn batched_chain_commits_all_writes_with_fewer_frames() {
-        let run = |batch: usize| {
-            let replicas = build_cluster(3, 1, |id, m| {
-                ChainReplica::recipe(id, m, false).with_batching(BatchConfig::of_ops(batch))
-            });
-            let mut config = SimConfig::uniform(3, CostProfile::recipe().with_batch_ops(batch));
-            config.clients = ClientModel {
-                clients: 32,
-                total_operations: 250,
-            };
-            SimCluster::new(replicas, config).run(put_workload)
-        };
-        let unbatched = run(1);
-        let batched = run(16);
-        assert_eq!(unbatched.committed, 250);
-        assert!(batched.committed >= 250);
-        assert!(batched.messages_delivered < unbatched.messages_delivered);
-        assert!(batched.ops_delivered > batched.messages_delivered);
-    }
-
-    #[test]
-    fn tampered_forwarding_is_rejected_by_the_shield() {
-        use recipe_net::FaultPlan;
-        let replicas = build_cluster(3, 1, |id, m| ChainReplica::recipe(id, m, false));
-        let mut config = SimConfig::uniform(3, CostProfile::recipe());
-        config.clients = ClientModel {
-            clients: 4,
-            total_operations: 100,
-        };
-        config.fault_plan = FaultPlan {
-            tamper_probability: 0.1,
-            ..FaultPlan::default()
-        };
-        config.max_virtual_ns = 3_000_000_000;
-        let mut cluster = SimCluster::new(replicas, config);
-        let stats = cluster.run(put_workload);
-        assert!(stats.messages_tampered > 0);
-        let rejected: u64 = (0..3)
-            .map(|id| cluster.replica(NodeId(id)).rejected_messages())
-            .sum();
-        assert!(rejected > 0);
-        // No divergence: any value present on two replicas matches.
-        for i in 0..40 {
-            let key = format!("key-{i}").into_bytes();
-            let values: Vec<Option<Vec<u8>>> = (0..3)
-                .map(|id| cluster.replica_mut(NodeId(id)).local_read(&key))
-                .collect();
-            for a in 0..3 {
-                for b in a + 1..3 {
-                    if let (Some(x), Some(y)) = (&values[a], &values[b]) {
-                        assert_eq!(x, y);
-                    }
-                }
-            }
-        }
     }
 }

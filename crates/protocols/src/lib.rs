@@ -77,7 +77,36 @@ pub fn build_cluster<R>(n: usize, f: usize, make: impl Fn(u64, Membership) -> R)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recipe_sim::Replica;
+    use recipe_core::Operation;
+    use recipe_sim::{Replica, SimCluster, StepOutcome};
+
+    /// Steps `cluster` through `rounds` rounds of a fixed schedule: each
+    /// round submits `op(client, round)` for every one of `clients` clients
+    /// at the current time and ends once all of them are answered. The run
+    /// then goes on until the traffic of the last round has landed.
+    pub(crate) fn run_rounds<R: Replica>(
+        cluster: &mut SimCluster<R>,
+        clients: u64,
+        rounds: u64,
+        op: impl Fn(u64, u64) -> Operation,
+    ) {
+        cluster.seed_initial_events();
+        for round in 1..=rounds {
+            for client in 0..clients {
+                let now = cluster.now_ns();
+                assert!(cluster.submit_at(now, client, round, op(client, round)));
+            }
+            let mut answered = 0;
+            while answered < clients {
+                assert_eq!(cluster.step(), StepOutcome::Processed, "round {round}");
+                answered += cluster.drain_completions().len() as u64;
+            }
+        }
+        let horizon = cluster.now_ns() + 3_000_000;
+        while cluster.peek_next_at().is_some_and(|at| at <= horizon) {
+            cluster.step();
+        }
+    }
 
     #[test]
     fn build_cluster_assigns_sequential_ids() {

@@ -8,6 +8,7 @@
 //! that builds on this one, so it is the lowest place that sees all six.
 
 use recipe_core::Membership;
+use recipe_sim::CostProfile;
 use serde::{Deserialize, Serialize};
 
 use crate::batch::BatchConfig;
@@ -112,6 +113,20 @@ impl Protocol {
     pub fn min_replicas(self, f: usize) -> usize {
         self.replicas_per_fault() * f + 1
     }
+
+    /// The hardware and software stack the protocol runs on in `mode`
+    /// (Table 2): a BFT baseline has its own whatever the mode, a CFT
+    /// protocol its mode's.
+    pub fn cost_profile(self, mode: ProtocolMode) -> CostProfile {
+        match (self, mode) {
+            (Protocol::Pbft, _) => CostProfile::pbft_baseline(),
+            (Protocol::Damysus, _) => CostProfile::damysus_baseline(),
+            (_, ProtocolMode::Native) => CostProfile::native_cft(),
+            (_, ProtocolMode::Recipe { confidentiality }) => {
+                CostProfile::recipe().with_confidentiality(confidentiality)
+            }
+        }
+    }
 }
 
 /// A replica type the registry can construct: the one way a deployment, a
@@ -150,6 +165,33 @@ mod tests {
             assert_eq!(Protocol::ALL.iter().filter(|p| same_display(p)).count(), 1);
         }
         assert_eq!(Protocol::from_file_name("paxos"), None);
+    }
+
+    #[test]
+    fn a_baseline_keeps_its_profile_and_a_cft_protocol_takes_its_modes() {
+        use recipe_core::ConfidentialityMode::{Confidential, Plaintext};
+        let modes = [
+            ProtocolMode::Native,
+            ProtocolMode::Recipe {
+                confidentiality: Plaintext,
+            },
+            ProtocolMode::Recipe {
+                confidentiality: Confidential,
+            },
+        ];
+        for protocol in Protocol::ALL {
+            for mode in modes {
+                let profile = protocol.cost_profile(mode);
+                if protocol.supports_confidential() {
+                    assert_eq!(profile.shielded, mode.is_recipe(), "{protocol:?}");
+                    let confidential = mode.confidentiality().is_confidential();
+                    assert_eq!(profile.confidential, confidential, "{protocol:?}");
+                } else {
+                    let baseline = protocol.cost_profile(ProtocolMode::Native);
+                    assert_eq!(profile, baseline, "{protocol:?}");
+                }
+            }
+        }
     }
 
     #[test]

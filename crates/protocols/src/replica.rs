@@ -464,7 +464,6 @@ mod tests {
             RecipeReplica::<Tell>::recipe(id, m, false).with_batching(batch)
         });
         let mut cluster = SimCluster::new(replicas, SimConfig::uniform(3, CostProfile::recipe()));
-        cluster.set_external_clients(true);
         cluster.seed_initial_events();
         cluster
     }

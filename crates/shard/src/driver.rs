@@ -209,14 +209,14 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         let config = &cluster.config;
         let rb = config.rebalance.clone();
         let link_latency = config.base.cost_model.link_latency_ns;
-        let clients = config.base.clients.clients;
+        let clients = config.clients.clients;
         let shard_count = cluster.shards.len();
         let mut engine = Engine {
             workload,
             link_latency,
             think: config.base.cost_model.client_think_ns,
             cap: config.base.max_virtual_ns,
-            target: config.base.clients.total_operations as u64,
+            target: config.clients.total_operations as u64,
             queue: BinaryHeap::new(),
             next_seq: 0,
             gateway: Gateway::from_config(&config.gateway, config.base.seed),
@@ -591,9 +591,6 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         match self.cluster.shards[shard].step() {
             StepOutcome::Idle => return ControlFlow::Continue(()),
             StepOutcome::CapReached => return ControlFlow::Break(()),
-            StepOutcome::NeedsIssue { .. } => {
-                unreachable!("external-client shards never issue internally")
-            }
             StepOutcome::Processed => {}
         }
         for completion in self.cluster.shards[shard].drain_completions() {

@@ -16,7 +16,8 @@
 //! * [`ShardedCluster`] — owns N replica groups (each its own protocol
 //!   instance, policy, fault plan and cost profiles), routes every operation
 //!   by key, interleaves the per-shard event loops on one virtual clock and
-//!   drives a single global closed-loop client population over all groups;
+//!   drives a single global closed-loop client population over all groups —
+//!   the tree's one client loop, which runs a single group as one shard;
 //! * [`ShardedRunStats`] — total and per-shard throughput, latency
 //!   percentiles over all completions, message counters and a load-imbalance
 //!   factor.
@@ -40,7 +41,7 @@ pub mod txn;
 
 pub use migration::{MigrationStats, RebalanceConfig};
 pub use router::{RangeMove, RouteDecision, RouterVersion, ShardRouter};
-pub use sharded::{ShardedCluster, ShardedConfig, ShardedRunStats, TimelineBucket};
+pub use sharded::{ClientModel, ShardedCluster, ShardedConfig, ShardedRunStats, TimelineBucket};
 pub use spec::{DeploymentSpec, ResolvedShardPolicy, ShardPolicy};
 pub use txn::{TxnConfig, TxnStats};
 

@@ -1,4 +1,4 @@
-//! The multi-group simulation driver.
+//! The multi-group simulation driver, and the one client loop of the tree.
 //!
 //! [`ShardedCluster`] owns N independent replica groups — each a full
 //! [`SimCluster`] with its own protocol instances, fault plan and cost
@@ -11,10 +11,14 @@
 //! * every operation is routed by key through the [`ShardRouter`], so a
 //!   client's consecutive operations hop between shards exactly as they would
 //!   across a partitioned production deployment;
-//! * the member clusters run in external-client mode
-//!   ([`SimCluster::set_external_clients`]): completions flow back to the
+//! * a [`SimCluster`] has no clients of its own: completions flow back to the
 //!   driver, which owns latency accounting and schedules each client's next
 //!   issue — possibly on a different shard.
+//!
+//! A single replica group is the one-shard case: the paper's single-group
+//! figures, the fault tests and the examples run one as
+//! `DeploymentSpec::new(1, n)`, and its resolved cost profile's `shielded`
+//! flag picks whether its replicas run Recipe-transformed or native.
 //!
 //! Replica groups exchange no protocol messages with each other; what crosses
 //! shards — 2PC frames ([`crate::txn`]) and migration chunks
@@ -32,6 +36,24 @@ use crate::migration::{MigrationStats, RebalanceConfig};
 use crate::router::ShardRouter;
 use crate::txn::{TxnConfig, TxnStats};
 
+/// The global closed-loop client population.
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct ClientModel {
+    /// Number of concurrent closed-loop clients.
+    pub clients: usize,
+    /// Total operations to commit before the run ends.
+    pub total_operations: usize,
+}
+
+impl Default for ClientModel {
+    fn default() -> Self {
+        ClientModel {
+            clients: 32,
+            total_operations: 2_000,
+        }
+    }
+}
+
 /// Configuration of a sharded deployment.
 ///
 /// This is the *lowered* form a [`crate::DeploymentSpec`] resolves into; new
@@ -44,10 +66,12 @@ pub struct ShardedConfig {
     /// Virtual nodes per shard on the consistent-hash ring.
     pub vnodes_per_shard: usize,
     /// Template configuration for every shard: cost model, per-replica
-    /// profiles, fault plan, the *global* client population, virtual-time cap
-    /// and retry timeout. Each shard derives its RNG seed from `base.seed` and
-    /// its shard index so fault streams are independent.
+    /// profiles, fault plan, virtual-time cap and retry timeout. Each shard
+    /// derives its RNG seed from `base.seed` and its shard index so fault
+    /// streams are independent.
     pub base: SimConfig,
+    /// The global client population the driver runs over every shard.
+    pub clients: ClientModel,
     /// Each shard's fault plan (e.g. a lossy network on one shard only).
     pub fault_plans: Vec<FaultPlan>,
     /// Each shard's crash schedule (deterministic crash/recover events on the
@@ -200,7 +224,6 @@ impl<R: Replica> ShardedCluster<R> {
             .map(|(shard, replicas)| {
                 assert!(!replicas.is_empty(), "shard {shard} has no replicas");
                 let mut cluster = SimCluster::new(replicas, config.config_for_shard(shard));
-                cluster.set_external_clients(true);
                 if config.telemetry.enabled {
                     cluster.set_telemetry(ShardTelemetry::new(shard as u32, &config.telemetry));
                 }

@@ -18,8 +18,15 @@
 //!   shard, composed over the defaults (the layered-config idiom);
 //! * **one consumer** — [`ShardedCluster::build`] resolves the spec into the
 //!   per-shard [`ResolvedShardPolicy`]s, constructs every replica through
-//!   [`recipe_protocols::BuildReplica`] and lowers the rest into the
-//!   internal [`ShardedConfig`].
+//!   [`recipe_protocols::BuildReplica`] — Recipe-transformed where the
+//!   resolved profile is `shielded`, native where it is not, so the mode is
+//!   never a knob of its own — and lowers the rest into the internal
+//!   [`ShardedConfig`].
+//!
+//! A spec of one shard is a single replica group: the paper's single-group
+//! figures, the fault tests and the examples are written as
+//! `DeploymentSpec::new(1, n)`, and its clients run in the request driver
+//! like any other deployment's — the simulator has no client loop of its own.
 //!
 //! ```
 //! use recipe_shard::{DeploymentSpec, ShardPolicy, ShardedCluster};
@@ -44,11 +51,11 @@ use std::collections::BTreeMap;
 use recipe_core::{ConfidentialityMode, Membership};
 use recipe_net::{CrashPlan, FaultPlan};
 use recipe_protocols::{BatchConfig, BuildReplica, ProtocolMode, MAX_CLIENTS, MAX_SHARDS};
-use recipe_sim::{ClientModel, CostProfile, SimConfig};
+use recipe_sim::{CostProfile, SimConfig};
 
 use crate::migration::RebalanceConfig;
 use crate::router::ShardRouter;
-use crate::sharded::{ShardedCluster, ShardedConfig};
+use crate::sharded::{ClientModel, ShardedCluster, ShardedConfig};
 use crate::txn::TxnConfig;
 
 /// Most replicas a group may have. Replica ids are group-local,
@@ -458,6 +465,16 @@ impl DeploymentSpec {
         validate_crash_plan(&self.crash_plan, self.replicas_per_shard, "crash_plan")?;
         validate_fault_plan(&self.txn.fault_plan, "txn.fault_plan")?;
         for shard in 0..self.shards {
+            let resolved = self.policy_for(shard);
+            if resolved.confidentiality.is_confidential() && !resolved.profile.shielded {
+                // A native replica has no layer to encrypt with: building it
+                // would silently run the shard in plaintext.
+                return Err(format!(
+                    "confidentiality: shard {shard} is confidential on an unshielded cost \
+                     profile (no Recipe layer to encrypt under); use a shielded profile \
+                     such as `recipe` or make the shard plaintext"
+                ));
+            }
             if let Some(policy) = self.overrides.get(&shard) {
                 let at = |field: &str| format!("shard_policy[{shard}].{field}");
                 if let Some(batch) = &policy.batch {
@@ -523,7 +540,6 @@ impl DeploymentSpec {
             .collect();
         let mut base = SimConfig::uniform(self.replicas_per_shard, self.profile.clone());
         base.seed = self.seed;
-        base.clients = self.clients.clone();
         base.max_virtual_ns = self.max_virtual_ns;
         base.fault_plan = self.fault_plan;
         base.crash_plan = self.crash_plan.clone();
@@ -531,6 +547,7 @@ impl DeploymentSpec {
             shards: self.shards,
             vnodes_per_shard: self.vnodes_per_shard,
             base,
+            clients: self.clients.clone(),
             fault_plans: policies.iter().map(|p| p.fault_plan).collect(),
             crash_plans: policies.iter().map(|p| p.crash_plan.clone()).collect(),
             profiles: policies
@@ -608,10 +625,18 @@ impl<R: BuildReplica> ShardedCluster<R> {
     /// Builds a sharded cluster from a [`DeploymentSpec`]. Every replica is
     /// constructed under its shard's resolved policy, so confidentiality,
     /// batching, cost profile and fault plan are all per-shard properties.
+    /// The profile's `shielded` flag picks the protocol mode: Recipe, under
+    /// the shard's confidentiality, where the cost model charges the
+    /// authentication layer, and native where it does not — so the replicas
+    /// never run a layer other than the one the virtual clock pays for.
     pub fn build(spec: DeploymentSpec) -> Self {
         Self::build_with(spec, |_, id, membership, policy| {
-            let confidentiality = policy.confidentiality;
-            let mode = ProtocolMode::Recipe { confidentiality };
+            let mode = if policy.profile.shielded {
+                let confidentiality = policy.confidentiality;
+                ProtocolMode::Recipe { confidentiality }
+            } else {
+                ProtocolMode::Native
+            };
             R::build(id, membership, mode, policy.batch)
         })
     }
@@ -645,6 +670,7 @@ impl<R: BuildReplica> ShardedCluster<R> {
 mod tests {
     use recipe_bft::dispatch;
     use recipe_protocols::{Protocol, ProtocolVisitor, RaftReplica};
+    use recipe_sim::Replica;
 
     use super::*;
 
@@ -782,7 +808,7 @@ mod tests {
         let config = spec.to_sharded_config();
         assert_eq!(config.shards, 3);
         assert_eq!(config.base.seed, 7);
-        assert_eq!(config.base.clients.clients, 10);
+        assert_eq!(config.clients.clients, 10);
         assert_eq!(config.fault_plans.len(), 3);
         let profiles = &config.profiles;
         assert_eq!(profiles.len(), 3);
@@ -801,6 +827,45 @@ mod tests {
         assert!(refused(crowd).starts_with("clients.clients:"));
         let wide = DeploymentSpec::new(2, MAX_REPLICAS_PER_SHARD + 1);
         assert!(refused(wide).starts_with("replicas_per_shard:"));
+    }
+
+    #[test]
+    fn the_profile_picks_the_protocol_mode() {
+        let name = |spec: DeploymentSpec| {
+            let cluster = ShardedCluster::<RaftReplica>::build(spec);
+            let group = cluster.shard(0);
+            let names: Vec<_> = group
+                .node_ids()
+                .into_iter()
+                .map(|id| group.replica(id).protocol_name())
+                .collect();
+            assert!(names.windows(2).all(|pair| pair[0] == pair[1]), "{names:?}");
+            names[0]
+        };
+        assert_eq!(name(DeploymentSpec::new(1, 3)), "R-Raft");
+        let native = DeploymentSpec::new(1, 3).with_profile(CostProfile::native_cft());
+        assert_eq!(name(native), "Raft");
+    }
+
+    #[test]
+    fn a_confidential_shard_on_an_unshielded_profile_is_refused() {
+        for profile in [CostProfile::native_cft(), CostProfile::pbft_baseline()] {
+            let spec = DeploymentSpec::new(2, 4).with_profile(profile.clone());
+            assert_eq!(spec.validate(), Ok(()));
+            let by_policy = spec
+                .clone()
+                .with_shard_policy(1, ShardPolicy::confidential());
+            let err = by_policy.validate().unwrap_err();
+            assert!(err.starts_with("confidentiality: shard 1 "), "{err}");
+            let by_default = spec.confidential();
+            assert!(by_default.validate().unwrap_err().contains("shard 0"));
+        }
+        // A shielded profile under one shard's policy lifts the refusal there.
+        let shielded = ShardPolicy::confidential().with_profile(CostProfile::recipe());
+        let spec = DeploymentSpec::new(2, 3)
+            .with_profile(CostProfile::native_cft())
+            .with_shard_policy(0, shielded);
+        assert_eq!(spec.validate(), Ok(()));
     }
 
     #[test]

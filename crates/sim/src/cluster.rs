@@ -1,10 +1,16 @@
-//! The discrete-event cluster: replicas, clients, the Byzantine network and the
+//! The discrete-event cluster: replicas, the Byzantine network and the
 //! virtual clock.
 //!
-//! [`SimCluster::run`] drives a closed-loop client population against the replicas
-//! until the configured number of operations has committed (or the virtual-time /
-//! event budget is exhausted) and returns a [`RunStats`] with throughput and latency
-//! figures. All scheduling decisions are deterministic for a given seed.
+//! [`SimCluster`] steps one replica group. It has no client loop of its own:
+//! a driver submits each client operation with [`SimCluster::submit_at`],
+//! advances the clock one event at a time with [`SimCluster::step`] and
+//! collects the first reply to each request as a [`Completion`] from
+//! [`SimCluster::drain_completions`]. What a client issues next, when and to
+//! which group is the driver's — `recipe_shard`'s request driver, which runs
+//! a single group as a one-shard deployment and builds its replicas
+//! Recipe-transformed or native as the group's [`CostProfile`] is
+//! `shielded` or not. All scheduling decisions are deterministic for a given
+//! seed.
 
 use std::collections::BTreeSet;
 
@@ -18,24 +24,6 @@ use crate::cost::{CostProfile, ProtocolCostModel, Work};
 use crate::queue::EventQueue;
 use crate::replica::{Ctx, Effects, RangeEntry, RecoveryState, Replica};
 
-/// Closed-loop client population configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClientModel {
-    /// Number of concurrent closed-loop clients.
-    pub clients: usize,
-    /// Total operations to commit before the run ends.
-    pub total_operations: usize,
-}
-
-impl Default for ClientModel {
-    fn default() -> Self {
-        ClientModel {
-            clients: 32,
-            total_operations: 2_000,
-        }
-    }
-}
-
 /// Simulation configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -48,8 +36,6 @@ pub struct SimConfig {
     pub profiles: Vec<CostProfile>,
     /// Network adversary plan.
     pub fault_plan: FaultPlan,
-    /// Client population.
-    pub clients: ClientModel,
     /// Hard cap on virtual time (nanoseconds) as a safety net.
     pub max_virtual_ns: u64,
     /// Client-side retransmission timeout (nanoseconds): an outstanding request is
@@ -75,7 +61,6 @@ impl SimConfig {
             cost_model: ProtocolCostModel::default(),
             profiles: vec![profile; n],
             fault_plan: FaultPlan::benign(),
-            clients: ClientModel::default(),
             max_virtual_ns: 120 * 1_000_000_000,
             retry_timeout_ns: 100_000_000,
             crash_plan: CrashPlan::none(),
@@ -132,9 +117,6 @@ pub struct RunStats {
 /// in the cluster, resolved when the event is scheduled.
 #[derive(Debug)]
 enum EventKind {
-    ClientIssue {
-        client_id: u64,
-    },
     ClientRetry {
         client_id: u64,
         request_id: u64,
@@ -185,18 +167,10 @@ pub enum StepOutcome {
     CapReached,
     /// One event was processed.
     Processed,
-    /// A closed-loop client is ready to issue its next operation. The caller
-    /// (the internal [`SimCluster::run`] loop, which owns the workload closure)
-    /// generates the operation and submits it. Never returned in external-client
-    /// mode — there the driver owns issuance entirely.
-    NeedsIssue {
-        /// The client that should issue next.
-        client_id: u64,
-    },
 }
 
-/// A request that completed, surfaced to an external client driver
-/// (see [`SimCluster::set_external_clients`]).
+/// The first reply to a client's outstanding request, as the driver collects
+/// it from [`SimCluster::drain_completions`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Completion {
     /// The issuing client.
@@ -243,15 +217,6 @@ struct Outstanding {
     is_write: bool,
 }
 
-/// One client's entry in [`SimCluster`]'s table, indexed by client id.
-#[derive(Debug, Clone, Default)]
-struct ClientSlot {
-    /// The latest request id the client issued (0 before its first).
-    request_id: u64,
-    /// Its request still waiting for a reply.
-    outstanding: Option<Outstanding>,
-}
-
 /// The discrete-event cluster simulator.
 pub struct SimCluster<R: Replica> {
     replicas: Vec<R>,
@@ -263,9 +228,10 @@ pub struct SimCluster<R: Replica> {
     now: u64,
     busy_until: Vec<u64>,
     crashed: BTreeSet<NodeId>,
-    /// Client bookkeeping, indexed by client id. Ids are dense from zero;
-    /// the table grows the first time a client submits.
-    clients: Vec<ClientSlot>,
+    /// Each client's request still waiting for a reply, indexed by client
+    /// id. Ids are dense from zero; the table grows the first time a client
+    /// submits.
+    clients: Vec<Option<Outstanding>>,
     /// The effect buffers handler calls fill, lent to one [`Ctx`] at a time
     /// and taken back empty: a steady run allocates none.
     effects: Effects,
@@ -273,11 +239,6 @@ pub struct SimCluster<R: Replica> {
     stats: RunStats,
     write_rr: usize,
     read_rr: usize,
-    /// When true, the closed-loop client population lives *outside* this
-    /// cluster (e.g. in a `recipe_shard::ShardedCluster` routing one client
-    /// population over many groups): no `ClientIssue` events are scheduled and
-    /// completed requests are queued for [`SimCluster::drain_completions`].
-    external_clients: bool,
     completions: Vec<Completion>,
     /// Attached telemetry, `None` (the default) disables every telemetry
     /// branch on the hot paths — runs are bit-identical to a build without it.
@@ -309,7 +270,6 @@ impl<R: Replica> SimCluster<R> {
             stats: RunStats::default(),
             write_rr: 0,
             read_rr: 0,
-            external_clients: false,
             completions: Vec::new(),
             telemetry: None,
             config,
@@ -351,12 +311,11 @@ impl<R: Replica> SimCluster<R> {
         }
     }
 
-    /// Switches the cluster into external-client mode: the caller owns the
-    /// closed loop, issuing operations with [`SimCluster::submit_at`] and
-    /// collecting results with [`SimCluster::drain_completions`]. Must be set
-    /// before any event is processed.
+    /// Does nothing but refuse `false`: external clients are the only mode,
+    /// and the method stays only until the benchmark package's event-loop
+    /// replay stops calling it.
     pub fn set_external_clients(&mut self, external: bool) {
-        self.external_clients = external;
+        assert!(external, "a SimCluster has no client loop of its own");
     }
 
     /// Virtual time of the next pending event, if any.
@@ -369,8 +328,8 @@ impl<R: Replica> SimCluster<R> {
         self.stats.committed
     }
 
-    /// Takes the completions recorded since the last drain (external-client
-    /// mode only; empty otherwise).
+    /// Takes the completions recorded since the last drain, in the order the
+    /// replies reached their clients.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
         std::mem::take(&mut self.completions)
     }
@@ -477,50 +436,9 @@ impl<R: Replica> SimCluster<R> {
             .unwrap_or(self.ids.len())
     }
 
-    /// Runs the simulation, generating operations with `workload(client_id, seq)`.
-    ///
-    /// The run ends when `clients.total_operations` operations have committed, the
-    /// event queue drains, or the virtual-time cap is hit.
-    pub fn run<W>(&mut self, mut workload: W) -> RunStats
-    where
-        W: FnMut(u64, u64) -> Operation,
-    {
-        self.seed_initial_events();
-        // Start the closed-loop clients with a small deterministic stagger.
-        for client in 0..self.config.clients.clients as u64 {
-            self.queue
-                .push(client * 200, EventKind::ClientIssue { client_id: client });
-        }
-
-        let target = self.config.clients.total_operations as u64;
-        loop {
-            if self.stats.committed >= target {
-                break;
-            }
-            match self.step() {
-                StepOutcome::Idle | StepOutcome::CapReached => break,
-                StepOutcome::Processed => {}
-                StepOutcome::NeedsIssue { client_id } => {
-                    let slot = self.client_mut(client_id);
-                    slot.request_id += 1;
-                    let rid = slot.request_id;
-                    let operation = workload(client_id, rid);
-                    if !self.submit_at(self.now, client_id, rid, operation) {
-                        // No live coordinator (e.g. leader crashed and no view
-                        // change yet): retry later.
-                        self.queue
-                            .push(self.now + 1_000_000, EventKind::ClientIssue { client_id });
-                    }
-                }
-            }
-        }
-
-        self.finish()
-    }
-
     /// Schedules the protocol kick-off timers (token 0 at time 0) and the
-    /// configured crash schedule. Called once, by [`SimCluster::run`] or by an
-    /// external driver before stepping.
+    /// configured crash schedule. Called once, by the driver, before
+    /// stepping.
     pub fn seed_initial_events(&mut self) {
         for idx in 0..self.replicas.len() {
             self.queue.push(0, EventKind::Timer { idx, token: 0 });
@@ -535,7 +453,7 @@ impl<R: Replica> SimCluster<R> {
     }
 
     /// Submits a client operation at virtual time `at_ns` (which must be ≥ every
-    /// already-processed event's time; external drivers guarantee this by always
+    /// already-processed event's time; a driver guarantees this by always
     /// advancing the globally-earliest cluster). Returns false when no live
     /// coordinator exists for the operation — the caller decides when to retry.
     pub fn submit_at(
@@ -564,15 +482,12 @@ impl<R: Replica> SimCluster<R> {
             return Err(operation);
         };
         let issued_ns = self.now;
-        *self.client_mut(client_id) = ClientSlot {
+        *self.client_mut(client_id) = Some(Outstanding {
             request_id,
-            outstanding: Some(Outstanding {
-                request_id,
-                issued_ns,
-                is_write: operation.is_write(),
-                operation: operation.clone(),
-            }),
-        };
+            issued_ns,
+            is_write: operation.is_write(),
+            operation: operation.clone(),
+        });
         let deliver_at = self.now + self.config.cost_model.link_latency_ns;
         self.queue.push_timer(
             self.now + self.config.retry_timeout_ns,
@@ -601,10 +516,8 @@ impl<R: Replica> SimCluster<R> {
         Ok(())
     }
 
-    /// Processes the next event, advancing the virtual clock. Client issuance
-    /// is reported back to the caller (see [`StepOutcome::NeedsIssue`]) so that
-    /// the owner of the workload — the internal run loop or an external sharded
-    /// driver — stays in control of what gets issued where.
+    /// Processes the next event, advancing the virtual clock. A reply it
+    /// delivers to a client is queued for [`SimCluster::drain_completions`].
     pub fn step(&mut self) -> StepOutcome {
         let Some((at, event)) = self.queue.pop() else {
             return StepOutcome::Idle;
@@ -661,9 +574,6 @@ impl<R: Replica> SimCluster<R> {
                 }
                 self.apply_effects(idx, ctx);
             }
-            EventKind::ClientIssue { client_id } => {
-                return StepOutcome::NeedsIssue { client_id };
-            }
             EventKind::ClientRetry {
                 client_id,
                 request_id,
@@ -704,13 +614,7 @@ impl<R: Replica> SimCluster<R> {
             } => {
                 let node = self.ids[idx];
                 if self.crashed.contains(&node) {
-                    // Request lost. Internal clients give up on this request and
-                    // issue a fresh one shortly; external drivers rely on the
-                    // already-scheduled ClientRetry to resubmit it.
-                    if !self.external_clients {
-                        self.queue
-                            .push(self.now + 5_000_000, EventKind::ClientIssue { client_id });
-                    }
+                    // Request lost: the ClientRetry scheduled with it resends it.
                     return StepOutcome::Processed;
                 }
                 let work = Work::Recv {
@@ -1071,10 +975,10 @@ impl<R: Replica> SimCluster<R> {
     }
 
     /// `client_id`'s table entry, grown to reach it on first sight.
-    fn client_mut(&mut self, client_id: u64) -> &mut ClientSlot {
+    fn client_mut(&mut self, client_id: u64) -> &mut Option<Outstanding> {
         let idx = client_id as usize;
         if idx >= self.clients.len() {
-            self.clients.resize_with(idx + 1, ClientSlot::default);
+            self.clients.resize_with(idx + 1, Option::default);
         }
         &mut self.clients[idx]
     }
@@ -1082,10 +986,8 @@ impl<R: Replica> SimCluster<R> {
     /// The client's request `request_id`, while it awaits its reply. A newer
     /// request replaces it: a client has one request outstanding at a time.
     fn outstanding(&self, client_id: u64, request_id: u64) -> Option<&Outstanding> {
-        let slot = self.clients.get(client_id as usize)?;
-        slot.outstanding
-            .as_ref()
-            .filter(|out| out.request_id == request_id)
+        let out = self.clients.get(client_id as usize)?.as_ref()?;
+        (out.request_id == request_id).then_some(out)
     }
 
     fn record_reply(&mut self, reply: ClientReply) {
@@ -1095,7 +997,7 @@ impl<R: Replica> SimCluster<R> {
         // must not be double-counted.
         let slot = self.clients.get_mut(client_id as usize);
         let current = |out: &mut Outstanding| out.request_id == reply.request_id;
-        if let Some(out) = slot.and_then(|slot| slot.outstanding.take_if(current)) {
+        if let Some(out) = slot.and_then(|slot| slot.take_if(current)) {
             let latency = self.now.saturating_sub(out.issued_ns);
             self.latencies_ns.push(latency);
             if let Some(t) = self.telemetry.as_mut() {
@@ -1111,21 +1013,13 @@ impl<R: Replica> SimCluster<R> {
             } else {
                 self.stats.committed_reads += 1;
             }
-            if self.external_clients {
-                self.completions.push(Completion {
-                    client_id,
-                    request_id: reply.request_id,
-                    latency_ns: latency,
-                    was_write: out.is_write,
-                    at_ns: self.now,
-                });
-            } else {
-                // Closed loop: the client issues its next request after a think time.
-                let next = self.now
-                    + self.config.cost_model.link_latency_ns
-                    + self.config.cost_model.client_think_ns;
-                self.queue.push(next, EventKind::ClientIssue { client_id });
-            }
+            self.completions.push(Completion {
+                client_id,
+                request_id: reply.request_id,
+                latency_ns: latency,
+                was_write: out.is_write,
+                at_ns: self.now,
+            });
         }
         // Replies for requests we are no longer waiting on (duplicates from multiple
         // replicas) are ignored: the first reply wins.
@@ -1289,13 +1183,12 @@ mod tests {
         }
     }
 
-    fn small_config(n: usize, ops: usize) -> SimConfig {
-        let mut config = SimConfig::uniform(n, CostProfile::recipe());
-        config.clients = ClientModel {
-            clients: 8,
-            total_operations: ops,
-        };
-        config
+    /// Clients every test run drives.
+    const CLIENTS: u64 = 8;
+
+    /// Echo replicas under the Recipe profile on a benign network.
+    fn echo(n: usize) -> SimCluster<EchoReplica> {
+        SimCluster::new(EchoReplica::cluster(n), uniform(n))
     }
 
     fn write_workload(client: u64, seq: u64) -> Operation {
@@ -1305,10 +1198,49 @@ mod tests {
         }
     }
 
+    /// Steps `cluster` under [`CLIENTS`] clients, 200 ns apart, each
+    /// submitting `workload(client, seq)` as its previous request completes,
+    /// until `ops` have committed or the queue stops. A client whose
+    /// submission finds no live coordinator issues nothing more. Returns the
+    /// most events the heap held at once.
+    fn drive(
+        cluster: &mut SimCluster<EchoReplica>,
+        ops: u64,
+        workload: impl Fn(u64, u64) -> Operation,
+    ) -> usize {
+        cluster.seed_initial_events();
+        for client in 0..CLIENTS {
+            assert!(cluster.submit_at(client * 200, client, 1, workload(client, 1)));
+        }
+        let mut high_water = 0;
+        while cluster.committed() < ops {
+            if cluster.step() != StepOutcome::Processed {
+                break;
+            }
+            high_water = high_water.max(cluster.queue.heap_len());
+            for done in cluster.drain_completions() {
+                let (client, next) = (done.client_id, done.request_id + 1);
+                cluster.submit_at(done.at_ns, client, next, workload(client, next));
+            }
+        }
+        high_water
+    }
+
+    /// [`drive`] on a fresh `n`-replica cluster, returning its statistics.
+    fn finished(config: SimConfig, ops: u64, workload: impl Fn(u64, u64) -> Operation) -> RunStats {
+        let n = config.profiles.len();
+        let mut cluster = SimCluster::new(EchoReplica::cluster(n), config);
+        drive(&mut cluster, ops, workload);
+        cluster.finish()
+    }
+
+    fn uniform(n: usize) -> SimConfig {
+        SimConfig::uniform(n, CostProfile::recipe())
+    }
+
     #[test]
     fn echo_protocol_commits_all_operations() {
-        let mut cluster = SimCluster::new(EchoReplica::cluster(3), small_config(3, 300));
-        let stats = cluster.run(write_workload);
+        let stats = finished(uniform(3), 300, write_workload);
         assert_eq!(stats.committed, 300);
         assert!(stats.throughput_ops > 0.0);
         assert!(stats.mean_latency_us > 0.0);
@@ -1323,25 +1255,21 @@ mod tests {
         // The echo protocol replies with `value: None, found: false` for every
         // operation — replies carry no usable type information, exactly like a
         // read miss. Classification must come from what was *issued*.
-        let reads = SimCluster::new(EchoReplica::cluster(3), small_config(3, 120)).run(|c, s| {
-            Operation::Get {
-                key: format!("k{c}-{s}").into_bytes(),
-            }
-        });
+        let read = |c: u64, s: u64| Operation::Get {
+            key: format!("k{c}-{s}").into_bytes(),
+        };
+        let reads = finished(uniform(3), 120, read);
         assert_eq!(reads.committed, 120);
         assert_eq!(reads.committed_reads, 120);
         assert_eq!(reads.committed_writes, 0);
 
-        let writes =
-            SimCluster::new(EchoReplica::cluster(3), small_config(3, 120)).run(write_workload);
+        let writes = finished(uniform(3), 120, write_workload);
         assert_eq!(writes.committed_writes, 120);
         assert_eq!(writes.committed_reads, 0);
 
-        let mixed = SimCluster::new(EchoReplica::cluster(3), small_config(3, 120)).run(|c, s| {
+        let mixed = finished(uniform(3), 120, |c, s| {
             if s % 3 == 0 {
-                Operation::Get {
-                    key: format!("k{c}-{s}").into_bytes(),
-                }
+                read(c, s)
             } else {
                 write_workload(c, s)
             }
@@ -1354,31 +1282,30 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic_for_a_seed() {
-        let a = SimCluster::new(EchoReplica::cluster(3), small_config(3, 200)).run(write_workload);
-        let b = SimCluster::new(EchoReplica::cluster(3), small_config(3, 200)).run(write_workload);
+        let a = finished(uniform(3), 200, write_workload);
+        let b = finished(uniform(3), 200, write_workload);
         assert_eq!(a, b);
     }
 
     #[test]
     fn faster_profiles_yield_higher_throughput() {
-        let recipe =
-            SimCluster::new(EchoReplica::cluster(3), small_config(3, 300)).run(write_workload);
-        let mut slow_config = small_config(3, 300);
-        slow_config.profiles = vec![CostProfile::pbft_baseline(); 3];
-        let pbft_profile =
-            SimCluster::new(EchoReplica::cluster(3), slow_config).run(write_workload);
+        let recipe = finished(uniform(3), 300, write_workload);
+        let pbft_profile = finished(
+            SimConfig::uniform(3, CostProfile::pbft_baseline()),
+            300,
+            write_workload,
+        );
         assert!(recipe.throughput_ops > pbft_profile.throughput_ops);
     }
 
     #[test]
     fn lossy_network_still_makes_progress_but_drops_messages() {
-        let mut config = small_config(3, 100);
+        let mut config = uniform(3);
         config.fault_plan = FaultPlan::lossy(0.05);
         // With drops, some operations never gather 2 acks; the run ends at the
         // virtual-time cap with fewer commits — but it must not livelock or panic.
         config.max_virtual_ns = 2_000_000_000;
-        let mut cluster = SimCluster::new(EchoReplica::cluster(3), config);
-        let stats = cluster.run(write_workload);
+        let stats = finished(config, 100, write_workload);
         assert!(stats.messages_dropped > 0);
         assert!(stats.committed > 0);
     }
@@ -1388,14 +1315,15 @@ mod tests {
     /// capture buffer, still carry the bytes that were sent.
     #[test]
     fn every_delivery_lends_a_buffer_of_its_own() {
-        let mut config = small_config(3, 300);
+        let mut config = uniform(3);
         config.fault_plan = FaultPlan {
             duplicate_probability: 0.2,
             replay_probability: 0.2,
             ..FaultPlan::default()
         };
         let mut cluster = SimCluster::new(EchoReplica::cluster(3), config);
-        let stats = cluster.run(write_workload);
+        drive(&mut cluster, 300, write_workload);
+        let stats = cluster.finish();
         assert_eq!(stats.committed, 300);
         assert!(stats.messages_replayed > 100, "{stats:?}");
         let replicas = &cluster.replicas;
@@ -1412,15 +1340,13 @@ mod tests {
 
     #[test]
     fn crashed_coordinator_halts_commits() {
-        let mut cluster = SimCluster::new(EchoReplica::cluster(3), {
-            let mut c = small_config(3, 10_000);
-            c.max_virtual_ns = 50_000_000; // 50 ms
-            c
-        });
+        let mut config = uniform(3);
+        config.max_virtual_ns = 50_000_000; // 50 ms
+        let mut cluster = SimCluster::new(EchoReplica::cluster(3), config);
         cluster.crash_at(NodeId(0), 1_000_000); // crash the only coordinator at 1 ms
-        let stats = cluster.run(write_workload);
+        drive(&mut cluster, 10_000, write_workload);
         // Commits happen only in the first millisecond.
-        assert!(stats.committed < 10_000);
+        assert!(cluster.committed() < 10_000);
         assert!(cluster.crashed_nodes().contains(&NodeId(0)));
     }
 
@@ -1429,31 +1355,13 @@ mod tests {
     /// while a crash plan's recovery sits in the queue beyond every timer.
     #[test]
     fn the_event_heap_stays_as_small_as_the_client_count() {
-        const CLIENTS: u64 = 8;
         let heap_high_water = |crash_plan: CrashPlan| {
             // Four replicas: a write needs two of three followers, so one may crash.
-            let mut config = small_config(4, 2_000);
+            let mut config = uniform(4);
             config.crash_plan = crash_plan;
             let mut cluster = SimCluster::new(EchoReplica::cluster(4), config);
-            cluster.set_external_clients(true);
-            cluster.seed_initial_events();
-            for client in 0..CLIENTS {
-                assert!(cluster.submit_at(client * 200, client, 1, write_workload(client, 1)));
-            }
-            let mut high_water = 0;
-            while cluster.committed() < 2_000 {
-                assert_eq!(cluster.step(), StepOutcome::Processed);
-                high_water = high_water.max(cluster.queue.heap_len());
-                for done in cluster.drain_completions() {
-                    let (client, next) = (done.client_id, done.request_id + 1);
-                    assert!(cluster.submit_at(
-                        done.at_ns,
-                        client,
-                        next,
-                        write_workload(client, next)
-                    ));
-                }
-            }
+            let high_water = drive(&mut cluster, 2_000, write_workload);
+            assert_eq!(cluster.committed(), 2_000);
             high_water
         };
         // Per client: its request or the frames of its round, and a kick-off
@@ -1469,7 +1377,7 @@ mod tests {
 
     #[test]
     fn route_skips_crashed_nodes() {
-        let mut cluster = SimCluster::new(EchoReplica::cluster(3), small_config(3, 10));
+        let mut cluster = echo(3);
         cluster.crashed.insert(NodeId(0));
         assert_eq!(cluster.route(&write_workload(0, 1)), None); // only node 0 coordinates
         cluster.replica_mut(NodeId(1)).is_leader = true;
@@ -1483,10 +1391,16 @@ mod tests {
 
     #[test]
     fn replica_accessors_work() {
-        let mut cluster = SimCluster::new(EchoReplica::cluster(3), small_config(3, 10));
+        let mut cluster = echo(3);
         assert_eq!(cluster.replica(NodeId(1)).id(), NodeId(1));
         cluster.replica_mut(NodeId(2)).is_leader = true;
         assert!(cluster.replica(NodeId(2)).coordinates_writes());
         assert_eq!(cluster.now_ns(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no client loop of its own")]
+    fn a_cluster_refuses_to_run_its_own_clients() {
+        echo(3).set_external_clients(false);
     }
 }

@@ -18,7 +18,8 @@
 //!   harness is reproducible bit-for-bit.
 //!
 //! The main entry point is [`cluster::SimCluster`], which owns the replicas, the
-//! clock, the network and a set of closed-loop clients.
+//! clock and the network of one group; the clients that drive it live in
+//! `recipe_shard`'s request driver.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,8 +30,8 @@ mod queue;
 pub mod replica;
 
 pub use cluster::{
-    latency_percentiles, Charged, ClientModel, Completion, LatencySummary, RunStats, SimCluster,
-    SimConfig, StepOutcome,
+    latency_percentiles, Charged, Completion, LatencySummary, RunStats, SimCluster, SimConfig,
+    StepOutcome,
 };
 pub use cost::{CostProfile, ProtocolCostModel, Work};
 pub use replica::{Ctx, RangeEntry, RecoveryState, Replica, RestartReport};

@@ -6,42 +6,39 @@
 //! cargo run --example byzantine_injection
 //! ```
 
-use recipe::core::{Membership, Operation};
+use recipe::core::Operation;
 use recipe::kv::{KvError, PartitionedKvStore, StoreConfig, Timestamp};
 use recipe::net::FaultPlan;
 use recipe::protocols::RaftReplica;
-use recipe::sim::{ClientModel, CostProfile, SimCluster, SimConfig};
+use recipe::shard::{DeploymentSpec, ShardedCluster};
 use recipe_net::NodeId;
 
 fn main() {
     // --- Byzantine network: duplicates and replays of authenticated traffic. ---
-    let membership = Membership::of_size(3, 1);
-    let replicas: Vec<RaftReplica> = (0..3)
-        .map(|id| RaftReplica::recipe(id, membership.clone(), false))
-        .collect();
-    let mut config = SimConfig::uniform(3, CostProfile::recipe());
-    config.clients = ClientModel {
-        clients: 8,
-        total_operations: 300,
-    };
-    config.fault_plan = FaultPlan {
-        replay_probability: 0.08,
-        duplicate_probability: 0.08,
-        ..FaultPlan::default()
-    };
-    let mut cluster = SimCluster::new(replicas, config);
-    let stats = cluster.run(|client, seq| Operation::Put {
-        key: format!("acct{:03}", (client + seq) % 50).into_bytes(),
-        value: format!("v{seq}").into_bytes(),
+    let spec = DeploymentSpec::new(1, 3)
+        .with_clients(8, 300)
+        .with_fault_plan(FaultPlan {
+            replay_probability: 0.08,
+            duplicate_probability: 0.08,
+            ..FaultPlan::default()
+        });
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let stats = cluster.run_requests(|client, seq| {
+        let key = format!("acct{:03}", (client + seq) % 50).into_bytes();
+        let value = format!("v{seq}").into_bytes();
+        Some(Operation::Put { key, value }.into())
     });
+    let stats = stats.total;
+    let group = cluster.shard(0);
     let rejected: u64 = (0..3)
-        .map(|id| cluster.replica(NodeId(id)).rejected_messages())
+        .map(|id| group.replica(NodeId(id)).rejected_messages())
         .sum();
     println!(
         "network adversary: {} ops committed, {} messages replayed/duplicated by the \
          adversary, {} rejected by the non-equivocation layer",
         stats.committed, stats.messages_replayed, rejected
     );
+    assert!(rejected > 0, "the non-equivocation layer rejected nothing");
 
     // --- Byzantine host: corrupt the value bytes behind the enclave's back. ---
     let mut store = PartitionedKvStore::new(StoreConfig::default());

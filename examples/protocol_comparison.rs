@@ -6,111 +6,73 @@
 //! cargo run --release --example protocol_comparison
 //! ```
 
-use recipe_bench_free::run_all;
+use recipe::bft::dispatch;
+use recipe::core::ConfidentialityMode;
+use recipe::protocols::{BuildReplica, Protocol, ProtocolMode, ProtocolVisitor};
+use recipe::shard::{op_from_workload, DeploymentSpec, ShardedCluster};
+use recipe::sim::RunStats;
+use recipe::workload::WorkloadSpec;
 
 // The bench crate is not a dependency of the umbrella crate (it is a harness), so
 // this example re-implements the comparison inline using the public APIs.
-mod recipe_bench_free {
-    use recipe::bft::{DamysusReplica, PbftReplica};
-    use recipe::core::{Membership, Operation};
-    use recipe::protocols::{AbdReplica, AllConcurReplica, ChainReplica, RaftReplica};
-    use recipe::sim::{ClientModel, CostProfile, Replica, RunStats, SimCluster, SimConfig};
-    use recipe::workload::{WorkloadOp, WorkloadSpec};
-    use std::cell::RefCell;
 
-    fn run<R: Replica>(replicas: Vec<R>, profile: CostProfile, read_ratio: f64) -> RunStats {
-        let n = replicas.len();
-        let mut config = SimConfig::uniform(n, profile);
-        config.clients = ClientModel {
-            clients: 16,
-            total_operations: 800,
-        };
-        let mut cluster = SimCluster::new(replicas, config);
-        let generator = RefCell::new(WorkloadSpec::ycsb(read_ratio, 256).generator());
-        cluster.run(move |_, _| match generator.borrow_mut().next_op() {
-            WorkloadOp::Read { key } => Operation::Get { key },
-            WorkloadOp::Write { key, value } => Operation::Put { key, value },
-        })
+/// The mode every protocol here runs in (the BFT baselines ignore it).
+const PLAINTEXT: ProtocolMode = ProtocolMode::Recipe {
+    confidentiality: ConfidentialityMode::Plaintext,
+};
+
+/// One group of a protocol tolerating one fault, at the fewest replicas it
+/// needs, under 16 clients until 800 operations commit.
+struct Run {
+    read_ratio: f64,
+}
+
+impl ProtocolVisitor for Run {
+    type Output = RunStats;
+
+    fn visit<R: BuildReplica>(self) -> RunStats {
+        let spec = DeploymentSpec::new(1, R::PROTOCOL.min_replicas(1))
+            .with_profile(R::PROTOCOL.cost_profile(PLAINTEXT))
+            .with_clients(16, 800);
+        let mut generator = WorkloadSpec::ycsb(self.read_ratio, 256).generator();
+        let stats = ShardedCluster::<R>::build(spec)
+            .run_requests(|_, _| Some(op_from_workload(generator.next_op()).into()));
+        stats.total
     }
+}
 
-    pub fn run_all(read_ratio: f64) {
-        let m3 = Membership::of_size(3, 1);
-        let m4 = Membership::of_size(4, 1);
-        let results: Vec<(&str, RunStats)> = vec![
+fn run_all(read_ratio: f64) {
+    let order = [
+        Protocol::Pbft,
+        Protocol::Damysus,
+        Protocol::Raft,
+        Protocol::Chain,
+        Protocol::Abd,
+        Protocol::AllConcur,
+    ];
+    let results: Vec<(&str, RunStats)> = order
+        .into_iter()
+        .map(|protocol| {
             (
-                "PBFT",
-                run(
-                    (0..4).map(|id| PbftReplica::new(id, m4.clone())).collect(),
-                    CostProfile::pbft_baseline(),
-                    read_ratio,
-                ),
-            ),
-            (
-                "Damysus",
-                run(
-                    (0..3)
-                        .map(|id| DamysusReplica::new(id, m3.clone()))
-                        .collect(),
-                    CostProfile::damysus_baseline(),
-                    read_ratio,
-                ),
-            ),
-            (
-                "R-Raft",
-                run(
-                    (0..3)
-                        .map(|id| RaftReplica::recipe(id, m3.clone(), false))
-                        .collect(),
-                    CostProfile::recipe(),
-                    read_ratio,
-                ),
-            ),
-            (
-                "R-CR",
-                run(
-                    (0..3)
-                        .map(|id| ChainReplica::recipe(id, m3.clone(), false))
-                        .collect(),
-                    CostProfile::recipe(),
-                    read_ratio,
-                ),
-            ),
-            (
-                "R-ABD",
-                run(
-                    (0..3)
-                        .map(|id| AbdReplica::recipe(id, m3.clone(), false))
-                        .collect(),
-                    CostProfile::recipe(),
-                    read_ratio,
-                ),
-            ),
-            (
-                "R-AllConcur",
-                run(
-                    (0..3)
-                        .map(|id| AllConcurReplica::recipe(id, m3.clone(), false))
-                        .collect(),
-                    CostProfile::recipe(),
-                    read_ratio,
-                ),
-            ),
-        ];
-        let baseline = results[0].1.throughput_ops;
-        println!("\nworkload: {:.0}% reads, 256 B values", read_ratio * 100.0);
+                protocol.display_name(),
+                dispatch(protocol, Run { read_ratio }),
+            )
+        })
+        .collect();
+    let baseline = results[0].1.throughput_ops;
+    println!("\nworkload: {:.0}% reads, 256 B values", read_ratio * 100.0);
+    println!(
+        "{:<12} {:>16} {:>12} {:>10}",
+        "protocol", "throughput(op/s)", "latency(us)", "vs PBFT"
+    );
+    for (name, stats) in &results {
         println!(
-            "{:<12} {:>16} {:>12} {:>10}",
-            "protocol", "throughput(op/s)", "latency(us)", "vs PBFT"
+            "{:<12} {:>16.0} {:>12.1} {:>9.1}x",
+            name,
+            stats.throughput_ops,
+            stats.mean_latency_us,
+            stats.throughput_ops / baseline
         );
-        for (name, stats) in &results {
-            println!(
-                "{:<12} {:>16.0} {:>12.1} {:>9.1}x",
-                name,
-                stats.throughput_ops,
-                stats.mean_latency_us,
-                stats.throughput_ops / baseline
-            );
-        }
     }
 }
 

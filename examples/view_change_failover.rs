@@ -6,44 +6,50 @@
 //! cargo run --example view_change_failover
 //! ```
 
-use recipe::core::{Membership, Operation};
+use recipe::core::Operation;
+use recipe::net::CrashPlan;
 use recipe::protocols::RaftReplica;
-use recipe::sim::{ClientModel, CostProfile, SimCluster, SimConfig};
+use recipe::shard::{DeploymentSpec, ShardedCluster};
 use recipe_net::NodeId;
 
+/// Operations the clients commit before the run ends.
+const TARGET: u64 = 600;
+
 fn main() {
-    let membership = Membership::of_size(3, 1);
-    let replicas: Vec<RaftReplica> = (0..3)
-        .map(|id| RaftReplica::recipe(id, membership.clone(), false))
-        .collect();
-    let mut config = SimConfig::uniform(3, CostProfile::recipe());
-    config.clients = ClientModel {
-        clients: 8,
-        total_operations: 600,
-    };
-    config.max_virtual_ns = 3_000_000_000;
-    let mut cluster = SimCluster::new(replicas, config);
-
     // Crash the initial leader (node 0) two virtual milliseconds into the run.
-    cluster.crash_at(NodeId(0), 2_000_000);
+    let spec = DeploymentSpec::new(1, 3)
+        .with_clients(8, TARGET as usize)
+        .with_time_cap_ns(3_000_000_000)
+        .with_crash_plan(CrashPlan::none().crash(NodeId(0), 2_000_000));
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
 
-    let stats = cluster.run(|client, seq| Operation::Put {
-        key: format!("k{:02}", (client + seq) % 30).into_bytes(),
-        value: vec![b'x'; 128],
+    let stats = cluster.run_requests(|client, seq| {
+        let key = format!("k{:02}", (client + seq) % 30).into_bytes();
+        let value = vec![b'x'; 128];
+        Some(Operation::Put { key, value }.into())
     });
+    let stats = stats.total;
 
+    let group = cluster.shard(0);
+    let mut survivor_view = 0;
     for id in 1..3 {
-        let replica = cluster.replica(NodeId(id));
+        let replica = group.replica(NodeId(id));
         println!(
             "replica {id}: view = {}, leader = {}, applied entries = {}",
             replica.view(),
             replica.is_leader(),
             replica.committed_entries()
         );
+        survivor_view = survivor_view.max(replica.view());
     }
     println!(
         "committed {} operations despite the leader crash (elapsed {:.1} virtual ms)",
         stats.committed,
         stats.elapsed_secs * 1e3
+    );
+    assert!(survivor_view >= 1, "no view change after the leader crash");
+    assert!(
+        stats.committed >= TARGET,
+        "the commit target was not reached"
     );
 }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use recipe::core::Operation;
 use recipe::protocols::{build_cluster, BatchConfig, RaftReplica};
 use recipe::shard::{DeploymentSpec, ShardedCluster};
-use recipe::sim::{ClientModel, CostProfile, SimCluster, SimConfig, StepOutcome};
+use recipe::sim::{CostProfile, SimCluster, SimConfig, StepOutcome};
 use recipe_net::NodeId;
 use std::sync::OnceLock;
 
@@ -43,16 +43,8 @@ fn open_loop_digest(batch: usize) -> StateDigest {
     let replicas = build_cluster(3, 1, |id, m| {
         RaftReplica::recipe(id, m, true).with_batching(BatchConfig::of_ops(batch))
     });
-    let mut config = SimConfig::uniform(
-        3,
-        CostProfile::recipe().confidential().with_batch_ops(batch),
-    );
-    config.clients = ClientModel {
-        clients: OPEN_LOOP_OPS,
-        total_operations: OPEN_LOOP_OPS,
-    };
-    let mut cluster = SimCluster::new(replicas, config);
-    cluster.set_external_clients(true);
+    let profile = CostProfile::recipe().confidential().with_batch_ops(batch);
+    let mut cluster = SimCluster::new(replicas, SimConfig::uniform(3, profile));
     cluster.seed_initial_events();
     for i in 0..OPEN_LOOP_OPS {
         assert!(cluster.submit_at(i as u64 * 3_000, i as u64, 1, open_loop_op(i)));
@@ -172,37 +164,34 @@ fn batched_sharded_runs_are_deterministic_with_per_shard_agreement() {
 #[test]
 fn dropped_batches_retry_as_a_unit_without_losing_progress() {
     use recipe_net::FaultPlan;
-    let batch = 16usize;
-    let replicas = build_cluster(3, 1, |id, m| {
-        RaftReplica::recipe(id, m, false).with_batching(BatchConfig::of_ops(batch))
-    });
-    let mut config = SimConfig::uniform(3, CostProfile::recipe().with_batch_ops(batch));
-    config.clients = ClientModel {
-        clients: 24,
-        total_operations: 150,
-    };
     // Dropping a frame loses all of its ops at once; the clients' retry path
     // must recover every one of them.
-    config.fault_plan = FaultPlan {
-        drop_probability: 0.04,
-        ..FaultPlan::default()
-    };
-    config.max_virtual_ns = 30_000_000_000;
-    let mut cluster = SimCluster::new(replicas, config);
-    let stats = cluster.run(|client, seq| Operation::Put {
-        key: format!("c{client}-k{}", seq % 4).into_bytes(),
-        value: format!("v{client}-{seq}").into_bytes(),
+    let spec = DeploymentSpec::new(1, 3)
+        .with_batching(BatchConfig::of_ops(16))
+        .with_clients(24, 150)
+        .with_fault_plan(FaultPlan {
+            drop_probability: 0.04,
+            ..FaultPlan::default()
+        })
+        .with_time_cap_ns(30_000_000_000);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let stats = cluster.run_requests(|client, seq| {
+        let key = format!("c{client}-k{}", seq % 4).into_bytes();
+        let value = format!("v{client}-{seq}").into_bytes();
+        Some(Operation::Put { key, value }.into())
     });
+    let stats = stats.total;
     assert!(stats.committed >= 150, "committed {}", stats.committed);
     assert!(stats.messages_dropped > 0, "fault plan never fired");
     // Batching stayed active under faults.
     assert!(stats.ops_delivered > stats.messages_delivered);
     // Every committed write is client-visible progress: the leader holds a
     // value from the issuing client's sequence for each of its keys.
+    let leader = cluster.shard_mut(0).replica_mut(NodeId(0));
     for client in 0..24u64 {
         for k in 0..4 {
             let key = format!("c{client}-k{k}").into_bytes();
-            if let Some(value) = cluster.replica_mut(NodeId(0)).local_read(&key) {
+            if let Some(value) = leader.local_read(&key) {
                 let value = String::from_utf8(value).expect("workload values are UTF-8");
                 assert!(
                     value.starts_with(&format!("v{client}-")),

@@ -15,41 +15,35 @@
 //!    retransmitted decision lands exactly once (zero lost, duplicated or
 //!    parked commits).
 
-use recipe::core::{Membership, Operation, Request};
+use recipe::core::{Operation, Request};
 use recipe::net::{CrashPlan, NodeId};
 use recipe::protocols::{ChainReplica, RaftReplica, StoreReplica};
 use recipe::shard::{DeploymentSpec, ShardPolicy, ShardedCluster};
-use recipe::sim::{ClientModel, CostProfile, SimCluster, SimConfig};
+use recipe::sim::SimCluster;
 
-fn put(client: u64, seq: u64) -> Operation {
-    Operation::Put {
-        key: format!("key-{}", (client + seq) % 32).into_bytes(),
-        value: vec![b'r'; 128],
-    }
+fn put(client: u64, seq: u64) -> Option<Request> {
+    let key = format!("key-{}", (client + seq) % 32).into_bytes();
+    let value = vec![b'r'; 128];
+    Some(Operation::Put { key, value }.into())
 }
 
-fn raft_cluster(crash_plan: CrashPlan, ops: usize) -> SimCluster<RaftReplica> {
-    let membership = Membership::of_size(3, 1);
-    let replicas: Vec<RaftReplica> = (0..3)
-        .map(|id| RaftReplica::recipe(id, membership.clone(), false))
-        .collect();
-    let mut config = SimConfig::uniform(3, CostProfile::recipe());
-    config.clients = ClientModel {
-        clients: 8,
-        total_operations: ops,
-    };
-    config.max_virtual_ns = 10_000_000_000;
-    config.crash_plan = crash_plan;
-    SimCluster::new(replicas, config)
+/// One three-replica group under eight clients and `crash_plan`, run until
+/// `ops` have committed.
+fn one_group(crash_plan: CrashPlan, ops: usize) -> DeploymentSpec {
+    DeploymentSpec::new(1, 3)
+        .with_clients(8, ops)
+        .with_time_cap_ns(10_000_000_000)
+        .with_crash_plan(crash_plan)
 }
 
 /// Every key the recovered node holds must agree with a live peer's copy —
 /// rehydration never resurrects stale (rolled-back) state.
-fn assert_no_divergence(cluster: &mut SimCluster<RaftReplica>) {
+fn assert_no_divergence<R: StoreReplica>(group: &mut SimCluster<R>) {
     for i in 0..32 {
         let key = format!("key-{i}").into_bytes();
         let values: Vec<Vec<u8>> = (0..3)
-            .filter_map(|id| cluster.replica_mut(NodeId(id)).local_read(&key))
+            .filter_map(|id| group.replica_mut(NodeId(id)).store().get(&key))
+            .map(|read| read.value)
             .collect();
         for pair in values.windows(2) {
             assert_eq!(pair[0], pair[1], "replica divergence on key-{i}");
@@ -59,23 +53,24 @@ fn assert_no_divergence(cluster: &mut SimCluster<RaftReplica>) {
 
 #[test]
 fn crash_plan_leader_failover_preserves_progress() {
-    // The scheduled-plan flavour of the ad-hoc `crash_at` failover test:
-    // the initial leader dies 2ms in and never returns; the survivors
-    // elect a new leader and the run completes.
+    // The initial leader dies 2ms in and never returns; the survivors elect
+    // a new leader and the run completes.
     let plan = CrashPlan::none().crash(NodeId(0), 2_000_000);
-    let mut cluster = raft_cluster(plan, 500);
-    let stats = cluster.run(put);
-    let surviving_view = cluster
+    let mut cluster = ShardedCluster::<RaftReplica>::build(one_group(plan, 500));
+    let stats = cluster.run_requests(put);
+    let group = cluster.shard(0);
+    let surviving_view = group
         .replica(NodeId(1))
         .view()
-        .max(cluster.replica(NodeId(2)).view());
+        .max(group.replica(NodeId(2)).view());
     assert!(surviving_view >= 1, "no view change after leader crash");
+    assert!(group.replica(NodeId(surviving_view % 3)).is_leader());
     assert!(
-        stats.committed >= 250,
+        stats.total.committed >= 250,
         "progress stalled: {}",
-        stats.committed
+        stats.total.committed
     );
-    assert_eq!(cluster.crashed_nodes().len(), 1);
+    assert_eq!(group.crashed_nodes().len(), 1);
 }
 
 #[test]
@@ -83,21 +78,26 @@ fn recovered_follower_rehydrates_and_rejoins() {
     // 8 000 ops keep the run going past the 60 ms restart (4 000 take 55 ms
     // of virtual time on the binary wire form).
     let plan = CrashPlan::none().crash_recover(NodeId(2), 5_000_000, 60_000_000);
-    let mut cluster = raft_cluster(plan, 8000);
-    let stats = cluster.run(put);
-    assert!(stats.committed >= 8000, "lost commits: {}", stats.committed);
-    assert!(cluster.crashed_nodes().is_empty(), "node never recovered");
+    let mut cluster = ShardedCluster::<RaftReplica>::build(one_group(plan, 8000));
+    let stats = cluster.run_requests(put);
+    assert!(
+        stats.total.committed >= 8000,
+        "lost commits: {}",
+        stats.total.committed
+    );
+    let group = cluster.shard_mut(0);
+    assert!(group.crashed_nodes().is_empty(), "node never recovered");
     // The restarted follower rehydrated from a live peer's sealed snapshot
     // and caught up through normal replication: it holds state again and
     // nothing it holds diverges from the survivors.
     let held = (0..32)
         .filter(|i| {
             let key = format!("key-{i}").into_bytes();
-            cluster.replica_mut(NodeId(2)).local_read(&key).is_some()
+            group.replica_mut(NodeId(2)).local_read(&key).is_some()
         })
         .count();
     assert!(held > 0, "recovered follower holds no rehydrated state");
-    assert_no_divergence(&mut cluster);
+    assert_no_divergence(group);
 }
 
 #[test]
@@ -106,56 +106,40 @@ fn recovered_leader_rejoins_behind_the_new_view() {
     // one: it must rejoin in (at least) the group's current view — never
     // its own stale pre-crash view — and resync without forking history.
     let plan = CrashPlan::none().crash_recover(NodeId(0), 2_000_000, 150_000_000);
-    let mut cluster = raft_cluster(plan, 8000);
-    let stats = cluster.run(put);
-    assert!(stats.committed >= 8000);
-    assert!(cluster.crashed_nodes().is_empty());
-    let group_view = cluster
+    let mut cluster = ShardedCluster::<RaftReplica>::build(one_group(plan, 8000));
+    let stats = cluster.run_requests(put);
+    assert!(stats.total.committed >= 8000);
+    let group = cluster.shard_mut(0);
+    assert!(group.crashed_nodes().is_empty());
+    let group_view = group
         .replica(NodeId(1))
         .view()
-        .max(cluster.replica(NodeId(2)).view());
+        .max(group.replica(NodeId(2)).view());
     assert!(group_view >= 1, "no failover happened");
     assert!(
-        cluster.replica(NodeId(0)).view() >= group_view.saturating_sub(1),
+        group.replica(NodeId(0)).view() >= group_view.saturating_sub(1),
         "recovered leader stuck in a stale view: {} vs group {}",
-        cluster.replica(NodeId(0)).view(),
+        group.replica(NodeId(0)).view(),
         group_view
     );
-    assert_no_divergence(&mut cluster);
+    assert_no_divergence(group);
 }
 
 #[test]
 fn chain_head_crash_reforms_over_survivors() {
     // R-CR: the trusted configuration service reassigns the head to the
     // next live node in chain order; clients re-route and keep committing.
-    let membership = Membership::of_size(3, 1);
-    let replicas: Vec<ChainReplica> = (0..3)
-        .map(|id| ChainReplica::recipe(id, membership.clone(), false))
-        .collect();
-    let mut config = SimConfig::uniform(3, CostProfile::recipe());
-    config.clients = ClientModel {
-        clients: 8,
-        total_operations: 4000,
-    };
-    config.max_virtual_ns = 10_000_000_000;
-    config.crash_plan = CrashPlan::none().crash_recover(NodeId(0), 3_000_000, 25_000_000);
-    let mut cluster = SimCluster::new(replicas, config);
-    let stats = cluster.run(put);
+    let plan = CrashPlan::none().crash_recover(NodeId(0), 3_000_000, 25_000_000);
+    let mut cluster = ShardedCluster::<ChainReplica>::build(one_group(plan, 4000));
+    let stats = cluster.run_requests(put);
     assert!(
-        stats.committed >= 4000,
+        stats.total.committed >= 4000,
         "chain stalled after head crash: {}",
-        stats.committed
+        stats.total.committed
     );
-    assert!(cluster.crashed_nodes().is_empty());
-    for i in 0..32 {
-        let key = format!("key-{i}").into_bytes();
-        let values: Vec<Vec<u8>> = (0..3)
-            .filter_map(|id| cluster.replica_mut(NodeId(id)).local_read(&key))
-            .collect();
-        for pair in values.windows(2) {
-            assert_eq!(pair[0], pair[1], "chain divergence on key-{i}");
-        }
-    }
+    let group = cluster.shard_mut(0);
+    assert!(group.crashed_nodes().is_empty());
+    assert_no_divergence(group);
 }
 
 // ---------------------------------------------------------------------------

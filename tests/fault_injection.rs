@@ -1,69 +1,58 @@
 //! Failure-injection integration tests: leader crash + view change, Byzantine
 //! network traffic, and availability loss when quorums cannot form.
 
-use recipe::core::{Membership, Operation};
-use recipe::net::FaultPlan;
+use recipe::bft::PbftReplica;
+use recipe::core::{Operation, Request};
+use recipe::net::{CrashPlan, FaultPlan};
 use recipe::protocols::{AllConcurReplica, RaftReplica};
-use recipe::sim::{ClientModel, CostProfile, SimCluster, SimConfig};
+use recipe::shard::{DeploymentSpec, ShardedCluster};
+use recipe::sim::CostProfile;
 use recipe_net::NodeId;
 
-fn put(client: u64, seq: u64) -> Operation {
-    Operation::Put {
-        key: format!("key-{}", (client + seq) % 32).into_bytes(),
-        value: vec![b'f'; 128],
-    }
+fn put(client: u64, seq: u64) -> Option<Request> {
+    let key = format!("key-{}", (client + seq) % 32).into_bytes();
+    let value = vec![b'f'; 128];
+    Some(Operation::Put { key, value }.into())
 }
 
 #[test]
 fn raft_leader_crash_failover_preserves_progress() {
-    let membership = Membership::of_size(3, 1);
-    let replicas: Vec<RaftReplica> = (0..3)
-        .map(|id| RaftReplica::recipe(id, membership.clone(), false))
-        .collect();
-    let mut config = SimConfig::uniform(3, CostProfile::recipe());
-    config.clients = ClientModel {
-        clients: 8,
-        total_operations: 500,
-    };
-    config.max_virtual_ns = 3_000_000_000;
-    let mut cluster = SimCluster::new(replicas, config);
-    cluster.crash_at(NodeId(0), 2_000_000);
-    let stats = cluster.run(put);
+    let spec = DeploymentSpec::new(1, 3)
+        .with_clients(8, 500)
+        .with_time_cap_ns(3_000_000_000)
+        .with_crash_plan(CrashPlan::none().crash(NodeId(0), 2_000_000));
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let stats = cluster.run_requests(put);
 
-    let surviving_view = cluster
+    let group = cluster.shard(0);
+    let surviving_view = group
         .replica(NodeId(1))
         .view()
-        .max(cluster.replica(NodeId(2)).view());
+        .max(group.replica(NodeId(2)).view());
     assert!(surviving_view >= 1, "no view change after leader crash");
     assert!(
-        stats.committed >= 250,
+        stats.total.committed >= 250,
         "progress stalled: {}",
-        stats.committed
+        stats.total.committed
     );
 }
 
 #[test]
 fn byzantine_replays_and_duplicates_are_neutralized() {
-    let membership = Membership::of_size(3, 1);
-    let replicas: Vec<RaftReplica> = (0..3)
-        .map(|id| RaftReplica::recipe(id, membership.clone(), false))
-        .collect();
-    let mut config = SimConfig::uniform(3, CostProfile::recipe());
-    config.clients = ClientModel {
-        clients: 8,
-        total_operations: 250,
-    };
-    config.fault_plan = FaultPlan {
-        replay_probability: 0.1,
-        duplicate_probability: 0.1,
-        ..FaultPlan::default()
-    };
-    let mut cluster = SimCluster::new(replicas, config);
-    let stats = cluster.run(put);
-    assert_eq!(stats.committed, 250);
-    assert!(stats.messages_replayed > 0);
+    let spec = DeploymentSpec::new(1, 3)
+        .with_clients(8, 250)
+        .with_fault_plan(FaultPlan {
+            replay_probability: 0.1,
+            duplicate_probability: 0.1,
+            ..FaultPlan::default()
+        });
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let stats = cluster.run_requests(put);
+    assert_eq!(stats.total.committed, 250);
+    assert!(stats.total.messages_replayed > 0);
+    let group = cluster.shard_mut(0);
     let rejected: u64 = (0..3)
-        .map(|id| cluster.replica(NodeId(id)).rejected_messages())
+        .map(|id| group.replica(NodeId(id)).rejected_messages())
         .sum();
     assert!(
         rejected > 0,
@@ -73,7 +62,7 @@ fn byzantine_replays_and_duplicates_are_neutralized() {
     for i in 0..32 {
         let key = format!("key-{i}").into_bytes();
         let values: Vec<_> = (0..3)
-            .filter_map(|id| cluster.replica_mut(NodeId(id)).local_read(&key))
+            .filter_map(|id| group.replica_mut(NodeId(id)).local_read(&key))
             .collect();
         for window in values.windows(2) {
             assert_eq!(window[0], window[1]);
@@ -84,20 +73,34 @@ fn byzantine_replays_and_duplicates_are_neutralized() {
 #[test]
 fn allconcur_blocks_when_a_peer_is_down() {
     // AllConcur tracks *all* peers; losing one stops new deliveries (the paper's
-    // discussed availability trade-off), but nothing unsafe happens.
-    let membership = Membership::of_size(3, 1);
-    let replicas: Vec<AllConcurReplica> = (0..3)
-        .map(|id| AllConcurReplica::recipe(id, membership.clone(), false))
-        .collect();
-    let mut config = SimConfig::uniform(3, CostProfile::recipe());
-    config.clients = ClientModel {
-        clients: 4,
-        total_operations: 5_000,
+    // discussed availability trade-off), but nothing unsafe happens. Clients
+    // retry every 100 ms: a run five times that long commits no more than
+    // one that stops before the first retry.
+    let committed_by = |cap_ns| {
+        let spec = DeploymentSpec::new(1, 3)
+            .with_clients(4, 5_000)
+            .with_time_cap_ns(cap_ns)
+            .with_crash_plan(CrashPlan::none().crash(NodeId(2), 500_000));
+        let mut cluster = ShardedCluster::<AllConcurReplica>::build(spec);
+        cluster.run_requests(put).total.committed
     };
-    config.max_virtual_ns = 150_000_000;
-    config.retry_timeout_ns = 40_000_000;
-    let mut cluster = SimCluster::new(replicas, config);
-    cluster.crash_at(NodeId(2), 500_000);
-    let stats = cluster.run(put);
-    assert!(stats.committed < 5_000);
+    let (before_any_retry, after_four) = (committed_by(90_000_000), committed_by(500_000_000));
+    assert!(before_any_retry < 5_000);
+    assert_eq!(
+        after_four, before_any_retry,
+        "a retry got past the down peer"
+    );
+}
+
+#[test]
+fn pbft_survives_one_crashed_backup() {
+    // 2f+1 = 3 live replicas of four still form prepare and commit quorums.
+    let spec = DeploymentSpec::new(1, 4)
+        .with_profile(CostProfile::pbft_baseline())
+        .with_clients(8, 150)
+        .with_crash_plan(CrashPlan::none().crash(NodeId(3), 1_000_000));
+    let mut cluster = ShardedCluster::<PbftReplica>::build(spec);
+    let stats = cluster.run_requests(put);
+    assert_eq!(stats.total.committed, 150);
+    assert_eq!(cluster.shard(0).crashed_nodes().len(), 1);
 }

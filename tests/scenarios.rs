@@ -215,7 +215,7 @@ fn malformed_corpus_fails_with_declared_errors() {
         );
         checked += 1;
     }
-    assert!(checked >= 11, "only {checked} malformed files found");
+    assert!(checked >= 12, "only {checked} malformed files found");
 }
 
 /// What validation refuses is what the registry says a protocol cannot do:
