@@ -1,4 +1,4 @@
-//! The refactoring oracle inside tier-1: eight small fixed-seed runs through
+//! The refactoring oracle inside tier-1: nine small fixed-seed runs through
 //! the request driver, each pinned by the SHA-256 of the `serde_json` form of
 //! its [`ShardedRunStats`].
 //!
@@ -23,6 +23,13 @@
 //! restored on restart — is pinned too: the JSON of these runs carries, beside
 //! the statistics, one digest per replica over every record it ends up with.
 //!
+//! The ninth runs two batched R-Raft groups whose replication links
+//! duplicate, replay and delay frames: the one run in which shards tie
+//! with each other on the clock while the fault injector picks old frames
+//! to replay, so it moves if same-instant events of different shards run in
+//! another order, or if a shard's replay choice starts to depend on
+//! anything but that shard's own traffic.
+//!
 //! A pin only moves together with a change that legitimately moves the
 //! virtual clock (a cost-model or wire-format change — the same changes that
 //! regenerate `crates/bench/baselines/`). Then, and only then:
@@ -42,7 +49,9 @@ use recipe::core::{Operation, Request};
 use recipe::crypto::sha256;
 use recipe::gateway::{GatewayConfig, TenantSpec};
 use recipe::net::{CrashPlan, FaultPlan, NodeId};
-use recipe::protocols::{AbdReplica, AllConcurReplica, ChainReplica, RaftReplica, StoreReplica};
+use recipe::protocols::{
+    AbdReplica, AllConcurReplica, BatchConfig, ChainReplica, RaftReplica, StoreReplica,
+};
 use recipe::shard::{
     DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster, ShardedRunStats, TxnConfig,
 };
@@ -58,7 +67,7 @@ struct Pin {
     digest: &'static str,
 }
 
-const PINS: [Pin; 8] = [
+const PINS: [Pin; 9] = [
     Pin {
         name: "single_key_unbatched",
         run: single_key_unbatched,
@@ -98,6 +107,11 @@ const PINS: [Pin; 8] = [
         name: "allconcur_crash",
         run: allconcur_crash,
         digest: "067984ac6f8740d78419821378d68430950ebe79aa202404130954c9b8217ea9",
+    },
+    Pin {
+        name: "batched_replays",
+        run: batched_replays,
+        digest: "986719ac73ae45c85f40e206727eacf5a10d0282fba6cd4c921219bdd109d0b7",
     },
 ];
 
@@ -381,6 +395,39 @@ fn allconcur_crash() -> String {
         })
     });
     pinned_with_state(cluster, &stats)
+}
+
+/// Two batched R-Raft groups, half the requests reads, on replication links
+/// that duplicate and replay frames (old ones from a 32-frame capture buffer)
+/// and delay them by up to 20 µs.
+fn batched_replays() -> String {
+    let faults = FaultPlan {
+        duplicate_probability: 0.08,
+        replay_probability: 0.08,
+        max_extra_delay_ns: 20_000,
+        capture_limit: 32,
+        ..FaultPlan::default()
+    };
+    let spec = DeploymentSpec::new(2, 3)
+        .with_seed(5)
+        .with_clients(32, 2000)
+        .with_batching(BatchConfig::of_ops(16))
+        .with_fault_plan(faults);
+    let stats = ShardedCluster::<RaftReplica>::build(spec).run_requests(|client, seq| {
+        let key = format!("user{:04}", (client * 31 + seq * 7) % 128).into_bytes();
+        Some(if seq.is_multiple_of(2) {
+            Operation::Get { key }.into()
+        } else {
+            put(key, client, seq).into()
+        })
+    });
+    for (shard, group) in stats.per_shard.iter().enumerate() {
+        assert!(
+            group.messages_replayed > 0,
+            "shard {shard} replayed nothing"
+        );
+    }
+    json(&stats)
 }
 
 fn golden_path(name: &str) -> PathBuf {
