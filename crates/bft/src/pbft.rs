@@ -590,10 +590,7 @@ mod tests {
                 answered += cluster.drain_completions().len() as u64;
             }
         }
-        let horizon = cluster.now_ns() + 3_000_000;
-        while cluster.peek_next_at().is_some_and(|at| at <= horizon) {
-            cluster.step();
-        }
+        cluster.run_until(cluster.now_ns() + 3_000_000);
         for id in 0..4 {
             let replica = cluster.replica(NodeId(id));
             assert_eq!(replica.low_water, CLIENTS * ROUNDS, "replica {id}");

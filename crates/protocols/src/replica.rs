@@ -399,7 +399,8 @@ mod tests {
     use super::*;
     use crate::{build_cluster, TxnVote};
     use recipe_core::Operation;
-    use recipe_sim::{CostProfile, SimCluster, SimConfig, StepOutcome};
+    use recipe_net::CrashPlan;
+    use recipe_sim::{CostProfile, SimCluster, SimConfig};
 
     /// The least a core can be: node 0 applies a write, tells every peer its
     /// key and answers; a peer records what it was told.
@@ -460,19 +461,18 @@ mod tests {
     }
 
     fn cluster(batch: BatchConfig) -> SimCluster<RecipeReplica<Tell>> {
+        crashing_cluster(batch, CrashPlan::none())
+    }
+
+    fn crashing_cluster(batch: BatchConfig, plan: CrashPlan) -> SimCluster<RecipeReplica<Tell>> {
         let replicas = build_cluster(3, 1, |id, m| {
             RecipeReplica::<Tell>::recipe(id, m, false).with_batching(batch)
         });
-        let mut cluster = SimCluster::new(replicas, SimConfig::uniform(3, CostProfile::recipe()));
+        let mut config = SimConfig::uniform(3, CostProfile::recipe());
+        config.crash_plan = plan;
+        let mut cluster = SimCluster::new(replicas, config);
         cluster.seed_initial_events();
         cluster
-    }
-
-    /// Processes every event up to virtual time `until_ns`.
-    fn run_until(cluster: &mut SimCluster<RecipeReplica<Tell>>, until_ns: u64) {
-        while cluster.peek_next_at().is_some_and(|at| at <= until_ns) {
-            assert_eq!(cluster.step(), StepOutcome::Processed);
-        }
     }
 
     fn told(cluster: &SimCluster<RecipeReplica<Tell>>, node: u64) -> &[Vec<u8>] {
@@ -489,12 +489,12 @@ mod tests {
         );
         assert!(cluster.submit_at(0, 1, 1, put(b"k")));
         // Held back, first delivery and retransmissions alike.
-        run_until(&mut cluster, 250_000_000);
+        cluster.run_until(250_000_000);
         assert_eq!(cluster.replica(NodeId(0)).core().requests, 0);
         assert!(cluster.drain_completions().is_empty());
         // The transaction resolves: the next retransmission goes through.
         cluster.replica_mut(NodeId(0)).store().txn_abort(7);
-        run_until(&mut cluster, 350_000_000);
+        cluster.run_until(350_000_000);
         assert_eq!(cluster.replica(NodeId(0)).core().requests, 1);
         assert_eq!(cluster.drain_completions().len(), 1);
         assert_eq!(told(&cluster, 1), [b"k".to_vec()]);
@@ -508,9 +508,9 @@ mod tests {
         }
         // Three tellings per peer: under the ops budget, so they wait for
         // the time budget and then leave as one frame per peer.
-        run_until(&mut cluster, 50_000);
+        cluster.run_until(50_000);
         assert!(told(&cluster, 1).is_empty() && told(&cluster, 2).is_empty());
-        run_until(&mut cluster, 10_000_000);
+        cluster.run_until(10_000_000);
         let keys = [b"a".to_vec(), b"b".to_vec(), b"c".to_vec()];
         assert_eq!(told(&cluster, 1), keys);
         assert_eq!(told(&cluster, 2), keys);
@@ -524,13 +524,12 @@ mod tests {
 
     #[test]
     fn a_restart_drops_queued_batches_and_keeps_batching() {
-        let mut cluster = cluster(BatchConfig::of_ops(8));
-        assert!(cluster.submit_at(0, 1, 1, put(b"a")));
         // Node 0 crashes with its telling of `a` still queued, and comes
         // back: the queue died with the process, the applied write did not.
-        cluster.crash_at(NodeId(0), 50_000);
-        cluster.recover_at(NodeId(0), 60_000);
-        run_until(&mut cluster, 10_000_000);
+        let plan = CrashPlan::none().crash_recover(NodeId(0), 50_000, 60_000);
+        let mut cluster = crashing_cluster(BatchConfig::of_ops(8), plan);
+        assert!(cluster.submit_at(0, 1, 1, put(b"a")));
+        cluster.run_until(10_000_000);
         assert!(told(&cluster, 1).is_empty() && told(&cluster, 2).is_empty());
         let leader = cluster.replica_mut(NodeId(0));
         assert_eq!(leader.core().restarts, 1);
@@ -539,7 +538,7 @@ mod tests {
         assert_eq!((counters.sealed_frames, counters.batch_flushes), (0, 0));
         // The batcher it came back with still batches.
         assert!(cluster.submit_at(10_000_000, 2, 1, put(b"b")));
-        run_until(&mut cluster, 20_000_000);
+        cluster.run_until(20_000_000);
         assert_eq!(told(&cluster, 1), [b"b".to_vec()]);
         let counters = cluster.replica(NodeId(0)).protocol_counters().unwrap();
         assert_eq!(

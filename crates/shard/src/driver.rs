@@ -20,26 +20,22 @@
 //!
 //! All of it is one [`Engine`] — the state of a run in one struct:
 //!
-//! * `run` only picks the earliest of three event sources — the driver's own
-//!   heap, the rebalancing controller's deadline, the shards' simulators, in
-//!   that order on a tie — and dispatches;
+//! * `run` pops the cluster's one calendar, the driver's events and every
+//!   group's, and dispatches; the rebalancing controller's deadline is
+//!   derived, not queued, and runs when it sorts before the calendar's head;
 //! * a driver event goes to its handler: `Fresh` → `on_fresh` → `admit` →
 //!   `route` → `submit_single` | `begin_txn`; `GatewayRetry` re-enters at
 //!   `admit`, `Retry` at `route`; `TxnRetry` → `on_txn_retry`, `TxnAdvance` →
 //!   `on_txn_advance` (both in [`crate::txn`]); the controller's deadline →
-//!   `on_controller` (in [`crate::migration`]); a shard's → `on_shard_step`;
-//! * `schedule` is the only push onto the heap and assigns the tie-breaking
-//!   `seq`; `record_commit` is the only commit accounting;
-//!   `maybe_finish_cutover` the only drain check; `finish` closes the books.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::ops::ControlFlow;
+//!   `on_controller` (in [`crate::migration`]); a group's → `on_group_event`;
+//! * `schedule` is the only push of a driver event; `record_commit` is the
+//!   only commit accounting; `maybe_finish_cutover` the only drain check;
+//!   `finish` closes the books and drops the driver's events that are left.
 
 use recipe_core::{Operation, Request};
 use recipe_gateway::{Gateway, GatewayVerdict};
 use recipe_protocols::StoreReplica;
-use recipe_sim::{Replica, StepOutcome};
+use recipe_sim::{GroupEvent, Key, Owner, Replica};
 use recipe_telemetry::SpanKind;
 use recipe_workload::stable_key_hash;
 
@@ -79,29 +75,18 @@ pub(crate) enum DriverWork {
     },
 }
 
-/// One driver event, ordered by `(at, seq)`.
+/// A pending event of the run, as the cluster's calendar holds it.
 #[derive(Debug)]
-struct DriverEvent {
-    at: u64,
-    seq: u64,
-    client_id: u64,
-    work: DriverWork,
+pub(crate) enum Event {
+    /// The driver's work for one client.
+    Driver { client_id: u64, work: DriverWork },
+    /// A replica group's own event.
+    Shard(GroupEvent),
 }
 
-impl PartialEq for DriverEvent {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for DriverEvent {}
-impl PartialOrd for DriverEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DriverEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+impl From<GroupEvent> for Event {
+    fn from(event: GroupEvent) -> Self {
+        Event::Shard(event)
     }
 }
 
@@ -125,14 +110,6 @@ struct ClientState {
     outstanding: Option<Issued>,
 }
 
-/// The event source `Engine::run` serves next.
-#[derive(Clone, Copy)]
-enum Source {
-    Driver,
-    Controller,
-    Shard(usize),
-}
-
 /// One run of the request driver over a [`ShardedCluster`].
 pub(crate) struct Engine<'a, R: Replica> {
     pub(crate) cluster: &'a mut ShardedCluster<R>,
@@ -142,8 +119,6 @@ pub(crate) struct Engine<'a, R: Replica> {
     think: u64,
     cap: u64,
     target: u64,
-    queue: BinaryHeap<Reverse<DriverEvent>>,
-    next_seq: u64,
     /// The tenant gateway fronts the router when the deployment enables it.
     /// `None` when disabled: every hook is behind `if let`, so a gateway-off
     /// run schedules exactly the same events at exactly the same times as a
@@ -203,8 +178,9 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         cluster: &'a mut ShardedCluster<R>,
         workload: &'a mut dyn FnMut(u64, u64) -> Option<Request>,
     ) -> Self {
-        for shard in &mut cluster.shards {
-            shard.seed_initial_events();
+        for shard in 0..cluster.shards.len() {
+            let (group, mut sched) = cluster.lend(shard);
+            group.seed_initial_events(&mut sched);
         }
         let config = &cluster.config;
         let rb = config.rebalance.clone();
@@ -217,8 +193,6 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
             think: config.base.cost_model.client_think_ns,
             cap: config.base.max_virtual_ns,
             target: config.clients.total_operations as u64,
-            queue: BinaryHeap::new(),
-            next_seq: 0,
             gateway: Gateway::from_config(&config.gateway, config.base.seed),
             st: ControllerState::new(
                 shard_count,
@@ -250,20 +224,15 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         engine
     }
 
-    /// The only place an event enters the heap. Events are ordered by
-    /// `(at, seq)` and `seq` is assigned here, at push time, so events due at
-    /// the same instant run in the order they were scheduled.
+    /// The only place a driver event enters the calendar. The driver's
+    /// events due at one instant run before everyone else's, in the order
+    /// they were scheduled.
     pub(crate) fn schedule(&mut self, at: u64, client_id: u64, work: DriverWork) {
-        self.queue.push(Reverse(DriverEvent {
-            at,
-            seq: self.next_seq,
-            client_id,
-            work,
-        }));
-        self.next_seq += 1;
+        let event = Event::Driver { client_id, work };
+        self.cluster.calendar.push(at, Owner::DRIVER, event);
     }
 
-    /// Serves the earliest event of the three sources until the run ends.
+    /// Serves the earliest event until the run ends.
     fn run(&mut self) {
         loop {
             // Termination: a transaction whose outcome is decided must
@@ -276,51 +245,38 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
             if past_target && self.txns.is_idle() {
                 break;
             }
-            let driver_at = self.queue.peek().map(|Reverse(event)| event.at);
-            // A controller deadline past the cap is not a source at all; the
-            // other two end the run when they cross it.
-            let ctrl_at = self.st.deadline(&self.rb).filter(|&at| at <= self.cap);
-            let shard_at = self
-                .cluster
-                .shards
-                .iter()
-                .enumerate()
-                .filter_map(|(shard, cluster)| cluster.peek_next_at().map(|at| (at, shard)))
-                .min();
-
-            // Priority on ties: client/txn events, then the controller, then
-            // shard work — `min_by_key` keeps the first of equal minima, so
-            // the order of this array is the tie order. All deterministic.
-            let next = [
-                driver_at.map(|at| (at, Source::Driver)),
-                ctrl_at.map(|at| (at, Source::Controller)),
-                shard_at.map(|(at, shard)| (at, Source::Shard(shard))),
-            ]
-            .into_iter()
-            .flatten()
-            .min_by_key(|&(at, _)| at);
-            let Some((at, source)) = next else { break };
-            if at > self.cap {
+            let head = self.cluster.calendar.peek();
+            if let Some(at) = self.controller_due(head) {
+                self.now = self.now.max(at);
+                self.on_controller(at);
+                continue;
+            }
+            if head.is_none_or(|head| head.at > self.cap) {
                 break;
             }
-            self.now = self.now.max(at);
-            match source {
-                Source::Driver => self.on_driver_event(past_target),
-                Source::Controller => self.on_controller(at),
-                Source::Shard(shard) => {
-                    if self.on_shard_step(shard).is_break() {
-                        break;
-                    }
+            let (key, event) = self.cluster.calendar.pop().expect("peeked");
+            self.now = self.now.max(key.at);
+            match event {
+                Event::Driver { client_id, work } => {
+                    self.on_driver_event(client_id, work, key.at, past_target)
                 }
+                Event::Shard(event) => self.on_group_event(key, event),
             }
         }
     }
 
-    /// Pops the due driver event and dispatches it to its handler.
-    fn on_driver_event(&mut self, past_target: bool) {
-        let Reverse(event) = self.queue.pop().expect("peeked driver event");
-        let (client_id, at) = (event.client_id, event.at);
-        match event.work {
+    /// The controller's deadline, if it runs before the calendar's `head`.
+    /// It is derived rather than queued, sorts in the calendar's tie order
+    /// and, past the cap, is not due at all.
+    fn controller_due(&self, head: Option<Key>) -> Option<u64> {
+        let at = self.st.deadline(&self.rb).filter(|&at| at <= self.cap)?;
+        let first = head.is_none_or(|head| (at, Owner::CONTROLLER) < (head.at, head.owner));
+        first.then_some(at)
+    }
+
+    /// Dispatches a due driver event to its handler.
+    fn on_driver_event(&mut self, client_id: u64, work: DriverWork, at: u64, past_target: bool) {
+        match work {
             DriverWork::TxnRetry {
                 txn_id,
                 participant,
@@ -456,7 +412,8 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
     ) {
         let key = operation.key().to_vec();
         let is_write = operation.is_write();
-        match self.cluster.shards[shard].try_submit_at(at, client_id, rid, operation) {
+        let (group, mut sched) = self.cluster.lend(shard);
+        match group.try_submit_at(at, client_id, rid, operation, &mut sched) {
             Ok(()) => {
                 self.clients[client_id as usize].outstanding = Some(Issued {
                     shard,
@@ -585,15 +542,11 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         self.schedule(next_at, client_id, DriverWork::Fresh);
     }
 
-    /// Steps one shard's simulator and accounts the completions it produced.
-    /// Breaks when the shard hit the virtual-time cap.
-    fn on_shard_step(&mut self, shard: usize) -> ControlFlow<()> {
-        match self.cluster.shards[shard].step() {
-            StepOutcome::Idle => return ControlFlow::Continue(()),
-            StepOutcome::CapReached => return ControlFlow::Break(()),
-            StepOutcome::Processed => {}
-        }
-        for completion in self.cluster.shards[shard].drain_completions() {
+    /// Runs one group's event and accounts the replies it delivered.
+    fn on_group_event(&mut self, key: Key, event: GroupEvent) {
+        let shard = self.cluster.handle(key, event);
+        let mut completions = std::mem::take(&mut self.cluster.completions);
+        for completion in completions.drain(..) {
             let issued = self.clients[completion.client_id as usize]
                 .outstanding
                 .take_if(|issued| issued.request_id == completion.request_id);
@@ -619,10 +572,10 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                 false,
             );
         }
+        self.cluster.completions = completions;
         // A drain completes as soon as the last in-flight operation (single
         // or transactional) on the moving range finished.
         self.maybe_finish_cutover();
-        ControlFlow::Continue(())
     }
 
     /// Everything in flight on the moving range of the active migration:
@@ -644,6 +597,9 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
     /// Closes the books: range GC, the cluster's own figures, then the
     /// driver-side counters and the timeline.
     fn finish(mut self) -> ShardedRunStats {
+        // Driver events do not outlive the run; the groups' stay for
+        // `quiesce` and the next run.
+        self.cluster.calendar.cancel(Owner::DRIVER);
         // Background range GC: clear moved-range remnants a straggling
         // in-group commit may have resurrected on a donor after eviction.
         if self.st.stats.migrations_completed > 0 {

@@ -1,19 +1,19 @@
 //! The multi-group simulation driver, and the one client loop of the tree.
 //!
-//! [`ShardedCluster`] owns N independent replica groups — each a full
-//! [`SimCluster`] with its own protocol instances, fault plan and cost
+//! [`ShardedCluster`] owns N independent replica groups — each a
+//! [`ReplicaGroup`] with its own protocol instances, fault plan and cost
 //! profiles — and drives one global closed-loop client population over all of
-//! them on a single interleaved virtual clock:
+//! them on a single virtual clock:
 //!
-//! * the driver always advances whichever event (its own client issues or any
-//!   shard's next internal event) is earliest in virtual time, so per-shard
-//!   clocks never run ahead of the global frontier;
+//! * one [`Calendar`] holds every pending event of the run, the driver's and
+//!   every group's, and pops them in one order, so no group runs ahead of
+//!   another and same-instant events run in one fixed order;
 //! * every operation is routed by key through the [`ShardRouter`], so a
 //!   client's consecutive operations hop between shards exactly as they would
 //!   across a partitioned production deployment;
-//! * a [`SimCluster`] has no clients of its own: completions flow back to the
-//!   driver, which owns latency accounting and schedules each client's next
-//!   issue — possibly on a different shard.
+//! * a group has no clients of its own: each reply reaches the driver through
+//!   one completion buffer, and the driver owns latency accounting and
+//!   schedules each client's next issue — possibly on a different shard.
 //!
 //! A single replica group is the one-shard case: the paper's single-group
 //! figures, the fault tests and the examples run one as
@@ -27,11 +27,15 @@
 
 use recipe_core::ConfidentialityMode;
 use recipe_gateway::{GatewayConfig, GatewayStats};
-use recipe_net::{CrashPlan, FaultPlan, NodeId};
-use recipe_sim::{CostProfile, Replica, RunStats, SimCluster, SimConfig, StepOutcome};
+use recipe_net::{CrashPlan, FaultPlan};
+use recipe_sim::{
+    Calendar, Completion, CostProfile, GroupEvent, Key, Replica, ReplicaGroup, RunStats, Scheduler,
+    SimConfig,
+};
 use recipe_telemetry::{MetricsRegistry, ShardTelemetry, TelemetryConfig, TelemetryReport};
 use recipe_workload::stable_key_hash;
 
+use crate::driver::Event;
 use crate::migration::{MigrationStats, RebalanceConfig};
 use crate::router::ShardRouter;
 use crate::txn::{TxnConfig, TxnStats};
@@ -185,10 +189,14 @@ impl Tallies {
 }
 
 /// N independent replica groups behind one consistent-hash router, driven on a
-/// single interleaved virtual clock.
+/// single virtual clock.
 pub struct ShardedCluster<R: Replica> {
     pub(crate) router: ShardRouter,
-    pub(crate) shards: Vec<SimCluster<R>>,
+    pub(crate) shards: Vec<ReplicaGroup<R>>,
+    /// The groups' pending events, and the driver's during a run.
+    pub(crate) calendar: Calendar<Event>,
+    /// Where a group's replies go, emptied after each of its events.
+    pub(crate) completions: Vec<Completion>,
     pub(crate) config: ShardedConfig,
     /// Gateway counters of the last finished run, kept so
     /// [`ShardedCluster::take_telemetry_report`] can export them as
@@ -223,16 +231,18 @@ impl<R: Replica> ShardedCluster<R> {
             .enumerate()
             .map(|(shard, replicas)| {
                 assert!(!replicas.is_empty(), "shard {shard} has no replicas");
-                let mut cluster = SimCluster::new(replicas, config.config_for_shard(shard));
+                let mut group = ReplicaGroup::new(replicas, config.config_for_shard(shard));
                 if config.telemetry.enabled {
-                    cluster.set_telemetry(ShardTelemetry::new(shard as u32, &config.telemetry));
+                    group.set_telemetry(ShardTelemetry::new(shard as u32, &config.telemetry));
                 }
-                cluster
+                group
             })
             .collect();
         ShardedCluster {
             router,
             shards,
+            calendar: Calendar::default(),
+            completions: Vec::new(),
             config,
             last_gateway_stats: None,
         }
@@ -309,25 +319,31 @@ impl<R: Replica> ShardedCluster<R> {
         Some(report)
     }
 
-    /// Immutable access to one shard's cluster (post-run assertions).
-    pub fn shard(&self, shard: usize) -> &SimCluster<R> {
+    /// Immutable access to one shard's group (post-run assertions).
+    pub fn shard(&self, shard: usize) -> &ReplicaGroup<R> {
         &self.shards[shard]
     }
 
-    /// Mutable access to one shard's cluster (test setup).
-    pub fn shard_mut(&mut self, shard: usize) -> &mut SimCluster<R> {
+    /// Mutable access to one shard's group (test setup).
+    pub fn shard_mut(&mut self, shard: usize) -> &mut ReplicaGroup<R> {
         &mut self.shards[shard]
     }
 
-    /// Schedules a crash of `node` in `shard` at virtual time `at_ns`.
-    pub fn crash_at(&mut self, shard: usize, node: NodeId, at_ns: u64) {
-        self.shards[shard].crash_at(node, at_ns);
+    /// One shard's group, and a scheduler onto the calendar in its place.
+    pub(crate) fn lend(&mut self, shard: usize) -> (&mut ReplicaGroup<R>, Scheduler<'_, Event>) {
+        let sched = Scheduler::new(&mut self.calendar, shard, &mut self.completions);
+        (&mut self.shards[shard], sched)
     }
 
-    /// Schedules a rollback-protected restart of `node` in `shard` at virtual
-    /// time `at_ns` (see [`SimCluster::recover_at`]).
-    pub fn recover_at(&mut self, shard: usize, node: NodeId, at_ns: u64) {
-        self.shards[shard].recover_at(node, at_ns);
+    /// Runs a group's event that came off the calendar under `key`, leaving
+    /// its replies in `completions`, and returns the group's shard.
+    pub(crate) fn handle(&mut self, key: Key, event: GroupEvent) -> usize {
+        let Some(shard) = key.owner.shard_index() else {
+            unreachable!("only a group schedules a group's event");
+        };
+        let (group, mut sched) = self.lend(shard);
+        group.handle(key.at, event, &mut sched);
+        shard
     }
 
     /// Settles in-flight work: processes remaining shard events for another
@@ -337,30 +353,17 @@ impl<R: Replica> ShardedCluster<R> {
     /// Call after [`ShardedCluster::run_requests`] and before inspecting
     /// replica state.
     pub fn quiesce(&mut self, extra_ns: u64) {
-        let frontier = self
-            .shards
-            .iter()
-            .map(|shard| shard.now_ns())
-            .max()
-            .unwrap_or(0);
-        let deadline = frontier.saturating_add(extra_ns);
-        loop {
-            let next = self
-                .shards
-                .iter()
-                .enumerate()
-                .filter_map(|(shard, cluster)| cluster.peek_next_at().map(|at| (at, shard)))
-                .min();
-            let Some((at, shard)) = next else { break };
-            if at > deadline {
-                break;
-            }
-            match self.shards[shard].step() {
-                StepOutcome::Idle | StepOutcome::CapReached => break,
-                _ => {}
-            }
+        let frontier = self.shards.iter().map(ReplicaGroup::now_ns).max();
+        let cap = self.config.base.max_virtual_ns;
+        let deadline = frontier.unwrap_or(0).saturating_add(extra_ns).min(cap);
+        while self.calendar.peek().is_some_and(|key| key.at <= deadline) {
+            // Driver events do not outlive a run: only groups' are left.
+            let Some((key, Event::Shard(event))) = self.calendar.pop() else {
+                unreachable!("a driver event outlived its run");
+            };
+            self.handle(key, event);
             // Late completions no longer drive the closed loop.
-            self.shards[shard].drain_completions();
+            self.completions.clear();
         }
     }
 
@@ -391,12 +394,7 @@ impl<R: Replica> ShardedCluster<R> {
         // per-shard figures expose policy costs (a confidential shard's mean
         // service latency is visibly higher than a plaintext one's).
         for (stats, mut latencies) in per_shard.iter_mut().zip(shard_latencies) {
-            let summary = recipe_sim::latency_percentiles(&mut latencies);
-            stats.mean_latency_us = summary.mean_us;
-            stats.p50_latency_us = summary.p50_us;
-            stats.p90_latency_us = summary.p90_us;
-            stats.p99_latency_us = summary.p99_us;
-            stats.p999_latency_us = summary.p999_us;
+            stats.set_latencies(&mut latencies);
         }
         let elapsed_secs = global_now.max(1) as f64 / 1e9;
         let mut total = RunStats {
@@ -414,12 +412,7 @@ impl<R: Replica> ShardedCluster<R> {
             total.messages_replayed += stats.messages_replayed;
             total.ops_delivered += stats.ops_delivered;
         }
-        let summary = recipe_sim::latency_percentiles(&mut latencies_ns);
-        total.mean_latency_us = summary.mean_us;
-        total.p50_latency_us = summary.p50_us;
-        total.p90_latency_us = summary.p90_us;
-        total.p99_latency_us = summary.p99_us;
-        total.p999_latency_us = summary.p999_us;
+        total.set_latencies(&mut latencies_ns);
         let imbalance = if committed == 0 {
             1.0
         } else {

@@ -1,18 +1,17 @@
 //! The discrete-event cluster: replicas, the Byzantine network and the
 //! virtual clock.
 //!
-//! [`SimCluster`] steps one replica group. It has no client loop of its own:
-//! a driver submits each client operation with [`SimCluster::submit_at`],
-//! advances the clock one event at a time with [`SimCluster::step`] and
-//! collects the first reply to each request as a [`Completion`] from
-//! [`SimCluster::drain_completions`]. What a client issues next, when and to
-//! which group is the driver's — `recipe_shard`'s request driver, which runs
-//! a single group as a one-shard deployment and builds its replicas
-//! Recipe-transformed or native as the group's [`CostProfile`] is
-//! `shielded` or not. All scheduling decisions are deterministic for a given
-//! seed.
+//! [`ReplicaGroup`] is one replica group without a clock or clients of its
+//! own. Its handlers ([`ReplicaGroup::handle`], `try_submit_at`,
+//! `seed_initial_events`) take the time they run at and schedule through a
+//! lent [`Scheduler`]: the run's one [`Calendar`], the group's place in it,
+//! and the buffer each request's first reply goes to as a [`Completion`].
+//! The clients are `recipe_shard`'s request driver's, which owns the
+//! calendar; [`SimCluster`] is a one-group harness over the same calendar
+//! and handlers. All scheduling decisions are deterministic for a seed.
 
 use std::collections::BTreeSet;
+use std::ops::{Deref, DerefMut};
 
 use recipe_core::{ClientReply, ClientRequest, Operation};
 use recipe_net::{CrashPlan, FaultPlan, FrameFault, NetworkFaultInjector, NodeId};
@@ -21,7 +20,7 @@ use recipe_telemetry::{ChargeKind, CostBreakdown, CostCategory, ShardTelemetry, 
 use serde::{Deserialize, Serialize};
 
 use crate::cost::{CostProfile, ProtocolCostModel, Work};
-use crate::queue::EventQueue;
+use crate::queue::{Calendar, Owner};
 use crate::replica::{Ctx, Effects, RangeEntry, RecoveryState, Replica};
 
 /// Simulation configuration.
@@ -113,8 +112,28 @@ pub struct RunStats {
     pub aborted_txns: u64,
 }
 
+impl RunStats {
+    /// Sets the mean and tail latencies from a sample, sorting it in place
+    /// (zeros for an empty one). Percentile `q` is the element at index
+    /// `(len as f64 * q) as usize`, clamped to the last element.
+    pub fn set_latencies(&mut self, latencies_ns: &mut [u64]) {
+        latencies_ns.sort_unstable();
+        let len = latencies_ns.len();
+        let sum: u64 = latencies_ns.iter().sum();
+        self.mean_latency_us = sum as f64 / len.max(1) as f64 / 1_000.0;
+        let pick = |q: f64| {
+            let idx = ((len as f64 * q) as usize).min(len.saturating_sub(1));
+            latencies_ns.get(idx).map_or(0.0, |&ns| ns as f64 / 1_000.0)
+        };
+        self.p50_latency_us = pick(0.50);
+        self.p90_latency_us = pick(0.90);
+        self.p99_latency_us = pick(0.99);
+        self.p999_latency_us = pick(0.999);
+    }
+}
+
 /// A scheduled event. The replica an event is for is named by its position
-/// in the cluster, resolved when the event is scheduled.
+/// in the group, resolved when the event is scheduled.
 #[derive(Debug)]
 enum EventKind {
     ClientRetry {
@@ -158,6 +177,81 @@ enum EventKind {
     },
 }
 
+/// A replica group's pending event, as its calendar holds it until
+/// [`ReplicaGroup::handle`] runs it.
+#[derive(Debug)]
+pub struct GroupEvent(EventKind);
+
+/// What a group's handlers schedule through, lent for one call: the run's
+/// calendar, the group's place in it and the buffer its replies go to.
+pub struct Scheduler<'a, T> {
+    calendar: &'a mut Calendar<T>,
+    owner: Owner,
+    completions: &'a mut Vec<Completion>,
+}
+
+impl<'a, T: From<GroupEvent>> Scheduler<'a, T> {
+    /// Lends `calendar` and `completions` to the handlers of group `shard`.
+    pub fn new(
+        calendar: &'a mut Calendar<T>,
+        shard: usize,
+        completions: &'a mut Vec<Completion>,
+    ) -> Self {
+        // recipe-lint: allow(unwrap-in-lib, reason = "a deployment validates its shard count far below 2^16")
+        let owner = Owner::shard(u16::try_from(shard).expect("shard index fits the calendar"));
+        Scheduler {
+            calendar,
+            owner,
+            completions,
+        }
+    }
+
+    fn push(&mut self, at: u64, event: EventKind) {
+        self.calendar.push(at, self.owner, GroupEvent(event).into());
+    }
+
+    /// Schedules a client's request to reach the replica at `idx`.
+    fn request(&mut self, at: u64, idx: usize, client_id: u64, request_id: u64, op: Operation) {
+        let event = EventKind::ClientDeliver {
+            idx,
+            client_id,
+            request_id,
+            operation: op,
+        };
+        self.push(at, event);
+    }
+
+    /// Arms the retransmission timer of a client's request.
+    fn retry(&mut self, at: u64, client_id: u64, request_id: u64) {
+        let event = GroupEvent(EventKind::ClientRetry {
+            client_id,
+            request_id,
+        });
+        self.calendar.push_timer(at, self.owner, event.into());
+    }
+
+    /// Tells the replica at `idx` that `about` went down or came back `up`.
+    fn notice(&mut self, at: u64, idx: usize, about: NodeId, up: bool) {
+        self.push(at, EventKind::PeerNotice { idx, about, up });
+    }
+
+    /// Schedules a frame of `ops` protocol ops to reach the replica at `to`.
+    fn deliver(&mut self, at: u64, from: NodeId, to: usize, bytes: Vec<u8>, ops: u32) {
+        let event = EventKind::Deliver {
+            from,
+            to,
+            bytes,
+            ops,
+        };
+        self.push(at, event);
+    }
+
+    /// How many events the group ever scheduled: its next frame's wire id.
+    fn next_seq(&self) -> u64 {
+        self.calendar.next_seq(self.owner)
+    }
+}
+
 /// What [`SimCluster::step`] did with the next event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
@@ -169,8 +263,8 @@ pub enum StepOutcome {
     Processed,
 }
 
-/// The first reply to a client's outstanding request, as the driver collects
-/// it from [`SimCluster::drain_completions`].
+/// The first reply to a client's outstanding request, as a [`Scheduler`]
+/// collects it for the driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Completion {
     /// The issuing client.
@@ -185,7 +279,7 @@ pub struct Completion {
     pub at_ns: u64,
 }
 
-/// What one [`SimCluster::charge`] did to a node's clock.
+/// What one [`ReplicaGroup::charge`] did to a node's clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Charged {
     /// When the node began the work: the time asked for, or later if the
@@ -207,8 +301,8 @@ impl Charged {
 
 /// Bookkeeping for a client's single outstanding request. Tracking the issued
 /// operation itself (rather than re-deriving it) lets retries resend the exact
-/// same operation and lets [`SimCluster::record_reply`] classify commits by the
-/// *request* type instead of guessing from reply fields.
+/// same operation and lets [`ReplicaGroup::record_reply`] classify commits by
+/// the *request* type instead of guessing from reply fields.
 #[derive(Debug, Clone)]
 struct Outstanding {
     request_id: u64,
@@ -217,14 +311,14 @@ struct Outstanding {
     is_write: bool,
 }
 
-/// The discrete-event cluster simulator.
-pub struct SimCluster<R: Replica> {
+/// One replica group of the discrete-event simulator.
+pub struct ReplicaGroup<R: Replica> {
     replicas: Vec<R>,
     /// `replicas[i].id()`, kept beside them for lookups in both directions.
     ids: Vec<NodeId>,
     config: SimConfig,
     injector: NetworkFaultInjector,
-    queue: EventQueue<EventKind>,
+    /// Time of the group's last event or submit; the calendar is the clock.
     now: u64,
     busy_until: Vec<u64>,
     crashed: BTreeSet<NodeId>,
@@ -239,14 +333,13 @@ pub struct SimCluster<R: Replica> {
     stats: RunStats,
     write_rr: usize,
     read_rr: usize,
-    completions: Vec<Completion>,
     /// Attached telemetry, `None` (the default) disables every telemetry
     /// branch on the hot paths — runs are bit-identical to a build without it.
     telemetry: Option<ShardTelemetry>,
 }
 
-impl<R: Replica> SimCluster<R> {
-    /// Creates a cluster over `replicas` (node ids must match their position-order
+impl<R: Replica> ReplicaGroup<R> {
+    /// Creates a group over `replicas` (node ids must match their position-order
     /// ids used in `config.profiles`).
     pub fn new(replicas: Vec<R>, config: SimConfig) -> Self {
         assert_eq!(
@@ -256,11 +349,10 @@ impl<R: Replica> SimCluster<R> {
         );
         let n = replicas.len();
         let injector = NetworkFaultInjector::new(config.fault_plan, config.seed);
-        SimCluster {
+        ReplicaGroup {
             ids: replicas.iter().map(Replica::id).collect(),
             replicas,
             injector,
-            queue: EventQueue::new(),
             now: 0,
             busy_until: vec![0; n],
             crashed: BTreeSet::new(),
@@ -270,7 +362,6 @@ impl<R: Replica> SimCluster<R> {
             stats: RunStats::default(),
             write_rr: 0,
             read_rr: 0,
-            completions: Vec::new(),
             telemetry: None,
             config,
         }
@@ -311,47 +402,12 @@ impl<R: Replica> SimCluster<R> {
         }
     }
 
-    /// Does nothing but refuse `false`: external clients are the only mode,
-    /// and the method stays only until the benchmark package's event-loop
-    /// replay stops calling it.
-    pub fn set_external_clients(&mut self, external: bool) {
-        assert!(external, "a SimCluster has no client loop of its own");
-    }
-
-    /// Virtual time of the next pending event, if any.
-    pub fn peek_next_at(&self) -> Option<u64> {
-        self.queue.peek_at()
-    }
-
     /// Operations committed so far.
     pub fn committed(&self) -> u64 {
         self.stats.committed
     }
 
-    /// Takes the completions recorded since the last drain, in the order the
-    /// replies reached their clients.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
-    }
-
-    /// Schedules a crash of `node` at virtual time `at_ns`.
-    pub fn crash_at(&mut self, node: NodeId, at_ns: u64) {
-        self.queue.push(at_ns, EventKind::Crash { node });
-    }
-
-    /// Schedules a rollback-protected restart of `node` at virtual time
-    /// `at_ns`. On recovery the node is re-attested: its shield channels are
-    /// resynced against every live peer's trusted send counter (stale
-    /// in-flight frames reject as replays), it adopts the highest view any
-    /// live peer runs, and [`Replica::on_restart`] rehydrates only state the
-    /// enclave can verify — the re-verification work is charged on the
-    /// node's virtual-clock compute. A no-op if the node is not crashed when
-    /// the event fires.
-    pub fn recover_at(&mut self, node: NodeId, at_ns: u64) {
-        self.queue.push(at_ns, EventKind::Recover { node });
-    }
-
-    /// Current virtual time in nanoseconds.
+    /// Virtual time of the group's last event or submit, in nanoseconds.
     pub fn now_ns(&self) -> u64 {
         self.now
     }
@@ -360,7 +416,7 @@ impl<R: Replica> SimCluster<R> {
     ///
     /// # Panics
     /// Panics if `node` is not a replica of this cluster, as do
-    /// [`SimCluster::replica_mut`] and [`SimCluster::charge`].
+    /// [`ReplicaGroup::replica_mut`] and [`ReplicaGroup::charge`].
     pub fn replica(&self, node: NodeId) -> &R {
         &self.replicas[self.index_of(node)]
     }
@@ -406,7 +462,7 @@ impl<R: Replica> SimCluster<R> {
         self.charge_idx(self.index_of(node), at_ns, kind, work)
     }
 
-    /// [`SimCluster::charge`] by replica position.
+    /// [`ReplicaGroup::charge`] by replica position.
     fn charge_idx(&mut self, idx: usize, at_ns: u64, kind: ChargeKind, work: Work) -> Charged {
         let mut split = self.telemetry.is_some().then(CostBreakdown::new);
         let cost = self
@@ -437,45 +493,31 @@ impl<R: Replica> SimCluster<R> {
     }
 
     /// Schedules the protocol kick-off timers (token 0 at time 0) and the
-    /// configured crash schedule. Called once, by the driver, before
-    /// stepping.
-    pub fn seed_initial_events(&mut self) {
+    /// configured crash schedule. Called by the driver before each run.
+    pub fn seed_initial_events<T: From<GroupEvent>>(&mut self, sched: &mut Scheduler<'_, T>) {
         for idx in 0..self.replicas.len() {
-            self.queue.push(0, EventKind::Timer { idx, token: 0 });
+            sched.push(0, EventKind::Timer { idx, token: 0 });
         }
-        let entries = self.config.crash_plan.entries.clone();
-        for entry in entries {
-            self.crash_at(entry.node, entry.crash_at_ns);
+        for entry in &self.config.crash_plan.entries {
+            sched.push(entry.crash_at_ns, EventKind::Crash { node: entry.node });
             if let Some(recover_at_ns) = entry.recover_at_ns {
-                self.recover_at(entry.node, recover_at_ns);
+                sched.push(recover_at_ns, EventKind::Recover { node: entry.node });
             }
         }
     }
 
-    /// Submits a client operation at virtual time `at_ns` (which must be ≥ every
-    /// already-processed event's time; a driver guarantees this by always
-    /// advancing the globally-earliest cluster). Returns false when no live
-    /// coordinator exists for the operation — the caller decides when to retry.
-    pub fn submit_at(
+    /// Submits a client operation at virtual time `at_ns`, which must be ≥
+    /// the time of every event already run — the calendar's order sees to
+    /// that. Hands the operation back when no live coordinator exists for
+    /// it, so the caller can retry the *identical* payload later without
+    /// cloning every submission up front.
+    pub fn try_submit_at<T: From<GroupEvent>>(
         &mut self,
         at_ns: u64,
         client_id: u64,
         request_id: u64,
         operation: Operation,
-    ) -> bool {
-        self.try_submit_at(at_ns, client_id, request_id, operation)
-            .is_ok()
-    }
-
-    /// Like [`SimCluster::submit_at`], but hands the operation back on failure
-    /// so the caller can retry the *identical* payload later without cloning
-    /// every submission up front.
-    pub fn try_submit_at(
-        &mut self,
-        at_ns: u64,
-        client_id: u64,
-        request_id: u64,
-        operation: Operation,
+        sched: &mut Scheduler<'_, T>,
     ) -> Result<(), Operation> {
         self.now = self.now.max(at_ns);
         let Some(target) = self.route(&operation) else {
@@ -489,22 +531,9 @@ impl<R: Replica> SimCluster<R> {
             operation: operation.clone(),
         });
         let deliver_at = self.now + self.config.cost_model.link_latency_ns;
-        self.queue.push_timer(
-            self.now + self.config.retry_timeout_ns,
-            EventKind::ClientRetry {
-                client_id,
-                request_id,
-            },
-        );
-        self.queue.push(
-            deliver_at,
-            EventKind::ClientDeliver {
-                idx: target,
-                client_id,
-                request_id,
-                operation,
-            },
-        );
+        let retry_at = self.now + self.config.retry_timeout_ns;
+        sched.retry(retry_at, client_id, request_id);
+        sched.request(deliver_at, target, client_id, request_id, operation);
         if let Some(t) = self.telemetry.as_mut() {
             t.instant(
                 SpanKind::ClientSubmit,
@@ -516,15 +545,14 @@ impl<R: Replica> SimCluster<R> {
         Ok(())
     }
 
-    /// Processes the next event, advancing the virtual clock. A reply it
-    /// delivers to a client is queued for [`SimCluster::drain_completions`].
-    pub fn step(&mut self) -> StepOutcome {
-        let Some((at, event)) = self.queue.pop() else {
-            return StepOutcome::Idle;
-        };
-        if at > self.config.max_virtual_ns {
-            return StepOutcome::CapReached;
-        }
+    /// Runs `event`, due at virtual time `at`. The first reply it delivers
+    /// to a client's request goes to the scheduler's completions.
+    pub fn handle<T: From<GroupEvent>>(
+        &mut self,
+        at: u64,
+        GroupEvent(event): GroupEvent,
+        sched: &mut Scheduler<'_, T>,
+    ) {
         self.now = at;
         match event {
             EventKind::Crash { node } => {
@@ -537,42 +565,25 @@ impl<R: Replica> SimCluster<R> {
                     let notice_at = self.now + self.config.failure_detection_delay_ns;
                     for idx in 0..self.ids.len() {
                         if self.ids[idx] != node {
-                            self.queue.push(
-                                notice_at,
-                                EventKind::PeerNotice {
-                                    idx,
-                                    about: node,
-                                    up: false,
-                                },
-                            );
+                            sched.notice(notice_at, idx, node, false);
                         }
                     }
                 }
             }
             EventKind::Recover { node } => {
                 if self.crashed.remove(&node) {
-                    self.handle_recover(node);
+                    self.handle_recover(node, sched);
                 }
             }
             EventKind::PeerNotice { idx, about, up } => {
                 let node = self.ids[idx];
                 if self.crashed.contains(&node) {
-                    return StepOutcome::Processed;
+                    return;
                 }
-                let view_before = self.replicas[idx].current_view();
-                let mut ctx = self.ctx(node, self.now);
-                if up {
-                    self.replicas[idx].on_peer_up(about, &mut ctx);
-                } else {
-                    self.replicas[idx].on_peer_down(about, &mut ctx);
-                }
-                if let Some(t) = self.telemetry.as_mut() {
-                    let view_after = self.replicas[idx].current_view();
-                    if view_after != view_before {
-                        t.instant(SpanKind::ViewChange, node.0, self.now, view_after);
-                    }
-                }
-                self.apply_effects(idx, ctx);
+                self.run_handler(idx, self.now, sched, |replica, ctx| match up {
+                    true => replica.on_peer_up(about, ctx),
+                    false => replica.on_peer_down(about, ctx),
+                });
             }
             EventKind::ClientRetry {
                 client_id,
@@ -580,7 +591,7 @@ impl<R: Replica> SimCluster<R> {
             } => {
                 // Still outstanding? (No reply recorded and no newer request.)
                 let Some(out) = self.outstanding(client_id, request_id) else {
-                    return StepOutcome::Processed;
+                    return;
                 };
                 // Resend the exact operation that was issued (the original code
                 // re-drew from the workload closure, silently mutating stateful
@@ -588,23 +599,10 @@ impl<R: Replica> SimCluster<R> {
                 let operation = out.operation.clone();
                 if let Some(idx) = self.route(&operation) {
                     let deliver_at = self.now + self.config.cost_model.link_latency_ns;
-                    self.queue.push(
-                        deliver_at,
-                        EventKind::ClientDeliver {
-                            idx,
-                            client_id,
-                            request_id,
-                            operation,
-                        },
-                    );
+                    sched.request(deliver_at, idx, client_id, request_id, operation);
                 }
-                self.queue.push_timer(
-                    self.now + self.config.retry_timeout_ns,
-                    EventKind::ClientRetry {
-                        client_id,
-                        request_id,
-                    },
-                );
+                let retry_at = self.now + self.config.retry_timeout_ns;
+                sched.retry(retry_at, client_id, request_id);
             }
             EventKind::ClientDeliver {
                 idx,
@@ -615,7 +613,7 @@ impl<R: Replica> SimCluster<R> {
                 let node = self.ids[idx];
                 if self.crashed.contains(&node) {
                     // Request lost: the ClientRetry scheduled with it resends it.
-                    return StepOutcome::Processed;
+                    return;
                 }
                 let work = Work::Recv {
                     ops: 1,
@@ -640,7 +638,7 @@ impl<R: Replica> SimCluster<R> {
                 };
                 let mut ctx = self.ctx(node, finish);
                 self.replicas[idx].on_client_request(request, &mut ctx);
-                self.apply_effects(idx, ctx);
+                self.apply_effects(idx, ctx, sched);
             }
             EventKind::Deliver {
                 from,
@@ -650,7 +648,7 @@ impl<R: Replica> SimCluster<R> {
             } => {
                 let to = self.ids[idx];
                 if self.crashed.contains(&to) {
-                    return StepOutcome::Processed;
+                    return;
                 }
                 self.stats.messages_delivered += 1;
                 self.stats.ops_delivered += ops as u64;
@@ -673,35 +671,43 @@ impl<R: Replica> SimCluster<R> {
                     );
                     t.span(SpanKind::Apply, to.0, finish - app_ns, finish, ops as u64);
                 }
-                let view_before = self.replicas[idx].current_view();
-                let mut ctx = self.ctx(to, finish);
-                self.replicas[idx].on_delivery(from, &mut bytes, &mut ctx);
-                if let Some(t) = self.telemetry.as_mut() {
-                    let view_after = self.replicas[idx].current_view();
-                    if view_after != view_before {
-                        t.instant(SpanKind::ViewChange, to.0, finish, view_after);
-                    }
-                }
-                self.apply_effects(idx, ctx);
+                self.run_handler(idx, finish, sched, |replica, ctx| {
+                    replica.on_delivery(from, &mut bytes, ctx);
+                });
             }
             EventKind::Timer { idx, token } => {
                 let node = self.ids[idx];
                 if self.crashed.contains(&node) {
-                    return StepOutcome::Processed;
+                    return;
                 }
-                let view_before = self.replicas[idx].current_view();
-                let mut ctx = self.ctx(node, self.now);
-                self.replicas[idx].on_timer(token, &mut ctx);
-                if let Some(t) = self.telemetry.as_mut() {
-                    let view_after = self.replicas[idx].current_view();
-                    if view_after != view_before {
-                        t.instant(SpanKind::ViewChange, node.0, self.now, view_after);
-                    }
-                }
-                self.apply_effects(idx, ctx);
+                self.run_handler(idx, self.now, sched, |replica, ctx| {
+                    replica.on_timer(token, ctx);
+                });
             }
         }
-        StepOutcome::Processed
+    }
+
+    /// Runs `handler` on the replica at `idx` at `at_ns`, marks a view change
+    /// it made on the trace and applies its effects.
+    fn run_handler<T: From<GroupEvent>>(
+        &mut self,
+        idx: usize,
+        at_ns: u64,
+        sched: &mut Scheduler<'_, T>,
+        handler: impl FnOnce(&mut R, &mut Ctx),
+    ) {
+        let view_before = self.replicas[idx].current_view();
+        let mut ctx = self.ctx(self.ids[idx], at_ns);
+        handler(&mut self.replicas[idx], &mut ctx);
+        let view_after = self.replicas[idx].current_view();
+        if let Some(t) = self
+            .telemetry
+            .as_mut()
+            .filter(|_| view_after != view_before)
+        {
+            t.instant(SpanKind::ViewChange, self.ids[idx].0, at_ns, view_after);
+        }
+        self.apply_effects(idx, ctx, sched);
     }
 
     /// Re-attests and restarts a node that just left the crashed set (the
@@ -722,7 +728,7 @@ impl<R: Replica> SimCluster<R> {
     ///    `charge.recovery_ns`.
     /// 4. The configuration service notifies the survivors
     ///    ([`Replica::on_peer_up`]) after the detection delay.
-    fn handle_recover(&mut self, node: NodeId) {
+    fn handle_recover<T: From<GroupEvent>>(&mut self, node: NodeId, sched: &mut Scheduler<'_, T>) {
         let idx = self.index_of(node);
         let live_peers: Vec<(usize, NodeId)> = self
             .replicas
@@ -789,24 +795,20 @@ impl<R: Replica> SimCluster<R> {
                 report.verified_entries,
             );
         }
-        self.apply_effects(idx, ctx);
+        self.apply_effects(idx, ctx, sched);
 
         let notice_at = self.now + self.config.failure_detection_delay_ns;
         for &(peer_idx, _) in &live_peers {
-            self.queue.push(
-                notice_at,
-                EventKind::PeerNotice {
-                    idx: peer_idx,
-                    about: node,
-                    up: true,
-                },
-            );
+            sched.notice(notice_at, peer_idx, node, true);
         }
     }
 
     /// Finalizes and returns the statistics for everything processed so far.
     pub fn finish(&mut self) -> RunStats {
-        self.finalize_stats();
+        let elapsed = self.now.max(1) as f64 / 1e9;
+        self.stats.elapsed_secs = elapsed;
+        self.stats.throughput_ops = self.stats.committed as f64 / elapsed;
+        self.stats.set_latencies(&mut self.latencies_ns);
         self.stats.clone()
     }
 
@@ -838,15 +840,20 @@ impl<R: Replica> SimCluster<R> {
     }
 
     /// A context for a handler call on `node` at `now_ns`, holding the
-    /// cluster's effect buffers until [`SimCluster::apply_effects`] takes
+    /// group's effect buffers until [`ReplicaGroup::apply_effects`] takes
     /// them back.
     fn ctx(&mut self, node: NodeId, now_ns: u64) -> Ctx {
         let buffers = std::mem::take(&mut self.effects);
         Ctx::new(node, TrustedInstant::from_nanos(now_ns), buffers)
     }
 
-    fn apply_effects(&mut self, src_idx: usize, ctx: Ctx) {
-        let src = self.ids[src_idx];
+    fn apply_effects<T: From<GroupEvent>>(
+        &mut self,
+        idx: usize,
+        ctx: Ctx,
+        sched: &mut Scheduler<'_, T>,
+    ) {
+        let src = self.ids[idx];
         let (mut outbox, mut replies, mut timers) = ctx.take_effects();
         for (dst, bytes, ops) in outbox.drain(..) {
             // Sending costs the sender time (serialized on the node). Batch
@@ -855,7 +862,7 @@ impl<R: Replica> SimCluster<R> {
                 ops: ops as usize,
                 bytes: bytes.len(),
             };
-            let sent = self.charge_idx(src_idx, self.now, ChargeKind::FrameSend, work);
+            let sent = self.charge_idx(idx, self.now, ChargeKind::FrameSend, work);
             let send_finish = sent.finish_ns;
             if let Some(t) = self.telemetry.as_mut() {
                 t.span(
@@ -871,19 +878,11 @@ impl<R: Replica> SimCluster<R> {
             let to = self.index_of(dst);
             let fault = self
                 .injector
-                .decide_frame(self.queue.next_seq(), src, dst, &bytes);
+                .decide_frame(sched.next_seq(), src, dst, &bytes);
             let extra_delay = self.injector.sample_extra_delay_ns();
             let deliver_at = send_finish + self.config.cost_model.link_latency_ns + extra_delay;
             match fault {
-                FrameFault::Deliver => self.queue.push(
-                    deliver_at,
-                    EventKind::Deliver {
-                        from: src,
-                        to,
-                        bytes,
-                        ops,
-                    },
-                ),
+                FrameFault::Deliver => sched.deliver(deliver_at, src, to, bytes, ops),
                 FrameFault::Drop => {
                     self.stats.messages_dropped += 1;
                     if let Some(t) = self.telemetry.as_mut() {
@@ -895,81 +894,36 @@ impl<R: Replica> SimCluster<R> {
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultTamper, dst.0, deliver_at, ops as u64);
                     }
-                    self.queue.push(
-                        deliver_at,
-                        EventKind::Deliver {
-                            from: src,
-                            to,
-                            bytes: corrupted,
-                            ops,
-                        },
-                    );
+                    sched.deliver(deliver_at, src, to, corrupted, ops);
                 }
                 FrameFault::Duplicate => {
                     self.stats.messages_replayed += 1;
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultDuplicate, dst.0, deliver_at, ops as u64);
                     }
-                    self.queue.push(
-                        deliver_at,
-                        EventKind::Deliver {
-                            from: src,
-                            to,
-                            bytes: bytes.clone(),
-                            ops,
-                        },
-                    );
-                    self.queue.push(
-                        deliver_at + 1,
-                        EventKind::Deliver {
-                            from: src,
-                            to,
-                            bytes,
-                            ops,
-                        },
-                    );
+                    sched.deliver(deliver_at, src, to, bytes.clone(), ops);
+                    sched.deliver(deliver_at + 1, src, to, bytes, ops);
                 }
                 FrameFault::Replay(older) => {
                     self.stats.messages_replayed += 1;
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultReplay, dst.0, deliver_at, ops as u64);
                     }
-                    self.queue.push(
-                        deliver_at,
-                        EventKind::Deliver {
-                            from: src,
-                            to,
-                            bytes,
-                            ops,
-                        },
-                    );
+                    sched.deliver(deliver_at, src, to, bytes, ops);
                     // The op count of a historical frame is unknown to the
                     // adversary's replay buffer; the shield rejects it anyway,
                     // so it is charged as a single message.
-                    self.queue.push(
-                        deliver_at + 1,
-                        EventKind::Deliver {
-                            from: older.src,
-                            to: self.index_of(older.dst),
-                            bytes: older.payload,
-                            ops: 1,
-                        },
-                    );
+                    let to = self.index_of(older.dst);
+                    sched.deliver(deliver_at + 1, older.src, to, older.payload, 1);
                 }
             }
         }
 
         for reply in replies.drain(..) {
-            self.record_reply(reply);
+            self.record_reply(reply, sched.completions);
         }
         for (delay, token) in timers.drain(..) {
-            self.queue.push(
-                self.now + delay,
-                EventKind::Timer {
-                    idx: src_idx,
-                    token,
-                },
-            );
+            sched.push(self.now + delay, EventKind::Timer { idx, token });
         }
         self.effects = (outbox, replies, timers);
     }
@@ -990,7 +944,7 @@ impl<R: Replica> SimCluster<R> {
         (out.request_id == request_id).then_some(out)
     }
 
-    fn record_reply(&mut self, reply: ClientReply) {
+    fn record_reply(&mut self, reply: ClientReply, completions: &mut Vec<Completion>) {
         let client_id = reply.client_id;
         // Only the first reply for the *currently outstanding* request counts;
         // replicas in BFT protocols all reply, and late replies for older requests
@@ -1013,7 +967,7 @@ impl<R: Replica> SimCluster<R> {
             } else {
                 self.stats.committed_reads += 1;
             }
-            self.completions.push(Completion {
+            completions.push(Completion {
                 client_id,
                 request_id: reply.request_id,
                 latency_ns: latency,
@@ -1024,58 +978,92 @@ impl<R: Replica> SimCluster<R> {
         // Replies for requests we are no longer waiting on (duplicates from multiple
         // replicas) are ignored: the first reply wins.
     }
+}
 
-    fn finalize_stats(&mut self) {
-        let elapsed = self.now.max(1) as f64 / 1e9;
-        self.stats.elapsed_secs = elapsed;
-        self.stats.throughput_ops = self.stats.committed as f64 / elapsed;
-        let mut sorted = self.latencies_ns.clone();
-        let summary = latency_percentiles(&mut sorted);
-        self.stats.mean_latency_us = summary.mean_us;
-        self.stats.p50_latency_us = summary.p50_us;
-        self.stats.p90_latency_us = summary.p90_us;
-        self.stats.p99_latency_us = summary.p99_us;
-        self.stats.p999_latency_us = summary.p999_us;
+/// A one-group harness over the calendar and the group's handlers, for tests
+/// that step a group themselves; the rest is the group's, through `Deref`.
+pub struct SimCluster<R: Replica> {
+    group: ReplicaGroup<R>,
+    calendar: Calendar<GroupEvent>,
+    completions: Vec<Completion>,
+}
+
+impl<R: Replica> SimCluster<R> {
+    /// A harness over one group of `replicas`.
+    pub fn new(replicas: Vec<R>, config: SimConfig) -> Self {
+        SimCluster {
+            group: ReplicaGroup::new(replicas, config),
+            calendar: Calendar::default(),
+            completions: Vec::new(),
+        }
+    }
+
+    /// Does nothing but refuse `false`: external clients are the only mode,
+    /// and the method stays only until the benchmark package's event-loop
+    /// replay stops calling it.
+    pub fn set_external_clients(&mut self, external: bool) {
+        assert!(external, "a SimCluster has no client loop of its own");
+    }
+
+    /// The group, and a scheduler onto the harness's calendar.
+    fn lend(&mut self) -> (&mut ReplicaGroup<R>, Scheduler<'_, GroupEvent>) {
+        let sched = Scheduler::new(&mut self.calendar, 0, &mut self.completions);
+        (&mut self.group, sched)
+    }
+
+    /// [`ReplicaGroup::seed_initial_events`]. Call once, before stepping.
+    pub fn seed_initial_events(&mut self) {
+        let (group, mut sched) = self.lend();
+        group.seed_initial_events(&mut sched);
+    }
+
+    /// [`ReplicaGroup::try_submit_at`]; false when no live coordinator
+    /// exists for the operation.
+    pub fn submit_at(&mut self, at: u64, client: u64, request: u64, op: Operation) -> bool {
+        let (group, mut sched) = self.lend();
+        let submitted = group.try_submit_at(at, client, request, op, &mut sched);
+        submitted.is_ok()
+    }
+
+    /// Runs the next event. A reply it delivers to a client is kept for
+    /// [`SimCluster::drain_completions`].
+    pub fn step(&mut self) -> StepOutcome {
+        let Some((key, event)) = self.calendar.pop() else {
+            return StepOutcome::Idle;
+        };
+        if key.at > self.group.config.max_virtual_ns {
+            return StepOutcome::CapReached;
+        }
+        let (group, mut sched) = self.lend();
+        group.handle(key.at, event, &mut sched);
+        StepOutcome::Processed
+    }
+
+    /// Runs every event due at or before `horizon_ns`.
+    pub fn run_until(&mut self, horizon_ns: u64) {
+        while self.calendar.peek().is_some_and(|key| key.at <= horizon_ns) {
+            self.step();
+        }
+    }
+
+    /// Takes the completions recorded since the last drain, in the order the
+    /// replies reached their clients.
+    pub fn drain_completions(&mut self) -> Vec<Completion> {
+        std::mem::take(&mut self.completions)
     }
 }
 
-/// Mean and tail percentiles of a latency sample, in microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LatencySummary {
-    /// Arithmetic mean.
-    pub mean_us: f64,
-    /// Median (50th percentile).
-    pub p50_us: f64,
-    /// 90th percentile.
-    pub p90_us: f64,
-    /// 99th percentile.
-    pub p99_us: f64,
-    /// 99.9th percentile.
-    pub p999_us: f64,
+impl<R: Replica> Deref for SimCluster<R> {
+    type Target = ReplicaGroup<R>;
+
+    fn deref(&self) -> &ReplicaGroup<R> {
+        &self.group
+    }
 }
 
-/// Computes the full [`LatencySummary`] of a sample, sorting the slice in
-/// place. All zeros for an empty sample. Shared by the single-group and
-/// sharded drivers so the percentile convention cannot drift between them:
-/// percentile `q` is the element at index `(len as f64 * q) as usize`,
-/// clamped to the last element.
-pub fn latency_percentiles(latencies_ns: &mut [u64]) -> LatencySummary {
-    if latencies_ns.is_empty() {
-        return LatencySummary::default();
-    }
-    let sum: u64 = latencies_ns.iter().sum();
-    let mean_us = sum as f64 / latencies_ns.len() as f64 / 1_000.0;
-    latencies_ns.sort_unstable();
-    let pick = |q: f64| {
-        let idx = ((latencies_ns.len() as f64) * q) as usize;
-        latencies_ns[idx.min(latencies_ns.len() - 1)] as f64 / 1_000.0
-    };
-    LatencySummary {
-        mean_us,
-        p50_us: pick(0.50),
-        p90_us: pick(0.90),
-        p99_us: pick(0.99),
-        p999_us: pick(0.999),
+impl<R: Replica> DerefMut for SimCluster<R> {
+    fn deref_mut(&mut self) -> &mut ReplicaGroup<R> {
+        &mut self.group
     }
 }
 
@@ -1217,7 +1205,7 @@ mod tests {
             if cluster.step() != StepOutcome::Processed {
                 break;
             }
-            high_water = high_water.max(cluster.queue.heap_len());
+            high_water = high_water.max(cluster.calendar.heap_len());
             for done in cluster.drain_completions() {
                 let (client, next) = (done.client_id, done.request_id + 1);
                 cluster.submit_at(done.at_ns, client, next, workload(client, next));
@@ -1342,8 +1330,9 @@ mod tests {
     fn crashed_coordinator_halts_commits() {
         let mut config = uniform(3);
         config.max_virtual_ns = 50_000_000; // 50 ms
+                                            // Crash the only coordinator at 1 ms.
+        config.crash_plan = CrashPlan::none().crash(NodeId(0), 1_000_000);
         let mut cluster = SimCluster::new(EchoReplica::cluster(3), config);
-        cluster.crash_at(NodeId(0), 1_000_000); // crash the only coordinator at 1 ms
         drive(&mut cluster, 10_000, write_workload);
         // Commits happen only in the first millisecond.
         assert!(cluster.committed() < 10_000);

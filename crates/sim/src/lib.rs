@@ -17,23 +17,24 @@
 //! * is fully deterministic for a given seed — every experiment in the benchmark
 //!   harness is reproducible bit-for-bit.
 //!
-//! The main entry point is [`cluster::SimCluster`], which owns the replicas, the
-//! clock and the network of one group; the clients that drive it live in
-//! `recipe_shard`'s request driver.
+//! A [`cluster::ReplicaGroup`] owns one group's replicas and network, every
+//! group of a run schedules onto one [`queue::Calendar`], and the clients
+//! live in `recipe_shard`'s request driver.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;
 pub mod cost;
-mod queue;
+pub mod queue;
 pub mod replica;
 
 pub use cluster::{
-    latency_percentiles, Charged, Completion, LatencySummary, RunStats, SimCluster, SimConfig,
+    Charged, Completion, GroupEvent, ReplicaGroup, RunStats, Scheduler, SimCluster, SimConfig,
     StepOutcome,
 };
 pub use cost::{CostProfile, ProtocolCostModel, Work};
+pub use queue::{Calendar, Key, Owner};
 pub use replica::{Ctx, RangeEntry, RecoveryState, Replica, RestartReport};
 
 pub use recipe_tee::TrustedInstant as SimTime;

@@ -62,16 +62,7 @@ fn open_loop_digest(batch: usize) -> StateDigest {
     assert_eq!(cluster.committed(), OPEN_LOOP_OPS as u64);
     // Drain in-flight commit traffic so followers finish applying (client
     // retries are scheduled ~100 ms out and stay untouched).
-    let horizon = cluster.now_ns() + 3_000_000;
-    while let Some(at) = cluster.peek_next_at() {
-        if at > horizon {
-            break;
-        }
-        if matches!(cluster.step(), StepOutcome::Idle | StepOutcome::CapReached) {
-            break;
-        }
-        cluster.drain_completions();
-    }
+    cluster.run_until(cluster.now_ns() + 3_000_000);
 
     let counts: Vec<u64> = (0..3)
         .map(|id| cluster.replica(NodeId(id)).committed_entries())

@@ -19,7 +19,7 @@ use recipe::core::{Operation, Request};
 use recipe::net::{CrashPlan, NodeId};
 use recipe::protocols::{ChainReplica, RaftReplica, StoreReplica};
 use recipe::shard::{DeploymentSpec, ShardPolicy, ShardedCluster};
-use recipe::sim::SimCluster;
+use recipe::sim::ReplicaGroup;
 
 fn put(client: u64, seq: u64) -> Option<Request> {
     let key = format!("key-{}", (client + seq) % 32).into_bytes();
@@ -38,7 +38,7 @@ fn one_group(crash_plan: CrashPlan, ops: usize) -> DeploymentSpec {
 
 /// Every key the recovered node holds must agree with a live peer's copy —
 /// rehydration never resurrects stale (rolled-back) state.
-fn assert_no_divergence<R: StoreReplica>(group: &mut SimCluster<R>) {
+fn assert_no_divergence<R: StoreReplica>(group: &mut ReplicaGroup<R>) {
     for i in 0..32 {
         let key = format!("key-{i}").into_bytes();
         let values: Vec<Vec<u8>> = (0..3)

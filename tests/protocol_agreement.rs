@@ -433,10 +433,7 @@ impl ProtocolVisitor for FinalState {
                 assert_eq!(cluster.step(), StepOutcome::Processed, "request {request}");
             }
         }
-        let horizon = cluster.now_ns() + 3_000_000;
-        while cluster.peek_next_at().is_some_and(|at| at <= horizon) {
-            cluster.step();
-        }
+        cluster.run_until(cluster.now_ns() + 3_000_000);
         let nodes = cluster.node_ids().into_iter();
         let records = |id| {
             let store = cluster.replica_mut(id).store();

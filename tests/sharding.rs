@@ -5,9 +5,9 @@
 
 use recipe::core::{Operation, Request};
 use recipe::protocols::RaftReplica;
-use recipe::shard::{DeploymentSpec, ShardRouter, ShardedCluster, ShardedRunStats};
+use recipe::shard::{DeploymentSpec, ShardPolicy, ShardRouter, ShardedCluster, ShardedRunStats};
 use recipe::workload::WorkloadSpec;
-use recipe_net::NodeId;
+use recipe_net::{CrashPlan, NodeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -96,15 +96,16 @@ fn sharded_runs_are_bit_identical_for_a_seed() {
 #[test]
 fn crash_of_one_shard_leaves_other_shards_committing() {
     let shards = 4usize;
+    // Kill the whole of shard 1 (leader and followers) early in the run.
+    let plan = (0..3).fold(CrashPlan::none(), |plan, node| {
+        plan.crash(NodeId(node), 2_000_000)
+    });
     let spec = DeploymentSpec::new(shards, 3)
         // 100k operations are unreachable: the run ends at the 80 ms time cap.
         .with_clients(32, 100_000)
-        .with_time_cap_ns(80_000_000);
+        .with_time_cap_ns(80_000_000)
+        .with_shard_policy(1, ShardPolicy::new().with_crash_plan(plan));
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
-    // Kill the whole of shard 1 (leader and followers) early in the run.
-    for node in 0..3 {
-        cluster.crash_at(1, NodeId(node), 2_000_000);
-    }
     let stats = cluster.run_requests(zipfian_workload(5));
     for (shard, s) in stats.per_shard.iter().enumerate() {
         if shard == 1 {
