@@ -55,11 +55,6 @@ impl ConfigAndAttestService {
         self
     }
 
-    /// Registers another trusted platform.
-    pub fn register_platform(&mut self, platform_id: u64, vendor_key: PublicKey) {
-        self.vendor_keys.insert(platform_id, vendor_key);
-    }
-
     /// The protocol designer uploads the secret bundle destined for `node_id`.
     pub fn upload_bundle(&mut self, bundle: SecretBundle) {
         self.bundles.insert(bundle.node_id, bundle);

@@ -45,11 +45,6 @@ impl IntelAttestationService {
         self.mean_latency_ns = latency_ns;
         self
     }
-
-    /// Registers another trusted platform.
-    pub fn register_platform(&mut self, platform_id: u64, vendor_key: PublicKey) {
-        self.vendor_keys.insert(platform_id, vendor_key);
-    }
 }
 
 impl QuoteVerifier for IntelAttestationService {

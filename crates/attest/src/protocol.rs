@@ -165,7 +165,7 @@ mod tests {
         assert!(enclave.mac_key("cq:1->0").is_ok());
         assert!(enclave.mac_key("cq:0->1").is_ok());
         assert!(enclave.mac_key("cq:2->1").is_ok());
-        assert!(enclave.cipher("recipe.values").is_ok());
+        assert!(enclave.bind_cipher("recipe.values", &[0; 16]).is_ok());
         // No key for a channel node 1 does not participate in.
         assert!(enclave.mac_key("cq:0->2").is_err());
     }

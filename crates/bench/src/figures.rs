@@ -311,7 +311,7 @@ fn damysus_compare(operations: usize) -> Figure {
 
 /// Figure 6b: network-stack goodput (Gb/s) vs payload size for the five stacks.
 fn fig6b_network(_operations: usize) -> Figure {
-    let model = NetCostModel::default();
+    let model = NetCostModel::CALIBRATED;
     let mut figure = Figure::default();
     let header = format!("{:<20} {:>10} {:>12}", "stack", "payload(B)", "Gb/s");
     figure.note(header);

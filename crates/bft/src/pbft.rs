@@ -215,11 +215,6 @@ impl PbftReplica {
         self.membership.leader_for_view(self.view) == self.id
     }
 
-    /// Operations executed by this replica.
-    pub fn executed_ops(&self) -> u64 {
-        self.store.applied()
-    }
-
     /// Reads a key from the local store (verification helper).
     pub fn local_read(&mut self, key: &[u8]) -> Option<Vec<u8>> {
         self.store.get(key).map(|r| r.value)

@@ -766,22 +766,12 @@ impl AuthLayer {
         }
     }
 
-    /// [`AuthLayer::verify_view`] on a message struct's fields, told apart
-    /// by [`VerifyOutcome`]. The message is copied only when it is delivered
-    /// or buffered; [`AuthLayer::verify_owned`] never copies it.
-    pub fn verify(&mut self, msg: &ShieldedMessage) -> VerifyOutcome {
-        self.verify_single(msg.view())
-    }
-
-    /// [`AuthLayer::verify`] taking ownership, so the payload moves (rather
-    /// than is copied) into the protected buffer or the
-    /// [`VerifyOutcome::Accept`] result, and is decrypted where it lies.
+    /// [`AuthLayer::verify_view`] on a message struct, told apart by
+    /// [`VerifyOutcome`]. The payload moves (rather than is copied) into the
+    /// protected buffer or the [`VerifyOutcome::Accept`] result, and is
+    /// decrypted where it lies.
     pub fn verify_owned(&mut self, msg: ShieldedMessage) -> VerifyOutcome {
-        self.verify_single(msg.into_view())
-    }
-
-    fn verify_single(&mut self, frame: FrameView<'_>) -> VerifyOutcome {
-        match self.receive(frame, false) {
+        match self.receive(msg.into_view(), false) {
             Ok((counter, Opened::Message { kind, payload })) => VerifyOutcome::Accept {
                 kind,
                 payload: payload.into_owned(),
@@ -1137,6 +1127,12 @@ mod tests {
         )
     }
 
+    /// Whether `layer` delivers `msg` now, checked on its wire bytes where
+    /// they lie.
+    fn delivers(layer: &mut AuthLayer, msg: &ShieldedMessage) -> bool {
+        by_view(layer, &msg.to_wire()).is_some_and(|ops| ops.len() == 1)
+    }
+
     #[test]
     fn shield_then_verify_accepts_in_order_messages() {
         let (mut sender, mut receiver) = layer_pair(false);
@@ -1145,7 +1141,7 @@ mod tests {
                 .shield(NodeId(2), 7, format!("op{i}").as_bytes())
                 .unwrap();
             assert_eq!(msg.tuple.counter, i);
-            match receiver.verify(&msg) {
+            match receiver.verify_owned(msg) {
                 VerifyOutcome::Accept {
                     kind,
                     payload,
@@ -1165,9 +1161,9 @@ mod tests {
     fn replayed_message_is_rejected() {
         let (mut sender, mut receiver) = layer_pair(false);
         let msg = sender.shield(NodeId(2), 1, b"cmd").unwrap();
-        assert!(receiver.verify(&msg).is_accept());
+        assert!(delivers(&mut receiver, &msg));
         // The adversary replays the (authentic, previously accepted) message.
-        match receiver.verify(&msg) {
+        match receiver.verify_owned(msg) {
             VerifyOutcome::Replay {
                 counter,
                 last_accepted,
@@ -1185,15 +1181,15 @@ mod tests {
         let (mut sender, mut receiver) = layer_pair(false);
         let mut msg = sender.shield(NodeId(2), 1, b"transfer 10 coins").unwrap();
         msg.payload[9] ^= 0xFF;
-        assert_eq!(receiver.verify(&msg), VerifyOutcome::BadAuthenticator);
+        assert_eq!(receiver.verify_owned(msg), VerifyOutcome::BadAuthenticator);
         // Tampering with metadata (the counter) is equally fatal.
         let mut msg = sender.shield(NodeId(2), 1, b"x").unwrap();
         msg.tuple.counter += 10;
-        assert_eq!(receiver.verify(&msg), VerifyOutcome::BadAuthenticator);
+        assert_eq!(receiver.verify_owned(msg), VerifyOutcome::BadAuthenticator);
         // And remapping the message kind is detected too.
         let mut msg = sender.shield(NodeId(2), 1, b"x").unwrap();
         msg.kind = 99;
-        assert_eq!(receiver.verify(&msg), VerifyOutcome::BadAuthenticator);
+        assert_eq!(receiver.verify_owned(msg), VerifyOutcome::BadAuthenticator);
     }
 
     #[test]
@@ -1204,7 +1200,7 @@ mod tests {
         let msg = sender.shield(NodeId(2), 1, b"x").unwrap();
         let enclave_3 = Enclave::launch(EnclaveId(3), EnclaveConfig::new("code", 3));
         let mut outsider = AuthLayer::new(NodeId(2), enclave_3, false);
-        assert_eq!(outsider.verify(&msg), VerifyOutcome::BadAuthenticator);
+        assert_eq!(outsider.verify_owned(msg), VerifyOutcome::BadAuthenticator);
     }
 
     #[test]
@@ -1212,7 +1208,7 @@ mod tests {
         let (mut sender, _) = layer_pair(false);
         let msg = sender.shield(NodeId(2), 1, b"x").unwrap();
         // Node 1 receives its own message back (reflection attack).
-        assert_eq!(sender.verify(&msg), VerifyOutcome::Misaddressed);
+        assert_eq!(sender.verify_owned(msg), VerifyOutcome::Misaddressed);
     }
 
     #[test]
@@ -1221,13 +1217,13 @@ mod tests {
         sender.set_view(1);
         let msg = sender.shield(NodeId(2), 1, b"x").unwrap();
         assert_eq!(
-            receiver.verify(&msg),
+            receiver.verify_owned(msg.clone()),
             VerifyOutcome::WrongView { got: 1, current: 0 }
         );
         receiver.set_view(1);
         // Once the receiver catches up to the view, a retransmission of the same
         // message is accepted (the view rejection never advanced the counter).
-        assert!(receiver.verify(&msg).is_accept());
+        assert!(delivers(&mut receiver, &msg));
     }
 
     #[test]
@@ -1239,14 +1235,14 @@ mod tests {
 
         // Deliver out of order: 3, 2, then 1.
         assert_eq!(
-            receiver.verify(&m3),
+            receiver.verify_owned(m3),
             VerifyOutcome::Future {
                 counter: 3,
                 expected: 1
             }
         );
         assert_eq!(
-            receiver.verify(&m2),
+            receiver.verify_owned(m2.clone()),
             VerifyOutcome::Future {
                 counter: 2,
                 expected: 1
@@ -1256,7 +1252,7 @@ mod tests {
         assert!(receiver.take_ready(NodeId(1)).is_empty());
 
         // Once the gap fills, the buffered messages drain in counter order.
-        assert!(receiver.verify(&m1).is_accept());
+        assert!(delivers(&mut receiver, &m1));
         let ready = receiver.take_ready(NodeId(1));
         assert_eq!(ready.len(), 2);
         assert_eq!(ready[0].1, b"second");
@@ -1266,22 +1262,29 @@ mod tests {
         assert_eq!(receiver.pending_from(NodeId(1)), 0);
 
         // Replaying a drained future message is now rejected.
-        assert!(matches!(receiver.verify(&m2), VerifyOutcome::Replay { .. }));
+        assert!(matches!(
+            receiver.verify_owned(m2),
+            VerifyOutcome::Replay { .. }
+        ));
     }
 
     #[test]
     fn made_up_sources_leave_no_trace() {
         let (mut sender, mut receiver) = layer_pair(false);
-        assert!(receiver
-            .verify(&sender.shield(NodeId(2), 1, b"x").unwrap())
-            .is_accept());
+        assert!(delivers(
+            &mut receiver,
+            &sender.shield(NodeId(2), 1, b"x").unwrap()
+        ));
         let (peers, counters) = (receiver.peers.len(), receiver.enclave().counter_count());
 
         // A host can claim any source; node 2 holds no key for these.
         for src in [3u64, 9, u64::MAX] {
             let mut forged = sender.shield(NodeId(2), 1, b"x").unwrap();
             forged.tuple.channel.src = NodeId(src);
-            assert_eq!(receiver.verify(&forged), VerifyOutcome::BadAuthenticator);
+            assert_eq!(
+                receiver.verify_owned(forged),
+                VerifyOutcome::BadAuthenticator
+            );
             assert!(receiver.take_ready(NodeId(src)).is_empty());
             receiver.resync_from(NodeId(src), 50);
             assert_eq!(receiver.send_counter_to(NodeId(src)), 0);
@@ -1303,12 +1306,15 @@ mod tests {
         // Node 2 can send to node 1 but not yet hear from it.
         receiver.shield(NodeId(1), 1, b"hello").unwrap();
         let msg = sender.shield(NodeId(2), 1, b"x").unwrap();
-        assert_eq!(receiver.verify(&msg), VerifyOutcome::BadAuthenticator);
+        assert_eq!(
+            receiver.verify_owned(msg.clone()),
+            VerifyOutcome::BadAuthenticator
+        );
         receiver
             .enclave_mut()
             .provision_mac_key("cq:1->2", master.derive("cq:1->2"))
             .unwrap();
-        assert!(receiver.verify(&msg).is_accept());
+        assert!(delivers(&mut receiver, &msg));
         assert_eq!(receiver.peers.len(), 1);
     }
 
@@ -1323,7 +1329,7 @@ mod tests {
         // A frame ahead of the gap is buffered; the resync discards it.
         let ahead = sender.shield(NodeId(2), 1, b"ahead").unwrap();
         assert!(matches!(
-            receiver.verify(&ahead),
+            receiver.verify_owned(ahead.clone()),
             VerifyOutcome::Future { counter: 4, .. }
         ));
 
@@ -1331,7 +1337,7 @@ mod tests {
         assert_eq!(receiver.pending_from(NodeId(1)), 0);
         for msg in &slept_through {
             assert!(matches!(
-                receiver.verify(msg),
+                receiver.verify_owned(msg.clone()),
                 VerifyOutcome::Replay {
                     last_accepted: 4,
                     ..
@@ -1339,17 +1345,18 @@ mod tests {
             ));
         }
         assert!(matches!(
-            receiver.verify(&ahead),
+            receiver.verify_owned(ahead),
             VerifyOutcome::Replay { .. }
         ));
         // The next frame the sender seals is the next one the receiver takes.
-        assert!(receiver
-            .verify(&sender.shield(NodeId(2), 1, b"next").unwrap())
-            .is_accept());
+        assert!(delivers(
+            &mut receiver,
+            &sender.shield(NodeId(2), 1, b"next").unwrap()
+        ));
         // A resync never moves a counter back.
         receiver.resync_from(NodeId(1), 2);
         assert!(matches!(
-            receiver.verify(&slept_through[2]),
+            receiver.verify_owned(slept_through[2].clone()),
             VerifyOutcome::Replay {
                 last_accepted: 5,
                 ..
@@ -1377,10 +1384,13 @@ mod tests {
         assert!(sender.shield_batch(NodeId(2), &ops(2)).is_err());
         assert_eq!(sender.send_counter_to(NodeId(2)), 0);
 
-        assert!(receiver.verify(&before).is_accept());
+        assert!(delivers(&mut receiver, &before));
         let after = before.clone();
         receiver.enclave_mut().crash();
-        assert_eq!(receiver.verify(&after), VerifyOutcome::BadAuthenticator);
+        assert_eq!(
+            receiver.verify_owned(after),
+            VerifyOutcome::BadAuthenticator
+        );
     }
 
     #[test]
@@ -1460,7 +1470,7 @@ mod tests {
             .payload
             .windows(b"balance".len())
             .any(|w| w == b"balance"));
-        match receiver.verify(&msg) {
+        match receiver.verify_owned(msg) {
             VerifyOutcome::Accept { payload, .. } => assert_eq!(payload, b"secret balance=100"),
             other => panic!("expected Accept, got {other:?}"),
         }
@@ -1493,7 +1503,10 @@ mod tests {
         // protocol and the receive counter stays where it was …
         let mut receiver = receiver_with_another_cipher_key();
         for _ in 0..2 {
-            assert_eq!(receiver.verify(&msg), VerifyOutcome::BadAuthenticator);
+            assert_eq!(
+                receiver.verify_owned(msg.clone()),
+                VerifyOutcome::BadAuthenticator
+            );
             assert_eq!(
                 receiver.verify_batch(batch.clone()),
                 BatchVerifyOutcome::BadAuthenticator
@@ -1508,15 +1521,18 @@ mod tests {
         // … as it does with none at all: a sealed frame needs the key to
         // authenticate, not just to open.
         let (_, mut keyless) = layer_pair(false);
-        assert_eq!(keyless.verify(&msg), VerifyOutcome::BadAuthenticator);
+        assert_eq!(
+            keyless.verify_owned(msg.clone()),
+            VerifyOutcome::BadAuthenticator
+        );
         // The same frames at the right key.
-        assert!(right_key.verify(&msg).is_accept());
+        assert!(delivers(&mut right_key, &msg));
         assert!(right_key.verify_batch(batch).is_accept());
         assert!(right_key.verify_txn(txn).is_accept());
         // Plaintext frames commit to no cipher key and pass either way.
         let (mut plain_sender, _) = layer_pair(false);
         let plain = plain_sender.shield(NodeId(2), 4, b"public").unwrap();
-        assert!(receiver.verify(&plain).is_accept());
+        assert!(delivers(&mut receiver, &plain));
     }
 
     /// A batch frame to node 2 that says three ops and carries two, sealed
@@ -1555,7 +1571,7 @@ mod tests {
             // Both slots are spent; the channel goes on.
             let next = sender.shield(NodeId(2), 1, b"next").unwrap();
             assert_eq!(next.tuple.counter, 3);
-            assert!(receiver.verify(&next).is_accept());
+            assert!(delivers(&mut receiver, &next));
         }
     }
 
@@ -1813,7 +1829,7 @@ mod tests {
     fn a_rotated_key_reaches_the_bound_state_on_both_ends() {
         let (mut sender, mut receiver) = layer_pair(false);
         let first = sender.shield(NodeId(2), 1, b"before").unwrap();
-        assert!(receiver.verify(&first).is_accept());
+        assert!(delivers(&mut receiver, &first));
 
         // The CAS provisions `cq:1->2` again, on both ends: the channel
         // records, their handles and the counters stay, the MAC follows.
@@ -1830,7 +1846,7 @@ mod tests {
         let mut under_old = first.clone();
         under_old.tuple.counter = 2;
         assert_ne!(second.mac, under_old.mac);
-        assert!(receiver.verify(&second).is_accept());
+        assert!(delivers(&mut receiver, &second));
         assert_eq!(receiver.recv_counter_from(NodeId(1)), 2);
 
         // On one end only, the two disagree: nothing verifies, and the
@@ -1840,7 +1856,10 @@ mod tests {
             .provision_mac_key("cq:1->2", MacKey::from_bytes([0x43; 32]))
             .unwrap();
         let (single, batch, txn) = one_of_each(&mut sender);
-        assert_eq!(receiver.verify(&single), VerifyOutcome::BadAuthenticator);
+        assert_eq!(
+            receiver.verify_owned(single),
+            VerifyOutcome::BadAuthenticator
+        );
         assert_eq!(
             receiver.verify_batch(batch),
             BatchVerifyOutcome::BadAuthenticator
@@ -1855,7 +1874,7 @@ mod tests {
         let (mut sender, mut receiver) = layer_pair(true);
         // Sealed frames of all three families bind both ends' sub-keys.
         let (single, batch, txn) = one_of_each(&mut sender);
-        assert!(receiver.verify(&single).is_accept());
+        assert!(delivers(&mut receiver, &single));
         assert!(receiver.verify_batch(batch).is_accept());
         assert!(receiver.verify_txn(txn).is_accept());
 
@@ -1872,7 +1891,7 @@ mod tests {
         let mut expected = b"payload".to_vec();
         recipe_crypto::Cipher::new(&rotated).apply_keystream(&single.tuple.nonce(), &mut expected);
         assert_eq!(single.payload, expected);
-        match receiver.verify(&single) {
+        match receiver.verify_owned(single) {
             VerifyOutcome::Accept { payload, .. } => assert_eq!(payload, b"payload"),
             other => panic!("expected Accept, got {other:?}"),
         }
@@ -1887,7 +1906,10 @@ mod tests {
             .provision_cipher_key(CIPHER_LABEL, CipherKey::from_bytes([0x43; 32]))
             .unwrap();
         let (single, batch, txn) = one_of_each(&mut sender);
-        assert_eq!(receiver.verify(&single), VerifyOutcome::BadAuthenticator);
+        assert_eq!(
+            receiver.verify_owned(single),
+            VerifyOutcome::BadAuthenticator
+        );
         assert_eq!(
             receiver.verify_batch(batch),
             BatchVerifyOutcome::BadAuthenticator
@@ -1904,7 +1926,7 @@ mod tests {
         let out = one.shield(NodeId(2), 1, &[0; 200]).unwrap();
         let back = two.shield(NodeId(1), 1, &[0; 200]).unwrap();
         assert_eq!(out.tuple.counter, back.tuple.counter);
-        assert!(one.verify(&back).is_accept());
+        assert!(delivers(&mut one, &back));
         let peer = one.peer(NodeId(2)).unwrap();
         let send = peer.send.and_then(|channel| channel.cipher).unwrap();
         let recv = peer.recv.and_then(|channel| channel.cipher).unwrap();
@@ -2346,7 +2368,10 @@ mod tests {
             // delivered on its say-so.
             let mut single = sender.shield(NodeId(2), 1, b"payload").unwrap();
             single.confidential ^= true;
-            assert_eq!(receiver.verify(&single), VerifyOutcome::BadAuthenticator);
+            assert_eq!(
+                receiver.verify_owned(single.clone()),
+                VerifyOutcome::BadAuthenticator
+            );
             single.confidential ^= true;
             let mut batch = sender.shield_batch(NodeId(2), &ops(2)).unwrap();
             batch.sealed ^= true;
@@ -2356,7 +2381,7 @@ mod tests {
             );
             batch.sealed ^= true;
             // No slot was spent on the flips.
-            assert!(receiver.verify(&single).is_accept());
+            assert!(delivers(&mut receiver, &single));
             assert!(receiver.verify_batch(batch).is_accept());
         }
     }
@@ -2384,7 +2409,7 @@ mod tests {
         // on the channel gets counter 2 and is accepted in order.
         let msg = sender.shield(NodeId(2), 1, b"after").unwrap();
         assert_eq!(msg.tuple.counter, 2);
-        assert!(receiver.verify(&msg).is_accept());
+        assert!(delivers(&mut receiver, &msg));
         assert!(sender.shield_batch(NodeId(2), &[]).is_err());
     }
 
@@ -2455,13 +2480,13 @@ mod tests {
             }
         );
         assert!(matches!(
-            receiver.verify(&tail),
+            receiver.verify_owned(tail),
             VerifyOutcome::Future { counter: 3, .. }
         ));
         assert_eq!(receiver.pending_from(NodeId(1)), 2);
 
         // The gap fills: the batch flattens into its ops, in counter order.
-        assert!(receiver.verify(&single).is_accept());
+        assert!(delivers(&mut receiver, &single));
         let ready = receiver.take_ready(NodeId(1));
         let expected: Vec<(u16, Vec<u8>, u64)> = vec![
             (7, b"op0".to_vec(), 2),
@@ -2622,9 +2647,9 @@ mod tests {
         // counter but different payload — it has no key, so it can only splice.
         let mut conflicting = honest.clone();
         conflicting.payload = b"value=B".to_vec();
-        assert!(receiver.verify(&honest).is_accept());
+        assert!(delivers(&mut receiver, &honest));
         assert_eq!(
-            receiver.verify(&conflicting),
+            receiver.verify_owned(conflicting),
             VerifyOutcome::BadAuthenticator
         );
     }

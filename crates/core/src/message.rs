@@ -552,18 +552,7 @@ impl ShieldedMessage {
     }
 
     /// The message as the authentication layer checks it, the payload
-    /// borrowed.
-    pub(crate) fn view(&self) -> FrameView<'_> {
-        FrameView {
-            tuple: self.tuple,
-            sealed: self.confidential,
-            mac: self.mac,
-            family: self.family(),
-            body: Body::Shared(&self.payload),
-        }
-    }
-
-    /// [`ShieldedMessage::view`] with the payload moved in.
+    /// moved in.
     pub(crate) fn into_view(self) -> FrameView<'static> {
         FrameView {
             tuple: self.tuple,

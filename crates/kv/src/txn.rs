@@ -163,12 +163,6 @@ impl TxnTable {
         self.take_staged(txn_id).is_some()
     }
 
-    /// Transaction ids with staged state, in ascending order (a recovering
-    /// participant group enumerates these to resolve in-flight transactions).
-    pub fn staged_txn_ids(&self) -> Vec<u64> {
-        self.staged.keys().copied().collect()
-    }
-
     /// Records a prepare replicated from the group leader: keys and staged
     /// writes, but **no locks** — the record is passive until adopted on
     /// failover. Idempotent, and a no-op when this store already holds the

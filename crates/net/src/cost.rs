@@ -63,8 +63,9 @@ pub struct NetCostModel {
     pub recipe_auth_per_byte_ns: f64,
 }
 
-impl Default for NetCostModel {
-    fn default() -> Self {
+impl NetCostModel {
+    /// The calibrated parameters.
+    pub const CALIBRATED: NetCostModel = {
         // Calibration anchors (approximate, from the literature the paper cites):
         //  - eRPC achieves ~10M small msgs/s/core  → ~100 ns per message.
         //  - kernel UDP path costs ~2–4 µs per message with syscall + copy.
@@ -82,10 +83,8 @@ impl Default for NetCostModel {
             recipe_auth_per_msg_ns: 450.0,
             recipe_auth_per_byte_ns: 0.55,
         }
-    }
-}
+    };
 
-impl NetCostModel {
     /// Time (ns) to move one message of `payload_bytes` through the given stack,
     /// excluding Recipe's security layers.
     pub fn message_cost_ns(
@@ -149,7 +148,7 @@ mod tests {
 
     #[test]
     fn direct_io_beats_kernel_sockets() {
-        let m = NetCostModel::default();
+        let m = NetCostModel::CALIBRATED;
         for size in SIZES {
             for mode in [ExecMode::Native, ExecMode::Tee] {
                 assert!(
@@ -163,7 +162,7 @@ mod tests {
 
     #[test]
     fn tee_degrades_both_stacks_roughly_4x_to_8x() {
-        let m = NetCostModel::default();
+        let m = NetCostModel::CALIBRATED;
         for transport in [Transport::KernelSockets, Transport::DirectIo] {
             // Small payloads are where per-message penalties dominate.
             let native = m.throughput_gbps(transport, ExecMode::Native, 64);
@@ -178,7 +177,7 @@ mod tests {
 
     #[test]
     fn recipe_lib_beats_kernel_sockets_in_tee() {
-        let m = NetCostModel::default();
+        let m = NetCostModel::CALIBRATED;
         for size in SIZES {
             let recipe = m.recipe_lib_throughput_gbps(size);
             let kernel_tee = m.throughput_gbps(Transport::KernelSockets, ExecMode::Tee, size);
@@ -198,7 +197,7 @@ mod tests {
     fn recipe_lib_is_slower_than_raw_direct_io_tee() {
         // The security layers cost something; Recipe-lib can never exceed the raw
         // direct-I/O TEE stack it is built on.
-        let m = NetCostModel::default();
+        let m = NetCostModel::CALIBRATED;
         for size in SIZES {
             assert!(
                 m.recipe_lib_throughput_gbps(size)
@@ -209,7 +208,7 @@ mod tests {
 
     #[test]
     fn native_direct_io_approaches_line_rate_at_large_payloads() {
-        let m = NetCostModel::default();
+        let m = NetCostModel::CALIBRATED;
         let gbps = m.throughput_gbps(Transport::DirectIo, ExecMode::Native, 4096);
         assert!(gbps > 15.0, "got {gbps:.1} Gb/s");
         assert!(gbps < 45.0, "got {gbps:.1} Gb/s (40 GbE fabric)");
@@ -217,7 +216,7 @@ mod tests {
 
     #[test]
     fn zero_payload_has_finite_positive_cost() {
-        let m = NetCostModel::default();
+        let m = NetCostModel::CALIBRATED;
         assert!(m.message_cost_ns(Transport::DirectIo, ExecMode::Native, 0) > 0.0);
         assert_eq!(
             m.throughput_gbps(Transport::DirectIo, ExecMode::Native, 0),
@@ -231,7 +230,7 @@ mod tests {
             // Per-message overhead amortizes with payload size, so larger payloads
             // always achieve at least the goodput of smaller ones.
             prop_assume!(size_a < size_b);
-            let m = NetCostModel::default();
+            let m = NetCostModel::CALIBRATED;
             for transport in [Transport::KernelSockets, Transport::DirectIo] {
                 for mode in [ExecMode::Native, ExecMode::Tee] {
                     prop_assert!(m.throughput_gbps(transport, mode, size_a)
@@ -242,7 +241,7 @@ mod tests {
 
         #[test]
         fn costs_are_monotone_in_payload(size in 0usize..8192) {
-            let m = NetCostModel::default();
+            let m = NetCostModel::CALIBRATED;
             let small = m.recipe_lib_cost_ns(size);
             let large = m.recipe_lib_cost_ns(size + 1);
             prop_assert!(large >= small);

@@ -35,7 +35,7 @@
 use recipe_core::{Operation, Request};
 use recipe_gateway::{Gateway, GatewayVerdict};
 use recipe_protocols::StoreReplica;
-use recipe_sim::{GroupEvent, Key, Owner, Replica};
+use recipe_sim::{GroupEvent, Key, Owner, Replica, COST_MODEL};
 use recipe_telemetry::SpanKind;
 use recipe_workload::stable_key_hash;
 
@@ -115,8 +115,6 @@ pub(crate) struct Engine<'a, R: Replica> {
     pub(crate) cluster: &'a mut ShardedCluster<R>,
     workload: &'a mut dyn FnMut(u64, u64) -> Option<Request>,
     pub(crate) rb: RebalanceConfig,
-    pub(crate) link_latency: u64,
-    think: u64,
     cap: u64,
     target: u64,
     /// The tenant gateway fronts the router when the deployment enables it.
@@ -184,22 +182,19 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         }
         let config = &cluster.config;
         let rb = config.rebalance.clone();
-        let link_latency = config.base.cost_model.link_latency_ns;
         let clients = config.clients.clients;
         let shard_count = cluster.shards.len();
         let mut engine = Engine {
             workload,
-            link_latency,
-            think: config.base.cost_model.client_think_ns,
-            cap: config.base.max_virtual_ns,
+            cap: config.max_virtual_ns,
             target: config.clients.total_operations as u64,
-            gateway: Gateway::from_config(&config.gateway, config.base.seed),
+            gateway: Gateway::from_config(&config.gateway, config.seed),
             st: ControllerState::new(
                 shard_count,
                 cluster.router.arc_count(),
                 rb.check_interval_ns,
             ),
-            txns: TxnManager::new(config.txn.clone(), config.base.seed, shard_count),
+            txns: TxnManager::new(config.txn.clone(), config.seed, shard_count),
             clients: (0..clients)
                 .map(|_| ClientState {
                     version: cluster.router.version(),
@@ -328,7 +323,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
             // its next operation — rejection consumes the request, it does
             // not spin on it.
             GatewayVerdict::Rejected { .. } => self.schedule(
-                at + 2 * self.link_latency + self.think,
+                at + 2 * COST_MODEL.link_latency_ns + COST_MODEL.client_think_ns,
                 client_id,
                 DriverWork::Fresh,
             ),
@@ -367,7 +362,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                 self.txns.stats.wrong_shard_retries += 1;
             }
             self.clients[client].version = new_version;
-            let retry_at = at + 2 * self.link_latency;
+            let retry_at = at + 2 * COST_MODEL.link_latency_ns;
             return self.schedule(retry_at, client_id, DriverWork::Retry(rid, request));
         }
         if placements
@@ -381,7 +376,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
             if request.is_txn() {
                 self.txns.stats.refusal_backoffs += 1;
             }
-            let retry_at = at + 2 * self.link_latency + 50_000;
+            let retry_at = at + 2 * COST_MODEL.link_latency_ns + 50_000;
             return self.schedule(retry_at, client_id, DriverWork::Retry(rid, request));
         }
 
@@ -444,7 +439,11 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         if ops.is_empty() {
             // A degenerate empty transaction commits trivially; the client
             // moves on.
-            return self.schedule(at + self.think, client_id, DriverWork::Fresh);
+            return self.schedule(
+                at + COST_MODEL.client_think_ns,
+                client_id,
+                DriverWork::Fresh,
+            );
         }
         if let Err(ops) = self.txn_begin(client_id, rid, ops, placements, at) {
             // A participant group has no live coordinator; retry the whole
@@ -538,7 +537,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         if let Some(gateway) = self.gateway.as_mut() {
             gateway.complete(client_id, at_ns, ops.len());
         }
-        let next_at = at_ns + self.link_latency + self.think;
+        let next_at = at_ns + COST_MODEL.link_latency_ns + COST_MODEL.client_think_ns;
         self.schedule(next_at, client_id, DriverWork::Fresh);
     }
 

@@ -32,7 +32,7 @@ use std::cmp::Reverse;
 use std::collections::HashSet;
 
 use recipe_protocols::{ChunkPhase, MigrationChannel, MigrationChunk, StoreReplica};
-use recipe_sim::{RangeEntry, Work};
+use recipe_sim::{RangeEntry, Work, COST_MODEL};
 use recipe_telemetry::{ChargeKind, SpanKind};
 use recipe_workload::stable_key_hash;
 use serde::{Deserialize, Serialize};
@@ -489,14 +489,10 @@ impl<R: StoreReplica> Engine<'_, R> {
         phase: ChunkPhase,
     ) -> u64 {
         let Engine {
-            cluster,
-            st,
-            rb,
-            link_latency,
-            ..
+            cluster, st, rb, ..
         } = self;
-        // Each node is charged under *its own* profile (groups may run
-        // heterogeneous hardware per replica).
+        // Each node is charged under its own group's profile (the donor's
+        // and the recipient's shard policies may name different hardware).
         let donor_leader = cluster.shards[active.donor]
             .write_coordinator()
             .unwrap_or_else(|| cluster.shards[active.donor].node_ids()[0]);
@@ -548,7 +544,7 @@ impl<R: StoreReplica> Engine<'_, R> {
 
             // Wire + recipient side: verify the sealed frame, install on every
             // replica of the group (each pays the import).
-            let arrival = sent_at + *link_latency;
+            let arrival = sent_at + COST_MODEL.link_latency_ns;
             let opened = active
                 .channel
                 .open(&mut wire)

@@ -27,10 +27,8 @@
 
 use recipe_core::ConfidentialityMode;
 use recipe_gateway::{GatewayConfig, GatewayStats};
-use recipe_net::{CrashPlan, FaultPlan};
 use recipe_sim::{
-    Calendar, Completion, CostProfile, GroupEvent, Key, Replica, ReplicaGroup, RunStats, Scheduler,
-    SimConfig,
+    Calendar, Completion, GroupEvent, Key, Replica, ReplicaGroup, RunStats, Scheduler, SimConfig,
 };
 use recipe_telemetry::{MetricsRegistry, ShardTelemetry, TelemetryConfig, TelemetryReport};
 use recipe_workload::stable_key_hash;
@@ -38,6 +36,7 @@ use recipe_workload::stable_key_hash;
 use crate::driver::Event;
 use crate::migration::{MigrationStats, RebalanceConfig};
 use crate::router::ShardRouter;
+use crate::spec::ResolvedShardPolicy;
 use crate::txn::{TxnConfig, TxnStats};
 
 /// The global closed-loop client population.
@@ -58,35 +57,26 @@ impl Default for ClientModel {
     }
 }
 
-/// Configuration of a sharded deployment.
-///
-/// This is the *lowered* form a [`crate::DeploymentSpec`] resolves into; new
-/// code should build deployments through the spec rather than assembling a
-/// `ShardedConfig` by hand.
+/// The cluster's resolved description of a deployment: what
+/// [`crate::DeploymentSpec::to_sharded_config`] makes of a spec, and the only
+/// way to get one — a cluster is built from a spec, never from a
+/// `ShardedConfig` assembled by hand.
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
-    /// Number of independent replica groups.
-    pub shards: usize,
+    /// Each shard's resolved policy, in shard order: its replicas are built
+    /// under it and its group's [`SimConfig`] is made from it.
+    pub policies: Vec<ResolvedShardPolicy>,
     /// Virtual nodes per shard on the consistent-hash ring.
     pub vnodes_per_shard: usize,
-    /// Template configuration for every shard: cost model, per-replica
-    /// profiles, fault plan, virtual-time cap and retry timeout. Each shard
-    /// derives its RNG seed from `base.seed` and its shard index so fault
-    /// streams are independent.
-    pub base: SimConfig,
+    /// The run's seed: the driver's, the gateway's and the 2PC
+    /// coordinator's, and — mixed with the shard index — each group's, so
+    /// fault streams are independent.
+    pub seed: u64,
+    /// Hard cap on virtual time (nanoseconds), the driver's and every
+    /// group's.
+    pub max_virtual_ns: u64,
     /// The global client population the driver runs over every shard.
     pub clients: ClientModel,
-    /// Each shard's fault plan (e.g. a lossy network on one shard only).
-    pub fault_plans: Vec<FaultPlan>,
-    /// Each shard's crash schedule (deterministic crash/recover events on the
-    /// virtual clock; empty by default — crash-free).
-    pub crash_plans: Vec<CrashPlan>,
-    /// Each shard's cost profiles, one per replica (heterogeneous hardware
-    /// per group).
-    pub profiles: Vec<Vec<CostProfile>>,
-    /// Each shard's confidentiality policy, resolved by the deployment spec;
-    /// the migration controller's per-move transfer AEAD follows it.
-    pub confidentiality: Vec<ConfidentialityMode>,
     /// Online-rebalancing controller knobs (disabled by default; only
     /// request drivers with the controller enabled consult them).
     pub rebalance: RebalanceConfig,
@@ -107,18 +97,19 @@ pub struct ShardedConfig {
 }
 
 impl ShardedConfig {
-    /// The effective simulator configuration for shard `shard`.
-    pub(crate) fn config_for_shard(&self, shard: usize) -> SimConfig {
-        let mut config = self.base.clone();
+    /// The configuration of a group of `replicas` built under `policy`.
+    fn group_config(&self, policy: &ResolvedShardPolicy, replicas: usize) -> SimConfig {
         // Distinct, deterministic fault/randomness stream per shard.
-        config.seed = self
-            .base
-            .seed
-            .wrapping_add(stable_key_hash(format!("shard-seed:{shard}").as_bytes()));
-        config.fault_plan = self.fault_plans[shard];
-        config.crash_plan = self.crash_plans[shard].clone();
-        config.profiles = self.profiles[shard].clone();
-        config
+        let shard_seed = format!("shard-seed:{}", policy.shard);
+        SimConfig {
+            seed: self
+                .seed
+                .wrapping_add(stable_key_hash(shard_seed.as_bytes())),
+            profiles: vec![policy.profile.clone(); replicas],
+            fault_plan: policy.fault_plan,
+            crash_plan: policy.crash_plan.clone(),
+            max_virtual_ns: self.max_virtual_ns,
+        }
     }
 }
 
@@ -205,35 +196,19 @@ pub struct ShardedCluster<R: Replica> {
 }
 
 impl<R: Replica> ShardedCluster<R> {
-    /// Creates a sharded cluster from one replica group per shard plus the
-    /// lowered configuration ([`ShardedCluster::build`]'s last step).
-    ///
-    /// # Panics
-    /// Panics if `groups.len() != config.shards`, if any override vector has
-    /// the wrong length, or if a group is empty.
+    /// Creates a sharded cluster from the replicas of each shard, in the
+    /// order of `config.policies` ([`ShardedCluster::build`]'s last step).
     pub(crate) fn from_groups(groups: Vec<Vec<R>>, config: ShardedConfig) -> Self {
-        assert_eq!(groups.len(), config.shards, "one replica group per shard");
-        let shards = config.shards;
-        assert_eq!(config.fault_plans.len(), shards, "one fault plan per shard");
-        assert_eq!(config.crash_plans.len(), shards, "one crash plan per shard");
-        assert_eq!(config.profiles.len(), shards, "one profile set per shard");
-        for (shard, (profiles, group)) in config.profiles.iter().zip(&groups).enumerate() {
-            assert_eq!(
-                profiles.len(),
-                group.len(),
-                "shard {shard}: one cost profile per replica"
-            );
-        }
-        assert_eq!(config.confidentiality.len(), shards, "one policy per shard");
-        let router = ShardRouter::new(config.shards, config.vnodes_per_shard);
+        let router = ShardRouter::new(config.policies.len(), config.vnodes_per_shard);
         let shards = groups
             .into_iter()
-            .enumerate()
-            .map(|(shard, replicas)| {
-                assert!(!replicas.is_empty(), "shard {shard} has no replicas");
-                let mut group = ReplicaGroup::new(replicas, config.config_for_shard(shard));
+            .zip(&config.policies)
+            .map(|(replicas, policy)| {
+                let group_config = config.group_config(policy, replicas.len());
+                let mut group = ReplicaGroup::new(replicas, group_config);
                 if config.telemetry.enabled {
-                    group.set_telemetry(ShardTelemetry::new(shard as u32, &config.telemetry));
+                    let telemetry = ShardTelemetry::new(policy.shard as u32, &config.telemetry);
+                    group.set_telemetry(telemetry);
                 }
                 group
             })
@@ -269,7 +244,7 @@ impl<R: Replica> ShardedCluster<R> {
     /// The confidentiality policy of one shard, as the deployment spec
     /// resolved it.
     pub fn confidentiality_of(&self, shard: usize) -> ConfidentialityMode {
-        self.config.confidentiality[shard]
+        self.config.policies[shard].confidentiality
     }
 
     /// Drains every shard's telemetry into one merged [`TelemetryReport`]:
@@ -354,7 +329,7 @@ impl<R: Replica> ShardedCluster<R> {
     /// replica state.
     pub fn quiesce(&mut self, extra_ns: u64) {
         let frontier = self.shards.iter().map(ReplicaGroup::now_ns).max();
-        let cap = self.config.base.max_virtual_ns;
+        let cap = self.config.max_virtual_ns;
         let deadline = frontier.unwrap_or(0).saturating_add(extra_ns).min(cap);
         while self.calendar.peek().is_some_and(|key| key.at <= deadline) {
             // Driver events do not outlive a run: only groups' are left.

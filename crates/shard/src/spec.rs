@@ -14,14 +14,15 @@
 //!   confidentiality, batching triggers, fault plan, client population, seed,
 //!   rebalancing knobs;
 //! * **per-shard [`ShardPolicy`] overrides** — any subset of
-//!   `{confidentiality, batching, cost profile, fault plan}` for a specific
-//!   shard, composed over the defaults (the layered-config idiom);
-//! * **one consumer** — [`ShardedCluster::build`] resolves the spec into the
-//!   per-shard [`ResolvedShardPolicy`]s, constructs every replica through
-//!   [`recipe_protocols::BuildReplica`] — Recipe-transformed where the
-//!   resolved profile is `shielded`, native where it is not, so the mode is
-//!   never a knob of its own — and lowers the rest into the internal
-//!   [`ShardedConfig`].
+//!   `{confidentiality, batching, cost profile, fault plan, crash plan}` for
+//!   a specific shard, composed over the defaults (the layered-config idiom);
+//! * **one consumer** — [`ShardedCluster::build`] resolves the spec once into
+//!   the cluster's [`ShardedConfig`]: one [`ResolvedShardPolicy`] per shard
+//!   beside the spec-level values a run reads. Each shard's replicas are
+//!   built under its policy through [`recipe_protocols::BuildReplica`] —
+//!   Recipe-transformed where the resolved profile is `shielded`, native
+//!   where it is not, so the mode is never a knob of its own — and its
+//!   group's simulator configuration is made from the same policy.
 //!
 //! A spec of one shard is a single replica group: the paper's single-group
 //! figures, the fault tests and the examples are written as
@@ -51,7 +52,7 @@ use std::collections::BTreeMap;
 use recipe_core::{ConfidentialityMode, Membership};
 use recipe_net::{CrashPlan, FaultPlan};
 use recipe_protocols::{BatchConfig, BuildReplica, ProtocolMode, MAX_CLIENTS, MAX_SHARDS};
-use recipe_sim::{CostProfile, SimConfig};
+use recipe_sim::CostProfile;
 
 use crate::migration::RebalanceConfig;
 use crate::router::ShardRouter;
@@ -531,30 +532,17 @@ impl DeploymentSpec {
         }
     }
 
-    /// Lowers the spec into the internal [`ShardedConfig`] the driver
-    /// consumes: per-shard profile/fault-plan/confidentiality vectors from
-    /// the resolved policies, the shared simulator knobs in `base`.
+    /// Resolves the spec into the cluster's [`ShardedConfig`]: each shard's
+    /// policy, resolved once, beside the spec-level values a run reads.
     pub fn to_sharded_config(&self) -> ShardedConfig {
-        let policies: Vec<ResolvedShardPolicy> = (0..self.shards)
-            .map(|shard| self.policy_for(shard))
-            .collect();
-        let mut base = SimConfig::uniform(self.replicas_per_shard, self.profile.clone());
-        base.seed = self.seed;
-        base.max_virtual_ns = self.max_virtual_ns;
-        base.fault_plan = self.fault_plan;
-        base.crash_plan = self.crash_plan.clone();
         ShardedConfig {
-            shards: self.shards,
-            vnodes_per_shard: self.vnodes_per_shard,
-            base,
-            clients: self.clients.clone(),
-            fault_plans: policies.iter().map(|p| p.fault_plan).collect(),
-            crash_plans: policies.iter().map(|p| p.crash_plan.clone()).collect(),
-            profiles: policies
-                .iter()
-                .map(|p| vec![p.profile.clone(); self.replicas_per_shard])
+            policies: (0..self.shards)
+                .map(|shard| self.policy_for(shard))
                 .collect(),
-            confidentiality: policies.iter().map(|p| p.confidentiality).collect(),
+            vnodes_per_shard: self.vnodes_per_shard,
+            seed: self.seed,
+            max_virtual_ns: self.max_virtual_ns,
+            clients: self.clients.clone(),
             rebalance: self.rebalance.clone(),
             txn: self.txn.clone(),
             telemetry: self.telemetry.clone(),
@@ -649,15 +637,17 @@ impl<R: BuildReplica> ShardedCluster<R> {
     ) -> Self {
         let config = spec.to_sharded_config();
         let membership = spec.membership();
-        let groups = (0..spec.shards)
-            .map(|shard| {
-                let policy = spec.policy_for(shard);
+        let groups = config
+            .policies
+            .iter()
+            .map(|policy| {
+                let shard = policy.shard;
                 // Replica ids repeat from group to group; the group index in
                 // the membership is what keeps derived key material apart.
                 (0..spec.replicas_per_shard as u64)
                     .map(|id| {
                         let membership = membership.clone().in_group(shard as u64);
-                        make(shard, id, membership, &policy)
+                        make(shard, id, membership, policy)
                     })
                     .collect()
             })
@@ -671,6 +661,7 @@ mod tests {
     use recipe_bft::dispatch;
     use recipe_protocols::{Protocol, ProtocolVisitor, RaftReplica};
     use recipe_sim::Replica;
+    use recipe_workload::stable_key_hash;
 
     use super::*;
 
@@ -748,11 +739,10 @@ mod tests {
         }
         assert_eq!(spec.membership().n(), 3);
         assert_eq!(spec.membership().f(), 1);
-        // The lowered config carries the same defaults.
+        // The resolved config carries the same defaults.
         let config = spec.to_sharded_config();
-        assert_eq!(config.shards, 4);
-        assert_eq!(config.base.profiles.len(), 3);
-        assert!(!config.base.profiles[0].confidential);
+        assert_eq!(config.policies.len(), 4);
+        assert!(config.policies.iter().all(|p| !p.profile.confidential));
     }
 
     #[test]
@@ -789,8 +779,9 @@ mod tests {
         assert!(spec.policy_for(0).profile.confidential);
         assert!(!spec.policy_for(1).profile.confidential);
         let config = spec.to_sharded_config();
+        let modes: Vec<_> = config.policies.iter().map(|p| p.confidentiality).collect();
         assert_eq!(
-            config.confidentiality,
+            modes,
             [
                 ConfidentialityMode::Confidential,
                 ConfidentialityMode::Plaintext
@@ -799,23 +790,57 @@ mod tests {
     }
 
     #[test]
-    fn lowering_produces_one_override_row_per_shard() {
+    fn each_group_is_configured_from_its_own_policy() {
+        let crash_plan = CrashPlan::none().crash(recipe_net::NodeId(1), 5_000_000);
         let spec = DeploymentSpec::new(3, 5)
             .with_seed(7)
             .with_clients(10, 100)
             .with_faults_tolerated(2)
-            .with_shard_policy(2, ShardPolicy::confidential());
-        let config = spec.to_sharded_config();
-        assert_eq!(config.shards, 3);
-        assert_eq!(config.base.seed, 7);
-        assert_eq!(config.clients.clients, 10);
-        assert_eq!(config.fault_plans.len(), 3);
-        let profiles = &config.profiles;
-        assert_eq!(profiles.len(), 3);
-        assert!(profiles.iter().all(|shard| shard.len() == 5));
-        assert!(profiles[2].iter().all(|p| p.confidential));
-        assert!(!profiles[0][0].confidential);
+            .with_shard_policy(
+                1,
+                ShardPolicy::confidential()
+                    .with_batch(BatchConfig::of_ops(8))
+                    .with_crash_plan(crash_plan.clone()),
+            )
+            .with_shard_policy(
+                2,
+                ShardPolicy::new()
+                    .with_profile(CostProfile::native_cft())
+                    .with_fault_plan(FaultPlan::lossy(0.1)),
+            );
+        assert_eq!(spec.validate(), Ok(()));
         assert_eq!(spec.membership().f(), 2);
+        let config = spec.to_sharded_config();
+        assert_eq!(config.policies.len(), 3);
+        assert_eq!(config.seed, 7);
+        assert_eq!(config.clients.clients, 10);
+        let cluster = ShardedCluster::<RaftReplica>::build(spec);
+        for (shard, policy) in config.policies.iter().enumerate() {
+            assert_eq!(policy.shard, shard);
+            let group = cluster.shard(shard).config();
+            assert_eq!(group.profiles, vec![policy.profile.clone(); 5]);
+            assert_eq!(group.fault_plan, policy.fault_plan);
+            assert_eq!(group.crash_plan, policy.crash_plan);
+            let derived = stable_key_hash(format!("shard-seed:{shard}").as_bytes());
+            assert_eq!(group.seed, 7u64.wrapping_add(derived));
+            assert_eq!(group.max_virtual_ns, config.max_virtual_ns);
+            assert_eq!(cluster.confidentiality_of(shard), policy.confidentiality);
+        }
+        // Each override reached its own group and no other.
+        let [p0, p1, p2] = &config.policies[..] else {
+            unreachable!("three shards")
+        };
+        assert!(!p0.profile.confidential && p0.profile.shielded);
+        assert!(p0.crash_plan.entries.is_empty());
+        assert_eq!(p0.fault_plan, FaultPlan::benign());
+        assert!(p1.profile.confidential);
+        assert_eq!(
+            (p1.batch, p1.profile.batch_ops),
+            (BatchConfig::of_ops(8), 8)
+        );
+        assert_eq!(p1.crash_plan, crash_plan);
+        assert!(!p2.profile.shielded);
+        assert!(p2.fault_plan.drop_probability > 0.0);
     }
 
     #[test]

@@ -73,7 +73,7 @@ use recipe_net::{FaultPlan, FrameFault, NetworkFaultInjector, NodeId};
 use recipe_protocols::{
     StoreReplica, TxnLanes, TxnVote, MAX_SHARDS, MIGRATION_ENDPOINT_IDS, TXN_ENDPOINT_IDS,
 };
-use recipe_sim::{RangeEntry, Work};
+use recipe_sim::{RangeEntry, Work, COST_MODEL};
 use recipe_telemetry::{ChargeKind, CostCategory, SpanKind};
 use recipe_workload::stable_key_hash;
 
@@ -620,7 +620,7 @@ impl<R: StoreReplica> Engine<'_, R> {
 
     /// One attempt of the current phase's round trip on participant `idx`.
     fn txn_round_trip(&mut self, txn: &mut InflightTxn, idx: usize, at: u64) -> RoundTrip {
-        let link = self.link_latency;
+        let link = COST_MODEL.link_latency_ns;
         let retry = RoundTrip::Retry {
             retry_at: at + self.txns.config.retry_timeout_ns,
         };
@@ -701,11 +701,7 @@ impl<R: StoreReplica> Engine<'_, R> {
         } = *participant;
         let granted = participant.granted == Some(true);
         let Engine {
-            cluster,
-            txns,
-            st,
-            link_latency,
-            ..
+            cluster, txns, st, ..
         } = self;
         let group = &mut cluster.shards[shard];
         let Some(leader) = group.write_coordinator() else {
@@ -742,7 +738,7 @@ impl<R: StoreReplica> Engine<'_, R> {
         // group before the leader answers the coordinator — a participant
         // answering from volatile leader state would break atomicity on the
         // very failures 2PC exists to survive.
-        let replication_rt = 2 * *link_latency;
+        let replication_rt = 2 * COST_MODEL.link_latency_ns;
         match body {
             TxnBody::Prepare { ops } => {
                 // Routing a transaction at a group whose protocol does not

@@ -19,17 +19,18 @@ use recipe_tee::TrustedInstant;
 use recipe_telemetry::{ChargeKind, CostBreakdown, CostCategory, ShardTelemetry, SpanKind};
 use serde::{Deserialize, Serialize};
 
-use crate::cost::{CostProfile, ProtocolCostModel, Work};
+use crate::cost::{CostProfile, Work, COST_MODEL, FAILURE_DETECTION_DELAY_NS, RETRY_TIMEOUT_NS};
 use crate::queue::{Calendar, Owner};
 use crate::replica::{Ctx, Effects, RangeEntry, RecoveryState, Replica};
 
-/// Simulation configuration.
+/// One replica group's configuration. Every node is charged under
+/// [`COST_MODEL`]; clients retransmit after [`RETRY_TIMEOUT_NS`], and the
+/// configuration service reports a crash or recovery after
+/// [`FAILURE_DETECTION_DELAY_NS`].
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// RNG seed (fault injection, routing tie-breaks).
     pub seed: u64,
-    /// The cost model shared by all nodes.
-    pub cost_model: ProtocolCostModel,
     /// Per-node execution profiles, indexed by node id order of the replicas passed
     /// to [`SimCluster::new`].
     pub profiles: Vec<CostProfile>,
@@ -37,19 +38,11 @@ pub struct SimConfig {
     pub fault_plan: FaultPlan,
     /// Hard cap on virtual time (nanoseconds) as a safety net.
     pub max_virtual_ns: u64,
-    /// Client-side retransmission timeout (nanoseconds): an outstanding request is
-    /// re-sent (possibly to a different coordinator) after this long without a
-    /// reply, which is how clients survive coordinator crashes.
-    pub retry_timeout_ns: u64,
     /// Deterministic crash schedule: nodes crash at `crash_at_ns` and (when
     /// `recover_at_ns` is set) restart rollback-protected at `recover_at_ns`.
     /// An empty plan schedules nothing — crash-free runs are bit-identical to
     /// builds without the recovery plane.
     pub crash_plan: CrashPlan,
-    /// How long after a crash (or recovery) the trusted configuration service
-    /// notifies the surviving replicas via [`Replica::on_peer_down`] /
-    /// [`Replica::on_peer_up`]. Only consumed when a crash actually happens.
-    pub failure_detection_delay_ns: u64,
 }
 
 impl SimConfig {
@@ -57,13 +50,10 @@ impl SimConfig {
     pub fn uniform(n: usize, profile: CostProfile) -> Self {
         SimConfig {
             seed: 42,
-            cost_model: ProtocolCostModel::default(),
             profiles: vec![profile; n],
             fault_plan: FaultPlan::benign(),
             max_virtual_ns: 120 * 1_000_000_000,
-            retry_timeout_ns: 100_000_000,
             crash_plan: CrashPlan::none(),
-            failure_detection_delay_ns: 15_000_000,
         }
     }
 }
@@ -329,7 +319,6 @@ pub struct ReplicaGroup<R: Replica> {
     /// The effect buffers handler calls fill, lent to one [`Ctx`] at a time
     /// and taken back empty: a steady run allocates none.
     effects: Effects,
-    latencies_ns: Vec<u64>,
     stats: RunStats,
     write_rr: usize,
     read_rr: usize,
@@ -358,7 +347,6 @@ impl<R: Replica> ReplicaGroup<R> {
             crashed: BTreeSet::new(),
             clients: Vec::new(),
             effects: Effects::default(),
-            latencies_ns: Vec::new(),
             stats: RunStats::default(),
             write_rr: 0,
             read_rr: 0,
@@ -400,6 +388,11 @@ impl<R: Replica> ReplicaGroup<R> {
                 }
             }
         }
+    }
+
+    /// The configuration the group was built under.
+    pub fn config(&self) -> &SimConfig {
+        &self.config
     }
 
     /// Operations committed so far.
@@ -465,10 +458,7 @@ impl<R: Replica> ReplicaGroup<R> {
     /// [`ReplicaGroup::charge`] by replica position.
     fn charge_idx(&mut self, idx: usize, at_ns: u64, kind: ChargeKind, work: Work) -> Charged {
         let mut split = self.telemetry.is_some().then(CostBreakdown::new);
-        let cost = self
-            .config
-            .cost_model
-            .cost(&self.config.profiles[idx], work, split.as_mut());
+        let cost = COST_MODEL.cost(&self.config.profiles[idx], work, split.as_mut());
         if let (Some(t), Some(split)) = (self.telemetry.as_mut(), &split) {
             t.charge(kind, split);
         }
@@ -530,8 +520,8 @@ impl<R: Replica> ReplicaGroup<R> {
             is_write: operation.is_write(),
             operation: operation.clone(),
         });
-        let deliver_at = self.now + self.config.cost_model.link_latency_ns;
-        let retry_at = self.now + self.config.retry_timeout_ns;
+        let deliver_at = self.now + COST_MODEL.link_latency_ns;
+        let retry_at = self.now + RETRY_TIMEOUT_NS;
         sched.retry(retry_at, client_id, request_id);
         sched.request(deliver_at, target, client_id, request_id, operation);
         if let Some(t) = self.telemetry.as_mut() {
@@ -562,7 +552,7 @@ impl<R: Replica> ReplicaGroup<R> {
                     }
                     // The trusted configuration service observes the failure
                     // and notifies the survivors after the detection delay.
-                    let notice_at = self.now + self.config.failure_detection_delay_ns;
+                    let notice_at = self.now + FAILURE_DETECTION_DELAY_NS;
                     for idx in 0..self.ids.len() {
                         if self.ids[idx] != node {
                             sched.notice(notice_at, idx, node, false);
@@ -598,10 +588,10 @@ impl<R: Replica> ReplicaGroup<R> {
                 // generators on every retry).
                 let operation = out.operation.clone();
                 if let Some(idx) = self.route(&operation) {
-                    let deliver_at = self.now + self.config.cost_model.link_latency_ns;
+                    let deliver_at = self.now + COST_MODEL.link_latency_ns;
                     sched.request(deliver_at, idx, client_id, request_id, operation);
                 }
-                let retry_at = self.now + self.config.retry_timeout_ns;
+                let retry_at = self.now + RETRY_TIMEOUT_NS;
                 sched.retry(retry_at, client_id, request_id);
             }
             EventKind::ClientDeliver {
@@ -797,18 +787,19 @@ impl<R: Replica> ReplicaGroup<R> {
         }
         self.apply_effects(idx, ctx, sched);
 
-        let notice_at = self.now + self.config.failure_detection_delay_ns;
+        let notice_at = self.now + FAILURE_DETECTION_DELAY_NS;
         for &(peer_idx, _) in &live_peers {
             sched.notice(notice_at, peer_idx, node, true);
         }
     }
 
     /// Finalizes and returns the statistics for everything processed so far.
+    /// Latencies are the driver's to set: each one reached it as a
+    /// [`Completion`].
     pub fn finish(&mut self) -> RunStats {
         let elapsed = self.now.max(1) as f64 / 1e9;
         self.stats.elapsed_secs = elapsed;
         self.stats.throughput_ops = self.stats.committed as f64 / elapsed;
-        self.stats.set_latencies(&mut self.latencies_ns);
         self.stats.clone()
     }
 
@@ -880,7 +871,7 @@ impl<R: Replica> ReplicaGroup<R> {
                 .injector
                 .decide_frame(sched.next_seq(), src, dst, &bytes);
             let extra_delay = self.injector.sample_extra_delay_ns();
-            let deliver_at = send_finish + self.config.cost_model.link_latency_ns + extra_delay;
+            let deliver_at = send_finish + COST_MODEL.link_latency_ns + extra_delay;
             match fault {
                 FrameFault::Deliver => sched.deliver(deliver_at, src, to, bytes, ops),
                 FrameFault::Drop => {
@@ -953,7 +944,6 @@ impl<R: Replica> ReplicaGroup<R> {
         let current = |out: &mut Outstanding| out.request_id == reply.request_id;
         if let Some(out) = slot.and_then(|slot| slot.take_if(current)) {
             let latency = self.now.saturating_sub(out.issued_ns);
-            self.latencies_ns.push(latency);
             if let Some(t) = self.telemetry.as_mut() {
                 t.instant(SpanKind::Reply, reply.replier, self.now, client_id);
                 t.record_latency(latency);
@@ -1190,28 +1180,29 @@ mod tests {
     /// submitting `workload(client, seq)` as its previous request completes,
     /// until `ops` have committed or the queue stops. A client whose
     /// submission finds no live coordinator issues nothing more. Returns the
-    /// most events the heap held at once.
+    /// most events the heap held at once, and every completion's latency.
     fn drive(
         cluster: &mut SimCluster<EchoReplica>,
         ops: u64,
         workload: impl Fn(u64, u64) -> Operation,
-    ) -> usize {
+    ) -> (usize, Vec<u64>) {
         cluster.seed_initial_events();
         for client in 0..CLIENTS {
             assert!(cluster.submit_at(client * 200, client, 1, workload(client, 1)));
         }
-        let mut high_water = 0;
+        let (mut high_water, mut latencies) = (0, Vec::new());
         while cluster.committed() < ops {
             if cluster.step() != StepOutcome::Processed {
                 break;
             }
             high_water = high_water.max(cluster.calendar.heap_len());
             for done in cluster.drain_completions() {
+                latencies.push(done.latency_ns);
                 let (client, next) = (done.client_id, done.request_id + 1);
                 cluster.submit_at(done.at_ns, client, next, workload(client, next));
             }
         }
-        high_water
+        (high_water, latencies)
     }
 
     /// [`drive`] on a fresh `n`-replica cluster, returning its statistics.
@@ -1228,11 +1219,16 @@ mod tests {
 
     #[test]
     fn echo_protocol_commits_all_operations() {
-        let stats = finished(uniform(3), 300, write_workload);
+        let mut cluster = echo(3);
+        let (_, mut latencies) = drive(&mut cluster, 300, write_workload);
+        let stats = cluster.finish();
         assert_eq!(stats.committed, 300);
+        assert_eq!(latencies.len(), 300);
+        let mut latency = RunStats::default();
+        latency.set_latencies(&mut latencies);
+        assert!(latency.mean_latency_us > 0.0);
+        assert!(latency.p99_latency_us >= latency.mean_latency_us);
         assert!(stats.throughput_ops > 0.0);
-        assert!(stats.mean_latency_us > 0.0);
-        assert!(stats.p99_latency_us >= stats.mean_latency_us);
         assert!(stats.messages_delivered > 0);
         assert_eq!(stats.messages_dropped, 0);
         assert!(stats.elapsed_secs > 0.0);
@@ -1349,7 +1345,7 @@ mod tests {
             let mut config = uniform(4);
             config.crash_plan = crash_plan;
             let mut cluster = SimCluster::new(EchoReplica::cluster(4), config);
-            let high_water = drive(&mut cluster, 2_000, write_workload);
+            let (high_water, _) = drive(&mut cluster, 2_000, write_workload);
             assert_eq!(cluster.committed(), 2_000);
             high_water
         };

@@ -334,21 +334,28 @@ pub struct ProtocolCostModel {
     pub batch_op_overhead_ns: f64,
 }
 
-impl Default for ProtocolCostModel {
-    fn default() -> Self {
-        ProtocolCostModel {
-            net: NetCostModel::default(),
-            mac_ns: 380.0,
-            mac_per_byte_ns: 0.45,
-            signature_ns: 14_000.0,
-            encrypt_per_byte_ns: 1.1,
-            tee_app_penalty: 2.6,
-            link_latency_ns: 5_000,
-            client_think_ns: 1_000,
-            batch_op_overhead_ns: 40.0,
-        }
-    }
-}
+/// The cost model every node of every run is charged under.
+pub const COST_MODEL: ProtocolCostModel = ProtocolCostModel {
+    net: NetCostModel::CALIBRATED,
+    mac_ns: 380.0,
+    mac_per_byte_ns: 0.45,
+    signature_ns: 14_000.0,
+    encrypt_per_byte_ns: 1.1,
+    tee_app_penalty: 2.6,
+    link_latency_ns: 5_000,
+    client_think_ns: 1_000,
+    batch_op_overhead_ns: 40.0,
+};
+
+/// Client-side retransmission timeout, nanoseconds: an outstanding request
+/// is re-sent (possibly to a different coordinator) after this long without
+/// a reply, which is how clients survive coordinator crashes.
+pub const RETRY_TIMEOUT_NS: u64 = 100_000_000;
+
+/// How long after a crash (or recovery) the trusted configuration service
+/// notifies the surviving replicas, nanoseconds, via
+/// [`crate::Replica::on_peer_down`] / [`crate::Replica::on_peer_up`].
+pub const FAILURE_DETECTION_DELAY_NS: u64 = 15_000_000;
 
 impl ProtocolCostModel {
     /// The virtual nanoseconds `work` costs a node with `profile`, and — when
@@ -559,7 +566,7 @@ mod tests {
 
     #[test]
     fn recipe_profile_is_cheaper_per_message_than_pbft() {
-        let m = ProtocolCostModel::default();
+        let m = COST_MODEL;
         let recipe = recv(&m, &CostProfile::recipe(), 1, 256);
         let pbft = recv(&m, &CostProfile::pbft_baseline(), 1, 256);
         assert!(
@@ -571,7 +578,7 @@ mod tests {
     #[test]
     fn native_cft_is_cheaper_than_recipe() {
         // Figure 6a: the transformation + TEE costs something (2x-15x end to end).
-        let m = ProtocolCostModel::default();
+        let m = COST_MODEL;
         let native = recv(&m, &CostProfile::native_cft(), 1, 256);
         let recipe = recv(&m, &CostProfile::recipe(), 1, 256);
         let ratio = recipe as f64 / native as f64;
@@ -581,7 +588,7 @@ mod tests {
 
     #[test]
     fn confidentiality_adds_cost_proportional_to_payload() {
-        let m = ProtocolCostModel::default();
+        let m = COST_MODEL;
         let plain = recv(&m, &CostProfile::recipe(), 1, 1024);
         let conf = recv(&m, &CostProfile::recipe().confidential(), 1, 1024);
         assert!(conf > plain);
@@ -592,7 +599,7 @@ mod tests {
 
     #[test]
     fn epc_pressure_kicks_in_for_large_values() {
-        let m = ProtocolCostModel::default();
+        let m = COST_MODEL;
         let profile = CostProfile::recipe();
         let small = frame_pressure(&m, &profile, 1, 256);
         let large = frame_pressure(&m, &profile, 1, 4096);
@@ -611,7 +618,7 @@ mod tests {
 
     #[test]
     fn signature_baselines_pay_per_message() {
-        let m = ProtocolCostModel::default();
+        let m = COST_MODEL;
         let mut signing = CostProfile::native_cft();
         signing.uses_signatures = true;
         assert!(
@@ -622,7 +629,7 @@ mod tests {
 
     #[test]
     fn costs_scale_with_payload_size() {
-        let m = ProtocolCostModel::default();
+        let m = COST_MODEL;
         let p = CostProfile::recipe();
         assert!(recv(&m, &p, 1, 4096) > recv(&m, &p, 1, 256));
         assert!(send(&m, &p, 1, 4096) > send(&m, &p, 1, 256));
@@ -634,7 +641,7 @@ mod tests {
         // than sending N single messages of the same total payload, and the
         // saving must be at least the (N-1) repeated fixed MAC + transport
         // setup costs the unbatched path pays.
-        let m = ProtocolCostModel::default();
+        let m = COST_MODEL;
         let profile = CostProfile::recipe().confidential();
         let per_op_bytes = 256usize;
         for ops in [4usize, 16, 64] {
@@ -658,7 +665,7 @@ mod tests {
     fn batch_recv_still_charges_application_work_per_op() {
         // Amortization covers the shield, not the application: receiving a
         // 16-op frame performs 16 ops' worth of app processing.
-        let m = ProtocolCostModel::default();
+        let m = COST_MODEL;
         let profile = CostProfile::recipe();
         let ops = 16usize;
         let frame_bytes = ops * 256;
@@ -680,7 +687,7 @@ mod tests {
         // A 64-op frame of 4 KiB values keeps 256 KiB enclave-resident per
         // frame: the pressure term must see whole frames, so batch_recv grows
         // past the EPC cliff for large values — the paper's §B.3 trade-off.
-        let m = ProtocolCostModel::default();
+        let m = COST_MODEL;
         let profile = CostProfile::recipe();
         let small_frame = frame_pressure(&m, &profile, 16, 16 * 64);
         let big_frame = frame_pressure(&m, &profile, 64, 64 * 4096);
@@ -710,7 +717,7 @@ mod tests {
 
     #[test]
     fn migration_costs_scale_with_chunk_size_and_pay_epc_pressure() {
-        let m = ProtocolCostModel::default();
+        let m = COST_MODEL;
         let profile = CostProfile::recipe();
         let scan = |entries, bytes| m.cost(&profile, Work::Scan { entries, bytes }, None);
         let import = |entries, bytes| m.cost(&profile, Work::Import { entries, bytes }, None);
@@ -731,7 +738,7 @@ mod tests {
 
     #[test]
     fn txn_costs_scale_with_ops_and_pay_epc_pressure_per_inflight_prepare() {
-        let m = ProtocolCostModel::default();
+        let m = COST_MODEL;
         let profile = CostProfile::recipe();
         let prepare = |ops, bytes, staged_bytes| {
             let work = Work::TxnPrepare {
@@ -766,7 +773,7 @@ mod tests {
 
     #[test]
     fn breakdown_categories_land_where_the_profile_says() {
-        let m = ProtocolCostModel::default();
+        let m = COST_MODEL;
         // Plain native profile: transport + app only.
         let native = split_of(
             &m,
@@ -834,7 +841,7 @@ mod tests {
 
     #[test]
     fn damysus_sits_between_recipe_and_pbft() {
-        let m = ProtocolCostModel::default();
+        let m = COST_MODEL;
         let recipe = recv(&m, &CostProfile::recipe(), 1, 256);
         let damysus = recv(&m, &CostProfile::damysus_baseline(), 1, 256);
         let pbft = recv(&m, &CostProfile::pbft_baseline(), 1, 256);

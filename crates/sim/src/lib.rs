@@ -33,7 +33,7 @@ pub use cluster::{
     Charged, Completion, GroupEvent, ReplicaGroup, RunStats, Scheduler, SimCluster, SimConfig,
     StepOutcome,
 };
-pub use cost::{CostProfile, ProtocolCostModel, Work};
+pub use cost::{CostProfile, ProtocolCostModel, Work, COST_MODEL};
 pub use queue::{Calendar, Key, Owner};
 pub use replica::{Ctx, RangeEntry, RecoveryState, Replica, RestartReport};
 

@@ -13,10 +13,11 @@
 //!
 //! # The timer lane
 //!
-//! Every request arms a retransmission timer a whole `retry_timeout_ns` ahead
-//! and nearly every one is dead when it fires, so at any moment thousands of
-//! them would sit in the heap under the few events that are about to run, and
-//! each push and pop of those would sift through a heap thirteen levels deep.
+//! Every request arms a retransmission timer a whole
+//! [`crate::cost::RETRY_TIMEOUT_NS`] ahead and nearly every one is dead when
+//! it fires, so at any moment thousands of them would sit in the heap under
+//! the few events that are about to run, and each push and pop of those would
+//! sift through a heap thirteen levels deep.
 //! They need no heap: they all carry the same delay and the clock never goes
 //! back, so they arrive nearly in key order. [`Calendar::push_timer`] appends
 //! such an entry to a FIFO lane beside the heap, and [`Calendar::pop`] takes

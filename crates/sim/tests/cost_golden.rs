@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use recipe_sim::{CostProfile, ProtocolCostModel, Work};
+use recipe_sim::{CostProfile, Work, COST_MODEL};
 use recipe_telemetry::CostBreakdown;
 
 /// The staged footprint every `txn_prepare` row is evaluated under: large
@@ -57,7 +57,7 @@ fn rows(bytes: usize) -> Vec<(String, Work)> {
 }
 
 fn table() -> String {
-    let m = ProtocolCostModel::default();
+    let m = COST_MODEL;
     let profiles = [
         ("recipe", CostProfile::recipe()),
         ("recipe+conf", CostProfile::recipe().confidential()),

@@ -440,13 +440,6 @@ impl Enclave {
             })
     }
 
-    /// Returns the cipher for the key provisioned under `label`, built on the
-    /// first call and kept.
-    pub fn cipher(&self, label: &str) -> Result<&Cipher, TeeError> {
-        self.ensure_alive()?;
-        Ok(self.ciphers[self.cipher_slot(label)?].cipher())
-    }
-
     /// Binds the cipher provisioned under `label` to `prefix`, the first 16
     /// nonce bytes of every message on one channel ([`Cipher::bind`]): one
     /// HChaCha20 now, none for every message sealed or opened through
@@ -718,16 +711,18 @@ mod tests {
     #[test]
     fn cipher_provisioning() {
         let mut e = enclave();
-        assert!(e.cipher("values").is_err());
-        e.provision_cipher_key("values", CipherKey::from_bytes([2u8; 32]))
-            .unwrap();
-        let cipher = e.cipher("values").unwrap();
-        let ct = cipher.seal(Nonce::from_u128(1), b"v");
-        assert_eq!(cipher.open(&ct).unwrap(), b"v");
-        // Built once and handed out, not rebuilt per call.
-        assert!(std::ptr::eq(cipher, e.cipher("values").unwrap()));
-        // Sub-keys come from the provisioned key, under its label only.
+        assert!(e.bind_cipher("values", &[1; 16]).is_err());
         let parent = CipherKey::from_bytes([2u8; 32]);
+        e.provision_cipher_key("values", parent.clone()).unwrap();
+        let handle = e.bind_cipher("values", &[1; 16]).unwrap();
+        let (_, commitment) = e.bound_cipher_at(handle).unwrap();
+        assert_eq!(commitment, Cipher::new(&parent).key_commitment());
+        // Built once and handed out, not rebuilt per call.
+        assert!(std::ptr::eq(
+            commitment,
+            e.bound_cipher_at(handle).unwrap().1
+        ));
+        // Sub-keys come from the provisioned key, under its label only.
         assert_eq!(
             e.derive_cipher_key("values", &[b"store", b"7"]).unwrap(),
             parent.derive(&[b"store", b"7"])
@@ -892,8 +887,8 @@ mod tests {
             Cipher::new(&rotated).key_commitment()
         );
         assert_eq!(
-            e.cipher("values").unwrap().key_commitment(),
-            e.bound_cipher_at(h_ba).unwrap().1
+            e.bound_cipher_at(h_ba).unwrap().1,
+            Cipher::new(&rotated).key_commitment()
         );
 
         // A handle this enclave never issued names nothing.

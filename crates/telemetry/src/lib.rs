@@ -38,9 +38,10 @@ pub use export::{validate_jsonl, JsonlSummary, TelemetryReport};
 pub use metrics::{shard_labels, Histogram, MetricId, MetricSample, MetricValue, MetricsRegistry};
 pub use span::{Span, SpanKind, Tracer};
 
-/// Telemetry gating, carried on `DeploymentSpec`/`ShardedConfig`. Disabled by
-/// default; a disabled config never allocates a tracer and the simulator's
-/// hot paths skip every telemetry branch.
+/// Telemetry gating, set on a deployment with
+/// `DeploymentSpec::with_telemetry`. Disabled by default; a disabled config
+/// attaches no [`ShardTelemetry`] to any group, so no tracer is allocated and
+/// the simulator's hot paths skip every telemetry branch.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct TelemetryConfig {
     /// Master switch.
