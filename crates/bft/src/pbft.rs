@@ -19,7 +19,7 @@
 use std::collections::{HashMap, HashSet};
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
-use recipe_core::{ClientReply, ClientRequest, Membership, Operation};
+use recipe_core::{BatchFrame, ClientReply, ClientRequest, Membership, Operation};
 use recipe_kv::StoreConfig;
 use recipe_net::NodeId;
 use recipe_protocols::{
@@ -124,14 +124,12 @@ impl PbftMsg {
 /// Encodes a coalesced frame of encoded [`PbftMsg`]s (the native-wire
 /// counterpart of the Recipe protocols' batch frames):
 /// `tag | count u32 | (len u32, msg)*`.
-pub fn encode_batch(msgs: &[Vec<u8>]) -> Vec<u8> {
-    let mut w = Writer::tagged(
-        tag::PBFT_BATCH,
-        1 + 4 + msgs.iter().map(|m| bytes_len(m.len())).sum::<usize>(),
-    );
+pub fn encode_batch<M: AsRef<[u8]>>(msgs: &[M]) -> Vec<u8> {
+    let msgs_len: usize = msgs.iter().map(|m| bytes_len(m.as_ref().len())).sum();
+    let mut w = Writer::tagged(tag::PBFT_BATCH, 1 + 4 + msgs_len);
     w.count(msgs.len());
     for msg in msgs {
-        w.bytes(msg);
+        w.bytes(msg.as_ref());
     }
     w.finish()
 }
@@ -243,13 +241,14 @@ impl PbftReplica {
             return;
         }
         self.batcher
-            .enqueue(ctx, TOKEN_BATCH_FLUSH, dst, 0, payload, Self::send_frame);
+            .enqueue(ctx, TOKEN_BATCH_FLUSH, dst, 0, &payload, Self::send_frame);
     }
 
-    fn send_frame(ctx: &mut Ctx, dst: NodeId, ops: Vec<recipe_core::BatchOp>) {
-        let count = ops.len() as u32;
-        let msgs: Vec<Vec<u8>> = ops.into_iter().map(|op| op.payload).collect();
-        ctx.send_batch(dst, encode_batch(&msgs), count);
+    /// Sends the `count` messages a flush drained, queued in the shared
+    /// batch body format, as one [`encode_batch`] frame.
+    fn send_frame(ctx: &mut Ctx, dst: NodeId, count: u32, body: &[u8]) {
+        let msgs = BatchFrame::read_ops_with(&mut Reader::new(body), |_kind, msg| msg);
+        ctx.send_batch(dst, encode_batch(&msgs.unwrap_or_default()), count);
     }
 
     /// Encodes `msg` once and sends a copy to every peer.
@@ -553,6 +552,34 @@ mod tests {
         assert_eq!(replica.fault_tolerance(), 1);
         assert!(replica.is_primary());
         assert_eq!(replica.protocol_name(), "PBFT");
+    }
+
+    /// PBFT sends `Vec`s of its own, not frames built in spares of the
+    /// group's free list: the group delivers and drops them, and its free
+    /// list, which takes back no more buffers than it lent, stays empty.
+    #[test]
+    fn frames_of_its_own_leave_the_groups_free_list_empty() {
+        for batch in [BatchConfig::unbatched(), BatchConfig::of_ops(4)] {
+            let membership = Membership::of_size(4, 1);
+            let replicas = (0..4)
+                .map(|id| PbftReplica::new(id, membership.clone()).with_batching(batch))
+                .collect();
+            let config = SimConfig::uniform(4, CostProfile::pbft_baseline());
+            let mut cluster = SimCluster::new(replicas, config);
+            cluster.seed_initial_events();
+            for client in 0..8 {
+                let put = Operation::Put {
+                    key: format!("key-{client}").into_bytes(),
+                    value: vec![b'p'; 64],
+                };
+                assert!(cluster.submit_at(0, client, 1, put));
+            }
+            cluster.run_until(50_000_000);
+            assert_eq!(cluster.drain_completions().len(), 8, "{batch:?}");
+            assert!(cluster.finish().messages_delivered > 0);
+            let pool = cluster.frame_pool();
+            assert_eq!((pool.spares(), pool.allocated()), (0, 0), "{batch:?}");
+        }
     }
 
     /// An executed slot is dropped behind the low-water mark, so once every

@@ -62,6 +62,7 @@ use crate::message::{
     SequenceTuple, ShieldedMessage, TxnBody, TxnFrame,
 };
 use crate::policy::ConfidentialityMode;
+use crate::pool::FramePool;
 use crate::wire::Writer;
 
 /// Label under which the cluster-wide value/message cipher key is provisioned.
@@ -602,13 +603,14 @@ impl AuthLayer {
     }
 
     /// Takes the next counter slot toward `dst` and builds the frame under
-    /// it in its wire buffer: `write_body` puts the `body_len` body bytes in
-    /// place, where they are sealed and MAC'd, and the tag goes in its slot.
-    /// With `seal`, the body is XORed with the keystream of the tuple's
-    /// nonce first, and the MAC then covers the ciphertext and the cipher's
-    /// key commitment.
+    /// it in a wire buffer from `frames`, a spare taken for the frame's
+    /// length: `write_body` puts the `body_len` body bytes in place, where
+    /// they are sealed and MAC'd, and the tag goes in its slot. With `seal`,
+    /// the body is XORed with the keystream of the tuple's nonce first, and
+    /// the MAC then covers the ciphertext and the cipher's key commitment.
     fn shield_framed(
         &mut self,
+        frames: &mut FramePool,
         dst: NodeId,
         family: Family,
         seal: bool,
@@ -616,7 +618,8 @@ impl AuthLayer {
         write_body: impl FnOnce(&mut Writer),
     ) -> Result<Vec<u8>, RecipeError> {
         let (channel, tuple) = self.next_slot(dst, seal)?;
-        let mut image = family.image(&tuple, seal, body_len, write_body);
+        let spare = frames.take(family.wire_len(body_len));
+        let mut image = family.image(&tuple, seal, body_len, spare, write_body);
         let body = image.body_mut();
         let commitment = if seal {
             Some(self.apply_keystream(channel, &tuple, body)?)
@@ -644,19 +647,31 @@ impl AuthLayer {
         ShieldedMessage::from_wire(&wire).ok_or(RecipeError::Malformed("shielded message"))
     }
 
-    /// Shields a protocol message addressed to `dst` (Algorithm 1,
-    /// `shield_request`) straight to wire bytes: the payload is copied once,
-    /// into the frame, and sealed there. Confidential mode encrypts it
-    /// before it leaves the enclave, under the nonce of its (channel,
-    /// counter) pair.
+    /// [`AuthLayer::shield_in`] into a buffer of the frame's own.
     pub fn shield_to_wire(
         &mut self,
         dst: NodeId,
         kind: u16,
         payload: &[u8],
     ) -> Result<Vec<u8>, RecipeError> {
+        self.shield_in(&mut FramePool::default(), dst, kind, payload)
+    }
+
+    /// Shields a protocol message addressed to `dst` (Algorithm 1,
+    /// `shield_request`) straight to wire bytes, in a spare from `frames`:
+    /// the payload is copied once, into the frame, and sealed there.
+    /// Confidential mode encrypts it before it leaves the enclave, under the
+    /// nonce of its (channel, counter) pair.
+    pub fn shield_in(
+        &mut self,
+        frames: &mut FramePool,
+        dst: NodeId,
+        kind: u16,
+        payload: &[u8],
+    ) -> Result<Vec<u8>, RecipeError> {
         let seal = self.is_confidential();
-        self.shield_framed(dst, Family::Single { kind }, seal, payload.len(), |w| {
+        let family = Family::Single { kind };
+        self.shield_framed(frames, dst, family, seal, payload.len(), |w| {
             w.raw(payload);
         })
     }
@@ -686,22 +701,42 @@ impl AuthLayer {
         dst: NodeId,
         ops: &[BatchOp],
     ) -> Result<Vec<u8>, RecipeError> {
-        let count = Self::batch_count(ops)?;
+        let count = Self::batch_count(ops.len() as u64)?;
         let seal = self.is_confidential();
         let body_len = BatchFrame::ops_len(ops);
+        let frames = &mut FramePool::default();
         // One `cnt_cq ← cnt_cq + 1` for the whole frame.
-        self.shield_framed(dst, Family::Batch { count }, seal, body_len, |w| {
+        self.shield_framed(frames, dst, Family::Batch { count }, seal, body_len, |w| {
             BatchFrame::write_ops(w, ops);
+        })
+    }
+
+    /// [`AuthLayer::shield_batch_to_wire`] of a batch already encoded —
+    /// `body` is in [`BatchFrame::write_ops`]'s format, as
+    /// [`BatchFrame::append_op`] builds it — in a spare from `frames`: the
+    /// body is copied once, into the frame, and sealed there.
+    pub fn shield_batch_body_in(
+        &mut self,
+        frames: &mut FramePool,
+        dst: NodeId,
+        body: &[u8],
+    ) -> Result<Vec<u8>, RecipeError> {
+        let ops = BatchFrame::op_count(body);
+        let count = Self::batch_count(ops.into())?;
+        let seal = self.is_confidential();
+        let family = Family::Batch { count };
+        self.shield_framed(frames, dst, family, seal, body.len(), |w| {
+            w.raw(body);
         })
     }
 
     /// The authenticated op count of a batch of `ops`; an empty batch takes
     /// no counter slot.
-    fn batch_count(ops: &[BatchOp]) -> Result<u32, RecipeError> {
-        if ops.is_empty() {
-            return Err(RecipeError::Malformed("empty batch"));
+    fn batch_count(ops: u64) -> Result<u32, RecipeError> {
+        match u32::try_from(ops) {
+            Ok(0) | Err(_) => Err(RecipeError::Malformed("empty batch")),
+            Ok(count) => Ok(count),
         }
-        Ok(ops.len() as u32)
     }
 
     // ------------------------------------------------------------------
@@ -721,16 +756,7 @@ impl AuthLayer {
         TxnFrame::from_wire(&wire).ok_or(RecipeError::Malformed("txn frame"))
     }
 
-    /// Shields one two-phase-commit message for `dst` under the next counter
-    /// slot of the channel, straight to wire bytes: the body is encoded once,
-    /// into the frame, sealed there when `seal` is, and MAC'd together with
-    /// the transaction id behind the transaction family's tag — a 2PC frame
-    /// can never be replayed as (or confused with) protocol traffic. The
-    /// sealing is decided by the caller, per frame: a standing 2PC channel
-    /// carries the transactions that touch a confidential shard sealed and
-    /// the others in plaintext, under one key and one counter sequence.
-    /// `seal` is under the MAC like everything else in the frame, and the
-    /// enclave must hold the cipher key to seal.
+    /// [`AuthLayer::shield_txn_in`] into a buffer of the frame's own.
     pub fn shield_txn_to_wire(
         &mut self,
         dst: NodeId,
@@ -738,8 +764,31 @@ impl AuthLayer {
         body: &TxnBody,
         seal: bool,
     ) -> Result<Vec<u8>, RecipeError> {
+        self.shield_txn_in(&mut FramePool::default(), dst, txn_id, body, seal)
+    }
+
+    /// Shields one two-phase-commit message for `dst` under the next counter
+    /// slot of the channel, straight to wire bytes in a spare from `frames`:
+    /// the body is encoded once, into the frame, sealed there when `seal`
+    /// is, and MAC'd together with the transaction id behind the
+    /// transaction family's tag — a 2PC frame can never be replayed as (or
+    /// confused with) protocol traffic. The sealing is decided by the
+    /// caller, per frame: a standing 2PC channel
+    /// carries the transactions that touch a confidential shard sealed and
+    /// the others in plaintext, under one key and one counter sequence.
+    /// `seal` is under the MAC like everything else in the frame, and the
+    /// enclave must hold the cipher key to seal.
+    pub fn shield_txn_in(
+        &mut self,
+        frames: &mut FramePool,
+        dst: NodeId,
+        txn_id: u64,
+        body: &TxnBody,
+        seal: bool,
+    ) -> Result<Vec<u8>, RecipeError> {
         let body_len = TxnFrame::body_len(body);
-        self.shield_framed(dst, Family::Txn { txn_id }, seal, body_len, |w| {
+        let family = Family::Txn { txn_id };
+        self.shield_framed(frames, dst, family, seal, body_len, |w| {
             TxnFrame::write_body(w, body);
         })
     }
@@ -1443,6 +1492,50 @@ mod tests {
     }
 
     #[test]
+    fn a_dirty_spare_gives_the_bytes_a_fresh_buffer_does() {
+        /// One frame of each family, from `tx`, with `frames` lending the buffers.
+        type Shield = fn(&mut AuthLayer, &mut FramePool) -> Vec<u8>;
+        let shields: [Shield; 4] = [
+            |tx, frames| tx.shield_in(frames, NodeId(2), 7, &[0x42; 70]).unwrap(),
+            |tx, frames| {
+                let body = BatchFrame::encode_ops(&ops(3));
+                tx.shield_batch_body_in(frames, NodeId(2), &body).unwrap()
+            },
+            |tx, frames| {
+                let seal = tx.is_confidential();
+                tx.shield_txn_in(frames, NodeId(2), 9, &prepare_body(), seal)
+                    .unwrap()
+            },
+            |tx, frames| {
+                let seal = tx.is_confidential();
+                tx.shield_txn_in(frames, NodeId(2), 9, &TxnBody::Commit, seal)
+                    .unwrap()
+            },
+        ];
+        for confidential in [false, true] {
+            // Same keys, same counters, so the same frames.
+            let (mut fresh, _) = layer_pair(confidential);
+            let (mut reused, _) = layer_pair(confidential);
+            let mut frames = FramePool::default();
+            for shield in shields {
+                let expected = shield(&mut fresh, &mut FramePool::default());
+                // A spare of the frame's class, full of stale bytes to its
+                // last one.
+                let mut dirty = frames.take(expected.len());
+                dirty.resize(dirty.capacity(), 0xAA);
+                let (spare_at, spare_len) = (dirty.as_ptr(), dirty.len());
+                frames.give(dirty);
+                let allocated = frames.allocated();
+                let wire = shield(&mut reused, &mut frames);
+                assert_eq!(wire, expected);
+                assert_eq!(wire.as_ptr(), spare_at, "the spare was used");
+                assert!(spare_len >= wire.len());
+                assert_eq!(frames.allocated(), allocated);
+            }
+        }
+    }
+
+    #[test]
     fn counters_are_independent_per_channel() {
         let master = MacKey::from_bytes([9u8; 32]);
         let mut enclave = Enclave::launch(EnclaveId(1), EnclaveConfig::new("code", 1));
@@ -1540,8 +1633,9 @@ mod tests {
     fn mismatched_batch(sender: &mut AuthLayer, sealed: bool) -> Vec<u8> {
         let body = BatchFrame::encode_ops(&ops(2));
         let family = Family::Batch { count: 3 };
+        let frames = &mut FramePool::default();
         sender
-            .shield_framed(NodeId(2), family, sealed, body.len(), |w| {
+            .shield_framed(frames, NodeId(2), family, sealed, body.len(), |w| {
                 w.raw(&body);
             })
             .unwrap()
@@ -1559,8 +1653,9 @@ mod tests {
                 receiver.verify_batch(BatchFrame::from_wire(&wire).unwrap()),
                 BatchVerifyOutcome::DecryptionFailed
             );
+            let (frames, family) = (&mut FramePool::default(), Family::Txn { txn_id: 7 });
             let wire = sender
-                .shield_framed(NodeId(2), Family::Txn { txn_id: 7 }, sealed, 1, |w| {
+                .shield_framed(frames, NodeId(2), family, sealed, 1, |w| {
                     w.raw(&[0xFF]);
                 })
                 .unwrap();

@@ -15,8 +15,9 @@
 //!    the same slot become detectable ([`auth::VerifyOutcome`], Algorithm 1).
 //!
 //! Beside the two layers the crate holds what every transformed protocol
-//! shares: the frame formats ([`message`]) and their strict binary codec
-//! ([`wire`]), the replica membership and its quorum arithmetic
+//! shares: the frame formats ([`message`]), their strict binary codec
+//! ([`wire`]) and the recycled buffers frames are built in ([`pool`]), the
+//! replica membership and its quorum arithmetic
 //! ([`membership`]), and the per-group confidentiality policy ([`policy`]).
 //! The replica that wraps a CFT protocol in these layers is
 //! `recipe_protocols::RecipeReplica`.
@@ -29,6 +30,7 @@ pub mod error;
 pub mod membership;
 pub mod message;
 pub mod policy;
+pub mod pool;
 pub mod wire;
 
 pub use auth::{AuthLayer, BatchVerifyOutcome, TxnVerifyOutcome, VerifyOutcome, ViewOutcome};
@@ -40,3 +42,4 @@ pub use message::{
     SINGLE_MAC_HEADER_LEN, TXN_MAC_HEADER_LEN,
 };
 pub use policy::ConfidentialityMode;
+pub use pool::FramePool;

@@ -253,7 +253,7 @@ impl Family {
     }
 
     /// Wire bytes of a frame of this family with `body_len` body bytes.
-    fn wire_len(self, body_len: usize) -> usize {
+    pub(crate) fn wire_len(self, body_len: usize) -> usize {
         let field_len = match self {
             Family::Single { .. } => 2,
             Family::Batch { .. } => 4,
@@ -349,18 +349,23 @@ impl Family {
 
     /// Lays a frame out in its wire buffer, `write_body` appending exactly
     /// `body_len` body bytes behind the header — a body a frame struct
-    /// already holds, or one encoded straight into place. The MAC slot is
-    /// left empty: the sender seals and MACs the body where it now lies and
-    /// [`WireImage::finish`] fills the slot in.
+    /// already holds, or one encoded straight into place. The buffer is
+    /// `spare`, emptied first, and grown only if it lacks the room (a spare
+    /// from a [`crate::FramePool`] never does; an empty `Vec` grows once, to
+    /// the frame's length). The MAC slot is left empty: the sender seals and
+    /// MACs the body where it now lies and [`WireImage::finish`] fills the
+    /// slot in.
     pub(crate) fn image(
         self,
         tuple: &SequenceTuple,
         sealed: bool,
         body_len: usize,
+        spare: Vec<u8>,
         write_body: impl FnOnce(&mut Writer),
     ) -> WireImage {
         let wire_len = self.wire_len(body_len);
-        let mut w = Writer::tagged(self.tag(), wire_len);
+        let mut w = Writer::reusing(spare, wire_len);
+        w.u8(self.tag());
         w.bool(sealed).raw(&tuple.to_bytes()).raw(&[0; DIGEST_LEN]);
         self.write_field(&mut w);
         w.count(body_len);
@@ -566,9 +571,10 @@ impl ShieldedMessage {
     /// Serializes the message for the wire:
     /// `tag | confidential | tuple | mac | kind u16 | payload`.
     pub fn to_wire(&self) -> Vec<u8> {
+        let (sealed, payload) = (self.confidential, &self.payload);
         self.family()
-            .image(&self.tuple, self.confidential, self.payload.len(), |w| {
-                w.raw(&self.payload);
+            .image(&self.tuple, sealed, payload.len(), Vec::new(), |w| {
+                w.raw(payload);
             })
             .finish(&self.mac)
     }
@@ -702,6 +708,32 @@ impl BatchFrame {
         }
     }
 
+    /// The op count `body`, a body in [`BatchFrame::write_ops`]'s format,
+    /// leads with: `0` for an empty one.
+    pub fn op_count(body: &[u8]) -> u32 {
+        Reader::new(body).u32().unwrap_or(0)
+    }
+
+    /// Appends one op to `body`, a body in [`BatchFrame::write_ops`]'s
+    /// format, and counts it in the body's leading op count: an empty `body`
+    /// becomes the body of a batch of one. Queuing ops this way builds the
+    /// body a flush seals as it is, with one copy of each payload.
+    ///
+    /// # Panics
+    /// Panics on a body of `u32::MAX` ops, or on a payload of 4 GiB or more
+    /// ([`Writer::bytes`]).
+    pub fn append_op(body: &mut Vec<u8>, kind: u16, payload: &[u8]) {
+        let ops = Self::op_count(body);
+        assert!(ops < u32::MAX, "a batch body counts its ops in a u32");
+        let mut w = Writer::resuming(std::mem::take(body));
+        if ops == 0 {
+            w.u32(0);
+        }
+        w.u16(kind).bytes(payload);
+        *body = w.finish();
+        body[..4].copy_from_slice(&(ops + 1).to_le_bytes());
+    }
+
     /// Reads a body encoding from `r`, leaving whatever follows it, each op
     /// made by `op` from its kind and its payload where it lies in the bytes
     /// `r` reads — a receiver that hands payloads on as slices copies
@@ -735,7 +767,7 @@ impl BatchFrame {
     /// `tag | sealed | tuple | mac | count u32 | body`.
     pub fn to_wire(&self) -> Vec<u8> {
         self.family()
-            .image(&self.tuple, self.sealed, self.body.len(), |w| {
+            .image(&self.tuple, self.sealed, self.body.len(), Vec::new(), |w| {
                 w.raw(&self.body);
             })
             .finish(&self.mac)
@@ -1065,7 +1097,7 @@ impl TxnFrame {
     /// `tag | sealed | tuple | mac | txn_id u64 | body`.
     pub fn to_wire(&self) -> Vec<u8> {
         self.family()
-            .image(&self.tuple, self.sealed, self.body.len(), |w| {
+            .image(&self.tuple, self.sealed, self.body.len(), Vec::new(), |w| {
                 w.raw(&self.body);
             })
             .finish(&self.mac)
@@ -1518,10 +1550,19 @@ mod tests {
         assert!(ShieldedMessage::from_wire(&wire).is_none());
         assert!(BatchFrame::from_wire(b"not a frame").is_none());
         // Ops encoded straight into the wire buffer are the same bytes.
-        let image = BATCH.image(&tuple, false, BatchFrame::ops_len(&ops), |w| {
+        let body_len = BatchFrame::ops_len(&ops);
+        let image = BATCH.image(&tuple, false, body_len, Vec::new(), |w| {
             BatchFrame::write_ops(w, &ops);
         });
         assert_eq!(image.finish(&frame.mac), wire);
+        // So are ops appended to a queued body one by one.
+        let mut appended = Vec::new();
+        for op in &ops {
+            BatchFrame::append_op(&mut appended, op.kind, &op.payload);
+        }
+        assert_eq!(appended, BatchFrame::encode_ops(&ops));
+        assert_eq!(BatchFrame::op_count(&appended), 2);
+        assert_eq!(BatchFrame::op_count(&[]), 0);
     }
 
     #[test]
@@ -1610,7 +1651,7 @@ mod tests {
         // A body encoded straight into the wire buffer is the same bytes,
         // for every variant: the length is worked out before it is written.
         let in_place = |body: &TxnBody| {
-            TXN.image(&tuple, false, TxnFrame::body_len(body), |w| {
+            TXN.image(&tuple, false, TxnFrame::body_len(body), Vec::new(), |w| {
                 TxnFrame::write_body(w, body);
             })
             .finish(&frame.mac)

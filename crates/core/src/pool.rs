@@ -1,0 +1,189 @@
+//! Recycled frame buffers.
+//!
+//! Kernel-bypass stacks build every frame in a pre-allocated buffer that is
+//! reused once the frame is consumed. A [`FramePool`] is that for one owner —
+//! a replica group, or the 2PC lanes of a run: the shield takes a spare for
+//! each frame it builds ([`crate::AuthLayer::shield_in`] and the other `*_in`
+//! entry points) and the owner gives the buffer back once the frame is
+//! delivered, dropped or refused.
+//!
+//! Spares are kept in size classes, four per doubling of capacity, and a
+//! frame only ever looks at the most recently returned spare of its own
+//! class: taking one never scans, and a spare is never used for a frame it
+//! would have to grow for or one that would leave most of it unused. A
+//! buffer is allocated at its class's capacity, so every later frame of the
+//! class fits it. Frames of more than 4 KiB are built in buffers of their
+//! own and freed when done.
+
+/// Capacity of the smallest class.
+const MIN_CAPACITY: usize = 32;
+
+/// Largest frame the pool keeps a buffer for. A bigger frame is a batch
+/// whose one allocation is shared by the many ops it carries, and keeping a
+/// spare of every such size for each one in flight at the busiest moment
+/// would hold more memory than the allocations it saves are worth.
+const MAX_POOLED: usize = 4096;
+
+/// Classes per doubling of capacity.
+const STEPS: usize = 4;
+
+/// Free frame buffers, by size class. See the [module docs](self).
+#[derive(Debug, Default)]
+pub struct FramePool {
+    /// By class, the most recently returned spare last.
+    classes: Vec<Vec<Vec<u8>>>,
+    /// Buffers lent and not yet given back: the pool takes back no more than
+    /// it lent, so an owner whose frames come from elsewhere never fills it.
+    lent: usize,
+    /// Buffers the pool had to allocate.
+    allocated: u64,
+}
+
+/// The class whose capacity is the smallest one of at least `len` bytes.
+fn class_of(len: usize) -> usize {
+    if len <= MIN_CAPACITY {
+        return 0;
+    }
+    let m = len - 1;
+    let octave = m.ilog2() as usize - MIN_CAPACITY.ilog2() as usize;
+    let step = (m >> (octave + (MIN_CAPACITY / STEPS).ilog2() as usize)) - STEPS;
+    1 + octave * STEPS + step
+}
+
+/// The capacity every buffer of `class` has at least.
+fn capacity_of(class: usize) -> usize {
+    if class == 0 {
+        return MIN_CAPACITY;
+    }
+    let (octave, step) = ((class - 1) / STEPS, (class - 1) % STEPS);
+    ((MIN_CAPACITY / STEPS) << octave) * (STEPS + 1 + step)
+}
+
+impl FramePool {
+    /// An empty buffer with room for a frame of `len` bytes: the last spare
+    /// given back to `len`'s class, or a new buffer of the class's capacity
+    /// (of `len` bytes, for a frame larger than any class).
+    pub fn take(&mut self, len: usize) -> Vec<u8> {
+        self.lent += 1;
+        if len > MAX_POOLED {
+            self.allocated += 1;
+            return Vec::with_capacity(len);
+        }
+        let class = class_of(len);
+        match self.classes.get_mut(class).and_then(Vec::pop) {
+            Some(spare) => spare,
+            None => {
+                self.allocated += 1;
+                Vec::with_capacity(capacity_of(class))
+            }
+        }
+    }
+
+    /// Takes `buf` back as a spare, emptied so its old bytes are never
+    /// read again, in the largest class it holds every frame of. Once as
+    /// many buffers came back as were lent, and for a buffer smaller or
+    /// larger than any class, it is dropped instead.
+    pub fn give(&mut self, mut buf: Vec<u8>) {
+        if self.lent == 0 {
+            return;
+        }
+        self.lent -= 1;
+        if buf.capacity() > MAX_POOLED {
+            return;
+        }
+        let Some(class) = class_of(buf.capacity() + 1).checked_sub(1) else {
+            return;
+        };
+        buf.clear();
+        if self.classes.len() <= class {
+            self.classes.resize_with(class + 1, Vec::new);
+        }
+        self.classes[class].push(buf);
+    }
+
+    /// Spares held.
+    pub fn spares(&self) -> usize {
+        self.classes.iter().map(Vec::len).sum()
+    }
+
+    /// Buffers allocated because no spare fitted.
+    pub fn allocated(&self) -> u64 {
+        self.allocated
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn classes_cover_every_length_with_at_most_a_quarter_to_spare() {
+        let mut last = 0;
+        for len in 1..70_000 {
+            let class = class_of(len);
+            let capacity = capacity_of(class);
+            assert!(capacity >= len, "{len} in a class of {capacity}");
+            assert!(class == 0 || capacity_of(class - 1) < len, "{len}");
+            assert!(class == 0 || capacity * 4 <= len * 5, "{len}");
+            assert!(class >= last && class <= last + 1);
+            last = class;
+        }
+        assert_eq!(
+            (1..=9).map(capacity_of).collect::<Vec<_>>(),
+            [40, 48, 56, 64, 80, 96, 112, 128, 160]
+        );
+    }
+
+    #[test]
+    fn a_spare_serves_its_class_and_no_other() {
+        let mut pool = FramePool::default();
+        let first = pool.take(100);
+        assert_eq!(first.capacity(), 112);
+        pool.give(first);
+        // 97..=112 share the spare; 113 is the next class up.
+        assert_eq!(pool.take(113).capacity(), 128);
+        let spare = pool.take(97);
+        assert_eq!((spare.capacity(), pool.allocated()), (112, 2));
+    }
+
+    #[test]
+    fn frames_above_the_largest_class_get_buffers_of_their_own() {
+        let mut pool = FramePool::default();
+        let page = pool.take(MAX_POOLED);
+        assert_eq!(page.capacity(), MAX_POOLED);
+        let big = pool.take(MAX_POOLED + 1);
+        assert_eq!(big.capacity(), MAX_POOLED + 1);
+        pool.give(big);
+        pool.give(page);
+        assert_eq!((pool.spares(), pool.allocated()), (1, 2));
+    }
+
+    #[test]
+    fn a_given_buffer_is_emptied_and_filed_by_the_frames_it_holds() {
+        let mut pool = FramePool::default();
+        drop(pool.take(8));
+        let mut dirty = Vec::with_capacity(100);
+        dirty.extend_from_slice(&[0xAA; 100]);
+        pool.give(dirty);
+        // 100 bytes hold every frame of the 96-byte class, not the 112 one.
+        let spare = pool.take(90);
+        assert!(spare.is_empty() && spare.capacity() == 100);
+        assert_eq!(pool.allocated(), 1);
+    }
+
+    #[test]
+    fn the_pool_takes_back_no_more_than_it_lent() {
+        let mut pool = FramePool::default();
+        pool.give(vec![0; 64]);
+        assert_eq!(pool.spares(), 0);
+        let lent = pool.take(64);
+        pool.give(vec![0; 64]);
+        pool.give(lent);
+        assert_eq!(pool.spares(), 1);
+        // Too small for any class: dropped, but counted as back.
+        let _ = pool.take(8);
+        pool.give(Vec::with_capacity(4));
+        pool.give(vec![0; 64]);
+        assert_eq!(pool.spares(), 1);
+    }
+}

@@ -65,9 +65,21 @@ impl Writer {
     /// An empty writer with room for `capacity` bytes (for nested bodies that
     /// carry no family tag of their own).
     pub fn with_capacity(capacity: usize) -> Self {
-        Writer {
-            buf: Vec::with_capacity(capacity),
-        }
+        Writer::reusing(Vec::new(), capacity)
+    }
+
+    /// A writer appending to `buf`, emptied first, with room for `capacity`
+    /// bytes: a reused buffer that has the room already is not grown, one
+    /// that has not grows once.
+    pub fn reusing(mut buf: Vec<u8>, capacity: usize) -> Self {
+        buf.clear();
+        buf.reserve_exact(capacity);
+        Writer { buf }
+    }
+
+    /// A writer appending to the bytes `buf` already holds.
+    pub fn resuming(buf: Vec<u8>) -> Self {
+        Writer { buf }
     }
 
     /// A writer that starts with the family tag `tag`; `capacity` counts the

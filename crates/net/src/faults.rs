@@ -358,6 +358,27 @@ mod tests {
         }
     }
 
+    /// Two frames of one channel that share a wire id are one frame to the
+    /// replay picker: neither is replayed as the other, and a later frame
+    /// with an id of its own replays one of them.
+    #[test]
+    fn frames_sharing_a_wire_id_are_never_replayed_as_each_other() {
+        let plan = FaultPlan {
+            replay_probability: 1.0,
+            ..FaultPlan::default()
+        };
+        let mut injector = NetworkFaultInjector::new(plan, 4);
+        assert_eq!(fate(&mut injector, 7, b"first"), FrameFault::Deliver);
+        assert_eq!(fate(&mut injector, 7, b"second"), FrameFault::Deliver);
+        match fate(&mut injector, 8, b"third") {
+            FrameFault::Replay(older) => {
+                assert_eq!(older.wire_id, 7);
+                assert!(older.payload == b"first" || older.payload == b"second");
+            }
+            other => panic!("expected Replay, got {other:?}"),
+        }
+    }
+
     #[test]
     fn byzantine_plan_mixes_decisions_deterministically() {
         let mut a = NetworkFaultInjector::new(FaultPlan::byzantine(), 42);

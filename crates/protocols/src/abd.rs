@@ -233,7 +233,7 @@ impl Abd {
                         value,
                         ts: new_ts,
                     };
-                    h.broadcast(self.membership.members(), put.encode());
+                    h.broadcast(self.membership.members(), &put.encode());
                 }
             }
             AbdMsg::Put { op, key, value, ts } => {
@@ -335,7 +335,7 @@ impl Abd {
                             value,
                             ts: best_ts,
                         };
-                        h.broadcast(self.membership.members(), put.encode());
+                        h.broadcast(self.membership.members(), &put.encode());
                     }
                 }
             }
@@ -377,7 +377,7 @@ impl CftProtocol for Abd {
                     },
                 );
                 let query = AbdMsg::GetTs { op, key };
-                h.broadcast(self.membership.members(), query.encode());
+                h.broadcast(self.membership.members(), &query.encode());
             }
             Operation::Get { key } => {
                 let local = h.store().get(&key);
@@ -396,7 +396,7 @@ impl CftProtocol for Abd {
                     },
                 );
                 let query = AbdMsg::GetFull { op, key };
-                h.broadcast(self.membership.members(), query.encode());
+                h.broadcast(self.membership.members(), &query.encode());
             }
         }
     }

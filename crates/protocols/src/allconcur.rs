@@ -136,7 +136,7 @@ impl AllConcur {
                 };
                 h.store().apply(&proposal.key, proposal.value);
                 let deliver = AllConcurMsg::Deliver { op };
-                h.broadcast(self.membership.members(), deliver.encode());
+                h.broadcast(self.membership.members(), &deliver.encode());
                 h.reply(proposal.client_id, proposal.request_id, None, false);
             }
             AllConcurMsg::Deliver { op } => {
@@ -185,7 +185,7 @@ impl CftProtocol for AllConcur {
                         acks: HashSet::new(),
                     },
                 );
-                h.broadcast(self.membership.members(), propose);
+                h.broadcast(self.membership.members(), &propose);
             }
         }
     }

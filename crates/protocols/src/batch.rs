@@ -17,17 +17,24 @@
 //!   went non-empty (the replica arms one flush timer and drains everything
 //!   when it fires, so a lone trailing op is never stranded).
 //!
-//! The batcher holds *plaintext* payloads; shielding happens at flush time, so
-//! frames always carry the sender's current view and a fresh counter. Multiple
-//! un-acked frames may be in flight per destination (pipelining) — ordering is
-//! preserved by the per-channel trusted counters, and a dropped frame loses
-//! (and therefore retries) its ops as one unit.
+//! Each destination's queue is the *encoded plaintext body* of the frame that
+//! will carry it — [`BatchFrame::write_ops`]'s format, built by
+//! [`BatchFrame::append_op`] — and its op count: queuing an op copies its
+//! payload once, into that body, and allocates nothing once the queue's
+//! buffer has grown to a batch. Shielding happens at flush time, so frames
+//! always carry the sender's current view and a fresh counter; the flush
+//! seals the body as it lies and empties the queue, which keeps its buffer.
+//! Multiple un-acked frames may be in flight per destination (pipelining) —
+//! ordering is preserved by the per-channel trusted counters, and a dropped
+//! frame loses (and therefore retries) its ops as one unit.
 //!
 //! [`BatchFrame`]: recipe_core::BatchFrame
+//! [`BatchFrame::write_ops`]: recipe_core::BatchFrame::write_ops
+//! [`BatchFrame::append_op`]: recipe_core::BatchFrame::append_op
 
 use std::collections::BTreeMap;
 
-use recipe_core::BatchOp;
+use recipe_core::BatchFrame;
 use recipe_net::NodeId;
 use recipe_sim::Ctx;
 
@@ -76,9 +83,15 @@ impl Default for BatchConfig {
     }
 }
 
+/// What is queued for one destination.
 #[derive(Debug, Default)]
 struct Queue {
-    ops: Vec<BatchOp>,
+    /// The queued ops as the body of the frame that will carry them; empty
+    /// when nothing is queued.
+    body: Vec<u8>,
+    /// Ops in `body`.
+    ops: u32,
+    /// Payload bytes in `body` (what the byte budget counts).
     bytes: usize,
 }
 
@@ -89,6 +102,8 @@ struct Queue {
 #[derive(Debug)]
 pub struct Batcher {
     config: BatchConfig,
+    /// Every destination ever queued for; a flushed queue stays, empty, with
+    /// its buffer.
     queues: BTreeMap<NodeId, Queue>,
     timer_armed: bool,
     flushes: u64,
@@ -126,41 +141,50 @@ impl Batcher {
         self.config.is_batching()
     }
 
-    /// Enqueues one message for `dst`. Returns `true` when the destination hit
-    /// its ops or byte budget and should be flushed now.
-    pub fn push(&mut self, dst: NodeId, kind: u16, payload: Vec<u8>) -> bool {
+    /// Enqueues one message for `dst`, copying `payload` into its queued
+    /// body. Returns `true` when the destination hit its ops or byte budget
+    /// and should be flushed now.
+    pub fn push(&mut self, dst: NodeId, kind: u16, payload: &[u8]) -> bool {
         let queue = self.queues.entry(dst).or_default();
+        BatchFrame::append_op(&mut queue.body, kind, payload);
+        queue.ops += 1;
         queue.bytes += payload.len();
-        queue.ops.push(BatchOp::new(kind, payload));
-        queue.ops.len() >= self.config.max_ops || queue.bytes >= self.config.max_bytes
+        queue.ops as usize >= self.config.max_ops || queue.bytes >= self.config.max_bytes
     }
 
-    /// Takes everything queued for `dst` (empty if nothing is pending).
-    pub fn take(&mut self, dst: NodeId) -> Vec<BatchOp> {
-        match self.queues.remove(&dst) {
-            Some(queue) => {
-                self.flushes += 1;
-                self.flushed_ops += queue.ops.len() as u64;
-                queue.ops
-            }
-            None => Vec::new(),
+    /// Flushes what is queued for `dst`: hands `emit` its op count and body
+    /// and empties the queue. `None` when nothing is pending.
+    pub fn take<T>(&mut self, dst: NodeId, emit: impl FnOnce(u32, &[u8]) -> T) -> Option<T> {
+        let queue = self.queues.get_mut(&dst).filter(|queue| queue.ops > 0)?;
+        self.flushes += 1;
+        self.flushed_ops += u64::from(queue.ops);
+        Some(Self::flush(queue, emit))
+    }
+
+    /// Flushes every destination with something queued, in `NodeId` order,
+    /// through `emit`. Returns how many it flushed.
+    pub fn drain_all(&mut self, mut emit: impl FnMut(NodeId, u32, &[u8])) -> u64 {
+        let mut flushed = 0;
+        for (&dst, queue) in self.queues.iter_mut().filter(|(_, queue)| queue.ops > 0) {
+            flushed += 1;
+            self.flushed_ops += u64::from(queue.ops);
+            Self::flush(queue, |ops, body| emit(dst, ops, body));
         }
+        self.flushes += flushed;
+        flushed
     }
 
-    /// Drains every destination, in `NodeId` order.
-    pub fn drain_all(&mut self) -> Vec<(NodeId, Vec<BatchOp>)> {
-        let drained: Vec<(NodeId, Vec<BatchOp>)> = std::mem::take(&mut self.queues)
-            .into_iter()
-            .map(|(dst, queue)| (dst, queue.ops))
-            .collect();
-        self.flushes += drained.len() as u64;
-        self.flushed_ops += drained.iter().map(|(_, ops)| ops.len() as u64).sum::<u64>();
-        drained
+    fn flush<T>(queue: &mut Queue, emit: impl FnOnce(u32, &[u8]) -> T) -> T {
+        let sent = emit(queue.ops, &queue.body);
+        queue.body.clear();
+        queue.ops = 0;
+        queue.bytes = 0;
+        sent
     }
 
     /// Total ops pending across all destinations.
     pub fn pending_ops(&self) -> usize {
-        self.queues.values().map(|q| q.ops.len()).sum()
+        self.queues.values().map(|q| q.ops as usize).sum()
     }
 
     /// Marks the flush timer as armed. Returns `true` when the caller should
@@ -176,25 +200,23 @@ impl Batcher {
     }
 
     /// The batching-path enqueue shared by every protocol: pushes one message,
-    /// emits the flushed destination through `emit` when the ops or byte
-    /// budget fires, and arms the shared flush timer (`token`, firing after
-    /// [`BatchConfig::max_delay_ns`]) when none is armed yet. Callers keep the
-    /// unbatched fast path (`!is_batching()`) to themselves — a single message
-    /// has a different wire format than a batch of one.
+    /// emits the flushed destination's op count and body through `emit` when
+    /// the ops or byte budget fires, and arms the shared flush timer
+    /// (`token`, firing after [`BatchConfig::max_delay_ns`]) when none is
+    /// armed yet. Callers keep the unbatched fast path (`!is_batching()`) to
+    /// themselves — a single message has a different wire format than a
+    /// batch of one.
     pub fn enqueue(
         &mut self,
         ctx: &mut Ctx,
         token: u64,
         dst: NodeId,
         kind: u16,
-        payload: Vec<u8>,
-        emit: impl FnOnce(&mut Ctx, NodeId, Vec<BatchOp>),
+        payload: &[u8],
+        emit: impl FnOnce(&mut Ctx, NodeId, u32, &[u8]),
     ) {
         if self.push(dst, kind, payload) {
-            let ops = self.take(dst);
-            if !ops.is_empty() {
-                emit(ctx, dst, ops);
-            }
+            self.take(dst, |ops, body| emit(ctx, dst, ops, body));
         } else if self.arm_timer() {
             ctx.set_timer(self.config.max_delay_ns, token);
         }
@@ -205,43 +227,59 @@ impl Batcher {
     pub fn flush_timer(
         &mut self,
         ctx: &mut Ctx,
-        mut emit: impl FnMut(&mut Ctx, NodeId, Vec<BatchOp>),
+        mut emit: impl FnMut(&mut Ctx, NodeId, u32, &[u8]),
     ) {
         self.timer_fired();
-        for (dst, ops) in self.drain_all() {
-            self.timer_flushes += 1;
-            emit(ctx, dst, ops);
-        }
+        self.timer_flushes += self.drain_all(|dst, ops, body| emit(ctx, dst, ops, body));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recipe_core::BatchOp;
+
+    /// Flushes `dst` and decodes the body it flushed.
+    fn take(batcher: &mut Batcher, dst: NodeId) -> Option<Vec<BatchOp>> {
+        batcher.take(dst, |ops, body| {
+            let decoded = BatchFrame::decode_ops(body).expect("a flushed body decodes");
+            assert_eq!(decoded.len(), ops as usize);
+            decoded
+        })
+    }
 
     #[test]
     fn unbatched_config_flushes_on_every_push() {
         let mut batcher = Batcher::new(BatchConfig::unbatched());
         assert!(!batcher.is_batching());
-        assert!(batcher.push(NodeId(1), 1, vec![0u8; 8]));
-        assert_eq!(batcher.take(NodeId(1)).len(), 1);
+        assert!(batcher.push(NodeId(1), 1, &[0u8; 8]));
+        assert_eq!(
+            take(&mut batcher, NodeId(1)),
+            Some(vec![BatchOp::new(1, vec![0; 8])])
+        );
         assert_eq!(batcher.pending_ops(), 0);
+        assert_eq!(take(&mut batcher, NodeId(1)), None);
     }
 
     #[test]
     fn ops_budget_triggers_per_destination() {
         let mut batcher = Batcher::new(BatchConfig::of_ops(3));
         assert!(batcher.is_batching());
-        assert!(!batcher.push(NodeId(1), 1, vec![1]));
-        assert!(!batcher.push(NodeId(2), 1, vec![2]));
-        assert!(!batcher.push(NodeId(1), 1, vec![3]));
+        assert!(!batcher.push(NodeId(1), 1, &[1]));
+        assert!(!batcher.push(NodeId(2), 1, &[2]));
+        assert!(!batcher.push(NodeId(1), 2, &[3]));
         // Third op for node 1 hits the budget; node 2 is unaffected.
-        assert!(batcher.push(NodeId(1), 1, vec![4]));
-        let ops = batcher.take(NodeId(1));
-        assert_eq!(ops.len(), 3);
-        assert_eq!(ops[0].payload, vec![1]);
-        assert_eq!(ops[2].payload, vec![4]);
+        assert!(batcher.push(NodeId(1), 1, &[4]));
+        let flushed = [(1, vec![1]), (2, vec![3]), (1, vec![4])];
+        let expected = flushed.map(|(kind, payload)| BatchOp::new(kind, payload));
+        assert_eq!(take(&mut batcher, NodeId(1)).unwrap(), expected);
         assert_eq!(batcher.pending_ops(), 1);
+        // The emptied queue starts a body of its own on the next push.
+        assert!(!batcher.push(NodeId(1), 5, b"again"));
+        assert_eq!(
+            take(&mut batcher, NodeId(1)).unwrap(),
+            [BatchOp::new(5, b"again".to_vec())]
+        );
     }
 
     #[test]
@@ -251,23 +289,31 @@ mod tests {
             max_bytes: 100,
             max_delay_ns: 1_000,
         });
-        assert!(!batcher.push(NodeId(1), 1, vec![0u8; 60]));
-        assert!(batcher.push(NodeId(1), 1, vec![0u8; 60]));
+        assert!(!batcher.push(NodeId(1), 1, &[0u8; 60]));
+        assert!(batcher.push(NodeId(1), 1, &[0u8; 60]));
     }
 
     #[test]
     fn drain_all_is_ordered_and_exhaustive() {
         let mut batcher = Batcher::new(BatchConfig::of_ops(64));
-        batcher.push(NodeId(5), 1, vec![5]);
-        batcher.push(NodeId(2), 1, vec![2]);
-        batcher.push(NodeId(5), 2, vec![55]);
-        let drained = batcher.drain_all();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].0, NodeId(2));
-        assert_eq!(drained[1].0, NodeId(5));
-        assert_eq!(drained[1].1.len(), 2);
+        batcher.push(NodeId(5), 1, &[5]);
+        batcher.push(NodeId(2), 1, &[2]);
+        batcher.push(NodeId(5), 2, &[55]);
+        let mut drained = Vec::new();
+        let flushed = batcher.drain_all(|dst, ops, body| {
+            let decoded = BatchFrame::decode_ops(body).expect("a flushed body decodes");
+            assert_eq!(decoded.len(), ops as usize);
+            drained.push((dst, decoded));
+        });
+        assert_eq!(flushed, 2);
+        let five = vec![BatchOp::new(1, vec![5]), BatchOp::new(2, vec![55])];
+        let expected = vec![
+            (NodeId(2), vec![BatchOp::new(1, vec![2])]),
+            (NodeId(5), five),
+        ];
+        assert_eq!(drained, expected);
         assert_eq!(batcher.pending_ops(), 0);
-        assert!(batcher.drain_all().is_empty());
+        assert_eq!(batcher.drain_all(|_, _, _| panic!("nothing queued")), 0);
     }
 
     #[test]

@@ -77,6 +77,8 @@ pub fn build_cluster<R>(n: usize, f: usize, make: impl Fn(u64, Membership) -> R)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::RangeInclusive;
+
     use recipe_core::Operation;
     use recipe_sim::{Replica, SimCluster, StepOutcome};
 
@@ -91,7 +93,18 @@ mod tests {
         op: impl Fn(u64, u64) -> Operation,
     ) {
         cluster.seed_initial_events();
-        for round in 1..=rounds {
+        step_rounds(cluster, clients, 1..=rounds, op);
+        cluster.run_until(cluster.now_ns() + 3_000_000);
+    }
+
+    /// Steps `cluster` through `rounds` of [`run_rounds`]'s schedule.
+    pub(crate) fn step_rounds<R: Replica>(
+        cluster: &mut SimCluster<R>,
+        clients: u64,
+        rounds: RangeInclusive<u64>,
+        op: impl Fn(u64, u64) -> Operation,
+    ) {
+        for round in rounds {
             for client in 0..clients {
                 let now = cluster.now_ns();
                 assert!(cluster.submit_at(now, client, round, op(client, round)));
@@ -102,7 +115,6 @@ mod tests {
                 answered += cluster.drain_completions().len() as u64;
             }
         }
-        cluster.run_until(cluster.now_ns() + 3_000_000);
     }
 
     #[test]

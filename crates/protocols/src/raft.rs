@@ -17,7 +17,6 @@
 //! view is gathered, that view's leader takes over. Committed entries survive
 //! the change because they reside in a majority of KV stores.
 
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
@@ -97,13 +96,6 @@ impl Deref for Encoding {
     }
 }
 
-/// What [`Handle::broadcast`] takes: the bytes, borrowed where they lie.
-impl<'a> From<&'a Encoding> for Cow<'a, [u8]> {
-    fn from(encoding: &'a Encoding) -> Self {
-        Cow::Borrowed(encoding)
-    }
-}
-
 impl RaftMsg {
     /// Wire form: `tag | variant | u64 fields in declaration order`, an
     /// append's key and value last.
@@ -126,7 +118,15 @@ impl RaftMsg {
                 request_id,
             } => {
                 let (client_id, request_id) = (*client_id, *request_id);
-                let bytes = Self::encode_append(*view, *index, key, value, client_id, request_id);
+                let bytes = Self::encode_append(
+                    Vec::new(),
+                    *view,
+                    *index,
+                    key,
+                    value,
+                    client_id,
+                    request_id,
+                );
                 return Encoding::Heap(bytes);
             }
             RaftMsg::AppendAck { view, index } => (1, view, Some(index)),
@@ -149,9 +149,11 @@ impl RaftMsg {
         Encoding::Fixed { bytes, len }
     }
 
-    /// The encoding of an [`RaftMsg::Append`] with these fields, for a leader
-    /// that keeps the key and value it sends.
+    /// The encoding of an [`RaftMsg::Append`] with these fields, in `buf` —
+    /// for a leader that keeps the key and value it sends, and encodes its
+    /// next append in the same buffer.
     fn encode_append(
+        buf: Vec<u8>,
         view: u64,
         index: u64,
         key: &[u8],
@@ -160,8 +162,9 @@ impl RaftMsg {
         request_id: u64,
     ) -> Vec<u8> {
         let entry_len = bytes_len(key.len()) + bytes_len(value.len());
-        let mut w = Writer::tagged(tag::RAFT, 2 + 4 * 8 + entry_len);
-        w.u8(0)
+        let mut w = Writer::reusing(buf, 2 + 4 * 8 + entry_len);
+        w.u8(tag::RAFT)
+            .u8(0)
             .u64(view)
             .u64(index)
             .u64(client_id)
@@ -283,6 +286,9 @@ pub struct Raft {
     voted: HashSet<u64>,
     /// Votes received per candidate view.
     view_votes: HashMap<u64, HashSet<u64>>,
+    /// The leader's last append, encoded: the buffer its next one is
+    /// encoded in.
+    append: Vec<u8>,
 }
 
 /// A Raft replica (native or Recipe-transformed, R-Raft).
@@ -462,6 +468,7 @@ impl CftProtocol for Raft {
             last_heartbeat_ns: 0,
             voted: HashSet::new(),
             view_votes: HashMap::new(),
+            append: Vec::new(),
         }
     }
 
@@ -482,7 +489,8 @@ impl CftProtocol for Raft {
                 };
                 let index = self.next_index;
                 self.next_index += 1;
-                let payload = RaftMsg::encode_append(
+                self.append = RaftMsg::encode_append(
+                    std::mem::take(&mut self.append),
                     self.view,
                     index,
                     &key,
@@ -501,7 +509,7 @@ impl CftProtocol for Raft {
                 };
                 entry.append_acks.insert(own);
                 self.pending.insert(index, entry);
-                h.broadcast(self.membership.members(), payload);
+                h.broadcast(self.membership.members(), &self.append);
             }
         }
     }
@@ -588,7 +596,7 @@ impl CftProtocol for Raft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build_cluster;
+    use crate::{build_cluster, BatchConfig};
     use recipe_sim::{CostProfile, Replica, SimCluster, SimConfig};
 
     /// An answered entry is gone from the leader's replication state, so
@@ -609,6 +617,35 @@ mod tests {
         assert!(leader.core().pending.is_empty());
         for id in 0..3 {
             assert_eq!(cluster.replica(NodeId(id)).committed_entries(), 192);
+        }
+    }
+
+    /// Every frame of a fault-free group is built in a buffer the group's
+    /// free list lends and gets back once the frame is delivered: after the
+    /// first rounds and a heartbeat have left a spare in every size class
+    /// the run's frames fall in, unbatched and batched alike, the group
+    /// allocates no frame buffer.
+    #[test]
+    fn a_warm_group_allocates_no_frame_buffers() {
+        let put = |client: u64, round: u64| Operation::Put {
+            key: format!("key-{}", (client * 7 + round) % 50).into_bytes(),
+            value: vec![b'v'; 64],
+        };
+        for batch in [BatchConfig::unbatched(), BatchConfig::of_ops(4)] {
+            let replicas = build_cluster(3, 1, |id, m| {
+                RaftReplica::recipe(id, m, false).with_batching(batch)
+            });
+            let config = SimConfig::uniform(3, CostProfile::recipe());
+            let mut cluster = SimCluster::new(replicas, config);
+            crate::tests::run_rounds(&mut cluster, 8, 8, put);
+            cluster.run_until(cluster.now_ns() + 2 * HEARTBEAT_PERIOD_NS);
+            let warm = cluster.frame_pool().allocated();
+            assert!(warm > 0 && cluster.frame_pool().spares() > 0);
+
+            crate::tests::step_rounds(&mut cluster, 8, 9..=40, put);
+            cluster.run_until(cluster.now_ns() + 2 * HEARTBEAT_PERIOD_NS);
+            assert_eq!(cluster.committed(), 8 * 40);
+            assert_eq!(cluster.frame_pool().allocated(), warm, "{batch:?}");
         }
     }
 

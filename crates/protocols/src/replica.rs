@@ -10,9 +10,7 @@
 //! shielded, alone or in a batch, is the wrapper's [`ProtocolMode`] and
 //! nothing in the core: the same core runs native and Recipe-transformed.
 
-use std::borrow::Cow;
-
-use recipe_core::{BatchOp, ClientReply, ClientRequest, ConfidentialityMode, Membership};
+use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership};
 use recipe_net::NodeId;
 use recipe_sim::{Ctx, RecoveryState, Replica, RestartReport};
 use recipe_tee::TrustedInstant;
@@ -103,34 +101,14 @@ impl Handle<'_> {
         self.ctx.now()
     }
 
-    /// Sends `payload` to `dst`: at once as a single message when batching
-    /// is off, otherwise queued and flushed on the first trigger (ops or
-    /// byte budget now, time budget through the wrapper's timer).
+    /// Sends `payload` to `dst`: at once as a single message, sealed from
+    /// where it lies into a spare of the group's frame buffers, when batching
+    /// is off; otherwise copied into `dst`'s batch queue and flushed on the
+    /// first trigger (ops or byte budget now, time budget through the
+    /// wrapper's timer).
     pub fn send(&mut self, dst: NodeId, payload: &[u8]) {
-        self.queue(dst, Cow::Borrowed(payload));
-    }
-
-    /// Sends `payload` to every one of `members` but this replica. An owned
-    /// payload moves into the last destination's batch queue, so a batching
-    /// replica copies it once per other destination; sent unbatched, it is
-    /// sealed from where it lies for each.
-    pub fn broadcast<'p>(&mut self, members: &[NodeId], payload: impl Into<Cow<'p, [u8]>>) {
-        let me = self.shield.node();
-        let payload = payload.into();
-        let mut peers = members.iter().filter(|&&peer| peer != me).peekable();
-        while let Some(&peer) = peers.next() {
-            if peers.peek().is_none() {
-                return self.queue(peer, payload);
-            }
-            self.queue(peer, Cow::Borrowed(&payload));
-        }
-    }
-
-    /// [`Handle::send`] of a payload the batch queue takes over when it is
-    /// owned.
-    fn queue(&mut self, dst: NodeId, payload: Cow<'_, [u8]>) {
         if !self.batcher.is_batching() {
-            let wire = self.shield.wrap(dst, KIND, &payload);
+            let wire = self.shield.wrap_in(self.ctx.frames(), dst, KIND, payload);
             self.ctx.send(dst, wire);
             return;
         }
@@ -140,9 +118,18 @@ impl Handle<'_> {
             TOKEN_BATCH_FLUSH,
             dst,
             KIND,
-            payload.into_owned(),
-            |ctx, dst, ops| send_batch(shield, ctx, dst, ops),
+            payload,
+            |ctx, dst, ops, body| send_batch(shield, ctx, dst, ops, body),
         );
+    }
+
+    /// [`Handle::send`]s `payload` to every one of `members` but this
+    /// replica.
+    pub fn broadcast(&mut self, members: &[NodeId], payload: &[u8]) {
+        let me = self.shield.node();
+        for &peer in members.iter().filter(|&&peer| peer != me) {
+            self.send(peer, payload);
+        }
     }
 
     /// Answers a client's request: a write's acknowledgement (no value) or a
@@ -182,10 +169,11 @@ impl Handle<'_> {
     }
 }
 
-/// Seals one flushed batch for `dst` and queues the frame.
-fn send_batch(shield: &mut ProtocolShield, ctx: &mut Ctx, dst: NodeId, ops: Vec<BatchOp>) {
-    let count = ops.len() as u32;
-    ctx.send_batch(dst, shield.wrap_batch(dst, ops), count);
+/// Seals one flushed batch of `ops` ops, encoded in `body`, for `dst` and
+/// queues the frame.
+fn send_batch(shield: &mut ProtocolShield, ctx: &mut Ctx, dst: NodeId, ops: u32, body: &[u8]) {
+    let wire = shield.wrap_batch_in(ctx.frames(), dst, body);
+    ctx.send_batch(dst, wire, ops);
 }
 
 /// A replica of protocol `P`, native or Recipe-transformed.
@@ -307,8 +295,9 @@ impl<P: CftProtocol> Replica for RecipeReplica<P> {
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
         if token == TOKEN_BATCH_FLUSH {
             let shield = &mut self.shield;
-            self.batcher
-                .flush_timer(ctx, |ctx, dst, ops| send_batch(shield, ctx, dst, ops));
+            self.batcher.flush_timer(ctx, |ctx, dst, ops, body| {
+                send_batch(shield, ctx, dst, ops, body)
+            });
             return;
         }
         let (core, mut handle) = self.lend(ctx);

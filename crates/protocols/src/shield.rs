@@ -18,7 +18,7 @@ use std::borrow::Cow;
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{
-    AuthLayer, BatchFrame, BatchOp, ConfidentialityMode, FrameView, Membership, TxnBody,
+    AuthLayer, BatchFrame, BatchOp, ConfidentialityMode, FramePool, FrameView, Membership, TxnBody,
     TxnVerifyOutcome, ViewOutcome,
 };
 use recipe_crypto::{CipherKey, MacKey};
@@ -58,10 +58,11 @@ impl ProtocolMode {
 const GROUP_KEY_DOMAIN: &[u8] = b"recipe.group_key.v1";
 
 /// Framing used by native (untransformed) protocols:
-/// `tag | kind u16 | payload`.
-fn encode_native(kind: u16, payload: &[u8]) -> Vec<u8> {
-    let mut w = Writer::tagged(tag::NATIVE_SINGLE, 1 + 2 + bytes_len(payload.len()));
-    w.u16(kind).bytes(payload);
+/// `tag | kind u16 | payload`, in a spare from `frames`.
+fn encode_native(frames: &mut FramePool, kind: u16, payload: &[u8]) -> Vec<u8> {
+    let len = 1 + 2 + bytes_len(payload.len());
+    let mut w = Writer::reusing(frames.take(len), len);
+    w.u8(tag::NATIVE_SINGLE).u16(kind).bytes(payload);
     w.finish()
 }
 
@@ -75,10 +76,12 @@ fn decode_native(bytes: &[u8]) -> Option<Message<'_>> {
 /// Batch framing used by native (untransformed) protocols: the tag, then the
 /// same op body a [`recipe_core::BatchFrame`] carries, so the native baselines
 /// amortize the same per-message framing cost (minus the security layers) and
-/// the Figure 6a comparison stays apples-to-apples under batching.
-fn encode_native_batch(ops: &[BatchOp]) -> Vec<u8> {
-    let mut w = Writer::tagged(tag::NATIVE_BATCH, 1 + BatchFrame::ops_len(ops));
-    BatchFrame::write_ops(&mut w, ops);
+/// the Figure 6a comparison stays apples-to-apples under batching. In a
+/// spare from `frames`.
+fn encode_native_batch(frames: &mut FramePool, body: &[u8]) -> Vec<u8> {
+    let len = 1 + body.len();
+    let mut w = Writer::reusing(frames.take(len), len);
+    w.u8(tag::NATIVE_BATCH).raw(body);
     w.finish()
 }
 
@@ -416,32 +419,54 @@ impl ProtocolShield {
         }
     }
 
-    /// Wraps a protocol message of type `kind` for `dst` into wire bytes.
+    /// [`ProtocolShield::wrap_in`] into a buffer of the frame's own.
     pub fn wrap(&mut self, dst: NodeId, kind: u16, payload: &[u8]) -> Vec<u8> {
+        self.wrap_in(&mut FramePool::default(), dst, kind, payload)
+    }
+
+    /// Wraps a protocol message of type `kind` for `dst` into wire bytes, in
+    /// a spare from `frames`.
+    pub fn wrap_in(
+        &mut self,
+        frames: &mut FramePool,
+        dst: NodeId,
+        kind: u16,
+        payload: &[u8],
+    ) -> Vec<u8> {
         self.sealed_frames += 1;
         self.sealed_ops += 1;
         match &mut self.auth {
-            None => encode_native(kind, payload),
+            None => encode_native(frames, kind, payload),
             Some(auth) => auth
-                .shield_to_wire(dst, kind, payload)
+                .shield_in(frames, dst, kind, payload)
                 .expect("channel key provisioned for every peer"),
         }
     }
 
-    /// Wraps a whole batch of protocol messages for `dst` into one wire frame:
-    /// a [`recipe_core::BatchFrame`] under one counter/MAC in Recipe mode, a
-    /// plain native batch frame in native mode.
+    /// [`ProtocolShield::wrap_batch_in`] of `ops`, into a buffer of the
+    /// frame's own.
+    pub fn wrap_batch(&mut self, dst: NodeId, ops: Vec<BatchOp>) -> Vec<u8> {
+        let body = BatchFrame::encode_ops(&ops);
+        self.wrap_batch_in(&mut FramePool::default(), dst, &body)
+    }
+
+    /// Wraps a whole batch of protocol messages for `dst` into one wire frame,
+    /// in a spare from `frames`: a [`recipe_core::BatchFrame`] under one
+    /// counter/MAC in Recipe mode, a plain native batch frame in native mode.
+    /// `body` holds the batch in [`BatchFrame::write_ops`]'s format, as the
+    /// [`crate::Batcher`] queues it.
     ///
     /// # Panics
     /// Panics on an empty batch — flushing nothing is a caller bug.
-    pub fn wrap_batch(&mut self, dst: NodeId, ops: Vec<BatchOp>) -> Vec<u8> {
-        assert!(!ops.is_empty(), "wrap_batch requires at least one op");
+    pub fn wrap_batch_in(&mut self, frames: &mut FramePool, dst: NodeId, body: &[u8]) -> Vec<u8> {
+        let ops = BatchFrame::op_count(body);
+        assert!(ops > 0, "wrap_batch requires at least one op");
         self.sealed_frames += 1;
-        self.sealed_ops += ops.len() as u64;
+        self.sealed_ops += u64::from(ops);
         match &mut self.auth {
-            None => encode_native_batch(&ops),
+            None => encode_native_batch(frames, body),
             Some(auth) => auth
-                .shield_batch_to_wire(dst, &ops)
+                .shield_batch_body_in(frames, dst, body)
                 .expect("channel key provisioned for every peer"),
         }
     }
@@ -457,12 +482,27 @@ impl ProtocolShield {
     /// Panics on a native-mode shield: transaction frames only exist inside
     /// the authenticated channel.
     pub fn wrap_txn(&mut self, dst: NodeId, txn_id: u64, body: &TxnBody, seal: bool) -> Vec<u8> {
+        self.wrap_txn_in(&mut FramePool::default(), dst, txn_id, body, seal)
+    }
+
+    /// [`ProtocolShield::wrap_txn`] in a spare from `frames`.
+    ///
+    /// # Panics
+    /// Panics on a native-mode shield, as [`ProtocolShield::wrap_txn`] does.
+    pub fn wrap_txn_in(
+        &mut self,
+        frames: &mut FramePool,
+        dst: NodeId,
+        txn_id: u64,
+        body: &TxnBody,
+        seal: bool,
+    ) -> Vec<u8> {
         self.sealed_frames += 1;
         self.sealed_ops += 1;
         self.auth
             .as_mut()
             .expect("2PC frames require a Recipe-mode shield")
-            .shield_txn_to_wire(dst, txn_id, body, seal)
+            .shield_txn_in(frames, dst, txn_id, body, seal)
             .expect("channel key provisioned for every peer")
     }
 

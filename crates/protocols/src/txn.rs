@@ -65,7 +65,7 @@
 
 use std::ops::Range;
 
-use recipe_core::TxnBody;
+use recipe_core::{FramePool, TxnBody};
 use recipe_net::NodeId;
 
 use crate::migration::MAX_SHARDS;
@@ -127,6 +127,9 @@ pub struct TxnLanes {
     coordinators: Vec<Option<Coordinator>>,
     /// By shard index.
     participants: Vec<Option<ProtocolShield>>,
+    /// The free list every lane's frames are built in; a frame's buffer
+    /// comes back through [`TxnLanes::recycle`].
+    frames: FramePool,
 }
 
 impl TxnLanes {
@@ -157,7 +160,14 @@ impl TxnLanes {
         TxnLane {
             coordinator: &mut coordinator.shield,
             participant,
+            frames: &mut self.frames,
         }
+    }
+
+    /// Takes back the buffer of a frame a lane sealed, once nothing will
+    /// send it again.
+    pub fn recycle(&mut self, wire: Vec<u8>) {
+        self.frames.give(wire);
     }
 }
 
@@ -171,13 +181,16 @@ impl TxnLanes {
 pub struct TxnLane<'a> {
     coordinator: &'a mut ProtocolShield,
     participant: &'a mut ProtocolShield,
+    frames: &'a mut FramePool,
 }
 
 impl TxnLane<'_> {
-    /// Seals one coordinator → participant message (prepare/commit/abort).
+    /// Seals one coordinator → participant message (prepare/commit/abort),
+    /// in a spare of the lanes' free list.
     pub fn seal_request(&mut self, txn_id: u64, body: &TxnBody, seal: bool) -> Vec<u8> {
+        let dst = self.participant.node();
         self.coordinator
-            .wrap_txn(self.participant.node(), txn_id, body, seal)
+            .wrap_txn_in(self.frames, dst, txn_id, body, seal)
     }
 
     /// Verifies and opens a coordinator → participant frame on the
@@ -188,10 +201,12 @@ impl TxnLane<'_> {
         Self::open(self.participant, self.coordinator.node(), txn_id, wire)
     }
 
-    /// Seals one participant → coordinator message (vote/ack).
+    /// Seals one participant → coordinator message (vote/ack), in a spare
+    /// of the lanes' free list.
     pub fn seal_response(&mut self, txn_id: u64, body: &TxnBody, seal: bool) -> Vec<u8> {
+        let dst = self.coordinator.node();
         self.participant
-            .wrap_txn(self.coordinator.node(), txn_id, body, seal)
+            .wrap_txn_in(self.frames, dst, txn_id, body, seal)
     }
 
     /// Verifies and opens a participant → coordinator frame on the

@@ -95,6 +95,9 @@ struct Issued {
     shard: usize,
     arc: usize,
     request_id: u64,
+    /// The operation's key, kept only when rebalancing is enabled: a
+    /// migration's catch-up capture is the one reader, and it runs only
+    /// then. Empty otherwise.
     key: Vec<u8>,
     is_write: bool,
 }
@@ -126,6 +129,9 @@ pub(crate) struct Engine<'a, R: Replica> {
     pub(crate) st: ControllerState,
     pub(crate) txns: TxnManager,
     clients: Vec<ClientState>,
+    /// Where [`Engine::route`] resolves a request's `(arc, shard)`
+    /// placements, kept between requests so a steady run allocates none.
+    placements: Vec<(usize, usize)>,
     /// The global virtual-time frontier.
     pub(crate) now: u64,
     tallies: Tallies,
@@ -202,6 +208,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                     outstanding: None,
                 })
                 .collect(),
+            placements: Vec::new(),
             now: 0,
             tallies: Tallies::new(shard_count),
             timeline: Vec::new(),
@@ -340,9 +347,23 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
     /// or to the 2PC coordinator. One stale key re-resolves the whole
     /// request.
     fn route(&mut self, client_id: u64, rid: u64, request: Request, at: u64) {
+        let mut placements = std::mem::take(&mut self.placements);
+        placements.clear();
+        self.route_into(&mut placements, client_id, rid, request, at);
+        self.placements = placements;
+    }
+
+    /// [`Engine::route`], resolving into the driver's `placements` scratch.
+    fn route_into(
+        &mut self,
+        placements: &mut Vec<(usize, usize)>,
+        client_id: u64,
+        rid: u64,
+        request: Request,
+        at: u64,
+    ) {
         let client = client_id as usize;
         let router = &self.cluster.router;
-        let mut placements: Vec<(usize, usize)> = Vec::with_capacity(request.len());
         let mut redirect = None;
         for op in request.ops() {
             let point = stable_key_hash(op.key());
@@ -392,7 +413,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
             Request::Single(operation) => {
                 self.submit_single(client_id, rid, operation, placements[0], at);
             }
-            Request::Txn(ops) => self.begin_txn(client_id, rid, ops, &placements, at),
+            Request::Txn(ops) => self.begin_txn(client_id, rid, ops, placements, at),
         }
     }
 
@@ -405,7 +426,11 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         (arc, shard): (usize, usize),
         at: u64,
     ) {
-        let key = operation.key().to_vec();
+        let key = if self.rb.enabled {
+            operation.key().to_vec()
+        } else {
+            Vec::new()
+        };
         let is_write = operation.is_write();
         let (group, mut sched) = self.cluster.lend(shard);
         match group.try_submit_at(at, client_id, rid, operation, &mut sched) {

@@ -295,11 +295,10 @@ impl<R: StoreReplica> ShardedCluster<R> {
                 let router = self.router.clone();
                 move |key: &[u8]| router.shard_for_key(key) != shard
             };
-            for node in self.shards[shard].node_ids() {
-                self.shards[shard]
-                    .replica_mut(node)
-                    .store()
-                    .evict_range(&foreign);
+            let group = &mut self.shards[shard];
+            for idx in 0..group.replica_count() {
+                let node = group.node_ids()[idx];
+                group.replica_mut(node).store().evict_range(&foreign);
             }
         }
     }
@@ -554,7 +553,8 @@ impl<R: StoreReplica> Engine<'_, R> {
                 bytes: wire.len(),
             };
             let recipient = &mut cluster.shards[active.recipient];
-            for node in recipient.node_ids() {
+            for idx in 0..recipient.replica_count() {
+                let node = recipient.node_ids()[idx];
                 let imported = recipient.charge(node, arrival, ChargeKind::SnapshotImport, import);
                 st.stats.transfer_busy_ns += imported.cost_ns();
                 ready_at = ready_at.max(imported.finish_ns);
@@ -618,11 +618,10 @@ impl<R: StoreReplica> Engine<'_, R> {
             cluster, st, rb, ..
         } = self;
         let filter = cluster.router.arc_membership_filter(&active.arcs);
-        for node in cluster.shards[active.donor].node_ids() {
-            cluster.shards[active.donor]
-                .replica_mut(node)
-                .store()
-                .evict_range(&filter);
+        let donor = &mut cluster.shards[active.donor];
+        for idx in 0..donor.replica_count() {
+            let node = donor.node_ids()[idx];
+            donor.replica_mut(node).store().evict_range(&filter);
         }
         cluster.router.rebalance(&active.arcs, active.recipient);
         st.stats.migrations_completed += 1;

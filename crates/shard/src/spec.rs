@@ -861,8 +861,8 @@ mod tests {
             let group = cluster.shard(0);
             let names: Vec<_> = group
                 .node_ids()
-                .into_iter()
-                .map(|id| group.replica(id).protocol_name())
+                .iter()
+                .map(|&id| group.replica(id).protocol_name())
                 .collect();
             assert!(names.windows(2).all(|pair| pair[0] == pair[1]), "{names:?}");
             names[0]

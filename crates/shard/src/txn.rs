@@ -165,6 +165,8 @@ struct Participant {
     /// Ring arcs the sub-operations live on (drain / capture checks).
     arcs: Vec<usize>,
     /// The sealed request of the current phase, cached for retransmission.
+    /// Both wires go back to the lanes' free list when the next phase is
+    /// sealed or the transaction resolves.
     request_wire: Vec<u8>,
     /// The participant's sealed response, cached so a request re-delivered
     /// after a lost response is answered without re-execution.
@@ -392,6 +394,15 @@ impl TxnManager {
         }
     }
 
+    /// Gives the lanes back the buffers of `p`'s sealed request and
+    /// response, once neither will be sent again.
+    fn recycle(&mut self, p: &mut Participant) {
+        self.lanes.recycle(std::mem::take(&mut p.request_wire));
+        if let Some(response) = p.response_wire.take() {
+            self.lanes.recycle(response);
+        }
+    }
+
     /// Synthetic network addresses for the injector's channel bookkeeping
     /// (replays are picked per (src, dst) pair).
     fn coordinator_addr() -> NodeId {
@@ -547,9 +558,11 @@ impl<R: StoreReplica> Engine<'_, R> {
                     TxnBody::Abort
                 };
                 for p in &mut txn.participants {
+                    // The last phase's frames are done with: the new
+                    // request is sealed in the buffer one of them leaves.
+                    self.txns.recycle(p);
                     let mut lane = self.txns.lanes.lane(txn.client_id, p.shard);
                     p.request_wire = lane.seal_request(txn_id, &body, txn.sealed);
-                    p.response_wire = None;
                     p.done = false;
                 }
                 self.txn_pump(&mut txn, None, at);
@@ -557,6 +570,9 @@ impl<R: StoreReplica> Engine<'_, R> {
                 TxnResolution::Pending
             }
             TxnPhase::Committing => {
+                for p in &mut txn.participants {
+                    self.txns.recycle(p);
+                }
                 let finished_at = txn.phase_ready_at();
                 let mut op_placements = Vec::new();
                 let mut fanout = 0u64;
@@ -582,6 +598,9 @@ impl<R: StoreReplica> Engine<'_, R> {
                 })
             }
             TxnPhase::Aborting => {
+                for p in &mut txn.participants {
+                    self.txns.recycle(p);
+                }
                 self.txns.stats.aborted += 1;
                 TxnResolution::Aborted {
                     client_id: txn.client_id,
@@ -781,8 +800,8 @@ impl<R: StoreReplica> Engine<'_, R> {
                         // transaction if this leader crashes before the
                         // decision lands. The replication round trip charged
                         // above is the durability barrier for this record.
-                        let nodes = group.node_ids();
-                        for node in nodes {
+                        for idx in 0..group.replica_count() {
+                            let node = group.node_ids()[idx];
                             if node == leader || group.crashed_nodes().contains(&node) {
                                 continue;
                             }
@@ -817,7 +836,8 @@ impl<R: StoreReplica> Engine<'_, R> {
                 // yielded it (its staged writes are superseded by the
                 // leader's committed entries installed below). Runs before
                 // the entries check so read-only transactions resolve too.
-                for node in group.node_ids() {
+                for idx in 0..group.replica_count() {
+                    let node = group.node_ids()[idx];
                     if node == leader || group.crashed_nodes().contains(&node) {
                         continue;
                     }
@@ -839,7 +859,8 @@ impl<R: StoreReplica> Engine<'_, R> {
                 if !entries.is_empty() {
                     // Install the applied records on the group's followers —
                     // the migration-import idiom, so replicas never diverge.
-                    for node in group.node_ids() {
+                    for idx in 0..group.replica_count() {
+                        let node = group.node_ids()[idx];
                         if node == leader || group.crashed_nodes().contains(&node) {
                             // Crashed followers miss the install; the
                             // rollback-protected recovery snapshot catches
@@ -901,7 +922,8 @@ impl<R: StoreReplica> Engine<'_, R> {
                     );
                 }
                 group.replica_mut(leader).store().txn_abort(txn_id);
-                for node in group.node_ids() {
+                for idx in 0..group.replica_count() {
+                    let node = group.node_ids()[idx];
                     if node == leader || group.crashed_nodes().contains(&node) {
                         continue;
                     }

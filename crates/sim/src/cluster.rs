@@ -13,7 +13,7 @@
 use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
 
-use recipe_core::{ClientReply, ClientRequest, Operation};
+use recipe_core::{ClientReply, ClientRequest, FramePool, Operation};
 use recipe_net::{CrashPlan, FaultPlan, FrameFault, NetworkFaultInjector, NodeId};
 use recipe_tee::TrustedInstant;
 use recipe_telemetry::{ChargeKind, CostBreakdown, CostCategory, ShardTelemetry, SpanKind};
@@ -316,8 +316,12 @@ pub struct ReplicaGroup<R: Replica> {
     /// id. Ids are dense from zero; the table grows the first time a client
     /// submits.
     clients: Vec<Option<Outstanding>>,
-    /// The effect buffers handler calls fill, lent to one [`Ctx`] at a time
-    /// and taken back empty: a steady run allocates none.
+    /// The effect buffers handler calls fill and the free list of frame
+    /// buffers their frames are built in, lent to one [`Ctx`] at a time and
+    /// taken back (the queues empty): a steady run allocates neither. A
+    /// frame's buffer comes back to the free list here once the receiving
+    /// handler returned, or once the network dropped the frame, replaced it
+    /// with a tampered copy or carried it to a crashed node.
     effects: Effects,
     stats: RunStats,
     write_rr: usize,
@@ -426,8 +430,13 @@ impl<R: Replica> ReplicaGroup<R> {
     }
 
     /// The ids of all replicas, in construction order.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        self.ids.clone()
+    pub fn node_ids(&self) -> &[NodeId] {
+        &self.ids
+    }
+
+    /// The group's free list of frame buffers (see [`Ctx`]).
+    pub fn frame_pool(&self) -> &FramePool {
+        &self.effects.frames
     }
 
     /// The first live replica that coordinates writes, if any (construction
@@ -638,7 +647,7 @@ impl<R: Replica> ReplicaGroup<R> {
             } => {
                 let to = self.ids[idx];
                 if self.crashed.contains(&to) {
-                    return;
+                    return self.effects.frames.give(bytes);
                 }
                 self.stats.messages_delivered += 1;
                 self.stats.ops_delivered += ops as u64;
@@ -664,6 +673,7 @@ impl<R: Replica> ReplicaGroup<R> {
                 self.run_handler(idx, finish, sched, |replica, ctx| {
                     replica.on_delivery(from, &mut bytes, ctx);
                 });
+                self.effects.frames.give(bytes);
             }
             EventKind::Timer { idx, token } => {
                 let node = self.ids[idx];
@@ -845,8 +855,9 @@ impl<R: Replica> ReplicaGroup<R> {
         sched: &mut Scheduler<'_, T>,
     ) {
         let src = self.ids[idx];
-        let (mut outbox, mut replies, mut timers) = ctx.take_effects();
-        for (dst, bytes, ops) in outbox.drain(..) {
+        let mut effects = ctx.take_effects();
+        let frames = &mut effects.frames;
+        for (dst, bytes, ops) in effects.outbox.drain(..) {
             // Sending costs the sender time (serialized on the node). Batch
             // frames pay their fixed transport/auth overhead once per frame.
             let work = Work::Send {
@@ -875,12 +886,14 @@ impl<R: Replica> ReplicaGroup<R> {
             match fault {
                 FrameFault::Deliver => sched.deliver(deliver_at, src, to, bytes, ops),
                 FrameFault::Drop => {
+                    frames.give(bytes);
                     self.stats.messages_dropped += 1;
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultDrop, dst.0, self.now, ops as u64);
                     }
                 }
                 FrameFault::Tamper(corrupted) => {
+                    frames.give(bytes);
                     self.stats.messages_tampered += 1;
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultTamper, dst.0, deliver_at, ops as u64);
@@ -892,7 +905,9 @@ impl<R: Replica> ReplicaGroup<R> {
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultDuplicate, dst.0, deliver_at, ops as u64);
                     }
-                    sched.deliver(deliver_at, src, to, bytes.clone(), ops);
+                    let mut copy = frames.take(bytes.len());
+                    copy.extend_from_slice(&bytes);
+                    sched.deliver(deliver_at, src, to, copy, ops);
                     sched.deliver(deliver_at + 1, src, to, bytes, ops);
                 }
                 FrameFault::Replay(older) => {
@@ -910,13 +925,13 @@ impl<R: Replica> ReplicaGroup<R> {
             }
         }
 
-        for reply in replies.drain(..) {
+        for reply in effects.replies.drain(..) {
             self.record_reply(reply, sched.completions);
         }
-        for (delay, token) in timers.drain(..) {
+        for (delay, token) in effects.timers.drain(..) {
             sched.push(self.now + delay, EventKind::Timer { idx, token });
         }
-        self.effects = (outbox, replies, timers);
+        self.effects = effects;
     }
 
     /// `client_id`'s table entry, grown to reach it on first sight.

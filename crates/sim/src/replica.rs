@@ -7,43 +7,46 @@
 //! timer requests that the simulator then schedules with the appropriate virtual-time
 //! costs.
 
-use recipe_core::{ClientReply, ClientRequest, Operation};
+use recipe_core::{ClientReply, ClientRequest, FramePool, Operation};
 use recipe_net::NodeId;
 use recipe_tee::TrustedInstant;
 
-/// The effects a handler invocation queued: outbound `(dst, bytes, ops)`
-/// messages (`ops` > 1 for batch frames, so the cost model can charge fixed
-/// per-frame overhead once and per-op marginal work per op), client replies,
-/// and `(delay_ns, token)` timer requests.
-pub(crate) type Effects = (
-    Vec<(NodeId, Vec<u8>, u32)>,
-    Vec<ClientReply>,
-    Vec<(u64, u64)>,
-);
+/// What a handler invocation works with besides the replica: the effects it
+/// queues — outbound `(dst, bytes, ops)` messages (`ops` > 1 for batch
+/// frames, so the cost model can charge fixed per-frame overhead once and
+/// per-op marginal work per op), client replies and `(delay_ns, token)` timer
+/// requests — and the free list of frame buffers its frames are built in.
+#[derive(Debug, Default)]
+pub(crate) struct Effects {
+    pub(crate) outbox: Vec<(NodeId, Vec<u8>, u32)>,
+    pub(crate) replies: Vec<ClientReply>,
+    pub(crate) timers: Vec<(u64, u64)>,
+    pub(crate) frames: FramePool,
+}
 
 /// The per-invocation context a replica uses to interact with the world.
+///
+/// The simulator lends it the group's buffers for one handler call: the
+/// effect queues, empty, and the group's [`FramePool`]. A Recipe replica
+/// builds each frame it sends in a spare from [`Ctx::frames`]; the group
+/// gives the buffer back once the frame was delivered (after the receiving
+/// handler returns), dropped by the network, replaced by a tampered copy, or
+/// sent to a crashed node. A replica that sends `Vec`s of its own leaves the
+/// free list as it was: it takes back no more buffers than it lent.
 #[derive(Debug)]
 pub struct Ctx {
     now: TrustedInstant,
     node: NodeId,
-    outbox: Vec<(NodeId, Vec<u8>, u32)>,
-    replies: Vec<ClientReply>,
-    timers: Vec<(u64, u64)>,
+    /// The group's effect queues and frame free list, lent for this call.
+    effects: Effects,
 }
 
 impl Ctx {
     /// Creates a context for a handler invocation at virtual time `now`,
-    /// queuing into `buffers` — empty ones the simulator lends it, so a
+    /// queuing into `effects` — empty buffers the simulator lends it, so a
     /// handler's first `send`, `reply` or `set_timer` allocates nothing.
-    pub(crate) fn new(node: NodeId, now: TrustedInstant, buffers: Effects) -> Self {
-        let (outbox, replies, timers) = buffers;
-        Ctx {
-            now,
-            node,
-            outbox,
-            replies,
-            timers,
-        }
+    pub(crate) fn new(node: NodeId, now: TrustedInstant, effects: Effects) -> Self {
+        Ctx { now, node, effects }
     }
 
     /// The current virtual time.
@@ -56,45 +59,55 @@ impl Ctx {
         self.node
     }
 
+    /// The group's free list of frame buffers: a frame built in one of its
+    /// spares goes back to it once the network is done with the frame.
+    pub fn frames(&mut self) -> &mut FramePool {
+        &mut self.effects.frames
+    }
+
     /// Queues `bytes` for delivery to `dst`.
     pub fn send(&mut self, dst: NodeId, bytes: Vec<u8>) {
-        self.outbox.push((dst, bytes, 1));
+        self.effects.outbox.push((dst, bytes, 1));
     }
 
     /// Queues a batch frame of `ops` protocol messages for delivery to `dst`.
     /// The simulator charges the frame's fixed transport/auth cost once and the
     /// per-op marginal cost `ops` times (see [`crate::Work::Send`]).
     pub fn send_batch(&mut self, dst: NodeId, bytes: Vec<u8>, ops: u32) {
-        self.outbox.push((dst, bytes, ops.max(1)));
+        self.effects.outbox.push((dst, bytes, ops.max(1)));
     }
 
-    /// Queues `bytes` for delivery to every node in `peers`.
+    /// Queues `bytes` for delivery to every node in `peers` but this one:
+    /// a copy for each, and `bytes` itself for the last.
     pub fn broadcast(&mut self, peers: &[NodeId], bytes: Vec<u8>) {
-        for &peer in peers {
-            if peer != self.node {
-                self.outbox.push((peer, bytes.clone(), 1));
+        let me = self.node;
+        let mut peers = peers.iter().filter(|&&peer| peer != me).peekable();
+        while let Some(&peer) = peers.next() {
+            if peers.peek().is_none() {
+                return self.send(peer, bytes);
             }
+            self.send(peer, bytes.clone());
         }
     }
 
     /// Queues a reply to a client.
     pub fn reply(&mut self, reply: ClientReply) {
-        self.replies.push(reply);
+        self.effects.replies.push(reply);
     }
 
     /// Requests a timer callback `delay_ns` from now, tagged with `token`.
     pub fn set_timer(&mut self, delay_ns: u64, token: u64) {
-        self.timers.push((delay_ns, token));
+        self.effects.timers.push((delay_ns, token));
     }
 
     /// Drains the queued effects (used by the simulator).
     pub(crate) fn take_effects(self) -> Effects {
-        (self.outbox, self.replies, self.timers)
+        self.effects
     }
 
     /// Number of messages queued so far (useful in tests).
     pub fn queued_messages(&self) -> usize {
-        self.outbox.len()
+        self.effects.outbox.len()
     }
 }
 
@@ -280,7 +293,9 @@ mod tests {
         assert_eq!(ctx.now(), TrustedInstant::from_millis(5));
 
         ctx.send(NodeId(2), vec![1, 2]);
-        ctx.broadcast(&[NodeId(0), NodeId(1), NodeId(2)], vec![9]);
+        let broadcast = vec![9];
+        let broadcast_at = broadcast.as_ptr();
+        ctx.broadcast(&[NodeId(0), NodeId(1), NodeId(2)], broadcast);
         ctx.send_batch(NodeId(0), vec![7], 16);
         ctx.reply(ClientReply {
             client_id: 4,
@@ -292,11 +307,20 @@ mod tests {
         ctx.set_timer(1_000, 7);
         assert_eq!(ctx.queued_messages(), 4); // broadcast skips self
 
-        let (outbox, replies, timers) = ctx.take_effects();
+        let Effects {
+            outbox,
+            replies,
+            timers,
+            ..
+        } = ctx.take_effects();
         assert_eq!(outbox.len(), 4);
         assert_eq!(outbox[0], (NodeId(2), vec![1, 2], 1));
         assert_eq!(outbox[3], (NodeId(0), vec![7], 16));
         assert!(outbox.iter().all(|(dst, _, _)| *dst != NodeId(1)));
+        // The first peer gets a copy, the last the bytes themselves.
+        assert_eq!(outbox[1], (NodeId(0), vec![9], 1));
+        assert_ne!(outbox[1].1.as_ptr(), broadcast_at);
+        assert_eq!(outbox[2].1.as_ptr(), broadcast_at);
         assert_eq!(replies.len(), 1);
         assert_eq!(timers, vec![(1_000, 7)]);
     }

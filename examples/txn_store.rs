@@ -100,7 +100,7 @@ fn main() {
     let read = |cluster: &mut ShardedCluster<RaftReplica>, key: &[u8]| -> Option<Vec<u8>> {
         let shard = cluster.router().shard_for_key(key);
         let mut value = None;
-        for node in cluster.shard(shard).node_ids() {
+        for node in cluster.shard(shard).node_ids().to_vec() {
             let replica_value = cluster
                 .shard_mut(shard)
                 .replica_mut(node)

@@ -311,6 +311,7 @@ fn pinned_with_state<R: StoreReplica>(
             assert!(group.crashed_nodes().is_empty(), "a node stayed down");
             let replicas: Vec<String> = group
                 .node_ids()
+                .to_vec()
                 .into_iter()
                 .map(|node| {
                     let records = group.replica_mut(node).store().export_range(&|_| true);

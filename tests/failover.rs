@@ -197,7 +197,7 @@ fn committed_value<R: StoreReplica>(
     key: &[u8],
 ) -> Option<Vec<u8>> {
     let shard = cluster.router().shard_for_key(key);
-    let nodes = cluster.shard(shard).node_ids();
+    let nodes = cluster.shard(shard).node_ids().to_vec();
     let mut values = Vec::new();
     for node in nodes {
         if cluster.shard(shard).crashed_nodes().contains(&node) {

@@ -138,7 +138,7 @@ impl<W: FnMut(u64, u64) -> Operation> ProtocolVisitor for Run<W> {
         let stats = cluster.run_requests(|client, seq| Some((self.workload)(client, seq).into()));
         cluster.quiesce(50_000_000);
         let group = cluster.shard_mut(0);
-        let ids = group.node_ids();
+        let ids = group.node_ids().to_vec();
         let held = (0..KEYS)
             .map(|i| {
                 let reads = ids
@@ -434,7 +434,7 @@ impl ProtocolVisitor for FinalState {
             }
         }
         cluster.run_until(cluster.now_ns() + 3_000_000);
-        let nodes = cluster.node_ids().into_iter();
+        let nodes = cluster.node_ids().to_vec().into_iter();
         let records = |id| {
             let store = cluster.replica_mut(id).store();
             store.export_range(&|_| true).expect("nothing corrupts it")

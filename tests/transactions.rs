@@ -75,7 +75,7 @@ fn group_txn_workload(groups: Vec<Vec<Vec<u8>>>) -> impl FnMut(u64, u64) -> Opti
 /// returning the committed value.
 fn committed_value(cluster: &mut ShardedCluster<RaftReplica>, key: &[u8]) -> Option<Vec<u8>> {
     let shard = cluster.router().shard_for_key(key);
-    let nodes = cluster.shard(shard).node_ids();
+    let nodes = cluster.shard(shard).node_ids().to_vec();
     let mut values = Vec::new();
     for node in nodes {
         let value = cluster
