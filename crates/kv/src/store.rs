@@ -111,6 +111,13 @@ impl HostValue {
         }
     }
 
+    /// The buffer the host holds, whatever it holds in it.
+    fn into_bytes(self) -> Vec<u8> {
+        match self {
+            HostValue::Plain(bytes) | HostValue::Encrypted { bytes, .. } => bytes,
+        }
+    }
+
     /// The bytes a Byzantine host would tamper with.
     fn bytes_mut(&mut self) -> &mut Vec<u8> {
         match self {
@@ -209,17 +216,23 @@ impl PartitionedKvStore {
         timestamp: Timestamp,
     ) -> Result<u64, KvError> {
         self.write_owned(key, value.to_vec(), timestamp)
+            .map(|(version, _)| version)
     }
 
     /// [`PartitionedKvStore::write`] keeping the buffer it is handed: the
     /// value is sealed (confidential mode) and digested where it lies, and
     /// that buffer is what the host arena holds.
+    ///
+    /// Returns the new version and, on an overwrite, the buffer the key's
+    /// host slot held until now — the old value's plaintext, or its
+    /// ciphertext on a confidential store — for the caller to reuse or
+    /// drop. A new key, or one whose host value is gone, displaces nothing.
     pub fn write_owned(
         &mut self,
         key: &[u8],
         mut value: Vec<u8>,
         timestamp: Timestamp,
-    ) -> Result<u64, KvError> {
+    ) -> Result<(u64, Option<Vec<u8>>), KvError> {
         self.stats.writes += 1;
         let value_len = value.len();
         let host_value = match &self.cipher {
@@ -239,12 +252,12 @@ impl PartitionedKvStore {
         // An overwrite is one probe: the key keeps its slot and bumps its
         // version. A new key takes a free host slot and enters the table.
         if let Some(meta) = self.index.get_mut(key) {
-            self.host_arena[meta.host_slot] = Some(host_value);
+            let displaced = self.host_arena[meta.host_slot].replace(host_value);
             meta.value_hash = value_hash;
             meta.timestamp = timestamp;
             meta.version += 1;
             meta.value_len = value_len;
-            return Ok(meta.version);
+            return Ok((meta.version, displaced.map(HostValue::into_bytes)));
         }
         let host_slot = match self.free_slots.pop() {
             Some(slot) => {
@@ -264,7 +277,7 @@ impl PartitionedKvStore {
             host_slot,
         };
         self.index.insert(key.into(), meta);
-        Ok(1)
+        Ok((1, None))
     }
 
     /// Writes only if `timestamp` is strictly newer than the stored timestamp
@@ -963,6 +976,57 @@ mod tests {
             let kept = store.host_arena[slot].as_mut().unwrap().bytes_mut();
             assert_eq!(kept.as_ptr(), at);
             assert_eq!(store.get(b"k").unwrap().value, b"balance=100".repeat(8));
+        }
+    }
+
+    /// An overwrite hands back the buffer the key's host slot held, as the
+    /// host held it (ciphertext on a confidential store), and leaves the
+    /// store as `write` leaves it; a new key, or a slot the host emptied,
+    /// hands back nothing.
+    #[test]
+    fn an_overwrite_hands_back_the_buffer_it_displaces() {
+        let (first, second) = (Timestamp::new(1, 0), Timestamp::new(2, 3));
+        for (mut owned, mut copied) in [
+            (plain_store(), plain_store()),
+            (confidential_store(), confidential_store()),
+        ] {
+            let written = owned.write_owned(b"k", b"balance=100".to_vec(), first);
+            assert_eq!(written, Ok((1, None)));
+            let held = owned.host_visible_bytes(b"k").unwrap();
+            let slot = owned.index.get(b"k".as_slice()).unwrap().host_slot;
+            let at = owned.host_arena[slot]
+                .as_mut()
+                .unwrap()
+                .bytes_mut()
+                .as_ptr();
+
+            let (version, displaced) = owned
+                .write_owned(b"k", b"balance=000".to_vec(), second)
+                .unwrap();
+            let displaced = displaced.expect("an overwrite displaces");
+            assert_eq!((displaced.as_ptr(), &displaced), (at, &held));
+
+            copied.write(b"k", b"balance=100", first).unwrap();
+            assert_eq!(copied.write(b"k", b"balance=000", second), Ok(version));
+            assert_eq!(
+                owned.host_visible_bytes(b"k"),
+                copied.host_visible_bytes(b"k")
+            );
+            let read = owned.get(b"k").unwrap();
+            assert_eq!((read.version, read.timestamp), (2, second));
+            assert_eq!(read.value, b"balance=000");
+            assert_eq!(Ok(read), copied.get(b"k"));
+
+            assert!(owned.corrupt_host_value(b"k"));
+            assert!(matches!(
+                owned.get(b"k"),
+                Err(KvError::IntegrityViolation { .. } | KvError::DecryptionFailed { .. })
+            ));
+            assert!(owned.drop_host_value(b"k"));
+            assert_eq!(
+                owned.write_owned(b"k", b"x".to_vec(), second),
+                Ok((3, None))
+            );
         }
     }
 

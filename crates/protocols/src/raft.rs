@@ -16,6 +16,12 @@
 //! election timeout votes for the next view; once a quorum of votes for the same
 //! view is gathered, that view's leader takes over. Committed entries survive
 //! the change because they reside in a majority of KV stores.
+//!
+//! A follower decodes an append as slices of the received frame and copies
+//! its key and value once, into spares its store lends
+//! ([`crate::ReplicaStore::copy_entry`]). On commit the store keeps the
+//! value's buffer and takes back the key's and the one the write displaced,
+//! so a follower overwriting a key it holds allocates nothing.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -27,7 +33,7 @@ use recipe_net::NodeId;
 
 use crate::registry::Protocol;
 use crate::replica::{CftProtocol, Handle, RecipeReplica};
-use crate::store::Stamping;
+use crate::store::{ReplicaStore, Stamping};
 
 /// Timer token: leader heartbeat tick.
 const TOKEN_HEARTBEAT: u64 = 1;
@@ -38,16 +44,18 @@ const HEARTBEAT_PERIOD_NS: u64 = 10_000_000; // 10 ms
 /// Election timeout in nanoseconds.
 const ELECTION_TIMEOUT_NS: u64 = 35_000_000; // 35 ms
 
-/// Raft protocol messages (carried as Recipe-shielded payloads).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Raft protocol messages (carried as Recipe-shielded payloads). An append's
+/// key and value are borrowed: from the leader's request when it sends,
+/// from the received frame when a follower decodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
-pub enum RaftMsg {
+pub enum RaftMsg<'a> {
     /// Leader → followers: replicate one log entry.
     Append {
         view: u64,
         index: u64,
-        key: Vec<u8>,
-        value: Vec<u8>,
+        key: &'a [u8],
+        value: &'a [u8],
         client_id: u64,
         request_id: u64,
     },
@@ -96,7 +104,7 @@ impl Deref for Encoding {
     }
 }
 
-impl RaftMsg {
+impl RaftMsg<'_> {
     /// Wire form: `tag | variant | u64 fields in declaration order`, an
     /// append's key and value last.
     pub fn encode(&self) -> Vec<u8> {
@@ -175,7 +183,8 @@ impl RaftMsg {
     }
 
     /// Parses a message; `None` on anything but one well-formed encoding.
-    pub fn decode(bytes: &[u8]) -> Option<RaftMsg> {
+    /// An append's key and value are slices of `bytes`.
+    pub fn decode(bytes: &[u8]) -> Option<RaftMsg<'_>> {
         let mut r = Reader::tagged(bytes, tag::RAFT)?;
         let msg = match r.u8()? {
             0 => {
@@ -183,8 +192,8 @@ impl RaftMsg {
                 RaftMsg::Append {
                     view,
                     index,
-                    key: r.bytes()?.to_vec(),
-                    value: r.bytes()?.to_vec(),
+                    key: r.bytes()?,
+                    value: r.bytes()?,
                     client_id,
                     request_id,
                 }
@@ -268,6 +277,12 @@ struct PendingEntry {
     replicated: bool,
 }
 
+/// Gives an uncommitted entry's key and value buffers back to `store`.
+fn give_back(store: &mut ReplicaStore, (key, value): (Vec<u8>, Vec<u8>)) {
+    store.give_entry(key);
+    store.give_entry(value);
+}
+
 /// The Raft protocol: one replica's view, log position and replication and
 /// election state.
 pub struct Raft {
@@ -278,7 +293,10 @@ pub struct Raft {
     /// Leader-side replication state per log index, from the client's request
     /// until its reply is sent.
     pending: ByIndex<PendingEntry>,
-    /// Follower-side uncommitted entries per log index.
+    /// Follower-side uncommitted entries per log index: key and value, each
+    /// copied from the append into a spare of the store's entry buffers.
+    /// On commit the store keeps the value and gets the key back; an entry
+    /// replaced or discarded goes back whole.
     uncommitted: ByIndex<(Vec<u8>, Vec<u8>)>,
     /// Timestamp (virtual ns) of the last heartbeat observed from the leader.
     last_heartbeat_ns: u64,
@@ -333,7 +351,13 @@ impl Raft {
                 if view != self.view || self.is_leader() {
                     return;
                 }
-                self.uncommitted.insert(index, (key, value));
+                // The append borrows the frame: its one copy of each field
+                // is into spares the store lends.
+                let store = h.store();
+                let entry = (store.copy_entry(key), store.copy_entry(value));
+                if let Some(replaced) = self.uncommitted.insert(index, entry) {
+                    give_back(store, replaced);
+                }
                 let ack = RaftMsg::AppendAck { view, index };
                 h.send(from, &ack.encoding());
             }
@@ -369,7 +393,9 @@ impl Raft {
                     return;
                 }
                 if let Some((key, value)) = self.uncommitted.remove(&index) {
-                    h.store().apply(&key, value);
+                    let store = h.store();
+                    store.apply(&key, value);
+                    store.give_entry(key);
                 }
                 let ack = RaftMsg::CommitAck { view, index };
                 h.send(from, &ack.encoding());
@@ -427,13 +453,32 @@ impl Raft {
         }
     }
 
+    /// Gives every uncommitted entry's buffers back to the store, once the
+    /// replica is in its new view. Which spare lands where is no output's
+    /// business: they are interchangeable within a size class, and none is
+    /// read before it is refilled. A replica that now leads copies no
+    /// entries, so its store drops its spares rather than keep the buffers
+    /// its writes displace for copies it will not make.
+    fn discard_uncommitted(&mut self, h: &mut Handle<'_>) {
+        let store = h.store();
+        for (_, entry) in self.uncommitted.drain() {
+            give_back(store, entry);
+        }
+        if self.is_leader() {
+            store.drop_entry_buffers();
+        }
+    }
+
     fn install_view(&mut self, view: u64, h: &mut Handle<'_>) {
         self.view = view;
         h.set_view(view);
         self.last_heartbeat_ns = h.now().as_nanos();
-        // Any in-flight leader state from the previous view is discarded; committed
-        // entries are already in the KV stores of a majority.
+        // Any in-flight state from the previous view is discarded: the
+        // leader's, and the entries a follower holds uncommitted, whose
+        // indices the new leader's own appends reuse. Committed entries are
+        // already in the KV stores of a majority.
         self.pending.clear();
+        self.discard_uncommitted(h);
         if self.is_leader() {
             // Failover adoption: in-flight transactions the crashed leader
             // prepared become real (locked) prepares on the new leader, so
@@ -571,10 +616,10 @@ impl CftProtocol for Raft {
     }
 
     fn on_restart(&mut self, view: u64, h: &mut Handle<'_>) {
-        // Everything volatile died with the process: in-flight leader state,
-        // uncommitted follower entries and election bookkeeping.
+        // Everything volatile died with the process: in-flight leader state
+        // and election bookkeeping here, uncommitted follower entries once
+        // the view is adopted.
         self.pending.clear();
-        self.uncommitted.clear();
         self.voted.clear();
         self.view_votes.clear();
 
@@ -582,6 +627,7 @@ impl CftProtocol for Raft {
         // traffic from a deposed leader can never be accepted.
         self.view = view;
         h.set_view(view);
+        self.discard_uncommitted(h);
         self.last_heartbeat_ns = h.now().as_nanos();
 
         if self.is_leader() {
@@ -596,7 +642,9 @@ impl CftProtocol for Raft {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::StoreReplica;
     use crate::{build_cluster, BatchConfig};
+    use recipe_net::CrashPlan;
     use recipe_sim::{CostProfile, Replica, SimCluster, SimConfig};
 
     /// An answered entry is gone from the leader's replication state, so
@@ -676,16 +724,143 @@ mod tests {
                 assert_eq!(RaftMsg::decode(&expected), Some(msg));
             }
         }
+    }
+
+    /// An append decodes to slices of the bytes it arrived in, back to the
+    /// message it was encoded from; every other variant round-trips too, and
+    /// a message cut short or followed by a stray byte is refused.
+    #[test]
+    fn the_borrowed_decode_round_trips_every_variant_and_refuses_bad_lengths() {
+        let value = [0xAB; 300];
         let append = RaftMsg::Append {
             view: 1,
             index: 2,
-            key: b"k".to_vec(),
-            value: b"v".to_vec(),
+            key: b"key-7",
+            value: &value,
             client_id: 3,
             request_id: 4,
         };
         assert!(matches!(append.encoding(), Encoding::Heap(_)));
-        assert_eq!(RaftMsg::decode(&append.encode()), Some(append));
+        let bytes = append.encode();
+        let decoded = RaftMsg::decode(&bytes);
+        assert_eq!(decoded, Some(append));
+        let Some(RaftMsg::Append { key, value, .. }) = decoded else {
+            unreachable!()
+        };
+        let frame = bytes.as_ptr_range();
+        assert!(frame.contains(&key.as_ptr()) && frame.contains(&value.as_ptr()));
+
+        let (view, index) = (7, 9);
+        let messages = [
+            append,
+            RaftMsg::AppendAck { view, index },
+            RaftMsg::Commit { view, index },
+            RaftMsg::CommitAck { view, index },
+            RaftMsg::Heartbeat { view },
+            RaftMsg::ViewChange { new_view: view },
+        ];
+        for msg in messages {
+            let mut bytes = msg.encode();
+            assert_eq!(RaftMsg::decode(&bytes), Some(msg));
+            for len in 0..bytes.len() {
+                assert_eq!(RaftMsg::decode(&bytes[..len]), None, "{msg:?} cut to {len}");
+            }
+            bytes.push(0);
+            assert_eq!(RaftMsg::decode(&bytes), None, "{msg:?} and a stray byte");
+        }
+    }
+
+    /// A follower copies each append into spares its store lends, and each
+    /// commit gives back the buffer the write displaced and the key: once
+    /// every key of a fixed set has been written, a group overwriting them
+    /// allocates no entry buffer, unbatched and batched alike, and every
+    /// replica holds the same records.
+    #[test]
+    fn a_warm_group_allocates_no_entry_buffers() {
+        let put = |client: u64, round: u64| Operation::Put {
+            key: format!("key-{}", (client * 7 + round) % 50).into_bytes(),
+            value: format!("{client:>4}:{round:<59}").into_bytes(),
+        };
+        let allocated = |cluster: &mut SimCluster<RaftReplica>| {
+            (0..3)
+                .map(|id| {
+                    let replica = cluster.replica_mut(NodeId(id));
+                    replica.store().entry_buffers_allocated()
+                })
+                .collect::<Vec<_>>()
+        };
+        for batch in [BatchConfig::unbatched(), BatchConfig::of_ops(4)] {
+            let replicas = build_cluster(3, 1, |id, m| {
+                RaftReplica::recipe(id, m, false).with_batching(batch)
+            });
+            let config = SimConfig::uniform(3, CostProfile::recipe());
+            let mut cluster = SimCluster::new(replicas, config);
+            // Rounds 1–8 write every key of the set.
+            crate::tests::run_rounds(&mut cluster, 8, 8, put);
+            let warm = allocated(&mut cluster);
+            assert_eq!(warm[0], 0, "a leader copies no entry");
+            assert!(warm[1] > 0 && warm[2] > 0);
+
+            crate::tests::step_rounds(&mut cluster, 8, 9..=40, put);
+            cluster.run_until(cluster.now_ns() + 2 * HEARTBEAT_PERIOD_NS);
+            assert_eq!(cluster.committed(), 8 * 40);
+            assert_eq!(allocated(&mut cluster), warm, "{batch:?}");
+
+            let records = |replica: &mut RaftReplica| {
+                assert_eq!(replica.committed_entries(), 8 * 40);
+                let entries = replica.store().export_range(&|_| true).unwrap();
+                let records = entries.into_iter().map(|e| (e.key, e.value, e.ts_logical));
+                records.collect::<Vec<_>>()
+            };
+            let leader = records(cluster.replica_mut(NodeId(0)));
+            assert_eq!(leader.len(), 50);
+            for id in 1..3 {
+                assert_eq!(records(cluster.replica_mut(NodeId(id))), leader);
+            }
+        }
+    }
+
+    /// A follower drops the entries it holds uncommitted when it moves to a
+    /// higher view, leader or not: the new leader's appends restart at index
+    /// 0, and a commit for one of them must never apply a deposed leader's
+    /// entry.
+    #[test]
+    fn a_follower_that_installs_a_higher_view_holds_no_uncommitted_entries() {
+        const CRASH_NS: u64 = 20_000_000;
+        let replicas = build_cluster(3, 1, |id, m| RaftReplica::recipe(id, m, false));
+        let mut config = SimConfig::uniform(3, CostProfile::recipe());
+        config.crash_plan = CrashPlan::none().crash(NodeId(0), CRASH_NS);
+        let mut cluster = SimCluster::new(replicas, config);
+        cluster.seed_initial_events();
+        // A write every 2 µs up to the crash: some are appended on the
+        // followers and never committed.
+        for (request, at) in (CRASH_NS - 400_000..CRASH_NS).step_by(2_000).enumerate() {
+            let op = Operation::Put {
+                key: format!("key-{}", request % 20).into_bytes(),
+                value: vec![b'v'; 64],
+            };
+            assert!(cluster.submit_at(at, request as u64, 1, op));
+        }
+        cluster.run_until(CRASH_NS);
+        let held = |cluster: &SimCluster<RaftReplica>, id| {
+            cluster.replica(NodeId(id)).core().uncommitted.len()
+        };
+        assert!(held(&cluster, 1) > 0 && held(&cluster, 2) > 0);
+
+        cluster.run_until(CRASH_NS + 200_000_000);
+        for id in 1..3 {
+            let replica = cluster.replica(NodeId(id));
+            assert!(
+                replica.view() >= 1,
+                "node {id} is in view {}",
+                replica.view()
+            );
+            assert_eq!(held(&cluster, id), 0, "node {id}");
+        }
+        // The new leader dropped its spares and has copied no entry since.
+        let leader = cluster.replica_mut(NodeId(1));
+        assert!(leader.is_leader());
+        assert_eq!(leader.store().entry_buffers_allocated(), 0);
     }
 
     #[test]

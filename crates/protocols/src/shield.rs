@@ -937,8 +937,8 @@ mod tests {
             RaftMsg::Append {
                 view: 1,
                 index: 7,
-                key: key.clone(),
-                value: vec![0; value],
+                key: &key,
+                value: &vec![0; value],
                 client_id: 3,
                 request_id: 9,
             }

@@ -9,8 +9,24 @@
 //! with [`StoreReplica::store`]; the sharded driver, the 2PC coordinator and
 //! the migration controller reach everything else through that one accessor,
 //! so a protocol neither implements nor forwards any of it.
+//!
+//! # Entry buffers
+//!
+//! A kernel-bypass replica keeps each replicated entry in a registered
+//! buffer it reuses. A [`ReplicaStore`] keeps that free list for its
+//! replica, a [`FramePool`] of its own (never the group's frame pool: the
+//! buffers here only ever hold store keys and values). A protocol that
+//! copies an entry it receives takes spares for its key and value
+//! ([`ReplicaStore::copy_entry`]), hands the value to [`ReplicaStore::apply`]
+//! once it commits, and gives back the key, and any entry it discards, with
+//! [`ReplicaStore::give_entry`]. `apply` files the buffer the write
+//! displaces. The list takes back no more buffers than it lent, so a
+//! replica that takes none — a leader, whose values arrive in client
+//! requests — keeps it empty and frees what its writes displace; a
+//! follower that becomes leader empties it
+//! ([`ReplicaStore::drop_entry_buffers`]).
 
-use recipe_core::Operation;
+use recipe_core::{FramePool, Operation};
 use recipe_kv::{KvError, PartitionedKvStore, ReadResult, StoreConfig, Timestamp, TxnOpRef};
 use recipe_net::NodeId;
 use recipe_sim::{RangeEntry, RecoveryState, Replica, RestartReport};
@@ -64,6 +80,8 @@ pub struct ReplicaStore {
     /// Operations applied so far. Backed by the trusted monotonic counter,
     /// so it survives a crash.
     applied: u64,
+    /// Spare key and value buffers (module docs, "Entry buffers").
+    entries: FramePool,
 }
 
 /// Lends protocol operations to the store as its `(key, staged write)` pairs:
@@ -92,7 +110,35 @@ impl ReplicaStore {
             node: node.0,
             stamping,
             applied: 0,
+            entries: FramePool::default(),
         }
+    }
+
+    /// `bytes`, a key or value, copied into a spare sized for them: the
+    /// last one given back to their size class, or a new buffer.
+    pub fn copy_entry(&mut self, bytes: &[u8]) -> Vec<u8> {
+        let mut buf = self.entries.take(bytes.len());
+        buf.extend_from_slice(bytes);
+        buf
+    }
+
+    /// Gives back a buffer [`Self::copy_entry`] lent, or one the protocol
+    /// holds in its place: a key it is done with, an entry it discards.
+    pub fn give_entry(&mut self, buf: Vec<u8>) {
+        self.entries.give(buf);
+    }
+
+    /// Drops every spare and forgets what was lent: for a replica that stops
+    /// copying entries (a new leader), whose list then frees what its writes
+    /// displace, as a leader's does.
+    pub fn drop_entry_buffers(&mut self) {
+        self.entries = FramePool::default();
+    }
+
+    /// Entry buffers allocated because no spare fitted, since the store was
+    /// built or last dropped its spares.
+    pub fn entry_buffers_allocated(&self) -> u64 {
+        self.entries.allocated()
     }
 
     /// Operations applied so far.
@@ -121,7 +167,10 @@ impl ReplicaStore {
     /// Applies a committed write as the next operation, stamped by the
     /// store's rule. The store keeps `value`'s buffer
     /// ([`PartitionedKvStore::write_owned`]): a protocol hands over the value
-    /// it holds, and nothing copies it on the way in.
+    /// it holds, and nothing copies it on the way in. The buffer an
+    /// overwrite displaces goes to the store's spares, while the list is
+    /// owed buffers it lent (module docs, "Entry buffers"); the caller
+    /// returns nothing for it.
     pub fn apply(&mut self, key: &[u8], value: Vec<u8>) {
         self.applied += 1;
         let ts = match self.stamping {
@@ -131,7 +180,9 @@ impl ReplicaStore {
                 stored.next_for(self.node)
             }
         };
-        let _ = self.kv.write_owned(key, value, ts);
+        if let Ok((_, Some(displaced))) = self.kv.write_owned(key, value, ts) {
+            self.entries.give(displaced);
+        }
     }
 
     /// Counts an operation that takes its place in the sequence and writes

@@ -216,8 +216,8 @@ fn catalogue(d: &Draw) -> Vec<(&'static str, Vec<u8>)> {
             RaftMsg::Append {
                 view: a,
                 index: b,
-                key: key.clone(),
-                value: value.clone(),
+                key: &key,
+                value: &value,
                 client_id: c,
                 request_id: e,
             },
@@ -780,8 +780,8 @@ fn golden_vectors_pin_the_layout() {
             RaftMsg::Append {
                 view: 1,
                 index: 2,
-                key: b"k".to_vec(),
-                value: b"vv".to_vec(),
+                key: b"k",
+                value: b"vv",
                 client_id: 3,
                 request_id: 4,
             }
