@@ -5,9 +5,17 @@
 //! Afterwards it verifies replica quotes locally, avoiding the wide-area round trip
 //! to the vendor — the source of the ≈18× latency advantage reported in Table 4.
 //!
-//! Besides verification, the CAS stores the secrets and configurations uploaded by
-//! the protocol designer and hands the per-node [`crate::secrets::SecretBundle`] to
-//! replicas that attest successfully.
+//! In the paper the CAS also stores the secrets and configurations uploaded by
+//! the protocol designer and hands the per-node [`crate::secrets::SecretBundle`]
+//! to replicas that attest successfully. Here only verification runs:
+//! [`crate::run_remote_attestation`] takes the bundle as an argument and never
+//! reads the CAS's bundle store or attested set. Their entry points
+//! ([`ConfigAndAttestService::upload_bundle`],
+//! [`ConfigAndAttestService::mark_attested`],
+//! [`ConfigAndAttestService::bundle_for`],
+//! [`ConfigAndAttestService::attested_nodes`]) are exercised only by this
+//! module's tests; they are what a crash recovery that re-attests through the
+//! CAS would wire up.
 
 use std::collections::HashMap;
 
@@ -73,8 +81,9 @@ impl ConfigAndAttestService {
             .ok_or(AttestError::NotInMembership { node_id })
     }
 
-    /// Records that `node_id` attested successfully (called by the attestation
-    /// protocol driver after [`QuoteVerifier::verify_quote`] succeeds).
+    /// Records that `node_id` attested successfully, after its quote passed
+    /// [`QuoteVerifier::verify_quote`]. [`crate::run_remote_attestation`]
+    /// does not call it (see the module docs).
     pub fn mark_attested(&mut self, node_id: u64) {
         if !self.attested.contains(&node_id) {
             self.attested.push(node_id);

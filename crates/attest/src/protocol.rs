@@ -16,7 +16,8 @@
 
 use rand::RngCore;
 use recipe_crypto::{EphemeralSecret, KxPublic, MacKey, Nonce, SigningKeyPair};
-use recipe_tee::Enclave;
+use recipe_net::{ChannelId, NodeId};
+use recipe_tee::{Enclave, CIPHER_LABEL};
 
 use crate::error::AttestError;
 use crate::secrets::SecretBundle;
@@ -83,7 +84,7 @@ pub fn run_remote_attestation<V: QuoteVerifier, R: RngCore>(
             return Err(AttestError::ProvisioningFailed);
         }
         key.copy_from_slice(cipher_key_bytes);
-        enclave.provision_cipher_key("recipe.values", recipe_crypto::CipherKey::from_bytes(key))?;
+        enclave.provision_cipher_key(CIPHER_LABEL, recipe_crypto::CipherKey::from_bytes(key))?;
     }
 
     Ok(AttestationOutcome {
@@ -112,7 +113,7 @@ pub fn derive_channel_keys(
             if a != node_id && b != node_id {
                 continue;
             }
-            let label = format!("cq:{a}->{b}");
+            let label = ChannelId::new(NodeId(a), NodeId(b)).label();
             keys.insert(label.clone(), master.derive(&label));
         }
     }
@@ -165,7 +166,7 @@ mod tests {
         assert!(enclave.mac_key("cq:1->0").is_ok());
         assert!(enclave.mac_key("cq:0->1").is_ok());
         assert!(enclave.mac_key("cq:2->1").is_ok());
-        assert!(enclave.bind_cipher("recipe.values", &[0; 16]).is_ok());
+        assert!(enclave.bind_cipher(CIPHER_LABEL, &[0; 16]).is_ok());
         // No key for a channel node 1 does not participate in.
         assert!(enclave.mac_key("cq:0->2").is_err());
     }

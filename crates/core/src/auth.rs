@@ -65,8 +65,7 @@ use crate::policy::ConfidentialityMode;
 use crate::pool::FramePool;
 use crate::wire::Writer;
 
-/// Label under which the cluster-wide value/message cipher key is provisioned.
-pub const CIPHER_LABEL: &str = "recipe.values";
+pub use recipe_tee::CIPHER_LABEL;
 
 /// Domain a node's store key is derived under ([`AuthLayer::store_cipher_key`]).
 const STORE_KEY_DOMAIN: &[u8] = b"recipe.store_key.v1";

@@ -40,15 +40,6 @@ impl Digest {
     pub fn to_hex(&self) -> String {
         self.0.iter().map(|b| format!("{b:02x}")).collect()
     }
-
-    /// Combines two digests into a new one (`H(a || b)`); used for chaining
-    /// measurements and building simple hash chains in tests.
-    pub fn combine(&self, other: &Digest) -> Digest {
-        let mut hasher = Hasher::new();
-        hasher.update(self.as_bytes());
-        hasher.update(other.as_bytes());
-        hasher.finalize()
-    }
 }
 
 impl fmt::Debug for Digest {
@@ -140,13 +131,6 @@ mod tests {
     fn hash_parts_is_not_plain_concatenation() {
         assert_ne!(hash_parts(&[b"ab", b"c"]), hash_parts(&[b"a", b"bc"]));
         assert_ne!(hash_parts(&[b"abc"]), sha256(b"abc"));
-    }
-
-    #[test]
-    fn combine_is_order_sensitive() {
-        let a = sha256(b"a");
-        let b = sha256(b"b");
-        assert_ne!(a.combine(&b), b.combine(&a));
     }
 
     #[test]

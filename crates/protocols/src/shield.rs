@@ -22,7 +22,7 @@ use recipe_core::{
     TxnVerifyOutcome, ViewOutcome,
 };
 use recipe_crypto::{CipherKey, MacKey};
-use recipe_net::NodeId;
+use recipe_net::{ChannelId, NodeId};
 use recipe_tee::{Enclave, EnclaveConfig, EnclaveId};
 use serde::{Deserialize, Serialize};
 
@@ -300,7 +300,7 @@ impl ProtocolShield {
 
     fn provision_channel(enclave: &mut Enclave, master: &MacKey, node: NodeId, peer: NodeId) {
         for (a, b) in [(node, peer), (peer, node)] {
-            let label = format!("cq:{}->{}", a.0, b.0);
+            let label = ChannelId::new(a, b).label();
             enclave
                 .provision_mac_key(label.clone(), master.derive(&label))
                 .expect("fresh enclave accepts keys");

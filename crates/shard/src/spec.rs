@@ -140,8 +140,9 @@ impl ShardPolicy {
 
 /// The fully-resolved policy of one shard: workspace defaults with that
 /// shard's [`ShardPolicy`] overrides applied. This is what replica factories
-/// receive — `profile` already carries the confidentiality flag and batching
-/// factor, so the cost accounting can never disagree with the replicas.
+/// receive — `profile` already carries the confidentiality flag, so the cost
+/// accounting can never disagree with the replicas. The batching factor lives
+/// in `batch` alone: the cost model charges by the ops each frame carries.
 #[derive(Debug, Clone)]
 pub struct ResolvedShardPolicy {
     /// The shard this policy was resolved for.
@@ -150,8 +151,8 @@ pub struct ResolvedShardPolicy {
     pub confidentiality: ConfidentialityMode,
     /// The group's leader-side batching triggers.
     pub batch: BatchConfig,
-    /// The per-replica cost profile, with `confidential` and `batch_ops`
-    /// already aligned to this policy.
+    /// The per-replica cost profile, with `confidential` already aligned to
+    /// this policy.
     pub profile: CostProfile,
     /// The group's network fault plan.
     pub fault_plan: FaultPlan,
@@ -500,7 +501,7 @@ impl DeploymentSpec {
 
     /// Resolves the effective policy of one shard: the workspace defaults
     /// with the shard's overrides applied, the cost profile aligned to the
-    /// resolved confidentiality and batching.
+    /// resolved confidentiality.
     ///
     /// # Panics
     /// Panics if `shard` is out of range.
@@ -514,8 +515,7 @@ impl DeploymentSpec {
         let profile = overrides
             .and_then(|p| p.profile.clone())
             .unwrap_or_else(|| self.profile.clone())
-            .with_confidentiality(confidentiality)
-            .with_batch_ops(batch.max_ops);
+            .with_confidentiality(confidentiality);
         let fault_plan = overrides
             .and_then(|p| p.fault_plan)
             .unwrap_or(self.fault_plan);
@@ -735,7 +735,6 @@ mod tests {
             assert_eq!(policy.confidentiality, ConfidentialityMode::Plaintext);
             assert!(!policy.profile.confidential);
             assert_eq!(policy.batch, BatchConfig::unbatched());
-            assert_eq!(policy.profile.batch_ops, 1);
         }
         assert_eq!(spec.membership().n(), 3);
         assert_eq!(spec.membership().f(), 1);
@@ -758,12 +757,12 @@ mod tests {
         let p0 = spec.policy_for(0);
         assert_eq!(p0.confidentiality, ConfidentialityMode::Plaintext);
         assert_eq!(p0.batch, BatchConfig::of_ops(4));
-        assert_eq!(p0.profile.batch_ops, 4);
-        // Shard 1: confidential + its own batching; profile follows both.
+        // Shard 1: confidential + its own batching; the profile follows
+        // the confidentiality.
         let p1 = spec.policy_for(1);
         assert_eq!(p1.confidentiality, ConfidentialityMode::Confidential);
         assert!(p1.profile.confidential);
-        assert_eq!(p1.profile.batch_ops, 16);
+        assert_eq!(p1.batch, BatchConfig::of_ops(16));
         // Shard 2: only the fault plan differs.
         let p2 = spec.policy_for(2);
         assert_eq!(p2.confidentiality, ConfidentialityMode::Plaintext);
@@ -834,10 +833,7 @@ mod tests {
         assert!(p0.crash_plan.entries.is_empty());
         assert_eq!(p0.fault_plan, FaultPlan::benign());
         assert!(p1.profile.confidential);
-        assert_eq!(
-            (p1.batch, p1.profile.batch_ops),
-            (BatchConfig::of_ops(8), 8)
-        );
+        assert_eq!(p1.batch, BatchConfig::of_ops(8));
         assert_eq!(p1.crash_plan, crash_plan);
         assert!(!p2.profile.shielded);
         assert!(p2.fault_plan.drop_probability > 0.0);

@@ -9,7 +9,7 @@
 //!   per shielded message;
 //! * **application processing** — request parsing, KV index work, queueing; scaled
 //!   by the TEE execution penalty and by EPC pressure when values are large
-//!   (Figure 3) — the [`recipe_tee::EpcModel`] supplies the pressure curve;
+//!   (Figure 3) — [`recipe_tee::epc::pressure`] supplies the pressure curve;
 //! * **confidentiality** — an extra encrypt/decrypt pass over the payload
 //!   (Figure 5);
 //! * **baseline handicaps** — the PBFT baseline (BFT-Smart) runs over kernel
@@ -38,7 +38,6 @@
 //! `tests/golden/cost_table.txt` pins every formula's integer and split.
 
 use recipe_net::{ExecMode, NetCostModel, Transport};
-use recipe_tee::EpcModel;
 use recipe_telemetry::{CostBreakdown, CostCategory};
 use serde::{Deserialize, Serialize};
 
@@ -201,13 +200,6 @@ pub struct CostProfile {
     /// Number of message payloads resident in enclave buffers at a time
     /// (batching factor; larger batches stress the EPC, §B.3).
     pub inflight_messages: usize,
-    /// Leader-side batching factor: how many protocol ops ride in one wire
-    /// frame. `1` disables batching. The experiment harness derives the
-    /// replicas' `BatchConfig` from this field (see `recipe-bench`), keeping
-    /// replica batching and profile bookkeeping in sync; the cost accounting
-    /// itself charges by the actual op count carried on each frame
-    /// ([`Work::Send`]/[`Work::Recv`]).
-    pub batch_ops: usize,
 }
 
 impl CostProfile {
@@ -223,7 +215,6 @@ impl CostProfile {
             epc_bytes: recipe_tee::epc::DEFAULT_EPC_BYTES,
             resident_bytes: 2 * 1024 * 1024,
             inflight_messages: 2_048,
-            batch_ops: 1,
         }
     }
 
@@ -240,7 +231,6 @@ impl CostProfile {
             epc_bytes: usize::MAX / 2,
             resident_bytes: 0,
             inflight_messages: 0,
-            batch_ops: 1,
         }
     }
 
@@ -258,7 +248,6 @@ impl CostProfile {
             epc_bytes: usize::MAX / 2,
             resident_bytes: 0,
             inflight_messages: 0,
-            batch_ops: 1,
         }
     }
 
@@ -275,7 +264,6 @@ impl CostProfile {
             epc_bytes: recipe_tee::epc::DEFAULT_EPC_BYTES,
             resident_bytes: 2 * 1024 * 1024,
             inflight_messages: 256,
-            batch_ops: 1,
         }
     }
 
@@ -297,12 +285,6 @@ impl CostProfile {
     /// Sets the batching factor (in-flight payload buffers inside the enclave).
     pub fn with_inflight(mut self, messages: usize) -> Self {
         self.inflight_messages = messages;
-        self
-    }
-
-    /// Sets the leader-side batching factor (ops per wire frame).
-    pub fn with_batch_ops(mut self, ops: usize) -> Self {
-        self.batch_ops = ops.max(1);
         self
     }
 }
@@ -423,9 +405,7 @@ impl ProtocolCostModel {
         if profile.exec == ExecMode::Native {
             return 1.0;
         }
-        let mut epc = EpcModel::new(profile.epc_bytes);
-        let _ = epc.allocate(profile.resident_bytes + buffered_bytes);
-        epc.pressure_factor()
+        recipe_tee::epc::pressure(profile.epc_bytes, profile.resident_bytes + buffered_bytes)
     }
 
     /// How many frames of `ops` messages a node keeps enclave-resident at a
@@ -704,15 +684,6 @@ mod tests {
             frame_pressure(&m, &profile, 16, 16 * 256)
                 <= frame_pressure(&m, &profile, 1, 256) * 1.01
         );
-    }
-
-    #[test]
-    fn batch_ops_knob_round_trips() {
-        let profile = CostProfile::recipe().with_batch_ops(16);
-        assert_eq!(profile.batch_ops, 16);
-        // Zero is clamped: "no batching" is 1 op per frame.
-        assert_eq!(CostProfile::recipe().with_batch_ops(0).batch_ops, 1);
-        assert_eq!(CostProfile::recipe().batch_ops, 1);
     }
 
     #[test]

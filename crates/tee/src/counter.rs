@@ -9,7 +9,8 @@
 //! A [`TrustedCounter`] is the sequencer behind the non-equivocation layer: the
 //! sender assigns `cnt_cq + 1` to every message on channel `cq` and the receiver
 //! accepts a message only if its counter is consistent with the last committed one
-//! (§3.2, Algorithm 1).
+//! (§3.2, Algorithm 1). That freshness rule is decided in one place,
+//! `recipe_core::AuthLayer`'s admission step; the counter only holds the value.
 
 use serde::{Deserialize, Serialize};
 
@@ -25,11 +26,6 @@ impl TrustedCounter {
     /// Creates a counter starting at zero.
     pub fn new() -> Self {
         TrustedCounter { value: 0 }
-    }
-
-    /// Creates a counter starting at `value` (used when restoring from sealed state).
-    pub fn starting_at(value: u64) -> Self {
-        TrustedCounter { value }
     }
 
     /// Returns the current value without modifying it.
@@ -61,21 +57,6 @@ impl TrustedCounter {
         self.value = target;
         Ok(())
     }
-
-    /// Returns `true` if `candidate` is exactly the next expected value.
-    pub fn is_next(&self, candidate: u64) -> bool {
-        candidate == self.value + 1
-    }
-
-    /// Returns `true` if `candidate` is stale (already seen or older).
-    pub fn is_stale(&self, candidate: u64) -> bool {
-        candidate <= self.value
-    }
-
-    /// Returns `true` if `candidate` is from the future (out-of-order arrival).
-    pub fn is_future(&self, candidate: u64) -> bool {
-        candidate > self.value + 1
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +76,8 @@ mod tests {
 
     #[test]
     fn advance_to_accepts_only_forward_jumps() {
-        let mut c = TrustedCounter::starting_at(5);
+        let mut c = TrustedCounter::new();
+        c.advance_to(5).unwrap();
         assert!(c.advance_to(8).is_ok());
         assert_eq!(c.current(), 8);
         assert_eq!(
@@ -109,35 +91,19 @@ mod tests {
         assert_eq!(c.current(), 8);
     }
 
-    #[test]
-    fn classification_of_candidates() {
-        let c = TrustedCounter::starting_at(10);
-        assert!(c.is_stale(9));
-        assert!(c.is_stale(10));
-        assert!(c.is_next(11));
-        assert!(!c.is_stale(11));
-        assert!(c.is_future(12));
-        assert!(!c.is_future(11));
-    }
-
     proptest! {
         #[test]
         fn increment_sequence_is_gap_free(start in 0u64..1_000_000, steps in 1usize..200) {
-            let mut c = TrustedCounter::starting_at(start);
+            let mut c = TrustedCounter::new();
+            if start > 0 {
+                c.advance_to(start).unwrap();
+            }
             let mut prev = c.current();
             for _ in 0..steps {
                 let next = c.increment();
                 prop_assert_eq!(next, prev + 1);
                 prev = next;
             }
-        }
-
-        #[test]
-        fn stale_and_future_partition_the_space(current in 0u64..10_000, candidate in 0u64..20_000) {
-            let c = TrustedCounter::starting_at(current);
-            let classifications =
-                [c.is_stale(candidate), c.is_next(candidate), c.is_future(candidate)];
-            prop_assert_eq!(classifications.iter().filter(|&&x| x).count(), 1);
         }
     }
 }

@@ -1,11 +1,11 @@
 //! The simulated enclave.
 //!
 //! An [`Enclave`] is the per-node trusted computing base: it owns every secret a
-//! Recipe replica uses (channel MAC keys, signing keys, cipher keys), its trusted
-//! monotonic counters, and the EPC accounting. Code "inside" the enclave
-//! is simply code that holds the `Enclave` handle; the untrusted host side of a node
-//! never receives one, mirroring the SGX isolation boundary in the type system
-//! rather than in hardware.
+//! Recipe replica uses (channel MAC keys, signing keys, cipher keys) and its
+//! trusted monotonic counters. Code "inside" the enclave is simply code that holds
+//! the `Enclave` handle; the untrusted host side of a node never receives one,
+//! mirroring the SGX isolation boundary in the type system rather than in
+//! hardware.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -17,7 +17,6 @@ use recipe_crypto::{
 use serde::{Deserialize, Serialize};
 
 use crate::counter::TrustedCounter;
-use crate::epc::EpcModel;
 use crate::error::TeeError;
 use crate::quote::{HardwareKey, Quote, Report};
 use crate::sealed::SealedBlob;
@@ -55,24 +54,15 @@ pub struct EnclaveConfig {
     pub code_identity: String,
     /// Platform (machine) on which the enclave runs; determines the hardware key.
     pub platform_id: u64,
-    /// Usable EPC bytes; `None` selects [`crate::epc::DEFAULT_EPC_BYTES`].
-    pub epc_bytes: Option<usize>,
 }
 
 impl EnclaveConfig {
-    /// Creates a config with the default EPC size.
+    /// Creates a config for `code_identity` on platform `platform_id`.
     pub fn new(code_identity: impl Into<String>, platform_id: u64) -> Self {
         EnclaveConfig {
             code_identity: code_identity.into(),
             platform_id,
-            epc_bytes: None,
         }
-    }
-
-    /// Overrides the EPC size.
-    pub fn with_epc_bytes(mut self, bytes: usize) -> Self {
-        self.epc_bytes = Some(bytes);
-        self
     }
 
     /// Measurement this configuration will produce.
@@ -80,6 +70,10 @@ impl EnclaveConfig {
         Measurement::of_code(&self.code_identity)
     }
 }
+
+/// Label under which the cluster-wide value/message cipher key is
+/// provisioned, by attestation and by the shield alike.
+pub const CIPHER_LABEL: &str = "recipe.values";
 
 /// A provisioned cipher key and the cipher expanded from it. Expanding costs
 /// as much hashing as sealing 100 bytes, so it is done once — on first use, to
@@ -163,7 +157,6 @@ pub struct Enclave {
     measurement: Measurement,
     hardware_key: HardwareKey,
     platform_secret: MacKey,
-    epc: EpcModel,
     crashed: bool,
 
     // Secrets provisioned after attestation. Reachable only through this handle.
@@ -196,16 +189,11 @@ impl Enclave {
         let platform_secret = MacKey::from_bytes(
             *hash_parts(&[b"recipe.tee.platform", &config.platform_id.to_le_bytes()]).as_bytes(),
         );
-        let epc = match config.epc_bytes {
-            Some(bytes) => EpcModel::new(bytes),
-            None => EpcModel::default(),
-        };
         Enclave {
             id,
             measurement,
             hardware_key,
             platform_secret,
-            epc,
             crashed: false,
             mac_keys: Vec::new(),
             ciphers: Vec::new(),
@@ -568,20 +556,6 @@ impl Enclave {
             .ok_or_else(|| TeeError::MissingSecret {
                 label: format!("counter #{}", handle.0),
             })
-    }
-
-    // ------------------------------------------------------------------
-    // EPC accounting
-    // ------------------------------------------------------------------
-
-    /// Immutable access to the EPC model.
-    pub fn epc(&self) -> &EpcModel {
-        &self.epc
-    }
-
-    /// Mutable access to the EPC model.
-    pub fn epc_mut(&mut self) -> &mut EpcModel {
-        &mut self.epc
     }
 
     // ------------------------------------------------------------------
@@ -970,16 +944,6 @@ mod tests {
             e.seal("s", Nonce::from_u128(1), b"x").unwrap_err(),
             TeeError::EnclaveCrashed
         );
-    }
-
-    #[test]
-    fn epc_accounting_is_exposed() {
-        let mut e = Enclave::launch(
-            EnclaveId(3),
-            EnclaveConfig::new("code", 1).with_epc_bytes(1024),
-        );
-        e.epc_mut().allocate(2048).unwrap();
-        assert!(e.epc().pressure_factor() > 1.0);
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!   layer ([`counter::TrustedCounter`]);
 //! * **trusted time** — a virtual clock whose progression the enclave may rely on,
 //!   because SGX has no trustworthy timer ([`clock::TrustedInstant`]);
-//! * an **EPC model** — SGX's Enclave Page Cache is small (~94 MiB usable); the
-//!   [`epc::EpcModel`] tracks enclave-resident bytes and reports a pressure factor
-//!   that the simulator's cost model turns into the slowdowns the paper measures for
-//!   large values (Figure 3) and for batching (Figure 6a).
+//! * an **EPC curve** — SGX's Enclave Page Cache is small (~94 MiB usable);
+//!   [`epc::pressure`] maps an enclave's capacity and resident bytes to a pressure
+//!   factor that the simulator's cost model turns into the slowdowns the paper
+//!   measures for large values (Figure 3) and for batching (Figure 6a).
 //!
 //! The threat model mirrors the paper's: everything *outside* the enclave (host
 //! memory, OS, network) may be Byzantine; the enclave itself can only crash.
@@ -38,8 +38,8 @@ pub use clock::TrustedInstant;
 pub use counter::TrustedCounter;
 pub use enclave::{
     CipherHandle, CounterHandle, Enclave, EnclaveConfig, EnclaveId, KeyHandle, Measurement,
+    CIPHER_LABEL,
 };
-pub use epc::EpcModel;
 pub use error::TeeError;
 pub use quote::{HardwareKey, Quote, Report};
 pub use sealed::SealedBlob;

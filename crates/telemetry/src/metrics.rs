@@ -281,12 +281,6 @@ impl MetricsRegistry {
         self.inc(id, n);
     }
 
-    /// One-shot convenience: get-or-create + `set`.
-    pub fn set_gauge(&mut self, name: &str, labels: &[(&str, String)], value: f64) {
-        let id = self.gauge(name, labels);
-        self.set(id, value);
-    }
-
     /// Borrow a histogram mutably (e.g. to merge a shard's samples in).
     pub fn histogram_value_mut(&mut self, id: MetricId) -> Option<&mut Histogram> {
         match &mut self.values[id.0] {
@@ -410,7 +404,8 @@ mod tests {
         let c = reg.counter("commits", &shard_labels(1));
         reg.inc(c, 5);
         reg.inc(c, 2);
-        reg.set_gauge("imbalance", &[], 0.25);
+        let g = reg.gauge("imbalance", &[]);
+        reg.set(g, 0.25);
         let h = reg.histogram("latency_ns", &shard_labels(1));
         reg.observe(h, 1_000);
         reg.observe(h, 2_000);

@@ -224,14 +224,6 @@ impl Tracer {
         self.dropped
     }
 
-    /// Moves every span (and the drop count) out of `other` into `self`.
-    pub fn absorb(&mut self, other: &mut Tracer) {
-        for span in other.spans.drain(..) {
-            self.record(span);
-        }
-        self.dropped += std::mem::take(&mut other.dropped);
-    }
-
     /// Takes the recorded spans, leaving the tracer empty.
     pub fn take_spans(&mut self) -> Vec<Span> {
         std::mem::take(&mut self.spans)
@@ -259,18 +251,6 @@ mod tests {
         assert_eq!(tracer.spans().len(), 2);
         assert_eq!(tracer.dropped(), 3);
         assert_eq!(tracer.spans()[1].start_ns, 1);
-    }
-
-    #[test]
-    fn absorb_merges_in_order() {
-        let mut a = Tracer::with_capacity(0);
-        a.record(Span::instant(SpanKind::ClientSubmit, 0, 0, 10, 1));
-        let mut b = Tracer::with_capacity(0);
-        b.record(Span::instant(SpanKind::Reply, 1, 2, 20, 1));
-        a.absorb(&mut b);
-        assert_eq!(a.spans().len(), 2);
-        assert!(b.spans().is_empty());
-        assert_eq!(a.spans()[1].shard, 1);
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn open_loop_digest(batch: usize) -> StateDigest {
     let replicas = build_cluster(3, 1, |id, m| {
         RaftReplica::recipe(id, m, true).with_batching(BatchConfig::of_ops(batch))
     });
-    let profile = CostProfile::recipe().confidential().with_batch_ops(batch);
+    let profile = CostProfile::recipe().confidential();
     let mut cluster = SimCluster::new(replicas, SimConfig::uniform(3, profile));
     cluster.seed_initial_events();
     for i in 0..OPEN_LOOP_OPS {
