@@ -2,8 +2,8 @@
 //! title, rows, notes and machine-readable summary.
 //!
 //! Usage: `fig <name> [operations] [summary.json]` — `operations` overrides
-//! the figure's default count, `summary.json` also writes the summary the
-//! perf gate compares against `crates/bench/baselines/BENCH_<name>.json`;
+//! the figure's default count, `summary.json` also writes the summary in the
+//! form of `crates/bench/baselines/BENCH_<name>.json`;
 //! `fig list` names every figure; `fig all` runs each at its CI smoke size.
 
 use recipe_bench::{FigureSpec, FIGURES};

@@ -1,12 +1,13 @@
 //! Regenerates every committed baseline: each figure in
 //! `recipe_bench::FIGURES` runs in-process at its smoke operation count, and
-//! the fresh `BENCH_<name>.json` lands in the output directory for
-//! `perf_gate` (and CI's `diff -r`) to compare.
+//! the fresh `BENCH_<name>.json` lands in the output directory for CI's
+//! `diff -r` against the committed one. It judges no claim: `tests/claims.rs`
+//! does, on the committed files.
 //!
 //! Usage: `perf_smoke <baseline_dir> <out_dir>`
 //!
 //! Discovery is two-way: a baseline no figure regenerates and a figure with
-//! no baseline are both errors (exit 2, the file named) — the gate must never
+//! no baseline are both errors (exit 2, the file named) — CI must never
 //! silently skip a baseline it cannot reproduce, nor a figure whose baseline
 //! was deleted.
 

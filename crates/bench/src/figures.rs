@@ -1,4 +1,4 @@
-//! The figure registry and the run function behind each entry.
+//! The figure registry, and the run function and claims behind each entry.
 //!
 //! A figure that derives a second run from a first — the failover crash
 //! placed by the crash-free twin's duration, the noisy tenant's quota sized
@@ -21,8 +21,9 @@ use recipe_workload::{
     TenantMixSpec, TxnWorkloadGenerator, TxnWorkloadSpec, WorkloadRequest, WorkloadSpec,
 };
 
+use crate::claims::{metric, ratio, Band, Claim, Op, Term};
 use crate::{
-    drive, metric_slug, recipe_mode, run_protocol, run_sharded, ycsb, BenchSummary,
+    drive, metric_slug, recipe_mode, row_key, run_protocol, run_sharded, ycsb, BenchSummary,
     ExperimentConfig, ExperimentRow, Figure,
 };
 
@@ -41,6 +42,9 @@ pub struct FigureSpec {
     pub smoke_ops: usize,
     /// Runs the experiment at an operation count.
     pub run: fn(usize) -> Figure,
+    /// What the figure's summary must show; judged on the committed
+    /// baselines by [`crate::judge`].
+    pub claims: fn() -> Vec<Claim>,
 }
 
 impl FigureSpec {
@@ -64,6 +68,7 @@ pub const FIGURES: &[FigureSpec] = &[
         default_ops: 1_500,
         smoke_ops: 400,
         run: |ops| paper(ops, value_sizes(&[256, 1024, 4096], 0.9), PBFT, false),
+        claims: fig3_claims,
     },
     FigureSpec {
         name: "fig4",
@@ -71,6 +76,7 @@ pub const FIGURES: &[FigureSpec] = &[
         default_ops: 1_500,
         smoke_ops: 400,
         run: |ops| paper(ops, read_ratios(&FIG4_RATIOS, ""), PBFT, false),
+        claims: fig4_claims,
     },
     FigureSpec {
         name: "fig5",
@@ -78,6 +84,7 @@ pub const FIGURES: &[FigureSpec] = &[
         default_ops: 1_500,
         smoke_ops: 400,
         run: |ops| paper(ops, read_ratios(&[0.5, 0.95], " (conf.)"), PBFT, true),
+        claims: fig5_claims,
     },
     FigureSpec {
         name: "fig6a",
@@ -92,6 +99,7 @@ pub const FIGURES: &[FigureSpec] = &[
                 false,
             )
         },
+        claims: fig6a_claims,
     },
     FigureSpec {
         name: "fig6b",
@@ -99,6 +107,7 @@ pub const FIGURES: &[FigureSpec] = &[
         default_ops: 0,
         smoke_ops: 0,
         run: fig6b_network,
+        claims: fig6b_claims,
     },
     FigureSpec {
         name: "table2",
@@ -106,6 +115,7 @@ pub const FIGURES: &[FigureSpec] = &[
         default_ops: 0,
         smoke_ops: 0,
         run: table2_protocol_properties,
+        claims: table2_claims,
     },
     FigureSpec {
         name: "table4",
@@ -113,6 +123,7 @@ pub const FIGURES: &[FigureSpec] = &[
         default_ops: 100,
         smoke_ops: 20,
         run: table4_attestation,
+        claims: table4_claims,
     },
     FigureSpec {
         name: "damysus",
@@ -120,6 +131,7 @@ pub const FIGURES: &[FigureSpec] = &[
         default_ops: 1_500,
         smoke_ops: 400,
         run: damysus_compare,
+        claims: damysus_claims,
     },
     FigureSpec {
         name: "shard_scaling",
@@ -127,6 +139,7 @@ pub const FIGURES: &[FigureSpec] = &[
         default_ops: 1_200,
         smoke_ops: 600,
         run: fig_shard_scaling,
+        claims: shard_scaling_claims,
     },
     FigureSpec {
         name: "batching",
@@ -135,6 +148,7 @@ pub const FIGURES: &[FigureSpec] = &[
         default_ops: 1_200,
         smoke_ops: 80,
         run: fig_batching,
+        claims: batching_claims,
     },
     FigureSpec {
         name: "rebalance",
@@ -142,6 +156,7 @@ pub const FIGURES: &[FigureSpec] = &[
         default_ops: 3_200,
         smoke_ops: 3_200,
         run: fig_rebalance,
+        claims: rebalance_claims,
     },
     FigureSpec {
         name: "confidential_policy",
@@ -150,6 +165,7 @@ pub const FIGURES: &[FigureSpec] = &[
         default_ops: 1_500,
         smoke_ops: 800,
         run: fig_confidential_policy,
+        claims: confidential_policy_claims,
     },
     FigureSpec {
         name: "txn",
@@ -158,6 +174,7 @@ pub const FIGURES: &[FigureSpec] = &[
         default_ops: 1_200,
         smoke_ops: 600,
         run: fig_txn,
+        claims: txn_claims,
     },
     FigureSpec {
         name: "failover",
@@ -165,6 +182,7 @@ pub const FIGURES: &[FigureSpec] = &[
         default_ops: 2_400,
         smoke_ops: 2_400,
         run: fig_failover,
+        claims: failover_claims,
     },
     FigureSpec {
         name: "tenancy",
@@ -172,6 +190,7 @@ pub const FIGURES: &[FigureSpec] = &[
         default_ops: 1_500,
         smoke_ops: 1_500,
         run: fig_tenancy,
+        claims: tenancy_claims,
     },
 ];
 
@@ -252,10 +271,7 @@ fn sweep(
                 ..ExperimentConfig::default()
             })
         };
-        let name = |protocol: Protocol| {
-            let suffix = if confidential { " (conf.)" } else { "" };
-            format!("{}{suffix}", protocol.display_name())
-        };
+        let name = |protocol| recipe_name(protocol, confidential);
         let label = point.label.as_str();
         let shown = match baseline {
             Baseline::Shown(protocol) => {
@@ -283,6 +299,12 @@ fn sweep(
         }
     }
     rows
+}
+
+/// A transformed protocol's row label.
+fn recipe_name(protocol: Protocol, confidential: bool) -> String {
+    let suffix = if confidential { " (conf.)" } else { "" };
+    format!("{}{suffix}", protocol.display_name())
 }
 
 /// One of the paper's sweeps of the four transformed protocols, as a figure.
@@ -600,8 +622,8 @@ fn run_skew(
 /// range owned entirely by shard 0. The migration controller snapshots the
 /// hot arcs, catches up, and cuts them over to shard 1; the throughput
 /// timeline shows the sag under skew and the recovery after the epoch bump —
-/// with zero lost or duplicated commits (the commit count checks are in this
-/// crate's tests and `tests/rebalancing.rs`).
+/// with zero lost or duplicated commits (the figure's claims and
+/// `tests/rebalancing.rs` check the commit count).
 /// Runs `operations` committed operations exactly as asked — but phase means
 /// need enough timeline to average over, so runs much below the default 3200
 /// produce degenerate (possibly zero) phase figures rather than being
@@ -691,7 +713,6 @@ fn fig_rebalance(operations: usize) -> Figure {
             "#".repeat((bucket.committed / 8) as usize)
         ));
     }
-    figure.runs.push(stats);
     figure
 }
 
@@ -720,7 +741,7 @@ fn fig_confidential_policy(operations: usize) -> Figure {
         drive(&mut ShardedCluster::<RaftReplica>::build(spec), &ycsb(7))
     };
 
-    let mut figure = Figure::default();
+    let (mut figure, mut runs) = (Figure::default(), Vec::new());
     let mut baseline = None;
     for n in 0..=SHARDS {
         let stats = run_step(n, 64, operations);
@@ -728,7 +749,7 @@ fn fig_confidential_policy(operations: usize) -> Figure {
         let config = format!("{n}/{SHARDS} confidential");
         let row = ExperimentRow::measured("R-Raft 4 shards", config, &stats.total, base);
         figure.push_measured(row.keyed(format!("conf_shards_{n}_of_4")), &stats.total);
-        figure.runs.push(stats);
+        runs.push(stats);
     }
 
     // Latency split at low concurrency: shards 0..2 confidential, 2..4
@@ -749,7 +770,7 @@ fn fig_confidential_policy(operations: usize) -> Figure {
     let plaintext_latency_ratio = mixed_plain / baseline_plain;
     // > 1.0: the encryption cost is paid exactly where the policy asks.
     let confidential_latency_overhead = mixed_conf / mixed_plain;
-    let committed: u64 = figure.runs.iter().map(|s| s.total.committed).sum();
+    let committed: u64 = runs.iter().map(|s| s.total.committed).sum();
     figure.extra("plaintext_latency_ratio", plaintext_latency_ratio);
     figure.extra(
         "confidential_latency_overhead",
@@ -758,7 +779,7 @@ fn fig_confidential_policy(operations: usize) -> Figure {
     figure.extra("committed", committed as f64);
 
     figure.note("\nper-shard latency on the 2/4-confidential deployment:");
-    for (shard, stats) in figure.runs[2].per_shard.iter().enumerate() {
+    for (shard, stats) in runs[2].per_shard.iter().enumerate() {
         figure.notes.push(format!(
             "  shard {shard} ({}): {:>6} ops, mean {:>7.1} us, p99 {:>7.1} us",
             if shard < 2 {
@@ -803,7 +824,7 @@ fn fig_txn(operations: usize) -> Figure {
         .map(|fraction| (format!("txn={:.0}%", fraction * 100.0), fraction, 2, 3));
     let fanouts = [1usize, 2, 3, 4].map(|fan_out| (format!("fanout={fan_out}"), 0.5, fan_out, 4));
 
-    let mut figure = Figure::default();
+    let (mut figure, mut runs) = (Figure::default(), Vec::new());
     let mut single_key_ops = None;
     for (config, txn_fraction, fan_out, ops_per_txn) in fractions.into_iter().chain(fanouts) {
         let spec = DeploymentSpec::new(4, 3)
@@ -816,10 +837,10 @@ fn fig_txn(operations: usize) -> Figure {
         let key = metric_slug(&config);
         let row = ExperimentRow::measured("R-Raft 4 shards", config, &stats.total, base);
         figure.push_measured(row.keyed(key), &stats.total);
-        figure.runs.push(stats);
+        runs.push(stats);
     }
 
-    let sum = |count: fn(&ShardedRunStats) -> u64| figure.runs.iter().map(count).sum::<u64>();
+    let sum = |count: fn(&ShardedRunStats) -> u64| runs.iter().map(count).sum::<u64>();
     let (committed, aborted) = (sum(|s| s.txn.committed), sum(|s| s.txn.aborted));
     let (sealed, frames) = (sum(|s| s.txn.sealed_frames), sum(|s| s.txn.frames_sent));
     let cross_shard = sum(|s| s.txn.cross_shard_committed);
@@ -1013,8 +1034,8 @@ fn fig_failover(operations: usize) -> Figure {
         ..Figure::default()
     };
     figure.extra("time_to_recover_ms", time_to_recover_ns as f64 / 1e6);
-    // Deliberately not `_ops_per_sec`: the dip depth is reported, not gated —
-    // it measures the outage, not a regression.
+    // Not `_ops_per_sec`: the dip depth measures the outage, not a row's
+    // throughput.
     figure.extra("dip_floor_ops", dip_floor_ops);
     figure.extra("steady_state_ops", steady_ops);
     figure.extra("crash_2pc_committed", crash_2pc.total.committed as f64);
@@ -1059,7 +1080,6 @@ fn fig_failover(operations: usize) -> Figure {
             if outage { "  <- outage" } else { "" }
         ));
     }
-    figure.runs = vec![baseline_2pc, crash_2pc, baseline_migration, crash_migration];
     figure
 }
 
@@ -1068,7 +1088,7 @@ fn fig_failover(operations: usize) -> Figure {
 /// demand is ~10× the quota it is granted. The gateway's deterministic token
 /// bucket defers the excess before it reaches the router, so the quiet
 /// tenants' p99 stays within 10% of their solo baseline — the containment
-/// bound this figure asserts.
+/// bound the figure's claim holds it to.
 fn fig_tenancy(operations: usize) -> Figure {
     const QUIET: [&str; 3] = ["alpha", "beta", "gamma"];
     const CLIENTS_PER_TENANT: usize = 6;
@@ -1136,16 +1156,7 @@ fn fig_tenancy(operations: usize) -> Figure {
         assert!(t.committed_ops > 0, "tenant {name} committed nothing");
         assert_eq!(t.rejected, 0, "tenant {name} spuriously rejected");
     }
-    // The containment bound itself: the noisy tenant's 10× overload moves
-    // the quiet tenants' p99 by less than 10%.
     let p99_degradation = contained.total.p99_latency_us / solo.total.p99_latency_us - 1.0;
-    assert!(
-        p99_degradation < 0.10,
-        "noisy neighbour not contained: p99 {:.1} us -> {:.1} us (+{:.1}%)",
-        solo.total.p99_latency_us,
-        contained.total.p99_latency_us,
-        p99_degradation * 100.0
-    );
 
     let base = solo.total.throughput_ops;
     let mut figure = Figure::default();
@@ -1167,8 +1178,8 @@ fn fig_tenancy(operations: usize) -> Figure {
         )
         .keyed("contained"),
     );
-    // Informational (not `_ops_per_sec`): the quota is an input knob derived
-    // from the solo run, not a measured rate to gate.
+    // Not `_ops_per_sec`: the quota is an input knob derived from the solo
+    // run, not a measured rate.
     figure.extra("noisy_quota_ops", noisy_quota as f64);
     figure.extra("p99_degradation_pct", p99_degradation * 100.0);
     figure.note(format!(
@@ -1192,228 +1203,259 @@ fn fig_tenancy(operations: usize) -> Figure {
         ("solo_".into(), solo.total.clone()),
         ("contained_".into(), contained.total.clone()),
     ];
-    figure.runs = vec![solo, contained];
     figure
+}
+
+// ---------------------------------------------------------------------------
+// Claims: what each figure must show, judged on its committed baseline
+// ---------------------------------------------------------------------------
+
+/// Where a claim beyond the paper's evaluation comes from.
+const BEYOND: &str = "beyond the paper";
+
+/// An ordering `lhs > rhs`, checked on the ratio `lhs / rhs`.
+const ABOVE: Band = &[(Op::GT, 1.0)];
+
+/// An ordering `lhs < rhs`, checked on the ratio `lhs / rhs`.
+const BELOW: Band = &[(Op::LT, 1.0)];
+
+/// A row's throughput metric in `figure`'s summary.
+fn ops(figure: &'static str, protocol: &str, config: &str) -> Term {
+    metric(figure, format!("{}_ops_per_sec", row_key(protocol, config)))
+}
+
+/// Every R- row of a sweep against PBFT over PBFT at its point: above 3×.
+fn beats_pbft(figure: &'static str, source: &'static str, points: Vec<Point>, conf: bool) -> Claim {
+    let rows = points.into_iter().flat_map(|point| {
+        let at = |name: &str| ops(figure, name, &point.label);
+        let pbft = at(Protocol::Pbft.display_name());
+        RECIPE_PROTOCOLS.map(|p| ratio(at(&recipe_name(p, conf)), pbft.clone()))
+    });
+    Claim::new("every R- row over PBFT, at every point", source).check(rows, &[(Op::GT, 3.0)])
+}
+
+fn fig3_claims() -> Vec<Claim> {
+    let at = |p: Protocol, size| ops("fig3", p.display_name(), size);
+    let pairs = [("256 B", "1024 B"), ("1024 B", "4096 B")];
+    let slower = pairs.map(|(a, b)| RECIPE_PROTOCOLS.map(|p| ratio(at(p, a), at(p, b))));
+    let points = value_sizes(&[256, 1024, 4096], 0.9);
+    vec![
+        beats_pbft("fig3", "Fig. 3", points, false),
+        Claim::new("every R- row over itself at the next value size", "Fig. 3")
+            .check(slower.into_iter().flatten(), ABOVE),
+    ]
+}
+
+fn fig4_claims() -> Vec<Claim> {
+    let pbft = |figure, config: &str| ops(figure, Protocol::Pbft.display_name(), config);
+    let fig3 = ["256 B", "1024 B", "4096 B"].map(|size| pbft("fig3", size));
+    let fig4 = read_ratios(&FIG4_RATIOS, "").into_iter();
+    let rows: Vec<Term> = fig3
+        .into_iter()
+        .chain(fig4.map(|p| pbft("fig4", &p.label)))
+        .collect();
+    let over = |a: Term| rows.iter().map(move |b| ratio(a.clone(), b.clone()));
+    let pairs: Vec<Term> = rows.iter().cloned().flat_map(over).collect();
+    // PBFT's capacity is one constant of the cost model, whatever the read
+    // ratio or value size: a calibration gap or a setup unlike the paper's,
+    // stated here rather than left inside every speedup.
+    let calibration = "model calibration, not the paper";
+    vec![
+        beats_pbft("fig4", "Fig. 4", read_ratios(&FIG4_RATIOS, ""), false),
+        Claim::new("PBFT rows of fig3 and fig4 over each other", calibration)
+            .check(pairs, &[(Op::LE, 1.005)]),
+    ]
+}
+
+fn fig5_claims() -> Vec<Claim> {
+    let twins = [("50% R (conf.)", "50% R"), ("95% R (conf.)", "95% R")];
+    let costs = twins.map(|(conf, plain)| {
+        RECIPE_PROTOCOLS.map(|p| {
+            let confidential = ops("fig5", &recipe_name(p, true), conf);
+            ratio(confidential, ops("fig4", &recipe_name(p, false), plain))
+        })
+    });
+    let points = read_ratios(&[0.5, 0.95], " (conf.)");
+    vec![
+        beats_pbft("fig5", "Fig. 5", points, true),
+        Claim::new("every row over its plaintext fig4 twin", "Fig. 5")
+            .check(costs.into_iter().flatten(), &[(Op::LE, 1.0)]),
+    ]
+}
+
+fn fig6a_claims() -> Vec<Claim> {
+    let points = read_ratios(&FIG4_RATIOS, "");
+    let overhead = |p: Protocol, point: &Point| {
+        let key = row_key(p.display_name(), &point.label);
+        metric("fig6a", format!("{key}_speedup"))
+    };
+    let raft = [overhead(Protocol::Raft, &points[0])];
+    let every = points
+        .iter()
+        .flat_map(|point| RECIPE_PROTOCOLS.map(|p| overhead(p, point)));
+    vec![
+        Claim::new("R-Raft's native/R- overhead factor at 50% R", "Fig. 6a")
+            .check(raft, &[(Op::GE, 1.2), (Op::LE, 20.0)]),
+        Claim::new("every native/R- overhead factor", "Fig. 6a").check(every, &[(Op::GE, 1.0)]),
+    ]
+}
+
+fn fig6b_claims() -> Vec<Claim> {
+    let at = |stack, size| metric("fig6b", format!("{}_{size}_b_gbps", metric_slug(stack)));
+    let over =
+        |higher, lower| [256, 1024, 4096].map(|size| ratio(at(higher, size), at(lower, size)));
+    let (tees, lib) = ("kernel-net (TEEs)", "Recipe-lib (net)");
+    vec![
+        Claim::new(
+            "direct I/O over kernel-net at 256 B, 1 and 4 KiB",
+            "Fig. 6b",
+        )
+        .check(over("direct I/O", "kernel-net"), ABOVE),
+        Claim::new("kernel-net over kernel-net in TEEs, same sizes", "Fig. 6b")
+            .check(over("kernel-net", tees), ABOVE),
+        Claim::new("Recipe-lib over kernel-net in TEEs, same sizes", "Fig. 6b")
+            .check(over(lib, tees), ABOVE),
+        Claim::new("direct I/O in TEEs over Recipe-lib, same sizes", "Fig. 6b")
+            .check(over("direct I/O (TEEs)", lib), &[(Op::GE, 1.0)]),
+    ]
+}
+
+fn table2_claims() -> Vec<Claim> {
+    let flag = |name| metric("table2", name);
+    let recipe = ["recipe_uses_tees", "recipe_uses_direct_io"].map(flag);
+    let lacked = [
+        "pbft_hotstuff_uses_tees",
+        "cft_native_uses_tees",
+        "minbft_hybster_uses_direct_io",
+        "fastbft_cheapbft_uses_direct_io",
+    ];
+    vec![
+        Claim::new("Recipe uses TEEs and direct I/O", "Table 2").check(recipe, &[(Op::EQ, 1.0)]),
+        Claim::new("each other row's missing feature of the two", "Table 2")
+            .check(lacked.map(flag), &[(Op::EQ, 0.0)]),
+    ]
+}
+
+fn table4_claims() -> Vec<Claim> {
+    let at = |name| metric("table4", name);
+    let means = [ratio(at("recipe_cas_mean_s"), at("ias_mean_s"))];
+    let speedup = [at("recipe_cas_speedup")];
+    vec![
+        Claim::new("CAS mean latency over IAS's", "Table 4").check(means, BELOW),
+        Claim::new("CAS speedup over IAS", "Table 4")
+            .check(speedup, &[(Op::GE, 10.0), (Op::LE, 30.0)]),
+    ]
+}
+
+fn damysus_claims() -> Vec<Claim> {
+    let at = |p: Protocol| ops("damysus", p.display_name(), "256 B");
+    let rows = RECIPE_PROTOCOLS.map(|p| ratio(at(p), at(Protocol::Damysus)));
+    vec![Claim::new("every R- row over Damysus at 256 B", "§B.3").check(rows, ABOVE)]
+}
+
+fn shard_scaling_claims() -> Vec<Claim> {
+    let gain = |from, to| {
+        let at = |p: Protocol, shards| ops("shard_scaling", p.display_name(), shards);
+        [Protocol::Raft, Protocol::Abd].map(|p| ratio(at(p, to), at(p, from)))
+    };
+    vec![
+        Claim::new("R-Raft and R-ABD at 4 shards over 1", BEYOND)
+            .check(gain("1 shard", "4 shards"), &[(Op::GE, 2.0)]),
+        Claim::new("R-Raft and R-ABD at 8 shards over 4", BEYOND)
+            .check(gain("4 shards", "8 shards"), ABOVE),
+    ]
+}
+
+fn batching_claims() -> Vec<Claim> {
+    let gain = |label, from: usize, to: usize| {
+        let at = |batch| ops("batching", label, &format!("batch={batch}"));
+        ratio(at(to), at(from))
+    };
+    let (native, conf) = ("Raft (native)", "R-Raft (conf.)");
+    let native_over_conf = [ratio(gain(native, 1, 16), gain(conf, 1, 16))];
+    vec![
+        Claim::new("confidential R-Raft: batch 16 over 1", BEYOND)
+            .check([gain(conf, 1, 16)], &[(Op::GE, 2.0)]),
+        Claim::new("confidential R-Raft: batch 64 over 16", BEYOND)
+            .check([gain(conf, 16, 64)], &[(Op::GE, 0.9)]),
+        Claim::new("native Raft: batch 16 over 1", BEYOND).check([gain(native, 1, 16)], ABOVE),
+        Claim::new("native Raft's batch 16 gain over R-Raft's", BEYOND)
+            .check(native_over_conf, BELOW),
+    ]
+}
+
+fn rebalance_claims() -> Vec<Claim> {
+    let at = |name| metric("rebalance", name);
+    let over_pre_skew = |phase| [ratio(at(phase), at("pre_skew_ops_per_sec"))];
+    let (during, post) = ("during_skew_ops_per_sec", "post_cutover_ops_per_sec");
+    vec![
+        Claim::new("throughput during the skew over pre-skew", BEYOND)
+            .check(over_pre_skew(during), &[(Op::LT, 0.75)]),
+        Claim::new("throughput after the cutover over pre-skew", BEYOND)
+            .check(over_pre_skew(post), &[(Op::GE, 0.9)]),
+        Claim::new("migrations completed", BEYOND)
+            .check([at("migrations_completed")], &[(Op::GE, 1.0)]),
+        Claim::new("operations committed, none lost or duplicated", BEYOND)
+            .check([at("committed")], &[(Op::EQ, 3_200.0)]),
+    ]
+}
+
+fn confidential_policy_claims() -> Vec<Claim> {
+    let at = |name: &str| metric("confidential_policy", name);
+    let step = |n: usize| at(&format!("conf_shards_{n}_of_4_ops_per_sec"));
+    let over = |of| (0..=4).map(move |n| ratio(step(n), step(of)));
+    let (overhead, plaintext) = (
+        at("confidential_latency_overhead"),
+        at("plaintext_latency_ratio"),
+    );
+    vec![
+        Claim::new("all-confidential over all-plaintext throughput", BEYOND)
+            .check([ratio(step(4), step(0))], BELOW),
+        Claim::new("every step over the all-plaintext step", BEYOND)
+            .check(over(0), &[(Op::LE, 1.05)]),
+        Claim::new("every step over the all-confidential step", BEYOND)
+            .check(over(4), &[(Op::GE, 0.95)]),
+        Claim::new("mean latency, confidential over plaintext shards", BEYOND)
+            .check([overhead], &[(Op::GT, 1.003)]),
+        Claim::new("mean latency, plaintext shards over all-plaintext", BEYOND)
+            .check([plaintext], &[(Op::GE, 0.9), (Op::LE, 1.1)]),
+        Claim::new("operations committed over the five steps", BEYOND)
+            .check([at("committed")], &[(Op::EQ, 4_000.0)]),
+    ]
+}
+
+fn txn_claims() -> Vec<Claim> {
+    let row = |key: &str| metric("txn", format!("{key}_ops_per_sec"));
+    let over = |first, rest: [&str; 3]| rest.map(|other| ratio(row(first), row(other)));
+    let shares = over("txn_0", ["txn_25", "txn_50", "txn_100"]);
+    let fanouts = over("fanout_1", ["fanout_2", "fanout_3", "fanout_4"]);
+    vec![
+        Claim::new("single-key 0% row over every transaction share", BEYOND).check(shares, ABOVE),
+        Claim::new("fan-out 1 over fan-outs 2, 3 and 4", BEYOND).check(fanouts, ABOVE),
+    ]
+}
+
+fn failover_claims() -> Vec<Claim> {
+    let row = |key| metric("failover", format!("{key}_ops_per_sec"));
+    let crashed = [
+        ratio(row("leader_crash_2pc"), row("crash_free_2pc")),
+        ratio(
+            row("donor_leader_crash_migration"),
+            row("crash_free_migration"),
+        ),
+    ];
+    vec![Claim::new("each crashed run over its crash-free twin", BEYOND).check(crashed, BELOW)]
+}
+
+fn tenancy_claims() -> Vec<Claim> {
+    let p99 = [metric("tenancy", "p99_degradation_pct")];
+    let description = "quiet tenants' p99 rise (%) beside a noisy tenant at 10x its quota";
+    vec![Claim::new(description, BEYOND).check(p99, &[(Op::LT, 10.0)])]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const OPS: usize = 400;
-
-    /// The speedup column of the row labelled `protocol` / `config`.
-    fn speedup_of(figure: &Figure, protocol: &str, config: &str) -> f64 {
-        figure
-            .rows
-            .iter()
-            .find(|r| r.protocol == protocol && r.config == config)
-            .map(|r| r.speedup_vs_baseline)
-            .unwrap()
-    }
-
-    /// A registered figure at an operation count.
-    fn run(name: &str, operations: usize) -> Figure {
-        (FigureSpec::find(name).unwrap().run)(operations)
-    }
-
-    #[test]
-    fn recipe_protocols_beat_pbft_on_a_mixed_workload() {
-        let points = read_ratios(&[0.5], "");
-        let rows = sweep(OPS, &points, PBFT, &RECIPE_PROTOCOLS, false);
-        for row in &rows[1..] {
-            let speedup = row.speedup_vs_baseline;
-            assert!(
-                speedup > 2.0,
-                "{} only {speedup:.2}x faster than PBFT",
-                row.protocol
-            );
-        }
-    }
-
-    #[test]
-    fn confidentiality_costs_throughput_but_still_beats_pbft() {
-        let points = read_ratios(&[0.5], "");
-        let plain = sweep(OPS, &points, PBFT, &[Protocol::Chain], false);
-        let confidential = sweep(OPS, &points, PBFT, &[Protocol::Chain], true);
-        assert!(confidential[1].throughput_ops <= plain[1].throughput_ops);
-        assert!(confidential[1].throughput_ops > plain[0].throughput_ops);
-    }
-
-    #[test]
-    fn native_protocols_are_faster_than_their_recipe_versions() {
-        let points = read_ratios(&[0.5], "");
-        let rows = sweep(OPS, &points, Baseline::NativeTwin, &[Protocol::Raft], false);
-        let overhead = rows[0].speedup_vs_baseline;
-        assert!(
-            (1.2..=20.0).contains(&overhead),
-            "overhead factor was {overhead:.2}"
-        );
-    }
-
-    #[test]
-    fn value_size_degrades_recipe_throughput() {
-        let points = value_sizes(&[256, 4096], 0.9);
-        let rows = sweep(OPS, &points, PBFT, &[Protocol::Raft], false);
-        assert!(rows[3].throughput_ops < rows[1].throughput_ops);
-    }
-
-    #[test]
-    fn table4_shows_the_cas_latency_advantage() {
-        let table = run("table4", 20).summary("table4");
-        let metric = |name| table.metric(name).unwrap();
-        assert!(metric("recipe_cas_mean_s") < metric("ias_mean_s"));
-        let speedup = metric("recipe_cas_speedup");
-        assert!(
-            (10.0..=30.0).contains(&speedup),
-            "CAS speedup was {speedup:.1}x"
-        );
-    }
-
-    #[test]
-    fn shard_scaling_doubles_r_raft_throughput_at_four_shards() {
-        let figure = run("shard_scaling", 600);
-        let speedup_of = |protocol, config| speedup_of(&figure, protocol, config);
-        assert_eq!(speedup_of("R-Raft", "1 shard"), 1.0);
-        assert!(
-            speedup_of("R-Raft", "4 shards") >= 2.0,
-            "R-Raft 4-shard speedup {:.2}",
-            speedup_of("R-Raft", "4 shards")
-        );
-        assert!(
-            speedup_of("R-ABD", "4 shards") >= 2.0,
-            "R-ABD 4-shard speedup {:.2}",
-            speedup_of("R-ABD", "4 shards")
-        );
-        // More shards never hurt aggregate throughput in this sweep.
-        for protocol in ["R-Raft", "R-ABD"] {
-            assert!(speedup_of(protocol, "8 shards") > speedup_of(protocol, "4 shards"));
-        }
-    }
-
-    #[test]
-    fn batching_recovers_the_confidential_mode_tax() {
-        // The perf-gate smoke size, so the assertion reads the run the
-        // checked-in baseline pins. On the binary wire form the steady-state
-        // gain of batch=16 is 1.95-1.97x (400-1200 ops): a single confidential
-        // frame no longer pays for a JSON nesting level that batch frames
-        // never had.
-        let figure = run("batching", 80);
-        let speedup_of = |protocol, config| speedup_of(&figure, protocol, config);
-        // The headline acceptance number: confidential R-Raft doubles (or
-        // better) its per-leader committed-ops/sec at batch=16.
-        assert_eq!(speedup_of("R-Raft (conf.)", "batch=1"), 1.0);
-        let conf_16 = speedup_of("R-Raft (conf.)", "batch=16");
-        assert!(conf_16 >= 2.0, "confidential batch=16 speedup {conf_16:.2}");
-        // Bigger batches never hurt in this sweep, and the native baseline
-        // gains too (less, since it never paid the shield overhead).
-        assert!(speedup_of("R-Raft (conf.)", "batch=64") >= conf_16 * 0.9);
-        let native_16 = speedup_of("Raft (native)", "batch=16");
-        assert!(native_16 > 1.0, "native batch=16 speedup {native_16:.2}");
-        assert!(native_16 < conf_16);
-    }
-
-    #[test]
-    fn rebalance_recovers_throughput_with_zero_lost_commits() {
-        // The default experiment size: small runs leave the post-cutover
-        // window too short to average over.
-        let operations = 3_200;
-        let figure = run("rebalance", operations);
-        let stats = &figure.runs[0];
-        // Zero lost / duplicated commits across the migration.
-        assert_eq!(stats.total.committed, operations as u64);
-        assert_eq!(
-            stats.per_shard.iter().map(|s| s.committed).sum::<u64>(),
-            stats.total.committed
-        );
-        // The migration ran, moved sealed bytes, and redirected clients.
-        let m = &stats.migration;
-        assert!(m.migrations_completed >= 1, "{m:?}");
-        assert!(m.snapshot_bytes > 0 && m.redirects > 0, "{m:?}");
-        // The skew depressed aggregate throughput; the cutover recovered it
-        // to within 10% of the pre-skew level (the acceptance bar).
-        let [pre_skew_ops, during_skew_ops, post_cutover_ops] =
-            [0, 1, 2].map(|phase| figure.rows[phase].throughput_ops);
-        assert!(
-            during_skew_ops < 0.75 * pre_skew_ops,
-            "skew never bit: pre {pre_skew_ops:.0} during {during_skew_ops:.0}"
-        );
-        assert!(
-            post_cutover_ops >= 0.9 * pre_skew_ops,
-            "no recovery: pre {pre_skew_ops:.0} post {post_cutover_ops:.0}"
-        );
-    }
-
-    #[test]
-    fn confidential_shards_pay_the_policy_cost_and_plaintext_shards_do_not() {
-        let figure = run("confidential_policy", 600);
-        // Every sweep step committed exactly the asked-for operations — no
-        // policy mix loses or duplicates commits.
-        for stats in &figure.runs {
-            assert_eq!(stats.total.committed, 600);
-            assert_eq!(
-                stats.per_shard.iter().map(|s| s.committed).sum::<u64>(),
-                stats.total.committed
-            );
-        }
-        // Aggregate throughput decays as the confidential fraction grows: the
-        // all-confidential step is strictly slower than the all-plaintext
-        // baseline, and the mixed steps sit in between (loosely — routing
-        // noise can wobble neighbouring steps).
-        let first = figure.rows.first().unwrap().throughput_ops;
-        let last = figure.rows.last().unwrap().throughput_ops;
-        assert!(
-            last < first,
-            "confidentiality should cost throughput: {first:.0} -> {last:.0} ops/s"
-        );
-        for row in &figure.rows {
-            assert!(
-                row.throughput_ops <= first * 1.05 && row.throughput_ops >= last * 0.95,
-                "step {} out of band: {:.0} ops/s (bounds {:.0}..{:.0})",
-                row.config,
-                row.throughput_ops,
-                last * 0.95,
-                first * 1.05
-            );
-        }
-        // The cost lands exactly where the policy asks: confidential shards
-        // serve slower than their plaintext neighbours, while the plaintext
-        // shards match the all-plaintext baseline within noise. The margin is
-        // the encryption pass alone (0.6 % at these 256 B values): a sealed
-        // frame is as long as a plaintext one, so it pays no more transport
-        // or MAC — it was 2.8 % while every sealed frame also carried the
-        // cipher's own 48-byte nonce and tag.
-        let summary = figure.summary("confidential_policy");
-        let overhead = summary.metric("confidential_latency_overhead").unwrap();
-        assert!(
-            overhead > 1.003,
-            "confidential shards show no overhead: {overhead:.4}"
-        );
-        let plaintext_ratio = summary.metric("plaintext_latency_ratio").unwrap();
-        assert!(
-            (0.9..=1.1).contains(&plaintext_ratio),
-            "plaintext shards drifted from the baseline: {plaintext_ratio:.3}"
-        );
-        // The summary exposes one gated metric per sweep step.
-        let gated = |m: &&crate::BenchMetric| m.name.ends_with("_ops_per_sec");
-        assert_eq!(summary.metrics.iter().filter(gated).count(), 5);
-        assert!(summary.metric("conf_shards_0_of_4_ops_per_sec").unwrap() > 0.0);
-    }
-
-    #[test]
-    fn fig6b_orders_the_five_stacks_correctly() {
-        let figure = run("fig6b", 0).summary("fig6b");
-        let at = |name: &str, size: usize| {
-            let metric = format!("{}_{size}_b_gbps", metric_slug(name));
-            figure.metric(&metric).unwrap()
-        };
-        for size in [256, 1024, 4096] {
-            assert!(at("direct I/O", size) > at("kernel-net", size));
-            assert!(at("kernel-net", size) > at("kernel-net (TEEs)", size));
-            assert!(at("Recipe-lib (net)", size) > at("kernel-net (TEEs)", size));
-            assert!(at("direct I/O (TEEs)", size) >= at("Recipe-lib (net)", size));
-        }
-    }
 
     #[test]
     fn the_skew_stream_turns_hot_at_its_switch_over_and_interleaves_transactions() {

@@ -3,20 +3,23 @@
 //! Every experiment has one shape: a run function in the [`FIGURES`] registry
 //! takes an operation count and returns a [`Figure`] — display rows, named
 //! extra metrics, latency blocks and free-text note lines — whose
-//! [`Figure::summary`] is the machine-readable `BENCH_<name>.json` the perf
-//! gate compares. The `fig` binary prints any of them (`fig <name>`,
+//! [`Figure::summary`] is the machine-readable `BENCH_<name>.json` CI pins
+//! byte for byte. The `fig` binary prints any of them (`fig <name>`,
 //! `fig list`, `fig all`); `perf_smoke` regenerates every committed baseline
-//! from the same registry. README, "Reproducing the paper's experiments", is
-//! the experiment index.
+//! from the same registry. Each entry also states its [`Claim`]s, which
+//! [`judge`] evaluates on the committed baselines. README, "Reproducing the
+//! paper's experiments", is the experiment index and quotes the ledger.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod claims;
 mod figures;
 
 use std::fmt;
 use std::path::Path;
 
+pub use claims::{judge, Claim};
 pub use figures::{fig_observe, FigureSpec, ObserveReport, FIGURES};
 use recipe_protocols::{BatchConfig, BuildReplica, Protocol, ProtocolMode, ProtocolVisitor};
 use recipe_scenario::WorkloadKind;
@@ -75,7 +78,7 @@ impl Default for ExperimentConfig {
 #[derive(Debug, Clone)]
 pub struct ExperimentRow {
     /// Metric stem: the row's throughput is summarised as
-    /// `<key>_ops_per_sec`, which the perf gate holds to its baseline.
+    /// `<key>_ops_per_sec`.
     pub key: String,
     /// Protocol name.
     pub protocol: String,
@@ -100,7 +103,7 @@ impl ExperimentRow {
     ) -> Self {
         let (protocol, config) = (protocol.into(), config.into());
         ExperimentRow {
-            key: format!("{}_{}", metric_slug(&protocol), metric_slug(&config)),
+            key: row_key(&protocol, &config),
             protocol,
             config,
             throughput_ops,
@@ -210,7 +213,7 @@ pub fn run_sharded(protocol: Protocol, shards: usize, operations: usize) -> Shar
 }
 
 // ---------------------------------------------------------------------------
-// The one result shape, its machine-readable summary, the CI perf gate
+// The one result shape and its machine-readable summary
 // ---------------------------------------------------------------------------
 
 /// What one experiment produced. Metric names and their order are data on
@@ -218,10 +221,10 @@ pub fn run_sharded(protocol: Protocol, shards: usize, operations: usize) -> Shar
 /// [`Figure::summary`].
 #[derive(Debug, Clone, Default)]
 pub struct Figure {
-    /// The display rows; each is also one gated `<key>_ops_per_sec` metric.
+    /// The display rows; each is also one `<key>_ops_per_sec` metric.
     pub rows: Vec<ExperimentRow>,
     /// Named figures beside the rows (ratios, counters, derived inputs), in
-    /// summary order. Informational unless named `*_ops_per_sec`.
+    /// summary order.
     pub extras: Vec<BenchMetric>,
     /// Latency blocks: each run's p50/p90/p99/p99.9 under `<prefix>`.
     pub latency: Vec<(String, RunStats)>,
@@ -229,9 +232,6 @@ pub struct Figure {
     /// per-tenant accounting); a table that is no throughput sweep (Fig. 6b,
     /// Tables 2 and 4) is notes and extras alone.
     pub notes: Vec<String>,
-    /// The sharded driver's full statistics behind the figure, in run order,
-    /// for a reader who wants more than the summary keeps.
-    pub runs: Vec<ShardedRunStats>,
 }
 
 impl Figure {
@@ -322,8 +322,7 @@ impl fmt::Display for Figure {
 /// One named figure of a benchmark summary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchMetric {
-    /// Metric name; names ending in `_ops_per_sec` are gated (higher is
-    /// better) by [`perf_gate_compare`].
+    /// Metric name: `<row key>_ops_per_sec` for a row's throughput.
     pub name: String,
     /// Measured value.
     pub value: f64,
@@ -339,8 +338,8 @@ impl BenchMetric {
 
 /// Machine-readable summary one benchmark run emits as `BENCH_<name>.json`.
 /// The simulator is deterministic, so the checked-in baselines under
-/// `crates/bench/baselines/` reproduce bit-for-bit on any machine; the CI
-/// perf gate compares a fresh smoke run against them.
+/// `crates/bench/baselines/` reproduce bit-for-bit on any machine; CI diffs
+/// a fresh smoke run against them, and [`judge`] checks their claims.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchSummary {
     /// Benchmark name: the command that produced it, `fig <name>` written
@@ -367,6 +366,11 @@ impl BenchSummary {
     }
 }
 
+/// A row's metric stem, `<protocol slug>_<config slug>`.
+pub(crate) fn row_key(protocol: &str, config: &str) -> String {
+    format!("{}_{}", metric_slug(protocol), metric_slug(config))
+}
+
 /// Lower-cases a protocol/config label into a metric-name slug
 /// (`"R-Raft (conf.)"` → `"r_raft_conf"`).
 pub fn metric_slug(label: &str) -> String {
@@ -385,8 +389,7 @@ pub fn metric_slug(label: &str) -> String {
 }
 
 /// Latency-percentile metrics (`<prefix>p50_us` … `<prefix>p999_us`) off a
-/// run's latency distribution. Percentile names never end in `_ops_per_sec`,
-/// so the perf gate treats them as informational, not gated.
+/// run's latency distribution.
 fn latency_metrics(prefix: &str, stats: &RunStats) -> [BenchMetric; 4] {
     [
         ("p50_us", stats.p50_latency_us),
@@ -414,7 +417,7 @@ pub fn baseline_stems(dir: &Path) -> std::io::Result<Vec<String>> {
 /// Checks a baseline directory against the registry, both ways: every
 /// `BENCH_<name>.json` must have a figure in [`FIGURES`] that regenerates
 /// it, and every figure must have its baseline — or deleting a file would
-/// quietly un-gate it. Returns one message per mismatch, naming the file.
+/// quietly unpin it. Returns one message per mismatch, naming the file.
 pub fn baseline_mismatches(baseline_dir: &Path) -> std::io::Result<Vec<String>> {
     let stems = baseline_stems(baseline_dir)?;
     let mut mismatches = Vec::new();
@@ -422,7 +425,7 @@ pub fn baseline_mismatches(baseline_dir: &Path) -> std::io::Result<Vec<String>> 
         if FigureSpec::find(stem).is_none() {
             mismatches.push(format!(
                 "{}/BENCH_{stem}.json has no figure `{stem}` in recipe_bench::FIGURES \
-                 (crates/bench/src/figures.rs): the perf gate cannot reproduce it",
+                 (crates/bench/src/figures.rs): perf_smoke cannot reproduce it",
                 baseline_dir.display()
             ));
         }
@@ -430,7 +433,7 @@ pub fn baseline_mismatches(baseline_dir: &Path) -> std::io::Result<Vec<String>> 
     for figure in FIGURES {
         if !stems.iter().any(|stem| stem == figure.name) {
             mismatches.push(format!(
-                "figure `{}` has no baseline {}/BENCH_{}.json: it would never be gated",
+                "figure `{}` has no baseline {}/BENCH_{}.json: nothing would pin it",
                 figure.name,
                 baseline_dir.display(),
                 figure.name
@@ -438,42 +441,6 @@ pub fn baseline_mismatches(baseline_dir: &Path) -> std::io::Result<Vec<String>> 
         }
     }
     Ok(mismatches)
-}
-
-/// Compares a fresh run against a checked-in baseline: every `*_ops_per_sec`
-/// metric of the baseline must be present and no more than `tolerance`
-/// (fraction) below the baseline value. Returns the violations,
-/// human-readable; empty means the gate passes. Improvements never fail.
-pub fn perf_gate_compare(
-    baseline: &BenchSummary,
-    current: &BenchSummary,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    for metric in &baseline.metrics {
-        if !metric.name.ends_with("_ops_per_sec") {
-            continue;
-        }
-        match current.metric(&metric.name) {
-            None => violations.push(format!(
-                "{}: metric {} missing from the current run",
-                baseline.bench, metric.name
-            )),
-            Some(value) if value < metric.value * (1.0 - tolerance) => {
-                violations.push(format!(
-                    "{}: {} regressed {:.1}% ({:.0} -> {:.0} ops/s, tolerance {:.0}%)",
-                    baseline.bench,
-                    metric.name,
-                    (1.0 - value / metric.value) * 100.0,
-                    metric.value,
-                    value,
-                    tolerance * 100.0
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-    violations
 }
 
 /// Checks that a telemetry report's per-shard cost attribution reconciles:
@@ -511,7 +478,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_summaries_and_perf_gate_catch_regressions() {
+    fn bench_summaries_keep_their_order_refuse_twins_and_round_trip() {
         let mut figure = Figure::default();
         figure.push_measured(
             ExperimentRow::new("R-Raft (conf.)", "batch=16", 1000.0, 10.0, 2.0),
@@ -519,7 +486,7 @@ mod tests {
         );
         figure.extra("recovery_ratio", 1.0);
         let baseline = figure.summary("fig_batching");
-        // The emitted order: gated rows, then extras, then latency blocks.
+        // The emitted order: rows, then extras, then latency blocks.
         let names: Vec<&str> = baseline.metrics.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(
             names,
@@ -536,28 +503,7 @@ mod tests {
         let mut twins = figure.clone();
         twins.rows.push(figure.rows[0].clone());
         assert!(std::panic::catch_unwind(|| twins.summary("fig_batching")).is_err());
-        // Identical run: gate passes.
-        assert!(perf_gate_compare(&baseline, &baseline, 0.15).is_empty());
-        // Small wobble within tolerance: passes. Improvement: passes.
-        let mut wobble = baseline.clone();
-        wobble.metrics[0].value = 900.0;
-        assert!(perf_gate_compare(&baseline, &wobble, 0.15).is_empty());
-        wobble.metrics[0].value = 2000.0;
-        assert!(perf_gate_compare(&baseline, &wobble, 0.15).is_empty());
-        // >15% regression: fails with a readable message.
-        let mut regressed = baseline.clone();
-        regressed.metrics[0].value = 800.0;
-        let violations = perf_gate_compare(&baseline, &regressed, 0.15);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("regressed 20.0%"), "{violations:?}");
-        // Missing metric: fails.
-        let empty = Figure::default().summary("fig_batching");
-        assert_eq!(perf_gate_compare(&baseline, &empty, 0.15).len(), 1);
-        // Non-throughput metrics are informational, never gated.
-        let mut info = Figure::default();
-        info.extra("recovery_ratio", 1.0);
-        assert!(perf_gate_compare(&info.summary("x"), &empty, 0.15).is_empty());
-        // Summaries survive a JSON round trip (what the gate bin does).
+        // Summaries survive a JSON round trip (what the baselines hold).
         let json = serde_json::to_string_pretty(&baseline).unwrap();
         let back: BenchSummary = serde_json::from_str(&json).unwrap();
         assert_eq!(back, baseline);

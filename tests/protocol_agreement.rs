@@ -393,20 +393,6 @@ fn pbft_message_complexity_is_quadratic() {
     assert!(per_op >= 15.0, "measured {per_op:.1} messages per op");
 }
 
-#[test]
-fn recipe_outperforms_pbft_on_the_same_workload() {
-    let throughput = |protocol| {
-        run(protocol, one_group(protocol, 12, 400), mixed)
-            .stats
-            .throughput_ops
-    };
-    let speedup = throughput(Protocol::Chain) / throughput(Protocol::Pbft);
-    assert!(
-        speedup > 3.0,
-        "R-CR was only {speedup:.1}x faster than PBFT"
-    );
-}
-
 /// One client issues a fixed-seed YCSB stream one operation after the other
 /// — so the commit order is the stream's, whatever a frame costs — and the
 /// run goes on until the traffic of the last one has landed. Returns the

@@ -1,8 +1,10 @@
 //! Cross-crate integration for online shard rebalancing: router-version
 //! safety (exactly one owner per key per epoch), end-to-end skewed-workload
-//! migration with zero lost/duplicated commits and throughput recovery, and
-//! replay equivalence — a recorded schedule with a mid-run migration commits
-//! the same final state as the same ops run against the final placement.
+//! migration with zero lost/duplicated commits, and replay equivalence — a
+//! recorded schedule with a mid-run migration commits the same final state
+//! as the same ops run against the final placement. The throughput sag and
+//! recovery are claims of the `rebalance` figure, judged on its committed
+//! baseline by `tests/claims.rs`.
 
 use proptest::prelude::*;
 use recipe::core::{Operation, Request};
@@ -80,20 +82,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Shared setup
-// ---------------------------------------------------------------------------
-
-fn rebalance_knobs() -> RebalanceConfig {
-    RebalanceConfig {
-        check_interval_ns: 10_000_000, // 10 ms
-        min_window_commits: 120,
-        imbalance_threshold: 1.4,
-        timeline_bucket_ns: 5_000_000,
-        ..RebalanceConfig::enabled()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end skewed migration
 // ---------------------------------------------------------------------------
 
@@ -109,7 +97,13 @@ fn skewed_run(operations: usize, balanced_ops: usize) -> SkewedRun {
     let spec = DeploymentSpec::new(2, 3)
         .with_seed(9)
         .with_clients(64, operations)
-        .with_rebalance(rebalance_knobs());
+        .with_rebalance(RebalanceConfig {
+            check_interval_ns: 10_000_000, // 10 ms
+            min_window_commits: 120,
+            imbalance_threshold: 1.4,
+            timeline_bucket_ns: 5_000_000,
+            ..RebalanceConfig::enabled()
+        });
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
     // A hot range owned by shard 0, spanning enough ring arcs that the
     // controller can split it — the same selection `fig_rebalance` measures.
@@ -206,60 +200,6 @@ fn skewed_workload_migrates_with_zero_lost_or_duplicated_commits() {
         }
     }
     assert!(verified > 10, "too few moved keys materialized: {verified}");
-}
-
-#[test]
-fn throughput_recovers_after_cutover() {
-    let run = skewed_run(3_200, 700);
-    let stats = &run.stats;
-    let m = &stats.migration;
-    assert!(m.migrations_completed >= 1);
-    let bucket_ns = rebalance_knobs().timeline_bucket_ns;
-
-    // Locate the phases on the timeline: the skew starts once the first ~700
-    // (balanced) commits are through; the cutover time comes from the
-    // migration stats.
-    let timeline = &stats.timeline;
-    assert!(timeline.len() >= 4, "timeline too short: {timeline:?}");
-    let mut cumulative = 0u64;
-    let mut skew_bucket = timeline.len();
-    for (i, bucket) in timeline.iter().enumerate() {
-        cumulative += bucket.committed;
-        if cumulative >= 700 {
-            skew_bucket = i;
-            break;
-        }
-    }
-    let cutover_bucket = (m.last_cutover_ns / bucket_ns) as usize;
-    assert!(
-        cutover_bucket > skew_bucket,
-        "phases out of order: skew bucket {skew_bucket}, cutover bucket {cutover_bucket}"
-    );
-    let mean_ops = |range: std::ops::Range<usize>| -> f64 {
-        let buckets = &timeline[range];
-        assert!(!buckets.is_empty());
-        buckets.iter().map(|b| b.committed).sum::<u64>() as f64 / buckets.len() as f64
-    };
-    // Pre-skew level: the buckets up to the skew crossover (the balanced
-    // phase commits fast, so this may be a single bucket).
-    let pre = mean_ops(0..skew_bucket.max(1));
-    // During: between the crossover and the cutover the donor leader is the
-    // bottleneck and aggregate throughput sags.
-    let during =
-        mean_ops((skew_bucket + 1).min(cutover_bucket)..cutover_bucket.max(skew_bucket + 2));
-    // Post-cutover: skip the cutover bucket itself and the trailing partial
-    // bucket.
-    let post_start = (cutover_bucket + 1).min(timeline.len() - 1);
-    let post_end = (timeline.len() - 1).max(post_start + 1);
-    let post = mean_ops(post_start..post_end);
-    assert!(
-        during < 0.75 * pre,
-        "the skew never depressed throughput: pre {pre:.1} vs during {during:.1} commits/bucket"
-    );
-    assert!(
-        post >= 0.9 * pre,
-        "aggregate throughput did not recover: pre-skew {pre:.1} vs post-cutover {post:.1} commits/bucket"
-    );
 }
 
 // ---------------------------------------------------------------------------

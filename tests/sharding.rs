@@ -1,7 +1,8 @@
 //! Cross-crate integration for the sharded keyspace subsystem: consistent-hash
 //! placement quality, deterministic multi-group runs, fault isolation between
-//! shards, per-shard agreement under cross-shard traffic, and the shard-scaling
-//! speedup the ROADMAP targets.
+//! shards, and per-shard agreement under cross-shard traffic. The
+//! shard-scaling speedup is a claim of the `shard_scaling` figure, judged on
+//! its committed baseline by `tests/claims.rs`.
 
 use recipe::core::{Operation, Request};
 use recipe::protocols::RaftReplica;
@@ -216,18 +217,9 @@ fn cross_shard_traffic_preserves_per_shard_agreement_and_isolation() {
 }
 
 #[test]
-fn four_shards_at_least_double_single_shard_throughput() {
-    let single = run_sharded_raft(1, 1_200, 7);
+fn a_four_shard_run_is_complete_balanced_deterministic_and_in_agreement() {
     let quad = run_sharded_raft(4, 1_200, 7);
-    assert_eq!(single.total.committed, 1_200);
     assert_eq!(quad.total.committed, 1_200);
-    let speedup = quad.total.throughput_ops / single.total.throughput_ops;
-    assert!(
-        speedup >= 2.0,
-        "4-shard speedup only {speedup:.2}x ({:.0} vs {:.0} ops/s)",
-        quad.total.throughput_ops,
-        single.total.throughput_ops
-    );
     // The Zipfian hot keys concentrate load, but virtual-node placement keeps
     // the busiest shard within a sane multiple of the fair share.
     assert!(quad.imbalance < 2.0, "imbalance {:.2}", quad.imbalance);
