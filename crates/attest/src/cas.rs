@@ -29,7 +29,7 @@ use crate::secrets::SecretBundle;
 use crate::verifier::QuoteVerifier;
 
 /// Mean verification latency of the datacenter-local CAS (paper Table 4: 0.169 s).
-pub const CAS_MEAN_LATENCY_NS: u64 = 169_000_000;
+pub(crate) const CAS_MEAN_LATENCY_NS: u64 = 169_000_000;
 /// Latency jitter applied around the mean (± this fraction).
 const LATENCY_JITTER: f64 = 0.15;
 
@@ -55,12 +55,6 @@ impl ConfigAndAttestService {
             rng: StdRng::seed_from_u64(seed),
             mean_latency_ns: CAS_MEAN_LATENCY_NS,
         }
-    }
-
-    /// Overrides the mean verification latency (used by calibration tests).
-    pub fn with_mean_latency_ns(mut self, latency_ns: u64) -> Self {
-        self.mean_latency_ns = latency_ns;
-        self
     }
 
     /// The protocol designer uploads the secret bundle destined for `node_id`.

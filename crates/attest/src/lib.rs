@@ -12,7 +12,7 @@
 //! * [`secrets::SecretBundle`] — the configuration and key material (signing keys,
 //!   per-channel MAC keys, value-encryption key, membership) the protocol designer
 //!   provisions to successfully attested replicas.
-//! * [`protocol`] — the end-to-end remote-attestation exchange of Algorithm 2:
+//! * `protocol` — the end-to-end remote-attestation exchange of Algorithm 2:
 //!   nonce challenge → enclave report → hardware-signed quote → verification →
 //!   Diffie-Hellman-protected secret provisioning.
 //!
@@ -23,12 +23,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cas;
-pub mod error;
-pub mod ias;
-pub mod protocol;
-pub mod secrets;
-pub mod verifier;
+mod cas;
+mod error;
+mod ias;
+mod protocol;
+mod secrets;
+mod verifier;
 
 pub use cas::ConfigAndAttestService;
 pub use error::AttestError;

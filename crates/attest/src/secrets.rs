@@ -46,26 +46,6 @@ impl ClusterConfig {
         self.confidential = true;
         self
     }
-
-    /// Number of replicas in the membership.
-    pub fn n(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Quorum size (majority of the membership).
-    pub fn quorum(&self) -> usize {
-        self.members.len() / 2 + 1
-    }
-
-    /// True if `node_id` belongs to the membership.
-    pub fn contains(&self, node_id: u64) -> bool {
-        self.members.contains_key(&node_id)
-    }
-
-    /// True if the membership satisfies N ≥ 2f + 1.
-    pub fn is_well_formed(&self) -> bool {
-        self.members.len() > 2 * self.fault_threshold
-    }
 }
 
 /// Everything a replica needs to participate, produced by the protocol designer /
@@ -87,7 +67,7 @@ pub struct SecretBundle {
 
 impl SecretBundle {
     /// Serializes and encrypts the bundle under the attestation shared secret.
-    pub fn seal(&self, shared: &SharedSecret) -> Ciphertext {
+    pub(crate) fn seal(&self, shared: &SharedSecret) -> Ciphertext {
         let cipher = Cipher::new(&shared.derive_cipher_key("recipe.attest.provisioning"));
         // recipe-lint: allow(unwrap-in-lib, reason = "serializing the self-owned bundle cannot fail")
         let plaintext = serde_json::to_vec(self).expect("bundle serializes");
@@ -95,7 +75,10 @@ impl SecretBundle {
     }
 
     /// Decrypts and parses a bundle inside the attested enclave.
-    pub fn open(shared: &SharedSecret, sealed: &Ciphertext) -> Result<SecretBundle, AttestError> {
+    pub(crate) fn open(
+        shared: &SharedSecret,
+        sealed: &Ciphertext,
+    ) -> Result<SecretBundle, AttestError> {
         let cipher = Cipher::new(&shared.derive_cipher_key("recipe.attest.provisioning"));
         let plaintext = cipher
             .open(sealed)
@@ -131,26 +114,10 @@ mod tests {
     }
 
     #[test]
-    fn cluster_config_quorum_and_membership() {
+    fn cluster_config_is_plaintext_until_marked_confidential() {
         let config = ClusterConfig::for_replicas(3, 1, "code");
-        assert_eq!(config.n(), 3);
-        assert_eq!(config.quorum(), 2);
-        assert!(config.contains(0));
-        assert!(config.contains(2));
-        assert!(!config.contains(3));
-        assert!(config.is_well_formed());
         assert!(!config.confidential);
-        assert!(config.clone().confidential().confidential);
-
-        let undersized = ClusterConfig::for_replicas(2, 1, "code");
-        assert!(!undersized.is_well_formed());
-    }
-
-    #[test]
-    fn five_replica_quorum() {
-        let config = ClusterConfig::for_replicas(5, 2, "code");
-        assert_eq!(config.quorum(), 3);
-        assert!(config.is_well_formed());
+        assert!(config.confidential().confidential);
     }
 
     #[test]

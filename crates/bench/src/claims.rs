@@ -12,15 +12,15 @@ pub(crate) struct Op(&'static str, fn(&f64, &f64) -> bool);
 
 impl Op {
     /// `<`
-    pub const LT: Op = Op("<", f64::lt);
+    pub(crate) const LT: Op = Op("<", f64::lt);
     /// `≤`
-    pub const LE: Op = Op("≤", f64::le);
+    pub(crate) const LE: Op = Op("≤", f64::le);
     /// `=`, exact: the values it compares are counters
-    pub const EQ: Op = Op("=", f64::eq);
+    pub(crate) const EQ: Op = Op("=", f64::eq);
     /// `≥`
-    pub const GE: Op = Op("≥", f64::ge);
+    pub(crate) const GE: Op = Op("≥", f64::ge);
     /// `>`
-    pub const GT: Op = Op(">", f64::gt);
+    pub(crate) const GT: Op = Op(">", f64::gt);
 
     fn holds(self, value: f64, bound: f64) -> bool {
         (self.1)(&value, &bound)
@@ -73,7 +73,7 @@ impl Term {
 
 /// One qualitative result a figure must show: every side within the band.
 #[derive(Debug, Default)]
-pub struct Claim {
+pub(crate) struct Claim {
     /// What the sides measure, in a phrase.
     description: &'static str,
     /// Where the claim comes from: a paper figure or section, "beyond the

@@ -44,7 +44,7 @@ pub struct FigureSpec {
     pub run: fn(usize) -> Figure,
     /// What the figure's summary must show; judged on the committed
     /// baselines by [`crate::judge`].
-    pub claims: fn() -> Vec<Claim>,
+    pub(crate) claims: fn() -> Vec<Claim>,
 }
 
 impl FigureSpec {

@@ -3,10 +3,10 @@
 //! Every experiment has one shape: a run function in the [`FIGURES`] registry
 //! takes an operation count and returns a [`Figure`] — display rows, named
 //! extra metrics, latency blocks and free-text note lines — whose
-//! [`Figure::summary`] is the machine-readable `BENCH_<name>.json` CI pins
+//! `Figure::summary` is the machine-readable `BENCH_<name>.json` CI pins
 //! byte for byte. The `fig` binary prints any of them (`fig <name>`,
 //! `fig list`, `fig all`); `perf_smoke` regenerates every committed baseline
-//! from the same registry. Each entry also states its [`Claim`]s, which
+//! from the same registry. Each entry also states its `Claim`s, which
 //! [`judge`] evaluates on the committed baselines. README, "Reproducing the
 //! paper's experiments", is the experiment index and quotes the ledger.
 
@@ -19,7 +19,7 @@ mod figures;
 use std::fmt;
 use std::path::Path;
 
-pub use claims::{judge, Claim};
+pub use claims::judge;
 pub use figures::{fig_observe, FigureSpec, ObserveReport, FIGURES};
 use recipe_protocols::{BatchConfig, BuildReplica, Protocol, ProtocolMode, ProtocolVisitor};
 use recipe_scenario::WorkloadKind;
@@ -37,7 +37,7 @@ fn recipe_mode(confidential: bool) -> ProtocolMode {
 
 /// One experiment configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExperimentConfig {
+pub(crate) struct ExperimentConfig {
     /// Protocol under test.
     pub protocol: Protocol,
     /// Native or Recipe-transformed, and then whether confidential (the BFT
@@ -89,12 +89,12 @@ pub struct ExperimentRow {
     /// Mean latency in microseconds.
     pub mean_latency_us: f64,
     /// Speedup relative to the row's baseline (1.0 when this row *is* the baseline).
-    pub speedup_vs_baseline: f64,
+    pub(crate) speedup_vs_baseline: f64,
 }
 
 impl ExperimentRow {
     /// A row from its figures, keyed `<protocol slug>_<config slug>`.
-    pub fn new(
+    pub(crate) fn new(
         protocol: impl Into<String>,
         config: impl Into<String>,
         throughput_ops: f64,
@@ -114,7 +114,7 @@ impl ExperimentRow {
 
     /// A row off one run's statistics, its speedup measured against a
     /// baseline run's throughput.
-    pub fn measured(
+    pub(crate) fn measured(
         protocol: impl Into<String>,
         config: impl Into<String>,
         stats: &RunStats,
@@ -132,7 +132,7 @@ impl ExperimentRow {
 
     /// The same row under a metric key of its own (the default key repeats
     /// the protocol label, which a one-protocol figure has no use for).
-    pub fn keyed(mut self, key: impl Into<String>) -> Self {
+    pub(crate) fn keyed(mut self, key: impl Into<String>) -> Self {
         self.key = key.into();
         self
     }
@@ -141,7 +141,7 @@ impl ExperimentRow {
 /// Runs one experiment configuration — a single group tolerating one fault,
 /// at the fewest replicas its protocol needs for that, as a one-shard
 /// deployment — and returns the raw simulator statistics.
-pub fn run_protocol(config: &ExperimentConfig) -> RunStats {
+pub(crate) fn run_protocol(config: &ExperimentConfig) -> RunStats {
     struct Run<'a>(&'a ExperimentConfig);
     impl ProtocolVisitor for Run<'_> {
         type Output = RunStats;
@@ -196,7 +196,7 @@ fn ycsb(seed: u64) -> WorkloadKind {
 
 /// Runs one sharded configuration: `shards` groups of 3 replicas, a global
 /// closed-loop client population and the default YCSB Zipfian workload.
-pub fn run_sharded(protocol: Protocol, shards: usize, operations: usize) -> ShardedRunStats {
+pub(crate) fn run_sharded(protocol: Protocol, shards: usize, operations: usize) -> ShardedRunStats {
     struct Run(DeploymentSpec);
     impl ProtocolVisitor for Run {
         type Output = ShardedRunStats;
@@ -218,14 +218,14 @@ pub fn run_sharded(protocol: Protocol, shards: usize, operations: usize) -> Shar
 
 /// What one experiment produced. Metric names and their order are data on
 /// the figure, so every `BENCH_<name>.json` comes out of one
-/// [`Figure::summary`].
+/// `Figure::summary`.
 #[derive(Debug, Clone, Default)]
 pub struct Figure {
     /// The display rows; each is also one `<key>_ops_per_sec` metric.
     pub rows: Vec<ExperimentRow>,
     /// Named figures beside the rows (ratios, counters, derived inputs), in
     /// summary order.
-    pub extras: Vec<BenchMetric>,
+    pub(crate) extras: Vec<BenchMetric>,
     /// Latency blocks: each run's p50/p90/p99/p99.9 under `<prefix>`.
     pub latency: Vec<(String, RunStats)>,
     /// Free-text lines printed under the rows (timelines, counters,
@@ -237,7 +237,7 @@ pub struct Figure {
 impl Figure {
     /// A figure that is its rows and nothing else: every row's mean latency
     /// and speedup are kept as extras, so the summary pins the whole row.
-    pub fn of_rows(rows: Vec<ExperimentRow>) -> Self {
+    pub(crate) fn of_rows(rows: Vec<ExperimentRow>) -> Self {
         let mut figure = Figure::default();
         for row in &rows {
             figure.extra(format!("{}_mean_latency_us", row.key), row.mean_latency_us);
@@ -249,25 +249,25 @@ impl Figure {
 
     /// Adds a row together with the latency block of the run behind it,
     /// under the row's own key.
-    pub fn push_measured(&mut self, row: ExperimentRow, stats: &RunStats) {
+    pub(crate) fn push_measured(&mut self, row: ExperimentRow, stats: &RunStats) {
         self.latency.push((format!("{}_", row.key), stats.clone()));
         self.rows.push(row);
     }
 
     /// Adds a line printed under the rows.
-    pub fn note(&mut self, line: impl Into<String>) {
+    pub(crate) fn note(&mut self, line: impl Into<String>) {
         self.notes.push(line.into());
     }
 
     /// Adds a named extra metric.
-    pub fn extra(&mut self, name: impl Into<String>, value: f64) {
+    pub(crate) fn extra(&mut self, name: impl Into<String>, value: f64) {
         self.extras.push(BenchMetric::new(name, value));
     }
 
     /// The machine-readable summary: `<key>_ops_per_sec` per row, then the
     /// extras, then the latency blocks. Two metrics under one name — two rows
     /// sharing a key, say — are a bug in the figure and are refused.
-    pub fn summary(&self, bench: &str) -> BenchSummary {
+    pub(crate) fn summary(&self, bench: &str) -> BenchSummary {
         let mut metrics: Vec<BenchMetric> = self
             .rows
             .iter()
@@ -351,7 +351,7 @@ pub struct BenchSummary {
 
 impl BenchSummary {
     /// Looks up a metric by name.
-    pub fn metric(&self, name: &str) -> Option<f64> {
+    pub(crate) fn metric(&self, name: &str) -> Option<f64> {
         self.metrics
             .iter()
             .find(|m| m.name == name)

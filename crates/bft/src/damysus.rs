@@ -104,7 +104,7 @@ struct SlotState {
 }
 
 /// A Damysus replica.
-pub struct DamysusReplica {
+pub(crate) struct DamysusReplica {
     id: NodeId,
     membership: Membership,
     /// The KV store and the count of operations executed on it, reads
@@ -117,7 +117,7 @@ pub struct DamysusReplica {
 
 impl DamysusReplica {
     /// Builds a replica. Damysus needs `2f + 1` replicas.
-    pub fn new(id: u64, membership: Membership) -> Self {
+    pub(crate) fn new(id: u64, membership: Membership) -> Self {
         let id = NodeId(id);
         DamysusReplica {
             id,
@@ -130,13 +130,8 @@ impl DamysusReplica {
     }
 
     /// True if this replica currently leads.
-    pub fn is_leader(&self) -> bool {
+    pub(crate) fn is_leader(&self) -> bool {
         self.membership.leader_for_view(self.view) == self.id
-    }
-
-    /// Reads a key from the local store (verification helper).
-    pub fn local_read(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.store.get(key).map(|r| r.value)
     }
 
     fn quorum(&self) -> usize {

@@ -8,7 +8,7 @@
 //! * **Damysus** — a state-of-the-art TEE-assisted streamlined protocol (a HotStuff
 //!   derivative) that uses trusted CHECKER/ACCUMULATOR components to run with
 //!   `2f + 1` replicas and linear message complexity per phase, at the cost of a
-//!   chained two-phase commit through the leader ([`damysus::DamysusReplica`]).
+//!   chained two-phase commit through the leader (`damysus::DamysusReplica`).
 //!
 //! Both baselines run on the same simulator, the same workload generator and the
 //! same KV store as the Recipe protocols, so the comparisons in Figures 3–5 differ
@@ -18,10 +18,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod damysus;
+mod damysus;
 pub mod pbft;
 
-pub use damysus::{DamysusMsg, DamysusReplica};
+pub use damysus::DamysusMsg;
+use damysus::DamysusReplica;
 pub use pbft::{PbftMsg, PbftReplica};
 
 use recipe_protocols::{
@@ -29,7 +30,7 @@ use recipe_protocols::{
 };
 
 /// Runs `visitor` with the replica type of `protocol`: the one place a
-/// protocol's name meets its type (see [`recipe_protocols::registry`]).
+/// protocol's name meets its type (see `recipe_protocols::Protocol`).
 pub fn dispatch<V: ProtocolVisitor>(protocol: Protocol, visitor: V) -> V::Output {
     match protocol {
         Protocol::Raft => visitor.visit::<RaftReplica>(),

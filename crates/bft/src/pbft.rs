@@ -10,9 +10,9 @@
 //! The implementation is deliberately unoptimized in the same ways the paper's
 //! baseline is: signature-based message authentication (captured by the cost
 //! profile) and `3f + 1 = 4` replicas for `f = 1`. The default construction
-//! ([`PbftReplica::new`]) also batches nothing, preserving the baseline; the
+//! (`PbftReplica::new`) also batches nothing, preserving the baseline; the
 //! leader-side batching pipeline can be enabled with
-//! [`PbftReplica::with_batching`] for apples-to-apples batching sweeps — a
+//! `PbftReplica::with_batching` for apples-to-apples batching sweeps — a
 //! batch frame coalesces several PBFT messages into one wire message (BFT-Smart
 //! style request batching), without touching the three-phase protocol logic.
 
@@ -181,7 +181,7 @@ pub struct PbftReplica {
 impl PbftReplica {
     /// Builds a replica. PBFT needs `3f + 1` replicas; use
     /// [`Membership::of_size`]`(3 * f + 1, f)`.
-    pub fn new(id: u64, membership: Membership) -> Self {
+    pub(crate) fn new(id: u64, membership: Membership) -> Self {
         let id = NodeId(id);
         PbftReplica {
             id,
@@ -198,24 +198,19 @@ impl PbftReplica {
 
     /// Enables request batching: outgoing PBFT messages accumulate per
     /// destination and drain as one `PbftBatch` frame per flush.
-    pub fn with_batching(mut self, config: BatchConfig) -> Self {
+    pub(crate) fn with_batching(mut self, config: BatchConfig) -> Self {
         self.batcher = Batcher::new(config);
         self
     }
 
     /// The number of faults this membership tolerates under PBFT's `n ≥ 3f + 1`.
-    pub fn fault_tolerance(&self) -> usize {
+    pub(crate) fn fault_tolerance(&self) -> usize {
         (self.membership.n().saturating_sub(1)) / 3
     }
 
     /// True if this replica is the current primary.
-    pub fn is_primary(&self) -> bool {
+    pub(crate) fn is_primary(&self) -> bool {
         self.membership.leader_for_view(self.view) == self.id
-    }
-
-    /// Reads a key from the local store (verification helper).
-    pub fn local_read(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.store.get(key).map(|r| r.value)
     }
 
     fn quorum_2f(&self) -> usize {

@@ -428,16 +428,6 @@ impl AuthLayer {
         }
     }
 
-    /// The node this layer belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The current view.
-    pub fn view(&self) -> u64 {
-        self.view
-    }
-
     /// Advances to a new view (monotonically).
     pub fn set_view(&mut self, view: u64) {
         debug_assert!(view >= self.view, "views only move forward");
@@ -449,13 +439,9 @@ impl AuthLayer {
         self.confidentiality.is_confidential()
     }
 
-    /// The confidentiality policy this layer enforces.
-    pub fn confidentiality(&self) -> ConfidentialityMode {
-        self.confidentiality
-    }
-
     /// Immutable access to the underlying enclave.
-    pub fn enclave(&self) -> &Enclave {
+    #[cfg(test)]
+    pub(crate) fn enclave(&self) -> &Enclave {
         &self.enclave
     }
 
@@ -679,7 +665,7 @@ impl AuthLayer {
     // shield_batch
     // ------------------------------------------------------------------
 
-    /// [`AuthLayer::shield_batch_to_wire`] as a frame struct: the wire bytes,
+    /// `AuthLayer::shield_batch_to_wire` as a frame struct: the wire bytes,
     /// parsed.
     pub fn shield_batch(
         &mut self,
@@ -695,7 +681,7 @@ impl AuthLayer {
     /// the amortized fast path of the leader-side batching pipeline —
     /// straight to wire bytes: the ops are encoded once, into the frame, and
     /// sealed there.
-    pub fn shield_batch_to_wire(
+    pub(crate) fn shield_batch_to_wire(
         &mut self,
         dst: NodeId,
         ops: &[BatchOp],
@@ -710,8 +696,8 @@ impl AuthLayer {
         })
     }
 
-    /// [`AuthLayer::shield_batch_to_wire`] of a batch already encoded —
-    /// `body` is in [`BatchFrame::write_ops`]'s format, as
+    /// `AuthLayer::shield_batch_to_wire` of a batch already encoded —
+    /// `body` is in `BatchFrame::write_ops`'s format, as
     /// [`BatchFrame::append_op`] builds it — in a spare from `frames`: the
     /// body is copied once, into the frame, and sealed there.
     pub fn shield_batch_body_in(
@@ -742,7 +728,7 @@ impl AuthLayer {
     // shield_txn
     // ------------------------------------------------------------------
 
-    /// [`AuthLayer::shield_txn_to_wire`] sealed at the layer's own mode, as
+    /// `AuthLayer::shield_txn_to_wire` sealed at the layer's own mode, as
     /// a frame struct: the wire bytes, parsed.
     pub fn shield_txn(
         &mut self,
@@ -756,7 +742,7 @@ impl AuthLayer {
     }
 
     /// [`AuthLayer::shield_txn_in`] into a buffer of the frame's own.
-    pub fn shield_txn_to_wire(
+    pub(crate) fn shield_txn_to_wire(
         &mut self,
         dst: NodeId,
         txn_id: u64,
@@ -1096,7 +1082,8 @@ impl AuthLayer {
     }
 
     /// Number of frames currently buffered as "future" arrivals from `src`.
-    pub fn pending_from(&self, src: NodeId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_from(&self, src: NodeId) -> usize {
         self.peer(src).map_or(0, |peer| peer.pending.len())
     }
 

@@ -15,10 +15,10 @@
 //!    the same slot become detectable ([`auth::VerifyOutcome`], Algorithm 1).
 //!
 //! Beside the two layers the crate holds what every transformed protocol
-//! shares: the frame formats ([`message`]), their strict binary codec
-//! ([`wire`]) and the recycled buffers frames are built in ([`pool`]), the
+//! shares: the frame formats (`message`), their strict binary codec
+//! ([`wire`]) and the recycled buffers frames are built in (`pool`), the
 //! replica membership and its quorum arithmetic
-//! ([`membership`]), and the per-group confidentiality policy ([`policy`]).
+//! (`membership`), and the per-group confidentiality policy (`policy`).
 //! The replica that wraps a CFT protocol in these layers is
 //! `recipe_protocols::RecipeReplica`.
 
@@ -26,11 +26,11 @@
 #![warn(missing_docs)]
 
 pub mod auth;
-pub mod error;
-pub mod membership;
-pub mod message;
-pub mod policy;
-pub mod pool;
+mod error;
+mod membership;
+mod message;
+mod policy;
+mod pool;
 pub mod wire;
 
 pub use auth::{AuthLayer, BatchVerifyOutcome, TxnVerifyOutcome, VerifyOutcome, ViewOutcome};

@@ -20,8 +20,10 @@ pub struct Membership {
 impl Membership {
     /// Builds a membership from the given nodes, tolerating `f` faults.
     ///
+    /// Duplicate members are collapsed into one.
+    ///
     /// # Panics
-    /// Panics if `members` is empty or contains duplicates.
+    /// Panics if `members` is empty.
     pub fn new(mut members: Vec<NodeId>, fault_threshold: usize) -> Self {
         assert!(!members.is_empty(), "membership cannot be empty");
         members.sort();
@@ -71,16 +73,6 @@ impl Membership {
     /// Majority quorum size.
     pub fn quorum(&self) -> usize {
         self.members.len() / 2 + 1
-    }
-
-    /// True if the deployment satisfies `N ≥ 2f + 1`.
-    pub fn is_well_formed(&self) -> bool {
-        self.members.len() > 2 * self.fault_threshold
-    }
-
-    /// True if `node` is a member.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.position(node).is_some()
     }
 
     /// Position of `node` in [`Membership::members`], if it is a member.
@@ -149,21 +141,14 @@ mod tests {
         assert_eq!(m.n(), 3);
         assert_eq!(m.f(), 1);
         assert_eq!(m.quorum(), 2);
-        assert!(m.is_well_formed());
-
-        let m5 = Membership::of_size(5, 2);
-        assert_eq!(m5.quorum(), 3);
-        assert!(m5.is_well_formed());
-
-        let undersized = Membership::of_size(2, 1);
-        assert!(!undersized.is_well_formed());
+        assert_eq!(Membership::of_size(5, 2).quorum(), 3);
     }
 
     #[test]
     fn membership_and_peers() {
         let m = Membership::of_size(3, 1);
-        assert!(m.contains(NodeId(0)));
-        assert!(!m.contains(NodeId(7)));
+        assert_eq!(m.position(NodeId(0)), Some(0));
+        assert_eq!(m.position(NodeId(7)), None);
         assert_eq!(m.peers_of(NodeId(1)), vec![NodeId(0), NodeId(2)]);
         assert_eq!(m.members(), &[NodeId(0), NodeId(1), NodeId(2)]);
     }
@@ -232,7 +217,7 @@ mod tests {
         #[test]
         fn leader_is_always_a_member(n in 1usize..10, view in 0u64..1000) {
             let m = Membership::of_size(n, 0);
-            prop_assert!(m.contains(m.leader_for_view(view)));
+            prop_assert!(m.position(m.leader_for_view(view)).is_some());
         }
     }
 }

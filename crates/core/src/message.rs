@@ -23,12 +23,12 @@ pub struct SequenceTuple {
 }
 
 impl SequenceTuple {
-    /// Length of [`SequenceTuple::to_bytes`].
+    /// Length of `SequenceTuple::to_bytes`.
     pub const LEN: usize = 32;
 
     /// Canonical byte encoding: folded into the MAC and written on the wire
     /// (`view | src | dst | counter`, little-endian `u64`s).
-    pub fn to_bytes(&self) -> [u8; Self::LEN] {
+    pub(crate) fn to_bytes(self) -> [u8; Self::LEN] {
         let mut bytes = [0u8; Self::LEN];
         bytes[..8].copy_from_slice(&self.view.to_le_bytes());
         bytes[8..16].copy_from_slice(&self.channel.src.0.to_le_bytes());
@@ -38,7 +38,7 @@ impl SequenceTuple {
     }
 
     /// The XChaCha20 nonce of the one frame sealed under this tuple:
-    /// `src | dst | counter`, the last 24 bytes of [`SequenceTuple::to_bytes`].
+    /// `src | dst | counter`, the last 24 bytes of `SequenceTuple::to_bytes`.
     ///
     /// Both ends derive it, so it is never sent, and it is authentic because
     /// the tuple is under the frame MAC. It is unique under the cipher key
@@ -690,7 +690,7 @@ impl BatchFrame {
         w.finish()
     }
 
-    /// Bytes [`BatchFrame::write_ops`] produces for `ops`.
+    /// Bytes `BatchFrame::write_ops` produces for `ops`.
     pub fn ops_len(ops: &[BatchOp]) -> usize {
         4 + ops
             .iter()
@@ -701,20 +701,20 @@ impl BatchFrame {
     /// Appends the body encoding of `ops` to `w` (what
     /// [`BatchFrame::encode_ops`] returns; native batch frames put it behind
     /// their own tag).
-    pub fn write_ops(w: &mut Writer, ops: &[BatchOp]) {
+    pub(crate) fn write_ops(w: &mut Writer, ops: &[BatchOp]) {
         w.count(ops.len());
         for op in ops {
             w.u16(op.kind).bytes(&op.payload);
         }
     }
 
-    /// The op count `body`, a body in [`BatchFrame::write_ops`]'s format,
+    /// The op count `body`, a body in `BatchFrame::write_ops`'s format,
     /// leads with: `0` for an empty one.
     pub fn op_count(body: &[u8]) -> u32 {
         Reader::new(body).u32().unwrap_or(0)
     }
 
-    /// Appends one op to `body`, a body in [`BatchFrame::write_ops`]'s
+    /// Appends one op to `body`, a body in `BatchFrame::write_ops`'s
     /// format, and counts it in the body's leading op count: an empty `body`
     /// becomes the body of a batch of one. Queuing ops this way builds the
     /// body a flush seals as it is, with one copy of each payload.
@@ -830,7 +830,7 @@ impl Operation {
 
     /// Appends the wire encoding: `0 | key | value` for a put, `1 | key` for
     /// a get.
-    pub fn write(&self, w: &mut Writer) {
+    pub(crate) fn write(&self, w: &mut Writer) {
         match self {
             Operation::Put { key, value } => w.u8(0).bytes(key).bytes(value),
             Operation::Get { key } => w.u8(1).bytes(key),
@@ -838,7 +838,7 @@ impl Operation {
     }
 
     /// Bytes [`Operation::write`] produces.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         match self {
             Operation::Put { key, value } => 1 + bytes_len(key.len()) + bytes_len(value.len()),
             Operation::Get { key } => 1 + bytes_len(key.len()),
@@ -846,7 +846,7 @@ impl Operation {
     }
 
     /// Reads one operation.
-    pub fn read(r: &mut Reader<'_>) -> Option<Operation> {
+    pub(crate) fn read(r: &mut Reader<'_>) -> Option<Operation> {
         match r.u8()? {
             0 => Some(Operation::Put {
                 key: r.bytes()?.to_vec(),
@@ -1155,15 +1155,6 @@ impl ClientRequest {
     /// Wire bytes of everything but the operation: two ids and the signature
     /// presence byte.
     const FIXED_LEN: usize = 8 + 8 + 1;
-
-    /// Bytes covered by the client signature:
-    /// `client_id | request_id | operation`.
-    pub fn signing_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(16 + self.operation.wire_len());
-        w.u64(self.client_id).u64(self.request_id);
-        self.operation.write(&mut w);
-        w.finish()
-    }
 
     /// Appends the request's fields (no family tag), for protocol messages
     /// that embed a request: `client_id | request_id | operation | signed |
@@ -1680,7 +1671,7 @@ mod tests {
     }
 
     #[test]
-    fn client_request_roundtrip_and_signing_bytes() {
+    fn client_request_roundtrip() {
         let req = ClientRequest {
             client_id: 9,
             request_id: 4,
@@ -1689,9 +1680,6 @@ mod tests {
         };
         let bytes = req.to_bytes();
         assert_eq!(ClientRequest::from_bytes(&bytes).unwrap(), req);
-        let mut other = req.clone();
-        other.request_id = 5;
-        assert_ne!(req.signing_bytes(), other.signing_bytes());
         assert!(ClientRequest::from_bytes(b"garbage").is_none());
     }
 }

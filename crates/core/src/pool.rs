@@ -27,7 +27,7 @@ const MAX_POOLED: usize = 4096;
 /// Classes per doubling of capacity.
 const STEPS: usize = 4;
 
-/// Free frame buffers, by size class. See the [module docs](self).
+/// Free frame buffers, by size class (the `pool` module's docs say how).
 #[derive(Debug, Default)]
 pub struct FramePool {
     /// By class, the most recently returned spare last.

@@ -19,26 +19,26 @@
 /// for all crates, so the values stay disjoint.
 pub mod tag {
     /// [`crate::ShieldedMessage`]: one protocol message under one counter/MAC.
-    pub const SINGLE: u8 = 0x01;
+    pub(crate) const SINGLE: u8 = 0x01;
     /// [`crate::BatchFrame`]: N protocol messages under one counter/MAC.
-    pub const BATCH: u8 = 0x02;
+    pub(crate) const BATCH: u8 = 0x02;
     /// [`crate::TxnFrame`]: one two-phase-commit message.
-    pub const TXN: u8 = 0x03;
+    pub(crate) const TXN: u8 = 0x03;
     /// Native (untransformed) single-message frame.
     pub const NATIVE_SINGLE: u8 = 0x04;
     /// Native (untransformed) batch frame.
     pub const NATIVE_BATCH: u8 = 0x05;
     /// [`crate::TxnBody`], the plaintext of a [`crate::TxnFrame`].
-    pub const TXN_BODY: u8 = 0x08;
+    pub(crate) const TXN_BODY: u8 = 0x08;
     /// [`crate::ClientRequest`].
-    pub const CLIENT_REQUEST: u8 = 0x09;
-    /// `recipe_protocols::raft::RaftMsg`.
+    pub(crate) const CLIENT_REQUEST: u8 = 0x09;
+    /// `recipe_protocols::RaftMsg`.
     pub const RAFT: u8 = 0x10;
-    /// `recipe_protocols::chain::ChainMsg`.
+    /// `recipe_protocols::ChainMsg`.
     pub const CHAIN: u8 = 0x11;
-    /// `recipe_protocols::abd::AbdMsg`.
+    /// `recipe_protocols::AbdMsg`.
     pub const ABD: u8 = 0x12;
-    /// `recipe_protocols::allconcur::AllConcurMsg`.
+    /// `recipe_protocols::AllConcurMsg`.
     pub const ALLCONCUR: u8 = 0x13;
     /// `recipe_protocols::MigrationChunk`.
     pub const MIGRATION: u8 = 0x14;
@@ -46,7 +46,7 @@ pub mod tag {
     pub const PBFT: u8 = 0x20;
     /// `recipe_bft::pbft` coalesced frame of `PbftMsg`s.
     pub const PBFT_BATCH: u8 = 0x21;
-    /// `recipe_bft::damysus::DamysusMsg`.
+    /// `recipe_bft::DamysusMsg`.
     pub const DAMYSUS: u8 = 0x22;
 }
 
@@ -64,7 +64,7 @@ pub struct Writer {
 impl Writer {
     /// An empty writer with room for `capacity` bytes (for nested bodies that
     /// carry no family tag of their own).
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Writer::reusing(Vec::new(), capacity)
     }
 
@@ -78,7 +78,7 @@ impl Writer {
     }
 
     /// A writer appending to the bytes `buf` already holds.
-    pub fn resuming(buf: Vec<u8>) -> Self {
+    pub(crate) fn resuming(buf: Vec<u8>) -> Self {
         Writer { buf }
     }
 
@@ -97,7 +97,7 @@ impl Writer {
     }
 
     /// Appends a boolean as one `0`/`1` byte.
-    pub fn bool(&mut self, v: bool) -> &mut Self {
+    pub(crate) fn bool(&mut self, v: bool) -> &mut Self {
         self.u8(u8::from(v))
     }
 
@@ -107,7 +107,7 @@ impl Writer {
     }
 
     /// Appends a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) -> &mut Self {
+    pub(crate) fn u32(&mut self, v: u32) -> &mut Self {
         self.raw(&v.to_le_bytes())
     }
 
@@ -187,7 +187,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes a fixed-size field.
-    pub fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+    pub(crate) fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
         self.take(N)?.try_into().ok()
     }
 
@@ -197,7 +197,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes a boolean; any byte other than `0`/`1` is malformed.
-    pub fn bool(&mut self) -> Option<bool> {
+    pub(crate) fn bool(&mut self) -> Option<bool> {
         match self.u8()? {
             0 => Some(false),
             1 => Some(true),
@@ -211,7 +211,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes a little-endian `u32`.
-    pub fn u32(&mut self) -> Option<u32> {
+    pub(crate) fn u32(&mut self) -> Option<u32> {
         self.array().map(u32::from_le_bytes)
     }
 

@@ -110,13 +110,6 @@ impl CipherKey {
         CipherKey(bytes)
     }
 
-    /// Generates a fresh key from the supplied RNG.
-    pub fn generate<R: rand::RngCore>(rng: &mut R) -> Self {
-        let mut bytes = [0u8; DIGEST_LEN];
-        rng.fill_bytes(&mut bytes);
-        CipherKey(bytes)
-    }
-
     /// Derives a sub-key bound to `parts` — a domain label, then what the
     /// sub-key is for — the way [`MacKey::derive`] does for channel keys, so
     /// one provisioned secret can back independent ciphers (a replica
@@ -212,7 +205,7 @@ impl Cipher {
 
     /// [`Cipher::seal`] for a caller that owns the plaintext: it is encrypted
     /// where it lies and becomes the ciphertext's bytes.
-    pub fn seal_owned(&self, nonce: Nonce, mut bytes: Vec<u8>) -> Ciphertext {
+    pub(crate) fn seal_owned(&self, nonce: Nonce, mut bytes: Vec<u8>) -> Ciphertext {
         self.apply_keystream(&nonce.extended(), &mut bytes);
         let tag = self
             .mac_key
@@ -230,7 +223,7 @@ impl Cipher {
     /// [`Cipher::open`] for a caller that owns the ciphertext: its bytes are
     /// decrypted where they lie and returned. Nothing is decrypted unless the
     /// tag verifies.
-    pub fn open_owned(&self, ciphertext: Ciphertext) -> Result<Vec<u8>, CryptoError> {
+    pub(crate) fn open_owned(&self, ciphertext: Ciphertext) -> Result<Vec<u8>, CryptoError> {
         self.mac_key
             .verify_parts(
                 &[ciphertext.nonce.as_bytes(), &ciphertext.bytes],
@@ -294,7 +287,6 @@ impl fmt::Debug for BoundCipher {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::SeedableRng;
 
     fn cipher() -> Cipher {
         Cipher::new(&CipherKey::from_bytes([3u8; 32]))
@@ -537,14 +529,6 @@ jackals, and foxes in the taxonomic family Canidae.";
         let cipher = Cipher::new(&parent);
         assert_ne!(derived.0, cipher.enc_key);
         assert_ne!(&derived.0, cipher.key_commitment());
-    }
-
-    #[test]
-    fn generated_keys_are_random() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let a = CipherKey::generate(&mut rng);
-        let b = CipherKey::generate(&mut rng);
-        assert_ne!(a, b);
     }
 
     proptest! {

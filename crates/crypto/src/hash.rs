@@ -18,11 +18,6 @@ use crate::DIGEST_LEN;
 pub struct Digest([u8; DIGEST_LEN]);
 
 impl Digest {
-    /// Wraps raw digest bytes.
-    pub const fn from_bytes(bytes: [u8; DIGEST_LEN]) -> Self {
-        Digest(bytes)
-    }
-
     /// The all-zero digest, used as a sentinel for "no value yet".
     pub const ZERO: Digest = Digest([0u8; DIGEST_LEN]);
 
@@ -82,19 +77,19 @@ pub struct Hasher {
 
 impl Hasher {
     /// Creates an empty hasher.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Hasher {
             inner: Sha256::new(),
         }
     }
 
     /// Feeds more data into the hasher.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         self.inner.update(data);
     }
 
     /// Consumes the hasher and returns the digest.
-    pub fn finalize(self) -> Digest {
+    pub(crate) fn finalize(self) -> Digest {
         Digest(self.inner.finalize().into())
     }
 }

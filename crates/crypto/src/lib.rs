@@ -7,10 +7,10 @@
 //!   authentication tags and to compute enclave measurements
 //!   ([`hash::Digest`], [`hash::sha256`]).
 //! * **Unforgeable authentication** — message authentication codes shared between
-//!   attested endpoints ([`mac`]) and asymmetric signatures for attestation quotes
+//!   attested endpoints (`mac`) and asymmetric signatures for attestation quotes
 //!   and client requests ([`sig`]).
 //! * **Confidentiality** — an encrypt-then-MAC stream cipher used when Recipe runs
-//!   in confidential mode ([`cipher`]).
+//!   in confidential mode (`cipher`).
 //!
 //! The crate wraps audited implementations (`sha2`, `hmac`, `ed25519-dalek`) behind
 //! small, purpose-named types so the rest of the workspace never touches raw
@@ -20,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use recipe_crypto::{mac::MacKey, sig::SigningKeyPair};
+//! use recipe_crypto::{MacKey, SigningKeyPair};
 //!
 //! // Transferable authentication: sign once, verify anywhere.
 //! let keys = SigningKeyPair::generate_from_seed(7);
@@ -36,12 +36,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cipher;
-pub mod error;
-pub mod hash;
-pub mod kx;
-pub mod mac;
-pub mod nonce;
+mod cipher;
+mod error;
+mod hash;
+mod kx;
+mod mac;
+mod nonce;
 pub mod sig;
 
 pub use cipher::{BoundCipher, Cipher, CipherKey, Ciphertext, KeyCommitment};

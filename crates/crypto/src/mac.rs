@@ -48,13 +48,6 @@ impl MacKey {
         MacKey { bytes, keyed }
     }
 
-    /// Derives a fresh, unpredictable key from the supplied RNG.
-    pub fn generate<R: rand::RngCore>(rng: &mut R) -> Self {
-        let mut bytes = [0u8; DIGEST_LEN];
-        rng.fill_bytes(&mut bytes);
-        MacKey::from_bytes(bytes)
-    }
-
     /// Derives a sub-key bound to a label, so one provisioned secret can back several
     /// independent channels (`derive("cq:3->5")`, `derive("values")`, …).
     pub fn derive(&self, label: &str) -> MacKey {
@@ -65,7 +58,7 @@ impl MacKey {
     /// one after another yields the tag of their concatenation — nothing is
     /// added between them — so a caller holding a message's fields can MAC
     /// them where they lie instead of joining them in a buffer first.
-    pub fn stream(&self) -> MacStream {
+    pub(crate) fn stream(&self) -> MacStream {
         MacStream(HmacSha256::from_core(self.keyed.clone()))
     }
 
@@ -131,7 +124,7 @@ pub struct BoundMacKey(HmacCore<Sha256>);
 
 impl BoundMacKey {
     /// Starts a MAC over a message whose first block is the bound one; feed
-    /// what follows it ([`MacKey::stream`]).
+    /// what follows it (`MacKey::stream`).
     pub fn stream(&self) -> MacStream {
         MacStream(HmacSha256::from_core(self.0.clone()))
     }
@@ -180,7 +173,7 @@ impl fmt::Debug for BoundMacKey {
 }
 
 /// A MAC in progress: a keyed HMAC state taking the message piece by piece
-/// (see [`MacKey::stream`]).
+/// (see `MacKey::stream`).
 pub struct MacStream(HmacSha256);
 
 impl MacStream {
@@ -258,20 +251,6 @@ impl MacTag {
     pub fn as_bytes(&self) -> &[u8; DIGEST_LEN] {
         &self.0
     }
-
-    /// Parses a tag from a byte slice.
-    pub fn try_from_slice(bytes: &[u8]) -> Result<Self, CryptoError> {
-        if bytes.len() != DIGEST_LEN {
-            return Err(CryptoError::InvalidLength {
-                what: "mac tag",
-                expected: DIGEST_LEN,
-                actual: bytes.len(),
-            });
-        }
-        let mut out = [0u8; DIGEST_LEN];
-        out.copy_from_slice(bytes);
-        Ok(MacTag(out))
-    }
 }
 
 impl fmt::Debug for MacTag {
@@ -285,7 +264,6 @@ impl fmt::Debug for MacTag {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::SeedableRng;
 
     fn key() -> MacKey {
         MacKey::from_bytes([7u8; 32])
@@ -331,26 +309,6 @@ mod tests {
         assert_ne!(a, k);
         // Deterministic.
         assert_eq!(a, k.derive("channel:1"));
-    }
-
-    #[test]
-    fn generate_uses_rng() {
-        let mut rng1 = rand::rngs::StdRng::seed_from_u64(1);
-        let mut rng2 = rand::rngs::StdRng::seed_from_u64(1);
-        assert_eq!(MacKey::generate(&mut rng1), MacKey::generate(&mut rng2));
-        let mut rng3 = rand::rngs::StdRng::seed_from_u64(2);
-        assert_ne!(MacKey::generate(&mut rng1), MacKey::generate(&mut rng3));
-    }
-
-    #[test]
-    fn tag_slice_roundtrip_and_length_check() {
-        let tag = key().tag(b"x");
-        let parsed = MacTag::try_from_slice(tag.as_bytes()).unwrap();
-        assert_eq!(parsed, tag);
-        assert!(matches!(
-            MacTag::try_from_slice(&[0u8; 5]),
-            Err(CryptoError::InvalidLength { .. })
-        ));
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl Nonce {
     }
 
     /// Interprets the nonce as a 128-bit little-endian integer.
-    pub fn as_u128(&self) -> u128 {
+    pub(crate) fn as_u128(&self) -> u128 {
         u128::from_le_bytes(self.0)
     }
 

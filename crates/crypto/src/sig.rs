@@ -25,15 +25,6 @@ pub struct SigningKeyPair {
 }
 
 impl SigningKeyPair {
-    /// Generates a key pair from the supplied RNG.
-    pub fn generate<R: rand::RngCore + rand::CryptoRng>(rng: &mut R) -> Self {
-        let mut seed = [0u8; 32];
-        rng.fill_bytes(&mut seed);
-        SigningKeyPair {
-            signing: ed25519_dalek::SigningKey::from_bytes(&seed),
-        }
-    }
-
     /// Generates a deterministic key pair from a seed.
     ///
     /// Used throughout the simulator so that experiments are reproducible; a given
@@ -93,30 +84,6 @@ impl fmt::Debug for SigningKeyPair {
 pub struct PublicKey([u8; PUBLIC_KEY_LEN]);
 
 impl PublicKey {
-    /// Parses a public key from raw bytes.
-    pub fn from_bytes(bytes: [u8; PUBLIC_KEY_LEN]) -> Self {
-        PublicKey(bytes)
-    }
-
-    /// Parses a public key from a slice, validating length.
-    pub fn try_from_slice(bytes: &[u8]) -> Result<Self, CryptoError> {
-        if bytes.len() != PUBLIC_KEY_LEN {
-            return Err(CryptoError::InvalidLength {
-                what: "ed25519 public key",
-                expected: PUBLIC_KEY_LEN,
-                actual: bytes.len(),
-            });
-        }
-        let mut out = [0u8; PUBLIC_KEY_LEN];
-        out.copy_from_slice(bytes);
-        Ok(PublicKey(out))
-    }
-
-    /// Returns the raw key bytes.
-    pub fn as_bytes(&self) -> &[u8; PUBLIC_KEY_LEN] {
-        &self.0
-    }
-
     /// Verifies `signature` over `message`.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), CryptoError> {
         let key = ed25519_dalek::VerifyingKey::from_bytes(&self.0)
@@ -145,7 +112,7 @@ impl Signature {
     }
 
     /// Parses a signature from a slice, validating length.
-    pub fn try_from_slice(bytes: &[u8]) -> Result<Self, CryptoError> {
+    pub(crate) fn try_from_slice(bytes: &[u8]) -> Result<Self, CryptoError> {
         if bytes.len() != SIGNATURE_LEN {
             return Err(CryptoError::InvalidLength {
                 what: "ed25519 signature",
@@ -240,12 +207,10 @@ mod tests {
 
     #[test]
     fn slices_validate_length() {
-        assert!(PublicKey::try_from_slice(&[0u8; 31]).is_err());
         assert!(Signature::try_from_slice(&[0u8; 63]).is_err());
         let keys = SigningKeyPair::generate_from_seed(9);
         let sig = keys.sign(b"m");
         assert!(Signature::try_from_slice(sig.as_bytes()).is_ok());
-        assert!(PublicKey::try_from_slice(keys.public().as_bytes()).is_ok());
     }
 
     #[test]
@@ -254,7 +219,7 @@ mod tests {
         // message — the transferable authentication property.
         let signer = SigningKeyPair::generate_from_seed(5);
         let sig = signer.sign(b"forwarded request");
-        let forwarded_pubkey = PublicKey::try_from_slice(signer.public().as_bytes()).unwrap();
+        let forwarded_pubkey: PublicKey = signer.public();
         assert!(forwarded_pubkey.verify(b"forwarded request", &sig).is_ok());
     }
 

@@ -14,7 +14,7 @@ const NANOTOKENS_PER_OP: u64 = 1_000_000_000;
 
 /// A deterministic token bucket driven by virtual time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     /// Refill rate: ops per virtual second (= nanotokens per ns); `0`
     /// disables the bucket (unlimited).
     rate_ops_per_sec: u64,
@@ -33,7 +33,7 @@ impl TokenBucket {
     /// ops of quota), capped at the capacity — so with `burst_ops == 0`
     /// every request is free and the bucket meters nothing, which is why
     /// `TenantSpec::validate` refuses a quota with a zero burst.
-    pub fn new(rate_ops_per_sec: u64, burst_ops: u64) -> Self {
+    pub(crate) fn new(rate_ops_per_sec: u64, burst_ops: u64) -> Self {
         let capacity = burst_ops.saturating_mul(NANOTOKENS_PER_OP);
         TokenBucket {
             rate_ops_per_sec,
@@ -57,7 +57,7 @@ impl TokenBucket {
     /// the tokens are spent; on refusal returns the earliest virtual time
     /// at which the bucket will hold enough — the deterministic retry
     /// schedule.
-    pub fn try_take(&mut self, now_ns: u64, ops: u64) -> Result<(), u64> {
+    pub(crate) fn try_take(&mut self, now_ns: u64, ops: u64) -> Result<(), u64> {
         if self.rate_ops_per_sec == 0 {
             return Ok(());
         }

@@ -19,7 +19,7 @@
 //! re-presents it unchanged. What that buys is multi-tenancy:
 //!
 //! * **per-tenant authentication** — a MAC credential per tenant under
-//!   [`GATEWAY_MAC_DOMAIN`], derived from a master key exactly like
+//!   `GATEWAY_MAC_DOMAIN`, derived from a master key exactly like
 //!   `AuthLayer` derives per-channel keys;
 //! * **tenant-scoped keyspaces** — every key is rewritten to
 //!   `<tenant>/<key>` before routing, and tenant names are validated
@@ -37,16 +37,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
-pub mod tenant;
+mod admission;
+mod tenant;
 
 use recipe_core::Request;
 use recipe_crypto::MacKey;
 use serde::{Deserialize, Serialize};
 
-pub use admission::TokenBucket;
 use tenant::Tenant;
-pub use tenant::{mint_credential, scoped_prefix, TenantSpec, GATEWAY_MAC_DOMAIN};
+pub use tenant::{scoped_prefix, TenantSpec};
 
 /// Gateway configuration as carried by a `DeploymentSpec` or scenario file.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,18 +125,6 @@ pub struct GatewayStats {
 pub enum RejectReason {
     /// The tenant's credential failed MAC verification.
     BadCredential,
-    /// The client maps to no configured tenant.
-    UnknownTenant,
-}
-
-impl RejectReason {
-    /// Stable label used in telemetry and reports.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            RejectReason::BadCredential => "bad_credential",
-            RejectReason::UnknownTenant => "unknown_tenant",
-        }
-    }
 }
 
 /// The gateway's verdict on one request, as consumed by the driver.

@@ -15,7 +15,7 @@ use crate::TenantStats;
 /// `MAC(derive(master, "gateway:tenant:<name>"), GATEWAY_MAC_DOMAIN || name)`.
 /// Domain-separated from every other wire format (the lint registry holds
 /// workspace-wide uniqueness).
-pub const GATEWAY_MAC_DOMAIN: &[u8] = b"recipe.gateway.v1";
+pub(crate) const GATEWAY_MAC_DOMAIN: &[u8] = b"recipe.gateway.v1";
 
 /// Declarative description of one tenant, as it appears in a
 /// `DeploymentSpec` or scenario file.
@@ -25,7 +25,7 @@ pub struct TenantSpec {
     /// nonempty, `/`-free and unique (validated at deployment build).
     pub name: String,
     /// Admission quota in operations per virtual second; `0` = unlimited.
-    pub quota_ops_per_sec: u64,
+    pub(crate) quota_ops_per_sec: u64,
     /// Token-bucket burst capacity in operations (how far a tenant may run
     /// ahead of its steady-state quota); at least 1 under a quota. Ignored
     /// when unlimited.
@@ -33,7 +33,7 @@ pub struct TenantSpec {
     /// When false, the gateway mints this tenant's credential under a
     /// revoked key, so every request fails authentication — the
     /// deterministic stand-in for a key-rotation lockout.
-    pub authorized: bool,
+    pub(crate) authorized: bool,
 }
 
 impl TenantSpec {
@@ -69,7 +69,7 @@ impl TenantSpec {
 
     /// Checks a tenant spec in isolation; `field` names the spec's position
     /// for error messages (`gateway.tenant[2]`).
-    pub fn validate(&self, field: &str) -> Result<(), String> {
+    pub(crate) fn validate(&self, field: &str) -> Result<(), String> {
         if self.name.is_empty() {
             return Err(format!("{field}.name: must be nonempty"));
         }
@@ -104,7 +104,7 @@ fn tenant_key(master: &MacKey, name: &str) -> MacKey {
 /// Mints the credential a tenant presents on every request. A revoked
 /// tenant gets a tag under a different derivation, so verification fails
 /// without any non-determinism.
-pub fn mint_credential(master: &MacKey, name: &str, authorized: bool) -> MacTag {
+pub(crate) fn mint_credential(master: &MacKey, name: &str, authorized: bool) -> MacTag {
     let key = if authorized {
         tenant_key(master, name)
     } else {

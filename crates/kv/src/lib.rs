@@ -31,12 +31,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod error;
-pub mod store;
-pub mod timestamp;
-pub mod txn;
+mod error;
+mod store;
+mod timestamp;
+mod txn;
 
 pub use error::KvError;
-pub use store::{ExportedEntry, PartitionedKvStore, ReadResult, StoreConfig, StoreStats};
+pub use store::{ExportedEntry, PartitionedKvStore, ReadResult, StoreConfig};
 pub use timestamp::Timestamp;
-pub use txn::{borrow_ops, TxnOpRef, TxnRecordOps, TxnTable};
+pub use txn::{TxnOpRef, TxnRecordOps};

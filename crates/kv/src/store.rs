@@ -94,13 +94,6 @@ enum HostValue {
 }
 
 impl HostValue {
-    fn stored_len(&self) -> usize {
-        match self {
-            HostValue::Plain(bytes) => bytes.len(),
-            HostValue::Encrypted { bytes, .. } => Nonce::LEN + bytes.len(),
-        }
-    }
-
     /// The digest the enclave keeps for these host bytes under `key`.
     fn digest(&self, key: &[u8]) -> Digest {
         match self {
@@ -137,25 +130,6 @@ pub struct ReadResult {
     pub version: u64,
 }
 
-/// Memory and operation counters of one store. Nothing in the simulation reads
-/// them — the cost model charges index and value work per operation on its own
-/// — so they are what tests and examples inspect.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StoreStats {
-    /// Number of live keys.
-    pub keys: usize,
-    /// Bytes resident in the enclave (index + metadata).
-    pub enclave_bytes: usize,
-    /// Bytes resident in untrusted host memory (values).
-    pub host_bytes: usize,
-    /// Total writes served.
-    pub writes: u64,
-    /// Total reads served.
-    pub reads: u64,
-    /// Reads that failed integrity verification.
-    pub integrity_failures: u64,
-}
-
 /// One exported record of [`PartitionedKvStore::export_matching`]:
 /// `(key, verified plaintext value, stored write timestamp)`.
 pub type ExportedEntry = (Vec<u8>, Vec<u8>, Timestamp);
@@ -169,7 +143,6 @@ pub struct PartitionedKvStore {
     free_slots: Vec<usize>,
     cipher: Option<Cipher>,
     nonce_counter: u64,
-    stats: StoreStats,
     /// Transaction locks + staged writes (enclave-resident, like the index).
     txns: TxnTable,
 }
@@ -183,7 +156,6 @@ impl PartitionedKvStore {
             free_slots: Vec::new(),
             cipher: config.cipher_key.as_ref().map(Cipher::new),
             nonce_counter: 0,
-            stats: StoreStats::default(),
             txns: TxnTable::default(),
         }
     }
@@ -191,16 +163,6 @@ impl PartitionedKvStore {
     /// True if the store encrypts values before they reach host memory.
     pub fn is_confidential(&self) -> bool {
         self.cipher.is_some()
-    }
-
-    /// Number of live keys.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// True if the store holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
     }
 
     /// Writes `value` under `key` with write timestamp `timestamp`
@@ -233,7 +195,6 @@ impl PartitionedKvStore {
         mut value: Vec<u8>,
         timestamp: Timestamp,
     ) -> Result<(u64, Option<Vec<u8>>), KvError> {
-        self.stats.writes += 1;
         let value_len = value.len();
         let host_value = match &self.cipher {
             None => HostValue::Plain(value),
@@ -303,7 +264,6 @@ impl PartitionedKvStore {
     /// (`get(key, &v_TEE)` in Table 3). A sealed value that fails the digest
     /// is refused before any keystream is made.
     pub fn get(&mut self, key: &[u8]) -> Result<ReadResult, KvError> {
-        self.stats.reads += 1;
         let meta = self.index.get(key).ok_or(KvError::NotFound)?.clone();
         let host_value = self
             .host_arena
@@ -312,7 +272,6 @@ impl PartitionedKvStore {
             .ok_or_else(|| KvError::HostValueMissing { key: key.to_vec() })?;
 
         if host_value.digest(key) != meta.value_hash {
-            self.stats.integrity_failures += 1;
             return Err(match host_value {
                 HostValue::Plain(_) => KvError::IntegrityViolation { key: key.to_vec() },
                 HostValue::Encrypted { .. } => KvError::DecryptionFailed { key: key.to_vec() },
@@ -342,13 +301,8 @@ impl PartitionedKvStore {
         self.index.get(key).map(|meta| meta.timestamp)
     }
 
-    /// Returns only the stored version for `key`.
-    pub fn version_of(&self, key: &[u8]) -> Option<u64> {
-        self.index.get(key).map(|meta| meta.version)
-    }
-
     /// Deletes `key`. Returns `true` if it existed.
-    pub fn delete(&mut self, key: &[u8]) -> bool {
+    pub(crate) fn delete(&mut self, key: &[u8]) -> bool {
         match self.index.remove(key) {
             Some(meta) => {
                 self.host_arena[meta.host_slot] = None;
@@ -360,7 +314,7 @@ impl PartitionedKvStore {
     }
 
     /// All keys in order (used by state transfer during recovery).
-    pub fn keys(&self) -> Vec<Vec<u8>> {
+    pub(crate) fn keys(&self) -> Vec<Vec<u8>> {
         self.sorted_keys(|_| true)
     }
 
@@ -428,23 +382,26 @@ impl PartitionedKvStore {
     }
 
     /// The transaction holding the lock on `key`, if any.
-    pub fn lock_owner(&self, key: &[u8]) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn lock_owner(&self, key: &[u8]) -> Option<u64> {
         self.txns.lock_owner(key)
     }
 
     /// Number of keys currently locked by in-flight transactions.
-    pub fn locked_keys(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn locked_keys(&self) -> usize {
         self.txns.locked_keys()
     }
 
     /// Bytes staged by in-flight prepares (enclave-resident until commit;
     /// the cost model's per-prepare EPC pressure reads this footprint).
-    pub fn txn_staged_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn txn_staged_bytes(&self) -> usize {
         self.txns.staged_bytes()
     }
 
     /// Prepare phase of 2PC: locks every key of `ops` for `txn_id`
-    /// (all-or-nothing) and stages the writes. See [`crate::txn::TxnTable`].
+    /// (all-or-nothing) and stages the writes. See `crate::txn::TxnTable`.
     pub fn txn_prepare(
         &mut self,
         txn_id: u64,
@@ -480,13 +437,13 @@ impl PartitionedKvStore {
 
     /// Drops all staged transactions and locks — the lock table is volatile
     /// enclave state and does not survive a restart (see
-    /// [`crate::txn::TxnTable::reset`]). Returns how many were discarded.
+    /// `crate::txn::TxnTable::reset`). Returns how many were discarded.
     pub fn txn_reset(&mut self) -> usize {
         self.txns.reset()
     }
 
     /// Records a prepare replicated from the group leader (passive: no
-    /// locks until adopted). See [`crate::txn::TxnTable::stage_replicated`].
+    /// locks until adopted). See `crate::txn::TxnTable::stage_replicated`.
     pub fn txn_stage_replicated<'a>(
         &mut self,
         txn_id: u64,
@@ -503,14 +460,14 @@ impl PartitionedKvStore {
 
     /// Failover adoption: promotes every replicated prepare record into a
     /// real staged transaction with locks, returning the adopted ids
-    /// (ascending). See [`crate::txn::TxnTable::adopt_replicated`].
+    /// (ascending). See `crate::txn::TxnTable::adopt_replicated`.
     pub fn txn_adopt_replicated(&mut self) -> Vec<u64> {
         self.txns.adopt_replicated()
     }
 
     /// Exports every prepare record this store knows (real and passive) in
     /// the replicated wire form, for a recovering group member to import.
-    /// See [`crate::txn::TxnTable::export_records`].
+    /// See `crate::txn::TxnTable::export_records`.
     pub fn txn_export_records(&self) -> Vec<(u64, TxnRecordOps)> {
         self.txns.export_records()
     }
@@ -567,27 +524,6 @@ impl PartitionedKvStore {
         removed
     }
 
-    /// Memory and operation statistics. `enclave_bytes` counts what the
-    /// enclave holds per live key — the key and its index entry — not what
-    /// the allocator holds for the table.
-    pub fn stats(&self) -> StoreStats {
-        let entry = std::mem::size_of::<(Box<[u8]>, ValueMeta)>();
-        let key_bytes: usize = self.unordered().map(|(key, _)| key.len()).sum();
-        let enclave_bytes = key_bytes + self.index.len() * entry;
-        let host_bytes = self
-            .host_arena
-            .iter()
-            .flatten()
-            .map(HostValue::stored_len)
-            .sum();
-        StoreStats {
-            keys: self.index.len(),
-            enclave_bytes,
-            host_bytes,
-            ..self.stats
-        }
-    }
-
     // ------------------------------------------------------------------
     // Byzantine-host fault injection (used by tests and examples)
     // ------------------------------------------------------------------
@@ -617,7 +553,8 @@ impl PartitionedKvStore {
 
     /// Simulates a Byzantine host deleting the stored value for `key` while leaving
     /// the enclave metadata untouched.
-    pub fn drop_host_value(&mut self, key: &[u8]) -> bool {
+    #[cfg(test)]
+    pub(crate) fn drop_host_value(&mut self, key: &[u8]) -> bool {
         let Some(meta) = self.index.get(key) else {
             return false;
         };
@@ -666,8 +603,7 @@ mod tests {
         assert_eq!(read.value, b"value-1");
         assert_eq!(read.version, 1);
         assert_eq!(read.timestamp, Timestamp::new(1, 0));
-        assert_eq!(store.len(), 1);
-        assert!(!store.is_empty());
+        assert_eq!(store.keys(), vec![b"k".to_vec()]);
     }
 
     #[test]
@@ -677,8 +613,7 @@ mod tests {
         let v2 = store.write(b"k", b"v2", Timestamp::new(2, 0)).unwrap();
         assert_eq!(v2, 2);
         assert_eq!(store.get(b"k").unwrap().value, b"v2");
-        assert_eq!(store.version_of(b"k"), Some(2));
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.keys(), vec![b"k".to_vec()]);
     }
 
     #[test]
@@ -722,7 +657,6 @@ mod tests {
             store.get(b"k"),
             Err(KvError::IntegrityViolation { .. })
         ));
-        assert_eq!(store.stats().integrity_failures, 1);
     }
 
     #[test]
@@ -765,7 +699,6 @@ mod tests {
             store.get(b"k"),
             Err(KvError::DecryptionFailed { .. })
         ));
-        assert_eq!(store.stats().integrity_failures, 1);
     }
 
     /// The host's copy of what it holds for `key`, to put back later.
@@ -783,12 +716,10 @@ mod tests {
     /// digest check in `get` comes before the keystream, so nothing the host
     /// substituted is ever decrypted.
     fn assert_refused(store: &mut PartitionedKvStore, key: &[u8]) {
-        let failures = store.stats().integrity_failures;
         assert_eq!(
             store.get(key),
             Err(KvError::DecryptionFailed { key: key.to_vec() })
         );
-        assert_eq!(store.stats().integrity_failures, failures + 1);
     }
 
     #[test]
@@ -864,7 +795,7 @@ mod tests {
         let arena_len = store.host_arena.len();
         store.write(b"c", b"3", Timestamp::new(1, 0)).unwrap();
         assert_eq!(store.host_arena.len(), arena_len);
-        assert_eq!(store.len(), 2);
+        assert_eq!(store.keys().len(), 2);
         assert_eq!(store.keys(), vec![b"b".to_vec(), b"c".to_vec()]);
     }
 
@@ -936,30 +867,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_partition_enclave_and_host_bytes() {
-        let mut store = plain_store();
-        store
-            .write(b"key-one", &[0u8; 1000], Timestamp::new(1, 0))
-            .unwrap();
-        store
-            .write(b"key-two", &[0u8; 2000], Timestamp::new(1, 0))
-            .unwrap();
-        let stats = store.stats();
-        assert_eq!(stats.keys, 2);
-        assert_eq!(stats.host_bytes, 3000);
-        // The enclave never holds the values — only keys and fixed-size metadata.
-        assert!(stats.enclave_bytes < 1000);
-        assert_eq!(stats.writes, 2);
-    }
-
-    #[test]
-    fn confidential_host_bytes_include_cipher_overhead() {
+    fn confidential_ciphertext_is_as_long_as_the_value() {
         let mut store = confidential_store();
         store
             .write(b"k", &[0u8; 1000], Timestamp::new(1, 0))
             .unwrap();
-        // The ciphertext is as long as the value; the nonce is all it adds.
-        assert_eq!(store.stats().host_bytes, 1000 + Nonce::LEN);
+        // The ciphertext is as long as the value.
         assert_eq!(store.host_visible_bytes(b"k").unwrap().len(), 1000);
     }
 
@@ -1114,7 +1027,7 @@ mod tests {
                     }
                 }
             }
-            prop_assert_eq!(store.len(), model.len());
+            prop_assert_eq!(store.keys().len(), model.len());
         }
 
         /// The index is a hash table, and nothing may show it: every ordered
@@ -1153,7 +1066,7 @@ mod tests {
                         prop_assert_eq!(removed, before - model.len());
                     }
                 }
-                prop_assert_eq!(store.len(), model.len());
+                prop_assert_eq!(store.keys().len(), model.len());
             }
             let records: Vec<ExportedEntry> = model
                 .iter()

@@ -38,15 +38,6 @@ impl Timestamp {
             node,
         }
     }
-
-    /// Returns the larger of two timestamps.
-    pub fn max(self, other: Timestamp) -> Timestamp {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 impl PartialOrd for Timestamp {

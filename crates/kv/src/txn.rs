@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use crate::error::KvError;
 
 /// One exported prepare record's operations in the
-/// [`TxnTable::stage_replicated`] wire form: lock keys as valueless
+/// `TxnTable::stage_replicated` wire form: lock keys as valueless
 /// (`None`) entries first, then the staged writes in order.
 pub type TxnRecordOps = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 
@@ -34,7 +34,7 @@ pub type TxnRecordOps = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 pub type TxnOpRef<'a> = (&'a [u8], Option<&'a [u8]>);
 
 /// Lends owned record operations ([`TxnRecordOps`]) to the table.
-pub fn borrow_ops(ops: &[(Vec<u8>, Option<Vec<u8>>)]) -> impl Iterator<Item = TxnOpRef<'_>> {
+pub(crate) fn borrow_ops(ops: &[(Vec<u8>, Option<Vec<u8>>)]) -> impl Iterator<Item = TxnOpRef<'_>> {
     ops.iter()
         .map(|(key, write)| (key.as_slice(), write.as_deref()))
 }
@@ -51,7 +51,7 @@ struct StagedTxn {
 
 /// Enclave-resident lock and staging table of one participant store.
 #[derive(Debug, Default)]
-pub struct TxnTable {
+pub(crate) struct TxnTable {
     /// Exclusive key locks: key → holding transaction.
     locks: BTreeMap<Vec<u8>, u64>,
     /// Per-transaction staged state.
@@ -69,7 +69,8 @@ pub struct TxnTable {
 
 impl TxnTable {
     /// The transaction currently holding a lock on `key`, if any.
-    pub fn lock_owner(&self, key: &[u8]) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn lock_owner(&self, key: &[u8]) -> Option<u64> {
         self.locks.get(key).copied()
     }
 
@@ -77,23 +78,26 @@ impl TxnTable {
     /// consult this on their coordinator: an operation touching a locked key
     /// is deferred (dropped, so the client's retry resubmits it after the
     /// transaction released the key) — two-phase locking's isolation rule.
-    pub fn is_locked(&self, key: &[u8]) -> bool {
+    pub(crate) fn is_locked(&self, key: &[u8]) -> bool {
         self.locks.contains_key(key)
     }
 
     /// True when transaction `txn_id` has prepared on this store.
-    pub fn is_prepared(&self, txn_id: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_prepared(&self, txn_id: u64) -> bool {
         self.staged.contains_key(&txn_id)
     }
 
     /// Number of keys currently locked.
-    pub fn locked_keys(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn locked_keys(&self) -> usize {
         self.locks.len()
     }
 
     /// Bytes staged by in-flight prepares (the enclave-resident footprint the
     /// EPC model charges for).
-    pub fn staged_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn staged_bytes(&self) -> usize {
         self.staged
             .values()
             .flat_map(|txn| txn.writes.iter())
@@ -110,7 +114,7 @@ impl TxnTable {
     ///
     /// `ops` pairs each touched key with `Some(value)` for writes and `None`
     /// for reads — reads lock too (2PL), they just stage nothing.
-    pub fn prepare<'a>(
+    pub(crate) fn prepare<'a>(
         &mut self,
         txn_id: u64,
         ops: impl IntoIterator<Item = TxnOpRef<'a>>,
@@ -149,7 +153,7 @@ impl TxnTable {
     /// locks, returning the writes in operation order for the caller to apply
     /// through its normal write path. `None` when the transaction is unknown
     /// (already committed or aborted) — the caller acks idempotently.
-    pub fn take_staged(&mut self, txn_id: u64) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
+    pub(crate) fn take_staged(&mut self, txn_id: u64) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
         let txn = self.staged.remove(&txn_id)?;
         for key in &txn.keys {
             self.locks.remove(key);
@@ -159,7 +163,7 @@ impl TxnTable {
 
     /// Abort: discards staged writes and releases locks. Returns true when
     /// the transaction was known.
-    pub fn abort(&mut self, txn_id: u64) -> bool {
+    pub(crate) fn abort(&mut self, txn_id: u64) -> bool {
         self.take_staged(txn_id).is_some()
     }
 
@@ -167,7 +171,7 @@ impl TxnTable {
     /// writes, but **no locks** — the record is passive until adopted on
     /// failover. Idempotent, and a no-op when this store already holds the
     /// transaction as a real (leader-side) prepare.
-    pub fn stage_replicated<'a>(
+    pub(crate) fn stage_replicated<'a>(
         &mut self,
         txn_id: u64,
         ops: impl IntoIterator<Item = TxnOpRef<'a>>,
@@ -191,12 +195,13 @@ impl TxnTable {
     /// reached the group: the follower installs committed entries through
     /// the import path, or drops everything on abort). Returns true when the
     /// record existed.
-    pub fn drop_replicated(&mut self, txn_id: u64) -> bool {
+    pub(crate) fn drop_replicated(&mut self, txn_id: u64) -> bool {
         self.replicated.remove(&txn_id).is_some()
     }
 
     /// Transaction ids with a replicated prepare record, ascending.
-    pub fn replicated_txn_ids(&self) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn replicated_txn_ids(&self) -> Vec<u64> {
         self.replicated.keys().copied().collect()
     }
 
@@ -207,7 +212,7 @@ impl TxnTable {
     /// group member imports these as passive records, so a node that later
     /// re-wins coordinatorship can adopt the full in-flight set: its own
     /// pre-crash staging was volatile enclave state and is gone.
-    pub fn export_records(&self) -> Vec<(u64, TxnRecordOps)> {
+    pub(crate) fn export_records(&self) -> Vec<(u64, TxnRecordOps)> {
         fn to_ops(txn: &StagedTxn) -> TxnRecordOps {
             let mut ops: TxnRecordOps = txn.keys.iter().map(|key| (key.clone(), None)).collect();
             ops.extend(
@@ -231,7 +236,7 @@ impl TxnTable {
     /// real staged transaction with locks. The old leader granted its locks
     /// all-or-nothing, so no two in-flight records can conflict and adoption
     /// never fails. Returns the adopted ids, ascending.
-    pub fn adopt_replicated(&mut self) -> Vec<u64> {
+    pub(crate) fn adopt_replicated(&mut self) -> Vec<u64> {
         let replicated = std::mem::take(&mut self.replicated);
         let mut adopted = Vec::with_capacity(replicated.len());
         for (txn_id, txn) in replicated {
@@ -253,7 +258,7 @@ impl TxnTable {
     /// transactions are resolved by the rest of the group, which holds the
     /// replicated prepare records. Returns how many transactions were
     /// discarded.
-    pub fn reset(&mut self) -> usize {
+    pub(crate) fn reset(&mut self) -> usize {
         self.locks.clear();
         let dropped = self.staged.len() + self.replicated.len();
         self.staged.clear();

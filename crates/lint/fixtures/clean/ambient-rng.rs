@@ -2,6 +2,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-pub fn jitter(seed: u64) -> StdRng {
+pub(crate) fn jitter(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }

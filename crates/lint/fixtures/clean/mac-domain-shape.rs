@@ -1,2 +1,2 @@
 //! The sanctioned shape: `recipe.<kind>.v<N>`.
-pub const FIXTURE_MAC_DOMAIN: &str = "recipe.fixture_frame.v1";
+pub(crate) const FIXTURE_MAC_DOMAIN: &str = "recipe.fixture_frame.v1";

@@ -1,4 +1,4 @@
 //! The sanctioned form: render into a buffer the caller owns.
-pub fn report(committed: u64) -> String {
+pub(crate) fn report(committed: u64) -> String {
     format!("committed {committed} ops")
 }

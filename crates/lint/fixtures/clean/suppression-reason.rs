@@ -1,5 +1,5 @@
 //! The sanctioned form: the allow states the invariant.
-pub fn head(xs: &[u64]) -> u64 {
+pub(crate) fn head(xs: &[u64]) -> u64 {
     // recipe-lint: allow(unwrap-in-lib, reason = "callers check emptiness before indexing")
     *xs.first().unwrap()
 }

@@ -1,5 +1,5 @@
 //! The sanctioned form: the seal and its clock charge travel together.
-pub fn push_state(
+pub(crate) fn push_state(
     lane: &mut TxnLane<'_>,
     clock: &mut Meter,
     txn_id: u64,

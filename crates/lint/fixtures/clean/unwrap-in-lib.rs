@@ -1,4 +1,4 @@
 //! The sanctioned form: surface the absence to the caller.
-pub fn head(xs: &[u64]) -> Option<u64> {
+pub(crate) fn head(xs: &[u64]) -> Option<u64> {
     xs.first().copied()
 }

@@ -14,7 +14,7 @@ use crate::rules;
 /// mandatory human reason (reasons are themselves linted — an empty one is
 /// a finding).
 #[derive(Debug, Clone)]
-pub struct PathAllow {
+pub(crate) struct PathAllow {
     /// Rule id being allowed.
     pub rule: String,
     /// Path prefix (repo-relative, `/`-separated) the allow covers.
@@ -28,9 +28,9 @@ pub struct PathAllow {
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Directories (repo-relative) to walk for `.rs` files.
-    pub roots: Vec<String>,
+    pub(crate) roots: Vec<String>,
     /// Path prefixes excluded from the walk (fixtures, vendor stand-ins).
-    pub exclude: Vec<String>,
+    pub(crate) exclude: Vec<String>,
     /// Path prefixes of the deterministic core — the determinism rule
     /// family only fires here.
     pub core_paths: Vec<String>,
@@ -41,11 +41,11 @@ pub struct Config {
     /// seals frames there must show cost-accounting evidence.
     pub charged_paths: Vec<String>,
     /// Method names that count as "seals a frame" in `charged_paths`.
-    pub seal_tokens: Vec<String>,
+    pub(crate) seal_tokens: Vec<String>,
     /// Identifier substrings that count as cost-accounting evidence.
-    pub charge_evidence: Vec<String>,
+    pub(crate) charge_evidence: Vec<String>,
     /// Config-level suppressions.
-    pub allows: Vec<PathAllow>,
+    pub(crate) allows: Vec<PathAllow>,
 }
 
 impl Default for Config {
@@ -74,7 +74,7 @@ fn default_charge_evidence() -> Vec<String> {
 }
 
 /// Parses and strictly decodes a `lint.toml` document.
-pub fn parse_config(text: &str) -> Result<Config, ScenarioError> {
+pub(crate) fn parse_config(text: &str) -> Result<Config, ScenarioError> {
     let doc = recipe_scenario::toml::parse(text).map_err(ScenarioError::msg)?;
     let mut root = MapDecoder::new(&doc, "")?;
     let mut config = Config::default();
@@ -123,7 +123,7 @@ pub fn parse_config(text: &str) -> Result<Config, ScenarioError> {
 impl Config {
     /// True when `path` (repo-relative, `/`-separated) falls under any of
     /// the given prefixes.
-    pub fn path_matches(path: &str, prefixes: &[String]) -> bool {
+    pub(crate) fn path_matches(path: &str, prefixes: &[String]) -> bool {
         prefixes.iter().any(|p| {
             let p = p.trim_end_matches('/');
             path == p || path.starts_with(&format!("{p}/"))
@@ -131,14 +131,14 @@ impl Config {
     }
 
     /// Config-level allow covering `(rule, path)`, if any.
-    pub fn allow_for(&self, rule: &str, path: &str) -> Option<&PathAllow> {
+    pub(crate) fn allow_for(&self, rule: &str, path: &str) -> Option<&PathAllow> {
         self.allow_index_for(rule, path).map(|i| &self.allows[i])
     }
 
     /// Index (into [`Config::allows`]) of the first allow covering
     /// `(rule, path)`, so the engine can track which allows actually fire
     /// (`stale-allow`).
-    pub fn allow_index_for(&self, rule: &str, path: &str) -> Option<usize> {
+    pub(crate) fn allow_index_for(&self, rule: &str, path: &str) -> Option<usize> {
         self.allows.iter().position(|a| {
             a.rule == rule && Config::path_matches(path, std::slice::from_ref(&a.path))
         })

@@ -48,12 +48,12 @@ pub struct Token {
 
 impl Token {
     /// True for an identifier with exactly this text.
-    pub fn is_ident(&self, text: &str) -> bool {
+    pub(crate) fn is_ident(&self, text: &str) -> bool {
         self.kind == TokenKind::Ident && self.text == text
     }
 
     /// True for a punctuation token with exactly this text.
-    pub fn is_punct(&self, text: &str) -> bool {
+    pub(crate) fn is_punct(&self, text: &str) -> bool {
         self.kind == TokenKind::Punct && self.text == text
     }
 }
@@ -61,7 +61,7 @@ impl Token {
 /// One comment (line or block), with the line it starts on. Text is the
 /// comment body without the `//`, `///`, `//!` or `/* */` framing.
 #[derive(Debug, Clone)]
-pub struct Comment {
+pub(crate) struct Comment {
     /// 1-based line the comment starts on.
     pub line: usize,
     /// Comment body text.
@@ -70,15 +70,15 @@ pub struct Comment {
 
 /// The result of lexing one source file.
 #[derive(Debug, Default)]
-pub struct Lexed {
+pub(crate) struct Lexed {
     /// Code tokens in source order.
     pub tokens: Vec<Token>,
     /// Comments in source order (the suppression side channel).
-    pub comments: Vec<Comment>,
+    pub(crate) comments: Vec<Comment>,
 }
 
 /// Lexes Rust source into tokens plus a comment side channel.
-pub fn lex(src: &str) -> Lexed {
+pub(crate) fn lex(src: &str) -> Lexed {
     Lexer {
         src: src.as_bytes(),
         pos: 0,

@@ -5,35 +5,36 @@
 //! MAC domains per wire format — used to be enforced by convention and
 //! after-the-fact proptests. This crate makes those invariants
 //! machine-checked at CI time: a comment/string/raw-string-aware Rust
-//! [`lexer`], a lightweight item [`scope`] scanner (no `syn` — token-level,
-//! like `recipe_scenario::toml`), and a [`rules`] engine with three rule
+//! `lexer`, a lightweight item `scope` scanner (no `syn` — token-level,
+//! like `recipe_scenario::toml`), and a `rules` engine with three rule
 //! families (determinism, shield coverage, hygiene) driven by a `lint.toml`
-//! [`config`] that reuses the scenario crate's TOML parser.
+//! `config` that reuses the scenario crate's TOML parser.
 //!
 //! Findings are silenced either by a config-level `[[allow]]` (rule + path
 //! prefix + reason) or an inline
 //! `recipe-lint: allow(<rule>, reason = "…")` comment — and the
 //! suppressions are themselves linted: an empty or missing reason is a
-//! finding ([`suppress`]).
+//! finding (`suppress`).
 //!
 //! The `recipe-lint` binary walks the workspace, prints human or JSON
 //! output and exits `0` (clean), `1` (findings) or `2` (usage/config
 //! error); the `lint` CI job gates on it. The workspace itself stays clean:
 //! real findings get fixed or explicitly suppressed with reasons.
 
-pub mod config;
-pub mod lexer;
-pub mod report;
-pub mod rules;
-pub mod scope;
-pub mod suppress;
+mod config;
+mod lexer;
+mod report;
+mod rules;
+mod scope;
+mod suppress;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-pub use config::{parse_config, Config, PathAllow};
+use config::parse_config;
+pub use config::Config;
 pub use report::{Finding, LintReport};
-pub use rules::{rule_by_id, rule_ids, RULES};
+pub use rules::{rule_ids, RULES};
 
 /// An analyzer failure (I/O or configuration), distinct from findings.
 #[derive(Debug)]
@@ -47,25 +48,39 @@ impl std::fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
+/// Directories read only for the names they mention: `pub-unreached`
+/// counts a mention there as a reference, and no per-file rule runs on
+/// them. `wall_bench/src` is the benchmark package's view of the API.
+const REFERENCE_ROOTS: &[&str] = &["tests", "examples", "wall_bench/src"];
+
 /// Lints an in-memory set of `(repo-relative path, source)` files. This is
 /// the engine the binary, the fixture tests and the workspace-clean test
-/// all share.
+/// all share. A file outside the configured scan roots is read for
+/// references only.
 pub fn lint_files(files: &[(String, String)], config: &Config) -> LintReport {
     let mut raw: Vec<Finding> = Vec::new();
     let mut domains = Vec::new();
+    let mut pub_items = Vec::new();
+    let mut references = rules::References::new();
     let mut suppressions: BTreeMap<String, suppress::Suppressions> = BTreeMap::new();
 
     for (path, source) in files {
         let lexed = lexer::lex(source);
+        rules::note_references(path, &lexed.tokens, &mut references);
+        if !Config::path_matches(path, &config.roots) {
+            continue;
+        }
         let scopes = scope::scan(&lexed.tokens);
         let supp = suppress::parse(path, &lexed.comments);
         let analysis = rules::analyze_file(path, &lexed.tokens, &scopes, config);
         raw.extend(analysis.findings);
         raw.extend(supp.findings.iter().cloned());
         domains.extend(analysis.domains);
+        pub_items.extend(analysis.pub_items);
         suppressions.insert(path.clone(), supp);
     }
     raw.extend(rules::check_domain_uniqueness(&domains));
+    raw.extend(rules::check_pub_reached(&pub_items, &references));
 
     // Filter through the suppressions, remembering which ones actually
     // fired so the unused remainder can be reported as stale.
@@ -104,8 +119,8 @@ pub fn lint_files(files: &[(String, String)], config: &Config) -> LintReport {
                 "lint.toml",
                 0,
                 format!(
-                    "[[allow]] of `{}` for `{}` silences no finding — the code it excused has moved on; delete the entry",
-                    allow.rule, allow.path
+                    "[[allow]] of `{}` for `{}` (\"{}\") silences no finding — the code it excused has moved on; delete the entry",
+                    allow.rule, allow.path, allow.reason
                 ),
             ));
         }
@@ -173,11 +188,13 @@ pub fn load_config(path: &Path) -> Result<Config, LintError> {
     parse_config(&text).map_err(|e| LintError(format!("{}: {e}", path.display())))
 }
 
-/// Collects `(repo-relative path, source)` pairs under the scan roots, in
-/// sorted path order (the walk itself must be deterministic).
+/// Collects `(repo-relative path, source)` pairs under the scan roots and
+/// [`REFERENCE_ROOTS`], in sorted path order (the walk itself must be
+/// deterministic).
 fn collect_sources(root: &Path, config: &Config) -> Result<Vec<(String, String)>, LintError> {
     let mut paths: Vec<PathBuf> = Vec::new();
-    for scan_root in &config.roots {
+    let reference_roots = REFERENCE_ROOTS.iter().map(|r| r.to_string());
+    for scan_root in config.roots.iter().cloned().chain(reference_roots) {
         let dir = root.join(scan_root);
         if dir.is_dir() {
             walk(&dir, &mut paths)?;
@@ -228,6 +245,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PathAllow;
 
     fn file(path: &str, src: &str) -> (String, String) {
         (path.to_string(), src.to_string())
@@ -357,5 +375,60 @@ mod tests {
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].rule, "mac-domain-unique");
         assert_eq!(report.findings[0].file, "crates/b/src/lib.rs");
+    }
+
+    #[test]
+    fn pub_items_need_a_reference_from_outside_their_crate() {
+        let lib = "pub fn helper() {}\nfn caller() { helper(); }\n\
+                   #[cfg(test)]\npub fn observer() {}\n\
+                   #[cfg(test)]\nmod tests { pub fn fixture() {} }";
+        let unreached = |extra: &[(String, String)]| -> Vec<(String, usize)> {
+            let mut files = vec![file("crates/a/src/lib.rs", lib)];
+            files.extend_from_slice(extra);
+            lint_files(&files, &Config::default())
+                .findings
+                .into_iter()
+                .map(|f| (f.rule, f.line))
+                .collect()
+        };
+        // Named only inside crate `a` (and the test items never count).
+        assert_eq!(unreached(&[]), vec![("pub-unreached".to_string(), 1)]);
+        // Another crate, an integration test, an example or the benchmark
+        // package naming it clears it.
+        for path in [
+            "crates/b/src/lib.rs",
+            "crates/a/tests/t.rs",
+            "tests/t.rs",
+            "examples/e.rs",
+            "wall_bench/src/main.rs",
+        ] {
+            assert!(
+                unreached(&[file(path, "fn f() { recipe_a::helper(); }")]).is_empty(),
+                "{path}"
+            );
+        }
+    }
+
+    #[test]
+    fn pub_items_are_reached_through_reached_interfaces() {
+        let lib = "pub fn open() -> Handle { Handle }\n\
+                   pub struct Handle;\n\
+                   pub struct Orphan;\n\
+                   pub const RAW: u8 = 0;\n\
+                   pub use self::RAW as ALIAS;";
+        let report = lint_files(
+            &[
+                file("crates/a/src/lib.rs", lib),
+                file(
+                    "tests/t.rs",
+                    "fn f() { recipe_a::open(); recipe_a::ALIAS; }",
+                ),
+            ],
+            &Config::default(),
+        );
+        // `Handle` is reached through `open`'s signature and `RAW` through
+        // its alias; `Orphan` is named nowhere else.
+        let lines: Vec<usize> = report.findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![3], "{:?}", report.findings);
     }
 }

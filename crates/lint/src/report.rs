@@ -17,7 +17,7 @@ pub struct Finding {
 
 impl Finding {
     /// Builds a finding.
-    pub fn new(rule: &str, file: &str, line: usize, message: impl Into<String>) -> Self {
+    pub(crate) fn new(rule: &str, file: &str, line: usize, message: impl Into<String>) -> Self {
         Finding {
             rule: rule.to_string(),
             file: file.to_string(),
@@ -33,7 +33,7 @@ pub struct LintReport {
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
     /// Findings silenced by inline or config suppressions.
-    pub suppressed: usize,
+    pub(crate) suppressed: usize,
     /// Unsuppressed findings, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
 }

@@ -12,15 +12,18 @@
 //!   constants are unique and well-shaped workspace-wide, and audited send
 //!   paths show cost-accounting evidence next to their sealing calls;
 //! * **hygiene** — non-test, non-bin library code does not `unwrap`,
-//!   `panic!` or `println!` its way past error handling.
+//!   `panic!` or `println!` its way past error handling, and a crate
+//!   publishes only what some file outside it names (`pub-unreached`).
 //!
 //! Everything is token-level pattern matching over [`crate::lexer`] output
 //! — deliberately no `syn`, in the same idiom as `recipe_scenario::toml`.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use crate::config::Config;
 use crate::lexer::{Token, TokenKind};
 use crate::report::Finding;
-use crate::scope::Scopes;
+use crate::scope::{self, Scopes};
 
 /// One rule's identity and documentation line.
 #[derive(Debug, Clone, Copy)]
@@ -101,6 +104,11 @@ pub const RULES: &[Rule] = &[
         summary: "println!/print!/eprintln!/eprint!/dbg! in non-test library code (use the telemetry/report surface)",
     },
     Rule {
+        id: "pub-unreached",
+        family: "hygiene",
+        summary: "a `pub` item or field in a crate's library source that no file outside the crate names (narrow it, so rustc's dead-code lint sees it)",
+    },
+    Rule {
         id: "suppression-reason",
         family: "meta",
         summary: "recipe-lint suppression with a missing/empty reason or naming an unknown rule",
@@ -113,7 +121,7 @@ pub const RULES: &[Rule] = &[
 ];
 
 /// Looks a rule up by id.
-pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
+pub(crate) fn rule_by_id(id: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id)
 }
 
@@ -124,7 +132,7 @@ pub fn rule_ids() -> Vec<&'static str> {
 
 /// A `const *DOMAIN*` string constant collected for the MAC-domain rules.
 #[derive(Debug, Clone)]
-pub struct DomainConst {
+pub(crate) struct DomainConst {
     /// Repo-relative file.
     pub file: String,
     /// 1-based line of the `const`.
@@ -135,15 +143,43 @@ pub struct DomainConst {
     pub value: String,
 }
 
-/// Per-file analysis output: raw findings (pre-suppression) plus the
-/// domain constants for the cross-file uniqueness pass.
+/// A plain-`pub` item or named field of a library crate, collected for the
+/// cross-file `pub-unreached` pass.
+#[derive(Debug, Clone)]
+pub(crate) struct PubItem {
+    /// Repo-relative file.
+    pub file: String,
+    /// 1-based line of the `pub`.
+    pub line: usize,
+    /// The crate directory name (`crates/<name>/src`).
+    pub(crate) krate: String,
+    /// `fn`, `struct`, … or `field`; `impl` for an impl block, named after
+    /// its self type and reached with it; `use` for a `pub use` rename,
+    /// named after the alias.
+    pub kind: String,
+    /// The item's name.
+    pub name: String,
+    /// Identifiers of the item's interface: a signature, a field's or
+    /// constant's type, an enum's variants, a trait's items.
+    pub(crate) interface: Vec<String>,
+}
+
+/// Per-file analysis output: raw findings (pre-suppression) plus what the
+/// cross-file passes need: domain constants and `pub` items.
 #[derive(Debug, Default)]
-pub struct FileAnalysis {
+pub(crate) struct FileAnalysis {
     /// Raw findings (suppressions are applied by the engine).
     pub findings: Vec<Finding>,
     /// Collected MAC-domain constants.
-    pub domains: Vec<DomainConst>,
+    pub(crate) domains: Vec<DomainConst>,
+    /// Collected `pub` items.
+    pub(crate) pub_items: Vec<PubItem>,
 }
+
+/// Every identifier of the scanned sources, with the library crates that
+/// name it (`None` for a file outside every library: a binary, an
+/// integration test, an example, `src/`, `wall_bench/src`).
+pub(crate) type References = BTreeMap<String, BTreeSet<Option<String>>>;
 
 /// Methods whose call observes hash order.
 const ITER_METHODS: &[&str] = &[
@@ -179,7 +215,7 @@ fn is_lib_path(path: &str) -> bool {
 }
 
 /// Runs every per-file rule over one lexed+scoped file.
-pub fn analyze_file(
+pub(crate) fn analyze_file(
     path: &str,
     tokens: &[Token],
     scopes: &Scopes,
@@ -209,7 +245,326 @@ pub fn analyze_file(
     if is_lib_path(path) {
         hygiene(path, tokens, scopes, &mut out);
     }
+    if let Some(krate) = library_crate(path) {
+        collect_pub_items(path, krate, tokens, scopes, &mut out);
+    }
     out
+}
+
+/// The crate whose library `path` belongs to: `crates/<name>/src/…`,
+/// binaries (`src/main.rs`, `src/bin/`) excluded. Every other file — the
+/// package's binaries and tests included — is outside the library and can
+/// only reach what it publishes.
+pub(crate) fn library_crate(path: &str) -> Option<&str> {
+    let (krate, rest) = path.strip_prefix("crates/")?.split_once('/')?;
+    let rest = rest.strip_prefix("src/")?;
+    (rest != "main.rs" && !rest.starts_with("bin/")).then_some(krate)
+}
+
+/// Records every identifier of one file in `refs`, under the library
+/// crate the file belongs to.
+pub(crate) fn note_references(path: &str, tokens: &[Token], refs: &mut References) {
+    let owner = library_crate(path).map(str::to_string);
+    let names: BTreeSet<&str> = tokens
+        .iter()
+        .filter(|t| t.kind == TokenKind::Ident)
+        .map(|t| t.text.as_str())
+        .collect();
+    for name in names {
+        refs.entry(name.to_string())
+            .or_default()
+            .insert(owner.clone());
+    }
+}
+
+/// True when the attributes directly above token `i` mark test code
+/// (`#[cfg(test)]`, `#[test]`).
+fn under_test_attr(tokens: &[Token], mut i: usize) -> bool {
+    while i > 0 && tokens[i - 1].is_punct("]") {
+        let mut depth = 0usize;
+        let mut open = i - 1;
+        loop {
+            if tokens[open].is_punct("]") {
+                depth += 1;
+            } else if tokens[open].is_punct("[") {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            if open == 0 {
+                return false;
+            }
+            open -= 1;
+        }
+        if open == 0 || !tokens[open - 1].is_punct("#") {
+            return false;
+        }
+        if scope::scan_attribute(tokens, open).1 {
+            return true;
+        }
+        i = open - 1;
+    }
+    false
+}
+
+/// Collects plain-`pub` items and named fields outside test code.
+/// `pub(crate)`-style restrictions and `pub use` re-exports are skipped.
+fn collect_pub_items(
+    path: &str,
+    krate: &str,
+    tokens: &[Token],
+    scopes: &Scopes,
+    out: &mut FileAnalysis,
+) {
+    const ITEMS: &[&str] = &[
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union",
+    ];
+    for (i, t) in tokens.iter().enumerate() {
+        let candidate = t.is_ident("pub") || t.is_ident("impl");
+        if !candidate || scopes.in_test[i] || under_test_attr(tokens, i) {
+            continue;
+        }
+        if t.is_ident("impl") {
+            if let Some((self_type, interface)) = impl_interface(tokens, i) {
+                out.pub_items.push(PubItem {
+                    file: path.to_string(),
+                    line: t.line,
+                    krate: krate.to_string(),
+                    kind: "impl".to_string(),
+                    name: self_type,
+                    interface,
+                });
+            }
+            continue;
+        }
+        if tokens.get(i + 1).is_some_and(|n| n.is_ident("use")) {
+            collect_renames(path, krate, tokens, i, out);
+            continue;
+        }
+        // Skip qualifiers: `pub const fn`, `pub unsafe fn`, `extern "C"`.
+        let mut j = i + 1;
+        while let Some(q) = tokens.get(j) {
+            let qualifier = q.is_ident("unsafe")
+                || q.is_ident("async")
+                || q.is_ident("extern")
+                || q.kind == TokenKind::Str
+                || (q.is_ident("const")
+                    && tokens.get(j + 1).is_some_and(|n| {
+                        ["fn", "unsafe", "async", "extern"]
+                            .iter()
+                            .any(|k| n.is_ident(k))
+                    }));
+            if !qualifier {
+                break;
+            }
+            j += 1;
+        }
+        let Some(head) = tokens.get(j).filter(|h| h.kind == TokenKind::Ident) else {
+            continue;
+        };
+        let (kind, name_at) = if ITEMS.contains(&head.text.as_str()) {
+            let mutable = tokens.get(j + 1).is_some_and(|n| n.is_ident("mut"));
+            (head.text.as_str(), j + 1 + mutable as usize)
+        } else if tokens.get(j + 1).is_some_and(|n| n.is_punct(":")) && !is_path_sep(tokens, j + 1)
+        {
+            ("field", j)
+        } else {
+            continue;
+        };
+        let Some(name) = tokens.get(name_at).filter(|n| n.kind == TokenKind::Ident) else {
+            continue;
+        };
+        let end = interface_end(tokens, name_at + 1, kind);
+        out.pub_items.push(PubItem {
+            file: path.to_string(),
+            line: t.line,
+            krate: krate.to_string(),
+            kind: kind.to_string(),
+            name: name.text.clone(),
+            interface: idents(&tokens[name_at + 1..end]),
+        });
+    }
+}
+
+/// Records each `X as Y` of the `pub use` at token `i` as an item named `Y`
+/// whose interface is `X`, so a file naming the alias reaches the item.
+fn collect_renames(path: &str, krate: &str, tokens: &[Token], i: usize, out: &mut FileAnalysis) {
+    let end = (i..tokens.len())
+        .find(|&k| tokens[k].is_punct(";"))
+        .unwrap_or(tokens.len());
+    for k in i + 2..end.saturating_sub(1) {
+        if tokens[k].is_ident("as") && tokens[k + 1].kind == TokenKind::Ident {
+            out.pub_items.push(PubItem {
+                file: path.to_string(),
+                line: tokens[k].line,
+                krate: krate.to_string(),
+                kind: "use".to_string(),
+                name: tokens[k + 1].text.clone(),
+                interface: vec![tokens[k - 1].text.clone()],
+            });
+        }
+    }
+}
+
+/// The self type and interface of the item-level `impl` block at token
+/// `i`: its header (generics, bounds, trait), and for a trait impl the
+/// associated types and method signatures, all public with the type.
+fn impl_interface(tokens: &[Token], i: usize) -> Option<(String, Vec<String>)> {
+    let item_level = i == 0
+        || ["}", ";", "]"].iter().any(|p| tokens[i - 1].is_punct(p))
+        || tokens[i - 1].is_ident("unsafe");
+    if !item_level {
+        return None;
+    }
+    let open = (i..tokens.len()).find(|&k| tokens[k].is_punct("{"))?;
+    let header = &tokens[i + 1..open];
+    let trait_impl = header.iter().any(|t| t.is_ident("for"));
+    // The self type: the first path after `for`, else after the generics.
+    let mut angle = 0usize;
+    let mut after_for = !trait_impl;
+    let mut self_type = None;
+    for (k, t) in header.iter().enumerate() {
+        if t.is_punct("<") {
+            angle += 1;
+        } else if t.is_punct(">") && !(k > 0 && header[k - 1].is_punct("-")) {
+            angle = angle.saturating_sub(1);
+        } else if t.is_ident("for") {
+            after_for = true;
+        } else if after_for && angle == 0 && t.kind == TokenKind::Ident && !t.is_ident("dyn") {
+            self_type = Some(t.text.clone());
+            break;
+        }
+    }
+    let mut interface = idents(header);
+    if trait_impl {
+        let mut depth = 0usize;
+        let mut k = open;
+        while k < tokens.len() {
+            let t = &tokens[k];
+            if t.is_punct("{") {
+                depth += 1;
+            } else if t.is_punct("}") {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            } else if depth == 1 && (t.is_ident("type") || t.is_ident("fn")) {
+                let end = interface_end(tokens, k + 1, "fn");
+                interface.extend(idents(&tokens[k + 1..end]));
+                k = end;
+                continue;
+            }
+            k += 1;
+        }
+    }
+    Some((self_type?, interface))
+}
+
+/// The identifiers among `tokens`.
+fn idents(tokens: &[Token]) -> Vec<String> {
+    tokens
+        .iter()
+        .filter(|t| t.kind == TokenKind::Ident)
+        .map(|t| t.text.clone())
+        .collect()
+}
+
+/// One past the last token of the interface of an item whose name ends
+/// just before `start`: up to a function's body, a field's `,`, a
+/// constant's `=`, or through an enum's or trait's braces. A brace
+/// struct's interface is its generics alone; its `pub` fields are items
+/// of their own.
+fn interface_end(tokens: &[Token], start: usize, kind: &str) -> usize {
+    let mut depth = 0usize;
+    for (k, t) in tokens.iter().enumerate().skip(start) {
+        let closes_arrow = t.is_punct(">") && k > 0 && tokens[k - 1].is_punct("-");
+        let opens = t.is_punct("(") || t.is_punct("[") || t.is_punct("<");
+        let closes = t.is_punct(")") || t.is_punct("]") || (t.is_punct(">") && !closes_arrow);
+        if t.is_punct("{") {
+            if matches!(kind, "enum" | "trait" | "union") || depth > 0 {
+                depth += 1;
+            } else {
+                return k;
+            }
+        } else if t.is_punct("}") {
+            if depth <= 1 {
+                return k + 1;
+            }
+            depth -= 1;
+        } else if opens {
+            depth += 1;
+        } else if closes {
+            depth = depth.saturating_sub(1);
+        } else if depth == 0
+            && (t.is_punct(";")
+                || (kind == "field" && t.is_punct(","))
+                || (matches!(kind, "const" | "static") && t.is_punct("=")))
+        {
+            return k;
+        }
+    }
+    tokens.len()
+}
+
+/// Cross-file pass: a `pub` item must be reached from outside its crate,
+/// either named by a file outside it or named in the interface of a
+/// reached `pub` item of the crate (as rustc's `private_interfaces` lint
+/// requires). Matching is by name alone, so an unrelated identifier that
+/// shares the name elsewhere clears the item: a false negative, never a
+/// false positive.
+pub(crate) fn check_pub_reached(items: &[PubItem], refs: &References) -> Vec<Finding> {
+    let mut reached: Vec<bool> = items
+        .iter()
+        .map(|item| {
+            refs.get(&item.name)
+                .is_some_and(|namers| namers.iter().any(|n| n.as_deref() != Some(&item.krate)))
+        })
+        .collect();
+    let mut by_name: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
+    for (i, item) in items.iter().enumerate() {
+        by_name
+            .entry((&item.krate, &item.name))
+            .or_default()
+            .push(i);
+    }
+    let mut work: Vec<usize> = (0..items.len()).filter(|&i| reached[i]).collect();
+    while let Some(i) = work.pop() {
+        let krate = items[i].krate.as_str();
+        // A reached type makes its impl blocks reached; then every reached
+        // interface reaches the items it names.
+        let impls = by_name
+            .get(&(krate, items[i].name.as_str()))
+            .into_iter()
+            .flatten()
+            .filter(|&&j| items[j].kind == "impl" && items[i].kind != "impl");
+        let named = items[i]
+            .interface
+            .iter()
+            .flat_map(|name| by_name.get(&(krate, name.as_str())).into_iter().flatten());
+        for &j in impls.chain(named).collect::<Vec<_>>() {
+            if !reached[j] {
+                reached[j] = true;
+                work.push(j);
+            }
+        }
+    }
+    items
+        .iter()
+        .zip(reached)
+        .filter(|(item, reached)| !reached && !matches!(item.kind.as_str(), "impl" | "use"))
+        .map(|(item, _)| {
+            Finding::new(
+                "pub-unreached",
+                &item.file,
+                item.line,
+                format!(
+                    "`pub {} {}` is named by no file outside crate `{}` — make it `pub(crate)` so rustc sees its callers (and reports it if it has none), or keep a test observer under `#[cfg(test)]`",
+                    item.kind, item.name, item.krate
+                ),
+            )
+        })
+        .collect()
 }
 
 /// Token window helper: `tokens[i + k]`, if present.
@@ -519,7 +874,7 @@ fn domain_shape_ok(value: &str) -> bool {
 }
 
 /// Cross-file pass: every MAC-domain value must be declared exactly once.
-pub fn check_domain_uniqueness(domains: &[DomainConst]) -> Vec<Finding> {
+pub(crate) fn check_domain_uniqueness(domains: &[DomainConst]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut seen: Vec<(&str, &DomainConst)> = Vec::new();
     for d in domains {

@@ -11,32 +11,32 @@ use crate::lexer::{Token, TokenKind};
 
 /// The body span of one named function.
 #[derive(Debug, Clone)]
-pub struct FnSpan {
+pub(crate) struct FnSpan {
     /// Function name.
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// Token index of the body's opening `{`.
-    pub body_start: usize,
+    pub(crate) body_start: usize,
     /// Token index of the body's closing `}` (or last token when
     /// unterminated).
-    pub body_end: usize,
+    pub(crate) body_end: usize,
     /// True when the function is test code (`#[test]`, or nested under a
     /// `#[cfg(test)]` scope).
-    pub in_test: bool,
+    pub(crate) in_test: bool,
 }
 
 /// Scope classification for a token stream.
 #[derive(Debug, Default)]
-pub struct Scopes {
+pub(crate) struct Scopes {
     /// Per-token: true when the token sits inside test code.
-    pub in_test: Vec<bool>,
+    pub(crate) in_test: Vec<bool>,
     /// Named function bodies, in source order.
-    pub fns: Vec<FnSpan>,
+    pub(crate) fns: Vec<FnSpan>,
 }
 
 /// Walks `tokens` and classifies test regions and function bodies.
-pub fn scan(tokens: &[Token]) -> Scopes {
+pub(crate) fn scan(tokens: &[Token]) -> Scopes {
     let mut scopes = Scopes {
         in_test: vec![false; tokens.len()],
         fns: Vec::new(),
@@ -133,7 +133,7 @@ pub fn scan(tokens: &[Token]) -> Scopes {
 /// Scans an attribute starting at the `[` token index; returns the index
 /// one past the closing `]` and whether the attribute marks test code
 /// (contains the ident `test` outside a `not(...)`).
-fn scan_attribute(tokens: &[Token], open: usize) -> (usize, bool) {
+pub(crate) fn scan_attribute(tokens: &[Token], open: usize) -> (usize, bool) {
     let mut depth = 0usize;
     let mut has_test = false;
     let mut has_not = false;

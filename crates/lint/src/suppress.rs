@@ -25,13 +25,13 @@ pub struct Suppression {
     pub rule: String,
     /// True for `allow-file` (whole-file scope) rather than `allow`
     /// (adjacent-line scope).
-    pub file_scope: bool,
+    pub(crate) file_scope: bool,
 }
 
 /// Parsed suppressions plus the findings the parsing itself produced
 /// (malformed directive, empty reason, unknown rule).
 #[derive(Debug, Default)]
-pub struct Suppressions {
+pub(crate) struct Suppressions {
     /// Well-formed directives.
     pub entries: Vec<Suppression>,
     /// `suppression-reason` findings.
@@ -40,14 +40,14 @@ pub struct Suppressions {
 
 impl Suppressions {
     /// True when `(rule, line)` is covered by a directive.
-    pub fn covers(&self, rule: &str, line: usize) -> bool {
+    pub(crate) fn covers(&self, rule: &str, line: usize) -> bool {
         self.covering_entry(rule, line).is_some()
     }
 
     /// Index (into [`Suppressions::entries`]) of the first directive
     /// covering `(rule, line)`, so the engine can track which directives
     /// actually fire (`stale-allow`).
-    pub fn covering_entry(&self, rule: &str, line: usize) -> Option<usize> {
+    pub(crate) fn covering_entry(&self, rule: &str, line: usize) -> Option<usize> {
         self.entries
             .iter()
             .position(|s| s.rule == rule && (s.file_scope || s.line == line || s.line + 1 == line))
@@ -58,7 +58,7 @@ impl Suppressions {
 const MARKER: &str = "recipe-lint:";
 
 /// Scans a file's comments for `recipe-lint:` directives.
-pub fn parse(path: &str, comments: &[Comment]) -> Suppressions {
+pub(crate) fn parse(path: &str, comments: &[Comment]) -> Suppressions {
     let mut out = Suppressions::default();
     for comment in comments {
         // Only a comment that *starts* with the marker is a directive —

@@ -30,12 +30,11 @@ fn synthetic_path(rule: &str) -> &'static str {
 }
 
 fn fixture_config() -> Config {
-    Config {
-        core_paths: vec!["crates/core/src".into()],
-        send_allowed: vec!["crates/protocols/src".into()],
-        charged_paths: vec!["crates/shard/src".into()],
-        ..Config::default()
-    }
+    let mut config = Config::default();
+    config.core_paths = vec!["crates/core/src".into()];
+    config.send_allowed = vec!["crates/protocols/src".into()];
+    config.charged_paths = vec!["crates/shard/src".into()];
+    config
 }
 
 fn lint_fixture(dir: &str, rule: &str) -> (String, LintReport) {
@@ -108,11 +107,11 @@ fn seeded_cross_file_domain_duplicate_is_caught() {
         &[
             (
                 "crates/kv/src/a.rs".into(),
-                "pub const A_MAC_DOMAIN: &str = \"recipe.seeded_dup.v1\";".into(),
+                "const A_MAC_DOMAIN: &str = \"recipe.seeded_dup.v1\";".into(),
             ),
             (
                 "crates/kv/src/b.rs".into(),
-                "pub const B_MAC_DOMAIN: &str = \"recipe.seeded_dup.v1\";".into(),
+                "const B_MAC_DOMAIN: &str = \"recipe.seeded_dup.v1\";".into(),
             ),
         ],
         &fixture_config(),

@@ -42,25 +42,25 @@ pub enum ExecMode {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetCostModel {
     /// Fixed per-message cost of a kernel-socket send or receive, nanoseconds.
-    pub kernel_per_msg_ns: f64,
+    pub(crate) kernel_per_msg_ns: f64,
     /// Fixed per-message cost of a direct-I/O send or receive, nanoseconds.
     pub directio_per_msg_ns: f64,
     /// Per-byte cost on the wire/DMA path, nanoseconds per byte (≈ line rate).
-    pub per_byte_ns: f64,
+    pub(crate) per_byte_ns: f64,
     /// Multiplier applied to the per-message cost when the stack runs inside a TEE
     /// over kernel sockets (syscall exits are very expensive).
-    pub tee_kernel_penalty: f64,
+    pub(crate) tee_kernel_penalty: f64,
     /// Multiplier applied to the per-message cost when the stack runs inside a TEE
     /// over direct I/O (no syscalls, but enclave boundary copies remain).
-    pub tee_directio_penalty: f64,
+    pub(crate) tee_directio_penalty: f64,
     /// Per-byte multiplier inside a TEE (memory encryption / copies).
-    pub tee_per_byte_penalty: f64,
+    pub(crate) tee_per_byte_penalty: f64,
     /// Extra per-message cost of Recipe's authentication + non-equivocation layers
     /// (MAC computation dominates), nanoseconds.
-    pub recipe_auth_per_msg_ns: f64,
+    pub(crate) recipe_auth_per_msg_ns: f64,
     /// Extra per-byte cost of Recipe's authentication layer (hashing the payload),
     /// nanoseconds per byte.
-    pub recipe_auth_per_byte_ns: f64,
+    pub(crate) recipe_auth_per_byte_ns: f64,
 }
 
 impl NetCostModel {
@@ -106,7 +106,7 @@ impl NetCostModel {
 
     /// Time (ns) for a message through the full Recipe-lib network stack: direct I/O
     /// inside a TEE plus the authentication/non-equivocation layers.
-    pub fn recipe_lib_cost_ns(&self, payload_bytes: usize) -> f64 {
+    pub(crate) fn recipe_lib_cost_ns(&self, payload_bytes: usize) -> f64 {
         self.message_cost_ns(Transport::DirectIo, ExecMode::Tee, payload_bytes)
             + self.recipe_auth_per_msg_ns
             + payload_bytes as f64 * self.recipe_auth_per_byte_ns

@@ -77,19 +77,10 @@ impl FaultPlan {
         }
     }
 
-    /// True if the plan perturbs nothing: every probability is zero *and* no
-    /// extra delay is injected. A delay-only plan reorders traffic, which is
-    /// very much a fault to any protocol that cares about timing.
-    pub fn is_benign(&self) -> bool {
-        !self.has_message_faults() && self.max_extra_delay_ns == 0
-    }
-
     /// True if any per-message adversarial action (drop/tamper/duplicate/
-    /// replay) has non-zero probability. Distinct from [`is_benign`]: a
-    /// delay-only plan has no message faults but is not benign.
-    ///
-    /// [`is_benign`]: FaultPlan::is_benign
-    pub fn has_message_faults(&self) -> bool {
+    /// replay) has non-zero probability. A delay-only plan has no message
+    /// faults, yet it still perturbs timing.
+    pub(crate) fn has_message_faults(&self) -> bool {
         self.drop_probability > 0.0
             || self.tamper_probability > 0.0
             || self.duplicate_probability > 0.0
@@ -158,11 +149,6 @@ impl CrashPlan {
         });
         self
     }
-
-    /// True if the plan schedules no crashes at all.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 /// What the adversary decided to do with one frame
@@ -204,11 +190,6 @@ impl NetworkFaultInjector {
         }
     }
 
-    /// The active plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Samples an extra delivery delay in nanoseconds.
     pub fn sample_extra_delay_ns(&mut self) -> u64 {
         if self.plan.max_extra_delay_ns == 0 {
@@ -247,7 +228,7 @@ impl NetworkFaultInjector {
         }
 
         // Fast path keyed on the per-message probabilities specifically (not
-        // `is_benign`, which also covers delay): a delay-only plan must not
+        // on delay too): a delay-only plan must not
         // consume a decision roll here, or its delay samples would diverge
         // from the pre-crash-plane RNG sequence.
         if !self.plan.has_message_faults() {
@@ -401,14 +382,13 @@ mod tests {
     }
 
     #[test]
-    fn delay_only_plan_is_not_benign() {
+    fn delay_only_plan_has_no_message_faults() {
         let plan = FaultPlan {
             max_extra_delay_ns: 1_000,
             ..FaultPlan::default()
         };
-        assert!(!plan.is_benign());
         assert!(!plan.has_message_faults());
-        assert!(FaultPlan::benign().is_benign());
+        assert!(!FaultPlan::benign().has_message_faults());
         assert!(FaultPlan::byzantine().has_message_faults());
     }
 
@@ -522,11 +502,10 @@ mod tests {
         let plan = CrashPlan::none()
             .crash_recover(NodeId(0), 1_000, 5_000)
             .crash(NodeId(2), 3_000);
-        assert!(!plan.is_empty());
         assert_eq!(plan.entries.len(), 2);
         assert_eq!(plan.entries[0].recover_at_ns, Some(5_000));
         assert_eq!(plan.entries[1].recover_at_ns, None);
-        assert!(CrashPlan::none().is_empty());
+        assert!(CrashPlan::none().entries.is_empty());
         // Round-trips through serde, which the deployment spec that carries
         // it derives.
         let json = serde_json::to_vec(&plan).unwrap();

@@ -7,21 +7,21 @@
 //! `recipe-sim` moves frames between replicas on a virtual clock, and this crate
 //! supplies what it moves them with:
 //!
-//! * [`types`] — node and channel identifiers, and [`types::WireMessage`], a
+//! * `types` — node and channel identifiers, and [`types::WireMessage`], a
 //!   frame as the adversary captures it for replay.
-//! * [`faults`] — the Byzantine network adversary: drop, duplicate, delay (and
+//! * `faults` — the Byzantine network adversary: drop, duplicate, delay (and
 //!   so reorder), tamper and replay decisions on the frames the simulator
 //!   moves, plus the crash plans that take replicas down and bring them back.
-//! * [`cost`] — the calibrated transport cost model (kernel sockets vs direct I/O,
+//! * `cost` — the calibrated transport cost model (kernel sockets vs direct I/O,
 //!   native vs TEE) used to regenerate Figure 6b and to drive the simulator's
 //!   virtual clock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cost;
-pub mod faults;
-pub mod types;
+mod cost;
+mod faults;
+mod types;
 
 pub use cost::{ExecMode, NetCostModel, Transport};
 pub use faults::{CrashEntry, CrashPlan, FaultPlan, FrameFault, NetworkFaultInjector};

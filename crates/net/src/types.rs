@@ -8,18 +8,6 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
 pub struct NodeId(pub u64);
 
-impl NodeId {
-    /// Convenience constructor.
-    pub const fn new(id: u64) -> Self {
-        NodeId(id)
-    }
-
-    /// Raw id.
-    pub const fn raw(&self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
@@ -58,14 +46,6 @@ impl ChannelId {
         ChannelId { src, dst }
     }
 
-    /// The reverse channel (`dst → src`), used for responses.
-    pub const fn reverse(&self) -> ChannelId {
-        ChannelId {
-            src: self.dst,
-            dst: self.src,
-        }
-    }
-
     /// Stable string label, used to key enclave counters and channel MAC keys.
     pub fn label(&self) -> String {
         format!("cq:{}->{}", self.src.0, self.dst.0)
@@ -102,14 +82,12 @@ mod tests {
         let n: NodeId = 7u64.into();
         assert_eq!(format!("{n}"), "n7");
         assert_eq!(format!("{n:?}"), "n7");
-        assert_eq!(n.raw(), 7);
+        assert_eq!(n.0, 7);
     }
 
     #[test]
-    fn channel_reverse_and_label() {
+    fn channel_label() {
         let cq = ChannelId::new(NodeId(1), NodeId(2));
-        assert_eq!(cq.reverse(), ChannelId::new(NodeId(2), NodeId(1)));
         assert_eq!(cq.label(), "cq:1->2");
-        assert_eq!(cq.reverse().reverse(), cq);
     }
 }

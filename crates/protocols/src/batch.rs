@@ -72,7 +72,7 @@ impl BatchConfig {
     }
 
     /// True when this configuration actually batches (`max_ops > 1`).
-    pub fn is_batching(&self) -> bool {
+    pub(crate) fn is_batching(&self) -> bool {
         self.max_ops > 1
     }
 }
@@ -125,7 +125,7 @@ impl Batcher {
     }
 
     /// Folds this batcher's flush counters into a telemetry snapshot.
-    pub fn fold_counters(&self, counters: &mut recipe_telemetry::ProtocolCounters) {
+    pub(crate) fn fold_counters(&self, counters: &mut recipe_telemetry::ProtocolCounters) {
         counters.batch_flushes += self.flushes;
         counters.batch_flushed_ops += self.flushed_ops;
         counters.batch_timer_flushes += self.timer_flushes;
@@ -144,7 +144,7 @@ impl Batcher {
     /// Enqueues one message for `dst`, copying `payload` into its queued
     /// body. Returns `true` when the destination hit its ops or byte budget
     /// and should be flushed now.
-    pub fn push(&mut self, dst: NodeId, kind: u16, payload: &[u8]) -> bool {
+    pub(crate) fn push(&mut self, dst: NodeId, kind: u16, payload: &[u8]) -> bool {
         let queue = self.queues.entry(dst).or_default();
         BatchFrame::append_op(&mut queue.body, kind, payload);
         queue.ops += 1;
@@ -154,7 +154,7 @@ impl Batcher {
 
     /// Flushes what is queued for `dst`: hands `emit` its op count and body
     /// and empties the queue. `None` when nothing is pending.
-    pub fn take<T>(&mut self, dst: NodeId, emit: impl FnOnce(u32, &[u8]) -> T) -> Option<T> {
+    pub(crate) fn take<T>(&mut self, dst: NodeId, emit: impl FnOnce(u32, &[u8]) -> T) -> Option<T> {
         let queue = self.queues.get_mut(&dst).filter(|queue| queue.ops > 0)?;
         self.flushes += 1;
         self.flushed_ops += u64::from(queue.ops);
@@ -163,7 +163,7 @@ impl Batcher {
 
     /// Flushes every destination with something queued, in `NodeId` order,
     /// through `emit`. Returns how many it flushed.
-    pub fn drain_all(&mut self, mut emit: impl FnMut(NodeId, u32, &[u8])) -> u64 {
+    pub(crate) fn drain_all(&mut self, mut emit: impl FnMut(NodeId, u32, &[u8])) -> u64 {
         let mut flushed = 0;
         for (&dst, queue) in self.queues.iter_mut().filter(|(_, queue)| queue.ops > 0) {
             flushed += 1;
@@ -183,19 +183,20 @@ impl Batcher {
     }
 
     /// Total ops pending across all destinations.
-    pub fn pending_ops(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_ops(&self) -> usize {
         self.queues.values().map(|q| q.ops as usize).sum()
     }
 
     /// Marks the flush timer as armed. Returns `true` when the caller should
     /// actually schedule it (it was not armed yet) — replicas call this after a
     /// push that did not trigger an immediate flush.
-    pub fn arm_timer(&mut self) -> bool {
+    pub(crate) fn arm_timer(&mut self) -> bool {
         !std::mem::replace(&mut self.timer_armed, true)
     }
 
     /// Marks the flush timer as fired; the next push may arm a new one.
-    pub fn timer_fired(&mut self) {
+    pub(crate) fn timer_fired(&mut self) {
         self.timer_armed = false;
     }
 

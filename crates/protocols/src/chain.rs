@@ -91,14 +91,15 @@ pub struct Chain {
 /// A Chain Replication replica (native or Recipe-transformed, R-CR).
 pub type ChainReplica = RecipeReplica<Chain>;
 
+#[cfg(test)]
 impl ChainReplica {
     /// True if this node heads the live chain.
-    pub fn is_head(&self) -> bool {
+    pub(crate) fn is_head(&self) -> bool {
         self.core().is_head()
     }
 
     /// True if this node is the tail of the live chain.
-    pub fn is_tail(&self) -> bool {
+    pub(crate) fn is_tail(&self) -> bool {
         self.core().is_tail()
     }
 }

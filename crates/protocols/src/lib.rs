@@ -34,17 +34,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod abd;
-pub mod allconcur;
-pub mod batch;
-pub mod chain;
-pub mod migration;
-pub mod raft;
-pub mod registry;
-pub mod replica;
-pub mod shield;
-pub mod store;
-pub mod txn;
+mod abd;
+mod allconcur;
+mod batch;
+mod chain;
+mod migration;
+mod raft;
+mod registry;
+mod replica;
+mod shield;
+mod store;
+mod txn;
 
 pub use abd::{Abd, AbdMsg, AbdReplica};
 pub use allconcur::{AllConcur, AllConcurMsg, AllConcurReplica};

@@ -210,16 +210,6 @@ impl MigrationChannel {
         self.sender.mode().confidentiality().is_confidential()
     }
 
-    /// The donor shard.
-    pub fn donor(&self) -> usize {
-        self.donor
-    }
-
-    /// The recipient shard.
-    pub fn recipient(&self) -> usize {
-        self.recipient
-    }
-
     /// Seals one chunk into wire bytes on the donor side.
     ///
     /// # Panics
@@ -254,7 +244,8 @@ impl MigrationChannel {
     }
 
     /// Chunks rejected by the receiving shield so far.
-    pub fn rejected(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn rejected(&self) -> u64 {
         self.receiver.rejected()
     }
 }

@@ -58,11 +58,11 @@ pub trait CftProtocol: Sized {
     /// prepared transaction holds never arrives.
     fn on_client_request(&mut self, request: ClientRequest, h: &mut Handle<'_>);
 
-    /// The payload a peer's core passed to [`Handle::send`] or
-    /// [`Handle::broadcast`], from `from`.
+    /// The payload a peer's core passed to `Handle::send` or
+    /// `Handle::broadcast`, from `from`.
     fn on_message(&mut self, from: NodeId, payload: &[u8], h: &mut Handle<'_>);
 
-    /// A timer requested through [`Handle::set_timer`].
+    /// A timer requested through `Handle::set_timer`.
     fn on_timer(&mut self, _token: u64, _h: &mut Handle<'_>) {}
 
     /// True if this replica can coordinate writes.
@@ -97,7 +97,7 @@ pub struct Handle<'a> {
 
 impl Handle<'_> {
     /// The current virtual time.
-    pub fn now(&self) -> TrustedInstant {
+    pub(crate) fn now(&self) -> TrustedInstant {
         self.ctx.now()
     }
 
@@ -106,7 +106,7 @@ impl Handle<'_> {
     /// is off; otherwise copied into `dst`'s batch queue and flushed on the
     /// first trigger (ops or byte budget now, time budget through the
     /// wrapper's timer).
-    pub fn send(&mut self, dst: NodeId, payload: &[u8]) {
+    pub(crate) fn send(&mut self, dst: NodeId, payload: &[u8]) {
         if !self.batcher.is_batching() {
             let wire = self.shield.wrap_in(self.ctx.frames(), dst, KIND, payload);
             self.ctx.send(dst, wire);
@@ -125,7 +125,7 @@ impl Handle<'_> {
 
     /// [`Handle::send`]s `payload` to every one of `members` but this
     /// replica.
-    pub fn broadcast(&mut self, members: &[NodeId], payload: &[u8]) {
+    pub(crate) fn broadcast(&mut self, members: &[NodeId], payload: &[u8]) {
         let me = self.shield.node();
         for &peer in members.iter().filter(|&&peer| peer != me) {
             self.send(peer, payload);
@@ -134,7 +134,13 @@ impl Handle<'_> {
 
     /// Answers a client's request: a write's acknowledgement (no value) or a
     /// read's result.
-    pub fn reply(&mut self, client_id: u64, request_id: u64, value: Option<Vec<u8>>, found: bool) {
+    pub(crate) fn reply(
+        &mut self,
+        client_id: u64,
+        request_id: u64,
+        value: Option<Vec<u8>>,
+        found: bool,
+    ) {
         self.ctx.reply(ClientReply {
             client_id,
             request_id,
@@ -145,7 +151,7 @@ impl Handle<'_> {
     }
 
     /// Answers a client's read of `key` from the local store.
-    pub fn reply_local_read(&mut self, client_id: u64, request_id: u64, key: &[u8]) {
+    pub(crate) fn reply_local_read(&mut self, client_id: u64, request_id: u64, key: &[u8]) {
         let read = self.store.get(key);
         let found = read.is_some();
         let value = read.map(|r| r.value).unwrap_or_default();
@@ -153,18 +159,18 @@ impl Handle<'_> {
     }
 
     /// Requests [`CftProtocol::on_timer`] with `token`, `delay_ns` from now.
-    pub fn set_timer(&mut self, delay_ns: u64, token: u64) {
+    pub(crate) fn set_timer(&mut self, delay_ns: u64, token: u64) {
         self.ctx.set_timer(delay_ns, token);
     }
 
     /// The replica's store.
-    pub fn store(&mut self) -> &mut ReplicaStore {
+    pub(crate) fn store(&mut self) -> &mut ReplicaStore {
         self.store
     }
 
     /// Moves the channels to `view`, so a deposed leader's traffic is
     /// refused.
-    pub fn set_view(&mut self, view: u64) {
+    pub(crate) fn set_view(&mut self, view: u64) {
         self.shield.set_view(view);
     }
 }
@@ -204,7 +210,8 @@ impl<P: CftProtocol> RecipeReplica<P> {
     }
 
     /// Builds a native (untransformed) replica.
-    pub fn native(id: u64, membership: Membership) -> Self {
+    #[cfg(test)]
+    pub(crate) fn native(id: u64, membership: Membership) -> Self {
         let batch = BatchConfig::unbatched();
         Self::build(id, membership, ProtocolMode::Native, batch)
     }
@@ -228,12 +235,12 @@ impl<P: CftProtocol> RecipeReplica<P> {
     }
 
     /// The protocol's own state.
-    pub fn core(&self) -> &P {
+    pub(crate) fn core(&self) -> &P {
         &self.core
     }
 
     /// Writes applied to this replica's store.
-    pub fn applied_writes(&self) -> u64 {
+    pub(crate) fn applied_writes(&self) -> u64 {
         self.store.applied()
     }
 

@@ -41,12 +41,12 @@ pub enum ProtocolMode {
 
 impl ProtocolMode {
     /// True for the Recipe modes.
-    pub fn is_recipe(&self) -> bool {
+    pub(crate) fn is_recipe(&self) -> bool {
         matches!(self, ProtocolMode::Recipe { .. })
     }
 
     /// The confidentiality policy in force (native mode is always plaintext).
-    pub fn confidentiality(&self) -> ConfidentialityMode {
+    pub(crate) fn confidentiality(&self) -> ConfidentialityMode {
         match self {
             ProtocolMode::Native => ConfidentialityMode::Plaintext,
             ProtocolMode::Recipe { confidentiality } => *confidentiality,
@@ -221,7 +221,7 @@ impl ProtocolShield {
     /// kind in the deployment — 2PC and migration endpoints, whose node ids
     /// no other endpoint has — seal under it as it is; a replica group gets
     /// a sub-key ([`ProtocolShield::group_cipher_key`]).
-    pub fn deployment_cipher_key() -> CipherKey {
+    pub(crate) fn deployment_cipher_key() -> CipherKey {
         CipherKey::from_bytes(*recipe_crypto::hash_parts(&[b"recipe.deployment.cipher"]).as_bytes())
     }
 
@@ -230,12 +230,12 @@ impl ProtocolShield {
     /// group-local, so under the deployment key itself `0 → 1` at counter
     /// *n* would be the same (key, nonce) pair in every group, and every
     /// group's replica 0 would derive the same store key.
-    pub fn group_cipher_key(group: u64) -> CipherKey {
+    pub(crate) fn group_cipher_key(group: u64) -> CipherKey {
         Self::deployment_cipher_key().derive(&[GROUP_KEY_DOMAIN, &group.to_le_bytes()])
     }
 
     /// Builds the shield `mode` asks for.
-    pub fn new(node: NodeId, membership: &Membership, mode: ProtocolMode) -> Self {
+    pub(crate) fn new(node: NodeId, membership: &Membership, mode: ProtocolMode) -> Self {
         match mode {
             ProtocolMode::Native => Self::native(node),
             ProtocolMode::Recipe { confidentiality } => {
@@ -275,7 +275,7 @@ impl ProtocolShield {
     /// transaction ([`ProtocolShield::wrap_txn`]) and one endpoint serves
     /// them all. The cipher is expanded on first use, so an endpoint that
     /// never seals pays nothing for holding the key.
-    pub fn txn_endpoint(node: NodeId) -> Self {
+    pub(crate) fn txn_endpoint(node: NodeId) -> Self {
         let mut enclave = Self::launch(node);
         Self::provision_cipher(&mut enclave, Self::deployment_cipher_key());
         Self::over(node, enclave, ConfidentialityMode::Plaintext)
@@ -285,7 +285,7 @@ impl ProtocolShield {
     /// [`ProtocolShield::recipe`] does for every member at start-up. The keys
     /// derive from the pair of node ids alone, so the two ends agree without
     /// exchanging anything. A no-op in native mode, which has no keys.
-    pub fn add_peer(&mut self, peer: NodeId) {
+    pub(crate) fn add_peer(&mut self, peer: NodeId) {
         if let Some(auth) = &mut self.auth {
             Self::provision_channel(auth.enclave_mut(), &Self::master_key(), self.node, peer);
         }
@@ -339,7 +339,7 @@ impl ProtocolShield {
     }
 
     /// The mode of this shield.
-    pub fn mode(&self) -> ProtocolMode {
+    pub(crate) fn mode(&self) -> ProtocolMode {
         self.mode
     }
 
@@ -350,7 +350,7 @@ impl ProtocolShield {
     /// ([`AuthLayer::store_cipher_key`]), because every store counts its
     /// nonces from one. Native and plaintext-Recipe groups store plain
     /// values (integrity is still hash-checked by the partitioned store).
-    pub fn store_config(&self) -> recipe_kv::StoreConfig {
+    pub(crate) fn store_config(&self) -> recipe_kv::StoreConfig {
         let config = recipe_kv::StoreConfig::default();
         match &self.auth {
             Some(auth) if auth.is_confidential() => config.with_cipher(
@@ -362,7 +362,7 @@ impl ProtocolShield {
     }
 
     /// The owning node.
-    pub fn node(&self) -> NodeId {
+    pub(crate) fn node(&self) -> NodeId {
         self.node
     }
 
@@ -373,7 +373,7 @@ impl ProtocolShield {
 
     /// Telemetry snapshot of this shield's seal/open/reject counters (the
     /// batcher contributes the `batch_*` fields separately).
-    pub fn counters(&self) -> recipe_telemetry::ProtocolCounters {
+    pub(crate) fn counters(&self) -> recipe_telemetry::ProtocolCounters {
         recipe_telemetry::ProtocolCounters {
             sealed_frames: self.sealed_frames,
             sealed_ops: self.sealed_ops,
@@ -384,7 +384,7 @@ impl ProtocolShield {
     }
 
     /// Moves both sides to a new view (no-op in native mode).
-    pub fn set_view(&mut self, view: u64) {
+    pub(crate) fn set_view(&mut self, view: u64) {
         if let Some(auth) = &mut self.auth {
             auth.set_view(view);
         }
@@ -393,7 +393,7 @@ impl ProtocolShield {
     /// The trusted send counter toward `peer` (0 in native mode). Read by the
     /// attestation service while re-attesting a restarted peer so it can
     /// fast-forward the peer's receive counter past frames it slept through.
-    pub fn send_counter_to(&self, peer: NodeId) -> u64 {
+    pub(crate) fn send_counter_to(&self, peer: NodeId) -> u64 {
         self.auth
             .as_ref()
             .map(|auth| auth.send_counter_to(peer))
@@ -413,20 +413,20 @@ impl ProtocolShield {
     /// receive counter jumps forward to `peer_send_counter` and buffered
     /// frames from `peer` are discarded (no-op in native mode). Monotonic —
     /// never re-opens the replay window.
-    pub fn resync_from(&mut self, peer: NodeId, peer_send_counter: u64) {
+    pub(crate) fn resync_from(&mut self, peer: NodeId, peer_send_counter: u64) {
         if let Some(auth) = &mut self.auth {
             auth.resync_from(peer, peer_send_counter);
         }
     }
 
-    /// [`ProtocolShield::wrap_in`] into a buffer of the frame's own.
+    /// `ProtocolShield::wrap_in` into a buffer of the frame's own.
     pub fn wrap(&mut self, dst: NodeId, kind: u16, payload: &[u8]) -> Vec<u8> {
         self.wrap_in(&mut FramePool::default(), dst, kind, payload)
     }
 
     /// Wraps a protocol message of type `kind` for `dst` into wire bytes, in
     /// a spare from `frames`.
-    pub fn wrap_in(
+    pub(crate) fn wrap_in(
         &mut self,
         frames: &mut FramePool,
         dst: NodeId,
@@ -443,7 +443,7 @@ impl ProtocolShield {
         }
     }
 
-    /// [`ProtocolShield::wrap_batch_in`] of `ops`, into a buffer of the
+    /// `ProtocolShield::wrap_batch_in` of `ops`, into a buffer of the
     /// frame's own.
     pub fn wrap_batch(&mut self, dst: NodeId, ops: Vec<BatchOp>) -> Vec<u8> {
         let body = BatchFrame::encode_ops(&ops);
@@ -458,7 +458,12 @@ impl ProtocolShield {
     ///
     /// # Panics
     /// Panics on an empty batch — flushing nothing is a caller bug.
-    pub fn wrap_batch_in(&mut self, frames: &mut FramePool, dst: NodeId, body: &[u8]) -> Vec<u8> {
+    pub(crate) fn wrap_batch_in(
+        &mut self,
+        frames: &mut FramePool,
+        dst: NodeId,
+        body: &[u8],
+    ) -> Vec<u8> {
         let ops = BatchFrame::op_count(body);
         assert!(ops > 0, "wrap_batch requires at least one op");
         self.sealed_frames += 1;
@@ -489,7 +494,7 @@ impl ProtocolShield {
     ///
     /// # Panics
     /// Panics on a native-mode shield, as [`ProtocolShield::wrap_txn`] does.
-    pub fn wrap_txn_in(
+    pub(crate) fn wrap_txn_in(
         &mut self,
         frames: &mut FramePool,
         dst: NodeId,

@@ -116,7 +116,7 @@ impl ReplicaStore {
 
     /// `bytes`, a key or value, copied into a spare sized for them: the
     /// last one given back to their size class, or a new buffer.
-    pub fn copy_entry(&mut self, bytes: &[u8]) -> Vec<u8> {
+    pub(crate) fn copy_entry(&mut self, bytes: &[u8]) -> Vec<u8> {
         let mut buf = self.entries.take(bytes.len());
         buf.extend_from_slice(bytes);
         buf
@@ -124,20 +124,21 @@ impl ReplicaStore {
 
     /// Gives back a buffer [`Self::copy_entry`] lent, or one the protocol
     /// holds in its place: a key it is done with, an entry it discards.
-    pub fn give_entry(&mut self, buf: Vec<u8>) {
+    pub(crate) fn give_entry(&mut self, buf: Vec<u8>) {
         self.entries.give(buf);
     }
 
     /// Drops every spare and forgets what was lent: for a replica that stops
     /// copying entries (a new leader), whose list then frees what its writes
     /// displace, as a leader's does.
-    pub fn drop_entry_buffers(&mut self) {
+    pub(crate) fn drop_entry_buffers(&mut self) {
         self.entries = FramePool::default();
     }
 
     /// Entry buffers allocated because no spare fitted, since the store was
     /// built or last dropped its spares.
-    pub fn entry_buffers_allocated(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn entry_buffers_allocated(&self) -> u64 {
         self.entries.allocated()
     }
 
@@ -153,7 +154,7 @@ impl ReplicaStore {
     }
 
     /// The write timestamp stored for `key`.
-    pub fn timestamp_of(&self, key: &[u8]) -> Option<Timestamp> {
+    pub(crate) fn timestamp_of(&self, key: &[u8]) -> Option<Timestamp> {
         self.kv.timestamp_of(key)
     }
 
@@ -193,7 +194,7 @@ impl ReplicaStore {
 
     /// Applies a write under a timestamp the protocol's own rounds agreed
     /// (ABD), unless the stored one is as new. Returns whether it applied.
-    pub fn apply_if_newer(&mut self, key: &[u8], value: &[u8], ts: Timestamp) -> bool {
+    pub(crate) fn apply_if_newer(&mut self, key: &[u8], value: &[u8], ts: Timestamp) -> bool {
         let applied = self.kv.write_if_newer(key, value, ts).unwrap_or(false);
         self.applied += u64::from(applied);
         applied

@@ -40,7 +40,7 @@ fn at(path: &str) -> String {
 }
 
 /// Joins a parent path and a key into a dotted path.
-pub fn join(path: &str, key: &str) -> String {
+pub(crate) fn join(path: &str, key: &str) -> String {
     if path.is_empty() {
         key.to_string()
     } else {
@@ -75,12 +75,12 @@ impl<'a> MapDecoder<'a> {
     }
 
     /// The dotted path of this table.
-    pub fn path(&self) -> &str {
+    pub(crate) fn path(&self) -> &str {
         &self.path
     }
 
     /// Raw lookup; records `key` as known so `deny_unknown` accepts it.
-    pub fn get(&mut self, key: &'static str) -> Option<&'a Value> {
+    pub(crate) fn get(&mut self, key: &'static str) -> Option<&'a Value> {
         self.requested.push(key);
         serde::map_get(self.entries, key)
     }

@@ -17,7 +17,7 @@
 //!   `serde_json` stand-in), with line-numbered parse errors;
 //! * [`decode`] decodes the tree with full dotted-path error messages,
 //!   rejecting unknown keys with the allowed set;
-//! * [`model`] assembles and cross-validates the [`Scenario`], catching
+//! * `model` assembles and cross-validates the [`Scenario`], catching
 //!   contradictory knobs (a crash entry naming a node outside the group,
 //!   `batch_ops = 0`, transaction fan-out wider than the deployment, PBFT
 //!   with confidential shards, …) with the offending field named — the same
@@ -30,7 +30,7 @@
 //! CLI entry point.
 
 pub mod decode;
-pub mod model;
+mod model;
 pub mod run;
 pub mod toml;
 

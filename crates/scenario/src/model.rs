@@ -96,12 +96,12 @@ pub struct Expectations {
     /// were lost to a fault or the time cap.)
     pub zero_lost_commits: bool,
     /// Lower bound on total committed operations.
-    pub min_committed_ops: Option<u64>,
+    pub(crate) min_committed_ops: Option<u64>,
     /// At least one migration must reach cutover.
-    pub expect_migrations: bool,
+    pub(crate) expect_migrations: bool,
     /// At least one leader failover (view change) must be observed. Requires
     /// telemetry: view changes are only visible as spans.
-    pub expect_view_changes: bool,
+    pub(crate) expect_view_changes: bool,
 }
 
 /// A fully loaded and validated scenario: deployment, workload, the
@@ -152,7 +152,7 @@ impl Scenario {
     }
 
     /// Decodes and validates a scenario from a parsed value tree.
-    pub fn from_value(tree: &Value) -> Result<Self, ScenarioError> {
+    pub(crate) fn from_value(tree: &Value) -> Result<Self, ScenarioError> {
         let mut root = MapDecoder::new(tree, "")?;
         let name: String = root.req("name")?;
         let description: String = root.opt_or("description", String::new())?;

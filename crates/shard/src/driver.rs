@@ -159,7 +159,7 @@ impl<R: StoreReplica> ShardedCluster<R> {
     /// `Some(op.into())`.
     ///
     /// Single-key requests take the per-shard batched path; transactions run
-    /// atomic cross-shard 2PC through the shield layer (see [`crate::txn`]).
+    /// atomic cross-shard 2PC through the shield layer (see `crate::txn`).
     /// The online-rebalancing controller runs when
     /// [`crate::migration::RebalanceConfig::enabled`] is set on the
     /// deployment.

@@ -26,18 +26,18 @@
 //! tolerance and agreement are per-group properties, unchanged by sharding —
 //! which is exactly why confidentiality can be chosen *per shard* (sensitive
 //! key ranges pay the encryption cost, the rest run plaintext). Cross-shard
-//! transactions ([`txn`]) and online rebalancing ([`migration`]) build on the
+//! transactions (`txn`) and online rebalancing (`migration`) build on the
 //! placement primitives here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod driver;
-pub mod migration;
-pub mod router;
-pub mod sharded;
-pub mod spec;
-pub mod txn;
+mod migration;
+mod router;
+mod sharded;
+mod spec;
+mod txn;
 
 pub use migration::{MigrationStats, RebalanceConfig};
 pub use router::{RangeMove, RouteDecision, RouterVersion, ShardRouter};

@@ -132,10 +132,10 @@ pub struct MigrationStats {
     pub refusals: u64,
     /// Migration attempts aborted because the donor's store failed the
     /// verified-read export (Byzantine host tampered with the range).
-    pub export_failures: u64,
+    pub(crate) export_failures: u64,
     /// Committed moving-range writes that could not be captured for catch-up
     /// (donor leader gone or record unverifiable at capture time).
-    pub capture_misses: u64,
+    pub(crate) capture_misses: u64,
     /// Virtual nanoseconds of export/seal/import work charged to replicas.
     pub transfer_busy_ns: u64,
     /// Virtual time of the last completed cutover.

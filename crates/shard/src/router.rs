@@ -19,7 +19,7 @@
 //! epoch they last routed with; resolving a key through [`ShardRouter::route`]
 //! with a stale epoch yields a [`RouteDecision::WrongShard`] redirect carrying
 //! the new epoch, which is how in-flight traffic drains onto a new placement
-//! without downtime (see `recipe_shard::migration`).
+//! without downtime (see the crate's `migration` module).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -40,7 +40,7 @@ pub struct RouterVersion(pub u64);
 pub struct RangeMove {
     /// The epoch this move created (the first epoch at which `to` owns the arcs).
     pub version: RouterVersion,
-    /// Ring-arc indices that moved (see [`ShardRouter::arc_of_point`]).
+    /// Ring-arc indices that moved (see `ShardRouter::arc_of_point`).
     pub arcs: Vec<usize>,
     /// The donor shard.
     pub from: usize,
@@ -95,7 +95,7 @@ impl ShardRouter {
     /// Default virtual nodes per shard: enough that the busiest shard's share
     /// of a uniform hash space stays within ~5% of fair (measured over the
     /// 10k-key YCSB universe at 8 shards; see the sharding integration tests).
-    pub const DEFAULT_VNODES: usize = 256;
+    pub(crate) const DEFAULT_VNODES: usize = 256;
 
     /// Builds a ring for `shards` shards with `vnodes_per_shard` points each.
     ///
@@ -133,33 +133,23 @@ impl ShardRouter {
         Self::new(shards, Self::DEFAULT_VNODES)
     }
 
-    /// Number of shards on the ring.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Virtual nodes contributed by each shard.
-    pub fn vnodes_per_shard(&self) -> usize {
-        self.vnodes_per_shard
-    }
-
     /// The current routing epoch.
     pub fn version(&self) -> RouterVersion {
         RouterVersion(self.version)
     }
 
     /// Number of arcs on the ring (= distinct ring points).
-    pub fn arc_count(&self) -> usize {
+    pub(crate) fn arc_count(&self) -> usize {
         self.points.len()
     }
 
     /// The ring arc owning an already-hashed routing point.
-    pub fn arc_of_point(&self, point: u64) -> usize {
+    pub(crate) fn arc_of_point(&self, point: u64) -> usize {
         self.points.partition_point(|&p| p < point) % self.points.len()
     }
 
     /// The current owner of ring arc `arc`.
-    pub fn owner_of_arc(&self, arc: usize) -> usize {
+    pub(crate) fn owner_of_arc(&self, arc: usize) -> usize {
         self.owner[arc]
     }
 
@@ -259,7 +249,7 @@ impl ShardRouter {
     /// range export and donor-side eviction. The filter is self-contained
     /// (it clones the ring points), so it can be handed to replicas while the
     /// router is borrowed elsewhere.
-    pub fn arc_membership_filter(&self, arcs: &[usize]) -> impl Fn(&[u8]) -> bool + 'static {
+    pub(crate) fn arc_membership_filter(&self, arcs: &[usize]) -> impl Fn(&[u8]) -> bool + 'static {
         let points = self.points.clone();
         let arcs: std::collections::HashSet<usize> = arcs.iter().copied().collect();
         move |key: &[u8]| {

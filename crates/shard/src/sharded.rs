@@ -231,7 +231,7 @@ impl<R: Replica> ShardedCluster<R> {
     /// Mutable access to the router: pre-applying recorded moves before a run
     /// (replay testing against a final placement) or test setup. Mid-run
     /// mutation is the migration controller's job — see
-    /// [`crate::migration`].
+    /// `crate::migration`.
     pub fn router_mut(&mut self) -> &mut ShardRouter {
         &mut self.router
     }

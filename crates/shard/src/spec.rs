@@ -62,7 +62,7 @@ use crate::txn::TxnConfig;
 /// Most replicas a group may have. Replica ids are group-local,
 /// `0..replicas_per_shard`; the bound keeps them below every block of
 /// endpoint ids (see the assertion beside the 2PC coordinator's addresses).
-pub const MAX_REPLICAS_PER_SHARD: usize = 1 << 16;
+pub(crate) const MAX_REPLICAS_PER_SHARD: usize = 1 << 16;
 
 /// Per-shard overrides layered over a [`DeploymentSpec`]'s defaults.
 ///
@@ -94,12 +94,6 @@ impl ShardPolicy {
     /// stored values sealed, encryption cost charged).
     pub fn confidential() -> Self {
         ShardPolicy::new().with_confidentiality(ConfidentialityMode::Confidential)
-    }
-
-    /// A policy that makes the shard plaintext (overriding a confidential
-    /// workspace default).
-    pub fn plaintext() -> Self {
-        ShardPolicy::new().with_confidentiality(ConfidentialityMode::Plaintext)
     }
 
     /// Overrides the shard's confidentiality mode.
@@ -162,7 +156,7 @@ pub struct ResolvedShardPolicy {
 
 /// Declarative description of a sharded deployment: workspace-level defaults
 /// plus per-shard [`ShardPolicy`] overrides, consumed by
-/// [`ShardedCluster::build`]. See the [module docs](self) for the shape and
+/// [`ShardedCluster::build`]. The `spec` module's docs give the shape and
 /// an example.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DeploymentSpec {
@@ -772,9 +766,10 @@ mod tests {
 
     #[test]
     fn plaintext_policy_overrides_a_confidential_default() {
-        let spec = DeploymentSpec::new(2, 3)
-            .confidential()
-            .with_shard_policy(1, ShardPolicy::plaintext());
+        let spec = DeploymentSpec::new(2, 3).confidential().with_shard_policy(
+            1,
+            ShardPolicy::new().with_confidentiality(ConfidentialityMode::Plaintext),
+        );
         assert!(spec.policy_for(0).profile.confidential);
         assert!(!spec.policy_for(1).profile.confidential);
         let config = spec.to_sharded_config();

@@ -12,7 +12,7 @@
 //!
 //! 1. **Prepare** — each participant leader locks the touched keys in its
 //!    partitioned store and stages the writes (all-or-nothing per
-//!    participant; see `recipe_kv::txn`), then votes.
+//!    participant; see `recipe_kv::PartitionedKvStore::txn_prepare`), then votes.
 //! 2. **Decide** — all votes granted ⇒ **Commit**: each leader applies its
 //!    staged writes through its normal apply path and the coordinator
 //!    installs the applied records on the group's followers (the
@@ -31,7 +31,7 @@
 //! a closed-loop client has one transaction in flight (`txn_begin` asserts
 //! it) and every phase is answered by every participant before the next
 //! begins. What each of key, counter, transaction id and the lane's source
-//! check rejects is argued in `recipe_protocols::txn`; none of that logic
+//! check rejects is argued beside `recipe_protocols::TxnLanes`; none of that logic
 //! lives here. Frames cross the same adversarial network model as protocol
 //! traffic ([`TxnConfig::fault_plan`]): a dropped, tampered or reordered
 //! frame is retransmitted as the *same sealed bytes* — the sender's cached
@@ -56,7 +56,7 @@
 //! per phase is the durability barrier for exactly this record). When the
 //! participant leader crashes between prepare and commit, the group's next
 //! write coordinator *adopts* the replicated records (promoting them into
-//! real locked prepares; see `recipe_kv::txn::TxnTable::adopt_replicated`),
+//! real locked prepares; see `recipe_kv::PartitionedKvStore::txn_adopt_replicated`),
 //! and the coordinator — which holds the frame for the crashed group and
 //! retransmits after [`TxnConfig::retry_timeout_ns`] — lands the decision on
 //! the new leader: no transaction is lost, duplicated or parked. The lane's
@@ -125,10 +125,10 @@ pub struct TxnStats {
     /// Whole-transaction re-routes after a `WrongShard` redirect (a
     /// migration moved a touched key; the client re-resolves every key
     /// against the new epoch before 2PC starts).
-    pub wrong_shard_retries: u64,
+    pub(crate) wrong_shard_retries: u64,
     /// Whole-transaction backoffs because a touched range was draining for
     /// a migration cutover.
-    pub refusal_backoffs: u64,
+    pub(crate) refusal_backoffs: u64,
     /// 2PC frames sent (requests + responses, including retransmissions).
     pub frames_sent: u64,
     /// 2PC frames the adversary dropped (each triggers a retransmission).
@@ -146,7 +146,7 @@ pub struct TxnStats {
     pub participant_installs: u64,
     /// Virtual nanoseconds of prepare/commit/install work charged to
     /// participant replicas.
-    pub txn_busy_ns: u64,
+    pub(crate) txn_busy_ns: u64,
 }
 
 /// Which 2PC phase a transaction is in.

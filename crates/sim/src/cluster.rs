@@ -24,9 +24,9 @@ use crate::queue::{Calendar, Owner};
 use crate::replica::{Ctx, Effects, RangeEntry, RecoveryState, Replica};
 
 /// One replica group's configuration. Every node is charged under
-/// [`COST_MODEL`]; clients retransmit after [`RETRY_TIMEOUT_NS`], and the
+/// [`COST_MODEL`]; clients retransmit after `RETRY_TIMEOUT_NS`, and the
 /// configuration service reports a crash or recovery after
-/// [`FAILURE_DETECTION_DELAY_NS`].
+/// `FAILURE_DETECTION_DELAY_NS`.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// RNG seed (fault injection, routing tie-breaks).

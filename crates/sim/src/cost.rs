@@ -101,7 +101,7 @@ pub enum Work {
     /// total. The fixed per-message overheads — transport setup, MAC/AEAD
     /// fixed cost, signature — are charged **once per frame**, not once per
     /// op; each op past the first pays only the
-    /// [`ProtocolCostModel::batch_op_overhead_ns`] marginal plus its share
+    /// `ProtocolCostModel::batch_op_overhead_ns` marginal plus its share
     /// of the per-byte work already captured by `bytes`.
     Send {
         /// Protocol messages in the frame (`1` = an unbatched message).
@@ -179,7 +179,7 @@ pub enum Work {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostProfile {
     /// Native or TEE execution.
-    pub exec: ExecMode,
+    pub(crate) exec: ExecMode,
     /// Kernel sockets or direct I/O.
     pub transport: Transport,
     /// Whether the Recipe authentication/non-equivocation layer is active.
@@ -188,18 +188,18 @@ pub struct CostProfile {
     pub confidential: bool,
     /// Whether this node verifies/produces asymmetric signatures per message
     /// (classical BFT baselines) instead of symmetric MACs.
-    pub uses_signatures: bool,
+    pub(crate) uses_signatures: bool,
     /// Fixed application-level processing cost per message, nanoseconds
     /// (request parsing, queue handling, index update).
-    pub app_base_ns: f64,
+    pub(crate) app_base_ns: f64,
     /// Usable EPC bytes for this node's enclave (drives the value-size cliff).
-    pub epc_bytes: usize,
+    pub(crate) epc_bytes: usize,
     /// Approximate enclave-resident working set in bytes *excluding* per-message
     /// payload buffers (index, metadata, protocol queues).
-    pub resident_bytes: usize,
+    pub(crate) resident_bytes: usize,
     /// Number of message payloads resident in enclave buffers at a time
     /// (batching factor; larger batches stress the EPC, §B.3).
-    pub inflight_messages: usize,
+    pub(crate) inflight_messages: usize,
 }
 
 impl CostProfile {
@@ -295,16 +295,16 @@ pub struct ProtocolCostModel {
     /// Shared network cost parameters (also used by the Figure 6b bench).
     pub net: NetCostModel,
     /// Cost of a MAC computation or verification, nanoseconds (fixed part).
-    pub mac_ns: f64,
+    pub(crate) mac_ns: f64,
     /// Per-byte cost of MAC/hash computation, nanoseconds.
-    pub mac_per_byte_ns: f64,
+    pub(crate) mac_per_byte_ns: f64,
     /// Cost of an asymmetric signature generation/verification, nanoseconds.
-    pub signature_ns: f64,
+    pub(crate) signature_ns: f64,
     /// Per-byte cost of symmetric encryption (confidential mode), nanoseconds.
-    pub encrypt_per_byte_ns: f64,
+    pub(crate) encrypt_per_byte_ns: f64,
     /// Multiplier on application processing when executed inside a TEE
     /// (enclave transitions, shielded memory accesses).
-    pub tee_app_penalty: f64,
+    pub(crate) tee_app_penalty: f64,
     /// One-way network propagation delay between any two nodes, nanoseconds
     /// (same-rack datacenter fabric).
     pub link_latency_ns: u64,
@@ -313,7 +313,7 @@ pub struct ProtocolCostModel {
     /// Marginal cost per additional op inside a batch frame, nanoseconds
     /// (sub-frame parsing/dispatch; the fixed transport + MAC/AEAD setup is
     /// charged once per frame).
-    pub batch_op_overhead_ns: f64,
+    pub(crate) batch_op_overhead_ns: f64,
 }
 
 /// The cost model every node of every run is charged under.
@@ -332,12 +332,12 @@ pub const COST_MODEL: ProtocolCostModel = ProtocolCostModel {
 /// Client-side retransmission timeout, nanoseconds: an outstanding request
 /// is re-sent (possibly to a different coordinator) after this long without
 /// a reply, which is how clients survive coordinator crashes.
-pub const RETRY_TIMEOUT_NS: u64 = 100_000_000;
+pub(crate) const RETRY_TIMEOUT_NS: u64 = 100_000_000;
 
 /// How long after a crash (or recovery) the trusted configuration service
 /// notifies the surviving replicas, nanoseconds, via
 /// [`crate::Replica::on_peer_down`] / [`crate::Replica::on_peer_up`].
-pub const FAILURE_DETECTION_DELAY_NS: u64 = 15_000_000;
+pub(crate) const FAILURE_DETECTION_DELAY_NS: u64 = 15_000_000;
 
 impl ProtocolCostModel {
     /// The virtual nanoseconds `work` costs a node with `profile`, and — when
@@ -401,7 +401,7 @@ impl ProtocolCostModel {
     /// all cross the EPC cliff the same way (§B.3) — which is why batches,
     /// migration chunks and prepares are bounded. Native execution never
     /// pays it.
-    pub fn epc_pressure(&self, profile: &CostProfile, buffered_bytes: usize) -> f64 {
+    pub(crate) fn epc_pressure(&self, profile: &CostProfile, buffered_bytes: usize) -> f64 {
         if profile.exec == ExecMode::Native {
             return 1.0;
         }

@@ -24,10 +24,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
-pub mod cost;
-pub mod queue;
-pub mod replica;
+mod cluster;
+mod cost;
+mod queue;
+mod replica;
 
 pub use cluster::{
     Charged, Completion, GroupEvent, ReplicaGroup, RunStats, Scheduler, SimCluster, SimConfig,

@@ -48,7 +48,7 @@ impl Owner {
     pub const CONTROLLER: Owner = Owner(1);
 
     /// Replica group `shard`.
-    pub fn shard(shard: u16) -> Owner {
+    pub(crate) fn shard(shard: u16) -> Owner {
         Owner(2 + u32::from(shard))
     }
 
@@ -101,7 +101,7 @@ impl<T> Default for Calendar<T> {
 impl<T> Calendar<T> {
     /// The `seq` `owner`'s next push will take: how many events it ever
     /// scheduled.
-    pub fn next_seq(&self, owner: Owner) -> u64 {
+    pub(crate) fn next_seq(&self, owner: Owner) -> u64 {
         self.seqs.get(owner.0 as usize).copied().unwrap_or(0)
     }
 
@@ -114,7 +114,7 @@ impl<T> Calendar<T> {
 
     /// [`Calendar::push`] for events that mostly come in key order — timers
     /// of one fixed delay. Pops exactly as `push` would have it.
-    pub fn push_timer(&mut self, at: u64, owner: Owner, payload: T) {
+    pub(crate) fn push_timer(&mut self, at: u64, owner: Owner, payload: T) {
         let key = self.key(at, owner, payload);
         match self.lane.back() {
             Some(last) if key < *last => self.heap.push(Reverse(key)),

@@ -54,11 +54,6 @@ impl Ctx {
         self.now
     }
 
-    /// The node this context belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// The group's free list of frame buffers: a frame built in one of its
     /// spares goes back to it once the network is done with the frame.
     pub fn frames(&mut self) -> &mut FramePool {
@@ -103,11 +98,6 @@ impl Ctx {
     /// Drains the queued effects (used by the simulator).
     pub(crate) fn take_effects(self) -> Effects {
         self.effects
-    }
-
-    /// Number of messages queued so far (useful in tests).
-    pub fn queued_messages(&self) -> usize {
-        self.effects.outbox.len()
     }
 }
 
@@ -289,7 +279,6 @@ mod tests {
             TrustedInstant::from_millis(5),
             Effects::default(),
         );
-        assert_eq!(ctx.node(), NodeId(1));
         assert_eq!(ctx.now(), TrustedInstant::from_millis(5));
 
         ctx.send(NodeId(2), vec![1, 2]);
@@ -305,7 +294,6 @@ mod tests {
             replier: 1,
         });
         ctx.set_timer(1_000, 7);
-        assert_eq!(ctx.queued_messages(), 4); // broadcast skips self
 
         let Effects {
             outbox,
@@ -313,7 +301,7 @@ mod tests {
             timers,
             ..
         } = ctx.take_effects();
-        assert_eq!(outbox.len(), 4);
+        assert_eq!(outbox.len(), 4); // broadcast skips self
         assert_eq!(outbox[0], (NodeId(2), vec![1, 2], 1));
         assert_eq!(outbox[3], (NodeId(0), vec![7], 16));
         assert!(outbox.iter().all(|(dst, _, _)| *dst != NodeId(1)));

@@ -24,13 +24,6 @@ impl TrustedInstant {
         TrustedInstant { nanos }
     }
 
-    /// Builds an instant from microseconds since the origin.
-    pub const fn from_micros(micros: u64) -> Self {
-        TrustedInstant {
-            nanos: micros * 1_000,
-        }
-    }
-
     /// Builds an instant from milliseconds since the origin.
     pub const fn from_millis(millis: u64) -> Self {
         TrustedInstant {
@@ -44,30 +37,8 @@ impl TrustedInstant {
     }
 
     /// Seconds since the origin, as a float (for reporting).
-    pub fn as_secs_f64(&self) -> f64 {
+    pub(crate) fn as_secs_f64(&self) -> f64 {
         self.nanos as f64 / 1e9
-    }
-
-    /// Returns this instant advanced by `nanos`.
-    pub const fn plus_nanos(&self, nanos: u64) -> TrustedInstant {
-        TrustedInstant {
-            nanos: self.nanos + nanos,
-        }
-    }
-
-    /// Returns this instant advanced by `micros`.
-    pub const fn plus_micros(&self, micros: u64) -> TrustedInstant {
-        self.plus_nanos(micros * 1_000)
-    }
-
-    /// Returns this instant advanced by `millis`.
-    pub const fn plus_millis(&self, millis: u64) -> TrustedInstant {
-        self.plus_nanos(millis * 1_000_000)
-    }
-
-    /// Duration in nanoseconds since `earlier`, saturating at zero.
-    pub fn nanos_since(&self, earlier: TrustedInstant) -> u64 {
-        self.nanos.saturating_sub(earlier.nanos)
     }
 }
 
@@ -88,12 +59,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn instant_arithmetic() {
-        let t = TrustedInstant::from_millis(2);
-        assert_eq!(t.as_nanos(), 2_000_000);
-        assert_eq!(t.plus_micros(500).as_nanos(), 2_500_000);
-        assert_eq!(t.nanos_since(TrustedInstant::from_millis(1)), 1_000_000);
-        assert_eq!(TrustedInstant::from_millis(1).nanos_since(t), 0);
+    fn millis_convert_to_nanos() {
+        assert_eq!(TrustedInstant::from_millis(2).as_nanos(), 2_000_000);
     }
 
     #[test]

@@ -23,11 +23,6 @@ pub struct TrustedCounter {
 }
 
 impl TrustedCounter {
-    /// Creates a counter starting at zero.
-    pub fn new() -> Self {
-        TrustedCounter { value: 0 }
-    }
-
     /// Returns the current value without modifying it.
     pub fn current(&self) -> u64 {
         self.value
@@ -66,7 +61,7 @@ mod tests {
 
     #[test]
     fn increments_are_strictly_monotonic() {
-        let mut c = TrustedCounter::new();
+        let mut c = TrustedCounter::default();
         let a = c.increment();
         let b = c.increment();
         let d = c.increment();
@@ -76,7 +71,7 @@ mod tests {
 
     #[test]
     fn advance_to_accepts_only_forward_jumps() {
-        let mut c = TrustedCounter::new();
+        let mut c = TrustedCounter::default();
         c.advance_to(5).unwrap();
         assert!(c.advance_to(8).is_ok());
         assert_eq!(c.current(), 8);
@@ -94,7 +89,7 @@ mod tests {
     proptest! {
         #[test]
         fn increment_sequence_is_gap_free(start in 0u64..1_000_000, steps in 1usize..200) {
-            let mut c = TrustedCounter::new();
+            let mut c = TrustedCounter::default();
             if start > 0 {
                 c.advance_to(start).unwrap();
             }

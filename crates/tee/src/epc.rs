@@ -18,14 +18,14 @@
 pub const DEFAULT_EPC_BYTES: usize = 8 * 1024 * 1024;
 
 /// Maximum slowdown attributed to EPC paging.
-pub const MAX_PRESSURE_FACTOR: f64 = 8.0;
+pub(crate) const MAX_PRESSURE_FACTOR: f64 = 8.0;
 
 /// Paging-pressure multiplier for an enclave of `capacity` usable bytes
 /// holding `resident` bytes.
 ///
 /// 1.0 while the working set fits; above capacity it grows by 3 per unit of
 /// over-subscription (2× over-subscribed → 4×), capped at
-/// [`MAX_PRESSURE_FACTOR`]. An enclave with no usable EPC pages everything
+/// `MAX_PRESSURE_FACTOR`. An enclave with no usable EPC pages everything
 /// and pays the cap.
 pub fn pressure(capacity: usize, resident: usize) -> f64 {
     if capacity == 0 {

@@ -26,13 +26,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
-pub mod counter;
-pub mod enclave;
+mod clock;
+mod counter;
+mod enclave;
 pub mod epc;
-pub mod error;
-pub mod quote;
-pub mod sealed;
+mod error;
+mod quote;
+mod sealed;
 
 pub use clock::TrustedInstant;
 pub use counter::TrustedCounter;
@@ -41,5 +41,5 @@ pub use enclave::{
     CIPHER_LABEL,
 };
 pub use error::TeeError;
-pub use quote::{HardwareKey, Quote, Report};
+pub use quote::{Quote, Report};
 pub use sealed::SealedBlob;

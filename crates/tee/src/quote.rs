@@ -11,7 +11,7 @@
 //!    vendor's root of trust and compares the measurement against the expected
 //!    value.
 
-use recipe_crypto::{hash_parts, Digest, Nonce, PublicKey, Signature, SigningKeyPair};
+use recipe_crypto::{hash_parts, Nonce, PublicKey, Signature, SigningKeyPair};
 use serde::{Deserialize, Serialize};
 
 use crate::enclave::{EnclaveId, Measurement};
@@ -24,7 +24,7 @@ use crate::error::TeeError;
 /// Byzantine host cannot reach this key: it is only accessible through
 /// [`crate::enclave::Enclave`] methods, mirroring the hardware isolation boundary.
 #[derive(Clone, Debug)]
-pub struct HardwareKey {
+pub(crate) struct HardwareKey {
     keys: SigningKeyPair,
 }
 
@@ -34,19 +34,19 @@ impl HardwareKey {
     /// Determinism stands in for "fused at manufacturing time": a given platform
     /// always has the same key, and the vendor (and therefore the CAS) can compute
     /// the matching public key for verification.
-    pub fn for_platform(platform_id: u64) -> Self {
+    pub(crate) fn for_platform(platform_id: u64) -> Self {
         HardwareKey {
             keys: SigningKeyPair::generate_from_seed(0xA77E_57A7_0000_0000 ^ platform_id),
         }
     }
 
     /// Public half of the hardware key, published by the platform vendor.
-    pub fn public(&self) -> PublicKey {
+    pub(crate) fn public(&self) -> PublicKey {
         self.keys.public()
     }
 
     /// Signs an attestation report (the `sign(μ, key_hw)` step of Algorithm 2).
-    pub fn sign_report(&self, report: &Report) -> Signature {
+    pub(crate) fn sign_report(&self, report: &Report) -> Signature {
         self.keys.sign(&report.signing_bytes())
     }
 }
@@ -55,7 +55,7 @@ impl HardwareKey {
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Report {
     /// Identity of the enclave producing the report.
-    pub enclave_id: EnclaveId,
+    pub(crate) enclave_id: EnclaveId,
     /// Measurement (hash) of the code and initial state loaded into the enclave.
     pub measurement: Measurement,
     /// The challenger's freshness nonce, echoed back.
@@ -67,7 +67,7 @@ pub struct Report {
 
 impl Report {
     /// Canonical byte encoding that gets signed.
-    pub fn signing_bytes(&self) -> Vec<u8> {
+    pub(crate) fn signing_bytes(&self) -> Vec<u8> {
         let digest = hash_parts(&[
             b"recipe.tee.report",
             &self.enclave_id.0.to_le_bytes(),
@@ -76,11 +76,6 @@ impl Report {
             &self.kx_public,
         ]);
         digest.as_bytes().to_vec()
-    }
-
-    /// Digest of the report (used as a stable identifier in logs and tests).
-    pub fn digest(&self) -> Digest {
-        hash_parts(&[b"recipe.tee.report.digest", &self.signing_bytes()])
     }
 }
 
@@ -237,15 +232,6 @@ mod tests {
             HardwareKey::for_platform(1).public(),
             HardwareKey::for_platform(2).public()
         );
-    }
-
-    #[test]
-    fn report_digest_is_stable_and_field_sensitive() {
-        let a = sample_report(Nonce::from_u128(5));
-        let mut b = a.clone();
-        assert_eq!(a.digest(), b.digest());
-        b.enclave_id = EnclaveId(8);
-        assert_ne!(a.digest(), b.digest());
     }
 
     #[test]

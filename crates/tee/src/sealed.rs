@@ -55,16 +55,6 @@ impl SealedBlob {
             .map_err(|_| TeeError::UnsealFailed)
     }
 
-    /// Size of the sealed blob on the wire / on disk.
-    pub fn len(&self) -> usize {
-        self.ciphertext.wire_len() + self.label.len()
-    }
-
-    /// True if the sealed payload was empty.
-    pub fn is_empty(&self) -> bool {
-        self.ciphertext.bytes.is_empty()
-    }
-
     fn sealing_key(platform_secret: &MacKey, measurement: &Measurement, label: &str) -> CipherKey {
         let derived = platform_secret
             .derive("recipe.tee.sealing")
@@ -101,8 +91,6 @@ mod tests {
             blob.unseal(&platform(), &measurement()).unwrap(),
             b"super secret seed"
         );
-        assert!(!blob.is_empty());
-        assert!(blob.len() > b"super secret seed".len());
     }
 
     #[test]
@@ -159,7 +147,6 @@ mod tests {
             Nonce::from_u128(1),
             b"",
         );
-        assert!(blob.is_empty());
         assert_eq!(blob.unseal(&platform(), &measurement()).unwrap(), b"");
     }
 }

@@ -4,7 +4,7 @@
 //! component terms (transport, MAC, AEAD, TEE multiplier, EPC pressure, …) and
 //! truncates the sum to integer nanoseconds. The same evaluation files that
 //! integer by component into a [`CostBreakdown`] (cumulative truncation, in
-//! `recipe_sim::cost`), so the per-category integers always sum to the exact
+//! `recipe_sim::ProtocolCostModel`), so the per-category integers always sum to the exact
 //! `u64` the simulator charged — the attribution table cannot drift from the
 //! clock it explains.
 
@@ -116,7 +116,7 @@ impl CostBreakdown {
     }
 
     /// Element-wise accumulate.
-    pub fn merge(&mut self, other: &CostBreakdown) {
+    pub(crate) fn merge(&mut self, other: &CostBreakdown) {
         for (a, b) in self.slots.iter_mut().zip(other.slots.iter()) {
             *a += b;
         }
@@ -153,7 +153,7 @@ impl ShardAttribution {
     /// charged work fits the run (work scheduled past the end of the run can
     /// push the busy sum above capacity; `Idle` then stays 0 and the caller's
     /// ±1% reconciliation check covers the overhang).
-    pub fn fill_idle(&mut self) {
+    pub(crate) fn fill_idle(&mut self) {
         let busy = self.busy.total();
         let idle = self.capacity_ns().saturating_sub(busy);
         self.busy.add(CostCategory::Idle, idle);

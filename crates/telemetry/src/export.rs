@@ -123,9 +123,9 @@ impl TelemetryReport {
 
 /// One JSONL span line.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpanLine {
+pub(crate) struct SpanLine {
     /// Always `"span"`.
-    pub record: String,
+    pub(crate) record: String,
     /// A [`SpanKind`] stable name.
     pub kind: String,
     /// Shard id.
@@ -142,24 +142,24 @@ pub struct SpanLine {
 
 /// One JSONL metric line (a flattened registry sample).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricLine {
+pub(crate) struct MetricLine {
     /// Always `"metric"`.
-    pub record: String,
+    pub(crate) record: String,
     /// The registry sample.
     pub sample: MetricSample,
 }
 
 /// One JSONL attribution cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AttributionLine {
+pub(crate) struct AttributionLine {
     /// Always `"attribution"`.
-    pub record: String,
+    pub(crate) record: String,
     /// Shard id.
     pub shard: u32,
     /// A [`CostCategory`] stable name.
     pub category: String,
     /// Nanoseconds attributed to the category on this shard.
-    pub busy_ns: u64,
+    pub(crate) busy_ns: u64,
     /// The shard's elapsed virtual time.
     pub elapsed_ns: u64,
     /// Replicas in the shard's group.
@@ -217,10 +217,7 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
                 if metric.sample.name.is_empty() {
                     return Err(format!("line {n}: metric with empty name"));
                 }
-                if !matches!(
-                    metric.sample.kind.as_str(),
-                    "counter" | "gauge" | "histogram"
-                ) {
+                if !matches!(metric.sample.kind.as_str(), "counter" | "histogram") {
                     return Err(format!(
                         "line {n}: unknown metric kind {:?}",
                         metric.sample.kind

@@ -4,7 +4,7 @@
 //! quantifiable cost at each layer: AEAD/MAC in the shield, trusted counters,
 //! EPC paging, replication round trips. This crate makes those costs visible
 //! without perturbing them: a **span tracer on the virtual clock**, a
-//! **metrics registry** (counters, gauges, log-bucketed histograms with
+//! **metrics registry** (counters and log-bucketed histograms with
 //! labels) and **cost attribution** that splits every charged virtual
 //! nanosecond into the cost-model component that consumed it.
 //!
@@ -17,25 +17,26 @@
 //!
 //! ## Structure
 //!
-//! * [`span`] — [`SpanKind`]/[`Span`]/[`Tracer`]: the request-lifecycle span
+//! * `span` — [`SpanKind`]/[`Span`]/[`Tracer`]: the request-lifecycle span
 //!   taxonomy, 2PC legs, migration phases, fault-injector events.
-//! * [`metrics`] — [`MetricsRegistry`]/[`Histogram`]: named metrics with
+//! * `metrics` — [`MetricsRegistry`]/`Histogram`: named metrics with
 //!   `shard=`-style labels and p50/p90/p99/p999 histograms.
-//! * [`attribution`] — [`CostCategory`]/[`CostBreakdown`]: exact integer
+//! * `attribution` — [`CostCategory`]/[`CostBreakdown`]: exact integer
 //!   splitting of cost-model charges, plus per-shard reconciliation against
 //!   `replicas × elapsed` with an explicit `idle` remainder.
-//! * [`export`] — [`TelemetryReport`]: Chrome `trace_event` JSON (open in
+//! * `export` — [`TelemetryReport`]: Chrome `trace_event` JSON (open in
 //!   `chrome://tracing` or Perfetto), JSONL export, and the schema validator
 //!   CI runs against `fig_observe`'s output.
 
-pub mod attribution;
-pub mod export;
-pub mod metrics;
-pub mod span;
+mod attribution;
+mod export;
+mod metrics;
+mod span;
 
 pub use attribution::{CostBreakdown, CostCategory, ShardAttribution};
 pub use export::{validate_jsonl, JsonlSummary, TelemetryReport};
-pub use metrics::{shard_labels, Histogram, MetricId, MetricSample, MetricValue, MetricsRegistry};
+use metrics::{shard_labels, Histogram};
+pub use metrics::{MetricSample, MetricsRegistry};
 pub use span::{Span, SpanKind, Tracer};
 
 /// Telemetry gating, set on a deployment with
@@ -115,7 +116,7 @@ impl ChargeKind {
     ];
 
     /// Stable lower-snake name, used as the `charge.<name>_ns` metric suffix.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ChargeKind::ClientIngest => "client_ingest",
             ChargeKind::PeerDeliver => "peer_deliver",
@@ -161,7 +162,7 @@ pub struct ProtocolCounters {
 
 impl ProtocolCounters {
     /// Element-wise accumulate.
-    pub fn merge(&mut self, other: &ProtocolCounters) {
+    pub(crate) fn merge(&mut self, other: &ProtocolCounters) {
         self.sealed_frames += other.sealed_frames;
         self.sealed_ops += other.sealed_ops;
         self.opened_frames += other.opened_frames;
@@ -197,11 +198,6 @@ impl ShardTelemetry {
             latency_ns: Histogram::new(),
             protocol: ProtocolCounters::default(),
         }
-    }
-
-    /// The shard this telemetry belongs to.
-    pub fn shard(&self) -> u32 {
-        self.shard
     }
 
     /// Records a duration span on this shard.
@@ -242,21 +238,6 @@ impl ShardTelemetry {
     /// Folds a replica's protocol counters in (scraped at end of run).
     pub fn absorb_protocol_counters(&mut self, counters: &ProtocolCounters) {
         self.protocol.merge(counters);
-    }
-
-    /// The accumulated category breakdown.
-    pub fn busy(&self) -> &CostBreakdown {
-        &self.busy
-    }
-
-    /// Nanoseconds charged at `kind` sites.
-    pub fn charged_at(&self, kind: ChargeKind) -> u64 {
-        self.charges[kind.index()]
-    }
-
-    /// The scraped protocol counters.
-    pub fn protocol_counters(&self) -> &ProtocolCounters {
-        &self.protocol
     }
 
     /// The span tracer (mutable, for merging).
@@ -342,17 +323,14 @@ mod tests {
             ..ProtocolCounters::default()
         });
 
-        assert_eq!(t.shard(), 3);
-        assert_eq!(t.charged_at(ChargeKind::ClientIngest), b.total());
-        assert_eq!(t.charged_at(ChargeKind::TxnPrepare), 10_000);
-        assert_eq!(t.busy().get(CostCategory::Replication), 10_000);
-
-        let mut registry = MetricsRegistry::new();
+        let mut registry = MetricsRegistry::default();
         let attr = t.export(3, 1_000_000, &mut registry);
         assert_eq!(attr.shard, 3);
         assert_eq!(attr.busy.total(), attr.capacity_ns());
         let samples = registry.snapshot();
-        assert!(samples.iter().any(|s| s.name == "charge.client_ingest_ns"));
+        let charged = |name: &str| samples.iter().find(|s| s.name == name).map(|s| s.value);
+        assert_eq!(charged("charge.client_ingest_ns"), Some(b.total() as f64));
+        assert_eq!(charged("charge.txn_prepare_ns"), Some(10_000.0));
         assert!(samples
             .iter()
             .any(|s| s.name == "request_latency_ns" && s.count == 1));

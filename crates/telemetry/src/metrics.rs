@@ -1,5 +1,5 @@
-//! The metrics registry: named counters, gauges and log-bucketed latency
-//! histograms with label support.
+//! The metrics registry: named counters and log-bucketed latency histograms
+//! with label support.
 //!
 //! Metric identity is `name` plus an ordered `(key, value)` label list — the
 //! usual `latency{shard="2"}` shape, with the label order fixed by the caller
@@ -20,7 +20,7 @@ const SUB: usize = 1 << SUB_BITS;
 /// report the lower bound of the bucket holding the requested rank, so they
 /// never overstate a latency.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     buckets: Vec<u64>,
     count: u64,
     sum: u128,
@@ -48,12 +48,12 @@ fn bucket_lower(idx: usize) -> u64 {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram::default()
     }
 
     /// Records one sample.
-    pub fn observe(&mut self, value: u64) {
+    pub(crate) fn observe(&mut self, value: u64) {
         let idx = bucket_index(value);
         if self.buckets.len() <= idx {
             self.buckets.resize(idx + 1, 0);
@@ -71,17 +71,12 @@ impl Histogram {
     }
 
     /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
-    /// Sum of all samples.
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
     /// Mean sample, `0.0` when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -91,7 +86,7 @@ impl Histogram {
 
     /// The `q`-quantile (`0.0 ..= 1.0`): the lower bound of the bucket that
     /// contains the sample of rank `ceil(q * count)`. `0` when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -107,7 +102,7 @@ impl Histogram {
     }
 
     /// `(p50, p90, p99, p999)` in one pass-friendly call.
-    pub fn percentiles(&self) -> (u64, u64, u64, u64) {
+    pub(crate) fn percentiles(&self) -> (u64, u64, u64, u64) {
         (
             self.quantile(0.50),
             self.quantile(0.90),
@@ -117,7 +112,7 @@ impl Histogram {
     }
 
     /// Folds `other`'s samples into `self` (bucket-wise; min/max/sum exact).
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
             return;
         }
@@ -141,11 +136,9 @@ impl Histogram {
 
 /// What a registry entry holds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
+pub(crate) enum MetricValue {
     /// Monotonic counter.
     Counter(u64),
-    /// Last-write-wins gauge.
-    Gauge(f64),
     /// Log-bucketed sample distribution.
     Histogram(Histogram),
 }
@@ -154,7 +147,6 @@ impl MetricValue {
     fn kind(&self) -> &'static str {
         match self {
             MetricValue::Counter(_) => "counter",
-            MetricValue::Gauge(_) => "gauge",
             MetricValue::Histogram(_) => "histogram",
         }
     }
@@ -162,31 +154,31 @@ impl MetricValue {
 
 /// A handle to a registered metric; updates through it are an index away.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricId(usize);
+pub(crate) struct MetricId(usize);
 
 /// A point-in-time view of one metric, flattened for export: counters carry
-/// `value`, gauges carry `value`, histograms carry `count`, `value` (= mean)
-/// and the four percentile fields.
+/// `value`, histograms carry `count`, `value` (= mean) and the four
+/// percentile fields.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricSample {
     /// Metric name.
     pub name: String,
     /// Ordered labels.
     pub labels: Vec<(String, String)>,
-    /// `"counter"`, `"gauge"` or `"histogram"`.
+    /// `"counter"` or `"histogram"`.
     pub kind: String,
-    /// Counter/gauge value; histogram mean.
+    /// Counter value; histogram mean.
     pub value: f64,
-    /// Histogram sample count (`0` for counters/gauges).
+    /// Histogram sample count (`0` for counters).
     pub count: u64,
-    /// Histogram p50 (`0` for counters/gauges).
-    pub p50: f64,
+    /// Histogram p50 (`0` for counters).
+    pub(crate) p50: f64,
     /// Histogram p90.
-    pub p90: f64,
+    pub(crate) p90: f64,
     /// Histogram p99.
     pub p99: f64,
     /// Histogram p999.
-    pub p999: f64,
+    pub(crate) p999: f64,
 }
 
 /// The registry: deterministic name → metric map plus dense storage.
@@ -210,11 +202,6 @@ fn metric_key(name: &str, labels: &[(&str, String)]) -> String {
 }
 
 impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
     fn register(&mut self, name: &str, labels: &[(&str, String)], value: MetricValue) -> MetricId {
         let key = metric_key(name, labels);
         if let Some(&idx) = self.index.get(&key) {
@@ -234,44 +221,21 @@ impl MetricsRegistry {
     }
 
     /// Gets or creates a counter.
-    pub fn counter(&mut self, name: &str, labels: &[(&str, String)]) -> MetricId {
+    pub(crate) fn counter(&mut self, name: &str, labels: &[(&str, String)]) -> MetricId {
         self.register(name, labels, MetricValue::Counter(0))
     }
 
-    /// Gets or creates a gauge.
-    pub fn gauge(&mut self, name: &str, labels: &[(&str, String)]) -> MetricId {
-        self.register(name, labels, MetricValue::Gauge(0.0))
-    }
-
     /// Gets or creates a histogram.
-    pub fn histogram(&mut self, name: &str, labels: &[(&str, String)]) -> MetricId {
+    pub(crate) fn histogram(&mut self, name: &str, labels: &[(&str, String)]) -> MetricId {
         self.register(name, labels, MetricValue::Histogram(Histogram::new()))
     }
 
     /// Adds `n` to a counter (no-op with a debug assert on kind mismatch).
-    pub fn inc(&mut self, id: MetricId, n: u64) {
+    pub(crate) fn inc(&mut self, id: MetricId, n: u64) {
         if let MetricValue::Counter(c) = &mut self.values[id.0] {
             *c += n;
         } else {
             debug_assert!(false, "inc on a non-counter metric");
-        }
-    }
-
-    /// Sets a gauge.
-    pub fn set(&mut self, id: MetricId, value: f64) {
-        if let MetricValue::Gauge(g) = &mut self.values[id.0] {
-            *g = value;
-        } else {
-            debug_assert!(false, "set on a non-gauge metric");
-        }
-    }
-
-    /// Records a histogram sample.
-    pub fn observe(&mut self, id: MetricId, value: u64) {
-        if let MetricValue::Histogram(h) = &mut self.values[id.0] {
-            h.observe(value);
-        } else {
-            debug_assert!(false, "observe on a non-histogram metric");
         }
     }
 
@@ -282,21 +246,11 @@ impl MetricsRegistry {
     }
 
     /// Borrow a histogram mutably (e.g. to merge a shard's samples in).
-    pub fn histogram_value_mut(&mut self, id: MetricId) -> Option<&mut Histogram> {
+    pub(crate) fn histogram_value_mut(&mut self, id: MetricId) -> Option<&mut Histogram> {
         match &mut self.values[id.0] {
             MetricValue::Histogram(h) => Some(h),
             _ => None,
         }
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when nothing has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// Flattens every metric into samples, ordered by the deterministic
@@ -309,7 +263,6 @@ impl MetricsRegistry {
                 let value = &self.values[idx];
                 let (v, count, p50, p90, p99, p999) = match value {
                     MetricValue::Counter(c) => (*c as f64, 0, 0.0, 0.0, 0.0, 0.0),
-                    MetricValue::Gauge(g) => (*g, 0, 0.0, 0.0, 0.0, 0.0),
                     MetricValue::Histogram(h) => {
                         let (p50, p90, p99, p999) = h.percentiles();
                         (
@@ -339,7 +292,7 @@ impl MetricsRegistry {
 }
 
 /// Renders a `shard` label list (the registry's most common label shape).
-pub fn shard_labels(shard: u32) -> [(&'static str, String); 1] {
+pub(crate) fn shard_labels(shard: u32) -> [(&'static str, String); 1] {
     [("shard", shard.to_string())]
 }
 
@@ -400,28 +353,25 @@ mod tests {
 
     #[test]
     fn registry_is_deterministic_and_handle_updates_work() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         let c = reg.counter("commits", &shard_labels(1));
         reg.inc(c, 5);
         reg.inc(c, 2);
-        let g = reg.gauge("imbalance", &[]);
-        reg.set(g, 0.25);
         let h = reg.histogram("latency_ns", &shard_labels(1));
-        reg.observe(h, 1_000);
-        reg.observe(h, 2_000);
+        let histogram = reg.histogram_value_mut(h).unwrap();
+        histogram.observe(1_000);
+        histogram.observe(2_000);
         // Re-registration returns the same handle.
         assert_eq!(reg.counter("commits", &shard_labels(1)), c);
-        assert_eq!(reg.len(), 3);
 
         let samples = reg.snapshot();
-        assert_eq!(samples.len(), 3);
-        // BTreeMap key order: commits < imbalance < latency_ns.
+        assert_eq!(samples.len(), 2);
+        // BTreeMap key order: commits < latency_ns.
         assert_eq!(samples[0].name, "commits");
         assert_eq!(samples[0].value, 7.0);
-        assert_eq!(samples[1].name, "imbalance");
-        assert_eq!(samples[2].kind, "histogram");
-        assert_eq!(samples[2].count, 2);
-        assert!(samples[2].p50 > 0.0);
+        assert_eq!(samples[1].kind, "histogram");
+        assert_eq!(samples[1].count, 2);
+        assert!(samples[1].p50 > 0.0);
     }
 
     #[test]

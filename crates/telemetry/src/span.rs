@@ -109,7 +109,7 @@ impl SpanKind {
     ];
 
     /// Stable lower-snake name used in the JSONL export and the Chrome trace.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             SpanKind::ClientSubmit => "client_submit",
             SpanKind::RouterResolve => "router_resolve",
@@ -141,7 +141,7 @@ impl SpanKind {
     }
 
     /// Parses the stable name back (used by the JSONL schema validator).
-    pub fn parse(name: &str) -> Option<SpanKind> {
+    pub(crate) fn parse(name: &str) -> Option<SpanKind> {
         SpanKind::ALL.into_iter().find(|k| k.as_str() == name)
     }
 }
@@ -168,7 +168,7 @@ pub struct Span {
 
 impl Span {
     /// An instant span (zero duration) at `at_ns`.
-    pub fn instant(kind: SpanKind, shard: u32, node: u64, at_ns: u64, tag: u64) -> Self {
+    pub(crate) fn instant(kind: SpanKind, shard: u32, node: u64, at_ns: u64, tag: u64) -> Self {
         Span {
             kind,
             shard,
@@ -180,7 +180,7 @@ impl Span {
     }
 
     /// Duration in virtual nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
+    pub(crate) fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
 }
@@ -197,7 +197,7 @@ pub struct Tracer {
 
 impl Tracer {
     /// A tracer that stores at most `cap` spans (`0` means unlimited).
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         Tracer {
             spans: Vec::new(),
             cap,
@@ -206,17 +206,12 @@ impl Tracer {
     }
 
     /// Records one span (drops it, counted, past the cap).
-    pub fn record(&mut self, span: Span) {
+    pub(crate) fn record(&mut self, span: Span) {
         if self.cap != 0 && self.spans.len() >= self.cap {
             self.dropped += 1;
         } else {
             self.spans.push(span);
         }
-    }
-
-    /// The recorded spans, in recording order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
     }
 
     /// Spans dropped after the cap was reached.
@@ -248,9 +243,10 @@ mod tests {
         for i in 0..5 {
             tracer.record(Span::instant(SpanKind::Reply, 0, 1, i, i));
         }
-        assert_eq!(tracer.spans().len(), 2);
         assert_eq!(tracer.dropped(), 3);
-        assert_eq!(tracer.spans()[1].start_ns, 1);
+        let spans = tracer.take_spans();
+        assert_eq!(spans.len(), 2);
+        assert_eq!(spans[1].start_ns, 1);
     }
 
     #[test]

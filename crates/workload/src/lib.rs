@@ -32,11 +32,6 @@ pub enum WorkloadOp {
 }
 
 impl WorkloadOp {
-    /// True for writes.
-    pub fn is_write(&self) -> bool {
-        matches!(self, WorkloadOp::Write { .. })
-    }
-
     /// The key the operation touches.
     pub fn key(&self) -> &[u8] {
         match self {
@@ -195,12 +190,11 @@ pub struct WorkloadGenerator {
     spec: WorkloadSpec,
     rng: StdRng,
     zipf: Option<Zipf>,
-    issued: u64,
 }
 
 impl WorkloadGenerator {
     /// Creates a generator for `spec`.
-    pub fn new(spec: WorkloadSpec) -> Self {
+    pub(crate) fn new(spec: WorkloadSpec) -> Self {
         let zipf = match spec.distribution {
             KeyDistribution::Zipfian { theta } => Some(Zipf::new(spec.key_space, theta)),
             KeyDistribution::Uniform => None,
@@ -209,23 +203,11 @@ impl WorkloadGenerator {
             rng: StdRng::seed_from_u64(spec.seed),
             zipf,
             spec,
-            issued: 0,
         }
-    }
-
-    /// The specification this generator follows.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
-    }
-
-    /// Number of operations issued so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
     }
 
     /// Produces the next operation.
     pub fn next_op(&mut self) -> WorkloadOp {
-        self.issued += 1;
         let key_index = match &self.zipf {
             Some(zipf) => zipf.sample(&mut self.rng),
             None => self.rng.gen_range(0..self.spec.key_space),
@@ -262,11 +244,6 @@ impl WorkloadRequest {
             WorkloadRequest::Single(op) => std::slice::from_ref(op),
             WorkloadRequest::Txn(ops) => ops,
         }
-    }
-
-    /// True for transactions.
-    pub fn is_txn(&self) -> bool {
-        matches!(self, WorkloadRequest::Txn(_))
     }
 }
 
@@ -324,7 +301,7 @@ pub struct TxnWorkloadGenerator {
 
 impl TxnWorkloadGenerator {
     /// Creates a generator for `spec`.
-    pub fn new(spec: TxnWorkloadSpec) -> Self {
+    pub(crate) fn new(spec: TxnWorkloadSpec) -> Self {
         let shape_seed = spec
             .base
             .seed
@@ -334,11 +311,6 @@ impl TxnWorkloadGenerator {
             shape_rng: StdRng::seed_from_u64(shape_seed),
             spec,
         }
-    }
-
-    /// The specification this generator follows.
-    pub fn spec(&self) -> &TxnWorkloadSpec {
-        &self.spec
     }
 
     /// Produces the next request. `classify` maps a key to its placement
@@ -388,7 +360,7 @@ impl TxnWorkloadGenerator {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TenantMixSpec {
     /// One workload mix per tenant, declaration order (must be non-empty).
-    pub mixes: Vec<WorkloadSpec>,
+    pub(crate) mixes: Vec<WorkloadSpec>,
 }
 
 impl TenantMixSpec {
@@ -403,7 +375,7 @@ impl TenantMixSpec {
     ///
     /// # Panics
     /// Panics if `mixes` is empty.
-    pub fn tenant_of(&self, client_id: u64) -> usize {
+    pub(crate) fn tenant_of(&self, client_id: u64) -> usize {
         assert!(!self.mixes.is_empty(), "at least one tenant mix");
         (client_id % self.mixes.len() as u64) as usize
     }
@@ -411,7 +383,7 @@ impl TenantMixSpec {
     /// The per-client spec: the owning tenant's mix with a client-unique
     /// seed folded in, so same-tenant clients draw independent streams while
     /// the whole population stays a pure function of the mix seeds.
-    pub fn spec_for_client(&self, client_id: u64) -> WorkloadSpec {
+    pub(crate) fn spec_for_client(&self, client_id: u64) -> WorkloadSpec {
         let mix = &self.mixes[self.tenant_of(client_id)];
         WorkloadSpec {
             seed: mix
@@ -450,13 +422,14 @@ mod tests {
         for ratio in [0.5, 0.75, 0.9, 0.95, 0.99] {
             let mut generator = WorkloadSpec::ycsb(ratio, 256).generator();
             let n = 20_000;
-            let reads = (0..n).filter(|_| !generator.next_op().is_write()).count();
+            let reads = (0..n)
+                .filter(|_| matches!(generator.next_op(), WorkloadOp::Read { .. }))
+                .count();
             let measured = reads as f64 / n as f64;
             assert!(
                 (measured - ratio).abs() < 0.02,
                 "ratio {ratio}: measured {measured}"
             );
-            assert_eq!(generator.issued(), n as u64);
         }
     }
 
@@ -549,10 +522,6 @@ mod tests {
                 classes.dedup();
                 assert!(classes.len() <= 2, "fan-out bound violated: {classes:?}");
             }
-            assert_eq!(
-                ra.is_txn(),
-                ra.ops().len() > 1 || matches!(ra, WorkloadRequest::Txn(_))
-            );
         }
         let fraction = txns as f64 / 3_000.0;
         assert!((fraction - 0.4).abs() < 0.05, "txn fraction {fraction}");
