@@ -59,7 +59,7 @@ use recipe_tee::{CipherHandle, CounterHandle, Enclave, KeyHandle, TeeError};
 use crate::error::RecipeError;
 use crate::message::{
     channel_mac_block, channel_nonce_prefix, BatchFrame, BatchOp, Body, Family, FrameView,
-    SequenceTuple, ShieldedMessage, TxnBody, TxnFrame,
+    SequenceTuple, ShieldedMessage, TxnBody, TxnBodyRef, TxnFrame,
 };
 use crate::policy::ConfidentialityMode;
 use crate::pool::FramePool;
@@ -252,11 +252,12 @@ pub enum ViewOutcome<'a> {
     Rejected,
 }
 
-/// What an admitted frame opens into ([`AuthLayer::open`]).
+/// What an admitted frame opens into ([`AuthLayer::open`]); a 2PC body
+/// opens only when it decodes ([`TxnBodyRef::decode`]).
 enum Opened<'a> {
     Message { kind: u16, payload: Cow<'a, [u8]> },
     Batch(Vec<(u16, Cow<'a, [u8]>)>),
-    Txn { txn_id: u64, body: TxnBody },
+    Txn { txn_id: u64, body: Cow<'a, [u8]> },
 }
 
 /// An authentic, fresh frame, as [`AuthLayer::admit`] found it.
@@ -835,19 +836,19 @@ impl AuthLayer {
         }
     }
 
-    /// Verifies a two-phase-commit frame where it lies in the received bytes
-    /// ([`FrameView::parse_txn`]): the checks of [`AuthLayer::verify_view`]
-    /// for a frame of the transaction family. A plaintext body is decoded
-    /// from the bytes, and only a sealed one is copied, to be decrypted. A
-    /// frame ahead of its predecessors is dropped rather than buffered — see
-    /// [`TxnVerifyOutcome::OutOfOrder`] — and a replication frame
-    /// authenticates nothing here.
-    pub fn verify_txn_view(&mut self, frame: FrameView<'_>) -> TxnVerifyOutcome {
+    /// [`AuthLayer::open_txn_view`] told apart by [`TxnVerifyOutcome`], the
+    /// body copied out into a [`TxnBody`] of its own (a sealed one copied to
+    /// be decrypted).
+    pub(crate) fn verify_txn_view(&mut self, frame: FrameView<'_>) -> TxnVerifyOutcome {
         match self.receive(frame, true) {
-            Ok((counter, Opened::Txn { txn_id, body })) => TxnVerifyOutcome::Accept {
-                txn_id,
-                body,
-                counter,
+            Ok((counter, Opened::Txn { txn_id, body })) => match TxnFrame::decode_body(&body) {
+                Some(body) => TxnVerifyOutcome::Accept {
+                    txn_id,
+                    body,
+                    counter,
+                },
+                // `open` decoded it already.
+                None => TxnVerifyOutcome::DecryptionFailed,
             },
             // A 2PC frame opens as one.
             Ok(_) => TxnVerifyOutcome::DecryptionFailed,
@@ -855,8 +856,42 @@ impl AuthLayer {
         }
     }
 
-    /// [`AuthLayer::verify_txn_view`] on a frame struct, its body decrypted
-    /// where it lies.
+    /// Verifies a two-phase-commit frame where it lies in the received bytes
+    /// ([`FrameView::parse_txn`]): the checks of [`AuthLayer::verify_view`]
+    /// for a frame of the transaction family. A frame ahead of its
+    /// predecessors is dropped rather than buffered — see
+    /// [`TxnVerifyOutcome::OutOfOrder`] — and a replication frame
+    /// authenticates nothing here.
+    ///
+    /// Delivers the transaction id and the body decoded where it lies, with
+    /// nothing copied out: a plaintext body is read in the received bytes; a
+    /// sealed one is copied into a spare from `frames`, left in `spare` for
+    /// the caller to give back once done with the body, and decrypted there
+    /// — never in the received bytes, which a 2PC sender keeps and resends as
+    /// they are. `None` for every frame not accepted, each counted as
+    /// [`TxnVerifyOutcome`] tells them apart.
+    pub fn open_txn_view<'a>(
+        &mut self,
+        frame: FrameView<'a>,
+        frames: &mut FramePool,
+        spare: &'a mut Option<Vec<u8>>,
+    ) -> Option<(u64, TxnBodyRef<'a>)> {
+        match self.receive(frame.lend_sealed_body(frames, spare), true) {
+            // A body lent or shared opens where it lies.
+            Ok((
+                _,
+                Opened::Txn {
+                    txn_id,
+                    body: Cow::Borrowed(body),
+                },
+            )) => Some((txn_id, TxnBodyRef::decode(body)?)),
+            _ => None,
+        }
+    }
+
+    /// [`AuthLayer::open_txn_view`] on a frame struct, told apart by
+    /// [`TxnVerifyOutcome`]: the body decrypted where it lies and decoded
+    /// into a [`TxnBody`] of its own.
     pub fn verify_txn(&mut self, frame: TxnFrame) -> TxnVerifyOutcome {
         self.verify_txn_view(frame.into_view())
     }
@@ -951,10 +986,10 @@ impl AuthLayer {
                 }
                 Opened::Batch(ops)
             }
-            Family::Txn { txn_id } => Opened::Txn {
-                txn_id,
-                body: TxnFrame::decode_body(&body)?,
-            },
+            Family::Txn { txn_id } => {
+                TxnBodyRef::decode(&body)?;
+                Opened::Txn { txn_id, body }
+            }
         };
         Some(opened)
     }

@@ -38,8 +38,8 @@ pub use error::RecipeError;
 pub use membership::Membership;
 pub use message::{
     mac_compressions, BatchFrame, BatchOp, ClientReply, ClientRequest, FrameView, Operation,
-    Request, SequenceTuple, ShieldedMessage, TxnBody, TxnFrame, BATCH_MAC_HEADER_LEN,
-    SINGLE_MAC_HEADER_LEN, TXN_MAC_HEADER_LEN,
+    Request, SequenceTuple, ShieldedMessage, TxnBody, TxnBodyRef, TxnFrame, TxnOps,
+    BATCH_MAC_HEADER_LEN, SINGLE_MAC_HEADER_LEN, TXN_MAC_HEADER_LEN,
 };
 pub use policy::ConfidentialityMode;
 pub use pool::FramePool;

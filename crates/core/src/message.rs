@@ -9,6 +9,7 @@ use recipe_net::{ChannelId, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+use crate::pool::FramePool;
 use crate::wire::{bytes_len, tag, Reader, Writer};
 
 /// The per-message sequence tuple `t = (view, cq, cnt_cq)` of Algorithm 1.
@@ -515,10 +516,31 @@ impl<'a> FrameView<'a> {
     }
 
     /// Reads a [`TxnFrame`] from wire bytes, for
-    /// [`crate::AuthLayer::verify_txn_view`]: what [`TxnFrame::from_wire`]
+    /// [`crate::AuthLayer::open_txn_view`]: what [`TxnFrame::from_wire`]
     /// reads, with the body left where it lies.
     pub fn parse_txn(bytes: &'a [u8]) -> Option<FrameView<'a>> {
         Self::read(bytes, tag::TXN)
+    }
+
+    /// The frame with a sealed body it shares with its sender copied into a
+    /// spare from `frames` — left in `spare`, for the caller to give back —
+    /// and lent to it there: admitted, the body is decrypted in the copy, and
+    /// the received bytes are only read. A plaintext frame, or one whose
+    /// body is its own or lent already, comes back as it was.
+    pub(crate) fn lend_sealed_body(
+        self,
+        frames: &mut FramePool,
+        spare: &'a mut Option<Vec<u8>>,
+    ) -> FrameView<'a> {
+        let body = match self.body {
+            Body::Shared(bytes) if self.sealed => {
+                let copy = spare.insert(frames.take(bytes.len()));
+                copy.extend_from_slice(bytes);
+                Body::Lent(copy)
+            }
+            body => body,
+        };
+        FrameView { body, ..self }
     }
 
     /// The node the frame says it comes from (unverified until the MAC is).
@@ -825,9 +847,6 @@ pub enum Operation {
 }
 
 impl Operation {
-    /// Wire bytes of the smallest operation: variant byte plus an empty key.
-    const MIN_LEN: usize = 1 + 4;
-
     /// Appends the wire encoding: `0 | key | value` for a put, `1 | key` for
     /// a get.
     pub(crate) fn write(&self, w: &mut Writer) {
@@ -845,17 +864,32 @@ impl Operation {
         }
     }
 
+    /// Reads one operation where it lies: its key, and its value when it
+    /// writes.
+    fn read_ref<'a>(r: &mut Reader<'a>) -> Option<(&'a [u8], Option<&'a [u8]>)> {
+        match r.u8()? {
+            0 => {
+                let key = r.bytes()?;
+                Some((key, Some(r.bytes()?)))
+            }
+            1 => Some((r.bytes()?, None)),
+            _ => None,
+        }
+    }
+
     /// Reads one operation.
     pub(crate) fn read(r: &mut Reader<'_>) -> Option<Operation> {
-        match r.u8()? {
-            0 => Some(Operation::Put {
-                key: r.bytes()?.to_vec(),
-                value: r.bytes()?.to_vec(),
-            }),
-            1 => Some(Operation::Get {
-                key: r.bytes()?.to_vec(),
-            }),
-            _ => None,
+        Self::read_ref(r).map(Self::from_ref)
+    }
+
+    /// The operation [`Operation::read_ref`] read, copied out.
+    fn from_ref((key, value): (&[u8], Option<&[u8]>)) -> Operation {
+        match value {
+            Some(value) => Operation::Put {
+                key: key.to_vec(),
+                value: value.to_vec(),
+            },
+            None => Operation::Get { key: key.to_vec() },
         }
     }
 
@@ -961,6 +995,107 @@ pub enum TxnBody {
         /// Writes applied by a commit (0 for aborts).
         applied: u32,
     },
+}
+
+/// A received [`TxnBody`], decoded where it lies ([`TxnBodyRef::decode`]):
+/// a prepare's operations and a refusal's key are slices of the body bytes,
+/// so opening a frame copies none of them. [`TxnFrame::decode_body`] is this
+/// decode, copied out.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TxnBodyRef<'a> {
+    /// [`TxnBody::Prepare`].
+    Prepare(TxnOps<'a>),
+    /// [`TxnBody::Vote`].
+    Vote {
+        /// True when every key was locked and every write staged.
+        granted: bool,
+        /// The first conflicting key when `granted` is false.
+        conflict: Option<&'a [u8]>,
+    },
+    /// [`TxnBody::Commit`].
+    Commit,
+    /// [`TxnBody::Abort`].
+    Abort,
+    /// [`TxnBody::Ack`].
+    Ack {
+        /// Writes applied by a commit (0 for aborts).
+        applied: u32,
+    },
+}
+
+/// A received prepare's operations where they lie in its body: every one
+/// was checked when the body was decoded, and they are read one by one.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TxnOps<'a> {
+    count: usize,
+    bytes: &'a [u8],
+}
+
+impl<'a> TxnOps<'a> {
+    /// Number of operations.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// True for a prepare that touches nothing.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The operations, in client order: each one's key, and its value when
+    /// it writes.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a [u8], Option<&'a [u8]>)> {
+        let mut r = Reader::new(self.bytes);
+        std::iter::from_fn(move || Operation::read_ref(&mut r))
+    }
+}
+
+impl<'a> TxnBodyRef<'a> {
+    /// Decodes a frame body (`tag | variant | fields`) where it lies. `None`
+    /// on malformed bytes: a truncated or unknown operation, an unknown
+    /// variant, trailing bytes.
+    pub fn decode(bytes: &'a [u8]) -> Option<TxnBodyRef<'a>> {
+        let mut r = Reader::tagged(bytes, tag::TXN_BODY)?;
+        let body = match r.u8()? {
+            0 => {
+                let count = usize::try_from(r.u32()?).ok()?;
+                // The operations are the rest of the body (`finish` below
+                // refuses anything after them); each is checked now, so
+                // `TxnOps::iter` reads only well-formed ones.
+                let bytes = r.remaining();
+                for _ in 0..count {
+                    Operation::read_ref(&mut r)?;
+                }
+                TxnBodyRef::Prepare(TxnOps { count, bytes })
+            }
+            1 => TxnBodyRef::Vote {
+                granted: r.bool()?,
+                conflict: r.opt_bytes()?,
+            },
+            2 => TxnBodyRef::Commit,
+            3 => TxnBodyRef::Abort,
+            4 => TxnBodyRef::Ack { applied: r.u32()? },
+            _ => return None,
+        };
+        r.finish()?;
+        Some(body)
+    }
+
+    /// The body copied out of the bytes it lies in.
+    pub fn to_body(self) -> TxnBody {
+        match self {
+            TxnBodyRef::Prepare(ops) => TxnBody::Prepare {
+                ops: ops.iter().map(Operation::from_ref).collect(),
+            },
+            TxnBodyRef::Vote { granted, conflict } => TxnBody::Vote {
+                granted,
+                conflict: conflict.map(<[u8]>::to_vec),
+            },
+            TxnBodyRef::Commit => TxnBody::Commit,
+            TxnBodyRef::Abort => TxnBody::Abort,
+            TxnBodyRef::Ack { applied } => TxnBody::Ack { applied },
+        }
+    }
 }
 
 /// Body bytes of a vote that names no conflicting key: `tag | variant |
@@ -1073,24 +1208,10 @@ impl TxnFrame {
         }
     }
 
-    /// Decodes a frame body. `None` on malformed bytes.
+    /// Decodes a frame body into a body of its own ([`TxnBodyRef::decode`],
+    /// copied out). `None` on malformed bytes.
     pub fn decode_body(bytes: &[u8]) -> Option<TxnBody> {
-        let mut r = Reader::tagged(bytes, tag::TXN_BODY)?;
-        let body = match r.u8()? {
-            0 => TxnBody::Prepare {
-                ops: r.seq(Operation::MIN_LEN, Operation::read)?,
-            },
-            1 => TxnBody::Vote {
-                granted: r.bool()?,
-                conflict: r.opt_bytes()?.map(<[u8]>::to_vec),
-            },
-            2 => TxnBody::Commit,
-            3 => TxnBody::Abort,
-            4 => TxnBody::Ack { applied: r.u32()? },
-            _ => return None,
-        };
-        r.finish()?;
-        Some(body)
+        TxnBodyRef::decode(bytes).map(TxnBodyRef::to_body)
     }
 
     /// Serializes the frame for the wire:
@@ -1667,6 +1788,87 @@ mod tests {
                 ..frame.clone()
             };
             assert_eq!(in_place(&body), by_struct.to_wire());
+        }
+    }
+
+    #[test]
+    fn a_body_decoded_where_it_lies_agrees_with_the_owned_decode() {
+        let put = |key: &[u8], value: &[u8]| Operation::Put {
+            key: key.to_vec(),
+            value: value.to_vec(),
+        };
+        let get = |key: &[u8]| Operation::Get { key: key.to_vec() };
+        for body in [
+            TxnBody::Prepare {
+                ops: vec![put(b"a", b"1"), get(b"b"), put(b"a", b""), put(b"", b"2")],
+            },
+            TxnBody::Prepare { ops: Vec::new() },
+            TxnBody::Vote {
+                granted: true,
+                conflict: None,
+            },
+            TxnBody::Vote {
+                granted: false,
+                conflict: Some(b"key".to_vec()),
+            },
+            TxnBody::Commit,
+            TxnBody::Abort,
+            TxnBody::Ack { applied: 3 },
+        ] {
+            let bytes = TxnFrame::encode_body(&body);
+            let lent = TxnBodyRef::decode(&bytes).expect("an encoded body decodes");
+            assert_eq!(lent.to_body(), body);
+            assert_eq!(TxnFrame::decode_body(&bytes), Some(body.clone()));
+            if let (TxnBodyRef::Prepare(ops), TxnBody::Prepare { ops: owned }) = (lent, &body) {
+                assert_eq!((ops.len(), ops.is_empty()), (owned.len(), owned.is_empty()));
+                let expected: Vec<_> = owned
+                    .iter()
+                    .map(|op| match op {
+                        Operation::Put { key, value } => (&key[..], Some(&value[..])),
+                        Operation::Get { key } => (&key[..], None),
+                    })
+                    .collect();
+                assert_eq!(ops.iter().collect::<Vec<_>>(), expected);
+                // Every key is a slice of the body bytes: nothing was copied.
+                let within = bytes.as_ptr_range();
+                assert!(ops
+                    .iter()
+                    .all(|(key, _)| within.contains(&key.as_ptr()) || key.is_empty()));
+            }
+        }
+
+        // Both refuse the same malformed bodies.
+        let prepare = TxnFrame::encode_body(&TxnBody::Prepare {
+            ops: vec![put(b"k", b"v"), get(b"g")],
+        });
+        let with = |at: usize, byte: u8| {
+            let mut bytes = prepare.clone();
+            bytes[at] = byte;
+            bytes
+        };
+        let commit = TxnFrame::encode_body(&TxnBody::Commit);
+        for (case, bytes) in [
+            (
+                "a truncated operation",
+                prepare[..prepare.len() - 1].to_vec(),
+            ),
+            ("an operation too many claimed", with(2, 3)),
+            ("an operation too few claimed", with(2, 1)),
+            ("an unknown operation variant", with(6, 2)),
+            ("an unknown body variant", with(1, 9)),
+            ("another family's tag", with(0, tag::RAFT)),
+            (
+                "trailing bytes after the operations",
+                [&prepare[..], &[0]].concat(),
+            ),
+            (
+                "trailing bytes after a decision",
+                [&commit[..], &[0]].concat(),
+            ),
+            ("nothing at all", Vec::new()),
+        ] {
+            assert_eq!(TxnBodyRef::decode(&bytes), None, "{case}");
+            assert_eq!(TxnFrame::decode_body(&bytes), None, "{case}");
         }
     }
 

@@ -257,6 +257,11 @@ impl<'a> Reader<'a> {
         Some(items)
     }
 
+    /// The bytes not read yet.
+    pub(crate) fn remaining(&self) -> &'a [u8] {
+        self.rest
+    }
+
     /// Succeeds only when every byte was consumed.
     pub fn finish(self) -> Option<()> {
         self.rest.is_empty().then_some(())

@@ -421,12 +421,46 @@ impl PartitionedKvStore {
         self.txns.prepare(txn_id, ops)
     }
 
-    /// Commit phase of 2PC: removes `txn_id`'s staged writes and releases its
-    /// locks. The caller applies the returned writes through its normal write
-    /// path so versions and replication counters stay consistent. `None` when
-    /// the transaction is unknown (already resolved) — ack idempotently.
+    /// Commit phase of 2PC with the writes handed out rather than applied:
+    /// removes `txn_id`'s staged writes and releases its locks, returning the
+    /// writes in operation order for the caller to apply through its normal
+    /// write path. `None` when the transaction is unknown (already resolved)
+    /// — ack idempotently.
     pub fn txn_take_staged(&mut self, txn_id: u64) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.txns.take_staged(txn_id)
+        let mut txn = self.txns.take_staged(txn_id)?;
+        let writes = txn
+            .writes_mut()
+            .map(|(key, value)| (key.to_vec(), std::mem::take(value)))
+            .collect();
+        self.txns.recycle(txn);
+        Some(writes)
+    }
+
+    /// Commit phase of 2PC: releases `txn_id`'s locks and writes its staged
+    /// writes in operation order, each stamped by `stamp` from the key's
+    /// stored timestamp. `committed` sees each write — key, value, timestamp
+    /// — just before its value's buffer moves into the host arena; the
+    /// buffer it displaces there takes its place in the transaction's
+    /// record, for the record to stage a later write in. An unknown
+    /// transaction (already resolved) writes nothing.
+    pub fn txn_commit(
+        &mut self,
+        txn_id: u64,
+        mut stamp: impl FnMut(Option<Timestamp>) -> Timestamp,
+        mut committed: impl FnMut(&[u8], &[u8], Timestamp),
+    ) {
+        let Some(mut txn) = self.txns.take_staged(txn_id) else {
+            return;
+        };
+        for (key, value) in txn.writes_mut() {
+            let timestamp = stamp(self.timestamp_of(key));
+            committed(key, value, timestamp);
+            let staged = std::mem::take(value);
+            if let Ok((_, Some(displaced))) = self.write_owned(key, staged, timestamp) {
+                *value = displaced;
+            }
+        }
+        self.txns.recycle(txn);
     }
 
     /// Abort phase of 2PC: discards `txn_id`'s staged writes and releases its

@@ -393,6 +393,7 @@ impl<P: CftProtocol> BuildReplica for RecipeReplica<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::lock_pairs;
     use crate::{build_cluster, TxnVote};
     use recipe_core::Operation;
     use recipe_net::CrashPlan;
@@ -480,7 +481,7 @@ mod tests {
         let mut cluster = cluster(BatchConfig::unbatched());
         let leader = cluster.replica_mut(NodeId(0));
         assert_eq!(
-            leader.store().txn_prepare(7, &[put(b"k")]),
+            leader.store().txn_prepare(7, lock_pairs(&[put(b"k")])),
             TxnVote::Granted
         );
         assert!(cluster.submit_at(0, 1, 1, put(b"k")));

@@ -19,7 +19,7 @@ use std::borrow::Cow;
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{
     AuthLayer, BatchFrame, BatchOp, ConfidentialityMode, FramePool, FrameView, Membership, TxnBody,
-    TxnVerifyOutcome, ViewOutcome,
+    TxnBodyRef, ViewOutcome,
 };
 use recipe_crypto::{CipherKey, MacKey};
 use recipe_net::{ChannelId, NodeId};
@@ -526,30 +526,42 @@ impl ProtocolShield {
     /// ever.
     ///
     /// The frame is verified where it lies, as [`ProtocolShield::unwrap`]
-    /// verifies the others, but `bytes` are only read: a plaintext body is
-    /// decoded from them, and a sealed one is copied to be decrypted — a
-    /// coordinator resends the same cached bytes, so they cannot be opened
-    /// in place.
+    /// verifies the others, but `bytes` are only read — a coordinator
+    /// resends the same cached bytes, so they cannot be opened in place: a
+    /// sealed body is decrypted in a copy. The body comes back in a
+    /// [`TxnBody`] of its own; the 2PC lanes open their frames through
+    /// `unwrap_txn_in`, which copies nothing out.
     pub fn unwrap_txn(&mut self, from: NodeId, bytes: &[u8]) -> Option<(u64, TxnBody)> {
+        let mut spare = None;
+        let opened = self.unwrap_txn_in(&mut FramePool::default(), from, bytes, &mut spare);
+        opened.map(|(txn_id, body)| (txn_id, body.to_body()))
+    }
+
+    /// [`ProtocolShield::unwrap_txn`] with the body decoded where it lies:
+    /// in `bytes` when it travelled in plaintext, and in a spare from
+    /// `frames` when it was sealed — copied there, decrypted there, and left
+    /// in `spare` for the caller to give back to `frames` once done with the
+    /// body.
+    pub(crate) fn unwrap_txn_in<'a>(
+        &mut self,
+        frames: &mut FramePool,
+        from: NodeId,
+        bytes: &'a [u8],
+        spare: &'a mut Option<Vec<u8>>,
+    ) -> Option<(u64, TxnBodyRef<'a>)> {
         let auth = self
             .auth
             .as_mut()
             .expect("2PC frames require a Recipe-mode shield");
-        let frame = FrameView::parse_txn(bytes).filter(|frame| frame.source() == from);
-        let Some(frame) = frame else {
+        let opened = FrameView::parse_txn(bytes)
+            .filter(|frame| frame.source() == from)
+            .and_then(|frame| auth.open_txn_view(frame, frames, spare));
+        if opened.is_some() {
+            self.opened_frames += 1;
+        } else {
             self.dropped += 1;
-            return None;
-        };
-        match auth.verify_txn_view(frame) {
-            TxnVerifyOutcome::Accept { txn_id, body, .. } => {
-                self.opened_frames += 1;
-                Some((txn_id, body))
-            }
-            _ => {
-                self.dropped += 1;
-                None
-            }
         }
+        opened
     }
 
     /// Unwraps wire bytes received from `from` (single messages and batch

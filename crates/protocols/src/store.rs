@@ -25,6 +25,16 @@
 //! requests — keeps it empty and frees what its writes displace; a
 //! follower that becomes leader empties it
 //! ([`ReplicaStore::drop_entry_buffers`]).
+//!
+//! Two-phase commit keeps to free lists as well. A prepare's keys and
+//! values are staged in buffers the transaction table's records keep from
+//! one transaction to the next, and at commit each staged value moves into
+//! the store as it is applied, the buffer it displaces going back to its
+//! record. The applied records the coordinator installs on the other
+//! replicas ([`ReplicaStore::txn_commit`]) are copied into spares of this
+//! list and come back once installed ([`ReplicaStore::recycle_entries`]);
+//! a replica installs each value in a spare of its own list and files what
+//! it displaces ([`ReplicaStore::txn_install`]).
 
 use recipe_core::{FramePool, Operation};
 use recipe_kv::{KvError, PartitionedKvStore, ReadResult, StoreConfig, Timestamp, TxnOpRef};
@@ -61,6 +71,30 @@ pub enum Stamping {
     Lamport,
 }
 
+impl Stamping {
+    /// The timestamp of a write that is operation number `applied` of
+    /// replica `node`, to a key whose stored timestamp `stored` reads.
+    fn stamp(
+        self,
+        applied: u64,
+        node: u64,
+        stored: impl FnOnce() -> Option<Timestamp>,
+    ) -> Timestamp {
+        match self {
+            Stamping::Sequence => Timestamp::new(applied, node),
+            Stamping::Lamport => stored().unwrap_or(Timestamp::ZERO).next_for(node),
+        }
+    }
+}
+
+/// `bytes` copied into a spare from `entries` sized for them: the last one
+/// given back to their size class, or a new buffer.
+fn copy(entries: &mut FramePool, bytes: &[u8]) -> Vec<u8> {
+    let mut buf = entries.take(bytes.len());
+    buf.extend_from_slice(bytes);
+    buf
+}
+
 /// A replica type that keeps its state in a [`ReplicaStore`] — what the
 /// sharded driver requires of the replicas it runs.
 pub trait StoreReplica: Replica {
@@ -86,7 +120,7 @@ pub struct ReplicaStore {
 
 /// Lends protocol operations to the store as its `(key, staged write)` pairs:
 /// reads lock their key and stage nothing, writes lock and stage the value.
-fn lock_pairs(ops: &[Operation]) -> impl Iterator<Item = TxnOpRef<'_>> {
+pub(crate) fn lock_pairs(ops: &[Operation]) -> impl Iterator<Item = TxnOpRef<'_>> {
     ops.iter().map(|op| match op {
         Operation::Get { key } => (key.as_slice(), None),
         Operation::Put { key, value } => (key.as_slice(), Some(value.as_slice())),
@@ -117,9 +151,7 @@ impl ReplicaStore {
     /// `bytes`, a key or value, copied into a spare sized for them: the
     /// last one given back to their size class, or a new buffer.
     pub(crate) fn copy_entry(&mut self, bytes: &[u8]) -> Vec<u8> {
-        let mut buf = self.entries.take(bytes.len());
-        buf.extend_from_slice(bytes);
-        buf
+        copy(&mut self.entries, bytes)
     }
 
     /// Gives back a buffer [`Self::copy_entry`] lent, or one the protocol
@@ -174,13 +206,9 @@ impl ReplicaStore {
     /// returns nothing for it.
     pub fn apply(&mut self, key: &[u8], value: Vec<u8>) {
         self.applied += 1;
-        let ts = match self.stamping {
-            Stamping::Sequence => Timestamp::new(self.applied, self.node),
-            Stamping::Lamport => {
-                let stored = self.kv.timestamp_of(key).unwrap_or(Timestamp::ZERO);
-                stored.next_for(self.node)
-            }
-        };
+        let ts = self
+            .stamping
+            .stamp(self.applied, self.node, || self.kv.timestamp_of(key));
         if let Ok((_, Some(displaced))) = self.kv.write_owned(key, value, ts) {
             self.entries.give(displaced);
         }
@@ -207,9 +235,14 @@ impl ReplicaStore {
     // ------------------------------------------------------------------
 
     /// 2PC prepare: locks every key `ops` touches and stages the writes,
-    /// all-or-nothing.
-    pub fn txn_prepare(&mut self, txn_id: u64, ops: &[Operation]) -> TxnVote {
-        match self.kv.txn_prepare_borrowed(txn_id, lock_pairs(ops)) {
+    /// all-or-nothing. The operations are lent (a decoded prepare's, where
+    /// they lie in its frame); the store copies what it stages.
+    pub fn txn_prepare<'a>(
+        &mut self,
+        txn_id: u64,
+        ops: impl IntoIterator<Item = TxnOpRef<'a>>,
+    ) -> TxnVote {
+        match self.kv.txn_prepare_borrowed(txn_id, ops) {
             Ok(()) => TxnVote::Granted,
             Err(KvError::LockConflict { key, .. }) => TxnVote::Conflict { key },
             // The transaction table only reports lock conflicts today; anything
@@ -218,21 +251,39 @@ impl ReplicaStore {
         }
     }
 
-    /// 2PC commit: applies `txn_id`'s staged writes through [`Self::apply`]
+    /// 2PC commit: applies `txn_id`'s staged writes as [`Self::apply`] does
     /// — so sequence numbers and timestamps advance exactly as for the
-    /// protocol's own writes — releases its locks, and returns the applied
-    /// records with the timestamps the store now holds; the coordinator
-    /// installs them on the group's other replicas ([`Self::import_range`]).
-    /// An unknown transaction returns nothing (idempotent re-commit).
-    pub fn txn_commit(&mut self, txn_id: u64) -> Vec<RangeEntry> {
-        let writes = self.kv.txn_take_staged(txn_id).unwrap_or_default();
-        let mut entries = Vec::with_capacity(writes.len());
-        for (key, value) in writes {
-            self.apply(&key, value.clone());
-            let ts = self.kv.timestamp_of(&key).unwrap_or_default();
-            entries.push(entry(key, value, ts));
+    /// protocol's own writes, and each staged value's buffer is the one the
+    /// store keeps — releases its locks, and appends the applied records to
+    /// `committed` with the timestamps the store now holds, copied into
+    /// spares of the entry list ("Entry buffers"); the coordinator installs
+    /// them on the group's other replicas ([`Self::txn_install`]) and gives
+    /// them back ([`Self::recycle_entries`]). An unknown transaction appends
+    /// nothing (idempotent re-commit).
+    pub fn txn_commit(&mut self, txn_id: u64, committed: &mut Vec<RangeEntry>) {
+        let ReplicaStore {
+            kv,
+            node,
+            stamping,
+            applied,
+            entries,
+        } = self;
+        let stamp = |stored| {
+            *applied += 1;
+            stamping.stamp(*applied, *node, || stored)
+        };
+        kv.txn_commit(txn_id, stamp, |key, value, ts| {
+            committed.push(entry(copy(entries, key), copy(entries, value), ts));
+        });
+    }
+
+    /// Gives back the buffers of the records [`Self::txn_commit`] copied out,
+    /// once nothing reads them, leaving `committed` empty.
+    pub fn recycle_entries(&mut self, committed: &mut Vec<RangeEntry>) {
+        for RangeEntry { key, value, .. } in committed.drain(..) {
+            self.entries.give(key);
+            self.entries.give(value);
         }
-        entries
     }
 
     /// 2PC abort: discards `txn_id`'s staged writes and releases its locks.
@@ -244,8 +295,12 @@ impl ReplicaStore {
     /// locks) until adopted on failover. The coordinator's prepare phase
     /// already pays the group replication round trip in the cost model; this
     /// is the state that round trip carries.
-    pub fn txn_stage_replicated(&mut self, txn_id: u64, ops: &[Operation]) {
-        self.kv.txn_stage_replicated(txn_id, lock_pairs(ops));
+    pub fn txn_stage_replicated<'a>(
+        &mut self,
+        txn_id: u64,
+        ops: impl IntoIterator<Item = TxnOpRef<'a>>,
+    ) {
+        self.kv.txn_stage_replicated(txn_id, ops);
     }
 
     /// Discards the replicated prepare record for `txn_id` once the
@@ -313,6 +368,22 @@ impl ReplicaStore {
         }));
     }
 
+    /// [`Self::import_range`] for the records a 2PC commit applied on the
+    /// group's write coordinator ([`Self::txn_commit`]): each value is
+    /// copied into a spare of the entry list, and the buffer it displaces
+    /// goes back to the list ("Entry buffers"). Snapshots and catch-up
+    /// chunks keep to `import_range`: their keys are mostly new to the
+    /// replica, so few displaced buffers would come back.
+    pub fn txn_install(&mut self, entries: &[RangeEntry]) {
+        for entry in entries {
+            let value = self.copy_entry(&entry.value);
+            let ts = Timestamp::new(entry.ts_logical, entry.ts_node);
+            if let Ok((_, Some(displaced))) = self.kv.write_owned(&entry.key, value, ts) {
+                self.entries.give(displaced);
+            }
+        }
+    }
+
     /// Removes every key satisfying `filter`, returning how many went.
     pub fn evict_range(&mut self, filter: &dyn Fn(&[u8]) -> bool) -> usize {
         self.kv.remove_matching(filter)
@@ -357,7 +428,7 @@ impl ReplicaStore {
             self.applied = self.applied.max(newest.logical);
         }
         for (txn_id, ops) in &state.prepares {
-            self.txn_stage_replicated(*txn_id, ops);
+            self.txn_stage_replicated(*txn_id, lock_pairs(ops));
         }
         RestartReport {
             verified_entries: verified,
@@ -382,6 +453,20 @@ mod tests {
         ReplicaStore::new(StoreConfig::default(), NodeId(2), stamping)
     }
 
+    impl ReplicaStore {
+        /// Prepares `ops` as a decoded prepare lends them.
+        fn prepare(&mut self, txn_id: u64, ops: &[Operation]) -> TxnVote {
+            self.txn_prepare(txn_id, lock_pairs(ops))
+        }
+
+        /// Commits `txn_id`, its applied records copied out.
+        fn commit(&mut self, txn_id: u64) -> Vec<RangeEntry> {
+            let mut entries = Vec::new();
+            self.txn_commit(txn_id, &mut entries);
+            entries
+        }
+    }
+
     fn stamps(entries: &[RangeEntry]) -> Vec<(u64, u64)> {
         entries.iter().map(|e| (e.ts_logical, e.ts_node)).collect()
     }
@@ -396,19 +481,19 @@ mod tests {
             Operation::Get { key: b"r".to_vec() },
             put(b"b", b"2"),
         ];
-        assert_eq!(store.txn_prepare(7, &ops), TxnVote::Granted);
+        assert_eq!(store.prepare(7, &ops), TxnVote::Granted);
         assert!(store.is_locked(b"a") && store.is_locked(b"r"));
         // A second transaction conflicts and names the key; nothing of it stays.
         assert_eq!(
-            store.txn_prepare(8, &[put(b"z", b"9"), put(b"b", b"9")]),
+            store.prepare(8, &[put(b"z", b"9"), put(b"b", b"9")]),
             TxnVote::Conflict { key: b"b".to_vec() }
         );
         assert!(!store.is_locked(b"z"));
-        let entries = store.txn_commit(7);
+        let entries = store.commit(7);
         // Positions 3 and 4 of this replica's own sequence, reads staging nothing.
         assert_eq!(stamps(&entries), [(3, 2), (4, 2)]);
         assert_eq!((store.applied(), store.is_locked(b"r")), (4, false));
-        assert!(store.txn_commit(7).is_empty(), "re-commit re-applied");
+        assert!(store.commit(7).is_empty(), "re-commit re-applied");
         assert_eq!(store.get(b"a").unwrap().value, b"1");
 
         // A live peer is ahead: the restart adopts its records and moves the
@@ -417,7 +502,7 @@ mod tests {
         let mut peer = ReplicaStore::new(StoreConfig::default(), NodeId(0), Stamping::Sequence);
         peer.import_range(&entries);
         (0..5).for_each(|_| peer.apply(b"c", b"3".to_vec()));
-        assert_eq!(peer.txn_prepare(9, &[put(b"d", b"4")]), TxnVote::Granted);
+        assert_eq!(peer.prepare(9, &[put(b"d", b"4")]), TxnVote::Granted);
         let report = store.restart(peer.export_recovery_state());
         assert_eq!((report.verified_entries, report.discarded_entries), (2, 0));
         assert_eq!(store.applied(), 5);
@@ -442,11 +527,11 @@ mod tests {
         assert!(store.apply_if_newer(b"staying", b"here", Timestamp::new(1, 0)));
         assert_eq!(store.applied(), 2);
         assert_eq!(
-            store.txn_prepare(7, &[put(b"moving", b"new"), put(b"fresh", b"1")]),
+            store.prepare(7, &[put(b"moving", b"new"), put(b"fresh", b"1")]),
             TxnVote::Granted
         );
         // Each write is strictly newer than what its key held, whatever the count.
-        let entries = store.txn_commit(7);
+        let entries = store.commit(7);
         assert_eq!(stamps(&entries), [(10, 2), (1, 2)]);
         assert_eq!(store.applied(), 4);
 

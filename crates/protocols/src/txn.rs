@@ -65,7 +65,7 @@
 
 use std::ops::Range;
 
-use recipe_core::{FramePool, TxnBody};
+use recipe_core::{FramePool, TxnBody, TxnBodyRef};
 use recipe_net::NodeId;
 
 use crate::migration::MAX_SHARDS;
@@ -127,8 +127,11 @@ pub struct TxnLanes {
     coordinators: Vec<Option<Coordinator>>,
     /// By shard index.
     participants: Vec<Option<ProtocolShield>>,
-    /// The free list every lane's frames are built in; a frame's buffer
-    /// comes back through [`TxnLanes::recycle`].
+    /// The free list every lane's frames are built in, and every sealed
+    /// body a lane opens is decrypted in — never the received bytes, which
+    /// the sender keeps to resend. A buffer comes back through
+    /// [`TxnLanes::recycle`] once its frame will not be sent again or its
+    /// body is done with.
     frames: FramePool,
 }
 
@@ -165,7 +168,7 @@ impl TxnLanes {
     }
 
     /// Takes back the buffer of a frame a lane sealed, once nothing will
-    /// send it again.
+    /// send it again, or of a body it opened, once nothing reads it.
     pub fn recycle(&mut self, wire: Vec<u8>) {
         self.frames.give(wire);
     }
@@ -194,11 +197,22 @@ impl TxnLane<'_> {
     }
 
     /// Verifies and opens a coordinator → participant frame on the
-    /// participant side. `None` when the frame is rejected, is not this
-    /// lane's, or carries another transaction's id than `txn_id` — never
-    /// executed, only counted.
-    pub fn open_request(&mut self, txn_id: u64, wire: &[u8]) -> Option<TxnBody> {
-        Self::open(self.participant, self.coordinator.node(), txn_id, wire)
+    /// participant side, the body decoded where it lies. `None` when the
+    /// frame is rejected, is not this lane's, or carries another
+    /// transaction's id than `txn_id` — never executed, only counted.
+    ///
+    /// `wire` is only read: a plaintext body is read in it, and a sealed one
+    /// is decrypted in a spare of the lanes' free list, left in `opened` for
+    /// the caller to give back ([`TxnLanes::recycle`]) once done with the
+    /// body — the coordinator resends the same cached bytes on a retry.
+    pub fn open_request<'a>(
+        &mut self,
+        txn_id: u64,
+        wire: &'a [u8],
+        opened: &'a mut Option<Vec<u8>>,
+    ) -> Option<TxnBodyRef<'a>> {
+        let from = self.coordinator.node();
+        Self::open(self.participant, self.frames, from, txn_id, wire, opened)
     }
 
     /// Seals one participant → coordinator message (vote/ack), in a spare
@@ -210,13 +224,26 @@ impl TxnLane<'_> {
     }
 
     /// Verifies and opens a participant → coordinator frame on the
-    /// coordinator side.
-    pub fn open_response(&mut self, txn_id: u64, wire: &[u8]) -> Option<TxnBody> {
-        Self::open(self.coordinator, self.participant.node(), txn_id, wire)
+    /// coordinator side, as [`TxnLane::open_request`] opens requests.
+    pub fn open_response<'a>(
+        &mut self,
+        txn_id: u64,
+        wire: &'a [u8],
+        opened: &'a mut Option<Vec<u8>>,
+    ) -> Option<TxnBodyRef<'a>> {
+        let from = self.participant.node();
+        Self::open(self.coordinator, self.frames, from, txn_id, wire, opened)
     }
 
-    fn open(end: &mut ProtocolShield, from: NodeId, txn_id: u64, wire: &[u8]) -> Option<TxnBody> {
-        let (carried, body) = end.unwrap_txn(from, wire)?;
+    fn open<'a>(
+        end: &mut ProtocolShield,
+        frames: &mut FramePool,
+        from: NodeId,
+        txn_id: u64,
+        wire: &'a [u8],
+        opened: &'a mut Option<Vec<u8>>,
+    ) -> Option<TxnBodyRef<'a>> {
+        let (carried, body) = end.unwrap_txn_in(frames, from, wire, opened)?;
         (carried == txn_id).then_some(body)
     }
 }
@@ -244,6 +271,29 @@ mod tests {
         }
     }
 
+    impl TxnLane<'_> {
+        /// [`TxnLane::open_request`], the body copied out and the spare it
+        /// was opened in given back.
+        fn request(&mut self, txn_id: u64, wire: &[u8]) -> Option<TxnBody> {
+            let mut opened = None;
+            let body = self
+                .open_request(txn_id, wire, &mut opened)
+                .map(TxnBodyRef::to_body);
+            opened.into_iter().for_each(|buf| self.frames.give(buf));
+            body
+        }
+
+        /// [`TxnLane::open_response`], as [`TxnLane::request`] opens requests.
+        fn response(&mut self, txn_id: u64, wire: &[u8]) -> Option<TxnBody> {
+            let mut opened = None;
+            let body = self
+                .open_response(txn_id, wire, &mut opened)
+                .map(TxnBodyRef::to_body);
+            opened.into_iter().for_each(|buf| self.frames.give(buf));
+            body
+        }
+    }
+
     fn counter_of(wire: &[u8]) -> u64 {
         TxnFrame::from_wire(wire).unwrap().tuple.counter
     }
@@ -264,16 +314,16 @@ mod tests {
             let mut lane = lanes.lane(5, 2);
             let wire = lane.seal_request(txn_id, &prepare(3), false);
             assert_eq!(counter_of(&wire), first_slot);
-            assert_eq!(lane.open_request(txn_id, &wire), Some(prepare(3)));
+            assert_eq!(lane.request(txn_id, &wire), Some(prepare(3)));
             let wire = lane.seal_response(txn_id, &vote(), false);
             assert_eq!(counter_of(&wire), first_slot);
-            assert_eq!(lane.open_response(txn_id, &wire), Some(vote()));
+            assert_eq!(lane.response(txn_id, &wire), Some(vote()));
             let wire = lane.seal_request(txn_id, &TxnBody::Commit, false);
             assert_eq!(counter_of(&wire), first_slot + 1);
-            assert_eq!(lane.open_request(txn_id, &wire), Some(TxnBody::Commit));
+            assert_eq!(lane.request(txn_id, &wire), Some(TxnBody::Commit));
             let wire = lane.seal_response(txn_id, &TxnBody::Ack { applied: 3 }, false);
             assert_eq!(
-                lane.open_response(txn_id, &wire),
+                lane.response(txn_id, &wire),
                 Some(TxnBody::Ack { applied: 3 })
             );
         }
@@ -284,6 +334,34 @@ mod tests {
     }
 
     #[test]
+    fn a_sealed_request_opens_in_a_spare_and_leaves_the_cached_bytes_as_sent() {
+        let mut lanes = TxnLanes::default();
+        // The same lanes again, keys and counters alike: a participant that
+        // has not seen the frame yet, for the coordinator's retransmission.
+        let mut twin = TxnLanes::default();
+        let mut allocated = Vec::new();
+        for (txn_id, seal) in [(7, true), (8, false), (9, true), (10, true), (11, true)] {
+            let wire = lanes.lane(0, 1).seal_request(txn_id, &prepare(3), seal);
+            let sent = wire.clone();
+            let mut opened = None;
+            let body = lanes.lane(0, 1).open_request(txn_id, &wire, &mut opened);
+            assert_eq!(body.map(TxnBodyRef::to_body), Some(prepare(3)));
+            // A plaintext body is read where it lies; only a sealed one takes
+            // a spare, to be decrypted in.
+            assert_eq!(opened.is_some(), seal);
+            assert_eq!(wire, sent, "the participant wrote to the cached bytes");
+            assert_eq!(twin.lane(0, 1).request(txn_id, &wire), Some(prepare(3)));
+            opened.into_iter().for_each(|buf| lanes.recycle(buf));
+            lanes.recycle(wire);
+            allocated.push(lanes.frames.allocated());
+        }
+        // Once warm, a sealed request and the body it opens into take
+        // nothing but spares.
+        assert_eq!(allocated[2..], [allocated[2]; 3]);
+        assert_eq!(rejected(&lanes) + rejected(&twin), 0);
+    }
+
+    #[test]
     fn replayed_and_tampered_frames_are_rejected() {
         let mut lanes = TxnLanes::default();
         let mut lane = lanes.lane(0, 0);
@@ -291,12 +369,12 @@ mod tests {
         let mut tampered = wire.clone();
         let idx = tampered.len() / 2;
         tampered[idx] ^= 0x01;
-        assert_eq!(lane.open_request(7, &tampered), None);
+        assert_eq!(lane.request(7, &tampered), None);
         // The original (same sealed bytes — the retransmission contract)
         // still verifies: a tampered delivery does not burn the counter.
-        assert!(lane.open_request(7, &wire).is_some());
+        assert!(lane.request(7, &wire).is_some());
         // Replaying it afterwards is rejected.
-        assert_eq!(lane.open_request(7, &wire), None);
+        assert_eq!(lane.request(7, &wire), None);
         assert!(rejected(&lanes) >= 2);
     }
 
@@ -307,10 +385,10 @@ mod tests {
         let prepare_wire = lane.seal_request(9, &prepare(1), false);
         let commit_wire = lane.seal_request(9, &TxnBody::Commit, false);
         // The commit overtakes the lost prepare: rejected, not buffered.
-        assert_eq!(lane.open_request(9, &commit_wire), None);
+        assert_eq!(lane.request(9, &commit_wire), None);
         // Retransmission of the prepare, then the commit: both verify.
-        assert!(lane.open_request(9, &prepare_wire).is_some());
-        assert!(lane.open_request(9, &commit_wire).is_some());
+        assert!(lane.request(9, &prepare_wire).is_some());
+        assert!(lane.request(9, &commit_wire).is_some());
     }
 
     #[test]
@@ -320,14 +398,14 @@ mod tests {
         // same lane: the counter has moved past it.
         let mut lane = lanes.lane(0, 0);
         let recorded = lane.seal_request(7, &prepare(1), false);
-        assert!(lane.open_request(7, &recorded).is_some());
+        assert!(lane.request(7, &recorded).is_some());
         let authentic = lane.seal_request(8, &prepare(2), false);
-        assert_eq!(lane.open_request(8, &recorded), None);
-        assert_eq!(lane.open_request(8, &authentic), Some(prepare(2)));
+        assert_eq!(lane.request(8, &recorded), None);
+        assert_eq!(lane.request(8, &authentic), Some(prepare(2)));
         // In sequence and authentic, but for another transaction than the
         // one being served: not executed.
         let stray = lane.seal_request(9, &TxnBody::Commit, false);
-        assert_eq!(lane.open_request(8, &stray), None);
+        assert_eq!(lane.request(8, &stray), None);
         assert_eq!(rejected(&lanes), 1);
 
         // Client 1's frame for shard 0, lost on its way and then offered
@@ -337,16 +415,16 @@ mod tests {
         let lost = lanes.lane(1, 0).seal_request(20, &prepare(1), false);
         let mut other = lanes.lane(2, 0);
         let own = other.seal_request(21, &prepare(3), false);
-        assert_eq!(other.open_request(21, &lost), None);
-        assert_eq!(other.open_request(21, &own), Some(prepare(3)));
+        assert_eq!(other.request(21, &lost), None);
+        assert_eq!(other.request(21, &own), Some(prepare(3)));
         assert_eq!(rejected(&lanes), 2);
         // … without moving client 1's receive counter: its retransmission
         // of the same bytes is accepted.
-        assert_eq!(lanes.lane(1, 0).open_request(20, &lost), Some(prepare(1)));
+        assert_eq!(lanes.lane(1, 0).request(20, &lost), Some(prepare(1)));
         // The response direction is told apart by addressing alone.
         let answer = lanes.lane(1, 0).seal_response(20, &vote(), false);
-        assert_eq!(lanes.lane(2, 0).open_response(20, &answer), None);
-        assert_eq!(lanes.lane(1, 0).open_response(20, &answer), Some(vote()));
+        assert_eq!(lanes.lane(2, 0).response(20, &answer), None);
+        assert_eq!(lanes.lane(1, 0).response(20, &answer), Some(vote()));
     }
 
     #[test]
@@ -366,9 +444,9 @@ mod tests {
                 // is under the MAC, so it verifies as neither.
                 let mut as_sealed = wire.clone();
                 as_sealed[1] ^= 0x01;
-                assert_eq!(lane.open_request(txn_id, &as_sealed), None);
+                assert_eq!(lane.request(txn_id, &as_sealed), None);
             }
-            assert_eq!(lane.open_request(txn_id, &wire), Some(prepare(4)));
+            assert_eq!(lane.request(txn_id, &wire), Some(prepare(4)));
             // The vote leg is sealed too (the decision itself is sensitive).
             let vote = TxnBody::Vote {
                 granted: false,
@@ -376,7 +454,7 @@ mod tests {
             };
             let wire = lane.seal_response(txn_id, &vote, seal);
             assert_eq!(!wire.windows(4).any(|w| w == b"user"), seal);
-            assert_eq!(lane.open_response(txn_id, &wire), Some(vote));
+            assert_eq!(lane.response(txn_id, &wire), Some(vote));
         }
         assert_eq!(rejected(&lanes), 1);
     }

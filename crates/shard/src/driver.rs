@@ -492,6 +492,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                     &done.op_placements,
                     true,
                 );
+                self.txns.give_placements(done.op_placements);
             }
             TxnResolution::Aborted {
                 client_id,

@@ -68,10 +68,10 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use recipe_core::{Operation, Request, TxnBody};
+use recipe_core::{Operation, Request, TxnBody, TxnBodyRef};
 use recipe_net::{FaultPlan, FrameFault, NetworkFaultInjector, NodeId};
 use recipe_protocols::{
-    StoreReplica, TxnLanes, TxnVote, MAX_SHARDS, MIGRATION_ENDPOINT_IDS, TXN_ENDPOINT_IDS,
+    StoreReplica, TxnLane, TxnLanes, TxnVote, MAX_SHARDS, MIGRATION_ENDPOINT_IDS, TXN_ENDPOINT_IDS,
 };
 use recipe_sim::{RangeEntry, Work, COST_MODEL};
 use recipe_telemetry::{ChargeKind, CostCategory, SpanKind};
@@ -158,6 +158,7 @@ enum TxnPhase {
 }
 
 /// Round-trip state of the current phase on one participant.
+#[derive(Default)]
 struct Participant {
     shard: usize,
     /// Sub-operations routed to this shard, in client order.
@@ -197,6 +198,10 @@ struct InflightTxn {
     /// cannot learn the transaction's shape from its plaintext legs.
     sealed: bool,
     participants: Vec<Participant>,
+    /// The client's request, its operations handed to the participants:
+    /// refilled participant-major when the transaction aborts, and the
+    /// retry goes out in it.
+    request: Vec<Operation>,
 }
 
 impl InflightTxn {
@@ -212,9 +217,12 @@ impl InflightTxn {
             .unwrap_or(self.issued_at)
     }
 
-    /// The request to retry after an abort: the operations, participant-major.
-    fn into_request(self) -> Request {
-        Request::Txn(self.participants.into_iter().flat_map(|p| p.ops).collect())
+    /// The request to retry after an abort: the operations,
+    /// participant-major.
+    fn take_request(&mut self) -> Request {
+        let mut request = std::mem::take(&mut self.request);
+        request.extend(self.participants.iter_mut().flat_map(|p| p.ops.drain(..)));
+        Request::Txn(request)
     }
 }
 
@@ -224,7 +232,8 @@ pub(crate) struct CommittedTxn {
     pub(crate) latency_ns: u64,
     pub(crate) finished_at: u64,
     /// `(shard, arc, is_write)` per operation, participant-major — the
-    /// shape `Engine::record_commit` accounts.
+    /// shape `Engine::record_commit` accounts. Give the list back
+    /// ([`TxnManager::give_placements`]) once accounted.
     pub(crate) op_placements: Vec<(usize, Option<usize>, bool)>,
 }
 
@@ -263,6 +272,23 @@ enum Leg {
     Response,
 }
 
+impl Leg {
+    /// Opens `bytes` at the receiving end of this leg of `lane`
+    /// ([`TxnLane::open_request`]).
+    fn open<'a>(
+        self,
+        lane: &mut TxnLane<'_>,
+        txn_id: u64,
+        bytes: &'a [u8],
+        opened: &'a mut Option<Vec<u8>>,
+    ) -> Option<TxnBodyRef<'a>> {
+        match self {
+            Leg::Request => lane.open_request(txn_id, bytes, opened),
+            Leg::Response => lane.open_response(txn_id, bytes, opened),
+        }
+    }
+}
+
 /// The round trip a leg belongs to: lane `(client_id, shard)`, serving
 /// transaction `txn_id`.
 #[derive(Clone, Copy)]
@@ -288,6 +314,21 @@ pub(crate) struct TxnManager {
     wire_seq: u64,
     /// In-flight staged bytes per shard (EPC pressure input).
     staged_per_shard: Vec<usize>,
+    /// What resolved transactions leave behind, for the next ones.
+    spares: Spares,
+}
+
+/// The coordinator's free lists: emptied participant records and
+/// participant lists of resolved transactions (no more than were ever in
+/// flight at once), and the two lists each commit fills and empties again.
+#[derive(Default)]
+struct Spares {
+    participants: Vec<Participant>,
+    lists: Vec<Vec<Participant>>,
+    /// The applied records of the commit being installed, in buffers of the
+    /// participant leader's ([`recipe_protocols::ReplicaStore::txn_commit`]).
+    committed: Vec<RangeEntry>,
+    placements: Vec<(usize, Option<usize>, bool)>,
 }
 
 impl TxnManager {
@@ -304,7 +345,26 @@ impl TxnManager {
             lanes: TxnLanes::default(),
             wire_seq: 0,
             staged_per_shard: vec![0; shards],
+            spares: Spares::default(),
         }
+    }
+
+    /// Takes back the list a [`CommittedTxn`] carried, once accounted.
+    pub(crate) fn give_placements(&mut self, mut placements: Vec<(usize, Option<usize>, bool)>) {
+        placements.clear();
+        self.spares.placements = placements;
+    }
+
+    /// Files a resolved transaction's participants and their list, emptied,
+    /// their frames given back to the lanes.
+    fn retire(&mut self, participants: &mut Vec<Participant>) {
+        for mut p in participants.drain(..) {
+            self.recycle(&mut p);
+            p.ops.clear();
+            p.arcs.clear();
+            self.spares.participants.push(p);
+        }
+        self.spares.lists.push(std::mem::take(participants));
     }
 
     /// True when no transaction is in flight.
@@ -328,11 +388,18 @@ impl TxnManager {
 
     /// Sends one leg of a round trip through the adversarial network: `wire`
     /// is the sender's cached frame, opened at the receiving end of the
-    /// trip's lane. Extra copies the adversary produces (tampered,
-    /// duplicated, replayed) are fed through the same end, so rejections are
-    /// real shield rejections. Returns the opened body when the authentic
-    /// frame was delivered.
-    fn send_leg(&mut self, wire: &[u8], leg: Leg, trip: Trip) -> Option<TxnBody> {
+    /// trip's lane — a sealed body in a spare left in `opened`
+    /// ([`recipe_protocols::TxnLane::open_request`]). Extra copies the
+    /// adversary produces (tampered, duplicated, replayed) are fed through
+    /// the same end, so rejections are real shield rejections. Returns the
+    /// opened body when the authentic frame was delivered.
+    fn send_leg<'a>(
+        &mut self,
+        wire: &'a [u8],
+        leg: Leg,
+        trip: Trip,
+        opened: &'a mut Option<Vec<u8>>,
+    ) -> Option<TxnBodyRef<'a>> {
         let Trip {
             txn_id,
             client_id,
@@ -351,12 +418,11 @@ impl TxnManager {
             Leg::Response => (participant, coordinator),
         };
         let mut lane = self.lanes.lane(client_id, shard);
-        let mut open = |bytes: &[u8]| match leg {
-            Leg::Request => lane.open_request(txn_id, bytes),
-            Leg::Response => lane.open_response(txn_id, bytes),
-        };
-        match self.injector.decide_frame(self.wire_seq, src, dst, wire) {
-            FrameFault::Deliver => open(wire),
+        // The spare a copy the adversary made was opened in, if any: it is
+        // never delivered.
+        let mut stray = None;
+        let body = match self.injector.decide_frame(self.wire_seq, src, dst, wire) {
+            FrameFault::Deliver => leg.open(&mut lane, txn_id, wire, opened),
             FrameFault::Drop => {
                 self.stats.frames_dropped += 1;
                 None
@@ -365,7 +431,10 @@ impl TxnManager {
                 // The corrupted copy is rejected without consuming the
                 // counter; the authentic frame never arrives — timeout and
                 // retransmission recover.
-                if open(&corrupted).is_none() {
+                if leg
+                    .open(&mut lane, txn_id, &corrupted, &mut stray)
+                    .is_none()
+                {
                     self.stats.frames_rejected += 1;
                 }
                 self.stats.frames_dropped += 1;
@@ -374,8 +443,8 @@ impl TxnManager {
             FrameFault::Duplicate => {
                 // Authentic delivery first; the duplicate is rejected by the
                 // trusted counter.
-                let body = open(wire);
-                if open(wire).is_none() {
+                let body = leg.open(&mut lane, txn_id, wire, opened);
+                if leg.open(&mut lane, txn_id, wire, &mut stray).is_none() {
                     self.stats.frames_rejected += 1;
                 }
                 body
@@ -385,12 +454,25 @@ impl TxnManager {
                 // injector picks among every client's frames to or from this
                 // shard — is rejected by the lane's counter (an earlier
                 // frame of this lane) or for not being this lane's at all.
-                let body = open(wire);
-                if open(&older.payload).is_none() {
+                let body = leg.open(&mut lane, txn_id, wire, opened);
+                if leg
+                    .open(&mut lane, txn_id, &older.payload, &mut stray)
+                    .is_none()
+                {
                     self.stats.frames_rejected += 1;
                 }
                 body
             }
+        };
+        self.give_opened(stray);
+        body
+    }
+
+    /// Gives the lanes back the spare a sealed body was opened in, if one
+    /// was.
+    fn give_opened(&mut self, opened: Option<Vec<u8>>) {
+        if let Some(buf) = opened {
+            self.lanes.recycle(buf);
         }
     }
 
@@ -435,7 +517,7 @@ impl<R: StoreReplica> Engine<'_, R> {
         &mut self,
         client_id: u64,
         request_id: u64,
-        ops: Vec<Operation>,
+        mut ops: Vec<Operation>,
         per_op: &[(usize, usize)],
         at: u64,
     ) -> Result<(), Vec<Operation>> {
@@ -452,33 +534,71 @@ impl<R: StoreReplica> Engine<'_, R> {
         );
         // Every participant needs a live leader before locks are taken
         // anywhere (a crashed group would park the other groups' locks).
-        let mut shard_set: Vec<usize> = per_op.iter().map(|&(_, shard)| shard).collect();
-        shard_set.sort_unstable();
-        shard_set.dedup();
-        if shard_set
+        if per_op
             .iter()
-            .any(|&shard| self.cluster.shards[shard].write_coordinator().is_none())
+            .any(|&(_, shard)| self.cluster.shards[shard].write_coordinator().is_none())
         {
             return Err(ops);
-        }
-        let mut by_shard: BTreeMap<usize, (Vec<Operation>, Vec<usize>)> = BTreeMap::new();
-        for (op, &(arc, shard)) in ops.into_iter().zip(per_op) {
-            let entry = by_shard.entry(shard).or_default();
-            entry.0.push(op);
-            if !entry.1.contains(&arc) {
-                entry.1.push(arc);
-            }
         }
 
         let txn_id = self.txns.next_txn_id;
         self.txns.next_txn_id += 1;
         self.txns.stats.started += 1;
 
-        let sealed = by_shard
-            .keys()
-            .any(|&shard| self.cluster.confidentiality_of(shard).is_confidential());
+        let sealed = per_op
+            .iter()
+            .any(|&(_, shard)| self.cluster.confidentiality_of(shard).is_confidential());
+
+        // One participant per shard, in shard order, each with its
+        // operations in client order and the arcs they live on.
+        let spares = &mut self.txns.spares;
+        let mut participants = spares.lists.pop().unwrap_or_default();
+        for (op, &(arc, shard)) in ops.drain(..).zip(per_op) {
+            let index = match participants.iter().position(|p| p.shard == shard) {
+                Some(index) => index,
+                None => {
+                    let shell = spares.participants.pop().unwrap_or_default();
+                    participants.push(Participant {
+                        shard,
+                        ops: shell.ops,
+                        arcs: shell.arcs,
+                        processed_finish: at,
+                        ready_at: at,
+                        ..Participant::default()
+                    });
+                    participants.len() - 1
+                }
+            };
+            let p = &mut participants[index];
+            p.ops.push(op);
+            if !p.arcs.contains(&arc) {
+                p.arcs.push(arc);
+            }
+        }
+        participants.sort_unstable_by_key(|p| p.shard);
 
         let lanes = &mut self.txns.lanes;
+        for p in &mut participants {
+            p.payload_bytes = p.ops.iter().map(|op| op.key().len() + op.value_len()).sum();
+            p.staged_bytes = p
+                .ops
+                .iter()
+                .filter(|op| op.is_write())
+                .map(|op| op.key().len() + op.value_len())
+                .sum();
+            // The body borrows nothing, so the operations go in and come
+            // back out.
+            let body = TxnBody::Prepare {
+                ops: std::mem::take(&mut p.ops),
+            };
+            p.request_wire = lanes
+                .lane(client_id, p.shard)
+                .seal_request(txn_id, &body, sealed);
+            let TxnBody::Prepare { ops } = body else {
+                unreachable!("built as a prepare above")
+            };
+            p.ops = ops;
+        }
         let mut txn = InflightTxn {
             txn_id,
             client_id,
@@ -486,39 +606,8 @@ impl<R: StoreReplica> Engine<'_, R> {
             issued_at: at,
             phase: TxnPhase::Preparing,
             sealed,
-            participants: by_shard
-                .into_iter()
-                .map(|(shard, (ops, arcs))| {
-                    let payload_bytes = ops.iter().map(|op| op.key().len() + op.value_len()).sum();
-                    let staged_bytes = ops
-                        .iter()
-                        .filter(|op| op.is_write())
-                        .map(|op| op.key().len() + op.value_len())
-                        .sum();
-                    // The body borrows nothing, so the operations go in and
-                    // come back out.
-                    let body = TxnBody::Prepare { ops };
-                    let request_wire = lanes
-                        .lane(client_id, shard)
-                        .seal_request(txn_id, &body, sealed);
-                    let TxnBody::Prepare { ops } = body else {
-                        unreachable!("built as a prepare above")
-                    };
-                    Participant {
-                        shard,
-                        ops,
-                        arcs,
-                        request_wire,
-                        response_wire: None,
-                        processed_finish: at,
-                        done: false,
-                        ready_at: at,
-                        granted: None,
-                        payload_bytes,
-                        staged_bytes,
-                    }
-                })
-                .collect(),
+            participants,
+            request: ops,
         };
 
         self.txn_pump(&mut txn, None, at);
@@ -570,11 +659,8 @@ impl<R: StoreReplica> Engine<'_, R> {
                 TxnResolution::Pending
             }
             TxnPhase::Committing => {
-                for p in &mut txn.participants {
-                    self.txns.recycle(p);
-                }
                 let finished_at = txn.phase_ready_at();
-                let mut op_placements = Vec::new();
+                let mut op_placements = std::mem::take(&mut self.txns.spares.placements);
                 let mut fanout = 0u64;
                 for p in &txn.participants {
                     fanout += 1;
@@ -583,6 +669,7 @@ impl<R: StoreReplica> Engine<'_, R> {
                         op_placements.push((p.shard, Some(arc), op.is_write()));
                     }
                 }
+                self.txns.retire(&mut txn.participants);
                 let stats = &mut self.txns.stats;
                 stats.committed += 1;
                 stats.committed_ops += op_placements.len() as u64;
@@ -598,15 +685,15 @@ impl<R: StoreReplica> Engine<'_, R> {
                 })
             }
             TxnPhase::Aborting => {
-                for p in &mut txn.participants {
-                    self.txns.recycle(p);
-                }
                 self.txns.stats.aborted += 1;
+                let finished_at = txn.phase_ready_at();
+                let request = txn.take_request();
+                self.txns.retire(&mut txn.participants);
                 TxnResolution::Aborted {
                     client_id: txn.client_id,
                     request_id: txn.request_id,
-                    finished_at: txn.phase_ready_at(),
-                    request: txn.into_request(),
+                    finished_at,
+                    request,
                 }
             }
         }
@@ -664,11 +751,15 @@ impl<R: StoreReplica> Engine<'_, R> {
                 return retry;
             }
             // Request leg: the participant has not executed this phase yet.
-            let delivered = self.txns.send_leg(&p.request_wire, Leg::Request, trip);
-            let Some(body) = delivered else {
+            let mut opened = None;
+            let delivered = self
+                .txns
+                .send_leg(&p.request_wire, Leg::Request, trip, &mut opened);
+            let executed = delivered.map(|body| self.txn_execute_on(txn_id, p, body, at + link));
+            self.txns.give_opened(opened);
+            let Some((response, finish)) = executed else {
                 return retry;
             };
-            let (response, finish) = self.txn_execute_on(txn_id, p, body, at + link);
             p.processed_finish = finish;
             let mut lane = self.txns.lanes.lane(client_id, shard);
             p.response_wire = Some(lane.seal_response(txn_id, &response, sealed));
@@ -677,20 +768,25 @@ impl<R: StoreReplica> Engine<'_, R> {
         // Response leg (also the whole retry when the response was lost:
         // the participant answers from its cached sealed response).
         let wire = p.response_wire.as_deref().expect("response sealed above");
-        let Some(body) = self.txns.send_leg(wire, Leg::Response, trip) else {
+        let mut opened = None;
+        let delivered = self
+            .txns
+            .send_leg(wire, Leg::Response, trip, &mut opened)
+            .map(|body| match body {
+                TxnBodyRef::Vote { granted, .. } => (Some(granted), SpanKind::TxnVote),
+                TxnBodyRef::Ack { .. } => (None, SpanKind::TxnAck),
+                other => panic!("participant answered with a request body: {other:?}"),
+            });
+        self.txns.give_opened(opened);
+        let Some((vote, response_kind)) = delivered else {
             return retry;
         };
-        let response_kind = match body {
-            TxnBody::Vote { granted, .. } => {
-                p.granted = Some(granted);
-                if !granted {
-                    self.txns.stats.prepare_conflicts += 1;
-                }
-                SpanKind::TxnVote
+        if let Some(granted) = vote {
+            p.granted = Some(granted);
+            if !granted {
+                self.txns.stats.prepare_conflicts += 1;
             }
-            TxnBody::Ack { .. } => SpanKind::TxnAck,
-            other => panic!("participant answered with a request body: {other:?}"),
-        };
+        }
         p.done = true;
         p.ready_at = p.processed_finish.max(at) + link;
         let ready_at = p.ready_at;
@@ -709,7 +805,7 @@ impl<R: StoreReplica> Engine<'_, R> {
         &mut self,
         txn_id: u64,
         participant: &Participant,
-        body: TxnBody,
+        body: TxnBodyRef<'_>,
         arrival: u64,
     ) -> (TxnBody, u64) {
         let Participant {
@@ -730,7 +826,7 @@ impl<R: StoreReplica> Engine<'_, R> {
             // group. Vote no on a prepare (a safe early abort) and refuse
             // to swallow a decision.
             return match body {
-                TxnBody::Prepare { .. } => (
+                TxnBodyRef::Prepare(_) => (
                     TxnBody::Vote {
                         granted: false,
                         conflict: None,
@@ -759,7 +855,7 @@ impl<R: StoreReplica> Engine<'_, R> {
         // very failures 2PC exists to survive.
         let replication_rt = 2 * COST_MODEL.link_latency_ns;
         match body {
-            TxnBody::Prepare { ops } => {
+            TxnBodyRef::Prepare(ops) => {
                 // Routing a transaction at a group whose protocol does not
                 // hold single-key requests behind transaction locks is a
                 // deployment bug; surface it loudly.
@@ -791,7 +887,11 @@ impl<R: StoreReplica> Engine<'_, R> {
                         txn_id,
                     );
                 }
-                match group.replica_mut(leader).store().txn_prepare(txn_id, &ops) {
+                match group
+                    .replica_mut(leader)
+                    .store()
+                    .txn_prepare(txn_id, ops.iter())
+                {
                     TxnVote::Granted => {
                         txns.staged_per_shard[shard] += staged_bytes;
                         // Replicate the prepare record into the group: every
@@ -808,7 +908,7 @@ impl<R: StoreReplica> Engine<'_, R> {
                             group
                                 .replica_mut(node)
                                 .store()
-                                .txn_stage_replicated(txn_id, &ops);
+                                .txn_stage_replicated(txn_id, ops.iter());
                         }
                         (
                             TxnBody::Vote {
@@ -827,8 +927,12 @@ impl<R: StoreReplica> Engine<'_, R> {
                     ),
                 }
             }
-            TxnBody::Commit => {
-                let entries = group.replica_mut(leader).store().txn_commit(txn_id);
+            TxnBodyRef::Commit => {
+                let mut entries = std::mem::take(&mut txns.spares.committed);
+                group
+                    .replica_mut(leader)
+                    .store()
+                    .txn_commit(txn_id, &mut entries);
                 // The decision resolves the transaction on every live
                 // follower: retire the passive replicated record, and
                 // release any stale *adopted* copy on a node that won
@@ -870,7 +974,7 @@ impl<R: StoreReplica> Engine<'_, R> {
                         let installed = group.charge(node, arrival, ChargeKind::TxnCommit, work);
                         txns.stats.txn_busy_ns += installed.cost_ns();
                         finish = finish.max(installed.finish_ns);
-                        group.replica_mut(node).store().import_range(&entries);
+                        group.replica_mut(node).store().txn_install(&entries);
                         txns.stats.participant_installs += entries.len() as u64;
                     }
                     // Catch-up capture: committed transaction writes inside
@@ -892,14 +996,15 @@ impl<R: StoreReplica> Engine<'_, R> {
                         txn_id,
                     );
                 }
-                (
-                    TxnBody::Ack {
-                        applied: entries.len() as u32,
-                    },
-                    finish,
-                )
+                let applied = entries.len() as u32;
+                group
+                    .replica_mut(leader)
+                    .store()
+                    .recycle_entries(&mut entries);
+                txns.spares.committed = entries;
+                (TxnBody::Ack { applied }, finish)
             }
-            TxnBody::Abort => {
+            TxnBodyRef::Abort => {
                 let nothing = Work::TxnCommit {
                     writes: 0,
                     bytes: 0,
