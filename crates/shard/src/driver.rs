@@ -35,7 +35,7 @@
 use recipe_core::{Operation, Request};
 use recipe_gateway::{Gateway, GatewayVerdict};
 use recipe_protocols::StoreReplica;
-use recipe_sim::{GroupEvent, Key, Owner, Replica, COST_MODEL};
+use recipe_sim::{GroupEvent, Key, Owner, Replica, TimerPayload, COST_MODEL};
 use recipe_telemetry::SpanKind;
 use recipe_workload::stable_key_hash;
 
@@ -87,6 +87,13 @@ pub(crate) enum Event {
 impl From<GroupEvent> for Event {
     fn from(event: GroupEvent) -> Self {
         Event::Shard(event)
+    }
+}
+
+/// The driver arms no timers: every timer is a group's.
+impl TimerPayload for Event {
+    fn from_timer(tag: u32) -> Self {
+        Event::Shard(GroupEvent::from_timer(tag))
     }
 }
 

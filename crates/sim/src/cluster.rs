@@ -20,7 +20,7 @@ use recipe_telemetry::{ChargeKind, CostBreakdown, CostCategory, ShardTelemetry, 
 use serde::{Deserialize, Serialize};
 
 use crate::cost::{CostProfile, Work, COST_MODEL, FAILURE_DETECTION_DELAY_NS, RETRY_TIMEOUT_NS};
-use crate::queue::{Calendar, Owner};
+use crate::queue::{Calendar, Owner, TimerPayload};
 use crate::replica::{Ctx, Effects, RangeEntry, RecoveryState, Replica};
 
 /// One replica group's configuration. Every node is charged under
@@ -126,9 +126,10 @@ impl RunStats {
 /// in the group, resolved when the event is scheduled.
 #[derive(Debug)]
 enum EventKind {
+    /// A client's retransmission timer; live only if it is due at its
+    /// request's [`Outstanding::retry_at`].
     ClientRetry {
         client_id: u64,
-        request_id: u64,
     },
     /// A client's request reaching the replica at `idx`. The simulator's
     /// clients do not sign, so the request is carried as its three fields
@@ -172,6 +173,16 @@ enum EventKind {
 #[derive(Debug)]
 pub struct GroupEvent(EventKind);
 
+/// A group's timers are its clients' retransmission timers, tagged with the
+/// client id.
+impl TimerPayload for GroupEvent {
+    fn from_timer(tag: u32) -> Self {
+        GroupEvent(EventKind::ClientRetry {
+            client_id: u64::from(tag),
+        })
+    }
+}
+
 /// What a group's handlers schedule through, lent for one call: the run's
 /// calendar, the group's place in it and the buffer its replies go to.
 pub struct Scheduler<'a, T> {
@@ -211,13 +222,12 @@ impl<'a, T: From<GroupEvent>> Scheduler<'a, T> {
         self.push(at, event);
     }
 
-    /// Arms the retransmission timer of a client's request.
-    fn retry(&mut self, at: u64, client_id: u64, request_id: u64) {
-        let event = GroupEvent(EventKind::ClientRetry {
-            client_id,
-            request_id,
-        });
-        self.calendar.push_timer(at, self.owner, event.into());
+    /// Arms the retransmission timer of a client's request: a calendar key
+    /// tagged with the client, holding no slab slot.
+    fn retry(&mut self, at: u64, client_id: u64) {
+        // recipe-lint: allow(unwrap-in-lib, reason = "client ids are dense from zero, far below 2^31")
+        let tag = u32::try_from(client_id).expect("client id fits a timer tag");
+        self.calendar.push_timer(at, self.owner, tag);
     }
 
     /// Tells the replica at `idx` that `about` went down or came back `up`.
@@ -297,6 +307,13 @@ impl Charged {
 struct Outstanding {
     request_id: u64,
     issued_ns: u64,
+    /// When the request's retransmission timer is due: set at submit and
+    /// moved on at every retransmission. The client's one live timer is the
+    /// one due at this instant; a timer due at any other belongs to a
+    /// request that was answered or replaced, or was re-armed since, and
+    /// does nothing. No older timer can be due at a newer `retry_at`: a
+    /// client's submits to one group strictly increase in virtual time.
+    retry_at: u64,
     operation: Operation,
     is_write: bool,
 }
@@ -523,15 +540,16 @@ impl<R: Replica> ReplicaGroup<R> {
             return Err(operation);
         };
         let issued_ns = self.now;
+        let retry_at = self.now + RETRY_TIMEOUT_NS;
         *self.client_mut(client_id) = Some(Outstanding {
             request_id,
             issued_ns,
+            retry_at,
             is_write: operation.is_write(),
             operation: operation.clone(),
         });
         let deliver_at = self.now + COST_MODEL.link_latency_ns;
-        let retry_at = self.now + RETRY_TIMEOUT_NS;
-        sched.retry(retry_at, client_id, request_id);
+        sched.retry(retry_at, client_id);
         sched.request(deliver_at, target, client_id, request_id, operation);
         if let Some(t) = self.telemetry.as_mut() {
             t.instant(
@@ -584,24 +602,27 @@ impl<R: Replica> ReplicaGroup<R> {
                     false => replica.on_peer_down(about, ctx),
                 });
             }
-            EventKind::ClientRetry {
-                client_id,
-                request_id,
-            } => {
-                // Still outstanding? (No reply recorded and no newer request.)
-                let Some(out) = self.outstanding(client_id, request_id) else {
+            EventKind::ClientRetry { client_id } => {
+                // Still outstanding, and this its live timer? (No reply
+                // recorded, no newer request and no re-arm since.)
+                let slot = self.clients.get_mut(client_id as usize);
+                let Some(out) = slot.and_then(Option::as_mut) else {
                     return;
                 };
+                if out.retry_at != at {
+                    return;
+                }
+                let retry_at = self.now + RETRY_TIMEOUT_NS;
+                out.retry_at = retry_at;
                 // Resend the exact operation that was issued (the original code
                 // re-drew from the workload closure, silently mutating stateful
                 // generators on every retry).
-                let operation = out.operation.clone();
+                let (request_id, operation) = (out.request_id, out.operation.clone());
                 if let Some(idx) = self.route(&operation) {
                     let deliver_at = self.now + COST_MODEL.link_latency_ns;
                     sched.request(deliver_at, idx, client_id, request_id, operation);
                 }
-                let retry_at = self.now + RETRY_TIMEOUT_NS;
-                sched.retry(retry_at, client_id, request_id);
+                sched.retry(retry_at, client_id);
             }
             EventKind::ClientDeliver {
                 idx,
@@ -943,13 +964,6 @@ impl<R: Replica> ReplicaGroup<R> {
         &mut self.clients[idx]
     }
 
-    /// The client's request `request_id`, while it awaits its reply. A newer
-    /// request replaces it: a client has one request outstanding at a time.
-    fn outstanding(&self, client_id: u64, request_id: u64) -> Option<&Outstanding> {
-        let out = self.clients.get(client_id as usize)?.as_ref()?;
-        (out.request_id == request_id).then_some(out)
-    }
-
     fn record_reply(&mut self, reply: ClientReply, completions: &mut Vec<Completion>) {
         let client_id = reply.client_id;
         // Only the first reply for the *currently outstanding* request counts;
@@ -1091,6 +1105,11 @@ mod tests {
         is_leader: bool,
         sent: Vec<Vec<u8>>,
         delivered: Vec<Vec<u8>>,
+        /// `(client_id, request_id)` of every client request it was sent.
+        requests: Vec<(u64, u64)>,
+        /// Replies still to be lost: a round that commits while this is
+        /// non-zero sends none.
+        lose_replies: u64,
     }
 
     impl EchoReplica {
@@ -1105,6 +1124,8 @@ mod tests {
                     is_leader: id == 0,
                     sent: Vec::new(),
                     delivered: Vec::new(),
+                    requests: Vec::new(),
+                    lose_replies: 0,
                 })
                 .collect()
         }
@@ -1116,6 +1137,7 @@ mod tests {
         }
 
         fn on_client_request(&mut self, request: ClientRequest, ctx: &mut Ctx) {
+            self.requests.push((request.client_id, request.request_id));
             self.next_op += 1;
             let op_id = self.next_op;
             self.pending.insert(op_id, (request, 0));
@@ -1139,7 +1161,9 @@ mod tests {
                     let op_id = u64::from_le_bytes(bytes[1..9].try_into().unwrap());
                     if let Some((request, acks)) = self.pending.get_mut(&op_id) {
                         *acks += 1;
-                        if *acks == 2 {
+                        if *acks == 2 && self.lose_replies > 0 {
+                            self.lose_replies -= 1;
+                        } else if *acks == 2 {
                             let reply = ClientReply {
                                 client_id: request.client_id,
                                 request_id: request.request_id,
@@ -1373,6 +1397,74 @@ mod tests {
         let recover_after_every_timer =
             CrashPlan::none().crash_recover(NodeId(3), 1_000_000, 150_000_000);
         assert!(heap_high_water(recover_after_every_timer) <= bound + 4);
+    }
+
+    /// A timer is its calendar key: however many requests a client has
+    /// sent, the slab holds only the few events of the round in flight, while
+    /// the lane holds one key per request — every timer is still pending, as
+    /// the rounds end long before the first is due.
+    #[test]
+    fn timers_take_no_slab_slots() {
+        let mut cluster = echo(3);
+        cluster.seed_initial_events();
+        let (mut at, mut slab) = (0, Vec::new());
+        for request in 1..=1_000 {
+            assert!(cluster.submit_at(at, 0, request, write_workload(0, request)));
+            let done = loop {
+                assert_eq!(cluster.step(), StepOutcome::Processed);
+                if let Some(done) = cluster.drain_completions().pop() {
+                    break done;
+                }
+            };
+            assert_eq!(done.request_id, request);
+            at = done.at_ns;
+            if request == 10 || request == 1_000 {
+                slab.push(cluster.calendar.slab_len());
+            }
+        }
+        assert!(at < RETRY_TIMEOUT_NS, "no timer fired");
+        assert_eq!(cluster.calendar.lane_len(), 1_000);
+        // As many slots after 1 000 rounds as after 10, and few.
+        assert_eq!(slab[0], slab[1]);
+        assert!(slab[1] <= 8, "{slab:?}");
+    }
+
+    /// A request whose reply is lost is resent when its timer fires, a whole
+    /// timeout after it was issued, and the timer re-armed; the timer of an
+    /// answered request resends nothing, but still moves the group's clock.
+    #[test]
+    fn a_lost_reply_is_resent_and_an_answered_request_is_not() {
+        let mut cluster = echo(3);
+        cluster.replica_mut(NodeId(0)).lose_replies = 2;
+        cluster.seed_initial_events();
+        let issued = 1_000;
+        assert!(cluster.submit_at(issued, 0, 1, write_workload(0, 1)));
+        for sent in 1..=2 {
+            let due = issued + sent * RETRY_TIMEOUT_NS;
+            cluster.run_until(due - 1);
+            assert_eq!(
+                cluster.replica(NodeId(0)).requests,
+                vec![(0, 1); sent as usize]
+            );
+            assert!(cluster.drain_completions().is_empty());
+            // Nothing is left but the timer, which resends the request.
+            assert_eq!(cluster.calendar.peek().map(|key| key.at), Some(due));
+            assert_eq!(cluster.step(), StepOutcome::Processed);
+            assert_eq!(cluster.now_ns(), due);
+        }
+        let last_due = issued + 3 * RETRY_TIMEOUT_NS;
+        cluster.run_until(last_due - 1);
+        let done = cluster.drain_completions();
+        assert_eq!(done.len(), 1);
+        assert!(done[0].latency_ns > 2 * RETRY_TIMEOUT_NS, "{done:?}");
+        assert_eq!(cluster.replica(NodeId(0)).requests, [(0, 1); 3]);
+        // The answered request's timer fires, resends nothing and arms
+        // nothing more.
+        assert_eq!(cluster.calendar.peek().map(|key| key.at), Some(last_due));
+        assert_eq!(cluster.step(), StepOutcome::Processed);
+        assert_eq!(cluster.now_ns(), last_due);
+        assert_eq!(cluster.calendar.peek(), None);
+        assert_eq!(cluster.replica(NodeId(0)).requests.len(), 3);
     }
 
     #[test]

@@ -23,6 +23,19 @@
 //! such an entry to a FIFO lane beside the heap, and [`Calendar::pop`] takes
 //! whichever of the two heads is smaller.
 //!
+//! **A timer is its key.** A timer carries nothing but a small tag (the
+//! client it retransmits for), so it needs no slab slot: its key keeps the
+//! tag in `slot`, under the [`TIMER`] bit, and [`Calendar::pop`] rebuilds the
+//! payload with [`TimerPayload::from_timer`]. The slab holds only events, and
+//! the thousands of pending timers cost 24 bytes each, not a slot the size of
+//! the largest event as well.
+//!
+//! **Why dead timers still pop.** Whether a timer is dead is its owner's to
+//! say when it fires (its request was answered or replaced), not the
+//! calendar's. And a dead timer still does work: it takes its place in key
+//! order and moves its group's clock to its time, which the group's elapsed
+//! time and its telemetry read. Dropping dead timers early would move those.
+//!
 //! **Why the lane is sorted.** Not because callers promise it: an entry joins
 //! the lane only when its whole key is greater than the lane's last, and goes
 //! on the heap otherwise (a lower-numbered group's timer due at the same
@@ -59,7 +72,7 @@ impl Owner {
 }
 
 /// Where an event sorts: `(at, owner, seq)` is unique, so the slot its
-/// payload waits in never decides.
+/// payload waits in (or a timer's tag) never decides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Key {
     /// Virtual time the event is due at.
@@ -67,10 +80,28 @@ pub struct Key {
     /// Whose event it is.
     pub owner: Owner,
     seq: u64,
+    /// The payload's slab slot, or [`TIMER`] and a timer's tag.
     slot: u32,
 }
 
 const _: () = assert!(std::mem::size_of::<Reverse<Key>>() == 24);
+
+/// Marks a key's `slot` as a timer's tag: a timer holds no slab slot.
+const TIMER: u32 = 1 << 31;
+
+impl Key {
+    /// The tag of a timer's key; `None` for an event's.
+    fn timer_tag(self) -> Option<u32> {
+        (self.slot & TIMER != 0).then_some(self.slot & !TIMER)
+    }
+}
+
+/// A payload that a timer's tag stands for: what [`Calendar::pop`] hands out
+/// for a key [`Calendar::push_timer`] pushed.
+pub trait TimerPayload {
+    /// The payload of a timer tagged `tag`.
+    fn from_timer(tag: u32) -> Self;
+}
 
 /// A calendar of `T`s that pops them in [`Key`] order.
 #[derive(Debug)]
@@ -78,7 +109,8 @@ pub struct Calendar<T> {
     heap: BinaryHeap<Reverse<Key>>,
     /// Entries that arrived in key order, oldest first.
     lane: VecDeque<Key>,
-    /// Payloads of the queued entries; `None` marks a slot on `free`.
+    /// Payloads of the queued events, timers' not among them; `None` marks a
+    /// slot on `free`.
     slab: Vec<Option<T>>,
     free: Vec<u32>,
     /// Each owner's push count, at its number, grown on an owner's first
@@ -108,33 +140,43 @@ impl<T> Calendar<T> {
     /// Schedules `payload` for virtual time `at`, behind everything `owner`
     /// already scheduled for that time.
     pub fn push(&mut self, at: u64, owner: Owner, payload: T) {
-        let key = self.key(at, owner, payload);
+        let slot = self.store(payload);
+        let key = self.key(at, owner, slot);
         self.heap.push(Reverse(key));
     }
 
-    /// [`Calendar::push`] for events that mostly come in key order — timers
-    /// of one fixed delay. Pops exactly as `push` would have it.
-    pub(crate) fn push_timer(&mut self, at: u64, owner: Owner, payload: T) {
-        let key = self.key(at, owner, payload);
+    /// Schedules a timer tagged `tag` (below 2^31) as [`Calendar::push`]
+    /// would, for timers of one fixed delay, which mostly come in key order.
+    /// It pops exactly as `push` would have it, as
+    /// [`TimerPayload::from_timer`]`(tag)`.
+    pub(crate) fn push_timer(&mut self, at: u64, owner: Owner, tag: u32) {
+        assert!(tag & TIMER == 0, "a timer's tag is below 2^31");
+        let key = self.key(at, owner, TIMER | tag);
         match self.lane.back() {
             Some(last) if key < *last => self.heap.push(Reverse(key)),
             _ => self.lane.push_back(key),
         }
     }
 
-    /// Stores `payload` and gives it `owner`'s next place in push order.
-    fn key(&mut self, at: u64, owner: Owner, payload: T) -> Key {
-        let slot = match self.free.pop() {
+    /// Puts `payload` in a free slab slot and names the slot.
+    fn store(&mut self, payload: T) -> u32 {
+        match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = Some(payload);
                 slot
             }
             None => {
                 self.slab.push(Some(payload));
-                // recipe-lint: allow(unwrap-in-lib, reason = "the slab holds only pending events, a few per client")
-                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+                // The slab holds only pending events, a few per client.
+                let slot = self.slab.len() - 1;
+                assert!(slot < TIMER as usize, "fewer than 2^31 pending events");
+                slot as u32
             }
-        };
+        }
+    }
+
+    /// The key of `slot`, in `owner`'s next place in push order.
+    fn key(&mut self, at: u64, owner: Owner, slot: u32) -> Key {
         let index = owner.0 as usize;
         if index >= self.seqs.len() {
             self.seqs.resize(index + 1, 0);
@@ -148,31 +190,17 @@ impl<T> Calendar<T> {
         }
     }
 
-    /// Takes the earliest event: its key and its payload.
-    pub fn pop(&mut self) -> Option<(Key, T)> {
-        let key = match (self.heap.peek(), self.lane.front()) {
-            (Some(Reverse(heaped)), Some(laned)) if laned < heaped => self.lane.pop_front(),
-            (None, _) => self.lane.pop_front(),
-            (Some(_), _) => self.heap.pop().map(|Reverse(key)| key),
-        }?;
-        // A slot is filled at push and emptied only here and in `cancel`,
-        // which takes its key with it.
-        let payload = self.slab[key.slot as usize].take()?;
-        self.free.push(key.slot);
-        Some((key, payload))
-    }
-
     /// Key of the earliest event.
     pub fn peek(&self) -> Option<Key> {
         let heaped = self.heap.peek().map(|Reverse(key)| *key);
         heaped.into_iter().chain(self.lane.front().copied()).min()
     }
 
-    /// Drops every pending event of `owner`.
+    /// Drops every pending event of `owner`, its timers too.
     pub fn cancel(&mut self, owner: Owner) {
         let (slab, free) = (&mut self.slab, &mut self.free);
         let mut keep = |key: &Key| {
-            if key.owner == owner {
+            if key.owner == owner && key.timer_tag().is_none() {
                 slab[key.slot as usize] = None;
                 free.push(key.slot);
             }
@@ -187,6 +215,37 @@ impl<T> Calendar<T> {
     pub(crate) fn heap_len(&self) -> usize {
         self.heap.len()
     }
+
+    /// Entries in the lane.
+    #[cfg(test)]
+    pub(crate) fn lane_len(&self) -> usize {
+        self.lane.len()
+    }
+
+    /// Slab slots ever taken: the most events that were pending at once.
+    #[cfg(test)]
+    pub(crate) fn slab_len(&self) -> usize {
+        self.slab.len()
+    }
+}
+
+impl<T: TimerPayload> Calendar<T> {
+    /// Takes the earliest event: its key and its payload.
+    pub fn pop(&mut self) -> Option<(Key, T)> {
+        let key = match (self.heap.peek(), self.lane.front()) {
+            (Some(Reverse(heaped)), Some(laned)) if laned < heaped => self.lane.pop_front(),
+            (None, _) => self.lane.pop_front(),
+            (Some(_), _) => self.heap.pop().map(|Reverse(key)| key),
+        }?;
+        if let Some(tag) = key.timer_tag() {
+            return Some((key, T::from_timer(tag)));
+        }
+        // A slot is filled at push and emptied only here and in `cancel`,
+        // which takes its key with it.
+        let payload = self.slab[key.slot as usize].take()?;
+        self.free.push(key.slot);
+        Some((key, payload))
+    }
 }
 
 #[cfg(test)]
@@ -195,7 +254,23 @@ mod tests {
     use proptest::prelude::*;
 
     /// The part of a key that orders.
-    fn full(key: Key) -> (u64, Owner, u64) {
+    type Order = (u64, Owner, u64);
+
+    /// A test payload: an event carries its own key, so a mix-up of slots
+    /// shows; a timer is what its tag rebuilds.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Payload {
+        Event(Order),
+        Timer(u32),
+    }
+
+    impl TimerPayload for Payload {
+        fn from_timer(tag: u32) -> Self {
+            Payload::Timer(tag)
+        }
+    }
+
+    fn full(key: Key) -> Order {
         (key.at, key.owner, key.seq)
     }
 
@@ -203,11 +278,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Any schedule of pushes and pops — the driver's events and two
-        /// groups' — comes out in the order a heap of bare keys gives, each
-        /// key with the payload it was pushed with; each owner numbers only
-        /// its own pushes; and the slab never outgrows the most events that
-        /// were pending at once — whichever of the heap and the lane an entry
-        /// waited in.
+        /// groups' events and timers — comes out in the order a heap of bare
+        /// keys gives, each event with the payload it was pushed with and
+        /// each timer as its tag rebuilds it; each owner numbers only its
+        /// own pushes; the slab never outgrows the most events (timers not
+        /// counted) that were pending at once; and cancelling an owner drops
+        /// its timers with its events.
         #[test]
         fn pops_like_a_reference_heap(schedule in proptest::collection::vec(
             // Five pushes to two pops, and few distinct times, so the queue
@@ -218,7 +294,10 @@ mod tests {
             const TIMER_DELAY: u64 = 5;
             let owners = [Owner::DRIVER, Owner::shard(0), Owner::shard(1)];
             let mut queue = Calendar::default();
-            let mut reference: BinaryHeap<Reverse<(u64, Owner, u64)>> = BinaryHeap::new();
+            let mut reference: BinaryHeap<Reverse<(Order, Payload)>> = BinaryHeap::new();
+            let pending_events = |reference: &BinaryHeap<Reverse<(Order, Payload)>>| {
+                reference.iter().filter(|Reverse((_, p))| matches!(p, Payload::Event(_))).count()
+            };
             let mut pushed = [0u64; 3];
             let mut high_water = 0;
             // The time of the last pop, as the simulator keeps it.
@@ -242,12 +321,15 @@ mod tests {
                         let owner = owners[who];
                         let key = (at, owner, queue.next_seq(owner));
                         prop_assert_eq!(key.2, pushed[who]);
-                        reference.push(Reverse(key));
-                        // The payload is its key, so a mix-up of slots shows.
                         if timer {
-                            queue.push_timer(at, owner, key);
+                            // Any tag below the marker bit, its high bits set
+                            // too.
+                            let tag = (key.2 as u32).wrapping_mul(0x9E37_79B9) >> 1;
+                            queue.push_timer(at, owner, tag);
+                            reference.push(Reverse((key, Payload::Timer(tag))));
                         } else {
-                            queue.push(at, owner, key);
+                            queue.push(at, owner, Payload::Event(key));
+                            reference.push(Reverse((key, Payload::Event(key))));
                         }
                         pushed[who] += 1;
                         for (i, &owner) in owners.iter().enumerate() {
@@ -255,25 +337,30 @@ mod tests {
                         }
                     }
                     None => {
-                        let expected = reference.pop().map(|Reverse(key)| (key, key));
+                        let expected = reference.pop().map(|Reverse(entry)| entry);
                         prop_assert_eq!(queue.pop().map(|(key, payload)| (full(key), payload)), expected);
                         now = expected.map_or(now, |(key, _)| key.0);
                     }
                 }
-                high_water = high_water.max(reference.len());
-                prop_assert_eq!(queue.peek().map(full), reference.peek().map(|Reverse(key)| *key));
+                high_water = high_water.max(pending_events(&reference));
+                let head = reference.peek().map(|Reverse((key, _))| *key);
+                prop_assert_eq!(queue.peek().map(full), head);
                 prop_assert_eq!(queue.slab.len(), high_water);
-                prop_assert_eq!(queue.free.len() + reference.len(), queue.slab.len());
+                prop_assert_eq!(queue.free.len() + pending_events(&reference), queue.slab.len());
                 prop_assert_eq!(queue.heap.len() + queue.lane.len(), reference.len());
                 let lane = queue.lane.iter();
                 prop_assert!(lane.clone().zip(lane.skip(1)).all(|(earlier, later)| earlier < later));
             }
-            // The driver's events go; the groups' still pop in order.
-            queue.cancel(Owner::DRIVER);
-            reference.retain(|Reverse(key)| key.1 != Owner::DRIVER);
-            prop_assert_eq!(queue.free.len() + reference.len(), queue.slab.len());
-            while let Some(Reverse(key)) = reference.pop() {
-                prop_assert_eq!(queue.pop().map(|(key, payload)| (full(key), payload)), Some((key, key)));
+            // The driver's events go, and so do group 0's events and timers;
+            // group 1's still pop in order.
+            for owner in [Owner::DRIVER, Owner::shard(0)] {
+                queue.cancel(owner);
+                reference.retain(|Reverse(((_, of, _), _))| *of != owner);
+            }
+            prop_assert_eq!(queue.heap.len() + queue.lane.len(), reference.len());
+            prop_assert_eq!(queue.free.len() + pending_events(&reference), queue.slab.len());
+            while let Some(Reverse(entry)) = reference.pop() {
+                prop_assert_eq!(queue.pop().map(|(key, payload)| (full(key), payload)), Some(entry));
             }
             prop_assert_eq!(queue.pop(), None);
         }
