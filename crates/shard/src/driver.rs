@@ -189,6 +189,8 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         cluster: &'a mut ShardedCluster<R>,
         workload: &'a mut dyn FnMut(u64, u64) -> Option<Request>,
     ) -> Self {
+        // The run counts only what it pops itself, not a `quiesce` before it.
+        cluster.calendar.take_counts();
         for shard in 0..cluster.shards.len() {
             let (group, mut sched) = cluster.lend(shard);
             group.seed_initial_events(&mut sched);

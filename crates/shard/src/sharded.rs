@@ -28,7 +28,8 @@
 use recipe_core::ConfidentialityMode;
 use recipe_gateway::{GatewayConfig, GatewayStats};
 use recipe_sim::{
-    Calendar, Completion, GroupEvent, Key, Replica, ReplicaGroup, RunStats, Scheduler, SimConfig,
+    Calendar, CalendarCounts, Completion, GroupEvent, Key, Replica, ReplicaGroup, RunStats,
+    Scheduler, SimConfig,
 };
 use recipe_telemetry::{MetricsRegistry, ShardTelemetry, TelemetryConfig, TelemetryReport};
 use recipe_workload::stable_key_hash;
@@ -137,6 +138,10 @@ pub struct ShardedRunStats {
     /// Per-tenant gateway counters (admitted/rejected/throttled/committed;
     /// empty unless the deployment enables the tenant gateway).
     pub gateway: GatewayStats,
+    /// What the run's calendar served: every event the run popped, the
+    /// driver's and every group's, and how many were retransmission timers
+    /// that fired for nothing.
+    pub calendar: CalendarCounts,
 }
 
 /// One bucket of the throughput timeline: activity whose completion landed in
@@ -342,8 +347,9 @@ impl<R: Replica> ShardedCluster<R> {
         }
     }
 
-    /// Folds the driver's tallies and every shard's own counters into the
-    /// run's statistics, on the global clock `global_now`.
+    /// Folds the driver's tallies, every shard's own counters and the
+    /// calendar's counts into the run's statistics, on the global clock
+    /// `global_now`.
     pub(crate) fn finalize(&mut self, global_now: u64, tallies: Tallies) -> ShardedRunStats {
         let Tallies {
             committed,
@@ -403,6 +409,7 @@ impl<R: Replica> ShardedCluster<R> {
             txn: TxnStats::default(),
             timeline: Vec::new(),
             gateway: GatewayStats::default(),
+            calendar: self.calendar.take_counts(),
         }
     }
 }

@@ -230,6 +230,11 @@ impl<'a, T: From<GroupEvent>> Scheduler<'a, T> {
         self.calendar.push_timer(at, self.owner, tag);
     }
 
+    /// Counts a retransmission timer that fired for nothing.
+    fn dead_timer(&mut self) {
+        self.calendar.count_dead_timer();
+    }
+
     /// Tells the replica at `idx` that `about` went down or came back `up`.
     fn notice(&mut self, at: u64, idx: usize, about: NodeId, up: bool) {
         self.push(at, EventKind::PeerNotice { idx, about, up });
@@ -606,12 +611,12 @@ impl<R: Replica> ReplicaGroup<R> {
                 // Still outstanding, and this its live timer? (No reply
                 // recorded, no newer request and no re-arm since.)
                 let slot = self.clients.get_mut(client_id as usize);
-                let Some(out) = slot.and_then(Option::as_mut) else {
-                    return;
+                let Some(out) = slot
+                    .and_then(Option::as_mut)
+                    .filter(|out| out.retry_at == at)
+                else {
+                    return sched.dead_timer();
                 };
-                if out.retry_at != at {
-                    return;
-                }
                 let retry_at = self.now + RETRY_TIMEOUT_NS;
                 out.retry_at = retry_at;
                 // Resend the exact operation that was issued (the original code
@@ -1431,7 +1436,8 @@ mod tests {
 
     /// A request whose reply is lost is resent when its timer fires, a whole
     /// timeout after it was issued, and the timer re-armed; the timer of an
-    /// answered request resends nothing, but still moves the group's clock.
+    /// answered request resends nothing, but still moves the group's clock
+    /// and is counted dead.
     #[test]
     fn a_lost_reply_is_resent_and_an_answered_request_is_not() {
         let mut cluster = echo(3);
@@ -1465,6 +1471,8 @@ mod tests {
         assert_eq!(cluster.now_ns(), last_due);
         assert_eq!(cluster.calendar.peek(), None);
         assert_eq!(cluster.replica(NodeId(0)).requests.len(), 3);
+        let counts = cluster.calendar.take_counts();
+        assert_eq!((counts.timers, counts.dead_timers), (3, 1), "{counts:?}");
     }
 
     #[test]

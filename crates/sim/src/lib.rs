@@ -34,7 +34,7 @@ pub use cluster::{
     StepOutcome,
 };
 pub use cost::{CostProfile, ProtocolCostModel, Work, COST_MODEL};
-pub use queue::{Calendar, Key, Owner, TimerPayload};
+pub use queue::{Calendar, CalendarCounts, Key, Owner, TimerPayload};
 pub use replica::{Ctx, RangeEntry, RecoveryState, Replica, RestartReport};
 
 pub use recipe_tee::TrustedInstant as SimTime;

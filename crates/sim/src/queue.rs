@@ -48,6 +48,8 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+use serde::{Deserialize, Serialize};
+
 /// Whose event it is. Owners order as their tie order at one instant: the
 /// driver, the controller, then each group by shard index. A plain integer,
 /// so that keys compare as integers.
@@ -103,6 +105,17 @@ pub trait TimerPayload {
     fn from_timer(tag: u32) -> Self;
 }
 
+/// What a calendar served, counted as it goes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CalendarCounts {
+    /// Events popped, timers included.
+    pub popped: u64,
+    /// Of those, timers.
+    pub timers: u64,
+    /// Of those timers, the ones their owner found dead: nothing to resend.
+    pub dead_timers: u64,
+}
+
 /// A calendar of `T`s that pops them in [`Key`] order.
 #[derive(Debug)]
 pub struct Calendar<T> {
@@ -116,6 +129,8 @@ pub struct Calendar<T> {
     /// Each owner's push count, at its number, grown on an owner's first
     /// push.
     seqs: Vec<u64>,
+    /// What was popped since the counts were last taken.
+    counts: CalendarCounts,
 }
 
 impl<T> Default for Calendar<T> {
@@ -126,6 +141,7 @@ impl<T> Default for Calendar<T> {
             slab: Vec::new(),
             free: Vec::new(),
             seqs: Vec::new(),
+            counts: CalendarCounts::default(),
         }
     }
 }
@@ -190,6 +206,16 @@ impl<T> Calendar<T> {
         }
     }
 
+    /// Counts a timer that was popped and found dead.
+    pub(crate) fn count_dead_timer(&mut self) {
+        self.counts.dead_timers += 1;
+    }
+
+    /// The counts since they were last taken, which start again from zero.
+    pub fn take_counts(&mut self) -> CalendarCounts {
+        std::mem::take(&mut self.counts)
+    }
+
     /// Key of the earliest event.
     pub fn peek(&self) -> Option<Key> {
         let heaped = self.heap.peek().map(|Reverse(key)| *key);
@@ -237,7 +263,9 @@ impl<T: TimerPayload> Calendar<T> {
             (None, _) => self.lane.pop_front(),
             (Some(_), _) => self.heap.pop().map(|Reverse(key)| key),
         }?;
+        self.counts.popped += 1;
         if let Some(tag) = key.timer_tag() {
+            self.counts.timers += 1;
             return Some((key, T::from_timer(tag)));
         }
         // A slot is filled at push and emptied only here and in `cancel`,
@@ -281,9 +309,9 @@ mod tests {
         /// groups' events and timers — comes out in the order a heap of bare
         /// keys gives, each event with the payload it was pushed with and
         /// each timer as its tag rebuilds it; each owner numbers only its
-        /// own pushes; the slab never outgrows the most events (timers not
-        /// counted) that were pending at once; and cancelling an owner drops
-        /// its timers with its events.
+        /// own pushes; the calendar counts what it popped; the slab never
+        /// outgrows the most events (timers not counted) that were pending at
+        /// once; and cancelling an owner drops its timers with its events.
         #[test]
         fn pops_like_a_reference_heap(schedule in proptest::collection::vec(
             // Five pushes to two pops, and few distinct times, so the queue
@@ -299,6 +327,7 @@ mod tests {
                 reference.iter().filter(|Reverse((_, p))| matches!(p, Payload::Event(_))).count()
             };
             let mut pushed = [0u64; 3];
+            let (mut popped, mut timers) = (0, 0);
             let mut high_water = 0;
             // The time of the last pop, as the simulator keeps it.
             let mut now = 0;
@@ -340,8 +369,13 @@ mod tests {
                         let expected = reference.pop().map(|Reverse(entry)| entry);
                         prop_assert_eq!(queue.pop().map(|(key, payload)| (full(key), payload)), expected);
                         now = expected.map_or(now, |(key, _)| key.0);
+                        if let Some((_, payload)) = expected {
+                            popped += 1;
+                            timers += u64::from(matches!(payload, Payload::Timer(_)));
+                        }
                     }
                 }
+                prop_assert_eq!((queue.counts.popped, queue.counts.timers), (popped, timers));
                 high_water = high_water.max(pending_events(&reference));
                 let head = reference.peek().map(|Reverse((key, _))| *key);
                 prop_assert_eq!(queue.peek().map(full), head);

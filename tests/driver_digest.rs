@@ -71,47 +71,47 @@ const PINS: [Pin; 9] = [
     Pin {
         name: "single_key_unbatched",
         run: single_key_unbatched,
-        digest: "9cfc05bb3f13976753c5d945cf68d2e64c46d63072290303a839472a6329b523",
+        digest: "354323ded8a5c2d71c484891a3a86799947dc08cb0fbb9c0ab6d943c7c0683b1",
     },
     Pin {
         name: "txn_gateway",
         run: txn_gateway,
-        digest: "200e494be3bd76a6ec34fc7bc0ad33383da013243335813bccdc8686c4974f82",
+        digest: "73a72c42a2d31aa0ef42a7caa6c33a8496e50e10c8084e80d3510f58a1f7dabb",
     },
     Pin {
         name: "rebalance_crash",
         run: rebalance_crash,
-        digest: "435859e3d4b966a2c1f111e0bbdd1bec9ea0b1d748eba207fe60aaaaa64bde43",
+        digest: "afda9139fc7ed46ee2d1d6beccacd9240d61426a26de420c5f63af329baa37fe",
     },
     Pin {
         name: "txn_byzantine",
         run: txn_byzantine,
-        digest: "43302c5a2e8b2b9751b178949ee470c8425399a8e0aa217b44db0cbcf84cc954",
+        digest: "b322f46080887476e997aef8480fdf14c4b6e876c81279de624ef90922335200",
     },
     Pin {
         name: "chain_txn_crash",
         run: chain_txn_crash,
-        digest: "5a3c2aadd7fba60ae1adbf1d41825c3c2185da08e427490dada6e2dc92621740",
+        digest: "ca31f3756aa2b8c7902946937f944c2802e355bc2bbb91a9d9def42a1426e6d0",
     },
     Pin {
         name: "abd_txn_crash",
         run: abd_txn_crash,
-        digest: "76faaded22226a73b5526e3ca614a400f41a38119f52aed999ca07ec7096fafb",
+        digest: "8d757812a26de92a97f7ae7d80d856224a7cd825d54d9a4a729689692d7d6a3b",
     },
     Pin {
         name: "pbft_txn_crash",
         run: pbft_txn_crash,
-        digest: "583cdeefc3913427e43afe6fae737ec3015f49e2da0d1e9260e47ec9c6dab021",
+        digest: "b33e6b2f9bc12d583cdcc68d2369acc73911b84f65b359f6fd6b6281c7671d96",
     },
     Pin {
         name: "allconcur_crash",
         run: allconcur_crash,
-        digest: "067984ac6f8740d78419821378d68430950ebe79aa202404130954c9b8217ea9",
+        digest: "8f31f4c05501513e896a6ec0ca6812bf5235bdd319da08122105ddd2858c62ca",
     },
     Pin {
         name: "batched_replays",
         run: batched_replays,
-        digest: "986719ac73ae45c85f40e206727eacf5a10d0282fba6cd4c921219bdd109d0b7",
+        digest: "36fc9c357443a6a55c6a4d85141e958cf9823df7504d5b2626e96ef72c168844",
     },
 ];
 
@@ -438,13 +438,24 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 /// Path and both values of the first leaf on which two JSON trees disagree,
-/// depth first in field order.
+/// depth first in field order; a field only one of them has comes after
+/// every field both have, so a new field shows as new only when no pinned
+/// one moved.
 fn first_difference(path: &str, pinned: &Value, got: &Value) -> Option<String> {
     match (pinned, got) {
-        (Value::Map(a), Value::Map(b)) if a.len() == b.len() => a
-            .iter()
-            .zip(b)
-            .find_map(|((key, x), (_, y))| first_difference(&format!("{path}.{key}"), x, y)),
+        (Value::Map(a), Value::Map(b)) => {
+            fn field<'a>(map: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+                map.iter().find(|(k, _)| k == key).map(|(_, value)| value)
+            }
+            let moved = a
+                .iter()
+                .find_map(|(key, x)| first_difference(&format!("{path}.{key}"), x, field(b, key)?));
+            let gone = || a.iter().find(|(key, _)| field(b, key).is_none());
+            let new = || b.iter().find(|(key, _)| field(a, key).is_none());
+            moved
+                .or_else(|| gone().map(|(key, _)| format!("`{path}.{key}` is gone")))
+                .or_else(|| new().map(|(key, _)| format!("`{path}.{key}` is new")))
+        }
         (Value::Array(a), Value::Array(b)) if a.len() == b.len() => a
             .iter()
             .zip(b)

@@ -71,6 +71,11 @@ fn crash_plan_leader_failover_preserves_progress() {
         stats.total.committed
     );
     assert_eq!(group.crashed_nodes().len(), 1);
+    // The requests the dead leader swallowed were resent when their timers
+    // fired: some timer was live.
+    let calendar = stats.calendar;
+    assert!(calendar.dead_timers < calendar.timers, "{calendar:?}");
+    assert!(calendar.timers < calendar.popped, "{calendar:?}");
 }
 
 #[test]
