@@ -347,8 +347,6 @@ impl CftProtocol for Abd {
     const PROTOCOL: Protocol = Protocol::Abd;
     const NAME: &'static str = "ABD";
     const STAMPING: Stamping = Stamping::Lamport;
-    /// ABD has no leader to batch on.
-    const BATCHES: bool = false;
 
     fn new(id: NodeId, membership: Membership) -> Self {
         Abd {

@@ -152,8 +152,6 @@ impl CftProtocol for AllConcur {
     const PROTOCOL: Protocol = Protocol::AllConcur;
     const NAME: &'static str = "AllConcur";
     const STAMPING: Stamping = Stamping::Sequence;
-    /// Every node proposes for itself: there is no one sender to batch on.
-    const BATCHES: bool = false;
 
     fn new(_id: NodeId, membership: Membership) -> Self {
         AllConcur {

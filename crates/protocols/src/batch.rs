@@ -72,7 +72,7 @@ impl BatchConfig {
     }
 
     /// True when this configuration actually batches (`max_ops > 1`).
-    pub(crate) fn is_batching(&self) -> bool {
+    pub fn is_batching(&self) -> bool {
         self.max_ops > 1
     }
 }

@@ -137,7 +137,6 @@ impl CftProtocol for Chain {
     const PROTOCOL: Protocol = Protocol::Chain;
     const NAME: &'static str = "CR";
     const STAMPING: Stamping = Stamping::Sequence;
-    const BATCHES: bool = true;
 
     fn new(id: NodeId, membership: Membership) -> Self {
         Chain {

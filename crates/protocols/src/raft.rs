@@ -495,7 +495,6 @@ impl CftProtocol for Raft {
     const PROTOCOL: Protocol = Protocol::Raft;
     const NAME: &'static str = "Raft";
     const STAMPING: Stamping = Stamping::Sequence;
-    const BATCHES: bool = true;
 
     fn new(id: NodeId, membership: Membership) -> Self {
         assert!(

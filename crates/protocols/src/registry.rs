@@ -44,6 +44,11 @@ struct Entry {
     recipe: bool,
     /// Replicas per tolerated fault: `n >= k * f + 1`.
     replicas_per_fault: usize,
+    /// Sends through the batching pipeline. A leader-based protocol funnels
+    /// every write through one sender, which is where coalescing pays; a
+    /// leaderless one (ABD, AllConcur: every node proposes for itself) has
+    /// no one sender to batch on, and Damysus is run unbatched.
+    batches: bool,
 }
 
 impl Protocol {
@@ -59,20 +64,22 @@ impl Protocol {
 
     /// The registry: one line per protocol, in [`Entry`]'s field order.
     const fn entry(self) -> Entry {
-        let (file_name, display_name, supports_txn, recipe, replicas_per_fault) = match self {
-            Protocol::Raft => ("raft", "R-Raft", true, true, 2),
-            Protocol::Chain => ("chain", "R-CR", true, true, 2),
-            Protocol::Abd => ("abd", "R-ABD", true, true, 2),
-            Protocol::AllConcur => ("allconcur", "R-AllConcur", false, true, 2),
-            Protocol::Pbft => ("pbft", "PBFT", true, false, 3),
-            Protocol::Damysus => ("damysus", "Damysus", false, false, 2),
-        };
+        let (file_name, display_name, supports_txn, recipe, replicas_per_fault, batches) =
+            match self {
+                Protocol::Raft => ("raft", "R-Raft", true, true, 2, true),
+                Protocol::Chain => ("chain", "R-CR", true, true, 2, true),
+                Protocol::Abd => ("abd", "R-ABD", true, true, 2, false),
+                Protocol::AllConcur => ("allconcur", "R-AllConcur", false, true, 2, false),
+                Protocol::Pbft => ("pbft", "PBFT", true, false, 3, true),
+                Protocol::Damysus => ("damysus", "Damysus", false, false, 2, false),
+            };
         Entry {
             file_name,
             display_name,
             supports_txn,
             recipe,
             replicas_per_fault,
+            batches,
         }
     }
 
@@ -107,6 +114,12 @@ impl Protocol {
     /// `n >= k * f + 1`.
     pub fn replicas_per_fault(self) -> usize {
         self.entry().replicas_per_fault
+    }
+
+    /// Whether the protocol sends through the batching pipeline; one that
+    /// does not runs unbatched whatever it is configured with.
+    pub const fn batches(self) -> bool {
+        self.entry().batches
     }
 
     /// Fewest replicas a group tolerating `f` faults can have.

@@ -45,10 +45,8 @@ pub trait CftProtocol: Sized {
     const STAMPING: Stamping;
 
     /// Whether the protocol's messages go through the batching pipeline:
-    /// leader-based protocols funnel every write through one sender, which
-    /// is where coalescing pays; a leaderless one sends unbatched whatever
-    /// the deployment configures.
-    const BATCHES: bool;
+    /// the registry's [`Protocol::batches`], stated there once.
+    const BATCHES: bool = Self::PROTOCOL.batches();
 
     /// Replica `id` of the group `membership` describes, in its initial
     /// state.
@@ -413,7 +411,6 @@ mod tests {
         const PROTOCOL: Protocol = Protocol::Raft;
         const NAME: &'static str = "Tell";
         const STAMPING: Stamping = Stamping::Sequence;
-        const BATCHES: bool = true;
 
         fn new(id: NodeId, membership: Membership) -> Self {
             Tell {

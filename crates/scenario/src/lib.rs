@@ -20,7 +20,8 @@
 //! * `model` assembles and cross-validates the [`Scenario`], catching
 //!   contradictory knobs (a crash entry naming a node outside the group,
 //!   `batch_ops = 0`, transaction fan-out wider than the deployment, PBFT
-//!   with confidential shards, …) with the offending field named — the same
+//!   with confidential shards, a batch config for a protocol that does not
+//!   batch, …) with the offending field named — the same
 //!   mistakes the builder API would panic on or silently clamp;
 //! * [`run`] executes the scenario once per declared protocol and reports
 //!   each outcome with its violated expectations.

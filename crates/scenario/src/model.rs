@@ -246,6 +246,16 @@ impl Scenario {
                     p.display_name()
                 )));
             }
+            let batched = (0..spec.shards()).find(|&s| spec.policy_for(s).batch.is_batching());
+            if let (Some(shard), false) = (batched, p.batches()) {
+                return Err(ScenarioError(format!(
+                    "protocol `{name}`: {} does not batch, so shard {shard}'s batch config would \
+                     be dropped; remove `deployment.batch_ops` / `[deployment.batch]` and \
+                     per-shard `batch_ops` / `[shard_policy.batch]`, or pick a protocol that \
+                     batches",
+                    p.display_name()
+                )));
+            }
             if matches!(self.workload, WorkloadKind::Txn(_)) && !p.supports_txn() {
                 return Err(ScenarioError(format!(
                     "protocol `{name}`: transactions are not supported (no 2PC \

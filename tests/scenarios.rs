@@ -220,17 +220,27 @@ fn malformed_corpus_fails_with_declared_errors() {
 
 /// What validation refuses is what the registry says a protocol cannot do:
 /// for every registered protocol, a transaction workload, a confidential
-/// deployment and a group one replica short of `min_replicas(f)` load exactly
-/// when the registry allows them, and the refusal names the protocol.
+/// deployment, a batch config (the deployment's or one shard's) and a group
+/// one replica short of `min_replicas(f)` load exactly when the registry
+/// allows them, and the refusal names the protocol.
 #[test]
 fn validation_enforces_the_capabilities_the_registry_declares() {
-    let load = |protocol: Protocol, replicas: usize, confidential: bool, kind: &str| {
+    let load_with = |protocol: Protocol,
+                     replicas: usize,
+                     confidential: bool,
+                     kind: &str,
+                     batch: &str,
+                     shard_batch: &str| {
         Scenario::from_toml_str(&format!(
             "name = \"capabilities\"\nprotocol = \"{}\"\n[deployment]\nshards = 2\n\
              replicas_per_shard = {replicas}\nfaults_tolerated = 1\nclients = 4\n\
-             total_operations = 10\nconfidential = {confidential}\n[workload]\nkind = \"{kind}\"\n",
+             total_operations = 10\nconfidential = {confidential}\n{batch}[workload]\n\
+             kind = \"{kind}\"\n[[shard_policy]]\nshard = 1\n{shard_batch}",
             protocol.file_name()
         ))
+    };
+    let load = |protocol: Protocol, replicas: usize, confidential: bool, kind: &str| {
+        load_with(protocol, replicas, confidential, kind, "", "")
     };
     for protocol in Protocol::ALL {
         let enough = protocol.min_replicas(1);
@@ -254,6 +264,22 @@ fn validation_enforces_the_capabilities_the_registry_declares() {
             protocol.supports_confidential(),
             "it has no confidential mode",
         );
+        // A batch of one is no batch; anything more is refused where it
+        // would be dropped, and the refusal names the fields.
+        for (batch, shard_batch) in [
+            ("batch_ops = 16\n", ""),
+            ("[deployment.batch]\nmax_ops = 8\n", ""),
+            ("", "batch_ops = 4\n"),
+            ("", "[shard_policy.batch]\nmax_ops = 4\n"),
+        ] {
+            let loaded = load_with(protocol, enough, false, "single", batch, shard_batch);
+            if let Err(err) = &loaded {
+                assert!(err.to_string().contains("batch_ops"), "{err}");
+            }
+            refused(loaded, protocol.batches(), "it does not batch");
+        }
+        let unbatched = load_with(protocol, enough, false, "single", "batch_ops = 1\n", "");
+        unbatched.expect("a batch of one loads");
         // One short of 2f+1 is the deployment's own error; between 2f+1 and
         // the protocol's minimum it is the protocol's.
         if enough > 3 {
