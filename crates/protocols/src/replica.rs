@@ -44,10 +44,6 @@ pub trait CftProtocol: Sized {
     /// How the protocol's store stamps the writes it applies.
     const STAMPING: Stamping;
 
-    /// Whether the protocol's messages go through the batching pipeline:
-    /// the registry's [`Protocol::batches`], stated there once.
-    const BATCHES: bool = Self::PROTOCOL.batches();
-
     /// Replica `id` of the group `membership` describes, in its initial
     /// state.
     fn new(id: NodeId, membership: Membership) -> Self;
@@ -215,7 +211,7 @@ impl<P: CftProtocol> RecipeReplica<P> {
     }
 
     /// Enables batching where the protocol batches
-    /// ([`CftProtocol::BATCHES`]): outgoing protocol messages accumulate per
+    /// ([`Protocol::batches`]): outgoing protocol messages accumulate per
     /// destination and drain as one amortized frame per flush (ops, byte or
     /// time budget — see [`BatchConfig`]). `BatchConfig::unbatched()`
     /// restores one message per frame.
@@ -225,7 +221,7 @@ impl<P: CftProtocol> RecipeReplica<P> {
     }
 
     fn batcher(config: BatchConfig) -> Batcher {
-        Batcher::new(if P::BATCHES {
+        Batcher::new(if P::PROTOCOL.batches() {
             config
         } else {
             BatchConfig::unbatched()

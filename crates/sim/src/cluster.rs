@@ -230,11 +230,6 @@ impl<'a, T: From<GroupEvent>> Scheduler<'a, T> {
         self.calendar.push_timer(at, self.owner, tag);
     }
 
-    /// Counts a retransmission timer that fired for nothing.
-    fn dead_timer(&mut self) {
-        self.calendar.count_dead_timer();
-    }
-
     /// Tells the replica at `idx` that `about` went down or came back `up`.
     fn notice(&mut self, at: u64, idx: usize, about: NodeId, up: bool) {
         self.push(at, EventKind::PeerNotice { idx, about, up });
@@ -615,7 +610,7 @@ impl<R: Replica> ReplicaGroup<R> {
                     .and_then(Option::as_mut)
                     .filter(|out| out.retry_at == at)
                 else {
-                    return sched.dead_timer();
+                    return sched.calendar.count_dead_timer();
                 };
                 let retry_at = self.now + RETRY_TIMEOUT_NS;
                 out.retry_at = retry_at;
@@ -1436,8 +1431,8 @@ mod tests {
 
     /// A request whose reply is lost is resent when its timer fires, a whole
     /// timeout after it was issued, and the timer re-armed; the timer of an
-    /// answered request resends nothing, but still moves the group's clock
-    /// and is counted dead.
+    /// answered request resends nothing, also while a newer request of the
+    /// client waits, but still moves the group's clock and is counted dead.
     #[test]
     fn a_lost_reply_is_resent_and_an_answered_request_is_not() {
         let mut cluster = echo(3);
@@ -1458,21 +1453,35 @@ mod tests {
             assert_eq!(cluster.step(), StepOutcome::Processed);
             assert_eq!(cluster.now_ns(), due);
         }
-        let last_due = issued + 3 * RETRY_TIMEOUT_NS;
-        cluster.run_until(last_due - 1);
+        cluster.run_until(issued + 2 * RETRY_TIMEOUT_NS + 1_000_000);
         let done = cluster.drain_completions();
         assert_eq!(done.len(), 1);
         assert!(done[0].latency_ns > 2 * RETRY_TIMEOUT_NS, "{done:?}");
         assert_eq!(cluster.replica(NodeId(0)).requests, [(0, 1); 3]);
-        // The answered request's timer fires, resends nothing and arms
-        // nothing more.
-        assert_eq!(cluster.calendar.peek().map(|key| key.at), Some(last_due));
+        // The client's next request loses its first reply too, so it is
+        // outstanding when the answered request's last timer fires: that
+        // timer resends nothing and arms nothing.
+        cluster.replica_mut(NodeId(0)).lose_replies = 1;
+        let next = done[0].at_ns;
+        assert!(cluster.submit_at(next, 0, 2, write_workload(0, 2)));
+        let stale_due = issued + 3 * RETRY_TIMEOUT_NS;
+        cluster.run_until(stale_due - 1);
+        assert_eq!(cluster.calendar.peek().map(|key| key.at), Some(stale_due));
         assert_eq!(cluster.step(), StepOutcome::Processed);
-        assert_eq!(cluster.now_ns(), last_due);
+        assert_eq!(cluster.now_ns(), stale_due);
+        assert_eq!(cluster.replica(NodeId(0)).requests.len(), 4);
+        // The live one is the next request's, a timeout after its submit.
+        let due = next + RETRY_TIMEOUT_NS;
+        assert_eq!(cluster.calendar.peek().map(|key| key.at), Some(due));
+        cluster.run_until(due + 1_000_000);
+        assert_eq!(cluster.replica(NodeId(0)).requests[3..], [(0, 2); 2]);
+        assert_eq!(cluster.drain_completions().len(), 1);
+        // Its own timer fires for nothing, and the calendar is empty.
+        assert_eq!(cluster.step(), StepOutcome::Processed);
         assert_eq!(cluster.calendar.peek(), None);
-        assert_eq!(cluster.replica(NodeId(0)).requests.len(), 3);
+        assert_eq!(cluster.replica(NodeId(0)).requests.len(), 5);
         let counts = cluster.calendar.take_counts();
-        assert_eq!((counts.timers, counts.dead_timers), (3, 1), "{counts:?}");
+        assert_eq!((counts.timers, counts.dead_timers), (5, 2), "{counts:?}");
     }
 
     #[test]

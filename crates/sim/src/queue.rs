@@ -99,7 +99,7 @@ impl Key {
 }
 
 /// A payload that a timer's tag stands for: what [`Calendar::pop`] hands out
-/// for a key [`Calendar::push_timer`] pushed.
+/// for a timer's key, which holds the tag and no payload.
 pub trait TimerPayload {
     /// The payload of a timer tagged `tag`.
     fn from_timer(tag: u32) -> Self;
