@@ -54,7 +54,7 @@ use std::collections::BTreeMap;
 
 use recipe_crypto::{CipherKey, KeyCommitment};
 use recipe_net::{ChannelId, NodeId};
-use recipe_tee::{CipherHandle, CounterHandle, Enclave, KeyHandle, TeeError};
+use recipe_tee::{CipherHandle, CounterHandle, Enclave, KeyHandle, Label, TeeError};
 
 use crate::error::RecipeError;
 use crate::message::{
@@ -348,13 +348,16 @@ impl Channel {
     /// `role` is `send` or `recv`, this node's end of the channel. The key is
     /// bound to the channel's block here, so the block's compression is paid
     /// once a channel and `src`, `dst` are under every MAC made with it.
+    /// Both labels are formatted in place ([`Label::format`]), so resolving
+    /// a channel takes nothing from the heap but its enclave table slots.
     fn resolve(enclave: &mut Enclave, role: &str, channel: ChannelId) -> Option<Channel> {
-        let label = channel.label();
-        let key = enclave.mac_key_handle(&label).ok()?;
+        let label = Label::format(format_args!("{channel}")).ok()?;
+        let key = enclave.mac_key_handle(label.as_str()).ok()?;
         enclave
             .bind_mac_key(key, &channel_mac_block(channel))
             .ok()?;
-        let counter = enclave.counter_handle(&format!("{role}:{label}")).ok()?;
+        let counter = Label::format(format_args!("{role}:{channel}")).ok()?;
+        let counter = enclave.counter_handle(counter.as_str()).ok()?;
         Some(Channel {
             key,
             counter,

@@ -46,15 +46,24 @@ impl ChannelId {
         ChannelId { src, dst }
     }
 
-    /// Stable string label, used to key enclave counters and channel MAC keys.
+    /// Stable string label, used to key enclave counters and channel MAC
+    /// keys: the channel's `Display` form, `cq:<src>-><dst>`.
     pub fn label(&self) -> String {
-        format!("cq:{}->{}", self.src.0, self.dst.0)
+        self.to_string()
+    }
+}
+
+/// The channel's label. The enclave formats it in place, with no `String`
+/// between, wherever a channel's key or counter is provisioned or looked up.
+impl fmt::Display for ChannelId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "cq:{}->{}", self.src.0, self.dst.0)
     }
 }
 
 impl fmt::Debug for ChannelId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cq:{}->{}", self.src.0, self.dst.0)
+        fmt::Display::fmt(self, f)
     }
 }
 
@@ -89,5 +98,6 @@ mod tests {
     fn channel_label() {
         let cq = ChannelId::new(NodeId(1), NodeId(2));
         assert_eq!(cq.label(), "cq:1->2");
+        assert_eq!(format!("{cq:?}"), cq.label());
     }
 }

@@ -23,7 +23,7 @@ use recipe_core::{
 };
 use recipe_crypto::{CipherKey, MacKey};
 use recipe_net::{ChannelId, NodeId};
-use recipe_tee::{Enclave, EnclaveConfig, EnclaveId};
+use recipe_tee::{Enclave, EnclaveConfig, EnclaveId, Label};
 use serde::{Deserialize, Serialize};
 
 /// Whether a replica runs the native CFT protocol or its Recipe transformation.
@@ -300,9 +300,10 @@ impl ProtocolShield {
 
     fn provision_channel(enclave: &mut Enclave, master: &MacKey, node: NodeId, peer: NodeId) {
         for (a, b) in [(node, peer), (peer, node)] {
-            let label = ChannelId::new(a, b).label();
+            let label = Label::format(format_args!("{}", ChannelId::new(a, b)))
+                .expect("a channel label fits the enclave's labels");
             enclave
-                .provision_mac_key(label.clone(), master.derive(&label))
+                .provision_mac_key(label, master.derive(label.as_str()))
                 .expect("fresh enclave accepts keys");
         }
     }

@@ -21,6 +21,11 @@
 //! ([`TxnLanes`]). A closed-loop client has one transaction in flight and
 //! every phase is answered by every participant before the next begins, so a
 //! lane is strictly sequential: request, response, request, response.
+//! Provisioning a lane takes nothing from the heap of its own: the enclave
+//! keeps each key and counter under an inline label
+//! ([`recipe_tee::Label`]), so a new lane costs only its slots in its two
+//! endpoints' tables, which grow amortised like any `Vec`. After its first
+//! round trip a lane frames in its free list's spares and allocates nothing.
 //!
 //! What stops each thing an untrusted network can do to a frame:
 //!

@@ -18,6 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::counter::TrustedCounter;
 use crate::error::TeeError;
+use crate::label::Label;
 use crate::quote::{HardwareKey, Quote, Report};
 use crate::sealed::SealedBlob;
 
@@ -79,7 +80,7 @@ pub const CIPHER_LABEL: &str = "recipe.values";
 /// as much hashing as sealing 100 bytes, so it is done once — on first use, to
 /// keep it out of deployment set-up for enclaves that never seal.
 struct CipherSlot {
-    label: String,
+    label: Label,
     key: CipherKey,
     cipher: OnceLock<Cipher>,
 }
@@ -104,9 +105,10 @@ struct BoundCipherSlot {
 /// form: the key with the channel's block hashed in
 /// ([`Enclave::bind_mac_key`]). The bound state forges like the key does, so
 /// it is made, kept and — when the label is provisioned again — remade in
-/// here, from the block kept beside it.
+/// here, from the block kept beside it. The label is held inline, so a
+/// channel's keys take their table slot and no other memory.
 struct MacSlot {
-    label: String,
+    label: Label,
     key: MacKey,
     bound: Option<(BoundMacKey, [u8; MAC_BLOCK_LEN])>,
 }
@@ -174,9 +176,11 @@ pub struct Enclave {
     // Ephemeral key-exchange secret generated during attestation.
     kx_secret: Option<EphemeralSecret>,
 
-    // Trusted monotonic counters beside their channel labels, in creation
-    // order: a `CounterHandle` is an index.
-    counters: Vec<(String, TrustedCounter)>,
+    // Trusted monotonic counters beside their channel labels
+    // (`send:cq:src->dst`, `recv:cq:src->dst`), in creation order: a
+    // `CounterHandle` is an index. Labels are inline, so a counter is its
+    // slot and nothing on the heap.
+    counters: Vec<(Label, TrustedCounter)>,
 }
 
 impl Enclave {
@@ -285,14 +289,15 @@ impl Enclave {
 
     /// Installs a channel MAC key under `label`, replacing — in place, so
     /// handles to it stay good, and with its bound form remade from the new
-    /// key — a key already provisioned there.
+    /// key — a key already provisioned there. A label longer than a
+    /// [`Label`] holds is refused.
     pub fn provision_mac_key(
         &mut self,
-        label: impl Into<String>,
+        label: impl AsRef<str>,
         key: MacKey,
     ) -> Result<(), TeeError> {
         self.ensure_alive()?;
-        let label = label.into();
+        let label = Label::new(label.as_ref())?;
         match self.mac_keys.iter_mut().find(|slot| slot.label == label) {
             Some(slot) => {
                 if let Some((bound, block)) = &mut slot.bound {
@@ -315,9 +320,10 @@ impl Enclave {
     /// Resolves the MAC key provisioned under `label` to its handle.
     pub fn mac_key_handle(&self, label: &str) -> Result<KeyHandle, TeeError> {
         self.ensure_alive()?;
+        let wanted = Label::new(label)?;
         self.mac_keys
             .iter()
-            .position(|slot| slot.label == label)
+            .position(|slot| slot.label == wanted)
             .map(|index| KeyHandle(handle_of(index)))
             .ok_or_else(|| TeeError::MissingSecret {
                 label: label.to_owned(),
@@ -378,14 +384,15 @@ impl Enclave {
 
     /// Installs a cipher key under `label` (confidentiality mode), replacing
     /// — in place, so handles to it stay good, and with every cipher bound
-    /// from it remade from the new key — a key already provisioned there.
+    /// from it remade from the new key — a key already provisioned there. A
+    /// label longer than a [`Label`] holds is refused.
     pub fn provision_cipher_key(
         &mut self,
-        label: impl Into<String>,
+        label: impl AsRef<str>,
         key: CipherKey,
     ) -> Result<(), TeeError> {
         self.ensure_alive()?;
-        let label = label.into();
+        let label = Label::new(label.as_ref())?;
         match self.ciphers.iter().position(|slot| slot.label == label) {
             Some(index) => {
                 let slot = &mut self.ciphers[index];
@@ -410,9 +417,10 @@ impl Enclave {
     }
 
     fn cipher_slot(&self, label: &str) -> Result<usize, TeeError> {
+        let wanted = Label::new(label)?;
         self.ciphers
             .iter()
-            .position(|slot| slot.label == label)
+            .position(|slot| slot.label == wanted)
             .ok_or_else(|| TeeError::MissingSecret {
                 label: label.to_owned(),
             })
@@ -497,15 +505,16 @@ impl Enclave {
 
     /// Resolves the trusted counter for `channel` to its handle, creating the
     /// counter at zero on first use. This is the only way a counter comes to
-    /// exist, so callers decide what deserves one before asking.
+    /// exist, so callers decide what deserves one before asking. A label
+    /// longer than a [`Label`] holds is refused.
     pub fn counter_handle(&mut self, channel: &str) -> Result<CounterHandle, TeeError> {
         self.ensure_alive()?;
-        let index = match self.counters.iter().position(|(held, _)| held == channel) {
+        let channel = Label::new(channel)?;
+        let index = match self.counters.iter().position(|(held, _)| *held == channel) {
             Some(index) => index,
             None => {
                 room_for_one_more(&self.counters)?;
-                self.counters
-                    .push((channel.to_owned(), TrustedCounter::default()));
+                self.counters.push((channel, TrustedCounter::default()));
                 self.counters.len() - 1
             }
         };
@@ -656,6 +665,64 @@ mod tests {
             e.mac_key("cq:0->2"),
             Err(TeeError::MissingSecret { .. })
         ));
+    }
+
+    #[test]
+    fn the_longest_channel_label_fits_and_one_byte_more_is_refused() {
+        let mut e = enclave();
+        let channel = format!("cq:{}->{}", u64::MAX, u64::MAX);
+        let worst = format!("recv:{channel}");
+        assert_eq!(worst.len(), crate::label::LABEL_CAPACITY);
+        assert_eq!(Label::new(&worst).unwrap().as_str(), worst);
+        let key = MacKey::from_bytes([4u8; 32]);
+        e.provision_mac_key(&worst, key.clone()).unwrap();
+        assert_eq!(e.mac_key(&worst).unwrap(), &key);
+        let counter = e.counter_handle(&worst).unwrap();
+        assert_eq!(e.counter_mut(counter).unwrap().increment(), 1);
+        assert_eq!(e.counter_handle(&worst), Ok(counter));
+        e.provision_cipher_key(&worst, CipherKey::from_bytes([5u8; 32]))
+            .unwrap();
+        assert!(e.derive_cipher_key(&worst, &[b"x"]).is_ok());
+
+        // Refused, not cut short to the label above, and no table grows.
+        let over = format!("{worst}0");
+        let too_long = Err(TeeError::LabelTooLong {
+            len: crate::label::LABEL_CAPACITY + 1,
+        });
+        let tables = |e: &Enclave| (e.mac_keys.len(), e.ciphers.len(), e.counters.len());
+        let before = tables(&e);
+        assert_eq!(e.provision_mac_key(&over, key), too_long);
+        assert_eq!(
+            e.provision_cipher_key(over.as_str(), CipherKey::from_bytes([6u8; 32])),
+            too_long
+        );
+        assert_eq!(e.counter_handle(&over).map(|_| ()), too_long);
+        assert_eq!(e.mac_key_handle(&over).map(|_| ()), too_long);
+        assert_eq!(tables(&e), before);
+        assert_eq!(
+            Label::format(format_args!("recv:{channel}{}", 0)).map(|_| ()),
+            too_long
+        );
+    }
+
+    #[test]
+    fn an_equal_label_replaces_in_place_whether_string_or_str() {
+        let mut e = enclave();
+        e.provision_mac_key("cq:0->1", MacKey::from_bytes([1u8; 32]))
+            .unwrap();
+        e.provision_mac_key("cq:1->0", MacKey::from_bytes([2u8; 32]))
+            .unwrap();
+        let handle = e.mac_key_handle("cq:0->1").unwrap();
+        let rotated = MacKey::from_bytes([3u8; 32]);
+        e.provision_mac_key(String::from("cq:0->1"), rotated.clone())
+            .unwrap();
+        assert_eq!(e.mac_key_handle("cq:0->1"), Ok(handle));
+        assert_eq!(e.mac_key_at(handle).unwrap(), &rotated);
+        let again = MacKey::from_bytes([4u8; 32]);
+        e.provision_mac_key("cq:0->1", again.clone()).unwrap();
+        assert_eq!(e.mac_key_handle("cq:0->1"), Ok(handle));
+        assert_eq!(e.mac_key_at(handle).unwrap(), &again);
+        assert_eq!(e.mac_keys.len(), 2);
     }
 
     #[test]

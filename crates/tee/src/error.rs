@@ -27,6 +27,12 @@ pub enum TeeError {
         /// The requested label.
         label: String,
     },
+    /// A label longer than the 50 bytes an enclave keeps secrets and counters
+    /// under was offered ([`crate::Label`]).
+    LabelTooLong {
+        /// The offered label's length in bytes.
+        len: usize,
+    },
     /// The enclave ran out of (simulated) EPC memory.
     EpcExhausted {
         /// Bytes requested by the failing allocation.
@@ -49,6 +55,11 @@ impl fmt::Display for TeeError {
             TeeError::MissingSecret { label } => {
                 write!(f, "no secret provisioned under label '{label}'")
             }
+            TeeError::LabelTooLong { len } => write!(
+                f,
+                "label of {len} bytes is longer than the {} an enclave holds",
+                crate::label::LABEL_CAPACITY
+            ),
             TeeError::EpcExhausted {
                 requested,
                 available,

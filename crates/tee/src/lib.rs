@@ -31,6 +31,7 @@ mod counter;
 mod enclave;
 pub mod epc;
 mod error;
+mod label;
 mod quote;
 mod sealed;
 
@@ -41,5 +42,6 @@ pub use enclave::{
     CIPHER_LABEL,
 };
 pub use error::TeeError;
+pub use label::Label;
 pub use quote::{Quote, Report};
 pub use sealed::SealedBlob;
