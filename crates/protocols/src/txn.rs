@@ -138,6 +138,10 @@ pub struct TxnLanes {
     /// [`TxnLanes::recycle`] once its frame will not be sent again or its
     /// body is done with.
     frames: FramePool,
+    /// Endpoints launched so far, coordinators and participants alike.
+    endpoints: u64,
+    /// Lanes provisioned so far: (client, shard) pairs that made contact.
+    lanes: u64,
 }
 
 impl TxnLanes {
@@ -152,24 +156,42 @@ impl TxnLanes {
             client < MAX_CLIENTS as u64 && shard < MAX_SHARDS,
             "client {client} / shard {shard} has no 2PC endpoint id"
         );
-        let coordinator =
-            slot(&mut self.coordinators, client as usize).get_or_insert_with(|| Coordinator {
+        let endpoints = &mut self.endpoints;
+        let coordinator = slot(&mut self.coordinators, client as usize).get_or_insert_with(|| {
+            *endpoints += 1;
+            Coordinator {
                 shield: ProtocolShield::txn_endpoint(coordinator_endpoint(client)),
                 contacted: Vec::new(),
-            });
-        let participant = slot(&mut self.participants, shard)
-            .get_or_insert_with(|| ProtocolShield::txn_endpoint(participant_endpoint(shard)));
+            }
+        });
+        let participant = slot(&mut self.participants, shard).get_or_insert_with(|| {
+            *endpoints += 1;
+            ProtocolShield::txn_endpoint(participant_endpoint(shard))
+        });
         let contacted = slot(&mut coordinator.contacted, shard);
         if !*contacted {
             coordinator.shield.add_peer(participant.node());
             participant.add_peer(coordinator.shield.node());
             *contacted = true;
+            self.lanes += 1;
         }
         TxnLane {
             coordinator: &mut coordinator.shield,
             participant,
             frames: &mut self.frames,
         }
+    }
+
+    /// 2PC endpoints launched so far: one per client that ran a
+    /// transaction, one per shard that took part in one.
+    pub fn endpoints(&self) -> u64 {
+        self.endpoints
+    }
+
+    /// Lanes provisioned so far: one per (client, shard) pair that shared a
+    /// transaction.
+    pub fn lanes(&self) -> u64 {
+        self.lanes
     }
 
     /// Takes back the buffer of a frame a lane sealed, once nothing will
@@ -336,6 +358,8 @@ mod tests {
         let wire = lanes.lane(5, 0).seal_request(9, &TxnBody::Abort, false);
         assert_eq!(counter_of(&wire), 1);
         assert_eq!(rejected(&lanes), 0);
+        // One coordinator and two participants, over two lanes.
+        assert_eq!((lanes.endpoints(), lanes.lanes()), (3, 2));
     }
 
     #[test]

@@ -646,7 +646,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         }
         self.st.stats.router_version = self.cluster.router.version().0;
         stats.migration = self.st.stats;
-        stats.txn = self.txns.stats;
+        stats.txn = self.txns.stats();
         stats.total.committed_txns = stats.txn.committed;
         stats.total.aborted_txns = stats.txn.aborted;
         let width = self.rb.timeline_bucket_ns;

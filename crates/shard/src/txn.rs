@@ -147,6 +147,12 @@ pub struct TxnStats {
     /// Virtual nanoseconds of prepare/commit/install work charged to
     /// participant replicas.
     pub(crate) txn_busy_ns: u64,
+    /// 2PC endpoints launched: one per client that ran a transaction, one
+    /// per shard that took part in one ([`recipe_protocols::TxnLanes`]).
+    pub endpoints: u64,
+    /// 2PC lanes provisioned: one per (client, shard) pair that shared a
+    /// transaction, each costing its two endpoints' keys and counters once.
+    pub lanes: u64,
 }
 
 /// Which 2PC phase a transaction is in.
@@ -365,6 +371,15 @@ impl TxnManager {
             self.spares.participants.push(p);
         }
         self.spares.lists.push(std::mem::take(participants));
+    }
+
+    /// The run's counters, the lanes' among them.
+    pub(crate) fn stats(&self) -> TxnStats {
+        TxnStats {
+            endpoints: self.lanes.endpoints(),
+            lanes: self.lanes.lanes(),
+            ..self.stats
+        }
     }
 
     /// True when no transaction is in flight.

@@ -71,47 +71,47 @@ const PINS: [Pin; 9] = [
     Pin {
         name: "single_key_unbatched",
         run: single_key_unbatched,
-        digest: "354323ded8a5c2d71c484891a3a86799947dc08cb0fbb9c0ab6d943c7c0683b1",
+        digest: "c88adf31769ae39a6dffa17f31560f8f13bbab413320a76846f2b0a1b5e1f5dd",
     },
     Pin {
         name: "txn_gateway",
         run: txn_gateway,
-        digest: "73a72c42a2d31aa0ef42a7caa6c33a8496e50e10c8084e80d3510f58a1f7dabb",
+        digest: "eb85a3864e9c394aa3ae45173cdab1739fa942991f2b8618206cc424e8c9c8ef",
     },
     Pin {
         name: "rebalance_crash",
         run: rebalance_crash,
-        digest: "afda9139fc7ed46ee2d1d6beccacd9240d61426a26de420c5f63af329baa37fe",
+        digest: "433368b7c4ec73ccdba2fd433025381305169af39b5eb993c9c8f6319397ebd7",
     },
     Pin {
         name: "txn_byzantine",
         run: txn_byzantine,
-        digest: "b322f46080887476e997aef8480fdf14c4b6e876c81279de624ef90922335200",
+        digest: "c88031d0b2eb26628d142851a8e29c92092782b710b9d1688ccd114005b9c58f",
     },
     Pin {
         name: "chain_txn_crash",
         run: chain_txn_crash,
-        digest: "ca31f3756aa2b8c7902946937f944c2802e355bc2bbb91a9d9def42a1426e6d0",
+        digest: "552758fedbf9c4a3a11b05e13c476d41ca036c6a1a295d4ebfe6c31bef21e2ff",
     },
     Pin {
         name: "abd_txn_crash",
         run: abd_txn_crash,
-        digest: "8d757812a26de92a97f7ae7d80d856224a7cd825d54d9a4a729689692d7d6a3b",
+        digest: "e38f67af322b7ee462102e405ae719251b1dcf40b730ad06fab3e0e1f852c2e2",
     },
     Pin {
         name: "pbft_txn_crash",
         run: pbft_txn_crash,
-        digest: "b33e6b2f9bc12d583cdcc68d2369acc73911b84f65b359f6fd6b6281c7671d96",
+        digest: "7529074e204c0b170effec633ecb75b885bb44c8fa34adf954ddc900f0122ed8",
     },
     Pin {
         name: "allconcur_crash",
         run: allconcur_crash,
-        digest: "8f31f4c05501513e896a6ec0ca6812bf5235bdd319da08122105ddd2858c62ca",
+        digest: "5c989d55daf00a8d0e688a484ef64ab9a06e8f71de4cc25da98edaa0ca935572",
     },
     Pin {
         name: "batched_replays",
         run: batched_replays,
-        digest: "36fc9c357443a6a55c6a4d85141e958cf9823df7504d5b2626e96ef72c168844",
+        digest: "a13684a9b9054c4defe1fa622bf9b877e74644eea66012b9e8d68884873c8f7a",
     },
 ];
 

@@ -145,6 +145,10 @@ fn cross_shard_transactions_commit_atomically_and_replicate() {
         "no cross-shard txn ran"
     );
     assert!(stats.txn.max_fanout >= 2);
+    // A lane joins one of the 8 clients' endpoints to one of the 4 shards',
+    // each endpoint launched and each lane provisioned once for the run.
+    assert!(stats.txn.endpoints <= 8 + 4);
+    assert!((stats.txn.max_fanout..=8 * 4).contains(&stats.txn.lanes));
     // Plaintext deployment: 2PC frames are MAC'd but not sealed.
     assert!(stats.txn.frames_sent > 0);
     assert_eq!(stats.txn.sealed_frames, 0);
