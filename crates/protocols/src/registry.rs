@@ -146,8 +146,10 @@ impl Protocol {
 /// scenario or a figure builds a replica.
 pub trait BuildReplica: StoreReplica + Sized {
     /// Builds replica `id` of the group `membership` describes. A protocol
-    /// without a Recipe transformation ignores `mode`, one without a
-    /// batching pipeline ignores `batch`.
+    /// without a Recipe transformation ignores `mode`. A protocol without a
+    /// batching pipeline ([`Protocol::batches`]) is given an unbatched
+    /// `batch`: `ShardedCluster::build` refuses to build it under a policy
+    /// that batches.
     fn build(id: u64, membership: Membership, mode: ProtocolMode, batch: BatchConfig) -> Self;
 }
 

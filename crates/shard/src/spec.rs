@@ -611,8 +611,19 @@ impl<R: BuildReplica> ShardedCluster<R> {
     /// the shard's confidentiality, where the cost model charges the
     /// authentication layer, and native where it does not — so the replicas
     /// never run a layer other than the one the virtual clock pays for.
+    ///
+    /// # Panics
+    /// Panics when a shard's resolved policy batches and `R`'s protocol does
+    /// not ([`recipe_protocols::Protocol::batches`]): its replicas would drop
+    /// the batch config and run unbatched.
     pub fn build(spec: DeploymentSpec) -> Self {
-        Self::build_with(spec, |_, id, membership, policy| {
+        Self::build_with(spec, |shard, id, membership, policy| {
+            assert!(
+                R::PROTOCOL.batches() || !policy.batch.is_batching(),
+                "shard {shard} batches, but {} does not: its batch config would be dropped; \
+                 leave batching off for it or deploy a protocol that batches",
+                R::PROTOCOL.display_name()
+            );
             let mode = if policy.profile.shielded {
                 let confidentiality = policy.confidentiality;
                 ProtocolMode::Recipe { confidentiality }
@@ -703,6 +714,15 @@ mod tests {
         for protocol in Protocol::ALL {
             assert_eq!(dispatch(protocol, Drive), 40, "{protocol:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 1 batches, but R-ABD does not")]
+    fn a_batch_config_at_a_protocol_that_does_not_batch_is_refused() {
+        assert!(!Protocol::Abd.batches());
+        let batched = ShardPolicy::new().with_batch(BatchConfig::of_ops(16));
+        let spec = DeploymentSpec::new(2, 3).with_shard_policy(1, batched);
+        ShardedCluster::<recipe_protocols::AbdReplica>::build(spec);
     }
 
     #[test]

@@ -219,29 +219,32 @@ fn pbft_and_damysus_baselines_commit_the_workload() {
 }
 
 /// Where a protocol batches (R-Raft, R-CR and PBFT), 16-op batches commit
-/// the same workload in fewer frames; elsewhere every frame carries one op.
+/// the same workload in fewer frames; elsewhere every frame carries one op,
+/// and a deployment that asks the protocol to batch is refused at build.
 #[test]
 fn batching_coalesces_frames_wherever_a_protocol_batches() {
     for protocol in Protocol::ALL {
         let batched = |ops| one_group(protocol, 32, 300).with_batching(BatchConfig::of_ops(ops));
-        let (unbatched, batched) = (
-            run(protocol, batched(1), put),
-            run(protocol, batched(16), put),
-        );
+        let unbatched = run(protocol, batched(1), put);
+        let one = &unbatched.stats;
+        assert_eq!(one.committed, 300, "{protocol:?}");
+        assert_eq!(one.ops_delivered, one.messages_delivered, "{protocol:?}");
+        let batches = matches!(protocol, Protocol::Raft | Protocol::Chain | Protocol::Pbft);
+        assert_eq!(protocol.batches(), batches, "{protocol:?}");
+        if !batches {
+            let refused = std::panic::catch_unwind(|| run(protocol, batched(16), put));
+            assert!(refused.is_err(), "{protocol:?} was built to batch");
+            continue;
+        }
+        let batched = run(protocol, batched(16), put);
         batched.assert_agreement();
         batched.assert_everywhere();
-        let (one, sixteen) = (&unbatched.stats, &batched.stats);
-        assert_eq!(one.committed, 300, "{protocol:?}");
+        let sixteen = &batched.stats;
         // One batched ack frame can commit several ops inside a single
         // event, so the closed loop may overshoot by a frame's worth.
         assert!((300..320).contains(&sixteen.committed), "{protocol:?}");
-        assert_eq!(one.ops_delivered, one.messages_delivered, "{protocol:?}");
-        if matches!(protocol, Protocol::Raft | Protocol::Chain | Protocol::Pbft) {
-            assert!(sixteen.messages_delivered < one.messages_delivered);
-            assert!(sixteen.ops_delivered > sixteen.messages_delivered);
-        } else {
-            assert_eq!(sixteen.ops_delivered, sixteen.messages_delivered);
-        }
+        assert!(sixteen.messages_delivered < one.messages_delivered);
+        assert!(sixteen.ops_delivered > sixteen.messages_delivered);
         assert_eq!(batched.rejected, 0, "{protocol:?}");
     }
 }
