@@ -26,7 +26,7 @@ const _: () = assert!(LABEL_CAPACITY <= u8::MAX as usize);
 
 impl Label {
     /// `text` as a label.
-    pub fn new(text: &str) -> Result<Label, TeeError> {
+    pub(crate) fn new(text: &str) -> Result<Label, TeeError> {
         Label::format(format_args!("{text}"))
     }
 
@@ -84,11 +84,5 @@ impl AsRef<str> for Label {
 impl fmt::Debug for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self.as_str(), f)
-    }
-}
-
-impl fmt::Display for Label {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
     }
 }
