@@ -310,12 +310,12 @@ impl PbftReplica {
             }
             Operation::Get { ref key } => {
                 self.store.advance();
-                let read = self.store.get(key);
+                let value = self.store.read_pooled(key, ctx.frames());
                 ClientReply {
                     client_id: request.client_id,
                     request_id: request.request_id,
-                    found: read.is_some(),
-                    value: Some(read.map(|r| r.value).unwrap_or_default()),
+                    found: value.is_some(),
+                    value: value.map(|(value, _)| value),
                     replier: self.id.0,
                 }
             }

@@ -1340,8 +1340,9 @@ pub struct ClientReply {
     pub client_id: u64,
     /// The request being answered.
     pub request_id: u64,
-    /// `Some(value)` for successful GETs (empty vec when the key is missing is
-    /// distinguished by `found`), `None` for PUT acknowledgements.
+    /// `Some(value)` for a GET that found its key, `None` for a GET that
+    /// missed and for PUT acknowledgements. Nothing on the client's side
+    /// reads it: a reply is classified by the operation that was issued.
     pub value: Option<Vec<u8>>,
     /// Whether a GET found the key.
     pub found: bool,

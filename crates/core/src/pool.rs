@@ -5,7 +5,10 @@
 //! a replica group, or the 2PC lanes of a run: the shield takes a spare for
 //! each frame it builds ([`crate::AuthLayer::shield_in`] and the other `*_in`
 //! entry points) and the owner gives the buffer back once the frame is
-//! delivered, dropped or refused.
+//! delivered, dropped or refused. A group's pool also lends the buffer each
+//! read reply's value is copied into, at the value's length, and the
+//! group takes it back once the reply is recorded. A replica store keeps a
+//! pool of its own for the entries it copies.
 //!
 //! Spares are kept in size classes, four per doubling of capacity, and a
 //! frame only ever looks at the most recently returned spare of its own
@@ -35,6 +38,8 @@ pub struct FramePool {
     /// Buffers lent and not yet given back: the pool takes back no more than
     /// it lent, so an owner whose frames come from elsewhere never fills it.
     lent: usize,
+    /// Buffers lent, spares and new ones alike.
+    takes: u64,
     /// Buffers the pool had to allocate.
     allocated: u64,
 }
@@ -65,6 +70,7 @@ impl FramePool {
     /// (of `len` bytes, for a frame larger than any class).
     pub fn take(&mut self, len: usize) -> Vec<u8> {
         self.lent += 1;
+        self.takes += 1;
         if len > MAX_POOLED {
             self.allocated += 1;
             return Vec::with_capacity(len);
@@ -101,9 +107,22 @@ impl FramePool {
         self.classes[class].push(buf);
     }
 
+    /// Drops every spare and forgets what was lent, as a new pool would
+    /// have neither; the counts of [`Self::takes`] and [`Self::allocated`]
+    /// stay, so they cover the owner's whole life.
+    pub fn drop_spares(&mut self) {
+        self.classes = Vec::new();
+        self.lent = 0;
+    }
+
     /// Spares held.
     pub fn spares(&self) -> usize {
         self.classes.iter().map(Vec::len).sum()
+    }
+
+    /// Buffers lent, spares and new ones alike.
+    pub fn takes(&self) -> u64 {
+        self.takes
     }
 
     /// Buffers allocated because no spare fitted.
@@ -169,6 +188,21 @@ mod tests {
         let spare = pool.take(90);
         assert!(spare.is_empty() && spare.capacity() == 100);
         assert_eq!(pool.allocated(), 1);
+    }
+
+    #[test]
+    fn dropping_the_spares_keeps_the_counts() {
+        let mut pool = FramePool::default();
+        let (first, second) = (pool.take(64), pool.take(64));
+        pool.give(first);
+        pool.give(second);
+        assert_eq!((pool.spares(), pool.takes(), pool.allocated()), (2, 2, 2));
+        pool.drop_spares();
+        // Nothing is owed any more: a buffer given now is dropped.
+        pool.give(vec![0; 64]);
+        assert_eq!((pool.spares(), pool.takes(), pool.allocated()), (0, 2, 2));
+        drop(pool.take(64));
+        assert_eq!((pool.takes(), pool.allocated()), (3, 3));
     }
 
     #[test]

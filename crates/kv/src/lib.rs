@@ -37,6 +37,6 @@ mod timestamp;
 mod txn;
 
 pub use error::KvError;
-pub use store::{ExportedEntry, PartitionedKvStore, ReadResult, StoreConfig};
+pub use store::{ExportedEntry, PartitionedKvStore, ReadResult, StoreConfig, VerifiedRead};
 pub use timestamp::Timestamp;
 pub use txn::{TxnOpRef, TxnRecordOps};

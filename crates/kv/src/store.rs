@@ -17,6 +17,16 @@
 //! arena and decrypts them (after integrity verification) on reads, so plaintext data
 //! never leaves the enclave region.
 //!
+//! Every read goes through one verified path, [`PartitionedKvStore::read`]:
+//! it checks the host's bytes against the enclave-held digest where they
+//! lie, and only a read that passed can copy the value out
+//! ([`VerifiedRead::copy_into`]) into a buffer the caller lends, decrypting
+//! it there on a confidential store. A caller that reads into a buffer it
+//! keeps — a replica's reply, taken from its group's frame pool at the
+//! value's length — allocates nothing per read. [`PartitionedKvStore::get`]
+//! is that read into a buffer of its own. Rehydration after a restart makes
+//! the same check and copies nothing.
+//!
 //! # One digest per stored value
 //!
 //! Every key has exactly one authenticator, and it is the enclave-held digest —
@@ -128,6 +138,39 @@ pub struct ReadResult {
     pub timestamp: Timestamp,
     /// Version of the write that produced it.
     pub version: u64,
+}
+
+/// A read that passed the enclave-held digest
+/// ([`PartitionedKvStore::read`]): the host's bytes, checked where they lie
+/// and not yet copied out.
+pub struct VerifiedRead<'a> {
+    bytes: &'a [u8],
+    /// The cipher and nonce that open a sealed value.
+    sealed: Option<(&'a Cipher, &'a Nonce)>,
+    /// Timestamp of the write that produced the value.
+    pub timestamp: Timestamp,
+    /// Version of the write that produced the value.
+    pub version: u64,
+}
+
+impl VerifiedRead<'_> {
+    /// The value's length: the room [`Self::copy_into`] needs.
+    pub fn value_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Copies the value into `out`, which the caller lends, replacing what
+    /// it held — decrypting it there on a confidential store. `out` grows
+    /// only when it has less room than [`Self::value_len`], so a buffer
+    /// with that room takes the value without an allocation.
+    pub fn copy_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve_exact(self.bytes.len());
+        out.extend_from_slice(self.bytes);
+        if let Some((cipher, nonce)) = self.sealed {
+            cipher.apply_keystream(&nonce.extended(), out);
+        }
+    }
 }
 
 /// One exported record of [`PartitionedKvStore::export_matching`]:
@@ -259,37 +302,50 @@ impl PartitionedKvStore {
         Ok(true)
     }
 
-    /// Reads the value for `key`, verifying what the host holds against the
-    /// enclave-held digest and copying it into the enclave, decrypted
-    /// (`get(key, &v_TEE)` in Table 3). A sealed value that fails the digest
-    /// is refused before any keystream is made.
-    pub fn get(&mut self, key: &[u8]) -> Result<ReadResult, KvError> {
-        let meta = self.index.get(key).ok_or(KvError::NotFound)?.clone();
+    /// Reads the value for `key` (`get(key, &v_TEE)` in Table 3): the
+    /// verified [`Self::read`] copied into a new buffer of the value's
+    /// length, for a caller with no buffer to lend.
+    pub fn get(&self, key: &[u8]) -> Result<ReadResult, KvError> {
+        let read = self.read(key)?;
+        let mut value = Vec::new();
+        read.copy_into(&mut value);
+        Ok(ReadResult {
+            value,
+            timestamp: read.timestamp,
+            version: read.version,
+        })
+    }
+
+    /// The verified read: checks what the host holds for `key` against the
+    /// enclave-held digest. Only a read that passed copies the value out
+    /// ([`VerifiedRead::copy_into`]), so a value that fails is refused
+    /// before any byte is copied or any keystream made.
+    pub fn read(&self, key: &[u8]) -> Result<VerifiedRead<'_>, KvError> {
+        let meta = self.index.get(key).ok_or(KvError::NotFound)?;
+        self.verified(key, meta)
+    }
+
+    /// [`Self::read`] of `key`, whose index entry is `meta`: the one check
+    /// every read and every rehydration makes. A sealed value on a store
+    /// without a cipher is refused as one that fails the digest.
+    fn verified<'a>(&'a self, key: &[u8], meta: &ValueMeta) -> Result<VerifiedRead<'a>, KvError> {
         let host_value = self
             .host_arena
             .get(meta.host_slot)
             .and_then(|slot| slot.as_ref())
             .ok_or_else(|| KvError::HostValueMissing { key: key.to_vec() })?;
-
-        if host_value.digest(key) != meta.value_hash {
-            return Err(match host_value {
-                HostValue::Plain(_) => KvError::IntegrityViolation { key: key.to_vec() },
-                HostValue::Encrypted { .. } => KvError::DecryptionFailed { key: key.to_vec() },
-            });
-        }
-        let value = match (host_value, &self.cipher) {
-            (HostValue::Plain(bytes), _) => bytes.clone(),
-            (HostValue::Encrypted { nonce, bytes }, Some(cipher)) => {
-                let mut value = bytes.clone();
-                cipher.apply_keystream(&nonce.extended(), &mut value);
-                value
-            }
-            (HostValue::Encrypted { .. }, None) => {
-                return Err(KvError::DecryptionFailed { key: key.to_vec() })
-            }
+        let digest_ok = host_value.digest(key) == meta.value_hash;
+        let (bytes, sealed) = match host_value {
+            HostValue::Plain(bytes) if digest_ok => (bytes, None),
+            HostValue::Plain(_) => return Err(KvError::IntegrityViolation { key: key.to_vec() }),
+            HostValue::Encrypted { nonce, bytes } => match &self.cipher {
+                Some(cipher) if digest_ok => (bytes, Some((cipher, nonce))),
+                _ => return Err(KvError::DecryptionFailed { key: key.to_vec() }),
+            },
         };
-        Ok(ReadResult {
-            value,
+        Ok(VerifiedRead {
+            bytes,
+            sealed,
             timestamp: meta.timestamp,
             version: meta.version,
         })
@@ -313,11 +369,6 @@ impl PartitionedKvStore {
         }
     }
 
-    /// All keys in order (used by state transfer during recovery).
-    pub(crate) fn keys(&self) -> Vec<Vec<u8>> {
-        self.sorted_keys(|_| true)
-    }
-
     /// The highest timestamp any stored key carries; `None` when empty.
     pub fn newest_timestamp(&self) -> Option<Timestamp> {
         self.unordered().map(|(_, meta)| meta.timestamp).max()
@@ -327,12 +378,12 @@ impl PartitionedKvStore {
     /// one place the table is walked: each caller sorts what it collects
     /// ([`Self::sorted_keys`]) or folds with an order-blind `max` or sum.
     fn unordered(&self) -> impl Iterator<Item = (&[u8], &ValueMeta)> {
-        // recipe-lint: allow(hash-iteration, reason = "callers sort the keys they collect (sorted_keys) or fold with max/sum, which no order changes")
+        // recipe-lint: allow(hash-iteration, reason = "callers sort the keys they collect (sorted_keys, rehydrate) or fold with max/sum, which no order changes")
         self.index.iter().map(|(key, meta)| (&**key, meta))
     }
 
-    /// The keys `filter` selects, in ascending byte order: what every export,
-    /// eviction and rehydration walks, so none of them sees the table's order.
+    /// The keys `filter` selects, in ascending byte order: what every export
+    /// and eviction walks, so none of them sees the table's order.
     fn sorted_keys(&self, filter: impl Fn(&[u8]) -> bool) -> Vec<Vec<u8>> {
         let mut keys: Vec<Vec<u8>> = self
             .unordered()
@@ -343,29 +394,31 @@ impl PartitionedKvStore {
         keys
     }
 
-    /// Rollback-protected rehydration after a restart: re-reads every key
-    /// through the verified path ([`Self::get`] — enclave digest check, then
-    /// decryption in confidential mode) and deletes every record that fails. What
-    /// survives is exactly the state the enclave can vouch for; anything the
-    /// host corrupted or dropped while the node was down is discarded rather
-    /// than served. Returns `(verified, discarded, verified_payload_bytes)`.
+    /// Rollback-protected rehydration after a restart: checks every key's
+    /// host bytes against the enclave-held digest where they lie (the check
+    /// [`Self::read`] makes, with nothing copied or decrypted) and
+    /// deletes every record that fails, in key order. What survives is
+    /// exactly the state the enclave can vouch for; anything the host
+    /// corrupted or dropped while the node was down is discarded rather than
+    /// served. Returns `(verified, discarded, verified_payload_bytes)`.
     pub fn rehydrate(&mut self) -> (u64, u64, u64) {
         let mut verified = 0u64;
-        let mut discarded = 0u64;
         let mut bytes = 0u64;
-        for key in self.keys() {
-            match self.get(&key) {
+        let mut failed = Vec::new();
+        for (key, meta) in self.unordered() {
+            match self.verified(key, meta) {
                 Ok(read) => {
                     verified += 1;
-                    bytes += (key.len() + read.value.len()) as u64;
+                    bytes += (key.len() + read.value_len()) as u64;
                 }
-                Err(_) => {
-                    discarded += 1;
-                    self.delete(&key);
-                }
+                Err(_) => failed.push(key.to_vec()),
             }
         }
-        (verified, discarded, bytes)
+        failed.sort_unstable();
+        for key in &failed {
+            self.delete(key);
+        }
+        (verified, failed.len() as u64, bytes)
     }
 
     // ------------------------------------------------------------------
@@ -511,20 +564,24 @@ impl PartitionedKvStore {
     // ------------------------------------------------------------------
 
     /// Exports every `(key, value, timestamp)` whose key satisfies `filter`,
-    /// in key order. Each value is read through the normal verified path —
-    /// integrity is re-checked against the enclave-held hash (and decrypted in
-    /// confidential mode) before it leaves the store, so a Byzantine host
-    /// cannot smuggle corrupted state into a migration snapshot. Fails on the
-    /// first record that does not verify.
+    /// in key order. Each value is read through the verified path
+    /// ([`Self::read`]): integrity is re-checked against the
+    /// enclave-held hash (and decrypted in confidential mode) before it
+    /// leaves the store, so a Byzantine host cannot smuggle corrupted state
+    /// into a migration snapshot. Fails on the first record that does not
+    /// verify.
     pub fn export_matching(
-        &mut self,
+        &self,
         filter: impl Fn(&[u8]) -> bool,
     ) -> Result<Vec<ExportedEntry>, KvError> {
         let keys = self.sorted_keys(filter);
         let mut out = Vec::with_capacity(keys.len());
         for key in keys {
-            let read = self.get(&key)?;
-            out.push((key, read.value, read.timestamp));
+            let read = self.read(&key)?;
+            let mut value = Vec::new();
+            read.copy_into(&mut value);
+            let timestamp = read.timestamp;
+            out.push((key, value, timestamp));
         }
         Ok(out)
     }
@@ -628,6 +685,11 @@ mod tests {
         )
     }
 
+    /// Every key `store` holds, in order.
+    fn keys(store: &PartitionedKvStore) -> Vec<Vec<u8>> {
+        store.sorted_keys(|_| true)
+    }
+
     #[test]
     fn write_then_read_roundtrip() {
         let mut store = plain_store();
@@ -637,7 +699,7 @@ mod tests {
         assert_eq!(read.value, b"value-1");
         assert_eq!(read.version, 1);
         assert_eq!(read.timestamp, Timestamp::new(1, 0));
-        assert_eq!(store.keys(), vec![b"k".to_vec()]);
+        assert_eq!(keys(&store), vec![b"k".to_vec()]);
     }
 
     #[test]
@@ -647,7 +709,7 @@ mod tests {
         let v2 = store.write(b"k", b"v2", Timestamp::new(2, 0)).unwrap();
         assert_eq!(v2, 2);
         assert_eq!(store.get(b"k").unwrap().value, b"v2");
-        assert_eq!(store.keys(), vec![b"k".to_vec()]);
+        assert_eq!(keys(&store), vec![b"k".to_vec()]);
     }
 
     #[test]
@@ -829,8 +891,8 @@ mod tests {
         let arena_len = store.host_arena.len();
         store.write(b"c", b"3", Timestamp::new(1, 0)).unwrap();
         assert_eq!(store.host_arena.len(), arena_len);
-        assert_eq!(store.keys().len(), 2);
-        assert_eq!(store.keys(), vec![b"b".to_vec(), b"c".to_vec()]);
+        assert_eq!(keys(&store).len(), 2);
+        assert_eq!(keys(&store), vec![b"b".to_vec(), b"c".to_vec()]);
     }
 
     #[test]
@@ -923,6 +985,29 @@ mod tests {
             let kept = store.host_arena[slot].as_mut().unwrap().bytes_mut();
             assert_eq!(kept.as_ptr(), at);
             assert_eq!(store.get(b"k").unwrap().value, b"balance=100".repeat(8));
+        }
+    }
+
+    /// A verified read copies into a lent buffer with room for the value,
+    /// decrypting it there on a confidential store, and leaves the buffer
+    /// where it lies; a value that fails the digest, or a missing key, gives
+    /// nothing to copy.
+    #[test]
+    fn a_verified_read_fills_a_lent_buffer_where_it_lies() {
+        for mut store in [plain_store(), confidential_store()] {
+            store
+                .write(b"k", b"balance=100", Timestamp::new(3, 1))
+                .unwrap();
+            let read = store.read(b"k").unwrap();
+            assert_eq!((read.timestamp, read.version), (Timestamp::new(3, 1), 1));
+            let mut out = Vec::with_capacity(read.value_len());
+            out.extend_from_slice(b"stale");
+            let at = out.as_ptr();
+            read.copy_into(&mut out);
+            assert_eq!((out.as_slice(), out.as_ptr()), (&b"balance=100"[..], at));
+            assert_eq!(store.read(b"none").err(), Some(KvError::NotFound));
+            assert!(store.corrupt_host_value(b"k"));
+            assert!(store.read(b"k").is_err());
         }
     }
 
@@ -1061,7 +1146,7 @@ mod tests {
                     }
                 }
             }
-            prop_assert_eq!(store.keys().len(), model.len());
+            prop_assert_eq!(keys(&store).len(), model.len());
         }
 
         /// The index is a hash table, and nothing may show it: every ordered
@@ -1100,13 +1185,13 @@ mod tests {
                         prop_assert_eq!(removed, before - model.len());
                     }
                 }
-                prop_assert_eq!(store.keys().len(), model.len());
+                prop_assert_eq!(keys(&store).len(), model.len());
             }
             let records: Vec<ExportedEntry> = model
                 .iter()
                 .map(|(key, (value, ts))| (key.clone(), value.clone(), *ts))
                 .collect();
-            prop_assert_eq!(store.keys(), model.keys().cloned().collect::<Vec<_>>());
+            prop_assert_eq!(keys(&store), model.keys().cloned().collect::<Vec<_>>());
             let even = |key: &[u8]| key.len().is_multiple_of(2);
             let expected: Vec<ExportedEntry> =
                 records.iter().filter(|(key, _, _)| even(key)).cloned().collect();
@@ -1117,7 +1202,7 @@ mod tests {
             let mut backward = new_store();
             forward.import_entries(records.clone()).unwrap();
             backward.import_entries(records.iter().rev().cloned()).unwrap();
-            prop_assert_eq!(forward.keys(), backward.keys());
+            prop_assert_eq!(keys(&forward), keys(&backward));
             let everything = forward.export_matching(|_| true).unwrap();
             prop_assert_eq!(&everything, &backward.export_matching(|_| true).unwrap());
             prop_assert_eq!(&everything, &records);
@@ -1138,7 +1223,7 @@ mod tests {
             }
             let discarded = (records.len() - kept.len()) as u64;
             prop_assert_eq!(store.rehydrate(), (kept.len() as u64, discarded, bytes));
-            prop_assert_eq!(store.keys(), kept);
+            prop_assert_eq!(keys(&store), kept);
         }
 
         #[test]

@@ -265,16 +265,18 @@ impl Abd {
                 }
             }
             AbdMsg::GetFull { op, key } => {
-                let read = h.store().get(&key);
-                let reply = AbdMsg::FullReply {
-                    op,
-                    ts: read
-                        .as_ref()
-                        .map(|r| r.timestamp)
-                        .unwrap_or(Timestamp::ZERO),
-                    value: read.map(|r| r.value),
+                let (value, ts) = match h.read(&key) {
+                    Some((value, ts)) => (Some(value), ts),
+                    None => (None, Timestamp::ZERO),
                 };
+                let reply = AbdMsg::FullReply { op, value, ts };
                 h.send(from, &reply.encode());
+                if let AbdMsg::FullReply {
+                    value: Some(value), ..
+                } = reply
+                {
+                    h.give_back(value);
+                }
             }
             AbdMsg::FullReply { op, value, ts } => {
                 let quorum = self.quorum();
@@ -294,7 +296,9 @@ impl Abd {
                 }
                 if ts > *best_ts {
                     *best_ts = ts;
-                    *best = value;
+                    if let Some(replaced) = std::mem::replace(best, value) {
+                        h.give_back(replaced);
+                    }
                 }
                 if *replies + 1 >= quorum {
                     let Some(OpState::ReadQuery {
@@ -310,16 +314,11 @@ impl Abd {
                     };
                     if all_agree || best.is_none() {
                         let found = best.is_some();
-                        h.reply(
-                            request.client_id,
-                            request.request_id,
-                            Some(best.unwrap_or_default()),
-                            found,
-                        );
+                        h.reply(request.client_id, request.request_id, best, found);
                     } else {
                         // Disagreement: write back the highest value before replying
                         // (the ABD read's second round).
-                        let value = best.clone().unwrap_or_default();
+                        let value = best.unwrap_or_default();
                         h.store().apply_if_newer(&key, &value, best_ts);
                         self.inflight.insert(
                             op,
@@ -378,17 +377,14 @@ impl CftProtocol for Abd {
                 h.broadcast(self.membership.members(), &query.encode());
             }
             Operation::Get { key } => {
-                let local = h.store().get(&key);
+                let local = h.read(&key);
                 self.inflight.insert(
                     op,
                     OpState::ReadQuery {
                         request,
                         key: key.clone(),
-                        best_ts: local
-                            .as_ref()
-                            .map(|r| r.timestamp)
-                            .unwrap_or(Timestamp::ZERO),
-                        best: local.map(|r| r.value),
+                        best_ts: local.as_ref().map_or(Timestamp::ZERO, |(_, ts)| *ts),
+                        best: local.map(|(value, _)| value),
                         all_agree: true,
                         replies: 0,
                     },

@@ -668,15 +668,22 @@ mod tests {
     }
 
     /// Every frame of a fault-free group is built in a buffer the group's
-    /// free list lends and gets back once the frame is delivered: after the
-    /// first rounds and a heartbeat have left a spare in every size class
-    /// the run's frames fall in, unbatched and batched alike, the group
-    /// allocates no frame buffer.
+    /// free list lends and gets back once the frame is delivered, and every
+    /// read reply's value is copied into one that comes back once the reply
+    /// is recorded: after the first rounds and a heartbeat have left a spare
+    /// in every size class the run's frames and values fall in, unbatched
+    /// and batched alike, the group allocates no frame buffer.
     #[test]
     fn a_warm_group_allocates_no_frame_buffers() {
-        let put = |client: u64, round: u64| Operation::Put {
-            key: format!("key-{}", (client * 7 + round) % 50).into_bytes(),
-            value: vec![b'v'; 64],
+        let put = |client: u64, round: u64| {
+            let key = format!("key-{}", (client * 7 + round / 2) % 50).into_bytes();
+            match round % 2 {
+                0 => Operation::Get { key },
+                _ => Operation::Put {
+                    key,
+                    value: vec![b'v'; 64],
+                },
+            }
         };
         for batch in [BatchConfig::unbatched(), BatchConfig::of_ops(4)] {
             let replicas = build_cluster(3, 1, |id, m| {
@@ -687,12 +694,15 @@ mod tests {
             crate::tests::run_rounds(&mut cluster, 8, 8, put);
             cluster.run_until(cluster.now_ns() + 2 * HEARTBEAT_PERIOD_NS);
             let warm = cluster.frame_pool().allocated();
+            let takes = cluster.frame_pool().takes();
             assert!(warm > 0 && cluster.frame_pool().spares() > 0);
 
             crate::tests::step_rounds(&mut cluster, 8, 9..=40, put);
             cluster.run_until(cluster.now_ns() + 2 * HEARTBEAT_PERIOD_NS);
             assert_eq!(cluster.committed(), 8 * 40);
             assert_eq!(cluster.frame_pool().allocated(), warm, "{batch:?}");
+            // The reads' values came from it: 16 rounds of 8 reads each.
+            assert!(cluster.frame_pool().takes() >= takes + 16 * 8);
         }
     }
 
@@ -784,7 +794,7 @@ mod tests {
             (0..3)
                 .map(|id| {
                     let replica = cluster.replica_mut(NodeId(id));
-                    replica.store().entry_buffers_allocated()
+                    replica.store().entry_pool().allocated()
                 })
                 .collect::<Vec<_>>()
         };
@@ -856,10 +866,29 @@ mod tests {
             );
             assert_eq!(held(&cluster, id), 0, "node {id}");
         }
-        // The new leader dropped its spares and has copied no entry since.
-        let leader = cluster.replica_mut(NodeId(1));
-        assert!(leader.is_leader());
-        assert_eq!(leader.store().entry_buffers_allocated(), 0);
+        // The new leader dropped its spares and copies no entry: writes
+        // through it take nothing from its entry list and leave no spare in
+        // it.
+        let entries = |cluster: &mut SimCluster<RaftReplica>| {
+            let leader = cluster.replica_mut(NodeId(1));
+            assert!(leader.is_leader());
+            let pool = leader.store().entry_pool();
+            (pool.takes(), pool.spares())
+        };
+        let (takes, spares) = entries(&mut cluster);
+        assert!(takes > 0 && spares == 0, "a follower took {takes}");
+        let at = cluster.now_ns();
+        for request in 0..20 {
+            let op = Operation::Put {
+                key: format!("key-{request}").into_bytes(),
+                value: vec![b'w'; 64],
+            };
+            assert!(cluster.submit_at(at + request * 2_000, 200 + request, 1, op));
+        }
+        let committed = cluster.committed();
+        cluster.run_until(at + 50_000_000);
+        assert_eq!(cluster.committed(), committed + 20);
+        assert_eq!(entries(&mut cluster), (takes, 0));
     }
 
     #[test]

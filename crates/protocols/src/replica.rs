@@ -11,6 +11,7 @@
 //! nothing in the core: the same core runs native and Recipe-transformed.
 
 use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership};
+use recipe_kv::Timestamp;
 use recipe_net::NodeId;
 use recipe_sim::{Ctx, RecoveryState, Replica, RestartReport};
 use recipe_tee::TrustedInstant;
@@ -144,12 +145,27 @@ impl Handle<'_> {
         });
     }
 
-    /// Answers a client's read of `key` from the local store.
+    /// Answers a client's read of `key` from the local store: the value in
+    /// a spare of the group's frame buffers, or `None` for a miss.
     pub(crate) fn reply_local_read(&mut self, client_id: u64, request_id: u64, key: &[u8]) {
-        let read = self.store.get(key);
-        let found = read.is_some();
-        let value = read.map(|r| r.value).unwrap_or_default();
-        self.reply(client_id, request_id, Some(value), found);
+        let value = self.read(key).map(|(value, _)| value);
+        let found = value.is_some();
+        self.reply(client_id, request_id, value, found);
+    }
+
+    /// Reads `key` from the local store through the verified path into a
+    /// spare of the group's frame buffers
+    /// ([`ReplicaStore::read_pooled`]), with its stored write timestamp. A
+    /// reply's value goes back to them once the reply is recorded; a value
+    /// used otherwise goes back through [`Handle::give_back`].
+    pub(crate) fn read(&mut self, key: &[u8]) -> Option<(Vec<u8>, Timestamp)> {
+        self.store.read_pooled(key, self.ctx.frames())
+    }
+
+    /// Gives a buffer [`Handle::read`] lent back to the group's frame
+    /// buffers once nothing reads it.
+    pub(crate) fn give_back(&mut self, buf: Vec<u8>) {
+        self.ctx.frames().give(buf);
     }
 
     /// Requests [`CftProtocol::on_timer`] with `token`, `delay_ns` from now.

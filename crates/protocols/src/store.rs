@@ -35,6 +35,15 @@
 //! list and come back once installed ([`ReplicaStore::recycle_entries`]);
 //! a replica installs each value in a spare of its own list and files what
 //! it displaces ([`ReplicaStore::txn_install`]).
+//!
+//! A read reply makes the round trip through the group's frame pool
+//! instead, as a frame does: [`ReplicaStore::read_pooled`] checks the
+//! value against the enclave-held digest and copies it into a buffer that
+//! pool lends at the value's length, the reply carries it to the simulator,
+//! and the group gives it back to the pool once the reply is recorded — so
+//! a read of a warm group allocates nothing. A miss takes no buffer. Both
+//! pools count what they lend and what they had to allocate, for the life
+//! of their owner ([`ReplicaStore::entry_pool`]).
 
 use recipe_core::{FramePool, Operation};
 use recipe_kv::{KvError, PartitionedKvStore, ReadResult, StoreConfig, Timestamp, TxnOpRef};
@@ -136,6 +145,11 @@ fn entry(key: Vec<u8>, value: Vec<u8>, ts: Timestamp) -> RangeEntry {
     }
 }
 
+/// The write timestamp `entry` carries.
+fn timestamp(entry: &RangeEntry) -> Timestamp {
+    Timestamp::new(entry.ts_logical, entry.ts_node)
+}
+
 impl ReplicaStore {
     /// An empty store for replica `node`.
     pub fn new(config: StoreConfig, node: NodeId, stamping: Stamping) -> Self {
@@ -164,14 +178,12 @@ impl ReplicaStore {
     /// copying entries (a new leader), whose list then frees what its writes
     /// displace, as a leader's does.
     pub(crate) fn drop_entry_buffers(&mut self) {
-        self.entries = FramePool::default();
+        self.entries.drop_spares();
     }
 
-    /// Entry buffers allocated because no spare fitted, since the store was
-    /// built or last dropped its spares.
-    #[cfg(test)]
-    pub(crate) fn entry_buffers_allocated(&self) -> u64 {
-        self.entries.allocated()
+    /// The free list of entry buffers, whose counts cover the store's life.
+    pub fn entry_pool(&self) -> &FramePool {
+        &self.entries
     }
 
     /// Operations applied so far.
@@ -179,10 +191,22 @@ impl ReplicaStore {
         self.applied
     }
 
-    /// Reads `key` through the verified path; `None` when it is absent or
-    /// fails verification.
-    pub fn get(&mut self, key: &[u8]) -> Option<ReadResult> {
+    /// Reads `key` through the verified path into a buffer of its own;
+    /// `None` when it is absent or fails verification.
+    pub fn get(&self, key: &[u8]) -> Option<ReadResult> {
         self.kv.get(key).ok()
+    }
+
+    /// Reads `key` through the verified path into a buffer `frames` lends at
+    /// the value's length, with the key's stored write timestamp: a read
+    /// reply's value, which goes back to `frames` once the reply is recorded
+    /// (module docs, "Entry buffers"). `None`, taking no buffer, when the
+    /// key is absent or fails verification.
+    pub fn read_pooled(&self, key: &[u8], frames: &mut FramePool) -> Option<(Vec<u8>, Timestamp)> {
+        let read = self.kv.read(key).ok()?;
+        let mut value = frames.take(read.value_len());
+        read.copy_into(&mut value);
+        Some((value, read.timestamp))
     }
 
     /// The write timestamp stored for `key`.
@@ -349,8 +373,12 @@ impl ReplicaStore {
     /// keep their write rule across the move). `Ok(None)` when the key is
     /// absent; `Err` when it fails verification.
     pub fn read_entry(&mut self, key: &[u8]) -> Result<Option<RangeEntry>, String> {
-        match self.kv.get(key) {
-            Ok(read) => Ok(Some(entry(key.to_vec(), read.value, read.timestamp))),
+        match self.kv.read(key) {
+            Ok(read) => {
+                let mut value = Vec::new();
+                read.copy_into(&mut value);
+                Ok(Some(entry(key.to_vec(), value, read.timestamp)))
+            }
             Err(KvError::NotFound) => Ok(None),
             Err(err) => Err(format!("verified read failed: {err:?}")),
         }
@@ -362,10 +390,11 @@ impl ReplicaStore {
     /// the exporting replica. Each value is copied once, into the buffer the
     /// store keeps; every replica of a group installs from one `entries`.
     pub fn import_range(&mut self, entries: &[RangeEntry]) {
-        let _ = self.kv.import_entries(entries.iter().map(|entry| {
-            let ts = Timestamp::new(entry.ts_logical, entry.ts_node);
-            (&entry.key, entry.value.clone(), ts)
-        }));
+        let _ = self.kv.import_entries(
+            entries
+                .iter()
+                .map(|entry| (&entry.key, entry.value.clone(), timestamp(entry))),
+        );
     }
 
     /// [`Self::import_range`] for the records a 2PC commit applied on the
@@ -377,7 +406,7 @@ impl ReplicaStore {
     pub fn txn_install(&mut self, entries: &[RangeEntry]) {
         for entry in entries {
             let value = self.copy_entry(&entry.value);
-            let ts = Timestamp::new(entry.ts_logical, entry.ts_node);
+            let ts = timestamp(entry);
             if let Ok((_, Some(displaced))) = self.kv.write_owned(&entry.key, value, ts) {
                 self.entries.give(displaced);
             }
@@ -416,18 +445,23 @@ impl ReplicaStore {
     /// resolves in-flight transactions); only records the enclave verifies
     /// survive; then the live peer's `state` installs the writes committed
     /// while this node was down and its prepare records as passive copies.
-    /// The applied count moves up to the highest surviving timestamp, never
-    /// behind it, so re-applied writes cannot reuse one.
+    /// The snapshot's values move into the store as they came; nothing is
+    /// copied. The applied count moves up to the highest surviving
+    /// timestamp, never behind it, so re-applied writes cannot reuse one.
     pub fn restart(&mut self, state: RecoveryState) -> RestartReport {
         self.kv.txn_reset();
         let (verified, discarded, bytes) = self.kv.rehydrate();
-        if let Some(entries) = &state.snapshot {
-            self.import_range(entries);
+        let RecoveryState { snapshot, prepares } = state;
+        if let Some(entries) = snapshot {
+            let _ = self.kv.import_entries(entries.into_iter().map(|entry| {
+                let ts = timestamp(&entry);
+                (entry.key, entry.value, ts)
+            }));
         }
         if let Some(newest) = self.kv.newest_timestamp() {
             self.applied = self.applied.max(newest.logical);
         }
-        for (txn_id, ops) in &state.prepares {
+        for (txn_id, ops) in &prepares {
             self.txn_stage_replicated(*txn_id, lock_pairs(ops));
         }
         RestartReport {

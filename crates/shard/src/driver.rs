@@ -41,7 +41,7 @@ use recipe_workload::stable_key_hash;
 
 use crate::migration::{ControllerState, RebalanceConfig};
 use crate::router::{RouteDecision, RouterVersion};
-use crate::sharded::{ShardedCluster, ShardedRunStats, Tallies, TimelineBucket};
+use crate::sharded::{PoolCounts, ShardedCluster, ShardedRunStats, Tallies, TimelineBucket};
 use crate::txn::{TxnManager, TxnResolution};
 
 /// Work carried by one driver event.
@@ -144,6 +144,8 @@ pub(crate) struct Engine<'a, R: Replica> {
     tallies: Tallies,
     timeline: Vec<u64>,
     timeline_aborts: Vec<u64>,
+    /// [`ShardedCluster::pool_counts`] when the run began.
+    pools_at_start: (PoolCounts, PoolCounts),
 }
 
 /// Adds `count` to the bucket of width `width_ns` that `at_ns` falls in (a
@@ -182,6 +184,20 @@ impl<R: StoreReplica> ShardedCluster<R> {
         engine.run();
         engine.finish()
     }
+
+    /// What the groups' frame pools and the replica stores' entry pools
+    /// lent over the cluster's life, each kind summed.
+    fn pool_counts(&mut self) -> (PoolCounts, PoolCounts) {
+        let (mut frames, mut entries) = (PoolCounts::default(), PoolCounts::default());
+        for group in &mut self.shards {
+            frames.add(group.frame_pool());
+            for idx in 0..group.replica_count() {
+                let node = group.node_ids()[idx];
+                entries.add(group.replica_mut(node).store().entry_pool());
+            }
+        }
+        (frames, entries)
+    }
 }
 
 impl<'a, R: StoreReplica> Engine<'a, R> {
@@ -189,8 +205,10 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         cluster: &'a mut ShardedCluster<R>,
         workload: &'a mut dyn FnMut(u64, u64) -> Option<Request>,
     ) -> Self {
-        // The run counts only what it pops itself, not a `quiesce` before it.
+        // The run counts only what it pops and lends itself, not a
+        // `quiesce` or a run before it.
         cluster.calendar.take_counts();
+        let pools_at_start = cluster.pool_counts();
         for shard in 0..cluster.shards.len() {
             let (group, mut sched) = cluster.lend(shard);
             group.seed_initial_events(&mut sched);
@@ -222,6 +240,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
             tallies: Tallies::new(shard_count),
             timeline: Vec::new(),
             timeline_aborts: Vec::new(),
+            pools_at_start,
             rb,
             cluster,
         };
@@ -647,6 +666,9 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         self.st.stats.router_version = self.cluster.router.version().0;
         stats.migration = self.st.stats;
         stats.txn = self.txns.stats();
+        let (frames, entries) = self.cluster.pool_counts();
+        stats.frames = frames.since(self.pools_at_start.0);
+        stats.entries = entries.since(self.pools_at_start.1);
         stats.total.committed_txns = stats.txn.committed;
         stats.total.aborted_txns = stats.txn.aborted;
         let width = self.rb.timeline_bucket_ns;

@@ -41,7 +41,9 @@ mod txn;
 
 pub use migration::{MigrationStats, RebalanceConfig};
 pub use router::{RangeMove, RouteDecision, RouterVersion, ShardRouter};
-pub use sharded::{ClientModel, ShardedCluster, ShardedConfig, ShardedRunStats, TimelineBucket};
+pub use sharded::{
+    ClientModel, PoolCounts, ShardedCluster, ShardedConfig, ShardedRunStats, TimelineBucket,
+};
 pub use spec::{DeploymentSpec, ResolvedShardPolicy, ShardPolicy};
 pub use txn::{TxnConfig, TxnStats};
 

@@ -25,7 +25,7 @@
 //! ([`crate::migration`]) — is carried by the driver on that same clock, which
 //! is also what makes the aggregate figures in [`ShardedRunStats`] meaningful.
 
-use recipe_core::ConfidentialityMode;
+use recipe_core::{ConfidentialityMode, FramePool};
 use recipe_gateway::{GatewayConfig, GatewayStats};
 use recipe_sim::{
     Calendar, CalendarCounts, Completion, GroupEvent, Key, Replica, ReplicaGroup, RunStats,
@@ -142,6 +142,36 @@ pub struct ShardedRunStats {
     /// driver's and every group's, and how many were retransmission timers
     /// that fired for nothing.
     pub calendar: CalendarCounts,
+    /// What the groups' frame pools lent over the run: frame buffers and
+    /// read replies' values.
+    pub frames: PoolCounts,
+    /// What the replica stores' entry-buffer pools lent over the run.
+    pub entries: PoolCounts,
+}
+
+/// What one kind of buffer pool lent over a run, summed over its owners.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct PoolCounts {
+    /// Buffers lent, spares and new ones alike.
+    pub takes: u64,
+    /// Buffers the pools had to allocate because no spare fitted.
+    pub misses: u64,
+}
+
+impl PoolCounts {
+    /// Adds what `pool` counted over its life.
+    pub(crate) fn add(&mut self, pool: &FramePool) {
+        self.takes += pool.takes();
+        self.misses += pool.allocated();
+    }
+
+    /// What was counted after `start`.
+    pub(crate) fn since(self, start: PoolCounts) -> PoolCounts {
+        PoolCounts {
+            takes: self.takes - start.takes,
+            misses: self.misses - start.misses,
+        }
+    }
 }
 
 /// One bucket of the throughput timeline: activity whose completion landed in
@@ -410,6 +440,8 @@ impl<R: Replica> ShardedCluster<R> {
             timeline: Vec::new(),
             gateway: GatewayStats::default(),
             calendar: self.calendar.take_counts(),
+            frames: PoolCounts::default(),
+            entries: PoolCounts::default(),
         }
     }
 }

@@ -338,7 +338,8 @@ pub struct ReplicaGroup<R: Replica> {
     /// taken back (the queues empty): a steady run allocates neither. A
     /// frame's buffer comes back to the free list here once the receiving
     /// handler returned, or once the network dropped the frame, replaced it
-    /// with a tampered copy or carried it to a crashed node.
+    /// with a tampered copy or carried it to a crashed node; a reply's value
+    /// once the reply is recorded.
     effects: Effects,
     stats: RunStats,
     write_rr: usize,
@@ -946,8 +947,13 @@ impl<R: Replica> ReplicaGroup<R> {
             }
         }
 
+        // A read reply's value was copied into a spare of the frame free
+        // list; every reply's goes back once recorded, duplicates' too.
         for reply in effects.replies.drain(..) {
-            self.record_reply(reply, sched.completions);
+            self.record_reply(&reply, sched.completions);
+            if let Some(value) = reply.value {
+                frames.give(value);
+            }
         }
         for (delay, token) in effects.timers.drain(..) {
             sched.push(self.now + delay, EventKind::Timer { idx, token });
@@ -964,7 +970,7 @@ impl<R: Replica> ReplicaGroup<R> {
         &mut self.clients[idx]
     }
 
-    fn record_reply(&mut self, reply: ClientReply, completions: &mut Vec<Completion>) {
+    fn record_reply(&mut self, reply: &ClientReply, completions: &mut Vec<Completion>) {
         let client_id = reply.client_id;
         // Only the first reply for the *currently outstanding* request counts;
         // replicas in BFT protocols all reply, and late replies for older requests

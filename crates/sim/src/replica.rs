@@ -55,7 +55,8 @@ impl Ctx {
     }
 
     /// The group's free list of frame buffers: a frame built in one of its
-    /// spares goes back to it once the network is done with the frame.
+    /// spares goes back to it once the network is done with the frame, and
+    /// a reply's value once the reply is recorded.
     pub fn frames(&mut self) -> &mut FramePool {
         &mut self.effects.frames
     }

@@ -71,47 +71,47 @@ const PINS: [Pin; 9] = [
     Pin {
         name: "single_key_unbatched",
         run: single_key_unbatched,
-        digest: "c88adf31769ae39a6dffa17f31560f8f13bbab413320a76846f2b0a1b5e1f5dd",
+        digest: "30bc65c76cecb00c301baff9bae649e90deb9f3c38062fa79c216efdbce063d6",
     },
     Pin {
         name: "txn_gateway",
         run: txn_gateway,
-        digest: "eb85a3864e9c394aa3ae45173cdab1739fa942991f2b8618206cc424e8c9c8ef",
+        digest: "73fd8d0b06bd004a53f06950f049bf99b3d71c3f4bc26f289d14124550508b9e",
     },
     Pin {
         name: "rebalance_crash",
         run: rebalance_crash,
-        digest: "433368b7c4ec73ccdba2fd433025381305169af39b5eb993c9c8f6319397ebd7",
+        digest: "5dd40871b145a0e75b81f74b61bcb48e821e453fa833e7a0174e6a70df4087a9",
     },
     Pin {
         name: "txn_byzantine",
         run: txn_byzantine,
-        digest: "c88031d0b2eb26628d142851a8e29c92092782b710b9d1688ccd114005b9c58f",
+        digest: "34ab67bbef1af71b0bd46751b148951e7b2abd8d7a9aa49fd799dde118b713a4",
     },
     Pin {
         name: "chain_txn_crash",
         run: chain_txn_crash,
-        digest: "552758fedbf9c4a3a11b05e13c476d41ca036c6a1a295d4ebfe6c31bef21e2ff",
+        digest: "0f00185beba391fb2f96286d0ce29a0869e0770b7d791a1682a88c712b0c02b4",
     },
     Pin {
         name: "abd_txn_crash",
         run: abd_txn_crash,
-        digest: "e38f67af322b7ee462102e405ae719251b1dcf40b730ad06fab3e0e1f852c2e2",
+        digest: "9bc8a4a2dfa5e3b81288c472077c3ceac75c9a1a5d80149f7eef6269b828eed9",
     },
     Pin {
         name: "pbft_txn_crash",
         run: pbft_txn_crash,
-        digest: "7529074e204c0b170effec633ecb75b885bb44c8fa34adf954ddc900f0122ed8",
+        digest: "8b3f5f2f84236342a47d661097bb548da76f9f64ff0fb2ad0c0d74277ede1f92",
     },
     Pin {
         name: "allconcur_crash",
         run: allconcur_crash,
-        digest: "5c989d55daf00a8d0e688a484ef64ab9a06e8f71de4cc25da98edaa0ca935572",
+        digest: "4b9ae2905e81f92738e612dc6831664e49d362130afded0e296016ff78350465",
     },
     Pin {
         name: "batched_replays",
         run: batched_replays,
-        digest: "a13684a9b9054c4defe1fa622bf9b877e74644eea66012b9e8d68884873c8f7a",
+        digest: "74c1959eb1c5a3ce995fe312133b5b41a8fe909ed9f586327947f28dbf896efe",
     },
 ];
 

@@ -94,6 +94,36 @@ fn sharded_runs_are_bit_identical_for_a_seed() {
     assert_ne!(a, c, "different seeds should schedule differently");
 }
 
+/// A run reports what its buffer pools lent: every frame came from a
+/// group's frame pool (and so did every read reply's value), every entry a
+/// follower copied from its store's entry pool, and each kind allocated for
+/// a small share of what it lent. A second run on the same cluster, its
+/// pools warm, counts only its own.
+#[test]
+fn a_run_reports_what_its_buffer_pools_lent() {
+    let spec = DeploymentSpec::new(4, 3)
+        .with_seed(11)
+        .with_clients(64, 2_000);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let cold = cluster.run_requests(zipfian_workload(11));
+    let warm = cluster.run_requests(zipfian_workload(12));
+    // The groups' message counters run on from one run to the next.
+    let delivered = cold.total.messages_delivered;
+    let frames_sent = [delivered, warm.total.messages_delivered - delivered];
+    for (stats, sent) in [&cold, &warm].into_iter().zip(frames_sent) {
+        let (frames, entries) = (stats.frames, stats.entries);
+        assert!(stats.total.committed_reads > 0 && stats.total.committed_writes > 0);
+        assert!(frames.takes >= sent, "{frames:?}: {sent} frames");
+        assert!(frames.misses * 10 < frames.takes, "{frames:?}");
+        assert!(
+            entries.takes >= 2 * stats.total.committed_writes,
+            "{entries:?}"
+        );
+        assert!(entries.misses < entries.takes, "{entries:?}");
+    }
+    assert!(warm.frames.misses < cold.frames.misses, "{:?}", warm.frames);
+}
+
 #[test]
 fn crash_of_one_shard_leaves_other_shards_committing() {
     let shards = 4usize;
