@@ -1,15 +1,21 @@
-//! Heap allocations of the 2PC lanes, counted by the global allocator.
+//! Heap allocations of the 2PC lanes and of the store's verified reads,
+//! counted by the global allocator.
 //!
 //! A lane's keys are provisioned once, at its first transaction, so normal
 //! operation pays a counter step and a MAC per frame (paper §3.2,
-//! Algorithm 1). This binary holds one test so that no other test's
-//! allocations are counted, and its allocator counts on the thread that
-//! armed it only — the harness's own threads go uncounted.
+//! Algorithm 1). A verified read checks the host's bytes against the
+//! enclave-held digest and copies the value into a buffer the caller lends
+//! (paper §A.3), so a read into a warm buffer pays no allocation either.
+//! The allocator counts on the thread that armed it only, so the tests,
+//! each on a thread of its own, and the harness's threads never count one
+//! another's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use recipe_core::{Operation, TxnBody, TxnBodyRef};
+use recipe_crypto::CipherKey;
+use recipe_kv::{KvError, PartitionedKvStore, StoreConfig, Timestamp};
 use recipe_protocols::TxnLanes;
 
 /// Wraps [`System`], counting the calls that take memory on an armed thread.
@@ -135,4 +141,57 @@ fn a_fresh_lane_allocates_little_and_a_warm_one_nothing() {
     let (opened, warm) = allocations_in(|| exchange(&mut lanes, 2, &prepare, &vote));
     assert_eq!(opened, 2 * lanes_opened, "every second leg opens");
     assert_eq!(warm, 0, "a transaction over warm lanes allocated");
+}
+
+const READS: usize = 4_096;
+
+/// Verified reads into a lent buffer, on a plaintext store and on a
+/// confidential one: once the buffer has room for the longest value, each
+/// read checks the digest and copies (and on the confidential store
+/// decrypts) the value into it without one allocation, and a value the host
+/// tampered with is refused on the same path.
+#[test]
+fn a_verified_read_into_a_lent_buffer_allocates_nothing() {
+    let confidential = StoreConfig::default().with_cipher(CipherKey::from_bytes([7; 32]));
+    for config in [StoreConfig::default(), confidential] {
+        let mut store = PartitionedKvStore::new(config);
+        let keys: Vec<Vec<u8>> = (0..16u8)
+            .map(|i| format!("user{i:012}").into_bytes())
+            .collect();
+        for (i, key) in (0u8..).zip(&keys) {
+            let value = vec![i; 64 * (usize::from(i) + 1)];
+            store.write(key, &value, Timestamp::new(1, 0)).unwrap();
+        }
+        // Warm-up: the buffer grows to the longest value once.
+        let mut value = Vec::new();
+        for key in &keys {
+            store.read(key).unwrap().copy_into(&mut value);
+        }
+
+        let (bytes, allocations) = allocations_in(|| {
+            let mut bytes = 0;
+            for (i, key) in (0u8..).zip(&keys).cycle().take(READS) {
+                store.read(key).unwrap().copy_into(&mut value);
+                assert!(value.iter().all(|&byte| byte == i));
+                bytes += value.len();
+            }
+            bytes
+        });
+        assert_eq!(bytes, READS / keys.len() * 64 * (1..=16).sum::<usize>());
+        let confidential = store.is_confidential();
+        assert_eq!(
+            allocations, 0,
+            "{READS} verified reads (confidential: {confidential}) allocated"
+        );
+
+        assert!(store.corrupt_host_value(&keys[3]));
+        let refused = store.read(&keys[3]).err();
+        assert!(
+            matches!(
+                refused,
+                Some(KvError::IntegrityViolation { .. } | KvError::DecryptionFailed { .. })
+            ),
+            "a tampered value passed the digest: {refused:?}"
+        );
+    }
 }
