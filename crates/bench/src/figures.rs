@@ -387,8 +387,8 @@ fn table2_protocol_properties(_operations: usize) -> Figure {
     for row in recipe_bft::table2_rows() {
         figure.note(line([
             row.name,
-            row.active_replicas,
-            row.total_replicas,
+            &row.active_replicas,
+            &row.total_replicas,
             row.resilience,
             row.message_complexity,
             yes_no(row.uses_tees),

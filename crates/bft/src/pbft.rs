@@ -1,20 +1,22 @@
 //! PBFT baseline (the protocol behind BFT-Smart).
 //!
 //! Classical three-phase BFT: the primary assigns a sequence number and broadcasts a
-//! pre-prepare; every replica broadcasts a prepare; once a replica has collected
-//! `2f` matching prepares it broadcasts a commit; once it has `2f + 1` matching
-//! commits it executes the request and replies to the client. Reads go through the
-//! same agreement path (BFT clients cannot trust a single replica's answer), which
-//! is why PBFT gains so little from read-heavy workloads in Figure 4.
+//! pre-prepare; every backup broadcasts a prepare (the primary's pre-prepare
+//! stands for its own); once a replica has collected `2f` matching prepares it
+//! broadcasts a commit; once it has `2f + 1` matching commits it executes the
+//! request and replies to the client. Reads go through the same agreement path
+//! (BFT clients cannot trust a single replica's answer), which is why PBFT gains
+//! so little from read-heavy workloads in Figure 4. `Protocol::Pbft`'s contract
+//! (`recipe_protocols::Contract`) counts the frames a request costs, and
+//! `tests/protocol_agreement.rs` checks the count.
 //!
 //! The implementation is deliberately unoptimized in the same ways the paper's
 //! baseline is: signature-based message authentication (captured by the cost
-//! profile) and `3f + 1 = 4` replicas for `f = 1`. The default construction
-//! (`PbftReplica::new`) also batches nothing, preserving the baseline; the
-//! leader-side batching pipeline can be enabled with
-//! `PbftReplica::with_batching` for apples-to-apples batching sweeps — a
-//! batch frame coalesces several PBFT messages into one wire message (BFT-Smart
-//! style request batching), without touching the three-phase protocol logic.
+//! profile) and `3f + 1 = 4` replicas for `f = 1`. It batches what the
+//! deployment's batch config asks for (`BuildReplica::build`), and nothing by
+//! default, preserving the baseline: a batch frame coalesces several PBFT
+//! messages to one destination into one wire message (BFT-Smart style request
+//! batching), without touching the three-phase protocol logic.
 
 use std::collections::{HashMap, HashSet};
 
@@ -173,8 +175,8 @@ pub struct PbftReplica {
     /// Members the trusted configuration service reported down (sorted). Used
     /// to advance past crashed primaries deterministically.
     down: Vec<NodeId>,
-    /// Outgoing-message batcher (unbatched by default, preserving the paper's
-    /// baseline; see [`PbftReplica::with_batching`]).
+    /// Outgoing-message batcher: the deployment's batch config, unbatched by
+    /// default, preserving the paper's baseline.
     batcher: Batcher,
 }
 

@@ -11,6 +11,9 @@
 //!   `(value, timestamp)` from a majority; if they agree on the highest timestamp it
 //!   replies immediately, otherwise it performs a write-back round of the highest
 //!   value first (for linearizability/availability).
+//!
+//! [`Protocol::Abd`]'s [`crate::Contract`] states the frames each costs, and that
+//! the protocol does not batch; `tests/protocol_agreement.rs` checks them.
 
 use std::collections::HashMap;
 

@@ -15,7 +15,9 @@
 //!   message; every node then applies the write.
 //!
 //! Reads are served locally (sequential consistency), matching the paper's
-//! configuration for R-AllConcur.
+//! configuration for R-AllConcur. [`Protocol::AllConcur`]'s [`crate::Contract`]
+//! states the read path, the frames a write costs and that the protocol does not
+//! batch; `tests/protocol_agreement.rs` checks them.
 
 use std::collections::{HashMap, HashSet};
 

@@ -7,6 +7,8 @@
 //! linearizable because the tail only ever holds committed writes and, under Recipe,
 //! can verify the integrity of its local store (paper §B.2, choice C). Local tail
 //! reads are why R-CR shows the largest speedups on read-heavy workloads (Figure 4).
+//! [`Protocol::Chain`]'s [`crate::Contract`] states the read path and the frames a
+//! write costs, and `tests/protocol_agreement.rs` checks them.
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{ClientRequest, Membership, Operation};

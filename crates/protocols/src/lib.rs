@@ -20,7 +20,8 @@
 //!   through `shield_msg` / `verify_msg`: MAC under the attestation-provisioned
 //!   channel key, trusted per-channel counter, optional payload encryption. This is
 //!   the transformation of Listing 1: the protocol's states, rounds and message
-//!   complexity are untouched.
+//!   complexity are untouched, and each core's [`registry::Contract`] is checked
+//!   in both modes against the one form.
 //!
 //! What is not protocol logic is written once, in the wrapper: the
 //! [`shield::ProtocolShield`], the [`batch::Batcher`], the
@@ -29,7 +30,9 @@
 //! — the locked-key check and the recovery hooks of [`recipe_sim::Replica`],
 //! so the same code runs in unit tests, in the integration tests, in the
 //! examples and in the benchmark harness. [`registry::Protocol`] names every
-//! protocol a run can select.
+//! protocol a run can select, and its [`registry::Contract`] states what the
+//! protocol promises: replicas per fault, batching, read path and frames per
+//! operation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +58,7 @@ pub use migration::{
     MAX_SHARDS,
 };
 pub use raft::{Raft, RaftMsg, RaftReplica};
-pub use registry::{BuildReplica, Protocol, ProtocolVisitor};
+pub use registry::{BuildReplica, Contract, FrameForm, Protocol, ProtocolVisitor, ReadPath};
 pub use replica::{CftProtocol, Handle, RecipeReplica};
 pub use shield::{Frames, FramesIter, ProtocolMode, ProtocolShield};
 pub use store::{ReplicaStore, Stamping, StoreReplica, TxnVote};

@@ -9,7 +9,10 @@
 //! consulted: a leader cut off from its majority stays `is_leader()` until it
 //! hears a higher view, so under a partition it may answer a read with a value a
 //! newer leader has already overwritten. That stale read is an open suspect for
-//! the client-history oracle (ROADMAP.md, item 1).
+//! the client-history oracle (ROADMAP.md, item 1). The read path and the frames
+//! a write costs are stated, with Fig. 1 as their source, in
+//! [`Protocol::Raft`]'s [`crate::Contract`], which `tests/protocol_agreement.rs`
+//! checks natively and under Recipe.
 //!
 //! Leader failure is detected through heartbeats on the virtual clock: the
 //! leader beats every 10 ms, and a follower that has heard none for the 35 ms

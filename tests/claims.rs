@@ -1,8 +1,9 @@
 //! The claims ledger over the committed baselines: every figure states a
 //! claim, every claim holds on `crates/bench/baselines/BENCH_<name>.json`,
-//! and README quotes the rendered ledger verbatim. Nothing runs here: CI's
-//! `diff -r` pins fresh runs to these files byte for byte, so judging the
-//! files judges the runs.
+//! and README quotes the rendered ledger verbatim. Nothing runs here:
+//! `tests/baselines.rs` regenerates every baseline and pins the fresh run to
+//! its file byte for byte (CI's release `diff -r` does the same), so judging
+//! the files judges the runs.
 
 use std::path::Path;
 

@@ -218,33 +218,20 @@ fn pbft_and_damysus_baselines_commit_the_workload() {
     commits_a_mixed_workload_and_agrees(Protocol::Damysus);
 }
 
-/// Where a protocol batches (R-Raft, R-CR and PBFT), 16-op batches commit
-/// the same workload in fewer frames; elsewhere every frame carries one op,
-/// and a deployment that asks the protocol to batch is refused at build.
+/// Where a protocol batches, a run of 16-op batches commits the workload
+/// and leaves replicas that agree. What batching does to the frames is the
+/// contract check's (`keeps_its_contract`).
 #[test]
-fn batching_coalesces_frames_wherever_a_protocol_batches() {
-    for protocol in Protocol::ALL {
-        let batched = |ops| one_group(protocol, 32, 300).with_batching(BatchConfig::of_ops(ops));
-        let unbatched = run(protocol, batched(1), put);
-        let one = &unbatched.stats;
-        assert_eq!(one.committed, 300, "{protocol:?}");
-        assert_eq!(one.ops_delivered, one.messages_delivered, "{protocol:?}");
-        let batches = matches!(protocol, Protocol::Raft | Protocol::Chain | Protocol::Pbft);
-        assert_eq!(protocol.batches(), batches, "{protocol:?}");
-        if !batches {
-            let refused = std::panic::catch_unwind(|| run(protocol, batched(16), put));
-            assert!(refused.is_err(), "{protocol:?} was built to batch");
-            continue;
-        }
-        let batched = run(protocol, batched(16), put);
+fn batched_groups_agree_wherever_a_protocol_batches() {
+    for protocol in Protocol::ALL.into_iter().filter(|p| p.batches()) {
+        let spec = one_group(protocol, 32, 300).with_batching(BatchConfig::of_ops(16));
+        let batched = run(protocol, spec, put);
         batched.assert_agreement();
         batched.assert_everywhere();
-        let sixteen = &batched.stats;
         // One batched ack frame can commit several ops inside a single
         // event, so the closed loop may overshoot by a frame's worth.
-        assert!((300..320).contains(&sixteen.committed), "{protocol:?}");
-        assert!(sixteen.messages_delivered < one.messages_delivered);
-        assert!(sixteen.ops_delivered > sixteen.messages_delivered);
+        let committed = batched.stats.committed;
+        assert!((300..320).contains(&committed), "{protocol:?}");
         assert_eq!(batched.rejected, 0, "{protocol:?}");
     }
 }
@@ -357,45 +344,6 @@ fn concurrent_writers_of_one_key_converge() {
     }
 }
 
-/// R-CR answers reads at the tail and R-AllConcur at any node, without a
-/// frame between replicas: only writes cost traffic, about two chain hops
-/// each under R-CR, two broadcasts and their acks under R-AllConcur.
-#[test]
-fn local_reads_cost_no_replica_traffic() {
-    let read_heavy = |client: u64, seq: u64| {
-        if seq.is_multiple_of(5) {
-            put(client, seq)
-        } else {
-            get(client, seq)
-        }
-    };
-    for (protocol, frames_per_write, slack) in
-        [(Protocol::Chain, 3, 50), (Protocol::AllConcur, 7, 20)]
-    {
-        let run = run(protocol, one_group(protocol, 16, 300), read_heavy);
-        let stats = &run.stats;
-        assert!(
-            stats.committed_reads > stats.committed_writes,
-            "{protocol:?}"
-        );
-        let bound = frames_per_write * stats.committed_writes + slack;
-        assert!(stats.messages_delivered <= bound, "{protocol:?}: {stats:?}");
-        run.assert_agreement();
-    }
-}
-
-/// Per committed write: a pre-prepare broadcast (n-1), then n prepare and n
-/// commit broadcasts — O(n²) frames, where Recipe's protocols are linear.
-/// One client keeps the pipeline drained, so no frame is still in flight
-/// when the run stops.
-#[test]
-fn pbft_message_complexity_is_quadratic() {
-    let run = run(Protocol::Pbft, one_group(Protocol::Pbft, 1, 50), put);
-    assert_eq!(run.stats.committed, 50);
-    let per_op = run.stats.messages_delivered as f64 / 50.0;
-    assert!(per_op >= 15.0, "measured {per_op:.1} messages per op");
-}
-
 /// One client issues a fixed-seed YCSB stream one operation after the other
 /// — so the commit order is the stream's, whatever a frame costs — and the
 /// run goes on until the traffic of the last one has landed. Returns the
@@ -445,4 +393,121 @@ fn native_and_recipe_modes_of_one_core_reach_one_state() {
         let under_recipe = dispatch(protocol, FinalState(PLAINTEXT));
         assert_eq!(under_recipe, (committed, state), "{protocol:?}");
     }
+}
+
+/// A write of a 64-byte value.
+fn write_64b(client: u64, seq: u64) -> Operation {
+    Operation::Put {
+        key: key(client * 7 + seq),
+        value: format!("{client:>32}{seq:>32}").into_bytes(),
+    }
+}
+
+/// The contract check. `protocol` runs a grid of cells: f of 1 and 2,
+/// batches of 1 op and, where its contract batches, of 16, every operation
+/// a write or every one a read, and a transformed core both natively and
+/// under Recipe ([`keeps_its_contract_in`]). A protocol whose contract does
+/// not batch is refused a batch at build.
+fn keeps_its_contract(protocol: Protocol) {
+    let contract = protocol.contract();
+    let modes: &[ProtocolMode] = if protocol.supports_confidential() {
+        &[ProtocolMode::Native, PLAINTEXT]
+    } else {
+        &[PLAINTEXT]
+    };
+    let batches: &[usize] = if contract.batches { &[1, 16] } else { &[1] };
+    for f in [1, 2] {
+        for &mode in modes {
+            for &batch in batches {
+                keeps_its_contract_in(protocol, f, mode, batch, false);
+                keeps_its_contract_in(protocol, f, mode, batch, true);
+            }
+        }
+    }
+    if !contract.batches {
+        let spec = one_group(protocol, 32, 2_000).with_batching(BatchConfig::of_ops(16));
+        let refused = std::panic::catch_unwind(|| run(protocol, spec, write_64b));
+        assert!(refused.is_err(), "{protocol:?} was built to batch");
+    }
+}
+
+/// One cell of the contract check: 2 000 ops from 32 clients, all reads or
+/// all writes. The ops its frames carry per committed op are the contract's
+/// form at the cell's `n`, within 1 % (within 0.01 where the form is 0, for
+/// R-Raft's heartbeats). Where the cell sends frames, each carries more
+/// than half a batch.
+fn keeps_its_contract_in(
+    protocol: Protocol,
+    f: usize,
+    mode: ProtocolMode,
+    batch: usize,
+    reads: bool,
+) {
+    let contract = protocol.contract();
+    let n = protocol.min_replicas(f);
+    let spec = DeploymentSpec::new(1, n)
+        .with_faults_tolerated(f)
+        .with_profile(protocol.cost_profile(mode))
+        .with_batching(BatchConfig::of_ops(batch))
+        .with_clients(32, 2_000);
+    let workload: fn(u64, u64) -> Operation = if reads { get } else { write_64b };
+    let stats = run(protocol, spec, workload).stats;
+    let (kind, form) = if reads {
+        ("reads", contract.read_frames())
+    } else {
+        ("writes", contract.write_frames)
+    };
+    let cell = format!("{protocol:?} {kind}, f = {f}, {mode:?}, batch {batch}");
+    let expected = form.at(n) as f64;
+    let per_op = stats.ops_delivered as f64 / stats.committed as f64;
+    let tolerance = if form.at(n) == 0 {
+        0.01
+    } else {
+        expected / 100.0
+    };
+    assert!(
+        (per_op - expected).abs() <= tolerance,
+        "{cell}: {per_op:.3} frames per op, the contract's {form:?} gives {expected} \
+         ({:?} reads; {})",
+        contract.read_path,
+        contract.source
+    );
+    if form.at(n) > 0 {
+        let fill = stats.ops_delivered as f64 / stats.messages_delivered as f64;
+        let full = batch as f64;
+        assert!(
+            fill > full / 2.0 && fill <= full,
+            "{cell}: a frame carries {fill:.2} ops"
+        );
+    }
+}
+
+#[test]
+fn r_raft_keeps_its_contract() {
+    keeps_its_contract(Protocol::Raft);
+}
+
+#[test]
+fn r_chain_keeps_its_contract() {
+    keeps_its_contract(Protocol::Chain);
+}
+
+#[test]
+fn r_abd_keeps_its_contract() {
+    keeps_its_contract(Protocol::Abd);
+}
+
+#[test]
+fn r_allconcur_keeps_its_contract() {
+    keeps_its_contract(Protocol::AllConcur);
+}
+
+#[test]
+fn pbft_keeps_its_contract() {
+    keeps_its_contract(Protocol::Pbft);
+}
+
+#[test]
+fn damysus_keeps_its_contract() {
+    keeps_its_contract(Protocol::Damysus);
 }
