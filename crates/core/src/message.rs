@@ -1341,8 +1341,9 @@ pub struct ClientReply {
     /// The request being answered.
     pub request_id: u64,
     /// `Some(value)` for a GET that found its key, `None` for a GET that
-    /// missed and for PUT acknowledgements. Nothing on the client's side
-    /// reads it: a reply is classified by the operation that was issued.
+    /// missed and for PUT acknowledgements. The first reply's value reaches
+    /// its client (`recipe_shard::Client::done`); the reply is still
+    /// classified by the operation that was issued.
     pub value: Option<Vec<u8>>,
     /// Whether a GET found the key.
     pub found: bool,

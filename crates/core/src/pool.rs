@@ -6,9 +6,10 @@
 //! each frame it builds ([`crate::AuthLayer::shield_in`] and the other `*_in`
 //! entry points) and the owner gives the buffer back once the frame is
 //! delivered, dropped or refused. A group's pool also lends the buffer each
-//! read reply's value is copied into, at the value's length, and the
-//! group takes it back once the reply is recorded. A replica store keeps a
-//! pool of its own for the entries it copies.
+//! read reply's value is copied into, at the value's length; the value
+//! travels to its client and comes back once the client has seen it (a
+//! duplicate reply's at once). A replica store keeps a pool of its own for
+//! the entries it copies.
 //!
 //! Spares are kept in size classes, four per doubling of capacity, and a
 //! frame only ever looks at the most recently returned spare of its own

@@ -58,7 +58,9 @@ pub use migration::{
     MAX_SHARDS,
 };
 pub use raft::{Raft, RaftMsg, RaftReplica};
-pub use registry::{BuildReplica, Contract, FrameForm, Protocol, ProtocolVisitor, ReadPath};
+pub use registry::{
+    BuildReplica, Consistency, Contract, FrameForm, Protocol, ProtocolVisitor, ReadPath,
+};
 pub use replica::{CftProtocol, Handle, RecipeReplica};
 pub use shield::{Frames, FramesIter, ProtocolMode, ProtocolShield};
 pub use store::{ReplicaStore, Stamping, StoreReplica, TxnVote};

@@ -8,8 +8,9 @@
 //! after checking only that it leads its own view (`is_leader()`). No lease is
 //! consulted: a leader cut off from its majority stays `is_leader()` until it
 //! hears a higher view, so under a partition it may answer a read with a value a
-//! newer leader has already overwritten. That stale read is an open suspect for
-//! the client-history oracle (ROADMAP.md, item 1). The read path and the frames
+//! newer leader has already overwritten. The history check of
+//! `tests/protocol_agreement.rs` cannot reach that stale read: the simulated
+//! network has no partition fault (ROADMAP.md, item 1). The read path and the frames
 //! a write costs are stated, with Fig. 1 as their source, in
 //! [`Protocol::Raft`]'s [`crate::Contract`], which `tests/protocol_agreement.rs`
 //! checks natively and under Recipe.

@@ -51,7 +51,8 @@ struct Entry {
 /// committed operation costs. `tests/protocol_agreement.rs` runs every
 /// protocol against its contract, each transformed core natively and under
 /// Recipe, so the transformation leaving the message complexity alone is a
-/// checked statement.
+/// checked statement, and checks every history its clients see against the
+/// read path's [`ReadPath::consistency`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Contract {
     /// Replicas per tolerated fault: the `k` of `n = k·f + 1`.
@@ -82,20 +83,48 @@ impl Contract {
     }
 }
 
-/// Where a protocol answers a read.
+/// Where a protocol answers a read, and with it what the answer promises
+/// ([`ReadPath::consistency`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadPath {
-    /// The leader, from its own store: linearizable while it leads its view.
+    /// The leader, from its own store, while it leads its view.
     Leader,
-    /// The chain's tail, which holds committed writes only: linearizable.
+    /// The chain's tail, which holds committed writes only.
     Tail,
     /// A coordinator asks a majority, in this round; when the answers
-    /// disagree it writes the newest back before it answers: linearizable.
+    /// disagree it writes the newest back before it answers.
     Quorum(FrameForm),
-    /// Any replica, from its own store: sequentially consistent.
+    /// Any replica, from its own store.
     Local,
     /// Ordered like a write, since a client trusts no one replica's answer.
     Agreement,
+}
+
+impl ReadPath {
+    /// What the histories clients see promise, per key: a local read may
+    /// lag the writes other clients already saw complete; every other
+    /// path answers with the newest committed write.
+    pub const fn consistency(self) -> Consistency {
+        match self {
+            ReadPath::Local => Consistency::Sequential,
+            ReadPath::Leader | ReadPath::Tail | ReadPath::Quorum(_) | ReadPath::Agreement => {
+                Consistency::Linearizable
+            }
+        }
+    }
+}
+
+/// The promise a protocol's reads make about each key's history.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Consistency {
+    /// The operations take effect in one order that keeps each client's
+    /// own order and real time: a read returns the newest write that
+    /// completed before it began, or a concurrent one.
+    Linearizable,
+    /// The operations take effect in one order that keeps each client's
+    /// own order, but not real time: a read may return an older write than
+    /// one another client already saw.
+    Sequential,
 }
 
 /// Frames between the replicas of a group of `n` per committed operation:

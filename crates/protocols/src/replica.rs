@@ -156,7 +156,7 @@ impl Handle<'_> {
     /// Reads `key` from the local store through the verified path into a
     /// spare of the group's frame buffers
     /// ([`ReplicaStore::read_pooled`]), with its stored write timestamp. A
-    /// reply's value goes back to them once the reply is recorded; a value
+    /// reply's value goes back to them once its client has seen it; a value
     /// used otherwise goes back through [`Handle::give_back`].
     pub(crate) fn read(&mut self, key: &[u8]) -> Option<(Vec<u8>, Timestamp)> {
         self.store.read_pooled(key, self.ctx.frames())

@@ -39,9 +39,9 @@
 //! A read reply makes the round trip through the group's frame pool
 //! instead, as a frame does: [`ReplicaStore::read_pooled`] checks the
 //! value against the enclave-held digest and copies it into a buffer that
-//! pool lends at the value's length, the reply carries it to the simulator,
-//! and the group gives it back to the pool once the reply is recorded — so
-//! a read of a warm group allocates nothing. A miss takes no buffer. Both
+//! pool lends at the value's length, the reply carries it to its client,
+//! and the group takes it back once the client has seen it — so a read of
+//! a warm group allocates nothing. A miss takes no buffer. Both
 //! pools count what they lend and what they had to allocate, for the life
 //! of their owner ([`ReplicaStore::entry_pool`]).
 
@@ -199,8 +199,8 @@ impl ReplicaStore {
 
     /// Reads `key` through the verified path into a buffer `frames` lends at
     /// the value's length, with the key's stored write timestamp: a read
-    /// reply's value, which goes back to `frames` once the reply is recorded
-    /// (module docs, "Entry buffers"). `None`, taking no buffer, when the
+    /// reply's value, which goes back to `frames` once its client has seen
+    /// it (module docs, "Entry buffers"). `None`, taking no buffer, when the
     /// key is absent or fails verification.
     pub fn read_pooled(&self, key: &[u8], frames: &mut FramePool) -> Option<(Vec<u8>, Timestamp)> {
         let read = self.kv.read(key).ok()?;

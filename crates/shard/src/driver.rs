@@ -2,7 +2,8 @@
 //! cross-shard transactions and online rebalancing.
 //!
 //! [`ShardedCluster::run_requests`] is the driver's one entry point: the
-//! workload closure returns [`recipe_core::Request`]s, and the driver
+//! workload, a [`Client`], returns [`recipe_core::Request`]s and is told of
+//! each reply, and the driver
 //!
 //! * routes every operation by key through the epoch-stamped
 //!   [`crate::ShardRouter`] (stale clients earn `WrongShard` redirects and
@@ -109,6 +110,43 @@ struct Issued {
     is_write: bool,
 }
 
+/// A run's clients, as the driver sees them: where each request comes
+/// from, and where its reply goes.
+///
+/// Any `FnMut(client, seq) -> Option<Request>` is a client that issues
+/// regardless of the time and reads no reply.
+pub trait Client {
+    /// Client `client`'s request number `seq`, issued at virtual time
+    /// `at_ns`. `None` retires the client: open-loop schedules need a stop
+    /// signal. A plain operation is `Some(op.into())`.
+    fn next(&mut self, client: u64, seq: u64, at_ns: u64) -> Option<Request>;
+
+    /// The reply to a request [`Client::next`] issued: a single operation's
+    /// first reply, or a committed transaction's outcome. A request that
+    /// never completes (the run ended, the gateway rejected it) gets none.
+    fn done(&mut self, _reply: &Reply<'_>) {}
+}
+
+impl<F: FnMut(u64, u64) -> Option<Request>> Client for F {
+    fn next(&mut self, client: u64, seq: u64, _at_ns: u64) -> Option<Request> {
+        self(client, seq)
+    }
+}
+
+/// What a client learns when its request completes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reply<'a> {
+    /// The client the reply reached.
+    pub client: u64,
+    /// The `seq` the request was issued under.
+    pub request_id: u64,
+    /// Virtual time at which the reply reached the client.
+    pub at_ns: u64,
+    /// A single read's value when it found its key: `None` for a miss, a
+    /// write's acknowledgement and a committed transaction.
+    pub value: Option<&'a [u8]>,
+}
+
 /// What the driver keeps per client, indexed by the dense client id.
 struct ClientState {
     /// The router epoch the client last resolved a key under.
@@ -123,7 +161,7 @@ struct ClientState {
 /// One run of the request driver over a [`ShardedCluster`].
 pub(crate) struct Engine<'a, R: Replica> {
     pub(crate) cluster: &'a mut ShardedCluster<R>,
-    workload: &'a mut dyn FnMut(u64, u64) -> Option<Request>,
+    workload: &'a mut dyn Client,
     pub(crate) rb: RebalanceConfig,
     cap: u64,
     target: u64,
@@ -162,10 +200,8 @@ fn bucket(timeline: &mut Vec<u64>, width_ns: u64, at_ns: u64, count: u64) {
 
 impl<R: StoreReplica> ShardedCluster<R> {
     /// Runs the sharded simulation over a typed-request workload — the
-    /// driver's one entry point. `workload(client_id, seq)` returns the
-    /// client's next [`Request`] (`None` retires the client — open-loop
-    /// schedules need a stop signal); a workload of plain operations returns
-    /// `Some(op.into())`.
+    /// driver's one entry point. The workload is a [`Client`]: any
+    /// `FnMut(client_id, seq) -> Option<Request>` closure is one.
     ///
     /// Single-key requests take the per-shard batched path; transactions run
     /// atomic cross-shard 2PC through the shield layer (see `crate::txn`).
@@ -176,10 +212,7 @@ impl<R: StoreReplica> ShardedCluster<R> {
     /// The run ends when the configured number of operations has committed
     /// across all shards and no transaction is in flight, when every event
     /// queue drains, or when the virtual-time cap is hit.
-    pub fn run_requests<W>(&mut self, mut workload: W) -> ShardedRunStats
-    where
-        W: FnMut(u64, u64) -> Option<Request>,
-    {
+    pub fn run_requests<W: Client>(&mut self, mut workload: W) -> ShardedRunStats {
         let mut engine = Engine::new(self, &mut workload);
         engine.run();
         engine.finish()
@@ -201,10 +234,7 @@ impl<R: StoreReplica> ShardedCluster<R> {
 }
 
 impl<'a, R: StoreReplica> Engine<'a, R> {
-    pub(crate) fn new(
-        cluster: &'a mut ShardedCluster<R>,
-        workload: &'a mut dyn FnMut(u64, u64) -> Option<Request>,
-    ) -> Self {
+    pub(crate) fn new(cluster: &'a mut ShardedCluster<R>, workload: &'a mut dyn Client) -> Self {
         // The run counts only what it pops and lends itself, not a
         // `quiesce` or a run before it.
         cluster.calendar.take_counts();
@@ -328,7 +358,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
     fn on_fresh(&mut self, client_id: u64, at: u64) {
         let rid = self.clients[client_id as usize].last_request_id + 1;
         // `None`: the client retired; nothing more to issue.
-        if let Some(request) = (self.workload)(client_id, rid) {
+        if let Some(request) = self.workload.next(client_id, rid, at) {
             self.clients[client_id as usize].last_request_id = rid;
             self.admit(client_id, rid, request, at);
         }
@@ -513,6 +543,12 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
             TxnResolution::Pending => return,
             TxnResolution::Committed(done) => {
                 self.now = self.now.max(done.finished_at);
+                self.workload.done(&Reply {
+                    client: done.client_id,
+                    request_id: done.request_id,
+                    at_ns: done.finished_at,
+                    value: None,
+                });
                 self.record_commit(
                     done.client_id,
                     done.finished_at,
@@ -616,6 +652,15 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                     });
                     self.st.record_capture(entry);
                 }
+            }
+            self.workload.done(&Reply {
+                client: completion.client_id,
+                request_id: completion.request_id,
+                at_ns: completion.at_ns,
+                value: completion.value.as_deref(),
+            });
+            if let Some(value) = completion.value {
+                self.cluster.shards[shard].give_frame(value);
             }
             self.record_commit(
                 completion.client_id,

@@ -39,6 +39,7 @@ mod sharded;
 mod spec;
 mod txn;
 
+pub use driver::{Client, Reply};
 pub use migration::{MigrationStats, RebalanceConfig};
 pub use router::{RangeMove, RouteDecision, RouterVersion, ShardRouter};
 pub use sharded::{

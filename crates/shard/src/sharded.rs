@@ -371,9 +371,14 @@ impl<R: Replica> ShardedCluster<R> {
             let Some((key, Event::Shard(event))) = self.calendar.pop() else {
                 unreachable!("a driver event outlived its run");
             };
-            self.handle(key, event);
-            // Late completions no longer drive the closed loop.
-            self.completions.clear();
+            let shard = self.handle(key, event);
+            // Late completions no longer drive the closed loop, and no
+            // client sees their values.
+            for completion in self.completions.drain(..) {
+                if let Some(value) = completion.value {
+                    self.shards[shard].give_frame(value);
+                }
+            }
         }
     }
 

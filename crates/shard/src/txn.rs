@@ -235,6 +235,7 @@ impl InflightTxn {
 /// A committed transaction, handed to the driver for completion accounting.
 pub(crate) struct CommittedTxn {
     pub(crate) client_id: u64,
+    pub(crate) request_id: u64,
     pub(crate) latency_ns: u64,
     pub(crate) finished_at: u64,
     /// `(shard, arc, is_write)` per operation, participant-major — the
@@ -694,6 +695,7 @@ impl<R: StoreReplica> Engine<'_, R> {
                 }
                 TxnResolution::Committed(CommittedTxn {
                     client_id: txn.client_id,
+                    request_id: txn.request_id,
                     latency_ns: finished_at.saturating_sub(txn.issued_at),
                     finished_at,
                     op_placements,

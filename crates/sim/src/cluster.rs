@@ -277,6 +277,11 @@ pub struct Completion {
     pub was_write: bool,
     /// Virtual time at which the reply reached the client.
     pub at_ns: u64,
+    /// The reply's result: a read's value when it found its key, moved out
+    /// of the [`ClientReply`]. The buffer is a spare of the group's frame
+    /// pool; whoever takes the completion gives it back
+    /// ([`ReplicaGroup::give_frame`]) once the client has seen it.
+    pub value: Option<Vec<u8>>,
 }
 
 /// What one [`ReplicaGroup::charge`] did to a node's clock.
@@ -339,7 +344,7 @@ pub struct ReplicaGroup<R: Replica> {
     /// frame's buffer comes back to the free list here once the receiving
     /// handler returned, or once the network dropped the frame, replaced it
     /// with a tampered copy or carried it to a crashed node; a reply's value
-    /// once the reply is recorded.
+    /// once its client has seen it ([`ReplicaGroup::give_frame`]).
     effects: Effects,
     stats: RunStats,
     write_rr: usize,
@@ -455,6 +460,12 @@ impl<R: Replica> ReplicaGroup<R> {
     /// The group's free list of frame buffers (see [`Ctx`]).
     pub fn frame_pool(&self) -> &FramePool {
         &self.effects.frames
+    }
+
+    /// Gives a buffer the group's frame pool lent back to it: a
+    /// [`Completion`]'s value, once its client has seen it.
+    pub fn give_frame(&mut self, buf: Vec<u8>) {
+        self.effects.frames.give(buf);
     }
 
     /// The first live replica that coordinates writes, if any (construction
@@ -948,10 +959,10 @@ impl<R: Replica> ReplicaGroup<R> {
         }
 
         // A read reply's value was copied into a spare of the frame free
-        // list; every reply's goes back once recorded, duplicates' too.
+        // list. The first reply's travels to its client in the completion;
+        // a duplicate's goes back at once.
         for reply in effects.replies.drain(..) {
-            self.record_reply(&reply, sched.completions);
-            if let Some(value) = reply.value {
+            if let Some(value) = self.record_reply(reply, sched.completions) {
                 frames.give(value);
             }
         }
@@ -970,7 +981,14 @@ impl<R: Replica> ReplicaGroup<R> {
         &mut self.clients[idx]
     }
 
-    fn record_reply(&mut self, reply: &ClientReply, completions: &mut Vec<Completion>) {
+    /// Records `reply` if it is the first for its client's outstanding
+    /// request, moving its value into the [`Completion`]; otherwise hands
+    /// the value back.
+    fn record_reply(
+        &mut self,
+        reply: ClientReply,
+        completions: &mut Vec<Completion>,
+    ) -> Option<Vec<u8>> {
         let client_id = reply.client_id;
         // Only the first reply for the *currently outstanding* request counts;
         // replicas in BFT protocols all reply, and late replies for older requests
@@ -998,10 +1016,13 @@ impl<R: Replica> ReplicaGroup<R> {
                 latency_ns: latency,
                 was_write: out.is_write,
                 at_ns: self.now,
+                value: reply.value,
             });
+            return None;
         }
         // Replies for requests we are no longer waiting on (duplicates from multiple
         // replicas) are ignored: the first reply wins.
+        reply.value
     }
 }
 
@@ -1051,7 +1072,8 @@ impl<R: Replica> SimCluster<R> {
     }
 
     /// Runs the next event. A reply it delivers to a client is kept for
-    /// [`SimCluster::drain_completions`].
+    /// [`SimCluster::drain_completions`], without its value: the harness's
+    /// callers read none, so the step gives each back to the pool.
     pub fn step(&mut self) -> StepOutcome {
         let Some((key, event)) = self.calendar.pop() else {
             return StepOutcome::Idle;
@@ -1059,8 +1081,14 @@ impl<R: Replica> SimCluster<R> {
         if key.at > self.group.config.max_virtual_ns {
             return StepOutcome::CapReached;
         }
+        let recorded = self.completions.len();
         let (group, mut sched) = self.lend();
         group.handle(key.at, event, &mut sched);
+        for completion in &mut self.completions[recorded..] {
+            if let Some(value) = completion.value.take() {
+                self.group.give_frame(value);
+            }
+        }
         StepOutcome::Processed
     }
 

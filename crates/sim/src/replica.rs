@@ -56,7 +56,7 @@ impl Ctx {
 
     /// The group's free list of frame buffers: a frame built in one of its
     /// spares goes back to it once the network is done with the frame, and
-    /// a reply's value once the reply is recorded.
+    /// a reply's value once its client has seen it.
     pub fn frames(&mut self) -> &mut FramePool {
         &mut self.effects.frames
     }

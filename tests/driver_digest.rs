@@ -129,7 +129,7 @@ fn put(key: Vec<u8>, client: u64, seq: u64) -> Operation {
 /// One group, every fourth request a read: the fast path alone.
 fn single_key_unbatched() -> String {
     let spec = DeploymentSpec::new(1, 3).with_seed(21).with_clients(8, 300);
-    let stats = ShardedCluster::<RaftReplica>::build(spec).run_requests(|client, seq| {
+    let stats = ShardedCluster::<RaftReplica>::build(spec).run_requests(|client: u64, seq: u64| {
         let key = format!("user{:04}", (client * 31 + seq * 7) % 64).into_bytes();
         Some(if seq.is_multiple_of(4) {
             Operation::Get { key }.into()
@@ -159,7 +159,7 @@ fn txn_gateway() -> String {
             ..TxnConfig::default()
         })
         .with_gateway(gateway);
-    let stats = ShardedCluster::<RaftReplica>::build(spec).run_requests(|client, seq| {
+    let stats = ShardedCluster::<RaftReplica>::build(spec).run_requests(|client: u64, seq: u64| {
         let key = |i: u64| format!("acct{:03}", (client + seq * 5 + i * 11) % 24).into_bytes();
         Some(if seq.is_multiple_of(3) {
             put(key(0), client, seq).into()
@@ -255,7 +255,7 @@ fn txn_byzantine() -> String {
                 3_000_000,
             )),
         );
-    let stats = ShardedCluster::<RaftReplica>::build(spec).run_requests(|client, seq| {
+    let stats = ShardedCluster::<RaftReplica>::build(spec).run_requests(|client: u64, seq: u64| {
         let key = |i: u64| format!("acct{:03}", (client + seq * 5 + i * 11) % 48).into_bytes();
         Some(if seq.is_multiple_of(3) {
             put(key(0), client, seq).into()
@@ -340,7 +340,7 @@ fn pinned_with_state<R: StoreReplica>(
 /// Two requests in three are 3-key transactions over a small contended key
 /// set, the third a single write (every fourth of those a read).
 fn txn_mix<R: StoreReplica>(mut cluster: ShardedCluster<R>) -> String {
-    let stats = cluster.run_requests(|client, seq| {
+    let stats = cluster.run_requests(|client: u64, seq: u64| {
         let key = |i: u64| format!("acct{:03}", (client + seq * 5 + i * 11) % 48).into_bytes();
         Some(if !seq.is_multiple_of(3) {
             Request::Txn((0..3).map(|i| put(key(i), client, seq)).collect())
@@ -387,7 +387,7 @@ fn pbft_txn_crash() -> String {
 fn allconcur_crash() -> String {
     let spec = crash_spec(2, 3, CostProfile::recipe(), 44).with_clients(12, 900);
     let mut cluster = ShardedCluster::<AllConcurReplica>::build(spec);
-    let stats = cluster.run_requests(|client, seq| {
+    let stats = cluster.run_requests(|client: u64, seq: u64| {
         let key = format!("user{:04}", (client * 31 + seq * 7) % 64).into_bytes();
         Some(if seq.is_multiple_of(4) {
             Operation::Get { key }.into()
@@ -414,7 +414,7 @@ fn batched_replays() -> String {
         .with_clients(32, 2000)
         .with_batching(BatchConfig::of_ops(16))
         .with_fault_plan(faults);
-    let stats = ShardedCluster::<RaftReplica>::build(spec).run_requests(|client, seq| {
+    let stats = ShardedCluster::<RaftReplica>::build(spec).run_requests(|client: u64, seq: u64| {
         let key = format!("user{:04}", (client * 31 + seq * 7) % 128).into_bytes();
         Some(if seq.is_multiple_of(2) {
             Operation::Get { key }.into()
