@@ -1,20 +1,88 @@
-//! Failure-injection integration tests: availability loss when quorums
-//! cannot form. A leader crash and its view change are `failover.rs`'s, and
-//! the shield's rejection of replayed and duplicated frames is
-//! `protocol_agreement.rs`'s, each with the history check.
+//! Failure-injection integration tests: leader crash + view change, Byzantine
+//! network traffic, and availability loss when quorums cannot form. The runs
+//! that must stay correct record their history and pass the shared check.
+
+mod common {
+    pub mod history;
+    pub mod recorder;
+    pub mod replicas;
+}
 
 use recipe::bft::PbftReplica;
 use recipe::core::{Operation, Request};
-use recipe::net::CrashPlan;
-use recipe::protocols::AllConcurReplica;
+use recipe::net::{CrashPlan, FaultPlan};
+use recipe::protocols::{AllConcurReplica, RaftReplica};
 use recipe::shard::{DeploymentSpec, ShardedCluster};
 use recipe::sim::CostProfile;
 use recipe_net::NodeId;
+
+use common::history::History;
+use common::replicas::check_run;
 
 fn put(client: u64, seq: u64) -> Option<Request> {
     let key = format!("key-{}", (client + seq) % 32).into_bytes();
     let value = vec![b'f'; 128];
     Some(Operation::Put { key, value }.into())
+}
+
+/// [`put`] with a 128-byte value unique to `client`'s request `seq`, as the
+/// history check needs.
+fn unique_put(client: u64, seq: u64) -> Option<Request> {
+    let key = format!("key-{}", (client + seq) % 32).into_bytes();
+    let value = format!("{client:>64}{seq:>64}").into_bytes();
+    Some(Operation::Put { key, value }.into())
+}
+
+#[test]
+fn raft_leader_crash_failover_preserves_progress() {
+    let spec = DeploymentSpec::new(1, 3)
+        .with_clients(8, 500)
+        .with_time_cap_ns(3_000_000_000)
+        .with_crash_plan(CrashPlan::none().crash(NodeId(0), 2_000_000));
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let mut history = History::default();
+    let stats = cluster.run_requests(history.record(unique_put));
+
+    let group = cluster.shard(0);
+    let surviving_view = group
+        .replica(NodeId(1))
+        .view()
+        .max(group.replica(NodeId(2)).view());
+    assert!(surviving_view >= 1, "no view change after leader crash");
+    assert!(
+        stats.total.committed >= 250,
+        "progress stalled: {}",
+        stats.total.committed
+    );
+    cluster.quiesce(300_000_000);
+    check_run(&mut cluster, &mut history).unwrap();
+}
+
+#[test]
+fn byzantine_replays_and_duplicates_are_neutralized() {
+    let spec = DeploymentSpec::new(1, 3)
+        .with_clients(8, 250)
+        .with_fault_plan(FaultPlan {
+            replay_probability: 0.1,
+            duplicate_probability: 0.1,
+            ..FaultPlan::default()
+        });
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let mut history = History::default();
+    let stats = cluster.run_requests(history.record(unique_put));
+    assert_eq!(stats.total.committed, 250);
+    assert!(stats.total.messages_replayed > 0);
+    let group = cluster.shard(0);
+    let rejected: u64 = (0..3)
+        .map(|id| group.replica(NodeId(id)).rejected_messages())
+        .sum();
+    assert!(
+        rejected > 0,
+        "the authentication layer saw no adversarial traffic"
+    );
+    // Agreement, and what the clients saw, by the shared check.
+    cluster.quiesce(300_000_000);
+    check_run(&mut cluster, &mut history).unwrap();
 }
 
 #[test]
