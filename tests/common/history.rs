@@ -21,7 +21,7 @@ use std::fmt;
 use recipe::protocols::Consistency;
 
 /// The client final reads are recorded under.
-const FINAL: u64 = u64::MAX;
+pub const FINAL: u64 = u64::MAX;
 
 /// One operation on one key, as its client saw it.
 #[derive(Debug, Clone, PartialEq, Eq)]

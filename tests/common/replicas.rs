@@ -1,21 +1,23 @@
 //! A run's end, as its replicas hold it: every live replica's value of
-//! every key the run wrote becomes a final read of the run's history, and
-//! the replicas must agree on it.
+//! every key the run wrote becomes a final read of the run's history.
 
 use std::collections::BTreeSet;
 
 use recipe::net::NodeId;
-use recipe::protocols::{ReadPath, StoreReplica};
+use recipe::protocols::StoreReplica;
 use recipe::shard::ShardedCluster;
 
 use super::history::{History, Violation};
 
 /// Checks a run once its traffic has landed. Each live replica's value of
 /// every key the run wrote is appended to `history` as a final read, and
-/// the history is checked against the promise of `R`'s read path. Then any
-/// two live replicas that hold a key must agree on it, and the key must be
-/// on a majority of its group where reads go to a quorum and on every live
-/// replica otherwise.
+/// the history is checked against the promise of `R`'s read path. A final
+/// read follows every operation, so a live replica that lacks a key, or
+/// holds another value than its peers, breaks that promise wherever a
+/// write of the key completed; every live replica is held to this, a
+/// quorum-read protocol's included. Where every write of a key is still
+/// pending the history allows any value, so the replicas that hold the
+/// key must still agree on it.
 ///
 /// A frame the network drops or tampers with stalls its channel for good,
 /// since the cores do not retransmit. In a group whose network does either,
@@ -26,7 +28,6 @@ pub fn check_run<R: StoreReplica>(
     history: &mut History,
 ) -> Result<(), Violation> {
     let protocol = R::PROTOCOL;
-    let read_path = protocol.contract().read_path;
     let mut apart = Ok(());
     let writes = history.ops.iter().filter(|op| op.is_write);
     let keys: BTreeSet<Vec<u8>> = writes.map(|op| op.key.clone()).collect();
@@ -35,7 +36,6 @@ pub fn check_run<R: StoreReplica>(
         let plan = group.config().fault_plan;
         let may_trail = plan.drop_probability > 0.0 || plan.tamper_probability > 0.0;
         let crashed = group.crashed_nodes().clone();
-        let n = group.node_ids().len();
         let live: Vec<NodeId> = (group.node_ids().iter())
             .filter(|id| !crashed.contains(id))
             .copied()
@@ -50,17 +50,8 @@ pub fn check_run<R: StoreReplica>(
             })
             .collect();
         let holders: Vec<&Vec<u8>> = held.iter().flatten().collect();
-        let needed = match read_path {
-            _ if may_trail => 1,
-            ReadPath::Quorum(_) => n / 2 + 1,
-            _ => live.len(),
-        };
-        let name = String::from_utf8_lossy(&key);
-        if apart.is_ok() && !holders.is_empty() && holders.len() < needed {
-            let on = format!("on {} of {} live replicas", holders.len(), live.len());
-            apart = Err(format!("{protocol:?}: {name:?} {on}"));
-        }
         if apart.is_ok() && holders.windows(2).any(|pair| pair[0] != pair[1]) {
+            let name = String::from_utf8_lossy(&key);
             apart = Err(format!("{protocol:?}: replicas disagree on {name:?}"));
         }
         for value in held
@@ -70,6 +61,7 @@ pub fn check_run<R: StoreReplica>(
             history.final_read(&key, value);
         }
     }
+    let read_path = protocol.contract().read_path;
     let checked = history.check(read_path.consistency());
     checked.map_err(|Violation(e)| Violation(format!("{protocol:?}: {e}")))?;
     apart.map_err(Violation)

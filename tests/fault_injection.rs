@@ -19,15 +19,9 @@ use recipe_net::NodeId;
 use common::history::History;
 use common::replicas::check_run;
 
-fn put(client: u64, seq: u64) -> Option<Request> {
-    let key = format!("key-{}", (client + seq) % 32).into_bytes();
-    let value = vec![b'f'; 128];
-    Some(Operation::Put { key, value }.into())
-}
-
-/// [`put`] with a 128-byte value unique to `client`'s request `seq`, as the
+/// A write of a 128-byte value unique to `client`'s request `seq`, as the
 /// history check needs.
-fn unique_put(client: u64, seq: u64) -> Option<Request> {
+fn put(client: u64, seq: u64) -> Option<Request> {
     let key = format!("key-{}", (client + seq) % 32).into_bytes();
     let value = format!("{client:>64}{seq:>64}").into_bytes();
     Some(Operation::Put { key, value }.into())
@@ -41,7 +35,7 @@ fn raft_leader_crash_failover_preserves_progress() {
         .with_crash_plan(CrashPlan::none().crash(NodeId(0), 2_000_000));
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
     let mut history = History::default();
-    let stats = cluster.run_requests(history.record(unique_put));
+    let stats = cluster.run_requests(history.record(put));
 
     let group = cluster.shard(0);
     let surviving_view = group
@@ -69,7 +63,7 @@ fn byzantine_replays_and_duplicates_are_neutralized() {
         });
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
     let mut history = History::default();
-    let stats = cluster.run_requests(history.record(unique_put));
+    let stats = cluster.run_requests(history.record(put));
     assert_eq!(stats.total.committed, 250);
     assert!(stats.total.messages_replayed > 0);
     let group = cluster.shard(0);

@@ -199,6 +199,24 @@ fn final_reads_that_mix_two_transactions_tokens_are_not_atomic() {
     );
 }
 
+/// An R-ABD key on two of its three replicas. An ABD read would find it on
+/// any majority, but each replica's value is read back on its own, so the
+/// third replica's miss is a stale read once the write has completed, and
+/// allowed while it is pending.
+#[test]
+fn a_key_on_a_majority_alone_is_stale_once_its_write_completes() {
+    let consistency = Protocol::Abd.contract().read_path.consistency();
+    for (response, stale) in [(Some(1), true), (None, false)] {
+        let mut run = history(vec![op(0, 1, (0, response), true, "a")]);
+        for value in ["a", "a", ""] {
+            let value = (!value.is_empty()).then(|| value.as_bytes().to_vec());
+            run.final_read(b"k", value);
+        }
+        let checked = run.check(consistency);
+        assert_eq!(checked.is_err(), stale, "{response:?}: {checked:?}");
+    }
+}
+
 /// The mode every group here runs in (the BFT baselines ignore it).
 const PLAINTEXT: ProtocolMode = ProtocolMode::Recipe {
     confidentiality: ConfidentialityMode::Plaintext,

@@ -18,7 +18,7 @@ use recipe::shard::{op_from_workload, DeploymentSpec, ShardedCluster};
 use recipe::sim::{RangeEntry, RunStats, SimCluster, SimConfig, StepOutcome};
 use recipe::workload::WorkloadSpec;
 
-use common::history::{History, Violation};
+use common::history::{History, Violation, FINAL};
 use common::replicas::check_run;
 
 /// The protocols the paper transforms, each one core run natively or under
@@ -80,6 +80,8 @@ struct Outcome {
     applied: Vec<u64>,
     /// Frames the replicas' shields rejected.
     rejected: u64,
+    /// What the clients saw, then each live replica's final value.
+    history: History,
     /// The run's check: its clients' history against the protocol's read
     /// promise, and its replicas' agreement ([`check_run`]).
     checked: Result<(), Violation>,
@@ -114,6 +116,7 @@ impl<W: FnMut(u64, u64) -> Operation> ProtocolVisitor for Run<W> {
                 .iter()
                 .map(|&id| group.replica_mut(id).store().applied())
                 .collect(),
+            history,
             checked,
         }
     }
@@ -137,18 +140,39 @@ fn run<W: FnMut(u64, u64) -> Operation>(
 /// orders no two coordinators' writes of one key (ROADMAP item 15): each
 /// coordinator applies its own proposal once every peer has tracked it, and
 /// a peer's when its `Deliver` arrives, so two concurrent writes of a key
-/// land in opposite orders on their two coordinators. Such a run of it is
-/// not asserted here; `r_allconcur_breaks_its_read_promise_on_a_contended_key`
-/// pins the violation instead, for item 15's fix to flip.
+/// land in opposite orders on their two coordinators. Such a run of it may
+/// break its read promise in that one way ([`unordered`]), and in no other:
+/// every live replica still ends holding every key written.
+/// `r_allconcur_breaks_its_read_promise_on_a_contended_key` pins the
+/// violation, for item 15's fix to flip.
 fn run_contended<W: FnMut(u64, u64) -> Operation>(
     protocol: Protocol,
     spec: DeploymentSpec,
     workload: W,
 ) -> Outcome {
-    if protocol == Protocol::AllConcur {
-        return dispatch(protocol, Run { spec, workload });
+    if protocol != Protocol::AllConcur {
+        return run(protocol, spec, workload);
     }
-    run(protocol, spec, workload)
+    let outcome = dispatch(protocol, Run { spec, workload });
+    for last in outcome.history.ops.iter().filter(|op| op.client == FINAL) {
+        let key = String::from_utf8_lossy(&last.key);
+        assert!(
+            last.value.is_some(),
+            "{protocol:?}: a replica lacks {key:?}"
+        );
+    }
+    if let Some(violation) = outcome.checked.as_ref().err().filter(|v| !unordered(v)) {
+        panic!("{violation:?}");
+    }
+    outcome
+}
+
+/// Whether `violation` is R-AllConcur's unordered writes: clients or
+/// replicas saw one key's writes in orders no one order keeps, or the
+/// replicas ended on different ones.
+fn unordered(Violation(violation): &Violation) -> bool {
+    let orders = violation.contains("in orders no one order keeps");
+    orders || violation.contains("replicas disagree on")
 }
 
 /// `protocol`'s one-shard group commits a mixed workload in full and keeps
@@ -324,7 +348,7 @@ fn r_allconcur_breaks_its_read_promise_on_a_contended_key() {
         let Err(violation) = run.checked else {
             panic!("{clients} clients × {ops} ops: R-AllConcur ordered a contended key");
         };
-        let unordered = violation.0.contains("in orders no one order keeps");
+        let unordered = unordered(&violation);
         assert!(unordered, "{clients} clients × {ops} ops: {violation:?}");
     }
 }
