@@ -64,8 +64,8 @@ fn main() {
         "mixed workload: {} committed ({} txns, {} aborted attempts), {} migrations, \
          {:.0} ops/s virtual",
         stats.total.committed,
-        stats.total.committed_txns,
-        stats.total.aborted_txns,
+        stats.txn.committed,
+        stats.txn.aborted,
         stats.migration.migrations_completed,
         stats.total.throughput_ops,
     );

@@ -573,7 +573,7 @@ mod tests {
             }
             cluster.run_until(50_000_000);
             assert_eq!(cluster.drain_completions().len(), 8, "{batch:?}");
-            assert!(cluster.finish().messages_delivered > 0);
+            assert!(cluster.take_message_counts().delivered > 0);
             let pool = cluster.frame_pool();
             assert_eq!((pool.spares(), pool.allocated()), (0, 0), "{batch:?}");
         }

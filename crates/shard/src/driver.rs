@@ -30,7 +30,9 @@
 //!   `on_txn_advance` (both in [`crate::txn`]); the controller's deadline →
 //!   `on_controller` (in [`crate::migration`]); a group's → `on_group_event`;
 //! * `schedule` is the only push of a driver event; `record_commit` is the
-//!   only commit accounting; `maybe_finish_cutover` the only drain check;
+//!   only commit accounting — single-key and transactional operations alike,
+//!   each counted once in the run's books and in its shard's, the groups
+//!   counting none; `maybe_finish_cutover` is the only drain check;
 //!   `finish` closes the books and drops the driver's events that are left.
 
 use recipe_core::{Operation, Request};
@@ -42,7 +44,7 @@ use recipe_workload::stable_key_hash;
 
 use crate::migration::{ControllerState, RebalanceConfig};
 use crate::router::{RouteDecision, RouterVersion};
-use crate::sharded::{PoolCounts, ShardedCluster, ShardedRunStats, Tallies, TimelineBucket};
+use crate::sharded::{Books, PoolCounts, ShardedCluster, ShardedRunStats, Tallies, TimelineBucket};
 use crate::txn::{TxnManager, TxnResolution};
 
 /// Work carried by one driver event.
@@ -107,7 +109,6 @@ struct Issued {
     /// migration's catch-up capture is the one reader, and it runs only
     /// then. Empty otherwise.
     key: Vec<u8>,
-    is_write: bool,
 }
 
 /// A run's clients, as the driver sees them: where each request comes
@@ -235,12 +236,13 @@ impl<R: StoreReplica> ShardedCluster<R> {
 
 impl<'a, R: StoreReplica> Engine<'a, R> {
     pub(crate) fn new(cluster: &'a mut ShardedCluster<R>, workload: &'a mut dyn Client) -> Self {
-        // The run counts only what it pops and lends itself, not a
+        // The run counts only what it pops, lends and sends itself, not a
         // `quiesce` or a run before it.
         cluster.calendar.take_counts();
         let pools_at_start = cluster.pool_counts();
         for shard in 0..cluster.shards.len() {
             let (group, mut sched) = cluster.lend(shard);
+            group.take_message_counts();
             group.seed_initial_events(&mut sched);
         }
         let config = &cluster.config;
@@ -267,7 +269,10 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                 .collect(),
             placements: Vec::new(),
             now: 0,
-            tallies: Tallies::new(shard_count),
+            tallies: Tallies {
+                total: Books::default(),
+                per_shard: vec![Books::default(); shard_count],
+            },
             timeline: Vec::new(),
             timeline_aborts: Vec::new(),
             pools_at_start,
@@ -301,7 +306,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
             // transaction is in flight. In the drain that follows, clients
             // issue nothing new — only 2PC events, the controller and shard
             // work keep running.
-            let past_target = self.tallies.committed >= self.target;
+            let past_target = self.tallies.total.committed() >= self.target;
             if past_target && self.txns.is_idle() {
                 break;
             }
@@ -489,7 +494,6 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         } else {
             Vec::new()
         };
-        let is_write = operation.is_write();
         let (group, mut sched) = self.cluster.lend(shard);
         match group.try_submit_at(at, client_id, rid, operation, &mut sched) {
             Ok(()) => {
@@ -498,7 +502,6 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                     arc,
                     request_id: rid,
                     key,
-                    is_write,
                 });
             }
             // No live coordinator; retry the *identical* payload later.
@@ -554,7 +557,6 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                     done.finished_at,
                     done.latency_ns,
                     &done.op_placements,
-                    true,
                 );
                 self.txns.give_placements(done.op_placements);
             }
@@ -581,41 +583,26 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         self.maybe_finish_cutover();
     }
 
-    /// Accounts one committed request — a single-key completion or a whole
-    /// transaction, `ops` being its `(shard, arc, is_write)` operations —
-    /// and schedules the client's next draw. The arc is `None` for a
-    /// completion the driver no longer tracks as outstanding.
+    /// The only commit accounting: one committed request — a single-key
+    /// completion or a whole transaction, `ops` being its `(shard, arc,
+    /// is_write)` operations — counted once in the run's books and in its
+    /// shards', then the client's next draw scheduled. The arc is `None` for
+    /// a completion the driver no longer tracks as outstanding.
     fn record_commit(
         &mut self,
         client_id: u64,
         at_ns: u64,
         latency_ns: u64,
         ops: &[(usize, Option<usize>, bool)],
-        in_txn: bool,
     ) {
         let tallies = &mut self.tallies;
-        tallies.latencies_ns.push(latency_ns);
+        tallies.total.latencies_ns.push(latency_ns);
         for (i, &(shard, arc, is_write)) in ops.iter().enumerate() {
-            tallies.committed += 1;
-            if is_write {
-                tallies.committed_writes += 1;
-            } else {
-                tallies.committed_reads += 1;
-            }
-            if in_txn {
-                // Transactional commits apply below the per-shard protocol,
-                // so the group's own counters never see them.
-                let (total, reads, writes) = &mut tallies.txn_shard_ops[shard];
-                *total += 1;
-                if is_write {
-                    *writes += 1;
-                } else {
-                    *reads += 1;
-                }
-            }
+            tallies.total.count(is_write);
+            tallies.per_shard[shard].count(is_write);
             // One latency sample per shard the request touched.
             if !ops[..i].iter().any(|&(seen, ..)| seen == shard) {
-                tallies.shard_latencies[shard].push(latency_ns);
+                tallies.per_shard[shard].latencies_ns.push(latency_ns);
             }
             self.st.window_shard[shard] += 1;
             if let Some(arc) = arc {
@@ -644,7 +631,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                 // the moving range replays on the recipient. The record is
                 // re-read from the donor leader's store so it carries the
                 // *real* committed value and write timestamp.
-                if self.st.captures(issued.shard, issued.arc) && issued.is_write {
+                if self.st.captures(issued.shard, issued.arc) && completion.was_write {
                     let donor = &mut self.cluster.shards[issued.shard];
                     let entry = donor.write_coordinator().and_then(|leader| {
                         let read = donor.replica_mut(leader).store().read_entry(&issued.key);
@@ -667,7 +654,6 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                 completion.at_ns,
                 completion.latency_ns,
                 &[(shard, issued.map(|i| i.arc), completion.was_write)],
-                false,
             );
         }
         self.cluster.completions = completions;
@@ -714,8 +700,6 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         let (frames, entries) = self.cluster.pool_counts();
         stats.frames = frames.since(self.pools_at_start.0);
         stats.entries = entries.since(self.pools_at_start.1);
-        stats.total.committed_txns = stats.txn.committed;
-        stats.total.aborted_txns = stats.txn.aborted;
         let width = self.rb.timeline_bucket_ns;
         let mut timeline_migrations: Vec<u64> = Vec::new();
         for &at in &self.st.cutover_times {

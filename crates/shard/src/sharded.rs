@@ -12,8 +12,11 @@
 //!   client's consecutive operations hop between shards exactly as they would
 //!   across a partitioned production deployment;
 //! * a group has no clients of its own: each reply reaches the driver through
-//!   one completion buffer, and the driver owns latency accounting and
-//!   schedules each client's next issue — possibly on a different shard.
+//!   one completion buffer, and the driver owns commit accounting — every
+//!   commit counted once, in the run's books and its shard's, latencies
+//!   included — and schedules each client's next issue, possibly on a
+//!   different shard. A group counts only what it alone sees: what the
+//!   network did with its frames, and its clock.
 //!
 //! A single replica group is the one-shard case: the paper's single-group
 //! figures, the fault tests and the examples run one as
@@ -115,12 +118,15 @@ impl ShardedConfig {
 }
 
 /// Aggregated results of a sharded run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ShardedRunStats {
     /// Aggregate figures on the global clock: total commits, total throughput,
     /// latency percentiles over every completion, summed message counters.
     pub total: RunStats,
-    /// Per-shard statistics (each on that shard's local activity window).
+    /// Per-shard statistics of this run: each shard's commits, counted by
+    /// the driver like the total's, and the messages its group counted over
+    /// the run; its `elapsed_secs` runs from virtual time 0 to the shard's
+    /// last event.
     pub per_shard: Vec<RunStats>,
     /// Load-imbalance factor: busiest shard's commits divided by the mean
     /// commits per shard (1.0 = perfectly balanced; meaningful only when
@@ -189,28 +195,47 @@ pub struct TimelineBucket {
     pub migrations: u64,
 }
 
-/// What the request driver counts while a run is in flight, handed to
-/// [`ShardedCluster::finalize`] when it ends.
-#[derive(Default)]
+/// The request driver's commit books for one run, handed to
+/// [`ShardedCluster::finalize`] when it ends: every commit is counted once,
+/// in the run's books and in those of the shard that served it.
 pub(crate) struct Tallies {
-    pub(crate) committed: u64,
-    pub(crate) committed_reads: u64,
-    pub(crate) committed_writes: u64,
-    /// Latency of every completed request, in completion order.
-    pub(crate) latencies_ns: Vec<u64>,
-    /// The same latencies, by the shard (or shards) that served the request.
-    pub(crate) shard_latencies: Vec<Vec<u64>>,
-    /// `(ops, reads, writes)` committed by transactions, per shard.
-    pub(crate) txn_shard_ops: Vec<(u64, u64, u64)>,
+    pub(crate) total: Books,
+    pub(crate) per_shard: Vec<Books>,
 }
 
-impl Tallies {
-    pub(crate) fn new(shards: usize) -> Self {
-        Tallies {
-            shard_latencies: vec![Vec::new(); shards],
-            txn_shard_ops: vec![(0, 0, 0); shards],
-            ..Tallies::default()
-        }
+/// Operations committed, those issued as writes among them, and the
+/// latency of every request they belong to, in completion order.
+#[derive(Clone, Default)]
+pub(crate) struct Books {
+    committed: u64,
+    writes: u64,
+    pub(crate) latencies_ns: Vec<u64>,
+}
+
+impl Books {
+    /// Counts one committed operation.
+    pub(crate) fn count(&mut self, is_write: bool) {
+        self.committed += 1;
+        self.writes += u64::from(is_write);
+    }
+
+    pub(crate) fn committed(&self) -> u64 {
+        self.committed
+    }
+
+    /// The books' figures at virtual time `elapsed_ns`, counted from 0.
+    fn stats(mut self, elapsed_ns: u64) -> RunStats {
+        let elapsed_secs = elapsed_ns.max(1) as f64 / 1e9;
+        let mut stats = RunStats {
+            committed: self.committed,
+            committed_reads: self.committed - self.writes,
+            committed_writes: self.writes,
+            elapsed_secs,
+            throughput_ops: self.committed as f64 / elapsed_secs,
+            ..RunStats::default()
+        };
+        stats.set_latencies(&mut self.latencies_ns);
+        stats
     }
 }
 
@@ -382,45 +407,28 @@ impl<R: Replica> ShardedCluster<R> {
         }
     }
 
-    /// Folds the driver's tallies, every shard's own counters and the
-    /// calendar's counts into the run's statistics, on the global clock
-    /// `global_now`.
+    /// Closes the run's books on the global clock `global_now`: each
+    /// shard's commits and latencies from the driver's `tallies`, on the
+    /// shard's own clock, with the messages its group counted, and the
+    /// calendar's counts.
     pub(crate) fn finalize(&mut self, global_now: u64, tallies: Tallies) -> ShardedRunStats {
-        let Tallies {
-            committed,
-            committed_reads,
-            committed_writes,
-            mut latencies_ns,
-            shard_latencies,
-            txn_shard_ops,
-        } = tallies;
-        let mut per_shard: Vec<RunStats> = self.shards.iter_mut().map(|s| s.finish()).collect();
-        // Transactional commits apply below the per-shard protocol (the
-        // coordinator installs them directly), so the groups' own counters
-        // never see them; fold the driver-side `(ops, reads, writes)` tallies
-        // back in so per-shard figures and the imbalance factor reflect the
-        // full served load.
-        for (stats, (ops, reads, writes)) in per_shard.iter_mut().zip(txn_shard_ops) {
-            stats.committed += ops;
-            stats.committed_reads += reads;
-            stats.committed_writes += writes;
-        }
-        // The driver owns latency accounting in external-client mode; fold
-        // each completion's latency back onto the shard that served it, so
-        // per-shard figures expose policy costs (a confidential shard's mean
-        // service latency is visibly higher than a plaintext one's).
-        for (stats, mut latencies) in per_shard.iter_mut().zip(shard_latencies) {
-            stats.set_latencies(&mut latencies);
-        }
-        let elapsed_secs = global_now.max(1) as f64 / 1e9;
-        let mut total = RunStats {
-            committed,
-            committed_reads,
-            committed_writes,
-            elapsed_secs,
-            throughput_ops: committed as f64 / elapsed_secs,
-            ..RunStats::default()
-        };
+        let per_shard: Vec<RunStats> = self
+            .shards
+            .iter_mut()
+            .zip(tallies.per_shard)
+            .map(|(group, books)| {
+                let messages = group.take_message_counts();
+                RunStats {
+                    messages_delivered: messages.delivered,
+                    messages_dropped: messages.dropped,
+                    messages_tampered: messages.tampered,
+                    messages_replayed: messages.replayed,
+                    ops_delivered: messages.ops_delivered,
+                    ..books.stats(group.now_ns())
+                }
+            })
+            .collect();
+        let mut total = tallies.total.stats(global_now);
         for stats in &per_shard {
             total.messages_delivered += stats.messages_delivered;
             total.messages_dropped += stats.messages_dropped;
@@ -428,25 +436,19 @@ impl<R: Replica> ShardedCluster<R> {
             total.messages_replayed += stats.messages_replayed;
             total.ops_delivered += stats.ops_delivered;
         }
-        total.set_latencies(&mut latencies_ns);
-        let imbalance = if committed == 0 {
+        let imbalance = if total.committed == 0 {
             1.0
         } else {
             let busiest = per_shard.iter().map(|s| s.committed).max().unwrap_or(0);
-            let mean = committed as f64 / per_shard.len() as f64;
+            let mean = total.committed as f64 / per_shard.len() as f64;
             busiest as f64 / mean
         };
         ShardedRunStats {
             total,
             per_shard,
             imbalance,
-            migration: MigrationStats::default(),
-            txn: TxnStats::default(),
-            timeline: Vec::new(),
-            gateway: GatewayStats::default(),
             calendar: self.calendar.take_counts(),
-            frames: PoolCounts::default(),
-            entries: PoolCounts::default(),
+            ..ShardedRunStats::default()
         }
     }
 }

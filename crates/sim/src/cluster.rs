@@ -58,18 +58,20 @@ impl SimConfig {
     }
 }
 
-/// Results of one simulation run.
+/// Results of one simulation run: commits and latencies as the driver
+/// counted them, messages as the groups did.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct RunStats {
-    /// Operations whose replies reached clients.
+    /// Operations whose replies reached clients over the run.
     pub committed: u64,
-    /// Committed reads.
+    /// Committed reads: operations issued as reads.
     pub committed_reads: u64,
-    /// Committed writes.
+    /// Committed writes: operations issued as writes.
     pub committed_writes: u64,
-    /// Virtual time elapsed, seconds.
+    /// Virtual time elapsed, seconds, measured from virtual time 0 (not from
+    /// the run's start: a cluster's second run counts the first's time too).
     pub elapsed_secs: f64,
-    /// Throughput in operations per (virtual) second.
+    /// `committed` over `elapsed_secs`, in operations per (virtual) second.
     pub throughput_ops: f64,
     /// Mean request latency in microseconds.
     pub mean_latency_us: f64,
@@ -92,14 +94,6 @@ pub struct RunStats {
     /// Total protocol ops carried by delivered frames (equals
     /// `messages_delivered` without batching; larger when leaders batch).
     pub ops_delivered: u64,
-    /// Multi-key transactions that committed atomically (their constituent
-    /// operations are already classified into `committed` /
-    /// `committed_reads` / `committed_writes`; this counts whole
-    /// transactions). Only the sharded request driver produces these.
-    pub committed_txns: u64,
-    /// Transaction attempts that aborted (lock conflict) and were retried by
-    /// their client. Aborted attempts contribute nothing to `committed`.
-    pub aborted_txns: u64,
 }
 
 impl RunStats {
@@ -120,6 +114,22 @@ impl RunStats {
         self.p99_latency_us = pick(0.99);
         self.p999_latency_us = pick(0.999);
     }
+}
+
+/// What the network did with a group's frames: the one set of figures only
+/// the group sees, counted until [`ReplicaGroup::take_message_counts`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MessageCounts {
+    /// Frames delivered to a live replica.
+    pub delivered: u64,
+    /// Frames the adversary dropped.
+    pub dropped: u64,
+    /// Frames the adversary tampered with.
+    pub tampered: u64,
+    /// Frames the adversary duplicated or replayed.
+    pub replayed: u64,
+    /// Protocol ops the delivered frames carried.
+    pub ops_delivered: u64,
 }
 
 /// A scheduled event. The replica an event is for is named by its position
@@ -306,8 +316,8 @@ impl Charged {
 
 /// Bookkeeping for a client's single outstanding request. Tracking the issued
 /// operation itself (rather than re-deriving it) lets retries resend the exact
-/// same operation and lets [`ReplicaGroup::record_reply`] classify commits by
-/// the *request* type instead of guessing from reply fields.
+/// same operation and lets [`ReplicaGroup::record_reply`] classify the
+/// completion by the *request* type instead of guessing from reply fields.
 #[derive(Debug, Clone)]
 struct Outstanding {
     request_id: u64,
@@ -320,7 +330,6 @@ struct Outstanding {
     /// client's submits to one group strictly increase in virtual time.
     retry_at: u64,
     operation: Operation,
-    is_write: bool,
 }
 
 /// One replica group of the discrete-event simulator.
@@ -346,7 +355,7 @@ pub struct ReplicaGroup<R: Replica> {
     /// with a tampered copy or carried it to a crashed node; a reply's value
     /// once its client has seen it ([`ReplicaGroup::give_frame`]).
     effects: Effects,
-    stats: RunStats,
+    messages: MessageCounts,
     write_rr: usize,
     read_rr: usize,
     /// Attached telemetry, `None` (the default) disables every telemetry
@@ -374,7 +383,7 @@ impl<R: Replica> ReplicaGroup<R> {
             crashed: BTreeSet::new(),
             clients: Vec::new(),
             effects: Effects::default(),
-            stats: RunStats::default(),
+            messages: MessageCounts::default(),
             write_rr: 0,
             read_rr: 0,
             telemetry: None,
@@ -420,11 +429,6 @@ impl<R: Replica> ReplicaGroup<R> {
     /// The configuration the group was built under.
     pub fn config(&self) -> &SimConfig {
         &self.config
-    }
-
-    /// Operations committed so far.
-    pub fn committed(&self) -> u64 {
-        self.stats.committed
     }
 
     /// Virtual time of the group's last event or submit, in nanoseconds.
@@ -557,7 +561,6 @@ impl<R: Replica> ReplicaGroup<R> {
             request_id,
             issued_ns,
             retry_at,
-            is_write: operation.is_write(),
             operation: operation.clone(),
         });
         let deliver_at = self.now + COST_MODEL.link_latency_ns;
@@ -682,8 +685,8 @@ impl<R: Replica> ReplicaGroup<R> {
                 if self.crashed.contains(&to) {
                     return self.effects.frames.give(bytes);
                 }
-                self.stats.messages_delivered += 1;
-                self.stats.ops_delivered += ops as u64;
+                self.messages.delivered += 1;
+                self.messages.ops_delivered += ops as u64;
                 let work = Work::Recv {
                     ops: ops as usize,
                     bytes: bytes.len(),
@@ -836,14 +839,11 @@ impl<R: Replica> ReplicaGroup<R> {
         }
     }
 
-    /// Finalizes and returns the statistics for everything processed so far.
-    /// Latencies are the driver's to set: each one reached it as a
+    /// What the network did with the group's frames since the last take.
+    /// Commits are not the group's to count: each reached the driver as a
     /// [`Completion`].
-    pub fn finish(&mut self) -> RunStats {
-        let elapsed = self.now.max(1) as f64 / 1e9;
-        self.stats.elapsed_secs = elapsed;
-        self.stats.throughput_ops = self.stats.committed as f64 / elapsed;
-        self.stats.clone()
+    pub fn take_message_counts(&mut self) -> MessageCounts {
+        std::mem::take(&mut self.messages)
     }
 
     /// Picks the coordinator for an operation among live replicas, round-robin:
@@ -920,21 +920,21 @@ impl<R: Replica> ReplicaGroup<R> {
                 FrameFault::Deliver => sched.deliver(deliver_at, src, to, bytes, ops),
                 FrameFault::Drop => {
                     frames.give(bytes);
-                    self.stats.messages_dropped += 1;
+                    self.messages.dropped += 1;
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultDrop, dst.0, self.now, ops as u64);
                     }
                 }
                 FrameFault::Tamper(corrupted) => {
                     frames.give(bytes);
-                    self.stats.messages_tampered += 1;
+                    self.messages.tampered += 1;
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultTamper, dst.0, deliver_at, ops as u64);
                     }
                     sched.deliver(deliver_at, src, to, corrupted, ops);
                 }
                 FrameFault::Duplicate => {
-                    self.stats.messages_replayed += 1;
+                    self.messages.replayed += 1;
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultDuplicate, dst.0, deliver_at, ops as u64);
                     }
@@ -944,7 +944,7 @@ impl<R: Replica> ReplicaGroup<R> {
                     sched.deliver(deliver_at + 1, src, to, bytes, ops);
                 }
                 FrameFault::Replay(older) => {
-                    self.stats.messages_replayed += 1;
+                    self.messages.replayed += 1;
                     if let Some(t) = self.telemetry.as_mut() {
                         t.instant(SpanKind::FaultReplay, dst.0, deliver_at, ops as u64);
                     }
@@ -1001,20 +1001,14 @@ impl<R: Replica> ReplicaGroup<R> {
                 t.instant(SpanKind::Reply, reply.replier, self.now, client_id);
                 t.record_latency(latency);
             }
-            self.stats.committed += 1;
-            // Classify by the *issued operation*, not by reply fields: a read
-            // miss carries neither value nor found-flag, and write acks may set
-            // `found` — both used to be miscounted.
-            if out.is_write {
-                self.stats.committed_writes += 1;
-            } else {
-                self.stats.committed_reads += 1;
-            }
             completions.push(Completion {
                 client_id,
                 request_id: reply.request_id,
                 latency_ns: latency,
-                was_write: out.is_write,
+                // Classified by the *issued operation*, not by reply fields:
+                // a read miss carries neither value nor found-flag, and write
+                // acks may set `found`.
+                was_write: out.operation.is_write(),
                 at_ns: self.now,
                 value: reply.value,
             });
@@ -1032,6 +1026,8 @@ pub struct SimCluster<R: Replica> {
     group: ReplicaGroup<R>,
     calendar: Calendar<GroupEvent>,
     completions: Vec<Completion>,
+    /// Requests the steps completed.
+    committed: u64,
 }
 
 impl<R: Replica> SimCluster<R> {
@@ -1041,6 +1037,7 @@ impl<R: Replica> SimCluster<R> {
             group: ReplicaGroup::new(replicas, config),
             calendar: Calendar::default(),
             completions: Vec::new(),
+            committed: 0,
         }
     }
 
@@ -1071,9 +1068,9 @@ impl<R: Replica> SimCluster<R> {
         submitted.is_ok()
     }
 
-    /// Runs the next event. A reply it delivers to a client is kept for
-    /// [`SimCluster::drain_completions`], without its value: the harness's
-    /// callers read none, so the step gives each back to the pool.
+    /// Runs the next event. A reply it delivers to a client is counted and
+    /// kept for [`SimCluster::drain_completions`], without its value: the
+    /// harness's callers read none, so the step gives each back to the pool.
     pub fn step(&mut self) -> StepOutcome {
         let Some((key, event)) = self.calendar.pop() else {
             return StepOutcome::Idle;
@@ -1084,6 +1081,7 @@ impl<R: Replica> SimCluster<R> {
         let recorded = self.completions.len();
         let (group, mut sched) = self.lend();
         group.handle(key.at, event, &mut sched);
+        self.committed += (self.completions.len() - recorded) as u64;
         for completion in &mut self.completions[recorded..] {
             if let Some(value) = completion.value.take() {
                 self.group.give_frame(value);
@@ -1103,6 +1101,11 @@ impl<R: Replica> SimCluster<R> {
     /// replies reached their clients.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
         std::mem::take(&mut self.completions)
+    }
+
+    /// Requests completed so far: the completions the steps recorded.
+    pub fn committed(&self) -> u64 {
+        self.committed
     }
 }
 
@@ -1253,37 +1256,42 @@ mod tests {
     /// submitting `workload(client, seq)` as its previous request completes,
     /// until `ops` have committed or the queue stops. A client whose
     /// submission finds no live coordinator issues nothing more. Returns the
-    /// most events the heap held at once, and every completion's latency.
+    /// most events the heap held at once, and every completion.
     fn drive(
         cluster: &mut SimCluster<EchoReplica>,
         ops: u64,
         workload: impl Fn(u64, u64) -> Operation,
-    ) -> (usize, Vec<u64>) {
+    ) -> (usize, Vec<Completion>) {
         cluster.seed_initial_events();
         for client in 0..CLIENTS {
             assert!(cluster.submit_at(client * 200, client, 1, workload(client, 1)));
         }
-        let (mut high_water, mut latencies) = (0, Vec::new());
+        let (mut high_water, mut completed) = (0, Vec::new());
         while cluster.committed() < ops {
             if cluster.step() != StepOutcome::Processed {
                 break;
             }
             high_water = high_water.max(cluster.calendar.heap_len());
             for done in cluster.drain_completions() {
-                latencies.push(done.latency_ns);
                 let (client, next) = (done.client_id, done.request_id + 1);
                 cluster.submit_at(done.at_ns, client, next, workload(client, next));
+                completed.push(done);
             }
         }
-        (high_water, latencies)
+        (high_water, completed)
     }
 
-    /// [`drive`] on a fresh `n`-replica cluster, returning its statistics.
-    fn finished(config: SimConfig, ops: u64, workload: impl Fn(u64, u64) -> Operation) -> RunStats {
+    /// [`drive`] on a fresh `n`-replica cluster: every completion, what the
+    /// network did with the frames, and the clock at the end.
+    fn finished(
+        config: SimConfig,
+        ops: u64,
+        workload: impl Fn(u64, u64) -> Operation,
+    ) -> (Vec<Completion>, MessageCounts, u64) {
         let n = config.profiles.len();
         let mut cluster = SimCluster::new(EchoReplica::cluster(n), config);
-        drive(&mut cluster, ops, workload);
-        cluster.finish()
+        let (_, completed) = drive(&mut cluster, ops, workload);
+        (completed, cluster.take_message_counts(), cluster.now_ns())
     }
 
     fn uniform(n: usize) -> SimConfig {
@@ -1293,48 +1301,48 @@ mod tests {
     #[test]
     fn echo_protocol_commits_all_operations() {
         let mut cluster = echo(3);
-        let (_, mut latencies) = drive(&mut cluster, 300, write_workload);
-        let stats = cluster.finish();
-        assert_eq!(stats.committed, 300);
+        let (_, completed) = drive(&mut cluster, 300, write_workload);
+        assert_eq!(cluster.committed(), 300);
+        let mut latencies: Vec<u64> = completed.iter().map(|done| done.latency_ns).collect();
         assert_eq!(latencies.len(), 300);
         let mut latency = RunStats::default();
         latency.set_latencies(&mut latencies);
         assert!(latency.mean_latency_us > 0.0);
         assert!(latency.p99_latency_us >= latency.mean_latency_us);
-        assert!(stats.throughput_ops > 0.0);
-        assert!(stats.messages_delivered > 0);
-        assert_eq!(stats.messages_dropped, 0);
-        assert!(stats.elapsed_secs > 0.0);
+        let messages = cluster.take_message_counts();
+        assert!(messages.delivered > 0);
+        assert_eq!(messages.dropped, 0);
+        // Time went by, so the 300 commits make a finite throughput.
+        assert!(cluster.now_ns() > 0);
     }
 
     #[test]
     fn commits_are_classified_by_issued_operation_type() {
         // The echo protocol replies with `value: None, found: false` for every
         // operation — replies carry no usable type information, exactly like a
-        // read miss. Classification must come from what was *issued*.
+        // read miss. Classification must come from what was *issued*: each
+        // completion's `was_write`, which the harness counts.
         let read = |c: u64, s: u64| Operation::Get {
             key: format!("k{c}-{s}").into_bytes(),
         };
-        let reads = finished(uniform(3), 120, read);
-        assert_eq!(reads.committed, 120);
-        assert_eq!(reads.committed_reads, 120);
-        assert_eq!(reads.committed_writes, 0);
+        fn reads_and_writes(workload: impl Fn(u64, u64) -> Operation) -> (usize, usize) {
+            let (completed, ..) = finished(uniform(3), 120, workload);
+            let writes = completed.iter().filter(|done| done.was_write).count();
+            (completed.len() - writes, writes)
+        }
+        assert_eq!(reads_and_writes(read), (120, 0));
+        assert_eq!(reads_and_writes(write_workload), (0, 120));
 
-        let writes = finished(uniform(3), 120, write_workload);
-        assert_eq!(writes.committed_writes, 120);
-        assert_eq!(writes.committed_reads, 0);
-
-        let mixed = finished(uniform(3), 120, |c, s| {
+        let (reads, writes) = reads_and_writes(|c, s| {
             if s % 3 == 0 {
                 read(c, s)
             } else {
                 write_workload(c, s)
             }
         });
-        assert_eq!(mixed.committed, 120);
-        assert_eq!(mixed.committed_reads + mixed.committed_writes, 120);
-        assert!(mixed.committed_reads > 0);
-        assert!(mixed.committed_writes > mixed.committed_reads);
+        assert_eq!(reads + writes, 120);
+        assert!(reads > 0);
+        assert!(writes > reads);
     }
 
     #[test]
@@ -1346,13 +1354,15 @@ mod tests {
 
     #[test]
     fn faster_profiles_yield_higher_throughput() {
-        let recipe = finished(uniform(3), 300, write_workload);
-        let pbft_profile = finished(
+        let (recipe, _, recipe_ns) = finished(uniform(3), 300, write_workload);
+        let (pbft_profile, _, pbft_ns) = finished(
             SimConfig::uniform(3, CostProfile::pbft_baseline()),
             300,
             write_workload,
         );
-        assert!(recipe.throughput_ops > pbft_profile.throughput_ops);
+        // The same 300 commits, sooner.
+        assert_eq!((recipe.len(), pbft_profile.len()), (300, 300));
+        assert!(recipe_ns < pbft_ns);
     }
 
     #[test]
@@ -1362,9 +1372,9 @@ mod tests {
         // With drops, some operations never gather 2 acks; the run ends at the
         // virtual-time cap with fewer commits — but it must not livelock or panic.
         config.max_virtual_ns = 2_000_000_000;
-        let stats = finished(config, 100, write_workload);
-        assert!(stats.messages_dropped > 0);
-        assert!(stats.committed > 0);
+        let (completed, messages, _) = finished(config, 100, write_workload);
+        assert!(messages.dropped > 0);
+        assert!(!completed.is_empty());
     }
 
     /// Every replica overwrites each buffer lent to it: a duplicate delivered
@@ -1380,13 +1390,13 @@ mod tests {
         };
         let mut cluster = SimCluster::new(EchoReplica::cluster(3), config);
         drive(&mut cluster, 300, write_workload);
-        let stats = cluster.finish();
-        assert_eq!(stats.committed, 300);
-        assert!(stats.messages_replayed > 100, "{stats:?}");
+        let messages = cluster.take_message_counts();
+        assert_eq!(cluster.committed(), 300);
+        assert!(messages.replayed > 100, "{messages:?}");
         let replicas = &cluster.replicas;
         let sent: BTreeSet<&Vec<u8>> = replicas.iter().flat_map(|r| &r.sent).collect();
         let delivered: Vec<&Vec<u8>> = replicas.iter().flat_map(|r| &r.delivered).collect();
-        assert_eq!(delivered.len() as u64, stats.messages_delivered);
+        assert_eq!(delivered.len() as u64, messages.delivered);
         // More deliveries than distinct messages: duplicates and replays
         // arrived, and each one as it was sent.
         assert!(delivered.len() > sent.len() + 100);

@@ -30,8 +30,8 @@ mod queue;
 mod replica;
 
 pub use cluster::{
-    Charged, Completion, GroupEvent, ReplicaGroup, RunStats, Scheduler, SimCluster, SimConfig,
-    StepOutcome,
+    Charged, Completion, GroupEvent, MessageCounts, ReplicaGroup, RunStats, Scheduler, SimCluster,
+    SimConfig, StepOutcome,
 };
 pub use cost::{CostProfile, ProtocolCostModel, Work, COST_MODEL};
 pub use queue::{Calendar, CalendarCounts, Key, Owner, TimerPayload};

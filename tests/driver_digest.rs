@@ -39,8 +39,11 @@
 //! ```
 //!
 //! rewrites `tests/golden/driver_digest/*.json` and prints the digests to
-//! paste into [`PINS`]. The JSON files exist so that a mismatch can name the
-//! first field that differs instead of showing two hashes.
+//! paste into [`PINS`]. The JSON files exist so that a mismatch can name
+//! every field that differs instead of showing two hashes.
+//!
+//! Every pinned run's books must balance too (`unbalanced_books`): each
+//! commit counted once, per shard and in total.
 
 use std::path::PathBuf;
 
@@ -56,6 +59,7 @@ use recipe::shard::{
     DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster, ShardedRunStats, TxnConfig,
 };
 use recipe::sim::CostProfile;
+use serde::Deserialize;
 use serde_json::Value;
 
 /// One pinned run.
@@ -71,47 +75,47 @@ const PINS: [Pin; 9] = [
     Pin {
         name: "single_key_unbatched",
         run: single_key_unbatched,
-        digest: "30bc65c76cecb00c301baff9bae649e90deb9f3c38062fa79c216efdbce063d6",
+        digest: "05bc7b8ab741a5da911b726262550553f1a16e005d4f976294a0d21eb34c403a",
     },
     Pin {
         name: "txn_gateway",
         run: txn_gateway,
-        digest: "73fd8d0b06bd004a53f06950f049bf99b3d71c3f4bc26f289d14124550508b9e",
+        digest: "ed3e539fa11c2d6766f04e99eaff2a3768a5ebeae2536711e8494cdbb0d771cf",
     },
     Pin {
         name: "rebalance_crash",
         run: rebalance_crash,
-        digest: "5dd40871b145a0e75b81f74b61bcb48e821e453fa833e7a0174e6a70df4087a9",
+        digest: "34294a1709cd3aeedfbba8a54fdfa6cd06a4155aa7fa13eece5a50c29b9cca46",
     },
     Pin {
         name: "txn_byzantine",
         run: txn_byzantine,
-        digest: "34ab67bbef1af71b0bd46751b148951e7b2abd8d7a9aa49fd799dde118b713a4",
+        digest: "7c60e6250bb67d945c9cd122a7a97cb61d14b2d142f0befcd27332f14c75e240",
     },
     Pin {
         name: "chain_txn_crash",
         run: chain_txn_crash,
-        digest: "0f00185beba391fb2f96286d0ce29a0869e0770b7d791a1682a88c712b0c02b4",
+        digest: "91d5241d96f14bc649ee254c3961799a8108b07e4a4bb34597923f459eb965f5",
     },
     Pin {
         name: "abd_txn_crash",
         run: abd_txn_crash,
-        digest: "9bc8a4a2dfa5e3b81288c472077c3ceac75c9a1a5d80149f7eef6269b828eed9",
+        digest: "8e09dbc7617b166c98f0dedcec96c995f8b232ec435b85c012e205ea35672ebb",
     },
     Pin {
         name: "pbft_txn_crash",
         run: pbft_txn_crash,
-        digest: "8b3f5f2f84236342a47d661097bb548da76f9f64ff0fb2ad0c0d74277ede1f92",
+        digest: "5f3f46694c133526cb3e2d5be74506781add1a2e6c7e39ac2d05c396144a0d7e",
     },
     Pin {
         name: "allconcur_crash",
         run: allconcur_crash,
-        digest: "4b9ae2905e81f92738e612dc6831664e49d362130afded0e296016ff78350465",
+        digest: "fc837fd458259516d74aac7f7a35a159994b14bfc7bd1585cd1d9cacac7ebd94",
     },
     Pin {
         name: "batched_replays",
         run: batched_replays,
-        digest: "74c1959eb1c5a3ce995fe312133b5b41a8fe909ed9f586327947f28dbf896efe",
+        digest: "8d7cfdb48e9cb912b6904e4f75b580b0078a9241fc9b377462fd82593fc886d5",
     },
 ];
 
@@ -437,58 +441,114 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.json"))
 }
 
-/// Path and both values of the first leaf on which two JSON trees disagree,
-/// depth first in field order; a field only one of them has comes after
-/// every field both have, so a new field shows as new only when no pinned
-/// one moved.
-fn first_difference(path: &str, pinned: &Value, got: &Value) -> Option<String> {
+/// Most differing leaves one pin reports.
+const MAX_DIFFERENCES: usize = 20;
+
+/// Every leaf on which two JSON trees disagree, depth first in field order,
+/// each with both values: a pinned field the run no longer has is gone where
+/// it stood, and a field only the run has is new after every pinned one.
+fn differences(path: &str, pinned: &Value, got: &Value, out: &mut Vec<String>) {
     match (pinned, got) {
         (Value::Map(a), Value::Map(b)) => {
             fn field<'a>(map: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
                 map.iter().find(|(k, _)| k == key).map(|(_, value)| value)
             }
-            let moved = a
-                .iter()
-                .find_map(|(key, x)| first_difference(&format!("{path}.{key}"), x, field(b, key)?));
-            let gone = || a.iter().find(|(key, _)| field(b, key).is_none());
-            let new = || b.iter().find(|(key, _)| field(a, key).is_none());
-            moved
-                .or_else(|| gone().map(|(key, _)| format!("`{path}.{key}` is gone")))
-                .or_else(|| new().map(|(key, _)| format!("`{path}.{key}` is new")))
+            for (key, x) in a {
+                match field(b, key) {
+                    Some(y) => differences(&format!("{path}.{key}"), x, y, out),
+                    None => out.push(format!("`{path}.{key}` is gone")),
+                }
+            }
+            for (key, _) in b.iter().filter(|(key, _)| field(a, key).is_none()) {
+                out.push(format!("`{path}.{key}` is new"));
+            }
         }
-        (Value::Array(a), Value::Array(b)) if a.len() == b.len() => a
-            .iter()
-            .zip(b)
-            .enumerate()
-            .find_map(|(i, (x, y))| first_difference(&format!("{path}[{i}]"), x, y)),
-        (Value::Array(a), Value::Array(b)) => Some(format!(
+        (Value::Array(a), Value::Array(b)) if a.len() == b.len() => {
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                differences(&format!("{path}[{i}]"), x, y, out);
+            }
+        }
+        (Value::Array(a), Value::Array(b)) => out.push(format!(
             "`{path}` has {} elements, pinned {}",
             b.len(),
             a.len()
         )),
-        (a, b) if a == b => None,
-        (a, b) => Some(format!("`{path}` is {b:?}, pinned {a:?}")),
+        (a, b) if a == b => {}
+        (a, b) => out.push(format!("`{path}` is {b:?}, pinned {a:?}")),
     }
 }
 
+/// Where a pinned run's books do not balance. Every commit is counted once,
+/// so each shard's throughput times its elapsed time gives back its commits,
+/// its reads and writes add up to them, and the shards' commits add up to
+/// the run's.
+fn unbalanced_books(name: &str, run: &Value) -> Vec<String> {
+    let with_state = run
+        .as_map()
+        .and_then(|map| map.iter().find(|(k, _)| k == "stats"));
+    let stats = with_state.map_or(run, |(_, stats)| stats);
+    let stats = ShardedRunStats::from_value(stats).expect("the pinned JSON is a run's stats");
+    let mut problems = Vec::new();
+    for (shard, s) in stats.per_shard.iter().enumerate() {
+        let implied = (s.throughput_ops * s.elapsed_secs).round();
+        if implied != s.committed as f64 {
+            problems.push(format!(
+                "`{name}` shard {shard}: its throughput implies {implied} commits, it counted {}",
+                s.committed
+            ));
+        }
+        if s.committed_reads + s.committed_writes != s.committed {
+            problems.push(format!(
+                "`{name}` shard {shard}: {} reads and {} writes, {} commits",
+                s.committed_reads, s.committed_writes, s.committed
+            ));
+        }
+    }
+    let shards: u64 = stats.per_shard.iter().map(|s| s.committed).sum();
+    if shards != stats.total.committed {
+        problems.push(format!(
+            "`{name}`: its shards counted {shards} commits, the run {}",
+            stats.total.committed
+        ));
+    }
+    problems
+}
+
+/// Runs every pin, then reports every pin whose books do not balance or
+/// whose JSON moved, each with every leaf that moved (up to
+/// [`MAX_DIFFERENCES`]).
 #[test]
 fn fixed_seed_runs_keep_their_pinned_digests() {
+    let mut failures = Vec::new();
     for Pin { name, run, digest } in PINS {
         let json = run();
+        let got: Value = serde_json::from_str(&json).expect("stats parse back");
+        failures.extend(unbalanced_books(name, &got));
         if sha256(json.as_bytes()).to_hex() == digest {
             continue;
         }
         let golden = std::fs::read_to_string(golden_path(name)).expect("golden file committed");
         let pinned: Value = serde_json::from_str(&golden).expect("golden file parses");
-        let got: Value = serde_json::from_str(&json).expect("stats parse back");
-        match first_difference(name, &pinned, &got) {
-            Some(difference) => panic!("run `{name}` is no longer bit-identical: {difference}"),
-            None => panic!(
+        let mut moved = Vec::new();
+        differences(name, &pinned, &got, &mut moved);
+        if moved.is_empty() {
+            failures.push(format!(
                 "run `{name}`: PINS is stale — {} matches the run but not the pinned digest",
                 golden_path(name).display()
-            ),
+            ));
+            continue;
         }
+        let more = moved.len().saturating_sub(MAX_DIFFERENCES);
+        moved.truncate(MAX_DIFFERENCES);
+        if more > 0 {
+            moved.push(format!("… and {more} more"));
+        }
+        failures.push(format!(
+            "run `{name}` is no longer bit-identical:\n  {}",
+            moved.join("\n  ")
+        ));
     }
+    assert!(failures.is_empty(), "\n{}", failures.join("\n"));
 }
 
 #[test]

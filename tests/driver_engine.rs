@@ -53,7 +53,7 @@ fn an_empty_transaction_commits_nothing_and_the_client_moves_on() {
     );
     assert_eq!(stats.total.committed, stats.total.committed_writes);
     assert_eq!(stats.txn.started, 0, "2PC ran for an empty transaction");
-    assert_eq!(stats.total.committed_txns, 0);
+    assert_eq!(stats.txn.committed, 0);
     // The client kept drawing past its empty transactions: it got writes in.
     assert!(
         draws.borrow()[0] >= 10,

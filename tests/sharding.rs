@@ -98,7 +98,7 @@ fn sharded_runs_are_bit_identical_for_a_seed() {
 /// group's frame pool (and so did every read reply's value), every entry a
 /// follower copied from its store's entry pool, and each kind allocated for
 /// a small share of what it lent. A second run on the same cluster, its
-/// pools warm, counts only its own.
+/// pools warm, counts only its own lending, frames and commits.
 #[test]
 fn a_run_reports_what_its_buffer_pools_lent() {
     let spec = DeploymentSpec::new(4, 3)
@@ -107,11 +107,11 @@ fn a_run_reports_what_its_buffer_pools_lent() {
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
     let cold = cluster.run_requests(zipfian_workload(11));
     let warm = cluster.run_requests(zipfian_workload(12));
-    // The groups' message counters run on from one run to the next.
-    let delivered = cold.total.messages_delivered;
-    let frames_sent = [delivered, warm.total.messages_delivered - delivered];
-    for (stats, sent) in [&cold, &warm].into_iter().zip(frames_sent) {
+    let shards: u64 = warm.per_shard.iter().map(|s| s.committed).sum();
+    assert_eq!(shards, warm.total.committed, "{:?}", warm.per_shard);
+    for stats in [&cold, &warm] {
         let (frames, entries) = (stats.frames, stats.entries);
+        let sent = stats.total.messages_delivered;
         assert!(stats.total.committed_reads > 0 && stats.total.committed_writes > 0);
         assert!(frames.takes >= sent, "{frames:?}: {sent} frames");
         assert!(frames.misses * 10 < frames.takes, "{frames:?}");
