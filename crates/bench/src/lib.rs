@@ -400,14 +400,18 @@ fn latency_metrics(prefix: &str, stats: &RunStats) -> [BenchMetric; 4] {
     .map(|(name, value)| BenchMetric::new(format!("{prefix}{name}"), value))
 }
 
-/// The `<name>`s of a directory's `BENCH_<name>.json` files, sorted.
+/// The `<name>`s of a directory's `BENCH_<name>.json` files, sorted, but
+/// for `BENCH_work.json`: the benchmark workloads' work per op, which no
+/// figure writes (`tests/allocations.rs` runs them under its counting
+/// allocator and pins the file).
 pub fn baseline_stems(dir: &Path) -> std::io::Result<Vec<String>> {
     let mut stems = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let name = entry?.file_name().to_string_lossy().into_owned();
         let stem = name
             .strip_prefix("BENCH_")
-            .and_then(|rest| rest.strip_suffix(".json"));
+            .and_then(|rest| rest.strip_suffix(".json"))
+            .filter(|&stem| stem != "work");
         stems.extend(stem.map(str::to_string));
     }
     stems.sort();
