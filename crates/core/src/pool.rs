@@ -11,21 +11,23 @@
 //! duplicate reply's at once). A replica store keeps a pool of its own for
 //! the entries it copies.
 //!
-//! Spares are kept in size classes, four per doubling of capacity, and a
-//! frame only ever looks at the most recently returned spare of its own
-//! class: taking one never scans, and a spare is never used for a frame it
-//! would have to grow for or one that would leave most of it unused. A
-//! buffer is allocated at its class's capacity, so every later frame of the
-//! class fits it. Frames of more than 4 KiB are built in buffers of their
-//! own and freed when done.
+//! Spares of up to 4 KiB are kept in size classes, four per doubling of
+//! capacity, and a frame only ever looks at the most recently returned
+//! spare of its own class: taking one never scans, and a spare is never used
+//! for a frame it would have to grow for or one that would leave most of it
+//! unused. A buffer is allocated at its class's capacity, so every later
+//! frame of the class fits it. Frames of more than 4 KiB are batches, and
+//! their spares share one list: a batch frame takes the most recently
+//! returned one, grown once if it is shorter. One list holds at most the
+//! batch frames that were in flight at once, where a class per size would
+//! strand spares in classes no later batch asks for.
 
 /// Capacity of the smallest class.
 const MIN_CAPACITY: usize = 32;
 
-/// Largest frame the pool keeps a buffer for. A bigger frame is a batch
-/// whose one allocation is shared by the many ops it carries, and keeping a
-/// spare of every such size for each one in flight at the busiest moment
-/// would hold more memory than the allocations it saves are worth.
+/// Largest frame a size class serves. A bigger frame is a batch, whose
+/// length varies with the ops it carries: its spares share one list instead
+/// of a class per size, so none is kept for a size no later batch has.
 const MAX_POOLED: usize = 4096;
 
 /// Classes per doubling of capacity.
@@ -36,6 +38,9 @@ const STEPS: usize = 4;
 pub struct FramePool {
     /// By class, the most recently returned spare last.
     classes: Vec<Vec<Vec<u8>>>,
+    /// Spares of more than [`MAX_POOLED`] bytes, the most recently returned
+    /// last.
+    large: Vec<Vec<u8>>,
     /// Buffers lent and not yet given back: the pool takes back no more than
     /// it lent, so an owner whose frames come from elsewhere never fills it.
     lent: usize,
@@ -67,14 +72,19 @@ fn capacity_of(class: usize) -> usize {
 
 impl FramePool {
     /// An empty buffer with room for a frame of `len` bytes: the last spare
-    /// given back to `len`'s class, or a new buffer of the class's capacity
-    /// (of `len` bytes, for a frame larger than any class).
+    /// given back to `len`'s class, or a new buffer of the class's capacity.
+    /// A frame larger than any class takes the last large spare given back,
+    /// grown to `len` bytes if it is shorter, or a new buffer of `len` bytes.
     pub fn take(&mut self, len: usize) -> Vec<u8> {
         self.lent += 1;
         self.takes += 1;
         if len > MAX_POOLED {
-            self.allocated += 1;
-            return Vec::with_capacity(len);
+            let mut spare = self.large.pop().unwrap_or_default();
+            if spare.capacity() < len {
+                self.allocated += 1;
+                spare.reserve_exact(len);
+            }
+            return spare;
         }
         let class = class_of(len);
         match self.classes.get_mut(class).and_then(Vec::pop) {
@@ -87,21 +97,23 @@ impl FramePool {
     }
 
     /// Takes `buf` back as a spare, emptied so its old bytes are never
-    /// read again, in the largest class it holds every frame of. Once as
-    /// many buffers came back as were lent, and for a buffer smaller or
-    /// larger than any class, it is dropped instead.
+    /// read again, in the largest class it holds every frame of, or among
+    /// the large spares if it is larger than any class. Once as many
+    /// buffers came back as were lent, and for a buffer smaller than any
+    /// class, it is dropped instead.
     pub fn give(&mut self, mut buf: Vec<u8>) {
         if self.lent == 0 {
             return;
         }
         self.lent -= 1;
+        buf.clear();
         if buf.capacity() > MAX_POOLED {
+            self.large.push(buf);
             return;
         }
         let Some(class) = class_of(buf.capacity() + 1).checked_sub(1) else {
             return;
         };
-        buf.clear();
         if self.classes.len() <= class {
             self.classes.resize_with(class + 1, Vec::new);
         }
@@ -113,12 +125,13 @@ impl FramePool {
     /// stay, so they cover the owner's whole life.
     pub fn drop_spares(&mut self) {
         self.classes = Vec::new();
+        self.large = Vec::new();
         self.lent = 0;
     }
 
     /// Spares held.
     pub fn spares(&self) -> usize {
-        self.classes.iter().map(Vec::len).sum()
+        self.classes.iter().map(Vec::len).sum::<usize>() + self.large.len()
     }
 
     /// Buffers lent, spares and new ones alike.
@@ -167,15 +180,61 @@ mod tests {
     }
 
     #[test]
-    fn frames_above_the_largest_class_get_buffers_of_their_own() {
+    fn a_large_spare_serves_the_next_large_frame() {
         let mut pool = FramePool::default();
         let page = pool.take(MAX_POOLED);
         assert_eq!(page.capacity(), MAX_POOLED);
-        let big = pool.take(MAX_POOLED + 1);
-        assert_eq!(big.capacity(), MAX_POOLED + 1);
+        let mut big = pool.take(10_000);
+        assert_eq!(big.capacity(), 10_000);
+        big.extend_from_slice(&[0xAA; 10_000]);
+        let at = big.as_ptr();
         pool.give(big);
         pool.give(page);
-        assert_eq!((pool.spares(), pool.allocated()), (1, 2));
+        assert_eq!((pool.spares(), pool.allocated()), (2, 2));
+        // A shorter batch takes the same buffer, emptied, and allocates nothing.
+        let spare = pool.take(MAX_POOLED + 1);
+        assert!(spare.is_empty() && spare.as_ptr() == at && spare.capacity() == 10_000);
+        assert_eq!((pool.spares(), pool.takes(), pool.allocated()), (1, 3, 2));
+    }
+
+    #[test]
+    fn a_shorter_large_spare_grows_once() {
+        let mut pool = FramePool::default();
+        let big = pool.take(5_000);
+        pool.give(big);
+        let grown = pool.take(12_000);
+        assert!(grown.capacity() >= 12_000);
+        assert_eq!(pool.allocated(), 2);
+        pool.give(grown);
+        // Grown once, it holds the longer frame from then on.
+        drop(pool.take(12_000));
+        assert_eq!((pool.takes(), pool.allocated()), (3, 2));
+    }
+
+    #[test]
+    fn the_large_spares_are_no_more_than_were_lent() {
+        let mut pool = FramePool::default();
+        pool.give(vec![0; 10_000]);
+        assert_eq!(pool.spares(), 0);
+        let (first, second) = (pool.take(10_000), pool.take(10_000));
+        pool.give(first);
+        pool.give(second);
+        pool.give(vec![0; 10_000]);
+        assert_eq!((pool.spares(), pool.allocated()), (2, 2));
+        drop((pool.take(9_000), pool.take(9_000), pool.take(9_000)));
+        assert_eq!((pool.spares(), pool.allocated()), (0, 3));
+    }
+
+    #[test]
+    fn dropping_the_spares_empties_the_large_list() {
+        let mut pool = FramePool::default();
+        let big = pool.take(10_000);
+        pool.give(big);
+        assert_eq!(pool.spares(), 1);
+        pool.drop_spares();
+        assert_eq!(pool.spares(), 0);
+        drop(pool.take(10_000));
+        assert_eq!((pool.takes(), pool.allocated()), (2, 2));
     }
 
     #[test]
