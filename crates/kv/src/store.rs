@@ -86,8 +86,6 @@ struct ValueMeta {
     timestamp: Timestamp,
     /// Monotonic per-key version, incremented on every write.
     version: u64,
-    /// Plaintext length of the value.
-    value_len: usize,
     /// Slot in the host arena holding the (possibly encrypted) value bytes.
     host_slot: usize,
 }
@@ -238,7 +236,6 @@ impl PartitionedKvStore {
         mut value: Vec<u8>,
         timestamp: Timestamp,
     ) -> Result<(u64, Option<Vec<u8>>), KvError> {
-        let value_len = value.len();
         let host_value = match &self.cipher {
             None => HostValue::Plain(value),
             Some(cipher) => {
@@ -260,7 +257,6 @@ impl PartitionedKvStore {
             meta.value_hash = value_hash;
             meta.timestamp = timestamp;
             meta.version += 1;
-            meta.value_len = value_len;
             return Ok((meta.version, displaced.map(HostValue::into_bytes)));
         }
         let host_slot = match self.free_slots.pop() {
@@ -277,7 +273,6 @@ impl PartitionedKvStore {
             value_hash,
             timestamp,
             version: 1,
-            value_len,
             host_slot,
         };
         self.index.insert(key.into(), meta);
