@@ -16,24 +16,26 @@
 //! spare of its own class: taking one never scans, and a spare is never used
 //! for a frame it would have to grow for or one that would leave most of it
 //! unused. A buffer is allocated at its class's capacity, so every later
-//! frame of the class fits it. Frames of more than 4 KiB are batches, and
-//! their spares share one list: a batch frame takes the most recently
+//! frame of the class fits it. Frames of more than 4 KiB, batches mostly,
+//! share one list of spares instead: such a frame takes the most recently
 //! returned one, grown once if it is shorter. One list holds at most the
-//! batch frames that were in flight at once, where a class per size would
+//! large frames that were in flight at once, where a class per size would
 //! strand spares in classes no later batch asks for.
 
 /// Capacity of the smallest class.
 const MIN_CAPACITY: usize = 32;
 
-/// Largest frame a size class serves. A bigger frame is a batch, whose
-/// length varies with the ops it carries: its spares share one list instead
-/// of a class per size, so none is kept for a size no later batch has.
+/// Largest frame a size class serves. A bigger frame is mostly a batch,
+/// whose length varies with the ops it carries: such frames share one list
+/// of spares instead of a class per size, so none is kept for a size no
+/// later batch has.
 const MAX_POOLED: usize = 4096;
 
 /// Classes per doubling of capacity.
 const STEPS: usize = 4;
 
-/// Free frame buffers, by size class (the `pool` module's docs say how).
+/// Free frame buffers, by size class, and the large ones in one list (the
+/// `pool` module's docs say how).
 #[derive(Debug, Default)]
 pub struct FramePool {
     /// By class, the most recently returned spare last.
@@ -212,32 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn the_large_spares_are_no_more_than_were_lent() {
-        let mut pool = FramePool::default();
-        pool.give(vec![0; 10_000]);
-        assert_eq!(pool.spares(), 0);
-        let (first, second) = (pool.take(10_000), pool.take(10_000));
-        pool.give(first);
-        pool.give(second);
-        pool.give(vec![0; 10_000]);
-        assert_eq!((pool.spares(), pool.allocated()), (2, 2));
-        drop((pool.take(9_000), pool.take(9_000), pool.take(9_000)));
-        assert_eq!((pool.spares(), pool.allocated()), (0, 3));
-    }
-
-    #[test]
-    fn dropping_the_spares_empties_the_large_list() {
-        let mut pool = FramePool::default();
-        let big = pool.take(10_000);
-        pool.give(big);
-        assert_eq!(pool.spares(), 1);
-        pool.drop_spares();
-        assert_eq!(pool.spares(), 0);
-        drop(pool.take(10_000));
-        assert_eq!((pool.takes(), pool.allocated()), (2, 2));
-    }
-
-    #[test]
     fn a_given_buffer_is_emptied_and_filed_by_the_frames_it_holds() {
         let mut pool = FramePool::default();
         drop(pool.take(8));
@@ -253,16 +229,16 @@ mod tests {
     #[test]
     fn dropping_the_spares_keeps_the_counts() {
         let mut pool = FramePool::default();
-        let (first, second) = (pool.take(64), pool.take(64));
-        pool.give(first);
-        pool.give(second);
+        let (small, large) = (pool.take(64), pool.take(10_000));
+        pool.give(small);
+        pool.give(large);
         assert_eq!((pool.spares(), pool.takes(), pool.allocated()), (2, 2, 2));
         pool.drop_spares();
         // Nothing is owed any more: a buffer given now is dropped.
         pool.give(vec![0; 64]);
         assert_eq!((pool.spares(), pool.takes(), pool.allocated()), (0, 2, 2));
-        drop(pool.take(64));
-        assert_eq!((pool.takes(), pool.allocated()), (3, 3));
+        drop((pool.take(64), pool.take(10_000)));
+        assert_eq!((pool.takes(), pool.allocated()), (4, 4));
     }
 
     #[test]
@@ -279,5 +255,10 @@ mod tests {
         pool.give(Vec::with_capacity(4));
         pool.give(vec![0; 64]);
         assert_eq!(pool.spares(), 1);
+        // The large spares keep to the same rule.
+        let large = pool.take(10_000);
+        pool.give(large);
+        pool.give(vec![0; 10_000]);
+        assert_eq!(pool.spares(), 2);
     }
 }

@@ -228,18 +228,24 @@ const WORKLOADS: [(&str, usize); 5] = [
 /// Seed of every run, the benchmark's default.
 const SEED: u64 = 1;
 
-/// Fields of the run's stats that are not counts of work, so a rate per op
-/// says nothing: a maximum, an instant and an epoch.
-const NOT_COUNTS: [&str; 3] = ["max_fanout", "last_cutover_ns", "router_version"];
+/// Fields of the run's stats left out: the per-shard split and the timeline
+/// repeat the totals, and a maximum, an instant and an epoch are not counts
+/// of work, so a rate per op says nothing.
+const LEFT_OUT: [&str; 5] = [
+    "per_shard",
+    "timeline",
+    "max_fanout",
+    "last_cutover_ns",
+    "router_version",
+];
 
 /// `value` per op, to four decimals: one event in ten thousand ops.
 fn per_op(value: f64, committed: u64) -> Value {
     Value::Float((value / committed as f64 * 1e4).round() / 1e4)
 }
 
-/// Every count under `value` that is not zero, as `path.field`, per op.
-/// `total.committed` is the denominator, and the per-shard split and the
-/// timeline repeat the totals.
+/// Every count under `value` that is not zero, as `path.field`, per op,
+/// but for [`LEFT_OUT`] and `total.committed`, the denominator.
 fn counts_per_op(path: &str, value: &Value, committed: u64, out: &mut Vec<(String, Value)>) {
     match value {
         Value::Int(count) if *count != 0 && path != "total.committed" => {
@@ -247,9 +253,7 @@ fn counts_per_op(path: &str, value: &Value, committed: u64, out: &mut Vec<(Strin
         }
         Value::Map(fields) => {
             for (field, value) in fields {
-                if ["per_shard", "timeline"].contains(&field.as_str())
-                    || NOT_COUNTS.contains(&field.as_str())
-                {
+                if LEFT_OUT.contains(&field.as_str()) {
                     continue;
                 }
                 let path = if path.is_empty() {
@@ -321,8 +325,8 @@ fn the_workloads_do_the_committed_work_per_op() {
     fresh.push('\n');
     let fresh_path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(file);
     std::fs::write(&fresh_path, &fresh).expect("the fresh counts are written");
-    let committed_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/baselines");
-    let committed = std::fs::read_to_string(committed_path.join(file)).unwrap_or_default();
+    let baselines = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/baselines");
+    let committed = std::fs::read_to_string(baselines.join(file)).unwrap_or_default();
     assert!(
         fresh == committed,
         "{file} moved: copy {} over crates/bench/baselines/{file} in the commit that moves \
