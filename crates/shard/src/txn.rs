@@ -118,8 +118,9 @@ pub struct TxnStats {
     pub aborted: u64,
     /// Committed transactions that spanned more than one shard.
     pub cross_shard_committed: u64,
-    /// Largest participant fan-out observed on a committed transaction.
-    pub max_fanout: u64,
+    /// Participants summed over every attempt started, committed or
+    /// aborted: each costs [`FRAMES_PER_PARTICIPANT`] frames.
+    pub participants: u64,
     /// Operations carried by committed transactions.
     pub committed_ops: u64,
     /// Whole-transaction re-routes after a `WrongShard` redirect (a
@@ -142,11 +143,10 @@ pub struct TxnStats {
     pub wire_bytes: u64,
     /// Prepare votes denied by a lock conflict.
     pub prepare_conflicts: u64,
-    /// Committed-write records installed on participant followers.
+    /// Committed-write records installed on participant followers. On a
+    /// run no replica crashed in, each committed write of a transaction is
+    /// installed on every follower of its group: `n − 1` for `n` replicas.
     pub participant_installs: u64,
-    /// Virtual nanoseconds of prepare/commit/install work charged to
-    /// participant replicas.
-    pub(crate) txn_busy_ns: u64,
     /// 2PC endpoints launched: one per client that ran a transaction, one
     /// per shard that took part in one ([`recipe_protocols::TxnLanes`]).
     pub endpoints: u64,
@@ -154,6 +154,15 @@ pub struct TxnStats {
     /// transaction, each costing its two endpoints' keys and counters once.
     pub lanes: u64,
 }
+
+/// 2PC frames one participant of one attempt costs: prepare, vote, decision
+/// (commit or abort) and acknowledgement, one frame each between the
+/// coordinator and the participant's leader — the two round trips of Gray's
+/// two-phase commit ("Notes on Data Base Operating Systems", 1978), which
+/// this coordinator runs unchanged. A frame the network drops costs one
+/// resend of the same bytes, so a run sends `FRAMES_PER_PARTICIPANT ·
+/// participants + frames_dropped` frames ([`TxnStats`]).
+pub const FRAMES_PER_PARTICIPANT: u64 = 4;
 
 /// Which 2PC phase a transaction is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -592,6 +601,7 @@ impl<R: StoreReplica> Engine<'_, R> {
             }
         }
         participants.sort_unstable_by_key(|p| p.shard);
+        self.txns.stats.participants += participants.len() as u64;
 
         let lanes = &mut self.txns.lanes;
         for p in &mut participants {
@@ -677,9 +687,8 @@ impl<R: StoreReplica> Engine<'_, R> {
             TxnPhase::Committing => {
                 let finished_at = txn.phase_ready_at();
                 let mut op_placements = std::mem::take(&mut self.txns.spares.placements);
-                let mut fanout = 0u64;
+                let cross_shard = txn.participants.len() > 1;
                 for p in &txn.participants {
-                    fanout += 1;
                     for op in &p.ops {
                         let arc = self.cluster.router.arc_of_point(stable_key_hash(op.key()));
                         op_placements.push((p.shard, Some(arc), op.is_write()));
@@ -689,8 +698,7 @@ impl<R: StoreReplica> Engine<'_, R> {
                 let stats = &mut self.txns.stats;
                 stats.committed += 1;
                 stats.committed_ops += op_placements.len() as u64;
-                stats.max_fanout = stats.max_fanout.max(fanout);
-                if fanout > 1 {
+                if cross_shard {
                     stats.cross_shard_committed += 1;
                 }
                 TxnResolution::Committed(CommittedTxn {
@@ -866,12 +874,12 @@ impl<R: StoreReplica> Engine<'_, R> {
 
         // Every 2PC phase pays the participant group's own replication round
         // trip on top of the leader's work: the prepare record (locks +
-        // staged writes) and the commit decision must be durable in the
-        // group before the leader answers the coordinator — a participant
+        // staged writes) and the decision must be durable in the group
+        // before the leader answers the coordinator — a participant
         // answering from volatile leader state would break atomicity on the
         // very failures 2PC exists to survive.
         let replication_rt = 2 * COST_MODEL.link_latency_ns;
-        match body {
+        let (response, (charge_kind, span_kind), charged, finish) = match body {
             TxnBodyRef::Prepare(ops) => {
                 // Routing a transaction at a group whose protocol does not
                 // hold single-key requests behind transaction locks is a
@@ -889,83 +897,48 @@ impl<R: StoreReplica> Engine<'_, R> {
                 };
                 let charged = group.charge(leader, arrival, ChargeKind::TxnPrepare, work);
                 let finish = charged.finish_ns + replication_rt;
-                txns.stats.txn_busy_ns += charged.cost_ns();
-                if let Some(t) = group.telemetry_mut() {
-                    t.charge_category(
-                        ChargeKind::TxnPrepare,
-                        CostCategory::Replication,
-                        replication_rt,
-                    );
-                    t.span(
-                        SpanKind::TxnPrepare,
-                        leader.0,
-                        charged.start_ns,
-                        finish,
-                        txn_id,
-                    );
-                }
-                match group
-                    .replica_mut(leader)
-                    .store()
-                    .txn_prepare(txn_id, ops.iter())
-                {
-                    TxnVote::Granted => {
-                        txns.staged_per_shard[shard] += staged_bytes;
-                        // Replicate the prepare record into the group: every
-                        // live follower keeps a passive (lock-free) copy so
-                        // the next coordinator can adopt the in-flight
-                        // transaction if this leader crashes before the
-                        // decision lands. The replication round trip charged
-                        // above is the durability barrier for this record.
-                        for idx in 0..group.replica_count() {
-                            let node = group.node_ids()[idx];
-                            if node == leader || group.crashed_nodes().contains(&node) {
-                                continue;
-                            }
-                            group
-                                .replica_mut(node)
-                                .store()
-                                .txn_stage_replicated(txn_id, ops.iter());
+                let leader_store = group.replica_mut(leader).store();
+                let conflict = match leader_store.txn_prepare(txn_id, ops.iter()) {
+                    TxnVote::Granted => None,
+                    TxnVote::Conflict { key } => Some(key),
+                };
+                if conflict.is_none() {
+                    txns.staged_per_shard[shard] += staged_bytes;
+                    // Replicate the prepare record into the group: every
+                    // live follower keeps a passive (lock-free) copy so the
+                    // next coordinator can adopt the in-flight transaction
+                    // if this leader crashes before the decision lands. The
+                    // replication round trip charged above is the
+                    // durability barrier for this record.
+                    for idx in 0..group.replica_count() {
+                        let node = group.node_ids()[idx];
+                        if node == leader || group.crashed_nodes().contains(&node) {
+                            continue;
                         }
-                        (
-                            TxnBody::Vote {
-                                granted: true,
-                                conflict: None,
-                            },
-                            finish,
-                        )
+                        let store = group.replica_mut(node).store();
+                        store.txn_stage_replicated(txn_id, ops.iter());
                     }
-                    TxnVote::Conflict { key } => (
-                        TxnBody::Vote {
-                            granted: false,
-                            conflict: Some(key),
-                        },
-                        finish,
-                    ),
                 }
+                let vote = TxnBody::Vote {
+                    granted: conflict.is_none(),
+                    conflict,
+                };
+                let kinds = (ChargeKind::TxnPrepare, SpanKind::TxnPrepare);
+                (vote, kinds, charged, finish)
             }
-            TxnBodyRef::Commit => {
+            TxnBodyRef::Commit | TxnBodyRef::Abort => {
+                let commit = matches!(body, TxnBodyRef::Commit);
+                // The leader's applied records on a commit, none on an
+                // abort, in buffers of the leader's.
                 let mut entries = std::mem::take(&mut txns.spares.committed);
-                group
-                    .replica_mut(leader)
-                    .store()
-                    .txn_commit(txn_id, &mut entries);
-                // The decision resolves the transaction on every live
-                // follower: retire the passive replicated record, and
-                // release any stale *adopted* copy on a node that won
-                // coordinatorship during a failover window and has since
-                // yielded it (its staged writes are superseded by the
-                // leader's committed entries installed below). Runs before
-                // the entries check so read-only transactions resolve too.
-                for idx in 0..group.replica_count() {
-                    let node = group.node_ids()[idx];
-                    if node == leader || group.crashed_nodes().contains(&node) {
-                        continue;
-                    }
-                    let store = group.replica_mut(node).store();
-                    store.txn_drop_replicated(txn_id);
-                    store.txn_abort(txn_id);
-                }
+                let leader_store = group.replica_mut(leader).store();
+                let kinds = if commit {
+                    leader_store.txn_commit(txn_id, &mut entries);
+                    (ChargeKind::TxnCommit, SpanKind::TxnCommit)
+                } else {
+                    leader_store.txn_abort(txn_id);
+                    (ChargeKind::TxnAbort, SpanKind::TxnAbort)
+                };
                 if granted {
                     txns.staged_per_shard[shard] =
                         txns.staged_per_shard[shard].saturating_sub(staged_bytes);
@@ -974,93 +947,53 @@ impl<R: StoreReplica> Engine<'_, R> {
                     writes: entries.len(),
                     bytes: entries.iter().map(RangeEntry::payload_len).sum(),
                 };
-                let charged = group.charge(leader, arrival, ChargeKind::TxnCommit, work);
+                let charged = group.charge(leader, arrival, kinds.0, work);
                 let mut finish = charged.finish_ns + replication_rt;
-                txns.stats.txn_busy_ns += charged.cost_ns();
-                if !entries.is_empty() {
-                    // Install the applied records on the group's followers —
-                    // the migration-import idiom, so replicas never diverge.
-                    for idx in 0..group.replica_count() {
-                        let node = group.node_ids()[idx];
-                        if node == leader || group.crashed_nodes().contains(&node) {
-                            // Crashed followers miss the install; the
-                            // rollback-protected recovery snapshot catches
-                            // them up when they restart.
-                            continue;
-                        }
-                        let installed = group.charge(node, arrival, ChargeKind::TxnCommit, work);
-                        txns.stats.txn_busy_ns += installed.cost_ns();
-                        finish = finish.max(installed.finish_ns);
-                        group.replica_mut(node).store().txn_install(&entries);
-                        txns.stats.participant_installs += entries.len() as u64;
-                    }
-                    // Catch-up capture: committed transaction writes inside
-                    // an active migration's moving range replay on the
-                    // recipient exactly like single-key commits do.
-                    st.capture_txn_entries(&cluster.router, shard, &entries);
-                }
-                if let Some(t) = group.telemetry_mut() {
-                    t.charge_category(
-                        ChargeKind::TxnCommit,
-                        CostCategory::Replication,
-                        replication_rt,
-                    );
-                    t.span(
-                        SpanKind::TxnCommit,
-                        leader.0,
-                        charged.start_ns,
-                        finish,
-                        txn_id,
-                    );
-                }
-                let applied = entries.len() as u32;
-                group
-                    .replica_mut(leader)
-                    .store()
-                    .recycle_entries(&mut entries);
-                txns.spares.committed = entries;
-                (TxnBody::Ack { applied }, finish)
-            }
-            TxnBodyRef::Abort => {
-                let nothing = Work::TxnCommit {
-                    writes: 0,
-                    bytes: 0,
-                };
-                let charged = group.charge(leader, arrival, ChargeKind::TxnAbort, nothing);
-                let finish = charged.finish_ns + replication_rt;
-                txns.stats.txn_busy_ns += charged.cost_ns();
-                if let Some(t) = group.telemetry_mut() {
-                    t.charge_category(
-                        ChargeKind::TxnAbort,
-                        CostCategory::Replication,
-                        replication_rt,
-                    );
-                    t.span(
-                        SpanKind::TxnAbort,
-                        leader.0,
-                        charged.start_ns,
-                        finish,
-                        txn_id,
-                    );
-                }
-                group.replica_mut(leader).store().txn_abort(txn_id);
                 for idx in 0..group.replica_count() {
                     let node = group.node_ids()[idx];
                     if node == leader || group.crashed_nodes().contains(&node) {
+                        // Crashed followers miss the decision; the
+                        // rollback-protected recovery snapshot catches them
+                        // up when they restart.
                         continue;
                     }
+                    // The decision resolves the transaction on every live
+                    // follower: retire the passive replicated record, and
+                    // release any stale *adopted* copy on a node that won
+                    // coordinatorship during a failover window and has
+                    // since yielded it (its staged writes are superseded by
+                    // the leader's committed entries installed below). A
+                    // read-only commit resolves here too.
                     let store = group.replica_mut(node).store();
                     store.txn_drop_replicated(txn_id);
                     store.txn_abort(txn_id);
+                    if entries.is_empty() {
+                        continue;
+                    }
+                    // Install the applied records — the migration-import
+                    // idiom, so replicas never diverge.
+                    let installed = group.charge(node, arrival, kinds.0, work);
+                    finish = finish.max(installed.finish_ns);
+                    group.replica_mut(node).store().txn_install(&entries);
+                    txns.stats.participant_installs += entries.len() as u64;
                 }
-                if granted {
-                    txns.staged_per_shard[shard] =
-                        txns.staged_per_shard[shard].saturating_sub(staged_bytes);
-                }
-                (TxnBody::Ack { applied: 0 }, finish)
+                // Catch-up capture: committed transaction writes inside an
+                // active migration's moving range replay on the recipient
+                // exactly like single-key commits do.
+                st.capture_txn_entries(&cluster.router, shard, &entries);
+                let applied = entries.len() as u32;
+                let leader_store = group.replica_mut(leader).store();
+                leader_store.recycle_entries(&mut entries);
+                txns.spares.committed = entries;
+                (TxnBody::Ack { applied }, kinds, charged, finish)
             }
             other => panic!("coordinator sent a response body: {other:?}"),
+        };
+        if let Some(t) = group.telemetry_mut() {
+            t.charge_category(charge_kind, CostCategory::Replication, replication_rt);
+            t.span(span_kind, leader.0, charged.start_ns, finish, txn_id);
         }
+        (response, finish)
     }
 }
 

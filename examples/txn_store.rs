@@ -19,7 +19,7 @@
 
 use recipe::core::{Operation, Request};
 use recipe::protocols::{RaftReplica, StoreReplica};
-use recipe::shard::{DeploymentSpec, ShardPolicy, ShardedCluster};
+use recipe::shard::{DeploymentSpec, ShardPolicy, ShardedCluster, FRAMES_PER_PARTICIPANT};
 
 fn main() {
     const SHARDS: usize = 4;
@@ -78,8 +78,13 @@ fn main() {
         stats.total.committed, stats.total.throughput_ops, stats.total.mean_latency_us
     );
     println!(
-        "transactions: {} committed ({} cross-shard, max fan-out {}), {} aborted on conflicts and retried",
-        stats.txn.committed, stats.txn.cross_shard_committed, stats.txn.max_fanout, stats.txn.aborted
+        "transactions: {} committed ({} cross-shard), {} aborted on conflicts and retried",
+        stats.txn.committed, stats.txn.cross_shard_committed, stats.txn.aborted
+    );
+    println!(
+        "participants: {:.2} per attempt over {} attempts, {FRAMES_PER_PARTICIPANT} 2PC frames each",
+        stats.txn.participants as f64 / stats.txn.started.max(1) as f64,
+        stats.txn.started
     );
     println!(
         "2PC frames: {} sent, {} AEAD-sealed (a confidential shard participated), {} rejected by the shield",

@@ -75,47 +75,47 @@ const PINS: [Pin; 9] = [
     Pin {
         name: "single_key_unbatched",
         run: single_key_unbatched,
-        digest: "05bc7b8ab741a5da911b726262550553f1a16e005d4f976294a0d21eb34c403a",
+        digest: "a6bdccc59b64ac43022521a1be5ab6d16efa83569b26840fff27178df8d2070b",
     },
     Pin {
         name: "txn_gateway",
         run: txn_gateway,
-        digest: "ed3e539fa11c2d6766f04e99eaff2a3768a5ebeae2536711e8494cdbb0d771cf",
+        digest: "c400659ee05985b4006e9515e9fcaf320c39505b195a6da1decf4e905adee072",
     },
     Pin {
         name: "rebalance_crash",
         run: rebalance_crash,
-        digest: "34294a1709cd3aeedfbba8a54fdfa6cd06a4155aa7fa13eece5a50c29b9cca46",
+        digest: "c9050a2ed34098558199e4267d02b776b77d2c5cda364671f9938f315b90891f",
     },
     Pin {
         name: "txn_byzantine",
         run: txn_byzantine,
-        digest: "7c60e6250bb67d945c9cd122a7a97cb61d14b2d142f0befcd27332f14c75e240",
+        digest: "d8becc5047a3b365305d35880b7364748bc565966b021a6bf357daa968fc06c0",
     },
     Pin {
         name: "chain_txn_crash",
         run: chain_txn_crash,
-        digest: "91d5241d96f14bc649ee254c3961799a8108b07e4a4bb34597923f459eb965f5",
+        digest: "1f9fac043aaebd2017becd2238f5581bffca54af737c2289c41bda5156bf8275",
     },
     Pin {
         name: "abd_txn_crash",
         run: abd_txn_crash,
-        digest: "8e09dbc7617b166c98f0dedcec96c995f8b232ec435b85c012e205ea35672ebb",
+        digest: "da4a43cf3874fb6ee662b7fa6b97f4ea364bbe04cca5927e3f252916e62fa4ed",
     },
     Pin {
         name: "pbft_txn_crash",
         run: pbft_txn_crash,
-        digest: "5f3f46694c133526cb3e2d5be74506781add1a2e6c7e39ac2d05c396144a0d7e",
+        digest: "74bc22e05f801376078de161058db4ab5152135fc0e63ac0137bf82b269f1ed5",
     },
     Pin {
         name: "allconcur_crash",
         run: allconcur_crash,
-        digest: "fc837fd458259516d74aac7f7a35a159994b14bfc7bd1585cd1d9cacac7ebd94",
+        digest: "69d3fc225f8a2d0bc754b55161dea055abca914ddf59d8dd952f7dccfaa89367",
     },
     Pin {
         name: "batched_replays",
         run: batched_replays,
-        digest: "8d7cfdb48e9cb912b6904e4f75b580b0078a9241fc9b377462fd82593fc886d5",
+        digest: "48218e6574204dcdb165bd46cb20b80b33544788559c0e6fe9b69a93b29713df",
     },
 ];
 
