@@ -423,6 +423,7 @@ impl<R: Replica> ShardedCluster<R> {
                     messages_dropped: messages.dropped,
                     messages_tampered: messages.tampered,
                     messages_replayed: messages.replayed,
+                    messages_to_crashed: messages.to_crashed,
                     ops_delivered: messages.ops_delivered,
                     ..books.stats(group.now_ns())
                 }
@@ -434,6 +435,7 @@ impl<R: Replica> ShardedCluster<R> {
             total.messages_dropped += stats.messages_dropped;
             total.messages_tampered += stats.messages_tampered;
             total.messages_replayed += stats.messages_replayed;
+            total.messages_to_crashed += stats.messages_to_crashed;
             total.ops_delivered += stats.ops_delivered;
         }
         let imbalance = if total.committed == 0 {

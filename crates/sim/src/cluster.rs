@@ -91,6 +91,8 @@ pub struct RunStats {
     pub messages_tampered: u64,
     /// Messages the adversary replayed or duplicated.
     pub messages_replayed: u64,
+    /// Messages that reached a crashed replica and were lost there.
+    pub messages_to_crashed: u64,
     /// Total protocol ops carried by delivered frames (equals
     /// `messages_delivered` without batching; larger when leaders batch).
     pub ops_delivered: u64,
@@ -128,6 +130,8 @@ pub struct MessageCounts {
     pub tampered: u64,
     /// Frames the adversary duplicated or replayed.
     pub replayed: u64,
+    /// Frames that reached a crashed replica and were lost there.
+    pub to_crashed: u64,
     /// Protocol ops the delivered frames carried.
     pub ops_delivered: u64,
 }
@@ -683,6 +687,7 @@ impl<R: Replica> ReplicaGroup<R> {
             } => {
                 let to = self.ids[idx];
                 if self.crashed.contains(&to) {
+                    self.messages.to_crashed += 1;
                     return self.effects.frames.give(bytes);
                 }
                 self.messages.delivered += 1;

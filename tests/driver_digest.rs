@@ -75,47 +75,47 @@ const PINS: [Pin; 9] = [
     Pin {
         name: "single_key_unbatched",
         run: single_key_unbatched,
-        digest: "a6bdccc59b64ac43022521a1be5ab6d16efa83569b26840fff27178df8d2070b",
+        digest: "d0983f8d48d23191830274381c9cc64fc77b8d08462bf87c4c49b76f2a4c956a",
     },
     Pin {
         name: "txn_gateway",
         run: txn_gateway,
-        digest: "c400659ee05985b4006e9515e9fcaf320c39505b195a6da1decf4e905adee072",
+        digest: "8ceca40a25c697cad9bded7091197a7f38de0b85f92fb1ef5149f5317472320b",
     },
     Pin {
         name: "rebalance_crash",
         run: rebalance_crash,
-        digest: "c9050a2ed34098558199e4267d02b776b77d2c5cda364671f9938f315b90891f",
+        digest: "509cc9fedf0fc1eafa3bdb9f8eb585ceb8d44314c72053a25eb0946505c3573b",
     },
     Pin {
         name: "txn_byzantine",
         run: txn_byzantine,
-        digest: "d8becc5047a3b365305d35880b7364748bc565966b021a6bf357daa968fc06c0",
+        digest: "fad7da19e3eeafe4d5e2c1353713249e983033a681561bf53c9ce4f6b4a73ce4",
     },
     Pin {
         name: "chain_txn_crash",
         run: chain_txn_crash,
-        digest: "1f9fac043aaebd2017becd2238f5581bffca54af737c2289c41bda5156bf8275",
+        digest: "3ae61b03a2a631bb3ec8316107955e72641231c23af5df8e571bc782540254cb",
     },
     Pin {
         name: "abd_txn_crash",
         run: abd_txn_crash,
-        digest: "da4a43cf3874fb6ee662b7fa6b97f4ea364bbe04cca5927e3f252916e62fa4ed",
+        digest: "1e5b3f6a738b6e526ef46cdcf759dfc9a64ffd4206b19b2abccd09e68594dbdc",
     },
     Pin {
         name: "pbft_txn_crash",
         run: pbft_txn_crash,
-        digest: "74bc22e05f801376078de161058db4ab5152135fc0e63ac0137bf82b269f1ed5",
+        digest: "d02fbd7123ae0760bebacf63d79fcb30300fdd72fb0f26176e48893f27e00265",
     },
     Pin {
         name: "allconcur_crash",
         run: allconcur_crash,
-        digest: "69d3fc225f8a2d0bc754b55161dea055abca914ddf59d8dd952f7dccfaa89367",
+        digest: "f9e3528aa74c4a057e4f1fe0148015050b22ad875dc5541e730b576af8f15814",
     },
     Pin {
         name: "batched_replays",
         run: batched_replays,
-        digest: "48218e6574204dcdb165bd46cb20b80b33544788559c0e6fe9b69a93b29713df",
+        digest: "52f068acec514b1bbda490a4d68c4884a0452f2b3dff90a6a15f45f1035988c1",
     },
 ];
 

@@ -81,6 +81,12 @@ fn crash_plan_leader_failover_preserves_progress() {
     let calendar = stats.calendar;
     assert!(calendar.dead_timers < calendar.timers, "{calendar:?}");
     assert!(calendar.timers < calendar.popped, "{calendar:?}");
+    // The frames sent to the dead leader were lost there, and counted.
+    assert!(stats.per_shard[0].messages_to_crashed > 0, "{stats:?}");
+    assert_eq!(
+        stats.total.messages_to_crashed,
+        stats.per_shard[0].messages_to_crashed
+    );
     settle_and_check(&mut cluster, &mut history);
 }
 
@@ -385,6 +391,9 @@ proptest::proptest! {
             settle_and_check(&mut cluster, &mut history);
             (stats, history)
         };
-        proptest::prop_assert_eq!(run(false), run(true));
+        let (stats, history) = run(false);
+        // No replica was down, so no frame was lost to one.
+        proptest::prop_assert_eq!(stats.total.messages_to_crashed, 0);
+        proptest::prop_assert_eq!((stats, history), run(true));
     }
 }
