@@ -43,7 +43,13 @@
 //! every field that differs instead of showing two hashes.
 //!
 //! Every pinned run's books must balance too (`unbalanced_books`): each
-//! commit counted once, per shard and in total.
+//! commit counted once, per shard and in total. The five runs with
+//! transactions keep 2PC's closed forms as well (`check_txn_contract`):
+//! their frames, installs, endpoints and lanes.
+
+mod common {
+    pub mod txn_contract;
+}
 
 use std::path::PathBuf;
 
@@ -62,6 +68,8 @@ use recipe::sim::CostProfile;
 use serde::Deserialize;
 use serde_json::Value;
 
+use common::txn_contract::check_txn_contract;
+
 /// One pinned run.
 struct Pin {
     name: &'static str,
@@ -69,6 +77,9 @@ struct Pin {
     run: fn() -> String,
     /// SHA-256 of that JSON.
     digest: &'static str,
+    /// The deployment of a run with transactions, whose 2PC is held to its
+    /// closed forms (`check_txn_contract`).
+    txn: Option<fn() -> DeploymentSpec>,
 }
 
 const PINS: [Pin; 9] = [
@@ -76,46 +87,55 @@ const PINS: [Pin; 9] = [
         name: "single_key_unbatched",
         run: single_key_unbatched,
         digest: "d0983f8d48d23191830274381c9cc64fc77b8d08462bf87c4c49b76f2a4c956a",
+        txn: None,
     },
     Pin {
         name: "txn_gateway",
         run: txn_gateway,
         digest: "8ceca40a25c697cad9bded7091197a7f38de0b85f92fb1ef5149f5317472320b",
+        txn: Some(txn_gateway_spec),
     },
     Pin {
         name: "rebalance_crash",
         run: rebalance_crash,
         digest: "509cc9fedf0fc1eafa3bdb9f8eb585ceb8d44314c72053a25eb0946505c3573b",
+        txn: None,
     },
     Pin {
         name: "txn_byzantine",
         run: txn_byzantine,
         digest: "fad7da19e3eeafe4d5e2c1353713249e983033a681561bf53c9ce4f6b4a73ce4",
+        txn: Some(txn_byzantine_spec),
     },
     Pin {
         name: "chain_txn_crash",
         run: chain_txn_crash,
         digest: "3ae61b03a2a631bb3ec8316107955e72641231c23af5df8e571bc782540254cb",
+        txn: Some(chain_txn_spec),
     },
     Pin {
         name: "abd_txn_crash",
         run: abd_txn_crash,
         digest: "1e5b3f6a738b6e526ef46cdcf759dfc9a64ffd4206b19b2abccd09e68594dbdc",
+        txn: Some(abd_txn_spec),
     },
     Pin {
         name: "pbft_txn_crash",
         run: pbft_txn_crash,
         digest: "d02fbd7123ae0760bebacf63d79fcb30300fdd72fb0f26176e48893f27e00265",
+        txn: Some(pbft_txn_spec),
     },
     Pin {
         name: "allconcur_crash",
         run: allconcur_crash,
         digest: "f9e3528aa74c4a057e4f1fe0148015050b22ad875dc5541e730b576af8f15814",
+        txn: None,
     },
     Pin {
         name: "batched_replays",
         run: batched_replays,
         digest: "52f068acec514b1bbda490a4d68c4884a0452f2b3dff90a6a15f45f1035988c1",
+        txn: None,
     },
 ];
 
@@ -148,12 +168,12 @@ fn single_key_unbatched() -> String {
 /// tight enough to be throttled, `mallory` revoked. Two requests in three are
 /// 3-key transactions over a small contended key set, their 2PC frames on a
 /// lossy link so retransmission timers fire.
-fn txn_gateway() -> String {
+fn txn_gateway_spec() -> DeploymentSpec {
     let gateway = GatewayConfig::enabled()
         .with_tenant(TenantSpec::new("alpha"))
         .with_tenant(TenantSpec::new("bravo").with_quota(20_000).with_burst(4))
         .with_tenant(TenantSpec::new("mallory").revoked());
-    let spec = DeploymentSpec::new(3, 3)
+    DeploymentSpec::new(3, 3)
         .with_seed(22)
         .with_clients(6, 240)
         .with_time_cap_ns(20_000_000_000)
@@ -162,8 +182,12 @@ fn txn_gateway() -> String {
             fault_plan: FaultPlan::lossy(0.05),
             ..TxnConfig::default()
         })
-        .with_gateway(gateway);
-    let stats = ShardedCluster::<RaftReplica>::build(spec).run_requests(|client: u64, seq: u64| {
+        .with_gateway(gateway)
+}
+
+fn txn_gateway() -> String {
+    let mut cluster = ShardedCluster::<RaftReplica>::build(txn_gateway_spec());
+    let stats = cluster.run_requests(|client: u64, seq: u64| {
         let key = |i: u64| format!("acct{:03}", (client + seq * 5 + i * 11) % 24).into_bytes();
         Some(if seq.is_multiple_of(3) {
             put(key(0), client, seq).into()
@@ -240,8 +264,8 @@ fn rebalance_crash() -> String {
 /// 3-key transactions over a small contended key set, their 2PC frames under
 /// the Byzantine plan: the only pinned run in which 2PC frames are
 /// duplicated, tampered with and replayed as well as dropped.
-fn txn_byzantine() -> String {
-    let spec = DeploymentSpec::new(3, 3)
+fn txn_byzantine_spec() -> DeploymentSpec {
+    DeploymentSpec::new(3, 3)
         .with_seed(31)
         .with_clients(12, 900)
         .with_time_cap_ns(20_000_000_000)
@@ -258,8 +282,12 @@ fn txn_byzantine() -> String {
                 400_000,
                 3_000_000,
             )),
-        );
-    let stats = ShardedCluster::<RaftReplica>::build(spec).run_requests(|client: u64, seq: u64| {
+        )
+}
+
+fn txn_byzantine() -> String {
+    let mut cluster = ShardedCluster::<RaftReplica>::build(txn_byzantine_spec());
+    let stats = cluster.run_requests(|client: u64, seq: u64| {
         let key = |i: u64| format!("acct{:03}", (client + seq * 5 + i * 11) % 48).into_bytes();
         Some(if seq.is_multiple_of(3) {
             put(key(0), client, seq).into()
@@ -364,25 +392,34 @@ fn txn_mix<R: StoreReplica>(mut cluster: ShardedCluster<R>) -> String {
 
 /// R-CR, three groups: group 1's first head crashes under prepared
 /// transactions, the chain reforms over the survivors and the node rejoins.
+fn chain_txn_spec() -> DeploymentSpec {
+    crash_spec(3, 3, CostProfile::recipe(), 41).with_clients(12, 900)
+}
+
 fn chain_txn_crash() -> String {
-    let spec = crash_spec(3, 3, CostProfile::recipe(), 41).with_clients(12, 900);
-    txn_mix(ShardedCluster::<ChainReplica>::build(spec))
+    txn_mix(ShardedCluster::<ChainReplica>::build(chain_txn_spec()))
 }
 
 /// R-ABD, two groups: node 0 is the coordinator the 2PC driver picks while it
 /// is up, so its crash moves participation to node 1 and back.
+fn abd_txn_spec() -> DeploymentSpec {
+    crash_spec(2, 3, CostProfile::recipe(), 42).with_clients(12, 900)
+}
+
 fn abd_txn_crash() -> String {
-    let spec = crash_spec(2, 3, CostProfile::recipe(), 42).with_clients(12, 900);
-    txn_mix(ShardedCluster::<AbdReplica>::build(spec))
+    txn_mix(ShardedCluster::<AbdReplica>::build(abd_txn_spec()))
 }
 
 /// PBFT at 3f + 1 = 4, two groups: group 1's first primary crashes, the
 /// survivors move to the next view and the old primary rejoins behind it.
-fn pbft_txn_crash() -> String {
-    let spec = crash_spec(2, 4, CostProfile::pbft_baseline(), 43)
+fn pbft_txn_spec() -> DeploymentSpec {
+    crash_spec(2, 4, CostProfile::pbft_baseline(), 43)
         .with_faults_tolerated(1)
-        .with_clients(12, 600);
-    txn_mix(ShardedCluster::<PbftReplica>::build(spec))
+        .with_clients(12, 600)
+}
+
+fn pbft_txn_crash() -> String {
+    txn_mix(ShardedCluster::<PbftReplica>::build(pbft_txn_spec()))
 }
 
 /// R-AllConcur, two groups, single-key only (it does not take part in
@@ -478,16 +515,20 @@ fn differences(path: &str, pinned: &Value, got: &Value, out: &mut Vec<String>) {
     }
 }
 
-/// Where a pinned run's books do not balance. Every commit is counted once,
-/// so each shard's throughput times its elapsed time gives back its commits,
-/// its reads and writes add up to them, and the shards' commits add up to
-/// the run's.
-fn unbalanced_books(name: &str, run: &Value) -> Vec<String> {
+/// A pinned run's stats, as its JSON holds them.
+fn pinned_stats(run: &Value) -> ShardedRunStats {
     let with_state = run
         .as_map()
         .and_then(|map| map.iter().find(|(k, _)| k == "stats"));
     let stats = with_state.map_or(run, |(_, stats)| stats);
-    let stats = ShardedRunStats::from_value(stats).expect("the pinned JSON is a run's stats");
+    ShardedRunStats::from_value(stats).expect("the pinned JSON is a run's stats")
+}
+
+/// Where a pinned run's books do not balance. Every commit is counted once,
+/// so each shard's throughput times its elapsed time gives back its commits,
+/// its reads and writes add up to them, and the shards' commits add up to
+/// the run's.
+fn unbalanced_books(name: &str, stats: &ShardedRunStats) -> Vec<String> {
     let mut problems = Vec::new();
     for (shard, s) in stats.per_shard.iter().enumerate() {
         let implied = (s.throughput_ops * s.elapsed_secs).round();
@@ -520,10 +561,20 @@ fn unbalanced_books(name: &str, run: &Value) -> Vec<String> {
 #[test]
 fn fixed_seed_runs_keep_their_pinned_digests() {
     let mut failures = Vec::new();
-    for Pin { name, run, digest } in PINS {
+    for Pin {
+        name,
+        run,
+        digest,
+        txn,
+    } in PINS
+    {
         let json = run();
         let got: Value = serde_json::from_str(&json).expect("stats parse back");
-        failures.extend(unbalanced_books(name, &got));
+        let stats = pinned_stats(&got);
+        failures.extend(unbalanced_books(name, &stats));
+        if let Some(Err(breach)) = txn.map(|spec| check_txn_contract(&spec(), &stats)) {
+            failures.push(format!("`{name}` breaks the 2PC contract: {breach}"));
+        }
         if sha256(json.as_bytes()).to_hex() == digest {
             continue;
         }

@@ -14,20 +14,26 @@ mod common {
     pub mod history;
     pub mod recorder;
     pub mod replicas;
+    pub mod txn_contract;
 }
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use recipe::core::{Operation, Request};
+use recipe::bft::dispatch;
+use recipe::core::{ConfidentialityMode, Operation, Request};
 use recipe::net::FaultPlan;
-use recipe::protocols::RaftReplica;
-use recipe::shard::{DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster, TxnConfig};
-use recipe::workload::stable_key_hash;
+use recipe::protocols::{BuildReplica, Protocol, ProtocolMode, ProtocolVisitor, RaftReplica};
+use recipe::shard::{
+    request_from_workload, DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster,
+    ShardedRunStats, TxnConfig,
+};
+use recipe::workload::{stable_key_hash, TxnWorkloadSpec, WorkloadSpec};
 
 use common::groups::{group_txn, group_txn_workload, key_groups};
 use common::history::History;
 use common::replicas::check_run;
+use common::txn_contract::check_txn_contract;
 
 /// A 64-byte value unique to `client`'s request `seq`.
 fn unique_64b(client: u64, seq: u64) -> Vec<u8> {
@@ -43,7 +49,8 @@ fn txn_spec(shards: usize, clients: usize, ops: usize) -> DeploymentSpec {
 
 #[test]
 fn cross_shard_transactions_commit_atomically_and_replicate() {
-    let mut cluster = ShardedCluster::<RaftReplica>::build(txn_spec(4, 8, 400));
+    let spec = txn_spec(4, 8, 400);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
     let groups = key_groups(&cluster, 6, 3);
     let mut history = History::default();
     let stats = cluster.run_requests(history.record(group_txn_workload(groups)));
@@ -54,12 +61,8 @@ fn cross_shard_transactions_commit_atomically_and_replicate() {
         stats.txn.cross_shard_committed > 0,
         "no cross-shard txn ran"
     );
-    // A lane joins one of the 8 clients' endpoints to one of the 4 shards',
-    // each endpoint launched and each lane provisioned once for the run.
-    assert!(stats.txn.endpoints <= 8 + 4);
-    assert!((2..=8 * 4).contains(&stats.txn.lanes));
+    check_txn_contract(&spec, &stats).unwrap();
     // Plaintext deployment: 2PC frames are MAC'd but not sealed.
-    assert!(stats.txn.frames_sent > 0);
     assert_eq!(stats.txn.sealed_frames, 0);
     cluster.quiesce(200_000_000);
     check_run(&mut cluster, &mut history).unwrap();
@@ -67,7 +70,8 @@ fn cross_shard_transactions_commit_atomically_and_replicate() {
 
 #[test]
 fn transactional_and_single_key_traffic_interleave() {
-    let mut cluster = ShardedCluster::<RaftReplica>::build(txn_spec(4, 8, 600));
+    let spec = txn_spec(4, 8, 600);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
     let groups = key_groups(&cluster, 4, 3);
     let mut history = History::default();
     let stats = cluster.run_requests(history.record(move |client, seq| {
@@ -85,6 +89,7 @@ fn transactional_and_single_key_traffic_interleave() {
     }));
     assert!(stats.total.committed >= 600);
     assert!(stats.txn.committed > 0);
+    check_txn_contract(&spec, &stats).unwrap();
     // Single-key commits flow through the shards' own protocol pipelines.
     assert!(stats.total.committed > stats.txn.committed_ops);
     cluster.quiesce(200_000_000);
@@ -97,7 +102,8 @@ fn transactional_and_single_key_traffic_interleave() {
 /// locked is dropped until its client's retransmission.
 #[test]
 fn a_contended_key_is_read_between_whole_transactions() {
-    let mut cluster = ShardedCluster::<RaftReplica>::build(txn_spec(2, 4, 300));
+    let spec = txn_spec(2, 4, 300);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
     let group = key_groups(&cluster, 1, 2).remove(0);
     let key = group[0].clone();
     let mut history = History::default();
@@ -110,6 +116,7 @@ fn a_contended_key_is_read_between_whole_transactions() {
     }));
     assert!(stats.txn.committed > 0);
     assert!(stats.total.committed_reads > 0);
+    check_txn_contract(&spec, &stats).unwrap();
     cluster.quiesce(200_000_000);
     check_run(&mut cluster, &mut history).unwrap();
 }
@@ -118,15 +125,17 @@ fn a_contended_key_is_read_between_whole_transactions() {
 fn conflicting_transactions_abort_and_retry_to_completion() {
     // Many clients, one contended group: aborts are inevitable, yet every
     // client eventually commits and the group never mixes tokens.
-    let mut cluster = ShardedCluster::<RaftReplica>::build(txn_spec(2, 12, 240));
+    let spec = txn_spec(2, 12, 240);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
     let groups = key_groups(&cluster, 1, 4);
     let mut history = History::default();
     let stats = cluster.run_requests(history.record(group_txn_workload(groups)));
     assert!(stats.total.committed >= 240);
     assert!(stats.txn.aborted > 0, "contention produced no aborts");
     assert!(stats.txn.prepare_conflicts > 0);
-    // Aborted attempts never contribute commits.
+    // Aborted attempts never contribute commits, yet cost their frames.
     assert_eq!(stats.total.committed, stats.txn.committed_ops);
+    check_txn_contract(&spec, &stats).unwrap();
     cluster.quiesce(200_000_000);
     check_run(&mut cluster, &mut history).unwrap();
 }
@@ -134,7 +143,7 @@ fn conflicting_transactions_abort_and_retry_to_completion() {
 #[test]
 fn sealed_frames_when_any_participant_is_confidential() {
     let spec = txn_spec(4, 6, 200).with_shard_policy(1, ShardPolicy::confidential());
-    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
     let groups = key_groups(&cluster, 5, 3);
     // Keep only groups that touch shard 1 plus one that does not, so both
     // sealed and plaintext transactions run.
@@ -154,6 +163,7 @@ fn sealed_frames_when_any_participant_is_confidential() {
         stats.txn.sealed_frames < stats.txn.frames_sent,
         "plaintext-only transactions should not seal"
     );
+    check_txn_contract(&spec, &stats).unwrap();
     cluster.quiesce(200_000_000);
     check_run(&mut cluster, &mut history).unwrap();
 }
@@ -170,7 +180,7 @@ fn atomicity_survives_dropped_and_reordered_2pc_frames() {
         },
         ..TxnConfig::default()
     });
-    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
     let groups = key_groups(&cluster, 5, 3);
     let mut history = History::default();
     let stats = cluster.run_requests(history.record(group_txn_workload(groups)));
@@ -184,8 +194,9 @@ fn atomicity_survives_dropped_and_reordered_2pc_frames() {
         "no shield rejections recorded"
     );
     // Exactly-once despite retransmissions: committed ops equal driver
-    // commits, no duplicates.
+    // commits, no duplicates, and each lost frame was sent once more.
     assert_eq!(stats.total.committed, stats.txn.committed_ops);
+    check_txn_contract(&spec, &stats).unwrap();
     cluster.quiesce(200_000_000);
     check_run(&mut cluster, &mut history).unwrap();
 }
@@ -204,10 +215,11 @@ fn transactional_runs_are_bit_deterministic() {
                 ..TxnConfig::default()
             });
         }
-        let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+        let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
         let groups = key_groups(&cluster, 5, 3);
         let mut history = History::default();
         let stats = cluster.run_requests(history.record(group_txn_workload(groups)));
+        check_txn_contract(&spec, &stats).unwrap();
         cluster.quiesce(200_000_000);
         check_run(&mut cluster, &mut history).unwrap();
         (stats, history)
@@ -232,7 +244,7 @@ fn migration_of_a_participating_range_mid_transaction_loses_nothing() {
             imbalance_threshold: 1.25,
             ..RebalanceConfig::enabled()
         });
-    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
 
     // Build groups whose first key lives on shard 0 (the hot side), plus a
     // disjoint set of hot single keys on shard 0 — the combined skew trips
@@ -296,6 +308,7 @@ fn migration_of_a_participating_range_mid_transaction_loses_nothing() {
         stats.total.committed
     );
     assert!(stats.txn.committed > 0);
+    check_txn_contract(&spec, &stats).unwrap();
     cluster.quiesce(300_000_000);
     cluster.gc_moved_ranges();
     check_run(&mut cluster, &mut history).unwrap();
@@ -317,7 +330,8 @@ fn migration_of_a_participating_range_mid_transaction_loses_nothing() {
 #[test]
 fn transactions_on_one_shard_still_run_two_phase_locking() {
     // Fan-out 1: both keys on the same shard. Still atomic, still locked.
-    let mut cluster = ShardedCluster::<RaftReplica>::build(txn_spec(2, 4, 120));
+    let spec = txn_spec(2, 4, 120);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
     let router = cluster.router().clone();
     let mut same_shard_pair: Option<Vec<Vec<u8>>> = None;
     let mut candidate = 0u64;
@@ -336,8 +350,105 @@ fn transactions_on_one_shard_still_run_two_phase_locking() {
     assert!(stats.txn.committed > 0);
     assert_eq!(stats.txn.cross_shard_committed, 0);
     assert_eq!(stats.txn.participants, stats.txn.started);
+    check_txn_contract(&spec, &stats).unwrap();
     cluster.quiesce(200_000_000);
     check_run(&mut cluster, &mut history).unwrap();
+}
+
+/// One cell of the contract grid: `spec` driven by write-only transactions
+/// of `txns`, each placed by the deployment's own router.
+struct GridCell {
+    spec: DeploymentSpec,
+    txns: TxnWorkloadSpec,
+}
+
+impl ProtocolVisitor for GridCell {
+    type Output = ShardedRunStats;
+
+    fn visit<R: BuildReplica>(self) -> ShardedRunStats {
+        let mut cluster = ShardedCluster::<R>::build(self.spec);
+        let router = cluster.router().clone();
+        let mut txns = self.txns.generator();
+        cluster.run_requests(move |_, _| {
+            let request = txns.next_request(&|key| router.shard_for_key(key));
+            Some(request_from_workload(request))
+        })
+    }
+}
+
+/// Every protocol that takes part in transactions keeps 2PC's closed forms
+/// (`check_txn_contract`) over 2 and 4 shards, fan-out 1 to 3, plaintext
+/// and with one confidential shard where the protocol has a confidential
+/// mode, and at five replicas once; and each shard's books balance.
+#[test]
+fn every_txn_protocol_keeps_the_2pc_contract_over_a_grid() {
+    let plaintext = ProtocolMode::Recipe {
+        confidentiality: ConfidentialityMode::Plaintext,
+    };
+    let mut cells = Vec::new();
+    for protocol in Protocol::ALL.into_iter().filter(|p| p.supports_txn()) {
+        for shards in [2, 4] {
+            for fan_out in [1, 2, 3] {
+                for confidential in [false, true] {
+                    if confidential && !protocol.supports_confidential() {
+                        continue;
+                    }
+                    let spec = DeploymentSpec::new(shards, protocol.min_replicas(1))
+                        .with_profile(protocol.cost_profile(plaintext));
+                    let spec = match confidential {
+                        true => spec.with_shard_policy(0, ShardPolicy::confidential()),
+                        false => spec,
+                    };
+                    cells.push((protocol, spec, fan_out));
+                }
+            }
+        }
+    }
+    cells.push((Protocol::Raft, DeploymentSpec::new(2, 5), 2));
+    for (cell, (protocol, spec, fan_out)) in cells.into_iter().enumerate() {
+        let spec = spec.with_seed(cell as u64).with_clients(8, 240);
+        let txns = TxnWorkloadSpec {
+            base: WorkloadSpec {
+                read_ratio: 0.0,
+                value_size: 64,
+                seed: cell as u64,
+                ..WorkloadSpec::default()
+            },
+            txn_fraction: 1.0,
+            ops_per_txn: 3,
+            fan_out,
+        };
+        let stats = dispatch(
+            protocol,
+            GridCell {
+                spec: spec.clone(),
+                txns,
+            },
+        );
+        let sealed = spec.policy_for(0).confidentiality.is_confidential();
+        let name = format!(
+            "{} on {} shards of {}, fan-out {fan_out}, shard 0 {}",
+            protocol.display_name(),
+            spec.shards(),
+            spec.replicas_per_shard(),
+            spec.policy_for(0).confidentiality.label(),
+        );
+        let txn = &stats.txn;
+        assert!(txn.committed > 0, "{name}: nothing committed");
+        assert_eq!(txn.sealed_frames > 0, sealed, "{name}: sealed frames");
+        check_txn_contract(&spec, &stats).unwrap_or_else(|breach| panic!("{name}: {breach}"));
+        let most = fan_out.min(spec.shards()) as u64;
+        assert!(
+            txn.participants <= most * txn.started,
+            "{name}: {} participants over {} attempts",
+            txn.participants,
+            txn.started
+        );
+        for (shard, s) in stats.per_shard.iter().enumerate() {
+            let implied = (s.throughput_ops * s.elapsed_secs).round();
+            assert_eq!(implied, s.committed as f64, "{name}: shard {shard}'s books");
+        }
+    }
 }
 
 /// Deterministic multi-key workload generator shared with `fig_txn` (the
@@ -410,10 +521,11 @@ proptest::proptest! {
                     },
                     ..TxnConfig::default()
                 });
-            let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+            let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
             let groups = key_groups(&cluster, 3, 3);
             let mut history = History::default();
             let stats = cluster.run_requests(history.record(group_txn_workload(groups)));
+            check_txn_contract(&spec, &stats).unwrap();
             cluster.quiesce(200_000_000);
             // All-or-nothing on every replica of every shard.
             check_run(&mut cluster, &mut history).unwrap();
@@ -431,10 +543,12 @@ proptest::proptest! {
 /// Lock conflicts must never leak: after every run, no key stays locked.
 #[test]
 fn no_locks_survive_a_completed_run() {
-    let mut cluster = ShardedCluster::<RaftReplica>::build(txn_spec(2, 10, 200));
+    let spec = txn_spec(2, 10, 200);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
     let groups = key_groups(&cluster, 2, 3);
     let mut history = History::default();
-    cluster.run_requests(history.record(group_txn_workload(groups.clone())));
+    let stats = cluster.run_requests(history.record(group_txn_workload(groups.clone())));
+    check_txn_contract(&spec, &stats).unwrap();
     cluster.quiesce(200_000_000);
     check_run(&mut cluster, &mut history).unwrap();
     // Submitting singles against every group key succeeds — a leaked lock
