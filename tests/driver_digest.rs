@@ -48,6 +48,7 @@
 //! their frames, installs, endpoints and lanes.
 
 mod common {
+    pub mod books;
     pub mod txn_contract;
 }
 
@@ -68,6 +69,7 @@ use recipe::sim::CostProfile;
 use serde::Deserialize;
 use serde_json::Value;
 
+use common::books::unbalanced_books;
 use common::txn_contract::check_txn_contract;
 
 /// One pinned run.
@@ -522,37 +524,6 @@ fn pinned_stats(run: &Value) -> ShardedRunStats {
         .and_then(|map| map.iter().find(|(k, _)| k == "stats"));
     let stats = with_state.map_or(run, |(_, stats)| stats);
     ShardedRunStats::from_value(stats).expect("the pinned JSON is a run's stats")
-}
-
-/// Where a pinned run's books do not balance. Every commit is counted once,
-/// so each shard's throughput times its elapsed time gives back its commits,
-/// its reads and writes add up to them, and the shards' commits add up to
-/// the run's.
-fn unbalanced_books(name: &str, stats: &ShardedRunStats) -> Vec<String> {
-    let mut problems = Vec::new();
-    for (shard, s) in stats.per_shard.iter().enumerate() {
-        let implied = (s.throughput_ops * s.elapsed_secs).round();
-        if implied != s.committed as f64 {
-            problems.push(format!(
-                "`{name}` shard {shard}: its throughput implies {implied} commits, it counted {}",
-                s.committed
-            ));
-        }
-        if s.committed_reads + s.committed_writes != s.committed {
-            problems.push(format!(
-                "`{name}` shard {shard}: {} reads and {} writes, {} commits",
-                s.committed_reads, s.committed_writes, s.committed
-            ));
-        }
-    }
-    let shards: u64 = stats.per_shard.iter().map(|s| s.committed).sum();
-    if shards != stats.total.committed {
-        problems.push(format!(
-            "`{name}`: its shards counted {shards} commits, the run {}",
-            stats.total.committed
-        ));
-    }
-    problems
 }
 
 /// Runs every pin, then reports every pin whose books do not balance or

@@ -10,6 +10,7 @@
 //! reads of every replica of every shard show.
 
 mod common {
+    pub mod books;
     pub mod groups;
     pub mod history;
     pub mod recorder;
@@ -30,6 +31,7 @@ use recipe::shard::{
 };
 use recipe::workload::{stable_key_hash, TxnWorkloadSpec, WorkloadSpec};
 
+use common::books::unbalanced_books;
 use common::groups::{group_txn, group_txn_workload, key_groups};
 use common::history::History;
 use common::replicas::check_run;
@@ -379,7 +381,7 @@ impl ProtocolVisitor for GridCell {
 /// Every protocol that takes part in transactions keeps 2PC's closed forms
 /// (`check_txn_contract`) over 2 and 4 shards, fan-out 1 to 3, plaintext
 /// and with one confidential shard where the protocol has a confidential
-/// mode, and at five replicas once; and each shard's books balance.
+/// mode, and at five replicas once; and the run's books balance.
 #[test]
 fn every_txn_protocol_keeps_the_2pc_contract_over_a_grid() {
     let plaintext = ProtocolMode::Recipe {
@@ -444,10 +446,8 @@ fn every_txn_protocol_keeps_the_2pc_contract_over_a_grid() {
             txn.participants,
             txn.started
         );
-        for (shard, s) in stats.per_shard.iter().enumerate() {
-            let implied = (s.throughput_ops * s.elapsed_secs).round();
-            assert_eq!(implied, s.committed as f64, "{name}: shard {shard}'s books");
-        }
+        let unbalanced = unbalanced_books(&name, &stats);
+        assert!(unbalanced.is_empty(), "{}", unbalanced.join("\n"));
     }
 }
 
