@@ -932,7 +932,7 @@ impl<R: StoreReplica> Engine<'_, R> {
                 // abort, in buffers of the leader's.
                 let mut entries = std::mem::take(&mut txns.spares.committed);
                 let leader_store = group.replica_mut(leader).store();
-                let kinds = if commit {
+                let (charge_kind, span_kind) = if commit {
                     leader_store.txn_commit(txn_id, &mut entries);
                     (ChargeKind::TxnCommit, SpanKind::TxnCommit)
                 } else {
@@ -947,7 +947,7 @@ impl<R: StoreReplica> Engine<'_, R> {
                     writes: entries.len(),
                     bytes: entries.iter().map(RangeEntry::payload_len).sum(),
                 };
-                let charged = group.charge(leader, arrival, kinds.0, work);
+                let charged = group.charge(leader, arrival, charge_kind, work);
                 let mut finish = charged.finish_ns + replication_rt;
                 for idx in 0..group.replica_count() {
                     let node = group.node_ids()[idx];
@@ -972,7 +972,7 @@ impl<R: StoreReplica> Engine<'_, R> {
                     }
                     // Install the applied records — the migration-import
                     // idiom, so replicas never diverge.
-                    let installed = group.charge(node, arrival, kinds.0, work);
+                    let installed = group.charge(node, arrival, charge_kind, work);
                     finish = finish.max(installed.finish_ns);
                     group.replica_mut(node).store().txn_install(&entries);
                     txns.stats.participant_installs += entries.len() as u64;
@@ -985,7 +985,8 @@ impl<R: StoreReplica> Engine<'_, R> {
                 let leader_store = group.replica_mut(leader).store();
                 leader_store.recycle_entries(&mut entries);
                 txns.spares.committed = entries;
-                (TxnBody::Ack { applied }, kinds, charged, finish)
+                let ack = TxnBody::Ack { applied };
+                (ack, (charge_kind, span_kind), charged, finish)
             }
             other => panic!("coordinator sent a response body: {other:?}"),
         };
