@@ -308,6 +308,35 @@ impl BuildReplica for DamysusReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The contract's message lengths are this encoder's, as a bound where
+    /// a message is shorter: a proposal carries the client's request, a
+    /// vote is the longest control message.
+    #[test]
+    fn messages_have_at_most_the_lengths_the_contract_states() {
+        let wire = Protocol::Damysus.contract().wire;
+        let request = ClientRequest {
+            client_id: 1,
+            request_id: 2,
+            operation: Operation::Put {
+                key: b"key-7".to_vec(),
+                value: vec![7; 64],
+            },
+            signature: None,
+        };
+        let propose = DamysusMsg::Propose { slot: 3, request };
+        assert_eq!(propose.encode().len(), wire.carrier_len(5, 64, false));
+        let (slot, replica) = (3, 4);
+        for vote in [
+            DamysusMsg::PrepareVote { slot, replica },
+            DamysusMsg::CommitVote { slot, replica },
+        ] {
+            assert_eq!(vote.encode().len(), wire.control_len(), "{vote:?}");
+        }
+        for control in [DamysusMsg::PreCommit { slot }, DamysusMsg::Decide { slot }] {
+            assert!(control.encode().len() <= wire.control_len(), "{control:?}");
+        }
+    }
     #[test]
     fn runs_with_2f_plus_1_replicas() {
         let replica = DamysusReplica::new(0, Membership::of_size(3, 1));

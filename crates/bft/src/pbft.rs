@@ -25,7 +25,7 @@ use recipe_core::{BatchFrame, ClientReply, ClientRequest, Membership, Operation}
 use recipe_kv::StoreConfig;
 use recipe_net::NodeId;
 use recipe_protocols::{
-    BatchConfig, Batcher, BuildReplica, Protocol, ProtocolMode, ReplicaStore, Stamping,
+    BatchConfig, Batcher, BuildReplica, Framing, Protocol, ProtocolMode, ReplicaStore, Stamping,
     StoreReplica,
 };
 use recipe_sim::{Ctx, RecoveryState, Replica, RestartReport};
@@ -127,8 +127,11 @@ impl PbftMsg {
 /// counterpart of the Recipe protocols' batch frames):
 /// `tag | count u32 | (len u32, msg)*`.
 pub fn encode_batch<M: AsRef<[u8]>>(msgs: &[M]) -> Vec<u8> {
-    let msgs_len: usize = msgs.iter().map(|m| bytes_len(m.as_ref().len())).sum();
-    let mut w = Writer::tagged(tag::PBFT_BATCH, 1 + 4 + msgs_len);
+    let msgs_len = msgs.iter().map(|m| m.as_ref().len()).sum();
+    let mut w = Writer::tagged(
+        tag::PBFT_BATCH,
+        Framing::bare_batch_len(msgs.len(), msgs_len),
+    );
     w.count(msgs.len());
     for msg in msgs {
         w.bytes(msg.as_ref());
@@ -541,6 +544,60 @@ impl BuildReplica for PbftReplica {
 mod tests {
     use super::*;
     use recipe_sim::{CostProfile, SimCluster, SimConfig, StepOutcome};
+
+    /// The contract's message and frame lengths are this encoder's: a
+    /// pre-prepare carries the client's request, a prepare and a commit
+    /// are control messages, and a batch is a bare batch frame.
+    #[test]
+    fn messages_have_the_lengths_the_contract_states() {
+        let wire = Protocol::Pbft.contract().wire;
+        let (view, seq, digest, replica) = (1, 2, 3, 4);
+        for (operation, read) in [
+            (
+                Operation::Get {
+                    key: b"key-7".to_vec(),
+                },
+                true,
+            ),
+            (
+                Operation::Put {
+                    key: b"key-7".to_vec(),
+                    value: vec![7; 64],
+                },
+                false,
+            ),
+        ] {
+            let request = ClientRequest {
+                client_id: 5,
+                request_id: 6,
+                operation,
+                signature: None,
+            };
+            let pre_prepare = PbftMsg::PrePrepare { view, seq, request };
+            let carrier = wire.carrier_len(5, 64, read);
+            assert_eq!(pre_prepare.encode().len(), carrier, "{pre_prepare:?}");
+        }
+        let controls = [
+            PbftMsg::Prepare {
+                view,
+                seq,
+                digest,
+                replica,
+            },
+            PbftMsg::Commit {
+                view,
+                seq,
+                digest,
+                replica,
+            },
+        ];
+        let encoded = controls.map(|control| control.encode());
+        for control in &encoded {
+            assert_eq!(control.len(), wire.control_len());
+        }
+        let batch_len = Framing::bare_batch_len(2, 2 * wire.control_len());
+        assert_eq!(encode_batch(&encoded).len(), batch_len);
+    }
 
     #[test]
     fn four_replicas_tolerate_one_fault() {

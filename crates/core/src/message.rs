@@ -620,6 +620,12 @@ impl ShieldedMessage {
     pub fn wire_len(&self) -> usize {
         self.family().wire_len(self.payload.len())
     }
+
+    /// Size on the wire of a message with a `payload_len`-byte payload,
+    /// sealed or not.
+    pub fn frame_len(payload_len: usize) -> usize {
+        Family::Single { kind: 0 }.wire_len(payload_len)
+    }
 }
 
 impl fmt::Debug for ShieldedMessage {
@@ -714,10 +720,20 @@ impl BatchFrame {
 
     /// Bytes `BatchFrame::write_ops` produces for `ops`.
     pub fn ops_len(ops: &[BatchOp]) -> usize {
-        4 + ops
-            .iter()
-            .map(|op| BATCH_OP_MIN_LEN + op.payload.len())
-            .sum::<usize>()
+        let payloads = ops.iter().map(|op| op.payload.len()).sum();
+        Self::body_len(ops.len(), payloads)
+    }
+
+    /// Bytes `BatchFrame::write_ops` produces for `ops` ops whose payloads
+    /// total `payload_bytes`.
+    pub const fn body_len(ops: usize, payload_bytes: usize) -> usize {
+        4 + ops * BATCH_OP_MIN_LEN + payload_bytes
+    }
+
+    /// Size on the wire of a frame with a `body_len`-byte body, sealed or
+    /// not.
+    pub fn frame_len(body_len: usize) -> usize {
+        Family::Batch { count: 0 }.wire_len(body_len)
     }
 
     /// Appends the body encoding of `ops` to `w` (what

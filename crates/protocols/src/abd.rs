@@ -425,6 +425,42 @@ mod tests {
     use crate::build_cluster;
     use recipe_sim::Replica;
 
+    /// The contract's message lengths are this encoder's, as a bound where
+    /// a message is shorter: a store carries the entry, a value reply the
+    /// value read, and the timestamp reply is the longest control message.
+    #[test]
+    fn messages_have_at_most_the_lengths_the_contract_states() {
+        let wire = Protocol::Abd.contract().wire;
+        let (op, ts, key, value) = (1, Timestamp::new(2, 3), b"key-7".to_vec(), vec![7; 64]);
+        let put = AbdMsg::Put {
+            op,
+            key: key.clone(),
+            value: value.clone(),
+            ts,
+        };
+        assert_eq!(put.encode().len(), wire.carrier_len(5, 64, false));
+        let reply = AbdMsg::FullReply {
+            op,
+            value: Some(value),
+            ts,
+        };
+        assert!(reply.encode().len() <= wire.carrier_len(5, 64, true));
+        assert_eq!(
+            AbdMsg::TsReply { op, ts }.encode().len(),
+            wire.control_len()
+        );
+        for control in [
+            AbdMsg::GetTs {
+                op,
+                key: key.clone(),
+            },
+            AbdMsg::PutAck { op },
+            AbdMsg::GetFull { op, key },
+        ] {
+            assert!(control.encode().len() <= wire.control_len(), "{control:?}");
+        }
+    }
+
     #[test]
     fn any_node_coordinates_reads_and_writes() {
         let replicas = build_cluster(3, 1, |id, m| AbdReplica::recipe(id, m, false));

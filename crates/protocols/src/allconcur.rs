@@ -219,6 +219,25 @@ mod tests {
     use crate::build_cluster;
     use recipe_sim::{CostProfile, Replica, SimCluster, SimConfig};
 
+    /// The contract's message lengths are this encoder's: a proposal
+    /// carries the entry, a track and a deliver are control messages.
+    #[test]
+    fn messages_have_the_lengths_the_contract_states() {
+        let wire = Protocol::AllConcur.contract().wire;
+        let propose = AllConcurMsg::Propose {
+            op: 1,
+            key: b"key-7".to_vec(),
+            value: vec![7; 64],
+        };
+        assert_eq!(propose.encode().len(), wire.carrier_len(5, 64, false));
+        for control in [
+            AllConcurMsg::Track { op: 1 },
+            AllConcurMsg::Deliver { op: 1 },
+        ] {
+            assert_eq!(control.encode().len(), wire.control_len(), "{control:?}");
+        }
+    }
+
     #[test]
     fn every_node_is_a_coordinator() {
         let replicas = build_cluster(3, 1, |id, m| AllConcurReplica::recipe(id, m, false));

@@ -218,6 +218,21 @@ impl CftProtocol for Chain {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The contract's message length is this encoder's: a forward carries
+    /// the entry.
+    #[test]
+    fn forwards_have_the_length_the_contract_states() {
+        let wire = Protocol::Chain.contract().wire;
+        let forward = ChainMsg::Forward {
+            seq: 1,
+            key: b"key-7".to_vec(),
+            value: vec![7; 64],
+            client_id: 2,
+            request_id: 3,
+        };
+        assert_eq!(forward.encode().len(), wire.carrier_len(5, 64, false));
+    }
     use crate::build_cluster;
     use recipe_sim::Replica;
 

@@ -20,8 +20,8 @@
 //!   through `shield_msg` / `verify_msg`: MAC under the attestation-provisioned
 //!   channel key, trusted per-channel counter, optional payload encryption. This is
 //!   the transformation of Listing 1: the protocol's states, rounds and message
-//!   complexity are untouched, and each core's [`registry::Contract`] is checked
-//!   in both modes against the one form.
+//!   complexity are untouched, and each core's [`contract::Contract`] is checked
+//!   in both modes against the one statement of its frames by role.
 //!
 //! What is not protocol logic is written once, in the wrapper: the
 //! [`shield::ProtocolShield`], the [`batch::Batcher`], the
@@ -30,9 +30,10 @@
 //! — the locked-key check and the recovery hooks of [`recipe_sim::Replica`],
 //! so the same code runs in unit tests, in the integration tests, in the
 //! examples and in the benchmark harness. [`registry::Protocol`] names every
-//! protocol a run can select, and its [`registry::Contract`] states what the
-//! protocol promises: replicas per fault, batching, read path and frames per
-//! operation.
+//! protocol a run can select, and its [`contract::Contract`] states what the
+//! protocol promises: replicas per fault, batching, read path and, role by
+//! role, the frames an operation costs each replica, from which the group's
+//! frames per operation and its capacity follow.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,6 +42,7 @@ mod abd;
 mod allconcur;
 mod batch;
 mod chain;
+mod contract;
 mod migration;
 mod raft;
 mod registry;
@@ -53,14 +55,15 @@ pub use abd::{Abd, AbdMsg, AbdReplica};
 pub use allconcur::{AllConcur, AllConcurMsg, AllConcurReplica};
 pub use batch::{BatchConfig, Batcher};
 pub use chain::{Chain, ChainMsg, ChainReplica};
+pub use contract::{
+    Capacity, Consistency, Contract, Count, Framing, Messages, ReadPath, Role, Traffic, Wire,
+};
 pub use migration::{
     ChunkPhase, MigrationChannel, MigrationChunk, ENDPOINT_IDS as MIGRATION_ENDPOINT_IDS,
     MAX_SHARDS,
 };
 pub use raft::{Raft, RaftMsg, RaftReplica};
-pub use registry::{
-    BuildReplica, Consistency, Contract, FrameForm, Protocol, ProtocolVisitor, ReadPath,
-};
+pub use registry::{BuildReplica, Protocol, ProtocolVisitor};
 pub use replica::{CftProtocol, Handle, RecipeReplica};
 pub use shield::{Frames, FramesIter, ProtocolMode, ProtocolShield};
 pub use store::{ReplicaStore, Stamping, StoreReplica, TxnVote};

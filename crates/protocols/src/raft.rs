@@ -650,6 +650,33 @@ mod tests {
     use recipe_net::CrashPlan;
     use recipe_sim::{CostProfile, Replica, SimCluster, SimConfig};
 
+    /// The contract's message lengths are this encoder's: an append
+    /// carries the entry, and each acknowledgement and commit is a control
+    /// message.
+    #[test]
+    fn messages_have_the_lengths_the_contract_states() {
+        let wire = Protocol::Raft.contract().wire;
+        let (key, value) = (b"key-7".as_slice(), [7; 64]);
+        let append = RaftMsg::Append {
+            view: 1,
+            index: 2,
+            key,
+            value: &value,
+            client_id: 3,
+            request_id: 4,
+        };
+        let carrier = wire.carrier_len(key.len(), value.len(), false);
+        assert_eq!(append.encode().len(), carrier);
+        let (view, index) = (1, 2);
+        for control in [
+            RaftMsg::AppendAck { view, index },
+            RaftMsg::Commit { view, index },
+            RaftMsg::CommitAck { view, index },
+        ] {
+            assert_eq!(control.encode().len(), wire.control_len(), "{control:?}");
+        }
+    }
+
     /// An answered entry is gone from the leader's replication state, so
     /// once every request of a run is answered nothing is left of it; the
     /// followers applied every entry and the leader never changed.

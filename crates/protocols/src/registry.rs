@@ -12,6 +12,9 @@ use recipe_sim::CostProfile;
 use serde::{Deserialize, Serialize};
 
 use crate::batch::BatchConfig;
+use crate::contract::{
+    messages, traffic, Carries, Contract, Count, Framing, Messages, ReadPath, Role, Traffic, Wire,
+};
 use crate::shield::ProtocolMode;
 use crate::store::StoreReplica;
 
@@ -46,124 +49,51 @@ struct Entry {
     contract: Contract,
 }
 
-/// What a protocol promises, stated once: how many replicas it needs, whether
-/// it batches, how it answers a read, and the frames between replicas a
-/// committed operation costs. `tests/protocol_agreement.rs` runs every
-/// protocol against its contract, each transformed core natively and under
-/// Recipe, so the transformation leaving the message complexity alone is a
-/// checked statement, and checks every history its clients see against the
-/// read path's [`ReadPath::consistency`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Contract {
-    /// Replicas per tolerated fault: the `k` of `n = k·f + 1`.
-    pub replicas_per_fault: usize,
-    /// Sends through the batching pipeline. A leader-based protocol funnels
-    /// every write through one sender, which is where coalescing pays. A
-    /// protocol that does not batch is refused a batch config
-    /// (`ShardedCluster::build`, scenario validation) rather than left to
-    /// drop it.
-    pub batches: bool,
-    /// Where a read is answered, and with it what the answer promises.
-    pub read_path: ReadPath,
-    /// Frames per committed write.
-    pub write_frames: FrameForm,
-    /// The protocol's paper, figure or section behind each field.
-    pub source: &'static str,
-}
+/// The replicas that play no other role, or one message to each of them.
+const OTHERS: Count = Count::peers(1);
 
-impl Contract {
-    /// Frames per committed read: none where one replica answers from its
-    /// own store, a write's where reads are agreed on like writes.
-    pub const fn read_frames(&self) -> FrameForm {
-        match self.read_path {
-            ReadPath::Leader | ReadPath::Tail | ReadPath::Local => FrameForm::NONE,
-            ReadPath::Quorum(round) => round,
-            ReadPath::Agreement => self.write_frames,
-        }
-    }
-}
-
-/// Where a protocol answers a read, and with it what the answer promises
-/// ([`ReadPath::consistency`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadPath {
-    /// The leader, from its own store, while it leads its view.
-    Leader,
-    /// The chain's tail, which holds committed writes only.
-    Tail,
-    /// A coordinator asks a majority, in this round; when the answers
-    /// disagree it writes the newest back before it answers.
-    Quorum(FrameForm),
-    /// Any replica, from its own store.
-    Local,
-    /// Ordered like a write, since a client trusts no one replica's answer.
-    Agreement,
-}
-
-impl ReadPath {
-    /// What the histories clients see promise, per key: a local read may
-    /// lag the writes other clients already saw complete; every other
-    /// path answers with the newest committed write.
-    pub const fn consistency(self) -> Consistency {
-        match self {
-            ReadPath::Local => Consistency::Sequential,
-            ReadPath::Leader | ReadPath::Tail | ReadPath::Quorum(_) | ReadPath::Agreement => {
-                Consistency::Linearizable
-            }
-        }
-    }
-}
-
-/// The promise a protocol's reads make about each key's history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Consistency {
-    /// The operations take effect in one order that keeps each client's
-    /// own order and real time: a read returns the newest write that
-    /// completed before it began, or a concurrent one.
-    Linearizable,
-    /// The operations take effect in one order that keeps each client's
-    /// own order, but not real time: a read may return an older write than
-    /// one another client already saw.
-    Sequential,
-}
-
-/// Frames between the replicas of a group of `n` per committed operation:
-/// `(linear + quadratic·n)·(n−1)`, batched or not: a batch of `b` ops is
-/// `b` of them in one message ([`recipe_sim::RunStats::ops_delivered`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameForm {
-    /// Frames on each of the `n−1` links between one replica and the
-    /// others: a broadcast, or the replies to one.
-    linear: usize,
-    /// Frames on each of the `n·(n−1)` ordered pairs of replicas: an
-    /// all-to-all round.
-    quadratic: usize,
-}
-
-impl FrameForm {
-    /// No frame: the operation is answered where it arrives.
-    const NONE: FrameForm = FrameForm::linear(0);
-
-    /// `rounds·(n−1)` frames.
-    const fn linear(rounds: usize) -> FrameForm {
-        FrameForm {
-            linear: rounds,
-            quadratic: 0,
-        }
-    }
-
-    /// The frames at group size `n`.
-    pub const fn at(self, n: usize) -> usize {
-        (self.linear + self.quadratic * n) * (n - 1)
-    }
-}
+/// R-Raft's leader per write: the client's request, an append and a commit
+/// to each follower, and each follower's two acknowledgements.
+const RAFT_LEADER: Traffic = traffic(
+    true,
+    messages(OTHERS, OTHERS),
+    messages(Count::ZERO, Count::peers(2)),
+);
 
 /// R-Raft's contract.
 const RAFT: Contract = Contract {
     replicas_per_fault: 2,
     batches: true,
     read_path: ReadPath::Leader,
-    write_frames: FrameForm::linear(4),
+    rotates: false,
+    roles: &[
+        Role {
+            name: "leader",
+            replicas: Count::ONE,
+            write: RAFT_LEADER,
+            read: Traffic::LOCAL,
+            source: "Fig. 1: the leader appends to every follower, commits once a majority \
+                     acknowledged and answers once a majority acknowledged the commit; it \
+                     answers reads from its own store (§3.4)",
+        },
+        Role {
+            name: "follower",
+            replicas: OTHERS,
+            write: traffic(
+                false,
+                messages(Count::ZERO, Count::TWO),
+                messages(Count::ONE, Count::ONE),
+            ),
+            read: Traffic::IDLE,
+            source: "Fig. 1: a follower acknowledges the append and the commit",
+        },
+    ],
+    wire: Wire {
+        control_words: 2,
+        carrier_words: 4,
+        carries: Carries::Entry,
+        framing: Framing::Library,
+    },
     source: "the paper's Fig. 1 and §3.4: per follower an append, its ack, a commit and \
              the commit's ack, 4(n−1), where textbook Raft carries the commit on the next \
              append and sends 2(n−1); reads answered by the leader (§3.4); 2f+1 (Table 2)",
@@ -174,7 +104,43 @@ const CHAIN: Contract = Contract {
     replicas_per_fault: 2,
     batches: true,
     read_path: ReadPath::Tail,
-    write_frames: FrameForm::linear(1),
+    rotates: false,
+    roles: &[
+        Role {
+            name: "head",
+            replicas: Count::ONE,
+            write: traffic(true, messages(Count::ONE, Count::ZERO), Messages::NONE),
+            read: Traffic::IDLE,
+            source: "van Renesse and Schneider: a write enters at the head, which \
+                     forwards it",
+        },
+        Role {
+            name: "middle",
+            replicas: OTHERS.less_one(),
+            write: traffic(
+                false,
+                messages(Count::ONE, Count::ZERO),
+                messages(Count::ONE, Count::ZERO),
+            ),
+            read: Traffic::IDLE,
+            source: "van Renesse and Schneider: each node forwards a write to its \
+                     successor",
+        },
+        Role {
+            name: "tail",
+            replicas: Count::ONE,
+            write: traffic(false, Messages::NONE, messages(Count::ONE, Count::ZERO)),
+            read: Traffic::LOCAL,
+            source: "van Renesse and Schneider: the tail answers a write once it holds \
+                     it, and every read from its store",
+        },
+    ],
+    wire: Wire {
+        control_words: 0,
+        carrier_words: 3,
+        carries: Carries::Entry,
+        framing: Framing::Library,
+    },
     source: "Chain Replication (van Renesse and Schneider, OSDI '04) as the paper runs it \
              (§B.2, choice C): a write goes head to tail, one frame a hop, n−1; the tail \
              answers reads from a store Recipe lets it verify; 2f+1 (Table 2)",
@@ -184,8 +150,49 @@ const CHAIN: Contract = Contract {
 const ABD: Contract = Contract {
     replicas_per_fault: 2,
     batches: false,
-    read_path: ReadPath::Quorum(FrameForm::linear(2)),
-    write_frames: FrameForm::linear(4),
+    read_path: ReadPath::Quorum,
+    rotates: true,
+    roles: &[
+        Role {
+            name: "coordinator",
+            replicas: Count::ONE,
+            write: traffic(
+                true,
+                messages(OTHERS, OTHERS),
+                messages(Count::ZERO, Count::peers(2)),
+            ),
+            read: traffic(
+                true,
+                messages(Count::ZERO, OTHERS),
+                messages(OTHERS, Count::ZERO),
+            ),
+            source: "Attiya, Bar-Noy and Dolev: a write asks every peer for the key's \
+                     timestamp, then stores the value at every peer; a read asks every peer \
+                     for value and timestamp; every peer answers each round",
+        },
+        Role {
+            name: "peer",
+            replicas: OTHERS,
+            write: traffic(
+                false,
+                messages(Count::ZERO, Count::TWO),
+                messages(Count::ONE, Count::ONE),
+            ),
+            read: traffic(
+                false,
+                messages(Count::ONE, Count::ZERO),
+                messages(Count::ZERO, Count::ONE),
+            ),
+            source: "Attiya, Bar-Noy and Dolev: a peer answers the timestamp query, the \
+                     store and the value query",
+        },
+    ],
+    wire: Wire {
+        control_words: 3,
+        carrier_words: 3,
+        carries: Carries::Entry,
+        framing: Framing::Library,
+    },
     source: "ABD (Attiya, Bar-Noy and Dolev, JACM '95), the paper's §B.2 choice A: a write \
              asks for the key's timestamp, then stores the value, each a round to and from \
              the n−1 others, 4(n−1); a read is one such round, 2(n−1), and a write-back \
@@ -198,21 +205,90 @@ const ALLCONCUR: Contract = Contract {
     replicas_per_fault: 2,
     batches: false,
     read_path: ReadPath::Local,
-    write_frames: FrameForm::linear(3),
+    rotates: true,
+    roles: &[
+        Role {
+            name: "proposer",
+            replicas: Count::ONE,
+            write: traffic(
+                true,
+                messages(OTHERS, OTHERS),
+                messages(Count::ZERO, OTHERS),
+            ),
+            read: Traffic::LOCAL,
+            source: "§B.2, choice D: the proposer sends its write to every peer and, once \
+                     every peer tracked it, a deliver; it answers reads from its own store",
+        },
+        Role {
+            name: "peer",
+            replicas: OTHERS,
+            write: traffic(
+                false,
+                messages(Count::ZERO, Count::ONE),
+                messages(Count::ONE, Count::ONE),
+            ),
+            read: Traffic::IDLE,
+            source: "§B.2, choice D: a peer tracks the proposal back and applies it on the \
+                     deliver",
+        },
+    ],
+    wire: Wire {
+        control_words: 1,
+        carrier_words: 1,
+        carries: Carries::Entry,
+        framing: Framing::Library,
+    },
     source: "AllConcur (Poke, Hoefler and Glass, HPDC '17) in the paper's simplified form \
              (§B.2, choice D): a proposal to every peer, each peer's track back and a \
              deliver, 3(n−1); reads local and sequentially consistent, as the paper \
              configures it; 2f+1 (Table 2); leaderless, so no one sender to batch on",
 };
 
+/// The PBFT primary per request: the client's request, a pre-prepare and a
+/// commit to each backup, and each backup's prepare and commit.
+const PBFT_PRIMARY: Traffic = traffic(
+    true,
+    messages(OTHERS, OTHERS),
+    messages(Count::ZERO, Count::peers(2)),
+);
+
+/// A PBFT backup per request: the pre-prepare, a prepare from each other
+/// backup and a commit from every other replica; its own prepare and commit
+/// to every other replica.
+const PBFT_BACKUP: Traffic = traffic(
+    false,
+    messages(Count::ZERO, Count::peers(2)),
+    messages(Count::ONE, Count::peers(2).less_one()),
+);
+
 /// The PBFT baseline's contract.
 const PBFT: Contract = Contract {
     replicas_per_fault: 3,
     batches: true,
     read_path: ReadPath::Agreement,
-    write_frames: FrameForm {
-        linear: 0,
-        quadratic: 2,
+    rotates: false,
+    roles: &[
+        Role {
+            name: "primary",
+            replicas: Count::ONE,
+            write: PBFT_PRIMARY,
+            read: PBFT_PRIMARY,
+            source: "Castro and Liskov §4.2: the primary multicasts the pre-prepare, which \
+                     stands for its prepare, and a commit",
+        },
+        Role {
+            name: "backup",
+            replicas: OTHERS,
+            write: PBFT_BACKUP,
+            read: PBFT_BACKUP,
+            source: "Castro and Liskov §4.2: a backup multicasts a prepare and a commit",
+        },
+    ],
+    wire: Wire {
+        control_words: 4,
+        carrier_words: 2,
+        carries: Carries::Request,
+        framing: Framing::Bare,
     },
     source: "PBFT (Castro and Liskov, OSDI '99) as BFT-SMaRt runs it: the primary's \
              pre-prepare to the n−1 others, a prepare from each backup to its n−1 others \
@@ -222,12 +298,53 @@ const PBFT: Contract = Contract {
              requests",
 };
 
+/// The Damysus leader per request: the client's request, a proposal, a
+/// prepare certificate and a decision to each replica, and each replica's
+/// two votes.
+const DAMYSUS_LEADER: Traffic = traffic(
+    true,
+    messages(OTHERS, Count::peers(2)),
+    messages(Count::ZERO, Count::peers(2)),
+);
+
+/// A Damysus replica per request: the proposal, the certificate and the
+/// decision in; its two votes out.
+const DAMYSUS_REPLICA: Traffic = traffic(
+    false,
+    messages(Count::ZERO, Count::TWO),
+    messages(Count::ONE, Count::TWO),
+);
+
 /// The Damysus baseline's contract.
 const DAMYSUS: Contract = Contract {
     replicas_per_fault: 2,
     batches: false,
     read_path: ReadPath::Agreement,
-    write_frames: FrameForm::linear(5),
+    rotates: false,
+    roles: &[
+        Role {
+            name: "leader",
+            replicas: Count::ONE,
+            write: DAMYSUS_LEADER,
+            read: DAMYSUS_LEADER,
+            source: "Decouchant et al.: the leader proposes, gathers the phase-1 votes into \
+                     a prepare certificate, gathers the phase-2 votes and decides",
+        },
+        Role {
+            name: "replica",
+            replicas: OTHERS,
+            write: DAMYSUS_REPLICA,
+            read: DAMYSUS_REPLICA,
+            source: "Decouchant et al.: a replica votes on the proposal and on the \
+                     certificate",
+        },
+    ],
+    wire: Wire {
+        control_words: 2,
+        carrier_words: 1,
+        carries: Carries::Request,
+        framing: Framing::Bare,
+    },
     source: "Damysus (Decouchant et al., EuroSys '22), its steady state: a proposal, the \
              phase-1 votes, a prepare certificate, the phase-2 votes and the decision, each \
              between the leader and the n−1 others, 5(n−1); reads agreed on like writes; \
@@ -369,6 +486,83 @@ mod tests {
             assert_eq!(Protocol::ALL.iter().filter(|p| same_display(p)).count(), 1);
         }
         assert_eq!(Protocol::from_file_name("paxos"), None);
+    }
+
+    /// Summed over the role rows, each contract's frames per operation are
+    /// its protocol's closed form for the whole group, every frame a role
+    /// sends another role receives, and the roles cover the group.
+    #[test]
+    fn role_rows_sum_to_the_group_frames() {
+        for n in 3..=9 {
+            let peers = n - 1;
+            let forms = [
+                (Protocol::Raft, 4 * peers, 0),
+                (Protocol::Chain, peers, 0),
+                (Protocol::Abd, 4 * peers, 2 * peers),
+                (Protocol::AllConcur, 3 * peers, 0),
+                (Protocol::Pbft, 2 * n * peers, 2 * n * peers),
+                (Protocol::Damysus, 5 * peers, 5 * peers),
+            ];
+            for (protocol, writes, reads) in forms {
+                let contract = protocol.contract();
+                assert_eq!(
+                    contract.frames(n, false),
+                    writes,
+                    "{protocol:?} writes, n = {n}"
+                );
+                assert_eq!(
+                    contract.frames(n, true),
+                    reads,
+                    "{protocol:?} reads, n = {n}"
+                );
+                for read in [false, true] {
+                    let sent: usize = contract
+                        .roles
+                        .iter()
+                        .map(|role| {
+                            let traffic = if read { role.read } else { role.write };
+                            role.replicas.at(n) * traffic.sent.at(n)
+                        })
+                        .sum();
+                    let received = contract.frames(n, read);
+                    assert_eq!(sent, received, "{protocol:?}, n = {n}, reads: {read}");
+                }
+                let replicas = contract.roles.iter().map(|role| role.replicas.at(n));
+                assert_eq!(replicas.sum::<usize>(), n, "{protocol:?}, n = {n}");
+            }
+        }
+    }
+
+    /// ROADMAP's hand arithmetic from the golden cost table, run as code:
+    /// at f = 1, half reads and 256-byte values, PBFT's primary, Damysus's
+    /// leader and R-Raft's leader limit their groups within 1 % of the
+    /// knees the full-size Fig. 4 and Damysus figures measured (4 670,
+    /// 17 012 and 91 715 ops/s), and signatures are 85 % of PBFT's cost.
+    #[test]
+    fn capacities_match_the_measured_knees() {
+        use recipe_telemetry::CostCategory;
+        let mode = ProtocolMode::Recipe {
+            confidentiality: recipe_core::ConfidentialityMode::Plaintext,
+        };
+        let capacity = |protocol: Protocol| {
+            let (contract, n) = (protocol.contract(), protocol.min_replicas(1));
+            let profile = protocol.cost_profile(mode);
+            contract.capacity(n, &profile, 0.5, 8, 256, 1)
+        };
+        for (protocol, role, measured) in [
+            (Protocol::Pbft, "primary", 4_670.0),
+            (Protocol::Damysus, "leader", 17_012.0),
+            (Protocol::Raft, "leader", 91_715.0),
+        ] {
+            let capacity = capacity(protocol);
+            assert_eq!(capacity.role, role, "{protocol:?}");
+            let off = capacity.ops_per_s / measured - 1.0;
+            assert!(off.abs() < 0.01, "{protocol:?}: {capacity:?}");
+        }
+        let pbft = capacity(Protocol::Pbft);
+        let signature_ns = pbft.ns_per_op[CostCategory::Signature as usize];
+        let signatures = signature_ns * pbft.ops_per_s / 1e9;
+        assert!((0.84..0.86).contains(&signatures), "{signatures:.3}");
     }
 
     #[test]

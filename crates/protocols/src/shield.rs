@@ -18,8 +18,8 @@ use std::borrow::Cow;
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{
-    AuthLayer, BatchFrame, BatchOp, ConfidentialityMode, FramePool, FrameView, Membership, TxnBody,
-    TxnBodyRef, ViewOutcome,
+    AuthLayer, BatchFrame, BatchOp, ConfidentialityMode, FramePool, FrameView, Membership,
+    ShieldedMessage, TxnBody, TxnBodyRef, ViewOutcome,
 };
 use recipe_crypto::{CipherKey, MacKey};
 use recipe_net::{ChannelId, NodeId};
@@ -60,10 +60,15 @@ const GROUP_KEY_DOMAIN: &[u8] = b"recipe.group_key.v1";
 /// Framing used by native (untransformed) protocols:
 /// `tag | kind u16 | payload`, in a spare from `frames`.
 fn encode_native(frames: &mut FramePool, kind: u16, payload: &[u8]) -> Vec<u8> {
-    let len = 1 + 2 + bytes_len(payload.len());
+    let len = native_len(payload.len());
     let mut w = Writer::reusing(frames.take(len), len);
     w.u8(tag::NATIVE_SINGLE).u16(kind).bytes(payload);
     w.finish()
+}
+
+/// Bytes [`encode_native`] writes for a `payload_len`-byte payload.
+const fn native_len(payload_len: usize) -> usize {
+    1 + 2 + bytes_len(payload_len)
 }
 
 fn decode_native(bytes: &[u8]) -> Option<Message<'_>> {
@@ -79,10 +84,15 @@ fn decode_native(bytes: &[u8]) -> Option<Message<'_>> {
 /// the Figure 6a comparison stays apples-to-apples under batching. In a
 /// spare from `frames`.
 fn encode_native_batch(frames: &mut FramePool, body: &[u8]) -> Vec<u8> {
-    let len = 1 + body.len();
+    let len = native_batch_len(body.len());
     let mut w = Writer::reusing(frames.take(len), len);
     w.u8(tag::NATIVE_BATCH).raw(body);
     w.finish()
+}
+
+/// Bytes [`encode_native_batch`] writes for a `body_len`-byte body.
+const fn native_batch_len(body_len: usize) -> usize {
+    1 + body_len
 }
 
 fn decode_native_batch(bytes: &[u8]) -> Option<Vec<Message<'_>>> {
@@ -417,6 +427,25 @@ impl ProtocolShield {
     pub(crate) fn resync_from(&mut self, peer: NodeId, peer_send_counter: u64) {
         if let Some(auth) = &mut self.auth {
             auth.resync_from(peer, peer_send_counter);
+        }
+    }
+
+    /// Wire bytes of one frame of `ops` protocol messages whose payloads
+    /// total `payload_bytes`, as a shield in Recipe mode (`shielded`) or
+    /// native mode sends it: one [`ProtocolShield::wrap_in`] message when it
+    /// does not batch, else one [`ProtocolShield::wrap_batch_in`] frame.
+    pub(crate) fn frame_len(
+        shielded: bool,
+        batched: bool,
+        ops: usize,
+        payload_bytes: usize,
+    ) -> usize {
+        let body = || BatchFrame::body_len(ops, payload_bytes);
+        match (shielded, batched) {
+            (true, false) => ShieldedMessage::frame_len(payload_bytes),
+            (false, false) => native_len(payload_bytes),
+            (true, true) => BatchFrame::frame_len(body()),
+            (false, true) => native_batch_len(body()),
         }
     }
 

@@ -71,9 +71,12 @@ pub struct RebalanceConfig {
     /// Catch-up rounds before the controller forces the drain regardless.
     pub max_catchup_rounds: u64,
     /// Width of the throughput-timeline buckets, virtual ns (0 disables).
+    /// Every run's driver reads it, with the controller on or off: it
+    /// buckets the run's commits, aborts and cutovers.
     pub timeline_bucket_ns: u64,
-    /// Spacing of the initial client issue stagger, virtual ns (the plain
-    /// driver hard-codes 200; open-loop replay tests widen it).
+    /// Spacing of the initial client issue stagger, virtual ns: client `c`
+    /// issues its first request at `c` times it. Every run's driver reads
+    /// it, with the controller on or off; open-loop replay tests widen it.
     pub issue_stagger_ns: u64,
 }
 

@@ -654,10 +654,7 @@ impl<R: Replica> ReplicaGroup<R> {
                     // Request lost: the ClientRetry scheduled with it resends it.
                     return;
                 }
-                let work = Work::Recv {
-                    ops: 1,
-                    bytes: operation.value_len() + 64,
-                };
+                let work = Work::ingest(operation.value_len());
                 let charged = self.charge_idx(idx, self.now, ChargeKind::ClientIngest, work);
                 let finish = charged.finish_ns;
                 if let Some(t) = self.telemetry.as_mut() {

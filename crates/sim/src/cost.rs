@@ -175,6 +175,17 @@ pub enum Work {
     },
 }
 
+impl Work {
+    /// Receive a client's request carrying a `value_len`-byte value: what
+    /// the replica a request is routed to pays before its protocol sees it.
+    pub const fn ingest(value_len: usize) -> Work {
+        Work::Recv {
+            ops: 1,
+            bytes: value_len + 64,
+        }
+    }
+}
+
 /// Per-node execution profile: where the node runs and which layers it pays for.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostProfile {
@@ -265,12 +276,6 @@ impl CostProfile {
             resident_bytes: 2 * 1024 * 1024,
             inflight_messages: 256,
         }
-    }
-
-    /// Enables confidential mode on this profile.
-    pub fn confidential(mut self) -> Self {
-        self.confidential = true;
-        self
     }
 
     /// Sets confidential mode from a per-group policy: the encryption cost
@@ -487,6 +492,11 @@ impl ProtocolCostModel {
 mod tests {
     use super::*;
 
+    /// The Recipe profile in confidential mode.
+    fn confidential() -> CostProfile {
+        CostProfile::recipe().with_confidentiality(recipe_core::ConfidentialityMode::Confidential)
+    }
+
     fn send(m: &ProtocolCostModel, p: &CostProfile, ops: usize, bytes: usize) -> u64 {
         m.cost(p, Work::Send { ops, bytes }, None)
     }
@@ -570,10 +580,10 @@ mod tests {
     fn confidentiality_adds_cost_proportional_to_payload() {
         let m = COST_MODEL;
         let plain = recv(&m, &CostProfile::recipe(), 1, 1024);
-        let conf = recv(&m, &CostProfile::recipe().confidential(), 1, 1024);
+        let conf = recv(&m, &confidential(), 1, 1024);
         assert!(conf > plain);
         let plain_small = recv(&m, &CostProfile::recipe(), 1, 64);
-        let conf_small = recv(&m, &CostProfile::recipe().confidential(), 1, 64);
+        let conf_small = recv(&m, &confidential(), 1, 64);
         assert!(conf - plain > conf_small - plain_small);
     }
 
@@ -622,7 +632,7 @@ mod tests {
         // saving must be at least the (N-1) repeated fixed MAC + transport
         // setup costs the unbatched path pays.
         let m = COST_MODEL;
-        let profile = CostProfile::recipe().confidential();
+        let profile = confidential();
         let per_op_bytes = 256usize;
         for ops in [4usize, 16, 64] {
             let frame_bytes = ops * per_op_bytes;
@@ -771,7 +781,7 @@ mod tests {
         // Confidential adds AEAD proportional to the payload.
         let conf = split_of(
             &m,
-            &CostProfile::recipe().confidential(),
+            &confidential(),
             Work::Recv {
                 ops: 1,
                 bytes: 1024,
@@ -780,12 +790,8 @@ mod tests {
         assert!(conf.get(CostCategory::Aead) > 0);
         assert!(
             conf.get(CostCategory::Aead)
-                > split_of(
-                    &m,
-                    &CostProfile::recipe().confidential(),
-                    Work::Recv { ops: 1, bytes: 64 }
-                )
-                .get(CostCategory::Aead)
+                > split_of(&m, &confidential(), Work::Recv { ops: 1, bytes: 64 })
+                    .get(CostCategory::Aead)
         );
         // Signature baselines pay the signature slot.
         assert!(

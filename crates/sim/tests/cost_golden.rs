@@ -13,6 +13,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use recipe_core::ConfidentialityMode::Confidential;
 use recipe_sim::{CostProfile, Work, COST_MODEL};
 use recipe_telemetry::CostBreakdown;
 
@@ -58,13 +59,11 @@ fn rows(bytes: usize) -> Vec<(String, Work)> {
 
 fn table() -> String {
     let m = COST_MODEL;
+    let confidential = CostProfile::recipe().with_confidentiality(Confidential);
     let profiles = [
         ("recipe", CostProfile::recipe()),
-        ("recipe+conf", CostProfile::recipe().confidential()),
-        (
-            "recipe+conf+inflight8192",
-            CostProfile::recipe().confidential().with_inflight(8192),
-        ),
+        ("recipe+conf", confidential.clone()),
+        ("recipe+conf+inflight8192", confidential.with_inflight(8192)),
         ("native_cft", CostProfile::native_cft()),
         ("pbft", CostProfile::pbft_baseline()),
         ("damysus", CostProfile::damysus_baseline()),

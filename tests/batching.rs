@@ -5,7 +5,7 @@
 //! client-visible progress.
 
 use proptest::prelude::*;
-use recipe::core::Operation;
+use recipe::core::{ConfidentialityMode, Operation};
 use recipe::protocols::{build_cluster, BatchConfig, RaftReplica};
 use recipe::shard::{DeploymentSpec, ShardedCluster};
 use recipe::sim::{CostProfile, SimCluster, SimConfig, StepOutcome};
@@ -43,7 +43,7 @@ fn open_loop_digest(batch: usize) -> StateDigest {
     let replicas = build_cluster(3, 1, |id, m| {
         RaftReplica::recipe(id, m, true).with_batching(BatchConfig::of_ops(batch))
     });
-    let profile = CostProfile::recipe().confidential();
+    let profile = CostProfile::recipe().with_confidentiality(ConfidentialityMode::Confidential);
     let mut cluster = SimCluster::new(replicas, SimConfig::uniform(3, profile));
     cluster.seed_initial_events();
     for i in 0..OPEN_LOOP_OPS {
