@@ -211,8 +211,8 @@ impl<R: StoreReplica> ShardedCluster<R> {
     /// deployment.
     ///
     /// The run ends when the configured number of operations has committed
-    /// across all shards and no transaction is in flight, when every event
-    /// queue drains, or when the virtual-time cap is hit.
+    /// across all shards and no transaction is in flight, or when no event
+    /// is due by the virtual-time cap; `quiesce` drains what is in flight.
     pub fn run_requests<W: Client>(&mut self, mut workload: W) -> ShardedRunStats {
         let mut engine = Engine::new(self, &mut workload);
         engine.run();
@@ -236,8 +236,8 @@ impl<R: StoreReplica> ShardedCluster<R> {
 
 impl<'a, R: StoreReplica> Engine<'a, R> {
     pub(crate) fn new(cluster: &'a mut ShardedCluster<R>, workload: &'a mut dyn Client) -> Self {
-        // The run counts only what it pops, lends and sends itself, not a
-        // `quiesce` or a run before it.
+        // The run counts only what it pops, lends and sends itself, not what
+        // `quiesce` drained or a run before it.
         cluster.calendar.take_counts();
         let pools_at_start = cluster.pool_counts();
         for shard in 0..cluster.shards.len() {
@@ -682,7 +682,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
     /// driver-side counters and the timeline.
     fn finish(mut self) -> ShardedRunStats {
         // Driver events do not outlive the run; the groups' stay for
-        // `quiesce` and the next run.
+        // `quiesce` to drain and for the next run.
         self.cluster.calendar.cancel(Owner::DRIVER);
         // Background range GC: clear moved-range remnants a straggling
         // in-group commit may have resurrected on a donor after eviction.

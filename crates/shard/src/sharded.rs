@@ -381,17 +381,16 @@ impl<R: Replica> ShardedCluster<R> {
         shard
     }
 
-    /// Settles in-flight work: processes remaining shard events for another
-    /// `extra_ns` of virtual time past the current frontier *without* issuing
-    /// new client operations, so followers catch up on replicated state
-    /// (heartbeats keep firing, outstanding requests may still complete).
-    /// Call after [`ShardedCluster::run_requests`] and before inspecting
-    /// replica state.
-    pub fn quiesce(&mut self, extra_ns: u64) {
-        let frontier = self.shards.iter().map(ReplicaGroup::now_ns).max();
+    /// Runs the groups' events, issuing no new client operation, until every
+    /// group is at rest ([`ReplicaGroup::at_rest`]); false if the time cap
+    /// comes first. Call after a run, before reading replica state.
+    #[must_use]
+    pub fn quiesce(&mut self) -> bool {
         let cap = self.config.max_virtual_ns;
-        let deadline = frontier.unwrap_or(0).saturating_add(extra_ns).min(cap);
-        while self.calendar.peek().is_some_and(|key| key.at <= deadline) {
+        while !self.shards.iter().all(ReplicaGroup::at_rest) {
+            if self.calendar.peek().is_none_or(|key| key.at > cap) {
+                return false;
+            }
             // Driver events do not outlive a run: only groups' are left.
             let Some((key, Event::Shard(event))) = self.calendar.pop() else {
                 unreachable!("a driver event outlived its run");
@@ -405,6 +404,7 @@ impl<R: Replica> ShardedCluster<R> {
                 }
             }
         }
+        true
     }
 
     /// Closes the run's books on the global clock `global_now`: each
@@ -452,5 +452,104 @@ impl<R: Replica> ShardedCluster<R> {
             calendar: self.calendar.take_counts(),
             ..ShardedRunStats::default()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use recipe_core::Operation;
+    use recipe_net::{CrashPlan, FaultPlan, NodeId};
+    use recipe_protocols::RaftReplica;
+
+    use super::*;
+    use crate::DeploymentSpec;
+
+    /// An R-Raft cluster built from `spec` that has run `ops` writes from
+    /// eight clients.
+    fn ran(spec: DeploymentSpec, ops: usize) -> ShardedCluster<RaftReplica> {
+        let mut cluster = ShardedCluster::<RaftReplica>::build(spec.with_clients(8, ops));
+        cluster.run_requests(|client, seq| {
+            let key = format!("k{}", (client + seq) % 16).into_bytes();
+            let value = format!("v{client}-{seq}").into_bytes();
+            Some(Operation::Put { key, value }.into())
+        });
+        cluster
+    }
+
+    /// Each group's in-flight count is its events on the calendar other
+    /// than timers.
+    fn assert_counted(cluster: &ShardedCluster<RaftReplica>) {
+        let mut on_calendar = vec![0; cluster.shards()];
+        for (owner, event) in cluster.calendar.pending() {
+            match (owner.shard_index(), event) {
+                (Some(shard), Event::Shard(event)) if !event.is_timer() => {
+                    on_calendar[shard] += 1;
+                }
+                (_, Event::Shard(_)) => {}
+                (_, Event::Driver { .. }) => panic!("a driver event outlived its run"),
+            }
+        }
+        let counted: Vec<u64> = cluster.shards.iter().map(ReplicaGroup::in_flight).collect();
+        assert_eq!(counted, on_calendar);
+    }
+
+    #[test]
+    fn a_group_counts_its_events_in_flight_and_the_drain_ends_at_rest_or_the_cap() {
+        // Duplicated, replayed and tampered frames, and a follower that
+        // crashes and comes back after the run ends, so the drain pops
+        // frames and their copies, a crash, a recovery and peer notices.
+        let cap = 400_000_000;
+        let faults = FaultPlan {
+            duplicate_probability: 0.05,
+            replay_probability: 0.05,
+            tamper_probability: 0.01,
+            ..FaultPlan::default()
+        };
+        let crash = CrashPlan::none().crash_recover(NodeId(2), 20_000_000, 60_000_000);
+        let spec = DeploymentSpec::new(2, 3)
+            .with_fault_plan(faults)
+            .with_crash_plan(crash)
+            .with_time_cap_ns(cap);
+        let mut cluster = ran(spec, 40);
+        assert_counted(&cluster);
+        let mut popped = 0;
+        while cluster.calendar.peek().is_some_and(|key| key.at <= cap / 2) {
+            let Some((key, Event::Shard(event))) = cluster.calendar.pop() else {
+                panic!("a driver event outlived its run");
+            };
+            cluster.handle(key, event);
+            cluster.completions.clear();
+            assert_counted(&cluster);
+            popped += 1;
+        }
+        assert!(popped > 0);
+
+        // A tampered frame stalls its channel for good: the run commits its
+        // target early, a request behind the stall waits to the cap, and
+        // the drain ends there, short of rest.
+        let stalls = FaultPlan {
+            tamper_probability: 0.05,
+            ..FaultPlan::default()
+        };
+        let spec = DeploymentSpec::new(2, 3)
+            .with_fault_plan(stalls)
+            .with_time_cap_ns(cap);
+        let mut cluster = ran(spec, 30);
+        assert!(cluster.calendar.peek().is_some_and(|key| key.at < cap / 2));
+        assert!(!cluster.quiesce());
+        assert_counted(&cluster);
+        assert!(cluster.calendar.peek().is_none_or(|key| key.at > cap));
+        assert!(!cluster.shards.iter().all(ReplicaGroup::at_rest));
+
+        // A fault-free run comes to rest: nothing but timers left, and no
+        // client waiting.
+        let mut cluster = ran(DeploymentSpec::new(2, 3).with_time_cap_ns(cap), 40);
+        assert!(cluster.quiesce());
+        assert_counted(&cluster);
+        for group in &cluster.shards {
+            assert_eq!(group.in_flight(), 0);
+            assert!(group.at_rest());
+        }
+        assert!(cluster.calendar.peek().is_some_and(|key| key.at <= cap));
     }
 }

@@ -187,6 +187,16 @@ enum EventKind {
 #[derive(Debug)]
 pub struct GroupEvent(EventKind);
 
+impl GroupEvent {
+    /// A protocol's timer (a tick, a batch flush) or a client's retry timer.
+    pub fn is_timer(&self) -> bool {
+        matches!(
+            self.0,
+            EventKind::Timer { .. } | EventKind::ClientRetry { .. }
+        )
+    }
+}
+
 /// A group's timers are its clients' retransmission timers, tagged with the
 /// client id.
 impl TimerPayload for GroupEvent {
@@ -203,6 +213,8 @@ pub struct Scheduler<'a, T> {
     calendar: &'a mut Calendar<T>,
     owner: Owner,
     completions: &'a mut Vec<Completion>,
+    /// Events but timers pushed since the group last took the count.
+    pushed: u64,
 }
 
 impl<'a, T: From<GroupEvent>> Scheduler<'a, T> {
@@ -218,11 +230,14 @@ impl<'a, T: From<GroupEvent>> Scheduler<'a, T> {
             calendar,
             owner,
             completions,
+            pushed: 0,
         }
     }
 
     fn push(&mut self, at: u64, event: EventKind) {
-        self.calendar.push(at, self.owner, GroupEvent(event).into());
+        let event = GroupEvent(event);
+        self.pushed += u64::from(!event.is_timer());
+        self.calendar.push(at, self.owner, event.into());
     }
 
     /// Schedules a client's request to reach the replica at `idx`.
@@ -351,6 +366,9 @@ pub struct ReplicaGroup<R: Replica> {
     /// id. Ids are dense from zero; the table grows the first time a client
     /// submits.
     clients: Vec<Option<Outstanding>>,
+    /// The group's events on the calendar but its timers: raised as a
+    /// [`Scheduler`] pushes one, lowered as [`ReplicaGroup::handle`] runs it.
+    in_flight: u64,
     /// The effect buffers handler calls fill and the free list of frame
     /// buffers their frames are built in, lent to one [`Ctx`] at a time and
     /// taken back (the queues empty): a steady run allocates neither. A
@@ -386,6 +404,7 @@ impl<R: Replica> ReplicaGroup<R> {
             busy_until: vec![0; n],
             crashed: BTreeSet::new(),
             clients: Vec::new(),
+            in_flight: 0,
             effects: Effects::default(),
             messages: MessageCounts::default(),
             write_rr: 0,
@@ -438,6 +457,16 @@ impl<R: Replica> ReplicaGroup<R> {
     /// Virtual time of the group's last event or submit, in nanoseconds.
     pub fn now_ns(&self) -> u64 {
         self.now
+    }
+
+    /// The group's events on the calendar but its timers.
+    pub fn in_flight(&self) -> u64 {
+        self.in_flight
+    }
+
+    /// At rest: nothing but the group's timers on the calendar, no client waiting.
+    pub fn at_rest(&self) -> bool {
+        self.in_flight == 0 && self.clients.iter().all(Option::is_none)
     }
 
     /// Immutable access to a replica (for post-run assertions).
@@ -540,6 +569,7 @@ impl<R: Replica> ReplicaGroup<R> {
                 sched.push(recover_at_ns, EventKind::Recover { node: entry.node });
             }
         }
+        self.in_flight += std::mem::take(&mut sched.pushed);
     }
 
     /// Submits a client operation at virtual time `at_ns`, which must be ≥
@@ -570,6 +600,7 @@ impl<R: Replica> ReplicaGroup<R> {
         let deliver_at = self.now + COST_MODEL.link_latency_ns;
         sched.retry(retry_at, client_id);
         sched.request(deliver_at, target, client_id, request_id, operation);
+        self.in_flight += std::mem::take(&mut sched.pushed);
         if let Some(t) = self.telemetry.as_mut() {
             t.instant(
                 SpanKind::ClientSubmit,
@@ -586,10 +617,16 @@ impl<R: Replica> ReplicaGroup<R> {
     pub fn handle<T: From<GroupEvent>>(
         &mut self,
         at: u64,
-        GroupEvent(event): GroupEvent,
+        event: GroupEvent,
         sched: &mut Scheduler<'_, T>,
     ) {
         self.now = at;
+        self.in_flight -= u64::from(!event.is_timer());
+        self.run_event(event.0, sched);
+        self.in_flight += std::mem::take(&mut sched.pushed);
+    }
+
+    fn run_event<T: From<GroupEvent>>(&mut self, event: EventKind, sched: &mut Scheduler<'_, T>) {
         match event {
             EventKind::Crash { node } => {
                 if self.crashed.insert(node) {
@@ -627,7 +664,7 @@ impl<R: Replica> ReplicaGroup<R> {
                 let slot = self.clients.get_mut(client_id as usize);
                 let Some(out) = slot
                     .and_then(Option::as_mut)
-                    .filter(|out| out.retry_at == at)
+                    .filter(|out| out.retry_at == self.now)
                 else {
                     return sched.calendar.count_dead_timer();
                 };

@@ -236,6 +236,14 @@ impl<T> Calendar<T> {
         self.lane.retain(keep);
     }
 
+    /// Every pending event but the timers, with its owner, in no order.
+    pub fn pending(&self) -> impl Iterator<Item = (Owner, &T)> {
+        self.heap.iter().filter_map(|Reverse(key)| {
+            let slot = key.timer_tag().is_none().then_some(key.slot as usize)?;
+            Some((key.owner, self.slab[slot].as_ref()?))
+        })
+    }
+
     /// Entries in the heap proper, the lane's not counted.
     #[cfg(test)]
     pub(crate) fn heap_len(&self) -> usize {

@@ -101,7 +101,7 @@ fn main() {
 
     // Atomicity check: both sides of every pair hold the same transfer tag
     // on every replica of their respective shards.
-    cluster.quiesce(200_000_000);
+    assert!(cluster.quiesce());
     let read = |cluster: &mut ShardedCluster<RaftReplica>, key: &[u8]| -> Option<Vec<u8>> {
         let shard = cluster.router().shard_for_key(key);
         let mut value = None;

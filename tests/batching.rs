@@ -4,6 +4,12 @@
 //! batching, and a dropped batch frame retries as a unit without losing
 //! client-visible progress.
 
+mod common {
+    pub mod history;
+    pub mod recorder;
+    pub mod replicas;
+}
+
 use proptest::prelude::*;
 use recipe::core::{ConfidentialityMode, Operation};
 use recipe::protocols::{build_cluster, BatchConfig, RaftReplica};
@@ -11,6 +17,9 @@ use recipe::shard::{DeploymentSpec, ShardedCluster};
 use recipe::sim::{CostProfile, SimCluster, SimConfig, StepOutcome};
 use recipe_net::NodeId;
 use std::sync::OnceLock;
+
+use common::history::History;
+use common::replicas::check_run;
 
 const OPEN_LOOP_OPS: usize = 100;
 
@@ -114,42 +123,23 @@ fn batched_sharded_runs_are_deterministic_with_per_shard_agreement() {
             .with_batching(BatchConfig::of_ops(batch))
             .with_clients(48, 500);
         let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
-        let stats = cluster.run_requests(|client, seq| {
+        let mut history = History::default();
+        let stats = cluster.run_requests(history.record(|client, seq| {
             let key = format!("key-{}", (client * 13 + seq) % 200).into_bytes();
             let value = format!("v{client}-{seq}").into_bytes();
             Some(Operation::Put { key, value }.into())
-        });
-        (stats, cluster)
+        }));
+        (stats, cluster, history)
     };
-    let (stats_a, mut cluster_a) = run();
-    let (stats_b, _) = run();
+    let (stats_a, mut cluster_a, mut history_a) = run();
+    let (stats_b, ..) = run();
     // Determinism: identical configuration and seed → identical results, with
     // batching active.
     assert_eq!(stats_a, stats_b);
     assert!(stats_a.total.committed >= 500);
     assert!(stats_a.total.ops_delivered > stats_a.total.messages_delivered);
-    // Agreement inside every shard: any value two replicas both hold matches.
-    cluster_a.quiesce(50_000_000);
-    for shard in 0..4 {
-        for i in 0..200 {
-            let key = format!("key-{i}").into_bytes();
-            let values: Vec<Option<Vec<u8>>> = (0..3)
-                .map(|id| {
-                    cluster_a
-                        .shard_mut(shard)
-                        .replica_mut(NodeId(id))
-                        .local_read(&key)
-                })
-                .collect();
-            for a in 0..3 {
-                for b in a + 1..3 {
-                    if let (Some(x), Some(y)) = (&values[a], &values[b]) {
-                        assert_eq!(x, y, "shard {shard} diverged on key-{i}");
-                    }
-                }
-            }
-        }
-    }
+    // Agreement inside every shard, and what the clients saw.
+    check_run(&mut cluster_a, &mut history_a).unwrap();
 }
 
 #[test]

@@ -6,35 +6,48 @@ use std::collections::BTreeSet;
 use recipe::net::NodeId;
 use recipe::protocols::StoreReplica;
 use recipe::shard::ShardedCluster;
+use recipe::sim::ReplicaGroup;
 
 use super::history::{History, Violation};
 
-/// Checks a run once its traffic has landed. Each live replica's value of
-/// every key the run wrote is appended to `history` as a final read, and
-/// the history is checked against the promise of `R`'s read path. A final
-/// read follows every operation, so a live replica that lacks a key, or
-/// holds another value than its peers, breaks that promise wherever a
-/// write of the key completed; every live replica is held to this, a
-/// quorum-read protocol's included. Where every write of a key is still
-/// pending the history allows any value, so the replicas that hold the
-/// key must still agree on it.
+/// Checks a run once it is drained to rest ([`ShardedCluster::quiesce`]):
+/// each live replica's value of every key the run wrote is appended to
+/// `history` as a final read, and the history is checked against the
+/// promise of `R`'s read path. A final read follows every operation, so a
+/// live replica that lacks a key, or holds another value than its peers,
+/// breaks that promise wherever a write of the key completed; every live
+/// replica is held to this, a quorum-read protocol's included. Where every
+/// write of a key is still pending the history allows any value, so the
+/// replicas that hold the key must still agree on it.
 ///
 /// A frame the network drops or tampers with stalls its channel for good,
 /// since the cores do not retransmit. In a group whose network does either,
-/// a replica may trail: it need not hold a key, and its lack of one is not
-/// read.
+/// a replica may trail: it need not hold a key, its lack of one is not
+/// read, and the group need not come to rest. Any other group must.
 pub fn check_run<R: StoreReplica>(
     cluster: &mut ShardedCluster<R>,
     history: &mut History,
 ) -> Result<(), Violation> {
     let protocol = R::PROTOCOL;
+    let may_trail = |group: &ReplicaGroup<R>| {
+        let plan = group.config().fault_plan;
+        plan.drop_probability > 0.0 || plan.tamper_probability > 0.0
+    };
+    let rested = cluster.quiesce();
+    for shard in (0..cluster.shards()).filter(|_| !rested) {
+        let group = cluster.shard(shard);
+        if !group.at_rest() && !may_trail(group) {
+            let in_flight = group.in_flight();
+            let e = format!("shard {shard} is not at rest by the time cap: {in_flight} in flight");
+            return Err(Violation(format!("{protocol:?}: {e}")));
+        }
+    }
     let mut apart = Ok(());
     let writes = history.ops.iter().filter(|op| op.is_write);
     let keys: BTreeSet<Vec<u8>> = writes.map(|op| op.key.clone()).collect();
     for key in keys {
         let group = cluster.shard_mut(cluster.router().shard_for_key(&key));
-        let plan = group.config().fault_plan;
-        let may_trail = plan.drop_probability > 0.0 || plan.tamper_probability > 0.0;
+        let may_trail = may_trail(group);
         let crashed = group.crashed_nodes().clone();
         let live: Vec<NodeId> = (group.node_ids().iter())
             .filter(|id| !crashed.contains(id))

@@ -156,7 +156,7 @@ fn everything_at_once() -> ShardedRunStats {
             keys.into_iter().map(|key| put(key, client, seq)).collect(),
         ))
     });
-    cluster.quiesce(100_000_000);
+    assert!(cluster.quiesce());
     assert!(
         cluster.shard(1).crashed_nodes().is_empty(),
         "node never recovered"

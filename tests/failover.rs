@@ -24,7 +24,7 @@ mod common {
 
 use recipe::core::{Operation, Request};
 use recipe::net::{CrashPlan, NodeId};
-use recipe::protocols::{ChainReplica, RaftReplica, StoreReplica};
+use recipe::protocols::{ChainReplica, RaftReplica};
 use recipe::shard::{DeploymentSpec, ShardPolicy, ShardedCluster};
 
 use common::groups::{group_txn_workload, key_groups};
@@ -45,14 +45,6 @@ fn one_group(crash_plan: CrashPlan, ops: usize) -> DeploymentSpec {
         .with_clients(8, ops)
         .with_time_cap_ns(10_000_000_000)
         .with_crash_plan(crash_plan)
-}
-
-/// Lets the traffic in flight land, then checks what the clients saw
-/// against the promise of `R`'s reads, and that the live replicas agree:
-/// rehydration never resurrects stale (rolled-back) state.
-fn settle_and_check<R: StoreReplica>(cluster: &mut ShardedCluster<R>, history: &mut History) {
-    cluster.quiesce(300_000_000);
-    check_run(cluster, history).unwrap();
 }
 
 #[test]
@@ -87,7 +79,7 @@ fn crash_plan_leader_failover_preserves_progress() {
         stats.total.messages_to_crashed,
         stats.per_shard[0].messages_to_crashed
     );
-    settle_and_check(&mut cluster, &mut history);
+    check_run(&mut cluster, &mut history).unwrap();
 }
 
 #[test]
@@ -115,7 +107,7 @@ fn recovered_follower_rehydrates_and_rejoins() {
         })
         .count();
     assert!(held > 0, "recovered follower holds no rehydrated state");
-    settle_and_check(&mut cluster, &mut history);
+    check_run(&mut cluster, &mut history).unwrap();
 }
 
 #[test]
@@ -141,7 +133,7 @@ fn recovered_leader_rejoins_behind_the_new_view() {
         group.replica(NodeId(0)).view(),
         group_view
     );
-    settle_and_check(&mut cluster, &mut history);
+    check_run(&mut cluster, &mut history).unwrap();
 }
 
 /// R-CR: the trusted configuration service reassigns the head to the next
@@ -165,7 +157,6 @@ fn chain_head_crash_reforms_over_survivors() {
         stats.total.committed
     );
     assert!(cluster.shard(0).crashed_nodes().is_empty());
-    cluster.quiesce(300_000_000);
     let diverged = check_run(&mut cluster, &mut history);
     let Violation(stale) = diverged.expect_err("the restarted chain head no longer diverges");
     // A live replica ends on an older write of a key than its peers hold.
@@ -193,12 +184,12 @@ fn a_contended_key_stays_linearizable_across_a_coordinator_crash() {
     let mut history = History::default();
     let stats = raft.run_requests(history.record(contended));
     assert!(stats.total.committed >= 1000 && stats.total.committed_reads > 0);
-    settle_and_check(&mut raft, &mut history);
+    check_run(&mut raft, &mut history).unwrap();
     let mut chain = ShardedCluster::<ChainReplica>::build(one_group(plan, 1000));
     let mut history = History::default();
     let stats = chain.run_requests(history.record(contended));
     assert!(stats.total.committed >= 1000 && stats.total.committed_reads > 0);
-    settle_and_check(&mut chain, &mut history);
+    check_run(&mut chain, &mut history).unwrap();
 }
 
 /// `examples/view_change_failover.rs`'s run, with values unique per write:
@@ -221,7 +212,7 @@ fn the_view_change_examples_retried_put_stays_linearizable() {
         Some(Operation::Put { key, value }.into())
     }));
     assert!(stats.total.committed >= 600);
-    settle_and_check(&mut cluster, &mut history);
+    check_run(&mut cluster, &mut history).unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -268,7 +259,7 @@ fn participant_leader_crash_mid_2pc_loses_no_transactions() {
     // committed transaction.
     assert_eq!(stats.total.committed, stats.txn.committed_ops);
     assert!(stats.txn.committed > 0);
-    settle_and_check(&mut cluster, &mut history);
+    check_run(&mut cluster, &mut history).unwrap();
     // Zero parked transactions: nothing is left holding locks, and the
     // crashed node is back.
     assert!(cluster.shard(0).crashed_nodes().is_empty());
@@ -302,7 +293,7 @@ fn chain_participant_head_crash_loses_no_transactions() {
         stats.total.committed
     );
     assert_eq!(stats.total.committed, stats.txn.committed_ops);
-    settle_and_check(&mut cluster, &mut history);
+    check_run(&mut cluster, &mut history).unwrap();
     assert!(cluster.shard(1).crashed_nodes().is_empty());
 }
 
@@ -325,7 +316,7 @@ fn participant_leader_crash_stop_still_resolves_all_transactions() {
     let stats = cluster.run_requests(history.record(group_txn_workload(groups)));
     assert!(stats.total.committed >= ops as u64);
     assert_eq!(stats.total.committed, stats.txn.committed_ops);
-    settle_and_check(&mut cluster, &mut history);
+    check_run(&mut cluster, &mut history).unwrap();
     assert_eq!(cluster.shard(0).crashed_nodes().len(), 1);
 }
 
@@ -361,7 +352,7 @@ proptest::proptest! {
             let groups = key_groups(&cluster, 3, 3);
             let mut history = History::default();
     let stats = cluster.run_requests(history.record(group_txn_workload(groups)));
-            settle_and_check(&mut cluster, &mut history);
+            check_run(&mut cluster, &mut history).unwrap();
             (stats, history)
         };
         proptest::prop_assert_eq!(run(), run());
@@ -388,7 +379,7 @@ proptest::proptest! {
             let groups = key_groups(&cluster, 3, 3);
             let mut history = History::default();
     let stats = cluster.run_requests(history.record(group_txn_workload(groups)));
-            settle_and_check(&mut cluster, &mut history);
+            check_run(&mut cluster, &mut history).unwrap();
             (stats, history)
         };
         let (stats, history) = run(false);

@@ -48,7 +48,6 @@ fn raft_leader_crash_failover_preserves_progress() {
         "progress stalled: {}",
         stats.total.committed
     );
-    cluster.quiesce(300_000_000);
     check_run(&mut cluster, &mut history).unwrap();
 }
 
@@ -75,7 +74,6 @@ fn byzantine_replays_and_duplicates_are_neutralized() {
         "the authentication layer saw no adversarial traffic"
     );
     // Agreement, and what the clients saw, by the shared check.
-    cluster.quiesce(300_000_000);
     check_run(&mut cluster, &mut history).unwrap();
 }
 

@@ -342,7 +342,7 @@ timeline_bucket_ns = 5_000_000
             let value = vec![0xAB; 64];
             Some(Operation::Put { key, value }.into())
         });
-        cluster.quiesce(50_000_000);
+        assert!(cluster.quiesce());
         (cluster, stats)
     };
     let (mut from_toml, toml_stats) = run(scenario.deployment.clone());

@@ -66,7 +66,6 @@ fn cross_shard_transactions_commit_atomically_and_replicate() {
     check_txn_contract(&spec, &stats).unwrap();
     // Plaintext deployment: 2PC frames are MAC'd but not sealed.
     assert_eq!(stats.txn.sealed_frames, 0);
-    cluster.quiesce(200_000_000);
     check_run(&mut cluster, &mut history).unwrap();
 }
 
@@ -94,7 +93,6 @@ fn transactional_and_single_key_traffic_interleave() {
     check_txn_contract(&spec, &stats).unwrap();
     // Single-key commits flow through the shards' own protocol pipelines.
     assert!(stats.total.committed > stats.txn.committed_ops);
-    cluster.quiesce(200_000_000);
     check_run(&mut cluster, &mut history).unwrap();
 }
 
@@ -119,7 +117,6 @@ fn a_contended_key_is_read_between_whole_transactions() {
     assert!(stats.txn.committed > 0);
     assert!(stats.total.committed_reads > 0);
     check_txn_contract(&spec, &stats).unwrap();
-    cluster.quiesce(200_000_000);
     check_run(&mut cluster, &mut history).unwrap();
 }
 
@@ -138,7 +135,6 @@ fn conflicting_transactions_abort_and_retry_to_completion() {
     // Aborted attempts never contribute commits, yet cost their frames.
     assert_eq!(stats.total.committed, stats.txn.committed_ops);
     check_txn_contract(&spec, &stats).unwrap();
-    cluster.quiesce(200_000_000);
     check_run(&mut cluster, &mut history).unwrap();
 }
 
@@ -166,7 +162,6 @@ fn sealed_frames_when_any_participant_is_confidential() {
         "plaintext-only transactions should not seal"
     );
     check_txn_contract(&spec, &stats).unwrap();
-    cluster.quiesce(200_000_000);
     check_run(&mut cluster, &mut history).unwrap();
 }
 
@@ -199,7 +194,6 @@ fn atomicity_survives_dropped_and_reordered_2pc_frames() {
     // commits, no duplicates, and each lost frame was sent once more.
     assert_eq!(stats.total.committed, stats.txn.committed_ops);
     check_txn_contract(&spec, &stats).unwrap();
-    cluster.quiesce(200_000_000);
     check_run(&mut cluster, &mut history).unwrap();
 }
 
@@ -222,7 +216,6 @@ fn transactional_runs_are_bit_deterministic() {
         let mut history = History::default();
         let stats = cluster.run_requests(history.record(group_txn_workload(groups)));
         check_txn_contract(&spec, &stats).unwrap();
-        cluster.quiesce(200_000_000);
         check_run(&mut cluster, &mut history).unwrap();
         (stats, history)
     };
@@ -311,7 +304,7 @@ fn migration_of_a_participating_range_mid_transaction_loses_nothing() {
     );
     assert!(stats.txn.committed > 0);
     check_txn_contract(&spec, &stats).unwrap();
-    cluster.quiesce(300_000_000);
+    assert!(cluster.quiesce());
     cluster.gc_moved_ranges();
     check_run(&mut cluster, &mut history).unwrap();
     // The skew must actually have triggered a migration mid-run, and
@@ -353,7 +346,6 @@ fn transactions_on_one_shard_still_run_two_phase_locking() {
     assert_eq!(stats.txn.cross_shard_committed, 0);
     assert_eq!(stats.txn.participants, stats.txn.started);
     check_txn_contract(&spec, &stats).unwrap();
-    cluster.quiesce(200_000_000);
     check_run(&mut cluster, &mut history).unwrap();
 }
 
@@ -526,7 +518,6 @@ proptest::proptest! {
             let mut history = History::default();
             let stats = cluster.run_requests(history.record(group_txn_workload(groups)));
             check_txn_contract(&spec, &stats).unwrap();
-            cluster.quiesce(200_000_000);
             // All-or-nothing on every replica of every shard.
             check_run(&mut cluster, &mut history).unwrap();
             (stats, history)
@@ -549,7 +540,6 @@ fn no_locks_survive_a_completed_run() {
     let mut history = History::default();
     let stats = cluster.run_requests(history.record(group_txn_workload(groups.clone())));
     check_txn_contract(&spec, &stats).unwrap();
-    cluster.quiesce(200_000_000);
     check_run(&mut cluster, &mut history).unwrap();
     // Submitting singles against every group key succeeds — a leaked lock
     // would defer them forever. The probe's own history starts from the
