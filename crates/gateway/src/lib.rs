@@ -24,7 +24,9 @@
 //! * **tenant-scoped keyspaces** — every key is rewritten to
 //!   `<tenant>/<key>` before routing, and tenant names are validated
 //!   prefix-free, so tenants cannot read or clobber each other's keys on
-//!   any shard, through any migration;
+//!   any shard, through any migration. The prefix is written in place, into
+//!   the room the client reserved when it drew the key
+//!   ([`GatewayConfig::key_room`]); a key without room grows once;
 //! * **deterministic admission control** — integer token buckets on the
 //!   virtual clock: same seed, same throttle decisions, bit for bit.
 //!   Nothing here may consult a wall clock or ambient randomness
@@ -71,6 +73,17 @@ impl GatewayConfig {
     pub fn with_tenant(mut self, tenant: TenantSpec) -> Self {
         self.tenants.push(tenant);
         self
+    }
+
+    /// The spare capacity a client leaves in each key so that admission
+    /// scopes it in place: the longest [`scoped_prefix`] of the configured
+    /// tenants, 0 when the gateway is off or untenanted.
+    pub fn key_room(&self) -> usize {
+        if !self.enabled {
+            return 0;
+        }
+        let prefixes = self.tenants.iter().map(|t| scoped_prefix(&t.name).len());
+        prefixes.max().unwrap_or(0)
     }
 
     /// Validates the whole gateway block; error messages name the offending
@@ -265,6 +278,83 @@ mod tests {
 
     fn get(key: &[u8]) -> Request {
         Request::Single(Operation::Get { key: key.to_vec() })
+    }
+
+    /// A read of `key` drawn with `room` bytes of spare capacity, as the
+    /// scenario runner's clients draw their keys.
+    fn roomy_get(key: &[u8], room: usize) -> Request {
+        let mut roomy = Vec::with_capacity(room + key.len());
+        roomy.extend_from_slice(key);
+        Request::Single(Operation::Get { key: roomy })
+    }
+
+    /// Where the first key of `request` lives, and its capacity.
+    fn key_buffer(request: &Request) -> (*const u8, usize) {
+        let (Operation::Put { key, .. } | Operation::Get { key }) = &request.ops()[0];
+        (key.as_ptr(), key.capacity())
+    }
+
+    #[test]
+    fn key_room_is_the_longest_tenant_prefix() {
+        assert_eq!(GatewayConfig::default().key_room(), 0);
+        assert_eq!(GatewayConfig::enabled().key_room(), 0);
+        assert_eq!(tenanted().key_room(), scoped_prefix("alice").len());
+        let disabled = GatewayConfig {
+            enabled: false,
+            tenants: vec![TenantSpec::new("a")],
+        };
+        assert_eq!(disabled.key_room(), 0);
+    }
+
+    #[test]
+    fn a_key_with_room_is_scoped_in_its_own_buffer() {
+        let config = tenanted();
+        let mut gw = Gateway::from_config(&config, 42).expect("enabled");
+        for (client, name) in [(0, "alice"), (1, "bob")] {
+            let mut req = roomy_get(b"user1", config.key_room());
+            let (buffer, _) = key_buffer(&req);
+            let verdict = gw.admit(client, 1, 0, &mut req);
+            assert!(matches!(verdict, GatewayVerdict::Admitted { .. }));
+            assert_eq!(key_buffer(&req).0, buffer, "{name}'s key moved");
+            assert_eq!(
+                req.ops()[0].key(),
+                [scoped_prefix(name), b"user1".to_vec()].concat()
+            );
+        }
+    }
+
+    #[test]
+    fn a_refused_request_keeps_its_key_and_its_room() {
+        let config = GatewayConfig::enabled()
+            .with_tenant(TenantSpec::new("mallory").revoked())
+            .with_tenant(TenantSpec::new("t").with_quota(1_000));
+        let room = config.key_room();
+        let mut gw = Gateway::from_config(&config, 7).expect("enabled");
+
+        let mut rejected = roomy_get(b"k", room);
+        let before = key_buffer(&rejected);
+        let verdict = gw.admit(0, 1, 0, &mut rejected);
+        assert!(matches!(verdict, GatewayVerdict::Rejected { .. }));
+        assert_eq!((&rejected, key_buffer(&rejected)), (&get(b"k"), before));
+
+        // Tenant `t`'s burst spent, its next request is deferred.
+        for rid in 0..100 {
+            gw.admit(1, rid, 0, &mut get(b"warm"));
+        }
+        let mut throttled = roomy_get(b"k", room);
+        let before = key_buffer(&throttled);
+        let GatewayVerdict::Throttled { retry_at_ns, .. } = gw.admit(1, 100, 0, &mut throttled)
+        else {
+            panic!("the burst is spent");
+        };
+        assert_eq!((&throttled, key_buffer(&throttled)), (&get(b"k"), before));
+        // Re-presented, it still has the room to be scoped in place.
+        let verdict = gw.admit(1, 100, retry_at_ns, &mut throttled);
+        assert!(matches!(verdict, GatewayVerdict::Admitted { .. }));
+        assert_eq!(
+            (&throttled, key_buffer(&throttled).0),
+            (&get(b"t/k"), before.0)
+        );
     }
 
     #[test]

@@ -115,9 +115,7 @@ pub(crate) fn mint_credential(master: &MacKey, name: &str, authorized: bool) -> 
 
 /// The namespace prefix for a tenant name.
 pub fn scoped_prefix(name: &str) -> Vec<u8> {
-    let mut p = name.as_bytes().to_vec();
-    p.push(b'/');
-    p
+    [name.as_bytes(), b"/"].concat()
 }
 
 /// Everything the gateway holds for one tenant: who it is, how its
@@ -164,14 +162,16 @@ impl Tenant {
     }
 
     /// Rewrites every key of `request` into the tenant's namespace
-    /// (`<tenant>/<key>`).
+    /// (`<tenant>/<key>`) in place: the prefix goes into the spare capacity
+    /// the client drew the key with ([`crate::GatewayConfig::key_room`]), so
+    /// the key keeps its buffer. The prefix is always the tenant's own,
+    /// whatever room the client left; a key without room grows once, to
+    /// exactly its scoped length.
     pub(crate) fn scope_keys(&self, request: &mut Request) {
         let scope = |op: &mut Operation| {
             let (Operation::Put { key, .. } | Operation::Get { key }) = op;
-            let mut scoped = Vec::with_capacity(self.prefix.len() + key.len());
-            scoped.extend_from_slice(&self.prefix);
-            scoped.append(key);
-            *key = scoped;
+            key.reserve_exact(self.prefix.len());
+            key.splice(0..0, self.prefix.iter().copied());
         };
         match request {
             Request::Single(op) => scope(op),

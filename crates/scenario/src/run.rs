@@ -93,9 +93,12 @@ pub fn run_workload<R: BuildReplica>(
     failures: &mut Vec<String>,
 ) -> ShardedRunStats {
     let router = cluster.router().clone();
+    // Keys are drawn with room for the gateway's tenant prefix, which
+    // admission writes in place (0 without a tenanted gateway).
+    let room = cluster.gateway_config().key_room();
     match workload {
         WorkloadKind::Single(spec) => {
-            let mut gen = spec.generator();
+            let mut gen = spec.generator().with_key_room(room);
             cluster.run_requests(move |_, _| {
                 Some(request_from_workload(WorkloadRequest::Single(
                     gen.next_op(),
@@ -103,7 +106,7 @@ pub fn run_workload<R: BuildReplica>(
             })
         }
         WorkloadKind::Txn(spec) => {
-            let mut gen = spec.generator();
+            let mut gen = spec.generator().with_key_room(room);
             cluster.run_requests(move |_, _| {
                 let request = gen.next_request(&|key| router.shard_for_key(key));
                 Some(request_from_workload(request))
@@ -124,7 +127,7 @@ pub fn run_workload<R: BuildReplica>(
                 ));
             }
             let hot_fraction = *hot_fraction;
-            let mut gen = base.generator();
+            let mut gen = base.generator().with_key_room(room);
             // Separate stream for the redirect decisions so the base key/op
             // sequence stays aligned with a pure single-key run on the same
             // seed (the same idiom TxnWorkloadGenerator uses for its shape

@@ -296,6 +296,11 @@ impl<R: Replica> ShardedCluster<R> {
         &mut self.router
     }
 
+    /// The tenant gateway the deployment puts in front of the router.
+    pub fn gateway_config(&self) -> &GatewayConfig {
+        &self.config.gateway
+    }
+
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards.len()

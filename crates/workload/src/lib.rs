@@ -169,11 +169,12 @@ impl Distribution<usize> for Zipf {
 
 /// The key at `index` of the key space: `user` and the index, zero-padded to
 /// eight digits — the bytes of `format!("user{index:08}")`, written into a
-/// buffer sized once for them where `format!` grows a string as it writes.
-fn key_of(index: usize) -> Vec<u8> {
+/// buffer sized once for them and `room` bytes more, where `format!` grows a
+/// string as it writes.
+fn key_of(index: usize, room: usize) -> Vec<u8> {
     let digits = index.checked_ilog10().map_or(1, |log| log as usize + 1);
     let len = "user".len() + digits.max(8);
-    let mut key = Vec::with_capacity(len);
+    let mut key = Vec::with_capacity(room + len);
     key.extend_from_slice(b"user");
     key.resize(len, b'0');
     let mut rest = index;
@@ -190,6 +191,8 @@ pub struct WorkloadGenerator {
     spec: WorkloadSpec,
     rng: StdRng,
     zipf: Option<Zipf>,
+    /// Spare capacity every drawn key carries beyond its length.
+    key_room: usize,
 }
 
 impl WorkloadGenerator {
@@ -203,7 +206,18 @@ impl WorkloadGenerator {
             rng: StdRng::seed_from_u64(spec.seed),
             zipf,
             spec,
+            key_room: 0,
         }
+    }
+
+    /// Draws every key with `room` bytes of spare capacity, so a stage in
+    /// front of the store that prefixes keys (a tenant gateway's
+    /// `<tenant>/`) writes into the key's own buffer instead of copying it.
+    /// The room draws nothing from the RNG: the operations are the same
+    /// bytes, in the same order, whatever it is.
+    pub fn with_key_room(mut self, room: usize) -> Self {
+        self.key_room = room;
+        self
     }
 
     /// Produces the next operation.
@@ -212,7 +226,7 @@ impl WorkloadGenerator {
             Some(zipf) => zipf.sample(&mut self.rng),
             None => self.rng.gen_range(0..self.spec.key_space),
         };
-        let key = key_of(key_index);
+        let key = key_of(key_index, self.key_room);
         if self.rng.gen_bool(self.spec.read_ratio) {
             WorkloadOp::Read { key }
         } else {
@@ -313,6 +327,13 @@ impl TxnWorkloadGenerator {
         }
     }
 
+    /// Draws every key with `room` bytes of spare capacity
+    /// ([`WorkloadGenerator::with_key_room`]).
+    pub fn with_key_room(mut self, room: usize) -> Self {
+        self.base = self.base.with_key_room(room);
+        self
+    }
+
     /// Produces the next request. `classify` maps a key to its placement
     /// class (e.g. its shard); a transaction's keys span at most
     /// [`TxnWorkloadSpec::fan_out`] distinct classes.
@@ -411,10 +432,44 @@ mod tests {
     #[test]
     fn keys_are_what_format_gives_in_a_string_of_their_length() {
         for index in [0, 7, 99_999_999, 100_000_000, usize::MAX] {
-            let key = key_of(index);
-            assert_eq!(key, format!("user{index:08}").into_bytes());
-            assert_eq!(key.capacity(), key.len());
+            for room in [0, 6] {
+                let key = key_of(index, room);
+                assert_eq!(key, format!("user{index:08}").into_bytes());
+                assert_eq!(key.capacity(), room + key.len());
+            }
         }
+    }
+
+    #[test]
+    fn key_room_leaves_the_stream_as_it_is() {
+        let room = 6;
+        let has_room = |op: &WorkloadOp| {
+            let (WorkloadOp::Read { key } | WorkloadOp::Write { key, .. }) = op;
+            key.capacity() >= room + key.len()
+        };
+        let mut plain = WorkloadSpec::default().generator();
+        let mut roomy = WorkloadSpec::default().generator().with_key_room(room);
+        for _ in 0..2_000 {
+            let op = roomy.next_op();
+            assert_eq!(op, plain.next_op());
+            assert!(has_room(&op), "{op:?}");
+        }
+
+        let spec = TxnWorkloadSpec {
+            txn_fraction: 0.3,
+            ..TxnWorkloadSpec::default()
+        };
+        let classify = |key: &[u8]| (stable_key_hash(key) % 4) as usize;
+        let mut plain = spec.generator();
+        let mut roomy = spec.generator().with_key_room(room);
+        let mut txns = 0;
+        for _ in 0..2_000 {
+            let request = roomy.next_request(&classify);
+            assert_eq!(request, plain.next_request(&classify));
+            txns += usize::from(matches!(request, WorkloadRequest::Txn(_)));
+            assert!(request.ops().iter().all(has_room), "{request:?}");
+        }
+        assert!(txns > 0, "the stream drew no transaction");
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! Algorithm 1). A verified read checks the host's bytes against the
 //! enclave-held digest and copies the value into a buffer the caller lends
 //! (paper §A.3), so a read into a warm buffer pays no allocation either.
+//! A tenanted gateway writes its prefix into the room a client drew each
+//! key with, so admitting a request allocates nothing.
 //! The workloads' exact counts per committed op are pinned in
 //! `crates/bench/baselines/BENCH_work.json`, whose history is their
 //! trajectory.
@@ -17,11 +19,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::Path;
 
-use recipe_core::{Operation, TxnBody, TxnBodyRef};
+use recipe_core::{Operation, Request, TxnBody, TxnBodyRef};
 use recipe_crypto::CipherKey;
+use recipe_gateway::{Gateway, GatewayConfig, GatewayVerdict, TenantSpec};
 use recipe_kv::{KvError, PartitionedKvStore, StoreConfig, Timestamp};
 use recipe_protocols::TxnLanes;
 use recipe_scenario::{run_protocol, Protocol, Scenario, WorkloadKind};
+use recipe_shard::request_from_workload;
+use recipe_workload::{stable_key_hash, TxnWorkloadSpec};
 use serde::{Serialize, Value};
 
 /// Wraps [`System`], counting the calls that take memory on an armed thread.
@@ -211,6 +216,62 @@ fn a_verified_read_into_a_lent_buffer_allocates_nothing() {
             "a tampered value passed the digest: {refused:?}"
         );
     }
+}
+
+const ADMISSIONS: usize = 1_024;
+
+/// Tenanted admissions of a stream of single operations and transactions,
+/// their keys drawn with the gateway's room: each key is scoped in its own
+/// buffer, so admitting them allocates nothing. The same stream drawn
+/// without room is scoped to the same bytes, each key growing once.
+#[test]
+fn a_tenanted_admission_into_drawn_room_allocates_nothing() {
+    let config = GatewayConfig::enabled()
+        .with_tenant(TenantSpec::new("alpha"))
+        .with_tenant(TenantSpec::new("beta"))
+        .with_tenant(TenantSpec::new("noisy"));
+    let spec = TxnWorkloadSpec::default();
+    let draw = |room| -> Vec<Request> {
+        let mut generator = spec.generator().with_key_room(room);
+        let classify = |key: &[u8]| (stable_key_hash(key) % 4) as usize;
+        (0..ADMISSIONS)
+            .map(|_| request_from_workload(generator.next_request(&classify)))
+            .collect()
+    };
+    let admit = |requests: &mut [Request]| {
+        let mut gateway = Gateway::from_config(&config, SEED).expect("enabled");
+        allocations_in(|| {
+            let mut admitted = 0;
+            for (client, request) in (0u64..).zip(requests) {
+                let verdict = gateway.admit(client, 1, 0, request);
+                admitted += usize::from(matches!(verdict, GatewayVerdict::Admitted { .. }));
+            }
+            admitted
+        })
+    };
+
+    let mut roomy = draw(config.key_room());
+    let singles = roomy
+        .iter()
+        .filter(|r| matches!(r, Request::Single(_)))
+        .count();
+    assert!(
+        singles > 0 && singles < ADMISSIONS,
+        "{singles} single operations in {ADMISSIONS} requests"
+    );
+    let (admitted, allocations) = admit(&mut roomy);
+    assert_eq!(admitted, ADMISSIONS, "every request is admitted");
+    assert_eq!(allocations, 0, "{ADMISSIONS} admissions allocated");
+
+    let mut bare = draw(0);
+    let keys: usize = bare.iter().map(Request::len).sum();
+    let (admitted, grown) = admit(&mut bare);
+    assert_eq!(admitted, ADMISSIONS, "every request is admitted");
+    assert!(
+        bare == roomy,
+        "a key drawn without room is scoped to other bytes"
+    );
+    assert_eq!(grown, keys as u64, "{keys} keys drawn without room grew");
 }
 
 /// The benchmark's workloads, by file name under `wall_bench/workloads/`,
