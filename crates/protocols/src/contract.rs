@@ -17,8 +17,9 @@ use crate::shield::ProtocolShield;
 /// ([`Contract::frames`]) and its capacity ([`Contract::capacity`]) are sums
 /// over those [`Role`] rows. `tests/protocol_agreement.rs` runs every
 /// protocol against its contract, each transformed core natively and under
-/// Recipe, so the transformation leaving the message complexity alone is a
-/// checked statement; it holds each run's throughput to the capacity, and
+/// Recipe, and holds every replica to its role's row, so the transformation
+/// leaving the message pattern alone is a checked statement; it holds each
+/// run's throughput to the capacity, and
 /// checks every history its clients see against the read path's
 /// [`ReadPath::consistency`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +111,7 @@ pub struct Role {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Traffic {
     /// Takes the client's request: the replica the driver routes it to.
-    pub(crate) coordinates: bool,
+    pub coordinates: bool,
     /// Messages it sends to its peers.
     pub sent: Messages,
     /// Messages it receives from them.
@@ -134,8 +135,9 @@ impl Traffic {
 
 /// Protocol messages, by kind: the ones that carry the operation (its key
 /// and value, or the client's request) and the fixed-size control messages.
-/// Batched or not, a message is one op of the frame that carries it
-/// ([`recipe_sim::RunStats::ops_delivered`]).
+/// Batched or not, a message is one op of the frame that carries it, as
+/// each replica's books count them ([`recipe_sim::NodeBooks::ops_sent`],
+/// [`recipe_sim::NodeBooks::ops_received`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Messages {
     /// Messages that carry the operation ([`Wire::carrier_len`]).

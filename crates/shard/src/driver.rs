@@ -271,7 +271,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
             now: 0,
             tallies: Tallies {
                 total: Books::default(),
-                per_shard: vec![Books::default(); shard_count],
+                per_shard: cluster.shards.iter().map(Books::opening).collect(),
             },
             timeline: Vec::new(),
             timeline_aborts: Vec::new(),

@@ -31,8 +31,8 @@
 use recipe_core::{ConfidentialityMode, FramePool};
 use recipe_gateway::{GatewayConfig, GatewayStats};
 use recipe_sim::{
-    Calendar, CalendarCounts, Completion, GroupEvent, Key, Replica, ReplicaGroup, RunStats,
-    Scheduler, SimConfig,
+    Calendar, CalendarCounts, Completion, GroupEvent, Key, NodeBooks, Replica, ReplicaGroup,
+    RunStats, Scheduler, SimConfig,
 };
 use recipe_telemetry::{MetricsRegistry, ShardTelemetry, TelemetryConfig, TelemetryReport};
 use recipe_workload::stable_key_hash;
@@ -210,9 +210,27 @@ pub(crate) struct Books {
     committed: u64,
     writes: u64,
     pub(crate) latencies_ns: Vec<u64>,
+    /// The shard's [`received`] when the run began.
+    received_at_start: (u64, u64),
+}
+
+/// The frames and protocol ops `group`'s replicas received over its life.
+fn received<R: Replica>(group: &ReplicaGroup<R>) -> (u64, u64) {
+    let add =
+        |(frames, ops), node: &NodeBooks| (frames + node.frames_received, ops + node.ops_received);
+    group.books().iter().fold((0, 0), add)
 }
 
 impl Books {
+    /// Empty books for a run of `group`'s shard.
+    pub(crate) fn opening<R: Replica>(group: &ReplicaGroup<R>) -> Books {
+        let received_at_start = received(group);
+        Books {
+            received_at_start,
+            ..Books::default()
+        }
+    }
+
     /// Counts one committed operation.
     pub(crate) fn count(&mut self, is_write: bool) {
         self.committed += 1;
@@ -423,13 +441,14 @@ impl<R: Replica> ShardedCluster<R> {
             .zip(tallies.per_shard)
             .map(|(group, books)| {
                 let messages = group.take_message_counts();
+                let ((frames, ops), at_start) = (received(group), books.received_at_start);
                 RunStats {
-                    messages_delivered: messages.delivered,
+                    messages_delivered: frames - at_start.0,
                     messages_dropped: messages.dropped,
                     messages_tampered: messages.tampered,
                     messages_replayed: messages.replayed,
                     messages_to_crashed: messages.to_crashed,
-                    ops_delivered: messages.ops_delivered,
+                    ops_delivered: ops - at_start.1,
                     ..books.stats(group.now_ns())
                 }
             })

@@ -83,7 +83,7 @@ pub struct RunStats {
     pub p99_latency_us: f64,
     /// 99.9th percentile request latency in microseconds.
     pub p999_latency_us: f64,
-    /// Messages delivered between replicas.
+    /// Frames delivered to live replicas ([`NodeBooks::frames_received`]).
     pub messages_delivered: u64,
     /// Messages dropped / suppressed by the network adversary.
     pub messages_dropped: u64,
@@ -93,8 +93,8 @@ pub struct RunStats {
     pub messages_replayed: u64,
     /// Messages that reached a crashed replica and were lost there.
     pub messages_to_crashed: u64,
-    /// Total protocol ops carried by delivered frames (equals
-    /// `messages_delivered` without batching; larger when leaders batch).
+    /// Protocol ops the delivered frames carried ([`NodeBooks::ops_received`]):
+    /// `messages_delivered` without batching, more when leaders batch.
     pub ops_delivered: u64,
 }
 
@@ -118,12 +118,10 @@ impl RunStats {
     }
 }
 
-/// What the network did with a group's frames: the one set of figures only
-/// the group sees, counted until [`ReplicaGroup::take_message_counts`].
+/// What the network did with a group's frames but deliver them to a live
+/// replica ([`NodeBooks`]), counted until [`ReplicaGroup::take_message_counts`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MessageCounts {
-    /// Frames delivered to a live replica.
-    pub delivered: u64,
     /// Frames the adversary dropped.
     pub dropped: u64,
     /// Frames the adversary tampered with.
@@ -132,8 +130,29 @@ pub struct MessageCounts {
     pub replayed: u64,
     /// Frames that reached a crashed replica and were lost there.
     pub to_crashed: u64,
-    /// Protocol ops the delivered frames carried.
-    pub ops_delivered: u64,
+}
+
+/// What one replica did over its group's life, counted where the group sees
+/// it: the frames and protocol ops it sent and received, the client requests
+/// it took and the virtual time it was charged ([`ReplicaGroup::books`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeBooks {
+    /// Frames it sent, whatever the network then did with them.
+    pub frames_sent: u64,
+    /// Protocol ops the frames it sent carried.
+    pub ops_sent: u64,
+    /// Frames delivered to it while it was up.
+    pub frames_received: u64,
+    /// Protocol ops the frames delivered to it carried.
+    pub ops_received: u64,
+    /// Client reads it took while it was up, retransmissions included.
+    pub reads_taken: u64,
+    /// Client writes it took while it was up, retransmissions included.
+    pub writes_taken: u64,
+    /// Virtual nanoseconds charged to it.
+    pub busy_ns: u64,
+    /// When its serialized work queue is next free.
+    busy_until: u64,
 }
 
 /// A scheduled event. The replica an event is for is named by its position
@@ -360,7 +379,8 @@ pub struct ReplicaGroup<R: Replica> {
     injector: NetworkFaultInjector,
     /// Time of the group's last event or submit; the calendar is the clock.
     now: u64,
-    busy_until: Vec<u64>,
+    /// Each replica's books, in construction order.
+    books: Vec<NodeBooks>,
     crashed: BTreeSet<NodeId>,
     /// Each client's request still waiting for a reply, indexed by client
     /// id. Ids are dense from zero; the table grows the first time a client
@@ -401,7 +421,7 @@ impl<R: Replica> ReplicaGroup<R> {
             replicas,
             injector,
             now: 0,
-            busy_until: vec![0; n],
+            books: vec![NodeBooks::default(); n],
             crashed: BTreeSet::new(),
             clients: Vec::new(),
             in_flight: 0,
@@ -447,6 +467,11 @@ impl<R: Replica> ReplicaGroup<R> {
                 }
             }
         }
+    }
+
+    /// Each replica's books over the group's life, in construction order.
+    pub fn books(&self) -> &[NodeBooks] {
+        &self.books
     }
 
     /// The configuration the group was built under.
@@ -537,9 +562,11 @@ impl<R: Replica> ReplicaGroup<R> {
         if let (Some(t), Some(split)) = (self.telemetry.as_mut(), &split) {
             t.charge(kind, split);
         }
-        let start_ns = at_ns.max(self.busy_until[idx]);
+        let books = &mut self.books[idx];
+        let start_ns = at_ns.max(books.busy_until);
         let finish_ns = start_ns + cost;
-        self.busy_until[idx] = finish_ns;
+        books.busy_until = finish_ns;
+        books.busy_ns += cost;
         Charged {
             start_ns,
             finish_ns,
@@ -691,6 +718,11 @@ impl<R: Replica> ReplicaGroup<R> {
                     // Request lost: the ClientRetry scheduled with it resends it.
                     return;
                 }
+                let books = &mut self.books[idx];
+                match operation.is_write() {
+                    true => books.writes_taken += 1,
+                    false => books.reads_taken += 1,
+                }
                 let work = Work::ingest(operation.value_len());
                 let charged = self.charge_idx(idx, self.now, ChargeKind::ClientIngest, work);
                 let finish = charged.finish_ns;
@@ -724,8 +756,8 @@ impl<R: Replica> ReplicaGroup<R> {
                     self.messages.to_crashed += 1;
                     return self.effects.frames.give(bytes);
                 }
-                self.messages.delivered += 1;
-                self.messages.ops_delivered += ops as u64;
+                self.books[idx].frames_received += 1;
+                self.books[idx].ops_received += u64::from(ops);
                 let work = Work::Recv {
                     ops: ops as usize,
                     bytes: bytes.len(),
@@ -937,6 +969,8 @@ impl<R: Replica> ReplicaGroup<R> {
                 bytes: bytes.len(),
             };
             let sent = self.charge_idx(idx, self.now, ChargeKind::FrameSend, work);
+            self.books[idx].frames_sent += 1;
+            self.books[idx].ops_sent += u64::from(ops);
             let send_finish = sent.finish_ns;
             if let Some(t) = self.telemetry.as_mut() {
                 t.span(
@@ -1251,7 +1285,7 @@ mod tests {
                         }
                     }
                 }
-                _ => unreachable!("unknown echo message"),
+                _ => {} // Tampered with.
             }
         }
 
@@ -1348,9 +1382,8 @@ mod tests {
         latency.set_latencies(&mut latencies);
         assert!(latency.mean_latency_us > 0.0);
         assert!(latency.p99_latency_us >= latency.mean_latency_us);
-        let messages = cluster.take_message_counts();
-        assert!(messages.delivered > 0);
-        assert_eq!(messages.dropped, 0);
+        assert!(cluster.books().iter().all(|node| node.frames_received > 0));
+        assert_eq!(cluster.take_message_counts().dropped, 0);
         // Time went by, so the 300 commits make a finite throughput.
         assert!(cluster.now_ns() > 0);
     }
@@ -1404,18 +1437,6 @@ mod tests {
         assert!(recipe_ns < pbft_ns);
     }
 
-    #[test]
-    fn lossy_network_still_makes_progress_but_drops_messages() {
-        let mut config = uniform(3);
-        config.fault_plan = FaultPlan::lossy(0.05);
-        // With drops, some operations never gather 2 acks; the run ends at the
-        // virtual-time cap with fewer commits — but it must not livelock or panic.
-        config.max_virtual_ns = 2_000_000_000;
-        let (completed, messages, _) = finished(config, 100, write_workload);
-        assert!(messages.dropped > 0);
-        assert!(!completed.is_empty());
-    }
-
     /// Every replica overwrites each buffer lent to it: a duplicate delivered
     /// after the original, and an old frame the adversary replays from its
     /// capture buffer, still carry the bytes that were sent.
@@ -1435,13 +1456,49 @@ mod tests {
         let replicas = &cluster.replicas;
         let sent: BTreeSet<&Vec<u8>> = replicas.iter().flat_map(|r| &r.sent).collect();
         let delivered: Vec<&Vec<u8>> = replicas.iter().flat_map(|r| &r.delivered).collect();
-        assert_eq!(delivered.len() as u64, messages.delivered);
         // More deliveries than distinct messages: duplicates and replays
         // arrived, and each one as it was sent.
         assert!(delivered.len() > sent.len() + 100);
         for bytes in delivered {
             assert!(sent.contains(bytes), "delivered {bytes:02x?}, never sent");
         }
+    }
+
+    /// Under drops, duplicates, replays, tampering and a crash and recovery,
+    /// the run makes progress, and each replica's books count every frame
+    /// that reached it and only those: one lost to a crashed node counts in
+    /// `to_crashed` alone. No node is busier than the run is long, and the
+    /// nodes' busy time is what telemetry attributes.
+    #[test]
+    fn the_books_count_each_frame_where_it_lands() {
+        let mut config = uniform(3);
+        config.fault_plan = FaultPlan::byzantine();
+        config.crash_plan = CrashPlan::none().crash_recover(NodeId(2), 300_000, 900_000);
+        let mut cluster = SimCluster::new(EchoReplica::cluster(3), config);
+        let telemetry = recipe_telemetry::TelemetryConfig::enabled();
+        cluster.set_telemetry(ShardTelemetry::new(0, &telemetry));
+        drive(&mut cluster, 1_000, write_workload);
+        while cluster.step() == StepOutcome::Processed {}
+        let messages = cluster.take_message_counts();
+        assert!(cluster.committed() >= 1_000 && messages.dropped > 0);
+        assert!(
+            messages.to_crashed > 0 && messages.tampered > 0,
+            "{messages:?}"
+        );
+        let (books, elapsed) = (cluster.books().to_vec(), cluster.now_ns());
+        for (replica, node) in cluster.replicas.iter().zip(&books) {
+            assert_eq!(replica.delivered.len() as u64, node.frames_received);
+            assert!(node.busy_ns <= elapsed, "{node:?}");
+        }
+        let mut telemetry = cluster.take_telemetry().expect("attached");
+        let spans = telemetry.tracer_mut().take_spans();
+        let replicated = spans.iter().filter(|s| s.kind == SpanKind::Replication);
+        let ops = books.iter().map(|node| node.ops_received).sum::<u64>();
+        assert_eq!(replicated.map(|s| s.tag).sum::<u64>(), ops);
+        let registry = &mut recipe_telemetry::MetricsRegistry::default();
+        let attributed = telemetry.export(3, elapsed, registry).busy;
+        let busy = attributed.total() - attributed.get(CostCategory::Idle);
+        assert_eq!(books.iter().map(|node| node.busy_ns).sum::<u64>(), busy);
     }
 
     #[test]

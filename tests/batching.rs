@@ -71,7 +71,9 @@ fn open_loop_digest(batch: usize) -> StateDigest {
     assert_eq!(cluster.committed(), OPEN_LOOP_OPS as u64);
     // Drain in-flight commit traffic so followers finish applying (client
     // retries are scheduled ~100 ms out and stay untouched).
-    cluster.run_until(cluster.now_ns() + 3_000_000);
+    while !cluster.at_rest() {
+        assert_eq!(cluster.step(), StepOutcome::Processed);
+    }
 
     let counts: Vec<u64> = (0..3)
         .map(|id| cluster.replica(NodeId(id)).committed_entries())

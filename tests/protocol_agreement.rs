@@ -14,10 +14,10 @@ use recipe::bft::dispatch;
 use recipe::core::{ConfidentialityMode, Membership, Operation};
 use recipe::net::FaultPlan;
 use recipe::protocols::{
-    BatchConfig, BuildReplica, Capacity, Protocol, ProtocolMode, ProtocolVisitor,
+    BatchConfig, BuildReplica, Capacity, Protocol, ProtocolMode, ProtocolVisitor, Role,
 };
 use recipe::shard::{op_from_workload, DeploymentSpec, ShardedCluster};
-use recipe::sim::{RangeEntry, RunStats, SimCluster, SimConfig, StepOutcome};
+use recipe::sim::{NodeBooks, RangeEntry, RunStats, SimCluster, SimConfig, StepOutcome};
 use recipe::workload::WorkloadSpec;
 
 use common::history::{History, Violation, FINAL};
@@ -78,6 +78,8 @@ fn one_group(protocol: Protocol, clients: usize, ops: usize) -> DeploymentSpec {
 /// What a run left behind once its in-flight traffic had landed.
 struct Outcome {
     stats: RunStats,
+    /// Each replica's books, in construction order.
+    books: Vec<NodeBooks>,
     /// Operations each replica applied.
     applied: Vec<u64>,
     /// Frames the replicas' shields rejected.
@@ -112,6 +114,7 @@ impl<W: FnMut(u64, u64) -> Operation> ProtocolVisitor for Run<W> {
             .filter_map(|&id| group.replica(id).protocol_counters());
         Outcome {
             stats: stats.total,
+            books: group.books().to_vec(),
             rejected: counters.map(|c| c.rejected_frames).sum(),
             applied: ids
                 .iter()
@@ -396,7 +399,9 @@ impl ProtocolVisitor for FinalState {
                 assert_eq!(cluster.step(), StepOutcome::Processed, "request {request}");
             }
         }
-        cluster.run_until(cluster.now_ns() + 3_000_000);
+        while !cluster.at_rest() {
+            assert_eq!(cluster.step(), StepOutcome::Processed);
+        }
         let nodes = cluster.node_ids().to_vec().into_iter();
         let records = |id| {
             let store = cluster.replica_mut(id).store();
@@ -466,10 +471,8 @@ const CELLS: &[(&str, usize, Held)] = &[
     // Saturated only from 128 clients, where its 2 000 ops take 1.8 ms of
     // virtual time: the batches filling at the start and left to the flush
     // timer at the end hold it at 0.967 of the capacity (0.991 at 8 000
-    // ops, 0.998 at 32 000). From 64 clients on, the ops still in flight
-    // when it ends put its frames per op 1.2 % over the contract's
-    // (ROADMAP).
-    ("Chain f=2 native batch 16 writes", 32, Held::AtMost),
+    // ops, 0.998 at 32 000).
+    ("Chain f=2 native batch 16 writes", 128, Held::AtMost),
     ("Chain f=2 recipe batch 16 writes", 64, Held::Within),
     // The tail answers each write when the write arrives, so the reads
     // charged to it never hold a client back (ROADMAP).
@@ -559,17 +562,34 @@ impl Cell {
         contract.capacity(n, &profile, reads, key_bytes, value_bytes, batch)
     }
 
+    /// The role each of the cell's nodes plays, in construction order: the
+    /// contract's roles in their order, each by as many nodes as it counts
+    /// (a leader or primary first, a chain head to tail).
+    fn roles(&self) -> Vec<&'static Role> {
+        let n = self.n();
+        let roles = self.protocol.contract().roles.iter();
+        let played: Vec<_> = roles
+            .flat_map(|role| std::iter::repeat_n(role, role.replicas.at(n)))
+            .collect();
+        assert_eq!(
+            played.len(),
+            n,
+            "{self}: the roles count other than n nodes"
+        );
+        played
+    }
+
     /// Runs 2 000 ops of the cell's workload from its clients, and returns
-    /// the run's statistics and its throughput over the predicted capacity.
-    fn run(&self) -> (RunStats, f64) {
+    /// what the run left and its throughput over the predicted capacity.
+    fn run(&self) -> (Outcome, f64) {
         let spec = DeploymentSpec::new(1, self.n())
             .with_faults_tolerated(self.f)
             .with_profile(self.protocol.cost_profile(self.mode))
             .with_batching(BatchConfig::of_ops(self.batch))
             .with_clients(self.held().0, 2_000);
-        let stats = run_contended(self.protocol, spec, self.workload()).stats;
-        let of_capacity = stats.throughput_ops / self.predicted().ops_per_s;
-        (stats, of_capacity)
+        let outcome = run_contended(self.protocol, spec, self.workload());
+        let of_capacity = outcome.stats.throughput_ops / self.predicted().ops_per_s;
+        (outcome, of_capacity)
     }
 }
 
@@ -621,41 +641,43 @@ fn keeps_its_contract(protocol: Protocol) {
     }
 }
 
-/// One cell of the contract check: 2 000 ops from the cell's clients. The
-/// ops its frames carry per committed op are the contract's role rows
-/// summed at the cell's `n` over the reads and writes that committed,
-/// within 1 % (within 0.01 where they sum to 0,
-/// for R-Raft's heartbeats). Where the cell sends frames, each carries more
-/// than half a batch. Its throughput is the contract's capacity as
-/// [`Held`] says. Returns the run's throughput and its share of the
-/// capacity.
+/// One cell of the contract check: 2 000 ops from the cell's clients,
+/// drained to rest. Each node is held to its role's row
+/// ([`node_keeps_its_role`]); on a cell held [`Held::Within`] whose contract
+/// does not rotate, the node with the most busy time plays the role the
+/// capacity names. Its throughput is the contract's capacity as [`Held`]
+/// says. Returns the run's throughput and its share of the capacity.
 fn keeps_its_contract_in(cell: Cell) -> (f64, f64) {
     let (contract, n) = (cell.protocol.contract(), cell.n());
-    let (stats, of_capacity) = cell.run();
-    let frames = stats.committed_writes * contract.frames(n, false) as u64
-        + stats.committed_reads * contract.frames(n, true) as u64;
-    let expected = frames as f64 / stats.committed as f64;
-    let per_op = stats.ops_delivered as f64 / stats.committed as f64;
-    let tolerance = if expected == 0.0 {
-        0.01
-    } else {
-        expected / 100.0
-    };
-    let roles = contract.roles.iter().map(|role| (role.name, role.source));
-    assert!(
-        (per_op - expected).abs() <= tolerance,
-        "{cell}: {per_op:.3} frames per op, the contract's roles give {expected:.3} \
-         ({:?} reads; {}; {:?})",
-        contract.read_path,
-        contract.source,
-        roles.collect::<Vec<_>>()
-    );
-    if expected > 0.0 {
-        let fill = stats.ops_delivered as f64 / stats.messages_delivered as f64;
-        let full = cell.batch as f64;
-        assert!(
-            fill > full / 2.0 && fill <= full,
-            "{cell}: a frame carries {fill:.2} ops"
+    let (run, of_capacity) = cell.run();
+    let (stats, books) = (&run.stats, &run.books);
+    let taken = books
+        .iter()
+        .map(|node| (node.writes_taken, node.reads_taken));
+    let (writes, reads) = taken.fold((0, 0), |(w, r), (dw, dr)| (w + dw, r + dr));
+    let roles = cell.roles();
+    for (i, node) in books.iter().enumerate() {
+        // A rotating node coordinates what it took and is a peer for the rest.
+        let shares: Vec<Share> = if contract.rotates {
+            let (coordinator, peer) = (&contract.roles[0], &contract.roles[1]);
+            let (own_writes, own_reads) = (node.writes_taken, node.reads_taken);
+            vec![
+                (coordinator, own_writes, own_reads),
+                (peer, writes - own_writes, reads - own_reads),
+            ]
+        } else {
+            vec![(roles[i], writes, reads)]
+        };
+        let name = format!("{cell}: node {i} ({})", shares[0].0.name);
+        node_keeps_its_role(&name, node, &shares, n, cell.batch);
+    }
+    if cell.held().1 == Held::Within && !contract.rotates {
+        let busiest = (0..n).max_by_key(|&i| books[i].busy_ns).expect("n > 0");
+        let busy: Vec<u64> = books.iter().map(|node| node.busy_ns).collect();
+        assert_eq!(
+            roles[busiest].name,
+            cell.predicted().role,
+            "{cell}: node {busiest} is the busiest, ns {busy:?}"
         );
     }
     let band = match cell.held().1 {
@@ -671,6 +693,60 @@ fn keeps_its_contract_in(cell: Cell) -> (f64, f64) {
         cell.predicted()
     );
     (stats.throughput_ops, of_capacity)
+}
+
+/// A role row a node plays, for a number of the group's writes and reads.
+type Share = (&'static Role, u64, u64);
+
+/// One node of a contract check's cell against the role rows it plays
+/// (`shares`). It takes the requests they coordinate. The ops it sends and
+/// receives per request the group took are theirs within 1 % (within 0.01
+/// where they are 0, for R-Raft's heartbeats). Where it sends or receives,
+/// a frame carries more than half a batch of `batch` ops.
+fn node_keeps_its_role(name: &str, node: &NodeBooks, shares: &[Share], n: usize, batch: usize) {
+    // Writes and reads it coordinates, ops it sends and receives.
+    let mut rows = [0u64; 4];
+    for &(role, writes, reads) in shares {
+        for (traffic, ops, kind) in [(role.write, writes, 0), (role.read, reads, 1)] {
+            rows[kind] += u64::from(traffic.coordinates) * ops;
+            rows[2] += traffic.sent.at(n) as u64 * ops;
+            rows[3] += traffic.received.at(n) as u64 * ops;
+        }
+    }
+    let [writes, reads, sent, received] = rows;
+    let taken = (node.writes_taken, node.reads_taken);
+    assert_eq!(taken, (writes, reads), "{name} takes (writes, reads)");
+    let requests = shares.iter().map(|&(_, writes, reads)| writes + reads);
+    let requests = requests.sum::<u64>() as f64;
+    for (what, frames, ops, expected) in [
+        ("sends", node.frames_sent, node.ops_sent, sent),
+        (
+            "receives",
+            node.frames_received,
+            node.ops_received,
+            received,
+        ),
+    ] {
+        let (per_request, expected) = (ops as f64 / requests, expected as f64 / requests);
+        let tolerance = if expected == 0.0 {
+            0.01
+        } else {
+            expected / 100.0
+        };
+        assert!(
+            (per_request - expected).abs() <= tolerance,
+            "{name} {what} {per_request:.3} ops per request, its role {expected:.3} ({})",
+            shares[0].0.source
+        );
+        if expected > 0.0 {
+            let fill = ops as f64 / frames as f64;
+            let full = batch as f64;
+            assert!(
+                fill > full / 2.0 && fill <= full,
+                "{name}: a frame it {what} carries {fill:.2} ops"
+            );
+        }
+    }
 }
 
 /// Every entry of [`CELLS`] names at least one cell of the contract check.
