@@ -14,7 +14,8 @@
 //! Any violation exits non-zero, so CI can run this binary as a smoke test.
 //! It also prints the per-shard "where the nanoseconds went" attribution
 //! table that decomposes the confidential-shard overhead into its cost
-//! categories, and writes the Chrome-trace + JSONL exports.
+//! categories and each shard's busiest replica (from its books), and writes
+//! the Chrome-trace + JSONL exports.
 //!
 //! Arguments: `[operations] [output_dir]` — default 2000 operations, exports
 //! written under `target/observe/`.
@@ -135,6 +136,17 @@ fn main() {
                 ns as f64 / capacity * 100.0
             );
         }
+    }
+    println!("\n=== Bottleneck: each shard's busiest replica, from its books ===");
+    for (shard, books) in telemetry.attribution.iter().zip(&on.books) {
+        let share = |ns: u64| format!("{:.1}%", ns as f64 / shard.elapsed_ns as f64 * 100.0);
+        let node = (0..books.len()).max_by_key(|&i| books[i].busy.total());
+        let node = node.expect("a shard has replicas");
+        let mut top: Vec<_> = books[node].busy.entries().collect();
+        top.sort_by_key(|&(_, ns)| std::cmp::Reverse(ns));
+        let [a, b] = [top[0], top[1]].map(|(c, ns)| format!("{} {}", c.as_str(), share(ns)));
+        let (shard, busy) = (shard.shard, share(books[node].busy.total()));
+        println!("shard {shard}: replica {node} busy {busy} of the run ({a}, {b})");
     }
     if telemetry.attribution.len() >= 2 {
         println!("\n=== Confidential-shard overhead vs shard 1 (per category, ns) ===");

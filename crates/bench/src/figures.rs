@@ -16,6 +16,7 @@ use recipe_shard::{
     request_from_workload, DeploymentSpec, RebalanceConfig, ShardPolicy, ShardRouter,
     ShardedCluster, ShardedRunStats,
 };
+use recipe_sim::NodeBooks;
 use recipe_telemetry::{TelemetryConfig, TelemetryReport};
 use recipe_workload::{
     TenantMixSpec, TxnWorkloadGenerator, TxnWorkloadSpec, WorkloadRequest, WorkloadSpec,
@@ -866,6 +867,8 @@ pub struct ObserveReport {
     /// Spans, metrics and per-shard cost attribution; `None` when the run
     /// was executed with telemetry disabled.
     pub telemetry: Option<TelemetryReport>,
+    /// Each shard's replicas' books, kept with or without telemetry.
+    pub books: Vec<Vec<NodeBooks>>,
 }
 
 /// Observability experiment: a mixed single-key / cross-shard-transaction /
@@ -882,7 +885,12 @@ pub fn fig_observe(operations: usize, telemetry: bool) -> ObserveReport {
     }
     let (stats, mut cluster) = run_skew(spec, true);
     let telemetry = cluster.take_telemetry_report();
-    ObserveReport { stats, telemetry }
+    let books = (0..cluster.shards()).map(|s| cluster.shard(s).books().to_vec());
+    ObserveReport {
+        stats,
+        telemetry,
+        books: books.collect(),
+    }
 }
 
 /// Crash-recovery failover experiment: kill a participant group's leader and

@@ -366,7 +366,7 @@ impl Contract {
                 let frames = self.frame_work(n, profile, traffic, carrier, batch);
                 for (work, times) in ingest.into_iter().chain(frames) {
                     let mut split = CostBreakdown::new();
-                    COST_MODEL.cost(profile, work, Some(&mut split));
+                    COST_MODEL.cost(profile, work, &mut split);
                     for (slot, category) in ns.iter_mut().zip(CostCategory::ALL) {
                         *slot += share * times * split.get(category) as f64;
                     }

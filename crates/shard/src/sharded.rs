@@ -332,11 +332,11 @@ impl<R: Replica> ShardedCluster<R> {
 
     /// Drains every shard's telemetry into one merged [`TelemetryReport`]:
     /// protocol counters are scraped off the replicas, each shard's charges
-    /// become registry samples, its attribution row gets `Idle` filled
-    /// against `replicas × elapsed`, and all tracers' spans concatenate in
-    /// shard order. Returns `None` when the deployment ran with telemetry
-    /// disabled. Call once, after the run; the shards' telemetry state is
-    /// consumed.
+    /// become registry samples, its attribution row is its replicas' books
+    /// summed (both start at group build) with `Idle` filled against
+    /// `replicas × elapsed`, and all tracers' spans concatenate in shard
+    /// order. Returns `None` when the deployment ran with telemetry disabled.
+    /// Call once, after the run; the shards' telemetry state is consumed.
     pub fn take_telemetry_report(&mut self) -> Option<TelemetryReport> {
         if !self.config.telemetry.enabled {
             return None;
@@ -350,9 +350,13 @@ impl<R: Replica> ShardedCluster<R> {
             let Some(mut telemetry) = shard.take_telemetry() else {
                 continue;
             };
+            let mut books = recipe_telemetry::CostBreakdown::new();
+            for node in shard.books() {
+                books.merge(&node.busy);
+            }
             report
                 .attribution
-                .push(telemetry.export(replicas, elapsed_ns, &mut registry));
+                .push(telemetry.export(replicas, elapsed_ns, books, &mut registry));
             report.spans_dropped += telemetry.tracer().dropped();
             report
                 .spans

@@ -74,7 +74,7 @@ use recipe_protocols::{
     StoreReplica, TxnLane, TxnLanes, TxnVote, MAX_SHARDS, MIGRATION_ENDPOINT_IDS, TXN_ENDPOINT_IDS,
 };
 use recipe_sim::{RangeEntry, Work, COST_MODEL};
-use recipe_telemetry::{ChargeKind, CostCategory, SpanKind};
+use recipe_telemetry::{ChargeKind, SpanKind};
 use recipe_workload::stable_key_hash;
 
 use crate::driver::{DriverWork, Engine};
@@ -991,7 +991,7 @@ impl<R: StoreReplica> Engine<'_, R> {
             other => panic!("coordinator sent a response body: {other:?}"),
         };
         if let Some(t) = group.telemetry_mut() {
-            t.charge_category(charge_kind, CostCategory::Replication, replication_rt);
+            t.charge_replication(charge_kind, replication_rt);
             t.span(span_kind, leader.0, charged.start_ns, finish, txn_id);
         }
         (response, finish)

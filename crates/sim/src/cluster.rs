@@ -134,7 +134,8 @@ pub struct MessageCounts {
 
 /// What one replica did over its group's life, counted where the group sees
 /// it: the frames and protocol ops it sent and received, the client requests
-/// it took and the virtual time it was charged ([`ReplicaGroup::books`]).
+/// it took and the virtual time it was charged, by category
+/// ([`ReplicaGroup::books`]); a shard's telemetry attribution is their fold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeBooks {
     /// Frames it sent, whatever the network then did with them.
@@ -149,8 +150,8 @@ pub struct NodeBooks {
     pub reads_taken: u64,
     /// Client writes it took while it was up, retransmissions included.
     pub writes_taken: u64,
-    /// Virtual nanoseconds charged to it.
-    pub busy_ns: u64,
+    /// Virtual nanoseconds charged to it, by category (`busy.total()` in all).
+    pub busy: CostBreakdown,
     /// When its serialized work queue is next free.
     busy_until: u64,
 }
@@ -340,9 +341,6 @@ pub struct Charged {
     pub start_ns: u64,
     /// When the work finished; the node is busy until then.
     pub finish_ns: u64,
-    /// The charge by category — `Some` exactly when telemetry is attached
-    /// (it has already been attributed; this copy is for span boundaries).
-    pub split: Option<CostBreakdown>,
 }
 
 impl Charged {
@@ -545,32 +543,29 @@ impl<R: Replica> ReplicaGroup<R> {
     /// place a cost formula meets the virtual clock. The formula is
     /// evaluated once, under the node's own profile; the node's work queue
     /// is serialized, so the charge delays every subsequent event the node
-    /// processes; and with telemetry attached the same evaluation's
-    /// per-category split is attributed to `kind` — a site cannot charge one
-    /// formula and attribute another. The simulator's own handlers charge
-    /// through here, and so does out-of-band work — a migration snapshot
-    /// export, a state-transfer import, a 2PC phase — which is how it
-    /// competes for the same compute the protocol runs on.
+    /// processes; and the same evaluation files its split in the node's books
+    /// — a site cannot charge one formula and attribute another. The
+    /// simulator's own handlers charge through here, and so does out-of-band
+    /// work — a migration snapshot export, a state-transfer import, a 2PC
+    /// phase — which is how it competes for the same compute the protocol
+    /// runs on.
     pub fn charge(&mut self, node: NodeId, at_ns: u64, kind: ChargeKind, work: Work) -> Charged {
         self.charge_idx(self.index_of(node), at_ns, kind, work)
     }
 
     /// [`ReplicaGroup::charge`] by replica position.
     fn charge_idx(&mut self, idx: usize, at_ns: u64, kind: ChargeKind, work: Work) -> Charged {
-        let mut split = self.telemetry.is_some().then(CostBreakdown::new);
-        let cost = COST_MODEL.cost(&self.config.profiles[idx], work, split.as_mut());
-        if let (Some(t), Some(split)) = (self.telemetry.as_mut(), &split) {
-            t.charge(kind, split);
-        }
         let books = &mut self.books[idx];
+        let cost = COST_MODEL.cost(&self.config.profiles[idx], work, &mut books.busy);
+        if let Some(t) = self.telemetry.as_mut() {
+            t.charge(kind, cost);
+        }
         let start_ns = at_ns.max(books.busy_until);
         let finish_ns = start_ns + cost;
         books.busy_until = finish_ns;
-        books.busy_ns += cost;
         Charged {
             start_ns,
             finish_ns,
-            split,
         }
     }
 
@@ -762,12 +757,13 @@ impl<R: Replica> ReplicaGroup<R> {
                     ops: ops as usize,
                     bytes: bytes.len(),
                 };
+                let before = self.telemetry.is_some().then(|| self.books[idx].busy);
                 let charged = self.charge_idx(idx, self.now, ChargeKind::PeerDeliver, work);
                 let finish = charged.finish_ns;
-                if let (Some(t), Some(split)) = (self.telemetry.as_mut(), &charged.split) {
-                    let app_ns = split.get(CostCategory::App)
-                        + split.get(CostCategory::TeeExec)
-                        + split.get(CostCategory::EpcPressure);
+                if let (Some(t), Some(before)) = (self.telemetry.as_mut(), before) {
+                    let grew = |c| self.books[idx].busy.get(c) - before.get(c);
+                    let app_ns = grew(CostCategory::App) + grew(CostCategory::TeeExec);
+                    let app_ns = app_ns + grew(CostCategory::EpcPressure);
                     t.span(
                         SpanKind::Replication,
                         to.0,
@@ -1467,8 +1463,8 @@ mod tests {
     /// Under drops, duplicates, replays, tampering and a crash and recovery,
     /// the run makes progress, and each replica's books count every frame
     /// that reached it and only those: one lost to a crashed node counts in
-    /// `to_crashed` alone. No node is busier than the run is long, and the
-    /// nodes' busy time is what telemetry attributes.
+    /// `to_crashed` alone, and the replication spans carry every op
+    /// received. No node is busier than the run is long.
     #[test]
     fn the_books_count_each_frame_where_it_lands() {
         let mut config = uniform(3);
@@ -1488,17 +1484,13 @@ mod tests {
         let (books, elapsed) = (cluster.books().to_vec(), cluster.now_ns());
         for (replica, node) in cluster.replicas.iter().zip(&books) {
             assert_eq!(replica.delivered.len() as u64, node.frames_received);
-            assert!(node.busy_ns <= elapsed, "{node:?}");
+            assert!(node.busy.total() <= elapsed, "{node:?}");
         }
         let mut telemetry = cluster.take_telemetry().expect("attached");
         let spans = telemetry.tracer_mut().take_spans();
         let replicated = spans.iter().filter(|s| s.kind == SpanKind::Replication);
         let ops = books.iter().map(|node| node.ops_received).sum::<u64>();
         assert_eq!(replicated.map(|s| s.tag).sum::<u64>(), ops);
-        let registry = &mut recipe_telemetry::MetricsRegistry::default();
-        let attributed = telemetry.export(3, elapsed, registry).busy;
-        let busy = attributed.total() - attributed.get(CostCategory::Idle);
-        assert_eq!(books.iter().map(|node| node.busy_ns).sum::<u64>(), busy);
     }
 
     #[test]

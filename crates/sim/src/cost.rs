@@ -27,15 +27,14 @@
 //! order; the integer charged is that sum truncated. The paper explains
 //! Recipe's overhead by splitting it into transport, authentication,
 //! TEE-execution, EPC-paging and encryption terms (Fig. 6a, §B.3), and the
-//! same arm yields that split: a caller that passes a [`CostBreakdown`]
-//! gets, per term, the integer nanoseconds the term adds on top of the sum's
+//! same arm yields that split: the [`CostBreakdown`] every caller passes is
+//! handed, per term, the integer nanoseconds the term adds on top of the sum's
 //! previous truncation (`Sum`), so the slots always add up to the exact integer
 //! charged — there is no second copy of a formula for the split to drift
-//! from. Sub-splits of a jointly-added term (MAC bytes vs the fixed counter
-//! slot, TEE multiplier vs EPC pressure) divide the already-truncated
-//! integer, so rounding crumbs can never change the total. A caller that
-//! passes `None` pays one float addition per term and nothing per category.
-//! `tests/golden/cost_table.txt` pins every formula's integer and split.
+//! from, and no charge without a split. Sub-splits of a jointly-added term
+//! (MAC bytes vs the fixed counter slot, TEE multiplier vs EPC pressure)
+//! divide the already-truncated integer, so rounding crumbs can never change
+//! the total. `tests/golden/cost_table.txt` pins every integer and split.
 
 use recipe_net::{ExecMode, NetCostModel, Transport};
 use recipe_telemetry::{CostBreakdown, CostCategory};
@@ -43,21 +42,21 @@ use serde::{Deserialize, Serialize};
 
 /// The running sum of one charge's f64 terms, in expression order.
 ///
-/// The integer charged is the truncated sum. With a split attached, each
-/// term is also handed the integer nanoseconds it adds on top of the
-/// previous truncation (cumulative truncation), so the integers handed out
-/// always sum to the truncation of the full sum.
+/// The integer charged is the truncated sum. Each term is also handed the
+/// integer nanoseconds it adds on top of the previous truncation (cumulative
+/// truncation) and files them in the split, so the integers filed always sum
+/// to the truncation of the full sum.
 struct Sum<'a> {
     /// Truncated totals of the groups already [`Sum::cut`] off.
     closed: u64,
     acc: f64,
-    /// `acc` truncated, as of the last term (maintained only with a split).
+    /// `acc` truncated, as of the last term.
     prev: u64,
-    split: Option<&'a mut CostBreakdown>,
+    split: &'a mut CostBreakdown,
 }
 
 impl<'a> Sum<'a> {
-    fn new(split: Option<&'a mut CostBreakdown>) -> Self {
+    fn new(split: &'a mut CostBreakdown) -> Self {
         Sum {
             closed: 0,
             acc: 0.0,
@@ -69,11 +68,9 @@ impl<'a> Sum<'a> {
     /// Adds `term`; `share` files the term's integer under its categories.
     fn push(&mut self, term: f64, share: impl FnOnce(&mut CostBreakdown, u64)) {
         self.acc += term;
-        if let Some(split) = self.split.as_deref_mut() {
-            let cur = self.acc as u64;
-            share(split, cur - self.prev);
-            self.prev = cur;
-        }
+        let cur = self.acc as u64;
+        share(self.split, cur - self.prev);
+        self.prev = cur;
     }
 
     /// Adds a term that belongs to one category.
@@ -345,15 +342,10 @@ pub(crate) const RETRY_TIMEOUT_NS: u64 = 100_000_000;
 pub(crate) const FAILURE_DETECTION_DELAY_NS: u64 = 15_000_000;
 
 impl ProtocolCostModel {
-    /// The virtual nanoseconds `work` costs a node with `profile`, and — when
-    /// `split` is given — the same integer filed by category into it (added
-    /// to whatever the breakdown already holds).
-    pub fn cost(
-        &self,
-        profile: &CostProfile,
-        work: Work,
-        split: Option<&mut CostBreakdown>,
-    ) -> u64 {
+    /// The virtual nanoseconds `work` costs a node with `profile`; the same
+    /// integer is filed by category into `split`, added to whatever the
+    /// breakdown already holds.
+    pub fn cost(&self, profile: &CostProfile, work: Work, split: &mut CostBreakdown) -> u64 {
         let mut sum = Sum::new(split);
         match work {
             Work::Send { ops, bytes } => {
@@ -497,17 +489,22 @@ mod tests {
         CostProfile::recipe().with_confidentiality(recipe_core::ConfidentialityMode::Confidential)
     }
 
+    /// What `work` charges, its split checked to add up to it.
+    fn charged(m: &ProtocolCostModel, p: &CostProfile, work: Work) -> u64 {
+        split_of(m, p, work).total()
+    }
+
     fn send(m: &ProtocolCostModel, p: &CostProfile, ops: usize, bytes: usize) -> u64 {
-        m.cost(p, Work::Send { ops, bytes }, None)
+        charged(m, p, Work::Send { ops, bytes })
     }
 
     fn recv(m: &ProtocolCostModel, p: &CostProfile, ops: usize, bytes: usize) -> u64 {
-        m.cost(p, Work::Recv { ops, bytes }, None)
+        charged(m, p, Work::Recv { ops, bytes })
     }
 
     fn split_of(m: &ProtocolCostModel, p: &CostProfile, work: Work) -> CostBreakdown {
         let mut split = CostBreakdown::new();
-        let charged = m.cost(p, work, Some(&mut split));
+        let charged = m.cost(p, work, &mut split);
         assert_eq!(split.total(), charged);
         split
     }
@@ -528,7 +525,7 @@ mod tests {
             (CostCategory::App, 100.4),
         ];
         let mut split = CostBreakdown::new();
-        let mut sum = Sum::new(Some(&mut split));
+        let mut sum = Sum::new(&mut split);
         for (cat, term) in parts {
             sum.push_as(cat, term);
         }
@@ -542,16 +539,17 @@ mod tests {
         assert!(split.get(CostCategory::Aead).abs_diff(281) <= 1);
         assert!(split.get(CostCategory::App).abs_diff(300) <= 3);
 
-        // A cut truncates each side on its own, with or without a split.
-        for with_split in [false, true] {
-            let mut split = CostBreakdown::new();
-            let mut sum = Sum::new(with_split.then_some(&mut split));
-            sum.push_as(CostCategory::Transport, 10.6);
-            sum.cut();
-            sum.push_as(CostCategory::App, 20.6);
-            assert_eq!(sum.total(), 30);
-            assert_eq!(split.total(), if with_split { 30 } else { 0 });
-        }
+        // A cut truncates each side on its own, into a split that already
+        // holds time: the sum files on top of it.
+        let mut split = CostBreakdown::new();
+        split.add(CostCategory::App, 7);
+        let mut sum = Sum::new(&mut split);
+        sum.push_as(CostCategory::Transport, 10.6);
+        sum.cut();
+        sum.push_as(CostCategory::App, 20.6);
+        assert_eq!(sum.total(), 30);
+        assert_eq!(split.total(), 37);
+        assert_eq!(split.get(CostCategory::App), 27);
     }
 
     #[test]
@@ -700,8 +698,8 @@ mod tests {
     fn migration_costs_scale_with_chunk_size_and_pay_epc_pressure() {
         let m = COST_MODEL;
         let profile = CostProfile::recipe();
-        let scan = |entries, bytes| m.cost(&profile, Work::Scan { entries, bytes }, None);
-        let import = |entries, bytes| m.cost(&profile, Work::Import { entries, bytes }, None);
+        let scan = |entries, bytes| charged(&m, &profile, Work::Scan { entries, bytes });
+        let import = |entries, bytes| charged(&m, &profile, Work::Import { entries, bytes });
         // More entries and more bytes cost more, on both legs.
         assert!(scan(256, 256 * 256) > scan(64, 64 * 256));
         assert!(import(256, 256 * 300) > import(64, 64 * 300));
@@ -727,9 +725,9 @@ mod tests {
                 bytes,
                 staged_bytes,
             };
-            m.cost(&profile, work, None)
+            charged(&m, &profile, work)
         };
-        let commit = |writes, bytes| m.cost(&profile, Work::TxnCommit { writes, bytes }, None);
+        let commit = |writes, bytes| charged(&m, &profile, Work::TxnCommit { writes, bytes });
         // More ops in a prepare cost more; the frame overhead is paid once.
         assert!(prepare(8, 8 * 256, 8 * 256) > prepare(2, 2 * 256, 2 * 256));
         let eight = prepare(8, 8 * 256, 8 * 256);

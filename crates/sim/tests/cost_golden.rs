@@ -75,11 +75,11 @@ fn table() -> String {
     for (name, p) in &profiles {
         for bytes in [0usize, 1, 63, 64, 256, 1024, 4096, 65_536] {
             for (formula, work) in rows(bytes) {
-                // The charged column is the integer a caller that asks for no
-                // split gets: the split must not change what is charged.
-                let charged = m.cost(p, work, None);
+                // The charged column is the integer charged; the split files
+                // exactly that integer, by category.
                 let mut split = CostBreakdown::new();
-                assert_eq!(m.cost(p, work, Some(&mut split)), charged);
+                let charged = m.cost(p, work, &mut split);
+                assert_eq!(split.total(), charged);
                 write!(out, "{name} {formula} {bytes} {charged}").expect("writing to a String");
                 for (_, ns) in split.entries() {
                     write!(out, " {ns}").expect("writing to a String");

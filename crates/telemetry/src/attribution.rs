@@ -78,12 +78,9 @@ impl CostCategory {
         }
     }
 
+    /// Its slot in a [`CostBreakdown`]: its place in [`CostCategory::ALL`].
     fn index(self) -> usize {
-        CostCategory::ALL
-            .iter()
-            .position(|c| *c == self)
-            // recipe-lint: allow(unwrap-in-lib, reason = "ALL enumerates every CostCategory variant")
-            .expect("category is in ALL")
+        self as usize
     }
 }
 
@@ -116,17 +113,15 @@ impl CostBreakdown {
     }
 
     /// Element-wise accumulate.
-    pub(crate) fn merge(&mut self, other: &CostBreakdown) {
+    pub fn merge(&mut self, other: &CostBreakdown) {
         for (a, b) in self.slots.iter_mut().zip(other.slots.iter()) {
             *a += b;
         }
     }
 
     /// `(category, ns)` pairs in declaration order (zero entries included).
-    pub fn entries(&self) -> impl Iterator<Item = (CostCategory, u64)> + '_ {
-        CostCategory::ALL
-            .iter()
-            .map(move |&c| (c, self.slots[c.index()]))
+    pub fn entries(&self) -> impl Iterator<Item = (CostCategory, u64)> {
+        CostCategory::ALL.into_iter().zip(self.slots)
     }
 }
 
@@ -148,16 +143,6 @@ impl ShardAttribution {
     pub fn capacity_ns(&self) -> u64 {
         self.replicas as u64 * self.elapsed_ns
     }
-
-    /// Fills the `Idle` slot so that `busy.total() == capacity_ns()` whenever
-    /// charged work fits the run (work scheduled past the end of the run can
-    /// push the busy sum above capacity; `Idle` then stays 0 and the caller's
-    /// ±1% reconciliation check covers the overhang).
-    pub(crate) fn fill_idle(&mut self) {
-        let busy = self.busy.total();
-        let idle = self.capacity_ns().saturating_sub(busy);
-        self.busy.add(CostCategory::Idle, idle);
-    }
 }
 
 #[cfg(test)]
@@ -167,8 +152,9 @@ mod tests {
     #[test]
     fn names_are_stable_and_unique() {
         let mut seen = std::collections::BTreeSet::new();
-        for cat in CostCategory::ALL {
+        for (i, cat) in CostCategory::ALL.into_iter().enumerate() {
             assert!(seen.insert(cat.as_str()), "duplicate name {}", cat.as_str());
+            assert_eq!(cat.index(), i, "{} is out of place in ALL", cat.as_str());
         }
         assert_eq!(seen.len(), CostCategory::COUNT);
     }
@@ -184,30 +170,5 @@ mod tests {
         assert_eq!(a.get(CostCategory::Transport), 15);
         assert_eq!(a.get(CostCategory::Aead), 7);
         assert_eq!(a.total(), 22);
-    }
-
-    #[test]
-    fn fill_idle_reconciles_to_capacity() {
-        let mut attr = ShardAttribution {
-            shard: 2,
-            replicas: 3,
-            elapsed_ns: 1_000,
-            busy: CostBreakdown::new(),
-        };
-        attr.busy.add(CostCategory::App, 1_800);
-        attr.fill_idle();
-        assert_eq!(attr.busy.get(CostCategory::Idle), 1_200);
-        assert_eq!(attr.busy.total(), attr.capacity_ns());
-
-        // Overcommitted shards keep Idle at zero instead of underflowing.
-        let mut over = ShardAttribution {
-            shard: 0,
-            replicas: 1,
-            elapsed_ns: 100,
-            busy: CostBreakdown::new(),
-        };
-        over.busy.add(CostCategory::App, 150);
-        over.fill_idle();
-        assert_eq!(over.busy.get(CostCategory::Idle), 0);
     }
 }

@@ -253,13 +253,13 @@ mod tests {
     fn sample_report() -> TelemetryReport {
         let mut busy = CostBreakdown::new();
         busy.add(CostCategory::App, 700);
-        let mut attr = ShardAttribution {
+        busy.add(CostCategory::Idle, 300);
+        let attr = ShardAttribution {
             shard: 0,
             replicas: 1,
             elapsed_ns: 1_000,
             busy,
         };
-        attr.fill_idle();
         TelemetryReport {
             spans: vec![
                 Span {

@@ -12,8 +12,9 @@
 //! load-bearing here too: every timestamp is virtual, recording order follows
 //! the simulator's deterministic event order, and export order is fixed —
 //! two runs with the same seed produce byte-identical traces. Telemetry is
-//! **off by default** and, when off, no telemetry code runs on the simulator's
-//! hot paths: runs are bit-identical to a build without the crate.
+//! **off by default** and only observes: on or off, the same events run at
+//! the same virtual times, and every charge files its category split in its
+//! node's books (`recipe_sim::NodeBooks`); their fold is the attribution.
 //!
 //! ## Structure
 //!
@@ -39,10 +40,10 @@ use metrics::{shard_labels, Histogram};
 pub use metrics::{MetricSample, MetricsRegistry};
 pub use span::{Span, SpanKind, Tracer};
 
-/// Telemetry gating, set on a deployment with
-/// `DeploymentSpec::with_telemetry`. Disabled by default; a disabled config
-/// attaches no [`ShardTelemetry`] to any group, so no tracer is allocated and
-/// the simulator's hot paths skip every telemetry branch.
+/// Telemetry gating, set with `DeploymentSpec::with_telemetry`. Disabled by
+/// default; a disabled config attaches no [`ShardTelemetry`] to any group, so
+/// no tracer is allocated and the hot paths skip every telemetry branch (the
+/// category split each charge files in its node's books is not one of them).
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct TelemetryConfig {
     /// Master switch.
@@ -131,11 +132,7 @@ impl ChargeKind {
     }
 
     fn index(self) -> usize {
-        ChargeKind::ALL
-            .iter()
-            .position(|k| *k == self)
-            // recipe-lint: allow(unwrap-in-lib, reason = "ALL enumerates every ChargeKind variant")
-            .expect("kind is in ALL")
+        self as usize
     }
 }
 
@@ -174,15 +171,15 @@ impl ProtocolCounters {
 }
 
 /// Per-shard telemetry state, owned by one simulated group while it runs:
-/// the span tracer, the cost-attribution accumulator (by category and by
-/// charge site) and the request-latency histogram. Merged into a
+/// the span tracer, the nanoseconds charged per site, the 2PC replication
+/// waits and the request-latency histogram. Merged into a
 /// [`TelemetryReport`] by the sharded driver at the end of a run.
 #[derive(Debug, Clone)]
 pub struct ShardTelemetry {
     shard: u32,
     tracer: Tracer,
-    busy: CostBreakdown,
     charges: [u64; ChargeKind::COUNT],
+    replication_ns: u64,
     latency_ns: Histogram,
     protocol: ProtocolCounters,
 }
@@ -193,8 +190,8 @@ impl ShardTelemetry {
         ShardTelemetry {
             shard,
             tracer: Tracer::with_capacity(config.max_spans),
-            busy: CostBreakdown::new(),
             charges: [0; ChargeKind::COUNT],
+            replication_ns: 0,
             latency_ns: Histogram::new(),
             protocol: ProtocolCounters::default(),
         }
@@ -218,16 +215,15 @@ impl ShardTelemetry {
             .record(Span::instant(kind, self.shard, node, at_ns, tag));
     }
 
-    /// Attributes one charge: the category split plus the charge-site total.
-    pub fn charge(&mut self, kind: ChargeKind, breakdown: &CostBreakdown) {
-        self.busy.merge(breakdown);
-        self.charges[kind.index()] += breakdown.total();
+    /// Adds a charge of `ns` to its site's total.
+    pub fn charge(&mut self, kind: ChargeKind, ns: u64) {
+        self.charges[kind.index()] += ns;
     }
 
-    /// Attributes a single-category charge (e.g. a replication round trip).
-    pub fn charge_category(&mut self, kind: ChargeKind, cat: CostCategory, ns: u64) {
-        self.busy.add(cat, ns);
-        self.charges[kind.index()] += ns;
+    /// Adds a 2PC replication wait, for which no node is busy, to its site and to `Replication`.
+    pub fn charge_replication(&mut self, kind: ChargeKind, ns: u64) {
+        self.charge(kind, ns);
+        self.replication_ns += ns;
     }
 
     /// Records one completed request's latency.
@@ -250,13 +246,14 @@ impl ShardTelemetry {
         &self.tracer
     }
 
-    /// Flattens this shard's state into report rows: the attribution row
-    /// (`Idle` filled against `replicas × elapsed_ns`) and the registry
-    /// samples for its charges, latency histogram and protocol counters.
+    /// Flattens this shard's state into report rows: the attribution row (its
+    /// replicas' `books` summed, the replication waits, `Idle` up to `replicas
+    /// × elapsed_ns`) and the samples of its charges, latency and counters.
     pub fn export(
         &self,
         replicas: u32,
         elapsed_ns: u64,
+        mut books: CostBreakdown,
         registry: &mut MetricsRegistry,
     ) -> ShardAttribution {
         let labels = shard_labels(self.shard);
@@ -286,14 +283,16 @@ impl ShardTelemetry {
                 registry.add_counter(name, &labels, v);
             }
         }
-        let mut attr = ShardAttribution {
+        books.add(CostCategory::Replication, self.replication_ns);
+        // Work scheduled past the run's end can exceed capacity: `Idle` stays 0.
+        let idle = (u64::from(replicas) * elapsed_ns).saturating_sub(books.total());
+        books.add(CostCategory::Idle, idle);
+        ShardAttribution {
             shard: self.shard,
             replicas,
             elapsed_ns,
-            busy: self.busy,
-        };
-        attr.fill_idle();
-        attr
+            busy: books,
+        }
     }
 }
 
@@ -314,8 +313,8 @@ mod tests {
         let mut b = CostBreakdown::new();
         b.add(CostCategory::Transport, 100);
         b.add(CostCategory::App, 50);
-        t.charge(ChargeKind::ClientIngest, &b);
-        t.charge_category(ChargeKind::TxnPrepare, CostCategory::Replication, 10_000);
+        t.charge(ChargeKind::ClientIngest, b.total());
+        t.charge_replication(ChargeKind::TxnPrepare, 10_000);
         t.span(SpanKind::Replication, 1, 100, 400, 9);
         t.record_latency(123_000);
         t.absorb_protocol_counters(&ProtocolCounters {
@@ -324,9 +323,15 @@ mod tests {
         });
 
         let mut registry = MetricsRegistry::default();
-        let attr = t.export(3, 1_000_000, &mut registry);
+        let attr = t.export(3, 1_000_000, b, &mut registry);
         assert_eq!(attr.shard, 3);
+        assert_eq!(attr.busy.get(CostCategory::App), 50);
+        assert_eq!(attr.busy.get(CostCategory::Replication), 10_000);
+        assert_eq!(attr.busy.get(CostCategory::Idle), 3_000_000 - 10_150);
         assert_eq!(attr.busy.total(), attr.capacity_ns());
+        // An overcommitted shard keeps Idle at zero instead of underflowing.
+        let over = t.export(1, 100, b, &mut MetricsRegistry::default());
+        assert_eq!(over.busy.get(CostCategory::Idle), 0);
         let samples = registry.snapshot();
         let charged = |name: &str| samples.iter().find(|s| s.name == name).map(|s| s.value);
         assert_eq!(charged("charge.client_ingest_ns"), Some(b.total() as f64));
@@ -340,8 +345,9 @@ mod tests {
     #[test]
     fn charge_kind_names_are_unique() {
         let mut seen = std::collections::BTreeSet::new();
-        for kind in ChargeKind::ALL {
+        for (i, kind) in ChargeKind::ALL.into_iter().enumerate() {
             assert!(seen.insert(kind.as_str()));
+            assert_eq!(kind.index(), i, "{} is out of place in ALL", kind.as_str());
         }
         assert_eq!(seen.len(), ChargeKind::COUNT);
     }

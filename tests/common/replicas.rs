@@ -3,6 +3,7 @@
 
 use std::collections::BTreeSet;
 
+use recipe::kv::ReadResult;
 use recipe::net::NodeId;
 use recipe::protocols::StoreReplica;
 use recipe::shard::ShardedCluster;
@@ -23,7 +24,11 @@ use super::history::{History, Violation};
 /// A frame the network drops or tampers with stalls its channel for good,
 /// since the cores do not retransmit. In a group whose network does either,
 /// a replica may trail: it need not hold a key, its lack of one is not
-/// read, and the group need not come to rest. Any other group must.
+/// read, and the group need not come to rest. Nor need it hold a key's
+/// newest write: a replica whose value of a key is older than a peer's (a
+/// lower logical timestamp; replicas stamp one write with one logical
+/// value) is trailing, and its value is neither read nor held to agree.
+/// Any other group must rest, and its replicas must hold every key.
 pub fn check_run<R: StoreReplica>(
     cluster: &mut ShardedCluster<R>,
     history: &mut History,
@@ -53,25 +58,24 @@ pub fn check_run<R: StoreReplica>(
             .filter(|id| !crashed.contains(id))
             .copied()
             .collect();
-        let held: Vec<Option<Vec<u8>>> = (live.iter())
-            .map(|&id| {
-                group
-                    .replica_mut(id)
-                    .store()
-                    .get(&key)
-                    .map(|read| read.value)
-            })
+        let mut held: Vec<Option<ReadResult>> = (live.iter())
+            .map(|&id| group.replica_mut(id).store().get(&key))
             .collect();
-        let holders: Vec<&Vec<u8>> = held.iter().flatten().collect();
+        if may_trail {
+            let newest = held.iter().flatten().map(|read| read.timestamp.logical);
+            let newest = newest.max();
+            held.retain(|read| {
+                read.as_ref()
+                    .is_some_and(|read| Some(read.timestamp.logical) == newest)
+            });
+        }
+        let holders: Vec<&Vec<u8>> = held.iter().flatten().map(|read| &read.value).collect();
         if apart.is_ok() && holders.windows(2).any(|pair| pair[0] != pair[1]) {
             let name = String::from_utf8_lossy(&key);
             apart = Err(format!("{protocol:?}: replicas disagree on {name:?}"));
         }
-        for value in held
-            .into_iter()
-            .filter(|value| value.is_some() || !may_trail)
-        {
-            history.final_read(&key, value);
+        for read in held {
+            history.final_read(&key, read.map(|read| read.value));
         }
     }
     let read_path = protocol.contract().read_path;

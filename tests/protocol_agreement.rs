@@ -18,6 +18,7 @@ use recipe::protocols::{
 };
 use recipe::shard::{op_from_workload, DeploymentSpec, ShardedCluster};
 use recipe::sim::{NodeBooks, RangeEntry, RunStats, SimCluster, SimConfig, StepOutcome};
+use recipe::telemetry::CostCategory;
 use recipe::workload::WorkloadSpec;
 
 use common::history::{History, Violation, FINAL};
@@ -672,12 +673,23 @@ fn keeps_its_contract_in(cell: Cell) -> (f64, f64) {
         node_keeps_its_role(&name, node, &shares, n, cell.batch);
     }
     if cell.held().1 == Held::Within && !contract.rotates {
-        let busiest = (0..n).max_by_key(|&i| books[i].busy_ns).expect("n > 0");
-        let busy: Vec<u64> = books.iter().map(|node| node.busy_ns).collect();
+        let busiest = (0..n)
+            .max_by_key(|&i| books[i].busy.total())
+            .expect("n > 0");
+        let busy: Vec<u64> = books.iter().map(|node| node.busy.total()).collect();
+        let predicted = cell.predicted();
         assert_eq!(
-            roles[busiest].name,
-            cell.predicted().role,
+            roles[busiest].name, predicted.role,
             "{cell}: node {busiest} is the busiest, ns {busy:?}"
+        );
+        let split = books[busiest].busy;
+        let top = CostCategory::ALL.into_iter().max_by_key(|&c| split.get(c));
+        let ns = CostCategory::ALL.into_iter().zip(predicted.ns_per_op);
+        let predicted_top = ns.max_by(|a, b| a.1.total_cmp(&b.1)).map(|(c, _)| c);
+        assert_eq!(
+            top, predicted_top,
+            "{cell}: node {busiest}'s largest category, split {split:?}, predicted {:?}",
+            predicted.ns_per_op
         );
     }
     let band = match cell.held().1 {
