@@ -630,7 +630,7 @@ fn run_skew(
 /// produce degenerate (possibly zero) phase figures rather than being
 /// silently resized.
 fn fig_rebalance(operations: usize) -> Figure {
-    let (stats, _) = run_skew(skew_spec(operations), false);
+    let (stats, cluster) = run_skew(skew_spec(operations), false);
     let balanced_ops = skew_switch_over(operations);
 
     // Phase means off the timeline: pre-skew up to the bucket where the
@@ -694,16 +694,17 @@ fn fig_rebalance(operations: usize) -> Figure {
     figure.latency.push(("total_".into(), stats.total.clone()));
     figure.note(format!(
         "\nmigrations: {} (snapshot {} entries / {} wire B, catch-up {} entries / {} rounds, \
-         {} redirects, {} refusals, cutover at {:.1} ms, router epoch {})",
+         {} chunks, {} redirects, {} refusals, cutover at {:.1} ms, router epoch {})",
         m.migrations_completed,
         m.snapshot_entries,
         m.snapshot_bytes,
         m.catchup_entries,
         m.catchup_rounds,
+        m.chunks,
         m.redirects,
         m.refusals,
         m.last_cutover_ns as f64 / 1e6,
-        m.router_version,
+        cluster.router().version().0,
     ));
     figure.note("throughput timeline (commits per 5 ms bucket):");
     for bucket in &stats.timeline {

@@ -70,14 +70,25 @@ pub struct MigrationChunk {
     pub entries: Vec<RangeEntry>,
 }
 
-/// Wire bytes of a [`RangeEntry`] with an empty key and value: two
-/// timestamp halves and two length prefixes.
-const ENTRY_MIN_LEN: usize = 2 * 8 + 2 * 4;
+/// Most records one chunk carries: the bound on what a chunk stages inside
+/// the enclave. A round of `k` records ships `⌈k / CHUNK_ENTRIES⌉` chunks.
+pub const CHUNK_ENTRIES: usize = 128;
 
 impl MigrationChunk {
+    /// Wire bytes of a [`RangeEntry`] with an empty key and value: two
+    /// timestamp halves and two length prefixes.
+    pub const ENTRY_MIN_LEN: usize = 2 * 8 + 2 * 4;
+
     /// Total key+value payload bytes carried by this chunk.
     pub fn payload_len(&self) -> usize {
         self.entries.iter().map(RangeEntry::payload_len).sum()
+    }
+
+    /// Bytes [`MigrationChunk::encode`] produces for `entries` records whose
+    /// keys and values total `payload_bytes`: the tag, the 22-byte header,
+    /// then [`MigrationChunk::ENTRY_MIN_LEN`] plus the payload per record.
+    pub const fn wire_len(entries: usize, payload_bytes: usize) -> usize {
+        1 + 8 + 1 + 8 + 4 + entries * Self::ENTRY_MIN_LEN + payload_bytes
     }
 
     /// Wire form: `tag | migration_id | phase u8 | seq | count u32 |
@@ -85,7 +96,7 @@ impl MigrationChunk {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::tagged(
             tag::MIGRATION,
-            1 + 8 + 1 + 8 + 4 + self.entries.len() * ENTRY_MIN_LEN + self.payload_len(),
+            Self::wire_len(self.entries.len(), self.payload_len()),
         );
         w.u64(self.migration_id)
             .u8(match self.phase {
@@ -115,7 +126,7 @@ impl MigrationChunk {
             _ => return None,
         };
         let seq = r.u64()?;
-        let entries = r.seq(ENTRY_MIN_LEN, |r| {
+        let entries = r.seq(Self::ENTRY_MIN_LEN, |r| {
             let (ts_logical, ts_node) = (r.u64()?, r.u64()?);
             Some(RangeEntry {
                 key: r.bytes()?.to_vec(),
@@ -159,11 +170,12 @@ pub struct MigrationChannel {
 
 impl MigrationChannel {
     /// Opens the channel for migration `migration_id` from `donor` to
-    /// `recipient`. With a [`ConfidentialityMode::Confidential`] policy (or a
-    /// legacy `true`), chunk payloads are AEAD-encrypted in transit — a
-    /// policy-aware controller passes the *stricter* of the donor's and the
-    /// recipient's per-shard modes, so a range never travels in plaintext
-    /// when either side of the move treats it as sensitive. Channel keys are
+    /// `recipient`. With a [`ConfidentialityMode::Confidential`] policy (or
+    /// `true`), chunk payloads are AEAD-encrypted in transit — the
+    /// controller passes the *stricter* of the donor's and the recipient's
+    /// per-shard modes and the operator's `confidential_transfer` override,
+    /// so a range never travels in plaintext when either side of the move
+    /// treats it as sensitive. Channel keys are
     /// derived per migration (the migration id is folded into the endpoint
     /// labels), so frames sealed for one migration never verify on another.
     ///
@@ -252,6 +264,8 @@ impl MigrationChannel {
 
 #[cfg(test)]
 mod tests {
+    use recipe_core::ShieldedMessage;
+
     use super::*;
 
     fn chunk(n: usize) -> MigrationChunk {
@@ -339,6 +353,24 @@ mod tests {
         assert!(!wire.windows(4).any(|w| w == b"user"));
         assert!(!wire.windows(6).any(|w| w == b"secret"));
         assert_eq!(channel.open(&mut wire), Some(original));
+    }
+
+    #[test]
+    fn a_sealed_chunk_is_one_frame_of_its_stated_length() {
+        for confidential in [false, true] {
+            let mut channel = MigrationChannel::new(0, 1, 7, confidential);
+            for n in [0, 1, CHUNK_ENTRIES] {
+                let chunk = chunk(n);
+                let len = MigrationChunk::wire_len(n, chunk.payload_len());
+                assert_eq!(chunk.encode().len(), len);
+                let sealed = channel.seal(&chunk).len();
+                assert_eq!(
+                    sealed,
+                    ShieldedMessage::frame_len(len),
+                    "{n}, {confidential}"
+                );
+            }
+        }
     }
 
     #[test]

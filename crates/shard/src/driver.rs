@@ -449,9 +449,10 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
             let retry_at = at + 2 * COST_MODEL.link_latency_ns;
             return self.schedule(retry_at, client_id, DriverWork::Retry(rid, request));
         }
-        if placements
-            .iter()
-            .any(|&(arc, shard)| self.st.refuses(shard, arc))
+        if self.st.is_draining()
+            && placements
+                .iter()
+                .any(|&(arc, shard)| self.st.captures(shard, arc))
         {
             // Cutover drain: the donor refuses fresh work on the moving
             // range; the whole request backs off and retries — after the
@@ -666,21 +667,21 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
     /// outstanding single-key operations plus transactions with a
     /// participant on it.
     pub(crate) fn inflight_on_moving(&self) -> usize {
-        let Some((donor, arc_set)) = self.st.active_range() else {
+        let Some((donor, arcs)) = self.st.moving_range() else {
             return 0;
         };
         let singles = self
             .clients
             .iter()
             .filter_map(|client| client.outstanding.as_ref())
-            .filter(|issued| issued.shard == donor && arc_set.contains(&issued.arc))
+            .filter(|issued| issued.shard == donor && arcs.binary_search(&issued.arc).is_ok())
             .count();
-        singles + self.txns.inflight_on(donor, arc_set)
+        singles + self.txns.inflight_on(donor, arcs)
     }
 
     /// Closes the books: range GC, the cluster's own figures, then the
     /// driver-side counters and the timeline.
-    fn finish(mut self) -> ShardedRunStats {
+    fn finish(self) -> ShardedRunStats {
         // Driver events do not outlive the run; the groups' stay for
         // `quiesce` to drain and for the next run.
         self.cluster.calendar.cancel(Owner::DRIVER);
@@ -694,7 +695,6 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
             stats.gateway = gateway.stats();
             self.cluster.last_gateway_stats = Some(stats.gateway.clone());
         }
-        self.st.stats.router_version = self.cluster.router.version().0;
         stats.migration = self.st.stats;
         stats.txn = self.txns.stats();
         let (frames, entries) = self.cluster.pool_counts();

@@ -40,7 +40,7 @@ mod spec;
 mod txn;
 
 pub use driver::{Client, Reply};
-pub use migration::{MigrationStats, RebalanceConfig};
+pub use migration::{MigrationStats, RebalanceConfig, MAX_CATCHUP_ROUNDS, MIGRATIONS_PER_RUN};
 pub use router::{RangeMove, RouteDecision, RouterVersion, ShardRouter};
 pub use sharded::{
     ClientModel, PoolCounts, ShardedCluster, ShardedConfig, ShardedRunStats, TimelineBucket,

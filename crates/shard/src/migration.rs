@@ -27,11 +27,18 @@
 //! export/import work, sealed-frame wire costs, and the EPC pressure of
 //! staging chunks inside the enclave (`ProtocolCostModel::epc_pressure`) — so the
 //! throughput timeline shows the true cost of the transfer, not a free move.
+//! The time lands in each node's books and in telemetry's
+//! `charge.snapshot_{export,import}_ns`.
+//!
+//! **Cost form.** A migration ships a snapshot round and then its catch-up
+//! rounds (the final delta included); a round of `k` records ships
+//! `⌈k / CHUNK_ENTRIES⌉` chunks ([`MigrationStats::chunks`]), each one
+//! shielded frame of `ShieldedMessage::frame_len(MigrationChunk::wire_len(n,
+//! b))` bytes for `n` records of `b` key and value bytes, sealed or not.
 
 use std::cmp::Reverse;
-use std::collections::HashSet;
 
-use recipe_protocols::{ChunkPhase, MigrationChannel, MigrationChunk, StoreReplica};
+use recipe_protocols::{ChunkPhase, MigrationChannel, MigrationChunk, StoreReplica, CHUNK_ENTRIES};
 use recipe_sim::{RangeEntry, Work, COST_MODEL};
 use recipe_telemetry::{ChargeKind, SpanKind};
 use recipe_workload::stable_key_hash;
@@ -41,7 +48,17 @@ use crate::driver::Engine;
 use crate::router::ShardRouter;
 use crate::sharded::ShardedCluster;
 
-/// Knobs of the online-rebalancing controller.
+/// Most migrations the controller starts in one run (one is in flight at a
+/// time).
+pub const MIGRATIONS_PER_RUN: u64 = 4;
+
+/// Catch-up rounds a migration ships before the controller forces the drain
+/// regardless of the delta's size.
+pub const MAX_CATCHUP_ROUNDS: u64 = 8;
+
+/// Knobs of the online-rebalancing controller. Its fixed bounds are
+/// constants: [`MIGRATIONS_PER_RUN`], [`MAX_CATCHUP_ROUNDS`] and
+/// [`CHUNK_ENTRIES`] records per chunk.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RebalanceConfig {
     /// Master switch: `false` (the default) and the controller never acts —
@@ -54,22 +71,16 @@ pub struct RebalanceConfig {
     /// Trigger threshold: busiest shard's window commits over the per-shard
     /// mean.
     pub imbalance_threshold: f64,
-    /// Upper bound on migrations per run (one is in flight at a time).
-    pub max_migrations: u64,
     /// Force payload encryption on every transfer chunk, regardless of
     /// policy. The AEAD choice is normally per move — a chunk is encrypted
     /// iff the donor's or the recipient's shard policy
     /// ([`crate::ShardedCluster::confidentiality_of`]) is confidential, so a
     /// moving range never travels in plaintext when either side treats it as
-    /// sensitive — and this knob is the stricter-wins override on top: set it
-    /// to seal even plaintext→plaintext moves.
+    /// sensitive — and this knob is the operator's stricter-wins override on
+    /// top: set it to seal even plaintext→plaintext moves.
     pub confidential_transfer: bool,
-    /// Records per sealed chunk — bounds the EPC staging footprint.
-    pub chunk_entries: usize,
     /// A catch-up round at or below this many records triggers the drain.
     pub drain_threshold_ops: usize,
-    /// Catch-up rounds before the controller forces the drain regardless.
-    pub max_catchup_rounds: u64,
     /// Width of the throughput-timeline buckets, virtual ns (0 disables).
     /// Every run's driver reads it, with the controller on or off: it
     /// buckets the run's commits, aborts and cutovers.
@@ -87,11 +98,8 @@ impl Default for RebalanceConfig {
             check_interval_ns: 20_000_000, // 20 ms
             min_window_commits: 200,
             imbalance_threshold: 1.5,
-            max_migrations: 4,
             confidential_transfer: false,
-            chunk_entries: 128,
             drain_threshold_ops: 8,
-            max_catchup_rounds: 8,
             timeline_bucket_ns: 10_000_000, // 10 ms
             issue_stagger_ns: 200,
         }
@@ -108,7 +116,9 @@ impl RebalanceConfig {
     }
 }
 
-/// Counters of the rebalancing machinery for one run.
+/// Counters of the rebalancing machinery for one run. The virtual time a
+/// transfer costs is in each node's books and in telemetry's charges; the
+/// router's epoch is [`crate::ShardRouter::version`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct MigrationStats {
     /// Migrations the controller started.
@@ -124,11 +134,14 @@ pub struct MigrationStats {
     /// Sealed wire bytes of all catch-up chunks.
     pub catchup_bytes: u64,
     /// Wire bytes (snapshot + catch-up) that travelled AEAD-encrypted because
-    /// the move touched a confidential shard (or the legacy
-    /// [`RebalanceConfig::confidential_transfer`] forced it).
+    /// the move touched a confidential shard (or the operator's
+    /// [`RebalanceConfig::confidential_transfer`] override forced it).
     pub confidential_transfer_bytes: u64,
     /// Catch-up rounds shipped (including the final delta).
     pub catchup_rounds: u64,
+    /// Sealed chunks the donor leaders shipped, snapshot and catch-up: one
+    /// shielded frame each.
+    pub chunks: u64,
     /// `WrongShard` redirects served to stale clients.
     pub redirects: u64,
     /// Operations the donor refused during drains (client backed off).
@@ -139,12 +152,8 @@ pub struct MigrationStats {
     /// Committed moving-range writes that could not be captured for catch-up
     /// (donor leader gone or record unverifiable at capture time).
     pub(crate) capture_misses: u64,
-    /// Virtual nanoseconds of export/seal/import work charged to replicas.
-    pub transfer_busy_ns: u64,
     /// Virtual time of the last completed cutover.
     pub last_cutover_ns: u64,
-    /// Router epoch at the end of the run.
-    pub router_version: u64,
 }
 
 /// A migration in flight.
@@ -152,9 +161,8 @@ struct ActiveMigration {
     donor: usize,
     recipient: usize,
     /// Moving arcs in ascending order (the unit handed to the router at
-    /// cutover).
+    /// cutover; membership is a binary search).
     arcs: Vec<usize>,
-    arc_set: HashSet<usize>,
     channel: MigrationChannel,
     /// Writes committed on the donor inside the moving range since the last
     /// shipped round, in commit order.
@@ -206,42 +214,32 @@ impl ControllerState {
     pub(crate) fn deadline(&self, rb: &RebalanceConfig) -> Option<u64> {
         match &self.active {
             Some(active) => active.transfer_ready_at,
-            None if rb.enabled && self.stats.migrations_started < rb.max_migrations => {
+            None if rb.enabled && self.stats.migrations_started < MIGRATIONS_PER_RUN => {
                 Some(self.next_check_ns)
             }
             None => None,
         }
     }
 
-    /// True when the donor must refuse a fresh operation on `(shard, arc)`
-    /// (cutover drain in progress for that range).
-    pub(crate) fn refuses(&self, shard: usize, arc: usize) -> bool {
-        match &self.active {
-            Some(active) => {
-                active.draining && shard == active.donor && active.arc_set.contains(&arc)
-            }
-            None => false,
-        }
-    }
-
-    /// The active migration's `(donor, moving arcs)`, if one is in flight.
-    pub(crate) fn active_range(&self) -> Option<(usize, &HashSet<usize>)> {
+    /// The active migration's donor and moving arcs (ascending), if one is
+    /// in flight.
+    pub(crate) fn moving_range(&self) -> Option<(usize, &[usize])> {
         self.active
             .as_ref()
-            .map(|active| (active.donor, &active.arc_set))
+            .map(|active| (active.donor, active.arcs.as_slice()))
+    }
+
+    /// True when `(shard, arc)` lies in the active migration's moving range:
+    /// a committed write there is captured for the catch-up log, and while
+    /// [`ControllerState::is_draining`] the donor refuses fresh work there.
+    pub(crate) fn captures(&self, shard: usize, arc: usize) -> bool {
+        self.moving_range()
+            .is_some_and(|(donor, arcs)| shard == donor && arcs.binary_search(&arc).is_ok())
     }
 
     /// True while the active migration drains the moving range for cutover.
     pub(crate) fn is_draining(&self) -> bool {
         self.active.as_ref().is_some_and(|active| active.draining)
-    }
-
-    /// True when a committed write on `(shard, arc)` must be captured for
-    /// the active migration's catch-up log.
-    pub(crate) fn captures(&self, shard: usize, arc: usize) -> bool {
-        self.active
-            .as_ref()
-            .is_some_and(|active| shard == active.donor && active.arc_set.contains(&arc))
     }
 
     /// Records one capture attempt: the re-read record, or a capture miss
@@ -278,7 +276,7 @@ impl ControllerState {
         }
         for entry in entries {
             let arc = router.arc_of_point(stable_key_hash(&entry.key));
-            if active.arc_set.contains(&arc) {
+            if active.arcs.binary_search(&arc).is_ok() {
                 active.catchup.push(entry.clone());
             }
         }
@@ -320,8 +318,7 @@ impl<R: StoreReplica> Engine<'_, R> {
         debug_assert!(active.transfer_ready_at.is_some_and(|at| at <= now));
         // The in-flight round landed. Ship the next catch-up round, or begin
         // the drain when the delta is small (or rounds ran out).
-        if active.catchup.len() > self.rb.drain_threshold_ops
-            && active.rounds < self.rb.max_catchup_rounds
+        if active.catchup.len() > self.rb.drain_threshold_ops && active.rounds < MAX_CATCHUP_ROUNDS
         {
             self.ship_round(now, ChunkPhase::CatchUp);
         } else {
@@ -449,7 +446,6 @@ impl<R: StoreReplica> Engine<'_, R> {
         let mut active = ActiveMigration {
             donor,
             recipient,
-            arc_set: arcs.iter().copied().collect(),
             arcs,
             channel: MigrationChannel::new(
                 donor,
@@ -490,20 +486,17 @@ impl<R: StoreReplica> Engine<'_, R> {
         entries: Vec<RangeEntry>,
         phase: ChunkPhase,
     ) -> u64 {
-        let Engine {
-            cluster, st, rb, ..
-        } = self;
+        let Engine { cluster, st, .. } = self;
         // Each node is charged under its own group's profile (the donor's
         // and the recipient's shard policies may name different hardware).
         let donor_leader = cluster.shards[active.donor]
             .write_coordinator()
             .unwrap_or_else(|| cluster.shards[active.donor].node_ids()[0]);
 
-        let chunk_entries = rb.chunk_entries.max(1);
         let mut donor_busy_from = now;
         let mut ready_at = now;
         let is_snapshot = matches!(phase, ChunkPhase::Snapshot);
-        for batch in entries.chunks(chunk_entries) {
+        for batch in entries.chunks(CHUNK_ENTRIES) {
             let chunk = MigrationChunk {
                 migration_id: st.next_migration_id,
                 phase,
@@ -534,7 +527,6 @@ impl<R: StoreReplica> Engine<'_, R> {
             });
             let sent_at = sent.finish_ns;
             donor_busy_from = sent_at;
-            st.stats.transfer_busy_ns += exported.cost_ns() + sent.cost_ns();
             if let Some(t) = donor.telemetry_mut() {
                 let kind = if is_snapshot {
                     SpanKind::MigrationSnapshot
@@ -559,7 +551,6 @@ impl<R: StoreReplica> Engine<'_, R> {
             for idx in 0..recipient.replica_count() {
                 let node = recipient.node_ids()[idx];
                 let imported = recipient.charge(node, arrival, ChargeKind::SnapshotImport, import);
-                st.stats.transfer_busy_ns += imported.cost_ns();
                 ready_at = ready_at.max(imported.finish_ns);
                 recipient
                     .replica_mut(node)
@@ -567,6 +558,7 @@ impl<R: StoreReplica> Engine<'_, R> {
                     .import_range(&opened.entries);
             }
 
+            st.stats.chunks += 1;
             if is_snapshot {
                 st.stats.snapshot_entries += batch.len() as u64;
                 st.stats.snapshot_bytes += wire.len() as u64;

@@ -245,17 +245,17 @@ impl ShardRouter {
     }
 
     /// Builds an owning key filter selecting exactly the keys whose routing
-    /// point lands on one of `arcs` — the membership test a migration uses for
-    /// range export and donor-side eviction. The filter is self-contained
-    /// (it clones the ring points), so it can be handed to replicas while the
-    /// router is borrowed elsewhere.
+    /// point lands on one of `arcs` (ascending) — the membership test a
+    /// migration uses for range export and donor-side eviction. The filter is
+    /// self-contained (it clones the ring points and the arcs), so it can be
+    /// handed to replicas while the router is borrowed elsewhere.
     pub(crate) fn arc_membership_filter(&self, arcs: &[usize]) -> impl Fn(&[u8]) -> bool + 'static {
-        let points = self.points.clone();
-        let arcs: std::collections::HashSet<usize> = arcs.iter().copied().collect();
+        debug_assert!(arcs.is_sorted(), "moving arcs are kept in ascending order");
+        let (points, arcs) = (self.points.clone(), arcs.to_vec());
         move |key: &[u8]| {
             let point = stable_key_hash(key);
             let arc = points.partition_point(|&p| p < point) % points.len();
-            arcs.contains(&arc)
+            arcs.binary_search(&arc).is_ok()
         }
     }
 

@@ -431,20 +431,12 @@ impl DeploymentSpec {
                 "txn.retry_timeout_ns: must be > 0 (a zero timeout retransmits every event)".into(),
             );
         }
-        if self.rebalance.enabled {
-            if self.rebalance.chunk_entries == 0 {
-                return Err(
-                    "rebalance.chunk_entries: must be >= 1 (a migration chunk needs records)"
-                        .into(),
-                );
-            }
-            if self.rebalance.imbalance_threshold < 1.0 {
-                return Err(format!(
-                    "rebalance.imbalance_threshold: {} is below 1.0, which would flag a \
-                     perfectly balanced cluster as imbalanced",
-                    self.rebalance.imbalance_threshold
-                ));
-            }
+        if self.rebalance.enabled && self.rebalance.imbalance_threshold < 1.0 {
+            return Err(format!(
+                "rebalance.imbalance_threshold: {} is below 1.0, which would flag a \
+                 perfectly balanced cluster as imbalanced",
+                self.rebalance.imbalance_threshold
+            ));
         }
         for (shard, policy) in &self.overrides {
             if *shard >= self.shards {

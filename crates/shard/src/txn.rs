@@ -66,7 +66,7 @@
 //! clean transaction table (`txn_reset`; volatile enclave state) and relies
 //! on the group's surviving records.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use recipe_core::{Operation, Request, TxnBody, TxnBodyRef};
 use recipe_net::{FaultPlan, FrameFault, NetworkFaultInjector, NodeId};
@@ -398,15 +398,15 @@ impl TxnManager {
     }
 
     /// In-flight transactions with a participant on `shard` whose arcs
-    /// intersect `arc_set` — these block a migration drain exactly like
-    /// outstanding single-key operations do.
-    pub(crate) fn inflight_on(&self, shard: usize, arc_set: &HashSet<usize>) -> usize {
+    /// intersect `arcs` (ascending) — these block a migration drain exactly
+    /// like outstanding single-key operations do.
+    pub(crate) fn inflight_on(&self, shard: usize, arcs: &[usize]) -> usize {
         self.inflight
             .values()
             .filter(|txn| {
-                txn.participants
-                    .iter()
-                    .any(|p| p.shard == shard && p.arcs.iter().any(|arc| arc_set.contains(arc)))
+                txn.participants.iter().any(|p| {
+                    p.shard == shard && p.arcs.iter().any(|arc| arcs.binary_search(arc).is_ok())
+                })
             })
             .count()
     }

@@ -343,13 +343,6 @@ pub struct Charged {
     pub finish_ns: u64,
 }
 
-impl Charged {
-    /// The virtual nanoseconds charged.
-    pub fn cost_ns(&self) -> u64 {
-        self.finish_ns - self.start_ns
-    }
-}
-
 /// Bookkeeping for a client's single outstanding request. Tracking the issued
 /// operation itself (rather than re-deriving it) lets retries resend the exact
 /// same operation and lets [`ReplicaGroup::record_reply`] classify the

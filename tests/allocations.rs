@@ -290,9 +290,9 @@ const WORKLOADS: [(&str, usize); 5] = [
 const SEED: u64 = 1;
 
 /// Fields of the run's stats left out: the per-shard split and the timeline
-/// repeat the totals, and an instant and an epoch are not counts of work,
-/// so a rate per op says nothing.
-const LEFT_OUT: [&str; 4] = ["per_shard", "timeline", "last_cutover_ns", "router_version"];
+/// repeat the totals, and an instant is not a count of work, so a rate per
+/// op says nothing.
+const LEFT_OUT: [&str; 3] = ["per_shard", "timeline", "last_cutover_ns"];
 
 /// `value` per op, to four decimals: one event in ten thousand ops.
 fn per_op(value: f64, committed: u64) -> Value {

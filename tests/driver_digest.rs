@@ -44,12 +44,14 @@
 //!
 //! Every pinned run's books must balance too (`unbalanced_books`): each
 //! commit counted once, per shard and in total. The five runs with
-//! transactions keep 2PC's closed forms as well (`check_txn_contract`):
-//! their frames, installs, endpoints and lanes.
+//! transactions and the one that migrates keep the sharded layer's closed
+//! forms as well (`check_sharded_contract`): 2PC's frames, installs,
+//! endpoints and lanes, and the migration's chunks per round and record
+//! and its framing bytes per chunk and record.
 
 mod common {
     pub mod books;
-    pub mod txn_contract;
+    pub mod sharded_contract;
 }
 
 use std::path::PathBuf;
@@ -70,7 +72,7 @@ use serde::Deserialize;
 use serde_json::Value;
 
 use common::books::unbalanced_books;
-use common::txn_contract::check_txn_contract;
+use common::sharded_contract::check_sharded_contract;
 
 /// One pinned run.
 struct Pin {
@@ -79,65 +81,66 @@ struct Pin {
     run: fn() -> String,
     /// SHA-256 of that JSON.
     digest: &'static str,
-    /// The deployment of a run with transactions, whose 2PC is held to its
-    /// closed forms (`check_txn_contract`).
-    txn: Option<fn() -> DeploymentSpec>,
+    /// The deployment of a run with transactions or migrations, whose 2PC
+    /// and migrations are held to their closed forms
+    /// (`check_sharded_contract`).
+    contract: Option<fn() -> DeploymentSpec>,
 }
 
 const PINS: [Pin; 9] = [
     Pin {
         name: "single_key_unbatched",
         run: single_key_unbatched,
-        digest: "d0983f8d48d23191830274381c9cc64fc77b8d08462bf87c4c49b76f2a4c956a",
-        txn: None,
+        digest: "2657f87f141f3d31b787d9bace782c0787ada109964b272e2c8cfb08f3a420c1",
+        contract: None,
     },
     Pin {
         name: "txn_gateway",
         run: txn_gateway,
-        digest: "8ceca40a25c697cad9bded7091197a7f38de0b85f92fb1ef5149f5317472320b",
-        txn: Some(txn_gateway_spec),
+        digest: "a739dc62e935bae1a75435653eb1872600259c0b47776fdd85fe79a3cf42eef1",
+        contract: Some(txn_gateway_spec),
     },
     Pin {
         name: "rebalance_crash",
         run: rebalance_crash,
-        digest: "509cc9fedf0fc1eafa3bdb9f8eb585ceb8d44314c72053a25eb0946505c3573b",
-        txn: None,
+        digest: "3c54d6425a1fbe60140e1d9360c1599c1ed762f38504dd40560fadbac2defb06",
+        contract: Some(rebalance_crash_spec),
     },
     Pin {
         name: "txn_byzantine",
         run: txn_byzantine,
-        digest: "fad7da19e3eeafe4d5e2c1353713249e983033a681561bf53c9ce4f6b4a73ce4",
-        txn: Some(txn_byzantine_spec),
+        digest: "9f7844113eb5ada4b8c7ec3413364768fbe0fc9776c7d0f98dd79e9a9b7b2f71",
+        contract: Some(txn_byzantine_spec),
     },
     Pin {
         name: "chain_txn_crash",
         run: chain_txn_crash,
-        digest: "3ae61b03a2a631bb3ec8316107955e72641231c23af5df8e571bc782540254cb",
-        txn: Some(chain_txn_spec),
+        digest: "7510949580c133376412d1676acbc65b95033ff5bf9357e922a20a667ef36cd7",
+        contract: Some(chain_txn_spec),
     },
     Pin {
         name: "abd_txn_crash",
         run: abd_txn_crash,
-        digest: "1e5b3f6a738b6e526ef46cdcf759dfc9a64ffd4206b19b2abccd09e68594dbdc",
-        txn: Some(abd_txn_spec),
+        digest: "245c85c634788ac796480b8cb02ea6598fffa094ff762d3bd99b4ee2594f8258",
+        contract: Some(abd_txn_spec),
     },
     Pin {
         name: "pbft_txn_crash",
         run: pbft_txn_crash,
-        digest: "d02fbd7123ae0760bebacf63d79fcb30300fdd72fb0f26176e48893f27e00265",
-        txn: Some(pbft_txn_spec),
+        digest: "122fa7025ec27441dfc5ef96cc3598f36f3deff16b21513e09ae772082b6ceae",
+        contract: Some(pbft_txn_spec),
     },
     Pin {
         name: "allconcur_crash",
         run: allconcur_crash,
-        digest: "f9e3528aa74c4a057e4f1fe0148015050b22ad875dc5541e730b576af8f15814",
-        txn: None,
+        digest: "612b1584d223b7b05f4f5df4453d9a2abedad79eb0b99a5c2d7059cdca449a5a",
+        contract: None,
     },
     Pin {
         name: "batched_replays",
         run: batched_replays,
-        digest: "52f068acec514b1bbda490a4d68c4884a0452f2b3dff90a6a15f45f1035988c1",
-        txn: None,
+        digest: "c86ac008aed46405deca22d89d4d2be619b62eb0a1650a50dafffb8731656921",
+        contract: None,
     },
 ];
 
@@ -217,8 +220,8 @@ fn txn_gateway() -> String {
 
 /// Two groups, the load funnelled onto a hot range of group 0 so the
 /// controller migrates it, while group 1's leader crashes and recovers.
-fn rebalance_crash() -> String {
-    let spec = DeploymentSpec::new(2, 3)
+fn rebalance_crash_spec() -> DeploymentSpec {
+    DeploymentSpec::new(2, 3)
         .with_seed(23)
         .with_clients(48, 1200)
         .with_time_cap_ns(20_000_000_000)
@@ -237,8 +240,11 @@ fn rebalance_crash() -> String {
                 400_000,
                 3_000_000,
             )),
-        );
-    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+        )
+}
+
+fn rebalance_crash() -> String {
+    let mut cluster = ShardedCluster::<RaftReplica>::build(rebalance_crash_spec());
     let hot = cluster.router().hot_range(0, 24, 2);
     let mut issued = 0usize;
     let stats = cluster.run_requests(move |client, seq| {
@@ -536,15 +542,17 @@ fn fixed_seed_runs_keep_their_pinned_digests() {
         name,
         run,
         digest,
-        txn,
+        contract,
     } in PINS
     {
         let json = run();
         let got: Value = serde_json::from_str(&json).expect("stats parse back");
         let stats = pinned_stats(&got);
         failures.extend(unbalanced_books(name, &stats));
-        if let Some(Err(breach)) = txn.map(|spec| check_txn_contract(&spec(), &stats)) {
-            failures.push(format!("`{name}` breaks the 2PC contract: {breach}"));
+        if let Some(Err(breach)) =
+            contract.map(|spec| check_sharded_contract(&spec(), &stats, None))
+        {
+            failures.push(format!("`{name}` breaks the sharded contract: {breach}"));
         }
         if sha256(json.as_bytes()).to_hex() == digest {
             continue;

@@ -2,6 +2,10 @@
 //! requests, retiring clients, the rebalancing controller reached through the
 //! one entry point, and every event source live in a single run.
 
+mod common {
+    pub mod sharded_contract;
+}
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -12,6 +16,8 @@ use recipe::protocols::RaftReplica;
 use recipe::shard::{
     DeploymentSpec, RebalanceConfig, ShardPolicy, ShardRouter, ShardedCluster, ShardedRunStats,
 };
+
+use common::sharded_contract::check_sharded_contract;
 
 fn put(key: Vec<u8>, client: u64, seq: u64) -> Operation {
     Operation::Put {
@@ -86,7 +92,7 @@ fn rebalancing_runs_through_the_one_entry_point_and_loses_nothing() {
         .with_seed(5)
         .with_clients(32, ops)
         .with_rebalance(rebalance_knobs());
-    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
     let hot = cluster.router().hot_range(0, 32, 2);
     let mut issued = 0usize;
     let stats = cluster.run_requests(move |client, seq| {
@@ -100,7 +106,8 @@ fn rebalancing_runs_through_the_one_entry_point_and_loses_nothing() {
     });
     let m = &stats.migration;
     assert!(m.migrations_completed >= 1, "no migration completed: {m:?}");
-    assert_eq!(m.router_version, m.migrations_completed);
+    assert_eq!(cluster.router().version().0, m.migrations_completed);
+    check_sharded_contract(&spec, &stats, None).unwrap();
     assert!(
         stats.total.committed >= ops as u64,
         "lost commits: {}",
@@ -126,8 +133,8 @@ const ALL_AT_ONCE_CAP_NS: u64 = 30_000_000_000;
 
 /// Gateway on, 3-op cross-shard transactions skewed onto shard 0, the
 /// rebalancing controller enabled, shard 1's leader crashing and recovering.
-fn everything_at_once() -> ShardedRunStats {
-    let spec = DeploymentSpec::new(3, 3)
+fn all_at_once_spec() -> DeploymentSpec {
+    DeploymentSpec::new(3, 3)
         .with_seed(6)
         .with_clients(12, ALL_AT_ONCE_OPS)
         .with_time_cap_ns(ALL_AT_ONCE_CAP_NS)
@@ -140,8 +147,11 @@ fn everything_at_once() -> ShardedRunStats {
                 300_000,
                 5_000_000,
             )),
-        );
-    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+        )
+}
+
+fn everything_at_once() -> ShardedRunStats {
+    let mut cluster = ShardedCluster::<RaftReplica>::build(all_at_once_spec());
     let on: Vec<Vec<Vec<u8>>> = (0..3)
         .map(|shard| scoped_keys_on(cluster.router(), "alpha", shard, 40))
         .collect();
@@ -174,6 +184,7 @@ fn all_event_sources_at_once_stay_deterministic_and_lose_nothing() {
     assert!(stats.txn.cross_shard_committed > 0);
     let m = &stats.migration;
     assert!(m.migrations_completed >= 1, "no migration completed: {m:?}");
+    check_sharded_contract(&all_at_once_spec(), &stats, None).unwrap();
 
     // Zero lost or duplicated commits: the target was reached, and every
     // committed operation belongs to exactly one committed transaction.

@@ -26,6 +26,8 @@ use recipe::core::{Operation, Request};
 use recipe::net::{CrashPlan, NodeId};
 use recipe::protocols::{ChainReplica, RaftReplica};
 use recipe::shard::{DeploymentSpec, ShardPolicy, ShardedCluster};
+use recipe::sim::{Work, COST_MODEL};
+use recipe::telemetry::{CostBreakdown, SpanKind, TelemetryConfig, TelemetryReport};
 
 use common::groups::{group_txn_workload, key_groups};
 use common::history::{History, Violation};
@@ -82,12 +84,24 @@ fn crash_plan_leader_failover_preserves_progress() {
     check_run(&mut cluster, &mut history).unwrap();
 }
 
+/// The nanoseconds telemetry charged the run under `charge.<kind>_ns`.
+fn charged(report: &TelemetryReport, kind: &str) -> u64 {
+    let name = format!("charge.{kind}_ns");
+    let sample = report.metrics.iter().find(|sample| sample.name == name);
+    sample.map_or(0, |sample| sample.value as u64)
+}
+
+/// A restart's cost as a closed form (§3.7): the joiner re-scans the `h`
+/// entries it held, once, and imports one live peer's `p` entries, once;
+/// the peer scans its own `p` entries, once, to export them.
 #[test]
 fn recovered_follower_rehydrates_and_rejoins() {
     // 8 000 ops keep the run going past the 60 ms restart (4 000 take 55 ms
     // of virtual time on the binary wire form).
     let plan = CrashPlan::none().crash_recover(NodeId(2), 5_000_000, 60_000_000);
-    let mut cluster = ShardedCluster::<RaftReplica>::build(one_group(plan, 8000));
+    let spec = one_group(plan, 8000).with_telemetry(TelemetryConfig::enabled());
+    let profile = spec.policy_for(0).profile;
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
     let mut history = History::default();
     let stats = cluster.run_requests(history.record(put));
     assert!(
@@ -95,18 +109,38 @@ fn recovered_follower_rehydrates_and_rejoins() {
         "lost commits: {}",
         stats.total.committed
     );
+    let report = cluster.take_telemetry_report().expect("telemetry enabled");
     let group = cluster.shard_mut(0);
     assert!(group.crashed_nodes().is_empty(), "node never recovered");
-    // The restarted follower rehydrated from a live peer's sealed snapshot
-    // and caught up through normal replication: it holds state again and
-    // nothing it holds diverges from the survivors.
-    let held = (0..32)
-        .filter(|i| {
-            let key = format!("key-{i}").into_bytes();
-            group.replica_mut(NodeId(2)).local_read(&key).is_some()
-        })
-        .count();
-    assert!(held > 0, "recovered follower holds no rehydrated state");
+
+    // What the joiner re-verified at its restart (the recover span's tag),
+    // and what the run's 32 keys weigh in a store: every value is 128 bytes.
+    let recovers: Vec<_> = report
+        .spans
+        .iter()
+        .filter(|span| span.kind == SpanKind::NodeRecover)
+        .collect();
+    assert_eq!(recovers.len(), 1, "one restart");
+    let held = recovers[0].tag as usize;
+    let (mut entries, mut bytes) = (0, 0);
+    for i in 0..32 {
+        let key = format!("key-{i}").into_bytes();
+        if let Some(value) = group.replica_mut(NodeId(0)).local_read(&key) {
+            entries += 1;
+            bytes += key.len() + value.len();
+        }
+    }
+    // Every key landed before the 5 ms crash, so the joiner held them all
+    // and the peer exports them all at 60 ms: h = p = 32, b = 4 278 B.
+    assert_eq!((held, entries, bytes), (32, 32, 4_278));
+
+    let cost = |work| COST_MODEL.cost(&profile, work, &mut CostBreakdown::new());
+    let scan = cost(Work::Scan { entries, bytes });
+    let import = cost(Work::Import { entries, bytes });
+    assert_eq!(charged(&report, "recovery"), scan + import);
+    assert_eq!(charged(&report, "snapshot_export"), scan);
+    // The restarted follower caught up through normal replication: nothing
+    // it holds diverges from the survivors.
     check_run(&mut cluster, &mut history).unwrap();
 }
 

@@ -9,6 +9,7 @@ mod common {
     pub mod history;
     pub mod recorder;
     pub mod replicas;
+    pub mod sharded_contract;
 }
 
 use proptest::prelude::*;
@@ -19,6 +20,7 @@ use recipe_net::NodeId;
 
 use common::history::History;
 use common::replicas::check_run;
+use common::sharded_contract::check_sharded_contract;
 
 const SHARDS: usize = 4;
 const CLIENTS: usize = 12;
@@ -145,7 +147,7 @@ fn migration_across_a_policy_boundary_loses_nothing_and_seals_the_transfer() {
             timeline_bucket_ns: 5_000_000,
             ..RebalanceConfig::enabled()
         });
-    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
     assert_eq!(
         cluster.confidentiality_of(0),
         ConfidentialityMode::Plaintext
@@ -180,7 +182,7 @@ fn migration_across_a_policy_boundary_loses_nothing_and_seals_the_transfer() {
     );
     let m = &stats.migration;
     assert!(m.migrations_completed >= 1, "no migration completed: {m:?}");
-    assert!(m.snapshot_entries > 0 && m.snapshot_bytes > 0);
+    check_sharded_contract(&spec, &stats, None).unwrap();
     // The recipient is confidential, so every shipped chunk travelled sealed.
     assert_eq!(
         m.confidential_transfer_bytes,
@@ -243,7 +245,7 @@ fn run_plaintext_migration(force_sealed: bool) {
             confidential_transfer: force_sealed,
             ..RebalanceConfig::enabled()
         });
-    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
     let hot = cluster.router().hot_range(0, 48, 2);
     let issued = std::cell::Cell::new(0usize);
     let stats = cluster.run_requests(move |client, seq| {
@@ -259,7 +261,9 @@ fn run_plaintext_migration(force_sealed: bool) {
     });
     let m = &stats.migration;
     assert!(m.migrations_completed >= 1, "no migration completed: {m:?}");
-    assert!(m.snapshot_bytes > 0);
+    // Every record is a 12-byte `user…` key and a 64-byte value, so the
+    // bytes form is exact, sealed or not.
+    check_sharded_contract(&spec, &stats, Some(12 + 64)).unwrap();
     if force_sealed {
         assert_eq!(
             m.confidential_transfer_bytes,

@@ -10,6 +10,7 @@ mod common {
     pub mod history;
     pub mod recorder;
     pub mod replicas;
+    pub mod sharded_contract;
 }
 
 use proptest::prelude::*;
@@ -26,6 +27,7 @@ use std::rc::Rc;
 
 use common::history::History;
 use common::replicas::check_run;
+use common::sharded_contract::check_sharded_contract;
 
 // ---------------------------------------------------------------------------
 // Router-version safety
@@ -95,6 +97,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 struct SkewedRun {
+    spec: DeploymentSpec,
     stats: ShardedRunStats,
     cluster: ShardedCluster<RaftReplica>,
     history: History,
@@ -114,7 +117,7 @@ fn skewed_run(operations: usize, balanced_ops: usize) -> SkewedRun {
             timeline_bucket_ns: 5_000_000,
             ..RebalanceConfig::enabled()
         });
-    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
     // A hot range owned by shard 0, spanning enough ring arcs that the
     // controller can split it — the same selection `fig_rebalance` measures.
     let hot = cluster.router().hot_range(0, 48, 2);
@@ -135,6 +138,7 @@ fn skewed_run(operations: usize, balanced_ops: usize) -> SkewedRun {
         Some(Operation::Put { key, value }.into())
     }));
     SkewedRun {
+        spec,
         stats,
         cluster,
         history,
@@ -156,14 +160,12 @@ fn skewed_workload_migrates_with_zero_lost_or_duplicated_commits() {
         stats.total.committed
     );
 
-    // A migration ran to completion and actually moved bytes through the
-    // sealed snapshot + catch-up path.
+    // A migration ran to completion and moved its records through the
+    // sealed snapshot + catch-up path at the stated cost.
     let m = &stats.migration;
     assert!(m.migrations_completed >= 1, "no migration completed: {m:?}");
-    assert!(m.snapshot_entries > 0 && m.snapshot_bytes > 0);
-    assert!(m.transfer_busy_ns > 0);
-    assert_eq!(m.router_version, run.cluster.router().version().0);
-    assert!(m.router_version >= 1);
+    check_sharded_contract(&run.spec, stats, None).unwrap();
+    assert_eq!(run.cluster.router().version().0, m.migrations_completed);
 
     // Clients drained onto the new placement through WrongShard redirects.
     assert!(m.redirects > 0, "no client was redirected: {m:?}");
@@ -239,7 +241,8 @@ fn mid_run_migration_commits_bit_identical_state_to_the_final_placement() {
     // A schedule hot on shard 0: most unique keys hash anywhere, but the
     // recurring hot key plus a biased unique-key prefix keep shard 0 busiest.
     // First run: rebalancing on, migration happens mid-run.
-    let mut migrated = ShardedCluster::<RaftReplica>::build(replay_spec(ops, true));
+    let spec = replay_spec(ops, true);
+    let mut migrated = ShardedCluster::<RaftReplica>::build(spec.clone());
     let hot = migrated.router().hot_range(0, 48, 2);
     let hot_for_run = hot.clone();
     let stats_a = migrated.run_requests(move |client, seq| {
@@ -263,6 +266,7 @@ fn mid_run_migration_commits_bit_identical_state_to_the_final_placement() {
         "the migration never ran: {:?}",
         stats_a.migration
     );
+    check_sharded_contract(&spec, &stats_a, None).unwrap();
     let moves: Vec<_> = migrated.router().moves().to_vec();
     assert!(!moves.is_empty());
 

@@ -71,13 +71,13 @@ proptest! {
 
     #[test]
     fn rebalance_config_round_trips(interval in 1u64..100_000_000, window in 1u64..1000,
-                                    threshold_pct in 100u32..400, chunk in 1usize..512) {
+                                    threshold_pct in 100u32..400, drain in 0usize..512) {
         let config = RebalanceConfig {
             enabled: true,
             check_interval_ns: interval,
             min_window_commits: window,
             imbalance_threshold: f64::from(threshold_pct) / 100.0,
-            chunk_entries: chunk,
+            drain_threshold_ops: drain,
             ..RebalanceConfig::default()
         };
         prop_assert_eq!(round_trips(&config), config);

@@ -15,7 +15,7 @@ mod common {
     pub mod history;
     pub mod recorder;
     pub mod replicas;
-    pub mod txn_contract;
+    pub mod sharded_contract;
 }
 
 use std::cell::RefCell;
@@ -35,7 +35,7 @@ use common::books::unbalanced_books;
 use common::groups::{group_txn, group_txn_workload, key_groups};
 use common::history::History;
 use common::replicas::check_run;
-use common::txn_contract::check_txn_contract;
+use common::sharded_contract::check_sharded_contract;
 
 /// A 64-byte value unique to `client`'s request `seq`.
 fn unique_64b(client: u64, seq: u64) -> Vec<u8> {
@@ -63,7 +63,7 @@ fn cross_shard_transactions_commit_atomically_and_replicate() {
         stats.txn.cross_shard_committed > 0,
         "no cross-shard txn ran"
     );
-    check_txn_contract(&spec, &stats).unwrap();
+    check_sharded_contract(&spec, &stats, None).unwrap();
     // Plaintext deployment: 2PC frames are MAC'd but not sealed.
     assert_eq!(stats.txn.sealed_frames, 0);
     check_run(&mut cluster, &mut history).unwrap();
@@ -90,7 +90,7 @@ fn transactional_and_single_key_traffic_interleave() {
     }));
     assert!(stats.total.committed >= 600);
     assert!(stats.txn.committed > 0);
-    check_txn_contract(&spec, &stats).unwrap();
+    check_sharded_contract(&spec, &stats, None).unwrap();
     // Single-key commits flow through the shards' own protocol pipelines.
     assert!(stats.total.committed > stats.txn.committed_ops);
     check_run(&mut cluster, &mut history).unwrap();
@@ -116,7 +116,7 @@ fn a_contended_key_is_read_between_whole_transactions() {
     }));
     assert!(stats.txn.committed > 0);
     assert!(stats.total.committed_reads > 0);
-    check_txn_contract(&spec, &stats).unwrap();
+    check_sharded_contract(&spec, &stats, None).unwrap();
     check_run(&mut cluster, &mut history).unwrap();
 }
 
@@ -134,7 +134,7 @@ fn conflicting_transactions_abort_and_retry_to_completion() {
     assert!(stats.txn.prepare_conflicts > 0);
     // Aborted attempts never contribute commits, yet cost their frames.
     assert_eq!(stats.total.committed, stats.txn.committed_ops);
-    check_txn_contract(&spec, &stats).unwrap();
+    check_sharded_contract(&spec, &stats, None).unwrap();
     check_run(&mut cluster, &mut history).unwrap();
 }
 
@@ -161,7 +161,7 @@ fn sealed_frames_when_any_participant_is_confidential() {
         stats.txn.sealed_frames < stats.txn.frames_sent,
         "plaintext-only transactions should not seal"
     );
-    check_txn_contract(&spec, &stats).unwrap();
+    check_sharded_contract(&spec, &stats, None).unwrap();
     check_run(&mut cluster, &mut history).unwrap();
 }
 
@@ -193,7 +193,7 @@ fn atomicity_survives_dropped_and_reordered_2pc_frames() {
     // Exactly-once despite retransmissions: committed ops equal driver
     // commits, no duplicates, and each lost frame was sent once more.
     assert_eq!(stats.total.committed, stats.txn.committed_ops);
-    check_txn_contract(&spec, &stats).unwrap();
+    check_sharded_contract(&spec, &stats, None).unwrap();
     check_run(&mut cluster, &mut history).unwrap();
 }
 
@@ -215,7 +215,7 @@ fn transactional_runs_are_bit_deterministic() {
         let groups = key_groups(&cluster, 5, 3);
         let mut history = History::default();
         let stats = cluster.run_requests(history.record(group_txn_workload(groups)));
-        check_txn_contract(&spec, &stats).unwrap();
+        check_sharded_contract(&spec, &stats, None).unwrap();
         check_run(&mut cluster, &mut history).unwrap();
         (stats, history)
     };
@@ -303,7 +303,7 @@ fn migration_of_a_participating_range_mid_transaction_loses_nothing() {
         stats.total.committed
     );
     assert!(stats.txn.committed > 0);
-    check_txn_contract(&spec, &stats).unwrap();
+    check_sharded_contract(&spec, &stats, None).unwrap();
     assert!(cluster.quiesce());
     cluster.gc_moved_ranges();
     check_run(&mut cluster, &mut history).unwrap();
@@ -315,8 +315,10 @@ fn migration_of_a_participating_range_mid_transaction_loses_nothing() {
         "no migration ran: {:?}",
         stats.migration
     );
-    assert_eq!(stats.migration.router_version, cluster.router().version().0);
-    assert!(stats.migration.router_version >= 1);
+    assert_eq!(
+        cluster.router().version().0,
+        stats.migration.migrations_completed
+    );
     // Post-cutover, stale clients were redirected; the check above already
     // read every replica of every shard.
     assert!(stats.migration.redirects > 0);
@@ -345,7 +347,7 @@ fn transactions_on_one_shard_still_run_two_phase_locking() {
     assert!(stats.txn.committed > 0);
     assert_eq!(stats.txn.cross_shard_committed, 0);
     assert_eq!(stats.txn.participants, stats.txn.started);
-    check_txn_contract(&spec, &stats).unwrap();
+    check_sharded_contract(&spec, &stats, None).unwrap();
     check_run(&mut cluster, &mut history).unwrap();
 }
 
@@ -371,7 +373,7 @@ impl ProtocolVisitor for GridCell {
 }
 
 /// Every protocol that takes part in transactions keeps 2PC's closed forms
-/// (`check_txn_contract`) over 2 and 4 shards, fan-out 1 to 3, plaintext
+/// (`check_sharded_contract`) over 2 and 4 shards, fan-out 1 to 3, plaintext
 /// and with one confidential shard where the protocol has a confidential
 /// mode, and at five replicas once; and the run's books balance.
 #[test]
@@ -430,7 +432,8 @@ fn every_txn_protocol_keeps_the_2pc_contract_over_a_grid() {
         let txn = &stats.txn;
         assert!(txn.committed > 0, "{name}: nothing committed");
         assert_eq!(txn.sealed_frames > 0, sealed, "{name}: sealed frames");
-        check_txn_contract(&spec, &stats).unwrap_or_else(|breach| panic!("{name}: {breach}"));
+        check_sharded_contract(&spec, &stats, None)
+            .unwrap_or_else(|breach| panic!("{name}: {breach}"));
         let most = fan_out.min(spec.shards()) as u64;
         assert!(
             txn.participants <= most * txn.started,
@@ -517,7 +520,7 @@ proptest::proptest! {
             let groups = key_groups(&cluster, 3, 3);
             let mut history = History::default();
             let stats = cluster.run_requests(history.record(group_txn_workload(groups)));
-            check_txn_contract(&spec, &stats).unwrap();
+            check_sharded_contract(&spec, &stats, None).unwrap();
             // All-or-nothing on every replica of every shard.
             check_run(&mut cluster, &mut history).unwrap();
             (stats, history)
@@ -539,7 +542,7 @@ fn no_locks_survive_a_completed_run() {
     let groups = key_groups(&cluster, 2, 3);
     let mut history = History::default();
     let stats = cluster.run_requests(history.record(group_txn_workload(groups.clone())));
-    check_txn_contract(&spec, &stats).unwrap();
+    check_sharded_contract(&spec, &stats, None).unwrap();
     check_run(&mut cluster, &mut history).unwrap();
     // Submitting singles against every group key succeeds — a leaked lock
     // would defer them forever. The probe's own history starts from the
