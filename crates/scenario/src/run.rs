@@ -3,10 +3,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use recipe_core::{Operation, Request};
 use recipe_protocols::{BuildReplica, Protocol, ProtocolVisitor};
-use recipe_shard::{request_from_workload, ShardedCluster, ShardedRunStats};
+use recipe_shard::{
+    request_from_workload, workload_from_op, Client, ShardRouter, ShardedCluster, ShardedRunStats,
+};
 use recipe_telemetry::{SpanKind, TelemetryReport};
-use recipe_workload::{stable_key_hash, WorkloadOp, WorkloadRequest};
+use recipe_workload::{stable_key_hash, TxnWorkloadGenerator, WorkloadOp, WorkloadRequest};
 
 use crate::model::{Scenario, WorkloadKind};
 
@@ -105,13 +108,10 @@ pub fn run_workload<R: BuildReplica>(
                 )))
             })
         }
-        WorkloadKind::Txn(spec) => {
-            let mut gen = spec.generator().with_key_room(room);
-            cluster.run_requests(move |_, _| {
-                let request = gen.next_request(&|key| router.shard_for_key(key));
-                Some(request_from_workload(request))
-            })
-        }
+        WorkloadKind::Txn(spec) => cluster.run_requests(TxnClient {
+            gen: spec.generator().with_key_room(room),
+            router,
+        }),
         WorkloadKind::HotShard {
             base,
             hot_shard,
@@ -146,6 +146,27 @@ pub fn run_workload<R: BuildReplica>(
                 Some(request_from_workload(WorkloadRequest::Single(op)))
             })
         }
+    }
+}
+
+/// A transactional stream's clients: each draw is placed by the router, and
+/// each committed transaction's buffers go back to the generator for the
+/// next ones to draw into.
+struct TxnClient {
+    gen: TxnWorkloadGenerator,
+    router: ShardRouter,
+}
+
+impl Client for TxnClient {
+    fn next(&mut self, _client: u64, _seq: u64, _at_ns: u64) -> Option<Request> {
+        let router = &self.router;
+        let request = self.gen.next_request(&|key| router.shard_for_key(key));
+        Some(request_from_workload(request))
+    }
+
+    fn reclaim(&mut self, spent: Vec<Operation>) {
+        self.gen
+            .reclaim(spent.into_iter().map(workload_from_op).collect());
     }
 }
 

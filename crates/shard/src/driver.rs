@@ -126,6 +126,13 @@ pub trait Client {
     /// first reply, or a committed transaction's outcome. A request that
     /// never completes (the run ended, the gateway rejected it) gets none.
     fn done(&mut self, _reply: &Reply<'_>) {}
+
+    /// A committed transaction's operations, handed back after
+    /// [`Client::done`] so a client can draw its next requests into their
+    /// buffers (`TxnWorkloadGenerator::reclaim`). The default drops them.
+    /// Single operations and requests that never commit are not handed
+    /// back.
+    fn reclaim(&mut self, _spent: Vec<Operation>) {}
 }
 
 impl<F: FnMut(u64, u64) -> Option<Request>> Client for F {
@@ -553,6 +560,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                     at_ns: done.finished_at,
                     value: None,
                 });
+                self.workload.reclaim(done.request);
                 self.record_commit(
                     done.client_id,
                     done.finished_at,

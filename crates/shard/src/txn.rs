@@ -214,8 +214,9 @@ struct InflightTxn {
     sealed: bool,
     participants: Vec<Participant>,
     /// The client's request, its operations handed to the participants:
-    /// refilled participant-major when the transaction aborts, and the
-    /// retry goes out in it.
+    /// refilled participant-major when the transaction resolves, the retry
+    /// going out in it after an abort and the client taking it back after a
+    /// commit.
     request: Vec<Operation>,
 }
 
@@ -232,12 +233,13 @@ impl InflightTxn {
             .unwrap_or(self.issued_at)
     }
 
-    /// The request to retry after an abort: the operations,
-    /// participant-major.
-    fn take_request(&mut self) -> Request {
+    /// The client's request, refilled with its operations
+    /// participant-major: the retry after an abort, the spent request given
+    /// back to its client after a commit.
+    fn take_request(&mut self) -> Vec<Operation> {
         let mut request = std::mem::take(&mut self.request);
         request.extend(self.participants.iter_mut().flat_map(|p| p.ops.drain(..)));
-        Request::Txn(request)
+        request
     }
 }
 
@@ -251,6 +253,9 @@ pub(crate) struct CommittedTxn {
     /// shape `Engine::record_commit` accounts. Give the list back
     /// ([`TxnManager::give_placements`]) once accounted.
     pub(crate) op_placements: Vec<(usize, Option<usize>, bool)>,
+    /// The client's request, its operations participant-major, for the
+    /// client to take back (`Client::reclaim`).
+    pub(crate) request: Vec<Operation>,
 }
 
 /// How an `Engine::txn_advance` resolved.
@@ -694,6 +699,7 @@ impl<R: StoreReplica> Engine<'_, R> {
                         op_placements.push((p.shard, Some(arc), op.is_write()));
                     }
                 }
+                let request = txn.take_request();
                 self.txns.retire(&mut txn.participants);
                 let stats = &mut self.txns.stats;
                 stats.committed += 1;
@@ -707,12 +713,13 @@ impl<R: StoreReplica> Engine<'_, R> {
                     latency_ns: finished_at.saturating_sub(txn.issued_at),
                     finished_at,
                     op_placements,
+                    request,
                 })
             }
             TxnPhase::Aborting => {
                 self.txns.stats.aborted += 1;
                 let finished_at = txn.phase_ready_at();
-                let request = txn.take_request();
+                let request = Request::Txn(txn.take_request());
                 self.txns.retire(&mut txn.participants);
                 TxnResolution::Aborted {
                     client_id: txn.client_id,

@@ -167,22 +167,62 @@ impl Distribution<usize> for Zipf {
     }
 }
 
-/// The key at `index` of the key space: `user` and the index, zero-padded to
-/// eight digits — the bytes of `format!("user{index:08}")`, written into a
-/// buffer sized once for them and `room` bytes more, where `format!` grows a
-/// string as it writes.
-fn key_of(index: usize, room: usize) -> Vec<u8> {
+/// The longest key: `user` and the twenty digits of `usize::MAX`.
+const KEY_MAX_LEN: usize = "user".len() + 20;
+
+/// Writes the key at `index` of the key space into `buf` and returns it:
+/// `user` and the index, zero-padded to eight digits — the bytes of
+/// `format!("user{index:08}")`, on the caller's stack, where `format!`
+/// grows a string on the heap as it writes.
+fn key_of(index: usize, buf: &mut [u8; KEY_MAX_LEN]) -> &[u8] {
     let digits = index.checked_ilog10().map_or(1, |log| log as usize + 1);
     let len = "user".len() + digits.max(8);
-    let mut key = Vec::with_capacity(room + len);
-    key.extend_from_slice(b"user");
-    key.resize(len, b'0');
+    buf[..4].copy_from_slice(b"user");
+    buf[4..len].fill(b'0');
     let mut rest = index;
-    for digit in key.iter_mut().rev().take(digits) {
+    for digit in buf[..len].iter_mut().rev().take(digits) {
         *digit = b'0' + (rest % 10) as u8;
         rest /= 10;
     }
-    key
+    &buf[..len]
+}
+
+/// One draw of the stream, before anything is built: the key's index, then
+/// the read/write coin, as the RNG gave them.
+#[derive(Debug, Clone, Copy)]
+struct Draw {
+    index: usize,
+    read: bool,
+}
+
+/// Buffers of spent operations, drawn into before anything is allocated.
+#[derive(Debug, Clone, Default)]
+struct Spares {
+    lists: Vec<Vec<WorkloadOp>>,
+    keys: Vec<Vec<u8>>,
+    values: Vec<Vec<u8>>,
+}
+
+impl Spares {
+    /// A spare key (or a new one) holding `bytes`, with capacity for `room`
+    /// bytes more: a new key is sized once for them.
+    fn key(&mut self, bytes: &[u8], room: usize) -> Vec<u8> {
+        let mut key = self.keys.pop().unwrap_or_default();
+        key.clear();
+        key.reserve_exact(room + bytes.len());
+        key.extend_from_slice(bytes);
+        key
+    }
+
+    /// A spare value (or a new one) holding `len` bytes of `0xAB`, every
+    /// written value's bytes.
+    fn value(&mut self, len: usize) -> Vec<u8> {
+        let mut value = self.values.pop().unwrap_or_default();
+        value.clear();
+        value.reserve_exact(len);
+        value.resize(len, 0xAB);
+        value
+    }
 }
 
 /// A deterministic stream of YCSB-like operations.
@@ -222,17 +262,36 @@ impl WorkloadGenerator {
 
     /// Produces the next operation.
     pub fn next_op(&mut self) -> WorkloadOp {
-        let key_index = match &self.zipf {
+        let draw = self.draw();
+        let mut buf = [0; KEY_MAX_LEN];
+        self.build(
+            key_of(draw.index, &mut buf),
+            draw.read,
+            &mut Spares::default(),
+        )
+    }
+
+    /// Draws the next operation without building it: the key index, then
+    /// the read/write coin.
+    fn draw(&mut self) -> Draw {
+        let index = match &self.zipf {
             Some(zipf) => zipf.sample(&mut self.rng),
             None => self.rng.gen_range(0..self.spec.key_space),
         };
-        let key = key_of(key_index, self.key_room);
-        if self.rng.gen_bool(self.spec.read_ratio) {
+        let read = self.rng.gen_bool(self.spec.read_ratio);
+        Draw { index, read }
+    }
+
+    /// Builds a read of `key`, or a write of a fresh value under it, in
+    /// buffers taken from `spares` (new ones where it has none).
+    fn build(&self, key: &[u8], read: bool, spares: &mut Spares) -> WorkloadOp {
+        let key = spares.key(key, self.key_room);
+        if read {
             WorkloadOp::Read { key }
         } else {
             WorkloadOp::Write {
                 key,
-                value: vec![0xAB; self.spec.value_size],
+                value: spares.value(self.spec.value_size),
             }
         }
     }
@@ -311,6 +370,11 @@ pub struct TxnWorkloadGenerator {
     /// key sequence of the base generator matches a pure single-key run
     /// with the same seed as closely as possible.
     shape_rng: StdRng,
+    /// The placement classes of the transaction being drawn.
+    classes: Vec<usize>,
+    /// What [`TxnWorkloadGenerator::reclaim`] took back, for the next
+    /// transactions to draw into.
+    spares: Spares,
 }
 
 impl TxnWorkloadGenerator {
@@ -324,6 +388,8 @@ impl TxnWorkloadGenerator {
             base: spec.base.generator(),
             shape_rng: StdRng::seed_from_u64(shape_seed),
             spec,
+            classes: Vec::new(),
+            spares: Spares::default(),
         }
     }
 
@@ -336,38 +402,71 @@ impl TxnWorkloadGenerator {
 
     /// Produces the next request. `classify` maps a key to its placement
     /// class (e.g. its shard); a transaction's keys span at most
-    /// [`TxnWorkloadSpec::fan_out`] distinct classes.
+    /// [`TxnWorkloadSpec::fan_out`] distinct classes. A candidate the bound
+    /// rejects is classified from its key on the stack and never built, and
+    /// a transaction is built in the buffers of the ones reclaimed before it.
     pub fn next_request(&mut self, classify: &dyn Fn(&[u8]) -> usize) -> WorkloadRequest {
         if self.spec.txn_fraction <= 0.0 || !self.shape_rng.gen_bool(self.spec.txn_fraction) {
             return WorkloadRequest::Single(self.base.next_op());
         }
         let want = self.spec.ops_per_txn.max(1);
         let fan_out = self.spec.fan_out.max(1);
-        let mut ops: Vec<WorkloadOp> = Vec::with_capacity(want);
-        let mut classes: Vec<usize> = Vec::new();
+        let mut ops = self
+            .spares
+            .lists
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(want));
+        self.classes.clear();
         // Rejection-sample skewed draws until the fan-out bound holds; the
         // attempt budget keeps the stream finite under adversarial
         // classifiers, falling back to re-touching an accepted key (a
         // same-class op by construction).
         let mut attempts = 0usize;
+        let mut buf = [0; KEY_MAX_LEN];
         while ops.len() < want {
             if attempts >= want * 32 {
                 // recipe-lint: allow(unwrap-in-lib, reason = "the first draw is always accepted (fan_out >= 1), so ops is non-empty once the cap trips")
-                let repeat = ops.first().cloned().expect("at least one accepted op");
+                let first = ops.first().expect("at least one accepted op");
+                // Built again, it is the same bytes: every value is the
+                // spec's size of 0xAB.
+                let read = matches!(first, WorkloadOp::Read { .. });
+                let repeat = self.base.build(first.key(), read, &mut self.spares);
                 ops.push(repeat);
                 continue;
             }
             attempts += 1;
-            let op = self.base.next_op();
-            let class = classify(op.key());
-            if classes.contains(&class) || classes.len() < fan_out {
-                if !classes.contains(&class) {
-                    classes.push(class);
+            let draw = self.base.draw();
+            let key = key_of(draw.index, &mut buf);
+            let class = classify(key);
+            let known = self.classes.contains(&class);
+            if known || self.classes.len() < fan_out {
+                if !known {
+                    self.classes.push(class);
                 }
-                ops.push(op);
+                ops.push(self.base.build(key, draw.read, &mut self.spares));
             }
         }
         WorkloadRequest::Txn(ops)
+    }
+
+    /// Takes back the operations of a transaction [`Self::next_request`]
+    /// drew, once they are spent (its commit), for the next transactions to
+    /// draw into: the list, every key and every value. A reused key keeps
+    /// capacity for the generator's key room, a reused value is refilled to
+    /// the spec's size. The stream stays the same bytes whether or not its
+    /// transactions come back; only the allocations differ. The generator
+    /// keeps no more spares than were ever out at once.
+    pub fn reclaim(&mut self, mut spent: Vec<WorkloadOp>) {
+        for op in spent.drain(..) {
+            match op {
+                WorkloadOp::Read { key } => self.spares.keys.push(key),
+                WorkloadOp::Write { key, value } => {
+                    self.spares.keys.push(key);
+                    self.spares.values.push(value);
+                }
+            }
+        }
+        self.spares.lists.push(spent);
     }
 }
 
@@ -432,12 +531,121 @@ mod tests {
     #[test]
     fn keys_are_what_format_gives_in_a_string_of_their_length() {
         for index in [0, 7, 99_999_999, 100_000_000, usize::MAX] {
+            let mut buf = [0; KEY_MAX_LEN];
+            let bytes = key_of(index, &mut buf);
+            assert_eq!(bytes, format!("user{index:08}").as_bytes());
             for room in [0, 6] {
-                let key = key_of(index, room);
-                assert_eq!(key, format!("user{index:08}").into_bytes());
+                let key = Spares::default().key(bytes, room);
+                assert_eq!(key, bytes);
                 assert_eq!(key.capacity(), room + key.len());
             }
         }
+    }
+
+    /// Folds `bytes` into an FNV-1a hash.
+    fn fold(hash: &mut u64, bytes: &[u8]) {
+        for &byte in bytes {
+            *hash ^= byte as u64;
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds a request's shape and every operation's kind, key and value,
+    /// each length-prefixed, into `hash`.
+    fn fold_request(hash: &mut u64, request: &WorkloadRequest) {
+        let shape = u8::from(matches!(request, WorkloadRequest::Txn(_)));
+        fold(hash, &[shape]);
+        fold(hash, &(request.ops().len() as u64).to_le_bytes());
+        for op in request.ops() {
+            let (kind, value): (u8, &[u8]) = match op {
+                WorkloadOp::Read { .. } => (0, &[]),
+                WorkloadOp::Write { value, .. } => (1, value),
+            };
+            fold(hash, &[kind]);
+            fold(hash, &(op.key().len() as u64).to_le_bytes());
+            fold(hash, op.key());
+            fold(hash, &(value.len() as u64).to_le_bytes());
+            fold(hash, value);
+        }
+    }
+
+    /// The first 20 000 requests of the transactional stream, as FNV-1a
+    /// digests taken from the generator that built every operation afresh:
+    /// `(seed, fan_out, digest)`. Drawing into reclaimed buffers, with or
+    /// without key room, must leave every byte where it was.
+    const STREAM_DIGESTS: [(u64, usize, u64); 4] = [
+        (1, 1, 0x7067_4d3c_4456_aed5),
+        (1, 2, 0xc164_fd6f_bdff_61eb),
+        (7, 1, 0xe438_8e2f_648b_c767),
+        (7, 2, 0x6a0e_2a7e_70b4_635c),
+    ];
+
+    #[test]
+    fn the_transaction_stream_is_the_same_bytes_drawn_into_reclaimed_buffers() {
+        let classify = |key: &[u8]| (stable_key_hash(key) % 4) as usize;
+        for (seed, fan_out, pinned) in STREAM_DIGESTS {
+            for room in [0, 6] {
+                for reclaim in [false, true] {
+                    let spec = TxnWorkloadSpec {
+                        base: WorkloadSpec {
+                            seed,
+                            ..WorkloadSpec::default()
+                        },
+                        fan_out,
+                        ..TxnWorkloadSpec::default()
+                    };
+                    let mut generator = spec.generator().with_key_room(room);
+                    let mut hash = 0xcbf2_9ce4_8422_2325;
+                    for _ in 0..20_000 {
+                        let request = generator.next_request(&classify);
+                        fold_request(&mut hash, &request);
+                        for op in request.ops() {
+                            let (WorkloadOp::Read { key } | WorkloadOp::Write { key, .. }) = op;
+                            assert!(key.capacity() >= room + key.len(), "{op:?}");
+                        }
+                        if let (true, WorkloadRequest::Txn(ops)) = (reclaim, request) {
+                            generator.reclaim(ops);
+                        }
+                    }
+                    assert_eq!(
+                        hash, pinned,
+                        "seed {seed}, fan-out {fan_out}, room {room}, reclaimed: {reclaim}: \
+                         digest {hash:#018x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_attempt_cap_repeats_the_first_operation_with_key_room() {
+        let spec = TxnWorkloadSpec {
+            txn_fraction: 1.0,
+            fan_out: 1,
+            ..TxnWorkloadSpec::default()
+        };
+        // Every candidate lands in a class of its own, so only the first of
+        // a transaction is accepted.
+        let calls = std::cell::Cell::new(0);
+        let classify = |_: &[u8]| calls.replace(calls.get() + 1);
+        let mut generator = spec.generator().with_key_room(6);
+        for _ in 0..2 {
+            let WorkloadRequest::Txn(ops) = generator.next_request(&classify) else {
+                panic!("fraction 1.0 must always produce txns");
+            };
+            assert_eq!(ops.len(), 3);
+            assert!(ops.iter().all(|op| op == &ops[0]), "{ops:?}");
+            for op in &ops {
+                let (WorkloadOp::Read { key } | WorkloadOp::Write { key, .. }) = op;
+                assert!(key.capacity() >= 6 + key.len(), "{op:?}");
+            }
+            generator.reclaim(ops);
+        }
+        assert_eq!(
+            calls.get(),
+            2 * 3 * 32,
+            "the cap is 32 attempts an operation"
+        );
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! enclave-held digest and copies the value into a buffer the caller lends
 //! (paper §A.3), so a read into a warm buffer pays no allocation either.
 //! A tenanted gateway writes its prefix into the room a client drew each
-//! key with, so admitting a request allocates nothing.
+//! key with, so admitting a request allocates nothing. A committed
+//! transaction's buffers go back to the generator that drew it, so its
+//! client draws the next one without allocating.
 //! The workloads' exact counts per committed op are pinned in
 //! `crates/bench/baselines/BENCH_work.json`, whose history is their
 //! trajectory.
@@ -25,8 +27,8 @@ use recipe_gateway::{Gateway, GatewayConfig, GatewayVerdict, TenantSpec};
 use recipe_kv::{KvError, PartitionedKvStore, StoreConfig, Timestamp};
 use recipe_protocols::TxnLanes;
 use recipe_scenario::{run_protocol, Protocol, Scenario, WorkloadKind};
-use recipe_shard::request_from_workload;
-use recipe_workload::{stable_key_hash, TxnWorkloadSpec};
+use recipe_shard::{request_from_workload, workload_from_op};
+use recipe_workload::{stable_key_hash, TxnWorkloadSpec, WorkloadOp, WorkloadRequest};
 use serde::{Serialize, Value};
 
 /// Wraps [`System`], counting the calls that take memory on an armed thread.
@@ -272,6 +274,72 @@ fn a_tenanted_admission_into_drawn_room_allocates_nothing() {
         "a key drawn without room is scoped to other bytes"
     );
     assert_eq!(grown, keys as u64, "{keys} keys drawn without room grew");
+}
+
+const TRANSACTIONS: usize = 1_024;
+
+/// Transactions drawn under a classifier that rejects most candidates, each
+/// handed back to the generator the way a committed one comes back from the
+/// driver (as protocol operations, collected in place): once warm, drawing
+/// and reclaiming them allocates nothing. Drawn without reclaim, each takes
+/// its list, its keys and its written values, and nothing for a rejected
+/// candidate or for the set of classes it touched.
+#[test]
+fn a_reclaimed_transaction_is_drawn_again_without_allocating() {
+    let spec = TxnWorkloadSpec {
+        txn_fraction: 1.0,
+        fan_out: 1,
+        ..TxnWorkloadSpec::default()
+    };
+    let classified = Cell::new(0usize);
+    let classify = |key: &[u8]| {
+        classified.set(classified.get() + 1);
+        (stable_key_hash(key) % 8) as usize
+    };
+    let room = 6;
+
+    let mut generator = spec.generator().with_key_room(room);
+    let mut round_trip = || {
+        let Request::Txn(ops) = request_from_workload(generator.next_request(&classify)) else {
+            panic!("fraction 1.0 must always produce txns");
+        };
+        generator.reclaim(ops.into_iter().map(workload_from_op).collect());
+    };
+    for _ in 0..64 {
+        round_trip();
+    }
+    let ((), allocations) = allocations_in(|| (0..TRANSACTIONS).for_each(|_| round_trip()));
+    assert_eq!(
+        allocations, 0,
+        "{TRANSACTIONS} reclaimed transactions allocated"
+    );
+
+    let mut generator = spec.generator().with_key_room(room);
+    // The first transaction sizes the class set.
+    generator.next_request(&classify);
+    classified.set(0);
+    let mut drawn = 0;
+    for txn in 0..TRANSACTIONS {
+        let (request, allocations) = allocations_in(|| generator.next_request(&classify));
+        let WorkloadRequest::Txn(ops) = &request else {
+            panic!("fraction 1.0 must always produce txns");
+        };
+        let writes = ops
+            .iter()
+            .filter(|op| matches!(op, WorkloadOp::Write { .. }))
+            .count();
+        drawn += ops.len();
+        assert_eq!(
+            allocations as usize,
+            1 + ops.len() + writes,
+            "transaction {txn}: not one list, one key an operation and one value a write"
+        );
+    }
+    assert!(
+        classified.get() > 3 * drawn,
+        "{} candidates for {drawn} operations: the classifier rejects too few to tell",
+        classified.get()
+    );
 }
 
 /// The benchmark's workloads, by file name under `wall_bench/workloads/`,

@@ -15,7 +15,7 @@ mod common {
 
 use proptest::prelude::*;
 use recipe::core::{Operation, Request};
-use recipe::protocols::RaftReplica;
+use recipe::protocols::{RaftReplica, CHUNK_ENTRIES};
 use recipe::shard::{
     DeploymentSpec, RebalanceConfig, RouteDecision, RouterVersion, ShardRouter, ShardedCluster,
     ShardedRunStats,
@@ -105,8 +105,9 @@ struct SkewedRun {
 }
 
 /// Runs 2 shards under a workload that starts balanced and then funnels every
-/// write into a hot range owned entirely by shard 0.
-fn skewed_run(operations: usize, balanced_ops: usize) -> SkewedRun {
+/// write into a hot range owned entirely by shard 0: 48 ring arcs, `per_arc`
+/// keys of each.
+fn skewed_run(operations: usize, balanced_ops: usize, per_arc: usize) -> SkewedRun {
     let spec = DeploymentSpec::new(2, 3)
         .with_seed(9)
         .with_clients(64, operations)
@@ -120,7 +121,7 @@ fn skewed_run(operations: usize, balanced_ops: usize) -> SkewedRun {
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
     // A hot range owned by shard 0, spanning enough ring arcs that the
     // controller can split it — the same selection `fig_rebalance` measures.
-    let hot = cluster.router().hot_range(0, 48, 2);
+    let hot = cluster.router().hot_range(0, 48, per_arc);
     assert!(hot.len() >= 48, "hot range too small: {}", hot.len());
 
     let issued = Rc::new(Cell::new(0usize));
@@ -149,7 +150,7 @@ fn skewed_run(operations: usize, balanced_ops: usize) -> SkewedRun {
 #[test]
 fn skewed_workload_migrates_with_zero_lost_or_duplicated_commits() {
     let operations = 2_400;
-    let mut run = skewed_run(operations, 700);
+    let mut run = skewed_run(operations, 700, 2);
     let stats = &run.stats;
 
     // Zero lost, zero duplicated: every issued operation committed exactly
@@ -196,6 +197,35 @@ fn skewed_workload_migrates_with_zero_lost_or_duplicated_commits() {
             );
         }
     }
+}
+
+/// A hot range of more records than one chunk carries moves in several
+/// chunks a round ([`CHUNK_ENTRIES`]), still at the stated cost and with
+/// the history check clean.
+#[test]
+fn a_range_of_more_than_a_chunk_migrates_in_several_chunks() {
+    let mut run = skewed_run(2_400, 0, 8);
+    let stats = &run.stats;
+    assert_eq!(stats.total.committed, 2_400);
+    let m = &stats.migration;
+    assert!(m.migrations_completed >= 1, "no migration completed: {m:?}");
+    let rounds = m.migrations_started + m.catchup_rounds;
+    assert!(
+        m.snapshot_entries > CHUNK_ENTRIES as u64 && m.chunks > rounds,
+        "{} chunks in {rounds} rounds for {} snapshot records: no round took more than one",
+        m.chunks,
+        m.snapshot_entries
+    );
+    // One snapshot, and catch-up rounds of a chunk each at most: the count
+    // is exact.
+    assert_eq!(m.migrations_started, 1);
+    assert!(m.catchup_entries <= CHUNK_ENTRIES as u64, "{m:?}");
+    let snapshot_chunks = m.snapshot_entries.div_ceil(CHUNK_ENTRIES as u64);
+    assert_eq!(m.chunks, snapshot_chunks + m.catchup_rounds, "{m:?}");
+    check_sharded_contract(&run.spec, stats, None).unwrap();
+    assert!(run.cluster.quiesce());
+    run.cluster.gc_moved_ranges();
+    check_run(&mut run.cluster, &mut run.history).unwrap();
 }
 
 // ---------------------------------------------------------------------------
