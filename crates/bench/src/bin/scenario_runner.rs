@@ -52,13 +52,14 @@ fn main() {
         let total = &outcome.stats.total;
         println!(
             "\n[{}] committed {} ops in {:.2} virtual s ({:.0} ops/s), p99 {:.1} us, \
-             migrations {}, txns {}/{} committed/aborted, view changes {}",
+             migrations {} ({} chunks refused), txns {}/{} committed/aborted, view changes {}",
             outcome.protocol,
             total.committed,
             total.elapsed_secs,
             total.throughput_ops,
             total.p99_latency_us,
             outcome.stats.migration.migrations_completed,
+            outcome.stats.migration.chunks_rejected,
             outcome.stats.txn.committed,
             outcome.stats.txn.aborted,
             outcome.view_changes,

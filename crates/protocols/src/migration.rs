@@ -136,6 +136,9 @@ impl MigrationChunk {
             })
         })?;
         r.finish()?;
+        if entries.len() > CHUNK_ENTRIES {
+            return None;
+        }
         Some(MigrationChunk {
             migration_id,
             phase,
@@ -173,9 +176,8 @@ impl MigrationChannel {
     /// `recipient`. With a [`ConfidentialityMode::Confidential`] policy (or
     /// `true`), chunk payloads are AEAD-encrypted in transit — the
     /// controller passes the *stricter* of the donor's and the recipient's
-    /// per-shard modes and the operator's `confidential_transfer` override,
-    /// so a range never travels in plaintext when either side of the move
-    /// treats it as sensitive. Channel keys are
+    /// per-shard modes, so a range never travels in plaintext when either
+    /// side of the move treats it as sensitive. Channel keys are
     /// derived per migration (the migration id is folded into the endpoint
     /// labels), so frames sealed for one migration never verify on another.
     ///
@@ -240,9 +242,10 @@ impl MigrationChannel {
 
     /// Verifies and opens wire bytes on the recipient side, in the bytes it
     /// is lent ([`ProtocolShield::unwrap`]). Returns `None` when the frame is
-    /// rejected (tampered, replayed, out of order, or carrying another
-    /// migration's id) — the migration controller treats that as a failed
-    /// transfer, never as state.
+    /// rejected (tampered, replayed, out of order, carrying another
+    /// migration's id or more than [`CHUNK_ENTRIES`] records) — the
+    /// migration controller treats that as a failed transfer, never as
+    /// state.
     pub fn open(&mut self, wire: &mut [u8]) -> Option<MigrationChunk> {
         let frames = self
             .receiver
@@ -371,6 +374,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_chunk_of_more_than_chunk_entries_records_is_refused() {
+        let mut channel = MigrationChannel::new(0, 1, 7, false);
+        let full = chunk(CHUNK_ENTRIES);
+        let mut wire = channel.seal(&full);
+        assert_eq!(channel.open(&mut wire), Some(full));
+        let mut over = chunk(CHUNK_ENTRIES + 1);
+        over.seq = 1;
+        let mut wire = channel.seal(&over);
+        assert_eq!(channel.open(&mut wire), None);
+        assert_eq!(MigrationChunk::decode(&over.encode()), None);
     }
 
     #[test]

@@ -531,7 +531,6 @@ fn decode_rebalance(r: &mut MapDecoder<'_>) -> Result<RebalanceConfig, ScenarioE
         check_interval_ns: r.opt_or("check_interval_ns", defaults.check_interval_ns)?,
         min_window_commits: r.opt_or("min_window_commits", defaults.min_window_commits)?,
         imbalance_threshold: r.opt_or("imbalance_threshold", defaults.imbalance_threshold)?,
-        confidential_transfer: r.opt_or("confidential_transfer", defaults.confidential_transfer)?,
         drain_threshold_ops: r.opt_or("drain_threshold_ops", defaults.drain_threshold_ops)?,
         timeline_bucket_ns: r.opt_or("timeline_bucket_ns", defaults.timeline_bucket_ns)?,
         issue_stagger_ns: r.opt_or("issue_stagger_ns", defaults.issue_stagger_ns)?,

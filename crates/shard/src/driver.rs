@@ -45,7 +45,7 @@ use recipe_workload::stable_key_hash;
 use crate::migration::{ControllerState, RebalanceConfig};
 use crate::router::{RouteDecision, RouterVersion};
 use crate::sharded::{Books, PoolCounts, ShardedCluster, ShardedRunStats, Tallies, TimelineBucket};
-use crate::txn::{TxnManager, TxnResolution};
+use crate::txn::{Plane, TxnManager, TxnResolution};
 
 /// Work carried by one driver event.
 #[derive(Debug)]
@@ -181,6 +181,8 @@ pub(crate) struct Engine<'a, R: Replica> {
     gateway: Option<Gateway>,
     pub(crate) st: ControllerState,
     pub(crate) txns: TxnManager,
+    /// The network model every frame between groups crosses.
+    pub(crate) plane: Plane,
     clients: Vec<ClientState>,
     /// Where [`Engine::route`] resolves a request's `(arc, shard)`
     /// placements, kept between requests so a steady run allocates none.
@@ -266,7 +268,8 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                 cluster.router.arc_count(),
                 rb.check_interval_ns,
             ),
-            txns: TxnManager::new(config.txn.clone(), config.seed, shard_count),
+            plane: Plane::new(config.txn.fault_plan, config.seed),
+            txns: TxnManager::new(config.txn.clone(), shard_count),
             clients: (0..clients)
                 .map(|_| ClientState {
                     version: cluster.router.version(),
@@ -694,8 +697,9 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         // `quiesce` to drain and for the next run.
         self.cluster.calendar.cancel(Owner::DRIVER);
         // Background range GC: clear moved-range remnants a straggling
-        // in-group commit may have resurrected on a donor after eviction.
-        if self.st.stats.migrations_completed > 0 {
+        // in-group commit may have resurrected on a donor after eviction,
+        // and the partial copy an aborted move left on its recipient.
+        if self.st.stats.migrations_started > 0 {
             self.cluster.gc_moved_ranges();
         }
         let mut stats = self.cluster.finalize(self.now, self.tallies);

@@ -10,8 +10,9 @@
 //!    verified-read path of its partitioned store (cut point = export time),
 //!    seals it into bounded [`recipe_protocols::MigrationChunk`]s through the
 //!    shield layer (MAC + trusted counter, AEAD in confidential mode) and
-//!    ships them to the recipient group, which installs them on every replica.
-//!    The donor keeps serving the range throughout.
+//!    ships them across the plane between groups to the recipient group,
+//!    which opens each and installs it on every replica. The donor keeps
+//!    serving the range throughout.
 //! 2. **Catch-up** — writes committed on the donor after the cut are logged
 //!    and replayed in commit order, round after round, until a round's delta
 //!    is small.
@@ -30,6 +31,11 @@
 //! The time lands in each node's books and in telemetry's
 //! `charge.snapshot_{export,import}_ns`.
 //!
+//! **The wire.** A chunk crosses the plane between groups a 2PC leg crosses
+//! ([`crate::TxnConfig::fault_plan`]); its recipient refuses every copy the
+//! adversary made ([`MigrationStats::chunks_rejected`]). A chunk lost or
+//! refused fails its round and aborts the migration; nothing is resent.
+//!
 //! **Cost form.** A migration ships a snapshot round and then its catch-up
 //! rounds (the final delta included); a round of `k` records ships
 //! `⌈k / CHUNK_ENTRIES⌉` chunks ([`MigrationStats::chunks`]), each one
@@ -39,7 +45,7 @@
 use std::cmp::Reverse;
 
 use recipe_protocols::{ChunkPhase, MigrationChannel, MigrationChunk, StoreReplica, CHUNK_ENTRIES};
-use recipe_sim::{RangeEntry, Work, COST_MODEL};
+use recipe_sim::{RangeEntry, Work};
 use recipe_telemetry::{ChargeKind, SpanKind};
 use recipe_workload::stable_key_hash;
 use serde::{Deserialize, Serialize};
@@ -47,6 +53,7 @@ use serde::{Deserialize, Serialize};
 use crate::driver::Engine;
 use crate::router::ShardRouter;
 use crate::sharded::ShardedCluster;
+use crate::txn::Plane;
 
 /// Most migrations the controller starts in one run (one is in flight at a
 /// time).
@@ -71,14 +78,6 @@ pub struct RebalanceConfig {
     /// Trigger threshold: busiest shard's window commits over the per-shard
     /// mean.
     pub imbalance_threshold: f64,
-    /// Force payload encryption on every transfer chunk, regardless of
-    /// policy. The AEAD choice is normally per move — a chunk is encrypted
-    /// iff the donor's or the recipient's shard policy
-    /// ([`crate::ShardedCluster::confidentiality_of`]) is confidential, so a
-    /// moving range never travels in plaintext when either side treats it as
-    /// sensitive — and this knob is the operator's stricter-wins override on
-    /// top: set it to seal even plaintext→plaintext moves.
-    pub confidential_transfer: bool,
     /// A catch-up round at or below this many records triggers the drain.
     pub drain_threshold_ops: usize,
     /// Width of the throughput-timeline buckets, virtual ns (0 disables).
@@ -98,7 +97,6 @@ impl Default for RebalanceConfig {
             check_interval_ns: 20_000_000, // 20 ms
             min_window_commits: 200,
             imbalance_threshold: 1.5,
-            confidential_transfer: false,
             drain_threshold_ops: 8,
             timeline_bucket_ns: 10_000_000, // 10 ms
             issue_stagger_ns: 200,
@@ -134,14 +132,16 @@ pub struct MigrationStats {
     /// Sealed wire bytes of all catch-up chunks.
     pub catchup_bytes: u64,
     /// Wire bytes (snapshot + catch-up) that travelled AEAD-encrypted because
-    /// the move touched a confidential shard (or the operator's
-    /// [`RebalanceConfig::confidential_transfer`] override forced it).
+    /// the move touched a confidential shard.
     pub confidential_transfer_bytes: u64,
     /// Catch-up rounds shipped (including the final delta).
     pub catchup_rounds: u64,
-    /// Sealed chunks the donor leaders shipped, snapshot and catch-up: one
-    /// shielded frame each.
+    /// Sealed chunks the donor leaders shipped, snapshot and catch-up, lost
+    /// ones included: one shielded frame each.
     pub chunks: u64,
+    /// Copies of chunks the recipients' ends refused (tampered, duplicated
+    /// or replayed deliveries — never installed).
+    pub chunks_rejected: u64,
     /// `WrongShard` redirects served to stale clients.
     pub redirects: u64,
     /// Operations the donor refused during drains (client backed off).
@@ -164,17 +164,18 @@ struct ActiveMigration {
     /// cutover; membership is a binary search).
     arcs: Vec<usize>,
     channel: MigrationChannel,
-    /// Writes committed on the donor inside the moving range since the last
+    /// Records waiting for the next round: the snapshot, then the writes
+    /// committed on the donor inside the moving range since the last
     /// shipped round, in commit order.
     catchup: Vec<RangeEntry>,
     next_chunk_seq: u64,
+    /// Rounds shipped, the snapshot's included.
     rounds: u64,
     /// Committed moving-range writes this migration failed to capture; a
     /// non-zero count forces a full verified re-export at cutover.
     capture_misses: u64,
-    draining: bool,
-    /// When the in-flight transfer round lands on the recipient (`None` while
-    /// draining — progress is then driven by completions).
+    /// When the in-flight transfer round lands on the recipient; `None` while
+    /// the range drains for cutover, progress then driven by completions.
     transfer_ready_at: Option<u64>,
 }
 
@@ -239,7 +240,7 @@ impl ControllerState {
 
     /// True while the active migration drains the moving range for cutover.
     pub(crate) fn is_draining(&self) -> bool {
-        self.active.as_ref().is_some_and(|active| active.draining)
+        (self.active.as_ref()).is_some_and(|active| active.transfer_ready_at.is_none())
     }
 
     /// Records one capture attempt: the re-read record, or a capture miss
@@ -291,12 +292,8 @@ impl<R: StoreReplica> ShardedCluster<R> {
     /// idempotent background GC that clears such remnants; the driver runs it
     /// once per finished run, and tests re-run it after quiescing.
     pub fn gc_moved_ranges(&mut self) {
-        for shard in 0..self.shards.len() {
-            let foreign = {
-                let router = self.router.clone();
-                move |key: &[u8]| router.shard_for_key(key) != shard
-            };
-            let group = &mut self.shards[shard];
+        for (shard, group) in self.shards.iter_mut().enumerate() {
+            let foreign = |key: &[u8]| self.router.shard_for_key(key) != shard;
             for idx in 0..group.replica_count() {
                 let node = group.node_ids()[idx];
                 group.replica_mut(node).store().evict_range(&foreign);
@@ -318,11 +315,10 @@ impl<R: StoreReplica> Engine<'_, R> {
         debug_assert!(active.transfer_ready_at.is_some_and(|at| at <= now));
         // The in-flight round landed. Ship the next catch-up round, or begin
         // the drain when the delta is small (or rounds ran out).
-        if active.catchup.len() > self.rb.drain_threshold_ops && active.rounds < MAX_CATCHUP_ROUNDS
+        if active.catchup.len() > self.rb.drain_threshold_ops && active.rounds <= MAX_CATCHUP_ROUNDS
         {
             self.ship_round(now, ChunkPhase::CatchUp);
         } else {
-            active.draining = true;
             active.transfer_ready_at = None;
             let donor = active.donor;
             if let Some(t) = self.cluster.shards[donor].telemetry_mut() {
@@ -418,32 +414,27 @@ impl<R: StoreReplica> Engine<'_, R> {
             .replica_mut(leader)
             .store()
             .export_range(&filter);
-        let entries = match exported {
-            Ok(entries) => entries,
-            Err(_) => {
-                // The donor leader's store failed verification for the range
-                // (Byzantine host tampered with host-resident state). Never
-                // ship unverified state: abort this attempt; the placement
-                // stays as it was and a later window may retry.
-                self.st.stats.export_failures += 1;
-                return;
-            }
+        let Ok(entries) = exported else {
+            // The donor leader's store failed verification for the range
+            // (Byzantine host tampered with host-resident state). Never ship
+            // unverified state: abort this attempt; the placement stays as
+            // it was and a later window may retry.
+            self.st.stats.export_failures += 1;
+            return;
         };
 
         self.st.next_migration_id += 1;
         self.st.stats.migrations_started += 1;
         // Transfer AEAD per move, stricter-wins: the chunks are sealed
         // whenever the donor or the recipient treats the range as sensitive
-        // (the per-shard policy `confidentiality_of` reports), or when
-        // `confidential_transfer` forces sealing globally. On arrival the
+        // (the per-shard policy `confidentiality_of` reports). On arrival the
         // recipient's replicas re-seal the records under their own policy
         // (their stores encrypt values iff *they* are confidential).
         let transfer_confidentiality = recipe_core::ConfidentialityMode::from(
-            self.rb.confidential_transfer
-                || cluster.confidentiality_of(donor).is_confidential()
+            cluster.confidentiality_of(donor).is_confidential()
                 || cluster.confidentiality_of(recipient).is_confidential(),
         );
-        let mut active = ActiveMigration {
+        let active = ActiveMigration {
             donor,
             recipient,
             arcs,
@@ -453,49 +444,67 @@ impl<R: StoreReplica> Engine<'_, R> {
                 self.st.next_migration_id,
                 transfer_confidentiality,
             ),
-            catchup: Vec::new(),
+            catchup: entries,
             next_chunk_seq: 0,
             rounds: 0,
             capture_misses: 0,
-            draining: false,
             transfer_ready_at: None,
         };
-        let ready_at = self.ship_entries(&mut active, now, entries, ChunkPhase::Snapshot);
-        active.transfer_ready_at = Some(ready_at);
         self.st.active = Some(active);
+        self.ship_round(now, ChunkPhase::Snapshot);
     }
 
-    /// Ships the accumulated catch-up delta as one round.
+    /// Ships the records the active migration holds — its snapshot, then
+    /// each catch-up delta — as one round, or aborts the migration when a
+    /// chunk does not land.
     fn ship_round(&mut self, now: u64, phase: ChunkPhase) {
         let mut active = self.st.active.take().expect("a migration is active");
         let entries = std::mem::take(&mut active.catchup);
         active.rounds += 1;
-        let ready_at = self.ship_entries(&mut active, now, entries, phase);
+        let Some(ready_at) = self.ship_entries(&mut active, now, entries, phase) else {
+            return self.abort_migration(now);
+        };
         active.transfer_ready_at = Some(ready_at);
         self.st.active = Some(active);
     }
 
+    /// Aborts the migration taken out of the controller's state: placement
+    /// unchanged, the donor serving on, a later window free to retry. The
+    /// end-of-run GC clears the recipient's partial copy.
+    fn abort_migration(&mut self, now: u64) {
+        self.st.next_check_ns = now + self.rb.check_interval_ns;
+        self.st.clear_window();
+    }
+
     /// Seals `entries` into bounded chunks, charges export, wire and import
-    /// costs, installs the records on every recipient replica, and returns the
-    /// virtual time the transfer lands. An empty `entries` still returns `now`
-    /// (a zero-length round costs nothing).
+    /// costs, carries each chunk across the plane between groups and
+    /// installs what arrives on every recipient replica. Returns the virtual
+    /// time the round lands (`now` for an empty round, which costs nothing
+    /// and counts as none), or `None` once a chunk is lost or refused: the
+    /// round failed, and no chunk after it ships.
     fn ship_entries(
         &mut self,
         active: &mut ActiveMigration,
         now: u64,
         entries: Vec<RangeEntry>,
         phase: ChunkPhase,
-    ) -> u64 {
-        let Engine { cluster, st, .. } = self;
+    ) -> Option<u64> {
+        let Engine {
+            cluster, st, plane, ..
+        } = self;
         // Each node is charged under its own group's profile (the donor's
         // and the recipient's shard policies may name different hardware).
         let donor_leader = cluster.shards[active.donor]
             .write_coordinator()
             .unwrap_or_else(|| cluster.shards[active.donor].node_ids()[0]);
+        let ends = (Plane::group(active.donor), Plane::group(active.recipient));
 
         let mut donor_busy_from = now;
         let mut ready_at = now;
         let is_snapshot = matches!(phase, ChunkPhase::Snapshot);
+        if !is_snapshot && !entries.is_empty() {
+            st.stats.catchup_rounds += 1;
+        }
         for batch in entries.chunks(CHUNK_ENTRIES) {
             let chunk = MigrationChunk {
                 migration_id: st.next_migration_id,
@@ -511,7 +520,7 @@ impl<R: StoreReplica> Engine<'_, R> {
                 entries: batch.len(),
                 bytes: payload_bytes,
             };
-            let mut wire = active.channel.seal(&chunk);
+            let wire = active.channel.seal(&chunk);
             let send = Work::Send {
                 ops: 1,
                 bytes: wire.len(),
@@ -535,14 +544,30 @@ impl<R: StoreReplica> Engine<'_, R> {
                 };
                 t.span(kind, donor_leader.0, exported.start_ns, sent_at, chunk.seq);
             }
+            st.stats.chunks += 1;
+            if is_snapshot {
+                st.stats.snapshot_entries += batch.len() as u64;
+                st.stats.snapshot_bytes += wire.len() as u64;
+            } else {
+                st.stats.catchup_entries += batch.len() as u64;
+                st.stats.catchup_bytes += wire.len() as u64;
+            }
+            if active.channel.is_confidential() {
+                st.stats.confidential_transfer_bytes += wire.len() as u64;
+            }
 
-            // Wire + recipient side: verify the sealed frame, install on every
-            // replica of the group (each pays the import).
-            let arrival = sent_at + COST_MODEL.link_latency_ns;
-            let opened = active
-                .channel
-                .open(&mut wire)
-                .expect("benign-path transfer chunks verify");
+            // Wire + recipient side: the end opens each delivery in a copy
+            // of its own (the shield decrypts in place), and what it opens is
+            // installed on every replica of the group (each pays the import).
+            let (landed, refused) = plane.cross(
+                (ends, sent_at),
+                &wire,
+                &mut active.channel,
+                |channel, wire| channel.open(&mut wire.to_vec()),
+                |channel, copy| channel.open(&mut copy.to_vec()).is_none(),
+            );
+            st.stats.chunks_rejected += u64::from(refused);
+            let (opened, arrival) = landed?;
             let import = Work::Import {
                 entries: opened.entries.len(),
                 bytes: wire.len(),
@@ -557,23 +582,8 @@ impl<R: StoreReplica> Engine<'_, R> {
                     .store()
                     .import_range(&opened.entries);
             }
-
-            st.stats.chunks += 1;
-            if is_snapshot {
-                st.stats.snapshot_entries += batch.len() as u64;
-                st.stats.snapshot_bytes += wire.len() as u64;
-            } else {
-                st.stats.catchup_entries += batch.len() as u64;
-                st.stats.catchup_bytes += wire.len() as u64;
-            }
-            if active.channel.is_confidential() {
-                st.stats.confidential_transfer_bytes += wire.len() as u64;
-            }
         }
-        if !is_snapshot {
-            st.stats.catchup_rounds += 1;
-        }
-        ready_at
+        Some(ready_at)
     }
 
     /// The drain is empty: ship the final delta, evict the donor's copy, bump
@@ -586,29 +596,23 @@ impl<R: StoreReplica> Engine<'_, R> {
         // not trustworthy — re-export the whole range through the verified
         // path instead. The drain guarantees nothing is in flight, so the
         // re-export is the complete committed state. If even that fails, the
-        // migration aborts: no eviction, no epoch bump, the donor keeps
-        // serving (the recipient's partial copy of the unowned range is
-        // cleared by the end-of-run GC).
+        // migration aborts.
         if active.capture_misses > 0 {
             let filter = self.cluster.router.arc_membership_filter(&active.arcs);
             let donor = &mut self.cluster.shards[active.donor];
-            let reexport = donor
-                .write_coordinator()
-                .ok_or_else(|| "no live donor coordinator".to_string())
-                .and_then(|leader| donor.replica_mut(leader).store().export_range(&filter));
-            match reexport {
-                Ok(entries) => delta = entries,
-                Err(_) => {
-                    self.st.stats.export_failures += 1;
-                    self.st.next_check_ns = now + self.rb.check_interval_ns;
-                    self.st.clear_window();
-                    return;
-                }
-            }
+            let reexport = donor.write_coordinator().and_then(|leader| {
+                let store = donor.replica_mut(leader).store();
+                store.export_range(&filter).ok()
+            });
+            let Some(entries) = reexport else {
+                self.st.stats.export_failures += 1;
+                return self.abort_migration(now);
+            };
+            delta = entries;
         }
-        if !delta.is_empty() {
-            self.ship_entries(&mut active, now, delta, ChunkPhase::Final);
-        }
+        let Some(_) = self.ship_entries(&mut active, now, delta, ChunkPhase::Final) else {
+            return self.abort_migration(now);
+        };
         let Engine {
             cluster, st, rb, ..
         } = self;

@@ -32,10 +32,11 @@
 //! it) and every phase is answered by every participant before the next
 //! begins. What each of key, counter, transaction id and the lane's source
 //! check rejects is argued beside `recipe_protocols::TxnLanes`; none of that logic
-//! lives here. Frames cross the same adversarial network model as protocol
-//! traffic ([`TxnConfig::fault_plan`]): a dropped, tampered or reordered
-//! frame is retransmitted as the *same sealed bytes* — the sender's cached
-//! frame, lent to the network, never copied per attempt — after
+//! lives here. Frames cross the plane between groups ([`Plane`], under
+//! [`TxnConfig::fault_plan`]) that migration chunks cross too: a dropped,
+//! tampered or reordered frame is retransmitted as the *same sealed bytes*
+//! — the sender's cached frame, lent to the network, never copied per
+//! attempt — after
 //! [`TxnConfig::retry_timeout_ns`]; re-sealing would burn a counter slot and
 //! wedge the lane. Participants answer re-delivered requests from a cached
 //! sealed response, which makes every phase exactly-once end to end.
@@ -66,6 +67,7 @@
 //! clean transaction table (`txn_reset`; volatile enclave state) and relies
 //! on the group's surviving records.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use recipe_core::{Operation, Request, TxnBody, TxnBodyRef};
@@ -91,9 +93,10 @@ pub struct TxnConfig {
     /// attempt, virtual ns. A per-client jitter is added on top so two
     /// symmetrically conflicting transactions cannot re-collide forever.
     pub conflict_backoff_ns: u64,
-    /// Adversarial plan applied to 2PC frames (both legs of every round
-    /// trip). Defaults to benign; the atomicity tests turn on drops,
-    /// tampering, duplication and replays.
+    /// Adversarial plan applied to every frame the driver carries between
+    /// groups: 2PC legs (both legs of every round trip) and migration
+    /// chunks. Defaults to benign; the atomicity and rebalancing tests turn
+    /// on drops, tampering, duplication and replays.
     pub fault_plan: FaultPlan,
 }
 
@@ -331,8 +334,6 @@ pub(crate) struct TxnManager {
     /// shared a transaction; they outlive every transaction and every
     /// participant leader.
     lanes: TxnLanes,
-    injector: NetworkFaultInjector,
-    wire_seq: u64,
     /// In-flight staged bytes per shard (EPC pressure input).
     staged_per_shard: Vec<usize>,
     /// What resolved transactions leave behind, for the next ones.
@@ -353,18 +354,13 @@ struct Spares {
 }
 
 impl TxnManager {
-    pub(crate) fn new(config: TxnConfig, seed: u64, shards: usize) -> Self {
-        // A dedicated deterministic fault stream for 2PC frames, independent
-        // of the per-shard protocol fault streams.
-        let injector_seed = seed.wrapping_add(stable_key_hash(b"txn-coordinator-faults"));
+    pub(crate) fn new(config: TxnConfig, shards: usize) -> Self {
         TxnManager {
-            injector: NetworkFaultInjector::new(config.fault_plan, injector_seed),
             config,
             stats: TxnStats::default(),
             inflight: BTreeMap::new(),
             next_txn_id: 0,
             lanes: TxnLanes::default(),
-            wire_seq: 0,
             staged_per_shard: vec![0; shards],
             spares: Spares::default(),
         }
@@ -416,86 +412,47 @@ impl TxnManager {
             .count()
     }
 
-    /// Sends one leg of a round trip through the adversarial network: `wire`
-    /// is the sender's cached frame, opened at the receiving end of the
-    /// trip's lane — a sealed body in a spare left in `opened`
-    /// ([`recipe_protocols::TxnLane::open_request`]). Extra copies the
-    /// adversary produces (tampered, duplicated, replayed) are fed through
-    /// the same end, so rejections are real shield rejections. Returns the
-    /// opened body when the authentic frame was delivered.
+    /// Sends one leg of a round trip, sent at `sent_at`, across the plane
+    /// between groups: `wire` is the sender's cached frame, opened at the
+    /// receiving end of the trip's lane — a sealed body in a spare left in
+    /// `opened` ([`recipe_protocols::TxnLane::open_request`]). Returns the
+    /// opened body and the time it landed when the authentic frame arrived.
     fn send_leg<'a>(
         &mut self,
+        plane: &mut Plane,
         wire: &'a [u8],
-        leg: Leg,
-        trip: Trip,
+        (leg, trip, sent_at): (Leg, Trip, u64),
         opened: &'a mut Option<Vec<u8>>,
-    ) -> Option<TxnBodyRef<'a>> {
+    ) -> Option<(TxnBodyRef<'a>, u64)> {
         let Trip {
             txn_id,
             client_id,
             shard,
             sealed,
         } = trip;
-        self.wire_seq += 1;
         self.stats.frames_sent += 1;
         self.stats.wire_bytes += wire.len() as u64;
         if sealed {
             self.stats.sealed_frames += 1;
         }
-        let (coordinator, participant) = (Self::coordinator_addr(), Self::participant_addr(shard));
-        let (src, dst) = match leg {
-            Leg::Request => (coordinator, participant),
-            Leg::Response => (participant, coordinator),
+        let ends = match leg {
+            Leg::Request => (Plane::COORDINATOR, Plane::group(shard)),
+            Leg::Response => (Plane::group(shard), Plane::COORDINATOR),
         };
-        let mut lane = self.lanes.lane(client_id, shard);
         // The spare a copy the adversary made was opened in, if any: it is
         // never delivered.
         let mut stray = None;
-        let body = match self.injector.decide_frame(self.wire_seq, src, dst, wire) {
-            FrameFault::Deliver => leg.open(&mut lane, txn_id, wire, opened),
-            FrameFault::Drop => {
-                self.stats.frames_dropped += 1;
-                None
-            }
-            FrameFault::Tamper(corrupted) => {
-                // The corrupted copy is rejected without consuming the
-                // counter; the authentic frame never arrives — timeout and
-                // retransmission recover.
-                if leg
-                    .open(&mut lane, txn_id, &corrupted, &mut stray)
-                    .is_none()
-                {
-                    self.stats.frames_rejected += 1;
-                }
-                self.stats.frames_dropped += 1;
-                None
-            }
-            FrameFault::Duplicate => {
-                // Authentic delivery first; the duplicate is rejected by the
-                // trusted counter.
-                let body = leg.open(&mut lane, txn_id, wire, opened);
-                if leg.open(&mut lane, txn_id, wire, &mut stray).is_none() {
-                    self.stats.frames_rejected += 1;
-                }
-                body
-            }
-            FrameFault::Replay(older) => {
-                // Authentic delivery; the replayed older frame — the
-                // injector picks among every client's frames to or from this
-                // shard — is rejected by the lane's counter (an earlier
-                // frame of this lane) or for not being this lane's at all.
-                let body = leg.open(&mut lane, txn_id, wire, opened);
-                if leg
-                    .open(&mut lane, txn_id, &older.payload, &mut stray)
-                    .is_none()
-                {
-                    self.stats.frames_rejected += 1;
-                }
-                body
-            }
-        };
+        let (landed, refused) = plane.cross(
+            (ends, sent_at),
+            wire,
+            &mut self.lanes.lane(client_id, shard),
+            |lane, wire| leg.open(lane, txn_id, wire, opened),
+            |lane, copy| leg.open(lane, txn_id, copy, &mut stray).is_none(),
+        );
+        self.stats.frames_dropped += u64::from(landed.is_none());
+        self.stats.frames_rejected += u64::from(refused);
         self.give_opened(stray);
-        body
+        landed
     }
 
     /// Gives the lanes back the spare a sealed body was opened in, if one
@@ -514,15 +471,65 @@ impl TxnManager {
             self.lanes.recycle(response);
         }
     }
+}
 
-    /// Synthetic network addresses for the injector's channel bookkeeping
-    /// (replays are picked per (src, dst) pair).
-    fn coordinator_addr() -> NodeId {
-        NodeId(u64::MAX - 1)
+/// The network model between groups: every frame the driver carries from
+/// one group to another, 2PC legs and migration chunks alike, crosses it
+/// under [`TxnConfig::fault_plan`]. The driver plays both ends of each
+/// frame, so a crossing opens it at the receiving end then and there.
+pub(crate) struct Plane {
+    injector: NetworkFaultInjector,
+    wire_seq: u64,
+}
+
+impl Plane {
+    /// Synthetic address of the 2PC coordinator, for the injector's channel
+    /// bookkeeping (replays are picked per (src, dst) pair).
+    const COORDINATOR: NodeId = NodeId(u64::MAX - 1);
+
+    /// The plane under `plan`, its fault stream apart from the groups'.
+    pub(crate) fn new(plan: FaultPlan, seed: u64) -> Self {
+        let seed = seed.wrapping_add(stable_key_hash(b"txn-coordinator-faults"));
+        Plane {
+            injector: NetworkFaultInjector::new(plan, seed),
+            wire_seq: 0,
+        }
     }
 
-    fn participant_addr(shard: usize) -> NodeId {
+    /// Synthetic address of group `shard`, as a 2PC participant and as a
+    /// migration's donor or recipient.
+    pub(crate) fn group(shard: usize) -> NodeId {
         NodeId(u64::MAX - 2 - shard as u64)
+    }
+
+    /// Carries `wire`, sent at `sent_at` from `src` to `dst`, to the
+    /// receiving end `end`. `open` opens the authentic frame if it arrives;
+    /// then the copy the adversary made, if any — a tampered one in the
+    /// authentic frame's place, a duplicate or a replayed older frame of the
+    /// same pair of addresses after it — goes through the same end, and
+    /// `refuses` says whether the end refused it. Returns the opened frame
+    /// with the time it landed, one link latency after it was sent (`None`
+    /// when it was lost or refused), and whether a copy was refused.
+    pub(crate) fn cross<'w, E, T>(
+        &mut self,
+        ((src, dst), sent_at): ((NodeId, NodeId), u64),
+        wire: &'w [u8],
+        end: &mut E,
+        open: impl FnOnce(&mut E, &'w [u8]) -> Option<T>,
+        refuses: impl FnOnce(&mut E, &[u8]) -> bool,
+    ) -> (Option<(T, u64)>, bool) {
+        self.wire_seq += 1;
+        let (lost, copy) = match self.injector.decide_frame(self.wire_seq, src, dst, wire) {
+            FrameFault::Deliver => (false, None),
+            FrameFault::Drop => (true, None),
+            FrameFault::Tamper(corrupted) => (true, Some(Cow::Owned(corrupted))),
+            FrameFault::Duplicate => (false, Some(Cow::Borrowed(wire))),
+            FrameFault::Replay(older) => (false, Some(Cow::Owned(older.payload))),
+        };
+        let arrives_at = sent_at + COST_MODEL.link_latency_ns;
+        let landed = if lost { None } else { open(end, wire) };
+        let refused = copy.is_some_and(|copy| refuses(end, &copy));
+        (landed.map(|opened| (opened, arrives_at)), refused)
     }
 }
 
@@ -758,7 +765,6 @@ impl<R: StoreReplica> Engine<'_, R> {
 
     /// One attempt of the current phase's round trip on participant `idx`.
     fn txn_round_trip(&mut self, txn: &mut InflightTxn, idx: usize, at: u64) -> RoundTrip {
-        let link = COST_MODEL.link_latency_ns;
         let retry = RoundTrip::Retry {
             retry_at: at + self.txns.config.retry_timeout_ns,
         };
@@ -784,10 +790,11 @@ impl<R: StoreReplica> Engine<'_, R> {
             }
             // Request leg: the participant has not executed this phase yet.
             let mut opened = None;
-            let delivered = self
-                .txns
-                .send_leg(&p.request_wire, Leg::Request, trip, &mut opened);
-            let executed = delivered.map(|body| self.txn_execute_on(txn_id, p, body, at + link));
+            let leg = (Leg::Request, trip, at);
+            let delivered =
+                (self.txns).send_leg(&mut self.plane, &p.request_wire, leg, &mut opened);
+            let executed =
+                delivered.map(|(body, arrival)| self.txn_execute_on(txn_id, p, body, arrival));
             self.txns.give_opened(opened);
             let Some((response, finish)) = executed else {
                 return retry;
@@ -801,16 +808,16 @@ impl<R: StoreReplica> Engine<'_, R> {
         // the participant answers from its cached sealed response).
         let wire = p.response_wire.as_deref().expect("response sealed above");
         let mut opened = None;
-        let delivered = self
-            .txns
-            .send_leg(wire, Leg::Response, trip, &mut opened)
-            .map(|body| match body {
-                TxnBodyRef::Vote { granted, .. } => (Some(granted), SpanKind::TxnVote),
-                TxnBodyRef::Ack { .. } => (None, SpanKind::TxnAck),
+        let leg = (Leg::Response, trip, p.processed_finish.max(at));
+        let delivered = (self.txns)
+            .send_leg(&mut self.plane, wire, leg, &mut opened)
+            .map(|(body, arrival)| match body {
+                TxnBodyRef::Vote { granted, .. } => (Some(granted), SpanKind::TxnVote, arrival),
+                TxnBodyRef::Ack { .. } => (None, SpanKind::TxnAck, arrival),
                 other => panic!("participant answered with a request body: {other:?}"),
             });
         self.txns.give_opened(opened);
-        let Some((vote, response_kind)) = delivered else {
+        let Some((vote, response_kind, arrival)) = delivered else {
             return retry;
         };
         if let Some(granted) = vote {
@@ -820,10 +827,9 @@ impl<R: StoreReplica> Engine<'_, R> {
             }
         }
         p.done = true;
-        p.ready_at = p.processed_finish.max(at) + link;
-        let ready_at = p.ready_at;
+        p.ready_at = arrival;
         if let Some(t) = self.cluster.shards[shard].telemetry_mut() {
-            t.instant(response_kind, 0, ready_at, txn_id);
+            t.instant(response_kind, 0, arrival, txn_id);
         }
         RoundTrip::Done
     }
@@ -851,26 +857,9 @@ impl<R: StoreReplica> Engine<'_, R> {
             cluster, txns, st, ..
         } = self;
         let group = &mut cluster.shards[shard];
-        let Some(leader) = group.write_coordinator() else {
-            // `txn_round_trip` checks liveness before the request leg, and
-            // nothing between that check and this call steps the group's
-            // event queue, so a request can never land on a leaderless
-            // group. Vote no on a prepare (a safe early abort) and refuse
-            // to swallow a decision.
-            return match body {
-                TxnBodyRef::Prepare(_) => (
-                    TxnBody::Vote {
-                        granted: false,
-                        conflict: None,
-                    },
-                    arrival,
-                ),
-                other => unreachable!(
-                    "2PC decision {other:?} delivered to leaderless shard {shard}; \
-                     the coordinator holds decision frames until failover completes"
-                ),
-            };
-        };
+        // `txn_round_trip` checked the group has a leader, and nothing since
+        // stepped the group.
+        let leader = (group.write_coordinator()).expect("a request lands on a live leader");
         // Lazy-adoption net: promote any prepare records replicated from a
         // crashed coordinator before executing this request. Leader-based
         // groups already adopted at their become-coordinator hook (view

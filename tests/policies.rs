@@ -218,22 +218,10 @@ fn migration_across_a_policy_boundary_loses_nothing_and_seals_the_transfer() {
 }
 
 /// A move between two plaintext shards of a policy-aware deployment ships
-/// unsealed (MAC + counter only) — the per-move AEAD choice really is per
-/// move — unless [`RebalanceConfig::confidential_transfer`] forces sealing
-/// globally (stricter wins).
+/// unsealed (MAC + counter only): the per-move AEAD choice really is per
+/// move.
 #[test]
 fn plaintext_to_plaintext_moves_skip_the_transfer_aead() {
-    run_plaintext_migration(false);
-}
-
-/// The operator can still force every transfer sealed: an explicit
-/// `confidential_transfer: true` overrides the per-move plaintext choice.
-#[test]
-fn confidential_transfer_knob_forces_sealing_on_plaintext_moves() {
-    run_plaintext_migration(true);
-}
-
-fn run_plaintext_migration(force_sealed: bool) {
     let operations = 2_400usize;
     let spec = DeploymentSpec::new(2, 3)
         .with_seed(9)
@@ -242,7 +230,6 @@ fn run_plaintext_migration(force_sealed: bool) {
             check_interval_ns: 10_000_000,
             min_window_commits: 120,
             imbalance_threshold: 1.4,
-            confidential_transfer: force_sealed,
             ..RebalanceConfig::enabled()
         });
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
@@ -264,17 +251,9 @@ fn run_plaintext_migration(force_sealed: bool) {
     // Every record is a 12-byte `user…` key and a 64-byte value, so the
     // bytes form is exact, sealed or not.
     check_sharded_contract(&spec, &stats, Some(12 + 64)).unwrap();
-    if force_sealed {
-        assert_eq!(
-            m.confidential_transfer_bytes,
-            m.snapshot_bytes + m.catchup_bytes,
-            "the confidential_transfer override must seal every chunk: {m:?}"
-        );
-    } else {
-        assert_eq!(
-            m.confidential_transfer_bytes, 0,
-            "plaintext->plaintext moves must not pay the AEAD: {m:?}"
-        );
-    }
+    assert_eq!(
+        m.confidential_transfer_bytes, 0,
+        "plaintext->plaintext moves must not pay the AEAD: {m:?}"
+    );
     assert_eq!(stats.total.committed, operations as u64);
 }

@@ -16,12 +16,13 @@ mod common {
 use proptest::prelude::*;
 use recipe::core::{Operation, Request};
 use recipe::protocols::{RaftReplica, CHUNK_ENTRIES};
+use recipe::scenario::{run_scenario, Scenario};
 use recipe::shard::{
     DeploymentSpec, RebalanceConfig, RouteDecision, RouterVersion, ShardRouter, ShardedCluster,
-    ShardedRunStats,
+    ShardedRunStats, TxnConfig,
 };
 use recipe::workload::stable_key_hash;
-use recipe_net::NodeId;
+use recipe_net::{FaultPlan, NodeId};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -106,11 +107,13 @@ struct SkewedRun {
 
 /// Runs 2 shards under a workload that starts balanced and then funnels every
 /// write into a hot range owned entirely by shard 0: 48 ring arcs, `per_arc`
-/// keys of each.
-fn skewed_run(operations: usize, balanced_ops: usize, per_arc: usize) -> SkewedRun {
+/// keys of each. `txn` sets the plane between groups the migration's chunks
+/// cross.
+fn skewed_run(operations: usize, balanced_ops: usize, per_arc: usize, txn: TxnConfig) -> SkewedRun {
     let spec = DeploymentSpec::new(2, 3)
         .with_seed(9)
         .with_clients(64, operations)
+        .with_txn(txn)
         .with_rebalance(RebalanceConfig {
             check_interval_ns: 10_000_000, // 10 ms
             min_window_commits: 120,
@@ -150,7 +153,7 @@ fn skewed_run(operations: usize, balanced_ops: usize, per_arc: usize) -> SkewedR
 #[test]
 fn skewed_workload_migrates_with_zero_lost_or_duplicated_commits() {
     let operations = 2_400;
-    let mut run = skewed_run(operations, 700, 2);
+    let mut run = skewed_run(operations, 700, 2, TxnConfig::default());
     let stats = &run.stats;
 
     // Zero lost, zero duplicated: every issued operation committed exactly
@@ -204,7 +207,7 @@ fn skewed_workload_migrates_with_zero_lost_or_duplicated_commits() {
 /// the history check clean.
 #[test]
 fn a_range_of_more_than_a_chunk_migrates_in_several_chunks() {
-    let mut run = skewed_run(2_400, 0, 8);
+    let mut run = skewed_run(2_400, 0, 8, TxnConfig::default());
     let stats = &run.stats;
     assert_eq!(stats.total.committed, 2_400);
     let m = &stats.migration;
@@ -226,6 +229,132 @@ fn a_range_of_more_than_a_chunk_migrates_in_several_chunks() {
     assert!(run.cluster.quiesce());
     run.cluster.gc_moved_ranges();
     check_run(&mut run.cluster, &mut run.history).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Migrations on a faulty plane between groups
+// ---------------------------------------------------------------------------
+
+/// The skewed run with the plane between groups under `plan`.
+fn skewed_run_on(plan: FaultPlan) -> SkewedRun {
+    let txn = TxnConfig {
+        fault_plan: plan,
+        ..TxnConfig::default()
+    };
+    skewed_run(2_400, 700, 2, txn)
+}
+
+/// A chunk the plane loses, dropped or replaced by a tampered copy, aborts
+/// its migration: placement stays as built, the donor serves on, nothing is
+/// lost, and the end-of-run GC leaves the recipient no copy of the range.
+#[test]
+fn a_lost_chunk_aborts_the_move_and_the_donor_serves_on() {
+    let drop = FaultPlan {
+        drop_probability: 1.0,
+        ..FaultPlan::benign()
+    };
+    let tamper = FaultPlan {
+        tamper_probability: 1.0,
+        ..FaultPlan::benign()
+    };
+    for plan in [drop, tamper] {
+        let mut run = skewed_run_on(plan);
+        let m = &run.stats.migration;
+        assert!(m.migrations_started > 0, "no migration started: {m:?}");
+        assert_eq!(m.migrations_completed, 0, "{plan:?}: {m:?}");
+        // The first chunk of each snapshot is lost, and the move ends there.
+        assert_eq!(m.chunks, m.migrations_started, "{plan:?}: {m:?}");
+        let refused = if plan.tamper_probability > 0.0 {
+            m.chunks
+        } else {
+            0
+        };
+        assert_eq!(m.chunks_rejected, refused, "{plan:?}: {m:?}");
+        check_aborted_run(&mut run);
+    }
+}
+
+/// A chunk lost after earlier rounds landed aborts the move too, and the
+/// end-of-run GC clears the partial copy those rounds left on the
+/// recipient.
+#[test]
+fn an_aborted_move_leaves_the_recipient_no_partial_copy() {
+    let mut run = skewed_run_on(FaultPlan {
+        drop_probability: 0.3,
+        ..FaultPlan::benign()
+    });
+    let m = &run.stats.migration;
+    assert_eq!(m.migrations_completed, 0, "{m:?}");
+    assert!(
+        m.chunks > m.migrations_started,
+        "no chunk landed before a loss: {m:?}"
+    );
+    check_aborted_run(&mut run);
+}
+
+/// Every move of `run` aborted: the router is at its first epoch, every
+/// operation committed once, the closed forms and the history hold, and no
+/// replica of the recipient holds a hot key, with no GC but the driver's.
+fn check_aborted_run(run: &mut SkewedRun) {
+    assert_eq!(run.cluster.router().version().0, 0);
+    assert_eq!(run.stats.total.committed, 2_400);
+    check_sharded_contract(&run.spec, &run.stats, None).unwrap();
+    for key in &run.hot {
+        for node in 0..3 {
+            assert!(
+                run.cluster
+                    .shard_mut(1)
+                    .replica_mut(NodeId(node))
+                    .local_read(key)
+                    .is_none(),
+                "hot key {} on the recipient",
+                String::from_utf8_lossy(key)
+            );
+        }
+    }
+    check_run(&mut run.cluster, &mut run.history).unwrap();
+}
+
+/// Duplicated and replayed chunks reach the recipient's end, which refuses
+/// every copy; the authentic chunks install and the moves complete.
+#[test]
+fn duplicated_and_replayed_chunks_are_refused_and_the_move_completes() {
+    let mut run = skewed_run_on(FaultPlan {
+        duplicate_probability: 0.3,
+        replay_probability: 0.3,
+        ..FaultPlan::benign()
+    });
+    let stats = &run.stats;
+    let m = &stats.migration;
+    assert!(m.migrations_completed >= 1, "no migration completed: {m:?}");
+    assert!(m.chunks_rejected > 0, "no copy was refused: {m:?}");
+    assert_eq!(run.cluster.router().version().0, m.migrations_completed);
+    assert_eq!(stats.total.committed, 2_400);
+    check_sharded_contract(&run.spec, stats, None).unwrap();
+    assert!(run.cluster.quiesce());
+    run.cluster.gc_moved_ranges();
+    check_run(&mut run.cluster, &mut run.history).unwrap();
+}
+
+/// The scenario whose plane between groups duplicates and replays chunks
+/// passes its own expectations: the migration completes, nothing is lost.
+#[test]
+fn the_partition_during_migration_scenario_passes() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/partition_during_migration.toml"
+    );
+    let scenario = Scenario::from_path(std::path::Path::new(path)).unwrap();
+    for outcome in run_scenario(&scenario) {
+        assert!(
+            outcome.passed(),
+            "{}: {:?}",
+            outcome.protocol,
+            outcome.failures
+        );
+        let m = &outcome.stats.migration;
+        assert!(m.chunks_rejected > 0, "no chunk copy was refused: {m:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
