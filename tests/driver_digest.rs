@@ -91,55 +91,55 @@ const PINS: [Pin; 9] = [
     Pin {
         name: "single_key_unbatched",
         run: single_key_unbatched,
-        digest: "2657f87f141f3d31b787d9bace782c0787ada109964b272e2c8cfb08f3a420c1",
+        digest: "af19b4e841136f8b4afd5e560489d22286d1098eb50dae838bc7ef4dc7d3232e",
         contract: None,
     },
     Pin {
         name: "txn_gateway",
         run: txn_gateway,
-        digest: "a739dc62e935bae1a75435653eb1872600259c0b47776fdd85fe79a3cf42eef1",
+        digest: "523e3ae8f6e15dae097b3ced03ac93a2345f4e5c74ea3d2767c7438a439e7c19",
         contract: Some(txn_gateway_spec),
     },
     Pin {
         name: "rebalance_crash",
         run: rebalance_crash,
-        digest: "3c54d6425a1fbe60140e1d9360c1599c1ed762f38504dd40560fadbac2defb06",
+        digest: "f4f445009f50afcabe9138211e73e22db15c85107f4bcbded93765881d89a543",
         contract: Some(rebalance_crash_spec),
     },
     Pin {
         name: "txn_byzantine",
         run: txn_byzantine,
-        digest: "9f7844113eb5ada4b8c7ec3413364768fbe0fc9776c7d0f98dd79e9a9b7b2f71",
+        digest: "78bff2d2a8a525b7387fbe488085a5a81925d1f7829cd3351cb05a9c25eda720",
         contract: Some(txn_byzantine_spec),
     },
     Pin {
         name: "chain_txn_crash",
         run: chain_txn_crash,
-        digest: "7510949580c133376412d1676acbc65b95033ff5bf9357e922a20a667ef36cd7",
+        digest: "acca506ae6a4b7ddcf632e4756e4afd0c859b28e00054694e9a11a51f7377c76",
         contract: Some(chain_txn_spec),
     },
     Pin {
         name: "abd_txn_crash",
         run: abd_txn_crash,
-        digest: "245c85c634788ac796480b8cb02ea6598fffa094ff762d3bd99b4ee2594f8258",
+        digest: "30081860aa3e913d7254c5d256f28ab1effafbb05141874a182f64042aa8ad03",
         contract: Some(abd_txn_spec),
     },
     Pin {
         name: "pbft_txn_crash",
         run: pbft_txn_crash,
-        digest: "122fa7025ec27441dfc5ef96cc3598f36f3deff16b21513e09ae772082b6ceae",
+        digest: "3933d68b2b1b6ec1dccc7b2f683ac97af4ca43e6eff2aae6429d2c269d4e4af8",
         contract: Some(pbft_txn_spec),
     },
     Pin {
         name: "allconcur_crash",
         run: allconcur_crash,
-        digest: "612b1584d223b7b05f4f5df4453d9a2abedad79eb0b99a5c2d7059cdca449a5a",
+        digest: "ab63cb34c3c781ca8b1305d0a05d636c17b0e4da22c077454f02ea4f196e3053",
         contract: None,
     },
     Pin {
         name: "batched_replays",
         run: batched_replays,
-        digest: "c86ac008aed46405deca22d89d4d2be619b62eb0a1650a50dafffb8731656921",
+        digest: "67b4a220066c80e64f07f9ae02591e5ac7a1c05839ff8dd06f1d1570c5a80636",
         contract: None,
     },
 ];
