@@ -424,20 +424,14 @@ impl TxnManager {
         (leg, trip, sent_at): (Leg, Trip, u64),
         opened: &'a mut Option<Vec<u8>>,
     ) -> Option<(TxnBodyRef<'a>, u64)> {
-        let Trip {
-            txn_id,
-            client_id,
-            shard,
-            sealed,
-        } = trip;
         self.stats.frames_sent += 1;
         self.stats.wire_bytes += wire.len() as u64;
-        if sealed {
+        if trip.sealed {
             self.stats.sealed_frames += 1;
         }
         let ends = match leg {
-            Leg::Request => (Plane::COORDINATOR, Plane::group(shard)),
-            Leg::Response => (Plane::group(shard), Plane::COORDINATOR),
+            Leg::Request => (Plane::COORDINATOR, Plane::group(trip.shard)),
+            Leg::Response => (Plane::group(trip.shard), Plane::COORDINATOR),
         };
         // The spare a copy the adversary made was opened in, if any: it is
         // never delivered.
@@ -445,9 +439,9 @@ impl TxnManager {
         let (landed, refused) = plane.cross(
             (ends, sent_at),
             wire,
-            &mut self.lanes.lane(client_id, shard),
-            |lane, wire| leg.open(lane, txn_id, wire, opened),
-            |lane, copy| leg.open(lane, txn_id, copy, &mut stray).is_none(),
+            &mut self.lanes.lane(trip.client_id, trip.shard),
+            |lane, wire| leg.open(lane, trip.txn_id, wire, opened),
+            |lane, copy| leg.open(lane, trip.txn_id, copy, &mut stray).is_none(),
         );
         self.stats.frames_dropped += u64::from(landed.is_none());
         self.stats.frames_rejected += u64::from(refused);
@@ -779,7 +773,7 @@ impl<R: StoreReplica> Engine<'_, R> {
         };
 
         if p.response_wire.is_none() {
-            if self.cluster.shards[shard].write_coordinator().is_none() {
+            let Some(leader) = self.cluster.shards[shard].write_coordinator() else {
                 // The participant group is between leaders (its coordinator
                 // crashed and failover has not landed yet): hold the frame
                 // and retransmit after the timeout. The replicated prepare
@@ -787,14 +781,16 @@ impl<R: StoreReplica> Engine<'_, R> {
                 // coordinator adopts the in-flight transaction and answers
                 // the retried frame.
                 return retry;
-            }
+            };
             // Request leg: the participant has not executed this phase yet.
+            // Nothing steps the group before the request lands, so it lands
+            // on `leader`.
             let mut opened = None;
             let leg = (Leg::Request, trip, at);
             let delivered =
                 (self.txns).send_leg(&mut self.plane, &p.request_wire, leg, &mut opened);
-            let executed =
-                delivered.map(|(body, arrival)| self.txn_execute_on(txn_id, p, body, arrival));
+            let executed = delivered
+                .map(|(body, arrival)| self.txn_execute_on(txn_id, p, leader, body, arrival));
             self.txns.give_opened(opened);
             let Some((response, finish)) = executed else {
                 return retry;
@@ -834,15 +830,17 @@ impl<R: StoreReplica> Engine<'_, R> {
         RoundTrip::Done
     }
 
-    /// Executes one delivered 2PC request on the participant shard: charges
-    /// the leader (and, for commits, every follower install) through the
-    /// cost model, runs the replica hooks, and feeds committed writes on a
-    /// migrating range into the active migration's catch-up log. Returns
-    /// the response body and the virtual time the work finished.
+    /// Executes one delivered 2PC request on the participant shard's
+    /// `leader`: charges it (and, for commits, every follower install)
+    /// through the cost model, runs the replica hooks, and feeds committed
+    /// writes on a migrating range into the active migration's catch-up
+    /// log. Returns the response body and the virtual time the work
+    /// finished.
     fn txn_execute_on(
         &mut self,
         txn_id: u64,
         participant: &Participant,
+        leader: NodeId,
         body: TxnBodyRef<'_>,
         arrival: u64,
     ) -> (TxnBody, u64) {
@@ -857,9 +855,6 @@ impl<R: StoreReplica> Engine<'_, R> {
             cluster, txns, st, ..
         } = self;
         let group = &mut cluster.shards[shard];
-        // `txn_round_trip` checked the group has a leader, and nothing since
-        // stepped the group.
-        let leader = (group.write_coordinator()).expect("a request lands on a live leader");
         // Lazy-adoption net: promote any prepare records replicated from a
         // crashed coordinator before executing this request. Leader-based
         // groups already adopted at their become-coordinator hook (view
