@@ -240,7 +240,9 @@ impl ControllerState {
 
     /// True while the active migration drains the moving range for cutover.
     pub(crate) fn is_draining(&self) -> bool {
-        (self.active.as_ref()).is_some_and(|active| active.transfer_ready_at.is_none())
+        self.active
+            .as_ref()
+            .is_some_and(|active| active.transfer_ready_at.is_none())
     }
 
     /// Records one capture attempt: the re-read record, or a capture miss
@@ -560,7 +562,8 @@ impl<R: StoreReplica> Engine<'_, R> {
             // of its own (the shield decrypts in place), and what it opens is
             // installed on every replica of the group (each pays the import).
             let (landed, refused) = plane.cross(
-                (ends, sent_at),
+                ends,
+                sent_at,
                 &wire,
                 &mut active.channel,
                 |channel, wire| channel.open(&mut wire.to_vec()),

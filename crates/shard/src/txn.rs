@@ -412,43 +412,6 @@ impl TxnManager {
             .count()
     }
 
-    /// Sends one leg of a round trip, sent at `sent_at`, across the plane
-    /// between groups: `wire` is the sender's cached frame, opened at the
-    /// receiving end of the trip's lane — a sealed body in a spare left in
-    /// `opened` ([`recipe_protocols::TxnLane::open_request`]). Returns the
-    /// opened body and the time it landed when the authentic frame arrived.
-    fn send_leg<'a>(
-        &mut self,
-        plane: &mut Plane,
-        wire: &'a [u8],
-        (leg, trip, sent_at): (Leg, Trip, u64),
-        opened: &'a mut Option<Vec<u8>>,
-    ) -> Option<(TxnBodyRef<'a>, u64)> {
-        self.stats.frames_sent += 1;
-        self.stats.wire_bytes += wire.len() as u64;
-        if trip.sealed {
-            self.stats.sealed_frames += 1;
-        }
-        let ends = match leg {
-            Leg::Request => (Plane::COORDINATOR, Plane::group(trip.shard)),
-            Leg::Response => (Plane::group(trip.shard), Plane::COORDINATOR),
-        };
-        // The spare a copy the adversary made was opened in, if any: it is
-        // never delivered.
-        let mut stray = None;
-        let (landed, refused) = plane.cross(
-            (ends, sent_at),
-            wire,
-            &mut self.lanes.lane(trip.client_id, trip.shard),
-            |lane, wire| leg.open(lane, trip.txn_id, wire, opened),
-            |lane, copy| leg.open(lane, trip.txn_id, copy, &mut stray).is_none(),
-        );
-        self.stats.frames_dropped += u64::from(landed.is_none());
-        self.stats.frames_rejected += u64::from(refused);
-        self.give_opened(stray);
-        landed
-    }
-
     /// Gives the lanes back the spare a sealed body was opened in, if one
     /// was.
     fn give_opened(&mut self, opened: Option<Vec<u8>>) {
@@ -506,7 +469,8 @@ impl Plane {
     /// when it was lost or refused), and whether a copy was refused.
     pub(crate) fn cross<'w, E, T>(
         &mut self,
-        ((src, dst), sent_at): ((NodeId, NodeId), u64),
+        (src, dst): (NodeId, NodeId),
+        sent_at: u64,
         wire: &'w [u8],
         end: &mut E,
         open: impl FnOnce(&mut E, &'w [u8]) -> Option<T>,
@@ -757,6 +721,46 @@ impl<R: StoreReplica> Engine<'_, R> {
         }
     }
 
+    /// Sends one leg of a round trip, sent at `sent_at`, across the plane
+    /// between groups: `wire` is the sender's cached frame, opened at the
+    /// receiving end of the trip's lane — a sealed body in a spare left in
+    /// `opened` ([`recipe_protocols::TxnLane::open_request`]). Returns the
+    /// opened body and the time it landed when the authentic frame arrived.
+    fn send_leg<'a>(
+        &mut self,
+        wire: &'a [u8],
+        leg: Leg,
+        trip: Trip,
+        sent_at: u64,
+        opened: &'a mut Option<Vec<u8>>,
+    ) -> Option<(TxnBodyRef<'a>, u64)> {
+        let Engine { txns, plane, .. } = self;
+        txns.stats.frames_sent += 1;
+        txns.stats.wire_bytes += wire.len() as u64;
+        if trip.sealed {
+            txns.stats.sealed_frames += 1;
+        }
+        let ends = match leg {
+            Leg::Request => (Plane::COORDINATOR, Plane::group(trip.shard)),
+            Leg::Response => (Plane::group(trip.shard), Plane::COORDINATOR),
+        };
+        // The spare a copy the adversary made was opened in, if any: it is
+        // never delivered.
+        let mut stray = None;
+        let (landed, refused) = plane.cross(
+            ends,
+            sent_at,
+            wire,
+            &mut txns.lanes.lane(trip.client_id, trip.shard),
+            |lane, wire| leg.open(lane, trip.txn_id, wire, opened),
+            |lane, copy| leg.open(lane, trip.txn_id, copy, &mut stray).is_none(),
+        );
+        txns.stats.frames_dropped += u64::from(landed.is_none());
+        txns.stats.frames_rejected += u64::from(refused);
+        txns.give_opened(stray);
+        landed
+    }
+
     /// One attempt of the current phase's round trip on participant `idx`.
     fn txn_round_trip(&mut self, txn: &mut InflightTxn, idx: usize, at: u64) -> RoundTrip {
         let retry = RoundTrip::Retry {
@@ -786,9 +790,7 @@ impl<R: StoreReplica> Engine<'_, R> {
             // Nothing steps the group before the request lands, so it lands
             // on `leader`.
             let mut opened = None;
-            let leg = (Leg::Request, trip, at);
-            let delivered =
-                (self.txns).send_leg(&mut self.plane, &p.request_wire, leg, &mut opened);
+            let delivered = self.send_leg(&p.request_wire, Leg::Request, trip, at, &mut opened);
             let executed = delivered
                 .map(|(body, arrival)| self.txn_execute_on(txn_id, p, leader, body, arrival));
             self.txns.give_opened(opened);
@@ -804,9 +806,9 @@ impl<R: StoreReplica> Engine<'_, R> {
         // the participant answers from its cached sealed response).
         let wire = p.response_wire.as_deref().expect("response sealed above");
         let mut opened = None;
-        let leg = (Leg::Response, trip, p.processed_finish.max(at));
-        let delivered = (self.txns)
-            .send_leg(&mut self.plane, wire, leg, &mut opened)
+        let sent_at = p.processed_finish.max(at);
+        let delivered = self
+            .send_leg(wire, Leg::Response, trip, sent_at, &mut opened)
             .map(|(body, arrival)| match body {
                 TxnBodyRef::Vote { granted, .. } => (Some(granted), SpanKind::TxnVote, arrival),
                 TxnBodyRef::Ack { .. } => (None, SpanKind::TxnAck, arrival),
