@@ -2,7 +2,8 @@
 //! safety (exactly one owner per key per epoch), end-to-end skewed-workload
 //! migration with zero lost/duplicated commits, and replay equivalence — a
 //! recorded schedule with a mid-run migration commits the same final state
-//! as the same ops run against the final placement. The throughput sag and
+//! as the same ops run against the final placement — and migrations whose
+//! chunks cross a faulty plane between groups. The throughput sag and
 //! recovery are claims of the `rebalance` figure, judged on its committed
 //! baseline by `tests/claims.rs`.
 
