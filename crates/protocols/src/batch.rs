@@ -11,9 +11,9 @@
 //!
 //! * **ops budget** — a destination accumulated [`BatchConfig::max_ops`]
 //!   messages;
-//! * **byte budget** — a destination accumulated [`BatchConfig::max_bytes`]
-//!   of payload;
-//! * **time budget** — [`BatchConfig::max_delay_ns`] elapsed since the batcher
+//! * **byte budget** — a destination accumulated [`MAX_BATCH_BYTES`] of
+//!   payload;
+//! * **time budget** — [`MAX_BATCH_DELAY_NS`] elapsed since the batcher
 //!   went non-empty (the replica arms one flush timer and drains everything
 //!   when it fires, so a lone trailing op is never stranded).
 //!
@@ -38,36 +38,33 @@ use recipe_core::BatchFrame;
 use recipe_net::NodeId;
 use recipe_sim::Ctx;
 
-/// Flush triggers for a [`Batcher`].
+/// Flush a destination once it holds this many payload bytes.
+const MAX_BATCH_BYTES: usize = 64 * 1024;
+
+/// Flush everything this long (virtual ns) after the batcher goes non-empty,
+/// so low load never strands a partial batch.
+const MAX_BATCH_DELAY_NS: u64 = 100_000;
+
+/// The ops trigger of a [`Batcher`]; its byte and time triggers are the
+/// constants `MAX_BATCH_BYTES` (64 KiB) and `MAX_BATCH_DELAY_NS`
+/// (100 µs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct BatchConfig {
     /// Flush a destination once it holds this many ops (`1` disables batching:
     /// every message is sent immediately as a single shielded message).
     pub max_ops: usize,
-    /// Flush a destination once it holds this many payload bytes.
-    pub max_bytes: usize,
-    /// Flush everything this long (virtual ns) after the batcher goes
-    /// non-empty, so low load never strands a partial batch.
-    pub max_delay_ns: u64,
 }
 
 impl BatchConfig {
     /// No batching: the seed's one-message-per-op behaviour, bit for bit.
     pub fn unbatched() -> Self {
-        BatchConfig {
-            max_ops: 1,
-            max_bytes: usize::MAX,
-            max_delay_ns: 0,
-        }
+        BatchConfig { max_ops: 1 }
     }
 
-    /// Batches up to `ops` messages per destination with the default byte and
-    /// time budgets (64 KiB, 100 µs).
+    /// Batches up to `ops` messages per destination.
     pub fn of_ops(ops: usize) -> Self {
         BatchConfig {
             max_ops: ops.max(1),
-            max_bytes: 64 * 1024,
-            max_delay_ns: 100_000,
         }
     }
 
@@ -149,7 +146,7 @@ impl Batcher {
         BatchFrame::append_op(&mut queue.body, kind, payload);
         queue.ops += 1;
         queue.bytes += payload.len();
-        queue.ops as usize >= self.config.max_ops || queue.bytes >= self.config.max_bytes
+        queue.ops as usize >= self.config.max_ops || queue.bytes >= MAX_BATCH_BYTES
     }
 
     /// Flushes what is queued for `dst`: hands `emit` its op count and body
@@ -188,11 +185,11 @@ impl Batcher {
         self.queues.values().map(|q| q.ops as usize).sum()
     }
 
-    /// Marks the flush timer as armed. Returns `true` when the caller should
-    /// actually schedule it (it was not armed yet) — replicas call this after a
+    /// Marks the flush timer as armed. Returns the delay to schedule it after
+    /// when it was not armed yet, `None` when it already is — called after a
     /// push that did not trigger an immediate flush.
-    pub(crate) fn arm_timer(&mut self) -> bool {
-        !std::mem::replace(&mut self.timer_armed, true)
+    fn arm_timer(&mut self) -> Option<u64> {
+        (!std::mem::replace(&mut self.timer_armed, true)).then_some(MAX_BATCH_DELAY_NS)
     }
 
     /// Marks the flush timer as fired; the next push may arm a new one.
@@ -203,7 +200,7 @@ impl Batcher {
     /// The batching-path enqueue shared by every protocol: pushes one message,
     /// emits the flushed destination's op count and body through `emit` when
     /// the ops or byte budget fires, and arms the shared flush timer
-    /// (`token`, firing after [`BatchConfig::max_delay_ns`]) when none is
+    /// (`token`, firing after `MAX_BATCH_DELAY_NS`, 100 µs) when none is
     /// armed yet. Callers keep the unbatched fast path (`!is_batching()`) to
     /// themselves — a single message has a different wire format than a
     /// batch of one.
@@ -218,8 +215,8 @@ impl Batcher {
     ) {
         if self.push(dst, kind, payload) {
             self.take(dst, |ops, body| emit(ctx, dst, ops, body));
-        } else if self.arm_timer() {
-            ctx.set_timer(self.config.max_delay_ns, token);
+        } else if let Some(delay) = self.arm_timer() {
+            ctx.set_timer(delay, token);
         }
     }
 
@@ -285,13 +282,13 @@ mod tests {
 
     #[test]
     fn byte_budget_triggers_flush() {
-        let mut batcher = Batcher::new(BatchConfig {
-            max_ops: 1000,
-            max_bytes: 100,
-            max_delay_ns: 1_000,
-        });
-        assert!(!batcher.push(NodeId(1), 1, &[0u8; 60]));
-        assert!(batcher.push(NodeId(1), 1, &[0u8; 60]));
+        let mut batcher = Batcher::new(BatchConfig::of_ops(1000));
+        let half = vec![0u8; 32 * 1024];
+        assert!(!batcher.push(NodeId(1), 1, &half[1..]));
+        assert!(!batcher.push(NodeId(1), 1, &half));
+        // One byte short of 64 KiB; the next op's byte reaches it.
+        assert!(batcher.push(NodeId(1), 1, &[0]));
+        assert_eq!(take(&mut batcher, NodeId(1)).map(|ops| ops.len()), Some(3));
     }
 
     #[test]
@@ -320,9 +317,9 @@ mod tests {
     #[test]
     fn timer_arms_once_until_fired() {
         let mut batcher = Batcher::new(BatchConfig::of_ops(16));
-        assert!(batcher.arm_timer());
-        assert!(!batcher.arm_timer());
+        assert_eq!(batcher.arm_timer(), Some(100_000));
+        assert_eq!(batcher.arm_timer(), None);
         batcher.timer_fired();
-        assert!(batcher.arm_timer());
+        assert_eq!(batcher.arm_timer(), Some(100_000));
     }
 }

@@ -16,7 +16,7 @@
 //! clients = 32
 //! total_operations = 2000
 //! seed = 42
-//! batch_ops = 8                  # optional; or a full [deployment.batch]
+//! batch_ops = 8                  # optional
 //! confidential = false           # workspace default mode
 //!
 //! [deployment.fault_plan]        # optional adversarial network
@@ -45,7 +45,7 @@ use recipe_core::ConfidentialityMode;
 use recipe_gateway::{GatewayConfig, TenantSpec};
 use recipe_net::{CrashEntry, CrashPlan, FaultPlan, NodeId};
 use recipe_protocols::{BatchConfig, Protocol};
-use recipe_shard::{DeploymentSpec, RebalanceConfig, ShardPolicy, TxnConfig};
+use recipe_shard::{DeploymentSpec, RebalanceConfig, ShardPolicy};
 use recipe_sim::CostProfile;
 use recipe_telemetry::TelemetryConfig;
 use recipe_workload::{KeyDistribution, TxnWorkloadSpec, WorkloadSpec};
@@ -249,10 +249,9 @@ impl Scenario {
             let batched = (0..spec.shards()).find(|&s| spec.policy_for(s).batch.is_batching());
             if let (Some(shard), false) = (batched, p.batches()) {
                 return Err(ScenarioError(format!(
-                    "protocol `{name}`: {} does not batch, so shard {shard}'s batch config would \
-                     be dropped; remove `deployment.batch_ops` / `[deployment.batch]` and \
-                     per-shard `batch_ops` / `[shard_policy.batch]`, or pick a protocol that \
-                     batches",
+                    "protocol `{name}`: {} does not batch, so shard {shard}'s `batch_ops` would \
+                     be dropped; remove `deployment.batch_ops` and per-shard `batch_ops`, or \
+                     pick a protocol that batches",
                     p.display_name()
                 )));
             }
@@ -384,16 +383,13 @@ fn decode_deployment(d: &mut MapDecoder<'_>) -> Result<DeploymentSpec, ScenarioE
     if let Some(cap) = d.opt::<u64>("max_virtual_ns")? {
         spec = spec.with_time_cap_ns(cap);
     }
-    if let Some(vnodes) = d.opt::<usize>("vnodes_per_shard")? {
-        spec = spec.with_vnodes_per_shard(vnodes);
-    }
     if d.opt_or("confidential", false)? {
         spec = spec.confidential();
     }
     if let Some(profile) = d.opt::<String>("profile")? {
         spec = spec.with_profile(parse_profile(&profile, &join(d.path(), "profile"))?);
     }
-    if let Some(batch) = decode_batch_knobs(d)? {
+    if let Some(batch) = decode_batch_ops(d)? {
         spec = spec.with_batching(batch);
     }
     if let Some(plan) = d.table("fault_plan", decode_fault_plan)? {
@@ -406,8 +402,12 @@ fn decode_deployment(d: &mut MapDecoder<'_>) -> Result<DeploymentSpec, ScenarioE
     if let Some(rebalance) = d.table("rebalance", decode_rebalance)? {
         spec = spec.with_rebalance(rebalance);
     }
-    if let Some(txn) = d.table("txn", decode_txn)? {
-        spec = spec.with_txn(txn);
+    // `[deployment.txn]` holds only the plan of the plane between groups.
+    if let Some(plan) = d
+        .table("txn", |t| t.table("fault_plan", decode_fault_plan))?
+        .flatten()
+    {
+        spec = spec.with_plane_fault_plan(plan);
     }
     if let Some(telemetry) = d.table("telemetry", decode_telemetry)? {
         spec = spec.with_telemetry(telemetry);
@@ -452,36 +452,11 @@ fn decode_tenant(_idx: usize, t: &mut MapDecoder<'_>) -> Result<TenantSpec, Scen
     Ok(tenant)
 }
 
-/// `batch_ops = N` shorthand or a full `[.. .batch]` table — not both.
-fn decode_batch_knobs(d: &mut MapDecoder<'_>) -> Result<Option<BatchConfig>, ScenarioError> {
-    let ops = d.opt::<usize>("batch_ops")?;
-    let full = d.table("batch", |b| {
-        let max_ops: usize = b.req("max_ops")?;
-        Ok(BatchConfig {
-            max_ops,
-            max_bytes: b.opt_or("max_bytes", 64 * 1024)?,
-            max_delay_ns: b.opt_or("max_delay_ns", 100_000)?,
-        })
-    })?;
-    match (ops, full) {
-        (Some(_), Some(_)) => Err(ScenarioError(format!(
-            "`{}`: set either `batch_ops` or a `[{}]` table, not both",
-            join(d.path(), "batch_ops"),
-            join(d.path(), "batch")
-        ))),
-        // The shorthand mirrors `BatchConfig::of_ops` — minus its silent
-        // `max(1)` clamp, so `batch_ops = 0` reaches validation and errors.
-        (Some(ops), None) => Ok(Some(if ops == 1 {
-            BatchConfig::unbatched()
-        } else {
-            BatchConfig {
-                max_ops: ops,
-                max_bytes: 64 * 1024,
-                max_delay_ns: 100_000,
-            }
-        })),
-        (None, full) => Ok(full),
-    }
+/// `batch_ops = N`: `BatchConfig::of_ops` minus its silent `max(1)` clamp,
+/// so `batch_ops = 0` reaches validation and errors.
+fn decode_batch_ops(d: &mut MapDecoder<'_>) -> Result<Option<BatchConfig>, ScenarioError> {
+    Ok(d.opt::<usize>("batch_ops")?
+        .map(|max_ops| BatchConfig { max_ops }))
 }
 
 fn parse_profile(name: &str, path: &str) -> Result<CostProfile, ScenarioError> {
@@ -537,23 +512,10 @@ fn decode_rebalance(r: &mut MapDecoder<'_>) -> Result<RebalanceConfig, ScenarioE
     })
 }
 
-fn decode_txn(t: &mut MapDecoder<'_>) -> Result<TxnConfig, ScenarioError> {
-    let defaults = TxnConfig::default();
-    Ok(TxnConfig {
-        retry_timeout_ns: t.opt_or("retry_timeout_ns", defaults.retry_timeout_ns)?,
-        conflict_backoff_ns: t.opt_or("conflict_backoff_ns", defaults.conflict_backoff_ns)?,
-        fault_plan: t
-            .table("fault_plan", decode_fault_plan)?
-            .unwrap_or(defaults.fault_plan),
-    })
-}
-
 fn decode_telemetry(t: &mut MapDecoder<'_>) -> Result<TelemetryConfig, ScenarioError> {
-    let defaults = TelemetryConfig::default();
     Ok(TelemetryConfig {
         // Same presence-implies-intent default as `[deployment.rebalance]`.
         enabled: t.opt_or("enabled", true)?,
-        max_spans: t.opt_or("max_spans", defaults.max_spans)?,
     })
 }
 
@@ -572,7 +534,7 @@ fn decode_shard_policy(
             ConfidentialityMode::Plaintext
         });
     }
-    if let Some(batch) = decode_batch_knobs(p)? {
+    if let Some(batch) = decode_batch_ops(p)? {
         policy = policy.with_batch(batch);
     }
     if let Some(profile) = p.opt::<String>("profile")? {

@@ -123,7 +123,7 @@ pub fn run_workload<R: BuildReplica>(
             if hot_keys.is_empty() {
                 failures.push(format!(
                     "workload.hot_shard: shard {hot_shard} owns no keys in the probe universe \
-                     (try more vnodes_per_shard or a different hot_shard)"
+                     (try fewer shards or a different hot_shard)"
                 ));
             }
             let hot_fraction = *hot_fraction;

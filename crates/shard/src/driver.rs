@@ -45,7 +45,7 @@ use recipe_workload::stable_key_hash;
 use crate::migration::{ControllerState, RebalanceConfig};
 use crate::router::{RouteDecision, RouterVersion};
 use crate::sharded::{Books, PoolCounts, ShardedCluster, ShardedRunStats, Tallies, TimelineBucket};
-use crate::txn::{Plane, TxnManager, TxnResolution};
+use crate::txn::{Plane, TxnManager, TxnResolution, CONFLICT_BACKOFF_NS};
 
 /// Work carried by one driver event.
 #[derive(Debug)]
@@ -268,8 +268,8 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                 cluster.router.arc_count(),
                 rb.check_interval_ns,
             ),
-            plane: Plane::new(config.txn.fault_plan, config.seed),
-            txns: TxnManager::new(config.txn.clone(), shard_count),
+            plane: Plane::new(config.plane_fault_plan, config.seed),
+            txns: TxnManager::new(shard_count),
             clients: (0..clients)
                 .map(|_| ClientState {
                     version: cluster.router.version(),
@@ -587,7 +587,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                 );
                 // Deterministic per-client jitter breaks the symmetry of
                 // mutually aborting transactions.
-                let backoff = self.txns.config.conflict_backoff_ns + client_id * 7_919;
+                let backoff = CONFLICT_BACKOFF_NS + client_id * 7_919;
                 let retry = DriverWork::Retry(request_id, request);
                 self.schedule(finished_at + backoff, client_id, retry);
             }

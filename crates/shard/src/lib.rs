@@ -46,7 +46,7 @@ pub use sharded::{
     ClientModel, PoolCounts, ShardedCluster, ShardedConfig, ShardedRunStats, TimelineBucket,
 };
 pub use spec::{DeploymentSpec, ResolvedShardPolicy, ShardPolicy};
-pub use txn::{TxnConfig, TxnStats, FRAMES_PER_PARTICIPANT};
+pub use txn::{TxnStats, FRAMES_PER_PARTICIPANT};
 
 /// Converts a generated workload operation into the protocol-level operation.
 ///

@@ -30,6 +30,7 @@
 
 use recipe_core::{ConfidentialityMode, FramePool};
 use recipe_gateway::{GatewayConfig, GatewayStats};
+use recipe_net::FaultPlan;
 use recipe_sim::{
     Calendar, CalendarCounts, Completion, GroupEvent, Key, NodeBooks, Replica, ReplicaGroup,
     RunStats, Scheduler, SimConfig,
@@ -41,7 +42,7 @@ use crate::driver::Event;
 use crate::migration::{MigrationStats, RebalanceConfig};
 use crate::router::ShardRouter;
 use crate::spec::ResolvedShardPolicy;
-use crate::txn::{TxnConfig, TxnStats};
+use crate::txn::TxnStats;
 
 /// The global closed-loop client population.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -70,7 +71,8 @@ pub struct ShardedConfig {
     /// Each shard's resolved policy, in shard order: its replicas are built
     /// under it and its group's [`SimConfig`] is made from it.
     pub policies: Vec<ResolvedShardPolicy>,
-    /// Virtual nodes per shard on the consistent-hash ring.
+    /// Virtual nodes per shard on the consistent-hash ring: always the
+    /// router's default (256), for a caller that builds a ring of its own.
     pub vnodes_per_shard: usize,
     /// The run's seed: the driver's, the gateway's and the 2PC
     /// coordinator's, and — mixed with the shard index — each group's, so
@@ -84,9 +86,9 @@ pub struct ShardedConfig {
     /// Online-rebalancing controller knobs (disabled by default; only
     /// request drivers with the controller enabled consult them).
     pub rebalance: RebalanceConfig,
-    /// Transaction-coordinator knobs (retransmission timeout, abort backoff,
-    /// 2PC fault plan).
-    pub txn: TxnConfig,
+    /// The adversarial plan of the plane between groups, which 2PC legs
+    /// and migration chunks cross.
+    pub(crate) plane_fault_plan: FaultPlan,
     /// Telemetry gating: off by default, in which case the run is
     /// bit-identical to a build without the telemetry subsystem. When
     /// enabled, each shard records spans, metric charges and cost
@@ -285,7 +287,7 @@ impl<R: Replica> ShardedCluster<R> {
                 let group_config = config.group_config(policy, replicas.len());
                 let mut group = ReplicaGroup::new(replicas, group_config);
                 if config.telemetry.enabled {
-                    let telemetry = ShardTelemetry::new(policy.shard as u32, &config.telemetry);
+                    let telemetry = ShardTelemetry::new(policy.shard as u32);
                     group.set_telemetry(telemetry);
                 }
                 group

@@ -11,7 +11,7 @@
 //! replaces the three-step with one declarative description:
 //!
 //! * **workspace-level defaults** — replica count per group, cost profile,
-//!   confidentiality, batching triggers, fault plan, client population, seed,
+//!   confidentiality, batch size, fault plan, client population, seed,
 //!   rebalancing knobs;
 //! * **per-shard [`ShardPolicy`] overrides** — any subset of
 //!   `{confidentiality, batching, cost profile, fault plan, crash plan}` for
@@ -57,7 +57,6 @@ use recipe_sim::CostProfile;
 use crate::migration::RebalanceConfig;
 use crate::router::ShardRouter;
 use crate::sharded::{ClientModel, ShardedCluster, ShardedConfig};
-use crate::txn::TxnConfig;
 
 /// Most replicas a group may have. Replica ids are group-local,
 /// `0..replicas_per_shard`; the bound keeps them below every block of
@@ -102,7 +101,7 @@ impl ShardPolicy {
         self
     }
 
-    /// Overrides the shard's leader-side batching triggers.
+    /// Overrides the shard's leader-side batch size (ops per frame).
     pub fn with_batch(mut self, batch: BatchConfig) -> Self {
         self.batch = Some(batch);
         self
@@ -143,7 +142,7 @@ pub struct ResolvedShardPolicy {
     pub shard: usize,
     /// Whether the shard's group encrypts payloads and seals stored values.
     pub confidentiality: ConfidentialityMode,
-    /// The group's leader-side batching triggers.
+    /// The group's leader-side batch size (ops per frame).
     pub batch: BatchConfig,
     /// The per-replica cost profile, with `confidential` already aligned to
     /// this policy.
@@ -163,7 +162,6 @@ pub struct DeploymentSpec {
     shards: usize,
     replicas_per_shard: usize,
     faults_tolerated: usize,
-    vnodes_per_shard: usize,
     profile: CostProfile,
     confidentiality: ConfidentialityMode,
     batch: BatchConfig,
@@ -173,7 +171,7 @@ pub struct DeploymentSpec {
     seed: u64,
     max_virtual_ns: u64,
     rebalance: RebalanceConfig,
-    txn: TxnConfig,
+    plane_fault_plan: FaultPlan,
     telemetry: recipe_telemetry::TelemetryConfig,
     gateway: recipe_gateway::GatewayConfig,
     overrides: BTreeMap<usize, ShardPolicy>,
@@ -194,7 +192,6 @@ impl DeploymentSpec {
             shards,
             replicas_per_shard,
             faults_tolerated: (replicas_per_shard - 1) / 2,
-            vnodes_per_shard: ShardRouter::DEFAULT_VNODES,
             profile: CostProfile::recipe(),
             confidentiality: ConfidentialityMode::Plaintext,
             batch: BatchConfig::unbatched(),
@@ -204,7 +201,7 @@ impl DeploymentSpec {
             seed: 42,
             max_virtual_ns: 120 * 1_000_000_000,
             rebalance: RebalanceConfig::default(),
-            txn: TxnConfig::default(),
+            plane_fault_plan: FaultPlan::benign(),
             telemetry: recipe_telemetry::TelemetryConfig::default(),
             gateway: recipe_gateway::GatewayConfig::default(),
             overrides: BTreeMap::new(),
@@ -231,7 +228,7 @@ impl DeploymentSpec {
         self.with_confidentiality(ConfidentialityMode::Confidential)
     }
 
-    /// Sets the workspace-default leader-side batching triggers.
+    /// Sets the workspace-default leader-side batch size (ops per frame).
     pub fn with_batching(mut self, batch: BatchConfig) -> Self {
         self.batch = batch;
         self
@@ -277,12 +274,6 @@ impl DeploymentSpec {
         self
     }
 
-    /// Sets the number of virtual nodes each shard contributes to the ring.
-    pub fn with_vnodes_per_shard(mut self, vnodes: usize) -> Self {
-        self.vnodes_per_shard = vnodes;
-        self
-    }
-
     /// Sets the crash-fault budget `f` of every group (defaults to a minority,
     /// `(replicas_per_shard - 1) / 2`).
     pub fn with_faults_tolerated(mut self, f: usize) -> Self {
@@ -296,10 +287,12 @@ impl DeploymentSpec {
         self
     }
 
-    /// Sets the transaction-coordinator knobs (2PC retransmission timeout,
-    /// abort backoff, and the adversarial plan applied to 2PC frames).
-    pub fn with_txn(mut self, txn: TxnConfig) -> Self {
-        self.txn = txn;
+    /// Sets the adversarial plan of the plane between groups: every frame
+    /// the driver carries from one group to another, 2PC legs (both legs of
+    /// every round trip) and migration chunks, crosses it. Defaults to
+    /// benign.
+    pub fn with_plane_fault_plan(mut self, plan: FaultPlan) -> Self {
+        self.plane_fault_plan = plan;
         self
     }
 
@@ -411,9 +404,6 @@ impl DeploymentSpec {
                 ));
             }
         }
-        if self.vnodes_per_shard == 0 {
-            return Err("vnodes_per_shard: must be >= 1 (a shard needs ring presence)".into());
-        }
         if self.max_virtual_ns == 0 {
             return Err("max_virtual_ns: must be > 0 (the time cap would fire immediately)".into());
         }
@@ -425,11 +415,6 @@ impl DeploymentSpec {
                 2 * self.faults_tolerated + 1,
                 self.replicas_per_shard
             ));
-        }
-        if self.txn.retry_timeout_ns == 0 {
-            return Err(
-                "txn.retry_timeout_ns: must be > 0 (a zero timeout retransmits every event)".into(),
-            );
         }
         if self.rebalance.enabled && self.rebalance.imbalance_threshold < 1.0 {
             return Err(format!(
@@ -451,7 +436,8 @@ impl DeploymentSpec {
         validate_batch(&self.batch, "batch")?;
         validate_fault_plan(&self.fault_plan, "fault_plan")?;
         validate_crash_plan(&self.crash_plan, self.replicas_per_shard, "crash_plan")?;
-        validate_fault_plan(&self.txn.fault_plan, "txn.fault_plan")?;
+        // Named as a scenario file spells it, `[deployment.txn.fault_plan]`.
+        validate_fault_plan(&self.plane_fault_plan, "txn.fault_plan")?;
         for shard in 0..self.shards {
             let resolved = self.policy_for(shard);
             if resolved.confidentiality.is_confidential() && !resolved.profile.shielded {
@@ -525,12 +511,12 @@ impl DeploymentSpec {
             policies: (0..self.shards)
                 .map(|shard| self.policy_for(shard))
                 .collect(),
-            vnodes_per_shard: self.vnodes_per_shard,
+            vnodes_per_shard: ShardRouter::DEFAULT_VNODES,
             seed: self.seed,
             max_virtual_ns: self.max_virtual_ns,
             clients: self.clients.clone(),
             rebalance: self.rebalance.clone(),
-            txn: self.txn.clone(),
+            plane_fault_plan: self.plane_fault_plan,
             telemetry: self.telemetry.clone(),
             gateway: self.gateway.clone(),
         }
@@ -541,11 +527,6 @@ fn validate_batch(batch: &BatchConfig, field: &str) -> Result<(), String> {
     if batch.max_ops == 0 {
         return Err(format!(
             "{field}.max_ops: must be >= 1 (0 would never flush; 1 disables batching)"
-        ));
-    }
-    if batch.max_bytes == 0 {
-        return Err(format!(
-            "{field}.max_bytes: must be >= 1 (0 would never admit an op into a frame)"
         ));
     }
     Ok(())

@@ -33,12 +33,11 @@
 //! begins. What each of key, counter, transaction id and the lane's source
 //! check rejects is argued beside `recipe_protocols::TxnLanes`; none of that logic
 //! lives here. Frames cross the plane between groups ([`Plane`], under
-//! [`TxnConfig::fault_plan`]) that migration chunks cross too: a dropped,
-//! tampered or reordered frame is retransmitted as the *same sealed bytes*
-//! — the sender's cached frame, lent to the network, never copied per
-//! attempt — after
-//! [`TxnConfig::retry_timeout_ns`]; re-sealing would burn a counter slot and
-//! wedge the lane. Participants answer re-delivered requests from a cached
+//! [`crate::DeploymentSpec::with_plane_fault_plan`]) that migration chunks
+//! cross too: a dropped, tampered or reordered frame is retransmitted as the
+//! *same sealed bytes* — the sender's cached frame, lent to the network,
+//! never copied per attempt — after [`RETRY_TIMEOUT_NS`] (2 ms); re-sealing
+//! would burn a counter slot and wedge the lane. Participants answer re-delivered requests from a cached
 //! sealed response, which makes every phase exactly-once end to end.
 //!
 //! Deadlock freedom: a participant's prepare either locks *all* its keys or
@@ -59,7 +58,7 @@
 //! write coordinator *adopts* the replicated records (promoting them into
 //! real locked prepares; see `recipe_kv::PartitionedKvStore::txn_adopt_replicated`),
 //! and the coordinator — which holds the frame for the crashed group and
-//! retransmits after [`TxnConfig::retry_timeout_ns`] — lands the decision on
+//! retransmits after [`RETRY_TIMEOUT_NS`] — lands the decision on
 //! the new leader: no transaction is lost, duplicated or parked. The lane's
 //! participant endpoint stands for the shard, not for whichever replica
 //! leads it, so it and its counters outlive the crash and the retransmitted
@@ -82,33 +81,14 @@ use recipe_workload::stable_key_hash;
 use crate::driver::{DriverWork, Engine};
 use crate::spec::MAX_REPLICAS_PER_SHARD;
 
-/// Knobs of the transaction coordinator, configured per deployment through
-/// [`crate::DeploymentSpec::with_txn`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct TxnConfig {
-    /// How long the coordinator waits for a phase round trip before
-    /// retransmitting the frame (same sealed bytes), virtual ns.
-    pub retry_timeout_ns: u64,
-    /// Base client backoff after an aborted (lock-conflict) transaction
-    /// attempt, virtual ns. A per-client jitter is added on top so two
-    /// symmetrically conflicting transactions cannot re-collide forever.
-    pub conflict_backoff_ns: u64,
-    /// Adversarial plan applied to every frame the driver carries between
-    /// groups: 2PC legs (both legs of every round trip) and migration
-    /// chunks. Defaults to benign; the atomicity and rebalancing tests turn
-    /// on drops, tampering, duplication and replays.
-    pub fault_plan: FaultPlan,
-}
+/// How long the coordinator waits for a phase round trip before
+/// retransmitting the frame (same sealed bytes), virtual ns.
+const RETRY_TIMEOUT_NS: u64 = 2_000_000;
 
-impl Default for TxnConfig {
-    fn default() -> Self {
-        TxnConfig {
-            retry_timeout_ns: 2_000_000, // 2 ms
-            conflict_backoff_ns: 400_000,
-            fault_plan: FaultPlan::benign(),
-        }
-    }
-}
+/// Base client backoff after an aborted (lock-conflict) transaction attempt,
+/// virtual ns. The driver adds a per-client jitter on top so two
+/// symmetrically conflicting transactions cannot re-collide forever.
+pub(crate) const CONFLICT_BACKOFF_NS: u64 = 400_000;
 
 /// Counters of the transaction machinery for one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -326,7 +306,6 @@ struct Trip {
 
 /// Driver-side transaction coordinator state for one run.
 pub(crate) struct TxnManager {
-    pub(crate) config: TxnConfig,
     pub(crate) stats: TxnStats,
     inflight: BTreeMap<u64, InflightTxn>,
     next_txn_id: u64,
@@ -354,9 +333,8 @@ struct Spares {
 }
 
 impl TxnManager {
-    pub(crate) fn new(config: TxnConfig, shards: usize) -> Self {
+    pub(crate) fn new(shards: usize) -> Self {
         TxnManager {
-            config,
             stats: TxnStats::default(),
             inflight: BTreeMap::new(),
             next_txn_id: 0,
@@ -432,8 +410,9 @@ impl TxnManager {
 
 /// The network model between groups: every frame the driver carries from
 /// one group to another, 2PC legs and migration chunks alike, crosses it
-/// under [`TxnConfig::fault_plan`]. The driver plays both ends of each
-/// frame, so a crossing opens it at the receiving end then and there.
+/// under [`crate::DeploymentSpec::with_plane_fault_plan`]. The driver plays
+/// both ends of each frame, so a crossing opens it at the receiving end then
+/// and there.
 pub(crate) struct Plane {
     injector: NetworkFaultInjector,
     wire_seq: u64,
@@ -764,7 +743,7 @@ impl<R: StoreReplica> Engine<'_, R> {
     /// One attempt of the current phase's round trip on participant `idx`.
     fn txn_round_trip(&mut self, txn: &mut InflightTxn, idx: usize, at: u64) -> RoundTrip {
         let retry = RoundTrip::Retry {
-            retry_at: at + self.txns.config.retry_timeout_ns,
+            retry_at: at + RETRY_TIMEOUT_NS,
         };
         let (txn_id, client_id, sealed) = (txn.txn_id, txn.client_id, txn.sealed);
         let p = &mut txn.participants[idx];

@@ -1464,8 +1464,7 @@ mod tests {
         config.fault_plan = FaultPlan::byzantine();
         config.crash_plan = CrashPlan::none().crash_recover(NodeId(2), 300_000, 900_000);
         let mut cluster = SimCluster::new(EchoReplica::cluster(3), config);
-        let telemetry = recipe_telemetry::TelemetryConfig::enabled();
-        cluster.set_telemetry(ShardTelemetry::new(0, &telemetry));
+        cluster.set_telemetry(ShardTelemetry::new(0));
         drive(&mut cluster, 1_000, write_workload);
         while cluster.step() == StepOutcome::Processed {}
         let messages = cluster.take_message_counts();

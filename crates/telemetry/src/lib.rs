@@ -44,33 +44,22 @@ pub use span::{Span, SpanKind, Tracer};
 /// default; a disabled config attaches no [`ShardTelemetry`] to any group, so
 /// no tracer is allocated and the hot paths skip every telemetry branch (the
 /// category split each charge files in its node's books is not one of them).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct TelemetryConfig {
     /// Master switch.
     pub enabled: bool,
-    /// Per-shard span cap (`0` = unlimited). Bounds trace memory on long runs;
-    /// overflow is counted, never silently lost.
-    pub max_spans: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            enabled: false,
-            max_spans: 1 << 20,
-        }
-    }
 }
 
 impl TelemetryConfig {
-    /// The enabled configuration with default caps.
+    /// The enabled configuration.
     pub fn enabled() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            ..TelemetryConfig::default()
-        }
+        TelemetryConfig { enabled: true }
     }
 }
+
+/// Per-shard span cap. Bounds trace memory on long runs; overflow is
+/// counted, never silently lost.
+const MAX_SPANS: usize = 1 << 20;
 
 /// The charge site a cost was incurred at — the second attribution dimension
 /// next to [`CostCategory`]. Where the category says *what component* consumed
@@ -185,11 +174,11 @@ pub struct ShardTelemetry {
 }
 
 impl ShardTelemetry {
-    /// Telemetry for `shard` under `config`.
-    pub fn new(shard: u32, config: &TelemetryConfig) -> Self {
+    /// Telemetry for `shard`, its spans capped at `MAX_SPANS` (2^20).
+    pub fn new(shard: u32) -> Self {
         ShardTelemetry {
             shard,
-            tracer: Tracer::with_capacity(config.max_spans),
+            tracer: Tracer::with_capacity(MAX_SPANS),
             charges: [0; ChargeKind::COUNT],
             replication_ns: 0,
             latency_ns: Histogram::new(),
@@ -309,7 +298,7 @@ mod tests {
 
     #[test]
     fn shard_telemetry_accumulates_and_exports() {
-        let mut t = ShardTelemetry::new(3, &TelemetryConfig::enabled());
+        let mut t = ShardTelemetry::new(3);
         let mut b = CostBreakdown::new();
         b.add(CostCategory::Transport, 100);
         b.add(CostCategory::App, 50);

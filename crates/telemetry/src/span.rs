@@ -188,7 +188,7 @@ impl Span {
 /// A bounded, deterministic span collector. When the cap is reached further
 /// spans are counted but not stored — the trace stays a faithful prefix and
 /// memory stays bounded on long runs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Tracer {
     spans: Vec<Span>,
     cap: usize,
@@ -196,7 +196,7 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A tracer that stores at most `cap` spans (`0` means unlimited).
+    /// A tracer that stores at most `cap` spans.
     pub(crate) fn with_capacity(cap: usize) -> Self {
         Tracer {
             spans: Vec::new(),
@@ -207,7 +207,7 @@ impl Tracer {
 
     /// Records one span (drops it, counted, past the cap).
     pub(crate) fn record(&mut self, span: Span) {
-        if self.cap != 0 && self.spans.len() >= self.cap {
+        if self.spans.len() >= self.cap {
             self.dropped += 1;
         } else {
             self.spans.push(span);

@@ -65,7 +65,7 @@ use recipe::protocols::{
     AbdReplica, AllConcurReplica, BatchConfig, ChainReplica, RaftReplica, StoreReplica,
 };
 use recipe::shard::{
-    DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster, ShardedRunStats, TxnConfig,
+    DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster, ShardedRunStats,
 };
 use recipe::sim::CostProfile;
 use serde::Deserialize;
@@ -183,10 +183,7 @@ fn txn_gateway_spec() -> DeploymentSpec {
         .with_clients(6, 240)
         .with_time_cap_ns(20_000_000_000)
         .with_timeline_bucket_ns(500_000)
-        .with_txn(TxnConfig {
-            fault_plan: FaultPlan::lossy(0.05),
-            ..TxnConfig::default()
-        })
+        .with_plane_fault_plan(FaultPlan::lossy(0.05))
         .with_gateway(gateway)
 }
 
@@ -278,10 +275,7 @@ fn txn_byzantine_spec() -> DeploymentSpec {
         .with_clients(12, 900)
         .with_time_cap_ns(20_000_000_000)
         .with_timeline_bucket_ns(500_000)
-        .with_txn(TxnConfig {
-            fault_plan: FaultPlan::byzantine(),
-            ..TxnConfig::default()
-        })
+        .with_plane_fault_plan(FaultPlan::byzantine())
         .with_shard_policy(0, ShardPolicy::confidential())
         .with_shard_policy(
             1,

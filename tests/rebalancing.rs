@@ -20,7 +20,7 @@ use recipe::protocols::{RaftReplica, CHUNK_ENTRIES};
 use recipe::scenario::{run_scenario, Scenario};
 use recipe::shard::{
     DeploymentSpec, RebalanceConfig, RouteDecision, RouterVersion, ShardRouter, ShardedCluster,
-    ShardedRunStats, TxnConfig,
+    ShardedRunStats,
 };
 use recipe::workload::stable_key_hash;
 use recipe_net::{FaultPlan, NodeId};
@@ -108,13 +108,18 @@ struct SkewedRun {
 
 /// Runs 2 shards under a workload that starts balanced and then funnels every
 /// write into a hot range owned entirely by shard 0: 48 ring arcs, `per_arc`
-/// keys of each. `txn` sets the plane between groups the migration's chunks
-/// cross.
-fn skewed_run(operations: usize, balanced_ops: usize, per_arc: usize, txn: TxnConfig) -> SkewedRun {
+/// keys of each. `plane` is the fault plan of the plane between groups the
+/// migration's chunks cross.
+fn skewed_run(
+    operations: usize,
+    balanced_ops: usize,
+    per_arc: usize,
+    plane: FaultPlan,
+) -> SkewedRun {
     let spec = DeploymentSpec::new(2, 3)
         .with_seed(9)
         .with_clients(64, operations)
-        .with_txn(txn)
+        .with_plane_fault_plan(plane)
         .with_rebalance(RebalanceConfig {
             check_interval_ns: 10_000_000, // 10 ms
             min_window_commits: 120,
@@ -154,7 +159,7 @@ fn skewed_run(operations: usize, balanced_ops: usize, per_arc: usize, txn: TxnCo
 #[test]
 fn skewed_workload_migrates_with_zero_lost_or_duplicated_commits() {
     let operations = 2_400;
-    let mut run = skewed_run(operations, 700, 2, TxnConfig::default());
+    let mut run = skewed_run(operations, 700, 2, FaultPlan::benign());
     let stats = &run.stats;
 
     // Zero lost, zero duplicated: every issued operation committed exactly
@@ -208,7 +213,7 @@ fn skewed_workload_migrates_with_zero_lost_or_duplicated_commits() {
 /// the history check clean.
 #[test]
 fn a_range_of_more_than_a_chunk_migrates_in_several_chunks() {
-    let mut run = skewed_run(2_400, 0, 8, TxnConfig::default());
+    let mut run = skewed_run(2_400, 0, 8, FaultPlan::benign());
     let stats = &run.stats;
     assert_eq!(stats.total.committed, 2_400);
     let m = &stats.migration;
@@ -238,11 +243,7 @@ fn a_range_of_more_than_a_chunk_migrates_in_several_chunks() {
 
 /// The skewed run with the plane between groups under `plan`.
 fn skewed_run_on(plan: FaultPlan) -> SkewedRun {
-    let txn = TxnConfig {
-        fault_plan: plan,
-        ..TxnConfig::default()
-    };
-    skewed_run(2_400, 700, 2, txn)
+    skewed_run(2_400, 700, 2, plan)
 }
 
 /// A chunk the plane loses, dropped or replaced by a tampered copy, aborts

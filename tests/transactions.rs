@@ -27,7 +27,7 @@ use recipe::net::FaultPlan;
 use recipe::protocols::{BuildReplica, Protocol, ProtocolMode, ProtocolVisitor, RaftReplica};
 use recipe::shard::{
     request_from_workload, DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster,
-    ShardedRunStats, TxnConfig,
+    ShardedRunStats,
 };
 use recipe::workload::{stable_key_hash, TxnWorkloadSpec, WorkloadSpec};
 
@@ -167,15 +167,12 @@ fn sealed_frames_when_any_participant_is_confidential() {
 
 #[test]
 fn atomicity_survives_dropped_and_reordered_2pc_frames() {
-    let spec = txn_spec(3, 8, 300).with_txn(TxnConfig {
-        fault_plan: FaultPlan {
-            drop_probability: 0.10,
-            tamper_probability: 0.05,
-            duplicate_probability: 0.05,
-            replay_probability: 0.05,
-            ..FaultPlan::default()
-        },
-        ..TxnConfig::default()
+    let spec = txn_spec(3, 8, 300).with_plane_fault_plan(FaultPlan {
+        drop_probability: 0.10,
+        tamper_probability: 0.05,
+        duplicate_probability: 0.05,
+        replay_probability: 0.05,
+        ..FaultPlan::default()
     });
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
     let groups = key_groups(&cluster, 5, 3);
@@ -202,13 +199,10 @@ fn transactional_runs_are_bit_deterministic() {
     let run = |with_faults: bool| {
         let mut spec = txn_spec(3, 8, 300);
         if with_faults {
-            spec = spec.with_txn(TxnConfig {
-                fault_plan: FaultPlan {
-                    drop_probability: 0.08,
-                    duplicate_probability: 0.05,
-                    ..FaultPlan::default()
-                },
-                ..TxnConfig::default()
+            spec = spec.with_plane_fault_plan(FaultPlan {
+                drop_probability: 0.08,
+                duplicate_probability: 0.05,
+                ..FaultPlan::default()
             });
         }
         let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
@@ -506,15 +500,12 @@ proptest::proptest! {
                 .with_seed(seed)
                 .with_clients(clients, 160)
                 .with_time_cap_ns(40_000_000_000)
-                .with_txn(TxnConfig {
-                    fault_plan: FaultPlan {
-                        drop_probability: drop_pct as f64 / 100.0,
-                        tamper_probability: tamper_pct as f64 / 100.0,
-                        duplicate_probability: duplicate_pct as f64 / 100.0,
-                        replay_probability: replay_pct as f64 / 100.0,
-                        ..FaultPlan::default()
-                    },
-                    ..TxnConfig::default()
+                .with_plane_fault_plan(FaultPlan {
+                    drop_probability: drop_pct as f64 / 100.0,
+                    tamper_probability: tamper_pct as f64 / 100.0,
+                    duplicate_probability: duplicate_pct as f64 / 100.0,
+                    replay_probability: replay_pct as f64 / 100.0,
+                    ..FaultPlan::default()
                 });
             let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
             let groups = key_groups(&cluster, 3, 3);
