@@ -3,11 +3,13 @@
 //! The paper's KV store (§A.3, "Recipe key-value store") makes two deliberate design
 //! choices that this crate reproduces:
 //!
-//! 1. **Partitioned placement** — keys and their metadata (value hash, version,
-//!    Lamport timestamp, pointer) live *inside* the enclave, while the bulk values
-//!    live in untrusted host memory. This keeps the trusted working set small
-//!    (limiting EPC pressure) while still letting a replica verify the integrity of
-//!    everything it reads, which is what makes trustworthy **local reads** possible.
+//! 1. **Partitioned placement** — keys and their metadata (the digest of the
+//!    value the host holds, the Lamport timestamp of the latest write and the
+//!    host slot holding the value; 72 bytes an index entry) live *inside* the
+//!    enclave, while the bulk values live in untrusted host memory. This keeps
+//!    the trusted working set small (limiting EPC pressure) while still letting
+//!    a replica verify the integrity of everything it reads, which is what
+//!    makes trustworthy **local reads** possible.
 //! 2. **Hashed index** — the enclave-resident index maps each key to its metadata
 //!    in a hash table, so a point operation is one probe. The paper builds its
 //!    index on folly's concurrent skiplist for lock-free ordered access; this

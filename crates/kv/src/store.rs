@@ -2,16 +2,22 @@
 //!
 //! Placement (paper §A.3, Figure 2):
 //!
-//! * **Enclave region** — the index mapping each key to its metadata: integrity
-//!   hash of the value, Lamport timestamp, version, length and a pointer (arena
-//!   slot) into host memory. It is a hash table: a point operation is one probe,
-//!   and the operations that hand keys out in order (exports, recovery) sort the
-//!   keys they collect, so key order is the bytes' order, never the table's.
-//!   The paper's index is a skiplist; see the crate doc for why this one is not.
-//! * **Host region** — an arena of value buffers. The host is untrusted: a Byzantine
-//!   OS/hypervisor may corrupt or delete these buffers at any time, which the store
-//!   detects on every read by re-hashing what the host holds and comparing against
-//!   the enclave-held hash.
+//! * **Enclave region** — the index mapping each key to its metadata: the
+//!   digest of what the host holds for the key, the Lamport timestamp of its
+//!   latest write and the host slot that holds its value. An entry is
+//!   72 bytes, the key's pointer included (the key's bytes lie beside it;
+//!   the value's length is the host buffer's, which the digest covers). It
+//!   is a hash table: a point operation is one probe, and the operations
+//!   that hand keys out in order (exports, recovery) sort the keys they
+//!   collect, so key order is the bytes' order, never the table's. The
+//!   paper's index is a skiplist; see the crate doc for why this one is not.
+//! * **Host region** — an arena of value buffers, one slot per key: the
+//!   value's bytes on a plaintext store (24 bytes a slot), the ciphertext and
+//!   the counter of the nonce it was sealed under on a confidential one (32
+//!   bytes). The host is untrusted: a Byzantine OS/hypervisor may corrupt or
+//!   delete these buffers at any time, which the store detects on every read
+//!   by re-hashing what the host holds and comparing against the
+//!   enclave-held hash.
 //!
 //! In confidential mode the store encrypts values before placing them in the host
 //! arena and decrypts them (after integrity verification) on reads, so plaintext data
@@ -32,14 +38,14 @@
 //! Every key has exactly one authenticator, and it is the enclave-held digest —
 //! the host cannot touch it, so it needs no key. A plaintext store hashes
 //! `key ‖ value`. A confidential store hashes `key ‖ nonce ‖ stored bytes`,
-//! that is, the ciphertext and the nonce it was made under, as the host holds
-//! them: the digest is checked **before** any keystream is made, so a swapped,
-//! rolled-back or bit-flipped sealed value (or nonce) is refused without
-//! being decrypted, and binding the key means a value sealed for one key never
-//! verifies under another. The cipher contributes its keystream only
-//! ([`recipe_crypto::Cipher::apply_keystream`]): its own tag over the same
-//! ciphertext, and a second hash of the plaintext after decryption, would
-//! each repeat what this digest already establishes.
+//! that is, the ciphertext and the 16-byte nonce its stored counter names
+//! ([`sealing_nonce`]): the digest is checked **before** any keystream is
+//! made, so a swapped, rolled-back or bit-flipped sealed value (or counter)
+//! is refused without being decrypted, and binding the key means a value
+//! sealed for one key never verifies under another. The cipher contributes
+//! its keystream only ([`recipe_crypto::Cipher::apply_keystream`]): its own
+//! tag over the same ciphertext, and a second hash of the plaintext after
+//! decryption, would each repeat what this digest already establishes.
 //!
 //! Nonces count up from one under the store's key. The key must be the
 //! store's alone — two stores counting from one under a shared key would seal
@@ -49,7 +55,6 @@
 use std::collections::HashMap;
 
 use recipe_crypto::{hash_parts, Cipher, CipherKey, Digest, Nonce};
-use serde::{Deserialize, Serialize};
 
 use crate::error::KvError;
 use crate::timestamp::Timestamp;
@@ -77,55 +82,161 @@ impl StoreConfig {
 const SEALED_VALUE_DOMAIN: &[u8] = b"recipe.kv_sealed.v1";
 
 /// Metadata held inside the enclave for every key.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct ValueMeta {
     /// Digest of what the host holds for the key, bound to the key
-    /// ([`HostValue::digest`]): the integrity tag checked on every read.
+    /// ([`HostArena::place`]): the integrity tag checked on every read.
     value_hash: Digest,
-    /// Lamport timestamp of the latest write (ABD; other protocols use versions).
+    /// Lamport timestamp of the latest write; it orders the key's writes.
     timestamp: Timestamp,
-    /// Monotonic per-key version, incremented on every write.
-    version: u64,
     /// Slot in the host arena holding the (possibly encrypted) value bytes.
-    host_slot: usize,
+    host_slot: u32,
 }
 
-/// What the host arena holds for one key.
+/// What a confidential store's host slot holds: the value sealed under the
+/// nonce `counter` names ([`sealing_nonce`]).
 #[derive(Clone, Debug)]
-enum HostValue {
-    Plain(Vec<u8>),
-    /// The value XORed with the store cipher's keystream under `nonce`.
-    Encrypted {
-        nonce: Nonce,
-        bytes: Vec<u8>,
+struct SealedSlot {
+    bytes: Vec<u8>,
+    counter: u64,
+}
+
+// What the store keeps per key: the index entry and one host slot.
+const _: () = assert!(size_of::<(Box<[u8]>, ValueMeta)>() == 72);
+const _: () = assert!(size_of::<Option<Vec<u8>>>() == 24);
+const _: () = assert!(size_of::<Option<SealedSlot>>() == 32);
+
+/// The nonce a sealed value's stored counter names.
+fn sealing_nonce(counter: u64) -> Nonce {
+    Nonce::from_view_counter(0xCAFE, counter)
+}
+
+/// The digest the enclave keeps for a plaintext value under `key`.
+fn plain_digest(key: &[u8], value: &[u8]) -> Digest {
+    hash_parts(&[b"recipe.kv.value", key, value])
+}
+
+/// The digest the enclave keeps for a sealed value under `key`: its
+/// ciphertext and the nonce it was sealed under.
+fn sealed_digest(key: &[u8], nonce: &Nonce, ciphertext: &[u8]) -> Digest {
+    hash_parts(&[SEALED_VALUE_DOMAIN, key, nonce.as_bytes(), ciphertext])
+}
+
+/// The untrusted host's memory: one slot per key, emptied when the key is
+/// deleted (or by the host itself), and one vector either way.
+enum HostArena {
+    /// A plaintext store's slots: each value's bytes.
+    Plain(Vec<Option<Vec<u8>>>),
+    /// A confidential store's slots, the cipher that seals and opens them,
+    /// and the counter of the last nonce it sealed under.
+    Sealed {
+        cipher: Cipher,
+        counter: u64,
+        slots: Vec<Option<SealedSlot>>,
     },
 }
 
-impl HostValue {
-    /// The digest the enclave keeps for these host bytes under `key`.
-    fn digest(&self, key: &[u8]) -> Digest {
+impl HostArena {
+    fn len(&self) -> usize {
         match self {
-            HostValue::Plain(bytes) => hash_parts(&[b"recipe.kv.value", key, bytes]),
-            HostValue::Encrypted { nonce, bytes } => {
-                hash_parts(&[SEALED_VALUE_DOMAIN, key, nonce.as_bytes(), bytes])
+            HostArena::Plain(slots) => slots.len(),
+            HostArena::Sealed { slots, .. } => slots.len(),
+        }
+    }
+
+    /// A new empty slot at the end of the arena.
+    fn push_empty(&mut self) -> usize {
+        match self {
+            HostArena::Plain(slots) => slots.push(None),
+            HostArena::Sealed { slots, .. } => slots.push(None),
+        }
+        self.len() - 1
+    }
+
+    /// Puts `value` in `slot`, sealed under the next nonce on a
+    /// confidential store, where it lies. Returns the digest the enclave
+    /// keeps for it under `key` and the buffer the slot held until now.
+    fn place(&mut self, key: &[u8], slot: usize, mut value: Vec<u8>) -> (Digest, Option<Vec<u8>>) {
+        match self {
+            HostArena::Plain(slots) => (plain_digest(key, &value), slots[slot].replace(value)),
+            HostArena::Sealed {
+                cipher,
+                counter,
+                slots,
+            } => {
+                *counter += 1;
+                let nonce = sealing_nonce(*counter);
+                cipher.apply_keystream(&nonce.extended(), &mut value);
+                let digest = sealed_digest(key, &nonce, &value);
+                let sealed = SealedSlot {
+                    bytes: value,
+                    counter: *counter,
+                };
+                (digest, slots[slot].replace(sealed).map(|held| held.bytes))
             }
         }
     }
 
-    /// The buffer the host holds, whatever it holds in it.
-    fn into_bytes(self) -> Vec<u8> {
+    /// What `slot` holds for `key`, checked against `digest` where it lies:
+    /// its bytes and, on a confidential store, what opens them.
+    fn verified(&self, key: &[u8], slot: usize, digest: &Digest) -> Result<HostBytes<'_>, KvError> {
+        let missing = || KvError::HostValueMissing { key: key.to_vec() };
         match self {
-            HostValue::Plain(bytes) | HostValue::Encrypted { bytes, .. } => bytes,
+            HostArena::Plain(slots) => {
+                let bytes = slots
+                    .get(slot)
+                    .and_then(Option::as_ref)
+                    .ok_or_else(missing)?;
+                if plain_digest(key, bytes) != *digest {
+                    return Err(KvError::IntegrityViolation { key: key.to_vec() });
+                }
+                Ok((bytes, None))
+            }
+            HostArena::Sealed { cipher, slots, .. } => {
+                let held = slots
+                    .get(slot)
+                    .and_then(Option::as_ref)
+                    .ok_or_else(missing)?;
+                if sealed_digest(key, &sealing_nonce(held.counter), &held.bytes) != *digest {
+                    return Err(KvError::DecryptionFailed { key: key.to_vec() });
+                }
+                Ok((&held.bytes, Some((cipher, held.counter))))
+            }
         }
     }
 
-    /// The bytes a Byzantine host would tamper with.
-    fn bytes_mut(&mut self) -> &mut Vec<u8> {
+    /// Empties `slot`, handing back the bytes it held.
+    fn take(&mut self, slot: usize) -> Option<Vec<u8>> {
         match self {
-            HostValue::Plain(bytes) | HostValue::Encrypted { bytes, .. } => bytes,
+            HostArena::Plain(slots) => slots.get_mut(slot)?.take(),
+            HostArena::Sealed { slots, .. } => slots.get_mut(slot)?.take().map(|held| held.bytes),
+        }
+    }
+
+    /// The bytes `slot` holds, as the host sees them.
+    fn bytes(&self, slot: usize) -> Option<&[u8]> {
+        match self {
+            HostArena::Plain(slots) => slots.get(slot)?.as_deref(),
+            HostArena::Sealed { slots, .. } => {
+                slots.get(slot)?.as_ref().map(|held| &held.bytes[..])
+            }
+        }
+    }
+
+    /// The bytes `slot` holds, as a Byzantine host would tamper with them.
+    fn bytes_mut(&mut self, slot: usize) -> Option<&mut Vec<u8>> {
+        match self {
+            HostArena::Plain(slots) => slots.get_mut(slot)?.as_mut(),
+            HostArena::Sealed { slots, .. } => {
+                slots.get_mut(slot)?.as_mut().map(|held| &mut held.bytes)
+            }
         }
     }
 }
+
+/// A host slot's bytes that passed the digest, and on a confidential store
+/// the cipher and nonce counter that open them.
+type HostBytes<'a> = (&'a [u8], Option<(&'a Cipher, u64)>);
 
 /// The result of a successful read.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -134,8 +245,6 @@ pub struct ReadResult {
     pub value: Vec<u8>,
     /// Timestamp of the write that produced it.
     pub timestamp: Timestamp,
-    /// Version of the write that produced it.
-    pub version: u64,
 }
 
 /// A read that passed the enclave-held digest
@@ -143,12 +252,10 @@ pub struct ReadResult {
 /// and not yet copied out.
 pub struct VerifiedRead<'a> {
     bytes: &'a [u8],
-    /// The cipher and nonce that open a sealed value.
-    sealed: Option<(&'a Cipher, &'a Nonce)>,
+    /// The cipher and nonce counter that open a sealed value.
+    sealed: Option<(&'a Cipher, u64)>,
     /// Timestamp of the write that produced the value.
     pub timestamp: Timestamp,
-    /// Version of the write that produced the value.
-    pub version: u64,
 }
 
 impl VerifiedRead<'_> {
@@ -165,8 +272,8 @@ impl VerifiedRead<'_> {
         out.clear();
         out.reserve_exact(self.bytes.len());
         out.extend_from_slice(self.bytes);
-        if let Some((cipher, nonce)) = self.sealed {
-            cipher.apply_keystream(&nonce.extended(), out);
+        if let Some((cipher, counter)) = self.sealed {
+            cipher.apply_keystream(&sealing_nonce(counter).extended(), out);
         }
     }
 }
@@ -180,10 +287,8 @@ pub struct PartitionedKvStore {
     /// Keys are client-chosen, so the table keeps std's randomly keyed
     /// SipHash: no client can aim keys at one bucket.
     index: HashMap<Box<[u8]>, ValueMeta>,
-    host_arena: Vec<Option<HostValue>>,
-    free_slots: Vec<usize>,
-    cipher: Option<Cipher>,
-    nonce_counter: u64,
+    host_arena: HostArena,
+    free_slots: Vec<u32>,
     /// Transaction locks + staged writes (enclave-resident, like the index).
     txns: TxnTable,
 }
@@ -191,92 +296,73 @@ pub struct PartitionedKvStore {
 impl PartitionedKvStore {
     /// Creates an empty store (`init_store()` in Table 3).
     pub fn new(config: StoreConfig) -> Self {
+        let host_arena = match &config.cipher_key {
+            None => HostArena::Plain(Vec::new()),
+            Some(key) => HostArena::Sealed {
+                cipher: Cipher::new(key),
+                counter: 0,
+                slots: Vec::new(),
+            },
+        };
         PartitionedKvStore {
             index: HashMap::new(),
-            host_arena: Vec::new(),
+            host_arena,
             free_slots: Vec::new(),
-            cipher: config.cipher_key.as_ref().map(Cipher::new),
-            nonce_counter: 0,
             txns: TxnTable::default(),
         }
     }
 
     /// True if the store encrypts values before they reach host memory.
     pub fn is_confidential(&self) -> bool {
-        self.cipher.is_some()
+        matches!(self.host_arena, HostArena::Sealed { .. })
     }
 
     /// Writes `value` under `key` with write timestamp `timestamp`
     /// (`write(key, value)` in Table 3).
     ///
-    /// Returns the new version. The write always succeeds even if `timestamp` is
-    /// older than the stored one — ABD-style last-writer-wins filtering is the
-    /// protocol's job (see [`PartitionedKvStore::write_if_newer`]).
-    pub fn write(
-        &mut self,
-        key: &[u8],
-        value: &[u8],
-        timestamp: Timestamp,
-    ) -> Result<u64, KvError> {
-        self.write_owned(key, value.to_vec(), timestamp)
-            .map(|(version, _)| version)
+    /// The write always succeeds even if `timestamp` is older than the
+    /// stored one — ABD-style last-writer-wins filtering is the protocol's
+    /// job (see [`PartitionedKvStore::write_if_newer`]).
+    pub fn write(&mut self, key: &[u8], value: &[u8], timestamp: Timestamp) -> Result<(), KvError> {
+        self.write_owned(key, value.to_vec(), timestamp).map(drop)
     }
 
     /// [`PartitionedKvStore::write`] keeping the buffer it is handed: the
     /// value is sealed (confidential mode) and digested where it lies, and
     /// that buffer is what the host arena holds.
     ///
-    /// Returns the new version and, on an overwrite, the buffer the key's
-    /// host slot held until now — the old value's plaintext, or its
-    /// ciphertext on a confidential store — for the caller to reuse or
-    /// drop. A new key, or one whose host value is gone, displaces nothing.
+    /// Returns, on an overwrite, the buffer the key's host slot held until
+    /// now — the old value's plaintext, or its ciphertext on a confidential
+    /// store — for the caller to reuse or drop. A new key, or one whose host
+    /// value is gone, displaces nothing.
     pub fn write_owned(
         &mut self,
         key: &[u8],
-        mut value: Vec<u8>,
+        value: Vec<u8>,
         timestamp: Timestamp,
-    ) -> Result<(u64, Option<Vec<u8>>), KvError> {
-        let host_value = match &self.cipher {
-            None => HostValue::Plain(value),
-            Some(cipher) => {
-                self.nonce_counter += 1;
-                let nonce = Nonce::from_view_counter(0xCAFE, self.nonce_counter);
-                cipher.apply_keystream(&nonce.extended(), &mut value);
-                HostValue::Encrypted {
-                    nonce,
-                    bytes: value,
-                }
-            }
-        };
-        let value_hash = host_value.digest(key);
-
-        // An overwrite is one probe: the key keeps its slot and bumps its
-        // version. A new key takes a free host slot and enters the table.
+    ) -> Result<Option<Vec<u8>>, KvError> {
+        // An overwrite is one probe: the key keeps its slot. A new key takes
+        // a free host slot and enters the table.
         if let Some(meta) = self.index.get_mut(key) {
-            let displaced = self.host_arena[meta.host_slot].replace(host_value);
+            let (value_hash, displaced) =
+                self.host_arena.place(key, meta.host_slot as usize, value);
             meta.value_hash = value_hash;
             meta.timestamp = timestamp;
-            meta.version += 1;
-            return Ok((meta.version, displaced.map(HostValue::into_bytes)));
+            return Ok(displaced);
         }
         let host_slot = match self.free_slots.pop() {
-            Some(slot) => {
-                self.host_arena[slot] = Some(host_value);
-                slot
-            }
-            None => {
-                self.host_arena.push(Some(host_value));
-                self.host_arena.len() - 1
-            }
+            Some(slot) => slot as usize,
+            None => self.host_arena.push_empty(),
         };
+        let (value_hash, _) = self.host_arena.place(key, host_slot, value);
         let meta = ValueMeta {
             value_hash,
             timestamp,
-            version: 1,
-            host_slot,
+            // recipe-lint: allow(unwrap-in-lib, reason = "a slot per key: four billion keys would fill 288 GB of index first")
+            host_slot: u32::try_from(host_slot).expect("fewer than 2^32 host slots"),
         };
         self.index.insert(key.into(), meta);
-        Ok((1, None))
+        Ok(None)
     }
 
     /// Writes only if `timestamp` is strictly newer than the stored timestamp
@@ -307,7 +393,6 @@ impl PartitionedKvStore {
         Ok(ReadResult {
             value,
             timestamp: read.timestamp,
-            version: read.version,
         })
     }
 
@@ -321,28 +406,14 @@ impl PartitionedKvStore {
     }
 
     /// [`Self::read`] of `key`, whose index entry is `meta`: the one check
-    /// every read and every rehydration makes. A sealed value on a store
-    /// without a cipher is refused as one that fails the digest.
+    /// every read and every rehydration makes.
     fn verified<'a>(&'a self, key: &[u8], meta: &ValueMeta) -> Result<VerifiedRead<'a>, KvError> {
-        let host_value = self
-            .host_arena
-            .get(meta.host_slot)
-            .and_then(|slot| slot.as_ref())
-            .ok_or_else(|| KvError::HostValueMissing { key: key.to_vec() })?;
-        let digest_ok = host_value.digest(key) == meta.value_hash;
-        let (bytes, sealed) = match host_value {
-            HostValue::Plain(bytes) if digest_ok => (bytes, None),
-            HostValue::Plain(_) => return Err(KvError::IntegrityViolation { key: key.to_vec() }),
-            HostValue::Encrypted { nonce, bytes } => match &self.cipher {
-                Some(cipher) if digest_ok => (bytes, Some((cipher, nonce))),
-                _ => return Err(KvError::DecryptionFailed { key: key.to_vec() }),
-            },
-        };
+        let slot = meta.host_slot as usize;
+        let (bytes, sealed) = self.host_arena.verified(key, slot, &meta.value_hash)?;
         Ok(VerifiedRead {
             bytes,
             sealed,
             timestamp: meta.timestamp,
-            version: meta.version,
         })
     }
 
@@ -356,7 +427,7 @@ impl PartitionedKvStore {
     pub(crate) fn delete(&mut self, key: &[u8]) -> bool {
         match self.index.remove(key) {
             Some(meta) => {
-                self.host_arena[meta.host_slot] = None;
+                self.host_arena.take(meta.host_slot as usize);
                 self.free_slots.push(meta.host_slot);
                 true
             }
@@ -504,7 +575,7 @@ impl PartitionedKvStore {
             let timestamp = stamp(self.timestamp_of(key));
             committed(key, value, timestamp);
             let staged = std::mem::take(value);
-            if let Ok((_, Some(displaced))) = self.write_owned(key, staged, timestamp) {
+            if let Ok(Some(displaced)) = self.write_owned(key, staged, timestamp) {
                 *value = displaced;
             }
         }
@@ -620,13 +691,8 @@ impl PartitionedKvStore {
         let Some(meta) = self.index.get(key) else {
             return false;
         };
-        match self
-            .host_arena
-            .get_mut(meta.host_slot)
-            .and_then(|s| s.as_mut())
-        {
-            Some(host_value) => {
-                let bytes = host_value.bytes_mut();
+        match self.host_arena.bytes_mut(meta.host_slot as usize) {
+            Some(bytes) => {
                 match bytes.first_mut() {
                     Some(first) => *first ^= 0xFF,
                     None => bytes.push(0xFF),
@@ -644,13 +710,7 @@ impl PartitionedKvStore {
         let Some(meta) = self.index.get(key) else {
             return false;
         };
-        match self.host_arena.get_mut(meta.host_slot) {
-            Some(slot) if slot.is_some() => {
-                *slot = None;
-                true
-            }
-            _ => false,
-        }
+        self.host_arena.take(meta.host_slot as usize).is_some()
     }
 
     /// Returns a snapshot of the raw bytes the untrusted host can observe for `key`.
@@ -658,9 +718,9 @@ impl PartitionedKvStore {
     /// "host learns nothing" tests.
     pub fn host_visible_bytes(&self, key: &[u8]) -> Option<Vec<u8>> {
         let meta = self.index.get(key)?;
-        match self.host_arena.get(meta.host_slot)?.as_ref()? {
-            HostValue::Plain(bytes) | HostValue::Encrypted { bytes, .. } => Some(bytes.clone()),
-        }
+        self.host_arena
+            .bytes(meta.host_slot as usize)
+            .map(<[u8]>::to_vec)
     }
 }
 
@@ -688,22 +748,10 @@ mod tests {
     #[test]
     fn write_then_read_roundtrip() {
         let mut store = plain_store();
-        let v1 = store.write(b"k", b"value-1", Timestamp::new(1, 0)).unwrap();
-        assert_eq!(v1, 1);
+        store.write(b"k", b"value-1", Timestamp::new(1, 0)).unwrap();
         let read = store.get(b"k").unwrap();
         assert_eq!(read.value, b"value-1");
-        assert_eq!(read.version, 1);
         assert_eq!(read.timestamp, Timestamp::new(1, 0));
-        assert_eq!(keys(&store), vec![b"k".to_vec()]);
-    }
-
-    #[test]
-    fn overwrites_bump_version() {
-        let mut store = plain_store();
-        store.write(b"k", b"v1", Timestamp::new(1, 0)).unwrap();
-        let v2 = store.write(b"k", b"v2", Timestamp::new(2, 0)).unwrap();
-        assert_eq!(v2, 2);
-        assert_eq!(store.get(b"k").unwrap().value, b"v2");
         assert_eq!(keys(&store), vec![b"k".to_vec()]);
     }
 
@@ -792,25 +840,36 @@ mod tests {
         ));
     }
 
+    /// The sealed slots of a confidential store and the slot `key` has.
+    fn sealed_slot<'a>(
+        store: &'a mut PartitionedKvStore,
+        key: &[u8],
+    ) -> (&'a mut Vec<Option<SealedSlot>>, usize) {
+        let slot = store.index.get(key).unwrap().host_slot as usize;
+        let HostArena::Sealed { slots, .. } = &mut store.host_arena else {
+            panic!("a confidential store seals");
+        };
+        (slots, slot)
+    }
+
     /// The host's copy of what it holds for `key`, to put back later.
-    fn host_copy(store: &PartitionedKvStore, key: &[u8]) -> HostValue {
-        let slot = store.index.get(key).unwrap().host_slot;
-        store.host_arena[slot].clone().unwrap()
+    fn host_copy(store: &mut PartitionedKvStore, key: &[u8]) -> SealedSlot {
+        let (slots, slot) = sealed_slot(store, key);
+        slots[slot].clone().unwrap()
     }
 
-    fn host_put(store: &mut PartitionedKvStore, key: &[u8], value: HostValue) {
-        let slot = store.index.get(key).unwrap().host_slot;
-        store.host_arena[slot] = Some(value);
+    fn host_put(store: &mut PartitionedKvStore, key: &[u8], value: SealedSlot) {
+        let (slots, slot) = sealed_slot(store, key);
+        slots[slot] = Some(value);
     }
 
-    /// Reads `key` expecting the failure a tampered sealed value gives: the
-    /// digest check in `get` comes before the keystream, so nothing the host
+    /// Reads `key` expecting the failure a tampered sealed value gives. It
+    /// comes from `read`, which makes no keystream — only the
+    /// `VerifiedRead` it returns on success can — so nothing the host
     /// substituted is ever decrypted.
     fn assert_refused(store: &mut PartitionedKvStore, key: &[u8]) {
-        assert_eq!(
-            store.get(key),
-            Err(KvError::DecryptionFailed { key: key.to_vec() })
-        );
+        let refused = Err(KvError::DecryptionFailed { key: key.to_vec() });
+        assert_eq!(store.read(key).map(|read| read.timestamp), refused);
     }
 
     #[test]
@@ -820,7 +879,7 @@ mod tests {
         store.write(b"b", b"value-B", Timestamp::new(1, 0)).unwrap();
         // Two well-formed sealed values of equal length, each with the nonce
         // it was sealed under: only the key they sit under is wrong.
-        let (a, b) = (host_copy(&store, b"a"), host_copy(&store, b"b"));
+        let (a, b) = (host_copy(&mut store, b"a"), host_copy(&mut store, b"b"));
         host_put(&mut store, b"a", b.clone());
         host_put(&mut store, b"b", a.clone());
         assert_refused(&mut store, b"a");
@@ -837,7 +896,7 @@ mod tests {
         store
             .write(b"k", b"balance=100", Timestamp::new(1, 0))
             .unwrap();
-        let old = host_copy(&store, b"k");
+        let old = host_copy(&mut store, b"k");
         store
             .write(b"k", b"balance=000", Timestamp::new(2, 0))
             .unwrap();
@@ -846,24 +905,22 @@ mod tests {
         assert_refused(&mut store, b"k");
     }
 
+    /// The host keeps the counter that names a sealed value's nonce; a copy
+    /// with any one of its 64 bits flipped is refused.
     #[test]
     fn a_flipped_nonce_bit_is_refused() {
         let mut store = confidential_store();
         store.write(b"k", b"secret", Timestamp::new(1, 0)).unwrap();
-        let HostValue::Encrypted { nonce, bytes } = host_copy(&store, b"k") else {
-            panic!("a confidential store seals");
-        };
-        for bit in [0, 63, 64, 127] {
-            let mut flipped = *nonce.as_bytes();
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            let tampered = HostValue::Encrypted {
-                nonce: Nonce::from_bytes(flipped),
-                bytes: bytes.clone(),
+        let sealed = host_copy(&mut store, b"k");
+        for bit in 0..64 {
+            let tampered = SealedSlot {
+                counter: sealed.counter ^ (1 << bit),
+                ..sealed.clone()
             };
             host_put(&mut store, b"k", tampered);
             assert_refused(&mut store, b"k");
         }
-        host_put(&mut store, b"k", HostValue::Encrypted { nonce, bytes });
+        host_put(&mut store, b"k", sealed);
         assert_eq!(store.get(b"k").unwrap().value, b"secret");
     }
 
@@ -977,7 +1034,7 @@ mod tests {
                 .unwrap();
             // The arena holds the caller's allocation, sealed or not.
             let slot = store.index.get(b"k".as_slice()).unwrap().host_slot;
-            let kept = store.host_arena[slot].as_mut().unwrap().bytes_mut();
+            let kept = store.host_arena.bytes(slot as usize).unwrap();
             assert_eq!(kept.as_ptr(), at);
             assert_eq!(store.get(b"k").unwrap().value, b"balance=100".repeat(8));
         }
@@ -994,7 +1051,7 @@ mod tests {
                 .write(b"k", b"balance=100", Timestamp::new(3, 1))
                 .unwrap();
             let read = store.read(b"k").unwrap();
-            assert_eq!((read.timestamp, read.version), (Timestamp::new(3, 1), 1));
+            assert_eq!(read.timestamp, Timestamp::new(3, 1));
             let mut out = Vec::with_capacity(read.value_len());
             out.extend_from_slice(b"stale");
             let at = out.as_ptr();
@@ -1018,29 +1075,25 @@ mod tests {
             (confidential_store(), confidential_store()),
         ] {
             let written = owned.write_owned(b"k", b"balance=100".to_vec(), first);
-            assert_eq!(written, Ok((1, None)));
+            assert_eq!(written, Ok(None));
             let held = owned.host_visible_bytes(b"k").unwrap();
             let slot = owned.index.get(b"k".as_slice()).unwrap().host_slot;
-            let at = owned.host_arena[slot]
-                .as_mut()
-                .unwrap()
-                .bytes_mut()
-                .as_ptr();
+            let at = owned.host_arena.bytes(slot as usize).unwrap().as_ptr();
 
-            let (version, displaced) = owned
+            let displaced = owned
                 .write_owned(b"k", b"balance=000".to_vec(), second)
                 .unwrap();
             let displaced = displaced.expect("an overwrite displaces");
             assert_eq!((displaced.as_ptr(), &displaced), (at, &held));
 
             copied.write(b"k", b"balance=100", first).unwrap();
-            assert_eq!(copied.write(b"k", b"balance=000", second), Ok(version));
+            assert_eq!(copied.write(b"k", b"balance=000", second), Ok(()));
             assert_eq!(
                 owned.host_visible_bytes(b"k"),
                 copied.host_visible_bytes(b"k")
             );
             let read = owned.get(b"k").unwrap();
-            assert_eq!((read.version, read.timestamp), (2, second));
+            assert_eq!(read.timestamp, second);
             assert_eq!(read.value, b"balance=000");
             assert_eq!(Ok(read), copied.get(b"k"));
 
@@ -1050,10 +1103,7 @@ mod tests {
                 Err(KvError::IntegrityViolation { .. } | KvError::DecryptionFailed { .. })
             ));
             assert!(owned.drop_host_value(b"k"));
-            assert_eq!(
-                owned.write_owned(b"k", b"x".to_vec(), second),
-                Ok((3, None))
-            );
+            assert_eq!(owned.write_owned(b"k", b"x".to_vec(), second), Ok(None));
         }
     }
 

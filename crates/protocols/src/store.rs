@@ -233,7 +233,7 @@ impl ReplicaStore {
         let ts = self
             .stamping
             .stamp(self.applied, self.node, || self.kv.timestamp_of(key));
-        if let Ok((_, Some(displaced))) = self.kv.write_owned(key, value, ts) {
+        if let Ok(Some(displaced)) = self.kv.write_owned(key, value, ts) {
             self.entries.give(displaced);
         }
     }
@@ -407,7 +407,7 @@ impl ReplicaStore {
         for entry in entries {
             let value = self.copy_entry(&entry.value);
             let ts = timestamp(entry);
-            if let Ok((_, Some(displaced))) = self.kv.write_owned(&entry.key, value, ts) {
+            if let Ok(Some(displaced)) = self.kv.write_owned(&entry.key, value, ts) {
                 self.entries.give(displaced);
             }
         }

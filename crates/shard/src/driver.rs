@@ -44,7 +44,7 @@ use recipe_workload::stable_key_hash;
 
 use crate::migration::{ControllerState, RebalanceConfig};
 use crate::router::{RouteDecision, RouterVersion};
-use crate::sharded::{Books, PoolCounts, ShardedCluster, ShardedRunStats, Tallies, TimelineBucket};
+use crate::sharded::{Books, PoolCounts, ShardedCluster, ShardedRunStats, TimelineBucket};
 use crate::txn::{Plane, TxnManager, TxnResolution, CONFLICT_BACKOFF_NS};
 
 /// Work carried by one driver event.
@@ -189,7 +189,7 @@ pub(crate) struct Engine<'a, R: Replica> {
     placements: Vec<(usize, usize)>,
     /// The global virtual-time frontier.
     pub(crate) now: u64,
-    tallies: Tallies,
+    books: Books,
     timeline: Vec<u64>,
     timeline_aborts: Vec<u64>,
     /// [`ShardedCluster::pool_counts`] when the run began.
@@ -279,10 +279,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                 .collect(),
             placements: Vec::new(),
             now: 0,
-            tallies: Tallies {
-                total: Books::default(),
-                per_shard: cluster.shards.iter().map(Books::opening).collect(),
-            },
+            books: Books::opening(&cluster.shards),
             timeline: Vec::new(),
             timeline_aborts: Vec::new(),
             pools_at_start,
@@ -316,7 +313,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
             // transaction is in flight. In the drain that follows, clients
             // issue nothing new — only 2PC events, the controller and shard
             // work keep running.
-            let past_target = self.tallies.total.committed() >= self.target;
+            let past_target = self.books.committed() >= self.target;
             if past_target && self.txns.is_idle() {
                 break;
             }
@@ -607,14 +604,12 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         latency_ns: u64,
         ops: &[(usize, Option<usize>, bool)],
     ) {
-        let tallies = &mut self.tallies;
-        tallies.total.latencies_ns.push(latency_ns);
         for (i, &(shard, arc, is_write)) in ops.iter().enumerate() {
-            tallies.total.count(is_write);
-            tallies.per_shard[shard].count(is_write);
-            // One latency sample per shard the request touched.
+            self.books.count(shard, is_write);
+            // One latency sample per shard the request touched, the first
+            // shard's also the run's.
             if !ops[..i].iter().any(|&(seen, ..)| seen == shard) {
-                tallies.per_shard[shard].latencies_ns.push(latency_ns);
+                self.books.sample(latency_ns, shard, i == 0);
             }
             self.st.window_shard[shard] += 1;
             if let Some(arc) = arc {
@@ -702,7 +697,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         if self.st.stats.migrations_started > 0 {
             self.cluster.gc_moved_ranges();
         }
-        let mut stats = self.cluster.finalize(self.now, self.tallies);
+        let mut stats = self.cluster.finalize(self.now, self.books);
         if let Some(gateway) = &self.gateway {
             stats.gateway = gateway.stats();
             self.cluster.last_gateway_stats = Some(stats.gateway.clone());

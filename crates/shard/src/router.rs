@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use recipe_workload::stable_key_hash;
+use recipe_workload::{stable_key_hash, StableHasher};
 use serde::{Deserialize, Serialize};
 
 /// A routing-table epoch. Bumped atomically by every executed key-range move;
@@ -106,8 +106,9 @@ impl ShardRouter {
         assert!(vnodes_per_shard > 0, "at least one virtual node per shard");
         let mut ring = Vec::with_capacity(shards * vnodes_per_shard);
         for shard in 0..shards {
+            let prefix = vnode_prefix(shard);
             for vnode in 0..vnodes_per_shard {
-                ring.push((vnode_point(shard, vnode), shard));
+                ring.push((vnode_point(prefix, vnode), shard));
             }
         }
         ring.sort_unstable();
@@ -297,25 +298,21 @@ impl ShardRouter {
     }
 }
 
-/// The ring point of virtual node `vnode` of `shard`: the hash of the label
-/// `shard:{shard}:vnode:{vnode}`, laid out in a stack buffer. A ring hashes
-/// `shards × vnodes` labels, and a `format!` for each was most of a
-/// deployment's set-up.
-fn vnode_point(shard: usize, vnode: usize) -> u64 {
-    let (mut shard_digits, mut vnode_digits) = ([0; 20], [0; 20]);
-    let parts: [&[u8]; 4] = [
-        b"shard:",
-        decimal(shard, &mut shard_digits),
-        b":vnode:",
-        decimal(vnode, &mut vnode_digits),
-    ];
-    let mut label = [0u8; 6 + 20 + 7 + 20];
-    let mut len = 0;
-    for part in parts {
-        label[len..len + part.len()].copy_from_slice(part);
-        len += part.len();
-    }
-    stable_key_hash(&label[..len])
+/// The hash state of `shard`'s labels' common prefix, `shard:{shard}:vnode:`.
+/// A ring hashes `shards × vnodes` labels, so each shard hashes its prefix
+/// once and each label resumes from it ([`vnode_point`]).
+fn vnode_prefix(shard: usize) -> StableHasher {
+    let digits = &mut [0; 20];
+    (StableHasher::START.write(b"shard:"))
+        .write(decimal(shard, digits))
+        .write(b":vnode:")
+}
+
+/// The ring point of virtual node `vnode` of the shard whose
+/// [`vnode_prefix`] is `prefix`: the hash of the label
+/// `shard:{shard}:vnode:{vnode}`.
+fn vnode_point(prefix: StableHasher, vnode: usize) -> u64 {
+    prefix.write(decimal(vnode, &mut [0; 20])).finish()
 }
 
 /// `n` in decimal ASCII digits, written at the end of `digits` (20 hold any
@@ -363,7 +360,7 @@ mod tests {
         }
         let label = format!("shard:{}:vnode:{}", usize::MAX, usize::MAX);
         assert_eq!(
-            vnode_point(usize::MAX, usize::MAX),
+            vnode_point(vnode_prefix(usize::MAX), usize::MAX),
             stable_key_hash(label.as_bytes())
         );
     }

@@ -198,22 +198,31 @@ pub struct TimelineBucket {
 }
 
 /// The request driver's commit books for one run, handed to
-/// [`ShardedCluster::finalize`] when it ends: every commit is counted once,
-/// in the run's books and in those of the shard that served it.
-pub(crate) struct Tallies {
-    pub(crate) total: Books,
-    pub(crate) per_shard: Vec<Books>,
+/// [`ShardedCluster::finalize`] when it ends. Every commit is counted once,
+/// in the run's tally and in that of the shard that served it. Every
+/// request's latency is kept once, in one list of 8-byte entries, one per
+/// shard the request touched ([`Books::sample`]); the entry of its first
+/// shard also stands for the run. [`Books::latency_figures`] sorts that list
+/// and reads the run's and every shard's figures from it by counting.
+pub(crate) struct Books {
+    total: Tally,
+    /// Each shard's tally, and its [`received`] when the run began.
+    per_shard: Vec<(Tally, (u64, u64))>,
+    /// `latency << (SHARD_BITS + 1) | shard << 1 | first`.
+    latencies: Vec<u64>,
 }
 
+/// Bits of a latency entry that name its shard.
+const SHARD_BITS: u32 = 16;
+
 /// Operations committed, those issued as writes among them, and the
-/// latency of every request they belong to, in completion order.
-#[derive(Clone, Default)]
-pub(crate) struct Books {
+/// requests they belong to with the sum of their latencies.
+#[derive(Clone, Copy, Default)]
+struct Tally {
     committed: u64,
     writes: u64,
-    pub(crate) latencies_ns: Vec<u64>,
-    /// The shard's [`received`] when the run began.
-    received_at_start: (u64, u64),
+    requests: usize,
+    latency_sum_ns: u64,
 }
 
 /// The frames and protocol ops `group`'s replicas received over its life.
@@ -223,28 +232,10 @@ fn received<R: Replica>(group: &ReplicaGroup<R>) -> (u64, u64) {
     group.books().iter().fold((0, 0), add)
 }
 
-impl Books {
-    /// Empty books for a run of `group`'s shard.
-    pub(crate) fn opening<R: Replica>(group: &ReplicaGroup<R>) -> Books {
-        let received_at_start = received(group);
-        Books {
-            received_at_start,
-            ..Books::default()
-        }
-    }
-
-    /// Counts one committed operation.
-    pub(crate) fn count(&mut self, is_write: bool) {
-        self.committed += 1;
-        self.writes += u64::from(is_write);
-    }
-
-    pub(crate) fn committed(&self) -> u64 {
-        self.committed
-    }
-
-    /// The books' figures at virtual time `elapsed_ns`, counted from 0.
-    fn stats(mut self, elapsed_ns: u64) -> RunStats {
+impl Tally {
+    /// The tally's figures at virtual time `elapsed_ns`, counted from 0,
+    /// with its latencies' `ranked_ns` ([`RunStats::set_latency_figures`]).
+    fn stats(self, elapsed_ns: u64, ranked_ns: [u64; 4]) -> RunStats {
         let elapsed_secs = elapsed_ns.max(1) as f64 / 1e9;
         let mut stats = RunStats {
             committed: self.committed,
@@ -254,9 +245,95 @@ impl Books {
             throughput_ops: self.committed as f64 / elapsed_secs,
             ..RunStats::default()
         };
-        stats.set_latencies(&mut self.latencies_ns);
+        stats.set_latency_figures(self.requests, self.latency_sum_ns, ranked_ns);
         stats
     }
+}
+
+impl Books {
+    /// Empty books for a run of `groups`, one shard each.
+    pub(crate) fn opening<R: Replica>(groups: &[ReplicaGroup<R>]) -> Books {
+        Books {
+            total: Tally::default(),
+            per_shard: groups
+                .iter()
+                .map(|group| (Tally::default(), received(group)))
+                .collect(),
+            latencies: Vec::new(),
+        }
+    }
+
+    /// Counts one committed operation, served by `shard`.
+    pub(crate) fn count(&mut self, shard: usize, is_write: bool) {
+        for tally in [&mut self.total, &mut self.per_shard[shard].0] {
+            tally.committed += 1;
+            tally.writes += u64::from(is_write);
+        }
+    }
+
+    /// Keeps a committed request's latency for one `shard` it touched, and
+    /// for the run when `first` (once per request).
+    pub(crate) fn sample(&mut self, latency_ns: u64, shard: usize, first: bool) {
+        assert!(
+            shard >> SHARD_BITS == 0 && latency_ns >> (63 - SHARD_BITS) == 0,
+            "a latency entry holds 2^{SHARD_BITS} shards and 2^{} ns",
+            63 - SHARD_BITS
+        );
+        let tallies = [
+            Some(&mut self.per_shard[shard].0),
+            first.then_some(&mut self.total),
+        ];
+        for tally in tallies.into_iter().flatten() {
+            tally.requests += 1;
+            tally.latency_sum_ns += latency_ns;
+        }
+        let entry = latency_ns << (SHARD_BITS + 1) | (shard as u64) << 1 | u64::from(first);
+        self.latencies.push(entry);
+    }
+
+    pub(crate) fn committed(&self) -> u64 {
+        self.total.committed
+    }
+
+    /// Sorts the latency list and reads the latencies at
+    /// [`RunStats::latency_ranks`] from it: each shard's, then the run's
+    /// last, each counted as the walk meets its entries.
+    fn latency_figures(&mut self) -> Vec<Ranked> {
+        self.latencies.sort_unstable();
+        let shard_tallies = self.per_shard.iter().map(|(tally, _)| tally);
+        let mut classes: Vec<Ranked> = (shard_tallies.chain([&self.total]))
+            .map(|tally| Ranked {
+                ranks: RunStats::latency_ranks(tally.requests),
+                met: 0,
+                ns: [0; 4],
+            })
+            .collect();
+        let run = self.per_shard.len();
+        for &entry in &self.latencies {
+            let latency_ns = entry >> (SHARD_BITS + 1);
+            let shard = (entry >> 1) as usize & ((1 << SHARD_BITS) - 1);
+            let first = entry & 1 == 1;
+            for class in [Some(shard), first.then_some(run)].into_iter().flatten() {
+                let class = &mut classes[class];
+                for (rank, ns) in class.ranks.iter().zip(&mut class.ns) {
+                    if *rank == class.met {
+                        *ns = latency_ns;
+                    }
+                }
+                class.met += 1;
+            }
+        }
+        classes
+    }
+}
+
+/// One class of [`Books::latency_figures`]: where its figures lie in its
+/// ascending latencies, how many of them the walk has met, and the
+/// latencies found there.
+struct Ranked {
+    ranks: [usize; 4],
+    met: usize,
+    ns: [u64; 4],
 }
 
 /// N independent replica groups behind one consistent-hash router, driven on a
@@ -437,17 +514,16 @@ impl<R: Replica> ShardedCluster<R> {
     }
 
     /// Closes the run's books on the global clock `global_now`: each
-    /// shard's commits and latencies from the driver's `tallies`, on the
+    /// shard's commits and latencies from the driver's `books`, on the
     /// shard's own clock, with the messages its group counted, and the
     /// calendar's counts.
-    pub(crate) fn finalize(&mut self, global_now: u64, tallies: Tallies) -> ShardedRunStats {
-        let per_shard: Vec<RunStats> = self
-            .shards
-            .iter_mut()
-            .zip(tallies.per_shard)
-            .map(|(group, books)| {
+    pub(crate) fn finalize(&mut self, global_now: u64, mut books: Books) -> ShardedRunStats {
+        let ranked = books.latency_figures();
+        let per_shard: Vec<RunStats> = (self.shards.iter_mut().zip(&books.per_shard))
+            .zip(&ranked)
+            .map(|((group, &(tally, at_start)), ranked)| {
                 let messages = group.take_message_counts();
-                let ((frames, ops), at_start) = (received(group), books.received_at_start);
+                let (frames, ops) = received(group);
                 RunStats {
                     messages_delivered: frames - at_start.0,
                     messages_dropped: messages.dropped,
@@ -455,11 +531,11 @@ impl<R: Replica> ShardedCluster<R> {
                     messages_replayed: messages.replayed,
                     messages_to_crashed: messages.to_crashed,
                     ops_delivered: ops - at_start.1,
-                    ..books.stats(group.now_ns())
+                    ..tally.stats(group.now_ns(), ranked.ns)
                 }
             })
             .collect();
-        let mut total = tallies.total.stats(global_now);
+        let mut total = books.total.stats(global_now, ranked[per_shard.len()].ns);
         for stats in &per_shard {
             total.messages_delivered += stats.messages_delivered;
             total.messages_dropped += stats.messages_dropped;
@@ -521,6 +597,56 @@ mod tests {
         }
         let counted: Vec<u64> = cluster.shards.iter().map(ReplicaGroup::in_flight).collect();
         assert_eq!(counted, on_calendar);
+    }
+
+    /// The one latency list gives the run and every shard the figures
+    /// each would get from a list of its own: requests of one, two and
+    /// three shards (some touching one shard twice), latencies that tie
+    /// across shards, and a shard no request touched.
+    #[test]
+    fn one_latency_list_reads_as_separately_sorted_copies() {
+        let shards = 4;
+        let mut books = Books {
+            total: Tally::default(),
+            per_shard: vec![(Tally::default(), (0, 0)); shards],
+            latencies: Vec::new(),
+        };
+        let (mut run, mut per_shard) = (Vec::new(), vec![Vec::new(); shards]);
+        let mut draw = 0x9E37_79B9_7F4A_7C15_u64;
+        for request in 0..2_000 {
+            draw = draw.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let latency_ns = (draw >> 40) % 50_000 + 1_000;
+            // Shard 3 takes no request; a third of the requests span shards.
+            let ops: &[usize] = match request % 6 {
+                0 => &[2, 0, 2],
+                1 => &[1, 0, 2],
+                n => &[n % 3],
+            };
+            run.push(latency_ns);
+            for (i, &shard) in ops.iter().enumerate() {
+                books.count(shard, i % 2 == 0);
+                if !ops[..i].contains(&shard) {
+                    books.sample(latency_ns, shard, i == 0);
+                    per_shard[shard].push(latency_ns);
+                }
+            }
+        }
+        let figures = |stats: &RunStats| {
+            let percentiles = [stats.p50_latency_us, stats.p90_latency_us];
+            let tails = [stats.p99_latency_us, stats.p999_latency_us];
+            (stats.mean_latency_us, percentiles, tails)
+        };
+        let ranked = books.latency_figures();
+        let tallies = books.per_shard.iter().map(|&(tally, _)| tally);
+        let lists = per_shard.iter_mut().chain([&mut run]);
+        for ((tally, ranked), list) in tallies.chain([books.total]).zip(&ranked).zip(lists) {
+            let mut copy = RunStats::default();
+            copy.set_latencies(list);
+            assert_eq!(figures(&tally.stats(1, ranked.ns)), figures(&copy));
+        }
+        assert_eq!(ranked[3].ns, [0; 4]);
+        let committed = books.per_shard.iter().map(|(tally, _)| tally.committed);
+        assert_eq!(books.committed(), committed.sum::<u64>());
     }
 
     #[test]

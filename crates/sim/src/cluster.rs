@@ -100,21 +100,33 @@ pub struct RunStats {
 
 impl RunStats {
     /// Sets the mean and tail latencies from a sample, sorting it in place
-    /// (zeros for an empty one). Percentile `q` is the element at index
-    /// `(len as f64 * q) as usize`, clamped to the last element.
+    /// (zeros for an empty one).
     pub fn set_latencies(&mut self, latencies_ns: &mut [u64]) {
         latencies_ns.sort_unstable();
         let len = latencies_ns.len();
-        let sum: u64 = latencies_ns.iter().sum();
-        self.mean_latency_us = sum as f64 / len.max(1) as f64 / 1_000.0;
-        let pick = |q: f64| {
-            let idx = ((len as f64 * q) as usize).min(len.saturating_sub(1));
-            latencies_ns.get(idx).map_or(0.0, |&ns| ns as f64 / 1_000.0)
-        };
-        self.p50_latency_us = pick(0.50);
-        self.p90_latency_us = pick(0.90);
-        self.p99_latency_us = pick(0.99);
-        self.p999_latency_us = pick(0.999);
+        let ranked =
+            Self::latency_ranks(len).map(|rank| latencies_ns.get(rank).copied().unwrap_or(0));
+        self.set_latency_figures(len, latencies_ns.iter().sum(), ranked);
+    }
+
+    /// Where the p50, p90, p99 and p99.9 latencies lie in an ascending list
+    /// of `len`: percentile `q` is the element at index `(len as f64 * q)
+    /// as usize`, clamped to the last element.
+    pub fn latency_ranks(len: usize) -> [usize; 4] {
+        [0.50, 0.90, 0.99, 0.999]
+            .map(|q: f64| ((len as f64 * q) as usize).min(len.saturating_sub(1)))
+    }
+
+    /// Sets the mean and tail latencies of `len` samples summing to
+    /// `sum_ns`, whose ascending list holds `ranked_ns` at
+    /// [`Self::latency_ranks`] (zeros for no sample).
+    pub fn set_latency_figures(&mut self, len: usize, sum_ns: u64, ranked_ns: [u64; 4]) {
+        self.mean_latency_us = sum_ns as f64 / len.max(1) as f64 / 1_000.0;
+        let [p50, p90, p99, p999] = ranked_ns.map(|ns| ns as f64 / 1_000.0);
+        self.p50_latency_us = p50;
+        self.p90_latency_us = p90;
+        self.p99_latency_us = p99;
+        self.p999_latency_us = p999;
     }
 }
 

@@ -56,15 +56,37 @@ impl WorkloadOp {
 /// future cross-shard transactions — must use this one function so they agree
 /// on placement.
 pub fn stable_key_hash(key: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in key {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    StableHasher::START.write(key).finish()
+}
+
+/// [`stable_key_hash`] taken in parts: the FNV-1a state of the bytes
+/// written so far. It is `Copy`, so labels that share a prefix hash it once
+/// and each resumes from a copy.
+#[derive(Debug, Clone, Copy)]
+pub struct StableHasher(u64);
+
+impl StableHasher {
+    /// The state before any byte: FNV-1a's offset basis.
+    pub const START: StableHasher = StableHasher(0xcbf2_9ce4_8422_2325);
+
+    /// The state after `bytes` follow what was written.
+    pub fn write(self, bytes: &[u8]) -> StableHasher {
+        let mut hash = self.0;
+        for &byte in bytes {
+            hash ^= byte as u64;
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        StableHasher(hash)
     }
-    // SplitMix64 finalizer: FNV alone avalanches poorly in the high bits.
-    hash = (hash ^ (hash >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    hash = (hash ^ (hash >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    hash ^ (hash >> 31)
+
+    /// The hash of everything written: [`stable_key_hash`] of it.
+    pub fn finish(self) -> u64 {
+        // SplitMix64 finalizer: FNV alone avalanches poorly in the high bits.
+        let mut hash = self.0;
+        hash = (hash ^ (hash >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        hash = (hash ^ (hash >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        hash ^ (hash >> 31)
+    }
 }
 
 /// How keys are selected.
