@@ -322,9 +322,11 @@ impl PartitionedKvStore {
     ///
     /// The write always succeeds even if `timestamp` is older than the
     /// stored one — ABD-style last-writer-wins filtering is the protocol's
-    /// job (see [`PartitionedKvStore::write_if_newer`]).
+    /// job (see [`PartitionedKvStore::write_if_newer`]). It never errs
+    /// today; the `Result` stays for the callers that expect it.
     pub fn write(&mut self, key: &[u8], value: &[u8], timestamp: Timestamp) -> Result<(), KvError> {
-        self.write_owned(key, value.to_vec(), timestamp).map(drop)
+        self.write_owned(key, value.to_vec(), timestamp);
+        Ok(())
     }
 
     /// [`PartitionedKvStore::write`] keeping the buffer it is handed: the
@@ -340,7 +342,7 @@ impl PartitionedKvStore {
         key: &[u8],
         value: Vec<u8>,
         timestamp: Timestamp,
-    ) -> Result<Option<Vec<u8>>, KvError> {
+    ) -> Option<Vec<u8>> {
         // An overwrite is one probe: the key keeps its slot. A new key takes
         // a free host slot and enters the table.
         if let Some(meta) = self.index.get_mut(key) {
@@ -348,7 +350,7 @@ impl PartitionedKvStore {
                 self.host_arena.place(key, meta.host_slot as usize, value);
             meta.value_hash = value_hash;
             meta.timestamp = timestamp;
-            return Ok(displaced);
+            return displaced;
         }
         let host_slot = match self.free_slots.pop() {
             Some(slot) => slot as usize,
@@ -362,25 +364,20 @@ impl PartitionedKvStore {
             host_slot: u32::try_from(host_slot).expect("fewer than 2^32 host slots"),
         };
         self.index.insert(key.into(), meta);
-        Ok(None)
+        None
     }
 
     /// Writes only if `timestamp` is strictly newer than the stored timestamp
-    /// (the ABD write rule). Returns `Ok(true)` if the write was applied,
-    /// `Ok(false)` if it was skipped as stale.
-    pub fn write_if_newer(
-        &mut self,
-        key: &[u8],
-        value: &[u8],
-        timestamp: Timestamp,
-    ) -> Result<bool, KvError> {
+    /// (the ABD write rule). Returns `true` if the write was applied,
+    /// `false` if it was skipped as stale.
+    pub fn write_if_newer(&mut self, key: &[u8], value: &[u8], timestamp: Timestamp) -> bool {
         if let Some(meta) = self.index.get(key) {
             if timestamp <= meta.timestamp {
-                return Ok(false);
+                return false;
             }
         }
-        self.write(key, value, timestamp)?;
-        Ok(true)
+        self.write_owned(key, value.to_vec(), timestamp);
+        true
     }
 
     /// Reads the value for `key` (`get(key, &v_TEE)` in Table 3): the
@@ -575,7 +572,7 @@ impl PartitionedKvStore {
             let timestamp = stamp(self.timestamp_of(key));
             committed(key, value, timestamp);
             let staged = std::mem::take(value);
-            if let Ok(Some(displaced)) = self.write_owned(key, staged, timestamp) {
+            if let Some(displaced) = self.write_owned(key, staged, timestamp) {
                 *value = displaced;
             }
         }
@@ -661,13 +658,13 @@ impl PartitionedKvStore {
     pub fn import_entries<K: AsRef<[u8]>>(
         &mut self,
         entries: impl IntoIterator<Item = (K, Vec<u8>, Timestamp)>,
-    ) -> Result<usize, KvError> {
+    ) -> usize {
         let mut imported = 0;
         for (key, value, timestamp) in entries {
-            self.write_owned(key.as_ref(), value, timestamp)?;
+            self.write_owned(key.as_ref(), value, timestamp);
             imported += 1;
         }
-        Ok(imported)
+        imported
     }
 
     /// Deletes every key satisfying `filter` (donor-side range eviction after
@@ -766,22 +763,14 @@ mod tests {
     #[test]
     fn write_if_newer_enforces_timestamp_order() {
         let mut store = plain_store();
-        assert!(store
-            .write_if_newer(b"k", b"v1", Timestamp::new(5, 1))
-            .unwrap());
+        assert!(store.write_if_newer(b"k", b"v1", Timestamp::new(5, 1)));
         // Older timestamp: skipped.
-        assert!(!store
-            .write_if_newer(b"k", b"old", Timestamp::new(4, 9))
-            .unwrap());
+        assert!(!store.write_if_newer(b"k", b"old", Timestamp::new(4, 9)));
         assert_eq!(store.get(b"k").unwrap().value, b"v1");
         // Equal timestamp: also skipped (not strictly newer).
-        assert!(!store
-            .write_if_newer(b"k", b"same", Timestamp::new(5, 1))
-            .unwrap());
+        assert!(!store.write_if_newer(b"k", b"same", Timestamp::new(5, 1)));
         // Newer: applied.
-        assert!(store
-            .write_if_newer(b"k", b"v2", Timestamp::new(5, 2))
-            .unwrap());
+        assert!(store.write_if_newer(b"k", b"v2", Timestamp::new(5, 2)));
         assert_eq!(store.get(b"k").unwrap().value, b"v2");
     }
 
@@ -991,15 +980,13 @@ mod tests {
         let snapshot = donor.export_matching(|_| true).unwrap();
 
         let mut recipient = plain_store();
-        assert_eq!(recipient.import_entries(snapshot).unwrap(), 2);
+        assert_eq!(recipient.import_entries(snapshot), 2);
         // Catch-up record for k1 arrives after the snapshot: later wins.
-        recipient
-            .import_entries(vec![(
-                b"k1".to_vec(),
-                b"v1'".to_vec(),
-                Timestamp::new(7, 2),
-            )])
-            .unwrap();
+        recipient.import_entries(vec![(
+            b"k1".to_vec(),
+            b"v1'".to_vec(),
+            Timestamp::new(7, 2),
+        )]);
         assert_eq!(recipient.get(b"k1").unwrap().value, b"v1'");
         assert_eq!(
             recipient.get(b"k1").unwrap().timestamp,
@@ -1029,9 +1016,7 @@ mod tests {
         for mut store in [plain_store(), confidential_store()] {
             let value = b"balance=100".repeat(8);
             let at = value.as_ptr();
-            store
-                .write_owned(b"k", value, Timestamp::new(1, 0))
-                .unwrap();
+            store.write_owned(b"k", value, Timestamp::new(1, 0));
             // The arena holds the caller's allocation, sealed or not.
             let slot = store.index.get(b"k".as_slice()).unwrap().host_slot;
             let kept = store.host_arena.bytes(slot as usize).unwrap();
@@ -1075,15 +1060,14 @@ mod tests {
             (confidential_store(), confidential_store()),
         ] {
             let written = owned.write_owned(b"k", b"balance=100".to_vec(), first);
-            assert_eq!(written, Ok(None));
+            assert_eq!(written, None);
             let held = owned.host_visible_bytes(b"k").unwrap();
             let slot = owned.index.get(b"k".as_slice()).unwrap().host_slot;
             let at = owned.host_arena.bytes(slot as usize).unwrap().as_ptr();
 
             let displaced = owned
                 .write_owned(b"k", b"balance=000".to_vec(), second)
-                .unwrap();
-            let displaced = displaced.expect("an overwrite displaces");
+                .expect("an overwrite displaces");
             assert_eq!((displaced.as_ptr(), &displaced), (at, &held));
 
             copied.write(b"k", b"balance=100", first).unwrap();
@@ -1103,7 +1087,7 @@ mod tests {
                 Err(KvError::IntegrityViolation { .. } | KvError::DecryptionFailed { .. })
             ));
             assert!(owned.drop_host_value(b"k"));
-            assert_eq!(owned.write_owned(b"k", b"x".to_vec(), second), Ok(None));
+            assert_eq!(owned.write_owned(b"k", b"x".to_vec(), second), None);
         }
     }
 
@@ -1245,8 +1229,8 @@ mod tests {
             // The same records fed in opposite orders give the same answers.
             let mut forward = new_store();
             let mut backward = new_store();
-            forward.import_entries(records.clone()).unwrap();
-            backward.import_entries(records.iter().rev().cloned()).unwrap();
+            forward.import_entries(records.clone());
+            backward.import_entries(records.iter().rev().cloned());
             prop_assert_eq!(keys(&forward), keys(&backward));
             let everything = forward.export_matching(|_| true).unwrap();
             prop_assert_eq!(&everything, &backward.export_matching(|_| true).unwrap());

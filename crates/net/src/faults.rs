@@ -2,17 +2,17 @@
 //!
 //! Recipe's fault model places the entire network (and the untrusted host around the
 //! enclave) under adversarial control (paper §3.1, fault and threat model): messages
-//! may be delayed, dropped, reordered, duplicated, corrupted or replayed. The
-//! [`NetworkFaultInjector`] realizes that adversary for the discrete-event
-//! simulator; integration tests use it to show that Recipe's
-//! authentication and non-equivocation layers neutralize every injected attack.
+//! may be delayed, dropped, reordered, duplicated, corrupted or replayed. A
+//! [`Link`] realizes that adversary for every frame the simulator moves between
+//! enclaves; integration tests use it to show that Recipe's authentication and
+//! non-equivocation layers neutralize every injected attack.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-use crate::types::{NodeId, WireMessage};
+use crate::types::{ChannelId, NodeId};
 
 /// Probabilities (0.0–1.0) for each adversarial action, evaluated per message.
 ///
@@ -32,7 +32,7 @@ pub struct FaultPlan {
     /// Extra delivery delay (nanoseconds) applied uniformly at random up to this
     /// bound; only meaningful to transports that model time (the simulator).
     pub max_extra_delay_ns: u64,
-    /// How many past messages the injector keeps as replay material. Larger
+    /// How many past messages the link keeps as replay material. Larger
     /// buffers let the adversary replay older traffic (stressing the
     /// non-equivocation window); replay-heavy scenarios tune this up.
     pub capture_limit: usize,
@@ -80,7 +80,7 @@ impl FaultPlan {
     /// True if any per-message adversarial action (drop/tamper/duplicate/
     /// replay) has non-zero probability. A delay-only plan has no message
     /// faults, yet it still perturbs timing.
-    pub(crate) fn has_message_faults(&self) -> bool {
+    fn has_message_faults(&self) -> bool {
         self.drop_probability > 0.0
             || self.tamper_probability > 0.0
             || self.duplicate_probability > 0.0
@@ -151,47 +151,88 @@ impl CrashPlan {
     }
 }
 
-/// What the adversary decided to do with one frame
-/// ([`NetworkFaultInjector::decide_frame`]): it hands back only what it made
-/// or kept — the corrupted payload, the captured older message — and the
-/// caller goes on holding the frame itself.
+/// What one frame sent over a [`Link`] becomes ([`Link::send`]).
 #[derive(Debug, PartialEq)]
-pub enum FrameFault {
-    /// Deliver unchanged.
-    Deliver,
-    /// Drop silently.
-    Drop,
-    /// Deliver this corrupted copy of the payload instead of the original.
-    Tamper(Vec<u8>),
-    /// Deliver the original twice.
-    Duplicate,
-    /// Deliver the original and additionally replay this older captured
-    /// message.
-    Replay(WireMessage),
+pub struct Landing {
+    /// When the frame was due: sent, plus the latency and the delay drawn.
+    pub due: u64,
+    /// When the authentic frame lands; `None` if dropped or tampered with.
+    pub frame_at: Option<u64>,
+    /// The adversary's copy and when it lands, on the frame's own channel.
+    pub copy: Option<(u64, Forged)>,
 }
 
-/// Stateful fault injector: samples the [`FaultPlan`] with a deterministic RNG and,
-/// under a plan that replays, keeps a bounded capture buffer of past traffic to
-/// source replays from.
+/// A copy the adversary put on a link ([`Landing::copy`]).
+#[derive(Debug, PartialEq)]
+pub enum Forged {
+    /// A corrupted copy of the frame, landing in its place.
+    Tampered(Vec<u8>),
+    /// The frame's own bytes once more, landing 1 ns before the frame.
+    Duplicate,
+    /// An older frame of the channel, landing 1 ns after the frame.
+    Replayed(Vec<u8>),
+}
+
+impl Forged {
+    /// The copy's bytes; a duplicate's are those of `frame`, which it copies.
+    pub fn bytes<'a>(&'a self, frame: &'a [u8]) -> &'a [u8] {
+        match self {
+            Forged::Tampered(bytes) | Forged::Replayed(bytes) => bytes,
+            Forged::Duplicate => frame,
+        }
+    }
+}
+
+/// The network every frame between enclaves crosses, in a group and between
+/// groups: a fault plan's adversary on a deterministic RNG, with a bounded
+/// capture of past frames (wire id, channel, bytes) to replay from.
 #[derive(Debug)]
-pub struct NetworkFaultInjector {
+pub struct Link {
     plan: FaultPlan,
     rng: StdRng,
-    captured: VecDeque<WireMessage>,
+    captured: VecDeque<(u64, ChannelId, Vec<u8>)>,
+    latency_ns: u64,
 }
 
-impl NetworkFaultInjector {
-    /// Creates an injector with the given plan and RNG seed.
-    pub fn new(plan: FaultPlan, seed: u64) -> Self {
-        NetworkFaultInjector {
+/// The adversary's decision on one frame ([`Link::decide_frame`]): how long
+/// after it was due the authentic frame lands (`None`: it never does), and
+/// the copy it made with its own lag.
+type Fate = (Option<u64>, Option<(u64, Forged)>);
+
+impl Link {
+    /// A link of `latency_ns` under `plan`, its adversary seeded with `seed`.
+    pub fn new(plan: FaultPlan, seed: u64, latency_ns: u64) -> Self {
+        Link {
             plan,
             rng: StdRng::seed_from_u64(seed),
             captured: VecDeque::new(),
+            latency_ns,
         }
     }
 
-    /// Samples an extra delivery delay in nanoseconds.
-    pub fn sample_extra_delay_ns(&mut self) -> u64 {
+    /// Sends `bytes`, the link's `wire_id`-th frame, from `src` to `dst` at
+    /// `sent_at`. The adversary's decision is drawn, then the extra delay,
+    /// for every frame, dropped ones too.
+    pub fn send(
+        &mut self,
+        wire_id: u64,
+        src: NodeId,
+        dst: NodeId,
+        sent_at: u64,
+        bytes: &[u8],
+    ) -> Landing {
+        let (frame_lag, copy) = self.decide_frame(wire_id, ChannelId::new(src, dst), bytes);
+        let due = sent_at + self.latency_ns + self.sample_extra_delay_ns();
+        Landing {
+            due,
+            frame_at: frame_lag.map(|lag| due + lag),
+            copy: copy.map(|(lag, forged)| (due + lag, forged)),
+        }
+    }
+
+    /// Samples an extra delivery delay in nanoseconds; draws nothing at a
+    /// zero bound.
+    fn sample_extra_delay_ns(&mut self) -> u64 {
         if self.plan.max_extra_delay_ns == 0 {
             0
         } else {
@@ -199,16 +240,10 @@ impl NetworkFaultInjector {
         }
     }
 
-    /// Decides the fate of the frame `payload` on its way from `src` to
-    /// `dst`, the network's `wire_id`-th. The frame is copied only when the
-    /// adversary keeps it — as replay material, or to corrupt it.
-    pub fn decide_frame(
-        &mut self,
-        wire_id: u64,
-        src: NodeId,
-        dst: NodeId,
-        payload: &[u8],
-    ) -> FrameFault {
+    /// Decides the fate of the frame `payload` on `channel`, the link's
+    /// `wire_id`-th. The frame is copied only when the adversary keeps it —
+    /// as replay material, or to corrupt it.
+    fn decide_frame(&mut self, wire_id: u64, channel: ChannelId, payload: &[u8]) -> Fate {
         // Capture honest traffic so later replays have material to work with —
         // only under a plan that can replay: nothing else reads the buffer,
         // and a copy of every frame is not free. Capturing draws nothing from
@@ -216,44 +251,38 @@ impl NetworkFaultInjector {
         // plan knob: replay-heavy scenarios widen it to reach further into
         // the past.
         if self.plan.replay_probability > 0.0 {
-            self.captured.push_back(WireMessage {
-                wire_id,
-                src,
-                dst,
-                payload: payload.to_vec(),
-            });
+            self.captured
+                .push_back((wire_id, channel, payload.to_vec()));
             while self.captured.len() > self.plan.capture_limit.max(1) {
                 self.captured.pop_front();
             }
         }
 
-        // Fast path keyed on the per-message probabilities specifically (not
-        // on delay too): a delay-only plan must not
-        // consume a decision roll here, or its delay samples would diverge
-        // from the pre-crash-plane RNG sequence.
+        // A plan without message faults rolls nothing, so a delay-only
+        // plan's RNG draws its delays alone.
         if !self.plan.has_message_faults() {
-            return FrameFault::Deliver;
+            return (Some(0), None);
         }
         let roll: f64 = self.rng.gen();
         let mut threshold = self.plan.drop_probability;
         if roll < threshold {
-            return FrameFault::Drop;
+            return (None, None);
         }
         threshold += self.plan.tamper_probability;
         if roll < threshold {
-            return FrameFault::Tamper(self.corrupt(payload));
+            return (None, Some((0, Forged::Tampered(self.corrupt(payload)))));
         }
         threshold += self.plan.duplicate_probability;
         if roll < threshold {
-            return FrameFault::Duplicate;
+            return (Some(1), Some((0, Forged::Duplicate)));
         }
         threshold += self.plan.replay_probability;
         if roll < threshold {
-            if let Some(older) = self.pick_replay(wire_id, src, dst) {
-                return FrameFault::Replay(older);
+            if let Some(older) = self.pick_replay(wire_id, channel) {
+                return (Some(0), Some((1, Forged::Replayed(older))));
             }
         }
-        FrameFault::Deliver
+        (Some(0), None)
     }
 
     fn corrupt(&mut self, payload: &[u8]) -> Vec<u8> {
@@ -267,16 +296,17 @@ impl NetworkFaultInjector {
         corrupted
     }
 
-    fn pick_replay(&mut self, wire_id: u64, src: NodeId, dst: NodeId) -> Option<WireMessage> {
-        // Prefer an older message on the same channel; a replay on a different
+    fn pick_replay(&mut self, wire_id: u64, channel: ChannelId) -> Option<Vec<u8>> {
+        // Only an older frame of the same channel; a replay on a different
         // channel would be trivially rejected by addressing alone.
-        let same_channel = |m: &&WireMessage| m.src == src && m.dst == dst && m.wire_id != wire_id;
-        let candidates = self.captured.iter().filter(same_channel).count();
+        let older = |&&(id, on, _): &&(u64, ChannelId, Vec<u8>)| on == channel && id != wire_id;
+        let candidates = self.captured.iter().filter(older).count();
         if candidates == 0 {
             return None;
         }
         let idx = self.rng.gen_range(0..candidates);
-        self.captured.iter().filter(same_channel).nth(idx).cloned()
+        let (_, _, payload) = self.captured.iter().filter(older).nth(idx)?;
+        Some(payload.clone())
     }
 }
 
@@ -285,24 +315,27 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The injector's decision on frame `id`, `body`, of the channel 1 → 2.
-    fn fate(injector: &mut NetworkFaultInjector, id: u64, body: &[u8]) -> FrameFault {
-        injector.decide_frame(id, NodeId(1), NodeId(2), body)
+    const DELIVER: Fate = (Some(0), None);
+    const DROP: Fate = (None, None);
+
+    /// The adversary's decision on frame `id`, `body`, of the channel 1 → 2.
+    fn fate(link: &mut Link, id: u64, body: &[u8]) -> Fate {
+        link.decide_frame(id, ChannelId::new(NodeId(1), NodeId(2)), body)
     }
 
     #[test]
     fn benign_plan_always_delivers() {
-        let mut injector = NetworkFaultInjector::new(FaultPlan::benign(), 1);
+        let mut link = Link::new(FaultPlan::benign(), 1, 0);
         for i in 0..100 {
-            assert_eq!(fate(&mut injector, i, b"x"), FrameFault::Deliver);
+            assert_eq!(fate(&mut link, i, b"x"), DELIVER);
         }
-        assert_eq!(injector.sample_extra_delay_ns(), 0);
+        assert_eq!(link.sample_extra_delay_ns(), 0);
     }
 
     #[test]
     fn full_drop_plan_always_drops() {
-        let mut injector = NetworkFaultInjector::new(FaultPlan::lossy(1.0), 1);
-        assert_eq!(fate(&mut injector, 1, b"x"), FrameFault::Drop);
+        let mut link = Link::new(FaultPlan::lossy(1.0), 1, 0);
+        assert_eq!(fate(&mut link, 1, b"x"), DROP);
     }
 
     #[test]
@@ -311,14 +344,14 @@ mod tests {
             tamper_probability: 1.0,
             ..FaultPlan::default()
         };
-        let mut injector = NetworkFaultInjector::new(plan, 2);
-        match fate(&mut injector, 1, b"payload") {
-            FrameFault::Tamper(corrupted) => assert_ne!(corrupted, b"payload"),
+        let mut link = Link::new(plan, 2, 0);
+        match fate(&mut link, 1, b"payload") {
+            (None, Some((0, Forged::Tampered(corrupted)))) => assert_ne!(corrupted, b"payload"),
             other => panic!("expected Tamper, got {other:?}"),
         }
         // Tampering an empty payload still produces a non-empty corruption.
-        match fate(&mut injector, 2, b"") {
-            FrameFault::Tamper(corrupted) => assert!(!corrupted.is_empty()),
+        match fate(&mut link, 2, b"") {
+            (None, Some((0, Forged::Tampered(corrupted)))) => assert!(!corrupted.is_empty()),
             other => panic!("expected Tamper, got {other:?}"),
         }
     }
@@ -329,12 +362,12 @@ mod tests {
             replay_probability: 1.0,
             ..FaultPlan::default()
         };
-        let mut injector = NetworkFaultInjector::new(plan, 2);
+        let mut link = Link::new(plan, 2, 0);
         // First message: nothing to replay yet → falls through to Deliver.
-        assert_eq!(fate(&mut injector, 1, b"a"), FrameFault::Deliver);
+        assert_eq!(fate(&mut link, 1, b"a"), DELIVER);
         // Second message: the first can now be replayed.
-        match fate(&mut injector, 2, b"b") {
-            FrameFault::Replay(older) => assert_eq!(older.payload, b"a"),
+        match fate(&mut link, 2, b"b") {
+            (Some(0), Some((1, Forged::Replayed(older)))) => assert_eq!(older, b"a"),
             other => panic!("expected Replay, got {other:?}"),
         }
     }
@@ -348,13 +381,12 @@ mod tests {
             replay_probability: 1.0,
             ..FaultPlan::default()
         };
-        let mut injector = NetworkFaultInjector::new(plan, 4);
-        assert_eq!(fate(&mut injector, 7, b"first"), FrameFault::Deliver);
-        assert_eq!(fate(&mut injector, 7, b"second"), FrameFault::Deliver);
-        match fate(&mut injector, 8, b"third") {
-            FrameFault::Replay(older) => {
-                assert_eq!(older.wire_id, 7);
-                assert!(older.payload == b"first" || older.payload == b"second");
+        let mut link = Link::new(plan, 4, 0);
+        assert_eq!(fate(&mut link, 7, b"first"), DELIVER);
+        assert_eq!(fate(&mut link, 7, b"second"), DELIVER);
+        match fate(&mut link, 8, b"third") {
+            (Some(0), Some((1, Forged::Replayed(older)))) => {
+                assert!(older == b"first" || older == b"second")
             }
             other => panic!("expected Replay, got {other:?}"),
         }
@@ -362,8 +394,8 @@ mod tests {
 
     #[test]
     fn byzantine_plan_mixes_decisions_deterministically() {
-        let mut a = NetworkFaultInjector::new(FaultPlan::byzantine(), 42);
-        let mut b = NetworkFaultInjector::new(FaultPlan::byzantine(), 42);
+        let mut a = Link::new(FaultPlan::byzantine(), 42, 0);
+        let mut b = Link::new(FaultPlan::byzantine(), 42, 0);
         for i in 0..200 {
             assert_eq!(fate(&mut a, i, b"x"), fate(&mut b, i, b"x"));
         }
@@ -375,9 +407,37 @@ mod tests {
             max_extra_delay_ns: 1_000,
             ..FaultPlan::default()
         };
-        let mut injector = NetworkFaultInjector::new(plan, 5);
+        let mut link = Link::new(plan, 5, 0);
         for _ in 0..100 {
-            assert!(injector.sample_extra_delay_ns() <= 1_000);
+            assert!(link.sample_extra_delay_ns() <= 1_000);
+        }
+    }
+
+    /// Every frame is due within the plan's delay window after one latency,
+    /// and whatever lands, lands at most 1 ns after it was due; a delay-only
+    /// plan delivers every frame, alone, when it is due.
+    #[test]
+    fn every_landing_lies_within_the_delay_window() {
+        const LATENCY: u64 = 5_000;
+        let delay_only = FaultPlan {
+            max_extra_delay_ns: 1_000,
+            ..FaultPlan::default()
+        };
+        for plan in [FaultPlan::byzantine(), delay_only] {
+            let mut link = Link::new(plan, 11, LATENCY);
+            for i in 0..1_000u64 {
+                let sent_at = 7 * i;
+                let landing = link.send(i, NodeId(1), NodeId(2 + i % 2), sent_at, b"frame");
+                let earliest = sent_at + LATENCY;
+                assert!((earliest..=earliest + plan.max_extra_delay_ns).contains(&landing.due));
+                let copy_at = landing.copy.as_ref().map(|(at, _)| *at);
+                for at in landing.frame_at.into_iter().chain(copy_at) {
+                    assert!((landing.due..=landing.due + 1).contains(&at));
+                }
+                if plan == delay_only {
+                    assert_eq!((landing.frame_at, landing.copy), (Some(landing.due), None));
+                }
+            }
         }
     }
 
@@ -401,13 +461,15 @@ mod tests {
             capture_limit: 1,
             ..FaultPlan::default()
         };
-        let mut injector = NetworkFaultInjector::new(plan, 9);
-        assert_eq!(fate(&mut injector, 1, b"a"), FrameFault::Deliver);
+        let mut link = Link::new(plan, 9, 0);
+        assert_eq!(fate(&mut link, 1, b"a"), DELIVER);
         for i in 2..20u64 {
-            match fate(&mut injector, i, format!("m{i}").as_bytes()) {
+            match fate(&mut link, i, format!("m{i}").as_bytes()) {
                 // The window held only the immediately preceding message.
-                FrameFault::Replay(older) => assert_eq!(older.wire_id, i - 1),
-                FrameFault::Deliver => {}
+                (Some(0), Some((1, Forged::Replayed(older)))) => {
+                    assert_eq!(older, format!("m{}", i - 1).as_bytes())
+                }
+                DELIVER => {}
                 other => panic!("expected Replay or Deliver, got {other:?}"),
             }
         }
@@ -420,10 +482,12 @@ mod tests {
         }
     }
 
-    /// Folds a run of decisions — which action, which older frame a replay
-    /// picked, what a tamper left — into one number.
+    /// Folds a run of frames sent over a link — which action, which older
+    /// frame a replay picked, what a tamper left, the delay drawn — into one
+    /// number.
     fn fingerprint(plan: FaultPlan, seed: u64) -> u64 {
-        let mut injector = NetworkFaultInjector::new(plan, seed);
+        const LATENCY: u64 = 1_000;
+        let mut link = Link::new(plan, seed, LATENCY);
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let mut fold = |bytes: &[u8]| {
             for byte in bytes {
@@ -432,29 +496,32 @@ mod tests {
         };
         for i in 0..2_000u64 {
             // Three channels, so a replay has same-channel and foreign frames
-            // to tell apart.
+            // to tell apart. A frame's bytes are its wire id, so a replay's
+            // bytes name the frame it picked.
             let dst = NodeId(2 + i % 3);
-            match injector.decide_frame(i, NodeId(1), dst, &i.to_le_bytes()) {
-                FrameFault::Deliver => fold(&[0]),
-                FrameFault::Drop => fold(&[1]),
-                FrameFault::Tamper(corrupted) => {
+            let sent_at = 10 * i;
+            let landing = link.send(i, NodeId(1), dst, sent_at, &i.to_le_bytes());
+            match landing.copy {
+                None => fold(&[u8::from(landing.frame_at.is_none())]),
+                Some((_, Forged::Tampered(corrupted))) => {
                     fold(&[2]);
                     fold(&corrupted);
                 }
-                FrameFault::Duplicate => fold(&[3]),
-                FrameFault::Replay(older) => {
+                Some((_, Forged::Duplicate)) => fold(&[3]),
+                Some((_, Forged::Replayed(older))) => {
                     fold(&[4]);
-                    fold(&older.wire_id.to_le_bytes());
+                    fold(&older);
                 }
             }
-            fold(&injector.sample_extra_delay_ns().to_le_bytes());
+            fold(&(landing.due - sent_at - LATENCY).to_le_bytes());
         }
         hash
     }
 
     /// Capturing is skipped when nothing can be replayed, and it never drew
-    /// from the RNG: the recorded numbers are those of the injector that
-    /// captured every frame under every plan.
+    /// from the RNG: the recorded numbers are those of the link that
+    /// captured every frame under every plan, and of the group's send path
+    /// before every frame went through a [`Link`].
     #[test]
     fn decisions_per_seed_are_those_of_the_always_capturing_injector() {
         let narrow_replay = FaultPlan {
@@ -484,17 +551,17 @@ mod tests {
             FaultPlan::lossy(0.1),
             byzantine_without_replay(),
         ] {
-            let mut injector = NetworkFaultInjector::new(plan, 3);
+            let mut link = Link::new(plan, 3, 0);
             for i in 0..100 {
-                fate(&mut injector, i, b"payload");
+                fate(&mut link, i, b"payload");
             }
-            assert!(injector.captured.is_empty());
+            assert!(link.captured.is_empty());
         }
-        let mut injector = NetworkFaultInjector::new(FaultPlan::byzantine(), 3);
+        let mut link = Link::new(FaultPlan::byzantine(), 3, 0);
         for i in 0..1_000 {
-            fate(&mut injector, i, b"payload");
+            fate(&mut link, i, b"payload");
         }
-        assert_eq!(injector.captured.len(), FaultPlan::default().capture_limit);
+        assert_eq!(link.captured.len(), FaultPlan::default().capture_limit);
     }
 
     #[test]
@@ -522,14 +589,19 @@ mod tests {
     proptest! {
         #[test]
         fn decisions_cover_only_known_variants(seed in any::<u64>(), n in 1usize..100) {
-            let mut injector = NetworkFaultInjector::new(FaultPlan::byzantine(), seed);
+            let mut link = Link::new(FaultPlan::byzantine(), seed, 0);
             let mut delivered = 0usize;
             for i in 0..n {
-                match fate(&mut injector, i as u64, b"payload") {
-                    FrameFault::Deliver | FrameFault::Duplicate => delivered += 1,
-                    FrameFault::Drop => {}
-                    FrameFault::Tamper(corrupted) => prop_assert_ne!(corrupted, b"payload"),
-                    FrameFault::Replay(older) => prop_assert!(older.wire_id < i as u64),
+                let body = (i as u64).to_le_bytes();
+                match fate(&mut link, i as u64, &body) {
+                    (Some(0), None) | (Some(1), Some((0, Forged::Duplicate))) => delivered += 1,
+                    (None, None) => {}
+                    (None, Some((0, Forged::Tampered(corrupted)))) => prop_assert_ne!(corrupted, body),
+                    (Some(0), Some((1, Forged::Replayed(older)))) => {
+                        let id = u64::from_le_bytes(older.try_into().unwrap());
+                        prop_assert!(id < i as u64);
+                    }
+                    other => prop_assert!(false, "no such fate: {other:?}"),
                 }
             }
             // Sanity: the adversary cannot create messages out of thin air.

@@ -7,11 +7,11 @@
 //! `recipe-sim` moves frames between replicas on a virtual clock, and this crate
 //! supplies what it moves them with:
 //!
-//! * `types` — node and channel identifiers, and [`types::WireMessage`], a
-//!   frame as the adversary captures it for replay.
-//! * `faults` — the Byzantine network adversary: drop, duplicate, delay (and
-//!   so reorder), tamper and replay decisions on the frames the simulator
-//!   moves, plus the crash plans that take replicas down and bring them back.
+//! * `types` — node and channel identifiers.
+//! * `faults` — the [`Link`] every frame between enclaves crosses, with the
+//!   Byzantine network adversary's drop, duplicate, delay (and so reorder),
+//!   tamper and replay decisions on it, plus the crash plans that take
+//!   replicas down and bring them back.
 //! * `cost` — the calibrated transport cost model (kernel sockets vs direct I/O,
 //!   native vs TEE) used to regenerate Figure 6b and to drive the simulator's
 //!   virtual clock.
@@ -24,5 +24,5 @@ mod faults;
 mod types;
 
 pub use cost::{ExecMode, NetCostModel, Transport};
-pub use faults::{CrashEntry, CrashPlan, FaultPlan, FrameFault, NetworkFaultInjector};
-pub use types::{ChannelId, NodeId, WireMessage};
+pub use faults::{CrashEntry, CrashPlan, FaultPlan, Forged, Landing, Link};
+pub use types::{ChannelId, NodeId};

@@ -67,21 +67,6 @@ impl fmt::Debug for ChannelId {
     }
 }
 
-/// A frame the network carried, as the fault injector's capture buffer
-/// keeps it for replay.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct WireMessage {
-    /// Monotonically increasing per-network id (assigned at submission); a
-    /// replay never picks the frame it is deciding for.
-    pub wire_id: u64,
-    /// Sending node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
-    /// The frame's bytes (`recipe_core::wire`).
-    pub payload: Vec<u8>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

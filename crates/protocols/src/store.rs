@@ -233,7 +233,7 @@ impl ReplicaStore {
         let ts = self
             .stamping
             .stamp(self.applied, self.node, || self.kv.timestamp_of(key));
-        if let Ok(Some(displaced)) = self.kv.write_owned(key, value, ts) {
+        if let Some(displaced) = self.kv.write_owned(key, value, ts) {
             self.entries.give(displaced);
         }
     }
@@ -247,7 +247,7 @@ impl ReplicaStore {
     /// Applies a write under a timestamp the protocol's own rounds agreed
     /// (ABD), unless the stored one is as new. Returns whether it applied.
     pub(crate) fn apply_if_newer(&mut self, key: &[u8], value: &[u8], ts: Timestamp) -> bool {
-        let applied = self.kv.write_if_newer(key, value, ts).unwrap_or(false);
+        let applied = self.kv.write_if_newer(key, value, ts);
         self.applied += u64::from(applied);
         applied
     }
@@ -390,7 +390,7 @@ impl ReplicaStore {
     /// the exporting replica. Each value is copied once, into the buffer the
     /// store keeps; every replica of a group installs from one `entries`.
     pub fn import_range(&mut self, entries: &[RangeEntry]) {
-        let _ = self.kv.import_entries(
+        self.kv.import_entries(
             entries
                 .iter()
                 .map(|entry| (&entry.key, entry.value.clone(), timestamp(entry))),
@@ -407,7 +407,7 @@ impl ReplicaStore {
         for entry in entries {
             let value = self.copy_entry(&entry.value);
             let ts = timestamp(entry);
-            if let Ok(Some(displaced)) = self.kv.write_owned(&entry.key, value, ts) {
+            if let Some(displaced) = self.kv.write_owned(&entry.key, value, ts) {
                 self.entries.give(displaced);
             }
         }
@@ -453,7 +453,7 @@ impl ReplicaStore {
         let (verified, discarded, bytes) = self.kv.rehydrate();
         let RecoveryState { snapshot, prepares } = state;
         if let Some(entries) = snapshot {
-            let _ = self.kv.import_entries(entries.into_iter().map(|entry| {
+            self.kv.import_entries(entries.into_iter().map(|entry| {
                 let ts = timestamp(&entry);
                 (entry.key, entry.value, ts)
             }));

@@ -32,10 +32,10 @@
 //! `charge.snapshot_{export,import}_ns`.
 //!
 //! **The wire.** A chunk crosses the plane between groups a 2PC leg crosses
-//! ([`crate::DeploymentSpec::with_plane_fault_plan`]); its recipient refuses
-//! every copy the adversary made ([`MigrationStats::chunks_rejected`]). A
-//! chunk lost or refused fails its round and aborts the migration; nothing
-//! is resent.
+//! ([`crate::DeploymentSpec::with_plane_fault_plan`]) and lands when the
+//! plane's link says, its delay included; its recipient refuses every copy
+//! the adversary made ([`MigrationStats::chunks_rejected`]). A chunk lost or
+//! refused fails its round and aborts the migration; nothing is resent.
 //!
 //! **Cost form.** A migration ships a snapshot round and then its catch-up
 //! rounds (the final delta included); a round of `k` records ships

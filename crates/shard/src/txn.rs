@@ -34,7 +34,8 @@
 //! check rejects is argued beside `recipe_protocols::TxnLanes`; none of that logic
 //! lives here. Frames cross the plane between groups ([`Plane`], under
 //! [`crate::DeploymentSpec::with_plane_fault_plan`]) that migration chunks
-//! cross too: a dropped, tampered or reordered frame is retransmitted as the
+//! cross too, each landing when the plane's [`recipe_net::Link`] says, its
+//! delay included: a dropped, tampered or reordered frame is retransmitted as the
 //! *same sealed bytes* — the sender's cached frame, lent to the network,
 //! never copied per attempt — after [`RETRY_TIMEOUT_NS`] (2 ms); re-sealing
 //! would burn a counter slot and wedge the lane. Participants answer re-delivered requests from a cached
@@ -66,11 +67,10 @@
 //! clean transaction table (`txn_reset`; volatile enclave state) and relies
 //! on the group's surviving records.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use recipe_core::{Operation, Request, TxnBody, TxnBodyRef};
-use recipe_net::{FaultPlan, FrameFault, NetworkFaultInjector, NodeId};
+use recipe_net::{FaultPlan, Landing, Link, NodeId};
 use recipe_protocols::{
     StoreReplica, TxnLane, TxnLanes, TxnVote, MAX_SHARDS, MIGRATION_ENDPOINT_IDS, TXN_ENDPOINT_IDS,
 };
@@ -409,17 +409,17 @@ impl TxnManager {
 }
 
 /// The network model between groups: every frame the driver carries from
-/// one group to another, 2PC legs and migration chunks alike, crosses it
-/// under [`crate::DeploymentSpec::with_plane_fault_plan`]. The driver plays
-/// both ends of each frame, so a crossing opens it at the receiving end then
-/// and there.
+/// one group to another, 2PC legs and migration chunks alike, crosses its
+/// [`Link`] under [`crate::DeploymentSpec::with_plane_fault_plan`]. The
+/// driver plays both ends of each frame, so a crossing opens it at the
+/// receiving end then and there.
 pub(crate) struct Plane {
-    injector: NetworkFaultInjector,
+    link: Link,
     wire_seq: u64,
 }
 
 impl Plane {
-    /// Synthetic address of the 2PC coordinator, for the injector's channel
+    /// Synthetic address of the 2PC coordinator, for the link's channel
     /// bookkeeping (replays are picked per (src, dst) pair).
     const COORDINATOR: NodeId = NodeId(u64::MAX - 1);
 
@@ -427,7 +427,7 @@ impl Plane {
     pub(crate) fn new(plan: FaultPlan, seed: u64) -> Self {
         let seed = seed.wrapping_add(stable_key_hash(b"txn-coordinator-faults"));
         Plane {
-            injector: NetworkFaultInjector::new(plan, seed),
+            link: Link::new(plan, seed, COST_MODEL.link_latency_ns),
             wire_seq: 0,
         }
     }
@@ -439,13 +439,11 @@ impl Plane {
     }
 
     /// Carries `wire`, sent at `sent_at` from `src` to `dst`, to the
-    /// receiving end `end`. `open` opens the authentic frame if it arrives;
-    /// then the copy the adversary made, if any — a tampered one in the
-    /// authentic frame's place, a duplicate or a replayed older frame of the
-    /// same pair of addresses after it — goes through the same end, and
-    /// `refuses` says whether the end refused it. Returns the opened frame
-    /// with the time it landed, one link latency after it was sent (`None`
-    /// when it was lost or refused), and whether a copy was refused.
+    /// receiving end `end`. `open` opens the authentic frame if it lands;
+    /// then the copy the adversary made, if any, goes through the same end,
+    /// and `refuses` says whether the end refused it. Returns the opened
+    /// frame with the time it landed ([`Link::send`]; `None` when it was
+    /// lost or refused), and whether a copy was refused.
     pub(crate) fn cross<'w, E, T>(
         &mut self,
         (src, dst): (NodeId, NodeId),
@@ -456,17 +454,10 @@ impl Plane {
         refuses: impl FnOnce(&mut E, &[u8]) -> bool,
     ) -> (Option<(T, u64)>, bool) {
         self.wire_seq += 1;
-        let (lost, copy) = match self.injector.decide_frame(self.wire_seq, src, dst, wire) {
-            FrameFault::Deliver => (false, None),
-            FrameFault::Drop => (true, None),
-            FrameFault::Tamper(corrupted) => (true, Some(Cow::Owned(corrupted))),
-            FrameFault::Duplicate => (false, Some(Cow::Borrowed(wire))),
-            FrameFault::Replay(older) => (false, Some(Cow::Owned(older.payload))),
-        };
-        let arrives_at = sent_at + COST_MODEL.link_latency_ns;
-        let landed = if lost { None } else { open(end, wire) };
-        let refused = copy.is_some_and(|copy| refuses(end, &copy));
-        (landed.map(|opened| (opened, arrives_at)), refused)
+        let Landing { frame_at, copy, .. } = self.link.send(self.wire_seq, src, dst, sent_at, wire);
+        let landed = frame_at.and_then(|at| Some((open(end, wire)?, at)));
+        let refused = copy.is_some_and(|(_, copy)| refuses(end, copy.bytes(wire)));
+        (landed, refused)
     }
 }
 
@@ -474,7 +465,7 @@ impl Plane {
 // `DeploymentSpec::validate` admits: group-local replica ids sit at the
 // bottom of the space, the migration endpoints and the 2PC endpoints in a
 // block each above them (ordered where `recipe_protocols` defines them), the
-// injector's synthetic addresses at the very top.
+// plane's synthetic addresses at the very top.
 const _: () = {
     let lowest_synthetic = u64::MAX - 2 - (MAX_SHARDS as u64 - 1);
     assert!(MAX_REPLICAS_PER_SHARD as u64 <= MIGRATION_ENDPOINT_IDS.start);

@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
 
 use recipe_core::{ClientReply, ClientRequest, FramePool, Operation};
-use recipe_net::{CrashPlan, FaultPlan, FrameFault, NetworkFaultInjector, NodeId};
+use recipe_net::{CrashPlan, FaultPlan, Forged, Link, NodeId};
 use recipe_tee::TrustedInstant;
 use recipe_telemetry::{ChargeKind, CostBreakdown, CostCategory, ShardTelemetry, SpanKind};
 use serde::{Deserialize, Serialize};
@@ -379,7 +379,7 @@ pub struct ReplicaGroup<R: Replica> {
     /// `replicas[i].id()`, kept beside them for lookups in both directions.
     ids: Vec<NodeId>,
     config: SimConfig,
-    injector: NetworkFaultInjector,
+    link: Link,
     /// Time of the group's last event or submit; the calendar is the clock.
     now: u64,
     /// Each replica's books, in construction order.
@@ -418,11 +418,11 @@ impl<R: Replica> ReplicaGroup<R> {
             "one cost profile per replica"
         );
         let n = replicas.len();
-        let injector = NetworkFaultInjector::new(config.fault_plan, config.seed);
+        let link = Link::new(config.fault_plan, config.seed, COST_MODEL.link_latency_ns);
         ReplicaGroup {
             ids: replicas.iter().map(Replica::id).collect(),
             replicas,
-            injector,
+            link,
             now: 0,
             books: vec![NodeBooks::default(); n],
             crashed: BTreeSet::new(),
@@ -983,52 +983,43 @@ impl<R: Replica> ReplicaGroup<R> {
                 );
             }
 
-            // The Byzantine network decides the fate of the message.
+            // The Byzantine network decides what lands, and when.
             let to = self.index_of(dst);
-            let fault = self
-                .injector
-                .decide_frame(sched.next_seq(), src, dst, &bytes);
-            let extra_delay = self.injector.sample_extra_delay_ns();
-            let deliver_at = send_finish + COST_MODEL.link_latency_ns + extra_delay;
-            match fault {
-                FrameFault::Deliver => sched.deliver(deliver_at, src, to, bytes, ops),
-                FrameFault::Drop => {
-                    frames.give(bytes);
-                    self.messages.dropped += 1;
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.instant(SpanKind::FaultDrop, dst.0, self.now, ops as u64);
+            let wire_id = sched.next_seq();
+            let landing = self.link.send(wire_id, src, dst, send_finish, &bytes);
+            if let Some((at, forged)) = landing.copy {
+                let (kind, copy, copy_ops) = match forged {
+                    Forged::Tampered(corrupted) => {
+                        self.messages.tampered += 1;
+                        (SpanKind::FaultTamper, corrupted, ops)
                     }
-                }
-                FrameFault::Tamper(corrupted) => {
-                    frames.give(bytes);
-                    self.messages.tampered += 1;
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.instant(SpanKind::FaultTamper, dst.0, deliver_at, ops as u64);
+                    Forged::Duplicate => {
+                        self.messages.replayed += 1;
+                        let mut copy = frames.take(bytes.len());
+                        copy.extend_from_slice(&bytes);
+                        (SpanKind::FaultDuplicate, copy, ops)
                     }
-                    sched.deliver(deliver_at, src, to, corrupted, ops);
-                }
-                FrameFault::Duplicate => {
-                    self.messages.replayed += 1;
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.instant(SpanKind::FaultDuplicate, dst.0, deliver_at, ops as u64);
-                    }
-                    let mut copy = frames.take(bytes.len());
-                    copy.extend_from_slice(&bytes);
-                    sched.deliver(deliver_at, src, to, copy, ops);
-                    sched.deliver(deliver_at + 1, src, to, bytes, ops);
-                }
-                FrameFault::Replay(older) => {
-                    self.messages.replayed += 1;
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.instant(SpanKind::FaultReplay, dst.0, deliver_at, ops as u64);
-                    }
-                    sched.deliver(deliver_at, src, to, bytes, ops);
                     // The op count of a historical frame is unknown to the
-                    // adversary's replay buffer; the shield rejects it anyway,
-                    // so it is charged as a single message.
-                    let to = self.index_of(older.dst);
-                    sched.deliver(deliver_at + 1, older.src, to, older.payload, 1);
+                    // adversary's replay buffer; the shield rejects it
+                    // anyway, so it is charged as a single message.
+                    Forged::Replayed(older) => {
+                        self.messages.replayed += 1;
+                        (SpanKind::FaultReplay, older, 1)
+                    }
+                };
+                if let Some(t) = self.telemetry.as_mut() {
+                    t.instant(kind, dst.0, landing.due, ops as u64);
                 }
+                sched.deliver(at, src, to, copy, copy_ops);
+            } else if landing.frame_at.is_none() {
+                self.messages.dropped += 1;
+                if let Some(t) = self.telemetry.as_mut() {
+                    t.instant(SpanKind::FaultDrop, dst.0, self.now, ops as u64);
+                }
+            }
+            match landing.frame_at {
+                Some(at) => sched.deliver(at, src, to, bytes, ops),
+                None => frames.give(bytes),
             }
         }
 

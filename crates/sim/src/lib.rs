@@ -7,9 +7,8 @@
 //! * executes the *real* protocol logic and *real* cryptography of every replica
 //!   (replicas are [`replica::Replica`] state machines — the same code the examples
 //!   and integration tests run);
-//! * moves messages through a Byzantine network model
-//!   ([`recipe_net::NetworkFaultInjector`]) with configurable delays, drops,
-//!   duplication, tampering and replays;
+//! * moves messages through a Byzantine network model ([`recipe_net::Link`])
+//!   with configurable delays, drops, duplication, tampering and replays;
 //! * accounts the work each node performs through a calibrated cost model
 //!   ([`cost::CostProfile`]) driving a virtual clock, so throughput and latency
 //!   reported by [`cluster::RunStats`] reflect the *relative* behaviour of the

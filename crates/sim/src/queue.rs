@@ -2,7 +2,7 @@
 //!
 //! Events run in [`Key`] order: virtual time, then [`Owner`], then the order
 //! their owner scheduled them in. Each owner numbers its own pushes, so a
-//! group's `seq`, which its fault injector takes as a wire id, depends on
+//! group's `seq`, which its link takes as a wire id, depends on
 //! nothing another group or the driver does.
 //!
 //! A binary heap keeps that order by moving entries up and down, so what it

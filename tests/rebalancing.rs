@@ -338,6 +338,32 @@ fn duplicated_and_replayed_chunks_are_refused_and_the_move_completes() {
     check_run(&mut run.cluster, &mut run.history).unwrap();
 }
 
+/// The plane's delay reaches every chunk: on a plane that delays each frame
+/// by up to 1 ms the move still completes, and its cutover lands later than
+/// on a benign plane. (At up to 5 ms a catch-up round takes so long that the
+/// run's 2 400 operations end before the drain does.)
+#[test]
+fn a_delayed_plane_completes_the_move_and_cuts_over_later() {
+    let mut delayed = skewed_run_on(FaultPlan {
+        max_extra_delay_ns: 1_000_000,
+        ..FaultPlan::benign()
+    });
+    let benign = skewed_run_on(FaultPlan::benign());
+    let (m, b) = (&delayed.stats.migration, &benign.stats.migration);
+    assert!(m.migrations_completed >= 1, "no migration completed: {m:?}");
+    assert!(
+        m.last_cutover_ns > b.last_cutover_ns,
+        "delayed cutover at {} ns, benign at {} ns",
+        m.last_cutover_ns,
+        b.last_cutover_ns
+    );
+    assert_eq!(delayed.stats.total.committed, 2_400);
+    check_sharded_contract(&delayed.spec, &delayed.stats, None).unwrap();
+    assert!(delayed.cluster.quiesce());
+    delayed.cluster.gc_moved_ranges();
+    check_run(&mut delayed.cluster, &mut delayed.history).unwrap();
+}
+
 /// The scenario whose plane between groups duplicates and replays chunks
 /// passes its own expectations: the migration completes, nothing is lost.
 #[test]

@@ -194,6 +194,35 @@ fn atomicity_survives_dropped_and_reordered_2pc_frames() {
     check_run(&mut cluster, &mut history).unwrap();
 }
 
+/// The plane's delay reaches every 2PC leg: the same transactions on a
+/// plane that delays each frame by up to 5 ms take longer than on a benign
+/// one, and both runs keep 2PC's closed forms and a clean history.
+#[test]
+fn a_plane_delay_reaches_every_2pc_leg() {
+    let run = |plane: FaultPlan| {
+        let spec = txn_spec(3, 8, 300).with_plane_fault_plan(plane);
+        let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
+        let groups = key_groups(&cluster, 5, 3);
+        let mut history = History::default();
+        let stats = cluster.run_requests(history.record(group_txn_workload(groups)));
+        assert!(stats.total.committed >= 300);
+        check_sharded_contract(&spec, &stats, None).unwrap();
+        check_run(&mut cluster, &mut history).unwrap();
+        stats
+    };
+    let delayed = run(FaultPlan {
+        max_extra_delay_ns: 5_000_000,
+        ..FaultPlan::default()
+    });
+    let benign = run(FaultPlan::benign());
+    assert!(
+        delayed.total.mean_latency_us > benign.total.mean_latency_us,
+        "delayed {} us, benign {} us",
+        delayed.total.mean_latency_us,
+        benign.total.mean_latency_us
+    );
+}
+
 #[test]
 fn transactional_runs_are_bit_deterministic() {
     let run = |with_faults: bool| {
