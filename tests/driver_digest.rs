@@ -109,7 +109,7 @@ const PINS: [Pin; 9] = [
     Pin {
         name: "txn_byzantine",
         run: txn_byzantine,
-        digest: "78bff2d2a8a525b7387fbe488085a5a81925d1f7829cd3351cb05a9c25eda720",
+        digest: "2df48b411da1ed8572b7c6d09c634a4ccb9e7fecb17fa0c56b07810a68f85a16",
         contract: Some(txn_byzantine_spec),
     },
     Pin {
