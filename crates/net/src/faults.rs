@@ -152,7 +152,7 @@ impl CrashPlan {
 }
 
 /// What one frame sent over a [`Link`] becomes ([`Link::send`]).
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub struct Landing {
     /// When the frame was due: sent, plus the latency and the delay drawn.
     pub due: u64,
