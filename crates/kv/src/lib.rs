@@ -4,13 +4,15 @@
 //! choices that this crate reproduces:
 //!
 //! 1. **Partitioned placement** — keys and their metadata (the digest of the
-//!    value the host holds, the Lamport timestamp of the latest write and the
-//!    host slot holding the value; 72 bytes an index entry) live *inside* the
-//!    enclave, while the bulk values live in untrusted host memory. This keeps
-//!    the trusted working set small (limiting EPC pressure) while still letting
-//!    a replica verify the integrity of everything it reads, which is what
-//!    makes trustworthy **local reads** possible.
-//! 2. **Hashed index** — the enclave-resident index maps each key to its metadata
+//!    value the host holds and the Lamport timestamp of the latest write)
+//!    live *inside* the enclave, while the bulk values live in untrusted host
+//!    memory. The index maps each key to its slot (24 bytes an entry); the
+//!    slot numbers the key's metadata (48 bytes) in the enclave and its value
+//!    buffer on the host, both kept in fixed pages of slots that never move.
+//!    This keeps the trusted working set small (limiting EPC pressure) while
+//!    still letting a replica verify the integrity of everything it reads,
+//!    which is what makes trustworthy **local reads** possible.
+//! 2. **Hashed index** — the enclave-resident index maps each key to its slot
 //!    in a hash table, so a point operation is one probe. The paper builds its
 //!    index on folly's concurrent skiplist for lock-free ordered access; this
 //!    store runs on one thread, migration selects keys by hash arc rather than by

@@ -2,22 +2,28 @@
 //!
 //! Placement (paper §A.3, Figure 2):
 //!
-//! * **Enclave region** — the index mapping each key to its metadata: the
-//!   digest of what the host holds for the key, the Lamport timestamp of its
-//!   latest write and the host slot that holds its value. An entry is
-//!   72 bytes, the key's pointer included (the key's bytes lie beside it;
-//!   the value's length is the host buffer's, which the digest covers). It
-//!   is a hash table: a point operation is one probe, and the operations
-//!   that hand keys out in order (exports, recovery) sort the keys they
-//!   collect, so key order is the bytes' order, never the table's. The
-//!   paper's index is a skiplist; see the crate doc for why this one is not.
-//! * **Host region** — an arena of value buffers, one slot per key: the
-//!   value's bytes on a plaintext store (24 bytes a slot), the ciphertext and
-//!   the counter of the nonce it was sealed under on a confidential one (32
-//!   bytes). The host is untrusted: a Byzantine OS/hypervisor may corrupt or
-//!   delete these buffers at any time, which the store detects on every read
-//!   by re-hashing what the host holds and comparing against the
-//!   enclave-held hash.
+//! * **Enclave region** — the index mapping each key to its slot (24 bytes
+//!   an entry, the key's pointer included; the key's bytes lie beside it),
+//!   and each slot's metadata: the digest of what the host holds for the
+//!   key and the Lamport timestamp of its latest write (48 bytes; the
+//!   value's length is the host buffer's, which the digest covers). The
+//!   index is a hash table: a point operation is one probe, and the
+//!   operations that hand keys out in order (exports, recovery) sort the
+//!   keys they collect, so key order is the bytes' order, never the
+//!   table's. The paper's index is a skiplist; see the crate doc for why
+//!   this one is not.
+//! * **Host region** — value buffers, one slot per key: the value's bytes
+//!   on a plaintext store (24 bytes a slot), the ciphertext and the counter
+//!   of the nonce it was sealed under on a confidential one (32 bytes). The
+//!   host is untrusted: a Byzantine OS/hypervisor may corrupt or delete
+//!   these buffers at any time, which the store detects on every read by
+//!   re-hashing what the host holds and comparing against the enclave-held
+//!   hash.
+//!
+//! A key's slot numbers its metadata and its host buffer alike. Both live in
+//! pages of [`SLOT_PAGE`] slots ([`Slots`]), each allocated once at its exact
+//! size and never moved, so the per-key state grows by one page at a time
+//! rather than by doubling. A deleted key's slot is taken by the next new key.
 //!
 //! In confidential mode the store encrypts values before placing them in the host
 //! arena and decrypts them (after integrity verification) on reads, so plaintext data
@@ -53,6 +59,7 @@
 //! replica.
 
 use std::collections::HashMap;
+use std::ops::{Index, IndexMut};
 
 use recipe_crypto::{hash_parts, Cipher, CipherKey, Digest, Nonce};
 
@@ -81,7 +88,7 @@ impl StoreConfig {
 /// taken for a plaintext one's.
 const SEALED_VALUE_DOMAIN: &[u8] = b"recipe.kv_sealed.v1";
 
-/// Metadata held inside the enclave for every key.
+/// Metadata held inside the enclave for every key, in the key's slot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct ValueMeta {
     /// Digest of what the host holds for the key, bound to the key
@@ -89,8 +96,6 @@ struct ValueMeta {
     value_hash: Digest,
     /// Lamport timestamp of the latest write; it orders the key's writes.
     timestamp: Timestamp,
-    /// Slot in the host arena holding the (possibly encrypted) value bytes.
-    host_slot: u32,
 }
 
 /// What a confidential store's host slot holds: the value sealed under the
@@ -101,10 +106,74 @@ struct SealedSlot {
     counter: u64,
 }
 
-// What the store keeps per key: the index entry and one host slot.
-const _: () = assert!(size_of::<(Box<[u8]>, ValueMeta)>() == 72);
+// What the store keeps per key: the index entry, the enclave metadata and
+// one host slot.
+const _: () = assert!(size_of::<(Box<[u8]>, u32)>() == 24);
+const _: () = assert!(size_of::<ValueMeta>() == 48);
 const _: () = assert!(size_of::<Option<Vec<u8>>>() == 24);
 const _: () = assert!(size_of::<Option<SealedSlot>>() == 32);
+
+/// Slots in one page of [`Slots`].
+const SLOT_PAGE: usize = 64;
+
+/// Entries numbered from zero, kept in pages of [`SLOT_PAGE`]. A page is
+/// allocated once, at its exact size, when the one before it is full, and
+/// never moves: the entries grow by a page at a time, with none of the
+/// slack a doubling vector leaves.
+struct Slots<T> {
+    pages: Vec<Vec<T>>,
+}
+
+impl<T> Slots<T> {
+    const fn new() -> Self {
+        Slots { pages: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.pages
+            .last()
+            .map_or(0, |last| (self.pages.len() - 1) * SLOT_PAGE + last.len())
+    }
+
+    /// Appends `entry` as the next slot, opening a page when the last one is
+    /// full. Returns the slot's number.
+    fn push(&mut self, entry: T) -> usize {
+        let slot = self.len();
+        match self.pages.last_mut() {
+            Some(page) if page.len() < SLOT_PAGE => page.push(entry),
+            _ => {
+                let mut page = Vec::with_capacity(SLOT_PAGE);
+                page.push(entry);
+                self.pages.push(page);
+            }
+        }
+        slot
+    }
+
+    fn get(&self, slot: usize) -> Option<&T> {
+        self.pages.get(slot / SLOT_PAGE)?.get(slot % SLOT_PAGE)
+    }
+
+    fn get_mut(&mut self, slot: usize) -> Option<&mut T> {
+        self.pages
+            .get_mut(slot / SLOT_PAGE)?
+            .get_mut(slot % SLOT_PAGE)
+    }
+}
+
+impl<T> Index<usize> for Slots<T> {
+    type Output = T;
+
+    fn index(&self, slot: usize) -> &T {
+        &self.pages[slot / SLOT_PAGE][slot % SLOT_PAGE]
+    }
+}
+
+impl<T> IndexMut<usize> for Slots<T> {
+    fn index_mut(&mut self, slot: usize) -> &mut T {
+        &mut self.pages[slot / SLOT_PAGE][slot % SLOT_PAGE]
+    }
+}
 
 /// The nonce a sealed value's stored counter names.
 fn sealing_nonce(counter: u64) -> Nonce {
@@ -123,34 +192,26 @@ fn sealed_digest(key: &[u8], nonce: &Nonce, ciphertext: &[u8]) -> Digest {
 }
 
 /// The untrusted host's memory: one slot per key, emptied when the key is
-/// deleted (or by the host itself), and one vector either way.
+/// deleted (or by the host itself), and one [`Slots`] either way.
 enum HostArena {
     /// A plaintext store's slots: each value's bytes.
-    Plain(Vec<Option<Vec<u8>>>),
+    Plain(Slots<Option<Vec<u8>>>),
     /// A confidential store's slots, the cipher that seals and opens them,
     /// and the counter of the last nonce it sealed under.
     Sealed {
         cipher: Cipher,
         counter: u64,
-        slots: Vec<Option<SealedSlot>>,
+        slots: Slots<Option<SealedSlot>>,
     },
 }
 
 impl HostArena {
-    fn len(&self) -> usize {
-        match self {
-            HostArena::Plain(slots) => slots.len(),
-            HostArena::Sealed { slots, .. } => slots.len(),
-        }
-    }
-
     /// A new empty slot at the end of the arena.
     fn push_empty(&mut self) -> usize {
         match self {
             HostArena::Plain(slots) => slots.push(None),
             HostArena::Sealed { slots, .. } => slots.push(None),
         }
-        self.len() - 1
     }
 
     /// Puts `value` in `slot`, sealed under the next nonce on a
@@ -284,9 +345,12 @@ pub type ExportedEntry = (Vec<u8>, Vec<u8>, Timestamp);
 
 /// The partitioned key-value store.
 pub struct PartitionedKvStore {
-    /// Keys are client-chosen, so the table keeps std's randomly keyed
-    /// SipHash: no client can aim keys at one bucket.
-    index: HashMap<Box<[u8]>, ValueMeta>,
+    /// Each key's slot. Keys are client-chosen, so the table keeps std's
+    /// randomly keyed SipHash: no client can aim keys at one bucket.
+    index: HashMap<Box<[u8]>, u32>,
+    /// Each slot's enclave metadata; a free slot keeps its last key's until
+    /// a new key takes it.
+    meta: Slots<ValueMeta>,
     host_arena: HostArena,
     free_slots: Vec<u32>,
     /// Transaction locks + staged writes (enclave-resident, like the index).
@@ -297,15 +361,16 @@ impl PartitionedKvStore {
     /// Creates an empty store (`init_store()` in Table 3).
     pub fn new(config: StoreConfig) -> Self {
         let host_arena = match &config.cipher_key {
-            None => HostArena::Plain(Vec::new()),
+            None => HostArena::Plain(Slots::new()),
             Some(key) => HostArena::Sealed {
                 cipher: Cipher::new(key),
                 counter: 0,
-                slots: Vec::new(),
+                slots: Slots::new(),
             },
         };
         PartitionedKvStore {
             index: HashMap::new(),
+            meta: Slots::new(),
             host_arena,
             free_slots: Vec::new(),
             txns: TxnTable::default(),
@@ -344,26 +409,34 @@ impl PartitionedKvStore {
         timestamp: Timestamp,
     ) -> Option<Vec<u8>> {
         // An overwrite is one probe: the key keeps its slot. A new key takes
-        // a free host slot and enters the table.
-        if let Some(meta) = self.index.get_mut(key) {
-            let (value_hash, displaced) =
-                self.host_arena.place(key, meta.host_slot as usize, value);
-            meta.value_hash = value_hash;
-            meta.timestamp = timestamp;
+        // a free slot and enters the table.
+        if let Some(&slot) = self.index.get(key) {
+            let slot = slot as usize;
+            let (value_hash, displaced) = self.host_arena.place(key, slot, value);
+            self.meta[slot] = ValueMeta {
+                value_hash,
+                timestamp,
+            };
             return displaced;
         }
-        let host_slot = match self.free_slots.pop() {
+        let slot = match self.free_slots.pop() {
             Some(slot) => slot as usize,
             None => self.host_arena.push_empty(),
         };
-        let (value_hash, _) = self.host_arena.place(key, host_slot, value);
+        let (value_hash, _) = self.host_arena.place(key, slot, value);
         let meta = ValueMeta {
             value_hash,
             timestamp,
-            // recipe-lint: allow(unwrap-in-lib, reason = "a slot per key: four billion keys would fill 288 GB of index first")
-            host_slot: u32::try_from(host_slot).expect("fewer than 2^32 host slots"),
         };
-        self.index.insert(key.into(), meta);
+        match self.meta.get_mut(slot) {
+            Some(freed) => *freed = meta,
+            None => {
+                self.meta.push(meta);
+            }
+        }
+        // recipe-lint: allow(unwrap-in-lib, reason = "a slot per key: four billion keys would fill 96 GB of index first")
+        let slot = u32::try_from(slot).expect("fewer than 2^32 slots");
+        self.index.insert(key.into(), slot);
         None
     }
 
@@ -371,8 +444,8 @@ impl PartitionedKvStore {
     /// (the ABD write rule). Returns `true` if the write was applied,
     /// `false` if it was skipped as stale.
     pub fn write_if_newer(&mut self, key: &[u8], value: &[u8], timestamp: Timestamp) -> bool {
-        if let Some(meta) = self.index.get(key) {
-            if timestamp <= meta.timestamp {
+        if let Some(stored) = self.timestamp_of(key) {
+            if timestamp <= stored {
                 return false;
             }
         }
@@ -398,14 +471,15 @@ impl PartitionedKvStore {
     /// ([`VerifiedRead::copy_into`]), so a value that fails is refused
     /// before any byte is copied or any keystream made.
     pub fn read(&self, key: &[u8]) -> Result<VerifiedRead<'_>, KvError> {
-        let meta = self.index.get(key).ok_or(KvError::NotFound)?;
-        self.verified(key, meta)
+        let &slot = self.index.get(key).ok_or(KvError::NotFound)?;
+        self.verified(key, slot)
     }
 
-    /// [`Self::read`] of `key`, whose index entry is `meta`: the one check
-    /// every read and every rehydration makes.
-    fn verified<'a>(&'a self, key: &[u8], meta: &ValueMeta) -> Result<VerifiedRead<'a>, KvError> {
-        let slot = meta.host_slot as usize;
+    /// [`Self::read`] of `key`, whose slot is `slot`: the one check every
+    /// read and every rehydration makes.
+    fn verified(&self, key: &[u8], slot: u32) -> Result<VerifiedRead<'_>, KvError> {
+        let slot = slot as usize;
+        let meta = &self.meta[slot];
         let (bytes, sealed) = self.host_arena.verified(key, slot, &meta.value_hash)?;
         Ok(VerifiedRead {
             bytes,
@@ -417,15 +491,17 @@ impl PartitionedKvStore {
     /// Returns only the timestamp stored for `key` (ABD's first round reads
     /// timestamps without moving values).
     pub fn timestamp_of(&self, key: &[u8]) -> Option<Timestamp> {
-        self.index.get(key).map(|meta| meta.timestamp)
+        self.index
+            .get(key)
+            .map(|&slot| self.meta[slot as usize].timestamp)
     }
 
     /// Deletes `key`. Returns `true` if it existed.
     pub(crate) fn delete(&mut self, key: &[u8]) -> bool {
         match self.index.remove(key) {
-            Some(meta) => {
-                self.host_arena.take(meta.host_slot as usize);
-                self.free_slots.push(meta.host_slot);
+            Some(slot) => {
+                self.host_arena.take(slot as usize);
+                self.free_slots.push(slot);
                 true
             }
             None => false,
@@ -434,15 +510,17 @@ impl PartitionedKvStore {
 
     /// The highest timestamp any stored key carries; `None` when empty.
     pub fn newest_timestamp(&self) -> Option<Timestamp> {
-        self.unordered().map(|(_, meta)| meta.timestamp).max()
+        self.unordered()
+            .map(|(_, slot)| self.meta[slot as usize].timestamp)
+            .max()
     }
 
     /// The index in hash order, which differs from process to process. The
     /// one place the table is walked: each caller sorts what it collects
     /// ([`Self::sorted_keys`]) or folds with an order-blind `max` or sum.
-    fn unordered(&self) -> impl Iterator<Item = (&[u8], &ValueMeta)> {
+    fn unordered(&self) -> impl Iterator<Item = (&[u8], u32)> {
         // recipe-lint: allow(hash-iteration, reason = "callers sort the keys they collect (sorted_keys, rehydrate) or fold with max/sum, which no order changes")
-        self.index.iter().map(|(key, meta)| (&**key, meta))
+        self.index.iter().map(|(key, &slot)| (&**key, slot))
     }
 
     /// The keys `filter` selects, in ascending byte order: what every export
@@ -468,8 +546,8 @@ impl PartitionedKvStore {
         let mut verified = 0u64;
         let mut bytes = 0u64;
         let mut failed = Vec::new();
-        for (key, meta) in self.unordered() {
-            match self.verified(key, meta) {
+        for (key, slot) in self.unordered() {
+            match self.verified(key, slot) {
                 Ok(read) => {
                     verified += 1;
                     bytes += (key.len() + read.value_len()) as u64;
@@ -685,10 +763,10 @@ impl PartitionedKvStore {
     /// Simulates a Byzantine host flipping bits in the stored value for `key`.
     /// Returns `true` if there was a value to corrupt.
     pub fn corrupt_host_value(&mut self, key: &[u8]) -> bool {
-        let Some(meta) = self.index.get(key) else {
+        let Some(&slot) = self.index.get(key) else {
             return false;
         };
-        match self.host_arena.bytes_mut(meta.host_slot as usize) {
+        match self.host_arena.bytes_mut(slot as usize) {
             Some(bytes) => {
                 match bytes.first_mut() {
                     Some(first) => *first ^= 0xFF,
@@ -704,20 +782,18 @@ impl PartitionedKvStore {
     /// the enclave metadata untouched.
     #[cfg(test)]
     pub(crate) fn drop_host_value(&mut self, key: &[u8]) -> bool {
-        let Some(meta) = self.index.get(key) else {
+        let Some(&slot) = self.index.get(key) else {
             return false;
         };
-        self.host_arena.take(meta.host_slot as usize).is_some()
+        self.host_arena.take(slot as usize).is_some()
     }
 
     /// Returns a snapshot of the raw bytes the untrusted host can observe for `key`.
     /// Confidential stores expose only ciphertext here — the basis of the
     /// "host learns nothing" tests.
     pub fn host_visible_bytes(&self, key: &[u8]) -> Option<Vec<u8>> {
-        let meta = self.index.get(key)?;
-        self.host_arena
-            .bytes(meta.host_slot as usize)
-            .map(<[u8]>::to_vec)
+        let &slot = self.index.get(key)?;
+        self.host_arena.bytes(slot as usize).map(<[u8]>::to_vec)
     }
 }
 
@@ -829,12 +905,25 @@ mod tests {
         ));
     }
 
+    /// The slot `key` has.
+    fn slot_of(store: &PartitionedKvStore, key: &[u8]) -> usize {
+        store.index[key] as usize
+    }
+
+    /// How many host slots `store` has.
+    fn host_len(store: &PartitionedKvStore) -> usize {
+        match &store.host_arena {
+            HostArena::Plain(slots) => slots.len(),
+            HostArena::Sealed { slots, .. } => slots.len(),
+        }
+    }
+
     /// The sealed slots of a confidential store and the slot `key` has.
     fn sealed_slot<'a>(
         store: &'a mut PartitionedKvStore,
         key: &[u8],
-    ) -> (&'a mut Vec<Option<SealedSlot>>, usize) {
-        let slot = store.index.get(key).unwrap().host_slot as usize;
+    ) -> (&'a mut Slots<Option<SealedSlot>>, usize) {
+        let slot = slot_of(store, key);
         let HostArena::Sealed { slots, .. } = &mut store.host_arena else {
             panic!("a confidential store seals");
         };
@@ -929,11 +1018,128 @@ mod tests {
         store.write(b"a", b"1", Timestamp::new(1, 0)).unwrap();
         store.write(b"b", b"2", Timestamp::new(1, 0)).unwrap();
         assert!(store.delete(b"a"));
-        let arena_len = store.host_arena.len();
+        let arena_len = host_len(&store);
         store.write(b"c", b"3", Timestamp::new(1, 0)).unwrap();
-        assert_eq!(store.host_arena.len(), arena_len);
+        assert_eq!((host_len(&store), store.meta.len()), (arena_len, arena_len));
         assert_eq!(keys(&store).len(), 2);
         assert_eq!(keys(&store), vec![b"b".to_vec(), b"c".to_vec()]);
+    }
+
+    /// Slots fill page after page, each page allocated at its exact size
+    /// and never moved by the pages after it.
+    #[test]
+    fn slots_fill_fixed_pages_that_never_move() {
+        let mut slots = Slots::new();
+        assert_eq!((slots.len(), slots.get(0)), (0, None));
+        let first = slots.push(0usize);
+        let page = slots.pages[0].as_ptr();
+        for n in 1..3 * SLOT_PAGE + 5 {
+            assert_eq!(slots.push(n), n);
+        }
+        assert_eq!((first, slots.len()), (0, 3 * SLOT_PAGE + 5));
+        assert_eq!(slots.pages.len(), 4);
+        assert!(slots.pages.iter().all(|p| p.capacity() == SLOT_PAGE));
+        assert_eq!(slots.pages[0].as_ptr(), page);
+        for n in 0..slots.len() {
+            assert_eq!((slots[n], slots.get(n)), (n, Some(&n)));
+        }
+        assert_eq!(slots.get(slots.len()), None);
+        slots[SLOT_PAGE + 1] = 7;
+        *slots.get_mut(2 * SLOT_PAGE).unwrap() += 1;
+        assert_eq!(
+            (slots[SLOT_PAGE + 1], slots[2 * SLOT_PAGE]),
+            (7, 2 * SLOT_PAGE + 1)
+        );
+        assert_eq!(slots.get_mut(slots.len()), None);
+    }
+
+    fn paged_key(i: usize) -> Vec<u8> {
+        format!("key-{i:04}").into_bytes()
+    }
+
+    fn paged_value(i: usize) -> Vec<u8> {
+        format!("value-{i}").into_bytes()
+    }
+
+    /// A store whose keys fill three pages and part of a fourth.
+    fn paged_store(mut store: PartitionedKvStore) -> PartitionedKvStore {
+        for i in 0..3 * SLOT_PAGE + 10 {
+            let ts = Timestamp::new(i as u64 + 1, 0);
+            store.write(&paged_key(i), &paged_value(i), ts).unwrap();
+        }
+        store
+    }
+
+    /// Keys deleted from every page give their slots to new keys: a reused
+    /// slot serves only the key that holds it now, and the deleted key
+    /// reads `NotFound`, timestamp and all.
+    #[test]
+    fn a_reused_slot_never_serves_the_key_deleted_from_it() {
+        for store in [plain_store(), confidential_store()] {
+            let mut store = paged_store(store);
+            let slots = host_len(&store);
+            assert_eq!((slots, store.meta.len()), (3 * SLOT_PAGE + 10, slots));
+            let deleted: Vec<usize> = (0..slots).step_by(SLOT_PAGE / 2 + 1).collect();
+            for &i in &deleted {
+                assert!(store.delete(&paged_key(i)));
+            }
+            for (n, &i) in deleted.iter().enumerate() {
+                let key = format!("new-{i}").into_bytes();
+                let ts = Timestamp::new(1_000 + n as u64, 1);
+                store.write(&key, &paged_value(i + 1), ts).unwrap();
+                let read = store.get(&key).unwrap();
+                assert_eq!((read.value, read.timestamp), (paged_value(i + 1), ts));
+                assert!(slot_of(&store, &key) < slots);
+            }
+            assert_eq!((host_len(&store), store.meta.len()), (slots, slots));
+            for i in 0..slots {
+                let key = paged_key(i);
+                if deleted.contains(&i) {
+                    assert_eq!(store.get(&key), Err(KvError::NotFound));
+                    assert_eq!(store.timestamp_of(&key), None);
+                } else {
+                    assert_eq!(store.get(&key).unwrap().value, paged_value(i));
+                }
+            }
+            let (verified, discarded, _) = store.rehydrate();
+            assert_eq!((verified, discarded), (slots as u64, 0));
+        }
+    }
+
+    /// A Byzantine host that flips or drops a value in a later page is
+    /// refused there as in the first, and its neighbours still verify.
+    #[test]
+    fn host_tampering_in_a_later_page_is_refused_on_read() {
+        for confidential in [false, true] {
+            let new_store = if confidential {
+                confidential_store
+            } else {
+                plain_store
+            };
+            let mut store = paged_store(new_store());
+            let (flipped, dropped) = (paged_key(SLOT_PAGE + 3), paged_key(SLOT_PAGE + 4));
+            assert_eq!(slot_of(&store, &flipped) / SLOT_PAGE, 1);
+            assert_eq!(slot_of(&store, &dropped) / SLOT_PAGE, 1);
+            assert!(store.corrupt_host_value(&flipped));
+            assert!(store.drop_host_value(&dropped));
+            let tampered = if confidential {
+                KvError::DecryptionFailed {
+                    key: flipped.clone(),
+                }
+            } else {
+                KvError::IntegrityViolation {
+                    key: flipped.clone(),
+                }
+            };
+            assert_eq!(store.get(&flipped), Err(tampered));
+            let missing = KvError::HostValueMissing {
+                key: dropped.clone(),
+            };
+            assert_eq!(store.get(&dropped), Err(missing));
+            for i in [SLOT_PAGE + 2, SLOT_PAGE + 5, 2 * SLOT_PAGE] {
+                assert_eq!(store.get(&paged_key(i)).unwrap().value, paged_value(i));
+            }
+        }
     }
 
     #[test]
@@ -1018,8 +1224,7 @@ mod tests {
             let at = value.as_ptr();
             store.write_owned(b"k", value, Timestamp::new(1, 0));
             // The arena holds the caller's allocation, sealed or not.
-            let slot = store.index.get(b"k".as_slice()).unwrap().host_slot;
-            let kept = store.host_arena.bytes(slot as usize).unwrap();
+            let kept = store.host_arena.bytes(slot_of(&store, b"k")).unwrap();
             assert_eq!(kept.as_ptr(), at);
             assert_eq!(store.get(b"k").unwrap().value, b"balance=100".repeat(8));
         }
@@ -1062,8 +1267,8 @@ mod tests {
             let written = owned.write_owned(b"k", b"balance=100".to_vec(), first);
             assert_eq!(written, None);
             let held = owned.host_visible_bytes(b"k").unwrap();
-            let slot = owned.index.get(b"k".as_slice()).unwrap().host_slot;
-            let at = owned.host_arena.bytes(slot as usize).unwrap().as_ptr();
+            let slot = slot_of(&owned, b"k");
+            let at = owned.host_arena.bytes(slot).unwrap().as_ptr();
 
             let displaced = owned
                 .write_owned(b"k", b"balance=000".to_vec(), second)

@@ -31,7 +31,8 @@ use recipe_shard::{request_from_workload, workload_from_op};
 use recipe_workload::{stable_key_hash, TxnWorkloadSpec, WorkloadOp, WorkloadRequest};
 use serde::{Serialize, Value};
 
-/// Wraps [`System`], counting the calls that take memory on an armed thread.
+/// Wraps [`System`], counting the calls that take memory on an armed thread
+/// and the live heap they leave.
 struct CountingAlloc;
 
 // Const-initialised cells of a type without a destructor: reading them from
@@ -40,16 +41,32 @@ thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    // Live bytes since arming, and their highest value. Signed: freeing a
+    // block allocated before arming takes the live count below zero, which
+    // is harmless as long as it is not mistaken for a huge heap.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-/// Counts one request for `bytes` (a `realloc` asks for its new size).
-fn count(bytes: usize) {
+/// Counts one request for `bytes` (a `realloc` asks for its new size) that
+/// frees `freed` (a `realloc`'s old size), or only the free when `bytes` is
+/// `None` (a `dealloc`).
+fn count(bytes: Option<usize>, freed: usize) {
     // `try_with`: a thread being torn down has no cells left to count in.
     let _ = ARMED.try_with(|armed| {
-        if armed.get() {
+        if !armed.get() {
+            return;
+        }
+        if let Some(bytes) = bytes {
             ALLOCS.with(|allocs| allocs.set(allocs.get() + 1));
             BYTES.with(|total| total.set(total.get() + bytes as u64));
         }
+        let grown = bytes.unwrap_or(0) as i64 - freed as i64;
+        let live = LIVE.with(|live| {
+            live.set(live.get() + grown);
+            live.get()
+        });
+        PEAK.with(|peak| peak.set(peak.get().max(live)));
     });
 }
 
@@ -58,24 +75,25 @@ fn count(bytes: usize) {
 // const-initialised thread-local cells and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(Some(layout.size()), 0);
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(Some(layout.size()), 0);
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        count(Some(new_size), layout.size());
         // SAFETY: the caller's arguments are passed through as received.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(None, layout.size());
         // SAFETY: the caller's `ptr` and `layout` are passed through.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -86,19 +104,36 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// `work`'s result and the allocations it made on this thread.
 fn allocations_in<T>(work: impl FnOnce() -> T) -> (T, u64) {
-    let (result, allocs, _) = heap_use_in(work);
-    (result, allocs)
+    let (result, heap) = heap_use_in(work);
+    (result, heap.allocs)
 }
 
-/// `work`'s result, and the allocations it made on this thread and the
-/// bytes they asked for.
-fn heap_use_in<T>(work: impl FnOnce() -> T) -> (T, u64, u64) {
+/// What one piece of work did to its thread's heap.
+struct HeapUse {
+    /// Allocation requests (`alloc`, `alloc_zeroed` and `realloc`).
+    allocs: u64,
+    /// Bytes they asked for.
+    bytes: u64,
+    /// The highest the live heap climbed above where it stood at the start
+    /// (the peak starts at zero, so it is never negative).
+    peak_live_bytes: u64,
+}
+
+/// `work`'s result and what it did to this thread's heap.
+fn heap_use_in<T>(work: impl FnOnce() -> T) -> (T, HeapUse) {
     ALLOCS.with(|allocs| allocs.set(0));
     BYTES.with(|bytes| bytes.set(0));
+    LIVE.with(|live| live.set(0));
+    PEAK.with(|peak| peak.set(0));
     ARMED.with(|armed| armed.set(true));
     let result = work();
     ARMED.with(|armed| armed.set(false));
-    (result, ALLOCS.with(Cell::get), BYTES.with(Cell::get))
+    let heap = HeapUse {
+        allocs: ALLOCS.with(Cell::get),
+        bytes: BYTES.with(Cell::get),
+        peak_live_bytes: PEAK.with(Cell::get) as u64,
+    };
+    (result, heap)
 }
 
 const CLIENTS: u64 = 48;
@@ -397,8 +432,9 @@ fn counts_per_op(path: &str, value: &Value, committed: u64, out: &mut Vec<(Strin
 }
 
 /// One workload file, read and left as it is, run at [`SEED`] under Raft
-/// until `ops` operations commit: its heap use and every count of its stats
-/// per committed op, and the virtual clock's figures.
+/// until `ops` operations commit: its allocations and bytes and every count
+/// of its stats per committed op, its live heap's peak, and the virtual
+/// clock's figures.
 fn work_counts(name: &str, ops: usize) -> Value {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("wall_bench/workloads")
@@ -413,7 +449,7 @@ fn work_counts(name: &str, ops: usize) -> Value {
         WorkloadKind::Single(base) | WorkloadKind::HotShard { base, .. } => base.seed = SEED,
         WorkloadKind::Txn(txn) => txn.base.seed = SEED,
     }
-    let (outcome, allocs, bytes) = heap_use_in(|| run_protocol(&scenario, Protocol::Raft));
+    let (outcome, heap) = heap_use_in(|| run_protocol(&scenario, Protocol::Raft));
     assert!(outcome.passed(), "{name}: {:?}", outcome.failures);
     let total = &outcome.stats.total;
     let committed = total.committed;
@@ -421,8 +457,18 @@ fn work_counts(name: &str, ops: usize) -> Value {
     counts_per_op("", &outcome.stats.to_value(), committed, &mut counts);
     Value::Map(vec![
         ("committed".into(), Value::Int(committed.into())),
-        ("allocs_per_op".into(), per_op(allocs as f64, committed)),
-        ("alloc_bytes_per_op".into(), per_op(bytes as f64, committed)),
+        (
+            "allocs_per_op".into(),
+            per_op(heap.allocs as f64, committed),
+        ),
+        (
+            "alloc_bytes_per_op".into(),
+            per_op(heap.bytes as f64, committed),
+        ),
+        (
+            "peak_live_bytes".into(),
+            Value::Int(heap.peak_live_bytes.into()),
+        ),
         ("counts_per_op".into(), Value::Map(counts)),
         ("virt_ops_per_s".into(), Value::Float(total.throughput_ops)),
         ("virt_mean_us".into(), Value::Float(total.mean_latency_us)),
@@ -431,12 +477,13 @@ fn work_counts(name: &str, ops: usize) -> Value {
 }
 
 /// The benchmark's five workloads, each run once at seed 1: allocations and
-/// bytes per committed op, every count of the run's stats per op and the
-/// virtual-clock figures are `crates/bench/baselines/BENCH_work.json` byte
-/// for byte. Every figure is exact for a seed, and a debug and a release
-/// build give the same file. A change that moves one regenerates the file
-/// in the same commit (the fresh one is written where the failure says),
-/// so its diff shows what the change did to the work per op.
+/// bytes per committed op, the live heap's peak, every count of the run's
+/// stats per op and the virtual-clock figures are
+/// `crates/bench/baselines/BENCH_work.json` byte for byte. Every figure is
+/// exact for a seed, and a debug and a release build give the same file. A
+/// change that moves one regenerates the file in the same commit (the fresh
+/// one is written where the failure says), so its diff shows what the
+/// change did to the work per op.
 #[test]
 fn the_workloads_do_the_committed_work_per_op() {
     let workloads = WORKLOADS
