@@ -49,17 +49,20 @@ fn main() {
     let mut metrics = Vec::new();
     let mut failed = false;
     for outcome in &outcomes {
-        let total = &outcome.stats.total;
+        let (total, migration) = (&outcome.stats.total, &outcome.stats.migration);
         println!(
             "\n[{}] committed {} ops in {:.2} virtual s ({:.0} ops/s), p99 {:.1} us, \
-             migrations {} ({} chunks refused), txns {}/{} committed/aborted, view changes {}",
+             migrations {}/{} started/completed ({} chunks shipped, {} copies refused), \
+             txns {}/{} committed/aborted, view changes {}",
             outcome.protocol,
             total.committed,
             total.elapsed_secs,
             total.throughput_ops,
             total.p99_latency_us,
-            outcome.stats.migration.migrations_completed,
-            outcome.stats.migration.chunks_rejected,
+            migration.migrations_started,
+            migration.migrations_completed,
+            migration.chunks,
+            migration.chunks_rejected,
             outcome.stats.txn.committed,
             outcome.stats.txn.aborted,
             outcome.view_changes,
@@ -78,6 +81,14 @@ fn main() {
                 total.throughput_ops,
             ),
             BenchMetric::new(format!("{prefix}_p99_us"), total.p99_latency_us),
+            BenchMetric::new(
+                format!("{prefix}_migration_chunks"),
+                migration.chunks as f64,
+            ),
+            BenchMetric::new(
+                format!("{prefix}_chunks_rejected"),
+                migration.chunks_rejected as f64,
+            ),
         ]);
         if let (Some(dir), Some(report)) = (&telemetry_dir, &outcome.telemetry) {
             std::fs::create_dir_all(dir).expect("telemetry dir created");

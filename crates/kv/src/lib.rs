@@ -6,7 +6,7 @@
 //! 1. **Partitioned placement** — keys and their metadata (the digest of the
 //!    value the host holds and the Lamport timestamp of the latest write)
 //!    live *inside* the enclave, while the bulk values live in untrusted host
-//!    memory. The index maps each key to its slot (24 bytes an entry); the
+//!    memory. The index maps each key to its slot (16 bytes an entry); the
 //!    slot numbers the key's metadata (48 bytes) in the enclave and its value
 //!    buffer on the host, both kept in fixed pages of slots that never move.
 //!    This keeps the trusted working set small (limiting EPC pressure) while

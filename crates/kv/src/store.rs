@@ -2,9 +2,9 @@
 //!
 //! Placement (paper §A.3, Figure 2):
 //!
-//! * **Enclave region** — the index mapping each key to its slot (24 bytes
-//!   an entry, the key's pointer included; the key's bytes lie beside it),
-//!   and each slot's metadata: the digest of what the host holds for the
+//! * **Enclave region** — the index mapping each key to its slot (16 bytes
+//!   an entry: one pointer to the key's bytes with the slot's four after
+//!   them, [`IndexEntry`]), and each slot's metadata: the digest of what the host holds for the
 //!   key and the Lamport timestamp of its latest write (48 bytes; the
 //!   value's length is the host buffer's, which the digest covers). The
 //!   index is a hash table: a point operation is one probe, and the
@@ -58,7 +58,9 @@
 //! different values under one keystream; `recipe-protocols` derives it per
 //! replica.
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 use std::ops::{Index, IndexMut};
 
 use recipe_crypto::{hash_parts, Cipher, CipherKey, Digest, Nonce};
@@ -108,10 +110,59 @@ struct SealedSlot {
 
 // What the store keeps per key: the index entry, the enclave metadata and
 // one host slot.
-const _: () = assert!(size_of::<(Box<[u8]>, u32)>() == 24);
+const _: () = assert!(size_of::<IndexEntry>() == 16);
 const _: () = assert!(size_of::<ValueMeta>() == 48);
 const _: () = assert!(size_of::<Option<Vec<u8>>>() == 24);
 const _: () = assert!(size_of::<Option<SealedSlot>>() == 32);
+
+/// Bytes of the slot number at the end of an [`IndexEntry`].
+const SLOT_BYTES: usize = size_of::<u32>();
+
+/// A key's index entry: its bytes and its slot (`u32`, little-endian) after
+/// them, in one box — 16 bytes in the table, where a key and a separate
+/// slot would pad to 24. Hashing, equality and [`Borrow<[u8]>`] see the
+/// key's bytes alone, so the table is probed by key.
+struct IndexEntry(Box<[u8]>);
+
+impl IndexEntry {
+    fn new(key: &[u8], slot: u32) -> Self {
+        let mut bytes = Vec::with_capacity(key.len() + SLOT_BYTES);
+        bytes.extend_from_slice(key);
+        bytes.extend_from_slice(&slot.to_le_bytes());
+        IndexEntry(bytes.into_boxed_slice())
+    }
+
+    fn key(&self) -> &[u8] {
+        &self.0[..self.0.len() - SLOT_BYTES]
+    }
+
+    fn slot(&self) -> u32 {
+        let slot = &self.0[self.0.len() - SLOT_BYTES..];
+        slot.iter()
+            .rev()
+            .fold(0, |high, &byte| high << 8 | u32::from(byte))
+    }
+}
+
+impl Borrow<[u8]> for IndexEntry {
+    fn borrow(&self) -> &[u8] {
+        self.key()
+    }
+}
+
+impl Hash for IndexEntry {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+impl PartialEq for IndexEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for IndexEntry {}
 
 /// Slots in one page of [`Slots`].
 const SLOT_PAGE: usize = 64;
@@ -347,7 +398,7 @@ pub type ExportedEntry = (Vec<u8>, Vec<u8>, Timestamp);
 pub struct PartitionedKvStore {
     /// Each key's slot. Keys are client-chosen, so the table keeps std's
     /// randomly keyed SipHash: no client can aim keys at one bucket.
-    index: HashMap<Box<[u8]>, u32>,
+    index: HashSet<IndexEntry>,
     /// Each slot's enclave metadata; a free slot keeps its last key's until
     /// a new key takes it.
     meta: Slots<ValueMeta>,
@@ -369,7 +420,7 @@ impl PartitionedKvStore {
             },
         };
         PartitionedKvStore {
-            index: HashMap::new(),
+            index: HashSet::new(),
             meta: Slots::new(),
             host_arena,
             free_slots: Vec::new(),
@@ -410,7 +461,7 @@ impl PartitionedKvStore {
     ) -> Option<Vec<u8>> {
         // An overwrite is one probe: the key keeps its slot. A new key takes
         // a free slot and enters the table.
-        if let Some(&slot) = self.index.get(key) {
+        if let Some(slot) = self.slot(key) {
             let slot = slot as usize;
             let (value_hash, displaced) = self.host_arena.place(key, slot, value);
             self.meta[slot] = ValueMeta {
@@ -434,9 +485,9 @@ impl PartitionedKvStore {
                 self.meta.push(meta);
             }
         }
-        // recipe-lint: allow(unwrap-in-lib, reason = "a slot per key: four billion keys would fill 96 GB of index first")
+        // recipe-lint: allow(unwrap-in-lib, reason = "a slot per key: four billion keys would fill 64 GB of index first")
         let slot = u32::try_from(slot).expect("fewer than 2^32 slots");
-        self.index.insert(key.into(), slot);
+        self.index.insert(IndexEntry::new(key, slot));
         None
     }
 
@@ -471,7 +522,7 @@ impl PartitionedKvStore {
     /// ([`VerifiedRead::copy_into`]), so a value that fails is refused
     /// before any byte is copied or any keystream made.
     pub fn read(&self, key: &[u8]) -> Result<VerifiedRead<'_>, KvError> {
-        let &slot = self.index.get(key).ok_or(KvError::NotFound)?;
+        let slot = self.slot(key).ok_or(KvError::NotFound)?;
         self.verified(key, slot)
     }
 
@@ -491,15 +542,20 @@ impl PartitionedKvStore {
     /// Returns only the timestamp stored for `key` (ABD's first round reads
     /// timestamps without moving values).
     pub fn timestamp_of(&self, key: &[u8]) -> Option<Timestamp> {
-        self.index
-            .get(key)
-            .map(|&slot| self.meta[slot as usize].timestamp)
+        self.slot(key)
+            .map(|slot| self.meta[slot as usize].timestamp)
+    }
+
+    /// The slot of `key`, if the store holds it.
+    fn slot(&self, key: &[u8]) -> Option<u32> {
+        self.index.get(key).map(IndexEntry::slot)
     }
 
     /// Deletes `key`. Returns `true` if it existed.
     pub(crate) fn delete(&mut self, key: &[u8]) -> bool {
-        match self.index.remove(key) {
-            Some(slot) => {
+        match self.index.take(key) {
+            Some(entry) => {
+                let slot = entry.slot();
                 self.host_arena.take(slot as usize);
                 self.free_slots.push(slot);
                 true
@@ -520,7 +576,7 @@ impl PartitionedKvStore {
     /// ([`Self::sorted_keys`]) or folds with an order-blind `max` or sum.
     fn unordered(&self) -> impl Iterator<Item = (&[u8], u32)> {
         // recipe-lint: allow(hash-iteration, reason = "callers sort the keys they collect (sorted_keys, rehydrate) or fold with max/sum, which no order changes")
-        self.index.iter().map(|(key, &slot)| (&**key, slot))
+        self.index.iter().map(|entry| (entry.key(), entry.slot()))
     }
 
     /// The keys `filter` selects, in ascending byte order: what every export
@@ -763,7 +819,7 @@ impl PartitionedKvStore {
     /// Simulates a Byzantine host flipping bits in the stored value for `key`.
     /// Returns `true` if there was a value to corrupt.
     pub fn corrupt_host_value(&mut self, key: &[u8]) -> bool {
-        let Some(&slot) = self.index.get(key) else {
+        let Some(slot) = self.slot(key) else {
             return false;
         };
         match self.host_arena.bytes_mut(slot as usize) {
@@ -782,7 +838,7 @@ impl PartitionedKvStore {
     /// the enclave metadata untouched.
     #[cfg(test)]
     pub(crate) fn drop_host_value(&mut self, key: &[u8]) -> bool {
-        let Some(&slot) = self.index.get(key) else {
+        let Some(slot) = self.slot(key) else {
             return false;
         };
         self.host_arena.take(slot as usize).is_some()
@@ -792,7 +848,7 @@ impl PartitionedKvStore {
     /// Confidential stores expose only ciphertext here — the basis of the
     /// "host learns nothing" tests.
     pub fn host_visible_bytes(&self, key: &[u8]) -> Option<Vec<u8>> {
-        let &slot = self.index.get(key)?;
+        let slot = self.slot(key)?;
         self.host_arena.bytes(slot as usize).map(<[u8]>::to_vec)
     }
 }
@@ -907,7 +963,63 @@ mod tests {
 
     /// The slot `key` has.
     fn slot_of(store: &PartitionedKvStore, key: &[u8]) -> usize {
-        store.index[key] as usize
+        store.slot(key).expect("a stored key") as usize
+    }
+
+    /// Keys that are prefixes of one another, and keys whose last four
+    /// bytes read as another key's slot, each find their own slot and
+    /// value — before and after a delete frees a slot and a new key takes it.
+    #[test]
+    fn each_key_finds_its_own_slot() {
+        let mut store = plain_store();
+        let mut keys: Vec<Vec<u8>> = vec![
+            b"".to_vec(),
+            b"a".to_vec(),
+            b"ab".to_vec(),
+            b"abcd".to_vec(),
+        ];
+        // "abcd" followed by the bytes of slot 1, 2 and 0: a lookup that
+        // read an entry's slot bytes as key bytes would land on one of these.
+        for slot in [1u32, 2, 0] {
+            keys.push([&b"abcd"[..], &slot.to_le_bytes()].concat());
+        }
+        keys.push(3u32.to_le_bytes().to_vec());
+        for (i, key) in keys.iter().enumerate() {
+            store
+                .write(key, format!("v{i}").as_bytes(), Timestamp::new(1, 0))
+                .unwrap();
+        }
+        let held = |store: &PartitionedKvStore, key: &[u8]| {
+            (slot_of(store, key), store.get(key).unwrap().value)
+        };
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(
+                held(&store, key),
+                (i, format!("v{i}").into_bytes()),
+                "{key:?}"
+            );
+        }
+        // "ab" goes; its slot goes to a key that is "ab" with a slot's bytes
+        // after it.
+        assert!(store.delete(b"ab"));
+        assert_eq!(store.get(b"ab"), Err(KvError::NotFound));
+        let reused = [&b"ab"[..], &2u32.to_le_bytes()].concat();
+        store
+            .write(&reused, b"reused", Timestamp::new(2, 0))
+            .unwrap();
+        assert_eq!(held(&store, &reused), (2, b"reused".to_vec()));
+        for (i, key) in keys.iter().enumerate().filter(|(i, _)| *i != 2) {
+            assert_eq!(
+                held(&store, key),
+                (i, format!("v{i}").into_bytes()),
+                "{key:?}"
+            );
+        }
+        // "ab" comes back in a new slot, beside the key that took its old one.
+        store.write(b"ab", b"back", Timestamp::new(3, 0)).unwrap();
+        assert_eq!(held(&store, b"ab"), (keys.len(), b"back".to_vec()));
+        assert_eq!(held(&store, &reused), (2, b"reused".to_vec()));
+        assert_eq!(store.sorted_keys(|_| true).len(), keys.len() + 1);
     }
 
     /// How many host slots `store` has.

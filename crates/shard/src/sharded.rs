@@ -28,6 +28,10 @@
 //! ([`crate::migration`]) — is carried by the driver on that same clock, which
 //! is also what makes the aggregate figures in [`ShardedRunStats`] meaningful.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
+
 use recipe_core::{ConfidentialityMode, FramePool};
 use recipe_gateway::{GatewayConfig, GatewayStats};
 use recipe_net::FaultPlan;
@@ -200,20 +204,27 @@ pub struct TimelineBucket {
 /// The request driver's commit books for one run, handed to
 /// [`ShardedCluster::finalize`] when it ends. Every commit is counted once,
 /// in the run's tally and in that of the shard that served it. Every
-/// request's latency is kept once, in one list of 8-byte entries, one per
-/// shard the request touched ([`Books::sample`]); the entry of its first
-/// shard also stands for the run. [`Books::latency_figures`] sorts that list
-/// and reads the run's and every shard's figures from it by counting.
+/// request's latency is kept once, as one 8-byte entry per shard the
+/// request touched ([`Books::sample`]); the entry of its first shard also
+/// stands for the run. The entries lie in pages of [`LATENCY_PAGE`], each
+/// allocated once at its exact size and never moved, so the list grows by a
+/// page at a time rather than by doubling. [`Books::latency_figures`] sorts
+/// each page, walks them merged in ascending order and reads the run's and
+/// every shard's figures from that walk by counting.
 pub(crate) struct Books {
     total: Tally,
     /// Each shard's tally, and its [`received`] when the run began.
     per_shard: Vec<(Tally, (u64, u64))>,
-    /// `latency << (SHARD_BITS + 1) | shard << 1 | first`.
-    latencies: Vec<u64>,
+    /// `latency << (SHARD_BITS + 1) | shard << 1 | first`, in pages that
+    /// are full but the last.
+    latencies: Vec<Vec<u64>>,
 }
 
 /// Bits of a latency entry that name its shard.
 const SHARD_BITS: u32 = 16;
+
+/// Entries in one page of [`Books`]' latencies.
+const LATENCY_PAGE: usize = 512;
 
 /// Operations committed, those issued as writes among them, and the
 /// requests they belong to with the sum of their latencies.
@@ -288,18 +299,28 @@ impl Books {
             tally.latency_sum_ns += latency_ns;
         }
         let entry = latency_ns << (SHARD_BITS + 1) | (shard as u64) << 1 | u64::from(first);
-        self.latencies.push(entry);
+        match self.latencies.last_mut() {
+            Some(page) if page.len() < LATENCY_PAGE => page.push(entry),
+            _ => {
+                let mut page = Vec::with_capacity(LATENCY_PAGE);
+                page.push(entry);
+                self.latencies.push(page);
+            }
+        }
     }
 
     pub(crate) fn committed(&self) -> u64 {
         self.total.committed
     }
 
-    /// Sorts the latency list and reads the latencies at
-    /// [`RunStats::latency_ranks`] from it: each shard's, then the run's
-    /// last, each counted as the walk meets its entries.
+    /// Sorts each latency page and reads the latencies at
+    /// [`RunStats::latency_ranks`] from the pages' merged walk: each
+    /// shard's, then the run's last, each counted as the walk meets its
+    /// entries.
     fn latency_figures(&mut self) -> Vec<Ranked> {
-        self.latencies.sort_unstable();
+        for page in &mut self.latencies {
+            page.sort_unstable();
+        }
         let shard_tallies = self.per_shard.iter().map(|(tally, _)| tally);
         let mut classes: Vec<Ranked> = (shard_tallies.chain([&self.total]))
             .map(|tally| Ranked {
@@ -309,7 +330,7 @@ impl Books {
             })
             .collect();
         let run = self.per_shard.len();
-        for &entry in &self.latencies {
+        for entry in merged(&self.latencies) {
             let latency_ns = entry >> (SHARD_BITS + 1);
             let shard = (entry >> 1) as usize & ((1 << SHARD_BITS) - 1);
             let first = entry & 1 == 1;
@@ -325,6 +346,28 @@ impl Books {
         }
         classes
     }
+}
+
+/// The entries of sorted `pages`, in ascending order: a k-way merge that
+/// keeps each page's next entry in a heap of one slot a page.
+fn merged(pages: &[Vec<u64>]) -> impl Iterator<Item = u64> + '_ {
+    let heads = pages
+        .iter()
+        .enumerate()
+        .filter_map(|(page, entries)| entries.first().map(|&entry| Reverse((entry, page, 0))));
+    let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = heads.collect();
+    std::iter::from_fn(move || {
+        // The head's page's next entry takes its place: one sift down.
+        let mut head = heap.peek_mut()?;
+        let Reverse((entry, page, at)) = *head;
+        match pages[page].get(at + 1) {
+            Some(&next) => *head = Reverse((next, page, at + 1)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+        Some(entry)
+    })
 }
 
 /// One class of [`Books::latency_figures`]: where its figures lie in its
@@ -602,9 +645,16 @@ mod tests {
     /// The one latency list gives the run and every shard the figures
     /// each would get from a list of its own: requests of one, two and
     /// three shards (some touching one shard twice), latencies that tie
-    /// across shards, and a shard no request touched.
+    /// across shards, and a shard no request touched — with no entry, part
+    /// of a page, a page, a page and one entry, and several pages.
     #[test]
     fn one_latency_list_reads_as_separately_sorted_copies() {
+        for requests in [0, 511, 512, 513, 2_000] {
+            figures_match_sorted_copies(requests);
+        }
+    }
+
+    fn figures_match_sorted_copies(requests: usize) {
         let shards = 4;
         let mut books = Books {
             total: Tally::default(),
@@ -613,7 +663,7 @@ mod tests {
         };
         let (mut run, mut per_shard) = (Vec::new(), vec![Vec::new(); shards]);
         let mut draw = 0x9E37_79B9_7F4A_7C15_u64;
-        for request in 0..2_000 {
+        for request in 0..requests {
             draw = draw.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
             let latency_ns = (draw >> 40) % 50_000 + 1_000;
             // Shard 3 takes no request; a third of the requests span shards.
@@ -631,18 +681,35 @@ mod tests {
                 }
             }
         }
+        let mut sorted: Vec<u64> = books.latencies.iter().flatten().copied().collect();
+        sorted.sort_unstable();
         let figures = |stats: &RunStats| {
             let percentiles = [stats.p50_latency_us, stats.p90_latency_us];
             let tails = [stats.p99_latency_us, stats.p999_latency_us];
             (stats.mean_latency_us, percentiles, tails)
         };
         let ranked = books.latency_figures();
+        // Every page but the last is full, and the walk is the sorted list.
+        let (last, full) = books
+            .latencies
+            .split_last()
+            .map_or((0, &[][..]), |(last, full)| (last.len(), full));
+        assert!(full.iter().all(|page| page.len() == LATENCY_PAGE) && last <= LATENCY_PAGE);
+        assert_eq!(
+            merged(&books.latencies).collect::<Vec<_>>(),
+            sorted,
+            "{requests}"
+        );
         let tallies = books.per_shard.iter().map(|&(tally, _)| tally);
         let lists = per_shard.iter_mut().chain([&mut run]);
         for ((tally, ranked), list) in tallies.chain([books.total]).zip(&ranked).zip(lists) {
             let mut copy = RunStats::default();
             copy.set_latencies(list);
-            assert_eq!(figures(&tally.stats(1, ranked.ns)), figures(&copy));
+            assert_eq!(
+                figures(&tally.stats(1, ranked.ns)),
+                figures(&copy),
+                "{requests}"
+            );
         }
         assert_eq!(ranked[3].ns, [0; 4]);
         let committed = books.per_shard.iter().map(|(tally, _)| tally.committed);

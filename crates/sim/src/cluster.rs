@@ -172,8 +172,8 @@ pub struct NodeBooks {
 /// in the group, resolved when the event is scheduled.
 #[derive(Debug)]
 enum EventKind {
-    /// A client's retransmission timer; live only if it is due at its
-    /// request's [`Outstanding::retry_at`].
+    /// A client's retransmission timer, its one timer on the calendar; it
+    /// resends only if it is due at its request's [`Outstanding::retry_at`].
     ClientRetry {
         client_id: u64,
     },
@@ -363,14 +363,22 @@ pub struct Charged {
 struct Outstanding {
     request_id: u64,
     issued_ns: u64,
-    /// When the request's retransmission timer is due: set at submit and
-    /// moved on at every retransmission. The client's one live timer is the
-    /// one due at this instant; a timer due at any other belongs to a
-    /// request that was answered or replaced, or was re-armed since, and
-    /// does nothing. No older timer can be due at a newer `retry_at`: a
-    /// client's submits to one group strictly increase in virtual time.
+    /// When the request is due for retransmission: set at submit and moved
+    /// on at every retransmission. The client's one timer is due no later:
+    /// armed for an earlier request, it may fall due sooner, and then
+    /// moves itself on to this instant and resends nothing (a dead timer).
     retry_at: u64,
     operation: Operation,
+}
+
+/// A client's place in a group: its request still waiting for a reply, and
+/// whether its one retransmission timer is on the calendar.
+#[derive(Debug, Default)]
+struct ClientSlot {
+    waiting: Option<Outstanding>,
+    /// Set while the client's timer is on the calendar, due at or before
+    /// `waiting`'s [`Outstanding::retry_at`]; a submit arms none while it is.
+    timer_armed: bool,
 }
 
 /// One replica group of the discrete-event simulator.
@@ -385,10 +393,10 @@ pub struct ReplicaGroup<R: Replica> {
     /// Each replica's books, in construction order.
     books: Vec<NodeBooks>,
     crashed: BTreeSet<NodeId>,
-    /// Each client's request still waiting for a reply, indexed by client
-    /// id. Ids are dense from zero; the table grows the first time a client
-    /// submits.
-    clients: Vec<Option<Outstanding>>,
+    /// Each client's request still waiting for a reply and its timer,
+    /// indexed by client id. Ids are dense from zero; the table grows the
+    /// first time a client submits.
+    clients: Vec<ClientSlot>,
     /// The group's events on the calendar but its timers: raised as a
     /// [`Scheduler`] pushes one, lowered as [`ReplicaGroup::handle`] runs it.
     in_flight: u64,
@@ -494,7 +502,7 @@ impl<R: Replica> ReplicaGroup<R> {
 
     /// At rest: nothing but the group's timers on the calendar, no client waiting.
     pub fn at_rest(&self) -> bool {
-        self.in_flight == 0 && self.clients.iter().all(Option::is_none)
+        self.in_flight == 0 && self.clients.iter().all(|client| client.waiting.is_none())
     }
 
     /// Immutable access to a replica (for post-run assertions).
@@ -618,14 +626,19 @@ impl<R: Replica> ReplicaGroup<R> {
         };
         let issued_ns = self.now;
         let retry_at = self.now + RETRY_TIMEOUT_NS;
-        *self.client_mut(client_id) = Some(Outstanding {
+        let client = self.client_mut(client_id);
+        client.waiting = Some(Outstanding {
             request_id,
             issued_ns,
             retry_at,
             operation: operation.clone(),
         });
+        // A timer still on the calendar is due no later than `retry_at`, and
+        // moves itself on to it when it fires.
+        if !std::mem::replace(&mut client.timer_armed, true) {
+            sched.retry(retry_at, client_id);
+        }
         let deliver_at = self.now + COST_MODEL.link_latency_ns;
-        sched.retry(retry_at, client_id);
         sched.request(deliver_at, target, client_id, request_id, operation);
         self.in_flight += std::mem::take(&mut sched.pushed);
         if let Some(t) = self.telemetry.as_mut() {
@@ -686,15 +699,19 @@ impl<R: Replica> ReplicaGroup<R> {
                 });
             }
             EventKind::ClientRetry { client_id } => {
-                // Still outstanding, and this its live timer? (No reply
-                // recorded, no newer request and no re-arm since.)
-                let slot = self.clients.get_mut(client_id as usize);
-                let Some(out) = slot
-                    .and_then(Option::as_mut)
-                    .filter(|out| out.retry_at == self.now)
-                else {
+                // A timer is armed only for a client with a slot.
+                let client = &mut self.clients[client_id as usize];
+                let Some(out) = client.waiting.as_mut() else {
+                    // Answered: nothing to resend, and no timer left.
+                    client.timer_armed = false;
                     return sched.calendar.count_dead_timer();
                 };
+                if out.retry_at > self.now {
+                    // Armed for an earlier request: wait for this one's
+                    // instant.
+                    sched.retry(out.retry_at, client_id);
+                    return sched.calendar.count_dead_timer();
+                }
                 let retry_at = self.now + RETRY_TIMEOUT_NS;
                 out.retry_at = retry_at;
                 // Resend the exact operation that was issued (the original code
@@ -715,7 +732,7 @@ impl<R: Replica> ReplicaGroup<R> {
             } => {
                 let node = self.ids[idx];
                 if self.crashed.contains(&node) {
-                    // Request lost: the ClientRetry scheduled with it resends it.
+                    // Request lost: the client's retry timer resends it.
                     return;
                 }
                 let books = &mut self.books[idx];
@@ -1038,10 +1055,10 @@ impl<R: Replica> ReplicaGroup<R> {
     }
 
     /// `client_id`'s table entry, grown to reach it on first sight.
-    fn client_mut(&mut self, client_id: u64) -> &mut Option<Outstanding> {
+    fn client_mut(&mut self, client_id: u64) -> &mut ClientSlot {
         let idx = client_id as usize;
         if idx >= self.clients.len() {
-            self.clients.resize_with(idx + 1, Option::default);
+            self.clients.resize_with(idx + 1, ClientSlot::default);
         }
         &mut self.clients[idx]
     }
@@ -1060,7 +1077,7 @@ impl<R: Replica> ReplicaGroup<R> {
         // must not be double-counted.
         let slot = self.clients.get_mut(client_id as usize);
         let current = |out: &mut Outstanding| out.request_id == reply.request_id;
-        if let Some(out) = slot.and_then(|slot| slot.take_if(current)) {
+        if let Some(out) = slot.and_then(|slot| slot.waiting.take_if(current)) {
             let latency = self.now.saturating_sub(out.issued_ns);
             if let Some(t) = self.telemetry.as_mut() {
                 t.instant(SpanKind::Reply, reply.replier, self.now, client_id);
@@ -1501,9 +1518,10 @@ mod tests {
         assert!(cluster.crashed_nodes().contains(&NodeId(0)));
     }
 
-    /// Retransmission timers wait in the queue's lane, so what the heap holds
-    /// at its fullest is a few events per client however long the run — also
-    /// while a crash plan's recovery sits in the queue beyond every timer.
+    /// A client keeps one retransmission timer on the calendar, so what the
+    /// heap holds at its fullest is a few events and one timer per client
+    /// however long the run — also while a crash plan's recovery sits in the
+    /// queue beyond every timer.
     #[test]
     fn the_event_heap_stays_as_small_as_the_client_count() {
         let heap_high_water = |crash_plan: CrashPlan| {
@@ -1515,9 +1533,9 @@ mod tests {
             assert_eq!(cluster.committed(), 2_000);
             high_water
         };
-        // Per client: its request or the frames of its round, and a kick-off
-        // timer per replica at the start.
-        let bound = 4 * CLIENTS as usize + 4;
+        // Per client: its request or the frames of its round and its
+        // timer, and a kick-off timer per replica at the start.
+        let bound = 5 * CLIENTS as usize + 4;
         assert!(heap_high_water(CrashPlan::none()) <= bound);
         // The run ends long before the first timer is due, and the recovery
         // comes after that still.
@@ -1527,9 +1545,9 @@ mod tests {
     }
 
     /// A timer is its calendar key: however many requests a client has
-    /// sent, the slab holds only the few events of the round in flight, while
-    /// the lane holds one key per request — every timer is still pending, as
-    /// the rounds end long before the first is due.
+    /// sent, the slab holds only the few events of the round in flight, and
+    /// the calendar one timer — the first request's, still pending, as the
+    /// rounds end long before it is due.
     #[test]
     fn timers_take_no_slab_slots() {
         let mut cluster = echo(3);
@@ -1550,10 +1568,94 @@ mod tests {
             }
         }
         assert!(at < RETRY_TIMEOUT_NS, "no timer fired");
-        assert_eq!(cluster.calendar.lane_len(), 1_000);
+        assert_eq!(cluster.calendar.timers_of(Owner::shard(0), 0), 1);
+        assert_eq!(
+            cluster.calendar.peek().map(|key| key.at),
+            Some(RETRY_TIMEOUT_NS)
+        );
         // As many slots after 1 000 rounds as after 10, and few.
         assert_eq!(slab[0], slab[1]);
         assert!(slab[1] <= 8, "{slab:?}");
+    }
+
+    /// Eight clients whose replies are lost now and then, over a run longer
+    /// than two timeouts: at every step the calendar holds at most one
+    /// timer per client, every resend leaves at its request's issue time
+    /// plus a whole number of timeouts, and each timer that fires either
+    /// resends or is counted dead.
+    #[test]
+    fn each_client_keeps_one_timer_and_resends_on_its_timeouts() {
+        const REQUESTS: u64 = 40;
+        let mut cluster = echo(3);
+        // Every first request loses its reply, and half the resends too.
+        cluster.replica_mut(NodeId(0)).lose_replies = CLIENTS + CLIENTS / 2;
+        cluster.seed_initial_events();
+        let mut issued = HashMap::new();
+        for client in 0..CLIENTS {
+            assert!(cluster.submit_at(client * 200, client, 1, write_workload(client, 1)));
+            issued.insert((client, 1), client * 200);
+        }
+        let mut deliveries: HashMap<(u64, u64), u64> = HashMap::new();
+        // Requests submitted while an earlier request's timer was pending.
+        let mut under_older_timer = BTreeSet::new();
+        let (mut seen, mut resends, mut completed) = (0, 0, 0);
+        let mut resent_under_older_timer = 0;
+        while cluster.step() == StepOutcome::Processed {
+            for client in 0..CLIENTS {
+                assert!(cluster.calendar.timers_of(Owner::shard(0), client as u32) <= 1);
+            }
+            let requests = &cluster.replica(NodeId(0)).requests;
+            for request in &requests[seen..] {
+                let count = deliveries.entry(*request).or_default();
+                *count += 1;
+                if *count > 1 {
+                    // A resend reaches the leader one link latency after it
+                    // left.
+                    let sent = cluster.now_ns() - COST_MODEL.link_latency_ns;
+                    let waited = sent - issued[request];
+                    assert!(
+                        waited > 0 && waited.is_multiple_of(RETRY_TIMEOUT_NS),
+                        "{request:?} at {sent}"
+                    );
+                    resends += 1;
+                    resent_under_older_timer += u64::from(under_older_timer.contains(request));
+                }
+            }
+            seen = requests.len();
+            for done in cluster.drain_completions() {
+                completed += 1;
+                // Every sixteenth completion loses the next round's reply,
+                // while the client's timer may still be an earlier request's.
+                if completed % 16 == 0 {
+                    cluster.replica_mut(NodeId(0)).lose_replies += 1;
+                }
+                let (client, next) = (done.client_id, done.request_id + 1);
+                if next <= REQUESTS {
+                    if cluster.calendar.timers_of(Owner::shard(0), client as u32) == 1 {
+                        under_older_timer.insert((client, next));
+                    }
+                    assert!(cluster.submit_at(
+                        done.at_ns,
+                        client,
+                        next,
+                        write_workload(client, next)
+                    ));
+                    issued.insert((client, next), done.at_ns);
+                }
+            }
+        }
+        assert_eq!(completed, CLIENTS * REQUESTS);
+        assert!(cluster.now_ns() > 2 * RETRY_TIMEOUT_NS);
+        assert!(resends > CLIENTS + CLIENTS / 2, "{resends}");
+        // Some of them were due after the timer on the calendar, which
+        // moved itself on to their instant.
+        assert!(resent_under_older_timer > 0);
+        // Nothing is left: each client's last timer fired for nothing and
+        // armed no other.
+        assert_eq!(cluster.calendar.peek(), None);
+        let counts = cluster.calendar.take_counts();
+        assert_eq!(counts.timers - counts.dead_timers, resends, "{counts:?}");
+        assert!(counts.dead_timers >= CLIENTS, "{counts:?}");
     }
 
     /// A request whose reply is lost is resent when its timer fires, a whole

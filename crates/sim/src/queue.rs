@@ -11,42 +11,32 @@
 //! still in a slab until they are due. Freed slots are reused, so a steady
 //! run allocates nothing here.
 //!
-//! # The timer lane
+//! # One timer per client
 //!
-//! Every request arms a retransmission timer a whole
-//! [`crate::cost::RETRY_TIMEOUT_NS`] ahead and nearly every one is dead when
-//! it fires, so at any moment thousands of them would sit in the heap under
-//! the few events that are about to run, and each push and pop of those would
-//! sift through a heap thirteen levels deep.
-//! They need no heap: they all carry the same delay and the clock never goes
-//! back, so they arrive nearly in key order. [`Calendar::push_timer`] appends
-//! such an entry to a FIFO lane beside the heap, and [`Calendar::pop`] takes
-//! whichever of the two heads is smaller.
+//! Every request has a retransmission timer a whole
+//! [`crate::cost::RETRY_TIMEOUT_NS`] ahead, and nearly every request is
+//! answered long before it fires. A client therefore keeps at most one timer
+//! on the calendar: a submit arms one only when the client has none pending,
+//! and a timer that fires before its client's current request is due moves
+//! itself on to that instant ([`crate::cluster`]'s `ClientRetry`). So the
+//! calendar holds a few events and one timer per client, however long the run,
+//! and every resend still happens at the instant its request fell due.
 //!
 //! **A timer is its key.** A timer carries nothing but a small tag (the
 //! client it retransmits for), so it needs no slab slot: its key keeps the
 //! tag in `slot`, under the [`TIMER`] bit, and [`Calendar::pop`] rebuilds the
 //! payload with [`TimerPayload::from_timer`]. The slab holds only events, and
-//! the thousands of pending timers cost 24 bytes each, not a slot the size of
-//! the largest event as well.
+//! a pending timer costs its 24-byte key, not a slot the size of the largest
+//! event as well.
 //!
-//! **Why dead timers still pop.** Whether a timer is dead is its owner's to
-//! say when it fires (its request was answered or replaced), not the
-//! calendar's. And a dead timer still does work: it takes its place in key
-//! order and moves its group's clock to its time, which the group's elapsed
-//! time and its telemetry read. Dropping dead timers early would move those.
-//!
-//! **Why the lane is sorted.** Not because callers promise it: an entry joins
-//! the lane only when its whole key is greater than the lane's last, and goes
-//! on the heap otherwise (a lower-numbered group's timer due at the same
-//! instant, say). So the lane is in strict key order by construction, its
-//! head is its minimum, and the pop sequence is the one a single heap gives.
-//! The lane is fed from one kind of event only. Taking any event that happens
-//! to be late enough would let a far-off one (a crash plan's recovery) sit at
-//! the lane's back and turn every timer before it away to the heap.
+//! **Why a timer that resends nothing still pops.** Whether a timer is dead
+//! is its owner's to say when it fires (its request was answered, or is due
+//! later), not the calendar's. And a dead timer still does work: it takes its
+//! place in key order and moves its group's clock to its time, which the
+//! group's elapsed time and its telemetry read.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
@@ -112,7 +102,9 @@ pub struct CalendarCounts {
     pub popped: u64,
     /// Of those, timers.
     pub timers: u64,
-    /// Of those timers, the ones their owner found dead: nothing to resend.
+    /// Of those timers, the dead ones: those that resent nothing, their
+    /// client's request answered or not yet due (the timer then moves
+    /// itself on to the request's instant).
     pub dead_timers: u64,
 }
 
@@ -120,8 +112,6 @@ pub struct CalendarCounts {
 #[derive(Debug)]
 pub struct Calendar<T> {
     heap: BinaryHeap<Reverse<Key>>,
-    /// Entries that arrived in key order, oldest first.
-    lane: VecDeque<Key>,
     /// Payloads of the queued events, timers' not among them; `None` marks a
     /// slot on `free`.
     slab: Vec<Option<T>>,
@@ -137,7 +127,6 @@ impl<T> Default for Calendar<T> {
     fn default() -> Self {
         Calendar {
             heap: BinaryHeap::new(),
-            lane: VecDeque::new(),
             slab: Vec::new(),
             free: Vec::new(),
             seqs: Vec::new(),
@@ -162,16 +151,12 @@ impl<T> Calendar<T> {
     }
 
     /// Schedules a timer tagged `tag` (below 2^31) as [`Calendar::push`]
-    /// would, for timers of one fixed delay, which mostly come in key order.
-    /// It pops exactly as `push` would have it, as
+    /// would, with no slab slot: it pops as
     /// [`TimerPayload::from_timer`]`(tag)`.
     pub(crate) fn push_timer(&mut self, at: u64, owner: Owner, tag: u32) {
         assert!(tag & TIMER == 0, "a timer's tag is below 2^31");
         let key = self.key(at, owner, TIMER | tag);
-        match self.lane.back() {
-            Some(last) if key < *last => self.heap.push(Reverse(key)),
-            _ => self.lane.push_back(key),
-        }
+        self.heap.push(Reverse(key));
     }
 
     /// Puts `payload` in a free slab slot and names the slot.
@@ -218,22 +203,19 @@ impl<T> Calendar<T> {
 
     /// Key of the earliest event.
     pub fn peek(&self) -> Option<Key> {
-        let heaped = self.heap.peek().map(|Reverse(key)| *key);
-        heaped.into_iter().chain(self.lane.front().copied()).min()
+        self.heap.peek().map(|Reverse(key)| *key)
     }
 
     /// Drops every pending event of `owner`, its timers too.
     pub fn cancel(&mut self, owner: Owner) {
         let (slab, free) = (&mut self.slab, &mut self.free);
-        let mut keep = |key: &Key| {
+        self.heap.retain(|Reverse(key)| {
             if key.owner == owner && key.timer_tag().is_none() {
                 slab[key.slot as usize] = None;
                 free.push(key.slot);
             }
             key.owner != owner
-        };
-        self.heap.retain(|Reverse(key)| keep(key));
-        self.lane.retain(keep);
+        });
     }
 
     /// Every pending event but the timers, with its owner, in no order.
@@ -244,16 +226,18 @@ impl<T> Calendar<T> {
         })
     }
 
-    /// Entries in the heap proper, the lane's not counted.
+    /// Entries on the calendar, timers included.
     #[cfg(test)]
     pub(crate) fn heap_len(&self) -> usize {
         self.heap.len()
     }
 
-    /// Entries in the lane.
+    /// Timers on the calendar of `owner` tagged `tag`.
     #[cfg(test)]
-    pub(crate) fn lane_len(&self) -> usize {
-        self.lane.len()
+    pub(crate) fn timers_of(&self, owner: Owner, tag: u32) -> usize {
+        let tagged =
+            |Reverse(key): &&Reverse<Key>| key.owner == owner && key.timer_tag() == Some(tag);
+        self.heap.iter().filter(tagged).count()
     }
 
     /// Slab slots ever taken: the most events that were pending at once.
@@ -266,11 +250,7 @@ impl<T> Calendar<T> {
 impl<T: TimerPayload> Calendar<T> {
     /// Takes the earliest event: its key and its payload.
     pub fn pop(&mut self) -> Option<(Key, T)> {
-        let key = match (self.heap.peek(), self.lane.front()) {
-            (Some(Reverse(heaped)), Some(laned)) if laned < heaped => self.lane.pop_front(),
-            (None, _) => self.lane.pop_front(),
-            (Some(_), _) => self.heap.pop().map(|Reverse(key)| key),
-        }?;
+        let Reverse(key) = self.heap.pop()?;
         self.counts.popped += 1;
         if let Some(tag) = key.timer_tag() {
             self.counts.timers += 1;
@@ -325,9 +305,6 @@ mod tests {
             // Five pushes to two pops, and few distinct times, so the queue
             // grows, drains and ties on `at` often — across owners too.
             (0u8..7, 0u64..8, 0usize..3), 0..400)) {
-            /// Inside the range near events are drawn from, so the two heads
-            /// interleave and tie.
-            const TIMER_DELAY: u64 = 5;
             let owners = [Owner::DRIVER, Owner::shard(0), Owner::shard(1)];
             let mut queue = Calendar::default();
             let mut reference: BinaryHeap<Reverse<(Order, Payload)>> = BinaryHeap::new();
@@ -341,16 +318,11 @@ mod tests {
             let mut now = 0;
             for (op, delay, who) in schedule {
                 let push = match op {
-                    // A near event, on the heap: the driver's or a group's.
+                    // A near event: the driver's or a group's.
                     0..=1 => Some((now + delay, who, false)),
-                    // A group's timer as the simulator arms them: one fixed
-                    // delay, so two groups' tie whenever they are armed at
-                    // one instant, and only a key behind the lane's last
-                    // joins it.
-                    2..=3 => Some((now + TIMER_DELAY, 1 + who % 2, true)),
-                    // One that breaks the pattern: the lane turns it away
-                    // whenever it would come before the lane's last.
-                    4 => Some((now + delay, 1 + who % 2, true)),
+                    // A group's timer, tying with events and the other
+                    // group's timers at one instant.
+                    2..=4 => Some((now + delay, 1 + who % 2, true)),
                     _ => None,
                 };
                 match push {
@@ -389,9 +361,7 @@ mod tests {
                 prop_assert_eq!(queue.peek().map(full), head);
                 prop_assert_eq!(queue.slab.len(), high_water);
                 prop_assert_eq!(queue.free.len() + pending_events(&reference), queue.slab.len());
-                prop_assert_eq!(queue.heap.len() + queue.lane.len(), reference.len());
-                let lane = queue.lane.iter();
-                prop_assert!(lane.clone().zip(lane.skip(1)).all(|(earlier, later)| earlier < later));
+                prop_assert_eq!(queue.heap.len(), reference.len());
             }
             // The driver's events go, and so do group 0's events and timers;
             // group 1's still pop in order.
@@ -399,7 +369,7 @@ mod tests {
                 queue.cancel(owner);
                 reference.retain(|Reverse(((_, of, _), _))| *of != owner);
             }
-            prop_assert_eq!(queue.heap.len() + queue.lane.len(), reference.len());
+            prop_assert_eq!(queue.heap.len(), reference.len());
             prop_assert_eq!(queue.free.len() + pending_events(&reference), queue.slab.len());
             while let Some(Reverse(entry)) = reference.pop() {
                 prop_assert_eq!(queue.pop().map(|(key, payload)| (full(key), payload)), Some(entry));

@@ -109,7 +109,7 @@ const PINS: [Pin; 9] = [
     Pin {
         name: "txn_byzantine",
         run: txn_byzantine,
-        digest: "2df48b411da1ed8572b7c6d09c634a4ccb9e7fecb17fa0c56b07810a68f85a16",
+        digest: "c1a83da838f31623f8c7800520e6911c153746c34f97311121d137f28aecf0a9",
         contract: Some(txn_byzantine_spec),
     },
     Pin {
@@ -133,7 +133,7 @@ const PINS: [Pin; 9] = [
     Pin {
         name: "allconcur_crash",
         run: allconcur_crash,
-        digest: "ab63cb34c3c781ca8b1305d0a05d636c17b0e4da22c077454f02ea4f196e3053",
+        digest: "5ef8e0de0cbd5bf5984a1ba37c6fa4b654a46bed5eeb885c6a07a978ebe4e20c",
         contract: None,
     },
     Pin {
