@@ -28,9 +28,7 @@
 //! ([`crate::migration`]) — is carried by the driver on that same clock, which
 //! is also what makes the aggregate figures in [`ShardedRunStats`] meaningful.
 
-use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 use recipe_core::{ConfidentialityMode, FramePool};
 use recipe_gateway::{GatewayConfig, GatewayStats};
@@ -204,27 +202,25 @@ pub struct TimelineBucket {
 /// The request driver's commit books for one run, handed to
 /// [`ShardedCluster::finalize`] when it ends. Every commit is counted once,
 /// in the run's tally and in that of the shard that served it. Every
-/// request's latency is kept once, as one 8-byte entry per shard the
-/// request touched ([`Books::sample`]); the entry of its first shard also
-/// stands for the run. The entries lie in pages of [`LATENCY_PAGE`], each
-/// allocated once at its exact size and never moved, so the list grows by a
-/// page at a time rather than by doubling. [`Books::latency_figures`] sorts
-/// each page, walks them merged in ascending order and reads the run's and
-/// every shard's figures from that walk by counting.
+/// request's latency is kept once per shard the request touched
+/// ([`Books::sample`]); the one of its first shard also stands for the run.
+/// A latency is kept as a count in an ordered map, one key per distinct
+/// `(latency, shard, first)`, so the books grow with the distinct latencies
+/// a run produces, not with its requests: the simulator's latencies are
+/// sums of a few fixed model costs and repeat. [`Books::latency_figures`]
+/// walks the map once in ascending order and reads the run's and every
+/// shard's figures from that walk by counting.
 pub(crate) struct Books {
     total: Tally,
     /// Each shard's tally, and its [`received`] when the run began.
     per_shard: Vec<(Tally, (u64, u64))>,
-    /// `latency << (SHARD_BITS + 1) | shard << 1 | first`, in pages that
-    /// are full but the last.
-    latencies: Vec<Vec<u64>>,
+    /// `latency << (SHARD_BITS + 1) | shard << 1 | first`, each with the
+    /// number of requests that produced it.
+    latencies: BTreeMap<u64, u32>,
 }
 
 /// Bits of a latency entry that name its shard.
 const SHARD_BITS: u32 = 16;
-
-/// Entries in one page of [`Books`]' latencies.
-const LATENCY_PAGE: usize = 512;
 
 /// Operations committed, those issued as writes among them, and the
 /// requests they belong to with the sum of their latencies.
@@ -270,7 +266,7 @@ impl Books {
                 .iter()
                 .map(|group| (Tally::default(), received(group)))
                 .collect(),
-            latencies: Vec::new(),
+            latencies: BTreeMap::new(),
         }
     }
 
@@ -283,7 +279,8 @@ impl Books {
     }
 
     /// Keeps a committed request's latency for one `shard` it touched, and
-    /// for the run when `first` (once per request).
+    /// for the run when `first` (once per request): one more request in
+    /// its entry's count.
     pub(crate) fn sample(&mut self, latency_ns: u64, shard: usize, first: bool) {
         assert!(
             shard >> SHARD_BITS == 0 && latency_ns >> (63 - SHARD_BITS) == 0,
@@ -299,28 +296,23 @@ impl Books {
             tally.latency_sum_ns += latency_ns;
         }
         let entry = latency_ns << (SHARD_BITS + 1) | (shard as u64) << 1 | u64::from(first);
-        match self.latencies.last_mut() {
-            Some(page) if page.len() < LATENCY_PAGE => page.push(entry),
-            _ => {
-                let mut page = Vec::with_capacity(LATENCY_PAGE);
-                page.push(entry);
-                self.latencies.push(page);
-            }
-        }
+        let count = self.latencies.entry(entry).or_insert(0);
+        assert!(
+            *count < u32::MAX,
+            "a latency entry counts 2^32 - 1 requests"
+        );
+        *count += 1;
     }
 
     pub(crate) fn committed(&self) -> u64 {
         self.total.committed
     }
 
-    /// Sorts each latency page and reads the latencies at
-    /// [`RunStats::latency_ranks`] from the pages' merged walk: each
-    /// shard's, then the run's last, each counted as the walk meets its
-    /// entries.
-    fn latency_figures(&mut self) -> Vec<Ranked> {
-        for page in &mut self.latencies {
-            page.sort_unstable();
-        }
+    /// Reads the latencies at [`RunStats::latency_ranks`] from one
+    /// ascending walk of the counts: each shard's, then the run's last.
+    /// An entry met after `met` of its class's requests holds that class's
+    /// ranks in `[met, met + count)`.
+    fn latency_figures(&self) -> Vec<Ranked> {
         let shard_tallies = self.per_shard.iter().map(|(tally, _)| tally);
         let mut classes: Vec<Ranked> = (shard_tallies.chain([&self.total]))
             .map(|tally| Ranked {
@@ -330,44 +322,23 @@ impl Books {
             })
             .collect();
         let run = self.per_shard.len();
-        for entry in merged(&self.latencies) {
+        for (&entry, &count) in &self.latencies {
             let latency_ns = entry >> (SHARD_BITS + 1);
             let shard = (entry >> 1) as usize & ((1 << SHARD_BITS) - 1);
             let first = entry & 1 == 1;
             for class in [Some(shard), first.then_some(run)].into_iter().flatten() {
                 let class = &mut classes[class];
+                let met = class.met..class.met + count as usize;
                 for (rank, ns) in class.ranks.iter().zip(&mut class.ns) {
-                    if *rank == class.met {
+                    if met.contains(rank) {
                         *ns = latency_ns;
                     }
                 }
-                class.met += 1;
+                class.met = met.end;
             }
         }
         classes
     }
-}
-
-/// The entries of sorted `pages`, in ascending order: a k-way merge that
-/// keeps each page's next entry in a heap of one slot a page.
-fn merged(pages: &[Vec<u64>]) -> impl Iterator<Item = u64> + '_ {
-    let heads = pages
-        .iter()
-        .enumerate()
-        .filter_map(|(page, entries)| entries.first().map(|&entry| Reverse((entry, page, 0))));
-    let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = heads.collect();
-    std::iter::from_fn(move || {
-        // The head's page's next entry takes its place: one sift down.
-        let mut head = heap.peek_mut()?;
-        let Reverse((entry, page, at)) = *head;
-        match pages[page].get(at + 1) {
-            Some(&next) => *head = Reverse((next, page, at + 1)),
-            None => {
-                PeekMut::pop(head);
-            }
-        }
-        Some(entry)
-    })
 }
 
 /// One class of [`Books::latency_figures`]: where its figures lie in its
@@ -560,7 +531,7 @@ impl<R: Replica> ShardedCluster<R> {
     /// shard's commits and latencies from the driver's `books`, on the
     /// shard's own clock, with the messages its group counted, and the
     /// calendar's counts.
-    pub(crate) fn finalize(&mut self, global_now: u64, mut books: Books) -> ShardedRunStats {
+    pub(crate) fn finalize(&mut self, global_now: u64, books: Books) -> ShardedRunStats {
         let ranked = books.latency_figures();
         let per_shard: Vec<RunStats> = (self.shards.iter_mut().zip(&books.per_shard))
             .zip(&ranked)
@@ -642,30 +613,36 @@ mod tests {
         assert_eq!(counted, on_calendar);
     }
 
-    /// The one latency list gives the run and every shard the figures
+    /// The one latency map gives the run and every shard the figures
     /// each would get from a list of its own: requests of one, two and
     /// three shards (some touching one shard twice), latencies that tie
-    /// across shards, and a shard no request touched — with no entry, part
-    /// of a page, a page, a page and one entry, and several pages.
+    /// across shards, and a shard no request touched — with no request,
+    /// a few hundred and 2 000 drawn from a wide range, and with none, one
+    /// and 2 000 drawn from 100 latencies, so that a class's ranks fall
+    /// inside one entry's count.
     #[test]
     fn one_latency_list_reads_as_separately_sorted_copies() {
         for requests in [0, 511, 512, 513, 2_000] {
-            figures_match_sorted_copies(requests);
+            figures_match_sorted_copies(requests, 50_000);
+        }
+        for requests in [0, 1, 2_000] {
+            figures_match_sorted_copies(requests, 100);
         }
     }
 
-    fn figures_match_sorted_copies(requests: usize) {
+    fn figures_match_sorted_copies(requests: usize, distinct: u64) {
         let shards = 4;
         let mut books = Books {
             total: Tally::default(),
             per_shard: vec![(Tally::default(), (0, 0)); shards],
-            latencies: Vec::new(),
+            latencies: BTreeMap::new(),
         };
         let (mut run, mut per_shard) = (Vec::new(), vec![Vec::new(); shards]);
+        let mut sampled: BTreeMap<(u64, usize, bool), u32> = BTreeMap::new();
         let mut draw = 0x9E37_79B9_7F4A_7C15_u64;
         for request in 0..requests {
             draw = draw.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            let latency_ns = (draw >> 40) % 50_000 + 1_000;
+            let latency_ns = (draw >> 40) % distinct + 1_000;
             // Shard 3 takes no request; a third of the requests span shards.
             let ops: &[usize] = match request % 6 {
                 0 => &[2, 0, 2],
@@ -678,28 +655,25 @@ mod tests {
                 if !ops[..i].contains(&shard) {
                     books.sample(latency_ns, shard, i == 0);
                     per_shard[shard].push(latency_ns);
+                    *sampled.entry((latency_ns, shard, i == 0)).or_default() += 1;
                 }
             }
         }
-        let mut sorted: Vec<u64> = books.latencies.iter().flatten().copied().collect();
-        sorted.sort_unstable();
+        // One entry per distinct (latency, shard, first), counting its
+        // requests.
+        let entries: BTreeMap<(u64, usize, bool), u32> = (books.latencies.iter())
+            .map(|(&entry, &count)| {
+                let shard = (entry >> 1) as usize & ((1 << SHARD_BITS) - 1);
+                ((entry >> (SHARD_BITS + 1), shard, entry & 1 == 1), count)
+            })
+            .collect();
+        assert_eq!(entries, sampled, "{requests}");
         let figures = |stats: &RunStats| {
             let percentiles = [stats.p50_latency_us, stats.p90_latency_us];
             let tails = [stats.p99_latency_us, stats.p999_latency_us];
             (stats.mean_latency_us, percentiles, tails)
         };
         let ranked = books.latency_figures();
-        // Every page but the last is full, and the walk is the sorted list.
-        let (last, full) = books
-            .latencies
-            .split_last()
-            .map_or((0, &[][..]), |(last, full)| (last.len(), full));
-        assert!(full.iter().all(|page| page.len() == LATENCY_PAGE) && last <= LATENCY_PAGE);
-        assert_eq!(
-            merged(&books.latencies).collect::<Vec<_>>(),
-            sorted,
-            "{requests}"
-        );
         let tallies = books.per_shard.iter().map(|&(tally, _)| tally);
         let lists = per_shard.iter_mut().chain([&mut run]);
         for ((tally, ranked), list) in tallies.chain([books.total]).zip(&ranked).zip(lists) {
