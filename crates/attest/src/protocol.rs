@@ -163,12 +163,13 @@ mod tests {
         // Node 1 talks to nodes 0 and 2 in both directions → 4 channels.
         assert_eq!(outcome.installed_channels.len(), 4);
         assert!(enclave.signing_key().is_ok());
-        assert!(enclave.mac_key("cq:1->0").is_ok());
-        assert!(enclave.mac_key("cq:0->1").is_ok());
-        assert!(enclave.mac_key("cq:2->1").is_ok());
-        assert!(enclave.bind_cipher(CIPHER_LABEL, &[0; 16]).is_ok());
+        assert!(enclave.channel_handle("cq:1->0").is_ok());
+        assert!(enclave.channel_handle("cq:0->1").is_ok());
+        assert!(enclave.channel_handle("cq:2->1").is_ok());
+        assert_eq!(enclave.channel_count(), 4);
+        assert!(enclave.derive_cipher_key(CIPHER_LABEL, &[b"x"]).is_ok());
         // No key for a channel node 1 does not participate in.
-        assert!(enclave.mac_key("cq:0->2").is_err());
+        assert!(enclave.channel_handle("cq:0->2").is_err());
     }
 
     #[test]

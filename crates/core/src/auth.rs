@@ -37,8 +37,8 @@
 //! sequence tuple determines ([`SequenceTuple::nonce`] — derived at both ends,
 //! never sent, unique because trusted counters never repeat). Its first 16
 //! bytes are the channel's `src ‖ dst`, so the channel's HChaCha20 sub-key
-//! is made once too, on its first sealed frame, and kept in the enclave
-//! beside the cipher key; a frame is ChaCha20 under it with its counter as
+//! is made once too, on its first sealed frame, and kept in the enclave in
+//! the channel's slot; a frame is ChaCha20 under it with its counter as
 //! the nonce's last 8 bytes. The frame MAC then covers the ciphertext, the
 //! sealed flag, the tuple and the cipher's key commitment, under a channel
 //! key that is domain-separated from the cipher key. That is encrypt-then-MAC with the MAC the protocol already pays for:
@@ -54,7 +54,7 @@ use std::collections::BTreeMap;
 
 use recipe_crypto::{CipherKey, KeyCommitment};
 use recipe_net::{ChannelId, NodeId};
-use recipe_tee::{CipherHandle, CounterHandle, Enclave, KeyHandle, Label, TeeError};
+use recipe_tee::{ChannelHandle, Enclave, Label, TeeError, TrustedCounter};
 
 use crate::error::RecipeError;
 use crate::message::{
@@ -264,7 +264,10 @@ enum Opened<'a> {
 enum Admission {
     /// In order, on `channel` (the receive counter is already advanced, and
     /// the cipher sub-key bound if the frame is sealed).
-    InOrder { counter: u64, channel: Channel },
+    InOrder {
+        counter: u64,
+        channel: ChannelHandle,
+    },
     /// Ahead of its predecessors, from the record at `peer`.
     Ahead {
         peer: usize,
@@ -327,74 +330,51 @@ from_rejection!(VerifyOutcome, Future);
 from_rejection!(BatchVerifyOutcome, Future);
 from_rejection!(TxnVerifyOutcome, OutOfOrder);
 
-/// One directed channel, resolved to where its secrets sit in the enclave.
-#[derive(Clone, Copy)]
-struct Channel {
-    /// The channel's MAC key, provisioned under its label (`cq:src->dst`)
-    /// and bound to the channel's block.
-    key: KeyHandle,
-    /// This node's trusted counter for the channel: frames sealed when this
-    /// node is the source, the last frame accepted when it is the destination.
-    counter: CounterHandle,
-    /// The cipher bound to the channel's nonce prefix
-    /// ([`channel_nonce_prefix`]): `None` until a frame on it is first
-    /// sealed or admitted sealed.
-    cipher: Option<CipherHandle>,
+/// Resolves `channel` to its slot in `enclave` ([`Enclave::channel_handle`]),
+/// or `None` when the enclave holds no key for it: looking a channel up
+/// creates nothing. The label is formatted in place ([`Label::format`]), so
+/// resolving a channel takes nothing from the heap.
+fn resolve(enclave: &Enclave, channel: ChannelId) -> Option<ChannelHandle> {
+    let label = Label::format(format_args!("{channel}")).ok()?;
+    enclave.channel_handle(label.as_str()).ok()
 }
 
-impl Channel {
-    /// Resolves `channel` in `enclave`, or `None` when the enclave holds no
-    /// key for it — a counter is only ever created for a keyed channel.
-    /// `role` is `send` or `recv`, this node's end of the channel. The key is
-    /// bound to the channel's block here, so the block's compression is paid
-    /// once a channel and `src`, `dst` are under every MAC made with it.
-    /// Both labels are formatted in place ([`Label::format`]), so resolving
-    /// a channel takes nothing from the heap but its enclave table slots.
-    fn resolve(enclave: &mut Enclave, role: &str, channel: ChannelId) -> Option<Channel> {
-        let label = Label::format(format_args!("{channel}")).ok()?;
-        let key = enclave.mac_key_handle(label.as_str()).ok()?;
-        enclave
-            .bind_mac_key(key, &channel_mac_block(channel))
-            .ok()?;
-        let counter = Label::format(format_args!("{role}:{channel}")).ok()?;
-        let counter = enclave.counter_handle(counter.as_str()).ok()?;
-        Some(Channel {
-            key,
-            counter,
-            cipher: None,
-        })
-    }
-
-    /// Binds the cipher provisioned under [`CIPHER_LABEL`] to `channel`'s
-    /// nonce prefix unless this record already holds the sub-key: the
-    /// channel's first sealed frame, sent or received, pays its one
-    /// HChaCha20, and the sub-key stays in the enclave.
-    fn bind_cipher(&mut self, enclave: &mut Enclave, channel: ChannelId) -> Result<(), TeeError> {
-        if self.cipher.is_none() {
-            let prefix = channel_nonce_prefix(channel);
-            self.cipher = Some(enclave.bind_cipher(CIPHER_LABEL, &prefix)?);
-        }
-        Ok(())
-    }
+/// Readies `handle`, the slot of `channel`, for a frame sealed when `seal`
+/// is ([`Enclave::bind_channel`]): the first frame after the channel's key
+/// was provisioned binds it to the channel's block, so the block's
+/// compression is paid once and `src`, `dst` are under every MAC made with
+/// it, and the first sealed frame after the cipher key was provisioned
+/// binds the cipher to the channel's nonce prefix, paying its one
+/// HChaCha20. Returns the channel's trusted counter.
+fn ready(
+    enclave: &mut Enclave,
+    handle: ChannelHandle,
+    channel: ChannelId,
+    seal: bool,
+) -> Result<&mut TrustedCounter, TeeError> {
+    let prefix = seal.then(|| channel_nonce_prefix(channel));
+    enclave.bind_channel(handle, &channel_mac_block(channel), prefix.as_ref())
 }
 
-/// What this node holds for one peer: both directions of their channel and
-/// the frames of the peer's that arrived ahead of their turn. Labels are
-/// built and looked up when the record is made; every frame after that
-/// indexes.
+/// What this node holds for one peer: the enclave slots of both directions
+/// of their channel and the frames of the peer's that arrived ahead of their
+/// turn. Labels are built and looked up when the record is made; every
+/// frame after that indexes one slot.
 struct Peer {
     node: NodeId,
     /// `cq:me->peer`; `None` while the enclave holds no key for it.
-    send: Option<Channel>,
+    send: Option<ChannelHandle>,
     /// `cq:peer->me`; `None` while the enclave holds no key for it.
-    recv: Option<Channel>,
+    recv: Option<ChannelHandle>,
     /// Frames from the peer that arrived ahead of their turn, keyed by
     /// counter: single messages and batches alike, each taking one counter
     /// slot, with their bodies owned.
     pending: BTreeMap<u64, FrameView<'static>>,
 }
 
-/// The authentication + non-equivocation layer of one node.
+/// The authentication + non-equivocation layer of one node. Its enclave
+/// holds one slot per channel — key, this node's counter, bound cipher —
+/// and each frame indexes one.
 pub struct AuthLayer {
     node: NodeId,
     view: u64,
@@ -487,21 +467,21 @@ impl AuthLayer {
     /// The slow path — first frame of a peer, or a direction whose key was
     /// not there last time — asks the enclave by label. A peer is only
     /// remembered once the enclave is known to hold a key for it: a frame's
-    /// source is the sender's claim, and made-up sources must neither grow
-    /// the table nor get a counter.
+    /// source is the sender's claim, and made-up sources must not grow the
+    /// table.
     fn channel_with(
         &mut self,
         node: NodeId,
-        pick: fn(&Peer) -> Option<Channel>,
-    ) -> Option<(usize, Channel)> {
+        pick: fn(&Peer) -> Option<ChannelHandle>,
+    ) -> Option<(usize, ChannelHandle)> {
         let found = self.peer_index(node);
         if let Ok(index) = found {
             if let Some(channel) = pick(&self.peers[index]) {
                 return Some((index, channel));
             }
         }
-        let send = Channel::resolve(&mut self.enclave, "send", ChannelId::new(self.node, node));
-        let recv = Channel::resolve(&mut self.enclave, "recv", ChannelId::new(node, self.node));
+        let send = resolve(&self.enclave, ChannelId::new(self.node, node));
+        let recv = resolve(&self.enclave, ChannelId::new(node, self.node));
         if send.is_none() && recv.is_none() {
             return None;
         }
@@ -531,10 +511,10 @@ impl AuthLayer {
         self.peer_index(node).ok().map(|index| &self.peers[index])
     }
 
-    /// The record of `dst` and the outgoing channel in it.
-    fn send_channel(&mut self, dst: NodeId) -> Result<(usize, Channel), RecipeError> {
+    /// The outgoing channel in the record of `dst`.
+    fn send_channel(&mut self, dst: NodeId) -> Result<ChannelHandle, RecipeError> {
         match self.channel_with(dst, |peer| peer.send) {
-            Some(found) => Ok(found),
+            Some((_, channel)) => Ok(channel),
             None if self.enclave.is_crashed() => Err(TeeError::EnclaveCrashed.into()),
             None => Err(TeeError::MissingSecret {
                 label: ChannelId::new(self.node, dst).label(),
@@ -544,26 +524,22 @@ impl AuthLayer {
     }
 
     /// The record of `src` and the incoming channel in it.
-    fn recv_channel(&mut self, src: NodeId) -> Option<(usize, Channel)> {
+    fn recv_channel(&mut self, src: NodeId) -> Option<(usize, ChannelHandle)> {
         self.channel_with(src, |peer| peer.recv)
     }
 
     /// `cnt_cq ← cnt_cq + 1` inside the enclave: takes the next counter slot
     /// of the channel toward `dst`, for a frame that is sealed when `seal`
-    /// is — the channel's cipher is bound first, so a channel without one
+    /// is — the channel is readied first, so a channel without a cipher
     /// spends no slot.
     fn next_slot(
         &mut self,
         dst: NodeId,
         seal: bool,
-    ) -> Result<(Channel, SequenceTuple), RecipeError> {
-        let (index, mut channel) = self.send_channel(dst)?;
+    ) -> Result<(ChannelHandle, SequenceTuple), RecipeError> {
+        let channel = self.send_channel(dst)?;
         let id = ChannelId::new(self.node, dst);
-        if seal {
-            channel.bind_cipher(&mut self.enclave, id)?;
-            self.peers[index].send = Some(channel);
-        }
-        let counter = self.enclave.counter_mut(channel.counter)?.increment();
+        let counter = ready(&mut self.enclave, channel, id, seal)?.increment();
         let tuple = SequenceTuple {
             view: self.view,
             channel: id,
@@ -578,15 +554,12 @@ impl AuthLayer {
     /// key it was bound from. Sealing and opening are this one call.
     fn apply_keystream(
         &self,
-        channel: Channel,
+        channel: ChannelHandle,
         tuple: &SequenceTuple,
         body: &mut [u8],
     ) -> Result<&KeyCommitment, RecipeError> {
         // Bound when the frame's slot was taken, or when it was admitted.
-        let handle = channel.cipher.ok_or_else(|| TeeError::MissingSecret {
-            label: CIPHER_LABEL.to_owned(),
-        })?;
-        let (cipher, commitment) = self.enclave.bound_cipher_at(handle)?;
+        let (cipher, commitment) = self.enclave.channel_cipher(channel)?;
         cipher.apply_keystream(&tuple.counter.to_le_bytes(), body);
         Ok(commitment)
     }
@@ -615,7 +588,7 @@ impl AuthLayer {
         } else {
             None
         };
-        let key = self.enclave.bound_mac_key_at(channel.key)?;
+        let key = self.enclave.channel_key(channel)?;
         let tag = family.frame_mac(key, &tuple, body, commitment).tag();
         Ok(image.finish(&tag))
     }
@@ -946,7 +919,7 @@ impl AuthLayer {
     /// counter slot was spent. `None` is a body that does not decode as its
     /// family says, or an enclave that would not hand out the cipher:
     /// [`VerifyOutcome::DecryptionFailed`].
-    fn open<'a>(&self, frame: FrameView<'a>, channel: Channel) -> Option<Opened<'a>> {
+    fn open<'a>(&self, frame: FrameView<'a>, channel: ChannelHandle) -> Option<Opened<'a>> {
         let FrameView {
             tuple,
             sealed,
@@ -1042,7 +1015,7 @@ impl AuthLayer {
         }
 
         // In-order frame: bump the trusted receive counter.
-        if let Ok(recv_counter) = self.enclave.counter_mut(channel.counter) {
+        if let Ok(recv_counter) = self.enclave.counter_mut(channel) {
             let _ = recv_counter.advance_to(counter);
         }
         Ok(Admission::InOrder { counter, channel })
@@ -1051,22 +1024,20 @@ impl AuthLayer {
     /// The MAC check of [`AuthLayer::admit`]: the record of the claimed
     /// source, its receive channel and the last counter accepted on it, if
     /// the frame verifies under the channel's bound key. A sealed frame
-    /// binds the channel's cipher first, as its key commitment is under the
+    /// readies the channel's cipher too, as its key commitment is under the
     /// MAC. No key for the claimed source, a sealed frame and no cipher key
     /// to commit to, or an enclave that refuses to hand them out,
     /// authenticates nothing.
-    fn authenticate(&mut self, frame: &FrameView<'_>) -> Option<(usize, Channel, u64)> {
+    fn authenticate(&mut self, frame: &FrameView<'_>) -> Option<(usize, ChannelHandle, u64)> {
         let tuple = &frame.tuple;
-        let (peer, mut channel) = self.recv_channel(tuple.channel.src)?;
-        if frame.sealed {
-            channel.bind_cipher(&mut self.enclave, tuple.channel).ok()?;
-            self.peers[peer].recv = Some(channel);
-        }
-        let key = self.enclave.bound_mac_key_at(channel.key).ok()?;
-        let last_accepted = self.enclave.counter_value(channel.counter).ok()?;
-        let commitment = match channel.cipher {
-            Some(cipher) if frame.sealed => Some(self.enclave.bound_cipher_at(cipher).ok()?.1),
-            _ => None,
+        let (peer, channel) = self.recv_channel(tuple.channel.src)?;
+        let counter = ready(&mut self.enclave, channel, tuple.channel, frame.sealed).ok()?;
+        let last_accepted = counter.current();
+        let key = self.enclave.channel_key(channel).ok()?;
+        let commitment = if frame.sealed {
+            Some(self.enclave.channel_cipher(channel).ok()?.1)
+        } else {
+            None
         };
         frame
             .family
@@ -1093,7 +1064,7 @@ impl AuthLayer {
         // then open them: opening borrows the whole layer, the record a part.
         let mut released = Vec::new();
         while !peer.pending.is_empty() {
-            let Ok(counter) = self.enclave.counter_mut(channel.counter) else {
+            let Ok(counter) = self.enclave.counter_mut(channel) else {
                 break;
             };
             let next = counter.current() + 1;
@@ -1134,7 +1105,7 @@ impl AuthLayer {
         // ever sealed here, and the counter it would have used is at zero.
         self.peer(dst)
             .and_then(|peer| peer.send)
-            .and_then(|channel| self.enclave.counter_value(channel.counter).ok())
+            .and_then(|channel| self.enclave.counter_value(channel).ok())
             .unwrap_or(0)
     }
 
@@ -1144,7 +1115,7 @@ impl AuthLayer {
     pub fn recv_counter_from(&self, src: NodeId) -> u64 {
         self.peer(src)
             .and_then(|peer| peer.recv)
-            .and_then(|channel| self.enclave.counter_value(channel.counter).ok())
+            .and_then(|channel| self.enclave.counter_value(channel).ok())
             .unwrap_or(0)
     }
 
@@ -1159,7 +1130,7 @@ impl AuthLayer {
         let Some((index, channel)) = self.recv_channel(src) else {
             return;
         };
-        if let Ok(counter) = self.enclave.counter_mut(channel.counter) {
+        if let Ok(counter) = self.enclave.counter_mut(channel) {
             let _ = counter.advance_to(peer_send_counter);
         }
         self.peers[index].pending.clear();
@@ -1348,7 +1319,7 @@ mod tests {
             &mut receiver,
             &sender.shield(NodeId(2), 1, b"x").unwrap()
         ));
-        let (peers, counters) = (receiver.peers.len(), receiver.enclave().counter_count());
+        let (peers, channels) = (receiver.peers.len(), receiver.enclave().channel_count());
 
         // A host can claim any source; node 2 holds no key for these.
         for src in [3u64, 9, u64::MAX] {
@@ -1364,7 +1335,7 @@ mod tests {
             assert!(receiver.shield(NodeId(src), 1, b"x").is_err());
         }
         assert_eq!(receiver.peers.len(), peers);
-        assert_eq!(receiver.enclave().counter_count(), counters);
+        assert_eq!(receiver.enclave().channel_count(), channels);
     }
 
     #[test]
@@ -2047,12 +2018,11 @@ mod tests {
         assert_eq!(out.tuple.counter, back.tuple.counter);
         assert!(delivers(&mut one, &back));
         let peer = one.peer(NodeId(2)).unwrap();
-        let send = peer.send.and_then(|channel| channel.cipher).unwrap();
-        let recv = peer.recv.and_then(|channel| channel.cipher).unwrap();
+        let (send, recv) = (peer.send.unwrap(), peer.recv.unwrap());
         assert_ne!(send, recv);
         let keystream = |handle| {
             let mut data = [0u8; 200];
-            let (cipher, _) = one.enclave().bound_cipher_at(handle).unwrap();
+            let (cipher, _) = one.enclave().channel_cipher(handle).unwrap();
             cipher.apply_keystream(&1u64.to_le_bytes(), &mut data);
             data
         };

@@ -2,10 +2,11 @@
 //!
 //! An [`Enclave`] is the per-node trusted computing base: it owns every secret a
 //! Recipe replica uses (channel MAC keys, signing keys, cipher keys) and its
-//! trusted monotonic counters. Code "inside" the enclave is simply code that holds
-//! the `Enclave` handle; the untrusted host side of a node never receives one,
-//! mirroring the SGX isolation boundary in the type system rather than in
-//! hardware.
+//! trusted monotonic counters, one slot per channel holding the channel's
+//! key, its counter and its bound cipher. Code "inside" the enclave is
+//! simply code that holds the `Enclave` handle; the untrusted host side of a
+//! node never receives one, mirroring the SGX isolation boundary in the type
+//! system rather than in hardware.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -91,66 +92,44 @@ impl CipherSlot {
     }
 }
 
-/// A cipher bound to a nonce prefix ([`Enclave::bind_cipher`]), beside the
-/// cipher slot it was bound from and the prefix. The sub-key decrypts like
-/// the key does, so it is made, kept and — when the cipher's label is
-/// provisioned again — remade in here.
-struct BoundCipherSlot {
-    slot: usize,
-    prefix: [u8; 16],
-    cipher: BoundCipher,
+/// A channel's MAC key as provisioned or, from the channel's next frame on
+/// ([`Enclave::bind_channel`]), its bound form: the key with the channel's
+/// block hashed in. The bound form forges like the key does and is all a
+/// frame needs, so it takes the key's place; provisioning the label again
+/// puts a key back.
+enum ChannelKey {
+    Provisioned(MacKey),
+    Bound(BoundMacKey),
 }
 
-/// A provisioned channel MAC key and, once the channel is in use, its bound
-/// form: the key with the channel's block hashed in
-/// ([`Enclave::bind_mac_key`]). The bound state forges like the key does, so
-/// it is made, kept and — when the label is provisioned again — remade in
-/// here, from the block kept beside it. The label is held inline, so a
-/// channel's keys take their table slot and no other memory.
-struct MacSlot {
+/// What an enclave holds for one directed channel, under the channel's
+/// label (`cq:src->dst`): its MAC key; this node's trusted counter for it —
+/// frames sealed when the node is the source, the last frame accepted when
+/// it is the destination; and, once a frame on it is sealed, the cipher
+/// under [`CIPHER_LABEL`] bound to its nonce prefix. The label is inline,
+/// so a channel takes its slot and no other memory.
+struct ChannelSlot {
     label: Label,
-    key: MacKey,
-    bound: Option<(BoundMacKey, [u8; MAC_BLOCK_LEN])>,
+    key: ChannelKey,
+    counter: TrustedCounter,
+    cipher: Option<BoundCipher>,
 }
 
-/// A MAC key's position in the enclave that provisioned it: the per-frame
-/// code resolves a channel label once ([`Enclave::mac_key_handle`]) and
-/// indexes from then on. A handle stays valid for the life of its enclave —
-/// keys are replaced in place, never removed — and means nothing to another.
-/// Handles are four bytes, so a channel record holding three of them — key,
-/// counter and bound cipher — is two registers wide: at 24 bytes the
-/// plaintext frame path read 5 % slower.
+/// A 46 B label, a 120 B key, an 8 B counter and a 33 B cipher, padded to
+/// 8: a page of [`CHANNEL_PAGE`] slots is 832 B.
+const _: () = assert!(std::mem::size_of::<ChannelSlot>() == 208);
+
+/// Slots in one page of an enclave's channels: a replica of a three-node
+/// group holds 4, both directions to each of two peers.
+const CHANNEL_PAGE: usize = 4;
+
+/// A channel slot's position in the enclave that provisioned it: the
+/// per-frame code resolves a channel label once ([`Enclave::channel_handle`])
+/// and indexes from then on. A handle stays valid for the life of its
+/// enclave — slots are replaced in place, never moved or removed — and
+/// means nothing to another.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyHandle(u32);
-
-/// A trusted counter's position in its enclave (see [`KeyHandle`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterHandle(u32);
-
-/// A bound cipher's position in its enclave ([`Enclave::bind_cipher`]; see
-/// [`KeyHandle`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CipherHandle(u32);
-
-/// Refuses to grow a table handles index past what four bytes hold: 2³²
-/// entries are hundreds of gigabytes, where the EPC has long run out. So
-/// every index a handle is made from fits ([`handle_of`]).
-fn room_for_one_more<T>(table: &[T]) -> Result<(), TeeError> {
-    if table.len() < u32::MAX as usize {
-        Ok(())
-    } else {
-        Err(TeeError::EpcExhausted {
-            requested: std::mem::size_of::<T>(),
-            available: 0,
-        })
-    }
-}
-
-/// `index` as a handle's four bytes — lossless, as no table grows past
-/// [`room_for_one_more`].
-fn handle_of(index: usize) -> u32 {
-    index as u32
-}
+pub struct ChannelHandle(u32);
 
 /// A per-node simulated enclave.
 pub struct Enclave {
@@ -162,25 +141,17 @@ pub struct Enclave {
     crashed: bool,
 
     // Secrets provisioned after attestation. Reachable only through this handle.
-    // Channel keys sit in provisioning order beside their labels, so a
-    // `KeyHandle` is an index; a label is looked up by scanning, which only
-    // provisioning, attestation and a channel's first frame do.
-    mac_keys: Vec<MacSlot>,
-    // Cipher keys in provisioning order beside their labels, like the MAC
-    // keys, and the ciphers bound from them in binding order: a
-    // `CipherHandle` indexes the latter.
+    // One slot per channel label, in provisioning order, in pages of
+    // `CHANNEL_PAGE` each allocated once at its size and never moved, so a
+    // `ChannelHandle` is an index; a label is looked up by scanning, which
+    // only provisioning and a peer's first frame do.
+    channels: Vec<Vec<ChannelSlot>>,
+    // Cipher keys in provisioning order beside their labels.
     ciphers: Vec<CipherSlot>,
-    bound_ciphers: Vec<BoundCipherSlot>,
     signing_key: Option<SigningKeyPair>,
 
     // Ephemeral key-exchange secret generated during attestation.
     kx_secret: Option<EphemeralSecret>,
-
-    // Trusted monotonic counters beside their channel labels
-    // (`send:cq:src->dst`, `recv:cq:src->dst`), in creation order: a
-    // `CounterHandle` is an index. Labels are inline, so a counter is its
-    // slot and nothing on the heap.
-    counters: Vec<(Label, TrustedCounter)>,
 }
 
 impl Enclave {
@@ -199,12 +170,10 @@ impl Enclave {
             hardware_key,
             platform_secret,
             crashed: false,
-            mac_keys: Vec::new(),
+            channels: Vec::new(),
             ciphers: Vec::new(),
-            bound_ciphers: Vec::new(),
             signing_key: None,
             kx_secret: None,
-            counters: Vec::new(),
             config,
         }
     }
@@ -288,9 +257,10 @@ impl Enclave {
     // ------------------------------------------------------------------
 
     /// Installs a channel MAC key under `label`, replacing — in place, so
-    /// handles to it stay good, and with its bound form remade from the new
-    /// key — a key already provisioned there. A label longer than a
-    /// [`Label`] holds is refused.
+    /// handles to the channel and its counter stay good — a key already
+    /// provisioned there; the channel's next frame binds the new key
+    /// ([`Enclave::bind_channel`]). A label longer than a [`Label`] holds
+    /// is refused before anything grows.
     pub fn provision_mac_key(
         &mut self,
         label: impl AsRef<str>,
@@ -298,94 +268,146 @@ impl Enclave {
     ) -> Result<(), TeeError> {
         self.ensure_alive()?;
         let label = Label::new(label.as_ref())?;
-        match self.mac_keys.iter_mut().find(|slot| slot.label == label) {
-            Some(slot) => {
-                if let Some((bound, block)) = &mut slot.bound {
-                    *bound = key.bind(block);
-                }
-                slot.key = key;
-            }
-            None => {
-                room_for_one_more(&self.mac_keys)?;
-                self.mac_keys.push(MacSlot {
-                    label,
-                    key,
-                    bound: None,
-                });
+        let key = ChannelKey::Provisioned(key);
+        if let Some(slot) = self
+            .channels
+            .iter_mut()
+            .flatten()
+            .find(|s| s.label == label)
+        {
+            slot.key = key;
+            return Ok(());
+        }
+        let slot = ChannelSlot {
+            label,
+            key,
+            counter: TrustedCounter::default(),
+            cipher: None,
+        };
+        // A handle is four bytes: 2³² slots are hundreds of gigabytes,
+        // where the EPC has long run out.
+        if self.channel_count() >= u32::MAX as usize {
+            return Err(TeeError::EpcExhausted {
+                requested: std::mem::size_of::<ChannelSlot>(),
+                available: 0,
+            });
+        }
+        match self.channels.last_mut() {
+            Some(page) if page.len() < CHANNEL_PAGE => page.push(slot),
+            _ => {
+                let mut page = Vec::with_capacity(CHANNEL_PAGE);
+                page.push(slot);
+                self.channels.push(page);
             }
         }
         Ok(())
     }
 
-    /// Resolves the MAC key provisioned under `label` to its handle.
-    pub fn mac_key_handle(&self, label: &str) -> Result<KeyHandle, TeeError> {
+    /// Resolves the channel provisioned under `label` to its handle.
+    pub fn channel_handle(&self, label: &str) -> Result<ChannelHandle, TeeError> {
         self.ensure_alive()?;
         let wanted = Label::new(label)?;
-        self.mac_keys
+        self.channels
             .iter()
+            .flatten()
             .position(|slot| slot.label == wanted)
-            .map(|index| KeyHandle(handle_of(index)))
+            // Lossless: no slot is added past `u32::MAX`.
+            .map(|index| ChannelHandle(index as u32))
             .ok_or_else(|| TeeError::MissingSecret {
                 label: label.to_owned(),
             })
     }
 
-    /// Binds the MAC key `handle` was resolved for to `block`, the 64 bytes
-    /// every message on its channel starts with ([`MacKey::bind`]): one
-    /// compression now, one fewer for every message MAC'd through
-    /// [`Enclave::bound_mac_key_at`] afterwards. Binding again to the same
-    /// block does nothing; to another block, replaces it.
-    pub fn bind_mac_key(
+    /// Number of channels provisioned (for diagnostics and tests).
+    pub fn channel_count(&self) -> usize {
+        self.channels.iter().map(Vec::len).sum()
+    }
+
+    fn slot(&self, handle: ChannelHandle) -> Result<&ChannelSlot, TeeError> {
+        self.ensure_alive()?;
+        let index = handle.0 as usize;
+        self.channels
+            .get(index / CHANNEL_PAGE)
+            .and_then(|page| page.get(index % CHANNEL_PAGE))
+            .ok_or_else(|| TeeError::MissingSecret {
+                label: format!("channel #{}", handle.0),
+            })
+    }
+
+    fn slot_mut(&mut self, handle: ChannelHandle) -> Result<&mut ChannelSlot, TeeError> {
+        self.ensure_alive()?;
+        let index = handle.0 as usize;
+        self.channels
+            .get_mut(index / CHANNEL_PAGE)
+            .and_then(|page| page.get_mut(index % CHANNEL_PAGE))
+            .ok_or_else(|| TeeError::MissingSecret {
+                label: format!("channel #{}", handle.0),
+            })
+    }
+
+    /// Readies the channel `handle` names for a frame and returns its
+    /// trusted counter. `block` is the 64 bytes every message MAC on the
+    /// channel starts with: the first frame after its key was provisioned
+    /// binds the key to it ([`MacKey::bind`]), one compression then and one
+    /// fewer for every frame after. With `prefix`, the first 16 nonce bytes
+    /// of every frame on it, the first sealed frame after the cipher key
+    /// under [`CIPHER_LABEL`] was provisioned binds that cipher to it
+    /// ([`Cipher::bind`]): one HChaCha20 then, none for every frame after.
+    /// Both are the channel's own, the same for every frame, so what a slot
+    /// holds bound it keeps.
+    pub fn bind_channel(
         &mut self,
-        handle: KeyHandle,
+        handle: ChannelHandle,
         block: &[u8; MAC_BLOCK_LEN],
-    ) -> Result<(), TeeError> {
-        self.ensure_alive()?;
-        let slot =
-            self.mac_keys
-                .get_mut(handle.0 as usize)
-                .ok_or_else(|| TeeError::MissingSecret {
-                    label: format!("mac key #{}", handle.0),
-                })?;
-        if !matches!(&slot.bound, Some((_, held)) if held == block) {
-            slot.bound = Some((slot.key.bind(block), *block));
+        prefix: Option<&[u8; 16]>,
+    ) -> Result<&mut TrustedCounter, TeeError> {
+        let cipher = match prefix {
+            Some(prefix) if self.slot(handle)?.cipher.is_none() => {
+                Some(self.cipher_slot(CIPHER_LABEL)?.cipher().bind(prefix))
+            }
+            _ => None,
+        };
+        let slot = self.slot_mut(handle)?;
+        if let ChannelKey::Provisioned(key) = &slot.key {
+            slot.key = ChannelKey::Bound(key.bind(block));
         }
-        Ok(())
+        if cipher.is_some() {
+            slot.cipher = cipher;
+        }
+        Ok(&mut slot.counter)
     }
 
-    /// Returns the bound form of the MAC key `handle` was resolved for — of
-    /// the key provisioned under its label now, not when it was bound.
-    pub fn bound_mac_key_at(&self, handle: KeyHandle) -> Result<&BoundMacKey, TeeError> {
-        self.ensure_alive()?;
-        self.mac_keys
-            .get(handle.0 as usize)
-            .and_then(|slot| slot.bound.as_ref())
-            .map(|(bound, _)| bound)
-            .ok_or_else(|| TeeError::MissingSecret {
-                label: format!("bound mac key #{}", handle.0),
-            })
+    /// The bound key of the channel `handle` names — of the key provisioned
+    /// under its label now, once [`Enclave::bind_channel`] bound it.
+    pub fn channel_key(&self, handle: ChannelHandle) -> Result<&BoundMacKey, TeeError> {
+        match &self.slot(handle)?.key {
+            ChannelKey::Bound(key) => Ok(key),
+            ChannelKey::Provisioned(_) => Err(TeeError::MissingSecret {
+                label: format!("bound key #{}", handle.0),
+            }),
+        }
     }
 
-    /// Returns the MAC key provisioned under `label`.
-    pub fn mac_key(&self, label: &str) -> Result<&MacKey, TeeError> {
-        self.mac_key_at(self.mac_key_handle(label)?)
-    }
-
-    /// Returns the MAC key `handle` was resolved for.
-    pub(crate) fn mac_key_at(&self, handle: KeyHandle) -> Result<&MacKey, TeeError> {
-        self.ensure_alive()?;
-        self.mac_keys
-            .get(handle.0 as usize)
-            .map(|slot| &slot.key)
-            .ok_or_else(|| TeeError::MissingSecret {
-                label: format!("mac key #{}", handle.0),
-            })
+    /// The cipher [`Enclave::bind_channel`] bound for the channel `handle`
+    /// names — from the key provisioned under [`CIPHER_LABEL`] now — and
+    /// that key's commitment ([`Cipher::key_commitment`]).
+    pub fn channel_cipher(
+        &self,
+        handle: ChannelHandle,
+    ) -> Result<(&BoundCipher, &KeyCommitment), TeeError> {
+        let cipher = self.slot(handle)?.cipher.as_ref();
+        let cipher = cipher.ok_or_else(|| TeeError::MissingSecret {
+            label: format!("bound cipher #{}", handle.0),
+        })?;
+        let commitment = self.cipher_slot(CIPHER_LABEL)?.cipher().key_commitment();
+        Ok((cipher, commitment))
     }
 
     /// Installs a cipher key under `label` (confidentiality mode), replacing
-    /// — in place, so handles to it stay good, and with every cipher bound
-    /// from it remade from the new key — a key already provisioned there. A
-    /// label longer than a [`Label`] holds is refused.
+    /// — in place — a key already provisioned there. Replacing the key
+    /// under [`CIPHER_LABEL`] unbinds every channel's cipher, and each
+    /// channel's next sealed frame binds the new one. A label longer than a
+    /// [`Label`] holds is refused.
     pub fn provision_cipher_key(
         &mut self,
         label: impl AsRef<str>,
@@ -393,14 +415,14 @@ impl Enclave {
     ) -> Result<(), TeeError> {
         self.ensure_alive()?;
         let label = Label::new(label.as_ref())?;
-        match self.ciphers.iter().position(|slot| slot.label == label) {
-            Some(index) => {
-                let slot = &mut self.ciphers[index];
+        match self.ciphers.iter_mut().find(|slot| slot.label == label) {
+            Some(slot) => {
                 slot.key = key;
                 slot.cipher = OnceLock::new();
-                let slot = &self.ciphers[index];
-                for bound in self.bound_ciphers.iter_mut().filter(|b| b.slot == index) {
-                    bound.cipher = slot.cipher().bind(&bound.prefix);
+                if label.as_str() == CIPHER_LABEL {
+                    for slot in self.channels.iter_mut().flatten() {
+                        slot.cipher = None;
+                    }
                 }
             }
             None => {
@@ -416,64 +438,13 @@ impl Enclave {
         Ok(())
     }
 
-    fn cipher_slot(&self, label: &str) -> Result<usize, TeeError> {
-        let wanted = Label::new(label)?;
+    fn cipher_slot(&self, label: &str) -> Result<&CipherSlot, TeeError> {
         self.ciphers
             .iter()
-            .position(|slot| slot.label == wanted)
+            .find(|slot| slot.label.as_str() == label)
             .ok_or_else(|| TeeError::MissingSecret {
                 label: label.to_owned(),
             })
-    }
-
-    /// Binds the cipher provisioned under `label` to `prefix`, the first 16
-    /// nonce bytes of every message on one channel ([`Cipher::bind`]): one
-    /// HChaCha20 now, none for every message sealed or opened through
-    /// [`Enclave::bound_cipher_at`] afterwards. Binding again to a prefix
-    /// already bound resolves to the cipher bound then.
-    pub fn bind_cipher(
-        &mut self,
-        label: &str,
-        prefix: &[u8; 16],
-    ) -> Result<CipherHandle, TeeError> {
-        self.ensure_alive()?;
-        let slot = self.cipher_slot(label)?;
-        let held = self
-            .bound_ciphers
-            .iter()
-            .position(|bound| bound.slot == slot && bound.prefix == *prefix);
-        let index = match held {
-            Some(index) => index,
-            None => {
-                room_for_one_more(&self.bound_ciphers)?;
-                let cipher = self.ciphers[slot].cipher().bind(prefix);
-                self.bound_ciphers.push(BoundCipherSlot {
-                    slot,
-                    prefix: *prefix,
-                    cipher,
-                });
-                self.bound_ciphers.len() - 1
-            }
-        };
-        Ok(CipherHandle(handle_of(index)))
-    }
-
-    /// Returns the cipher `handle` was bound for — from the key provisioned
-    /// under its label now, not when it was bound — and that key's
-    /// commitment ([`Cipher::key_commitment`]).
-    pub fn bound_cipher_at(
-        &self,
-        handle: CipherHandle,
-    ) -> Result<(&BoundCipher, &KeyCommitment), TeeError> {
-        self.ensure_alive()?;
-        let bound =
-            self.bound_ciphers
-                .get(handle.0 as usize)
-                .ok_or_else(|| TeeError::MissingSecret {
-                    label: format!("bound cipher #{}", handle.0),
-                })?;
-        let commitment = self.ciphers[bound.slot].cipher().key_commitment();
-        Ok((&bound.cipher, commitment))
     }
 
     /// Derives a sub-key of the cipher key provisioned under `label`
@@ -481,7 +452,7 @@ impl Enclave {
     /// enclave.
     pub fn derive_cipher_key(&self, label: &str, parts: &[&[u8]]) -> Result<CipherKey, TeeError> {
         self.ensure_alive()?;
-        Ok(self.ciphers[self.cipher_slot(label)?].key.derive(parts))
+        Ok(self.cipher_slot(label)?.key.derive(parts))
     }
 
     /// Installs the node's signing key pair.
@@ -503,51 +474,15 @@ impl Enclave {
     // Trusted counters
     // ------------------------------------------------------------------
 
-    /// Resolves the trusted counter for `channel` to its handle, creating the
-    /// counter at zero on first use. This is the only way a counter comes to
-    /// exist, so callers decide what deserves one before asking. A label
-    /// longer than a [`Label`] holds is refused.
-    pub fn counter_handle(&mut self, channel: &str) -> Result<CounterHandle, TeeError> {
-        self.ensure_alive()?;
-        let channel = Label::new(channel)?;
-        let index = match self.counters.iter().position(|(held, _)| *held == channel) {
-            Some(index) => index,
-            None => {
-                room_for_one_more(&self.counters)?;
-                self.counters.push((channel, TrustedCounter::default()));
-                self.counters.len() - 1
-            }
-        };
-        Ok(CounterHandle(handle_of(index)))
+    /// The trusted counter of the channel `handle` names.
+    pub fn counter_mut(&mut self, handle: ChannelHandle) -> Result<&mut TrustedCounter, TeeError> {
+        Ok(&mut self.slot_mut(handle)?.counter)
     }
 
-    /// Number of trusted counters that exist (for diagnostics and tests).
-    pub fn counter_count(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Returns a mutable reference to the trusted counter `handle` was
-    /// resolved for.
-    pub fn counter_mut(&mut self, handle: CounterHandle) -> Result<&mut TrustedCounter, TeeError> {
-        self.ensure_alive()?;
-        self.counters
-            .get_mut(handle.0 as usize)
-            .map(|(_, counter)| counter)
-            .ok_or_else(|| TeeError::MissingSecret {
-                label: format!("counter #{}", handle.0),
-            })
-    }
-
-    /// Returns the current value of the trusted counter `handle` was resolved
-    /// for.
-    pub fn counter_value(&self, handle: CounterHandle) -> Result<u64, TeeError> {
-        self.ensure_alive()?;
-        self.counters
-            .get(handle.0 as usize)
-            .map(|(_, counter)| counter.current())
-            .ok_or_else(|| TeeError::MissingSecret {
-                label: format!("counter #{}", handle.0),
-            })
+    /// The current value of the trusted counter of the channel `handle`
+    /// names.
+    pub fn counter_value(&self, handle: ChannelHandle) -> Result<u64, TeeError> {
+        Ok(self.slot(handle)?.counter.current())
     }
 
     // ------------------------------------------------------------------
@@ -587,8 +522,7 @@ impl fmt::Debug for Enclave {
             .field("id", &self.id)
             .field("measurement", &self.measurement.digest().short_hex())
             .field("crashed", &self.crashed)
-            .field("channels", &self.mac_keys.len())
-            .field("counters", &self.counters.len())
+            .field("channels", &self.channel_count())
             .finish()
     }
 }
@@ -596,7 +530,9 @@ impl fmt::Debug for Enclave {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::label::LABEL_CAPACITY;
     use rand::SeedableRng;
+    use recipe_crypto::MacTag;
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(1)
@@ -604,6 +540,31 @@ mod tests {
 
     fn enclave() -> Enclave {
         Enclave::launch(EnclaveId(1), EnclaveConfig::new("raft-replica-v1", 10))
+    }
+
+    /// The block the tests' channels are bound to.
+    const BLOCK: [u8; MAC_BLOCK_LEN] = [0x5A; MAC_BLOCK_LEN];
+
+    /// The tag of `frame` on the channel `handle` names, readied for it as
+    /// a frame is.
+    fn tag_of(e: &mut Enclave, handle: ChannelHandle) -> MacTag {
+        e.bind_channel(handle, &BLOCK, None).unwrap();
+        let mut stream = e.channel_key(handle).unwrap().stream();
+        stream.update(b"frame");
+        stream.tag()
+    }
+
+    /// The tag `key` gives the same message, unbound.
+    fn tag_under(key: &MacKey) -> MacTag {
+        key.tag(&[&BLOCK[..], b"frame"].concat())
+    }
+
+    fn label(i: u64) -> String {
+        format!("cq:{i}->{}", i + 1)
+    }
+
+    fn key(i: u64) -> MacKey {
+        MacKey::from_bytes([i as u8; 32])
     }
 
     #[test]
@@ -660,47 +621,61 @@ mod tests {
         let mut e = enclave();
         let key = MacKey::from_bytes([1u8; 32]);
         e.provision_mac_key("cq:0->1", key.clone()).unwrap();
-        assert_eq!(e.mac_key("cq:0->1").unwrap(), &key);
+        let handle = e.channel_handle("cq:0->1").unwrap();
+        assert_eq!(tag_of(&mut e, handle), tag_under(&key));
         assert!(matches!(
-            e.mac_key("cq:0->2"),
+            e.channel_handle("cq:0->2"),
             Err(TeeError::MissingSecret { .. })
         ));
     }
 
     #[test]
+    fn an_unprovisioned_label_gets_no_slot() {
+        let mut e = enclave();
+        e.provision_mac_key("cq:0->1", key(1)).unwrap();
+        e.provision_cipher_key(CIPHER_LABEL, CipherKey::from_bytes([2u8; 32]))
+            .unwrap();
+        // Asking for a channel — the other direction, a made-up peer, the
+        // cipher's label — finds nothing and makes nothing.
+        for label in ["cq:1->0", "cq:0->2", CIPHER_LABEL] {
+            assert!(matches!(
+                e.channel_handle(label),
+                Err(TeeError::MissingSecret { .. })
+            ));
+        }
+        assert_eq!((e.channel_count(), e.channels.len()), (1, 1));
+    }
+
+    #[test]
     fn the_longest_channel_label_fits_and_one_byte_more_is_refused() {
         let mut e = enclave();
-        let channel = format!("cq:{}->{}", u64::MAX, u64::MAX);
-        let worst = format!("recv:{channel}");
-        assert_eq!(worst.len(), crate::label::LABEL_CAPACITY);
+        let worst = format!("cq:{}->{}", u64::MAX, u64::MAX);
+        assert_eq!(worst.len(), LABEL_CAPACITY);
         assert_eq!(Label::new(&worst).unwrap().as_str(), worst);
         let key = MacKey::from_bytes([4u8; 32]);
         e.provision_mac_key(&worst, key.clone()).unwrap();
-        assert_eq!(e.mac_key(&worst).unwrap(), &key);
-        let counter = e.counter_handle(&worst).unwrap();
-        assert_eq!(e.counter_mut(counter).unwrap().increment(), 1);
-        assert_eq!(e.counter_handle(&worst), Ok(counter));
+        let handle = e.channel_handle(&worst).unwrap();
+        assert_eq!(tag_of(&mut e, handle), tag_under(&key));
         e.provision_cipher_key(&worst, CipherKey::from_bytes([5u8; 32]))
             .unwrap();
         assert!(e.derive_cipher_key(&worst, &[b"x"]).is_ok());
 
-        // Refused, not cut short to the label above, and no table grows.
+        // Refused, not cut short to the label above, and nothing grows.
         let over = format!("{worst}0");
         let too_long = Err(TeeError::LabelTooLong {
-            len: crate::label::LABEL_CAPACITY + 1,
+            len: LABEL_CAPACITY + 1,
         });
-        let tables = |e: &Enclave| (e.mac_keys.len(), e.ciphers.len(), e.counters.len());
+        let tables = |e: &Enclave| (e.channel_count(), e.channels.len(), e.ciphers.len());
         let before = tables(&e);
         assert_eq!(e.provision_mac_key(&over, key), too_long);
         assert_eq!(
             e.provision_cipher_key(over.as_str(), CipherKey::from_bytes([6u8; 32])),
             too_long
         );
-        assert_eq!(e.counter_handle(&over).map(|_| ()), too_long);
-        assert_eq!(e.mac_key_handle(&over).map(|_| ()), too_long);
+        assert_eq!(e.channel_handle(&over).map(|_| ()), too_long);
         assert_eq!(tables(&e), before);
         assert_eq!(
-            Label::format(format_args!("recv:{channel}{}", 0)).map(|_| ()),
+            Label::format(format_args!("{worst}{}", 0)).map(|_| ()),
             too_long
         );
     }
@@ -708,21 +683,113 @@ mod tests {
     #[test]
     fn an_equal_label_replaces_in_place_whether_string_or_str() {
         let mut e = enclave();
-        e.provision_mac_key("cq:0->1", MacKey::from_bytes([1u8; 32]))
+        e.provision_mac_key("cq:0->1", key(1)).unwrap();
+        e.provision_mac_key("cq:1->0", key(2)).unwrap();
+        let handle = e.channel_handle("cq:0->1").unwrap();
+        e.provision_mac_key(String::from("cq:0->1"), key(3))
             .unwrap();
-        e.provision_mac_key("cq:1->0", MacKey::from_bytes([2u8; 32]))
-            .unwrap();
-        let handle = e.mac_key_handle("cq:0->1").unwrap();
-        let rotated = MacKey::from_bytes([3u8; 32]);
-        e.provision_mac_key(String::from("cq:0->1"), rotated.clone())
-            .unwrap();
-        assert_eq!(e.mac_key_handle("cq:0->1"), Ok(handle));
-        assert_eq!(e.mac_key_at(handle).unwrap(), &rotated);
-        let again = MacKey::from_bytes([4u8; 32]);
-        e.provision_mac_key("cq:0->1", again.clone()).unwrap();
-        assert_eq!(e.mac_key_handle("cq:0->1"), Ok(handle));
-        assert_eq!(e.mac_key_at(handle).unwrap(), &again);
-        assert_eq!(e.mac_keys.len(), 2);
+        assert_eq!(e.channel_handle("cq:0->1"), Ok(handle));
+        assert_eq!(tag_of(&mut e, handle), tag_under(&key(3)));
+        e.provision_mac_key("cq:0->1", key(4)).unwrap();
+        assert_eq!(e.channel_handle("cq:0->1"), Ok(handle));
+        assert_eq!(tag_of(&mut e, handle), tag_under(&key(4)));
+        assert_eq!(e.channel_count(), 2);
+    }
+
+    #[test]
+    fn handles_stay_valid_as_the_table_grows_past_several_pages() {
+        let mut e = enclave();
+        e.provision_mac_key(label(0), key(0)).unwrap();
+        let first_page = e.channels[0].as_ptr();
+        let channels = 5 * CHANNEL_PAGE as u64 + 1;
+        let mut handles = Vec::new();
+        for i in 0..channels {
+            e.provision_mac_key(label(i), key(i)).unwrap();
+            let handle = e.channel_handle(&label(i)).unwrap();
+            e.counter_mut(handle).unwrap().advance_to(i + 1).unwrap();
+            handles.push(handle);
+        }
+        // Six pages, each allocated at its size; the first never moved.
+        assert_eq!(e.channels.len(), 6);
+        assert!(e.channels.iter().all(|p| p.capacity() == CHANNEL_PAGE));
+        assert!(std::ptr::eq(e.channels[0].as_ptr(), first_page));
+        for (i, &handle) in (0..).zip(&handles) {
+            assert_eq!(e.channel_handle(&label(i)), Ok(handle));
+            assert_eq!(e.counter_value(handle), Ok(i + 1));
+            assert_eq!(tag_of(&mut e, handle), tag_under(&key(i)));
+        }
+
+        // A handle this enclave never issued names nothing, past its last
+        // slot or in another enclave.
+        let past = ChannelHandle(channels as u32);
+        let mut other = enclave();
+        for (e, handle) in [(&mut e, past), (&mut other, handles[0])] {
+            let missing = |r: Result<(), TeeError>| {
+                assert!(matches!(r, Err(TeeError::MissingSecret { .. })));
+            };
+            missing(e.counter_value(handle).map(|_| ()));
+            missing(e.counter_mut(handle).map(|_| ()));
+            missing(e.bind_channel(handle, &BLOCK, None).map(|_| ()));
+            missing(e.channel_key(handle).map(|_| ()));
+            missing(e.channel_cipher(handle).map(|_| ()));
+        }
+    }
+
+    #[test]
+    fn a_bound_channel_reprovisioned_in_a_later_page_binds_the_new_key_only() {
+        let mut e = enclave();
+        for i in 0..2 * CHANNEL_PAGE as u64 + 2 {
+            e.provision_mac_key(label(i), key(i)).unwrap();
+        }
+        let late = e.channel_handle(&label(9)).unwrap();
+        let beside = e.channel_handle(&label(8)).unwrap();
+        assert_eq!(late.0 as usize / CHANNEL_PAGE, 2);
+        assert_eq!(tag_of(&mut e, late), tag_under(&key(9)));
+        e.counter_mut(late).unwrap().increment();
+        // One channel's binding is not another's.
+        assert!(e.channel_key(beside).is_err());
+
+        let rotated = MacKey::from_bytes([0xEE; 32]);
+        e.provision_mac_key(label(9), rotated.clone()).unwrap();
+        // Unbound until its next frame readies it: nothing is MAC'd under
+        // the old key in between.
+        assert!(matches!(
+            e.channel_key(late),
+            Err(TeeError::MissingSecret { .. })
+        ));
+        let tag = tag_of(&mut e, late);
+        assert_eq!(tag, tag_under(&rotated));
+        assert_ne!(tag, tag_under(&key(9)));
+        // The handle, the counter and the channel beside it stay.
+        assert_eq!(e.channel_handle(&label(9)), Ok(late));
+        assert_eq!(e.counter_value(late), Ok(1));
+        assert_eq!(tag_of(&mut e, beside), tag_under(&key(8)));
+    }
+
+    #[test]
+    fn counters_are_independent_per_channel_and_never_go_back() {
+        let mut e = enclave();
+        for label in ["cq:0->1", "cq:0->2"] {
+            e.provision_mac_key(label, key(1)).unwrap();
+        }
+        let to_1 = e.channel_handle("cq:0->1").unwrap();
+        let to_2 = e.channel_handle("cq:0->2").unwrap();
+        assert_ne!(to_1, to_2);
+        assert_eq!(e.counter_value(to_1), Ok(0));
+        assert_eq!(e.counter_mut(to_1).unwrap().increment(), 1);
+        // Readying a channel for a frame hands out the same counter.
+        assert_eq!(e.bind_channel(to_1, &BLOCK, None).unwrap().increment(), 2);
+        assert_eq!(e.counter_mut(to_2).unwrap().increment(), 1);
+        e.counter_mut(to_2).unwrap().advance_to(40).unwrap();
+        assert_eq!(e.counter_value(to_1), Ok(2));
+        assert_eq!(e.counter_value(to_2), Ok(40));
+
+        // No counter goes back: not by a regression, and not when its
+        // label is provisioned again.
+        assert!(e.counter_mut(to_1).unwrap().advance_to(1).is_err());
+        e.provision_mac_key("cq:0->1", key(2)).unwrap();
+        assert_eq!(e.counter_value(to_1), Ok(2));
+        assert_eq!(e.counter_value(to_2), Ok(40));
     }
 
     #[test]
@@ -737,20 +804,28 @@ mod tests {
     #[test]
     fn cipher_provisioning() {
         let mut e = enclave();
-        assert!(e.bind_cipher("values", &[1; 16]).is_err());
+        e.provision_mac_key("cq:0->1", key(1)).unwrap();
+        let channel = e.channel_handle("cq:0->1").unwrap();
+        // No cipher key: a sealed frame readies nothing.
+        assert!(matches!(
+            e.bind_channel(channel, &BLOCK, Some(&[1; 16])),
+            Err(TeeError::MissingSecret { .. })
+        ));
         let parent = CipherKey::from_bytes([2u8; 32]);
-        e.provision_cipher_key("values", parent.clone()).unwrap();
-        let handle = e.bind_cipher("values", &[1; 16]).unwrap();
-        let (_, commitment) = e.bound_cipher_at(handle).unwrap();
+        e.provision_cipher_key(CIPHER_LABEL, parent.clone())
+            .unwrap();
+        e.bind_channel(channel, &BLOCK, Some(&[1; 16])).unwrap();
+        let (_, commitment) = e.channel_cipher(channel).unwrap();
         assert_eq!(commitment, Cipher::new(&parent).key_commitment());
         // Built once and handed out, not rebuilt per call.
         assert!(std::ptr::eq(
             commitment,
-            e.bound_cipher_at(handle).unwrap().1
+            e.channel_cipher(channel).unwrap().1
         ));
         // Sub-keys come from the provisioned key, under its label only.
         assert_eq!(
-            e.derive_cipher_key("values", &[b"store", b"7"]).unwrap(),
+            e.derive_cipher_key(CIPHER_LABEL, &[b"store", b"7"])
+                .unwrap(),
             parent.derive(&[b"store", b"7"])
         );
         assert!(matches!(
@@ -760,132 +835,27 @@ mod tests {
     }
 
     #[test]
-    fn counters_are_per_channel_and_persistent() {
-        let mut e = enclave();
-        let to_1 = e.counter_handle("cq:0->1").unwrap();
-        assert_eq!(e.counter_value(to_1), Ok(0));
-        assert_eq!(e.counter_mut(to_1).unwrap().increment(), 1);
-        assert_eq!(e.counter_mut(to_1).unwrap().increment(), 2);
-        let to_2 = e.counter_handle("cq:0->2").unwrap();
-        assert_ne!(to_1, to_2);
-        assert_eq!(e.counter_mut(to_2).unwrap().increment(), 1);
-        // Asking again resolves to the same counter, not a fresh one.
-        assert_eq!(e.counter_handle("cq:0->1"), Ok(to_1));
-        assert_eq!(e.counter_value(to_1), Ok(2));
-        assert_eq!(e.counter_value(to_2), Ok(1));
-    }
-
-    #[test]
-    fn a_handle_only_ever_yields_its_own_label() {
-        let mut e = enclave();
-        let key_ab = MacKey::from_bytes([1u8; 32]);
-        e.provision_mac_key("cq:a->b", key_ab.clone()).unwrap();
-        let ab = e.mac_key_handle("cq:a->b").unwrap();
-        let ab_counter = e.counter_handle("send:cq:a->b").unwrap();
-        e.counter_mut(ab_counter).unwrap().increment();
-
-        // Later provisioning and other channels' counters leave it where it is.
-        for (i, label) in ["cq:b->a", "cq:a->c", "cq:c->a"].into_iter().enumerate() {
-            e.provision_mac_key(label, MacKey::from_bytes([10 + i as u8; 32]))
-                .unwrap();
-            let other = e.counter_handle(&format!("send:{label}")).unwrap();
-            assert_ne!(other, ab_counter);
-            e.counter_mut(other).unwrap().advance_to(40).unwrap();
-            assert_ne!(e.mac_key_handle(label).unwrap(), ab);
-        }
-        assert_eq!(e.mac_key_at(ab).unwrap(), &key_ab);
-        assert_eq!(e.mac_key_handle("cq:a->b"), Ok(ab));
-        assert_eq!(e.counter_value(ab_counter), Ok(1));
-
-        // Re-provisioning the label replaces the key under the same handle.
-        let rotated = MacKey::from_bytes([2u8; 32]);
-        e.provision_mac_key("cq:a->b", rotated.clone()).unwrap();
-        assert_eq!(e.mac_key_handle("cq:a->b"), Ok(ab));
-        assert_eq!(e.mac_key_at(ab).unwrap(), &rotated);
-        // It was never bound, and stays so.
-        assert!(matches!(
-            e.bound_mac_key_at(ab),
-            Err(TeeError::MissingSecret { .. })
-        ));
-
-        // A handle this enclave never issued names nothing.
-        let mut other = enclave();
-        assert!(matches!(
-            other.mac_key_at(ab),
-            Err(TeeError::MissingSecret { .. })
-        ));
-        assert!(matches!(
-            other.counter_mut(ab_counter),
-            Err(TeeError::MissingSecret { .. })
-        ));
-        assert!(matches!(
-            other.counter_value(ab_counter),
-            Err(TeeError::MissingSecret { .. })
-        ));
-    }
-
-    #[test]
-    fn a_bound_key_follows_the_key_under_its_label() {
-        let mut e = enclave();
-        let key = MacKey::from_bytes([1u8; 32]);
-        e.provision_mac_key("cq:a->b", key.clone()).unwrap();
-        e.provision_mac_key("cq:b->a", MacKey::from_bytes([3u8; 32]))
-            .unwrap();
-        let ab = e.mac_key_handle("cq:a->b").unwrap();
-        let ba = e.mac_key_handle("cq:b->a").unwrap();
-        let block = [0x5A; MAC_BLOCK_LEN];
-        let tag_of = |e: &Enclave, handle| {
-            let mut stream = e.bound_mac_key_at(handle).unwrap().stream();
-            stream.update(b"frame");
-            stream.tag()
-        };
-        let unbound_tag = |key: &MacKey, block: &[u8]| key.tag(&[block, b"frame"].concat());
-
-        e.bind_mac_key(ab, &block).unwrap();
-        assert_eq!(tag_of(&e, ab), unbound_tag(&key, &block));
-        // One key's binding is not another's.
-        assert!(e.bound_mac_key_at(ba).is_err());
-
-        // Rotation reaches the bound state, under the block it was bound to.
-        let rotated = MacKey::from_bytes([2u8; 32]);
-        e.provision_mac_key("cq:a->b", rotated.clone()).unwrap();
-        assert_eq!(tag_of(&e, ab), unbound_tag(&rotated, &block));
-        // Binding again to the same block is a no-op, to another replaces it.
-        e.bind_mac_key(ab, &block).unwrap();
-        assert_eq!(tag_of(&e, ab), unbound_tag(&rotated, &block));
-        let other = [0xA5; MAC_BLOCK_LEN];
-        e.bind_mac_key(ab, &other).unwrap();
-        assert_eq!(tag_of(&e, ab), unbound_tag(&rotated, &other));
-
-        // A handle this enclave never issued binds nothing.
-        let mut stranger = enclave();
-        assert!(matches!(
-            stranger.bind_mac_key(ab, &block),
-            Err(TeeError::MissingSecret { .. })
-        ));
-    }
-
-    #[test]
     fn a_bound_cipher_follows_the_key_under_its_label() {
         let mut e = enclave();
-        assert!(matches!(
-            e.bind_cipher("values", &[1; 16]),
-            Err(TeeError::MissingSecret { .. })
-        ));
+        for label in ["cq:a->b", "cq:b->a"] {
+            e.provision_mac_key(label, key(1)).unwrap();
+        }
+        let (ab, ba) = (
+            e.channel_handle("cq:a->b").unwrap(),
+            e.channel_handle("cq:b->a").unwrap(),
+        );
         let key = CipherKey::from_bytes([2u8; 32]);
-        e.provision_cipher_key("values", key.clone()).unwrap();
-        let (ab, ba) = ([1; 16], [2; 16]);
-        let h_ab = e.bind_cipher("values", &ab).unwrap();
-        let h_ba = e.bind_cipher("values", &ba).unwrap();
-        assert_ne!(h_ab, h_ba);
-        // Binding again to a prefix finds the sub-key made before.
-        assert_eq!(e.bind_cipher("values", &ab), Ok(h_ab));
-        let keystream = |e: &Enclave, handle| {
+        e.provision_cipher_key(CIPHER_LABEL, key.clone()).unwrap();
+        // A frame in plaintext binds no cipher.
+        e.bind_channel(ab, &BLOCK, None).unwrap();
+        assert!(e.channel_cipher(ab).is_err());
+
+        let (p_ab, p_ba) = ([1; 16], [2; 16]);
+        let keystream = |e: &mut Enclave, handle, prefix: &[u8; 16]| {
+            e.bind_channel(handle, &BLOCK, Some(prefix)).unwrap();
             let mut data = [0u8; 100];
-            e.bound_cipher_at(handle)
-                .unwrap()
-                .0
-                .apply_keystream(&[7; 8], &mut data);
+            let (cipher, _) = e.channel_cipher(handle).unwrap();
+            cipher.apply_keystream(&[7; 8], &mut data);
             data
         };
         let expected = |key: &CipherKey, prefix: &[u8; 16]| {
@@ -894,38 +864,28 @@ mod tests {
             Cipher::new(key).apply_keystream(&nonce, &mut data);
             data
         };
-        assert_eq!(keystream(&e, h_ab), expected(&key, &ab));
-        assert_eq!(keystream(&e, h_ba), expected(&key, &ba));
-        assert_eq!(
-            e.bound_cipher_at(h_ab).unwrap().1,
-            Cipher::new(&key).key_commitment()
-        );
+        assert_eq!(keystream(&mut e, ab, &p_ab), expected(&key, &p_ab));
+        assert_eq!(keystream(&mut e, ba, &p_ba), expected(&key, &p_ba));
 
-        // Rotation reaches every bound sub-key and the commitment, under
-        // the handles issued before it.
+        // Rotation unbinds every channel's cipher, under the handles issued
+        // before it; each channel's next sealed frame binds the new key's.
         let rotated = CipherKey::from_bytes([5u8; 32]);
-        e.provision_cipher_key("values", rotated.clone()).unwrap();
-        assert_eq!(keystream(&e, h_ab), expected(&rotated, &ab));
-        assert_eq!(keystream(&e, h_ba), expected(&rotated, &ba));
+        e.provision_cipher_key(CIPHER_LABEL, rotated.clone())
+            .unwrap();
+        assert!(e.channel_cipher(ab).is_err() && e.channel_cipher(ba).is_err());
+        assert_eq!(keystream(&mut e, ab, &p_ab), expected(&rotated, &p_ab));
+        assert_eq!(keystream(&mut e, ba, &p_ba), expected(&rotated, &p_ba));
         assert_eq!(
-            e.bound_cipher_at(h_ab).unwrap().1,
-            Cipher::new(&rotated).key_commitment()
-        );
-        assert_eq!(
-            e.bound_cipher_at(h_ba).unwrap().1,
+            e.channel_cipher(ab).unwrap().1,
             Cipher::new(&rotated).key_commitment()
         );
 
-        // A handle this enclave never issued names nothing.
-        let mut stranger = enclave();
-        assert!(matches!(
-            stranger.bound_cipher_at(h_ab),
-            Err(TeeError::MissingSecret { .. })
-        ));
-        stranger
-            .provision_cipher_key("values", CipherKey::from_bytes([2u8; 32]))
+        // A cipher key under another label leaves the channels' alone.
+        e.provision_cipher_key("other", CipherKey::from_bytes([6u8; 32]))
             .unwrap();
-        assert!(stranger.bound_cipher_at(h_ba).is_err());
+        e.provision_cipher_key("other", CipherKey::from_bytes([7u8; 32]))
+            .unwrap();
+        assert_eq!(keystream(&mut e, ab, &p_ab), expected(&rotated, &p_ab));
     }
 
     #[test]
@@ -944,57 +904,25 @@ mod tests {
         let mut e = enclave();
         e.provision_mac_key("cq", MacKey::from_bytes([1u8; 32]))
             .unwrap();
-        let key = e.mac_key_handle("cq").unwrap();
-        e.bind_mac_key(key, &[0; MAC_BLOCK_LEN]).unwrap();
-        e.provision_cipher_key("values", CipherKey::from_bytes([2u8; 32]))
+        e.provision_cipher_key(CIPHER_LABEL, CipherKey::from_bytes([2u8; 32]))
             .unwrap();
-        let cipher = e.bind_cipher("values", &[0; 16]).unwrap();
-        let counter = e.counter_handle("cq").unwrap();
+        let channel = e.channel_handle("cq").unwrap();
+        e.bind_channel(channel, &BLOCK, Some(&[0; 16])).unwrap();
         e.crash();
         assert!(e.is_crashed());
-        assert_eq!(e.mac_key("cq").unwrap_err(), TeeError::EnclaveCrashed);
-        assert_eq!(
-            e.attest(Nonce::from_u128(1), &mut rng()).unwrap_err(),
-            TeeError::EnclaveCrashed
-        );
+        let crashed = |r: Result<(), TeeError>| assert_eq!(r, Err(TeeError::EnclaveCrashed));
+        crashed(e.attest(Nonce::from_u128(1), &mut rng()).map(|_| ()));
+        crashed(e.provision_mac_key("cq", MacKey::from_bytes([3u8; 32])));
+        crashed(e.provision_cipher_key(CIPHER_LABEL, CipherKey::from_bytes([4u8; 32])));
+        crashed(e.derive_cipher_key(CIPHER_LABEL, &[b"x"]).map(|_| ()));
         // Handles resolved while it was alive are refused like labels are.
-        assert_eq!(
-            e.mac_key_handle("cq").unwrap_err(),
-            TeeError::EnclaveCrashed
-        );
-        assert_eq!(e.mac_key_at(key).unwrap_err(), TeeError::EnclaveCrashed);
-        assert_eq!(
-            e.bound_mac_key_at(key).unwrap_err(),
-            TeeError::EnclaveCrashed
-        );
-        assert_eq!(
-            e.bind_mac_key(key, &[0; MAC_BLOCK_LEN]).unwrap_err(),
-            TeeError::EnclaveCrashed
-        );
-        assert_eq!(
-            e.bind_cipher("values", &[0; 16]).unwrap_err(),
-            TeeError::EnclaveCrashed
-        );
-        assert_eq!(
-            e.bound_cipher_at(cipher).unwrap_err(),
-            TeeError::EnclaveCrashed
-        );
-        assert_eq!(
-            e.counter_handle("cq").unwrap_err(),
-            TeeError::EnclaveCrashed
-        );
-        assert_eq!(
-            e.counter_mut(counter).unwrap_err(),
-            TeeError::EnclaveCrashed
-        );
-        assert_eq!(
-            e.counter_value(counter).unwrap_err(),
-            TeeError::EnclaveCrashed
-        );
-        assert_eq!(
-            e.seal("s", Nonce::from_u128(1), b"x").unwrap_err(),
-            TeeError::EnclaveCrashed
-        );
+        crashed(e.channel_handle("cq").map(|_| ()));
+        crashed(e.bind_channel(channel, &BLOCK, None).map(|_| ()));
+        crashed(e.channel_key(channel).map(|_| ()));
+        crashed(e.channel_cipher(channel).map(|_| ()));
+        crashed(e.counter_mut(channel).map(|_| ()));
+        crashed(e.counter_value(channel).map(|_| ()));
+        crashed(e.seal("s", Nonce::from_u128(1), b"x").map(|_| ()));
     }
 
     #[test]
@@ -1005,5 +933,6 @@ mod tests {
         let text = format!("{e:?}");
         assert!(!text.contains("ab, ab"));
         assert!(text.contains("Enclave"));
+        assert!(text.contains("channels: 1 }"));
     }
 }

@@ -27,8 +27,8 @@ pub enum TeeError {
         /// The requested label.
         label: String,
     },
-    /// A label longer than the 50 bytes an enclave keeps secrets and counters
-    /// under was offered ([`crate::Label`]).
+    /// A label longer than the 45 bytes an enclave keeps secrets under was
+    /// offered ([`crate::Label`]).
     LabelTooLong {
         /// The offered label's length in bytes.
         len: usize,

@@ -4,15 +4,15 @@ use std::fmt;
 
 use crate::error::TeeError;
 
-/// Most bytes a [`Label`] holds: the longest label two `u64` node ids make,
-/// a receive counter's `recv:` + `cq:` + 20 digits + `->` + 20 digits.
-pub(crate) const LABEL_CAPACITY: usize = 50;
+/// Most bytes a [`Label`] holds: the longest channel label two `u64` node
+/// ids make, `cq:` + 20 digits + `->` + 20 digits.
+pub(crate) const LABEL_CAPACITY: usize = 45;
 
-/// A label an enclave keeps a channel key, a cipher key or a trusted counter
-/// under (`cq:3->5`, `recv:cq:3->5`, `recipe.values`), held inline: making,
-/// copying and comparing one never touches the heap, so a channel provisioned
-/// or resolved costs its tables' slots alone. A label holds up to 50 bytes,
-/// the longest two `u64` node ids make; longer text is refused
+/// A label an enclave keeps a channel or a cipher key under (`cq:3->5`,
+/// `recipe.values`), held inline: making, copying and comparing one never
+/// touches the heap, so a channel provisioned or resolved costs its slot
+/// alone. A label holds up to 45 bytes, the longest channel label two `u64`
+/// node ids make; longer text is refused
 /// ([`TeeError::LabelTooLong`]), never cut short — two labels cut to one
 /// would share a secret.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -31,7 +31,7 @@ impl Label {
     }
 
     /// The label `args` formats to, written in place: `Label::format(
-    /// format_args!("{role}:{channel}"))` allocates nothing.
+    /// format_args!("{channel}"))` allocates nothing.
     pub fn format(args: fmt::Arguments<'_>) -> Result<Label, TeeError> {
         /// The label filled so far and the length of all the text written,
         /// which only the label's part of is kept.

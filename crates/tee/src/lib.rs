@@ -12,7 +12,9 @@
 //!   reachable through the enclave handle, never through the "host" side of a node
 //!   ([`enclave::Enclave::provision_mac_key`], [`sealed::SealedBlob`]);
 //! * **trusted monotonic counters** — the building block of the non-equivocation
-//!   layer ([`counter::TrustedCounter`]);
+//!   layer ([`counter::TrustedCounter`]), one per channel, in the channel's
+//!   slot beside its MAC key and its bound cipher
+//!   ([`enclave::Enclave::bind_channel`]);
 //! * **trusted time** — a virtual clock whose progression the enclave may rely on,
 //!   because SGX has no trustworthy timer ([`clock::TrustedInstant`]);
 //! * an **EPC curve** — SGX's Enclave Page Cache is small (~94 MiB usable);
@@ -37,10 +39,7 @@ mod sealed;
 
 pub use clock::TrustedInstant;
 pub use counter::TrustedCounter;
-pub use enclave::{
-    CipherHandle, CounterHandle, Enclave, EnclaveConfig, EnclaveId, KeyHandle, Measurement,
-    CIPHER_LABEL,
-};
+pub use enclave::{ChannelHandle, Enclave, EnclaveConfig, EnclaveId, Measurement, CIPHER_LABEL};
 pub use error::TeeError;
 pub use label::Label;
 pub use quote::{Quote, Report};

@@ -188,12 +188,21 @@ fn a_fresh_lane_allocates_little_and_a_warm_one_nothing() {
 
     // Every endpoint launched, every lane provisioned, and each lane's first
     // frame both ways.
-    let (opened, fresh) = allocations_in(|| exchange(&mut lanes, 1, &prepare, &vote));
+    let (opened, fresh) = heap_use_in(|| exchange(&mut lanes, 1, &prepare, &vote));
     assert_eq!(opened, 2 * lanes_opened, "every first leg opens");
-    let per_lane = fresh as f64 / lanes_opened as f64;
+    let per_lane = fresh.allocs as f64 / lanes_opened as f64;
     assert!(
         per_lane < 4.0,
-        "{fresh} allocations for {lanes_opened} fresh lanes: {per_lane:.2} a lane"
+        "{} allocations for {lanes_opened} fresh lanes: {per_lane:.2} a lane",
+        fresh.allocs
+    );
+    // 1 505 B a lane, with one enclave slot per channel in pages of four;
+    // the bound leaves 6 %.
+    let bytes_per_lane = fresh.bytes as f64 / lanes_opened as f64;
+    assert!(
+        bytes_per_lane < 1_600.0,
+        "{} bytes for {lanes_opened} fresh lanes: {bytes_per_lane:.0} a lane",
+        fresh.bytes
     );
 
     // The next transaction over the same lanes takes only spares.
