@@ -7,8 +7,10 @@
 //!    value the host holds and the Lamport timestamp of the latest write)
 //!    live *inside* the enclave, while the bulk values live in untrusted host
 //!    memory. The index maps each key to its slot (16 bytes an entry); the
-//!    slot numbers the key's metadata (48 bytes) in the enclave and its value
-//!    buffer on the host, both kept in fixed pages of slots that never move.
+//!    slot numbers the key's metadata (40 bytes: the digest and the
+//!    timestamp packed into one word) in the enclave and its value buffer
+//!    on the host (16 bytes, 24 sealed, the value at its exact length), both
+//!    kept in fixed pages of slots that never move.
 //!    This keeps the trusted working set small (limiting EPC pressure) while
 //!    still letting a replica verify the integrity of everything it reads,
 //!    which is what makes trustworthy **local reads** possible.

@@ -5,16 +5,20 @@
 //! * **Enclave region** — the index mapping each key to its slot (16 bytes
 //!   an entry: one pointer to the key's bytes with the slot's four after
 //!   them, [`IndexEntry`]), and each slot's metadata: the digest of what the host holds for the
-//!   key and the Lamport timestamp of its latest write (48 bytes; the
-//!   value's length is the host buffer's, which the digest covers). The
+//!   key and the Lamport timestamp of its latest write, packed into one
+//!   word ([`Stamp`]; 40 bytes in all, the value's length being the host
+//!   buffer's, which the digest covers). The
 //!   index is a hash table: a point operation is one probe, and the
 //!   operations that hand keys out in order (exports, recovery) sort the
 //!   keys they collect, so key order is the bytes' order, never the
 //!   table's. The paper's index is a skiplist; see the crate doc for why
 //!   this one is not.
-//! * **Host region** — value buffers, one slot per key: the value's bytes
-//!   on a plaintext store (24 bytes a slot), the ciphertext and the counter
-//!   of the nonce it was sealed under on a confidential one (32 bytes). The
+//! * **Host region** — value buffers, one slot per key, each at its value's
+//!   exact length: the value's bytes on a plaintext store (16 bytes a
+//!   slot), the ciphertext and the counter of the nonce it was sealed under
+//!   on a confidential one (24 bytes). A write of a value as long as the
+//!   one a slot holds goes over it in place (sealed there on a confidential
+//!   store), and the buffer it came in goes back to the writer. The
 //!   host is untrusted: a Byzantine OS/hypervisor may corrupt or delete
 //!   these buffers at any time, which the store detects on every read by
 //!   re-hashing what the host holds and comparing against the enclave-held
@@ -59,7 +63,7 @@
 //! replica.
 
 use std::borrow::Borrow;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::ops::{Index, IndexMut};
 
@@ -97,23 +101,57 @@ struct ValueMeta {
     /// ([`HostArena::place`]): the integrity tag checked on every read.
     value_hash: Digest,
     /// Lamport timestamp of the latest write; it orders the key's writes.
-    timestamp: Timestamp,
+    stamp: Stamp,
+}
+
+/// Bits of a [`Stamp`] that hold the writer node.
+const STAMP_NODE_BITS: u32 = 16;
+
+/// A Lamport timestamp packed into one word: the logical clock in the high
+/// 48 bits, the node in the low 16. A timestamp that does not fit, or whose
+/// packed form would read as [`Stamp::SPILLED`], is kept whole in the
+/// store's spill map instead, keyed by its slot, and its slot holds the
+/// marker.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Stamp(u64);
+
+impl Stamp {
+    /// The marker of a timestamp kept in the spill map.
+    const SPILLED: Stamp = Stamp(u64::MAX);
+
+    /// `timestamp` packed, or [`Stamp::SPILLED`] when it does not fit.
+    fn pack(timestamp: Timestamp) -> Stamp {
+        let fits = timestamp.logical >> (u64::BITS - STAMP_NODE_BITS) == 0
+            && timestamp.node >> STAMP_NODE_BITS == 0;
+        if fits {
+            Stamp(timestamp.logical << STAMP_NODE_BITS | timestamp.node)
+        } else {
+            Stamp::SPILLED
+        }
+    }
+
+    /// The timestamp packed here; `None` for the marker.
+    fn unpack(self) -> Option<Timestamp> {
+        let node = self.0 & ((1 << STAMP_NODE_BITS) - 1);
+        (self != Stamp::SPILLED).then(|| Timestamp::new(self.0 >> STAMP_NODE_BITS, node))
+    }
 }
 
 /// What a confidential store's host slot holds: the value sealed under the
-/// nonce `counter` names ([`sealing_nonce`]).
+/// nonce `counter` names ([`sealing_nonce`]), or nothing once the key is
+/// deleted (or the host emptied it).
 #[derive(Clone, Debug)]
 struct SealedSlot {
-    bytes: Vec<u8>,
+    bytes: Option<Box<[u8]>>,
     counter: u64,
 }
 
 // What the store keeps per key: the index entry, the enclave metadata and
 // one host slot.
 const _: () = assert!(size_of::<IndexEntry>() == 16);
-const _: () = assert!(size_of::<ValueMeta>() == 48);
-const _: () = assert!(size_of::<Option<Vec<u8>>>() == 24);
-const _: () = assert!(size_of::<Option<SealedSlot>>() == 32);
+const _: () = assert!(size_of::<ValueMeta>() == 40);
+const _: () = assert!(size_of::<Option<Box<[u8]>>>() == 16);
+const _: () = assert!(size_of::<SealedSlot>() == 24);
 
 /// Bytes of the slot number at the end of an [`IndexEntry`].
 const SLOT_BYTES: usize = size_of::<u32>();
@@ -246,14 +284,38 @@ fn sealed_digest(key: &[u8], nonce: &Nonce, ciphertext: &[u8]) -> Digest {
 /// deleted (or by the host itself), and one [`Slots`] either way.
 enum HostArena {
     /// A plaintext store's slots: each value's bytes.
-    Plain(Slots<Option<Vec<u8>>>),
+    Plain(Slots<Option<Box<[u8]>>>),
     /// A confidential store's slots, the cipher that seals and opens them,
     /// and the counter of the last nonce it sealed under.
     Sealed {
         cipher: Cipher,
         counter: u64,
-        slots: Slots<Option<SealedSlot>>,
+        slots: Slots<SealedSlot>,
     },
+}
+
+/// Puts `value` in a host slot that `held` is: over the bytes there when
+/// they are as long, else in a box of its exact length — `value`'s own
+/// buffer when it has no room to spare, a copy when it has. Returns the
+/// slot's bytes and the buffer for the caller: `value`'s, unless the slot
+/// kept it, and then the one the slot held until now.
+fn put(held: &mut Option<Box<[u8]>>, value: Vec<u8>) -> (&mut [u8], Option<Vec<u8>>) {
+    let back = match held {
+        Some(bytes) if bytes.len() == value.len() => {
+            bytes.copy_from_slice(&value);
+            Some(value)
+        }
+        _ => {
+            let (exact, back) = if value.len() == value.capacity() {
+                (value.into_boxed_slice(), None)
+            } else {
+                (Box::from(value.as_slice()), Some(value))
+            };
+            back.or(held.replace(exact).map(Vec::from))
+        }
+    };
+    // `held` holds the value now: nothing is inserted.
+    (held.get_or_insert_with(Box::default), back)
 }
 
 impl HostArena {
@@ -261,16 +323,22 @@ impl HostArena {
     fn push_empty(&mut self) -> usize {
         match self {
             HostArena::Plain(slots) => slots.push(None),
-            HostArena::Sealed { slots, .. } => slots.push(None),
+            HostArena::Sealed { slots, .. } => slots.push(SealedSlot {
+                bytes: None,
+                counter: 0,
+            }),
         }
     }
 
-    /// Puts `value` in `slot`, sealed under the next nonce on a
-    /// confidential store, where it lies. Returns the digest the enclave
-    /// keeps for it under `key` and the buffer the slot held until now.
-    fn place(&mut self, key: &[u8], slot: usize, mut value: Vec<u8>) -> (Digest, Option<Vec<u8>>) {
+    /// Puts `value` in `slot` ([`put`]), sealed there under the next nonce
+    /// on a confidential store. Returns the digest the enclave keeps for it
+    /// under `key` and the buffer for the caller.
+    fn place(&mut self, key: &[u8], slot: usize, value: Vec<u8>) -> (Digest, Option<Vec<u8>>) {
         match self {
-            HostArena::Plain(slots) => (plain_digest(key, &value), slots[slot].replace(value)),
+            HostArena::Plain(slots) => {
+                let (bytes, back) = put(&mut slots[slot], value);
+                (plain_digest(key, bytes), back)
+            }
             HostArena::Sealed {
                 cipher,
                 counter,
@@ -278,13 +346,11 @@ impl HostArena {
             } => {
                 *counter += 1;
                 let nonce = sealing_nonce(*counter);
-                cipher.apply_keystream(&nonce.extended(), &mut value);
-                let digest = sealed_digest(key, &nonce, &value);
-                let sealed = SealedSlot {
-                    bytes: value,
-                    counter: *counter,
-                };
-                (digest, slots[slot].replace(sealed).map(|held| held.bytes))
+                let held = &mut slots[slot];
+                held.counter = *counter;
+                let (bytes, back) = put(&mut held.bytes, value);
+                cipher.apply_keystream(&nonce.extended(), bytes);
+                (sealed_digest(key, &nonce, bytes), back)
             }
         }
     }
@@ -292,56 +358,44 @@ impl HostArena {
     /// What `slot` holds for `key`, checked against `digest` where it lies:
     /// its bytes and, on a confidential store, what opens them.
     fn verified(&self, key: &[u8], slot: usize, digest: &Digest) -> Result<HostBytes<'_>, KvError> {
-        let missing = || KvError::HostValueMissing { key: key.to_vec() };
+        let bytes = self
+            .bytes(slot)
+            .ok_or_else(|| KvError::HostValueMissing { key: key.to_vec() })?;
         match self {
-            HostArena::Plain(slots) => {
-                let bytes = slots
-                    .get(slot)
-                    .and_then(Option::as_ref)
-                    .ok_or_else(missing)?;
+            HostArena::Plain(_) => {
                 if plain_digest(key, bytes) != *digest {
                     return Err(KvError::IntegrityViolation { key: key.to_vec() });
                 }
                 Ok((bytes, None))
             }
             HostArena::Sealed { cipher, slots, .. } => {
-                let held = slots
-                    .get(slot)
-                    .and_then(Option::as_ref)
-                    .ok_or_else(missing)?;
-                if sealed_digest(key, &sealing_nonce(held.counter), &held.bytes) != *digest {
+                let counter = slots[slot].counter;
+                if sealed_digest(key, &sealing_nonce(counter), bytes) != *digest {
                     return Err(KvError::DecryptionFailed { key: key.to_vec() });
                 }
-                Ok((&held.bytes, Some((cipher, held.counter))))
+                Ok((bytes, Some((cipher, counter))))
             }
         }
     }
 
-    /// Empties `slot`, handing back the bytes it held.
-    fn take(&mut self, slot: usize) -> Option<Vec<u8>> {
+    /// The bytes `slot` holds, as the host holds them.
+    fn held_mut(&mut self, slot: usize) -> Option<&mut Option<Box<[u8]>>> {
         match self {
-            HostArena::Plain(slots) => slots.get_mut(slot)?.take(),
-            HostArena::Sealed { slots, .. } => slots.get_mut(slot)?.take().map(|held| held.bytes),
+            HostArena::Plain(slots) => slots.get_mut(slot),
+            HostArena::Sealed { slots, .. } => slots.get_mut(slot).map(|held| &mut held.bytes),
         }
+    }
+
+    /// Empties `slot`, handing back the bytes it held.
+    fn take(&mut self, slot: usize) -> Option<Box<[u8]>> {
+        self.held_mut(slot)?.take()
     }
 
     /// The bytes `slot` holds, as the host sees them.
     fn bytes(&self, slot: usize) -> Option<&[u8]> {
         match self {
             HostArena::Plain(slots) => slots.get(slot)?.as_deref(),
-            HostArena::Sealed { slots, .. } => {
-                slots.get(slot)?.as_ref().map(|held| &held.bytes[..])
-            }
-        }
-    }
-
-    /// The bytes `slot` holds, as a Byzantine host would tamper with them.
-    fn bytes_mut(&mut self, slot: usize) -> Option<&mut Vec<u8>> {
-        match self {
-            HostArena::Plain(slots) => slots.get_mut(slot)?.as_mut(),
-            HostArena::Sealed { slots, .. } => {
-                slots.get_mut(slot)?.as_mut().map(|held| &mut held.bytes)
-            }
+            HostArena::Sealed { slots, .. } => slots.get(slot)?.bytes.as_deref(),
         }
     }
 }
@@ -402,6 +456,9 @@ pub struct PartitionedKvStore {
     /// Each slot's enclave metadata; a free slot keeps its last key's until
     /// a new key takes it.
     meta: Slots<ValueMeta>,
+    /// The timestamps that do not pack into a [`Stamp`], by slot: only live
+    /// keys', each under the marker in its slot's metadata.
+    spilled: BTreeMap<u32, Timestamp>,
     host_arena: HostArena,
     free_slots: Vec<u32>,
     /// Transaction locks + staged writes (enclave-resident, like the index).
@@ -422,6 +479,7 @@ impl PartitionedKvStore {
         PartitionedKvStore {
             index: HashSet::new(),
             meta: Slots::new(),
+            spilled: BTreeMap::new(),
             host_arena,
             free_slots: Vec::new(),
             txns: TxnTable::default(),
@@ -445,14 +503,18 @@ impl PartitionedKvStore {
         Ok(())
     }
 
-    /// [`PartitionedKvStore::write`] keeping the buffer it is handed: the
-    /// value is sealed (confidential mode) and digested where it lies, and
-    /// that buffer is what the host arena holds.
+    /// [`PartitionedKvStore::write`] handed the value's buffer. The host
+    /// slot holds each value at its exact length: a value as long as the
+    /// one the key holds is copied over it where it lies, and otherwise the
+    /// slot keeps the buffer itself if it has no room to spare, or an exact
+    /// copy if it has. The value is sealed (confidential mode) and digested
+    /// in the slot.
     ///
-    /// Returns, on an overwrite, the buffer the key's host slot held until
-    /// now — the old value's plaintext, or its ciphertext on a confidential
-    /// store — for the caller to reuse or drop. A new key, or one whose host
-    /// value is gone, displaces nothing.
+    /// Returns, for the caller to reuse or drop, the buffer it was handed
+    /// when the slot did not keep it (still holding the value's plaintext),
+    /// and otherwise, on an overwrite, the buffer the slot held until now
+    /// (the old value, or its ciphertext on a confidential store). A new
+    /// key whose buffer the slot kept hands back nothing.
     pub fn write_owned(
         &mut self,
         key: &[u8],
@@ -462,33 +524,49 @@ impl PartitionedKvStore {
         // An overwrite is one probe: the key keeps its slot. A new key takes
         // a free slot and enters the table.
         if let Some(slot) = self.slot(key) {
-            let slot = slot as usize;
-            let (value_hash, displaced) = self.host_arena.place(key, slot, value);
-            self.meta[slot] = ValueMeta {
-                value_hash,
-                timestamp,
-            };
-            return displaced;
+            let (value_hash, back) = self.host_arena.place(key, slot as usize, value);
+            self.meta[slot as usize] = self.stamped(slot, value_hash, timestamp);
+            return back;
         }
         let slot = match self.free_slots.pop() {
-            Some(slot) => slot as usize,
-            None => self.host_arena.push_empty(),
+            Some(slot) => slot,
+            None => {
+                let slot = self.host_arena.push_empty();
+                // recipe-lint: allow(unwrap-in-lib, reason = "a slot per key: four billion keys would fill 64 GB of index first")
+                u32::try_from(slot).expect("fewer than 2^32 slots")
+            }
         };
-        let (value_hash, _) = self.host_arena.place(key, slot, value);
-        let meta = ValueMeta {
-            value_hash,
-            timestamp,
-        };
-        match self.meta.get_mut(slot) {
+        let (value_hash, back) = self.host_arena.place(key, slot as usize, value);
+        let meta = self.stamped(slot, value_hash, timestamp);
+        match self.meta.get_mut(slot as usize) {
             Some(freed) => *freed = meta,
             None => {
                 self.meta.push(meta);
             }
         }
-        // recipe-lint: allow(unwrap-in-lib, reason = "a slot per key: four billion keys would fill 64 GB of index first")
-        let slot = u32::try_from(slot).expect("fewer than 2^32 slots");
         self.index.insert(IndexEntry::new(key, slot));
-        None
+        back
+    }
+
+    /// The metadata of a write into `slot`: a timestamp that does not pack
+    /// goes into the spill map, and one that does takes the slot's entry
+    /// there, if any, out.
+    fn stamped(&mut self, slot: u32, value_hash: Digest, timestamp: Timestamp) -> ValueMeta {
+        let stamp = Stamp::pack(timestamp);
+        if stamp == Stamp::SPILLED {
+            self.spilled.insert(slot, timestamp);
+        } else {
+            self.spilled.remove(&slot);
+        }
+        ValueMeta { value_hash, stamp }
+    }
+
+    /// The timestamp of the write `slot` holds.
+    fn timestamp_at(&self, slot: u32) -> Timestamp {
+        self.meta[slot as usize]
+            .stamp
+            .unpack()
+            .unwrap_or_else(|| self.spilled[&slot])
     }
 
     /// Writes only if `timestamp` is strictly newer than the stored timestamp
@@ -529,21 +607,19 @@ impl PartitionedKvStore {
     /// [`Self::read`] of `key`, whose slot is `slot`: the one check every
     /// read and every rehydration makes.
     fn verified(&self, key: &[u8], slot: u32) -> Result<VerifiedRead<'_>, KvError> {
-        let slot = slot as usize;
-        let meta = &self.meta[slot];
-        let (bytes, sealed) = self.host_arena.verified(key, slot, &meta.value_hash)?;
+        let digest = &self.meta[slot as usize].value_hash;
+        let (bytes, sealed) = self.host_arena.verified(key, slot as usize, digest)?;
         Ok(VerifiedRead {
             bytes,
             sealed,
-            timestamp: meta.timestamp,
+            timestamp: self.timestamp_at(slot),
         })
     }
 
     /// Returns only the timestamp stored for `key` (ABD's first round reads
     /// timestamps without moving values).
     pub fn timestamp_of(&self, key: &[u8]) -> Option<Timestamp> {
-        self.slot(key)
-            .map(|slot| self.meta[slot as usize].timestamp)
+        self.slot(key).map(|slot| self.timestamp_at(slot))
     }
 
     /// The slot of `key`, if the store holds it.
@@ -557,6 +633,7 @@ impl PartitionedKvStore {
             Some(entry) => {
                 let slot = entry.slot();
                 self.host_arena.take(slot as usize);
+                self.spilled.remove(&slot);
                 self.free_slots.push(slot);
                 true
             }
@@ -567,7 +644,7 @@ impl PartitionedKvStore {
     /// The highest timestamp any stored key carries; `None` when empty.
     pub fn newest_timestamp(&self) -> Option<Timestamp> {
         self.unordered()
-            .map(|(_, slot)| self.meta[slot as usize].timestamp)
+            .map(|(_, slot)| self.timestamp_at(slot))
             .max()
     }
 
@@ -689,8 +766,8 @@ impl PartitionedKvStore {
     /// Commit phase of 2PC: releases `txn_id`'s locks and writes its staged
     /// writes in operation order, each stamped by `stamp` from the key's
     /// stored timestamp. `committed` sees each write — key, value, timestamp
-    /// — just before its value's buffer moves into the host arena; the
-    /// buffer it displaces there takes its place in the transaction's
+    /// — just before its value's buffer goes to [`Self::write_owned`]; the
+    /// buffer the write hands back takes its place in the transaction's
     /// record, for the record to stage a later write in. An unknown
     /// transaction (already resolved) writes nothing.
     pub fn txn_commit(
@@ -706,8 +783,8 @@ impl PartitionedKvStore {
             let timestamp = stamp(self.timestamp_of(key));
             committed(key, value, timestamp);
             let staged = std::mem::take(value);
-            if let Some(displaced) = self.write_owned(key, staged, timestamp) {
-                *value = displaced;
+            if let Some(back) = self.write_owned(key, staged, timestamp) {
+                *value = back;
             }
         }
         self.txns.recycle(txn);
@@ -787,8 +864,10 @@ impl PartitionedKvStore {
     /// unconditionally with its carried timestamp, so later records win for
     /// a repeated key — the migration controller ships snapshot records
     /// first and catch-up records in commit order, which makes replay
-    /// idempotent under re-delivery. Each value's buffer is the one the
-    /// store keeps ([`PartitionedKvStore::write_owned`]); a key is only read.
+    /// idempotent under re-delivery. Each value goes through
+    /// [`PartitionedKvStore::write_owned`], which keeps a buffer of the
+    /// value's exact length — as every exported value's is — as it came; a
+    /// key is only read.
     pub fn import_entries<K: AsRef<[u8]>>(
         &mut self,
         entries: impl IntoIterator<Item = (K, Vec<u8>, Timestamp)>,
@@ -822,15 +901,15 @@ impl PartitionedKvStore {
         let Some(slot) = self.slot(key) else {
             return false;
         };
-        match self.host_arena.bytes_mut(slot as usize) {
-            Some(bytes) => {
+        match self.host_arena.held_mut(slot as usize) {
+            Some(Some(bytes)) => {
                 match bytes.first_mut() {
                     Some(first) => *first ^= 0xFF,
-                    None => bytes.push(0xFF),
+                    None => *bytes = Box::new([0xFF]),
                 }
                 true
             }
-            None => false,
+            _ => false,
         }
     }
 
@@ -1034,7 +1113,7 @@ mod tests {
     fn sealed_slot<'a>(
         store: &'a mut PartitionedKvStore,
         key: &[u8],
-    ) -> (&'a mut Slots<Option<SealedSlot>>, usize) {
+    ) -> (&'a mut Slots<SealedSlot>, usize) {
         let slot = slot_of(store, key);
         let HostArena::Sealed { slots, .. } = &mut store.host_arena else {
             panic!("a confidential store seals");
@@ -1045,12 +1124,12 @@ mod tests {
     /// The host's copy of what it holds for `key`, to put back later.
     fn host_copy(store: &mut PartitionedKvStore, key: &[u8]) -> SealedSlot {
         let (slots, slot) = sealed_slot(store, key);
-        slots[slot].clone().unwrap()
+        slots[slot].clone()
     }
 
     fn host_put(store: &mut PartitionedKvStore, key: &[u8], value: SealedSlot) {
         let (slots, slot) = sealed_slot(store, key);
-        slots[slot] = Some(value);
+        slots[slot] = value;
     }
 
     /// Reads `key` expecting the failure a tampered sealed value gives. It
@@ -1365,27 +1444,41 @@ mod tests {
         }
     }
 
-    /// An overwrite hands back the buffer the key's host slot held, as the
-    /// host held it (ciphertext on a confidential store), and leaves the
-    /// store as `write` leaves it; a new key, or a slot the host emptied,
-    /// hands back nothing.
+    /// The host slot holds each value at its exact length. A new key keeps
+    /// the caller's buffer when it has no room to spare, and otherwise gets
+    /// an exact copy while the buffer goes back. A same-length overwrite
+    /// goes over the slot's bytes where they lie, sealed there on a
+    /// confidential store, and hands back the caller's buffer as it came.
+    /// Either way the store reads as `write` leaves it, and a tampered
+    /// value is still refused.
     #[test]
-    fn an_overwrite_hands_back_the_buffer_it_displaces() {
-        let (first, second) = (Timestamp::new(1, 0), Timestamp::new(2, 3));
+    fn a_write_hands_back_the_buffer_it_was_given() {
+        let (first, second, third) = (
+            Timestamp::new(1, 0),
+            Timestamp::new(2, 3),
+            Timestamp::new(3, 1),
+        );
         for (mut owned, mut copied) in [
             (plain_store(), plain_store()),
             (confidential_store(), confidential_store()),
         ] {
-            let written = owned.write_owned(b"k", b"balance=100".to_vec(), first);
-            assert_eq!(written, None);
-            let held = owned.host_visible_bytes(b"k").unwrap();
+            // A new key whose buffer is exactly its length keeps it.
+            let exact = b"balance=100".to_vec();
+            assert_eq!(exact.capacity(), exact.len());
+            let at = exact.as_ptr();
+            assert_eq!(owned.write_owned(b"k", exact, first), None);
             let slot = slot_of(&owned, b"k");
-            let at = owned.host_arena.bytes(slot).unwrap().as_ptr();
+            assert_eq!(owned.host_arena.bytes(slot).unwrap().as_ptr(), at);
 
-            let displaced = owned
-                .write_owned(b"k", b"balance=000".to_vec(), second)
-                .expect("an overwrite displaces");
-            assert_eq!((displaced.as_ptr(), &displaced), (at, &held));
+            // A same-length overwrite stays in the slot's box and hands back
+            // the given buffer, pointer and capacity unchanged.
+            let mut given = Vec::with_capacity(64);
+            given.extend_from_slice(b"balance=000");
+            let (given_at, given_capacity) = (given.as_ptr(), given.capacity());
+            let back = owned.write_owned(b"k", given, second).expect("handed back");
+            assert_eq!((back.as_ptr(), back.capacity()), (given_at, given_capacity));
+            assert_eq!(back, b"balance=000");
+            assert_eq!(owned.host_arena.bytes(slot).unwrap().as_ptr(), at);
 
             copied.write(b"k", b"balance=100", first).unwrap();
             assert_eq!(copied.write(b"k", b"balance=000", second), Ok(()));
@@ -1394,9 +1487,30 @@ mod tests {
                 copied.host_visible_bytes(b"k")
             );
             let read = owned.get(b"k").unwrap();
-            assert_eq!(read.timestamp, second);
-            assert_eq!(read.value, b"balance=000");
+            assert_eq!(
+                (&read.value[..], read.timestamp),
+                (&b"balance=000"[..], second)
+            );
             assert_eq!(Ok(read), copied.get(b"k"));
+
+            // A new key whose buffer has room to spare gets an exact box, and
+            // its buffer comes back.
+            let mut roomy = Vec::with_capacity(64);
+            roomy.extend_from_slice(b"other");
+            let roomy_at = roomy.as_ptr();
+            let back = owned.write_owned(b"j", roomy, first).expect("handed back");
+            assert_eq!((back.as_ptr(), back.capacity()), (roomy_at, 64));
+            let held = owned.host_arena.bytes(slot_of(&owned, b"j")).unwrap();
+            assert_ne!(held.as_ptr(), roomy_at);
+            assert_eq!(held.len(), 5);
+            assert_eq!(owned.get(b"j").unwrap().value, b"other");
+
+            // An overwrite of another length keeps an exact buffer and hands
+            // back the one it displaces.
+            let longer = b"balance=1000".to_vec();
+            let displaced = owned.write_owned(b"k", longer, third).expect("displaced");
+            assert_eq!((displaced.as_ptr(), displaced.len()), (at, 11));
+            assert_eq!(owned.get(b"k").unwrap().value, b"balance=1000");
 
             assert!(owned.corrupt_host_value(b"k"));
             assert!(matches!(
@@ -1404,7 +1518,83 @@ mod tests {
                 Err(KvError::IntegrityViolation { .. } | KvError::DecryptionFailed { .. })
             ));
             assert!(owned.drop_host_value(b"k"));
-            assert_eq!(owned.write_owned(b"k", b"x".to_vec(), second), None);
+            assert_eq!(owned.write_owned(b"k", b"x".to_vec(), third), None);
+            assert_eq!(owned.get(b"k").unwrap().value, b"x");
+        }
+    }
+
+    /// Timestamps that do not pack into a slot's word — a logical clock of
+    /// 2^48 or more, a node of 2^16 or more, the 2PC coordinator's node
+    /// `u64::MAX - 1`, and the one whose packed form would read as the
+    /// marker — round-trip exactly through every path that hands one out,
+    /// and order writes as they should.
+    #[test]
+    fn timestamps_that_do_not_pack_round_trip_exactly() {
+        let wide = [
+            Timestamp::new(1 << 48, 0),
+            Timestamp::new(1, 1 << 16),
+            Timestamp::new(7, u64::MAX - 1),
+            Timestamp::new((1 << 48) - 1, (1 << 16) - 1),
+            Timestamp::new(u64::MAX, u64::MAX),
+        ];
+        let narrow = Timestamp::new((1 << 48) - 1, (1 << 16) - 2);
+        for new_store in [plain_store, confidential_store] {
+            let mut store = new_store();
+            for (i, &ts) in wide.iter().enumerate() {
+                let key = format!("wide-{i}").into_bytes();
+                store.write(&key, &paged_value(i), ts).unwrap();
+                assert_eq!(store.timestamp_of(&key), Some(ts));
+                let read = store.read(&key).unwrap();
+                assert_eq!(read.timestamp, ts);
+            }
+            store.write(b"narrow", b"n", narrow).unwrap();
+            assert_eq!(store.spilled.len(), wide.len());
+            assert_eq!(
+                store.newest_timestamp(),
+                Some(Timestamp::new(u64::MAX, u64::MAX))
+            );
+
+            // The write rule compares whole timestamps, spilled or not.
+            let key = b"wide-1";
+            assert!(!store.write_if_newer(key, b"stale", Timestamp::new(1, 1 << 15)));
+            assert!(!store.write_if_newer(key, b"equal", Timestamp::new(1, 1 << 16)));
+            assert!(store.write_if_newer(key, b"newer", Timestamp::new(1, (1 << 16) + 1)));
+            assert_eq!(
+                store.get(key).unwrap().timestamp,
+                Timestamp::new(1, (1 << 16) + 1)
+            );
+            // An overwrite whose stamp packs takes the key out of the map.
+            assert!(store.write_if_newer(key, b"packed", Timestamp::new(2, 3)));
+            assert_eq!(store.timestamp_of(key), Some(Timestamp::new(2, 3)));
+            assert_eq!(store.spilled.len(), wide.len() - 1);
+
+            let exported = store
+                .export_matching(|key| key.starts_with(b"wide"))
+                .unwrap();
+            let stamps: Vec<Timestamp> = exported.iter().map(|(_, _, ts)| *ts).collect();
+            let mut expected = wide.to_vec();
+            expected[1] = Timestamp::new(2, 3);
+            assert_eq!(stamps, expected);
+            let mut copy = new_store();
+            copy.import_entries(exported.clone());
+            assert_eq!(copy.export_matching(|_| true).unwrap(), exported);
+
+            assert_eq!(store.rehydrate(), (wide.len() as u64 + 1, 0, 71));
+            assert_eq!(store.timestamp_of(b"wide-2"), Some(wide[2]));
+
+            // A deleted key's slot, taken by a stamp that packs, keeps no
+            // spill entry: the new key reads its own timestamp.
+            let freed = slot_of(&store, b"wide-0") as u32;
+            assert!(store.delete(b"wide-0"));
+            assert!(!store.spilled.contains_key(&freed));
+            store.write(b"reuse", b"r", Timestamp::new(9, 9)).unwrap();
+            assert_eq!(slot_of(&store, b"reuse") as u32, freed);
+            assert_eq!(store.timestamp_of(b"reuse"), Some(Timestamp::new(9, 9)));
+            assert_eq!(store.spilled.len(), wide.len() - 2);
+            assert_eq!(
+                store.newest_timestamp(),
+                Some(Timestamp::new(u64::MAX, u64::MAX))
+            );
         }
     }
 
@@ -1570,6 +1760,61 @@ mod tests {
             let discarded = (records.len() - kept.len()) as u64;
             prop_assert_eq!(store.rehydrate(), (kept.len() as u64, discarded, bytes));
             prop_assert_eq!(keys(&store), kept);
+        }
+
+        /// Timestamps drawn from the whole `u64` range, half of them cut to
+        /// fit a slot's word, written, written if newer and deleted: every
+        /// path that hands a timestamp out gives back exactly the one a
+        /// `BTreeMap` model holds, and the spill map holds only the live
+        /// keys' timestamps that do not pack.
+        #[test]
+        fn any_timestamp_round_trips_exactly(
+            confidential in any::<bool>(),
+            ops in proptest::collection::vec(
+                ((0u8..4, 0u8..8), (any::<u64>(), any::<u64>()), any::<bool>()),
+                0..80,
+            ),
+        ) {
+            let new_store = if confidential { confidential_store } else { plain_store };
+            let mut store = new_store();
+            let mut model: BTreeMap<Vec<u8>, (Vec<u8>, Timestamp)> = BTreeMap::new();
+            for ((op, key_id), (logical, node), cut) in ops {
+                let key = vec![b'k', key_id];
+                let ts = if cut {
+                    Timestamp::new(logical >> 16, node & 0xFFFF)
+                } else {
+                    Timestamp::new(logical, node)
+                };
+                let value = format!("{ts:?}").into_bytes();
+                match op {
+                    0 => {
+                        store.write(&key, &value, ts).unwrap();
+                        model.insert(key, (value, ts));
+                    }
+                    1 => {
+                        let newer = model.get(&key).is_none_or(|(_, held)| ts > *held);
+                        prop_assert_eq!(store.write_if_newer(&key, &value, ts), newer);
+                        if newer {
+                            model.insert(key, (value, ts));
+                        }
+                    }
+                    2 => prop_assert_eq!(store.delete(&key), model.remove(&key).is_some()),
+                    _ => prop_assert_eq!(store.timestamp_of(&key), model.get(&key).map(|(_, ts)| *ts)),
+                }
+            }
+            let spilled = model.values().filter(|(_, ts)| Stamp::pack(*ts) == Stamp::SPILLED).count();
+            prop_assert_eq!(store.spilled.len(), spilled);
+            let newest = model.values().map(|(_, ts)| *ts).max();
+            prop_assert_eq!(store.newest_timestamp(), newest);
+            let records: Vec<ExportedEntry> = model
+                .into_iter()
+                .map(|(key, (value, ts))| (key, value, ts))
+                .collect();
+            prop_assert_eq!(store.export_matching(|_| true).unwrap(), records.clone());
+            prop_assert_eq!(store.rehydrate().0, records.len() as u64);
+            for (key, _, ts) in &records {
+                prop_assert_eq!(store.read(key).unwrap().timestamp, *ts);
+            }
         }
 
         #[test]

@@ -19,22 +19,27 @@
 //! copies an entry it receives takes spares for its key and value
 //! ([`ReplicaStore::copy_entry`]), hands the value to [`ReplicaStore::apply`]
 //! once it commits, and gives back the key, and any entry it discards, with
-//! [`ReplicaStore::give_entry`]. `apply` files the buffer the write
-//! displaces. The list takes back no more buffers than it lent, so a
-//! replica that takes none — a leader, whose values arrive in client
-//! requests — keeps it empty and frees what its writes displace; a
+//! [`ReplicaStore::give_entry`]. The store keeps each value at its exact
+//! length, so a write hands back the buffer it was given — copied over a
+//! value of the same length where it lies, or into a box of its length —
+//! unless that buffer had no room to spare and the store kept it, and then
+//! the buffer it displaced, if any ([`PartitionedKvStore::write_owned`]).
+//! `apply` files what comes back, so a spare makes the round trip whatever
+//! its value's length. The list takes back no more buffers than it lent, so
+//! a replica that takes none — a leader, whose values arrive in client
+//! requests — keeps it empty and frees what its writes hand back; a
 //! follower that becomes leader empties it
 //! ([`ReplicaStore::drop_entry_buffers`]).
 //!
 //! Two-phase commit keeps to free lists as well. A prepare's keys and
 //! values are staged in buffers the transaction table's records keep from
-//! one transaction to the next, and at commit each staged value moves into
-//! the store as it is applied, the buffer it displaces going back to its
-//! record. The applied records the coordinator installs on the other
+//! one transaction to the next, and at commit each staged value goes into
+//! the store as it is applied, the buffer the write hands back returning to
+//! its record. The applied records the coordinator installs on the other
 //! replicas ([`ReplicaStore::txn_commit`]) are copied into spares of this
 //! list and come back once installed ([`ReplicaStore::recycle_entries`]);
-//! a replica installs each value in a spare of its own list and files what
-//! it displaces ([`ReplicaStore::txn_install`]).
+//! a replica installs each value from a spare of its own list and files
+//! what the write hands back ([`ReplicaStore::txn_install`]).
 //!
 //! A read reply makes the round trip through the group's frame pool
 //! instead, as a frame does: [`ReplicaStore::read_pooled`] checks the
@@ -222,19 +227,18 @@ impl ReplicaStore {
     }
 
     /// Applies a committed write as the next operation, stamped by the
-    /// store's rule. The store keeps `value`'s buffer
-    /// ([`PartitionedKvStore::write_owned`]): a protocol hands over the value
-    /// it holds, and nothing copies it on the way in. The buffer an
-    /// overwrite displaces goes to the store's spares, while the list is
-    /// owed buffers it lent (module docs, "Entry buffers"); the caller
-    /// returns nothing for it.
+    /// store's rule. A protocol hands over the value it holds
+    /// ([`PartitionedKvStore::write_owned`]), and the buffer the write hands
+    /// back goes to the store's spares, while the list is owed buffers it
+    /// lent (module docs, "Entry buffers"); the caller returns nothing for
+    /// it.
     pub fn apply(&mut self, key: &[u8], value: Vec<u8>) {
         self.applied += 1;
         let ts = self
             .stamping
             .stamp(self.applied, self.node, || self.kv.timestamp_of(key));
-        if let Some(displaced) = self.kv.write_owned(key, value, ts) {
-            self.entries.give(displaced);
+        if let Some(back) = self.kv.write_owned(key, value, ts) {
+            self.entries.give(back);
         }
     }
 
@@ -399,16 +403,16 @@ impl ReplicaStore {
 
     /// [`Self::import_range`] for the records a 2PC commit applied on the
     /// group's write coordinator ([`Self::txn_commit`]): each value is
-    /// copied into a spare of the entry list, and the buffer it displaces
-    /// goes back to the list ("Entry buffers"). Snapshots and catch-up
-    /// chunks keep to `import_range`: their keys are mostly new to the
-    /// replica, so few displaced buffers would come back.
+    /// copied into a spare of the entry list, and the buffer the write
+    /// hands back goes back to the list ("Entry buffers"). Snapshots and
+    /// catch-up chunks keep to `import_range`, whose copies are exact: the
+    /// store keeps them as they are.
     pub fn txn_install(&mut self, entries: &[RangeEntry]) {
         for entry in entries {
             let value = self.copy_entry(&entry.value);
             let ts = timestamp(entry);
-            if let Some(displaced) = self.kv.write_owned(&entry.key, value, ts) {
-                self.entries.give(displaced);
+            if let Some(back) = self.kv.write_owned(&entry.key, value, ts) {
+                self.entries.give(back);
             }
         }
     }

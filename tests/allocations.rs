@@ -212,12 +212,16 @@ fn a_fresh_lane_allocates_little_and_a_warm_one_nothing() {
 }
 
 const READS: usize = 4_096;
+const OVERWRITES: usize = 4_096;
 
 /// Verified reads into a lent buffer, on a plaintext store and on a
 /// confidential one: once the buffer has room for the longest value, each
 /// read checks the digest and copies (and on the confidential store
 /// decrypts) the value into it without one allocation, and a value the host
-/// tampered with is refused on the same path.
+/// tampered with is refused on the same path. Same-length overwrites through
+/// `write_owned`, each handing in the buffer the last one handed back, go
+/// over the host's bytes where they lie (sealed there on the confidential
+/// store) without one allocation either.
 #[test]
 fn a_verified_read_into_a_lent_buffer_allocates_nothing() {
     let confidential = StoreConfig::default().with_cipher(CipherKey::from_bytes([7; 32]));
@@ -251,6 +255,30 @@ fn a_verified_read_into_a_lent_buffer_allocates_nothing() {
             allocations, 0,
             "{READS} verified reads (confidential: {confidential}) allocated"
         );
+
+        let given = std::mem::take(&mut value);
+        let at = given.as_ptr();
+        let (mut given, allocations) = allocations_in(|| {
+            let mut given = given;
+            let rounds = (0u8..).zip(&keys).cycle().take(OVERWRITES);
+            for (round, (i, key)) in (2u64..).zip(rounds) {
+                given.clear();
+                given.resize(64 * (usize::from(i) + 1), !i);
+                given = store
+                    .write_owned(key, given, Timestamp::new(round, 0))
+                    .expect("a same-length overwrite hands back the buffer it was given");
+            }
+            given
+        });
+        assert_eq!(
+            allocations, 0,
+            "{OVERWRITES} same-length overwrites (confidential: {confidential}) allocated"
+        );
+        assert_eq!(given.as_ptr(), at);
+        for (i, key) in (0u8..).zip(&keys) {
+            store.read(key).unwrap().copy_into(&mut given);
+            assert!(given.len() == 64 * (usize::from(i) + 1) && given.iter().all(|&b| b == !i));
+        }
 
         assert!(store.corrupt_host_value(&keys[3]));
         let refused = store.read(&keys[3]).err();

@@ -91,43 +91,43 @@ const PINS: [Pin; 9] = [
     Pin {
         name: "single_key_unbatched",
         run: single_key_unbatched,
-        digest: "af19b4e841136f8b4afd5e560489d22286d1098eb50dae838bc7ef4dc7d3232e",
+        digest: "5ce5f9eba9416699daa9dd42bd4c56ed2992047a8b3f1b6c810149af641e03a6",
         contract: None,
     },
     Pin {
         name: "txn_gateway",
         run: txn_gateway,
-        digest: "523e3ae8f6e15dae097b3ced03ac93a2345f4e5c74ea3d2767c7438a439e7c19",
+        digest: "5b380ae262f4fa11027356072e36bb87ca16378ba3f0827db8bfe9e9d3afac99",
         contract: Some(txn_gateway_spec),
     },
     Pin {
         name: "rebalance_crash",
         run: rebalance_crash,
-        digest: "f4f445009f50afcabe9138211e73e22db15c85107f4bcbded93765881d89a543",
+        digest: "62ce7383a70a73153fb34ea4a2fae98c1374f16bccb63cc10bda741d86b2774b",
         contract: Some(rebalance_crash_spec),
     },
     Pin {
         name: "txn_byzantine",
         run: txn_byzantine,
-        digest: "c1a83da838f31623f8c7800520e6911c153746c34f97311121d137f28aecf0a9",
+        digest: "59692560fc2a46c63bb1806cf41e0e931649f93fd2af74fad93592a20785e53c",
         contract: Some(txn_byzantine_spec),
     },
     Pin {
         name: "chain_txn_crash",
         run: chain_txn_crash,
-        digest: "acca506ae6a4b7ddcf632e4756e4afd0c859b28e00054694e9a11a51f7377c76",
+        digest: "64216b624bc7edbbc6c99131bc6257fc979b9b49b201b67285bfea707e6a6f93",
         contract: Some(chain_txn_spec),
     },
     Pin {
         name: "abd_txn_crash",
         run: abd_txn_crash,
-        digest: "30081860aa3e913d7254c5d256f28ab1effafbb05141874a182f64042aa8ad03",
+        digest: "7f028762cb9a0b04188312e556ef34daf2acb8e63f08c21228ca02fda6467f23",
         contract: Some(abd_txn_spec),
     },
     Pin {
         name: "pbft_txn_crash",
         run: pbft_txn_crash,
-        digest: "3933d68b2b1b6ec1dccc7b2f683ac97af4ca43e6eff2aae6429d2c269d4e4af8",
+        digest: "ca4cb92d41c9976547aa36e86e7010407a86e5a383c531a8f24a6d0178c871a5",
         contract: Some(pbft_txn_spec),
     },
     Pin {
@@ -139,7 +139,7 @@ const PINS: [Pin; 9] = [
     Pin {
         name: "batched_replays",
         run: batched_replays,
-        digest: "67b4a220066c80e64f07f9ae02591e5ac7a1c05839ff8dd06f1d1570c5a80636",
+        digest: "0d0dcc74bb2bcd42f1b14af77c7abeef5d945c72be33bbc510a8cf679f4bbf03",
         contract: None,
     },
 ];
