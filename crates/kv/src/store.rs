@@ -1,24 +1,25 @@
-//! The partitioned KV store: enclave-resident index, host-resident values.
+//! The partitioned KV store: enclave-resident keys and index, host-resident values.
 //!
 //! Placement (paper §A.3, Figure 2):
 //!
-//! * **Enclave region** — the index mapping each key to its slot (16 bytes
-//!   an entry: one pointer to the key's bytes with the slot's four after
-//!   them, [`IndexEntry`]), and each slot's metadata: the digest of what the host holds for the
-//!   key and the Lamport timestamp of its latest write, packed into one
-//!   word ([`Stamp`]; 40 bytes in all, the value's length being the host
-//!   buffer's, which the digest covers). The
-//!   index is a hash table: a point operation is one probe, and the
+//! * **Enclave region** — each slot's metadata: the key, the digest of what
+//!   the host holds for it and the Lamport timestamp of its latest write,
+//!   packed into one word ([`Stamp`]; 56 bytes in all, the key's bytes in
+//!   a box of their own, the value's length being the host buffer's, which
+//!   the digest covers), and the index mapping each key to its slot
+//!   ([`SlotIndex`]): a hash table of slot numbers, 4 bytes a bucket, that
+//!   holds no key and compares a probed key with the one in the slot's
+//!   metadata. A point operation is one probe. Whatever walks the keys
+//!   walks the live slots in slot order, never the table, and the
 //!   operations that hand keys out in order (exports, recovery) sort the
-//!   keys they collect, so key order is the bytes' order, never the
-//!   table's. The paper's index is a skiplist; see the crate doc for why
-//!   this one is not.
+//!   keys they collect, so key order is the bytes' order. The paper's
+//!   index is a skiplist; see the crate doc for why this one is not.
 //! * **Host region** — value buffers, one slot per key, each at its value's
 //!   exact length: the value's bytes on a plaintext store (16 bytes a
 //!   slot), the ciphertext and the counter of the nonce it was sealed under
 //!   on a confidential one (24 bytes). A write of a value as long as the
 //!   one a slot holds goes over it in place (sealed there on a confidential
-//!   store), and the buffer it came in goes back to the writer. The
+//!   store), and a buffer the writer handed over goes back to it. The
 //!   host is untrusted: a Byzantine OS/hypervisor may corrupt or delete
 //!   these buffers at any time, which the store detects on every read by
 //!   re-hashing what the host holds and comparing against the enclave-held
@@ -26,8 +27,9 @@
 //!
 //! A key's slot numbers its metadata and its host buffer alike. Both live in
 //! pages of [`SLOT_PAGE`] slots ([`Slots`]), each allocated once at its exact
-//! size and never moved, so the per-key state grows by one page at a time
-//! rather than by doubling. A deleted key's slot is taken by the next new key.
+//! size and never moved, so the per-key state grows by one page at a time;
+//! only the index's table doubles, at 4 bytes a bucket. A deleted key's slot
+//! is taken by the next new key.
 //!
 //! In confidential mode the store encrypts values before placing them in the host
 //! arena and decrypts them (after integrity verification) on reads, so plaintext data
@@ -62,9 +64,9 @@
 //! different values under one keystream; `recipe-protocols` derives it per
 //! replica.
 
-use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+use std::hash::{BuildHasher, RandomState};
 use std::ops::{Index, IndexMut};
 
 use recipe_crypto::{hash_parts, Cipher, CipherKey, Digest, Nonce};
@@ -97,6 +99,9 @@ const SEALED_VALUE_DOMAIN: &[u8] = b"recipe.kv_sealed.v1";
 /// Metadata held inside the enclave for every key, in the key's slot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct ValueMeta {
+    /// The key whose slot this is; `None` on a free slot (the empty key is
+    /// a key like any other).
+    key: Option<Box<[u8]>>,
     /// Digest of what the host holds for the key, bound to the key
     /// ([`HostArena::place`]): the integrity tag checked on every read.
     value_hash: Digest,
@@ -146,61 +151,11 @@ struct SealedSlot {
     counter: u64,
 }
 
-// What the store keeps per key: the index entry, the enclave metadata and
-// one host slot.
-const _: () = assert!(size_of::<IndexEntry>() == 16);
-const _: () = assert!(size_of::<ValueMeta>() == 40);
+// What the store keeps per key: a bucket of the index (at a load of at
+// most 7/8), the enclave metadata with the key's box and one host slot.
+const _: () = assert!(size_of::<ValueMeta>() == 56);
 const _: () = assert!(size_of::<Option<Box<[u8]>>>() == 16);
 const _: () = assert!(size_of::<SealedSlot>() == 24);
-
-/// Bytes of the slot number at the end of an [`IndexEntry`].
-const SLOT_BYTES: usize = size_of::<u32>();
-
-/// A key's index entry: its bytes and its slot (`u32`, little-endian) after
-/// them, in one box — 16 bytes in the table, where a key and a separate
-/// slot would pad to 24. Hashing, equality and [`Borrow<[u8]>`] see the
-/// key's bytes alone, so the table is probed by key.
-struct IndexEntry(Box<[u8]>);
-
-impl IndexEntry {
-    fn new(key: &[u8], slot: u32) -> Self {
-        let mut bytes = Vec::with_capacity(key.len() + SLOT_BYTES);
-        bytes.extend_from_slice(key);
-        bytes.extend_from_slice(&slot.to_le_bytes());
-        IndexEntry(bytes.into_boxed_slice())
-    }
-
-    fn key(&self) -> &[u8] {
-        &self.0[..self.0.len() - SLOT_BYTES]
-    }
-
-    fn slot(&self) -> u32 {
-        let slot = &self.0[self.0.len() - SLOT_BYTES..];
-        slot.iter()
-            .rev()
-            .fold(0, |high, &byte| high << 8 | u32::from(byte))
-    }
-}
-
-impl Borrow<[u8]> for IndexEntry {
-    fn borrow(&self) -> &[u8] {
-        self.key()
-    }
-}
-
-impl Hash for IndexEntry {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.key().hash(state);
-    }
-}
-
-impl PartialEq for IndexEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for IndexEntry {}
 
 /// Slots in one page of [`Slots`].
 const SLOT_PAGE: usize = 64;
@@ -243,6 +198,11 @@ impl<T> Slots<T> {
         self.pages.get(slot / SLOT_PAGE)?.get(slot % SLOT_PAGE)
     }
 
+    /// Every entry, in slot order.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.pages.iter().flatten()
+    }
+
     fn get_mut(&mut self, slot: usize) -> Option<&mut T> {
         self.pages
             .get_mut(slot / SLOT_PAGE)?
@@ -261,6 +221,132 @@ impl<T> Index<usize> for Slots<T> {
 impl<T> IndexMut<usize> for Slots<T> {
     fn index_mut(&mut self, slot: usize) -> &mut T {
         &mut self.pages[slot / SLOT_PAGE][slot % SLOT_PAGE]
+    }
+}
+
+/// Every live slot's key and number, in slot order: a free slot holds no
+/// key.
+fn live(meta: &Slots<ValueMeta>) -> impl Iterator<Item = (&[u8], u32)> {
+    meta.iter()
+        .zip(0..)
+        .filter_map(|(meta, slot)| Some((meta.key.as_deref()?, slot)))
+}
+
+/// The key `slot`'s metadata holds: every slot in the index holds one.
+fn key_at(meta: &Slots<ValueMeta>, slot: u32) -> &[u8] {
+    meta[slot as usize].key.as_deref().unwrap_or_default()
+}
+
+/// The bucket that marks an empty place in [`SlotIndex`]: no slot has this
+/// number.
+const EMPTY: u32 = u32::MAX;
+
+/// Buckets of the first table [`SlotIndex`] allocates.
+const MIN_BUCKETS: usize = 4;
+
+/// The index: each key's slot number in a linear-probing table of 4-byte
+/// buckets. It holds no key: a probe compares against the key in the
+/// slot's metadata, which every read and write touches next anyway. A
+/// key's home bucket comes from std's randomly keyed SipHash, so no client
+/// can aim keys at one bucket. The table doubles past a load of 7/8 (the
+/// growth points of std's own tables), and a delete shifts the entries of
+/// its probe run back, so no bucket is ever a tombstone.
+///
+/// Nothing walks the buckets, whose order is the hasher's and differs from
+/// process to process: a table that grows is rebuilt from the live slots,
+/// and every walk of the keys is a walk of the slots ([`live`]).
+struct SlotIndex {
+    hasher: RandomState,
+    /// A power of two in length, or empty before the first key.
+    buckets: Box<[u32]>,
+    len: usize,
+}
+
+impl SlotIndex {
+    fn new() -> Self {
+        SlotIndex {
+            hasher: RandomState::new(),
+            buckets: Box::default(),
+            len: 0,
+        }
+    }
+
+    fn mask(&self) -> usize {
+        self.buckets.len().wrapping_sub(1)
+    }
+
+    /// The bucket `key`'s probe starts from.
+    fn home(&self, key: &[u8]) -> usize {
+        self.hasher.hash_one(key) as usize & self.mask()
+    }
+
+    /// Where the probe for `key` ends: `Ok` at the bucket that holds its
+    /// slot, or `Err` at the empty bucket that shows the key absent, where
+    /// it would go. A table under its load cap always has one.
+    fn probe(&self, key: &[u8], meta: &Slots<ValueMeta>) -> Result<usize, usize> {
+        if self.buckets.is_empty() {
+            return Err(0);
+        }
+        let mut bucket = self.home(key);
+        loop {
+            match self.buckets[bucket] {
+                EMPTY => return Err(bucket),
+                slot if key_at(meta, slot) == key => return Ok(bucket),
+                _ => bucket = (bucket + 1) & self.mask(),
+            }
+        }
+    }
+
+    /// `key`'s slot, or, when the table does not hold `key`, the empty
+    /// bucket to hand [`Self::insert`].
+    fn find(&self, key: &[u8], meta: &Slots<ValueMeta>) -> Result<u32, usize> {
+        self.probe(key, meta).map(|bucket| self.buckets[bucket])
+    }
+
+    /// Enters `slot`, whose key's probe ended at the empty bucket `vacant`
+    /// ([`Self::find`]). `meta` already holds the key in `slot`: a table
+    /// that passes its load cap is rebuilt twice as large from the live
+    /// slots, this one among them.
+    fn insert(&mut self, vacant: usize, slot: u32, meta: &Slots<ValueMeta>) {
+        self.len += 1;
+        if self.len <= self.buckets.len() * 7 / 8 {
+            self.buckets[vacant] = slot;
+            return;
+        }
+        let buckets = (2 * self.buckets.len()).max(MIN_BUCKETS);
+        self.buckets = vec![EMPTY; buckets].into_boxed_slice();
+        for (key, slot) in live(meta) {
+            if let Err(vacant) = self.probe(key, meta) {
+                self.buckets[vacant] = slot;
+            }
+        }
+    }
+
+    /// Takes `key` out, if the table holds it, and returns its slot. The
+    /// entries after it in its probe run shift back over the hole while
+    /// their probes pass through it, so every key stays reachable from its
+    /// home bucket without crossing an empty one.
+    fn remove(&mut self, key: &[u8], meta: &Slots<ValueMeta>) -> Option<u32> {
+        let mut hole = self.probe(key, meta).ok()?;
+        let slot = self.buckets[hole];
+        let mut next = hole;
+        loop {
+            next = (next + 1) & self.mask();
+            let moved = self.buckets[next];
+            if moved == EMPTY {
+                break;
+            }
+            // `moved` fills the hole unless its home lies after the hole, up
+            // to `next` (counting past the last bucket on from the first).
+            let home = self.home(key_at(meta, moved));
+            if next.wrapping_sub(home) & self.mask() >= next.wrapping_sub(hole) & self.mask() {
+                self.buckets[hole] = moved;
+                hole = next;
+            }
+        }
+        self.buckets[hole] = EMPTY;
+        self.len -= 1;
+        Some(slot)
     }
 }
 
@@ -295,21 +381,29 @@ enum HostArena {
 }
 
 /// Puts `value` in a host slot that `held` is: over the bytes there when
-/// they are as long, else in a box of its exact length — `value`'s own
-/// buffer when it has no room to spare, a copy when it has. Returns the
-/// slot's bytes and the buffer for the caller: `value`'s, unless the slot
-/// kept it, and then the one the slot held until now.
-fn put(held: &mut Option<Box<[u8]>>, value: Vec<u8>) -> (&mut [u8], Option<Vec<u8>>) {
+/// they are as long, else in a box of its exact length — an owned value's
+/// own buffer when it has no room to spare, a copy otherwise. Returns the
+/// slot's bytes and the buffer for the caller: an owned value's, unless the
+/// slot kept it, and otherwise the one the slot held until now, if any.
+fn put<'a>(
+    held: &'a mut Option<Box<[u8]>>,
+    value: Cow<'_, [u8]>,
+) -> (&'a mut [u8], Option<Vec<u8>>) {
     let back = match held {
         Some(bytes) if bytes.len() == value.len() => {
             bytes.copy_from_slice(&value);
-            Some(value)
+            match value {
+                Cow::Owned(value) => Some(value),
+                Cow::Borrowed(_) => None,
+            }
         }
         _ => {
-            let (exact, back) = if value.len() == value.capacity() {
-                (value.into_boxed_slice(), None)
-            } else {
-                (Box::from(value.as_slice()), Some(value))
+            let (exact, back) = match value {
+                Cow::Owned(value) if value.len() == value.capacity() => {
+                    (value.into_boxed_slice(), None)
+                }
+                Cow::Owned(value) => (Box::from(value.as_slice()), Some(value)),
+                Cow::Borrowed(value) => (Box::from(value), None),
             };
             back.or(held.replace(exact).map(Vec::from))
         }
@@ -333,7 +427,12 @@ impl HostArena {
     /// Puts `value` in `slot` ([`put`]), sealed there under the next nonce
     /// on a confidential store. Returns the digest the enclave keeps for it
     /// under `key` and the buffer for the caller.
-    fn place(&mut self, key: &[u8], slot: usize, value: Vec<u8>) -> (Digest, Option<Vec<u8>>) {
+    fn place(
+        &mut self,
+        key: &[u8],
+        slot: usize,
+        value: Cow<'_, [u8]>,
+    ) -> (Digest, Option<Vec<u8>>) {
         match self {
             HostArena::Plain(slots) => {
                 let (bytes, back) = put(&mut slots[slot], value);
@@ -450,11 +549,10 @@ pub type ExportedEntry = (Vec<u8>, Vec<u8>, Timestamp);
 
 /// The partitioned key-value store.
 pub struct PartitionedKvStore {
-    /// Each key's slot. Keys are client-chosen, so the table keeps std's
-    /// randomly keyed SipHash: no client can aim keys at one bucket.
-    index: HashSet<IndexEntry>,
-    /// Each slot's enclave metadata; a free slot keeps its last key's until
-    /// a new key takes it.
+    /// Each key's slot.
+    index: SlotIndex,
+    /// Each slot's enclave metadata, the key among it; a free slot holds no
+    /// key.
     meta: Slots<ValueMeta>,
     /// The timestamps that do not pack into a [`Stamp`], by slot: only live
     /// keys', each under the marker in its slot's metadata.
@@ -477,7 +575,7 @@ impl PartitionedKvStore {
             },
         };
         PartitionedKvStore {
-            index: HashSet::new(),
+            index: SlotIndex::new(),
             meta: Slots::new(),
             spilled: BTreeMap::new(),
             host_arena,
@@ -498,8 +596,12 @@ impl PartitionedKvStore {
     /// stored one — ABD-style last-writer-wins filtering is the protocol's
     /// job (see [`PartitionedKvStore::write_if_newer`]). It never errs
     /// today; the `Result` stays for the callers that expect it.
+    ///
+    /// The value's bytes go straight into the host slot: over the bytes it
+    /// holds when they are as long, with no allocation, and otherwise into
+    /// one box of the value's exact length.
     pub fn write(&mut self, key: &[u8], value: &[u8], timestamp: Timestamp) -> Result<(), KvError> {
-        self.write_owned(key, value.to_vec(), timestamp);
+        self.write_value(key, Cow::Borrowed(value), timestamp);
         Ok(())
     }
 
@@ -521,44 +623,69 @@ impl PartitionedKvStore {
         value: Vec<u8>,
         timestamp: Timestamp,
     ) -> Option<Vec<u8>> {
-        // An overwrite is one probe: the key keeps its slot. A new key takes
-        // a free slot and enters the table.
-        if let Some(slot) = self.slot(key) {
-            let (value_hash, back) = self.host_arena.place(key, slot as usize, value);
-            self.meta[slot as usize] = self.stamped(slot, value_hash, timestamp);
-            return back;
-        }
-        let slot = match self.free_slots.pop() {
-            Some(slot) => slot,
-            None => {
-                let slot = self.host_arena.push_empty();
-                // recipe-lint: allow(unwrap-in-lib, reason = "a slot per key: four billion keys would fill 64 GB of index first")
-                u32::try_from(slot).expect("fewer than 2^32 slots")
-            }
+        self.write_value(key, Cow::Owned(value), timestamp)
+    }
+
+    /// The one write path, lent the value or handed its buffer
+    /// ([`Self::write`], [`Self::write_owned`]). An overwrite is one probe:
+    /// the key keeps its slot. A new key takes a free slot, its metadata
+    /// holds the key in a box of its own, and it enters the index.
+    fn write_value(
+        &mut self,
+        key: &[u8],
+        value: Cow<'_, [u8]>,
+        timestamp: Timestamp,
+    ) -> Option<Vec<u8>> {
+        let found = self.index.find(key, &self.meta);
+        let slot = match found {
+            Ok(slot) => slot,
+            Err(_) => self.free_slot(),
         };
         let (value_hash, back) = self.host_arena.place(key, slot as usize, value);
-        let meta = self.stamped(slot, value_hash, timestamp);
+        let stamp = self.stamp(slot, timestamp);
+        let Err(vacant) = found else {
+            let meta = &mut self.meta[slot as usize];
+            (meta.value_hash, meta.stamp) = (value_hash, stamp);
+            return back;
+        };
+        let meta = ValueMeta {
+            key: Some(key.into()),
+            value_hash,
+            stamp,
+        };
         match self.meta.get_mut(slot as usize) {
             Some(freed) => *freed = meta,
             None => {
                 self.meta.push(meta);
             }
         }
-        self.index.insert(IndexEntry::new(key, slot));
+        self.index.insert(vacant, slot, &self.meta);
         back
     }
 
-    /// The metadata of a write into `slot`: a timestamp that does not pack
-    /// goes into the spill map, and one that does takes the slot's entry
-    /// there, if any, out.
-    fn stamped(&mut self, slot: u32, value_hash: Digest, timestamp: Timestamp) -> ValueMeta {
+    /// A slot for a new key: the last one freed, or a new one.
+    fn free_slot(&mut self) -> u32 {
+        if let Some(slot) = self.free_slots.pop() {
+            return slot;
+        }
+        let slot = u32::try_from(self.host_arena.push_empty())
+            .ok()
+            .filter(|&slot| slot != EMPTY);
+        // recipe-lint: allow(unwrap-in-lib, reason = "a slot per key: four billion keys would fill 224 GB of enclave metadata first")
+        slot.expect("fewer than 2^32 - 1 slots: the last number marks an empty bucket")
+    }
+
+    /// A write's stamp for `slot`: a timestamp that does not pack goes into
+    /// the spill map, and one that does takes the slot's entry there, if
+    /// any, out.
+    fn stamp(&mut self, slot: u32, timestamp: Timestamp) -> Stamp {
         let stamp = Stamp::pack(timestamp);
         if stamp == Stamp::SPILLED {
             self.spilled.insert(slot, timestamp);
         } else {
             self.spilled.remove(&slot);
         }
-        ValueMeta { value_hash, stamp }
+        stamp
     }
 
     /// The timestamp of the write `slot` holds.
@@ -578,7 +705,7 @@ impl PartitionedKvStore {
                 return false;
             }
         }
-        self.write_owned(key, value.to_vec(), timestamp);
+        self.write_value(key, Cow::Borrowed(value), timestamp);
         true
     }
 
@@ -624,43 +751,32 @@ impl PartitionedKvStore {
 
     /// The slot of `key`, if the store holds it.
     fn slot(&self, key: &[u8]) -> Option<u32> {
-        self.index.get(key).map(IndexEntry::slot)
+        self.index.find(key, &self.meta).ok()
     }
 
     /// Deletes `key`. Returns `true` if it existed.
     pub(crate) fn delete(&mut self, key: &[u8]) -> bool {
-        match self.index.take(key) {
-            Some(entry) => {
-                let slot = entry.slot();
-                self.host_arena.take(slot as usize);
-                self.spilled.remove(&slot);
-                self.free_slots.push(slot);
-                true
-            }
-            None => false,
-        }
+        let Some(slot) = self.index.remove(key, &self.meta) else {
+            return false;
+        };
+        self.meta[slot as usize].key = None;
+        self.host_arena.take(slot as usize);
+        self.spilled.remove(&slot);
+        self.free_slots.push(slot);
+        true
     }
 
     /// The highest timestamp any stored key carries; `None` when empty.
     pub fn newest_timestamp(&self) -> Option<Timestamp> {
-        self.unordered()
+        live(&self.meta)
             .map(|(_, slot)| self.timestamp_at(slot))
             .max()
     }
 
-    /// The index in hash order, which differs from process to process. The
-    /// one place the table is walked: each caller sorts what it collects
-    /// ([`Self::sorted_keys`]) or folds with an order-blind `max` or sum.
-    fn unordered(&self) -> impl Iterator<Item = (&[u8], u32)> {
-        // recipe-lint: allow(hash-iteration, reason = "callers sort the keys they collect (sorted_keys, rehydrate) or fold with max/sum, which no order changes")
-        self.index.iter().map(|entry| (entry.key(), entry.slot()))
-    }
-
     /// The keys `filter` selects, in ascending byte order: what every export
-    /// and eviction walks, so none of them sees the table's order.
+    /// and eviction walks.
     fn sorted_keys(&self, filter: impl Fn(&[u8]) -> bool) -> Vec<Vec<u8>> {
-        let mut keys: Vec<Vec<u8>> = self
-            .unordered()
+        let mut keys: Vec<Vec<u8>> = live(&self.meta)
             .filter(|(key, _)| filter(key))
             .map(|(key, _)| key.to_vec())
             .collect();
@@ -679,7 +795,7 @@ impl PartitionedKvStore {
         let mut verified = 0u64;
         let mut bytes = 0u64;
         let mut failed = Vec::new();
-        for (key, slot) in self.unordered() {
+        for (key, slot) in live(&self.meta) {
             match self.verified(key, slot) {
                 Ok(read) => {
                     verified += 1;
@@ -1047,7 +1163,8 @@ mod tests {
 
     /// Keys that are prefixes of one another, and keys whose last four
     /// bytes read as another key's slot, each find their own slot and
-    /// value — before and after a delete frees a slot and a new key takes it.
+    /// value — before and after a delete frees a slot and a new key takes
+    /// it. The freed slot holds no key until then.
     #[test]
     fn each_key_finds_its_own_slot() {
         let mut store = plain_store();
@@ -1057,8 +1174,8 @@ mod tests {
             b"ab".to_vec(),
             b"abcd".to_vec(),
         ];
-        // "abcd" followed by the bytes of slot 1, 2 and 0: a lookup that
-        // read an entry's slot bytes as key bytes would land on one of these.
+        // "abcd" followed by the bytes of slot 1, 2 and 0, and slot 3's bytes
+        // alone: keys that spell the slot numbers the index holds.
         for slot in [1u32, 2, 0] {
             keys.push([&b"abcd"[..], &slot.to_le_bytes()].concat());
         }
@@ -1082,6 +1199,7 @@ mod tests {
         // after it.
         assert!(store.delete(b"ab"));
         assert_eq!(store.get(b"ab"), Err(KvError::NotFound));
+        assert_eq!(store.meta[2].key, None);
         let reused = [&b"ab"[..], &2u32.to_le_bytes()].concat();
         store
             .write(&reused, b"reused", Timestamp::new(2, 0))
@@ -1480,8 +1598,11 @@ mod tests {
             assert_eq!(back, b"balance=000");
             assert_eq!(owned.host_arena.bytes(slot).unwrap().as_ptr(), at);
 
+            // A lent value of the same length is copied over the slot's box.
             copied.write(b"k", b"balance=100", first).unwrap();
+            let copied_at = copied.host_arena.bytes(slot).unwrap().as_ptr();
             assert_eq!(copied.write(b"k", b"balance=000", second), Ok(()));
+            assert_eq!(copied.host_arena.bytes(slot).unwrap().as_ptr(), copied_at);
             assert_eq!(
                 owned.host_visible_bytes(b"k"),
                 copied.host_visible_bytes(b"k")
@@ -1650,8 +1771,127 @@ mod tests {
         stem.iter().copied().chain(tail).collect()
     }
 
+    /// `count` keys whose home bucket in a table of 64 buckets, under
+    /// `store`'s hasher, is one of the last four — and so also in every
+    /// table of 8 to 32: their probe runs wrap past the last bucket.
+    fn keys_homed_at_the_end(store: &PartitionedKvStore, count: usize) -> Vec<Vec<u8>> {
+        (0u32..)
+            .map(|i| format!("end-{i}").into_bytes())
+            .filter(|key| store.index.hasher.hash_one(key.as_slice()) & 63 >= 60)
+            .take(count)
+            .collect()
+    }
+
+    /// Checks `store`'s index against `model`, the live keys and their
+    /// values, and `pool`, every key a test writes: each live key is
+    /// reachable from its home bucket without crossing an empty one, no
+    /// other key is found, and the table holds as many keys as the model,
+    /// under its load cap.
+    fn check_index(
+        store: &PartitionedKvStore,
+        model: &BTreeMap<Vec<u8>, Vec<u8>>,
+        pool: &[Vec<u8>],
+    ) -> Result<(), String> {
+        let index = &store.index;
+        let buckets = index.buckets.len();
+        let held = index.buckets.iter().filter(|&&slot| slot != EMPTY).count();
+        prop_assert_eq!((index.len, held), (model.len(), model.len()));
+        prop_assert!(held <= buckets * 7 / 8 && buckets <= 64);
+        for key in pool {
+            let Some(value) = model.get(key) else {
+                prop_assert_eq!(store.slot(key), None);
+                prop_assert_eq!(store.get(key), Err(KvError::NotFound));
+                continue;
+            };
+            let slot = live(&store.meta)
+                .find(|(live, _)| live == key)
+                .map(|(_, slot)| slot);
+            let mut bucket = index.home(key);
+            for _ in 0..buckets {
+                prop_assert!(
+                    index.buckets[bucket] != EMPTY,
+                    "{:?} is past an empty bucket",
+                    key
+                );
+                if Some(index.buckets[bucket]) == slot {
+                    break;
+                }
+                bucket = (bucket + 1) % buckets;
+            }
+            prop_assert_eq!(Some(index.buckets[bucket]), slot);
+            prop_assert_eq!(&store.get(key).unwrap().value, value);
+        }
+        Ok(())
+    }
+
+    /// Two stores, each under a hasher of its own keys, fed the same
+    /// writes and deletes: their tables differ, and every walk of their
+    /// keys — slots, the newest timestamp, exports, evictions, recovery —
+    /// comes out the same.
+    #[test]
+    fn stores_under_two_hashers_walk_their_keys_in_one_order() {
+        let (mut first, mut second) = (plain_store(), confidential_store());
+        for store in [&mut first, &mut second] {
+            for i in 0..300 {
+                let ts = Timestamp::new(i as u64 + 1, (i % 5) as u64);
+                store.write(&paged_key(i), &paged_value(i), ts).unwrap();
+            }
+            for i in (0..300).step_by(3) {
+                assert!(store.delete(&paged_key(i)));
+            }
+            for i in 300..350 {
+                store
+                    .write(&paged_key(i), &paged_value(i), Timestamp::new(7, 0))
+                    .unwrap();
+            }
+            assert!(store.corrupt_host_value(&paged_key(301)));
+        }
+        assert_ne!(first.index.buckets, second.index.buckets);
+        let walk = |store: &PartitionedKvStore| {
+            live(&store.meta)
+                .map(|(key, slot)| (key.to_vec(), slot))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(walk(&first), walk(&second));
+        assert_eq!(first.newest_timestamp(), second.newest_timestamp());
+        assert_eq!(first.rehydrate(), second.rehydrate());
+        let low = |key: &[u8]| key < b"key-0100".as_slice();
+        assert_eq!(
+            first.export_matching(low).unwrap(),
+            second.export_matching(low).unwrap()
+        );
+        assert_eq!(first.remove_matching(low), second.remove_matching(low));
+        assert_eq!(walk(&first), walk(&second));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Writes and deletes over a pool of 56 keys, at most 64 buckets'
+        /// worth, two in five of them homed in the last buckets so that
+        /// probe runs, and the shifts of the deletes in them, wrap past the
+        /// last bucket to the first: after every operation the index holds
+        /// exactly the live keys of a `BTreeMap` model, each on its probe run.
+        #[test]
+        fn the_index_keeps_every_key_on_its_probe_run(
+            ops in proptest::collection::vec((0u8..5, 0usize..56), 0..240),
+        ) {
+            let mut store = plain_store();
+            let mut pool = keys_homed_at_the_end(&store, 24);
+            pool.extend((0..32).map(paged_key));
+            let mut model = BTreeMap::new();
+            for (n, (op, key)) in ops.into_iter().enumerate() {
+                let key = &pool[key];
+                if op < 3 {
+                    let value = paged_value(n);
+                    store.write(key, &value, Timestamp::new(n as u64 + 1, 0)).unwrap();
+                    model.insert(key.clone(), value);
+                } else {
+                    prop_assert_eq!(store.delete(key), model.remove(key).is_some());
+                }
+                check_index(&store, &model, &pool)?;
+            }
+        }
 
         #[test]
         fn store_matches_hashmap_model(ops in proptest::collection::vec(

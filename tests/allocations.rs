@@ -5,7 +5,9 @@
 //! operation pays a counter step and a MAC per frame (paper §3.2,
 //! Algorithm 1). A verified read checks the host's bytes against the
 //! enclave-held digest and copies the value into a buffer the caller lends
-//! (paper §A.3), so a read into a warm buffer pays no allocation either.
+//! (paper §A.3), so a read into a warm buffer pays no allocation either,
+//! and a store that grows allocates only its keys' boxes, its slot pages
+//! and one table of 4-byte buckets each time its index doubles.
 //! A tenanted gateway writes its prefix into the room a client drew each
 //! key with, so admitting a request allocates nothing. A committed
 //! transaction's buffers go back to the generator that drew it, so its
@@ -219,9 +221,10 @@ const OVERWRITES: usize = 4_096;
 /// read checks the digest and copies (and on the confidential store
 /// decrypts) the value into it without one allocation, and a value the host
 /// tampered with is refused on the same path. Same-length overwrites through
-/// `write_owned`, each handing in the buffer the last one handed back, go
-/// over the host's bytes where they lie (sealed there on the confidential
-/// store) without one allocation either.
+/// `write_owned`, each handing in the buffer the last one handed back, and
+/// through `write` and `write_if_newer`, each lending the value, go over the
+/// host's bytes where they lie (sealed there on the confidential store)
+/// without one allocation either.
 #[test]
 fn a_verified_read_into_a_lent_buffer_allocates_nothing() {
     let confidential = StoreConfig::default().with_cipher(CipherKey::from_bytes([7; 32]));
@@ -280,6 +283,38 @@ fn a_verified_read_into_a_lent_buffer_allocates_nothing() {
             assert!(given.len() == 64 * (usize::from(i) + 1) && given.iter().all(|&b| b == !i));
         }
 
+        // The same overwrites with the value lent, by the plain write and by
+        // the ABD rule's, which applies each since its timestamp is newer.
+        let first = 2 + OVERWRITES as u64;
+        let (applied, allocations) = allocations_in(|| {
+            let mut applied = 0;
+            let rounds = (0u8..).zip(&keys).cycle().take(2 * OVERWRITES);
+            for (round, (i, key)) in (first..).zip(rounds) {
+                given.clear();
+                given.resize(64 * (usize::from(i) + 1), i ^ round as u8);
+                let timestamp = Timestamp::new(round, 0);
+                if round % 2 == 0 {
+                    store.write(key, &given, timestamp).unwrap();
+                    applied += 1;
+                } else {
+                    applied += usize::from(store.write_if_newer(key, &given, timestamp));
+                }
+            }
+            applied
+        });
+        assert_eq!(applied, 2 * OVERWRITES);
+        assert_eq!(
+            allocations,
+            0,
+            "{} same-length overwrites of lent values (confidential: {confidential}) allocated",
+            2 * OVERWRITES
+        );
+        let last = first + 2 * OVERWRITES as u64 - keys.len() as u64;
+        for ((i, key), round) in (0u8..).zip(&keys).zip(last..) {
+            store.read(key).unwrap().copy_into(&mut given);
+            assert!(given.iter().all(|&b| b == i ^ round as u8));
+        }
+
         assert!(store.corrupt_host_value(&keys[3]));
         let refused = store.read(&keys[3]).err();
         assert!(
@@ -289,6 +324,64 @@ fn a_verified_read_into_a_lent_buffer_allocates_nothing() {
             ),
             "a tampered value passed the digest: {refused:?}"
         );
+    }
+}
+
+const NEW_KEYS: usize = 4_096;
+
+/// A store grown to [`NEW_KEYS`] new keys, each handed a value buffer of its
+/// exact length for the host slot to keep, allocates exactly: one box per
+/// key, holding the key's bytes alone; one page a kind per 64 slots, of
+/// 56-byte enclave metadata and 16-byte host slots (24 sealed); the two
+/// lists of those pages; and one table of 4-byte buckets per doubling of the
+/// index, from 4 buckets to the first with room for every key at a load
+/// of 7/8.
+#[test]
+fn a_growing_store_allocates_its_keys_pages_and_one_table_a_doubling() {
+    const PAGE: usize = 64;
+    let keys: Vec<Vec<u8>> = (0..NEW_KEYS)
+        .map(|i| format!("user{i:012}").into_bytes())
+        .collect();
+    let key_bytes: usize = keys.iter().map(Vec::len).sum();
+    let pages = NEW_KEYS.div_ceil(PAGE);
+    // What a list of `pages` pages costs as it grows: a list of empty
+    // vectors, which allocate nothing of their own.
+    let list = heap_use_in(|| {
+        let mut grown = Vec::new();
+        for _ in 0..pages {
+            grown.push(Vec::<u8>::new());
+        }
+        grown
+    })
+    .1;
+    let tables: Vec<usize> = std::iter::successors(Some(4), |&b| Some(2 * b))
+        .take_while(|&buckets| buckets / 2 * 7 / 8 < NEW_KEYS)
+        .collect();
+    assert_eq!(tables.last(), Some(&8_192));
+    let confidential = StoreConfig::default().with_cipher(CipherKey::from_bytes([7; 32]));
+    for (config, host_slot) in [(StoreConfig::default(), 16), (confidential, 24)] {
+        let mut store = PartitionedKvStore::new(config);
+        let values: Vec<Vec<u8>> = (0..NEW_KEYS).map(|i| vec![i as u8; 64]).collect();
+        let (_, heap) = heap_use_in(|| {
+            for (key, value) in keys.iter().zip(values) {
+                let back = store.write_owned(key, value, Timestamp::new(1, 0));
+                assert!(back.is_none(), "the host slot keeps an exact buffer");
+            }
+        });
+        let allocs = NEW_KEYS + 2 * pages + 2 * list.allocs as usize + tables.len();
+        let bytes = key_bytes
+            + pages * PAGE * (56 + host_slot)
+            + 2 * list.bytes as usize
+            + 4 * tables.iter().sum::<usize>();
+        let confidential = store.is_confidential();
+        assert_eq!(
+            (heap.allocs as usize, heap.bytes as usize),
+            (allocs, bytes),
+            "{NEW_KEYS} new keys (confidential: {confidential}): allocations and bytes"
+        );
+        for key in keys.iter().step_by(97) {
+            assert_eq!(store.get(key).unwrap().value.len(), 64);
+        }
     }
 }
 
