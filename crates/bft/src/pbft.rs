@@ -28,7 +28,7 @@ use recipe_protocols::{
     BatchConfig, Batcher, BuildReplica, Framing, Protocol, ProtocolMode, ReplicaStore, Stamping,
     StoreReplica,
 };
-use recipe_sim::{Ctx, RecoveryState, Replica, RestartReport};
+use recipe_sim::{Ctx, Replica, RestartReport};
 
 /// Timer token: flush partially-filled batches (time-budget trigger).
 const TOKEN_BATCH_FLUSH: u64 = 1;
@@ -488,18 +488,14 @@ impl Replica for PbftReplica {
         self.view
     }
 
-    fn export_recovery_state(&mut self) -> RecoveryState {
-        self.store.export_recovery_state()
-    }
-
-    fn on_restart(&mut self, view: u64, state: RecoveryState, _ctx: &mut Ctx) -> RestartReport {
+    fn on_restart(&mut self, view: u64, _ctx: &mut Ctx) -> RestartReport {
         self.slots.clear();
         self.low_water = 0;
         self.down.clear();
         self.next_seq = 0;
         self.batcher = Batcher::new(*self.batcher.config());
         self.view = self.view.max(view);
-        self.store.restart(state)
+        self.store.restart()
     }
 
     fn on_peer_down(&mut self, peer: NodeId, _ctx: &mut Ctx) {

@@ -601,7 +601,8 @@ impl PartitionedKvStore {
     /// holds when they are as long, with no allocation, and otherwise into
     /// one box of the value's exact length.
     pub fn write(&mut self, key: &[u8], value: &[u8], timestamp: Timestamp) -> Result<(), KvError> {
-        self.write_value(key, Cow::Borrowed(value), timestamp);
+        let found = self.index.find(key, &self.meta);
+        self.write_value(found, key, Cow::Borrowed(value), timestamp);
         Ok(())
     }
 
@@ -623,20 +624,22 @@ impl PartitionedKvStore {
         value: Vec<u8>,
         timestamp: Timestamp,
     ) -> Option<Vec<u8>> {
-        self.write_value(key, Cow::Owned(value), timestamp)
+        let found = self.index.find(key, &self.meta);
+        self.write_value(found, key, Cow::Owned(value), timestamp)
     }
 
     /// The one write path, lent the value or handed its buffer
-    /// ([`Self::write`], [`Self::write_owned`]). An overwrite is one probe:
-    /// the key keeps its slot. A new key takes a free slot, its metadata
-    /// holds the key in a box of its own, and it enters the index.
+    /// ([`Self::write`], [`Self::write_owned`]), and `key`'s probe
+    /// ([`SlotIndex::find`]) from its caller, so no write probes twice. An
+    /// overwrite keeps the key's slot. A new key takes a free slot, its
+    /// metadata holds the key in a box of its own, and it enters the index.
     fn write_value(
         &mut self,
+        found: Result<u32, usize>,
         key: &[u8],
         value: Cow<'_, [u8]>,
         timestamp: Timestamp,
     ) -> Option<Vec<u8>> {
-        let found = self.index.find(key, &self.meta);
         let slot = match found {
             Ok(slot) => slot,
             Err(_) => self.free_slot(),
@@ -700,12 +703,11 @@ impl PartitionedKvStore {
     /// (the ABD write rule). Returns `true` if the write was applied,
     /// `false` if it was skipped as stale.
     pub fn write_if_newer(&mut self, key: &[u8], value: &[u8], timestamp: Timestamp) -> bool {
-        if let Some(stored) = self.timestamp_of(key) {
-            if timestamp <= stored {
-                return false;
-            }
+        let found = self.index.find(key, &self.meta);
+        if found.is_ok_and(|slot| timestamp <= self.timestamp_at(slot)) {
+            return false;
         }
-        self.write_value(key, Cow::Borrowed(value), timestamp);
+        self.write_value(found, key, Cow::Borrowed(value), timestamp);
         true
     }
 
@@ -896,10 +898,11 @@ impl PartitionedKvStore {
             return;
         };
         for (key, value) in txn.writes_mut() {
-            let timestamp = stamp(self.timestamp_of(key));
+            let found = self.index.find(key, &self.meta);
+            let timestamp = stamp(found.ok().map(|slot| self.timestamp_at(slot)));
             committed(key, value, timestamp);
-            let staged = std::mem::take(value);
-            if let Some(back) = self.write_owned(key, staged, timestamp) {
+            let staged = Cow::Owned(std::mem::take(value));
+            if let Some(back) = self.write_value(found, key, staged, timestamp) {
                 *value = back;
             }
         }
@@ -976,26 +979,6 @@ impl PartitionedKvStore {
         Ok(out)
     }
 
-    /// Imports `(key, value, timestamp)` records in order: each is written
-    /// unconditionally with its carried timestamp, so later records win for
-    /// a repeated key — the migration controller ships snapshot records
-    /// first and catch-up records in commit order, which makes replay
-    /// idempotent under re-delivery. Each value goes through
-    /// [`PartitionedKvStore::write_owned`], which keeps a buffer of the
-    /// value's exact length — as every exported value's is — as it came; a
-    /// key is only read.
-    pub fn import_entries<K: AsRef<[u8]>>(
-        &mut self,
-        entries: impl IntoIterator<Item = (K, Vec<u8>, Timestamp)>,
-    ) -> usize {
-        let mut imported = 0;
-        for (key, value, timestamp) in entries {
-            self.write_owned(key.as_ref(), value, timestamp);
-            imported += 1;
-        }
-        imported
-    }
-
     /// Deletes every key satisfying `filter` (donor-side range eviction after
     /// a migration cutover). Returns how many keys were removed.
     pub fn remove_matching(&mut self, filter: impl Fn(&[u8]) -> bool) -> usize {
@@ -1053,6 +1036,22 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, HashMap};
+
+    impl PartitionedKvStore {
+        /// Writes `(key, value, timestamp)` records in order, as a transfer
+        /// installs them: later records win for a repeated key.
+        fn import_entries<K: AsRef<[u8]>>(
+            &mut self,
+            entries: impl IntoIterator<Item = (K, Vec<u8>, Timestamp)>,
+        ) -> usize {
+            let mut imported = 0;
+            for (key, value, timestamp) in entries {
+                self.write_owned(key.as_ref(), value, timestamp);
+                imported += 1;
+            }
+            imported
+        }
+    }
 
     fn plain_store() -> PartitionedKvStore {
         PartitionedKvStore::new(StoreConfig::default())

@@ -162,6 +162,30 @@ pub struct Landing {
     pub copy: Option<(u64, Forged)>,
 }
 
+impl Landing {
+    /// Delivers `wire`, the frame this landing is for, to the end `end`:
+    /// `open` opens the authentic frame if it lands (where it lies, so a
+    /// duplicate's bytes are taken first), then `refuses` says whether the
+    /// end refused the adversary's copy, if any. Returns the opened frame
+    /// and when it landed (`None`: lost or refused), and whether a copy was
+    /// refused.
+    pub fn open<W: AsRef<[u8]>, E, T>(
+        self,
+        wire: W,
+        end: &mut E,
+        open: impl FnOnce(&mut E, W) -> Option<T>,
+        refuses: impl FnOnce(&mut E, &mut [u8]) -> bool,
+    ) -> (Option<(T, u64)>, bool) {
+        let mut copy = self.copy.map(|(_, forged)| match forged {
+            Forged::Duplicate => wire.as_ref().to_vec(),
+            Forged::Tampered(bytes) | Forged::Replayed(bytes) => bytes,
+        });
+        let landed = self.frame_at.and_then(|at| Some((open(end, wire)?, at)));
+        let refused = copy.as_mut().is_some_and(|copy| refuses(end, copy));
+        (landed, refused)
+    }
+}
+
 /// A copy the adversary put on a link ([`Landing::copy`]).
 #[derive(Debug, PartialEq)]
 pub enum Forged {
@@ -171,16 +195,6 @@ pub enum Forged {
     Duplicate,
     /// An older frame of the channel, landing 1 ns after the frame.
     Replayed(Vec<u8>),
-}
-
-impl Forged {
-    /// The copy's bytes; a duplicate's are those of `frame`, which it copies.
-    pub fn bytes<'a>(&'a self, frame: &'a [u8]) -> &'a [u8] {
-        match self {
-            Forged::Tampered(bytes) | Forged::Replayed(bytes) => bytes,
-            Forged::Duplicate => frame,
-        }
-    }
 }
 
 /// The network every frame between enclaves crosses, in a group and between

@@ -59,7 +59,7 @@ pub use contract::{
     Capacity, Consistency, Contract, Count, Framing, Messages, ReadPath, Role, Traffic, Wire,
 };
 pub use migration::{
-    ChunkPhase, MigrationChannel, MigrationChunk, CHUNK_ENTRIES,
+    ChunkPhase, ChunkRecord, MigrationChannel, MigrationChunk, CHUNK_ENTRIES,
     ENDPOINT_IDS as MIGRATION_ENDPOINT_IDS, MAX_SHARDS,
 };
 pub use raft::{Raft, RaftMsg, RaftReplica};

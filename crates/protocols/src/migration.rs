@@ -16,21 +16,23 @@
 //! charges EPC pressure per staged chunk, mirroring §B.3's batch-size
 //! trade-off).
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use recipe_core::wire::{tag, Reader, Writer};
-use recipe_core::{ConfidentialityMode, Membership};
+use recipe_core::{ConfidentialityMode, FramePool, Membership, ShieldedMessage};
+use recipe_kv::Timestamp;
 use recipe_net::NodeId;
 use recipe_sim::RangeEntry;
 
-use crate::shield::ProtocolShield;
+use crate::shield::{Frames, ProtocolShield};
 
 /// Message kind tag for migration chunks on the shield channel.
 const KIND_MIGRATION: u16 = 0x4D49; // "MI"
 
-/// Base of the node-id space used by migration endpoints, far above any
-/// replica id: each shard leader exposes one state-transfer endpoint, keyed
-/// per (shard pair, direction) like any other shielded channel.
+/// Base of the node-id space used by state-transfer endpoints, far above
+/// any replica id: each transfer has two, keyed like any other shielded
+/// channel.
 const ENDPOINT_BASE: u64 = 0xE000_0000;
 
 /// Most shards a deployment may have (`DeploymentSpec::validate` refuses
@@ -38,23 +40,24 @@ const ENDPOINT_BASE: u64 = 0xE000_0000;
 /// a 2PC participant endpoint id, and must not run into the next one.
 pub const MAX_SHARDS: usize = 4_096;
 
-/// Most migrations whose endpoints fit [`ENDPOINT_IDS`]; a run makes a
+/// Most transfers whose endpoints fit [`ENDPOINT_IDS`]; a run makes a
 /// handful.
 const MAX_MIGRATIONS: u64 = 1 << 32;
 
-/// The node ids migration endpoints take.
+/// The node ids state-transfer endpoints take.
 pub const ENDPOINT_IDS: Range<u64> =
     ENDPOINT_BASE..ENDPOINT_BASE + MAX_MIGRATIONS * MAX_SHARDS as u64;
 
-/// Which migration phase a chunk belongs to.
+/// Which transfer phase a chunk belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkPhase {
-    /// Sealed snapshot of the moving range at the cut point.
-    Snapshot,
+    /// Sealed snapshot of the moving range at the cut point, or of a live
+    /// peer's whole range for a restarting replica.
+    Snapshot = 0,
     /// Replay of writes committed on the donor after the snapshot cut.
-    CatchUp,
+    CatchUp = 1,
     /// Final drained delta shipped at cutover (the last catch-up round).
-    Final,
+    Final = 2,
 }
 
 /// One bounded batch of range records in flight between shard leaders.
@@ -74,15 +77,14 @@ pub struct MigrationChunk {
 /// the enclave. A round of `k` records ships `⌈k / CHUNK_ENTRIES⌉` chunks.
 pub const CHUNK_ENTRIES: usize = 128;
 
+/// One record of an opened chunk, read where it lies in the frame: its
+/// key, its value and its write timestamp.
+pub type ChunkRecord<'a> = (&'a [u8], &'a [u8], Timestamp);
+
 impl MigrationChunk {
     /// Wire bytes of a [`RangeEntry`] with an empty key and value: two
     /// timestamp halves and two length prefixes.
     pub const ENTRY_MIN_LEN: usize = 2 * 8 + 2 * 4;
-
-    /// Total key+value payload bytes carried by this chunk.
-    pub fn payload_len(&self) -> usize {
-        self.entries.iter().map(RangeEntry::payload_len).sum()
-    }
 
     /// Bytes [`MigrationChunk::encode`] produces for `entries` records whose
     /// keys and values total `payload_bytes`: the tag, the 22-byte header,
@@ -94,95 +96,105 @@ impl MigrationChunk {
     /// Wire form: `tag | migration_id | phase u8 | seq | count u32 |
     /// (ts_logical, ts_node, key, value)*`.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::tagged(
-            tag::MIGRATION,
-            Self::wire_len(self.entries.len(), self.payload_len()),
-        );
-        w.u64(self.migration_id)
-            .u8(match self.phase {
-                ChunkPhase::Snapshot => 0,
-                ChunkPhase::CatchUp => 1,
-                ChunkPhase::Final => 2,
-            })
-            .u64(self.seq)
-            .count(self.entries.len());
-        for entry in &self.entries {
-            w.u64(entry.ts_logical)
-                .u64(entry.ts_node)
-                .bytes(&entry.key)
-                .bytes(&entry.value);
-        }
-        w.finish()
+        let header = (self.migration_id, self.phase, self.seq);
+        encode(Vec::new(), header, &self.entries)
     }
 
     /// Parses a chunk; `None` on anything but one well-formed encoding.
     pub fn decode(bytes: &[u8]) -> Option<MigrationChunk> {
-        let mut r = Reader::tagged(bytes, tag::MIGRATION)?;
-        let migration_id = r.u64()?;
-        let phase = match r.u8()? {
-            0 => ChunkPhase::Snapshot,
-            1 => ChunkPhase::CatchUp,
-            2 => ChunkPhase::Final,
-            _ => return None,
-        };
-        let seq = r.u64()?;
-        let entries = r.seq(Self::ENTRY_MIN_LEN, |r| {
-            let (ts_logical, ts_node) = (r.u64()?, r.u64()?);
-            Some(RangeEntry {
-                key: r.bytes()?.to_vec(),
-                value: r.bytes()?.to_vec(),
-                ts_logical,
-                ts_node,
-            })
-        })?;
-        r.finish()?;
-        if entries.len() > CHUNK_ENTRIES {
-            return None;
-        }
+        let ((migration_id, phase, seq), records) = read(bytes)?;
+        let entries = records.into_iter().map(|(key, value, ts)| RangeEntry {
+            key: key.to_vec(),
+            value: value.to_vec(),
+            ts_logical: ts.logical,
+            ts_node: ts.node,
+        });
         Some(MigrationChunk {
             migration_id,
             phase,
             seq,
-            entries,
+            entries: entries.collect(),
         })
     }
 }
 
-/// The node id of shard `shard`'s state-transfer endpoint **for one
-/// migration**: the migration id is folded into the endpoint id, so every
-/// migration derives fresh channel keys. Without this, a later migration
-/// between the same shard pair would reuse the same keys with a reset
-/// counter — and sealed frames recorded from an earlier migration would
-/// verify again.
-fn endpoint(shard: usize, migration_id: u64) -> NodeId {
-    NodeId(ENDPOINT_BASE + migration_id * MAX_SHARDS as u64 + shard as u64)
+/// A chunk's `(migration_id, phase, seq)`.
+type Header = (u64, ChunkPhase, u64);
+
+/// [`MigrationChunk::encode`] of `entries` under `header`, in `buf`.
+fn encode(buf: Vec<u8>, (migration_id, phase, seq): Header, entries: &[RangeEntry]) -> Vec<u8> {
+    let payload = entries.iter().map(RangeEntry::payload_len).sum();
+    let mut w = Writer::reusing(buf, MigrationChunk::wire_len(entries.len(), payload));
+    w.u8(tag::MIGRATION)
+        .u64(migration_id)
+        .u8(phase as u8)
+        .u64(seq)
+        .count(entries.len());
+    for entry in entries {
+        w.u64(entry.ts_logical)
+            .u64(entry.ts_node)
+            .bytes(&entry.key)
+            .bytes(&entry.value);
+    }
+    w.finish()
 }
 
-/// A one-directional shielded channel between a donor and a recipient shard
-/// leader, used for one migration. Owns both endpoint shields (the simulation
-/// drives both sides from the migration controller); the channel keys derive
-/// from the deployment master secret exactly like replica channels, and the
-/// per-channel counter is fresh per migration.
+/// Reads a chunk's header and its records where they lie; `None` on
+/// anything but one well-formed encoding of at most [`CHUNK_ENTRIES`]
+/// records.
+fn read(bytes: &[u8]) -> Option<(Header, Vec<ChunkRecord<'_>>)> {
+    let mut r = Reader::tagged(bytes, tag::MIGRATION)?;
+    let migration_id = r.u64()?;
+    let phases = [ChunkPhase::Snapshot, ChunkPhase::CatchUp, ChunkPhase::Final];
+    let phase = *phases.get(usize::from(r.u8()?))?;
+    let seq = r.u64()?;
+    let records = r.seq(MigrationChunk::ENTRY_MIN_LEN, |r| {
+        let ts = Timestamp::new(r.u64()?, r.u64()?);
+        Some((r.bytes()?, r.bytes()?, ts))
+    })?;
+    r.finish()?;
+    (records.len() <= CHUNK_ENTRIES).then_some(((migration_id, phase, seq), records))
+}
+
+/// The node id of endpoint `slot` of transfer `migration_id`: the transfer
+/// id is folded into the endpoint id, so every transfer derives fresh
+/// channel keys. Without this, a later migration between the same shard
+/// pair would reuse the same keys with a reset counter — and sealed frames
+/// recorded from an earlier migration would verify again.
+fn endpoint(slot: usize, migration_id: u64) -> NodeId {
+    NodeId(ENDPOINT_BASE + migration_id * MAX_SHARDS as u64 + slot as u64)
+}
+
+/// A one-directional shielded channel between the two endpoints of one
+/// state transfer: a donor and a recipient shard's leaders for a migration,
+/// a live peer and a restarting replica for a recovery. Owns both endpoint
+/// shields (the simulation drives both sides) and the buffers its frames
+/// are built in; the channel keys derive from the deployment master secret
+/// exactly like replica channels, and the per-channel counter is fresh per
+/// transfer.
 pub struct MigrationChannel {
     donor: usize,
     recipient: usize,
     migration_id: u64,
     sender: ProtocolShield,
     receiver: ProtocolShield,
+    next_seq: u64,
+    frames: FramePool,
 }
 
 impl MigrationChannel {
-    /// Opens the channel for migration `migration_id` from `donor` to
-    /// `recipient`. With a [`ConfidentialityMode::Confidential`] policy (or
-    /// `true`), chunk payloads are AEAD-encrypted in transit — the
-    /// controller passes the *stricter* of the donor's and the recipient's
-    /// per-shard modes, so a range never travels in plaintext when either
-    /// side of the move treats it as sensitive. Channel keys are
-    /// derived per migration (the migration id is folded into the endpoint
-    /// labels), so frames sealed for one migration never verify on another.
+    /// Opens the channel of transfer `migration_id` from endpoint slot
+    /// `donor` to slot `recipient` (a migration's two shards). With a
+    /// [`ConfidentialityMode::Confidential`] policy (or `true`), chunk
+    /// payloads are AEAD-encrypted in transit — the controller passes the
+    /// *stricter* of the donor's and the recipient's per-shard modes, so a
+    /// range never travels in plaintext when either side of the move treats
+    /// it as sensitive. Channel keys are derived per transfer (its id is
+    /// folded into the endpoint labels), so frames sealed for one transfer
+    /// never verify on another.
     ///
     /// # Panics
-    /// Panics if donor and recipient are the same shard.
+    /// Panics if donor and recipient are the same slot.
     pub fn new(
         donor: usize,
         recipient: usize,
@@ -190,32 +202,23 @@ impl MigrationChannel {
         confidentiality: impl Into<ConfidentialityMode>,
     ) -> Self {
         let confidentiality = confidentiality.into();
-        assert_ne!(donor, recipient, "a migration needs two distinct shards");
+        assert_ne!(donor, recipient, "a transfer needs two distinct endpoints");
         assert!(
             donor.max(recipient) < MAX_SHARDS && migration_id < MAX_MIGRATIONS,
-            "migration {migration_id} between shards {donor} and {recipient} has no endpoint ids"
+            "transfer {migration_id} between slots {donor} and {recipient} has no endpoint ids"
         );
-        let membership = Membership::new(
-            vec![
-                endpoint(donor, migration_id),
-                endpoint(recipient, migration_id),
-            ],
-            0,
-        );
+        let ends = [donor, recipient].map(|slot| endpoint(slot, migration_id));
+        let membership = Membership::new(ends.to_vec(), 0);
+        let [sender, receiver] =
+            ends.map(|end| ProtocolShield::recipe(end, &membership, confidentiality));
         MigrationChannel {
             donor,
             recipient,
             migration_id,
-            sender: ProtocolShield::recipe(
-                endpoint(donor, migration_id),
-                &membership,
-                confidentiality,
-            ),
-            receiver: ProtocolShield::recipe(
-                endpoint(recipient, migration_id),
-                &membership,
-                confidentiality,
-            ),
+            sender,
+            receiver,
+            next_seq: 0,
+            frames: FramePool::default(),
         }
     }
 
@@ -224,38 +227,47 @@ impl MigrationChannel {
         self.sender.mode().confidentiality().is_confidential()
     }
 
-    /// Seals one chunk into wire bytes on the donor side.
-    ///
-    /// # Panics
-    /// Panics if the chunk belongs to a different migration than the channel.
-    pub fn seal(&mut self, chunk: &MigrationChunk) -> Vec<u8> {
-        assert_eq!(
-            chunk.migration_id, self.migration_id,
-            "chunk sealed on the wrong migration's channel"
-        );
-        self.sender.wrap(
-            endpoint(self.recipient, self.migration_id),
-            KIND_MIGRATION,
-            &chunk.encode(),
-        )
+    /// Seals the next chunk, of `entries` in `phase`, into wire bytes on the
+    /// donor side, encoded from the records where they lie into buffers the
+    /// channel reuses. Returns the chunk's sequence number and the frame,
+    /// which goes back to the channel once done with
+    /// ([`MigrationChannel::recycle`]).
+    pub fn seal(&mut self, phase: ChunkPhase, entries: &[RangeEntry]) -> (u64, Vec<u8>) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let payload = entries.iter().map(RangeEntry::payload_len).sum();
+        let len = ShieldedMessage::frame_len(MigrationChunk::wire_len(entries.len(), payload));
+        let header = (self.migration_id, phase, seq);
+        let body = encode(self.frames.take(len), header, entries);
+        let dst = endpoint(self.recipient, self.migration_id);
+        let wire = self
+            .sender
+            .wrap_in(&mut self.frames, dst, KIND_MIGRATION, &body);
+        self.frames.give(body);
+        (seq, wire)
     }
 
     /// Verifies and opens wire bytes on the recipient side, in the bytes it
-    /// is lent ([`ProtocolShield::unwrap`]). Returns `None` when the frame is
-    /// rejected (tampered, replayed, out of order, carrying another
-    /// migration's id or more than [`CHUNK_ENTRIES`] records) — the
-    /// migration controller treats that as a failed transfer, never as
-    /// state.
-    pub fn open(&mut self, wire: &mut [u8]) -> Option<MigrationChunk> {
-        let frames = self
-            .receiver
-            .unwrap(endpoint(self.donor, self.migration_id), wire);
-        let (kind, payload) = frames.as_slice().first()?;
-        if *kind != KIND_MIGRATION {
+    /// is lent ([`ProtocolShield::unwrap`]), and reads the chunk's records
+    /// where they lie. Returns `None` when the frame is rejected (tampered,
+    /// replayed, out of order, carrying another transfer's id or more than
+    /// [`CHUNK_ENTRIES`] records) — the caller treats that as a failed
+    /// transfer, never as state.
+    pub fn open<'a>(&mut self, wire: &'a mut [u8]) -> Option<Vec<ChunkRecord<'a>>> {
+        let from = endpoint(self.donor, self.migration_id);
+        let Frames::One((KIND_MIGRATION, Cow::Borrowed(payload))) =
+            self.receiver.unwrap(from, wire)
+        else {
             return None;
-        }
-        let chunk = MigrationChunk::decode(payload)?;
-        (chunk.migration_id == self.migration_id).then_some(chunk)
+        };
+        let ((migration_id, ..), records) = read(payload)?;
+        (migration_id == self.migration_id).then_some(records)
+    }
+
+    /// Gives back a frame [`MigrationChannel::seal`] built, for the next
+    /// chunk to be built in.
+    pub fn recycle(&mut self, wire: Vec<u8>) {
+        self.frames.give(wire);
     }
 
     /// Chunks rejected by the receiving shield so far.
@@ -267,8 +279,6 @@ impl MigrationChannel {
 
 #[cfg(test)]
 mod tests {
-    use recipe_core::ShieldedMessage;
-
     use super::*;
 
     fn chunk(n: usize) -> MigrationChunk {
@@ -287,27 +297,49 @@ mod tests {
         }
     }
 
+    /// Seals `chunk`'s records on `channel`, in the channel's next slot.
+    fn seal(channel: &mut MigrationChannel, chunk: &MigrationChunk) -> Vec<u8> {
+        channel.seal(chunk.phase, &chunk.entries).1
+    }
+
+    /// The records `channel` opens of `wire`, copied out.
+    fn opened(channel: &mut MigrationChannel, wire: &mut [u8]) -> Option<Vec<RangeEntry>> {
+        let records = channel.open(wire)?.into_iter();
+        let entries = records.map(|(key, value, ts)| RangeEntry {
+            key: key.to_vec(),
+            value: value.to_vec(),
+            ts_logical: ts.logical,
+            ts_node: ts.node,
+        });
+        Some(entries.collect())
+    }
+
     #[test]
     fn chunks_roundtrip_through_the_shield() {
         let mut channel = MigrationChannel::new(0, 1, 7, false);
         let original = chunk(16);
-        let mut wire = channel.seal(&original);
-        assert_eq!(channel.open(&mut wire), Some(original));
+        let mut wire = seal(&mut channel, &original);
+        // The sealed chunk is the one the owned form encodes.
+        let mut reference = MigrationChannel::new(0, 1, 7, false);
+        let expected = reference
+            .sender
+            .wrap(endpoint(1, 7), KIND_MIGRATION, &original.encode());
+        assert_eq!(wire, expected);
+        assert_eq!(opened(&mut channel, &mut wire), Some(original.entries));
         assert_eq!(channel.rejected(), 0);
     }
 
     #[test]
     fn sequenced_chunks_arrive_in_order_and_replays_are_rejected() {
         let mut channel = MigrationChannel::new(2, 0, 7, false);
-        let mut first = chunk(4);
+        let first = chunk(4);
         let mut second = chunk(4);
-        first.seq = 0;
-        second.seq = 1;
         second.phase = ChunkPhase::CatchUp;
-        let w1 = channel.seal(&first);
-        let mut w2 = channel.seal(&second);
-        assert_eq!(channel.open(&mut w1.clone()), Some(first));
-        assert_eq!(channel.open(&mut w2), Some(second));
+        let (seq, w1) = channel.seal(first.phase, &first.entries);
+        let (next, mut w2) = channel.seal(second.phase, &second.entries);
+        assert_eq!((seq, next), (0, 1));
+        assert_eq!(opened(&mut channel, &mut w1.clone()), Some(first.entries));
+        assert_eq!(opened(&mut channel, &mut w2), Some(second.entries));
         // Replaying a chunk is rejected by the trusted counter: a Byzantine
         // host cannot re-apply a snapshot.
         assert_eq!(channel.open(&mut w1.clone()), None);
@@ -319,28 +351,18 @@ mod tests {
         // A Byzantine host records migration 7's sealed frames between the
         // same shard pair, then tries to inject them into migration 8: the
         // per-migration channel keys make every recorded frame fail
-        // verification, and a forged chunk body carrying the wrong migration
-        // id is rejected even on its own channel.
+        // verification.
         let mut first = MigrationChannel::new(0, 1, 7, false);
-        let mut recorded = first.seal(&chunk(4));
+        let mut recorded = seal(&mut first, &chunk(4));
         let mut second = MigrationChannel::new(0, 1, 8, false);
         assert_eq!(second.open(&mut recorded), None);
         assert!(second.rejected() >= 1);
     }
 
     #[test]
-    #[should_panic(expected = "wrong migration")]
-    fn sealing_a_foreign_migrations_chunk_is_a_caller_bug() {
-        let mut channel = MigrationChannel::new(0, 1, 8, false);
-        let mut stale = chunk(1);
-        stale.migration_id = 9;
-        channel.seal(&stale);
-    }
-
-    #[test]
     fn tampered_chunks_are_dropped_whole() {
         let mut channel = MigrationChannel::new(0, 3, 7, false);
-        let mut wire = channel.seal(&chunk(8));
+        let mut wire = seal(&mut channel, &chunk(8));
         let idx = wire.len() / 2;
         wire[idx] ^= 0x01;
         assert_eq!(channel.open(&mut wire), None);
@@ -351,11 +373,11 @@ mod tests {
     fn confidential_transfer_hides_keys_and_values_in_transit() {
         let mut channel = MigrationChannel::new(1, 0, 7, true);
         let original = chunk(8);
-        let mut wire = channel.seal(&original);
+        let mut wire = seal(&mut channel, &original);
         // Neither the keys nor the values of the moving range appear on the wire.
         assert!(!wire.windows(4).any(|w| w == b"user"));
         assert!(!wire.windows(6).any(|w| w == b"secret"));
-        assert_eq!(channel.open(&mut wire), Some(original));
+        assert_eq!(opened(&mut channel, &mut wire), Some(original.entries));
     }
 
     #[test]
@@ -364,9 +386,10 @@ mod tests {
             let mut channel = MigrationChannel::new(0, 1, 7, confidential);
             for n in [0, 1, CHUNK_ENTRIES] {
                 let chunk = chunk(n);
-                let len = MigrationChunk::wire_len(n, chunk.payload_len());
+                let payload = chunk.entries.iter().map(RangeEntry::payload_len).sum();
+                let len = MigrationChunk::wire_len(n, payload);
                 assert_eq!(chunk.encode().len(), len);
-                let sealed = channel.seal(&chunk).len();
+                let sealed = seal(&mut channel, &chunk).len();
                 assert_eq!(
                     sealed,
                     ShieldedMessage::frame_len(len),
@@ -380,24 +403,11 @@ mod tests {
     fn a_chunk_of_more_than_chunk_entries_records_is_refused() {
         let mut channel = MigrationChannel::new(0, 1, 7, false);
         let full = chunk(CHUNK_ENTRIES);
-        let mut wire = channel.seal(&full);
-        assert_eq!(channel.open(&mut wire), Some(full));
-        let mut over = chunk(CHUNK_ENTRIES + 1);
-        over.seq = 1;
-        let mut wire = channel.seal(&over);
+        let mut wire = seal(&mut channel, &full);
+        assert_eq!(opened(&mut channel, &mut wire), Some(full.entries));
+        let over = chunk(CHUNK_ENTRIES + 1);
+        let mut wire = seal(&mut channel, &over);
         assert_eq!(channel.open(&mut wire), None);
         assert_eq!(MigrationChunk::decode(&over.encode()), None);
-    }
-
-    #[test]
-    fn payload_len_counts_keys_and_values() {
-        let c = chunk(2);
-        assert_eq!(
-            c.payload_len(),
-            c.entries
-                .iter()
-                .map(|e| e.key.len() + e.value.len())
-                .sum::<usize>()
-        );
     }
 }

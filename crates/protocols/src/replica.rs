@@ -13,7 +13,7 @@
 use recipe_core::{ClientReply, ClientRequest, ConfidentialityMode, Membership};
 use recipe_kv::Timestamp;
 use recipe_net::NodeId;
-use recipe_sim::{Ctx, RecoveryState, Replica, RestartReport};
+use recipe_sim::{Ctx, Replica, RestartReport};
 use recipe_tee::TrustedInstant;
 
 use crate::batch::{BatchConfig, Batcher};
@@ -355,14 +355,10 @@ impl<P: CftProtocol> Replica for RecipeReplica<P> {
         self.shield.resync_from(peer, peer_send_counter);
     }
 
-    fn export_recovery_state(&mut self) -> RecoveryState {
-        self.store.export_recovery_state()
-    }
-
-    fn on_restart(&mut self, view: u64, state: RecoveryState, ctx: &mut Ctx) -> RestartReport {
+    fn on_restart(&mut self, view: u64, ctx: &mut Ctx) -> RestartReport {
         // Queued batches died with the process.
         self.batcher = Batcher::new(*self.batcher.config());
-        let report = self.store.restart(state);
+        let report = self.store.restart();
         let (core, mut handle) = self.lend(ctx);
         core.on_restart(view, &mut handle);
         report
@@ -403,7 +399,6 @@ impl<P: CftProtocol> BuildReplica for RecipeReplica<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::lock_pairs;
     use crate::{build_cluster, TxnVote};
     use recipe_core::Operation;
     use recipe_net::CrashPlan;
@@ -490,7 +485,9 @@ mod tests {
         let mut cluster = cluster(BatchConfig::unbatched());
         let leader = cluster.replica_mut(NodeId(0));
         assert_eq!(
-            leader.store().txn_prepare(7, lock_pairs(&[put(b"k")])),
+            leader
+                .store()
+                .txn_prepare(7, [(&b"k"[..], Some(&b"v"[..]))]),
             TxnVote::Granted
         );
         assert!(cluster.submit_at(0, 1, 1, put(b"k")));

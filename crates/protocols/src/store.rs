@@ -50,11 +50,14 @@
 //! pools count what they lend and what they had to allocate, for the life
 //! of their owner ([`ReplicaStore::entry_pool`]).
 
-use recipe_core::{FramePool, Operation};
-use recipe_kv::{KvError, PartitionedKvStore, ReadResult, StoreConfig, Timestamp, TxnOpRef};
+use recipe_core::FramePool;
+use recipe_kv::{
+    KvError, PartitionedKvStore, ReadResult, StoreConfig, Timestamp, TxnOpRef, TxnRecordOps,
+};
 use recipe_net::NodeId;
-use recipe_sim::{RangeEntry, RecoveryState, Replica, RestartReport};
+use recipe_sim::{RangeEntry, Replica, RestartReport};
 
+use crate::migration::ChunkRecord;
 use crate::registry::Protocol;
 
 /// A participant's answer to a two-phase-commit prepare.
@@ -132,15 +135,6 @@ pub struct ReplicaStore {
     entries: FramePool,
 }
 
-/// Lends protocol operations to the store as its `(key, staged write)` pairs:
-/// reads lock their key and stage nothing, writes lock and stage the value.
-pub(crate) fn lock_pairs(ops: &[Operation]) -> impl Iterator<Item = TxnOpRef<'_>> {
-    ops.iter().map(|op| match op {
-        Operation::Get { key } => (key.as_slice(), None),
-        Operation::Put { key, value } => (key.as_slice(), Some(value.as_slice())),
-    })
-}
-
 fn entry(key: Vec<u8>, value: Vec<u8>, ts: Timestamp) -> RangeEntry {
     RangeEntry {
         key,
@@ -148,11 +142,6 @@ fn entry(key: Vec<u8>, value: Vec<u8>, ts: Timestamp) -> RangeEntry {
         ts_logical: ts.logical,
         ts_node: ts.node,
     }
-}
-
-/// The write timestamp `entry` carries.
-fn timestamp(entry: &RangeEntry) -> Timestamp {
-    Timestamp::new(entry.ts_logical, entry.ts_node)
 }
 
 impl ReplicaStore {
@@ -388,29 +377,29 @@ impl ReplicaStore {
         }
     }
 
-    /// Installs `entries` with the timestamps they carry, in order (a later
-    /// entry overwrites an earlier one for the same key). This is below the
-    /// protocol: the applied count does not move — the entries committed on
-    /// the exporting replica. Each value is copied once, into the buffer the
-    /// store keeps; every replica of a group installs from one `entries`.
-    pub fn import_range(&mut self, entries: &[RangeEntry]) {
-        self.kv.import_entries(
-            entries
-                .iter()
-                .map(|entry| (&entry.key, entry.value.clone(), timestamp(entry))),
-        );
+    /// Installs the records of an opened chunk with the timestamps they
+    /// carry, in order (a later record overwrites an earlier one for the
+    /// same key). This is below the protocol: the applied count does not
+    /// move — the records committed on the exporting replica. Each value is
+    /// copied from the frame into the host slot, over the bytes the key
+    /// holds when they are as long; every replica of a group installs from
+    /// one chunk.
+    pub fn import_range(&mut self, records: &[ChunkRecord<'_>]) {
+        for &(key, value, ts) in records {
+            let _ = self.kv.write(key, value, ts);
+        }
     }
 
     /// [`Self::import_range`] for the records a 2PC commit applied on the
     /// group's write coordinator ([`Self::txn_commit`]): each value is
     /// copied into a spare of the entry list, and the buffer the write
     /// hands back goes back to the list ("Entry buffers"). Snapshots and
-    /// catch-up chunks keep to `import_range`, whose copies are exact: the
-    /// store keeps them as they are.
+    /// catch-up chunks keep to `import_range`, which copies into the host
+    /// slots.
     pub fn txn_install(&mut self, entries: &[RangeEntry]) {
         for entry in entries {
             let value = self.copy_entry(&entry.value);
-            let ts = timestamp(entry);
+            let ts = Timestamp::new(entry.ts_logical, entry.ts_node);
             if let Some(back) = self.kv.write_owned(&entry.key, value, ts) {
                 self.entries.give(back);
             }
@@ -426,59 +415,52 @@ impl ReplicaStore {
     // Crash recovery.
     // ------------------------------------------------------------------
 
-    /// What a restarting peer needs of this store: the full verified state
-    /// and every prepare record known here, own and passive.
-    pub fn export_recovery_state(&mut self) -> RecoveryState {
-        let prepares = self.kv.txn_export_records().into_iter();
-        RecoveryState {
-            snapshot: self.export_range(&|_| true).ok(),
-            prepares: prepares
-                .map(|(txn_id, ops)| {
-                    let ops = ops.into_iter().map(|(key, staged)| match staged {
-                        None => Operation::Get { key },
-                        Some(value) => Operation::Put { key, value },
-                    });
-                    (txn_id, ops.collect())
-                })
-                .collect(),
-        }
+    /// Every prepare record known here, own and passive: what a restarting
+    /// peer stages ([`Self::txn_stage_replicated`]) after its transfer.
+    pub fn txn_records(&self) -> Vec<(u64, TxnRecordOps)> {
+        self.kv.txn_export_records()
     }
 
     /// Rollback-protected restart. The 2PC lock table was volatile and is
     /// gone (the rest of the group holds the replicated prepare records and
     /// resolves in-flight transactions); only records the enclave verifies
-    /// survive; then the live peer's `state` installs the writes committed
-    /// while this node was down and its prepare records as passive copies.
-    /// The snapshot's values move into the store as they came; nothing is
-    /// copied. The applied count moves up to the highest surviving
-    /// timestamp, never behind it, so re-applied writes cannot reuse one.
-    pub fn restart(&mut self, state: RecoveryState) -> RestartReport {
+    /// survive. What the group committed while this node was down arrives
+    /// afterwards, as a transfer ([`Self::import_range`]).
+    pub fn restart(&mut self) -> RestartReport {
         self.kv.txn_reset();
         let (verified, discarded, bytes) = self.kv.rehydrate();
-        let RecoveryState { snapshot, prepares } = state;
-        if let Some(entries) = snapshot {
-            self.kv.import_entries(entries.into_iter().map(|entry| {
-                let ts = timestamp(&entry);
-                (entry.key, entry.value, ts)
-            }));
-        }
-        if let Some(newest) = self.kv.newest_timestamp() {
-            self.applied = self.applied.max(newest.logical);
-        }
-        for (txn_id, ops) in &prepares {
-            self.txn_stage_replicated(*txn_id, lock_pairs(ops));
-        }
+        self.catch_up_applied();
         RestartReport {
             verified_entries: verified,
             discarded_entries: discarded,
             payload_bytes: bytes,
         }
     }
+
+    /// Moves the applied count up to the highest timestamp the store holds,
+    /// never behind it, so a restarted replica's next write cannot reuse
+    /// one: after its rehydration, and again after its transfer.
+    pub fn catch_up_applied(&mut self) {
+        if let Some(newest) = self.kv.newest_timestamp() {
+            self.applied = self.applied.max(newest.logical);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use recipe_core::Operation;
+
     use super::*;
+
+    /// Lends protocol operations to the store as its `(key, staged write)` pairs:
+    /// reads lock their key and stage nothing, writes lock and stage the value.
+    fn lock_pairs(ops: &[Operation]) -> impl Iterator<Item = TxnOpRef<'_>> {
+        ops.iter().map(|op| match op {
+            Operation::Get { key } => (key.as_slice(), None),
+            Operation::Put { key, value } => (key.as_slice(), Some(value.as_slice())),
+        })
+    }
 
     fn put(key: &[u8], value: &[u8]) -> Operation {
         Operation::Put {
@@ -495,6 +477,36 @@ mod tests {
         /// Prepares `ops` as a decoded prepare lends them.
         fn prepare(&mut self, txn_id: u64, ops: &[Operation]) -> TxnVote {
             self.txn_prepare(txn_id, lock_pairs(ops))
+        }
+
+        /// Installs `entries` as an opened chunk lends them.
+        fn import(&mut self, entries: &[RangeEntry]) {
+            let records: Vec<ChunkRecord<'_>> = entries
+                .iter()
+                .map(|e| {
+                    (
+                        &e.key[..],
+                        &e.value[..],
+                        Timestamp::new(e.ts_logical, e.ts_node),
+                    )
+                })
+                .collect();
+            self.import_range(&records);
+        }
+
+        /// Restarts, then catches up from `peer` as a restart's transfer
+        /// does: its whole range, then its prepare records.
+        fn restart_from(&mut self, peer: &mut ReplicaStore) -> RestartReport {
+            let report = self.restart();
+            self.import(&peer.export_range(&|_| true).unwrap());
+            for (txn_id, ops) in peer.txn_records() {
+                let ops = ops
+                    .iter()
+                    .map(|(key, staged)| (&key[..], staged.as_deref()));
+                self.txn_stage_replicated(txn_id, ops);
+            }
+            self.catch_up_applied();
+            report
         }
 
         /// Commits `txn_id`, its applied records copied out.
@@ -538,10 +550,10 @@ mod tests {
         // count to the highest timestamp that survives, so the next write
         // cannot reuse one.
         let mut peer = ReplicaStore::new(StoreConfig::default(), NodeId(0), Stamping::Sequence);
-        peer.import_range(&entries);
+        peer.import(&entries);
         (0..5).for_each(|_| peer.apply(b"c", b"3".to_vec()));
         assert_eq!(peer.prepare(9, &[put(b"d", b"4")]), TxnVote::Granted);
-        let report = store.restart(peer.export_recovery_state());
+        let report = store.restart_from(&mut peer);
         assert_eq!((report.verified_entries, report.discarded_entries), (2, 0));
         assert_eq!(store.applied(), 5);
         assert_eq!(store.read_entry(b"c").unwrap().unwrap().ts_node, 0);
@@ -579,7 +591,7 @@ mod tests {
         let exported = store.export_range(&moving).unwrap();
         assert_eq!(stamps(&exported), [(10, 2)]);
         let mut recipient = ReplicaStore::new(StoreConfig::default(), NodeId(0), Stamping::Lamport);
-        recipient.import_range(&exported);
+        recipient.import(&exported);
         assert_eq!(recipient.applied(), 0);
         assert!(!recipient.apply_if_newer(b"moving", b"stale", Timestamp::new(9, 9)));
         assert!(recipient.apply_if_newer(b"moving", b"fresh", Timestamp::new(11, 0)));
@@ -588,18 +600,17 @@ mod tests {
         assert_eq!(store.get(b"staying").unwrap().value, b"here");
 
         // Restart: the count moves up to the highest verified timestamp.
-        let report = recipient.restart(RecoveryState::default());
+        let report = recipient.restart();
         assert_eq!(report.verified_entries, 1);
         assert_eq!(recipient.applied(), 11);
 
         // A Byzantine host corrupting host-resident state surfaces as an
-        // export error and an empty snapshot, never as shipped state, and
-        // does not survive a restart.
+        // export error, never as shipped state, and does not survive a
+        // restart.
         store.kv.corrupt_host_value(b"staying");
         assert!(store.export_range(&|_| true).is_err());
         assert!(store.read_entry(b"staying").is_err());
-        assert_eq!(store.export_recovery_state().snapshot, None);
-        let report = store.restart(RecoveryState::default());
+        let report = store.restart();
         assert_eq!((report.verified_entries, report.discarded_entries), (1, 1));
         assert_eq!(store.read_entry(b"staying"), Ok(None));
     }

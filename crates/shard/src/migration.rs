@@ -37,6 +37,10 @@
 //! the adversary made ([`MigrationStats::chunks_rejected`]). A chunk lost or
 //! refused fails its round and aborts the migration; nothing is resent.
 //!
+//! **Restarts.** A restarted replica catches up through the same transfer
+//! ([`ShardedCluster::catch_up`]): one snapshot round of a live peer's
+//! whole range, across the group's own link instead of the plane.
+//!
 //! **Cost form.** A migration ships a snapshot round and then its catch-up
 //! rounds (the final delta included); a round of `k` records ships
 //! `⌈k / CHUNK_ENTRIES⌉` chunks ([`MigrationStats::chunks`]), each one
@@ -45,7 +49,8 @@
 
 use std::cmp::Reverse;
 
-use recipe_protocols::{ChunkPhase, MigrationChannel, MigrationChunk, StoreReplica, CHUNK_ENTRIES};
+use recipe_net::NodeId;
+use recipe_protocols::{ChunkPhase, MigrationChannel, StoreReplica, CHUNK_ENTRIES};
 use recipe_sim::{RangeEntry, Work};
 use recipe_telemetry::{ChargeKind, SpanKind};
 use recipe_workload::stable_key_hash;
@@ -140,8 +145,8 @@ pub struct MigrationStats {
     /// Sealed chunks the donor leaders shipped, snapshot and catch-up, lost
     /// ones included: one shielded frame each.
     pub chunks: u64,
-    /// Copies of chunks the recipients' ends refused (tampered, duplicated
-    /// or replayed deliveries — never installed).
+    /// Copies of chunks the receiving ends refused (tampered, duplicated or
+    /// replayed deliveries — never installed), a restart's included.
     pub chunks_rejected: u64,
     /// `WrongShard` redirects served to stale clients.
     pub redirects: u64,
@@ -157,19 +162,26 @@ pub struct MigrationStats {
     pub last_cutover_ns: u64,
 }
 
+/// One state transfer: its channel, the donor's group and the node that
+/// seals (`None`: the group's leader at each round, or its first replica),
+/// and the recipient's group and the nodes that install what opens.
+pub(crate) struct Transfer {
+    channel: MigrationChannel,
+    donor: (usize, Option<NodeId>),
+    recipient: (usize, Vec<NodeId>),
+}
+
 /// A migration in flight.
 struct ActiveMigration {
-    donor: usize,
-    recipient: usize,
     /// Moving arcs in ascending order (the unit handed to the router at
     /// cutover; membership is a binary search).
     arcs: Vec<usize>,
-    channel: MigrationChannel,
+    /// From the donor group's leader to every replica of the recipient.
+    transfer: Transfer,
     /// Records waiting for the next round: the snapshot, then the writes
     /// committed on the donor inside the moving range since the last
     /// shipped round, in commit order.
     catchup: Vec<RangeEntry>,
-    next_chunk_seq: u64,
     /// Rounds shipped, the snapshot's included.
     rounds: u64,
     /// Committed moving-range writes this migration failed to capture; a
@@ -188,7 +200,6 @@ pub(crate) struct ControllerState {
     /// Commits per ring arc in the current window, indexed by arc.
     pub(crate) window_arc: Vec<u64>,
     active: Option<ActiveMigration>,
-    next_migration_id: u64,
     pub(crate) stats: MigrationStats,
     /// Virtual times of completed cutovers, for timeline bucketing.
     pub(crate) cutover_times: Vec<u64>,
@@ -201,7 +212,6 @@ impl ControllerState {
             window_shard: vec![0; shards],
             window_arc: vec![0; arcs],
             active: None,
-            next_migration_id: 0,
             stats: MigrationStats::default(),
             cutover_times: Vec::new(),
         }
@@ -228,7 +238,7 @@ impl ControllerState {
     pub(crate) fn moving_range(&self) -> Option<(usize, &[usize])> {
         self.active
             .as_ref()
-            .map(|active| (active.donor, active.arcs.as_slice()))
+            .map(|active| (active.transfer.donor.0, active.arcs.as_slice()))
     }
 
     /// True when `(shard, arc)` lies in the active migration's moving range:
@@ -275,31 +285,13 @@ impl ControllerState {
         let Some(active) = self.active.as_mut() else {
             return;
         };
-        if shard != active.donor {
+        if shard != active.transfer.donor.0 {
             return;
         }
         for entry in entries {
             let arc = router.arc_of_point(stable_key_hash(&entry.key));
             if active.arcs.binary_search(&arc).is_ok() {
                 active.catchup.push(entry.clone());
-            }
-        }
-    }
-}
-
-impl<R: StoreReplica> ShardedCluster<R> {
-    /// Drops every key a shard no longer owns at the current epoch from that
-    /// shard's replicas. The cutover already evicts the moved range, but a
-    /// straggling in-group commit (a follower applying a pre-cutover entry
-    /// after the eviction ran) can resurrect a moved key — this is the
-    /// idempotent background GC that clears such remnants; the driver runs it
-    /// once per finished run, and tests re-run it after quiescing.
-    pub fn gc_moved_ranges(&mut self) {
-        for (shard, group) in self.shards.iter_mut().enumerate() {
-            let foreign = |key: &[u8]| self.router.shard_for_key(key) != shard;
-            for idx in 0..group.replica_count() {
-                let node = group.node_ids()[idx];
-                group.replica_mut(node).store().evict_range(&foreign);
             }
         }
     }
@@ -323,9 +315,9 @@ impl<R: StoreReplica> Engine<'_, R> {
             self.ship_round(now, ChunkPhase::CatchUp);
         } else {
             active.transfer_ready_at = None;
-            let donor = active.donor;
+            let (donor, id) = (active.transfer.donor.0, self.st.stats.migrations_started);
             if let Some(t) = self.cluster.shards[donor].telemetry_mut() {
-                t.instant(SpanKind::MigrationDrain, 0, now, self.st.next_migration_id);
+                t.instant(SpanKind::MigrationDrain, 0, now, id);
             }
             if self.inflight_on_moving() == 0 {
                 self.finish_cutover(now);
@@ -426,7 +418,7 @@ impl<R: StoreReplica> Engine<'_, R> {
             return;
         };
 
-        self.st.next_migration_id += 1;
+        cluster.transfers += 1;
         self.st.stats.migrations_started += 1;
         // Transfer AEAD per move, stricter-wins: the chunks are sealed
         // whenever the donor or the recipient treats the range as sensitive
@@ -437,18 +429,20 @@ impl<R: StoreReplica> Engine<'_, R> {
             cluster.confidentiality_of(donor).is_confidential()
                 || cluster.confidentiality_of(recipient).is_confidential(),
         );
-        let active = ActiveMigration {
+        let channel = MigrationChannel::new(
             donor,
             recipient,
+            cluster.transfers,
+            transfer_confidentiality,
+        );
+        let active = ActiveMigration {
             arcs,
-            channel: MigrationChannel::new(
-                donor,
-                recipient,
-                self.st.next_migration_id,
-                transfer_confidentiality,
-            ),
+            transfer: Transfer {
+                channel,
+                donor: (donor, None),
+                recipient: (recipient, cluster.shards[recipient].node_ids().to_vec()),
+            },
             catchup: entries,
-            next_chunk_seq: 0,
             rounds: 0,
             capture_misses: 0,
             transfer_ready_at: None,
@@ -464,7 +458,12 @@ impl<R: StoreReplica> Engine<'_, R> {
         let mut active = self.st.active.take().expect("a migration is active");
         let entries = std::mem::take(&mut active.catchup);
         active.rounds += 1;
-        let Some(ready_at) = self.ship_entries(&mut active, now, entries, phase) else {
+        let (plane, stats) = (Some(&mut self.plane), &mut self.st.stats);
+        let transfer = &mut active.transfer;
+        let shipped = self
+            .cluster
+            .ship_entries(transfer, now, &entries, phase, plane, stats);
+        let Some(ready_at) = shipped else {
             return self.abort_migration(now);
         };
         active.transfer_ready_at = Some(ready_at);
@@ -479,122 +478,12 @@ impl<R: StoreReplica> Engine<'_, R> {
         self.st.clear_window();
     }
 
-    /// Seals `entries` into bounded chunks, charges export, wire and import
-    /// costs, carries each chunk across the plane between groups and
-    /// installs what arrives on every recipient replica. Returns the virtual
-    /// time the round lands (`now` for an empty round, which costs nothing
-    /// and counts as none), or `None` once a chunk is lost or refused: the
-    /// round failed, and no chunk after it ships.
-    fn ship_entries(
-        &mut self,
-        active: &mut ActiveMigration,
-        now: u64,
-        entries: Vec<RangeEntry>,
-        phase: ChunkPhase,
-    ) -> Option<u64> {
-        let Engine {
-            cluster, st, plane, ..
-        } = self;
-        // Each node is charged under its own group's profile (the donor's
-        // and the recipient's shard policies may name different hardware).
-        let donor_leader = cluster.shards[active.donor]
-            .write_coordinator()
-            .unwrap_or_else(|| cluster.shards[active.donor].node_ids()[0]);
-        let ends = (Plane::group(active.donor), Plane::group(active.recipient));
-
-        let mut donor_busy_from = now;
-        let mut ready_at = now;
-        let is_snapshot = matches!(phase, ChunkPhase::Snapshot);
-        if !is_snapshot && !entries.is_empty() {
-            st.stats.catchup_rounds += 1;
-        }
-        for batch in entries.chunks(CHUNK_ENTRIES) {
-            let chunk = MigrationChunk {
-                migration_id: st.next_migration_id,
-                phase,
-                seq: active.next_chunk_seq,
-                entries: batch.to_vec(),
-            };
-            active.next_chunk_seq += 1;
-            let payload_bytes = chunk.payload_len();
-
-            // Donor side: verified export (or replay staging) + seal + send.
-            let export = Work::Scan {
-                entries: batch.len(),
-                bytes: payload_bytes,
-            };
-            let wire = active.channel.seal(&chunk);
-            let send = Work::Send {
-                ops: 1,
-                bytes: wire.len(),
-            };
-            let donor = &mut cluster.shards[active.donor];
-            let [exported, sent] = [export, send].map(|work| {
-                donor.charge(
-                    donor_leader,
-                    donor_busy_from,
-                    ChargeKind::SnapshotExport,
-                    work,
-                )
-            });
-            let sent_at = sent.finish_ns;
-            donor_busy_from = sent_at;
-            if let Some(t) = donor.telemetry_mut() {
-                let kind = if is_snapshot {
-                    SpanKind::MigrationSnapshot
-                } else {
-                    SpanKind::MigrationCatchUp
-                };
-                t.span(kind, donor_leader.0, exported.start_ns, sent_at, chunk.seq);
-            }
-            st.stats.chunks += 1;
-            if is_snapshot {
-                st.stats.snapshot_entries += batch.len() as u64;
-                st.stats.snapshot_bytes += wire.len() as u64;
-            } else {
-                st.stats.catchup_entries += batch.len() as u64;
-                st.stats.catchup_bytes += wire.len() as u64;
-            }
-            if active.channel.is_confidential() {
-                st.stats.confidential_transfer_bytes += wire.len() as u64;
-            }
-
-            // Wire + recipient side: the end opens each delivery in a copy
-            // of its own (the shield decrypts in place), and what it opens is
-            // installed on every replica of the group (each pays the import).
-            let (landed, refused) = plane.cross(
-                ends,
-                sent_at,
-                &wire,
-                &mut active.channel,
-                |channel, wire| channel.open(&mut wire.to_vec()),
-                |channel, copy| channel.open(&mut copy.to_vec()).is_none(),
-            );
-            st.stats.chunks_rejected += u64::from(refused);
-            let (opened, arrival) = landed?;
-            let import = Work::Import {
-                entries: opened.entries.len(),
-                bytes: wire.len(),
-            };
-            let recipient = &mut cluster.shards[active.recipient];
-            for idx in 0..recipient.replica_count() {
-                let node = recipient.node_ids()[idx];
-                let imported = recipient.charge(node, arrival, ChargeKind::SnapshotImport, import);
-                ready_at = ready_at.max(imported.finish_ns);
-                recipient
-                    .replica_mut(node)
-                    .store()
-                    .import_range(&opened.entries);
-            }
-        }
-        Some(ready_at)
-    }
-
     /// The drain is empty: ship the final delta, evict the donor's copy, bump
     /// the router epoch. From this instant the old placement earns redirects.
     fn finish_cutover(&mut self, now: u64) {
         let mut active = self.st.active.take().expect("a migration is draining");
         let mut delta = std::mem::take(&mut active.catchup);
+        let (donor, recipient) = (active.transfer.donor.0, active.transfer.recipient.0);
         // Zero-loss guard: if any committed moving-range write could not be
         // captured (leader handover, unverifiable record), the catch-up log is
         // not trustworthy — re-export the whole range through the verified
@@ -603,9 +492,9 @@ impl<R: StoreReplica> Engine<'_, R> {
         // migration aborts.
         if active.capture_misses > 0 {
             let filter = self.cluster.router.arc_membership_filter(&active.arcs);
-            let donor = &mut self.cluster.shards[active.donor];
-            let reexport = donor.write_coordinator().and_then(|leader| {
-                let store = donor.replica_mut(leader).store();
+            let group = &mut self.cluster.shards[donor];
+            let reexport = group.write_coordinator().and_then(|leader| {
+                let store = group.replica_mut(leader).store();
                 store.export_range(&filter).ok()
             });
             let Some(entries) = reexport else {
@@ -614,23 +503,29 @@ impl<R: StoreReplica> Engine<'_, R> {
             };
             delta = entries;
         }
-        let Some(_) = self.ship_entries(&mut active, now, delta, ChunkPhase::Final) else {
+        let (plane, stats) = (Some(&mut self.plane), &mut self.st.stats);
+        let phase = ChunkPhase::Final;
+        let transfer = &mut active.transfer;
+        let shipped = self
+            .cluster
+            .ship_entries(transfer, now, &delta, phase, plane, stats);
+        let Some(_) = shipped else {
             return self.abort_migration(now);
         };
         let Engine {
             cluster, st, rb, ..
         } = self;
         let filter = cluster.router.arc_membership_filter(&active.arcs);
-        let donor = &mut cluster.shards[active.donor];
-        for idx in 0..donor.replica_count() {
-            let node = donor.node_ids()[idx];
-            donor.replica_mut(node).store().evict_range(&filter);
+        let group = &mut cluster.shards[donor];
+        for idx in 0..group.replica_count() {
+            let node = group.node_ids()[idx];
+            group.replica_mut(node).store().evict_range(&filter);
         }
-        cluster.router.rebalance(&active.arcs, active.recipient);
+        cluster.router.rebalance(&active.arcs, recipient);
         st.stats.migrations_completed += 1;
         st.stats.last_cutover_ns = now;
         st.cutover_times.push(now);
-        if let Some(t) = cluster.shards[active.donor].telemetry_mut() {
+        if let Some(t) = cluster.shards[donor].telemetry_mut() {
             t.instant(
                 SpanKind::MigrationCutover,
                 0,
@@ -640,5 +535,279 @@ impl<R: StoreReplica> Engine<'_, R> {
         }
         st.next_check_ns = now + rb.check_interval_ns;
         st.clear_window();
+    }
+}
+
+impl<R: StoreReplica> ShardedCluster<R> {
+    /// Drops every key a shard no longer owns at the current epoch from that
+    /// shard's replicas. The cutover already evicts the moved range, but a
+    /// straggling in-group commit (a follower applying a pre-cutover entry
+    /// after the eviction ran) can resurrect a moved key — this is the
+    /// idempotent background GC that clears such remnants; the driver runs it
+    /// once per finished run, and tests re-run it after quiescing.
+    pub fn gc_moved_ranges(&mut self) {
+        for (shard, group) in self.shards.iter_mut().enumerate() {
+            let foreign = |key: &[u8]| self.router.shard_for_key(key) != shard;
+            for idx in 0..group.replica_count() {
+                let node = group.node_ids()[idx];
+                group.replica_mut(node).store().evict_range(&foreign);
+            }
+        }
+    }
+
+    /// §3.7 catch-up of `joiner`, which `shard`'s group just restarted: the
+    /// first live peer ships its whole range to it as one snapshot round, on
+    /// a fresh channel, across the group's own link. The joiner then stages
+    /// the peer's prepare records as passive copies, as 2PC's prepare
+    /// replication does, and moves its applied count up to the newest
+    /// timestamp it holds. A peer whose store fails verification ships
+    /// nothing; a lost or refused chunk ends the transfer. Adds the copies
+    /// the joiner refused to `refused`.
+    pub(crate) fn catch_up(&mut self, shard: usize, joiner: NodeId, now: u64, refused: &mut u64) {
+        let group = &mut self.shards[shard];
+        let live = |node: &&NodeId| **node != joiner && !group.crashed_nodes().contains(node);
+        let Some(&donor) = group.node_ids().iter().find(live) else {
+            return;
+        };
+        let store = group.replica_mut(donor).store();
+        let (exported, prepares) = (store.export_range(&|_| true), store.txn_records());
+        if let Ok(entries) = exported {
+            self.transfers += 1;
+            let confidentiality = self.confidentiality_of(shard);
+            let mut transfer = Transfer {
+                channel: MigrationChannel::new(0, 1, self.transfers, confidentiality),
+                donor: (shard, Some(donor)),
+                recipient: (shard, vec![joiner]),
+            };
+            // A restart is no migration: only its refused copies count.
+            let mut own = MigrationStats::default();
+            self.ship_entries(
+                &mut transfer,
+                now,
+                &entries,
+                ChunkPhase::Snapshot,
+                None,
+                &mut own,
+            );
+            *refused += own.chunks_rejected;
+        }
+        let store = self.shards[shard].replica_mut(joiner).store();
+        for (txn_id, ops) in &prepares {
+            let ops = ops
+                .iter()
+                .map(|(key, staged)| (key.as_slice(), staged.as_deref()));
+            store.txn_stage_replicated(*txn_id, ops);
+        }
+        store.catch_up_applied();
+    }
+
+    /// Seals `entries` into bounded chunks on `transfer`'s channel, charges
+    /// export, wire and import costs, carries each chunk across `plane`
+    /// between groups — or across the group's own link when there is none,
+    /// to its one recipient — and installs what opens on every recipient
+    /// node, from the frame where it lies. Returns the virtual time the
+    /// round lands (`now` for an empty round, which costs nothing and counts
+    /// as none), or `None` once a chunk is lost or refused: the round
+    /// failed, and no chunk after it ships.
+    pub(crate) fn ship_entries(
+        &mut self,
+        transfer: &mut Transfer,
+        now: u64,
+        entries: &[RangeEntry],
+        phase: ChunkPhase,
+        mut plane: Option<&mut Plane>,
+        stats: &mut MigrationStats,
+    ) -> Option<u64> {
+        let Transfer {
+            channel,
+            donor: (from, donor),
+            recipient: (to, recipients),
+        } = transfer;
+        let group = &self.shards[*from];
+        let donor =
+            donor.unwrap_or_else(|| group.write_coordinator().unwrap_or(group.node_ids()[0]));
+        let mut donor_busy_from = now;
+        let mut ready_at = now;
+        let is_snapshot = matches!(phase, ChunkPhase::Snapshot);
+        if !is_snapshot && !entries.is_empty() {
+            stats.catchup_rounds += 1;
+        }
+        for batch in entries.chunks(CHUNK_ENTRIES) {
+            // Donor side: verified export (or replay staging) + seal + send.
+            let (seq, mut wire) = channel.seal(phase, batch);
+            let wire_len = wire.len();
+            let export = Work::Scan {
+                entries: batch.len(),
+                bytes: batch.iter().map(RangeEntry::payload_len).sum(),
+            };
+            let send = Work::Send {
+                ops: 1,
+                bytes: wire_len,
+            };
+            let group = &mut self.shards[*from];
+            let [exported, sent] = [export, send]
+                .map(|work| group.charge(donor, donor_busy_from, ChargeKind::SnapshotExport, work));
+            let sent_at = sent.finish_ns;
+            donor_busy_from = sent_at;
+            if let Some(t) = group.telemetry_mut() {
+                let kind = if is_snapshot {
+                    SpanKind::MigrationSnapshot
+                } else {
+                    SpanKind::MigrationCatchUp
+                };
+                t.span(kind, donor.0, exported.start_ns, sent_at, seq);
+            }
+            stats.chunks += 1;
+            if is_snapshot {
+                stats.snapshot_entries += batch.len() as u64;
+                stats.snapshot_bytes += wire_len as u64;
+            } else {
+                stats.catchup_entries += batch.len() as u64;
+                stats.catchup_bytes += wire_len as u64;
+            }
+            if channel.is_confidential() {
+                stats.confidential_transfer_bytes += wire_len as u64;
+            }
+
+            // Wire + recipient side: the end opens the authentic frame where
+            // it lies (the shield decrypts in place) and each copy the
+            // adversary made, and what opens is installed on every recipient
+            // node (each pays the import).
+            let landing = match plane.as_deref_mut() {
+                Some(plane) => plane.send((Plane::group(*from), Plane::group(*to)), sent_at, &wire),
+                None => {
+                    let link = self.shards[*to].link();
+                    link.send(seq, donor, recipients[0], sent_at, &wire)
+                }
+            };
+            let (landed, refused) = landing.open(
+                &mut wire[..],
+                channel,
+                |channel, wire| channel.open(wire),
+                |channel, copy| channel.open(copy).is_none(),
+            );
+            stats.chunks_rejected += u64::from(refused);
+            let (records, arrival) = landed?;
+            let import = Work::Import {
+                entries: records.len(),
+                bytes: wire_len,
+            };
+            let group = &mut self.shards[*to];
+            for &node in recipients.iter() {
+                let imported = group.charge(node, arrival, ChargeKind::SnapshotImport, import);
+                ready_at = ready_at.max(imported.finish_ns);
+                group.replica_mut(node).store().import_range(&records);
+            }
+            channel.recycle(wire);
+        }
+        Some(ready_at)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use recipe_net::FaultPlan;
+    use recipe_protocols::RaftReplica;
+
+    use super::*;
+    use crate::DeploymentSpec;
+
+    const JOINER: NodeId = NodeId(2);
+
+    /// Key `i`'s value on the peer, and on the joiner before its transfer
+    /// (it holds the first 100 keys only).
+    fn value(i: usize, peer: bool) -> Option<Vec<u8>> {
+        let value = |at| Some(format!("{at}-{i:03}").into_bytes());
+        if peer {
+            value("new")
+        } else if i < 100 {
+            value("old")
+        } else {
+            None
+        }
+    }
+
+    /// One three-replica R-Raft group of `seed` on a link under `plan`,
+    /// whose first replica holds 300 keys — three chunks — and whose third,
+    /// the joiner, the first 100 of them at older values.
+    fn group(seed: u64, plan: FaultPlan) -> ShardedCluster<RaftReplica> {
+        let spec = DeploymentSpec::new(1, 3)
+            .with_seed(seed)
+            .with_fault_plan(plan);
+        let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+        let group = &mut cluster.shards[0];
+        for i in 0..300 {
+            let key = format!("key-{i:03}").into_bytes();
+            if let Some(old) = value(i, false) {
+                group.replica_mut(JOINER).store().apply(&key, old);
+            }
+            let new = value(i, true).expect("the peer holds every key");
+            group.replica_mut(NodeId(0)).store().apply(&key, new);
+        }
+        cluster
+    }
+
+    /// The joiner's value of key `i`, if it holds one.
+    fn held(cluster: &mut ShardedCluster<RaftReplica>, i: usize) -> Option<Vec<u8>> {
+        let key = format!("key-{i:03}").into_bytes();
+        let store = cluster.shards[0].replica_mut(JOINER).store();
+        store.get(&key).map(|read| read.value)
+    }
+
+    /// Runs the joiner's catch-up; returns the forged copies it refused and
+    /// how many keys, in key order, it took from the peer before the first
+    /// it did not.
+    fn catch_up(cluster: &mut ShardedCluster<RaftReplica>) -> (u64, usize) {
+        let mut refused = 0;
+        cluster.catch_up(0, JOINER, 0, &mut refused);
+        let taken = (0..300)
+            .take_while(|&i| held(cluster, i) == value(i, true))
+            .count();
+        // Nothing after it is the peer's: the rest is the joiner's own.
+        for i in taken..300 {
+            assert_eq!(held(cluster, i), value(i, taken == 300), "key {i}");
+        }
+        (refused, taken)
+    }
+
+    #[test]
+    fn a_restarts_transfer_refuses_every_forged_copy_and_installs_only_what_opens() {
+        let always = |fault: fn(&mut FaultPlan)| {
+            let mut plan = FaultPlan::default();
+            fault(&mut plan);
+            plan
+        };
+        // Every chunk lands, and a duplicate beside each: all three copies
+        // are refused, and the joiner holds the peer's state.
+        let mut cluster = group(1, always(|plan| plan.duplicate_probability = 1.0));
+        assert_eq!(catch_up(&mut cluster), (3, 300));
+        // A replay beside every chunk but the first, which has no older
+        // frame on its channel to replay: both copies are refused.
+        let mut cluster = group(1, always(|plan| plan.replay_probability = 1.0));
+        assert_eq!(catch_up(&mut cluster), (2, 300));
+        // A tampered first chunk takes the authentic one's place: its copy
+        // is refused, the transfer ends there, and the joiner keeps exactly
+        // its own verified state.
+        let mut cluster = group(1, always(|plan| plan.tamper_probability = 1.0));
+        assert_eq!(catch_up(&mut cluster), (1, 0));
+
+        // Under a mix, the transfer installs whole chunks up to the first
+        // tampered one, and each chunk it sent has at most one copy, which
+        // is refused.
+        let mixed = FaultPlan {
+            duplicate_probability: 0.3,
+            replay_probability: 0.3,
+            tamper_probability: 0.3,
+            ..FaultPlan::default()
+        };
+        let mut ends = Vec::new();
+        for seed in 0..16 {
+            let (refused, taken) = catch_up(&mut group(seed, mixed));
+            assert!(taken % CHUNK_ENTRIES == 0 || taken == 300, "{taken}");
+            let sent = (taken / CHUNK_ENTRIES + 1).min(3) as u64;
+            assert!(refused <= sent, "{refused} of {sent}");
+            ends.push(taken);
+        }
+        assert!(ends.contains(&300) && ends.iter().any(|&taken| taken < 300));
     }
 }

@@ -33,6 +33,7 @@ use std::collections::BTreeMap;
 use recipe_core::{ConfidentialityMode, FramePool};
 use recipe_gateway::{GatewayConfig, GatewayStats};
 use recipe_net::FaultPlan;
+use recipe_protocols::StoreReplica;
 use recipe_sim::{
     Calendar, CalendarCounts, Completion, GroupEvent, Key, NodeBooks, Replica, ReplicaGroup,
     RunStats, Scheduler, SimConfig,
@@ -364,6 +365,9 @@ pub struct ShardedCluster<R: Replica> {
     /// [`ShardedCluster::take_telemetry_report`] can export them as
     /// tenant-labelled metrics after the driver returns.
     pub(crate) last_gateway_stats: Option<GatewayStats>,
+    /// State transfers begun over the cluster's life, migrations and
+    /// restarts: the last one's channel id.
+    pub(crate) transfers: u64,
 }
 
 impl<R: Replica> ShardedCluster<R> {
@@ -391,6 +395,7 @@ impl<R: Replica> ShardedCluster<R> {
             completions: Vec::new(),
             config,
             last_gateway_stats: None,
+            transfers: 0,
         }
     }
 
@@ -490,43 +495,6 @@ impl<R: Replica> ShardedCluster<R> {
         (&mut self.shards[shard], sched)
     }
 
-    /// Runs a group's event that came off the calendar under `key`, leaving
-    /// its replies in `completions`, and returns the group's shard.
-    pub(crate) fn handle(&mut self, key: Key, event: GroupEvent) -> usize {
-        let Some(shard) = key.owner.shard_index() else {
-            unreachable!("only a group schedules a group's event");
-        };
-        let (group, mut sched) = self.lend(shard);
-        group.handle(key.at, event, &mut sched);
-        shard
-    }
-
-    /// Runs the groups' events, issuing no new client operation, until every
-    /// group is at rest ([`ReplicaGroup::at_rest`]); false if the time cap
-    /// comes first. Call after a run, before reading replica state.
-    #[must_use]
-    pub fn quiesce(&mut self) -> bool {
-        let cap = self.config.max_virtual_ns;
-        while !self.shards.iter().all(ReplicaGroup::at_rest) {
-            if self.calendar.peek().is_none_or(|key| key.at > cap) {
-                return false;
-            }
-            // Driver events do not outlive a run: only groups' are left.
-            let Some((key, Event::Shard(event))) = self.calendar.pop() else {
-                unreachable!("a driver event outlived its run");
-            };
-            let shard = self.handle(key, event);
-            // Late completions no longer drive the closed loop, and no
-            // client sees their values.
-            for completion in self.completions.drain(..) {
-                if let Some(value) = completion.value {
-                    self.shards[shard].give_frame(value);
-                }
-            }
-        }
-        true
-    }
-
     /// Closes the run's books on the global clock `global_now`: each
     /// shard's commits and latencies from the driver's `books`, on the
     /// shard's own clock, with the messages its group counted, and the
@@ -572,6 +540,49 @@ impl<R: Replica> ShardedCluster<R> {
             calendar: self.calendar.take_counts(),
             ..ShardedRunStats::default()
         }
+    }
+}
+
+impl<R: StoreReplica> ShardedCluster<R> {
+    /// Runs a group's event that came off the calendar under `key`, leaving
+    /// its replies in `completions`, and returns the group's shard. A node
+    /// the event restarted catches up at once ([`Self::catch_up`]), adding
+    /// the copies its transfer refused to `refused`.
+    pub(crate) fn handle(&mut self, key: Key, event: GroupEvent, refused: &mut u64) -> usize {
+        let Some(shard) = key.owner.shard_index() else {
+            unreachable!("only a group schedules a group's event");
+        };
+        let (group, mut sched) = self.lend(shard);
+        if let Some(joiner) = group.handle(key.at, event, &mut sched) {
+            self.catch_up(shard, joiner, key.at, refused);
+        }
+        shard
+    }
+
+    /// Runs the groups' events, issuing no new client operation, until every
+    /// group is at rest ([`ReplicaGroup::at_rest`]); false if the time cap
+    /// comes first. Call after a run, before reading replica state.
+    #[must_use]
+    pub fn quiesce(&mut self) -> bool {
+        let cap = self.config.max_virtual_ns;
+        while !self.shards.iter().all(ReplicaGroup::at_rest) {
+            if self.calendar.peek().is_none_or(|key| key.at > cap) {
+                return false;
+            }
+            // Driver events do not outlive a run: only groups' are left.
+            let Some((key, Event::Shard(event))) = self.calendar.pop() else {
+                unreachable!("a driver event outlived its run");
+            };
+            let shard = self.handle(key, event, &mut 0);
+            // Late completions no longer drive the closed loop, and no
+            // client sees their values.
+            for completion in self.completions.drain(..) {
+                if let Some(value) = completion.value {
+                    self.shards[shard].give_frame(value);
+                }
+            }
+        }
+        true
     }
 }
 
@@ -714,7 +725,7 @@ mod tests {
             let Some((key, Event::Shard(event))) = cluster.calendar.pop() else {
                 panic!("a driver event outlived its run");
             };
-            cluster.handle(key, event);
+            cluster.handle(key, event, &mut 0);
             cluster.completions.clear();
             assert_counted(&cluster);
             popped += 1;

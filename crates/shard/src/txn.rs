@@ -438,26 +438,17 @@ impl Plane {
         NodeId(u64::MAX - 2 - shard as u64)
     }
 
-    /// Carries `wire`, sent at `sent_at` from `src` to `dst`, to the
-    /// receiving end `end`. `open` opens the authentic frame if it lands;
-    /// then the copy the adversary made, if any, goes through the same end,
-    /// and `refuses` says whether the end refused it. Returns the opened
-    /// frame with the time it landed ([`Link::send`]; `None` when it was
-    /// lost or refused), and whether a copy was refused.
-    pub(crate) fn cross<'w, E, T>(
+    /// Puts `wire` on the plane's link, sent at `sent_at` from `src` to
+    /// `dst`: where and when it lands, and the adversary's copy
+    /// ([`Landing::open`] delivers them to the receiving end).
+    pub(crate) fn send(
         &mut self,
         (src, dst): (NodeId, NodeId),
         sent_at: u64,
-        wire: &'w [u8],
-        end: &mut E,
-        open: impl FnOnce(&mut E, &'w [u8]) -> Option<T>,
-        refuses: impl FnOnce(&mut E, &[u8]) -> bool,
-    ) -> (Option<(T, u64)>, bool) {
+        wire: &[u8],
+    ) -> Landing {
         self.wire_seq += 1;
-        let Landing { frame_at, copy, .. } = self.link.send(self.wire_seq, src, dst, sent_at, wire);
-        let landed = frame_at.and_then(|at| Some((open(end, wire)?, at)));
-        let refused = copy.is_some_and(|(_, copy)| refuses(end, copy.bytes(wire)));
-        (landed, refused)
+        self.link.send(self.wire_seq, src, dst, sent_at, wire)
     }
 }
 
@@ -717,9 +708,7 @@ impl<R: StoreReplica> Engine<'_, R> {
         // The spare a copy the adversary made was opened in, if any: it is
         // never delivered.
         let mut stray = None;
-        let (landed, refused) = plane.cross(
-            ends,
-            sent_at,
+        let (landed, refused) = plane.send(ends, sent_at, wire).open(
             wire,
             &mut txns.lanes.lane(trip.client_id, trip.shard),
             |lane, wire| leg.open(lane, trip.txn_id, wire, opened),

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cost::{CostProfile, Work, COST_MODEL, FAILURE_DETECTION_DELAY_NS, RETRY_TIMEOUT_NS};
 use crate::queue::{Calendar, Owner, TimerPayload};
-use crate::replica::{Ctx, Effects, RangeEntry, RecoveryState, Replica};
+use crate::replica::{Ctx, Effects, Replica};
 
 /// One replica group's configuration. Every node is charged under
 /// [`COST_MODEL`]; clients retransmit after `RETRY_TIMEOUT_NS`, and the
@@ -530,6 +530,11 @@ impl<R: Replica> ReplicaGroup<R> {
         &self.ids
     }
 
+    /// The link every frame between the group's enclaves crosses.
+    pub fn link(&mut self) -> &mut Link {
+        &mut self.link
+    }
+
     /// The group's free list of frame buffers (see [`Ctx`]).
     pub fn frame_pool(&self) -> &FramePool {
         &self.effects.frames
@@ -653,17 +658,24 @@ impl<R: Replica> ReplicaGroup<R> {
     }
 
     /// Runs `event`, due at virtual time `at`. The first reply it delivers
-    /// to a client's request goes to the scheduler's completions.
+    /// to a client's request goes to the scheduler's completions. Returns
+    /// the node the event restarted, if any: what the group committed while
+    /// it slept is the caller's to transfer.
     pub fn handle<T: From<GroupEvent>>(
         &mut self,
         at: u64,
         event: GroupEvent,
         sched: &mut Scheduler<'_, T>,
-    ) {
+    ) -> Option<NodeId> {
         self.now = at;
         self.in_flight -= u64::from(!event.is_timer());
+        let restarted = match event.0 {
+            EventKind::Recover { node } => self.crashed.contains(&node).then_some(node),
+            _ => None,
+        };
         self.run_event(event.0, sched);
         self.in_flight += std::mem::take(&mut sched.pushed);
+        restarted
     }
 
     fn run_event<T: From<GroupEvent>>(&mut self, event: EventKind, sched: &mut Scheduler<'_, T>) {
@@ -851,7 +863,10 @@ impl<R: Replica> ReplicaGroup<R> {
     ///    record against the enclave's sealed metadata; the verification work
     ///    is charged to the node's serialized compute and attributed to
     ///    `charge.recovery_ns`.
-    /// 4. The configuration service notifies the survivors
+    /// 4. **State transfer** — the caller of [`ReplicaGroup::handle`] ships
+    ///    a live peer's state to the node in sealed chunks across the group's
+    ///    link ([`ReplicaGroup::link`]), as a migration ships a range.
+    /// 5. The configuration service notifies the survivors
     ///    ([`Replica::on_peer_up`]) after the detection delay.
     fn handle_recover<T: From<GroupEvent>>(&mut self, node: NodeId, sched: &mut Scheduler<'_, T>) {
         let idx = self.index_of(node);
@@ -871,52 +886,26 @@ impl<R: Replica> ReplicaGroup<R> {
             rejoin_view = rejoin_view.max(self.replicas[peer_idx].current_view());
         }
 
-        // §3.7 state snapshot: the first live peer exports its verified state
-        // and, on the same transfer, every prepare record it knows, so writes
-        // committed and transactions prepared while the node slept are
-        // caught up before it serves anything. The export competes for the
-        // donor's compute.
-        let mut state = RecoveryState::default();
-        let (mut snapshot_len, mut snapshot_bytes) = (0, 0);
-        if let Some(&(peer_idx, _)) = live_peers.first() {
-            state = self.replicas[peer_idx].export_recovery_state();
-            if let Some(entries) = &state.snapshot {
-                snapshot_len = entries.len();
-                snapshot_bytes = entries.iter().map(RangeEntry::payload_len).sum();
-                let export = Work::Scan {
-                    entries: snapshot_len,
-                    bytes: snapshot_bytes,
-                };
-                self.charge_idx(peer_idx, self.now, ChargeKind::SnapshotExport, export);
-            }
-        }
-
         let mut ctx = self.ctx(node, self.now);
-        let report = self.replicas[idx].on_restart(rejoin_view, state, &mut ctx);
+        let report = self.replicas[idx].on_restart(rejoin_view, &mut ctx);
         // The configuration the node is handed includes who is still down.
         let still_down: Vec<NodeId> = self.crashed.iter().copied().collect();
         for down in still_down {
             self.replicas[idx].on_peer_down(down, &mut ctx);
         }
 
-        // The joiner pays for the verified re-scan of its sealed state plus
-        // the import of the catch-up snapshot, serialized on its compute.
+        // The joiner pays for the verified re-scan of its sealed state.
         let rescan = Work::Scan {
             entries: report.verified_entries as usize,
             bytes: report.payload_bytes as usize,
         };
-        let import = Work::Import {
-            entries: snapshot_len,
-            bytes: snapshot_bytes,
-        };
-        let [rescanned, imported] =
-            [rescan, import].map(|work| self.charge_idx(idx, self.now, ChargeKind::Recovery, work));
+        let rescanned = self.charge_idx(idx, self.now, ChargeKind::Recovery, rescan);
         if let Some(t) = self.telemetry.as_mut() {
             t.span(
                 SpanKind::NodeRecover,
                 node.0,
                 rescanned.start_ns,
-                imported.finish_ns,
+                rescanned.finish_ns,
                 report.verified_entries,
             );
         }

@@ -7,7 +7,7 @@
 //! timer requests that the simulator then schedules with the appropriate virtual-time
 //! costs.
 
-use recipe_core::{ClientReply, ClientRequest, FramePool, Operation};
+use recipe_core::{ClientReply, ClientRequest, FramePool};
 use recipe_net::NodeId;
 use recipe_tee::TrustedInstant;
 
@@ -117,24 +117,6 @@ pub struct RestartReport {
     pub payload_bytes: u64,
 }
 
-/// What a live peer hands a restarting one (the §3.7 "state snapshot of the
-/// current epoch"), exported by [`Replica::export_recovery_state`] and applied
-/// by [`Replica::on_restart`]. The default — nothing — is what a joiner with
-/// no live peer restarts from: its own sealed state only.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoveryState {
-    /// The peer's full verified state; `None` when a record failed
-    /// verification (never ship unverified state).
-    pub snapshot: Option<Vec<RangeEntry>>,
-    /// Every two-phase-commit prepare record the peer knows, its own and the
-    /// passive copies it keeps for others, as `(txn_id, ops)`: a `Get` locks
-    /// its key, a `Put` also stages the write. The joiner keeps them as
-    /// passive copies, so if it later re-wins coordinatorship it can adopt
-    /// the full in-flight set — its own pre-crash staging was volatile
-    /// enclave state.
-    pub prepares: Vec<(u64, Vec<Operation>)>,
-}
-
 /// A deterministic protocol replica: seven handlers every protocol writes,
 /// and the hooks crash recovery must reach on any replica. Everything below
 /// the protocol — the store, two-phase-commit participation, range state
@@ -210,22 +192,15 @@ pub trait Replica {
         let _ = (peer, peer_send_counter);
     }
 
-    /// Exports what a recovering peer needs of this replica's state. The
-    /// attestation service asks the first live peer.
-    fn export_recovery_state(&mut self) -> RecoveryState {
-        RecoveryState::default()
-    }
-
     /// Restart after a crash, rollback-protected: drop all volatile protocol
     /// state, adopt `view` (the view the attestation service observed among
     /// live peers), rehydrate from sealed storage only — re-verifying every
-    /// host-resident record and discarding what fails — then apply `state`
-    /// (a live peer's, see [`Replica::export_recovery_state`]) so writes
-    /// committed and transactions prepared while the node slept are caught
-    /// up before it serves anything. Returns what was salvaged so the
-    /// simulator can charge the re-verification work.
-    fn on_restart(&mut self, view: u64, state: RecoveryState, ctx: &mut Ctx) -> RestartReport {
-        let _ = (view, state, ctx);
+    /// host-resident record and discarding what fails. Returns what was
+    /// salvaged so the simulator can charge the re-verification work. What
+    /// the group committed while the node slept arrives afterwards, as a
+    /// state transfer from a live peer.
+    fn on_restart(&mut self, view: u64, ctx: &mut Ctx) -> RestartReport {
+        let _ = (view, ctx);
         RestartReport::default()
     }
 

@@ -11,7 +11,9 @@
 //! A tenanted gateway writes its prefix into the room a client drew each
 //! key with, so admitting a request allocates nothing. A committed
 //! transaction's buffers go back to the generator that drew it, so its
-//! client draws the next one without allocating.
+//! client draws the next one without allocating. A state transfer's
+//! chunks are built in buffers its channel reuses and installed from the
+//! frame where it lies.
 //! The workloads' exact counts per committed op are pinned in
 //! `crates/bench/baselines/BENCH_work.json`, whose history is their
 //! trajectory.
@@ -27,9 +29,13 @@ use recipe_core::{Operation, Request, TxnBody, TxnBodyRef};
 use recipe_crypto::CipherKey;
 use recipe_gateway::{Gateway, GatewayConfig, GatewayVerdict, TenantSpec};
 use recipe_kv::{KvError, PartitionedKvStore, StoreConfig, Timestamp};
-use recipe_protocols::TxnLanes;
+use recipe_net::NodeId;
+use recipe_protocols::{
+    ChunkPhase, MigrationChannel, ReplicaStore, Stamping, TxnLanes, CHUNK_ENTRIES,
+};
 use recipe_scenario::{run_protocol, Protocol, Scenario, WorkloadKind};
 use recipe_shard::{request_from_workload, workload_from_op};
+use recipe_sim::RangeEntry;
 use recipe_workload::{stable_key_hash, TxnWorkloadSpec, WorkloadOp, WorkloadRequest};
 use serde::{Serialize, Value};
 
@@ -136,6 +142,61 @@ fn heap_use_in<T>(work: impl FnOnce() -> T) -> (T, HeapUse) {
         peak_live_bytes: PEAK.with(Cell::get) as u64,
     };
     (result, heap)
+}
+
+/// One round of a state transfer, migration's or a restart's: `entries`
+/// sealed into chunks on `channel`, each opened where it lies and installed
+/// on `store`, its frame then given back.
+fn ship_round(channel: &mut MigrationChannel, store: &mut ReplicaStore, entries: &[RangeEntry]) {
+    for batch in entries.chunks(CHUNK_ENTRIES) {
+        let (_, mut wire) = channel.seal(ChunkPhase::Snapshot, batch);
+        let records = channel.open(&mut wire).expect("an authentic chunk opens");
+        store.import_range(&records);
+        drop(records);
+        channel.recycle(wire);
+    }
+}
+
+#[test]
+fn a_transfer_round_allocates_its_frames_once_and_one_list_a_chunk() {
+    // 300 records of 16-byte keys and 64-byte values: three chunks.
+    let entries: Vec<RangeEntry> = (0..300u64)
+        .map(|i| RangeEntry {
+            key: format!("transfer-key-{i:03}").into_bytes(),
+            value: format!("{i:>64}").into_bytes(),
+            ts_logical: i + 1,
+            ts_node: 0,
+        })
+        .collect();
+    for confidential in [false, true] {
+        let config = match confidential {
+            true => StoreConfig::default().with_cipher(CipherKey::from_bytes([7; 32])),
+            false => StoreConfig::default(),
+        };
+        // The recipient holds every key already, at a value of the same
+        // length, so each record's value is copied over the one it replaces.
+        let mut store = ReplicaStore::new(config, NodeId(1), Stamping::Sequence);
+        for entry in &entries {
+            store.apply(&entry.key, vec![0; entry.value.len()]);
+        }
+        let mut channel = MigrationChannel::new(0, 1, 1, confidential);
+        // The first round provisions the channel's two ends (2) and builds
+        // its first chunk in two new buffers, the body and the frame (2),
+        // which go back to the channel's list of large spares (1) and are
+        // reused by every later chunk. Each chunk lists its records once,
+        // where they lie in the frame (3 a round).
+        let ((), first) = allocations_in(|| ship_round(&mut channel, &mut store, &entries));
+        let ((), second) = allocations_in(|| ship_round(&mut channel, &mut store, &entries));
+        assert_eq!(
+            (first, second),
+            (2 + 2 + 1 + 3, 3),
+            "confidential: {confidential}"
+        );
+        assert_eq!(
+            store.get(b"transfer-key-299").unwrap().value,
+            entries[299].value
+        );
+    }
 }
 
 const CLIENTS: u64 = 48;

@@ -115,19 +115,19 @@ const PINS: [Pin; 9] = [
     Pin {
         name: "chain_txn_crash",
         run: chain_txn_crash,
-        digest: "64216b624bc7edbbc6c99131bc6257fc979b9b49b201b67285bfea707e6a6f93",
+        digest: "8b3456dec33d9939145167efce14301fa08a8ca1d364a042217fd6a80a1867f6",
         contract: Some(chain_txn_spec),
     },
     Pin {
         name: "abd_txn_crash",
         run: abd_txn_crash,
-        digest: "7f028762cb9a0b04188312e556ef34daf2acb8e63f08c21228ca02fda6467f23",
+        digest: "89f7ecb608effee1de35ee716ae4678eaf4c5d6becc84be45a1f7cc44f39b304",
         contract: Some(abd_txn_spec),
     },
     Pin {
         name: "pbft_txn_crash",
         run: pbft_txn_crash,
-        digest: "ca4cb92d41c9976547aa36e86e7010407a86e5a383c531a8f24a6d0178c871a5",
+        digest: "2ddefd7aa86565fd1d93b381c1165c6acca8444e11d8873fdd16f5bae538c280",
         contract: Some(pbft_txn_spec),
     },
     Pin {

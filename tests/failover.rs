@@ -22,10 +22,11 @@ mod common {
     pub mod replicas;
 }
 
+use recipe::core::ShieldedMessage;
 use recipe::core::{Operation, Request};
-use recipe::net::{CrashPlan, NodeId};
-use recipe::protocols::{ChainReplica, RaftReplica};
-use recipe::shard::{DeploymentSpec, ShardPolicy, ShardedCluster};
+use recipe::net::{CrashPlan, FaultPlan, NodeId};
+use recipe::protocols::{ChainReplica, MigrationChunk, RaftReplica, CHUNK_ENTRIES};
+use recipe::shard::{DeploymentSpec, MigrationStats, ShardPolicy, ShardedCluster};
 use recipe::sim::{Work, COST_MODEL};
 use recipe::telemetry::{CostBreakdown, SpanKind, TelemetryConfig, TelemetryReport};
 
@@ -91,9 +92,11 @@ fn charged(report: &TelemetryReport, kind: &str) -> u64 {
     sample.map_or(0, |sample| sample.value as u64)
 }
 
-/// A restart's cost as a closed form (§3.7): the joiner re-scans the `h`
-/// entries it held, once, and imports one live peer's `p` entries, once;
-/// the peer scans its own `p` entries, once, to export them.
+/// A restart's cost as a closed form (§3.7), in the migration's form with
+/// K = 1 round: the joiner re-scans the `h` entries it held, once; one live
+/// peer ships its `p` entries as one snapshot round of `⌈p / C⌉` sealed
+/// chunks across the group's link, paying `Scan` + `Send` per chunk, and
+/// the joiner pays `Import` per chunk at its arrival.
 #[test]
 fn recovered_follower_rehydrates_and_rejoins() {
     // 8 000 ops keep the run going past the 60 ms restart (4 000 take 55 ms
@@ -109,6 +112,8 @@ fn recovered_follower_rehydrates_and_rejoins() {
         "lost commits: {}",
         stats.total.committed
     );
+    // A restart is no migration: none of its chunks counts as one's.
+    assert_eq!(stats.migration, MigrationStats::default());
     let report = cluster.take_telemetry_report().expect("telemetry enabled");
     let group = cluster.shard_mut(0);
     assert!(group.crashed_nodes().is_empty(), "node never recovered");
@@ -131,16 +136,49 @@ fn recovered_follower_rehydrates_and_rejoins() {
         }
     }
     // Every key landed before the 5 ms crash, so the joiner held them all
-    // and the peer exports them all at 60 ms: h = p = 32, b = 4 278 B.
+    // and the peer exports them all at 60 ms: h = p = 32, b = 4 278 B, one
+    // chunk of p ≤ C records.
     assert_eq!((held, entries, bytes), (32, 32, 4_278));
+    assert!(entries <= CHUNK_ENTRIES);
 
     let cost = |work| COST_MODEL.cost(&profile, work, &mut CostBreakdown::new());
+    let wire = ShieldedMessage::frame_len(MigrationChunk::wire_len(entries, bytes));
     let scan = cost(Work::Scan { entries, bytes });
-    let import = cost(Work::Import { entries, bytes });
-    assert_eq!(charged(&report, "recovery"), scan + import);
-    assert_eq!(charged(&report, "snapshot_export"), scan);
-    // The restarted follower caught up through normal replication: nothing
-    // it holds diverges from the survivors.
+    let send = cost(Work::Send {
+        ops: 1,
+        bytes: wire,
+    });
+    let import = cost(Work::Import {
+        entries,
+        bytes: wire,
+    });
+    assert_eq!(charged(&report, "recovery"), scan);
+    assert_eq!(charged(&report, "snapshot_export"), scan + send);
+    assert_eq!(charged(&report, "snapshot_import"), import);
+    // The restarted follower caught up through its transfer and normal
+    // replication: nothing it holds diverges from the survivors.
+    check_run(&mut cluster, &mut history).unwrap();
+}
+
+/// A restart under a group link that duplicates or replays every frame
+/// (drop 0, tamper 0): the transfer's one chunk lands beside one forged
+/// copy, which its channel refuses, and what the clients saw stays
+/// linearizable, the joiner's final reads included.
+#[test]
+fn a_restart_under_forged_copies_refuses_them_and_rejoins() {
+    let plan = CrashPlan::none().crash_recover(NodeId(2), 5_000_000, 60_000_000);
+    let forged = FaultPlan {
+        duplicate_probability: 0.5,
+        replay_probability: 0.5,
+        ..FaultPlan::default()
+    };
+    let spec = one_group(plan, 8000).with_fault_plan(forged);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let mut history = History::default();
+    let stats = cluster.run_requests(history.record(put));
+    assert!(stats.total.committed >= 8000, "{}", stats.total.committed);
+    assert!(cluster.shard(0).crashed_nodes().is_empty());
+    assert_eq!(stats.migration.chunks_rejected, 1);
     check_run(&mut cluster, &mut history).unwrap();
 }
 
