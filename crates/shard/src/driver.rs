@@ -627,8 +627,8 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
 
     /// Runs one group's event and accounts the replies it delivered.
     fn on_group_event(&mut self, key: Key, event: GroupEvent) {
-        let refused = &mut self.st.stats.chunks_rejected;
-        let shard = self.cluster.handle(key, event, refused);
+        let (shard, refused) = self.cluster.handle(key, event);
+        self.st.stats.chunks_rejected += refused;
         let mut completions = std::mem::take(&mut self.cluster.completions);
         for completion in completions.drain(..) {
             let issued = self.clients[completion.client_id as usize]

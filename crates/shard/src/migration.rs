@@ -39,7 +39,11 @@
 //!
 //! **Restarts.** A restarted replica catches up through the same transfer
 //! ([`ShardedCluster::catch_up`]): one snapshot round of a live peer's
-//! whole range, across the group's own link instead of the plane.
+//! whole range, across the group's own link instead of the plane, from
+//! each live peer in turn until one lands whole. One that never does keeps
+//! the replica down. On that link the adversary may replay a protocol
+//! frame as a chunk or a chunk as a protocol frame; each end refuses what
+//! its own channel did not seal.
 //!
 //! **Cost form.** A migration ships a snapshot round and then its catch-up
 //! rounds (the final delta included); a round of `k` records ships
@@ -49,7 +53,7 @@
 
 use std::cmp::Reverse;
 
-use recipe_net::NodeId;
+use recipe_net::{Landing, NodeId};
 use recipe_protocols::{ChunkPhase, MigrationChannel, StoreReplica, CHUNK_ENTRIES};
 use recipe_sim::{RangeEntry, Work};
 use recipe_telemetry::{ChargeKind, SpanKind};
@@ -162,13 +166,46 @@ pub struct MigrationStats {
     pub last_cutover_ns: u64,
 }
 
-/// One state transfer: its channel, the donor's group and the node that
-/// seals (`None`: the group's leader at each round, or its first replica),
-/// and the recipient's group and the nodes that install what opens.
+/// One state transfer: its channel, the donor's group, and the recipient's
+/// group and the nodes that install what opens.
 pub(crate) struct Transfer {
     channel: MigrationChannel,
-    donor: (usize, Option<NodeId>),
+    donor: usize,
     recipient: (usize, Vec<NodeId>),
+}
+
+/// What one round of a transfer shipped ([`ShardedCluster::ship_entries`]),
+/// a lost chunk included.
+#[derive(Default)]
+pub(crate) struct Round {
+    /// When the round landed on every recipient; `None` once a chunk was
+    /// lost or refused, after which no chunk shipped.
+    landed_at: Option<u64>,
+    chunks: u64,
+    entries: u64,
+    /// Sealed wire bytes.
+    bytes: u64,
+    /// Copies of its chunks the recipient refused.
+    refused: u64,
+}
+
+impl MigrationStats {
+    /// Counts a migration's round of `phase`, confidential or not.
+    fn count(&mut self, phase: ChunkPhase, round: &Round, confidential: bool) {
+        self.chunks += round.chunks;
+        self.chunks_rejected += round.refused;
+        if matches!(phase, ChunkPhase::Snapshot) {
+            self.snapshot_entries += round.entries;
+            self.snapshot_bytes += round.bytes;
+        } else {
+            self.catchup_rounds += u64::from(round.chunks > 0);
+            self.catchup_entries += round.entries;
+            self.catchup_bytes += round.bytes;
+        }
+        if confidential {
+            self.confidential_transfer_bytes += round.bytes;
+        }
+    }
 }
 
 /// A migration in flight.
@@ -238,7 +275,7 @@ impl ControllerState {
     pub(crate) fn moving_range(&self) -> Option<(usize, &[usize])> {
         self.active
             .as_ref()
-            .map(|active| (active.transfer.donor.0, active.arcs.as_slice()))
+            .map(|active| (active.transfer.donor, active.arcs.as_slice()))
     }
 
     /// True when `(shard, arc)` lies in the active migration's moving range:
@@ -285,7 +322,7 @@ impl ControllerState {
         let Some(active) = self.active.as_mut() else {
             return;
         };
-        if shard != active.transfer.donor.0 {
+        if shard != active.transfer.donor {
             return;
         }
         for entry in entries {
@@ -315,7 +352,7 @@ impl<R: StoreReplica> Engine<'_, R> {
             self.ship_round(now, ChunkPhase::CatchUp);
         } else {
             active.transfer_ready_at = None;
-            let (donor, id) = (active.transfer.donor.0, self.st.stats.migrations_started);
+            let (donor, id) = (active.transfer.donor, self.st.stats.migrations_started);
             if let Some(t) = self.cluster.shards[donor].telemetry_mut() {
                 t.instant(SpanKind::MigrationDrain, 0, now, id);
             }
@@ -439,7 +476,7 @@ impl<R: StoreReplica> Engine<'_, R> {
             arcs,
             transfer: Transfer {
                 channel,
-                donor: (donor, None),
+                donor,
                 recipient: (recipient, cluster.shards[recipient].node_ids().to_vec()),
             },
             catchup: entries,
@@ -458,16 +495,37 @@ impl<R: StoreReplica> Engine<'_, R> {
         let mut active = self.st.active.take().expect("a migration is active");
         let entries = std::mem::take(&mut active.catchup);
         active.rounds += 1;
-        let (plane, stats) = (Some(&mut self.plane), &mut self.st.stats);
-        let transfer = &mut active.transfer;
-        let shipped = self
-            .cluster
-            .ship_entries(transfer, now, &entries, phase, plane, stats);
-        let Some(ready_at) = shipped else {
+        let Some(ready_at) = self.ship(&mut active.transfer, now, &entries, phase) else {
             return self.abort_migration(now);
         };
         active.transfer_ready_at = Some(ready_at);
         self.st.active = Some(active);
+    }
+
+    /// Ships `entries` as one round of `transfer`, sealed by the donor
+    /// group's leader (or its first replica) and carried across the plane
+    /// between groups, and counts it. Returns when the round landed, or
+    /// `None` when a chunk did not.
+    fn ship(
+        &mut self,
+        transfer: &mut Transfer,
+        now: u64,
+        entries: &[RangeEntry],
+        phase: ChunkPhase,
+    ) -> Option<u64> {
+        let Engine {
+            cluster, plane, st, ..
+        } = self;
+        let group = &cluster.shards[transfer.donor];
+        let donor = group.write_coordinator().unwrap_or(group.node_ids()[0]);
+        let (from, to) = (transfer.donor, transfer.recipient.0);
+        let ends = (Plane::group(from), Plane::group(to));
+        let confidential = transfer.channel.is_confidential();
+        let round = cluster.ship_entries(transfer, donor, now, entries, phase, |_, at, wire| {
+            plane.send(ends, at, wire)
+        });
+        st.stats.count(phase, &round, confidential);
+        round.landed_at
     }
 
     /// Aborts the migration taken out of the controller's state: placement
@@ -483,7 +541,7 @@ impl<R: StoreReplica> Engine<'_, R> {
     fn finish_cutover(&mut self, now: u64) {
         let mut active = self.st.active.take().expect("a migration is draining");
         let mut delta = std::mem::take(&mut active.catchup);
-        let (donor, recipient) = (active.transfer.donor.0, active.transfer.recipient.0);
+        let (donor, recipient) = (active.transfer.donor, active.transfer.recipient.0);
         // Zero-loss guard: if any committed moving-range write could not be
         // captured (leader handover, unverifiable record), the catch-up log is
         // not trustworthy — re-export the whole range through the verified
@@ -503,15 +561,10 @@ impl<R: StoreReplica> Engine<'_, R> {
             };
             delta = entries;
         }
-        let (plane, stats) = (Some(&mut self.plane), &mut self.st.stats);
-        let phase = ChunkPhase::Final;
-        let transfer = &mut active.transfer;
-        let shipped = self
-            .cluster
-            .ship_entries(transfer, now, &delta, phase, plane, stats);
-        let Some(_) = shipped else {
+        let shipped = self.ship(&mut active.transfer, now, &delta, ChunkPhase::Final);
+        if shipped.is_none() {
             return self.abort_migration(now);
-        };
+        }
         let Engine {
             cluster, st, rb, ..
         } = self;
@@ -555,83 +608,86 @@ impl<R: StoreReplica> ShardedCluster<R> {
         }
     }
 
-    /// §3.7 catch-up of `joiner`, which `shard`'s group just restarted: the
-    /// first live peer ships its whole range to it as one snapshot round, on
-    /// a fresh channel, across the group's own link. The joiner then stages
-    /// the peer's prepare records as passive copies, as 2PC's prepare
-    /// replication does, and moves its applied count up to the newest
-    /// timestamp it holds. A peer whose store fails verification ships
-    /// nothing; a lost or refused chunk ends the transfer. Adds the copies
-    /// the joiner refused to `refused`.
-    pub(crate) fn catch_up(&mut self, shard: usize, joiner: NodeId, now: u64, refused: &mut u64) {
-        let group = &mut self.shards[shard];
-        let live = |node: &&NodeId| **node != joiner && !group.crashed_nodes().contains(node);
-        let Some(&donor) = group.node_ids().iter().find(live) else {
-            return;
-        };
-        let store = group.replica_mut(donor).store();
-        let (exported, prepares) = (store.export_range(&|_| true), store.txn_records());
-        if let Ok(entries) = exported {
+    /// §3.7 catch-up of `joiner`, which `shard`'s group just restarted: each
+    /// live peer in turn ships its whole range to it as one snapshot round,
+    /// on a fresh channel, across the group's own link, until a round lands
+    /// whole. The joiner then stages that peer's prepare records as passive
+    /// copies, as 2PC's prepare replication does, and moves its applied
+    /// count up to the newest timestamp it holds. A peer whose store fails
+    /// verification ships nothing. Returns whether a round landed whole (or
+    /// no peer is live, and the joiner has only its own state to go on) and
+    /// the forged copies the joiner refused.
+    pub(crate) fn catch_up(&mut self, shard: usize, joiner: NodeId, now: u64) -> (bool, u64) {
+        let (mut tried, mut refused) = (false, 0);
+        for idx in 0..self.shards[shard].replica_count() {
+            let group = &mut self.shards[shard];
+            let donor = group.node_ids()[idx];
+            if donor == joiner || group.crashed_nodes().contains(&donor) {
+                continue;
+            }
+            tried = true;
+            let store = group.replica_mut(donor).store();
+            let (exported, prepares) = (store.export_range(&|_| true), store.txn_records());
+            let Ok(entries) = exported else {
+                continue;
+            };
             self.transfers += 1;
             let confidentiality = self.confidentiality_of(shard);
             let mut transfer = Transfer {
                 channel: MigrationChannel::new(0, 1, self.transfers, confidentiality),
-                donor: (shard, Some(donor)),
+                donor: shard,
                 recipient: (shard, vec![joiner]),
             };
-            // A restart is no migration: only its refused copies count.
-            let mut own = MigrationStats::default();
-            self.ship_entries(
-                &mut transfer,
-                now,
-                &entries,
-                ChunkPhase::Snapshot,
-                None,
-                &mut own,
-            );
-            *refused += own.chunks_rejected;
+            // The chunks' wire ids sit above every id the group's own frames
+            // take (its event seqs), a block of 2^32 per transfer.
+            let mut wire_id = 1 << 63 | self.transfers << 32;
+            let send = |c: &mut Self, at, wire: &[u8]| {
+                wire_id += 1;
+                let link = c.shards[shard].link();
+                link.send(wire_id, donor, joiner, at, wire)
+            };
+            let phase = ChunkPhase::Snapshot;
+            let round = self.ship_entries(&mut transfer, donor, now, &entries, phase, send);
+            refused += round.refused;
+            if round.landed_at.is_some() {
+                let store = self.shards[shard].replica_mut(joiner).store();
+                for (txn_id, ops) in &prepares {
+                    let ops = ops
+                        .iter()
+                        .map(|(key, staged)| (key.as_slice(), staged.as_deref()));
+                    store.txn_stage_replicated(*txn_id, ops);
+                }
+                store.catch_up_applied();
+                return (true, refused);
+            }
         }
-        let store = self.shards[shard].replica_mut(joiner).store();
-        for (txn_id, ops) in &prepares {
-            let ops = ops
-                .iter()
-                .map(|(key, staged)| (key.as_slice(), staged.as_deref()));
-            store.txn_stage_replicated(*txn_id, ops);
-        }
-        store.catch_up_applied();
+        (!tried, refused)
     }
 
     /// Seals `entries` into bounded chunks on `transfer`'s channel, charges
-    /// export, wire and import costs, carries each chunk across `plane`
-    /// between groups — or across the group's own link when there is none,
-    /// to its one recipient — and installs what opens on every recipient
-    /// node, from the frame where it lies. Returns the virtual time the
-    /// round lands (`now` for an empty round, which costs nothing and counts
-    /// as none), or `None` once a chunk is lost or refused: the round
-    /// failed, and no chunk after it ships.
+    /// `donor`'s export and send and each recipient's import, puts each
+    /// chunk on the wire through `send` (given the cluster, the time the
+    /// chunk is sent and its frame, it says where the frame lands) and
+    /// installs what opens on every recipient node, from the frame where it
+    /// lies. An empty round costs nothing and lands at `now`; a lost or
+    /// refused chunk ends the round.
     pub(crate) fn ship_entries(
         &mut self,
         transfer: &mut Transfer,
+        donor: NodeId,
         now: u64,
         entries: &[RangeEntry],
         phase: ChunkPhase,
-        mut plane: Option<&mut Plane>,
-        stats: &mut MigrationStats,
-    ) -> Option<u64> {
+        mut send: impl FnMut(&mut Self, u64, &[u8]) -> Landing,
+    ) -> Round {
         let Transfer {
             channel,
-            donor: (from, donor),
+            donor: from,
             recipient: (to, recipients),
         } = transfer;
-        let group = &self.shards[*from];
-        let donor =
-            donor.unwrap_or_else(|| group.write_coordinator().unwrap_or(group.node_ids()[0]));
+        let mut round = Round::default();
         let mut donor_busy_from = now;
         let mut ready_at = now;
-        let is_snapshot = matches!(phase, ChunkPhase::Snapshot);
-        if !is_snapshot && !entries.is_empty() {
-            stats.catchup_rounds += 1;
-        }
         for batch in entries.chunks(CHUNK_ENTRIES) {
             // Donor side: verified export (or replay staging) + seal + send.
             let (seq, mut wire) = channel.seal(phase, batch);
@@ -640,54 +696,40 @@ impl<R: StoreReplica> ShardedCluster<R> {
                 entries: batch.len(),
                 bytes: batch.iter().map(RangeEntry::payload_len).sum(),
             };
-            let send = Work::Send {
+            let send_work = Work::Send {
                 ops: 1,
                 bytes: wire_len,
             };
             let group = &mut self.shards[*from];
-            let [exported, sent] = [export, send]
+            let [exported, sent] = [export, send_work]
                 .map(|work| group.charge(donor, donor_busy_from, ChargeKind::SnapshotExport, work));
             let sent_at = sent.finish_ns;
             donor_busy_from = sent_at;
             if let Some(t) = group.telemetry_mut() {
-                let kind = if is_snapshot {
-                    SpanKind::MigrationSnapshot
-                } else {
-                    SpanKind::MigrationCatchUp
+                let kind = match phase {
+                    ChunkPhase::Snapshot => SpanKind::MigrationSnapshot,
+                    _ => SpanKind::MigrationCatchUp,
                 };
                 t.span(kind, donor.0, exported.start_ns, sent_at, seq);
             }
-            stats.chunks += 1;
-            if is_snapshot {
-                stats.snapshot_entries += batch.len() as u64;
-                stats.snapshot_bytes += wire_len as u64;
-            } else {
-                stats.catchup_entries += batch.len() as u64;
-                stats.catchup_bytes += wire_len as u64;
-            }
-            if channel.is_confidential() {
-                stats.confidential_transfer_bytes += wire_len as u64;
-            }
+            round.chunks += 1;
+            round.entries += batch.len() as u64;
+            round.bytes += wire_len as u64;
 
             // Wire + recipient side: the end opens the authentic frame where
             // it lies (the shield decrypts in place) and each copy the
             // adversary made, and what opens is installed on every recipient
             // node (each pays the import).
-            let landing = match plane.as_deref_mut() {
-                Some(plane) => plane.send((Plane::group(*from), Plane::group(*to)), sent_at, &wire),
-                None => {
-                    let link = self.shards[*to].link();
-                    link.send(seq, donor, recipients[0], sent_at, &wire)
-                }
-            };
-            let (landed, refused) = landing.open(
+            let (landed, refused) = send(self, sent_at, &wire).open(
                 &mut wire[..],
                 channel,
                 |channel, wire| channel.open(wire),
                 |channel, copy| channel.open(copy).is_none(),
             );
-            stats.chunks_rejected += u64::from(refused);
-            let (records, arrival) = landed?;
+            round.refused += u64::from(refused);
+            let Some((records, arrival)) = landed else {
+                return round;
+            };
             let import = Work::Import {
                 entries: records.len(),
                 bytes: wire_len,
@@ -700,21 +742,25 @@ impl<R: StoreReplica> ShardedCluster<R> {
             }
             channel.recycle(wire);
         }
-        Some(ready_at)
+        round.landed_at = Some(ready_at);
+        round
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use recipe_net::FaultPlan;
-    use recipe_protocols::RaftReplica;
+    use recipe_core::Operation;
+    use recipe_net::{CrashPlan, FaultPlan, Link};
+    use recipe_protocols::{ChainReplica, RaftReplica};
+    use recipe_sim::COST_MODEL;
 
     use super::*;
+    use crate::driver::Event;
     use crate::DeploymentSpec;
 
     const JOINER: NodeId = NodeId(2);
 
-    /// Key `i`'s value on the peer, and on the joiner before its transfer
+    /// Key `i`'s value on the peers, and on the joiner before its transfer
     /// (it holds the first 100 keys only).
     fn value(i: usize, peer: bool) -> Option<Vec<u8>> {
         let value = |at| Some(format!("{at}-{i:03}").into_bytes());
@@ -728,8 +774,8 @@ mod tests {
     }
 
     /// One three-replica R-Raft group of `seed` on a link under `plan`,
-    /// whose first replica holds 300 keys — three chunks — and whose third,
-    /// the joiner, the first 100 of them at older values.
+    /// whose first two replicas hold 300 keys — three chunks — and whose
+    /// third, the joiner, the first 100 of them at older values.
     fn group(seed: u64, plan: FaultPlan) -> ShardedCluster<RaftReplica> {
         let spec = DeploymentSpec::new(1, 3)
             .with_seed(seed)
@@ -741,8 +787,10 @@ mod tests {
             if let Some(old) = value(i, false) {
                 group.replica_mut(JOINER).store().apply(&key, old);
             }
-            let new = value(i, true).expect("the peer holds every key");
-            group.replica_mut(NodeId(0)).store().apply(&key, new);
+            let new = value(i, true).expect("the peers hold every key");
+            for peer in [NodeId(0), NodeId(1)] {
+                group.replica_mut(peer).store().apply(&key, new.clone());
+            }
         }
         cluster
     }
@@ -754,20 +802,19 @@ mod tests {
         store.get(&key).map(|read| read.value)
     }
 
-    /// Runs the joiner's catch-up; returns the forged copies it refused and
-    /// how many keys, in key order, it took from the peer before the first
-    /// it did not.
-    fn catch_up(cluster: &mut ShardedCluster<RaftReplica>) -> (u64, usize) {
-        let mut refused = 0;
-        cluster.catch_up(0, JOINER, 0, &mut refused);
+    /// Runs the joiner's catch-up; returns whether it caught up, the forged
+    /// copies it refused and how many keys, in key order, it took from the
+    /// peers before the first it did not.
+    fn catch_up(cluster: &mut ShardedCluster<RaftReplica>) -> (bool, u64, usize) {
+        let (caught_up, refused) = cluster.catch_up(0, JOINER, 0);
         let taken = (0..300)
             .take_while(|&i| held(cluster, i) == value(i, true))
             .count();
-        // Nothing after it is the peer's: the rest is the joiner's own.
+        // Nothing after it is the peers': the rest is the joiner's own.
         for i in taken..300 {
             assert_eq!(held(cluster, i), value(i, taken == 300), "key {i}");
         }
-        (refused, taken)
+        (caught_up, refused, taken)
     }
 
     #[test]
@@ -778,22 +825,22 @@ mod tests {
             plan
         };
         // Every chunk lands, and a duplicate beside each: all three copies
-        // are refused, and the joiner holds the peer's state.
+        // are refused, and the joiner holds the first peer's state.
         let mut cluster = group(1, always(|plan| plan.duplicate_probability = 1.0));
-        assert_eq!(catch_up(&mut cluster), (3, 300));
+        assert_eq!(catch_up(&mut cluster), (true, 3, 300));
         // A replay beside every chunk but the first, which has no older
         // frame on its channel to replay: both copies are refused.
         let mut cluster = group(1, always(|plan| plan.replay_probability = 1.0));
-        assert_eq!(catch_up(&mut cluster), (2, 300));
-        // A tampered first chunk takes the authentic one's place: its copy
-        // is refused, the transfer ends there, and the joiner keeps exactly
-        // its own verified state.
+        assert_eq!(catch_up(&mut cluster), (true, 2, 300));
+        // A tampered first chunk takes the authentic one's place, from each
+        // peer in turn: both copies are refused, each transfer ends there,
+        // and the joiner keeps exactly its own verified state.
         let mut cluster = group(1, always(|plan| plan.tamper_probability = 1.0));
-        assert_eq!(catch_up(&mut cluster), (1, 0));
+        assert_eq!(catch_up(&mut cluster), (false, 2, 0));
 
-        // Under a mix, the transfer installs whole chunks up to the first
-        // tampered one, and each chunk it sent has at most one copy, which
-        // is refused.
+        // Under a mix, the transfers install whole chunks up to the first
+        // tampered one, the joiner catches up exactly when one lands whole,
+        // and each chunk sent has at most one copy, which is refused.
         let mixed = FaultPlan {
             duplicate_probability: 0.3,
             replay_probability: 0.3,
@@ -802,12 +849,82 @@ mod tests {
         };
         let mut ends = Vec::new();
         for seed in 0..16 {
-            let (refused, taken) = catch_up(&mut group(seed, mixed));
+            let (caught_up, refused, taken) = catch_up(&mut group(seed, mixed));
             assert!(taken % CHUNK_ENTRIES == 0 || taken == 300, "{taken}");
-            let sent = (taken / CHUNK_ENTRIES + 1).min(3) as u64;
-            assert!(refused <= sent, "{refused} of {sent}");
+            assert_eq!(caught_up, taken == 300);
+            assert!(refused <= 6, "{refused}");
             ends.push(taken);
         }
         assert!(ends.contains(&300) && ends.iter().any(|&taken| taken < 300));
+    }
+
+    /// An R-CR tail restarts at 1 s with every frame on its group's link
+    /// tampered with: neither live peer's transfer lands, so the tail stays
+    /// down past the detection delay, and the survivors' chain keeps
+    /// serving without its stale state. At its next planned restart (its
+    /// planned crash finds it down already), on an honest link, it catches
+    /// up and rejoins holding what the survivors hold.
+    #[test]
+    fn a_tail_whose_transfer_fails_stays_down_until_a_transfer_lands() {
+        const TAIL: NodeId = NodeId(2);
+        let (first, second) = (1_000_000_000, 2_000_000_000);
+        let crashes = CrashPlan::none()
+            .crash_recover(TAIL, 1_000_000, first)
+            .crash_recover(TAIL, first + 100_000_000, second);
+        let spec = DeploymentSpec::new(1, 3)
+            .with_clients(8, 500)
+            .with_time_cap_ns(3_000_000_000)
+            .with_crash_plan(crashes);
+        let mut cluster = ShardedCluster::<ChainReplica>::build(spec);
+        let stats = cluster.run_requests(|client, seq| {
+            let key = format!("k{}", (client + seq) % 16).into_bytes();
+            let value = format!("v{client}-{seq}").into_bytes();
+            Some(Operation::Put { key, value }.into())
+        });
+        assert!(stats.total.committed >= 500);
+        // Runs the events due up to `at`, those at `at` on a link under
+        // `plan`; returns the copies of restart chunks refused.
+        let run_through = |cluster: &mut ShardedCluster<ChainReplica>, at, plan| {
+            let mut refused = 0;
+            while let Some(key) = cluster.calendar.peek().filter(|key| key.at <= at) {
+                if key.at == at {
+                    *cluster.shards[0].link() = Link::new(plan, 1, COST_MODEL.link_latency_ns);
+                }
+                let Some((key, Event::Shard(event))) = cluster.calendar.pop() else {
+                    panic!("a driver event outlived its run");
+                };
+                refused += cluster.handle(key, event).1;
+                cluster.completions.clear();
+            }
+            *cluster.shards[0].link() =
+                Link::new(FaultPlan::default(), 1, COST_MODEL.link_latency_ns);
+            refused
+        };
+        let tamper_all = FaultPlan {
+            tamper_probability: 1.0,
+            ..FaultPlan::default()
+        };
+        assert_eq!(run_through(&mut cluster, first, tamper_all), 2);
+        // Down, and never announced up: nothing routes to it.
+        let announced = first + 50_000_000;
+        assert_eq!(
+            run_through(&mut cluster, announced, FaultPlan::default()),
+            0
+        );
+        assert!(cluster.shard(0).crashed_nodes().contains(&TAIL));
+        let values = |cluster: &mut ShardedCluster<ChainReplica>, node| {
+            let store = cluster.shards[0].replica_mut(node).store();
+            let keys = (0..16).map(|k| format!("k{k}").into_bytes());
+            keys.map(|key| store.get(&key).map(|read| read.value))
+                .collect::<Vec<_>>()
+        };
+        let head = values(&mut cluster, NodeId(0));
+        assert_eq!(values(&mut cluster, NodeId(1)), head);
+        assert_ne!(values(&mut cluster, TAIL), head, "the tail missed no write");
+
+        assert_eq!(run_through(&mut cluster, second, FaultPlan::default()), 0);
+        assert!(cluster.quiesce());
+        assert!(cluster.shard(0).crashed_nodes().is_empty());
+        assert_eq!(values(&mut cluster, TAIL), head);
     }
 }

@@ -545,18 +545,22 @@ impl<R: Replica> ShardedCluster<R> {
 
 impl<R: StoreReplica> ShardedCluster<R> {
     /// Runs a group's event that came off the calendar under `key`, leaving
-    /// its replies in `completions`, and returns the group's shard. A node
-    /// the event restarted catches up at once ([`Self::catch_up`]), adding
-    /// the copies its transfer refused to `refused`.
-    pub(crate) fn handle(&mut self, key: Key, event: GroupEvent, refused: &mut u64) -> usize {
+    /// its replies in `completions`. A node the event restarted catches up
+    /// at once ([`Self::catch_up`]) and rejoins only if it did
+    /// ([`ReplicaGroup::rejoin`]). Returns the group's shard and the copies
+    /// of the restart's chunks the node refused.
+    pub(crate) fn handle(&mut self, key: Key, event: GroupEvent) -> (usize, u64) {
         let Some(shard) = key.owner.shard_index() else {
             unreachable!("only a group schedules a group's event");
         };
         let (group, mut sched) = self.lend(shard);
-        if let Some(joiner) = group.handle(key.at, event, &mut sched) {
-            self.catch_up(shard, joiner, key.at, refused);
-        }
-        shard
+        let Some(joiner) = group.handle(key.at, event, &mut sched) else {
+            return (shard, 0);
+        };
+        let (caught_up, refused) = self.catch_up(shard, joiner, key.at);
+        let (group, mut sched) = self.lend(shard);
+        group.rejoin(joiner, caught_up, &mut sched);
+        (shard, refused)
     }
 
     /// Runs the groups' events, issuing no new client operation, until every
@@ -573,7 +577,7 @@ impl<R: StoreReplica> ShardedCluster<R> {
             let Some((key, Event::Shard(event))) = self.calendar.pop() else {
                 unreachable!("a driver event outlived its run");
             };
-            let shard = self.handle(key, event, &mut 0);
+            let (shard, _) = self.handle(key, event);
             // Late completions no longer drive the closed loop, and no
             // client sees their values.
             for completion in self.completions.drain(..) {
@@ -725,7 +729,7 @@ mod tests {
             let Some((key, Event::Shard(event))) = cluster.calendar.pop() else {
                 panic!("a driver event outlived its run");
             };
-            cluster.handle(key, event, &mut 0);
+            cluster.handle(key, event);
             cluster.completions.clear();
             assert_counted(&cluster);
             popped += 1;

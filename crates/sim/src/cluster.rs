@@ -660,7 +660,9 @@ impl<R: Replica> ReplicaGroup<R> {
     /// Runs `event`, due at virtual time `at`. The first reply it delivers
     /// to a client's request goes to the scheduler's completions. Returns
     /// the node the event restarted, if any: what the group committed while
-    /// it slept is the caller's to transfer.
+    /// it slept is the caller's to transfer, and the node stays out of the
+    /// survivors' view until the caller calls [`ReplicaGroup::rejoin`].
+    #[must_use = "a restarted node rejoins only through `rejoin`"]
     pub fn handle<T: From<GroupEvent>>(
         &mut self,
         at: u64,
@@ -866,8 +868,9 @@ impl<R: Replica> ReplicaGroup<R> {
     /// 4. **State transfer** — the caller of [`ReplicaGroup::handle`] ships
     ///    a live peer's state to the node in sealed chunks across the group's
     ///    link ([`ReplicaGroup::link`]), as a migration ships a range.
-    /// 5. The configuration service notifies the survivors
-    ///    ([`Replica::on_peer_up`]) after the detection delay.
+    /// 5. **Rejoin** ([`ReplicaGroup::rejoin`]) — the configuration service
+    ///    notifies the survivors ([`Replica::on_peer_up`]) after the
+    ///    detection delay; a node whose transfer failed is down again.
     fn handle_recover<T: From<GroupEvent>>(&mut self, node: NodeId, sched: &mut Scheduler<'_, T>) {
         let idx = self.index_of(node);
         let live_peers: Vec<(usize, NodeId)> = self
@@ -910,11 +913,33 @@ impl<R: Replica> ReplicaGroup<R> {
             );
         }
         self.apply_effects(idx, ctx, sched);
+    }
 
-        let notice_at = self.now + FAILURE_DETECTION_DELAY_NS;
-        for &(peer_idx, _) in &live_peers {
-            sched.notice(notice_at, peer_idx, node, true);
+    /// Ends the restart of `node`, which [`ReplicaGroup::handle`] returned.
+    /// A node that caught up (`caught_up`) rejoins: the configuration service
+    /// notifies the survivors ([`Replica::on_peer_up`]) after the detection
+    /// delay. One that did not is counted as down again and serves nothing
+    /// until its next planned restart: its stale state must never answer.
+    pub fn rejoin<T: From<GroupEvent>>(
+        &mut self,
+        node: NodeId,
+        caught_up: bool,
+        sched: &mut Scheduler<'_, T>,
+    ) {
+        if !caught_up {
+            self.crashed.insert(node);
+            if let Some(t) = self.telemetry.as_mut() {
+                t.instant(SpanKind::NodeCrash, node.0, self.now, 0);
+            }
+            return;
         }
+        let notice_at = self.now + FAILURE_DETECTION_DELAY_NS;
+        for idx in 0..self.ids.len() {
+            if self.ids[idx] != node && !self.crashed.contains(&self.ids[idx]) {
+                sched.notice(notice_at, idx, node, true);
+            }
+        }
+        self.in_flight += std::mem::take(&mut sched.pushed);
     }
 
     /// What the network did with the group's frames since the last take.
@@ -1093,6 +1118,9 @@ impl<R: Replica> ReplicaGroup<R> {
 
 /// A one-group harness over the calendar and the group's handlers, for tests
 /// that step a group themselves; the rest is the group's, through `Deref`.
+/// It ships no state transfer: a restarted node rejoins at once on its own
+/// sealed state and catches up through its protocol alone. The sharded
+/// driver's restarts catch up from a live peer first.
 pub struct SimCluster<R: Replica> {
     group: ReplicaGroup<R>,
     calendar: Calendar<GroupEvent>,
@@ -1151,7 +1179,10 @@ impl<R: Replica> SimCluster<R> {
         }
         let recorded = self.completions.len();
         let (group, mut sched) = self.lend();
-        group.handle(key.at, event, &mut sched);
+        if let Some(node) = group.handle(key.at, event, &mut sched) {
+            // No state transfer here: the node rejoins on its own state.
+            group.rejoin(node, true, &mut sched);
+        }
         self.committed += (self.completions.len() - recorded) as u64;
         for completion in &mut self.completions[recorded..] {
             if let Some(value) = completion.value.take() {

@@ -198,7 +198,9 @@ pub trait Replica {
     /// host-resident record and discarding what fails. Returns what was
     /// salvaged so the simulator can charge the re-verification work. What
     /// the group committed while the node slept arrives afterwards, as a
-    /// state transfer from a live peer.
+    /// state transfer from a live peer, where the caller of
+    /// [`crate::ReplicaGroup::handle`] ships one (the one-group
+    /// [`crate::SimCluster`] ships none).
     fn on_restart(&mut self, view: u64, ctx: &mut Ctx) -> RestartReport {
         let _ = (view, ctx);
         RestartReport::default()
