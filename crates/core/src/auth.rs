@@ -609,33 +609,37 @@ impl AuthLayer {
         ShieldedMessage::from_wire(&wire).ok_or(RecipeError::Malformed("shielded message"))
     }
 
-    /// [`AuthLayer::shield_in`] into a buffer of the frame's own.
+    /// [`AuthLayer::shield_in`] of `payload` into a buffer of the frame's
+    /// own.
     pub fn shield_to_wire(
         &mut self,
         dst: NodeId,
         kind: u16,
         payload: &[u8],
     ) -> Result<Vec<u8>, RecipeError> {
-        self.shield_in(&mut FramePool::default(), dst, kind, payload)
+        let frames = &mut FramePool::default();
+        self.shield_in(frames, dst, kind, payload.len(), |w| {
+            w.raw(payload);
+        })
     }
 
     /// Shields a protocol message addressed to `dst` (Algorithm 1,
     /// `shield_request`) straight to wire bytes, in a spare from `frames`:
-    /// the payload is copied once, into the frame, and sealed there.
-    /// Confidential mode encrypts it before it leaves the enclave, under the
-    /// nonce of its (channel, counter) pair.
+    /// `write_body` writes the message's `body_len` bytes once, into the
+    /// frame, and they are sealed there. Confidential mode encrypts them
+    /// before they leave the enclave, under the nonce of the frame's
+    /// (channel, counter) pair.
     pub fn shield_in(
         &mut self,
         frames: &mut FramePool,
         dst: NodeId,
         kind: u16,
-        payload: &[u8],
+        body_len: usize,
+        write_body: impl FnOnce(&mut Writer),
     ) -> Result<Vec<u8>, RecipeError> {
         let seal = self.is_confidential();
         let family = Family::Single { kind };
-        self.shield_framed(frames, dst, family, seal, payload.len(), |w| {
-            w.raw(payload);
-        })
+        self.shield_framed(frames, dst, family, seal, body_len, write_body)
     }
 
     // ------------------------------------------------------------------
@@ -1491,7 +1495,12 @@ mod tests {
         /// One frame of each family, from `tx`, with `frames` lending the buffers.
         type Shield = fn(&mut AuthLayer, &mut FramePool) -> Vec<u8>;
         let shields: [Shield; 4] = [
-            |tx, frames| tx.shield_in(frames, NodeId(2), 7, &[0x42; 70]).unwrap(),
+            |tx, frames| {
+                let body = |w: &mut Writer| {
+                    w.raw(&[0x42; 70]);
+                };
+                tx.shield_in(frames, NodeId(2), 7, 70, body).unwrap()
+            },
             |tx, frames| {
                 let body = BatchFrame::encode_ops(&ops(3));
                 tx.shield_batch_body_in(frames, NodeId(2), &body).unwrap()

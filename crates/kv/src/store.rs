@@ -543,8 +543,10 @@ impl VerifiedRead<'_> {
     }
 }
 
-/// One exported record of [`PartitionedKvStore::export_matching`]:
-/// `(key, verified plaintext value, stored write timestamp)`.
+/// One owned record of committed state: `(key, verified plaintext value,
+/// stored write timestamp)`. [`PartitionedKvStore::export_matching`] hands
+/// them out, and it is the one record a state transfer's chunks and a
+/// two-phase commit's installs carry between replicas.
 pub type ExportedEntry = (Vec<u8>, Vec<u8>, Timestamp);
 
 /// The partitioned key-value store.

@@ -10,7 +10,7 @@
 //! so key material and values are never exposed in transit.
 //!
 //! The wire unit is a [`MigrationChunk`]: a bounded batch of
-//! [`recipe_sim::RangeEntry`] records tagged with the migration id, the phase
+//! [`recipe_kv::ExportedEntry`] records tagged with the migration id, the phase
 //! ([`ChunkPhase`]) and a per-migration sequence number. Chunks are bounded so
 //! staging them inside the enclave does not blow the EPC (the cost model
 //! charges EPC pressure per staged chunk, mirroring §B.3's batch-size
@@ -20,10 +20,9 @@ use std::borrow::Cow;
 use std::ops::Range;
 
 use recipe_core::wire::{tag, Reader, Writer};
-use recipe_core::{ConfidentialityMode, FramePool, Membership, ShieldedMessage};
-use recipe_kv::Timestamp;
+use recipe_core::{ConfidentialityMode, FramePool, Membership};
+use recipe_kv::{ExportedEntry, Timestamp};
 use recipe_net::NodeId;
-use recipe_sim::RangeEntry;
 
 use crate::shield::{Frames, ProtocolShield};
 
@@ -70,7 +69,7 @@ pub struct MigrationChunk {
     /// Per-migration sequence number (0-based, monotonically increasing).
     pub seq: u64,
     /// The records, in application order.
-    pub entries: Vec<RangeEntry>,
+    pub entries: Vec<ExportedEntry>,
 }
 
 /// Most records one chunk carries: the bound on what a chunk stages inside
@@ -82,9 +81,18 @@ pub const CHUNK_ENTRIES: usize = 128;
 pub type ChunkRecord<'a> = (&'a [u8], &'a [u8], Timestamp);
 
 impl MigrationChunk {
-    /// Wire bytes of a [`RangeEntry`] with an empty key and value: two
-    /// timestamp halves and two length prefixes.
+    /// Wire bytes of a record with an empty key and value: two timestamp
+    /// halves and two length prefixes.
     pub const ENTRY_MIN_LEN: usize = 2 * 8 + 2 * 4;
+
+    /// Key and value bytes of `entries`: what a chunk of them carries
+    /// beyond [`MigrationChunk::ENTRY_MIN_LEN`] a record.
+    pub fn payload_len(entries: &[ExportedEntry]) -> usize {
+        entries
+            .iter()
+            .map(|(key, value, _)| key.len() + value.len())
+            .sum()
+    }
 
     /// Bytes [`MigrationChunk::encode`] produces for `entries` records whose
     /// keys and values total `payload_bytes`: the tag, the 22-byte header,
@@ -94,21 +102,24 @@ impl MigrationChunk {
     }
 
     /// Wire form: `tag | migration_id | phase u8 | seq | count u32 |
-    /// (ts_logical, ts_node, key, value)*`.
+    /// (ts.logical, ts.node, key, value)*`.
     pub fn encode(&self) -> Vec<u8> {
-        let header = (self.migration_id, self.phase, self.seq);
-        encode(Vec::new(), header, &self.entries)
+        let payload = Self::payload_len(&self.entries);
+        let mut w = Writer::reusing(Vec::new(), Self::wire_len(self.entries.len(), payload));
+        write(
+            &mut w,
+            (self.migration_id, self.phase, self.seq),
+            &self.entries,
+        );
+        w.finish()
     }
 
     /// Parses a chunk; `None` on anything but one well-formed encoding.
     pub fn decode(bytes: &[u8]) -> Option<MigrationChunk> {
         let ((migration_id, phase, seq), records) = read(bytes)?;
-        let entries = records.into_iter().map(|(key, value, ts)| RangeEntry {
-            key: key.to_vec(),
-            value: value.to_vec(),
-            ts_logical: ts.logical,
-            ts_node: ts.node,
-        });
+        let entries = records
+            .into_iter()
+            .map(|(key, value, ts)| (key.to_vec(), value.to_vec(), ts));
         Some(MigrationChunk {
             migration_id,
             phase,
@@ -121,22 +132,17 @@ impl MigrationChunk {
 /// A chunk's `(migration_id, phase, seq)`.
 type Header = (u64, ChunkPhase, u64);
 
-/// [`MigrationChunk::encode`] of `entries` under `header`, in `buf`.
-fn encode(buf: Vec<u8>, (migration_id, phase, seq): Header, entries: &[RangeEntry]) -> Vec<u8> {
-    let payload = entries.iter().map(RangeEntry::payload_len).sum();
-    let mut w = Writer::reusing(buf, MigrationChunk::wire_len(entries.len(), payload));
+/// Writes [`MigrationChunk::encode`]'s bytes of `entries` under `header`
+/// to `w`.
+fn write(w: &mut Writer, (migration_id, phase, seq): Header, entries: &[ExportedEntry]) {
     w.u8(tag::MIGRATION)
         .u64(migration_id)
         .u8(phase as u8)
         .u64(seq)
         .count(entries.len());
-    for entry in entries {
-        w.u64(entry.ts_logical)
-            .u64(entry.ts_node)
-            .bytes(&entry.key)
-            .bytes(&entry.value);
+    for (key, value, ts) in entries {
+        w.u64(ts.logical).u64(ts.node).bytes(key).bytes(value);
     }
-    w.finish()
 }
 
 /// Reads a chunk's header and its records where they lie; `None` on
@@ -228,22 +234,23 @@ impl MigrationChannel {
     }
 
     /// Seals the next chunk, of `entries` in `phase`, into wire bytes on the
-    /// donor side, encoded from the records where they lie into buffers the
-    /// channel reuses. Returns the chunk's sequence number and the frame,
+    /// donor side: the chunk is encoded from the records where they lie
+    /// straight into the body of its frame, a buffer the channel reuses, and
+    /// sealed there. Returns the chunk's sequence number and the frame,
     /// which goes back to the channel once done with
     /// ([`MigrationChannel::recycle`]).
-    pub fn seal(&mut self, phase: ChunkPhase, entries: &[RangeEntry]) -> (u64, Vec<u8>) {
+    pub fn seal(&mut self, phase: ChunkPhase, entries: &[ExportedEntry]) -> (u64, Vec<u8>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let payload = entries.iter().map(RangeEntry::payload_len).sum();
-        let len = ShieldedMessage::frame_len(MigrationChunk::wire_len(entries.len(), payload));
+        let payload = MigrationChunk::payload_len(entries);
+        let len = MigrationChunk::wire_len(entries.len(), payload);
         let header = (self.migration_id, phase, seq);
-        let body = encode(self.frames.take(len), header, entries);
         let dst = endpoint(self.recipient, self.migration_id);
         let wire = self
             .sender
-            .wrap_in(&mut self.frames, dst, KIND_MIGRATION, &body);
-        self.frames.give(body);
+            .wrap_in(&mut self.frames, dst, KIND_MIGRATION, len, |w| {
+                write(w, header, entries);
+            });
         (seq, wire)
     }
 
@@ -279,6 +286,8 @@ impl MigrationChannel {
 
 #[cfg(test)]
 mod tests {
+    use recipe_core::ShieldedMessage;
+
     use super::*;
 
     fn chunk(n: usize) -> MigrationChunk {
@@ -287,11 +296,10 @@ mod tests {
             phase: ChunkPhase::Snapshot,
             seq: 0,
             entries: (0..n)
-                .map(|i| RangeEntry {
-                    key: format!("user{i:08}").into_bytes(),
-                    value: format!("secret-value-{i}").into_bytes(),
-                    ts_logical: i as u64,
-                    ts_node: 1,
+                .map(|i| {
+                    let key = format!("user{i:08}").into_bytes();
+                    let value = format!("secret-value-{i}").into_bytes();
+                    (key, value, Timestamp::new(i as u64, 1))
                 })
                 .collect(),
         }
@@ -303,30 +311,33 @@ mod tests {
     }
 
     /// The records `channel` opens of `wire`, copied out.
-    fn opened(channel: &mut MigrationChannel, wire: &mut [u8]) -> Option<Vec<RangeEntry>> {
+    fn opened(channel: &mut MigrationChannel, wire: &mut [u8]) -> Option<Vec<ExportedEntry>> {
         let records = channel.open(wire)?.into_iter();
-        let entries = records.map(|(key, value, ts)| RangeEntry {
-            key: key.to_vec(),
-            value: value.to_vec(),
-            ts_logical: ts.logical,
-            ts_node: ts.node,
-        });
+        let entries = records.map(|(key, value, ts)| (key.to_vec(), value.to_vec(), ts));
         Some(entries.collect())
     }
 
     #[test]
     fn chunks_roundtrip_through_the_shield() {
-        let mut channel = MigrationChannel::new(0, 1, 7, false);
-        let original = chunk(16);
-        let mut wire = seal(&mut channel, &original);
-        // The sealed chunk is the one the owned form encodes.
-        let mut reference = MigrationChannel::new(0, 1, 7, false);
-        let expected = reference
-            .sender
-            .wrap(endpoint(1, 7), KIND_MIGRATION, &original.encode());
-        assert_eq!(wire, expected);
-        assert_eq!(opened(&mut channel, &mut wire), Some(original.entries));
-        assert_eq!(channel.rejected(), 0);
+        for confidential in [false, true] {
+            let mut channel = MigrationChannel::new(0, 1, 7, confidential);
+            let original = chunk(16);
+            let mut wire = seal(&mut channel, &original);
+            // The chunk written in its frame is the owned form's encoding,
+            // wrapped: byte for byte, sealed or not.
+            let mut reference = MigrationChannel::new(0, 1, 7, confidential);
+            let body = original.encode();
+            let frames = &mut FramePool::default();
+            let dst = endpoint(1, 7);
+            let expected = reference
+                .sender
+                .wrap_in(frames, dst, KIND_MIGRATION, body.len(), |w| {
+                    w.raw(&body);
+                });
+            assert_eq!(wire, expected, "{confidential}");
+            assert_eq!(opened(&mut channel, &mut wire), Some(original.entries));
+            assert_eq!(channel.rejected(), 0);
+        }
     }
 
     #[test]
@@ -386,7 +397,7 @@ mod tests {
             let mut channel = MigrationChannel::new(0, 1, 7, confidential);
             for n in [0, 1, CHUNK_ENTRIES] {
                 let chunk = chunk(n);
-                let payload = chunk.entries.iter().map(RangeEntry::payload_len).sum();
+                let payload = MigrationChunk::payload_len(&chunk.entries);
                 let len = MigrationChunk::wire_len(n, payload);
                 assert_eq!(chunk.encode().len(), len);
                 let sealed = seal(&mut channel, &chunk).len();

@@ -849,7 +849,9 @@ mod tests {
             let records = |replica: &mut RaftReplica| {
                 assert_eq!(replica.committed_entries(), 8 * 40);
                 let entries = replica.store().export_range(&|_| true).unwrap();
-                let records = entries.into_iter().map(|e| (e.key, e.value, e.ts_logical));
+                let records = entries
+                    .into_iter()
+                    .map(|(key, value, ts)| (key, value, ts.logical));
                 records.collect::<Vec<_>>()
             };
             let leader = records(cluster.replica_mut(NodeId(0)));

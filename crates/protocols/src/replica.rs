@@ -103,7 +103,10 @@ impl Handle<'_> {
     /// wrapper's timer).
     pub(crate) fn send(&mut self, dst: NodeId, payload: &[u8]) {
         if !self.batcher.is_batching() {
-            let wire = self.shield.wrap_in(self.ctx.frames(), dst, KIND, payload);
+            let frames = self.ctx.frames();
+            let wire = self.shield.wrap_in(frames, dst, KIND, payload.len(), |w| {
+                w.raw(payload);
+            });
             self.ctx.send(dst, wire);
             return;
         }

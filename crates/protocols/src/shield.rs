@@ -18,8 +18,8 @@ use std::borrow::Cow;
 
 use recipe_core::wire::{bytes_len, tag, Reader, Writer};
 use recipe_core::{
-    AuthLayer, BatchFrame, BatchOp, ConfidentialityMode, FramePool, FrameView, Membership,
-    ShieldedMessage, TxnBody, TxnBodyRef, ViewOutcome,
+    AuthLayer, BatchFrame, ConfidentialityMode, FramePool, FrameView, Membership, ShieldedMessage,
+    TxnBody, TxnBodyRef, ViewOutcome,
 };
 use recipe_crypto::{CipherKey, MacKey};
 use recipe_net::{ChannelId, NodeId};
@@ -58,12 +58,21 @@ impl ProtocolMode {
 const GROUP_KEY_DOMAIN: &[u8] = b"recipe.group_key.v1";
 
 /// Framing used by native (untransformed) protocols:
-/// `tag | kind u16 | payload`, in a spare from `frames`.
-fn encode_native(frames: &mut FramePool, kind: u16, payload: &[u8]) -> Vec<u8> {
-    let len = native_len(payload.len());
+/// `tag | kind u16 | payload`, in a spare from `frames`, the `body_len`
+/// payload bytes put in place by `write_body`.
+fn encode_native(
+    frames: &mut FramePool,
+    kind: u16,
+    body_len: usize,
+    write_body: impl FnOnce(&mut Writer),
+) -> Vec<u8> {
+    let len = native_len(body_len);
     let mut w = Writer::reusing(frames.take(len), len);
-    w.u8(tag::NATIVE_SINGLE).u16(kind).bytes(payload);
-    w.finish()
+    w.u8(tag::NATIVE_SINGLE).u16(kind).count(body_len);
+    write_body(&mut w);
+    let wire = w.finish();
+    assert_eq!(wire.len(), len, "message body is not the length given");
+    wire
 }
 
 /// Bytes [`encode_native`] writes for a `payload_len`-byte payload.
@@ -282,7 +291,7 @@ impl ProtocolShield {
     /// no peers yet — a lane adds the other end at first contact
     /// ([`ProtocolShield::add_peer`]) — and with the cipher key provisioned
     /// whatever any shard's policy says, because sealing is decided per
-    /// transaction ([`ProtocolShield::wrap_txn`]) and one endpoint serves
+    /// transaction ([`ProtocolShield::wrap_txn_in`]) and one endpoint serves
     /// them all. The cipher is expanded on first use, so an endpoint that
     /// never seals pays nothing for holding the key.
     pub(crate) fn txn_endpoint(node: NodeId) -> Self {
@@ -449,35 +458,26 @@ impl ProtocolShield {
         }
     }
 
-    /// `ProtocolShield::wrap_in` into a buffer of the frame's own.
-    pub fn wrap(&mut self, dst: NodeId, kind: u16, payload: &[u8]) -> Vec<u8> {
-        self.wrap_in(&mut FramePool::default(), dst, kind, payload)
-    }
-
     /// Wraps a protocol message of type `kind` for `dst` into wire bytes, in
-    /// a spare from `frames`.
-    pub(crate) fn wrap_in(
+    /// a spare from `frames`: `write_body` puts the message's `body_len`
+    /// bytes straight into the frame's body slot, where they are sealed. A
+    /// message that is already bytes passes `|w| { w.raw(payload); }`.
+    pub fn wrap_in(
         &mut self,
         frames: &mut FramePool,
         dst: NodeId,
         kind: u16,
-        payload: &[u8],
+        body_len: usize,
+        write_body: impl FnOnce(&mut Writer),
     ) -> Vec<u8> {
         self.sealed_frames += 1;
         self.sealed_ops += 1;
         match &mut self.auth {
-            None => encode_native(frames, kind, payload),
+            None => encode_native(frames, kind, body_len, write_body),
             Some(auth) => auth
-                .shield_in(frames, dst, kind, payload)
+                .shield_in(frames, dst, kind, body_len, write_body)
                 .expect("channel key provisioned for every peer"),
         }
-    }
-
-    /// `ProtocolShield::wrap_batch_in` of `ops`, into a buffer of the
-    /// frame's own.
-    pub fn wrap_batch(&mut self, dst: NodeId, ops: Vec<BatchOp>) -> Vec<u8> {
-        let body = BatchFrame::encode_ops(&ops);
-        self.wrap_batch_in(&mut FramePool::default(), dst, &body)
     }
 
     /// Wraps a whole batch of protocol messages for `dst` into one wire frame,
@@ -488,14 +488,9 @@ impl ProtocolShield {
     ///
     /// # Panics
     /// Panics on an empty batch — flushing nothing is a caller bug.
-    pub(crate) fn wrap_batch_in(
-        &mut self,
-        frames: &mut FramePool,
-        dst: NodeId,
-        body: &[u8],
-    ) -> Vec<u8> {
+    pub fn wrap_batch_in(&mut self, frames: &mut FramePool, dst: NodeId, body: &[u8]) -> Vec<u8> {
         let ops = BatchFrame::op_count(body);
-        assert!(ops > 0, "wrap_batch requires at least one op");
+        assert!(ops > 0, "wrap_batch_in requires at least one op");
         self.sealed_frames += 1;
         self.sealed_ops += u64::from(ops);
         match &mut self.auth {
@@ -506,25 +501,18 @@ impl ProtocolShield {
         }
     }
 
-    /// Wraps one two-phase-commit message for `dst` into wire bytes: a
-    /// domain-separated [`recipe_core::TxnFrame`] under the channel's next
-    /// counter slot — MAC always, the body encrypted when `seal` is set. The
-    /// caller decides per frame: stricter-wins sealing is a property of the
-    /// transaction, not of the endpoint. 2PC endpoints always run Recipe
-    /// mode — there is no native 2PC.
+    /// Wraps one two-phase-commit message for `dst` into wire bytes, in a
+    /// spare from `frames`: a domain-separated [`recipe_core::TxnFrame`]
+    /// under the channel's next counter slot — MAC always, the body
+    /// encrypted when `seal` is set. The caller decides per frame:
+    /// stricter-wins sealing is a property of the transaction, not of the
+    /// endpoint. 2PC endpoints always run Recipe mode — there is no native
+    /// 2PC.
     ///
     /// # Panics
     /// Panics on a native-mode shield: transaction frames only exist inside
     /// the authenticated channel.
-    pub fn wrap_txn(&mut self, dst: NodeId, txn_id: u64, body: &TxnBody, seal: bool) -> Vec<u8> {
-        self.wrap_txn_in(&mut FramePool::default(), dst, txn_id, body, seal)
-    }
-
-    /// [`ProtocolShield::wrap_txn`] in a spare from `frames`.
-    ///
-    /// # Panics
-    /// Panics on a native-mode shield, as [`ProtocolShield::wrap_txn`] does.
-    pub(crate) fn wrap_txn_in(
+    pub fn wrap_txn_in(
         &mut self,
         frames: &mut FramePool,
         dst: NodeId,
@@ -557,22 +545,12 @@ impl ProtocolShield {
     ///
     /// The frame is verified where it lies, as [`ProtocolShield::unwrap`]
     /// verifies the others, but `bytes` are only read — a coordinator
-    /// resends the same cached bytes, so they cannot be opened in place: a
-    /// sealed body is decrypted in a copy. The body comes back in a
-    /// [`TxnBody`] of its own; the 2PC lanes open their frames through
-    /// `unwrap_txn_in`, which copies nothing out.
-    pub fn unwrap_txn(&mut self, from: NodeId, bytes: &[u8]) -> Option<(u64, TxnBody)> {
-        let mut spare = None;
-        let opened = self.unwrap_txn_in(&mut FramePool::default(), from, bytes, &mut spare);
-        opened.map(|(txn_id, body)| (txn_id, body.to_body()))
-    }
-
-    /// [`ProtocolShield::unwrap_txn`] with the body decoded where it lies:
-    /// in `bytes` when it travelled in plaintext, and in a spare from
-    /// `frames` when it was sealed — copied there, decrypted there, and left
-    /// in `spare` for the caller to give back to `frames` once done with the
-    /// body.
-    pub(crate) fn unwrap_txn_in<'a>(
+    /// resends the same cached bytes, so they cannot be opened in place.
+    /// The body is decoded where it lies: in `bytes` when it travelled in
+    /// plaintext, and in a spare from `frames` when it was sealed — copied
+    /// there, decrypted there, and left in `spare` for the caller to give
+    /// back to `frames` once done with the body.
+    pub fn unwrap_txn_in<'a>(
         &mut self,
         frames: &mut FramePool,
         from: NodeId,
@@ -631,7 +609,7 @@ impl ProtocolShield {
             return Some(out);
         };
         // A frame that names another source is refused before the
-        // authentication layer sees it (as in `unwrap_txn`): it would verify
+        // authentication layer sees it (as in `unwrap_txn_in`): it would verify
         // on *that* peer's channel and move that peer's receive counter,
         // while its payload reached the protocol as `from`'s. A frame ahead
         // of its predecessors is buffered, not opened.
@@ -652,10 +630,27 @@ impl ProtocolShield {
 
 #[cfg(test)]
 mod tests {
+    use recipe_core::BatchOp;
+
     use super::*;
 
     fn membership() -> Membership {
         Membership::of_size(3, 1)
+    }
+
+    /// `payload` wrapped as one `kind` message for `dst`, in a frame of its
+    /// own.
+    fn single(shield: &mut ProtocolShield, dst: NodeId, kind: u16, payload: &[u8]) -> Vec<u8> {
+        let frames = &mut FramePool::default();
+        shield.wrap_in(frames, dst, kind, payload.len(), |w| {
+            w.raw(payload);
+        })
+    }
+
+    /// `ops` wrapped as one batch frame for `dst`, in a frame of its own.
+    fn batched(shield: &mut ProtocolShield, dst: NodeId, ops: &[BatchOp]) -> Vec<u8> {
+        let body = BatchFrame::encode_ops(ops);
+        shield.wrap_batch_in(&mut FramePool::default(), dst, &body)
     }
 
     #[test]
@@ -665,7 +660,7 @@ mod tests {
         let mut receiver = ProtocolShield::recipe(NodeId(1), &m, false);
         assert!(sender.mode().is_recipe());
 
-        let mut wire = sender.wrap(NodeId(1), 7, b"append entry 5");
+        let mut wire = single(&mut sender, NodeId(1), 7, b"append entry 5");
         let out = receiver.unwrap(NodeId(0), &mut wire);
         assert_eq!(out, vec![(7, b"append entry 5".to_vec())]);
         assert_eq!(receiver.rejected(), 0);
@@ -676,7 +671,7 @@ mod tests {
         let mut sender = ProtocolShield::native(NodeId(0));
         let mut receiver = ProtocolShield::native(NodeId(1));
         assert_eq!(sender.mode(), ProtocolMode::Native);
-        let wire = sender.wrap(NodeId(1), 3, b"plain");
+        let wire = single(&mut sender, NodeId(1), 3, b"plain");
         assert_eq!(
             receiver.unwrap(NodeId(0), &mut wire.clone()),
             vec![(3, b"plain".to_vec())]
@@ -694,7 +689,7 @@ mod tests {
         let mut sender = ProtocolShield::recipe(NodeId(0), &m, false);
         let mut receiver = ProtocolShield::recipe(NodeId(1), &m, false);
 
-        let wire = sender.wrap(NodeId(1), 7, b"value=A");
+        let wire = single(&mut sender, NodeId(1), 7, b"value=A");
         // Tampered copy is rejected.
         let mut tampered = wire.clone();
         let idx = tampered.len() / 2;
@@ -712,8 +707,8 @@ mod tests {
         let m = membership();
         let mut sender = ProtocolShield::recipe(NodeId(0), &m, false);
         let mut receiver = ProtocolShield::recipe(NodeId(1), &m, false);
-        let mut w1 = sender.wrap(NodeId(1), 1, b"first");
-        let w2 = sender.wrap(NodeId(1), 1, b"second");
+        let mut w1 = single(&mut sender, NodeId(1), 1, b"first");
+        let w2 = single(&mut sender, NodeId(1), 1, b"second");
         // w2 arrives first → buffered; nothing delivered yet.
         assert!(receiver.unwrap(NodeId(0), &mut w2.clone()).is_empty());
         // w1 arrives → both delivered, in order.
@@ -726,7 +721,7 @@ mod tests {
         let m = membership();
         let mut sender = ProtocolShield::recipe(NodeId(0), &m, true);
         let mut receiver = ProtocolShield::recipe(NodeId(1), &m, true);
-        let wire = sender.wrap(NodeId(1), 2, b"secret-value-123");
+        let wire = single(&mut sender, NodeId(1), 2, b"secret-value-123");
         assert!(!wire.windows(6).any(|w| w == b"secret"));
         assert_eq!(
             receiver.unwrap(NodeId(0), &mut wire.clone()),
@@ -784,7 +779,8 @@ mod tests {
         // so nonce, which under one cipher key would be one keystream.
         let wire = |group: u64| {
             let m = membership().in_group(group);
-            ProtocolShield::recipe(NodeId(0), &m, true).wrap(NodeId(1), 7, &[0x5A; 64])
+            let mut sender = ProtocolShield::recipe(NodeId(0), &m, true);
+            single(&mut sender, NodeId(1), 7, &[0x5A; 64])
         };
         let (a, b) = (wire(0), wire(1));
         let body = |wire: &[u8]| {
@@ -811,8 +807,8 @@ mod tests {
         let mut sender = ProtocolShield::recipe(NodeId(2), &m, false);
         let mut receiver = ProtocolShield::recipe(NodeId(1), &m, false);
         for wire in [
-            sender.wrap(NodeId(1), 7, b"ack"),
-            sender.wrap_batch(NodeId(1), batch(2)),
+            single(&mut sender, NodeId(1), 7, b"ack"),
+            batched(&mut sender, NodeId(1), &batch(2)),
         ] {
             // A valid 2→1 frame the network hands over as node 0's: its
             // payload must not count as node 0's, and node 2's receive
@@ -841,14 +837,14 @@ mod tests {
         let mut sender = ProtocolShield::recipe(NodeId(0), &m, false);
         let mut receiver = ProtocolShield::recipe(NodeId(1), &m, false);
 
-        let mut wire = sender.wrap_batch(NodeId(1), batch(3));
+        let mut wire = batched(&mut sender, NodeId(1), &batch(3));
         let out = receiver.unwrap(NodeId(0), &mut wire);
         assert_eq!(out.len(), 3);
         assert_eq!(out.as_slice()[0], (1, Cow::Borrowed(&b"entry0"[..])));
         assert_eq!(out.as_slice()[2], (1, Cow::Borrowed(&b"entry2"[..])));
 
         // Singles keep flowing on the same channel after a batch.
-        let wire = sender.wrap(NodeId(1), 7, b"single");
+        let wire = single(&mut sender, NodeId(1), 7, b"single");
         assert_eq!(
             receiver.unwrap(NodeId(0), &mut wire.clone()),
             vec![(7, b"single".to_vec())]
@@ -860,7 +856,7 @@ mod tests {
     fn native_batches_roundtrip() {
         let mut sender = ProtocolShield::native(NodeId(0));
         let mut receiver = ProtocolShield::native(NodeId(1));
-        let mut wire = sender.wrap_batch(NodeId(1), batch(2));
+        let mut wire = batched(&mut sender, NodeId(1), &batch(2));
         let out = receiver.unwrap(NodeId(0), &mut wire);
         assert_eq!(out, vec![(1, b"entry0".to_vec()), (1, b"entry1".to_vec())]);
     }
@@ -870,7 +866,7 @@ mod tests {
         let m = membership();
         let mut sender = ProtocolShield::recipe(NodeId(0), &m, false);
         let mut receiver = ProtocolShield::recipe(NodeId(1), &m, false);
-        let wire = sender.wrap_batch(NodeId(1), batch(4));
+        let wire = batched(&mut sender, NodeId(1), &batch(4));
         let mut tampered = wire.clone();
         let idx = tampered.len() / 2;
         tampered[idx] ^= 0x01;
@@ -886,8 +882,8 @@ mod tests {
         let m = membership();
         let mut sender = ProtocolShield::recipe(NodeId(0), &m, false);
         let mut receiver = ProtocolShield::recipe(NodeId(1), &m, false);
-        let mut w1 = sender.wrap(NodeId(1), 2, b"first");
-        let w2 = sender.wrap_batch(NodeId(1), batch(2));
+        let mut w1 = single(&mut sender, NodeId(1), 2, b"first");
+        let w2 = batched(&mut sender, NodeId(1), &batch(2));
         // The batch arrives first → buffered behind the missing single.
         assert!(receiver.unwrap(NodeId(0), &mut w2.clone()).is_empty());
         let out = receiver.unwrap(NodeId(0), &mut w1);
@@ -910,7 +906,7 @@ mod tests {
             BatchOp::new(1, b"secret-a".to_vec()),
             BatchOp::new(1, b"secret-b".to_vec()),
         ];
-        let mut wire = sender.wrap_batch(NodeId(1), ops.clone());
+        let mut wire = batched(&mut sender, NodeId(1), &ops);
         assert!(!wire.windows(6).any(|w| w == b"secret"));
         let out = receiver.unwrap(NodeId(0), &mut wire);
         assert_eq!(
@@ -945,17 +941,17 @@ mod tests {
                 ProtocolShield::recipe(NodeId(1), &m, true),
             ),
         ] {
-            let mut single = sender.wrap(NodeId(1), 7, b"ack");
+            let mut single = single(&mut sender, NodeId(1), 7, b"ack");
             assert_eq!(borrowed(&receiver.unwrap(NodeId(0), &mut single)), [true]);
-            let mut wire = sender.wrap_batch(NodeId(1), batch(3));
+            let mut wire = batched(&mut sender, NodeId(1), &batch(3));
             assert_eq!(borrowed(&receiver.unwrap(NodeId(0), &mut wire)), [true; 3]);
         }
         // One released from the protected buffer is a buffer of its own.
         let mut sender = ProtocolShield::recipe(NodeId(0), &m, false);
         let mut receiver = ProtocolShield::recipe(NodeId(1), &m, false);
         let (mut first, mut second) = (
-            sender.wrap(NodeId(1), 7, b"first"),
-            sender.wrap(NodeId(1), 7, b"second"),
+            single(&mut sender, NodeId(1), 7, b"first"),
+            single(&mut sender, NodeId(1), 7, b"second"),
         );
         assert!(receiver.unwrap(NodeId(0), &mut second).is_empty());
         assert_eq!(
@@ -1176,7 +1172,7 @@ mod tests {
         let mut receiver = ProtocolShield::recipe(NodeId(1), &m, false);
         // Outsider derives its keys from the same master in this reproduction, so use
         // a node id outside the receiver's membership to get a missing channel key.
-        let wire = outsider.wrap(NodeId(1), 7, b"inject");
+        let wire = single(&mut outsider, NodeId(1), 7, b"inject");
         // The receiver *does* hold cq:2->1 (node 2 is in its membership), so this is
         // accepted — the meaningful rejection is for a node the membership does not
         // contain at all:
@@ -1186,7 +1182,7 @@ mod tests {
             &Membership::new(vec![NodeId(1), NodeId(9)], 0),
             false,
         );
-        let wire = stranger.wrap(NodeId(1), 7, b"inject");
+        let wire = single(&mut stranger, NodeId(1), 7, b"inject");
         // Receiver has no key for cq:9->1 (9 is not in its membership) → rejected.
         assert!(receiver.unwrap(NodeId(9), &mut wire.clone()).is_empty());
     }

@@ -37,9 +37,10 @@
 //! the store as it is applied, the buffer the write hands back returning to
 //! its record. The applied records the coordinator installs on the other
 //! replicas ([`ReplicaStore::txn_commit`]) are copied into spares of this
-//! list and come back once installed ([`ReplicaStore::recycle_entries`]);
-//! a replica installs each value from a spare of its own list and files
-//! what the write hands back ([`ReplicaStore::txn_install`]).
+//! list and come back once installed ([`ReplicaStore::recycle_entries`]).
+//! A replica installs them as it installs a transfer's chunk
+//! ([`ReplicaStore::import_range`]): each value is copied from where it
+//! lies straight into the key's host slot, so no buffer changes hands.
 //!
 //! A read reply makes the round trip through the group's frame pool
 //! instead, as a frame does: [`ReplicaStore::read_pooled`] checks the
@@ -52,10 +53,11 @@
 
 use recipe_core::FramePool;
 use recipe_kv::{
-    KvError, PartitionedKvStore, ReadResult, StoreConfig, Timestamp, TxnOpRef, TxnRecordOps,
+    ExportedEntry, KvError, PartitionedKvStore, ReadResult, StoreConfig, Timestamp, TxnOpRef,
+    TxnRecordOps,
 };
 use recipe_net::NodeId;
-use recipe_sim::{RangeEntry, Replica, RestartReport};
+use recipe_sim::{Replica, RestartReport};
 
 use crate::migration::ChunkRecord;
 use crate::registry::Protocol;
@@ -133,15 +135,6 @@ pub struct ReplicaStore {
     applied: u64,
     /// Spare key and value buffers (module docs, "Entry buffers").
     entries: FramePool,
-}
-
-fn entry(key: Vec<u8>, value: Vec<u8>, ts: Timestamp) -> RangeEntry {
-    RangeEntry {
-        key,
-        value,
-        ts_logical: ts.logical,
-        ts_node: ts.node,
-    }
 }
 
 impl ReplicaStore {
@@ -274,10 +267,10 @@ impl ReplicaStore {
     /// store keeps — releases its locks, and appends the applied records to
     /// `committed` with the timestamps the store now holds, copied into
     /// spares of the entry list ("Entry buffers"); the coordinator installs
-    /// them on the group's other replicas ([`Self::txn_install`]) and gives
+    /// them on the group's other replicas ([`Self::import_range`]) and gives
     /// them back ([`Self::recycle_entries`]). An unknown transaction appends
     /// nothing (idempotent re-commit).
-    pub fn txn_commit(&mut self, txn_id: u64, committed: &mut Vec<RangeEntry>) {
+    pub fn txn_commit(&mut self, txn_id: u64, committed: &mut Vec<ExportedEntry>) {
         let ReplicaStore {
             kv,
             node,
@@ -290,14 +283,14 @@ impl ReplicaStore {
             stamping.stamp(*applied, *node, || stored)
         };
         kv.txn_commit(txn_id, stamp, |key, value, ts| {
-            committed.push(entry(copy(entries, key), copy(entries, value), ts));
+            committed.push((copy(entries, key), copy(entries, value), ts));
         });
     }
 
     /// Gives back the buffers of the records [`Self::txn_commit`] copied out,
     /// once nothing reads them, leaving `committed` empty.
-    pub fn recycle_entries(&mut self, committed: &mut Vec<RangeEntry>) {
-        for RangeEntry { key, value, .. } in committed.drain(..) {
+    pub fn recycle_entries(&mut self, committed: &mut Vec<ExportedEntry>) {
+        for (key, value, _) in committed.drain(..) {
             self.entries.give(key);
             self.entries.give(value);
         }
@@ -350,59 +343,40 @@ impl ReplicaStore {
     pub fn export_range(
         &mut self,
         filter: &dyn Fn(&[u8]) -> bool,
-    ) -> Result<Vec<RangeEntry>, String> {
-        let exported = self
-            .kv
+    ) -> Result<Vec<ExportedEntry>, String> {
+        self.kv
             .export_matching(filter)
-            .map_err(|err| format!("range export failed verification: {err:?}"))?;
-        Ok(exported
-            .into_iter()
-            .map(|(key, value, ts)| entry(key, value, ts))
-            .collect())
+            .map_err(|err| format!("range export failed verification: {err:?}"))
     }
 
     /// Reads one key through the verified path with its **real stored write
     /// timestamp** (catch-up capture uses this so timestamp-ordered stores
     /// keep their write rule across the move). `Ok(None)` when the key is
     /// absent; `Err` when it fails verification.
-    pub fn read_entry(&mut self, key: &[u8]) -> Result<Option<RangeEntry>, String> {
+    pub fn read_entry(&mut self, key: &[u8]) -> Result<Option<ExportedEntry>, String> {
         match self.kv.read(key) {
             Ok(read) => {
                 let mut value = Vec::new();
                 read.copy_into(&mut value);
-                Ok(Some(entry(key.to_vec(), value, read.timestamp)))
+                Ok(Some((key.to_vec(), value, read.timestamp)))
             }
             Err(KvError::NotFound) => Ok(None),
             Err(err) => Err(format!("verified read failed: {err:?}")),
         }
     }
 
-    /// Installs the records of an opened chunk with the timestamps they
-    /// carry, in order (a later record overwrites an earlier one for the
-    /// same key). This is below the protocol: the applied count does not
-    /// move — the records committed on the exporting replica. Each value is
-    /// copied from the frame into the host slot, over the bytes the key
-    /// holds when they are as long; every replica of a group installs from
-    /// one chunk.
-    pub fn import_range(&mut self, records: &[ChunkRecord<'_>]) {
-        for &(key, value, ts) in records {
+    /// Installs committed records with the timestamps they carry, in order
+    /// (a later record overwrites an earlier one for the same key): an
+    /// opened chunk's, where they lie in its frame, or the list a 2PC
+    /// commit applied on the group's write coordinator
+    /// ([`Self::txn_commit`]). This is below the protocol: the applied
+    /// count does not move — the records committed on the exporting
+    /// replica. Each value is copied from where it lies into the host
+    /// slot, over the bytes the key holds when they are as long; every
+    /// replica of a group installs from one chunk or one list.
+    pub fn import_range<'a>(&mut self, records: impl IntoIterator<Item = ChunkRecord<'a>>) {
+        for (key, value, ts) in records {
             let _ = self.kv.write(key, value, ts);
-        }
-    }
-
-    /// [`Self::import_range`] for the records a 2PC commit applied on the
-    /// group's write coordinator ([`Self::txn_commit`]): each value is
-    /// copied into a spare of the entry list, and the buffer the write
-    /// hands back goes back to the list ("Entry buffers"). Snapshots and
-    /// catch-up chunks keep to `import_range`, which copies into the host
-    /// slots.
-    pub fn txn_install(&mut self, entries: &[RangeEntry]) {
-        for entry in entries {
-            let value = self.copy_entry(&entry.value);
-            let ts = Timestamp::new(entry.ts_logical, entry.ts_node);
-            if let Some(back) = self.kv.write_owned(&entry.key, value, ts) {
-                self.entries.give(back);
-            }
         }
     }
 
@@ -452,6 +426,7 @@ mod tests {
     use recipe_core::Operation;
 
     use super::*;
+    use crate::migration::{ChunkPhase, MigrationChannel};
 
     /// Lends protocol operations to the store as its `(key, staged write)` pairs:
     /// reads lock their key and stage nothing, writes lock and stage the value.
@@ -479,26 +454,21 @@ mod tests {
             self.txn_prepare(txn_id, lock_pairs(ops))
         }
 
-        /// Installs `entries` as an opened chunk lends them.
-        fn import(&mut self, entries: &[RangeEntry]) {
-            let records: Vec<ChunkRecord<'_>> = entries
-                .iter()
-                .map(|e| {
-                    (
-                        &e.key[..],
-                        &e.value[..],
-                        Timestamp::new(e.ts_logical, e.ts_node),
-                    )
-                })
-                .collect();
-            self.import_range(&records);
+        /// Installs `entries` as the coordinator installs a committed
+        /// transaction's list.
+        fn install(&mut self, entries: &[ExportedEntry]) {
+            self.import_range(
+                entries
+                    .iter()
+                    .map(|(key, value, ts)| (&key[..], &value[..], *ts)),
+            );
         }
 
         /// Restarts, then catches up from `peer` as a restart's transfer
         /// does: its whole range, then its prepare records.
         fn restart_from(&mut self, peer: &mut ReplicaStore) -> RestartReport {
             let report = self.restart();
-            self.import(&peer.export_range(&|_| true).unwrap());
+            self.install(&peer.export_range(&|_| true).unwrap());
             for (txn_id, ops) in peer.txn_records() {
                 let ops = ops
                     .iter()
@@ -510,15 +480,18 @@ mod tests {
         }
 
         /// Commits `txn_id`, its applied records copied out.
-        fn commit(&mut self, txn_id: u64) -> Vec<RangeEntry> {
+        fn commit(&mut self, txn_id: u64) -> Vec<ExportedEntry> {
             let mut entries = Vec::new();
             self.txn_commit(txn_id, &mut entries);
             entries
         }
     }
 
-    fn stamps(entries: &[RangeEntry]) -> Vec<(u64, u64)> {
-        entries.iter().map(|e| (e.ts_logical, e.ts_node)).collect()
+    fn stamps(entries: &[ExportedEntry]) -> Vec<(u64, u64)> {
+        entries
+            .iter()
+            .map(|(_, _, ts)| (ts.logical, ts.node))
+            .collect()
     }
 
     #[test]
@@ -550,13 +523,13 @@ mod tests {
         // count to the highest timestamp that survives, so the next write
         // cannot reuse one.
         let mut peer = ReplicaStore::new(StoreConfig::default(), NodeId(0), Stamping::Sequence);
-        peer.import(&entries);
+        peer.install(&entries);
         (0..5).for_each(|_| peer.apply(b"c", b"3".to_vec()));
         assert_eq!(peer.prepare(9, &[put(b"d", b"4")]), TxnVote::Granted);
         let report = store.restart_from(&mut peer);
         assert_eq!((report.verified_entries, report.discarded_entries), (2, 0));
         assert_eq!(store.applied(), 5);
-        assert_eq!(store.read_entry(b"c").unwrap().unwrap().ts_node, 0);
+        assert_eq!(store.read_entry(b"c").unwrap().unwrap().2.node, 0);
         // The peer's prepare came over as a passive copy: no lock until adopted.
         assert!(!store.is_locked(b"d"));
         assert_eq!(store.txn_adopt_replicated(), [9]);
@@ -591,7 +564,7 @@ mod tests {
         let exported = store.export_range(&moving).unwrap();
         assert_eq!(stamps(&exported), [(10, 2)]);
         let mut recipient = ReplicaStore::new(StoreConfig::default(), NodeId(0), Stamping::Lamport);
-        recipient.import(&exported);
+        recipient.install(&exported);
         assert_eq!(recipient.applied(), 0);
         assert!(!recipient.apply_if_newer(b"moving", b"stale", Timestamp::new(9, 9)));
         assert!(recipient.apply_if_newer(b"moving", b"fresh", Timestamp::new(11, 0)));
@@ -613,5 +586,31 @@ mod tests {
         let report = store.restart();
         assert_eq!((report.verified_entries, report.discarded_entries), (1, 1));
         assert_eq!(store.read_entry(b"staying"), Ok(None));
+    }
+
+    #[test]
+    fn a_committed_list_and_an_opened_chunk_install_the_same_state() {
+        for stamping in [Stamping::Sequence, Stamping::Lamport] {
+            let mut leader = store(stamping);
+            leader.apply(b"a", b"0".to_vec());
+            let ops = [put(b"a", b"1"), put(b"b", b"22")];
+            assert_eq!(leader.prepare(7, &ops), TxnVote::Granted);
+            let committed = leader.commit(7);
+            // Two followers hold an older `a`, which both installs overwrite.
+            let [mut from_list, mut from_chunk] = [0, 1].map(|_| {
+                let mut follower = ReplicaStore::new(StoreConfig::default(), NodeId(0), stamping);
+                follower.apply(b"a", b"old".to_vec());
+                follower
+            });
+            from_list.install(&committed);
+            let mut channel = MigrationChannel::new(0, 1, 1, false);
+            let (_, mut wire) = channel.seal(ChunkPhase::CatchUp, &committed);
+            from_chunk.import_range(channel.open(&mut wire).unwrap());
+            let held = |store: &mut ReplicaStore| store.export_range(&|_| true).unwrap();
+            let installed = held(&mut from_list);
+            assert_eq!(installed, held(&mut from_chunk), "{stamping:?}");
+            assert_eq!(installed, held(&mut leader), "{stamping:?}");
+            assert_eq!((from_list.applied(), from_chunk.applied()), (1, 1));
+        }
     }
 }

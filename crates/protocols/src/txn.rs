@@ -48,7 +48,7 @@
 //!   after which X's retransmission is a replay for ever and X's locks never
 //!   release. Opening a frame on lane `(Y, s)` therefore refuses, before the
 //!   authentication layer sees it, any frame whose source is not Y's
-//!   endpoint ([`ProtocolShield::unwrap_txn`]).
+//!   endpoint ([`ProtocolShield::unwrap_txn_in`]).
 //!
 //! No key is ever used under two counters: an endpoint is one enclave with
 //! one send and one receive counter per peer, and sealed and plaintext

@@ -53,9 +53,10 @@
 
 use std::cmp::Reverse;
 
+use recipe_kv::ExportedEntry;
 use recipe_net::{Landing, NodeId};
-use recipe_protocols::{ChunkPhase, MigrationChannel, StoreReplica, CHUNK_ENTRIES};
-use recipe_sim::{RangeEntry, Work};
+use recipe_protocols::{ChunkPhase, MigrationChannel, MigrationChunk, StoreReplica, CHUNK_ENTRIES};
+use recipe_sim::Work;
 use recipe_telemetry::{ChargeKind, SpanKind};
 use recipe_workload::stable_key_hash;
 use serde::{Deserialize, Serialize};
@@ -218,7 +219,7 @@ struct ActiveMigration {
     /// Records waiting for the next round: the snapshot, then the writes
     /// committed on the donor inside the moving range since the last
     /// shipped round, in commit order.
-    catchup: Vec<RangeEntry>,
+    catchup: Vec<ExportedEntry>,
     /// Rounds shipped, the snapshot's included.
     rounds: u64,
     /// Committed moving-range writes this migration failed to capture; a
@@ -296,7 +297,7 @@ impl ControllerState {
     /// Records one capture attempt: the re-read record, or a capture miss
     /// (leader gone / unverifiable) which forces a full verified re-export
     /// at cutover.
-    pub(crate) fn record_capture(&mut self, entry: Option<RangeEntry>) {
+    pub(crate) fn record_capture(&mut self, entry: Option<ExportedEntry>) {
         let Some(active) = self.active.as_mut() else {
             return;
         };
@@ -317,7 +318,7 @@ impl ControllerState {
         &mut self,
         router: &ShardRouter,
         shard: usize,
-        entries: &[RangeEntry],
+        entries: &[ExportedEntry],
     ) {
         let Some(active) = self.active.as_mut() else {
             return;
@@ -326,7 +327,7 @@ impl ControllerState {
             return;
         }
         for entry in entries {
-            let arc = router.arc_of_point(stable_key_hash(&entry.key));
+            let arc = router.arc_of_point(stable_key_hash(&entry.0));
             if active.arcs.binary_search(&arc).is_ok() {
                 active.catchup.push(entry.clone());
             }
@@ -510,7 +511,7 @@ impl<R: StoreReplica> Engine<'_, R> {
         &mut self,
         transfer: &mut Transfer,
         now: u64,
-        entries: &[RangeEntry],
+        entries: &[ExportedEntry],
         phase: ChunkPhase,
     ) -> Option<u64> {
         let Engine {
@@ -676,7 +677,7 @@ impl<R: StoreReplica> ShardedCluster<R> {
         transfer: &mut Transfer,
         donor: NodeId,
         now: u64,
-        entries: &[RangeEntry],
+        entries: &[ExportedEntry],
         phase: ChunkPhase,
         mut send: impl FnMut(&mut Self, u64, &[u8]) -> Landing,
     ) -> Round {
@@ -694,7 +695,7 @@ impl<R: StoreReplica> ShardedCluster<R> {
             let wire_len = wire.len();
             let export = Work::Scan {
                 entries: batch.len(),
-                bytes: batch.iter().map(RangeEntry::payload_len).sum(),
+                bytes: MigrationChunk::payload_len(batch),
             };
             let send_work = Work::Send {
                 ops: 1,
@@ -738,7 +739,10 @@ impl<R: StoreReplica> ShardedCluster<R> {
             for &node in recipients.iter() {
                 let imported = group.charge(node, arrival, ChargeKind::SnapshotImport, import);
                 ready_at = ready_at.max(imported.finish_ns);
-                group.replica_mut(node).store().import_range(&records);
+                group
+                    .replica_mut(node)
+                    .store()
+                    .import_range(records.iter().copied());
             }
             channel.recycle(wire);
         }

@@ -70,11 +70,12 @@
 use std::collections::BTreeMap;
 
 use recipe_core::{Operation, Request, TxnBody, TxnBodyRef};
+use recipe_kv::ExportedEntry;
 use recipe_net::{FaultPlan, Landing, Link, NodeId};
 use recipe_protocols::{
     StoreReplica, TxnLane, TxnLanes, TxnVote, MAX_SHARDS, MIGRATION_ENDPOINT_IDS, TXN_ENDPOINT_IDS,
 };
-use recipe_sim::{RangeEntry, Work, COST_MODEL};
+use recipe_sim::{Work, COST_MODEL};
 use recipe_telemetry::{ChargeKind, SpanKind};
 use recipe_workload::stable_key_hash;
 
@@ -328,7 +329,7 @@ struct Spares {
     lists: Vec<Vec<Participant>>,
     /// The applied records of the commit being installed, in buffers of the
     /// participant leader's ([`recipe_protocols::ReplicaStore::txn_commit`]).
-    committed: Vec<RangeEntry>,
+    committed: Vec<ExportedEntry>,
     placements: Vec<(usize, Option<usize>, bool)>,
 }
 
@@ -897,16 +898,16 @@ impl<R: StoreReplica> Engine<'_, R> {
                 }
                 let work = Work::TxnCommit {
                     writes: entries.len(),
-                    bytes: entries.iter().map(RangeEntry::payload_len).sum(),
+                    bytes: entries.iter().map(|(k, v, _)| k.len() + v.len()).sum(),
                 };
                 let charged = group.charge(leader, arrival, charge_kind, work);
                 let mut finish = charged.finish_ns + replication_rt;
                 for idx in 0..group.replica_count() {
                     let node = group.node_ids()[idx];
                     if node == leader || group.crashed_nodes().contains(&node) {
-                        // Crashed followers miss the decision; the
-                        // rollback-protected recovery snapshot catches them
-                        // up when they restart.
+                        // Crashed followers miss the decision; the state
+                        // transfer of their restart catches them up
+                        // (`ShardedCluster::catch_up`).
                         continue;
                     }
                     // The decision resolves the transaction on every live
@@ -922,11 +923,14 @@ impl<R: StoreReplica> Engine<'_, R> {
                     if entries.is_empty() {
                         continue;
                     }
-                    // Install the applied records — the migration-import
-                    // idiom, so replicas never diverge.
+                    // Install the applied records as a transfer's chunk is
+                    // installed, so replicas never diverge.
                     let installed = group.charge(node, arrival, charge_kind, work);
                     finish = finish.max(installed.finish_ns);
-                    group.replica_mut(node).store().txn_install(&entries);
+                    let records = entries
+                        .iter()
+                        .map(|(key, value, ts)| (&key[..], &value[..], *ts));
+                    group.replica_mut(node).store().import_range(records);
                     txns.stats.participant_installs += entries.len() as u64;
                 }
                 // Catch-up capture: committed transaction writes inside an

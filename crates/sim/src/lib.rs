@@ -34,6 +34,6 @@ pub use cluster::{
 };
 pub use cost::{CostProfile, ProtocolCostModel, Work, COST_MODEL};
 pub use queue::{Calendar, CalendarCounts, Key, Owner, TimerPayload};
-pub use replica::{Ctx, RangeEntry, Replica, RestartReport};
+pub use replica::{Ctx, Replica, RestartReport};
 
 pub use recipe_tee::TrustedInstant as SimTime;

@@ -222,30 +222,6 @@ pub trait Replica {
     }
 }
 
-/// One exported key-value record of a state-transfer range: the unit shipped
-/// by snapshot and catch-up chunks during an online shard migration. The
-/// `(ts_logical, ts_node)` pair carries the store's write timestamp opaquely —
-/// the simulator never interprets it; importing replicas hand it back to their
-/// store so timestamp-ordered protocols (R-ABD) keep their write rule intact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RangeEntry {
-    /// The key.
-    pub key: Vec<u8>,
-    /// The (plaintext) value as committed on the exporting replica.
-    pub value: Vec<u8>,
-    /// Logical half of the write timestamp stored for the key.
-    pub ts_logical: u64,
-    /// Node half (tiebreaker) of the write timestamp stored for the key.
-    pub ts_node: u64,
-}
-
-impl RangeEntry {
-    /// Bytes this entry contributes to a transfer chunk (key + value payload).
-    pub fn payload_len(&self) -> usize {
-        self.key.len() + self.value.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,7 @@
 //! cargo run --example confidential_store
 //! ```
 
-use recipe::core::Membership;
+use recipe::core::{FramePool, Membership};
 use recipe::kv::{PartitionedKvStore, StoreConfig, Timestamp};
 use recipe::protocols::ProtocolShield;
 use recipe_crypto::CipherKey;
@@ -39,7 +39,11 @@ fn main() {
     let membership = Membership::of_size(3, 1);
     let mut sender = ProtocolShield::recipe(NodeId(0), &membership, true);
     let mut receiver = ProtocolShield::recipe(NodeId(1), &membership, true);
-    let mut wire = sender.wrap(NodeId(1), 1, b"replicate patient:17 -> hypertension");
+    let message = b"replicate patient:17 -> hypertension";
+    let frames = &mut FramePool::default();
+    let mut wire = sender.wrap_in(frames, NodeId(1), 1, message.len(), |w| {
+        w.raw(message);
+    });
     println!(
         "wire bytes contain plaintext? {}",
         wire.windows(b"hypertension".len())

@@ -113,7 +113,7 @@ fn main() {
                 .read_entry(key)
                 .ok()
                 .flatten()
-                .map(|entry| entry.value);
+                .map(|(_, value, _)| value);
             match &value {
                 None => value = Some(replica_value),
                 Some(seen) => assert_eq!(seen, &replica_value, "replica divergence"),

@@ -28,14 +28,13 @@ use std::path::Path;
 use recipe_core::{Operation, Request, TxnBody, TxnBodyRef};
 use recipe_crypto::CipherKey;
 use recipe_gateway::{Gateway, GatewayConfig, GatewayVerdict, TenantSpec};
-use recipe_kv::{KvError, PartitionedKvStore, StoreConfig, Timestamp};
+use recipe_kv::{ExportedEntry, KvError, PartitionedKvStore, StoreConfig, Timestamp};
 use recipe_net::NodeId;
 use recipe_protocols::{
     ChunkPhase, MigrationChannel, ReplicaStore, Stamping, TxnLanes, CHUNK_ENTRIES,
 };
 use recipe_scenario::{run_protocol, Protocol, Scenario, WorkloadKind};
 use recipe_shard::{request_from_workload, workload_from_op};
-use recipe_sim::RangeEntry;
 use recipe_workload::{stable_key_hash, TxnWorkloadSpec, WorkloadOp, WorkloadRequest};
 use serde::{Serialize, Value};
 
@@ -147,12 +146,11 @@ fn heap_use_in<T>(work: impl FnOnce() -> T) -> (T, HeapUse) {
 /// One round of a state transfer, migration's or a restart's: `entries`
 /// sealed into chunks on `channel`, each opened where it lies and installed
 /// on `store`, its frame then given back.
-fn ship_round(channel: &mut MigrationChannel, store: &mut ReplicaStore, entries: &[RangeEntry]) {
+fn ship_round(channel: &mut MigrationChannel, store: &mut ReplicaStore, entries: &[ExportedEntry]) {
     for batch in entries.chunks(CHUNK_ENTRIES) {
         let (_, mut wire) = channel.seal(ChunkPhase::Snapshot, batch);
         let records = channel.open(&mut wire).expect("an authentic chunk opens");
-        store.import_range(&records);
-        drop(records);
+        store.import_range(records);
         channel.recycle(wire);
     }
 }
@@ -160,12 +158,14 @@ fn ship_round(channel: &mut MigrationChannel, store: &mut ReplicaStore, entries:
 #[test]
 fn a_transfer_round_allocates_its_frames_once_and_one_list_a_chunk() {
     // 300 records of 16-byte keys and 64-byte values: three chunks.
-    let entries: Vec<RangeEntry> = (0..300u64)
-        .map(|i| RangeEntry {
-            key: format!("transfer-key-{i:03}").into_bytes(),
-            value: format!("{i:>64}").into_bytes(),
-            ts_logical: i + 1,
-            ts_node: 0,
+    let entries: Vec<ExportedEntry> = (0..300u64)
+        .map(|i| {
+            let key = format!("transfer-key-{i:03}").into_bytes();
+            (
+                key,
+                format!("{i:>64}").into_bytes(),
+                Timestamp::new(i + 1, 0),
+            )
         })
         .collect();
     for confidential in [false, true] {
@@ -176,25 +176,25 @@ fn a_transfer_round_allocates_its_frames_once_and_one_list_a_chunk() {
         // The recipient holds every key already, at a value of the same
         // length, so each record's value is copied over the one it replaces.
         let mut store = ReplicaStore::new(config, NodeId(1), Stamping::Sequence);
-        for entry in &entries {
-            store.apply(&entry.key, vec![0; entry.value.len()]);
+        for (key, value, _) in &entries {
+            store.apply(key, vec![0; value.len()]);
         }
         let mut channel = MigrationChannel::new(0, 1, 1, confidential);
-        // The first round provisions the channel's two ends (2) and builds
-        // its first chunk in two new buffers, the body and the frame (2),
-        // which go back to the channel's list of large spares (1) and are
+        // The first round provisions the channel's two ends (2) and writes
+        // its first chunk straight into one new buffer, the frame (1),
+        // which goes back to the channel's list of large spares (1) and is
         // reused by every later chunk. Each chunk lists its records once,
         // where they lie in the frame (3 a round).
         let ((), first) = allocations_in(|| ship_round(&mut channel, &mut store, &entries));
         let ((), second) = allocations_in(|| ship_round(&mut channel, &mut store, &entries));
         assert_eq!(
             (first, second),
-            (2 + 2 + 1 + 3, 3),
+            (2 + 1 + 1 + 3, 3),
             "confidential: {confidential}"
         );
         assert_eq!(
             store.get(b"transfer-key-299").unwrap().value,
-            entries[299].value
+            entries[299].1
         );
     }
 }

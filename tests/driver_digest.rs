@@ -97,7 +97,7 @@ const PINS: [Pin; 9] = [
     Pin {
         name: "txn_gateway",
         run: txn_gateway,
-        digest: "5b380ae262f4fa11027356072e36bb87ca16378ba3f0827db8bfe9e9d3afac99",
+        digest: "5dffedcbd4d04e58df46e3ffbe28af3a21163bcd5135c9952ea5103019f6c9b3",
         contract: Some(txn_gateway_spec),
     },
     Pin {
@@ -109,25 +109,25 @@ const PINS: [Pin; 9] = [
     Pin {
         name: "txn_byzantine",
         run: txn_byzantine,
-        digest: "59692560fc2a46c63bb1806cf41e0e931649f93fd2af74fad93592a20785e53c",
+        digest: "62241a2a2980e9c519da86f4d70bae0b88497844662b3a1886d49bab3bbac17d",
         contract: Some(txn_byzantine_spec),
     },
     Pin {
         name: "chain_txn_crash",
         run: chain_txn_crash,
-        digest: "8b3456dec33d9939145167efce14301fa08a8ca1d364a042217fd6a80a1867f6",
+        digest: "f6a20883d496771859eb10b8f0ef1af6ee4a26c202ee1fee5c23204e6dcf7bde",
         contract: Some(chain_txn_spec),
     },
     Pin {
         name: "abd_txn_crash",
         run: abd_txn_crash,
-        digest: "89f7ecb608effee1de35ee716ae4678eaf4c5d6becc84be45a1f7cc44f39b304",
+        digest: "1ae2a2c33d839694b31d4e2afb613adeb7604814a3e1e742d1c32cbc94724b84",
         contract: Some(abd_txn_spec),
     },
     Pin {
         name: "pbft_txn_crash",
         run: pbft_txn_crash,
-        digest: "2ddefd7aa86565fd1d93b381c1165c6acca8444e11d8873fdd16f5bae538c280",
+        digest: "5c128e7c8395cf7ef41d3096e9f6e7b3465a0d6ef86ff6fc8f36a3338426d3d2",
         contract: Some(pbft_txn_spec),
     },
     Pin {
@@ -350,13 +350,13 @@ fn pinned_with_state<R: StoreReplica>(
                 .map(|node| {
                     let records = group.replica_mut(node).store().export_range(&|_| true);
                     let mut bytes = Vec::new();
-                    for entry in records.expect("every record verifies") {
-                        for field in [&entry.key, &entry.value] {
+                    for (key, value, ts) in records.expect("every record verifies") {
+                        for field in [&key, &value] {
                             bytes.extend_from_slice(&(field.len() as u64).to_le_bytes());
                             bytes.extend_from_slice(field);
                         }
-                        bytes.extend_from_slice(&entry.ts_logical.to_le_bytes());
-                        bytes.extend_from_slice(&entry.ts_node.to_le_bytes());
+                        bytes.extend_from_slice(&ts.logical.to_le_bytes());
+                        bytes.extend_from_slice(&ts.node.to_le_bytes());
                     }
                     format!("\"{}\"", sha256(&bytes).to_hex())
                 })

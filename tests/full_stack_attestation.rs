@@ -4,7 +4,7 @@
 //!
 //! Each replica's enclave is launched, attested by one CAS, provisioned by
 //! `run_remote_attestation` and wrapped in the `AuthLayer` a replica's shield
-//! holds. Frames then travel as wire bytes, as `ProtocolShield::wrap` and
+//! holds. Frames then travel as wire bytes, as `ProtocolShield::wrap_in` and
 //! `unwrap` move them: `shield_to_wire` on the sender, `FrameView::parse` and
 //! `verify_view` on the receiver.
 

@@ -12,12 +12,13 @@ mod common {
 
 use recipe::bft::dispatch;
 use recipe::core::{ConfidentialityMode, Membership, Operation};
+use recipe::kv::ExportedEntry;
 use recipe::net::FaultPlan;
 use recipe::protocols::{
     BatchConfig, BuildReplica, Capacity, Protocol, ProtocolMode, ProtocolVisitor, Role,
 };
 use recipe::shard::{op_from_workload, DeploymentSpec, ShardedCluster};
-use recipe::sim::{NodeBooks, RangeEntry, RunStats, SimCluster, SimConfig, StepOutcome};
+use recipe::sim::{NodeBooks, RunStats, SimCluster, SimConfig, StepOutcome};
 use recipe::telemetry::CostCategory;
 use recipe::workload::WorkloadSpec;
 
@@ -381,7 +382,7 @@ fn r_allconcur_breaks_its_read_promise_on_a_contended_key() {
 struct FinalState(ProtocolMode);
 
 impl ProtocolVisitor for FinalState {
-    type Output = (u64, Vec<Vec<RangeEntry>>);
+    type Output = (u64, Vec<Vec<ExportedEntry>>);
 
     fn visit<R: BuildReplica>(self) -> Self::Output {
         const OPS: u64 = 150;

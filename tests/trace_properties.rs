@@ -9,7 +9,7 @@
 use std::borrow::Cow;
 
 use proptest::prelude::*;
-use recipe::core::{AuthLayer, FrameView, Membership, ShieldedMessage, ViewOutcome};
+use recipe::core::{AuthLayer, FramePool, FrameView, Membership, ShieldedMessage, ViewOutcome};
 use recipe::crypto::MacKey;
 use recipe::protocols::ProtocolShield;
 use recipe::tee::{Enclave, EnclaveConfig, EnclaveId};
@@ -124,7 +124,10 @@ fn shield_level_replays_are_rejected() {
     let membership = Membership::of_size(3, 1);
     let mut tx = ProtocolShield::recipe(NodeId(0), &membership, false);
     let mut rx = ProtocolShield::recipe(NodeId(1), &membership, false);
-    let wire = tx.wrap(NodeId(1), 1, b"once");
+    let frames = &mut FramePool::default();
+    let wire = tx.wrap_in(frames, NodeId(1), 1, 4, |w| {
+        w.raw(b"once");
+    });
     assert_eq!(rx.unwrap(NodeId(0), &mut wire.clone()).len(), 1);
     for _ in 0..5 {
         assert!(rx.unwrap(NodeId(0), &mut wire.clone()).is_empty());

@@ -19,8 +19,8 @@ use proptest::prelude::*;
 use recipe::bft::pbft::{decode_batch, encode_batch};
 use recipe::bft::{DamysusMsg, PbftMsg};
 use recipe::core::{
-    BatchFrame, BatchOp, ClientRequest, Membership, Operation, SequenceTuple, ShieldedMessage,
-    TxnBody, TxnFrame,
+    BatchFrame, BatchOp, ClientRequest, FramePool, Membership, Operation, SequenceTuple,
+    ShieldedMessage, TxnBody, TxnFrame,
 };
 use recipe::crypto::{MacTag, Signature};
 use recipe::kv::Timestamp;
@@ -28,7 +28,6 @@ use recipe::net::{ChannelId, NodeId};
 use recipe::protocols::{
     AbdMsg, AllConcurMsg, ChainMsg, ChunkPhase, MigrationChunk, ProtocolShield, RaftMsg,
 };
-use recipe::sim::RangeEntry;
 
 /// The raw material one property case builds its messages from.
 struct Draw {
@@ -298,18 +297,8 @@ fn catalogue(d: &Draw) -> Vec<(&'static str, Vec<u8>)> {
                 phase,
                 seq: b,
                 entries: vec![
-                    RangeEntry {
-                        key: key.clone(),
-                        value: value.clone(),
-                        ts_logical: c,
-                        ts_node: e,
-                    },
-                    RangeEntry {
-                        key: Vec::new(),
-                        value: Vec::new(),
-                        ts_logical: 0,
-                        ts_node: 0,
-                    },
+                    (key.clone(), value.clone(), Timestamp::new(c, e)),
+                    (Vec::new(), Vec::new(), Timestamp::ZERO),
                 ],
             }
         })
@@ -366,12 +355,12 @@ fn catalogue(d: &Draw) -> Vec<(&'static str, Vec<u8>)> {
     // round-trip through a native-mode shield pair.
     let mut sender = ProtocolShield::native(NodeId(0));
     let mut receiver = ProtocolShield::native(NodeId(1));
-    let single = sender.wrap(NodeId(1), a as u16, &value);
+    let single = wrap(&mut sender, NodeId(1), a as u16, &value);
     assert_eq!(
         receiver.unwrap(NodeId(0), &mut single.clone()),
         vec![(a as u16, value.clone())]
     );
-    let batch = sender.wrap_batch(NodeId(1), d.ops());
+    let batch = wrap_batch(&mut sender, NodeId(1), &d.ops());
     let ops: Vec<_> = d
         .ops()
         .into_iter()
@@ -398,6 +387,37 @@ fn shield_pair(confidential: bool) -> (ProtocolShield, ProtocolShield) {
         ProtocolShield::recipe(NodeId(0), &membership, confidential),
         ProtocolShield::recipe(NodeId(1), &membership, confidential),
     )
+}
+
+/// `payload` wrapped as one `kind` message for `dst`, in a frame of its own.
+fn wrap(shield: &mut ProtocolShield, dst: NodeId, kind: u16, payload: &[u8]) -> Vec<u8> {
+    shield.wrap_in(&mut FramePool::default(), dst, kind, payload.len(), |w| {
+        w.raw(payload);
+    })
+}
+
+/// `ops` wrapped as one batch frame for `dst`, in a frame of its own.
+fn wrap_batch(shield: &mut ProtocolShield, dst: NodeId, ops: &[BatchOp]) -> Vec<u8> {
+    let body = BatchFrame::encode_ops(ops);
+    shield.wrap_batch_in(&mut FramePool::default(), dst, &body)
+}
+
+/// `body` wrapped as a 2PC frame of `txn_id` for `dst`, in a frame of its own.
+fn wrap_txn(
+    shield: &mut ProtocolShield,
+    dst: NodeId,
+    txn_id: u64,
+    body: &TxnBody,
+    seal: bool,
+) -> Vec<u8> {
+    shield.wrap_txn_in(&mut FramePool::default(), dst, txn_id, body, seal)
+}
+
+/// The 2PC frame `bytes` from `from` opened, its body copied out.
+fn unwrap_txn(shield: &mut ProtocolShield, from: NodeId, bytes: &[u8]) -> Option<(u64, TxnBody)> {
+    let mut spare = None;
+    let opened = shield.unwrap_txn_in(&mut FramePool::default(), from, bytes, &mut spare);
+    opened.map(|(txn_id, body)| (txn_id, body.to_body()))
 }
 
 proptest! {
@@ -444,7 +464,7 @@ proptest! {
     ) {
         let (mut sender, mut receiver) = shield_pair(confidential);
 
-        let mut wire = sender.wrap(NodeId(1), kind, &payloads[0]);
+        let mut wire = wrap(&mut sender, NodeId(1), kind, &payloads[0]);
         let frame = ShieldedMessage::from_wire(&wire).expect("own frame parses");
         prop_assert_eq!(frame.confidential, confidential);
         prop_assert_eq!(frame.wire_len(), wire.len());
@@ -452,7 +472,7 @@ proptest! {
         prop_assert_eq!(receiver.unwrap(NodeId(0), &mut wire), vec![(kind, payloads[0].clone())]);
 
         let ops: Vec<BatchOp> = payloads.iter().map(|p| BatchOp::new(kind, p.clone())).collect();
-        let mut wire = sender.wrap_batch(NodeId(1), ops.clone());
+        let mut wire = wrap_batch(&mut sender, NodeId(1), &ops);
         let frame = BatchFrame::from_wire(&wire).expect("own frame parses");
         prop_assert_eq!(frame.is_confidential(), confidential);
         prop_assert_eq!(frame.wire_len(), wire.len());
@@ -466,12 +486,12 @@ proptest! {
                 .map(|p| Operation::Put { key: p.clone(), value: p.clone() })
                 .collect(),
         };
-        let wire = sender.wrap_txn(NodeId(1), txn_id, &body, confidential);
+        let wire = wrap_txn(&mut sender, NodeId(1), txn_id, &body, confidential);
         let frame = TxnFrame::from_wire(&wire).expect("own frame parses");
         prop_assert_eq!(frame.is_confidential(), confidential);
         prop_assert_eq!(frame.wire_len(), wire.len());
         prop_assert_eq!(&frame.to_wire(), &wire);
-        prop_assert_eq!(receiver.unwrap_txn(NodeId(0), &wire), Some((txn_id, body)));
+        prop_assert_eq!(unwrap_txn(&mut receiver, NodeId(0), &wire), Some((txn_id, body)));
         prop_assert_eq!(receiver.rejected(), 0);
     }
 }
@@ -487,15 +507,17 @@ fn confidential_frame_lengths_are_pinned() {
     let lengths = |confidential| {
         let (mut sender, _) = shield_pair(confidential);
         let payload = vec![0x5a; 1024];
-        let single = sender.wrap(NodeId(1), 7, &payload);
-        let batch = sender.wrap_batch(
+        let single = wrap(&mut sender, NodeId(1), 7, &payload);
+        let batch = wrap_batch(
+            &mut sender,
             NodeId(1),
-            vec![
+            &[
                 BatchOp::new(7, payload.clone()),
                 BatchOp::new(7, vec![1, 2, 3]),
             ],
         );
-        let txn = sender.wrap_txn(
+        let txn = wrap_txn(
+            &mut sender,
             NodeId(1),
             9,
             &TxnBody::Prepare {
@@ -549,11 +571,11 @@ fn every_single_bit_flip_of_a_shielded_frame_is_rejected() {
     let payload = [0xA5u8; 64];
     for confidential in [false, true] {
         let (mut sender, mut receiver) = shield_pair(confidential);
-        let single = sender.wrap(NodeId(1), 7, &payload);
+        let single = wrap(&mut sender, NodeId(1), 7, &payload);
         every_bit_flip_is_rejected(&mut receiver, &single, |rx, bytes| {
             !rx.unwrap(NodeId(0), &mut bytes.to_vec()).is_empty()
         });
-        let batch = sender.wrap_batch(NodeId(1), vec![BatchOp::new(7, payload.to_vec())]);
+        let batch = wrap_batch(&mut sender, NodeId(1), &[BatchOp::new(7, payload.to_vec())]);
         every_bit_flip_is_rejected(&mut receiver, &batch, |rx, bytes| {
             !rx.unwrap(NodeId(0), &mut bytes.to_vec()).is_empty()
         });
@@ -563,9 +585,9 @@ fn every_single_bit_flip_of_a_shielded_frame_is_rejected() {
                 value: payload.to_vec(),
             }],
         };
-        let txn = sender.wrap_txn(NodeId(1), 9, &body, confidential);
+        let txn = wrap_txn(&mut sender, NodeId(1), 9, &body, confidential);
         every_bit_flip_is_rejected(&mut receiver, &txn, |rx, bytes| {
-            rx.unwrap_txn(NodeId(0), bytes).is_some()
+            unwrap_txn(rx, NodeId(0), bytes).is_some()
         });
     }
 }
@@ -580,9 +602,9 @@ const TXN_LEN_AT: usize = 66 + 8;
 #[test]
 fn hostile_frames_are_rejected_and_counted_without_panicking() {
     let (mut sender, mut receiver) = shield_pair(false);
-    let single = sender.wrap(NodeId(1), 7, &[1u8; 64]);
-    let batch = sender.wrap_batch(NodeId(1), vec![BatchOp::new(7, vec![2u8; 64])]);
-    let txn = sender.wrap_txn(NodeId(1), 9, &TxnBody::Commit, false);
+    let single = wrap(&mut sender, NodeId(1), 7, &[1u8; 64]);
+    let batch = wrap_batch(&mut sender, NodeId(1), &[BatchOp::new(7, vec![2u8; 64])]);
+    let txn = wrap_txn(&mut sender, NodeId(1), 9, &TxnBody::Commit, false);
 
     let mut hostile: Vec<Vec<u8>> = Vec::new();
     for (wire, len_at) in [
@@ -614,7 +636,10 @@ fn hostile_frames_are_rejected_and_counted_without_panicking() {
             receiver.unwrap(NodeId(0), &mut bytes.clone()).is_empty(),
             "case {i}"
         );
-        assert!(receiver.unwrap_txn(NodeId(0), bytes).is_none(), "case {i}");
+        assert!(
+            unwrap_txn(&mut receiver, NodeId(0), bytes).is_none(),
+            "case {i}"
+        );
         assert_eq!(receiver.rejected(), before + 2, "case {i}");
     }
     // The same forgeries against the body decoders directly.
@@ -638,7 +663,7 @@ fn hostile_frames_are_rejected_and_counted_without_panicking() {
     assert_eq!(receiver.unwrap(NodeId(0), &mut single.clone()).len(), 1);
     assert_eq!(receiver.unwrap(NodeId(0), &mut batch.clone()).len(), 1);
     assert_eq!(
-        receiver.unwrap_txn(NodeId(0), &txn),
+        unwrap_txn(&mut receiver, NodeId(0), &txn),
         Some((9, TxnBody::Commit))
     );
 }
@@ -750,13 +775,21 @@ fn golden_vectors_pin_the_layout() {
         ),
         (
             "native single",
-            ProtocolShield::native(NodeId(0)).wrap(NodeId(1), 0x0102, b"vv"),
+            wrap(
+                &mut ProtocolShield::native(NodeId(0)),
+                NodeId(1),
+                0x0102,
+                b"vv",
+            ),
             "04".to_owned() + "0201" + "020000007676",
         ),
         (
             "native batch",
-            ProtocolShield::native(NodeId(0))
-                .wrap_batch(NodeId(1), vec![BatchOp::new(9, b"vv".to_vec())]),
+            wrap_batch(
+                &mut ProtocolShield::native(NodeId(0)),
+                NodeId(1),
+                &[BatchOp::new(9, b"vv".to_vec())],
+            ),
             "05".to_owned() + "01000000" + "0900" + "020000007676",
         ),
         (
@@ -842,12 +875,7 @@ fn golden_vectors_pin_the_layout() {
                 migration_id: 1,
                 phase: ChunkPhase::CatchUp,
                 seq: 2,
-                entries: vec![RangeEntry {
-                    key: b"k".to_vec(),
-                    value: b"vv".to_vec(),
-                    ts_logical: 3,
-                    ts_node: 4,
-                }],
+                entries: vec![(b"k".to_vec(), b"vv".to_vec(), Timestamp::new(3, 4))],
             }
             .encode(),
             "14".to_owned()
