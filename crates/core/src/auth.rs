@@ -709,7 +709,7 @@ impl AuthLayer {
     // shield_txn
     // ------------------------------------------------------------------
 
-    /// `AuthLayer::shield_txn_to_wire` sealed at the layer's own mode, as
+    /// [`AuthLayer::shield_txn_in`] sealed at the layer's own mode, as
     /// a frame struct: the wire bytes, parsed.
     pub fn shield_txn(
         &mut self,
@@ -718,19 +718,8 @@ impl AuthLayer {
         body: &TxnBody,
     ) -> Result<TxnFrame, RecipeError> {
         let seal = self.is_confidential();
-        let wire = self.shield_txn_to_wire(dst, txn_id, body, seal)?;
+        let wire = self.shield_txn_in(&mut FramePool::default(), dst, txn_id, body, seal)?;
         TxnFrame::from_wire(&wire).ok_or(RecipeError::Malformed("txn frame"))
-    }
-
-    /// [`AuthLayer::shield_txn_in`] into a buffer of the frame's own.
-    pub(crate) fn shield_txn_to_wire(
-        &mut self,
-        dst: NodeId,
-        txn_id: u64,
-        body: &TxnBody,
-        seal: bool,
-    ) -> Result<Vec<u8>, RecipeError> {
-        self.shield_txn_in(&mut FramePool::default(), dst, txn_id, body, seal)
     }
 
     /// Shields one two-phase-commit message for `dst` under the next counter
@@ -1476,7 +1465,7 @@ mod tests {
             assert!(by_bytes.shield_batch_to_wire(NodeId(2), &[]).is_err());
             for body in [prepare_body(), TxnBody::Commit] {
                 let wire = by_bytes
-                    .shield_txn_to_wire(NodeId(2), 9, &body, confidential)
+                    .shield_txn_in(&mut FramePool::default(), NodeId(2), 9, &body, confidential)
                     .unwrap();
                 assert_eq!(
                     wire,
@@ -1714,7 +1703,13 @@ mod tests {
             )
         );
         let txn = sender
-            .shield_txn_to_wire(NodeId(2), 7, &prepare_body(), true)
+            .shield_txn_in(
+                &mut FramePool::default(),
+                NodeId(2),
+                7,
+                &prepare_body(),
+                true,
+            )
             .unwrap();
         assert_eq!(
             hex(&txn),
@@ -1810,7 +1805,7 @@ mod tests {
             (
                 |tx, n| {
                     let seal = tx.is_confidential();
-                    tx.shield_txn_to_wire(NodeId(2), 9, &refusal(n), seal)
+                    tx.shield_txn_in(&mut FramePool::default(), NodeId(2), 9, &refusal(n), seal)
                         .unwrap()
                 },
                 TXN_MAC_HEADER_LEN + TxnFrame::body_len(&refusal(0)),
@@ -2148,7 +2143,8 @@ mod tests {
                 |tx, i| {
                     let body = TxnBody::Ack { applied: i.into() };
                     let seal = tx.is_confidential();
-                    tx.shield_txn_to_wire(NodeId(2), 9, &body, seal).unwrap()
+                    tx.shield_txn_in(&mut FramePool::default(), NodeId(2), 9, &body, seal)
+                        .unwrap()
                 },
                 [
                     (None, 0),
@@ -2206,7 +2202,13 @@ mod tests {
             TxnVerifyOutcome::BadAuthenticator
         );
         let txn = sender
-            .shield_txn_to_wire(NodeId(2), 9, &TxnBody::Commit, false)
+            .shield_txn_in(
+                &mut FramePool::default(),
+                NodeId(2),
+                9,
+                &TxnBody::Commit,
+                false,
+            )
             .unwrap();
         let view = FrameView::parse_txn(&txn).unwrap();
         assert_eq!(view.source(), NodeId(1));
@@ -2304,7 +2306,13 @@ mod tests {
 
             // A 2PC frame is not a replication frame, nor is garbage.
             let txn = sender
-                .shield_txn_to_wire(NodeId(2), 9, &TxnBody::Commit, sealed)
+                .shield_txn_in(
+                    &mut FramePool::default(),
+                    NodeId(2),
+                    9,
+                    &TxnBody::Commit,
+                    sealed,
+                )
                 .unwrap();
             assert!(FrameView::parse(&txn).is_none());
             assert!(FrameView::parse(&single[..single.len() - 1]).is_none());
@@ -2704,7 +2712,13 @@ mod tests {
         let (mut sender, mut receiver) = layer_pair(true);
         for (i, seal) in [false, true, true, false].into_iter().enumerate() {
             let wire = sender
-                .shield_txn_to_wire(NodeId(2), 7, &prepare_body(), seal)
+                .shield_txn_in(
+                    &mut FramePool::default(),
+                    NodeId(2),
+                    7,
+                    &prepare_body(),
+                    seal,
+                )
                 .unwrap();
             let frame = TxnFrame::from_wire(&wire).unwrap();
             assert_eq!(frame.tuple.counter, i as u64 + 1);

@@ -98,6 +98,18 @@ impl FramePool {
         }
     }
 
+    /// The last spare given back to `len`'s size class, lent as
+    /// [`Self::take`] lends it, if its capacity is exactly `len` — a buffer
+    /// a holder of exact-length values keeps as it is; otherwise `None`,
+    /// lending and allocating nothing.
+    pub fn take_exact(&mut self, len: usize) -> Option<Vec<u8>> {
+        let spares = self.classes.get_mut(class_of(len))?;
+        let spare = spares.pop_if(|spare| spare.capacity() == len)?;
+        self.lent += 1;
+        self.takes += 1;
+        Some(spare)
+    }
+
     /// Takes `buf` back as a spare, emptied so its old bytes are never
     /// read again, in the largest class it holds every frame of, or among
     /// the large spares if it is larger than any class. Once as many
@@ -224,6 +236,21 @@ mod tests {
         let spare = pool.take(90);
         assert!(spare.is_empty() && spare.capacity() == 100);
         assert_eq!(pool.allocated(), 1);
+    }
+
+    #[test]
+    fn an_exact_take_lends_only_a_spare_of_the_length() {
+        let mut pool = FramePool::default();
+        let (exact, wider) = (pool.take(64), pool.take(60));
+        assert_eq!((exact.capacity(), wider.capacity()), (64, 64));
+        pool.give(exact);
+        // 57..=64 share the class; only 64 bytes fit its spare exactly.
+        assert!(pool.take_exact(60).is_none());
+        assert_eq!((pool.spares(), pool.takes(), pool.allocated()), (1, 2, 2));
+        assert_eq!(pool.take_exact(64).map(|spare| spare.capacity()), Some(64));
+        assert_eq!((pool.spares(), pool.takes(), pool.allocated()), (0, 3, 2));
+        pool.give(wider);
+        assert!(pool.take_exact(10_000).is_none());
     }
 
     #[test]

@@ -64,7 +64,6 @@
 //! different values under one keystream; `recipe-protocols` derives it per
 //! replica.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, RandomState};
 use std::ops::{Index, IndexMut};
@@ -380,30 +379,49 @@ enum HostArena {
     },
 }
 
+/// A value for a host slot: lent, with where a spare buffer for it may come
+/// from should the slot need a new box, or handed over in its buffer.
+enum Incoming<'a> {
+    Lent(&'a [u8], &'a mut dyn FnMut(usize) -> Option<Vec<u8>>),
+    Owned(Vec<u8>),
+}
+
 /// Puts `value` in a host slot that `held` is: over the bytes there when
-/// they are as long, else in a box of its exact length — an owned value's
-/// own buffer when it has no room to spare, a copy otherwise. Returns the
-/// slot's bytes and the buffer for the caller: an owned value's, unless the
-/// slot kept it, and otherwise the one the slot held until now, if any.
+/// they are as long, else in a box of its exact length — its buffer (a lent
+/// value's spare, or a new one) when that has no room to spare, a copy
+/// otherwise. Returns the slot's bytes and the buffer for the caller: the
+/// value's, unless the slot kept it or the value was lent, and otherwise
+/// the one the slot held until now, if any.
 fn put<'a>(
     held: &'a mut Option<Box<[u8]>>,
-    value: Cow<'_, [u8]>,
+    value: Incoming<'_>,
 ) -> (&'a mut [u8], Option<Vec<u8>>) {
+    let bytes = match &value {
+        Incoming::Lent(bytes, _) => *bytes,
+        Incoming::Owned(value) => value,
+    };
     let back = match held {
-        Some(bytes) if bytes.len() == value.len() => {
-            bytes.copy_from_slice(&value);
+        Some(held) if held.len() == bytes.len() => {
+            held.copy_from_slice(bytes);
             match value {
-                Cow::Owned(value) => Some(value),
-                Cow::Borrowed(_) => None,
+                Incoming::Owned(value) => Some(value),
+                Incoming::Lent(..) => None,
             }
         }
         _ => {
-            let (exact, back) = match value {
-                Cow::Owned(value) if value.len() == value.capacity() => {
-                    (value.into_boxed_slice(), None)
+            let value = match value {
+                Incoming::Owned(value) => value,
+                Incoming::Lent(bytes, spare) => {
+                    let mut buf = spare(bytes.len()).unwrap_or_default();
+                    buf.reserve_exact(bytes.len());
+                    buf.extend_from_slice(bytes);
+                    buf
                 }
-                Cow::Owned(value) => (Box::from(value.as_slice()), Some(value)),
-                Cow::Borrowed(value) => (Box::from(value), None),
+            };
+            let (exact, back) = if value.len() == value.capacity() {
+                (value.into_boxed_slice(), None)
+            } else {
+                (Box::from(value.as_slice()), Some(value))
             };
             back.or(held.replace(exact).map(Vec::from))
         }
@@ -427,12 +445,7 @@ impl HostArena {
     /// Puts `value` in `slot` ([`put`]), sealed there under the next nonce
     /// on a confidential store. Returns the digest the enclave keeps for it
     /// under `key` and the buffer for the caller.
-    fn place(
-        &mut self,
-        key: &[u8],
-        slot: usize,
-        value: Cow<'_, [u8]>,
-    ) -> (Digest, Option<Vec<u8>>) {
+    fn place(&mut self, key: &[u8], slot: usize, value: Incoming<'_>) -> (Digest, Option<Vec<u8>>) {
         match self {
             HostArena::Plain(slots) => {
                 let (bytes, back) = put(&mut slots[slot], value);
@@ -603,9 +616,22 @@ impl PartitionedKvStore {
     /// holds when they are as long, with no allocation, and otherwise into
     /// one box of the value's exact length.
     pub fn write(&mut self, key: &[u8], value: &[u8], timestamp: Timestamp) -> Result<(), KvError> {
-        let found = self.index.find(key, &self.meta);
-        self.write_value(found, key, Cow::Borrowed(value), timestamp);
+        self.write_lent(key, value, timestamp, &mut |_| None);
         Ok(())
+    }
+
+    /// [`PartitionedKvStore::write`] lent a source of `spare` buffers for a
+    /// slot that needs a new box (kept if it has no room to spare). Returns
+    /// the spare the slot did not keep, or else the buffer it displaced.
+    pub fn write_lent(
+        &mut self,
+        key: &[u8],
+        value: &[u8],
+        timestamp: Timestamp,
+        spare: &mut dyn FnMut(usize) -> Option<Vec<u8>>,
+    ) -> Option<Vec<u8>> {
+        let found = self.index.find(key, &self.meta);
+        self.write_value(found, key, Incoming::Lent(value, spare), timestamp)
     }
 
     /// [`PartitionedKvStore::write`] handed the value's buffer. The host
@@ -627,11 +653,11 @@ impl PartitionedKvStore {
         timestamp: Timestamp,
     ) -> Option<Vec<u8>> {
         let found = self.index.find(key, &self.meta);
-        self.write_value(found, key, Cow::Owned(value), timestamp)
+        self.write_value(found, key, Incoming::Owned(value), timestamp)
     }
 
     /// The one write path, lent the value or handed its buffer
-    /// ([`Self::write`], [`Self::write_owned`]), and `key`'s probe
+    /// ([`Self::write_lent`], [`Self::write_owned`]), and `key`'s probe
     /// ([`SlotIndex::find`]) from its caller, so no write probes twice. An
     /// overwrite keeps the key's slot. A new key takes a free slot, its
     /// metadata holds the key in a box of its own, and it enters the index.
@@ -639,7 +665,7 @@ impl PartitionedKvStore {
         &mut self,
         found: Result<u32, usize>,
         key: &[u8],
-        value: Cow<'_, [u8]>,
+        value: Incoming<'_>,
         timestamp: Timestamp,
     ) -> Option<Vec<u8>> {
         let slot = match found {
@@ -709,7 +735,8 @@ impl PartitionedKvStore {
         if found.is_ok_and(|slot| timestamp <= self.timestamp_at(slot)) {
             return false;
         }
-        self.write_value(found, key, Cow::Borrowed(value), timestamp);
+        let value = Incoming::Lent(value, &mut |_| None);
+        self.write_value(found, key, value, timestamp);
         true
     }
 
@@ -903,7 +930,7 @@ impl PartitionedKvStore {
             let found = self.index.find(key, &self.meta);
             let timestamp = stamp(found.ok().map(|slot| self.timestamp_at(slot)));
             committed(key, value, timestamp);
-            let staged = Cow::Owned(std::mem::take(value));
+            let staged = Incoming::Owned(std::mem::take(value));
             if let Some(back) = self.write_value(found, key, staged, timestamp) {
                 *value = back;
             }
@@ -1642,6 +1669,29 @@ mod tests {
             assert!(owned.drop_host_value(b"k"));
             assert_eq!(owned.write_owned(b"k", b"x".to_vec(), third), None);
             assert_eq!(owned.get(b"k").unwrap().value, b"x");
+        }
+    }
+
+    /// A lent write asks for a spare only when the slot needs a new box: a
+    /// new key, or a length the key does not hold. An exact-length spare is
+    /// kept where it lies, and the box it displaces comes back.
+    #[test]
+    fn a_lent_write_takes_a_spare_only_for_a_new_box() {
+        for mut store in [plain_store(), confidential_store()] {
+            let mut spares = Vec::new();
+            let mut spare = |len| {
+                let spare = Vec::with_capacity(len);
+                spares.push(spare.as_ptr());
+                Some(spare)
+            };
+            let ts = Timestamp::new(1, 0);
+            assert_eq!(store.write_lent(b"k", b"balance=100", ts, &mut spare), None);
+            assert_eq!(store.write_lent(b"k", b"balance=000", ts, &mut spare), None);
+            let displaced = store.write_lent(b"k", b"balance=1000", ts, &mut spare);
+            assert_eq!(displaced.map(|old| old.len()), Some(11));
+            let held = store.host_arena.bytes(slot_of(&store, b"k")).unwrap();
+            assert_eq!((spares.len(), held.as_ptr()), (2, spares[1]));
+            assert_eq!(store.get(b"k").unwrap().value, b"balance=1000");
         }
     }
 

@@ -106,11 +106,8 @@ impl MigrationChunk {
     pub fn encode(&self) -> Vec<u8> {
         let payload = Self::payload_len(&self.entries);
         let mut w = Writer::reusing(Vec::new(), Self::wire_len(self.entries.len(), payload));
-        write(
-            &mut w,
-            (self.migration_id, self.phase, self.seq),
-            &self.entries,
-        );
+        let header = (self.migration_id, self.phase, self.seq);
+        write(&mut w, header, &self.entries);
         w.finish()
     }
 

@@ -40,7 +40,9 @@
 //! list and come back once installed ([`ReplicaStore::recycle_entries`]).
 //! A replica installs them as it installs a transfer's chunk
 //! ([`ReplicaStore::import_range`]): each value is copied from where it
-//! lies straight into the key's host slot, so no buffer changes hands.
+//! lies over its key's bytes when as long, else into a spare of this list
+//! that is exactly as long, or a new box, and the box it displaces comes
+//! back to the list ([`PartitionedKvStore::write_lent`]).
 //!
 //! A read reply makes the round trip through the group's frame pool
 //! instead, as a frame does: [`ReplicaStore::read_pooled`] checks the
@@ -372,11 +374,15 @@ impl ReplicaStore {
     /// ([`Self::txn_commit`]). This is below the protocol: the applied
     /// count does not move — the records committed on the exporting
     /// replica. Each value is copied from where it lies into the host
-    /// slot, over the bytes the key holds when they are as long; every
-    /// replica of a group installs from one chunk or one list.
+    /// slot, or into an exact-length spare of the entry list where the slot
+    /// needs a new box ("Entry buffers"); every replica of a group installs
+    /// from one chunk or one list.
     pub fn import_range<'a>(&mut self, records: impl IntoIterator<Item = ChunkRecord<'a>>) {
+        let ReplicaStore { kv, entries, .. } = self;
         for (key, value, ts) in records {
-            let _ = self.kv.write(key, value, ts);
+            if let Some(back) = kv.write_lent(key, value, ts, &mut |len| entries.take_exact(len)) {
+                entries.give(back);
+            }
         }
     }
 

@@ -73,7 +73,8 @@ use recipe_core::{Operation, Request, TxnBody, TxnBodyRef};
 use recipe_kv::ExportedEntry;
 use recipe_net::{FaultPlan, Landing, Link, NodeId};
 use recipe_protocols::{
-    StoreReplica, TxnLane, TxnLanes, TxnVote, MAX_SHARDS, MIGRATION_ENDPOINT_IDS, TXN_ENDPOINT_IDS,
+    MigrationChunk, StoreReplica, TxnLane, TxnLanes, TxnVote, MAX_SHARDS, MIGRATION_ENDPOINT_IDS,
+    TXN_ENDPOINT_IDS,
 };
 use recipe_sim::{Work, COST_MODEL};
 use recipe_telemetry::{ChargeKind, SpanKind};
@@ -898,7 +899,7 @@ impl<R: StoreReplica> Engine<'_, R> {
                 }
                 let work = Work::TxnCommit {
                     writes: entries.len(),
-                    bytes: entries.iter().map(|(k, v, _)| k.len() + v.len()).sum(),
+                    bytes: MigrationChunk::payload_len(&entries),
                 };
                 let charged = group.charge(leader, arrival, charge_kind, work);
                 let mut finish = charged.finish_ns + replication_rt;

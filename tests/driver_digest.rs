@@ -109,7 +109,7 @@ const PINS: [Pin; 9] = [
     Pin {
         name: "txn_byzantine",
         run: txn_byzantine,
-        digest: "62241a2a2980e9c519da86f4d70bae0b88497844662b3a1886d49bab3bbac17d",
+        digest: "f183853bb728472e006b66c1ea99550e57c66c18ca876b71d15653171db1c514",
         contract: Some(txn_byzantine_spec),
     },
     Pin {
