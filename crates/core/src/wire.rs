@@ -133,6 +133,16 @@ impl Writer {
         self.raw(bytes)
     }
 
+    /// Appends a `u32` length and `len` bytes that `fill` writes where they
+    /// lie in the buffer (a copy it checks or decrypts in place), as
+    /// [`Writer::bytes`] would append them; returns what `fill` returns.
+    pub fn bytes_with<T>(&mut self, len: usize, fill: impl FnOnce(&mut [u8]) -> T) -> T {
+        self.count(len);
+        let start = self.buf.len();
+        self.buf.resize(start + len, 0);
+        fill(&mut self.buf[start..])
+    }
+
     /// Appends an element count as a `u32` (same bound as [`Writer::bytes`]).
     pub fn count(&mut self, len: usize) -> &mut Self {
         assert!(
@@ -223,7 +233,7 @@ impl<'a> Reader<'a> {
     /// Consumes a `u32`-length-prefixed byte string. The length is checked
     /// against the bytes present before anything is sliced or copied.
     pub fn bytes(&mut self) -> Option<&'a [u8]> {
-        let len = usize::try_from(self.u32()?).ok()?;
+        let len = self.count()?;
         self.take(len)
     }
 
@@ -236,6 +246,11 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Consumes an element count written by [`Writer::count`].
+    pub fn count(&mut self) -> Option<usize> {
+        usize::try_from(self.u32()?).ok()
+    }
+
     /// Consumes a `u32` element count followed by that many items, each read
     /// by `item`. `min_item_len` is the fewest bytes one item can take on the
     /// wire (at least 1): the vector is sized from the bytes actually present,
@@ -246,7 +261,7 @@ impl<'a> Reader<'a> {
         min_item_len: usize,
         mut item: impl FnMut(&mut Self) -> Option<T>,
     ) -> Option<Vec<T>> {
-        let count = usize::try_from(self.u32()?).ok()?;
+        let count = self.count()?;
         if count > self.rest.len() / min_item_len.max(1) {
             return None;
         }

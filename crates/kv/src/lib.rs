@@ -23,7 +23,8 @@
 //!    key range, and the virtual clock charges index work through the cost model,
 //!    so no reproduced figure depends on the host structure. Walks of the keys
 //!    go over the slots, never the table, and the few operations that hand
-//!    keys out in order (exports, recovery) sort them.
+//!    keys out in order (snapshots, exports, recovery) sort their slots by
+//!    key.
 //!
 //! In confidential mode the store encrypts values before they leave the enclave
 //! region, which is the basis of the Figure 5 experiment.
@@ -46,6 +47,9 @@ mod timestamp;
 mod txn;
 
 pub use error::KvError;
-pub use store::{ExportedEntry, PartitionedKvStore, ReadResult, StoreConfig, VerifiedRead};
+pub use store::{
+    ExportedEntry, PartitionedKvStore, ReadResult, Snapshot, SnapshotRecord, StoreConfig,
+    VerifiedRead,
+};
 pub use timestamp::Timestamp;
 pub use txn::{TxnOpRef, TxnRecordOps};

@@ -11,9 +11,10 @@
 //!   holds no key and compares a probed key with the one in the slot's
 //!   metadata. A point operation is one probe. Whatever walks the keys
 //!   walks the live slots in slot order, never the table, and the
-//!   operations that hand keys out in order (exports, recovery) sort the
-//!   keys they collect, so key order is the bytes' order. The paper's
-//!   index is a skiplist; see the crate doc for why this one is not.
+//!   operations that hand keys out in order (snapshots, exports, evictions,
+//!   recovery) sort the slots they collect by their keys, copying none, so
+//!   key order is the bytes' order. The paper's index is a skiplist; see
+//!   the crate doc for why this one is not.
 //! * **Host region** — value buffers, one slot per key, each at its value's
 //!   exact length: the value's bytes on a plaintext store (16 bytes a
 //!   slot), the ciphertext and the counter of the nonce it was sealed under
@@ -45,6 +46,15 @@
 //! is that read into a buffer of its own. Rehydration after a restart makes
 //! the same check and copies nothing.
 //!
+//! A state transfer reads its records where they lie as well. A
+//! [`Snapshot`] is the slots of the records a filter selects, in key order,
+//! each checked once when it is taken, so a store that fails hands out
+//! nothing. Its records ([`PartitionedKvStore::snapshot_records`]) are
+//! copied out one at a time into a buffer the caller lends, a chunk's
+//! frame, and checked again there: the digest is taken over the copy, so
+//! it covers exactly the bytes that leave, and a sealed value is decrypted
+//! in that buffer ([`SnapshotRecord::copy_value`]).
+//!
 //! # One digest per stored value
 //!
 //! Every key has exactly one authenticator, and it is the enclave-held digest —
@@ -66,7 +76,7 @@
 
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, RandomState};
-use std::ops::{Index, IndexMut};
+use std::ops::{Index, IndexMut, Range};
 
 use recipe_crypto::{hash_parts, Cipher, CipherKey, Digest, Nonce};
 
@@ -470,22 +480,22 @@ impl HostArena {
     /// What `slot` holds for `key`, checked against `digest` where it lies:
     /// its bytes and, on a confidential store, what opens them.
     fn verified(&self, key: &[u8], slot: usize, digest: &Digest) -> Result<HostBytes<'_>, KvError> {
-        let bytes = self
-            .bytes(slot)
-            .ok_or_else(|| KvError::HostValueMissing { key: key.to_vec() })?;
+        let held = self.held(slot);
+        let (bytes, sealed) =
+            held.ok_or_else(|| KvError::HostValueMissing { key: key.to_vec() })?;
+        check(key, bytes, sealed, digest)?;
+        Ok((bytes, sealed))
+    }
+
+    /// What `slot` holds, as the host holds it, not checked: its bytes and,
+    /// on a confidential store, what opens them. `None` once the slot is
+    /// empty.
+    fn held(&self, slot: usize) -> Option<HostBytes<'_>> {
         match self {
-            HostArena::Plain(_) => {
-                if plain_digest(key, bytes) != *digest {
-                    return Err(KvError::IntegrityViolation { key: key.to_vec() });
-                }
-                Ok((bytes, None))
-            }
+            HostArena::Plain(slots) => Some((slots.get(slot)?.as_deref()?, None)),
             HostArena::Sealed { cipher, slots, .. } => {
-                let counter = slots[slot].counter;
-                if sealed_digest(key, &sealing_nonce(counter), bytes) != *digest {
-                    return Err(KvError::DecryptionFailed { key: key.to_vec() });
-                }
-                Ok((bytes, Some((cipher, counter))))
+                let held = slots.get(slot)?;
+                Some((held.bytes.as_deref()?, Some((cipher, held.counter))))
             }
         }
     }
@@ -502,19 +512,31 @@ impl HostArena {
     fn take(&mut self, slot: usize) -> Option<Box<[u8]>> {
         self.held_mut(slot)?.take()
     }
-
-    /// The bytes `slot` holds, as the host sees them.
-    fn bytes(&self, slot: usize) -> Option<&[u8]> {
-        match self {
-            HostArena::Plain(slots) => slots.get(slot)?.as_deref(),
-            HostArena::Sealed { slots, .. } => slots.get(slot)?.bytes.as_deref(),
-        }
-    }
 }
 
-/// A host slot's bytes that passed the digest, and on a confidential store
-/// the cipher and nonce counter that open them.
+/// A host slot's bytes, and on a confidential store the cipher and nonce
+/// counter that open them.
 type HostBytes<'a> = (&'a [u8], Option<(&'a Cipher, u64)>);
+
+/// Checks `bytes`, what the host holds for `key` or a copy of it, against
+/// the enclave-held `digest`: a plaintext value's, or on a confidential
+/// store (`sealed`) the ciphertext's under the nonce its counter names.
+fn check(
+    key: &[u8],
+    bytes: &[u8],
+    sealed: Option<(&Cipher, u64)>,
+    digest: &Digest,
+) -> Result<(), KvError> {
+    match sealed {
+        None if plain_digest(key, bytes) != *digest => {
+            Err(KvError::IntegrityViolation { key: key.to_vec() })
+        }
+        Some((_, counter)) if sealed_digest(key, &sealing_nonce(counter), bytes) != *digest => {
+            Err(KvError::DecryptionFailed { key: key.to_vec() })
+        }
+        _ => Ok(()),
+    }
+}
 
 /// The result of a successful read.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -553,6 +575,74 @@ impl VerifiedRead<'_> {
         if let Some((cipher, counter)) = self.sealed {
             cipher.apply_keystream(&sealing_nonce(counter).extended(), out);
         }
+    }
+}
+
+/// The records a filter selected in one store, in key order, each checked
+/// against its enclave-held digest when the snapshot was taken
+/// ([`PartitionedKvStore::snapshot`]): the slots they lie in, none of their
+/// bytes copied. It reads the store it was taken of, unchanged since
+/// ([`PartitionedKvStore::snapshot_records`]).
+#[derive(Debug)]
+pub struct Snapshot {
+    slots: Vec<u32>,
+}
+
+impl Snapshot {
+    /// How many records the snapshot holds.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when the filter selected no record.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+}
+
+/// One record of a [`Snapshot`], read where it lies
+/// ([`PartitionedKvStore::snapshot_records`]): its key and timestamp from
+/// the enclave, and its value as the host holds it, copied out only
+/// through the check of [`SnapshotRecord::copy_value`].
+#[derive(Clone, Copy)]
+pub struct SnapshotRecord<'a> {
+    /// The record's key.
+    pub key: &'a [u8],
+    /// Timestamp of the write that produced the value.
+    pub timestamp: Timestamp,
+    /// The host's bytes, `None` once the host emptied the slot.
+    held: Option<HostBytes<'a>>,
+    /// The enclave-held digest they must match.
+    digest: &'a Digest,
+}
+
+impl SnapshotRecord<'_> {
+    /// The value's length as the host holds it: the room
+    /// [`Self::copy_value`] fills.
+    pub fn value_len(&self) -> usize {
+        self.held.map_or(0, |(bytes, _)| bytes.len())
+    }
+
+    /// Copies the value into `out`, which the caller lends at exactly
+    /// [`Self::value_len`] bytes, checks the copy against the enclave-held
+    /// digest — so the check covers exactly the bytes copied, whatever the
+    /// host does to its own after — and decrypts it there on a
+    /// confidential store. On an error `out` holds no verified value, and
+    /// the caller discards it.
+    ///
+    /// # Panics
+    /// Panics if `out` is not [`Self::value_len`] bytes long.
+    pub fn copy_value(&self, out: &mut [u8]) -> Result<(), KvError> {
+        let key = self.key;
+        let (bytes, sealed) = self
+            .held
+            .ok_or_else(|| KvError::HostValueMissing { key: key.to_vec() })?;
+        out.copy_from_slice(bytes);
+        check(key, out, sealed, self.digest)?;
+        if let Some((cipher, counter)) = sealed {
+            cipher.apply_keystream(&sealing_nonce(counter).extended(), out);
+        }
+        Ok(())
     }
 }
 
@@ -785,16 +875,13 @@ impl PartitionedKvStore {
         self.index.find(key, &self.meta).ok()
     }
 
-    /// Deletes `key`. Returns `true` if it existed.
-    pub(crate) fn delete(&mut self, key: &[u8]) -> bool {
-        let Some(slot) = self.index.remove(key, &self.meta) else {
-            return false;
-        };
+    /// Deletes the key `slot` holds; the slot is the next new key's.
+    fn delete_slot(&mut self, slot: u32) {
+        self.index.remove(key_at(&self.meta, slot), &self.meta);
         self.meta[slot as usize].key = None;
         self.host_arena.take(slot as usize);
         self.spilled.remove(&slot);
         self.free_slots.push(slot);
-        true
     }
 
     /// The highest timestamp any stored key carries; `None` when empty.
@@ -804,15 +891,25 @@ impl PartitionedKvStore {
             .max()
     }
 
-    /// The keys `filter` selects, in ascending byte order: what every export
-    /// and eviction walks.
-    fn sorted_keys(&self, filter: impl Fn(&[u8]) -> bool) -> Vec<Vec<u8>> {
-        let mut keys: Vec<Vec<u8>> = live(&self.meta)
-            .filter(|(key, _)| filter(key))
-            .map(|(key, _)| key.to_vec())
-            .collect();
-        keys.sort_unstable();
-        keys
+    /// The slots of the keys `filter` selects, in ascending byte order of
+    /// their keys: what every snapshot, export and eviction walks. The
+    /// slots are counted first, so the list is allocated once, at its
+    /// length, and not at all when `filter` selects nothing.
+    fn sorted_slots(&self, filter: impl Fn(&[u8]) -> bool) -> Vec<u32> {
+        let selected = || {
+            live(&self.meta)
+                .filter(|(key, _)| filter(key))
+                .map(|(_, slot)| slot)
+        };
+        let mut slots = Vec::with_capacity(selected().count());
+        slots.extend(selected());
+        self.in_key_order(&mut slots);
+        slots
+    }
+
+    /// Sorts live `slots` by their keys, which are distinct.
+    fn in_key_order(&self, slots: &mut [u32]) {
+        slots.sort_unstable_by(|&a, &b| key_at(&self.meta, a).cmp(key_at(&self.meta, b)));
     }
 
     /// Rollback-protected rehydration after a restart: checks every key's
@@ -832,12 +929,12 @@ impl PartitionedKvStore {
                     verified += 1;
                     bytes += (key.len() + read.value_len()) as u64;
                 }
-                Err(_) => failed.push(key.to_vec()),
+                Err(_) => failed.push(slot),
             }
         }
-        failed.sort_unstable();
-        for key in &failed {
-            self.delete(key);
+        self.in_key_order(&mut failed);
+        for &slot in &failed {
+            self.delete_slot(slot);
         }
         (verified, failed.len() as u64, bytes)
     }
@@ -985,38 +1082,71 @@ impl PartitionedKvStore {
     // Key-range export/import (online shard migration)
     // ------------------------------------------------------------------
 
+    /// Takes a snapshot of every record whose key satisfies `filter`, in
+    /// key order, for a state transfer to read where it lies
+    /// ([`Self::snapshot_records`]). Every record is checked against the
+    /// enclave-held digest first, in one pass, so a store the host tampered
+    /// with fails here, on the first record that does not verify, before
+    /// anything of the range leaves it. Copies no key and no value.
+    pub fn snapshot(&self, filter: impl Fn(&[u8]) -> bool) -> Result<Snapshot, KvError> {
+        let slots = self.sorted_slots(filter);
+        for &slot in &slots {
+            self.verified(key_at(&self.meta, slot), slot)?;
+        }
+        Ok(Snapshot { slots })
+    }
+
+    /// The records of `snapshot`, taken of this store and unchanged since,
+    /// in `range` of its key order, each read where it lies: its value
+    /// leaves the store only through [`SnapshotRecord::copy_value`], which
+    /// checks it again over the copy.
+    ///
+    /// # Panics
+    /// Panics if `range` reaches past the snapshot's end.
+    pub fn snapshot_records<'a>(
+        &'a self,
+        snapshot: &'a Snapshot,
+        range: Range<usize>,
+    ) -> impl ExactSizeIterator<Item = SnapshotRecord<'a>> + Clone + 'a {
+        snapshot.slots[range].iter().map(|&slot| SnapshotRecord {
+            key: key_at(&self.meta, slot),
+            timestamp: self.timestamp_at(slot),
+            held: self.host_arena.held(slot as usize),
+            digest: &self.meta[slot as usize].value_hash,
+        })
+    }
+
     /// Exports every `(key, value, timestamp)` whose key satisfies `filter`,
-    /// in key order. Each value is read through the verified path
-    /// ([`Self::read`]): integrity is re-checked against the
-    /// enclave-held hash (and decrypted in confidential mode) before it
-    /// leaves the store, so a Byzantine host cannot smuggle corrupted state
-    /// into a migration snapshot. Fails on the first record that does not
-    /// verify.
+    /// in key order, each value copied out of the verified read
+    /// ([`Self::read`]): integrity is re-checked against the enclave-held
+    /// hash (and the value decrypted in confidential mode) before it leaves
+    /// the store. Fails on the first record that does not verify. The owned
+    /// form of a [`Snapshot`]'s records, which a transfer reads in place.
     pub fn export_matching(
         &self,
         filter: impl Fn(&[u8]) -> bool,
     ) -> Result<Vec<ExportedEntry>, KvError> {
-        let keys = self.sorted_keys(filter);
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            let read = self.read(&key)?;
+        let slots = self.sorted_slots(filter);
+        let mut out = Vec::with_capacity(slots.len());
+        for slot in slots {
+            let key = key_at(&self.meta, slot);
+            let read = self.verified(key, slot)?;
             let mut value = Vec::new();
             read.copy_into(&mut value);
-            let timestamp = read.timestamp;
-            out.push((key, value, timestamp));
+            out.push((key.to_vec(), value, read.timestamp));
         }
         Ok(out)
     }
 
     /// Deletes every key satisfying `filter` (donor-side range eviction after
-    /// a migration cutover). Returns how many keys were removed.
+    /// a migration cutover), in key order. Returns how many keys were
+    /// removed.
     pub fn remove_matching(&mut self, filter: impl Fn(&[u8]) -> bool) -> usize {
-        let keys = self.sorted_keys(filter);
-        let removed = keys.len();
-        for key in &keys {
-            self.delete(key);
+        let slots = self.sorted_slots(filter);
+        for &slot in &slots {
+            self.delete_slot(slot);
         }
-        removed
+        slots.len()
     }
 
     // ------------------------------------------------------------------
@@ -1056,7 +1186,8 @@ impl PartitionedKvStore {
     /// "host learns nothing" tests.
     pub fn host_visible_bytes(&self, key: &[u8]) -> Option<Vec<u8>> {
         let slot = self.slot(key)?;
-        self.host_arena.bytes(slot as usize).map(<[u8]>::to_vec)
+        let (bytes, _) = self.host_arena.held(slot as usize)?;
+        Some(bytes.to_vec())
     }
 }
 
@@ -1066,7 +1197,23 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::{BTreeMap, HashMap};
 
+    impl HostArena {
+        /// The bytes `slot` holds, as the host sees them.
+        fn bytes(&self, slot: usize) -> Option<&[u8]> {
+            Some(self.held(slot)?.0)
+        }
+    }
+
     impl PartitionedKvStore {
+        /// Deletes `key`. Returns `true` if it existed.
+        fn delete(&mut self, key: &[u8]) -> bool {
+            let Some(slot) = self.slot(key) else {
+                return false;
+            };
+            self.delete_slot(slot);
+            true
+        }
+
         /// Writes `(key, value, timestamp)` records in order, as a transfer
         /// installs them: later records win for a repeated key.
         fn import_entries<K: AsRef<[u8]>>(
@@ -1094,7 +1241,10 @@ mod tests {
 
     /// Every key `store` holds, in order.
     fn keys(store: &PartitionedKvStore) -> Vec<Vec<u8>> {
-        store.sorted_keys(|_| true)
+        let slots = store.sorted_slots(|_| true).into_iter();
+        slots
+            .map(|slot| key_at(&store.meta, slot).to_vec())
+            .collect()
     }
 
     #[test]
@@ -1244,7 +1394,7 @@ mod tests {
         store.write(b"ab", b"back", Timestamp::new(3, 0)).unwrap();
         assert_eq!(held(&store, b"ab"), (keys.len(), b"back".to_vec()));
         assert_eq!(held(&store, &reused), (2, b"reused".to_vec()));
-        assert_eq!(store.sorted_keys(|_| true).len(), keys.len() + 1);
+        assert_eq!(store.sorted_slots(|_| true).len(), keys.len() + 1);
     }
 
     /// How many host slots `store` has.

@@ -59,8 +59,8 @@ pub use contract::{
     Capacity, Consistency, Contract, Count, Framing, Messages, ReadPath, Role, Traffic, Wire,
 };
 pub use migration::{
-    ChunkPhase, ChunkRecord, MigrationChannel, MigrationChunk, CHUNK_ENTRIES,
-    ENDPOINT_IDS as MIGRATION_ENDPOINT_IDS, MAX_SHARDS,
+    ChunkPhase, ChunkRecord, ChunkRecords, MigrationChannel, MigrationChunk, TransferRecord,
+    CHUNK_ENTRIES, ENDPOINT_IDS as MIGRATION_ENDPOINT_IDS, MAX_SHARDS,
 };
 pub use raft::{Raft, RaftMsg, RaftReplica};
 pub use registry::{BuildReplica, Protocol, ProtocolVisitor};

@@ -53,10 +53,12 @@
 //! pools count what they lend and what they had to allocate, for the life
 //! of their owner ([`ReplicaStore::entry_pool`]).
 
+use std::ops::Range;
+
 use recipe_core::FramePool;
 use recipe_kv::{
-    ExportedEntry, KvError, PartitionedKvStore, ReadResult, StoreConfig, Timestamp, TxnOpRef,
-    TxnRecordOps,
+    ExportedEntry, KvError, PartitionedKvStore, ReadResult, Snapshot, SnapshotRecord, StoreConfig,
+    Timestamp, TxnOpRef, TxnRecordOps,
 };
 use recipe_net::NodeId;
 use recipe_sim::{Replica, RestartReport};
@@ -338,10 +340,34 @@ impl ReplicaStore {
     // order, and the donor stops serving the range before eviction.
     // ------------------------------------------------------------------
 
-    /// Exports every key satisfying `filter`, in key order. Fails when a
-    /// record does not pass the verified-read path (a Byzantine host
-    /// corrupted or dropped host-resident state) — the caller must abort the
-    /// transfer, never ship unverified state.
+    /// Takes a snapshot of every key satisfying `filter`, in key order, for
+    /// a transfer to seal where its records lie
+    /// ([`Self::snapshot_records`]): each record is checked once, before
+    /// anything ships. Fails when a record does not pass the check (a
+    /// Byzantine host corrupted or dropped host-resident state) — the
+    /// caller must abort the transfer, never ship unverified state.
+    pub fn snapshot(&self, filter: &dyn Fn(&[u8]) -> bool) -> Result<Snapshot, String> {
+        self.kv
+            .snapshot(filter)
+            .map_err(|err| format!("range snapshot failed verification: {err:?}"))
+    }
+
+    /// The records of `snapshot`, taken of this store and unchanged since,
+    /// in `range` of its key order, where they lie: each value leaves only
+    /// through the check of the copy a chunk's frame takes
+    /// ([`SnapshotRecord::copy_value`]).
+    pub fn snapshot_records<'a>(
+        &'a self,
+        snapshot: &'a Snapshot,
+        range: Range<usize>,
+    ) -> impl ExactSizeIterator<Item = SnapshotRecord<'a>> + Clone + 'a {
+        self.kv.snapshot_records(snapshot, range)
+    }
+
+    /// Exports every key satisfying `filter`, in key order, as owned
+    /// records: what [`Self::snapshot`] and [`Self::snapshot_records`] read
+    /// in place, for a caller that keeps them. Fails when a record does not
+    /// pass the verified-read path.
     pub fn export_range(
         &mut self,
         filter: &dyn Fn(&[u8]) -> bool,
@@ -610,7 +636,9 @@ mod tests {
             });
             from_list.install(&committed);
             let mut channel = MigrationChannel::new(0, 1, 1, false);
-            let (_, mut wire) = channel.seal(ChunkPhase::CatchUp, &committed);
+            let frames = &mut FramePool::default();
+            let sealed = channel.seal(frames, ChunkPhase::CatchUp, committed.iter());
+            let (_, mut wire) = sealed.unwrap();
             from_chunk.import_range(channel.open(&mut wire).unwrap());
             let held = |store: &mut ReplicaStore| store.export_range(&|_| true).unwrap();
             let installed = held(&mut from_list);

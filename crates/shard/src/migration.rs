@@ -6,23 +6,27 @@
 //! set of consistent-hash ring arcs — from the overloaded *donor* group to the
 //! most underloaded *recipient* group **without downtime**, in three phases:
 //!
-//! 1. **Snapshot** — the donor leader exports the moving range through the
-//!    verified-read path of its partitioned store (cut point = export time),
-//!    seals it into bounded [`recipe_protocols::MigrationChunk`]s through the
-//!    shield layer (MAC + trusted counter, AEAD in confidential mode) and
-//!    ships them across the plane between groups to the recipient group,
-//!    which opens each and installs it on every replica. The donor keeps
-//!    serving the range throughout.
+//! 1. **Snapshot** — the donor leader takes a snapshot of the moving range
+//!    in its partitioned store (cut point = snapshot time; every record
+//!    checked against its enclave-held digest first, so a store that fails
+//!    ships nothing), seals it into bounded
+//!    [`recipe_protocols::MigrationChunk`]s through the shield layer (MAC +
+//!    trusted counter, AEAD in confidential mode), each record copied from
+//!    where it lies in the store into its chunk's frame and checked there,
+//!    and ships them across the plane between groups to the recipient
+//!    group, which opens each and installs it on every replica. The donor
+//!    keeps serving the range throughout.
 //! 2. **Catch-up** — writes committed on the donor after the cut are logged
 //!    and replayed in commit order, round after round, until a round's delta
 //!    is small.
 //! 3. **Cutover** — the donor *refuses* new operations for the moving range
 //!    (clients back off and retry), in-flight operations drain, the final
-//!    delta ships, the donor evicts the range, and the router epoch bumps
-//!    atomically ([`crate::ShardRouter::rebalance`]). Clients still holding
-//!    the old epoch get a [`crate::RouteDecision::WrongShard`] redirect on
-//!    their next touch of the range and retry against the new placement — no
-//!    commit is ever lost or applied twice.
+//!    delta ships (a fresh snapshot of the range, taken the same way, when
+//!    the log missed a write), the donor evicts the range, and the router
+//!    epoch bumps atomically ([`crate::ShardRouter::rebalance`]). Clients
+//!    still holding the old epoch get a [`crate::RouteDecision::WrongShard`]
+//!    redirect on their next touch of the range and retry against the new
+//!    placement — no commit is ever lost or applied twice.
 //!
 //! Every phase charges virtual time through the cost model — snapshot
 //! export/import work, sealed-frame wire costs, and the EPC pressure of
@@ -39,11 +43,23 @@
 //!
 //! **Restarts.** A restarted replica catches up through the same transfer
 //! ([`ShardedCluster::catch_up`]): one snapshot round of a live peer's
-//! whole range, across the group's own link instead of the plane, from
-//! each live peer in turn until one lands whole. One that never does keeps
-//! the replica down. On that link the adversary may replay a protocol
-//! frame as a chunk or a chunk as a protocol frame; each end refuses what
-//! its own channel did not seal.
+//! whole range, read where it lies in the peer's store and sealed in frames
+//! of the cluster's one transfer pool ("Frames" below), across the group's
+//! own link instead of the plane, from each live peer in turn until one
+//! lands whole. One that never does keeps the replica down. On that link
+//! the adversary may replay a protocol frame as a chunk or a chunk as a
+//! protocol frame; each end refuses what its own channel did not seal.
+//!
+//! **Frames.** Every transfer's chunks, a migration's and a restart's, are
+//! sealed in buffers of one pool the cluster keeps, one chunk in flight at
+//! a time; each transfer still opens a channel of its own, with fresh
+//! endpoint keys. The recipient opens a chunk where it lies in its frame,
+//! checks it whole and installs its records from there, and the frame goes
+//! back to the pool to serve the transfer's next chunk. When a transfer
+//! ends the pool drops its spares
+//! (`FramePool::drop_spares`): a run's transfers are few and far apart, so
+//! a frame kept for the next one would only sit in the heap, a snapshot
+//! chunk's tens of kilobytes among it, until the run's end.
 //!
 //! **Cost form.** A migration ships a snapshot round and then its catch-up
 //! rounds (the final delta included); a round of `k` records ships
@@ -53,7 +69,7 @@
 
 use std::cmp::Reverse;
 
-use recipe_kv::ExportedEntry;
+use recipe_kv::{ExportedEntry, Snapshot};
 use recipe_net::{Landing, NodeId};
 use recipe_protocols::{ChunkPhase, MigrationChannel, MigrationChunk, StoreReplica, CHUNK_ENTRIES};
 use recipe_sim::Work;
@@ -175,6 +191,26 @@ pub(crate) struct Transfer {
     recipient: (usize, Vec<NodeId>),
 }
 
+/// The records one round of a transfer ships
+/// ([`ShardedCluster::ship_entries`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Records<'a> {
+    /// A snapshot of the sealing node's store, read where its records lie
+    /// as each chunk is sealed.
+    Snapshot(&'a Snapshot),
+    /// Owned records: a migration's catch-up log.
+    Log(&'a [ExportedEntry]),
+}
+
+impl Records<'_> {
+    fn len(self) -> usize {
+        match self {
+            Records::Snapshot(snapshot) => snapshot.len(),
+            Records::Log(entries) => entries.len(),
+        }
+    }
+}
+
 /// What one round of a transfer shipped ([`ShardedCluster::ship_entries`]),
 /// a lost chunk included.
 #[derive(Default)]
@@ -216,9 +252,9 @@ struct ActiveMigration {
     arcs: Vec<usize>,
     /// From the donor group's leader to every replica of the recipient.
     transfer: Transfer,
-    /// Records waiting for the next round: the snapshot, then the writes
-    /// committed on the donor inside the moving range since the last
-    /// shipped round, in commit order.
+    /// Records waiting for the next round: the writes committed on the
+    /// donor inside the moving range since the last shipped round, in
+    /// commit order.
     catchup: Vec<ExportedEntry>,
     /// Rounds shipped, the snapshot's included.
     rounds: u64,
@@ -350,7 +386,7 @@ impl<R: StoreReplica> Engine<'_, R> {
         // the drain when the delta is small (or rounds ran out).
         if active.catchup.len() > self.rb.drain_threshold_ops && active.rounds <= MAX_CATCHUP_ROUNDS
         {
-            self.ship_round(now, ChunkPhase::CatchUp);
+            self.ship_round(now);
         } else {
             active.transfer_ready_at = None;
             let (donor, id) = (active.transfer.donor, self.st.stats.migrations_started);
@@ -443,11 +479,11 @@ impl<R: StoreReplica> Engine<'_, R> {
             return; // donor group has no live coordinator; try a later window
         };
         let filter = cluster.router.arc_membership_filter(&arcs);
-        let exported = cluster.shards[donor]
+        let taken = cluster.shards[donor]
             .replica_mut(leader)
             .store()
-            .export_range(&filter);
-        let Ok(entries) = exported else {
+            .snapshot(&filter);
+        let Ok(snapshot) = taken else {
             // The donor leader's store failed verification for the range
             // (Byzantine host tampered with host-resident state). Never ship
             // unverified state: abort this attempt; the placement stays as
@@ -473,56 +509,63 @@ impl<R: StoreReplica> Engine<'_, R> {
             cluster.transfers,
             transfer_confidentiality,
         );
-        let active = ActiveMigration {
+        let mut active = ActiveMigration {
             arcs,
             transfer: Transfer {
                 channel,
                 donor,
                 recipient: (recipient, cluster.shards[recipient].node_ids().to_vec()),
             },
-            catchup: entries,
-            rounds: 0,
+            catchup: Vec::new(),
+            rounds: 1,
             capture_misses: 0,
             transfer_ready_at: None,
         };
-        self.st.active = Some(active);
-        self.ship_round(now, ChunkPhase::Snapshot);
-    }
-
-    /// Ships the records the active migration holds — its snapshot, then
-    /// each catch-up delta — as one round, or aborts the migration when a
-    /// chunk does not land.
-    fn ship_round(&mut self, now: u64, phase: ChunkPhase) {
-        let mut active = self.st.active.take().expect("a migration is active");
-        let entries = std::mem::take(&mut active.catchup);
-        active.rounds += 1;
-        let Some(ready_at) = self.ship(&mut active.transfer, now, &entries, phase) else {
+        let records = Records::Snapshot(&snapshot);
+        let phase = ChunkPhase::Snapshot;
+        let Some(ready_at) = self.ship(&mut active.transfer, leader, now, records, phase) else {
             return self.abort_migration(now);
         };
         active.transfer_ready_at = Some(ready_at);
         self.st.active = Some(active);
     }
 
-    /// Ships `entries` as one round of `transfer`, sealed by the donor
-    /// group's leader (or its first replica) and carried across the plane
-    /// between groups, and counts it. Returns when the round landed, or
-    /// `None` when a chunk did not.
+    /// Ships the catch-up delta the active migration logged as one round,
+    /// sealed by the donor group's leader (or its first replica), or aborts
+    /// the migration when a chunk does not land.
+    fn ship_round(&mut self, now: u64) {
+        let mut active = self.st.active.take().expect("a migration is active");
+        let entries = std::mem::take(&mut active.catchup);
+        active.rounds += 1;
+        let sealer = self.cluster.sealer(active.transfer.donor);
+        let records = Records::Log(&entries);
+        let phase = ChunkPhase::CatchUp;
+        let Some(ready_at) = self.ship(&mut active.transfer, sealer, now, records, phase) else {
+            return self.abort_migration(now);
+        };
+        active.transfer_ready_at = Some(ready_at);
+        self.st.active = Some(active);
+    }
+
+    /// Ships `records` as one round of `transfer`, sealed by the donor
+    /// group's node `sealer` (the one a snapshot was taken on) and carried
+    /// across the plane between groups, and counts it. Returns when the
+    /// round landed, or `None` when a chunk did not.
     fn ship(
         &mut self,
         transfer: &mut Transfer,
+        sealer: NodeId,
         now: u64,
-        entries: &[ExportedEntry],
+        records: Records<'_>,
         phase: ChunkPhase,
     ) -> Option<u64> {
         let Engine {
             cluster, plane, st, ..
         } = self;
-        let group = &cluster.shards[transfer.donor];
-        let donor = group.write_coordinator().unwrap_or(group.node_ids()[0]);
         let (from, to) = (transfer.donor, transfer.recipient.0);
         let ends = (Plane::group(from), Plane::group(to));
         let confidential = transfer.channel.is_confidential();
-        let round = cluster.ship_entries(transfer, donor, now, entries, phase, |_, at, wire| {
+        let round = cluster.ship_entries(transfer, sealer, now, records, phase, |_, at, wire| {
             plane.send(ends, at, wire)
         });
         st.stats.count(phase, &round, confidential);
@@ -533,6 +576,7 @@ impl<R: StoreReplica> Engine<'_, R> {
     /// unchanged, the donor serving on, a later window free to retry. The
     /// end-of-run GC clears the recipient's partial copy.
     fn abort_migration(&mut self, now: u64) {
+        self.cluster.transfer_frames.drop_spares();
         self.st.next_check_ns = now + self.rb.check_interval_ns;
         self.st.clear_window();
     }
@@ -541,28 +585,33 @@ impl<R: StoreReplica> Engine<'_, R> {
     /// the router epoch. From this instant the old placement earns redirects.
     fn finish_cutover(&mut self, now: u64) {
         let mut active = self.st.active.take().expect("a migration is draining");
-        let mut delta = std::mem::take(&mut active.catchup);
+        let delta = std::mem::take(&mut active.catchup);
         let (donor, recipient) = (active.transfer.donor, active.transfer.recipient.0);
         // Zero-loss guard: if any committed moving-range write could not be
         // captured (leader handover, unverifiable record), the catch-up log is
-        // not trustworthy — re-export the whole range through the verified
-        // path instead. The drain guarantees nothing is in flight, so the
-        // re-export is the complete committed state. If even that fails, the
-        // migration aborts.
+        // not trustworthy — ship a fresh snapshot of the whole range instead.
+        // The drain guarantees nothing is in flight, so the snapshot is the
+        // complete committed state. If even that fails, the migration aborts.
+        let mut snapshot = None;
         if active.capture_misses > 0 {
             let filter = self.cluster.router.arc_membership_filter(&active.arcs);
             let group = &mut self.cluster.shards[donor];
-            let reexport = group.write_coordinator().and_then(|leader| {
+            let taken = group.write_coordinator().and_then(|leader| {
                 let store = group.replica_mut(leader).store();
-                store.export_range(&filter).ok()
+                Some((leader, store.snapshot(&filter).ok()?))
             });
-            let Some(entries) = reexport else {
+            let Some(taken) = taken else {
                 self.st.stats.export_failures += 1;
                 return self.abort_migration(now);
             };
-            delta = entries;
+            snapshot = Some(taken);
         }
-        let shipped = self.ship(&mut active.transfer, now, &delta, ChunkPhase::Final);
+        let (sealer, records) = match &snapshot {
+            Some((leader, snapshot)) => (*leader, Records::Snapshot(snapshot)),
+            None => (self.cluster.sealer(donor), Records::Log(&delta)),
+        };
+        let phase = ChunkPhase::Final;
+        let shipped = self.ship(&mut active.transfer, sealer, now, records, phase);
         if shipped.is_none() {
             return self.abort_migration(now);
         }
@@ -576,6 +625,7 @@ impl<R: StoreReplica> Engine<'_, R> {
             group.replica_mut(node).store().evict_range(&filter);
         }
         cluster.router.rebalance(&active.arcs, recipient);
+        cluster.transfer_frames.drop_spares();
         st.stats.migrations_completed += 1;
         st.stats.last_cutover_ns = now;
         st.cutover_times.push(now);
@@ -593,6 +643,13 @@ impl<R: StoreReplica> Engine<'_, R> {
 }
 
 impl<R: StoreReplica> ShardedCluster<R> {
+    /// The node of `shard`'s group that seals a migration's catch-up
+    /// rounds: its write coordinator, or its first replica without one.
+    fn sealer(&self, shard: usize) -> NodeId {
+        let group = &self.shards[shard];
+        group.write_coordinator().unwrap_or(group.node_ids()[0])
+    }
+
     /// Drops every key a shard no longer owns at the current epoch from that
     /// shard's replicas. The cutover already evicts the moved range, but a
     /// straggling in-group commit (a follower applying a pre-cutover entry
@@ -611,8 +668,9 @@ impl<R: StoreReplica> ShardedCluster<R> {
 
     /// §3.7 catch-up of `joiner`, which `shard`'s group just restarted: each
     /// live peer in turn ships its whole range to it as one snapshot round,
-    /// on a fresh channel, across the group's own link, until a round lands
-    /// whole. The joiner then stages that peer's prepare records as passive
+    /// read where it lies in the peer's store, on a fresh channel, across
+    /// the group's own link, until a round lands whole. The joiner then
+    /// stages the prepare records of the peer whose round landed as passive
     /// copies, as 2PC's prepare replication does, and moves its applied
     /// count up to the newest timestamp it holds. A peer whose store fails
     /// verification ships nothing. Returns whether a round landed whole (or
@@ -627,9 +685,7 @@ impl<R: StoreReplica> ShardedCluster<R> {
                 continue;
             }
             tried = true;
-            let store = group.replica_mut(donor).store();
-            let (exported, prepares) = (store.export_range(&|_| true), store.txn_records());
-            let Ok(entries) = exported else {
+            let Ok(snapshot) = group.replica_mut(donor).store().snapshot(&|_| true) else {
                 continue;
             };
             self.transfers += 1;
@@ -647,11 +703,14 @@ impl<R: StoreReplica> ShardedCluster<R> {
                 let link = c.shards[shard].link();
                 link.send(wire_id, donor, joiner, at, wire)
             };
-            let phase = ChunkPhase::Snapshot;
-            let round = self.ship_entries(&mut transfer, donor, now, &entries, phase, send);
+            let (records, phase) = (Records::Snapshot(&snapshot), ChunkPhase::Snapshot);
+            let round = self.ship_entries(&mut transfer, donor, now, records, phase, send);
+            self.transfer_frames.drop_spares();
             refused += round.refused;
             if round.landed_at.is_some() {
-                let store = self.shards[shard].replica_mut(joiner).store();
+                let group = &mut self.shards[shard];
+                let prepares = group.replica_mut(donor).store().txn_records();
+                let store = group.replica_mut(joiner).store();
                 for (txn_id, ops) in &prepares {
                     let ops = ops
                         .iter()
@@ -665,19 +724,21 @@ impl<R: StoreReplica> ShardedCluster<R> {
         (!tried, refused)
     }
 
-    /// Seals `entries` into bounded chunks on `transfer`'s channel, charges
-    /// `donor`'s export and send and each recipient's import, puts each
-    /// chunk on the wire through `send` (given the cluster, the time the
-    /// chunk is sent and its frame, it says where the frame lands) and
-    /// installs what opens on every recipient node, from the frame where it
-    /// lies. An empty round costs nothing and lands at `now`; a lost or
-    /// refused chunk ends the round.
+    /// Seals `records` into bounded chunks on `transfer`'s channel, in
+    /// frames of the cluster's transfer pool — a snapshot's read where they
+    /// lie in `donor`'s store, the one it was taken of — charges `donor`'s
+    /// export and send and each recipient's import, puts each chunk on the
+    /// wire through `send` (given the cluster, the time the chunk is sent
+    /// and its frame, it says where the frame lands) and installs what
+    /// opens on every recipient node, from the frame where it lies. An
+    /// empty round costs nothing and lands at `now`; a chunk that does not
+    /// seal, is lost or is refused ends the round.
     pub(crate) fn ship_entries(
         &mut self,
         transfer: &mut Transfer,
         donor: NodeId,
         now: u64,
-        entries: &[ExportedEntry],
+        records: Records<'_>,
         phase: ChunkPhase,
         mut send: impl FnMut(&mut Self, u64, &[u8]) -> Landing,
     ) -> Round {
@@ -689,13 +750,32 @@ impl<R: StoreReplica> ShardedCluster<R> {
         let mut round = Round::default();
         let mut donor_busy_from = now;
         let mut ready_at = now;
-        for batch in entries.chunks(CHUNK_ENTRIES) {
+        let total = records.len();
+        for start in (0..total).step_by(CHUNK_ENTRIES) {
             // Donor side: verified export (or replay staging) + seal + send.
-            let (seq, mut wire) = channel.seal(phase, batch);
+            let range = start..total.min(start + CHUNK_ENTRIES);
+            let entries = range.len();
+            let frames = &mut self.transfer_frames;
+            let (sealed, payload) = match records {
+                Records::Snapshot(snapshot) => {
+                    let store = self.shards[*from].replica_mut(donor).store();
+                    let batch = store.snapshot_records(snapshot, range);
+                    let payload = MigrationChunk::payload_len(batch.clone());
+                    (channel.seal(frames, phase, batch), payload)
+                }
+                Records::Log(log) => {
+                    let batch = &log[range];
+                    let payload = MigrationChunk::payload_len(batch);
+                    (channel.seal(frames, phase, batch.iter()), payload)
+                }
+            };
+            let Some((seq, mut wire)) = sealed else {
+                return round;
+            };
             let wire_len = wire.len();
             let export = Work::Scan {
-                entries: batch.len(),
-                bytes: MigrationChunk::payload_len(batch),
+                entries,
+                bytes: payload,
             };
             let send_work = Work::Send {
                 ops: 1,
@@ -714,7 +794,7 @@ impl<R: StoreReplica> ShardedCluster<R> {
                 t.span(kind, donor.0, exported.start_ns, sent_at, seq);
             }
             round.chunks += 1;
-            round.entries += batch.len() as u64;
+            round.entries += entries as u64;
             round.bytes += wire_len as u64;
 
             // Wire + recipient side: the end opens the authentic frame where
@@ -728,23 +808,21 @@ impl<R: StoreReplica> ShardedCluster<R> {
                 |channel, copy| channel.open(copy).is_none(),
             );
             round.refused += u64::from(refused);
-            let Some((records, arrival)) = landed else {
+            let Some((opened, arrival)) = landed else {
+                self.transfer_frames.give(wire);
                 return round;
             };
             let import = Work::Import {
-                entries: records.len(),
+                entries: opened.len(),
                 bytes: wire_len,
             };
             let group = &mut self.shards[*to];
             for &node in recipients.iter() {
                 let imported = group.charge(node, arrival, ChargeKind::SnapshotImport, import);
                 ready_at = ready_at.max(imported.finish_ns);
-                group
-                    .replica_mut(node)
-                    .store()
-                    .import_range(records.iter().copied());
+                group.replica_mut(node).store().import_range(opened.clone());
             }
-            channel.recycle(wire);
+            self.transfer_frames.give(wire);
         }
         round.landed_at = Some(ready_at);
         round

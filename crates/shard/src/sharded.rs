@@ -368,6 +368,11 @@ pub struct ShardedCluster<R: Replica> {
     /// State transfers begun over the cluster's life, migrations and
     /// restarts: the last one's channel id.
     pub(crate) transfers: u64,
+    /// The buffers every transfer's chunks are sealed in, lent to one
+    /// chunk at a time and taken back once it is installed, lost or
+    /// refused. A transfer that ends leaves no spare in it
+    /// (`crate::migration`'s module docs, "Frames").
+    pub(crate) transfer_frames: FramePool,
 }
 
 impl<R: Replica> ShardedCluster<R> {
@@ -396,6 +401,7 @@ impl<R: Replica> ShardedCluster<R> {
             config,
             last_gateway_stats: None,
             transfers: 0,
+            transfer_frames: FramePool::default(),
         }
     }
 

@@ -11,9 +11,10 @@
 //! A tenanted gateway writes its prefix into the room a client drew each
 //! key with, so admitting a request allocates nothing. A committed
 //! transaction's buffers go back to the generator that drew it, so its
-//! client draws the next one without allocating. A state transfer's
-//! chunks are built in buffers its channel reuses and installed from the
-//! frame where it lies.
+//! client draws the next one without allocating. A state transfer reads
+//! the donor's records where they lie into frames of one pool, reused
+//! chunk after chunk, and installs each chunk from the frame where it
+//! lies.
 //! The workloads' exact counts per committed op are pinned in
 //! `crates/bench/baselines/BENCH_work.json`, whose history is their
 //! trajectory.
@@ -25,10 +26,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::Path;
 
-use recipe_core::{Operation, Request, TxnBody, TxnBodyRef};
+use recipe_core::{FramePool, Operation, Request, TxnBody, TxnBodyRef};
 use recipe_crypto::CipherKey;
 use recipe_gateway::{Gateway, GatewayConfig, GatewayVerdict, TenantSpec};
-use recipe_kv::{ExportedEntry, KvError, PartitionedKvStore, StoreConfig, Timestamp};
+use recipe_kv::{KvError, PartitionedKvStore, Snapshot, StoreConfig, Timestamp};
 use recipe_net::NodeId;
 use recipe_protocols::{
     ChunkPhase, MigrationChannel, ReplicaStore, Stamping, TxnLanes, CHUNK_ENTRIES,
@@ -143,58 +144,76 @@ fn heap_use_in<T>(work: impl FnOnce() -> T) -> (T, HeapUse) {
     (result, heap)
 }
 
-/// One round of a state transfer, migration's or a restart's: `entries`
-/// sealed into chunks on `channel`, each opened where it lies and installed
-/// on `store`, its frame then given back.
-fn ship_round(channel: &mut MigrationChannel, store: &mut ReplicaStore, entries: &[ExportedEntry]) {
-    for batch in entries.chunks(CHUNK_ENTRIES) {
-        let (_, mut wire) = channel.seal(ChunkPhase::Snapshot, batch);
+/// One snapshot round of a state transfer, a migration's or a restart's:
+/// `snapshot`'s records, read where they lie in `donor`, sealed into
+/// chunks on `channel` in frames of `frames`, each opened where it lies and
+/// installed on `recipient`, its frame then given back.
+fn ship_round(
+    channel: &mut MigrationChannel,
+    frames: &mut FramePool,
+    (donor, snapshot): (&ReplicaStore, &Snapshot),
+    recipient: &mut ReplicaStore,
+) {
+    for start in (0..snapshot.len()).step_by(CHUNK_ENTRIES) {
+        let range = start..snapshot.len().min(start + CHUNK_ENTRIES);
+        let records = donor.snapshot_records(snapshot, range);
+        let sealed = channel.seal(frames, ChunkPhase::Snapshot, records);
+        let (_, mut wire) = sealed.expect("a verified snapshot seals");
         let records = channel.open(&mut wire).expect("an authentic chunk opens");
-        store.import_range(records);
-        channel.recycle(wire);
+        recipient.import_range(records);
+        frames.give(wire);
     }
 }
 
 #[test]
-fn a_transfer_round_allocates_its_frames_once_and_one_list_a_chunk() {
-    // 300 records of 16-byte keys and 64-byte values: three chunks.
-    let entries: Vec<ExportedEntry> = (0..300u64)
-        .map(|i| {
-            let key = format!("transfer-key-{i:03}").into_bytes();
-            (
-                key,
-                format!("{i:>64}").into_bytes(),
-                Timestamp::new(i + 1, 0),
-            )
-        })
-        .collect();
+fn a_warm_transfer_round_allocates_nothing_and_keeps_no_frame_between_transfers() {
     for confidential in [false, true] {
-        let config = match confidential {
+        let config = || match confidential {
             true => StoreConfig::default().with_cipher(CipherKey::from_bytes([7; 32])),
             false => StoreConfig::default(),
         };
-        // The recipient holds every key already, at a value of the same
-        // length, so each record's value is copied over the one it replaces.
-        let mut store = ReplicaStore::new(config, NodeId(1), Stamping::Sequence);
-        for (key, value, _) in &entries {
-            store.apply(key, vec![0; value.len()]);
+        // 300 records of 16-byte keys and 64-byte values: three chunks. The
+        // recipient holds every key already, at a value of the same length,
+        // so each record's value is copied over the one it replaces.
+        let mut donor = ReplicaStore::new(config(), NodeId(0), Stamping::Sequence);
+        let mut recipient = ReplicaStore::new(config(), NodeId(1), Stamping::Sequence);
+        for i in 0..300u64 {
+            let key = format!("transfer-key-{i:03}").into_bytes();
+            donor.apply(&key, format!("{i:>64}").into_bytes());
+            recipient.apply(&key, vec![0; 64]);
         }
+        // The snapshot is its list of slots, one allocation: no key, no
+        // value and no record list is copied.
+        let (snapshot, taken) = allocations_in(|| donor.snapshot(&|_| true).unwrap());
+        assert_eq!(taken, 1, "confidential: {confidential}");
+        let source = (&donor, &snapshot);
+        let mut frames = FramePool::default();
+        // A transfer's first round provisions its channel's two ends (2).
+        // On a fresh pool it writes the first chunk straight into one new
+        // buffer, the frame (1), which goes back to the pool's list of
+        // large spares (1) and is reused by every later chunk; each chunk
+        // is opened and installed where it lies, with no list (0).
         let mut channel = MigrationChannel::new(0, 1, 1, confidential);
-        // The first round provisions the channel's two ends (2) and writes
-        // its first chunk straight into one new buffer, the frame (1),
-        // which goes back to the channel's list of large spares (1) and is
-        // reused by every later chunk. Each chunk lists its records once,
-        // where they lie in the frame (3 a round).
-        let ((), first) = allocations_in(|| ship_round(&mut channel, &mut store, &entries));
-        let ((), second) = allocations_in(|| ship_round(&mut channel, &mut store, &entries));
+        let ((), first) =
+            allocations_in(|| ship_round(&mut channel, &mut frames, source, &mut recipient));
+        let ((), warm) =
+            allocations_in(|| ship_round(&mut channel, &mut frames, source, &mut recipient));
+        // The transfer ends, and the cluster's pool drops its spares with
+        // it, so no frame is held between transfers. A second transfer on
+        // the same pool keys two fresh ends and allocates what the first
+        // round did.
+        frames.drop_spares();
+        let mut channel = MigrationChannel::new(0, 1, 2, confidential);
+        let ((), second) =
+            allocations_in(|| ship_round(&mut channel, &mut frames, source, &mut recipient));
         assert_eq!(
-            (first, second),
-            (2 + 1 + 1 + 3, 3),
+            (first, warm, second),
+            (2 + 1 + 1, 0, 2 + 1 + 1),
             "confidential: {confidential}"
         );
         assert_eq!(
-            store.get(b"transfer-key-299").unwrap().value,
-            entries[299].1
+            recipient.get(b"transfer-key-299").unwrap().value,
+            format!("{:>64}", 299).into_bytes()
         );
     }
 }
