@@ -13,14 +13,11 @@ use recipe_net::{CrashPlan, ExecMode, NetCostModel, NodeId, Transport};
 use recipe_protocols::{Protocol, ProtocolMode, RaftReplica};
 use recipe_scenario::WorkloadKind;
 use recipe_shard::{
-    request_from_workload, DeploymentSpec, RebalanceConfig, ShardPolicy, ShardRouter,
-    ShardedCluster, ShardedRunStats,
+    DeploymentSpec, RebalanceConfig, ShardPolicy, ShardRouter, ShardedCluster, ShardedRunStats,
 };
 use recipe_sim::NodeBooks;
 use recipe_telemetry::{TelemetryConfig, TelemetryReport};
-use recipe_workload::{
-    TenantMixSpec, TxnWorkloadGenerator, TxnWorkloadSpec, WorkloadRequest, WorkloadSpec,
-};
+use recipe_workload::{TenantMixSpec, TxnWorkloadGenerator, TxnWorkloadSpec, WorkloadSpec};
 
 use crate::claims::{metric, ratio, Band, Claim, Op, Term};
 use crate::{
@@ -593,7 +590,7 @@ impl SkewStream {
         self.issued += 1;
         if let (7, Some(txns)) = (n % 8, &mut self.txns) {
             let router = &self.router;
-            return request_from_workload(txns.next_request(&|key| router.shard_for_key(key)));
+            return txns.next_request(&|key| router.shard_for_key(key));
         }
         let key = if n < self.balanced_ops {
             format!("user{:08}", (client * 131 + seq * 17) % 10_000).into_bytes()
@@ -1125,8 +1122,7 @@ fn fig_tenancy(operations: usize) -> Figure {
         );
         let mut generators = mix.generators(clients);
         cluster.run_requests(move |client, _seq| {
-            let op = generators[client as usize].next_op();
-            Some(request_from_workload(WorkloadRequest::Single(op)))
+            Some(Request::Single(generators[client as usize].next_op()))
         })
     };
 

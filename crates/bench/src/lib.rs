@@ -158,17 +158,13 @@ pub(crate) fn run_protocol(config: &ExperimentConfig) -> RunStats {
                 .with_batching(BatchConfig::of_ops(config.batch_ops))
                 .with_clients(config.clients, config.operations)
                 .with_seed(config.seed);
-            let workload = WorkloadSpec {
+            let workload = WorkloadKind::Single(WorkloadSpec {
                 read_ratio: config.read_ratio,
                 value_size: config.value_size,
                 seed: config.seed,
                 ..WorkloadSpec::default()
-            };
-            let mut generator = workload.generator();
-            let stats = ShardedCluster::<R>::build(spec).run_requests(|_client, _seq| {
-                Some(recipe_shard::op_from_workload(generator.next_op()).into())
             });
-            stats.total
+            drive(&mut ShardedCluster::<R>::build(spec), &workload).total
         }
     }
     recipe_bft::dispatch(config.protocol, Run(config))

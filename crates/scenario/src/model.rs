@@ -380,9 +380,6 @@ fn decode_deployment(d: &mut MapDecoder<'_>) -> Result<DeploymentSpec, ScenarioE
     if let Some(seed) = d.opt::<u64>("seed")? {
         spec = spec.with_seed(seed);
     }
-    if let Some(cap) = d.opt::<u64>("max_virtual_ns")? {
-        spec = spec.with_time_cap_ns(cap);
-    }
     if d.opt_or("confidential", false)? {
         spec = spec.confidential();
     }
@@ -446,9 +443,6 @@ fn decode_tenant(_idx: usize, t: &mut MapDecoder<'_>) -> Result<TenantSpec, Scen
     if let Some(burst) = t.opt::<u64>("burst_ops")? {
         tenant = tenant.with_burst(burst);
     }
-    if !t.opt_or("authorized", true)? {
-        tenant = tenant.revoked();
-    }
     Ok(tenant)
 }
 
@@ -508,7 +502,7 @@ fn decode_rebalance(r: &mut MapDecoder<'_>) -> Result<RebalanceConfig, ScenarioE
         imbalance_threshold: r.opt_or("imbalance_threshold", defaults.imbalance_threshold)?,
         drain_threshold_ops: r.opt_or("drain_threshold_ops", defaults.drain_threshold_ops)?,
         timeline_bucket_ns: r.opt_or("timeline_bucket_ns", defaults.timeline_bucket_ns)?,
-        issue_stagger_ns: r.opt_or("issue_stagger_ns", defaults.issue_stagger_ns)?,
+        ..defaults
     })
 }
 

@@ -5,11 +5,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recipe_core::{Operation, Request};
 use recipe_protocols::{BuildReplica, Protocol, ProtocolVisitor};
-use recipe_shard::{
-    request_from_workload, workload_from_op, Client, ShardRouter, ShardedCluster, ShardedRunStats,
-};
+use recipe_shard::{Client, ShardRouter, ShardedCluster, ShardedRunStats};
 use recipe_telemetry::{SpanKind, TelemetryReport};
-use recipe_workload::{stable_key_hash, TxnWorkloadGenerator, WorkloadOp, WorkloadRequest};
+use recipe_workload::{stable_key_hash, TxnWorkloadGenerator};
 
 use crate::model::{Scenario, WorkloadKind};
 
@@ -102,11 +100,7 @@ pub fn run_workload<R: BuildReplica>(
     match workload {
         WorkloadKind::Single(spec) => {
             let mut gen = spec.generator().with_key_room(room);
-            cluster.run_requests(move |_, _| {
-                Some(request_from_workload(WorkloadRequest::Single(
-                    gen.next_op(),
-                )))
-            })
+            cluster.run_requests(move |_, _| Some(Request::Single(gen.next_op())))
         }
         WorkloadKind::Txn(spec) => cluster.run_requests(TxnClient {
             gen: spec.generator().with_key_room(room),
@@ -137,13 +131,10 @@ pub fn run_workload<R: BuildReplica>(
             cluster.run_requests(move |_, _| {
                 let mut op = gen.next_op();
                 if !hot_keys.is_empty() && hot_fraction > 0.0 && pick.gen_bool(hot_fraction) {
-                    let key = hot_keys[pick.gen_range(0..hot_keys.len())].clone();
-                    op = match op {
-                        WorkloadOp::Read { .. } => WorkloadOp::Read { key },
-                        WorkloadOp::Write { value, .. } => WorkloadOp::Write { key, value },
-                    };
+                    let (Operation::Get { key } | Operation::Put { key, .. }) = &mut op;
+                    *key = hot_keys[pick.gen_range(0..hot_keys.len())].clone();
                 }
-                Some(request_from_workload(WorkloadRequest::Single(op)))
+                Some(Request::Single(op))
             })
         }
     }
@@ -160,13 +151,11 @@ struct TxnClient {
 impl Client for TxnClient {
     fn next(&mut self, _client: u64, _seq: u64, _at_ns: u64) -> Option<Request> {
         let router = &self.router;
-        let request = self.gen.next_request(&|key| router.shard_for_key(key));
-        Some(request_from_workload(request))
+        Some(self.gen.next_request(&|key| router.shard_for_key(key)))
     }
 
     fn reclaim(&mut self, spent: Vec<Operation>) {
-        self.gen
-            .reclaim(spent.into_iter().map(workload_from_op).collect());
+        self.gen.reclaim(spent);
     }
 }
 

@@ -48,53 +48,8 @@ pub use sharded::{
 pub use spec::{DeploymentSpec, ResolvedShardPolicy, ShardPolicy};
 pub use txn::{TxnStats, FRAMES_PER_PARTICIPANT};
 
-/// Converts a generated workload operation into the protocol-level operation.
-///
-/// Lives here (not in `recipe_workload`, which stays dependency-free, nor in
-/// `recipe_core`, which knows nothing of workloads) because this crate is the
-/// layer that already bridges the two; the orphan rule rules out a `From`
-/// impl anywhere else.
-pub fn op_from_workload(op: recipe_workload::WorkloadOp) -> recipe_core::Operation {
-    match op {
-        recipe_workload::WorkloadOp::Read { key } => recipe_core::Operation::Get { key },
-        recipe_workload::WorkloadOp::Write { key, value } => {
-            recipe_core::Operation::Put { key, value }
-        }
-    }
-}
-
-/// [`op_from_workload`]'s inverse: a spent operation handed back to the
-/// generator that drew it (`recipe_workload::TxnWorkloadGenerator::reclaim`).
-/// The two operation types share one layout, so collecting a list of one
-/// into the other (`ops.into_iter().map(workload_from_op).collect()`) runs
-/// in the list's own buffer and allocates nothing.
-pub fn workload_from_op(op: recipe_core::Operation) -> recipe_workload::WorkloadOp {
-    match op {
-        recipe_core::Operation::Get { key } => recipe_workload::WorkloadOp::Read { key },
-        recipe_core::Operation::Put { key, value } => {
-            recipe_workload::WorkloadOp::Write { key, value }
-        }
-    }
-}
-
-// The in-place collects both ways rest on this.
-const _: () = {
-    use recipe_core::Operation;
-    use recipe_workload::WorkloadOp;
-    use std::mem::{align_of, size_of};
-    assert!(size_of::<Operation>() == size_of::<WorkloadOp>());
-    assert!(align_of::<Operation>() == align_of::<WorkloadOp>());
-};
-
-/// Converts a generated workload request into the protocol-level typed
-/// request ([`op_from_workload`]'s counterpart for the multi-key surface).
-pub fn request_from_workload(request: recipe_workload::WorkloadRequest) -> recipe_core::Request {
-    match request {
-        recipe_workload::WorkloadRequest::Single(op) => {
-            recipe_core::Request::Single(op_from_workload(op))
-        }
-        recipe_workload::WorkloadRequest::Txn(ops) => {
-            recipe_core::Request::Txn(ops.into_iter().map(op_from_workload).collect())
-        }
-    }
+/// The identity on a generated request, kept because `wall_bench`'s replay
+/// calls it (ROADMAP item 32 deletes it).
+pub fn request_from_workload(request: recipe_core::Request) -> recipe_core::Request {
+    request
 }

@@ -14,8 +14,9 @@
 //!    trusted counter, AEAD in confidential mode), each record copied from
 //!    where it lies in the store into its chunk's frame and checked there,
 //!    and ships them across the plane between groups to the recipient
-//!    group, which opens each and installs it on every replica. The donor
-//!    keeps serving the range throughout.
+//!    group, which opens each and installs it on every replica that is up
+//!    when the chunk ships (one that is down takes the range at its
+//!    restart's catch-up). The donor keeps serving the range throughout.
 //! 2. **Catch-up** — writes committed on the donor after the cut are logged
 //!    and replayed in commit order, round after round, until a round's delta
 //!    is small.
@@ -39,7 +40,8 @@
 //! ([`crate::DeploymentSpec::with_plane_fault_plan`]) and lands when the
 //! plane's link says, its delay included; its recipient refuses every copy
 //! the adversary made ([`MigrationStats::chunks_rejected`]). A chunk lost or
-//! refused fails its round and aborts the migration; nothing is resent.
+//! refused, or one that finds every recipient replica down, fails its round
+//! and aborts the migration; nothing is resent.
 //!
 //! **Restarts.** A restarted replica catches up through the same transfer
 //! ([`ShardedCluster::catch_up`]): one snapshot round of a live peer's
@@ -184,7 +186,7 @@ pub struct MigrationStats {
 }
 
 /// One state transfer: its channel, the donor's group, and the recipient's
-/// group and the nodes that install what opens.
+/// group and the nodes that install what opens when they are up.
 pub(crate) struct Transfer {
     channel: MigrationChannel,
     donor: usize,
@@ -727,12 +729,15 @@ impl<R: StoreReplica> ShardedCluster<R> {
     /// Seals `records` into bounded chunks on `transfer`'s channel, in
     /// frames of the cluster's transfer pool — a snapshot's read where they
     /// lie in `donor`'s store, the one it was taken of — charges `donor`'s
-    /// export and send and each recipient's import, puts each chunk on the
-    /// wire through `send` (given the cluster, the time the chunk is sent
-    /// and its frame, it says where the frame lands) and installs what
-    /// opens on every recipient node, from the frame where it lies. An
-    /// empty round costs nothing and lands at `now`; a chunk that does not
-    /// seal, is lost or is refused ends the round.
+    /// export and send, puts each chunk on the wire through `send` (given
+    /// the cluster, the time the chunk is sent and its frame, it says where
+    /// the frame lands) and installs what opens on every recipient node up
+    /// when the chunk ships, from the frame where it lies, charging each its
+    /// import. A recipient that is down takes nothing: its restart's
+    /// catch-up brings it the range. An empty round costs nothing and lands
+    /// at `now`; a chunk that does not seal, is lost, is refused or finds
+    /// every recipient down ends the round, so that no range moves to a
+    /// group where no replica holds it.
     pub(crate) fn ship_entries(
         &mut self,
         transfer: &mut Transfer,
@@ -800,7 +805,7 @@ impl<R: StoreReplica> ShardedCluster<R> {
             // Wire + recipient side: the end opens the authentic frame where
             // it lies (the shield decrypts in place) and each copy the
             // adversary made, and what opens is installed on every recipient
-            // node (each pays the import).
+            // node that is up (each pays the import).
             let (landed, refused) = send(self, sent_at, &wire).open(
                 &mut wire[..],
                 channel,
@@ -817,12 +822,20 @@ impl<R: StoreReplica> ShardedCluster<R> {
                 bytes: wire_len,
             };
             let group = &mut self.shards[*to];
+            let mut installed = false;
             for &node in recipients.iter() {
+                if group.crashed_nodes().contains(&node) {
+                    continue;
+                }
                 let imported = group.charge(node, arrival, ChargeKind::SnapshotImport, import);
                 ready_at = ready_at.max(imported.finish_ns);
                 group.replica_mut(node).store().import_range(opened.clone());
+                installed = true;
             }
             self.transfer_frames.give(wire);
+            if !installed {
+                return round;
+            }
         }
         round.landed_at = Some(ready_at);
         round
@@ -838,7 +851,7 @@ mod tests {
 
     use super::*;
     use crate::driver::Event;
-    use crate::DeploymentSpec;
+    use crate::{DeploymentSpec, ShardPolicy};
 
     const JOINER: NodeId = NodeId(2);
 
@@ -1008,5 +1021,126 @@ mod tests {
         assert!(cluster.quiesce());
         assert!(cluster.shard(0).crashed_nodes().is_empty());
         assert_eq!(values(&mut cluster, TAIL), head);
+    }
+
+    /// Moved record `i`: its key and the value the donor ships.
+    fn moved(i: usize) -> (Vec<u8>, Vec<u8>) {
+        let key = format!("moved-{i:03}").into_bytes();
+        (key, format!("value-{i:03}").into_bytes())
+    }
+
+    /// How many of the 300 moved records `node` of `shard` holds, as sent.
+    fn moved_held(cluster: &mut ShardedCluster<RaftReplica>, shard: usize, node: NodeId) -> usize {
+        let store = cluster.shards[shard].replica_mut(node).store();
+        let held = |(key, value): &(Vec<u8>, Vec<u8>)| {
+            store.get(key).is_some_and(|read| &read.value == value)
+        };
+        (0..300).map(moved).filter(held).count()
+    }
+
+    /// Each replica's busy time in shard 1's books.
+    fn busy(cluster: &ShardedCluster<RaftReplica>) -> Vec<u64> {
+        let books = cluster.shard(1).books();
+        books.iter().map(|books| books.busy.total()).collect()
+    }
+
+    /// Two three-replica R-Raft groups, shard 1's `down` replicas crashed
+    /// at 1 µs and restarting at 200 ms, run on shard 0's keys; then shard
+    /// 0's replica 0 ships 300 records — three chunks — to every replica of
+    /// shard 1 as a migration's snapshot round. Returns the cluster, the
+    /// round, and shard 1's busy times before it.
+    fn ship_to_shard_1(down: &[NodeId]) -> (ShardedCluster<RaftReplica>, Round, Vec<u64>) {
+        let crashes = down.iter().fold(CrashPlan::none(), |plan, &node| {
+            plan.crash_recover(node, 1_000, 200_000_000)
+        });
+        let spec = DeploymentSpec::new(2, 3)
+            .with_clients(8, 200)
+            .with_shard_policy(1, ShardPolicy::new().with_crash_plan(crashes));
+        let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+        let keys: Vec<Vec<u8>> = (0..)
+            .map(|i| format!("k{i}").into_bytes())
+            .filter(|key| cluster.router().shard_for_key(key) == 0)
+            .take(16)
+            .collect();
+        cluster.run_requests(|client, seq| {
+            let key = keys[(client + seq) as usize % keys.len()].clone();
+            let value = format!("v{client}-{seq}").into_bytes();
+            Some(Operation::Put { key, value }.into())
+        });
+        assert!(cluster.shard(1).crashed_nodes().iter().eq(down));
+
+        let sealer = NodeId(0);
+        let store = cluster.shards[0].replica_mut(sealer).store();
+        for (key, value) in (0..300).map(moved) {
+            store.apply(&key, value);
+        }
+        let snapshot = store
+            .snapshot(&|key| key.starts_with(b"moved-"))
+            .expect("the donor's store verifies");
+        let before = busy(&cluster);
+        let mut transfer = Transfer {
+            channel: MigrationChannel::new(0, 1, 1, recipe_core::ConfidentialityMode::Plaintext),
+            donor: 0,
+            recipient: (1, cluster.shard(1).node_ids().to_vec()),
+        };
+        let mut link = Link::new(FaultPlan::default(), 1, COST_MODEL.link_latency_ns);
+        let mut wire_id = 1 << 63;
+        let now = cluster.shard(1).now_ns();
+        let records = Records::Snapshot(&snapshot);
+        let round = cluster.ship_entries(
+            &mut transfer,
+            sealer,
+            now,
+            records,
+            ChunkPhase::Snapshot,
+            |_, at, wire| {
+                wire_id += 1;
+                link.send(wire_id, sealer, NodeId(0), at, wire)
+            },
+        );
+        (cluster, round, before)
+    }
+
+    /// A migration's three chunks land on shard 1 while its replica 2 is
+    /// down: the live recipients install the range and pay for it, the one
+    /// that is down holds none of it and is charged nothing, and its
+    /// restart's catch-up brings it the moved records.
+    #[test]
+    fn a_recipient_down_when_a_chunk_lands_takes_the_range_at_its_restart() {
+        const DOWN: NodeId = NodeId(2);
+        let (mut cluster, round, before) = ship_to_shard_1(&[DOWN]);
+        assert_eq!(round.chunks, 3);
+        assert!(round.landed_at.is_some());
+        let after = busy(&cluster);
+        for node in [NodeId(0), NodeId(1)] {
+            assert_eq!(moved_held(&mut cluster, 1, node), 300, "{node:?}");
+            assert!(after[node.0 as usize] > before[node.0 as usize], "{node:?}");
+        }
+        assert_eq!(moved_held(&mut cluster, 1, DOWN), 0);
+        assert_eq!(after[2], before[2], "the down recipient was charged");
+
+        assert!(cluster.quiesce());
+        assert!(cluster.shard(1).crashed_nodes().is_empty());
+        assert_eq!(moved_held(&mut cluster, 1, DOWN), 300);
+    }
+
+    /// With every replica of shard 1 down, the first chunk lands on no one:
+    /// the round ends there without landing, so the migration aborts and
+    /// the range stays with the donor, which still holds every record after
+    /// shard 1's replicas restart with nothing of it.
+    #[test]
+    fn a_chunk_that_finds_every_recipient_down_ends_the_round_unlanded() {
+        let all = [NodeId(0), NodeId(1), NodeId(2)];
+        let (mut cluster, round, before) = ship_to_shard_1(&all);
+        assert_eq!(round.chunks, 1);
+        assert!(round.landed_at.is_none());
+        assert_eq!(busy(&cluster), before, "a down recipient was charged");
+
+        assert!(cluster.quiesce());
+        assert!(cluster.shard(1).crashed_nodes().is_empty());
+        for node in all {
+            assert_eq!(moved_held(&mut cluster, 1, node), 0, "{node:?}");
+        }
+        assert_eq!(moved_held(&mut cluster, 0, NodeId(0)), 300);
     }
 }

@@ -197,7 +197,7 @@ impl ShardRouter {
     }
 
     /// The shard owning an already-hashed routing point at the current epoch
-    /// (see [`recipe_workload::WorkloadOp::routing_hash`]).
+    /// (a key's [`recipe_workload::stable_key_hash`]).
     pub fn shard_for_point(&self, point: u64) -> usize {
         self.owner[self.arc_of_point(point)]
     }

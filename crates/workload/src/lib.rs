@@ -3,8 +3,9 @@
 //! The paper evaluates every protocol with the YCSB benchmark configured with
 //! roughly 10 K distinct keys under a Zipfian popularity distribution, varying the
 //! read/write ratio (50–99 % reads) and the value size (256 B–4 KiB). This crate
-//! reproduces that generator: deterministic, seedable, and independent of any other
-//! crate so the benchmark harness can drive any replica implementation with it.
+//! reproduces that generator: deterministic and seedable, it draws the clients'
+//! own request type, [`recipe_core::Request`] of [`recipe_core::Operation`]s, so
+//! whatever drives a replica group takes each request as drawn.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,40 +13,12 @@
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use recipe_core::{Operation, Request};
 use serde::{Deserialize, Serialize};
 
-/// Which operation a client should issue next.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WorkloadOp {
-    /// Read the given key.
-    Read {
-        /// Key to read.
-        key: Vec<u8>,
-    },
-    /// Write the given value under the given key.
-    Write {
-        /// Key to write.
-        key: Vec<u8>,
-        /// Value payload.
-        value: Vec<u8>,
-    },
-}
-
-impl WorkloadOp {
-    /// The key the operation touches.
-    pub fn key(&self) -> &[u8] {
-        match self {
-            WorkloadOp::Read { key } | WorkloadOp::Write { key, .. } => key,
-        }
-    }
-
-    /// The stable 64-bit routing hash of this operation's key; a sharded
-    /// deployment places the operation on the shard owning this point of the
-    /// hash ring (see `recipe_shard::ShardRouter`).
-    pub fn routing_hash(&self) -> u64 {
-        stable_key_hash(self.key())
-    }
-}
+/// The generated request's old name, kept because `wall_bench`'s replay
+/// names it (ROADMAP item 32 deletes it).
+pub use recipe_core::Request as WorkloadRequest;
 
 /// Hashes a key to a stable 64-bit routing point.
 ///
@@ -220,7 +193,7 @@ struct Draw {
 /// Buffers of spent operations, drawn into before anything is allocated.
 #[derive(Debug, Clone, Default)]
 struct Spares {
-    lists: Vec<Vec<WorkloadOp>>,
+    lists: Vec<Vec<Operation>>,
     keys: Vec<Vec<u8>>,
     values: Vec<Vec<u8>>,
 }
@@ -283,7 +256,7 @@ impl WorkloadGenerator {
     }
 
     /// Produces the next operation.
-    pub fn next_op(&mut self) -> WorkloadOp {
+    pub fn next_op(&mut self) -> Operation {
         let draw = self.draw();
         let mut buf = [0; KEY_MAX_LEN];
         self.build(
@@ -306,38 +279,15 @@ impl WorkloadGenerator {
 
     /// Builds a read of `key`, or a write of a fresh value under it, in
     /// buffers taken from `spares` (new ones where it has none).
-    fn build(&self, key: &[u8], read: bool, spares: &mut Spares) -> WorkloadOp {
+    fn build(&self, key: &[u8], read: bool, spares: &mut Spares) -> Operation {
         let key = spares.key(key, self.key_room);
         if read {
-            WorkloadOp::Read { key }
+            Operation::Get { key }
         } else {
-            WorkloadOp::Write {
+            Operation::Put {
                 key,
                 value: spares.value(self.spec.value_size),
             }
-        }
-    }
-}
-
-/// A generated request: one operation, or a multi-key transaction.
-///
-/// The protocol-level counterpart is `recipe_core::Request`;
-/// `recipe_shard::request_from_workload` bridges the two (this crate stays
-/// dependency-free).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WorkloadRequest {
-    /// A single-key operation (the fast path).
-    Single(WorkloadOp),
-    /// A multi-key atomic transaction.
-    Txn(Vec<WorkloadOp>),
-}
-
-impl WorkloadRequest {
-    /// The operations carried, in draw order.
-    pub fn ops(&self) -> &[WorkloadOp] {
-        match self {
-            WorkloadRequest::Single(op) => std::slice::from_ref(op),
-            WorkloadRequest::Txn(ops) => ops,
         }
     }
 }
@@ -427,9 +377,9 @@ impl TxnWorkloadGenerator {
     /// [`TxnWorkloadSpec::fan_out`] distinct classes. A candidate the bound
     /// rejects is classified from its key on the stack and never built, and
     /// a transaction is built in the buffers of the ones reclaimed before it.
-    pub fn next_request(&mut self, classify: &dyn Fn(&[u8]) -> usize) -> WorkloadRequest {
+    pub fn next_request(&mut self, classify: &dyn Fn(&[u8]) -> usize) -> Request {
         if self.spec.txn_fraction <= 0.0 || !self.shape_rng.gen_bool(self.spec.txn_fraction) {
-            return WorkloadRequest::Single(self.base.next_op());
+            return Request::Single(self.base.next_op());
         }
         let want = self.spec.ops_per_txn.max(1);
         let fan_out = self.spec.fan_out.max(1);
@@ -451,7 +401,7 @@ impl TxnWorkloadGenerator {
                 let first = ops.first().expect("at least one accepted op");
                 // Built again, it is the same bytes: every value is the
                 // spec's size of 0xAB.
-                let read = matches!(first, WorkloadOp::Read { .. });
+                let read = !first.is_write();
                 let repeat = self.base.build(first.key(), read, &mut self.spares);
                 ops.push(repeat);
                 continue;
@@ -468,7 +418,7 @@ impl TxnWorkloadGenerator {
                 ops.push(self.base.build(key, draw.read, &mut self.spares));
             }
         }
-        WorkloadRequest::Txn(ops)
+        Request::Txn(ops)
     }
 
     /// Takes back the operations of a transaction [`Self::next_request`]
@@ -478,11 +428,11 @@ impl TxnWorkloadGenerator {
     /// the spec's size. The stream stays the same bytes whether or not its
     /// transactions come back; only the allocations differ. The generator
     /// keeps no more spares than were ever out at once.
-    pub fn reclaim(&mut self, mut spent: Vec<WorkloadOp>) {
+    pub fn reclaim(&mut self, mut spent: Vec<Operation>) {
         for op in spent.drain(..) {
             match op {
-                WorkloadOp::Read { key } => self.spares.keys.push(key),
-                WorkloadOp::Write { key, value } => {
+                Operation::Get { key } => self.spares.keys.push(key),
+                Operation::Put { key, value } => {
                     self.spares.keys.push(key);
                     self.spares.values.push(value);
                 }
@@ -574,14 +524,14 @@ mod tests {
 
     /// Folds a request's shape and every operation's kind, key and value,
     /// each length-prefixed, into `hash`.
-    fn fold_request(hash: &mut u64, request: &WorkloadRequest) {
-        let shape = u8::from(matches!(request, WorkloadRequest::Txn(_)));
+    fn fold_request(hash: &mut u64, request: &Request) {
+        let shape = u8::from(matches!(request, Request::Txn(_)));
         fold(hash, &[shape]);
         fold(hash, &(request.ops().len() as u64).to_le_bytes());
         for op in request.ops() {
             let (kind, value): (u8, &[u8]) = match op {
-                WorkloadOp::Read { .. } => (0, &[]),
-                WorkloadOp::Write { value, .. } => (1, value),
+                Operation::Get { .. } => (0, &[]),
+                Operation::Put { value, .. } => (1, value),
             };
             fold(hash, &[kind]);
             fold(hash, &(op.key().len() as u64).to_le_bytes());
@@ -622,10 +572,10 @@ mod tests {
                         let request = generator.next_request(&classify);
                         fold_request(&mut hash, &request);
                         for op in request.ops() {
-                            let (WorkloadOp::Read { key } | WorkloadOp::Write { key, .. }) = op;
+                            let (Operation::Get { key } | Operation::Put { key, .. }) = op;
                             assert!(key.capacity() >= room + key.len(), "{op:?}");
                         }
-                        if let (true, WorkloadRequest::Txn(ops)) = (reclaim, request) {
+                        if let (true, Request::Txn(ops)) = (reclaim, request) {
                             generator.reclaim(ops);
                         }
                     }
@@ -652,13 +602,13 @@ mod tests {
         let classify = |_: &[u8]| calls.replace(calls.get() + 1);
         let mut generator = spec.generator().with_key_room(6);
         for _ in 0..2 {
-            let WorkloadRequest::Txn(ops) = generator.next_request(&classify) else {
+            let Request::Txn(ops) = generator.next_request(&classify) else {
                 panic!("fraction 1.0 must always produce txns");
             };
             assert_eq!(ops.len(), 3);
             assert!(ops.iter().all(|op| op == &ops[0]), "{ops:?}");
             for op in &ops {
-                let (WorkloadOp::Read { key } | WorkloadOp::Write { key, .. }) = op;
+                let (Operation::Get { key } | Operation::Put { key, .. }) = op;
                 assert!(key.capacity() >= 6 + key.len(), "{op:?}");
             }
             generator.reclaim(ops);
@@ -673,8 +623,8 @@ mod tests {
     #[test]
     fn key_room_leaves_the_stream_as_it_is() {
         let room = 6;
-        let has_room = |op: &WorkloadOp| {
-            let (WorkloadOp::Read { key } | WorkloadOp::Write { key, .. }) = op;
+        let has_room = |op: &Operation| {
+            let (Operation::Get { key } | Operation::Put { key, .. }) = op;
             key.capacity() >= room + key.len()
         };
         let mut plain = WorkloadSpec::default().generator();
@@ -696,7 +646,7 @@ mod tests {
         for _ in 0..2_000 {
             let request = roomy.next_request(&classify);
             assert_eq!(request, plain.next_request(&classify));
-            txns += usize::from(matches!(request, WorkloadRequest::Txn(_)));
+            txns += usize::from(matches!(request, Request::Txn(_)));
             assert!(request.ops().iter().all(has_room), "{request:?}");
         }
         assert!(txns > 0, "the stream drew no transaction");
@@ -708,7 +658,7 @@ mod tests {
             let mut generator = WorkloadSpec::ycsb(ratio, 256).generator();
             let n = 20_000;
             let reads = (0..n)
-                .filter(|_| matches!(generator.next_op(), WorkloadOp::Read { .. }))
+                .filter(|_| matches!(generator.next_op(), Operation::Get { .. }))
                 .count();
             let measured = reads as f64 / n as f64;
             assert!(
@@ -723,8 +673,8 @@ mod tests {
         let mut generator = WorkloadSpec::ycsb(0.0, 4096).generator();
         for _ in 0..100 {
             match generator.next_op() {
-                WorkloadOp::Write { value, .. } => assert_eq!(value.len(), 4096),
-                WorkloadOp::Read { .. } => panic!("read_ratio is zero"),
+                Operation::Put { value, .. } => assert_eq!(value.len(), 4096),
+                Operation::Get { .. } => panic!("read_ratio is zero"),
             }
         }
     }
@@ -799,7 +749,7 @@ mod tests {
         for _ in 0..3_000 {
             let ra = a.next_request(&classify);
             assert_eq!(ra, b.next_request(&classify));
-            if let WorkloadRequest::Txn(ops) = &ra {
+            if let Request::Txn(ops) = &ra {
                 txns += 1;
                 assert_eq!(ops.len(), 4);
                 let mut classes: Vec<usize> = ops.iter().map(|op| classify(op.key())).collect();
@@ -823,8 +773,8 @@ mod tests {
         let classify = |_: &[u8]| 0usize;
         for _ in 0..500 {
             match with_txns.next_request(&classify) {
-                WorkloadRequest::Single(op) => assert_eq!(op, plain.next_op()),
-                WorkloadRequest::Txn(_) => panic!("txn at fraction 0"),
+                Request::Single(op) => assert_eq!(op, plain.next_op()),
+                Request::Txn(_) => panic!("txn at fraction 0"),
             }
         }
     }
@@ -840,7 +790,7 @@ mod tests {
         let classify = |key: &[u8]| (stable_key_hash(key) % 4) as usize;
         let mut generator = spec.generator();
         for _ in 0..300 {
-            let WorkloadRequest::Txn(ops) = generator.next_request(&classify) else {
+            let Request::Txn(ops) = generator.next_request(&classify) else {
                 panic!("fraction 1.0 must always produce txns");
             };
             let class = classify(ops[0].key());

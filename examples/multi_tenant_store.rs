@@ -11,8 +11,8 @@
 
 use recipe::gateway::{scoped_prefix, GatewayConfig, TenantSpec};
 use recipe::protocols::RaftReplica;
-use recipe::shard::{request_from_workload, DeploymentSpec, ShardedCluster};
-use recipe::workload::{TenantMixSpec, WorkloadRequest, WorkloadSpec};
+use recipe::shard::{DeploymentSpec, ShardedCluster};
+use recipe::workload::{TenantMixSpec, WorkloadSpec};
 use std::cell::RefCell;
 
 fn main() {
@@ -47,8 +47,7 @@ fn main() {
     let mix = TenantMixSpec::uniform(2, WorkloadSpec::ycsb(0.5, 256));
     let generators = RefCell::new(mix.generators(12));
     let stats = cluster.run_requests(move |client, _seq| {
-        let op = generators.borrow_mut()[client as usize].next_op();
-        Some(request_from_workload(WorkloadRequest::Single(op)))
+        Some(generators.borrow_mut()[client as usize].next_op().into())
     });
 
     // 4. Per-tenant admission accounting, straight from the gateway.

@@ -14,7 +14,7 @@
 //! ```
 
 use recipe::protocols::{BatchConfig, RaftReplica};
-use recipe::shard::{op_from_workload, DeploymentSpec, ShardPolicy, ShardedCluster};
+use recipe::shard::{DeploymentSpec, ShardPolicy, ShardedCluster};
 use recipe::workload::WorkloadSpec;
 use std::cell::RefCell;
 
@@ -41,9 +41,8 @@ fn main() {
 
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
     let generator = RefCell::new(WorkloadSpec::ycsb(0.5, 256).generator());
-    let stats = cluster.run_requests(move |_client, _seq| {
-        Some(op_from_workload(generator.borrow_mut().next_op()).into())
-    });
+    let stats =
+        cluster.run_requests(move |_client, _seq| Some(generator.borrow_mut().next_op().into()));
 
     println!(
         "\ntotal: {} ops at {:.0} ops/s (mean {:.1} us)",

@@ -9,7 +9,7 @@
 use recipe::bft::dispatch;
 use recipe::core::ConfidentialityMode;
 use recipe::protocols::{BuildReplica, Protocol, ProtocolMode, ProtocolVisitor};
-use recipe::shard::{op_from_workload, DeploymentSpec, ShardedCluster};
+use recipe::shard::{DeploymentSpec, ShardedCluster};
 use recipe::sim::RunStats;
 use recipe::workload::WorkloadSpec;
 
@@ -35,8 +35,8 @@ impl ProtocolVisitor for Run {
             .with_profile(R::PROTOCOL.cost_profile(PLAINTEXT))
             .with_clients(16, 800);
         let mut generator = WorkloadSpec::ycsb(self.read_ratio, 256).generator();
-        let stats = ShardedCluster::<R>::build(spec)
-            .run_requests(|_, _| Some(op_from_workload(generator.next_op()).into()));
+        let stats =
+            ShardedCluster::<R>::build(spec).run_requests(|_, _| Some(generator.next_op().into()));
         stats.total
     }
 }

@@ -6,7 +6,7 @@
 //! ```
 
 use recipe::protocols::RaftReplica;
-use recipe::shard::{op_from_workload, DeploymentSpec, ShardedCluster};
+use recipe::shard::{DeploymentSpec, ShardedCluster};
 use recipe::workload::WorkloadSpec;
 use std::cell::RefCell;
 
@@ -34,9 +34,8 @@ fn main() {
     //    workload; every operation is routed by key, so consecutive operations
     //    of one client hop across shards (cross-shard traffic).
     let generator = RefCell::new(WorkloadSpec::ycsb(0.7, 256).generator());
-    let stats = cluster.run_requests(move |_client, _seq| {
-        Some(op_from_workload(generator.borrow_mut().next_op()).into())
-    });
+    let stats =
+        cluster.run_requests(move |_client, _seq| Some(generator.borrow_mut().next_op().into()));
 
     // 4. Aggregate and per-shard figures.
     println!(

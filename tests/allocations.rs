@@ -35,8 +35,7 @@ use recipe_protocols::{
     ChunkPhase, MigrationChannel, ReplicaStore, Stamping, TxnLanes, CHUNK_ENTRIES,
 };
 use recipe_scenario::{run_protocol, Protocol, Scenario, WorkloadKind};
-use recipe_shard::{request_from_workload, workload_from_op};
-use recipe_workload::{stable_key_hash, TxnWorkloadSpec, WorkloadOp, WorkloadRequest};
+use recipe_workload::{stable_key_hash, TxnWorkloadSpec};
 use serde::{Serialize, Value};
 
 /// Wraps [`System`], counting the calls that take memory on an armed thread
@@ -482,7 +481,7 @@ fn a_tenanted_admission_into_drawn_room_allocates_nothing() {
         let mut generator = spec.generator().with_key_room(room);
         let classify = |key: &[u8]| (stable_key_hash(key) % 4) as usize;
         (0..ADMISSIONS)
-            .map(|_| request_from_workload(generator.next_request(&classify)))
+            .map(|_| generator.next_request(&classify))
             .collect()
     };
     let admit = |requests: &mut [Request]| {
@@ -525,10 +524,10 @@ const TRANSACTIONS: usize = 1_024;
 
 /// Transactions drawn under a classifier that rejects most candidates, each
 /// handed back to the generator the way a committed one comes back from the
-/// driver (as protocol operations, collected in place): once warm, drawing
-/// and reclaiming them allocates nothing. Drawn without reclaim, each takes
-/// its list, its keys and its written values, and nothing for a rejected
-/// candidate or for the set of classes it touched.
+/// driver (its own list of operations): once warm, drawing and reclaiming
+/// them allocates nothing. Drawn without reclaim, each takes its list, its
+/// keys and its written values, and nothing for a rejected candidate or for
+/// the set of classes it touched.
 #[test]
 fn a_reclaimed_transaction_is_drawn_again_without_allocating() {
     let spec = TxnWorkloadSpec {
@@ -545,10 +544,10 @@ fn a_reclaimed_transaction_is_drawn_again_without_allocating() {
 
     let mut generator = spec.generator().with_key_room(room);
     let mut round_trip = || {
-        let Request::Txn(ops) = request_from_workload(generator.next_request(&classify)) else {
+        let Request::Txn(ops) = generator.next_request(&classify) else {
             panic!("fraction 1.0 must always produce txns");
         };
-        generator.reclaim(ops.into_iter().map(workload_from_op).collect());
+        generator.reclaim(ops);
     };
     for _ in 0..64 {
         round_trip();
@@ -566,13 +565,10 @@ fn a_reclaimed_transaction_is_drawn_again_without_allocating() {
     let mut drawn = 0;
     for txn in 0..TRANSACTIONS {
         let (request, allocations) = allocations_in(|| generator.next_request(&classify));
-        let WorkloadRequest::Txn(ops) = &request else {
+        let Request::Txn(ops) = &request else {
             panic!("fraction 1.0 must always produce txns");
         };
-        let writes = ops
-            .iter()
-            .filter(|op| matches!(op, WorkloadOp::Write { .. }))
-            .count();
+        let writes = ops.iter().filter(|op| op.is_write()).count();
         drawn += ops.len();
         assert_eq!(
             allocations as usize,

@@ -17,7 +17,7 @@ use recipe::net::FaultPlan;
 use recipe::protocols::{
     BatchConfig, BuildReplica, Capacity, Protocol, ProtocolMode, ProtocolVisitor, Role,
 };
-use recipe::shard::{op_from_workload, DeploymentSpec, ShardedCluster};
+use recipe::shard::{DeploymentSpec, ShardedCluster};
 use recipe::sim::{NodeBooks, RunStats, SimCluster, SimConfig, StepOutcome};
 use recipe::telemetry::CostCategory;
 use recipe::workload::WorkloadSpec;
@@ -395,7 +395,7 @@ impl ProtocolVisitor for FinalState {
         cluster.seed_initial_events();
         let mut generator = WorkloadSpec::ycsb(0.5, 64).generator();
         for request in 1..=OPS {
-            let operation = op_from_workload(generator.next_op());
+            let operation = generator.next_op();
             assert!(cluster.submit_at(cluster.now_ns(), 0, request, operation));
             while cluster.drain_completions().is_empty() {
                 assert_eq!(cluster.step(), StepOutcome::Processed, "request {request}");

@@ -19,11 +19,11 @@ use recipe::core::{Operation, Request};
 use recipe::protocols::{RaftReplica, CHUNK_ENTRIES};
 use recipe::scenario::{run_scenario, Scenario};
 use recipe::shard::{
-    DeploymentSpec, RebalanceConfig, RouteDecision, RouterVersion, ShardRouter, ShardedCluster,
-    ShardedRunStats,
+    DeploymentSpec, RebalanceConfig, RouteDecision, RouterVersion, ShardPolicy, ShardRouter,
+    ShardedCluster, ShardedRunStats,
 };
 use recipe::workload::stable_key_hash;
-use recipe_net::{FaultPlan, NodeId};
+use recipe_net::{CrashPlan, FaultPlan, NodeId};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -116,7 +116,13 @@ fn skewed_run(
     per_arc: usize,
     plane: FaultPlan,
 ) -> SkewedRun {
-    let spec = DeploymentSpec::new(2, 3)
+    run_skewed(skewed_spec(operations, plane), balanced_ops, per_arc)
+}
+
+/// The skewed run's deployment: `operations` in all, the plane between
+/// groups under `plane`.
+fn skewed_spec(operations: usize, plane: FaultPlan) -> DeploymentSpec {
+    DeploymentSpec::new(2, 3)
         .with_seed(9)
         .with_clients(64, operations)
         .with_plane_fault_plan(plane)
@@ -126,7 +132,12 @@ fn skewed_run(
             imbalance_threshold: 1.4,
             timeline_bucket_ns: 5_000_000,
             ..RebalanceConfig::enabled()
-        });
+        })
+}
+
+/// Runs the skewed workload on `spec`, every operation after the first
+/// `balanced_ops` on the hot range.
+fn run_skewed(spec: DeploymentSpec, balanced_ops: usize, per_arc: usize) -> SkewedRun {
     let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
     // A hot range owned by shard 0, spanning enough ring arcs that the
     // controller can split it — the same selection `fig_rebalance` measures.
@@ -314,6 +325,33 @@ fn check_aborted_run(run: &mut SkewedRun) {
             );
         }
     }
+    check_run(&mut run.cluster, &mut run.history).unwrap();
+}
+
+/// A move whose recipient group has every replica down finds no replica
+/// to take its first chunk and aborts, placement unchanged, for as long as
+/// the group is down; once it restarts the move completes, and nothing the
+/// donor committed is lost.
+#[test]
+fn a_recipient_group_wholly_down_aborts_the_move_until_it_restarts() {
+    const RESTART_NS: u64 = 25_000_000;
+    let crashes = (0..3).fold(CrashPlan::none(), |plan, node| {
+        plan.crash_recover(NodeId(node), 1_000, RESTART_NS)
+    });
+    let spec = skewed_spec(2_400, FaultPlan::benign())
+        .with_shard_policy(1, ShardPolicy::new().with_crash_plan(crashes));
+    let mut run = run_skewed(spec, 0, 2);
+    let m = &run.stats.migration;
+    assert!(m.migrations_completed >= 1, "no migration completed: {m:?}");
+    assert!(
+        m.migrations_started > m.migrations_completed,
+        "no move aborted while the recipient was down: {m:?}"
+    );
+    assert!(m.last_cutover_ns > RESTART_NS, "{m:?}");
+    assert_eq!(run.stats.total.committed, 2_400);
+    check_sharded_contract(&run.spec, &run.stats, None).unwrap();
+    assert!(run.cluster.quiesce());
+    run.cluster.gc_moved_ranges();
     check_run(&mut run.cluster, &mut run.history).unwrap();
 }
 

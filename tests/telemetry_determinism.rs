@@ -43,10 +43,11 @@ fn run(
     };
     let generator = RefCell::new(workload.generator());
     let stats = cluster.run_requests(move |_client, _seq| {
-        let request = generator
-            .borrow_mut()
-            .next_request(&|key| router.shard_for_key(key));
-        Some(recipe::shard::request_from_workload(request))
+        Some(
+            generator
+                .borrow_mut()
+                .next_request(&|key| router.shard_for_key(key)),
+        )
     });
     (stats, cluster.take_telemetry_report())
 }

@@ -130,10 +130,7 @@ fn throttled_run(seed: u64, operations: usize) -> ShardedRunStats {
     );
     let generators = RefCell::new(mix.generators(8));
     cluster.run_requests(move |client, _seq| {
-        let op = generators.borrow_mut()[client as usize].next_op();
-        Some(recipe::shard::request_from_workload(
-            recipe::workload::WorkloadRequest::Single(op),
-        ))
+        Some(generators.borrow_mut()[client as usize].next_op().into())
     })
 }
 

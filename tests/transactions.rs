@@ -26,8 +26,7 @@ use recipe::core::{ConfidentialityMode, Operation, Request};
 use recipe::net::FaultPlan;
 use recipe::protocols::{BuildReplica, Protocol, ProtocolMode, ProtocolVisitor, RaftReplica};
 use recipe::shard::{
-    request_from_workload, DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster,
-    ShardedRunStats,
+    DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster, ShardedRunStats,
 };
 use recipe::workload::{stable_key_hash, TxnWorkloadSpec, WorkloadSpec};
 
@@ -388,10 +387,7 @@ impl ProtocolVisitor for GridCell {
         let mut cluster = ShardedCluster::<R>::build(self.spec);
         let router = cluster.router().clone();
         let mut txns = self.txns.generator();
-        cluster.run_requests(move |_, _| {
-            let request = txns.next_request(&|key| router.shard_for_key(key));
-            Some(request_from_workload(request))
-        })
+        cluster.run_requests(move |_, _| Some(txns.next_request(&|key| router.shard_for_key(key))))
     }
 }
 
@@ -474,7 +470,7 @@ fn every_txn_protocol_keeps_the_2pc_contract_over_a_grid() {
 /// fixed seed and classify fan-outs correctly.
 #[test]
 fn txn_workload_generator_is_deterministic_and_respects_fanout() {
-    use recipe::workload::{TxnWorkloadSpec, WorkloadRequest};
+    use recipe::workload::TxnWorkloadSpec;
     let spec = TxnWorkloadSpec {
         txn_fraction: 0.5,
         ops_per_txn: 3,
@@ -491,7 +487,7 @@ fn txn_workload_generator_is_deterministic_and_respects_fanout() {
         let rb = b.next_request(&classify);
         assert_eq!(ra, rb, "generator diverged");
         match ra {
-            WorkloadRequest::Txn(ops) => {
+            Request::Txn(ops) => {
                 txns += 1;
                 assert_eq!(ops.len(), 3);
                 let mut classes: Vec<usize> = ops.iter().map(|op| classify(op.key())).collect();
@@ -499,7 +495,7 @@ fn txn_workload_generator_is_deterministic_and_respects_fanout() {
                 classes.dedup();
                 assert!(classes.len() <= 2, "fan-out bound violated");
             }
-            WorkloadRequest::Single(_) => singles += 1,
+            Request::Single(_) => singles += 1,
         }
     }
     assert!(
