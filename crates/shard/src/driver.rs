@@ -17,7 +17,9 @@
 //!   with transactions participating in the drain rules: a transaction
 //!   touching a draining range backs off whole, and a cutover waits for
 //!   in-flight transactions on the moving range exactly as it waits for
-//!   outstanding single-key operations.
+//!   single-key operations still waiting on the donor group — the group's
+//!   record of a submitted operation is its one record in flight, and its
+//!   [`recipe_sim::Completion`] hands the operation back.
 //!
 //! All of it is one [`Engine`] — the state of a run in one struct:
 //!
@@ -100,17 +102,6 @@ impl TimerPayload for Event {
     }
 }
 
-/// One single-key operation in flight, as the driver submitted it.
-struct Issued {
-    shard: usize,
-    arc: usize,
-    request_id: u64,
-    /// The operation's key, kept only when rebalancing is enabled: a
-    /// migration's catch-up capture is the one reader, and it runs only
-    /// then. Empty otherwise.
-    key: Vec<u8>,
-}
-
 /// A run's clients, as the driver sees them: where each request comes
 /// from, and where its reply goes.
 ///
@@ -130,8 +121,8 @@ pub trait Client {
     /// A committed transaction's operations, handed back after
     /// [`Client::done`] so a client can draw its next requests into their
     /// buffers (`TxnWorkloadGenerator::reclaim`). The default drops them.
-    /// Single operations and requests that never commit are not handed
-    /// back.
+    /// Requests that never commit are not handed back, and neither are
+    /// single operations: the driver drops each with its completion.
     fn reclaim(&mut self, _spent: Vec<Operation>) {}
 }
 
@@ -161,9 +152,6 @@ struct ClientState {
     version: RouterVersion,
     /// Id of the last request drawn from the workload.
     last_request_id: u64,
-    /// The client's single-key operation in flight (a closed-loop client has
-    /// at most one).
-    outstanding: Option<Issued>,
 }
 
 /// One run of the request driver over a [`ShardedCluster`].
@@ -274,7 +262,6 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                 .map(|_| ClientState {
                     version: cluster.router.version(),
                     last_request_id: 0,
-                    outstanding: None,
                 })
                 .collect(),
             placements: Vec::new(),
@@ -482,42 +469,27 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         }
         match request {
             Request::Single(operation) => {
-                self.submit_single(client_id, rid, operation, placements[0], at);
+                self.submit_single(client_id, rid, operation, placements[0].1, at);
             }
             Request::Txn(ops) => self.begin_txn(client_id, rid, ops, placements, at),
         }
     }
 
-    /// Submits a routed single-key operation to its shard.
+    /// Submits a routed single-key operation to its shard, which keeps the
+    /// one record of it until its first reply.
     fn submit_single(
         &mut self,
         client_id: u64,
         rid: u64,
         operation: Operation,
-        (arc, shard): (usize, usize),
+        shard: usize,
         at: u64,
     ) {
-        let key = if self.rb.enabled {
-            operation.key().to_vec()
-        } else {
-            Vec::new()
-        };
         let (group, mut sched) = self.cluster.lend(shard);
-        match group.try_submit_at(at, client_id, rid, operation, &mut sched) {
-            Ok(()) => {
-                self.clients[client_id as usize].outstanding = Some(Issued {
-                    shard,
-                    arc,
-                    request_id: rid,
-                    key,
-                });
-            }
+        if let Err(operation) = group.try_submit_at(at, client_id, rid, operation, &mut sched) {
             // No live coordinator; retry the *identical* payload later.
-            Err(operation) => self.schedule(
-                at + 1_000_000,
-                client_id,
-                DriverWork::Retry(rid, Request::Single(operation)),
-            ),
+            let retry = DriverWork::Retry(rid, Request::Single(operation));
+            self.schedule(at + 1_000_000, client_id, retry);
         }
     }
 
@@ -595,14 +567,13 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
     /// The only commit accounting: one committed request — a single-key
     /// completion or a whole transaction, `ops` being its `(shard, arc,
     /// is_write)` operations — counted once in the run's books and in its
-    /// shards', then the client's next draw scheduled. The arc is `None` for
-    /// a completion the driver no longer tracks as outstanding.
+    /// shards', then the client's next draw scheduled.
     fn record_commit(
         &mut self,
         client_id: u64,
         at_ns: u64,
         latency_ns: u64,
-        ops: &[(usize, Option<usize>, bool)],
+        ops: &[(usize, usize, bool)],
     ) {
         for (i, &(shard, arc, is_write)) in ops.iter().enumerate() {
             self.books.count(shard, is_write);
@@ -612,9 +583,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                 self.books.sample(latency_ns, shard, i == 0);
             }
             self.st.window_shard[shard] += 1;
-            if let Some(arc) = arc {
-                self.st.window_arc[arc] += 1;
-            }
+            self.st.window_arc[arc] += 1;
         }
         let width = self.rb.timeline_bucket_ns;
         bucket(&mut self.timeline, width, at_ns, ops.len() as u64);
@@ -631,22 +600,23 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         self.st.stats.chunks_rejected += refused;
         let mut completions = std::mem::take(&mut self.cluster.completions);
         for completion in completions.drain(..) {
-            let issued = self.clients[completion.client_id as usize]
-                .outstanding
-                .take_if(|issued| issued.request_id == completion.request_id);
-            if let Some(issued) = &issued {
-                // Catch-up capture: a write committed on the donor inside
-                // the moving range replays on the recipient. The record is
-                // re-read from the donor leader's store so it carries the
-                // *real* committed value and write timestamp.
-                if self.st.captures(issued.shard, issued.arc) && completion.was_write {
-                    let donor = &mut self.cluster.shards[issued.shard];
-                    let entry = donor.write_coordinator().and_then(|leader| {
-                        let read = donor.replica_mut(leader).store().read_entry(&issued.key);
-                        read.ok().flatten()
-                    });
-                    self.st.record_capture(entry);
-                }
+            // A rebalance moves an arc to another owner, never a key to
+            // another arc: the arc the key was routed to is the arc it
+            // lies in now.
+            let key = completion.operation.key();
+            let arc = self.cluster.router.arc_of_point(stable_key_hash(key));
+            let is_write = completion.operation.is_write();
+            // Catch-up capture: a write committed on the donor inside the
+            // moving range replays on the recipient. The record is re-read
+            // from the donor leader's store so it carries the *real*
+            // committed value and write timestamp.
+            if is_write && self.st.captures(shard, arc) {
+                let donor = &mut self.cluster.shards[shard];
+                let entry = donor.write_coordinator().and_then(|leader| {
+                    let read = donor.replica_mut(leader).store().read_entry(key);
+                    read.ok().flatten()
+                });
+                self.st.record_capture(entry);
             }
             self.workload.done(&Reply {
                 client: completion.client_id,
@@ -661,7 +631,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                 completion.client_id,
                 completion.at_ns,
                 completion.latency_ns,
-                &[(shard, issued.map(|i| i.arc), completion.was_write)],
+                &[(shard, arc, is_write)],
             );
         }
         self.cluster.completions = completions;
@@ -671,17 +641,19 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
     }
 
     /// Everything in flight on the moving range of the active migration:
-    /// outstanding single-key operations plus transactions with a
-    /// participant on it.
+    /// single-key operations waiting on the donor group plus transactions
+    /// with a participant on it.
     pub(crate) fn inflight_on_moving(&self) -> usize {
         let Some((donor, arcs)) = self.st.moving_range() else {
             return 0;
         };
-        let singles = self
-            .clients
-            .iter()
-            .filter_map(|client| client.outstanding.as_ref())
-            .filter(|issued| issued.shard == donor && arcs.binary_search(&issued.arc).is_ok())
+        let router = &self.cluster.router;
+        let singles = self.cluster.shards[donor]
+            .waiting()
+            .filter(|op| {
+                let arc = router.arc_of_point(stable_key_hash(op.key()));
+                arcs.binary_search(&arc).is_ok()
+            })
             .count();
         singles + self.txns.inflight_on(donor, arcs)
     }

@@ -237,7 +237,7 @@ pub(crate) struct CommittedTxn {
     /// `(shard, arc, is_write)` per operation, participant-major — the
     /// shape `Engine::record_commit` accounts. Give the list back
     /// ([`TxnManager::give_placements`]) once accounted.
-    pub(crate) op_placements: Vec<(usize, Option<usize>, bool)>,
+    pub(crate) op_placements: Vec<(usize, usize, bool)>,
     /// The client's request, its operations participant-major, for the
     /// client to take back (`Client::reclaim`).
     pub(crate) request: Vec<Operation>,
@@ -331,7 +331,7 @@ struct Spares {
     /// The applied records of the commit being installed, in buffers of the
     /// participant leader's ([`recipe_protocols::ReplicaStore::txn_commit`]).
     committed: Vec<ExportedEntry>,
-    placements: Vec<(usize, Option<usize>, bool)>,
+    placements: Vec<(usize, usize, bool)>,
 }
 
 impl TxnManager {
@@ -347,7 +347,7 @@ impl TxnManager {
     }
 
     /// Takes back the list a [`CommittedTxn`] carried, once accounted.
-    pub(crate) fn give_placements(&mut self, mut placements: Vec<(usize, Option<usize>, bool)>) {
+    pub(crate) fn give_placements(&mut self, mut placements: Vec<(usize, usize, bool)>) {
         placements.clear();
         self.spares.placements = placements;
     }
@@ -624,7 +624,7 @@ impl<R: StoreReplica> Engine<'_, R> {
                 for p in &txn.participants {
                     for op in &p.ops {
                         let arc = self.cluster.router.arc_of_point(stable_key_hash(op.key()));
-                        op_placements.push((p.shard, Some(arc), op.is_write()));
+                        op_placements.push((p.shard, arc, op.is_write()));
                     }
                 }
                 let request = txn.take_request();

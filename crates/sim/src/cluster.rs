@@ -334,8 +334,11 @@ pub struct Completion {
     pub request_id: u64,
     /// Issue-to-reply latency in virtual nanoseconds.
     pub latency_ns: u64,
-    /// Whether the completed operation was a write.
-    pub was_write: bool,
+    /// The operation the client submitted, moved out of the group's record
+    /// of it: a completion is classified, and its key placed, by what was
+    /// issued, never by reply fields (a read miss carries neither value nor
+    /// found-flag, and write acks may set `found`).
+    pub operation: Operation,
     /// Virtual time at which the reply reached the client.
     pub at_ns: u64,
     /// The reply's result: a read's value when it found its key, moved out
@@ -355,10 +358,10 @@ pub struct Charged {
     pub finish_ns: u64,
 }
 
-/// Bookkeeping for a client's single outstanding request. Tracking the issued
-/// operation itself (rather than re-deriving it) lets retries resend the exact
-/// same operation and lets [`ReplicaGroup::record_reply`] classify the
-/// completion by the *request* type instead of guessing from reply fields.
+/// A client's single outstanding request: the one record of it while it is
+/// in flight. Holding the issued operation itself (rather than re-deriving
+/// it) lets retries resend the exact same operation, and
+/// [`ReplicaGroup::record_reply`] moves it into the [`Completion`].
 #[derive(Debug, Clone)]
 struct Outstanding {
     request_id: u64,
@@ -503,6 +506,14 @@ impl<R: Replica> ReplicaGroup<R> {
     /// At rest: nothing but the group's timers on the calendar, no client waiting.
     pub fn at_rest(&self) -> bool {
         self.in_flight == 0 && self.clients.iter().all(|client| client.waiting.is_none())
+    }
+
+    /// The operations submitted to the group still waiting for their first
+    /// reply, one per client at most, in client order.
+    pub fn waiting(&self) -> impl Iterator<Item = &Operation> {
+        self.clients
+            .iter()
+            .filter_map(|client| Some(&client.waiting.as_ref()?.operation))
     }
 
     /// Immutable access to a replica (for post-run assertions).
@@ -1078,8 +1089,8 @@ impl<R: Replica> ReplicaGroup<R> {
     }
 
     /// Records `reply` if it is the first for its client's outstanding
-    /// request, moving its value into the [`Completion`]; otherwise hands
-    /// the value back.
+    /// request, moving the request's operation and the reply's value into
+    /// the [`Completion`]; otherwise hands the value back.
     fn record_reply(
         &mut self,
         reply: ClientReply,
@@ -1101,10 +1112,7 @@ impl<R: Replica> ReplicaGroup<R> {
                 client_id,
                 request_id: reply.request_id,
                 latency_ns: latency,
-                // Classified by the *issued operation*, not by reply fields:
-                // a read miss carries neither value nor found-flag, and write
-                // acks may set `found`.
-                was_write: out.operation.is_write(),
+                operation: out.operation,
                 at_ns: self.now,
                 value: reply.value,
             });
@@ -1422,13 +1430,16 @@ mod tests {
         // The echo protocol replies with `value: None, found: false` for every
         // operation — replies carry no usable type information, exactly like a
         // read miss. Classification must come from what was *issued*: each
-        // completion's `was_write`, which the harness counts.
+        // completion's operation, which the harness counts.
         let read = |c: u64, s: u64| Operation::Get {
             key: format!("k{c}-{s}").into_bytes(),
         };
         fn reads_and_writes(workload: impl Fn(u64, u64) -> Operation) -> (usize, usize) {
             let (completed, ..) = finished(uniform(3), 120, workload);
-            let writes = completed.iter().filter(|done| done.was_write).count();
+            let writes = completed
+                .iter()
+                .filter(|done| done.operation.is_write())
+                .count();
             (completed.len() - writes, writes)
         }
         assert_eq!(reads_and_writes(read), (120, 0));
@@ -1731,6 +1742,51 @@ mod tests {
         assert_eq!(cluster.replica(NodeId(0)).requests.len(), 5);
         let counts = cluster.calendar.take_counts();
         assert_eq!((counts.timers, counts.dead_timers), (5, 2), "{counts:?}");
+    }
+
+    /// A completion hands back, byte for byte, the operation its client
+    /// submitted: also when the reply answers the request's retransmission.
+    /// A second reply to an answered request makes no second completion,
+    /// and its value is handed back.
+    #[test]
+    fn a_completion_carries_the_submitted_operation() {
+        let mut cluster = echo(3);
+        cluster.replica_mut(NodeId(0)).lose_replies = 1;
+        cluster.seed_initial_events();
+        let put = Operation::Put {
+            key: b"key-\x00\xff".to_vec(),
+            value: (0..=255).collect(),
+        };
+        let get = Operation::Get {
+            key: b"key-2".to_vec(),
+        };
+        assert!(cluster.submit_at(1_000, 0, 7, put.clone()));
+        assert!(cluster.submit_at(2_000, 1, 9, get.clone()));
+        assert!(cluster.waiting().eq([&put, &get]));
+        cluster.run_until(1_000 + RETRY_TIMEOUT_NS + 1_000_000);
+        // Client 0's first reply was lost: its retransmission was answered.
+        let requests = &cluster.replica(NodeId(0)).requests;
+        assert_eq!(requests, &[(0, 7), (1, 9), (0, 7)]);
+        let done = cluster.drain_completions();
+        let answered: Vec<_> = done
+            .iter()
+            .map(|done| (done.client_id, done.request_id, &done.operation))
+            .collect();
+        assert_eq!(answered, [(1, 9, &get), (0, 7, &put)]);
+        assert!(done[1].latency_ns > RETRY_TIMEOUT_NS, "{done:?}");
+
+        let late = ClientReply {
+            client_id: 0,
+            request_id: 7,
+            value: Some(b"late".to_vec()),
+            found: true,
+            replier: 2,
+        };
+        let mut completions = Vec::new();
+        let handed_back = cluster.record_reply(late, &mut completions);
+        assert_eq!(handed_back.as_deref(), Some(&b"late"[..]));
+        assert!(completions.is_empty());
+        assert_eq!(cluster.waiting().count(), 0);
     }
 
     #[test]

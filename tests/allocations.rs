@@ -14,7 +14,9 @@
 //! client draws the next one without allocating. A state transfer reads
 //! the donor's records where they lie into frames of one pool, reused
 //! chunk after chunk, and installs each chunk from the frame where it
-//! lies.
+//! lies. A single-key operation in flight is recorded once, by its group,
+//! so a run with rebalancing on allocates what the same run without it
+//! does.
 //! The workloads' exact counts per committed op are pinned in
 //! `crates/bench/baselines/BENCH_work.json`, whose history is their
 //! trajectory.
@@ -32,9 +34,10 @@ use recipe_gateway::{Gateway, GatewayConfig, GatewayVerdict, TenantSpec};
 use recipe_kv::{KvError, PartitionedKvStore, Snapshot, StoreConfig, Timestamp};
 use recipe_net::NodeId;
 use recipe_protocols::{
-    ChunkPhase, MigrationChannel, ReplicaStore, Stamping, TxnLanes, CHUNK_ENTRIES,
+    ChunkPhase, MigrationChannel, RaftReplica, ReplicaStore, Stamping, TxnLanes, CHUNK_ENTRIES,
 };
 use recipe_scenario::{run_protocol, Protocol, Scenario, WorkloadKind};
+use recipe_shard::{DeploymentSpec, RebalanceConfig, ShardedCluster};
 use recipe_workload::{stable_key_hash, TxnWorkloadSpec};
 use serde::{Serialize, Value};
 
@@ -581,6 +584,68 @@ fn a_reclaimed_transaction_is_drawn_again_without_allocating() {
         "{} candidates for {drawn} operations: the classifier rejects too few to tell",
         classified.get()
     );
+}
+
+/// Operations of the rebalancing pin's runs.
+const REBALANCED_OPS: usize = 2_000;
+
+/// One run of [`REBALANCED_OPS`] single operations from 24 clients over
+/// 2 shards × 3 replicas, rebalancing on or off: the requests it drew and
+/// the allocations `run_requests` made. Every request is drawn before the
+/// count starts, so the count is the driver's and the groups' alone.
+fn single_key_run(rebalance: RebalanceConfig) -> (usize, u64) {
+    let spec = DeploymentSpec::new(2, 3)
+        .with_seed(SEED)
+        .with_clients(24, REBALANCED_OPS)
+        .with_rebalance(rebalance);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec);
+    let mut requests: Vec<Request> = (0..2 * REBALANCED_OPS)
+        .map(|i| {
+            let key = format!("user{:05}", i * 7_919 % 1_000).into_bytes();
+            match i % 4 {
+                0 => Operation::Get { key },
+                _ => Operation::Put {
+                    key,
+                    value: format!("v{i}").into_bytes(),
+                },
+            }
+            .into()
+        })
+        .collect();
+    requests.reverse();
+    let mut drawn = 0;
+    let (stats, allocations) = allocations_in(|| {
+        cluster.run_requests(|_, _| {
+            drawn += 1;
+            requests.pop()
+        })
+    });
+    assert!(stats.total.committed >= REBALANCED_OPS as u64);
+    assert_eq!(stats.migration.migrations_started, 0, "the run migrated");
+    assert_eq!(stats.migration.redirects, 0, "a request was redirected");
+    (drawn, allocations)
+}
+
+/// A run with rebalancing on whose controller never finds a window worth a
+/// migration allocates exactly what the same run with rebalancing off
+/// does: the driver keeps no copy of a submitted operation's key, the
+/// group's record of it being the one a completion hands back.
+#[test]
+fn a_rebalancing_run_that_never_migrates_allocates_what_a_fixed_one_does() {
+    let never = RebalanceConfig {
+        min_window_commits: u64::MAX,
+        ..RebalanceConfig::enabled()
+    };
+    for (run, rebalance) in [
+        ("rebalancing", never),
+        ("fixed", RebalanceConfig::default()),
+    ] {
+        assert_eq!(
+            single_key_run(rebalance),
+            (2_023, 10_919),
+            "requests drawn and allocations of the {run} run"
+        );
+    }
 }
 
 /// The benchmark's workloads, by file name under `wall_bench/workloads/`,
