@@ -21,7 +21,7 @@ use std::path::Path;
 
 pub use claims::judge;
 pub use figures::{fig_observe, FigureSpec, ObserveReport, FIGURES};
-use recipe_protocols::{BatchConfig, BuildReplica, Protocol, ProtocolMode, ProtocolVisitor};
+use recipe_protocols::{BatchConfig, Protocol, ProtocolMode, ProtocolVisitor, StoreReplica};
 use recipe_scenario::WorkloadKind;
 use recipe_shard::{DeploymentSpec, ShardedCluster, ShardedRunStats};
 use recipe_sim::RunStats;
@@ -145,7 +145,7 @@ pub(crate) fn run_protocol(config: &ExperimentConfig) -> RunStats {
     struct Run<'a>(&'a ExperimentConfig);
     impl ProtocolVisitor for Run<'_> {
         type Output = RunStats;
-        fn visit<R: BuildReplica>(self) -> RunStats {
+        fn visit<R: StoreReplica>(self) -> RunStats {
             let config = self.0;
             // The spec folds one batching factor into the replicas' flush
             // triggers and the cost model's bookkeeping, and builds the
@@ -172,7 +172,7 @@ pub(crate) fn run_protocol(config: &ExperimentConfig) -> RunStats {
 
 /// Drives a built cluster to its commit target with a plain YCSB or
 /// transaction stream — the arms the scenario runner has.
-fn drive<R: BuildReplica>(
+fn drive<R: StoreReplica>(
     cluster: &mut ShardedCluster<R>,
     workload: &WorkloadKind,
 ) -> ShardedRunStats {
@@ -196,7 +196,7 @@ pub(crate) fn run_sharded(protocol: Protocol, shards: usize, operations: usize) 
     struct Run(DeploymentSpec);
     impl ProtocolVisitor for Run {
         type Output = ShardedRunStats;
-        fn visit<R: BuildReplica>(self) -> ShardedRunStats {
+        fn visit<R: StoreReplica>(self) -> ShardedRunStats {
             drive(&mut ShardedCluster::<R>::build(self.0), &ycsb(7))
         }
     }

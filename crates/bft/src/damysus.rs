@@ -19,9 +19,7 @@ use recipe_core::wire::{tag, Reader, Writer};
 use recipe_core::{ClientReply, ClientRequest, Membership, Operation};
 use recipe_kv::StoreConfig;
 use recipe_net::NodeId;
-use recipe_protocols::{
-    BatchConfig, BuildReplica, Protocol, ProtocolMode, ReplicaStore, Stamping, StoreReplica,
-};
+use recipe_protocols::{BatchConfig, Protocol, ProtocolMode, ReplicaStore, Stamping, StoreReplica};
 use recipe_sim::{Ctx, Replica};
 
 /// Damysus protocol messages.
@@ -294,14 +292,12 @@ impl Replica for DamysusReplica {
 impl StoreReplica for DamysusReplica {
     const PROTOCOL: Protocol = Protocol::Damysus;
 
-    fn store(&mut self) -> &mut ReplicaStore {
-        &mut self.store
-    }
-}
-
-impl BuildReplica for DamysusReplica {
     fn build(id: u64, membership: Membership, _mode: ProtocolMode, _batch: BatchConfig) -> Self {
         DamysusReplica::new(id, membership)
+    }
+
+    fn store(&mut self) -> &mut ReplicaStore {
+        &mut self.store
     }
 }
 

@@ -151,7 +151,7 @@ mod tests {
         struct Implemented;
         impl ProtocolVisitor for Implemented {
             type Output = Protocol;
-            fn visit<R: recipe_protocols::BuildReplica>(self) -> Protocol {
+            fn visit<R: recipe_protocols::StoreReplica>(self) -> Protocol {
                 R::PROTOCOL
             }
         }

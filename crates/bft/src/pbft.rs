@@ -13,7 +13,7 @@
 //! The implementation is deliberately unoptimized in the same ways the paper's
 //! baseline is: signature-based message authentication (captured by the cost
 //! profile) and `3f + 1 = 4` replicas for `f = 1`. It batches what the
-//! deployment's batch config asks for (`BuildReplica::build`), and nothing by
+//! deployment's batch config asks for (`StoreReplica::build`), and nothing by
 //! default, preserving the baseline: a batch frame coalesces several PBFT
 //! messages to one destination into one wire message (BFT-Smart style request
 //! batching), without touching the three-phase protocol logic.
@@ -25,8 +25,7 @@ use recipe_core::{BatchFrame, ClientReply, ClientRequest, Membership, Operation}
 use recipe_kv::StoreConfig;
 use recipe_net::NodeId;
 use recipe_protocols::{
-    BatchConfig, Batcher, BuildReplica, Framing, Protocol, ProtocolMode, ReplicaStore, Stamping,
-    StoreReplica,
+    BatchConfig, Batcher, Framing, Protocol, ProtocolMode, ReplicaStore, Stamping, StoreReplica,
 };
 use recipe_sim::{Ctx, Replica, RestartReport};
 
@@ -525,14 +524,12 @@ impl Replica for PbftReplica {
 impl StoreReplica for PbftReplica {
     const PROTOCOL: Protocol = Protocol::Pbft;
 
-    fn store(&mut self) -> &mut ReplicaStore {
-        &mut self.store
-    }
-}
-
-impl BuildReplica for PbftReplica {
     fn build(id: u64, membership: Membership, _mode: ProtocolMode, batch: BatchConfig) -> Self {
         PbftReplica::new(id, membership).with_batching(batch)
+    }
+
+    fn store(&mut self) -> &mut ReplicaStore {
+        &mut self.store
     }
 }
 

@@ -63,7 +63,7 @@ pub use migration::{
     CHUNK_ENTRIES, ENDPOINT_IDS as MIGRATION_ENDPOINT_IDS, MAX_SHARDS,
 };
 pub use raft::{Raft, RaftMsg, RaftReplica};
-pub use registry::{BuildReplica, Protocol, ProtocolVisitor};
+pub use registry::{Protocol, ProtocolVisitor};
 pub use replica::{CftProtocol, Handle, RecipeReplica};
 pub use shield::{Frames, FramesIter, ProtocolMode, ProtocolShield};
 pub use store::{ReplicaStore, Stamping, StoreReplica, TxnVote};

@@ -7,11 +7,9 @@
 //! is `recipe_bft::dispatch`: the BFT baselines live in a crate of their own
 //! that builds on this one, so it is the lowest place that sees all six.
 
-use recipe_core::Membership;
 use recipe_sim::CostProfile;
 use serde::{Deserialize, Serialize};
 
-use crate::batch::BatchConfig;
 use crate::contract::{
     messages, traffic, Carries, Contract, Count, Framing, Messages, ReadPath, Role, Traffic, Wire,
 };
@@ -448,17 +446,6 @@ impl Protocol {
     }
 }
 
-/// A replica type the registry can construct: the one way a deployment, a
-/// scenario or a figure builds a replica.
-pub trait BuildReplica: StoreReplica + Sized {
-    /// Builds replica `id` of the group `membership` describes. A protocol
-    /// without a Recipe transformation ignores `mode`. A protocol without a
-    /// batching pipeline ([`Protocol::batches`]) is given an unbatched
-    /// `batch`: `ShardedCluster::build` refuses to build it under a policy
-    /// that batches.
-    fn build(id: u64, membership: Membership, mode: ProtocolMode, batch: BatchConfig) -> Self;
-}
-
 /// Code that runs against a protocol's replica type, chosen at run time by
 /// `recipe_bft::dispatch`: the generic function a `match` over protocol
 /// names would call in every arm, written once.
@@ -468,7 +455,7 @@ pub trait ProtocolVisitor {
 
     /// Runs with `R` the replica type of the chosen protocol
     /// (`R::PROTOCOL`).
-    fn visit<R: BuildReplica>(self) -> Self::Output;
+    fn visit<R: StoreReplica>(self) -> Self::Output;
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use recipe_sim::{Ctx, Replica, RestartReport};
 use recipe_tee::TrustedInstant;
 
 use crate::batch::{BatchConfig, Batcher};
-use crate::registry::{BuildReplica, Protocol};
+use crate::registry::Protocol;
 use crate::shield::{ProtocolMode, ProtocolShield};
 use crate::store::{ReplicaStore, Stamping, StoreReplica};
 
@@ -381,12 +381,6 @@ impl<P: CftProtocol> Replica for RecipeReplica<P> {
 impl<P: CftProtocol> StoreReplica for RecipeReplica<P> {
     const PROTOCOL: Protocol = P::PROTOCOL;
 
-    fn store(&mut self) -> &mut ReplicaStore {
-        &mut self.store
-    }
-}
-
-impl<P: CftProtocol> BuildReplica for RecipeReplica<P> {
     fn build(id: u64, membership: Membership, mode: ProtocolMode, batch: BatchConfig) -> Self {
         let id = NodeId(id);
         let shield = ProtocolShield::new(id, &membership, mode);
@@ -396,6 +390,10 @@ impl<P: CftProtocol> BuildReplica for RecipeReplica<P> {
             shield,
             batcher: Self::batcher(batch),
         }
+    }
+
+    fn store(&mut self) -> &mut ReplicaStore {
+        &mut self.store
     }
 }
 

@@ -55,7 +55,7 @@
 
 use std::ops::Range;
 
-use recipe_core::FramePool;
+use recipe_core::{FramePool, Membership};
 use recipe_kv::{
     ExportedEntry, KvError, PartitionedKvStore, ReadResult, Snapshot, SnapshotRecord, StoreConfig,
     Timestamp, TxnOpRef, TxnRecordOps,
@@ -63,8 +63,10 @@ use recipe_kv::{
 use recipe_net::NodeId;
 use recipe_sim::{Replica, RestartReport};
 
+use crate::batch::BatchConfig;
 use crate::migration::ChunkRecord;
 use crate::registry::Protocol;
+use crate::shield::ProtocolMode;
 
 /// A participant's answer to a two-phase-commit prepare.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,11 +120,20 @@ fn copy(entries: &mut FramePool, bytes: &[u8]) -> Vec<u8> {
     buf
 }
 
-/// A replica type that keeps its state in a [`ReplicaStore`] — what the
-/// sharded driver requires of the replicas it runs.
-pub trait StoreReplica: Replica {
+/// A replica type that keeps its state in a [`ReplicaStore`] and that the
+/// registry can construct — what the sharded driver requires of the
+/// replicas it runs, and the one way a deployment, a scenario or a figure
+/// builds a replica.
+pub trait StoreReplica: Replica + Sized {
     /// The protocol this type implements, as the registry knows it.
     const PROTOCOL: Protocol;
+
+    /// Builds replica `id` of the group `membership` describes. A protocol
+    /// without a Recipe transformation ignores `mode`. A protocol without a
+    /// batching pipeline ([`Protocol::batches`]) is given an unbatched
+    /// `batch`: `ShardedCluster::build` refuses to build it under a policy
+    /// that batches.
+    fn build(id: u64, membership: Membership, mode: ProtocolMode, batch: BatchConfig) -> Self;
 
     /// The replica's store.
     fn store(&mut self) -> &mut ReplicaStore;

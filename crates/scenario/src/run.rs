@@ -4,7 +4,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recipe_core::{Operation, Request};
-use recipe_protocols::{BuildReplica, Protocol, ProtocolVisitor};
+use recipe_protocols::{Protocol, ProtocolVisitor, StoreReplica};
 use recipe_shard::{Client, ShardRouter, ShardedCluster, ShardedRunStats};
 use recipe_telemetry::{SpanKind, TelemetryReport};
 use recipe_workload::{stable_key_hash, TxnWorkloadGenerator};
@@ -50,14 +50,14 @@ pub fn run_protocol(scenario: &Scenario, protocol: Protocol) -> ScenarioOutcome 
     struct Drive<'a>(&'a Scenario);
     impl ProtocolVisitor for Drive<'_> {
         type Output = ScenarioOutcome;
-        fn visit<R: BuildReplica>(self) -> ScenarioOutcome {
+        fn visit<R: StoreReplica>(self) -> ScenarioOutcome {
             drive::<R>(self.0)
         }
     }
     recipe_bft::dispatch(protocol, Drive(scenario))
 }
 
-fn drive<R: BuildReplica>(scenario: &Scenario) -> ScenarioOutcome {
+fn drive<R: StoreReplica>(scenario: &Scenario) -> ScenarioOutcome {
     let mut cluster = ShardedCluster::<R>::build(scenario.deployment.clone());
     let mut failures = Vec::new();
     let stats = run_workload(&mut cluster, &scenario.workload, &mut failures);
@@ -88,7 +88,7 @@ fn drive<R: BuildReplica>(scenario: &Scenario) -> ScenarioOutcome {
 /// stream, leaving the cluster to the caller afterwards. A workload the
 /// deployment cannot serve as described adds a message to `failures` and
 /// still runs.
-pub fn run_workload<R: BuildReplica>(
+pub fn run_workload<R: StoreReplica>(
     cluster: &mut ShardedCluster<R>,
     workload: &WorkloadKind,
     failures: &mut Vec<String>,

@@ -27,10 +27,12 @@
 //!   group's, and dispatches; the rebalancing controller's deadline is
 //!   derived, not queued, and runs when it sorts before the calendar's head;
 //! * a driver event goes to its handler: `Fresh` → `on_fresh` → `admit` →
-//!   `route` → `submit_single` | `begin_txn`; `GatewayRetry` re-enters at
+//!   `route` → `submit_single` | `txn_begin`; `GatewayRetry` re-enters at
 //!   `admit`, `Retry` at `route`; `TxnRetry` → `on_txn_retry`, `TxnAdvance` →
-//!   `on_txn_advance` (both in [`crate::txn`]); the controller's deadline →
-//!   `on_controller` (in [`crate::migration`]); a group's → `on_group_event`;
+//!   `txn_advance` (both in [`crate::txn`] with `txn_begin`; `txn_advance`
+//!   resolves a transaction where its last phase lands and accounts it
+//!   there); the controller's deadline → `on_controller` (in
+//!   [`crate::migration`]); a group's → `on_group_event`;
 //! * `schedule` is the only push of a driver event; `record_commit` is the
 //!   only commit accounting — single-key and transactional operations alike,
 //!   each counted once in the run's books and in its shard's, the groups
@@ -47,7 +49,7 @@ use recipe_workload::stable_key_hash;
 use crate::migration::{ControllerState, RebalanceConfig};
 use crate::router::{RouteDecision, RouterVersion};
 use crate::sharded::{Books, PoolCounts, ShardedCluster, ShardedRunStats, TimelineBucket};
-use crate::txn::{Plane, TxnManager, TxnResolution, CONFLICT_BACKOFF_NS};
+use crate::txn::{Plane, TxnManager};
 
 /// Work carried by one driver event.
 #[derive(Debug)]
@@ -157,7 +159,7 @@ struct ClientState {
 /// One run of the request driver over a [`ShardedCluster`].
 pub(crate) struct Engine<'a, R: Replica> {
     pub(crate) cluster: &'a mut ShardedCluster<R>,
-    workload: &'a mut dyn Client,
+    pub(crate) workload: &'a mut dyn Client,
     pub(crate) rb: RebalanceConfig,
     cap: u64,
     target: u64,
@@ -179,14 +181,14 @@ pub(crate) struct Engine<'a, R: Replica> {
     pub(crate) now: u64,
     books: Books,
     timeline: Vec<u64>,
-    timeline_aborts: Vec<u64>,
+    pub(crate) timeline_aborts: Vec<u64>,
     /// [`ShardedCluster::pool_counts`] when the run began.
     pools_at_start: (PoolCounts, PoolCounts),
 }
 
 /// Adds `count` to the bucket of width `width_ns` that `at_ns` falls in (a
 /// zero width disables the timeline).
-fn bucket(timeline: &mut Vec<u64>, width_ns: u64, at_ns: u64, count: u64) {
+pub(crate) fn bucket(timeline: &mut Vec<u64>, width_ns: u64, at_ns: u64, count: u64) {
     if let Some(bucket) = at_ns.checked_div(width_ns) {
         let bucket = bucket as usize;
         if timeline.len() <= bucket {
@@ -340,7 +342,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                 txn_id,
                 participant,
             } => self.on_txn_retry(txn_id, participant, at),
-            DriverWork::TxnAdvance { txn_id } => self.on_txn_advance(txn_id, at),
+            DriverWork::TxnAdvance { txn_id } => self.txn_advance(txn_id, at),
             // Past the target clients issue nothing: a fresh draw, a retry
             // and a deferred admission are all moot.
             _ if past_target => {}
@@ -471,7 +473,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
             Request::Single(operation) => {
                 self.submit_single(client_id, rid, operation, placements[0].1, at);
             }
-            Request::Txn(ops) => self.begin_txn(client_id, rid, ops, placements, at),
+            Request::Txn(ops) => self.txn_begin(client_id, rid, ops, placements, at),
         }
     }
 
@@ -493,102 +495,35 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
         }
     }
 
-    /// Starts 2PC for a routed transaction.
-    fn begin_txn(
-        &mut self,
-        client_id: u64,
-        rid: u64,
-        ops: Vec<Operation>,
-        placements: &[(usize, usize)],
-        at: u64,
-    ) {
-        if ops.is_empty() {
-            // A degenerate empty transaction commits trivially; the client
-            // moves on.
-            return self.schedule(
-                at + COST_MODEL.client_think_ns,
-                client_id,
-                DriverWork::Fresh,
-            );
-        }
-        if let Err(ops) = self.txn_begin(client_id, rid, ops, placements, at) {
-            // A participant group has no live coordinator; retry the whole
-            // transaction.
-            let retry = DriverWork::Retry(rid, Request::Txn(ops));
-            self.schedule(at + 1_000_000, client_id, retry);
-        }
-    }
-
-    /// Every round trip of a 2PC phase landed: advance the transaction and
-    /// account its outcome, if it has one.
-    fn on_txn_advance(&mut self, txn_id: u64, at: u64) {
-        match self.txn_advance(txn_id, at) {
-            TxnResolution::Pending => return,
-            TxnResolution::Committed(done) => {
-                self.now = self.now.max(done.finished_at);
-                self.workload.done(&Reply {
-                    client: done.client_id,
-                    request_id: done.request_id,
-                    at_ns: done.finished_at,
-                    value: None,
-                });
-                self.workload.reclaim(done.request);
-                self.record_commit(
-                    done.client_id,
-                    done.finished_at,
-                    done.latency_ns,
-                    &done.op_placements,
-                );
-                self.txns.give_placements(done.op_placements);
-            }
-            TxnResolution::Aborted {
-                client_id,
-                request_id,
-                finished_at,
-                request,
-            } => {
-                self.now = self.now.max(finished_at);
-                bucket(
-                    &mut self.timeline_aborts,
-                    self.rb.timeline_bucket_ns,
-                    finished_at,
-                    1,
-                );
-                // Deterministic per-client jitter breaks the symmetry of
-                // mutually aborting transactions.
-                let backoff = CONFLICT_BACKOFF_NS + client_id * 7_919;
-                let retry = DriverWork::Retry(request_id, request);
-                self.schedule(finished_at + backoff, client_id, retry);
-            }
-        }
-        self.maybe_finish_cutover();
-    }
-
     /// The only commit accounting: one committed request — a single-key
     /// completion or a whole transaction, `ops` being its `(shard, arc,
-    /// is_write)` operations — counted once in the run's books and in its
-    /// shards', then the client's next draw scheduled.
-    fn record_commit(
+    /// is_write)` operations, those of one shard together — counted once
+    /// in the run's books and in its shards', then the client's next draw
+    /// scheduled.
+    pub(crate) fn record_commit(
         &mut self,
         client_id: u64,
         at_ns: u64,
         latency_ns: u64,
-        ops: &[(usize, usize, bool)],
+        ops: impl IntoIterator<Item = (usize, usize, bool)>,
     ) {
-        for (i, &(shard, arc, is_write)) in ops.iter().enumerate() {
+        let (mut count, mut last_shard) = (0, None);
+        for (shard, arc, is_write) in ops {
             self.books.count(shard, is_write);
-            // One latency sample per shard the request touched, the first
-            // shard's also the run's.
-            if !ops[..i].iter().any(|&(seen, ..)| seen == shard) {
-                self.books.sample(latency_ns, shard, i == 0);
+            // One latency sample per shard the request touched, at its
+            // first operation there; the first shard's is also the run's.
+            if last_shard != Some(shard) {
+                self.books.sample(latency_ns, shard, last_shard.is_none());
+                last_shard = Some(shard);
             }
             self.st.window_shard[shard] += 1;
             self.st.window_arc[arc] += 1;
+            count += 1;
         }
         let width = self.rb.timeline_bucket_ns;
-        bucket(&mut self.timeline, width, at_ns, ops.len() as u64);
+        bucket(&mut self.timeline, width, at_ns, count as u64);
         if let Some(gateway) = self.gateway.as_mut() {
-            gateway.complete(client_id, at_ns, ops.len());
+            gateway.complete(client_id, at_ns, count);
         }
         let next_at = at_ns + COST_MODEL.link_latency_ns + COST_MODEL.client_think_ns;
         self.schedule(next_at, client_id, DriverWork::Fresh);
@@ -631,7 +566,7 @@ impl<'a, R: StoreReplica> Engine<'a, R> {
                 completion.client_id,
                 completion.at_ns,
                 completion.latency_ns,
-                &[(shard, arc, is_write)],
+                [(shard, arc, is_write)],
             );
         }
         self.cluster.completions = completions;

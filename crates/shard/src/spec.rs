@@ -19,7 +19,7 @@
 //! * **one consumer** — [`ShardedCluster::build`] resolves the spec once into
 //!   the cluster's [`ShardedConfig`]: one [`ResolvedShardPolicy`] per shard
 //!   beside the spec-level values a run reads. Each shard's replicas are
-//!   built under its policy through [`recipe_protocols::BuildReplica`] —
+//!   built under its policy through [`recipe_protocols::StoreReplica`] —
 //!   Recipe-transformed where the resolved profile is `shielded`, native
 //!   where it is not, so the mode is never a knob of its own — and its
 //!   group's simulator configuration is made from the same policy.
@@ -51,7 +51,7 @@ use std::collections::BTreeMap;
 
 use recipe_core::{ConfidentialityMode, Membership};
 use recipe_net::{CrashPlan, FaultPlan};
-use recipe_protocols::{BatchConfig, BuildReplica, ProtocolMode, MAX_CLIENTS, MAX_SHARDS};
+use recipe_protocols::{BatchConfig, ProtocolMode, StoreReplica, MAX_CLIENTS, MAX_SHARDS};
 use recipe_sim::CostProfile;
 
 use crate::migration::RebalanceConfig;
@@ -576,7 +576,7 @@ fn validate_crash_plan(plan: &CrashPlan, replicas: usize, field: &str) -> Result
     Ok(())
 }
 
-impl<R: BuildReplica> ShardedCluster<R> {
+impl<R: StoreReplica> ShardedCluster<R> {
     /// Builds a sharded cluster from a [`DeploymentSpec`]. Every replica is
     /// constructed under its shard's resolved policy, so confidentiality,
     /// batching, cost profile and fault plan are all per-shard properties.
@@ -670,7 +670,7 @@ mod tests {
         struct Drive;
         impl ProtocolVisitor for Drive {
             type Output = u64;
-            fn visit<R: BuildReplica>(self) -> u64 {
+            fn visit<R: StoreReplica>(self) -> u64 {
                 let spec = DeploymentSpec::new(2, R::PROTOCOL.min_replicas(1))
                     .with_faults_tolerated(1)
                     .with_clients(4, 40);

@@ -21,6 +21,14 @@
 //!    client retries the whole transaction after a deterministic backoff
 //!    with per-client jitter.
 //!
+//! The coordinator is part of the driver's one `Engine`: `txn_begin` takes
+//! a routed transaction (or retries it whole while a participant group has
+//! no leader), and `txn_advance` resolves it where its last phase lands. A
+//! participant keeps its operations with the ring arc routing resolved for
+//! each, so a commit is accounted from them where they lie, through the
+//! driver's one commit accounting (`record_commit`), before the client takes
+//! the operations back (`Client::reclaim`).
+//!
 //! Every 2PC frame — prepare, vote, commit, abort, ack — is a
 //! [`recipe_core::TxnFrame`]: MAC'd under the lane's attestation-provisioned
 //! key, stamped with the lane's trusted counter, carrying its transaction id
@@ -80,7 +88,7 @@ use recipe_sim::{Work, COST_MODEL};
 use recipe_telemetry::{ChargeKind, SpanKind};
 use recipe_workload::stable_key_hash;
 
-use crate::driver::{DriverWork, Engine};
+use crate::driver::{bucket, DriverWork, Engine, Reply};
 use crate::spec::MAX_REPLICAS_PER_SHARD;
 
 /// How long the coordinator waits for a phase round trip before
@@ -88,9 +96,9 @@ use crate::spec::MAX_REPLICAS_PER_SHARD;
 const RETRY_TIMEOUT_NS: u64 = 2_000_000;
 
 /// Base client backoff after an aborted (lock-conflict) transaction attempt,
-/// virtual ns. The driver adds a per-client jitter on top so two
-/// symmetrically conflicting transactions cannot re-collide forever.
-pub(crate) const CONFLICT_BACKOFF_NS: u64 = 400_000;
+/// virtual ns. A per-client jitter goes on top so two symmetrically
+/// conflicting transactions cannot re-collide forever.
+const CONFLICT_BACKOFF_NS: u64 = 400_000;
 
 /// Counters of the transaction machinery for one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -163,7 +171,9 @@ struct Participant {
     shard: usize,
     /// Sub-operations routed to this shard, in client order.
     ops: Vec<Operation>,
-    /// Ring arcs the sub-operations live on (drain / capture checks).
+    /// The ring arc of each sub-operation, in operation order: where
+    /// routing resolved it, read by the drain check and the commit's
+    /// accounting.
     arcs: Vec<usize>,
     /// The sealed request of the current phase, cached for retransmission.
     /// Both wires go back to the lanes' free list when the next phase is
@@ -228,47 +238,6 @@ impl InflightTxn {
     }
 }
 
-/// A committed transaction, handed to the driver for completion accounting.
-pub(crate) struct CommittedTxn {
-    pub(crate) client_id: u64,
-    pub(crate) request_id: u64,
-    pub(crate) latency_ns: u64,
-    pub(crate) finished_at: u64,
-    /// `(shard, arc, is_write)` per operation, participant-major — the
-    /// shape `Engine::record_commit` accounts. Give the list back
-    /// ([`TxnManager::give_placements`]) once accounted.
-    pub(crate) op_placements: Vec<(usize, usize, bool)>,
-    /// The client's request, its operations participant-major, for the
-    /// client to take back (`Client::reclaim`).
-    pub(crate) request: Vec<Operation>,
-}
-
-/// How an `Engine::txn_advance` resolved.
-pub(crate) enum TxnResolution {
-    /// The transaction moved to its next phase (or is still collecting
-    /// round trips); nothing for the driver to account yet.
-    Pending,
-    /// Committed: the driver records completions and re-issues the client.
-    Committed(CommittedTxn),
-    /// Aborted: the driver requeues the whole request after a backoff.
-    Aborted {
-        /// The issuing client.
-        client_id: u64,
-        /// The request id to retry under.
-        request_id: u64,
-        /// Virtual time the abort finished on every participant.
-        finished_at: u64,
-        /// The original request, rebuilt for the retry.
-        request: Request,
-    },
-}
-
-/// What one round-trip attempt produced.
-enum RoundTrip {
-    Done,
-    Retry { retry_at: u64 },
-}
-
 /// Which way a leg of a round trip travels on its lane.
 #[derive(Clone, Copy)]
 enum Leg {
@@ -323,7 +292,8 @@ pub(crate) struct TxnManager {
 
 /// The coordinator's free lists: emptied participant records and
 /// participant lists of resolved transactions (no more than were ever in
-/// flight at once), and the two lists each commit fills and empties again.
+/// flight at once), and the list each participant's commit fills and
+/// empties again.
 #[derive(Default)]
 struct Spares {
     participants: Vec<Participant>,
@@ -331,7 +301,6 @@ struct Spares {
     /// The applied records of the commit being installed, in buffers of the
     /// participant leader's ([`recipe_protocols::ReplicaStore::txn_commit`]).
     committed: Vec<ExportedEntry>,
-    placements: Vec<(usize, usize, bool)>,
 }
 
 impl TxnManager {
@@ -344,12 +313,6 @@ impl TxnManager {
             staged_per_shard: vec![0; shards],
             spares: Spares::default(),
         }
-    }
-
-    /// Takes back the list a [`CommittedTxn`] carried, once accounted.
-    pub(crate) fn give_placements(&mut self, mut placements: Vec<(usize, usize, bool)>) {
-        placements.clear();
-        self.spares.placements = placements;
     }
 
     /// Files a resolved transaction's participants and their list, emptied,
@@ -468,9 +431,9 @@ const _: () = {
 impl<R: StoreReplica> Engine<'_, R> {
     /// Starts 2PC for one routed transaction. `per_op` pairs each operation
     /// of `ops` with its `(arc, shard)` placement, resolved by the caller
-    /// under the client's refreshed router epoch. Hands the operations back
-    /// when a participant group currently has no live write coordinator (the
-    /// caller requeues the whole request).
+    /// under the client's refreshed router epoch. An empty transaction
+    /// commits trivially; one with a participant group that has no live
+    /// write coordinator now is retried whole after 1 ms.
     pub(crate) fn txn_begin(
         &mut self,
         client_id: u64,
@@ -478,8 +441,13 @@ impl<R: StoreReplica> Engine<'_, R> {
         mut ops: Vec<Operation>,
         per_op: &[(usize, usize)],
         at: u64,
-    ) -> Result<(), Vec<Operation>> {
+    ) {
         debug_assert_eq!(ops.len(), per_op.len());
+        if ops.is_empty() {
+            // The client moves on.
+            let next_at = at + COST_MODEL.client_think_ns;
+            return self.schedule(next_at, client_id, DriverWork::Fresh);
+        }
         // A lane is sequential because its client is: two transactions of
         // one client interleaved on a lane would each wait for ever behind
         // the other's counter slots.
@@ -496,7 +464,8 @@ impl<R: StoreReplica> Engine<'_, R> {
             .iter()
             .any(|&(_, shard)| self.cluster.shards[shard].write_coordinator().is_none())
         {
-            return Err(ops);
+            let retry = DriverWork::Retry(request_id, Request::Txn(ops));
+            return self.schedule(at + 1_000_000, client_id, retry);
         }
 
         let txn_id = self.txns.next_txn_id;
@@ -508,7 +477,7 @@ impl<R: StoreReplica> Engine<'_, R> {
             .any(|&(_, shard)| self.cluster.confidentiality_of(shard).is_confidential());
 
         // One participant per shard, in shard order, each with its
-        // operations in client order and the arcs they live on.
+        // operations in client order and the arc of each.
         let spares = &mut self.txns.spares;
         let mut participants = spares.lists.pop().unwrap_or_default();
         for (op, &(arc, shard)) in ops.drain(..).zip(per_op) {
@@ -529,9 +498,7 @@ impl<R: StoreReplica> Engine<'_, R> {
             };
             let p = &mut participants[index];
             p.ops.push(op);
-            if !p.arcs.contains(&arc) {
-                p.arcs.push(arc);
-            }
+            p.arcs.push(arc);
         }
         participants.sort_unstable_by_key(|p| p.shard);
         self.txns.stats.participants += participants.len() as u64;
@@ -571,7 +538,6 @@ impl<R: StoreReplica> Engine<'_, R> {
 
         self.txn_pump(&mut txn, None, at);
         self.txns.inflight.insert(txn_id, txn);
-        Ok(())
     }
 
     /// Handles a retransmission timer for one participant round trip.
@@ -584,13 +550,15 @@ impl<R: StoreReplica> Engine<'_, R> {
     }
 
     /// Handles a phase-advance event: all round trips of the current phase
-    /// landed at `at`. Decides (after prepare), completes (after commit) or
-    /// resolves the retry (after abort).
-    pub(crate) fn txn_advance(&mut self, txn_id: u64, at: u64) -> TxnResolution {
+    /// landed at `at`. Decides (after prepare), or resolves and accounts
+    /// the outcome: a commit is counted and its client moves on, an abort
+    /// is retried whole after a backoff.
+    pub(crate) fn txn_advance(&mut self, txn_id: u64, at: u64) {
         let Some(mut txn) = self.txns.inflight.remove(&txn_id) else {
-            return TxnResolution::Pending;
+            return;
         };
         debug_assert!(txn.phase_done(), "advance fired before the phase landed");
+        let finished_at = txn.phase_ready_at();
         match txn.phase {
             TxnPhase::Preparing => {
                 let all_granted = txn.participants.iter().all(|p| p.granted == Some(true));
@@ -615,48 +583,48 @@ impl<R: StoreReplica> Engine<'_, R> {
                 }
                 self.txn_pump(&mut txn, None, at);
                 self.txns.inflight.insert(txn_id, txn);
-                TxnResolution::Pending
+                return;
             }
             TxnPhase::Committing => {
-                let finished_at = txn.phase_ready_at();
-                let mut op_placements = std::mem::take(&mut self.txns.spares.placements);
-                let cross_shard = txn.participants.len() > 1;
-                for p in &txn.participants {
-                    for op in &p.ops {
-                        let arc = self.cluster.router.arc_of_point(stable_key_hash(op.key()));
-                        op_placements.push((p.shard, arc, op.is_write()));
-                    }
-                }
+                self.now = self.now.max(finished_at);
+                self.workload.done(&Reply {
+                    client: txn.client_id,
+                    request_id: txn.request_id,
+                    at_ns: finished_at,
+                    value: None,
+                });
+                // Accounted where the operations lie, each at the arc
+                // routing resolved for it, before the client takes them
+                // back.
+                let ops = txn.participants.iter().flat_map(|p| {
+                    let placed = p.ops.iter().zip(&p.arcs);
+                    placed.map(|(op, &arc)| (p.shard, arc, op.is_write()))
+                });
+                let latency_ns = finished_at.saturating_sub(txn.issued_at);
+                self.record_commit(txn.client_id, finished_at, latency_ns, ops);
                 let request = txn.take_request();
-                self.txns.retire(&mut txn.participants);
                 let stats = &mut self.txns.stats;
                 stats.committed += 1;
-                stats.committed_ops += op_placements.len() as u64;
-                if cross_shard {
-                    stats.cross_shard_committed += 1;
-                }
-                TxnResolution::Committed(CommittedTxn {
-                    client_id: txn.client_id,
-                    request_id: txn.request_id,
-                    latency_ns: finished_at.saturating_sub(txn.issued_at),
-                    finished_at,
-                    op_placements,
-                    request,
-                })
+                stats.committed_ops += request.len() as u64;
+                stats.cross_shard_committed += u64::from(txn.participants.len() > 1);
+                self.txns.retire(&mut txn.participants);
+                self.workload.reclaim(request);
             }
             TxnPhase::Aborting => {
                 self.txns.stats.aborted += 1;
-                let finished_at = txn.phase_ready_at();
+                self.now = self.now.max(finished_at);
                 let request = Request::Txn(txn.take_request());
                 self.txns.retire(&mut txn.participants);
-                TxnResolution::Aborted {
-                    client_id: txn.client_id,
-                    request_id: txn.request_id,
-                    finished_at,
-                    request,
-                }
+                let width = self.rb.timeline_bucket_ns;
+                bucket(&mut self.timeline_aborts, width, finished_at, 1);
+                // Deterministic per-client jitter breaks the symmetry of
+                // mutually aborting transactions.
+                let backoff = CONFLICT_BACKOFF_NS + txn.client_id * 7_919;
+                let retry = DriverWork::Retry(txn.request_id, request);
+                self.schedule(finished_at + backoff, txn.client_id, retry);
             }
         }
+        self.maybe_finish_cutover();
     }
 
     /// Runs round trips for the not-yet-done participants of the current
@@ -670,12 +638,12 @@ impl<R: StoreReplica> Engine<'_, R> {
             if txn.participants[participant].done || only.is_some_and(|o| o != participant) {
                 continue;
             }
-            if let RoundTrip::Retry { retry_at } = self.txn_round_trip(txn, participant, at) {
+            if !self.txn_round_trip(txn, participant, at) {
                 let retry = DriverWork::TxnRetry {
                     txn_id,
                     participant,
                 };
-                self.schedule(retry_at, client_id, retry);
+                self.schedule(at + RETRY_TIMEOUT_NS, client_id, retry);
             }
         }
         if !was_done && txn.phase_done() {
@@ -722,11 +690,10 @@ impl<R: StoreReplica> Engine<'_, R> {
         landed
     }
 
-    /// One attempt of the current phase's round trip on participant `idx`.
-    fn txn_round_trip(&mut self, txn: &mut InflightTxn, idx: usize, at: u64) -> RoundTrip {
-        let retry = RoundTrip::Retry {
-            retry_at: at + RETRY_TIMEOUT_NS,
-        };
+    /// One attempt of the current phase's round trip on participant `idx`:
+    /// whether it landed (the caller retransmits after [`RETRY_TIMEOUT_NS`]
+    /// when it did not).
+    fn txn_round_trip(&mut self, txn: &mut InflightTxn, idx: usize, at: u64) -> bool {
         let (txn_id, client_id, sealed) = (txn.txn_id, txn.client_id, txn.sealed);
         let p = &mut txn.participants[idx];
         let shard = p.shard;
@@ -745,7 +712,7 @@ impl<R: StoreReplica> Engine<'_, R> {
                 // record makes this safe — the group's next write
                 // coordinator adopts the in-flight transaction and answers
                 // the retried frame.
-                return retry;
+                return false;
             };
             // Request leg: the participant has not executed this phase yet.
             // Nothing steps the group before the request lands, so it lands
@@ -756,7 +723,7 @@ impl<R: StoreReplica> Engine<'_, R> {
                 .map(|(body, arrival)| self.txn_execute_on(txn_id, p, leader, body, arrival));
             self.txns.give_opened(opened);
             let Some((response, finish)) = executed else {
-                return retry;
+                return false;
             };
             p.processed_finish = finish;
             let mut lane = self.txns.lanes.lane(client_id, shard);
@@ -777,7 +744,7 @@ impl<R: StoreReplica> Engine<'_, R> {
             });
         self.txns.give_opened(opened);
         let Some((vote, response_kind, arrival)) = delivered else {
-            return retry;
+            return false;
         };
         if let Some(granted) = vote {
             p.granted = Some(granted);
@@ -790,7 +757,7 @@ impl<R: StoreReplica> Engine<'_, R> {
         if let Some(t) = self.cluster.shards[shard].telemetry_mut() {
             t.instant(response_kind, 0, arrival, txn_id);
         }
-        RoundTrip::Done
+        true
     }
 
     /// Executes one delivered 2PC request on the participant shard's
@@ -971,15 +938,11 @@ mod tests {
         let mut engine = Engine::new(&mut cluster, &mut workload);
         let ops = vec![Operation::Get { key: b"k".to_vec() }];
         let placements = [(0, 0)];
-        engine
-            .txn_begin(0, 1, ops.clone(), &placements, 0)
-            .expect("every group has its first leader");
+        engine.txn_begin(0, 1, ops.clone(), &placements, 0);
         // Another client's transaction is no business of this client's lanes …
-        engine
-            .txn_begin(1, 1, ops.clone(), &placements, 0)
-            .expect("every group has its first leader");
+        engine.txn_begin(1, 1, ops.clone(), &placements, 0);
         // … its own second one would interleave with the first on lane (0, 0).
-        let _ = engine.txn_begin(0, 2, ops, &placements, 0);
+        engine.txn_begin(0, 2, ops, &placements, 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use recipe::bft::dispatch;
 use recipe::core::ConfidentialityMode;
-use recipe::protocols::{BuildReplica, Protocol, ProtocolMode, ProtocolVisitor};
+use recipe::protocols::{Protocol, ProtocolMode, ProtocolVisitor, StoreReplica};
 use recipe::shard::{DeploymentSpec, ShardedCluster};
 use recipe::sim::RunStats;
 use recipe::workload::WorkloadSpec;
@@ -30,7 +30,7 @@ struct Run {
 impl ProtocolVisitor for Run {
     type Output = RunStats;
 
-    fn visit<R: BuildReplica>(self) -> RunStats {
+    fn visit<R: StoreReplica>(self) -> RunStats {
         let spec = DeploymentSpec::new(1, R::PROTOCOL.min_replicas(1))
             .with_profile(R::PROTOCOL.cost_profile(PLAINTEXT))
             .with_clients(16, 800);

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recipe::bft::dispatch;
 use recipe::core::{ConfidentialityMode, Operation};
-use recipe::protocols::{BuildReplica, Consistency, Protocol, ProtocolMode, ProtocolVisitor};
+use recipe::protocols::{Consistency, Protocol, ProtocolMode, ProtocolVisitor, StoreReplica};
 use recipe::shard::{DeploymentSpec, ShardedCluster};
 
 use common::history::{History, Op};
@@ -230,7 +230,7 @@ struct Recorded;
 impl ProtocolVisitor for Recorded {
     type Output = (History, Consistency);
 
-    fn visit<R: BuildReplica>(self) -> Self::Output {
+    fn visit<R: StoreReplica>(self) -> Self::Output {
         let protocol = R::PROTOCOL;
         let spec = DeploymentSpec::new(1, protocol.min_replicas(1))
             .with_profile(protocol.cost_profile(PLAINTEXT))

@@ -15,7 +15,7 @@ use recipe::core::{ConfidentialityMode, Membership, Operation};
 use recipe::kv::ExportedEntry;
 use recipe::net::FaultPlan;
 use recipe::protocols::{
-    BatchConfig, BuildReplica, Capacity, Protocol, ProtocolMode, ProtocolVisitor, Role,
+    BatchConfig, Capacity, Protocol, ProtocolMode, ProtocolVisitor, Role, StoreReplica,
 };
 use recipe::shard::{DeploymentSpec, ShardedCluster};
 use recipe::sim::{NodeBooks, RunStats, SimCluster, SimConfig, StepOutcome};
@@ -103,7 +103,7 @@ struct Run<W> {
 impl<W: FnMut(u64, u64) -> Operation> ProtocolVisitor for Run<W> {
     type Output = Outcome;
 
-    fn visit<R: BuildReplica>(mut self) -> Outcome {
+    fn visit<R: StoreReplica>(mut self) -> Outcome {
         let mut cluster = ShardedCluster::<R>::build(self.spec);
         let mut history = History::default();
         let workload = |client, seq| Some((self.workload)(client, seq).into());
@@ -384,7 +384,7 @@ struct FinalState(ProtocolMode);
 impl ProtocolVisitor for FinalState {
     type Output = (u64, Vec<Vec<ExportedEntry>>);
 
-    fn visit<R: BuildReplica>(self) -> Self::Output {
+    fn visit<R: StoreReplica>(self) -> Self::Output {
         const OPS: u64 = 150;
         let m = Membership::of_size(3, 1);
         let replicas = (0..3)

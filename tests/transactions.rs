@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use recipe::bft::dispatch;
 use recipe::core::{ConfidentialityMode, Operation, Request};
 use recipe::net::FaultPlan;
-use recipe::protocols::{BuildReplica, Protocol, ProtocolMode, ProtocolVisitor, RaftReplica};
+use recipe::protocols::{Protocol, ProtocolMode, ProtocolVisitor, RaftReplica, StoreReplica};
 use recipe::shard::{
     DeploymentSpec, RebalanceConfig, ShardPolicy, ShardedCluster, ShardedRunStats,
 };
@@ -92,6 +92,46 @@ fn transactional_and_single_key_traffic_interleave() {
     check_sharded_contract(&spec, &stats, None).unwrap();
     // Single-key commits flow through the shards' own protocol pipelines.
     assert!(stats.total.committed > stats.txn.committed_ops);
+    check_run(&mut cluster, &mut history).unwrap();
+}
+
+/// Every transaction writes two keys of shard 0 and one of shard 1: each
+/// operation is counted once, on its own shard, and each request's latency
+/// is sampled once per shard it touched, so both shards read the run's
+/// latency figures.
+#[test]
+fn a_cross_shard_transaction_counts_each_operation_and_samples_each_shard_once() {
+    let spec = txn_spec(2, 4, 300);
+    let mut cluster = ShardedCluster::<RaftReplica>::build(spec.clone());
+    let router = cluster.router();
+    let (first, second) = (router.hot_range(0, 8, 4), router.hot_range(1, 8, 4));
+    let mut history = History::default();
+    let stats = cluster.run_requests(history.record(move |client: u64, seq: u64| {
+        let i = (client * 1_000 + seq) as usize;
+        let put = |keys: &Vec<Vec<u8>>, at: usize| Operation::Put {
+            key: keys[at % keys.len()].clone(),
+            value: unique_64b(client, seq),
+        };
+        Some(Request::Txn(vec![
+            put(&first, 2 * i),
+            put(&second, i),
+            put(&first, 2 * i + 1),
+        ]))
+    }));
+    let (shard0, shard1) = (&stats.per_shard[0], &stats.per_shard[1]);
+    assert!(stats.txn.cross_shard_committed > 0);
+    assert_eq!(stats.txn.cross_shard_committed, stats.txn.committed);
+    assert_eq!(shard0.committed, 2 * shard1.committed);
+    assert_eq!(shard0.committed + shard1.committed, stats.total.committed);
+    assert_eq!(stats.total.committed, stats.txn.committed_ops);
+    for shard in [shard0, shard1] {
+        let figures = |s: &recipe::sim::RunStats| {
+            let (mean, p50, p90) = (s.mean_latency_us, s.p50_latency_us, s.p90_latency_us);
+            [mean, p50, p90, s.p99_latency_us, s.p999_latency_us]
+        };
+        assert_eq!(figures(shard), figures(&stats.total));
+    }
+    check_sharded_contract(&spec, &stats, None).unwrap();
     check_run(&mut cluster, &mut history).unwrap();
 }
 
@@ -383,7 +423,7 @@ struct GridCell {
 impl ProtocolVisitor for GridCell {
     type Output = ShardedRunStats;
 
-    fn visit<R: BuildReplica>(self) -> ShardedRunStats {
+    fn visit<R: StoreReplica>(self) -> ShardedRunStats {
         let mut cluster = ShardedCluster::<R>::build(self.spec);
         let router = cluster.router().clone();
         let mut txns = self.txns.generator();
